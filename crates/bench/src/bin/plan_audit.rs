@@ -31,10 +31,10 @@
 //! plan cannot be certified for wave-parallel execution. With `--access`
 //! it runs the access-path certifier (`xform_core::access`) at the
 //! logical level and at both arena granularities, printing each plan's
-//! licensed-step count and every access lint, exiting non-zero if any
+//! unit-stride step count and every access lint, exiting non-zero if any
 //! plan fails certification (error-severity access lints). Strided inner
-//! loops are warnings — they demote steps to the checked kernels but do
-//! not fail the audit.
+//! loops are warnings — those steps run their kernel's strided
+//! instantiation — and do not fail the audit.
 
 use std::collections::HashMap;
 
@@ -147,9 +147,9 @@ fn report_access(title: &str, graph: &Graph, plan: &ExecutionPlan) -> usize {
         match outcome {
             Ok((cert, tag)) => {
                 println!(
-                    "{title} [{tag}]: certified {:#018x} — {}/{} steps licensed, {} warnings",
+                    "{title} [{tag}]: certified {:#018x} — unit-stride {}/{} steps, {} warnings",
                     cert.plan_hash,
-                    cert.licensed_steps(),
+                    cert.unit_stride_steps(),
                     cert.steps.len(),
                     cert.lints.len()
                 );

@@ -122,106 +122,6 @@ fn arena_rows(
     Ok(rows)
 }
 
-/// One row of the checked-vs-unchecked bandwidth scoreboard.
-struct BandwidthRow {
-    kernel: &'static str,
-    /// Bytes one kernel call moves (reads + writes, audit accounting).
-    bytes: usize,
-    checked_us: f64,
-    unchecked_us: f64,
-}
-
-impl BandwidthRow {
-    fn checked_gbps(&self) -> f64 {
-        self.bytes as f64 / 1e3 / self.checked_us
-    }
-    fn unchecked_gbps(&self) -> f64 {
-        self.bytes as f64 / 1e3 / self.unchecked_us
-    }
-    fn speedup(&self) -> f64 {
-        self.checked_us / self.unchecked_us
-    }
-}
-
-/// Times `f` and returns the minimum wall-clock microseconds over `reps`
-/// runs (one warmup call first).
-fn min_us(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-    best
-}
-
-/// The achieved-bandwidth scoreboard: the memory-bound normalization
-/// kernels (softmax, layernorm) on a unit-stride lane geometry — exactly
-/// the pattern the access certifier licenses — timed through the checked
-/// kernels and their certified unchecked twins on identical buffers.
-fn bandwidth_rows() -> Vec<BandwidthRow> {
-    use rand::distributions::Distribution;
-    use xform_tensor::into_ops::{
-        layernorm_into, layernorm_into_dispatch, softmax_scaled_into, softmax_scaled_into_dispatch,
-        LaneGeom,
-    };
-    const BW_REPS: usize = 9;
-    let lane = LaneGeom {
-        pre: 2048,
-        len: 512,
-        post: 1,
-    };
-    let n = lane.elements();
-    let mut rng = StdRng::seed_from_u64(5);
-    let dist = Uniform::new(-2.0f32, 2.0);
-    let x: Vec<f32> = (0..n).map(|_| dist.sample(&mut rng)).collect();
-    let gamma: Vec<f32> = (0..lane.len).map(|_| dist.sample(&mut rng)).collect();
-    let beta: Vec<f32> = (0..lane.len).map(|_| dist.sample(&mut rng)).collect();
-    let mut out = vec![0.0f32; n];
-    let mut mean = vec![0.0f32; lane.lanes()];
-    let mut inv_std = vec![0.0f32; lane.lanes()];
-
-    let sm_checked = min_us(BW_REPS, || {
-        softmax_scaled_into(&x, 0.125, lane, &mut out);
-        std::hint::black_box(&out);
-    });
-    let sm_unchecked = min_us(BW_REPS, || {
-        assert!(softmax_scaled_into_dispatch(&x, 0.125, lane, &mut out));
-        std::hint::black_box(&out);
-    });
-    let ln_checked = min_us(BW_REPS, || {
-        layernorm_into(&x, &gamma, &beta, lane, &mut out, &mut mean, &mut inv_std);
-        std::hint::black_box(&out);
-    });
-    let ln_unchecked = min_us(BW_REPS, || {
-        assert!(layernorm_into_dispatch(
-            &x,
-            &gamma,
-            &beta,
-            lane,
-            &mut out,
-            &mut mean,
-            &mut inv_std
-        ));
-        std::hint::black_box(&out);
-    });
-    vec![
-        BandwidthRow {
-            kernel: "softmax (SM class)",
-            bytes: 2 * n * 4,
-            checked_us: sm_checked,
-            unchecked_us: sm_unchecked,
-        },
-        BandwidthRow {
-            kernel: "layernorm (LN class)",
-            bytes: (2 * n + 2 * lane.len + 2 * lane.lanes()) * 4,
-            checked_us: ln_checked,
-            unchecked_us: ln_unchecked,
-        },
-    ]
-}
-
 fn dims() -> EncoderDims {
     EncoderDims {
         b: 2,
@@ -770,26 +670,6 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // --- certified-unchecked bandwidth scoreboard ---
-    println!(
-        "\nachieved bandwidth, checked kernels vs certified unchecked twins \
-         (unit-stride lanes, min of reps):"
-    );
-    println!(
-        "  {:<22} {:>9} {:>13} {:>15} {:>8}",
-        "kernel", "MiB", "checked GB/s", "unchecked GB/s", "speedup"
-    );
-    for r in bandwidth_rows() {
-        println!(
-            "  {:<22} {:>9.1} {:>13.2} {:>15.2} {:>7.2}x",
-            r.kernel,
-            r.bytes as f64 / (1024.0 * 1024.0),
-            r.checked_gbps(),
-            r.unchecked_gbps(),
-            r.speedup(),
-        );
-    }
-
     // --- profile-guided re-selection ---
     println!("\nprofile-guided re-selection (CPU-measured fallback, sweep ≤48 configs/op):");
     let r = reselection(&pf.graph, &pf.plan, &opts)?;
@@ -877,20 +757,6 @@ fn check() -> Result<(), Box<dyn std::error::Error>> {
             "re-selection: adopted {:.1} µs is worse than natural {:.1} µs",
             r.best_us(),
             r.natural_us()
-        ));
-    }
-
-    // the certified unchecked twins must not regress: at least one
-    // memory-bound kernel class must achieve strictly higher bandwidth
-    // than its checked fallback on the licensed (unit-stride) pattern
-    let rows = bandwidth_rows();
-    if !rows.iter().any(|r| r.unchecked_gbps() > r.checked_gbps()) {
-        bad.push(format!(
-            "unchecked twins: no kernel class beat its checked fallback ({})",
-            rows.iter()
-                .map(|r| format!("{} {:.2}x", r.kernel, r.speedup()))
-                .collect::<Vec<_>>()
-                .join(", ")
         ));
     }
 
@@ -1021,9 +887,8 @@ fn jstr(s: &str) -> String {
 
 /// Writes `BENCH_plan_profile.json`: the machine-readable mirror of the
 /// profile — per-plan per-class measured MUE and achieved bandwidth,
-/// arena slab bytes and allocs/call per granularity, the checked vs
-/// unchecked kernel bandwidth scoreboard, and the fused-vs-epilogue
-/// duels — so the perf trajectory is tracked across PRs.
+/// arena slab bytes and allocs/call per granularity, and the
+/// fused-vs-epilogue duels — so the perf trajectory is tracked across PRs.
 fn json() -> Result<(), Box<dyn std::error::Error>> {
     let dims = dims();
     // decode attend-step shape: one query column against a cache bucket
@@ -1106,19 +971,6 @@ fn json() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let bandwidth: Vec<String> = bandwidth_rows()
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"kernel\":{},\"bytes\":{},\"checked_gbps\":{:.4},\"unchecked_gbps\":{:.4}}}",
-                jstr(r.kernel),
-                r.bytes,
-                r.checked_gbps(),
-                r.unchecked_gbps(),
-            )
-        })
-        .collect();
-
     let duel_rows: Vec<String> = duels(REPS)?
         .iter()
         .map(|d| {
@@ -1171,7 +1023,7 @@ fn json() -> Result<(), Box<dyn std::error::Error>> {
 
     let body = format!(
         "{{\"dims\":{{\"b\":{},\"j\":{},\"k\":{},\"h\":{},\"p\":{},\"i\":{},\"u\":{}}},\
-         \"plans\":{{{}}},\"arena\":[{}],\"bandwidth\":[{}],\"duels\":[{}],\
+         \"plans\":{{{}}},\"arena\":[{}],\"duels\":[{}],\
          \"decode\":{},\
          \"dram_validation\":{{\"llc_bytes\":{},\"rows\":[{}]}}}}\n",
         dims.b,
@@ -1183,7 +1035,6 @@ fn json() -> Result<(), Box<dyn std::error::Error>> {
         dims.u,
         plans.join(","),
         arena.join(","),
-        bandwidth.join(","),
         duel_rows.join(","),
         decode,
         llc,

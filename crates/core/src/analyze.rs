@@ -324,9 +324,10 @@ pub enum PlanLint {
         reason: String,
     },
     /// The operand's innermost-loop access is in-bounds but not unit-stride
-    /// under the selected layout, so the branch-free unchecked inner loop is
-    /// not licensed and the step falls back to the checked path (emitted by
-    /// [`access::certify_access`](crate::access::certify_access)).
+    /// under the selected layout, so the kernel runs its strided
+    /// instantiation — correct, but every lane position is a separate
+    /// bounds-checked, non-vectorizable access (a performance lint emitted
+    /// by [`access::certify_access`](crate::access::certify_access)).
     StridedInnerLoop {
         /// Step index.
         step: usize,
@@ -625,7 +626,7 @@ impl fmt::Display for PlanLint {
                 stride,
             } => write!(
                 f,
-                "step {step} (`{name}`): innermost loop over `{container}` strides by {stride} words — unchecked inner loop not licensed"
+                "step {step} (`{name}`): innermost loop over `{container}` strides by {stride} words — the kernel runs its strided instantiation"
             ),
             PlanLint::TileOverflow {
                 step,

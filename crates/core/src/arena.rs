@@ -40,6 +40,7 @@ use rand::Rng;
 
 use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_tensor::into_ops::{self, BiasMap, CausalMap, ContractPlan, LaneGeom};
+use xform_tensor::lanes::{check_dropout_p, Dropout};
 use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{Axis, Layout, Result, Shape, Tensor, TensorError};
@@ -91,18 +92,12 @@ enum StepExec {
         x: BufView,
         out: BufView,
     },
-    /// Unfused scale-folded softmax.
-    SoftmaxScaled {
+    /// Unfused scale-folded softmax, causal for the masked variant.
+    Softmax {
         x: BufView,
         out: BufView,
         lane: LaneGeom,
-    },
-    /// Unfused masked (causal) softmax.
-    SoftmaxCausal {
-        x: BufView,
-        out: BufView,
-        lane: LaneGeom,
-        causal: CausalMap,
+        causal: Option<CausalMap>,
     },
     /// Fused SM (scale + softmax + dropout), causal for decoders.
     Sm {
@@ -375,9 +370,6 @@ pub struct CompiledArena {
     granularity: ArenaGranularity,
     cert: ArenaCertificate,
     access: AccessCertificate,
-    /// Per step: the access certificate licensed unchecked dispatch AND
-    /// the step's kernel class has an unchecked twin.
-    licensed: Vec<bool>,
     slab_words: usize,
     scratch_words: usize,
     stats_words: usize,
@@ -642,15 +634,6 @@ impl CompiledArena {
             }
         }
 
-        // a step runs its bounds-check-free twin only when the access
-        // certificate proved its paths AND such a twin exists for its
-        // kernel class; everything else takes the checked kernel
-        let licensed: Vec<bool> = steps
-            .iter()
-            .enumerate()
-            .map(|(si, s)| access.licensed(si) && step_has_unchecked_twin(s))
-            .collect();
-
         let slab_words = assignment.slab_words as usize;
 
         // sanitizer poison spans: the whole slab minus persistent ranges
@@ -682,7 +665,6 @@ impl CompiledArena {
             granularity,
             cert,
             access,
-            licensed,
             slab_words,
             scratch_words,
             stats_words,
@@ -717,11 +699,6 @@ impl CompiledArena {
     /// alias-free within the slab.
     pub fn access_certificate(&self) -> &AccessCertificate {
         &self.access
-    }
-
-    /// Number of steps dispatching their bounds-check-free kernel twin.
-    pub fn licensed_steps(&self) -> usize {
-        self.licensed.iter().filter(|&&l| l).count()
     }
 
     /// Slab size in words — the arena's high-water mark.
@@ -801,14 +778,16 @@ impl CompiledArena {
     ///
     /// # Errors
     ///
-    /// Returns an error when a worker panics or the shadow sanitizer
-    /// detects a non-finite output (a read of a dead, reused buffer).
+    /// Returns an error when `run.dropout_p` is outside `[0, 1)`, a worker
+    /// panics, or the shadow sanitizer detects a non-finite output (a read
+    /// of a dead, reused buffer).
     pub fn execute_bound(
         &self,
         run: &ArenaRun,
         bind: &mut dyn FnMut(&str, &mut [f32]) -> bool,
         sink: &mut dyn FnMut(ArenaArtifact<'_>),
     ) -> Result<ArenaOutcome> {
+        check_dropout_p(run.dropout_p)?;
         if run.threads > 1 && self.granularity != ArenaGranularity::Waves {
             return Ok(ArenaOutcome::Busy);
         }
@@ -923,10 +902,8 @@ impl CompiledArena {
                 let mut rng = step_rng(run.seed, si);
                 // SAFETY: the arena certificate proves every pair of
                 // simultaneously-live buffers occupies disjoint slab
-                // ranges, and serial execution never overlaps two steps;
-                // `licensed` only when the access certificate proved this
-                // step's paths.
-                unsafe { run_step(&self.steps[si], self.licensed[si], mem, run, &mut rng) };
+                // ranges, and serial execution never overlaps two steps.
+                unsafe { run_step(&self.steps[si], mem, run, &mut rng) };
             }
             if run.sanitize {
                 self.sanitize_wave(mem, w)?;
@@ -945,10 +922,10 @@ impl CompiledArena {
                 for &si in wave {
                     let mut rng = step_rng(run.seed, si);
                     // SAFETY: as in `run_serial`.
-                    unsafe { run_step(&self.steps[si], self.licensed[si], mem, run, &mut rng) };
+                    unsafe { run_step(&self.steps[si], mem, run, &mut rng) };
                 }
             } else {
-                pool.run_wave(&self.steps, &self.licensed, wave, mem, run)?;
+                pool.run_wave(&self.steps, wave, mem, run)?;
             }
             if run.sanitize {
                 self.sanitize_wave(mem, w)?;
@@ -1188,18 +1165,19 @@ fn compile_step(
             let Some(lane) = lane_of(x_s, *axis) else {
                 return Ok(None);
             };
-            if step.name.contains("Masked") {
+            let causal = if step.name.contains("Masked") {
                 let Some(causal) = causal_of(x_s, *axis) else {
                     return Ok(None);
                 };
-                StepExec::SoftmaxCausal {
-                    x,
-                    out,
-                    lane,
-                    causal,
-                }
+                Some(causal)
             } else {
-                StepExec::SoftmaxScaled { x, out, lane }
+                None
+            };
+            StepExec::Softmax {
+                x,
+                out,
+                lane,
+                causal,
             }
         }
         OpKind::LayerNorm { axis } => {
@@ -1572,26 +1550,9 @@ fn compile_step(
     Ok(Some(exec))
 }
 
-/// `true` when the step's kernel class has a bounds-check-free twin in
-/// `into_ops`. Contractions gather through `copy_strided`/`sgemm` (already
-/// branch-free on packed buffers) and the zip-iterator element-wise
-/// kernels compile without bounds checks as-is, so neither has one.
-fn step_has_unchecked_twin(step: &StepExec) -> bool {
-    !matches!(
-        step,
-        StepExec::Contract { .. }
-            | StepExec::Scale { .. }
-            | StepExec::Dropout { .. }
-            | StepExec::Activate { .. }
-            | StepExec::Residual { .. }
-    )
-}
-
-/// Executes one precompiled step out of the slab. When `licensed` is set
-/// the step's bounds-check-free kernel twin is dispatched; the license is
-/// granted only by a clean [`crate::access::certify_access_arena`] pass
-/// over this exact plan and slab coloring, and every unlicensed step
-/// falls back to the checked kernel.
+/// Executes one precompiled step out of the slab through the `*_into`
+/// drivers, which pick each kernel's unit-stride or strided instantiation
+/// from the step's own lane geometry.
 ///
 /// # Safety
 ///
@@ -1599,17 +1560,10 @@ fn step_has_unchecked_twin(step: &StepExec) -> bool {
 /// step references, and no concurrently-running step may write any word
 /// this step touches — guaranteed by the arena certificate (interval
 /// overlap ⇒ range disjointness) plus the wave partition's race
-/// certificate semantics. When `licensed` is set, the access certificate
-/// must have proven every derived path of this step in-bounds,
-/// unit-stride, and alias-free.
-unsafe fn run_step<R: Rng + ?Sized>(
-    step: &StepExec,
-    licensed: bool,
-    mem: SlabMem,
-    run: &ArenaRun,
-    rng: &mut R,
-) {
-    let p = run.dropout_p;
+/// certificate semantics.
+unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRun, rng: &mut R) {
+    let drop = &mut Dropout::new(run.dropout_p, rng)
+        .expect("dropout_p was validated when the arena run was admitted");
     match step {
         StepExec::Contract {
             a,
@@ -1631,47 +1585,24 @@ unsafe fn run_step<R: Rng + ?Sized>(
             );
         },
         StepExec::Bias { x, bias, out, bmap } => unsafe {
-            let (x, bias, out) = (mem.slab(*x), mem.slab(*bias), mem.slab_mut(*out));
-            if licensed {
-                into_ops::bias_add_into_unchecked(x, bias, bmap, out);
-            } else {
-                into_ops::bias_add_into(x, bias, bmap, out);
-            }
+            into_ops::bias_add_into(mem.slab(*x), mem.slab(*bias), bmap, mem.slab_mut(*out));
         },
         StepExec::InputBias { parts } => unsafe {
             for (x, bias, out, bmap) in parts {
-                let (x, bias, out) = (mem.slab(*x), mem.slab(*bias), mem.slab_mut(*out));
-                if licensed {
-                    into_ops::bias_add_into_unchecked(x, bias, bmap, out);
-                } else {
-                    into_ops::bias_add_into(x, bias, bmap, out);
-                }
+                into_ops::bias_add_into(mem.slab(*x), mem.slab(*bias), bmap, mem.slab_mut(*out));
             }
         },
         StepExec::Scale { x, out } => unsafe {
             into_ops::scale_into(mem.slab(*x), run.scaler, mem.slab_mut(*out));
         },
-        StepExec::SoftmaxScaled { x, out, lane } => unsafe {
-            let (x, out) = (mem.slab(*x), mem.slab_mut(*out));
-            if licensed {
-                into_ops::softmax_scaled_into_unchecked(x, run.scaler, *lane, out);
-            } else {
-                into_ops::softmax_scaled_into(x, run.scaler, *lane, out);
-            }
-        },
-        StepExec::SoftmaxCausal {
+        StepExec::Softmax {
             x,
             out,
             lane,
             causal,
         } => unsafe {
-            let (x, out) = (mem.slab(*x), mem.slab_mut(*out));
-            let c = causal.at(causal.base + run.pos);
-            if licensed {
-                into_ops::softmax_causal_into_unchecked(x, run.scaler, *lane, c, out);
-            } else {
-                into_ops::softmax_causal_into(x, run.scaler, *lane, c, out);
-            }
+            let c = causal.map(|c| c.at(c.base + run.pos));
+            into_ops::softmax_into(mem.slab(*x), run.scaler, *lane, c, mem.slab_mut(*out));
         },
         StepExec::Sm {
             x,
@@ -1688,11 +1619,7 @@ unsafe fn run_step<R: Rng + ?Sized>(
                 mem.slab_mut(*mask),
             );
             let c = causal.map(|c| c.at(c.base + run.pos));
-            if licensed {
-                into_ops::sm_into_unchecked(x, run.scaler, *lane, c, p, rng, softmax, alpha, mask);
-            } else {
-                into_ops::sm_into(x, run.scaler, *lane, c, p, rng, softmax, alpha, mask);
-            }
+            into_ops::sm_into(x, run.scaler, *lane, c, drop, softmax, alpha, mask);
         },
         StepExec::LayerNorm {
             x,
@@ -1711,21 +1638,11 @@ unsafe fn run_step<R: Rng + ?Sized>(
                 mem.stats_mut(*mean),
                 mem.stats_mut(*inv_std),
             );
-            if licensed {
-                into_ops::layernorm_into_unchecked(x, gamma, beta, *lane, out, mean, inv_std);
-            } else {
-                into_ops::layernorm_into(x, gamma, beta, *lane, out, mean, inv_std);
-            }
+            into_ops::layernorm_into(x, gamma, beta, *lane, out, mean, inv_std);
         },
         StepExec::Dropout { x, out, mask } => unsafe {
-            if p > 0.0 {
-                into_ops::dropout_into(
-                    mem.slab(*x),
-                    p,
-                    rng,
-                    mem.slab_mut(*out),
-                    mem.slab_mut(*mask),
-                );
+            if run.dropout_p > 0.0 {
+                into_ops::dropout_into(mem.slab(*x), drop, mem.slab_mut(*out), mem.slab_mut(*mask));
             } else {
                 into_ops::dropout_disabled_into(
                     mem.slab(*x),
@@ -1766,17 +1683,10 @@ unsafe fn run_step<R: Rng + ?Sized>(
                 mem.stats_mut(*mean),
                 mem.stats_mut(*inv_std),
             );
-            if licensed {
-                into_ops::bdrln_into_unchecked(
-                    x, bias, bmap, residual, gamma, beta, *lane, p, rng, mask, ln_input, out, mean,
-                    inv_std,
-                );
-            } else {
-                into_ops::bdrln_into(
-                    x, bias, bmap, residual, gamma, beta, *lane, p, rng, mask, ln_input, out, mean,
-                    inv_std,
-                );
-            }
+            into_ops::bdrln_into(
+                x, bias, bmap, residual, gamma, beta, *lane, drop, mask, ln_input, out, mean,
+                inv_std,
+            );
         },
         StepExec::BrdAct {
             x,
@@ -1793,31 +1703,16 @@ unsafe fn run_step<R: Rng + ?Sized>(
                 mem.slab_mut(*out),
                 mem.slab_mut(*mask),
             );
-            if licensed {
-                into_ops::brd_act_into_unchecked(
-                    x,
-                    bias,
-                    bmap,
-                    run.activation,
-                    p,
-                    rng,
-                    pre_activation,
-                    out,
-                    mask,
-                );
-            } else {
-                into_ops::brd_act_into(
-                    x,
-                    bias,
-                    bmap,
-                    run.activation,
-                    p,
-                    rng,
-                    pre_activation,
-                    out,
-                    mask,
-                );
-            }
+            into_ops::brd_act_into(
+                x,
+                bias,
+                bmap,
+                run.activation,
+                drop,
+                pre_activation,
+                out,
+                mask,
+            );
         },
         StepExec::Bdr {
             x,
@@ -1834,11 +1729,7 @@ unsafe fn run_step<R: Rng + ?Sized>(
                 mem.slab_mut(*mask),
                 mem.slab_mut(*out),
             );
-            if licensed {
-                into_ops::bdr_into_unchecked(x, bias, bmap, residual, p, rng, mask, out);
-            } else {
-                into_ops::bdr_into(x, bias, bmap, residual, p, rng, mask, out);
-            }
+            into_ops::bdr_into(x, bias, bmap, residual, drop, mask, out);
         },
         StepExec::ContractEpilogue {
             a,
@@ -1859,9 +1750,7 @@ unsafe fn run_step<R: Rng + ?Sized>(
                     mem.scratch_mut(*a_off, plan.a_words()),
                     mem.scratch_mut(*b_off, plan.b_words()),
                     mem.scratch_mut(*t_off, *tile_rows * plan.n),
-                    p,
-                    rng,
-                    licensed,
+                    drop,
                     e,
                 );
             };
@@ -1926,7 +1815,6 @@ pub fn env_sanitize_cached() -> bool {
 #[derive(Clone, Copy)]
 struct WaveJob {
     steps: *const StepExec,
-    licensed: *const bool,
     wave: *const usize,
     wave_len: usize,
     mem: SlabMem,
@@ -1940,6 +1828,8 @@ struct PoolState {
     job: Option<WaveJob>,
     running: usize,
     panicked: bool,
+    /// Workers that have reached their wait loop (see [`pool`]).
+    started: usize,
 }
 
 /// The persistent wave-execution pool. Workers are spawned once, on the
@@ -1961,7 +1851,6 @@ impl Pool {
     fn run_wave(
         &self,
         steps: &[StepExec],
-        licensed: &[bool],
         wave: &[usize],
         mem: SlabMem,
         run: &ArenaRun,
@@ -1971,7 +1860,6 @@ impl Pool {
             let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
             st.job = Some(WaveJob {
                 steps: steps.as_ptr(),
-                licensed: licensed.as_ptr(),
                 wave: wave.as_ptr(),
                 wave_len: wave.len(),
                 mem,
@@ -1989,8 +1877,8 @@ impl Pool {
             }
             let si = wave[i];
             let mut rng = step_rng(run.seed, si);
-            // SAFETY: per the arena and access certificates, see `run_step`.
-            unsafe { run_step(&steps[si], licensed[si], mem, run, &mut rng) };
+            // SAFETY: per the arena certificate, see `run_step`.
+            unsafe { run_step(&steps[si], mem, run, &mut rng) };
         }));
         // wait until no worker still holds the job's pointers, then
         // retract it — workers that wake later see `None` and re-wait
@@ -2013,6 +1901,11 @@ impl Pool {
 }
 
 fn worker_loop(pool: &'static Pool) {
+    {
+        let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.started += 1;
+        pool.done_cv.notify_all();
+    }
     let mut seen = 0u64;
     loop {
         let job = {
@@ -2040,15 +1933,7 @@ fn worker_loop(pool: &'static Pool) {
             // worker finishes.
             let si = unsafe { *job.wave.add(i) };
             let mut rng = step_rng(job.run.seed, si);
-            unsafe {
-                run_step(
-                    &*job.steps.add(si),
-                    *job.licensed.add(si),
-                    job.mem,
-                    &job.run,
-                    &mut rng,
-                )
-            };
+            unsafe { run_step(&*job.steps.add(si), job.mem, &job.run, &mut rng) };
         }));
         let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
         if res.is_err() {
@@ -2076,6 +1961,7 @@ fn pool() -> &'static Pool {
                 job: None,
                 running: 0,
                 panicked: false,
+                started: 0,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -2085,6 +1971,17 @@ fn pool() -> &'static Pool {
         for _ in 0..workers {
             std::thread::spawn(move || worker_loop(pool));
         }
+        // A spawned thread frees its start-up state (the boxed entry
+        // closure among it) whenever the scheduler first runs it — on a
+        // busy host that can be many forwards later, inside a window a
+        // caller is counting heap events over. Hold the first parallel
+        // run until every worker has reached its wait loop, so all of it
+        // lands in warmup.
+        let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
+        while st.started < workers {
+            st = pool.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(st);
         pool
     })
 }

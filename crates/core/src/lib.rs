@@ -27,8 +27,9 @@
 //!   interpretation deriving every operand's index-affine access path per
 //!   step and proving in-bounds, unit-stride, alias-free access
 //!   ([`access::certify_access`]); a clean pass yields an
-//!   [`access::AccessCertificate`] that licenses the bounds-check-free
-//!   kernel twins in `xform_tensor::into_ops`;
+//!   [`access::AccessCertificate`] — proof obligations discharged before
+//!   the arena hands out slab views, plus the strided-inner-loop lint
+//!   (kernel dispatch is by lane geometry, not by certificate);
 //! * [`sanitize`] — the footprint sanitizer and race certifier: a static
 //!   certifier cross-checking declared operands against derived kernel
 //!   footprints ([`sanitize::certify`]), a dynamic shadow-access

@@ -28,6 +28,7 @@ use xform_tensor::fused;
 use xform_tensor::into_ops::{
     contract_epilogue_tiled, epilogue_contract_plan, BiasMap, CausalMap, ContractPlan, TileEpilogue,
 };
+use xform_tensor::lanes::{check_dropout_p, Dropout};
 use xform_tensor::ops::dropout::{dropout, dropout_disabled};
 use xform_tensor::ops::elementwise::{add, bias_add, scale, ActivationKind};
 use xform_tensor::ops::layernorm::{layernorm, LayerNormStats};
@@ -869,6 +870,7 @@ pub fn execute_step<R: Rng + ?Sized>(
         |k: usize| -> Result<Shape> { Ok(data_of(graph, step.outputs[k].data)?.shape.clone()) };
 
     let p = opts.dropout_p;
+    check_dropout_p(p)?;
     let drop = |x: &Tensor, rng: &mut R| -> (Tensor, Tensor) {
         if p > 0.0 {
             dropout(x, p, rng)
@@ -1102,7 +1104,7 @@ pub fn execute_step<R: Rng + ?Sized>(
             let mut a_pack = vec![0.0f32; geom.plan.a_words()];
             let mut b_pack = vec![0.0f32; geom.plan.b_words()];
             let mut c_tile = vec![0.0f32; geom.tile_rows * geom.plan.n];
-            let mut run = |epi: &mut TileEpilogue<'_>, rng: &mut R| {
+            let mut run = |epi: &mut TileEpilogue<'_>, rng: &mut R| -> Result<()> {
                 contract_epilogue_tiled(
                     &geom.plan,
                     geom.tile_rows,
@@ -1111,11 +1113,10 @@ pub fn execute_step<R: Rng + ?Sized>(
                     &mut a_pack,
                     &mut b_pack,
                     &mut c_tile,
-                    p,
-                    rng,
-                    false,
+                    &mut Dropout::new(p, rng)?,
                     epi,
                 );
+                Ok(())
             };
             match geom.class {
                 FusedClass::Softmax { .. } if step.outputs.len() == 3 => {
@@ -1131,7 +1132,7 @@ pub fn execute_step<R: Rng + ?Sized>(
                             mask: &mut mk_o,
                         },
                         rng,
-                    );
+                    )?;
                     results.push(Tensor::from_vec(out_shape(0)?, sm_o)?);
                     results.push(Tensor::from_vec(out_shape(1)?, al_o)?);
                     results.push(Tensor::from_vec(out_shape(2)?, mk_o)?);
@@ -1153,7 +1154,7 @@ pub fn execute_step<R: Rng + ?Sized>(
                             mask: &mut mk_o,
                         },
                         rng,
-                    );
+                    )?;
                     results.push(Tensor::from_vec(out_shape(0)?, pre_o)?);
                     results.push(Tensor::from_vec(out_shape(1)?, out_o)?);
                     results.push(Tensor::from_vec(out_shape(2)?, mk_o)?);
@@ -1173,7 +1174,7 @@ pub fn execute_step<R: Rng + ?Sized>(
                             out: &mut out_o,
                         },
                         rng,
-                    );
+                    )?;
                     results.push(Tensor::from_vec(out_shape(0)?, mk_o)?);
                     results.push(Tensor::from_vec(out_shape(1)?, out_o)?);
                 }

@@ -37,6 +37,9 @@ pub enum TensorError {
     SizeConflict(Axis),
     /// The operation is not supported for the given operands.
     Unsupported(String),
+    /// A dropout probability outside `[0, 1)` (the offending value, as
+    /// text: the error type is `Eq`).
+    InvalidDropout(String),
 }
 
 impl fmt::Display for TensorError {
@@ -62,6 +65,9 @@ impl fmt::Display for TensorError {
                 write!(f, "conflicting sizes bound to einsum label `{a}`")
             }
             TensorError::Unsupported(msg) => write!(f, "unsupported operation: {msg}"),
+            TensorError::InvalidDropout(p) => {
+                write!(f, "dropout probability {p} is outside [0, 1)")
+            }
         }
     }
 }
@@ -87,6 +93,7 @@ mod tests {
             TensorError::ParseError("bad".into()),
             TensorError::SizeConflict(Axis('k')),
             TensorError::Unsupported("x".into()),
+            TensorError::InvalidDropout("1.5".into()),
         ];
         for e in cases {
             let s = e.to_string();

@@ -30,9 +30,10 @@ use rand::Rng;
 
 use crate::axes::Axis;
 use crate::error::Result;
+use crate::lanes::{self, Dropout};
 use crate::ops::elementwise::ActivationKind;
-use crate::ops::layernorm::{LayerNormStats, EPS};
-use crate::ops::{check_same_shape, for_each_outer};
+use crate::ops::layernorm::LayerNormStats;
+use crate::ops::{check_same_shape, for_each_outer, lane_at};
 use crate::tensor::Tensor;
 
 /// AIB — attention input bias. Adds the Q/K/V projection biases in one
@@ -73,11 +74,7 @@ pub struct SmOutput {
 ///
 /// # Errors
 ///
-/// Returns an error if `axis` is missing.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1)`.
+/// Returns an error if `axis` is missing or `p` is outside `[0, 1)`.
 pub fn sm<R: Rng + ?Sized>(
     beta: &Tensor,
     scaler: f32,
@@ -85,49 +82,7 @@ pub fn sm<R: Rng + ?Sized>(
     p: f32,
     rng: &mut R,
 ) -> Result<SmOutput> {
-    assert!(
-        (0.0..1.0).contains(&p),
-        "dropout probability must be in [0, 1)"
-    );
-    let ai = beta.shape().index_of(axis)?;
-    let len = beta.shape().sizes()[ai];
-    let stride = beta.strides()[ai];
-    let keep_scale = 1.0 / (1.0 - p);
-    let fresh = || Tensor::zeros_with_layout(beta.shape().clone(), beta.layout().clone());
-    let mut softmax = fresh();
-    let mut alpha = fresh();
-    let mut mask = fresh();
-    for_each_outer(beta.shape(), ai, |idx| {
-        let base = beta.offset(idx);
-        let mut mx = f32::NEG_INFINITY;
-        for v in 0..len {
-            mx = mx.max(scaler * beta.data()[base + v * stride]);
-        }
-        let mut sum = 0.0f32;
-        for v in 0..len {
-            let e = (scaler * beta.data()[base + v * stride] - mx).exp();
-            softmax.data_mut()[base + v * stride] = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for v in 0..len {
-            let off = base + v * stride;
-            let y = softmax.data()[off] * inv;
-            softmax.data_mut()[off] = y;
-            let m = if p > 0.0 && rng.gen::<f32>() < p {
-                0.0
-            } else {
-                keep_scale
-            };
-            mask.data_mut()[off] = m;
-            alpha.data_mut()[off] = y * m;
-        }
-    });
-    Ok(SmOutput {
-        alpha,
-        softmax,
-        mask,
-    })
+    sm_lanes(beta, scaler, axis, None, p, rng)
 }
 
 /// SM with causal masking — the decoder ("masked") self-attention variant
@@ -141,11 +96,7 @@ pub fn sm<R: Rng + ?Sized>(
 ///
 /// # Errors
 ///
-/// Returns an error if either axis is missing.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1)`.
+/// Returns an error if either axis is missing or `p` is outside `[0, 1)`.
 pub fn sm_causal<R: Rng + ?Sized>(
     beta: &Tensor,
     scaler: f32,
@@ -163,6 +114,10 @@ pub fn sm_causal<R: Rng + ?Sized>(
 /// `query_base = pos` over a cache-capacity key axis, so exactly
 /// `pos + 1` cache slots are visible — bitwise-identical to the
 /// full-sequence kernel's row `pos`.
+///
+/// # Errors
+///
+/// Returns an error if either axis is missing or `p` is outside `[0, 1)`.
 #[allow(clippy::too_many_arguments)]
 pub fn sm_causal_at<R: Rng + ?Sized>(
     beta: &Tensor,
@@ -173,51 +128,40 @@ pub fn sm_causal_at<R: Rng + ?Sized>(
     rng: &mut R,
     query_base: usize,
 ) -> Result<SmOutput> {
-    assert!(
-        (0.0..1.0).contains(&p),
-        "dropout probability must be in [0, 1)"
-    );
-    let ai = beta.shape().index_of(axis)?;
     let qi = beta.shape().index_of(query_axis)?;
-    let len = beta.shape().sizes()[ai];
-    let stride = beta.strides()[ai];
-    let keep_scale = 1.0 / (1.0 - p);
-    let mut softmax = beta.clone();
-    let mut alpha = beta.clone();
-    let mut mask = beta.clone();
+    sm_lanes(beta, scaler, axis, Some((qi, query_base)), p, rng)
+}
+
+/// The logical-order SM driver: lanes in `for_each_outer` order, all three
+/// outputs in `beta`'s layout. `causal` is the query axis position and
+/// the absolute position of its index 0.
+fn sm_lanes<R: Rng + ?Sized>(
+    beta: &Tensor,
+    scaler: f32,
+    axis: Axis,
+    causal: Option<(usize, usize)>,
+    p: f32,
+    rng: &mut R,
+) -> Result<SmOutput> {
+    let mut drop = Dropout::new(p, rng)?;
+    let ai = beta.shape().index_of(axis)?;
+    let fresh = || Tensor::zeros_with_layout(beta.shape().clone(), beta.layout().clone());
+    let mut softmax = fresh();
+    let mut alpha = fresh();
+    let mut mask = fresh();
     for_each_outer(beta.shape(), ai, |idx| {
-        let base = beta.offset(idx);
-        let q = query_base + idx[qi];
-        let visible = (q + 1).min(len);
-        let mut mx = f32::NEG_INFINITY;
-        for v in 0..visible {
-            mx = mx.max(scaler * beta.data()[base + v * stride]);
-        }
-        let mut sum = 0.0f32;
-        for v in 0..visible {
-            let e = (scaler * beta.data()[base + v * stride] - mx).exp();
-            softmax.data_mut()[base + v * stride] = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for v in 0..len {
-            let off = base + v * stride;
-            if v < visible {
-                let y = softmax.data()[off] * inv;
-                softmax.data_mut()[off] = y;
-                let m = if p > 0.0 && rng.gen::<f32>() < p {
-                    0.0
-                } else {
-                    keep_scale
-                };
-                mask.data_mut()[off] = m;
-                alpha.data_mut()[off] = y * m;
-            } else {
-                softmax.data_mut()[off] = 0.0;
-                mask.data_mut()[off] = 0.0;
-                alpha.data_mut()[off] = 0.0;
-            }
-        }
+        let at = lane_at(beta, idx, ai);
+        let visible = causal.map_or(at.len, |(qi, base)| (base + idx[qi] + 1).min(at.len));
+        lanes::sm_at(
+            beta.data(),
+            at,
+            scaler,
+            visible,
+            &mut drop,
+            softmax.data_mut(),
+            alpha.data_mut(),
+            mask.data_mut(),
+        );
     });
     Ok(SmOutput {
         alpha,
@@ -242,11 +186,8 @@ pub struct BrdOutput {
 ///
 /// # Errors
 ///
-/// Returns an error if the bias axes are not a subset of `x`'s.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1)`.
+/// Returns an error if the bias axes are not a subset of `x`'s or `p` is
+/// outside `[0, 1)`.
 pub fn brd<R: Rng + ?Sized>(x: &Tensor, bias: &Tensor, p: f32, rng: &mut R) -> Result<BrdOutput> {
     brd_act(x, bias, ActivationKind::Relu, p, rng)
 }
@@ -257,11 +198,8 @@ pub fn brd<R: Rng + ?Sized>(x: &Tensor, bias: &Tensor, p: f32, rng: &mut R) -> R
 ///
 /// # Errors
 ///
-/// Returns an error if the bias axes are not a subset of `x`'s.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1)`.
+/// Returns an error if the bias axes are not a subset of `x`'s or `p` is
+/// outside `[0, 1)`.
 pub fn brd_act<R: Rng + ?Sized>(
     x: &Tensor,
     bias: &Tensor,
@@ -269,17 +207,13 @@ pub fn brd_act<R: Rng + ?Sized>(
     p: f32,
     rng: &mut R,
 ) -> Result<BrdOutput> {
-    assert!(
-        (0.0..1.0).contains(&p),
-        "dropout probability must be in [0, 1)"
-    );
+    let mut drop = Dropout::new(p, rng)?;
     let positions: Vec<usize> = bias
         .shape()
         .axes()
         .iter()
         .map(|&ax| x.shape().index_of(ax))
         .collect::<Result<Vec<_>>>()?;
-    let keep_scale = 1.0 / (1.0 - p);
     let fresh = || Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
     let mut out = fresh();
     let mut pre = fresh();
@@ -304,16 +238,10 @@ pub fn brd_act<R: Rng + ?Sized>(
             }
         };
         let off = x.offset(&idx);
-        let z = x.data()[off] + b;
-        let r = activation.apply(z);
-        let m = if p > 0.0 && rng.gen::<f32>() < p {
-            0.0
-        } else {
-            keep_scale
-        };
+        let (z, m, o) = lanes::brd(x.data()[off], b, activation, &mut drop);
         pre.data_mut()[off] = z;
         mask.data_mut()[off] = m;
-        out.data_mut()[off] = r * m;
+        out.data_mut()[off] = o;
         if !x.advance(&mut idx) {
             break;
         }
@@ -344,11 +272,8 @@ pub struct BdrlnOutput {
 ///
 /// # Errors
 ///
-/// Returns an error on axis/shape disagreements.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1)`.
+/// Returns an error on axis/shape disagreements or if `p` is outside
+/// `[0, 1)`.
 #[allow(clippy::too_many_arguments)]
 pub fn bdrln<R: Rng + ?Sized>(
     x: &Tensor,
@@ -360,20 +285,15 @@ pub fn bdrln<R: Rng + ?Sized>(
     p: f32,
     rng: &mut R,
 ) -> Result<BdrlnOutput> {
-    assert!(
-        (0.0..1.0).contains(&p),
-        "dropout probability must be in [0, 1)"
-    );
+    let mut drop = Dropout::new(p, rng)?;
     check_same_shape(x, residual, "bdrln residual")?;
     let ai = x.shape().index_of(axis)?;
-    let len = x.shape().sizes()[ai];
     let positions: Vec<usize> = bias
         .shape()
         .axes()
         .iter()
         .map(|&ax| x.shape().index_of(ax))
         .collect::<Result<Vec<_>>>()?;
-    let keep_scale = 1.0 / (1.0 - p);
     let fresh = || Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
     let mut out = fresh();
     let mut ln_input = fresh();
@@ -382,53 +302,36 @@ pub fn bdrln<R: Rng + ?Sized>(
         mean: Vec::new(),
         inv_std: Vec::new(),
     };
-    let x_stride = x.strides()[ai];
     // fast path: a rank-1 bias over the normalized axis itself (the
     // common `bias[i]` case) is indexed by the lane position directly
     let bias_on_lane = positions.as_slice() == [ai];
     let mut bidx = vec![0usize; positions.len()];
     for_each_outer(x.shape(), ai, |idx| {
-        let base = x.offset(idx);
-        let r_base = residual.offset(idx);
-        let r_stride = residual.strides()[ai];
-        let mut lane_idx = idx.to_vec();
-        // first pass: bias + dropout + residual, accumulate moments
-        let mut sum = 0.0f32;
-        let mut sq = 0.0f32;
-        for v in 0..len {
-            let b = if bias_on_lane {
+        let bias_at = |v: usize| {
+            if bias_on_lane {
                 bias.data()[v]
             } else {
-                lane_idx[ai] = v;
                 for (bi, &pp) in bidx.iter_mut().zip(&positions) {
-                    *bi = lane_idx[pp];
+                    *bi = if pp == ai { v } else { idx[pp] };
                 }
                 bias.at(&bidx)
-            };
-            let off = base + v * x_stride;
-            let z = x.data()[off] + b;
-            let m = if p > 0.0 && rng.gen::<f32>() < p {
-                0.0
-            } else {
-                keep_scale
-            };
-            let li = z * m + residual.data()[r_base + v * r_stride];
-            mask.data_mut()[off] = m;
-            ln_input.data_mut()[off] = li;
-            sum += li;
-            sq += li * li;
-        }
-        let mean = sum / len as f32;
-        let var = (sq / len as f32 - mean * mean).max(0.0);
-        let inv_std = 1.0 / (var + EPS).sqrt();
+            }
+        };
+        let (mean, inv_std) = lanes::bdrln_at(
+            x.data(),
+            lane_at(x, idx, ai),
+            bias_at,
+            residual.data(),
+            lane_at(residual, idx, ai),
+            gamma.data(),
+            beta.data(),
+            &mut drop,
+            mask.data_mut(),
+            ln_input.data_mut(),
+            out.data_mut(),
+        );
         stats.mean.push(mean);
         stats.inv_std.push(inv_std);
-        // second pass: normalize
-        for v in 0..len {
-            let off = base + v * x_stride;
-            let xhat = (ln_input.data()[off] - mean) * inv_std;
-            out.data_mut()[off] = xhat * gamma.data()[v] + beta.data()[v];
-        }
     });
     Ok(BdrlnOutput {
         out,
@@ -660,6 +563,27 @@ mod tests {
         assert!(fused.alpha.max_abs_diff(&unfused).unwrap() < 1e-6);
         assert!(fused.softmax.max_abs_diff(&unfused).unwrap() < 1e-6);
         assert!(fused.mask.data().iter().all(|&m| m == 1.0));
+    }
+
+    #[test]
+    fn out_of_range_dropout_is_a_typed_error() {
+        use crate::error::TensorError;
+        let x = rand_t("bji", &SIZES, 50);
+        let bias = rand_t("i", &SIZES, 51);
+        let mut rng = StdRng::seed_from_u64(52);
+        for p in [1.0f32, 1.5, -0.5, f32::NAN] {
+            let invalid = |e: TensorError| matches!(e, TensorError::InvalidDropout(_));
+            assert!(invalid(sm(&x, 1.0, Axis('i'), p, &mut rng).unwrap_err()));
+            assert!(invalid(
+                sm_causal_at(&x, 1.0, Axis('j'), Axis('i'), p, &mut rng, 0).unwrap_err()
+            ));
+            assert!(invalid(
+                brd_act(&x, &bias, ActivationKind::Gelu, p, &mut rng).unwrap_err()
+            ));
+            assert!(invalid(
+                bdrln(&x, &bias, &x, &bias, &bias, Axis('i'), p, &mut rng).unwrap_err()
+            ));
+        }
     }
 
     #[test]

@@ -2,16 +2,19 @@
 //! buffers.
 //!
 //! Every forward kernel the schedule interpreter dispatches has a `*_into`
-//! twin here that reads dense **row-major** slices and writes dense
+//! driver here that reads dense **row-major** slices and writes dense
 //! row-major slices, allocating nothing. They are the execution layer of
 //! the arena interpreter (`core::arena`): the planner colors each logical
 //! container into an offset of one preallocated slab, and these kernels
 //! run directly on the slab views.
 //!
-//! Arithmetic is mirrored statement-for-statement from the allocating
-//! kernels in [`crate::fused`], [`crate::ops`] and [`crate::contract`], so
-//! with dropout disabled the results are **bitwise identical** to the
-//! tensor-returning path — the property the arena equivalence tests pin.
+//! The lane-wise and fused kernels are *physical-order drivers* over the
+//! bodies of [`crate::lanes`]: they enumerate lanes (or flat offsets) and
+//! hand each to the one body that holds the arithmetic — the same body the
+//! tensor-returning kernels of [`crate::fused`] and [`crate::ops`] drive
+//! in logical order, so the two paths are **bitwise identical** by
+//! construction (the arena equivalence tests pin the drivers: geometry,
+//! statistics order, RNG draw order).
 //!
 //! All geometry (lane decompositions, bias broadcast maps, einsum pack
 //! descriptors) is precomputed by the caller; the kernels only walk flat
@@ -31,9 +34,9 @@ use rand::Rng;
 use crate::axes::{Axis, Shape};
 use crate::contract::copy_strided;
 use crate::einsum::EinsumSpec;
+use crate::lanes::{self, Dropout, LaneAt};
 use crate::matmul::sgemm;
 use crate::ops::elementwise::ActivationKind;
-use crate::ops::layernorm::EPS;
 use crate::tensor::Tensor;
 
 /// Lane decomposition of a dense row-major buffer along the axis at
@@ -70,9 +73,15 @@ impl LaneGeom {
         self.pre * self.post
     }
 
-    /// Total number of elements.
-    pub fn elements(self) -> usize {
-        self.pre * self.len * self.post
+    /// Every lane's `(pre index, position)` in visiting order.
+    fn lanes_at(self) -> impl Iterator<Item = (usize, LaneAt)> {
+        let (len, stride) = (self.len, self.post);
+        (0..self.pre).flat_map(move |pre| {
+            (0..stride).map(move |post| {
+                let base = pre * len * stride + post;
+                (pre, LaneAt { base, stride, len })
+            })
+        })
     }
 }
 
@@ -394,7 +403,7 @@ pub enum TileEpilogue<'a> {
         bias: &'a [f32],
         /// Tile-local bias map, `[(n, m, 1)]` with `m` at least the
         /// tallest tile — built once by the caller so the hot loop never
-        /// allocates. `epilogue_tile` asserts this exact shape.
+        /// allocates. The tile driver asserts this exact shape.
         bmap: &'a BiasMap,
         /// The activation between bias and dropout.
         kind: ActivationKind,
@@ -432,21 +441,16 @@ impl TileEpilogue<'_> {
 
 /// Applies the epilogue to one GEMM row block. `row0` is the global row
 /// index (over `batch · m`), `rows` the block height, `n` the row width;
-/// `tile` holds the block's contraction output. Checked and licensed
-/// paths are bitwise identical; every slice handed to the unchecked twins
-/// is cut to its exact extent here, which discharges their safety
-/// obligations locally (the plan-level access certificate additionally
-/// proves the *container* bounds these cuts come from).
-#[allow(clippy::too_many_arguments)]
+/// `tile` holds the block's contraction output. Every full-container
+/// slice is cut to the block's exact extent here, so the kernels below see
+/// unit-stride lanes of exactly `n` words.
 fn epilogue_tile<R: Rng + ?Sized>(
     epi: &mut TileEpilogue<'_>,
     row0: usize,
     rows: usize,
     n: usize,
     tile: &[f32],
-    p: f32,
-    rng: &mut R,
-    licensed: bool,
+    drop: &mut Dropout<'_, R>,
 ) {
     let span = row0 * n..row0 * n + rows * n;
     match epi {
@@ -467,13 +471,7 @@ fn epilogue_tile<R: Rng + ?Sized>(
                 &mut alpha[span.clone()],
                 &mut mask[span],
             );
-            if licensed {
-                // SAFETY: post == 1 and all four slices hold exactly
-                // `lane.elements()` = rows·n words, cut just above.
-                unsafe { sm_into_unchecked(tile, *scaler, lane, *causal, p, rng, sm, al, mk) };
-            } else {
-                sm_into(tile, *scaler, lane, *causal, p, rng, sm, al, mk);
-            }
+            sm_into(tile, *scaler, lane, *causal, drop, sm, al, mk);
         }
         TileEpilogue::BiasActDrop {
             bias,
@@ -490,14 +488,7 @@ fn epilogue_tile<R: Rng + ?Sized>(
                 &mut out[span.clone()],
                 &mut mask[span],
             );
-            if licensed {
-                // SAFETY: slices are exactly rows·n words and the map
-                // shape checked above gives `bmap.offset(f) = (f/n) % m
-                // = f/n < rows = bias.len()` for every `f < rows·n`.
-                unsafe { brd_act_into_unchecked(tile, bias, bmap, *kind, p, rng, pre, o, mk) };
-            } else {
-                brd_act_into(tile, bias, bmap, *kind, p, rng, pre, o, mk);
-            }
+            brd_act_into(tile, bias, bmap, *kind, drop, pre, o, mk);
         }
         TileEpilogue::BiasDropResidual {
             bias,
@@ -510,21 +501,16 @@ fn epilogue_tile<R: Rng + ?Sized>(
             let bias = &bias[row0..row0 + rows];
             let res = &residual[span.clone()];
             let (mk, o) = (&mut mask[span.clone()], &mut out[span]);
-            if licensed {
-                // SAFETY: as BiasActDrop, plus the residual cut to the
-                // same exact extent.
-                unsafe { bdr_into_unchecked(tile, bias, bmap, res, p, rng, mk, o) };
-            } else {
-                bdr_into(tile, bias, bmap, res, p, rng, mk, o);
-            }
+            bdr_into(tile, bias, bmap, res, drop, mk, o);
         }
     }
 }
 
 /// Asserts the caller-built epilogue bias map has the `[(n, m, 1)]` shape
 /// with `m >= rows`, which makes the modulo a no-op on tile-local offsets:
-/// `offset(f) = (f/n) % m = f/n < rows` for all `f < rows·n` — the bound
-/// the unchecked twins' bias indexing relies on.
+/// `offset(f) = (f/n) % m = f/n < rows` for all `f < rows·n` — a shorter
+/// map would wrap onto the wrong bias rows without tripping a bounds
+/// check.
 fn check_tile_bmap(bmap: &BiasMap, n: usize, rows: usize) {
     assert!(
         bmap.dims.len() == 1
@@ -560,9 +546,7 @@ pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
     a_pack: &mut [f32],
     b_pack: &mut [f32],
     c_tile: &mut [f32],
-    p: f32,
-    rng: &mut R,
-    licensed: bool,
+    drop: &mut Dropout<'_, R>,
     epi: &mut TileEpilogue<'_>,
 ) {
     let (m, n, k) = (plan.m, plan.n, plan.k);
@@ -592,7 +576,7 @@ pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
                 &b_pack[g * k * n..(g + 1) * k * n],
                 c_tile,
             );
-            epilogue_tile(epi, g * m + r0, rows, n, c_tile, p, rng, licensed);
+            epilogue_tile(epi, g * m + r0, rows, n, c_tile, drop);
             r0 += rows;
         }
     }
@@ -654,23 +638,17 @@ pub fn bias_add_into(x: &[f32], bias: &[f32], map: &BiasMap, out: &mut [f32]) {
     }
 }
 
-/// Dropout with `p > 0`: one mask draw per element, survivors scaled by
-/// `1/(1-p)`. Mirrors the allocating kernel's draw order (flat, every
-/// element).
+/// Unfused dropout: one [`Dropout::mask_select`] per element in flat
+/// order — a draw even at `p == 0`, unlike the fused kernels — survivors
+/// scaled by `1/(1-p)`.
 pub fn dropout_into<R: Rng + ?Sized>(
     x: &[f32],
-    p: f32,
-    rng: &mut R,
+    drop: &mut Dropout<'_, R>,
     out: &mut [f32],
     mask: &mut [f32],
 ) {
-    let keep_scale = 1.0 / (1.0 - p);
     for ((o, m), &v) in out.iter_mut().zip(mask.iter_mut()).zip(x) {
-        let mv = if rng.gen::<f32>() < p {
-            0.0
-        } else {
-            keep_scale
-        };
+        let mv = drop.mask_select();
         *m = mv;
         *o = v * mv;
     }
@@ -687,27 +665,18 @@ pub fn dropout_disabled_into(x: &[f32], out: &mut [f32], mask: &mut [f32]) {
 
 /// `out = softmax(scaler · x)` along the lane axis — the unfused
 /// scale-then-softmax pair in one sweep, numerically identical to scaling
-/// into a temporary first (a single f32 multiply either way).
-pub fn softmax_scaled_into(x: &[f32], scaler: f32, lane: LaneGeom, out: &mut [f32]) {
-    let (len, stride) = (lane.len, lane.post);
-    for pre in 0..lane.pre {
-        for post in 0..lane.post {
-            let base = pre * len * stride + post;
-            let mut mx = f32::NEG_INFINITY;
-            for v in 0..len {
-                mx = mx.max(scaler * x[base + v * stride]);
-            }
-            let mut sum = 0.0f32;
-            for v in 0..len {
-                let e = (scaler * x[base + v * stride] - mx).exp();
-                out[base + v * stride] = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum;
-            for v in 0..len {
-                out[base + v * stride] *= inv;
-            }
-        }
+/// into a temporary first (a single f32 multiply either way). `causal`
+/// masks key positions beyond the lane's query index to exact zeros (the
+/// unfused masked softmax).
+pub fn softmax_into(
+    x: &[f32],
+    scaler: f32,
+    lane: LaneGeom,
+    causal: Option<CausalMap>,
+    out: &mut [f32],
+) {
+    for (pre, at) in lane.lanes_at() {
+        lanes::softmax_at(x, at, scaler, visible_of(causal, pre, lane.len), out);
     }
 }
 
@@ -722,97 +691,26 @@ pub fn sm_into<R: Rng + ?Sized>(
     scaler: f32,
     lane: LaneGeom,
     causal: Option<CausalMap>,
-    p: f32,
-    rng: &mut R,
+    drop: &mut Dropout<'_, R>,
     softmax: &mut [f32],
     alpha: &mut [f32],
     mask: &mut [f32],
 ) {
-    let keep_scale = 1.0 / (1.0 - p);
-    let (len, stride) = (lane.len, lane.post);
-    for pre in 0..lane.pre {
-        for post in 0..lane.post {
-            let base = pre * len * stride + post;
-            let visible = match causal {
-                Some(c) => (c.query(pre) + 1).min(len),
-                None => len,
-            };
-            let mut mx = f32::NEG_INFINITY;
-            for v in 0..visible {
-                mx = mx.max(scaler * x[base + v * stride]);
-            }
-            let mut sum = 0.0f32;
-            for v in 0..visible {
-                let e = (scaler * x[base + v * stride] - mx).exp();
-                softmax[base + v * stride] = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum;
-            for v in 0..len {
-                let off = base + v * stride;
-                if v < visible {
-                    let y = softmax[off] * inv;
-                    softmax[off] = y;
-                    let m = if p > 0.0 && rng.gen::<f32>() < p {
-                        0.0
-                    } else {
-                        keep_scale
-                    };
-                    mask[off] = m;
-                    alpha[off] = y * m;
-                } else {
-                    softmax[off] = 0.0;
-                    mask[off] = 0.0;
-                    alpha[off] = 0.0;
-                }
-            }
-        }
+    for (pre, at) in lane.lanes_at() {
+        let visible = visible_of(causal, pre, lane.len);
+        lanes::sm_at(x, at, scaler, visible, drop, softmax, alpha, mask);
     }
 }
 
-/// The unfused masked softmax: the causal softmax alone (the allocating
-/// interpreter runs the causal SM kernel with dropout pinned off and keeps
-/// only its softmax output).
-pub fn softmax_causal_into(
-    x: &[f32],
-    scaler: f32,
-    lane: LaneGeom,
-    causal: CausalMap,
-    out: &mut [f32],
-) {
-    let (len, stride) = (lane.len, lane.post);
-    for pre in 0..lane.pre {
-        for post in 0..lane.post {
-            let base = pre * len * stride + post;
-            let visible = (causal.query(pre) + 1).min(len);
-            let mut mx = f32::NEG_INFINITY;
-            for v in 0..visible {
-                mx = mx.max(scaler * x[base + v * stride]);
-            }
-            let mut sum = 0.0f32;
-            for v in 0..visible {
-                let e = (scaler * x[base + v * stride] - mx).exp();
-                out[base + v * stride] = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum;
-            for v in 0..len {
-                let off = base + v * stride;
-                if v < visible {
-                    out[off] *= inv;
-                } else {
-                    out[off] = 0.0;
-                }
-            }
-        }
-    }
+/// Number of key positions the lane with pre-part `pre` attends over.
+fn visible_of(causal: Option<CausalMap>, pre: usize, len: usize) -> usize {
+    causal.map_or(len, |c| (c.query(pre) + 1).min(len))
 }
 
 /// Layer normalization along the lane axis with learned `gamma`/`beta`
 /// (dense 1-D, indexed by the lane position). Per-lane `mean`/`inv_std`
 /// are written in lane order, matching the allocating kernel's stats
 /// vectors.
-#[allow(clippy::too_many_arguments)]
 pub fn layernorm_into(
     x: &[f32],
     gamma: &[f32],
@@ -822,28 +720,8 @@ pub fn layernorm_into(
     mean_out: &mut [f32],
     inv_std_out: &mut [f32],
 ) {
-    let (len, stride) = (lane.len, lane.post);
-    for pre in 0..lane.pre {
-        for post in 0..lane.post {
-            let base = pre * len * stride + post;
-            let l = pre * lane.post + post;
-            let mut sum = 0.0f32;
-            let mut sq = 0.0f32;
-            for v in 0..len {
-                let val = x[base + v * stride];
-                sum += val;
-                sq += val * val;
-            }
-            let mean = sum / len as f32;
-            let var = (sq / len as f32 - mean * mean).max(0.0);
-            let inv_std = 1.0 / (var + EPS).sqrt();
-            mean_out[l] = mean;
-            inv_std_out[l] = inv_std;
-            for v in 0..len {
-                let xhat = (x[base + v * stride] - mean) * inv_std;
-                out[base + v * stride] = xhat * gamma[v] + beta[v];
-            }
-        }
+    for (l, (_, at)) in lane.lanes_at().enumerate() {
+        (mean_out[l], inv_std_out[l]) = lanes::layernorm_at(x, at, gamma, beta, out);
     }
 }
 
@@ -858,47 +736,18 @@ pub fn bdrln_into<R: Rng + ?Sized>(
     gamma: &[f32],
     beta: &[f32],
     lane: LaneGeom,
-    p: f32,
-    rng: &mut R,
+    drop: &mut Dropout<'_, R>,
     mask: &mut [f32],
     ln_input: &mut [f32],
     out: &mut [f32],
     mean_out: &mut [f32],
     inv_std_out: &mut [f32],
 ) {
-    let keep_scale = 1.0 / (1.0 - p);
-    let (len, stride) = (lane.len, lane.post);
-    for pre in 0..lane.pre {
-        for post in 0..lane.post {
-            let base = pre * len * stride + post;
-            let l = pre * lane.post + post;
-            let mut sum = 0.0f32;
-            let mut sq = 0.0f32;
-            for v in 0..len {
-                let off = base + v * stride;
-                let z = x[off] + bias[bmap.offset(off)];
-                let m = if p > 0.0 && rng.gen::<f32>() < p {
-                    0.0
-                } else {
-                    keep_scale
-                };
-                let li = z * m + residual[off];
-                mask[off] = m;
-                ln_input[off] = li;
-                sum += li;
-                sq += li * li;
-            }
-            let mean = sum / len as f32;
-            let var = (sq / len as f32 - mean * mean).max(0.0);
-            let inv_std = 1.0 / (var + EPS).sqrt();
-            mean_out[l] = mean;
-            inv_std_out[l] = inv_std;
-            for v in 0..len {
-                let off = base + v * stride;
-                let xhat = (ln_input[off] - mean) * inv_std;
-                out[off] = xhat * gamma[v] + beta[v];
-            }
-        }
+    for (l, (_, at)) in lane.lanes_at().enumerate() {
+        let bias_at = |v: usize| bias[bmap.offset(at.base + v * at.stride)];
+        (mean_out[l], inv_std_out[l]) = lanes::bdrln_at(
+            x, at, bias_at, residual, at, gamma, beta, drop, mask, ln_input, out,
+        );
     }
 }
 
@@ -910,486 +759,34 @@ pub fn brd_act_into<R: Rng + ?Sized>(
     bias: &[f32],
     bmap: &BiasMap,
     kind: ActivationKind,
-    p: f32,
-    rng: &mut R,
+    drop: &mut Dropout<'_, R>,
     pre_activation: &mut [f32],
     out: &mut [f32],
     mask: &mut [f32],
 ) {
-    let keep_scale = 1.0 / (1.0 - p);
+    // cut to the input's extent once, so the loop indexes check-free
+    let n = x.len();
+    let (z, m, o) = (&mut pre_activation[..n], &mut mask[..n], &mut out[..n]);
     for (f, &v) in x.iter().enumerate() {
-        let z = v + bias[bmap.offset(f)];
-        let r = kind.apply(z);
-        let m = if p > 0.0 && rng.gen::<f32>() < p {
-            0.0
-        } else {
-            keep_scale
-        };
-        pre_activation[f] = z;
-        mask[f] = m;
-        out[f] = r * m;
+        (z[f], m[f], o[f]) = lanes::brd(v, bias[bmap.offset(f)], kind, drop);
     }
 }
 
 /// Fused BDR (no norm): `out = dropout(x + bias) + residual`, saving the
-/// mask. With `p == 0` the mask multiply is skipped entirely, matching
-/// the allocating path's identity dropout.
-#[allow(clippy::too_many_arguments)]
+/// mask.
 pub fn bdr_into<R: Rng + ?Sized>(
     x: &[f32],
     bias: &[f32],
     bmap: &BiasMap,
     residual: &[f32],
-    p: f32,
-    rng: &mut R,
+    drop: &mut Dropout<'_, R>,
     mask: &mut [f32],
     out: &mut [f32],
 ) {
-    if p > 0.0 {
-        let keep_scale = 1.0 / (1.0 - p);
-        for (f, &v) in x.iter().enumerate() {
-            let m = if rng.gen::<f32>() < p {
-                0.0
-            } else {
-                keep_scale
-            };
-            mask[f] = m;
-            out[f] = (v + bias[bmap.offset(f)]) * m + residual[f];
-        }
-    } else {
-        for (f, &v) in x.iter().enumerate() {
-            mask[f] = 1.0;
-            out[f] = (v + bias[bmap.offset(f)]) + residual[f];
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Certificate-licensed unchecked twins.
-//
-// Each kernel above that indexes through precomputed geometry (lane
-// decompositions, bias maps, causal maps) has an `unsafe` twin here with
-// the per-element bounds checks removed (`get_unchecked`, exact-chunk
-// lanes) and the dropout/causal selects made branch-free, so the inner
-// loops autovectorize. The zip-iterator kernels (`scale_into`,
-// `add_into`, `activate_into`, `dropout_into`) already compile without
-// bounds checks and need no twins.
-//
-// Arithmetic is mirrored statement-for-statement from the checked
-// kernels — same operation order, same RNG draw count and order — so the
-// results are bitwise identical (pinned by `tests/unchecked_equivalence`).
-// These functions are dispatched only for steps licensed by an
-// `AccessCertificate` (see `xform_core::access`); every other step takes
-// the checked kernel. The dropout select `((draw >= p) as u32 as f32) *
-// keep_scale` is exact: `1.0 * keep_scale` is an identity and `0.0 *
-// keep_scale` is `+0.0`, matching the checked branches bit for bit.
-// ---------------------------------------------------------------------
-
-/// Draws the dropout mask value branch-free. Must be called only when
-/// `p > 0` (the checked kernels skip the draw entirely at `p == 0`).
-#[inline(always)]
-fn mask_select<R: Rng + ?Sized>(p: f32, keep_scale: f32, rng: &mut R) -> f32 {
-    ((rng.gen::<f32>() >= p) as u32 as f32) * keep_scale
-}
-
-/// [`bias_add_into`] without per-element bounds checks.
-///
-/// # Safety
-///
-/// `x.len() >= out.len()` and `map.offset(f) < bias.len()` for every
-/// `f < out.len()` — proven by the access certificate before dispatch.
-pub unsafe fn bias_add_into_unchecked(x: &[f32], bias: &[f32], map: &BiasMap, out: &mut [f32]) {
-    unsafe {
-        for f in 0..out.len() {
-            *out.get_unchecked_mut(f) = *x.get_unchecked(f) + *bias.get_unchecked(map.offset(f));
-        }
-    }
-}
-
-/// [`softmax_scaled_into`] specialized to unit-stride lanes
-/// (`lane.post == 1`) with exact-chunk iteration and no bounds checks.
-///
-/// # Safety
-///
-/// `lane.post == 1` and `x.len() >= lane.elements()`,
-/// `out.len() >= lane.elements()` — proven by the access certificate
-/// (in-bounds + unit-stride) before dispatch.
-pub unsafe fn softmax_scaled_into_unchecked(
-    x: &[f32],
-    scaler: f32,
-    lane: LaneGeom,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(lane.post, 1);
-    let len = lane.len;
-    unsafe {
-        for pre in 0..lane.pre {
-            let base = pre * len;
-            let xl = x.get_unchecked(base..base + len);
-            let ol = out.get_unchecked_mut(base..base + len);
-            let mut mx = f32::NEG_INFINITY;
-            for &v in xl {
-                mx = mx.max(scaler * v);
-            }
-            let mut sum = 0.0f32;
-            for (o, &v) in ol.iter_mut().zip(xl) {
-                let e = (scaler * v - mx).exp();
-                *o = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum;
-            for o in ol.iter_mut() {
-                *o *= inv;
-            }
-        }
-    }
-}
-
-/// [`softmax_causal_into`] specialized to unit-stride lanes: the visible
-/// prefix is an exact chunk, the masked tail a plain fill — no
-/// per-element `if v < visible` branch.
-///
-/// # Safety
-///
-/// As [`softmax_scaled_into_unchecked`].
-pub unsafe fn softmax_causal_into_unchecked(
-    x: &[f32],
-    scaler: f32,
-    lane: LaneGeom,
-    causal: CausalMap,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(lane.post, 1);
-    let len = lane.len;
-    unsafe {
-        for pre in 0..lane.pre {
-            let base = pre * len;
-            let visible = (causal.query(pre) + 1).min(len);
-            let xl = x.get_unchecked(base..base + visible);
-            let ol = out.get_unchecked_mut(base..base + len);
-            let mut mx = f32::NEG_INFINITY;
-            for &v in xl {
-                mx = mx.max(scaler * v);
-            }
-            let mut sum = 0.0f32;
-            for (o, &v) in ol.get_unchecked_mut(..visible).iter_mut().zip(xl) {
-                let e = (scaler * v - mx).exp();
-                *o = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum;
-            for o in ol.get_unchecked_mut(..visible).iter_mut() {
-                *o *= inv;
-            }
-            for o in ol.get_unchecked_mut(visible..).iter_mut() {
-                *o = 0.0;
-            }
-        }
-    }
-}
-
-/// [`sm_into`] specialized to unit-stride lanes: exact-chunk visible
-/// prefix, select-based dropout, plain-fill masked tail. The RNG draw
-/// count and order match the checked kernel exactly — one draw per
-/// visible element when `p > 0`, none otherwise.
-///
-/// # Safety
-///
-/// `lane.post == 1` and every output slice holds at least
-/// `lane.elements()` words — proven by the access certificate.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn sm_into_unchecked<R: Rng + ?Sized>(
-    x: &[f32],
-    scaler: f32,
-    lane: LaneGeom,
-    causal: Option<CausalMap>,
-    p: f32,
-    rng: &mut R,
-    softmax: &mut [f32],
-    alpha: &mut [f32],
-    mask: &mut [f32],
-) {
-    debug_assert_eq!(lane.post, 1);
-    let keep_scale = 1.0 / (1.0 - p);
-    let len = lane.len;
-    unsafe {
-        for pre in 0..lane.pre {
-            let base = pre * len;
-            let visible = match causal {
-                Some(c) => (c.query(pre) + 1).min(len),
-                None => len,
-            };
-            let xl = x.get_unchecked(base..base + visible);
-            let sl = softmax.get_unchecked_mut(base..base + len);
-            let al = alpha.get_unchecked_mut(base..base + len);
-            let ml = mask.get_unchecked_mut(base..base + len);
-            let mut mx = f32::NEG_INFINITY;
-            for &v in xl {
-                mx = mx.max(scaler * v);
-            }
-            let mut sum = 0.0f32;
-            for (s, &v) in sl.get_unchecked_mut(..visible).iter_mut().zip(xl) {
-                let e = (scaler * v - mx).exp();
-                *s = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum;
-            for v in 0..visible {
-                let y = *sl.get_unchecked(v) * inv;
-                *sl.get_unchecked_mut(v) = y;
-                let m = if p > 0.0 {
-                    mask_select(p, keep_scale, rng)
-                } else {
-                    keep_scale
-                };
-                *ml.get_unchecked_mut(v) = m;
-                *al.get_unchecked_mut(v) = y * m;
-            }
-            for v in visible..len {
-                *sl.get_unchecked_mut(v) = 0.0;
-                *ml.get_unchecked_mut(v) = 0.0;
-                *al.get_unchecked_mut(v) = 0.0;
-            }
-        }
-    }
-}
-
-/// [`layernorm_into`] specialized to unit-stride lanes with exact-chunk
-/// iteration and no bounds checks.
-///
-/// # Safety
-///
-/// `lane.post == 1`, `x.len() >= lane.elements()`,
-/// `out.len() >= lane.elements()`, `gamma.len() >= lane.len`,
-/// `beta.len() >= lane.len`, and both stats slices hold at least
-/// `lane.lanes()` words — proven by the access certificate.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn layernorm_into_unchecked(
-    x: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
-    lane: LaneGeom,
-    out: &mut [f32],
-    mean_out: &mut [f32],
-    inv_std_out: &mut [f32],
-) {
-    debug_assert_eq!(lane.post, 1);
-    let len = lane.len;
-    unsafe {
-        let g = gamma.get_unchecked(..len);
-        let b = beta.get_unchecked(..len);
-        for pre in 0..lane.pre {
-            let base = pre * len;
-            let xl = x.get_unchecked(base..base + len);
-            let ol = out.get_unchecked_mut(base..base + len);
-            let mut sum = 0.0f32;
-            let mut sq = 0.0f32;
-            for &val in xl {
-                sum += val;
-                sq += val * val;
-            }
-            let mean = sum / len as f32;
-            let var = (sq / len as f32 - mean * mean).max(0.0);
-            let inv_std = 1.0 / (var + EPS).sqrt();
-            *mean_out.get_unchecked_mut(pre) = mean;
-            *inv_std_out.get_unchecked_mut(pre) = inv_std;
-            for (v, (o, &val)) in ol.iter_mut().zip(xl).enumerate() {
-                let xhat = (val - mean) * inv_std;
-                *o = xhat * *g.get_unchecked(v) + *b.get_unchecked(v);
-            }
-        }
-    }
-}
-
-/// [`bdrln_into`] specialized to unit-stride lanes with select-based
-/// dropout. RNG draw count and order match the checked kernel (one draw
-/// per element when `p > 0`, none otherwise).
-///
-/// # Safety
-///
-/// As [`layernorm_into_unchecked`], plus `bmap.offset(f) < bias.len()`
-/// and `residual`/`mask`/`ln_input` at least `lane.elements()` words —
-/// proven by the access certificate.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn bdrln_into_unchecked<R: Rng + ?Sized>(
-    x: &[f32],
-    bias: &[f32],
-    bmap: &BiasMap,
-    residual: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
-    lane: LaneGeom,
-    p: f32,
-    rng: &mut R,
-    mask: &mut [f32],
-    ln_input: &mut [f32],
-    out: &mut [f32],
-    mean_out: &mut [f32],
-    inv_std_out: &mut [f32],
-) {
-    debug_assert_eq!(lane.post, 1);
-    let keep_scale = 1.0 / (1.0 - p);
-    let len = lane.len;
-    unsafe {
-        let g = gamma.get_unchecked(..len);
-        let b = beta.get_unchecked(..len);
-        for pre in 0..lane.pre {
-            let base = pre * len;
-            let mut sum = 0.0f32;
-            let mut sq = 0.0f32;
-            for v in 0..len {
-                let off = base + v;
-                let z = *x.get_unchecked(off) + *bias.get_unchecked(bmap.offset(off));
-                let m = if p > 0.0 {
-                    mask_select(p, keep_scale, rng)
-                } else {
-                    keep_scale
-                };
-                let li = z * m + *residual.get_unchecked(off);
-                *mask.get_unchecked_mut(off) = m;
-                *ln_input.get_unchecked_mut(off) = li;
-                sum += li;
-                sq += li * li;
-            }
-            let mean = sum / len as f32;
-            let var = (sq / len as f32 - mean * mean).max(0.0);
-            let inv_std = 1.0 / (var + EPS).sqrt();
-            *mean_out.get_unchecked_mut(pre) = mean;
-            *inv_std_out.get_unchecked_mut(pre) = inv_std;
-            let li = ln_input.get_unchecked(base..base + len);
-            let ol = out.get_unchecked_mut(base..base + len);
-            for (v, (o, &val)) in ol.iter_mut().zip(li).enumerate() {
-                let xhat = (val - mean) * inv_std;
-                *o = xhat * *g.get_unchecked(v) + *b.get_unchecked(v);
-            }
-        }
-    }
-}
-
-/// [`brd_act_into`] without per-element bounds checks and with
-/// select-based dropout.
-///
-/// # Safety
-///
-/// Every output slice holds at least `x.len()` words and
-/// `bmap.offset(f) < bias.len()` for every `f < x.len()` — proven by the
-/// access certificate.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn brd_act_into_unchecked<R: Rng + ?Sized>(
-    x: &[f32],
-    bias: &[f32],
-    bmap: &BiasMap,
-    kind: ActivationKind,
-    p: f32,
-    rng: &mut R,
-    pre_activation: &mut [f32],
-    out: &mut [f32],
-    mask: &mut [f32],
-) {
-    let keep_scale = 1.0 / (1.0 - p);
-    unsafe {
-        for (f, &v) in x.iter().enumerate() {
-            let z = v + *bias.get_unchecked(bmap.offset(f));
-            let r = kind.apply(z);
-            let m = if p > 0.0 {
-                mask_select(p, keep_scale, rng)
-            } else {
-                keep_scale
-            };
-            *pre_activation.get_unchecked_mut(f) = z;
-            *mask.get_unchecked_mut(f) = m;
-            *out.get_unchecked_mut(f) = r * m;
-        }
-    }
-}
-
-/// [`bdr_into`] without per-element bounds checks and with select-based
-/// dropout. The `p == 0` arm mirrors the checked kernel's identity
-/// dropout exactly (no mask multiply, no draws).
-///
-/// # Safety
-///
-/// As [`brd_act_into_unchecked`], plus `residual.len() >= x.len()`.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn bdr_into_unchecked<R: Rng + ?Sized>(
-    x: &[f32],
-    bias: &[f32],
-    bmap: &BiasMap,
-    residual: &[f32],
-    p: f32,
-    rng: &mut R,
-    mask: &mut [f32],
-    out: &mut [f32],
-) {
-    unsafe {
-        if p > 0.0 {
-            let keep_scale = 1.0 / (1.0 - p);
-            for (f, &v) in x.iter().enumerate() {
-                let m = mask_select(p, keep_scale, rng);
-                *mask.get_unchecked_mut(f) = m;
-                *out.get_unchecked_mut(f) =
-                    (v + *bias.get_unchecked(bmap.offset(f))) * m + *residual.get_unchecked(f);
-            }
-        } else {
-            for (f, &v) in x.iter().enumerate() {
-                *mask.get_unchecked_mut(f) = 1.0;
-                *out.get_unchecked_mut(f) =
-                    (v + *bias.get_unchecked(bmap.offset(f))) + *residual.get_unchecked(f);
-            }
-        }
-    }
-}
-
-/// Locally-certified dispatcher for [`softmax_scaled_into_unchecked`]:
-/// runs the unchecked twin when the lane geometry discharges its safety
-/// obligations right here (`post == 1`, buffers at least
-/// `lane.elements()` words), the checked kernel otherwise. Returns `true`
-/// when the licensed path ran — callers without a plan-level access
-/// certificate (e.g. benchmarks) use this to exercise the unchecked
-/// loops from safe code.
-pub fn softmax_scaled_into_dispatch(
-    x: &[f32],
-    scaler: f32,
-    lane: LaneGeom,
-    out: &mut [f32],
-) -> bool {
-    if lane.post == 1 && x.len() >= lane.elements() && out.len() >= lane.elements() {
-        // SAFETY: every obligation of the twin was checked just above.
-        unsafe { softmax_scaled_into_unchecked(x, scaler, lane, out) };
-        true
-    } else {
-        softmax_scaled_into(x, scaler, lane, out);
-        false
-    }
-}
-
-/// Locally-certified dispatcher for [`layernorm_into_unchecked`]; see
-/// [`softmax_scaled_into_dispatch`]. Returns `true` when the licensed
-/// path ran.
-#[allow(clippy::too_many_arguments)]
-pub fn layernorm_into_dispatch(
-    x: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
-    lane: LaneGeom,
-    out: &mut [f32],
-    mean_out: &mut [f32],
-    inv_std_out: &mut [f32],
-) -> bool {
-    if lane.post == 1
-        && x.len() >= lane.elements()
-        && out.len() >= lane.elements()
-        && gamma.len() >= lane.len
-        && beta.len() >= lane.len
-        && mean_out.len() >= lane.lanes()
-        && inv_std_out.len() >= lane.lanes()
-    {
-        // SAFETY: every obligation of the twin was checked just above.
-        unsafe { layernorm_into_unchecked(x, gamma, beta, lane, out, mean_out, inv_std_out) };
-        true
-    } else {
-        layernorm_into(x, gamma, beta, lane, out, mean_out, inv_std_out);
-        false
+    let n = x.len();
+    let (r, m, o) = (&residual[..n], &mut mask[..n], &mut out[..n]);
+    for (f, &v) in x.iter().enumerate() {
+        (m[f], o[f]) = lanes::bdr(v, bias[bmap.offset(f)], r[f], drop);
     }
 }
 
@@ -1443,87 +840,61 @@ mod tests {
     }
 
     #[test]
-    fn softmax_scaled_into_is_bitwise_equal() {
+    fn softmax_into_is_bitwise_equal() {
         let x = rand_t("bjk", &SIZES, 1);
         let expect = softmax(&scale(&x, 0.25), Axis('k')).unwrap();
         let mut out = vec![0.0f32; x.len()];
-        softmax_scaled_into(x.data(), 0.25, lane_of(&x, 'k'), &mut out);
+        softmax_into(x.data(), 0.25, lane_of(&x, 'k'), None, &mut out);
         assert_eq!(out.as_slice(), expect.data());
     }
 
+    /// The slice drivers against the tensor drivers, plain and causal, with
+    /// and without dropout: same lanes in the same order, so the same
+    /// values, masks and RNG end state.
     #[test]
-    fn sm_into_matches_fused_sm_without_dropout() {
-        let x = rand_t("bjk", &SIZES, 2);
-        let mut rng = StdRng::seed_from_u64(9);
-        let want = fused::sm(&x, 0.5, Axis('k'), 0.0, &mut rng).unwrap();
-        let n = x.len();
-        let (mut s, mut a, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut rng2 = StdRng::seed_from_u64(9);
-        sm_into(
-            x.data(),
-            0.5,
-            lane_of(&x, 'k'),
-            None,
-            0.0,
-            &mut rng2,
-            &mut s,
-            &mut a,
-            &mut m,
-        );
-        assert_eq!(s.as_slice(), want.softmax.data());
-        assert_eq!(a.as_slice(), want.alpha.data());
-        assert_eq!(m.as_slice(), want.mask.data());
-    }
-
-    #[test]
-    fn sm_into_causal_matches_fused_sm_causal() {
+    fn sm_and_softmax_into_match_fused_sm() {
         let sizes = [('b', 2), ('j', 4), ('k', 4)];
         let x = rand_t("bjk", &sizes, 3);
-        let mut rng = StdRng::seed_from_u64(10);
-        let want = fused::sm_causal(&x, 0.7, Axis('j'), Axis('k'), 0.3, &mut rng).unwrap();
-        let n = x.len();
-        let (mut s, mut a, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut rng2 = StdRng::seed_from_u64(10);
         // query axis j sits immediately before k: div = 1, len = 4
-        sm_into(
-            x.data(),
-            0.7,
-            lane_of(&x, 'k'),
-            Some(CausalMap {
-                div: 1,
-                len: 4,
-                base: 0,
-            }),
-            0.3,
-            &mut rng2,
-            &mut s,
-            &mut a,
-            &mut m,
-        );
-        assert_eq!(s.as_slice(), want.softmax.data());
-        assert_eq!(a.as_slice(), want.alpha.data());
-        assert_eq!(m.as_slice(), want.mask.data());
-    }
-
-    #[test]
-    fn softmax_causal_into_matches_sm_causal_softmax() {
-        let sizes = [('b', 2), ('j', 4), ('k', 4)];
-        let x = rand_t("bjk", &sizes, 4);
-        let mut rng = StdRng::seed_from_u64(11);
-        let want = fused::sm_causal(&x, 1.0, Axis('j'), Axis('k'), 0.0, &mut rng).unwrap();
-        let mut out = vec![0.0f32; x.len()];
-        softmax_causal_into(
-            x.data(),
-            1.0,
-            lane_of(&x, 'k'),
-            CausalMap {
-                div: 1,
-                len: 4,
-                base: 0,
-            },
-            &mut out,
-        );
-        assert_eq!(out.as_slice(), want.softmax.data());
+        let causal = CausalMap {
+            div: 1,
+            len: 4,
+            base: 0,
+        };
+        for (causal, p) in [
+            (None, 0.0f32),
+            (None, 0.3),
+            (Some(causal), 0.0),
+            (Some(causal), 0.3),
+        ] {
+            let (mut rng, mut rng2) = (StdRng::seed_from_u64(10), StdRng::seed_from_u64(10));
+            let want = match causal {
+                None => fused::sm(&x, 0.7, Axis('k'), p, &mut rng),
+                Some(_) => fused::sm_causal(&x, 0.7, Axis('j'), Axis('k'), p, &mut rng),
+            }
+            .unwrap();
+            let n = x.len();
+            let (mut s, mut a, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            let mut drop = Dropout::new(p, &mut rng2).unwrap();
+            let lane = lane_of(&x, 'k');
+            sm_into(
+                x.data(),
+                0.7,
+                lane,
+                causal,
+                &mut drop,
+                &mut s,
+                &mut a,
+                &mut m,
+            );
+            assert_eq!(s.as_slice(), want.softmax.data());
+            assert_eq!(a.as_slice(), want.alpha.data());
+            assert_eq!(m.as_slice(), want.mask.data());
+            assert_same_rng_state(&mut rng, &mut rng2, "sm");
+            // the unfused softmax is the same lanes without the dropout tail
+            softmax_into(x.data(), 0.7, lane, causal, &mut a);
+            assert_eq!(a.as_slice(), want.softmax.data());
+        }
     }
 
     #[test]
@@ -1573,8 +944,7 @@ mod tests {
             gamma.data(),
             beta.data(),
             lane,
-            0.4,
-            &mut rng2,
+            &mut Dropout::new(0.4, &mut rng2).unwrap(),
             &mut m,
             &mut li,
             &mut out,
@@ -1602,8 +972,7 @@ mod tests {
             bias.data(),
             &bmap_of(&x, &bias),
             ActivationKind::Gelu,
-            0.2,
-            &mut rng2,
+            &mut Dropout::new(0.2, &mut rng2).unwrap(),
             &mut pre,
             &mut out,
             &mut m,
@@ -1781,46 +1150,40 @@ mod tests {
             scaler,
             lane,
             causal,
-            p,
-            &mut rng_a,
+            &mut Dropout::new(p, &mut rng_a).unwrap(),
             &mut sm_a,
             &mut al_a,
             &mut mk_a,
         );
 
-        for licensed in [false, true] {
-            let mut rng_b = StdRng::seed_from_u64(9);
-            let (mut sm_b, mut al_b, mut mk_b) =
-                (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
-            let mut ap = vec![0.0; ep.plan.a_words()];
-            let mut bp = vec![0.0; ep.plan.b_words()];
-            let mut ct = vec![0.0; ep.plan.m * ep.plan.n];
-            let mut epi = TileEpilogue::Softmax {
-                scaler,
-                causal,
-                softmax: &mut sm_b,
-                alpha: &mut al_b,
-                mask: &mut mk_b,
-            };
-            // swapped: the query operand feeds the A pack
-            contract_epilogue_tiled(
-                &ep.plan,
-                ep.plan.m,
-                qq.data(),
-                kk.data(),
-                &mut ap,
-                &mut bp,
-                &mut ct,
-                p,
-                &mut rng_b,
-                licensed,
-                &mut epi,
-            );
-            assert_bits("softmax", &sm_a, &sm_b);
-            assert_bits("alpha", &al_a, &al_b);
-            assert_bits("mask", &mk_a, &mk_b);
-            assert_same_rng_state(&mut rng_a.clone(), &mut rng_b, &format!("sm {licensed}"));
-        }
+        let mut rng_b = StdRng::seed_from_u64(9);
+        let (mut sm_b, mut al_b, mut mk_b) = (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
+        let mut ap = vec![0.0; ep.plan.a_words()];
+        let mut bp = vec![0.0; ep.plan.b_words()];
+        let mut ct = vec![0.0; ep.plan.m * ep.plan.n];
+        let mut epi = TileEpilogue::Softmax {
+            scaler,
+            causal,
+            softmax: &mut sm_b,
+            alpha: &mut al_b,
+            mask: &mut mk_b,
+        };
+        // swapped: the query operand feeds the A pack
+        contract_epilogue_tiled(
+            &ep.plan,
+            ep.plan.m,
+            qq.data(),
+            kk.data(),
+            &mut ap,
+            &mut bp,
+            &mut ct,
+            &mut Dropout::new(p, &mut rng_b).unwrap(),
+            &mut epi,
+        );
+        assert_bits("softmax", &sm_a, &sm_b);
+        assert_bits("alpha", &al_a, &al_b);
+        assert_bits("mask", &mk_a, &mk_b);
+        assert_same_rng_state(&mut rng_a, &mut rng_b, "sm");
     }
 
     /// Row-tiled bias epilogues (BRD / BDR shape: batch-free, bias on M)
@@ -1862,8 +1225,7 @@ mod tests {
             bias.data(),
             &bmap,
             ActivationKind::Gelu,
-            p,
-            &mut rng_a,
+            &mut Dropout::new(p, &mut rng_a).unwrap(),
             &mut pre_a,
             &mut out_a,
             &mut mk_a,
@@ -1875,72 +1237,65 @@ mod tests {
             bias.data(),
             &bmap,
             residual.data(),
-            p,
-            &mut rng_ar,
+            &mut Dropout::new(p, &mut rng_ar).unwrap(),
             &mut mkr_a,
             &mut outr_a,
         );
 
         for tile_rows in [1usize, 2, 4, 6] {
-            for licensed in [false, true] {
-                let mut ap = vec![0.0; ep.plan.a_words()];
-                let mut bp = vec![0.0; ep.plan.b_words()];
-                let mut ct = vec![0.0; tile_rows * n];
-                let mut rng_b = StdRng::seed_from_u64(11);
-                let (mut pre_b, mut out_b, mut mk_b) =
-                    (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
-                let mut epi = TileEpilogue::BiasActDrop {
-                    bias: bias.data(),
-                    bmap: &bmap,
-                    kind: ActivationKind::Gelu,
-                    pre_activation: &mut pre_b,
-                    out: &mut out_b,
-                    mask: &mut mk_b,
-                };
-                contract_epilogue_tiled(
-                    &ep.plan,
-                    tile_rows,
-                    w.data(),
-                    x.data(),
-                    &mut ap,
-                    &mut bp,
-                    &mut ct,
-                    p,
-                    &mut rng_b,
-                    licensed,
-                    &mut epi,
-                );
-                assert_bits("pre_activation", &pre_a, &pre_b);
-                assert_bits("brd out", &out_a, &out_b);
-                assert_bits("brd mask", &mk_a, &mk_b);
-                assert_same_rng_state(&mut rng_a.clone(), &mut rng_b, "brd");
+            let mut ap = vec![0.0; ep.plan.a_words()];
+            let mut bp = vec![0.0; ep.plan.b_words()];
+            let mut ct = vec![0.0; tile_rows * n];
+            let mut rng_b = StdRng::seed_from_u64(11);
+            let (mut pre_b, mut out_b, mut mk_b) =
+                (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
+            let mut epi = TileEpilogue::BiasActDrop {
+                bias: bias.data(),
+                bmap: &bmap,
+                kind: ActivationKind::Gelu,
+                pre_activation: &mut pre_b,
+                out: &mut out_b,
+                mask: &mut mk_b,
+            };
+            contract_epilogue_tiled(
+                &ep.plan,
+                tile_rows,
+                w.data(),
+                x.data(),
+                &mut ap,
+                &mut bp,
+                &mut ct,
+                &mut Dropout::new(p, &mut rng_b).unwrap(),
+                &mut epi,
+            );
+            assert_bits("pre_activation", &pre_a, &pre_b);
+            assert_bits("brd out", &out_a, &out_b);
+            assert_bits("brd mask", &mk_a, &mk_b);
+            assert_same_rng_state(&mut rng_a.clone(), &mut rng_b, "brd");
 
-                let mut rng_br = StdRng::seed_from_u64(13);
-                let (mut mkr_b, mut outr_b) = (vec![0.0; total], vec![0.0; total]);
-                let mut epi = TileEpilogue::BiasDropResidual {
-                    bias: bias.data(),
-                    bmap: &bmap,
-                    residual: residual.data(),
-                    mask: &mut mkr_b,
-                    out: &mut outr_b,
-                };
-                contract_epilogue_tiled(
-                    &ep.plan,
-                    tile_rows,
-                    w.data(),
-                    x.data(),
-                    &mut ap,
-                    &mut bp,
-                    &mut ct,
-                    p,
-                    &mut rng_br,
-                    licensed,
-                    &mut epi,
-                );
-                assert_bits("bdr mask", &mkr_a, &mkr_b);
-                assert_bits("bdr out", &outr_a, &outr_b);
-                assert_same_rng_state(&mut rng_ar.clone(), &mut rng_br, "bdr");
-            }
+            let mut rng_br = StdRng::seed_from_u64(13);
+            let (mut mkr_b, mut outr_b) = (vec![0.0; total], vec![0.0; total]);
+            let mut epi = TileEpilogue::BiasDropResidual {
+                bias: bias.data(),
+                bmap: &bmap,
+                residual: residual.data(),
+                mask: &mut mkr_b,
+                out: &mut outr_b,
+            };
+            contract_epilogue_tiled(
+                &ep.plan,
+                tile_rows,
+                w.data(),
+                x.data(),
+                &mut ap,
+                &mut bp,
+                &mut ct,
+                &mut Dropout::new(p, &mut rng_br).unwrap(),
+                &mut epi,
+            );
+            assert_bits("bdr mask", &mkr_a, &mkr_b);
+            assert_bits("bdr out", &outr_a, &outr_b);
+            assert_same_rng_state(&mut rng_ar.clone(), &mut rng_br, "bdr");
         }
     }
 
@@ -1960,200 +1315,5 @@ mod tests {
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{name}: word {i}: {x} vs {y}");
         }
-    }
-
-    /// Every unchecked twin against its checked original, bitwise, at
-    /// dims small enough for Miri — this is the test CI interprets under
-    /// `cargo miri test` to prove the `get_unchecked` paths UB-free.
-    /// Broad randomized coverage lives in `tests/unchecked_equivalence`.
-    #[test]
-    fn unchecked_twins_match_checked_bitwise() {
-        let lane = LaneGeom {
-            pre: 3,
-            len: 4,
-            post: 1,
-        };
-        let n = lane.elements();
-        let mut rng = StdRng::seed_from_u64(77);
-        let dist = Uniform::new(-2.0f32, 2.0);
-        let draw = |rng: &mut StdRng, n: usize| -> Vec<f32> {
-            use rand::distributions::Distribution;
-            (0..n).map(|_| dist.sample(rng)).collect()
-        };
-        let x = draw(&mut rng, n);
-        let bias = draw(&mut rng, lane.len);
-        let residual = draw(&mut rng, n);
-        let gamma = draw(&mut rng, lane.len);
-        let beta = draw(&mut rng, lane.len);
-        let map = BiasMap {
-            dims: vec![(1, lane.len, 1)],
-        };
-        let causal = CausalMap {
-            div: 1,
-            len: 3,
-            base: 0,
-        };
-
-        for p in [0.0f32, 0.4] {
-            let mut c = vec![vec![0.0f32; n]; 5];
-            let mut u = vec![vec![7.0f32; n]; 5];
-
-            bias_add_into(&x, &bias, &map, &mut c[0]);
-            unsafe { bias_add_into_unchecked(&x, &bias, &map, &mut u[0]) };
-            assert_bits("bias_add", &c[0], &u[0]);
-
-            softmax_scaled_into(&x, 0.5, lane, &mut c[0]);
-            unsafe { softmax_scaled_into_unchecked(&x, 0.5, lane, &mut u[0]) };
-            assert_bits("softmax_scaled", &c[0], &u[0]);
-
-            softmax_causal_into(&x, 0.5, lane, causal, &mut c[0]);
-            unsafe { softmax_causal_into_unchecked(&x, 0.5, lane, causal, &mut u[0]) };
-            assert_bits("softmax_causal", &c[0], &u[0]);
-
-            let mut r1 = StdRng::seed_from_u64(5);
-            let mut r2 = StdRng::seed_from_u64(5);
-            #[allow(clippy::indexing_slicing)]
-            {
-                let [s1, a1, m1, ..] = &mut c[..] else {
-                    unreachable!()
-                };
-                sm_into(&x, 0.5, lane, Some(causal), p, &mut r1, s1, a1, m1);
-                let [s2, a2, m2, ..] = &mut u[..] else {
-                    unreachable!()
-                };
-                unsafe { sm_into_unchecked(&x, 0.5, lane, Some(causal), p, &mut r2, s2, a2, m2) };
-            }
-            assert_bits("sm softmax", &c[0], &u[0]);
-            assert_bits("sm alpha", &c[1], &u[1]);
-            assert_bits("sm mask", &c[2], &u[2]);
-
-            let (mut mu1, mut is1) = (vec![0.0f32; lane.pre], vec![0.0f32; lane.pre]);
-            let (mut mu2, mut is2) = (vec![7.0f32; lane.pre], vec![7.0f32; lane.pre]);
-            layernorm_into(&x, &gamma, &beta, lane, &mut c[0], &mut mu1, &mut is1);
-            unsafe {
-                layernorm_into_unchecked(&x, &gamma, &beta, lane, &mut u[0], &mut mu2, &mut is2)
-            };
-            assert_bits("layernorm out", &c[0], &u[0]);
-            assert_bits("layernorm mean", &mu1, &mu2);
-            assert_bits("layernorm inv_std", &is1, &is2);
-
-            let mut r1 = StdRng::seed_from_u64(6);
-            let mut r2 = StdRng::seed_from_u64(6);
-            {
-                let [m1, li1, o1, ..] = &mut c[..] else {
-                    unreachable!()
-                };
-                bdrln_into(
-                    &x, &bias, &map, &residual, &gamma, &beta, lane, p, &mut r1, m1, li1, o1,
-                    &mut mu1, &mut is1,
-                );
-                let [m2, li2, o2, ..] = &mut u[..] else {
-                    unreachable!()
-                };
-                unsafe {
-                    bdrln_into_unchecked(
-                        &x, &bias, &map, &residual, &gamma, &beta, lane, p, &mut r2, m2, li2, o2,
-                        &mut mu2, &mut is2,
-                    )
-                };
-            }
-            for (tag, i) in [("mask", 0), ("ln_input", 1), ("out", 2)] {
-                assert_bits(&format!("bdrln {tag}"), &c[i], &u[i]);
-            }
-            assert_bits("bdrln mean", &mu1, &mu2);
-            assert_bits("bdrln inv_std", &is1, &is2);
-
-            let mut r1 = StdRng::seed_from_u64(7);
-            let mut r2 = StdRng::seed_from_u64(7);
-            {
-                let [z1, o1, m1, ..] = &mut c[..] else {
-                    unreachable!()
-                };
-                brd_act_into(
-                    &x,
-                    &bias,
-                    &map,
-                    ActivationKind::Gelu,
-                    p,
-                    &mut r1,
-                    z1,
-                    o1,
-                    m1,
-                );
-                let [z2, o2, m2, ..] = &mut u[..] else {
-                    unreachable!()
-                };
-                unsafe {
-                    brd_act_into_unchecked(
-                        &x,
-                        &bias,
-                        &map,
-                        ActivationKind::Gelu,
-                        p,
-                        &mut r2,
-                        z2,
-                        o2,
-                        m2,
-                    )
-                };
-            }
-            for (tag, i) in [("pre_activation", 0), ("out", 1), ("mask", 2)] {
-                assert_bits(&format!("brd {tag}"), &c[i], &u[i]);
-            }
-
-            let mut r1 = StdRng::seed_from_u64(8);
-            let mut r2 = StdRng::seed_from_u64(8);
-            {
-                let [m1, o1, ..] = &mut c[..] else {
-                    unreachable!()
-                };
-                bdr_into(&x, &bias, &map, &residual, p, &mut r1, m1, o1);
-                let [m2, o2, ..] = &mut u[..] else {
-                    unreachable!()
-                };
-                unsafe { bdr_into_unchecked(&x, &bias, &map, &residual, p, &mut r2, m2, o2) };
-            }
-            assert_bits("bdr mask", &c[0], &u[0]);
-            assert_bits("bdr out", &c[1], &u[1]);
-        }
-    }
-
-    /// The locally-certified dispatchers run the licensed path exactly
-    /// when the lane geometry discharges the twin's obligations.
-    #[test]
-    fn dispatchers_license_only_unit_stride_lanes() {
-        let unit = LaneGeom {
-            pre: 2,
-            len: 3,
-            post: 1,
-        };
-        let strided = LaneGeom {
-            pre: 2,
-            len: 3,
-            post: 2,
-        };
-        let x = vec![0.5f32; strided.elements()];
-        let mut out = vec![0.0f32; strided.elements()];
-        assert!(softmax_scaled_into_dispatch(
-            &x[..unit.elements()],
-            1.0,
-            unit,
-            &mut out[..unit.elements()]
-        ));
-        assert!(!softmax_scaled_into_dispatch(&x, 1.0, strided, &mut out));
-        let (gamma, beta) = (vec![1.0f32; 3], vec![0.0f32; 3]);
-        let (mut mu, mut is) = (vec![0.0f32; 4], vec![0.0f32; 4]);
-        assert!(layernorm_into_dispatch(
-            &x[..unit.elements()],
-            &gamma,
-            &beta,
-            unit,
-            &mut out[..unit.elements()],
-            &mut mu,
-            &mut is
-        ));
-        assert!(!layernorm_into_dispatch(
-            &x, &gamma, &beta, strided, &mut out, &mut mu, &mut is
-        ));
     }
 }

@@ -19,6 +19,9 @@
 //! * [`fused`] — single-sweep implementations of the paper's twelve fused
 //!   kernels (AIB, SM, BRD, BDRLN, BSB, BLNRD, BDRB, EBSB, BS, BAOB, BAIB,
 //!   BEI);
+//! * [`lanes`] — the one body of every forward kernel, which [`ops`],
+//!   [`fused`] (in logical order) and [`into_ops`] (in physical order over
+//!   caller-provided buffers) drive;
 //! * [`half`] — software FP16 for mixed-precision storage accounting.
 //!
 //! # Examples
@@ -41,7 +44,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 mod axes;
 pub mod contract;
@@ -50,6 +53,7 @@ mod error;
 pub mod fused;
 pub mod half;
 pub mod into_ops;
+pub mod lanes;
 mod layout;
 pub mod matmul;
 pub mod ops;

@@ -9,6 +9,8 @@
 use rand::Rng;
 
 use crate::error::Result;
+use crate::into_ops::dropout_into;
+use crate::lanes::Dropout;
 use crate::tensor::Tensor;
 
 use super::check_same_shape;
@@ -21,23 +23,10 @@ use super::check_same_shape;
 ///
 /// Panics if `p` is outside `[0, 1)`.
 pub fn dropout<R: Rng + ?Sized>(x: &Tensor, p: f32, rng: &mut R) -> (Tensor, Tensor) {
-    assert!(
-        (0.0..1.0).contains(&p),
-        "dropout probability must be in [0, 1)"
-    );
-    let keep_scale = 1.0 / (1.0 - p);
-    let mut mask = x.clone();
-    for m in mask.data_mut() {
-        *m = if rng.gen::<f32>() < p {
-            0.0
-        } else {
-            keep_scale
-        };
-    }
+    let mut drop = Dropout::new(p, rng).expect("dropout probability must be in [0, 1)");
     let mut out = x.clone();
-    for (o, &m) in out.data_mut().iter_mut().zip(mask.data()) {
-        *o *= m;
-    }
+    let mut mask = x.clone();
+    dropout_into(x.data(), &mut drop, out.data_mut(), mask.data_mut());
     (out, mask)
 }
 

@@ -8,9 +8,10 @@
 
 use crate::axes::Axis;
 use crate::error::Result;
+use crate::lanes;
 use crate::tensor::Tensor;
 
-use super::{check_same_shape, for_each_outer};
+use super::{check_same_shape, for_each_outer, lane_at};
 
 /// Default variance epsilon (matches common BERT configurations).
 pub const EPS: f32 = 1e-5;
@@ -42,57 +43,15 @@ pub fn layernorm(
     let ai = x.shape().index_of(axis)?;
     check_weight(gamma, axis, x.shape().sizes()[ai])?;
     check_weight(beta, axis, x.shape().sizes()[ai])?;
-    let len = x.shape().sizes()[ai];
-    let stride = x.strides()[ai];
     let mut out = x.clone();
     let mut stats = LayerNormStats {
         mean: Vec::new(),
         inv_std: Vec::new(),
     };
-    if stride == 1 && x.layout().is_row_major_for(x.shape()) {
-        // Locally discharged access certificate: dense physically row-major
-        // buffer with a unit-stride reduce axis, so `post == 1` (every axis
-        // after `ai` is a singleton) and each lane is an exact contiguous
-        // chunk. `for_each_outer` visits outer indices in logical row-major
-        // order, which with singleton trailing axes is exactly `pre`-major —
-        // the order the twin writes its per-lane statistics.
-        let lane = crate::into_ops::LaneGeom::new(x.shape().sizes(), ai);
-        debug_assert_eq!(lane.post, 1);
-        debug_assert_eq!(lane.elements(), x.data().len());
-        stats.mean.resize(lane.lanes(), 0.0);
-        stats.inv_std.resize(lane.lanes(), 0.0);
-        // SAFETY: in-bounds and unit-stride proven above; `out` is a clone
-        // of `x`; `gamma`/`beta` were checked to hold exactly `len` words;
-        // the stats vectors were just sized to `lane.lanes()`.
-        unsafe {
-            crate::into_ops::layernorm_into_unchecked(
-                x.data(),
-                gamma.data(),
-                beta.data(),
-                lane,
-                out.data_mut(),
-                &mut stats.mean,
-                &mut stats.inv_std,
-            );
-        }
-        return Ok((out, stats));
-    }
     for_each_outer(x.shape(), ai, |idx| {
-        let base = x.offset(idx);
-        let mut sum = 0.0f32;
-        let mut sq = 0.0f32;
-        for v in 0..len {
-            let val = x.data()[base + v * stride];
-            sum += val;
-            sq += val * val;
-        }
-        let mean = sum / len as f32;
-        let var = (sq / len as f32 - mean * mean).max(0.0);
-        let inv_std = 1.0 / (var + EPS).sqrt();
-        for v in 0..len {
-            let xhat = (x.data()[base + v * stride] - mean) * inv_std;
-            out.data_mut()[base + v * stride] = xhat * gamma.data()[v] + beta.data()[v];
-        }
+        let at = lane_at(x, idx, ai);
+        let (mean, inv_std) =
+            lanes::layernorm_at(x.data(), at, gamma.data(), beta.data(), out.data_mut());
         stats.mean.push(mean);
         stats.inv_std.push(inv_std);
     });

@@ -16,6 +16,7 @@ pub mod softmax;
 
 use crate::axes::Shape;
 use crate::error::{Result, TensorError};
+use crate::lanes::LaneAt;
 use crate::tensor::Tensor;
 
 /// Calls `f` once per multi-index over all axes of `shape` except the axis
@@ -45,6 +46,16 @@ where
         if done {
             break;
         }
+    }
+}
+
+/// Where the lane along logical axis position `ai` through outer index
+/// `idx` (as [`for_each_outer`] passes it) sits in `t`'s buffer.
+pub(crate) fn lane_at(t: &Tensor, idx: &[usize], ai: usize) -> LaneAt {
+    LaneAt {
+        base: t.offset(idx),
+        stride: t.strides()[ai],
+        len: t.shape().sizes()[ai],
     }
 }
 

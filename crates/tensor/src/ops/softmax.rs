@@ -6,9 +6,10 @@
 
 use crate::axes::Axis;
 use crate::error::Result;
+use crate::lanes;
 use crate::tensor::Tensor;
 
-use super::{check_same_shape, for_each_outer};
+use super::{check_same_shape, for_each_outer, lane_at};
 
 /// Numerically stable softmax along `axis`.
 ///
@@ -27,43 +28,11 @@ use super::{check_same_shape, for_each_outer};
 /// ```
 pub fn softmax(x: &Tensor, axis: Axis) -> Result<Tensor> {
     let ai = x.shape().index_of(axis)?;
-    let len = x.shape().sizes()[ai];
-    let stride = x.strides()[ai];
     let mut out = x.clone();
-    if stride == 1 && x.layout().is_row_major_for(x.shape()) {
-        // Locally discharged access certificate: the buffer is dense
-        // (`data().len() == num_elements`, a `Tensor` invariant), physically
-        // row-major, and the reduce axis has unit stride — so `post == 1`
-        // and every lane is an exact contiguous chunk. `scaler = 1.0` is a
-        // bitwise identity under IEEE 754 multiplication.
-        let lane = crate::into_ops::LaneGeom::new(x.shape().sizes(), ai);
-        debug_assert_eq!(lane.post, 1);
-        debug_assert_eq!(lane.elements(), x.data().len());
-        // SAFETY: in-bounds and unit-stride proven by the checks above;
-        // `out` is a clone of `x`, so it has the same length.
-        unsafe {
-            crate::into_ops::softmax_scaled_into_unchecked(x.data(), 1.0, lane, out.data_mut());
-        }
-        return Ok(out);
-    }
     for_each_outer(x.shape(), ai, |idx| {
-        let base = x.offset(idx);
-        // max
-        let mut mx = f32::NEG_INFINITY;
-        for v in 0..len {
-            mx = mx.max(x.data()[base + v * stride]);
-        }
-        // exp + sum
-        let mut sum = 0.0f32;
-        for v in 0..len {
-            let e = (x.data()[base + v * stride] - mx).exp();
-            out.data_mut()[base + v * stride] = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for v in 0..len {
-            out.data_mut()[base + v * stride] *= inv;
-        }
+        let at = lane_at(x, idx, ai);
+        // a unit scale is a bitwise identity under IEEE 754 multiplication
+        lanes::softmax_at(x.data(), at, 1.0, at.len, out.data_mut());
     });
     Ok(out)
 }
@@ -183,6 +152,26 @@ mod tests {
             );
             if !x.advance(&mut idx) {
                 break;
+            }
+        }
+    }
+
+    #[test]
+    fn fully_masked_lane_is_zero_not_nan() {
+        // one all-`−inf` row among ordinary ones, in the unit-stride and a
+        // strided layout: `exp(−inf − −inf)` used to poison it with NaN
+        let mut x = rand_t(7);
+        for k in 0..4 {
+            x.set(&[1, 2, k], f32::NEG_INFINITY);
+        }
+        for layout in Layout::all(3) {
+            let y = softmax(&x.relayout(&layout), Axis('k')).unwrap();
+            for (idx, v) in y.iter() {
+                if idx[..2] == [1, 2] {
+                    assert_eq!(v, 0.0, "masked row at {idx:?}");
+                } else {
+                    assert!(v > 0.0 && v < 1.0, "ordinary row at {idx:?}: {v}");
+                }
             }
         }
     }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use xform_tensor::contract::naive_einsum;
 use xform_tensor::einsum::EinsumSpec;
@@ -21,6 +21,30 @@ use xform_tensor::{contract, einsum, Axis, Layout, Shape, Tensor};
 fn rand_tensor(shape: Shape, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     Tensor::random(shape, &Uniform::new(-2.0f32, 2.0), &mut rng)
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Two same-shape tensors, in whatever layouts, hold bitwise-equal values
+/// at every logical index.
+fn assert_same_bits(what: &str, a: &Tensor, b: &Tensor) -> Result<(), String> {
+    let mut idx = vec![0usize; a.shape().rank()];
+    loop {
+        let (x, y) = (a.at(&idx), b.at(&idx));
+        prop_assert!(
+            x.to_bits() == y.to_bits(),
+            "{} at {:?}: {} vs {}",
+            what,
+            idx,
+            x,
+            y
+        );
+        if !a.advance(&mut idx) {
+            return Ok(());
+        }
+    }
 }
 
 proptest! {
@@ -224,6 +248,89 @@ proptest! {
         if a != 0.0 && ha != 0.0 {
             prop_assert_eq!(a.signum(), ha.signum());
         }
+    }
+
+    // The lane bodies are monomorphised over contiguous slices (the reduce
+    // axis has unit stride) and over strided views (any other layout); the
+    // drivers pick by stride alone. Both instantiations must agree bitwise
+    // at every logical index — values, saved activations, statistics and
+    // the RNG end state.
+
+    #[test]
+    fn softmax_instantiations_agree_bitwise(
+        b in 1usize..4, j in 1usize..4, k in 2usize..7, seed in 0u64..1000,
+    ) {
+        let x = rand_tensor(Shape::new([('b', b), ('j', j), ('k', k)]).unwrap(), seed);
+        let unit = softmax(&x, Axis('k')).unwrap();
+        let xp = x.relayout(&Layout::from_axis_order(x.shape(), "kbj").unwrap());
+        let strided = softmax(&xp, Axis('k')).unwrap();
+        assert_same_bits("softmax", &unit, &strided)?;
+    }
+
+    #[test]
+    fn layernorm_instantiations_agree_bitwise(
+        b in 1usize..4, j in 1usize..4, i in 2usize..7, seed in 0u64..1000,
+    ) {
+        let x = rand_tensor(Shape::new([('b', b), ('j', j), ('i', i)]).unwrap(), seed);
+        let gamma = rand_tensor(Shape::new([('i', i)]).unwrap(), seed + 1);
+        let beta = rand_tensor(Shape::new([('i', i)]).unwrap(), seed + 2);
+        let (unit, us) = layernorm(&x, Axis('i'), &gamma, &beta).unwrap();
+        let xp = x.relayout(&Layout::from_axis_order(x.shape(), "ibj").unwrap());
+        let (strided, ss) = layernorm(&xp, Axis('i'), &gamma, &beta).unwrap();
+        assert_same_bits("layernorm", &unit, &strided)?;
+        // stats are pushed in logical (b, j) order under either layout
+        prop_assert_eq!(bits(&us.mean), bits(&ss.mean));
+        prop_assert_eq!(bits(&us.inv_std), bits(&ss.inv_std));
+    }
+
+    #[test]
+    fn sm_instantiations_agree_bitwise_with_dropout(
+        b in 1usize..4, j in 1usize..5, k in 2usize..7, base in 0usize..3,
+        p_idx in 0usize..3, seed in 0u64..1000,
+    ) {
+        let p = [0.0f32, 0.1, 0.5][p_idx];
+        let x = rand_tensor(Shape::new([('b', b), ('j', j), ('k', k)]).unwrap(), seed);
+        let xp = x.relayout(&Layout::from_axis_order(x.shape(), "kjb").unwrap());
+        let mut r1 = StdRng::seed_from_u64(seed ^ 0x5A);
+        let mut r2 = StdRng::seed_from_u64(seed ^ 0x5A);
+        let unit = fused::sm_causal_at(&x, 0.5, Axis('j'), Axis('k'), p, &mut r1, base).unwrap();
+        let strided = fused::sm_causal_at(&xp, 0.5, Axis('j'), Axis('k'), p, &mut r2, base).unwrap();
+        assert_same_bits("sm softmax", &unit.softmax, &strided.softmax)?;
+        assert_same_bits("sm alpha", &unit.alpha, &strided.alpha)?;
+        assert_same_bits("sm mask", &unit.mask, &strided.mask)?;
+        // one draw per visible position when p > 0, none otherwise
+        prop_assert_eq!(r1.next_u64(), r2.next_u64());
+    }
+
+    #[test]
+    fn bdrln_instantiations_agree_bitwise_with_dropout(
+        b in 1usize..4, j in 1usize..4, i in 2usize..7, p_idx in 0usize..3,
+        residual_strided in any::<bool>(), seed in 0u64..1000,
+    ) {
+        let p = [0.0f32, 0.1, 0.5][p_idx];
+        let shape = Shape::new([('b', b), ('j', j), ('i', i)]).unwrap();
+        let x = rand_tensor(shape.clone(), seed);
+        let mut residual = rand_tensor(shape, seed + 1);
+        if residual_strided {
+            // a unit-stride `x` with a strided residual takes the strided
+            // instantiation as a whole
+            residual = residual.relayout(&Layout::from_axis_order(x.shape(), "ijb").unwrap());
+        }
+        let bias = rand_tensor(Shape::new([('i', i)]).unwrap(), seed + 2);
+        let gamma = rand_tensor(Shape::new([('i', i)]).unwrap(), seed + 3);
+        let beta = rand_tensor(Shape::new([('i', i)]).unwrap(), seed + 4);
+        let xp = x.relayout(&Layout::from_axis_order(x.shape(), "ibj").unwrap());
+        let mut r1 = StdRng::seed_from_u64(seed ^ 0xBD);
+        let mut r2 = StdRng::seed_from_u64(seed ^ 0xBD);
+        let unit = fused::bdrln(&x, &bias, &residual, &gamma, &beta, Axis('i'), p, &mut r1).unwrap();
+        let strided =
+            fused::bdrln(&xp, &bias, &residual, &gamma, &beta, Axis('i'), p, &mut r2).unwrap();
+        assert_same_bits("bdrln mask", &unit.mask, &strided.mask)?;
+        assert_same_bits("bdrln ln_input", &unit.ln_input, &strided.ln_input)?;
+        assert_same_bits("bdrln out", &unit.out, &strided.out)?;
+        prop_assert_eq!(bits(&unit.stats.mean), bits(&strided.stats.mean));
+        prop_assert_eq!(bits(&unit.stats.inv_std), bits(&strided.stats.inv_std));
+        prop_assert_eq!(r1.next_u64(), r2.next_u64());
     }
 
     #[test]

@@ -41,6 +41,7 @@ use xform_core::analyze::{analyze, ArenaGranularity};
 use xform_core::arena::{ArenaArtifact, ArenaOutcome, ArenaRun, CompiledArena};
 use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
+use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::elementwise::{bias_add, ActivationKind};
 use xform_tensor::{into_ops, Result, Shape, Tensor, TensorError};
 
@@ -146,12 +147,15 @@ impl<'m> DecodeSession<'m> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the model is not a decoder stack or its
+    /// Returns an error if the model is not a decoder stack, its
+    /// configured `dropout_p` is outside `[0, 1)` (decoding itself never
+    /// drops, but a session does not vouch for an unusable model), or its
     /// dimensions are empty.
     pub fn new(model: &'m TransformerModel, opts: DecodeOptions) -> Result<Self> {
         if model.config.block != crate::model::BlockKind::Decoder {
             return Err(unsupported("decode sessions require decoder blocks"));
         }
+        check_dropout_p(model.config.dropout_p)?;
         let d = model.config.dims;
         let max_seq = opts.max_seq.unwrap_or(d.j).min(d.j).max(1);
         let bucket = opts

@@ -133,6 +133,12 @@ impl DecoderLayer {
         1.0 / (self.dims.p as f32).sqrt()
     }
 
+    /// The caller's run configuration with the block-owned scalar knobs
+    /// merged in (and `dropout_p` range-checked).
+    fn exec_options<'p>(&self, opts: &ExecOptions<'p>) -> Result<ExecOptions<'p>> {
+        interp::layer_options(opts, self.dropout_p, self.activation, self.scaler())
+    }
+
     /// The canned-plan cache key for the block's configuration.
     fn plan_kind(&self) -> interp::PlanKind {
         if self.epilogue {
@@ -154,9 +160,9 @@ impl DecoderLayer {
     ///
     /// # Errors
     ///
-    /// Returns an error if `x` has the wrong shape, the plan fails
-    /// validation, a parallel run lacks a certificate, or a kernel rejects
-    /// its operands.
+    /// Returns an error if the block's `dropout_p` is outside `[0, 1)`,
+    /// `x` has the wrong shape, the plan fails validation, a parallel run
+    /// lacks a certificate, or a kernel rejects its operands.
     pub fn forward(
         &self,
         x: &Tensor,
@@ -173,12 +179,7 @@ impl DecoderLayer {
         };
         let mut state = bind_inputs(x, w)?;
         let arena;
-        let mut run_opts = opts
-            .to_builder()
-            .dropout_p(self.dropout_p)
-            .activation(self.activation)
-            .scaler(self.scaler())
-            .build();
+        let mut run_opts = self.exec_options(opts)?;
         if opts.plan.is_none() && opts.profiler.is_none() {
             if let Some(a) = interp::cached_arena(
                 &self.dims,
@@ -204,8 +205,8 @@ impl DecoderLayer {
     ///
     /// # Errors
     ///
-    /// Returns an error if `y` has the wrong size, `x` has the wrong
-    /// shape, or the execution itself fails.
+    /// Returns an error if `dropout_p` is outside `[0, 1)`, `y` has the
+    /// wrong size, `x` has the wrong shape, or the execution itself fails.
     pub fn forward_into(
         &self,
         x: &Tensor,
@@ -213,12 +214,7 @@ impl DecoderLayer {
         opts: &ExecOptions,
         y: &mut Tensor,
     ) -> Result<()> {
-        let merged = opts
-            .to_builder()
-            .dropout_p(self.dropout_p)
-            .activation(self.activation)
-            .scaler(self.scaler())
-            .build();
+        let merged = self.exec_options(opts)?;
         if opts.plan.is_none()
             && opts.profiler.is_none()
             && interp::arena_forward_into(&self.dims, self.plan_kind(), x, w, &merged, y)?

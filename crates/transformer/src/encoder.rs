@@ -166,15 +166,10 @@ impl EncoderLayer {
         interp::cached_plan(&self.dims, self.plan_kind())
     }
 
-    /// Merges the caller's run configuration with the layer-owned scalar
-    /// knobs: `dropout_p`, `activation`, and the attention `scaler` always
-    /// come from the layer, everything else from `opts`.
-    fn exec_options<'p>(&self, opts: &ExecOptions<'p>) -> ExecOptions<'p> {
-        opts.to_builder()
-            .dropout_p(self.dropout_p)
-            .activation(self.activation)
-            .scaler(self.scaler())
-            .build()
+    /// The caller's run configuration with the layer-owned scalar knobs
+    /// merged in (and `dropout_p` range-checked).
+    fn exec_options<'p>(&self, opts: &ExecOptions<'p>) -> Result<ExecOptions<'p>> {
+        interp::layer_options(opts, self.dropout_p, self.activation, self.scaler())
     }
 
     /// Runs forward propagation on input `x` (`[i,b,j]`) — the single
@@ -202,9 +197,10 @@ impl EncoderLayer {
     ///
     /// # Errors
     ///
-    /// Returns an error if `x` has the wrong shape for the layer's
-    /// dimensions, the plan fails validation, a parallel run lacks a
-    /// certificate, or a kernel rejects its operands.
+    /// Returns an error if the layer's `dropout_p` is outside `[0, 1)`,
+    /// `x` has the wrong shape for the layer's dimensions, the plan fails
+    /// validation, a parallel run lacks a certificate, or a kernel rejects
+    /// its operands.
     pub fn forward(
         &self,
         x: &Tensor,
@@ -222,7 +218,7 @@ impl EncoderLayer {
             };
         let mut state = bind_inputs(x, w)?;
         let arena;
-        let mut run_opts = self.exec_options(opts);
+        let mut run_opts = self.exec_options(opts)?;
         if opts.plan.is_none() && opts.profiler.is_none() {
             if let Some(a) = interp::cached_arena(
                 &self.dims,
@@ -258,9 +254,9 @@ impl EncoderLayer {
     ///
     /// # Errors
     ///
-    /// Returns an error if `y` has the wrong size, `x` has the wrong
-    /// shape, or the execution itself fails (see
-    /// [`EncoderLayer::forward`]).
+    /// Returns an error if `dropout_p` is outside `[0, 1)`, `y` has the
+    /// wrong size, `x` has the wrong shape, or the execution itself fails
+    /// (see [`EncoderLayer::forward`]).
     pub fn forward_into(
         &self,
         x: &Tensor,
@@ -275,7 +271,7 @@ impl EncoderLayer {
                 self.plan_kind(),
                 x,
                 w,
-                &self.exec_options(opts),
+                &self.exec_options(opts)?,
                 y,
             )?
         {

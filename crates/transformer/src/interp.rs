@@ -27,6 +27,8 @@ use xform_core::plan::{execute_plan, ExecOptions, ExecState, ExecutionPlan, Sani
 use xform_core::recipe::forward_ops;
 use xform_core::sanitize::{certify, execute_plan_parallel, ParallelOptions, RaceCertificate};
 use xform_dataflow::{build, EncoderDims, Graph};
+use xform_tensor::lanes::check_dropout_p;
+use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::{into_ops, Axis, Result, Tensor};
 
 use crate::params::EncoderWeights;
@@ -73,7 +75,7 @@ pub struct PlannedForward {
     /// Freedom-from-races certificate over the plan's hazard-DAG waves.
     pub cert: RaceCertificate,
     /// Access-path certificate: every operand path proven in-bounds and
-    /// alias-free, with per-step licenses for the unchecked kernel twins.
+    /// alias-free, with the per-step unit-stride record.
     pub access: AccessCertificate,
 }
 
@@ -243,6 +245,31 @@ pub fn arena_cache_len() -> usize {
 /// Drops every memoized arena.
 pub fn clear_arena_cache() {
     arena_cache().lock().unwrap().clear();
+}
+
+/// Merges a caller's run configuration with a layer's own scalar knobs:
+/// `dropout_p`, `activation` and the attention `scaler` always come from
+/// the layer, everything else from `opts`. This is where a layer's
+/// `dropout_p` enters an execution, so it is range-checked here, once, for
+/// every executor and entry point.
+///
+/// # Errors
+///
+/// Returns [`xform_tensor::TensorError::InvalidDropout`] unless
+/// `0 <= dropout_p < 1`.
+pub(crate) fn layer_options<'p>(
+    opts: &ExecOptions<'p>,
+    dropout_p: f32,
+    activation: ActivationKind,
+    scaler: f32,
+) -> Result<ExecOptions<'p>> {
+    check_dropout_p(dropout_p)?;
+    Ok(opts
+        .to_builder()
+        .dropout_p(dropout_p)
+        .activation(activation)
+        .scaler(scaler)
+        .build())
 }
 
 /// The arena-side mirror of a merged [`ExecOptions`]: layer knobs plus

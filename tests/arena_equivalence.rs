@@ -18,6 +18,17 @@ use substation::transformer::encoder::{EncoderLayer, Executor};
 use substation::transformer::interp;
 use substation::transformer::params::EncoderWeights;
 
+/// The tests below share the process-wide cached arenas of one `dims`. A
+/// forward that finds its arena busy in another test thread falls back to
+/// the allocating interpreter, whose serial dropout stream differs from the
+/// arena's per-step streams — so tests that compare arena runs hold this
+/// for their whole body.
+static ARENAS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn exclusive_arenas() -> std::sync::MutexGuard<'static, ()> {
+    ARENAS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn setup() -> (EncoderDims, EncoderWeights, Tensor) {
     let dims = EncoderDims::tiny();
     let mut rng = StdRng::seed_from_u64(41);
@@ -40,6 +51,7 @@ fn out_buffer(dims: &EncoderDims) -> Tensor {
 
 #[test]
 fn every_canned_plan_compiles_an_arena_at_both_granularities() {
+    let _arenas = exclusive_arenas();
     let dims = EncoderDims::tiny();
     for kind in [
         interp::PlanKind::EncoderReference,
@@ -57,6 +69,7 @@ fn every_canned_plan_compiles_an_arena_at_both_granularities() {
 
 #[test]
 fn arena_forward_matches_the_env_interpreter_bitwise_without_rng() {
+    let _arenas = exclusive_arenas();
     // With dropout off no RNG is drawn, so the arena-routed forward and a
     // PlanOverride forward (which bypasses the arena and runs the
     // allocating environment interpreter) must agree bitwise.
@@ -87,6 +100,7 @@ fn arena_forward_matches_the_env_interpreter_bitwise_without_rng() {
 
 #[test]
 fn forward_into_agrees_with_forward_exactly() {
+    let _arenas = exclusive_arenas();
     let (dims, w, x) = setup();
     let mut y = out_buffer(&dims);
     for p in [0.0f32, 0.3] {
@@ -107,6 +121,7 @@ fn forward_into_agrees_with_forward_exactly() {
 
 #[test]
 fn dropout_is_thread_count_invariant_under_the_arena() {
+    let _arenas = exclusive_arenas();
     // Per-step RNG streams make the drawn masks a function of (seed,
     // step) alone: the serial arena and the wave-parallel arena at any
     // worker count produce bitwise-identical outputs even with dropout
@@ -134,6 +149,7 @@ fn dropout_is_thread_count_invariant_under_the_arena() {
 
 #[test]
 fn collected_activations_match_between_arena_and_env_interpreter() {
+    let _arenas = exclusive_arenas();
     // Saved activations and layer-norm statistics materialized out of the
     // slab must be the same values the environment interpreter produces.
     let (dims, w, x) = setup();
@@ -158,4 +174,50 @@ fn collected_activations_match_between_arena_and_env_interpreter() {
     assert_eq!(a.ln1.stats.mean, b.ln1.stats.mean);
     assert_eq!(a.ln1.stats.inv_std, b.ln1.stats.inv_std);
     assert_eq!(a.ln2.out.data(), b.ln2.out.data());
+}
+
+#[test]
+fn out_of_range_dropout_is_a_typed_error_for_every_executor() {
+    // `p = 1` used to reach the kernels: `1/(1-p)` is infinite, and the
+    // arena path returned an all-NaN `y` where the reference executor
+    // returned a finite one. The layer now rejects it where it merges its
+    // knobs, identically for every executor and entry point.
+    use substation::tensor::TensorError;
+    use substation::transformer::decode::{DecodeOptions, DecodeSession};
+    use substation::transformer::model::{BlockKind, ModelConfig, TransformerModel};
+
+    let (dims, w, x) = setup();
+    let mut y = out_buffer(&dims);
+    let invalid = |e: TensorError| matches!(e, TensorError::InvalidDropout(_));
+    for p in [1.0f32, 1.5, -0.5, f32::NAN] {
+        for threads in [1usize, 2] {
+            let opts = ExecOptions::builder().threads(threads).build();
+            for executor in [Executor::Reference, Executor::Fused, Executor::Epilogue] {
+                let layer = EncoderLayer::new(dims, executor, p);
+                let err = layer.forward(&x, &w, &opts).unwrap_err();
+                assert!(invalid(err), "{executor:?} forward p={p}");
+                let err = layer.forward_into(&x, &w, &opts, &mut y).unwrap_err();
+                assert!(invalid(err), "{executor:?} forward_into p={p}");
+            }
+            for layer in [
+                DecoderLayer::new(dims, p),
+                DecoderLayer::new(dims, p).with_epilogue(),
+            ] {
+                assert!(invalid(layer.forward(&x, &w, &opts).unwrap_err()));
+                assert!(invalid(
+                    layer.forward_into(&x, &w, &opts, &mut y).unwrap_err()
+                ));
+            }
+        }
+        let cfg = ModelConfig {
+            dims,
+            layers: 1,
+            vocab: 5,
+            block: BlockKind::Decoder,
+            dropout_p: p,
+        };
+        let model = TransformerModel::init(cfg, &mut StdRng::seed_from_u64(1)).unwrap();
+        let err = DecodeSession::new(&model, DecodeOptions::default()).unwrap_err();
+        assert!(invalid(err), "DecodeSession::new p={p}");
+    }
 }

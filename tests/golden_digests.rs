@@ -1,0 +1,371 @@
+//! Bitwise pins across kernel-layer refactors: FNV-1a digests of every
+//! output, saved activation, layer-norm statistic and RNG end state of the
+//! layer forwards, a streaming decode, and the allocating kernels on
+//! permuted layouts — recorded once (PR 12, at the parent commit) and held
+//! fixed. A digest that moves means arithmetic, output layout, stats
+//! order or RNG draw order changed somewhere under the public API.
+//!
+//! On a mismatch the test prints the full table it computed, in source
+//! form, so an *intended* change can re-record it.
+
+use rand::distributions::Uniform;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+
+use substation::core::plan::{ExecOptions, PlanOverride};
+use substation::dataflow::EncoderDims;
+use substation::tensor::fused::{self, BdrlnOutput, BrdOutput, SmOutput};
+use substation::tensor::ops::dropout::dropout;
+use substation::tensor::ops::elementwise::{bias_add, ActivationKind::Gelu};
+use substation::tensor::ops::layernorm::{layernorm, LayerNormStats};
+use substation::tensor::ops::softmax::softmax;
+use substation::tensor::{Axis, Layout, Shape, Tensor};
+use substation::transformer::decode::{DecodeOptions, DecodeSession, Sampling};
+use substation::transformer::decoder::{DecoderActivations, DecoderLayer};
+use substation::transformer::encoder::{Activations, EncoderLayer, Executor};
+use substation::transformer::interp::{self, PlanKind};
+use substation::transformer::model::{BlockKind, ModelConfig, TransformerModel};
+use substation::transformer::params::EncoderWeights;
+
+/// FNV-1a over 32-bit words (f32 bit patterns, little-endian bytes).
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn word(&mut self, w: u32) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn slice(&mut self, xs: &[f32]) {
+        self.word(xs.len() as u32);
+        for x in xs {
+            self.word(x.to_bits());
+        }
+    }
+    /// Physical buffer plus the layout that addresses it.
+    fn tensor(&mut self, t: &Tensor) {
+        for c in t.layout().spec(t.shape()).bytes() {
+            self.word(u32::from(c));
+        }
+        self.slice(t.data());
+    }
+    fn stats(&mut self, s: &LayerNormStats) {
+        self.slice(&s.mean);
+        self.slice(&s.inv_std);
+    }
+    fn sm(&mut self, s: &SmOutput) {
+        self.tensor(&s.alpha);
+        self.tensor(&s.softmax);
+        self.tensor(&s.mask);
+    }
+    fn brd(&mut self, b: &BrdOutput) {
+        self.tensor(&b.out);
+        self.tensor(&b.pre_activation);
+        self.tensor(&b.mask);
+    }
+    fn bdrln(&mut self, l: &BdrlnOutput) {
+        self.tensor(&l.out);
+        self.tensor(&l.ln_input);
+        self.tensor(&l.mask);
+        self.stats(&l.stats);
+    }
+    fn rng(&mut self, rng: &mut StdRng) {
+        let s = rng.next_u64();
+        self.word(s as u32);
+        self.word((s >> 32) as u32);
+    }
+}
+
+fn encoder_acts(h: &mut Fnv, a: &Activations) {
+    for t in [&a.qq, &a.kk, &a.vv, &a.gam] {
+        h.tensor(t);
+    }
+    h.sm(&a.sm);
+    h.bdrln(&a.ln1);
+    h.brd(&a.brd);
+    h.bdrln(&a.ln2);
+}
+
+fn decoder_acts(h: &mut Fnv, a: &DecoderActivations) {
+    for t in [
+        &a.ln1_out,
+        &a.qq,
+        &a.kk,
+        &a.vv,
+        &a.gam,
+        &a.drop1_mask,
+        &a.res1,
+        &a.ln2_out,
+        &a.drop3_mask,
+    ] {
+        h.tensor(t);
+    }
+    h.stats(&a.stats1);
+    h.stats(&a.stats2);
+    h.sm(&a.sm);
+    h.brd(&a.brd);
+}
+
+/// `tiny` plus a shape with no two extents equal.
+fn shapes() -> [EncoderDims; 2] {
+    [
+        EncoderDims::tiny(),
+        EncoderDims {
+            b: 3,
+            j: 5,
+            k: 5,
+            h: 2,
+            p: 4,
+            i: 8,
+            u: 7,
+        },
+    ]
+}
+
+const THREADS: [usize; 2] = [1, 2];
+
+enum Block {
+    Enc(EncoderLayer),
+    Dec(DecoderLayer),
+}
+
+impl Block {
+    /// `forward` (output + saved activations into `h`) or, with `into`,
+    /// `forward_into`.
+    fn run(
+        &self,
+        x: &Tensor,
+        w: &EncoderWeights,
+        opts: &ExecOptions,
+        into: Option<&mut Tensor>,
+        h: &mut Fnv,
+    ) {
+        match (self, into) {
+            (Block::Enc(l), Some(y)) => l.forward_into(x, w, opts, y).unwrap(),
+            (Block::Dec(l), Some(y)) => l.forward_into(x, w, opts, y).unwrap(),
+            (Block::Enc(l), None) => {
+                let (y, a) = l.forward(x, w, opts).unwrap().into_pair().unwrap();
+                h.tensor(&y);
+                encoder_acts(h, &a);
+            }
+            (Block::Dec(l), None) => {
+                let (y, a) = l.forward(x, w, opts).unwrap().into_pair().unwrap();
+                h.tensor(&y);
+                decoder_acts(h, &a);
+            }
+        }
+    }
+}
+
+/// One row per (layer kind, shape, p), folding `threads ∈ {1, 2}` × three
+/// paths: the arena-routed `forward` with its saved activations,
+/// `forward_into`, and the allocating environment interpreter (a plan
+/// override bypasses the arena).
+fn layer_digests(table: &mut Vec<(String, u64)>) {
+    for (di, dims) in shapes().iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let w = EncoderWeights::init(dims, &mut rng);
+        let ibj = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+        let x = Tensor::random(ibj.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
+        for p in [0.0f32, 0.1] {
+            let enc = |e| Block::Enc(EncoderLayer::new(*dims, e, p).with_activation(Gelu));
+            let dec = DecoderLayer::new(*dims, p);
+            let kinds = [
+                (
+                    "enc/Reference",
+                    PlanKind::EncoderReference,
+                    enc(Executor::Reference),
+                ),
+                ("enc/Fused", PlanKind::EncoderFused, enc(Executor::Fused)),
+                (
+                    "enc/Epilogue",
+                    PlanKind::EncoderEpilogue,
+                    enc(Executor::Epilogue),
+                ),
+                ("dec/fused", PlanKind::DecoderFused, Block::Dec(dec.clone())),
+                (
+                    "dec/epilogue",
+                    PlanKind::DecoderEpilogue,
+                    Block::Dec(dec.with_epilogue()),
+                ),
+            ];
+            for (name, kind, block) in kinds {
+                let pf = interp::cached_plan(dims, kind).unwrap();
+                let mut h = Fnv::new();
+                for threads in THREADS {
+                    let opts = ExecOptions::builder().threads(threads).seed(17).build();
+                    block.run(&x, &w, &opts, None, &mut h);
+                    let mut y = Tensor::zeros(ibj.clone());
+                    block.run(&x, &w, &opts, Some(&mut y), &mut h);
+                    h.tensor(&y);
+                    let over = PlanOverride {
+                        graph: &pf.graph,
+                        plan: &pf.plan,
+                        cert: Some(&pf.cert),
+                    };
+                    let env = opts.to_builder().plan(Some(over)).build();
+                    block.run(&x, &w, &env, None, &mut h);
+                }
+                table.push((format!("{name}/shape{di}/p{p}"), h.0));
+            }
+        }
+    }
+}
+
+/// Prefill + 8 temperature-sampled steps at prefill `threads ∈ {1, 2}`;
+/// the digest folds in every logit column, every sampled token and the
+/// sampling RNG's end state.
+fn decode_digests(table: &mut Vec<(String, u64)>) {
+    let dims = EncoderDims {
+        b: 2,
+        j: 16,
+        k: 16,
+        h: 2,
+        p: 4,
+        i: 8,
+        u: 16,
+    };
+    let vocab = 13;
+    let cfg = ModelConfig {
+        dims,
+        layers: 2,
+        vocab,
+        block: BlockKind::Decoder,
+        dropout_p: 0.0,
+    };
+    let model = TransformerModel::init(cfg, &mut StdRng::seed_from_u64(0xDEC0DE)).unwrap();
+    let prompt: Vec<Vec<usize>> = (0..dims.b)
+        .map(|b| (0..5).map(|j| (3 * b + 5 * j + 1) % vocab).collect())
+        .collect();
+    let mut h = Fnv::new();
+    for threads in THREADS {
+        let opts = DecodeOptions {
+            threads,
+            seed: 99,
+            bucket: Some(4),
+            max_seq: None,
+        };
+        let mut sess = DecodeSession::new(&model, opts).unwrap();
+        h.tensor(&sess.prefill(&prompt).unwrap());
+        let mut toks = vec![0usize; dims.b];
+        for _ in 0..8 {
+            let sampling = Sampling::Temperature {
+                temperature: 0.8,
+                top_k: Some(5),
+            };
+            sess.sample(sampling, &mut toks).unwrap();
+            for &t in &toks {
+                h.word(t as u32);
+            }
+            h.tensor(sess.advance(&toks).unwrap());
+        }
+        let fp = sess.rng_fingerprint();
+        h.word(fp as u32);
+        h.word((fp >> 32) as u32);
+    }
+    table.push(("decode".to_string(), h.0));
+}
+
+/// The allocating kernels called directly, one row per layout of a rank-3
+/// operand at `p ∈ {0, 0.3}`: output layout, per-operand strides, stats
+/// order and RNG draw order of the logical-order drivers.
+fn kernel_digests(table: &mut Vec<(String, u64)>) {
+    let sizes = [('b', 2), ('j', 3), ('k', 4), ('i', 5), ('u', 6)];
+    let rand_t = |spec: &str, seed: u64| -> Tensor {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = Shape::from_spec(spec, &sizes).unwrap();
+        Tensor::random(shape, &Uniform::new(-2.0, 2.0), &mut rng)
+    };
+    let (xk, xi, xu) = (rand_t("bjk", 1), rand_t("bji", 2), rand_t("bju", 3));
+    // the residual keeps its own (row-major) layout: per-operand strides
+    let (res, bias_i, bias_u) = (rand_t("bji", 4), rand_t("i", 5), rand_t("u", 6));
+    let bias_ji = rand_t("ji", 7);
+    let (gamma, beta) = (rand_t("i", 8), rand_t("i", 9));
+    let (j, k, i) = (Axis('j'), Axis('k'), Axis('i'));
+    for (li, layout) in Layout::all(3).iter().enumerate() {
+        let (xk, xi, xu) = (
+            xk.relayout(layout),
+            xi.relayout(layout),
+            xu.relayout(layout),
+        );
+        let mut h = Fnv::new();
+        h.tensor(&softmax(&xk, k).unwrap());
+        let (y, stats) = layernorm(&xi, i, &gamma, &beta).unwrap();
+        h.tensor(&y);
+        h.stats(&stats);
+        h.tensor(&bias_add(&xi, &bias_ji).unwrap());
+        for p in [0.0f32, 0.3] {
+            let mut rng = StdRng::seed_from_u64(77);
+            h.sm(&fused::sm(&xk, 0.5, k, p, &mut rng).unwrap());
+            h.rng(&mut rng);
+            h.sm(&fused::sm_causal_at(&xk, 0.5, j, k, p, &mut rng, 1).unwrap());
+            h.rng(&mut rng);
+            h.brd(&fused::brd_act(&xu, &bias_u, Gelu, p, &mut rng).unwrap());
+            h.rng(&mut rng);
+            for bias in [&bias_i, &bias_ji] {
+                h.bdrln(&fused::bdrln(&xi, bias, &res, &gamma, &beta, i, p, &mut rng).unwrap());
+                h.rng(&mut rng);
+            }
+            let (out, mask) = dropout(&xu, p, &mut rng);
+            h.tensor(&out);
+            h.tensor(&mask);
+            h.rng(&mut rng);
+        }
+        table.push((format!("kernels/layout{li}"), h.0));
+    }
+}
+
+#[test]
+fn digests_match_the_recorded_table() {
+    let mut table = Vec::new();
+    layer_digests(&mut table);
+    decode_digests(&mut table);
+    kernel_digests(&mut table);
+    let recorded: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    if table != recorded {
+        for (name, d) in &table {
+            let moved = recorded.iter().all(|r| r != &(name.clone(), *d));
+            println!(
+                "    (\"{name}\", {d:#018x}),{}",
+                if moved { " // MOVED" } else { "" }
+            );
+        }
+        panic!("golden digests moved; the computed table is printed above");
+    }
+}
+
+#[rustfmt::skip]
+const GOLDEN: &[(&str, u64)] = &[
+    ("enc/Reference/shape0/p0", 0xeca0ce2ca77c017d),
+    ("enc/Fused/shape0/p0", 0xeca0ce2ca77c017d),
+    ("enc/Epilogue/shape0/p0", 0xeca0ce2ca77c017d),
+    ("dec/fused/shape0/p0", 0x20b2dd3f40c3f629),
+    ("dec/epilogue/shape0/p0", 0x20b2dd3f40c3f629),
+    ("enc/Reference/shape0/p0.1", 0xa3b4004f1b9b16d9),
+    ("enc/Fused/shape0/p0.1", 0xec4cd2053730950e),
+    ("enc/Epilogue/shape0/p0.1", 0x99c2af3e76193573),
+    ("dec/fused/shape0/p0.1", 0x3c30488567ce362e),
+    ("dec/epilogue/shape0/p0.1", 0xcbddb491cb9f2002),
+    ("enc/Reference/shape1/p0", 0x7440f4ec1ac97be5),
+    ("enc/Fused/shape1/p0", 0x7440f4ec1ac97be5),
+    ("enc/Epilogue/shape1/p0", 0x7440f4ec1ac97be5),
+    ("dec/fused/shape1/p0", 0xf42f391e306da10d),
+    ("dec/epilogue/shape1/p0", 0xf42f391e306da10d),
+    ("enc/Reference/shape1/p0.1", 0x534c0b251940770e),
+    ("enc/Fused/shape1/p0.1", 0x6b8d3421dd987184),
+    ("enc/Epilogue/shape1/p0.1", 0xa4f206463476b0f4),
+    ("dec/fused/shape1/p0.1", 0x6fa0bfde9653bc50),
+    ("dec/epilogue/shape1/p0.1", 0x6dc533e4c449f96b),
+    ("decode", 0x232a6e62a2135165),
+    ("kernels/layout0", 0xacd062825dc14328),
+    ("kernels/layout1", 0x9e6ca3e8c9dabbc0),
+    ("kernels/layout2", 0x2c9d5055956f2a1f),
+    ("kernels/layout3", 0x75eb06597802dbab),
+    ("kernels/layout4", 0x1e7855fbe5eac0ca),
+    ("kernels/layout5", 0x15d5e514178b43b8),
+];
