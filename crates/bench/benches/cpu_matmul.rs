@@ -1,5 +1,5 @@
-//! CPU GEMM and einsum benchmarks: the tiled kernel vs the naive triple
-//! loop, and the einsum pack→GEMM→unpack pipeline on the paper's
+//! CPU GEMM and einsum benchmarks: the register-tiled kernel vs the naive
+//! triple loop, and the einsum compile→strided-GEMM pipeline on the paper's
 //! projection shapes (scaled to CPU size).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -11,59 +11,19 @@ use std::hint::black_box;
 use xform_tensor::matmul::{batched_sgemm, naive_sgemm, sgemm};
 use xform_tensor::{einsum, Shape, Tensor};
 
-/// The pre-optimization inner kernel, kept verbatim for before/after
-/// comparison: identical blocking to [`sgemm`] but with the `aik == 0`
-/// skip branch in the hot loop (removed from the real kernel because the
-/// branch costs more than the FMAs it saves on dense operands).
-fn sgemm_skip_zero(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    const BLOCK: usize = 64;
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for j0 in (0..n).step_by(BLOCK) {
-                let j1 = (j0 + BLOCK).min(n);
-                for i in i0..i1 {
-                    let c_row = &mut c[i * n + j0..i * n + j1];
-                    for kk in k0..k1 {
-                        let aik = a[i * k + kk];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b[kk * n + j0..kk * n + j1];
-                        for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                            *cv += aik * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 fn bench_sgemm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let (m, n, k) = (256, 256, 256);
     let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let mut group = c.benchmark_group("sgemm-256");
-    group.bench_function(BenchmarkId::new("tiled", "blocked"), |bch| {
+    group.bench_function(BenchmarkId::new("tiled", "2x16 register tile"), |bch| {
         bch.iter(|| {
             let mut cbuf = vec![0.0f32; m * n];
             sgemm(m, n, k, black_box(&a), black_box(&b), &mut cbuf);
             black_box(cbuf)
         })
     });
-    group.bench_function(
-        BenchmarkId::new("tiled", "blocked + zero-skip (old)"),
-        |bch| {
-            bch.iter(|| {
-                let mut cbuf = vec![0.0f32; m * n];
-                sgemm_skip_zero(m, n, k, black_box(&a), black_box(&b), &mut cbuf);
-                black_box(cbuf)
-            })
-        },
-    );
     group.bench_function(BenchmarkId::new("naive", "triple loop"), |bch| {
         bch.iter(|| {
             let mut cbuf = vec![0.0f32; m * n];
@@ -89,7 +49,7 @@ fn bench_batched_sgemm(c: &mut Criterion) {
             black_box(cbuf)
         })
     });
-    group.bench_function(BenchmarkId::new("batched", "serial loop (old)"), |bch| {
+    group.bench_function(BenchmarkId::new("batched", "serial loop"), |bch| {
         bch.iter(|| {
             let mut cbuf = vec![0.0f32; bsz * m * n];
             for g in 0..bsz {

@@ -418,8 +418,8 @@ pub fn step_accesses(graph: &Graph, step: &PlanStep) -> StepAccesses {
 
     match node.map(|_| &step.kind) {
         Some(OpKind::Einsum(_)) | Some(OpKind::ContractionEpilogue { .. }) => {
-            // the gather/GEMM/scatter (with or without a per-tile epilogue)
-            // reads and writes every word of every operand; exact as
+            // the strided GEMM (with or without a per-tile epilogue) reads
+            // and writes every word of every operand; exact as
             // address sets, but no inner-loop stride claim is made
             for (k, o) in step.inputs.iter().enumerate() {
                 let words = edge_at(in_ids.as_slice(), k)

@@ -66,16 +66,16 @@ struct BufView {
 /// touches no heap.
 #[derive(Debug, Clone)]
 enum StepExec {
-    /// Two-operand einsum: gather both operands into pack scratch, run
-    /// serial per-batch GEMMs, scatter into the output view.
+    /// Two-operand einsum: serial per-batch GEMMs straight through the
+    /// plan's strided views of the operand and output slab ranges; the
+    /// scratch at `s_off` holds only the packs of operands the plan has to
+    /// gather (none for the canned plans).
     Contract {
         a: BufView,
         b: BufView,
         out: BufView,
         plan: ContractPlan,
-        a_off: usize,
-        b_off: usize,
-        c_off: usize,
+        s_off: usize,
     },
     /// Broadcast bias add; `x` is pre-carved for stacked-Q/K/V steps.
     Bias {
@@ -164,18 +164,16 @@ enum StepExec {
         mask: BufView,
         out: BufView,
     },
-    /// GEMM-epilogue mega-kernel: gather both packs, stream the GEMM in
-    /// row tiles and apply the epilogue per tile. The contraction output
-    /// lives only in the `tile_rows · n` scratch tile at `t_off` — it has
-    /// no slab slot.
+    /// GEMM-epilogue mega-kernel: pack each batch slice's B panels once,
+    /// stream the GEMM in row tiles and apply the epilogue per tile. The
+    /// contraction output lives only in the `tile_rows · n` tile inside the
+    /// scratch at `s_off` — it has no slab slot.
     ContractEpilogue {
         a: BufView,
         b: BufView,
         plan: ContractPlan,
         tile_rows: usize,
-        a_off: usize,
-        b_off: usize,
-        t_off: usize,
+        s_off: usize,
         epi: EpiExec,
     },
 }
@@ -243,7 +241,7 @@ struct StatsSpec {
     inv_std: BufView,
 }
 
-/// The slab, einsum pack scratch, and layer-norm statistics storage of one
+/// The slab, contraction scratch, and layer-norm statistics storage of one
 /// arena, reused across calls under a mutex.
 #[derive(Debug)]
 struct ArenaBuffers {
@@ -446,26 +444,6 @@ fn causal_of(shape: &Shape, axis: Axis) -> Option<CausalMap> {
     })
 }
 
-/// Gather descriptor for one operand of a contraction: `(len, src_stride,
-/// pack_stride)` per group axis, pack strides outermost-first.
-fn gather_dims(groups: &[Axis], shape: &Shape) -> Option<Vec<(usize, usize, usize)>> {
-    let strides = rm_strides(shape);
-    let total: usize = groups
-        .iter()
-        .map(|&ax| shape.size(ax).ok())
-        .collect::<Option<Vec<_>>>()?
-        .iter()
-        .product();
-    let mut dims = Vec::with_capacity(groups.len());
-    let mut ps = total;
-    for &ax in groups {
-        let len = shape.size(ax).ok()?;
-        ps /= len;
-        dims.push((len, strides[shape.index_of(ax).ok()?], ps));
-    }
-    Some(dims)
-}
-
 impl CompiledArena {
     /// Lowers an analyzed plan onto a static arena at the given
     /// granularity.
@@ -543,7 +521,7 @@ impl CompiledArena {
             steps.push(exec);
         }
 
-        // per-wave cumulative scratch offsets for the einsum pack buffers;
+        // per-wave cumulative scratch offsets for the contraction steps;
         // the high-water mark over waves sizes the scratch allocation
         let mut scratch_words = 0usize;
         for wave in &waves {
@@ -551,34 +529,19 @@ impl CompiledArena {
             for &si in wave {
                 match &mut steps[si] {
                     StepExec::Contract {
-                        plan: cp,
-                        a_off,
-                        b_off,
-                        c_off,
-                        ..
+                        plan: cp, s_off, ..
                     } => {
-                        *a_off = acc;
-                        acc += cp.a_words();
-                        *b_off = acc;
-                        acc += cp.b_words();
-                        *c_off = acc;
-                        acc += cp.c_words();
+                        *s_off = acc;
+                        acc += cp.scratch_words();
                     }
                     StepExec::ContractEpilogue {
                         plan: cp,
                         tile_rows,
-                        a_off,
-                        b_off,
-                        t_off,
+                        s_off,
                         ..
                     } => {
-                        // the C buffer shrinks to one row tile
-                        *a_off = acc;
-                        acc += cp.a_words();
-                        *b_off = acc;
-                        acc += cp.b_words();
-                        *t_off = acc;
-                        acc += *tile_rows * cp.n;
+                        *s_off = acc;
+                        acc += cp.epilogue_scratch_words(*tile_rows);
                     }
                     _ => {}
                 }
@@ -706,7 +669,9 @@ impl CompiledArena {
         self.slab_words
     }
 
-    /// Einsum pack-scratch words held alongside the slab.
+    /// Contraction scratch words held alongside the slab: the epilogue
+    /// steps' packed B panels and output tiles, plus the pack of any
+    /// operand a contraction plan has to gather.
     pub fn scratch_words(&self) -> usize {
         self.scratch_words
     }
@@ -1039,16 +1004,10 @@ fn compile_step(
                 (Some(a), Some(b)) => (a, b),
                 _ => return Ok(None),
             };
-            let Ok(class) = spec.classify() else {
-                return Ok(None);
-            };
-            let Ok(gs) = spec.gemm_sizes(&a_shape, &b_shape) else {
-                return Ok(None);
-            };
+            // the labeled output shape must positionally match the
+            // container's declared shape, or the GEMM would misplace
             let size_of =
                 |ax: Axis| -> Option<usize> { a_shape.size(ax).or_else(|_| b_shape.size(ax)).ok() };
-            // the labeled output shape must positionally match the
-            // container's declared shape, or the scatter would misplace
             let lbl_dims: Vec<(char, usize)> = match spec
                 .output()
                 .iter()
@@ -1064,42 +1023,17 @@ fn compile_step(
             if lbl_shape.sizes() != out_c.sizes() {
                 return Ok(None);
             }
-            let groups = |lists: &[&Vec<Axis>]| -> Vec<Axis> {
-                lists.iter().flat_map(|l| l.iter().copied()).collect()
+            // operands and output are dense row-major slab ranges
+            let Ok(plan) = ContractPlan::compile(
+                spec,
+                &a_shape,
+                &rm_strides(&a_shape),
+                &b_shape,
+                &rm_strides(&b_shape),
+                &rm_strides(&lbl_shape),
+            ) else {
+                return Ok(None);
             };
-            let a_groups = groups(&[&class.batch, &class.m, &class.k]);
-            let b_groups = groups(&[&class.batch, &class.k, &class.n]);
-            let c_groups = groups(&[&class.batch, &class.m, &class.n]);
-            let (a_dims, b_dims) = match (
-                gather_dims(&a_groups, &a_shape),
-                gather_dims(&b_groups, &b_shape),
-            ) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Ok(None),
-            };
-            // scatter: pack strides outermost-first, destination strides
-            // row-major in the labeled output shape
-            let out_strides = rm_strides(&lbl_shape);
-            let c_total: usize = match c_groups
-                .iter()
-                .map(|&ax| size_of(ax))
-                .collect::<Option<Vec<_>>>()
-            {
-                Some(v) => v.iter().product(),
-                None => return Ok(None),
-            };
-            let mut c_dims = Vec::with_capacity(c_groups.len());
-            let mut ps = c_total;
-            for &ax in &c_groups {
-                let Some(len) = size_of(ax) else {
-                    return Ok(None);
-                };
-                ps /= len;
-                let Ok(oi) = lbl_shape.index_of(ax) else {
-                    return Ok(None);
-                };
-                c_dims.push((len, ps, out_strides[oi]));
-            }
             let (a, b, out) = match (in_view(0), in_view(1), out_view(0)) {
                 (Some(a), Some(b), Some(o)) => (a, b, o),
                 _ => return Ok(None),
@@ -1108,18 +1042,8 @@ fn compile_step(
                 a,
                 b,
                 out,
-                plan: ContractPlan {
-                    a_dims,
-                    b_dims,
-                    c_dims,
-                    batch: gs.batch,
-                    m: gs.m,
-                    n: gs.n,
-                    k: gs.k,
-                },
-                a_off: 0,
-                b_off: 0,
-                c_off: 0,
+                plan,
+                s_off: 0,
             }
         }
         OpKind::Bias { .. } => {
@@ -1473,10 +1397,9 @@ fn compile_step(
             ) else {
                 return Ok(None);
             };
-            let (Some(av), Some(bv)) = (in_view(0), in_view(1)) else {
+            let (Some(a), Some(b)) = (in_view(0), in_view(1)) else {
                 return Ok(None);
             };
-            let (a, b) = if geom.swapped { (bv, av) } else { (av, bv) };
             let epi = match geom.class {
                 FusedClass::Softmax { .. } => {
                     if step.inputs.len() != 2 || step.outputs.len() != 3 {
@@ -1539,9 +1462,7 @@ fn compile_step(
                 b,
                 plan: geom.plan,
                 tile_rows: geom.tile_rows,
-                a_off: 0,
-                b_off: 0,
-                t_off: 0,
+                s_off: 0,
                 epi,
             }
         }
@@ -1570,18 +1491,14 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
             b,
             out,
             plan,
-            a_off,
-            b_off,
-            c_off,
+            s_off,
         } => unsafe {
             into_ops::contract_into(
                 plan,
                 mem.slab(*a),
                 mem.slab(*b),
                 mem.slab_mut(*out),
-                mem.scratch_mut(*a_off, plan.a_words()),
-                mem.scratch_mut(*b_off, plan.b_words()),
-                mem.scratch_mut(*c_off, plan.c_words()),
+                mem.scratch_mut(*s_off, plan.scratch_words()),
             );
         },
         StepExec::Bias { x, bias, out, bmap } => unsafe {
@@ -1736,9 +1653,7 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
             b,
             plan,
             tile_rows,
-            a_off,
-            b_off,
-            t_off,
+            s_off,
             epi,
         } => unsafe {
             let mut drive = |e: &mut into_ops::TileEpilogue<'_>| {
@@ -1747,9 +1662,7 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
                     *tile_rows,
                     mem.slab(*a),
                     mem.slab(*b),
-                    mem.scratch_mut(*a_off, plan.a_words()),
-                    mem.scratch_mut(*b_off, plan.b_words()),
-                    mem.scratch_mut(*t_off, *tile_rows * plan.n),
+                    mem.scratch_mut(*s_off, plan.epilogue_scratch_words(*tile_rows)),
                     drop,
                     e,
                 );

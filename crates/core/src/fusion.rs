@@ -431,8 +431,8 @@ pub struct EpilogueChain {
 /// Detects GEMM-epilogue chains: contractions whose single output is an
 /// interim activation read exactly once, by a forward fused kernel of a
 /// class the tiled epilogue driver implements (softmax, bias+act+dropout,
-/// bias+dropout+residual), with the contraction scattering identically
-/// (possibly via a GEMM operand-role swap) into the intermediate.
+/// bias+dropout+residual), with the contraction writing the intermediate
+/// in container order (possibly via a GEMM operand-role swap).
 ///
 /// Run this *after* element-wise fusion ([`apply_plan`] /
 /// [`apply_detected`]): the chain past the contraction must already be one

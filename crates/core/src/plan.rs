@@ -648,16 +648,14 @@ pub(crate) fn causal_map_of(shape: &Shape, axis: Axis) -> Option<CausalMap> {
 }
 
 /// The compiled tiling geometry of a GEMM-epilogue mega-kernel: the
-/// identity-scatter contraction plan (operands possibly swapped so the
-/// GEMM's M axis is the epilogue's row axis), the output-tile height, and
-/// the epilogue's class and causal map.
+/// contraction plan whose C is the identity view of the output container
+/// (the compiler having picked the operand roles that make the GEMM's M
+/// axis the epilogue's row axis), the output-tile height, and the
+/// epilogue's class and causal map.
 #[derive(Debug, Clone)]
 pub(crate) struct EpilogueGeom {
-    /// Gather/GEMM plan whose scatter is the identity over the output
-    /// container (row-major).
+    /// GEMM plan that writes the output container (row-major) in order.
     pub plan: ContractPlan,
-    /// When set, the step's second input feeds the GEMM's A pack.
-    pub swapped: bool,
     /// Output rows per tile. Softmax epilogues take the whole batch slice
     /// (`m`) so every lane is complete inside one tile.
     pub tile_rows: usize,
@@ -674,8 +672,8 @@ const EPILOGUE_TILE_WORDS: usize = 4096;
 /// Derives the tiling geometry of a [`OpKind::ContractionEpilogue`] step
 /// from container shapes, or `None` when the chain is not tileable:
 ///
-/// * the contraction must scatter identically (possibly after swapping
-///   GEMM operand roles) into the row-major output container;
+/// * the contraction must write the row-major output container in order
+///   (possibly after swapping GEMM operand roles);
 /// * a softmax epilogue's reduce axis must be the container's innermost
 ///   axis and span exactly the GEMM's N extent, with the causal query (if
 ///   masked) immediately preceding it;
@@ -723,7 +721,7 @@ pub(crate) fn epilogue_geometry(
     }
     let rm = |s: &Shape| Layout::row_major(s.rank()).strides(s);
     let ep = epilogue_contract_plan(spec, &a_s, &rm(&a_s), &b_s, &rm(&b_s), &lbl)?;
-    let (m, n) = (ep.plan.m, ep.plan.n);
+    let (m, n) = (ep.m, ep.n);
     match class {
         FusedClass::Softmax { causal } => {
             let axis = reduce_axis?;
@@ -742,15 +740,14 @@ pub(crate) fn epilogue_geometry(
                 None
             };
             Some(EpilogueGeom {
-                plan: ep.plan,
-                swapped: ep.swapped,
+                plan: ep,
                 tile_rows: m,
                 causal: cm,
                 class,
             })
         }
         FusedClass::BiasActDrop | FusedClass::BiasDropResidual => {
-            if ep.plan.batch != 1 {
+            if ep.batch != 1 {
                 return None;
             }
             let bias = bias?;
@@ -771,8 +768,7 @@ pub(crate) fn epilogue_geometry(
             }
             let tile_rows = (EPILOGUE_TILE_WORDS / n.max(1)).clamp(1, m.max(1));
             Some(EpilogueGeom {
-                plan: ep.plan,
-                swapped: ep.swapped,
+                plan: ep,
                 tile_rows,
                 causal: None,
                 class,
@@ -1095,24 +1091,15 @@ pub fn execute_step<R: Rng + ?Sized>(
                 }
             };
             let ins_d: Vec<Tensor> = ins.iter().map(&dense).collect();
-            let (ga, gb) = if geom.swapped {
-                (&ins_d[1], &ins_d[0])
-            } else {
-                (&ins_d[0], &ins_d[1])
-            };
             let total = out_c.num_elements();
-            let mut a_pack = vec![0.0f32; geom.plan.a_words()];
-            let mut b_pack = vec![0.0f32; geom.plan.b_words()];
-            let mut c_tile = vec![0.0f32; geom.tile_rows * geom.plan.n];
+            let mut scratch = vec![0.0f32; geom.plan.epilogue_scratch_words(geom.tile_rows)];
             let mut run = |epi: &mut TileEpilogue<'_>, rng: &mut R| -> Result<()> {
                 contract_epilogue_tiled(
                     &geom.plan,
                     geom.tile_rows,
-                    ga.data(),
-                    gb.data(),
-                    &mut a_pack,
-                    &mut b_pack,
-                    &mut c_tile,
+                    ins_d[0].data(),
+                    ins_d[1].data(),
+                    &mut scratch,
                     &mut Dropout::new(p, rng)?,
                     epi,
                 );

@@ -1,16 +1,20 @@
-//! Einsum execution: pack → batched GEMM → unpack.
+//! Einsum execution: compile → allocate → batched strided GEMM.
 //!
 //! Mirrors how the paper lowers every tensor contraction onto a cuBLAS
-//! (batched) MMM call: operands are gathered into canonical `[batch, M, K]`
-//! / `[batch, K, N]` buffers (this is where the input layout's access
-//! pattern matters), multiplied with the tiled kernel from
-//! [`crate::matmul`], and scattered into the requested output layout.
+//! (batched) MMM call with leading dimensions: the contraction is compiled
+//! to a [`ContractPlan`] over the operands' own strides, the output is
+//! allocated in the requested layout, and the same driver the arena
+//! interpreter runs ([`crate::into_ops::contract_into`]) multiplies through
+//! the strided views of [`crate::matmul`]. The input layouts decide the
+//! access pattern, not a repacking pass; only an operand whose axis groups
+//! do not collapse to strides is gathered first.
 
 use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
+use crate::into_ops::{contract_with_threads, ContractPlan};
 use crate::layout::Layout;
-use crate::matmul::batched_sgemm;
+use crate::matmul::host_threads;
 use crate::tensor::Tensor;
 
 /// Executes a one- or two-operand einsum, producing a row-major output.
@@ -50,46 +54,13 @@ pub fn einsum(spec: &str, operands: &[&Tensor]) -> Result<Tensor> {
 ///
 /// Same conditions as [`einsum`].
 pub fn contract(spec: &EinsumSpec, a: &Tensor, b: &Tensor, out_layout: &Layout) -> Result<Tensor> {
-    let class = spec.classify()?;
-    let sizes = spec.gemm_sizes(a.shape(), b.shape())?;
-    let size_of = |ax: Axis| -> usize {
-        a.shape()
-            .size(ax)
-            .or_else(|_| b.shape().size(ax))
-            .expect("validated")
-    };
-
-    // Pack A as [batch..., m..., k...] and B as [batch..., k..., n...].
-    let a_groups: Vec<Axis> = class
-        .batch
-        .iter()
-        .chain(&class.m)
-        .chain(&class.k)
-        .copied()
-        .collect();
-    let b_groups: Vec<Axis> = class
-        .batch
-        .iter()
-        .chain(&class.k)
-        .chain(&class.n)
-        .copied()
-        .collect();
-    let a_pack = gather(a, &a_groups, &size_of);
-    let b_pack = gather(b, &b_groups, &size_of);
-
-    let mut c_pack = vec![0.0f32; sizes.batch * sizes.m * sizes.n];
-    batched_sgemm(
-        sizes.batch,
-        sizes.m,
-        sizes.n,
-        sizes.k,
-        &a_pack,
-        &b_pack,
-        &mut c_pack,
-    );
-
-    // Scatter C [batch..., m..., n...] into the requested output layout.
-    let out_shape = Shape::new(spec.output().iter().map(|&ax| (ax, size_of(ax))))?;
+    let size_of = |ax: Axis| a.shape().size(ax).or_else(|_| b.shape().size(ax));
+    let out_shape = Shape::new(
+        spec.output()
+            .iter()
+            .map(|&ax| Ok((ax, size_of(ax)?)))
+            .collect::<Result<Vec<_>>>()?,
+    )?;
     if out_layout.rank() != out_shape.rank() {
         return Err(TensorError::LayoutRankMismatch {
             expected: out_shape.rank(),
@@ -97,14 +68,23 @@ pub fn contract(spec: &EinsumSpec, a: &Tensor, b: &Tensor, out_layout: &Layout) 
         });
     }
     let mut out = Tensor::zeros_with_layout(out_shape, out_layout.clone());
-    let c_groups: Vec<Axis> = class
-        .batch
-        .iter()
-        .chain(&class.m)
-        .chain(&class.n)
-        .copied()
-        .collect();
-    scatter(&c_pack, &c_groups, &size_of, &mut out);
+    let plan = ContractPlan::compile(
+        spec,
+        a.shape(),
+        a.strides(),
+        b.shape(),
+        b.strides(),
+        out.strides(),
+    )?;
+    let mut scratch = vec![0.0f32; plan.scratch_words()];
+    contract_with_threads(
+        &plan,
+        a.data(),
+        b.data(),
+        out.data_mut(),
+        &mut scratch,
+        host_threads(),
+    );
     Ok(out)
 }
 
@@ -233,64 +213,6 @@ pub fn naive_einsum(spec: &EinsumSpec, operands: &[&Tensor]) -> Result<Tensor> {
         }
     }
     Ok(out)
-}
-
-/// Gathers a tensor into a dense row-major buffer ordered by `groups`.
-fn gather(t: &Tensor, groups: &[Axis], size_of: &dyn Fn(Axis) -> usize) -> Vec<f32> {
-    let total: usize = groups.iter().map(|&ax| size_of(ax)).product();
-    let mut dst = vec![0.0f32; total];
-    // dims outermost-first in pack order
-    let mut dims: Vec<(usize, usize, usize)> = Vec::with_capacity(groups.len());
-    let mut pack_stride = total;
-    for &ax in groups {
-        let len = size_of(ax);
-        pack_stride /= len;
-        let src_stride = t.strides()[t.shape().index_of(ax).expect("validated")];
-        dims.push((len, src_stride, pack_stride));
-    }
-    copy_strided(&dims, t.data(), 0, &mut dst, 0);
-    dst
-}
-
-/// Scatters a dense row-major buffer ordered by `groups` into a tensor.
-fn scatter(src: &[f32], groups: &[Axis], size_of: &dyn Fn(Axis) -> usize, out: &mut Tensor) {
-    let total: usize = groups.iter().map(|&ax| size_of(ax)).product();
-    debug_assert_eq!(src.len(), total);
-    let mut dims: Vec<(usize, usize, usize)> = Vec::with_capacity(groups.len());
-    let mut pack_stride = total;
-    let out_strides: Vec<usize> = groups
-        .iter()
-        .map(|&ax| out.strides()[out.shape().index_of(ax).expect("validated")])
-        .collect();
-    for (&ax, &os) in groups.iter().zip(&out_strides) {
-        let len = size_of(ax);
-        pack_stride /= len;
-        dims.push((len, pack_stride, os));
-    }
-    copy_strided(&dims, src, 0, out.data_mut(), 0);
-}
-
-/// Recursive strided copy over `(len, src_stride, dst_stride)` dims.
-pub(crate) fn copy_strided(
-    dims: &[(usize, usize, usize)],
-    src: &[f32],
-    src_off: usize,
-    dst: &mut [f32],
-    dst_off: usize,
-) {
-    match dims {
-        [] => dst[dst_off] = src[src_off],
-        [(len, ss, ds)] => {
-            for i in 0..*len {
-                dst[dst_off + i * ds] = src[src_off + i * ss];
-            }
-        }
-        [(len, ss, ds), rest @ ..] => {
-            for i in 0..*len {
-                copy_strided(rest, src, src_off + i * ss, dst, dst_off + i * ds);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

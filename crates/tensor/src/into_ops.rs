@@ -26,16 +26,20 @@
 //!   offset,
 //! * [`CausalMap`] — recovery of the query index from a lane number for
 //!   masked softmax,
-//! * [`ContractPlan`] — precompiled gather/GEMM/scatter descriptor for a
-//!   two-operand einsum.
+//! * [`ContractPlan`] — the one contraction compiler: GEMM sizes, operand
+//!   roles and, per operand, the strides the GEMM reads it through (or the
+//!   gather descriptor of an operand strides cannot express).
 
 use rand::Rng;
 
 use crate::axes::{Axis, Shape};
-use crate::contract::copy_strided;
 use crate::einsum::EinsumSpec;
+use crate::error::{Result, TensorError};
 use crate::lanes::{self, Dropout, LaneAt};
-use crate::matmul::sgemm;
+use crate::matmul::{
+    gemm, gemm_batched, gemm_packed, pack_panels, panel_words, BatchMut, BatchRef, BatchStrides,
+    MatMut, Start,
+};
 use crate::ops::elementwise::ActivationKind;
 use crate::tensor::Tensor;
 
@@ -138,18 +142,90 @@ impl CausalMap {
     }
 }
 
-/// Precompiled two-operand einsum: strided gather descriptors for both
-/// operands, collapsed GEMM sizes, and the scatter descriptor for the
-/// output. Dims are `(len, src_stride, dst_stride)` triples outermost
-/// first, as consumed by the recursive strided copy.
+/// How one operand of a compiled contraction reaches the GEMM.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Operand {
+    /// The operand's axes in GEMM order — batch group, then row group,
+    /// then column group, each outermost first — as
+    /// `(len, src_stride, dst_stride)`: the descriptor of the
+    /// whole-operand strided copy between the operand and a dense
+    /// `[batch, rows, cols]` pack, in the direction the data moves (an
+    /// input is the source, the output the destination).
+    pub dims: Vec<(usize, usize, usize)>,
+    /// `Some` when each of the three groups collapses to a single stride:
+    /// the GEMM then reads (writes) the operand where it lies and `dims`
+    /// is never walked. `None` is the gather fallback.
+    pub view: Option<BatchStrides>,
+}
+
+/// The stride of the fused index of an axis group given as `(len, stride)`
+/// outermost first, if the group's words are evenly spaced in that order:
+/// every axis longer than 1 must step by the extent of those inside it.
+fn collapse(group: &[(usize, usize)]) -> Option<usize> {
+    let mut inner = group.iter().rev().filter(|&&(len, _)| len > 1);
+    let Some(&(len, stride)) = inner.next() else {
+        return Some(0); // extent 1: the index is always 0
+    };
+    let mut extent = len * stride;
+    for &(len, s) in inner {
+        if s != extent {
+            return None;
+        }
+        extent *= len;
+    }
+    Some(stride)
+}
+
+impl Operand {
+    /// Compiles one operand from its three axis groups, each a list of
+    /// `(len, operand_stride)` outermost first; `output` says the operand
+    /// is the destination of its pack copy.
+    fn new(groups: [&[(usize, usize)]; 3], output: bool) -> Operand {
+        let mut pack_stride: usize = groups.iter().flat_map(|g| g.iter()).map(|d| d.0).product();
+        let dims = groups
+            .iter()
+            .flat_map(|g| g.iter())
+            .map(|&(len, stride)| {
+                pack_stride /= len.max(1);
+                if output {
+                    (len, pack_stride, stride)
+                } else {
+                    (len, stride, pack_stride)
+                }
+            })
+            .collect();
+        let view = match groups.map(collapse) {
+            [Some(bs), Some(rs), Some(cs)] => Some(BatchStrides { bs, rs, cs }),
+            _ => None,
+        };
+        Operand { dims, view }
+    }
+
+    /// How well a GEMM can write through this operand as its C: in place
+    /// with whole-vector tile rows, in place, or only through a scatter.
+    fn store_rank(&self, cols: usize) -> u8 {
+        match self.view {
+            Some(v) if cols == 1 || v.cs == 1 => 2,
+            Some(_) => 1,
+            None => 0,
+        }
+    }
+}
+
+/// Precompiled two-operand einsum: the collapsed GEMM sizes, which einsum
+/// operand plays which GEMM role, and for each of A, B and C either the
+/// strides the GEMM reads it through or the descriptor of its gather.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContractPlan {
-    /// Gather dims for operand A: `(len, a_stride, pack_stride)`.
-    pub a_dims: Vec<(usize, usize, usize)>,
-    /// Gather dims for operand B: `(len, b_stride, pack_stride)`.
-    pub b_dims: Vec<(usize, usize, usize)>,
-    /// Scatter dims for the output: `(len, pack_stride, out_stride)`.
-    pub c_dims: Vec<(usize, usize, usize)>,
+    /// GEMM A (`m×k` per batch slice).
+    pub a: Operand,
+    /// GEMM B (`k×n` per batch slice).
+    pub b: Operand,
+    /// GEMM C (`m×n` per batch slice): the einsum's output.
+    pub c: Operand,
+    /// Whether the GEMM roles are exchanged against the einsum's operand
+    /// order: when `true` the einsum's *second* operand is GEMM A.
+    pub swapped: bool,
     /// Collapsed batch extent.
     pub batch: usize,
     /// Collapsed GEMM M.
@@ -161,76 +237,221 @@ pub struct ContractPlan {
 }
 
 impl ContractPlan {
-    /// Pack-buffer words needed for operand A.
-    pub fn a_words(&self) -> usize {
-        self.batch * self.m * self.k
+    /// Compiles `spec` for operands with the given shapes (labelled with
+    /// the spec's letters) and strides, and an output whose axes, in the
+    /// spec's output order, have strides `out_strides`.
+    ///
+    /// Each operand's batch, row and column axis groups are taken in the
+    /// order [`EinsumSpec::classify`] lists them; an operand whose three
+    /// groups each collapse to one stride is handed to the GEMM as a view,
+    /// any other is gathered whole into a dense pack first (the output:
+    /// scattered out of one afterwards). Both assignments of the operands
+    /// to GEMM roles are compiled and the one that writes C best is kept —
+    /// unit column stride over in place over scattered, the spec's own
+    /// order on a tie. Exchanging roles transposes the GEMM; IEEE multiply
+    /// commutes and the `k` order is the spec's either way, so the choice
+    /// never moves a bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the spec is not a two-operand GEMM-shaped
+    /// contraction, a shape disagrees with it, or `out_strides` has the
+    /// wrong rank.
+    pub fn compile(
+        spec: &EinsumSpec,
+        a_shape: &Shape,
+        a_strides: &[usize],
+        b_shape: &Shape,
+        b_strides: &[usize],
+        out_strides: &[usize],
+    ) -> Result<ContractPlan> {
+        let class = spec.classify()?;
+        let gs = spec.gemm_sizes(a_shape, b_shape)?;
+        if out_strides.len() != spec.output().len() {
+            return Err(TensorError::LayoutRankMismatch {
+                expected: spec.output().len(),
+                found: out_strides.len(),
+            });
+        }
+        // `(len, stride)` of a group's axes in one operand
+        let in_operand = |axes: &[Axis], shape: &Shape, strides: &[usize]| -> Vec<(usize, usize)> {
+            axes.iter()
+                .map(|&ax| {
+                    let i = shape.index_of(ax).expect("gemm_sizes checked the operand");
+                    (shape.sizes()[i], strides[i])
+                })
+                .collect()
+        };
+        let in_a = |axes: &[Axis]| in_operand(axes, a_shape, a_strides);
+        let in_b = |axes: &[Axis]| in_operand(axes, b_shape, b_strides);
+        let in_out = |axes: &[Axis], lens: &[(usize, usize)]| -> Vec<(usize, usize)> {
+            axes.iter()
+                .zip(lens)
+                .map(|(ax, &(len, _))| {
+                    let i = spec.output().iter().position(|o| o == ax);
+                    (len, out_strides[i.expect("classified into the output")])
+                })
+                .collect()
+        };
+        let (batch_a, batch_b) = (in_a(&class.batch), in_b(&class.batch));
+        let (k_a, k_b) = (in_a(&class.k), in_b(&class.k));
+        let (m_a, n_b) = (in_a(&class.m), in_b(&class.n));
+        let batch_c = in_out(&class.batch, &batch_a);
+        let (m_c, n_c) = (in_out(&class.m, &m_a), in_out(&class.n, &n_b));
+
+        let natural = Operand::new([&batch_c, &m_c, &n_c], true);
+        let exchanged = Operand::new([&batch_c, &n_c, &m_c], true);
+        let swapped = exchanged.store_rank(gs.m) > natural.store_rank(gs.n);
+        Ok(if swapped {
+            ContractPlan {
+                a: Operand::new([&batch_b, &n_b, &k_b], false),
+                b: Operand::new([&batch_a, &k_a, &m_a], false),
+                c: exchanged,
+                swapped,
+                batch: gs.batch,
+                m: gs.n,
+                n: gs.m,
+                k: gs.k,
+            }
+        } else {
+            ContractPlan {
+                a: Operand::new([&batch_a, &m_a, &k_a], false),
+                b: Operand::new([&batch_b, &k_b, &n_b], false),
+                c: natural,
+                swapped,
+                batch: gs.batch,
+                m: gs.m,
+                n: gs.n,
+                k: gs.k,
+            }
+        })
     }
 
-    /// Pack-buffer words needed for operand B.
-    pub fn b_words(&self) -> usize {
-        self.batch * self.k * self.n
+    /// Words of each gathered operand's dense pack (0 for a view), A, B, C.
+    fn pack_words(&self) -> [usize; 3] {
+        let words = |op: &Operand, rows: usize, cols: usize| match op.view {
+            Some(_) => 0,
+            None => self.batch * rows * cols,
+        };
+        [
+            words(&self.a, self.m, self.k),
+            words(&self.b, self.k, self.n),
+            words(&self.c, self.m, self.n),
+        ]
     }
 
-    /// Pack-buffer words needed for the output.
-    pub fn c_words(&self) -> usize {
-        self.batch * self.m * self.n
+    /// Scratch words [`contract_into`] needs: the packs of the operands
+    /// that fall back to a gather — none when all three are views.
+    pub fn scratch_words(&self) -> usize {
+        self.pack_words().iter().sum()
+    }
+
+    /// Scratch words [`contract_epilogue_tiled`] needs at `tile_rows`: the
+    /// gather packs of A and B, one batch slice's packed B panels, and the
+    /// output tile.
+    pub fn epilogue_scratch_words(&self, tile_rows: usize) -> usize {
+        let [a, b, _] = self.pack_words();
+        a + b + panel_words(self.n, self.k) + tile_rows * self.n
     }
 }
 
-/// Executes a precompiled contraction: gathers `a`/`b` into the pack
-/// scratch, runs one serial GEMM per batch slice, and scatters the result
-/// into `out`. The batch loop is intentionally serial — arena steps are
-/// already parallelized across waves, and per-slice GEMMs are bitwise
-/// identical to the threaded `batched_sgemm` either way.
+/// Presents an input operand to the GEMM: where it lies if it is a view,
+/// otherwise gathered into `pack` (cut to the operand's words).
+fn stage<'a>(
+    op: &Operand,
+    src: &'a [f32],
+    pack: &'a mut [f32],
+    rows: usize,
+    cols: usize,
+) -> BatchRef<'a> {
+    match op.view {
+        Some(at) => BatchRef { data: src, at },
+        None => {
+            copy_strided(&op.dims, src, 0, pack, 0);
+            BatchRef {
+                data: pack,
+                at: BatchStrides::dense(rows, cols),
+            }
+        }
+    }
+}
+
+/// Executes a precompiled contraction `out = a ∘ b` (operands in the
+/// einsum's order): one GEMM per batch slice through the plan's views,
+/// with a whole-operand gather before (scatter after) only for an operand
+/// the plan could not express as one. The batch loop is serial — arena
+/// steps are already parallelized across waves, and per-slice GEMMs are
+/// bitwise identical whichever thread runs them.
 ///
 /// # Panics
 ///
-/// Panics if a scratch slice is smaller than the plan requires.
+/// Panics if `scratch` is shorter than [`ContractPlan::scratch_words`] or
+/// an operand slice is shorter than the plan's strides reach.
 pub fn contract_into(
     plan: &ContractPlan,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
-    a_pack: &mut [f32],
-    b_pack: &mut [f32],
-    c_pack: &mut [f32],
+    scratch: &mut [f32],
 ) {
-    let (aw, bw, cw) = (plan.a_words(), plan.b_words(), plan.c_words());
-    let a_pack = &mut a_pack[..aw];
-    let b_pack = &mut b_pack[..bw];
-    let c_pack = &mut c_pack[..cw];
-    copy_strided(&plan.a_dims, a, 0, a_pack, 0);
-    copy_strided(&plan.b_dims, b, 0, b_pack, 0);
-    for v in c_pack.iter_mut() {
-        *v = 0.0;
-    }
-    let (m, n, k) = (plan.m, plan.n, plan.k);
-    for g in 0..plan.batch {
-        sgemm(
-            m,
-            n,
-            k,
-            &a_pack[g * m * k..(g + 1) * m * k],
-            &b_pack[g * k * n..(g + 1) * k * n],
-            &mut c_pack[g * m * n..(g + 1) * m * n],
-        );
-    }
-    copy_strided(&plan.c_dims, c_pack, 0, out, 0);
+    contract_with_threads(plan, a, b, out, scratch, 1);
 }
 
-/// A [`ContractPlan`] proven to write its output in container order — the
-/// scatter is the identity, so a GEMM row block can be handed straight to
-/// an epilogue callback and written at its flat container offset without
-/// ever materializing the full contraction output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpiloguePlan {
-    /// The gather/GEMM descriptor. `c_dims` is the (identity) scatter,
-    /// kept for diagnostics; the tiled driver never runs it.
-    pub plan: ContractPlan,
-    /// Whether the GEMM roles were swapped relative to the einsum's
-    /// operand order: when `true`, the einsum's *second* operand supplies
-    /// the GEMM's A pack (M rows) and the first supplies B.
-    pub swapped: bool,
+/// [`contract_into`] with the batch slices spread over up to `threads`
+/// threads (see [`gemm_batched`]); the allocating
+/// [`contract`](crate::contract::contract) runs it on the host's cores.
+pub(crate) fn contract_with_threads(
+    plan: &ContractPlan,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    scratch: &mut [f32],
+    threads: usize,
+) {
+    let [aw, bw, cw] = plan.pack_words();
+    let (a_pack, rest) = scratch.split_at_mut(aw);
+    let (b_pack, rest) = rest.split_at_mut(bw);
+    let c_pack = &mut rest[..cw];
+    let (x_a, x_b) = if plan.swapped { (b, a) } else { (a, b) };
+    let (batch, m, n, k) = (plan.batch, plan.m, plan.n, plan.k);
+    let ga = stage(&plan.a, x_a, a_pack, m, k);
+    let gb = stage(&plan.b, x_b, b_pack, k, n);
+    let gc = match plan.c.view {
+        Some(at) => BatchMut { data: out, at },
+        None => BatchMut {
+            data: c_pack,
+            at: BatchStrides::dense(m, n),
+        },
+    };
+    gemm_batched(batch, m, n, k, ga, gb, gc, Start::FromZero, threads);
+    if plan.c.view.is_none() {
+        copy_strided(&plan.c.dims, c_pack, 0, out, 0);
+    }
+}
+
+/// Recursive strided copy over `(len, src_stride, dst_stride)` dims: the
+/// gather (for the output: scatter) fallback of an operand whose axis
+/// groups do not collapse.
+fn copy_strided(
+    dims: &[(usize, usize, usize)],
+    src: &[f32],
+    src_off: usize,
+    dst: &mut [f32],
+    dst_off: usize,
+) {
+    match dims {
+        [] => dst[dst_off] = src[src_off],
+        [(len, ss, ds)] => {
+            for i in 0..*len {
+                dst[dst_off + i * ds] = src[src_off + i * ss];
+            }
+        }
+        [(len, ss, ds), rest @ ..] => {
+            for i in 0..*len {
+                copy_strided(rest, src, src_off + i * ss, dst, dst_off + i * ds);
+            }
+        }
+    }
 }
 
 /// Row-major strides of a shape's own axis order.
@@ -243,99 +464,14 @@ fn row_major_strides(shape: &Shape) -> Vec<usize> {
     strides
 }
 
-/// Compiles one operand order into a [`ContractPlan`], returning it only
-/// when the output scatter is the identity over `out_shape`'s row-major
-/// container order.
-fn identity_scatter_plan(
-    spec: &EinsumSpec,
-    a_shape: &Shape,
-    a_strides: &[usize],
-    b_shape: &Shape,
-    b_strides: &[usize],
-    out_shape: &Shape,
-) -> Option<ContractPlan> {
-    let class = spec.classify().ok()?;
-    let gs = spec.gemm_sizes(a_shape, b_shape).ok()?;
-    let size_of = |ax: Axis| -> usize {
-        a_shape
-            .size(ax)
-            .or_else(|_| b_shape.size(ax))
-            .expect("classified axis has a size")
-    };
-    let gather =
-        |groups: &[Axis], shape: &Shape, strides: &[usize]| -> Vec<(usize, usize, usize)> {
-            let total: usize = groups.iter().map(|&ax| size_of(ax)).product();
-            let mut dims = Vec::new();
-            let mut ps = total;
-            for &ax in groups {
-                let len = size_of(ax);
-                ps /= len;
-                dims.push((len, strides[shape.index_of(ax).expect("operand axis")], ps));
-            }
-            dims
-        };
-    let a_groups: Vec<Axis> = class
-        .batch
-        .iter()
-        .chain(&class.m)
-        .chain(&class.k)
-        .copied()
-        .collect();
-    let b_groups: Vec<Axis> = class
-        .batch
-        .iter()
-        .chain(&class.k)
-        .chain(&class.n)
-        .copied()
-        .collect();
-    let c_groups: Vec<Axis> = class
-        .batch
-        .iter()
-        .chain(&class.m)
-        .chain(&class.n)
-        .copied()
-        .collect();
-    if c_groups.len() != out_shape.rank() {
-        return None;
-    }
-    let out_strides = row_major_strides(out_shape);
-    let c_total: usize = c_groups.iter().map(|&ax| size_of(ax)).product();
-    if c_total != out_shape.num_elements() {
-        return None;
-    }
-    let mut c_dims = Vec::new();
-    let mut ps = c_total;
-    for &ax in &c_groups {
-        let len = size_of(ax);
-        ps /= len;
-        let os = out_strides[out_shape.index_of(ax).ok()?];
-        if len > 1 && os != ps {
-            return None; // a real scatter — this order cannot stream tiles
-        }
-        c_dims.push((len, ps, os));
-    }
-    Some(ContractPlan {
-        a_dims: gather(&a_groups, a_shape, a_strides),
-        b_dims: gather(&b_groups, b_shape, b_strides),
-        c_dims,
-        batch: gs.batch,
-        m: gs.m,
-        n: gs.n,
-        k: gs.k,
-    })
-}
-
 /// Compiles a contraction for the tiled epilogue driver
-/// ([`contract_epilogue_tiled`]): the gather descriptors and collapsed
-/// GEMM sizes of [`contract_into`]'s plan, with the output scatter
-/// required to be the *identity* so GEMM row blocks stream straight into
-/// the epilogue. The operand order as written is tried first, then the
-/// swapped order (GEMM roles M and N exchange operands — IEEE multiply
-/// commutes and the per-element reduction order over K is unchanged, so
-/// the result is bitwise identical): the attention `QKT` einsum
-/// `phbk,phbj->hbjk` scatters under its natural order but is identity
-/// once the query operand supplies M. Returns `None` when neither order
-/// writes in container order.
+/// ([`contract_epilogue_tiled`]): [`ContractPlan::compile`] against the
+/// row-major output container `out_shape`, kept only when C comes out as
+/// the *identity* view over it — dense `[batch, m, n]` in container order —
+/// so GEMM row blocks stream straight into the epilogue. The attention
+/// `QKT` einsum `phbk,phbj->hbjk` transposes under its written order and
+/// is the identity once the compiler has given the query operand the M
+/// role. Returns `None` when neither order writes in container order.
 pub fn epilogue_contract_plan(
     spec: &EinsumSpec,
     a_shape: &Shape,
@@ -343,34 +479,18 @@ pub fn epilogue_contract_plan(
     b_shape: &Shape,
     b_strides: &[usize],
     out_shape: &Shape,
-) -> Option<EpiloguePlan> {
-    if let Some(plan) =
-        identity_scatter_plan(spec, a_shape, a_strides, b_shape, b_strides, out_shape)
-    {
-        return Some(EpiloguePlan {
-            plan,
-            swapped: false,
-        });
-    }
-    let ops = spec.operands();
-    if ops.len() != 2 {
+) -> Option<ContractPlan> {
+    if spec.output() != out_shape.axes() {
         return None;
     }
-    let label = |axes: &[Axis]| axes.iter().map(|a| a.0).collect::<String>();
-    let swapped: EinsumSpec = format!(
-        "{},{}->{}",
-        label(&ops[1]),
-        label(&ops[0]),
-        label(spec.output())
-    )
-    .parse()
-    .ok()?;
-    identity_scatter_plan(&swapped, b_shape, b_strides, a_shape, a_strides, out_shape).map(|plan| {
-        EpiloguePlan {
-            plan,
-            swapped: true,
-        }
-    })
+    let out_strides = row_major_strides(out_shape);
+    let plan =
+        ContractPlan::compile(spec, a_shape, a_strides, b_shape, b_strides, &out_strides).ok()?;
+    let v = plan.c.view?;
+    let identity = (plan.batch == 1 || v.bs == plan.m * plan.n)
+        && (plan.m == 1 || v.rs == plan.n)
+        && (plan.n == 1 || v.cs == 1);
+    identity.then_some(plan)
 }
 
 /// The per-tile epilogue a [`contract_epilogue_tiled`] call applies to
@@ -522,30 +642,29 @@ fn check_tile_bmap(bmap: &BiasMap, n: usize, rows: usize) {
     );
 }
 
-/// The GEMM-epilogue mega-kernel: gathers both operand packs like
-/// [`contract_into`], then streams the GEMM over row blocks of at most
-/// `tile_rows` rows, applying `epi` to each block while it is hot — the
-/// contraction output exists only as the `tile_rows · n` scratch tile and
-/// is never materialized. Tiles are visited in container order (batch
+/// The GEMM-epilogue mega-kernel: per batch slice, packs B's panels once,
+/// then streams the GEMM over row blocks of at most `tile_rows` rows —
+/// each block's A rows read through the plan's view, its output started
+/// from zero in the scratch tile — applying `epi` to each block while it
+/// is hot. The contraction output exists only as that `tile_rows · n` tile
+/// and is never materialized. Tiles are visited in container order (batch
 /// ascending, rows ascending), so the dropout RNG draw order — and hence
 /// every saved mask and output — is bitwise identical to running the
 /// unfused contraction followed by the whole-container fused kernel.
+/// Operands `a` and `b` are in the einsum's order.
 ///
 /// # Panics
 ///
-/// Panics if a scratch slice is smaller than the plan requires, an
-/// epilogue slice is smaller than the output container, or a
-/// [`TileEpilogue::needs_full_slice`] epilogue is driven with
-/// `tile_rows < m`.
-#[allow(clippy::too_many_arguments)]
+/// Panics if `scratch` is shorter than
+/// [`ContractPlan::epilogue_scratch_words`], an epilogue slice is smaller
+/// than the output container, or a [`TileEpilogue::needs_full_slice`]
+/// epilogue is driven with `tile_rows < m`.
 pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
     plan: &ContractPlan,
     tile_rows: usize,
     a: &[f32],
     b: &[f32],
-    a_pack: &mut [f32],
-    b_pack: &mut [f32],
-    c_tile: &mut [f32],
+    scratch: &mut [f32],
     drop: &mut Dropout<'_, R>,
     epi: &mut TileEpilogue<'_>,
 ) {
@@ -555,28 +674,30 @@ pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
         !epi.needs_full_slice() || tile_rows == m,
         "softmax epilogues need whole-batch-slice tiles (tile_rows == m)"
     );
-    let (aw, bw) = (plan.a_words(), plan.b_words());
-    let a_pack = &mut a_pack[..aw];
-    let b_pack = &mut b_pack[..bw];
-    copy_strided(&plan.a_dims, a, 0, a_pack, 0);
-    copy_strided(&plan.b_dims, b, 0, b_pack, 0);
+    let [aw, bw, _] = plan.pack_words();
+    let (a_pack, rest) = scratch.split_at_mut(aw);
+    let (b_pack, rest) = rest.split_at_mut(bw);
+    let (panels, c_tile) = rest.split_at_mut(panel_words(n, k));
+    let (x_a, x_b) = if plan.swapped { (b, a) } else { (a, b) };
+    let ga = stage(&plan.a, x_a, a_pack, m, k);
+    let gb = stage(&plan.b, x_b, b_pack, k, n);
+    // a one-column B is no panel: `gemm` turns the problem on its side
+    let packed = n > 1;
     for g in 0..plan.batch {
+        if packed {
+            pack_panels(n, k, gb.slice(g), panels);
+        }
         let mut r0 = 0;
         while r0 < m {
             let rows = tile_rows.min(m - r0);
-            let c_tile = &mut c_tile[..rows * n];
-            for v in c_tile.iter_mut() {
-                *v = 0.0;
+            let a_rows = ga.slice(g).from_row(r0);
+            let c = MatMut::row_major(&mut c_tile[..rows * n], n);
+            if packed {
+                gemm_packed(rows, n, k, a_rows, panels, c, Start::FromZero);
+            } else {
+                gemm(rows, n, k, a_rows, gb.slice(g), c, Start::FromZero);
             }
-            sgemm(
-                rows,
-                n,
-                k,
-                &a_pack[(g * m + r0) * k..(g * m + r0 + rows) * k],
-                &b_pack[g * k * n..(g + 1) * k * n],
-                c_tile,
-            );
-            epilogue_tile(epi, g * m + r0, rows, n, c_tile, drop);
+            epilogue_tile(epi, g * m + r0, rows, n, &c_tile[..rows * n], drop);
             r0 += rows;
         }
     }
@@ -794,6 +915,7 @@ pub fn bdr_into<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::axes::{Axis, Shape};
+    use crate::contract::naive_einsum;
     use crate::einsum::EinsumSpec;
     use crate::fused;
     use crate::layout::Layout;
@@ -997,92 +1119,150 @@ mod tests {
         assert_eq!(out.as_slice(), want2.data());
     }
 
+    /// Compiles `spec` over the tensors' own strides with a row-major
+    /// output, as `contract::contract` does.
+    fn compile_for(spec: &EinsumSpec, a: &Tensor, b: &Tensor, out: &Shape) -> ContractPlan {
+        ContractPlan::compile(
+            spec,
+            a.shape(),
+            a.strides(),
+            b.shape(),
+            b.strides(),
+            &row_major_strides(out),
+        )
+        .unwrap()
+    }
+
+    fn run_plan(plan: &ContractPlan, a: &Tensor, b: &Tensor, words: usize) -> Vec<f32> {
+        let mut out = vec![f32::NAN; words];
+        let mut scratch = vec![f32::NAN; plan.scratch_words()];
+        contract_into(plan, a.data(), b.data(), &mut out, &mut scratch);
+        out
+    }
+
+    /// The same plan with every operand forced through the gather
+    /// fallback.
+    fn gathered(plan: &ContractPlan) -> ContractPlan {
+        let mut g = plan.clone();
+        (g.a.view, g.b.view, g.c.view) = (None, None, None);
+        g
+    }
+
     #[test]
-    fn contract_into_matches_contract() {
+    fn contract_into_matches_contract_through_views_and_through_gathers() {
         let sizes = [('p', 3), ('h', 2), ('b', 2), ('j', 4), ('k', 5)];
         let a = rand_t("phbk", &sizes, 20);
         let b = rand_t("phbj", &sizes, 21);
         let spec: EinsumSpec = "phbk,phbj->hbjk".parse().unwrap();
         let want = crate::contract::contract(&spec, &a, &b, &Layout::row_major(4)).unwrap();
-        // compile the plan by hand the way core::arena does
-        let class = spec.classify().unwrap();
-        let gs = spec.gemm_sizes(a.shape(), b.shape()).unwrap();
-        let size_of =
-            |ax: Axis| -> usize { a.shape().size(ax).or_else(|_| b.shape().size(ax)).unwrap() };
-        let gather_dims = |groups: &[Axis], t: &Tensor| {
-            let total: usize = groups.iter().map(|&ax| size_of(ax)).product();
-            let mut dims = Vec::new();
-            let mut ps = total;
-            for &ax in groups {
-                let len = size_of(ax);
-                ps /= len;
-                dims.push((len, t.strides()[t.shape().index_of(ax).unwrap()], ps));
-            }
-            dims
-        };
-        let a_groups: Vec<Axis> = class
-            .batch
-            .iter()
-            .chain(&class.m)
-            .chain(&class.k)
-            .copied()
-            .collect();
-        let b_groups: Vec<Axis> = class
-            .batch
-            .iter()
-            .chain(&class.k)
-            .chain(&class.n)
-            .copied()
-            .collect();
-        let c_groups: Vec<Axis> = class
-            .batch
-            .iter()
-            .chain(&class.m)
-            .chain(&class.n)
-            .copied()
-            .collect();
-        let c_total: usize = c_groups.iter().map(|&ax| size_of(ax)).product();
-        let mut c_dims = Vec::new();
-        let mut ps = c_total;
-        for &ax in &c_groups {
-            let len = size_of(ax);
-            ps /= len;
-            let os = want.strides()[want.shape().index_of(ax).unwrap()];
-            c_dims.push((len, ps, os));
-        }
-        let plan = ContractPlan {
-            a_dims: gather_dims(&a_groups, &a),
-            b_dims: gather_dims(&b_groups, &b),
-            c_dims,
-            batch: gs.batch,
-            m: gs.m,
-            n: gs.n,
-            k: gs.k,
-        };
-        let mut out = vec![0.0f32; want.len()];
-        let mut ap = vec![0.0f32; plan.a_words()];
-        let mut bp = vec![0.0f32; plan.b_words()];
-        let mut cp = vec![0.0f32; plan.c_words()];
-        contract_into(
-            &plan,
-            a.data(),
-            b.data(),
-            &mut out,
-            &mut ap,
-            &mut bp,
-            &mut cp,
+        let plan = compile_for(&spec, &a, &b, want.shape());
+        // row-major operands: every group collapses, nothing is packed
+        assert!(plan.a.view.is_some() && plan.b.view.is_some() && plan.c.view.is_some());
+        assert_eq!(plan.scratch_words(), 0);
+        assert_bits("views", &run_plan(&plan, &a, &b, want.len()), want.data());
+        let packed = gathered(&plan);
+        assert_eq!(packed.scratch_words(), 4 * (4 * 3 + 3 * 5 + 4 * 5));
+        assert_bits(
+            "gathers",
+            &run_plan(&packed, &a, &b, want.len()),
+            want.data(),
         );
-        assert_eq!(out.as_slice(), want.data());
     }
 
+    /// The compiler keeps the operand order whose C has unit column
+    /// stride: QKT as written would write `hbjk` transposed.
     #[test]
-    fn epilogue_plan_swaps_the_attention_contraction_into_identity() {
+    fn compile_exchanges_roles_to_write_c_with_unit_column_stride() {
         let sizes = [('p', 3), ('h', 2), ('b', 2), ('j', 4), ('k', 5)];
         let kk = rand_t("phbk", &sizes, 30);
         let qq = rand_t("phbj", &sizes, 31);
         let out = Shape::from_spec("hbjk", &sizes).unwrap();
         let spec: EinsumSpec = "phbk,phbj->hbjk".parse().unwrap();
-        // natural order scatters (j and k transpose); the swap is identity
+        let plan = compile_for(&spec, &kk, &qq, &out);
+        assert!(plan.swapped);
+        // j — the query axis — is M, k — the softmax axis — is N
+        assert_eq!((plan.batch, plan.m, plan.n, plan.k), (4, 4, 5, 3));
+        assert_eq!(
+            plan.c.view,
+            Some(BatchStrides {
+                bs: 20,
+                rs: 5,
+                cs: 1
+            })
+        );
+        // the query operand is read k-major, the key operand row-major
+        assert_eq!(
+            plan.a.view,
+            Some(BatchStrides {
+                bs: 4,
+                rs: 1,
+                cs: 16
+            })
+        );
+        assert_eq!(
+            plan.b.view,
+            Some(BatchStrides {
+                bs: 5,
+                rs: 20,
+                cs: 1
+            })
+        );
+        // an output stored `hbkj` is written in place by the written order
+        let out_t = Shape::from_spec("hbkj", &sizes).unwrap();
+        let strides = Layout::from_axis_order(&out, "hbkj").unwrap().strides(&out);
+        let plan_t = ContractPlan::compile(
+            &spec,
+            kk.shape(),
+            kk.strides(),
+            qq.shape(),
+            qq.strides(),
+            &strides,
+        )
+        .unwrap();
+        assert!(!plan_t.swapped);
+        assert_eq!(plan_t.c.view.map(|v| v.cs), Some(1));
+        let _ = out_t;
+    }
+
+    /// `hpbk`: the batch axes `h, b` are split by `p`, so the group has no
+    /// single stride and the operand — and only it — is gathered.
+    #[test]
+    fn an_operand_whose_batch_group_does_not_collapse_falls_back_to_the_gather() {
+        let sizes = [('p', 3), ('h', 2), ('b', 2), ('j', 4), ('k', 5)];
+        let kk = rand_t("hpbk", &sizes, 34);
+        let qq = rand_t("phbj", &sizes, 35);
+        let spec: EinsumSpec = "hpbk,phbj->hbjk".parse().unwrap();
+        let out = Shape::from_spec("hbjk", &sizes).unwrap();
+        let plan = compile_for(&spec, &kk, &qq, &out);
+        assert!(plan.swapped);
+        assert!(plan.b.view.is_none(), "hpbk must be gathered");
+        assert!(plan.a.view.is_some() && plan.c.view.is_some());
+        assert_eq!(plan.scratch_words(), kk.len());
+        let want = naive_einsum(&spec, &[&kk, &qq]).unwrap();
+        let got = run_plan(&plan, &kk, &qq, want.len());
+        for (g, w) in got.iter().zip(want.data()) {
+            assert!((g - w).abs() < 1e-4);
+        }
+        assert_bits(
+            "gathers",
+            &run_plan(&gathered(&plan), &kk, &qq, want.len()),
+            &got,
+        );
+        // size-1 axes never block a collapse
+        let ones = [('p', 3), ('h', 1), ('b', 2), ('j', 4), ('k', 5)];
+        let k1 = rand_t("hpbk", &ones, 36);
+        let q1 = rand_t("phbj", &ones, 37);
+        let out1 = Shape::from_spec("hbjk", &ones).unwrap();
+        assert_eq!(compile_for(&spec, &k1, &q1, &out1).scratch_words(), 0);
+    }
+
+    #[test]
+    fn epilogue_plan_is_the_compiled_plan_when_c_is_the_identity() {
+        let sizes = [('p', 3), ('h', 2), ('b', 2), ('j', 4), ('k', 5)];
+        let kk = rand_t("phbk", &sizes, 30);
+        let qq = rand_t("phbj", &sizes, 31);
+        let out = Shape::from_spec("hbjk", &sizes).unwrap();
+        let spec: EinsumSpec = "phbk,phbj->hbjk".parse().unwrap();
         let ep = epilogue_contract_plan(
             &spec,
             kk.shape(),
@@ -1092,11 +1272,7 @@ mod tests {
             &out,
         )
         .expect("QKT must compile via the swapped order");
-        assert!(ep.swapped);
-        assert_eq!(ep.plan.m, 4); // j — the query axis becomes M
-        assert_eq!(ep.plan.n, 5); // k — the softmax axis becomes N
-        assert_eq!(ep.plan.batch, 4); // h·b
-        assert_eq!(ep.plan.k, 3);
+        assert_eq!(ep, compile_for(&spec, &kk, &qq, &out));
         // a genuinely scattered output order compiles under neither order
         let bad = Shape::from_spec("kjbh", &sizes).unwrap();
         assert!(epilogue_contract_plan(
@@ -1158,9 +1334,7 @@ mod tests {
 
         let mut rng_b = StdRng::seed_from_u64(9);
         let (mut sm_b, mut al_b, mut mk_b) = (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
-        let mut ap = vec![0.0; ep.plan.a_words()];
-        let mut bp = vec![0.0; ep.plan.b_words()];
-        let mut ct = vec![0.0; ep.plan.m * ep.plan.n];
+        let mut scratch = vec![f32::NAN; ep.epilogue_scratch_words(ep.m)];
         let mut epi = TileEpilogue::Softmax {
             scaler,
             causal,
@@ -1168,15 +1342,13 @@ mod tests {
             alpha: &mut al_b,
             mask: &mut mk_b,
         };
-        // swapped: the query operand feeds the A pack
+        // operands in the einsum's order: the plan knows the query is A
         contract_epilogue_tiled(
-            &ep.plan,
-            ep.plan.m,
-            qq.data(),
+            &ep,
+            ep.m,
             kk.data(),
-            &mut ap,
-            &mut bp,
-            &mut ct,
+            qq.data(),
+            &mut scratch,
             &mut Dropout::new(p, &mut rng_b).unwrap(),
             &mut epi,
         );
@@ -1206,9 +1378,9 @@ mod tests {
         )
         .unwrap();
         assert!(!ep.swapped);
-        assert_eq!((ep.plan.batch, ep.plan.m), (1, 6));
+        assert_eq!((ep.batch, ep.m), (1, 6));
         let total = out_shape.num_elements();
-        let n = ep.plan.n;
+        let n = ep.n;
         let p = 0.25f32;
         let residual = rand_t("ubj", &sizes, 43);
 
@@ -1243,9 +1415,7 @@ mod tests {
         );
 
         for tile_rows in [1usize, 2, 4, 6] {
-            let mut ap = vec![0.0; ep.plan.a_words()];
-            let mut bp = vec![0.0; ep.plan.b_words()];
-            let mut ct = vec![0.0; tile_rows * n];
+            let mut scratch = vec![f32::NAN; ep.epilogue_scratch_words(tile_rows)];
             let mut rng_b = StdRng::seed_from_u64(11);
             let (mut pre_b, mut out_b, mut mk_b) =
                 (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
@@ -1258,13 +1428,11 @@ mod tests {
                 mask: &mut mk_b,
             };
             contract_epilogue_tiled(
-                &ep.plan,
+                &ep,
                 tile_rows,
                 w.data(),
                 x.data(),
-                &mut ap,
-                &mut bp,
-                &mut ct,
+                &mut scratch,
                 &mut Dropout::new(p, &mut rng_b).unwrap(),
                 &mut epi,
             );
@@ -1283,13 +1451,11 @@ mod tests {
                 out: &mut outr_b,
             };
             contract_epilogue_tiled(
-                &ep.plan,
+                &ep,
                 tile_rows,
                 w.data(),
                 x.data(),
-                &mut ap,
-                &mut bp,
-                &mut ct,
+                &mut scratch,
                 &mut Dropout::new(p, &mut rng_br).unwrap(),
                 &mut epi,
             );

@@ -1,13 +1,528 @@
-//! Tiled single-precision matrix multiplication kernels.
+//! The one single-precision GEMM: a register-blocked micro-kernel over
+//! packed B panels that reads A, B and C through their strides.
 //!
-//! These are the CPU stand-ins for cuBLAS: every einsum in the encoder layer
-//! is lowered onto [`sgemm`] / [`batched_sgemm`] over packed row-major
-//! buffers. The kernel uses an `i-k-j` loop nest with cache blocking so the
-//! innermost loop is a contiguous FMA sweep the compiler can vectorize.
+//! These are the CPU stand-ins for cuBLAS: every einsum of the encoder
+//! layer is lowered onto [`gemm`] (through [`gemm_batched`] and the
+//! contraction driver of [`crate::into_ops`]); [`sgemm`] and
+//! [`batched_sgemm`] are its row-major wrappers.
+//!
+//! ```text
+//!   for ic in rows   step MC      A block  MC×KC, read in place (L2)
+//!     for pc in depth step KC
+//!       for jc in cols step NR    B panel  KC×NR, packed to the stack (L1)
+//!         for ir in block step MR
+//!           tile                  C tile   MR×NR accumulators (registers)
+//! ```
+//!
+//! * **Operands are views.** A [`MatRef`]/[`MatMut`] is a slice plus a row
+//!   and a column stride, so a transposed or otherwise strided operand costs
+//!   no copy: A is read where it lies, B is packed one `KC×NR` panel at a
+//!   time straight from its source (a contiguous copy when its columns are
+//!   unit-stride, a 4-column transposing pack otherwise), and C tiles are
+//!   loaded from and stored to the destination — or started at `+0.0` under
+//!   [`Start::FromZero`], which is what lets callers skip a zero fill.
+//! * **Tile sizes.** `MR×NR = 2×16` is eight SSE2 accumulator registers,
+//!   four for the B row and two for the broadcast A words — fourteen of the
+//!   sixteen the baseline x86-64 target has, so nothing spills (`4×16`
+//!   does, and runs a third slower). `KC = 256` makes a panel 16 KiB, half
+//!   of a 32 KiB L1d next to the A rows streaming past it; `MC = 64` keeps
+//!   the rows of C a block touches within a few dozen pages, so the walk
+//!   down a 16-column panel stays in the TLB.
+//! * **One accumulator, `k` ascending.** Every element of C has exactly one
+//!   accumulator, seeded from C (or `+0.0`) and summed over `k` in
+//!   ascending order with a separate multiply and add, block after block.
+//!   That is the order of the scalar triple loop, so results are bitwise
+//!   independent of the tiling, of the strides and of which operand plays
+//!   A. Padded lanes of an edge panel multiply zeros and are never stored.
+//! * **Matrix–vector shapes** (`n == 1`) run as the transposed problem
+//!   `cᵀ = bᵀ·aᵀ` through the same tile: the rows of A become the sixteen
+//!   lanes, the transposing pack is the only extra work, and IEEE multiply
+//!   commutes, so the bits do not move. The choice is made from `m` and `n`
+//!   alone.
 
-/// Cache-block edge in elements, chosen so one `MC × KC` A-panel plus a
-/// `KC × NC` B-panel fit comfortably in L2.
-const BLOCK: usize = 64;
+/// Rows of the register tile.
+pub const MR: usize = 2;
+/// Columns of the register tile: the width of a packed B panel.
+pub const NR: usize = 16;
+/// Depth of a packed B panel.
+pub const KC: usize = 256;
+/// Rows of a cache block.
+const MC: usize = 64;
+
+/// A read-only matrix view: element `(r, c)` is `data[r·rs + c·cs]`.
+#[derive(Debug, Clone, Copy)]
+pub struct MatRef<'a> {
+    /// The words, starting at element `(0, 0)`.
+    pub data: &'a [f32],
+    /// Row stride in words.
+    pub rs: usize,
+    /// Column stride in words.
+    pub cs: usize,
+}
+
+impl<'a> MatRef<'a> {
+    /// A view with explicit strides.
+    pub fn new(data: &'a [f32], rs: usize, cs: usize) -> Self {
+        MatRef { data, rs, cs }
+    }
+
+    /// A dense row-major view with `cols` columns.
+    pub fn row_major(data: &'a [f32], cols: usize) -> Self {
+        MatRef::new(data, cols, 1)
+    }
+
+    /// The transposed view.
+    pub fn t(self) -> Self {
+        MatRef::new(self.data, self.cs, self.rs)
+    }
+
+    /// The view starting at row `r`.
+    pub fn from_row(self, r: usize) -> Self {
+        MatRef::new(
+            &self.data[(r * self.rs).min(self.data.len())..],
+            self.rs,
+            self.cs,
+        )
+    }
+}
+
+/// A mutable matrix view: element `(r, c)` is `data[r·rs + c·cs]`.
+#[derive(Debug)]
+pub struct MatMut<'a> {
+    /// The words, starting at element `(0, 0)`.
+    pub data: &'a mut [f32],
+    /// Row stride in words.
+    pub rs: usize,
+    /// Column stride in words.
+    pub cs: usize,
+}
+
+impl<'a> MatMut<'a> {
+    /// A view with explicit strides.
+    pub fn new(data: &'a mut [f32], rs: usize, cs: usize) -> Self {
+        MatMut { data, rs, cs }
+    }
+
+    /// A dense row-major view with `cols` columns.
+    pub fn row_major(data: &'a mut [f32], cols: usize) -> Self {
+        MatMut::new(data, cols, 1)
+    }
+
+    /// The transposed view.
+    pub fn t(self) -> Self {
+        MatMut::new(self.data, self.cs, self.rs)
+    }
+}
+
+/// What the accumulators of C start from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Start {
+    /// `c += a·b`: accumulators are loaded from C.
+    FromC,
+    /// `c = a·b`: accumulators start at `+0.0` and C is never read.
+    FromZero,
+}
+
+/// Words a `rows × cols` view with the given strides reaches into its
+/// slice.
+fn span(rows: usize, cols: usize, rs: usize, cs: usize) -> usize {
+    if rows == 0 || cols == 0 {
+        0
+    } else {
+        (rows - 1) * rs + (cols - 1) * cs + 1
+    }
+}
+
+/// Computes `c (+)= a × b` for `a` (`m×k`), `b` (`k×n`) and `c` (`m×n`)
+/// given as strided views.
+///
+/// # Panics
+///
+/// Panics if a view's slice is too short for its dimensions and strides.
+///
+/// # Examples
+///
+/// ```
+/// use xform_tensor::matmul::{gemm, MatMut, MatRef, Start};
+/// let a = [1.0, 2.0, 3.0, 4.0]; // 2x2
+/// let bt = [5.0, 7.0, 6.0, 8.0]; // b stored transposed
+/// let mut c = [f32::NAN; 4];
+/// gemm(
+///     2,
+///     2,
+///     2,
+///     MatRef::row_major(&a, 2),
+///     MatRef::row_major(&bt, 2).t(),
+///     MatMut::row_major(&mut c, 2),
+///     Start::FromZero,
+/// );
+/// assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
+/// ```
+pub fn gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: MatMut<'_>,
+    start: Start,
+) {
+    assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
+    assert!(b.data.len() >= span(k, n, b.rs, b.cs), "b is too short");
+    assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
+    if n == 1 && m > 1 {
+        // matrix–vector: cᵀ = bᵀ·aᵀ puts the rows of A in the lanes
+        blocks(1, m, k, b.t(), Panels::Strided(a.t()), c.t(), start);
+    } else {
+        blocks(m, n, k, a, Panels::Strided(b), c, start);
+    }
+}
+
+/// Words [`pack_panels`] writes for a `k×n` operand: every column panel
+/// padded to [`NR`] lanes.
+pub fn panel_words(n: usize, k: usize) -> usize {
+    k * n.div_ceil(NR) * NR
+}
+
+/// Packs all of `b` (`k×n`) into `dst` as [`gemm_packed`] reads it: `KC`
+/// blocks in ascending `k`, within each its `KC×NR` column panels left to
+/// right. Callers that multiply many row blocks against one B pack it once
+/// here instead of once per block.
+///
+/// # Panics
+///
+/// Panics if `dst` is shorter than [`panel_words`] or `b` too short.
+pub fn pack_panels(n: usize, k: usize, b: MatRef<'_>, dst: &mut [f32]) {
+    assert!(b.data.len() >= span(k, n, b.rs, b.cs), "b is too short");
+    let mut dst = &mut dst[..panel_words(n, k)];
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        for jc in (0..n).step_by(NR) {
+            let (panel, rest) = dst.split_at_mut(kc * NR);
+            pack_panel(panel, b, pc, jc, NR.min(n - jc));
+            dst = rest;
+        }
+    }
+}
+
+/// [`gemm`] against a B already packed by [`pack_panels`].
+///
+/// # Panics
+///
+/// Panics if `panels` is shorter than [`panel_words`] or a view's slice is
+/// too short.
+pub fn gemm_packed(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: MatRef<'_>,
+    panels: &[f32],
+    c: MatMut<'_>,
+    start: Start,
+) {
+    assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
+    assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
+    let panels = &panels[..panel_words(n, k)];
+    blocks(m, n, k, a, Panels::Packed(panels), c, start);
+}
+
+/// Where the block loop gets its B panels.
+#[derive(Clone, Copy)]
+enum Panels<'a> {
+    /// Packed on the fly from the strided source, once per row block.
+    Strided(MatRef<'a>),
+    /// Cut from a [`pack_panels`] buffer.
+    Packed(&'a [f32]),
+}
+
+/// The block loop nest around [`tile`].
+fn blocks(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: MatRef<'_>,
+    b: Panels<'_>,
+    mut c: MatMut<'_>,
+    start: Start,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if k == 0 {
+        if start == Start::FromZero {
+            for r in 0..m {
+                for j in 0..n {
+                    c.data[r * c.rs + j * c.cs] = 0.0;
+                }
+            }
+        }
+        return;
+    }
+    let npad = n.div_ceil(NR) * NR;
+    let mut stack = [0.0f32; KC * NR];
+    for ic in (0..m).step_by(MC) {
+        let end = (ic + MC).min(m);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let from_zero = start == Start::FromZero && pc == 0;
+            for jc in (0..n).step_by(NR) {
+                let nr = NR.min(n - jc);
+                let panel = match b {
+                    Panels::Strided(b) => {
+                        pack_panel(&mut stack[..kc * NR], b, pc, jc, nr);
+                        &stack[..kc * NR]
+                    }
+                    Panels::Packed(p) => &p[pc * npad + jc * kc..][..kc * NR],
+                };
+                let mut ir = ic;
+                while ir + MR <= end {
+                    tile_at::<MR>(a, ir, pc, panel, &mut c, jc, nr, from_zero);
+                    ir += MR;
+                }
+                while ir < end {
+                    tile_at::<1>(a, ir, pc, panel, &mut c, jc, nr, from_zero);
+                    ir += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Packs rows `pc..pc + panel.len()/NR`, columns `jc..jc + nr` of `b` into
+/// `panel`, `NR` words per row; lanes from `nr` up are zero.
+fn pack_panel(panel: &mut [f32], b: MatRef<'_>, pc: usize, jc: usize, nr: usize) {
+    if nr < NR {
+        panel.fill(0.0);
+    }
+    let src = &b.data[pc * b.rs + jc * b.cs..];
+    if b.cs == 1 {
+        for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
+            if nr == NR {
+                row.copy_from_slice(&src[kk * b.rs..][..NR]);
+            } else {
+                row[..nr].copy_from_slice(&src[kk * b.rs..][..nr]);
+            }
+        }
+    } else if b.rs == 1 {
+        pack_columns(panel, nr, |j| src[j * b.cs..].iter());
+    } else {
+        let kc = panel.len() / NR;
+        pack_columns(panel, nr, |j| {
+            (0..kc).map(move |kk| &src[j * b.cs + kk * b.rs])
+        });
+    }
+}
+
+/// The transposing pack: `col(j)` walks column `j` of the source down `k`.
+/// Four columns go at a time, so a panel row is written by whole vectors.
+fn pack_columns<'a, I: Iterator<Item = &'a f32>>(
+    panel: &mut [f32],
+    nr: usize,
+    col: impl Fn(usize) -> I,
+) {
+    let mut j = 0;
+    while j + 4 <= nr {
+        let cols = col(j).zip(col(j + 1)).zip(col(j + 2)).zip(col(j + 3));
+        for (row, (((&v0, &v1), &v2), &v3)) in panel.chunks_exact_mut(NR).zip(cols) {
+            row[j..j + 4].copy_from_slice(&[v0, v1, v2, v3]);
+        }
+        j += 4;
+    }
+    while j < nr {
+        for (row, &v) in panel.chunks_exact_mut(NR).zip(col(j)) {
+            row[j] = v;
+        }
+        j += 1;
+    }
+}
+
+/// One `R×NR` tile of C at `(ir, jc)` against one packed panel: picks how
+/// the `R` rows of A are addressed and runs [`tile`].
+#[allow(clippy::too_many_arguments)] // the tile's coordinates in three operands
+#[inline]
+fn tile_at<const R: usize>(
+    a: MatRef<'_>,
+    ir: usize,
+    pc: usize,
+    panel: &[f32],
+    c: &mut MatMut<'_>,
+    jc: usize,
+    nr: usize,
+    from_zero: bool,
+) {
+    let kc = panel.len() / NR;
+    let c_at = ir * c.rs + jc * c.cs;
+    if a.cs == 1 {
+        // rows are runs along k: cut each to the panel's depth once
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &a.data[(ir + r) * a.rs + pc..][..kc]);
+        tile::<R>(|r, kk| rows[r][kk], panel, c, c_at, nr, from_zero);
+    } else {
+        let a_at = &a.data[ir * a.rs + pc * a.cs..];
+        tile::<R>(
+            |r, kk| a_at[r * a.rs + kk * a.cs],
+            panel,
+            c,
+            c_at,
+            nr,
+            from_zero,
+        );
+    }
+}
+
+/// The micro-kernel — the only statement of GEMM arithmetic in the crate:
+/// `acc[r][j] += a(r, kk) · panel[kk][j]` over the panel's depth, with the
+/// accumulators loaded from C (or `+0.0`) before and stored after.
+#[inline(always)]
+fn tile<const R: usize>(
+    a: impl Fn(usize, usize) -> f32,
+    panel: &[f32],
+    c: &mut MatMut<'_>,
+    c_at: usize,
+    nr: usize,
+    from_zero: bool,
+) {
+    let mut acc = [[0.0f32; NR]; R];
+    let dense = c.cs == 1 && nr == NR;
+    if !from_zero {
+        for (r, row) in acc.iter_mut().enumerate() {
+            if dense {
+                row.copy_from_slice(&c.data[c_at + r * c.rs..][..NR]);
+            } else {
+                for (j, v) in row.iter_mut().take(nr).enumerate() {
+                    *v = c.data[c_at + r * c.rs + j * c.cs];
+                }
+            }
+        }
+    }
+    for (kk, b_row) in panel.chunks_exact(NR).enumerate() {
+        for (r, row) in acc.iter_mut().enumerate() {
+            let a_rk = a(r, kk);
+            for (v, &b_kj) in row.iter_mut().zip(b_row) {
+                *v += a_rk * b_kj;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        if dense {
+            c.data[c_at + r * c.rs..][..NR].copy_from_slice(row);
+        } else {
+            for (j, &v) in row.iter().take(nr).enumerate() {
+                c.data[c_at + r * c.rs + j * c.cs] = v;
+            }
+        }
+    }
+}
+
+/// The strides of a batch of matrices inside one slice: slice `g`, row
+/// `r`, column `c` is word `g·bs + r·rs + c·cs`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchStrides {
+    /// Batch stride in words.
+    pub bs: usize,
+    /// Row stride in words.
+    pub rs: usize,
+    /// Column stride in words.
+    pub cs: usize,
+}
+
+impl BatchStrides {
+    /// `batch` dense row-major `rows×cols` matrices back to back.
+    pub fn dense(rows: usize, cols: usize) -> Self {
+        BatchStrides {
+            bs: rows * cols,
+            rs: cols,
+            cs: 1,
+        }
+    }
+}
+
+/// One read-only operand of [`gemm_batched`].
+#[derive(Debug, Clone, Copy)]
+pub struct BatchRef<'a> {
+    /// The words, starting at element `(0, 0)` of slice 0.
+    pub data: &'a [f32],
+    /// Where each slice's elements lie.
+    pub at: BatchStrides,
+}
+
+impl<'a> BatchRef<'a> {
+    /// Slice `g` as a matrix view.
+    pub fn slice(&self, g: usize) -> MatRef<'a> {
+        let start = (g * self.at.bs).min(self.data.len());
+        MatRef::new(&self.data[start..], self.at.rs, self.at.cs)
+    }
+}
+
+/// The output operand of [`gemm_batched`].
+#[derive(Debug)]
+pub struct BatchMut<'a> {
+    /// The words, starting at element `(0, 0)` of slice 0.
+    pub data: &'a mut [f32],
+    /// Where each slice's elements lie.
+    pub at: BatchStrides,
+}
+
+/// Runs `batch` independent GEMMs `c[g] (+)= a[g] × b[g]` over strided
+/// slices, on up to `threads` scoped threads.
+///
+/// Slices are spread over threads only when those of `c` are disjoint
+/// word ranges (`c.bs` at least one slice's reach — each thread then owns
+/// a `split_at_mut` range) and the problem is large enough to pay for the
+/// spawns; otherwise, and with `threads <= 1`, they run in order on the
+/// calling thread. Results are bitwise the same either way.
+///
+/// # Panics
+///
+/// Panics if an operand's slice is too short for `batch` slices.
+#[allow(clippy::too_many_arguments)] // a GEMM's dimensions and operands
+pub fn gemm_batched(
+    batch: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: BatchRef<'_>,
+    b: BatchRef<'_>,
+    c: BatchMut<'_>,
+    start: Start,
+    threads: usize,
+) {
+    if batch == 0 {
+        return;
+    }
+    let BatchStrides { bs, rs, cs } = c.at;
+    let reach = span(m, n, rs, cs);
+    assert!(c.data.len() >= (batch - 1) * bs + reach, "c is too short");
+    // `c` starts at slice `lo`
+    let run = |c: &mut [f32], lo: usize, hi: usize| {
+        for g in lo..hi {
+            let c_g = MatMut::new(&mut c[(g - lo) * bs..], rs, cs);
+            gemm(m, n, k, a.slice(g), b.slice(g), c_g, start);
+        }
+    };
+    let threads = threads.min(batch);
+    // below ~64k FMAs the spawn overhead dominates
+    if threads <= 1 || bs < reach || batch * m * n * k < (1 << 16) {
+        run(c.data, 0, batch);
+        return;
+    }
+    std::thread::scope(|s| {
+        let mut rest = c.data;
+        let mut lo = 0usize;
+        for t in 0..threads {
+            let hi = (t + 1) * batch / threads;
+            let cut = if hi == batch {
+                rest.len()
+            } else {
+                (hi - lo) * bs
+            };
+            let (mine, tail) = rest.split_at_mut(cut);
+            rest = tail;
+            let run = &run;
+            s.spawn(move || run(mine, lo, hi));
+            lo = hi;
+        }
+    });
+}
 
 /// Computes `c += a × b` for row-major `a` (`m×k`), `b` (`k×n`), `c` (`m×n`).
 ///
@@ -32,36 +547,22 @@ pub fn sgemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) 
     assert_eq!(a.len(), m * k, "a has wrong length");
     assert_eq!(b.len(), k * n, "b has wrong length");
     assert_eq!(c.len(), m * n, "c has wrong length");
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for k0 in (0..k).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(k);
-            for j0 in (0..n).step_by(BLOCK) {
-                let j1 = (j0 + BLOCK).min(n);
-                for i in i0..i1 {
-                    let c_row = &mut c[i * n + j0..i * n + j1];
-                    for kk in k0..k1 {
-                        // no zero-skip: the branch costs more than the FMAs
-                        // it saves on dense operands and defeats
-                        // vectorization of the inner sweep
-                        let aik = a[i * k + kk];
-                        let b_row = &b[kk * n + j0..kk * n + j1];
-                        for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                            *cv += aik * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    gemm(
+        m,
+        n,
+        k,
+        MatRef::row_major(a, k),
+        MatRef::row_major(b, n),
+        MatMut::row_major(c, n),
+        Start::FromC,
+    );
 }
 
 /// Computes `c[g] += a[g] × b[g]` for `batch` independent GEMMs stored
 /// contiguously (`a`: `batch×m×k`, `b`: `batch×k×n`, `c`: `batch×m×n`).
 ///
 /// Batch slices are independent, so they are spread across the host's
-/// cores with scoped threads (each thread owns a contiguous range of `c`
-/// obtained by `split_at_mut`); small problems stay on the calling thread.
+/// cores (see [`gemm_batched`]); small problems stay on the calling thread.
 ///
 /// # Panics
 ///
@@ -78,38 +579,31 @@ pub fn batched_sgemm(
     assert_eq!(a.len(), batch * m * k, "a has wrong length");
     assert_eq!(b.len(), batch * k * n, "b has wrong length");
     assert_eq!(c.len(), batch * m * n, "c has wrong length");
-    let serial = |c: &mut [f32], lo: usize, hi: usize| {
-        for g in lo..hi {
-            sgemm(
-                m,
-                n,
-                k,
-                &a[g * m * k..(g + 1) * m * k],
-                &b[g * k * n..(g + 1) * k * n],
-                &mut c[(g - lo) * m * n..(g - lo + 1) * m * n],
-            );
-        }
-    };
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |t| t.get())
-        .min(batch);
-    // below ~64k FMAs per slice the spawn overhead dominates
-    if threads <= 1 || batch * m * n * k < (1 << 16) {
-        serial(c, 0, batch);
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut rest = c;
-        let mut lo = 0usize;
-        for t in 0..threads {
-            let hi = (t + 1) * batch / threads;
-            let (mine, tail) = rest.split_at_mut((hi - lo) * m * n);
-            rest = tail;
-            let serial = &serial;
-            s.spawn(move || serial(mine, lo, hi));
-            lo = hi;
-        }
-    });
+    gemm_batched(
+        batch,
+        m,
+        n,
+        k,
+        BatchRef {
+            data: a,
+            at: BatchStrides::dense(m, k),
+        },
+        BatchRef {
+            data: b,
+            at: BatchStrides::dense(k, n),
+        },
+        BatchMut {
+            data: c,
+            at: BatchStrides::dense(m, n),
+        },
+        Start::FromC,
+        host_threads(),
+    );
+}
+
+/// The thread count the allocating entry points hand [`gemm_batched`].
+pub(crate) fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |t| t.get())
 }
 
 /// Reference (unblocked, triple-loop) GEMM used as a correctness oracle in
@@ -132,7 +626,6 @@ pub fn naive_sgemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_on_odd_sizes() {
+    fn tiled_matches_naive_on_odd_sizes() {
         let mut rng = StdRng::seed_from_u64(7);
         for &(m, n, k) in &[
             (1, 1, 1),
@@ -152,6 +645,8 @@ mod tests {
             (64, 64, 64),
             (65, 33, 129),
             (100, 1, 17),
+            (1, 100, 17),
+            (5, 40, 2 * KC + 3),
         ] {
             let a = random_mat(&mut rng, m * k);
             let b = random_mat(&mut rng, k * n);
@@ -159,9 +654,8 @@ mod tests {
             let mut c2 = vec![0.0; m * n];
             sgemm(m, n, k, &a, &b, &mut c1);
             naive_sgemm(m, n, k, &a, &b, &mut c2);
-            for (x, y) in c1.iter().zip(&c2) {
-                assert!((x - y).abs() < 1e-3, "mismatch at ({m},{n},{k})");
-            }
+            // one accumulator per element, k ascending: the same sum
+            assert_eq!(c1, c2, "mismatch at ({m},{n},{k})");
         }
     }
 
@@ -175,39 +669,81 @@ mod tests {
     }
 
     #[test]
-    fn batched_is_per_slice() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let (bsz, m, n, k) = (3, 4, 5, 6);
-        let a = random_mat(&mut rng, bsz * m * k);
-        let b = random_mat(&mut rng, bsz * k * n);
-        let mut c = vec![0.0; bsz * m * n];
-        batched_sgemm(bsz, m, n, k, &a, &b, &mut c);
-        for g in 0..bsz {
-            let mut expect = vec![0.0; m * n];
-            naive_sgemm(
-                m,
-                n,
-                k,
-                &a[g * m * k..(g + 1) * m * k],
-                &b[g * k * n..(g + 1) * k * n],
-                &mut expect,
-            );
-            for (x, y) in c[g * m * n..(g + 1) * m * n].iter().zip(&expect) {
-                assert!((x - y).abs() < 1e-4);
-            }
+    fn from_zero_never_reads_c_and_keeps_the_sign_of_zero() {
+        // -0.0 products summed from +0.0 give +0.0, as a zero-filled C did
+        let a = [-1.0, 1.0];
+        let b = [0.0, 0.0];
+        let mut c = [f32::NAN];
+        let (ar, br) = (MatRef::row_major(&a, 2), MatRef::row_major(&b, 1));
+        gemm(
+            1,
+            1,
+            2,
+            ar,
+            br,
+            MatMut::row_major(&mut c, 1),
+            Start::FromZero,
+        );
+        assert_eq!(c[0].to_bits(), 0.0f32.to_bits());
+        // k == 0 still defines the output
+        let mut c = [f32::NAN; 2];
+        gemm(
+            2,
+            1,
+            0,
+            ar,
+            br,
+            MatMut::row_major(&mut c, 1),
+            Start::FromZero,
+        );
+        assert_eq!(c, [0.0, 0.0]);
+    }
+
+    #[test]
+    fn unit_extents_may_carry_zero_strides() {
+        // a collapsed axis group of extent 1 has stride 0
+        let a = [1.0, 2.0, 3.0];
+        let b = [4.0];
+        let mut c = [0.0; 3];
+        gemm(
+            3,
+            1,
+            1,
+            MatRef::new(&a, 1, 0),
+            MatRef::new(&b, 0, 0),
+            MatMut::new(&mut c, 1, 0),
+            Start::FromZero,
+        );
+        assert_eq!(c, [4.0, 8.0, 12.0]);
+    }
+
+    fn batch_of<'a>(data: &'a [f32], rows: usize, cols: usize) -> BatchRef<'a> {
+        BatchRef {
+            data,
+            at: BatchStrides::dense(rows, cols),
         }
     }
 
     #[test]
-    fn batched_parallel_path_matches_naive() {
+    fn batched_threads_match_the_serial_loop_bitwise() {
         // large enough that batch slices are spread across threads
         let mut rng = StdRng::seed_from_u64(11);
         let (bsz, m, n, k) = (8, 32, 32, 32);
         assert!(bsz * m * n * k >= 1 << 16);
         let a = random_mat(&mut rng, bsz * m * k);
         let b = random_mat(&mut rng, bsz * k * n);
-        let mut c = vec![0.0; bsz * m * n];
-        batched_sgemm(bsz, m, n, k, &a, &b, &mut c);
+        let run = |threads: usize| {
+            let mut c = vec![f32::NAN; bsz * m * n];
+            let c_view = BatchMut {
+                data: &mut c,
+                at: BatchStrides::dense(m, n),
+            };
+            let (a, b) = (batch_of(&a, m, k), batch_of(&b, k, n));
+            gemm_batched(bsz, m, n, k, a, b, c_view, Start::FromZero, threads);
+            c
+        };
+        let serial = run(1);
+        assert_eq!(run(4), serial);
         for g in 0..bsz {
             let mut expect = vec![0.0; m * n];
             naive_sgemm(
@@ -218,8 +754,37 @@ mod tests {
                 &b[g * k * n..(g + 1) * k * n],
                 &mut expect,
             );
-            for (x, y) in c[g * m * n..(g + 1) * m * n].iter().zip(&expect) {
-                assert!((x - y).abs() < 1e-3);
+            assert_eq!(&serial[g * m * n..(g + 1) * m * n], expect.as_slice());
+        }
+        let mut c = vec![0.0; bsz * m * n];
+        batched_sgemm(bsz, m, n, k, &a, &b, &mut c);
+        assert_eq!(c, serial);
+    }
+
+    #[test]
+    fn interleaved_batch_slices_of_c_run_in_order() {
+        // batch innermost in C: slices overlap as word ranges, so the
+        // threaded split must not be taken
+        let mut rng = StdRng::seed_from_u64(13);
+        let (bsz, m, n, k) = (8, 32, 32, 32);
+        let a = random_mat(&mut rng, bsz * m * k);
+        let b = random_mat(&mut rng, bsz * k * n);
+        let mut c = vec![f32::NAN; bsz * m * n];
+        let c_view = BatchMut {
+            data: &mut c,
+            at: BatchStrides {
+                bs: 1,
+                rs: n * bsz,
+                cs: bsz,
+            },
+        };
+        let (av, bv) = (batch_of(&a, m, k), batch_of(&b, k, n));
+        gemm_batched(bsz, m, n, k, av, bv, c_view, Start::FromZero, 4);
+        let mut dense = vec![0.0; bsz * m * n];
+        batched_sgemm(bsz, m, n, k, &a, &b, &mut dense);
+        for g in 0..bsz {
+            for i in 0..m * n {
+                assert_eq!(c[i * bsz + g], dense[g * m * n + i]);
             }
         }
     }
@@ -229,5 +794,21 @@ mod tests {
     fn sgemm_panics_on_bad_len() {
         let mut c = [0.0; 4];
         sgemm(2, 2, 2, &[0.0; 3], &[0.0; 4], &mut c);
+    }
+
+    #[test]
+    #[should_panic(expected = "b is too short")]
+    fn gemm_panics_on_a_view_that_overruns_its_slice() {
+        let mut c = [0.0; 4];
+        let short = [0.0; 3];
+        gemm(
+            2,
+            2,
+            2,
+            MatRef::row_major(&[0.0; 4], 2),
+            MatRef::row_major(&short, 2),
+            MatMut::row_major(&mut c, 2),
+            Start::FromC,
+        );
     }
 }

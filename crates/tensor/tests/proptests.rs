@@ -346,6 +346,300 @@ proptest! {
 
 use rand::Rng;
 
+/// The strided GEMM and the contraction compiler over it: bitwise equality
+/// with the scalar `k`-ascending reference whatever the tiling, strides,
+/// operand roles or pack path.
+mod gemm {
+    use super::*;
+    use xform_tensor::into_ops::{contract_into, ContractPlan};
+    use xform_tensor::matmul::{
+        gemm, gemm_packed, pack_panels, panel_words, MatMut, MatRef, Start, KC, MR, NR,
+    };
+
+    /// A `rows×cols` matrix of `vals` (row-major) stored with the drawn
+    /// strides: transposed or not, every step stretched by `gap`, `pad`
+    /// dead words after each run. Dead words hold `fill`.
+    struct Stored {
+        data: Vec<f32>,
+        rs: usize,
+        cs: usize,
+    }
+
+    fn store(
+        rows: usize,
+        cols: usize,
+        vals: &[f32],
+        transposed: bool,
+        gap: usize,
+        pad: usize,
+        fill: f32,
+    ) -> Stored {
+        let (rs, cs) = if transposed {
+            (gap, gap * rows + pad)
+        } else {
+            (gap * cols + pad, gap)
+        };
+        let len = if rows == 0 || cols == 0 {
+            pad
+        } else {
+            (rows - 1) * rs + (cols - 1) * cs + 1 + pad
+        };
+        let mut data = vec![fill; len];
+        for r in 0..rows {
+            for c in 0..cols {
+                data[r * rs + c * cs] = vals[r * cols + c];
+            }
+        }
+        Stored { data, rs, cs }
+    }
+
+    /// `c (+)= a·b`, one accumulator per element, `k` ascending.
+    fn reference(
+        (m, n, k): (usize, usize, usize),
+        a: &[f32],
+        b: &[f32],
+        c0: &[f32],
+        start: Start,
+    ) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = match start {
+                    Start::FromC => c0[i * n + j],
+                    Start::FromZero => 0.0,
+                };
+                for kk in 0..k {
+                    acc += a[i * k + kk] * b[kk * n + j];
+                }
+                c[i * n + j] = acc;
+            }
+        }
+        c
+    }
+
+    fn rand_vec(len: usize, rng: &mut StdRng) -> Vec<f32> {
+        (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect()
+    }
+
+    /// Runs `gemm` (and `gemm_packed`) on the stored operands and checks
+    /// every element of C against `want` — bitwise where `want` is not NaN,
+    /// NaN for NaN — and that no dead word of C's buffer moved.
+    #[allow(clippy::too_many_arguments)]
+    fn check_gemm(
+        (m, n, k): (usize, usize, usize),
+        a: &Stored,
+        b: &Stored,
+        c: &Stored,
+        want: &[f32],
+        start: Start,
+        fill: f32,
+    ) -> Result<(), String> {
+        let mut direct = c.data.clone();
+        gemm(
+            m,
+            n,
+            k,
+            MatRef::new(&a.data, a.rs, a.cs),
+            MatRef::new(&b.data, b.rs, b.cs),
+            MatMut::new(&mut direct, c.rs, c.cs),
+            start,
+        );
+        let mut panels = vec![f32::NAN; panel_words(n, k)];
+        pack_panels(n, k, MatRef::new(&b.data, b.rs, b.cs), &mut panels);
+        let mut packed = c.data.clone();
+        gemm_packed(
+            m,
+            n,
+            k,
+            MatRef::new(&a.data, a.rs, a.cs),
+            &panels,
+            MatMut::new(&mut packed, c.rs, c.cs),
+            start,
+        );
+        for (what, got) in [("gemm", &direct), ("gemm_packed", &packed)] {
+            let mut live = vec![false; got.len()];
+            for i in 0..m {
+                for j in 0..n {
+                    let at = i * c.rs + j * c.cs;
+                    live[at] = true;
+                    let (g, w) = (got[at], want[i * n + j]);
+                    prop_assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "{} c[{},{}] = {} but the reference has {}",
+                        what,
+                        i,
+                        j,
+                        g,
+                        w
+                    );
+                }
+            }
+            for (at, &v) in got.iter().enumerate() {
+                prop_assert!(
+                    live[at] || v.to_bits() == fill.to_bits(),
+                    "{} wrote {} into dead word {} of c",
+                    what,
+                    v,
+                    at
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // Sizes 0..=70 cover 0, 1 and non-multiples of `MR` and `NR`; a
+        // quarter of the cases add one or two whole `KC` blocks to `k`,
+        // and a quarter each force the matrix–vector shapes.
+        #[test]
+        fn strided_gemm_is_bitwise_the_scalar_reference(
+            dims in (0usize..71, 0usize..71, 0usize..71, 0usize..8),
+            a_lay in (0usize..2, 1usize..3, 0usize..4),
+            b_lay in (0usize..2, 1usize..3, 0usize..4),
+            c_lay in (0usize..2, 1usize..3, 0usize..4),
+            overwrite in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let (mut m, mut n, mut k, shape) = dims;
+            match shape {
+                0 => k += KC,
+                1 => k += 2 * KC,
+                2 | 3 => n = 1,
+                4 | 5 => m = 1,
+                _ => {}
+            }
+            prop_assert!(MR > 1 && NR > 1 && 70 % NR != 0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (av, bv, cv) = (
+                rand_vec(m * k, &mut rng),
+                rand_vec(k * n, &mut rng),
+                rand_vec(m * n, &mut rng),
+            );
+            let start = if overwrite == 1 { Start::FromZero } else { Start::FromC };
+            let fill = -7.25f32;
+            let a = store(m, k, &av, a_lay.0 == 1, a_lay.1, a_lay.2, fill);
+            let b = store(k, n, &bv, b_lay.0 == 1, b_lay.1, b_lay.2, fill);
+            let c = store(m, n, &cv, c_lay.0 == 1, c_lay.1, c_lay.2, fill);
+            let want = reference((m, n, k), &av, &bv, &cv, start);
+            check_gemm((m, n, k), &a, &b, &c, &want, start, fill)?;
+        }
+
+        // A NaN or infinite last row of A (a lone row of an `MR` tile when
+        // `m` is odd) and last column of B (a lane next to the zero
+        // padding of an edge panel) reach exactly the row and column of C
+        // the reference says they reach, and no dead word.
+        #[test]
+        fn non_finite_edge_rows_and_columns_stay_where_they_belong(
+            dims in (1usize..40, 1usize..40, 1usize..40),
+            poison in 0usize..3,
+            lay in (0usize..2, 0usize..2, 0usize..2, 0usize..3),
+            overwrite in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let (m, n, k) = dims;
+            let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][poison];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut av, mut bv, cv) = (
+                rand_vec(m * k, &mut rng),
+                rand_vec(k * n, &mut rng),
+                rand_vec(m * n, &mut rng),
+            );
+            av[(m - 1) * k..].fill(bad);
+            for kk in 0..k {
+                bv[kk * n + n - 1] = bad;
+            }
+            let start = if overwrite == 1 { Start::FromZero } else { Start::FromC };
+            let fill = 3.5f32;
+            let a = store(m, k, &av, lay.0 == 1, 1, lay.3, fill);
+            let b = store(k, n, &bv, lay.1 == 1, 1, lay.3, fill);
+            let c = store(m, n, &cv, lay.2 == 1, 1, lay.3, fill);
+            let want = reference((m, n, k), &av, &bv, &cv, start);
+            for i in 0..m - 1 {
+                for j in 0..n - 1 {
+                    prop_assert!(want[i * n + j].is_finite());
+                }
+            }
+            check_gemm((m, n, k), &a, &b, &c, &want, start, fill)?;
+        }
+    }
+
+    /// The six forward einsums of a transformer block.
+    const FORWARD_EINSUMS: [&str; 6] = [
+        "phi,ibj->phbj",
+        "phbk,phbj->hbjk",
+        "whbk,hbjk->whbj",
+        "whi,whbj->ibj",
+        "ui,ibj->ubj",
+        "iu,ubj->ibj",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        // Every layout of either input, with the output layouts cycled
+        // through alongside: `contract` agrees with `naive_einsum`, and
+        // bitwise with the same plan driven through the whole-operand
+        // gather fallback.
+        #[test]
+        fn contract_on_every_operand_layout_equals_naive_and_the_gather_fallback(
+            sizes in (1usize..4, 1usize..4, 1usize..4, 1usize..4),
+            more in (1usize..4, 1usize..4, 1usize..4),
+            seed in 0u64..1000,
+        ) {
+            let table = [
+                ('p', sizes.0), ('w', sizes.0), ('h', sizes.1), ('i', sizes.2), ('b', sizes.3),
+                ('j', more.0), ('k', more.1), ('u', more.2),
+            ];
+            for (si, text) in FORWARD_EINSUMS.iter().enumerate() {
+                let spec: EinsumSpec = text.parse().unwrap();
+                let label = |axes: &[Axis]| axes.iter().map(|a| a.name()).collect::<String>();
+                let a = rand_tensor(
+                    Shape::from_spec(&label(&spec.operands()[0]), &table).unwrap(),
+                    seed + si as u64,
+                );
+                let b = rand_tensor(
+                    Shape::from_spec(&label(&spec.operands()[1]), &table).unwrap(),
+                    seed + 100 + si as u64,
+                );
+                let slow = naive_einsum(&spec, &[&a, &b]).unwrap();
+                let outs = Layout::all(spec.output().len());
+                for (ia, la) in Layout::all(a.shape().rank()).iter().enumerate() {
+                    for (ib, lb) in Layout::all(b.shape().rank()).iter().enumerate() {
+                        let lc = &outs[(7 * ia + ib) % outs.len()];
+                        let (ap, bp) = (a.relayout(la), b.relayout(lb));
+                        let fast = contract::contract(&spec, &ap, &bp, lc).unwrap();
+                        prop_assert!(
+                            fast.max_abs_diff(&slow).unwrap() < 1e-4,
+                            "{} in layouts {} {} -> {} disagrees with naive_einsum",
+                            text, la, lb, lc
+                        );
+                        let mut plan = ContractPlan::compile(
+                            &spec,
+                            ap.shape(),
+                            ap.strides(),
+                            bp.shape(),
+                            bp.strides(),
+                            fast.strides(),
+                        )
+                        .unwrap();
+                        (plan.a.view, plan.b.view, plan.c.view) = (None, None, None);
+                        let mut out = vec![f32::NAN; fast.len()];
+                        let mut scratch = vec![f32::NAN; plan.scratch_words()];
+                        contract_into(&plan, ap.data(), bp.data(), &mut out, &mut scratch);
+                        prop_assert!(
+                            bits(&out) == bits(fast.data()),
+                            "{} in layouts {} {} -> {}: views and gathers disagree",
+                            text, la, lb, lc
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 mod parser_robustness {
     use super::*;
 
