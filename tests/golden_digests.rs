@@ -1,9 +1,11 @@
 //! Bitwise pins across kernel-layer refactors: FNV-1a digests of every
 //! output, saved activation, layer-norm statistic and RNG end state of the
 //! layer forwards, a streaming decode, and the allocating kernels on
-//! permuted layouts — recorded once (PR 12, at the parent commit) and held
-//! fixed. A digest that moves means arithmetic, output layout, stats
-//! order or RNG draw order changed somewhere under the public API.
+//! permuted layouts — recorded at a parent commit and held fixed (the
+//! `decode` and `kernels/*` rows in PR 12; the layer rows, one per route
+//! and thread count, in PR 14 as a test-only commit on PR 13's library).
+//! A digest that moves means arithmetic, output layout, stats order or
+//! RNG draw order changed somewhere under the public API.
 //!
 //! On a mismatch the test prints the full table it computed, in source
 //! form, so an *intended* change can re-record it.
@@ -12,7 +14,8 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use substation::core::plan::{ExecOptions, PlanOverride};
+use substation::core::plan::{execute_plan, ExecOptions, ExecState};
+use substation::core::sanitize::{execute_plan_parallel, ParallelOptions};
 use substation::dataflow::EncoderDims;
 use substation::tensor::fused::{self, BdrlnOutput, BrdOutput, SmOutput};
 use substation::tensor::ops::dropout::dropout;
@@ -162,17 +165,61 @@ impl Block {
     }
 }
 
-/// One row per (layer kind, shape, p), folding `threads ∈ {1, 2}` × three
-/// paths: the arena-routed `forward` with its saved activations,
-/// `forward_into`, and the allocating environment interpreter (a plan
-/// override bypasses the arena).
+/// Every container and layer-norm statistic an interpreter environment
+/// holds, in name order.
+fn state_digest(h: &mut Fnv, state: &ExecState) {
+    let mut names: Vec<&String> = state.env.keys().collect();
+    names.sort();
+    for n in names {
+        h.tensor(&state.env[n]);
+    }
+    let mut names: Vec<&String> = state.stats.keys().collect();
+    names.sort();
+    for n in names {
+        h.stats(&state.stats[n]);
+    }
+}
+
+/// The reference interpreter called directly on the layer's canned plan,
+/// `knobs` being what the layer would merge in: one RNG stream seeded by
+/// `seed` at one thread, the wave interpreter's per-step streams above.
+fn reference_leg(
+    pf: &interp::PlannedForward,
+    x: &Tensor,
+    w: &EncoderWeights,
+    knobs: &ExecOptions,
+    threads: usize,
+    seed: u64,
+    h: &mut Fnv,
+) {
+    let mut state = interp::bind_inputs(x, w).unwrap();
+    if threads > 1 {
+        let popts = ParallelOptions { threads, seed };
+        execute_plan_parallel(&pf.graph, &pf.plan, &pf.cert, &mut state, knobs, &popts).unwrap();
+    } else {
+        let mut rng = StdRng::seed_from_u64(seed);
+        execute_plan(&pf.graph, &pf.plan, &mut state, knobs, &mut rng).unwrap();
+    }
+    state_digest(h, &state);
+}
+
+/// One row per (layer kind, shape, p) and per leg: `forward` with its saved
+/// activations and `forward_into`, each at `threads ∈ {1, 2}`, and the
+/// reference interpreter called directly on the same canned plan.
 fn layer_digests(table: &mut Vec<(String, u64)>) {
+    const SEED: u64 = 17;
     for (di, dims) in shapes().iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(41);
         let w = EncoderWeights::init(dims, &mut rng);
         let ibj = Shape::from_spec("ibj", &dims.size_table()).unwrap();
         let x = Tensor::random(ibj.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
+        let scaler = 1.0 / (dims.p as f32).sqrt();
         for p in [0.0f32, 0.1] {
+            let knobs = ExecOptions::builder()
+                .dropout_p(p)
+                .activation(Gelu)
+                .scaler(scaler)
+                .build();
             let enc = |e| Block::Enc(EncoderLayer::new(*dims, e, p).with_activation(Gelu));
             let dec = DecoderLayer::new(*dims, p);
             let kinds = [
@@ -196,22 +243,23 @@ fn layer_digests(table: &mut Vec<(String, u64)>) {
             ];
             for (name, kind, block) in kinds {
                 let pf = interp::cached_plan(dims, kind).unwrap();
-                let mut h = Fnv::new();
+                let mut row = |leg: &str, threads: usize, h: Fnv| {
+                    table.push((format!("{name}/shape{di}/p{p}/{leg}/t{threads}"), h.0));
+                };
                 for threads in THREADS {
-                    let opts = ExecOptions::builder().threads(threads).seed(17).build();
+                    let opts = ExecOptions::builder().threads(threads).seed(SEED).build();
+                    let mut h = Fnv::new();
                     block.run(&x, &w, &opts, None, &mut h);
+                    row("forward", threads, h);
+                    let mut h = Fnv::new();
                     let mut y = Tensor::zeros(ibj.clone());
                     block.run(&x, &w, &opts, Some(&mut y), &mut h);
                     h.tensor(&y);
-                    let over = PlanOverride {
-                        graph: &pf.graph,
-                        plan: &pf.plan,
-                        cert: Some(&pf.cert),
-                    };
-                    let env = opts.to_builder().plan(Some(over)).build();
-                    block.run(&x, &w, &env, None, &mut h);
+                    row("forward_into", threads, h);
+                    let mut h = Fnv::new();
+                    reference_leg(&pf, &x, &w, &knobs, threads, SEED, &mut h);
+                    row("reference", threads, h);
                 }
-                table.push((format!("{name}/shape{di}/p{p}"), h.0));
             }
         }
     }
@@ -341,26 +389,126 @@ fn digests_match_the_recorded_table() {
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
-    ("enc/Reference/shape0/p0", 0xeca0ce2ca77c017d),
-    ("enc/Fused/shape0/p0", 0xeca0ce2ca77c017d),
-    ("enc/Epilogue/shape0/p0", 0xeca0ce2ca77c017d),
-    ("dec/fused/shape0/p0", 0x20b2dd3f40c3f629),
-    ("dec/epilogue/shape0/p0", 0x20b2dd3f40c3f629),
-    ("enc/Reference/shape0/p0.1", 0xa3b4004f1b9b16d9),
-    ("enc/Fused/shape0/p0.1", 0xec4cd2053730950e),
-    ("enc/Epilogue/shape0/p0.1", 0x99c2af3e76193573),
-    ("dec/fused/shape0/p0.1", 0x3c30488567ce362e),
-    ("dec/epilogue/shape0/p0.1", 0xcbddb491cb9f2002),
-    ("enc/Reference/shape1/p0", 0x7440f4ec1ac97be5),
-    ("enc/Fused/shape1/p0", 0x7440f4ec1ac97be5),
-    ("enc/Epilogue/shape1/p0", 0x7440f4ec1ac97be5),
-    ("dec/fused/shape1/p0", 0xf42f391e306da10d),
-    ("dec/epilogue/shape1/p0", 0xf42f391e306da10d),
-    ("enc/Reference/shape1/p0.1", 0x534c0b251940770e),
-    ("enc/Fused/shape1/p0.1", 0x6b8d3421dd987184),
-    ("enc/Epilogue/shape1/p0.1", 0xa4f206463476b0f4),
-    ("dec/fused/shape1/p0.1", 0x6fa0bfde9653bc50),
-    ("dec/epilogue/shape1/p0.1", 0x6dc533e4c449f96b),
+    ("enc/Reference/shape0/p0/forward/t1", 0xb7897f7e31558116),
+    ("enc/Reference/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
+    ("enc/Reference/shape0/p0/reference/t1", 0x61a9fc1186a3819f),
+    ("enc/Reference/shape0/p0/forward/t2", 0xb7897f7e31558116),
+    ("enc/Reference/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
+    ("enc/Reference/shape0/p0/reference/t2", 0x61a9fc1186a3819f),
+    ("enc/Fused/shape0/p0/forward/t1", 0xb7897f7e31558116),
+    ("enc/Fused/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
+    ("enc/Fused/shape0/p0/reference/t1", 0xf78d1d924711967c),
+    ("enc/Fused/shape0/p0/forward/t2", 0xb7897f7e31558116),
+    ("enc/Fused/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
+    ("enc/Fused/shape0/p0/reference/t2", 0xf78d1d924711967c),
+    ("enc/Epilogue/shape0/p0/forward/t1", 0xb7897f7e31558116),
+    ("enc/Epilogue/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
+    ("enc/Epilogue/shape0/p0/reference/t1", 0x08ff08db351c3e39),
+    ("enc/Epilogue/shape0/p0/forward/t2", 0xb7897f7e31558116),
+    ("enc/Epilogue/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
+    ("enc/Epilogue/shape0/p0/reference/t2", 0x08ff08db351c3e39),
+    ("dec/fused/shape0/p0/forward/t1", 0xdde088ca06c76f73),
+    ("dec/fused/shape0/p0/forward_into/t1", 0x0aea2ae47c0e2353),
+    ("dec/fused/shape0/p0/reference/t1", 0xb47e93f9cf2a640c),
+    ("dec/fused/shape0/p0/forward/t2", 0xdde088ca06c76f73),
+    ("dec/fused/shape0/p0/forward_into/t2", 0x0aea2ae47c0e2353),
+    ("dec/fused/shape0/p0/reference/t2", 0xb47e93f9cf2a640c),
+    ("dec/epilogue/shape0/p0/forward/t1", 0xdde088ca06c76f73),
+    ("dec/epilogue/shape0/p0/forward_into/t1", 0x0aea2ae47c0e2353),
+    ("dec/epilogue/shape0/p0/reference/t1", 0xb7b4e0617ac2e3a6),
+    ("dec/epilogue/shape0/p0/forward/t2", 0xdde088ca06c76f73),
+    ("dec/epilogue/shape0/p0/forward_into/t2", 0x0aea2ae47c0e2353),
+    ("dec/epilogue/shape0/p0/reference/t2", 0xb7b4e0617ac2e3a6),
+    ("enc/Reference/shape0/p0.1/forward/t1", 0x98ff487bf935d629),
+    ("enc/Reference/shape0/p0.1/forward_into/t1", 0x10d88426aaad2fc3),
+    ("enc/Reference/shape0/p0.1/reference/t1", 0xe62dbb3a33629c8a),
+    ("enc/Reference/shape0/p0.1/forward/t2", 0x98ff487bf935d629),
+    ("enc/Reference/shape0/p0.1/forward_into/t2", 0x10d88426aaad2fc3),
+    ("enc/Reference/shape0/p0.1/reference/t2", 0x3f9c726ced77d52c),
+    ("enc/Fused/shape0/p0.1/forward/t1", 0x1d7957f11fbc38a5),
+    ("enc/Fused/shape0/p0.1/forward_into/t1", 0x91f9597250552bb6),
+    ("enc/Fused/shape0/p0.1/reference/t1", 0x9d2b7b314ec0d75e),
+    ("enc/Fused/shape0/p0.1/forward/t2", 0x1d7957f11fbc38a5),
+    ("enc/Fused/shape0/p0.1/forward_into/t2", 0x91f9597250552bb6),
+    ("enc/Fused/shape0/p0.1/reference/t2", 0x5b795d660954e392),
+    ("enc/Epilogue/shape0/p0.1/forward/t1", 0x00cb34c4af2d8b54),
+    ("enc/Epilogue/shape0/p0.1/forward_into/t1", 0x43bdd9b2b935431a),
+    ("enc/Epilogue/shape0/p0.1/reference/t1", 0x49a9c3ed270d02d6),
+    ("enc/Epilogue/shape0/p0.1/forward/t2", 0x00cb34c4af2d8b54),
+    ("enc/Epilogue/shape0/p0.1/forward_into/t2", 0x43bdd9b2b935431a),
+    ("enc/Epilogue/shape0/p0.1/reference/t2", 0x5003b6cef496c7df),
+    ("dec/fused/shape0/p0.1/forward/t1", 0x01e7ed36cebe62ae),
+    ("dec/fused/shape0/p0.1/forward_into/t1", 0x3b81f45ddd603431),
+    ("dec/fused/shape0/p0.1/reference/t1", 0xfff225aeb6cc73b3),
+    ("dec/fused/shape0/p0.1/forward/t2", 0x01e7ed36cebe62ae),
+    ("dec/fused/shape0/p0.1/forward_into/t2", 0x3b81f45ddd603431),
+    ("dec/fused/shape0/p0.1/reference/t2", 0x3a9d06737e03d7e2),
+    ("dec/epilogue/shape0/p0.1/forward/t1", 0x8de2ecb83b569e2a),
+    ("dec/epilogue/shape0/p0.1/forward_into/t1", 0xcf876f90d11dd4d2),
+    ("dec/epilogue/shape0/p0.1/reference/t1", 0xce2bb63b35e47bfc),
+    ("dec/epilogue/shape0/p0.1/forward/t2", 0x8de2ecb83b569e2a),
+    ("dec/epilogue/shape0/p0.1/forward_into/t2", 0xcf876f90d11dd4d2),
+    ("dec/epilogue/shape0/p0.1/reference/t2", 0x89306c19d549497b),
+    ("enc/Reference/shape1/p0/forward/t1", 0x132fc098998eab60),
+    ("enc/Reference/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
+    ("enc/Reference/shape1/p0/reference/t1", 0x577b102984d9974e),
+    ("enc/Reference/shape1/p0/forward/t2", 0x132fc098998eab60),
+    ("enc/Reference/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
+    ("enc/Reference/shape1/p0/reference/t2", 0x577b102984d9974e),
+    ("enc/Fused/shape1/p0/forward/t1", 0x132fc098998eab60),
+    ("enc/Fused/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
+    ("enc/Fused/shape1/p0/reference/t1", 0xfd6bde9ada4b0003),
+    ("enc/Fused/shape1/p0/forward/t2", 0x132fc098998eab60),
+    ("enc/Fused/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
+    ("enc/Fused/shape1/p0/reference/t2", 0xfd6bde9ada4b0003),
+    ("enc/Epilogue/shape1/p0/forward/t1", 0x132fc098998eab60),
+    ("enc/Epilogue/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
+    ("enc/Epilogue/shape1/p0/reference/t1", 0x2790b59f3d60ae85),
+    ("enc/Epilogue/shape1/p0/forward/t2", 0x132fc098998eab60),
+    ("enc/Epilogue/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
+    ("enc/Epilogue/shape1/p0/reference/t2", 0x2790b59f3d60ae85),
+    ("dec/fused/shape1/p0/forward/t1", 0xae720ff95631cdb2),
+    ("dec/fused/shape1/p0/forward_into/t1", 0x5eac58ae58766eea),
+    ("dec/fused/shape1/p0/reference/t1", 0x9ec44f34cb90f0d7),
+    ("dec/fused/shape1/p0/forward/t2", 0xae720ff95631cdb2),
+    ("dec/fused/shape1/p0/forward_into/t2", 0x5eac58ae58766eea),
+    ("dec/fused/shape1/p0/reference/t2", 0x9ec44f34cb90f0d7),
+    ("dec/epilogue/shape1/p0/forward/t1", 0xae720ff95631cdb2),
+    ("dec/epilogue/shape1/p0/forward_into/t1", 0x5eac58ae58766eea),
+    ("dec/epilogue/shape1/p0/reference/t1", 0xe0be491d8d65294c),
+    ("dec/epilogue/shape1/p0/forward/t2", 0xae720ff95631cdb2),
+    ("dec/epilogue/shape1/p0/forward_into/t2", 0x5eac58ae58766eea),
+    ("dec/epilogue/shape1/p0/reference/t2", 0xe0be491d8d65294c),
+    ("enc/Reference/shape1/p0.1/forward/t1", 0x4052c547ee8056cf),
+    ("enc/Reference/shape1/p0.1/forward_into/t1", 0xf08c5b5674af87ad),
+    ("enc/Reference/shape1/p0.1/reference/t1", 0xdc0086efa6f9ec73),
+    ("enc/Reference/shape1/p0.1/forward/t2", 0x4052c547ee8056cf),
+    ("enc/Reference/shape1/p0.1/forward_into/t2", 0xf08c5b5674af87ad),
+    ("enc/Reference/shape1/p0.1/reference/t2", 0xc6fd3cde213c7389),
+    ("enc/Fused/shape1/p0.1/forward/t1", 0xad6a39f3ded99e59),
+    ("enc/Fused/shape1/p0.1/forward_into/t1", 0xbc6bb024de2ddb20),
+    ("enc/Fused/shape1/p0.1/reference/t1", 0x76a6c1241545b5fb),
+    ("enc/Fused/shape1/p0.1/forward/t2", 0xad6a39f3ded99e59),
+    ("enc/Fused/shape1/p0.1/forward_into/t2", 0xbc6bb024de2ddb20),
+    ("enc/Fused/shape1/p0.1/reference/t2", 0x485920714591f194),
+    ("enc/Epilogue/shape1/p0.1/forward/t1", 0x886ae42e6ceb1c39),
+    ("enc/Epilogue/shape1/p0.1/forward_into/t1", 0x8c189301f3b30a94),
+    ("enc/Epilogue/shape1/p0.1/reference/t1", 0xf7507b6c1888e70b),
+    ("enc/Epilogue/shape1/p0.1/forward/t2", 0x886ae42e6ceb1c39),
+    ("enc/Epilogue/shape1/p0.1/forward_into/t2", 0x8c189301f3b30a94),
+    ("enc/Epilogue/shape1/p0.1/reference/t2", 0x378ad7777e92543d),
+    ("dec/fused/shape1/p0.1/forward/t1", 0xf1f72fa84232efd9),
+    ("dec/fused/shape1/p0.1/forward_into/t1", 0xf52301b57fd111c6),
+    ("dec/fused/shape1/p0.1/reference/t1", 0x54b15426d685ed4d),
+    ("dec/fused/shape1/p0.1/forward/t2", 0xf1f72fa84232efd9),
+    ("dec/fused/shape1/p0.1/forward_into/t2", 0xf52301b57fd111c6),
+    ("dec/fused/shape1/p0.1/reference/t2", 0x8f51ec90d3c37f63),
+    ("dec/epilogue/shape1/p0.1/forward/t1", 0x3c9da33199484f8e),
+    ("dec/epilogue/shape1/p0.1/forward_into/t1", 0x05138b133ad38e77),
+    ("dec/epilogue/shape1/p0.1/reference/t1", 0xb61448b0bedb2e56),
+    ("dec/epilogue/shape1/p0.1/forward/t2", 0x3c9da33199484f8e),
+    ("dec/epilogue/shape1/p0.1/forward_into/t2", 0x05138b133ad38e77),
+    ("dec/epilogue/shape1/p0.1/reference/t2", 0xb259c6b265386460),
     ("decode", 0x232a6e62a2135165),
     ("kernels/layout0", 0xacd062825dc14328),
     ("kernels/layout1", 0x9e6ca3e8c9dabbc0),
