@@ -1,16 +1,18 @@
 //! End-to-end plan-driven execution on real CPU kernels: times the two
 //! canned schedules (Reference, Fused) against a plan lowered from the
 //! full recipe — CPU-measured sweeps → SSSP layout selection →
-//! [`ExecutionPlan::lower`] — all running through the same schedule
-//! interpreter. This is the paper's punchline made concrete: the selected
-//! configuration is not a report, it executes.
+//! [`ExecutionPlan::lower`] — each on the executor its layouts route it
+//! to: the canned plans on the arena, the selected one on the reference
+//! interpreter as soon as it carries a strided operand. This is the
+//! paper's punchline made concrete: the selected configuration is not a
+//! report, it executes.
 //!
-//! A second section exercises the certificate-gated wave-parallel
-//! interpreter (`xform_core::sanitize::execute_plan_parallel`): the fused
-//! encoder forward at 1/2/4/8 worker threads (every run bitwise-equal to
-//! the serial interpreter with dropout off), then a deliberately wide
-//! synthetic plan — independent matmuls feeding a residual reduction
-//! tree — where wave parallelism must deliver a real speedup.
+//! A second section exercises the arena's wave dispatch through the one
+//! entry point (`xform_core::arena::execute`): the fused encoder forward
+//! at 1/2/4/8 worker threads (every run bitwise-equal to the one-thread
+//! run), then a deliberately wide synthetic plan — independent matmuls
+//! feeding a residual reduction tree — where wave parallelism must deliver
+//! a real speedup.
 
 use std::time::Instant;
 
@@ -18,9 +20,10 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use xform_core::analyze::analyze;
+use xform_core::arena::{execute, route};
 use xform_core::cpusource::CpuSource;
-use xform_core::plan::{execute_plan, random_externals, ExecOptions, ExecutionPlan, PlanOverride};
-use xform_core::sanitize::{certify, execute_plan_parallel, ParallelOptions};
+use xform_core::plan::{random_externals, ExecOptions, ExecutionPlan, PlanOverride};
 use xform_core::selection::select_forward;
 use xform_core::sweep::{sweep_all, SweepOptions};
 use xform_dataflow::{DataRole, EncoderDims, Graph, NodeId, OpKind};
@@ -36,8 +39,8 @@ const REPS: usize = 5;
 /// matmuls (each `n×n×n`; a single unbatched GEMM never splits across
 /// cores, so every kernel stays on its calling thread and all measured
 /// parallelism comes from the wave dispatcher) feeding a binary residual
-/// reduction tree. Wave 0 is `lanes` steps wide, so the wave-parallel
-/// interpreter has real work to distribute.
+/// reduction tree. Wave 0 is `lanes` steps wide, so the arena's wave
+/// dispatch has real work to distribute.
 fn wide_matmul_plan(lanes: usize, n: usize) -> (Graph, ExecutionPlan) {
     let mut g = Graph::new();
     let shape2 = |x: char, y: char| Shape::new([(x, n), (y, n)]).expect("square shape");
@@ -151,11 +154,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sel = select_forward(&graph, &DeviceSpec::v100(), &fwd, &sweeps)?;
     let plan = ExecutionPlan::lower(&graph, &sel)?;
     println!(
-        "selection: {:.1} µs modeled, {} transposes; lowered plan: {} steps, {} relayouts",
+        "selection: {:.1} µs modeled, {} transposes; lowered plan: {} steps, {} relayouts, \
+         route {}",
         sel.total_us,
         sel.transposes,
         plan.steps.len(),
-        plan.relayout_count()
+        plan.relayout_count(),
+        route(&graph, &plan)
     );
 
     let sel_opts = fwd_opts
@@ -163,7 +168,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .plan(Some(PlanOverride {
             graph: &graph,
             plan: &plan,
-            cert: None,
         }))
         .build();
     let (sel_ms, y_sel) = time_ms(REPS, || {
@@ -188,9 +192,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m
     };
     println!("\nforward wall-clock (same input, same RNG stream):");
-    println!("  reference (unfused, natural layouts)  {ref_ms:>8.3} ms");
-    println!("  fused     (canned fused schedule)     {fus_ms:>8.3} ms");
-    println!("  selected  (recipe-lowered schedule)   {sel_ms:>8.3} ms");
+    println!("  reference (unfused, natural layouts, arena)  {ref_ms:>8.3} ms");
+    println!("  fused     (canned fused schedule, arena)     {fus_ms:>8.3} ms");
+    println!(
+        "  selected  (recipe-lowered schedule, {:<9}) {sel_ms:>7.3} ms",
+        route(&graph, &plan).to_string()
+    );
     println!(
         "\nmax |y_selected - y_reference| = {:.2e}, max |y_fused - y_reference| = {:.2e}",
         max_dev(&y_sel, &y_ref),
@@ -202,7 +209,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("plan-driven output matches the reference executor.");
 
-    // --- wave-parallel interpreter: encoder thread scaling ---
+    // --- arena wave dispatch: encoder thread scaling ---
     let pf = interp::cached_plan(&dims, interp::PlanKind::EncoderFused)?;
     println!(
         "\ncertified wave-parallel forward (fused encoder, {} steps in {} waves):",
@@ -225,41 +232,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {threads} thread(s)  {par_ms:>8.3} ms  (bitwise-equal to serial)");
     }
 
-    // --- wave-parallel interpreter: a genuinely wide plan ---
+    // --- arena wave dispatch: a genuinely wide plan ---
     // The encoder forward is chain-like (narrow waves), so thread scaling
     // above is modest. This synthetic plan is the opposite: its first wave
-    // is 8 independent matmuls, and the certifier proves the partition
-    // race-free before any thread runs.
+    // is 8 independent matmuls, and compiling its wave arena proves the
+    // partition race-free before any thread runs.
     let (wide_g, wide_p) = wide_matmul_plan(8, 128);
-    let cert = certify(&wide_g, &wide_p).expect("the wide plan certifies");
+    let waves = analyze(&wide_g, &wide_p).parallel_waves();
     println!(
-        "\nwave-parallel speedup on a wide synthetic plan ({} steps in {} waves, widest {}):",
+        "\nwave-parallel speedup on a wide synthetic plan ({} steps in {} waves, widest {}), \
+         route {}:",
         wide_p.steps.len(),
-        cert.waves.len(),
-        cert.waves.iter().map(Vec::len).max().unwrap_or(0)
+        waves.len(),
+        waves.iter().map(Vec::len).max().unwrap_or(0),
+        route(&wide_g, &wide_p)
     );
-    let wide_opts = ExecOptions::default();
     let base_state = random_externals(&wide_g, &wide_p, 11)?;
-    let run_serial = || {
-        let mut state = base_state.clone();
-        let mut r = StdRng::seed_from_u64(7);
-        execute_plan(&wide_g, &wide_p, &mut state, &wide_opts, &mut r).expect("serial wide plan");
-        state.get("s2_0").expect("final sum").clone()
-    };
-    let (serial_ms, y_wide) = time_ms(REPS, run_serial);
-    println!("  serial          {serial_ms:>8.3} ms");
-    let mut speedup_at_4 = 0.0;
-    for threads in [1usize, 2, 4, 8] {
-        let popts = ParallelOptions {
-            threads,
-            ..ParallelOptions::default()
-        };
-        let (par_ms, y_par) = time_ms(REPS, || {
+    let run_at = |threads: usize| {
+        let opts = ExecOptions::builder().threads(threads).seed(7).build();
+        time_ms(REPS, || {
             let mut state = base_state.clone();
-            execute_plan_parallel(&wide_g, &wide_p, &cert, &mut state, &wide_opts, &popts)
-                .expect("parallel wide plan");
+            execute(&wide_g, &wide_p, &mut state, &opts).expect("wide plan");
             state.get("s2_0").expect("final sum").clone()
-        });
+        })
+    };
+    let (serial_ms, y_wide) = run_at(1);
+    println!("  1 thread(s)  {serial_ms:>8.3} ms");
+    let mut speedup_at_4 = 0.0;
+    for threads in [2usize, 4, 8] {
+        let (par_ms, y_par) = run_at(threads);
         assert_eq!(
             y_par.data(),
             y_wide.data(),
@@ -269,7 +270,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if threads == 4 {
             speedup_at_4 = speedup;
         }
-        println!("  {threads} thread(s)  {par_ms:>8.3} ms  ({speedup:.2}x vs serial)");
+        println!("  {threads} thread(s)  {par_ms:>8.3} ms  ({speedup:.2}x vs 1 thread)");
     }
     let cores = std::thread::available_parallelism().map_or(1, |t| t.get());
     if cores >= 4 {

@@ -6,11 +6,18 @@
 //! wall-clock time, the bytes the step moves (identical to
 //! `xform_core::analyze::audit`'s accounting), achieved bandwidth, and
 //! measured vs. static MUE — then per-operator-class totals, the
-//! wave-parallel occupancy/imbalance of the certified plan, and finally
+//! wave-parallel occupancy/imbalance of the same plan at 4 threads, what
+//! observing costs (a profiled forward against an unprofiled one, and the
+//! share of the wall clock the step records do not cover), and finally
 //! the profile-guided re-selection loop: profile the natural plan,
 //! re-run SSSP selection from the measured timings
 //! (`xform_core::profile::ProfiledSource`), and report the adopted
 //! plan's measured improvement.
+//!
+//! Every profile is taken by the one `profile_plan`, which observes the
+//! executor the plan's layouts route it to — for every canned plan the
+//! arena that serves `forward` — and each profiled plan is printed and
+//! emitted with that `route`.
 //!
 //! The binary also runs under a counting global allocator and reports the
 //! arena interpreter's steady-state heap discipline: slab/scratch/stats
@@ -50,13 +57,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xform_bench::cli::{Cli, CHECK, JSON};
 use xform_core::analyze::audit;
+use xform_core::arena::Route;
 use xform_core::cachemodel::{trace_plan, CacheGeometry, CACHE_GEOM_ENV};
 use xform_core::cpusource::CpuSource;
 use xform_core::plan::{random_externals, ExecOptions};
 use xform_core::profile::{
-    profile_plan, profile_plan_parallel, reselect_cost, CountingAlloc, PlanProfiler, Reselection,
+    profile_plan, reselect_cost, CountingAlloc, PlanProfiler, ProfilerSink, Reselection,
 };
-use xform_core::sanitize::{env_setting, ParallelOptions};
+use xform_core::sanitize::env_setting;
 use xform_core::selection::CostModel;
 use xform_core::sweep::SweepOptions;
 use xform_dataflow::{EncoderDims, Graph, OpClass};
@@ -73,6 +81,8 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const REPS: usize = 5;
 const STEADY_CALLS: usize = 20;
+/// Threads of the wave-parallel profile sections.
+const PAR_THREADS: usize = 4;
 
 struct ArenaRow {
     tag: &'static str,
@@ -85,6 +95,24 @@ struct ArenaRow {
     events: u64,
 }
 
+/// An encoder layer at the profile dims with seeded weights, an input and
+/// an output buffer for `forward_into`.
+fn encoder_fixture(
+    executor: Executor,
+) -> Result<(EncoderLayer, EncoderWeights, Tensor, Tensor), Box<dyn std::error::Error>> {
+    let dims = dims();
+    let mut rng = StdRng::seed_from_u64(3);
+    let w = EncoderWeights::init(&dims, &mut rng);
+    let shape = Shape::from_spec("ibj", &dims.size_table())?;
+    let x = Tensor::random(shape.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
+    Ok((
+        EncoderLayer::new(dims, executor, 0.0),
+        w,
+        x,
+        Tensor::zeros(shape),
+    ))
+}
+
 /// Runs an encoder executor through the zero-allocation arena entry
 /// point at both granularities and measures steady-state heap traffic.
 fn arena_rows(
@@ -92,12 +120,7 @@ fn arena_rows(
     kind: interp::PlanKind,
 ) -> Result<Vec<ArenaRow>, Box<dyn std::error::Error>> {
     let dims = dims();
-    let layer = EncoderLayer::new(dims, executor, 0.0);
-    let mut rng = StdRng::seed_from_u64(3);
-    let w = EncoderWeights::init(&dims, &mut rng);
-    let shape = Shape::from_spec("ibj", &dims.size_table())?;
-    let x = Tensor::random(shape.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
-    let mut y = Tensor::from_vec(shape, vec![0.0; dims.i * dims.b * dims.j])?;
+    let (layer, w, x, mut y) = encoder_fixture(executor)?;
     let mut rows = Vec::new();
     for (tag, threads) in [("serial", 1usize), ("waves", 4)] {
         let opts = ExecOptions::builder().threads(threads).seed(7).build();
@@ -120,6 +143,66 @@ fn arena_rows(
         });
     }
     Ok(rows)
+}
+
+/// What observing costs, on the fused encoder's `forward_into`: wall
+/// clock without a sink, wall clock with one, and the step times the sink
+/// collected — each the minimum over `reps` calls.
+struct ObserverRow {
+    unprofiled_us: f64,
+    profiled_us: f64,
+    step_sum_us: f64,
+}
+
+impl ObserverRow {
+    /// Extra wall clock of a profiled call, percent of an unprofiled one.
+    fn overhead_pct(&self) -> f64 {
+        (self.profiled_us - self.unprofiled_us) / self.unprofiled_us * 100.0
+    }
+    /// Share of an unprofiled call the step records do not cover (binding
+    /// `x` and the weights into the slab, dispatch, copying `y` out).
+    fn unattributed_pct(&self) -> f64 {
+        (self.unprofiled_us - self.step_sum_us) / self.unprofiled_us * 100.0
+    }
+}
+
+fn observer_row(reps: usize) -> Result<ObserverRow, Box<dyn std::error::Error>> {
+    let (layer, w, x, mut y) = encoder_fixture(Executor::Fused)?;
+    let sink: ProfilerSink = std::sync::Mutex::new(PlanProfiler::new());
+    let plain = ExecOptions::builder().seed(7).build();
+    let observed = plain.to_builder().profiler(Some(&sink)).build();
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..reps.max(1) + 1 {
+        for (slot, opts) in best.iter_mut().zip([&plain, &observed]) {
+            let t = std::time::Instant::now();
+            layer.forward_into(&x, &w, opts, &mut y)?;
+            *slot = slot.min(t.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    let prof = sink.into_inner().unwrap_or_else(|e| e.into_inner());
+    Ok(ObserverRow {
+        unprofiled_us: best[0],
+        profiled_us: best[1],
+        step_sum_us: prof.total_time_us(),
+    })
+}
+
+fn print_observer(r: &ObserverRow) {
+    println!(
+        "\nobserver cost (fused encoder forward_into, min of reps; reported, not gated):\n  \
+         unprofiled {:.1} µs, profiled {:.1} µs ({:+.1}%), Σ step records {:.1} µs \
+         ({:.1}% of the unprofiled call is bind/dispatch/copy-out)",
+        r.unprofiled_us,
+        r.profiled_us,
+        r.overhead_pct(),
+        r.step_sum_us,
+        r.unattributed_pct(),
+    );
+}
+
+/// The route a profile was taken on, for a row.
+fn route_tag(prof: &PlanProfiler) -> String {
+    prof.route.map_or_else(|| "—".into(), |r| r.to_string())
 }
 
 fn dims() -> EncoderDims {
@@ -310,11 +393,12 @@ struct PlanSide {
     us: f64,
     bytes: u64,
     mue: f64,
+    route: String,
 }
 
 /// Head-to-head of an element-wise-fused plan and its GEMM-epilogue
-/// counterpart, measured through the serial profiler on one traffic
-/// shape.
+/// counterpart, each profiled at one thread on the executor that serves
+/// it, on one traffic shape.
 struct Duel {
     shape: String,
     unfused: PlanSide,
@@ -350,6 +434,7 @@ fn profile_side(
         us: prof.total_time_us(),
         bytes: prof.total_bytes(),
         mue: prof.plan_mue().value,
+        route: route_tag(&prof),
     })
 }
 
@@ -393,15 +478,22 @@ fn duels(reps: usize) -> Result<Vec<Duel>, Box<dyn std::error::Error>> {
 
 fn print_duels(rows: &[Duel]) {
     println!(
-        "\nGEMM-epilogue mega-kernels vs element-wise fusion (measured, serial, min of reps):"
+        "\nGEMM-epilogue mega-kernels vs element-wise fusion (measured, 1 thread, min of reps):"
     );
     println!(
-        "  {:<14} {:>12} {:>12} {:>11} {:>11} {:>9} {:>9}",
-        "shape", "unfused KiB", "epilogue KiB", "unfused µs", "epilog µs", "MUE", "adopted"
+        "  {:<14} {:>12} {:>12} {:>11} {:>11} {:>9} {:>9} {:>9}",
+        "shape",
+        "unfused KiB",
+        "epilogue KiB",
+        "unfused µs",
+        "epilog µs",
+        "MUE",
+        "adopted",
+        "route"
     );
     for r in rows {
         println!(
-            "  {:<14} {:>12.1} {:>12.1} {:>11.1} {:>11.1} {:>4.1}→{:<4.1} {:>9}",
+            "  {:<14} {:>12.1} {:>12.1} {:>11.1} {:>11.1} {:>4.1}→{:<4.1} {:>9} {:>9}",
             r.shape,
             r.unfused.bytes as f64 / 1024.0,
             r.epilogue.bytes as f64 / 1024.0,
@@ -410,6 +502,7 @@ fn print_duels(rows: &[Duel]) {
             r.unfused.mue,
             r.epilogue.mue,
             r.adopted(),
+            r.epilogue.route,
         );
     }
 }
@@ -567,7 +660,8 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
     let static_audit = audit(&pf.graph, &pf.plan, &DeviceSpec::v100());
 
     println!(
-        "\nhost peak bandwidth {:.2} GB/s (calibrated); measured vs static MUE per step:",
+        "\nroute: {} — host peak bandwidth {:.2} GB/s (calibrated); measured vs static MUE per step:",
+        route_tag(&prof),
         prof.peak_bytes_per_us * 1e6 / 1e9
     );
     println!(
@@ -617,15 +711,12 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // --- wave-parallel occupancy of the certified plan ---
-    let popts = ParallelOptions {
-        threads: 4,
-        ..ParallelOptions::default()
-    };
-    let par = profile_plan_parallel(&pf.graph, &pf.plan, &pf.cert, &base, &opts, &popts, REPS)?;
+    // --- wave-parallel occupancy of the same plan ---
+    let par_opts = opts.to_builder().threads(PAR_THREADS).build();
+    let par = profile_plan(&pf.graph, &pf.plan, &base, &par_opts, REPS)?;
     println!(
-        "\nwave-parallel occupancy at {} threads (wall {:.1} µs across {} waves):",
-        popts.threads,
+        "\nwave-parallel occupancy at {PAR_THREADS} threads, route {} (wall {:.1} µs across {} waves):",
+        route_tag(&par),
         par.parallel_wall_us().unwrap_or(0.0),
         par.waves().count(),
     );
@@ -641,6 +732,9 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
             par.wave_imbalance(w),
         );
     }
+
+    // --- what observing costs ---
+    print_observer(&observer_row(REPS)?);
 
     // --- fused vs epilogue, measured ---
     print_duels(&duels(REPS)?);
@@ -673,10 +767,15 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
     // --- profile-guided re-selection ---
     println!("\nprofile-guided re-selection (CPU-measured fallback, sweep ≤48 configs/op):");
     let r = reselection(&pf.graph, &pf.plan, &opts)?;
-    println!("  natural plan     {:>9.1} µs measured", r.natural_us());
     println!(
-        "  re-selected plan {:>9.1} µs measured ({} transposes, {:.1} µs modeled)",
+        "  natural plan     {:>9.1} µs measured on the {} route",
+        r.natural_us(),
+        route_tag(&r.natural)
+    );
+    println!(
+        "  re-selected plan {:>9.1} µs measured on the {} route ({} transposes, {:.1} µs modeled)",
         r.reselected_us(),
+        route_tag(&r.reselected),
         r.selection.transposes,
         r.selection.total_us,
     );
@@ -693,9 +792,15 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Returns the failures found while smoke-checking a profiled plan.
+/// Returns the failures found while smoke-checking a profiled canned plan.
 fn check_profile(tag: &str, prof: &PlanProfiler, expect_steps: usize) -> Vec<String> {
     let mut bad = Vec::new();
+    if prof.route != Some(Route::Arena) {
+        bad.push(format!(
+            "{tag}: profiled on the {} route; a canned plan runs on the arena",
+            route_tag(prof)
+        ));
+    }
     if prof.steps().count() != expect_steps {
         bad.push(format!(
             "{tag}: profiled {} of {expect_steps} steps",
@@ -737,11 +842,8 @@ fn check() -> Result<(), Box<dyn std::error::Error>> {
     let prof = profile_plan(&pf.graph, &pf.plan, &base, &opts, 2)?;
     let mut bad = check_profile("serial", &prof, pf.plan.steps.len());
 
-    let popts = ParallelOptions {
-        threads: 4,
-        ..ParallelOptions::default()
-    };
-    let par = profile_plan_parallel(&pf.graph, &pf.plan, &pf.cert, &base, &opts, &popts, 2)?;
+    let par_opts = opts.to_builder().threads(PAR_THREADS).build();
+    let par = profile_plan(&pf.graph, &pf.plan, &base, &par_opts, 2)?;
     bad.extend(check_profile("parallel", &par, pf.plan.steps.len()));
     if par.waves().count() != pf.cert.waves.len() {
         bad.push(format!(
@@ -856,9 +958,11 @@ fn check() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
+    print_observer(&observer_row(2)?);
+
     if bad.is_empty() {
         println!(
-            "plan_profile --check: OK — {} steps profiled serial+parallel, \
+            "plan_profile --check: OK — {} steps profiled on the arena at 1 and 4 threads, \
              re-selected total {:.1} µs ≤ natural {:.1} µs, \
              {} DRAM predictions within ±{:.0}%, \
              0 steady-state arena allocations, \
@@ -936,9 +1040,10 @@ fn json() -> Result<(), Box<dyn std::error::Error>> {
             })
             .collect();
         plans.push(format!(
-            "{}:{{\"steps\":{},\"total_us\":{:.3},\"total_bytes\":{},\"measured_mue\":{:.4},\
-             \"per_class\":[{}]}}",
+            "{}:{{\"route\":{},\"steps\":{},\"total_us\":{:.3},\"total_bytes\":{},\
+             \"measured_mue\":{:.4},\"per_class\":[{}]}}",
             jstr(key),
+            jstr(&route_tag(&prof)),
             pf.plan.steps.len(),
             prof.total_time_us(),
             prof.total_bytes(),
@@ -1021,9 +1126,20 @@ fn json() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
+    let ob = observer_row(REPS)?;
+    let observer = format!(
+        "{{\"unprofiled_us\":{:.3},\"profiled_us\":{:.3},\"step_sum_us\":{:.3},\
+         \"overhead_pct\":{:.2},\"unattributed_pct\":{:.2}}}",
+        ob.unprofiled_us,
+        ob.profiled_us,
+        ob.step_sum_us,
+        ob.overhead_pct(),
+        ob.unattributed_pct(),
+    );
+
     let body = format!(
         "{{\"dims\":{{\"b\":{},\"j\":{},\"k\":{},\"h\":{},\"p\":{},\"i\":{},\"u\":{}}},\
-         \"plans\":{{{}}},\"arena\":[{}],\"duels\":[{}],\
+         \"plans\":{{{}}},\"observer\":{},\"arena\":[{}],\"duels\":[{}],\
          \"decode\":{},\
          \"dram_validation\":{{\"llc_bytes\":{},\"rows\":[{}]}}}}\n",
         dims.b,
@@ -1034,6 +1150,7 @@ fn json() -> Result<(), Box<dyn std::error::Error>> {
         dims.i,
         dims.u,
         plans.join(","),
+        observer,
         arena.join(","),
         duel_rows.join(","),
         decode,

@@ -743,6 +743,25 @@ impl PlanAnalysis {
         self.lints.iter().all(|l| l.severity() != Severity::Error)
     }
 
+    /// The lint gate every executor passes a plan through before it runs
+    /// a kernel (the reference interpreter per call, the arena once at
+    /// compile).
+    ///
+    /// # Errors
+    ///
+    /// Returns the error-severity lints, joined, when there are any.
+    pub fn gate(&self) -> xform_tensor::Result<()> {
+        let problems: Vec<String> = self.errors().iter().map(|l| l.to_string()).collect();
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(xform_tensor::TensorError::Unsupported(format!(
+                "invalid execution plan: {}",
+                problems.join("; ")
+            )))
+        }
+    }
+
     /// Peak resident bytes at the given word width.
     pub fn peak_resident_bytes(&self, word_bytes: usize) -> u64 {
         self.peak_resident_words * word_bytes as u64
@@ -799,8 +818,8 @@ impl PlanAnalysis {
     /// wave of its last use; outputs and saved tensors stay resident to
     /// the final wave. Parallel execution retires whole waves, not single
     /// steps, so this high-water mark — not
-    /// [`PlanAnalysis::peak_resident_words`] — is the one
-    /// `execute_plan_parallel` pays.
+    /// [`PlanAnalysis::peak_resident_words`] — is the one a wave-parallel
+    /// arena run pays.
     pub fn wave_resident_words(&self) -> Vec<u64> {
         let waves = self.parallel_waves();
         if waves.is_empty() {

@@ -1,42 +1,65 @@
-//! The static-arena interpreter: certified plans lowered onto one
-//! preallocated slab.
+//! The interpreter: plans compiled onto one preallocated slab, and the
+//! one place a plan's route is chosen.
 //!
-//! [`CompiledArena::compile`] takes a plan that already passed the static
-//! analyzer, colors its buffer-liveness intervals into slab offsets with
+//! ```text
+//! plan ── route(graph, plan) ──┬─ natural layouts, no relayouts ─→ arena     {serial, waves, poison, timed}
+//!                              └─ anything else ────────────────→ reference {serial, shadow}
+//! ```
+//!
+//! [`route`] looks at the plan and nothing else: not at the thread count,
+//! the sanitizer mode, a profiler sink, whether the plan is canned or a
+//! caller's override, nor at who holds a lock. Every canned plan is in
+//! natural layout and runs here; a recipe-selected plan with strided
+//! operands or relayout insertions runs on the reference interpreter
+//! ([`crate::plan::execute_plan`]), which is also what the equivalence
+//! suites compare this module against. [`execute`] is the entry point that
+//! applies the decision to an [`ExecState`]; the transformer layers apply
+//! the same decision and bind their weights straight into the slab.
+//!
+//! [`CompiledArena::compile`] passes the plan through the analyzer's lint
+//! gate, colors its buffer-liveness intervals into slab offsets with
 //! [`crate::analyze::assign_arena`], proves the coloring respects liveness
-//! with [`crate::sanitize::certify_arena`], and precompiles every step
-//! into a `StepExec` descriptor over raw slab views. Execution then
-//! walks the descriptors through the zero-allocation `*_into` kernels of
-//! [`xform_tensor::into_ops`] — no tensors are built, no heap is touched.
+//! ([`crate::sanitize::certify_arena`]) and every access path stays inside
+//! its slot ([`crate::access::certify_access_arena`]), at
+//! [`ArenaGranularity::Waves`] proves the wave partition it is about to
+//! dispatch free of races ([`crate::sanitize::certify_waves`]), and
+//! precompiles every step into a `StepExec` descriptor over raw slab
+//! views. All of that happens once; [`compiled`] memoizes the result per
+//! distinct plan. Execution then walks the descriptors through the
+//! zero-allocation `*_into` kernels of [`xform_tensor::into_ops`] — no
+//! tensors are built, no heap is touched.
 //!
-//! Three execution modes share one compiled arena:
+//! One compiled arena serves four modes, none of which changes a result
+//! bit, because every step draws from its own seeded RNG stream:
 //!
-//! * **serial** — steps in schedule order, one per wave at
-//!   [`ArenaGranularity::Serial`];
-//! * **wave-parallel** — waves dispatched across a lazily-spawned
-//!   persistent worker pool (scoped-thread spawning would allocate per
-//!   call), bitwise-equal to the serial arena run at any thread count
-//!   because every step draws from its own seeded RNG stream;
-//! * **sanitized** — the aliasing-aware shadow mode: the slab is poisoned
+//! * **serial** — steps in schedule order (`threads <= 1`);
+//! * **waves** — each wave dispatched across a lazily-spawned persistent
+//!   worker pool (scoped-thread spawning would allocate per call);
+//! * **poison** — the aliasing-aware shadow mode: the slab is poisoned
 //!   with NaN, each buffer is re-poisoned the moment its certified live
 //!   interval ends, and every step's outputs are checked finite, so a
 //!   read of a dead (reused) buffer surfaces as an error instead of
-//!   silent corruption.
+//!   silent corruption;
+//! * **timed** — with a profiler sink set, each step writes its wall time
+//!   into a slot of its own preallocated at compile (workers need no
+//!   lock), each wave likewise, and the run surfaces them as
+//!   [`ArenaArtifact::Timings`] for the caller — who holds the graph and
+//!   the plan — to fold into a [`crate::profile::PlanProfiler`]. With no
+//!   sink set no clock is read.
 //!
-//! Compilation is conservative: any step the arena cannot prove it
-//! reproduces bitwise (non-natural operand layouts, relayout insertions,
-//! unexpected operand counts) makes [`CompiledArena::compile`] return
-//! `Ok(None)`, and callers fall back to the allocating interpreter.
-//! Arithmetic on the supported set is mirrored statement-for-statement,
-//! so with dropout disabled arena results are bitwise-identical to
-//! [`crate::plan::execute_plan`].
+//! An arena's buffers sit behind a mutex and a run holds it for its whole
+//! duration: concurrent callers of one arena queue, they are never handed
+//! to another executor. A natural-layout plan with a step the precompiler
+//! has no lowering for is an error at compile, naming the step.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Instant;
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_tensor::into_ops::{self, BiasMap, CausalMap, ContractPlan, LaneGeom};
@@ -46,12 +69,12 @@ use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{Axis, Layout, Result, Shape, Tensor, TensorError};
 
 use crate::access::AccessCertificate;
-use crate::analyze::{ArenaGranularity, PlanAnalysis};
+use crate::analyze::{analyze, ArenaGranularity, PlanAnalysis};
 use crate::plan::{
-    classify_fused, epilogue_geometry, stacked_carve_start, ExecState, ExecutionPlan, FusedClass,
-    PlanStep,
+    causal_map_of, classify_fused, epilogue_geometry, execute_plan, labelled_shapes,
+    stacked_carve_start, ExecOptions, ExecState, ExecutionPlan, FusedClass, PlanStep, SanitizeMode,
 };
-use crate::sanitize::{certify_arena, step_rng, ArenaCertificate};
+use crate::sanitize::{certify_arena, certify_waves, plan_fingerprint, ArenaCertificate};
 
 /// One contiguous word range of the slab (or of the scratch/stats
 /// buffers).
@@ -241,28 +264,37 @@ struct StatsSpec {
     inv_std: BufView,
 }
 
-/// The slab, contraction scratch, and layer-norm statistics storage of one
-/// arena, reused across calls under a mutex.
+/// The slab, contraction scratch, layer-norm statistics storage and timing
+/// slots (one per step, one per wave) of one arena, reused across calls
+/// under a mutex.
 #[derive(Debug)]
 struct ArenaBuffers {
     slab: Vec<f32>,
     scratch: Vec<f32>,
     stats: Vec<f32>,
+    step_us: Vec<f64>,
+    wave_us: Vec<f64>,
 }
 
 /// Raw views of one [`ArenaBuffers`], copyable into worker threads. The
 /// arena certificate makes concurrent use sound: steps sharing a wave
 /// write disjoint slab ranges (their outputs' live intervals all start at
 /// that wave, so the certifier proved them range-disjoint), scratch and
-/// stats regions are disjoint per step by construction, and reads of
-/// shared inputs are read-only.
+/// stats regions are disjoint per step by construction, reads of shared
+/// inputs are read-only, and a timing slot is written only by the one
+/// execution of the step (or the one dispatcher of the wave) it belongs to.
 #[derive(Debug, Clone, Copy)]
 struct SlabMem {
     slab: *mut f32,
     scratch: *mut f32,
     stats: *mut f32,
+    step_us: *mut f64,
+    wave_us: *mut f64,
 }
 
+// SAFETY: the pointers address one `ArenaBuffers` whose mutex guard the
+// dispatching thread holds for the whole run; what each thread may touch
+// through them is partitioned as described above.
 unsafe impl Send for SlabMem {}
 unsafe impl Sync for SlabMem {}
 
@@ -272,6 +304,8 @@ impl SlabMem {
             slab: bufs.slab.as_mut_ptr(),
             scratch: bufs.scratch.as_mut_ptr(),
             stats: bufs.stats.as_mut_ptr(),
+            step_us: bufs.step_us.as_mut_ptr(),
+            wave_us: bufs.wave_us.as_mut_ptr(),
         }
     }
 
@@ -292,41 +326,57 @@ impl SlabMem {
     }
 }
 
-/// Scalar knobs for one arena execution (the arena-side mirror of
-/// [`crate::plan::ExecOptions`]).
+/// What one arena execution reads of an [`ExecOptions`], resolved: the
+/// scalar knobs, the sanitizer mode as a flag, and whether to time.
 #[derive(Debug, Clone, Copy)]
-pub struct ArenaRun {
-    /// Dropout probability (`0` draws nothing).
-    pub dropout_p: f32,
-    /// Activation behind generic activation nodes.
-    pub activation: ActivationKind,
-    /// Scale folded into the softmax kernels.
-    pub scaler: f32,
+struct ArenaRun {
+    dropout_p: f32,
+    activation: ActivationKind,
+    scaler: f32,
     /// Base seed; each step draws from its own derived stream, so results
     /// are identical at any thread count.
-    pub seed: u64,
-    /// Worker threads: `<= 1` runs serially; more dispatches each wave
-    /// across the persistent pool (requires a waves-granularity arena).
-    pub threads: usize,
+    seed: u64,
+    threads: usize,
     /// Run the aliasing-aware shadow sanitizer (poison + finiteness
     /// checks).
-    pub sanitize: bool,
+    sanitize: bool,
     /// Absolute sequence position of the run's first query column: every
-    /// causal softmax's visibility window shifts by this (decode steps set
-    /// it to the current token position; full-sequence runs leave it 0).
-    pub pos: usize,
+    /// causal softmax's visibility window shifts by this.
+    pos: usize,
+    /// A profiler sink is set: write step and wave wall times into the
+    /// timing slots.
+    timed: bool,
 }
 
-/// Why an arena execution did or did not happen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArenaOutcome {
-    /// The plan executed out of the slab.
-    Ran,
-    /// The arena was unavailable (buffers busy in another thread, an
-    /// external failed to bind, or the thread/granularity combination
-    /// does not match) — the caller should fall back to the allocating
-    /// interpreter.
-    Busy,
+impl ArenaRun {
+    /// The one place an [`ExecOptions`] becomes an arena run.
+    /// [`SanitizeMode::Env`] resolves through a flag cached once per
+    /// process: reading the environment allocates, and a steady-state run
+    /// must not.
+    fn new(opts: &ExecOptions) -> ArenaRun {
+        static ENV_SANITIZE: OnceLock<bool> = OnceLock::new();
+        ArenaRun {
+            dropout_p: opts.dropout_p,
+            activation: opts.activation,
+            scaler: opts.scaler,
+            seed: opts.seed,
+            threads: opts.threads,
+            sanitize: match opts.sanitize {
+                SanitizeMode::Off => false,
+                SanitizeMode::On => true,
+                SanitizeMode::Env => *ENV_SANITIZE.get_or_init(crate::sanitize::sanitize_enabled),
+            },
+            pos: opts.pos,
+            timed: opts.profiler.is_some(),
+        }
+    }
+}
+
+/// The RNG stream of step `si`: a function of the run's seed and the step
+/// index alone, so stochastic kernels (dropout with `p > 0`) draw the same
+/// masks at any thread count and in any dispatch order.
+fn step_rng(seed: u64, si: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (si as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// One artifact surfaced to the sink after an arena execution. Borrows
@@ -356,13 +406,29 @@ pub enum ArenaArtifact<'a> {
         /// Per-lane inverse standard deviations.
         inv_std: &'a [f32],
     },
+    /// Wall times of a timed run (a profiler sink was set), surfaced last.
+    /// Fold them with [`crate::profile::record_arena_timings`].
+    Timings {
+        /// Microseconds per step, indexed by schedule position.
+        step_us: &'a [f64],
+        /// The wave partition the run dispatched (step indices per wave).
+        waves: &'a [Vec<usize>],
+        /// Microseconds per wave, sanitizer checks excluded; empty for a
+        /// serial run, which has no waves to speak of.
+        wave_us: &'a [f64],
+        /// Threads that served the multi-step waves.
+        workers: usize,
+        /// Whether the poison mode was on (its slab sweeps sit between the
+        /// steps, not inside them).
+        sanitized: bool,
+    },
 }
 
 /// A certified plan compiled onto a static arena. Build one with
-/// [`CompiledArena::compile`]; execute with
-/// [`CompiledArena::execute_bound`] (zero-allocation entry) or
-/// [`CompiledArena::run_with_state`] (drop-in for the allocating
-/// interpreters' `ExecState`).
+/// [`CompiledArena::compile`] (or memoized, with [`compiled`]); execute
+/// with [`CompiledArena::execute_bound`] (zero-allocation entry) or
+/// [`CompiledArena::execute_into_state`] (every produced container
+/// materialized into an [`ExecState`]).
 #[derive(Debug)]
 pub struct CompiledArena {
     granularity: ArenaGranularity,
@@ -390,18 +456,55 @@ fn rm_strides(shape: &Shape) -> Vec<usize> {
     Layout::row_major(shape.rank()).strides(shape)
 }
 
-/// `true` when every operand of every step is declared in its container's
-/// natural (logical row-major) layout and no relayouts were inserted —
-/// the precondition for executing out of dense row-major slab views.
-fn plan_is_row_major(graph: &Graph, plan: &ExecutionPlan) -> bool {
-    plan.steps.iter().all(|step| {
+/// The executor a plan runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// The compiled static arena ([`CompiledArena`]).
+    Arena,
+    /// The serial allocating interpreter ([`crate::plan::execute_plan`]).
+    Reference,
+}
+
+impl std::fmt::Display for Route {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Route::Arena => "arena",
+            Route::Reference => "reference",
+        })
+    }
+}
+
+/// Decides which executor runs `plan` — the only place that is decided,
+/// from the graph and the plan alone. [`Route::Arena`] when every operand
+/// of every step is declared in its container's natural (logical
+/// row-major) layout and no relayouts were inserted, the precondition for
+/// executing out of dense row-major slab views; [`Route::Reference`] for
+/// anything else.
+pub fn route(graph: &Graph, plan: &ExecutionPlan) -> Route {
+    let natural = plan.steps.iter().all(|step| {
         step.relayouts.is_empty()
             && step.inputs.iter().chain(&step.outputs).all(|o| {
                 graph
                     .data(o.data)
                     .is_some_and(|d| d.shape.spec() == o.layout)
             })
-    })
+    });
+    if natural {
+        Route::Arena
+    } else {
+        Route::Reference
+    }
+}
+
+/// The arena execution order a run at this thread count needs:
+/// wave-granularity colorings for the worker pool, serial colorings
+/// (tighter slabs) otherwise.
+pub fn granularity_for(threads: usize) -> ArenaGranularity {
+    if threads > 1 {
+        ArenaGranularity::Waves
+    } else {
+        ArenaGranularity::Serial
+    }
 }
 
 /// Broadcast map from `out`'s row-major geometry to `bias`'s row-major
@@ -426,70 +529,55 @@ fn lane_of(shape: &Shape, axis: Axis) -> Option<LaneGeom> {
     Some(LaneGeom::new(shape.sizes(), ai))
 }
 
-/// Causal-query recovery for a masked softmax along `axis` of `shape`:
-/// the query axis is the one immediately preceding the softmax axis, so
-/// it is always part of a lane's `pre` coordinate.
-fn causal_of(shape: &Shape, axis: Axis) -> Option<CausalMap> {
-    let ai = shape.index_of(axis).ok()?;
-    let q = crate::plan::causal_query_axis(shape, axis).ok()?;
-    let qi = shape.index_of(q).ok()?;
-    if qi >= ai {
-        return None;
-    }
-    let div: usize = shape.sizes()[qi + 1..ai].iter().product();
-    Some(CausalMap {
-        div,
-        len: shape.sizes()[qi],
-        base: 0,
-    })
-}
-
 impl CompiledArena {
     /// Lowers an analyzed plan onto a static arena at the given
-    /// granularity.
+    /// granularity. Everything a run would otherwise have to re-check per
+    /// call is checked here, once: the analyzer's lint gate, the coloring
+    /// and access-path certificates, and — at
+    /// [`ArenaGranularity::Waves`] — the race proof over the plan's own
+    /// wave partition, the one the worker pool will be handed.
     ///
-    /// Returns `Ok(None)` when the plan is outside the arena's supported
-    /// set (non-natural operand layouts, relayout insertions, operator
-    /// kinds or operand counts the precompiler does not model) — callers
-    /// fall back to the allocating interpreter.
+    /// Returns `Ok(None)` exactly when [`route`] sends the plan to the
+    /// reference interpreter (non-natural operand layouts, relayout
+    /// insertions).
     ///
     /// # Errors
     ///
-    /// Returns an error when the arena *coloring* cannot be certified
-    /// ([`crate::sanitize::certify_arena`] found aliasing between
-    /// simultaneously-live buffers) — an internal invariant violation,
-    /// not a fallback condition.
+    /// Returns an error when `analysis` carries an error-severity lint,
+    /// the coloring or the access paths cannot be certified
+    /// ([`crate::sanitize::certify_arena`],
+    /// [`crate::access::certify_access_arena`] — an internal invariant
+    /// violation), the wave partition fails
+    /// [`crate::sanitize::certify_waves`], or a step has no arena lowering
+    /// (an operator kind or operand count the precompiler does not model).
     pub fn compile(
         graph: &Graph,
         plan: &ExecutionPlan,
         analysis: &PlanAnalysis,
         granularity: ArenaGranularity,
     ) -> Result<Option<CompiledArena>> {
-        if !plan_is_row_major(graph, plan) {
+        if route(graph, plan) == Route::Reference {
             return Ok(None);
         }
+        analysis.gate()?;
+        let refused = |what: &str, lints: Vec<crate::analyze::PlanLint>| {
+            let lints: Vec<String> = lints.iter().map(|l| l.to_string()).collect();
+            TensorError::Unsupported(format!("{what} failed certification: {}", lints.join("; ")))
+        };
+        let waves: Vec<Vec<usize>> = match granularity {
+            ArenaGranularity::Serial => (0..plan.steps.len()).map(|i| vec![i]).collect(),
+            ArenaGranularity::Waves => {
+                let waves = analysis.parallel_waves();
+                certify_waves(graph, plan, &waves)
+                    .map_err(|lints| refused("wave partition", lints))?;
+                waves
+            }
+        };
         let assignment = crate::analyze::assign_arena(analysis, granularity);
-        let cert = certify_arena(plan, &assignment).map_err(|lints| {
-            TensorError::Unsupported(format!(
-                "arena coloring failed certification: {}",
-                lints
-                    .iter()
-                    .map(|l| l.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            ))
-        })?;
-        let access =
-            crate::access::certify_access_arena(graph, plan, &assignment).map_err(|lints| {
-                TensorError::Unsupported(format!(
-                    "arena access paths failed certification: {}",
-                    lints
-                        .iter()
-                        .map(|l| l.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                ))
-            })?;
+        let cert =
+            certify_arena(plan, &assignment).map_err(|lints| refused("arena coloring", lints))?;
+        let access = crate::access::certify_access_arena(graph, plan, &assignment)
+            .map_err(|lints| refused("arena access paths", lints))?;
 
         let view_of: HashMap<NodeId, BufView> = assignment
             .slots
@@ -505,19 +593,14 @@ impl CompiledArena {
             })
             .collect();
 
-        let waves: Vec<Vec<usize>> = match granularity {
-            ArenaGranularity::Serial => (0..plan.steps.len()).map(|i| vec![i]).collect(),
-            ArenaGranularity::Waves => analysis.parallel_waves(),
-        };
-
+        let no_lowering =
+            |what: String| TensorError::Unsupported(format!("{what} has no arena lowering"));
         let mut steps = Vec::with_capacity(plan.steps.len());
         let mut stats_words = 0usize;
         let mut stats_out = Vec::new();
-        for step in &plan.steps {
-            let Some(exec) = compile_step(graph, step, &view_of, &mut stats_words, &mut stats_out)?
-            else {
-                return Ok(None);
-            };
+        for (si, step) in plan.steps.iter().enumerate() {
+            let exec = compile_step(graph, step, &view_of, &mut stats_words, &mut stats_out)
+                .ok_or_else(|| no_lowering(format!("step {si} (`{}`)", step.name)))?;
             steps.push(exec);
         }
 
@@ -574,9 +657,8 @@ impl CompiledArena {
         let mut externals = Vec::new();
         let mut outputs = Vec::new();
         for b in &analysis.liveness {
-            let Some(&view) = view_of.get(&b.data) else {
-                return Ok(None);
-            };
+            let container = || no_lowering(format!("container `{}`", b.name));
+            let &view = view_of.get(&b.data).ok_or_else(container)?;
             if b.def.is_none() {
                 externals.push(ExternalBind {
                     name: b.name.clone(),
@@ -585,9 +667,7 @@ impl CompiledArena {
                 });
             }
             if matches!(b.role, DataRole::Output | DataRole::Saved) {
-                let Some(d) = graph.data(b.data) else {
-                    return Ok(None);
-                };
+                let d = graph.data(b.data).ok_or_else(container)?;
                 outputs.push(MaterializeSpec {
                     name: b.name.clone(),
                     shape: d.shape.clone(),
@@ -598,6 +678,7 @@ impl CompiledArena {
         }
 
         let slab_words = assignment.slab_words as usize;
+        let n_waves = waves.len();
 
         // sanitizer poison spans: the whole slab minus persistent ranges
         let mut persist: Vec<(usize, usize)> = externals
@@ -644,13 +725,10 @@ impl CompiledArena {
                 slab: vec![0.0; slab_words],
                 scratch: vec![0.0; scratch_words],
                 stats: vec![0.0; stats_words],
+                step_us: vec![0.0; plan.steps.len()],
+                wave_us: vec![0.0; n_waves],
             }),
         }))
-    }
-
-    /// The execution order this arena's coloring is valid for.
-    pub fn granularity(&self) -> ArenaGranularity {
-        self.granularity
     }
 
     /// The certificate proving the coloring respects liveness.
@@ -699,22 +777,28 @@ impl CompiledArena {
                 .all(|(n, s)| n == &s.name)
     }
 
+    fn lock_buffers(&self) -> std::sync::MutexGuard<'_, ArenaBuffers> {
+        // a run that panicked mid-way leaves stale words, never invalid
+        // ones: the next run rebinds every external and rewrites the rest
+        self.buffers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Runs `f` over the resident slab region of the external container
-    /// `name` (dense row-major). Returns `None` when no external of that
-    /// name exists or the buffers are locked by a concurrent run.
+    /// `name` (dense row-major), waiting for a run in progress to finish.
+    /// Returns `None` when no external of that name exists.
     ///
     /// This is the read half of the cross-call residency surface: decode
     /// sessions use it to migrate cache contents between arenas when a
     /// position bucket grows.
     pub fn with_external<R>(&self, name: &str, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
         let e = self.externals.iter().find(|e| e.name == name)?;
-        let guard = self.buffers.try_lock().ok()?;
+        let guard = self.lock_buffers();
         Some(f(&guard.slab[e.view.off..e.view.off + e.view.len]))
     }
 
     /// Runs `f` over the mutable resident slab region of the external
-    /// container `name`. Returns `None` when no external of that name
-    /// exists or the buffers are locked by a concurrent run.
+    /// container `name`, waiting for a run in progress to finish. Returns
+    /// `None` when no external of that name exists.
     ///
     /// This is the write half of the cross-call residency surface: decode
     /// sessions append one new cache column per step through a
@@ -722,71 +806,74 @@ impl CompiledArena {
     /// attend plan runs.
     pub fn with_external_mut<R>(&self, name: &str, f: impl FnOnce(&mut [f32]) -> R) -> Option<R> {
         let e = self.externals.iter().find(|e| e.name == name)?;
-        let mut guard = self.buffers.try_lock().ok()?;
+        let mut guard = self.lock_buffers();
         Some(f(&mut guard.slab[e.view.off..e.view.off + e.view.len]))
     }
 
     /// Executes the compiled plan with caller-provided binding and
-    /// materialization, touching no heap on the steady-state path.
+    /// materialization, touching no heap on the steady-state path. Of
+    /// `opts` it reads the scalar knobs, `seed`, `threads`, `sanitize`,
+    /// `pos`, and whether a profiler sink is set. It waits for the arena's
+    /// buffers if another thread is running out of them.
     ///
     /// `bind` is called once per external input with the container name
-    /// and its (dense row-major) slab destination; returning `false`
-    /// aborts with [`ArenaOutcome::Busy`] (the caller falls back to the
-    /// allocating interpreter). `sink` is called once per output/saved
-    /// container and per layer-norm statistics region after the run;
-    /// artifacts borrow slab storage, so copying sinks stay
-    /// allocation-free.
-    ///
-    /// Returns [`ArenaOutcome::Busy`] without executing when the buffers
-    /// are locked by a concurrent run or the thread/granularity
-    /// combination does not match.
+    /// and its (dense row-major) slab destination, and returns whether it
+    /// filled it; a declined [`DataRole::Cache`] external keeps its
+    /// resident contents. `sink` is called after the run, once per
+    /// output/saved container and per layer-norm statistics region and, on
+    /// a timed run, once with the [`ArenaArtifact::Timings`]; artifacts
+    /// borrow the arena's storage, so copying sinks stay allocation-free.
     ///
     /// # Errors
     ///
-    /// Returns an error when `run.dropout_p` is outside `[0, 1)`, a worker
-    /// panics, or the shadow sanitizer detects a non-finite output (a read
-    /// of a dead, reused buffer).
+    /// Returns [`TensorError::InvalidDropout`] when `opts.dropout_p` is
+    /// outside `[0, 1)`, [`TensorError::SerialOnly`] when `opts.threads >
+    /// 1` on an arena compiled at [`ArenaGranularity::Serial`],
+    /// [`TensorError::UnboundExternal`] naming the container `bind`
+    /// declined, and an error when a worker panics or the shadow sanitizer
+    /// detects a non-finite output (a read of a dead, reused buffer).
     pub fn execute_bound(
         &self,
-        run: &ArenaRun,
+        opts: &ExecOptions,
         bind: &mut dyn FnMut(&str, &mut [f32]) -> bool,
         sink: &mut dyn FnMut(ArenaArtifact<'_>),
-    ) -> Result<ArenaOutcome> {
+    ) -> Result<()> {
+        let run = &ArenaRun::new(opts);
         check_dropout_p(run.dropout_p)?;
-        if run.threads > 1 && self.granularity != ArenaGranularity::Waves {
-            return Ok(ArenaOutcome::Busy);
+        let parallel = run.threads > 1;
+        if parallel && self.granularity != ArenaGranularity::Waves {
+            return Err(TensorError::SerialOnly {
+                threads: run.threads,
+            });
         }
-        let Ok(mut guard) = self.buffers.try_lock() else {
-            return Ok(ArenaOutcome::Busy);
-        };
+        let mut guard = self.lock_buffers();
         let bufs = &mut *guard;
         if run.sanitize {
             // poison everything except persistent (cache) ranges, whose
             // resident contents must survive between calls
             for span in &self.poison_spans {
-                for v in &mut bufs.slab[span.off..span.off + span.len] {
-                    *v = f32::NAN;
-                }
+                bufs.slab[span.off..span.off + span.len].fill(f32::NAN);
             }
         }
         for e in &self.externals {
             let dst = &mut bufs.slab[e.view.off..e.view.off + e.view.len];
-            if !bind(&e.name, dst) {
-                if e.persistent {
-                    // a declined persistent external keeps its resident
-                    // slab contents (the steady-state decode path: the
-                    // cache already lives here)
-                    continue;
-                }
-                return Ok(ArenaOutcome::Busy);
+            // a declined persistent external keeps its resident slab
+            // contents (the steady-state decode path: the cache already
+            // lives here)
+            if !bind(&e.name, dst) && !e.persistent {
+                return Err(TensorError::UnboundExternal {
+                    container: e.name.clone(),
+                    words: e.view.len,
+                });
             }
         }
         let mem = SlabMem::new(bufs);
-        if run.threads > 1 {
-            self.run_parallel(mem, run)?;
+        let workers = if parallel {
+            self.run_parallel(mem, run)?
         } else {
             self.run_serial(mem, run)?;
-        }
+            1
+        };
         for m in &self.outputs {
             sink(ArenaArtifact::Tensor {
                 name: &m.name,
@@ -802,37 +889,41 @@ impl CompiledArena {
                 inv_std: &bufs.stats[s.inv_std.off..s.inv_std.off + s.inv_std.len],
             });
         }
-        Ok(ArenaOutcome::Ran)
+        if run.timed {
+            sink(ArenaArtifact::Timings {
+                step_us: &bufs.step_us,
+                waves: &self.waves,
+                wave_us: if parallel { &bufs.wave_us } else { &[] },
+                workers,
+                sanitized: run.sanitize,
+            });
+        }
+        Ok(())
     }
 
-    /// Drop-in arena execution over the allocating interpreters'
-    /// [`ExecState`]: externals are copied out of `state.env`, and
-    /// outputs, saved activations, and layer-norm statistics are
-    /// materialized back into it (which allocates — use
-    /// [`CompiledArena::execute_bound`] for the zero-allocation path).
+    /// [`CompiledArena::execute_bound`] with every produced container,
+    /// saved activation and layer-norm statistic materialized into `out`
+    /// (which allocates) and, when `opts.profiler` is set, the run's
+    /// timings folded into the sink against `graph` and `plan` — the
+    /// schedule this arena was compiled from.
     ///
     /// # Errors
     ///
     /// Same as [`CompiledArena::execute_bound`].
-    pub fn run_with_state(&self, state: &mut ExecState, run: &ArenaRun) -> Result<ArenaOutcome> {
-        let env = &state.env;
-        let mut bind = |name: &str, dst: &mut [f32]| -> bool {
-            match env.get(name) {
-                Some(t) if t.len() == dst.len() => {
-                    into_ops::copy_tensor_into(t, dst);
-                    true
-                }
-                _ => false,
-            }
-        };
-        let mut produced: Vec<(String, Tensor)> = Vec::new();
-        let mut stats: Vec<(String, LayerNormStats)> = Vec::new();
+    pub fn execute_into_state(
+        &self,
+        graph: &Graph,
+        plan: &ExecutionPlan,
+        opts: &ExecOptions,
+        bind: &mut dyn FnMut(&str, &mut [f32]) -> bool,
+        out: &mut ExecState,
+    ) -> Result<()> {
         let mut sink = |a: ArenaArtifact<'_>| match a {
             ArenaArtifact::Tensor {
                 name, shape, data, ..
             } => {
                 if let Ok(t) = Tensor::from_vec(shape.clone(), data.to_vec()) {
-                    produced.push((name.to_string(), t));
+                    out.env.insert(name.to_string(), t);
                 }
             }
             ArenaArtifact::Stats {
@@ -840,35 +931,30 @@ impl CompiledArena {
                 mean,
                 inv_std,
             } => {
-                stats.push((
+                out.stats.insert(
                     name.to_string(),
                     LayerNormStats {
                         mean: mean.to_vec(),
                         inv_std: inv_std.to_vec(),
                     },
-                ));
+                );
+            }
+            timings @ ArenaArtifact::Timings { .. } => {
+                if let Some(profiler) = opts.profiler {
+                    crate::profile::record_arena_timings(profiler, graph, plan, &timings);
+                }
             }
         };
-        let outcome = self.execute_bound(run, &mut bind, &mut sink)?;
-        if outcome == ArenaOutcome::Ran {
-            for (name, t) in produced {
-                state.env.insert(name, t);
-            }
-            for (name, s) in stats {
-                state.stats.insert(name, s);
-            }
-        }
-        Ok(outcome)
+        self.execute_bound(opts, bind, &mut sink)
     }
 
     fn run_serial(&self, mem: SlabMem, run: &ArenaRun) -> Result<()> {
         for (w, wave) in self.waves.iter().enumerate() {
             for &si in wave {
-                let mut rng = step_rng(run.seed, si);
                 // SAFETY: the arena certificate proves every pair of
                 // simultaneously-live buffers occupies disjoint slab
                 // ranges, and serial execution never overlaps two steps.
-                unsafe { run_step(&self.steps[si], mem, run, &mut rng) };
+                unsafe { run_indexed(&self.steps, si, mem, run) };
             }
             if run.sanitize {
                 self.sanitize_wave(mem, w)?;
@@ -877,26 +963,33 @@ impl CompiledArena {
         Ok(())
     }
 
-    fn run_parallel(&self, mem: SlabMem, run: &ArenaRun) -> Result<()> {
+    /// Dispatches each wave across the pool; returns how many threads
+    /// served the multi-step waves.
+    fn run_parallel(&self, mem: SlabMem, run: &ArenaRun) -> Result<usize> {
         let pool = pool();
         // serialize concurrent parallel arena runs; waves of one run must
         // not interleave with another run's on the shared job slot
         let _dispatch = pool.dispatch.lock().unwrap_or_else(|e| e.into_inner());
         for (w, wave) in self.waves.iter().enumerate() {
+            let t0 = run.timed.then(Instant::now);
             if wave.len() <= 1 || pool.workers == 0 {
                 for &si in wave {
-                    let mut rng = step_rng(run.seed, si);
                     // SAFETY: as in `run_serial`.
-                    unsafe { run_step(&self.steps[si], mem, run, &mut rng) };
+                    unsafe { run_indexed(&self.steps, si, mem, run) };
                 }
             } else {
                 pool.run_wave(&self.steps, wave, mem, run)?;
+            }
+            if let Some(t0) = t0 {
+                // SAFETY: one slot per wave, sized at compile; only this
+                // dispatching thread writes wave slots.
+                unsafe { *mem.wave_us.add(w) = t0.elapsed().as_secs_f64() * 1e6 };
             }
             if run.sanitize {
                 self.sanitize_wave(mem, w)?;
             }
         }
-        Ok(())
+        Ok(pool.workers + 1)
     }
 
     /// Shadow-sanitizer epilogue for one wave: every output written by the
@@ -918,25 +1011,124 @@ impl CompiledArena {
         }
         for v in &self.retire[w] {
             // SAFETY: the buffer's live interval ended with this wave.
-            let data = unsafe { mem.slab_mut(*v) };
-            for x in data.iter_mut() {
-                *x = f32::NAN;
-            }
+            unsafe { mem.slab_mut(*v) }.fill(f32::NAN);
         }
         Ok(())
     }
 }
 
+type Memo = Mutex<HashMap<(u64, ArenaGranularity), Arc<CompiledArena>>>;
+
+fn memo() -> &'static Memo {
+    static MEMO: OnceLock<Memo> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// [`plan_fingerprint`] extended by the extents of every operand's
+/// container: the fingerprint covers operators, names and layouts, and one
+/// schedule lowered at two sets of dimensions must not share an arena.
+fn plan_key(graph: &Graph, plan: &ExecutionPlan) -> u64 {
+    let mut h = plan_fingerprint(plan);
+    let mut eat = |n: u64| h = (h ^ n).wrapping_mul(0x0000_0100_0000_01b3);
+    for step in &plan.steps {
+        for o in step.inputs.iter().chain(&step.outputs) {
+            if let Some(d) = graph.data(o.data) {
+                d.shape.sizes().iter().for_each(|&n| eat(n as u64));
+            }
+            eat(u64::MAX);
+        }
+    }
+    h
+}
+
+/// The compiled arena of `plan` at `granularity`, analyzed, certified and
+/// compiled on first use and memoized per distinct plan — so a plan is
+/// checked once, not on every call — or `Ok(None)` when [`route`] sends
+/// the plan to the reference interpreter. Callers of one plan share one
+/// arena and queue on its buffers.
+///
+/// # Errors
+///
+/// Same as [`CompiledArena::compile`].
+pub fn compiled(
+    graph: &Graph,
+    plan: &ExecutionPlan,
+    granularity: ArenaGranularity,
+) -> Result<Option<Arc<CompiledArena>>> {
+    if route(graph, plan) == Route::Reference {
+        return Ok(None);
+    }
+    let key = (plan_key(graph, plan), granularity);
+    let lock = || memo().lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(hit) = lock().get(&key).filter(|a| a.matches(plan)) {
+        return Ok(Some(Arc::clone(hit)));
+    }
+    // compile outside the lock; a racing duplicate is benign
+    let built =
+        CompiledArena::compile(graph, plan, &analyze(graph, plan), granularity)?.map(Arc::new);
+    if let Some(arena) = &built {
+        lock().insert(key, Arc::clone(arena));
+    }
+    Ok(built)
+}
+
+/// Drops every arena [`compiled`] memoized.
+pub fn clear_compiled() {
+    memo().lock().unwrap_or_else(|e| e.into_inner()).clear();
+}
+
+/// Runs `plan` against `state` on the executor its layouts admit, and
+/// says which: the memoized arena ([`compiled`]) at the granularity
+/// `opts.threads` asks for, binding externals out of `state.env` and
+/// materializing every output, saved activation and layer-norm statistic
+/// back into it — or the reference interpreter, on one RNG stream seeded
+/// by `opts.seed`.
+///
+/// # Errors
+///
+/// Returns an error if the plan fails the lint gate or certification, an
+/// external the plan reads is missing from `state.env` or has the wrong
+/// size, or a kernel rejects its operands.
+pub fn execute(
+    graph: &Graph,
+    plan: &ExecutionPlan,
+    state: &mut ExecState,
+    opts: &ExecOptions,
+) -> Result<Route> {
+    match compiled(graph, plan, granularity_for(opts.threads))? {
+        Some(arena) => {
+            let mut produced = ExecState::default();
+            let mut bind = |name: &str, dst: &mut [f32]| match state.env.get(name) {
+                Some(t) if t.len() == dst.len() => {
+                    into_ops::copy_tensor_into(t, dst);
+                    true
+                }
+                _ => false,
+            };
+            arena.execute_into_state(graph, plan, opts, &mut bind, &mut produced)?;
+            state.env.extend(produced.env);
+            state.stats.extend(produced.stats);
+            Ok(Route::Arena)
+        }
+        None => {
+            let mut rng = StdRng::seed_from_u64(opts.seed);
+            execute_plan(graph, plan, state, opts, &mut rng)?;
+            Ok(Route::Reference)
+        }
+    }
+}
+
 /// Precompiles one plan step into a [`StepExec`], accumulating layer-norm
-/// statistics regions. `Ok(None)` means the step is outside the supported
-/// set and the whole plan falls back.
+/// statistics regions. `None` means the precompiler has no lowering for
+/// the step (its kind, operand count or geometry), which
+/// [`CompiledArena::compile`] reports as an error naming it.
 fn compile_step(
     graph: &Graph,
     step: &PlanStep,
     view_of: &HashMap<NodeId, BufView>,
     stats_words: &mut usize,
     stats_out: &mut Vec<StatsSpec>,
-) -> Result<Option<StepExec>> {
+) -> Option<StepExec> {
     let shape_of = |id: NodeId| -> Option<&Shape> { graph.data(id).map(|d| &d.shape) };
     let vw = |id: NodeId| -> Option<BufView> { view_of.get(&id).copied() };
     let in_shape = |k: usize| -> Option<&Shape> { shape_of(step.inputs.get(k)?.data) };
@@ -980,64 +1172,26 @@ fn compile_step(
     let exec = match &step.kind {
         OpKind::Einsum(spec) => {
             if step.inputs.len() != 2 || step.outputs.len() != 1 {
-                return Ok(None);
+                return None;
             }
-            let (a_c, b_c, out_c) = match (in_shape(0), in_shape(1), out_shape(0)) {
-                (Some(a), Some(b), Some(c)) => (a, b, c),
-                _ => return Ok(None),
-            };
-            let ops = spec.operands();
-            if ops.len() != 2 {
-                return Ok(None);
-            }
-            // relabel the operands' shapes positionally to the spec's
-            // letters, as the interpreter does before contracting
-            let relabel = |axes: &[Axis], c: &Shape| -> Option<Shape> {
-                if axes.len() != c.rank() {
-                    return None;
-                }
-                let dims: Vec<(char, usize)> =
-                    axes.iter().zip(c.sizes()).map(|(a, &s)| (a.0, s)).collect();
-                Shape::new(dims).ok()
-            };
-            let (a_shape, b_shape) = match (relabel(&ops[0], a_c), relabel(&ops[1], b_c)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Ok(None),
-            };
-            // the labeled output shape must positionally match the
+            let (a_c, b_c, out_c) = (in_shape(0)?, in_shape(1)?, out_shape(0)?);
+            // the labelled output shape must positionally match the
             // container's declared shape, or the GEMM would misplace
-            let size_of =
-                |ax: Axis| -> Option<usize> { a_shape.size(ax).or_else(|_| b_shape.size(ax)).ok() };
-            let lbl_dims: Vec<(char, usize)> = match spec
-                .output()
-                .iter()
-                .map(|&ax| size_of(ax).map(|s| (ax.0, s)))
-                .collect::<Option<Vec<_>>>()
-            {
-                Some(d) => d,
-                None => return Ok(None),
-            };
-            let Ok(lbl_shape) = Shape::new(lbl_dims) else {
-                return Ok(None);
-            };
+            let (a_shape, b_shape, lbl_shape) = labelled_shapes(spec, a_c, b_c)?;
             if lbl_shape.sizes() != out_c.sizes() {
-                return Ok(None);
+                return None;
             }
             // operands and output are dense row-major slab ranges
-            let Ok(plan) = ContractPlan::compile(
+            let plan = ContractPlan::compile(
                 spec,
                 &a_shape,
                 &rm_strides(&a_shape),
                 &b_shape,
                 &rm_strides(&b_shape),
                 &rm_strides(&lbl_shape),
-            ) else {
-                return Ok(None);
-            };
-            let (a, b, out) = match (in_view(0), in_view(1), out_view(0)) {
-                (Some(a), Some(b), Some(o)) => (a, b, o),
-                _ => return Ok(None),
-            };
+            )
+            .ok()?;
+            let (a, b, out) = (in_view(0)?, in_view(1)?, out_view(0)?);
             StepExec::Contract {
                 a,
                 b,
@@ -1048,27 +1202,16 @@ fn compile_step(
         }
         OpKind::Bias { .. } => {
             if step.inputs.len() != 2 || step.outputs.len() != 1 {
-                return Ok(None);
+                return None;
             }
-            let (x_s, b_s, o_s) = match (in_shape(0), in_shape(1), out_shape(0)) {
-                (Some(x), Some(b), Some(o)) => (x, b, o),
-                _ => return Ok(None),
-            };
-            let (x_v, b_v, o_v) = match (in_view(0), in_view(1), out_view(0)) {
-                (Some(x), Some(b), Some(o)) => (x, b, o),
-                _ => return Ok(None),
-            };
+            let (x_s, b_s, o_s) = (in_shape(0)?, in_shape(1)?, out_shape(0)?);
+            let (x_v, b_v, o_v) = (in_view(0)?, in_view(1)?, out_view(0)?);
             let x = if x_s.sizes() != o_s.sizes() || x_s.spec() != o_s.spec() {
-                match carve(x_v, x_s, o_s, &step.name) {
-                    Some(v) => v,
-                    None => return Ok(None),
-                }
+                carve(x_v, x_s, o_s, &step.name)?
             } else {
                 x_v
             };
-            let Some(bmap) = bias_map(o_s, b_s) else {
-                return Ok(None);
-            };
+            let bmap = bias_map(o_s, b_s)?;
             StepExec::Bias {
                 x,
                 bias: b_v,
@@ -1077,23 +1220,14 @@ fn compile_step(
             }
         }
         OpKind::Scale => {
-            let (Some(x), Some(out)) = (in_view(0), out_view(0)) else {
-                return Ok(None);
-            };
+            let (x, out) = (in_view(0)?, out_view(0)?);
             StepExec::Scale { x, out }
         }
         OpKind::Softmax { axis } => {
-            let (Some(x_s), Some(x), Some(out)) = (in_shape(0), in_view(0), out_view(0)) else {
-                return Ok(None);
-            };
-            let Some(lane) = lane_of(x_s, *axis) else {
-                return Ok(None);
-            };
+            let (x_s, x, out) = (in_shape(0)?, in_view(0)?, out_view(0)?);
+            let lane = lane_of(x_s, *axis)?;
             let causal = if step.name.contains("Masked") {
-                let Some(causal) = causal_of(x_s, *axis) else {
-                    return Ok(None);
-                };
-                Some(causal)
+                Some(causal_map_of(x_s, *axis)?)
             } else {
                 None
             };
@@ -1106,18 +1240,18 @@ fn compile_step(
         }
         OpKind::LayerNorm { axis } => {
             if step.inputs.len() != 3 || step.outputs.len() != 1 {
-                return Ok(None);
+                return None;
             }
-            let (Some(x_s), Some(x), Some(gamma), Some(beta), Some(out)) =
-                (in_shape(0), in_view(0), in_view(1), in_view(2), out_view(0))
-            else {
-                return Ok(None);
-            };
-            let Some(lane) = lane_of(x_s, *axis) else {
-                return Ok(None);
-            };
+            let (x_s, x, gamma, beta, out) = (
+                in_shape(0)?,
+                in_view(0)?,
+                in_view(1)?,
+                in_view(2)?,
+                out_view(0)?,
+            );
+            let lane = lane_of(x_s, *axis)?;
             if gamma.len != lane.len || beta.len != lane.len {
-                return Ok(None);
+                return None;
             }
             let (mean, inv_std) = alloc_stats(lane.lanes(), &step.outputs[0].name);
             StepExec::LayerNorm {
@@ -1132,66 +1266,50 @@ fn compile_step(
         }
         OpKind::Dropout => {
             if step.outputs.len() != 2 {
-                return Ok(None);
+                return None;
             }
-            let (Some(x), Some(out), Some(mask)) = (in_view(0), out_view(0), out_view(1)) else {
-                return Ok(None);
-            };
+            let (x, out, mask) = (in_view(0)?, out_view(0)?, out_view(1)?);
             StepExec::Dropout { x, out, mask }
         }
         OpKind::Relu => {
-            let (Some(x), Some(out)) = (in_view(0), out_view(0)) else {
-                return Ok(None);
-            };
+            let (x, out) = (in_view(0)?, out_view(0)?);
             StepExec::Activate { x, out }
         }
         OpKind::Residual => {
             if step.inputs.len() != 2 {
-                return Ok(None);
+                return None;
             }
-            let (Some(a), Some(b), Some(out)) = (in_view(0), in_view(1), out_view(0)) else {
-                return Ok(None);
-            };
+            let (a, b, out) = (in_view(0)?, in_view(1)?, out_view(0)?);
             if a.len != out.len || b.len != out.len {
-                return Ok(None);
+                return None;
             }
             StepExec::Residual { a, b, out }
         }
         OpKind::Fused {
             parts, reduce_axis, ..
         } => {
-            let Some(class) = classify_fused(parts) else {
-                return Ok(None);
-            };
+            let class = classify_fused(parts)?;
             match class {
                 FusedClass::InputBias => {
                     if step.inputs.len() != step.outputs.len() + 1 || step.outputs.is_empty() {
-                        return Ok(None);
+                        return None;
                     }
-                    let (Some(stacked_s), Some(stacked_v)) = (in_shape(0), in_view(0)) else {
-                        return Ok(None);
-                    };
+                    let (stacked_s, stacked_v) = (in_shape(0)?, in_view(0)?);
                     let rest: usize = stacked_s.sizes()[1..].iter().product();
                     let mut start = 0usize;
                     let mut parts_exec = Vec::with_capacity(step.outputs.len());
                     for k in 0..step.outputs.len() {
-                        let (Some(o_s), Some(b_s)) = (out_shape(k), in_shape(k + 1)) else {
-                            return Ok(None);
-                        };
+                        let (o_s, b_s) = (out_shape(k)?, in_shape(k + 1)?);
                         if o_s.sizes()[1..] != stacked_s.sizes()[1..] {
-                            return Ok(None);
+                            return None;
                         }
                         let len = o_s.sizes()[0];
                         let x = BufView {
                             off: stacked_v.off + start * rest,
                             len: len * rest,
                         };
-                        let (Some(b_v), Some(o_v)) = (in_view(k + 1), out_view(k)) else {
-                            return Ok(None);
-                        };
-                        let Some(bmap) = bias_map(o_s, b_s) else {
-                            return Ok(None);
-                        };
+                        let (b_v, o_v) = (in_view(k + 1)?, out_view(k)?);
+                        let bmap = bias_map(o_s, b_s)?;
                         parts_exec.push((x, b_v, o_v, bmap));
                         start += len;
                     }
@@ -1199,30 +1317,17 @@ fn compile_step(
                 }
                 FusedClass::Softmax { causal } => {
                     if step.outputs.len() != 3 {
-                        return Ok(None);
+                        return None;
                     }
-                    let (Some(x_s), Some(x)) = (in_shape(0), in_view(0)) else {
-                        return Ok(None);
-                    };
-                    let Some(axis) = *reduce_axis else {
-                        return Ok(None);
-                    };
-                    let Some(lane) = lane_of(x_s, axis) else {
-                        return Ok(None);
-                    };
+                    let (x_s, x) = (in_shape(0)?, in_view(0)?);
+                    let axis = (*reduce_axis)?;
+                    let lane = lane_of(x_s, axis)?;
                     let causal_map = if causal {
-                        match causal_of(x_s, axis) {
-                            Some(c) => Some(c),
-                            None => return Ok(None),
-                        }
+                        Some(causal_map_of(x_s, axis)?)
                     } else {
                         None
                     };
-                    let (Some(softmax), Some(alpha), Some(mask)) =
-                        (out_view(0), out_view(1), out_view(2))
-                    else {
-                        return Ok(None);
-                    };
+                    let (softmax, alpha, mask) = (out_view(0)?, out_view(1)?, out_view(2)?);
                     StepExec::Sm {
                         x,
                         softmax,
@@ -1234,44 +1339,24 @@ fn compile_step(
                 }
                 FusedClass::BiasDropResidualNorm => {
                     if step.inputs.len() != 5 || step.outputs.len() != 3 {
-                        return Ok(None);
+                        return None;
                     }
-                    let (Some(x_s), Some(b_s)) = (in_shape(0), in_shape(1)) else {
-                        return Ok(None);
-                    };
-                    let Some(axis) = *reduce_axis else {
-                        return Ok(None);
-                    };
-                    let Some(lane) = lane_of(x_s, axis) else {
-                        return Ok(None);
-                    };
-                    let Some(bmap) = bias_map(x_s, b_s) else {
-                        return Ok(None);
-                    };
-                    let (
-                        Some(x),
-                        Some(bias),
-                        Some(residual),
-                        Some(gamma),
-                        Some(beta),
-                        Some(mask),
-                        Some(ln_input),
-                        Some(out),
-                    ) = (
-                        in_view(0),
-                        in_view(1),
-                        in_view(2),
-                        in_view(3),
-                        in_view(4),
-                        out_view(0),
-                        out_view(1),
-                        out_view(2),
-                    )
-                    else {
-                        return Ok(None);
-                    };
+                    let (x_s, b_s) = (in_shape(0)?, in_shape(1)?);
+                    let axis = (*reduce_axis)?;
+                    let lane = lane_of(x_s, axis)?;
+                    let bmap = bias_map(x_s, b_s)?;
+                    let (x, bias, residual, gamma, beta, mask, ln_input, out) = (
+                        in_view(0)?,
+                        in_view(1)?,
+                        in_view(2)?,
+                        in_view(3)?,
+                        in_view(4)?,
+                        out_view(0)?,
+                        out_view(1)?,
+                        out_view(2)?,
+                    );
                     if gamma.len != lane.len || beta.len != lane.len {
-                        return Ok(None);
+                        return None;
                     }
                     let (mean, inv_std) = alloc_stats(lane.lanes(), &step.outputs[2].name);
                     StepExec::Bdrln {
@@ -1291,23 +1376,17 @@ fn compile_step(
                 }
                 FusedClass::BiasActDrop => {
                     if step.inputs.len() != 2 || step.outputs.len() != 3 {
-                        return Ok(None);
+                        return None;
                     }
-                    let (Some(x_s), Some(b_s)) = (in_shape(0), in_shape(1)) else {
-                        return Ok(None);
-                    };
-                    let Some(bmap) = bias_map(x_s, b_s) else {
-                        return Ok(None);
-                    };
-                    let (Some(x), Some(bias), Some(pre), Some(out), Some(mask)) = (
-                        in_view(0),
-                        in_view(1),
-                        out_view(0),
-                        out_view(1),
-                        out_view(2),
-                    ) else {
-                        return Ok(None);
-                    };
+                    let (x_s, b_s) = (in_shape(0)?, in_shape(1)?);
+                    let bmap = bias_map(x_s, b_s)?;
+                    let (x, bias, pre, out, mask) = (
+                        in_view(0)?,
+                        in_view(1)?,
+                        out_view(0)?,
+                        out_view(1)?,
+                        out_view(2)?,
+                    );
                     StepExec::BrdAct {
                         x,
                         bias,
@@ -1319,19 +1398,17 @@ fn compile_step(
                 }
                 FusedClass::BiasDropResidual => {
                     if step.inputs.len() != 3 || step.outputs.len() != 2 {
-                        return Ok(None);
+                        return None;
                     }
-                    let (Some(x_s), Some(b_s)) = (in_shape(0), in_shape(1)) else {
-                        return Ok(None);
-                    };
-                    let Some(bmap) = bias_map(x_s, b_s) else {
-                        return Ok(None);
-                    };
-                    let (Some(x), Some(bias), Some(residual), Some(mask), Some(out)) =
-                        (in_view(0), in_view(1), in_view(2), out_view(0), out_view(1))
-                    else {
-                        return Ok(None);
-                    };
+                    let (x_s, b_s) = (in_shape(0)?, in_shape(1)?);
+                    let bmap = bias_map(x_s, b_s)?;
+                    let (x, bias, residual, mask, out) = (
+                        in_view(0)?,
+                        in_view(1)?,
+                        in_view(2)?,
+                        out_view(0)?,
+                        out_view(1)?,
+                    );
                     StepExec::Bdr {
                         x,
                         bias,
@@ -1343,21 +1420,19 @@ fn compile_step(
                 }
                 FusedClass::Norm => {
                     if step.inputs.len() != 3 || step.outputs.len() != 1 {
-                        return Ok(None);
+                        return None;
                     }
-                    let (Some(x_s), Some(x), Some(gamma), Some(beta), Some(out)) =
-                        (in_shape(0), in_view(0), in_view(1), in_view(2), out_view(0))
-                    else {
-                        return Ok(None);
-                    };
-                    let Some(axis) = *reduce_axis else {
-                        return Ok(None);
-                    };
-                    let Some(lane) = lane_of(x_s, axis) else {
-                        return Ok(None);
-                    };
+                    let (x_s, x, gamma, beta, out) = (
+                        in_shape(0)?,
+                        in_view(0)?,
+                        in_view(1)?,
+                        in_view(2)?,
+                        out_view(0)?,
+                    );
+                    let axis = (*reduce_axis)?;
+                    let lane = lane_of(x_s, axis)?;
                     if gamma.len != lane.len || beta.len != lane.len {
-                        return Ok(None);
+                        return None;
                     }
                     let (mean, inv_std) = alloc_stats(lane.lanes(), &step.outputs[0].name);
                     StepExec::LayerNorm {
@@ -1379,13 +1454,10 @@ fn compile_step(
             ..
         } => {
             if step.inputs.len() < 2 || step.outputs.is_empty() {
-                return Ok(None);
+                return None;
             }
-            let (Some(a_c), Some(b_c), Some(out_c)) = (in_shape(0), in_shape(1), out_shape(0))
-            else {
-                return Ok(None);
-            };
-            let Some(geom) = epilogue_geometry(
+            let (a_c, b_c, out_c) = (in_shape(0)?, in_shape(1)?, out_shape(0)?);
+            let geom = epilogue_geometry(
                 spec,
                 parts,
                 *reduce_axis,
@@ -1394,22 +1466,14 @@ fn compile_step(
                 out_c,
                 in_shape(2),
                 in_shape(3),
-            ) else {
-                return Ok(None);
-            };
-            let (Some(a), Some(b)) = (in_view(0), in_view(1)) else {
-                return Ok(None);
-            };
+            )?;
+            let (a, b) = (in_view(0)?, in_view(1)?);
             let epi = match geom.class {
                 FusedClass::Softmax { .. } => {
                     if step.inputs.len() != 2 || step.outputs.len() != 3 {
-                        return Ok(None);
+                        return None;
                     }
-                    let (Some(softmax), Some(alpha), Some(mask)) =
-                        (out_view(0), out_view(1), out_view(2))
-                    else {
-                        return Ok(None);
-                    };
+                    let (softmax, alpha, mask) = (out_view(0)?, out_view(1)?, out_view(2)?);
                     EpiExec::Sm {
                         softmax,
                         alpha,
@@ -1419,13 +1483,10 @@ fn compile_step(
                 }
                 FusedClass::BiasActDrop => {
                     if step.inputs.len() != 3 || step.outputs.len() != 3 {
-                        return Ok(None);
+                        return None;
                     }
-                    let (Some(bias), Some(pre), Some(out), Some(mask)) =
-                        (in_view(2), out_view(0), out_view(1), out_view(2))
-                    else {
-                        return Ok(None);
-                    };
+                    let (bias, pre, out, mask) =
+                        (in_view(2)?, out_view(0)?, out_view(1)?, out_view(2)?);
                     EpiExec::BrdAct {
                         bias,
                         bmap: into_ops::BiasMap {
@@ -1438,13 +1499,10 @@ fn compile_step(
                 }
                 FusedClass::BiasDropResidual => {
                     if step.inputs.len() != 4 || step.outputs.len() != 2 {
-                        return Ok(None);
+                        return None;
                     }
-                    let (Some(bias), Some(residual), Some(mask), Some(out)) =
-                        (in_view(2), in_view(3), out_view(0), out_view(1))
-                    else {
-                        return Ok(None);
-                    };
+                    let (bias, residual, mask, out) =
+                        (in_view(2)?, in_view(3)?, out_view(0)?, out_view(1)?);
                     EpiExec::Bdr {
                         bias,
                         bmap: into_ops::BiasMap {
@@ -1455,7 +1513,7 @@ fn compile_step(
                         out,
                     }
                 }
-                _ => return Ok(None),
+                _ => return None,
             };
             StepExec::ContractEpilogue {
                 a,
@@ -1466,9 +1524,29 @@ fn compile_step(
                 epi,
             }
         }
-        _ => return Ok(None),
+        _ => return None,
     };
-    Ok(Some(exec))
+    Some(exec)
+}
+
+/// Runs step `si` of `steps` on its own RNG stream and, on a timed run,
+/// writes its wall time into the step's own timing slot.
+///
+/// # Safety
+///
+/// As [`run_step`]; in addition `mem.step_us` must address one slot per
+/// step, and no other thread may be executing step `si` — each step index
+/// sits in exactly one wave and is claimed exactly once.
+unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRun) {
+    let mut rng = step_rng(run.seed, si);
+    let t0 = run.timed.then(Instant::now);
+    // SAFETY: the caller's contract is `run_step`'s.
+    unsafe { run_step(&steps[si], mem, run, &mut rng) };
+    if let Some(t0) = t0 {
+        // SAFETY: `si` indexed `steps`, so it is in range of the equally
+        // long slot array, and this is the step's only execution.
+        unsafe { *mem.step_us.add(si) = t0.elapsed().as_secs_f64() * 1e6 };
+    }
 }
 
 /// Executes one precompiled step out of the slab through the `*_into`
@@ -1712,28 +1790,20 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
     }
 }
 
-/// `XFORM_SANITIZE`, resolved once per process. Reading an environment
-/// variable allocates, so the arena's steady-state path caches the flag;
-/// the allocating interpreters keep resolving it per call. Callers
-/// building an [`ArenaRun`] from a [`crate::plan::SanitizeMode::Env`]
-/// option should use this to stay allocation-free.
-pub fn env_sanitize_cached() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(crate::sanitize::sanitize_enabled)
-}
-
 /// A wave handed to the persistent worker pool: raw views of one arena's
 /// step table, wave slice, and buffers, all outliving the dispatch because
 /// the publishing thread blocks until every worker has drained.
 #[derive(Clone, Copy)]
 struct WaveJob {
-    steps: *const StepExec,
-    wave: *const usize,
-    wave_len: usize,
+    steps: *const [StepExec],
+    wave: *const [usize],
     mem: SlabMem,
     run: ArenaRun,
 }
 
+// SAFETY: the pointers address the publishing arena's step table and wave
+// slice, both immutable and alive until the publisher has seen every
+// worker leave the job (see `Pool::run_wave`).
 unsafe impl Send for WaveJob {}
 
 struct PoolState {
@@ -1772,9 +1842,8 @@ impl Pool {
         {
             let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
             st.job = Some(WaveJob {
-                steps: steps.as_ptr(),
-                wave: wave.as_ptr(),
-                wave_len: wave.len(),
+                steps,
+                wave,
                 mem,
                 run: *run,
             });
@@ -1788,10 +1857,9 @@ impl Pool {
             if i >= wave.len() {
                 break;
             }
-            let si = wave[i];
-            let mut rng = step_rng(run.seed, si);
-            // SAFETY: per the arena certificate, see `run_step`.
-            unsafe { run_step(&steps[si], mem, run, &mut rng) };
+            // SAFETY: per the arena certificate, see `run_step`; the claim
+            // counter hands each wave position to one thread.
+            unsafe { run_indexed(steps, wave[i], mem, run) };
         }));
         // wait until no worker still holds the job's pointers, then
         // retract it — workers that wake later see `None` and re-wait
@@ -1836,17 +1904,17 @@ fn worker_loop(pool: &'static Pool) {
                 }
             }
         };
+        // SAFETY: the publisher keeps `steps`/`wave`/`mem` alive until
+        // `running` drops to zero, which happens strictly after this
+        // worker finishes.
+        let (steps, wave) = unsafe { (&*job.steps, &*job.wave) };
         let res = catch_unwind(AssertUnwindSafe(|| loop {
             let i = pool.claim.fetch_add(1, Ordering::Relaxed);
-            if i >= job.wave_len {
+            if i >= wave.len() {
                 break;
             }
-            // SAFETY: the publisher keeps `steps`/`wave`/`mem` alive until
-            // `running` drops to zero, which happens strictly after this
-            // worker finishes.
-            let si = unsafe { *job.wave.add(i) };
-            let mut rng = step_rng(job.run.seed, si);
-            unsafe { run_step(&*job.steps.add(si), job.mem, &job.run, &mut rng) };
+            // SAFETY: as in `Pool::run_wave`.
+            unsafe { run_indexed(steps, wave[i], job.mem, &job.run) };
         }));
         let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
         if res.is_err() {
@@ -1903,12 +1971,10 @@ fn pool() -> &'static Pool {
 mod tests {
 
     use super::*;
-    use crate::analyze::analyze;
     use crate::fusion::{apply_plan, encoder_fusion_plan};
-    use crate::plan::{execute_plan, random_externals, ExecOptions, SanitizeMode};
+    use crate::plan::random_externals;
+    use crate::profile::{PlanProfiler, ProfilerSink};
     use crate::recipe::forward_ops;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use xform_dataflow::{build, EncoderDims};
 
     fn fused_plan() -> (Graph, ExecutionPlan) {
@@ -1919,19 +1985,54 @@ mod tests {
         (g, plan)
     }
 
-    fn run_env(graph: &Graph, plan: &ExecutionPlan, state: &mut ExecState) {
-        let opts = ExecOptions::builder().sanitize(SanitizeMode::Off).build();
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        execute_plan(graph, plan, state, &opts, &mut rng).unwrap();
+    fn compile(graph: &Graph, plan: &ExecutionPlan, g: ArenaGranularity) -> CompiledArena {
+        CompiledArena::compile(graph, plan, &analyze(graph, plan), g)
+            .unwrap()
+            .expect("a natural-layout plan routes to the arena")
+    }
+
+    /// A binder that fills every external out of `base`, except `skip`.
+    fn binder<'a>(base: &'a ExecState, skip: &'a str) -> impl FnMut(&str, &mut [f32]) -> bool + 'a {
+        move |name, dst| match base.env.get(name) {
+            Some(t) if name != skip => {
+                into_ops::copy_tensor_into(t, dst);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// One run of `arena` over the externals in `base`: everything it
+    /// produced, as name-sorted `(name, data)` pairs, stats included.
+    fn run(
+        arena: &CompiledArena,
+        graph: &Graph,
+        plan: &ExecutionPlan,
+        base: &ExecState,
+        opts: &ExecOptions,
+    ) -> Vec<(String, Vec<f32>)> {
+        let mut out = ExecState::default();
+        arena
+            .execute_into_state(graph, plan, opts, &mut binder(base, ""), &mut out)
+            .unwrap();
+        let mut all: Vec<(String, Vec<f32>)> = out
+            .env
+            .into_iter()
+            .map(|(n, t)| (n, t.data().to_vec()))
+            .collect();
+        for (n, s) in out.stats {
+            all.push((format!("{n}/mean"), s.mean));
+            all.push((format!("{n}/inv_std"), s.inv_std));
+        }
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all
     }
 
     #[test]
     fn canned_fused_plan_compiles_and_matches_env_bitwise() {
         let (graph, plan) = fused_plan();
         let analysis = analyze(&graph, &plan);
-        let arena = CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Serial)
-            .unwrap()
-            .expect("canned fused encoder plan must compile to an arena");
+        let arena = compile(&graph, &plan, ArenaGranularity::Serial);
         assert!(arena.matches(&plan));
         assert_eq!(
             arena.slab_words() as u64,
@@ -1939,149 +2040,228 @@ mod tests {
             "serial arena slab must hit the peak-resident target exactly"
         );
 
-        let mut env_state = random_externals(&graph, &plan, 42).unwrap();
-        let mut arena_state = ExecState {
-            env: env_state.env.clone(),
-            stats: Default::default(),
-        };
-        run_env(&graph, &plan, &mut env_state);
-        let run = ArenaRun {
-            dropout_p: 0.0,
-            activation: ActivationKind::Relu,
-            scaler: 1.0,
-            seed: 0x5eed,
-            threads: 1,
-            sanitize: false,
-            pos: 0,
-        };
-        let outcome = arena.run_with_state(&mut arena_state, &run).unwrap();
-        assert_eq!(outcome, ArenaOutcome::Ran);
-        // every Output/Saved container must be bitwise equal to the
-        // allocating interpreter's result
-        let mut compared = 0;
-        for (name, t) in &arena_state.env {
-            let e = env_state.env.get(name).expect("env missing container");
-            assert_eq!(t.shape(), e.shape(), "{name} shape");
-            assert_eq!(t.data(), e.data(), "{name} data");
-            compared += 1;
+        let base = random_externals(&graph, &plan, 42).unwrap();
+        let opts = ExecOptions::builder().sanitize(SanitizeMode::Off).build();
+        let mut reference = base.clone();
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+        execute_plan(&graph, &plan, &mut reference, &opts, &mut rng).unwrap();
+        // every Output/Saved container and statistic must be bitwise equal
+        // to the reference interpreter's
+        let produced = run(&arena, &graph, &plan, &base, &opts);
+        assert!(produced.len() > 5);
+        for (name, data) in &produced {
+            match name.rsplit_once('/') {
+                Some((norm, "mean")) => assert_eq!(data, &reference.stats[norm].mean, "{name}"),
+                Some((norm, _)) => assert_eq!(data, &reference.stats[norm].inv_std, "{name}"),
+                None => assert_eq!(data, reference.env[name].data(), "{name}"),
+            }
         }
-        assert!(compared > 3);
-        for (name, s) in &arena_state.stats {
-            let e = env_state.stats.get(name).expect("env missing stats");
-            assert_eq!(s.mean, e.mean, "{name} mean");
-            assert_eq!(s.inv_std, e.inv_std, "{name} inv_std");
-        }
-        assert!(!arena_state.stats.is_empty());
     }
 
     #[test]
     fn waves_arena_parallel_matches_serial_arena_bitwise() {
         let (graph, plan) = fused_plan();
-        let analysis = analyze(&graph, &plan);
-        let arena = CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Waves)
-            .unwrap()
-            .expect("waves arena must compile");
+        let arena = compile(&graph, &plan, ArenaGranularity::Waves);
         let base = random_externals(&graph, &plan, 7).unwrap();
-        let mut results = Vec::new();
-        for threads in [1usize, 2, 8] {
-            for p in [0.0f32, 0.4] {
-                let mut state = ExecState {
-                    env: base.env.clone(),
-                    stats: Default::default(),
-                };
-                let run = ArenaRun {
-                    dropout_p: p,
-                    activation: ActivationKind::Relu,
-                    scaler: 0.5,
-                    seed: 0xfeed,
-                    threads,
-                    sanitize: false,
-                    pos: 0,
-                };
-                assert_eq!(
-                    arena.run_with_state(&mut state, &run).unwrap(),
-                    ArenaOutcome::Ran
-                );
-                let mut names: Vec<&String> = state.env.keys().collect();
-                names.sort();
-                let snapshot: Vec<Vec<f32>> = names
-                    .iter()
-                    .map(|n| state.env[*n].data().to_vec())
-                    .collect();
-                results.push((p, snapshot));
-            }
-        }
-        // group by p: all thread counts must agree bitwise
         for p in [0.0f32, 0.4] {
-            let group: Vec<_> = results.iter().filter(|(rp, _)| *rp == p).collect();
-            for w in group.windows(2) {
-                assert_eq!(w[0].1, w[1].1, "thread-count variance at p={p}");
-            }
+            let at = |threads| {
+                let opts = ExecOptions::builder()
+                    .dropout_p(p)
+                    .scaler(0.5)
+                    .seed(0xfeed)
+                    .threads(threads)
+                    .sanitize(SanitizeMode::Off)
+                    .build();
+                run(&arena, &graph, &plan, &base, &opts)
+            };
+            let serial = at(1);
+            assert_eq!(serial, at(2), "thread-count variance at p={p}");
+            assert_eq!(serial, at(8), "thread-count variance at p={p}");
         }
     }
 
     #[test]
     fn sanitized_arena_run_passes_on_clean_plan() {
         let (graph, plan) = fused_plan();
-        let analysis = analyze(&graph, &plan);
-        for g in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-            let arena = CompiledArena::compile(&graph, &plan, &analysis, g)
-                .unwrap()
-                .expect("arena must compile");
-            let mut state = random_externals(&graph, &plan, 11).unwrap();
-            let run = ArenaRun {
-                dropout_p: 0.0,
-                activation: ActivationKind::Relu,
-                scaler: 1.0,
-                seed: 1,
-                threads: if g == ArenaGranularity::Waves { 4 } else { 1 },
-                sanitize: true,
-                pos: 0,
-            };
-            assert_eq!(
-                arena.run_with_state(&mut state, &run).unwrap(),
-                ArenaOutcome::Ran,
-                "sanitized arena run must pass at {g}"
-            );
+        let base = random_externals(&graph, &plan, 11).unwrap();
+        for (g, threads) in [(ArenaGranularity::Serial, 1), (ArenaGranularity::Waves, 4)] {
+            let arena = compile(&graph, &plan, g);
+            let opts = ExecOptions::builder()
+                .threads(threads)
+                .sanitize(SanitizeMode::On)
+                .build();
+            assert!(!run(&arena, &graph, &plan, &base, &opts).is_empty(), "{g}");
         }
+    }
+
+    /// The run CI interprets under Miri: wave-parallel, sink set, so the
+    /// per-step and per-wave timing slots are written through the raw
+    /// views and the buffers are taken with the blocking lock.
+    #[test]
+    fn timed_wave_parallel_run_fills_every_slot_and_changes_no_bit() {
+        let (graph, plan) = fused_plan();
+        let arena = compile(&graph, &plan, ArenaGranularity::Waves);
+        let base = random_externals(&graph, &plan, 5).unwrap();
+        let plain = ExecOptions::builder().dropout_p(0.3).threads(4).build();
+        let untimed = run(&arena, &graph, &plan, &base, &plain);
+
+        let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+        let timed_opts = plain.to_builder().profiler(Some(&sink)).build();
+        let timed = run(&arena, &graph, &plan, &base, &timed_opts);
+        assert_eq!(timed, untimed, "observing must not change a bit");
+
+        let prof = sink.into_inner().unwrap();
+        assert_eq!(
+            prof.steps().count(),
+            plan.steps.len(),
+            "one record per step"
+        );
+        assert!(prof.steps().all(|s| s.time_us > 0.0 && s.wave.is_some()));
+        let waves = analyze(&graph, &plan).parallel_waves();
+        assert_eq!(prof.waves().count(), waves.len(), "one record per wave");
+        assert!(prof.waves().all(|w| w.wall_us > 0.0));
+        // a serial run of the same arena reports steps and no waves
+        let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+        let serial = plain.to_builder().threads(1).profiler(Some(&sink)).build();
+        assert_eq!(run(&arena, &graph, &plan, &base, &serial), untimed);
+        let prof = sink.into_inner().unwrap();
+        assert_eq!(prof.steps().count(), plan.steps.len());
+        assert_eq!(prof.waves().count(), 0);
+    }
+
+    #[test]
+    fn tampered_wave_partition_is_refused_at_compile() {
+        let (graph, plan) = fused_plan();
+        let mut analysis = analyze(&graph, &plan);
+        // forget every hazard: the partition collapses into one wave that
+        // holds producers next to their consumers
+        analysis.deps.clear();
+        assert_eq!(analysis.parallel_waves().len(), 1);
+        let err = CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Waves)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("wave partition failed certification"), "{err}");
+    }
+
+    #[test]
+    fn unbound_externals_and_threads_on_a_serial_arena_are_typed_errors() {
+        let (graph, plan) = fused_plan();
+        let arena = compile(&graph, &plan, ArenaGranularity::Serial);
+        let base = random_externals(&graph, &plan, 3).unwrap();
+        let mut out = ExecState::default();
+        let opts = ExecOptions::default();
+        // a binder that does not know `w1`
+        let err = arena
+            .execute_into_state(&graph, &plan, &opts, &mut binder(&base, "w1"), &mut out)
+            .unwrap_err();
+        let words = base.env["w1"].len();
+        assert_eq!(
+            err,
+            TensorError::UnboundExternal {
+                container: "w1".into(),
+                words
+            }
+        );
+        // the state-based entry reports a mis-sized external the same way
+        let mut short = base.clone();
+        short.env.insert(
+            "w1".into(),
+            Tensor::zeros(Shape::new([('u', 1), ('i', 1)]).unwrap()),
+        );
+        let err = execute(&graph, &plan, &mut short, &opts).unwrap_err();
+        assert!(
+            matches!(&err, TensorError::UnboundExternal { container, .. } if container == "w1"),
+            "{err}"
+        );
+        // more than one thread needs the wave coloring
+        let two = ExecOptions::builder().threads(2).build();
+        let err = arena
+            .execute_into_state(&graph, &plan, &two, &mut binder(&base, ""), &mut out)
+            .unwrap_err();
+        assert_eq!(err, TensorError::SerialOnly { threads: 2 });
+    }
+
+    #[test]
+    fn the_route_follows_the_layouts_and_nothing_else() {
+        let (graph, natural) = fused_plan();
+        let mut strided = natural.clone();
+        for o in strided.steps[0].outputs.iter_mut() {
+            o.layout = o.layout.chars().rev().collect();
+        }
+        strided.reflow(&graph);
+        assert!(strided.relayout_count() > 0);
+        assert_eq!(route(&graph, &natural), Route::Arena);
+        assert_eq!(route(&graph, &strided), Route::Reference);
+        for g in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
+            assert!(compiled(&graph, &strided, g).unwrap().is_none());
+            let a = compiled(&graph, &natural, g).unwrap().unwrap();
+            let b = compiled(&graph, &natural, g).unwrap().unwrap();
+            assert!(Arc::ptr_eq(&a, &b), "one arena per distinct plan");
+        }
+        // both run through the one entry point, to the same values
+        let base = random_externals(&graph, &natural, 9).unwrap();
+        let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+        for threads in [1, 4] {
+            for profiler in [None, Some(&sink)] {
+                let opts = ExecOptions::builder()
+                    .threads(threads)
+                    .profiler(profiler)
+                    .build();
+                let (mut on_arena, mut on_reference) = (base.clone(), base.clone());
+                assert_eq!(
+                    execute(&graph, &natural, &mut on_arena, &opts).unwrap(),
+                    Route::Arena
+                );
+                assert_eq!(
+                    execute(&graph, &strided, &mut on_reference, &opts).unwrap(),
+                    Route::Reference
+                );
+                let (y, y_ref) = (&on_arena.env["y"], &on_reference.env["y"]);
+                assert_eq!(y.max_abs_diff(y_ref).unwrap(), 0.0);
+            }
+        }
+        // same schedule, other dimensions: another arena
+        let eg = build::encoder(&EncoderDims {
+            b: 3,
+            ..EncoderDims::tiny()
+        });
+        let mut wider = eg.graph;
+        apply_plan(&mut wider, &encoder_fusion_plan()).unwrap();
+        let wider_plan = ExecutionPlan::natural(&wider, &forward_ops(&wider, eg.dy)).unwrap();
+        let a = compiled(&graph, &natural, ArenaGranularity::Serial)
+            .unwrap()
+            .unwrap();
+        let b = compiled(&wider, &wider_plan, ArenaGranularity::Serial)
+            .unwrap()
+            .unwrap();
+        assert!(b.slab_words() > a.slab_words());
     }
 
     #[test]
     fn all_canned_plans_compile_at_the_peak_resident_target() {
         let dims = EncoderDims::tiny();
         type FusionFn = fn() -> Vec<crate::fusion::FusionGroup>;
-        let canned: Vec<(&str, Graph, Option<FusionFn>)> = vec![
-            ("encoder reference", build::encoder(&dims).graph, None),
-            (
-                "encoder fused",
-                build::encoder(&dims).graph,
-                Some(encoder_fusion_plan),
-            ),
-            ("decoder reference", build::decoder(&dims).graph, None),
-            (
-                "decoder fused",
-                build::decoder(&dims).graph,
-                Some(crate::fusion::decoder_fusion_plan),
-            ),
+        let canned: Vec<(&str, Option<FusionFn>)> = vec![
+            ("encoder reference", None),
+            ("encoder fused", Some(encoder_fusion_plan)),
+            ("decoder reference", None),
+            ("decoder fused", Some(crate::fusion::decoder_fusion_plan)),
         ];
-        for (label, graph, fuse) in canned {
+        for (label, fuse) in canned {
             let eg = if label.starts_with("encoder") {
                 build::encoder(&dims)
             } else {
                 build::decoder(&dims)
             };
-            let mut g = graph;
+            let mut g = eg.graph;
             if let Some(f) = fuse {
                 apply_plan(&mut g, &f()).unwrap();
             }
             let plan = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
-            let analysis = analyze(&g, &plan);
-            let arena = CompiledArena::compile(&g, &plan, &analysis, ArenaGranularity::Serial)
-                .unwrap()
-                .unwrap_or_else(|| panic!("{label} plan must compile to an arena"));
+            let arena = compile(&g, &plan, ArenaGranularity::Serial);
             assert_eq!(
                 arena.slab_words() as u64,
-                analysis.peak_resident_words,
+                analyze(&g, &plan).peak_resident_words,
                 "{label}: serial slab must hit the peak-resident target"
             );
         }

@@ -17,12 +17,14 @@
 //!   Sec. VI-A / Fig. 6;
 //! * [`plan`] — lowering a fusion plan plus a layout selection into an
 //!   executable, layout-annotated schedule ([`plan::ExecutionPlan`]) and
-//!   the schedule interpreter ([`plan::execute_plan`]) that runs it
-//!   against the real CPU kernels;
-//! * [`arena`] — the static-arena interpreter: certified plans lowered
-//!   onto one preallocated slab via the liveness coloring of
-//!   [`analyze::assign_arena`], executing through the zero-allocation
-//!   `*_into` kernels so steady-state forwards touch the heap not at all;
+//!   the reference interpreter ([`plan::execute_plan`]): serial,
+//!   allocating, any operand layout;
+//! * [`arena`] — the interpreter, and the one routing decision
+//!   ([`arena::route`], [`arena::execute`]): plans in natural layout are
+//!   certified once and lowered onto one preallocated slab via the
+//!   liveness coloring of [`analyze::assign_arena`], executing through the
+//!   zero-allocation `*_into` kernels so steady-state forwards touch the
+//!   heap not at all; anything else goes to the reference interpreter;
 //! * [`access`] — the access-path certifier: symbolic abstract
 //!   interpretation deriving every operand's index-affine access path per
 //!   step and proving in-bounds, unit-stride, alias-free access
@@ -32,10 +34,9 @@
 //!   (kernel dispatch is by lane geometry, not by certificate);
 //! * [`sanitize`] — the footprint sanitizer and race certifier: a static
 //!   certifier cross-checking declared operands against derived kernel
-//!   footprints ([`sanitize::certify`]), a dynamic shadow-access
-//!   interpreter ([`sanitize::execute_plan_sanitized`]), and the
-//!   certificate-gated wave-parallel interpreter
-//!   ([`sanitize::execute_plan_parallel`]);
+//!   footprints ([`sanitize::certify`]) — the wave proof the arena demands
+//!   at compile — and a dynamic shadow-access mode of the reference
+//!   interpreter ([`sanitize::execute_plan_sanitized`]);
 //! * [`cachemodel`] — the static cache-hierarchy analyzer: reuse-distance
 //!   abstract interpretation of each step's access paths through a
 //!   parameterized L1/L2/LLC geometry ([`cachemodel::CacheGeometry`]),
@@ -44,8 +45,8 @@
 //!   alongside `analyze::audit`'s flat one, plus the tile-overflow /
 //!   cache-thrash / layout-conflict lints;
 //! * [`profile`] — the runtime plan profiler ([`profile::PlanProfiler`]):
-//!   measured per-step time/bytes/bandwidth and measured MUE riding the
-//!   interpreters via [`plan::ExecOptions::profiler`], plus
+//!   measured per-step time/bytes/bandwidth and measured MUE observed on
+//!   the executor a plan runs on via [`plan::ExecOptions::profiler`], plus
 //!   profile-guided re-selection ([`profile::ProfiledSource`],
 //!   [`profile::reselect`]);
 //! * [`recipe`] — the end-to-end driver assembling the optimized encoder;

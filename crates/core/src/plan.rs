@@ -11,6 +11,14 @@
 //! the plan's selected strides — closing the paper's loop from Fig. 6's
 //! shortest-path selection to a running implementation.
 //!
+//! [`execute_plan`] is the *reference* interpreter: serial, allocating,
+//! one RNG stream, any operand layout. Plans whose operands all sit in
+//! natural layout run on the static arena instead
+//! ([`crate::arena::route`] decides, [`crate::arena::execute`] dispatches);
+//! this one stays as the only executor for strided layouts and relayout
+//! insertions, and as what the equivalence suites compare the arena
+//! against.
+//!
 //! Two canned constructors cover the pre-existing executors:
 //! [`ExecutionPlan::natural`] over the unfused graph reproduces the
 //! reference (PyTorch-style) executor, and the same constructor over the
@@ -375,19 +383,18 @@ impl SanitizeMode {
 }
 
 /// A caller-supplied schedule for the layer forwards to run instead of the
-/// cached canned plan. The interpreter entry points
-/// ([`execute_plan`] / [`crate::sanitize::execute_plan_parallel`]) take
-/// graph and plan positionally and ignore this field; it exists so the
-/// unified `forward(&x, &w, &ExecOptions)` surface can still execute
-/// recipe-selected or deliberately perturbed plans.
+/// cached canned plan. The interpreter entry points ([`execute_plan`],
+/// [`crate::arena::execute`]) take graph and plan positionally and ignore
+/// this field; it exists so the unified `forward(&x, &w, &ExecOptions)`
+/// surface can still execute recipe-selected or deliberately perturbed
+/// plans. An override is routed exactly like a canned plan: by its operand
+/// layouts alone.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanOverride<'p> {
     /// The dataflow graph the plan was lowered against.
     pub graph: &'p Graph,
     /// The schedule to interpret.
     pub plan: &'p ExecutionPlan,
-    /// Race certificate for the plan, required when `threads > 1`.
-    pub cert: Option<&'p crate::sanitize::RaceCertificate>,
 }
 
 /// Everything the graph does not encode about one execution: scalar kernel
@@ -410,13 +417,13 @@ pub struct ExecOptions<'p> {
     pub activation: ActivationKind,
     /// Scale folded into the softmax kernels (`1/√P` for attention).
     pub scaler: f32,
-    /// Worker threads for the layer forwards: `1` (or `0`) runs the serial
-    /// interpreter; more runs the certificate-gated wave-parallel
-    /// interpreter. The interpreter entry points themselves ignore this —
-    /// callers pick the entry point.
+    /// Worker threads: `1` (or `0`) runs the arena's steps in schedule
+    /// order; more dispatches each hazard-free wave across the arena's
+    /// worker pool (same values, the arena draws one RNG stream per step).
+    /// The reference interpreter is serial at any value.
     pub threads: usize,
-    /// Seed for the dropout RNG of the layer forwards (serial runs derive
-    /// one stream from it; parallel runs derive one stream per step).
+    /// Seed for the dropout RNG (the arena derives one stream per step
+    /// from it, the reference interpreter one stream for the run).
     pub seed: u64,
     /// Whether the layer forwards assemble the saved-activation bundle
     /// after the run (`true` by default; inference-only callers can skip
@@ -424,18 +431,14 @@ pub struct ExecOptions<'p> {
     pub collect_activations: bool,
     /// Shadow-access sanitizer routing (defaults to the environment).
     pub sanitize: SanitizeMode,
-    /// Optional profiler sink: when set, every interpreter entry point
-    /// records per-step wall-clock time (and, for the parallel
-    /// interpreter, per-wave occupancy) into it.
+    /// Optional profiler sink: when set, the executor the plan runs on
+    /// anyway records per-step wall-clock time (and, for wave-parallel
+    /// arena runs, per-wave wall time) into it. Observing changes neither
+    /// the route nor a single output bit.
     pub profiler: Option<&'p crate::profile::ProfilerSink>,
     /// Optional plan override for the layer forwards (see
     /// [`PlanOverride`]).
     pub plan: Option<PlanOverride<'p>>,
-    /// Optional compiled arena for this plan: when set (and the profiler
-    /// is off), the interpreters execute out of the arena's slab instead
-    /// of the allocating environment, falling back transparently when the
-    /// arena is busy or does not match the plan.
-    pub arena: Option<&'p crate::arena::CompiledArena>,
     /// Absolute sequence position of this run's first query column. Zero
     /// for full-sequence forwards; a decode step sets it to the current
     /// token position, shifting every causal softmax's visibility window
@@ -456,7 +459,6 @@ impl Default for ExecOptions<'_> {
             sanitize: SanitizeMode::Env,
             profiler: None,
             plan: None,
-            arena: None,
             pos: 0,
         }
     }
@@ -540,12 +542,6 @@ impl<'p> ExecOptionsBuilder<'p> {
     /// Sets a plan override.
     pub fn plan(mut self, plan: Option<PlanOverride<'p>>) -> Self {
         self.opts.plan = plan;
-        self
-    }
-
-    /// Sets the compiled arena.
-    pub fn arena(mut self, arena: Option<&'p crate::arena::CompiledArena>) -> Self {
-        self.opts.arena = arena;
         self
     }
 
@@ -647,6 +643,39 @@ pub(crate) fn causal_map_of(shape: &Shape, axis: Axis) -> Option<CausalMap> {
     })
 }
 
+/// The container shapes of a two-operand einsum's inputs relabelled
+/// positionally to the spec's letters (graph containers carry their own
+/// axis names; the contraction is defined over the spec's), and the
+/// labelled output shape those imply. `None` when the spec is not
+/// two-operand, a rank disagrees, or an output letter is bound by neither
+/// input. Shared by the reference interpreter, the epilogue geometry and
+/// the arena precompiler, so all three contract over the same shapes.
+pub(crate) fn labelled_shapes(
+    spec: &EinsumSpec,
+    a_c: &Shape,
+    b_c: &Shape,
+) -> Option<(Shape, Shape, Shape)> {
+    let ops = spec.operands();
+    if ops.len() != 2 {
+        return None;
+    }
+    let relabel = |axes: &[Axis], c: &Shape| -> Option<Shape> {
+        if axes.len() != c.rank() {
+            return None;
+        }
+        Shape::new(axes.iter().zip(c.sizes()).map(|(a, &s)| (a.0, s))).ok()
+    };
+    let a_s = relabel(&ops[0], a_c)?;
+    let b_s = relabel(&ops[1], b_c)?;
+    let out = spec
+        .output()
+        .iter()
+        .map(|&ax| Some((ax.0, a_s.size(ax).or_else(|_| b_s.size(ax)).ok()?)))
+        .collect::<Option<Vec<_>>>()?;
+    let lbl = Shape::new(out).ok()?;
+    Some((a_s, b_s, lbl))
+}
+
 /// The compiled tiling geometry of a GEMM-epilogue mega-kernel: the
 /// contraction plan whose C is the identity view of the output container
 /// (the compiler having picked the operand roles that make the GEMM's M
@@ -694,28 +723,7 @@ pub(crate) fn epilogue_geometry(
     residual: Option<&Shape>,
 ) -> Option<EpilogueGeom> {
     let class = classify_fused(parts)?;
-    let ops = spec.operands();
-    if ops.len() != 2 {
-        return None;
-    }
-    // relabel the operands' container shapes positionally to the spec's
-    // letters, as the interpreters do before contracting
-    let relabel = |axes: &[Axis], c: &Shape| -> Option<Shape> {
-        if axes.len() != c.rank() {
-            return None;
-        }
-        let dims: Vec<(char, usize)> = axes.iter().zip(c.sizes()).map(|(a, &s)| (a.0, s)).collect();
-        Shape::new(dims).ok()
-    };
-    let a_s = relabel(&ops[0], a_c)?;
-    let b_s = relabel(&ops[1], b_c)?;
-    let size_of = |ax: Axis| -> Option<usize> { a_s.size(ax).or_else(|_| b_s.size(ax)).ok() };
-    let lbl_dims: Vec<(char, usize)> = spec
-        .output()
-        .iter()
-        .map(|&ax| size_of(ax).map(|s| (ax.0, s)))
-        .collect::<Option<Vec<_>>>()?;
-    let lbl = Shape::new(lbl_dims).ok()?;
+    let (a_s, b_s, lbl) = labelled_shapes(spec, a_c, b_c)?;
     if lbl.sizes() != out_c.sizes() {
         return None;
     }
@@ -881,27 +889,19 @@ pub fn execute_step<R: Rng + ?Sized>(
 
     match &step.kind {
         OpKind::Einsum(spec) => {
-            let operand_axes = spec.operands();
             match ins.len() {
                 2 => {
-                    let a = relabeled(&ins[0], &axes_string(&operand_axes[0]))?;
-                    let b = relabeled(&ins[1], &axes_string(&operand_axes[1]))?;
-                    // build the contraction's output shape in einsum labels
-                    // and translate the declared (container-letter) layout
-                    // onto it positionally
-                    let dims: Vec<(Axis, usize)> = spec
-                        .output()
-                        .iter()
-                        .map(|&ax| {
-                            let n = a
-                                .shape()
-                                .index_of(ax)
-                                .map(|i| a.shape().sizes()[i])
-                                .or_else(|_| b.shape().index_of(ax).map(|i| b.shape().sizes()[i]))?;
-                            Ok((ax, n))
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    let lbl_shape = Shape::new(dims)?;
+                    let (a_s, b_s, lbl_shape) =
+                        labelled_shapes(spec, ins[0].shape(), ins[1].shape()).ok_or_else(|| {
+                            TensorError::Unsupported(format!(
+                                "einsum `{}`: operand shapes do not fit `{spec}`",
+                                step.name
+                            ))
+                        })?;
+                    let a = relabeled(&ins[0], &a_s.spec())?;
+                    let b = relabeled(&ins[1], &b_s.spec())?;
+                    // translate the declared (container-letter) layout onto
+                    // the labelled output shape positionally
                     let container_spec = out_shape(0)?.spec();
                     let declared = translate_layout(
                         &step.outputs[0].layout,
@@ -914,7 +914,7 @@ pub fn execute_step<R: Rng + ?Sized>(
                     results.push(relabeled(&out, &container_spec)?);
                 }
                 1 => {
-                    let a = relabeled(&ins[0], &axes_string(&operand_axes[0]))?;
+                    let a = relabeled(&ins[0], &axes_string(&spec.operands()[0]))?;
                     let out = xform_tensor::einsum(&spec.to_string(), &[&a])?;
                     results.push(relabeled(&out, &out_shape(0)?.spec())?);
                 }
@@ -1204,9 +1204,14 @@ pub fn execute_step<R: Rng + ?Sized>(
     Ok(())
 }
 
-/// Interprets a whole schedule: checks it statically, then executes every
-/// step in order against `state`. On success the state's environment holds
-/// every container the plan produced, materialized in the plan's layouts.
+/// The reference interpreter: checks the schedule statically, then
+/// executes every step in order against `state`, allocating each result and
+/// drawing all randomness from the one stream `rng`. On success the state's
+/// environment holds every container the plan produced, materialized in the
+/// plan's layouts. It runs any layout the plan declares — which is why it is
+/// the executor for strided and relayouted plans — and it is what the
+/// equivalence suites hold the arena against; everything in natural layout
+/// is served by [`crate::arena::execute`].
 ///
 /// Depending on [`ExecOptions::sanitize`] (by default: `XFORM_SANITIZE`
 /// set to anything but empty/`0`/`false`/`off`/`no` in the environment),
@@ -1231,42 +1236,7 @@ pub fn execute_plan<R: Rng + ?Sized>(
     opts: &ExecOptions,
     rng: &mut R,
 ) -> Result<()> {
-    let problems: Vec<String> = plan
-        .check(graph)
-        .into_iter()
-        .filter(|l| l.severity() == crate::analyze::Severity::Error)
-        .map(|l| l.to_string())
-        .collect();
-    if !problems.is_empty() {
-        return Err(TensorError::Unsupported(format!(
-            "invalid execution plan: {}",
-            problems.join("; ")
-        )));
-    }
-    if let Some(arena) = opts.arena {
-        // resolve the sanitize mode without touching the environment (an
-        // env read allocates; Env is cached once per process here)
-        let sanitize = match opts.sanitize {
-            SanitizeMode::Off => false,
-            SanitizeMode::On => true,
-            SanitizeMode::Env => crate::arena::env_sanitize_cached(),
-        };
-        if opts.profiler.is_none() && arena.matches(plan) {
-            let run = crate::arena::ArenaRun {
-                dropout_p: opts.dropout_p,
-                activation: opts.activation,
-                scaler: opts.scaler,
-                seed: opts.seed,
-                threads: 1,
-                sanitize,
-                pos: opts.pos,
-            };
-            match arena.run_with_state(state, &run)? {
-                crate::arena::ArenaOutcome::Ran => return Ok(()),
-                crate::arena::ArenaOutcome::Busy => {}
-            }
-        }
-    }
+    crate::analyze::analyze(graph, plan).gate()?;
     if opts.sanitize.enabled() {
         return crate::sanitize::execute_plan_sanitized(graph, plan, state, opts, rng, None);
     }
@@ -1275,7 +1245,7 @@ pub fn execute_plan<R: Rng + ?Sized>(
         execute_step(graph, step, state, opts, rng)?;
         if let (Some(sink), Some(t0)) = (opts.profiler, t0) {
             let us = t0.elapsed().as_secs_f64() * 1e6;
-            crate::profile::record_step(sink, graph, step, si, None, us, false);
+            crate::profile::record_step(sink, graph, step, si, us, false);
         }
     }
     Ok(())

@@ -3,13 +3,14 @@
 //!
 //! The paper's recipe is *enumerate → measure → select*; the offline half
 //! lives in [`crate::sweep`] / [`crate::selection`]. This module closes
-//! the loop at runtime: a [`PlanProfiler`] rides along the interpreter
-//! entry points ([`crate::plan::execute_plan`],
-//! [`crate::sanitize::execute_plan_parallel`]) via
-//! [`crate::plan::ExecOptions::profiler`], recording per-step wall-clock
-//! time against the *static* movement accounting (the exact word counts
-//! [`crate::analyze::audit`] charges, cross-checked against the symbolic
-//! footprints of [`crate::sanitize::step_footprint`]). From time and
+//! the loop at runtime: a [`PlanProfiler`] observes whichever executor the
+//! plan runs on anyway ([`crate::arena::route`]) via
+//! [`crate::plan::ExecOptions::profiler`] — the arena writes per-step and
+//! per-wave wall times into slots of its own and hands them over after the
+//! run ([`record_arena_timings`]), the reference interpreter records around
+//! each step — against the *static* movement accounting (the exact word
+//! counts [`crate::analyze::audit`] charges, cross-checked against the
+//! symbolic footprints of [`crate::sanitize::step_footprint`]). From time and
 //! bytes it derives achieved bandwidth and a **measured MUE**
 //! (`Q/D · B/B̂ · 100`, Sec. III-C) per step, per operator class, and per
 //! plan — the measured mirror of the static audit.
@@ -25,24 +26,22 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use xform_dataflow::{flops, Graph, NodeId, OpClass};
 use xform_gpusim::mue::{Mue, MueAccum};
 use xform_gpusim::opmodel::OpConfig;
 use xform_gpusim::{DeviceSpec, KernelCost};
 use xform_tensor::{Result, TensorError};
 
+use crate::arena::{ArenaArtifact, Route};
 use crate::plan::{
-    execute_plan, random_externals, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode,
+    random_externals, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode,
 };
-use crate::sanitize::{execute_plan_parallel, step_footprint, ParallelOptions, RaceCertificate};
+use crate::sanitize::step_footprint;
 use crate::selection::{select_forward_cost, CostModel, Selection};
 use crate::sweep::{sweep_all, PerfSource, SweepOptions};
 
-/// The sink type the interpreters record into: a [`PlanProfiler`] behind a
-/// mutex, so the wave-parallel interpreter's scoped workers can all report
-/// into one profiler.
+/// The sink type the executors record into: a [`PlanProfiler`] behind a
+/// mutex, so it can sit in a shared [`ExecOptions`].
 pub type ProfilerSink = Mutex<PlanProfiler>;
 
 /// One step's measured profile, merged across repeated runs (times keep
@@ -60,7 +59,7 @@ pub struct StepProfile {
     pub class: OpClass,
     /// Whether the serial interpreter can run this step standalone.
     pub interpretable: bool,
-    /// Wave index, when recorded by the wave-parallel interpreter.
+    /// Wave index, when recorded by a wave-parallel arena run.
     pub wave: Option<usize>,
     /// Best (minimum) measured wall-clock time across runs, µs.
     pub time_us: f64,
@@ -123,7 +122,7 @@ impl StepProfile {
     }
 }
 
-/// One wave's measured profile under the wave-parallel interpreter.
+/// One wave's measured profile under a wave-parallel arena run.
 #[derive(Debug, Clone)]
 pub struct WaveProfile {
     /// Wave index.
@@ -161,8 +160,8 @@ pub struct ClassProfile {
 /// the words [`crate::analyze::audit`] charges (graph memlets plus
 /// relayout traffic), so measured and static MUE differ only in the
 /// bandwidth term and are directly comparable. Time is *measured* —
-/// wall-clock around each [`crate::plan::execute_step`] dispatch, with
-/// repeated runs merged by minimum.
+/// wall-clock around each step's kernel on the executor the plan runs on,
+/// with repeated runs merged by minimum.
 ///
 /// One profiler instance expects records from one plan: step indices are
 /// the merge key, so replaying a *different* plan into the same sink mixes
@@ -173,6 +172,8 @@ pub struct PlanProfiler {
     /// formula) — calibrated at construction by the same contiguous-read
     /// microbench [`crate::cpusource::CpuSource`] uses.
     pub peak_bytes_per_us: f64,
+    /// The executor that reported the records: whichever ran the plan.
+    pub route: Option<Route>,
     steps: Vec<Option<StepProfile>>,
     waves: Vec<Option<WaveProfile>>,
 }
@@ -196,6 +197,7 @@ impl PlanProfiler {
     pub fn with_peak(peak_bytes_per_us: f64) -> Self {
         PlanProfiler {
             peak_bytes_per_us: peak_bytes_per_us.max(1e-6),
+            route: None,
             steps: Vec::new(),
             waves: Vec::new(),
         }
@@ -269,7 +271,7 @@ impl PlanProfiler {
         }
     }
 
-    /// Records one wave dispatch (wave-parallel interpreter), merging into
+    /// Records one wave dispatch (wave-parallel arena run), merging into
     /// any existing record by minimum wall time.
     pub fn record_wave(&mut self, wave: usize, steps: &[usize], workers: usize, wall_us: f64) {
         if self.waves.len() <= wave {
@@ -442,39 +444,65 @@ impl PlanProfiler {
     }
 }
 
-/// Locks `sink` and records one step execution; used by the interpreter
-/// hooks. A poisoned sink (a panicked worker) still records.
+/// Locks `sink` and records one step execution; the reference
+/// interpreter's hook. A poisoned sink still records.
 pub(crate) fn record_step(
     sink: &ProfilerSink,
     graph: &Graph,
     step: &PlanStep,
     si: usize,
-    wave: Option<usize>,
     time_us: f64,
     sanitized: bool,
 ) {
-    sink.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .record_step(graph, step, si, wave, time_us, sanitized);
+    let mut prof = sink
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    prof.route = Some(Route::Reference);
+    prof.record_step(graph, step, si, None, time_us, sanitized);
 }
 
-/// Locks `sink` and records one wave dispatch; used by the wave-parallel
-/// interpreter.
-pub(crate) fn record_wave(
+/// Folds the [`ArenaArtifact::Timings`] of one timed arena run of `plan`
+/// into `sink`: one step record per slot, charged the static byte account
+/// of `graph`, and — for a wave-parallel run — one wave record per wave.
+/// Any other artifact is ignored, so an arena sink can pass everything it
+/// sees.
+pub fn record_arena_timings(
     sink: &ProfilerSink,
-    wave: usize,
-    steps: &[usize],
-    workers: usize,
-    wall_us: f64,
+    graph: &Graph,
+    plan: &ExecutionPlan,
+    artifact: &ArenaArtifact<'_>,
 ) {
-    sink.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .record_wave(wave, steps, workers, wall_us);
+    let &ArenaArtifact::Timings {
+        step_us,
+        waves,
+        wave_us,
+        workers,
+        sanitized,
+    } = artifact
+    else {
+        return;
+    };
+    let mut prof = sink
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    prof.route = Some(Route::Arena);
+    let parallel = !wave_us.is_empty();
+    for (w, wave) in waves.iter().enumerate() {
+        for &si in wave {
+            let tag = parallel.then_some(w);
+            prof.record_step(graph, &plan.steps[si], si, tag, step_us[si], sanitized);
+        }
+        if parallel {
+            prof.record_wave(w, wave, workers.min(wave.len()), wave_us[w]);
+        }
+    }
 }
 
-/// Profiles `reps` serial executions of a plan against clones of `base`,
-/// merging per-step times by minimum. The sanitizer is forced off so
-/// timings measure the kernels, not the tracing shadow; dropout and the
+/// Profiles `reps` executions of a plan against clones of `base` on the
+/// executor its layouts route it to ([`crate::arena::execute`]; the
+/// returned profiler's `route` names it), at `opts.threads`, merging
+/// per-step (and per-wave) times by minimum. The sanitizer is forced off
+/// so timings measure the kernels, not the shadow checks; dropout and the
 /// other scalar knobs follow `opts`.
 ///
 /// # Errors
@@ -488,47 +516,14 @@ pub fn profile_plan(
     reps: usize,
 ) -> Result<PlanProfiler> {
     let sink: ProfilerSink = Mutex::new(PlanProfiler::new());
+    let run = opts
+        .to_builder()
+        .profiler(Some(&sink))
+        .sanitize(SanitizeMode::Off)
+        .build();
     for _ in 0..reps.max(1) {
         let mut state = base.clone();
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let run = opts
-            .to_builder()
-            .profiler(Some(&sink))
-            .sanitize(SanitizeMode::Off)
-            .build();
-        execute_plan(graph, plan, &mut state, &run, &mut rng)?;
-        std::hint::black_box(state.env.len());
-    }
-    Ok(sink
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner))
-}
-
-/// Profiles `reps` wave-parallel executions of a certified plan,
-/// recording per-step times *and* per-wave wall times (occupancy /
-/// imbalance). Same merge semantics as [`profile_plan`].
-///
-/// # Errors
-///
-/// Returns an error if the certificate is stale or any execution fails.
-pub fn profile_plan_parallel(
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    cert: &RaceCertificate,
-    base: &ExecState,
-    opts: &ExecOptions,
-    popts: &ParallelOptions,
-    reps: usize,
-) -> Result<PlanProfiler> {
-    let sink: ProfilerSink = Mutex::new(PlanProfiler::new());
-    for _ in 0..reps.max(1) {
-        let mut state = base.clone();
-        let run = opts
-            .to_builder()
-            .profiler(Some(&sink))
-            .sanitize(SanitizeMode::Off)
-            .build();
-        execute_plan_parallel(graph, plan, cert, &mut state, &run, popts)?;
+        crate::arena::execute(graph, plan, &mut state, &run)?;
         std::hint::black_box(state.env.len());
     }
     Ok(sink
@@ -699,7 +694,10 @@ impl Reselection {
 /// re-runs SSSP configuration selection with a [`ProfiledSource`] wrapping
 /// `fallback`, lowers and profiles the selected candidate on the same
 /// inputs, and adopts whichever plan measured faster (so the result's
-/// measured total is never worse than the natural plan's).
+/// measured total is never worse than the natural plan's). Each side is
+/// measured on the executor that would serve it if adopted: the natural
+/// plan on the arena, the candidate on whatever its layouts admit — the
+/// reference interpreter as soon as it carries one strided operand.
 ///
 /// `fwd_ops` are the forward operators to select over (execution order);
 /// `reps` runs are merged by minimum per step; `seed` fixes the random
@@ -892,7 +890,6 @@ mod tests {
     use super::*;
     use crate::fusion::{apply_plan, encoder_fusion_plan};
     use crate::recipe::forward_ops;
-    use crate::sanitize::certify;
     use crate::sweep::SimulatorSource;
     use xform_dataflow::{build, EncoderDims};
 
@@ -910,6 +907,7 @@ mod tests {
         let (g, plan, _) = fused_plan();
         let base = random_externals(&g, &plan, 3).unwrap();
         let prof = profile_plan(&g, &plan, &base, &ExecOptions::default(), 2).unwrap();
+        assert_eq!(prof.route, Some(Route::Arena));
         assert_eq!(prof.steps().count(), plan.steps.len());
         for s in prof.steps() {
             assert!(s.time_us > 0.0, "step {} has no time", s.step);
@@ -930,19 +928,12 @@ mod tests {
     #[test]
     fn parallel_profile_records_waves_with_sane_occupancy() {
         let (g, plan, _) = fused_plan();
-        let cert = certify(&g, &plan).unwrap();
+        let waves = crate::analyze::analyze(&g, &plan).parallel_waves();
         let base = random_externals(&g, &plan, 3).unwrap();
-        let prof = profile_plan_parallel(
-            &g,
-            &plan,
-            &cert,
-            &base,
-            &ExecOptions::default(),
-            &ParallelOptions::default(),
-            2,
-        )
-        .unwrap();
-        assert_eq!(prof.waves().count(), cert.waves.len());
+        let opts = ExecOptions::builder().threads(4).build();
+        let prof = profile_plan(&g, &plan, &base, &opts, 2).unwrap();
+        assert_eq!(prof.route, Some(Route::Arena));
+        assert_eq!(prof.waves().count(), waves.len());
         let covered: usize = prof.waves().map(|w| w.steps.len()).sum();
         assert_eq!(covered, plan.steps.len());
         for w in prof.waves() {

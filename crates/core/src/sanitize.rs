@@ -7,7 +7,7 @@
 //! pass verifies the declarations against what the `xform-tensor` kernels
 //! actually touch. Dispatching [`PlanAnalysis::parallel_waves`] across
 //! threads would turn any under-declared alias into a silent data race.
-//! This module closes that gap in three layers:
+//! This module closes that gap in two layers:
 //!
 //! * **Static certifier** — [`certify`] derives each kernel's access
 //!   footprint symbolically ([`step_footprint`]) from the graph's shapes,
@@ -30,27 +30,24 @@
 //!   footprints are checked for cross-thread conflicts — a
 //!   ThreadSanitizer for plans. `XFORM_SANITIZE=1` routes
 //!   [`crate::plan::execute_plan`] through this path.
-//! * **Wave-parallel interpreter** — [`execute_plan_parallel`] refuses to
-//!   run without a [`RaceCertificate`] matching the plan's fingerprint,
-//!   then dispatches each certified wave's steps across a scoped thread
-//!   pool, joining between waves.
 //!
-//! Why in-wave *relayout vs. read* pairs are safe (and everything else is
-//! not): every kernel addresses elements logically and is bitwise
-//! layout-invariant, and each parallel step snapshots its operands at
-//! step start — so a concurrent re-materialization changes only the
-//! physical order a reader might snapshot, never a value. Concurrent
-//! value-writes, write/read pairs, and double materializations all remain
-//! races and are rejected.
+//! The consumer of the wave proof is the arena
+//! ([`crate::arena::CompiledArena`]): compiling at
+//! [`ArenaGranularity::Waves`](crate::analyze::ArenaGranularity::Waves)
+//! runs [`certify_waves`] over the partition the arena is about to
+//! dispatch across its worker pool, and refuses the plan otherwise.
+//!
+//! Why in-wave *relayout vs. read* pairs are certified (and everything
+//! else is not): every kernel addresses elements logically and is bitwise
+//! layout-invariant, so a concurrent re-materialization changes only a
+//! physical order, never a value. Concurrent value-writes, write/read
+//! pairs, and double materializations all remain races and are rejected.
 //!
 //! [`PlanAnalysis::parallel_waves`]: crate::analyze::PlanAnalysis::parallel_waves
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use xform_dataflow::{Graph, NodeId, OpKind};
 use xform_tensor::{trace, Result, Tensor, TensorError};
@@ -245,8 +242,9 @@ pub fn plan_fingerprint(plan: &ExecutionPlan) -> u64 {
 }
 
 /// Proof that a plan's wave partition is free of data races: produced only
-/// by a clean [`certify`]/[`certify_waves`] pass, consumed by
-/// [`execute_plan_parallel`], and keyed to the plan by
+/// by a clean [`certify`]/[`certify_waves`] pass — the gate
+/// [`crate::arena::CompiledArena::compile`] holds a plan to before its
+/// waves reach the worker pool — and keyed to the plan by
 /// [`plan_fingerprint`] so it cannot be replayed against an edited
 /// schedule.
 #[derive(Debug, Clone)]
@@ -497,8 +495,7 @@ fn conflicts<'a>(a: &'a [Access], b: &'a [Access]) -> Vec<(&'a Access, &'a Acces
 
 /// Whether two overlapping accesses may run concurrently: reads commute,
 /// and a re-materialization is safe against reads (values unchanged,
-/// kernels layout-invariant, operands snapshotted per step). Everything
-/// else races.
+/// kernels layout-invariant). Everything else races.
 fn compatible(a: AccessKind, b: AccessKind) -> bool {
     use AccessKind::*;
     matches!(
@@ -716,7 +713,7 @@ pub fn execute_plan_sanitized<R: Rng + ?Sized>(
         ran?;
         if let (Some(sink), Some(t0)) = (opts.profiler, t0) {
             let us = t0.elapsed().as_secs_f64() * 1e6;
-            crate::profile::record_step(sink, graph, step, si, None, us, true);
+            crate::profile::record_step(sink, graph, step, si, us, true);
         }
 
         // observed partial reads must fall inside the derived spans
@@ -786,221 +783,6 @@ pub fn execute_plan_sanitized<R: Rng + ?Sized>(
         }
     }
     Ok(())
-}
-
-/// Thread count and RNG seed for [`execute_plan_parallel`].
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelOptions {
-    /// Worker threads per wave (clamped to at least 1; waves narrower
-    /// than this use one thread per step).
-    pub threads: usize,
-    /// Base seed for the per-step RNG streams. Each step draws from
-    /// `StdRng` seeded by `seed` mixed with the step index, so stochastic
-    /// kernels (dropout with `p > 0`) are deterministic for a given seed
-    /// at *any* thread count — though not bitwise-equal to a serial run
-    /// drawing from one shared stream. With `dropout_p = 0` no step draws
-    /// at all and parallel results are bitwise-equal to serial.
-    pub seed: u64,
-}
-
-impl Default for ParallelOptions {
-    fn default() -> Self {
-        ParallelOptions {
-            threads: 4,
-            seed: 0x5eed,
-        }
-    }
-}
-
-pub(crate) fn step_rng(seed: u64, si: usize) -> StdRng {
-    StdRng::seed_from_u64(seed ^ (si as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
-/// The wave-parallel interpreter: executes a certified plan by
-/// dispatching each wave's steps across a scoped thread pool, joining
-/// between waves. Refuses to run unless `cert` — the proof from
-/// [`certify`] — matches the plan's current [`plan_fingerprint`], so an
-/// edited schedule must be re-certified.
-///
-/// Each step snapshots its operands from the shared state under a lock,
-/// runs the unchanged serial kernel ([`execute_step`]) without the lock,
-/// and commits its outputs (and any re-materialized inputs) back under
-/// the lock. The certificate guarantees no two steps of a wave have
-/// conflicting footprints, so commits never collide. Results are
-/// bitwise-equal to serial [`crate::plan::execute_plan`] when
-/// `opts.dropout_p == 0` (see [`ParallelOptions::seed`] for the
-/// stochastic case), at any thread count.
-///
-/// # Errors
-///
-/// Returns an error if the certificate does not match the plan or any
-/// step fails; on failure the remaining steps of the wave are abandoned.
-pub fn execute_plan_parallel(
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    cert: &RaceCertificate,
-    state: &mut ExecState,
-    opts: &ExecOptions,
-    popts: &ParallelOptions,
-) -> Result<()> {
-    if cert.plan_hash != plan_fingerprint(plan) {
-        return Err(TensorError::Unsupported(
-            "race certificate does not match this plan — re-certify after editing a schedule"
-                .into(),
-        ));
-    }
-    if let Some(arena) = opts.arena {
-        let sanitize = match opts.sanitize {
-            crate::plan::SanitizeMode::Off => false,
-            crate::plan::SanitizeMode::On => true,
-            crate::plan::SanitizeMode::Env => crate::arena::env_sanitize_cached(),
-        };
-        if opts.profiler.is_none()
-            && arena.granularity() == crate::analyze::ArenaGranularity::Waves
-            && arena.matches(plan)
-        {
-            let run = crate::arena::ArenaRun {
-                dropout_p: opts.dropout_p,
-                activation: opts.activation,
-                scaler: opts.scaler,
-                seed: popts.seed,
-                threads: popts.threads.max(1),
-                sanitize,
-                pos: opts.pos,
-            };
-            match arena.run_with_state(state, &run)? {
-                crate::arena::ArenaOutcome::Ran => return Ok(()),
-                crate::arena::ArenaOutcome::Busy => {}
-            }
-        }
-    }
-    let threads = popts.threads.max(1);
-    let shared = Mutex::new(std::mem::take(state));
-    let mut first_err: Option<TensorError> = None;
-
-    'waves: for (w, wave) in cert.waves.iter().enumerate() {
-        let workers = threads.min(wave.len());
-        let wave_t0 = opts.profiler.map(|_| std::time::Instant::now());
-        if workers <= 1 {
-            for &si in wave {
-                let Some(step) = plan.steps.get(si) else {
-                    first_err = Some(TensorError::Unsupported(format!(
-                        "certificate wave references step {si} beyond the schedule"
-                    )));
-                    break 'waves;
-                };
-                let mut rng = step_rng(popts.seed, si);
-                let mut guard = shared.lock().expect("interpreter state poisoned");
-                let t0 = opts.profiler.map(|_| std::time::Instant::now());
-                if let Err(e) = execute_step(graph, step, &mut guard, opts, &mut rng) {
-                    first_err = Some(e);
-                    break 'waves;
-                }
-                drop(guard);
-                if let (Some(sink), Some(t0)) = (opts.profiler, t0) {
-                    let us = t0.elapsed().as_secs_f64() * 1e6;
-                    crate::profile::record_step(sink, graph, step, si, Some(w), us, false);
-                }
-            }
-            if let (Some(sink), Some(t0)) = (opts.profiler, wave_t0) {
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                crate::profile::record_wave(sink, w, wave, workers, us);
-            }
-            continue;
-        }
-
-        let counter = AtomicUsize::new(0);
-        let failed: Mutex<Option<TensorError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if failed.lock().expect("failure flag poisoned").is_some() {
-                        break;
-                    }
-                    let i = counter.fetch_add(1, Ordering::Relaxed);
-                    let Some(&si) = wave.get(i) else { break };
-                    let Some(step) = plan.steps.get(si) else {
-                        *failed.lock().expect("failure flag poisoned") =
-                            Some(TensorError::Unsupported(format!(
-                                "certificate wave references step {si} beyond the schedule"
-                            )));
-                        break;
-                    };
-                    let mut rng = step_rng(popts.seed, si);
-
-                    // snapshot declared operands under the lock
-                    let mut local = ExecState::default();
-                    {
-                        let guard = shared.lock().expect("interpreter state poisoned");
-                        for name in step
-                            .inputs
-                            .iter()
-                            .map(|o| &o.name)
-                            .chain(step.relayouts.iter().map(|r| &r.name))
-                        {
-                            if let Some(t) = guard.env.get(name) {
-                                local.env.entry(name.clone()).or_insert_with(|| t.clone());
-                            }
-                        }
-                    }
-
-                    let t0 = opts.profiler.map(|_| std::time::Instant::now());
-                    match execute_step(graph, step, &mut local, opts, &mut rng) {
-                        Ok(()) => {
-                            if let (Some(sink), Some(t0)) = (opts.profiler, t0) {
-                                let us = t0.elapsed().as_secs_f64() * 1e6;
-                                crate::profile::record_step(
-                                    sink,
-                                    graph,
-                                    step,
-                                    si,
-                                    Some(w),
-                                    us,
-                                    false,
-                                );
-                            }
-                            let mut guard = shared.lock().expect("interpreter state poisoned");
-                            for r in &step.relayouts {
-                                if let Some(t) = local.env.remove(&r.name) {
-                                    guard.env.insert(r.name.clone(), t);
-                                }
-                            }
-                            for o in &step.outputs {
-                                if let Some(t) = local.env.remove(&o.name) {
-                                    guard.env.insert(o.name.clone(), t);
-                                }
-                            }
-                            for (k, v) in local.stats.drain() {
-                                guard.stats.insert(k, v);
-                            }
-                        }
-                        Err(e) => {
-                            let mut f = failed.lock().expect("failure flag poisoned");
-                            if f.is_none() {
-                                *f = Some(e);
-                            }
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        if let (Some(sink), Some(t0)) = (opts.profiler, wave_t0) {
-            let us = t0.elapsed().as_secs_f64() * 1e6;
-            crate::profile::record_wave(sink, w, wave, workers, us);
-        }
-        let wave_err = failed.lock().expect("failure flag poisoned").take();
-        if let Some(e) = wave_err {
-            first_err = Some(e);
-            break 'waves;
-        }
-    }
-
-    *state = shared.into_inner().expect("interpreter state poisoned");
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
 }
 
 #[cfg(test)]
@@ -1098,56 +880,6 @@ mod tests {
             stacked.span.lo > 0 && stacked.span.hi < total,
             "K is the middle third"
         );
-    }
-
-    #[test]
-    fn parallel_execution_is_bitwise_equal_to_serial() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        for (g, plan) in [unfused_plan(), fused_plan()] {
-            let mut serial = random_externals(&g, &plan, 11).unwrap();
-            let mut rng = StdRng::seed_from_u64(3);
-            crate::plan::execute_plan(&g, &plan, &mut serial, &opts(), &mut rng).unwrap();
-
-            let cert = certify(&g, &plan).unwrap();
-            for threads in [1, 3, 8] {
-                let mut par = random_externals(&g, &plan, 11).unwrap();
-                execute_plan_parallel(
-                    &g,
-                    &plan,
-                    &cert,
-                    &mut par,
-                    &opts(),
-                    &ParallelOptions { threads, seed: 7 },
-                )
-                .unwrap();
-                for (name, t) in &serial.env {
-                    let p = par.env.get(name).expect("parallel produced the container");
-                    assert_eq!(t.data(), p.data(), "`{name}` differs at {threads} threads");
-                    assert_eq!(t.layout(), p.layout(), "`{name}` layout differs");
-                }
-                assert_eq!(serial.stats.len(), par.stats.len());
-            }
-        }
-    }
-
-    #[test]
-    fn stale_certificate_is_refused() {
-        let (g, plan) = unfused_plan();
-        let cert = certify(&g, &plan).unwrap();
-        let mut edited = plan.clone();
-        edited.steps.pop();
-        let mut state = random_externals(&g, &edited, 1).unwrap();
-        let err = execute_plan_parallel(
-            &g,
-            &edited,
-            &cert,
-            &mut state,
-            &opts(),
-            &ParallelOptions::default(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("certificate"), "{err}");
     }
 
     #[test]

@@ -159,9 +159,10 @@ proptest! {
 }
 
 // The tampered plans above must be rejected by the production entry
-// points too: `execute_plan` gates on the same error lints the certifier
-// aggregates, and `execute_plan_parallel` only accepts a certificate —
-// which the corrupted plans can never obtain.
+// points too: the reference interpreter gates every call on the same error
+// lints the certifier aggregates, and the arena — where these
+// natural-layout plans route — holds them to that gate, plus the wave
+// proof, before it compiles anything.
 #[test]
 fn corrupted_plans_cannot_reach_execution() {
     use rand::Rng;
@@ -177,6 +178,12 @@ fn corrupted_plans_cannot_reach_execution() {
         let err = xform_core::plan::execute_plan(&g, plan, &mut state, &opts(), &mut rng)
             .expect_err("the serial interpreter refuses error-lint plans");
         assert!(err.to_string().contains("invalid execution plan"), "{err}");
+        for threads in [1, 4] {
+            let run = opts().to_builder().threads(threads).build();
+            let err = xform_core::arena::execute(&g, plan, &mut state, &run)
+                .expect_err("the arena refuses error-lint plans at compile");
+            assert!(err.to_string().contains("invalid execution plan"), "{err}");
+        }
         assert!(certify(&g, plan).is_err());
     }
 }

@@ -40,6 +40,21 @@ pub enum TensorError {
     /// A dropout probability outside `[0, 1)` (the offending value, as
     /// text: the error type is `Eq`).
     InvalidDropout(String),
+    /// An execution was not handed an external container its plan reads:
+    /// the binder does not know the name, or offered a different number of
+    /// words than the container holds.
+    UnboundExternal {
+        /// The container's name in the plan's graph.
+        container: String,
+        /// Words the plan's container holds.
+        words: usize,
+    },
+    /// More than one thread was asked of an executor compiled for serial
+    /// order (its memory plan lets the buffers of one wave share words).
+    SerialOnly {
+        /// The thread count requested.
+        threads: usize,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -68,6 +83,18 @@ impl fmt::Display for TensorError {
             TensorError::InvalidDropout(p) => {
                 write!(f, "dropout probability {p} is outside [0, 1)")
             }
+            TensorError::UnboundExternal { container, words } => {
+                write!(
+                    f,
+                    "external container `{container}` ({words} words) was not bound"
+                )
+            }
+            TensorError::SerialOnly { threads } => {
+                write!(
+                    f,
+                    "an executor compiled for serial order was asked for {threads} threads"
+                )
+            }
         }
     }
 }
@@ -94,6 +121,11 @@ mod tests {
             TensorError::SizeConflict(Axis('k')),
             TensorError::Unsupported("x".into()),
             TensorError::InvalidDropout("1.5".into()),
+            TensorError::UnboundExternal {
+                container: "w1".into(),
+                words: 8,
+            },
+            TensorError::SerialOnly { threads: 4 },
         ];
         for e in cases {
             let s = e.to_string();

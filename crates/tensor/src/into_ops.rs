@@ -1133,7 +1133,7 @@ mod tests {
         .unwrap()
     }
 
-    fn run_plan(plan: &ContractPlan, a: &Tensor, b: &Tensor, words: usize) -> Vec<f32> {
+    fn drive(plan: &ContractPlan, a: &Tensor, b: &Tensor, words: usize) -> Vec<f32> {
         let mut out = vec![f32::NAN; words];
         let mut scratch = vec![f32::NAN; plan.scratch_words()];
         contract_into(plan, a.data(), b.data(), &mut out, &mut scratch);
@@ -1159,14 +1159,10 @@ mod tests {
         // row-major operands: every group collapses, nothing is packed
         assert!(plan.a.view.is_some() && plan.b.view.is_some() && plan.c.view.is_some());
         assert_eq!(plan.scratch_words(), 0);
-        assert_bits("views", &run_plan(&plan, &a, &b, want.len()), want.data());
+        assert_bits("views", &drive(&plan, &a, &b, want.len()), want.data());
         let packed = gathered(&plan);
         assert_eq!(packed.scratch_words(), 4 * (4 * 3 + 3 * 5 + 4 * 5));
-        assert_bits(
-            "gathers",
-            &run_plan(&packed, &a, &b, want.len()),
-            want.data(),
-        );
+        assert_bits("gathers", &drive(&packed, &a, &b, want.len()), want.data());
     }
 
     /// The compiler keeps the operand order whose C has unit column
@@ -1239,13 +1235,13 @@ mod tests {
         assert!(plan.a.view.is_some() && plan.c.view.is_some());
         assert_eq!(plan.scratch_words(), kk.len());
         let want = naive_einsum(&spec, &[&kk, &qq]).unwrap();
-        let got = run_plan(&plan, &kk, &qq, want.len());
+        let got = drive(&plan, &kk, &qq, want.len());
         for (g, w) in got.iter().zip(want.data()) {
             assert!((g - w).abs() < 1e-4);
         }
         assert_bits(
             "gathers",
-            &run_plan(&gathered(&plan), &kk, &qq, want.len()),
+            &drive(&gathered(&plan), &kk, &qq, want.len()),
             &got,
         );
         // size-1 axes never block a collapse

@@ -17,7 +17,7 @@
 //! 3. **attend** — the [`crate::interp::PlanKind::DecoderStep`] plan
 //!    forms scores against the whole cache (capacity `C`), masks columns
 //!    past `pos` to exact `0.0` via the position-shifted causal softmax
-//!    ([`xform_core::arena::ArenaRun::pos`]), and runs the rest of the
+//!    ([`xform_core::plan::ExecOptions::pos`]), and runs the rest of the
 //!    block. The caches are [`xform_dataflow::DataRole::Cache`] inputs:
 //!    live-in/live-out of every run, never recolored over, provably never
 //!    written by any plan step ([`xform_core::access::certify_decode`]).
@@ -37,15 +37,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xform_core::access::{certify_decode, column_span, DecodeCertificate};
-use xform_core::analyze::{analyze, ArenaGranularity};
-use xform_core::arena::{ArenaArtifact, ArenaOutcome, ArenaRun, CompiledArena};
-use xform_core::plan::ExecOptions;
+use xform_core::analyze::{analyze, ArenaGranularity, PlanAnalysis};
+use xform_core::arena::{ArenaArtifact, CompiledArena};
+use xform_core::plan::{ExecOptions, ExecState};
 use xform_dataflow::EncoderDims;
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::elementwise::{bias_add, ActivationKind};
-use xform_tensor::{into_ops, Result, Shape, Tensor, TensorError};
+use xform_tensor::{Result, Shape, Tensor, TensorError};
 
-use crate::interp::{self, bind_inputs, run_plan, PlanKind};
+use crate::interp::{self, PlanKind, PlannedForward};
 use crate::model::TransformerModel;
 use crate::params::EncoderWeights;
 
@@ -139,6 +139,18 @@ fn round_up(n: usize, quantum: usize) -> usize {
 
 fn unsupported(msg: impl Into<String>) -> TensorError {
     TensorError::Unsupported(msg.into())
+}
+
+/// An arena the session owns: compiled for it, dropped with it, never
+/// shared through the global memo — each layer's attend slab holds that
+/// layer's cache, and a prefill arena is as wide as one prompt.
+fn session_arena(
+    pf: &PlannedForward,
+    analysis: &PlanAnalysis,
+    granularity: ArenaGranularity,
+) -> Result<CompiledArena> {
+    CompiledArena::compile(&pf.graph, &pf.plan, analysis, granularity)?
+        .ok_or_else(|| unsupported("canned decode plans are in natural layout"))
 }
 
 impl<'m> DecodeSession<'m> {
@@ -277,17 +289,9 @@ impl<'m> DecodeSession<'m> {
             ))
         })?;
         let analysis = analyze(&plan.graph, &plan.plan);
-        let mut arenas = Vec::with_capacity(self.model.blocks.len());
-        for _ in 0..self.model.blocks.len() {
-            let arena = CompiledArena::compile(
-                &plan.graph,
-                &plan.plan,
-                &analysis,
-                ArenaGranularity::Serial,
-            )?
-            .ok_or_else(|| unsupported("decode attend plan is not arena-compilable"))?;
-            arenas.push(arena);
-        }
+        let arenas = (0..self.model.blocks.len())
+            .map(|_| session_arena(&plan, &analysis, ArenaGranularity::Serial))
+            .collect::<Result<Vec<_>>>()?;
         Ok(AttendBucket {
             cert,
             arenas,
@@ -300,20 +304,19 @@ impl<'m> DecodeSession<'m> {
         let dims = self.step_dims(1);
         let plan = interp::cached_plan(&dims, PlanKind::DecoderStepProject)?;
         let analysis = analyze(&plan.graph, &plan.plan);
-        CompiledArena::compile(&plan.graph, &plan.plan, &analysis, ArenaGranularity::Serial)?
-            .ok_or_else(|| unsupported("decode project plan is not arena-compilable"))
+        session_arena(&plan, &analysis, ArenaGranularity::Serial)
     }
 
-    fn arena_run(&self) -> ArenaRun {
-        ArenaRun {
-            dropout_p: 0.0,
-            activation: ActivationKind::Gelu,
-            scaler: self.scaler,
-            seed: 0,
-            threads: 1,
-            sanitize: xform_core::arena::env_sanitize_cached(),
-            pos: self.pos,
-        }
+    /// The run configuration of every decode execution: no dropout, the
+    /// block's GELU and attention scale, `threads` workers, causal windows
+    /// shifted to the current position.
+    fn exec_options(&self, threads: usize) -> ExecOptions<'static> {
+        ExecOptions::builder()
+            .activation(ActivationKind::Gelu)
+            .scaler(self.scaler)
+            .threads(threads)
+            .pos(self.pos)
+            .build()
     }
 
     /// Runs the prompt through every layer with the full-width
@@ -365,19 +368,19 @@ impl<'m> DecodeSession<'m> {
         prefill_dims.k = s;
         let pf = interp::cached_plan(&prefill_dims, PlanKind::DecoderPrefill)?;
 
+        let granularity = interp::granularity_for(self.threads);
+        let prefill = session_arena(&pf, &analyze(&pf.graph, &pf.plan), granularity)?;
+
         let capacity = round_up(s + 1, self.bucket);
         let bucket = self.build_bucket(capacity)?;
         let project = self.build_project()?;
 
-        let opts = ExecOptions::builder()
-            .activation(ActivationKind::Gelu)
-            .scaler(self.scaler)
-            .threads(self.threads)
-            .build();
+        let opts = self.exec_options(self.threads);
         let mut h = x;
         for (l, w) in self.model.blocks.iter().enumerate() {
-            let mut state = bind_inputs(&h, w)?;
-            run_plan(&pf.graph, &pf.plan, Some(&pf.cert), &mut state, &opts)?;
+            let mut state = ExecState::default();
+            let mut bind = |name: &str, dst: &mut [f32]| interp::bind_external(name, dst, &h, w);
+            prefill.execute_into_state(&pf.graph, &pf.plan, &opts, &mut bind, &mut state)?;
             // seed this layer's cache columns from the saved projections:
             // kk [p,h,b,k] → k_cache column k = contiguous [p,h,b]
             let kk = state.get("kk")?;
@@ -456,8 +459,8 @@ impl<'m> DecodeSession<'m> {
     /// # Errors
     ///
     /// Returns an error before prefill, past `max_seq`, on a bad token
-    /// id, or if an arena invariant breaks (busy buffers, missing
-    /// outputs).
+    /// id, or if an arena invariant breaks (an unbound external, a missing
+    /// output).
     pub fn advance(&mut self, tokens: &[usize]) -> Result<&Tensor> {
         if self.attend.is_none() {
             return Err(unsupported("call prefill before advance"));
@@ -479,7 +482,7 @@ impl<'m> DecodeSession<'m> {
                 context: "decode step batch",
             });
         }
-        let run = self.arena_run();
+        let run = self.exec_options(1);
         {
             let out = &mut self.h_cur;
             for (b, &t) in tokens.iter().enumerate() {
@@ -517,12 +520,7 @@ impl<'m> DecodeSession<'m> {
                         }
                     }
                 };
-                match project.execute_bound(&run, &mut bind, &mut sink)? {
-                    ArenaOutcome::Ran => {}
-                    ArenaOutcome::Busy => {
-                        return Err(unsupported("decode project arena busy"));
-                    }
-                }
+                project.execute_bound(&run, &mut bind, &mut sink)?;
             }
             // phase 2: append the new cache columns at `pos` under the
             // decode certificate's bounds-checked column license
@@ -556,14 +554,9 @@ impl<'m> DecodeSession<'m> {
                         }
                     }
                 };
-                match arena.execute_bound(&run, &mut bind, &mut sink)? {
-                    ArenaOutcome::Ran if wrote => {}
-                    ArenaOutcome::Ran => {
-                        return Err(unsupported("attend arena produced no `y`"));
-                    }
-                    ArenaOutcome::Busy => {
-                        return Err(unsupported("decode attend arena busy"));
-                    }
+                arena.execute_bound(&run, &mut bind, &mut sink)?;
+                if !wrote {
+                    return Err(unsupported("attend arena produced no `y`"));
                 }
             }
             std::mem::swap(&mut self.h_cur, &mut self.h_next);
@@ -685,11 +678,11 @@ impl<'m> DecodeSession<'m> {
     }
 }
 
-/// Shared external-bind logic for the decode step arenas: the hidden
-/// column `x`, the optional projected `qq` column, the stacked `w_qkv`
-/// region, and every per-layer weight. Returning `false` for the cache
-/// containers keeps their resident slab contents (the whole point of
-/// [`xform_dataflow::DataRole::Cache`]).
+/// External binding for the decode step arenas: the projected `qq`
+/// column, and everything a full forward binds — the hidden column `x`,
+/// the stacked `w_qkv`, every per-layer weight — through the layers' one
+/// table. Returning `false` for the cache containers keeps their resident
+/// slab contents (the whole point of [`xform_dataflow::DataRole::Cache`]).
 fn bind_weight(
     name: &str,
     dst: &mut [f32],
@@ -697,45 +690,13 @@ fn bind_weight(
     qq: Option<&[f32]>,
     w: &EncoderWeights,
 ) -> bool {
-    let src: &Tensor = match name {
-        "k_cache" | "v_cache" => return false,
-        "x" => x,
-        "qq" => {
-            let Some(q) = qq else { return false };
-            if q.len() != dst.len() {
-                return false;
-            }
+    match (name, qq) {
+        ("k_cache" | "v_cache", _) => false,
+        ("qq", Some(q)) if q.len() == dst.len() => {
             dst.copy_from_slice(q);
-            return true;
+            true
         }
-        "w_qkv" => {
-            let (nq, nk) = (w.wq.len(), w.wk.len());
-            if dst.len() != nq + nk + w.wv.len() {
-                return false;
-            }
-            into_ops::copy_tensor_into(&w.wq, &mut dst[..nq]);
-            into_ops::copy_tensor_into(&w.wk, &mut dst[nq..nq + nk]);
-            into_ops::copy_tensor_into(&w.wv, &mut dst[nq + nk..]);
-            return true;
-        }
-        "bq" => &w.bq,
-        "bk" => &w.bk,
-        "bv" => &w.bv,
-        "wo" => &w.wo,
-        "bo" => &w.bo,
-        "ln1_gamma" => &w.ln1_gamma,
-        "ln1_beta" => &w.ln1_beta,
-        "w1" => &w.w1,
-        "b1" => &w.b1,
-        "w2" => &w.w2,
-        "b2" => &w.b2,
-        "ln2_gamma" => &w.ln2_gamma,
-        "ln2_beta" => &w.ln2_beta,
-        _ => return false,
-    };
-    if src.len() != dst.len() {
-        return false;
+        ("qq", _) => false,
+        _ => interp::bind_external(name, dst, x, w),
     }
-    into_ops::copy_tensor_into(src, dst);
-    true
 }

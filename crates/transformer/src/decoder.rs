@@ -13,11 +13,11 @@ use xform_tensor::ops::layernorm::{
 };
 use xform_tensor::{einsum, Axis, Result, Tensor, TensorError};
 
-use crate::interp::{self, bind_inputs, finish, run_plan, ForwardOutput};
+use crate::interp::{self, finish, ForwardOutput};
 use crate::params::{EncoderGrads, EncoderWeights};
 
-/// Assembles the decoder's saved activations out of a finished
-/// interpreter environment.
+/// Assembles the decoder's saved activations out of what a forward
+/// produced.
 fn collect_decoder_activations(mut state: ExecState) -> Result<(Tensor, DecoderActivations)> {
     let missing = |name: &str| {
         TensorError::Unsupported(format!(
@@ -150,58 +150,37 @@ impl DecoderLayer {
 
     /// Forward propagation: `x` (`[i,b,j]`) → `y` (`[i,b,j]`) plus saved
     /// activations, with the same unified [`ExecOptions`]-driven surface
-    /// as [`crate::encoder::EncoderLayer::forward`]: `threads` picks the
-    /// serial or the certified wave-parallel interpreter (the decoder's
-    /// canned plan carries its certificate, so the block parallelizes like
-    /// the encoder), [`ExecOptions::plan`] substitutes an arbitrary plan
-    /// over the decoder graph, `collect_activations` / `profiler` /
-    /// `sanitize` behave identically. The layer-owned scalar knobs
-    /// (`dropout_p`, `activation`, attention scale) come from the layer.
+    /// as [`crate::encoder::EncoderLayer::forward`], option for option: the
+    /// block's canned plan runs out of its static arena at any `threads`,
+    /// [`ExecOptions::plan`] substitutes an arbitrary plan over the decoder
+    /// graph and is routed by its layouts, `collect_activations` /
+    /// `profiler` / `sanitize` behave identically. The layer-owned scalar
+    /// knobs (`dropout_p`, `activation`, attention scale) come from the
+    /// layer.
     ///
     /// # Errors
     ///
     /// Returns an error if the block's `dropout_p` is outside `[0, 1)`,
-    /// `x` has the wrong shape, the plan fails validation, a parallel run
-    /// lacks a certificate, or a kernel rejects its operands.
+    /// `x` has the wrong shape, the plan fails its lint gate or
+    /// certification, or a kernel rejects its operands.
     pub fn forward(
         &self,
         x: &Tensor,
         w: &EncoderWeights,
         opts: &ExecOptions,
     ) -> Result<ForwardOutput<DecoderActivations>> {
-        let cached;
-        let (graph, plan, cert) = match opts.plan {
-            Some(o) => (o.graph, o.plan, o.cert),
-            None => {
-                cached = interp::cached_plan(&self.dims, self.plan_kind())?;
-                (&cached.graph, &cached.plan, Some(&cached.cert))
-            }
-        };
-        let mut state = bind_inputs(x, w)?;
-        let arena;
-        let mut run_opts = self.exec_options(opts)?;
-        if opts.plan.is_none() && opts.profiler.is_none() {
-            if let Some(a) = interp::cached_arena(
-                &self.dims,
-                self.plan_kind(),
-                interp::granularity_for(opts.threads),
-            )? {
-                arena = a;
-                run_opts.arena = Some(&arena);
-            }
-        }
-        run_plan(graph, plan, cert, &mut state, &run_opts)?;
+        let run = self.exec_options(opts)?;
+        let state = interp::forward_state(&self.dims, self.plan_kind(), x, w, &run)?;
         finish(state, opts.collect_activations, collect_decoder_activations)
     }
 
     /// Forward propagation into a caller-provided output tensor — the
     /// steady-state zero-allocation entry point, mirroring
-    /// [`crate::encoder::EncoderLayer::forward_into`]: after warmup the
-    /// call executes the decoder's canned plan out of its static arena
-    /// and copies `y` into the caller's dense row-major `[i,b,j]` buffer
-    /// without heap allocation, falling back transparently to the
-    /// allocating [`DecoderLayer::forward`] when the arena is
-    /// unavailable. Saved activations are not assembled.
+    /// [`crate::encoder::EncoderLayer::forward_into`]: same plan, same
+    /// executor and same values as [`DecoderLayer::forward`], no saved
+    /// activations, and after warmup no heap allocation while the block
+    /// runs its canned plan out of its static arena into the caller's
+    /// dense row-major `[i,b,j]` buffer.
     ///
     /// # Errors
     ///
@@ -214,24 +193,8 @@ impl DecoderLayer {
         opts: &ExecOptions,
         y: &mut Tensor,
     ) -> Result<()> {
-        let merged = self.exec_options(opts)?;
-        if opts.plan.is_none()
-            && opts.profiler.is_none()
-            && interp::arena_forward_into(&self.dims, self.plan_kind(), x, w, &merged, y)?
-        {
-            return Ok(());
-        }
-        let fallback = opts.to_builder().collect_activations(false).build();
-        let out = self.forward(x, w, &fallback)?;
-        if out.y.len() != y.len() {
-            return Err(TensorError::Unsupported(format!(
-                "output tensor holds {} words; the layer produced {}",
-                y.len(),
-                out.y.len(),
-            )));
-        }
-        xform_tensor::into_ops::copy_tensor_into(&out.y, y.data_mut());
-        Ok(())
+        let run = self.exec_options(opts)?;
+        interp::forward_into(&self.dims, self.plan_kind(), x, w, &run, y)
     }
 
     /// Backpropagation: `(dx, weight gradients)` from the output gradient.

@@ -2,25 +2,23 @@
 //! backward, with a reference (unfused) and a fused executor.
 //!
 //! Since the plan-driven refactor both executors are *canned execution
-//! plans* run by the schedule interpreter of [`xform_core::plan`]: the
-//! reference executor is the unfused dataflow graph with natural layouts
-//! (the eager per-operator execution of the PyTorch baseline), the fused
-//! executor the same graph with the paper's fusion plan applied, one step
-//! per fused kernel. The single entry point
-//! [`EncoderLayer::forward`] is driven entirely by
-//! [`ExecOptions`]: `threads` picks the serial or the certified
-//! wave-parallel interpreter, [`ExecOptions::plan`] substitutes *any*
-//! plan over the encoder graph — in particular one lowered from the
-//! recipe's SSSP layout selection — and
-//! [`ExecOptions::profiler`] attaches a runtime profiler, so the
-//! optimized configuration runs through exactly the same code path. Both
-//! canned executors compute identical values (equivalence is tested with
-//! dropout disabled, and backward is bit-for-bit given the same saved
-//! masks).
+//! plans*: the reference executor is the unfused dataflow graph with
+//! natural layouts (the eager per-operator execution of the PyTorch
+//! baseline), the fused executor the same graph with the paper's fusion
+//! plan applied, one step per fused kernel. The single entry point
+//! [`EncoderLayer::forward`] is driven entirely by [`ExecOptions`], and
+//! which interpreter runs is a property of the plan alone
+//! ([`xform_core::arena::route`]): the canned plans, in natural layout, run
+//! out of the static arena at any thread count, sanitized or not, profiled
+//! or not; [`ExecOptions::plan`] substitutes *any* plan over the encoder
+//! graph — in particular one lowered from the recipe's SSSP layout
+//! selection, which runs on the reference interpreter as soon as it
+//! carries a strided operand. Both canned executors compute identical
+//! values (equivalence is tested with dropout disabled, and backward is
+//! bit-for-bit given the same saved masks).
 
-use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
-use xform_core::sanitize::RaceCertificate;
-use xform_dataflow::{EncoderDims, Graph};
+use xform_core::plan::{ExecOptions, ExecState};
+use xform_dataflow::EncoderDims;
 use xform_tensor::fused::{self, BdrlnOutput, BrdOutput, SmOutput};
 use xform_tensor::ops::dropout::dropout_backward;
 use xform_tensor::ops::elementwise::{activate_backward, add, bias_grad, scale, ActivationKind};
@@ -28,7 +26,7 @@ use xform_tensor::ops::layernorm::{layernorm_backward_input, layernorm_backward_
 use xform_tensor::ops::softmax::softmax_backward;
 use xform_tensor::{einsum, Axis, Result, Tensor};
 
-use crate::interp::{self, bind_inputs, finish, run_plan, ForwardOutput, PlannedForward};
+use crate::interp::{self, finish, ForwardOutput};
 use crate::params::{EncoderGrads, EncoderWeights};
 
 fn missing_stats(name: &str) -> xform_tensor::TensorError {
@@ -37,8 +35,7 @@ fn missing_stats(name: &str) -> xform_tensor::TensorError {
     ))
 }
 
-/// Assembles the saved activations out of a finished interpreter
-/// environment (shared by the serial and the wave-parallel forward).
+/// Assembles the saved activations out of what a forward produced.
 fn collect_activations(mut state: ExecState) -> Result<(Tensor, Activations)> {
     let stats1 = state
         .stats
@@ -161,11 +158,6 @@ impl EncoderLayer {
         }
     }
 
-    /// The layer's canned plan for its executor kind.
-    fn planned(&self) -> Result<std::sync::Arc<PlannedForward>> {
-        interp::cached_plan(&self.dims, self.plan_kind())
-    }
-
     /// The caller's run configuration with the layer-owned scalar knobs
     /// merged in (and `dropout_p` range-checked).
     fn exec_options<'p>(&self, opts: &ExecOptions<'p>) -> Result<ExecOptions<'p>> {
@@ -173,23 +165,35 @@ impl EncoderLayer {
     }
 
     /// Runs forward propagation on input `x` (`[i,b,j]`) — the single
-    /// entry point for every execution mode, driven by `opts`:
+    /// entry point for every execution mode. The layer's canned plan is in
+    /// natural layout and runs out of its memoized static arena, `x` and
+    /// the weights bound straight into the slab; what `opts` selects:
     ///
-    /// * [`ExecOptions::threads`] — `1` (or `0`) runs the serial
-    ///   interpreter with one RNG stream seeded by [`ExecOptions::seed`];
-    ///   more runs the certified wave-parallel interpreter with per-step
-    ///   RNG streams (bitwise-equal to serial when `dropout_p = 0`,
-    ///   thread-count-invariant always);
+    /// * [`ExecOptions::threads`] — `1` (or `0`) runs the arena's steps in
+    ///   schedule order, more dispatches each certified wave across the
+    ///   worker pool. Results are bitwise the same at any count, dropout
+    ///   included: every step draws from its own stream derived from
+    ///   [`ExecOptions::seed`];
     /// * [`ExecOptions::plan`] — substitutes an arbitrary plan over the
     ///   encoder graph (e.g. one lowered from a recipe selection) for the
-    ///   layer's canned plan; parallel runs need the override to carry a
-    ///   race certificate;
+    ///   layer's canned plan. It is routed by its layouts like any plan: in
+    ///   natural layout it is compiled once (memoized per distinct plan)
+    ///   and runs on the arena exactly as the canned plan does; with
+    ///   strided operands or relayouts it runs on the serial reference
+    ///   interpreter, on one RNG stream seeded by `seed`, whatever
+    ///   `threads` says;
     /// * [`ExecOptions::collect_activations`] — when `false`, skips
     ///   assembling the saved-activation bundle;
-    /// * [`ExecOptions::profiler`] — records per-step measured times into
-    ///   the sink ([`xform_core::profile::PlanProfiler`]);
-    /// * [`ExecOptions::sanitize`] — routes through the shadow-access
-    ///   sanitizer.
+    /// * [`ExecOptions::profiler`] — observes the run: per-step (and, at
+    ///   `threads > 1`, per-wave) wall times land in the sink
+    ///   ([`xform_core::profile::PlanProfiler`]). Neither the executor nor
+    ///   one output bit changes;
+    /// * [`ExecOptions::sanitize`] — turns on the executor's checking
+    ///   mode: the arena's NaN-poisoning of retired buffers, the reference
+    ///   interpreter's shadow-access sanitizer. Results are unchanged.
+    ///
+    /// Concurrent callers of one layer queue on the arena's buffers; each
+    /// gets the result a lone call would.
     ///
     /// The layer-owned scalar knobs (`dropout_p`, `activation`, attention
     /// scale) are taken from the layer itself; the corresponding
@@ -199,58 +203,34 @@ impl EncoderLayer {
     ///
     /// Returns an error if the layer's `dropout_p` is outside `[0, 1)`,
     /// `x` has the wrong shape for the layer's dimensions, the plan fails
-    /// validation, a parallel run lacks a certificate, or a kernel rejects
-    /// its operands.
+    /// its lint gate or certification, or a kernel rejects its operands.
     pub fn forward(
         &self,
         x: &Tensor,
         w: &EncoderWeights,
         opts: &ExecOptions,
     ) -> Result<ForwardOutput<Activations>> {
-        let cached;
-        let (graph, plan, cert): (&Graph, &ExecutionPlan, Option<&RaceCertificate>) =
-            match opts.plan {
-                Some(o) => (o.graph, o.plan, o.cert),
-                None => {
-                    cached = self.planned()?;
-                    (&cached.graph, &cached.plan, Some(&cached.cert))
-                }
-            };
-        let mut state = bind_inputs(x, w)?;
-        let arena;
-        let mut run_opts = self.exec_options(opts)?;
-        if opts.plan.is_none() && opts.profiler.is_none() {
-            if let Some(a) = interp::cached_arena(
-                &self.dims,
-                self.plan_kind(),
-                interp::granularity_for(opts.threads),
-            )? {
-                arena = a;
-                run_opts.arena = Some(&arena);
-            }
-        }
-        run_plan(graph, plan, cert, &mut state, &run_opts)?;
+        let run = self.exec_options(opts)?;
+        let state = interp::forward_state(&self.dims, self.plan_kind(), x, w, &run)?;
         finish(state, opts.collect_activations, collect_activations)
     }
 
     /// Forward propagation into a caller-provided output tensor — the
-    /// steady-state zero-allocation entry point. After a warmup call has
-    /// populated the plan and arena caches, every subsequent call binds
-    /// `x` and the weights straight into the layer's static arena,
-    /// executes out of the slab through the `*_into` kernels, and copies
-    /// the produced `y` into `&mut y` without touching the heap (see
-    /// `tests/alloc_discipline.rs`).
+    /// steady-state zero-allocation entry point. Same plan, same executor,
+    /// same values as [`EncoderLayer::forward`] under the same `opts`, but
+    /// no saved activations: after a warmup call has populated the plan
+    /// and arena caches, every subsequent call binds `x` and the weights
+    /// straight into the layer's static arena, executes out of the slab
+    /// through the `*_into` kernels, and copies the produced `y` into
+    /// `&mut y` without touching the heap (see `tests/alloc_discipline.rs`;
+    /// a profiler sink or a plan override allocates, as does a plan the
+    /// reference interpreter has to serve).
     ///
     /// `y` must be a dense row-major tensor of the layer's output
-    /// geometry (`[i,b,j]`); its contents are overwritten. The arena path
-    /// honors `opts.threads`, `opts.seed`, and `opts.sanitize`
-    /// ([`xform_core::plan::SanitizeMode::Env`] is resolved once per
-    /// process on this path, so set `XFORM_SANITIZE` before the first
-    /// call). Saved activations are not assembled. When the arena is
-    /// unavailable — a plan override or profiler is configured, the
-    /// canned plan has a shape the arena compiler declined, or another
-    /// thread holds the slab — the call falls back transparently to the
-    /// allocating [`EncoderLayer::forward`].
+    /// geometry (`[i,b,j]`); its contents are overwritten.
+    /// [`xform_core::plan::SanitizeMode::Env`] is resolved once per
+    /// process on the arena, so set `XFORM_SANITIZE` before the first
+    /// call.
     ///
     /// # Errors
     ///
@@ -264,30 +244,8 @@ impl EncoderLayer {
         opts: &ExecOptions,
         y: &mut Tensor,
     ) -> Result<()> {
-        if opts.plan.is_none()
-            && opts.profiler.is_none()
-            && interp::arena_forward_into(
-                &self.dims,
-                self.plan_kind(),
-                x,
-                w,
-                &self.exec_options(opts)?,
-                y,
-            )?
-        {
-            return Ok(());
-        }
-        let fallback = opts.to_builder().collect_activations(false).build();
-        let out = self.forward(x, w, &fallback)?;
-        if out.y.len() != y.len() {
-            return Err(xform_tensor::TensorError::Unsupported(format!(
-                "output tensor holds {} words; the layer produced {}",
-                y.len(),
-                out.y.len(),
-            )));
-        }
-        xform_tensor::into_ops::copy_tensor_into(&out.y, y.data_mut());
-        Ok(())
+        let run = self.exec_options(opts)?;
+        interp::forward_into(&self.dims, self.plan_kind(), x, w, &run, y)
     }
 
     /// Runs backpropagation: given the output gradient `dy` and the saved
@@ -571,32 +529,6 @@ mod tests {
         let (y_full, _) = fwd(&layer, &x, &w, 0x5eed);
         assert_eq!(out.y.data(), y_full.data());
         assert!(out.into_pair().is_err(), "into_pair must refuse");
-    }
-
-    #[test]
-    fn plan_override_without_certificate_cannot_run_parallel() {
-        let (layer, w, x) = setup(0.0, Executor::Fused);
-        let pf = interp::encoder_fused(&layer.dims).unwrap();
-        let over = xform_core::plan::PlanOverride {
-            graph: &pf.graph,
-            plan: &pf.plan,
-            cert: None,
-        };
-        // serial override works …
-        let y = layer
-            .forward(&x, &w, &ExecOptions::builder().plan(Some(over)).build())
-            .unwrap()
-            .y;
-        assert_eq!(y.shape().spec(), "ibj");
-        // … but a parallel run without a certificate is refused
-        let err = layer
-            .forward(
-                &x,
-                &w,
-                &ExecOptions::builder().plan(Some(over)).threads(4).build(),
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("certificate"), "{err}");
     }
 
     #[test]

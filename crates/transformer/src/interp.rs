@@ -1,15 +1,18 @@
 //! Plan-driven execution of the transformer layers: canned
 //! [`ExecutionPlan`]s for the reference and fused executors, plus the glue
-//! that binds a layer's weights into the schedule interpreter's
-//! environment and reads the saved activations back out.
+//! that binds a layer's input and weights into whichever executor the plan
+//! routes to and reads the saved activations back out.
 //!
-//! This is where the recipe's output becomes runnable: the same
-//! interpreter that executes the two canned plans also executes an
-//! arbitrary recipe-selected plan (supply it via
+//! This is where the recipe's output becomes runnable: a layer forward
+//! runs its canned plan or an arbitrary recipe-selected one (supply it via
 //! [`xform_core::plan::ExecOptions::plan`] to the unified
-//! [`crate::encoder::EncoderLayer::forward`]), so the SSSP-selected
-//! layouts of `xform-core` run against the real CPU kernels with no
-//! per-configuration code.
+//! [`crate::encoder::EncoderLayer::forward`]) the same way. A plan in
+//! natural layout — every canned one — executes out of its memoized arena,
+//! `x` and the weights bound straight into the slab; a plan with strided
+//! layouts or relayouts runs on the reference interpreter over an
+//! [`ExecState`]. [`xform_core::arena::route`] decides, from the plan
+//! alone; one binding table ([`EncoderWeights::container`] plus the `w_qkv`
+//! stacking) serves both.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -17,19 +20,22 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xform_core::access::{certify_access, AccessCertificate};
-use xform_core::analyze::{analyze, ArenaGranularity};
-use xform_core::arena::{ArenaArtifact, ArenaOutcome, ArenaRun, CompiledArena};
+use xform_core::analyze::ArenaGranularity;
+use xform_core::arena::{self, ArenaArtifact, CompiledArena};
 use xform_core::fusion::{
     apply_epilogues, apply_plan, decoder_attend_fusion_plan, decoder_forward_fusion_plan,
     decoder_fusion_plan, decoder_project_fusion_plan, encoder_fusion_plan,
 };
-use xform_core::plan::{execute_plan, ExecOptions, ExecState, ExecutionPlan, SanitizeMode};
+use xform_core::plan::{execute_plan, ExecOptions, ExecState, ExecutionPlan};
+use xform_core::profile::record_arena_timings;
 use xform_core::recipe::forward_ops;
-use xform_core::sanitize::{certify, execute_plan_parallel, ParallelOptions, RaceCertificate};
+use xform_core::sanitize::{certify, RaceCertificate};
 use xform_dataflow::{build, EncoderDims, Graph};
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::elementwise::ActivationKind;
-use xform_tensor::{into_ops, Axis, Result, Tensor};
+use xform_tensor::{into_ops, Result, Shape, Tensor, TensorError};
+
+pub use xform_core::arena::granularity_for;
 
 use crate::params::EncoderWeights;
 
@@ -64,8 +70,7 @@ impl<A> ForwardOutput<A> {
 }
 
 /// A dataflow graph paired with an executable forward schedule over it,
-/// carrying the race certificate that admits the schedule to the
-/// wave-parallel interpreter.
+/// carrying the certificates a canned plan must earn before it is cached.
 #[derive(Debug, Clone)]
 pub struct PlannedForward {
     /// The (possibly fused) dataflow graph the plan is lowered against.
@@ -187,39 +192,26 @@ pub fn clear_plan_cache() {
     plan_cache().lock().unwrap().clear();
 }
 
-/// Compiled arenas keyed alongside the plan cache. The value is an
-/// `Option` so a plan the arena compiler declines (`Ok(None)`) is cached
-/// negatively — the layer probes once, then falls back to the allocating
-/// interpreter without recompiling on every forward.
-type ArenaCache =
-    Mutex<HashMap<(EncoderDims, PlanKind, ArenaGranularity), Option<Arc<CompiledArena>>>>;
+/// The canned plans' arenas under their cheap key: an index into
+/// [`xform_core::arena::compiled`]'s per-plan memo that spares a
+/// steady-state forward hashing its plan.
+type ArenaCache = Mutex<HashMap<(EncoderDims, PlanKind, ArenaGranularity), Arc<CompiledArena>>>;
 
 fn arena_cache() -> &'static ArenaCache {
     static CACHE: OnceLock<ArenaCache> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The arena execution order a forward at this thread count needs:
-/// wave-granularity colorings for the parallel interpreter, serial
-/// colorings (tighter slabs) otherwise.
-pub fn granularity_for(threads: usize) -> ArenaGranularity {
-    if threads > 1 {
-        ArenaGranularity::Waves
-    } else {
-        ArenaGranularity::Serial
-    }
-}
-
 /// Returns the compiled static arena for `(dims, kind, granularity)`,
-/// building and memoizing it on first use (`None` — also memoized — when
-/// the canned plan has a shape the arena compiler does not support).
-/// Steady-state hits are a lock plus a `HashMap` probe: no allocation.
+/// building and memoizing it on first use. Every canned plan is in natural
+/// layout, so the result is `Some`; the `Option` is
+/// [`xform_core::arena::compiled`]'s, which this indexes. Steady-state hits
+/// are a lock plus a `HashMap` probe: no allocation.
 ///
 /// # Errors
 ///
 /// Returns an error if the canned plan cannot be built, or if the arena
-/// coloring fails aliasing certification (an internal invariant
-/// violation).
+/// fails certification (an internal invariant violation).
 pub fn cached_arena(
     dims: &EncoderDims,
     kind: PlanKind,
@@ -227,24 +219,21 @@ pub fn cached_arena(
 ) -> Result<Option<Arc<CompiledArena>>> {
     let key = (*dims, kind, granularity);
     if let Some(hit) = arena_cache().lock().unwrap().get(&key) {
-        return Ok(hit.clone());
+        return Ok(Some(Arc::clone(hit)));
     }
     let pf = cached_plan(dims, kind)?;
-    let analysis = analyze(&pf.graph, &pf.plan);
-    let built = CompiledArena::compile(&pf.graph, &pf.plan, &analysis, granularity)?.map(Arc::new);
-    arena_cache().lock().unwrap().insert(key, built.clone());
+    let built = arena::compiled(&pf.graph, &pf.plan, granularity)?;
+    if let Some(arena) = &built {
+        arena_cache().lock().unwrap().insert(key, Arc::clone(arena));
+    }
     Ok(built)
 }
 
-/// Number of memoized arena probes, counting negative entries (for tests
-/// and diagnostics).
-pub fn arena_cache_len() -> usize {
-    arena_cache().lock().unwrap().len()
-}
-
-/// Drops every memoized arena.
+/// Drops every memoized arena: the canned plans' and the ones compiled for
+/// plan overrides.
 pub fn clear_arena_cache() {
     arena_cache().lock().unwrap().clear();
+    arena::clear_compiled();
 }
 
 /// Merges a caller's run configuration with a layer's own scalar knobs:
@@ -272,114 +261,178 @@ pub(crate) fn layer_options<'p>(
         .build())
 }
 
-/// The arena-side mirror of a merged [`ExecOptions`]: layer knobs plus
-/// the cached `XFORM_SANITIZE` resolution (reading the environment
-/// allocates, so [`SanitizeMode::Env`] goes through the process-wide
-/// cached flag on this path).
-pub(crate) fn arena_run(opts: &ExecOptions) -> ArenaRun {
-    ArenaRun {
-        dropout_p: opts.dropout_p,
-        activation: opts.activation,
-        scaler: opts.scaler,
-        seed: opts.seed,
-        threads: opts.threads,
-        sanitize: match opts.sanitize {
-            SanitizeMode::Off => false,
-            SanitizeMode::On => true,
-            SanitizeMode::Env => xform_core::arena::env_sanitize_cached(),
+/// The one binding table: fills the external container `name` (dense
+/// row-major `dst`) from a layer's input and weight set — `x` itself, the
+/// Q/K/V projections stacked into `w_qkv`, any other weight by
+/// [`EncoderWeights::container`]. Returns `false`, for the executor to
+/// report, on a name the layers do not bind or a size that disagrees.
+pub(crate) fn bind_external(name: &str, dst: &mut [f32], x: &Tensor, w: &EncoderWeights) -> bool {
+    let src = match name {
+        "x" => x,
+        "w_qkv" => return w.stack_qkv_into(dst),
+        _ => match w.container(name) {
+            Some(t) => t,
+            None => return false,
         },
-        pos: opts.pos,
+    };
+    if src.len() != dst.len() {
+        return false;
     }
+    into_ops::copy_tensor_into(src, dst);
+    true
 }
 
-/// Drives one zero-allocation forward out of the cached arena: binds `x`
-/// and the weight set straight into the slab (stacking Q/K/V into the
-/// `w_qkv` region without materializing the concatenation) and copies the
-/// produced `y` into the caller's buffer. `opts` must already be merged
-/// with the layer knobs. Returns `Ok(false)` when the caller should fall
-/// back to the allocating interpreter (no arena for this plan shape, or
-/// the arena's buffers are busy in another thread).
+/// Binds a layer input and the shared weight set into a reference
+/// interpreter environment under the graphs' container names, through the
+/// same table the arena route binds through: the separate Q/K/V projection weights
+/// are stacked into the graphs' `w_qkv` container (`[s=3p, h, i]`, Q then K
+/// then V).
 ///
 /// # Errors
 ///
-/// Returns an error if `y` has the wrong size for the layer output, the
-/// arena fails to compile, or the shadow sanitizer trips.
-pub(crate) fn arena_forward_into(
+/// Returns an error if the projection weights disagree on `[h, i]`.
+pub fn bind_inputs(x: &Tensor, w: &EncoderWeights) -> Result<ExecState> {
+    let mut state = ExecState::default();
+    let (h, i) = (w.wq.shape().sizes()[1], w.wq.shape().sizes()[2]);
+    let stacked = Shape::new([('s', w.qkv_words() / (h * i)), ('h', h), ('i', i)])?;
+    let mut w_qkv = Tensor::zeros(stacked);
+    if !w.stack_qkv_into(w_qkv.data_mut()) {
+        return Err(TensorError::ShapeMismatch {
+            context: "stacking the Q/K/V projection weights",
+        });
+    }
+    state.env.insert("x".into(), x.clone());
+    state.env.insert("w_qkv".into(), w_qkv);
+    for (name, _) in w.fields() {
+        if let Some(t) = w.container(name) {
+            state.env.insert(name.into(), t.clone());
+        }
+    }
+    Ok(state)
+}
+
+/// Looks up what a layer forward runs — the canned plan of `(dims, kind)`,
+/// or the caller's override — together with the arena its layouts route it
+/// to (`None`: the reference interpreter), and hands both to `f`. Either
+/// way the arena comes out of a memo: nothing is analyzed, certified or
+/// compiled on a steady-state call.
+fn with_executor<R>(
+    dims: &EncoderDims,
+    kind: PlanKind,
+    opts: &ExecOptions,
+    f: impl FnOnce(&Graph, &ExecutionPlan, Option<&CompiledArena>) -> Result<R>,
+) -> Result<R> {
+    let granularity = granularity_for(opts.threads);
+    match opts.plan {
+        Some(o) => {
+            let arena = arena::compiled(o.graph, o.plan, granularity)?;
+            f(o.graph, o.plan, arena.as_deref())
+        }
+        None => {
+            let pf = cached_plan(dims, kind)?;
+            let arena = cached_arena(dims, kind, granularity)?;
+            f(&pf.graph, &pf.plan, arena.as_deref())
+        }
+    }
+}
+
+/// The reference route of a layer forward: an environment holding `x` and
+/// every weight, run on one RNG stream seeded by `opts.seed`.
+fn reference_state(
+    graph: &Graph,
+    plan: &ExecutionPlan,
+    x: &Tensor,
+    w: &EncoderWeights,
+    opts: &ExecOptions,
+) -> Result<ExecState> {
+    let mut state = bind_inputs(x, w)?;
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    execute_plan(graph, plan, &mut state, opts, &mut rng)?;
+    Ok(state)
+}
+
+/// Runs one layer forward and returns every container it produced (on the
+/// arena route: outputs, saved activations and layer-norm statistics,
+/// materialized out of the slab `x` and the weights were bound straight
+/// into). `opts` must already be merged with the layer knobs.
+///
+/// # Errors
+///
+/// Returns an error if the plan fails its lint gate or certification, an
+/// external cannot be bound, or a kernel rejects its operands.
+pub(crate) fn forward_state(
+    dims: &EncoderDims,
+    kind: PlanKind,
+    x: &Tensor,
+    w: &EncoderWeights,
+    opts: &ExecOptions,
+) -> Result<ExecState> {
+    with_executor(dims, kind, opts, |graph, plan, arena| match arena {
+        Some(arena) => {
+            let mut state = ExecState::default();
+            let mut bind = |name: &str, dst: &mut [f32]| bind_external(name, dst, x, w);
+            arena.execute_into_state(graph, plan, opts, &mut bind, &mut state)?;
+            Ok(state)
+        }
+        None => reference_state(graph, plan, x, w, opts),
+    })
+}
+
+/// Runs one layer forward and copies the produced `y` into the caller's
+/// buffer. On the arena route — every canned plan — this touches no heap
+/// once the caches are warm. `opts` must already be merged with the layer
+/// knobs.
+///
+/// # Errors
+///
+/// As [`forward_state`], and if `y` does not hold exactly the words the
+/// plan's `y` container does.
+pub(crate) fn forward_into(
     dims: &EncoderDims,
     kind: PlanKind,
     x: &Tensor,
     w: &EncoderWeights,
     opts: &ExecOptions,
     y: &mut Tensor,
-) -> Result<bool> {
-    let Some(arena) = cached_arena(dims, kind, granularity_for(opts.threads))? else {
-        return Ok(false);
-    };
-    if y.len() != dims.i * dims.b * dims.j {
-        return Err(xform_tensor::TensorError::Unsupported(format!(
-            "output tensor holds {} words; the layer produces {} ([i,b,j] = [{},{},{}])",
-            y.len(),
-            dims.i * dims.b * dims.j,
-            dims.i,
-            dims.b,
-            dims.j,
+) -> Result<()> {
+    let produced = with_executor(dims, kind, opts, |graph, plan, arena| {
+        let Some(arena) = arena else {
+            let state = reference_state(graph, plan, x, w, opts)?;
+            let out = state.get("y")?;
+            if out.len() == y.len() {
+                into_ops::copy_tensor_into(out, y.data_mut());
+            }
+            return Ok(out.len());
+        };
+        let mut produced = 0;
+        let ydata = y.data_mut();
+        let mut bind = |name: &str, dst: &mut [f32]| bind_external(name, dst, x, w);
+        let mut sink = |a: ArenaArtifact<'_>| match a {
+            ArenaArtifact::Tensor {
+                name: "y", data, ..
+            } => {
+                produced = data.len();
+                if data.len() == ydata.len() {
+                    ydata.copy_from_slice(data);
+                }
+            }
+            ArenaArtifact::Timings { .. } => {
+                if let Some(profiler) = opts.profiler {
+                    record_arena_timings(profiler, graph, plan, &a);
+                }
+            }
+            _ => {}
+        };
+        arena.execute_bound(opts, &mut bind, &mut sink)?;
+        Ok(produced)
+    })?;
+    if produced != y.len() {
+        return Err(TensorError::Unsupported(format!(
+            "output tensor holds {} words; the plan's `y` holds {produced}",
+            y.len()
         )));
     }
-    let run = arena_run(opts);
-    let mut bind = |name: &str, dst: &mut [f32]| -> bool {
-        let src = match name {
-            "x" => x,
-            "w_qkv" => {
-                let (nq, nk) = (w.wq.len(), w.wk.len());
-                if dst.len() != nq + nk + w.wv.len() {
-                    return false;
-                }
-                into_ops::copy_tensor_into(&w.wq, &mut dst[..nq]);
-                into_ops::copy_tensor_into(&w.wk, &mut dst[nq..nq + nk]);
-                into_ops::copy_tensor_into(&w.wv, &mut dst[nq + nk..]);
-                return true;
-            }
-            "bq" => &w.bq,
-            "bk" => &w.bk,
-            "bv" => &w.bv,
-            "wo" => &w.wo,
-            "bo" => &w.bo,
-            "ln1_gamma" => &w.ln1_gamma,
-            "ln1_beta" => &w.ln1_beta,
-            "w1" => &w.w1,
-            "b1" => &w.b1,
-            "w2" => &w.w2,
-            "b2" => &w.b2,
-            "ln2_gamma" => &w.ln2_gamma,
-            "ln2_beta" => &w.ln2_beta,
-            _ => return false,
-        };
-        if src.len() != dst.len() {
-            return false;
-        }
-        into_ops::copy_tensor_into(src, dst);
-        true
-    };
-    let mut wrote = false;
-    let ydata = y.data_mut();
-    let mut sink = |a: ArenaArtifact<'_>| {
-        if let ArenaArtifact::Tensor {
-            name: "y", data, ..
-        } = a
-        {
-            if data.len() == ydata.len() {
-                ydata.copy_from_slice(data);
-                wrote = true;
-            }
-        }
-    };
-    match arena.execute_bound(&run, &mut bind, &mut sink)? {
-        ArenaOutcome::Ran if wrote => Ok(true),
-        ArenaOutcome::Ran => Err(xform_tensor::TensorError::Unsupported(
-            "arena run produced no `y` output matching the destination tensor".into(),
-        )),
-        ArenaOutcome::Busy => Ok(false),
-    }
+    Ok(())
 }
 
 /// The reference executor as a plan: the unfused encoder graph, natural
@@ -494,38 +547,7 @@ pub fn decoder_step_attend(dims: &EncoderDims) -> Result<PlannedForward> {
     planned_forward(g)
 }
 
-/// Dispatches one plan execution according to the run configuration: the
-/// serial interpreter (one RNG stream seeded by [`ExecOptions::seed`])
-/// for `threads <= 1`, the certificate-gated wave-parallel interpreter
-/// (per-step RNG streams) otherwise. Shared by the unified encoder and
-/// decoder forwards.
-pub(crate) fn run_plan(
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    cert: Option<&RaceCertificate>,
-    state: &mut ExecState,
-    opts: &ExecOptions,
-) -> Result<()> {
-    if opts.threads > 1 {
-        let cert = cert.ok_or_else(|| {
-            xform_tensor::TensorError::Unsupported(
-                "parallel execution requires a race certificate — supply one in the plan \
-                 override or run with threads = 1"
-                    .into(),
-            )
-        })?;
-        let popts = ParallelOptions {
-            threads: opts.threads,
-            seed: opts.seed,
-        };
-        execute_plan_parallel(graph, plan, cert, state, opts, &popts)
-    } else {
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        execute_plan(graph, plan, state, opts, &mut rng)
-    }
-}
-
-/// Wraps a finished interpreter environment into a [`ForwardOutput`]:
+/// Wraps what a forward produced into a [`ForwardOutput`]:
 /// either running the layer's activation collector or just lifting `y`
 /// out when collection was disabled.
 pub(crate) fn finish<A>(
@@ -545,46 +567,6 @@ pub(crate) fn finish<A>(
             activations: None,
         })
     }
-}
-
-/// Binds a layer input and the shared weight set into an interpreter
-/// environment under the graphs' container names. The separate Q/K/V
-/// projection weights are stacked into the graphs' `w_qkv` container
-/// (`[s=3p, h, i]`, Q then K then V).
-///
-/// # Errors
-///
-/// Returns an error if the weight shapes cannot be stacked.
-pub fn bind_inputs(x: &Tensor, w: &EncoderWeights) -> Result<ExecState> {
-    let mut state = ExecState::default();
-    let w_qkv = Tensor::concat(
-        Axis('s'),
-        &[
-            &w.wq.relabel("shi")?,
-            &w.wk.relabel("shi")?,
-            &w.wv.relabel("shi")?,
-        ],
-    )?;
-    state.env.insert("x".into(), x.clone());
-    state.env.insert("w_qkv".into(), w_qkv);
-    for (name, t) in [
-        ("bq", &w.bq),
-        ("bk", &w.bk),
-        ("bv", &w.bv),
-        ("wo", &w.wo),
-        ("bo", &w.bo),
-        ("ln1_gamma", &w.ln1_gamma),
-        ("ln1_beta", &w.ln1_beta),
-        ("w1", &w.w1),
-        ("b1", &w.b1),
-        ("w2", &w.w2),
-        ("b2", &w.b2),
-        ("ln2_gamma", &w.ln2_gamma),
-        ("ln2_beta", &w.ln2_beta),
-    ] {
-        state.env.insert(name.into(), t.clone());
-    }
-    Ok(state)
 }
 
 #[cfg(test)]

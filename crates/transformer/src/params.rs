@@ -4,7 +4,7 @@ use rand::distributions::Uniform;
 use rand::Rng;
 
 use xform_dataflow::EncoderDims;
-use xform_tensor::{Shape, Tensor};
+use xform_tensor::{into_ops, Shape, Tensor};
 
 /// All learned parameters of one BERT encoder layer, in the paper's axis
 /// convention (`phi`/`whi` projections, `ph`/`wh`/`i` biases, `ui`/`iu`
@@ -90,6 +90,40 @@ impl EncoderWeights {
         }
     }
 
+    /// The weight tensor bound to graph container `name` — the one table
+    /// every executor's binder resolves weights through. The graphs of
+    /// [`xform_dataflow::build`] name their weight containers after these
+    /// fields, with one exception: they read the Q/K/V projection weights
+    /// stacked as `w_qkv` ([`EncoderWeights::stack_qkv_into`]), so `wq`,
+    /// `wk` and `wv` name no container.
+    pub fn container(&self, name: &str) -> Option<&Tensor> {
+        self.fields()
+            .into_iter()
+            .find(|(field, _)| *field == name && !matches!(name, "wq" | "wk" | "wv"))
+            .map(|(_, t)| t)
+    }
+
+    /// Words of the stacked `w_qkv` container.
+    pub fn qkv_words(&self) -> usize {
+        self.wq.len() + self.wk.len() + self.wv.len()
+    }
+
+    /// Stacks the Q, K and V projection weights, in that order and each
+    /// dense row-major, into the graphs' `w_qkv` container (`[s, h, i]`)
+    /// without materializing the concatenation. Returns `false`, writing
+    /// nothing, unless `dst` holds exactly [`EncoderWeights::qkv_words`].
+    pub fn stack_qkv_into(&self, dst: &mut [f32]) -> bool {
+        if dst.len() != self.qkv_words() {
+            return false;
+        }
+        let (q, rest) = dst.split_at_mut(self.wq.len());
+        let (k, v) = rest.split_at_mut(self.wk.len());
+        into_ops::copy_tensor_into(&self.wq, q);
+        into_ops::copy_tensor_into(&self.wk, k);
+        into_ops::copy_tensor_into(&self.wv, v);
+        true
+    }
+
     /// Zero-filled gradients with matching shapes.
     pub fn zeros_like(&self) -> EncoderGrads {
         let z = |t: &Tensor| Tensor::zeros(t.shape().clone());
@@ -113,10 +147,10 @@ impl EncoderWeights {
         }
     }
 
-    /// Field iterator as `(name, tensor)` pairs, for generic parameter
-    /// traversal (updates, norms, serialization).
-    pub fn fields(&self) -> Vec<(&'static str, &Tensor)> {
-        vec![
+    /// Every field as a `(name, tensor)` pair, for generic parameter
+    /// traversal (updates, norms, serialization, container binding).
+    pub fn fields(&self) -> [(&'static str, &Tensor); 16] {
+        [
             ("wq", &self.wq),
             ("wk", &self.wk),
             ("wv", &self.wv),
@@ -208,6 +242,27 @@ mod tests {
         let big = EncoderWeights::init(&EncoderDims::bert_large(), &mut rng);
         let n = big.num_parameters();
         assert!(n > 12_000_000 && n < 13_000_000, "params {n}");
+    }
+
+    #[test]
+    fn container_table_resolves_every_listed_name_and_stacks_qkv() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let w = EncoderWeights::init(&EncoderDims::tiny(), &mut rng);
+        for (name, t) in w.fields() {
+            let stacked = matches!(name, "wq" | "wk" | "wv");
+            assert_eq!(
+                w.container(name).map(Tensor::data),
+                (!stacked).then_some(t.data())
+            );
+        }
+        assert!(w.container("w_qkv").is_none() && w.container("x").is_none());
+        let mut stacked = vec![0.0; w.qkv_words()];
+        assert!(w.stack_qkv_into(&mut stacked));
+        let (nq, nk) = (w.wq.len(), w.wk.len());
+        assert_eq!(&stacked[..nq], w.wq.data());
+        assert_eq!(&stacked[nq..nq + nk], w.wk.data());
+        assert_eq!(&stacked[nq + nk..], w.wv.data());
+        assert!(!w.stack_qkv_into(&mut stacked[1..]));
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn steady_state_forwards_touch_no_heap() {
     let decoder = DecoderLayer::new(dims, 0.3);
 
     let mut failures: Vec<String> = Vec::new();
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4] {
         let opts = ExecOptions::builder().threads(threads).seed(5).build();
         type Case<'a> = (&'a str, &'a dyn Fn(&mut Tensor));
         let cases: [Case; 3] = [

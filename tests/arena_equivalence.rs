@@ -1,33 +1,29 @@
 //! Value equivalence of the arena interpreter through the public layer
-//! API: the slab-executing forward must be bitwise-equal to the
-//! allocating environment interpreter whenever no RNG is drawn, the
-//! zero-allocation `forward_into` must agree with `forward` exactly, and
-//! dropout masks must be invariant to the thread count (the arena draws
-//! each step's stream independently, so serial and wave-parallel runs see
-//! identical randomness).
+//! API: the slab-executing forward must be bitwise-equal to the reference
+//! interpreter whenever no RNG is drawn, the zero-allocation
+//! `forward_into` must agree with `forward` exactly, dropout masks must be
+//! invariant to the thread count (the arena draws each step's stream
+//! independently, so serial and wave-parallel runs see identical
+//! randomness), and nothing but the plan — not a profiler, not a plan
+//! override, not the sanitizer, not a second caller on the same layer —
+//! may change which executor runs or one bit of what it returns. The tests
+//! share the process-wide memoized arenas of one `dims` across the
+//! harness's threads, which is the point.
+
+use std::sync::{Barrier, Mutex};
 
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use substation::core::plan::{ExecOptions, PlanOverride};
+use substation::core::plan::{execute_plan, ExecOptions, ExecState, PlanOverride, SanitizeMode};
+use substation::core::profile::{PlanProfiler, ProfilerSink};
 use substation::dataflow::EncoderDims;
-use substation::tensor::{Shape, Tensor};
+use substation::tensor::{Shape, Tensor, TensorError};
 use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
 use substation::transformer::interp;
 use substation::transformer::params::EncoderWeights;
-
-/// The tests below share the process-wide cached arenas of one `dims`. A
-/// forward that finds its arena busy in another test thread falls back to
-/// the allocating interpreter, whose serial dropout stream differs from the
-/// arena's per-step streams — so tests that compare arena runs hold this
-/// for their whole body.
-static ARENAS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn exclusive_arenas() -> std::sync::MutexGuard<'static, ()> {
-    ARENAS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn setup() -> (EncoderDims, EncoderWeights, Tensor) {
     let dims = EncoderDims::tiny();
@@ -51,7 +47,6 @@ fn out_buffer(dims: &EncoderDims) -> Tensor {
 
 #[test]
 fn every_canned_plan_compiles_an_arena_at_both_granularities() {
-    let _arenas = exclusive_arenas();
     let dims = EncoderDims::tiny();
     for kind in [
         interp::PlanKind::EncoderReference,
@@ -67,40 +62,43 @@ fn every_canned_plan_compiles_an_arena_at_both_granularities() {
     }
 }
 
+/// The reference interpreter on the canned plan of `kind`, called
+/// directly with the knobs an encoder layer at `p = 0` merges in.
+fn reference_run(
+    dims: &EncoderDims,
+    kind: interp::PlanKind,
+    x: &Tensor,
+    w: &EncoderWeights,
+) -> ExecState {
+    let pf = interp::cached_plan(dims, kind).unwrap();
+    let opts = ExecOptions::builder()
+        .scaler(1.0 / (dims.p as f32).sqrt())
+        .build();
+    let mut state = interp::bind_inputs(x, w).unwrap();
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    execute_plan(&pf.graph, &pf.plan, &mut state, &opts, &mut rng).unwrap();
+    state
+}
+
 #[test]
 fn arena_forward_matches_the_env_interpreter_bitwise_without_rng() {
-    let _arenas = exclusive_arenas();
-    // With dropout off no RNG is drawn, so the arena-routed forward and a
-    // PlanOverride forward (which bypasses the arena and runs the
-    // allocating environment interpreter) must agree bitwise.
+    // With dropout off no RNG is drawn, so the arena-routed forward and
+    // the reference interpreter must agree bitwise.
     let (dims, w, x) = setup();
-    for executor in [Executor::Reference, Executor::Fused, Executor::Epilogue] {
+    for (executor, kind) in [
+        (Executor::Reference, interp::PlanKind::EncoderReference),
+        (Executor::Fused, interp::PlanKind::EncoderFused),
+        (Executor::Epilogue, interp::PlanKind::EncoderEpilogue),
+    ] {
         let layer = EncoderLayer::new(dims, executor, 0.0);
         let arena_y = layer.forward(&x, &w, &ExecOptions::default()).unwrap().y;
-        let pf = interp::cached_plan(
-            &dims,
-            match executor {
-                Executor::Reference => interp::PlanKind::EncoderReference,
-                Executor::Fused => interp::PlanKind::EncoderFused,
-                Executor::Epilogue => interp::PlanKind::EncoderEpilogue,
-            },
-        )
-        .unwrap();
-        let env_opts = ExecOptions::builder()
-            .plan(Some(PlanOverride {
-                graph: &pf.graph,
-                plan: &pf.plan,
-                cert: Some(&pf.cert),
-            }))
-            .build();
-        let env_y = layer.forward(&x, &w, &env_opts).unwrap().y;
-        assert_eq!(arena_y.data(), env_y.data(), "{executor:?}");
+        let reference = reference_run(&dims, kind, &x, &w);
+        assert_eq!(arena_y.data(), reference.env["y"].data(), "{executor:?}");
     }
 }
 
 #[test]
 fn forward_into_agrees_with_forward_exactly() {
-    let _arenas = exclusive_arenas();
     let (dims, w, x) = setup();
     let mut y = out_buffer(&dims);
     for p in [0.0f32, 0.3] {
@@ -121,7 +119,6 @@ fn forward_into_agrees_with_forward_exactly() {
 
 #[test]
 fn dropout_is_thread_count_invariant_under_the_arena() {
-    let _arenas = exclusive_arenas();
     // Per-step RNG streams make the drawn masks a function of (seed,
     // step) alone: the serial arena and the wave-parallel arena at any
     // worker count produce bitwise-identical outputs even with dropout
@@ -149,31 +146,137 @@ fn dropout_is_thread_count_invariant_under_the_arena() {
 
 #[test]
 fn collected_activations_match_between_arena_and_env_interpreter() {
-    let _arenas = exclusive_arenas();
     // Saved activations and layer-norm statistics materialized out of the
-    // slab must be the same values the environment interpreter produces.
+    // slab must be the same values the reference interpreter produces.
     let (dims, w, x) = setup();
     let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
     let arena_out = layer.forward(&x, &w, &ExecOptions::default()).unwrap();
+    let reference = reference_run(&dims, interp::PlanKind::EncoderFused, &x, &w);
+    let a = arena_out.activations.as_ref().unwrap();
+    assert_eq!(a.qq.data(), reference.env["qq"].data());
+    assert_eq!(a.sm.softmax.data(), reference.env["att"].data());
+    assert_eq!(a.gam.data(), reference.env["gamma"].data());
+    assert_eq!(a.ln1.stats.mean, reference.stats["ln1_out"].mean);
+    assert_eq!(a.ln1.stats.inv_std, reference.stats["ln1_out"].inv_std);
+    assert_eq!(a.ln2.out.data(), reference.env["y"].data());
+}
+
+/// Everything a forward returns, as bit patterns: `y`, the saved
+/// activations that carry dropout masks, and both layer-norm statistics.
+fn encoder_bits(layer: &EncoderLayer, x: &Tensor, w: &EncoderWeights, o: &ExecOptions) -> Vec<u32> {
+    let (y, a) = layer.forward(x, w, o).unwrap().into_pair().unwrap();
+    let tensors = [
+        &y,
+        &a.sm.mask,
+        &a.ln1.mask,
+        &a.brd.mask,
+        &a.brd.out,
+        &a.ln2.mask,
+    ];
+    let stats = [&a.ln1.stats.mean, &a.ln1.stats.inv_std, &a.ln2.stats.mean];
+    tensors
+        .iter()
+        .flat_map(|t| t.data())
+        .chain(stats.iter().flat_map(|s| s.iter()))
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+#[test]
+fn concurrent_forwards_on_one_layer_return_the_lone_result() {
+    // N threads released together onto one layer's one arena, dropout on,
+    // same seed: each must get, bit for bit, what a lone call gets. (At
+    // the parent a caller that lost the race for the slab was rerouted to
+    // the other interpreter and its single RNG stream.)
+    const CALLERS: usize = 6;
+    let (dims, w, x) = setup();
+    let encoder = EncoderLayer::new(dims, Executor::Fused, 0.3);
+    let decoder = DecoderLayer::new(dims, 0.3);
+    for threads in [1usize, 2] {
+        let opts = ExecOptions::builder().threads(threads).seed(31).build();
+        let lone_enc = encoder_bits(&encoder, &x, &w, &opts);
+        let lone_dec = decoder.forward(&x, &w, &opts).unwrap().y;
+        let gate = Barrier::new(CALLERS);
+        std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        let enc = encoder_bits(&encoder, &x, &w, &opts);
+                        let dec = decoder.forward(&x, &w, &opts).unwrap().y;
+                        (enc, dec)
+                    })
+                })
+                .collect();
+            for (c, caller) in callers.into_iter().enumerate() {
+                let (enc, dec) = caller.join().expect("caller panicked");
+                assert!(enc == lone_enc, "encoder caller {c} at {threads} thread(s)");
+                assert_eq!(dec.data(), lone_dec.data(), "decoder caller {c}");
+            }
+        });
+    }
+}
+
+#[test]
+fn route_and_results_depend_on_the_plan_alone() {
+    // One canned plan at p = 0.3 under every combination of the knobs that
+    // used to pick an interpreter: the outputs, the saved masks and the
+    // layer-norm statistics are bitwise those of the plain call.
+    let (dims, w, x) = setup();
+    let layer = EncoderLayer::new(dims, Executor::Fused, 0.3);
     let pf = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
-    let env_opts = ExecOptions::builder()
-        .plan(Some(PlanOverride {
-            graph: &pf.graph,
-            plan: &pf.plan,
-            cert: Some(&pf.cert),
-        }))
-        .build();
-    let env_out = layer.forward(&x, &w, &env_opts).unwrap();
-    let (a, b) = (
-        arena_out.activations.as_ref().unwrap(),
-        env_out.activations.as_ref().unwrap(),
-    );
-    assert_eq!(a.qq.data(), b.qq.data());
-    assert_eq!(a.sm.softmax.data(), b.sm.softmax.data());
-    assert_eq!(a.gam.data(), b.gam.data());
-    assert_eq!(a.ln1.stats.mean, b.ln1.stats.mean);
-    assert_eq!(a.ln1.stats.inv_std, b.ln1.stats.inv_std);
-    assert_eq!(a.ln2.out.data(), b.ln2.out.data());
+    let over = PlanOverride {
+        graph: &pf.graph,
+        plan: &pf.plan,
+    };
+    let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+    let plain = encoder_bits(&layer, &x, &w, &ExecOptions::builder().seed(19).build());
+    let mut y = out_buffer(&dims);
+    for threads in [1usize, 4] {
+        for profiler in [None, Some(&sink)] {
+            for sanitize in [SanitizeMode::On, SanitizeMode::Off] {
+                for plan in [None, Some(over)] {
+                    let opts = ExecOptions::builder()
+                        .seed(19)
+                        .threads(threads)
+                        .profiler(profiler)
+                        .sanitize(sanitize)
+                        .plan(plan)
+                        .build();
+                    let tag = format!(
+                        "threads={threads} profiler={} {sanitize:?} override={}",
+                        profiler.is_some(),
+                        plan.is_some()
+                    );
+                    assert!(
+                        encoder_bits(&layer, &x, &w, &opts) == plain,
+                        "forward, {tag}"
+                    );
+                    layer.forward_into(&x, &w, &opts, &mut y).unwrap();
+                    let y_bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+                    assert!(y_bits == plain[..y_bits.len()], "forward_into, {tag}");
+                }
+            }
+        }
+    }
+    // the sink watched the arena: one record per step, however often
+    let prof = sink.into_inner().unwrap();
+    assert_eq!(prof.steps().count(), pf.plan.steps.len());
+    assert!(prof.steps().all(|s| s.runs == 16 && s.time_us > 0.0));
+}
+
+#[test]
+fn a_weight_of_the_wrong_size_is_a_typed_error_naming_its_container() {
+    let (dims, mut w, x) = setup();
+    w.w1 = Tensor::zeros(Shape::from_spec("ui", &[('u', 3), ('i', 5)]).unwrap());
+    let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
+    let mut y = out_buffer(&dims);
+    let opts = ExecOptions::default();
+    let unbound = |e: TensorError| matches!(&e, TensorError::UnboundExternal { container, .. } if container == "w1");
+    assert!(unbound(layer.forward(&x, &w, &opts).unwrap_err()));
+    assert!(unbound(
+        layer.forward_into(&x, &w, &opts, &mut y).unwrap_err()
+    ));
 }
 
 #[test]

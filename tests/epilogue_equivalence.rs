@@ -4,13 +4,13 @@
 //! order — even though the contraction outputs they eliminate are never
 //! materialized. Three layers of evidence:
 //!
-//! * a proptest drives the serial environment interpreter over both plans
+//! * a proptest drives the single-stream reference interpreter over both plans
 //!   at random dims with dropout on and asserts every surviving container
 //!   is bitwise-equal AND the dropout RNG streams end in the same state
 //!   (proven by drawing from both after execution);
 //! * the arena-routed layer forwards (`Executor::Epilogue`,
-//!   `DecoderLayer::with_epilogue`) agree with the allocating environment
-//!   interpreter bitwise when no RNG is drawn, at both granularities —
+//!   `DecoderLayer::with_epilogue`) agree with the reference interpreter
+//!   bitwise when no RNG is drawn, at both granularities —
 //!   CI runs this file under `XFORM_SANITIZE=1` so every slab access is
 //!   shadow-checked;
 //! * at sequence-length-dominant dims the epilogue arena slab is strictly
@@ -22,8 +22,9 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use substation::core::plan::{execute_plan, random_externals, ExecOptions, PlanOverride};
+use substation::core::plan::{execute_plan, random_externals, ExecOptions};
 use substation::dataflow::{EncoderDims, OpKind};
+use substation::tensor::ops::elementwise::ActivationKind;
 use substation::tensor::{Shape, Tensor};
 use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
@@ -78,7 +79,7 @@ fn canned_epilogue_plans_lower_mega_kernel_steps() {
     }
 }
 
-/// Runs a plan through the serial environment interpreter on the given
+/// Runs a plan through the reference interpreter on the given
 /// externals and returns the final container environment plus the RNG.
 fn run_env(
     pf: &interp::PlannedForward,
@@ -146,9 +147,10 @@ proptest! {
 #[test]
 fn epilogue_arena_forward_matches_the_env_interpreter_bitwise_without_rng() {
     // With dropout off no RNG is drawn, so the arena-routed epilogue
-    // forward and a PlanOverride forward (allocating env interpreter)
+    // forward and the reference interpreter called on the same canned plan
     // must agree bitwise — at both arena granularities. Under
-    // XFORM_SANITIZE=1 every slab read/write is shadow-checked.
+    // XFORM_SANITIZE=1 the arena runs in its poison mode and the
+    // reference under the shadow sanitizer.
     let dims = EncoderDims::tiny();
     let (w, x) = setup(&dims);
     let enc = EncoderLayer::new(dims, Executor::Epilogue, 0.0);
@@ -157,21 +159,28 @@ fn epilogue_arena_forward_matches_the_env_interpreter_bitwise_without_rng() {
     let pd = interp::cached_plan(&dims, interp::PlanKind::DecoderEpilogue).unwrap();
     for threads in [1usize, 4] {
         let arena_opts = ExecOptions::builder().threads(threads).build();
-        for (tag, pf, arena_y) in [
-            ("encoder", &pe, enc.forward(&x, &w, &arena_opts).unwrap().y),
-            ("decoder", &pd, dec.forward(&x, &w, &arena_opts).unwrap().y),
+        for (tag, pf, activation, arena_y) in [
+            (
+                "encoder",
+                &pe,
+                enc.activation,
+                enc.forward(&x, &w, &arena_opts).unwrap().y,
+            ),
+            (
+                "decoder",
+                &pd,
+                ActivationKind::Gelu,
+                dec.forward(&x, &w, &arena_opts).unwrap().y,
+            ),
         ] {
-            let env_opts = ExecOptions::builder()
-                .plan(Some(PlanOverride {
-                    graph: &pf.graph,
-                    plan: &pf.plan,
-                    cert: Some(&pf.cert),
-                }))
+            let knobs = ExecOptions::builder()
+                .activation(activation)
+                .scaler(enc.scaler())
                 .build();
-            let env_y = match tag {
-                "encoder" => enc.forward(&x, &w, &env_opts).unwrap().y,
-                _ => dec.forward(&x, &w, &env_opts).unwrap().y,
-            };
+            let mut state = interp::bind_inputs(&x, &w).unwrap();
+            let mut rng = StdRng::seed_from_u64(knobs.seed);
+            execute_plan(&pf.graph, &pf.plan, &mut state, &knobs, &mut rng).unwrap();
+            let env_y = state.get("y").unwrap();
             assert_eq!(arena_y.data(), env_y.data(), "{tag} threads={threads}");
         }
     }

@@ -1,8 +1,8 @@
 //! Cross-crate equivalence of the plan-driven execution engine: a plan
 //! lowered from the full recipe (fuse → sweep → SSSP select) produces the
-//! same encoder output as the reference executor; the certified
-//! wave-parallel interpreter is bitwise-equal to the serial one on that
-//! same recipe-selected plan; arbitrary layout perturbations survive
+//! same encoder output as the reference executor; that recipe-selected
+//! plan certifies, routes to the reference interpreter and returns the
+//! same bits whatever `threads` asks for; arbitrary layout perturbations survive
 //! `reflow` unchanged in value; and malformed plans are rejected by the
 //! static analyzer before any kernel runs. All runs go through the single
 //! unified `forward(&x, &w, &ExecOptions)` entry point, with plans
@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use substation::core::analyze::{PlanLint, Severity};
+use substation::core::arena::{route, Route};
 use substation::core::plan::{ExecOptions, ExecutionPlan, PlanOverride};
 use substation::core::sanitize::certify;
 use substation::core::selection::select_forward;
@@ -90,7 +91,6 @@ fn recipe_lowered_plan_matches_reference_executor() {
         .plan(Some(PlanOverride {
             graph: &planned.graph,
             plan: &plan,
-            cert: None,
         }))
         .build();
     let y_sel = layer.forward(&x, &w, &run).expect("plan-driven forward").y;
@@ -101,11 +101,11 @@ fn recipe_lowered_plan_matches_reference_executor() {
     );
 }
 
-// Lowers the recipe-selected plan, certifies it, and checks the
-// wave-parallel interpreter against the serial one at several thread
-// counts — bitwise, on both the output values and its materialized
-// layout. (Dropout is off, so no RNG stream is consumed and parallel
-// execution must reproduce the serial run exactly.)
+// Lowers the recipe-selected plan and certifies it. Its strided layouts
+// route it to the reference interpreter — which is what lets the sanitized
+// CI run of this file drive the shadow sanitizer through a recipe-lowered
+// plan — and that executor is serial: `threads` must change neither the
+// output values nor the materialized layout.
 #[test]
 fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
     let dims = dims();
@@ -122,14 +122,18 @@ fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
     .unwrap();
     let sel = select_forward(&planned.graph, &DeviceSpec::v100(), &fwd, &sweeps).unwrap();
     let plan = ExecutionPlan::lower(&planned.graph, &sel).unwrap();
-    let cert = certify(&planned.graph, &plan).expect("the recipe-selected plan certifies");
+    certify(&planned.graph, &plan).expect("the recipe-selected plan certifies");
+    assert_eq!(
+        route(&planned.graph, &plan),
+        Route::Reference,
+        "the selection must pick at least one non-natural layout"
+    );
 
     let (x, w) = inputs(&dims, 29);
     let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
     let over = PlanOverride {
         graph: &planned.graph,
         plan: &plan,
-        cert: Some(&cert),
     };
     let serial = (opts(3)).to_builder().plan(Some(over)).build();
     let (y_serial, a_serial) = layer
@@ -190,7 +194,7 @@ proptest! {
         let y_ref = reference_y(&dims, &x, &w);
         let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
         let run = (opts(3)).to_builder()
-            .plan(Some(PlanOverride { graph: &planned.graph, plan: &plan, cert: None }))
+            .plan(Some(PlanOverride { graph: &planned.graph, plan: &plan }))
             .build();
         let y = layer.forward(&x, &w, &run).expect("perturbed plan executes").y;
         prop_assert!(y.max_abs_diff(&y_ref).unwrap() < 1e-4);
@@ -209,7 +213,6 @@ fn invalid_plans_are_rejected_before_execution() {
             .plan(Some(PlanOverride {
                 graph: &planned.graph,
                 plan,
-                cert: None,
             }))
             .build();
         layer.forward(x, w, &o).map(|out| out.y)
