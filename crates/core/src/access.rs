@@ -1,12 +1,13 @@
 //! The access-path certifier: symbolic abstract interpretation over a
 //! schedule that proves, per step, where every kernel access lands.
 //!
-//! For each scheduled step the certifier derives the exact index-affine
-//! access path of every operand — base offset, per-loop-dimension
-//! `(extent, stride)` pairs, innermost loop last — from the *graph* (shapes,
-//! edges, operator kind) and the interpreter's dispatch rules, exactly the
-//! way [`crate::sanitize::step_footprint`] derives element spans. It then
-//! proves three properties:
+//! For each scheduled step the certifier turns the step lowering's operand
+//! roles (DESIGN.md, "Step lowering" — the roles the arena resolves to the
+//! slab views it hands the kernels, and
+//! [`crate::sanitize::step_footprint`] to element spans) into the exact
+//! index-affine access path of every operand under its declared layout —
+//! base offset, per-loop-dimension `(extent, stride)` pairs, innermost loop
+//! last. It then proves three properties:
 //!
 //! 1. **in-bounds** — every read/write lands inside the declared operand's
 //!    buffer (and, at arena level, inside its slab slot and the slab
@@ -31,18 +32,19 @@
 //! certifier flags as strided runs the same body, just without contiguous
 //! lanes.
 //!
-//! Steps the certifier cannot model exactly (unknown operator kinds,
-//! operand lists that disagree with the graph) degrade to conservative
+//! Steps the lowering does not model (unknown operator kinds) or whose
+//! operand lists disagree with the graph degrade to conservative
 //! whole-buffer paths: still sound for the bounds and aliasing checks, but
 //! never counted as proven unit-stride.
 
 use std::collections::HashMap;
 
-use xform_dataflow::{Graph, NodeId, OpKind};
+use xform_dataflow::{Graph, NodeId};
 use xform_tensor::{Layout, Shape};
 
 use crate::analyze::{ArenaAssignment, ArenaGranularity, PlanLint};
-use crate::plan::{classify_fused, stacked_carve_start, ExecutionPlan, FusedClass, PlanStep};
+use crate::lower::{lower_step, Role, Slot};
+use crate::plan::{ExecutionPlan, Operand, PlanStep};
 use crate::sanitize::{plan_fingerprint, AccessKind};
 
 /// An index-affine access path: the set of word offsets
@@ -224,405 +226,114 @@ fn sweep_path(shape: &Shape, layout: &Layout, inner: usize) -> AccessPath {
     AccessPath { base: 0, dims }
 }
 
-/// Gather path of a broadcast bias swept by the output's iteration space:
-/// one `(out_extent, bias_stride)` dimension per bias axis. `None` when a
-/// bias axis is missing from the output or extents disagree.
-fn bias_path(out: &Shape, bias: &Shape) -> Option<AccessPath> {
-    let bias_strides = Layout::row_major(bias.rank()).strides(bias);
-    let mut dims = Vec::with_capacity(bias.rank());
-    for (bi, &ax) in bias.axes().iter().enumerate() {
-        let p = out.index_of(ax).ok()?;
-        if out.sizes()[p] != bias.sizes()[bi] {
-            return None;
+/// The access path a [`Role`] describes for the operand `o` bound to the
+/// graph edge `edge`, and whether the operand carries the unit-stride
+/// obligation (`swept`). Carves, broadcasts and GEMM operands are address
+/// sets fixed by the edge's geometry alone; a sweep is exact only when the
+/// declaration binds that very edge and its layout parses — `None`
+/// otherwise, which the caller degrades to a conservative whole-sweep path
+/// bounded against the declared buffer. That is exactly how an injected
+/// out-of-bounds retarget is convicted.
+fn role_path(graph: &Graph, role: &Role, edge: NodeId, o: &Operand) -> Option<(AccessPath, bool)> {
+    let shape = &graph.data(edge)?.shape;
+    let inner = match role {
+        Role::Gemm => return Some((AccessPath::flat(shape.num_elements() as u64), false)),
+        Role::Carve { base, words } => {
+            let path = AccessPath {
+                base: *base as u64,
+                dims: vec![(*words as u64, 1)],
+            };
+            return Some((path, false));
         }
-        dims.push((out.sizes()[p] as u64, bias_strides[bi] as u64));
+        Role::Broadcast(map) => {
+            // one `(out_extent, bias_stride)` dimension per bias axis
+            let dims = map.dims.iter().map(|&(_, n, bs)| (n as u64, bs as u64));
+            let path = AccessPath {
+                base: 0,
+                dims: dims.collect(),
+            };
+            return Some((path, false));
+        }
+        Role::Lanes { axis } => *axis,
+        // element-wise sweeps and the dense 1-D per-lane weights walk
+        // their last logical axis innermost
+        Role::Whole | Role::LaneWeights => shape.rank().saturating_sub(1),
+    };
+    if o.data != edge {
+        return None;
     }
-    Some(AccessPath { base: 0, dims })
+    let layout = Layout::from_axis_order(shape, &o.layout).ok()?;
+    let swept = matches!(role, Role::Lanes { .. }) || shape.rank() > 0;
+    Some((sweep_path(shape, &layout, inner), swept))
 }
 
-/// Derives the operand access paths of one scheduled step from the graph
-/// and the interpreter's dispatch rules — deliberately not from the
-/// declared operand list alone, so a declaration that disagrees with what
-/// the kernel will actually sweep is bounds-checked against the sweep, not
-/// against itself.
+/// Derives the operand access paths of one scheduled step from the step
+/// lowering (`core::lower`: the graph's edges and the dispatch rules) —
+/// deliberately not from the declared operand list alone, so a declaration
+/// that disagrees with what the kernel will actually sweep is
+/// bounds-checked against the sweep, not against itself. The sweep
+/// geometry comes from the graph edge at each slot; the buffer bound and
+/// the layout come from the operand declared there.
 pub fn step_accesses(graph: &Graph, step: &PlanStep) -> StepAccesses {
-    let mut acc: Vec<OperandAccess> = Vec::new();
+    let mut accesses: Vec<OperandAccess> = Vec::new();
     let mut derived = true;
+    let words_of = |id: NodeId| graph.data(id).map_or(0, |d| d.shape.num_elements() as u64);
+    let mut push = |data: NodeId, name: &str, kind: AccessKind, path: AccessPath, swept: bool| {
+        accesses.push(OperandAccess {
+            data,
+            name: name.to_string(),
+            kind,
+            path,
+            swept,
+        });
+    };
 
     // relayouts: a full value read plus a full materialization, exact as
     // address sets (every word of the container on both sides)
     for r in &step.relayouts {
-        let Some(d) = graph.data(r.data) else {
+        if graph.data(r.data).is_none() {
             derived = false;
             continue;
-        };
-        let words = d.shape.num_elements() as u64;
+        }
         for kind in [AccessKind::Read, AccessKind::Materialize] {
-            acc.push(OperandAccess {
-                data: r.data,
-                name: r.name.clone(),
-                kind,
-                path: AccessPath::flat(words),
-                swept: false,
-            });
+            let path = AccessPath::flat(words_of(r.data));
+            push(r.data, &r.name, kind, path, false);
         }
     }
 
     let in_ids = graph.inputs_of(step.op);
     let out_ids = graph.outputs_of(step.op);
-    let node = graph.op(step.op);
-
-    // operand resolution: the sweep geometry comes from the graph edge at
-    // the same position; the buffer bound and layout come from the
-    // declared operand. A declaration that points at a different
-    // container degrades to a conservative whole-sweep path bounded
-    // against the declared buffer — which is exactly how an injected
-    // out-of-bounds retarget is convicted.
-    let decl_shape = |data: NodeId| graph.data(data).map(|d| d.shape.clone());
-    let edge_at = |ids: &[NodeId], k: usize| ids.get(k).copied();
-
-    // push one operand access; `inner` is the logical axis (of the edge
-    // shape) the kernel's inner loop walks, `None` for gather operands
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        acc: &mut Vec<OperandAccess>,
-        derived: &mut bool,
-        graph: &Graph,
-        operand: &crate::plan::Operand,
-        edge: Option<NodeId>,
-        kind: AccessKind,
-        inner: Option<usize>,
-        explicit: Option<AccessPath>,
-    ) {
-        let decl = graph.data(operand.data).map(|d| d.shape.clone());
-        let edge_shape = edge.and_then(|id| graph.data(id).map(|d| d.shape.clone()));
-        let (path, swept) = match explicit {
-            Some(p) => (p, false),
-            None => {
-                let exact = match (&decl, &edge_shape, edge) {
-                    (Some(ds), Some(_), Some(id)) if id == operand.data => {
-                        Layout::from_axis_order(ds, &operand.layout)
-                            .ok()
-                            .map(|lay| {
-                                let ai = inner.unwrap_or(ds.rank().saturating_sub(1));
-                                (
-                                    sweep_path(ds, &lay, ai.min(ds.rank().saturating_sub(1))),
-                                    inner.is_some() || ds.rank() > 0,
-                                )
-                            })
-                    }
-                    _ => None,
+    match lower_step(graph, step) {
+        Some(low) => {
+            for (slot, role) in &low.operands {
+                let (declared, edge, kind) = match *slot {
+                    Slot::In(k) => (step.inputs.get(k), in_ids[k], AccessKind::Read),
+                    Slot::Out(k) => (step.outputs.get(k), out_ids[k], AccessKind::Write),
                 };
-                match exact {
-                    Some((p, s)) => (p, s),
-                    None => {
-                        *derived = false;
-                        let words = edge_shape
-                            .as_ref()
-                            .or(decl.as_ref())
-                            .map(|s| s.num_elements() as u64)
-                            .unwrap_or(0);
-                        (AccessPath::flat(words), false)
-                    }
-                }
-            }
-        };
-        acc.push(OperandAccess {
-            data: operand.data,
-            name: operand.name.clone(),
-            kind,
-            path,
-            swept,
-        });
-    }
-
-    // convenience wrappers over the positional operand lists
-    macro_rules! read {
-        ($k:expr, $inner:expr) => {
-            if let Some(o) = step.inputs.get($k) {
-                push(
-                    &mut acc,
-                    &mut derived,
-                    graph,
-                    o,
-                    edge_at(in_ids.as_slice(), $k),
-                    AccessKind::Read,
-                    $inner,
-                    None,
-                );
-            } else {
-                derived = false;
-            }
-        };
-    }
-    macro_rules! write {
-        ($k:expr, $inner:expr) => {
-            if let Some(o) = step.outputs.get($k) {
-                push(
-                    &mut acc,
-                    &mut derived,
-                    graph,
-                    o,
-                    edge_at(out_ids.as_slice(), $k),
-                    AccessKind::Write,
-                    $inner,
-                    None,
-                );
-            } else {
-                derived = false;
-            }
-        };
-    }
-    // a gather operand with an explicit path (bias broadcast, carve)
-    macro_rules! explicit {
-        ($o:expr, $kind:expr, $path:expr) => {
-            push(
-                &mut acc,
-                &mut derived,
-                graph,
-                $o,
-                None,
-                $kind,
-                None,
-                Some($path),
-            );
-        };
-    }
-    // broadcast-bias read at input slot `$k`, swept by output slot 0's
-    // edge shape
-    macro_rules! bias_read {
-        ($k:expr, $out_edge:expr) => {
-            if let (Some(o), Some(out_s)) = (step.inputs.get($k), $out_edge) {
-                let bias_s = edge_at(in_ids.as_slice(), $k).and_then(decl_shape);
-                match bias_s.as_ref().and_then(|bs| bias_path(&out_s, bs)) {
-                    Some(p) => {
-                        explicit!(o, AccessKind::Read, p);
-                    }
-                    None => {
-                        derived = false;
-                        let words = bias_s.map(|s| s.num_elements() as u64).unwrap_or(0);
-                        explicit!(o, AccessKind::Read, AccessPath::flat(words));
-                    }
-                }
-            } else {
-                derived = false;
-            }
-        };
-    }
-
-    let inner_of = |shape: Option<&Shape>, axis: xform_tensor::Axis| -> Option<usize> {
-        shape.and_then(|s| s.index_of(axis).ok())
-    };
-    let in_edge_shape = |k: usize| edge_at(in_ids.as_slice(), k).and_then(decl_shape);
-    let out_edge_shape = |k: usize| edge_at(out_ids.as_slice(), k).and_then(decl_shape);
-
-    match node.map(|_| &step.kind) {
-        Some(OpKind::Einsum(_)) | Some(OpKind::ContractionEpilogue { .. }) => {
-            // the strided GEMM (with or without a per-tile epilogue) reads
-            // and writes every word of every operand; exact as
-            // address sets, but no inner-loop stride claim is made
-            for (k, o) in step.inputs.iter().enumerate() {
-                let words = edge_at(in_ids.as_slice(), k)
-                    .and_then(decl_shape)
-                    .or_else(|| decl_shape(o.data))
-                    .map(|s| s.num_elements() as u64)
-                    .unwrap_or(0);
-                explicit!(o, AccessKind::Read, AccessPath::flat(words));
-            }
-            for (k, o) in step.outputs.iter().enumerate() {
-                let words = edge_at(out_ids.as_slice(), k)
-                    .and_then(decl_shape)
-                    .or_else(|| decl_shape(o.data))
-                    .map(|s| s.num_elements() as u64)
-                    .unwrap_or(0);
-                explicit!(o, AccessKind::Write, AccessPath::flat(words));
-            }
-        }
-        Some(OpKind::Bias { .. }) => {
-            let out_s = out_edge_shape(0);
-            let x_s = in_edge_shape(0);
-            // x may be the stacked-Q/K/V container carved down to the
-            // output's rows
-            match (step.inputs.first(), &x_s, &out_s) {
-                (Some(o), Some(xs), Some(os))
-                    if xs.sizes() != os.sizes() || xs.spec() != os.spec() =>
-                {
-                    let carved =
-                        (xs.rank() > 0 && os.rank() > 0 && xs.sizes()[1..] == os.sizes()[1..])
-                            .then(|| {
-                                let total = xs.sizes()[0];
-                                let len = os.sizes()[0];
-                                let rest: u64 = xs.sizes()[1..].iter().map(|&n| n as u64).product();
-                                let name = node.map(|n| n.name.as_str()).unwrap_or("");
-                                stacked_carve_start(name, total, len).map(|start| AccessPath {
-                                    base: start as u64 * rest,
-                                    dims: vec![(len as u64 * rest, 1)],
-                                })
-                            })
-                            .flatten();
-                    match carved {
-                        Some(p) => {
-                            explicit!(o, AccessKind::Read, p);
-                        }
-                        None => {
-                            derived = false;
-                            explicit!(
-                                o,
-                                AccessKind::Read,
-                                AccessPath::flat(xs.num_elements() as u64)
-                            );
-                        }
-                    }
-                }
-                _ => read!(0, None),
-            }
-            bias_read!(1, out_s.clone());
-            write!(0, None);
-        }
-        Some(OpKind::Scale) | Some(OpKind::Relu) => {
-            read!(0, None);
-            write!(0, None);
-        }
-        Some(OpKind::Residual) => {
-            read!(0, None);
-            read!(1, None);
-            write!(0, None);
-        }
-        Some(OpKind::Dropout) => {
-            read!(0, None);
-            write!(0, None);
-            write!(1, None);
-        }
-        Some(OpKind::Softmax { axis }) => {
-            let ai = inner_of(in_edge_shape(0).as_ref(), *axis);
-            read!(0, ai);
-            write!(0, ai);
-        }
-        Some(OpKind::LayerNorm { axis }) => {
-            let ai = inner_of(in_edge_shape(0).as_ref(), *axis);
-            read!(0, ai);
-            read!(1, None); // gamma: dense 1-D, indexed by lane position
-            read!(2, None); // beta
-            write!(0, ai);
-        }
-        Some(OpKind::Fused {
-            parts, reduce_axis, ..
-        }) => match classify_fused(parts) {
-            Some(FusedClass::InputBias) => {
-                // stacked projection: one carved read per output
-                if step.inputs.len() == step.outputs.len() + 1 && !step.outputs.is_empty() {
-                    let x_s = in_edge_shape(0);
-                    let mut start = 0u64;
-                    for k in 0..step.outputs.len() {
-                        let o_s = out_edge_shape(k);
-                        let carve = match (&x_s, &o_s, step.inputs.first()) {
-                            (Some(xs), Some(os), Some(_))
-                                if xs.rank() > 0
-                                    && os.rank() > 0
-                                    && xs.sizes()[1..] == os.sizes()[1..] =>
-                            {
-                                let rest: u64 = xs.sizes()[1..].iter().map(|&n| n as u64).product();
-                                let len = os.sizes()[0] as u64;
-                                let p = AccessPath {
-                                    base: start * rest,
-                                    dims: vec![(len * rest, 1)],
-                                };
-                                start += len;
-                                Some(p)
-                            }
-                            _ => None,
-                        };
-                        if let (Some(o), Some(p)) = (step.inputs.first(), carve) {
-                            explicit!(o, AccessKind::Read, p);
-                        } else {
-                            derived = false;
-                        }
-                        bias_read!(k + 1, o_s.clone());
-                        write!(k, None);
-                    }
-                } else {
+                let Some(o) = declared else {
                     derived = false;
-                }
-            }
-            Some(FusedClass::Softmax { .. }) => {
-                let ai = reduce_axis.and_then(|ax| inner_of(in_edge_shape(0).as_ref(), ax));
-                if ai.is_none() {
+                    continue;
+                };
+                let (path, swept) = role_path(graph, role, edge, o).unwrap_or_else(|| {
                     derived = false;
-                }
-                read!(0, ai);
-                for k in 0..step.outputs.len() {
-                    write!(k, ai);
-                }
+                    (AccessPath::flat(words_of(edge)), false)
+                });
+                push(o.data, &o.name, kind, path, swept);
             }
-            Some(FusedClass::BiasDropResidualNorm) => {
-                let ai = reduce_axis.and_then(|ax| inner_of(in_edge_shape(0).as_ref(), ax));
-                if ai.is_none() {
-                    derived = false;
-                }
-                read!(0, ai);
-                bias_read!(1, in_edge_shape(0));
-                read!(2, ai); // residual
-                read!(3, None); // gamma
-                read!(4, None); // beta
-                for k in 0..step.outputs.len() {
-                    write!(k, ai);
-                }
-            }
-            Some(FusedClass::BiasActDrop) => {
-                read!(0, None);
-                bias_read!(1, in_edge_shape(0));
-                for k in 0..step.outputs.len() {
-                    write!(k, None);
-                }
-            }
-            Some(FusedClass::BiasDropResidual) => {
-                read!(0, None);
-                bias_read!(1, in_edge_shape(0));
-                read!(2, None);
-                for k in 0..step.outputs.len() {
-                    write!(k, None);
-                }
-            }
-            Some(FusedClass::Norm) => {
-                let ai = reduce_axis.and_then(|ax| inner_of(in_edge_shape(0).as_ref(), ax));
-                if ai.is_none() {
-                    derived = false;
-                }
-                read!(0, ai);
-                read!(1, None);
-                read!(2, None);
-                write!(0, ai);
-            }
-            None => {
-                derived = false;
-                for o in &step.inputs {
-                    let words = decl_shape(o.data)
-                        .map(|s| s.num_elements() as u64)
-                        .unwrap_or(0);
-                    explicit!(o, AccessKind::Read, AccessPath::flat(words));
-                }
-                for o in &step.outputs {
-                    let words = decl_shape(o.data)
-                        .map(|s| s.num_elements() as u64)
-                        .unwrap_or(0);
-                    explicit!(o, AccessKind::Write, AccessPath::flat(words));
-                }
-            }
-        },
-        // unknown operator kind or dead node: conservative declared spans
-        _ => {
+        }
+        // a step the lowering does not model: conservative declared spans
+        None => {
             derived = false;
-            for o in &step.inputs {
-                let words = decl_shape(o.data)
-                    .map(|s| s.num_elements() as u64)
-                    .unwrap_or(0);
-                explicit!(o, AccessKind::Read, AccessPath::flat(words));
-            }
-            for o in &step.outputs {
-                let words = decl_shape(o.data)
-                    .map(|s| s.num_elements() as u64)
-                    .unwrap_or(0);
-                explicit!(o, AccessKind::Write, AccessPath::flat(words));
+            let reads = step.inputs.iter().map(|o| (o, AccessKind::Read));
+            let writes = step.outputs.iter().map(|o| (o, AccessKind::Write));
+            for (o, kind) in reads.chain(writes) {
+                push(
+                    o.data,
+                    &o.name,
+                    kind,
+                    AccessPath::flat(words_of(o.data)),
+                    false,
+                );
             }
         }
     }
@@ -633,10 +344,7 @@ pub fn step_accesses(graph: &Graph, step: &PlanStep) -> StepAccesses {
         derived = false;
     }
 
-    StepAccesses {
-        accesses: acc,
-        derived,
-    }
+    StepAccesses { accesses, derived }
 }
 
 /// Shared certification core: logical bounds always, slab embedding when
@@ -825,7 +533,7 @@ pub fn certify_access_arena(
 
 /// One cache container's geometry as proven by [`certify_decode`].
 #[derive(Debug, Clone)]
-pub struct CacheGeometry {
+pub struct KvCacheGeometry {
     /// Container name (e.g. `k_cache`).
     pub name: String,
     /// Position capacity: the extent of the outermost (position-major)
@@ -847,12 +555,12 @@ pub struct DecodeCertificate {
     /// Fingerprint of the certified plan.
     pub plan_hash: u64,
     /// Geometry per cache container, in graph declaration order.
-    pub caches: Vec<CacheGeometry>,
+    pub caches: Vec<KvCacheGeometry>,
 }
 
 impl DecodeCertificate {
     /// Geometry of the named cache container, if the plan reads one.
-    pub fn cache(&self, name: &str) -> Option<&CacheGeometry> {
+    pub fn cache(&self, name: &str) -> Option<&KvCacheGeometry> {
         self.caches.iter().find(|c| c.name == name)
     }
 }
@@ -922,7 +630,7 @@ pub fn certify_decode(
             let sizes = d.shape.sizes();
             let capacity = sizes.first().copied().unwrap_or(1);
             let col_words: usize = sizes.iter().skip(1).product();
-            Some(CacheGeometry {
+            Some(KvCacheGeometry {
                 name: d.name.clone(),
                 capacity,
                 col_words,

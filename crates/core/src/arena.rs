@@ -23,11 +23,13 @@
 //! its slot ([`crate::access::certify_access_arena`]), at
 //! [`ArenaGranularity::Waves`] proves the wave partition it is about to
 //! dispatch free of races ([`crate::sanitize::certify_waves`]), and
-//! precompiles every step into a `StepExec` descriptor over raw slab
-//! views. All of that happens once; [`compiled`] memoizes the result per
-//! distinct plan. Execution then walks the descriptors through the
-//! zero-allocation `*_into` kernels of [`xform_tensor::into_ops`] — no
-//! tensors are built, no heap is touched.
+//! precompiles every step into a `StepExec`: the step lowering's kernel
+//! class (DESIGN.md, "Step lowering" — the same roles the two certifiers
+//! read) with each operand role resolved to a raw slab view. All of that
+//! happens once; [`compiled`] memoizes the result per distinct plan.
+//! Execution then walks the descriptors through the zero-allocation
+//! `*_into` kernels of [`xform_tensor::into_ops`] — no tensors are built,
+//! no heap is touched.
 //!
 //! One compiled arena serves four modes, none of which changes a result
 //! bit, because every step draws from its own seeded RNG stream:
@@ -49,8 +51,8 @@
 //!
 //! An arena's buffers sit behind a mutex and a run holds it for its whole
 //! duration: concurrent callers of one arena queue, they are never handed
-//! to another executor. A natural-layout plan with a step the precompiler
-//! has no lowering for is an error at compile, naming the step.
+//! to another executor. A natural-layout plan with a step the lowering
+//! does not model is an error at compile, naming the step.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,20 +63,18 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
-use xform_tensor::into_ops::{self, BiasMap, CausalMap, ContractPlan, LaneGeom};
+use xform_dataflow::{DataRole, Graph, NodeId};
+use xform_tensor::into_ops::{self, BiasMap, CausalMap};
 use xform_tensor::lanes::{check_dropout_p, Dropout};
 use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::ops::layernorm::LayerNormStats;
-use xform_tensor::{Axis, Layout, Result, Shape, Tensor, TensorError};
+use xform_tensor::{Result, Shape, Tensor, TensorError};
 
 use crate::access::AccessCertificate;
 use crate::analyze::{analyze, ArenaGranularity, PlanAnalysis};
-use crate::plan::{
-    causal_map_of, classify_fused, epilogue_geometry, execute_plan, labelled_shapes,
-    stacked_carve_start, ExecOptions, ExecState, ExecutionPlan, FusedClass, PlanStep, SanitizeMode,
-};
-use crate::sanitize::{certify_arena, certify_waves, plan_fingerprint, ArenaCertificate};
+use crate::lower::{lower_step, Kernel, Role, Slot, Tail};
+use crate::plan::{execute_plan, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
+use crate::sanitize::{certify_analyzed, certify_arena, plan_fingerprint, ArenaCertificate};
 
 /// One contiguous word range of the slab (or of the scratch/stats
 /// buffers).
@@ -84,152 +84,26 @@ struct BufView {
     len: usize,
 }
 
-/// A precompiled step: every operand resolved to a slab view, every lane
-/// decomposition and broadcast map baked in. Executing one of these
-/// touches no heap.
+/// A precompiled step: the lowering's kernel class with its baked
+/// geometry, and every operand resolved to a slab view. Executing one of
+/// these touches no heap.
 #[derive(Debug, Clone)]
-enum StepExec {
-    /// Two-operand einsum: serial per-batch GEMMs straight through the
-    /// plan's strided views of the operand and output slab ranges; the
-    /// scratch at `s_off` holds only the packs of operands the plan has to
-    /// gather (none for the canned plans).
-    Contract {
-        a: BufView,
-        b: BufView,
-        out: BufView,
-        plan: ContractPlan,
-        s_off: usize,
-    },
-    /// Broadcast bias add; `x` is pre-carved for stacked-Q/K/V steps.
-    Bias {
-        x: BufView,
-        bias: BufView,
-        out: BufView,
-        bmap: BiasMap,
-    },
-    /// Fused AIB: all three Q/K/V biases over one stacked projection.
-    InputBias {
-        parts: Vec<(BufView, BufView, BufView, BiasMap)>,
-    },
-    Scale {
-        x: BufView,
-        out: BufView,
-    },
-    /// Unfused scale-folded softmax, causal for the masked variant.
-    Softmax {
-        x: BufView,
-        out: BufView,
-        lane: LaneGeom,
-        causal: Option<CausalMap>,
-    },
-    /// Fused SM (scale + softmax + dropout), causal for decoders.
-    Sm {
-        x: BufView,
-        softmax: BufView,
-        alpha: BufView,
-        mask: BufView,
-        lane: LaneGeom,
-        causal: Option<CausalMap>,
-    },
-    LayerNorm {
-        x: BufView,
-        gamma: BufView,
-        beta: BufView,
-        out: BufView,
-        lane: LaneGeom,
-        mean: BufView,
-        inv_std: BufView,
-    },
-    Dropout {
-        x: BufView,
-        out: BufView,
-        mask: BufView,
-    },
-    Activate {
-        x: BufView,
-        out: BufView,
-    },
-    Residual {
-        a: BufView,
-        b: BufView,
-        out: BufView,
-    },
-    /// Fused BDRLN.
-    Bdrln {
-        x: BufView,
-        bias: BufView,
-        bmap: BiasMap,
-        residual: BufView,
-        gamma: BufView,
-        beta: BufView,
-        mask: BufView,
-        ln_input: BufView,
-        out: BufView,
-        lane: LaneGeom,
-        mean: BufView,
-        inv_std: BufView,
-    },
-    /// Fused BRD (bias + activation + dropout).
-    BrdAct {
-        x: BufView,
-        bias: BufView,
-        bmap: BiasMap,
-        pre_activation: BufView,
-        out: BufView,
-        mask: BufView,
-    },
-    /// Fused BDR (bias + dropout + residual, no norm).
-    Bdr {
-        x: BufView,
-        bias: BufView,
-        bmap: BiasMap,
-        residual: BufView,
-        mask: BufView,
-        out: BufView,
-    },
-    /// GEMM-epilogue mega-kernel: pack each batch slice's B panels once,
-    /// stream the GEMM in row tiles and apply the epilogue per tile. The
-    /// contraction output lives only in the `tile_rows · n` tile inside the
-    /// scratch at `s_off` — it has no slab slot.
-    ContractEpilogue {
-        a: BufView,
-        b: BufView,
-        plan: ContractPlan,
-        tile_rows: usize,
-        s_off: usize,
-        epi: EpiExec,
-    },
-}
-
-/// The baked per-tile epilogue of a [`StepExec::ContractEpilogue`] step.
-#[derive(Debug, Clone)]
-enum EpiExec {
-    /// Scaled (optionally causal) softmax + dropout.
-    Sm {
-        softmax: BufView,
-        alpha: BufView,
-        mask: BufView,
-        causal: Option<CausalMap>,
-    },
-    /// Bias + activation + dropout.
-    BrdAct {
-        bias: BufView,
-        /// Tile bias map `[(n, m, 1)]`, built at compile time so the
-        /// steady-state path stays allocation-free.
-        bmap: into_ops::BiasMap,
-        pre_activation: BufView,
-        out: BufView,
-        mask: BufView,
-    },
-    /// Bias + dropout + residual.
-    Bdr {
-        bias: BufView,
-        /// Tile bias map `[(n, m, 1)]`, as in [`EpiExec::BrdAct`].
-        bmap: into_ops::BiasMap,
-        residual: BufView,
-        mask: BufView,
-        out: BufView,
-    },
+struct StepExec {
+    kernel: Kernel,
+    /// One slab view per operand of the lowering, in its order — which is
+    /// the kernel's argument order ([`run_step`]). A carved operand's view
+    /// is already narrowed to its rows.
+    views: Vec<BufView>,
+    /// The broadcast maps of the bias operands, in operand order.
+    bmaps: Vec<BiasMap>,
+    /// Per-lane mean and inverse-deviation regions of the statistics
+    /// buffer (the normalizing classes).
+    stats: Option<(BufView, BufView)>,
+    /// Where the kernel's scratch ([`Kernel::scratch_words`]) starts: the
+    /// gather packs of a contraction (none for the canned plans), and for
+    /// the epilogue class the packed B panels and the output tile — the
+    /// contraction output of a mega-kernel has no slab slot.
+    s_off: usize,
 }
 
 /// An external input the caller binds into the slab before execution.
@@ -274,6 +148,18 @@ struct ArenaBuffers {
     stats: Vec<f32>,
     step_us: Vec<f64>,
     wave_us: Vec<f64>,
+}
+
+impl ArenaBuffers {
+    fn zeroed(slab: usize, scratch: usize, stats: usize, steps: usize, waves: usize) -> Self {
+        ArenaBuffers {
+            slab: vec![0.0; slab],
+            scratch: vec![0.0; scratch],
+            stats: vec![0.0; stats],
+            step_us: vec![0.0; steps],
+            wave_us: vec![0.0; waves],
+        }
+    }
 }
 
 /// Raw views of one [`ArenaBuffers`], copyable into worker threads. The
@@ -451,11 +337,6 @@ pub struct CompiledArena {
     buffers: Mutex<ArenaBuffers>,
 }
 
-/// Row-major strides for a shape.
-fn rm_strides(shape: &Shape) -> Vec<usize> {
-    Layout::row_major(shape.rank()).strides(shape)
-}
-
 /// The executor a plan runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
@@ -507,28 +388,6 @@ pub fn granularity_for(threads: usize) -> ArenaGranularity {
     }
 }
 
-/// Broadcast map from `out`'s row-major geometry to `bias`'s row-major
-/// geometry; `None` when a bias axis is absent from the output.
-fn bias_map(out: &Shape, bias: &Shape) -> Option<BiasMap> {
-    let out_strides = rm_strides(out);
-    let bias_strides = rm_strides(bias);
-    let mut dims = Vec::with_capacity(bias.rank());
-    for (bi, &ax) in bias.axes().iter().enumerate() {
-        let p = out.index_of(ax).ok()?;
-        if out.sizes()[p] != bias.sizes()[bi] {
-            return None;
-        }
-        dims.push((out_strides[p], out.sizes()[p], bias_strides[bi]));
-    }
-    Some(BiasMap { dims })
-}
-
-/// Lane decomposition of `shape` along `axis`.
-fn lane_of(shape: &Shape, axis: Axis) -> Option<LaneGeom> {
-    let ai = shape.index_of(axis).ok()?;
-    Some(LaneGeom::new(shape.sizes(), ai))
-}
-
 impl CompiledArena {
     /// Lowers an analyzed plan onto a static arena at the given
     /// granularity. Everything a run would otherwise have to re-check per
@@ -549,7 +408,7 @@ impl CompiledArena {
     /// [`crate::access::certify_access_arena`] — an internal invariant
     /// violation), the wave partition fails
     /// [`crate::sanitize::certify_waves`], or a step has no arena lowering
-    /// (an operator kind or operand count the precompiler does not model).
+    /// (an operator kind or operand count the step lowering does not model).
     pub fn compile(
         graph: &Graph,
         plan: &ExecutionPlan,
@@ -568,7 +427,7 @@ impl CompiledArena {
             ArenaGranularity::Serial => (0..plan.steps.len()).map(|i| vec![i]).collect(),
             ArenaGranularity::Waves => {
                 let waves = analysis.parallel_waves();
-                certify_waves(graph, plan, &waves)
+                certify_analyzed(graph, plan, analysis, &waves)
                     .map_err(|lints| refused("wave partition", lints))?;
                 waves
             }
@@ -604,30 +463,14 @@ impl CompiledArena {
             steps.push(exec);
         }
 
-        // per-wave cumulative scratch offsets for the contraction steps;
-        // the high-water mark over waves sizes the scratch allocation
+        // per-wave cumulative scratch offsets; the high-water mark over
+        // waves sizes the scratch allocation
         let mut scratch_words = 0usize;
         for wave in &waves {
             let mut acc = 0usize;
             for &si in wave {
-                match &mut steps[si] {
-                    StepExec::Contract {
-                        plan: cp, s_off, ..
-                    } => {
-                        *s_off = acc;
-                        acc += cp.scratch_words();
-                    }
-                    StepExec::ContractEpilogue {
-                        plan: cp,
-                        tile_rows,
-                        s_off,
-                        ..
-                    } => {
-                        *s_off = acc;
-                        acc += cp.epilogue_scratch_words(*tile_rows);
-                    }
-                    _ => {}
-                }
+                steps[si].s_off = acc;
+                acc += steps[si].kernel.scratch_words();
             }
             scratch_words = scratch_words.max(acc);
         }
@@ -721,14 +564,52 @@ impl CompiledArena {
             poison_spans,
             outputs,
             stats_out,
-            buffers: Mutex::new(ArenaBuffers {
-                slab: vec![0.0; slab_words],
-                scratch: vec![0.0; scratch_words],
-                stats: vec![0.0; stats_words],
-                step_us: vec![0.0; plan.steps.len()],
-                wave_us: vec![0.0; n_waves],
-            }),
+            buffers: Mutex::new(ArenaBuffers::zeroed(
+                slab_words,
+                scratch_words,
+                stats_words,
+                plan.steps.len(),
+                n_waves,
+            )),
         }))
+    }
+
+    /// A second arena of the same compiled plan with zeroed buffers of its
+    /// own: nothing is analyzed, certified or lowered again. A decode
+    /// session compiles its attend plan once and takes one of these per
+    /// layer, each slab holding that layer's resident cache.
+    pub fn fresh(&self) -> CompiledArena {
+        CompiledArena {
+            granularity: self.granularity,
+            cert: self.cert.clone(),
+            access: self.access.clone(),
+            slab_words: self.slab_words,
+            scratch_words: self.scratch_words,
+            stats_words: self.stats_words,
+            steps: self.steps.clone(),
+            step_names: self.step_names.clone(),
+            step_outputs: self.step_outputs.clone(),
+            waves: self.waves.clone(),
+            retire: self.retire.clone(),
+            externals: self.externals.clone(),
+            poison_spans: self.poison_spans.clone(),
+            outputs: self.outputs.clone(),
+            stats_out: self.stats_out.clone(),
+            buffers: Mutex::new(ArenaBuffers::zeroed(
+                self.slab_words,
+                self.scratch_words,
+                self.stats_words,
+                self.steps.len(),
+                self.waves.len(),
+            )),
+        }
+    }
+
+    /// The slab word range of every operand view step `si` hands its
+    /// kernel, in the kernel's argument order — what the access
+    /// certificate's paths, embedded in their slots, must describe.
+    pub fn step_views(&self, si: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.steps[si].views.iter().map(|v| v.off..v.off + v.len)
     }
 
     /// The certificate proving the coloring respects liveness.
@@ -1118,10 +999,12 @@ pub fn execute(
     }
 }
 
-/// Precompiles one plan step into a [`StepExec`], accumulating layer-norm
-/// statistics regions. `None` means the precompiler has no lowering for
-/// the step (its kind, operand count or geometry), which
-/// [`CompiledArena::compile`] reports as an error naming it.
+/// Precompiles one plan step: its lowering (`core::lower`), with every
+/// operand role resolved to a view of the declared operand's slab slot and
+/// a statistics region allotted to the normalizing classes. `None` means
+/// the lowering does not model the step (its kind, operand count or
+/// geometry) or an operand has no slot, which [`CompiledArena::compile`]
+/// reports as an error naming the step.
 fn compile_step(
     graph: &Graph,
     step: &PlanStep,
@@ -1129,404 +1012,52 @@ fn compile_step(
     stats_words: &mut usize,
     stats_out: &mut Vec<StatsSpec>,
 ) -> Option<StepExec> {
-    let shape_of = |id: NodeId| -> Option<&Shape> { graph.data(id).map(|d| &d.shape) };
-    let vw = |id: NodeId| -> Option<BufView> { view_of.get(&id).copied() };
-    let in_shape = |k: usize| -> Option<&Shape> { shape_of(step.inputs.get(k)?.data) };
-    let out_shape = |k: usize| -> Option<&Shape> { shape_of(step.outputs.get(k)?.data) };
-    let in_view = |k: usize| -> Option<BufView> { vw(step.inputs.get(k)?.data) };
-    let out_view = |k: usize| -> Option<BufView> { vw(step.outputs.get(k)?.data) };
-    let mut alloc_stats = |lanes: usize, key: &str| -> (BufView, BufView) {
-        let mean = BufView {
-            off: *stats_words,
-            len: lanes,
-        };
-        let inv_std = BufView {
-            off: *stats_words + lanes,
-            len: lanes,
-        };
-        *stats_words += 2 * lanes;
-        stats_out.push(StatsSpec {
-            name: key.to_string(),
-            mean,
-            inv_std,
+    let low = lower_step(graph, step)?;
+    let mut views = Vec::with_capacity(low.operands.len());
+    let mut bmaps = Vec::new();
+    for (slot, role) in low.operands {
+        let operand = match slot {
+            Slot::In(k) => step.inputs.get(k),
+            Slot::Out(k) => step.outputs.get(k),
+        }?;
+        let whole = *view_of.get(&operand.data)?;
+        views.push(match role {
+            Role::Carve { base, words } if base + words <= whole.len => BufView {
+                off: whole.off + base,
+                len: words,
+            },
+            Role::Carve { .. } => return None,
+            Role::Broadcast(map) => {
+                bmaps.push(map);
+                whole
+            }
+            Role::Whole | Role::Lanes { .. } | Role::LaneWeights | Role::Gemm => whole,
         });
-        (mean, inv_std)
-    };
-    // carve of a stacked-QKV projection: a contiguous row-major slice
-    // along the stacking axis (always the first)
-    let carve =
-        |x_view: BufView, x_shape: &Shape, out_shape: &Shape, name: &str| -> Option<BufView> {
-            let total = *x_shape.sizes().first()?;
-            let len = *out_shape.sizes().first()?;
-            if x_shape.sizes()[1..] != out_shape.sizes()[1..] {
-                return None;
-            }
-            let rest: usize = x_shape.sizes()[1..].iter().product();
-            let start = stacked_carve_start(name, total, len)?;
-            Some(BufView {
-                off: x_view.off + start * rest,
-                len: len * rest,
-            })
-        };
-
-    let exec = match &step.kind {
-        OpKind::Einsum(spec) => {
-            if step.inputs.len() != 2 || step.outputs.len() != 1 {
-                return None;
-            }
-            let (a_c, b_c, out_c) = (in_shape(0)?, in_shape(1)?, out_shape(0)?);
-            // the labelled output shape must positionally match the
-            // container's declared shape, or the GEMM would misplace
-            let (a_shape, b_shape, lbl_shape) = labelled_shapes(spec, a_c, b_c)?;
-            if lbl_shape.sizes() != out_c.sizes() {
-                return None;
-            }
-            // operands and output are dense row-major slab ranges
-            let plan = ContractPlan::compile(
-                spec,
-                &a_shape,
-                &rm_strides(&a_shape),
-                &b_shape,
-                &rm_strides(&b_shape),
-                &rm_strides(&lbl_shape),
-            )
-            .ok()?;
-            let (a, b, out) = (in_view(0)?, in_view(1)?, out_view(0)?);
-            StepExec::Contract {
-                a,
-                b,
-                out,
-                plan,
-                s_off: 0,
-            }
-        }
-        OpKind::Bias { .. } => {
-            if step.inputs.len() != 2 || step.outputs.len() != 1 {
-                return None;
-            }
-            let (x_s, b_s, o_s) = (in_shape(0)?, in_shape(1)?, out_shape(0)?);
-            let (x_v, b_v, o_v) = (in_view(0)?, in_view(1)?, out_view(0)?);
-            let x = if x_s.sizes() != o_s.sizes() || x_s.spec() != o_s.spec() {
-                carve(x_v, x_s, o_s, &step.name)?
-            } else {
-                x_v
+    }
+    let stats = match low.stats {
+        Some((out, lanes)) => {
+            let region = |k: usize| BufView {
+                off: *stats_words + k * lanes,
+                len: lanes,
             };
-            let bmap = bias_map(o_s, b_s)?;
-            StepExec::Bias {
-                x,
-                bias: b_v,
-                out: o_v,
-                bmap,
-            }
-        }
-        OpKind::Scale => {
-            let (x, out) = (in_view(0)?, out_view(0)?);
-            StepExec::Scale { x, out }
-        }
-        OpKind::Softmax { axis } => {
-            let (x_s, x, out) = (in_shape(0)?, in_view(0)?, out_view(0)?);
-            let lane = lane_of(x_s, *axis)?;
-            let causal = if step.name.contains("Masked") {
-                Some(causal_map_of(x_s, *axis)?)
-            } else {
-                None
-            };
-            StepExec::Softmax {
-                x,
-                out,
-                lane,
-                causal,
-            }
-        }
-        OpKind::LayerNorm { axis } => {
-            if step.inputs.len() != 3 || step.outputs.len() != 1 {
-                return None;
-            }
-            let (x_s, x, gamma, beta, out) = (
-                in_shape(0)?,
-                in_view(0)?,
-                in_view(1)?,
-                in_view(2)?,
-                out_view(0)?,
-            );
-            let lane = lane_of(x_s, *axis)?;
-            if gamma.len != lane.len || beta.len != lane.len {
-                return None;
-            }
-            let (mean, inv_std) = alloc_stats(lane.lanes(), &step.outputs[0].name);
-            StepExec::LayerNorm {
-                x,
-                gamma,
-                beta,
-                out,
-                lane,
+            let (mean, inv_std) = (region(0), region(1));
+            *stats_words += 2 * lanes;
+            stats_out.push(StatsSpec {
+                name: step.outputs.get(out)?.name.clone(),
                 mean,
                 inv_std,
-            }
+            });
+            Some((mean, inv_std))
         }
-        OpKind::Dropout => {
-            if step.outputs.len() != 2 {
-                return None;
-            }
-            let (x, out, mask) = (in_view(0)?, out_view(0)?, out_view(1)?);
-            StepExec::Dropout { x, out, mask }
-        }
-        OpKind::Relu => {
-            let (x, out) = (in_view(0)?, out_view(0)?);
-            StepExec::Activate { x, out }
-        }
-        OpKind::Residual => {
-            if step.inputs.len() != 2 {
-                return None;
-            }
-            let (a, b, out) = (in_view(0)?, in_view(1)?, out_view(0)?);
-            if a.len != out.len || b.len != out.len {
-                return None;
-            }
-            StepExec::Residual { a, b, out }
-        }
-        OpKind::Fused {
-            parts, reduce_axis, ..
-        } => {
-            let class = classify_fused(parts)?;
-            match class {
-                FusedClass::InputBias => {
-                    if step.inputs.len() != step.outputs.len() + 1 || step.outputs.is_empty() {
-                        return None;
-                    }
-                    let (stacked_s, stacked_v) = (in_shape(0)?, in_view(0)?);
-                    let rest: usize = stacked_s.sizes()[1..].iter().product();
-                    let mut start = 0usize;
-                    let mut parts_exec = Vec::with_capacity(step.outputs.len());
-                    for k in 0..step.outputs.len() {
-                        let (o_s, b_s) = (out_shape(k)?, in_shape(k + 1)?);
-                        if o_s.sizes()[1..] != stacked_s.sizes()[1..] {
-                            return None;
-                        }
-                        let len = o_s.sizes()[0];
-                        let x = BufView {
-                            off: stacked_v.off + start * rest,
-                            len: len * rest,
-                        };
-                        let (b_v, o_v) = (in_view(k + 1)?, out_view(k)?);
-                        let bmap = bias_map(o_s, b_s)?;
-                        parts_exec.push((x, b_v, o_v, bmap));
-                        start += len;
-                    }
-                    StepExec::InputBias { parts: parts_exec }
-                }
-                FusedClass::Softmax { causal } => {
-                    if step.outputs.len() != 3 {
-                        return None;
-                    }
-                    let (x_s, x) = (in_shape(0)?, in_view(0)?);
-                    let axis = (*reduce_axis)?;
-                    let lane = lane_of(x_s, axis)?;
-                    let causal_map = if causal {
-                        Some(causal_map_of(x_s, axis)?)
-                    } else {
-                        None
-                    };
-                    let (softmax, alpha, mask) = (out_view(0)?, out_view(1)?, out_view(2)?);
-                    StepExec::Sm {
-                        x,
-                        softmax,
-                        alpha,
-                        mask,
-                        lane,
-                        causal: causal_map,
-                    }
-                }
-                FusedClass::BiasDropResidualNorm => {
-                    if step.inputs.len() != 5 || step.outputs.len() != 3 {
-                        return None;
-                    }
-                    let (x_s, b_s) = (in_shape(0)?, in_shape(1)?);
-                    let axis = (*reduce_axis)?;
-                    let lane = lane_of(x_s, axis)?;
-                    let bmap = bias_map(x_s, b_s)?;
-                    let (x, bias, residual, gamma, beta, mask, ln_input, out) = (
-                        in_view(0)?,
-                        in_view(1)?,
-                        in_view(2)?,
-                        in_view(3)?,
-                        in_view(4)?,
-                        out_view(0)?,
-                        out_view(1)?,
-                        out_view(2)?,
-                    );
-                    if gamma.len != lane.len || beta.len != lane.len {
-                        return None;
-                    }
-                    let (mean, inv_std) = alloc_stats(lane.lanes(), &step.outputs[2].name);
-                    StepExec::Bdrln {
-                        x,
-                        bias,
-                        bmap,
-                        residual,
-                        gamma,
-                        beta,
-                        mask,
-                        ln_input,
-                        out,
-                        lane,
-                        mean,
-                        inv_std,
-                    }
-                }
-                FusedClass::BiasActDrop => {
-                    if step.inputs.len() != 2 || step.outputs.len() != 3 {
-                        return None;
-                    }
-                    let (x_s, b_s) = (in_shape(0)?, in_shape(1)?);
-                    let bmap = bias_map(x_s, b_s)?;
-                    let (x, bias, pre, out, mask) = (
-                        in_view(0)?,
-                        in_view(1)?,
-                        out_view(0)?,
-                        out_view(1)?,
-                        out_view(2)?,
-                    );
-                    StepExec::BrdAct {
-                        x,
-                        bias,
-                        bmap,
-                        pre_activation: pre,
-                        out,
-                        mask,
-                    }
-                }
-                FusedClass::BiasDropResidual => {
-                    if step.inputs.len() != 3 || step.outputs.len() != 2 {
-                        return None;
-                    }
-                    let (x_s, b_s) = (in_shape(0)?, in_shape(1)?);
-                    let bmap = bias_map(x_s, b_s)?;
-                    let (x, bias, residual, mask, out) = (
-                        in_view(0)?,
-                        in_view(1)?,
-                        in_view(2)?,
-                        out_view(0)?,
-                        out_view(1)?,
-                    );
-                    StepExec::Bdr {
-                        x,
-                        bias,
-                        bmap,
-                        residual,
-                        mask,
-                        out,
-                    }
-                }
-                FusedClass::Norm => {
-                    if step.inputs.len() != 3 || step.outputs.len() != 1 {
-                        return None;
-                    }
-                    let (x_s, x, gamma, beta, out) = (
-                        in_shape(0)?,
-                        in_view(0)?,
-                        in_view(1)?,
-                        in_view(2)?,
-                        out_view(0)?,
-                    );
-                    let axis = (*reduce_axis)?;
-                    let lane = lane_of(x_s, axis)?;
-                    if gamma.len != lane.len || beta.len != lane.len {
-                        return None;
-                    }
-                    let (mean, inv_std) = alloc_stats(lane.lanes(), &step.outputs[0].name);
-                    StepExec::LayerNorm {
-                        x,
-                        gamma,
-                        beta,
-                        out,
-                        lane,
-                        mean,
-                        inv_std,
-                    }
-                }
-            }
-        }
-        OpKind::ContractionEpilogue {
-            spec,
-            parts,
-            reduce_axis,
-            ..
-        } => {
-            if step.inputs.len() < 2 || step.outputs.is_empty() {
-                return None;
-            }
-            let (a_c, b_c, out_c) = (in_shape(0)?, in_shape(1)?, out_shape(0)?);
-            let geom = epilogue_geometry(
-                spec,
-                parts,
-                *reduce_axis,
-                a_c,
-                b_c,
-                out_c,
-                in_shape(2),
-                in_shape(3),
-            )?;
-            let (a, b) = (in_view(0)?, in_view(1)?);
-            let epi = match geom.class {
-                FusedClass::Softmax { .. } => {
-                    if step.inputs.len() != 2 || step.outputs.len() != 3 {
-                        return None;
-                    }
-                    let (softmax, alpha, mask) = (out_view(0)?, out_view(1)?, out_view(2)?);
-                    EpiExec::Sm {
-                        softmax,
-                        alpha,
-                        mask,
-                        causal: geom.causal,
-                    }
-                }
-                FusedClass::BiasActDrop => {
-                    if step.inputs.len() != 3 || step.outputs.len() != 3 {
-                        return None;
-                    }
-                    let (bias, pre, out, mask) =
-                        (in_view(2)?, out_view(0)?, out_view(1)?, out_view(2)?);
-                    EpiExec::BrdAct {
-                        bias,
-                        bmap: into_ops::BiasMap {
-                            dims: vec![(geom.plan.n, geom.plan.m, 1)],
-                        },
-                        pre_activation: pre,
-                        out,
-                        mask,
-                    }
-                }
-                FusedClass::BiasDropResidual => {
-                    if step.inputs.len() != 4 || step.outputs.len() != 2 {
-                        return None;
-                    }
-                    let (bias, residual, mask, out) =
-                        (in_view(2)?, in_view(3)?, out_view(0)?, out_view(1)?);
-                    EpiExec::Bdr {
-                        bias,
-                        bmap: into_ops::BiasMap {
-                            dims: vec![(geom.plan.n, geom.plan.m, 1)],
-                        },
-                        residual,
-                        mask,
-                        out,
-                    }
-                }
-                _ => return None,
-            };
-            StepExec::ContractEpilogue {
-                a,
-                b,
-                plan: geom.plan,
-                tile_rows: geom.tile_rows,
-                s_off: 0,
-                epi,
-            }
-        }
-        _ => return None,
+        None => None,
     };
-    Some(exec)
+    Some(StepExec {
+        kernel: low.kernel,
+        views,
+        bmaps,
+        stats,
+        s_off: 0,
+    })
 }
 
 /// Runs step `si` of `steps` on its own RNG stream and, on a timed run,
@@ -1551,7 +1082,9 @@ unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRu
 
 /// Executes one precompiled step out of the slab through the `*_into`
 /// drivers, which pick each kernel's unit-stride or strided instantiation
-/// from the step's own lane geometry.
+/// from the step's own lane geometry. This is the only place that knows a
+/// kernel's argument order: `r(k)`/`w(k)` are the step's `k`-th operand
+/// view, in the order the lowering's [`Kernel`] variants document.
 ///
 /// # Safety
 ///
@@ -1563,230 +1096,106 @@ unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRu
 unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRun, rng: &mut R) {
     let drop = &mut Dropout::new(run.dropout_p, rng)
         .expect("dropout_p was validated when the arena run was admitted");
-    match step {
-        StepExec::Contract {
-            a,
-            b,
-            out,
-            plan,
-            s_off,
-        } => unsafe {
-            into_ops::contract_into(
-                plan,
-                mem.slab(*a),
-                mem.slab(*b),
-                mem.slab_mut(*out),
-                mem.scratch_mut(*s_off, plan.scratch_words()),
-            );
-        },
-        StepExec::Bias { x, bias, out, bmap } => unsafe {
-            into_ops::bias_add_into(mem.slab(*x), mem.slab(*bias), bmap, mem.slab_mut(*out));
-        },
-        StepExec::InputBias { parts } => unsafe {
-            for (x, bias, out, bmap) in parts {
-                into_ops::bias_add_into(mem.slab(*x), mem.slab(*bias), bmap, mem.slab_mut(*out));
+    // SAFETY (all three): the caller's contract covers every view of the
+    // step, its statistics regions and its scratch range.
+    let r = |k: usize| unsafe { mem.slab(step.views[k]) };
+    let w = |k: usize| unsafe { mem.slab_mut(step.views[k]) };
+    let scratch = || unsafe { mem.scratch_mut(step.s_off, step.kernel.scratch_words()) };
+    let stats = || {
+        let (mean, inv_std) = step
+            .stats
+            .expect("a normalizing class has statistics regions");
+        unsafe { (mem.stats_mut(mean), mem.stats_mut(inv_std)) }
+    };
+    let shifted = |causal: &Option<CausalMap>| causal.map(|c| c.at(c.base + run.pos));
+    match &step.kernel {
+        Kernel::Contract { plan } => into_ops::contract_into(plan, r(0), r(1), w(2), scratch()),
+        Kernel::Bias => {
+            for (k, bmap) in step.bmaps.iter().enumerate() {
+                into_ops::bias_add_into(r(3 * k), r(3 * k + 1), bmap, w(3 * k + 2));
             }
-        },
-        StepExec::Scale { x, out } => unsafe {
-            into_ops::scale_into(mem.slab(*x), run.scaler, mem.slab_mut(*out));
-        },
-        StepExec::Softmax {
-            x,
-            out,
-            lane,
-            causal,
-        } => unsafe {
-            let c = causal.map(|c| c.at(c.base + run.pos));
-            into_ops::softmax_into(mem.slab(*x), run.scaler, *lane, c, mem.slab_mut(*out));
-        },
-        StepExec::Sm {
-            x,
-            softmax,
-            alpha,
-            mask,
-            lane,
-            causal,
-        } => unsafe {
-            let (x, softmax, alpha, mask) = (
-                mem.slab(*x),
-                mem.slab_mut(*softmax),
-                mem.slab_mut(*alpha),
-                mem.slab_mut(*mask),
-            );
-            let c = causal.map(|c| c.at(c.base + run.pos));
-            into_ops::sm_into(x, run.scaler, *lane, c, drop, softmax, alpha, mask);
-        },
-        StepExec::LayerNorm {
-            x,
-            gamma,
-            beta,
-            out,
-            lane,
-            mean,
-            inv_std,
-        } => unsafe {
-            let (x, gamma, beta, out, mean, inv_std) = (
-                mem.slab(*x),
-                mem.slab(*gamma),
-                mem.slab(*beta),
-                mem.slab_mut(*out),
-                mem.stats_mut(*mean),
-                mem.stats_mut(*inv_std),
-            );
-            into_ops::layernorm_into(x, gamma, beta, *lane, out, mean, inv_std);
-        },
-        StepExec::Dropout { x, out, mask } => unsafe {
-            if run.dropout_p > 0.0 {
-                into_ops::dropout_into(mem.slab(*x), drop, mem.slab_mut(*out), mem.slab_mut(*mask));
-            } else {
-                into_ops::dropout_disabled_into(
-                    mem.slab(*x),
-                    mem.slab_mut(*out),
-                    mem.slab_mut(*mask),
-                );
-            }
-        },
-        StepExec::Activate { x, out } => unsafe {
-            into_ops::activate_into(mem.slab(*x), run.activation, mem.slab_mut(*out));
-        },
-        StepExec::Residual { a, b, out } => unsafe {
-            into_ops::add_into(mem.slab(*a), mem.slab(*b), mem.slab_mut(*out));
-        },
-        StepExec::Bdrln {
-            x,
-            bias,
-            bmap,
-            residual,
-            gamma,
-            beta,
-            mask,
-            ln_input,
-            out,
-            lane,
-            mean,
-            inv_std,
-        } => unsafe {
-            let (x, bias, residual, gamma, beta, mask, ln_input, out, mean, inv_std) = (
-                mem.slab(*x),
-                mem.slab(*bias),
-                mem.slab(*residual),
-                mem.slab(*gamma),
-                mem.slab(*beta),
-                mem.slab_mut(*mask),
-                mem.slab_mut(*ln_input),
-                mem.slab_mut(*out),
-                mem.stats_mut(*mean),
-                mem.stats_mut(*inv_std),
-            );
+        }
+        Kernel::Scale => into_ops::scale_into(r(0), run.scaler, w(1)),
+        Kernel::Activate => into_ops::activate_into(r(0), run.activation, w(1)),
+        Kernel::Dropout if run.dropout_p > 0.0 => into_ops::dropout_into(r(0), drop, w(1), w(2)),
+        Kernel::Dropout => into_ops::dropout_disabled_into(r(0), w(1), w(2)),
+        Kernel::Residual => into_ops::add_into(r(0), r(1), w(2)),
+        Kernel::Softmax { lane, causal } => {
+            into_ops::softmax_into(r(0), run.scaler, *lane, shifted(causal), w(1));
+        }
+        Kernel::Sm { lane, causal } => {
+            let c = shifted(causal);
+            into_ops::sm_into(r(0), run.scaler, *lane, c, drop, w(1), w(2), w(3));
+        }
+        Kernel::LayerNorm { lane } => {
+            let (mean, inv_std) = stats();
+            into_ops::layernorm_into(r(0), r(1), r(2), *lane, w(3), mean, inv_std);
+        }
+        Kernel::Bdrln { lane } => {
+            let (mean, inv_std) = stats();
+            let bmap = &step.bmaps[0];
             into_ops::bdrln_into(
-                x, bias, bmap, residual, gamma, beta, *lane, drop, mask, ln_input, out, mean,
+                r(0),
+                r(1),
+                bmap,
+                r(2),
+                r(3),
+                r(4),
+                *lane,
+                drop,
+                w(5),
+                w(6),
+                w(7),
+                mean,
                 inv_std,
             );
-        },
-        StepExec::BrdAct {
-            x,
-            bias,
-            bmap,
-            pre_activation,
-            out,
-            mask,
-        } => unsafe {
-            let (x, bias, pre_activation, out, mask) = (
-                mem.slab(*x),
-                mem.slab(*bias),
-                mem.slab_mut(*pre_activation),
-                mem.slab_mut(*out),
-                mem.slab_mut(*mask),
-            );
-            into_ops::brd_act_into(
-                x,
-                bias,
-                bmap,
-                run.activation,
-                drop,
-                pre_activation,
-                out,
-                mask,
-            );
-        },
-        StepExec::Bdr {
-            x,
-            bias,
-            bmap,
-            residual,
-            mask,
-            out,
-        } => unsafe {
-            let (x, bias, residual, mask, out) = (
-                mem.slab(*x),
-                mem.slab(*bias),
-                mem.slab(*residual),
-                mem.slab_mut(*mask),
-                mem.slab_mut(*out),
-            );
-            into_ops::bdr_into(x, bias, bmap, residual, drop, mask, out);
-        },
-        StepExec::ContractEpilogue {
-            a,
-            b,
+        }
+        Kernel::BrdAct => {
+            let (bmap, kind) = (&step.bmaps[0], run.activation);
+            into_ops::brd_act_into(r(0), r(1), bmap, kind, drop, w(2), w(3), w(4));
+        }
+        Kernel::Bdr => into_ops::bdr_into(r(0), r(1), &step.bmaps[0], r(2), drop, w(3), w(4)),
+        Kernel::ContractEpilogue {
             plan,
             tile_rows,
-            s_off,
-            epi,
-        } => unsafe {
-            let mut drive = |e: &mut into_ops::TileEpilogue<'_>| {
-                into_ops::contract_epilogue_tiled(
-                    plan,
-                    *tile_rows,
-                    mem.slab(*a),
-                    mem.slab(*b),
-                    mem.scratch_mut(*s_off, plan.epilogue_scratch_words(*tile_rows)),
-                    drop,
-                    e,
-                );
-            };
-            match epi {
-                EpiExec::Sm {
-                    softmax,
-                    alpha,
-                    mask,
-                    causal,
-                } => drive(&mut into_ops::TileEpilogue::Softmax {
+            causal,
+            tail,
+        } => {
+            let mut epilogue = match tail {
+                Tail::Sm => into_ops::TileEpilogue::Softmax {
                     scaler: run.scaler,
-                    causal: causal.map(|c| c.at(c.base + run.pos)),
-                    softmax: mem.slab_mut(*softmax),
-                    alpha: mem.slab_mut(*alpha),
-                    mask: mem.slab_mut(*mask),
-                }),
-                EpiExec::BrdAct {
-                    bias,
-                    bmap,
-                    pre_activation,
-                    out,
-                    mask,
-                } => drive(&mut into_ops::TileEpilogue::BiasActDrop {
-                    bias: mem.slab(*bias),
-                    bmap,
+                    causal: shifted(causal),
+                    softmax: w(2),
+                    alpha: w(3),
+                    mask: w(4),
+                },
+                Tail::BrdAct => into_ops::TileEpilogue::BiasActDrop {
+                    bias: r(2),
+                    bmap: &step.bmaps[0],
                     kind: run.activation,
-                    pre_activation: mem.slab_mut(*pre_activation),
-                    out: mem.slab_mut(*out),
-                    mask: mem.slab_mut(*mask),
-                }),
-                EpiExec::Bdr {
-                    bias,
-                    bmap,
-                    residual,
-                    mask,
-                    out,
-                } => drive(&mut into_ops::TileEpilogue::BiasDropResidual {
-                    bias: mem.slab(*bias),
-                    bmap,
-                    residual: mem.slab(*residual),
-                    mask: mem.slab_mut(*mask),
-                    out: mem.slab_mut(*out),
-                }),
-            }
-        },
+                    pre_activation: w(3),
+                    out: w(4),
+                    mask: w(5),
+                },
+                Tail::Bdr => into_ops::TileEpilogue::BiasDropResidual {
+                    bias: r(2),
+                    bmap: &step.bmaps[0],
+                    residual: r(3),
+                    mask: w(4),
+                    out: w(5),
+                },
+            };
+            let tile = scratch();
+            into_ops::contract_epilogue_tiled(
+                plan,
+                *tile_rows,
+                r(0),
+                r(1),
+                tile,
+                drop,
+                &mut epilogue,
+            );
+        }
     }
 }
 

@@ -3,8 +3,7 @@
 //!
 //! Each setting keeps its feature-local reader (`XFORM_SANITIZE` through
 //! [`crate::sanitize::sanitize_enabled`], `XFORM_CACHE_GEOM` through
-//! [`crate::cachemodel`]) — this module owns the *catalog* plus the
-//! readers for the decode knobs, which have no older home. Both bench
+//! [`crate::cachemodel`]) — this module owns the *catalog*. Both bench
 //! binaries print [`list`] under `--help`, so a knob that is not
 //! registered here is invisible; add new env vars to [`REGISTRY`] in the
 //! same change that introduces them.
@@ -13,8 +12,6 @@
 //! [`crate::sanitize::env_setting`]): unset, empty, `0`, `false`, `off`,
 //! and `no` mean *disabled*; anything else enables and is parsed
 //! feature-specifically.
-
-use crate::sanitize::env_setting;
 
 /// One registered environment knob.
 #[derive(Debug, Clone, Copy)]
@@ -27,15 +24,6 @@ pub struct EnvSetting {
     pub doc: &'static str,
 }
 
-/// Position-bucket quantum for decode sessions: step plans are compiled
-/// per bucket of cache capacity, so a session re-plans only every
-/// `bucket` generated tokens.
-pub const DECODE_BUCKET_ENV: &str = "XFORM_DECODE_BUCKET";
-
-/// Cross-call residency horizon: the `max_seq` the static audit scales
-/// cache containers to when reporting the decode high-water mark.
-pub const DECODE_MAX_SEQ_ENV: &str = "XFORM_DECODE_MAX_SEQ";
-
 /// Every `XFORM_*` environment knob, in stable display order.
 pub const REGISTRY: &[EnvSetting] = &[
     EnvSetting {
@@ -47,16 +35,6 @@ pub const REGISTRY: &[EnvSetting] = &[
         name: "XFORM_CACHE_GEOM",
         default: "probe sysfs",
         doc: "cache hierarchy override `L1:words,L2:words[,...]` for deterministic MUE audits",
-    },
-    EnvSetting {
-        name: DECODE_BUCKET_ENV,
-        default: "32",
-        doc: "decode position-bucket quantum: step plans are recompiled every this many tokens",
-    },
-    EnvSetting {
-        name: DECODE_MAX_SEQ_ENV,
-        default: "model max_seq",
-        doc: "horizon the static audit scales KV-cache residency to (cross-call high-water mark)",
     },
 ];
 
@@ -74,29 +52,6 @@ pub fn list() -> String {
     out
 }
 
-/// Parses a positive integer out of an enabled setting value; `None` on
-/// disabled or unparseable values (the caller falls back to its default).
-fn parse_usize(name: &str) -> Option<usize> {
-    env_setting(name)?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&v| v > 0)
-}
-
-/// The decode position-bucket quantum ([`DECODE_BUCKET_ENV`], default
-/// 32). Sessions round cache capacity up to the next multiple of this, so
-/// a bigger bucket trades slab words for fewer re-plans.
-pub fn decode_bucket() -> usize {
-    parse_usize(DECODE_BUCKET_ENV).unwrap_or(32)
-}
-
-/// The configured cross-call audit horizon ([`DECODE_MAX_SEQ_ENV`]), when
-/// set: `None` defers to the model's own maximum sequence length.
-pub fn decode_max_seq() -> Option<usize> {
-    parse_usize(DECODE_MAX_SEQ_ENV)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,14 +66,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), REGISTRY.len(), "duplicate registry entry");
-    }
-
-    #[test]
-    fn decode_bucket_defaults_when_unset() {
-        // the test environment does not set the knob; the default must be
-        // the documented bucket quantum
-        if std::env::var(DECODE_BUCKET_ENV).is_err() {
-            assert_eq!(decode_bucket(), 32);
-        }
     }
 }

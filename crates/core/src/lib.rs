@@ -19,6 +19,10 @@
 //!   executable, layout-annotated schedule ([`plan::ExecutionPlan`]) and
 //!   the reference interpreter ([`plan::execute_plan`]): serial,
 //!   allocating, any operand layout;
+//! * `lower` (crate-private) — the step lowering: the one place that says
+//!   which kernel class a step is and what logical role each operand slot
+//!   plays in it; [`arena`], [`access`] and [`sanitize`] consume its
+//!   roles as slab views, access paths and element spans;
 //! * [`arena`] — the interpreter, and the one routing decision
 //!   ([`arena::route`], [`arena::execute`]): plans in natural layout are
 //!   certified once and lowered onto one preallocated slab via the
@@ -82,6 +86,7 @@ pub mod cpusource;
 pub mod env;
 pub mod fusion;
 pub mod itspace;
+mod lower;
 pub mod plan;
 pub mod profile;
 pub mod recipe;

@@ -557,8 +557,9 @@ impl<'p> ExecOptionsBuilder<'p> {
     }
 }
 
-/// The classes of fused forward kernels the interpreter can dispatch,
-/// recovered from a fused node's member names.
+/// The classes of fused forward kernels the interpreters can dispatch,
+/// recovered from a fused node's member names. Two readers: the reference
+/// interpreter and the step lowering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FusedClass {
     /// Q/K/V input biases over the stacked projection (AIB).
@@ -649,7 +650,7 @@ pub(crate) fn causal_map_of(shape: &Shape, axis: Axis) -> Option<CausalMap> {
 /// labelled output shape those imply. `None` when the spec is not
 /// two-operand, a rank disagrees, or an output letter is bound by neither
 /// input. Shared by the reference interpreter, the epilogue geometry and
-/// the arena precompiler, so all three contract over the same shapes.
+/// the step lowering, so all three contract over the same shapes.
 pub(crate) fn labelled_shapes(
     spec: &EinsumSpec,
     a_c: &Shape,
@@ -709,8 +710,8 @@ const EPILOGUE_TILE_WORDS: usize = 4096;
 /// * a bias-carrying epilogue must be batch-free with the bias covering
 ///   exactly the leading M axes, so each output row sees one bias word.
 ///
-/// Shared by the fusion detector, the allocating interpreter, and the
-/// arena precompiler, so all three agree on what lowers.
+/// Shared by the fusion detector, the reference interpreter, and the step
+/// lowering, so all three agree on what lowers.
 #[allow(clippy::too_many_arguments)] // mirrors the chain's operand inventory
 pub(crate) fn epilogue_geometry(
     spec: &EinsumSpec,
@@ -817,9 +818,10 @@ pub(crate) fn causal_query_axis(shape: &Shape, softmax_axis: Axis) -> Result<Axi
 /// extent `total` and the projection's extent `len`: Q sits at the front,
 /// K right after the (equal-sized) Q block, V at the tail. `None` when
 /// the name ends in none of the three projection letters. Shared between
-/// the interpreter's dispatch and the footprint oracle of
-/// [`crate::sanitize`], so the certifier checks exactly the interval the
-/// kernel slices.
+/// the reference interpreter's dispatch and the step lowering — through
+/// which the arena, the access certifier and the footprint oracle of
+/// [`crate::sanitize`] see it — so the certifiers check exactly the
+/// interval the kernel slices.
 pub(crate) fn stacked_carve_start(name: &str, total: usize, len: usize) -> Option<usize> {
     match name.chars().last() {
         Some('Q') => Some(0),

@@ -9,10 +9,11 @@
 //! threads would turn any under-declared alias into a silent data race.
 //! This module closes that gap in two layers:
 //!
-//! * **Static certifier** — [`certify`] derives each kernel's access
-//!   footprint symbolically ([`step_footprint`]) from the graph's shapes,
-//!   the kernel's iteration space ([`crate::itspace::op_iter_space`]),
-//!   and the interpreter's own dispatch rules (the stacked-Q/K/V carve),
+//! * **Static certifier** — [`certify`] reads each kernel's access
+//!   footprint ([`step_footprint`]) off the step lowering's operand roles
+//!   (DESIGN.md, "Step lowering"), holds the one sub-container role — the
+//!   stacked-Q/K/V carve — against the kernel's iteration space
+//!   ([`crate::itspace::op_iter_space`]),
 //!   cross-checks it against the step's declared operands and memlet
 //!   volumes, and validates the wave partition pairwise for conflicting
 //!   in-wave access. Under-declaration, aliased buffer names, and
@@ -49,14 +50,13 @@ use std::collections::HashMap;
 
 use rand::Rng;
 
-use xform_dataflow::{Graph, NodeId, OpKind};
+use xform_dataflow::{Graph, NodeId};
 use xform_tensor::{trace, Result, Tensor, TensorError};
 
-use crate::analyze::{analyze, DepKind, PlanLint};
+use crate::analyze::{analyze, DepKind, PlanAnalysis, PlanLint};
 use crate::itspace::op_iter_space;
-use crate::plan::{
-    execute_step, stacked_carve_start, ExecOptions, ExecState, ExecutionPlan, PlanStep,
-};
+use crate::lower::{lower_step, Role, Slot};
+use crate::plan::{execute_step, ExecOptions, ExecState, ExecutionPlan, PlanStep};
 
 /// A contiguous interval `[lo, hi)` of a container's logical element
 /// space (row-major over the container's natural axis order).
@@ -106,99 +106,92 @@ pub struct Access {
     pub span: Span,
 }
 
-/// Derives the access footprint of one scheduled step from the *graph*
-/// (shapes, edges, operator kind) and the interpreter's dispatch rules —
-/// deliberately not from the step's declared operand list, so the
-/// certifier can cross-check declarations against this oracle.
+/// Derives the access footprint of one scheduled step from the step
+/// lowering (`core::lower`: the graph's shapes and edges, the operator kind
+/// and the dispatch rules) — deliberately not from the step's declared
+/// operand list, so the certifier can cross-check declarations against
+/// this oracle.
 ///
-/// Every forward kernel sweeps whole containers (their iteration spaces
-/// cover every operand axis); the one sub-container pattern is the
-/// stacked-Q/K/V carve of `Input bias Q/K/V`, whose interval is derived
-/// from the same start/length arithmetic the interpreter dispatches with
-/// and cross-checked against the kernel's iteration space. Relayouts
+/// Every role but one sweeps its whole container; the one sub-container
+/// role is the carve of a stacked Q/K/V projection, cross-checked against
+/// the kernel's iteration space. Spans of one container that touch are
+/// merged, so fused AIB's three carves read the stacked tensor once. A
+/// step the lowering does not model touches every edge whole. Relayouts
 /// contribute a value read plus a materialization write over the full
 /// container. Containers missing from the graph are skipped (the
 /// structural lints of [`crate::analyze`] already flag them).
 pub fn step_footprint(graph: &Graph, step: &PlanStep) -> Vec<Access> {
-    let mut acc = Vec::new();
-    for r in &step.relayouts {
-        if let Some(d) = graph.data(r.data) {
-            let full = Span {
-                lo: 0,
-                hi: d.shape.num_elements() as u64,
-            };
-            acc.push(Access {
-                data: r.data,
-                name: d.name.clone(),
-                kind: AccessKind::Read,
-                span: full,
-            });
-            acc.push(Access {
-                data: r.data,
-                name: d.name.clone(),
-                kind: AccessKind::Materialize,
-                span: full,
-            });
-        }
-    }
-    let Some(node) = graph.op(step.op) else {
-        return acc;
+    let access = |data: NodeId, kind: AccessKind, carve: Option<Span>| -> Option<Access> {
+        let d = graph.data(data)?;
+        let whole = Span {
+            lo: 0,
+            hi: d.shape.num_elements() as u64,
+        };
+        Some(Access {
+            data,
+            name: d.name.clone(),
+            kind,
+            span: carve.unwrap_or(whole),
+        })
     };
+    let mut acc: Vec<Access> = step
+        .relayouts
+        .iter()
+        .flat_map(|r| [AccessKind::Read, AccessKind::Materialize].map(|k| access(r.data, k, None)))
+        .flatten()
+        .collect();
+    if graph.op(step.op).is_none() {
+        return acc;
+    }
     let in_ids = graph.inputs_of(step.op);
     let out_ids = graph.outputs_of(step.op);
-    for (i, &id) in in_ids.iter().enumerate() {
-        let Some(d) = graph.data(id) else { continue };
-        let total = d.shape.num_elements() as u64;
-        let mut span = Span { lo: 0, hi: total };
-        if i == 0 && matches!(node.kind, OpKind::Bias { .. }) {
-            if let Some(o) = out_ids.first().and_then(|&o| graph.data(o)) {
-                if o.shape.spec() != d.shape.spec() || o.shape.sizes() != d.shape.sizes() {
-                    // stacked-projection carve: `len` leading rows starting
-                    // at the projection's offset
-                    let total_rows = d.shape.sizes()[0];
-                    let len = o.shape.sizes()[0];
-                    let row_words: u64 = d.shape.sizes()[1..].iter().map(|&n| n as u64).product();
-                    if let Some(start) = stacked_carve_start(&node.name, total_rows, len) {
-                        let carved = Span {
-                            lo: start as u64 * row_words,
-                            hi: (start + len) as u64 * row_words,
-                        };
-                        // cross-check against the kernel's iteration space:
-                        // the carve must be exactly one sweep of the output
-                        // space; fall back to the conservative full span if
-                        // the symbolic sizes disagree
-                        let space_words = op_iter_space(graph, step.op).ok().map(|s| {
-                            s.independent
-                                .iter()
-                                .chain(&s.reduction)
-                                .map(|&(_, n)| n as u64)
-                                .product::<u64>()
-                        });
-                        if space_words.is_none_or(|w| w == carved.words()) {
-                            span = carved;
-                        }
-                    }
-                }
+    // the kernel's iteration space, in words: a carve must be exactly one
+    // sweep of it, or the conservative whole span stands
+    let space_words = || {
+        op_iter_space(graph, step.op).ok().map(|s| {
+            let dims = s.independent.iter().chain(&s.reduction);
+            dims.map(|&(_, n)| n as u64).product::<u64>()
+        })
+    };
+    let kernel = acc.len();
+    let mut touch = |data: NodeId, kind: AccessKind, carve: Option<Span>| {
+        let Some(a) = access(data, kind, carve) else {
+            return;
+        };
+        // carves of one container that touch are one access
+        let adjoining = acc[kernel..].iter_mut().find(|p| {
+            carve.is_some() && (p.data, p.kind) == (data, kind) && p.span.hi == a.span.lo
+        });
+        match adjoining {
+            Some(p) => p.span.hi = a.span.hi,
+            None => acc.push(a),
+        }
+    };
+    match lower_step(graph, step) {
+        Some(low) => {
+            for (slot, role) in &low.operands {
+                let (data, kind) = match *slot {
+                    Slot::In(k) => (in_ids[k], AccessKind::Read),
+                    Slot::Out(k) => (out_ids[k], AccessKind::Write),
+                };
+                let carve = match *role {
+                    Role::Carve { base, words } => Some(Span {
+                        lo: base as u64,
+                        hi: (base + words) as u64,
+                    }),
+                    _ => None,
+                };
+                let carve = carve.filter(|c| space_words().is_none_or(|w| w == c.words()));
+                touch(data, kind, carve);
             }
         }
-        acc.push(Access {
-            data: id,
-            name: d.name.clone(),
-            kind: AccessKind::Read,
-            span,
-        });
-    }
-    for &id in &out_ids {
-        if let Some(d) = graph.data(id) {
-            acc.push(Access {
-                data: id,
-                name: d.name.clone(),
-                kind: AccessKind::Write,
-                span: Span {
-                    lo: 0,
-                    hi: d.shape.num_elements() as u64,
-                },
-            });
+        None => {
+            in_ids
+                .iter()
+                .for_each(|&id| touch(id, AccessKind::Read, None));
+            out_ids
+                .iter()
+                .for_each(|&id| touch(id, AccessKind::Write, None));
         }
     }
     acc
@@ -342,8 +335,8 @@ pub fn certify(
     graph: &Graph,
     plan: &ExecutionPlan,
 ) -> std::result::Result<RaceCertificate, Vec<PlanLint>> {
-    let waves = analyze(graph, plan).parallel_waves();
-    certify_waves(graph, plan, &waves)
+    let analysis = analyze(graph, plan);
+    certify_analyzed(graph, plan, &analysis, &analysis.parallel_waves())
 }
 
 /// Certifies a plan against an explicit wave partition (the injection
@@ -370,7 +363,17 @@ pub fn certify_waves(
     plan: &ExecutionPlan,
     waves: &[Vec<usize>],
 ) -> std::result::Result<RaceCertificate, Vec<PlanLint>> {
-    let analysis = analyze(graph, plan);
+    certify_analyzed(graph, plan, &analyze(graph, plan), waves)
+}
+
+/// [`certify_waves`] over an analysis of `plan` the caller already holds
+/// (the arena compiler is handed one; [`certify`] has just made one).
+pub(crate) fn certify_analyzed(
+    graph: &Graph,
+    plan: &ExecutionPlan,
+    analysis: &PlanAnalysis,
+    waves: &[Vec<usize>],
+) -> std::result::Result<RaceCertificate, Vec<PlanLint>> {
     let mut lints: Vec<PlanLint> = analysis.errors().into_iter().cloned().collect();
 
     // global name-alias scan: one environment key, one container
@@ -880,6 +883,15 @@ mod tests {
             stacked.span.lo > 0 && stacked.span.hi < total,
             "K is the middle third"
         );
+        // fused AIB carves all three thirds: one read of the whole tensor
+        let (g, plan) = fused_plan();
+        let aib = plan.steps.iter().find(|s| s.name == "AIB").unwrap();
+        let reads: Vec<Span> = step_footprint(&g, aib)
+            .iter()
+            .filter(|a| a.kind == AccessKind::Read && a.name == "qkv_raw")
+            .map(|a| a.span)
+            .collect();
+        assert_eq!(reads, [Span { lo: 0, hi: total }]);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! last column — the property `tests/decode_equivalence.rs` fuzzes.
 //!
 //! Step plans are compiled per position *bucket* (capacity rounded up to
-//! [`xform_core::env::decode_bucket`] positions), so steady-state decoding
-//! re-plans only when the sequence outgrows its bucket; between growths a
-//! step is two arena executions plus two column `memcpy`s.
+//! [`DEFAULT_BUCKET`] positions unless the session says otherwise), so
+//! steady-state decoding re-plans only when the sequence outgrows its
+//! bucket; between growths a step is two arena executions plus two column
+//! `memcpy`s.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,6 +69,11 @@ pub enum Sampling {
     },
 }
 
+/// The position-bucket quantum of a session that does not set
+/// [`DecodeOptions::bucket`]: step plans are recompiled every this many
+/// generated tokens.
+pub const DEFAULT_BUCKET: usize = 32;
+
 /// Session construction knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodeOptions {
@@ -76,8 +82,8 @@ pub struct DecodeOptions {
     pub threads: usize,
     /// Seed for the session's sampling RNG.
     pub seed: u64,
-    /// Position-bucket quantum override
-    /// (default: [`xform_core::env::decode_bucket`]).
+    /// Position-bucket quantum override (default: [`DEFAULT_BUCKET`]). A
+    /// bigger bucket trades slab words for fewer re-plans.
     pub bucket: Option<usize>,
     /// Maximum sequence length override (default: the positional
     /// embedding extent `dims.j`; never above it).
@@ -170,10 +176,7 @@ impl<'m> DecodeSession<'m> {
         check_dropout_p(model.config.dropout_p)?;
         let d = model.config.dims;
         let max_seq = opts.max_seq.unwrap_or(d.j).min(d.j).max(1);
-        let bucket = opts
-            .bucket
-            .unwrap_or_else(xform_core::env::decode_bucket)
-            .max(1);
+        let bucket = opts.bucket.unwrap_or(DEFAULT_BUCKET).max(1);
         let col = Shape::new([('i', d.i), ('b', d.b), ('j', 1)])?;
         let logits = Tensor::zeros(Shape::new([
             ('v', model.config.vocab),
@@ -277,8 +280,8 @@ impl<'m> DecodeSession<'m> {
 
     /// Compiles the attend bucket at `capacity`: shared plan (memoized
     /// per bucket in the global plan cache), decode certificate, and one
-    /// private serial arena per layer whose zero-initialized slab holds
-    /// that layer's cache columns.
+    /// serial arena compiled once and given to each layer with a private
+    /// zero-initialized slab that holds that layer's cache columns.
     fn build_bucket(&self, capacity: usize) -> Result<AttendBucket> {
         let dims = self.step_dims(capacity);
         let plan = interp::cached_plan(&dims, PlanKind::DecoderStep)?;
@@ -289,9 +292,12 @@ impl<'m> DecodeSession<'m> {
             ))
         })?;
         let analysis = analyze(&plan.graph, &plan.plan);
-        let arenas = (0..self.model.blocks.len())
-            .map(|_| session_arena(&plan, &analysis, ArenaGranularity::Serial))
-            .collect::<Result<Vec<_>>>()?;
+        // one compile; every layer gets the same program over a zeroed
+        // slab of its own
+        let mut arenas = vec![session_arena(&plan, &analysis, ArenaGranularity::Serial)?];
+        for _ in 1..self.model.blocks.len() {
+            arenas.push(arenas[0].fresh());
+        }
         Ok(AttendBucket {
             cert,
             arenas,

@@ -10,15 +10,22 @@
 //! share the process-wide memoized arenas of one `dims` across the
 //! harness's threads, which is the point.
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Barrier, Mutex};
 
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use substation::core::plan::{execute_plan, ExecOptions, ExecState, PlanOverride, SanitizeMode};
+use substation::core::access::{step_accesses, AccessPath};
+use substation::core::analyze::{analyze, assign_arena, ArenaGranularity};
+use substation::core::arena::CompiledArena;
+use substation::core::plan::{
+    execute_plan, ExecOptions, ExecState, ExecutionPlan, PlanOverride, SanitizeMode,
+};
 use substation::core::profile::{PlanProfiler, ProfilerSink};
-use substation::dataflow::EncoderDims;
+use substation::dataflow::{DataRole, EncoderDims, Graph, NodeId, OpKind};
 use substation::tensor::{Shape, Tensor, TensorError};
 use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
@@ -59,6 +66,90 @@ fn every_canned_plan_compiles_an_arena_at_both_granularities() {
                 .unwrap_or_else(|| panic!("{kind:?} must compile at {threads} thread(s)"));
             assert!(arena.slab_words() > 0);
         }
+    }
+}
+
+#[test]
+fn arena_views_are_the_certified_access_paths_embedded_in_their_slots() {
+    // The certificate must describe the words the kernels are given: for
+    // every canned plan, each operand view a step hands its kernel is its
+    // certified path's reach, `[base, max_end)`, offset by the slab slot
+    // of the operand's container.
+    let dims = EncoderDims::tiny();
+    // a decode step sees one query column against the cache's `k`
+    let step = EncoderDims { j: 1, ..dims };
+    for (dims, kind) in [
+        (dims, interp::PlanKind::EncoderReference),
+        (dims, interp::PlanKind::EncoderFused),
+        (dims, interp::PlanKind::EncoderEpilogue),
+        (dims, interp::PlanKind::DecoderFused),
+        (dims, interp::PlanKind::DecoderEpilogue),
+        (dims, interp::PlanKind::DecoderPrefill),
+        (step, interp::PlanKind::DecoderStepProject),
+        (step, interp::PlanKind::DecoderStep),
+    ] {
+        let pf = interp::cached_plan(&dims, kind).unwrap();
+        let analysis = analyze(&pf.graph, &pf.plan);
+        for granularity in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
+            let arena = CompiledArena::compile(&pf.graph, &pf.plan, &analysis, granularity)
+                .unwrap()
+                .expect("canned plans are in natural layout");
+            let slot: HashMap<NodeId, usize> = assign_arena(&analysis, granularity)
+                .slots
+                .iter()
+                .map(|s| (s.data, s.offset as usize))
+                .collect();
+            for (si, step) in pf.plan.steps.iter().enumerate() {
+                let derived = step_accesses(&pf.graph, step);
+                assert!(derived.derived, "{kind:?}: `{}` derives exactly", step.name);
+                let certified: Vec<Range<usize>> = derived
+                    .accesses
+                    .iter()
+                    .map(|a| {
+                        let off = slot[&a.data];
+                        off + a.path.base as usize..off + a.path.max_end() as usize
+                    })
+                    .collect();
+                let views: Vec<Range<usize>> = arena.step_views(si).collect();
+                assert_eq!(
+                    views, certified,
+                    "{kind:?} at {granularity}: step {si} (`{}`)",
+                    step.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_step_the_lowering_does_not_model_is_refused_by_the_arena_and_underived_by_the_certifier() {
+    // One `None` from the step lowering, two consequences: the arena names
+    // the step in a compile error, the certifier falls back to
+    // whole-buffer paths it does not count as derived.
+    let mut g = Graph::new();
+    let shape = || Shape::new([('b', 2), ('i', 3)]).unwrap();
+    let x = g.add_data("x", shape(), DataRole::Input);
+    let dy = g.add_data("dy", shape(), DataRole::Input);
+    let dx = g.add_data("dx", shape(), DataRole::Output);
+    let op = g.add_op("ReLU dX", OpKind::ReluGrad, &[x, dy], &[dx]);
+    let plan = ExecutionPlan::natural(&g, &[op]).unwrap();
+    let analysis = analyze(&g, &plan);
+    assert!(analysis.is_clean(), "{:?}", analysis.errors());
+    for granularity in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
+        let err = CompiledArena::compile(&g, &plan, &analysis, granularity)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("step 0 (`ReLU dX`) has no arena lowering"),
+            "{err}"
+        );
+    }
+    let derived = step_accesses(&g, &plan.steps[0]);
+    assert!(!derived.derived);
+    assert_eq!(derived.accesses.len(), 3);
+    for a in &derived.accesses {
+        assert_eq!(a.path, AccessPath::flat(6), "`{}`", a.name);
+        assert!(!a.swept, "`{}` carries no unit-stride claim", a.name);
     }
 }
 
