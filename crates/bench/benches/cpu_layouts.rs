@@ -1,59 +1,58 @@
-//! Real-CPU measurement of data-layout sensitivity (the paper's Sec. V):
-//! the same logical kernel with the reduction axis contiguous vs strided.
+//! Real-CPU measurement of data-layout sensitivity (the paper's Sec. V) on
+//! the executor that ships: the same kernel, compiled alone onto an arena
+//! ([`StandaloneKernel`]), with the reduction axis contiguous vs strided in
+//! its input view.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::distributions::Uniform;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 
-use xform_tensor::ops::layernorm::layernorm;
-use xform_tensor::ops::softmax::softmax;
-use xform_tensor::{Axis, Layout, Shape, Tensor};
+use xform_core::cpusource::StandaloneKernel;
+use xform_core::fusion::{apply_plan, encoder_fusion_plan};
+use xform_dataflow::{build, EncoderDims, Graph};
+use xform_gpusim::opmodel::OpConfig;
 
-fn bench_softmax_layouts(c: &mut Criterion) {
-    let shape = Shape::new([('h', 8), ('b', 4), ('j', 96), ('k', 96)]).unwrap();
-    let mut rng = StdRng::seed_from_u64(1);
-    let x = Tensor::random(shape.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
-    let mut group = c.benchmark_group("softmax-layouts");
-    for spec in ["hbjk", "hbkj", "kjbh"] {
-        let t = x.relayout(&Layout::from_axis_order(&shape, spec).unwrap());
-        group.bench_with_input(BenchmarkId::new("layout", spec), &t, |b, t| {
-            b.iter(|| black_box(softmax(black_box(t), Axis('k')).unwrap()))
+/// The fused encoder at a shape whose attention and embedding tensors are
+/// a few hundred thousand words.
+fn graph() -> Graph {
+    let dims = EncoderDims {
+        b: 4,
+        j: 96,
+        k: 96,
+        h: 8,
+        p: 32,
+        i: 256,
+        u: 1024,
+    };
+    let mut g = build::encoder(&dims).graph;
+    apply_plan(&mut g, &encoder_fusion_plan()).expect("the canned fusion plan applies");
+    g
+}
+
+/// Times kernel `op` with its flowing input stored in each of `specs`.
+fn bench_input_layouts(c: &mut Criterion, group: &str, op: &str, specs: &[&str]) {
+    let g = graph();
+    let id = g.op_by_name(op).expect("the fused encoder has the kernel");
+    let mut group = c.benchmark_group(group);
+    for spec in specs {
+        let mut cfg = OpConfig::natural(&g, id).expect("a live operator");
+        cfg.in_spec = spec.to_string();
+        let mut kernel = StandaloneKernel::compile(&g, id, &cfg).expect("a forward kernel");
+        group.bench_with_input(BenchmarkId::new("layout", spec), spec, |b, _| {
+            b.iter(|| black_box(kernel.run().expect("the kernel runs")))
         });
     }
     group.finish();
+}
+
+fn bench_softmax_layouts(c: &mut Criterion) {
+    // `hbjk` is natural (k contiguous); `kjbh` strides k by j·b·h
+    bench_input_layouts(c, "softmax-layouts", "SM", &["hbjk", "hbkj", "kjbh"]);
 }
 
 fn bench_layernorm_layouts(c: &mut Criterion) {
-    let shape = Shape::new([('i', 256), ('b', 8), ('j', 128)]).unwrap();
-    let mut rng = StdRng::seed_from_u64(2);
-    let x = Tensor::random(shape.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
-    let gamma = Tensor::random(
-        Shape::new([('i', 256)]).unwrap(),
-        &Uniform::new(0.5, 1.5),
-        &mut rng,
-    );
-    let beta = Tensor::zeros(Shape::new([('i', 256)]).unwrap());
-    let mut group = c.benchmark_group("layernorm-layouts");
-    for spec in ["bji", "ibj", "jbi"] {
-        let t = x.relayout(&Layout::from_axis_order(&shape, spec).unwrap());
-        group.bench_with_input(BenchmarkId::new("layout", spec), &t, |b, t| {
-            b.iter(|| black_box(layernorm(black_box(t), Axis('i'), &gamma, &beta).unwrap()))
-        });
-    }
-    group.finish();
-}
-
-fn bench_relayout_cost(c: &mut Criterion) {
-    // the explicit transpose that configuration selection may insert
-    let shape = Shape::new([('i', 256), ('b', 8), ('j', 128)]).unwrap();
-    let mut rng = StdRng::seed_from_u64(3);
-    let x = Tensor::random(shape.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
-    let target = Layout::from_axis_order(&shape, "bji").unwrap();
-    c.bench_function("relayout ibj->bji", |b| {
-        b.iter(|| black_box(black_box(&x).relayout(&target)))
-    });
+    // `ibj` is natural (the normalized axis strided); `bji` makes it
+    // contiguous
+    bench_input_layouts(c, "layernorm-layouts", "BDRLN", &["bji", "ibj", "jbi"]);
 }
 
 fn config() -> Criterion {
@@ -66,6 +65,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_softmax_layouts, bench_layernorm_layouts, bench_relayout_cost
+    targets = bench_softmax_layouts, bench_layernorm_layouts
 }
 criterion_main!(benches);

@@ -1,8 +1,12 @@
 //! The recipe on *real measurements*: swap the V100 model for the
-//! [`xform_core::cpusource::CpuSource`], which times actual CPU kernels,
-//! and run the identical fuse → sweep → select pipeline (the hardware-
-//! agnosticity claim of Sec. VIII). Uses small dimensions — real
-//! measurement is a million times slower than the analytical model.
+//! [`xform_core::cpusource::CpuSource`], which times actual CPU kernels —
+//! each forward kernel compiled alone onto an arena, the executor every
+//! plan runs on — and run the identical fuse → sweep → select pipeline
+//! (the hardware-agnosticity claim of Sec. VIII). Uses small dimensions —
+//! real measurement is a million times slower than the analytical model.
+//! (`examples/layout_tuning.rs` runs the forward half at the benchmark's
+//! `bert_fwd` dimensions and duels the selected plan against the natural
+//! one.)
 
 use xform_core::cpusource::CpuSource;
 use xform_core::recipe::{optimize_encoder_with, RecipeOptions};

@@ -15,9 +15,8 @@
 //! plan's measured improvement.
 //!
 //! Every profile is taken by the one `profile_plan`, which observes the
-//! executor the plan's layouts route it to — for every canned plan the
-//! arena that serves `forward` — and each profiled plan is printed and
-//! emitted with that `route`.
+//! arena that serves `forward` — the natural plan and the re-selected
+//! candidate of the re-selection duel alike.
 //!
 //! The binary also runs under a counting global allocator and reports the
 //! arena interpreter's steady-state heap discipline: slab/scratch/stats
@@ -57,7 +56,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xform_bench::cli::{Cli, CHECK, JSON};
 use xform_core::analyze::audit;
-use xform_core::arena::Route;
 use xform_core::cachemodel::{trace_plan, CacheGeometry, CACHE_GEOM_ENV};
 use xform_core::cpusource::CpuSource;
 use xform_core::plan::{random_externals, ExecOptions};
@@ -198,11 +196,6 @@ fn print_observer(r: &ObserverRow) {
         r.step_sum_us,
         r.unattributed_pct(),
     );
-}
-
-/// The route a profile was taken on, for a row.
-fn route_tag(prof: &PlanProfiler) -> String {
-    prof.route.map_or_else(|| "—".into(), |r| r.to_string())
 }
 
 fn dims() -> EncoderDims {
@@ -393,12 +386,10 @@ struct PlanSide {
     us: f64,
     bytes: u64,
     mue: f64,
-    route: String,
 }
 
 /// Head-to-head of an element-wise-fused plan and its GEMM-epilogue
-/// counterpart, each profiled at one thread on the executor that serves
-/// it, on one traffic shape.
+/// counterpart, each profiled at one thread, on one traffic shape.
 struct Duel {
     shape: String,
     unfused: PlanSide,
@@ -429,7 +420,6 @@ fn profile_side(
         us: prof.total_time_us(),
         bytes: prof.total_bytes(),
         mue: prof.plan_mue().value,
-        route: route_tag(&prof),
     })
 }
 
@@ -476,19 +466,12 @@ fn print_duels(rows: &[Duel]) {
         "\nGEMM-epilogue mega-kernels vs element-wise fusion (measured, 1 thread, min of reps):"
     );
     println!(
-        "  {:<14} {:>12} {:>12} {:>11} {:>11} {:>9} {:>9} {:>9}",
-        "shape",
-        "unfused KiB",
-        "epilogue KiB",
-        "unfused µs",
-        "epilog µs",
-        "MUE",
-        "adopted",
-        "route"
+        "  {:<14} {:>12} {:>12} {:>11} {:>11} {:>9} {:>9}",
+        "shape", "unfused KiB", "epilogue KiB", "unfused µs", "epilog µs", "MUE", "adopted"
     );
     for r in rows {
         println!(
-            "  {:<14} {:>12.1} {:>12.1} {:>11.1} {:>11.1} {:>4.1}→{:<4.1} {:>9} {:>9}",
+            "  {:<14} {:>12.1} {:>12.1} {:>11.1} {:>11.1} {:>4.1}→{:<4.1} {:>9}",
             r.shape,
             r.unfused.bytes as f64 / 1024.0,
             r.epilogue.bytes as f64 / 1024.0,
@@ -497,7 +480,6 @@ fn print_duels(rows: &[Duel]) {
             r.unfused.mue,
             r.epilogue.mue,
             r.adopted(),
-            r.epilogue.route,
         );
     }
 }
@@ -655,8 +637,7 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
     let static_audit = audit(&pf.graph, &pf.plan, &DeviceSpec::v100());
 
     println!(
-        "\nroute: {} — host peak bandwidth {:.2} GB/s (calibrated); measured vs static MUE per step:",
-        route_tag(&prof),
+        "\nhost peak bandwidth {:.2} GB/s (calibrated); measured vs static MUE per step:",
         prof.peak_bytes_per_us * 1e6 / 1e9
     );
     println!(
@@ -710,8 +691,7 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
     let par_opts = opts.to_builder().threads(PAR_THREADS).build();
     let par = profile_plan(&pf.graph, &pf.plan, &base, &par_opts, REPS)?;
     println!(
-        "\nwave-parallel occupancy at {PAR_THREADS} threads, route {} (wall {:.1} µs across {} waves):",
-        route_tag(&par),
+        "\nwave-parallel occupancy at {PAR_THREADS} threads (wall {:.1} µs across {} waves):",
         par.parallel_wall_us().unwrap_or(0.0),
         par.waves().count(),
     );
@@ -762,15 +742,11 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
     // --- profile-guided re-selection ---
     println!("\nprofile-guided re-selection (CPU-measured fallback, sweep ≤48 configs/op):");
     let r = reselection(&pf.graph, &pf.plan, &opts)?;
+    println!("  natural plan     {:>9.1} µs measured", r.natural_us());
     println!(
-        "  natural plan     {:>9.1} µs measured on the {} route",
-        r.natural_us(),
-        route_tag(&r.natural)
-    );
-    println!(
-        "  re-selected plan {:>9.1} µs measured on the {} route ({} transposes, {:.1} µs modeled)",
+        "  re-selected plan {:>9.1} µs measured on the same arena ({} relayouts; {} transposes, {:.1} µs modeled)",
         r.reselected_us(),
-        route_tag(&r.reselected),
+        r.reselected.steps().filter(|s| s.relayout_words > 0).count(),
         r.selection.transposes,
         r.selection.total_us,
     );
@@ -790,12 +766,6 @@ fn full() -> Result<(), Box<dyn std::error::Error>> {
 /// Returns the failures found while smoke-checking a profiled canned plan.
 fn check_profile(tag: &str, prof: &PlanProfiler, expect_steps: usize) -> Vec<String> {
     let mut bad = Vec::new();
-    if prof.route != Some(Route::Arena) {
-        bad.push(format!(
-            "{tag}: profiled on the {} route; a canned plan runs on the arena",
-            route_tag(prof)
-        ));
-    }
     if prof.steps().count() != expect_steps {
         bad.push(format!(
             "{tag}: profiled {} of {expect_steps} steps",
@@ -1031,10 +1001,9 @@ fn json() -> Result<(), Box<dyn std::error::Error>> {
             })
             .collect();
         plans.push(format!(
-            "{}:{{\"route\":{},\"steps\":{},\"total_us\":{:.3},\"total_bytes\":{},\
+            "{}:{{\"steps\":{},\"total_us\":{:.3},\"total_bytes\":{},\
              \"measured_mue\":{:.4},\"per_class\":[{}]}}",
             jstr(key),
-            jstr(&route_tag(&prof)),
             pf.plan.steps.len(),
             prof.total_time_us(),
             prof.total_bytes(),

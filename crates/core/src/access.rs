@@ -1,13 +1,13 @@
 //! The access-path certifier: symbolic abstract interpretation over a
 //! schedule that proves, per step, where every kernel access lands.
 //!
-//! For each scheduled step the certifier turns the step lowering's operand
-//! roles (DESIGN.md, "Step lowering" — the roles the arena resolves to the
-//! slab views it hands the kernels, and
-//! [`crate::sanitize::step_footprint`] to element spans) into the exact
-//! index-affine access path of every operand under its declared layout —
-//! base offset, per-loop-dimension `(extent, stride)` pairs, innermost loop
-//! last. It then proves three properties:
+//! For each scheduled step the certifier reads the step lowering's operand
+//! views (DESIGN.md, "Step lowering" — the very views the arena embeds in
+//! slab slots and hands the kernels; [`crate::sanitize::step_footprint`]
+//! reads the same lowering's element spans) as the exact index-affine
+//! access path of every operand under its declared layout — base offset,
+//! per-loop-dimension `(extent, stride)` pairs, innermost loop last. It
+//! then proves three properties:
 //!
 //! 1. **in-bounds** — every read/write lands inside the declared operand's
 //!    buffer (and, at arena level, inside its slab slot and the slab
@@ -28,9 +28,9 @@
 //! lint (which steps sweep strided), and the derived paths the cache model
 //! ([`crate::cachemodel`]) replays. It does **not** select code: every
 //! kernel in [`xform_tensor::into_ops`] is safe and picks its unit-stride
-//! or strided instantiation from its own lane geometry, so a step the
-//! certifier flags as strided runs the same body, just without contiguous
-//! lanes.
+//! or strided instantiation from the strides of the views it is handed,
+//! so a step the certifier flags as strided runs the same body, just
+//! without contiguous lanes.
 //!
 //! Steps the lowering does not model (unknown operator kinds) or whose
 //! operand lists disagree with the graph degrade to conservative
@@ -40,11 +40,12 @@
 use std::collections::HashMap;
 
 use xform_dataflow::{Graph, NodeId};
-use xform_tensor::{Layout, Shape};
+use xform_tensor::into_ops::View;
+use xform_tensor::Layout;
 
 use crate::analyze::{ArenaAssignment, ArenaGranularity, PlanLint};
 use crate::lower::{lower_step, Role, Slot};
-use crate::plan::{ExecutionPlan, Operand, PlanStep};
+use crate::plan::{ExecutionPlan, PlanStep};
 use crate::sanitize::{plan_fingerprint, AccessKind};
 
 /// An index-affine access path: the set of word offsets
@@ -195,76 +196,58 @@ impl AccessCertificate {
     }
 }
 
-/// `true` when two access kinds on overlapping words are a conflict.
-/// Mirrors the race certifier's compatibility rule: shared reads are fine,
-/// and a re-materialization may overlap concurrent reads of the same
-/// values.
-fn kinds_conflict(a: AccessKind, b: AccessKind) -> bool {
-    !matches!(
-        (a, b),
-        (AccessKind::Read, AccessKind::Read)
-            | (AccessKind::Read, AccessKind::Materialize)
-            | (AccessKind::Materialize, AccessKind::Read)
-    )
+/// `true` when two accesses of one step to overlapping words are a
+/// conflict. Shared reads are fine, and so are a relayout's own gather and
+/// write-back and the kernel's read of the container it re-materialized:
+/// within a step the relayouts run to completion, staged through scratch,
+/// before the kernel starts. A re-materialization that overlaps *another*
+/// container's words, or anything a write touches, is not.
+fn kinds_conflict(a: &OperandAccess, b: &OperandAccess) -> bool {
+    use AccessKind::{Materialize, Read};
+    match (a.kind, b.kind) {
+        (Read, Read) => false,
+        (Read, Materialize) | (Materialize, Read) => a.data != b.data,
+        _ => true,
+    }
 }
 
-/// Exact sweep path of a whole container under a declared layout, with the
-/// kernel's inner loop over logical axis `inner` placed last.
-fn sweep_path(shape: &Shape, layout: &Layout, inner: usize) -> AccessPath {
-    if shape.rank() == 0 {
+/// The loops of `view` as a path, logical order with axis `lane`
+/// innermost; `gathered` drops the loops that do not move (the zero
+/// strides of a broadcast).
+fn loops_of(view: &View, lane: usize, gathered: bool) -> AccessPath {
+    let rank = view.dims.len();
+    if rank == 0 {
         return AccessPath::flat(1);
     }
-    let strides = layout.strides(shape);
-    let mut dims: Vec<(u64, u64)> = shape
-        .sizes()
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != inner)
-        .map(|(i, &n)| (n as u64, strides[i] as u64))
-        .collect();
-    dims.push((shape.sizes()[inner] as u64, strides[inner] as u64));
-    AccessPath { base: 0, dims }
+    let outer = (0..rank).filter(|&d| d != lane);
+    let dims = outer
+        .chain((lane < rank).then_some(lane))
+        .map(|d| (view.dims[d].0 as u64, view.dims[d].1 as u64))
+        .filter(|&(_, stride)| !gathered || stride != 0);
+    AccessPath {
+        base: view.base as u64,
+        dims: dims.collect(),
+    }
 }
 
-/// The access path a [`Role`] describes for the operand `o` bound to the
-/// graph edge `edge`, and whether the operand carries the unit-stride
-/// obligation (`swept`). Carves, broadcasts and GEMM operands are address
-/// sets fixed by the edge's geometry alone; a sweep is exact only when the
-/// declaration binds that very edge and its layout parses — `None`
-/// otherwise, which the caller degrades to a conservative whole-sweep path
-/// bounded against the declared buffer. That is exactly how an injected
-/// out-of-bounds retarget is convicted.
-fn role_path(graph: &Graph, role: &Role, edge: NodeId, o: &Operand) -> Option<(AccessPath, bool)> {
-    let shape = &graph.data(edge)?.shape;
-    let inner = match role {
-        Role::Gemm => return Some((AccessPath::flat(shape.num_elements() as u64), false)),
-        Role::Carve { base, words } => {
-            let path = AccessPath {
-                base: *base as u64,
-                dims: vec![(*words as u64, 1)],
-            };
-            return Some((path, false));
+/// The access path a lowered operand [`View`] describes — its loops in
+/// the kernel's order, the lane axis of `role` innermost — and whether the
+/// operand carries the unit-stride obligation (`swept`). A GEMM operand is
+/// every word of its container, through the contraction's own loop nest.
+pub(crate) fn view_path(role: &Role, view: &View) -> (AccessPath, bool) {
+    let rank = view.dims.len();
+    match *role {
+        Role::Gemm => {
+            let words: usize = view.dims.iter().map(|d| d.0).product();
+            (AccessPath::flat(words as u64), false)
         }
-        Role::Broadcast(map) => {
-            // one `(out_extent, bias_stride)` dimension per bias axis
-            let dims = map.dims.iter().map(|&(_, n, bs)| (n as u64, bs as u64));
-            let path = AccessPath {
-                base: 0,
-                dims: dims.collect(),
-            };
-            return Some((path, false));
-        }
-        Role::Lanes { axis } => *axis,
-        // element-wise sweeps and the dense 1-D per-lane weights walk
-        // their last logical axis innermost
-        Role::Whole | Role::LaneWeights => shape.rank().saturating_sub(1),
-    };
-    if o.data != edge {
-        return None;
+        Role::Lanes { axis } => (loops_of(view, axis, false), true),
+        // element-wise sweeps walk their last logical axis innermost
+        Role::Whole => (loops_of(view, rank.saturating_sub(1), false), rank > 0),
+        // the dense 1-D per-lane weights are walked along the lane
+        Role::LaneWeights => (loops_of(view, rank, true), rank > 0),
+        Role::Carve { .. } | Role::Broadcast => (loops_of(view, rank, true), false),
     }
-    let layout = Layout::from_axis_order(shape, &o.layout).ok()?;
-    let swept = matches!(role, Role::Lanes { .. }) || shape.rank() > 0;
-    Some((sweep_path(shape, &layout, inner), swept))
 }
 
 /// Derives the operand access paths of one scheduled step from the step
@@ -273,7 +256,11 @@ fn role_path(graph: &Graph, role: &Role, edge: NodeId, o: &Operand) -> Option<(A
 /// that disagrees with what the kernel will actually sweep is
 /// bounds-checked against the sweep, not against itself. The sweep
 /// geometry comes from the graph edge at each slot; the buffer bound and
-/// the layout come from the operand declared there.
+/// the layout come from the operand declared there. A sweep is exact only
+/// when the declaration binds that very edge and its layout parses;
+/// otherwise it degrades to a conservative whole-sweep path bounded
+/// against the declared buffer — exactly how an injected out-of-bounds
+/// retarget is convicted.
 pub fn step_accesses(graph: &Graph, step: &PlanStep) -> StepAccesses {
     let mut accesses: Vec<OperandAccess> = Vec::new();
     let mut derived = true;
@@ -288,24 +275,35 @@ pub fn step_accesses(graph: &Graph, step: &PlanStep) -> StepAccesses {
         });
     };
 
-    // relayouts: a full value read plus a full materialization, exact as
-    // address sets (every word of the container on both sides)
-    for r in &step.relayouts {
+    let in_ids = graph.inputs_of(step.op);
+    let out_ids = graph.outputs_of(step.op);
+    let lowering = lower_step(graph, step);
+
+    // relayouts: the gather of every word through the old layout's
+    // strides plus the materialization through the new one's (whole-buffer
+    // spans when the step has no lowering to take them from)
+    for (k, r) in step.relayouts.iter().enumerate() {
         if graph.data(r.data).is_none() {
             derived = false;
             continue;
         }
-        for kind in [AccessKind::Read, AccessKind::Materialize] {
-            let path = AccessPath::flat(words_of(r.data));
+        let copy = lowering.as_ref().map(|low| &low.relayouts[k].dims);
+        for (kind, new) in [(AccessKind::Read, false), (AccessKind::Materialize, true)] {
+            let side = |d: &(usize, usize, usize)| (d.0 as u64, if new { d.2 } else { d.1 } as u64);
+            let path = copy.map_or_else(
+                || AccessPath::flat(words_of(r.data)),
+                |dims| AccessPath {
+                    base: 0,
+                    dims: dims.iter().map(side).collect(),
+                },
+            );
             push(r.data, &r.name, kind, path, false);
         }
     }
 
-    let in_ids = graph.inputs_of(step.op);
-    let out_ids = graph.outputs_of(step.op);
-    match lower_step(graph, step) {
+    match lowering {
         Some(low) => {
-            for (slot, role) in &low.operands {
+            for (slot, role, view) in &low.operands {
                 let (declared, edge, kind) = match *slot {
                     Slot::In(k) => (step.inputs.get(k), in_ids[k], AccessKind::Read),
                     Slot::Out(k) => (step.outputs.get(k), out_ids[k], AccessKind::Write),
@@ -314,11 +312,26 @@ pub fn step_accesses(graph: &Graph, step: &PlanStep) -> StepAccesses {
                     derived = false;
                     continue;
                 };
-                let (path, swept) = role_path(graph, role, edge, o).unwrap_or_else(|| {
+                let (path, swept) = view_path(role, view);
+                // a sweep's strides are the declared layout's over the
+                // edge's shape: exact only if the declaration is that edge
+                let exact = !swept
+                    || (o.data == edge
+                        && graph
+                            .data(edge)
+                            .is_some_and(|d| Layout::from_axis_order(&d.shape, &o.layout).is_ok()));
+                if exact {
+                    push(o.data, &o.name, kind, path, swept);
+                } else {
                     derived = false;
-                    (AccessPath::flat(words_of(edge)), false)
-                });
-                push(o.data, &o.name, kind, path, swept);
+                    push(
+                        o.data,
+                        &o.name,
+                        kind,
+                        AccessPath::flat(words_of(edge)),
+                        false,
+                    );
+                }
             }
         }
         // a step the lowering does not model: conservative declared spans
@@ -445,7 +458,7 @@ fn certify_inner(
         // arena level
         for (i, a) in sa.accesses.iter().enumerate() {
             for b in &sa.accesses[i + 1..] {
-                if !kinds_conflict(a.kind, b.kind) {
+                if !kinds_conflict(a, b) {
                     continue;
                 }
                 let overlap = if a.data == b.data {

@@ -8,10 +8,10 @@
 //! discipline to a lowered schedule:
 //!
 //! * [`analyze`] builds the step-level dependency DAG from operand reads
-//!   and writes (a relayout reads its container's value and materializes
-//!   it into a distinct physical buffer, so it depends on the value's
-//!   writer and is serialized against other relayouts of the same
-//!   container, but not against concurrent readers), detecting
+//!   and writes (a relayout reads its container's value and
+//!   re-materializes it in place, so it depends on the value's writer and
+//!   is serialized against other relayouts and against every reader of
+//!   the same container, earlier and later), detecting
 //!   RAW/WAR/WAW hazards, use-before-def, double-writes, and dead steps,
 //!   and reports everything as typed [`PlanLint`] diagnostics with a
 //!   [`Severity`];
@@ -1265,14 +1265,14 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
         }
 
         // relayout lints + hazards: a relayout *reads* its container's
-        // logical values and re-materializes them into a distinct physical
-        // buffer, so it takes a RAW edge from the value's last writer and
-        // registers as a reader (a later value-writer takes a WAR edge
-        // from it).  It does not kill the value — concurrent readers stay
-        // safe because every kernel addresses elements logically and is
-        // bitwise layout-invariant.  Materializations of one container
-        // are still serialized among themselves (WAW), since the last
-        // relayout determines the physical layout later steps declare.
+        // logical values and re-materializes them in place — the arena
+        // permutes the container's one slab slot, staged through the
+        // step's scratch.  So besides the RAW edge from the value's last
+        // writer it takes a WAR edge from every step that read the old
+        // incarnation, later readers take a RAW edge from it (see the
+        // reads below), and it registers as a reader so a later
+        // value-writer waits for it.  Materializations of one container
+        // are serialized among themselves (WAW).
         let mut relayouted: Vec<NodeId> = Vec::new();
         for r in &step.relayouts {
             if !step.inputs.iter().any(|i| i.data == r.data) {
@@ -1314,14 +1314,25 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
                         });
                     }
                 }
-                readers_since_write.entry(r.data).or_default().push(si);
+                let readers = readers_since_write.entry(r.data).or_default();
+                for rd in readers.drain(..).filter(|&rd| rd != si) {
+                    deps.push(DepEdge {
+                        from: rd,
+                        to: si,
+                        data: r.data,
+                        kind: DepKind::War,
+                    });
+                }
+                readers.push(si);
                 last_relayouter.insert(r.data, si);
             }
         }
 
-        // reads: RAW edges + use-before-def
+        // reads: RAW edges (from the value's writer and from whoever last
+        // re-materialized it) + use-before-def
         for inp in &step.inputs {
-            if let Some(&w) = last_writer.get(&inp.data) {
+            let sources = [last_writer.get(&inp.data), last_relayouter.get(&inp.data)];
+            for &w in sources.into_iter().flatten() {
                 if w != si {
                     deps.push(DepEdge {
                         from: w,

@@ -1,35 +1,52 @@
-//! The interpreter: plans compiled onto one preallocated slab, and the
-//! one place a plan's route is chosen.
+//! The interpreter: plans compiled onto one preallocated slab. Every plan
+//! that passes the analyzer's lint gate runs here, in whatever layouts it
+//! declares; nothing else executes a plan in production
+//! ([`crate::plan::execute_plan`] is the oracle the equivalence suites
+//! compare this module against).
 //!
-//! ```text
-//! plan ── route(graph, plan) ──┬─ natural layouts, no relayouts ─→ arena     {serial, waves, poison, timed}
-//!                              └─ anything else ────────────────→ reference {serial, shadow}
-//! ```
-//!
-//! [`route`] looks at the plan and nothing else: not at the thread count,
-//! the sanitizer mode, a profiler sink, whether the plan is canned or a
-//! caller's override, nor at who holds a lock. Every canned plan is in
-//! natural layout and runs here; a recipe-selected plan with strided
-//! operands or relayout insertions runs on the reference interpreter
-//! ([`crate::plan::execute_plan`]), which is also what the equivalence
-//! suites compare this module against. [`execute`] is the entry point that
-//! applies the decision to an [`ExecState`]; the transformer layers apply
-//! the same decision and bind their weights straight into the slab.
-//!
-//! [`CompiledArena::compile`] passes the plan through the analyzer's lint
-//! gate, colors its buffer-liveness intervals into slab offsets with
+//! [`CompiledArena::compile`] passes the plan through the lint gate, colors
+//! its buffer-liveness intervals into slab offsets with
 //! [`crate::analyze::assign_arena`], proves the coloring respects liveness
 //! ([`crate::sanitize::certify_arena`]) and every access path stays inside
 //! its slot ([`crate::access::certify_access_arena`]), at
 //! [`ArenaGranularity::Waves`] proves the wave partition it is about to
 //! dispatch free of races ([`crate::sanitize::certify_waves`]), and
 //! precompiles every step into a `StepExec`: the step lowering's kernel
-//! class (DESIGN.md, "Step lowering" — the same roles the two certifiers
-//! read) with each operand role resolved to a raw slab view. All of that
-//! happens once; [`compiled`] memoizes the result per distinct plan.
+//! class (DESIGN.md, "Step lowering") with each operand's slab slot. All of
+//! that happens once; [`compiled`] memoizes the result per distinct plan.
 //! Execution then walks the descriptors through the zero-allocation
 //! `*_into` kernels of [`xform_tensor::into_ops`] — no tensors are built,
 //! no heap is touched.
+//!
+//! **Views.** A kernel is handed each operand as its slot's words plus the
+//! lowering's [`xform_tensor::into_ops::View`] of them: a base offset and
+//! one stride per logical axis of the step's iteration space, resolved
+//! from the layout the step declares. A layout is therefore an index map,
+//! never a copy: a permuted operand is other strides, a broadcast bias
+//! zero strides, one projection of a stacked Q/K/V tensor a base offset.
+//! The drivers iterate in the container's *logical* order whatever the
+//! strides, so per-lane statistics land in the same order and dropout
+//! draws once per element in the same order — a plan's outputs, masks and
+//! statistics are the same bits in any layout. Whether a lane runs the
+//! slice body or the bounds-checked strided body is read off the strides
+//! the view carries (stride one, or extent one), never off an option. The
+//! access certificate is computed from the very same views
+//! (`access::view_path`), so it describes the words the kernels
+//! touch by construction ([`CompiledArena::step_views`]).
+//!
+//! **Relayouts.** A relayout insertion permutes its container in place, in
+//! the one slot its liveness interval owns: a gather into the step's
+//! scratch in the new physical order, then one copy back, before the
+//! step's kernel starts. The hazard analysis treats it as a write for that
+//! reason (no reader of the container shares its wave). Externals are
+//! bound in the layout the plan first touches them in — natural, for any
+//! plan the lint gate's coherence check passed — and outputs are
+//! materialized in the layout the plan last leaves them in.
+//!
+//! **The epilogue boundary.** A `ContractionEpilogue` step reads A and B
+//! through their declared strides, but its tail streams are walked as
+//! dense row blocks: declared in any but the natural layout they are a
+//! compile error naming the step.
 //!
 //! One compiled arena serves four modes, none of which changes a result
 //! bit, because every step draws from its own seeded RNG stream:
@@ -51,8 +68,8 @@
 //!
 //! An arena's buffers sit behind a mutex and a run holds it for its whole
 //! duration: concurrent callers of one arena queue, they are never handed
-//! to another executor. A natural-layout plan with a step the lowering
-//! does not model is an error at compile, naming the step.
+//! to another executor. A plan with a step the lowering does not model is
+//! an error at compile, naming the step.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,17 +80,17 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use xform_dataflow::{DataRole, Graph, NodeId};
-use xform_tensor::into_ops::{self, BiasMap, CausalMap};
+use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
+use xform_tensor::into_ops::{self, Sweep, View};
 use xform_tensor::lanes::{check_dropout_p, Dropout};
 use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::ops::layernorm::LayerNormStats;
-use xform_tensor::{Result, Shape, Tensor, TensorError};
+use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
-use crate::access::AccessCertificate;
+use crate::access::{view_path, AccessCertificate, AccessPath};
 use crate::analyze::{analyze, ArenaGranularity, PlanAnalysis};
-use crate::lower::{lower_step, Kernel, Role, Slot, Tail};
-use crate::plan::{execute_plan, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
+use crate::lower::{lower_step, Kernel, RelayoutCopy, Role, Slot, Tail};
+use crate::plan::{ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
 use crate::sanitize::{certify_analyzed, certify_arena, plan_fingerprint, ArenaCertificate};
 
 /// One contiguous word range of the slab (or of the scratch/stats
@@ -85,25 +102,31 @@ struct BufView {
 }
 
 /// A precompiled step: the lowering's kernel class with its baked
-/// geometry, and every operand resolved to a slab view. Executing one of
-/// these touches no heap.
+/// geometry, and every operand's slab slot. Executing one of these touches
+/// no heap.
 #[derive(Debug, Clone)]
 struct StepExec {
     kernel: Kernel,
-    /// One slab view per operand of the lowering, in its order — which is
-    /// the kernel's argument order ([`run_step`]). A carved operand's view
-    /// is already narrowed to its rows.
-    views: Vec<BufView>,
-    /// The broadcast maps of the bias operands, in operand order.
-    bmaps: Vec<BiasMap>,
+    /// The operand views compiled for the drivers
+    /// ([`crate::lower::StepLowering::sweeps`]).
+    sweeps: Vec<Sweep>,
+    /// One slab slot per operand of the lowering, in its order — which is
+    /// the kernel's argument order ([`run_step`]) — with the role and view
+    /// the kernel addresses it through (the slot's first word is the
+    /// view's word zero).
+    operands: Vec<(BufView, Role, View)>,
+    /// The step's relayout insertions, each with its container's slot.
+    relayouts: Vec<(BufView, RelayoutCopy)>,
     /// Per-lane mean and inverse-deviation regions of the statistics
     /// buffer (the normalizing classes).
     stats: Option<(BufView, BufView)>,
-    /// Where the kernel's scratch ([`Kernel::scratch_words`]) starts: the
-    /// gather packs of a contraction (none for the canned plans), and for
-    /// the epilogue class the packed B panels and the output tile — the
-    /// contraction output of a mega-kernel has no slab slot.
-    s_off: usize,
+    /// The step's scratch range
+    /// ([`crate::lower::StepLowering::scratch_words`]): the staging copy of
+    /// a relayout, the gather packs of a contraction (none for the canned
+    /// plans), and for the epilogue class the packed B panels and the
+    /// output tile — the contraction output of a mega-kernel has no slab
+    /// slot.
+    scratch: BufView,
 }
 
 /// An external input the caller binds into the slab before execution.
@@ -124,6 +147,8 @@ struct ExternalBind {
 struct MaterializeSpec {
     name: String,
     shape: Shape,
+    /// The layout the plan last leaves the container in.
+    layout: Layout,
     view: BufView,
     saved: bool,
 }
@@ -277,8 +302,11 @@ pub enum ArenaArtifact<'a> {
         /// `true` for saved-for-backward activations, `false` for
         /// outputs.
         saved: bool,
-        /// The container's logical shape; data is dense row-major.
+        /// The container's logical shape.
         shape: &'a Shape,
+        /// The layout `data` is stored in: the one the plan last declared
+        /// for the container.
+        layout: &'a Layout,
         /// The container's words in the slab.
         data: &'a [f32],
     },
@@ -337,46 +365,6 @@ pub struct CompiledArena {
     buffers: Mutex<ArenaBuffers>,
 }
 
-/// The executor a plan runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// The compiled static arena ([`CompiledArena`]).
-    Arena,
-    /// The serial allocating interpreter ([`crate::plan::execute_plan`]).
-    Reference,
-}
-
-impl std::fmt::Display for Route {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Route::Arena => "arena",
-            Route::Reference => "reference",
-        })
-    }
-}
-
-/// Decides which executor runs `plan` — the only place that is decided,
-/// from the graph and the plan alone. [`Route::Arena`] when every operand
-/// of every step is declared in its container's natural (logical
-/// row-major) layout and no relayouts were inserted, the precondition for
-/// executing out of dense row-major slab views; [`Route::Reference`] for
-/// anything else.
-pub fn route(graph: &Graph, plan: &ExecutionPlan) -> Route {
-    let natural = plan.steps.iter().all(|step| {
-        step.relayouts.is_empty()
-            && step.inputs.iter().chain(&step.outputs).all(|o| {
-                graph
-                    .data(o.data)
-                    .is_some_and(|d| d.shape.spec() == o.layout)
-            })
-    });
-    if natural {
-        Route::Arena
-    } else {
-        Route::Reference
-    }
-}
-
 /// The arena execution order a run at this thread count needs:
 /// wave-granularity colorings for the worker pool, serial colorings
 /// (tighter slabs) otherwise.
@@ -396,9 +384,9 @@ impl CompiledArena {
     /// [`ArenaGranularity::Waves`] — the race proof over the plan's own
     /// wave partition, the one the worker pool will be handed.
     ///
-    /// Returns `Ok(None)` exactly when [`route`] sends the plan to the
-    /// reference interpreter (non-natural operand layouts, relayout
-    /// insertions).
+    /// Always `Ok(Some(_))` on success: every plan that passes the gate
+    /// compiles, in any layout. (The `Option` dates from when strided
+    /// plans ran elsewhere; the signature is frozen.)
     ///
     /// # Errors
     ///
@@ -408,17 +396,30 @@ impl CompiledArena {
     /// [`crate::access::certify_access_arena`] — an internal invariant
     /// violation), the wave partition fails
     /// [`crate::sanitize::certify_waves`], or a step has no arena lowering
-    /// (an operator kind or operand count the step lowering does not model).
+    /// (an operator kind or operand count the step lowering does not
+    /// model, or a GEMM-epilogue tail stream declared in a non-natural
+    /// layout).
     pub fn compile(
         graph: &Graph,
         plan: &ExecutionPlan,
         analysis: &PlanAnalysis,
         granularity: ArenaGranularity,
     ) -> Result<Option<CompiledArena>> {
-        if route(graph, plan) == Route::Reference {
-            return Ok(None);
-        }
         analysis.gate()?;
+        CompiledArena::build(graph, plan, analysis, granularity).map(Some)
+    }
+
+    /// [`CompiledArena::compile`] past the lint gate. The measurement
+    /// source compiles one-step plans here whose inputs it stands up as
+    /// externals in the layouts under test — which the gate's coherence
+    /// and use-before-def lints, written for whole schedules, would
+    /// refuse; everything certified per arena is still certified.
+    pub(crate) fn build(
+        graph: &Graph,
+        plan: &ExecutionPlan,
+        analysis: &PlanAnalysis,
+        granularity: ArenaGranularity,
+    ) -> Result<CompiledArena> {
         let refused = |what: &str, lints: Vec<crate::analyze::PlanLint>| {
             let lints: Vec<String> = lints.iter().map(|l| l.to_string()).collect();
             TensorError::Unsupported(format!("{what} failed certification: {}", lints.join("; ")))
@@ -459,7 +460,13 @@ impl CompiledArena {
         let mut stats_out = Vec::new();
         for (si, step) in plan.steps.iter().enumerate() {
             let exec = compile_step(graph, step, &view_of, &mut stats_words, &mut stats_out)
-                .ok_or_else(|| no_lowering(format!("step {si} (`{}`)", step.name)))?;
+                .ok_or_else(|| match strided_tail(graph, step) {
+                    Some(o) => TensorError::Unsupported(format!(
+                        "step {si} (`{}`): GEMM-epilogue tail stream `{}` is declared in layout `{}`; tail streams must be in natural layout",
+                        step.name, o.name, o.layout
+                    )),
+                    None => no_lowering(format!("step {si} (`{}`)", step.name)),
+                })?;
             steps.push(exec);
         }
 
@@ -469,8 +476,8 @@ impl CompiledArena {
         for wave in &waves {
             let mut acc = 0usize;
             for &si in wave {
-                steps[si].s_off = acc;
-                acc += steps[si].kernel.scratch_words();
+                steps[si].scratch.off = acc;
+                acc += steps[si].scratch.len;
             }
             scratch_words = scratch_words.max(acc);
         }
@@ -497,6 +504,16 @@ impl CompiledArena {
             }
         }
 
+        // the layout the schedule leaves each container in
+        let mut left_in: HashMap<NodeId, &str> = HashMap::new();
+        for step in &plan.steps {
+            let relayouts = step.relayouts.iter().map(|r| (r.data, r.to.as_str()));
+            let operands = step.inputs.iter().chain(&step.outputs);
+            for (data, layout) in relayouts.chain(operands.map(|o| (o.data, o.layout.as_str()))) {
+                left_in.insert(data, layout);
+            }
+        }
+
         let mut externals = Vec::new();
         let mut outputs = Vec::new();
         for b in &analysis.liveness {
@@ -511,9 +528,11 @@ impl CompiledArena {
             }
             if matches!(b.role, DataRole::Output | DataRole::Saved) {
                 let d = graph.data(b.data).ok_or_else(container)?;
+                let spec = left_in.get(&b.data).ok_or_else(container)?;
                 outputs.push(MaterializeSpec {
                     name: b.name.clone(),
                     shape: d.shape.clone(),
+                    layout: Layout::from_axis_order(&d.shape, spec)?,
                     view,
                     saved: b.role == DataRole::Saved,
                 });
@@ -548,7 +567,7 @@ impl CompiledArena {
             });
         }
 
-        Ok(Some(CompiledArena {
+        Ok(CompiledArena {
             granularity,
             cert,
             access,
@@ -571,7 +590,7 @@ impl CompiledArena {
                 plan.steps.len(),
                 n_waves,
             )),
-        }))
+        })
     }
 
     /// A second arena of the same compiled plan with zeroed buffers of its
@@ -605,11 +624,15 @@ impl CompiledArena {
         }
     }
 
-    /// The slab word range of every operand view step `si` hands its
-    /// kernel, in the kernel's argument order — what the access
-    /// certificate's paths, embedded in their slots, must describe.
-    pub fn step_views(&self, si: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        self.steps[si].views.iter().map(|v| v.off..v.off + v.len)
+    /// The view of every operand step `si` hands its kernel, in the
+    /// kernel's argument order, as an access path in slab words — what the
+    /// access certificate's paths, embedded in their slots, must equal.
+    pub fn step_views(&self, si: usize) -> impl Iterator<Item = AccessPath> + '_ {
+        self.steps[si].operands.iter().map(|(slot, role, view)| {
+            let mut path = view_path(role, view).0;
+            path.base += slot.off as u64;
+            path
+        })
     }
 
     /// The certificate proving the coloring respects liveness.
@@ -665,7 +688,8 @@ impl CompiledArena {
     }
 
     /// Runs `f` over the resident slab region of the external container
-    /// `name` (dense row-major), waiting for a run in progress to finish.
+    /// `name` (in the layout the plan first touches it in: natural for
+    /// every gated plan), waiting for a run in progress to finish.
     /// Returns `None` when no external of that name exists.
     ///
     /// This is the read half of the cross-call residency surface: decode
@@ -698,9 +722,11 @@ impl CompiledArena {
     /// buffers if another thread is running out of them.
     ///
     /// `bind` is called once per external input with the container name
-    /// and its (dense row-major) slab destination, and returns whether it
-    /// filled it; a declined [`DataRole::Cache`] external keeps its
-    /// resident contents. `sink` is called after the run, once per
+    /// and its slab destination — to be filled in the layout the plan
+    /// first touches the container in, which for every plan that passed
+    /// the lint gate is the natural (logical row-major) one — and returns
+    /// whether it filled it; a declined [`DataRole::Cache`] external keeps
+    /// its resident contents. `sink` is called after the run, once per
     /// output/saved container and per layer-norm statistics region and, on
     /// a timed run, once with the [`ArenaArtifact::Timings`]; artifacts
     /// borrow the arena's storage, so copying sinks stay allocation-free.
@@ -760,6 +786,7 @@ impl CompiledArena {
                 name: &m.name,
                 saved: m.saved,
                 shape: &m.shape,
+                layout: &m.layout,
                 data: &bufs.slab[m.view.off..m.view.off + m.view.len],
             });
         }
@@ -801,11 +828,15 @@ impl CompiledArena {
     ) -> Result<()> {
         let mut sink = |a: ArenaArtifact<'_>| match a {
             ArenaArtifact::Tensor {
-                name, shape, data, ..
+                name,
+                shape,
+                layout,
+                data,
+                ..
             } => {
-                if let Ok(t) = Tensor::from_vec(shape.clone(), data.to_vec()) {
-                    out.env.insert(name.to_string(), t);
-                }
+                let mut t = Tensor::zeros_with_layout(shape.clone(), layout.clone());
+                t.data_mut().copy_from_slice(data);
+                out.env.insert(name.to_string(), t);
             }
             ArenaArtifact::Stats {
                 name,
@@ -924,9 +955,9 @@ fn plan_key(graph: &Graph, plan: &ExecutionPlan) -> u64 {
 
 /// The compiled arena of `plan` at `granularity`, analyzed, certified and
 /// compiled on first use and memoized per distinct plan — so a plan is
-/// checked once, not on every call — or `Ok(None)` when [`route`] sends
-/// the plan to the reference interpreter. Callers of one plan share one
-/// arena and queue on its buffers.
+/// checked once, not on every call. Always `Ok(Some(_))` on success (see
+/// [`CompiledArena::compile`]). Callers of one plan share one arena and
+/// queue on its buffers.
 ///
 /// # Errors
 ///
@@ -936,20 +967,25 @@ pub fn compiled(
     plan: &ExecutionPlan,
     granularity: ArenaGranularity,
 ) -> Result<Option<Arc<CompiledArena>>> {
-    if route(graph, plan) == Route::Reference {
-        return Ok(None);
-    }
+    memoized(graph, plan, granularity).map(Some)
+}
+
+/// [`compiled`] without the vestigial `Option`.
+pub(crate) fn memoized(
+    graph: &Graph,
+    plan: &ExecutionPlan,
+    granularity: ArenaGranularity,
+) -> Result<Arc<CompiledArena>> {
     let key = (plan_key(graph, plan), granularity);
     let lock = || memo().lock().unwrap_or_else(|e| e.into_inner());
     if let Some(hit) = lock().get(&key).filter(|a| a.matches(plan)) {
-        return Ok(Some(Arc::clone(hit)));
+        return Ok(Arc::clone(hit));
     }
     // compile outside the lock; a racing duplicate is benign
-    let built =
-        CompiledArena::compile(graph, plan, &analyze(graph, plan), granularity)?.map(Arc::new);
-    if let Some(arena) = &built {
-        lock().insert(key, Arc::clone(arena));
-    }
+    let analysis = analyze(graph, plan);
+    analysis.gate()?;
+    let built = Arc::new(CompiledArena::build(graph, plan, &analysis, granularity)?);
+    lock().insert(key, Arc::clone(&built));
     Ok(built)
 }
 
@@ -958,12 +994,11 @@ pub fn clear_compiled() {
     memo().lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
-/// Runs `plan` against `state` on the executor its layouts admit, and
-/// says which: the memoized arena ([`compiled`]) at the granularity
-/// `opts.threads` asks for, binding externals out of `state.env` and
-/// materializing every output, saved activation and layer-norm statistic
-/// back into it — or the reference interpreter, on one RNG stream seeded
-/// by `opts.seed`.
+/// Runs `plan` against `state` on its memoized arena ([`compiled`]) at the
+/// granularity `opts.threads` asks for, binding externals out of
+/// `state.env` and materializing every output, saved activation and
+/// layer-norm statistic back into it, each in the layout the plan leaves
+/// it in.
 ///
 /// # Errors
 ///
@@ -975,36 +1010,43 @@ pub fn execute(
     plan: &ExecutionPlan,
     state: &mut ExecState,
     opts: &ExecOptions,
-) -> Result<Route> {
-    match compiled(graph, plan, granularity_for(opts.threads))? {
-        Some(arena) => {
-            let mut produced = ExecState::default();
-            let mut bind = |name: &str, dst: &mut [f32]| match state.env.get(name) {
-                Some(t) if t.len() == dst.len() => {
-                    into_ops::copy_tensor_into(t, dst);
-                    true
-                }
-                _ => false,
-            };
-            arena.execute_into_state(graph, plan, opts, &mut bind, &mut produced)?;
-            state.env.extend(produced.env);
-            state.stats.extend(produced.stats);
-            Ok(Route::Arena)
+) -> Result<()> {
+    let arena = memoized(graph, plan, granularity_for(opts.threads))?;
+    let mut produced = ExecState::default();
+    let mut bind = |name: &str, dst: &mut [f32]| match state.env.get(name) {
+        Some(t) if t.len() == dst.len() => {
+            into_ops::copy_tensor_into(t, dst);
+            true
         }
-        None => {
-            let mut rng = StdRng::seed_from_u64(opts.seed);
-            execute_plan(graph, plan, state, opts, &mut rng)?;
-            Ok(Route::Reference)
-        }
+        _ => false,
+    };
+    arena.execute_into_state(graph, plan, opts, &mut bind, &mut produced)?;
+    state.env.extend(produced.env);
+    state.stats.extend(produced.stats);
+    Ok(())
+}
+
+/// The first tail stream of a GEMM-epilogue step declared in a non-natural
+/// layout — the one thing [`lower_step`] refuses that the reference
+/// interpreter runs.
+fn strided_tail<'s>(graph: &Graph, step: &'s PlanStep) -> Option<&'s crate::plan::Operand> {
+    if !matches!(step.kind, OpKind::ContractionEpilogue { .. }) {
+        return None;
     }
+    let tail = step.inputs.iter().skip(2).chain(&step.outputs);
+    tail.into_iter().find(|o| {
+        graph
+            .data(o.data)
+            .is_some_and(|d| d.shape.spec() != o.layout)
+    })
 }
 
 /// Precompiles one plan step: its lowering (`core::lower`), with every
-/// operand role resolved to a view of the declared operand's slab slot and
-/// a statistics region allotted to the normalizing classes. `None` means
-/// the lowering does not model the step (its kind, operand count or
-/// geometry) or an operand has no slot, which [`CompiledArena::compile`]
-/// reports as an error naming the step.
+/// operand's view embedded in the declared operand's slab slot and a
+/// statistics region allotted to the normalizing classes. `None` means the
+/// lowering does not model the step (its kind, operand count, geometry or
+/// tail layout) or an operand has no slot, which
+/// [`CompiledArena::compile`] reports as an error naming the step.
 fn compile_step(
     graph: &Graph,
     step: &PlanStep,
@@ -1013,27 +1055,22 @@ fn compile_step(
     stats_out: &mut Vec<StatsSpec>,
 ) -> Option<StepExec> {
     let low = lower_step(graph, step)?;
-    let mut views = Vec::with_capacity(low.operands.len());
-    let mut bmaps = Vec::new();
-    for (slot, role) in low.operands {
-        let operand = match slot {
-            Slot::In(k) => step.inputs.get(k),
-            Slot::Out(k) => step.outputs.get(k),
-        }?;
-        let whole = *view_of.get(&operand.data)?;
-        views.push(match role {
-            Role::Carve { base, words } if base + words <= whole.len => BufView {
-                off: whole.off + base,
-                len: words,
-            },
-            Role::Carve { .. } => return None,
-            Role::Broadcast(map) => {
-                bmaps.push(map);
-                whole
-            }
-            Role::Whole | Role::Lanes { .. } | Role::LaneWeights | Role::Gemm => whole,
-        });
-    }
+    let scratch = BufView {
+        off: 0,
+        len: low.scratch_words(),
+    };
+    let operands = (low.operands.into_iter())
+        .map(|(slot, role, view)| {
+            let operand = match slot {
+                Slot::In(k) => step.inputs.get(k),
+                Slot::Out(k) => step.outputs.get(k),
+            }?;
+            Some((*view_of.get(&operand.data)?, role, view))
+        })
+        .collect::<Option<_>>()?;
+    let relayouts = (low.relayouts.into_iter())
+        .map(|r| Some((*view_of.get(&r.data)?, r)))
+        .collect::<Option<_>>()?;
     let stats = match low.stats {
         Some((out, lanes)) => {
             let region = |k: usize| BufView {
@@ -1053,10 +1090,11 @@ fn compile_step(
     };
     Some(StepExec {
         kernel: low.kernel,
-        views,
-        bmaps,
+        sweeps: low.sweeps,
+        operands,
+        relayouts,
         stats,
-        s_off: 0,
+        scratch,
     })
 }
 
@@ -1080,15 +1118,16 @@ unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRu
     }
 }
 
-/// Executes one precompiled step out of the slab through the `*_into`
-/// drivers, which pick each kernel's unit-stride or strided instantiation
-/// from the step's own lane geometry. This is the only place that knows a
-/// kernel's argument order: `r(k)`/`w(k)` are the step's `k`-th operand
-/// view, in the order the lowering's [`Kernel`] variants document.
+/// Executes one precompiled step out of the slab: its relayouts, then its
+/// kernel through the `*_into` drivers, which pick each lane's unit-stride
+/// or strided instantiation from the strides of the step's own views. This
+/// is the only place that knows a kernel's argument order: `r(k)`/`w(k)`
+/// are the slot of the step's `k`-th operand, in the order the lowering's
+/// [`Kernel`] variants document.
 ///
 /// # Safety
 ///
-/// `mem` must point into live buffers at least as large as every view the
+/// `mem` must point into live buffers at least as large as every slot the
 /// step references, and no concurrently-running step may write any word
 /// this step touches — guaranteed by the arena certificate (interval
 /// overlap ⇒ range disjointness) plus the wave partition's race
@@ -1096,52 +1135,59 @@ unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRu
 unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRun, rng: &mut R) {
     let drop = &mut Dropout::new(run.dropout_p, rng)
         .expect("dropout_p was validated when the arena run was admitted");
-    // SAFETY (all three): the caller's contract covers every view of the
+    // SAFETY (all three): the caller's contract covers every slot of the
     // step, its statistics regions and its scratch range.
-    let r = |k: usize| unsafe { mem.slab(step.views[k]) };
-    let w = |k: usize| unsafe { mem.slab_mut(step.views[k]) };
-    let scratch = || unsafe { mem.scratch_mut(step.s_off, step.kernel.scratch_words()) };
+    let r = |k: usize| unsafe { mem.slab(step.operands[k].0) };
+    let w = |k: usize| unsafe { mem.slab_mut(step.operands[k].0) };
+    let scratch = || unsafe { mem.scratch_mut(step.scratch.off, step.scratch.len) };
     let stats = || {
         let (mean, inv_std) = step
             .stats
             .expect("a normalizing class has statistics regions");
         unsafe { (mem.stats_mut(mean), mem.stats_mut(inv_std)) }
     };
-    let shifted = |causal: &Option<CausalMap>| causal.map(|c| c.at(c.base + run.pos));
+    for (slot, copy) in &step.relayouts {
+        // SAFETY: the hazard analysis orders a relayout against every
+        // other access of its container, so this step owns the slot.
+        into_ops::relayout_into(&copy.dims, unsafe { mem.slab_mut(*slot) }, scratch());
+    }
+    let s = step.sweeps.first();
+    let s = || s.expect("a sweeping class has a compiled sweep");
+    let pos = |causal: bool| causal.then_some(run.pos);
     match &step.kernel {
         Kernel::Contract { plan } => into_ops::contract_into(plan, r(0), r(1), w(2), scratch()),
         Kernel::Bias => {
-            for (k, bmap) in step.bmaps.iter().enumerate() {
-                into_ops::bias_add_into(r(3 * k), r(3 * k + 1), bmap, w(3 * k + 2));
+            for (k, s) in step.sweeps.iter().enumerate() {
+                into_ops::bias_add_into(s, r(3 * k), r(3 * k + 1), w(3 * k + 2));
             }
         }
-        Kernel::Scale => into_ops::scale_into(r(0), run.scaler, w(1)),
-        Kernel::Activate => into_ops::activate_into(r(0), run.activation, w(1)),
-        Kernel::Dropout if run.dropout_p > 0.0 => into_ops::dropout_into(r(0), drop, w(1), w(2)),
-        Kernel::Dropout => into_ops::dropout_disabled_into(r(0), w(1), w(2)),
-        Kernel::Residual => into_ops::add_into(r(0), r(1), w(2)),
-        Kernel::Softmax { lane, causal } => {
-            into_ops::softmax_into(r(0), run.scaler, *lane, shifted(causal), w(1));
+        Kernel::Scale => into_ops::scale_into(s(), r(0), run.scaler, w(1)),
+        Kernel::Activate => into_ops::activate_into(s(), r(0), run.activation, w(1)),
+        Kernel::Dropout if run.dropout_p > 0.0 => {
+            into_ops::dropout_into(s(), r(0), drop, w(1), w(2));
         }
-        Kernel::Sm { lane, causal } => {
-            let c = shifted(causal);
-            into_ops::sm_into(r(0), run.scaler, *lane, c, drop, w(1), w(2), w(3));
+        Kernel::Dropout => into_ops::dropout_disabled_into(s(), r(0), w(1), w(2)),
+        Kernel::Residual => into_ops::add_into(s(), r(0), r(1), w(2)),
+        Kernel::Softmax { causal } => {
+            into_ops::softmax_into(s(), r(0), run.scaler, pos(*causal), w(1));
         }
-        Kernel::LayerNorm { lane } => {
+        Kernel::Sm { causal } => {
+            let c = pos(*causal);
+            into_ops::sm_into(s(), r(0), run.scaler, c, drop, w(1), w(2), w(3));
+        }
+        Kernel::LayerNorm => {
             let (mean, inv_std) = stats();
-            into_ops::layernorm_into(r(0), r(1), r(2), *lane, w(3), mean, inv_std);
+            into_ops::layernorm_into(s(), r(0), r(1), r(2), w(3), mean, inv_std);
         }
-        Kernel::Bdrln { lane } => {
+        Kernel::Bdrln => {
             let (mean, inv_std) = stats();
-            let bmap = &step.bmaps[0];
             into_ops::bdrln_into(
+                s(),
                 r(0),
                 r(1),
-                bmap,
                 r(2),
                 r(3),
                 r(4),
-                *lane,
                 drop,
                 w(5),
                 w(6),
@@ -1151,10 +1197,9 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
             );
         }
         Kernel::BrdAct => {
-            let (bmap, kind) = (&step.bmaps[0], run.activation);
-            into_ops::brd_act_into(r(0), r(1), bmap, kind, drop, w(2), w(3), w(4));
+            into_ops::brd_act_into(s(), r(0), r(1), run.activation, drop, w(2), w(3), w(4));
         }
-        Kernel::Bdr => into_ops::bdr_into(r(0), r(1), &step.bmaps[0], r(2), drop, w(3), w(4)),
+        Kernel::Bdr => into_ops::bdr_into(s(), r(0), r(1), r(2), drop, w(3), w(4)),
         Kernel::ContractEpilogue {
             plan,
             tile_rows,
@@ -1164,14 +1209,13 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
             let mut epilogue = match tail {
                 Tail::Sm => into_ops::TileEpilogue::Softmax {
                     scaler: run.scaler,
-                    causal: shifted(causal),
+                    causal: pos(*causal),
                     softmax: w(2),
                     alpha: w(3),
                     mask: w(4),
                 },
                 Tail::BrdAct => into_ops::TileEpilogue::BiasActDrop {
                     bias: r(2),
-                    bmap: &step.bmaps[0],
                     kind: run.activation,
                     pre_activation: w(3),
                     out: w(4),
@@ -1179,7 +1223,6 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
                 },
                 Tail::Bdr => into_ops::TileEpilogue::BiasDropResidual {
                     bias: r(2),
-                    bmap: &step.bmaps[0],
                     residual: r(3),
                     mask: w(4),
                     out: w(5),
@@ -1381,7 +1424,7 @@ mod tests {
 
     use super::*;
     use crate::fusion::{apply_plan, encoder_fusion_plan};
-    use crate::plan::random_externals;
+    use crate::plan::{execute_plan, random_externals};
     use crate::profile::{PlanProfiler, ProfilerSink};
     use crate::recipe::forward_ops;
     use xform_dataflow::{build, EncoderDims};
@@ -1397,7 +1440,7 @@ mod tests {
     fn compile(graph: &Graph, plan: &ExecutionPlan, g: ArenaGranularity) -> CompiledArena {
         CompiledArena::compile(graph, plan, &analyze(graph, plan), g)
             .unwrap()
-            .expect("a natural-layout plan routes to the arena")
+            .expect("every gated plan compiles")
     }
 
     /// A binder that fills every external out of `base`, except `skip`.
@@ -1590,44 +1633,69 @@ mod tests {
         assert_eq!(err, TensorError::SerialOnly { threads: 2 });
     }
 
-    #[test]
-    fn the_route_follows_the_layouts_and_nothing_else() {
+    /// The fused plan with the first step's outputs stored transposed
+    /// (their consumers relayout them back) and the softmax reading its
+    /// input with the reduce axis outermost: strided views, strided lanes
+    /// and relayout insertions.
+    fn strided_plan() -> (Graph, ExecutionPlan, ExecutionPlan) {
         let (graph, natural) = fused_plan();
         let mut strided = natural.clone();
         for o in strided.steps[0].outputs.iter_mut() {
             o.layout = o.layout.chars().rev().collect();
         }
+        let sm = strided.steps.iter().position(|s| s.name == "SM").unwrap();
+        let x = &mut strided.steps[sm].inputs[0].layout;
+        *x = x.chars().rev().collect();
         strided.reflow(&graph);
-        assert!(strided.relayout_count() > 0);
-        assert_eq!(route(&graph, &natural), Route::Arena);
-        assert_eq!(route(&graph, &strided), Route::Reference);
+        assert!(strided.relayout_count() >= 2);
+        (graph, natural, strided)
+    }
+
+    /// The strided-plus-relayout run CI interprets under Miri: the same
+    /// plan in other layouts is the same logical bits — outputs, saved
+    /// masks and statistics, dropout on — at either granularity, each
+    /// container materialized in the layout its plan leaves it in.
+    #[test]
+    fn a_strided_plan_with_relayouts_computes_the_natural_plans_bits() {
+        let (graph, natural, strided) = strided_plan();
         for g in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-            assert!(compiled(&graph, &strided, g).unwrap().is_none());
-            let a = compiled(&graph, &natural, g).unwrap().unwrap();
-            let b = compiled(&graph, &natural, g).unwrap().unwrap();
+            let a = compiled(&graph, &strided, g).unwrap().unwrap();
+            let b = compiled(&graph, &strided, g).unwrap().unwrap();
             assert!(Arc::ptr_eq(&a, &b), "one arena per distinct plan");
+            let n = compiled(&graph, &natural, g).unwrap().unwrap();
+            assert!(!Arc::ptr_eq(&a, &n));
         }
-        // both run through the one entry point, to the same values
         let base = random_externals(&graph, &natural, 9).unwrap();
         let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+        let row_major = |t: &Tensor| t.relayout(&Layout::row_major(t.shape().rank()));
         for threads in [1, 4] {
             for profiler in [None, Some(&sink)] {
                 let opts = ExecOptions::builder()
+                    .dropout_p(0.3)
                     .threads(threads)
                     .profiler(profiler)
                     .build();
-                let (mut on_arena, mut on_reference) = (base.clone(), base.clone());
-                assert_eq!(
-                    execute(&graph, &natural, &mut on_arena, &opts).unwrap(),
-                    Route::Arena
-                );
-                assert_eq!(
-                    execute(&graph, &strided, &mut on_reference, &opts).unwrap(),
-                    Route::Reference
-                );
-                let (y, y_ref) = (&on_arena.env["y"], &on_reference.env["y"]);
-                assert_eq!(y.max_abs_diff(y_ref).unwrap(), 0.0);
+                let (mut nat, mut st) = (base.clone(), base.clone());
+                execute(&graph, &natural, &mut nat, &opts).unwrap();
+                execute(&graph, &strided, &mut st, &opts).unwrap();
+                assert!(nat.env.len() > base.env.len() + 5);
+                for (name, t) in &nat.env {
+                    assert_eq!(row_major(&st.env[name]).data(), t.data(), "`{name}`");
+                }
+                for (name, s) in &nat.stats {
+                    assert_eq!(st.stats[name].mean, s.mean, "`{name}`");
+                    assert_eq!(st.stats[name].inv_std, s.inv_std, "`{name}`");
+                }
             }
+        }
+        // materialized as declared: the transposed first output is saved
+        let first = &strided.steps[0].outputs[0];
+        if let Some(t) = {
+            let mut st = base.clone();
+            execute(&graph, &strided, &mut st, &ExecOptions::default()).unwrap();
+            st.env.remove(&first.name)
+        } {
+            assert_eq!(t.layout().spec(t.shape()), first.layout);
         }
         // same schedule, other dimensions: another arena
         let eg = build::encoder(&EncoderDims {
@@ -1644,6 +1712,89 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(b.slab_words() > a.slab_words());
+    }
+
+    /// A relayout permutes its container's one slot in place, so a wave
+    /// that holds it next to a reader of the container is a race: the
+    /// analyzer orders the pair, and a partition tampered to hold both is
+    /// refused at compile.
+    #[test]
+    fn a_wave_holding_a_reader_and_a_relayout_of_one_container_is_refused() {
+        // two otherwise independent adds read `a`; the second wants it
+        // transposed, so it relayouts what the first reads
+        let mut graph = Graph::new();
+        let shape = || Shape::new([('b', 3), ('i', 4)]).unwrap();
+        let [a, b, c] = ["a", "b", "c"].map(|n| graph.add_data(n, shape(), DataRole::Input));
+        let [y, z] = ["y", "z"].map(|n| graph.add_data(n, shape(), DataRole::Output));
+        let reader = graph.add_op("reader", OpKind::Residual, &[a, b], &[y]);
+        let mover = graph.add_op("mover", OpKind::Residual, &[a, c], &[z]);
+        let mut plan = ExecutionPlan::natural(&graph, &[reader, mover]).unwrap();
+        plan.steps[1].inputs[0].layout = "ib".into();
+        plan.reflow(&graph);
+        assert_eq!(plan.steps[1].relayouts.len(), 1);
+
+        let mut analysis = analyze(&graph, &plan);
+        assert!(analysis.is_clean(), "{:?}", analysis.errors());
+        assert_eq!(
+            analysis.wave_of(),
+            [0, 1],
+            "the reader precedes the relayout"
+        );
+        let arena = compile(&graph, &plan, ArenaGranularity::Waves);
+        // and the pair computes what the natural plan does
+        let base = random_externals(&graph, &plan, 2).unwrap();
+        let opts = ExecOptions::builder().threads(2).build();
+        let got = run(&arena, &graph, &plan, &base, &opts);
+        let natural = ExecutionPlan::natural(&graph, &[reader, mover]).unwrap();
+        let want = compile(&graph, &natural, ArenaGranularity::Waves);
+        assert_eq!(got, run(&want, &graph, &natural, &base, &opts));
+
+        // forget the hazard: reader and relayout share a wave
+        analysis.deps.clear();
+        assert_eq!(analysis.wave_of(), [0, 0]);
+        let err = CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Waves)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("wave partition failed certification"), "{err}");
+        // the serial order never overlaps two steps: still fine
+        CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Serial).unwrap();
+    }
+
+    /// The one boundary: an epilogue step reads A and B strided but its
+    /// tail streams must be natural — a typed error naming step and
+    /// stream.
+    #[test]
+    fn a_strided_epilogue_tail_is_a_compile_error_naming_the_step() {
+        let eg = build::encoder(&EncoderDims::tiny());
+        let mut g = eg.graph;
+        apply_plan(&mut g, &encoder_fusion_plan()).unwrap();
+        assert!(!crate::fusion::apply_epilogues(&mut g).unwrap().is_empty());
+        let mut plan = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
+        let si = (plan.steps.iter())
+            .position(|s| matches!(s.kind, OpKind::ContractionEpilogue { .. }))
+            .unwrap();
+        // strided A: fine
+        let a = &mut plan.steps[si].inputs[0].layout;
+        *a = a.chars().rev().collect();
+        plan.reflow(&g);
+        compile(&g, &plan, ArenaGranularity::Serial);
+        // strided tail stream: refused
+        let (name, out) = (
+            plan.steps[si].name.clone(),
+            plan.steps[si].outputs[0].name.clone(),
+        );
+        let o = &mut plan.steps[si].outputs[0].layout;
+        *o = o.chars().rev().collect();
+        plan.reflow(&g);
+        let analysis = analyze(&g, &plan);
+        assert!(analysis.is_clean(), "{:?}", analysis.errors());
+        let err = CompiledArena::compile(&g, &plan, &analysis, ArenaGranularity::Serial)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(&format!("step {si} (`{name}`)")) && err.contains(&format!("`{out}`")),
+            "{err}"
+        );
     }
 
     #[test]

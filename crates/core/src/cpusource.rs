@@ -7,17 +7,21 @@
 //! `(configuration → runtime)` pairs, and this source supplies them from
 //! measurements:
 //!
-//! * **tensor contractions** execute the real einsum engine
-//!   ([`xform_tensor::contract`]) with the operands physically stored in
-//!   the configuration's layouts;
-//! * **forward element-wise / normalization / fused kernels** execute the
-//!   *real kernel* through the schedule interpreter of [`crate::plan`]:
-//!   the operator is lowered to a single [`crate::plan::PlanStep`] with
-//!   the configuration's layouts, its operands are materialized in those
-//!   layouts, and [`crate::plan::execute_step`] is timed — so sweeps and
-//!   the canned executors price exactly the same code path;
-//! * **backward kernels** (which the forward-only interpreter does not
-//!   dispatch) execute a *representative strided sweep*: the kernel's
+//! * **every operator the step lowering models** — the forward
+//!   contractions, element-wise, normalization, fused and GEMM-epilogue
+//!   kernels — executes the *real kernel on the executor that ships*: the
+//!   operator is lowered to a single [`crate::plan::PlanStep`] with the
+//!   configuration's layouts, compiled onto an arena of its own
+//!   ([`crate::arena::CompiledArena`], un-memoized, its inputs externals
+//!   in those layouts), and the arena's own per-step timing slot is read —
+//!   so a sweep prices exactly the strided views a selected plan will run
+//!   through;
+//! * **contractions the lowering refuses** (the backward einsums and the
+//!   slice writers that fill a stacked gradient) execute the real einsum
+//!   engine ([`xform_tensor::contract`]) with the operands physically
+//!   stored in the configuration's layouts;
+//! * **backward kernels** (which the forward-only lowering does not
+//!   model) execute a *representative strided sweep*: the kernel's
 //!   exact tensors are allocated in the configuration's layouts and walked
 //!   in the iteration order the configuration implies (reduction lane
 //!   innermost when the warp/vector axes say so), reading every input word
@@ -32,6 +36,7 @@
 
 use std::time::Instant;
 
+use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,7 +46,11 @@ use xform_gpusim::KernelCost;
 use xform_tensor::contract::contract;
 use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
-use crate::plan::{execute_step, step_is_interpretable, ExecOptions, ExecState, ExecutionPlan};
+use crate::analyze::{analyze, ArenaGranularity};
+use crate::arena::{ArenaArtifact, CompiledArena};
+use crate::lower::lower_step;
+use crate::plan::{ExecOptions, ExecutionPlan, SanitizeMode};
+use crate::profile::PlanProfiler;
 use crate::sweep::PerfSource;
 
 /// The CPU measurement source.
@@ -65,6 +74,11 @@ impl CpuSource {
         }
     }
 
+    /// The calibrated streaming rate of this machine, bytes per µs.
+    pub fn peak_bytes_per_us(&self) -> f64 {
+        self.peak_bytes_per_us
+    }
+
     fn time_once(&self, f: &mut dyn FnMut()) -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..self.repetitions {
@@ -75,38 +89,84 @@ impl CpuSource {
         best
     }
 
-    /// Times the real kernel through the schedule interpreter: lowers `op`
-    /// to a single plan step with the configuration's layouts, materializes
-    /// random operands in those layouts, and times [`execute_step`] alone
-    /// (environment cloning and RNG seeding happen outside the timed
-    /// region). Returns `None` for operators the forward-only interpreter
-    /// cannot dispatch — the caller falls back to the synthetic sweep.
-    fn try_interpreted(&self, graph: &Graph, op: NodeId, cfg: &OpConfig) -> Option<f64> {
-        let step = ExecutionPlan::single_step(graph, op, cfg).ok()?;
-        if matches!(step.kind, OpKind::Einsum(_)) || !step_is_interpretable(&step.kind, &step.name)
-        {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(0x5EED);
-        let dist = rand::distributions::Uniform::new(-1.0f32, 1.0);
-        let mut base = ExecState::default();
-        for operand in &step.inputs {
-            let shape = graph.data(operand.data)?.shape.clone();
-            let lay = Layout::from_axis_order(&shape, &operand.layout).ok()?;
-            let t = Tensor::random(shape, &dist, &mut rng).relayout(&lay);
-            base.env.insert(operand.name.clone(), t);
-        }
-        let opts = ExecOptions::default();
+    /// The best of `repetitions` runs of `op` as a [`StandaloneKernel`];
+    /// `None` when the lowering does not model it — the caller falls back
+    /// to the einsum engine or the synthetic sweep.
+    fn time_on_arena(&self, graph: &Graph, op: NodeId, cfg: &OpConfig) -> Option<f64> {
+        let mut kernel = StandaloneKernel::compile(graph, op, cfg)?;
         let mut best = f64::INFINITY;
         for _ in 0..self.repetitions {
-            let mut state = base.clone();
-            let mut step_rng = StdRng::seed_from_u64(0xD15C);
-            let start = Instant::now();
-            execute_step(graph, &step, &mut state, &opts, &mut step_rng).ok()?;
-            best = best.min(start.elapsed().as_secs_f64() * 1e6);
-            std::hint::black_box(state.env.len());
+            best = best.min(kernel.run().ok()?);
         }
         Some(best.max(1e-3))
+    }
+}
+
+/// One operator compiled alone onto an arena of its own, its operands in a
+/// configuration's layouts: the real kernel, on the executor that ships,
+/// through exactly the strided views a plan selecting that configuration
+/// would run it through. What [`CpuSource`] times, and what the layout
+/// benches and examples drive.
+#[derive(Debug)]
+pub struct StandaloneKernel {
+    arena: CompiledArena,
+    /// Whether the operands are in the slab yet (a lone step never
+    /// overwrites its inputs, so they are bound once).
+    bound: bool,
+}
+
+impl StandaloneKernel {
+    /// Lowers `op` to a single plan step with the configuration's layouts
+    /// and compiles that one-step plan, its inputs externals in the
+    /// declared layouts. `None` for operators the step lowering does not
+    /// model (backward kernels, slice writers).
+    pub fn compile(graph: &Graph, op: NodeId, cfg: &OpConfig) -> Option<StandaloneKernel> {
+        let step = ExecutionPlan::single_step(graph, op, cfg).ok()?;
+        lower_step(graph, &step)?;
+        let plan = ExecutionPlan { steps: vec![step] };
+        let analysis = analyze(graph, &plan);
+        // past the gate: a lone step's inputs have no producer and sit in
+        // the layouts under test, which the schedule lints would refuse
+        let arena = CompiledArena::build(graph, &plan, &analysis, ArenaGranularity::Serial).ok()?;
+        Some(StandaloneKernel {
+            arena,
+            bound: false,
+        })
+    }
+
+    /// Runs the kernel once over random operands (which no layout can tell
+    /// apart; bound on the first run) and returns its wall time in µs —
+    /// the arena's own timing slot of the step, so binding and
+    /// materialization stay outside the measurement.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledArena::execute_bound`].
+    pub fn run(&mut self) -> Result<f64> {
+        let dist = rand::distributions::Uniform::new(-1.0f32, 1.0);
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let fresh = !std::mem::replace(&mut self.bound, true);
+        let mut bind = |_: &str, dst: &mut [f32]| {
+            if fresh {
+                dst.iter_mut().for_each(|w| *w = dist.sample(&mut rng));
+            }
+            true
+        };
+        // the sink only switches the arena's timing slots on
+        let sink = std::sync::Mutex::new(PlanProfiler::with_peak(1.0));
+        let opts = ExecOptions::builder()
+            .seed(0xD15C)
+            .sanitize(SanitizeMode::Off)
+            .profiler(Some(&sink))
+            .build();
+        let mut time_us = 0.0;
+        let mut read = |a: ArenaArtifact<'_>| {
+            if let ArenaArtifact::Timings { step_us, .. } = a {
+                time_us = step_us[0];
+            }
+        };
+        self.arena.execute_bound(&opts, &mut bind, &mut read)?;
+        Ok(time_us)
     }
 }
 
@@ -236,14 +296,12 @@ impl PerfSource for CpuSource {
         let io_words = graph.io_words(op) as f64;
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let dist = rand::distributions::Uniform::new(-1.0f32, 1.0);
-        let interpreted_time = if step_is_interpretable(&node.kind, &node.name) {
-            self.try_interpreted(graph, op, cfg)
-        } else {
-            None
-        };
 
-        let time_us = match &node.kind {
-            OpKind::Einsum(spec) => {
+        let time_us = match (self.time_on_arena(graph, op, cfg), &node.kind) {
+            // whatever the lowering models: the real kernel on the arena
+            (Some(time_us), _) => time_us,
+            // a backward contraction or slice writer: the einsum engine
+            (None, OpKind::Einsum(spec)) => {
                 if inputs.len() < 2 {
                     return Err(TensorError::Unsupported(format!(
                         "contraction `{}` has one input",
@@ -298,13 +356,9 @@ impl PerfSource for CpuSource {
                     std::hint::black_box(c.data()[0]);
                 })
             }
-            // forward kernels: priced by executing the real kernel via the
-            // schedule interpreter
-            _ if interpreted_time.is_some() => interpreted_time.unwrap_or(1e-3),
-            _ => {
-                // backward kernel (or an operand set the interpreter cannot
-                // stand up): representative strided sweep over the kernel's
-                // tensors
+            (None, _) => {
+                // backward kernel: representative strided sweep over the
+                // kernel's tensors
                 let two_pass = node.kind.has_reduction();
                 let in_tensors: Vec<Tensor> = inputs
                     .iter()

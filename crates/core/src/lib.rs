@@ -18,24 +18,24 @@
 //! * [`plan`] — lowering a fusion plan plus a layout selection into an
 //!   executable, layout-annotated schedule ([`plan::ExecutionPlan`]) and
 //!   the reference interpreter ([`plan::execute_plan`]): serial,
-//!   allocating, any operand layout;
+//!   allocating — the test oracle, with no production caller;
 //! * `lower` (crate-private) — the step lowering: the one place that says
-//!   which kernel class a step is and what logical role each operand slot
-//!   plays in it; [`arena`], [`access`] and [`sanitize`] consume its
-//!   roles as slab views, access paths and element spans;
-//! * [`arena`] — the interpreter, and the one routing decision
-//!   ([`arena::route`], [`arena::execute`]): plans in natural layout are
-//!   certified once and lowered onto one preallocated slab via the
-//!   liveness coloring of [`analyze::assign_arena`], executing through the
-//!   zero-allocation `*_into` kernels so steady-state forwards touch the
-//!   heap not at all; anything else goes to the reference interpreter;
+//!   which kernel class a step is and, under the layout the step declares
+//!   for it, how the kernel addresses each operand (a strided view);
+//!   [`arena`], [`access`] and [`sanitize`] consume its views as slab
+//!   views, access paths and element spans;
+//! * [`arena`] — the interpreter ([`arena::execute`]): every plan, in any
+//!   layout, is certified once and lowered onto one preallocated slab via
+//!   the liveness coloring of [`analyze::assign_arena`], executing through
+//!   the zero-allocation `*_into` kernels so steady-state forwards touch
+//!   the heap not at all;
 //! * [`access`] — the access-path certifier: symbolic abstract
 //!   interpretation deriving every operand's index-affine access path per
 //!   step and proving in-bounds, unit-stride, alias-free access
 //!   ([`access::certify_access`]); a clean pass yields an
 //!   [`access::AccessCertificate`] — proof obligations discharged before
 //!   the arena hands out slab views, plus the strided-inner-loop lint
-//!   (kernel dispatch is by lane geometry, not by certificate);
+//!   (kernel dispatch is by the views' strides, not by certificate);
 //! * [`sanitize`] — the footprint sanitizer and race certifier: a static
 //!   certifier cross-checking declared operands against derived kernel
 //!   footprints ([`sanitize::certify`]) — the wave proof the arena demands

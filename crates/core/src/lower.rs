@@ -2,31 +2,42 @@
 //!
 //! [`lower_step`] is the one place (outside the hand-written reference
 //! interpreter, [`crate::plan::execute_step`]) that decides which kernel
-//! class a step is and what *logical* [`Role`] each operand slot plays in
-//! it. It reads the graph's edges and shapes, the step's operator kind and
-//! its kernel name — never the step's declared operand list, so its three
-//! consumers can hold declarations against it:
+//! class a step is and how the kernel addresses each operand: a
+//! [`View`] — base offset plus one stride per logical axis of the step's
+//! iteration space — resolved from the graph's edges and shapes, the
+//! step's operator kind and kernel name, and the layout the step
+//! *declares* for the operand. A layout is a choice of strides, a
+//! broadcast bias a view with zero strides, one projection of a stacked
+//! Q/K/V tensor a view with a base offset. Three consumers read the same
+//! views, so each can hold the others' account against its own:
 //!
-//! * the arena precompiler ([`crate::arena`]) turns roles into slab views
-//!   and keeps the baked [`Kernel`] geometry;
-//! * the access certifier ([`crate::access::step_accesses`]) turns the same
-//!   roles into index-affine paths under the declared layouts;
-//! * the footprint oracle ([`crate::sanitize::step_footprint`]) turns them
-//!   into element spans.
+//! * the arena precompiler ([`crate::arena`]) embeds them in slab slots
+//!   and hands them, compiled into [`Sweep`]s and [`ContractPlan`]s, to the
+//!   kernels;
+//! * the access certifier ([`crate::access::step_accesses`]) reads them as
+//!   the index-affine paths it bounds;
+//! * the footprint oracle ([`crate::sanitize::step_footprint`]) reads the
+//!   roles' element spans.
+//!
+//! Geometry always comes from the graph edge at a slot, only the layout
+//! from the operand declared there (natural when the declaration is
+//! missing or does not parse — the analyzer's lints convict those plans;
+//! here they just keep the certifiers' fallbacks well-defined).
 //!
 //! `None` means the lowering does not model the step (a backward kernel, an
-//! operand count or a geometry no forward kernel has): a compile error
-//! naming the step on the arena, conservative whole-buffer accesses in both
-//! certifiers. A new kernel class is one row here, one arm in the arena's
-//! `run_step`, and one arm in the reference interpreter.
+//! operand count or a geometry no forward kernel has, an epilogue tail
+//! stream in a non-natural layout): a compile error naming the step on the
+//! arena, conservative whole-buffer accesses in both certifiers. A new
+//! kernel class is one row here, one arm in the arena's `run_step`, and one
+//! arm in the reference interpreter.
 
 use xform_dataflow::{Graph, NodeId, OpKind};
-use xform_tensor::into_ops::{BiasMap, CausalMap, ContractPlan, LaneGeom};
+use xform_tensor::into_ops::{epilogue_contract_plan, ContractPlan, Sweep, View};
 use xform_tensor::{Axis, Layout, Shape};
 
 use crate::plan::{
-    causal_map_of, classify_fused, epilogue_geometry, labelled_shapes, stacked_carve_start,
-    FusedClass, PlanStep,
+    classify_fused, epilogue_geometry, labelled_shapes, stacked_carve_start, FusedClass, Operand,
+    PlanStep,
 };
 
 /// One operand slot of a step, by position in the graph's edge order.
@@ -38,11 +49,12 @@ pub(crate) enum Slot {
     Out(usize),
 }
 
-/// What a kernel does with one operand, independent of where the operand
-/// lives (a tensor, a slab range) and of its physical layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What a kernel does with one operand beyond where its [`View`] says the
+/// words are: what the certifiers need to know of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Role {
-    /// Every word once, element by element in container order.
+    /// Every word once, the kernel's inner loop over the innermost logical
+    /// axis.
     Whole,
     /// Every word once, lane by lane along logical axis `axis` of the
     /// container (the softmax and normalization sweeps).
@@ -50,18 +62,17 @@ pub(crate) enum Role {
         /// Position of the lane axis in the container's shape.
         axis: usize,
     },
-    /// Words `[base, base + words)` of the container: the rows of one
-    /// projection of a stacked Q/K/V tensor (the stacking axis is the
-    /// outermost, so a row range is a word range).
+    /// Logical elements `[base, base + words)` of the container: the rows
+    /// of one projection of a stacked Q/K/V tensor.
     Carve {
-        /// First word.
+        /// First element.
         base: usize,
-        /// Word count.
+        /// Element count.
         words: usize,
     },
-    /// Gathered through a broadcast map while another operand is swept (a
+    /// Gathered through zero strides while another operand is swept (a
     /// bias onto the step's output geometry).
-    Broadcast(BiasMap),
+    Broadcast,
     /// Dense per-lane weights indexed by lane position (γ, β).
     LaneWeights,
     /// A GEMM operand (or a tile epilogue's full-size stream): every word,
@@ -80,17 +91,20 @@ pub(crate) enum Tail {
     Bdr,
 }
 
-/// The kernel class of a step with its baked geometry. Operands follow in
-/// [`StepLowering::operands`], in the order each variant documents.
+/// The kernel class of a step. Operands follow in
+/// [`StepLowering::operands`], in the order each variant documents; the
+/// classes that sweep find their compiled [`Sweep`]s in
+/// [`StepLowering::sweeps`].
 #[derive(Debug, Clone)]
 pub(crate) enum Kernel {
     /// Two-operand einsum `[a, b, out]`.
     Contract {
-        /// The contraction over dense row-major operands.
+        /// The contraction over the operands' declared strides.
         plan: Box<ContractPlan>,
     },
-    /// Broadcast bias add, one `[x, bias, out]` triple per projection: one
-    /// for a plain (or carved `Input bias Q/K/V`) step, three for fused AIB.
+    /// Broadcast bias add, one `[x, bias, out]` triple (and sweep) per
+    /// projection: one for a plain (or carved `Input bias Q/K/V`) step,
+    /// three for fused AIB.
     Bias,
     /// `[x, out]`, times the run's scaler.
     Scale,
@@ -100,115 +114,115 @@ pub(crate) enum Kernel {
     Dropout,
     /// `[a, b, out]`.
     Residual,
-    /// Unfused scale-folded softmax `[x, out]`, causal for the masked one.
+    /// Unfused scale-folded softmax `[x, out]`.
     Softmax {
-        /// Lane decomposition of `x`.
-        lane: LaneGeom,
-        /// Query recovery of a masked softmax.
-        causal: Option<CausalMap>,
+        /// Masked: the sweep names the query axis.
+        causal: bool,
     },
     /// Fused SM `[x, softmax, alpha, mask]`.
     Sm {
-        /// Lane decomposition of `x`.
-        lane: LaneGeom,
-        /// Query recovery of a masked softmax.
-        causal: Option<CausalMap>,
+        /// Masked: the sweep names the query axis.
+        causal: bool,
     },
     /// Layer norm `[x, gamma, beta, out]`.
-    LayerNorm {
-        /// Lane decomposition of `x`.
-        lane: LaneGeom,
-    },
+    LayerNorm,
     /// Fused BDRLN `[x, bias, residual, gamma, beta, mask, ln_input, out]`.
-    Bdrln {
-        /// Lane decomposition of `x`.
-        lane: LaneGeom,
-    },
+    Bdrln,
     /// Fused BRD `[x, bias, pre_activation, out, mask]`.
     BrdAct,
     /// Fused BDR `[x, bias, residual, mask, out]`.
     Bdr,
-    /// GEMM-epilogue mega-kernel: `[a, b]`, then the tail's operands in the
-    /// order of its unfused class (`x` being the tile, which has no slot).
+    /// GEMM-epilogue mega-kernel: `[a, b]` through their declared strides,
+    /// then the tail's operands in the order of its unfused class (`x`
+    /// being the tile, which has no slot), each dense in natural layout.
     ContractEpilogue {
         /// The contraction writing the output container in order.
         plan: Box<ContractPlan>,
         /// Output rows per tile.
         tile_rows: usize,
-        /// Query recovery of a masked softmax tail.
-        causal: Option<CausalMap>,
+        /// Masked softmax tail (the query is the tile's row).
+        causal: bool,
         /// The per-tile chain.
         tail: Tail,
     },
 }
 
-impl Kernel {
-    /// Scratch words the kernel needs beside its operands: gather packs,
-    /// and for the epilogue class the packed B panels and the output tile.
-    pub(crate) fn scratch_words(&self) -> usize {
-        match self {
-            Kernel::Contract { plan } => plan.scratch_words(),
-            Kernel::ContractEpilogue {
-                plan, tile_rows, ..
-            } => plan.epilogue_scratch_words(*tile_rows),
-            _ => 0,
-        }
-    }
+/// A relayout insertion, lowered: the container re-materialized in place
+/// through the step's scratch.
+#[derive(Debug, Clone)]
+pub(crate) struct RelayoutCopy {
+    /// The container.
+    pub data: NodeId,
+    /// `(extent, old stride, new stride)` per axis, outermost of the new
+    /// layout first ([`xform_tensor::into_ops::relayout_into`]): the
+    /// gather reads through the old strides, the write-back lands on the
+    /// new.
+    pub dims: Vec<(usize, usize, usize)>,
 }
 
-/// One step, lowered: its kernel class and the role of every operand.
+/// One step, lowered: its kernel class and the view of every operand.
 #[derive(Debug, Clone)]
 pub(crate) struct StepLowering {
     /// The kernel class with its baked geometry.
     pub kernel: Kernel,
+    /// The step's relayout insertions, which run before the kernel.
+    pub relayouts: Vec<RelayoutCopy>,
     /// One entry per kernel operand, in the kernel's argument order. Every
     /// edge of the step appears at least once; the stacked input of fused
     /// AIB appears once per projection.
-    pub operands: Vec<(Slot, Role)>,
+    pub operands: Vec<(Slot, Role, View)>,
+    /// The operand views compiled for the drivers, each covering the next
+    /// run of operands (three per bias projection, all of them otherwise);
+    /// empty for the contraction classes.
+    pub sweeps: Vec<Sweep>,
     /// For the normalizing classes: the output slot whose container name
     /// keys the per-lane statistics, and the lane count.
     pub stats: Option<(usize, usize)>,
 }
 
-/// Row-major strides of a shape.
-fn rm_strides(shape: &Shape) -> Vec<usize> {
-    Layout::row_major(shape.rank()).strides(shape)
+impl StepLowering {
+    /// Scratch words the step needs beside its operands: the staging copy
+    /// of its largest relayout, then (reusing it) the kernel's gather
+    /// packs, and for the epilogue class the packed B panels and the
+    /// output tile.
+    pub(crate) fn scratch_words(&self) -> usize {
+        let words = |r: &RelayoutCopy| r.dims.iter().map(|d| d.0).product();
+        let staging = self.relayouts.iter().map(words).max().unwrap_or(0);
+        staging.max(match &self.kernel {
+            Kernel::Contract { plan } => plan.scratch_words(),
+            Kernel::ContractEpilogue {
+                plan, tile_rows, ..
+            } => plan.epilogue_scratch_words(*tile_rows),
+            _ => 0,
+        })
+    }
 }
 
-/// Broadcast map from `out`'s row-major geometry onto `bias`'s; `None` when
-/// a bias axis is absent from the output or the extents disagree.
-fn bias_map(out: &Shape, bias: &Shape) -> Option<BiasMap> {
-    let (out_strides, bias_strides) = (rm_strides(out), rm_strides(bias));
-    let mut dims = Vec::with_capacity(bias.rank());
-    for (bi, &ax) in bias.axes().iter().enumerate() {
-        let p = out.index_of(ax).ok()?;
-        if out.sizes()[p] != bias.sizes()[bi] {
-            return None;
-        }
-        dims.push((out_strides[p], out.sizes()[p], bias_strides[bi]));
-    }
-    Some(BiasMap { dims })
+/// Strides of `shape` under the layout `declared` names (natural when it
+/// names none that parses).
+fn declared_strides(shape: &Shape, declared: Option<&str>) -> Vec<usize> {
+    declared
+        .and_then(|l| Layout::from_axis_order(shape, l).ok())
+        .unwrap_or_else(|| Layout::row_major(shape.rank()))
+        .strides(shape)
 }
 
-/// The carve of `rows` leading rows of `stacked` starting at row `start`,
-/// shaped like one projection `part`.
-fn carve(stacked: &Shape, part: &Shape, start: usize) -> Option<Role> {
-    let rows = *part.sizes().first()?;
-    if stacked.rank() == 0
-        || stacked.sizes()[1..] != part.sizes()[1..]
-        || start + rows > stacked.sizes()[0]
-    {
-        return None;
-    }
-    let rest: usize = stacked.sizes()[1..].iter().product();
-    Some(Role::Carve {
-        base: start * rest,
-        words: rows * rest,
+/// Lowers one relayout insertion; `None` when the container is dead or a
+/// layout does not parse.
+fn lower_relayout(graph: &Graph, r: &crate::plan::Relayout) -> Option<RelayoutCopy> {
+    let shape = &graph.data(r.data)?.shape;
+    let to_layout = Layout::from_axis_order(shape, &r.to).ok()?;
+    let from = Layout::from_axis_order(shape, &r.from).ok()?.strides(shape);
+    let to = to_layout.strides(shape);
+    let dims = to_layout.order().iter();
+    Some(RelayoutCopy {
+        data: r.data,
+        dims: dims.map(|&d| (shape.sizes()[d], from[d], to[d])).collect(),
     })
 }
 
 /// Lowers one scheduled step from the graph's edges, the step's operator
-/// kind and its kernel name; see the module docs.
+/// kind and kernel name, and its declared layouts; see the module docs.
 pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering> {
     use Role::{Broadcast, Gemm, LaneWeights, Lanes, Whole};
     graph.op(step.op)?;
@@ -219,96 +233,177 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
     };
     let ins = shapes(graph.inputs_of(step.op))?;
     let outs = shapes(graph.outputs_of(step.op))?;
-    // positional input roles, then `n_out` outputs all in `out` role
-    let roles = |inputs: Vec<Role>, n_out: usize, out: Role| -> Option<Vec<(Slot, Role)>> {
-        (inputs.len() == ins.len() && n_out == outs.len()).then(|| {
-            let inputs = inputs
-                .into_iter()
-                .enumerate()
-                .map(|(k, r)| (Slot::In(k), r));
-            let outputs = (0..n_out).map(|k| (Slot::Out(k), out.clone()));
-            inputs.chain(outputs).collect()
+    let edge = |slot: Slot| -> Option<(&Shape, Option<&Operand>)> {
+        Some(match slot {
+            Slot::In(k) => (*ins.get(k)?, step.inputs.get(k)),
+            Slot::Out(k) => (*outs.get(k)?, step.outputs.get(k)),
         })
     };
-    // element-wise: every operand the same size, each swept whole
-    let elementwise = |n_in: usize, n_out: usize| {
-        let words = ins.first()?.num_elements();
-        let same = ins.iter().chain(&outs).all(|s| s.num_elements() == words);
-        roles(vec![Whole; n_in], n_out, Whole).filter(|_| same)
+    let strides = |slot: Slot| -> Option<Vec<usize>> {
+        let (shape, declared) = edge(slot)?;
+        Some(declared_strides(shape, declared.map(|o| o.layout.as_str())))
     };
-    let lane_of = |axis: Axis| -> Option<(usize, LaneGeom)> {
-        let x = ins.first()?;
-        let ai = x.index_of(axis).ok()?;
-        Some((ai, LaneGeom::new(x.sizes(), ai)))
+    // the operand's whole container over its own axes
+    let whole = |slot: Slot| Some(View::whole(edge(slot)?.0.sizes(), &strides(slot)?));
+    // the operand broadcast onto `onto`'s axes by name: stride 0 where it
+    // has none; `None` when it has an axis `onto` lacks or extents disagree
+    let broadcast = |slot: Slot, onto: &Shape| -> Option<View> {
+        let (shape, st) = (edge(slot)?.0, strides(slot)?);
+        let fits = shape
+            .axes()
+            .iter()
+            .zip(shape.sizes())
+            .all(|(&ax, &n)| onto.index_of(ax).is_ok_and(|p| onto.sizes()[p] == n));
+        let stride = |ax: Axis| shape.index_of(ax).map_or(0, |i| st[i]);
+        let dims = onto.axes().iter().zip(onto.sizes());
+        fits.then(|| View {
+            base: 0,
+            dims: dims.map(|(&ax, &n)| (n, stride(ax))).collect(),
+        })
     };
-    let causal_of = |masked: bool, axis: Axis| -> Option<Option<CausalMap>> {
-        if masked {
-            causal_map_of(ins.first()?, axis).map(Some)
-        } else {
-            Some(None)
+    // `rows` leading rows of the stacked input 0 from row `start`, shaped
+    // (positionally) like one projection `part`
+    let carve = |part: &Shape, start: usize| -> Option<(Slot, Role, View)> {
+        let (stacked, st) = (*ins.first()?, strides(Slot::In(0))?);
+        let rows = *part.sizes().first()?;
+        if stacked.rank() == 0
+            || stacked.sizes()[1..] != part.sizes()[1..]
+            || start + rows > stacked.sizes()[0]
+        {
+            return None;
         }
+        let rest: usize = stacked.sizes()[1..].iter().product();
+        let role = Role::Carve {
+            base: start * rest,
+            words: rows * rest,
+        };
+        let view = View {
+            base: start * st[0],
+            dims: part.sizes().iter().copied().zip(st).collect(),
+        };
+        Some((Slot::In(0), role, view))
     };
-    // γ/β at input slots `g`, `g + 1` hold one weight per lane position
-    let weights_fit = |lane: LaneGeom, g: usize| {
-        ins.get(g..g + 2)
-            .is_some_and(|w| w.iter().all(|s| s.num_elements() == lane.len))
+    // positional input (role, view)s, then every output whole in `out`
+    // role; all of one extent list, each over its own strides
+    let rows = |inputs: Vec<(Role, Option<View>)>, out: Role| -> Option<Vec<(Slot, Role, View)>> {
+        if inputs.len() != ins.len() {
+            return None;
+        }
+        let inputs = inputs
+            .into_iter()
+            .enumerate()
+            .map(|(k, (role, view))| Some((Slot::In(k), role, view?)));
+        let outputs = (0..outs.len()).map(|k| Some((Slot::Out(k), out, whole(Slot::Out(k))?)));
+        inputs.chain(outputs).collect()
     };
-    let norm = |axis: Axis| {
-        let (axis, lane) = lane_of(axis)?;
-        let operands = roles(
-            vec![Lanes { axis }, LaneWeights, LaneWeights],
-            1,
-            Lanes { axis },
-        )?;
-        weights_fit(lane, 1).then_some((
-            Kernel::LayerNorm { lane },
-            operands,
-            Some((0, lane.lanes())),
+    let swept = |role: Role, n_in: usize| -> Vec<(Role, Option<View>)> {
+        (0..n_in).map(|k| (role, whole(Slot::In(k)))).collect()
+    };
+    let bias_onto_x = |k: usize| {
+        let view = ins.first().and_then(|x| broadcast(Slot::In(k), x));
+        (Broadcast, view)
+    };
+    let lane_of = |axis: Axis| ins.first()?.index_of(axis).ok();
+    // γ/β: one weight per lane position, constant across lanes
+    let lane_weights = |k: usize, axis: usize| -> (Role, Option<View>) {
+        let view = ins.first().zip(ins.get(k)).and_then(|(x, w)| {
+            (w.num_elements() == x.sizes()[axis]).then(|| View {
+                base: 0,
+                dims: (x.sizes().iter().enumerate())
+                    .map(|(d, &n)| (n, usize::from(d == axis)))
+                    .collect(),
+            })
+        });
+        (LaneWeights, view)
+    };
+    // (kernel, operands, lane axis, query axis, stats output slot)
+    type Row = (
+        Kernel,
+        Vec<(Slot, Role, View)>,
+        Option<usize>,
+        Option<usize>,
+        Option<usize>,
+    );
+    let elementwise = |kernel: Kernel, n_in: usize, n_out: usize| -> Option<Row> {
+        (n_out == outs.len()).then_some(())?;
+        Some((kernel, rows(swept(Whole, n_in), Whole)?, None, None, None))
+    };
+    let softmax = |kernel: fn(bool) -> Kernel, axis: Axis, causal: bool, n_out| -> Option<Row> {
+        (n_out == outs.len()).then_some(())?;
+        let ai = lane_of(axis)?;
+        // the causal query axis immediately precedes the softmax axis
+        let query = if causal {
+            Some(ai.checked_sub(1)?)
+        } else {
+            None
+        };
+        let sweep = Lanes { axis: ai };
+        Some((
+            kernel(causal),
+            rows(swept(sweep, 1), sweep)?,
+            Some(ai),
+            query,
+            None,
+        ))
+    };
+    let norm = |axis: Axis| -> Option<Row> {
+        (outs.len() == 1).then_some(())?;
+        let ai = lane_of(axis)?;
+        let sweep = Lanes { axis: ai };
+        let inputs = vec![
+            (sweep, whole(Slot::In(0))),
+            lane_weights(1, ai),
+            lane_weights(2, ai),
+        ];
+        Some((
+            Kernel::LayerNorm,
+            rows(inputs, sweep)?,
+            Some(ai),
+            None,
+            Some(0),
         ))
     };
 
-    let (kernel, operands, stats) = match &step.kind {
+    let (kernel, operands, lane, query, stats): Row = match &step.kind {
         OpKind::Einsum(spec) => {
-            let operands = roles(vec![Gemm, Gemm], 1, Gemm)?;
             // the labelled output must positionally match the container's
             // declared shape, or the GEMM would misplace
-            let (a_s, b_s, lbl) = labelled_shapes(spec, ins[0], ins[1])?;
-            if lbl.sizes() != outs[0].sizes() {
+            let (a_s, b_s, lbl) = labelled_shapes(spec, ins.first()?, ins.get(1)?)?;
+            if ins.len() != 2 || outs.len() != 1 || lbl.sizes() != outs[0].sizes() {
                 return None;
             }
-            let plan = ContractPlan::compile(
-                spec,
-                &a_s,
-                &rm_strides(&a_s),
-                &b_s,
-                &rm_strides(&b_s),
-                &rm_strides(&lbl),
-            )
-            .ok()?;
-            let plan = Box::new(plan);
-            (Kernel::Contract { plan }, operands, None)
+            let (a, b, out) = (
+                strides(Slot::In(0))?,
+                strides(Slot::In(1))?,
+                strides(Slot::Out(0))?,
+            );
+            let plan = ContractPlan::compile(spec, &a_s, &a, &b_s, &b, &out).ok()?;
+            let kernel = Kernel::Contract {
+                plan: Box::new(plan),
+            };
+            (kernel, rows(swept(Gemm, 2), Gemm)?, None, None, None)
         }
         OpKind::Bias { .. } => {
             let (&x, &out) = (ins.first()?, outs.first()?);
-            let x_role = if x.sizes() == out.sizes() && x.spec() == out.spec() {
-                Whole
+            let bias = (Broadcast, broadcast(Slot::In(1), out));
+            let operands = if x.sizes() == out.sizes() && x.spec() == out.spec() {
+                rows(vec![(Whole, whole(Slot::In(0))), bias], Whole)?
             } else {
                 // `Input bias Q/K/V`: one projection's rows of the stacked tensor
-                let (total, rows) = (*x.sizes().first()?, *out.sizes().first()?);
-                carve(x, out, stacked_carve_start(&step.name, total, rows)?)?
+                let (total, part) = (*x.sizes().first()?, *out.sizes().first()?);
+                let (_, role, view) = carve(out, stacked_carve_start(&step.name, total, part)?)?;
+                rows(vec![(role, Some(view)), bias], Whole)?
             };
-            let bias = Broadcast(bias_map(out, ins.get(1)?)?);
-            (Kernel::Bias, roles(vec![x_role, bias], 1, Whole)?, None)
+            (outs.len() == 1).then_some(())?;
+            (Kernel::Bias, operands, None, None, None)
         }
-        OpKind::Scale => (Kernel::Scale, elementwise(1, 1)?, None),
-        OpKind::Relu => (Kernel::Activate, elementwise(1, 1)?, None),
-        OpKind::Dropout => (Kernel::Dropout, elementwise(1, 2)?, None),
-        OpKind::Residual => (Kernel::Residual, elementwise(2, 1)?, None),
+        OpKind::Scale => elementwise(Kernel::Scale, 1, 1)?,
+        OpKind::Relu => elementwise(Kernel::Activate, 1, 1)?,
+        OpKind::Dropout => elementwise(Kernel::Dropout, 1, 2)?,
+        OpKind::Residual => elementwise(Kernel::Residual, 2, 1)?,
         OpKind::Softmax { axis } => {
-            let (ai, lane) = lane_of(*axis)?;
-            let causal = causal_of(step.name.contains("Masked"), *axis)?;
-            let operands = roles(vec![Lanes { axis: ai }], 1, Lanes { axis: ai })?;
-            (Kernel::Softmax { lane, causal }, operands, None)
+            let causal = step.name.contains("Masked");
+            softmax(|causal| Kernel::Softmax { causal }, *axis, causal, 1)?
         }
         OpKind::LayerNorm { axis } => norm(*axis)?,
         OpKind::Fused {
@@ -322,41 +417,42 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                 let mut operands = Vec::with_capacity(3 * outs.len());
                 let mut start = 0usize;
                 for (k, out) in outs.iter().enumerate() {
-                    operands.push((Slot::In(0), carve(ins[0], out, start)?));
-                    operands.push((Slot::In(k + 1), Broadcast(bias_map(out, ins[k + 1])?)));
-                    operands.push((Slot::Out(k), Whole));
+                    operands.push(carve(out, start)?);
+                    operands.push((Slot::In(k + 1), Broadcast, broadcast(Slot::In(k + 1), out)?));
+                    operands.push((Slot::Out(k), Whole, whole(Slot::Out(k))?));
                     start += out.sizes()[0];
                 }
-                (Kernel::Bias, operands, None)
+                (Kernel::Bias, operands, None, None, None)
             }
             FusedClass::Softmax { causal } => {
-                let (axis, lane) = lane_of((*reduce_axis)?)?;
-                let causal = causal_of(causal, (*reduce_axis)?)?;
-                let operands = roles(vec![Lanes { axis }], 3, Lanes { axis })?;
-                (Kernel::Sm { lane, causal }, operands, None)
+                softmax(|causal| Kernel::Sm { causal }, (*reduce_axis)?, causal, 3)?
             }
             FusedClass::BiasDropResidualNorm => {
-                let (axis, lane) = lane_of((*reduce_axis)?)?;
-                let bias = Broadcast(bias_map(ins[0], ins.get(1)?)?);
-                let sweep = Lanes { axis };
-                let inputs = vec![sweep.clone(), bias, sweep.clone(), LaneWeights, LaneWeights];
-                let operands = roles(inputs, 3, sweep)?;
-                if !weights_fit(lane, 3) {
-                    return None;
-                }
-                (Kernel::Bdrln { lane }, operands, Some((2, lane.lanes())))
+                (outs.len() == 3).then_some(())?;
+                let ai = lane_of((*reduce_axis)?)?;
+                let sweep = Lanes { axis: ai };
+                let inputs = vec![
+                    (sweep, whole(Slot::In(0))),
+                    bias_onto_x(1),
+                    (sweep, whole(Slot::In(2))),
+                    lane_weights(3, ai),
+                    lane_weights(4, ai),
+                ];
+                (Kernel::Bdrln, rows(inputs, sweep)?, Some(ai), None, Some(2))
             }
             FusedClass::BiasActDrop => {
-                let bias = Broadcast(bias_map(ins[0], ins.get(1)?)?);
-                (Kernel::BrdAct, roles(vec![Whole, bias], 3, Whole)?, None)
+                (outs.len() == 3).then_some(())?;
+                let inputs = vec![(Whole, whole(Slot::In(0))), bias_onto_x(1)];
+                (Kernel::BrdAct, rows(inputs, Whole)?, None, None, None)
             }
             FusedClass::BiasDropResidual => {
-                let bias = Broadcast(bias_map(ins[0], ins.get(1)?)?);
-                (
-                    Kernel::Bdr,
-                    roles(vec![Whole, bias, Whole], 2, Whole)?,
-                    None,
-                )
+                (outs.len() == 2).then_some(())?;
+                let inputs = vec![
+                    (Whole, whole(Slot::In(0))),
+                    bias_onto_x(1),
+                    (Whole, whole(Slot::In(2))),
+                ];
+                (Kernel::Bdr, rows(inputs, Whole)?, None, None, None)
             }
             FusedClass::Norm => norm((*reduce_axis)?)?,
         },
@@ -369,37 +465,76 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             let (&a, &b, &out) = (ins.first()?, ins.get(1)?, outs.first()?);
             let (bias, residual) = (ins.get(2).copied(), ins.get(3).copied());
             let geom = epilogue_geometry(spec, parts, *reduce_axis, a, b, out, bias, residual)?;
-            // each output row sees one bias word: the tile map `[(n, m, 1)]`
+            // A and B are read where they lie; the tile is the natural
+            // output order whatever they are
+            let (a_s, b_s, lbl) = labelled_shapes(spec, a, b)?;
+            let (sa, sb) = (strides(Slot::In(0))?, strides(Slot::In(1))?);
+            let plan = epilogue_contract_plan(spec, &a_s, &sa, &b_s, &sb, &lbl)?;
+            // each output row sees one bias word: `[m, n]` with stride
+            // `(1, 0)`
             let tile_bias = || {
-                Broadcast(BiasMap {
-                    dims: vec![(geom.plan.n, geom.plan.m, 1)],
-                })
+                let view = View {
+                    base: 0,
+                    dims: vec![(plan.m, 1), (plan.n, 0)],
+                };
+                (Broadcast, Some(view))
             };
-            let (tail, operands) = match geom.class {
-                FusedClass::Softmax { .. } => (Tail::Sm, roles(vec![Gemm, Gemm], 3, Gemm)?),
-                FusedClass::BiasActDrop => {
-                    (Tail::BrdAct, roles(vec![Gemm, Gemm, tile_bias()], 3, Gemm)?)
+            let ab = || swept(Gemm, 2);
+            let (tail, inputs, n_out) = match geom.class {
+                FusedClass::Softmax { .. } => (Tail::Sm, ab(), 3),
+                FusedClass::BiasActDrop => (Tail::BrdAct, [ab(), vec![tile_bias()]].concat(), 3),
+                FusedClass::BiasDropResidual => {
+                    let residual = (Gemm, whole(Slot::In(3)));
+                    (Tail::Bdr, [ab(), vec![tile_bias(), residual]].concat(), 2)
                 }
-                FusedClass::BiasDropResidual => (
-                    Tail::Bdr,
-                    roles(vec![Gemm, Gemm, tile_bias(), Gemm], 2, Gemm)?,
-                ),
                 _ => return None,
             };
+            // the tail streams are walked as dense row blocks
+            let natural = |slot: Slot| {
+                edge(slot).is_some_and(|(shape, o)| o.is_none_or(|o| o.layout == shape.spec()))
+            };
+            let tail_slots = (2..ins.len())
+                .map(Slot::In)
+                .chain((0..outs.len()).map(Slot::Out));
+            if n_out != outs.len() || !tail_slots.clone().all(natural) {
+                return None;
+            }
             let kernel = Kernel::ContractEpilogue {
-                plan: Box::new(geom.plan),
+                plan: Box::new(plan),
                 tile_rows: geom.tile_rows,
                 causal: geom.causal,
                 tail,
             };
-            (kernel, operands, None)
+            (kernel, rows(inputs, Gemm)?, None, None, None)
         }
         _ => return None,
     };
+
+    let sweeps = match &kernel {
+        Kernel::Contract { .. } | Kernel::ContractEpilogue { .. } => Vec::new(),
+        other => {
+            let group = if matches!(other, Kernel::Bias) {
+                3
+            } else {
+                operands.len()
+            };
+            let compile = |ops: &[(Slot, Role, View)]| {
+                let views: Vec<&View> = ops.iter().map(|o| &o.2).collect();
+                Sweep::compile(&views, lane, query)
+            };
+            operands.chunks(group).map(compile).collect::<Option<_>>()?
+        }
+    };
     Some(StepLowering {
+        stats: stats.zip(sweeps.first().map(Sweep::lanes)),
+        relayouts: step
+            .relayouts
+            .iter()
+            .map(|r| lower_relayout(graph, r))
+            .collect::<Option<_>>()?,
         kernel,
         operands,
-        stats,
+        sweeps,
     })
 }
 
@@ -446,14 +581,14 @@ mod tests {
                     .unwrap_or_else(|| panic!("`{}` is a forward kernel", step.name));
                 for k in 0..step.inputs.len() {
                     assert!(
-                        low.operands.iter().any(|(s, _)| *s == Slot::In(k)),
+                        low.operands.iter().any(|o| o.0 == Slot::In(k)),
                         "`{}` input {k}",
                         step.name
                     );
                 }
                 for k in 0..step.outputs.len() {
                     assert!(
-                        low.operands.iter().any(|(s, _)| *s == Slot::Out(k)),
+                        low.operands.iter().any(|o| o.0 == Slot::Out(k)),
                         "`{}` output {k}",
                         step.name
                     );
@@ -473,14 +608,64 @@ mod tests {
             let low = lower_step(&eg.graph, step).unwrap();
             assert!(matches!(low.kernel, Kernel::Bias));
             stacked = Some(step.inputs[0].data);
-            match low.operands[0] {
-                (Slot::In(0), Role::Carve { base, words }) => carves.push((base, words)),
-                ref other => panic!("{name}: {other:?}"),
+            match &low.operands[0] {
+                (Slot::In(0), Role::Carve { base, words }, view) => {
+                    // natural layout: the rows are a word range from `base`
+                    assert_eq!(view.base, *base, "{name}");
+                    carves.push((*base, *words));
+                }
+                other => panic!("{name}: {other:?}"),
             }
         }
         let total = eg.graph.data(stacked.unwrap()).unwrap();
         let third = total.shape.num_elements() / 3;
         assert_eq!(carves, [(0, third), (third, third), (2 * third, third)]);
+    }
+
+    /// A declared layout is nothing but the strides of the view: the
+    /// rotated softmax input keeps its extents and its lane axis and
+    /// changes how far each axis steps; a relayout lowers to the copy
+    /// between the two stride sets.
+    #[test]
+    fn a_declared_layout_is_the_strides_of_the_view() {
+        let eg = build::encoder(&EncoderDims::tiny());
+        let mut g = eg.graph;
+        apply_plan(&mut g, &encoder_fusion_plan()).unwrap();
+        let mut plan = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
+        let si = plan.steps.iter().position(|s| s.name == "SM").unwrap();
+        let natural = lower_step(&g, &plan.steps[si]).unwrap();
+        let mut rotated: Vec<char> = plan.steps[si].inputs[0].layout.chars().collect();
+        rotated.rotate_right(1);
+        plan.steps[si].inputs[0].layout = rotated.into_iter().collect();
+        plan.reflow(&g);
+        let low = lower_step(&g, &plan.steps[si]).unwrap();
+        let (x_nat, x_rot) = (&natural.operands[0].2, &low.operands[0].2);
+        let extents = |v: &View| v.dims.iter().map(|d| d.0).collect::<Vec<_>>();
+        assert_eq!(extents(x_nat), extents(x_rot));
+        assert_eq!(x_nat.dims.last().unwrap().1, 1, "k is innermost naturally");
+        assert_ne!(x_rot.dims.last().unwrap().1, 1, "and strided once rotated");
+        assert_eq!(natural.operands[1].2, low.operands[1].2, "outputs kept");
+        // the relayout reads through the old strides and writes the new,
+        // in the new layout's physical order (its last axis contiguous)
+        let [copy] = &low.relayouts[..] else {
+            panic!("one relayout, got {:?}", low.relayouts);
+        };
+        let sorted = |mut v: Vec<usize>| {
+            v.sort_unstable();
+            v
+        };
+        let strides = |v: &View| sorted(v.dims.iter().map(|d| d.1).collect());
+        let new: Vec<usize> = copy.dims.iter().map(|d| d.2).collect();
+        assert!(new.windows(2).all(|w| w[0] >= w[1]) && new.last() == Some(&1));
+        assert_eq!(sorted(new), strides(x_rot));
+        assert_eq!(
+            sorted(copy.dims.iter().map(|d| d.1).collect()),
+            strides(x_nat)
+        );
+        assert_eq!(
+            low.scratch_words(),
+            extents(x_nat).iter().product::<usize>()
+        );
     }
 
     #[test]

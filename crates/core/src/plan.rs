@@ -12,12 +12,10 @@
 //! shortest-path selection to a running implementation.
 //!
 //! [`execute_plan`] is the *reference* interpreter: serial, allocating,
-//! one RNG stream, any operand layout. Plans whose operands all sit in
-//! natural layout run on the static arena instead
-//! ([`crate::arena::route`] decides, [`crate::arena::execute`] dispatches);
-//! this one stays as the only executor for strided layouts and relayout
-//! insertions, and as what the equivalence suites compare the arena
-//! against.
+//! one RNG stream, computing in whatever layout its inputs arrive in and
+//! transposing afterwards. Nothing in production calls it — every plan
+//! runs on the static arena ([`crate::arena::execute`]) — it stays as the
+//! oracle the equivalence and property suites hold the arena against.
 //!
 //! Two canned constructors cover the pre-existing executors:
 //! [`ExecutionPlan::natural`] over the unfused graph reproduces the
@@ -34,7 +32,7 @@ use xform_gpusim::opmodel::OpConfig;
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
 use xform_tensor::into_ops::{
-    contract_epilogue_tiled, epilogue_contract_plan, BiasMap, CausalMap, ContractPlan, TileEpilogue,
+    contract_epilogue_tiled, epilogue_contract_plan, ContractPlan, TileEpilogue,
 };
 use xform_tensor::lanes::{check_dropout_p, Dropout};
 use xform_tensor::ops::dropout::{dropout, dropout_disabled};
@@ -317,6 +315,20 @@ impl ExecutionPlan {
     pub fn relayout_count(&self) -> usize {
         self.steps.iter().map(|s| s.relayouts.len()).sum()
     }
+
+    /// Operands declared in any but their container's natural layout: the
+    /// ones a kernel reads through a strided view.
+    pub fn strided_operand_count(&self, graph: &Graph) -> usize {
+        let natural = |o: &Operand| {
+            graph
+                .data(o.data)
+                .is_some_and(|d| d.shape.spec() == o.layout)
+        };
+        (self.steps.iter())
+            .flat_map(|s| s.inputs.iter().chain(&s.outputs))
+            .filter(|o| !natural(o))
+            .count()
+    }
 }
 
 /// Mutable interpreter state: tensors by container name, plus the
@@ -387,8 +399,8 @@ impl SanitizeMode {
 /// [`crate::arena::execute`]) take graph and plan positionally and ignore
 /// this field; it exists so the unified `forward(&x, &w, &ExecOptions)`
 /// surface can still execute recipe-selected or deliberately perturbed
-/// plans. An override is routed exactly like a canned plan: by its operand
-/// layouts alone.
+/// plans. An override runs exactly like a canned plan: compiled once onto
+/// an arena, memoized by its fingerprint.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanOverride<'p> {
     /// The dataflow graph the plan was lowered against.
@@ -420,10 +432,9 @@ pub struct ExecOptions<'p> {
     /// Worker threads: `1` (or `0`) runs the arena's steps in schedule
     /// order; more dispatches each hazard-free wave across the arena's
     /// worker pool (same values, the arena draws one RNG stream per step).
-    /// The reference interpreter is serial at any value.
     pub threads: usize,
     /// Seed for the dropout RNG (the arena derives one stream per step
-    /// from it, the reference interpreter one stream for the run).
+    /// from it).
     pub seed: u64,
     /// Whether the layer forwards assemble the saved-activation bundle
     /// after the run (`true` by default; inference-only callers can skip
@@ -431,10 +442,9 @@ pub struct ExecOptions<'p> {
     pub collect_activations: bool,
     /// Shadow-access sanitizer routing (defaults to the environment).
     pub sanitize: SanitizeMode,
-    /// Optional profiler sink: when set, the executor the plan runs on
-    /// anyway records per-step wall-clock time (and, for wave-parallel
-    /// arena runs, per-wave wall time) into it. Observing changes neither
-    /// the route nor a single output bit.
+    /// Optional profiler sink: when set, the arena records per-step
+    /// wall-clock time (and, for wave-parallel runs, per-wave wall time)
+    /// into it. Observing changes not a single output bit.
     pub profiler: Option<&'p crate::profile::ProfilerSink>,
     /// Optional plan override for the layer forwards (see
     /// [`PlanOverride`]).
@@ -626,24 +636,6 @@ pub fn step_is_interpretable(kind: &OpKind, _name: &str) -> bool {
     }
 }
 
-/// Causal-query recovery for a masked softmax along `axis` of `shape`: the
-/// query axis immediately precedes the softmax axis, so a lane index maps
-/// to its query as `(lane / div) % len`.
-pub(crate) fn causal_map_of(shape: &Shape, axis: Axis) -> Option<CausalMap> {
-    let ai = shape.index_of(axis).ok()?;
-    let q = causal_query_axis(shape, axis).ok()?;
-    let qi = shape.index_of(q).ok()?;
-    if qi >= ai {
-        return None;
-    }
-    let div: usize = shape.sizes()[qi + 1..ai].iter().product();
-    Some(CausalMap {
-        div,
-        len: shape.sizes()[qi],
-        base: 0,
-    })
-}
-
 /// The container shapes of a two-operand einsum's inputs relabelled
 /// positionally to the spec's letters (graph containers carry their own
 /// axis names; the contraction is defined over the spec's), and the
@@ -681,7 +673,7 @@ pub(crate) fn labelled_shapes(
 /// contraction plan whose C is the identity view of the output container
 /// (the compiler having picked the operand roles that make the GEMM's M
 /// axis the epilogue's row axis), the output-tile height, and the
-/// epilogue's class and causal map.
+/// epilogue's class and whether its softmax is masked.
 #[derive(Debug, Clone)]
 pub(crate) struct EpilogueGeom {
     /// GEMM plan that writes the output container (row-major) in order.
@@ -689,8 +681,8 @@ pub(crate) struct EpilogueGeom {
     /// Output rows per tile. Softmax epilogues take the whole batch slice
     /// (`m`) so every lane is complete inside one tile.
     pub tile_rows: usize,
-    /// Causal mask recovery for masked-softmax epilogues.
-    pub causal: Option<CausalMap>,
+    /// Masked softmax epilogue: the query is the tile's row.
+    pub causal: bool,
     /// The downstream chain's kernel class.
     pub class: FusedClass,
 }
@@ -737,21 +729,15 @@ pub(crate) fn epilogue_geometry(
             if *out_c.axes().last()? != axis || *out_c.sizes().last()? != n {
                 return None;
             }
-            let cm = if causal {
-                let c = causal_map_of(out_c, axis)?;
-                // the tile driver indexes lanes tile-locally; anything
-                // between the query and softmax axes would break that
-                if c.div != 1 {
-                    return None;
-                }
-                Some(c)
-            } else {
-                None
-            };
+            // the tile driver takes the tile's row for the query index:
+            // the query axis must be the one right before the softmax axis
+            if causal && out_c.rank() < 2 {
+                return None;
+            }
             Some(EpilogueGeom {
                 plan: ep,
                 tile_rows: m,
-                causal: cm,
+                causal,
                 class,
             })
         }
@@ -779,7 +765,7 @@ pub(crate) fn epilogue_geometry(
             Some(EpilogueGeom {
                 plan: ep,
                 tile_rows,
-                causal: None,
+                causal: false,
                 class,
             })
         }
@@ -803,7 +789,7 @@ fn relabeled(t: &Tensor, spec: &str) -> Result<Tensor> {
 
 /// The causal query axis for a masked softmax: the logical axis immediately
 /// preceding the softmax axis (attention scores are `[..., j, k]`).
-pub(crate) fn causal_query_axis(shape: &Shape, softmax_axis: Axis) -> Result<Axis> {
+fn causal_query_axis(shape: &Shape, softmax_axis: Axis) -> Result<Axis> {
     let ai = shape.index_of(softmax_axis)?;
     if ai == 0 {
         return Err(TensorError::Unsupported(
@@ -821,7 +807,7 @@ pub(crate) fn causal_query_axis(shape: &Shape, softmax_axis: Axis) -> Result<Axi
 /// the reference interpreter's dispatch and the step lowering — through
 /// which the arena, the access certifier and the footprint oracle of
 /// [`crate::sanitize`] see it — so the certifiers check exactly the
-/// interval the kernel slices.
+/// rows the kernel carves.
 pub(crate) fn stacked_carve_start(name: &str, total: usize, len: usize) -> Option<usize> {
     match name.chars().last() {
         Some('Q') => Some(0),
@@ -1115,7 +1101,7 @@ pub fn execute_step<R: Rng + ?Sized>(
                     run(
                         &mut TileEpilogue::Softmax {
                             scaler: opts.scaler,
-                            causal: geom.causal.map(|c| c.at(c.base + opts.pos)),
+                            causal: geom.causal.then_some(opts.pos),
                             softmax: &mut sm_o,
                             alpha: &mut al_o,
                             mask: &mut mk_o,
@@ -1128,15 +1114,11 @@ pub fn execute_step<R: Rng + ?Sized>(
                 }
                 FusedClass::BiasActDrop if ins.len() == 3 && step.outputs.len() == 3 => {
                     // inputs [a, b, bias] → outputs [pre_activation, out, mask]
-                    let bmap = BiasMap {
-                        dims: vec![(geom.plan.n, geom.plan.m, 1)],
-                    };
                     let (mut pre_o, mut out_o, mut mk_o) =
                         (vec![0.0f32; total], vec![0.0f32; total], vec![0.0f32; total]);
                     run(
                         &mut TileEpilogue::BiasActDrop {
                             bias: ins_d[2].data(),
-                            bmap: &bmap,
                             kind: opts.activation,
                             pre_activation: &mut pre_o,
                             out: &mut out_o,
@@ -1150,14 +1132,10 @@ pub fn execute_step<R: Rng + ?Sized>(
                 }
                 FusedClass::BiasDropResidual if ins.len() == 4 && step.outputs.len() == 2 => {
                     // inputs [a, b, bias, residual] → outputs [mask, out]
-                    let bmap = BiasMap {
-                        dims: vec![(geom.plan.n, geom.plan.m, 1)],
-                    };
                     let (mut mk_o, mut out_o) = (vec![0.0f32; total], vec![0.0f32; total]);
                     run(
                         &mut TileEpilogue::BiasDropResidual {
                             bias: ins_d[2].data(),
-                            bmap: &bmap,
                             residual: ins_d[3].data(),
                             mask: &mut mk_o,
                             out: &mut out_o,
@@ -1210,10 +1188,9 @@ pub fn execute_step<R: Rng + ?Sized>(
 /// executes every step in order against `state`, allocating each result and
 /// drawing all randomness from the one stream `rng`. On success the state's
 /// environment holds every container the plan produced, materialized in the
-/// plan's layouts. It runs any layout the plan declares — which is why it is
-/// the executor for strided and relayouted plans — and it is what the
-/// equivalence suites hold the arena against; everything in natural layout
-/// is served by [`crate::arena::execute`].
+/// plan's layouts. It is what the equivalence suites hold the arena
+/// ([`crate::arena::execute`], which serves every plan) against, and has no
+/// production caller.
 ///
 /// Depending on [`ExecOptions::sanitize`] (by default: `XFORM_SANITIZE`
 /// set to anything but empty/`0`/`false`/`off`/`no` in the environment),
@@ -1222,10 +1199,6 @@ pub fn execute_step<R: Rng + ?Sized>(
 /// draws, bitwise-identical results, but every step's actual footprint is
 /// checked against its declaration and every wave is checked for
 /// conflicting access.
-///
-/// With [`ExecOptions::profiler`] set, every step's wall-clock time is
-/// recorded into the sink (under the sanitizer, timings include tracing
-/// overhead and are flagged as such).
 ///
 /// # Errors
 ///
@@ -1242,13 +1215,8 @@ pub fn execute_plan<R: Rng + ?Sized>(
     if opts.sanitize.enabled() {
         return crate::sanitize::execute_plan_sanitized(graph, plan, state, opts, rng, None);
     }
-    for (si, step) in plan.steps.iter().enumerate() {
-        let t0 = opts.profiler.map(|_| std::time::Instant::now());
+    for step in &plan.steps {
         execute_step(graph, step, state, opts, rng)?;
-        if let (Some(sink), Some(t0)) = (opts.profiler, t0) {
-            let us = t0.elapsed().as_secs_f64() * 1e6;
-            crate::profile::record_step(sink, graph, step, si, us, false);
-        }
     }
     Ok(())
 }

@@ -3,12 +3,11 @@
 //!
 //! The paper's recipe is *enumerate → measure → select*; the offline half
 //! lives in [`crate::sweep`] / [`crate::selection`]. This module closes
-//! the loop at runtime: a [`PlanProfiler`] observes whichever executor the
-//! plan runs on anyway ([`crate::arena::route`]) via
-//! [`crate::plan::ExecOptions::profiler`] — the arena writes per-step and
-//! per-wave wall times into slots of its own and hands them over after the
-//! run ([`record_arena_timings`]), the reference interpreter records around
-//! each step — against the *static* movement accounting (the exact word
+//! the loop at runtime: a [`PlanProfiler`] observes the arena the plan runs
+//! on anyway via [`crate::plan::ExecOptions::profiler`] — the arena writes
+//! per-step and per-wave wall times into slots of its own and hands them
+//! over after the run ([`record_arena_timings`]) — against the *static*
+//! movement accounting (the exact word
 //! counts [`crate::analyze::audit`] charges, cross-checked against the
 //! symbolic footprints of [`crate::sanitize::step_footprint`]). From time and
 //! bytes it derives achieved bandwidth and a **measured MUE**
@@ -20,7 +19,8 @@
 //! selection can re-run from real interpreter measurements instead of
 //! sweep microbenches; [`reselect`] is the end-to-end driver: profile the
 //! natural plan, re-select against the profiled timings, profile the
-//! candidate, and adopt whichever plan measured faster.
+//! candidate on the same executor, and adopt whichever plan measured
+//! faster.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -32,7 +32,7 @@ use xform_gpusim::opmodel::OpConfig;
 use xform_gpusim::{DeviceSpec, KernelCost};
 use xform_tensor::{Result, TensorError};
 
-use crate::arena::{ArenaArtifact, Route};
+use crate::arena::ArenaArtifact;
 use crate::plan::{
     random_externals, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode,
 };
@@ -65,8 +65,8 @@ pub struct StepProfile {
     pub time_us: f64,
     /// How many executions were merged into this record.
     pub runs: usize,
-    /// Whether any merged run executed under the shadow-access sanitizer
-    /// (those timings include tracing overhead).
+    /// Whether any merged run executed under the arena's poison mode (its
+    /// slab sweeps sit between the steps, not inside them).
     pub sanitized: bool,
     /// Words the step's graph memlets read (identical to
     /// [`crate::analyze::StepAudit::read_words`]).
@@ -153,15 +153,15 @@ pub struct ClassProfile {
     pub mue: Mue,
 }
 
-/// Accumulates measured per-step records from the interpreters and derives
+/// Accumulates measured per-step records from the arena and derives
 /// achieved bandwidth and measured MUE per step, per class, and per plan.
 ///
 /// Byte accounting is *static* — the profiler charges each step exactly
 /// the words [`crate::analyze::audit`] charges (graph memlets plus
 /// relayout traffic), so measured and static MUE differ only in the
 /// bandwidth term and are directly comparable. Time is *measured* —
-/// wall-clock around each step's kernel on the executor the plan runs on,
-/// with repeated runs merged by minimum.
+/// wall-clock around each step's kernel on the arena, with repeated runs
+/// merged by minimum.
 ///
 /// One profiler instance expects records from one plan: step indices are
 /// the merge key, so replaying a *different* plan into the same sink mixes
@@ -172,8 +172,6 @@ pub struct PlanProfiler {
     /// formula) — calibrated at construction by the same contiguous-read
     /// microbench [`crate::cpusource::CpuSource`] uses.
     pub peak_bytes_per_us: f64,
-    /// The executor that reported the records: whichever ran the plan.
-    pub route: Option<Route>,
     steps: Vec<Option<StepProfile>>,
     waves: Vec<Option<WaveProfile>>,
 }
@@ -197,7 +195,6 @@ impl PlanProfiler {
     pub fn with_peak(peak_bytes_per_us: f64) -> Self {
         PlanProfiler {
             peak_bytes_per_us: peak_bytes_per_us.max(1e-6),
-            route: None,
             steps: Vec::new(),
             waves: Vec::new(),
         }
@@ -444,23 +441,6 @@ impl PlanProfiler {
     }
 }
 
-/// Locks `sink` and records one step execution; the reference
-/// interpreter's hook. A poisoned sink still records.
-pub(crate) fn record_step(
-    sink: &ProfilerSink,
-    graph: &Graph,
-    step: &PlanStep,
-    si: usize,
-    time_us: f64,
-    sanitized: bool,
-) {
-    let mut prof = sink
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    prof.route = Some(Route::Reference);
-    prof.record_step(graph, step, si, None, time_us, sanitized);
-}
-
 /// Folds the [`ArenaArtifact::Timings`] of one timed arena run of `plan`
 /// into `sink`: one step record per slot, charged the static byte account
 /// of `graph`, and — for a wave-parallel run — one wave record per wave.
@@ -485,7 +465,6 @@ pub fn record_arena_timings(
     let mut prof = sink
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    prof.route = Some(Route::Arena);
     let parallel = !wave_us.is_empty();
     for (w, wave) in waves.iter().enumerate() {
         for &si in wave {
@@ -498,12 +477,11 @@ pub fn record_arena_timings(
     }
 }
 
-/// Profiles `reps` executions of a plan against clones of `base` on the
-/// executor its layouts route it to ([`crate::arena::execute`]; the
-/// returned profiler's `route` names it), at `opts.threads`, merging
-/// per-step (and per-wave) times by minimum. The sanitizer is forced off
-/// so timings measure the kernels, not the shadow checks; dropout and the
-/// other scalar knobs follow `opts`.
+/// Profiles `reps` executions of a plan against clones of `base` on its
+/// arena ([`crate::arena::execute`]), at `opts.threads`, merging per-step
+/// (and per-wave) times by minimum. The sanitizer is forced off so timings
+/// measure the kernels, not the poison sweeps; dropout and the other
+/// scalar knobs follow `opts`.
 ///
 /// # Errors
 ///
@@ -694,10 +672,8 @@ impl Reselection {
 /// re-runs SSSP configuration selection with a [`ProfiledSource`] wrapping
 /// `fallback`, lowers and profiles the selected candidate on the same
 /// inputs, and adopts whichever plan measured faster (so the result's
-/// measured total is never worse than the natural plan's). Each side is
-/// measured on the executor that would serve it if adopted: the natural
-/// plan on the arena, the candidate on whatever its layouts admit — the
-/// reference interpreter as soon as it carries one strided operand.
+/// measured total is never worse than the natural plan's). Both sides run
+/// on the arena, so the duel compares layouts, not executors.
 ///
 /// `fwd_ops` are the forward operators to select over (execution order);
 /// `reps` runs are merged by minimum per step; `seed` fixes the random
@@ -907,7 +883,6 @@ mod tests {
         let (g, plan, _) = fused_plan();
         let base = random_externals(&g, &plan, 3).unwrap();
         let prof = profile_plan(&g, &plan, &base, &ExecOptions::default(), 2).unwrap();
-        assert_eq!(prof.route, Some(Route::Arena));
         assert_eq!(prof.steps().count(), plan.steps.len());
         for s in prof.steps() {
             assert!(s.time_us > 0.0, "step {} has no time", s.step);
@@ -932,7 +907,6 @@ mod tests {
         let base = random_externals(&g, &plan, 3).unwrap();
         let opts = ExecOptions::builder().threads(4).build();
         let prof = profile_plan(&g, &plan, &base, &opts, 2).unwrap();
-        assert_eq!(prof.route, Some(Route::Arena));
         assert_eq!(prof.waves().count(), waves.len());
         let covered: usize = prof.waves().map(|w| w.steps.len()).sum();
         assert_eq!(covered, plan.steps.len());

@@ -30,7 +30,9 @@
 //!   operands are converted into errors, and each wave's observed
 //!   footprints are checked for cross-thread conflicts — a
 //!   ThreadSanitizer for plans. `XFORM_SANITIZE=1` routes
-//!   [`crate::plan::execute_plan`] through this path.
+//!   [`crate::plan::execute_plan`] — the test oracle; production runs on
+//!   the arena, whose own checking mode is the NaN poison — through this
+//!   path.
 //!
 //! The consumer of the wave proof is the arena
 //! ([`crate::arena::CompiledArena`]): compiling at
@@ -38,11 +40,15 @@
 //! runs [`certify_waves`] over the partition the arena is about to
 //! dispatch across its worker pool, and refuses the plan otherwise.
 //!
-//! Why in-wave *relayout vs. read* pairs are certified (and everything
-//! else is not): every kernel addresses elements logically and is bitwise
-//! layout-invariant, so a concurrent re-materialization changes only a
-//! physical order, never a value. Concurrent value-writes, write/read
-//! pairs, and double materializations all remain races and are rejected.
+//! Only concurrent reads are certified. In particular a relayout may not
+//! share a wave with a reader of its container: the arena re-materializes
+//! a container *in place*, in the one slab slot its liveness interval
+//! owns (staged through the step's scratch), so a concurrent reader would
+//! see words of both layouts. The analyzer orders a relayout after every
+//! earlier reader of its container (WAR) and before every later one (RAW),
+//! which is what keeps such pairs out of
+//! [`PlanAnalysis::parallel_waves`]; an injected partition that holds one
+//! is refused here.
 //!
 //! [`PlanAnalysis::parallel_waves`]: crate::analyze::PlanAnalysis::parallel_waves
 
@@ -87,9 +93,9 @@ pub enum AccessKind {
     Read,
     /// The step defines the span's values.
     Write,
-    /// The step re-materializes the span's values into a different
-    /// physical buffer without changing them (an explicit relayout).
-    /// Safe against concurrent reads, a race against anything else.
+    /// The step re-materializes the span's values in another physical
+    /// order without changing them (an explicit relayout) — in place on
+    /// the arena, so a race against any concurrent access.
     Materialize,
 }
 
@@ -169,7 +175,7 @@ pub fn step_footprint(graph: &Graph, step: &PlanStep) -> Vec<Access> {
     };
     match lower_step(graph, step) {
         Some(low) => {
-            for (slot, role) in &low.operands {
+            for (slot, role, _) in &low.operands {
                 let (data, kind) = match *slot {
                     Slot::In(k) => (in_ids[k], AccessKind::Read),
                     Slot::Out(k) => (out_ids[k], AccessKind::Write),
@@ -202,36 +208,44 @@ pub fn step_footprint(graph: &Graph, step: &PlanStep) -> Vec<Access> {
 /// relayout insertion. Any edit to the plan — reordering, re-laying-out,
 /// renaming, adding or dropping steps — changes the fingerprint, which is
 /// what ties a [`RaceCertificate`] to exactly the plan it certified.
+/// Allocation-free (everything is formatted straight into the hash): the
+/// arena memo keys every plan override by it on every forward.
 pub fn plan_fingerprint(plan: &ExecutionPlan) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |s: &str| {
-        for b in s.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
+    use std::fmt::Write;
+    /// FNV-1a over whatever is formatted into it.
+    struct Fnv(u64);
+    impl Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
         }
-        h ^= 0x1f;
-        h = h.wrapping_mul(PRIME);
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    // one field, then a separator no field contains
+    let mut eat = |field: std::fmt::Arguments<'_>| {
+        let _ = h.write_fmt(field); // `Fnv::write_str` never fails
+        let _ = h.write_str("\u{1f}");
     };
     for step in &plan.steps {
-        eat(&step.op.to_string());
-        eat(&step.name);
-        eat(&format!("{:?}", step.kind));
+        eat(format_args!("{}", step.op));
+        eat(format_args!("{}", step.name));
+        eat(format_args!("{:?}", step.kind));
         for o in step.inputs.iter().chain(&step.outputs) {
-            eat(&o.data.to_string());
-            eat(&o.name);
-            eat(&o.layout);
+            eat(format_args!("{}", o.data));
+            eat(format_args!("{}", o.name));
+            eat(format_args!("{}", o.layout));
         }
         for r in &step.relayouts {
-            eat(&r.data.to_string());
-            eat(&r.name);
-            eat(&r.from);
-            eat(&r.to);
+            eat(format_args!("{}", r.data));
+            eat(format_args!("{}", r.name));
+            eat(format_args!("{}", r.from));
+            eat(format_args!("{}", r.to));
         }
-        eat("\u{0}");
+        eat(format_args!("\u{0}"));
     }
-    h
+    h.0
 }
 
 /// Proof that a plan's wave partition is free of data races: produced only
@@ -353,7 +367,7 @@ pub fn certify(
 /// 4. every hazard edge crosses strictly forward between waves and no two
 ///    steps sharing a wave have conflicting footprints
 ///    ([`PlanLint::WaveHazard`]) — conflicting means overlapping spans
-///    where either side value-writes, or both re-materialize.
+///    where either side value-writes or re-materializes.
 ///
 /// # Errors
 ///
@@ -410,9 +424,14 @@ pub(crate) fn certify_analyzed(
             if a.kind != AccessKind::Read {
                 continue;
             }
-            let declared_operand = step.inputs.iter().any(|o| o.data == a.data)
-                || step.relayouts.iter().any(|r| r.data == a.data);
-            let declared_words = if declared_operand {
+            // a relayout entry declares every word of its container (its
+            // gather is no part of the operator's memlet); an input
+            // operand, what the operator's memlet reads of it
+            let declared_words = if step.relayouts.iter().any(|r| r.data == a.data) {
+                graph
+                    .data(a.data)
+                    .map_or(0, |d| d.shape.num_elements() as u64)
+            } else if step.inputs.iter().any(|o| o.data == a.data) {
                 graph.read_words(step.op, a.data)
             } else {
                 0
@@ -496,15 +515,11 @@ fn conflicts<'a>(a: &'a [Access], b: &'a [Access]) -> Vec<(&'a Access, &'a Acces
     out
 }
 
-/// Whether two overlapping accesses may run concurrently: reads commute,
-/// and a re-materialization is safe against reads (values unchanged,
-/// kernels layout-invariant). Everything else races.
+/// Whether two overlapping accesses may run concurrently: only reads
+/// commute. A re-materialization permutes the container's one slab slot,
+/// so it races with a concurrent read as a value-write would.
 fn compatible(a: AccessKind, b: AccessKind) -> bool {
-    use AccessKind::*;
-    matches!(
-        (a, b),
-        (Read, Read) | (Read, Materialize) | (Materialize, Read)
-    )
+    matches!((a, b), (AccessKind::Read, AccessKind::Read))
 }
 
 /// The hazard class of a conflicting pair, with `a` from the
@@ -707,17 +722,12 @@ pub fn execute_plan_sanitized<R: Rng + ?Sized>(
 
         // single execution — same kernels, same RNG stream as the
         // unsanitized interpreter — with runtime partial-read tracing
-        let t0 = opts.profiler.map(|_| std::time::Instant::now());
         trace::start();
         let ran = shadow_catch(&step.name, || {
             execute_step(graph, step, &mut local, opts, rng)
         });
         let observed = trace::stop();
         ran?;
-        if let (Some(sink), Some(t0)) = (opts.profiler, t0) {
-            let us = t0.elapsed().as_secs_f64() * 1e6;
-            crate::profile::record_step(sink, graph, step, si, us, true);
-        }
 
         // observed partial reads must fall inside the derived spans
         for ob in &observed {

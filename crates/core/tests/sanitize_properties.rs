@@ -160,9 +160,9 @@ proptest! {
 
 // The tampered plans above must be rejected by the production entry
 // points too: the reference interpreter gates every call on the same error
-// lints the certifier aggregates, and the arena — where these
-// natural-layout plans route — holds them to that gate, plus the wave
-// proof, before it compiles anything.
+// lints the certifier aggregates, and the arena — where every plan runs —
+// holds them to that gate, plus the wave proof, before it compiles
+// anything.
 #[test]
 fn corrupted_plans_cannot_reach_execution() {
     use rand::Rng;

@@ -158,9 +158,9 @@ fn sm_lanes<R: Rng + ?Sized>(
             scaler,
             visible,
             &mut drop,
-            softmax.data_mut(),
-            alpha.data_mut(),
-            mask.data_mut(),
+            (softmax.data_mut(), at),
+            (alpha.data_mut(), at),
+            (mask.data_mut(), at),
         );
     });
     Ok(SmOutput {
@@ -317,18 +317,18 @@ pub fn bdrln<R: Rng + ?Sized>(
                 bias.at(&bidx)
             }
         };
+        let at = lane_at(x, idx, ai);
         let (mean, inv_std) = lanes::bdrln_at(
             x.data(),
-            lane_at(x, idx, ai),
+            at,
             bias_at,
-            residual.data(),
-            lane_at(residual, idx, ai),
+            (residual.data(), lane_at(residual, idx, ai)),
             gamma.data(),
             beta.data(),
             &mut drop,
-            mask.data_mut(),
-            ln_input.data_mut(),
-            out.data_mut(),
+            (mask.data_mut(), at),
+            (ln_input.data_mut(), at),
+            (out.data_mut(), at),
         );
         stats.mean.push(mean);
         stats.inv_std.push(inv_std);

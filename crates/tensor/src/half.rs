@@ -75,9 +75,11 @@ impl F16 {
                 }
             }
             F16(sign | (half_exp << 10) | half_frac)
-        } else if unbiased >= -24 {
-            // subnormal half
-            let shift = (-14 - unbiased) as u32; // 1..=10
+        } else if unbiased >= -25 {
+            // subnormal half; at 2⁻²⁵ every mantissa bit is dropped and
+            // the rounding alone decides between zero and the smallest
+            // subnormal
+            let shift = (-14 - unbiased) as u32; // 1..=11
             let mant = 0x80_0000 | frac; // implicit leading 1
             let total_shift = 13 + shift;
             let mut half_frac = (mant >> total_shift) as u16;
@@ -177,6 +179,32 @@ mod tests {
         assert_eq!(F16::ONE.to_f32(), 1.0);
         assert_eq!(F16::MAX.to_f32(), 65504.0);
         assert!(F16::INFINITY.to_f32().is_infinite());
+    }
+
+    /// Round-to-nearest-even at both ends of the range: the largest
+    /// finite half absorbs everything below the midpoint to infinity, and
+    /// the smallest subnormal everything above the midpoint to zero — a
+    /// tie goes to the even neighbour (infinity's predecessor is odd, zero
+    /// is even).
+    #[test]
+    fn both_range_boundaries_round_to_nearest_even() {
+        assert_eq!(F16::from_f32(65519.99).to_bits(), 0x7BFF);
+        assert_eq!(F16::from_f32(65520.0).to_bits(), 0x7C00);
+        let tiny = (2.0f32).powi(-25);
+        assert_eq!(F16::from_f32(tiny).to_bits(), 0x0000, "the tie");
+        assert_eq!(
+            F16::from_f32(f32::from_bits(tiny.to_bits() + 1)).to_bits(),
+            0x0001
+        );
+        assert_eq!(F16::from_f32(1.5 * tiny).to_bits(), 0x0001);
+        assert_eq!(F16::from_f32(-1.5 * tiny).to_bits(), 0x8001);
+        assert_eq!(
+            F16::from_f32(f32::from_bits(tiny.to_bits() - 1)).to_bits(),
+            0x0000
+        );
+        assert_eq!(F16::from_f32(2.0 * tiny).to_bits(), 0x0001);
+        // 1.5 · 2⁻²⁴ ties between subnormals 1 and 2: to the even one
+        assert_eq!(F16::from_f32(3.0 * tiny).to_bits(), 0x0002);
     }
 
     #[test]

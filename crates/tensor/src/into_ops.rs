@@ -2,30 +2,29 @@
 //! buffers.
 //!
 //! Every forward kernel the schedule interpreter dispatches has a `*_into`
-//! driver here that reads dense **row-major** slices and writes dense
-//! row-major slices, allocating nothing. They are the execution layer of
-//! the arena interpreter (`core::arena`): the planner colors each logical
-//! container into an offset of one preallocated slab, and these kernels
-//! run directly on the slab views.
+//! driver here that reads and writes caller-provided slices, allocating
+//! nothing. They are the execution layer of the arena interpreter
+//! (`core::arena`): the planner colors each logical container into an
+//! offset of one preallocated slab, and these kernels run directly on the
+//! slab slots, each operand through a [`View`] — the index map its
+//! declared layout is.
 //!
-//! The lane-wise and fused kernels are *physical-order drivers* over the
-//! bodies of [`crate::lanes`]: they enumerate lanes (or flat offsets) and
-//! hand each to the one body that holds the arithmetic — the same body the
-//! tensor-returning kernels of [`crate::fused`] and [`crate::ops`] drive
-//! in logical order, so the two paths are **bitwise identical** by
-//! construction (the arena equivalence tests pin the drivers: geometry,
-//! statistics order, RNG draw order).
+//! The lane-wise, element-wise and fused kernels are *logical-order
+//! drivers* over the bodies of [`crate::lanes`]: a [`Sweep`] enumerates the
+//! lanes of the step's iteration space in the container's logical order and
+//! hands each, as one `(base, stride)` per operand, to the one body that
+//! holds the arithmetic — the same body the tensor-returning kernels of
+//! [`crate::fused`] and [`crate::ops`] drive in the same order. Values,
+//! per-lane statistics and the order of dropout draws are therefore
+//! functions of the logical indices alone: a plan computes the same bits in
+//! any layout.
 //!
-//! All geometry (lane decompositions, bias broadcast maps, einsum pack
-//! descriptors) is precomputed by the caller; the kernels only walk flat
-//! offsets. Helpers:
+//! Two addressing vocabularies, both compiled once by the caller:
 //!
-//! * [`LaneGeom`] — decomposition of a row-major tensor into lanes along
-//!   one axis (the sweep order of `for_each_outer`),
-//! * [`BiasMap`] — broadcast map from a flat output offset to a bias
-//!   offset,
-//! * [`CausalMap`] — recovery of the query index from a lane number for
-//!   masked softmax,
+//! * [`View`] / [`Sweep`] — an operand as `base + Σ index · stride` over
+//!   the logical axes of the step's iteration space (a broadcast is a zero
+//!   stride, a carve a base offset), and the step's views merged into the
+//!   fewest loops that keep logical order;
 //! * [`ContractPlan`] — the one contraction compiler: GEMM sizes, operand
 //!   roles and, per operand, the strides the GEMM reads it through (or the
 //!   gather descriptor of an operand strides cannot express).
@@ -36,6 +35,7 @@ use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
 use crate::lanes::{self, Dropout, LaneAt};
+use crate::layout::Layout;
 use crate::matmul::{
     gemm, gemm_batched, gemm_packed, pack_panels, panel_words, BatchMut, BatchRef, BatchStrides,
     MatMut, Start,
@@ -43,102 +43,187 @@ use crate::matmul::{
 use crate::ops::elementwise::ActivationKind;
 use crate::tensor::Tensor;
 
-/// Lane decomposition of a dense row-major buffer along the axis at
-/// logical position `ai` of a shape with sizes `s`: `pre = Π s[..ai]`,
-/// `len = s[ai]`, `post = Π s[ai+1..]`.
-///
-/// Lanes are visited `pre`-major / `post`-minor — exactly the order
-/// `for_each_outer` visits them on a row-major tensor — so per-lane
-/// statistics land in the same order as the allocating kernels push them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneGeom {
-    /// Product of the axis sizes before the swept axis.
-    pub pre: usize,
-    /// Extent of the swept axis.
-    pub len: usize,
-    /// Product of the axis sizes after the swept axis (also the element
-    /// stride of the swept axis in a row-major buffer).
-    pub post: usize,
+/// One operand as a kernel is handed it: the word of logical index
+/// `(i₀, i₁, …)` is `base + Σ i_d · stride_d` within the operand's buffer.
+/// The axes are those of the step's iteration space, outermost first, so a
+/// layout is a choice of strides, an axis the operand lacks (a broadcast
+/// bias) a zero stride, and a sub-container (one projection of a stacked
+/// Q/K/V tensor) a nonzero base.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct View {
+    /// Word offset of logical index zero.
+    pub base: usize,
+    /// `(extent, stride)` per logical axis, outermost first.
+    pub dims: Vec<(usize, usize)>,
 }
 
-impl LaneGeom {
-    /// Builds the decomposition for logical axis position `ai` of a shape
-    /// with the given sizes.
-    pub fn new(sizes: &[usize], ai: usize) -> LaneGeom {
-        LaneGeom {
-            pre: sizes[..ai].iter().product(),
-            len: sizes[ai],
-            post: sizes[ai + 1..].iter().product(),
+impl View {
+    /// The whole of a container with the given axis sizes and strides.
+    pub fn whole(sizes: &[usize], strides: &[usize]) -> View {
+        View {
+            base: 0,
+            dims: sizes.iter().copied().zip(strides.iter().copied()).collect(),
         }
+    }
+}
+
+/// Loops a [`Sweep`] runs outside the lane; more would not fit its
+/// stack-held odometer.
+const MAX_OUTER: usize = 8;
+
+/// One operand of a compiled [`Sweep`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SweepOperand {
+    base: usize,
+    /// Stride per outer loop.
+    outer: Vec<usize>,
+    /// Stride along the lane.
+    lane: usize,
+}
+
+/// A step's iteration space with every operand's [`View`] of it, compiled
+/// for the drivers: the lanes along one logical axis, enumerated in the
+/// logical (row-major) order of the remaining axes. Axes of extent one are
+/// dropped and neighbouring axes that every operand steps through evenly
+/// are fused into one loop, so operands in natural layout collapse to a
+/// single contiguous lane while any other layout keeps exactly the loops
+/// it needs — in the same order, which is what keeps dropout draws and
+/// per-lane statistics layout-independent.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sweep {
+    /// Extents of the outer loops, outermost first.
+    outer: Vec<usize>,
+    /// The outer loop that is the causal query axis, when one was named.
+    query: Option<usize>,
+    /// Lane length.
+    len: usize,
+    operands: Vec<SweepOperand>,
+}
+
+impl Sweep {
+    /// Compiles the sweep of `views` (one per operand, all over the same
+    /// extents). `lane` names the logical axis the kernel reduces along;
+    /// `None` (element-wise kernels) takes the innermost loop left after
+    /// fusing. `query` names a logical axis whose index the drivers need
+    /// per lane (the causal softmax); it is kept as a loop of its own.
+    ///
+    /// Returns `None` if the views disagree on the extents, an axis index
+    /// is out of range, or more than eight outer loops remain.
+    pub fn compile(views: &[&View], lane: Option<usize>, query: Option<usize>) -> Option<Sweep> {
+        let first = views.first()?;
+        let rank = first.dims.len();
+        let extents = |v: &View| v.dims.iter().map(|d| d.0).collect::<Vec<_>>();
+        if views.iter().any(|v| extents(v) != extents(first))
+            || lane.is_some_and(|l| l >= rank)
+            || query.is_some_and(|q| q >= rank || Some(q) == lane)
+        {
+            return None;
+        }
+        // (extent, stride per operand, is the query axis), logical order
+        type Loop = (usize, Vec<usize>, bool);
+        let axis = |d: usize| -> Loop {
+            let strides = views.iter().map(|v| v.dims[d].1).collect();
+            (first.dims[d].0, strides, Some(d) == query)
+        };
+        let mut loops: Vec<Loop> = Vec::with_capacity(rank);
+        for d in (0..rank).filter(|&d| Some(d) != lane) {
+            let (n, strides, is_query) = axis(d);
+            if n == 1 && !is_query {
+                continue;
+            }
+            match loops.last_mut() {
+                // `d` continues the previous loop in every operand
+                Some((pn, ps, false))
+                    if !is_query && ps.iter().zip(&strides).all(|(&p, &s)| p == n * s) =>
+                {
+                    *pn *= n;
+                    *ps = strides;
+                }
+                _ => loops.push((n, strides, is_query)),
+            }
+        }
+        let (len, lane_strides) = match lane {
+            Some(l) => (first.dims[l].0, axis(l).1),
+            None => match loops.pop() {
+                Some((n, strides, _)) => (n, strides),
+                None => (1, vec![1; views.len()]),
+            },
+        };
+        if loops.len() > MAX_OUTER {
+            return None;
+        }
+        let operands = views
+            .iter()
+            .enumerate()
+            .map(|(k, v)| SweepOperand {
+                base: v.base,
+                outer: loops.iter().map(|l| l.1[k]).collect(),
+                // a one-word lane is contiguous whatever its stride
+                lane: if len == 1 { 1 } else { lane_strides[k] },
+            })
+            .collect();
+        Some(Sweep {
+            query: loops.iter().position(|l| l.2),
+            outer: loops.into_iter().map(|l| l.0).collect(),
+            len,
+            operands,
+        })
     }
 
     /// Number of lanes.
-    pub fn lanes(self) -> usize {
-        self.pre * self.post
+    pub fn lanes(&self) -> usize {
+        self.outer.iter().product()
     }
 
-    /// Every lane's `(pre index, position)` in visiting order.
-    fn lanes_at(self) -> impl Iterator<Item = (usize, LaneAt)> {
-        let (len, stride) = (self.len, self.post);
-        (0..self.pre).flat_map(move |pre| {
-            (0..stride).map(move |post| {
-                let base = pre * len * stride + post;
-                (pre, LaneAt { base, stride, len })
-            })
-        })
+    /// Whether the lane is contiguous in every operand but those listed.
+    fn unit_but(&self, skip: &[usize]) -> bool {
+        let unit = |(k, o): (usize, &SweepOperand)| skip.contains(&k) || o.lane == 1;
+        self.operands.iter().enumerate().all(unit)
     }
-}
 
-/// Broadcast map from a flat row-major offset in the output to a flat
-/// offset in a (smaller) bias buffer. One entry per bias axis:
-/// `(x_stride, x_size, bias_stride)`, where `x_stride`/`x_size` describe
-/// the axis in the output's row-major geometry and `bias_stride` is the
-/// axis's row-major stride within the bias.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BiasMap {
-    /// `(x_stride, x_size, bias_stride)` triples, one per bias axis.
-    pub dims: Vec<(usize, usize, usize)>,
-}
-
-impl BiasMap {
-    /// Bias offset for the element at flat output offset `f`.
-    #[inline]
-    pub fn offset(&self, f: usize) -> usize {
-        let mut off = 0usize;
-        for &(xs, xn, bs) in &self.dims {
-            off += ((f / xs) % xn) * bs;
+    /// Calls `f(lane ordinal, query index, lane per operand)` for every
+    /// lane, in logical order. The query index is that of the axis named
+    /// at [`Sweep::compile`] (`0` when none was).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sweep was not compiled over exactly `N` views.
+    fn for_each_lane<const N: usize>(&self, mut f: impl FnMut(usize, usize, [LaneAt; N])) {
+        assert_eq!(self.operands.len(), N, "sweep compiled for another kernel");
+        if self.len == 0 || self.outer.contains(&0) {
+            return;
         }
-        off
-    }
-}
-
-/// Recovers the causal query index from the `pre` part of a lane number:
-/// `q = (pre / div) % len`. The query axis always precedes the softmax
-/// axis logically, so it is always a `pre` axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CausalMap {
-    /// Product of the pre-axis sizes strictly between the query axis and
-    /// the softmax axis.
-    pub div: usize,
-    /// Extent of the query axis.
-    pub len: usize,
-    /// Absolute position of local query index 0. Zero for full-sequence
-    /// plans; a decode step sets it to the current sequence position so a
-    /// single-column query attends over `base + 1` cache slots.
-    pub base: usize,
-}
-
-impl CausalMap {
-    /// Query index for the lane with pre-part `pre`.
-    #[inline]
-    pub fn query(self, pre: usize) -> usize {
-        self.base + (pre / self.div) % self.len
-    }
-
-    /// This map shifted to absolute position `base` (decode-step use).
-    #[inline]
-    pub fn at(self, base: usize) -> Self {
-        CausalMap { base, ..self }
+        let ops = &self.operands;
+        let mut at: [LaneAt; N] = std::array::from_fn(|k| LaneAt {
+            base: ops[k].base,
+            stride: ops[k].lane,
+            len: self.len,
+        });
+        let mut idx = [0usize; MAX_OUTER];
+        let mut lane = 0usize;
+        loop {
+            f(lane, self.query.map_or(0, |q| idx[q]), at);
+            lane += 1;
+            // odometer over the outer loops, innermost fastest
+            let mut d = self.outer.len();
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                idx[d] += 1;
+                for (a, o) in at.iter_mut().zip(ops) {
+                    a.base += o.outer[d];
+                }
+                if idx[d] < self.outer[d] {
+                    break;
+                }
+                for (a, o) in at.iter_mut().zip(ops) {
+                    a.base -= self.outer[d] * o.outer[d];
+                }
+                idx[d] = 0;
+            }
+        }
     }
 }
 
@@ -494,21 +579,22 @@ pub fn epilogue_contract_plan(
 }
 
 /// The per-tile epilogue a [`contract_epilogue_tiled`] call applies to
-/// each GEMM row block, with the full-size output slices it streams into.
-/// Mirrors the fused-kernel classes whose sole input is a contraction
-/// output: `SM` ([`sm_into`]), `BRD` ([`brd_act_into`]), and `BDR`
-/// ([`bdr_into`]).
+/// each GEMM row block, with the full-size output slices it streams into
+/// (dense, in the output container's natural order). Mirrors the
+/// fused-kernel classes whose sole input is a contraction output: `SM`
+/// ([`sm_into`]), `BRD` ([`brd_act_into`]), and `BDR` ([`bdr_into`]).
 #[derive(Debug)]
 pub enum TileEpilogue<'a> {
     /// Scaled (optionally causal) softmax + dropout over each GEMM output
     /// row (the row *is* the softmax lane: the epilogue plan puts the
     /// normalized axis in N). Requires whole-batch-slice tiles
-    /// (`tile_rows == m`) so the causal query index is the local row.
+    /// (`tile_rows == m`) so the causal query index is the tile's row.
     Softmax {
         /// The `1/√P` attention scaling.
         scaler: f32,
-        /// Causal mask over the local row index, when masked.
-        causal: Option<CausalMap>,
+        /// When masked: the absolute position of query row 0 (row `r`
+        /// attends over the first `pos + r + 1` keys).
+        causal: Option<usize>,
         /// Saved pre-dropout softmax (full container).
         softmax: &'a mut [f32],
         /// Dropped-out attention weights (full container).
@@ -521,10 +607,6 @@ pub enum TileEpilogue<'a> {
     BiasActDrop {
         /// Bias vector, one entry per GEMM row (M words).
         bias: &'a [f32],
-        /// Tile-local bias map, `[(n, m, 1)]` with `m` at least the
-        /// tallest tile — built once by the caller so the hot loop never
-        /// allocates. The tile driver asserts this exact shape.
-        bmap: &'a BiasMap,
         /// The activation between bias and dropout.
         kind: ActivationKind,
         /// Saved pre-activation (full container).
@@ -538,8 +620,6 @@ pub enum TileEpilogue<'a> {
     BiasDropResidual {
         /// Bias vector, one entry per GEMM row (M words).
         bias: &'a [f32],
-        /// Tile-local bias map, as in [`TileEpilogue::BiasActDrop`].
-        bmap: &'a BiasMap,
         /// Residual input (full container).
         residual: &'a [f32],
         /// Saved dropout mask (full container).
@@ -551,19 +631,18 @@ pub enum TileEpilogue<'a> {
 
 impl TileEpilogue<'_> {
     /// Whether this epilogue requires whole-batch-slice tiles
-    /// (`tile_rows == m`): the causal softmax recovers the query index
-    /// from the tile-local row, which is only the query when the tile
-    /// starts a batch slice.
+    /// (`tile_rows == m`): the causal softmax takes the tile-local row for
+    /// the query index, which it only is when the tile starts a batch
+    /// slice.
     pub fn needs_full_slice(&self) -> bool {
         matches!(self, TileEpilogue::Softmax { .. })
     }
 }
 
-/// Applies the epilogue to one GEMM row block. `row0` is the global row
-/// index (over `batch · m`), `rows` the block height, `n` the row width;
-/// `tile` holds the block's contraction output. Every full-container
-/// slice is cut to the block's exact extent here, so the kernels below see
-/// unit-stride lanes of exactly `n` words.
+/// Applies the epilogue to one GEMM row block, row by row — each row a
+/// contiguous lane of `n` words in the tile and in every full-container
+/// stream. `row0` is the global row index (over `batch · m`), `rows` the
+/// block height; `tile` holds the block's contraction output.
 fn epilogue_tile<R: Rng + ?Sized>(
     epi: &mut TileEpilogue<'_>,
     row0: usize,
@@ -572,74 +651,62 @@ fn epilogue_tile<R: Rng + ?Sized>(
     tile: &[f32],
     drop: &mut Dropout<'_, R>,
 ) {
-    let span = row0 * n..row0 * n + rows * n;
-    match epi {
-        TileEpilogue::Softmax {
-            scaler,
-            causal,
-            softmax,
-            alpha,
-            mask,
-        } => {
-            let lane = LaneGeom {
-                pre: rows,
-                len: n,
-                post: 1,
-            };
-            let (sm, al, mk) = (
-                &mut softmax[span.clone()],
-                &mut alpha[span.clone()],
-                &mut mask[span],
-            );
-            sm_into(tile, *scaler, lane, *causal, drop, sm, al, mk);
-        }
-        TileEpilogue::BiasActDrop {
-            bias,
-            bmap,
-            kind,
-            pre_activation,
-            out,
-            mask,
-        } => {
-            check_tile_bmap(bmap, n, rows);
-            let bias = &bias[row0..row0 + rows];
-            let (pre, o, mk) = (
-                &mut pre_activation[span.clone()],
-                &mut out[span.clone()],
-                &mut mask[span],
-            );
-            brd_act_into(tile, bias, bmap, *kind, drop, pre, o, mk);
-        }
-        TileEpilogue::BiasDropResidual {
-            bias,
-            bmap,
-            residual,
-            mask,
-            out,
-        } => {
-            check_tile_bmap(bmap, n, rows);
-            let bias = &bias[row0..row0 + rows];
-            let res = &residual[span.clone()];
-            let (mk, o) = (&mut mask[span.clone()], &mut out[span]);
-            bdr_into(tile, bias, bmap, res, drop, mk, o);
+    let lane = |r: usize| LaneAt {
+        base: r * n,
+        stride: 1,
+        len: n,
+    };
+    // row `r`'s one bias word, read at every position of the lane
+    let bias_at = |r: usize| LaneAt {
+        base: row0 + r,
+        stride: 0,
+        len: n,
+    };
+    for r in 0..rows {
+        let (x, at) = (lane(r).unit(tile), lane(row0 + r));
+        match epi {
+            TileEpilogue::Softmax {
+                scaler,
+                causal,
+                softmax,
+                alpha,
+                mask,
+            } => {
+                let visible = causal.map_or(n, |pos| (pos + r + 1).min(n));
+                let (alpha, mask) = (at.unit_mut(alpha), at.unit_mut(mask));
+                let mut tail = lanes::Dropped { alpha, mask, drop };
+                lanes::softmax_lane(x, *scaler, visible, at.unit_mut(softmax), &mut tail);
+            }
+            TileEpilogue::BiasActDrop {
+                bias,
+                kind,
+                pre_activation,
+                out,
+                mask,
+            } => lanes::brd_lane(
+                x,
+                &bias_at(r).strided(bias),
+                *kind,
+                drop,
+                at.unit_mut(pre_activation),
+                at.unit_mut(out),
+                at.unit_mut(mask),
+            ),
+            TileEpilogue::BiasDropResidual {
+                bias,
+                residual,
+                mask,
+                out,
+            } => lanes::bdr_lane(
+                x,
+                &bias_at(r).strided(bias),
+                at.unit(residual),
+                drop,
+                at.unit_mut(mask),
+                at.unit_mut(out),
+            ),
         }
     }
-}
-
-/// Asserts the caller-built epilogue bias map has the `[(n, m, 1)]` shape
-/// with `m >= rows`, which makes the modulo a no-op on tile-local offsets:
-/// `offset(f) = (f/n) % m = f/n < rows` for all `f < rows·n` — a shorter
-/// map would wrap onto the wrong bias rows without tripping a bounds
-/// check.
-fn check_tile_bmap(bmap: &BiasMap, n: usize, rows: usize) {
-    assert!(
-        bmap.dims.len() == 1
-            && bmap.dims[0].0 == n
-            && bmap.dims[0].1 >= rows
-            && bmap.dims[0].2 == 1,
-        "epilogue bias map must be [(n, >=tile rows, 1)], got {:?}",
-        bmap.dims
-    );
 }
 
 /// The GEMM-epilogue mega-kernel: per batch slice, packs B's panels once,
@@ -704,159 +771,218 @@ pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
 }
 
 /// Copies a tensor's logical contents into a dense row-major destination.
-/// Row-major sources are a single `memcpy`; other layouts are walked in
-/// logical order.
 ///
 /// # Panics
 ///
-/// Panics if `dst` is shorter than the tensor or the tensor's rank
-/// exceeds 16.
+/// As [`copy_layout_into`].
 pub fn copy_tensor_into(t: &Tensor, dst: &mut [f32]) {
-    let n = t.len();
+    copy_layout_into(t.shape(), t.layout(), t.data(), dst);
+}
+
+/// Copies a container stored in `layout` into a dense row-major
+/// destination, allocating nothing. Sources that are physically row-major
+/// (permutations that only move singleton axes included) are a single
+/// `memcpy`; other layouts are walked in logical order.
+///
+/// # Panics
+///
+/// Panics if `src` or `dst` is shorter than the container, the layout's
+/// rank disagrees with the shape's, or the rank exceeds 16.
+pub fn copy_layout_into(shape: &Shape, layout: &Layout, src: &[f32], dst: &mut [f32]) {
+    let n = shape.num_elements();
     let dst = &mut dst[..n];
-    // physically row-major covers permutations that only move singleton
-    // axes — `is_row_major` alone would reject them and fall into the
-    // rank-limited walk
-    if t.layout().is_row_major_for(t.shape()) {
-        dst.copy_from_slice(t.data());
+    if layout.is_row_major_for(shape) {
+        dst.copy_from_slice(&src[..n]);
         return;
     }
-    let rank = t.shape().rank();
-    assert!(rank <= 16, "copy_tensor_into supports rank <= 16");
-    let mut idx = [0usize; 16];
-    let idx = &mut idx[..rank];
-    for d in dst.iter_mut() {
-        *d = t.data()[t.offset(idx)];
-        t.advance(idx);
+    let (rank, sizes) = (shape.rank(), shape.sizes());
+    assert!(rank <= 16 && layout.rank() == rank, "rank <= 16 supported");
+    let mut dims = [(0usize, 0usize, 0usize); 16];
+    let (mut src_stride, mut dst_stride) = (1usize, 1usize);
+    for &axis in layout.order().iter().rev() {
+        dims[axis] = (sizes[axis], src_stride, 0);
+        src_stride *= sizes[axis];
     }
+    for axis in (0..rank).rev() {
+        dims[axis].2 = dst_stride;
+        dst_stride *= sizes[axis];
+    }
+    copy_strided(&dims[..rank], src, 0, dst, 0);
+}
+
+/// Re-materializes a container in place from one layout into another: a
+/// gather into `scratch` in the new physical order, then one `memcpy`
+/// back. `dims` is `(extent, old stride, new stride)` per axis, outermost
+/// of the new layout first.
+///
+/// # Panics
+///
+/// Panics if `buf` or `scratch` is shorter than the container.
+pub fn relayout_into(dims: &[(usize, usize, usize)], buf: &mut [f32], scratch: &mut [f32]) {
+    let words: usize = dims.iter().map(|d| d.0).product();
+    copy_strided(dims, buf, 0, scratch, 0);
+    buf[..words].copy_from_slice(&scratch[..words]);
 }
 
 /// `out = alpha · x`.
-pub fn scale_into(x: &[f32], alpha: f32, out: &mut [f32]) {
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = alpha * v;
-    }
-}
-
-/// `out = a + b` (the residual connection).
-pub fn add_into(a: &[f32], b: &[f32], out: &mut [f32]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x + y;
-    }
+pub fn scale_into(s: &Sweep, x: &[f32], alpha: f32, out: &mut [f32]) {
+    map_into(s, x, out, |v| alpha * v);
 }
 
 /// `out = activation(x)`.
-pub fn activate_into(x: &[f32], kind: ActivationKind, out: &mut [f32]) {
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = kind.apply(v);
-    }
+pub fn activate_into(s: &Sweep, x: &[f32], kind: ActivationKind, out: &mut [f32]) {
+    map_into(s, x, out, |v| kind.apply(v));
 }
 
-/// `out = x + bias` with the bias broadcast through `map`.
-pub fn bias_add_into(x: &[f32], bias: &[f32], map: &BiasMap, out: &mut [f32]) {
-    for (f, (o, &v)) in out.iter_mut().zip(x).enumerate() {
-        *o = v + bias[map.offset(f)];
-    }
+fn map_into(s: &Sweep, x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
+    let unit = s.unit_but(&[]);
+    s.for_each_lane(|_, _, [xa, oa]| {
+        if unit {
+            lanes::map_lane(xa.unit(x), oa.unit_mut(out), &f);
+        } else {
+            lanes::map_lane(&xa.strided(x), &mut oa.strided_mut(out), &f);
+        }
+    });
 }
 
-/// Unfused dropout: one [`Dropout::mask_select`] per element in flat
+/// `out = a + b` (the residual connection).
+pub fn add_into(s: &Sweep, a: &[f32], b: &[f32], out: &mut [f32]) {
+    let unit = s.unit_but(&[]);
+    let add = |x, y| x + y;
+    s.for_each_lane(|_, _, [aa, ba, oa]| {
+        if unit {
+            lanes::zip_lane(aa.unit(a), ba.unit(b), oa.unit_mut(out), add);
+        } else {
+            let out = &mut oa.strided_mut(out);
+            lanes::zip_lane(&aa.strided(a), &ba.strided(b), out, add);
+        }
+    });
+}
+
+/// `out = x + bias`, the bias (operand 1 of the sweep) broadcast by its
+/// view's zero strides: always read through a strided lane, beside slices
+/// where everything else is contiguous.
+pub fn bias_add_into(s: &Sweep, x: &[f32], bias: &[f32], out: &mut [f32]) {
+    let unit = s.unit_but(&[1]);
+    let add = |v, b| v + b;
+    s.for_each_lane(|_, _, [xa, ba, oa]| {
+        let bias = &ba.strided(bias);
+        if unit {
+            lanes::zip_lane(xa.unit(x), bias, oa.unit_mut(out), add);
+        } else {
+            lanes::zip_lane(&xa.strided(x), bias, &mut oa.strided_mut(out), add);
+        }
+    });
+}
+
+/// Unfused dropout: one [`Dropout::mask_select`] per element in logical
 /// order — a draw even at `p == 0`, unlike the fused kernels — survivors
 /// scaled by `1/(1-p)`.
 pub fn dropout_into<R: Rng + ?Sized>(
+    s: &Sweep,
     x: &[f32],
     drop: &mut Dropout<'_, R>,
     out: &mut [f32],
     mask: &mut [f32],
 ) {
-    for ((o, m), &v) in out.iter_mut().zip(mask.iter_mut()).zip(x) {
-        let mv = drop.mask_select();
-        *m = mv;
-        *o = v * mv;
-    }
+    let unit = s.unit_but(&[]);
+    s.for_each_lane(|_, _, [xa, oa, ma]| {
+        if unit {
+            lanes::dropout_lane(xa.unit(x), drop, oa.unit_mut(out), ma.unit_mut(mask));
+        } else {
+            let (out, mask) = (&mut oa.strided_mut(out), &mut ma.strided_mut(mask));
+            lanes::dropout_lane(&xa.strided(x), drop, out, mask);
+        }
+    });
 }
 
 /// Identity dropout (`p == 0`): copies the input and fills the mask with
 /// ones, drawing nothing.
-pub fn dropout_disabled_into(x: &[f32], out: &mut [f32], mask: &mut [f32]) {
-    out[..x.len()].copy_from_slice(x);
-    for m in mask[..x.len()].iter_mut() {
-        *m = 1.0;
-    }
+pub fn dropout_disabled_into(s: &Sweep, x: &[f32], out: &mut [f32], mask: &mut [f32]) {
+    let unit = s.unit_but(&[]);
+    s.for_each_lane(|_, _, [xa, oa, ma]| {
+        if unit {
+            oa.unit_mut(out).copy_from_slice(xa.unit(x));
+            ma.unit_mut(mask).fill(1.0);
+        } else {
+            lanes::map_lane(&xa.strided(x), &mut oa.strided_mut(out), |v| v);
+            lanes::map_lane(&xa.strided(x), &mut ma.strided_mut(mask), |_| 1.0);
+        }
+    });
 }
 
-/// `out = softmax(scaler · x)` along the lane axis — the unfused
+/// Key positions the lane of query index `q` attends over: all `len` of
+/// them, or under a causal mask whose query row 0 sits at absolute
+/// position `pos`, the first `pos + q + 1`.
+fn visible_of(causal: Option<usize>, q: usize, len: usize) -> usize {
+    causal.map_or(len, |pos| (pos + q + 1).min(len))
+}
+
+/// `out = softmax(scaler · x)` along the sweep's lane axis — the unfused
 /// scale-then-softmax pair in one sweep, numerically identical to scaling
 /// into a temporary first (a single f32 multiply either way). `causal`
-/// masks key positions beyond the lane's query index to exact zeros (the
-/// unfused masked softmax).
-pub fn softmax_into(
-    x: &[f32],
-    scaler: f32,
-    lane: LaneGeom,
-    causal: Option<CausalMap>,
-    out: &mut [f32],
-) {
-    for (pre, at) in lane.lanes_at() {
-        lanes::softmax_at(x, at, scaler, visible_of(causal, pre, lane.len), out);
-    }
+/// (the absolute position of query index 0; the sweep was compiled with
+/// the query axis named) masks key positions beyond each lane's query
+/// index to exact zeros (the unfused masked softmax).
+pub fn softmax_into(s: &Sweep, x: &[f32], scaler: f32, causal: Option<usize>, out: &mut [f32]) {
+    s.for_each_lane(|_, q, [xa, oa]| {
+        lanes::softmax_at(x, xa, scaler, visible_of(causal, q, xa.len), out, oa);
+    });
 }
 
-/// Fused SM: `alpha = dropout(softmax(scaler · x))` along the lane axis,
-/// with the pre-dropout softmax and the mask saved. `causal` masks key
-/// positions beyond the lane's query index (the decoder variant); masked
-/// positions get zero softmax/alpha/mask entries, exactly like the
-/// allocating kernel.
+/// Fused SM: `alpha = dropout(softmax(scaler · x))` along the sweep's lane
+/// axis, with the pre-dropout softmax and the mask saved. `causal` is as
+/// in [`softmax_into`]; masked positions get zero softmax/alpha/mask
+/// entries, exactly like the allocating kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn sm_into<R: Rng + ?Sized>(
+    s: &Sweep,
     x: &[f32],
     scaler: f32,
-    lane: LaneGeom,
-    causal: Option<CausalMap>,
+    causal: Option<usize>,
     drop: &mut Dropout<'_, R>,
     softmax: &mut [f32],
     alpha: &mut [f32],
     mask: &mut [f32],
 ) {
-    for (pre, at) in lane.lanes_at() {
-        let visible = visible_of(causal, pre, lane.len);
-        lanes::sm_at(x, at, scaler, visible, drop, softmax, alpha, mask);
-    }
+    s.for_each_lane(|_, q, [xa, sa, aa, ma]| {
+        let visible = visible_of(causal, q, xa.len);
+        let (softmax, alpha, mask) = ((&mut *softmax, sa), (&mut *alpha, aa), (&mut *mask, ma));
+        lanes::sm_at(x, xa, scaler, visible, drop, softmax, alpha, mask);
+    });
 }
 
-/// Number of key positions the lane with pre-part `pre` attends over.
-fn visible_of(causal: Option<CausalMap>, pre: usize, len: usize) -> usize {
-    causal.map_or(len, |c| (c.query(pre) + 1).min(len))
-}
-
-/// Layer normalization along the lane axis with learned `gamma`/`beta`
-/// (dense 1-D, indexed by the lane position). Per-lane `mean`/`inv_std`
-/// are written in lane order, matching the allocating kernel's stats
-/// vectors.
+/// Layer normalization along the sweep's lane axis with learned
+/// `gamma`/`beta` (dense 1-D, indexed by the lane position). Per-lane
+/// `mean`/`inv_std` are written in lane order, matching the allocating
+/// kernel's stats vectors.
 pub fn layernorm_into(
+    s: &Sweep,
     x: &[f32],
     gamma: &[f32],
     beta: &[f32],
-    lane: LaneGeom,
     out: &mut [f32],
     mean_out: &mut [f32],
     inv_std_out: &mut [f32],
 ) {
-    for (l, (_, at)) in lane.lanes_at().enumerate() {
-        (mean_out[l], inv_std_out[l]) = lanes::layernorm_at(x, at, gamma, beta, out);
-    }
+    s.for_each_lane(|l, _, [xa, ga, ba, oa]| {
+        let (gamma, beta) = (ga.unit(gamma), ba.unit(beta));
+        (mean_out[l], inv_std_out[l]) = lanes::layernorm_at(x, xa, gamma, beta, out, oa);
+    });
 }
 
 /// Fused BDRLN: `out = layernorm(dropout(x + bias) + residual)` along the
-/// lane axis, saving the mask, the layer-norm input, and per-lane stats.
+/// sweep's lane axis, saving the mask, the layer-norm input, and per-lane
+/// stats. Operands in the sweep's order: `x, bias, residual, gamma, beta,
+/// mask, ln_input, out`.
 #[allow(clippy::too_many_arguments)]
 pub fn bdrln_into<R: Rng + ?Sized>(
+    s: &Sweep,
     x: &[f32],
     bias: &[f32],
-    bmap: &BiasMap,
     residual: &[f32],
     gamma: &[f32],
     beta: &[f32],
-    lane: LaneGeom,
     drop: &mut Dropout<'_, R>,
     mask: &mut [f32],
     ln_input: &mut [f32],
@@ -864,51 +990,76 @@ pub fn bdrln_into<R: Rng + ?Sized>(
     mean_out: &mut [f32],
     inv_std_out: &mut [f32],
 ) {
-    for (l, (_, at)) in lane.lanes_at().enumerate() {
-        let bias_at = |v: usize| bias[bmap.offset(at.base + v * at.stride)];
+    s.for_each_lane(|l, _, [xa, ba, ra, ga, ea, ma, la, oa]| {
+        let bias_at = |v: usize| bias[ba.base + v * ba.stride];
         (mean_out[l], inv_std_out[l]) = lanes::bdrln_at(
-            x, at, bias_at, residual, at, gamma, beta, drop, mask, ln_input, out,
+            x,
+            xa,
+            bias_at,
+            (residual, ra),
+            ga.unit(gamma),
+            ea.unit(beta),
+            drop,
+            (&mut *mask, ma),
+            (&mut *ln_input, la),
+            (&mut *out, oa),
         );
-    }
+    });
 }
 
 /// Fused BRD: `out = dropout(activation(x + bias))`, saving the
-/// pre-activation and the mask.
+/// pre-activation and the mask. Operands in the sweep's order: `x, bias,
+/// pre_activation, out, mask`.
 #[allow(clippy::too_many_arguments)]
 pub fn brd_act_into<R: Rng + ?Sized>(
+    s: &Sweep,
     x: &[f32],
     bias: &[f32],
-    bmap: &BiasMap,
     kind: ActivationKind,
     drop: &mut Dropout<'_, R>,
     pre_activation: &mut [f32],
     out: &mut [f32],
     mask: &mut [f32],
 ) {
-    // cut to the input's extent once, so the loop indexes check-free
-    let n = x.len();
-    let (z, m, o) = (&mut pre_activation[..n], &mut mask[..n], &mut out[..n]);
-    for (f, &v) in x.iter().enumerate() {
-        (z[f], m[f], o[f]) = lanes::brd(v, bias[bmap.offset(f)], kind, drop);
-    }
+    let unit = s.unit_but(&[1]);
+    s.for_each_lane(|_, _, [xa, ba, pa, oa, ma]| {
+        let bias = &ba.strided(bias);
+        if unit {
+            let (pre, out) = (pa.unit_mut(pre_activation), oa.unit_mut(out));
+            lanes::brd_lane(xa.unit(x), bias, kind, drop, pre, out, ma.unit_mut(mask));
+        } else {
+            let (pre, out) = (
+                &mut pa.strided_mut(pre_activation),
+                &mut oa.strided_mut(out),
+            );
+            let mask = &mut ma.strided_mut(mask);
+            lanes::brd_lane(&xa.strided(x), bias, kind, drop, pre, out, mask);
+        }
+    });
 }
 
 /// Fused BDR (no norm): `out = dropout(x + bias) + residual`, saving the
-/// mask.
+/// mask. Operands in the sweep's order: `x, bias, residual, mask, out`.
 pub fn bdr_into<R: Rng + ?Sized>(
+    s: &Sweep,
     x: &[f32],
     bias: &[f32],
-    bmap: &BiasMap,
     residual: &[f32],
     drop: &mut Dropout<'_, R>,
     mask: &mut [f32],
     out: &mut [f32],
 ) {
-    let n = x.len();
-    let (r, m, o) = (&residual[..n], &mut mask[..n], &mut out[..n]);
-    for (f, &v) in x.iter().enumerate() {
-        (m[f], o[f]) = lanes::bdr(v, bias[bmap.offset(f)], r[f], drop);
-    }
+    let unit = s.unit_but(&[1]);
+    s.for_each_lane(|_, _, [xa, ba, ra, ma, oa]| {
+        let bias = &ba.strided(bias);
+        if unit {
+            let (mask, out) = (ma.unit_mut(mask), oa.unit_mut(out));
+            lanes::bdr_lane(xa.unit(x), bias, ra.unit(residual), drop, mask, out);
+        } else {
+            let (mask, out) = (&mut ma.strided_mut(mask), &mut oa.strided_mut(out));
+            lanes::bdr_lane(&xa.strided(x), bias, &ra.strided(residual), drop, mask, out);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -940,25 +1091,82 @@ mod tests {
 
     const SIZES: [(char, usize); 5] = [('b', 2), ('j', 3), ('k', 4), ('i', 5), ('u', 6)];
 
-    fn lane_of(t: &Tensor, axis: char) -> LaneGeom {
-        LaneGeom::new(t.shape().sizes(), t.shape().index_of(Axis(axis)).unwrap())
+    /// `t` whole, through its own strides.
+    fn whole(t: &Tensor) -> View {
+        View::whole(t.shape().sizes(), t.strides())
     }
 
-    fn bmap_of(out: &Tensor, bias: &Tensor) -> BiasMap {
-        let sizes = out.shape().sizes();
-        let rm = Layout::row_major(sizes.len()).strides(out.shape());
-        let brm = Layout::row_major(bias.shape().rank()).strides(bias.shape());
-        let dims = bias
-            .shape()
-            .axes()
+    /// `bias` broadcast onto `onto`'s axes (by name): stride 0 where it
+    /// has none.
+    fn onto(onto: &Tensor, bias: &Tensor) -> View {
+        let dims = onto.shape().axes().iter().zip(onto.shape().sizes());
+        let stride = |ax: &Axis| bias.shape().index_of(*ax).map_or(0, |i| bias.strides()[i]);
+        View {
+            base: 0,
+            dims: dims.map(|(ax, &n)| (n, stride(ax))).collect(),
+        }
+    }
+
+    /// The sweep of `views` along `lane` (by name in `of`).
+    fn sweep(of: &Tensor, views: &[&View], lane: Option<char>, query: Option<char>) -> Sweep {
+        let at = |c: char| of.shape().index_of(Axis(c)).unwrap();
+        Sweep::compile(views, lane.map(at), query.map(at)).unwrap()
+    }
+
+    /// Every permutation of `t`'s layout.
+    fn layouts(t: &Tensor) -> Vec<Tensor> {
+        Layout::all(t.shape().rank())
             .iter()
-            .enumerate()
-            .map(|(bi, &ax)| {
-                let p = out.shape().index_of(ax).unwrap();
-                (rm[p], sizes[p], brm[bi])
-            })
-            .collect();
-        BiasMap { dims }
+            .map(|l| t.relayout(l))
+            .collect()
+    }
+
+    #[test]
+    fn a_sweep_visits_its_views_words_in_logical_order() {
+        // every layout pair of a rank-3 and a broadcast rank-1 operand,
+        // element-wise and along each lane axis: the lanes a compiled
+        // sweep hands out, flattened, are the views' words in row-major
+        // order of the logical indices
+        let sizes = [('a', 2), ('b', 1), ('c', 3), ('d', 4)];
+        let x = rand_t("abcd", &sizes, 1);
+        let bias = rand_t("c", &sizes, 2);
+        for xl in layouts(&x) {
+            let (vx, vb) = (whole(&xl), onto(&xl, &bias));
+            for lane in [None, Some(0), Some(2), Some(3)] {
+                let s = Sweep::compile(&[&vx, &vb], lane, None).unwrap();
+                let mut seen: Vec<[usize; 2]> = Vec::new();
+                s.for_each_lane(|_, _, at: [LaneAt; 2]| {
+                    for v in 0..at[0].len {
+                        seen.push([0, 1].map(|k| at[k].base + v * at[k].stride));
+                    }
+                });
+                // the reference walk: outer axes row-major, lane innermost
+                let rank = vx.dims.len();
+                let l = lane.unwrap_or(rank - 1);
+                let order: Vec<usize> = (0..rank).filter(|&d| d != l).chain([l]).collect();
+                let mut want = Vec::new();
+                let mut idx = vec![0usize; rank];
+                'walk: loop {
+                    let off =
+                        |v: &View| v.base + (0..rank).map(|d| idx[d] * v.dims[d].1).sum::<usize>();
+                    want.push([off(&vx), off(&vb)]);
+                    for &d in order.iter().rev() {
+                        idx[d] += 1;
+                        if idx[d] < vx.dims[d].0 {
+                            continue 'walk;
+                        }
+                        idx[d] = 0;
+                    }
+                    break;
+                }
+                assert_eq!(seen, want, "layout {:?} lane {lane:?}", xl.layout());
+            }
+        }
+        // natural layout, no broadcast: one contiguous lane
+        let vx = whole(&x);
+        let s = Sweep::compile(&[&vx, &vx], None, None).unwrap();
+        assert_eq!((s.lanes(), s.len), (1, x.len()));
+        assert!(s.unit_but(&[]));
     }
 
     #[test]
@@ -966,56 +1174,46 @@ mod tests {
         let x = rand_t("bjk", &SIZES, 1);
         let expect = softmax(&scale(&x, 0.25), Axis('k')).unwrap();
         let mut out = vec![0.0f32; x.len()];
-        softmax_into(x.data(), 0.25, lane_of(&x, 'k'), None, &mut out);
+        let v = whole(&x);
+        let s = sweep(&x, &[&v, &v], Some('k'), None);
+        softmax_into(&s, x.data(), 0.25, None, &mut out);
         assert_eq!(out.as_slice(), expect.data());
     }
 
-    /// The slice drivers against the tensor drivers, plain and causal, with
-    /// and without dropout: same lanes in the same order, so the same
-    /// values, masks and RNG end state.
+    /// The view drivers against the tensor drivers, plain and causal, with
+    /// and without dropout, the input in every layout and the outputs in
+    /// natural layout: same lanes in the same order, so the same values,
+    /// masks and RNG end state.
     #[test]
     fn sm_and_softmax_into_match_fused_sm() {
         let sizes = [('b', 2), ('j', 4), ('k', 4)];
-        let x = rand_t("bjk", &sizes, 3);
-        // query axis j sits immediately before k: div = 1, len = 4
-        let causal = CausalMap {
-            div: 1,
-            len: 4,
-            base: 0,
-        };
-        for (causal, p) in [
-            (None, 0.0f32),
-            (None, 0.3),
-            (Some(causal), 0.0),
-            (Some(causal), 0.3),
-        ] {
-            let (mut rng, mut rng2) = (StdRng::seed_from_u64(10), StdRng::seed_from_u64(10));
-            let want = match causal {
-                None => fused::sm(&x, 0.7, Axis('k'), p, &mut rng),
-                Some(_) => fused::sm_causal(&x, 0.7, Axis('j'), Axis('k'), p, &mut rng),
+        let natural = rand_t("bjk", &sizes, 3);
+        for x in layouts(&natural) {
+            for (causal, p) in [(false, 0.0f32), (false, 0.3), (true, 0.0), (true, 0.3)] {
+                let (mut rng, mut rng2) = (StdRng::seed_from_u64(10), StdRng::seed_from_u64(10));
+                let want = if causal {
+                    fused::sm_causal(&natural, 0.7, Axis('j'), Axis('k'), p, &mut rng)
+                } else {
+                    fused::sm(&natural, 0.7, Axis('k'), p, &mut rng)
+                }
+                .unwrap();
+                let n = x.len();
+                let (mut s, mut a, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                let mut drop = Dropout::new(p, &mut rng2).unwrap();
+                let (vx, vo) = (whole(&x), whole(&natural));
+                let query = causal.then_some('j');
+                let sw = sweep(&x, &[&vx, &vo, &vo, &vo], Some('k'), query);
+                let pos = causal.then_some(0);
+                sm_into(&sw, x.data(), 0.7, pos, &mut drop, &mut s, &mut a, &mut m);
+                assert_eq!(s.as_slice(), want.softmax.data());
+                assert_eq!(a.as_slice(), want.alpha.data());
+                assert_eq!(m.as_slice(), want.mask.data());
+                assert_same_rng_state(&mut rng, &mut rng2, "sm");
+                // the unfused softmax is the same lanes without the dropout tail
+                let sw = sweep(&x, &[&vx, &vo], Some('k'), query);
+                softmax_into(&sw, x.data(), 0.7, pos, &mut a);
+                assert_eq!(a.as_slice(), want.softmax.data());
             }
-            .unwrap();
-            let n = x.len();
-            let (mut s, mut a, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-            let mut drop = Dropout::new(p, &mut rng2).unwrap();
-            let lane = lane_of(&x, 'k');
-            sm_into(
-                x.data(),
-                0.7,
-                lane,
-                causal,
-                &mut drop,
-                &mut s,
-                &mut a,
-                &mut m,
-            );
-            assert_eq!(s.as_slice(), want.softmax.data());
-            assert_eq!(a.as_slice(), want.alpha.data());
-            assert_eq!(m.as_slice(), want.mask.data());
-            assert_same_rng_state(&mut rng, &mut rng2, "sm");
-            // the unfused softmax is the same lanes without the dropout tail
-            softmax_into(x.data(), 0.7, lane, causal, &mut a);
-            assert_eq!(a.as_slice(), want.softmax.data());
         }
     }
 
@@ -1025,15 +1223,18 @@ mod tests {
         let gamma = rand_t("i", &SIZES, 6);
         let beta = rand_t("i", &SIZES, 7);
         let (want, stats) = layernorm(&x, Axis('i'), &gamma, &beta).unwrap();
-        let lane = lane_of(&x, 'i');
+        let lanes = x.len() / 5;
         let mut out = vec![0.0f32; x.len()];
-        let mut mean = vec![0.0f32; lane.lanes()];
-        let mut inv = vec![0.0f32; lane.lanes()];
+        let mut mean = vec![0.0f32; lanes];
+        let mut inv = vec![0.0f32; lanes];
+        let (v, vg) = (whole(&x), onto(&x, &gamma));
+        let s = sweep(&x, &[&v, &vg, &vg, &v], Some('i'), None);
+        assert_eq!(s.lanes(), lanes);
         layernorm_into(
+            &s,
             x.data(),
             gamma.data(),
             beta.data(),
-            lane,
             &mut out,
             &mut mean,
             &mut inv,
@@ -1043,6 +1244,8 @@ mod tests {
         assert_eq!(inv.as_slice(), stats.inv_std.as_slice());
     }
 
+    /// BDRLN with `x` and the residual each in every layout, the outputs
+    /// natural: the fused kernel's bits, masks and statistics.
     #[test]
     fn bdrln_into_matches_fused() {
         let x = rand_t("bji", &SIZES, 8);
@@ -1052,71 +1255,127 @@ mod tests {
         let beta = rand_t("i", &SIZES, 12);
         let mut rng = StdRng::seed_from_u64(13);
         let want = fused::bdrln(&x, &bias, &res, &gamma, &beta, Axis('i'), 0.4, &mut rng).unwrap();
-        let lane = lane_of(&x, 'i');
-        let n = x.len();
-        let (mut m, mut li, mut out) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut mean = vec![0.0f32; lane.lanes()];
-        let mut inv = vec![0.0f32; lane.lanes()];
-        let mut rng2 = StdRng::seed_from_u64(13);
-        bdrln_into(
-            x.data(),
-            bias.data(),
-            &bmap_of(&x, &bias),
-            res.data(),
-            gamma.data(),
-            beta.data(),
-            lane,
-            &mut Dropout::new(0.4, &mut rng2).unwrap(),
-            &mut m,
-            &mut li,
-            &mut out,
-            &mut mean,
-            &mut inv,
-        );
-        assert_eq!(m.as_slice(), want.mask.data());
-        assert_eq!(li.as_slice(), want.ln_input.data());
-        assert_eq!(out.as_slice(), want.out.data());
-        assert_eq!(mean.as_slice(), want.stats.mean.as_slice());
-        assert_eq!(inv.as_slice(), want.stats.inv_std.as_slice());
+        let (n, lanes) = (x.len(), x.len() / 5);
+        for (xl, rl) in layouts(&x).into_iter().zip(layouts(&res).into_iter().rev()) {
+            let (mut m, mut li, mut out) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            let mut mean = vec![0.0f32; lanes];
+            let mut inv = vec![0.0f32; lanes];
+            let mut rng2 = StdRng::seed_from_u64(13);
+            let (vx, vr, vo) = (whole(&xl), whole(&rl), whole(&x));
+            let (vb, vg) = (onto(&x, &bias), onto(&x, &gamma));
+            let s = sweep(
+                &x,
+                &[&vx, &vb, &vr, &vg, &vg, &vo, &vo, &vo],
+                Some('i'),
+                None,
+            );
+            bdrln_into(
+                &s,
+                xl.data(),
+                bias.data(),
+                rl.data(),
+                gamma.data(),
+                beta.data(),
+                &mut Dropout::new(0.4, &mut rng2).unwrap(),
+                &mut m,
+                &mut li,
+                &mut out,
+                &mut mean,
+                &mut inv,
+            );
+            assert_eq!(m.as_slice(), want.mask.data());
+            assert_eq!(li.as_slice(), want.ln_input.data());
+            assert_eq!(out.as_slice(), want.out.data());
+            assert_eq!(mean.as_slice(), want.stats.mean.as_slice());
+            assert_eq!(inv.as_slice(), want.stats.inv_std.as_slice());
+        }
     }
 
+    /// BRD with the bias on the innermost axis (a contiguous bias lane),
+    /// on the outermost (a splat per lane) and with a permuted input (the
+    /// strided body): one result.
     #[test]
     fn brd_act_into_matches_fused() {
-        let x = rand_t("bju", &SIZES, 14);
-        let bias = rand_t("u", &SIZES, 15);
-        let mut rng = StdRng::seed_from_u64(16);
-        let want = fused::brd_act(&x, &bias, ActivationKind::Gelu, 0.2, &mut rng).unwrap();
-        let n = x.len();
-        let (mut pre, mut out, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut rng2 = StdRng::seed_from_u64(16);
-        brd_act_into(
-            x.data(),
-            bias.data(),
-            &bmap_of(&x, &bias),
-            ActivationKind::Gelu,
-            &mut Dropout::new(0.2, &mut rng2).unwrap(),
-            &mut pre,
-            &mut out,
-            &mut m,
-        );
-        assert_eq!(pre.as_slice(), want.pre_activation.data());
-        assert_eq!(out.as_slice(), want.out.data());
-        assert_eq!(m.as_slice(), want.mask.data());
+        for (spec, bias_spec) in [("bju", "u"), ("ubj", "u")] {
+            let x = rand_t(spec, &SIZES, 14);
+            let bias = rand_t(bias_spec, &SIZES, 15);
+            let mut rng = StdRng::seed_from_u64(16);
+            let want = fused::brd_act(&x, &bias, ActivationKind::Gelu, 0.2, &mut rng).unwrap();
+            let n = x.len();
+            for xl in layouts(&x) {
+                let (mut pre, mut out, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                let mut rng2 = StdRng::seed_from_u64(16);
+                let (vx, vb, vo) = (whole(&xl), onto(&x, &bias), whole(&x));
+                let s = sweep(&x, &[&vx, &vb, &vo, &vo, &vo], None, None);
+                brd_act_into(
+                    &s,
+                    xl.data(),
+                    bias.data(),
+                    ActivationKind::Gelu,
+                    &mut Dropout::new(0.2, &mut rng2).unwrap(),
+                    &mut pre,
+                    &mut out,
+                    &mut m,
+                );
+                assert_eq!(pre.as_slice(), want.pre_activation.data());
+                assert_eq!(out.as_slice(), want.out.data());
+                assert_eq!(m.as_slice(), want.mask.data());
+            }
+        }
     }
 
     #[test]
     fn bias_add_into_matches_broadcast() {
         let x = rand_t("bjk", &SIZES, 17);
-        let bias = rand_t("k", &SIZES, 18);
-        let want = bias_add(&x, &bias).unwrap();
         let mut out = vec![0.0f32; x.len()];
-        bias_add_into(x.data(), bias.data(), &bmap_of(&x, &bias), &mut out);
-        assert_eq!(out.as_slice(), want.data());
-        // multi-axis bias
-        let bias2 = rand_t("jk", &SIZES, 19);
-        let want2 = bias_add(&x, &bias2).unwrap();
-        bias_add_into(x.data(), bias2.data(), &bmap_of(&x, &bias2), &mut out);
-        assert_eq!(out.as_slice(), want2.data());
+        // innermost-axis, multi-axis and outermost-axis biases
+        for bias_spec in ["k", "jk", "b"] {
+            let bias = rand_t(bias_spec, &SIZES, 18);
+            let want = bias_add(&x, &bias).unwrap();
+            let (v, vb) = (whole(&x), onto(&x, &bias));
+            let s = sweep(&x, &[&v, &vb, &v], None, None);
+            bias_add_into(&s, x.data(), bias.data(), &mut out);
+            assert_eq!(out.as_slice(), want.data(), "bias `{bias_spec}`");
+        }
+    }
+
+    /// A carve is a base offset: the middle rows of a stacked tensor plus
+    /// a bias, written into a transposed output.
+    #[test]
+    fn a_carved_input_and_a_permuted_output_address_through_their_views() {
+        let sizes = [('s', 6), ('p', 2), ('h', 3)];
+        let stacked = rand_t("sh", &sizes, 23);
+        let bias = rand_t("ph", &sizes, 24);
+        let part = stacked
+            .slice_range(Axis('s'), 2, 2)
+            .unwrap()
+            .relabel("ph")
+            .unwrap();
+        let want = bias_add(&part, &bias).unwrap();
+        let out_t = want.relayout(&Layout::from_axis_order(want.shape(), "hp").unwrap());
+        let carve = View {
+            base: 2 * stacked.strides()[0],
+            dims: vec![(2, stacked.strides()[0]), (3, stacked.strides()[1])],
+        };
+        let s = Sweep::compile(&[&carve, &whole(&bias), &whole(&out_t)], None, None).unwrap();
+        let mut out = vec![0.0f32; want.len()];
+        bias_add_into(&s, stacked.data(), bias.data(), &mut out);
+        assert_eq!(out.as_slice(), out_t.data());
+    }
+
+    #[test]
+    fn relayout_into_permutes_in_place() {
+        let t = rand_t("bjk", &SIZES, 25);
+        let to = Layout::from_axis_order(t.shape(), "kbj").unwrap();
+        let want = t.relayout(&to);
+        let dims: Vec<_> = to
+            .order()
+            .iter()
+            .map(|&d| (t.shape().sizes()[d], t.strides()[d], want.strides()[d]))
+            .collect();
+        let mut buf = t.data().to_vec();
+        relayout_into(&dims, &mut buf, &mut vec![f32::NAN; t.len()]);
+        assert_eq!(buf.as_slice(), want.data());
     }
 
     /// Compiles `spec` over the tensors' own strides with a row-major
@@ -1302,25 +1561,18 @@ mod tests {
         .unwrap();
         let total = out_shape.num_elements();
         let (p, scaler) = (0.3f32, 0.5f32);
-        let causal = Some(CausalMap {
-            div: 1,
-            len: 4,
-            base: 0,
-        });
+        let causal = Some(0);
 
         // unfused: full contraction, then the SM kernel over the container
         let beta = crate::contract::contract(&spec, &kk, &qq, &Layout::row_major(4)).unwrap();
-        let lane = LaneGeom {
-            pre: total / 5,
-            len: 5,
-            post: 1,
-        };
+        let v = whole(&beta);
+        let sw = sweep(&beta, &[&v, &v, &v, &v], Some('k'), Some('j'));
         let mut rng_a = StdRng::seed_from_u64(9);
         let (mut sm_a, mut al_a, mut mk_a) = (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
         sm_into(
+            &sw,
             beta.data(),
             scaler,
-            lane,
             causal,
             &mut Dropout::new(p, &mut rng_a).unwrap(),
             &mut sm_a,
@@ -1376,22 +1628,20 @@ mod tests {
         assert!(!ep.swapped);
         assert_eq!((ep.batch, ep.m), (1, 6));
         let total = out_shape.num_elements();
-        let n = ep.n;
         let p = 0.25f32;
         let residual = rand_t("ubj", &sizes, 43);
 
         // unfused reference: full contraction, then the fused kernel
         let mm = crate::contract::contract(&spec, &w, &x, &Layout::row_major(3)).unwrap();
-        let bmap = BiasMap {
-            dims: vec![(n, 6, 1)],
-        };
+        let (v, vb) = (whole(&mm), onto(&mm, &bias));
+        let brd_sweep = sweep(&mm, &[&v, &vb, &v, &v, &v], None, None);
         let mut rng_a = StdRng::seed_from_u64(11);
         let (mut pre_a, mut out_a, mut mk_a) =
             (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
         brd_act_into(
+            &brd_sweep,
             mm.data(),
             bias.data(),
-            &bmap,
             ActivationKind::Gelu,
             &mut Dropout::new(p, &mut rng_a).unwrap(),
             &mut pre_a,
@@ -1401,9 +1651,9 @@ mod tests {
         let mut rng_ar = StdRng::seed_from_u64(13);
         let (mut mkr_a, mut outr_a) = (vec![0.0; total], vec![0.0; total]);
         bdr_into(
+            &brd_sweep,
             mm.data(),
             bias.data(),
-            &bmap,
             residual.data(),
             &mut Dropout::new(p, &mut rng_ar).unwrap(),
             &mut mkr_a,
@@ -1417,7 +1667,6 @@ mod tests {
                 (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
             let mut epi = TileEpilogue::BiasActDrop {
                 bias: bias.data(),
-                bmap: &bmap,
                 kind: ActivationKind::Gelu,
                 pre_activation: &mut pre_b,
                 out: &mut out_b,
@@ -1441,7 +1690,6 @@ mod tests {
             let (mut mkr_b, mut outr_b) = (vec![0.0; total], vec![0.0; total]);
             let mut epi = TileEpilogue::BiasDropResidual {
                 bias: bias.data(),
-                bmap: &bmap,
                 residual: residual.data(),
                 mask: &mut mkr_b,
                 out: &mut outr_b,

@@ -3,22 +3,25 @@
 //! is addressed.
 //!
 //! ```text
-//!   lane bodies        softmax_lane · norm_lane · brd · bdr · Dropout::mask_select
-//!        │
+//!   lane bodies        softmax_lane · norm_lane · map_lane · zip_lane · dropout_lane
+//!        │             brd_lane · bdr_lane · Dropout::mask_select
 //!   lane dispatch      softmax_at · sm_at · layernorm_at · bdrln_at
-//!        │             (stride == 1 → exact `[f32]` chunks, else `Strided` views)
-//!        ├── slice drivers   into_ops::*_into, the epilogue tile driver
-//!        │                   (physical order over dense row-major buffers)
+//!        │             (every stride 1 → exact `[f32]` chunks, else `Strided` views)
+//!        ├── view drivers    into_ops::*_into over a `Sweep`, the epilogue tile
+//!        │                   driver (logical order, one view per operand)
 //!        └── tensor drivers  ops::{softmax, layernorm, dropout}, fused::*
 //!                            (logical order, per-operand strides)
 //! ```
 //!
-//! A body is monomorphised twice: over plain slices, whose bounds checks
-//! the compiler hoists out of the loops once the lane is cut to its exact
-//! extent, and over bounds-checked `Strided` views. Which instantiation
-//! runs is decided from geometry the driver already holds — the lane's
-//! stride — never from an option or a certificate. Drivers only enumerate
-//! lanes; every statement of arithmetic, and the one dropout draw, is here.
+//! A body is monomorphised over plain slices, whose bounds checks the
+//! compiler hoists out of the loops once the lane is cut to its exact
+//! extent, and over bounds-checked `Strided` views (which a broadcast
+//! operand always is: its stride along the lane may be zero). Which
+//! instantiation runs is decided from geometry the driver already holds —
+//! the strides of the lane in each operand — never from an option or a
+//! certificate.
+//! Drivers only enumerate lanes; every statement of arithmetic, and the one
+//! dropout draw, is here.
 
 use std::ops::{Deref, DerefMut};
 
@@ -101,17 +104,17 @@ pub(crate) struct LaneAt {
 
 impl LaneAt {
     /// The lane as an exact contiguous chunk (`stride == 1`).
-    fn unit(self, buf: &[f32]) -> &[f32] {
+    pub(crate) fn unit(self, buf: &[f32]) -> &[f32] {
         &buf[self.base..self.base + self.len]
     }
 
     /// Mutable [`LaneAt::unit`].
-    fn unit_mut(self, buf: &mut [f32]) -> &mut [f32] {
+    pub(crate) fn unit_mut(self, buf: &mut [f32]) -> &mut [f32] {
         &mut buf[self.base..self.base + self.len]
     }
 
     /// The lane as a strided view (any stride).
-    fn strided(self, buf: &[f32]) -> Strided<&[f32]> {
+    pub(crate) fn strided(self, buf: &[f32]) -> Strided<&[f32]> {
         Strided {
             data: &buf[self.base..],
             stride: self.stride,
@@ -120,7 +123,7 @@ impl LaneAt {
     }
 
     /// Mutable [`LaneAt::strided`].
-    fn strided_mut(self, buf: &mut [f32]) -> Strided<&mut [f32]> {
+    pub(crate) fn strided_mut(self, buf: &mut [f32]) -> Strided<&mut [f32]> {
         Strided {
             data: &mut buf[self.base..],
             stride: self.stride,
@@ -217,6 +220,107 @@ pub(crate) fn bdr<R: Rng + ?Sized>(
 ) -> (f32, f32) {
     let m = drop.mask();
     (m, (x + bias) * m + residual)
+}
+
+/// `out[v] = f(x[v])` along one lane: scaling and the activations.
+#[inline]
+pub(crate) fn map_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(
+    x: &X,
+    out: &mut O,
+    f: impl Fn(f32) -> f32,
+) {
+    let len = out.lane_len();
+    assert!(x.lane_len() >= len, "lane input shorter than its output");
+    for v in 0..len {
+        out.set(v, f(x.get(v)));
+    }
+}
+
+/// `out[v] = f(a[v], b[v])` along one lane: the residual add and the bias
+/// add.
+#[inline]
+pub(crate) fn zip_lane<A: Lane + ?Sized, B: Lane + ?Sized, O: LaneMut + ?Sized>(
+    a: &A,
+    b: &B,
+    out: &mut O,
+    f: impl Fn(f32, f32) -> f32,
+) {
+    let len = out.lane_len();
+    assert!(a.lane_len() >= len && b.lane_len() >= len);
+    for v in 0..len {
+        out.set(v, f(a.get(v), b.get(v)));
+    }
+}
+
+/// Unfused dropout along one lane: one [`Dropout::mask_select`] per
+/// position — a draw even at `p == 0`, unlike the fused kernels —
+/// survivors scaled by `1/(1-p)`.
+#[inline]
+pub(crate) fn dropout_lane<X: Lane + ?Sized, O: LaneMut + ?Sized, R: Rng + ?Sized>(
+    x: &X,
+    drop: &mut Dropout<'_, R>,
+    out: &mut O,
+    mask: &mut O,
+) {
+    let len = out.lane_len();
+    assert!(x.lane_len() >= len && mask.lane_len() >= len);
+    for v in 0..len {
+        let m = drop.mask_select();
+        mask.set(v, m);
+        out.set(v, x.get(v) * m);
+    }
+}
+
+/// [`brd`] along one lane, saving the pre-activation and the mask.
+#[inline]
+pub(crate) fn brd_lane<X, B, O, R>(
+    x: &X,
+    bias: &B,
+    kind: ActivationKind,
+    drop: &mut Dropout<'_, R>,
+    pre_activation: &mut O,
+    out: &mut O,
+    mask: &mut O,
+) where
+    X: Lane + ?Sized,
+    B: Lane + ?Sized,
+    O: LaneMut + ?Sized,
+    R: Rng + ?Sized,
+{
+    let len = out.lane_len();
+    assert!(x.lane_len() >= len && bias.lane_len() >= len);
+    assert!(pre_activation.lane_len() >= len && mask.lane_len() >= len);
+    for v in 0..len {
+        let (z, m, o) = brd(x.get(v), bias.get(v), kind, drop);
+        pre_activation.set(v, z);
+        mask.set(v, m);
+        out.set(v, o);
+    }
+}
+
+/// [`bdr`] along one lane, saving the mask.
+#[inline]
+pub(crate) fn bdr_lane<X, B, O, R>(
+    x: &X,
+    bias: &B,
+    residual: &X,
+    drop: &mut Dropout<'_, R>,
+    mask: &mut O,
+    out: &mut O,
+) where
+    X: Lane + ?Sized,
+    B: Lane + ?Sized,
+    O: LaneMut + ?Sized,
+    R: Rng + ?Sized,
+{
+    let len = out.lane_len();
+    assert!(x.lane_len() >= len && bias.lane_len() >= len);
+    assert!(residual.lane_len() >= len && mask.lane_len() >= len);
+    for v in 0..len {
+        let (m, o) = bdr(x.get(v), bias.get(v), residual.get(v), drop);
+        mask.set(v, m);
+        out.set(v, o);
+    }
 }
 
 /// What [`softmax_lane`] does with each normalized value beyond storing
@@ -388,94 +492,107 @@ pub(crate) fn norm_lane<S: NormSource, O: LaneMut + ?Sized>(
     (mean, inv_std)
 }
 
-/// [`softmax_lane`] on the lane at `at` of `x`, into the same lane of
-/// `out` (the two share a layout).
-pub(crate) fn softmax_at(x: &[f32], at: LaneAt, scaler: f32, visible: usize, out: &mut [f32]) {
-    if at.stride == 1 {
-        softmax_lane(at.unit(x), scaler, visible, at.unit_mut(out), &mut ());
+/// Whether every one of `lanes` is contiguous, so the slice instantiation
+/// of a body serves all of them.
+pub(crate) fn all_unit(lanes: &[LaneAt]) -> bool {
+    lanes.iter().all(|at| at.stride == 1)
+}
+
+/// [`softmax_lane`] on the lane at `xa` of `x`, into the lane at `oa` of
+/// `out`.
+pub(crate) fn softmax_at(
+    x: &[f32],
+    xa: LaneAt,
+    scaler: f32,
+    visible: usize,
+    out: &mut [f32],
+    oa: LaneAt,
+) {
+    if all_unit(&[xa, oa]) {
+        softmax_lane(xa.unit(x), scaler, visible, oa.unit_mut(out), &mut ());
     } else {
-        let out = &mut at.strided_mut(out);
-        softmax_lane(&at.strided(x), scaler, visible, out, &mut ());
+        let out = &mut oa.strided_mut(out);
+        softmax_lane(&xa.strided(x), scaler, visible, out, &mut ());
     }
 }
 
-/// Fused SM on the lane at `at`: all three outputs share `x`'s layout.
+/// Fused SM on the lane at `xa` of `x`; each output names its own lane.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sm_at<R: Rng + ?Sized>(
     x: &[f32],
-    at: LaneAt,
+    xa: LaneAt,
     scaler: f32,
     visible: usize,
     drop: &mut Dropout<'_, R>,
-    softmax: &mut [f32],
-    alpha: &mut [f32],
-    mask: &mut [f32],
+    (softmax, sa): (&mut [f32], LaneAt),
+    (alpha, aa): (&mut [f32], LaneAt),
+    (mask, ma): (&mut [f32], LaneAt),
 ) {
-    if at.stride == 1 {
-        let (alpha, mask) = (at.unit_mut(alpha), at.unit_mut(mask));
+    if all_unit(&[xa, sa, aa, ma]) {
+        let (alpha, mask) = (aa.unit_mut(alpha), ma.unit_mut(mask));
         let mut tail = Dropped { alpha, mask, drop };
-        softmax_lane(at.unit(x), scaler, visible, at.unit_mut(softmax), &mut tail);
+        softmax_lane(xa.unit(x), scaler, visible, sa.unit_mut(softmax), &mut tail);
     } else {
-        let (alpha, mask) = (&mut at.strided_mut(alpha), &mut at.strided_mut(mask));
+        let (alpha, mask) = (&mut aa.strided_mut(alpha), &mut ma.strided_mut(mask));
         let mut tail = Dropped { alpha, mask, drop };
-        let softmax = &mut at.strided_mut(softmax);
-        softmax_lane(&at.strided(x), scaler, visible, softmax, &mut tail);
+        let softmax = &mut sa.strided_mut(softmax);
+        softmax_lane(&xa.strided(x), scaler, visible, softmax, &mut tail);
     }
 }
 
-/// Layer norm on the lane at `at` of `x`, into the same lane of `out`.
+/// Layer norm on the lane at `xa` of `x`, into the lane at `oa` of `out`.
 /// Returns `(mean, inv_std)`.
 pub(crate) fn layernorm_at(
     x: &[f32],
-    at: LaneAt,
+    xa: LaneAt,
     gamma: &[f32],
     beta: &[f32],
     out: &mut [f32],
+    oa: LaneAt,
 ) -> (f32, f32) {
-    if at.stride == 1 {
-        norm_lane(at.unit(x), gamma, beta, at.unit_mut(out))
+    if all_unit(&[xa, oa]) {
+        norm_lane(xa.unit(x), gamma, beta, oa.unit_mut(out))
     } else {
-        norm_lane(&at.strided(x), gamma, beta, &mut at.strided_mut(out))
+        norm_lane(&xa.strided(x), gamma, beta, &mut oa.strided_mut(out))
     }
 }
 
-/// Fused BDRLN on the lane at `at` of `x`; `mask`, `ln_input` and `out`
-/// share `x`'s layout, the residual sits at `r_at`, and `bias(v)` yields
-/// the bias at lane position `v`. Returns `(mean, inv_std)`.
+/// Fused BDRLN on the lane at `xa` of `x`; the residual and each output
+/// name their own lanes, and `bias(v)` yields the bias at lane position
+/// `v`. Returns `(mean, inv_std)`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bdrln_at<B: FnMut(usize) -> f32, R: Rng + ?Sized>(
     x: &[f32],
-    at: LaneAt,
+    xa: LaneAt,
     bias: B,
-    residual: &[f32],
-    r_at: LaneAt,
+    (residual, ra): (&[f32], LaneAt),
     gamma: &[f32],
     beta: &[f32],
     drop: &mut Dropout<'_, R>,
-    mask: &mut [f32],
-    ln_input: &mut [f32],
-    out: &mut [f32],
+    (mask, ma): (&mut [f32], LaneAt),
+    (ln_input, la): (&mut [f32], LaneAt),
+    (out, oa): (&mut [f32], LaneAt),
 ) -> (f32, f32) {
-    if at.stride == 1 && r_at.stride == 1 {
+    if all_unit(&[xa, ra, ma, la, oa]) {
         let src = BiasDropResidual {
-            x: at.unit(x),
+            x: xa.unit(x),
             bias,
-            residual: r_at.unit(residual),
-            mask: at.unit_mut(mask),
-            ln_input: at.unit_mut(ln_input),
+            residual: ra.unit(residual),
+            mask: ma.unit_mut(mask),
+            ln_input: la.unit_mut(ln_input),
             drop,
         };
-        norm_lane(src, gamma, beta, at.unit_mut(out))
+        norm_lane(src, gamma, beta, oa.unit_mut(out))
     } else {
         let src = BiasDropResidual {
-            x: &at.strided(x),
+            x: &xa.strided(x),
             bias,
-            residual: &r_at.strided(residual),
-            mask: &mut at.strided_mut(mask),
-            ln_input: &mut at.strided_mut(ln_input),
+            residual: &ra.strided(residual),
+            mask: &mut ma.strided_mut(mask),
+            ln_input: &mut la.strided_mut(ln_input),
             drop,
         };
-        norm_lane(src, gamma, beta, &mut at.strided_mut(out))
+        norm_lane(src, gamma, beta, &mut oa.strided_mut(out))
     }
 }
 
@@ -502,7 +619,16 @@ mod tests {
                 stride: 1,
                 len: 3,
             };
-            sm_at(&x, at, 0.5, visible, &mut drop, &mut s, &mut a, &mut m);
+            sm_at(
+                &x,
+                at,
+                0.5,
+                visible,
+                &mut drop,
+                (&mut s, at),
+                (&mut a, at),
+                (&mut m, at),
+            );
         }
         ([s, a, m], rng.next_u64())
     }

@@ -9,8 +9,7 @@
 use rand::Rng;
 
 use crate::error::Result;
-use crate::into_ops::dropout_into;
-use crate::lanes::Dropout;
+use crate::lanes::{dropout_lane, Dropout};
 use crate::tensor::Tensor;
 
 use super::check_same_shape;
@@ -26,7 +25,8 @@ pub fn dropout<R: Rng + ?Sized>(x: &Tensor, p: f32, rng: &mut R) -> (Tensor, Ten
     let mut drop = Dropout::new(p, rng).expect("dropout probability must be in [0, 1)");
     let mut out = x.clone();
     let mut mask = x.clone();
-    dropout_into(x.data(), &mut drop, out.data_mut(), mask.data_mut());
+    // one draw per word in storage order, whatever the layout
+    dropout_lane(x.data(), &mut drop, out.data_mut(), mask.data_mut());
     (out, mask)
 }
 

@@ -51,7 +51,7 @@ pub fn layernorm(
     for_each_outer(x.shape(), ai, |idx| {
         let at = lane_at(x, idx, ai);
         let (mean, inv_std) =
-            lanes::layernorm_at(x.data(), at, gamma.data(), beta.data(), out.data_mut());
+            lanes::layernorm_at(x.data(), at, gamma.data(), beta.data(), out.data_mut(), at);
         stats.mean.push(mean);
         stats.inv_std.push(inv_std);
     });

@@ -32,7 +32,7 @@ pub fn softmax(x: &Tensor, axis: Axis) -> Result<Tensor> {
     for_each_outer(x.shape(), ai, |idx| {
         let at = lane_at(x, idx, ai);
         // a unit scale is a bitwise identity under IEEE 754 multiplication
-        lanes::softmax_at(x.data(), at, 1.0, at.len, out.data_mut());
+        lanes::softmax_at(x.data(), at, 1.0, at.len, out.data_mut(), at);
     });
     Ok(out)
 }

@@ -156,7 +156,7 @@ fn session_arena(
     granularity: ArenaGranularity,
 ) -> Result<CompiledArena> {
     CompiledArena::compile(&pf.graph, &pf.plan, analysis, granularity)?
-        .ok_or_else(|| unsupported("canned decode plans are in natural layout"))
+        .ok_or_else(|| unsupported("the decode plan compiled to no arena"))
 }
 
 impl<'m> DecodeSession<'m> {

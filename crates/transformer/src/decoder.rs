@@ -153,7 +153,8 @@ impl DecoderLayer {
     /// as [`crate::encoder::EncoderLayer::forward`], option for option: the
     /// block's canned plan runs out of its static arena at any `threads`,
     /// [`ExecOptions::plan`] substitutes an arbitrary plan over the decoder
-    /// graph and is routed by its layouts, `collect_activations` /
+    /// graph, in any layouts, on the same arena executor,
+    /// `collect_activations` /
     /// `profiler` / `sanitize` behave identically. The layer-owned scalar
     /// knobs (`dropout_p`, `activation`, attention scale) come from the
     /// layer.

@@ -7,13 +7,12 @@
 //! baseline), the fused executor the same graph with the paper's fusion
 //! plan applied, one step per fused kernel. The single entry point
 //! [`EncoderLayer::forward`] is driven entirely by [`ExecOptions`], and
-//! which interpreter runs is a property of the plan alone
-//! ([`xform_core::arena::route`]): the canned plans, in natural layout, run
-//! out of the static arena at any thread count, sanitized or not, profiled
-//! or not; [`ExecOptions::plan`] substitutes *any* plan over the encoder
-//! graph — in particular one lowered from the recipe's SSSP layout
-//! selection, which runs on the reference interpreter as soon as it
-//! carries a strided operand. Both canned executors compute identical
+//! there is one interpreter: every plan runs out of its static arena at
+//! any thread count, sanitized or not, profiled or not.
+//! [`ExecOptions::plan`] substitutes *any* plan over the encoder graph —
+//! in particular one lowered from the recipe's SSSP layout selection,
+//! whose strided operands are views and whose transposes are in-place
+//! relayouts on the same arena. Both canned executors compute identical
 //! values (equivalence is tested with dropout disabled, and backward is
 //! bit-for-bit given the same saved masks).
 
@@ -165,9 +164,9 @@ impl EncoderLayer {
     }
 
     /// Runs forward propagation on input `x` (`[i,b,j]`) — the single
-    /// entry point for every execution mode. The layer's canned plan is in
-    /// natural layout and runs out of its memoized static arena, `x` and
-    /// the weights bound straight into the slab; what `opts` selects:
+    /// entry point for every execution mode. The plan runs out of its
+    /// memoized static arena, `x` and the weights bound straight into the
+    /// slab; what `opts` selects:
     ///
     /// * [`ExecOptions::threads`] — `1` (or `0`) runs the arena's steps in
     ///   schedule order, more dispatches each certified wave across the
@@ -176,21 +175,21 @@ impl EncoderLayer {
     ///   [`ExecOptions::seed`];
     /// * [`ExecOptions::plan`] — substitutes an arbitrary plan over the
     ///   encoder graph (e.g. one lowered from a recipe selection) for the
-    ///   layer's canned plan. It is routed by its layouts like any plan: in
-    ///   natural layout it is compiled once (memoized per distinct plan)
-    ///   and runs on the arena exactly as the canned plan does; with
-    ///   strided operands or relayouts it runs on the serial reference
-    ///   interpreter, on one RNG stream seeded by `seed`, whatever
-    ///   `threads` says;
+    ///   layer's canned plan. It changes neither the executor nor the RNG
+    ///   discipline: whatever layouts it declares, it is compiled once
+    ///   (memoized per distinct plan) and runs on the arena exactly as the
+    ///   canned plan does — strided operands as views, relayout
+    ///   insertions in place — with the same per-step streams, so the
+    ///   same plan in other layouts returns the same logical bits, masks
+    ///   included, materialized in the layouts it declares;
     /// * [`ExecOptions::collect_activations`] — when `false`, skips
     ///   assembling the saved-activation bundle;
     /// * [`ExecOptions::profiler`] — observes the run: per-step (and, at
     ///   `threads > 1`, per-wave) wall times land in the sink
     ///   ([`xform_core::profile::PlanProfiler`]). Neither the executor nor
     ///   one output bit changes;
-    /// * [`ExecOptions::sanitize`] — turns on the executor's checking
-    ///   mode: the arena's NaN-poisoning of retired buffers, the reference
-    ///   interpreter's shadow-access sanitizer. Results are unchanged.
+    /// * [`ExecOptions::sanitize`] — turns on the arena's checking mode,
+    ///   the NaN-poisoning of retired buffers. Results are unchanged.
     ///
     /// Concurrent callers of one layer queue on the arena's buffers; each
     /// gets the result a lone call would.
@@ -222,12 +221,13 @@ impl EncoderLayer {
     /// and arena caches, every subsequent call binds `x` and the weights
     /// straight into the layer's static arena, executes out of the slab
     /// through the `*_into` kernels, and copies the produced `y` into
-    /// `&mut y` without touching the heap (see `tests/alloc_discipline.rs`;
-    /// a profiler sink or a plan override allocates, as does a plan the
-    /// reference interpreter has to serve).
+    /// `&mut y` without touching the heap — a plan override in any
+    /// layouts included (see `tests/alloc_discipline.rs`; a profiler sink
+    /// allocates).
     ///
     /// `y` must be a dense row-major tensor of the layer's output
-    /// geometry (`[i,b,j]`); its contents are overwritten.
+    /// geometry (`[i,b,j]`); its contents are overwritten with the plan's
+    /// `y` in logical order, whatever layout the plan leaves it in.
     /// [`xform_core::plan::SanitizeMode::Env`] is resolved once per
     /// process on the arena, so set `XFORM_SANITIZE` before the first
     /// call.

@@ -1,24 +1,19 @@
 //! Plan-driven execution of the transformer layers: canned
 //! [`ExecutionPlan`]s for the reference and fused executors, plus the glue
-//! that binds a layer's input and weights into whichever executor the plan
-//! routes to and reads the saved activations back out.
+//! that binds a layer's input and weights into the plan's arena and reads
+//! the saved activations back out.
 //!
 //! This is where the recipe's output becomes runnable: a layer forward
 //! runs its canned plan or an arbitrary recipe-selected one (supply it via
 //! [`xform_core::plan::ExecOptions::plan`] to the unified
-//! [`crate::encoder::EncoderLayer::forward`]) the same way. A plan in
-//! natural layout — every canned one — executes out of its memoized arena,
-//! `x` and the weights bound straight into the slab; a plan with strided
-//! layouts or relayouts runs on the reference interpreter over an
-//! [`ExecState`]. [`xform_core::arena::route`] decides, from the plan
-//! alone; one binding table ([`EncoderWeights::container`] plus the `w_qkv`
-//! stacking) serves both.
+//! [`crate::encoder::EncoderLayer::forward`]) the same way — out of its
+//! memoized arena, whatever layouts it declares, `x` and the weights bound
+//! straight into the slab through one binding table
+//! ([`EncoderWeights::container`] plus the `w_qkv` stacking).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use xform_core::access::{certify_access, AccessCertificate};
 use xform_core::analyze::ArenaGranularity;
 use xform_core::arena::{self, ArenaArtifact, CompiledArena};
@@ -26,7 +21,7 @@ use xform_core::fusion::{
     apply_epilogues, apply_plan, decoder_attend_fusion_plan, decoder_forward_fusion_plan,
     decoder_fusion_plan, decoder_project_fusion_plan, encoder_fusion_plan,
 };
-use xform_core::plan::{execute_plan, ExecOptions, ExecState, ExecutionPlan};
+use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use xform_core::profile::record_arena_timings;
 use xform_core::recipe::forward_ops;
 use xform_core::sanitize::{certify, RaceCertificate};
@@ -149,9 +144,15 @@ pub enum PlanKind {
 
 type PlanCache = Mutex<HashMap<(EncoderDims, PlanKind), Arc<PlannedForward>>>;
 
-fn plan_cache() -> &'static PlanCache {
+/// The plan cache, locked. The map holds only `Arc`s inserted whole, so a
+/// panic under the lock leaves it valid: recover the guard rather than
+/// turn one panic into a panic in every later forward.
+fn plan_cache() -> MutexGuard<'static, HashMap<(EncoderDims, PlanKind), Arc<PlannedForward>>> {
     static CACHE: OnceLock<PlanCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+    CACHE
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Returns the canned plan for `(dims, kind)`, building and memoizing it
@@ -165,7 +166,7 @@ fn plan_cache() -> &'static PlanCache {
 /// Returns an error if graph construction, fusion, or scheduling fails.
 pub fn cached_plan(dims: &EncoderDims, kind: PlanKind) -> Result<Arc<PlannedForward>> {
     let key = (*dims, kind);
-    if let Some(hit) = plan_cache().lock().unwrap().get(&key) {
+    if let Some(hit) = plan_cache().get(&key) {
         return Ok(Arc::clone(hit));
     }
     let built = Arc::new(match kind {
@@ -178,35 +179,38 @@ pub fn cached_plan(dims: &EncoderDims, kind: PlanKind) -> Result<Arc<PlannedForw
         PlanKind::DecoderStepProject => decoder_step_project(dims)?,
         PlanKind::DecoderStep => decoder_step_attend(dims)?,
     });
-    plan_cache().lock().unwrap().insert(key, Arc::clone(&built));
+    plan_cache().insert(key, Arc::clone(&built));
     Ok(built)
 }
 
 /// Number of memoized canned plans (for tests and diagnostics).
 pub fn plan_cache_len() -> usize {
-    plan_cache().lock().unwrap().len()
+    plan_cache().len()
 }
 
 /// Drops every memoized plan.
 pub fn clear_plan_cache() {
-    plan_cache().lock().unwrap().clear();
+    plan_cache().clear();
 }
 
 /// The canned plans' arenas under their cheap key: an index into
 /// [`xform_core::arena::compiled`]'s per-plan memo that spares a
 /// steady-state forward hashing its plan.
-type ArenaCache = Mutex<HashMap<(EncoderDims, PlanKind, ArenaGranularity), Arc<CompiledArena>>>;
+type ArenaMap = HashMap<(EncoderDims, PlanKind, ArenaGranularity), Arc<CompiledArena>>;
 
-fn arena_cache() -> &'static ArenaCache {
-    static CACHE: OnceLock<ArenaCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// The arena cache, locked; poison is recovered as in [`plan_cache`].
+fn arena_cache() -> MutexGuard<'static, ArenaMap> {
+    static CACHE: OnceLock<Mutex<ArenaMap>> = OnceLock::new();
+    CACHE
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Returns the compiled static arena for `(dims, kind, granularity)`,
-/// building and memoizing it on first use. Every canned plan is in natural
-/// layout, so the result is `Some`; the `Option` is
-/// [`xform_core::arena::compiled`]'s, which this indexes. Steady-state hits
-/// are a lock plus a `HashMap` probe: no allocation.
+/// building and memoizing it on first use. Always `Some` on success; the
+/// `Option` is [`xform_core::arena::compiled`]'s, which this indexes.
+/// Steady-state hits are a lock plus a `HashMap` probe: no allocation.
 ///
 /// # Errors
 ///
@@ -218,13 +222,13 @@ pub fn cached_arena(
     granularity: ArenaGranularity,
 ) -> Result<Option<Arc<CompiledArena>>> {
     let key = (*dims, kind, granularity);
-    if let Some(hit) = arena_cache().lock().unwrap().get(&key) {
+    if let Some(hit) = arena_cache().get(&key) {
         return Ok(Some(Arc::clone(hit)));
     }
     let pf = cached_plan(dims, kind)?;
     let built = arena::compiled(&pf.graph, &pf.plan, granularity)?;
     if let Some(arena) = &built {
-        arena_cache().lock().unwrap().insert(key, Arc::clone(arena));
+        arena_cache().insert(key, Arc::clone(arena));
     }
     Ok(built)
 }
@@ -232,7 +236,7 @@ pub fn cached_arena(
 /// Drops every memoized arena: the canned plans' and the ones compiled for
 /// plan overrides.
 pub fn clear_arena_cache() {
-    arena_cache().lock().unwrap().clear();
+    arena_cache().clear();
     arena::clear_compiled();
 }
 
@@ -261,8 +265,9 @@ pub(crate) fn layer_options<'p>(
         .build())
 }
 
-/// The one binding table: fills the external container `name` (dense
-/// row-major `dst`) from a layer's input and weight set — `x` itself, the
+/// The one binding table: fills the external container `name` (`dst`, in
+/// natural layout — where every gated plan first finds its externals)
+/// from a layer's input and weight set — `x` itself, the
 /// Q/K/V projections stacked into `w_qkv`, any other weight by
 /// [`EncoderWeights::container`]. Returns `false`, for the executor to
 /// report, on a name the layers do not bind or a size that disagrees.
@@ -282,10 +287,10 @@ pub(crate) fn bind_external(name: &str, dst: &mut [f32], x: &Tensor, w: &Encoder
     true
 }
 
-/// Binds a layer input and the shared weight set into a reference
-/// interpreter environment under the graphs' container names, through the
-/// same table the arena route binds through: the separate Q/K/V projection weights
-/// are stacked into the graphs' `w_qkv` container (`[s=3p, h, i]`, Q then K
+/// Binds a layer input and the shared weight set into an interpreter
+/// environment under the graphs' container names (what the equivalence
+/// suites hand the reference interpreter), through the same table the
+/// arena binds through: the separate Q/K/V projection weights are stacked into the graphs' `w_qkv` container (`[s=3p, h, i]`, Q then K
 /// then V).
 ///
 /// # Errors
@@ -312,49 +317,35 @@ pub fn bind_inputs(x: &Tensor, w: &EncoderWeights) -> Result<ExecState> {
 }
 
 /// Looks up what a layer forward runs — the canned plan of `(dims, kind)`,
-/// or the caller's override — together with the arena its layouts route it
-/// to (`None`: the reference interpreter), and hands both to `f`. Either
-/// way the arena comes out of a memo: nothing is analyzed, certified or
-/// compiled on a steady-state call.
-fn with_executor<R>(
+/// or the caller's override — together with its arena, and hands both to
+/// `f`. Either way the arena comes out of a memo: nothing is analyzed,
+/// certified or compiled on a steady-state call.
+fn with_arena<R>(
     dims: &EncoderDims,
     kind: PlanKind,
     opts: &ExecOptions,
-    f: impl FnOnce(&Graph, &ExecutionPlan, Option<&CompiledArena>) -> Result<R>,
+    f: impl FnOnce(&Graph, &ExecutionPlan, &CompiledArena) -> Result<R>,
 ) -> Result<R> {
     let granularity = granularity_for(opts.threads);
+    let uncompiled = || TensorError::Unsupported("the plan compiled to no arena".into());
     match opts.plan {
         Some(o) => {
-            let arena = arena::compiled(o.graph, o.plan, granularity)?;
-            f(o.graph, o.plan, arena.as_deref())
+            let arena = arena::compiled(o.graph, o.plan, granularity)?.ok_or_else(uncompiled)?;
+            f(o.graph, o.plan, &arena)
         }
         None => {
             let pf = cached_plan(dims, kind)?;
-            let arena = cached_arena(dims, kind, granularity)?;
-            f(&pf.graph, &pf.plan, arena.as_deref())
+            let arena = cached_arena(dims, kind, granularity)?.ok_or_else(uncompiled)?;
+            f(&pf.graph, &pf.plan, &arena)
         }
     }
 }
 
-/// The reference route of a layer forward: an environment holding `x` and
-/// every weight, run on one RNG stream seeded by `opts.seed`.
-fn reference_state(
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    x: &Tensor,
-    w: &EncoderWeights,
-    opts: &ExecOptions,
-) -> Result<ExecState> {
-    let mut state = bind_inputs(x, w)?;
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    execute_plan(graph, plan, &mut state, opts, &mut rng)?;
-    Ok(state)
-}
-
-/// Runs one layer forward and returns every container it produced (on the
-/// arena route: outputs, saved activations and layer-norm statistics,
-/// materialized out of the slab `x` and the weights were bound straight
-/// into). `opts` must already be merged with the layer knobs.
+/// Runs one layer forward and returns every container it produced:
+/// outputs, saved activations and layer-norm statistics, materialized out
+/// of the slab `x` and the weights were bound straight into, each in the
+/// layout the plan leaves it in. `opts` must already be merged with the
+/// layer knobs.
 ///
 /// # Errors
 ///
@@ -367,21 +358,18 @@ pub(crate) fn forward_state(
     w: &EncoderWeights,
     opts: &ExecOptions,
 ) -> Result<ExecState> {
-    with_executor(dims, kind, opts, |graph, plan, arena| match arena {
-        Some(arena) => {
-            let mut state = ExecState::default();
-            let mut bind = |name: &str, dst: &mut [f32]| bind_external(name, dst, x, w);
-            arena.execute_into_state(graph, plan, opts, &mut bind, &mut state)?;
-            Ok(state)
-        }
-        None => reference_state(graph, plan, x, w, opts),
+    with_arena(dims, kind, opts, |graph, plan, arena| {
+        let mut state = ExecState::default();
+        let mut bind = |name: &str, dst: &mut [f32]| bind_external(name, dst, x, w);
+        arena.execute_into_state(graph, plan, opts, &mut bind, &mut state)?;
+        Ok(state)
     })
 }
 
-/// Runs one layer forward and copies the produced `y` into the caller's
-/// buffer. On the arena route — every canned plan — this touches no heap
-/// once the caches are warm. `opts` must already be merged with the layer
-/// knobs.
+/// Runs one layer forward and copies the produced `y`, in logical order,
+/// into the caller's (row-major) buffer. This touches no heap once the
+/// caches are warm, whatever layouts the plan declares. `opts` must
+/// already be merged with the layer knobs.
 ///
 /// # Errors
 ///
@@ -395,25 +383,21 @@ pub(crate) fn forward_into(
     opts: &ExecOptions,
     y: &mut Tensor,
 ) -> Result<()> {
-    let produced = with_executor(dims, kind, opts, |graph, plan, arena| {
-        let Some(arena) = arena else {
-            let state = reference_state(graph, plan, x, w, opts)?;
-            let out = state.get("y")?;
-            if out.len() == y.len() {
-                into_ops::copy_tensor_into(out, y.data_mut());
-            }
-            return Ok(out.len());
-        };
+    let produced = with_arena(dims, kind, opts, |graph, plan, arena| {
         let mut produced = 0;
         let ydata = y.data_mut();
         let mut bind = |name: &str, dst: &mut [f32]| bind_external(name, dst, x, w);
         let mut sink = |a: ArenaArtifact<'_>| match a {
             ArenaArtifact::Tensor {
-                name: "y", data, ..
+                name: "y",
+                shape,
+                layout,
+                data,
+                ..
             } => {
                 produced = data.len();
                 if data.len() == ydata.len() {
-                    ydata.copy_from_slice(data);
+                    into_ops::copy_layout_into(shape, layout, data, ydata);
                 }
             }
             ArenaArtifact::Timings { .. } => {

@@ -1,6 +1,7 @@
 //! Heap-allocation discipline of the arena interpreter: after one warmup
 //! call has populated the plan and arena caches, every subsequent
-//! `forward_into` — encoder and decoder, serial and wave-parallel —
+//! `forward_into` — encoder and decoder, serial and wave-parallel, the
+//! canned plans and a caller's strided plan override with its relayouts —
 //! executes out of the preallocated slab through the `*_into` kernels and
 //! must touch the heap **not at all**. A counting global allocator makes
 //! the claim falsifiable: any stray `Vec`, `String`, or `HashMap` rehash
@@ -12,17 +13,20 @@
 //! process-wide, so splitting the cases would let one case's setup
 //! allocations land inside another case's measured window.
 
+mod common;
+
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use substation::core::plan::ExecOptions;
+use substation::core::plan::{ExecOptions, PlanOverride};
 use substation::core::profile::CountingAlloc;
 use substation::dataflow::EncoderDims;
 use substation::tensor::{Shape, Tensor};
 use substation::transformer::decode::{DecodeOptions, DecodeSession, Sampling};
 use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
+use substation::transformer::interp;
 use substation::transformer::model::{BlockKind, ModelConfig, TransformerModel};
 use substation::transformer::params::EncoderWeights;
 
@@ -62,12 +66,22 @@ fn steady_state_forwards_touch_no_heap() {
     let fused = EncoderLayer::new(dims, Executor::Fused, 0.3);
     let reference = EncoderLayer::new(dims, Executor::Reference, 0.3);
     let decoder = DecoderLayer::new(dims, 0.3);
+    // the fused plan with its operand layouts shuffled: strided views,
+    // relayout insertions, `y` left in whatever layout the shuffle chose
+    let canned = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
+    let strided = common::permuted(&canned.graph, &canned.plan, 7);
+    assert!(strided.relayout_count() > 0);
+    let over = PlanOverride {
+        graph: &canned.graph,
+        plan: &strided,
+    };
 
     let mut failures: Vec<String> = Vec::new();
     for threads in [1usize, 2, 4] {
         let opts = ExecOptions::builder().threads(threads).seed(5).build();
+        let strided_opts = opts.to_builder().plan(Some(over)).build();
         type Case<'a> = (&'a str, &'a dyn Fn(&mut Tensor));
-        let cases: [Case; 3] = [
+        let cases: [Case; 4] = [
             ("encoder/fused", &|y: &mut Tensor| {
                 fused.forward_into(&x, &w, &opts, y).unwrap()
             }),
@@ -76,6 +90,9 @@ fn steady_state_forwards_touch_no_heap() {
             }),
             ("decoder/fused", &|y: &mut Tensor| {
                 decoder.forward_into(&x, &w, &opts, y).unwrap()
+            }),
+            ("encoder/strided override", &|y: &mut Tensor| {
+                fused.forward_into(&x, &w, &strided_opts, y).unwrap()
             }),
         ];
         for (tag, fwd) in cases {

@@ -10,8 +10,9 @@
 //! share the process-wide memoized arenas of one `dims` across the
 //! harness's threads, which is the point.
 
+mod common;
+
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::{Barrier, Mutex};
 
 use rand::distributions::Uniform;
@@ -72,9 +73,10 @@ fn every_canned_plan_compiles_an_arena_at_both_granularities() {
 #[test]
 fn arena_views_are_the_certified_access_paths_embedded_in_their_slots() {
     // The certificate must describe the words the kernels are given: for
-    // every canned plan, each operand view a step hands its kernel is its
-    // certified path's reach, `[base, max_end)`, offset by the slab slot
-    // of the operand's container.
+    // every canned plan, and for the same plan with its operand layouts
+    // shuffled (strided views, relayout insertions), each operand view a
+    // step hands its kernel is its certified path — base, extents and
+    // strides — offset by the slab slot of the operand's container.
     let dims = EncoderDims::tiny();
     // a decode step sees one query column against the cache's `k`
     let step = EncoderDims { j: 1, ..dims };
@@ -89,33 +91,36 @@ fn arena_views_are_the_certified_access_paths_embedded_in_their_slots() {
         (step, interp::PlanKind::DecoderStep),
     ] {
         let pf = interp::cached_plan(&dims, kind).unwrap();
-        let analysis = analyze(&pf.graph, &pf.plan);
-        for granularity in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-            let arena = CompiledArena::compile(&pf.graph, &pf.plan, &analysis, granularity)
-                .unwrap()
-                .expect("canned plans are in natural layout");
-            let slot: HashMap<NodeId, usize> = assign_arena(&analysis, granularity)
-                .slots
-                .iter()
-                .map(|s| (s.data, s.offset as usize))
-                .collect();
-            for (si, step) in pf.plan.steps.iter().enumerate() {
-                let derived = step_accesses(&pf.graph, step);
-                assert!(derived.derived, "{kind:?}: `{}` derives exactly", step.name);
-                let certified: Vec<Range<usize>> = derived
-                    .accesses
+        let shuffled = (1..4).map(|seed| common::permuted(&pf.graph, &pf.plan, seed));
+        for plan in std::iter::once(pf.plan.clone()).chain(shuffled) {
+            let analysis = analyze(&pf.graph, &plan);
+            for granularity in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
+                let arena = CompiledArena::compile(&pf.graph, &plan, &analysis, granularity)
+                    .unwrap()
+                    .expect("every gated plan compiles");
+                let slot: HashMap<NodeId, u64> = assign_arena(&analysis, granularity)
+                    .slots
                     .iter()
-                    .map(|a| {
-                        let off = slot[&a.data];
-                        off + a.path.base as usize..off + a.path.max_end() as usize
-                    })
+                    .map(|s| (s.data, s.offset))
                     .collect();
-                let views: Vec<Range<usize>> = arena.step_views(si).collect();
-                assert_eq!(
-                    views, certified,
-                    "{kind:?} at {granularity}: step {si} (`{}`)",
-                    step.name
-                );
+                for (si, step) in plan.steps.iter().enumerate() {
+                    let derived = step_accesses(&pf.graph, step);
+                    assert!(derived.derived, "{kind:?}: `{}` derives exactly", step.name);
+                    // the relayouts' gather and write-back come first
+                    let certified: Vec<AccessPath> = (derived.accesses.iter())
+                        .skip(2 * step.relayouts.len())
+                        .map(|a| AccessPath {
+                            base: slot[&a.data] + a.path.base,
+                            dims: a.path.dims.clone(),
+                        })
+                        .collect();
+                    let views: Vec<AccessPath> = arena.step_views(si).collect();
+                    assert_eq!(
+                        views, certified,
+                        "{kind:?} at {granularity}: step {si} (`{}`)",
+                        step.name
+                    );
+                }
             }
         }
     }

@@ -1,10 +1,11 @@
 //! Cross-crate equivalence of the plan-driven execution engine: a plan
 //! lowered from the full recipe (fuse → sweep → SSSP select) produces the
 //! same encoder output as the reference executor; that recipe-selected
-//! plan certifies, routes to the reference interpreter and returns the
-//! same bits whatever `threads` asks for; arbitrary layout perturbations survive
-//! `reflow` unchanged in value; and malformed plans are rejected by the
-//! static analyzer before any kernel runs. All runs go through the single
+//! plan — strided operands, relayout insertions — certifies, compiles to
+//! an arena like any other, equals the canned plan bit for bit and
+//! returns the same bits whatever `threads` asks for; arbitrary layout
+//! perturbations survive `reflow` unchanged in value; and malformed plans
+//! are rejected by the static analyzer before any kernel runs. All runs go through the single
 //! unified `forward(&x, &w, &ExecOptions)` entry point, with plans
 //! substituted via [`substation::core::plan::PlanOverride`].
 
@@ -13,8 +14,8 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use substation::core::analyze::{PlanLint, Severity};
-use substation::core::arena::{route, Route};
+use substation::core::analyze::{ArenaGranularity, PlanLint, Severity};
+use substation::core::arena;
 use substation::core::plan::{ExecOptions, ExecutionPlan, PlanOverride};
 use substation::core::sanitize::certify;
 use substation::core::selection::select_forward;
@@ -102,10 +103,10 @@ fn recipe_lowered_plan_matches_reference_executor() {
 }
 
 // Lowers the recipe-selected plan and certifies it. Its strided layouts
-// route it to the reference interpreter — which is what lets the sanitized
-// CI run of this file drive the shadow sanitizer through a recipe-lowered
-// plan — and that executor is serial: `threads` must change neither the
-// output values nor the materialized layout.
+// and relayout insertions compile to an arena at both granularities, the
+// forward through it equals the canned plan's bit for bit (one kernel
+// body, addressed through other strides), and `threads` changes neither
+// the output values nor the materialized layout.
 #[test]
 fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
     let dims = dims();
@@ -123,11 +124,16 @@ fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
     let sel = select_forward(&planned.graph, &DeviceSpec::v100(), &fwd, &sweeps).unwrap();
     let plan = ExecutionPlan::lower(&planned.graph, &sel).unwrap();
     certify(&planned.graph, &plan).expect("the recipe-selected plan certifies");
-    assert_eq!(
-        route(&planned.graph, &plan),
-        Route::Reference,
-        "the selection must pick at least one non-natural layout"
+    assert!(
+        plan.strided_operand_count(&planned.graph) > 0 && plan.relayout_count() > 0,
+        "the selection must pick non-natural layouts and pay relayouts for them"
     );
+    for granularity in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
+        let arena = arena::compiled(&planned.graph, &plan, granularity)
+            .expect("the recipe-lowered plan compiles")
+            .expect("to an arena");
+        assert!(arena.matches(&plan));
+    }
 
     let (x, w) = inputs(&dims, 29);
     let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
@@ -141,6 +147,12 @@ fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
         .expect("serial plan-driven forward")
         .into_pair()
         .unwrap();
+    let canned = layer.forward(&x, &w, &opts(3)).expect("canned forward").y;
+    assert_eq!(
+        y_serial.max_abs_diff(&canned).unwrap().to_bits(),
+        0,
+        "the selected plan must equal the canned plan exactly"
+    );
     for threads in [1usize, 2, 4, 8] {
         let run = serial.to_builder().threads(threads).build();
         let (y_par, a_par) = layer

@@ -3,9 +3,8 @@
 //! longer innermost, plus random layout twists elsewhere) is demoted by
 //! the access certifier's performance lint — the step no longer counts as
 //! unit-stride, so its kernel runs the strided instantiation of the one
-//! lane body — and must compute exactly what the canned unit-stride plan
-//! computes — the canned plan on the arena, the strided one on the
-//! reference interpreter its layouts route it to — with the run bitwise
+//! lane body — compiles to an arena like the canned plan and must compute
+//! exactly what the canned unit-stride plan computes, with the run bitwise
 //! identical at every thread count asked for. Dropout is off, so no RNG
 //! stream is consumed and any divergence is a kernel-dispatch bug, not
 //! noise.
