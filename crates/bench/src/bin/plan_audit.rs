@@ -32,17 +32,20 @@
 //! it runs the access-path certifier (`xform_core::access`) at the
 //! logical level and at both arena granularities, printing each plan's
 //! unit-stride step count and every access lint, exiting non-zero if any
-//! plan fails certification (error-severity access lints). Strided inner
-//! loops are warnings — those steps run their kernel's strided
-//! instantiation — and do not fail the audit.
+//! plan fails certification (error-severity access lints). A strided inner
+//! loop is a warning — that step runs its kernel's lane-at-a-time strided
+//! instantiation — and does not fail a *selected* plan, which may buy it
+//! with a cheaper neighbour; a canned natural plan carrying one fails the
+//! audit: every natural sweep either has a contiguous lane or runs in
+//! panels whose rows are.
 
 use std::collections::HashMap;
 
 use xform_bench::cli::{Cli, Flag, CHECK, JSON};
-use xform_core::access::{certify_access, certify_access_arena};
+use xform_core::access::{certify_access, certify_access_arena, AccessCertificate};
 use xform_core::analyze::{
     analyze, assign_arena, audit, cross_call_high_water, lint_selection, render_report,
-    ArenaGranularity, Severity,
+    ArenaGranularity, PlanLint, Severity,
 };
 use xform_core::cachemodel::{cache_audit, CacheGeometry, CACHE_GEOM_ENV};
 use xform_core::plan::ExecutionPlan;
@@ -130,10 +133,19 @@ enum Mode {
     Access,
 }
 
+/// The strided-inner-loop warnings of a certificate: the sweeps that fall
+/// to the lane-at-a-time strided body. None may appear in a canned natural
+/// plan.
+fn strided_sweeps(cert: &AccessCertificate) -> usize {
+    let strided = |l: &&PlanLint| matches!(l, PlanLint::StridedInnerLoop { .. });
+    cert.lints.iter().filter(strided).count()
+}
+
 /// Runs the access-path certifier on one plan: logically and embedded
 /// into the arena coloring at both granularities. Returns the number of
-/// error lints across the three passes.
-fn report_access(title: &str, graph: &Graph, plan: &ExecutionPlan) -> usize {
+/// error lints across the three passes, to which a `natural` (canned,
+/// unselected) plan adds its strided sweeps.
+fn report_access(title: &str, graph: &Graph, plan: &ExecutionPlan, natural: bool) -> usize {
     let analysis = analyze(graph, plan);
     let mut errors = 0usize;
     let logical = certify_access(graph, plan).map(|c| (c, "logical".to_string()));
@@ -155,6 +167,10 @@ fn report_access(title: &str, graph: &Graph, plan: &ExecutionPlan) -> usize {
                 );
                 for lint in &cert.lints {
                     println!("  [warning] {lint}");
+                }
+                if natural && strided_sweeps(&cert) > 0 {
+                    println!("{title} [{tag}]: a canned natural plan sweeps strided");
+                    errors += strided_sweeps(&cert);
                 }
             }
             Err(lints) => {
@@ -196,7 +212,7 @@ fn report(
         cache: None,
     };
     if mode == Mode::Access {
-        let errors = report_access(title, graph, plan);
+        let errors = report_access(title, graph, plan, sweeps.is_none());
         return Audited { errors, ..quiet };
     }
     if mode == Mode::Certify {
@@ -835,4 +851,35 @@ fn write_json(
     out.push_str("\n  ]\n}\n");
     std::fs::write("BENCH_plan_audit.json", out)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--access` gate: a canned natural plan has no strided sweep, and
+    /// injecting one (an operand that shares no contiguous axis with the
+    /// others) is counted.
+    #[test]
+    fn the_access_gate_counts_a_strided_sweep_injected_into_a_natural_plan() {
+        let dims = EncoderDims::bert_large();
+        let canned = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
+        let clean = certify_access(&canned.graph, &canned.plan).unwrap();
+        assert_eq!(strided_sweeps(&clean), 0);
+        assert_eq!(
+            report_access("canned", &canned.graph, &canned.plan, true),
+            0
+        );
+
+        let mut plan = canned.plan.clone();
+        let si = plan.steps.iter().position(|s| s.name == "DRLN").unwrap();
+        let mut rotated: Vec<char> = plan.steps[si].inputs[0].layout.chars().collect();
+        rotated.rotate_right(1);
+        plan.steps[si].inputs[0].layout = rotated.into_iter().collect();
+        plan.reflow(&canned.graph);
+        let cert = certify_access(&canned.graph, &plan).unwrap();
+        assert!(strided_sweeps(&cert) > 0);
+        assert!(report_access("injected", &canned.graph, &plan, true) > 0);
+        assert_eq!(report_access("selected", &canned.graph, &plan, false), 0);
+    }
 }

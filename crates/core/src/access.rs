@@ -12,10 +12,15 @@
 //! 1. **in-bounds** — every read/write lands inside the declared operand's
 //!    buffer (and, at arena level, inside its slab slot and the slab
 //!    itself); a proven escape is a [`PlanLint::UnprovenAccess`] error;
-//! 2. **unit-stride** — the innermost loop of every swept operand advances
-//!    by one word under the declared (SSSP-selected) layout; an in-bounds
-//!    but strided inner loop is a [`PlanLint::StridedInnerLoop`] warning
-//!    (correct, just not vectorizable);
+//! 2. **unit-stride** — the kernel's inner loop advances by one word in
+//!    every swept operand under the declared (SSSP-selected) layout. The
+//!    inner loop is the one the executor runs: along the lane, or — when
+//!    the lowering's compiled sweep says the kernel runs in panels
+//!    ([`xform_tensor::into_ops::Sweep::walk`], the predicate the drivers
+//!    themselves dispatch on) — along the rows of a panel of adjacent
+//!    strided lanes. An in-bounds sweep with neither is a
+//!    [`PlanLint::StridedInnerLoop`] warning (correct, one lane at a time
+//!    through strided views);
 //! 3. **alias-freedom** — no two operand paths of one step overlap with
 //!    conflicting access kinds beyond what the race certificate already
 //!    permits (shared reads).
@@ -27,10 +32,11 @@
 //! compile, before any slab view is handed to a kernel), a performance
 //! lint (which steps sweep strided), and the derived paths the cache model
 //! ([`crate::cachemodel`]) replays. It does **not** select code: every
-//! kernel in [`xform_tensor::into_ops`] is safe and picks its unit-stride
-//! or strided instantiation from the strides of the views it is handed,
-//! so a step the certifier flags as strided runs the same body, just
-//! without contiguous lanes.
+//! kernel in [`xform_tensor::into_ops`] is safe and picks its walk —
+//! contiguous lane, panel, strided lane — from the strides of the views it
+//! is handed, so a step the certifier flags as strided runs the same body,
+//! just without contiguous lanes or rows. The certifier reads that choice;
+//! it never makes it.
 //!
 //! Steps the lowering does not model (unknown operator kinds) or whose
 //! operand lists disagree with the graph degrade to conservative
@@ -41,10 +47,11 @@ use std::collections::HashMap;
 
 use xform_dataflow::{Graph, NodeId};
 use xform_tensor::into_ops::View;
+use xform_tensor::lanes::Walk;
 use xform_tensor::Layout;
 
 use crate::analyze::{ArenaAssignment, ArenaGranularity, PlanLint};
-use crate::lower::{lower_step, Role, Slot};
+use crate::lower::{lower_step, walk_of, Role, Slot};
 use crate::plan::{ExecutionPlan, PlanStep};
 use crate::sanitize::{plan_fingerprint, AccessKind};
 
@@ -211,17 +218,26 @@ fn kinds_conflict(a: &OperandAccess, b: &OperandAccess) -> bool {
     }
 }
 
-/// The loops of `view` as a path, logical order with axis `lane`
-/// innermost; `gathered` drops the loops that do not move (the zero
-/// strides of a broadcast).
-fn loops_of(view: &View, lane: usize, gathered: bool) -> AccessPath {
+/// The loops of `view` as a path in the kernel's order: logical order with
+/// axis `lane` innermost — or, when the sweep runs in panels, the lane
+/// inside every outer axis but the innermost one that moves, which is the
+/// loop a panel's rows run along. `gathered` drops the loops that do not
+/// move (the zero strides of a broadcast).
+fn loops_of(view: &View, lane: usize, gathered: bool, walk: Walk) -> AccessPath {
     let rank = view.dims.len();
     if rank == 0 {
         return AccessPath::flat(1);
     }
-    let outer = (0..rank).filter(|&d| d != lane);
-    let dims = outer
-        .chain((lane < rank).then_some(lane))
+    let mut order: Vec<usize> = (0..rank).filter(|&d| d != lane).collect();
+    if lane < rank {
+        let moves = |&d: &usize| view.dims[d].0 > 1;
+        let panel_axis = order
+            .iter()
+            .rposition(moves)
+            .filter(|_| walk == Walk::Panel);
+        order.insert(panel_axis.unwrap_or(order.len()), lane);
+    }
+    let dims = (order.into_iter())
         .map(|d| (view.dims[d].0 as u64, view.dims[d].1 as u64))
         .filter(|&(_, stride)| !gathered || stride != 0);
     AccessPath {
@@ -231,22 +247,27 @@ fn loops_of(view: &View, lane: usize, gathered: bool) -> AccessPath {
 }
 
 /// The access path a lowered operand [`View`] describes — its loops in
-/// the kernel's order, the lane axis of `role` innermost — and whether the
-/// operand carries the unit-stride obligation (`swept`). A GEMM operand is
-/// every word of its container, through the contraction's own loop nest.
-pub(crate) fn view_path(role: &Role, view: &View) -> (AccessPath, bool) {
+/// the order the kernel runs them under `walk` (the compiled sweep's own
+/// predicate), the lane axis of `role` innermost unless the sweep panels —
+/// and whether the operand carries the unit-stride obligation (`swept`). A
+/// GEMM operand is every word of its container, through the contraction's
+/// own loop nest.
+pub(crate) fn view_path(role: &Role, view: &View, walk: Walk) -> (AccessPath, bool) {
     let rank = view.dims.len();
     match *role {
         Role::Gemm => {
             let words: usize = view.dims.iter().map(|d| d.0).product();
             (AccessPath::flat(words as u64), false)
         }
-        Role::Lanes { axis } => (loops_of(view, axis, false), true),
+        Role::Lanes { axis } => (loops_of(view, axis, false, walk), true),
         // element-wise sweeps walk their last logical axis innermost
-        Role::Whole => (loops_of(view, rank.saturating_sub(1), false), rank > 0),
+        Role::Whole => {
+            let last = rank.saturating_sub(1);
+            (loops_of(view, last, false, walk), rank > 0)
+        }
         // the dense 1-D per-lane weights are walked along the lane
-        Role::LaneWeights => (loops_of(view, rank, true), rank > 0),
-        Role::Carve { .. } | Role::Broadcast => (loops_of(view, rank, true), false),
+        Role::LaneWeights => (loops_of(view, rank, true, walk), rank > 0),
+        Role::Carve { .. } | Role::Broadcast => (loops_of(view, rank, true, walk), false),
     }
 }
 
@@ -303,7 +324,7 @@ pub fn step_accesses(graph: &Graph, step: &PlanStep) -> StepAccesses {
 
     match lowering {
         Some(low) => {
-            for (slot, role, view) in &low.operands {
+            for (k, (slot, role, view)) in low.operands.iter().enumerate() {
                 let (declared, edge, kind) = match *slot {
                     Slot::In(k) => (step.inputs.get(k), in_ids[k], AccessKind::Read),
                     Slot::Out(k) => (step.outputs.get(k), out_ids[k], AccessKind::Write),
@@ -312,7 +333,8 @@ pub fn step_accesses(graph: &Graph, step: &PlanStep) -> StepAccesses {
                     derived = false;
                     continue;
                 };
-                let (path, swept) = view_path(role, view);
+                let walk = walk_of(&low.sweeps, low.operands.len(), k);
+                let (path, swept) = view_path(role, view, walk);
                 // a sweep's strides are the declared layout's over the
                 // edge's shape: exact only if the declaration is that edge
                 let exact = !swept
@@ -706,23 +728,40 @@ mod tests {
         // the attention softmax sweeps its innermost axis: unit-stride
         let sm = plan.steps.iter().position(|s| s.name == "SM").unwrap();
         assert!(cert.unit_stride(sm), "softmax class must sweep unit-stride");
-        // the encoder's norm containers are embedding-major (`ibj`), so
-        // the norm steps genuinely stride in their inner loop — flagged
-        // as warnings
+        // the encoder's norm containers are embedding-major (`ibj`): the
+        // lane strides, but adjacent lanes are adjacent words in every
+        // swept operand, so the norm steps run in panels whose rows are
+        // unit-stride — the kernel's inner loop, and what is certified
         for (si, step) in plan.steps.iter().enumerate() {
             if step.name.contains("DRLN") {
-                assert!(
-                    !cert.unit_stride(si),
-                    "strided `{}` must not count as unit-stride",
-                    step.name
-                );
-                assert!(cert
-                    .lints
-                    .iter()
-                    .any(|l| matches!(l, PlanLint::StridedInnerLoop { step, .. } if *step == si)));
+                let low = lower_step(&g, step).unwrap();
+                assert_eq!(low.sweeps[0].walk(), Walk::Panel, "`{}`", step.name);
+                assert!(cert.unit_stride(si), "`{}` panels", step.name);
             }
         }
-        assert!(cert.unit_stride_steps() > 0);
+        assert_eq!(cert.unit_stride_steps(), plan.steps.len());
+        assert!(cert.lints.is_empty(), "{:?}", cert.lints);
+    }
+
+    /// A sweep that really falls to the strided body still warns: rotate
+    /// one operand of a norm step and it shares no contiguous axis with the
+    /// others — neither its lane nor the loop outside it steps by one word
+    /// in every swept operand.
+    #[test]
+    fn a_norm_step_whose_operands_share_no_contiguous_axis_keeps_the_strided_walk() {
+        let (g, mut plan) = fused_plan();
+        let si = plan.steps.iter().position(|s| s.name == "DRLN").unwrap();
+        let mut rotated: Vec<char> = plan.steps[si].inputs[0].layout.chars().collect();
+        rotated.rotate_right(1);
+        plan.steps[si].inputs[0].layout = rotated.into_iter().collect();
+        plan.reflow(&g);
+        let low = lower_step(&g, &plan.steps[si]).unwrap();
+        assert_eq!(low.sweeps[0].walk(), Walk::Strided);
+        let cert = certify_access(&g, &plan).expect("strided is a warning, not an error");
+        assert!(!cert.unit_stride(si));
+        let strided =
+            |l: &PlanLint| matches!(l, PlanLint::StridedInnerLoop { step, .. } if *step == si);
+        assert!(cert.lints.iter().any(strided), "{:?}", cert.lints);
     }
 
     #[test]

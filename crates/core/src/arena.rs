@@ -27,9 +27,10 @@
 //! The drivers iterate in the container's *logical* order whatever the
 //! strides, so per-lane statistics land in the same order and dropout
 //! draws once per element in the same order — a plan's outputs, masks and
-//! statistics are the same bits in any layout. Whether a lane runs the
-//! slice body or the bounds-checked strided body is read off the strides
-//! the view carries (stride one, or extent one), never off an option. The
+//! statistics are the same bits in any layout. Whether a sweep runs the
+//! slice body lane by lane, in panels of adjacent strided lanes, or the
+//! bounds-checked strided body is read off the strides its views carry
+//! ([`Sweep::walk`]), never off an option. The
 //! access certificate is computed from the very same views
 //! (`access::view_path`), so it describes the words the kernels
 //! touch by construction ([`CompiledArena::step_views`]).
@@ -89,7 +90,7 @@ use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
 use crate::access::{view_path, AccessCertificate, AccessPath};
 use crate::analyze::{analyze, ArenaGranularity, PlanAnalysis};
-use crate::lower::{lower_step, Kernel, RelayoutCopy, Role, Slot, Tail};
+use crate::lower::{lower_step, walk_of, Kernel, RelayoutCopy, Role, Slot, Tail};
 use crate::plan::{ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
 use crate::sanitize::{certify_analyzed, certify_arena, plan_fingerprint, ArenaCertificate};
 
@@ -628,8 +629,11 @@ impl CompiledArena {
     /// kernel's argument order, as an access path in slab words — what the
     /// access certificate's paths, embedded in their slots, must equal.
     pub fn step_views(&self, si: usize) -> impl Iterator<Item = AccessPath> + '_ {
-        self.steps[si].operands.iter().map(|(slot, role, view)| {
-            let mut path = view_path(role, view).0;
+        let step = &self.steps[si];
+        let operands = step.operands.iter().enumerate();
+        operands.map(|(k, (slot, role, view))| {
+            let walk = walk_of(&step.sweeps, step.operands.len(), k);
+            let mut path = view_path(role, view, walk).0;
             path.base += slot.off as u64;
             path
         })
@@ -1119,8 +1123,8 @@ unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRu
 }
 
 /// Executes one precompiled step out of the slab: its relayouts, then its
-/// kernel through the `*_into` drivers, which pick each lane's unit-stride
-/// or strided instantiation from the strides of the step's own views. This
+/// kernel through the `*_into` drivers, which run the walk the step's
+/// compiled sweep chose from the strides of the step's own views. This
 /// is the only place that knows a kernel's argument order: `r(k)`/`w(k)`
 /// are the slot of the step's `k`-th operand, in the order the lowering's
 /// [`Kernel`] variants document.
@@ -1424,13 +1428,18 @@ mod tests {
 
     use super::*;
     use crate::fusion::{apply_plan, encoder_fusion_plan};
-    use crate::plan::{execute_plan, random_externals};
+    use crate::plan::{execute_plan, execute_step, random_externals};
     use crate::profile::{PlanProfiler, ProfilerSink};
     use crate::recipe::forward_ops;
     use xform_dataflow::{build, EncoderDims};
+    use xform_tensor::lanes::Walk;
 
     fn fused_plan() -> (Graph, ExecutionPlan) {
-        let eg = build::encoder(&EncoderDims::tiny());
+        fused_plan_at(&EncoderDims::tiny())
+    }
+
+    fn fused_plan_at(dims: &EncoderDims) -> (Graph, ExecutionPlan) {
+        let eg = build::encoder(dims);
         let mut g = eg.graph;
         apply_plan(&mut g, &encoder_fusion_plan()).unwrap();
         let plan = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
@@ -1502,6 +1511,42 @@ mod tests {
         let produced = run(&arena, &graph, &plan, &base, &opts);
         assert!(produced.len() > 5);
         for (name, data) in &produced {
+            match name.rsplit_once('/') {
+                Some((norm, "mean")) => assert_eq!(data, &reference.stats[norm].mean, "{name}"),
+                Some((norm, _)) => assert_eq!(data, &reference.stats[norm].inv_std, "{name}"),
+                None => assert_eq!(data, reference.env[name].data(), "{name}"),
+            }
+        }
+    }
+
+    /// At `tiny` the norm steps' `b·j = 8` strided lanes are one panel of
+    /// eight. At `b·j = 21` a row of lanes is cut into a panel of 16, one of
+    /// 4 and a last lane alone, with dropout drawing into each: the oracle's
+    /// bits, masks and statistics, run for run (Miri interprets this one).
+    #[test]
+    fn a_row_of_lanes_no_multiple_of_the_panel_width_matches_env_bitwise() {
+        let dims = EncoderDims {
+            b: 3,
+            j: 7,
+            k: 7,
+            ..EncoderDims::tiny()
+        };
+        let (graph, plan) = fused_plan_at(&dims);
+        let arena = compile(&graph, &plan, ArenaGranularity::Serial);
+        let panels = arena.steps.iter().flat_map(|s| &s.sweeps);
+        assert!(panels.filter(|s| s.walk() == Walk::Panel).count() >= 2);
+        let base = random_externals(&graph, &plan, 21).unwrap();
+        let opts = ExecOptions::builder()
+            .dropout_p(0.3)
+            .sanitize(SanitizeMode::Off)
+            .build();
+        // the oracle on the arena's RNG discipline: one stream per step
+        let mut reference = base.clone();
+        for (si, step) in plan.steps.iter().enumerate() {
+            let rng = &mut step_rng(opts.seed, si);
+            execute_step(&graph, step, &mut reference, &opts, rng).unwrap();
+        }
+        for (name, data) in &run(&arena, &graph, &plan, &base, &opts) {
             match name.rsplit_once('/') {
                 Some((norm, "mean")) => assert_eq!(data, &reference.stats[norm].mean, "{name}"),
                 Some((norm, _)) => assert_eq!(data, &reference.stats[norm].inv_std, "{name}"),

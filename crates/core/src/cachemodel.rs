@@ -693,9 +693,10 @@ pub fn cache_audit(
 /// * [`PlanLint::CacheThrash`] — a step re-references at least
 ///   [`THRASH_MIN_REUSE_WORDS`] words but more than
 ///   [`THRASH_MISS_THRESHOLD`] of them sit beyond every level's capacity;
-/// * [`PlanLint::LayoutConflict`] — a swept operand's inner stride lands
-///   every iteration in the same cache sets of some level
-///   (`stride_bytes` divisible by `sets × line_bytes`).
+/// * [`PlanLint::LayoutConflict`] — a swept operand's inner stride (of
+///   the loop the kernel runs innermost: a sweep that runs in panels
+///   steps by one word) lands every iteration in the same cache sets of
+///   some level (`stride_bytes` divisible by `sets × line_bytes`).
 pub fn cache_lints(
     graph: &Graph,
     plan: &ExecutionPlan,
@@ -818,7 +819,9 @@ fn cache_lints_with(
 /// flowing input, `out_layout` on the primary output, and natural layouts
 /// elsewhere; its derived access paths are priced with line-granular
 /// overfetch: a sweep at inner stride `s > 1` pays `min(s, line_words)`
-/// DRAM words per useful word. Returns `(useful_words, dram_words)`, or
+/// DRAM words per useful word. The inner stride is that of the walk the
+/// executor runs ([`crate::access`]): a strided lane whose neighbours are
+/// adjacent words runs in panels and overfetches nothing. Returns `(useful_words, dram_words)`, or
 /// `None` when the operator has no data operands.
 pub fn op_dram_words(
     graph: &Graph,

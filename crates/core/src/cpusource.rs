@@ -137,7 +137,11 @@ impl StandaloneKernel {
     /// Runs the kernel once over random operands (which no layout can tell
     /// apart; bound on the first run) and returns its wall time in µs —
     /// the arena's own timing slot of the step, so binding and
-    /// materialization stay outside the measurement.
+    /// materialization stay outside the measurement. Every operand is drawn
+    /// from U(−1, 1) directly: a softmax handed such inputs spans less than
+    /// `e²` per lane and cannot underflow, unlike one fed by a chain of
+    /// unscaled projections ([`crate::plan::random_externals`] scales
+    /// weights by their fan-in for that reason).
     ///
     /// # Errors
     ///

@@ -33,6 +33,7 @@
 
 use xform_dataflow::{Graph, NodeId, OpKind};
 use xform_tensor::into_ops::{epilogue_contract_plan, ContractPlan, Sweep, View};
+use xform_tensor::lanes::Walk;
 use xform_tensor::{Axis, Layout, Shape};
 
 use crate::plan::{
@@ -198,6 +199,15 @@ impl StepLowering {
     }
 }
 
+/// The walk of the sweep covering operand `k` of a step with `operands`
+/// operands, each of `sweeps` covering an equal run of them — the compiled
+/// sweep's own predicate ([`Sweep::walk`]), so the certifiers describe the
+/// loop the executor runs. A contraction operand has no sweep.
+pub(crate) fn walk_of(sweeps: &[Sweep], operands: usize, k: usize) -> Walk {
+    let per_sweep = (operands / sweeps.len().max(1)).max(1);
+    sweeps.get(k / per_sweep).map_or(Walk::Lane, Sweep::walk)
+}
+
 /// Strides of `shape` under the layout `declared` names (natural when it
 /// names none that parses).
 fn declared_strides(shape: &Shape, declared: Option<&str>) -> Vec<usize> {
@@ -248,18 +258,7 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
     // the operand broadcast onto `onto`'s axes by name: stride 0 where it
     // has none; `None` when it has an axis `onto` lacks or extents disagree
     let broadcast = |slot: Slot, onto: &Shape| -> Option<View> {
-        let (shape, st) = (edge(slot)?.0, strides(slot)?);
-        let fits = shape
-            .axes()
-            .iter()
-            .zip(shape.sizes())
-            .all(|(&ax, &n)| onto.index_of(ax).is_ok_and(|p| onto.sizes()[p] == n));
-        let stride = |ax: Axis| shape.index_of(ax).map_or(0, |i| st[i]);
-        let dims = onto.axes().iter().zip(onto.sizes());
-        fits.then(|| View {
-            base: 0,
-            dims: dims.map(|(&ax, &n)| (n, stride(ax))).collect(),
-        })
+        View::broadcast(edge(slot)?.0, &strides(slot)?, onto)
     };
     // `rows` leading rows of the stacked input 0 from row `start`, shaped
     // (positionally) like one projection `part`
@@ -307,12 +306,7 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
     // γ/β: one weight per lane position, constant across lanes
     let lane_weights = |k: usize, axis: usize| -> (Role, Option<View>) {
         let view = ins.first().zip(ins.get(k)).and_then(|(x, w)| {
-            (w.num_elements() == x.sizes()[axis]).then(|| View {
-                base: 0,
-                dims: (x.sizes().iter().enumerate())
-                    .map(|(d, &n)| (n, usize::from(d == axis)))
-                    .collect(),
-            })
+            (w.num_elements() == x.sizes()[axis]).then(|| View::lane_weights(x.sizes(), axis))
         });
         (LaneWeights, view)
     };

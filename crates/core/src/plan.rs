@@ -27,7 +27,7 @@ use std::collections::{HashMap, HashSet};
 
 use rand::Rng;
 
-use xform_dataflow::{Graph, NodeId, OpKind};
+use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_gpusim::opmodel::OpConfig;
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
@@ -1221,11 +1221,16 @@ pub fn execute_plan<R: Rng + ?Sized>(
     Ok(())
 }
 
-/// Binds a random tensor (seeded, uniform in `[-1, 1]`) for every plan
-/// input that no earlier step produces — graph inputs and weights — each
-/// materialized in the layout the consuming step declared. This is how the
-/// measurement source and tests stand up an environment without a model's
-/// real parameters.
+/// Binds a random tensor (seeded, uniform) for every plan input that no
+/// earlier step produces — graph inputs and weights — each materialized in
+/// the layout the consuming step declared. This is how the measurement
+/// source and tests stand up an environment without a model's real
+/// parameters. Values are drawn from `[-1, 1]`, except a
+/// [`DataRole::Weight`] that feeds a contraction, which is drawn from
+/// `±1/√fan-in` like `EncoderWeights::init` draws it: at `[-1, 1]` whatever
+/// the fan-in, the attention scores at real dimensions saturate, the
+/// softmax emits subnormals, and whoever times the plan times the
+/// microcode assist instead of the kernels.
 ///
 /// # Errors
 ///
@@ -1235,7 +1240,6 @@ pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Resul
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
-    let dist = rand::distributions::Uniform::new(-1.0f32, 1.0);
     let mut state = ExecState::default();
     let mut produced: HashSet<NodeId> = HashSet::new();
     for step in &plan.steps {
@@ -1243,9 +1247,14 @@ pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Resul
             if produced.contains(&inp.data) || state.env.contains_key(&inp.name) {
                 continue;
             }
-            let shape = data_of(graph, inp.data)?.shape.clone();
-            let lay = Layout::from_axis_order(&shape, &inp.layout)?;
-            let t = Tensor::random(shape, &dist, &mut rng).relayout(&lay);
+            let node = data_of(graph, inp.data)?;
+            let bound = match (node.role, contracted_extent(graph, step)) {
+                (DataRole::Weight, Some(fan_in)) => 1.0 / (fan_in as f32).sqrt(),
+                _ => 1.0,
+            };
+            let dist = rand::distributions::Uniform::new(-bound, bound);
+            let lay = Layout::from_axis_order(&node.shape, &inp.layout)?;
+            let t = Tensor::random(node.shape.clone(), &dist, &mut rng).relayout(&lay);
             state.env.insert(inp.name.clone(), t);
         }
         for out in &step.outputs {
@@ -1253,6 +1262,17 @@ pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Resul
         }
     }
     Ok(state)
+}
+
+/// The extent a contraction step sums over (GEMM `K`): the fan-in of a
+/// weight it reads. `None` for any other step.
+fn contracted_extent(graph: &Graph, step: &PlanStep) -> Option<usize> {
+    let (OpKind::Einsum(spec) | OpKind::ContractionEpilogue { spec, .. }) = &step.kind else {
+        return None;
+    };
+    let shape = |k: usize| Some(&graph.data(step.inputs.get(k)?.data)?.shape);
+    let (a, b, _) = labelled_shapes(spec, shape(0)?, shape(1)?)?;
+    Some(spec.gemm_sizes(&a, &b).ok()?.k)
 }
 
 #[cfg(test)]

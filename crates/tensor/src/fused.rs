@@ -30,10 +30,11 @@ use rand::Rng;
 
 use crate::axes::Axis;
 use crate::error::Result;
+use crate::into_ops::{bdrln_into, sm_into, View};
 use crate::lanes::{self, Dropout};
-use crate::ops::elementwise::ActivationKind;
+use crate::ops::elementwise::{bias_view, ActivationKind};
 use crate::ops::layernorm::LayerNormStats;
-use crate::ops::{check_same_shape, for_each_outer, lane_at};
+use crate::ops::{check_same_shape, for_each_outer, sweep_of, view_of};
 use crate::tensor::Tensor;
 
 /// AIB — attention input bias. Adds the Q/K/V projection biases in one
@@ -132,9 +133,9 @@ pub fn sm_causal_at<R: Rng + ?Sized>(
     sm_lanes(beta, scaler, axis, Some((qi, query_base)), p, rng)
 }
 
-/// The logical-order SM driver: lanes in `for_each_outer` order, all three
-/// outputs in `beta`'s layout. `causal` is the query axis position and
-/// the absolute position of its index 0.
+/// The logical-order SM driver: the sweep of `beta`'s own strides, all
+/// three outputs in `beta`'s layout. `causal` is the query axis position
+/// and the absolute position of its index 0.
 fn sm_lanes<R: Rng + ?Sized>(
     beta: &Tensor,
     scaler: f32,
@@ -145,24 +146,22 @@ fn sm_lanes<R: Rng + ?Sized>(
 ) -> Result<SmOutput> {
     let mut drop = Dropout::new(p, rng)?;
     let ai = beta.shape().index_of(axis)?;
+    let v = view_of(beta);
+    let sweep = sweep_of(&[&v, &v, &v, &v], Some(ai), causal.map(|c| c.0), "sm")?;
     let fresh = || Tensor::zeros_with_layout(beta.shape().clone(), beta.layout().clone());
     let mut softmax = fresh();
     let mut alpha = fresh();
     let mut mask = fresh();
-    for_each_outer(beta.shape(), ai, |idx| {
-        let at = lane_at(beta, idx, ai);
-        let visible = causal.map_or(at.len, |(qi, base)| (base + idx[qi] + 1).min(at.len));
-        lanes::sm_at(
-            beta.data(),
-            at,
-            scaler,
-            visible,
-            &mut drop,
-            (softmax.data_mut(), at),
-            (alpha.data_mut(), at),
-            (mask.data_mut(), at),
-        );
-    });
+    sm_into(
+        &sweep,
+        beta.data(),
+        scaler,
+        causal.map(|c| c.1),
+        &mut drop,
+        softmax.data_mut(),
+        alpha.data_mut(),
+        mask.data_mut(),
+    );
     Ok(SmOutput {
         alpha,
         softmax,
@@ -288,51 +287,33 @@ pub fn bdrln<R: Rng + ?Sized>(
     let mut drop = Dropout::new(p, rng)?;
     check_same_shape(x, residual, "bdrln residual")?;
     let ai = x.shape().index_of(axis)?;
-    let positions: Vec<usize> = bias
-        .shape()
-        .axes()
-        .iter()
-        .map(|&ax| x.shape().index_of(ax))
-        .collect::<Result<Vec<_>>>()?;
+    let vb = bias_view(bias.shape(), bias.strides(), x, "bdrln bias")?;
+    let (vx, vr) = (view_of(x), view_of(residual));
+    let vw = View::lane_weights(x.shape().sizes(), ai);
+    let views = [&vx, &vb, &vr, &vw, &vw, &vx, &vx, &vx];
+    let sweep = sweep_of(&views, Some(ai), None, "bdrln")?;
     let fresh = || Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
     let mut out = fresh();
     let mut ln_input = fresh();
     let mut mask = fresh();
     let mut stats = LayerNormStats {
-        mean: Vec::new(),
-        inv_std: Vec::new(),
+        mean: vec![0.0; sweep.lanes()],
+        inv_std: vec![0.0; sweep.lanes()],
     };
-    // fast path: a rank-1 bias over the normalized axis itself (the
-    // common `bias[i]` case) is indexed by the lane position directly
-    let bias_on_lane = positions.as_slice() == [ai];
-    let mut bidx = vec![0usize; positions.len()];
-    for_each_outer(x.shape(), ai, |idx| {
-        let bias_at = |v: usize| {
-            if bias_on_lane {
-                bias.data()[v]
-            } else {
-                for (bi, &pp) in bidx.iter_mut().zip(&positions) {
-                    *bi = if pp == ai { v } else { idx[pp] };
-                }
-                bias.at(&bidx)
-            }
-        };
-        let at = lane_at(x, idx, ai);
-        let (mean, inv_std) = lanes::bdrln_at(
-            x.data(),
-            at,
-            bias_at,
-            (residual.data(), lane_at(residual, idx, ai)),
-            gamma.data(),
-            beta.data(),
-            &mut drop,
-            (mask.data_mut(), at),
-            (ln_input.data_mut(), at),
-            (out.data_mut(), at),
-        );
-        stats.mean.push(mean);
-        stats.inv_std.push(inv_std);
-    });
+    bdrln_into(
+        &sweep,
+        x.data(),
+        bias.data(),
+        residual.data(),
+        gamma.data(),
+        beta.data(),
+        &mut drop,
+        mask.data_mut(),
+        ln_input.data_mut(),
+        out.data_mut(),
+        &mut stats.mean,
+        &mut stats.inv_std,
+    );
     Ok(BdrlnOutput {
         out,
         ln_input,

@@ -12,12 +12,14 @@
 //! The lane-wise, element-wise and fused kernels are *logical-order
 //! drivers* over the bodies of [`crate::lanes`]: a [`Sweep`] enumerates the
 //! lanes of the step's iteration space in the container's logical order and
-//! hands each, as one `(base, stride)` per operand, to the one body that
-//! holds the arithmetic — the same body the tensor-returning kernels of
-//! [`crate::fused`] and [`crate::ops`] drive in the same order. Values,
+//! hands them — one at a time, or where [`Sweep::walk`] says so in panels of
+//! adjacent lanes — as one `(base, stride)` per operand to the one body
+//! that holds the arithmetic. The tensor-returning kernels of
+//! [`crate::fused`] and [`crate::ops`] compile a `Sweep` over their tensors'
+//! own strides and call the same drivers: one lane enumerator. Values,
 //! per-lane statistics and the order of dropout draws are therefore
 //! functions of the logical indices alone: a plan computes the same bits in
-//! any layout.
+//! any layout and in any walk.
 //!
 //! Two addressing vocabularies, both compiled once by the caller:
 //!
@@ -34,7 +36,7 @@ use rand::Rng;
 use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
-use crate::lanes::{self, Dropout, LaneAt};
+use crate::lanes::{self, Dropout, LaneAt, Run, Walk, W};
 use crate::layout::Layout;
 use crate::matmul::{
     gemm, gemm_batched, gemm_packed, pack_panels, panel_words, BatchMut, BatchRef, BatchStrides,
@@ -65,6 +67,31 @@ impl View {
             dims: sizes.iter().copied().zip(strides.iter().copied()).collect(),
         }
     }
+
+    /// A container with the given shape and strides broadcast onto `onto`'s
+    /// axes by name: stride 0 where it has none. `None` when it has an axis
+    /// `onto` lacks or an extent disagrees.
+    pub fn broadcast(shape: &Shape, strides: &[usize], onto: &Shape) -> Option<View> {
+        let fits = (shape.axes().iter().zip(shape.sizes()))
+            .all(|(&ax, &n)| onto.index_of(ax).is_ok_and(|p| onto.sizes()[p] == n));
+        let stride = |ax: Axis| shape.index_of(ax).map_or(0, |i| strides[i]);
+        let dims = onto.axes().iter().zip(onto.sizes());
+        fits.then(|| View {
+            base: 0,
+            dims: dims.map(|(&ax, &n)| (n, stride(ax))).collect(),
+        })
+    }
+
+    /// Dense per-lane weights (γ, β) over an iteration space of the given
+    /// extents: one word per position of axis `lane`, the same for every
+    /// lane.
+    pub fn lane_weights(sizes: &[usize], lane: usize) -> View {
+        let dims = sizes.iter().enumerate();
+        View {
+            base: 0,
+            dims: dims.map(|(d, &n)| (n, usize::from(d == lane))).collect(),
+        }
+    }
 }
 
 /// Loops a [`Sweep`] runs outside the lane; more would not fit its
@@ -79,6 +106,14 @@ struct SweepOperand {
     outer: Vec<usize>,
     /// Stride along the lane.
     lane: usize,
+}
+
+impl SweepOperand {
+    /// Whether some loop of the sweep revisits the operand's words (a zero
+    /// stride): a broadcast, which kernels gather rather than sweep.
+    fn broadcast(&self) -> bool {
+        self.lane == 0 || self.outer.contains(&0)
+    }
 }
 
 /// A step's iteration space with every operand's [`View`] of it, compiled
@@ -98,6 +133,7 @@ pub struct Sweep {
     /// Lane length.
     len: usize,
     operands: Vec<SweepOperand>,
+    walk: Walk,
 }
 
 impl Sweep {
@@ -112,8 +148,13 @@ impl Sweep {
     pub fn compile(views: &[&View], lane: Option<usize>, query: Option<usize>) -> Option<Sweep> {
         let first = views.first()?;
         let rank = first.dims.len();
-        let extents = |v: &View| v.dims.iter().map(|d| d.0).collect::<Vec<_>>();
-        if views.iter().any(|v| extents(v) != extents(first))
+        let same_extents = |v: &&View| {
+            v.dims
+                .iter()
+                .map(|d| d.0)
+                .eq(first.dims.iter().map(|d| d.0))
+        };
+        if !views.iter().all(same_extents)
             || lane.is_some_and(|l| l >= rank)
             || query.is_some_and(|q| q >= rank || Some(q) == lane)
         {
@@ -152,7 +193,7 @@ impl Sweep {
         if loops.len() > MAX_OUTER {
             return None;
         }
-        let operands = views
+        let operands: Vec<SweepOperand> = views
             .iter()
             .enumerate()
             .map(|(k, v)| SweepOperand {
@@ -162,11 +203,26 @@ impl Sweep {
                 lane: if len == 1 { 1 } else { lane_strides[k] },
             })
             .collect();
+        let query = loops.iter().position(|l| l.2);
+        let outer: Vec<usize> = loops.into_iter().map(|l| l.0).collect();
+        // the one predicate (see `lanes`): broadcast operands are gathered
+        // and take no part; an element-wise sweep (no lane named) has no
+        // reduction to run abreast; lanes of a panel share their `visible`,
+        // so the causal query axis cannot be the one a panel runs along
+        let swept = || operands.iter().filter(|o| !o.broadcast());
+        let walk = match outer.len().checked_sub(1) {
+            _ if swept().all(|o| o.lane == 1) => Walk::Lane,
+            Some(d) if lane.is_some() && query != Some(d) && swept().all(|o| o.outer[d] == 1) => {
+                Walk::Panel
+            }
+            _ => Walk::Strided,
+        };
         Some(Sweep {
-            query: loops.iter().position(|l| l.2),
-            outer: loops.into_iter().map(|l| l.0).collect(),
+            query,
+            outer,
             len,
             operands,
+            walk,
         })
     }
 
@@ -175,45 +231,61 @@ impl Sweep {
         self.outer.iter().product()
     }
 
-    /// Whether the lane is contiguous in every operand but those listed.
-    fn unit_but(&self, skip: &[usize]) -> bool {
-        let unit = |(k, o): (usize, &SweepOperand)| skip.contains(&k) || o.lane == 1;
-        self.operands.iter().enumerate().all(unit)
+    /// Which walk the drivers run this sweep in — the one place that is
+    /// decided, from the strides alone (see [`crate::lanes`]). The access
+    /// certifier and the cache model read it, so what they call the
+    /// kernel's inner loop is the loop the kernel runs.
+    pub fn walk(&self) -> Walk {
+        self.walk
     }
 
-    /// Calls `f(lane ordinal, query index, lane per operand)` for every
-    /// lane, in logical order. The query index is that of the axis named
-    /// at [`Sweep::compile`] (`0` when none was).
+    /// Calls `f(run, first lane ordinal, query index, run per operand)` for
+    /// every run of lanes, in logical order: single lanes, or under
+    /// [`Walk::Panel`] each row of the innermost outer loop cut into panels
+    /// of [`W`] lanes, then of its halvings, then at most one last lane
+    /// alone. The query index is that of the axis named at
+    /// [`Sweep::compile`] (`0` when none was).
     ///
     /// # Panics
     ///
     /// Panics if the sweep was not compiled over exactly `N` views.
-    fn for_each_lane<const N: usize>(&self, mut f: impl FnMut(usize, usize, [LaneAt; N])) {
+    fn for_each_run<const N: usize>(&self, mut f: impl FnMut(Run, usize, usize, [LaneAt; N])) {
         assert_eq!(self.operands.len(), N, "sweep compiled for another kernel");
         if self.len == 0 || self.outer.contains(&0) {
             return;
         }
         let ops = &self.operands;
+        let inner = self.outer.len().wrapping_sub(1);
         let mut at: [LaneAt; N] = std::array::from_fn(|k| LaneAt {
             base: ops[k].base,
             stride: ops[k].lane,
+            step: ops[k].outer.last().copied().unwrap_or(0),
             len: self.len,
         });
         let mut idx = [0usize; MAX_OUTER];
         let mut lane = 0usize;
         loop {
-            f(lane, self.query.map_or(0, |q| idx[q]), at);
-            lane += 1;
-            // odometer over the outer loops, innermost fastest
-            let mut d = self.outer.len();
+            let run = match self.walk {
+                Walk::Lane => Run::Lane,
+                Walk::Strided => Run::Strided,
+                // the widest halving of `W` the rest of the row holds
+                Walk::Panel => match self.outer[inner] - idx[inner] {
+                    1 => Run::Strided,
+                    left => Run::Panel(W.min(1 << left.ilog2())),
+                },
+            };
+            f(run, lane, self.query.map_or(0, |q| idx[q]), at);
+            lane += run.lanes();
+            // odometer over the outer loops, innermost fastest and by runs
+            let (mut d, mut by) = (self.outer.len(), run.lanes());
             loop {
                 if d == 0 {
                     return;
                 }
                 d -= 1;
-                idx[d] += 1;
+                idx[d] += by;
                 for (a, o) in at.iter_mut().zip(ops) {
-                    a.base += o.outer[d];
+                    a.base += by * o.outer[d];
                 }
                 if idx[d] < self.outer[d] {
                     break;
@@ -221,9 +293,21 @@ impl Sweep {
                 for (a, o) in at.iter_mut().zip(ops) {
                     a.base -= self.outer[d] * o.outer[d];
                 }
-                idx[d] = 0;
+                (idx[d], by) = (0, 1);
             }
         }
+    }
+
+    /// [`Sweep::for_each_run`] for the element-wise drivers, whose sweeps
+    /// name no lane axis and so never panel: `f(lane is contiguous, lane per
+    /// operand)`.
+    fn for_each_lane<const N: usize>(&self, mut f: impl FnMut(bool, [LaneAt; N])) {
+        assert_ne!(
+            self.walk,
+            Walk::Panel,
+            "an element-wise sweep names no lane"
+        );
+        self.for_each_run(|run, _, _, at| f(run == Run::Lane, at));
     }
 }
 
@@ -654,12 +738,14 @@ fn epilogue_tile<R: Rng + ?Sized>(
     let lane = |r: usize| LaneAt {
         base: r * n,
         stride: 1,
+        step: 0,
         len: n,
     };
     // row `r`'s one bias word, read at every position of the lane
     let bias_at = |r: usize| LaneAt {
         base: row0 + r,
         stride: 0,
+        step: 0,
         len: n,
     };
     for r in 0..rows {
@@ -675,7 +761,8 @@ fn epilogue_tile<R: Rng + ?Sized>(
                 let visible = causal.map_or(n, |pos| (pos + r + 1).min(n));
                 let (alpha, mask) = (at.unit_mut(alpha), at.unit_mut(mask));
                 let mut tail = lanes::Dropped { alpha, mask, drop };
-                lanes::softmax_lane(x, *scaler, visible, at.unit_mut(softmax), &mut tail);
+                let softmax = at.unit_mut(softmax);
+                lanes::softmax_lane::<1, _, _, _>(x, *scaler, visible, softmax, &mut tail);
             }
             TileEpilogue::BiasActDrop {
                 bias,
@@ -835,8 +922,7 @@ pub fn activate_into(s: &Sweep, x: &[f32], kind: ActivationKind, out: &mut [f32]
 }
 
 fn map_into(s: &Sweep, x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
-    let unit = s.unit_but(&[]);
-    s.for_each_lane(|_, _, [xa, oa]| {
+    s.for_each_lane(|unit, [xa, oa]| {
         if unit {
             lanes::map_lane(xa.unit(x), oa.unit_mut(out), &f);
         } else {
@@ -847,9 +933,8 @@ fn map_into(s: &Sweep, x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
 
 /// `out = a + b` (the residual connection).
 pub fn add_into(s: &Sweep, a: &[f32], b: &[f32], out: &mut [f32]) {
-    let unit = s.unit_but(&[]);
     let add = |x, y| x + y;
-    s.for_each_lane(|_, _, [aa, ba, oa]| {
+    s.for_each_lane(|unit, [aa, ba, oa]| {
         if unit {
             lanes::zip_lane(aa.unit(a), ba.unit(b), oa.unit_mut(out), add);
         } else {
@@ -863,14 +948,27 @@ pub fn add_into(s: &Sweep, a: &[f32], b: &[f32], out: &mut [f32]) {
 /// view's zero strides: always read through a strided lane, beside slices
 /// where everything else is contiguous.
 pub fn bias_add_into(s: &Sweep, x: &[f32], bias: &[f32], out: &mut [f32]) {
-    let unit = s.unit_but(&[1]);
     let add = |v, b| v + b;
-    s.for_each_lane(|_, _, [xa, ba, oa]| {
+    s.for_each_lane(|unit, [xa, ba, oa]| {
         let bias = &ba.strided(bias);
         if unit {
             lanes::zip_lane(xa.unit(x), bias, oa.unit_mut(out), add);
         } else {
             lanes::zip_lane(&xa.strided(x), bias, &mut oa.strided_mut(out), add);
+        }
+    });
+}
+
+/// `grad += dy` summed over the axes the bias lacks: `grad` (operand 1 of
+/// the sweep) is the bias gradient broadcast by its view's zero strides, so
+/// each of its words accumulates its addends in `dy`'s logical order.
+pub fn bias_grad_into(s: &Sweep, dy: &[f32], grad: &mut [f32]) {
+    s.for_each_lane(|unit, [ya, ga]| {
+        let grad = &mut ga.strided_mut(grad);
+        if unit {
+            lanes::acc_lane(ya.unit(dy), grad);
+        } else {
+            lanes::acc_lane(&ya.strided(dy), grad);
         }
     });
 }
@@ -885,8 +983,7 @@ pub fn dropout_into<R: Rng + ?Sized>(
     out: &mut [f32],
     mask: &mut [f32],
 ) {
-    let unit = s.unit_but(&[]);
-    s.for_each_lane(|_, _, [xa, oa, ma]| {
+    s.for_each_lane(|unit, [xa, oa, ma]| {
         if unit {
             lanes::dropout_lane(xa.unit(x), drop, oa.unit_mut(out), ma.unit_mut(mask));
         } else {
@@ -899,8 +996,7 @@ pub fn dropout_into<R: Rng + ?Sized>(
 /// Identity dropout (`p == 0`): copies the input and fills the mask with
 /// ones, drawing nothing.
 pub fn dropout_disabled_into(s: &Sweep, x: &[f32], out: &mut [f32], mask: &mut [f32]) {
-    let unit = s.unit_but(&[]);
-    s.for_each_lane(|_, _, [xa, oa, ma]| {
+    s.for_each_lane(|unit, [xa, oa, ma]| {
         if unit {
             oa.unit_mut(out).copy_from_slice(xa.unit(x));
             ma.unit_mut(mask).fill(1.0);
@@ -925,8 +1021,8 @@ fn visible_of(causal: Option<usize>, q: usize, len: usize) -> usize {
 /// the query axis named) masks key positions beyond each lane's query
 /// index to exact zeros (the unfused masked softmax).
 pub fn softmax_into(s: &Sweep, x: &[f32], scaler: f32, causal: Option<usize>, out: &mut [f32]) {
-    s.for_each_lane(|_, q, [xa, oa]| {
-        lanes::softmax_at(x, xa, scaler, visible_of(causal, q, xa.len), out, oa);
+    s.for_each_run(|run, _, q, [xa, oa]| {
+        lanes::softmax_at(run, x, xa, scaler, visible_of(causal, q, xa.len), out, oa);
     });
 }
 
@@ -945,10 +1041,10 @@ pub fn sm_into<R: Rng + ?Sized>(
     alpha: &mut [f32],
     mask: &mut [f32],
 ) {
-    s.for_each_lane(|_, q, [xa, sa, aa, ma]| {
+    s.for_each_run(|run, _, q, [xa, sa, aa, ma]| {
         let visible = visible_of(causal, q, xa.len);
         let (softmax, alpha, mask) = ((&mut *softmax, sa), (&mut *alpha, aa), (&mut *mask, ma));
-        lanes::sm_at(x, xa, scaler, visible, drop, softmax, alpha, mask);
+        lanes::sm_at(run, x, xa, scaler, visible, drop, softmax, alpha, mask);
     });
 }
 
@@ -965,9 +1061,10 @@ pub fn layernorm_into(
     mean_out: &mut [f32],
     inv_std_out: &mut [f32],
 ) {
-    s.for_each_lane(|l, _, [xa, ga, ba, oa]| {
+    s.for_each_run(|run, l, _, [xa, ga, ba, oa]| {
         let (gamma, beta) = (ga.unit(gamma), ba.unit(beta));
-        (mean_out[l], inv_std_out[l]) = lanes::layernorm_at(x, xa, gamma, beta, out, oa);
+        let stats = (&mut mean_out[l..], &mut inv_std_out[l..]);
+        lanes::layernorm_at(run, (x, xa), gamma, beta, (&mut *out, oa), stats);
     });
 }
 
@@ -990,12 +1087,12 @@ pub fn bdrln_into<R: Rng + ?Sized>(
     mean_out: &mut [f32],
     inv_std_out: &mut [f32],
 ) {
-    s.for_each_lane(|l, _, [xa, ba, ra, ga, ea, ma, la, oa]| {
-        let bias_at = |v: usize| bias[ba.base + v * ba.stride];
-        (mean_out[l], inv_std_out[l]) = lanes::bdrln_at(
+    s.for_each_run(|run, l, _, [xa, ba, ra, ga, ea, ma, la, oa]| {
+        lanes::bdrln_at(
+            run,
             x,
             xa,
-            bias_at,
+            (bias, ba),
             (residual, ra),
             ga.unit(gamma),
             ea.unit(beta),
@@ -1003,6 +1100,7 @@ pub fn bdrln_into<R: Rng + ?Sized>(
             (&mut *mask, ma),
             (&mut *ln_input, la),
             (&mut *out, oa),
+            (&mut mean_out[l..], &mut inv_std_out[l..]),
         );
     });
 }
@@ -1021,8 +1119,7 @@ pub fn brd_act_into<R: Rng + ?Sized>(
     out: &mut [f32],
     mask: &mut [f32],
 ) {
-    let unit = s.unit_but(&[1]);
-    s.for_each_lane(|_, _, [xa, ba, pa, oa, ma]| {
+    s.for_each_lane(|unit, [xa, ba, pa, oa, ma]| {
         let bias = &ba.strided(bias);
         if unit {
             let (pre, out) = (pa.unit_mut(pre_activation), oa.unit_mut(out));
@@ -1049,8 +1146,7 @@ pub fn bdr_into<R: Rng + ?Sized>(
     mask: &mut [f32],
     out: &mut [f32],
 ) {
-    let unit = s.unit_but(&[1]);
-    s.for_each_lane(|_, _, [xa, ba, ra, ma, oa]| {
+    s.for_each_lane(|unit, [xa, ba, ra, ma, oa]| {
         let bias = &ba.strided(bias);
         if unit {
             let (mask, out) = (ma.unit_mut(mask), oa.unit_mut(out));
@@ -1099,12 +1195,7 @@ mod tests {
     /// `bias` broadcast onto `onto`'s axes (by name): stride 0 where it
     /// has none.
     fn onto(onto: &Tensor, bias: &Tensor) -> View {
-        let dims = onto.shape().axes().iter().zip(onto.shape().sizes());
-        let stride = |ax: &Axis| bias.shape().index_of(*ax).map_or(0, |i| bias.strides()[i]);
-        View {
-            base: 0,
-            dims: dims.map(|(ax, &n)| (n, stride(ax))).collect(),
-        }
+        View::broadcast(bias.shape(), bias.strides(), onto.shape()).unwrap()
     }
 
     /// The sweep of `views` along `lane` (by name in `of`).
@@ -1135,9 +1226,11 @@ mod tests {
             for lane in [None, Some(0), Some(2), Some(3)] {
                 let s = Sweep::compile(&[&vx, &vb], lane, None).unwrap();
                 let mut seen: Vec<[usize; 2]> = Vec::new();
-                s.for_each_lane(|_, _, at: [LaneAt; 2]| {
-                    for v in 0..at[0].len {
-                        seen.push([0, 1].map(|k| at[k].base + v * at[k].stride));
+                // a panel's lanes are adjacent: `step` apart, in order
+                s.for_each_run(|run, _, _, at: [LaneAt; 2]| {
+                    for (w, v) in (0..run.lanes()).flat_map(|w| (0..at[0].len).map(move |v| (w, v)))
+                    {
+                        seen.push([0, 1].map(|k| at[k].base + w * at[k].step + v * at[k].stride));
                     }
                 });
                 // the reference walk: outer axes row-major, lane innermost
@@ -1166,7 +1259,7 @@ mod tests {
         let vx = whole(&x);
         let s = Sweep::compile(&[&vx, &vx], None, None).unwrap();
         assert_eq!((s.lanes(), s.len), (1, x.len()));
-        assert!(s.unit_but(&[]));
+        assert_eq!(s.walk(), Walk::Lane);
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! * [`fused`] — single-sweep implementations of the paper's twelve fused
 //!   kernels (AIB, SM, BRD, BDRLN, BSB, BLNRD, BDRB, EBSB, BS, BAOB, BAIB,
 //!   BEI);
-//! * [`lanes`] — the one body of every forward kernel, which [`ops`],
-//!   [`fused`] (in logical order) and [`into_ops`] (in physical order over
-//!   caller-provided buffers) drive;
+//! * [`lanes`] — the one body of every forward kernel, which [`into_ops`]
+//!   drives in logical order over caller-provided buffers — a contiguous
+//!   lane at a time, in panels of adjacent strided lanes, or a strided lane
+//!   at a time, as the strides decide — and [`ops`] and [`fused`] drive
+//!   through it;
 //! * [`half`] — software FP16 for mixed-precision storage accounting.
 //!
 //! # Examples

@@ -1,11 +1,12 @@
 //! Element-wise operators (○): bias, activation, residual, scaling, and
 //! their backward passes.
 
-use crate::axes::Axis;
+use crate::axes::{Axis, Shape};
 use crate::error::{Result, TensorError};
+use crate::into_ops::{bias_add_into, bias_grad_into, View};
 use crate::tensor::Tensor;
 
-use super::check_same_shape;
+use super::{check_same_shape, sweep_of, view_of};
 
 /// Applies `f` to every element, producing a tensor with the same shape and
 /// layout as `x`.
@@ -83,37 +84,37 @@ pub fn scale(x: &Tensor, alpha: f32) -> Tensor {
 ///
 /// Returns [`TensorError::UnknownAxis`] if a bias axis is absent from `x`.
 pub fn bias_add(x: &Tensor, bias: &Tensor) -> Result<Tensor> {
-    let positions: Vec<usize> = bias
-        .shape()
-        .axes()
-        .iter()
-        .map(|&ax| x.shape().index_of(ax))
-        .collect::<Result<Vec<_>>>()?;
-    for (&p, &n) in positions.iter().zip(bias.shape().sizes()) {
-        if x.shape().sizes()[p] != n {
-            return Err(TensorError::ShapeMismatch {
-                context: "bias_add",
-            });
-        }
-    }
-    let mut out = x.clone();
-    let mut idx = vec![0usize; x.shape().rank()];
-    let mut bidx = vec![0usize; bias.shape().rank()];
-    loop {
-        for (bi, &p) in bidx.iter_mut().zip(&positions) {
-            *bi = idx[p];
-        }
-        let off = out.offset(&idx);
-        out.data_mut()[off] += bias.at(&bidx);
-        if !x.advance(&mut idx) {
-            break;
-        }
-    }
+    let (vx, vb) = (
+        view_of(x),
+        bias_view(bias.shape(), bias.strides(), x, "bias_add")?,
+    );
+    let sweep = sweep_of(&[&vx, &vb, &vx], None, None, "bias_add")?;
+    let mut out = Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
+    bias_add_into(&sweep, x.data(), bias.data(), out.data_mut());
     Ok(out)
 }
 
+/// A bias of the given shape and strides broadcast onto `x`'s axes by name.
+///
+/// # Errors
+///
+/// Returns [`TensorError::UnknownAxis`] if `x` lacks one of its axes and
+/// [`TensorError::ShapeMismatch`] if an extent disagrees.
+pub(crate) fn bias_view(
+    shape: &Shape,
+    strides: &[usize],
+    x: &Tensor,
+    context: &'static str,
+) -> Result<View> {
+    for &ax in shape.axes() {
+        x.shape().index_of(ax)?;
+    }
+    View::broadcast(shape, strides, x.shape()).ok_or(TensorError::ShapeMismatch { context })
+}
+
 /// Gradient of a broadcast bias: sums `dy` over every axis not in the bias
-/// (the `bji->i`-style reduction of Fig. 3).
+/// (the `bji->i`-style reduction of Fig. 3), each sum in `dy`'s logical
+/// order.
 ///
 /// # Errors
 ///
@@ -123,25 +124,16 @@ pub fn bias_grad(dy: &Tensor, bias_axes: &[Axis]) -> Result<Tensor> {
         .iter()
         .map(|&ax| dy.shape().index_of(ax))
         .collect::<Result<Vec<_>>>()?;
-    let out_shape = crate::axes::Shape::new(
+    let out_shape = Shape::new(
         bias_axes
             .iter()
             .zip(&positions)
             .map(|(&ax, &p)| (ax, dy.shape().sizes()[p])),
     )?;
     let mut out = Tensor::zeros(out_shape);
-    let mut idx = vec![0usize; dy.shape().rank()];
-    let mut bidx = vec![0usize; positions.len()];
-    loop {
-        for (bi, &p) in bidx.iter_mut().zip(&positions) {
-            *bi = idx[p];
-        }
-        let off = out.offset(&bidx);
-        out.data_mut()[off] += dy.at(&idx);
-        if !dy.advance(&mut idx) {
-            break;
-        }
-    }
+    let vo = bias_view(out.shape(), out.strides(), dy, "bias_grad")?;
+    let sweep = sweep_of(&[&view_of(dy), &vo], None, None, "bias_grad")?;
+    bias_grad_into(&sweep, dy.data(), out.data_mut());
     Ok(out)
 }
 

@@ -8,10 +8,10 @@
 
 use crate::axes::Axis;
 use crate::error::Result;
-use crate::lanes;
+use crate::into_ops::{layernorm_into, View};
 use crate::tensor::Tensor;
 
-use super::{check_same_shape, for_each_outer, lane_at};
+use super::{check_same_shape, for_each_outer, sweep_of, view_of};
 
 /// Default variance epsilon (matches common BERT configurations).
 pub const EPS: f32 = 1e-5;
@@ -43,18 +43,22 @@ pub fn layernorm(
     let ai = x.shape().index_of(axis)?;
     check_weight(gamma, axis, x.shape().sizes()[ai])?;
     check_weight(beta, axis, x.shape().sizes()[ai])?;
+    let (v, w) = (view_of(x), View::lane_weights(x.shape().sizes(), ai));
+    let sweep = sweep_of(&[&v, &w, &w, &v], Some(ai), None, "layernorm")?;
     let mut out = x.clone();
     let mut stats = LayerNormStats {
-        mean: Vec::new(),
-        inv_std: Vec::new(),
+        mean: vec![0.0; sweep.lanes()],
+        inv_std: vec![0.0; sweep.lanes()],
     };
-    for_each_outer(x.shape(), ai, |idx| {
-        let at = lane_at(x, idx, ai);
-        let (mean, inv_std) =
-            lanes::layernorm_at(x.data(), at, gamma.data(), beta.data(), out.data_mut(), at);
-        stats.mean.push(mean);
-        stats.inv_std.push(inv_std);
-    });
+    layernorm_into(
+        &sweep,
+        x.data(),
+        gamma.data(),
+        beta.data(),
+        out.data_mut(),
+        &mut stats.mean,
+        &mut stats.inv_std,
+    );
     Ok((out, stats))
 }
 

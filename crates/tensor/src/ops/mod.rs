@@ -16,12 +16,14 @@ pub mod softmax;
 
 use crate::axes::Shape;
 use crate::error::{Result, TensorError};
-use crate::lanes::LaneAt;
+use crate::into_ops::{Sweep, View};
 use crate::tensor::Tensor;
 
 /// Calls `f` once per multi-index over all axes of `shape` except the axis
 /// at logical position `skip` (which stays 0 in the passed index). The
 /// caller turns the index into per-tensor base offsets and sweeps the lane.
+/// Only the eager backward kernels enumerate this way (ROADMAP item 3
+/// removes them); forward kernels compile a [`Sweep`] ([`sweep_of`]).
 pub(crate) fn for_each_outer<F>(shape: &Shape, skip: usize, mut f: F)
 where
     F: FnMut(&[usize]),
@@ -49,14 +51,26 @@ where
     }
 }
 
-/// Where the lane along logical axis position `ai` through outer index
-/// `idx` (as [`for_each_outer`] passes it) sits in `t`'s buffer.
-pub(crate) fn lane_at(t: &Tensor, idx: &[usize], ai: usize) -> LaneAt {
-    LaneAt {
-        base: t.offset(idx),
-        stride: t.strides()[ai],
-        len: t.shape().sizes()[ai],
-    }
+/// `t` whole, through its own strides: a tensor driver's operand as the
+/// view drivers of [`crate::into_ops`] take it.
+pub(crate) fn view_of(t: &Tensor) -> View {
+    View::whole(t.shape().sizes(), t.strides())
+}
+
+/// The sweep of `views` along logical axis `lane` (`query`: the causal
+/// query axis) — how every forward tensor driver enumerates its lanes.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if the views do not compile (a
+/// rank beyond what a sweep's odometer holds).
+pub(crate) fn sweep_of(
+    views: &[&View],
+    lane: Option<usize>,
+    query: Option<usize>,
+    context: &'static str,
+) -> Result<Sweep> {
+    Sweep::compile(views, lane, query).ok_or(TensorError::ShapeMismatch { context })
 }
 
 /// Verifies that two tensors share a shape, for kernels that require it.

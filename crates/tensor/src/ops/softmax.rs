@@ -6,10 +6,10 @@
 
 use crate::axes::Axis;
 use crate::error::Result;
-use crate::lanes;
+use crate::into_ops::softmax_into;
 use crate::tensor::Tensor;
 
-use super::{check_same_shape, for_each_outer, lane_at};
+use super::{check_same_shape, for_each_outer, sweep_of, view_of};
 
 /// Numerically stable softmax along `axis`.
 ///
@@ -28,12 +28,11 @@ use super::{check_same_shape, for_each_outer, lane_at};
 /// ```
 pub fn softmax(x: &Tensor, axis: Axis) -> Result<Tensor> {
     let ai = x.shape().index_of(axis)?;
+    let v = view_of(x);
+    let sweep = sweep_of(&[&v, &v], Some(ai), None, "softmax")?;
     let mut out = x.clone();
-    for_each_outer(x.shape(), ai, |idx| {
-        let at = lane_at(x, idx, ai);
-        // a unit scale is a bitwise identity under IEEE 754 multiplication
-        lanes::softmax_at(x.data(), at, 1.0, at.len, out.data_mut(), at);
-    });
+    // a unit scale is a bitwise identity under IEEE 754 multiplication
+    softmax_into(&sweep, x.data(), 1.0, None, out.data_mut());
     Ok(out)
 }
 

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use xform_tensor::contract::naive_einsum;
 use xform_tensor::einsum::EinsumSpec;
@@ -43,6 +43,85 @@ fn assert_same_bits(what: &str, a: &Tensor, b: &Tensor) -> Result<(), String> {
         );
         if !a.advance(&mut idx) {
             return Ok(());
+        }
+    }
+}
+
+/// A rank-2..4 shape and its lane axis `l`, placed anywhere: lane length 1,
+/// 2 or 17, the innermost other axis (a panel's, in the layouts that have
+/// one) 1, `W − 1`, `W`, `W + 1` or `3W + 5` long — no panel, every halved
+/// remainder, whole panels, a last lane alone — and up to two more axes of
+/// 1..3.
+fn panel_geometry() -> impl Strategy<Value = (Shape, Axis)> {
+    use xform_tensor::lanes::W;
+    (
+        0usize..3,
+        0usize..5,
+        0usize..3,
+        1usize..4,
+        1usize..4,
+        0usize..4,
+    )
+        .prop_map(|(len, inner, more, n0, n1, at)| {
+            let inner = [1, W - 1, W, W + 1, 3 * W + 5][inner];
+            let mut axes = vec![('a', n0), ('b', n1)][..more].to_vec();
+            axes.push(('c', inner));
+            axes.insert(at.min(axes.len()), ('l', [1, 2, 17][len]));
+            (Shape::new(axes).unwrap(), Axis('l'))
+        })
+}
+
+/// The property below means what it says only if the layouts of one shape
+/// really spread over the three walks.
+#[test]
+fn the_layouts_of_a_panel_geometry_take_all_three_walks() {
+    use xform_tensor::into_ops::{Sweep, View};
+    use xform_tensor::lanes::{Walk, W};
+    let shape = Shape::new([('a', 2), ('l', 17), ('c', 3 * W + 5)]).unwrap();
+    let walk = |layout: &str| {
+        let strides = Layout::from_axis_order(&shape, layout)
+            .unwrap()
+            .strides(&shape);
+        let v = View::whole(shape.sizes(), &strides);
+        Sweep::compile(&[&v, &v], Some(1), None).unwrap().walk()
+    };
+    assert_eq!(walk("acl"), Walk::Lane);
+    assert_eq!(walk("alc"), Walk::Panel);
+    assert_eq!(walk("lac"), Walk::Panel);
+    assert_eq!(walk("cla"), Walk::Strided);
+    // the causal query axis cannot be the one a panel runs along
+    let v = View::whole(shape.sizes(), &Layout::row_major(3).strides(&shape));
+    let causal = |query| {
+        Sweep::compile(&[&v, &v], Some(1), Some(query))
+            .unwrap()
+            .walk()
+    };
+    assert_eq!((causal(0), causal(2)), (Walk::Panel, Walk::Strided));
+}
+
+/// Turns up to `count` lanes of `x` along `lane`, picked by `seed`, into
+/// the softmax's edge cases: all `−inf` (a dead lane), a NaN beside `−inf`,
+/// a `+inf`.
+fn poison_some_lanes(x: &mut Tensor, lane: Axis, count: usize, seed: u64) {
+    let li = x.shape().index_of(lane).unwrap();
+    let (len, lanes) = (x.shape().sizes()[li], x.len() / x.shape().sizes()[li]);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD);
+    for case in 0..count {
+        // the lane through a random element
+        let mut idx = vec![0usize; x.shape().rank()];
+        for _ in 0..rng.gen_range(0..lanes * len) {
+            x.advance(&mut idx);
+        }
+        for v in 0..len {
+            idx[li] = v;
+            let word = match (case % 3, v) {
+                (0, _) => f32::NEG_INFINITY,
+                (1, 0) => f32::NAN,
+                (1, _) => f32::NEG_INFINITY,
+                (_, 0) => f32::INFINITY,
+                _ => continue,
+            };
+            x.set(&idx, word);
         }
     }
 }
@@ -333,6 +412,120 @@ proptest! {
         prop_assert_eq!(r1.next_u64(), r2.next_u64());
     }
 
+    // A third instantiation since the panel sweeps: a strided lane whose
+    // neighbours are adjacent words runs up to `W` lanes abreast. Over every
+    // layout of one tensor the drivers take all three walks (contiguous
+    // lane, panel with its halved remainders, strided lane), and every one
+    // must produce the natural layout's bits — values, masks, statistics in
+    // lane order, and the RNG's next draw — with dead (all `−inf`), NaN and
+    // `+inf` lanes sitting in *some* lanes of a panel.
+
+    #[test]
+    fn softmax_walks_agree_bitwise_in_every_layout(
+        geom in panel_geometry(), specials in 0usize..4, seed in 0u64..1000,
+    ) {
+        let (shape, lane) = geom;
+        let mut x = rand_tensor(shape, seed);
+        poison_some_lanes(&mut x, lane, specials, seed);
+        let want = softmax(&x, lane).unwrap();
+        for layout in Layout::all(x.shape().rank()) {
+            let got = softmax(&x.relayout(&layout), lane).unwrap();
+            assert_same_bits("softmax", &want, &got)?;
+        }
+    }
+
+    #[test]
+    fn layernorm_walks_agree_bitwise_in_every_layout(
+        geom in panel_geometry(), seed in 0u64..1000,
+    ) {
+        let (shape, lane) = geom;
+        let x = rand_tensor(shape, seed);
+        let weights = Shape::new([(lane, x.shape().size(lane).unwrap())]).unwrap();
+        let gamma = rand_tensor(weights.clone(), seed + 1);
+        let beta = rand_tensor(weights, seed + 2);
+        let (want, ws) = layernorm(&x, lane, &gamma, &beta).unwrap();
+        for layout in Layout::all(x.shape().rank()) {
+            let (got, gs) = layernorm(&x.relayout(&layout), lane, &gamma, &beta).unwrap();
+            assert_same_bits("layernorm", &want, &got)?;
+            // stats are in logical lane order whichever runs produced them
+            prop_assert_eq!(bits(&ws.mean), bits(&gs.mean));
+            prop_assert_eq!(bits(&ws.inv_std), bits(&gs.inv_std));
+        }
+    }
+
+    #[test]
+    fn sm_walks_agree_bitwise_in_every_layout(
+        geom in panel_geometry(), specials in 0usize..4, causal in any::<bool>(),
+        drops in any::<bool>(), base in 0usize..3, seed in 0u64..1000,
+    ) {
+        let (shape, lane) = geom;
+        let p = if drops { 0.3f32 } else { 0.0 };
+        let mut x = rand_tensor(shape, seed);
+        poison_some_lanes(&mut x, lane, specials, seed);
+        // causal: any other axis is the query axis — the panel axis (which
+        // keeps the lane-at-a-time walk) or one outside it
+        let others: Vec<Axis> = x.shape().axes().iter().copied().filter(|&a| a != lane).collect();
+        let query = others[seed as usize % others.len()];
+        let run = |t: &Tensor| {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5A);
+            let out = if causal {
+                fused::sm_causal_at(t, 0.5, query, lane, p, &mut rng, base)
+            } else {
+                fused::sm(t, 0.5, lane, p, &mut rng)
+            };
+            (out.unwrap(), rng.next_u64())
+        };
+        let (want, next) = run(&x);
+        for layout in Layout::all(x.shape().rank()) {
+            let (got, got_next) = run(&x.relayout(&layout));
+            assert_same_bits("sm softmax", &want.softmax, &got.softmax)?;
+            assert_same_bits("sm alpha", &want.alpha, &got.alpha)?;
+            assert_same_bits("sm mask", &want.mask, &got.mask)?;
+            prop_assert_eq!(next, got_next);
+        }
+    }
+
+    #[test]
+    fn bdrln_walks_agree_bitwise_in_every_layout(
+        geom in panel_geometry(), drops in any::<bool>(), bias_on in 0usize..3,
+        residual_follows in any::<bool>(), seed in 0u64..1000,
+    ) {
+        let (shape, lane) = geom;
+        let p = if drops { 0.3f32 } else { 0.0 };
+        let x = rand_tensor(shape.clone(), seed);
+        let residual = rand_tensor(shape.clone(), seed + 1);
+        let size = |a: Axis| (a, shape.size(a).unwrap());
+        let weights = Shape::new([size(lane)]).unwrap();
+        // the bias on the lane (one row for every lane), on the innermost
+        // other axis (a different word per lane of a panel), or on both
+        let inner = *shape.axes().iter().rev().find(|&&a| a != lane).unwrap();
+        let bias_shape = match bias_on {
+            0 => weights.clone(),
+            1 => Shape::new([size(inner)]).unwrap(),
+            _ => Shape::new([size(inner), size(lane)]).unwrap(),
+        };
+        let bias = rand_tensor(bias_shape, seed + 2);
+        let gamma = rand_tensor(weights.clone(), seed + 3);
+        let beta = rand_tensor(weights, seed + 4);
+        let run = |x: &Tensor, residual: &Tensor| {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xBD);
+            let out = fused::bdrln(x, &bias, residual, &gamma, &beta, lane, p, &mut rng).unwrap();
+            (out, rng.next_u64())
+        };
+        let (want, next) = run(&x, &residual);
+        for layout in Layout::all(shape.rank()) {
+            // a residual in another layout than `x` shares no panel with it
+            let r = if residual_follows { residual.relayout(&layout) } else { residual.clone() };
+            let (got, got_next) = run(&x.relayout(&layout), &r);
+            assert_same_bits("bdrln mask", &want.mask, &got.mask)?;
+            assert_same_bits("bdrln ln_input", &want.ln_input, &got.ln_input)?;
+            assert_same_bits("bdrln out", &want.out, &got.out)?;
+            prop_assert_eq!(bits(&want.stats.mean), bits(&got.stats.mean));
+            prop_assert_eq!(bits(&want.stats.inv_std), bits(&got.stats.inv_std));
+            prop_assert_eq!(next, got_next);
+        }
+    }
+
     #[test]
     fn residual_add_commutes(n in 1usize..30, seed in 0u64..1000) {
         let shape = Shape::new([('x', n)]).unwrap();
@@ -343,8 +536,6 @@ proptest! {
         prop_assert!(ab.max_abs_diff(&ba).unwrap() == 0.0);
     }
 }
-
-use rand::Rng;
 
 /// The strided GEMM and the contraction compiler over it: bitwise equality
 /// with the scalar `k`-ascending reference whatever the tiling, strides,

@@ -1,9 +1,9 @@
 //! Heap-allocation discipline of the arena interpreter: after one warmup
 //! call has populated the plan and arena caches, every subsequent
 //! `forward_into` — encoder and decoder, serial and wave-parallel, the
-//! canned plans and a caller's strided plan override with its relayouts —
-//! executes out of the preallocated slab through the `*_into` kernels and
-//! must touch the heap **not at all**. A counting global allocator makes
+//! canned plans (whose norm steps run in panels) and a caller's strided
+//! plan override with its relayouts — executes out of the preallocated slab
+//! through the `*_into` kernels and must touch the heap **not at all**. A counting global allocator makes
 //! the claim falsifiable: any stray `Vec`, `String`, or `HashMap` rehash
 //! on the steady-state path shows up as a nonzero event delta and fails
 //! the test.
@@ -19,6 +19,7 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use substation::core::access::certify_access;
 use substation::core::plan::{ExecOptions, PlanOverride};
 use substation::core::profile::CountingAlloc;
 use substation::dataflow::EncoderDims;
@@ -69,6 +70,12 @@ fn steady_state_forwards_touch_no_heap() {
     // the fused plan with its operand layouts shuffled: strided views,
     // relayout insertions, `y` left in whatever layout the shuffle chose
     let canned = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
+    // the canned plan's norm steps reduce `[i,b,j]` along `i`, a strided
+    // lane: they certify unit-stride only because they run in panels, so
+    // the panel walk (and, in the shuffled plan below, the lane-at-a-time
+    // strided one) is inside every measured window
+    let cert = certify_access(&canned.graph, &canned.plan).unwrap();
+    assert_eq!(cert.unit_stride_steps(), canned.plan.steps.len());
     let strided = common::permuted(&canned.graph, &canned.plan, 7);
     assert!(strided.relayout_count() > 0);
     let over = PlanOverride {

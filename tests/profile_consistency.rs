@@ -5,9 +5,11 @@
 //! term), and profile-guided re-selection must never adopt a plan that
 //! measured slower than the natural one.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use substation::core::analyze::audit;
 use substation::core::cpusource::CpuSource;
-use substation::core::plan::{random_externals, ExecOptions};
+use substation::core::plan::{execute_plan, random_externals, ExecOptions};
 use substation::core::profile::{profile_plan, reselect};
 use substation::core::sweep::{SimulatorSource, SweepOptions};
 use substation::dataflow::EncoderDims;
@@ -108,6 +110,50 @@ fn reselection_never_measures_worse_than_natural() {
             assert!(r.reselected_us() <= r.natural_us());
         } else {
             assert!(r.reselected_us() > r.natural_us());
+        }
+    }
+}
+
+/// What `profile_plan`, `reselect`'s duel and every study stand their
+/// environment up with must not make the kernels it times take the
+/// subnormal microcode assist. With weights drawn at U(−1, 1) whatever
+/// their fan-in, the attention scores at this shape saturate and the
+/// softmax writes subnormals (counted at PR 16: 13 words each in `att` and
+/// `alpha` of the encoder plans, 5 in the causal decoder ones); at
+/// ±1/√fan-in, like `EncoderWeights::init`, one forward of every canned
+/// plan leaves none in any container.
+#[test]
+fn random_externals_leave_no_subnormal_in_any_container() {
+    use interp::PlanKind::*;
+    let full = EncoderDims {
+        b: 1,
+        j: 16,
+        k: 16,
+        h: 4,
+        p: 64,
+        i: 256,
+        u: 256,
+    };
+    let token = EncoderDims { j: 1, ..full };
+    let kinds = [
+        (EncoderReference, full),
+        (EncoderFused, full),
+        (EncoderEpilogue, full),
+        (DecoderFused, full),
+        (DecoderEpilogue, full),
+        (DecoderPrefill, full),
+        (DecoderStepProject, EncoderDims { k: 1, ..token }),
+        (DecoderStep, token),
+    ];
+    for (kind, dims) in kinds {
+        let pf = interp::cached_plan(&dims, kind).unwrap();
+        let mut state = random_externals(&pf.graph, &pf.plan, 11).unwrap();
+        let opts = ExecOptions::default();
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+        execute_plan(&pf.graph, &pf.plan, &mut state, &opts, &mut rng).unwrap();
+        for (name, t) in &state.env {
+            let subnormal = t.data().iter().filter(|v| v.is_subnormal()).count();
+            assert_eq!(subnormal, 0, "{kind:?}: `{name}` holds subnormal words");
         }
     }
 }
