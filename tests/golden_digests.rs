@@ -3,7 +3,9 @@
 //! layer forwards, a streaming decode, and the allocating kernels on
 //! permuted layouts — recorded at a parent commit and held fixed (the
 //! `decode` and `kernels/*` rows in PR 12; the layer rows, one per route
-//! and thread count, in PR 14 as a test-only commit on PR 13's library).
+//! and thread count, in PR 14 as a test-only commit on PR 13's library;
+//! the `grad/*` rows over the eager backward passes in PR 18, likewise on
+//! PR 17's library).
 //! A digest that moves means arithmetic, output layout, stats order or
 //! RNG draw order changed somewhere under the public API.
 //!
@@ -26,6 +28,7 @@ use substation::transformer::decode::{DecodeOptions, DecodeSession, Sampling};
 use substation::transformer::decoder::{DecoderActivations, DecoderLayer};
 use substation::transformer::encoder::{Activations, EncoderLayer, Executor};
 use substation::transformer::interp::{self, PlanKind};
+use substation::transformer::mha;
 use substation::transformer::model::{BlockKind, ModelConfig, TransformerModel};
 use substation::transformer::params::EncoderWeights;
 
@@ -363,12 +366,109 @@ fn kernel_digests(table: &mut Vec<(String, u64)>) {
     }
 }
 
+/// The eager backward passes: one row per (caller, shape, p) over `dx` and
+/// every weight gradient — both arms of `EncoderLayer::backward` (the fused
+/// one on the layer's default ReLU, the reference one on GELU), the decoder
+/// block, standalone MHA, and the whole model through both block kinds
+/// (loss, embedding, head and per-block gradients). Recorded before the
+/// attention and feed-forward chains were factored into one helper each.
+fn grad_digests(table: &mut Vec<(String, u64)>) {
+    const SEED: u64 = 23;
+    fn grads(h: &mut Fnv, g: &EncoderWeights) {
+        for (_, t) in g.fields() {
+            h.tensor(t);
+        }
+    }
+    for (di, dims) in shapes().iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let w = EncoderWeights::init(dims, &mut rng);
+        let ibj = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+        let unit = Uniform::new(-1.0, 1.0);
+        let x = Tensor::random(ibj.clone(), &unit, &mut rng);
+        let dy = Tensor::random(ibj.clone(), &unit, &mut rng);
+        let opts = ExecOptions::builder().seed(SEED).build();
+        for p in [0.0f32, 0.1] {
+            let mut row = |name: &str, h: Fnv| {
+                table.push((format!("grad/{name}/shape{di}/p{p}"), h.0));
+            };
+            for (name, layer) in [
+                ("enc-fused", EncoderLayer::new(*dims, Executor::Fused, p)),
+                (
+                    "enc-reference",
+                    EncoderLayer::new(*dims, Executor::Reference, p).with_activation(Gelu),
+                ),
+            ] {
+                let (_, a) = layer.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
+                let (dx, g) = layer.backward(&dy, &x, &w, &a).unwrap();
+                let mut h = Fnv::new();
+                h.tensor(&dx);
+                grads(&mut h, &g);
+                row(name, h);
+            }
+            {
+                let layer = DecoderLayer::new(*dims, p);
+                let (_, a) = layer.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
+                let (dx, g) = layer.backward(&dy, &x, &w, &a).unwrap();
+                let mut h = Fnv::new();
+                h.tensor(&dx);
+                grads(&mut h, &g);
+                row("dec", h);
+            }
+            {
+                let (k, v) = (x.relabel("ibk").unwrap(), dy.relabel("ibk").unwrap());
+                let mut drop_rng = StdRng::seed_from_u64(SEED);
+                let (_, a) = mha::mha_forward(dims, &x, &k, &v, &w, p, &mut drop_rng).unwrap();
+                let g = mha::mha_backward(dims, &dy, &w, &a).unwrap();
+                let mut h = Fnv::new();
+                for t in [&g.dq, &g.dk, &g.dv] {
+                    h.tensor(t);
+                }
+                row("mha", h);
+            }
+            for (name, block) in [
+                ("model-enc", BlockKind::Encoder),
+                ("model-dec", BlockKind::Decoder),
+            ] {
+                let vocab = 11;
+                let cfg = ModelConfig {
+                    dims: *dims,
+                    layers: 2,
+                    vocab,
+                    block,
+                    dropout_p: p,
+                };
+                let model = TransformerModel::init(cfg, &mut StdRng::seed_from_u64(47)).unwrap();
+                let ids = |mul: usize| -> Vec<Vec<usize>> {
+                    (0..dims.b)
+                        .map(|b| (0..dims.j).map(|j| (mul * b + 5 * j + 1) % vocab).collect())
+                        .collect()
+                };
+                let (tokens, targets) = (ids(3), ids(7));
+                let acts = model
+                    .forward(&tokens, &mut StdRng::seed_from_u64(SEED))
+                    .unwrap();
+                let g = model.backward(&tokens, &targets, &acts).unwrap();
+                let mut h = Fnv::new();
+                h.word(model.cross_entropy(&acts, &targets).unwrap().to_bits());
+                for t in [&g.embedding, &g.positional, &g.head, &g.head_bias] {
+                    h.tensor(t);
+                }
+                for b in &g.blocks {
+                    grads(&mut h, b);
+                }
+                row(name, h);
+            }
+        }
+    }
+}
+
 #[test]
 fn digests_match_the_recorded_table() {
     let mut table = Vec::new();
     layer_digests(&mut table);
     decode_digests(&mut table);
     kernel_digests(&mut table);
+    grad_digests(&mut table);
     let recorded: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     if table != recorded {
         for (name, d) in &table {
@@ -491,4 +591,28 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kernels/layout3", 0x75eb06597802dbab),
     ("kernels/layout4", 0x1e7855fbe5eac0ca),
     ("kernels/layout5", 0x15d5e514178b43b8),
+    ("grad/enc-fused/shape0/p0", 0x45492cbe0c88f1aa),
+    ("grad/enc-reference/shape0/p0", 0xfe14e84908ea709c),
+    ("grad/dec/shape0/p0", 0xd0f82f2c94f09cec),
+    ("grad/mha/shape0/p0", 0x6779118ee116d879),
+    ("grad/model-enc/shape0/p0", 0x19fde977b7216ab2),
+    ("grad/model-dec/shape0/p0", 0x10e23272174ef238),
+    ("grad/enc-fused/shape0/p0.1", 0xbbd0bbde05ff2cd0),
+    ("grad/enc-reference/shape0/p0.1", 0x5af151c46f2f4133),
+    ("grad/dec/shape0/p0.1", 0x6d3c2f150769cacc),
+    ("grad/mha/shape0/p0.1", 0x329c809afc98fbf2),
+    ("grad/model-enc/shape0/p0.1", 0x362cd19ff94c427f),
+    ("grad/model-dec/shape0/p0.1", 0x692e4da1dbfa6d6e),
+    ("grad/enc-fused/shape1/p0", 0xb496bb24ac9f0a15),
+    ("grad/enc-reference/shape1/p0", 0xee862980a99ffea6),
+    ("grad/dec/shape1/p0", 0x0022cdf685220b28),
+    ("grad/mha/shape1/p0", 0xc3e5a54370a96e17),
+    ("grad/model-enc/shape1/p0", 0xc7f59e64fd44a879),
+    ("grad/model-dec/shape1/p0", 0xcd94e43df1d521c0),
+    ("grad/enc-fused/shape1/p0.1", 0xb0c82720c9498cff),
+    ("grad/enc-reference/shape1/p0.1", 0xd733030c51b26aa0),
+    ("grad/dec/shape1/p0.1", 0x426494c92d9a6125),
+    ("grad/mha/shape1/p0.1", 0xd7068d73d75e0007),
+    ("grad/model-enc/shape1/p0.1", 0xea3f52390e3e067b),
+    ("grad/model-dec/shape1/p0.1", 0x3d2e61d7c25c42f6),
 ];
