@@ -380,10 +380,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let decoder = interp::cached_plan(&dims, interp::PlanKind::DecoderFused)?;
     let dec_epilogue = interp::cached_plan(&dims, interp::PlanKind::DecoderEpilogue)?;
 
-    // the streaming-decode plan family: prefill at the full sequence, one
-    // project step (token column → q/k/v columns), and one attend step
-    // over a cache sized to the full sequence
-    let prefill = interp::cached_plan(&dims, interp::PlanKind::DecoderPrefill)?;
+    // the streaming-decode plan family: the prefill is the fused decoder
+    // plan above at the full sequence; one project step (token column →
+    // q/k/v columns) and one attend step over a cache sized to it
     let step_dims = EncoderDims {
         j: 1,
         k: dims.j,
@@ -464,16 +463,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &fused.graph,
             &selected,
             Some(&sweeps),
-            &device,
-            mode,
-            cache_on,
-        ),
-        report(
-            "Decoder prefill (forward-only, KV projections saved)",
-            "decoder-prefill",
-            &prefill.graph,
-            &prefill.plan,
-            None,
             &device,
             mode,
             cache_on,
@@ -560,7 +549,8 @@ fn decode_section(
 ) -> usize {
     let mut failures = 0usize;
     let find = |key: &str| results.iter().find(|r| r.key == key);
-    let (Some(step), Some(prefill)) = (find("decoder-step"), find("decoder-prefill")) else {
+    // the prefill pass is the fused decoder's forward plan
+    let (Some(step), Some(prefill)) = (find("decoder-step"), find("decoder-fused")) else {
         return 0;
     };
     let (Some(m), Some(pm)) = (&step.mue, &prefill.mue) else {

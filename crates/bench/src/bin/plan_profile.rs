@@ -973,7 +973,6 @@ fn json() -> Result<(), Box<dyn std::error::Error>> {
         ("encoder-epilogue", interp::PlanKind::EncoderEpilogue, &dims),
         ("decoder-fused", interp::PlanKind::DecoderFused, &dims),
         ("decoder-epilogue", interp::PlanKind::DecoderEpilogue, &dims),
-        ("decoder-prefill", interp::PlanKind::DecoderPrefill, &dims),
         (
             "decoder-step-project",
             interp::PlanKind::DecoderStepProject,

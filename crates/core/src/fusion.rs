@@ -81,6 +81,17 @@ pub fn encoder_fusion_plan() -> Vec<FusionGroup> {
 /// decoder block, derived with the same rules. Pre-LN hoists the layer
 /// norms out of the residual chains, so they fuse with fewer neighbours
 /// than in the encoder; everything else maps one-to-one.
+///
+/// This is the only decoder table. A prefill pass runs the forward steps of
+/// the training graph fused by it, and the forward-only decode-step graphs
+/// ([`xform_dataflow::build::decoder_step_project`],
+/// [`xform_dataflow::build::decoder_step_attend`]) are fused by this plan
+/// *filtered* to the groups they have members of (`[AIB, LN1]` and
+/// `[SM, BDR, BRD, BDR2, LN2]`; the filter lives with their constructors in
+/// `xform_transformer::interp`) — [`apply_plan`] errors on a missing
+/// operator, so the filter is what lets one table serve graphs without a
+/// backward half, and the step kernels cannot drift from the training
+/// decoder's because they are not written down a second time.
 pub fn decoder_fusion_plan() -> Vec<FusionGroup> {
     vec![
         FusionGroup::new("AIB", &["Input bias Q", "Input bias K", "Input bias V"]),
@@ -99,47 +110,6 @@ pub fn decoder_fusion_plan() -> Vec<FusionGroup> {
         FusionGroup::new("BAIB", &["Input bias dW"]),
         FusionGroup::new("BSB1", &["LayerNorm 1 dW"]),
         FusionGroup::new("BLNR1", &["LayerNorm 1 dX", "Residual 1 dX"]),
-    ]
-}
-
-/// The forward half of [`decoder_fusion_plan`], for forward-only decode
-/// graphs ([`xform_dataflow::build::decoder_prefill`]). `apply_plan` errors
-/// on missing operators, so the training plan (which names backward ops)
-/// cannot be applied to an inference graph; this plan keeps the *same*
-/// groups and kernel names for the ops that exist, so a prefill pass runs
-/// bitwise-identical fused kernels to the full training forward.
-pub fn decoder_forward_fusion_plan() -> Vec<FusionGroup> {
-    vec![
-        FusionGroup::new("AIB", &["Input bias Q", "Input bias K", "Input bias V"]),
-        FusionGroup::new("SM", &["Masked softmax", "Dropout att"]),
-        FusionGroup::new("BDR", &["Output bias", "Dropout 1", "Residual 1"]),
-        FusionGroup::new("BRD", &["Bias 1", "GELU", "Dropout 2"]),
-        FusionGroup::new("BDR2", &["Bias 2", "Dropout 3", "Residual 2"]),
-        FusionGroup::new("LN1", &["LayerNorm 1"]),
-        FusionGroup::new("LN2", &["LayerNorm 2"]),
-    ]
-}
-
-/// Fusion plan for the decode-step *projection* graph
-/// ([`xform_dataflow::build::decoder_step_project`]): layer-norm plus the
-/// stacked Q/K/V input-bias carve.
-pub fn decoder_project_fusion_plan() -> Vec<FusionGroup> {
-    vec![
-        FusionGroup::new("LN1", &["LayerNorm 1"]),
-        FusionGroup::new("AIB", &["Input bias Q", "Input bias K", "Input bias V"]),
-    ]
-}
-
-/// Fusion plan for the decode-step *attention+FFN* graph
-/// ([`xform_dataflow::build::decoder_step_attend`]): the same groups the
-/// full decoder forward uses past the projections.
-pub fn decoder_attend_fusion_plan() -> Vec<FusionGroup> {
-    vec![
-        FusionGroup::new("SM", &["Masked softmax", "Dropout att"]),
-        FusionGroup::new("BDR", &["Output bias", "Dropout 1", "Residual 1"]),
-        FusionGroup::new("BRD", &["Bias 1", "GELU", "Dropout 2"]),
-        FusionGroup::new("BDR2", &["Bias 2", "Dropout 3", "Residual 2"]),
-        FusionGroup::new("LN2", &["LayerNorm 2"]),
     ]
 }
 

@@ -1,33 +1,602 @@
 //! Builders for the paper's dataflow graphs: multi-head attention (Fig. 1)
 //! and the full BERT encoder layer, forward and backward (Fig. 2).
 //!
-//! The encoder builder produces the *unfused* operator graph — one node per
-//! logical operator, named after the corresponding row of Table III — with
-//! every saved activation, dropout mask and stacked Q/K/V tensor modelled
+//! The builders produce the *unfused* operator graph — one node per logical
+//! operator, named after the corresponding row of Table III — with every
+//! saved activation, dropout mask and stacked Q/K/V tensor modelled
 //! explicitly, so that per-operator input/output word counts reproduce the
 //! paper's accounting. The fusion pass (in `xform-core`) then rewrites this
 //! graph into the fused form.
+//!
+//! # One description per sub-block
+//!
+//! A transformer block is written once, as private emitters on `Emit`;
+//! each public builder is a short composition of them, and what the paper
+//! calls the "minor aspects" separating a decoder from the encoder
+//! (Sec. VIII) are arguments:
+//!
+//! | emitter | nodes | arguments |
+//! |---|---|---|
+//! | `qkv_weights`, `out_weights`, `norm_weights`, `ffn_weights` | the weight containers | which layer norm |
+//! | `layer_norm` | `LayerNorm n` | input, output container and role (post-LN / pre-LN placement is where the builder calls it) |
+//! | `qkv_projection` | `Q,K,V` → the three `Input bias` carves of `qkv_raw` | source, output names and role (`qq`/`kk`/`vv` saved, or the decode step's `*_new` output columns) |
+//! | `attention` | `QKT` → softmax → `Dropout att` → `Gamma` → `Out` → `Output bias` | scaled / masked softmax, `phbk`/`whbk` projections or position-major `kphb`/`kwhb` caches, output container |
+//! | `join` | `Dropout n` → `Residual n` | names, skip input, sum container |
+//! | `ffn` | `Linear 1` → `Bias 1` → activation → `Dropout 2` → `Linear 2` → `Bias 2` | `RELU` / `GELU` |
+//! | `layer_norm_backward` | `LayerNorm n dW`, `LayerNorm n dX` | which layer norm, its input |
+//! | `ffn_backward` | `Bias 2 dW` … `Linear 1 dW` | activation, name of the input gradient |
+//! | `attention_backward` | `Output bias dW` … `Q,K,V dW` | softmax name, projection source, name of the input gradient |
+//!
+//! [`mha_forward`] is its own unstacked projections (distinct q/k/v inputs)
+//! followed by `attention`; [`encoder`] and [`decoder`] compose all of the
+//! above, the decoder through `decoder_tail` (scores to `y`), which
+//! [`decoder_step_attend`] reuses over the KV caches; and
+//! [`decoder_step_project`] is `layer_norm` + `qkv_projection` on one token
+//! column. There is no forward-only copy of the decoder: a prefill pass
+//! schedules the forward operators of [`decoder`]'s graph.
+//!
+//! # Node order is part of the contract
+//!
+//! Every emitter adds its nodes in a fixed order (a one-output operator adds
+//! its output container, then itself), and the builders call the emitters in
+//! execution order, so a [`NodeId`] is a function of the builder alone.
+//! Execution plans name their operands by `NodeId`, plan fingerprints hash
+//! them, the fused node ids of `Graph::fuse` follow them, and the committed
+//! `BENCH_plan_audit.json` rows are computed from those plans — so an edit
+//! here that reorders, renames or reshapes a node moves artifacts far from
+//! this file. `tests/structure_digest.rs` pins every builder's graph (nodes,
+//! memlets, operator lists) against a recorded table; an intended change
+//! re-records it.
 
 use xform_tensor::{Axis, Shape};
 
 use crate::dims::EncoderDims;
-use crate::graph::{DataRole, Graph, NodeId};
+use crate::graph::DataRole::{self, Activation, Cache, Gradient, Input, Output, Saved, Weight};
+use crate::graph::{Graph, NodeId};
 use crate::op::OpKind;
-
-fn shape(dims: &EncoderDims, spec: &str) -> Shape {
-    Shape::from_spec(spec, &dims.size_table()).expect("valid builder spec")
-}
-
-fn stacked_shape(dims: &EncoderDims, tail: &str) -> Shape {
-    let mut v = vec![('s', 3 * dims.p)];
-    for c in tail.chars() {
-        v.push((c, dims.size(c)));
-    }
-    Shape::new(v).expect("valid stacked spec")
-}
 
 fn einsum(spec: &str) -> OpKind {
     OpKind::Einsum(spec.parse().expect("valid builder einsum"))
+}
+
+const I: Axis = Axis('i');
+const K: Axis = Axis('k');
+
+/// The feed-forward activation: operator name and output container. The
+/// backward operator and its gradient container are derived (`"{op} dX"`,
+/// `"d_{container}"`). Both are [`OpKind::Relu`] nodes — the executor picks
+/// the function; the graph's accounting is the same.
+type Act = (&'static str, &'static str);
+const RELU: Act = ("ReLU", "ff1_relu");
+const GELU: Act = ("GELU", "ff1_act");
+
+/// The saved projections of a full-sequence block (name, spec), in stream
+/// order.
+const QKV: [(&str, &str); 3] = [("qq", "phbj"), ("kk", "phbk"), ("vv", "whbk")];
+
+/// The two sub-block-closing dropouts (operator, output, mask) for
+/// `Emit::join`.
+const DROP1: [&str; 3] = ["Dropout 1", "drop1_out", "drop1_mask"];
+const DROP3: [&str; 3] = ["Dropout 3", "ff2_drop", "drop3_mask"];
+
+/// Stacked projection weights: `w_qkv` (`[s=3p, h, i]`) and the three
+/// per-stream biases.
+struct QkvWeights {
+    w_qkv: NodeId,
+    biases: [NodeId; 3],
+}
+
+/// Output projection weight and bias.
+struct OutWeights {
+    wo: NodeId,
+    bo: NodeId,
+}
+
+/// Layer-norm scale and shift.
+struct NormWeights {
+    gamma: NodeId,
+    beta: NodeId,
+}
+
+/// Feed-forward weights and biases.
+struct FfnWeights {
+    w1: NodeId,
+    b1: NodeId,
+    w2: NodeId,
+    b2: NodeId,
+}
+
+/// A training block's externals.
+struct BlockWeights {
+    qkv: QkvWeights,
+    out: OutWeights,
+    ln1: NormWeights,
+    ffn: FfnWeights,
+    ln2: NormWeights,
+}
+
+/// What [`Emit::attention`] leaves for the rest of the block and for
+/// [`Emit::attention_backward`].
+struct Attention {
+    qkv: [NodeId; 3],
+    softmax: &'static str,
+    att: NodeId,
+    alpha: NodeId,
+    att_mask: NodeId,
+    gam: NodeId,
+    /// The biased output projection.
+    out: NodeId,
+}
+
+/// What [`Emit::ffn`] leaves for the rest of the block and for
+/// [`Emit::ffn_backward`].
+struct Ffn {
+    x: NodeId,
+    act: Act,
+    ff1_b: NodeId,
+    ff1_drop: NodeId,
+    drop2_mask: NodeId,
+    /// The biased second linear layer.
+    out: NodeId,
+}
+
+/// What [`Emit::decoder_tail`] leaves for the decoder's backward half.
+struct DecoderTail {
+    attn: Attention,
+    drop1_mask: NodeId,
+    res1: NodeId,
+    ffn: Ffn,
+    drop3_mask: NodeId,
+    y: NodeId,
+}
+
+/// A graph under construction: the sub-block emitters, and the names of the
+/// operators emitted so far in execution order.
+struct Emit<'d> {
+    g: Graph,
+    dims: &'d EncoderDims,
+    /// The paper's letters plus `s = 3p`, the stacked Q/K/V axis.
+    sizes: Vec<(char, usize)>,
+    ops: Vec<String>,
+}
+
+impl<'d> Emit<'d> {
+    fn new(dims: &'d EncoderDims) -> Self {
+        let mut sizes = dims.size_table();
+        sizes.push(('s', 3 * dims.p));
+        Emit {
+            g: Graph::new(),
+            dims,
+            sizes,
+            ops: Vec::new(),
+        }
+    }
+
+    fn finish(self) -> ForwardGraph {
+        ForwardGraph {
+            graph: self.g,
+            forward_ops: self.ops,
+        }
+    }
+
+    fn data(&mut self, name: &str, spec: &str, role: DataRole) -> NodeId {
+        let shape = Shape::from_spec(spec, &self.sizes).expect("valid builder spec");
+        self.g.add_data(name, shape, role)
+    }
+
+    /// A container with its whole volume, as a memlet endpoint.
+    fn full(&self, id: NodeId) -> (NodeId, u64) {
+        let words = self.g.data(id).expect("data node").shape.num_elements();
+        (id, words as u64)
+    }
+
+    fn axes_of(&self, id: NodeId) -> Vec<Axis> {
+        self.g.data(id).expect("data node").shape.axes().to_vec()
+    }
+
+    /// An operator over whole containers.
+    fn op(&mut self, name: &str, kind: OpKind, inputs: &[NodeId], outputs: &[NodeId]) {
+        self.ops.push(name.into());
+        self.g.add_op(name, kind, inputs, outputs);
+    }
+
+    /// An operator that touches only a slice of a stacked container.
+    fn op_sliced(
+        &mut self,
+        name: &str,
+        kind: OpKind,
+        inputs: &[(NodeId, u64)],
+        outputs: &[(NodeId, u64)],
+    ) {
+        self.ops.push(name.into());
+        self.g.add_op_with_volumes(name, kind, inputs, outputs);
+    }
+
+    /// A one-output operator: the output container, then the operator.
+    fn emit(
+        &mut self,
+        name: &str,
+        kind: OpKind,
+        inputs: &[NodeId],
+        out: (&str, &str, DataRole),
+    ) -> NodeId {
+        let out = self.data(out.0, out.1, out.2);
+        self.op(name, kind, inputs, &[out]);
+        out
+    }
+
+    /// Broadcast add of `bias` over its own axes.
+    fn bias(&mut self, name: &str, x: NodeId, bias: NodeId, out: (&str, &str, DataRole)) -> NodeId {
+        let axes = self.axes_of(bias);
+        self.emit(name, OpKind::Bias { axes }, &[x, bias], out)
+    }
+
+    /// Bias gradient: `d` reduced onto the axes of `spec`.
+    fn bias_grad(&mut self, name: &str, d: NodeId, out: &str, spec: &str) {
+        let axes = spec.chars().map(Axis).collect();
+        self.emit(name, OpKind::BiasGrad { axes }, &[d], (out, spec, Output));
+    }
+
+    /// Residual connection (and, backward, a gradient join): `a + b`.
+    fn residual(&mut self, name: &str, a: NodeId, b: NodeId, out: (&str, DataRole)) -> NodeId {
+        self.emit(name, OpKind::Residual, &[a, b], (out.0, "ibj", out.1))
+    }
+
+    /// Dropout: the dropped output, then the saved mask, both of `spec`.
+    fn dropout(
+        &mut self,
+        name: &str,
+        x: NodeId,
+        out: (&str, DataRole),
+        mask: &str,
+        spec: &str,
+    ) -> (NodeId, NodeId) {
+        let out = self.data(out.0, spec, out.1);
+        let mask = self.data(mask, spec, Saved);
+        self.op(name, OpKind::Dropout, &[x], &[out, mask]);
+        (out, mask)
+    }
+
+    // ---- weight containers ----
+
+    fn qkv_weights(&mut self) -> QkvWeights {
+        QkvWeights {
+            w_qkv: self.data("w_qkv", "shi", Weight),
+            biases: [("bq", "ph"), ("bk", "ph"), ("bv", "wh")]
+                .map(|(n, s)| self.data(n, s, Weight)),
+        }
+    }
+
+    fn out_weights(&mut self) -> OutWeights {
+        OutWeights {
+            wo: self.data("wo", "whi", Weight),
+            bo: self.data("bo", "i", Weight),
+        }
+    }
+
+    fn norm_weights(&mut self, n: u8) -> NormWeights {
+        NormWeights {
+            gamma: self.data(&format!("ln{n}_gamma"), "i", Weight),
+            beta: self.data(&format!("ln{n}_beta"), "i", Weight),
+        }
+    }
+
+    fn ffn_weights(&mut self) -> FfnWeights {
+        FfnWeights {
+            w1: self.data("w1", "ui", Weight),
+            b1: self.data("b1", "u", Weight),
+            w2: self.data("w2", "iu", Weight),
+            b2: self.data("b2", "i", Weight),
+        }
+    }
+
+    /// The block's externals in the order the training graphs declare them.
+    fn block_weights(&mut self) -> BlockWeights {
+        BlockWeights {
+            qkv: self.qkv_weights(),
+            out: self.out_weights(),
+            ln1: self.norm_weights(1),
+            ffn: self.ffn_weights(),
+            ln2: self.norm_weights(2),
+        }
+    }
+
+    // ---- forward sub-blocks ----
+
+    /// `LayerNorm n` over the embedding axis.
+    fn layer_norm(&mut self, n: u8, x: NodeId, w: &NormWeights, out: (&str, DataRole)) -> NodeId {
+        self.emit(
+            &format!("LayerNorm {n}"),
+            OpKind::LayerNorm { axis: I },
+            &[x, w.gamma, w.beta],
+            (out.0, "ibj", out.1),
+        )
+    }
+
+    /// The stacked projection `Q,K,V` of `src`, then one `Input bias` per
+    /// stream carving its third of `qkv_raw` into `outs` (name, spec).
+    fn qkv_projection(
+        &mut self,
+        src: NodeId,
+        w: &QkvWeights,
+        outs: [(&str, &str); 3],
+        role: DataRole,
+    ) -> [NodeId; 3] {
+        let slice = self.dims.words("phbj");
+        let qkv_raw = self.data("qkv_raw", "shbj", Activation);
+        self.op(
+            "Q,K,V",
+            einsum("shi,ibj->shbj"),
+            &[w.w_qkv, src],
+            &[qkv_raw],
+        );
+        let outs = outs.map(|(name, spec)| self.data(name, spec, role));
+        for ((stream, bias), out) in ["Q", "K", "V"].into_iter().zip(w.biases).zip(outs) {
+            let axes = self.axes_of(bias);
+            self.op_sliced(
+                &format!("Input bias {stream}"),
+                OpKind::Bias { axes },
+                &[(qkv_raw, slice), self.full(bias)],
+                &[(out, slice)],
+            );
+        }
+        outs
+    }
+
+    /// Scores to the biased output projection: `QKT`, the `softmax` named by
+    /// the caller, attention dropout, `Gamma`, `Out`, `Output bias`. With
+    /// `cache_major` the keys and values are position-major caches (`kphb` /
+    /// `kwhb`) and the two contractions index them in place.
+    fn attention(
+        &mut self,
+        qkv @ [qq, kk, vv]: [NodeId; 3],
+        w: &OutWeights,
+        softmax: &'static str,
+        cache_major: bool,
+        out: (&str, DataRole),
+    ) -> Attention {
+        let (keys, values) = if cache_major {
+            ("kphb", "kwhb")
+        } else {
+            ("phbk", "whbk")
+        };
+        let qkt = einsum(&format!("{keys},phbj->hbjk"));
+        let beta = self.emit("QKT", qkt, &[kk, qq], ("beta", "hbjk", Activation));
+        let att = self.emit(
+            softmax,
+            OpKind::Softmax { axis: K },
+            &[beta],
+            ("att", "hbjk", Saved),
+        );
+        let (alpha, att_mask) =
+            self.dropout("Dropout att", att, ("alpha", Saved), "att_mask", "hbjk");
+        let gamma = einsum(&format!("{values},hbjk->whbj"));
+        let gam = self.emit("Gamma", gamma, &[vv, alpha], ("gamma", "whbj", Saved));
+        let out_mm = self.emit(
+            "Out",
+            einsum("whi,whbj->ibj"),
+            &[w.wo, gam],
+            ("out_mm", "ibj", Activation),
+        );
+        Attention {
+            qkv,
+            softmax,
+            att,
+            alpha,
+            att_mask,
+            gam,
+            out: self.bias("Output bias", out_mm, w.bo, (out.0, "ibj", out.1)),
+        }
+    }
+
+    /// Closes a sub-block: `drop` (operator, output, mask) over `x`, then the
+    /// residual add `res` with `skip` into `sum`. Returns `(mask, sum)`.
+    fn join(
+        &mut self,
+        drop: [&str; 3],
+        x: NodeId,
+        res: &str,
+        skip: NodeId,
+        sum: (&str, DataRole),
+    ) -> (NodeId, NodeId) {
+        let (dropped, mask) = self.dropout(drop[0], x, (drop[1], Activation), drop[2], "ibj");
+        (mask, self.residual(res, dropped, skip, sum))
+    }
+
+    /// The feed-forward network up to its second bias.
+    fn ffn(&mut self, x: NodeId, w: &FfnWeights, act: Act) -> Ffn {
+        let ff1 = self.emit(
+            "Linear 1",
+            einsum("ui,ibj->ubj"),
+            &[w.w1, x],
+            ("ff1", "ubj", Activation),
+        );
+        let ff1_b = self.bias("Bias 1", ff1, w.b1, ("ff1_b", "ubj", Saved));
+        let acted = self.emit(act.0, OpKind::Relu, &[ff1_b], (act.1, "ubj", Activation));
+        let (ff1_drop, drop2_mask) =
+            self.dropout("Dropout 2", acted, ("ff1_drop", Saved), "drop2_mask", "ubj");
+        let ff2 = self.emit(
+            "Linear 2",
+            einsum("iu,ubj->ibj"),
+            &[w.w2, ff1_drop],
+            ("ff2", "ibj", Activation),
+        );
+        Ffn {
+            x,
+            act,
+            ff1_b,
+            ff1_drop,
+            drop2_mask,
+            out: self.bias("Bias 2", ff2, w.b2, ("ff2_b", "ibj", Activation)),
+        }
+    }
+
+    /// The pre-LN decoder forward from the attention scores to `y`, over
+    /// full-sequence projections or (`cache_major`) the decode step's
+    /// caches.
+    fn decoder_tail(
+        &mut self,
+        x: NodeId,
+        qkv: [NodeId; 3],
+        cache_major: bool,
+        (wo, ln2, wf): (&OutWeights, &NormWeights, &FfnWeights),
+    ) -> DecoderTail {
+        let attn = self.attention(
+            qkv,
+            wo,
+            "Masked softmax",
+            cache_major,
+            ("bo_out", Activation),
+        );
+        let (drop1_mask, res1) = self.join(DROP1, attn.out, "Residual 1", x, ("res1", Saved));
+        let ln2_out = self.layer_norm(2, res1, ln2, ("ln2_out", Saved));
+        let ffn = self.ffn(ln2_out, wf, GELU);
+        let (drop3_mask, y) = self.join(DROP3, ffn.out, "Residual 2", res1, ("y", Output));
+        DecoderTail {
+            attn,
+            drop1_mask,
+            res1,
+            ffn,
+            drop3_mask,
+            y,
+        }
+    }
+
+    // ---- backward sub-blocks ----
+
+    /// `LayerNorm n dW` then `LayerNorm n dX`; returns the input gradient.
+    fn layer_norm_backward(&mut self, n: u8, dy: NodeId, x: NodeId, gamma: NodeId) -> NodeId {
+        let dw = ["gamma", "beta"].map(|w| self.data(&format!("d_ln{n}_{w}"), "i", Output));
+        self.op(
+            &format!("LayerNorm {n} dW"),
+            OpKind::LayerNormGradW { axis: I },
+            &[dy, x],
+            &dw,
+        );
+        self.emit(
+            &format!("LayerNorm {n} dX"),
+            OpKind::LayerNormGradX { axis: I },
+            &[dy, x, gamma],
+            (&format!("d_ln{n}_in"), "ibj", Gradient),
+        )
+    }
+
+    fn dropout_grad(&mut self, name: &str, d: NodeId, mask: NodeId, out: (&str, &str)) -> NodeId {
+        self.emit(
+            name,
+            OpKind::DropoutGrad,
+            &[d, mask],
+            (out.0, out.1, Gradient),
+        )
+    }
+
+    /// Backward of [`Emit::ffn`] from `d_out` (the gradient of its output) to
+    /// the gradient of its input, named `dx`.
+    fn ffn_backward(&mut self, d_out: NodeId, w: &FfnWeights, f: &Ffn, dx: &str) -> NodeId {
+        self.bias_grad("Bias 2 dW", d_out, "d_b2", "i");
+        let d_drop = self.emit(
+            "Linear 2 dX",
+            einsum("iu,ibj->ubj"),
+            &[w.w2, d_out],
+            ("d_ff1_drop", "ubj", Gradient),
+        );
+        self.emit(
+            "Linear 2 dW",
+            einsum("ibj,ubj->iu"),
+            &[d_out, f.ff1_drop],
+            ("d_w2", "iu", Output),
+        );
+        let d_act = format!("d_{}", f.act.1);
+        let d_act = self.dropout_grad("Dropout 2 dX", d_drop, f.drop2_mask, (&d_act, "ubj"));
+        let d_ff1_b = self.emit(
+            &format!("{} dX", f.act.0),
+            OpKind::ReluGrad,
+            &[d_act, f.ff1_b],
+            ("d_ff1_b", "ubj", Gradient),
+        );
+        self.bias_grad("Bias 1 dW", d_ff1_b, "d_b1", "u");
+        let dx = self.emit(
+            "Linear 1 dX",
+            einsum("ui,ubj->ibj"),
+            &[w.w1, d_ff1_b],
+            (dx, "ibj", Gradient),
+        );
+        self.emit(
+            "Linear 1 dW",
+            einsum("ubj,ibj->ui"),
+            &[d_ff1_b, f.x],
+            ("d_w1", "ui", Output),
+        );
+        dx
+    }
+
+    /// Backward of [`Emit::qkv_projection`] + [`Emit::attention`] from
+    /// `d_out` (the gradient of the biased output projection) to the gradient
+    /// of the projections' source `x`, named `dx`. The three projection
+    /// gradients are slices of one stacked `d_qkv`.
+    fn attention_backward(
+        &mut self,
+        d_out: NodeId,
+        x: NodeId,
+        (wp, wo): (&QkvWeights, &OutWeights),
+        a: &Attention,
+        dx: &str,
+    ) -> NodeId {
+        let [qq, kk, vv] = a.qkv;
+        let slice = self.dims.words("phbj");
+        self.bias_grad("Output bias dW", d_out, "d_bo", "i");
+        let d_gam = self.emit(
+            "Out dX",
+            einsum("whi,ibj->whbj"),
+            &[wo.wo, d_out],
+            ("d_gamma", "whbj", Gradient),
+        );
+        self.emit(
+            "Out dW",
+            einsum("whbj,ibj->whi"),
+            &[a.gam, d_out],
+            ("d_wo", "whi", Output),
+        );
+        let d_alpha = self.emit(
+            "Gamma dX1",
+            einsum("whbk,whbj->hbjk"),
+            &[vv, d_gam],
+            ("d_alpha", "hbjk", Gradient),
+        );
+        // stacked Q/K/V gradient container; the three writers fill slices
+        let d_qkv = self.data("d_qkv", "shbj", Gradient);
+        let fill = |e: &mut Self, name: &str, spec: &str, a: NodeId, b: NodeId| {
+            e.op_sliced(
+                name,
+                einsum(spec),
+                &[e.full(a), e.full(b)],
+                &[(d_qkv, slice)],
+            );
+        };
+        fill(self, "Gamma dX2", "whbj,hbjk->whbk", d_gam, a.alpha);
+        let d_att = self.dropout_grad("Dropout att dX", d_alpha, a.att_mask, ("d_att", "hbjk"));
+        let d_beta = self.emit(
+            &format!("{} dX", a.softmax),
+            OpKind::SoftmaxGrad { axis: K },
+            &[d_att, a.att],
+            ("d_beta", "hbjk", Gradient),
+        );
+        fill(self, "QKT dX1", "phbk,hbjk->phbj", kk, d_beta);
+        fill(self, "QKT dX2", "phbj,hbjk->phbk", qq, d_beta);
+        let db =
+            [("d_bq", "ph"), ("d_bk", "ph"), ("d_bv", "wh")].map(|(n, s)| self.data(n, s, Output));
+        let axes = vec![Axis('p'), Axis('h')];
+        self.op("Input bias dW", OpKind::BiasGrad { axes }, &[d_qkv], &db);
+        let dx = self.emit(
+            "Q,K,V dX",
+            einsum("shi,shbj->ibj"),
+            &[wp.w_qkv, d_qkv],
+            (dx, "ibj", Gradient),
+        );
+        let dw_qkv = self.data("d_w_qkv", "shi", Output);
+        self.op("Q,K,V dW", einsum("shbj,ibj->shi"), &[d_qkv, x], &[dw_qkv]);
+        dx
+    }
 }
 
 /// Multi-head attention forward pass with general attention (distinct
@@ -35,81 +604,31 @@ fn einsum(spec: &str) -> OpKind {
 /// projections with biases, scaled softmax with dropout, and the output
 /// projection.
 pub fn mha_forward(dims: &EncoderDims) -> Graph {
-    let mut g = Graph::new();
-    // inputs and weights
-    let q = g.add_data("q", shape(dims, "ibj"), DataRole::Input);
-    let k = g.add_data("k", shape(dims, "ibk"), DataRole::Input);
-    let v = g.add_data("v", shape(dims, "ibk"), DataRole::Input);
-    let wq = g.add_data("wq", shape(dims, "phi"), DataRole::Weight);
-    let wk = g.add_data("wk", shape(dims, "phi"), DataRole::Weight);
-    let wv = g.add_data("wv", shape(dims, "whi"), DataRole::Weight);
-    let wo = g.add_data("wo", shape(dims, "whi"), DataRole::Weight);
-    let bq = g.add_data("bq", shape(dims, "ph"), DataRole::Weight);
-    let bk = g.add_data("bk", shape(dims, "ph"), DataRole::Weight);
-    let bv = g.add_data("bv", shape(dims, "wh"), DataRole::Weight);
-    let bo = g.add_data("bo", shape(dims, "i"), DataRole::Weight);
-    // projections
-    let qq_raw = g.add_data("qq_raw", shape(dims, "phbj"), DataRole::Activation);
-    let kk_raw = g.add_data("kk_raw", shape(dims, "phbk"), DataRole::Activation);
-    let vv_raw = g.add_data("vv_raw", shape(dims, "whbk"), DataRole::Activation);
-    g.add_op("Q", einsum("phi,ibj->phbj"), &[wq, q], &[qq_raw]);
-    g.add_op("K", einsum("phi,ibk->phbk"), &[wk, k], &[kk_raw]);
-    g.add_op("V", einsum("whi,ibk->whbk"), &[wv, v], &[vv_raw]);
-    let qq = g.add_data("qq", shape(dims, "phbj"), DataRole::Saved);
-    let kk = g.add_data("kk", shape(dims, "phbk"), DataRole::Saved);
-    let vv = g.add_data("vv", shape(dims, "whbk"), DataRole::Saved);
-    g.add_op(
-        "Input bias Q",
-        OpKind::Bias {
-            axes: vec![Axis('p'), Axis('h')],
-        },
-        &[qq_raw, bq],
-        &[qq],
-    );
-    g.add_op(
-        "Input bias K",
-        OpKind::Bias {
-            axes: vec![Axis('p'), Axis('h')],
-        },
-        &[kk_raw, bk],
-        &[kk],
-    );
-    g.add_op(
-        "Input bias V",
-        OpKind::Bias {
-            axes: vec![Axis('w'), Axis('h')],
-        },
-        &[vv_raw, bv],
-        &[vv],
-    );
-    // attention scores and weights
-    let beta = g.add_data("beta", shape(dims, "hbjk"), DataRole::Activation);
-    g.add_op("QKT", einsum("phbk,phbj->hbjk"), &[kk, qq], &[beta]);
-    let att = g.add_data("att", shape(dims, "hbjk"), DataRole::Saved);
-    g.add_op(
-        "Scaled softmax",
-        OpKind::Softmax { axis: Axis('k') },
-        &[beta],
-        &[att],
-    );
-    let alpha = g.add_data("alpha", shape(dims, "hbjk"), DataRole::Saved);
-    let att_mask = g.add_data("att_mask", shape(dims, "hbjk"), DataRole::Saved);
-    g.add_op("Dropout att", OpKind::Dropout, &[att], &[alpha, att_mask]);
-    // output
-    let gam = g.add_data("gamma", shape(dims, "whbj"), DataRole::Saved);
-    g.add_op("Gamma", einsum("whbk,hbjk->whbj"), &[vv, alpha], &[gam]);
-    let out_mm = g.add_data("out_mm", shape(dims, "ibj"), DataRole::Activation);
-    g.add_op("Out", einsum("whi,whbj->ibj"), &[wo, gam], &[out_mm]);
-    let out = g.add_data("out", shape(dims, "ibj"), DataRole::Output);
-    g.add_op(
-        "Output bias",
-        OpKind::Bias {
-            axes: vec![Axis('i')],
-        },
-        &[out_mm, bo],
-        &[out],
-    );
-    g
+    let mut e = Emit::new(dims);
+    let src = [("q", "ibj"), ("k", "ibk"), ("v", "ibk")].map(|(n, s)| e.data(n, s, Input));
+    let w = [("wq", "phi"), ("wk", "phi"), ("wv", "whi"), ("wo", "whi")];
+    let w = w.map(|(n, s)| e.data(n, s, Weight));
+    let b =
+        [("bq", "ph"), ("bk", "ph"), ("bv", "wh"), ("bo", "i")].map(|(n, s)| e.data(n, s, Weight));
+    // unstacked projections: one GEMM and one bias per stream
+    let streams = [
+        ("Q", "phi,ibj->phbj", "qq", "phbj"),
+        ("K", "phi,ibk->phbk", "kk", "phbk"),
+        ("V", "whi,ibk->whbk", "vv", "whbk"),
+    ];
+    let raw = streams.map(|(.., n, spec)| e.data(&format!("{n}_raw"), spec, Activation));
+    for (s, (name, proj, ..)) in streams.into_iter().enumerate() {
+        e.op(name, einsum(proj), &[w[s], src[s]], &[raw[s]]);
+    }
+    let qkv = streams.map(|(.., n, spec)| e.data(n, spec, Saved));
+    for (s, (name, ..)) in streams.into_iter().enumerate() {
+        let axes = e.axes_of(b[s]);
+        let name = format!("Input bias {name}");
+        e.op(&name, OpKind::Bias { axes }, &[raw[s], b[s]], &[qkv[s]]);
+    }
+    let w = OutWeights { wo: w[3], bo: b[3] };
+    e.attention(qkv, &w, "Scaled softmax", false, ("out", Output));
+    e.g
 }
 
 /// Named handles into the graph produced by [`encoder`], for tests and the
@@ -136,454 +655,51 @@ pub struct EncoderGraph {
 /// for self-attention, with the Q/K/V projections algebraically fused into
 /// stacked GEMMs (the configuration the paper's final implementation uses;
 /// Table II shows QKV-fused is fastest).
+///
+/// # Panics
+///
+/// Panics unless `dims.j == dims.k`: self-attention has one sequence
+/// length. Fallible callers check first
+/// (`xform_transformer::interp::cached_plan` returns a shape error).
 pub fn encoder(dims: &EncoderDims) -> EncoderGraph {
     assert_eq!(
         dims.j, dims.k,
         "self-attention requires equal input/output sequence lengths"
     );
-    let mut g = Graph::new();
-    let mut fwd: Vec<String> = Vec::new();
-    let mut bwd: Vec<String> = Vec::new();
+    let mut e = Emit::new(dims);
+    let x = e.data("x", "ibj", Input);
+    let w = e.block_weights();
 
-    let ph = |g: &mut Graph, name: &str, spec: &str, role: DataRole| -> NodeId {
-        g.add_data(name, shape(dims, spec), role)
-    };
-
-    // ---- containers: inputs and weights ----
-    let x = ph(&mut g, "x", "ibj", DataRole::Input);
-    let w_qkv = g.add_data("w_qkv", stacked_shape(dims, "hi"), DataRole::Weight);
-    let bq = ph(&mut g, "bq", "ph", DataRole::Weight);
-    let bk = ph(&mut g, "bk", "ph", DataRole::Weight);
-    let bv = ph(&mut g, "bv", "wh", DataRole::Weight);
-    let wo = ph(&mut g, "wo", "whi", DataRole::Weight);
-    let bo = ph(&mut g, "bo", "i", DataRole::Weight);
-    let ln1_g = ph(&mut g, "ln1_gamma", "i", DataRole::Weight);
-    let ln1_b = ph(&mut g, "ln1_beta", "i", DataRole::Weight);
-    let w1 = ph(&mut g, "w1", "ui", DataRole::Weight);
-    let b1 = ph(&mut g, "b1", "u", DataRole::Weight);
-    let w2 = ph(&mut g, "w2", "iu", DataRole::Weight);
-    let b2 = ph(&mut g, "b2", "i", DataRole::Weight);
-    let ln2_g = ph(&mut g, "ln2_gamma", "i", DataRole::Weight);
-    let ln2_b = ph(&mut g, "ln2_beta", "i", DataRole::Weight);
-
-    let slice_words = dims.words("phbj");
-
-    // ---- forward: multi-head self-attention ----
-    let qkv_raw = g.add_data("qkv_raw", stacked_shape(dims, "hbj"), DataRole::Activation);
-    fwd.push("Q,K,V".into());
-    g.add_op("Q,K,V", einsum("shi,ibj->shbj"), &[w_qkv, x], &[qkv_raw]);
-
-    let qq = ph(&mut g, "qq", "phbj", DataRole::Saved);
-    let kk = ph(&mut g, "kk", "phbk", DataRole::Saved);
-    let vv = ph(&mut g, "vv", "whbk", DataRole::Saved);
-    for (name, bias, out, axes) in [
-        ("Input bias Q", bq, qq, vec![Axis('p'), Axis('h')]),
-        ("Input bias K", bk, kk, vec![Axis('p'), Axis('h')]),
-        ("Input bias V", bv, vv, vec![Axis('w'), Axis('h')]),
-    ] {
-        fwd.push(name.into());
-        let bias_words = g.data(bias).expect("bias").shape.num_elements() as u64;
-        g.add_op_with_volumes(
-            name,
-            OpKind::Bias { axes },
-            &[(qkv_raw, slice_words), (bias, bias_words)],
-            &[(out, slice_words)],
-        );
-    }
-
-    let beta = ph(&mut g, "beta", "hbjk", DataRole::Activation);
-    fwd.push("QKT".into());
-    g.add_op("QKT", einsum("phbk,phbj->hbjk"), &[kk, qq], &[beta]);
-
-    let att = ph(&mut g, "att", "hbjk", DataRole::Saved);
-    fwd.push("Scaled softmax".into());
-    g.add_op(
-        "Scaled softmax",
-        OpKind::Softmax { axis: Axis('k') },
-        &[beta],
-        &[att],
-    );
-
-    let alpha = ph(&mut g, "alpha", "hbjk", DataRole::Saved);
-    let att_mask = ph(&mut g, "att_mask", "hbjk", DataRole::Saved);
-    fwd.push("Dropout att".into());
-    g.add_op("Dropout att", OpKind::Dropout, &[att], &[alpha, att_mask]);
-
-    let gam = ph(&mut g, "gamma", "whbj", DataRole::Saved);
-    fwd.push("Gamma".into());
-    g.add_op("Gamma", einsum("whbk,hbjk->whbj"), &[vv, alpha], &[gam]);
-
-    let out_mm = ph(&mut g, "out_mm", "ibj", DataRole::Activation);
-    fwd.push("Out".into());
-    g.add_op("Out", einsum("whi,whbj->ibj"), &[wo, gam], &[out_mm]);
-
-    let bo_out = ph(&mut g, "bo_out", "ibj", DataRole::Activation);
-    fwd.push("Output bias".into());
-    g.add_op(
-        "Output bias",
-        OpKind::Bias {
-            axes: vec![Axis('i')],
-        },
-        &[out_mm, bo],
-        &[bo_out],
-    );
-
-    let drop1_out = ph(&mut g, "drop1_out", "ibj", DataRole::Activation);
-    let drop1_mask = ph(&mut g, "drop1_mask", "ibj", DataRole::Saved);
-    fwd.push("Dropout 1".into());
-    g.add_op(
-        "Dropout 1",
-        OpKind::Dropout,
-        &[bo_out],
-        &[drop1_out, drop1_mask],
-    );
-
-    let ln1_in = ph(&mut g, "ln1_in", "ibj", DataRole::Saved);
-    fwd.push("Residual 1".into());
-    g.add_op("Residual 1", OpKind::Residual, &[drop1_out, x], &[ln1_in]);
-
-    let ln1_out = ph(&mut g, "ln1_out", "ibj", DataRole::Saved);
-    fwd.push("LayerNorm 1".into());
-    g.add_op(
-        "LayerNorm 1",
-        OpKind::LayerNorm { axis: Axis('i') },
-        &[ln1_in, ln1_g, ln1_b],
-        &[ln1_out],
-    );
-
-    // ---- forward: feed-forward network ----
-    let ff1 = ph(&mut g, "ff1", "ubj", DataRole::Activation);
-    fwd.push("Linear 1".into());
-    g.add_op("Linear 1", einsum("ui,ibj->ubj"), &[w1, ln1_out], &[ff1]);
-
-    let ff1_b = ph(&mut g, "ff1_b", "ubj", DataRole::Saved);
-    fwd.push("Bias 1".into());
-    g.add_op(
-        "Bias 1",
-        OpKind::Bias {
-            axes: vec![Axis('u')],
-        },
-        &[ff1, b1],
-        &[ff1_b],
-    );
-
-    let ff1_relu = ph(&mut g, "ff1_relu", "ubj", DataRole::Activation);
-    fwd.push("ReLU".into());
-    g.add_op("ReLU", OpKind::Relu, &[ff1_b], &[ff1_relu]);
-
-    let ff1_drop = ph(&mut g, "ff1_drop", "ubj", DataRole::Saved);
-    let drop2_mask = ph(&mut g, "drop2_mask", "ubj", DataRole::Saved);
-    fwd.push("Dropout 2".into());
-    g.add_op(
-        "Dropout 2",
-        OpKind::Dropout,
-        &[ff1_relu],
-        &[ff1_drop, drop2_mask],
-    );
-
-    let ff2 = ph(&mut g, "ff2", "ibj", DataRole::Activation);
-    fwd.push("Linear 2".into());
-    g.add_op("Linear 2", einsum("iu,ubj->ibj"), &[w2, ff1_drop], &[ff2]);
-
-    let ff2_b = ph(&mut g, "ff2_b", "ibj", DataRole::Activation);
-    fwd.push("Bias 2".into());
-    g.add_op(
-        "Bias 2",
-        OpKind::Bias {
-            axes: vec![Axis('i')],
-        },
-        &[ff2, b2],
-        &[ff2_b],
-    );
-
-    let ff2_drop = ph(&mut g, "ff2_drop", "ibj", DataRole::Activation);
-    let drop3_mask = ph(&mut g, "drop3_mask", "ibj", DataRole::Saved);
-    fwd.push("Dropout 3".into());
-    g.add_op(
-        "Dropout 3",
-        OpKind::Dropout,
-        &[ff2_b],
-        &[ff2_drop, drop3_mask],
-    );
-
-    let ln2_in = ph(&mut g, "ln2_in", "ibj", DataRole::Saved);
-    fwd.push("Residual 2".into());
-    g.add_op(
-        "Residual 2",
-        OpKind::Residual,
-        &[ff2_drop, ln1_out],
-        &[ln2_in],
-    );
-
-    let y = ph(&mut g, "y", "ibj", DataRole::Output);
-    fwd.push("LayerNorm 2".into());
-    g.add_op(
-        "LayerNorm 2",
-        OpKind::LayerNorm { axis: Axis('i') },
-        &[ln2_in, ln2_g, ln2_b],
-        &[y],
-    );
+    // ---- forward: post-LN self-attention, then post-LN feed-forward ----
+    let qkv = e.qkv_projection(x, &w.qkv, QKV, Saved);
+    let attn = e.attention(qkv, &w.out, "Scaled softmax", false, ("bo_out", Activation));
+    let (drop1_mask, ln1_in) = e.join(DROP1, attn.out, "Residual 1", x, ("ln1_in", Saved));
+    let ln1_out = e.layer_norm(1, ln1_in, &w.ln1, ("ln1_out", Saved));
+    let ffn = e.ffn(ln1_out, &w.ffn, RELU);
+    let (drop3_mask, ln2_in) = e.join(DROP3, ffn.out, "Residual 2", ln1_out, ("ln2_in", Saved));
+    let y = e.layer_norm(2, ln2_in, &w.ln2, ("y", Output));
+    let forward_ops = std::mem::take(&mut e.ops);
 
     // ---- backward ----
-    let dy = ph(&mut g, "dy", "ibj", DataRole::Gradient);
-
-    let dln2_g = ph(&mut g, "d_ln2_gamma", "i", DataRole::Output);
-    let dln2_b = ph(&mut g, "d_ln2_beta", "i", DataRole::Output);
-    bwd.push("LayerNorm 2 dW".into());
-    g.add_op(
-        "LayerNorm 2 dW",
-        OpKind::LayerNormGradW { axis: Axis('i') },
-        &[dy, ln2_in],
-        &[dln2_g, dln2_b],
-    );
-
-    let d_ln2_in = ph(&mut g, "d_ln2_in", "ibj", DataRole::Gradient);
-    bwd.push("LayerNorm 2 dX".into());
-    g.add_op(
-        "LayerNorm 2 dX",
-        OpKind::LayerNormGradX { axis: Axis('i') },
-        &[dy, ln2_in, ln2_g],
-        &[d_ln2_in],
-    );
-
-    let d_ff2_b = ph(&mut g, "d_ff2_b", "ibj", DataRole::Gradient);
-    bwd.push("Dropout 3 dX".into());
-    g.add_op(
-        "Dropout 3 dX",
-        OpKind::DropoutGrad,
-        &[d_ln2_in, drop3_mask],
-        &[d_ff2_b],
-    );
-
-    let db2 = ph(&mut g, "d_b2", "i", DataRole::Output);
-    bwd.push("Bias 2 dW".into());
-    g.add_op(
-        "Bias 2 dW",
-        OpKind::BiasGrad {
-            axes: vec![Axis('i')],
-        },
-        &[d_ff2_b],
-        &[db2],
-    );
-
-    let d_ff1_drop = ph(&mut g, "d_ff1_drop", "ubj", DataRole::Gradient);
-    bwd.push("Linear 2 dX".into());
-    g.add_op(
-        "Linear 2 dX",
-        einsum("iu,ibj->ubj"),
-        &[w2, d_ff2_b],
-        &[d_ff1_drop],
-    );
-
-    let dw2 = ph(&mut g, "d_w2", "iu", DataRole::Output);
-    bwd.push("Linear 2 dW".into());
-    g.add_op(
-        "Linear 2 dW",
-        einsum("ibj,ubj->iu"),
-        &[d_ff2_b, ff1_drop],
-        &[dw2],
-    );
-
-    let d_ff1_relu = ph(&mut g, "d_ff1_relu", "ubj", DataRole::Gradient);
-    bwd.push("Dropout 2 dX".into());
-    g.add_op(
-        "Dropout 2 dX",
-        OpKind::DropoutGrad,
-        &[d_ff1_drop, drop2_mask],
-        &[d_ff1_relu],
-    );
-
-    let d_ff1_b = ph(&mut g, "d_ff1_b", "ubj", DataRole::Gradient);
-    bwd.push("ReLU dX".into());
-    g.add_op(
-        "ReLU dX",
-        OpKind::ReluGrad,
-        &[d_ff1_relu, ff1_b],
-        &[d_ff1_b],
-    );
-
-    let db1 = ph(&mut g, "d_b1", "u", DataRole::Output);
-    bwd.push("Bias 1 dW".into());
-    g.add_op(
-        "Bias 1 dW",
-        OpKind::BiasGrad {
-            axes: vec![Axis('u')],
-        },
-        &[d_ff1_b],
-        &[db1],
-    );
-
-    let d_ln1_out_ffn = ph(&mut g, "d_ln1_out_ffn", "ibj", DataRole::Gradient);
-    bwd.push("Linear 1 dX".into());
-    g.add_op(
-        "Linear 1 dX",
-        einsum("ui,ubj->ibj"),
-        &[w1, d_ff1_b],
-        &[d_ln1_out_ffn],
-    );
-
-    let dw1 = ph(&mut g, "d_w1", "ui", DataRole::Output);
-    bwd.push("Linear 1 dW".into());
-    g.add_op(
-        "Linear 1 dW",
-        einsum("ubj,ibj->ui"),
-        &[d_ff1_b, ln1_out],
-        &[dw1],
-    );
-
+    let dy = e.data("dy", "ibj", Gradient);
+    let d_ln2_in = e.layer_norm_backward(2, dy, ln2_in, w.ln2.gamma);
+    let d_ff2_b = e.dropout_grad("Dropout 3 dX", d_ln2_in, drop3_mask, ("d_ff2_b", "ibj"));
+    let d_ffn = e.ffn_backward(d_ff2_b, &w.ffn, &ffn, "d_ln1_out_ffn");
     // residual-2 gradient join (the add inside EBSB)
-    let d_ln1_out = ph(&mut g, "d_ln1_out", "ibj", DataRole::Gradient);
-    bwd.push("Residual 2 dX".into());
-    g.add_op(
-        "Residual 2 dX",
-        OpKind::Residual,
-        &[d_ln1_out_ffn, d_ln2_in],
-        &[d_ln1_out],
-    );
-
-    let dln1_g = ph(&mut g, "d_ln1_gamma", "i", DataRole::Output);
-    let dln1_b = ph(&mut g, "d_ln1_beta", "i", DataRole::Output);
-    bwd.push("LayerNorm 1 dW".into());
-    g.add_op(
-        "LayerNorm 1 dW",
-        OpKind::LayerNormGradW { axis: Axis('i') },
-        &[d_ln1_out, ln1_in],
-        &[dln1_g, dln1_b],
-    );
-
-    let d_ln1_in = ph(&mut g, "d_ln1_in", "ibj", DataRole::Gradient);
-    bwd.push("LayerNorm 1 dX".into());
-    g.add_op(
-        "LayerNorm 1 dX",
-        OpKind::LayerNormGradX { axis: Axis('i') },
-        &[d_ln1_out, ln1_in, ln1_g],
-        &[d_ln1_in],
-    );
-
-    let d_bo_out = ph(&mut g, "d_bo_out", "ibj", DataRole::Gradient);
-    bwd.push("Dropout 1 dX".into());
-    g.add_op(
-        "Dropout 1 dX",
-        OpKind::DropoutGrad,
-        &[d_ln1_in, drop1_mask],
-        &[d_bo_out],
-    );
-
-    let dbo = ph(&mut g, "d_bo", "i", DataRole::Output);
-    bwd.push("Output bias dW".into());
-    g.add_op(
-        "Output bias dW",
-        OpKind::BiasGrad {
-            axes: vec![Axis('i')],
-        },
-        &[d_bo_out],
-        &[dbo],
-    );
-
-    let d_gam = ph(&mut g, "d_gamma", "whbj", DataRole::Gradient);
-    bwd.push("Out dX".into());
-    g.add_op("Out dX", einsum("whi,ibj->whbj"), &[wo, d_bo_out], &[d_gam]);
-
-    let dwo = ph(&mut g, "d_wo", "whi", DataRole::Output);
-    bwd.push("Out dW".into());
-    g.add_op("Out dW", einsum("whbj,ibj->whi"), &[gam, d_bo_out], &[dwo]);
-
-    let d_alpha = ph(&mut g, "d_alpha", "hbjk", DataRole::Gradient);
-    bwd.push("Gamma dX1".into());
-    g.add_op(
-        "Gamma dX1",
-        einsum("whbk,whbj->hbjk"),
-        &[vv, d_gam],
-        &[d_alpha],
-    );
-
-    // stacked Q/K/V gradient container; the three writers fill slices
-    let d_qkv = g.add_data("d_qkv", stacked_shape(dims, "hbj"), DataRole::Gradient);
-
-    bwd.push("Gamma dX2".into());
-    g.add_op_with_volumes(
-        "Gamma dX2",
-        einsum("whbj,hbjk->whbk"),
-        &[(d_gam, dims.words("whbj")), (alpha, dims.words("hbjk"))],
-        &[(d_qkv, slice_words)],
-    );
-
-    let d_att = ph(&mut g, "d_att", "hbjk", DataRole::Gradient);
-    bwd.push("Dropout att dX".into());
-    g.add_op(
-        "Dropout att dX",
-        OpKind::DropoutGrad,
-        &[d_alpha, att_mask],
-        &[d_att],
-    );
-
-    let d_beta = ph(&mut g, "d_beta", "hbjk", DataRole::Gradient);
-    bwd.push("Scaled softmax dX".into());
-    g.add_op(
-        "Scaled softmax dX",
-        OpKind::SoftmaxGrad { axis: Axis('k') },
-        &[d_att, att],
-        &[d_beta],
-    );
-
-    bwd.push("QKT dX1".into());
-    g.add_op_with_volumes(
-        "QKT dX1",
-        einsum("phbk,hbjk->phbj"),
-        &[(kk, dims.words("phbk")), (d_beta, dims.words("hbjk"))],
-        &[(d_qkv, slice_words)],
-    );
-    bwd.push("QKT dX2".into());
-    g.add_op_with_volumes(
-        "QKT dX2",
-        einsum("phbj,hbjk->phbk"),
-        &[(qq, dims.words("phbj")), (d_beta, dims.words("hbjk"))],
-        &[(d_qkv, slice_words)],
-    );
-
-    let dbq = ph(&mut g, "d_bq", "ph", DataRole::Output);
-    let dbk = ph(&mut g, "d_bk", "ph", DataRole::Output);
-    let dbv = ph(&mut g, "d_bv", "wh", DataRole::Output);
-    bwd.push("Input bias dW".into());
-    g.add_op(
-        "Input bias dW",
-        OpKind::BiasGrad {
-            axes: vec![Axis('p'), Axis('h')],
-        },
-        &[d_qkv],
-        &[dbq, dbk, dbv],
-    );
-
-    let d_x_mha = ph(&mut g, "d_x_mha", "ibj", DataRole::Gradient);
-    bwd.push("Q,K,V dX".into());
-    g.add_op(
-        "Q,K,V dX",
-        einsum("shi,shbj->ibj"),
-        &[w_qkv, d_qkv],
-        &[d_x_mha],
-    );
-
-    let dw_qkv = g.add_data("d_w_qkv", stacked_shape(dims, "hi"), DataRole::Output);
-    bwd.push("Q,K,V dW".into());
-    g.add_op("Q,K,V dW", einsum("shbj,ibj->shi"), &[d_qkv, x], &[dw_qkv]);
-
-    let dx = ph(&mut g, "dx", "ibj", DataRole::Output);
-    bwd.push("Residual 1 dX".into());
-    g.add_op(
-        "Residual 1 dX",
-        OpKind::Residual,
-        &[d_x_mha, d_ln1_in],
-        &[dx],
-    );
+    let d_ln1_out = e.residual("Residual 2 dX", d_ffn, d_ln2_in, ("d_ln1_out", Gradient));
+    let d_ln1_in = e.layer_norm_backward(1, d_ln1_out, ln1_in, w.ln1.gamma);
+    let d_bo_out = e.dropout_grad("Dropout 1 dX", d_ln1_in, drop1_mask, ("d_bo_out", "ibj"));
+    let d_x_mha = e.attention_backward(d_bo_out, x, (&w.qkv, &w.out), &attn, "d_x_mha");
+    let dx = e.residual("Residual 1 dX", d_x_mha, d_ln1_in, ("dx", Output));
 
     EncoderGraph {
-        graph: g,
+        graph: e.g,
         x,
         dy,
         y,
         dx,
-        forward_ops: fwd,
-        backward_ops: bwd,
+        forward_ops,
+        backward_ops: e.ops,
     }
 }
 
@@ -593,457 +709,56 @@ pub fn encoder(dims: &EncoderDims) -> EncoderGraph {
 /// aspects" by which decoder blocks differ from the BERT encoder
 /// (Sec. VIII). Operator classes, iteration spaces, and therefore the
 /// whole optimization recipe carry over unchanged.
+///
+/// The forward half is also what a decode *prefill* pass runs: the prompt
+/// goes through the forward operators of this graph at the prompt's length,
+/// and the saved `kk`/`vv` projections seed the KV cache.
+///
+/// # Panics
+///
+/// Panics unless `dims.j == dims.k` (see [`encoder`]).
 pub fn decoder(dims: &EncoderDims) -> EncoderGraph {
     assert_eq!(
         dims.j, dims.k,
         "causal self-attention requires equal sequence lengths"
     );
-    let mut g = Graph::new();
-    let mut fwd: Vec<String> = Vec::new();
-    let mut bwd: Vec<String> = Vec::new();
-    let ph = |g: &mut Graph, name: &str, spec: &str, role: DataRole| -> NodeId {
-        g.add_data(name, shape(dims, spec), role)
-    };
+    let mut e = Emit::new(dims);
+    let x = e.data("x", "ibj", Input);
+    let w = e.block_weights();
 
-    // ---- containers ----
-    let x = ph(&mut g, "x", "ibj", DataRole::Input);
-    let w_qkv = g.add_data("w_qkv", stacked_shape(dims, "hi"), DataRole::Weight);
-    let bq = ph(&mut g, "bq", "ph", DataRole::Weight);
-    let bk = ph(&mut g, "bk", "ph", DataRole::Weight);
-    let bv = ph(&mut g, "bv", "wh", DataRole::Weight);
-    let wo = ph(&mut g, "wo", "whi", DataRole::Weight);
-    let bo = ph(&mut g, "bo", "i", DataRole::Weight);
-    let ln1_g = ph(&mut g, "ln1_gamma", "i", DataRole::Weight);
-    let ln1_b = ph(&mut g, "ln1_beta", "i", DataRole::Weight);
-    let w1 = ph(&mut g, "w1", "ui", DataRole::Weight);
-    let b1 = ph(&mut g, "b1", "u", DataRole::Weight);
-    let w2 = ph(&mut g, "w2", "iu", DataRole::Weight);
-    let b2 = ph(&mut g, "b2", "i", DataRole::Weight);
-    let ln2_g = ph(&mut g, "ln2_gamma", "i", DataRole::Weight);
-    let ln2_b = ph(&mut g, "ln2_beta", "i", DataRole::Weight);
-    let slice_words = dims.words("phbj");
-
-    // ---- forward: pre-LN masked self-attention ----
-    let ln1_out = ph(&mut g, "ln1_out", "ibj", DataRole::Saved);
-    fwd.push("LayerNorm 1".into());
-    g.add_op(
-        "LayerNorm 1",
-        OpKind::LayerNorm { axis: Axis('i') },
-        &[x, ln1_g, ln1_b],
-        &[ln1_out],
-    );
-
-    let qkv_raw = g.add_data("qkv_raw", stacked_shape(dims, "hbj"), DataRole::Activation);
-    fwd.push("Q,K,V".into());
-    g.add_op(
-        "Q,K,V",
-        einsum("shi,ibj->shbj"),
-        &[w_qkv, ln1_out],
-        &[qkv_raw],
-    );
-
-    let qq = ph(&mut g, "qq", "phbj", DataRole::Saved);
-    let kk = ph(&mut g, "kk", "phbk", DataRole::Saved);
-    let vv = ph(&mut g, "vv", "whbk", DataRole::Saved);
-    for (name, bias, out, axes) in [
-        ("Input bias Q", bq, qq, vec![Axis('p'), Axis('h')]),
-        ("Input bias K", bk, kk, vec![Axis('p'), Axis('h')]),
-        ("Input bias V", bv, vv, vec![Axis('w'), Axis('h')]),
-    ] {
-        fwd.push(name.into());
-        let bias_words = g.data(bias).expect("bias").shape.num_elements() as u64;
-        g.add_op_with_volumes(
-            name,
-            OpKind::Bias { axes },
-            &[(qkv_raw, slice_words), (bias, bias_words)],
-            &[(out, slice_words)],
-        );
-    }
-
-    let beta = ph(&mut g, "beta", "hbjk", DataRole::Activation);
-    fwd.push("QKT".into());
-    g.add_op("QKT", einsum("phbk,phbj->hbjk"), &[kk, qq], &[beta]);
-
-    let att = ph(&mut g, "att", "hbjk", DataRole::Saved);
-    fwd.push("Masked softmax".into());
-    g.add_op(
-        "Masked softmax",
-        OpKind::Softmax { axis: Axis('k') },
-        &[beta],
-        &[att],
-    );
-
-    let alpha = ph(&mut g, "alpha", "hbjk", DataRole::Saved);
-    let att_mask = ph(&mut g, "att_mask", "hbjk", DataRole::Saved);
-    fwd.push("Dropout att".into());
-    g.add_op("Dropout att", OpKind::Dropout, &[att], &[alpha, att_mask]);
-
-    let gam = ph(&mut g, "gamma", "whbj", DataRole::Saved);
-    fwd.push("Gamma".into());
-    g.add_op("Gamma", einsum("whbk,hbjk->whbj"), &[vv, alpha], &[gam]);
-
-    let out_mm = ph(&mut g, "out_mm", "ibj", DataRole::Activation);
-    fwd.push("Out".into());
-    g.add_op("Out", einsum("whi,whbj->ibj"), &[wo, gam], &[out_mm]);
-
-    let bo_out = ph(&mut g, "bo_out", "ibj", DataRole::Activation);
-    fwd.push("Output bias".into());
-    g.add_op(
-        "Output bias",
-        OpKind::Bias {
-            axes: vec![Axis('i')],
-        },
-        &[out_mm, bo],
-        &[bo_out],
-    );
-
-    let drop1_out = ph(&mut g, "drop1_out", "ibj", DataRole::Activation);
-    let drop1_mask = ph(&mut g, "drop1_mask", "ibj", DataRole::Saved);
-    fwd.push("Dropout 1".into());
-    g.add_op(
-        "Dropout 1",
-        OpKind::Dropout,
-        &[bo_out],
-        &[drop1_out, drop1_mask],
-    );
-
-    let res1 = ph(&mut g, "res1", "ibj", DataRole::Saved);
-    fwd.push("Residual 1".into());
-    g.add_op("Residual 1", OpKind::Residual, &[drop1_out, x], &[res1]);
-
-    // ---- forward: pre-LN feed-forward ----
-    let ln2_out = ph(&mut g, "ln2_out", "ibj", DataRole::Saved);
-    fwd.push("LayerNorm 2".into());
-    g.add_op(
-        "LayerNorm 2",
-        OpKind::LayerNorm { axis: Axis('i') },
-        &[res1, ln2_g, ln2_b],
-        &[ln2_out],
-    );
-
-    let ff1 = ph(&mut g, "ff1", "ubj", DataRole::Activation);
-    fwd.push("Linear 1".into());
-    g.add_op("Linear 1", einsum("ui,ibj->ubj"), &[w1, ln2_out], &[ff1]);
-
-    let ff1_b = ph(&mut g, "ff1_b", "ubj", DataRole::Saved);
-    fwd.push("Bias 1".into());
-    g.add_op(
-        "Bias 1",
-        OpKind::Bias {
-            axes: vec![Axis('u')],
-        },
-        &[ff1, b1],
-        &[ff1_b],
-    );
-
-    let ff1_act = ph(&mut g, "ff1_act", "ubj", DataRole::Activation);
-    fwd.push("GELU".into());
-    g.add_op("GELU", OpKind::Relu, &[ff1_b], &[ff1_act]);
-
-    let ff1_drop = ph(&mut g, "ff1_drop", "ubj", DataRole::Saved);
-    let drop2_mask = ph(&mut g, "drop2_mask", "ubj", DataRole::Saved);
-    fwd.push("Dropout 2".into());
-    g.add_op(
-        "Dropout 2",
-        OpKind::Dropout,
-        &[ff1_act],
-        &[ff1_drop, drop2_mask],
-    );
-
-    let ff2 = ph(&mut g, "ff2", "ibj", DataRole::Activation);
-    fwd.push("Linear 2".into());
-    g.add_op("Linear 2", einsum("iu,ubj->ibj"), &[w2, ff1_drop], &[ff2]);
-
-    let ff2_b = ph(&mut g, "ff2_b", "ibj", DataRole::Activation);
-    fwd.push("Bias 2".into());
-    g.add_op(
-        "Bias 2",
-        OpKind::Bias {
-            axes: vec![Axis('i')],
-        },
-        &[ff2, b2],
-        &[ff2_b],
-    );
-
-    let ff2_drop = ph(&mut g, "ff2_drop", "ibj", DataRole::Activation);
-    let drop3_mask = ph(&mut g, "drop3_mask", "ibj", DataRole::Saved);
-    fwd.push("Dropout 3".into());
-    g.add_op(
-        "Dropout 3",
-        OpKind::Dropout,
-        &[ff2_b],
-        &[ff2_drop, drop3_mask],
-    );
-
-    let y = ph(&mut g, "y", "ibj", DataRole::Output);
-    fwd.push("Residual 2".into());
-    g.add_op("Residual 2", OpKind::Residual, &[ff2_drop, res1], &[y]);
+    // ---- forward: pre-LN masked self-attention, pre-LN feed-forward ----
+    let ln1_out = e.layer_norm(1, x, &w.ln1, ("ln1_out", Saved));
+    let qkv = e.qkv_projection(ln1_out, &w.qkv, QKV, Saved);
+    let f = e.decoder_tail(x, qkv, false, (&w.out, &w.ln2, &w.ffn));
+    let forward_ops = std::mem::take(&mut e.ops);
 
     // ---- backward ----
-    let dy = ph(&mut g, "dy", "ibj", DataRole::Gradient);
-
+    let dy = e.data("dy", "ibj", Gradient);
     // residual 2 passes dy to both branches; FFN side first
-    let d_ff2_b = ph(&mut g, "d_ff2_b", "ibj", DataRole::Gradient);
-    bwd.push("Dropout 3 dX".into());
-    g.add_op(
-        "Dropout 3 dX",
-        OpKind::DropoutGrad,
-        &[dy, drop3_mask],
-        &[d_ff2_b],
-    );
-
-    let db2 = ph(&mut g, "d_b2", "i", DataRole::Output);
-    bwd.push("Bias 2 dW".into());
-    g.add_op(
-        "Bias 2 dW",
-        OpKind::BiasGrad {
-            axes: vec![Axis('i')],
-        },
-        &[d_ff2_b],
-        &[db2],
-    );
-
-    let d_ff1_drop = ph(&mut g, "d_ff1_drop", "ubj", DataRole::Gradient);
-    bwd.push("Linear 2 dX".into());
-    g.add_op(
-        "Linear 2 dX",
-        einsum("iu,ibj->ubj"),
-        &[w2, d_ff2_b],
-        &[d_ff1_drop],
-    );
-
-    let dw2 = ph(&mut g, "d_w2", "iu", DataRole::Output);
-    bwd.push("Linear 2 dW".into());
-    g.add_op(
-        "Linear 2 dW",
-        einsum("ibj,ubj->iu"),
-        &[d_ff2_b, ff1_drop],
-        &[dw2],
-    );
-
-    let d_ff1_act = ph(&mut g, "d_ff1_act", "ubj", DataRole::Gradient);
-    bwd.push("Dropout 2 dX".into());
-    g.add_op(
-        "Dropout 2 dX",
-        OpKind::DropoutGrad,
-        &[d_ff1_drop, drop2_mask],
-        &[d_ff1_act],
-    );
-
-    let d_ff1_b = ph(&mut g, "d_ff1_b", "ubj", DataRole::Gradient);
-    bwd.push("GELU dX".into());
-    g.add_op("GELU dX", OpKind::ReluGrad, &[d_ff1_act, ff1_b], &[d_ff1_b]);
-
-    let db1 = ph(&mut g, "d_b1", "u", DataRole::Output);
-    bwd.push("Bias 1 dW".into());
-    g.add_op(
-        "Bias 1 dW",
-        OpKind::BiasGrad {
-            axes: vec![Axis('u')],
-        },
-        &[d_ff1_b],
-        &[db1],
-    );
-
-    let d_ln2_out = ph(&mut g, "d_ln2_out", "ibj", DataRole::Gradient);
-    bwd.push("Linear 1 dX".into());
-    g.add_op(
-        "Linear 1 dX",
-        einsum("ui,ubj->ibj"),
-        &[w1, d_ff1_b],
-        &[d_ln2_out],
-    );
-
-    let dw1 = ph(&mut g, "d_w1", "ui", DataRole::Output);
-    bwd.push("Linear 1 dW".into());
-    g.add_op(
-        "Linear 1 dW",
-        einsum("ubj,ibj->ui"),
-        &[d_ff1_b, ln2_out],
-        &[dw1],
-    );
-
-    let dln2_g = ph(&mut g, "d_ln2_gamma", "i", DataRole::Output);
-    let dln2_b = ph(&mut g, "d_ln2_beta", "i", DataRole::Output);
-    bwd.push("LayerNorm 2 dW".into());
-    g.add_op(
-        "LayerNorm 2 dW",
-        OpKind::LayerNormGradW { axis: Axis('i') },
-        &[d_ln2_out, res1],
-        &[dln2_g, dln2_b],
-    );
-
-    let d_ln2_in = ph(&mut g, "d_ln2_in", "ibj", DataRole::Gradient);
-    bwd.push("LayerNorm 2 dX".into());
-    g.add_op(
-        "LayerNorm 2 dX",
-        OpKind::LayerNormGradX { axis: Axis('i') },
-        &[d_ln2_out, res1, ln2_g],
-        &[d_ln2_in],
-    );
-
+    let d_ff2_b = e.dropout_grad("Dropout 3 dX", dy, f.drop3_mask, ("d_ff2_b", "ibj"));
+    let d_ln2_out = e.ffn_backward(d_ff2_b, &w.ffn, &f.ffn, "d_ln2_out");
+    let d_ln2_in = e.layer_norm_backward(2, d_ln2_out, f.res1, w.ln2.gamma);
     // res1 gradient = dy (skip branch of residual 2) + d_ln2_in
-    let d_res1 = ph(&mut g, "d_res1", "ibj", DataRole::Gradient);
-    bwd.push("Residual 2 dX".into());
-    g.add_op(
-        "Residual 2 dX",
-        OpKind::Residual,
-        &[dy, d_ln2_in],
-        &[d_res1],
-    );
-
-    let d_bo_out = ph(&mut g, "d_bo_out", "ibj", DataRole::Gradient);
-    bwd.push("Dropout 1 dX".into());
-    g.add_op(
-        "Dropout 1 dX",
-        OpKind::DropoutGrad,
-        &[d_res1, drop1_mask],
-        &[d_bo_out],
-    );
-
-    let dbo = ph(&mut g, "d_bo", "i", DataRole::Output);
-    bwd.push("Output bias dW".into());
-    g.add_op(
-        "Output bias dW",
-        OpKind::BiasGrad {
-            axes: vec![Axis('i')],
-        },
-        &[d_bo_out],
-        &[dbo],
-    );
-
-    let d_gam = ph(&mut g, "d_gamma", "whbj", DataRole::Gradient);
-    bwd.push("Out dX".into());
-    g.add_op("Out dX", einsum("whi,ibj->whbj"), &[wo, d_bo_out], &[d_gam]);
-
-    let dwo = ph(&mut g, "d_wo", "whi", DataRole::Output);
-    bwd.push("Out dW".into());
-    g.add_op("Out dW", einsum("whbj,ibj->whi"), &[gam, d_bo_out], &[dwo]);
-
-    let d_alpha = ph(&mut g, "d_alpha", "hbjk", DataRole::Gradient);
-    bwd.push("Gamma dX1".into());
-    g.add_op(
-        "Gamma dX1",
-        einsum("whbk,whbj->hbjk"),
-        &[vv, d_gam],
-        &[d_alpha],
-    );
-
-    let d_qkv = g.add_data("d_qkv", stacked_shape(dims, "hbj"), DataRole::Gradient);
-    bwd.push("Gamma dX2".into());
-    g.add_op_with_volumes(
-        "Gamma dX2",
-        einsum("whbj,hbjk->whbk"),
-        &[(d_gam, dims.words("whbj")), (alpha, dims.words("hbjk"))],
-        &[(d_qkv, slice_words)],
-    );
-
-    let d_att = ph(&mut g, "d_att", "hbjk", DataRole::Gradient);
-    bwd.push("Dropout att dX".into());
-    g.add_op(
-        "Dropout att dX",
-        OpKind::DropoutGrad,
-        &[d_alpha, att_mask],
-        &[d_att],
-    );
-
-    let d_beta = ph(&mut g, "d_beta", "hbjk", DataRole::Gradient);
-    bwd.push("Masked softmax dX".into());
-    g.add_op(
-        "Masked softmax dX",
-        OpKind::SoftmaxGrad { axis: Axis('k') },
-        &[d_att, att],
-        &[d_beta],
-    );
-
-    bwd.push("QKT dX1".into());
-    g.add_op_with_volumes(
-        "QKT dX1",
-        einsum("phbk,hbjk->phbj"),
-        &[(kk, dims.words("phbk")), (d_beta, dims.words("hbjk"))],
-        &[(d_qkv, slice_words)],
-    );
-    bwd.push("QKT dX2".into());
-    g.add_op_with_volumes(
-        "QKT dX2",
-        einsum("phbj,hbjk->phbk"),
-        &[(qq, dims.words("phbj")), (d_beta, dims.words("hbjk"))],
-        &[(d_qkv, slice_words)],
-    );
-
-    let dbq = ph(&mut g, "d_bq", "ph", DataRole::Output);
-    let dbk = ph(&mut g, "d_bk", "ph", DataRole::Output);
-    let dbv = ph(&mut g, "d_bv", "wh", DataRole::Output);
-    bwd.push("Input bias dW".into());
-    g.add_op(
-        "Input bias dW",
-        OpKind::BiasGrad {
-            axes: vec![Axis('p'), Axis('h')],
-        },
-        &[d_qkv],
-        &[dbq, dbk, dbv],
-    );
-
-    let d_ln1_out = ph(&mut g, "d_ln1_out", "ibj", DataRole::Gradient);
-    bwd.push("Q,K,V dX".into());
-    g.add_op(
-        "Q,K,V dX",
-        einsum("shi,shbj->ibj"),
-        &[w_qkv, d_qkv],
-        &[d_ln1_out],
-    );
-
-    let dw_qkv = g.add_data("d_w_qkv", stacked_shape(dims, "hi"), DataRole::Output);
-    bwd.push("Q,K,V dW".into());
-    g.add_op(
-        "Q,K,V dW",
-        einsum("shbj,ibj->shi"),
-        &[d_qkv, ln1_out],
-        &[dw_qkv],
-    );
-
-    let dln1_g = ph(&mut g, "d_ln1_gamma", "i", DataRole::Output);
-    let dln1_b = ph(&mut g, "d_ln1_beta", "i", DataRole::Output);
-    bwd.push("LayerNorm 1 dW".into());
-    g.add_op(
-        "LayerNorm 1 dW",
-        OpKind::LayerNormGradW { axis: Axis('i') },
-        &[d_ln1_out, x],
-        &[dln1_g, dln1_b],
-    );
-
-    let d_ln1_in = ph(&mut g, "d_ln1_in", "ibj", DataRole::Gradient);
-    bwd.push("LayerNorm 1 dX".into());
-    g.add_op(
-        "LayerNorm 1 dX",
-        OpKind::LayerNormGradX { axis: Axis('i') },
-        &[d_ln1_out, x, ln1_g],
-        &[d_ln1_in],
-    );
-
-    let dx = ph(&mut g, "dx", "ibj", DataRole::Output);
-    bwd.push("Residual 1 dX".into());
-    g.add_op(
-        "Residual 1 dX",
-        OpKind::Residual,
-        &[d_ln1_in, d_res1],
-        &[dx],
-    );
+    let d_res1 = e.residual("Residual 2 dX", dy, d_ln2_in, ("d_res1", Gradient));
+    let d_bo_out = e.dropout_grad("Dropout 1 dX", d_res1, f.drop1_mask, ("d_bo_out", "ibj"));
+    let d_ln1_out = e.attention_backward(d_bo_out, ln1_out, (&w.qkv, &w.out), &f.attn, "d_ln1_out");
+    let d_ln1_in = e.layer_norm_backward(1, d_ln1_out, x, w.ln1.gamma);
+    let dx = e.residual("Residual 1 dX", d_ln1_in, d_res1, ("dx", Output));
 
     EncoderGraph {
-        graph: g,
+        graph: e.g,
         x,
         dy,
-        y,
+        y: f.y,
         dx,
-        forward_ops: fwd,
-        backward_ops: bwd,
+        forward_ops,
+        backward_ops: e.ops,
     }
 }
 
 /// A forward-only dataflow graph, for inference plans with no backward
-/// half (decode prefill and per-step graphs). Containers are addressed by
-/// name (`graph.data_by_name`); `forward_ops` lists the operator names in
+/// half (the decode-step graphs). Containers are addressed by name
+/// (`graph.data_by_name`); `forward_ops` lists the operator names in
 /// execution order, before fusion.
 #[derive(Debug, Clone)]
 pub struct ForwardGraph {
@@ -1053,105 +768,6 @@ pub struct ForwardGraph {
     pub forward_ops: Vec<String>,
 }
 
-/// Forward-only copy of [`decoder`]: the same operator chain, names, and
-/// container roles as the training decoder's forward half, with no `dy`
-/// seed and no backward operators. Used for the decode *prefill* pass,
-/// which runs the full prompt through each layer once and harvests the
-/// saved `kk`/`vv` projections to seed the KV cache.
-pub fn decoder_prefill(dims: &EncoderDims) -> ForwardGraph {
-    assert_eq!(
-        dims.j, dims.k,
-        "causal self-attention requires equal sequence lengths"
-    );
-    let mut g = Graph::new();
-    let mut fwd: Vec<String> = Vec::new();
-    let ph = |g: &mut Graph, name: &str, spec: &str, role: DataRole| -> NodeId {
-        g.add_data(name, shape(dims, spec), role)
-    };
-
-    let x = ph(&mut g, "x", "ibj", DataRole::Input);
-    let w_qkv = g.add_data("w_qkv", stacked_shape(dims, "hi"), DataRole::Weight);
-    let bq = ph(&mut g, "bq", "ph", DataRole::Weight);
-    let bk = ph(&mut g, "bk", "ph", DataRole::Weight);
-    let bv = ph(&mut g, "bv", "wh", DataRole::Weight);
-    let wo = ph(&mut g, "wo", "whi", DataRole::Weight);
-    let bo = ph(&mut g, "bo", "i", DataRole::Weight);
-    let ln1_g = ph(&mut g, "ln1_gamma", "i", DataRole::Weight);
-    let ln1_b = ph(&mut g, "ln1_beta", "i", DataRole::Weight);
-    let w1 = ph(&mut g, "w1", "ui", DataRole::Weight);
-    let b1 = ph(&mut g, "b1", "u", DataRole::Weight);
-    let w2 = ph(&mut g, "w2", "iu", DataRole::Weight);
-    let b2 = ph(&mut g, "b2", "i", DataRole::Weight);
-    let ln2_g = ph(&mut g, "ln2_gamma", "i", DataRole::Weight);
-    let ln2_b = ph(&mut g, "ln2_beta", "i", DataRole::Weight);
-    let slice_words = dims.words("phbj");
-
-    let ln1_out = ph(&mut g, "ln1_out", "ibj", DataRole::Saved);
-    fwd.push("LayerNorm 1".into());
-    g.add_op(
-        "LayerNorm 1",
-        OpKind::LayerNorm { axis: Axis('i') },
-        &[x, ln1_g, ln1_b],
-        &[ln1_out],
-    );
-
-    let qkv_raw = g.add_data("qkv_raw", stacked_shape(dims, "hbj"), DataRole::Activation);
-    fwd.push("Q,K,V".into());
-    g.add_op(
-        "Q,K,V",
-        einsum("shi,ibj->shbj"),
-        &[w_qkv, ln1_out],
-        &[qkv_raw],
-    );
-
-    let qq = ph(&mut g, "qq", "phbj", DataRole::Saved);
-    let kk = ph(&mut g, "kk", "phbk", DataRole::Saved);
-    let vv = ph(&mut g, "vv", "whbk", DataRole::Saved);
-    for (name, bias, out, axes) in [
-        ("Input bias Q", bq, qq, vec![Axis('p'), Axis('h')]),
-        ("Input bias K", bk, kk, vec![Axis('p'), Axis('h')]),
-        ("Input bias V", bv, vv, vec![Axis('w'), Axis('h')]),
-    ] {
-        fwd.push(name.into());
-        let bias_words = g.data(bias).expect("bias").shape.num_elements() as u64;
-        g.add_op_with_volumes(
-            name,
-            OpKind::Bias { axes },
-            &[(qkv_raw, slice_words), (bias, bias_words)],
-            &[(out, slice_words)],
-        );
-    }
-
-    let beta = ph(&mut g, "beta", "hbjk", DataRole::Activation);
-    fwd.push("QKT".into());
-    g.add_op("QKT", einsum("phbk,phbj->hbjk"), &[kk, qq], &[beta]);
-
-    decoder_forward_tail(
-        &mut g,
-        &mut fwd,
-        dims,
-        DecoderTail {
-            beta,
-            x,
-            vv_spec: None,
-            vv,
-            wo,
-            bo,
-            ln2_g,
-            ln2_b,
-            w1,
-            b1,
-            w2,
-            b2,
-        },
-    );
-
-    ForwardGraph {
-        graph: g,
-        forward_ops: fwd,
-    }
-}
-
 /// Decode-step *projection* graph: for a single new token column
 /// (`dims.j == 1`), layer-norm the input and compute the stacked Q/K/V
 /// projection plus bias carve. Its outputs are the new query column
@@ -1159,63 +775,20 @@ pub fn decoder_prefill(dims: &EncoderDims) -> ForwardGraph {
 /// session appends to the persistent K/V caches *before* running the
 /// attention graph — so the query's own key is in the cache when the
 /// scores are formed, exactly as in the full-sequence causal forward.
+///
+/// # Panics
+///
+/// Panics unless `dims.j == 1`.
 pub fn decoder_step_project(dims: &EncoderDims) -> ForwardGraph {
     assert_eq!(dims.j, 1, "decode step projects one token column");
-    let mut g = Graph::new();
-    let mut fwd: Vec<String> = Vec::new();
-    let ph = |g: &mut Graph, name: &str, spec: &str, role: DataRole| -> NodeId {
-        g.add_data(name, shape(dims, spec), role)
-    };
-
-    let x = ph(&mut g, "x", "ibj", DataRole::Input);
-    let w_qkv = g.add_data("w_qkv", stacked_shape(dims, "hi"), DataRole::Weight);
-    let bq = ph(&mut g, "bq", "ph", DataRole::Weight);
-    let bk = ph(&mut g, "bk", "ph", DataRole::Weight);
-    let bv = ph(&mut g, "bv", "wh", DataRole::Weight);
-    let ln1_g = ph(&mut g, "ln1_gamma", "i", DataRole::Weight);
-    let ln1_b = ph(&mut g, "ln1_beta", "i", DataRole::Weight);
-    let slice_words = dims.words("phbj");
-
-    let ln1_out = ph(&mut g, "ln1_out", "ibj", DataRole::Activation);
-    fwd.push("LayerNorm 1".into());
-    g.add_op(
-        "LayerNorm 1",
-        OpKind::LayerNorm { axis: Axis('i') },
-        &[x, ln1_g, ln1_b],
-        &[ln1_out],
-    );
-
-    let qkv_raw = g.add_data("qkv_raw", stacked_shape(dims, "hbj"), DataRole::Activation);
-    fwd.push("Q,K,V".into());
-    g.add_op(
-        "Q,K,V",
-        einsum("shi,ibj->shbj"),
-        &[w_qkv, ln1_out],
-        &[qkv_raw],
-    );
-
-    let qq = ph(&mut g, "qq_new", "phbj", DataRole::Output);
-    let kk = ph(&mut g, "kk_new", "phbj", DataRole::Output);
-    let vv = ph(&mut g, "vv_new", "whbj", DataRole::Output);
-    for (name, bias, out, axes) in [
-        ("Input bias Q", bq, qq, vec![Axis('p'), Axis('h')]),
-        ("Input bias K", bk, kk, vec![Axis('p'), Axis('h')]),
-        ("Input bias V", bv, vv, vec![Axis('w'), Axis('h')]),
-    ] {
-        fwd.push(name.into());
-        let bias_words = g.data(bias).expect("bias").shape.num_elements() as u64;
-        g.add_op_with_volumes(
-            name,
-            OpKind::Bias { axes },
-            &[(qkv_raw, slice_words), (bias, bias_words)],
-            &[(out, slice_words)],
-        );
-    }
-
-    ForwardGraph {
-        graph: g,
-        forward_ops: fwd,
-    }
+    let mut e = Emit::new(dims);
+    let x = e.data("x", "ibj", Input);
+    let wp = e.qkv_weights();
+    let ln1 = e.norm_weights(1);
+    let ln1_out = e.layer_norm(1, x, &ln1, ("ln1_out", Activation));
+    let outs = [("qq_new", "phbj"), ("kk_new", "phbj"), ("vv_new", "whbj")];
+    e.qkv_projection(ln1_out, &wp, outs, Output);
+    e.finish()
 }
 
 /// Decode-step *attention + feed-forward* graph: one query column
@@ -1230,205 +803,20 @@ pub fn decoder_step_project(dims: &EncoderDims) -> ForwardGraph {
 /// slab's zero-initialized columns and masked to exact `0.0` by the causal
 /// softmax, so the result is bitwise-identical to a full-sequence forward
 /// truncated at the current position.
+///
+/// # Panics
+///
+/// Panics unless `dims.j == 1`.
 pub fn decoder_step_attend(dims: &EncoderDims) -> ForwardGraph {
     assert_eq!(dims.j, 1, "decode step attends one query column");
-    let mut g = Graph::new();
-    let mut fwd: Vec<String> = Vec::new();
-    let ph = |g: &mut Graph, name: &str, spec: &str, role: DataRole| -> NodeId {
-        g.add_data(name, shape(dims, spec), role)
-    };
-
-    let x = ph(&mut g, "x", "ibj", DataRole::Input);
-    let qq = ph(&mut g, "qq", "phbj", DataRole::Input);
-    let k_cache = ph(&mut g, "k_cache", "kphb", DataRole::Cache);
-    let v_cache = ph(&mut g, "v_cache", "kwhb", DataRole::Cache);
-    let wo = ph(&mut g, "wo", "whi", DataRole::Weight);
-    let bo = ph(&mut g, "bo", "i", DataRole::Weight);
-    let w1 = ph(&mut g, "w1", "ui", DataRole::Weight);
-    let b1 = ph(&mut g, "b1", "u", DataRole::Weight);
-    let w2 = ph(&mut g, "w2", "iu", DataRole::Weight);
-    let b2 = ph(&mut g, "b2", "i", DataRole::Weight);
-    let ln2_g = ph(&mut g, "ln2_gamma", "i", DataRole::Weight);
-    let ln2_b = ph(&mut g, "ln2_beta", "i", DataRole::Weight);
-
-    let beta = ph(&mut g, "beta", "hbjk", DataRole::Activation);
-    fwd.push("QKT".into());
-    g.add_op("QKT", einsum("kphb,phbj->hbjk"), &[k_cache, qq], &[beta]);
-
-    decoder_forward_tail(
-        &mut g,
-        &mut fwd,
-        dims,
-        DecoderTail {
-            beta,
-            x,
-            vv_spec: Some("kwhb"),
-            vv: v_cache,
-            wo,
-            bo,
-            ln2_g,
-            ln2_b,
-            w1,
-            b1,
-            w2,
-            b2,
-        },
-    );
-
-    ForwardGraph {
-        graph: g,
-        forward_ops: fwd,
-    }
-}
-
-/// Container handles feeding [`decoder_forward_tail`].
-struct DecoderTail {
-    beta: NodeId,
-    x: NodeId,
-    /// `Some(spec)` when the value tensor is a position-major cache whose
-    /// Gamma einsum contracts the cache axis (`kwhb,hbjk->whbj`); `None`
-    /// for the full-sequence `whbk` layout (`whbk,hbjk->whbj`).
-    vv_spec: Option<&'static str>,
-    vv: NodeId,
-    wo: NodeId,
-    bo: NodeId,
-    ln2_g: NodeId,
-    ln2_b: NodeId,
-    w1: NodeId,
-    b1: NodeId,
-    w2: NodeId,
-    b2: NodeId,
-}
-
-/// Shared forward chain from the attention scores (`beta`) to the layer
-/// output `y`: masked softmax, attention dropout, the value contraction,
-/// output projection + bias/dropout/residual, and the pre-LN feed-forward
-/// block — with exactly the operator names, container names, and roles of
-/// the training [`decoder`]'s forward half, so fused kernels and their
-/// results are bitwise-identical across the full / prefill / step graphs.
-fn decoder_forward_tail(g: &mut Graph, fwd: &mut Vec<String>, dims: &EncoderDims, t: DecoderTail) {
-    let ph = |g: &mut Graph, name: &str, spec: &str, role: DataRole| -> NodeId {
-        g.add_data(name, shape(dims, spec), role)
-    };
-
-    let att = ph(g, "att", "hbjk", DataRole::Saved);
-    fwd.push("Masked softmax".into());
-    g.add_op(
-        "Masked softmax",
-        OpKind::Softmax { axis: Axis('k') },
-        &[t.beta],
-        &[att],
-    );
-
-    let alpha = ph(g, "alpha", "hbjk", DataRole::Saved);
-    let att_mask = ph(g, "att_mask", "hbjk", DataRole::Saved);
-    fwd.push("Dropout att".into());
-    g.add_op("Dropout att", OpKind::Dropout, &[att], &[alpha, att_mask]);
-
-    let gam = ph(g, "gamma", "whbj", DataRole::Saved);
-    fwd.push("Gamma".into());
-    g.add_op(
-        "Gamma",
-        einsum(&format!("{},hbjk->whbj", t.vv_spec.unwrap_or("whbk"))),
-        &[t.vv, alpha],
-        &[gam],
-    );
-
-    let out_mm = ph(g, "out_mm", "ibj", DataRole::Activation);
-    fwd.push("Out".into());
-    g.add_op("Out", einsum("whi,whbj->ibj"), &[t.wo, gam], &[out_mm]);
-
-    let bo_out = ph(g, "bo_out", "ibj", DataRole::Activation);
-    fwd.push("Output bias".into());
-    g.add_op(
-        "Output bias",
-        OpKind::Bias {
-            axes: vec![Axis('i')],
-        },
-        &[out_mm, t.bo],
-        &[bo_out],
-    );
-
-    let drop1_out = ph(g, "drop1_out", "ibj", DataRole::Activation);
-    let drop1_mask = ph(g, "drop1_mask", "ibj", DataRole::Saved);
-    fwd.push("Dropout 1".into());
-    g.add_op(
-        "Dropout 1",
-        OpKind::Dropout,
-        &[bo_out],
-        &[drop1_out, drop1_mask],
-    );
-
-    let res1 = ph(g, "res1", "ibj", DataRole::Saved);
-    fwd.push("Residual 1".into());
-    g.add_op("Residual 1", OpKind::Residual, &[drop1_out, t.x], &[res1]);
-
-    let ln2_out = ph(g, "ln2_out", "ibj", DataRole::Saved);
-    fwd.push("LayerNorm 2".into());
-    g.add_op(
-        "LayerNorm 2",
-        OpKind::LayerNorm { axis: Axis('i') },
-        &[res1, t.ln2_g, t.ln2_b],
-        &[ln2_out],
-    );
-
-    let ff1 = ph(g, "ff1", "ubj", DataRole::Activation);
-    fwd.push("Linear 1".into());
-    g.add_op("Linear 1", einsum("ui,ibj->ubj"), &[t.w1, ln2_out], &[ff1]);
-
-    let ff1_b = ph(g, "ff1_b", "ubj", DataRole::Saved);
-    fwd.push("Bias 1".into());
-    g.add_op(
-        "Bias 1",
-        OpKind::Bias {
-            axes: vec![Axis('u')],
-        },
-        &[ff1, t.b1],
-        &[ff1_b],
-    );
-
-    let ff1_act = ph(g, "ff1_act", "ubj", DataRole::Activation);
-    fwd.push("GELU".into());
-    g.add_op("GELU", OpKind::Relu, &[ff1_b], &[ff1_act]);
-
-    let ff1_drop = ph(g, "ff1_drop", "ubj", DataRole::Saved);
-    let drop2_mask = ph(g, "drop2_mask", "ubj", DataRole::Saved);
-    fwd.push("Dropout 2".into());
-    g.add_op(
-        "Dropout 2",
-        OpKind::Dropout,
-        &[ff1_act],
-        &[ff1_drop, drop2_mask],
-    );
-
-    let ff2 = ph(g, "ff2", "ibj", DataRole::Activation);
-    fwd.push("Linear 2".into());
-    g.add_op("Linear 2", einsum("iu,ubj->ibj"), &[t.w2, ff1_drop], &[ff2]);
-
-    let ff2_b = ph(g, "ff2_b", "ibj", DataRole::Activation);
-    fwd.push("Bias 2".into());
-    g.add_op(
-        "Bias 2",
-        OpKind::Bias {
-            axes: vec![Axis('i')],
-        },
-        &[ff2, t.b2],
-        &[ff2_b],
-    );
-
-    let ff2_drop = ph(g, "ff2_drop", "ibj", DataRole::Activation);
-    let drop3_mask = ph(g, "drop3_mask", "ibj", DataRole::Saved);
-    fwd.push("Dropout 3".into());
-    g.add_op(
-        "Dropout 3",
-        OpKind::Dropout,
-        &[ff2_b],
-        &[ff2_drop, drop3_mask],
-    );
-
-    let y = ph(g, "y", "ibj", DataRole::Output);
-    fwd.push("Residual 2".into());
-    g.add_op("Residual 2", OpKind::Residual, &[ff2_drop, res1], &[y]);
+    let mut e = Emit::new(dims);
+    let x = e.data("x", "ibj", Input);
+    let qq = e.data("qq", "phbj", Input);
+    let k_cache = e.data("k_cache", "kphb", Cache);
+    let v_cache = e.data("v_cache", "kwhb", Cache);
+    let (wo, wf, ln2) = (e.out_weights(), e.ffn_weights(), e.norm_weights(2));
+    e.decoder_tail(x, [qq, k_cache, v_cache], true, (&wo, &ln2, &wf));
+    e.finish()
 }
 
 #[cfg(test)]

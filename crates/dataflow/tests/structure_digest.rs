@@ -130,10 +130,6 @@ fn builder_structure_matches_the_recorded_table() {
             "decoder_step_attend",
             forward_only(&build::decoder_step_attend(&step(&dims))),
         );
-        row(
-            "decoder_prefill",
-            forward_only(&build::decoder_prefill(&dims)),
-        );
     }
     let recorded: Vec<(String, u64)> = RECORDED.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     if table != recorded {
@@ -148,42 +144,6 @@ fn builder_structure_matches_the_recorded_table() {
     }
 }
 
-/// `decoder_prefill` is the training decoder's forward half and nothing
-/// else: its nodes are, id for id, the first nodes of `decoder`'s graph, its
-/// memlets the first memlets, its operator list `decoder`'s `forward_ops`.
-#[test]
-fn decoder_prefill_is_a_node_for_node_prefix_of_decoder() {
-    for (tag, dims) in shapes() {
-        let prefill = build::decoder_prefill(&dims);
-        let full = build::decoder(&dims);
-        let ids = nodes(&prefill.graph);
-        assert_eq!(
-            ids,
-            (0..ids.len()).map(NodeId).collect::<Vec<_>>(),
-            "{tag}: prefill ids are not dense"
-        );
-        for id in ids {
-            assert_eq!(
-                prefill.graph.node(id),
-                full.graph.node(id),
-                "{tag}: node {id} differs"
-            );
-        }
-        let edges = prefill.graph.edges();
-        assert_eq!(
-            edges,
-            &full.graph.edges()[..edges.len()],
-            "{tag}: memlets are not a prefix"
-        );
-        assert_eq!(
-            prefill.forward_ops, full.forward_ops,
-            "{tag}: operator list"
-        );
-        // the first node past the prefix is the backward seed
-        assert_eq!(full.dy, NodeId(nodes(&prefill.graph).len()), "{tag}: dy");
-    }
-}
-
 #[rustfmt::skip]
 const RECORDED: &[(&str, u64)] = &[
     ("mha_forward/tiny", 0xa2656a1b33ec6e88),
@@ -191,11 +151,9 @@ const RECORDED: &[(&str, u64)] = &[
     ("decoder/tiny", 0x3325d800cf4756e5),
     ("decoder_step_project/tiny", 0x8684d3b62c10430e),
     ("decoder_step_attend/tiny", 0x66854cee3d0a363b),
-    ("decoder_prefill/tiny", 0xe6bda9624144e0a9),
     ("mha_forward/bert_large", 0x262db8caea31f5cc),
     ("encoder/bert_large", 0x5c9a5ee26ad16c12),
     ("decoder/bert_large", 0x664a85b181269e86),
     ("decoder_step_project/bert_large", 0x436b491b9cca3f3a),
     ("decoder_step_attend/bert_large", 0x99bcc89de358b899),
-    ("decoder_prefill/bert_large", 0x1690986260f6b764),
 ];

@@ -1,0 +1,142 @@
+//! The eager backward sub-blocks, written once: the attention chain and the
+//! feed-forward chain that [`crate::encoder::EncoderLayer::backward`] (both
+//! executors), [`crate::decoder::DecoderLayer::backward`] and
+//! [`crate::mha::mha_backward`] share. Post-LN versus pre-LN is where the
+//! caller takes its projection source and feed-forward input from; the
+//! executor is the `fused` flag, which selects between a fused backward
+//! kernel and its unfused operator chain only where the two are different
+//! code (BS and BDRB here; BLNRD and EBSB in the encoder).
+
+use xform_tensor::fused::{self, BrdOutput, SmOutput};
+use xform_tensor::ops::dropout::dropout_backward;
+use xform_tensor::ops::elementwise::{activate_backward, add, bias_grad, scale, ActivationKind};
+use xform_tensor::ops::softmax::softmax_backward;
+use xform_tensor::{einsum, Axis, Result, Tensor};
+
+use crate::params::{EncoderGrads, EncoderWeights};
+
+/// The forward values the attention backward reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AttentionSaved<'a> {
+    /// Biased query projections `[p,h,b,j]`.
+    pub qq: &'a Tensor,
+    /// Biased key projections `[p,h,b,k]`.
+    pub kk: &'a Tensor,
+    /// Biased value projections `[w,h,b,k]`.
+    pub vv: &'a Tensor,
+    /// Softmax bundle (alpha, saved softmax, mask).
+    pub sm: &'a SmOutput,
+    /// Attention context `[w,h,b,j]`.
+    pub gam: &'a Tensor,
+}
+
+/// Gradients of the three projection streams and of the inputs they
+/// projected.
+#[derive(Debug, Clone)]
+pub(crate) struct AttentionGrads {
+    /// Gradient of the biased query projections.
+    pub d_qq: Tensor,
+    /// Gradient of the biased key projections.
+    pub d_kk: Tensor,
+    /// Gradient of the biased value projections.
+    pub d_vv: Tensor,
+    /// Gradient of the query input `[i,b,j]`.
+    pub dq: Tensor,
+    /// Gradient of the key input `[i,b,k]`.
+    pub dk: Tensor,
+    /// Gradient of the value input `[i,b,k]`.
+    pub dv: Tensor,
+}
+
+/// Attention backward from `d_attn`, the gradient of the (biased) output
+/// projection: `d_attn → d_gam → d_alpha/d_vv → BS → d_qq/d_kk`, then each
+/// stream's input gradient. With `fused` the dropout + softmax + scale
+/// backward is the BS kernel, otherwise its three operators. Masked entries
+/// have zero softmax output and zero mask, so the causal case needs nothing
+/// of its own.
+pub(crate) fn attention_backward(
+    d_attn: &Tensor,
+    w: &EncoderWeights,
+    a: &AttentionSaved<'_>,
+    scaler: f32,
+    fused: bool,
+) -> Result<AttentionGrads> {
+    let k = Axis('k');
+    let d_gam = einsum("whi,ibj->whbj", &[&w.wo, d_attn])?;
+    let d_alpha = einsum("whbk,whbj->hbjk", &[a.vv, &d_gam])?;
+    let d_vv = einsum("whbj,hbjk->whbk", &[&d_gam, &a.sm.alpha])?;
+    let d_beta = if fused {
+        fused::bs(&d_alpha, &a.sm.mask, &a.sm.softmax, k, scaler)?
+    } else {
+        let after = dropout_backward(&d_alpha, &a.sm.mask)?;
+        scale(&softmax_backward(&after, &a.sm.softmax, k)?, scaler)
+    };
+    let d_qq = einsum("phbk,hbjk->phbj", &[a.kk, &d_beta])?;
+    let d_kk = einsum("phbj,hbjk->phbk", &[a.qq, &d_beta])?;
+    Ok(AttentionGrads {
+        dq: einsum("phi,phbj->ibj", &[&w.wq, &d_qq])?,
+        dk: einsum("phi,phbk->ibk", &[&w.wk, &d_kk])?,
+        dv: einsum("whi,whbk->ibk", &[&w.wv, &d_vv])?,
+        d_qq,
+        d_kk,
+        d_vv,
+    })
+}
+
+/// [`attention_backward`] for self-attention over one source `src`
+/// (`[i,b,j]`: the block input post-LN, its first layer norm's output
+/// pre-LN): fills the attention weight gradients of `g` (`bo`, `wo`, the
+/// three projection biases and weights) and returns the gradient of `src`.
+pub(crate) fn self_attention_backward(
+    d_attn: &Tensor,
+    src: &Tensor,
+    w: &EncoderWeights,
+    a: &AttentionSaved<'_>,
+    scaler: f32,
+    fused: bool,
+    g: &mut EncoderGrads,
+) -> Result<Tensor> {
+    g.bo = bias_grad(d_attn, &[Axis('i')])?;
+    g.wo = einsum("whbj,ibj->whi", &[a.gam, d_attn])?;
+    let s = attention_backward(d_attn, w, a, scaler, fused)?;
+    let ph = [Axis('p'), Axis('h')];
+    g.bq = bias_grad(&s.d_qq, &ph)?;
+    g.bk = bias_grad(&s.d_kk, &ph)?;
+    g.bv = bias_grad(&s.d_vv, &[Axis('w'), Axis('h')])?;
+    let src_k = src.relabel("ibk")?;
+    g.wq = einsum("phbj,ibj->phi", &[&s.d_qq, src])?;
+    g.wk = einsum("phbk,ibk->phi", &[&s.d_kk, &src_k])?;
+    g.wv = einsum("whbk,ibk->whi", &[&s.d_vv, &src_k])?;
+    add(&add(&s.dq, &s.dk.relabel("ibj")?)?, &s.dv.relabel("ibj")?)
+}
+
+/// Feed-forward backward from `d_out`, the gradient of the second bias's
+/// output: fills `b2`, `w2`, `b1`, `w1` of `g` and returns the gradient of
+/// the network's input `x`. With `fused` the dropout + activation + bias-dW
+/// backward is the BDRB kernel, otherwise its three operators.
+pub(crate) fn ffn_backward(
+    d_out: &Tensor,
+    x: &Tensor,
+    w: &EncoderWeights,
+    brd: &BrdOutput,
+    activation: ActivationKind,
+    fused: bool,
+    g: &mut EncoderGrads,
+) -> Result<Tensor> {
+    let u = [Axis('u')];
+    g.b2 = bias_grad(d_out, &[Axis('i')])?;
+    let d_brd = einsum("iu,ibj->ubj", &[&w.w2, d_out])?;
+    g.w2 = einsum("ibj,ubj->iu", &[d_out, &brd.out])?;
+    let d_ff1 = if fused {
+        let (d_ff1, db1) = fused::bdrb_act(&d_brd, &brd.mask, &brd.pre_activation, activation, &u)?;
+        g.b1 = db1;
+        d_ff1
+    } else {
+        let after = dropout_backward(&d_brd, &brd.mask)?;
+        let d_ff1 = activate_backward(&after, &brd.pre_activation, activation)?;
+        g.b1 = bias_grad(&d_ff1, &u)?;
+        d_ff1
+    };
+    g.w1 = einsum("ubj,ibj->ui", &[&d_ff1, x])?;
+    einsum("ui,ubj->ibj", &[&w.w1, &d_ff1])
+}

@@ -325,10 +325,11 @@ impl<'m> DecodeSession<'m> {
             .build()
     }
 
-    /// Runs the prompt through every layer with the full-width
-    /// [`PlanKind::DecoderPrefill`] plan, seeds the per-layer caches from
-    /// the saved `kk`/`vv` projections, and returns the prompt's logits
-    /// (`[v,b,S]`) — bitwise the full-sequence forward's logits.
+    /// Runs the prompt through every layer with the fused decoder's own
+    /// forward plan ([`PlanKind::DecoderFused`]) at the prompt's length,
+    /// seeds the per-layer caches from the saved `kk`/`vv` projections, and
+    /// returns the prompt's logits (`[v,b,S]`) — the full-sequence forward's
+    /// logits, because it is the full-sequence forward.
     ///
     /// Allocates freely (it runs once per session); only the *step* path
     /// is allocation-free.
@@ -372,7 +373,7 @@ impl<'m> DecodeSession<'m> {
         let mut prefill_dims = d;
         prefill_dims.j = s;
         prefill_dims.k = s;
-        let pf = interp::cached_plan(&prefill_dims, PlanKind::DecoderPrefill)?;
+        let pf = interp::cached_plan(&prefill_dims, PlanKind::DecoderFused)?;
 
         let granularity = interp::granularity_for(self.threads);
         let prefill = session_arena(&pf, &analyze(&pf.graph, &pf.plan), granularity)?;

@@ -5,14 +5,15 @@
 
 use xform_core::plan::{ExecOptions, ExecState};
 use xform_dataflow::EncoderDims;
-use xform_tensor::fused::{self, BrdOutput, SmOutput};
+use xform_tensor::fused::{BrdOutput, SmOutput};
 use xform_tensor::ops::dropout::dropout_backward;
-use xform_tensor::ops::elementwise::{add, bias_grad, ActivationKind};
+use xform_tensor::ops::elementwise::{add, ActivationKind};
 use xform_tensor::ops::layernorm::{
     layernorm_backward_input, layernorm_backward_weights, LayerNormStats,
 };
-use xform_tensor::{einsum, Axis, Result, Tensor, TensorError};
+use xform_tensor::{Axis, Result, Tensor, TensorError};
 
+use crate::backward::{ffn_backward, self_attention_backward, AttentionSaved};
 use crate::interp::{self, finish, ForwardOutput};
 use crate::params::{EncoderGrads, EncoderWeights};
 
@@ -214,65 +215,35 @@ impl DecoderLayer {
         let ai = Axis('i');
         // --- feed-forward branch of residual 2 ---
         let d_ff2b = dropout_backward(dy, &a.drop3_mask)?;
-        g.b2 = bias_grad(&d_ff2b, &[ai])?;
-        let d_brd = einsum("iu,ibj->ubj", &[&w.w2, &d_ff2b])?;
-        g.w2 = einsum("ibj,ubj->iu", &[&d_ff2b, &a.brd.out])?;
-        let (d_ff1, db1) = fused::bdrb_act(
-            &d_brd,
-            &a.brd.mask,
-            &a.brd.pre_activation,
+        let d_ln2_out = ffn_backward(
+            &d_ff2b,
+            &a.ln2_out,
+            w,
+            &a.brd,
             self.activation,
-            &[Axis('u')],
+            true,
+            &mut g,
         )?;
-        g.b1 = db1;
-        let d_ln2_out = einsum("ui,ubj->ibj", &[&w.w1, &d_ff1])?;
-        g.w1 = einsum("ubj,ibj->ui", &[&d_ff1, &a.ln2_out])?;
-        let (dg2, dbeta2) = layernorm_backward_weights(&d_ln2_out, &a.res1, ai, &a.stats2)?;
-        g.ln2_gamma = dg2;
-        g.ln2_beta = dbeta2;
+        (g.ln2_gamma, g.ln2_beta) = layernorm_backward_weights(&d_ln2_out, &a.res1, ai, &a.stats2)?;
         let d_res1_ln = layernorm_backward_input(&d_ln2_out, &a.res1, ai, &w.ln2_gamma, &a.stats2)?;
         // residual 2: skip branch carries dy directly
         let d_res1 = add(dy, &d_res1_ln)?;
 
         // --- attention branch of residual 1 ---
         let d_attn = dropout_backward(&d_res1, &a.drop1_mask)?;
-        g.bo = bias_grad(&d_attn, &[ai])?;
-        let d_gam = einsum("whi,ibj->whbj", &[&w.wo, &d_attn])?;
-        g.wo = einsum("whbj,ibj->whi", &[&a.gam, &d_attn])?;
-        let d_alpha = einsum("whbk,whbj->hbjk", &[&a.vv, &d_gam])?;
-        let d_vv = einsum("whbj,hbjk->whbk", &[&d_gam, &a.sm.alpha])?;
-        // masked entries have zero softmax output and zero mask, so the
-        // unmasked BS kernel handles the causal case unchanged
-        let d_beta = fused::bs(
-            &d_alpha,
-            &a.sm.mask,
-            &a.sm.softmax,
-            Axis('k'),
-            self.scaler(),
-        )?;
-        let d_qq = einsum("phbk,hbjk->phbj", &[&a.kk, &d_beta])?;
-        let d_kk = einsum("phbj,hbjk->phbk", &[&a.qq, &d_beta])?;
-        let ph: &[Axis] = &[Axis('p'), Axis('h')];
-        let wh: &[Axis] = &[Axis('w'), Axis('h')];
-        let (dbq, dbk, dbv) = fused::baib(&d_qq, &d_kk, &d_vv, [ph, ph, wh])?;
-        g.bq = dbq;
-        g.bk = dbk;
-        g.bv = dbv;
-        let lk = a.ln1_out.relabel("ibk")?;
-        g.wq = einsum("phbj,ibj->phi", &[&d_qq, &a.ln1_out])?;
-        g.wk = einsum("phbk,ibk->phi", &[&d_kk, &lk])?;
-        g.wv = einsum("whbk,ibk->whi", &[&d_vv, &lk])?;
-        let d_x1 = einsum("phi,phbj->ibj", &[&w.wq, &d_qq])?;
-        let d_x2 = einsum("phi,phbk->ibk", &[&w.wk, &d_kk])?.relabel("ibj")?;
-        let d_x3 = einsum("whi,whbk->ibk", &[&w.wv, &d_vv])?.relabel("ibj")?;
-        let d_ln1_out = add(&add(&d_x1, &d_x2)?, &d_x3)?;
-        let (dg1, dbeta1) = layernorm_backward_weights(&d_ln1_out, x, ai, &a.stats1)?;
-        g.ln1_gamma = dg1;
-        g.ln1_beta = dbeta1;
+        let saved = AttentionSaved {
+            qq: &a.qq,
+            kk: &a.kk,
+            vv: &a.vv,
+            sm: &a.sm,
+            gam: &a.gam,
+        };
+        let d_ln1_out =
+            self_attention_backward(&d_attn, &a.ln1_out, w, &saved, self.scaler(), true, &mut g)?;
+        (g.ln1_gamma, g.ln1_beta) = layernorm_backward_weights(&d_ln1_out, x, ai, &a.stats1)?;
         let d_x_ln = layernorm_backward_input(&d_ln1_out, x, ai, &w.ln1_gamma, &a.stats1)?;
         // residual 1: skip branch carries d_res1
-        let dx = add(&d_x_ln, &d_res1)?;
-        Ok((dx, g))
+        Ok((add(&d_x_ln, &d_res1)?, g))
     }
 }
 

@@ -20,11 +20,11 @@ use xform_core::plan::{ExecOptions, ExecState};
 use xform_dataflow::EncoderDims;
 use xform_tensor::fused::{self, BdrlnOutput, BrdOutput, SmOutput};
 use xform_tensor::ops::dropout::dropout_backward;
-use xform_tensor::ops::elementwise::{activate_backward, add, bias_grad, scale, ActivationKind};
+use xform_tensor::ops::elementwise::{add, ActivationKind};
 use xform_tensor::ops::layernorm::{layernorm_backward_input, layernorm_backward_weights};
-use xform_tensor::ops::softmax::softmax_backward;
-use xform_tensor::{einsum, Axis, Result, Tensor};
+use xform_tensor::{Axis, Result, Tensor};
 
+use crate::backward::{ffn_backward, self_attention_backward, AttentionSaved};
 use crate::interp::{self, finish, ForwardOutput};
 use crate::params::{EncoderGrads, EncoderWeights};
 
@@ -267,50 +267,20 @@ impl EncoderLayer {
         let ai = Axis('i');
 
         // --- second layer-norm block ---
-        let (dg2, dbeta2) = if fused_mode {
-            fused::bsb(dy, &a.ln2.ln_input, ai, &a.ln2.stats)?
-        } else {
-            layernorm_backward_weights(dy, &a.ln2.ln_input, ai, &a.ln2.stats)?
-        };
-        g.ln2_gamma = dg2;
-        g.ln2_beta = dbeta2;
-        let (d_ff2b, d_ln2_in) = if fused_mode {
-            fused::blnrd(
-                dy,
-                &a.ln2.ln_input,
-                &w.ln2_gamma,
-                &a.ln2.mask,
-                ai,
-                &a.ln2.stats,
-            )?
-        } else {
-            let d_ln =
-                layernorm_backward_input(dy, &a.ln2.ln_input, ai, &w.ln2_gamma, &a.ln2.stats)?;
-            let d = dropout_backward(&d_ln, &a.ln2.mask)?;
-            (d, d_ln)
-        };
-        g.b2 = bias_grad(&d_ff2b, &[ai])?;
+        (g.ln2_gamma, g.ln2_beta) =
+            layernorm_backward_weights(dy, &a.ln2.ln_input, ai, &a.ln2.stats)?;
+        let (d_ff2b, d_ln2_in) = blnrd(fused_mode, dy, &a.ln2, &w.ln2_gamma)?;
 
         // --- feed-forward ---
-        let d_brd = einsum("iu,ibj->ubj", &[&w.w2, &d_ff2b])?;
-        g.w2 = einsum("ibj,ubj->iu", &[&d_ff2b, &a.brd.out])?;
-        let (d_ff1, db1) = if fused_mode {
-            fused::bdrb_act(
-                &d_brd,
-                &a.brd.mask,
-                &a.brd.pre_activation,
-                self.activation,
-                &[Axis('u')],
-            )?
-        } else {
-            let after = dropout_backward(&d_brd, &a.brd.mask)?;
-            let d = activate_backward(&after, &a.brd.pre_activation, self.activation)?;
-            let db = bias_grad(&d, &[Axis('u')])?;
-            (d, db)
-        };
-        g.b1 = db1;
-        let d_ln1out_ffn = einsum("ui,ubj->ibj", &[&w.w1, &d_ff1])?;
-        g.w1 = einsum("ubj,ibj->ui", &[&d_ff1, &a.ln1.out])?;
+        let d_ln1out_ffn = ffn_backward(
+            &d_ff2b,
+            &a.ln1.out,
+            w,
+            &a.brd,
+            self.activation,
+            fused_mode,
+            &mut g,
+        )?;
 
         // --- first layer-norm block (residual join) ---
         let (d_ln1out, dg1, dbeta1) = if fused_mode {
@@ -323,87 +293,32 @@ impl EncoderLayer {
         };
         g.ln1_gamma = dg1;
         g.ln1_beta = dbeta1;
-        let (d_attn_b, d_ln1_in) = if fused_mode {
-            fused::blnrd(
-                &d_ln1out,
-                &a.ln1.ln_input,
-                &w.ln1_gamma,
-                &a.ln1.mask,
-                ai,
-                &a.ln1.stats,
-            )?
-        } else {
-            let d_ln = layernorm_backward_input(
-                &d_ln1out,
-                &a.ln1.ln_input,
-                ai,
-                &w.ln1_gamma,
-                &a.ln1.stats,
-            )?;
-            let d = dropout_backward(&d_ln, &a.ln1.mask)?;
-            (d, d_ln)
-        };
-        g.bo = if fused_mode {
-            fused::baob(&d_attn_b, &[ai])?
-        } else {
-            bias_grad(&d_attn_b, &[ai])?
-        };
+        let (d_attn_b, d_ln1_in) = blnrd(fused_mode, &d_ln1out, &a.ln1, &w.ln1_gamma)?;
 
-        // --- attention output projection ---
-        let d_gam = einsum("whi,ibj->whbj", &[&w.wo, &d_attn_b])?;
-        g.wo = einsum("whbj,ibj->whi", &[&a.gam, &d_attn_b])?;
-
-        // --- attention core ---
-        let d_alpha = einsum("whbk,whbj->hbjk", &[&a.vv, &d_gam])?;
-        let d_vv = einsum("whbj,hbjk->whbk", &[&d_gam, &a.sm.alpha])?;
-        let d_beta = if fused_mode {
-            fused::bs(
-                &d_alpha,
-                &a.sm.mask,
-                &a.sm.softmax,
-                Axis('k'),
-                self.scaler(),
-            )?
-        } else {
-            let after = dropout_backward(&d_alpha, &a.sm.mask)?;
-            let d_soft = softmax_backward(&after, &a.sm.softmax, Axis('k'))?;
-            scale(&d_soft, self.scaler())
+        // --- attention, down to the gradient of the projections' input ---
+        let saved = AttentionSaved {
+            qq: &a.qq,
+            kk: &a.kk,
+            vv: &a.vv,
+            sm: &a.sm,
+            gam: &a.gam,
         };
-        let d_qq = einsum("phbk,hbjk->phbj", &[&a.kk, &d_beta])?;
-        let d_kk = einsum("phbj,hbjk->phbk", &[&a.qq, &d_beta])?;
-
-        // --- input projections ---
-        let ph: &[Axis] = &[Axis('p'), Axis('h')];
-        let wh: &[Axis] = &[Axis('w'), Axis('h')];
-        let (dbq, dbk, dbv) = if fused_mode {
-            fused::baib(&d_qq, &d_kk, &d_vv, [ph, ph, wh])?
-        } else {
-            (
-                bias_grad(&d_qq, ph)?,
-                bias_grad(&d_kk, ph)?,
-                bias_grad(&d_vv, wh)?,
-            )
-        };
-        g.bq = dbq;
-        g.bk = dbk;
-        g.bv = dbv;
-        let xk = x.relabel("ibk")?;
-        g.wq = einsum("phbj,ibj->phi", &[&d_qq, x])?;
-        g.wk = einsum("phbk,ibk->phi", &[&d_kk, &xk])?;
-        g.wv = einsum("whbk,ibk->whi", &[&d_vv, &xk])?;
-
-        // --- gradient to the encoder input ---
-        let d_x1 = einsum("phi,phbj->ibj", &[&w.wq, &d_qq])?;
-        let d_x2 = einsum("phi,phbk->ibk", &[&w.wk, &d_kk])?.relabel("ibj")?;
-        let d_x3 = einsum("whi,whbk->ibk", &[&w.wv, &d_vv])?.relabel("ibj")?;
-        let d_x_proj = add(&add(&d_x1, &d_x2)?, &d_x3)?;
-        let dx = if fused_mode {
-            fused::bei(&d_x_proj, &d_ln1_in)?
-        } else {
-            add(&d_x_proj, &d_ln1_in)?
-        };
-        Ok((dx, g))
+        let d_x_proj =
+            self_attention_backward(&d_attn_b, x, w, &saved, self.scaler(), fused_mode, &mut g)?;
+        Ok((add(&d_x_proj, &d_ln1_in)?, g))
     }
+}
+
+/// Layer-norm dX then dropout backward over one saved
+/// bias+dropout+residual+layernorm bundle: `(d_dropout_input, d_ln_input)`.
+/// With `fused` this is the BLNRD kernel, otherwise its two operators.
+fn blnrd(fused: bool, dy: &Tensor, ln: &BdrlnOutput, gamma: &Tensor) -> Result<(Tensor, Tensor)> {
+    let ai = Axis('i');
+    if fused {
+        return fused::blnrd(dy, &ln.ln_input, gamma, &ln.mask, ai, &ln.stats);
+    }
+    let d_ln = layernorm_backward_input(dy, &ln.ln_input, ai, gamma, &ln.stats)?;
+    Ok((dropout_backward(&d_ln, &ln.mask)?, d_ln))
 }
 
 #[cfg(test)]

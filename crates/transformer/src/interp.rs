@@ -18,8 +18,7 @@ use xform_core::access::{certify_access, AccessCertificate};
 use xform_core::analyze::ArenaGranularity;
 use xform_core::arena::{self, ArenaArtifact, CompiledArena};
 use xform_core::fusion::{
-    apply_epilogues, apply_plan, decoder_attend_fusion_plan, decoder_forward_fusion_plan,
-    decoder_fusion_plan, decoder_project_fusion_plan, encoder_fusion_plan,
+    apply_epilogues, apply_plan, decoder_fusion_plan, encoder_fusion_plan, FusionGroup,
 };
 use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use xform_core::profile::record_arena_timings;
@@ -100,16 +99,66 @@ fn certified(graph: Graph, plan: ExecutionPlan) -> Result<PlannedForward> {
     })
 }
 
-fn planned(graph: Graph, dy: xform_dataflow::NodeId) -> Result<PlannedForward> {
-    let plan = ExecutionPlan::natural(&graph, &forward_ops(&graph, dy))?;
-    certified(graph, plan)
+/// The dimensions every builder rejects by panicking (`Shape`s have no
+/// zero-sized axes), turned into the error a fallible caller expects.
+fn check_extents(dims: &EncoderDims) -> Result<()> {
+    if [dims.b, dims.j, dims.k, dims.h, dims.p, dims.i, dims.u].contains(&0) {
+        return Err(TensorError::ShapeMismatch {
+            context: "a canned plan's dimensions (every extent must be nonzero)",
+        });
+    }
+    Ok(())
 }
 
-/// Schedules a forward-only graph (no `dy` seed to split on): every
-/// operator, in topological order.
-fn planned_forward(graph: Graph) -> Result<PlannedForward> {
-    let plan = ExecutionPlan::natural(&graph, &graph.topo_ops())?;
-    certified(graph, plan)
+/// A training block's forward as a plan: the graph of `build` (which
+/// asserts `dims.j == dims.k` — checked here first, where the `Result`
+/// starts), `fusion` applied, optionally every GEMM-epilogue chain
+/// collapsed, then the operators ahead of the `dy` seed scheduled in
+/// natural layouts.
+fn block_plan(
+    dims: &EncoderDims,
+    build: fn(&EncoderDims) -> build::EncoderGraph,
+    fusion: &[FusionGroup],
+    epilogues: bool,
+) -> Result<PlannedForward> {
+    check_extents(dims)?;
+    if dims.j != dims.k {
+        return Err(TensorError::ShapeMismatch {
+            context: "a self-attention plan's dimensions (dims.j must equal dims.k)",
+        });
+    }
+    let eg = build(dims);
+    let mut g = eg.graph;
+    apply_plan(&mut g, fusion)?;
+    if epilogues {
+        apply_epilogues(&mut g)?;
+    }
+    let plan = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy))?;
+    certified(g, plan)
+}
+
+/// A decode-step graph as a plan: the forward-only graph of `build` (which
+/// asserts `dims.j == 1` — checked here first), fused by the training
+/// decoder's own plan restricted to the groups this graph has members of —
+/// so the step kernels are the training decoder's by construction, and a
+/// group only partly present is an `apply_plan` error, not a silent skip —
+/// then every operator scheduled in topological order.
+fn step_plan(
+    dims: &EncoderDims,
+    build: fn(&EncoderDims) -> build::ForwardGraph,
+) -> Result<PlannedForward> {
+    check_extents(dims)?;
+    if dims.j != 1 {
+        return Err(TensorError::ShapeMismatch {
+            context: "a decode-step plan's dimensions (dims.j must be 1: one token column)",
+        });
+    }
+    let mut g = build(dims).graph;
+    let mut fusion = decoder_fusion_plan();
+    fusion.retain(|group| group.members.iter().any(|m| g.op_by_name(m).is_some()));
+    apply_plan(&mut g, &fusion)?;
+    let plan = ExecutionPlan::natural(&g, &g.topo_ops())?;
+    certified(g, plan)
 }
 
 /// Which canned schedule a cache entry holds.
@@ -122,15 +171,14 @@ pub enum PlanKind {
     /// Fused encoder with GEMM-epilogue mega-kernels (QKT+SM, Linear 1+
     /// BRD collapsed; their intermediates never materialize).
     EncoderEpilogue,
-    /// Fused decoder block, natural layouts.
+    /// Fused decoder block, natural layouts. Also what a decode *prefill*
+    /// pass runs, at `dims.j == dims.k ==` the prompt length: the plan
+    /// schedules only the forward operators, and the saved `kk`/`vv`
+    /// projections seed the KV cache.
     DecoderFused,
     /// Fused decoder with GEMM-epilogue mega-kernels (QKT+SM, Out+BDR,
     /// Linear 1+BRD, Linear 2+BDR2 collapsed).
     DecoderEpilogue,
-    /// Forward-only fused decoder block for the decode *prefill* pass:
-    /// same kernels as [`PlanKind::DecoderFused`]'s forward half, no
-    /// backward operators. `dims.j == dims.k` is the prompt length.
-    DecoderPrefill,
     /// Decode-step projection plan: LN1 + stacked Q/K/V + bias carve over
     /// a single token column (`dims.j == 1`), producing the `qq_new`/
     /// `kk_new`/`vv_new` columns the session appends to its caches.
@@ -163,7 +211,10 @@ fn plan_cache() -> MutexGuard<'static, HashMap<(EncoderDims, PlanKind), Arc<Plan
 ///
 /// # Errors
 ///
-/// Returns an error if graph construction, fusion, or scheduling fails.
+/// Returns [`TensorError::ShapeMismatch`] for dimensions `kind` has no graph
+/// for (a zero extent; `dims.j != dims.k` for the full-sequence kinds;
+/// `dims.j != 1` for the decode-step kinds), or an error if fusion or
+/// scheduling fails.
 pub fn cached_plan(dims: &EncoderDims, kind: PlanKind) -> Result<Arc<PlannedForward>> {
     let key = (*dims, kind);
     if let Some(hit) = plan_cache().get(&key) {
@@ -175,7 +226,6 @@ pub fn cached_plan(dims: &EncoderDims, kind: PlanKind) -> Result<Arc<PlannedForw
         PlanKind::EncoderEpilogue => encoder_epilogue(dims)?,
         PlanKind::DecoderFused => decoder_fused(dims)?,
         PlanKind::DecoderEpilogue => decoder_epilogue(dims)?,
-        PlanKind::DecoderPrefill => decoder_prefill(dims)?,
         PlanKind::DecoderStepProject => decoder_step_project(dims)?,
         PlanKind::DecoderStep => decoder_step_attend(dims)?,
     });
@@ -424,10 +474,10 @@ pub(crate) fn forward_into(
 ///
 /// # Errors
 ///
-/// Returns an error if the graph cannot be scheduled.
+/// Returns [`TensorError::ShapeMismatch`] unless every extent is nonzero and
+/// `dims.j == dims.k`, or an error if the graph cannot be scheduled.
 pub fn encoder_reference(dims: &EncoderDims) -> Result<PlannedForward> {
-    let eg = build::encoder(dims);
-    planned(eg.graph, eg.dy)
+    block_plan(dims, build::encoder, &[], false)
 }
 
 /// The fused executor as a plan: the paper's encoder fusion plan applied,
@@ -435,12 +485,9 @@ pub fn encoder_reference(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// # Errors
 ///
-/// Returns an error if fusion or scheduling fails.
+/// As [`encoder_reference`], and if fusion fails.
 pub fn encoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
-    let eg = build::encoder(dims);
-    let mut g = eg.graph;
-    apply_plan(&mut g, &encoder_fusion_plan())?;
-    planned(g, eg.dy)
+    block_plan(dims, build::encoder, &encoder_fusion_plan(), false)
 }
 
 /// The fused encoder with GEMM-epilogue mega-kernels: element-wise fusion
@@ -450,26 +497,20 @@ pub fn encoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// # Errors
 ///
-/// Returns an error if fusion or scheduling fails.
+/// As [`encoder_fused`].
 pub fn encoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
-    let eg = build::encoder(dims);
-    let mut g = eg.graph;
-    apply_plan(&mut g, &encoder_fusion_plan())?;
-    apply_epilogues(&mut g)?;
-    planned(g, eg.dy)
+    block_plan(dims, build::encoder, &encoder_fusion_plan(), true)
 }
 
 /// The decoder block as a plan: the pre-LN decoder graph with its fusion
-/// plan applied (causal SM, BDR residual joins, GELU BRD).
+/// plan applied (causal SM, BDR residual joins, GELU BRD). At the prompt's
+/// length this is the decode prefill pass.
 ///
 /// # Errors
 ///
-/// Returns an error if fusion or scheduling fails.
+/// As [`encoder_fused`].
 pub fn decoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
-    let eg = build::decoder(dims);
-    let mut g = eg.graph;
-    apply_plan(&mut g, &decoder_fusion_plan())?;
-    planned(g, eg.dy)
+    block_plan(dims, build::decoder, &decoder_fusion_plan(), false)
 }
 
 /// The fused decoder with GEMM-epilogue mega-kernels (see
@@ -477,29 +518,9 @@ pub fn decoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// # Errors
 ///
-/// Returns an error if fusion or scheduling fails.
+/// As [`encoder_fused`].
 pub fn decoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
-    let eg = build::decoder(dims);
-    let mut g = eg.graph;
-    apply_plan(&mut g, &decoder_fusion_plan())?;
-    apply_epilogues(&mut g)?;
-    planned(g, eg.dy)
-}
-
-/// The decode prefill pass as a plan: the forward-only decoder graph with
-/// the forward half of the decoder fusion plan applied. Same kernel names
-/// and container roles as the fused decoder's forward, so the prompt's
-/// `kk`/`vv` projections (and every logit) are bitwise those of a
-/// full-sequence forward.
-///
-/// # Errors
-///
-/// Returns an error if fusion or scheduling fails.
-pub fn decoder_prefill(dims: &EncoderDims) -> Result<PlannedForward> {
-    let fg = build::decoder_prefill(dims);
-    let mut g = fg.graph;
-    apply_plan(&mut g, &decoder_forward_fusion_plan())?;
-    planned_forward(g)
+    block_plan(dims, build::decoder, &decoder_fusion_plan(), true)
 }
 
 /// The decode-step projection plan (LN1 + QKV + bias carve over one token
@@ -507,12 +528,10 @@ pub fn decoder_prefill(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// # Errors
 ///
-/// Returns an error if fusion or scheduling fails.
+/// Returns [`TensorError::ShapeMismatch`] unless every extent is nonzero and
+/// `dims.j == 1`, or an error if fusion or scheduling fails.
 pub fn decoder_step_project(dims: &EncoderDims) -> Result<PlannedForward> {
-    let fg = build::decoder_step_project(dims);
-    let mut g = fg.graph;
-    apply_plan(&mut g, &decoder_project_fusion_plan())?;
-    planned_forward(g)
+    step_plan(dims, build::decoder_step_project)
 }
 
 /// The decode-step attention plan reading the resident KV cache. On top
@@ -523,12 +542,9 @@ pub fn decoder_step_project(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// # Errors
 ///
-/// Returns an error if fusion or scheduling fails.
+/// As [`decoder_step_project`].
 pub fn decoder_step_attend(dims: &EncoderDims) -> Result<PlannedForward> {
-    let fg = build::decoder_step_attend(dims);
-    let mut g = fg.graph;
-    apply_plan(&mut g, &decoder_attend_fusion_plan())?;
-    planned_forward(g)
+    step_plan(dims, build::decoder_step_attend)
 }
 
 /// Wraps what a forward produced into a [`ForwardOutput`]:
@@ -598,6 +614,65 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(d.plan.steps.len(), a.plan.steps.len());
         assert!(plan_cache_len() >= 3);
+    }
+
+    #[test]
+    fn dims_a_builder_would_panic_on_are_shape_errors_at_every_entry_point() {
+        use crate::decoder::DecoderLayer;
+        use crate::encoder::{EncoderLayer, Executor};
+
+        let tiny = EncoderDims::tiny();
+        let uneven = EncoderDims {
+            k: tiny.k + 1,
+            ..tiny
+        };
+        let empty = EncoderDims { u: 0, ..tiny };
+        let is_shape_error = |r: Result<()>, what: &str| {
+            assert!(
+                matches!(r, Err(TensorError::ShapeMismatch { .. })),
+                "{what}: {r:?}"
+            );
+        };
+
+        // `cached_plan`, every kind: the full-sequence kinds need j == k, the
+        // decode-step kinds one token column, all of them nonzero extents
+        let full = [
+            PlanKind::EncoderReference,
+            PlanKind::EncoderFused,
+            PlanKind::EncoderEpilogue,
+            PlanKind::DecoderFused,
+            PlanKind::DecoderEpilogue,
+        ];
+        let step = [PlanKind::DecoderStepProject, PlanKind::DecoderStep];
+        for (kinds, bad) in [(&full[..], uneven), (&step[..], tiny)] {
+            for &kind in kinds {
+                for dims in [bad, EncoderDims { j: 1, ..empty }, empty] {
+                    let r = cached_plan(&dims, kind).map(|_| ());
+                    is_shape_error(r, &format!("cached_plan {kind:?} {dims:?}"));
+                }
+            }
+        }
+
+        // the layers' `forward` and `forward_into` start at `cached_plan`
+        let mut rng = StdRng::seed_from_u64(3);
+        let w = EncoderWeights::init(&tiny, &mut rng);
+        let x = Tensor::zeros(Shape::from_spec("ibj", &tiny.size_table()).unwrap());
+        let mut y = x.clone();
+        let opts = ExecOptions::default();
+        for dims in [uneven, empty] {
+            for executor in [Executor::Reference, Executor::Fused, Executor::Epilogue] {
+                let layer = EncoderLayer::new(dims, executor, 0.0);
+                is_shape_error(layer.forward(&x, &w, &opts).map(|_| ()), "encoder forward");
+                is_shape_error(layer.forward_into(&x, &w, &opts, &mut y), "encoder into");
+            }
+            for layer in [
+                DecoderLayer::new(dims, 0.0),
+                DecoderLayer::new(dims, 0.0).with_epilogue(),
+            ] {
+                is_shape_error(layer.forward(&x, &w, &opts).map(|_| ()), "decoder forward");
+                is_shape_error(layer.forward_into(&x, &w, &opts, &mut y), "decoder into");
+            }
+        }
     }
 
     #[test]

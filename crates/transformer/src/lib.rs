@@ -54,6 +54,7 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+mod backward;
 pub mod checkpoint;
 pub mod decode;
 pub mod decoder;

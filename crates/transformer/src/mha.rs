@@ -8,6 +8,7 @@ use xform_dataflow::EncoderDims;
 use xform_tensor::fused::{self, SmOutput};
 use xform_tensor::{einsum, Axis, Result, Tensor};
 
+use crate::backward::{attention_backward, AttentionSaved};
 use crate::params::EncoderWeights;
 
 /// Saved values from an MHA forward pass.
@@ -87,17 +88,19 @@ pub fn mha_backward(
     w: &EncoderWeights,
     a: &MhaActivations,
 ) -> Result<MhaInputGrads> {
+    let saved = AttentionSaved {
+        qq: &a.qq,
+        kk: &a.kk,
+        vv: &a.vv,
+        sm: &a.sm,
+        gam: &a.gam,
+    };
     let scaler = 1.0 / (dims.p as f32).sqrt();
-    let d_gam = einsum("whi,ibj->whbj", &[&w.wo, dy])?;
-    let d_alpha = einsum("whbk,whbj->hbjk", &[&a.vv, &d_gam])?;
-    let d_vv = einsum("whbj,hbjk->whbk", &[&d_gam, &a.sm.alpha])?;
-    let d_beta = fused::bs(&d_alpha, &a.sm.mask, &a.sm.softmax, Axis('k'), scaler)?;
-    let d_qq = einsum("phbk,hbjk->phbj", &[&a.kk, &d_beta])?;
-    let d_kk = einsum("phbj,hbjk->phbk", &[&a.qq, &d_beta])?;
+    let g = attention_backward(dy, w, &saved, scaler, true)?;
     Ok(MhaInputGrads {
-        dq: einsum("phi,phbj->ibj", &[&w.wq, &d_qq])?,
-        dk: einsum("phi,phbk->ibk", &[&w.wk, &d_kk])?,
-        dv: einsum("whi,whbk->ibk", &[&w.wv, &d_vv])?,
+        dq: g.dq,
+        dk: g.dk,
+        dv: g.dv,
     })
 }
 

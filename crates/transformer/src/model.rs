@@ -143,6 +143,22 @@ impl TransformerModel {
                 .sum::<usize>()
     }
 
+    /// Checks an id batch — tokens or targets — against the configuration:
+    /// exactly `[b][j]`, every id below `vocab`. Everything past this indexes
+    /// tensors by these ids unchecked.
+    fn check_ids(&self, ids: &[Vec<usize>], context: &'static str) -> Result<()> {
+        let d = &self.config.dims;
+        if ids.len() != d.b || ids.iter().any(|row| row.len() != d.j) {
+            return Err(TensorError::ShapeMismatch { context });
+        }
+        match ids.iter().flatten().find(|&&t| t >= self.config.vocab) {
+            Some(t) => Err(TensorError::Unsupported(format!(
+                "token id {t} out of vocabulary"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Embeds a token batch (`tokens[b][j]`) into `x[i,b,j]`.
     ///
     /// # Errors
@@ -150,20 +166,11 @@ impl TransformerModel {
     /// Returns an error if a token id is out of range or the batch shape
     /// disagrees with the configuration.
     pub fn embed(&self, tokens: &[Vec<usize>]) -> Result<Tensor> {
+        self.check_ids(tokens, "embed batch")?;
         let d = &self.config.dims;
-        if tokens.len() != d.b || tokens.iter().any(|row| row.len() != d.j) {
-            return Err(TensorError::ShapeMismatch {
-                context: "embed batch",
-            });
-        }
         let mut x = Tensor::zeros(Shape::from_spec("ibj", &d.size_table())?);
         for (b, row) in tokens.iter().enumerate() {
             for (j, &t) in row.iter().enumerate() {
-                if t >= self.config.vocab {
-                    return Err(TensorError::Unsupported(format!(
-                        "token id {t} out of vocabulary"
-                    )));
-                }
                 for i in 0..d.i {
                     let v = self.embedding.at(&[t, i]) + self.positional.at(&[j, i]);
                     x.set(&[i, b, j], v);
@@ -229,8 +236,10 @@ impl TransformerModel {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape disagreements.
+    /// Returns the errors of [`TransformerModel::embed`] for `targets` that
+    /// are not `[b][j]` ids below the vocabulary size.
     pub fn cross_entropy(&self, acts: &ModelActs, targets: &[Vec<usize>]) -> Result<f32> {
+        self.check_ids(targets, "cross-entropy targets")?;
         let d = &self.config.dims;
         let mut loss = 0.0f32;
         for (b, row) in targets.iter().enumerate() {
@@ -246,13 +255,17 @@ impl TransformerModel {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape disagreements.
+    /// Returns the errors of [`TransformerModel::embed`] for `tokens` or
+    /// `targets` that are not `[b][j]` ids below the vocabulary size, or an
+    /// error on shape disagreements.
     pub fn backward(
         &self,
         tokens: &[Vec<usize>],
         targets: &[Vec<usize>],
         acts: &ModelActs,
     ) -> Result<ModelGrads> {
+        self.check_ids(tokens, "backward tokens")?;
+        self.check_ids(targets, "backward targets")?;
         let d = &self.config.dims;
         let n = (d.b * d.j) as f32;
         // d logits = (softmax - onehot) / N
@@ -512,6 +525,49 @@ mod tests {
         // zero layers
         let bad = ModelConfig { layers: 0, ..cfg };
         assert!(TransformerModel::init(bad, &mut rng).is_err());
+    }
+
+    #[test]
+    fn loss_and_backward_reject_ids_they_would_index_out_of_bounds() {
+        // `Tensor::offset` only debug-asserts: in release an extra target
+        // row once read another token's probability and returned a wrong
+        // loss (and gradients) instead of an error
+        let cfg = config(BlockKind::Decoder);
+        let mut rng = StdRng::seed_from_u64(10);
+        let model = TransformerModel::init(cfg, &mut rng).unwrap();
+        let (tokens, targets) = copy_task_batch(&cfg, &mut rng);
+        let acts = model.forward(&tokens, &mut rng).unwrap();
+        assert!(model.cross_entropy(&acts, &targets).is_ok());
+        assert!(model.backward(&tokens, &targets, &acts).is_ok());
+
+        let mut extra_row = targets.clone();
+        extra_row.push(vec![0; cfg.dims.j]);
+        let mut short_row = targets.clone();
+        short_row[1].pop();
+        let mut out_of_vocab = targets.clone();
+        out_of_vocab[1][2] = cfg.vocab;
+        let shape = |context| TensorError::ShapeMismatch { context };
+        let vocab = TensorError::Unsupported(format!("token id {} out of vocabulary", cfg.vocab));
+        for (bad, why) in [
+            (&extra_row, None),
+            (&short_row, None),
+            (&out_of_vocab, Some(&vocab)),
+        ] {
+            let expect = |context| why.cloned().unwrap_or_else(|| shape(context));
+            assert_eq!(
+                model.cross_entropy(&acts, bad).unwrap_err(),
+                expect("cross-entropy targets")
+            );
+            assert_eq!(
+                model.backward(&tokens, bad, &acts).unwrap_err(),
+                expect("backward targets")
+            );
+            // `backward` scatters the embedding gradients by `tokens`
+            assert_eq!(
+                model.backward(bad, &targets, &acts).unwrap_err(),
+                expect("backward tokens")
+            );
+        }
     }
 
     #[test]

@@ -86,7 +86,6 @@ fn arena_views_are_the_certified_access_paths_embedded_in_their_slots() {
         (dims, interp::PlanKind::EncoderEpilogue),
         (dims, interp::PlanKind::DecoderFused),
         (dims, interp::PlanKind::DecoderEpilogue),
-        (dims, interp::PlanKind::DecoderPrefill),
         (step, interp::PlanKind::DecoderStepProject),
         (step, interp::PlanKind::DecoderStep),
     ] {

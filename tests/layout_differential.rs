@@ -28,8 +28,8 @@ use substation::tensor::ops::elementwise::ActivationKind;
 use substation::tensor::{Layout, Tensor};
 use substation::transformer::interp::{self, PlanKind};
 
-/// The eight canned plans, the decode-step ones at one query column.
-fn kinds() -> [(EncoderDims, PlanKind); 8] {
+/// The seven canned plans, the decode-step ones at one query column.
+fn kinds() -> [(EncoderDims, PlanKind); 7] {
     let dims = EncoderDims::tiny();
     let step = EncoderDims { j: 1, ..dims };
     [
@@ -38,7 +38,6 @@ fn kinds() -> [(EncoderDims, PlanKind); 8] {
         (dims, PlanKind::EncoderEpilogue),
         (dims, PlanKind::DecoderFused),
         (dims, PlanKind::DecoderEpilogue),
-        (dims, PlanKind::DecoderPrefill),
         (step, PlanKind::DecoderStepProject),
         (step, PlanKind::DecoderStep),
     ]

@@ -141,7 +141,6 @@ fn random_externals_leave_no_subnormal_in_any_container() {
         (EncoderEpilogue, full),
         (DecoderFused, full),
         (DecoderEpilogue, full),
-        (DecoderPrefill, full),
         (DecoderStepProject, EncoderDims { k: 1, ..token }),
         (DecoderStep, token),
     ];
