@@ -5,7 +5,8 @@
 //! `decode` and `kernels/*` rows in PR 12; the layer rows, one per route
 //! and thread count, in PR 14 as a test-only commit on PR 13's library;
 //! the `grad/*` rows over the eager backward passes in PR 18, likewise on
-//! PR 17's library).
+//! PR 17's library; the `kernels-bwd/*` rows over the backward kernels in
+//! PR 19, on PR 18's library).
 //! A digest that moves means arithmetic, output layout, stats order or
 //! RNG draw order changed somewhere under the public API.
 //!
@@ -19,10 +20,15 @@ use rand::{RngCore, SeedableRng};
 use substation::core::plan::{execute_plan, ExecOptions, ExecState};
 use substation::dataflow::EncoderDims;
 use substation::tensor::fused::{self, BdrlnOutput, BrdOutput, SmOutput};
-use substation::tensor::ops::dropout::dropout;
-use substation::tensor::ops::elementwise::{bias_add, ActivationKind::Gelu};
-use substation::tensor::ops::layernorm::{layernorm, LayerNormStats};
-use substation::tensor::ops::softmax::softmax;
+use substation::tensor::ops::dropout::{dropout, dropout_backward};
+use substation::tensor::ops::elementwise::{
+    activate_backward, add, bias_add, bias_grad,
+    ActivationKind::{Gelu, Relu},
+};
+use substation::tensor::ops::layernorm::{
+    layernorm, layernorm_backward_input, layernorm_backward_weights, LayerNormStats,
+};
+use substation::tensor::ops::softmax::{softmax, softmax_backward};
 use substation::tensor::{Axis, Layout, Shape, Tensor};
 use substation::transformer::decode::{DecodeOptions, DecodeSession, Sampling};
 use substation::transformer::decoder::{DecoderActivations, DecoderLayer};
@@ -366,6 +372,82 @@ fn kernel_digests(table: &mut Vec<(String, u64)>) {
     }
 }
 
+/// The allocating backward kernels called directly, one row per layout of a
+/// rank-3 operand: every kernel once per tensor operand with that operand
+/// alone permuted (the others stay row-major, so each reads through its own
+/// strides and the output-layout convention shows), then once with all of
+/// them permuted. Outputs — dX and every dW — in storage order with their
+/// layouts; the saved statistics are those of the natural-layout forward.
+/// Recorded before the backward kernels moved onto the lane enumerator.
+fn kernel_bwd_digests(table: &mut Vec<(String, u64)>) {
+    let sizes = [('b', 2), ('j', 3), ('k', 4), ('i', 5), ('u', 6)];
+    let rand_t = |spec: &str, seed: u64| -> Tensor {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = Shape::from_spec(spec, &sizes).unwrap();
+        Tensor::random(shape, &Uniform::new(-2.0, 2.0), &mut rng)
+    };
+    // a dropout mask at p = 0.3: zeros and 1/(1-p)
+    let mask_t = |spec: &str, seed: u64| -> Tensor {
+        dropout(&rand_t(spec, seed), 0.3, &mut StdRng::seed_from_u64(seed)).1
+    };
+    let (j, k, i, u) = (Axis('j'), Axis('k'), Axis('i'), Axis('u'));
+    let (gk, mk) = (rand_t("bjk", 21), mask_t("bjk", 22));
+    let yk = softmax(&rand_t("bjk", 23), k).unwrap();
+    let (gi, gi2, xi, mi) = (
+        rand_t("bji", 24),
+        rand_t("bji", 25),
+        rand_t("bji", 26),
+        mask_t("bji", 27),
+    );
+    let (gamma, beta) = (rand_t("i", 28), rand_t("i", 29));
+    let (_, stats) = layernorm(&xi, i, &gamma, &beta).unwrap();
+    let (gu, mu, pu) = (rand_t("bju", 30), mask_t("bju", 31), rand_t("bju", 32));
+    for (li, layout) in Layout::all(3).iter().enumerate() {
+        let mut h = Fnv::new();
+        // operand `n` of a kernel on its `which`-th call
+        for which in 0..=3usize {
+            let at = |n: usize, t: &Tensor| -> Tensor {
+                if which == n || which == 3 {
+                    t.relayout(layout)
+                } else {
+                    t.clone()
+                }
+            };
+            h.tensor(&softmax_backward(&at(0, &gk), &at(1, &yk), k).unwrap());
+            let (dy, x) = (at(0, &gi), at(1, &xi));
+            h.tensor(&layernorm_backward_input(&dy, &x, i, &gamma, &stats).unwrap());
+            let (dgamma, dbeta) = layernorm_backward_weights(&dy, &x, i, &stats).unwrap();
+            h.tensor(&dgamma);
+            h.tensor(&dbeta);
+            h.tensor(&dropout_backward(&at(0, &gu), &at(1, &mu)).unwrap());
+            for kind in [Relu, Gelu] {
+                h.tensor(&activate_backward(&at(0, &gu), &at(1, &pu), kind).unwrap());
+            }
+            h.tensor(&bias_grad(&at(0, &gu), &[u]).unwrap());
+            h.tensor(&bias_grad(&at(0, &gu), &[j, u]).unwrap());
+            // `zip_map` across two layouts
+            h.tensor(&add(&at(0, &gi), &at(1, &gi2)).unwrap());
+            h.tensor(&fused::bs(&at(0, &gk), &at(1, &mk), &at(2, &yk), k, 0.5).unwrap());
+            let (dx, dx_ln) =
+                fused::blnrd(&at(0, &gi), &at(1, &xi), &gamma, &at(2, &mi), i, &stats).unwrap();
+            h.tensor(&dx);
+            h.tensor(&dx_ln);
+            let (dsum, dgamma, dbeta) =
+                fused::ebsb(&at(0, &gi), &at(1, &gi2), &at(2, &xi), i, &stats).unwrap();
+            for t in [&dsum, &dgamma, &dbeta] {
+                h.tensor(t);
+            }
+            for (kind, axes) in [(Relu, &[u][..]), (Gelu, &[j, u][..])] {
+                let (dx, dbias) =
+                    fused::bdrb_act(&at(0, &gu), &at(1, &mu), &at(2, &pu), kind, axes).unwrap();
+                h.tensor(&dx);
+                h.tensor(&dbias);
+            }
+        }
+        table.push((format!("kernels-bwd/layout{li}"), h.0));
+    }
+}
+
 /// The eager backward passes: one row per (caller, shape, p) over `dx` and
 /// every weight gradient — both arms of `EncoderLayer::backward` (the fused
 /// one on the layer's default ReLU, the reference one on GELU), the decoder
@@ -469,6 +551,7 @@ fn digests_match_the_recorded_table() {
     decode_digests(&mut table);
     kernel_digests(&mut table);
     grad_digests(&mut table);
+    kernel_bwd_digests(&mut table);
     let recorded: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     if table != recorded {
         for (name, d) in &table {
@@ -615,4 +698,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("grad/mha/shape1/p0.1", 0xd7068d73d75e0007),
     ("grad/model-enc/shape1/p0.1", 0xea3f52390e3e067b),
     ("grad/model-dec/shape1/p0.1", 0x3d2e61d7c25c42f6),
+    ("kernels-bwd/layout0", 0xf8e771691d0ef6bd),
+    ("kernels-bwd/layout1", 0x6cf9c8a919218165),
+    ("kernels-bwd/layout2", 0x9fcd73dd308a5b65),
+    ("kernels-bwd/layout3", 0xb79ba8145b70e18d),
+    ("kernels-bwd/layout4", 0x7bd691df32fe218d),
+    ("kernels-bwd/layout5", 0xad1b80d197544fa5),
 ];
