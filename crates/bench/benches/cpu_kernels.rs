@@ -1,7 +1,10 @@
 //! Real-CPU measurement of the paper's central claim: fusing element-wise
 //! and normalization operators saves memory traffic, so the fused kernels
 //! beat the composition of unfused ones on actual hardware — not only in
-//! the V100 model.
+//! the V100 model. Forward (BRD, SM, BDRLN) and backward (BLNRD, BDRB, BS,
+//! at the `train_step` workload's shapes in its natural layouts); printed,
+//! never gated — EXPERIMENTS.md, "Backward kernels on the lane layer",
+//! records the numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::distributions::Uniform;
@@ -10,10 +13,12 @@ use rand::SeedableRng;
 use std::hint::black_box;
 
 use xform_tensor::fused;
-use xform_tensor::ops::dropout::dropout_disabled;
-use xform_tensor::ops::elementwise::{add, bias_add, relu, scale};
-use xform_tensor::ops::layernorm::layernorm;
-use xform_tensor::ops::softmax::softmax;
+use xform_tensor::ops::dropout::{dropout, dropout_backward, dropout_disabled};
+use xform_tensor::ops::elementwise::{
+    activate_backward, add, bias_add, bias_grad, relu, scale, ActivationKind,
+};
+use xform_tensor::ops::layernorm::{layernorm, layernorm_backward_input};
+use xform_tensor::ops::softmax::{softmax, softmax_backward};
 use xform_tensor::{Axis, Shape, Tensor};
 
 fn rand_t(shape: Shape, seed: u64) -> Tensor {
@@ -100,6 +105,91 @@ fn bench_bdrln(c: &mut Criterion) {
     group.finish();
 }
 
+/// A dropout mask at `p = 0.1` shaped like `like`.
+fn mask_like(like: &Tensor, seed: u64) -> Tensor {
+    dropout(like, 0.1, &mut StdRng::seed_from_u64(seed)).1
+}
+
+fn bench_blnrd(c: &mut Criterion) {
+    // layer-norm dX + dropout dX over `[i,b,j]`: the lane strides by b·j,
+    // adjacent lanes are adjacent words (the panel walk)
+    let shape = Shape::new([('i', 256), ('b', 4), ('j', 64)]).unwrap();
+    let (dy, x) = (rand_t(shape.clone(), 12), rand_t(shape, 13));
+    let mask = mask_like(&x, 14);
+    let gamma = rand_t(Shape::new([('i', 256)]).unwrap(), 15);
+    let beta_w = rand_t(Shape::new([('i', 256)]).unwrap(), 16);
+    let i = Axis('i');
+    let (_, stats) = layernorm(&x, i, &gamma, &beta_w).unwrap();
+    let mut group = c.benchmark_group("layernorm dX+dropout dX");
+    // the forward kernel over the same tensor: the yardstick for its dX
+    group.bench_function(BenchmarkId::new("layernorm", "forward"), |b| {
+        b.iter(|| black_box(layernorm(black_box(&x), i, &gamma, &beta_w).unwrap()))
+    });
+    group.bench_function(BenchmarkId::new("layernorm dX", "1 sweep"), |b| {
+        b.iter(|| {
+            black_box(layernorm_backward_input(
+                black_box(&dy),
+                &x,
+                i,
+                &gamma,
+                &stats,
+            ))
+        })
+    });
+    group.bench_function(BenchmarkId::new("unfused", "2 sweeps"), |b| {
+        b.iter(|| {
+            let dx_ln = layernorm_backward_input(black_box(&dy), &x, i, &gamma, &stats).unwrap();
+            let dx = dropout_backward(&dx_ln, &mask).unwrap();
+            black_box((dx, dx_ln))
+        })
+    });
+    group.bench_function(BenchmarkId::new("fused BLNRD", "1 sweep"), |b| {
+        b.iter(|| black_box(fused::blnrd(black_box(&dy), &x, &gamma, &mask, i, &stats).unwrap()))
+    });
+    group.finish();
+}
+
+fn bench_bdrb(c: &mut Criterion) {
+    // dropout dX + ReLU dX + bias dW over the feed-forward activation
+    let shape = Shape::new([('u', 1024), ('b', 4), ('j', 64)]).unwrap();
+    let (dy, pre) = (rand_t(shape.clone(), 17), rand_t(shape, 18));
+    let mask = mask_like(&dy, 19);
+    let (kind, u) = (ActivationKind::Relu, [Axis('u')]);
+    let mut group = c.benchmark_group("dropout dX+relu dX+bias dW");
+    group.bench_function(BenchmarkId::new("unfused", "3 sweeps"), |b| {
+        b.iter(|| {
+            let after = dropout_backward(black_box(&dy), &mask).unwrap();
+            let dx = activate_backward(&after, &pre, kind).unwrap();
+            let dbias = bias_grad(&dx, &u).unwrap();
+            black_box((dx, dbias))
+        })
+    });
+    group.bench_function(BenchmarkId::new("fused BDRB", "1 sweep"), |b| {
+        b.iter(|| black_box(fused::bdrb_act(black_box(&dy), &mask, &pre, kind, &u).unwrap()))
+    });
+    group.finish();
+}
+
+fn bench_bs(c: &mut Criterion) {
+    // dropout dX + softmax dX + scaling over the attention scores
+    let shape = Shape::new([('h', 4), ('b', 4), ('j', 64), ('k', 64)]).unwrap();
+    let k = Axis('k');
+    let dalpha = rand_t(shape.clone(), 20);
+    let y = softmax(&rand_t(shape, 21), k).unwrap();
+    let mask = mask_like(&y, 22);
+    let mut group = c.benchmark_group("dropout dX+softmax dX+scale");
+    group.bench_function(BenchmarkId::new("unfused", "3 sweeps"), |b| {
+        b.iter(|| {
+            let after = dropout_backward(black_box(&dalpha), &mask).unwrap();
+            black_box(scale(&softmax_backward(&after, &y, k).unwrap(), 0.125))
+        })
+    });
+    group.bench_function(BenchmarkId::new("fused BS", "1 sweep"), |b| {
+        b.iter(|| black_box(fused::bs(black_box(&dalpha), &mask, &y, k, 0.125).unwrap()))
+    });
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -110,6 +200,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_brd, bench_sm, bench_bdrln
+    targets = bench_brd, bench_sm, bench_bdrln, bench_blnrd, bench_bdrb, bench_bs
 }
 criterion_main!(benches);

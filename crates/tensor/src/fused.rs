@@ -4,8 +4,12 @@
 //! Each function corresponds to one fused CUDA kernel from Table III and
 //! performs the work of several unfused operators in a single pass over the
 //! data, saving the intermediate loads/stores between them — exactly the
-//! data-movement saving the paper quantifies (∼22.91% overall). The fused
-//! operators are:
+//! data-movement saving the paper quantifies (∼22.91% overall). Every one
+//! compiles one [`Sweep`](crate::into_ops::Sweep) over its tensors' own
+//! strides and makes one `*_into` driver call, allocating nothing beyond
+//! its outputs; the arithmetic is the body in [`crate::lanes`] that the
+//! unfused operators run too, so a fused kernel equals its operator chain
+//! bit for bit. The fused operators are:
 //!
 //! | Name | Fuses |
 //! |---|---|
@@ -13,14 +17,17 @@
 //! | [`sm`] | scaling + softmax + dropout |
 //! | [`brd`] | bias + ReLU + dropout |
 //! | [`bdrln`] | bias + dropout + residual + layernorm |
-//! | [`bsb`] | backward layernorm scale & bias (dW) |
 //! | [`blnrd`] | backward layernorm dX + dropout dX |
-//! | [`bdrb`] | backward dropout + ReLU + bias dW |
+//! | [`bdrb_act`] | backward dropout + activation + bias dW |
 //! | [`ebsb`] | backward residual + layernorm scale & bias |
 //! | [`bs`] | backward dropout + softmax + scaling |
-//! | [`baob`] | backward attention output bias (dW) |
-//! | [`baib`] | backward attention input bias (three dWs, one kernel) |
-//! | [`bei`] | backward encoder-input residual |
+//!
+//! The paper's remaining backward names fuse nothing on a CPU and are the
+//! operators themselves: BSB is
+//! [`layernorm_backward_weights`](crate::ops::layernorm::layernorm_backward_weights),
+//! BAOB and each stream of BAIB
+//! [`bias_grad`](crate::ops::elementwise::bias_grad), BEI
+//! [`add`](crate::ops::elementwise::add).
 //!
 //! Equivalence with the unfused composition is covered by unit and property
 //! tests; the Criterion benches measure the actual CPU memory-traffic
@@ -30,11 +37,13 @@ use rand::Rng;
 
 use crate::axes::Axis;
 use crate::error::Result;
-use crate::into_ops::{bdrln_into, sm_into, View};
-use crate::lanes::{self, Dropout};
-use crate::ops::elementwise::{bias_view, ActivationKind};
-use crate::ops::layernorm::LayerNormStats;
-use crate::ops::{check_same_shape, for_each_outer, sweep_of, view_of};
+use crate::into_ops::{
+    bdrb_act_into, bdrln_into, blnrd_into, brd_act_into, bs_into, ebsb_into, sm_into, View,
+};
+use crate::lanes::Dropout;
+use crate::ops::elementwise::{bias_shape, bias_view, ActivationKind};
+use crate::ops::layernorm::{check_stats, check_weight, weight_grads, LayerNormStats};
+use crate::ops::{check_same_shape, sweep_of, view_of};
 use crate::tensor::Tensor;
 
 /// AIB — attention input bias. Adds the Q/K/V projection biases in one
@@ -207,47 +216,28 @@ pub fn brd_act<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<BrdOutput> {
     let mut drop = Dropout::new(p, rng)?;
-    let positions: Vec<usize> = bias
-        .shape()
-        .axes()
-        .iter()
-        .map(|&ax| x.shape().index_of(ax))
-        .collect::<Result<Vec<_>>>()?;
+    let (vx, vb) = (
+        view_of(x),
+        bias_view(bias.shape(), bias.strides(), x, "brd bias")?,
+    );
+    let sweep = sweep_of(&[&vx, &vb, &vx, &vx, &vx], None, None, "brd")?;
     let fresh = || Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
     let mut out = fresh();
-    let mut pre = fresh();
+    let mut pre_activation = fresh();
     let mut mask = fresh();
-    // fast path: rank-1 bias — index it directly instead of through a
-    // multi-index (this is the common `bias[u]` feed-forward case)
-    let flat_bias_pos = if positions.len() == 1 {
-        Some(positions[0])
-    } else {
-        None
-    };
-    let mut idx = vec![0usize; x.shape().rank()];
-    let mut bidx = vec![0usize; positions.len()];
-    loop {
-        let b = match flat_bias_pos {
-            Some(pp) => bias.data()[idx[pp]],
-            None => {
-                for (bi, &pp) in bidx.iter_mut().zip(&positions) {
-                    *bi = idx[pp];
-                }
-                bias.at(&bidx)
-            }
-        };
-        let off = x.offset(&idx);
-        let (z, m, o) = lanes::brd(x.data()[off], b, activation, &mut drop);
-        pre.data_mut()[off] = z;
-        mask.data_mut()[off] = m;
-        out.data_mut()[off] = o;
-        if !x.advance(&mut idx) {
-            break;
-        }
-    }
+    brd_act_into(
+        &sweep,
+        x.data(),
+        bias.data(),
+        activation,
+        &mut drop,
+        pre_activation.data_mut(),
+        out.data_mut(),
+        mask.data_mut(),
+    );
     Ok(BrdOutput {
         out,
-        pre_activation: pre,
+        pre_activation,
         mask,
     })
 }
@@ -322,28 +312,16 @@ pub fn bdrln<R: Rng + ?Sized>(
     })
 }
 
-/// BSB — backward layernorm scale & bias: `(dgamma, dbeta)`.
+/// BLNRD — backward layernorm dX fused with backward dropout in one lane
+/// sweep, returning both the post-dropout gradient (continuing down the
+/// main branch) and the layernorm input gradient itself (`dx_ln`), which
+/// the residual connection also consumes (the "saving the intermediate
+/// result" note in Sec. IV-A). Both in `ln_input`'s layout.
 ///
 /// # Errors
 ///
-/// Returns an error on shape disagreements.
-pub fn bsb(
-    dy: &Tensor,
-    ln_input: &Tensor,
-    axis: Axis,
-    stats: &LayerNormStats,
-) -> Result<(Tensor, Tensor)> {
-    crate::ops::layernorm::layernorm_backward_weights(dy, ln_input, axis, stats)
-}
-
-/// BLNRD — backward layernorm dX fused with backward dropout, returning
-/// both the post-dropout gradient (continuing down the main branch) and the
-/// layernorm input gradient itself (`dx_ln`), which the residual connection
-/// also consumes (the "saving the intermediate result" note in Sec. IV-A).
-///
-/// # Errors
-///
-/// Returns an error on shape disagreements.
+/// Returns an error on shape disagreements, or if `stats` does not hold one
+/// entry per lane of `ln_input`.
 pub fn blnrd(
     dy: &Tensor,
     ln_input: &Tensor,
@@ -352,28 +330,33 @@ pub fn blnrd(
     axis: Axis,
     stats: &LayerNormStats,
 ) -> Result<(Tensor, Tensor)> {
-    let dx_ln = crate::ops::layernorm::layernorm_backward_input(dy, ln_input, axis, gamma, stats)?;
-    let dx = crate::ops::dropout::dropout_backward(&dx_ln, mask)?;
+    check_same_shape(dy, ln_input, "blnrd")?;
+    check_same_shape(ln_input, mask, "blnrd mask")?;
+    let ai = ln_input.shape().index_of(axis)?;
+    check_weight(gamma, axis, ln_input.shape().sizes()[ai])?;
+    let (vg, vx, vm) = (view_of(dy), view_of(ln_input), view_of(mask));
+    let vw = View::lane_weights(ln_input.shape().sizes(), ai);
+    let sweep = sweep_of(&[&vg, &vx, &vw, &vm, &vx, &vx], Some(ai), None, "blnrd")?;
+    check_stats(stats, &sweep)?;
+    let mut dx_ln = ln_input.clone();
+    let mut dx = ln_input.clone();
+    blnrd_into(
+        &sweep,
+        dy.data(),
+        ln_input.data(),
+        gamma.data(),
+        mask.data(),
+        &stats.mean,
+        &stats.inv_std,
+        dx_ln.data_mut(),
+        dx.data_mut(),
+    );
     Ok((dx, dx_ln))
 }
 
-/// BDRB — backward dropout + ReLU + bias dW in one sweep. Returns
-/// `(dx, dbias)` where `dx = relu'(pre) ⊙ (dy ⊙ mask)` and `dbias` reduces
-/// `dx` over every non-bias axis.
-///
-/// # Errors
-///
-/// Returns an error on shape/axis disagreements.
-pub fn bdrb(
-    dy: &Tensor,
-    mask: &Tensor,
-    pre_activation: &Tensor,
-    bias_axes: &[Axis],
-) -> Result<(Tensor, Tensor)> {
-    bdrb_act(dy, mask, pre_activation, ActivationKind::Relu, bias_axes)
-}
-
-/// [`bdrb`] with a selectable activation derivative.
+/// BDRB — backward dropout + activation + bias dW in one element-wise
+/// sweep. Returns `(dx, dbias)` where `dx = dy ⊙ mask · act′(pre)`, in
+/// `dy`'s layout, and `dbias` reduces `dx` over every non-bias axis.
 ///
 /// # Errors
 ///
@@ -387,43 +370,32 @@ pub fn bdrb_act(
 ) -> Result<(Tensor, Tensor)> {
     check_same_shape(dy, mask, "bdrb mask")?;
     check_same_shape(dy, pre_activation, "bdrb pre-activation")?;
-    let positions: Vec<usize> = bias_axes
-        .iter()
-        .map(|&ax| dy.shape().index_of(ax))
-        .collect::<Result<Vec<_>>>()?;
-    let bias_shape = crate::axes::Shape::new(
-        bias_axes
-            .iter()
-            .zip(&positions)
-            .map(|(&ax, &p)| (ax, dy.shape().sizes()[p])),
-    )?;
-    let mut dbias = Tensor::zeros(bias_shape);
+    let mut dbias = Tensor::zeros(bias_shape(dy, bias_axes)?);
+    let (vg, vm, vp) = (view_of(dy), view_of(mask), view_of(pre_activation));
+    let vb = bias_view(dbias.shape(), dbias.strides(), dy, "bdrb bias")?;
+    let sweep = sweep_of(&[&vg, &vm, &vp, &vg, &vb], None, None, "bdrb")?;
     let mut dx = dy.clone();
-    let mut idx = vec![0usize; dy.shape().rank()];
-    let mut bidx = vec![0usize; positions.len()];
-    loop {
-        let off = dx.offset(&idx);
-        let g = dy.at(&idx) * mask.at(&idx) * activation.grad(pre_activation.at(&idx));
-        dx.data_mut()[off] = g;
-        for (bi, &p) in bidx.iter_mut().zip(&positions) {
-            *bi = idx[p];
-        }
-        let boff = dbias.offset(&bidx);
-        dbias.data_mut()[boff] += g;
-        if !dy.advance(&mut idx) {
-            break;
-        }
-    }
+    bdrb_act_into(
+        &sweep,
+        dy.data(),
+        mask.data(),
+        pre_activation.data(),
+        activation,
+        dx.data_mut(),
+        dbias.data_mut(),
+    );
     Ok((dx, dbias))
 }
 
-/// EBSB — backward residual add fused with backward layernorm scale & bias.
-/// Returns `(dsum, dgamma, dbeta)` where `dsum = dy_main + dy_residual` and
-/// the weight gradients are computed from `dsum`.
+/// EBSB — backward residual add fused with backward layernorm scale & bias
+/// in one lane sweep. Returns `(dsum, dgamma, dbeta)` where
+/// `dsum = dy_main + dy_residual`, in `dy_main`'s layout, and the weight
+/// gradients are computed from `dsum`.
 ///
 /// # Errors
 ///
-/// Returns an error on shape disagreements.
+/// Returns an error on shape disagreements, or if `stats` does not hold one
+/// entry per lane of `ln_input`.
 pub fn ebsb(
     dy_main: &Tensor,
     dy_residual: &Tensor,
@@ -431,14 +403,32 @@ pub fn ebsb(
     axis: Axis,
     stats: &LayerNormStats,
 ) -> Result<(Tensor, Tensor, Tensor)> {
-    let dsum = crate::ops::elementwise::add(dy_main, dy_residual)?;
-    let (dgamma, dbeta) =
-        crate::ops::layernorm::layernorm_backward_weights(&dsum, ln_input, axis, stats)?;
+    check_same_shape(dy_main, dy_residual, "ebsb residual")?;
+    check_same_shape(dy_main, ln_input, "ebsb")?;
+    let ai = ln_input.shape().index_of(axis)?;
+    let (vg, vr, vx) = (view_of(dy_main), view_of(dy_residual), view_of(ln_input));
+    let vw = View::lane_weights(ln_input.shape().sizes(), ai);
+    let sweep = sweep_of(&[&vg, &vr, &vx, &vg, &vw, &vw], Some(ai), None, "ebsb")?;
+    check_stats(stats, &sweep)?;
+    let mut dsum = dy_main.clone();
+    let (mut dgamma, mut dbeta) = weight_grads(axis, ln_input.shape().sizes()[ai])?;
+    ebsb_into(
+        &sweep,
+        dy_main.data(),
+        dy_residual.data(),
+        ln_input.data(),
+        &stats.mean,
+        &stats.inv_std,
+        dsum.data_mut(),
+        dgamma.data_mut(),
+        dbeta.data_mut(),
+    );
     Ok((dsum, dgamma, dbeta))
 }
 
 /// BS — backward dropout + softmax + scaling in one lane sweep:
-/// `dbeta = scaler · softmax_bwd(dalpha ⊙ mask, y)`.
+/// `dbeta = scaler · softmax_bwd(dalpha ⊙ mask, y)`, in `softmax_out`'s
+/// layout.
 ///
 /// # Errors
 ///
@@ -453,65 +443,18 @@ pub fn bs(
     check_same_shape(dalpha, mask, "bs mask")?;
     check_same_shape(dalpha, softmax_out, "bs softmax output")?;
     let ai = softmax_out.shape().index_of(axis)?;
-    let len = softmax_out.shape().sizes()[ai];
+    let (vg, vm, vy) = (view_of(dalpha), view_of(mask), view_of(softmax_out));
+    let sweep = sweep_of(&[&vg, &vm, &vy, &vy], Some(ai), None, "bs")?;
     let mut dbeta = softmax_out.clone();
-    for_each_outer(softmax_out.shape(), ai, |idx| {
-        let y_base = softmax_out.offset(idx);
-        let y_stride = softmax_out.strides()[ai];
-        let g_base = dalpha.offset(idx);
-        let g_stride = dalpha.strides()[ai];
-        let m_base = mask.offset(idx);
-        let m_stride = mask.strides()[ai];
-        let mut dot = 0.0f32;
-        for v in 0..len {
-            let g = dalpha.data()[g_base + v * g_stride] * mask.data()[m_base + v * m_stride];
-            dot += g * softmax_out.data()[y_base + v * y_stride];
-        }
-        for v in 0..len {
-            let g = dalpha.data()[g_base + v * g_stride] * mask.data()[m_base + v * m_stride];
-            let y = softmax_out.data()[y_base + v * y_stride];
-            dbeta.data_mut()[y_base + v * y_stride] = scaler * (y * (g - dot));
-        }
-    });
+    bs_into(
+        &sweep,
+        dalpha.data(),
+        mask.data(),
+        softmax_out.data(),
+        scaler,
+        dbeta.data_mut(),
+    );
     Ok(dbeta)
-}
-
-/// BAOB — backward attention output bias: the bias dW reduction.
-///
-/// # Errors
-///
-/// Returns an error if a bias axis is missing from `dy`.
-pub fn baob(dy: &Tensor, bias_axes: &[Axis]) -> Result<Tensor> {
-    crate::ops::elementwise::bias_grad(dy, bias_axes)
-}
-
-/// BAIB — backward attention input bias: the three Q/K/V bias dW reductions
-/// in one kernel. Each stream names its own bias axes (the value stream
-/// uses the `w` projection axis where queries/keys use `p`).
-///
-/// # Errors
-///
-/// Returns an error if a bias axis is missing from the corresponding input.
-pub fn baib(
-    dqq: &Tensor,
-    dkk: &Tensor,
-    dvv: &Tensor,
-    axes: [&[Axis]; 3],
-) -> Result<(Tensor, Tensor, Tensor)> {
-    Ok((
-        crate::ops::elementwise::bias_grad(dqq, axes[0])?,
-        crate::ops::elementwise::bias_grad(dkk, axes[1])?,
-        crate::ops::elementwise::bias_grad(dvv, axes[2])?,
-    ))
-}
-
-/// BEI — backward encoder-input residual connection: `da + db`.
-///
-/// # Errors
-///
-/// Returns an error if shapes differ.
-pub fn bei(da: &Tensor, db: &Tensor) -> Result<Tensor> {
-    crate::ops::elementwise::add(da, db)
 }
 
 #[cfg(test)]
@@ -658,7 +601,7 @@ mod tests {
                 1.0 / 0.7
             };
         }
-        let (dx, dbias) = bdrb(&dy, &mask, &pre, &[Axis('u')]).unwrap();
+        let (dx, dbias) = bdrb_act(&dy, &mask, &pre, ActivationKind::Relu, &[Axis('u')]).unwrap();
         let after_drop = crate::ops::dropout::dropout_backward(&dy, &mask).unwrap();
         let expect_dx = relu_backward(&after_drop, &pre).unwrap();
         let expect_db = bias_grad(&expect_dx, &[Axis('u')]).unwrap();
@@ -777,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn aib_baib_bei_compose() {
+    fn aib_composes_with_the_backward_operators_the_paper_names() {
         let qq = rand_t("bjk", &SIZES, 30);
         let bq = rand_t("k", &SIZES, 31);
         let (q, k, v) = aib(&qq, &bq, &qq, &bq, &qq, &bq).unwrap();
@@ -785,16 +728,54 @@ mod tests {
         assert!(q.max_abs_diff(&expect).unwrap() < 1e-6);
         assert!(k.max_abs_diff(&expect).unwrap() < 1e-6);
         assert!(v.max_abs_diff(&expect).unwrap() < 1e-6);
-        let ax: &[Axis] = &[Axis('k')];
-        let (dq, dk, dv) = baib(&q, &k, &v, [ax, ax, ax]).unwrap();
+        // BAIB (and BAOB): one `bias_grad` per stream
         let eb = bias_grad(&expect, &[Axis('k')]).unwrap();
-        assert!(dq.max_abs_diff(&eb).unwrap() < 1e-5);
-        assert!(dk.max_abs_diff(&eb).unwrap() < 1e-5);
-        assert!(dv.max_abs_diff(&eb).unwrap() < 1e-5);
-        let s = bei(&q, &k).unwrap();
+        for stream in [&q, &k, &v] {
+            let db = bias_grad(stream, &[Axis('k')]).unwrap();
+            assert!(db.max_abs_diff(&eb).unwrap() < 1e-5);
+        }
+        // BEI: the residual join is `add`
+        let s = add(&q, &k).unwrap();
         let es = add(&expect, &expect).unwrap();
         assert!(s.max_abs_diff(&es).unwrap() < 1e-6);
-        let ob = baob(&q, &[Axis('k')]).unwrap();
-        assert!(ob.max_abs_diff(&eb).unwrap() < 1e-5);
+    }
+
+    /// The saved statistics are indexed by lane ordinal: a vector of any
+    /// other length than the lane count — too short used to index out of
+    /// bounds, too long silently read another tensor's statistics — is a
+    /// typed error at all four entry points.
+    #[test]
+    fn stats_of_another_shape_are_a_typed_error() {
+        use crate::error::TensorError;
+        use crate::ops::layernorm::layernorm_backward_weights;
+        let dy = rand_t("bji", &SIZES, 60);
+        let x = rand_t("bji", &SIZES, 61);
+        let gamma = rand_t("i", &SIZES, 62);
+        let (_, good) = layernorm(&x, Axis('i'), &gamma, &gamma).unwrap();
+        assert_eq!(good.mean.len(), 6);
+        let i = Axis('i');
+        let run = |stats: &LayerNormStats| {
+            [
+                layernorm_backward_input(&dy, &x, i, &gamma, stats).map(drop),
+                layernorm_backward_weights(&dy, &x, i, stats).map(drop),
+                blnrd(&dy, &x, &gamma, &dy, i, stats).map(drop),
+                ebsb(&dy, &dy, &x, i, stats).map(drop),
+            ]
+        };
+        assert!(run(&good).iter().all(|r| r.is_ok()));
+        let resized = |mean: usize, inv_std: usize| LayerNormStats {
+            mean: vec![0.0; mean],
+            inv_std: vec![1.0; inv_std],
+        };
+        for bad in [resized(2, 2), resized(7, 7), resized(6, 5), resized(0, 6)] {
+            for (entry, r) in run(&bad).into_iter().enumerate() {
+                assert!(
+                    matches!(r, Err(TensorError::ShapeMismatch { .. })),
+                    "entry point {entry} with {}/{} stats: {r:?}",
+                    bad.mean.len(),
+                    bad.inv_std.len()
+                );
+            }
+        }
     }
 }

@@ -7,7 +7,9 @@
 //! (`core::arena`): the planner colors each logical container into an
 //! offset of one preallocated slab, and these kernels run directly on the
 //! slab slots, each operand through a [`View`] — the index map its
-//! declared layout is.
+//! declared layout is. The backward kernels have theirs too
+//! (`softmax_backward_into` … `bdrb_act_into`): today under the eager
+//! tensor-level backward, and what backward plans will dispatch.
 //!
 //! The lane-wise, element-wise and fused kernels are *logical-order
 //! drivers* over the bodies of [`crate::lanes`]: a [`Sweep`] enumerates the
@@ -36,7 +38,7 @@ use rand::Rng;
 use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
-use crate::lanes::{self, Dropout, LaneAt, Run, Walk, W};
+use crate::lanes::{self, on_run, Dropout, LaneAt, Run, Walk, W};
 use crate::layout::Layout;
 use crate::matmul::{
     gemm, gemm_batched, gemm_packed, pack_panels, panel_words, BatchMut, BatchRef, BatchStrides,
@@ -933,13 +935,24 @@ fn map_into(s: &Sweep, x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
 
 /// `out = a + b` (the residual connection).
 pub fn add_into(s: &Sweep, a: &[f32], b: &[f32], out: &mut [f32]) {
-    let add = |x, y| x + y;
+    zip_into(s, a, b, out, |x, y| x + y);
+}
+
+/// `out = f(a, b)` element-wise, `f` called in logical order: the residual
+/// add, and [`crate::ops::elementwise::zip_map`] across two layouts.
+pub(crate) fn zip_into(
+    s: &Sweep,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    mut f: impl FnMut(f32, f32) -> f32,
+) {
     s.for_each_lane(|unit, [aa, ba, oa]| {
         if unit {
-            lanes::zip_lane(aa.unit(a), ba.unit(b), oa.unit_mut(out), add);
+            lanes::zip_lane(aa.unit(a), ba.unit(b), oa.unit_mut(out), &mut f);
         } else {
             let out = &mut oa.strided_mut(out);
-            lanes::zip_lane(&aa.strided(a), &ba.strided(b), out, add);
+            lanes::zip_lane(&aa.strided(a), &ba.strided(b), out, &mut f);
         }
     });
 }
@@ -1022,7 +1035,9 @@ fn visible_of(causal: Option<usize>, q: usize, len: usize) -> usize {
 /// index to exact zeros (the unfused masked softmax).
 pub fn softmax_into(s: &Sweep, x: &[f32], scaler: f32, causal: Option<usize>, out: &mut [f32]) {
     s.for_each_run(|run, _, q, [xa, oa]| {
-        lanes::softmax_at(run, x, xa, scaler, visible_of(causal, q, xa.len), out, oa);
+        let visible = visible_of(causal, q, xa.len);
+        on_run!(run, N, [x @ xa], [out @ oa] =>
+            lanes::softmax_lane::<N, _, _, _>(x, scaler, visible, out, &mut ()));
     });
 }
 
@@ -1043,8 +1058,29 @@ pub fn sm_into<R: Rng + ?Sized>(
 ) {
     s.for_each_run(|run, _, q, [xa, sa, aa, ma]| {
         let visible = visible_of(causal, q, xa.len);
-        let (softmax, alpha, mask) = ((&mut *softmax, sa), (&mut *alpha, aa), (&mut *mask, ma));
-        lanes::sm_at(run, x, xa, scaler, visible, drop, softmax, alpha, mask);
+        on_run!(run, N, [x @ xa], [softmax @ sa, alpha @ aa, mask @ ma] => {
+            let mut tail = lanes::Dropped { alpha, mask, drop: &mut *drop };
+            lanes::softmax_lane::<N, _, _, _>(x, scaler, visible, softmax, &mut tail)
+        });
+    });
+}
+
+/// Softmax backward along the sweep's lane axis: `dx = y ⊙ (dy − ⟨dy, y⟩)`,
+/// `y` the forward output. Operands in the sweep's order: `dy, y, dx`.
+pub fn softmax_backward_into(s: &Sweep, dy: &[f32], y: &[f32], dx: &mut [f32]) {
+    s.for_each_run(|run, _, _, [ga, ya, xa]| {
+        on_run!(run, N, [dy @ ga, y @ ya], [dx @ xa] =>
+            lanes::softmax_dx_lane::<N, _, _>(dy, None, y, 1.0, dx));
+    });
+}
+
+/// Fused BS — backward dropout + softmax + scaling in one sweep:
+/// `dbeta = scaler · softmax_bwd(dalpha ⊙ mask, y)`. Operands in the sweep's
+/// order: `dalpha, mask, y, dbeta`.
+pub fn bs_into(s: &Sweep, dalpha: &[f32], mask: &[f32], y: &[f32], scaler: f32, dbeta: &mut [f32]) {
+    s.for_each_run(|run, _, _, [ga, ma, ya, xa]| {
+        on_run!(run, N, [dalpha @ ga, mask @ ma, y @ ya], [dbeta @ xa] =>
+            lanes::softmax_dx_lane::<N, _, _>(dalpha, Some(mask), y, scaler, dbeta));
     });
 }
 
@@ -1064,7 +1100,8 @@ pub fn layernorm_into(
     s.for_each_run(|run, l, _, [xa, ga, ba, oa]| {
         let (gamma, beta) = (ga.unit(gamma), ba.unit(beta));
         let stats = (&mut mean_out[l..], &mut inv_std_out[l..]);
-        lanes::layernorm_at(run, (x, xa), gamma, beta, (&mut *out, oa), stats);
+        on_run!(run, N, [x @ xa], [out @ oa] =>
+            lanes::put_stats(stats, lanes::norm_lane::<N, _, _>(x, gamma, beta, out)));
     });
 }
 
@@ -1088,20 +1125,155 @@ pub fn bdrln_into<R: Rng + ?Sized>(
     inv_std_out: &mut [f32],
 ) {
     s.for_each_run(|run, l, _, [xa, ba, ra, ga, ea, ma, la, oa]| {
-        lanes::bdrln_at(
-            run,
-            x,
-            xa,
-            (bias, ba),
-            (residual, ra),
-            ga.unit(gamma),
-            ea.unit(beta),
-            drop,
-            (&mut *mask, ma),
-            (&mut *ln_input, la),
-            (&mut *out, oa),
-            (&mut mean_out[l..], &mut inv_std_out[l..]),
-        );
+        let (gamma, beta) = (ga.unit(gamma), ea.unit(beta));
+        let stats = (&mut mean_out[l..], &mut inv_std_out[l..]);
+        on_run!(run, N, [x @ xa, residual @ ra], [mask @ ma, ln_input @ la, out @ oa] => {
+            let src = lanes::BiasDropResidual {
+                x,
+                bias: |v| ba.gather::<N>(bias, v),
+                residual,
+                mask,
+                ln_input,
+                drop: &mut *drop,
+            };
+            lanes::put_stats(stats, lanes::norm_lane::<N, _, _>(src, gamma, beta, out))
+        });
+    });
+}
+
+/// Layer-norm backward w.r.t. the input along the sweep's lane axis, each
+/// lane under the `(mean, inv_std)` the forward saved at its ordinal.
+/// Operands in the sweep's order: `dy, x, gamma, dx`.
+///
+/// # Panics
+///
+/// Panics if `mean` or `inv_std` holds fewer than [`Sweep::lanes`] entries
+/// (as do the three drivers below).
+pub fn layernorm_backward_input_into(
+    s: &Sweep,
+    dy: &[f32],
+    x: &[f32],
+    gamma: &[f32],
+    mean: &[f32],
+    inv_std: &[f32],
+    dx: &mut [f32],
+) {
+    s.for_each_run(|run, l, _, [ga, xa, wa, da]| {
+        let gamma = wa.unit(gamma);
+        on_run!(run, N, [dy @ ga, x @ xa], [dx @ da] => {
+            let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
+            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, |_, _| ())
+        });
+    });
+}
+
+/// Fused BLNRD — layer-norm dX and the dropout dX behind it in one sweep:
+/// `dx_ln` as [`layernorm_backward_input_into`], `dx = dx_ln ⊙ mask`.
+/// Operands in the sweep's order: `dy, x, gamma, mask, dx_ln, dx`.
+#[allow(clippy::too_many_arguments)]
+pub fn blnrd_into(
+    s: &Sweep,
+    dy: &[f32],
+    x: &[f32],
+    gamma: &[f32],
+    mask: &[f32],
+    mean: &[f32],
+    inv_std: &[f32],
+    dx_ln: &mut [f32],
+    dx: &mut [f32],
+) {
+    s.for_each_run(|run, l, _, [ga, xa, wa, ma, la, da]| {
+        let gamma = wa.unit(gamma);
+        on_run!(run, N, [dy @ ga, x @ xa, mask @ ma], [dx_ln @ la, dx @ da] => {
+            let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
+            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx_ln, lanes::drop_dx(mask, dx))
+        });
+    });
+}
+
+/// Layer-norm backward w.r.t. the weights: `dgamma += Σ dy · x̂` and
+/// `dbeta += Σ dy` over the lanes, each word in logical lane order.
+/// Operands in the sweep's order: `dy, x, dgamma, dbeta` (the gradients
+/// dense 1-D over the lane axis, as γ and β are).
+pub fn layernorm_backward_weights_into(
+    s: &Sweep,
+    dy: &[f32],
+    x: &[f32],
+    mean: &[f32],
+    inv_std: &[f32],
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    s.for_each_run(|run, l, _, [ga, xa, wa, ba]| {
+        let (dgamma, dbeta) = (wa.unit_mut(dgamma), ba.unit_mut(dbeta));
+        on_run!(run, N, [dy @ ga, x @ xa], [] => {
+            let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
+            lanes::norm_dw_lane::<N, _>(dy, |_, g| g, x, stats, dgamma, dbeta)
+        });
+    });
+}
+
+/// Fused EBSB — the residual join and the layer-norm dW behind it in one
+/// sweep: `dsum = dy + dy_residual`, the weight gradients accumulated from
+/// `dsum` as [`layernorm_backward_weights_into`] does. Operands in the
+/// sweep's order: `dy, dy_residual, x, dsum, dgamma, dbeta`.
+#[allow(clippy::too_many_arguments)]
+pub fn ebsb_into(
+    s: &Sweep,
+    dy: &[f32],
+    dy_residual: &[f32],
+    x: &[f32],
+    mean: &[f32],
+    inv_std: &[f32],
+    dsum: &mut [f32],
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    s.for_each_run(|run, l, _, [ga, ra, xa, sa, wa, ba]| {
+        let (dgamma, dbeta) = (wa.unit_mut(dgamma), ba.unit_mut(dbeta));
+        on_run!(run, N, [dy @ ga, dy_residual @ ra, x @ xa], [dsum @ sa] => {
+            let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
+            let head = lanes::add_residual(dy_residual, dsum);
+            lanes::norm_dw_lane::<N, _>(dy, head, x, stats, dgamma, dbeta)
+        });
+    });
+}
+
+/// Activation backward: `dx = dy · act′(pre)`, `pre` the saved
+/// pre-activation. Operands in the sweep's order: `dy, pre, dx`.
+pub fn activate_backward_into(
+    s: &Sweep,
+    dy: &[f32],
+    pre: &[f32],
+    kind: ActivationKind,
+    dx: &mut [f32],
+) {
+    zip_into(s, dy, pre, dx, |g, v| g * kind.grad(v));
+}
+
+/// Fused BDRB — backward dropout + activation + bias dW in one sweep:
+/// `dx = dy ⊙ mask · act′(pre)` and `dbias += dx` summed over the axes the
+/// bias lacks (`dbias` broadcast by its view's zero strides, as in
+/// [`bias_grad_into`]). Operands in the sweep's order: `dy, mask, pre, dx,
+/// dbias`.
+pub fn bdrb_act_into(
+    s: &Sweep,
+    dy: &[f32],
+    mask: &[f32],
+    pre: &[f32],
+    kind: ActivationKind,
+    dx: &mut [f32],
+    dbias: &mut [f32],
+) {
+    s.for_each_lane(|unit, [ga, ma, pa, xa, ba]| {
+        let acc = &mut ba.strided_mut(dbias);
+        if unit {
+            let (dy, mask, pre) = (ga.unit(dy), ma.unit(mask), pa.unit(pre));
+            lanes::bdrb_lane(dy, mask, pre, kind, xa.unit_mut(dx), acc);
+        } else {
+            let (dy, mask, pre) = (&ga.strided(dy), &ma.strided(mask), &pa.strided(pre));
+            lanes::bdrb_lane(dy, mask, pre, kind, &mut xa.strided_mut(dx), acc);
+        }
     });
 }
 

@@ -1,21 +1,35 @@
-//! The forward kernel layer: one safe body per kernel, written against a
-//! *lane* — the words one reduction sweeps — and generic over how the lane
-//! is addressed.
+//! The kernel layer, forward and backward: one safe body per kernel,
+//! written against a *lane* — the words one reduction sweeps — and generic
+//! over how the lane is addressed.
 //!
 //! ```text
-//!   lane bodies        softmax_lane · norm_lane        (W lanes abreast, W = 1 a lane)
-//!        │             map_lane · zip_lane · dropout_lane · brd_lane · bdr_lane
-//!        │             Dropout::mask_select
-//!   lane dispatch      softmax_at · sm_at · layernorm_at · bdrln_at
+//!   lane bodies        softmax_lane · norm_lane                  (W lanes abreast,
+//!        │             softmax_dx_lane · norm_dx_lane · norm_dw_lane   W = 1 a lane)
+//!        │             map_lane · zip_lane · acc_lane · dropout_lane · brd_lane
+//!        │             bdr_lane · bdrb_lane · Dropout::mask_select
+//!   lane dispatch      on_run! — binds every swept operand of a run to its view
 //!        │             run of 1, contiguous → exact `[f32]` chunks        (Walk::Lane)
 //!        │             run of n = 16, 8, 4, 2 → `Rows`, n words a row     (Walk::Panel)
 //!        │             run of 1, strided → bounds-checked `Strided`       (Walk::Strided)
 //!   lane enumerator    into_ops::Sweep (logical order, one view per operand;
 //!        │             decides the walk, cuts each row of lanes into runs)
 //!        ├── view drivers    into_ops::*_into, the epilogue tile driver
-//!        └── tensor drivers  ops::{softmax, layernorm, bias_add}, fused::{sm*, bdrln}
+//!        └── tensor drivers  ops::{softmax, layernorm, bias_add, zip_map} and their
+//!                            `*_backward*`, bias_grad, fused::{sm*, brd*, bdrln, bs,
+//!                            blnrd, ebsb, bdrb_act}
 //!                            (a `Sweep` over their tensors' own strides)
 //! ```
+//!
+//! The backward bodies each serve an unfused operator and the fused kernel
+//! the paper builds on it: softmax dX with an optional mask and scale
+//! (`softmax_backward`, BS), layer-norm dX with an optional dropout tail
+//! (`layernorm_backward_input`, BLNRD), layer-norm dγ/dβ with an optional
+//! residual-join head (`layernorm_backward_weights`, EBSB); BDRB is the
+//! element-wise `bdrb_lane`, beside `zip_lane` (dropout dX, activation dX,
+//! the residual join) and `acc_lane` (bias dW) for its operators — so a
+//! fused kernel is its operator chain bit for bit. Saved
+//! statistics are read at the run's lane ordinal, the order the forward
+//! wrote them in, and every dW word sums its addends in logical lane order.
 //!
 //! # Three walks
 //!
@@ -29,19 +43,22 @@
 //!
 //! * [`Walk::Lane`] — the lane is contiguous in every swept operand: each
 //!   lane is an exact `[f32]` chunk, whose bounds checks the compiler hoists
-//!   out of the loops (the attention softmax over `[h,b,j,k]` along `k`);
+//!   out of the loops (the attention softmax over `[h,b,j,k]` along `k`,
+//!   and BS, its backward, over the same tensors);
 //! * [`Walk::Panel`] — the lane is strided, but the innermost loop *outside*
 //!   it steps by one word in every swept operand, so adjacent lanes are
 //!   adjacent words: up to [`W`] lanes run abreast, reduction index outer,
 //!   lanes inner, one accumulator per lane in a stack array. Every load and
 //!   store is a contiguous row of the panel (the vocabulary softmax over
-//!   `[v,b,j]` along `v`; every layer norm over `[i,b,j]` along `i`);
+//!   `[v,b,j]` along `v`; every layer norm over `[i,b,j]` along `i`, forward
+//!   and — dX, dW, BLNRD, EBSB — backward);
 //! * [`Walk::Strided`] — neither: one lane at a time through a
 //!   bounds-checked strided view, every word its own cache line.
 //!
-//! A broadcast operand (a zero stride: the bias, γ, β) is gathered, never
-//! swept, and takes no part in the choice. An element-wise sweep names no
-//! lane axis — its lane is whatever loop is innermost — and never panels.
+//! A broadcast operand (a zero stride: the bias and its gradient, γ, β,
+//! dγ, dβ) is gathered, never swept, and takes no part in the choice. An
+//! element-wise sweep (BRD, BDRB and the unfused operators they fuse) names
+//! no lane axis — its lane is whatever loop is innermost — and never panels.
 //! Nor does a causal sweep whose panel axis would be the query axis: the
 //! lanes of a panel share one `visible` (no canned plan has one — `SM`'s
 //! lane is contiguous in all of them).
@@ -53,7 +70,9 @@
 //! exactly the operations lane `w` alone would, in the same order — its own
 //! running max, its own sum in ascending `v`, its own `(mean, inv_std)` —
 //! and nothing is reassociated across lanes; SSE2 lane-wise arithmetic is
-//! the scalar arithmetic. Data-dependent rules are per lane too: a lane
+//! the scalar arithmetic. Where lanes do meet — a word of dγ or dβ sums over
+//! all of them — a row's lanes are added one after the other in ascending
+//! `w`, which is the lane order. Data-dependent rules are per lane too: a lane
 //! whose visible inputs are all `−inf` is zeroed and draws nothing while
 //! its neighbours normalize, a NaN poisons its own lane only. Dropout masks
 //! are drawn *before* a panel's sweep, lane by lane in ascending `v`, into
@@ -442,7 +461,7 @@ pub(crate) fn zip_lane<A: Lane + ?Sized, B: Lane + ?Sized, O: LaneMut + ?Sized>(
     a: &A,
     b: &B,
     out: &mut O,
-    f: impl Fn(f32, f32) -> f32,
+    mut f: impl FnMut(f32, f32) -> f32,
 ) {
     let len = out.lane_len();
     assert!(a.lane_len() >= len && b.lane_len() >= len);
@@ -577,12 +596,14 @@ where
             self.drop.draw_lane(self.mask, w, live);
         }
     }
+    #[inline]
     fn keep(&mut self, v: usize, y: [f32; W], dead: &[bool; W]) {
         let drawn = self.drop.row(&*self.mask, v);
         let m: [f32; W] = std::array::from_fn(|w| if dead[w] { 0.0 } else { drawn[w] });
         self.mask.set_row(v, m);
         self.alpha.set_row(v, std::array::from_fn(|w| y[w] * m[w]));
     }
+    #[inline]
     fn zero(&mut self, v: usize) {
         self.mask.set_row(v, [0.0; W]);
         self.alpha.set_row(v, [0.0; W]);
@@ -708,6 +729,7 @@ where
             self.drop.draw_lane(self.mask, w, len);
         }
     }
+    #[inline]
     fn load(&mut self, v: usize) -> [f32; W] {
         let (x, b, r) = (self.x.row(v), (self.bias)(v), self.residual.row(v));
         let m = self.drop.row(&*self.mask, v);
@@ -716,6 +738,7 @@ where
         self.ln_input.set_row(v, li);
         li
     }
+    #[inline]
     fn normed(&self, v: usize) -> [f32; W] {
         self.ln_input.row(v)
     }
@@ -759,6 +782,169 @@ pub(crate) fn norm_lane<const W: usize, S: NormSource<W>, O: PanelMut<W> + ?Size
     (mean, inv_std)
 }
 
+/// Softmax dX on `W` lanes abreast: `dx = scaler · y ⊙ (g − ⟨g, y⟩)`, each
+/// lane's dot product summed in ascending `v`. `g = dy ⊙ mask` under BS's
+/// saved dropout mask, `g = dy` without one (`softmax_backward`, whose unit
+/// `scaler` is a bitwise identity under IEEE 754 multiplication).
+#[inline]
+pub(crate) fn softmax_dx_lane<const W: usize, X, O>(
+    dy: &X,
+    mask: Option<&X>,
+    y: &X,
+    scaler: f32,
+    dx: &mut O,
+) where
+    X: Panel<W> + ?Sized,
+    O: PanelMut<W> + ?Sized,
+{
+    let len = dx.rows();
+    assert!(dy.rows() >= len && y.rows() >= len);
+    assert!(mask.is_none_or(|m| m.rows() >= len));
+    // no mask is a mask of ones: `dy · 1` is `dy`, bit for bit
+    let mask_row = |v: usize| mask.map_or([1.0; W], |m| m.row(v));
+    let mut dot = [0.0f32; W];
+    for v in 0..len {
+        let (g, m, yv) = (dy.row(v), mask_row(v), y.row(v));
+        for w in 0..W {
+            dot[w] += g[w] * m[w] * yv[w];
+        }
+    }
+    for v in 0..len {
+        let (g, m, yv) = (dy.row(v), mask_row(v), y.row(v));
+        dx.set_row(
+            v,
+            std::array::from_fn(|w| scaler * (yv[w] * (g[w] * m[w] - dot[w]))),
+        );
+    }
+}
+
+/// Layer-norm dX on `W` lanes abreast, each under its saved `(mean,
+/// inv_std)`: `dx = inv_std · (g − mean(g) − x̂ · mean(g · x̂))` with
+/// `g = dy · γ` and `x̂ = (x − mean) · inv_std`. `tail` is handed every row
+/// as it is stored: nothing (`|_, _| ()`), or BLNRD's [`drop_dx`].
+#[inline]
+pub(crate) fn norm_dx_lane<const W: usize, X, O>(
+    dy: &X,
+    x: &X,
+    gamma: &[f32],
+    (mean, inv_std): ([f32; W], [f32; W]),
+    dx: &mut O,
+    mut tail: impl FnMut(usize, [f32; W]),
+) where
+    X: Panel<W> + ?Sized,
+    O: PanelMut<W> + ?Sized,
+{
+    let len = dx.rows();
+    assert!(dy.rows() >= len && x.rows() >= len);
+    let gamma = &gamma[..len];
+    // `(g, x̂)` of lane `w` at a position whose words are `dy`, `x`, `gamma`
+    let terms = |dy: f32, x: f32, gamma: f32, w: usize| -> (f32, f32) {
+        (dy * gamma, (x - mean[w]) * inv_std[w])
+    };
+    let (mut s1, mut s2) = ([0.0f32; W], [0.0f32; W]);
+    for (v, &gamma) in gamma.iter().enumerate() {
+        let (d, xv) = (dy.row(v), x.row(v));
+        for w in 0..W {
+            let (g, xhat) = terms(d[w], xv[w], gamma, w);
+            s1[w] += g;
+            s2[w] += g * xhat;
+        }
+    }
+    let (s1, s2) = (s1.map(|s| s / len as f32), s2.map(|s| s / len as f32));
+    for (v, &gamma) in gamma.iter().enumerate() {
+        let (d, xv) = (dy.row(v), x.row(v));
+        let row: [f32; W] = std::array::from_fn(|w| {
+            let (g, xhat) = terms(d[w], xv[w], gamma, w);
+            inv_std[w] * (g - s1[w] - xhat * s2[w])
+        });
+        dx.set_row(v, row);
+        tail(v, row);
+    }
+}
+
+/// BLNRD's tail of [`norm_dx_lane`], the dropout dX behind the layer norm:
+/// `out = dx ⊙ mask` under the saved dropout mask.
+pub(crate) fn drop_dx<'a, const W: usize, X, O>(
+    mask: &'a X,
+    out: &'a mut O,
+) -> impl FnMut(usize, [f32; W]) + 'a
+where
+    X: Panel<W> + ?Sized,
+    O: PanelMut<W> + ?Sized,
+{
+    move |v, dx| {
+        let m = mask.row(v);
+        out.set_row(v, std::array::from_fn(|w| dx[w] * m[w]));
+    }
+}
+
+/// Layer-norm dγ/dβ over `W` lanes abreast: `dgamma[v] += g · x̂` and
+/// `dbeta[v] += g`, the lanes of a row added one after the other in
+/// ascending `w` — the order a lane-at-a-time walk adds them in, so every
+/// word sums its addends in logical lane order whatever the walk. `head`
+/// turns each row of `dy` into the gradient row `g`, positions ascending:
+/// the row itself (`|_, g| g`), or EBSB's [`add_residual`].
+#[inline]
+pub(crate) fn norm_dw_lane<const W: usize, X: Panel<W> + ?Sized>(
+    dy: &X,
+    mut head: impl FnMut(usize, [f32; W]) -> [f32; W],
+    x: &X,
+    (mean, inv_std): ([f32; W], [f32; W]),
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let len = dgamma.len();
+    assert!(dy.rows() >= len && x.rows() >= len);
+    let dbeta = &mut dbeta[..len];
+    for v in 0..len {
+        let (g, xv) = (head(v, dy.row(v)), x.row(v));
+        for w in 0..W {
+            let xhat = (xv[w] - mean[w]) * inv_std[w];
+            dgamma[v] += g[w] * xhat;
+            dbeta[v] += g[w];
+        }
+    }
+}
+
+/// EBSB's head of [`norm_dw_lane`], the residual join ahead of the layer
+/// norm: `g = dy + residual`, saved to `dsum`.
+pub(crate) fn add_residual<'a, const W: usize, X, O>(
+    residual: &'a X,
+    dsum: &'a mut O,
+) -> impl FnMut(usize, [f32; W]) -> [f32; W] + 'a
+where
+    X: Panel<W> + ?Sized,
+    O: PanelMut<W> + ?Sized,
+{
+    move |v, dy| {
+        let r = residual.row(v);
+        let g = std::array::from_fn(|w| dy[w] + r[w]);
+        dsum.set_row(v, g);
+        g
+    }
+}
+
+/// BDRB along one lane: `dx = dy ⊙ mask · act′(pre)` under the saved
+/// dropout mask, each `dx` added to its word of the bias gradient `dbias`,
+/// ascending — a lane that may revisit one word (a zero stride).
+#[inline]
+pub(crate) fn bdrb_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(
+    dy: &X,
+    mask: &X,
+    pre: &X,
+    kind: ActivationKind,
+    dx: &mut O,
+    dbias: &mut Strided<&mut [f32]>,
+) {
+    let len = dx.lane_len();
+    assert!(dy.lane_len() >= len && mask.lane_len() >= len && pre.lane_len() >= len);
+    for v in 0..len {
+        let g = dy.get(v) * mask.get(v) * kind.grad(pre.get(v));
+        dx.set(v, g);
+        dbias.set(v, dbias.get(v) + g);
+    }
+}
+
 /// Expands `$call` once per panel width, `$w` bound to the width as a
 /// constant, and runs the expansion for a run of `$n` lanes.
 macro_rules! panel_of {
@@ -776,8 +962,8 @@ macro_rules! panel_of {
                 const $w: usize = 8;
                 $call
             }
-            W => {
-                const $w: usize = W;
+            $crate::lanes::W => {
+                const $w: usize = $crate::lanes::W;
                 $call
             }
             n => unreachable!("a sweep cuts no panel of {n} lanes"),
@@ -786,8 +972,8 @@ macro_rules! panel_of {
 }
 const _: () = assert!(W == 16, "`panel_of!` lists W's halvings");
 
-/// A run of adjacent lanes as [`crate::into_ops::Sweep`] cut them — the
-/// lane dispatch: which instantiation of a body the run takes.
+/// A run of adjacent lanes as [`crate::into_ops::Sweep`] cut them: which
+/// instantiation of a body the run takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Run {
     /// One contiguous lane ([`Walk::Lane`]).
@@ -809,104 +995,40 @@ impl Run {
     }
 }
 
-/// [`softmax_lane`] on the run at `xa` of `x`, into the run at `oa` of
-/// `out`.
-pub(crate) fn softmax_at(
-    run: Run,
-    x: &[f32],
-    xa: LaneAt,
-    scaler: f32,
-    visible: usize,
-    out: &mut [f32],
-    oa: LaneAt,
-) {
-    match run {
-        Run::Lane => {
-            softmax_lane::<1, _, _, _>(xa.unit(x), scaler, visible, oa.unit_mut(out), &mut ())
+/// The lane dispatch, forward and backward: evaluates `$call` with every
+/// swept operand `buf @ at` — a flat buffer and its run's [`LaneAt`], the
+/// read ones in the first list, the written ones in the second — rebound
+/// to the view `$run` calls for (an exact `[f32]` chunk, a [`Strided`]
+/// lane, the [`Rows`] of a panel) and `$w` to the run's width, the `W` the
+/// body is instantiated at. Gathered operands (a broadcast bias, γ, β, the
+/// statistics) are the caller's to pass through.
+macro_rules! on_run {
+    ($run:expr, $w:ident, [$($r:ident @ $ra:expr),*], [$($m:ident @ $ma:expr),*] => $call:expr) => {
+        match $run {
+            $crate::lanes::Run::Lane => {
+                const $w: usize = 1;
+                $(let $r = $ra.unit($r);)*
+                $(let $m = $ma.unit_mut($m);)*
+                $call
+            }
+            $crate::lanes::Run::Strided => {
+                const $w: usize = 1;
+                $(let $r = &$ra.strided($r);)*
+                $(let $m = &mut $ma.strided_mut($m);)*
+                $call
+            }
+            $crate::lanes::Run::Panel(lanes) => {
+                $(let $r = &$ra.rows($r);)*
+                $(let $m = &mut $ma.rows_mut($m);)*
+                $crate::lanes::panel_of!(lanes, $w => $call)
+            }
         }
-        Run::Strided => {
-            let out = &mut oa.strided_mut(out);
-            softmax_lane::<1, _, _, _>(&xa.strided(x), scaler, visible, out, &mut ());
-        }
-        Run::Panel(lanes) => {
-            let out = &mut oa.rows_mut(out);
-            panel_of!(lanes, N => softmax_lane::<N, _, _, _>(&xa.rows(x), scaler, visible, out, &mut ()));
-        }
-    }
+    };
 }
+pub(crate) use {on_run, panel_of};
 
-/// Fused SM on the run at `xa` of `x`; each output names its own run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sm_at<R: Rng + ?Sized>(
-    run: Run,
-    x: &[f32],
-    xa: LaneAt,
-    scaler: f32,
-    visible: usize,
-    drop: &mut Dropout<'_, R>,
-    (softmax, sa): (&mut [f32], LaneAt),
-    (alpha, aa): (&mut [f32], LaneAt),
-    (mask, ma): (&mut [f32], LaneAt),
-) {
-    match run {
-        Run::Lane => {
-            let (alpha, mask) = (aa.unit_mut(alpha), ma.unit_mut(mask));
-            let mut tail = Dropped { alpha, mask, drop };
-            softmax_lane::<1, _, _, _>(
-                xa.unit(x),
-                scaler,
-                visible,
-                sa.unit_mut(softmax),
-                &mut tail,
-            );
-        }
-        Run::Strided => {
-            let (alpha, mask) = (&mut aa.strided_mut(alpha), &mut ma.strided_mut(mask));
-            let mut tail = Dropped { alpha, mask, drop };
-            let softmax = &mut sa.strided_mut(softmax);
-            softmax_lane::<1, _, _, _>(&xa.strided(x), scaler, visible, softmax, &mut tail);
-        }
-        Run::Panel(lanes) => {
-            let (alpha, mask) = (&mut aa.rows_mut(alpha), &mut ma.rows_mut(mask));
-            let mut tail = Dropped { alpha, mask, drop };
-            let softmax = &mut sa.rows_mut(softmax);
-            panel_of!(lanes, N => softmax_lane::<N, _, _, _>(&xa.rows(x), scaler, visible, softmax, &mut tail));
-        }
-    }
-}
-
-/// Layer norm on the run at `xa` of `x`, into the run at `oa` of `out`;
-/// each lane's `(mean, inv_std)` into the first `run.lanes()` words of
-/// `stats`.
-pub(crate) fn layernorm_at(
-    run: Run,
-    (x, xa): (&[f32], LaneAt),
-    gamma: &[f32],
-    beta: &[f32],
-    (out, oa): (&mut [f32], LaneAt),
-    stats: (&mut [f32], &mut [f32]),
-) {
-    match run {
-        Run::Lane => put_stats(
-            stats,
-            norm_lane::<1, _, _>(xa.unit(x), gamma, beta, oa.unit_mut(out)),
-        ),
-        Run::Strided => {
-            let out = &mut oa.strided_mut(out);
-            put_stats(
-                stats,
-                norm_lane::<1, _, _>(&xa.strided(x), gamma, beta, out),
-            );
-        }
-        Run::Panel(lanes) => {
-            let out = &mut oa.rows_mut(out);
-            panel_of!(lanes, N => put_stats(stats, norm_lane::<N, _, _>(&xa.rows(x), gamma, beta, out)));
-        }
-    }
-}
-
-/// Stores a run's per-lane statistics.
-fn put_stats<const N: usize>(
+/// Stores a run's per-lane statistics (the forward norms).
+pub(crate) fn put_stats<const N: usize>(
     (mean_out, inv_std_out): (&mut [f32], &mut [f32]),
     (mean, inv_std): ([f32; N], [f32; N]),
 ) {
@@ -914,69 +1036,13 @@ fn put_stats<const N: usize>(
     inv_std_out[..N].copy_from_slice(&inv_std);
 }
 
-/// Fused BDRLN on the run at `xa` of `x`; the bias (gathered), the residual
-/// and each output name their own runs. Statistics as [`layernorm_at`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn bdrln_at<R: Rng + ?Sized>(
-    run: Run,
-    x: &[f32],
-    xa: LaneAt,
-    (bias, ba): (&[f32], LaneAt),
-    (residual, ra): (&[f32], LaneAt),
-    gamma: &[f32],
-    beta: &[f32],
-    drop: &mut Dropout<'_, R>,
-    (mask, ma): (&mut [f32], LaneAt),
-    (ln_input, la): (&mut [f32], LaneAt),
-    (out, oa): (&mut [f32], LaneAt),
-    stats: (&mut [f32], &mut [f32]),
-) {
-    match run {
-        Run::Lane => {
-            let src = BiasDropResidual {
-                x: xa.unit(x),
-                bias: |v| ba.gather::<1>(bias, v),
-                residual: ra.unit(residual),
-                mask: ma.unit_mut(mask),
-                ln_input: la.unit_mut(ln_input),
-                drop,
-            };
-            put_stats(
-                stats,
-                norm_lane::<1, _, _>(src, gamma, beta, oa.unit_mut(out)),
-            );
-        }
-        Run::Strided => {
-            let src = BiasDropResidual {
-                x: &xa.strided(x),
-                bias: |v| ba.gather::<1>(bias, v),
-                residual: &ra.strided(residual),
-                mask: &mut ma.strided_mut(mask),
-                ln_input: &mut la.strided_mut(ln_input),
-                drop,
-            };
-            put_stats(
-                stats,
-                norm_lane::<1, _, _>(src, gamma, beta, &mut oa.strided_mut(out)),
-            );
-        }
-        Run::Panel(lanes) => {
-            let (x, residual) = (&xa.rows(x), &ra.rows(residual));
-            let (mask, ln_input) = (&mut ma.rows_mut(mask), &mut la.rows_mut(ln_input));
-            let out = &mut oa.rows_mut(out);
-            panel_of!(lanes, N => {
-                let src = BiasDropResidual {
-                    x,
-                    bias: |v| ba.gather::<N>(bias, v),
-                    residual,
-                    mask,
-                    ln_input,
-                    drop,
-                };
-                put_stats(stats, norm_lane::<N, _, _>(src, gamma, beta, out));
-            });
-        }
-    }
+/// Loads a run's saved per-lane statistics (the backward norms): the first
+/// `N` entries of each slice.
+pub(crate) fn run_stats<const N: usize>(mean: &[f32], inv_std: &[f32]) -> ([f32; N], [f32; N]) {
+    (
+        std::array::from_fn(|w| mean[w]),
+        std::array::from_fn(|w| inv_std[w]),
+    )
 }
 
 #[cfg(test)]
@@ -1001,19 +1067,23 @@ mod tests {
         // word `v` of lane `w`: `3w + v` lane-major, `2v + w` in a panel
         let transposed = |t: &[f32]| -> Vec<f32> { (0..6).map(|i| t[i % 2 * 3 + i / 2]).collect() };
         let lane_major = |t: &[f32]| -> Vec<f32> { (0..6).map(|i| t[i % 3 * 2 + i / 3]).collect() };
+        let mut sm_on = |run: Run, x: &[f32], at: LaneAt| {
+            let (s, a, m) = (&mut s[..], &mut a[..], &mut m[..]);
+            on_run!(run, N, [x @ at], [s @ at, a @ at, m @ at] => {
+                let mut tail = Dropped { alpha: a, mask: m, drop: &mut drop };
+                softmax_lane::<N, _, _, _>(x, 0.5, visible, s, &mut tail)
+            });
+        };
         if panel {
-            let (run, x) = (Run::Panel(2), transposed(&x));
             let at = LaneAt {
                 base: 0,
                 stride: 2,
                 step: 1,
                 len: 3,
             };
-            let outs = ((&mut s[..], at), (&mut a[..], at), (&mut m[..], at));
-            sm_at(run, &x, at, 0.5, visible, &mut drop, outs.0, outs.1, outs.2);
+            sm_on(Run::Panel(2), &transposed(&x), at);
             [s, a, m] = [lane_major(&s), lane_major(&a), lane_major(&m)];
         } else {
-            let run = Run::Lane;
             for base in [0, 3] {
                 let at = LaneAt {
                     base,
@@ -1021,8 +1091,7 @@ mod tests {
                     step: 0,
                     len: 3,
                 };
-                let outs = ((&mut s[..], at), (&mut a[..], at), (&mut m[..], at));
-                sm_at(run, &x, at, 0.5, visible, &mut drop, outs.0, outs.1, outs.2);
+                sm_on(Run::Lane, &x, at);
             }
         }
         ([s, a, m], rng.next_u64())

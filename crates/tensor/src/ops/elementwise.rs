@@ -3,7 +3,7 @@
 
 use crate::axes::{Axis, Shape};
 use crate::error::{Result, TensorError};
-use crate::into_ops::{bias_add_into, bias_grad_into, View};
+use crate::into_ops::{activate_backward_into, bias_add_into, bias_grad_into, zip_into, View};
 use crate::tensor::Tensor;
 
 use super::{check_same_shape, sweep_of, view_of};
@@ -40,15 +40,9 @@ where
         }
         return Ok(out);
     }
-    let mut idx = vec![0usize; a.shape().rank()];
-    loop {
-        let off = out.offset(&idx);
-        let v = f(a.at(&idx), b.at(&idx));
-        out.data_mut()[off] = v;
-        if !a.advance(&mut idx) {
-            break;
-        }
-    }
+    let (va, vb) = (view_of(a), view_of(b));
+    let sweep = sweep_of(&[&va, &vb, &va], None, None, "zip_map")?;
+    zip_into(&sweep, a.data(), b.data(), out.data_mut(), f);
     Ok(out)
 }
 
@@ -120,21 +114,24 @@ pub(crate) fn bias_view(
 ///
 /// Returns [`TensorError::UnknownAxis`] if a bias axis is absent from `dy`.
 pub fn bias_grad(dy: &Tensor, bias_axes: &[Axis]) -> Result<Tensor> {
-    let positions: Vec<usize> = bias_axes
-        .iter()
-        .map(|&ax| dy.shape().index_of(ax))
-        .collect::<Result<Vec<_>>>()?;
-    let out_shape = Shape::new(
-        bias_axes
-            .iter()
-            .zip(&positions)
-            .map(|(&ax, &p)| (ax, dy.shape().sizes()[p])),
-    )?;
-    let mut out = Tensor::zeros(out_shape);
+    let mut out = Tensor::zeros(bias_shape(dy, bias_axes)?);
     let vo = bias_view(out.shape(), out.strides(), dy, "bias_grad")?;
     let sweep = sweep_of(&[&view_of(dy), &vo], None, None, "bias_grad")?;
     bias_grad_into(&sweep, dy.data(), out.data_mut());
     Ok(out)
+}
+
+/// The shape of a bias over `bias_axes` of `dy`, in the order given.
+///
+/// # Errors
+///
+/// Returns [`TensorError::UnknownAxis`] if a bias axis is absent from `dy`.
+pub(crate) fn bias_shape(dy: &Tensor, bias_axes: &[Axis]) -> Result<Shape> {
+    let sizes = bias_axes
+        .iter()
+        .map(|&ax| Ok((ax, dy.shape().sizes()[dy.shape().index_of(ax)?])))
+        .collect::<Result<Vec<_>>>()?;
+    Shape::new(sizes)
 }
 
 /// ReLU activation.
@@ -209,7 +206,12 @@ pub fn activate(x: &Tensor, kind: ActivationKind) -> Tensor {
 ///
 /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
 pub fn activate_backward(dy: &Tensor, x: &Tensor, kind: ActivationKind) -> Result<Tensor> {
-    zip_map(dy, x, |g, v| g * kind.grad(v))
+    check_same_shape(dy, x, "activate_backward")?;
+    let (vg, vx) = (view_of(dy), view_of(x));
+    let sweep = sweep_of(&[&vg, &vx, &vg], None, None, "activate_backward")?;
+    let mut dx = dy.clone();
+    activate_backward_into(&sweep, dy.data(), x.data(), kind, dx.data_mut());
+    Ok(dx)
 }
 
 #[cfg(test)]

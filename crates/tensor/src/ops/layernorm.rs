@@ -6,12 +6,14 @@
 //! w.r.t. `gamma`/`beta`), because the paper fuses those into different
 //! kernels (`BLNRD` vs `BSB`/`EBSB`).
 
-use crate::axes::Axis;
-use crate::error::Result;
-use crate::into_ops::{layernorm_into, View};
+use crate::axes::{Axis, Shape};
+use crate::error::{Result, TensorError};
+use crate::into_ops::{
+    layernorm_backward_input_into, layernorm_backward_weights_into, layernorm_into, Sweep, View,
+};
 use crate::tensor::Tensor;
 
-use super::{check_same_shape, for_each_outer, sweep_of, view_of};
+use super::{check_same_shape, sweep_of, view_of};
 
 /// Default variance epsilon (matches common BERT configurations).
 pub const EPS: f32 = 1e-5;
@@ -68,7 +70,8 @@ pub fn layernorm(
 ///
 /// # Errors
 ///
-/// Returns an error on shape disagreements.
+/// Returns an error on shape disagreements, or if `stats` does not hold one
+/// entry per lane of `x`.
 pub fn layernorm_backward_input(
     dy: &Tensor,
     x: &Tensor,
@@ -78,34 +81,21 @@ pub fn layernorm_backward_input(
 ) -> Result<Tensor> {
     check_same_shape(dy, x, "layernorm_backward_input")?;
     let ai = x.shape().index_of(axis)?;
-    let len = x.shape().sizes()[ai];
-    check_weight(gamma, axis, len)?;
+    check_weight(gamma, axis, x.shape().sizes()[ai])?;
+    let (vg, vx) = (view_of(dy), view_of(x));
+    let vw = View::lane_weights(x.shape().sizes(), ai);
+    let sweep = sweep_of(&[&vg, &vx, &vw, &vx], Some(ai), None, "layernorm dX")?;
+    check_stats(stats, &sweep)?;
     let mut dx = x.clone();
-    let mut slice = 0usize;
-    for_each_outer(x.shape(), ai, |idx| {
-        let x_base = x.offset(idx);
-        let x_stride = x.strides()[ai];
-        let dy_base = dy.offset(idx);
-        let dy_stride = dy.strides()[ai];
-        let mean = stats.mean[slice];
-        let inv_std = stats.inv_std[slice];
-        slice += 1;
-        let mut s1 = 0.0f32; // mean of dy*gamma
-        let mut s2 = 0.0f32; // mean of dy*gamma*xhat
-        for v in 0..len {
-            let g = dy.data()[dy_base + v * dy_stride] * gamma.data()[v];
-            let xhat = (x.data()[x_base + v * x_stride] - mean) * inv_std;
-            s1 += g;
-            s2 += g * xhat;
-        }
-        s1 /= len as f32;
-        s2 /= len as f32;
-        for v in 0..len {
-            let g = dy.data()[dy_base + v * dy_stride] * gamma.data()[v];
-            let xhat = (x.data()[x_base + v * x_stride] - mean) * inv_std;
-            dx.data_mut()[x_base + v * x_stride] = inv_std * (g - s1 - xhat * s2);
-        }
-    });
+    layernorm_backward_input_into(
+        &sweep,
+        dy.data(),
+        x.data(),
+        gamma.data(),
+        &stats.mean,
+        &stats.inv_std,
+        dx.data_mut(),
+    );
     Ok(dx)
 }
 
@@ -114,7 +104,8 @@ pub fn layernorm_backward_input(
 ///
 /// # Errors
 ///
-/// Returns an error on shape disagreements.
+/// Returns an error on shape disagreements, or if `stats` does not hold one
+/// entry per lane of `x`.
 pub fn layernorm_backward_weights(
     dy: &Tensor,
     x: &Tensor,
@@ -123,33 +114,45 @@ pub fn layernorm_backward_weights(
 ) -> Result<(Tensor, Tensor)> {
     check_same_shape(dy, x, "layernorm_backward_weights")?;
     let ai = x.shape().index_of(axis)?;
-    let len = x.shape().sizes()[ai];
-    let shape = crate::axes::Shape::new([(axis, len)])?;
-    let mut dgamma = Tensor::zeros(shape.clone());
-    let mut dbeta = Tensor::zeros(shape);
-    let mut slice = 0usize;
-    for_each_outer(x.shape(), ai, |idx| {
-        let x_base = x.offset(idx);
-        let x_stride = x.strides()[ai];
-        let dy_base = dy.offset(idx);
-        let dy_stride = dy.strides()[ai];
-        let mean = stats.mean[slice];
-        let inv_std = stats.inv_std[slice];
-        slice += 1;
-        for v in 0..len {
-            let g = dy.data()[dy_base + v * dy_stride];
-            let xhat = (x.data()[x_base + v * x_stride] - mean) * inv_std;
-            dgamma.data_mut()[v] += g * xhat;
-            dbeta.data_mut()[v] += g;
-        }
-    });
+    let (vg, vx) = (view_of(dy), view_of(x));
+    let vw = View::lane_weights(x.shape().sizes(), ai);
+    let sweep = sweep_of(&[&vg, &vx, &vw, &vw], Some(ai), None, "layernorm dW")?;
+    check_stats(stats, &sweep)?;
+    let (mut dgamma, mut dbeta) = weight_grads(axis, x.shape().sizes()[ai])?;
+    layernorm_backward_weights_into(
+        &sweep,
+        dy.data(),
+        x.data(),
+        &stats.mean,
+        &stats.inv_std,
+        dgamma.data_mut(),
+        dbeta.data_mut(),
+    );
     Ok((dgamma, dbeta))
 }
 
-fn check_weight(w: &Tensor, axis: Axis, len: usize) -> Result<()> {
+/// Zeroed `(dgamma, dbeta)` accumulators, each shaped `[axis]`.
+pub(crate) fn weight_grads(axis: Axis, len: usize) -> Result<(Tensor, Tensor)> {
+    let shape = Shape::new([(axis, len)])?;
+    Ok((Tensor::zeros(shape.clone()), Tensor::zeros(shape)))
+}
+
+pub(crate) fn check_weight(w: &Tensor, axis: Axis, len: usize) -> Result<()> {
     if w.shape().rank() != 1 || !w.shape().contains(axis) || w.shape().sizes()[0] != len {
-        return Err(crate::error::TensorError::ShapeMismatch {
+        return Err(TensorError::ShapeMismatch {
             context: "layernorm weight",
+        });
+    }
+    Ok(())
+}
+
+/// The backward kernels index the saved statistics by lane ordinal: both
+/// vectors must hold exactly one entry per lane of the sweep — fewer would
+/// index out of bounds, more are another tensor's statistics.
+pub(crate) fn check_stats(stats: &LayerNormStats, sweep: &Sweep) -> Result<()> {
+    if stats.mean.len() != sweep.lanes() || stats.inv_std.len() != sweep.lanes() {
+        return Err(TensorError::ShapeMismatch {
+            context: "layernorm stats",
         });
     }
     Ok(())

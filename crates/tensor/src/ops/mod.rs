@@ -7,49 +7,21 @@
 //! * element-wise operators in [`elementwise`] and [`dropout`] (○).
 //!
 //! Every forward kernel has a matching backward kernel, since the paper
-//! optimizes the full training step (forward and backpropagation).
+//! optimizes the full training step (forward and backpropagation). In
+//! either direction an operator here is a thin tensor driver: it checks
+//! shapes, compiles a [`Sweep`] over its tensors' own strides and calls
+//! the `*_into` view driver of
+//! [`crate::into_ops`], whose arithmetic is a lane body of
+//! [`crate::lanes`] — nothing in this module addresses a word by hand.
 
 pub mod dropout;
 pub mod elementwise;
 pub mod layernorm;
 pub mod softmax;
 
-use crate::axes::Shape;
 use crate::error::{Result, TensorError};
 use crate::into_ops::{Sweep, View};
 use crate::tensor::Tensor;
-
-/// Calls `f` once per multi-index over all axes of `shape` except the axis
-/// at logical position `skip` (which stays 0 in the passed index). The
-/// caller turns the index into per-tensor base offsets and sweeps the lane.
-/// Only the eager backward kernels enumerate this way (ROADMAP item 3
-/// removes them); forward kernels compile a [`Sweep`] ([`sweep_of`]).
-pub(crate) fn for_each_outer<F>(shape: &Shape, skip: usize, mut f: F)
-where
-    F: FnMut(&[usize]),
-{
-    let rank = shape.rank();
-    let mut idx = vec![0usize; rank];
-    loop {
-        f(&idx);
-        // advance, skipping `skip`
-        let mut done = true;
-        for i in (0..rank).rev() {
-            if i == skip {
-                continue;
-            }
-            idx[i] += 1;
-            if idx[i] < shape.sizes()[i] {
-                done = false;
-                break;
-            }
-            idx[i] = 0;
-        }
-        if done {
-            break;
-        }
-    }
-}
 
 /// `t` whole, through its own strides: a tensor driver's operand as the
 /// view drivers of [`crate::into_ops`] take it.
@@ -58,7 +30,8 @@ pub(crate) fn view_of(t: &Tensor) -> View {
 }
 
 /// The sweep of `views` along logical axis `lane` (`query`: the causal
-/// query axis) — how every forward tensor driver enumerates its lanes.
+/// query axis) — how every tensor driver, forward and backward, enumerates
+/// its lanes.
 ///
 /// # Errors
 ///
@@ -79,28 +52,4 @@ pub(crate) fn check_same_shape(a: &Tensor, b: &Tensor, context: &'static str) ->
         return Err(TensorError::ShapeMismatch { context });
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn for_each_outer_visits_all_but_skipped() {
-        let s = Shape::new([('a', 2), ('b', 3), ('c', 4)]).unwrap();
-        let mut count = 0;
-        for_each_outer(&s, 1, |idx| {
-            assert_eq!(idx[1], 0);
-            count += 1;
-        });
-        assert_eq!(count, 2 * 4);
-    }
-
-    #[test]
-    fn for_each_outer_rank_one() {
-        let s = Shape::new([('a', 5)]).unwrap();
-        let mut count = 0;
-        for_each_outer(&s, 0, |_| count += 1);
-        assert_eq!(count, 1);
-    }
 }

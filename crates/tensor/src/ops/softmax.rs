@@ -6,10 +6,10 @@
 
 use crate::axes::Axis;
 use crate::error::Result;
-use crate::into_ops::softmax_into;
+use crate::into_ops::{softmax_backward_into, softmax_into};
 use crate::tensor::Tensor;
 
-use super::{check_same_shape, for_each_outer, sweep_of, view_of};
+use super::{check_same_shape, sweep_of, view_of};
 
 /// Numerically stable softmax along `axis`.
 ///
@@ -45,22 +45,10 @@ pub fn softmax(x: &Tensor, axis: Axis) -> Result<Tensor> {
 pub fn softmax_backward(dy: &Tensor, y: &Tensor, axis: Axis) -> Result<Tensor> {
     check_same_shape(dy, y, "softmax_backward")?;
     let ai = y.shape().index_of(axis)?;
-    let len = y.shape().sizes()[ai];
+    let (vg, vy) = (view_of(dy), view_of(y));
+    let sweep = sweep_of(&[&vg, &vy, &vy], Some(ai), None, "softmax_backward")?;
     let mut dx = y.clone();
-    for_each_outer(y.shape(), ai, |idx| {
-        let y_base = y.offset(idx);
-        let y_stride = y.strides()[ai];
-        let dy_base = dy.offset(idx);
-        let dy_stride = dy.strides()[ai];
-        let mut dot = 0.0f32;
-        for v in 0..len {
-            dot += dy.data()[dy_base + v * dy_stride] * y.data()[y_base + v * y_stride];
-        }
-        for v in 0..len {
-            let g = dy.data()[dy_base + v * dy_stride] - dot;
-            dx.data_mut()[y_base + v * y_stride] = y.data()[y_base + v * y_stride] * g;
-        }
-    });
+    softmax_backward_into(&sweep, dy.data(), y.data(), dx.data_mut());
     Ok(dx)
 }
 

@@ -12,15 +12,36 @@ use xform_tensor::contract::naive_einsum;
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
 use xform_tensor::half::F16;
-use xform_tensor::ops::dropout::dropout_backward;
-use xform_tensor::ops::elementwise::{add, bias_add, bias_grad, relu, relu_backward, scale};
-use xform_tensor::ops::layernorm::layernorm;
-use xform_tensor::ops::softmax::softmax;
+use xform_tensor::ops::dropout::{dropout, dropout_backward};
+use xform_tensor::ops::elementwise::{
+    activate_backward, add, bias_add, bias_grad, relu, relu_backward, scale, ActivationKind,
+};
+use xform_tensor::ops::layernorm::{
+    layernorm, layernorm_backward_input, layernorm_backward_weights,
+};
+use xform_tensor::ops::softmax::{softmax, softmax_backward};
 use xform_tensor::{contract, einsum, Axis, Layout, Shape, Tensor};
 
 fn rand_tensor(shape: Shape, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     Tensor::random(shape, &Uniform::new(-2.0f32, 2.0), &mut rng)
+}
+
+/// A saved dropout mask at `p = 0.3`: zeros and `1/(1-p)`.
+fn mask_tensor(shape: Shape, seed: u64) -> Tensor {
+    dropout(&Tensor::zeros(shape), 0.3, &mut StdRng::seed_from_u64(seed)).1
+}
+
+/// `ts` with its first operand in `layout` and the rest following it or
+/// (`follow` unset: no two operands share a panel) staying row-major.
+fn relaid<const N: usize>(ts: [&Tensor; N], layout: &Layout, follow: bool) -> [Tensor; N] {
+    std::array::from_fn(|n| {
+        if follow || n == 0 {
+            ts[n].relayout(layout)
+        } else {
+            ts[n].clone()
+        }
+    })
 }
 
 fn bits(xs: &[f32]) -> Vec<u32> {
@@ -523,6 +544,110 @@ proptest! {
             prop_assert_eq!(bits(&want.stats.mean), bits(&got.stats.mean));
             prop_assert_eq!(bits(&want.stats.inv_std), bits(&got.stats.inv_std));
             prop_assert_eq!(next, got_next);
+        }
+    }
+
+    // The backward kernels run on the same enumerator: over every layout of
+    // their operands — all three walks when the operands share the layout,
+    // the strided one when they do not — dX and every dW word are the
+    // natural layout's bits, and each fused kernel is its unfused operator
+    // chain bit for bit.
+
+    #[test]
+    fn softmax_backward_walks_agree_bitwise_in_every_layout(
+        geom in panel_geometry(), follow in any::<bool>(), seed in 0u64..1000,
+    ) {
+        let (shape, lane) = geom;
+        let dy = rand_tensor(shape.clone(), seed);
+        let y = softmax(&rand_tensor(shape.clone(), seed + 1), lane).unwrap();
+        let mask = mask_tensor(shape, seed + 2);
+        let want = softmax_backward(&dy, &y, lane).unwrap();
+        let want_bs = fused::bs(&dy, &mask, &y, lane, 0.5).unwrap();
+        let after = dropout_backward(&dy, &mask).unwrap();
+        let chain = scale(&softmax_backward(&after, &y, lane).unwrap(), 0.5);
+        assert_same_bits("bs against its chain", &want_bs, &chain)?;
+        for layout in Layout::all(y.shape().rank()) {
+            let [dy, mask, y] = relaid([&dy, &mask, &y], &layout, follow);
+            let got = softmax_backward(&dy, &y, lane).unwrap();
+            assert_same_bits("softmax_backward", &want, &got)?;
+            let got = fused::bs(&dy, &mask, &y, lane, 0.5).unwrap();
+            assert_same_bits("bs", &want_bs, &got)?;
+        }
+    }
+
+    #[test]
+    fn layernorm_backward_walks_agree_bitwise_in_every_layout(
+        geom in panel_geometry(), follow in any::<bool>(), seed in 0u64..1000,
+    ) {
+        let (shape, lane) = geom;
+        let dy = rand_tensor(shape.clone(), seed);
+        let dy2 = rand_tensor(shape.clone(), seed + 1);
+        let x = rand_tensor(shape.clone(), seed + 2);
+        let mask = mask_tensor(shape.clone(), seed + 3);
+        let weights = Shape::new([(lane, shape.size(lane).unwrap())]).unwrap();
+        let gamma = rand_tensor(weights.clone(), seed + 4);
+        let (_, stats) = layernorm(&x, lane, &gamma, &rand_tensor(weights, seed + 5)).unwrap();
+        let want_dx = layernorm_backward_input(&dy, &x, lane, &gamma, &stats).unwrap();
+        let want_dw = layernorm_backward_weights(&dy, &x, lane, &stats).unwrap();
+        // BLNRD and EBSB against their chains, dW included
+        let want_blnrd = fused::blnrd(&dy, &x, &gamma, &mask, lane, &stats).unwrap();
+        let dropped = dropout_backward(&want_dx, &mask).unwrap();
+        assert_same_bits("blnrd dx", &want_blnrd.0, &dropped)?;
+        assert_same_bits("blnrd dx_ln", &want_blnrd.1, &want_dx)?;
+        let want_ebsb = fused::ebsb(&dy, &dy2, &x, lane, &stats).unwrap();
+        let dsum = add(&dy, &dy2).unwrap();
+        let chain_dw = layernorm_backward_weights(&dsum, &x, lane, &stats).unwrap();
+        assert_same_bits("ebsb dsum", &want_ebsb.0, &dsum)?;
+        assert_same_bits("ebsb dgamma", &want_ebsb.1, &chain_dw.0)?;
+        assert_same_bits("ebsb dbeta", &want_ebsb.2, &chain_dw.1)?;
+        for layout in Layout::all(shape.rank()) {
+            let [dy, dy2, x, mask] = relaid([&dy, &dy2, &x, &mask], &layout, follow);
+            let got = layernorm_backward_input(&dy, &x, lane, &gamma, &stats).unwrap();
+            assert_same_bits("layernorm dX", &want_dx, &got)?;
+            let got = layernorm_backward_weights(&dy, &x, lane, &stats).unwrap();
+            assert_same_bits("layernorm dgamma", &want_dw.0, &got.0)?;
+            assert_same_bits("layernorm dbeta", &want_dw.1, &got.1)?;
+            let got = fused::blnrd(&dy, &x, &gamma, &mask, lane, &stats).unwrap();
+            assert_same_bits("blnrd dx", &want_blnrd.0, &got.0)?;
+            assert_same_bits("blnrd dx_ln", &want_blnrd.1, &got.1)?;
+            let got = fused::ebsb(&dy, &dy2, &x, lane, &stats).unwrap();
+            assert_same_bits("ebsb dsum", &want_ebsb.0, &got.0)?;
+            assert_same_bits("ebsb dgamma", &want_ebsb.1, &got.1)?;
+            assert_same_bits("ebsb dbeta", &want_ebsb.2, &got.2)?;
+        }
+    }
+
+    #[test]
+    fn activation_backward_agrees_bitwise_in_every_layout(
+        geom in panel_geometry(), follow in any::<bool>(), gelu in any::<bool>(),
+        bias_on in 0usize..3, seed in 0u64..1000,
+    ) {
+        let (shape, lane) = geom;
+        let kind = if gelu { ActivationKind::Gelu } else { ActivationKind::Relu };
+        let dy = rand_tensor(shape.clone(), seed);
+        let pre = rand_tensor(shape.clone(), seed + 1);
+        let mask = mask_tensor(shape.clone(), seed + 2);
+        // the bias over one axis, another, or both (stored in that order)
+        let inner = *shape.axes().iter().rev().find(|&&a| a != lane).unwrap();
+        let axes = [vec![lane], vec![inner], vec![inner, lane]];
+        let axes = &axes[bias_on][..];
+        let want = activate_backward(&dy, &pre, kind).unwrap();
+        let want_db = bias_grad(&dy, axes).unwrap();
+        let want_bdrb = fused::bdrb_act(&dy, &mask, &pre, kind, axes).unwrap();
+        let after = dropout_backward(&dy, &mask).unwrap();
+        let chain = activate_backward(&after, &pre, kind).unwrap();
+        assert_same_bits("bdrb dx against its chain", &want_bdrb.0, &chain)?;
+        assert_same_bits("bdrb dbias", &want_bdrb.1, &bias_grad(&chain, axes).unwrap())?;
+        for layout in Layout::all(shape.rank()) {
+            let [dy, mask, pre] = relaid([&dy, &mask, &pre], &layout, follow);
+            let got = activate_backward(&dy, &pre, kind).unwrap();
+            assert_same_bits("activate_backward", &want, &got)?;
+            assert_same_bits("bias_grad", &want_db, &bias_grad(&dy, axes).unwrap())?;
+            // `zip_map` across two layouts when the mask does not follow
+            assert_same_bits("dropout_backward", &after, &dropout_backward(&dy, &mask).unwrap())?;
+            let got = fused::bdrb_act(&dy, &mask, &pre, kind, axes).unwrap();
+            assert_same_bits("bdrb dx", &want_bdrb.0, &got.0)?;
+            assert_same_bits("bdrb dbias", &want_bdrb.1, &got.1)?;
         }
     }
 

@@ -4,8 +4,10 @@
 //! [`crate::mha::mha_backward`] share. Post-LN versus pre-LN is where the
 //! caller takes its projection source and feed-forward input from; the
 //! executor is the `fused` flag, which selects between a fused backward
-//! kernel and its unfused operator chain only where the two are different
-//! code (BS and BDRB here; BLNRD and EBSB in the encoder).
+//! kernel — one sweep of `xform_tensor::lanes` — and the chain of unfused
+//! operators it equals bit for bit (BS and BDRB here; BLNRD and EBSB in the
+//! encoder). The paper's other backward names (BSB, BAOB, BAIB, BEI) fuse
+//! nothing on a CPU and are the operators themselves under either executor.
 
 use xform_tensor::fused::{self, BrdOutput, SmOutput};
 use xform_tensor::ops::dropout::dropout_backward;
