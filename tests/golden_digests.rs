@@ -6,7 +6,12 @@
 //! and thread count, in PR 14 as a test-only commit on PR 13's library;
 //! the `grad/*` rows over the eager backward passes in PR 18, likewise on
 //! PR 17's library; the `kernels-bwd/*` rows over the backward kernels in
-//! PR 19, on PR 18's library).
+//! PR 19, on PR 18's library). In PR 20 the layer rows were re-keyed, again
+//! test-only on PR 19's library: the `[h,b,j,k]` containers of the
+//! attention core (`beta`, `att`, `alpha`, `att_mask`) are hashed into
+//! sibling `forward-sm` / `reference-sm` rows, apart from everything else,
+//! so a plan that stops materializing them loses those rows and moves no
+//! other.
 //! A digest that moves means arithmetic, output layout, stats order or
 //! RNG draw order changed somewhere under the public API.
 //!
@@ -92,17 +97,19 @@ impl Fnv {
     }
 }
 
-fn encoder_acts(h: &mut Fnv, a: &Activations) {
+/// Everything saved but the softmax bundle, which goes to `sm`.
+fn encoder_acts(h: &mut Fnv, sm: &mut Fnv, a: &Activations) {
     for t in [&a.qq, &a.kk, &a.vv, &a.gam] {
         h.tensor(t);
     }
-    h.sm(&a.sm);
+    sm.sm(&a.sm);
     h.bdrln(&a.ln1);
     h.brd(&a.brd);
     h.bdrln(&a.ln2);
 }
 
-fn decoder_acts(h: &mut Fnv, a: &DecoderActivations) {
+/// Everything saved but the softmax bundle, which goes to `sm`.
+fn decoder_acts(h: &mut Fnv, sm: &mut Fnv, a: &DecoderActivations) {
     for t in [
         &a.ln1_out,
         &a.qq,
@@ -118,7 +125,7 @@ fn decoder_acts(h: &mut Fnv, a: &DecoderActivations) {
     }
     h.stats(&a.stats1);
     h.stats(&a.stats2);
-    h.sm(&a.sm);
+    sm.sm(&a.sm);
     h.brd(&a.brd);
 }
 
@@ -146,15 +153,15 @@ enum Block {
 }
 
 impl Block {
-    /// `forward` (output + saved activations into `h`) or, with `into`,
-    /// `forward_into`.
+    /// `forward` (output + saved activations into `h`, the softmax bundle
+    /// into `sm`) or, with `into`, `forward_into`.
     fn run(
         &self,
         x: &Tensor,
         w: &EncoderWeights,
         opts: &ExecOptions,
         into: Option<&mut Tensor>,
-        h: &mut Fnv,
+        (h, sm): (&mut Fnv, &mut Fnv),
     ) {
         match (self, into) {
             (Block::Enc(l), Some(y)) => l.forward_into(x, w, opts, y).unwrap(),
@@ -162,24 +169,28 @@ impl Block {
             (Block::Enc(l), None) => {
                 let (y, a) = l.forward(x, w, opts).unwrap().into_pair().unwrap();
                 h.tensor(&y);
-                encoder_acts(h, &a);
+                encoder_acts(h, sm, &a);
             }
             (Block::Dec(l), None) => {
                 let (y, a) = l.forward(x, w, opts).unwrap().into_pair().unwrap();
                 h.tensor(&y);
-                decoder_acts(h, &a);
+                decoder_acts(h, sm, &a);
             }
         }
     }
 }
 
+/// The `[h,b,j,k]` containers of the attention core, hashed apart.
+const SM_CONTAINERS: [&str; 4] = ["beta", "att", "alpha", "att_mask"];
+
 /// Every container and layer-norm statistic an interpreter environment
-/// holds, in name order.
-fn state_digest(h: &mut Fnv, state: &ExecState) {
+/// holds, in name order; the [`SM_CONTAINERS`] into `sm`.
+fn state_digest(h: &mut Fnv, sm: &mut Fnv, state: &ExecState) {
     let mut names: Vec<&String> = state.env.keys().collect();
     names.sort();
     for n in names {
-        h.tensor(&state.env[n]);
+        let apart = SM_CONTAINERS.contains(&n.as_str());
+        (if apart { &mut *sm } else { &mut *h }).tensor(&state.env[n]);
     }
     let mut names: Vec<&String> = state.stats.keys().collect();
     names.sort();
@@ -197,17 +208,19 @@ fn reference_leg(
     w: &EncoderWeights,
     knobs: &ExecOptions,
     seed: u64,
-    h: &mut Fnv,
+    (h, sm): (&mut Fnv, &mut Fnv),
 ) {
     let mut state = interp::bind_inputs(x, w).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     execute_plan(&pf.graph, &pf.plan, &mut state, knobs, &mut rng).unwrap();
-    state_digest(h, &state);
+    state_digest(h, sm, &state);
 }
 
 /// One row per (layer kind, shape, p) and per leg: `forward` with its saved
 /// activations and `forward_into`, each at `threads ∈ {1, 2}`, and the
 /// (serial) reference interpreter called directly on the same canned plan.
+/// A leg that materializes any of the [`SM_CONTAINERS`] has a sibling `-sm`
+/// row over them alone; a leg that materializes none has no such row.
 /// The `reference/t2` rows recorded with the others pinned the
 /// environment wave interpreter and went with it in PR 14.
 fn layer_digests(table: &mut Vec<(String, u64)>) {
@@ -250,20 +263,27 @@ fn layer_digests(table: &mut Vec<(String, u64)>) {
                 let mut row = |leg: &str, threads: usize, h: Fnv| {
                     table.push((format!("{name}/shape{di}/p{p}/{leg}/t{threads}"), h.0));
                 };
+                // the leg's row, then its `-sm` sibling if anything went there
+                let mut rows = |leg: &str, threads: usize, (h, sm): (Fnv, Fnv)| {
+                    row(leg, threads, h);
+                    if sm.0 != Fnv::new().0 {
+                        row(&format!("{leg}-sm"), threads, sm);
+                    }
+                };
                 for threads in THREADS {
                     let opts = ExecOptions::builder().threads(threads).seed(SEED).build();
-                    let mut h = Fnv::new();
-                    block.run(&x, &w, &opts, None, &mut h);
-                    row("forward", threads, h);
-                    let mut h = Fnv::new();
+                    let (mut h, mut sm) = (Fnv::new(), Fnv::new());
+                    block.run(&x, &w, &opts, None, (&mut h, &mut sm));
+                    rows("forward", threads, (h, sm));
+                    let (mut h, mut sm) = (Fnv::new(), Fnv::new());
                     let mut y = Tensor::zeros(ibj.clone());
-                    block.run(&x, &w, &opts, Some(&mut y), &mut h);
+                    block.run(&x, &w, &opts, Some(&mut y), (&mut h, &mut sm));
                     h.tensor(&y);
-                    row("forward_into", threads, h);
+                    rows("forward_into", threads, (h, sm));
                 }
-                let mut h = Fnv::new();
-                reference_leg(&pf, &x, &w, &knobs, SEED, &mut h);
-                row("reference", 1, h);
+                let (mut h, mut sm) = (Fnv::new(), Fnv::new());
+                reference_leg(&pf, &x, &w, &knobs, SEED, (&mut h, &mut sm));
+                rows("reference", 1, (h, sm));
             }
         }
     }
@@ -567,106 +587,166 @@ fn digests_match_the_recorded_table() {
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
-    ("enc/Reference/shape0/p0/forward/t1", 0xb7897f7e31558116),
+    ("enc/Reference/shape0/p0/forward/t1", 0xdc21cfc06b7d2855),
+    ("enc/Reference/shape0/p0/forward-sm/t1", 0xb26c60ee3694c5d2),
     ("enc/Reference/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
-    ("enc/Reference/shape0/p0/forward/t2", 0xb7897f7e31558116),
+    ("enc/Reference/shape0/p0/forward/t2", 0xdc21cfc06b7d2855),
+    ("enc/Reference/shape0/p0/forward-sm/t2", 0xb26c60ee3694c5d2),
     ("enc/Reference/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
-    ("enc/Reference/shape0/p0/reference/t1", 0x61a9fc1186a3819f),
-    ("enc/Fused/shape0/p0/forward/t1", 0xb7897f7e31558116),
+    ("enc/Reference/shape0/p0/reference/t1", 0x89d72220933d39d3),
+    ("enc/Reference/shape0/p0/reference-sm/t1", 0xc37ae9aa7cb7c025),
+    ("enc/Fused/shape0/p0/forward/t1", 0xdc21cfc06b7d2855),
+    ("enc/Fused/shape0/p0/forward-sm/t1", 0xb26c60ee3694c5d2),
     ("enc/Fused/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
-    ("enc/Fused/shape0/p0/forward/t2", 0xb7897f7e31558116),
+    ("enc/Fused/shape0/p0/forward/t2", 0xdc21cfc06b7d2855),
+    ("enc/Fused/shape0/p0/forward-sm/t2", 0xb26c60ee3694c5d2),
     ("enc/Fused/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
-    ("enc/Fused/shape0/p0/reference/t1", 0xf78d1d924711967c),
-    ("enc/Epilogue/shape0/p0/forward/t1", 0xb7897f7e31558116),
+    ("enc/Fused/shape0/p0/reference/t1", 0x9851d26061f27e48),
+    ("enc/Fused/shape0/p0/reference-sm/t1", 0xc37ae9aa7cb7c025),
+    ("enc/Epilogue/shape0/p0/forward/t1", 0xdc21cfc06b7d2855),
+    ("enc/Epilogue/shape0/p0/forward-sm/t1", 0xb26c60ee3694c5d2),
     ("enc/Epilogue/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
-    ("enc/Epilogue/shape0/p0/forward/t2", 0xb7897f7e31558116),
+    ("enc/Epilogue/shape0/p0/forward/t2", 0xdc21cfc06b7d2855),
+    ("enc/Epilogue/shape0/p0/forward-sm/t2", 0xb26c60ee3694c5d2),
     ("enc/Epilogue/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
-    ("enc/Epilogue/shape0/p0/reference/t1", 0x08ff08db351c3e39),
-    ("dec/fused/shape0/p0/forward/t1", 0xdde088ca06c76f73),
+    ("enc/Epilogue/shape0/p0/reference/t1", 0x0b1247ed6505f956),
+    ("enc/Epilogue/shape0/p0/reference-sm/t1", 0xb26c60ee3694c5d2),
+    ("dec/fused/shape0/p0/forward/t1", 0xd4e3e29fca5e68ac),
+    ("dec/fused/shape0/p0/forward-sm/t1", 0xd4dc5945aaaa23c2),
     ("dec/fused/shape0/p0/forward_into/t1", 0x0aea2ae47c0e2353),
-    ("dec/fused/shape0/p0/forward/t2", 0xdde088ca06c76f73),
+    ("dec/fused/shape0/p0/forward/t2", 0xd4e3e29fca5e68ac),
+    ("dec/fused/shape0/p0/forward-sm/t2", 0xd4dc5945aaaa23c2),
     ("dec/fused/shape0/p0/forward_into/t2", 0x0aea2ae47c0e2353),
-    ("dec/fused/shape0/p0/reference/t1", 0xb47e93f9cf2a640c),
-    ("dec/epilogue/shape0/p0/forward/t1", 0xdde088ca06c76f73),
+    ("dec/fused/shape0/p0/reference/t1", 0x7cfed871e27a8a3d),
+    ("dec/fused/shape0/p0/reference-sm/t1", 0x567f8e7b1499edfc),
+    ("dec/epilogue/shape0/p0/forward/t1", 0xd4e3e29fca5e68ac),
+    ("dec/epilogue/shape0/p0/forward-sm/t1", 0xd4dc5945aaaa23c2),
     ("dec/epilogue/shape0/p0/forward_into/t1", 0x0aea2ae47c0e2353),
-    ("dec/epilogue/shape0/p0/forward/t2", 0xdde088ca06c76f73),
+    ("dec/epilogue/shape0/p0/forward/t2", 0xd4e3e29fca5e68ac),
+    ("dec/epilogue/shape0/p0/forward-sm/t2", 0xd4dc5945aaaa23c2),
     ("dec/epilogue/shape0/p0/forward_into/t2", 0x0aea2ae47c0e2353),
-    ("dec/epilogue/shape0/p0/reference/t1", 0xb7b4e0617ac2e3a6),
-    ("enc/Reference/shape0/p0.1/forward/t1", 0x98ff487bf935d629),
+    ("dec/epilogue/shape0/p0/reference/t1", 0xa1cfdfe12b87a405),
+    ("dec/epilogue/shape0/p0/reference-sm/t1", 0xd4dc5945aaaa23c2),
+    ("enc/Reference/shape0/p0.1/forward/t1", 0xa2a374b270c69ebe),
+    ("enc/Reference/shape0/p0.1/forward-sm/t1", 0x5feff5b0aeea3ad6),
     ("enc/Reference/shape0/p0.1/forward_into/t1", 0x10d88426aaad2fc3),
-    ("enc/Reference/shape0/p0.1/forward/t2", 0x98ff487bf935d629),
+    ("enc/Reference/shape0/p0.1/forward/t2", 0xa2a374b270c69ebe),
+    ("enc/Reference/shape0/p0.1/forward-sm/t2", 0x5feff5b0aeea3ad6),
     ("enc/Reference/shape0/p0.1/forward_into/t2", 0x10d88426aaad2fc3),
-    ("enc/Reference/shape0/p0.1/reference/t1", 0xe62dbb3a33629c8a),
-    ("enc/Fused/shape0/p0.1/forward/t1", 0x1d7957f11fbc38a5),
+    ("enc/Reference/shape0/p0.1/reference/t1", 0x44046577a98c7178),
+    ("enc/Reference/shape0/p0.1/reference-sm/t1", 0xd34b65bb8dd2bcff),
+    ("enc/Fused/shape0/p0.1/forward/t1", 0xcb23f8e5486676fa),
+    ("enc/Fused/shape0/p0.1/forward-sm/t1", 0xcc84a474645bd886),
     ("enc/Fused/shape0/p0.1/forward_into/t1", 0x91f9597250552bb6),
-    ("enc/Fused/shape0/p0.1/forward/t2", 0x1d7957f11fbc38a5),
+    ("enc/Fused/shape0/p0.1/forward/t2", 0xcb23f8e5486676fa),
+    ("enc/Fused/shape0/p0.1/forward-sm/t2", 0xcc84a474645bd886),
     ("enc/Fused/shape0/p0.1/forward_into/t2", 0x91f9597250552bb6),
-    ("enc/Fused/shape0/p0.1/reference/t1", 0x9d2b7b314ec0d75e),
-    ("enc/Epilogue/shape0/p0.1/forward/t1", 0x00cb34c4af2d8b54),
+    ("enc/Fused/shape0/p0.1/reference/t1", 0x7692ae050d232828),
+    ("enc/Fused/shape0/p0.1/reference-sm/t1", 0xd34b65bb8dd2bcff),
+    ("enc/Epilogue/shape0/p0.1/forward/t1", 0x55cc20c88fd8b01e),
+    ("enc/Epilogue/shape0/p0.1/forward-sm/t1", 0x3f01f5a71f6209d3),
     ("enc/Epilogue/shape0/p0.1/forward_into/t1", 0x43bdd9b2b935431a),
-    ("enc/Epilogue/shape0/p0.1/forward/t2", 0x00cb34c4af2d8b54),
+    ("enc/Epilogue/shape0/p0.1/forward/t2", 0x55cc20c88fd8b01e),
+    ("enc/Epilogue/shape0/p0.1/forward-sm/t2", 0x3f01f5a71f6209d3),
     ("enc/Epilogue/shape0/p0.1/forward_into/t2", 0x43bdd9b2b935431a),
-    ("enc/Epilogue/shape0/p0.1/reference/t1", 0x49a9c3ed270d02d6),
-    ("dec/fused/shape0/p0.1/forward/t1", 0x01e7ed36cebe62ae),
+    ("enc/Epilogue/shape0/p0.1/reference/t1", 0x34541b37e49559af),
+    ("enc/Epilogue/shape0/p0.1/reference-sm/t1", 0x3b7bd47548de10cc),
+    ("dec/fused/shape0/p0.1/forward/t1", 0x9bd555b2e194cd27),
+    ("dec/fused/shape0/p0.1/forward-sm/t1", 0x50be3d1f673de0e8),
     ("dec/fused/shape0/p0.1/forward_into/t1", 0x3b81f45ddd603431),
-    ("dec/fused/shape0/p0.1/forward/t2", 0x01e7ed36cebe62ae),
+    ("dec/fused/shape0/p0.1/forward/t2", 0x9bd555b2e194cd27),
+    ("dec/fused/shape0/p0.1/forward-sm/t2", 0x50be3d1f673de0e8),
     ("dec/fused/shape0/p0.1/forward_into/t2", 0x3b81f45ddd603431),
-    ("dec/fused/shape0/p0.1/reference/t1", 0xfff225aeb6cc73b3),
-    ("dec/epilogue/shape0/p0.1/forward/t1", 0x8de2ecb83b569e2a),
+    ("dec/fused/shape0/p0.1/reference/t1", 0x3670c82c29a847ef),
+    ("dec/fused/shape0/p0.1/reference-sm/t1", 0x86d95a74ff9e9ce1),
+    ("dec/epilogue/shape0/p0.1/forward/t1", 0x29dbdba995995827),
+    ("dec/epilogue/shape0/p0.1/forward-sm/t1", 0x0a81dbae1aaeb64c),
     ("dec/epilogue/shape0/p0.1/forward_into/t1", 0xcf876f90d11dd4d2),
-    ("dec/epilogue/shape0/p0.1/forward/t2", 0x8de2ecb83b569e2a),
+    ("dec/epilogue/shape0/p0.1/forward/t2", 0x29dbdba995995827),
+    ("dec/epilogue/shape0/p0.1/forward-sm/t2", 0x0a81dbae1aaeb64c),
     ("dec/epilogue/shape0/p0.1/forward_into/t2", 0xcf876f90d11dd4d2),
-    ("dec/epilogue/shape0/p0.1/reference/t1", 0xce2bb63b35e47bfc),
-    ("enc/Reference/shape1/p0/forward/t1", 0x132fc098998eab60),
+    ("dec/epilogue/shape0/p0.1/reference/t1", 0x3b598f8c17e4dc8e),
+    ("dec/epilogue/shape0/p0.1/reference-sm/t1", 0xbe534d838310c7fb),
+    ("enc/Reference/shape1/p0/forward/t1", 0x865206c38778fd2d),
+    ("enc/Reference/shape1/p0/forward-sm/t1", 0x1e93e07aff3fab18),
     ("enc/Reference/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
-    ("enc/Reference/shape1/p0/forward/t2", 0x132fc098998eab60),
+    ("enc/Reference/shape1/p0/forward/t2", 0x865206c38778fd2d),
+    ("enc/Reference/shape1/p0/forward-sm/t2", 0x1e93e07aff3fab18),
     ("enc/Reference/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
-    ("enc/Reference/shape1/p0/reference/t1", 0x577b102984d9974e),
-    ("enc/Fused/shape1/p0/forward/t1", 0x132fc098998eab60),
+    ("enc/Reference/shape1/p0/reference/t1", 0x562f042aedc09ec6),
+    ("enc/Reference/shape1/p0/reference-sm/t1", 0xb19223af67089975),
+    ("enc/Fused/shape1/p0/forward/t1", 0x865206c38778fd2d),
+    ("enc/Fused/shape1/p0/forward-sm/t1", 0x1e93e07aff3fab18),
     ("enc/Fused/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
-    ("enc/Fused/shape1/p0/forward/t2", 0x132fc098998eab60),
+    ("enc/Fused/shape1/p0/forward/t2", 0x865206c38778fd2d),
+    ("enc/Fused/shape1/p0/forward-sm/t2", 0x1e93e07aff3fab18),
     ("enc/Fused/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
-    ("enc/Fused/shape1/p0/reference/t1", 0xfd6bde9ada4b0003),
-    ("enc/Epilogue/shape1/p0/forward/t1", 0x132fc098998eab60),
+    ("enc/Fused/shape1/p0/reference/t1", 0x2e3382697849ec1b),
+    ("enc/Fused/shape1/p0/reference-sm/t1", 0xb19223af67089975),
+    ("enc/Epilogue/shape1/p0/forward/t1", 0x865206c38778fd2d),
+    ("enc/Epilogue/shape1/p0/forward-sm/t1", 0x1e93e07aff3fab18),
     ("enc/Epilogue/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
-    ("enc/Epilogue/shape1/p0/forward/t2", 0x132fc098998eab60),
+    ("enc/Epilogue/shape1/p0/forward/t2", 0x865206c38778fd2d),
+    ("enc/Epilogue/shape1/p0/forward-sm/t2", 0x1e93e07aff3fab18),
     ("enc/Epilogue/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
-    ("enc/Epilogue/shape1/p0/reference/t1", 0x2790b59f3d60ae85),
-    ("dec/fused/shape1/p0/forward/t1", 0xae720ff95631cdb2),
+    ("enc/Epilogue/shape1/p0/reference/t1", 0xf1ffc4042fc897a8),
+    ("enc/Epilogue/shape1/p0/reference-sm/t1", 0x1e93e07aff3fab18),
+    ("dec/fused/shape1/p0/forward/t1", 0x2cc8e21ab194223b),
+    ("dec/fused/shape1/p0/forward-sm/t1", 0x77099780dae71480),
     ("dec/fused/shape1/p0/forward_into/t1", 0x5eac58ae58766eea),
-    ("dec/fused/shape1/p0/forward/t2", 0xae720ff95631cdb2),
+    ("dec/fused/shape1/p0/forward/t2", 0x2cc8e21ab194223b),
+    ("dec/fused/shape1/p0/forward-sm/t2", 0x77099780dae71480),
     ("dec/fused/shape1/p0/forward_into/t2", 0x5eac58ae58766eea),
-    ("dec/fused/shape1/p0/reference/t1", 0x9ec44f34cb90f0d7),
-    ("dec/epilogue/shape1/p0/forward/t1", 0xae720ff95631cdb2),
+    ("dec/fused/shape1/p0/reference/t1", 0x4887a4c39e46f9cc),
+    ("dec/fused/shape1/p0/reference-sm/t1", 0xeb09053219cb3612),
+    ("dec/epilogue/shape1/p0/forward/t1", 0x2cc8e21ab194223b),
+    ("dec/epilogue/shape1/p0/forward-sm/t1", 0x77099780dae71480),
     ("dec/epilogue/shape1/p0/forward_into/t1", 0x5eac58ae58766eea),
-    ("dec/epilogue/shape1/p0/forward/t2", 0xae720ff95631cdb2),
+    ("dec/epilogue/shape1/p0/forward/t2", 0x2cc8e21ab194223b),
+    ("dec/epilogue/shape1/p0/forward-sm/t2", 0x77099780dae71480),
     ("dec/epilogue/shape1/p0/forward_into/t2", 0x5eac58ae58766eea),
-    ("dec/epilogue/shape1/p0/reference/t1", 0xe0be491d8d65294c),
-    ("enc/Reference/shape1/p0.1/forward/t1", 0x4052c547ee8056cf),
+    ("dec/epilogue/shape1/p0/reference/t1", 0x09a240b496e65615),
+    ("dec/epilogue/shape1/p0/reference-sm/t1", 0x77099780dae71480),
+    ("enc/Reference/shape1/p0.1/forward/t1", 0xa65d65fcb4a506cc),
+    ("enc/Reference/shape1/p0.1/forward-sm/t1", 0x834d818c27fc88ee),
     ("enc/Reference/shape1/p0.1/forward_into/t1", 0xf08c5b5674af87ad),
-    ("enc/Reference/shape1/p0.1/forward/t2", 0x4052c547ee8056cf),
+    ("enc/Reference/shape1/p0.1/forward/t2", 0xa65d65fcb4a506cc),
+    ("enc/Reference/shape1/p0.1/forward-sm/t2", 0x834d818c27fc88ee),
     ("enc/Reference/shape1/p0.1/forward_into/t2", 0xf08c5b5674af87ad),
-    ("enc/Reference/shape1/p0.1/reference/t1", 0xdc0086efa6f9ec73),
-    ("enc/Fused/shape1/p0.1/forward/t1", 0xad6a39f3ded99e59),
+    ("enc/Reference/shape1/p0.1/reference/t1", 0x54f1791af3f380bb),
+    ("enc/Reference/shape1/p0.1/reference-sm/t1", 0x275ce66f80c22965),
+    ("enc/Fused/shape1/p0.1/forward/t1", 0xf5921438bf6ce360),
+    ("enc/Fused/shape1/p0.1/forward-sm/t1", 0x5d9be6cd90ba0c78),
     ("enc/Fused/shape1/p0.1/forward_into/t1", 0xbc6bb024de2ddb20),
-    ("enc/Fused/shape1/p0.1/forward/t2", 0xad6a39f3ded99e59),
+    ("enc/Fused/shape1/p0.1/forward/t2", 0xf5921438bf6ce360),
+    ("enc/Fused/shape1/p0.1/forward-sm/t2", 0x5d9be6cd90ba0c78),
     ("enc/Fused/shape1/p0.1/forward_into/t2", 0xbc6bb024de2ddb20),
-    ("enc/Fused/shape1/p0.1/reference/t1", 0x76a6c1241545b5fb),
-    ("enc/Epilogue/shape1/p0.1/forward/t1", 0x886ae42e6ceb1c39),
+    ("enc/Fused/shape1/p0.1/reference/t1", 0xc24d9f12140e1d43),
+    ("enc/Fused/shape1/p0.1/reference-sm/t1", 0x275ce66f80c22965),
+    ("enc/Epilogue/shape1/p0.1/forward/t1", 0x2c21cda85339810d),
+    ("enc/Epilogue/shape1/p0.1/forward-sm/t1", 0xd0412a817bb8a001),
     ("enc/Epilogue/shape1/p0.1/forward_into/t1", 0x8c189301f3b30a94),
-    ("enc/Epilogue/shape1/p0.1/forward/t2", 0x886ae42e6ceb1c39),
+    ("enc/Epilogue/shape1/p0.1/forward/t2", 0x2c21cda85339810d),
+    ("enc/Epilogue/shape1/p0.1/forward-sm/t2", 0xd0412a817bb8a001),
     ("enc/Epilogue/shape1/p0.1/forward_into/t2", 0x8c189301f3b30a94),
-    ("enc/Epilogue/shape1/p0.1/reference/t1", 0xf7507b6c1888e70b),
-    ("dec/fused/shape1/p0.1/forward/t1", 0xf1f72fa84232efd9),
+    ("enc/Epilogue/shape1/p0.1/reference/t1", 0x9f6589c92f22d996),
+    ("enc/Epilogue/shape1/p0.1/reference-sm/t1", 0x267c4722590be188),
+    ("dec/fused/shape1/p0.1/forward/t1", 0x05d7888263b6ed61),
+    ("dec/fused/shape1/p0.1/forward-sm/t1", 0xf88709b14fec7699),
     ("dec/fused/shape1/p0.1/forward_into/t1", 0xf52301b57fd111c6),
-    ("dec/fused/shape1/p0.1/forward/t2", 0xf1f72fa84232efd9),
+    ("dec/fused/shape1/p0.1/forward/t2", 0x05d7888263b6ed61),
+    ("dec/fused/shape1/p0.1/forward-sm/t2", 0xf88709b14fec7699),
     ("dec/fused/shape1/p0.1/forward_into/t2", 0xf52301b57fd111c6),
-    ("dec/fused/shape1/p0.1/reference/t1", 0x54b15426d685ed4d),
-    ("dec/epilogue/shape1/p0.1/forward/t1", 0x3c9da33199484f8e),
+    ("dec/fused/shape1/p0.1/reference/t1", 0xcc539301ec5e553d),
+    ("dec/fused/shape1/p0.1/reference-sm/t1", 0x569d80b271c587bd),
+    ("dec/epilogue/shape1/p0.1/forward/t1", 0xb876a67a25a07ad0),
+    ("dec/epilogue/shape1/p0.1/forward-sm/t1", 0x90acec8b15c782bb),
     ("dec/epilogue/shape1/p0.1/forward_into/t1", 0x05138b133ad38e77),
-    ("dec/epilogue/shape1/p0.1/forward/t2", 0x3c9da33199484f8e),
+    ("dec/epilogue/shape1/p0.1/forward/t2", 0xb876a67a25a07ad0),
+    ("dec/epilogue/shape1/p0.1/forward-sm/t2", 0x90acec8b15c782bb),
     ("dec/epilogue/shape1/p0.1/forward_into/t2", 0x05138b133ad38e77),
-    ("dec/epilogue/shape1/p0.1/reference/t1", 0xb61448b0bedb2e56),
+    ("dec/epilogue/shape1/p0.1/reference/t1", 0xff450d60aedde054),
+    ("dec/epilogue/shape1/p0.1/reference-sm/t1", 0xd04c8e59567a2c5f),
     ("decode", 0x232a6e62a2135165),
     ("kernels/layout0", 0xacd062825dc14328),
     ("kernels/layout1", 0x9e6ca3e8c9dabbc0),
