@@ -2,9 +2,11 @@
 //! and normalization operators saves memory traffic, so the fused kernels
 //! beat the composition of unfused ones on actual hardware — not only in
 //! the V100 model. Forward (BRD, SM, BDRLN) and backward (BLNRD, BDRB, BS,
-//! at the `train_step` workload's shapes in its natural layouts); printed,
-//! never gated — EXPERIMENTS.md, "Backward kernels on the lane layer",
-//! records the numbers.
+//! at the `train_step` workload's shapes in its natural layouts); and the
+//! attention core as one region against the three arena steps it replaces,
+//! at the `longseq_fwd` and `bert_fwd` shapes. Printed, never gated —
+//! EXPERIMENTS.md, "Backward kernels on the lane layer" and "Attention
+//! region", records the numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::distributions::Uniform;
@@ -12,7 +14,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
+use xform_tensor::into_ops::{
+    attention_into, contract_into, sm_into, AttentionPlan, ContractPlan, Sweep, View,
+};
+use xform_tensor::lanes::Dropout;
 use xform_tensor::ops::dropout::{dropout, dropout_backward, dropout_disabled};
 use xform_tensor::ops::elementwise::{
     activate_backward, add, bias_add, bias_grad, relu, scale, ActivationKind,
@@ -190,6 +197,75 @@ fn bench_bs(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_attention_core(c: &mut Criterion) {
+    // QKT → scale/mask/softmax/dropout → Gamma over natural-layout
+    // projections, p = 0: the three `*_into` drivers a fused plan's arena
+    // ran as three steps (each `[h,b,j,k]` tensor written and read back)
+    // against the region that keeps them in a panel of query rows
+    let mut group = c.benchmark_group("attention core: region vs chain");
+    for (name, b, j, h, p, causal) in [
+        ("longseq_fwd", 2, 512, 8, 16, Some(0)),
+        ("bert_fwd", 4, 128, 8, 64, None),
+    ] {
+        let sizes = [('p', p), ('w', p), ('h', h), ('b', b), ('j', j), ('k', j)];
+        let t = |spec: &str, seed| rand_t(Shape::from_spec(spec, &sizes).unwrap(), seed);
+        let (qq, kk, vv) = (t("phbj", 23), t("phbk", 24), t("whbk", 25));
+        let (beta, gam) = (t("hbjk", 26), t("whbj", 27));
+        let qkt: EinsumSpec = "phbk,phbj->hbjk".parse().unwrap();
+        let gamma: EinsumSpec = "whbk,hbjk->whbj".parse().unwrap();
+        let scaler = 1.0 / (p as f32).sqrt();
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut out = vec![0.0f32; gam.len()];
+
+        let strides = |t: &Tensor| t.strides().to_vec();
+        let of = |t: &Tensor| (t.shape().sizes().to_vec(), strides(t));
+        let (a, bq, v) = (of(&kk), of(&qq), of(&vv));
+        let plan = AttentionPlan::compile(
+            &qkt,
+            &gamma,
+            (&a.0, &a.1),
+            (&bq.0, &bq.1),
+            (&v.0, &v.1),
+            gam.strides(),
+        )
+        .unwrap();
+        let mut scratch = vec![0.0f32; plan.scratch_words()];
+        group.bench_function(BenchmarkId::new("region", name), |bch| {
+            bch.iter(|| {
+                let drop = &mut Dropout::new(0.0, &mut rng).unwrap();
+                let (k, q, v) = (kk.data(), qq.data(), vv.data());
+                attention_into(&plan, k, q, v, scaler, causal, drop, &mut scratch, &mut out);
+                black_box(out[0])
+            })
+        });
+
+        let compile = |spec, a: &Tensor, b: &Tensor, out: &Tensor| {
+            let (sa, sb) = (strides(a), strides(b));
+            ContractPlan::compile(spec, a.shape(), &sa, b.shape(), &sb, out.strides()).unwrap()
+        };
+        let (p_qkt, p_gamma) = (
+            compile(&qkt, &kk, &qq, &beta),
+            compile(&gamma, &vv, &beta, &gam),
+        );
+        let whole = View::whole(beta.shape().sizes(), beta.strides());
+        let sweep = Sweep::compile(&[&whole; 4], Some(3), causal.map(|_| 2)).unwrap();
+        let n = beta.len();
+        let (mut scores, mut att) = (vec![0.0f32; n], vec![0.0f32; n]);
+        let (mut alpha, mut mask) = (vec![0.0f32; n], vec![0.0f32; n]);
+        group.bench_function(BenchmarkId::new("chain", name), |bch| {
+            bch.iter(|| {
+                let drop = &mut Dropout::new(0.0, &mut rng).unwrap();
+                contract_into(&p_qkt, kk.data(), qq.data(), &mut scores, &mut []);
+                let (y, a, m) = (&mut att, &mut alpha, &mut mask);
+                sm_into(&sweep, &scores, scaler, causal, drop, y, a, m);
+                contract_into(&p_gamma, vv.data(), &alpha, &mut out, &mut []);
+                black_box(out[0])
+            })
+        });
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -200,6 +276,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_brd, bench_sm, bench_bdrln, bench_blnrd, bench_bdrb, bench_bs
+    targets = bench_brd, bench_sm, bench_bdrln, bench_blnrd, bench_bdrb, bench_bs,
+        bench_attention_core
 }
 criterion_main!(benches);

@@ -8,7 +8,13 @@
 //! raises. The audited set includes the GEMM-epilogue mega-kernel plans,
 //! which must beat their unfused counterparts on the static account:
 //! `D` strictly lower with `Q` unchanged and a strictly smaller serial
-//! arena slab — violations fail the audit. With `--check` it exits
+//! arena slab — violations fail the audit. Every canned plan behind a fused
+//! `SM` runs its attention core as one region, so none but the unfused
+//! reference may hold a container with both a query and a key axis — the
+//! `[h,b,j,k]` tensors are virtual; one that does fails the audit too. The
+//! recipe-selected plan is lowered over the graph the fusion table alone
+//! leaves (regions and epilogues are properties of the canned plans), so
+//! its row moves only when the recipe does. With `--check` it exits
 //! non-zero if any plan carries an error-severity lint or any plan's
 //! static MUE regresses below the checked-in floor in
 //! `crates/bench/baseline_static_mue.txt` — CI uses this to fail the
@@ -48,11 +54,13 @@ use xform_core::analyze::{
     ArenaGranularity, PlanLint, Severity,
 };
 use xform_core::cachemodel::{cache_audit, CacheGeometry, CACHE_GEOM_ENV};
+use xform_core::fusion::{apply_plan, encoder_fusion_plan};
 use xform_core::plan::ExecutionPlan;
+use xform_core::recipe::forward_ops;
 use xform_core::sanitize::{certify, env_setting};
 use xform_core::selection::select_forward;
 use xform_core::sweep::{sweep_all, SimulatorSource, SweepOptions, SweepResult};
-use xform_dataflow::{EncoderDims, Graph, NodeId};
+use xform_dataflow::{build, EncoderDims, Graph, NodeId};
 use xform_gpusim::mue::Mue;
 use xform_gpusim::DeviceSpec;
 use xform_transformer::interp;
@@ -189,6 +197,26 @@ fn report_access(title: &str, graph: &Graph, plan: &ExecutionPlan, natural: bool
     errors
 }
 
+/// The attention region's static gate: no canned plan other than the
+/// unfused reference — the recipe's plan is not canned — may touch a
+/// container with both a query (`j`) and a key (`k`) axis; the `[h,b,j,k]`
+/// tensors belong inside the region. Returns 1 for a plan that does.
+fn scores_materialized(key: &str, graph: &Graph, plan: &ExecutionPlan) -> usize {
+    let both = |o: &&xform_core::plan::Operand| {
+        let has =
+            |axis| (graph.data(o.data)).is_some_and(|d| d.shape.contains(xform_tensor::Axis(axis)));
+        has('j') && has('k')
+    };
+    let operands = (plan.steps.iter()).flat_map(|s| s.inputs.iter().chain(&s.outputs));
+    match operands.filter(both).map(|o| o.name.as_str()).next() {
+        Some(name) if !["encoder-reference", "recipe-selected"].contains(&key) => {
+            eprintln!("FAIL: {key} materializes `{name}`, a container with a query and a key axis");
+            1
+        }
+        _ => 0,
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn report(
     title: &'static str,
@@ -250,7 +278,7 @@ fn report(
     let arena_waves = assign_arena(&analysis, ArenaGranularity::Waves);
     analysis.lints.extend(arena_serial.lints.iter().cloned());
     analysis.lints.extend(arena_waves.lints.iter().cloned());
-    let errors = analysis.errors().len();
+    let errors = analysis.errors().len() + scores_materialized(key, graph, plan);
     let movement = audit(graph, plan, device);
     let cache = cache_on.then(|| {
         let ca = cache_audit(graph, plan, device, &audit_geometry(device));
@@ -392,19 +420,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let project = interp::cached_plan(&project_dims, interp::PlanKind::DecoderStepProject)?;
     let step = interp::cached_plan(&step_dims, interp::PlanKind::DecoderStep)?;
 
-    // the recipe: simulator sweeps over the fused graph, SSSP layout
-    // selection, lowered to a schedule — audited statically like the rest
-    let fwd: Vec<NodeId> = fused.plan.steps.iter().map(|s| s.op).collect();
+    // the recipe: simulator sweeps over the fused graph — the fusion table
+    // applied and nothing else, as `optimize_encoder` builds it — SSSP
+    // layout selection, lowered to a schedule and audited like the rest
+    let recipe = build::encoder(&dims);
+    let mut recipe_graph = recipe.graph;
+    apply_plan(&mut recipe_graph, &encoder_fusion_plan())?;
+    let fwd = forward_ops(&recipe_graph, recipe.dy);
     let sweeps = sweep_all(
         &SimulatorSource::default(),
-        &fused.graph,
+        &recipe_graph,
         SweepOptions {
             max_configs: Some(2000),
             ..SweepOptions::default()
         },
     )?;
-    let sel = select_forward(&fused.graph, &device, &fwd, &sweeps)?;
-    let selected = ExecutionPlan::lower(&fused.graph, &sel)?;
+    let sel = select_forward(&recipe_graph, &device, &fwd, &sweeps)?;
+    let selected = ExecutionPlan::lower(&recipe_graph, &sel)?;
 
     let results = [
         report(
@@ -460,7 +492,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report(
             "Recipe-selected (simulator sweeps + SSSP layouts)",
             "recipe-selected",
-            &fused.graph,
+            &recipe_graph,
             &selected,
             Some(&sweeps),
             &device,

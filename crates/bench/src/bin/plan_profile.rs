@@ -58,14 +58,16 @@ use xform_bench::cli::{Cli, CHECK, JSON};
 use xform_core::analyze::audit;
 use xform_core::cachemodel::{trace_plan, CacheGeometry, CACHE_GEOM_ENV};
 use xform_core::cpusource::CpuSource;
-use xform_core::plan::{random_externals, ExecOptions};
+use xform_core::fusion::{apply_plan, encoder_fusion_plan};
+use xform_core::plan::{random_externals, ExecOptions, ExecutionPlan};
 use xform_core::profile::{
     profile_plan, reselect_cost, CountingAlloc, PlanProfiler, ProfilerSink, Reselection,
 };
+use xform_core::recipe::forward_ops;
 use xform_core::sanitize::env_setting;
 use xform_core::selection::CostModel;
 use xform_core::sweep::SweepOptions;
-use xform_dataflow::{EncoderDims, Graph, OpClass};
+use xform_dataflow::{build, EncoderDims, Graph, OpClass};
 use xform_gpusim::DeviceSpec;
 use xform_tensor::{Shape, Tensor};
 use xform_transformer::decode::{DecodeOptions, DecodeSession, Sampling};
@@ -255,6 +257,11 @@ impl DramRow {
 /// not dwarf the hierarchy (at least 4× the LLC) are reported but not
 /// gated: residency makes their DRAM traffic legitimately smaller than
 /// their byte account.
+///
+/// The schedule is the fused encoder with `SM` a step of its own — the
+/// fusion table applied and nothing else, as every recipe-lowered plan runs
+/// it: the canned plan keeps the softmax inside its attention region, where
+/// it has no bytes to account.
 fn dram_rows(reps: usize) -> Result<(Vec<DramRow>, u64), Box<dyn std::error::Error>> {
     let geom = validation_geometry();
     let llc = geom.largest_bytes().max(64 * 1024);
@@ -293,10 +300,13 @@ fn dram_rows(reps: usize) -> Result<(Vec<DramRow>, u64), Box<dyn std::error::Err
     ];
     let mut rows = Vec::new();
     for (tag, d) in shapes {
-        let pf = interp::cached_plan(&d, interp::PlanKind::EncoderFused)?;
-        let base = random_externals(&pf.graph, &pf.plan, 11)?;
-        let prof = profile_plan(&pf.graph, &pf.plan, &base, &ExecOptions::default(), reps)?;
-        let traffic = trace_plan(&pf.graph, &pf.plan, &geom, 4);
+        let eg = build::encoder(&d);
+        let mut graph = eg.graph;
+        apply_plan(&mut graph, &encoder_fusion_plan())?;
+        let plan = ExecutionPlan::natural(&graph, &forward_ops(&graph, eg.dy))?;
+        let base = random_externals(&graph, &plan, 11)?;
+        let prof = profile_plan(&graph, &plan, &base, &ExecOptions::default(), reps)?;
+        let traffic = trace_plan(&graph, &plan, &geom, 4);
         for s in prof
             .steps()
             .filter(|s| s.class == OpClass::StatisticalNormalization)

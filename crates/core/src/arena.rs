@@ -126,8 +126,12 @@ struct StepExec {
     /// a relayout, the gather packs of a contraction (none for the canned
     /// plans), and for the epilogue class the packed B panels and the
     /// output tile — the contraction output of a mega-kernel has no slab
-    /// slot.
+    /// slot — and for the attention region its packed K and V panels and
+    /// its panel of query rows.
     scratch: BufView,
+    /// The dropout stream the step draws from
+    /// ([`ExecutionPlan::stream_of`]).
+    stream: usize,
 }
 
 /// An external input the caller binds into the slab before execution.
@@ -284,11 +288,14 @@ impl ArenaRun {
     }
 }
 
-/// The RNG stream of step `si`: a function of the run's seed and the step
-/// index alone, so stochastic kernels (dropout with `p > 0`) draw the same
-/// masks at any thread count and in any dispatch order.
-fn step_rng(seed: u64, si: usize) -> StdRng {
-    StdRng::seed_from_u64(seed ^ (si as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+/// RNG stream number `stream` of a run seeded `seed`: what the step that
+/// [`ExecutionPlan::stream_of`] gives that number draws from. A function of
+/// the seed and the step's place in the schedule alone, so stochastic
+/// kernels (dropout with `p > 0`) draw the same masks at any thread count
+/// and in any dispatch order — and whoever knows the two can draw a step's
+/// masks again.
+pub fn step_rng(seed: u64, stream: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (stream as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// One artifact surfaced to the sink after an arena execution. Borrows
@@ -460,7 +467,8 @@ impl CompiledArena {
         let mut stats_words = 0usize;
         let mut stats_out = Vec::new();
         for (si, step) in plan.steps.iter().enumerate() {
-            let exec = compile_step(graph, step, &view_of, &mut stats_words, &mut stats_out)
+            let stream = plan.stream_of(si);
+            let exec = compile_step(graph, step, stream, &view_of, &mut stats_words, &mut stats_out)
                 .ok_or_else(|| match strided_tail(graph, step) {
                     Some(o) => TensorError::Unsupported(format!(
                         "step {si} (`{}`): GEMM-epilogue tail stream `{}` is declared in layout `{}`; tail streams must be in natural layout",
@@ -838,8 +846,9 @@ impl CompiledArena {
                 data,
                 ..
             } => {
-                let mut t = Tensor::zeros_with_layout(shape.clone(), layout.clone());
-                t.data_mut().copy_from_slice(data);
+                // one pass over the words: no zero fill ahead of the copy
+                let t = Tensor::from_vec_with_layout(shape.clone(), layout.clone(), data.to_vec())
+                    .expect("a slot holds its container's words");
                 out.env.insert(name.to_string(), t);
             }
             ArenaArtifact::Stats {
@@ -1054,6 +1063,7 @@ fn strided_tail<'s>(graph: &Graph, step: &'s PlanStep) -> Option<&'s crate::plan
 fn compile_step(
     graph: &Graph,
     step: &PlanStep,
+    stream: usize,
     view_of: &HashMap<NodeId, BufView>,
     stats_words: &mut usize,
     stats_out: &mut Vec<StatsSpec>,
@@ -1099,6 +1109,7 @@ fn compile_step(
         relayouts,
         stats,
         scratch,
+        stream,
     })
 }
 
@@ -1111,7 +1122,7 @@ fn compile_step(
 /// step, and no other thread may be executing step `si` — each step index
 /// sits in exactly one wave and is claimed exactly once.
 unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRun) {
-    let mut rng = step_rng(run.seed, si);
+    let mut rng = step_rng(run.seed, steps[si].stream);
     let t0 = run.timed.then(Instant::now);
     // SAFETY: the caller's contract is `run_step`'s.
     unsafe { run_step(&steps[si], mem, run, &mut rng) };
@@ -1207,17 +1218,9 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
         Kernel::ContractEpilogue {
             plan,
             tile_rows,
-            causal,
             tail,
         } => {
             let mut epilogue = match tail {
-                Tail::Sm => into_ops::TileEpilogue::Softmax {
-                    scaler: run.scaler,
-                    causal: pos(*causal),
-                    softmax: w(2),
-                    alpha: w(3),
-                    mask: w(4),
-                },
                 Tail::BrdAct => into_ops::TileEpilogue::BiasActDrop {
                     bias: r(2),
                     kind: run.activation,
@@ -1242,6 +1245,10 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
                 drop,
                 &mut epilogue,
             );
+        }
+        Kernel::Attention { plan, causal } => {
+            let (c, tile) = (pos(*causal), scratch());
+            into_ops::attention_into(plan, r(0), r(1), r(2), run.scaler, c, drop, tile, w(3));
         }
     }
 }

@@ -29,7 +29,9 @@
 //! * [`cache_lints`] surfaces the findings as typed
 //!   [`crate::analyze::PlanLint`]s: `TileOverflow` (a
 //!   [`ContractionEpilogue`](xform_dataflow::OpKind::ContractionEpilogue)
-//!   tile's working set exceeds L1/L2), `CacheThrash` (predicted
+//!   tile's working set exceeds L1/L2, or an attention region's panel of
+//!   query rows with its packed K and V panels exceeds L2), `CacheThrash`
+//!   (predicted
 //!   capacity-miss ratio on re-referenced words above
 //!   [`THRASH_MISS_THRESHOLD`]), and `LayoutConflict` (a strided sweep
 //!   whose lead dimension aliases cache sets);
@@ -56,7 +58,8 @@ use xform_gpusim::{DeviceSpec, KernelCost};
 
 use crate::access::step_accesses;
 use crate::analyze::{self, PlanLint};
-use crate::plan::{epilogue_geometry, ExecutionPlan, Operand, PlanStep};
+use crate::lower::{lower_step, Kernel};
+use crate::plan::{ExecutionPlan, Operand, PlanStep};
 use crate::sanitize::env_setting;
 use crate::selection::RELAYOUT_BANDWIDTH_FRAC;
 
@@ -586,7 +589,7 @@ pub fn cache_audit(
     let wb = device.word_bytes as u64;
     let flat = analyze::audit(graph, plan, device);
     let traffic = trace_plan(graph, plan, geometry, wb);
-    let chains = crate::fusion::detect_epilogues(graph);
+    let chains = crate::fusion::avoidable_chains(graph);
     let mut avoid: HashMap<NodeId, u64> = HashMap::new();
     for c in &chains {
         *avoid.entry(c.head).or_insert(0) += c.interim_words;
@@ -689,7 +692,10 @@ pub fn cache_audit(
 /// * [`PlanLint::TileOverflow`] — a `ContractionEpilogue` tile's hot set
 ///   (`tile_rows · (n + k)` accumulator + A-panel words) exceeds the
 ///   smallest level, or the tile plus the streamed `k · n` B panel
-///   exceeds the largest;
+///   exceeds the largest; or an attention region's working set — its
+///   panels of `tile_rows · k` scores and weights and one slice's packed K
+///   and V panels, the step's scratch — exceeds the second level (L2),
+///   where the region is built to keep them;
 /// * [`PlanLint::CacheThrash`] — a step re-references at least
 ///   [`THRASH_MIN_REUSE_WORDS`] words but more than
 ///   [`THRASH_MISS_THRESHOLD`] of them sit beyond every level's capacity;
@@ -721,55 +727,35 @@ fn cache_lints_with(
     let first = &geometry.levels[0];
     let last = geometry.levels.last().unwrap();
     for (si, step) in plan.steps.iter().enumerate() {
-        // tile working sets of GEMM-epilogue mega-kernels
-        if let OpKind::ContractionEpilogue {
-            spec,
-            parts,
-            reduce_axis,
-            ..
-        } = &step.kind
-        {
-            let in_ids = graph.inputs_of(step.op);
-            let out_ids = graph.outputs_of(step.op);
-            let shape_of = |id: NodeId| graph.data(id).map(|d| d.shape.clone());
-            let a_c = in_ids.first().and_then(|&i| shape_of(i));
-            let b_c = in_ids.get(1).and_then(|&i| shape_of(i));
-            let out_c = out_ids.first().and_then(|&i| shape_of(i));
-            let bias = in_ids.get(2).and_then(|&i| shape_of(i));
-            let res = in_ids.get(3).and_then(|&i| shape_of(i));
-            let geom = match (&a_c, &b_c, &out_c) {
-                (Some(a_c), Some(b_c), Some(out_c)) => epilogue_geometry(
-                    spec,
-                    parts,
-                    *reduce_axis,
-                    a_c,
-                    b_c,
-                    out_c,
-                    bias.as_ref(),
-                    res.as_ref(),
-                ),
-                _ => None,
-            };
-            if let Some(g) = geom {
-                let (tile, panel) = crate::fusion::epilogue_tile_words(&g);
-                if tile * wb > first.size_bytes {
-                    lints.push(PlanLint::TileOverflow {
-                        step: si,
-                        name: step.name.clone(),
-                        tile_bytes: tile * wb,
-                        level: first.name.clone(),
-                        capacity_bytes: first.size_bytes,
-                    });
-                } else if panel * wb > last.size_bytes {
-                    lints.push(PlanLint::TileOverflow {
-                        step: si,
-                        name: step.name.clone(),
-                        tile_bytes: panel * wb,
-                        level: last.name.clone(),
-                        capacity_bytes: last.size_bytes,
-                    });
-                }
+        // working sets of the kernels that keep something hot between
+        // contractions, each against the level meant to hold it
+        let collapsed = matches!(
+            step.kind,
+            OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. }
+        );
+        let lowered = collapsed.then(|| lower_step(graph, step)).flatten();
+        let hot = match lowered.map(|l| l.kernel) {
+            Some(Kernel::ContractEpilogue {
+                plan, tile_rows, ..
+            }) => {
+                let (tile, panel) = crate::fusion::epilogue_tile_words(&plan, tile_rows);
+                let spills = tile * wb > first.size_bytes;
+                Some(if spills { (tile, first) } else { (panel, last) })
             }
+            Some(Kernel::Attention { plan, .. }) => {
+                let l2 = geometry.levels.get(1).unwrap_or(first);
+                Some((plan.scratch_words() as u64, l2))
+            }
+            _ => None,
+        };
+        if let Some((words, level)) = hot.filter(|(words, l)| words * wb > l.size_bytes) {
+            lints.push(PlanLint::TileOverflow {
+                step: si,
+                name: step.name.clone(),
+                tile_bytes: words * wb,
+                level: level.name.clone(),
+                capacity_bytes: level.size_bytes,
+            });
         }
         // capacity thrash: reuse exists but overwhelmingly misses
         let t = &traffic.per_step[si];

@@ -10,12 +10,29 @@
 //! additionally pins down the exact Table III grouping (including the
 //! launch-count-driven merge of `Bias 2 dW` into `BDRB`, which the paper
 //! chose manually "to perform fewer kernel launches").
+//!
+//! Two further passes go where the paper stops — at the contractions — and
+//! are properties of the *canned* plans (`xform_transformer::interp`), not
+//! of the fusion tables, so every recipe-swept and paper-table graph stays
+//! as the paper has it:
+//!
+//! * [`apply_regions`] collapses the attention core `QKT → SM → Gamma`
+//!   into one [`OpKind::AttentionRegion`] that works a panel of query rows
+//!   at a time: the `[h,b,j,k]` tensors between the two contractions are
+//!   never materialized (in a training graph `QKT → SM` stays behind as the
+//!   backward side's rematerialization);
+//! * [`apply_epilogues`], after it, collapses each remaining contraction →
+//!   bias-class-kernel pair into an [`OpKind::ContractionEpilogue`].
+//!
+//! Both are bit for bit the chains they replace. A plan that keeps a chain
+//! audits its intermediate as avoidable movement ([`avoidable_chains`]).
 
 use xform_dataflow::{DataRole, Graph, NodeId, OpClass, OpKind};
-use xform_tensor::{Result, TensorError};
+use xform_tensor::into_ops::{AttentionPlan, ContractPlan};
+use xform_tensor::{Layout, Result, TensorError};
 
 use crate::itspace::{fusion_compatible, op_iter_space};
-use crate::plan::{epilogue_geometry, EpilogueGeom};
+use crate::plan::{classify_fused, epilogue_geometry, FusedClass};
 
 /// One planned fused kernel: a name and the member operator names.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -438,10 +455,7 @@ fn epilogue_candidate(graph: &Graph, head: NodeId) -> Option<EpilogueChain> {
         return None;
     };
     let tail_node = graph.op(tail)?;
-    let OpKind::Fused {
-        parts, reduce_axis, ..
-    } = &tail_node.kind
-    else {
+    let OpKind::Fused { parts, .. } = &tail_node.kind else {
         return None;
     };
     let tail_inputs = graph.inputs_of(tail);
@@ -456,7 +470,6 @@ fn epilogue_candidate(graph: &Graph, head: NodeId) -> Option<EpilogueChain> {
     epilogue_geometry(
         spec,
         parts,
-        *reduce_axis,
         &a_c,
         &b_c,
         &mid_d.shape,
@@ -489,11 +502,134 @@ pub fn apply_epilogues(graph: &mut Graph) -> Result<Vec<NodeId>> {
     Ok(out)
 }
 
+/// Every contraction → fused-kernel link of `graph` whose intermediate a
+/// collapsing pass would eliminate: the chains of [`detect_epilogues`], and
+/// the `QKT → SM` link of each of [`detect_regions`]' cores. What a plan over
+/// `graph` moves through those intermediates is pure movement, not
+/// algorithmic demand — the audits ([`crate::analyze::audit`],
+/// [`crate::cachemodel::cache_audit`], the profiler) count it into `D` and
+/// out of `Q`, so collapsing a chain lowers `D` at constant `Q`.
+pub fn avoidable_chains(graph: &Graph) -> Vec<EpilogueChain> {
+    let scores = detect_regions(graph).into_iter().map(|c| c.scores);
+    detect_epilogues(graph).into_iter().chain(scores).collect()
+}
+
 /// Total words of data movement the detected chains would eliminate: each
 /// interim is written once by the contraction and read once by the chain,
 /// so fusing removes `2 × interim_words` per chain.
 pub fn epilogue_interim_words(chains: &[EpilogueChain]) -> u64 {
     chains.iter().map(|c| 2 * c.interim_words).sum()
+}
+
+/// One detected attention core: the scores contraction, the fused softmax
+/// kernel that alone reads its output, and the context contraction that
+/// reads the softmax kernel's dropped-out weights.
+#[derive(Debug, Clone)]
+pub struct RegionChain {
+    /// The scores contraction (`QKT`, the head), the fused scale / mask /
+    /// softmax / dropout kernel (`SM`, the tail) and the scores container
+    /// between them: like an epilogue chain's intermediate, an interim
+    /// activation written once and read back once for nothing.
+    pub scores: EpilogueChain,
+    /// The context contraction (`Gamma`).
+    pub tail: NodeId,
+    /// The region's name (`QKT+SM+Gamma`).
+    pub name: String,
+}
+
+/// Detects attention cores the region kernel can run a panel of query rows
+/// at a time: `QKT → SM → Gamma` as [`xform_dataflow::build`]'s attention
+/// emitter writes it for `encoder`, `decoder`, `mha_forward` and
+/// `decoder_step_attend`, position-major caches included. The softmax
+/// kernel must be the *fused* one — run this after [`apply_plan`] — so an
+/// unfused graph (the reference executor's, the oracle) has none.
+pub fn detect_regions(graph: &Graph) -> Vec<RegionChain> {
+    let candidate = |tail: NodeId| -> Option<RegionChain> {
+        let OpKind::Einsum(gamma) = &graph.op(tail)?.kind else {
+            return None;
+        };
+        let [values, weights] = graph.inputs_of(tail)[..] else {
+            return None;
+        };
+        let mid = graph.producer_of(weights)?;
+        let OpKind::Fused {
+            parts, reduce_axis, ..
+        } = &graph.op(mid)?.kind
+        else {
+            return None;
+        };
+        let FusedClass::Softmax { .. } = classify_fused(parts)? else {
+            return None;
+        };
+        let [scores] = graph.inputs_of(mid)[..] else {
+            return None;
+        };
+        let head = graph.producer_of(scores)?;
+        let OpKind::Einsum(qkt) = &graph.op(head)?.kind else {
+            return None;
+        };
+        let ([a, b], [out]) = (&graph.inputs_of(head)[..], &graph.outputs_of(tail)[..]) else {
+            return None;
+        };
+        // SM writes [softmax, dropped-out weights, mask], its lanes the
+        // scores' rows
+        let scores_node = graph.data(scores)?;
+        if graph.outputs_of(mid).get(1) != Some(&weights)
+            || scores_node.shape.axes().last() != reduce_axis.as_ref()
+            || scores_node.role != DataRole::Activation
+            || graph.consumers_of(scores) != [mid]
+        {
+            return None;
+        }
+        // what the lowering will compile, over natural layouts
+        let natural = |id: NodeId| {
+            let shape = &graph.data(id)?.shape;
+            Some((
+                shape.sizes(),
+                Layout::row_major(shape.rank()).strides(shape),
+            ))
+        };
+        let (a, b, v, out) = (natural(*a)?, natural(*b)?, natural(values)?, natural(*out)?);
+        AttentionPlan::compile(qkt, gamma, (a.0, &a.1), (b.0, &b.1), (v.0, &v.1), &out.1)?;
+        let name = |op: NodeId| graph.op(op).map_or("", |o| &o.name);
+        let scores = EpilogueChain {
+            head,
+            tail: mid,
+            interim: scores,
+            interim_words: scores_node.shape.num_elements() as u64,
+            name: format!("{}+{}", name(head), name(mid)),
+        };
+        Some(RegionChain {
+            name: format!("{}+{}", scores.name, name(tail)),
+            scores,
+            tail,
+        })
+    };
+    graph.ops().into_iter().filter_map(candidate).collect()
+}
+
+/// Collapses every detected attention core into an
+/// [`OpKind::AttentionRegion`] ([`Graph::fuse_region`]): the `[h,b,j,k]`
+/// tensors between the two contractions leave the forward side of the graph
+/// — gone from a forward-only graph, kept in a training graph only as the
+/// rematerialization `QKT → SM` that feeds the backward operators
+/// ([`crate::recipe::forward_ops`] leaves it out of the forward schedule).
+/// `span` is the number of schedule positions the region stands for
+/// ([`crate::plan::ExecutionPlan::stream_of`]): the chain's three, or two
+/// for a plan family that ran `QKT+SM` as one step. Returns the new op ids
+/// in detection order.
+///
+/// A property of the canned plans, like [`apply_epilogues`]: the graph
+/// builders and the fusion tables stay as the paper has them.
+///
+/// # Errors
+///
+/// Propagates [`Graph::fuse_region`] errors.
+pub fn apply_regions(graph: &mut Graph, span: usize) -> Result<Vec<NodeId>> {
+    let chains = detect_regions(graph);
+    let fuse =
+        |c: RegionChain| graph.fuse_region(c.scores.head, c.scores.tail, c.tail, &c.name, span);
+    chains.into_iter().map(fuse).collect()
 }
 
 /// Working-set words of one epilogue tile: `(tile, panel)` where `tile` is
@@ -504,9 +640,9 @@ pub fn epilogue_interim_words(chains: &[EpilogueChain]) -> u64 {
 /// The cache analyzer compares `tile` against the innermost level and
 /// `panel` against the outermost to flag
 /// [`PlanLint::TileOverflow`](crate::analyze::PlanLint::TileOverflow).
-pub(crate) fn epilogue_tile_words(geom: &EpilogueGeom) -> (u64, u64) {
-    let tile = (geom.tile_rows * (geom.plan.n + geom.plan.k)) as u64;
-    (tile, tile + (geom.plan.k * geom.plan.n) as u64)
+pub(crate) fn epilogue_tile_words(plan: &ContractPlan, tile_rows: usize) -> (u64, u64) {
+    let tile = (tile_rows * (plan.n + plan.k)) as u64;
+    (tile, tile + (plan.k * plan.n) as u64)
 }
 
 #[cfg(test)]
@@ -685,7 +821,8 @@ mod tests {
         let chains = detect_epilogues(&g);
         let mut names: Vec<&str> = chains.iter().map(|c| c.name.as_str()).collect();
         names.sort_unstable();
-        assert_eq!(names, ["Linear 1+BRD", "QKT+SM"], "chains: {chains:?}");
+        // (the softmax behind QKT is the region pass's, not an epilogue)
+        assert_eq!(names, ["Linear 1+BRD"], "chains: {chains:?}");
         for c in &chains {
             assert!(c.interim_words > 0);
         }
@@ -705,7 +842,7 @@ mod tests {
         names.sort_unstable();
         assert_eq!(
             names,
-            ["Linear 1+BRD", "Linear 2+BDR2", "Out+BDR", "QKT+SM"],
+            ["Linear 1+BRD", "Linear 2+BDR2", "Out+BDR"],
             "chains: {chains:?}"
         );
     }
@@ -727,22 +864,133 @@ mod tests {
         let chains = detect_epilogues(&g);
         let expect = epilogue_interim_words(&chains);
         let mega = apply_epilogues(&mut g).unwrap();
-        assert_eq!(mega.len(), 2);
+        assert_eq!(mega.len(), 1);
         for &id in &mega {
             assert!(matches!(
                 g.op(id).unwrap().kind,
                 OpKind::ContractionEpilogue { .. }
             ));
         }
-        // the contraction outputs are gone...
-        for name in ["beta", "ff1"] {
-            assert!(g.data_by_name(name).is_none(), "{name} should be gone");
-        }
+        // the contraction output is gone...
+        assert!(g.data_by_name("ff1").is_none(), "ff1 should be gone");
         // ...and `interim_words_eliminated` prices both their write and
         // their read-back (satellite b): the memlet diff equals the
         // detector's avoidable-words total exactly.
         assert_eq!(interim_words_eliminated(&fused_only, &g), expect as i64);
         // idempotent: nothing left to detect
         assert!(detect_epilogues(&g).is_empty());
+    }
+
+    /// Everything the attention emitter writes a core for: one region each,
+    /// found only behind a *fused* softmax.
+    #[test]
+    fn region_detection_finds_the_core_of_every_fused_builder() {
+        let dims = EncoderDims::tiny();
+        let step = EncoderDims { j: 1, ..dims };
+        let sm = |masked: bool| {
+            let softmax = if masked {
+                "Masked softmax"
+            } else {
+                "Scaled softmax"
+            };
+            [FusionGroup::new("SM", &[softmax, "Dropout att"])]
+        };
+        let graphs = [
+            (build::encoder(&dims).graph, false),
+            (build::decoder(&dims).graph, true),
+            (build::mha_forward(&dims), false),
+            (build::decoder_step_attend(&step).graph, true),
+        ];
+        for (mut g, masked) in graphs {
+            assert!(detect_regions(&g).is_empty(), "unfused: the oracle's graph");
+            apply_plan(&mut g, &sm(masked)).unwrap();
+            let [chain] = &detect_regions(&g)[..] else {
+                panic!("one attention core");
+            };
+            assert_eq!(chain.name, "QKT+SM+Gamma");
+        }
+    }
+
+    #[test]
+    fn a_forward_only_region_deletes_the_core_and_its_tensors() {
+        let step = EncoderDims {
+            j: 1,
+            ..EncoderDims::tiny()
+        };
+        let mut g = build::decoder_step_attend(&step).graph;
+        apply_plan(
+            &mut g,
+            &[FusionGroup::new("SM", &["Masked softmax", "Dropout att"])],
+        )
+        .unwrap();
+        let before = g.total_io_words();
+        let [region] = apply_regions(&mut g, 3).unwrap()[..] else {
+            panic!("one region");
+        };
+        assert!(g.validate().is_empty(), "{:?}", g.validate());
+        for name in ["beta", "att", "alpha", "att_mask"] {
+            assert!(g.data_by_name(name).is_none(), "{name} should be gone");
+        }
+        for name in ["QKT", "SM", "Gamma"] {
+            assert!(g.op_by_name(name).is_none(), "{name} should be gone");
+        }
+        // reads the cache-major keys, the query column, the values; writes
+        // the context
+        let names = |ids: Vec<NodeId>| -> Vec<String> {
+            ids.iter()
+                .map(|&d| g.data(d).unwrap().name.clone())
+                .collect()
+        };
+        assert_eq!(names(g.inputs_of(region)), ["k_cache", "qq", "v_cache"]);
+        assert_eq!(names(g.outputs_of(region)), ["gamma"]);
+        let OpKind::AttentionRegion { parts, span, .. } = &g.op(region).unwrap().kind else {
+            panic!("a region");
+        };
+        assert_eq!(parts, &["QKT", "Masked softmax", "Dropout att", "Gamma"]);
+        assert_eq!(*span, 3);
+        // four writes and two read-backs of `[h,b,j,k]` left the graph
+        let hbjk = (step.h * step.b * step.j * step.k) as u64;
+        assert_eq!(before - g.total_io_words(), 6 * hbjk);
+        assert!(detect_regions(&g).is_empty(), "idempotent");
+    }
+
+    /// In a training graph the saved softmax bundle has backward readers:
+    /// QKT and SM stay as their rematerialization, off the forward schedule.
+    #[test]
+    fn a_training_region_leaves_the_core_as_backward_rematerialization() {
+        use crate::recipe::{backward_ops, forward_ops};
+        let eg = build::decoder(&EncoderDims::tiny());
+        let mut g = eg.graph;
+        apply_plan(&mut g, &decoder_fusion_plan()).unwrap();
+        let (fwd, bwd) = (forward_ops(&g, eg.dy), backward_ops(&g, eg.dy));
+        let [region] = apply_regions(&mut g, 3).unwrap()[..] else {
+            panic!("one region");
+        };
+        assert!(g.validate().is_empty(), "{:?}", g.validate());
+        let (qkt, sm) = (g.op_by_name("QKT").unwrap(), g.op_by_name("SM").unwrap());
+        assert!(g.op_by_name("Gamma").is_none());
+        // the forward schedule: the region where the three steps were
+        let after = forward_ops(&g, eg.dy);
+        assert_eq!(after.len() + 2, fwd.len());
+        assert!(after.contains(&region) && !after.contains(&qkt) && !after.contains(&sm));
+        // the backward side: what it was, behind the rematerialization
+        let after = backward_ops(&g, eg.dy);
+        assert_eq!(after.len(), bwd.len() + 2);
+        let at = |op| after.iter().position(|&o| o == op).unwrap();
+        let reader = g.op_by_name("BS").unwrap();
+        assert!(at(qkt) < at(sm) && at(sm) < at(reader));
+        // nothing the forward plan touches has a query and a key axis
+        let plan = crate::plan::ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
+        for o in plan
+            .steps
+            .iter()
+            .flat_map(|s| s.inputs.iter().chain(&s.outputs))
+        {
+            assert!(
+                !(o.layout.contains('j') && o.layout.contains('k')),
+                "{}",
+                o.name
+            );
+        }
     }
 }

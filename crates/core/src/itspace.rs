@@ -65,7 +65,7 @@ pub fn op_iter_space(graph: &Graph, op: NodeId) -> Result<IterSpace> {
         .ok_or_else(|| TensorError::Unsupported(format!("{op} is not an operator")))?;
     if matches!(
         node.kind,
-        OpKind::Einsum(_) | OpKind::ContractionEpilogue { .. }
+        OpKind::Einsum(_) | OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. }
     ) {
         return Err(TensorError::Unsupported(format!(
             "`{}` is a tensor contraction; its iteration space is handled by the GEMM path",

@@ -29,10 +29,11 @@
 //! stream in a non-natural layout): a compile error naming the step on the
 //! arena, conservative whole-buffer accesses in both certifiers. A new
 //! kernel class is one row here, one arm in the arena's `run_step`, and one
-//! arm in the reference interpreter.
+//! arm in the reference interpreter — as the attention region
+//! ([`Kernel::Attention`]) was.
 
 use xform_dataflow::{Graph, NodeId, OpKind};
-use xform_tensor::into_ops::{epilogue_contract_plan, ContractPlan, Sweep, View};
+use xform_tensor::into_ops::{epilogue_contract_plan, AttentionPlan, ContractPlan, Sweep, View};
 use xform_tensor::lanes::Walk;
 use xform_tensor::{Axis, Layout, Shape};
 
@@ -84,8 +85,6 @@ pub(crate) enum Role {
 /// The per-tile tail of a GEMM-epilogue mega-kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Tail {
-    /// Scaled (optionally causal) softmax + dropout.
-    Sm,
     /// Bias + activation + dropout.
     BrdAct,
     /// Bias + dropout + residual.
@@ -141,10 +140,17 @@ pub(crate) enum Kernel {
         plan: Box<ContractPlan>,
         /// Output rows per tile.
         tile_rows: usize,
-        /// Masked softmax tail (the query is the tile's row).
-        causal: bool,
         /// The per-tile chain.
         tail: Tail,
+    },
+    /// Attention region `[a, b, values, out]`: the scores contraction's
+    /// operands in its order, the values, the context — each where it lies,
+    /// through its declared strides.
+    Attention {
+        /// The two contractions over the operands' declared strides.
+        plan: Box<AttentionPlan>,
+        /// Masked: a query row sees the keys up to its own position.
+        causal: bool,
     },
 }
 
@@ -184,8 +190,9 @@ pub(crate) struct StepLowering {
 impl StepLowering {
     /// Scratch words the step needs beside its operands: the staging copy
     /// of its largest relayout, then (reusing it) the kernel's gather
-    /// packs, and for the epilogue class the packed B panels and the
-    /// output tile.
+    /// packs, for the epilogue class the packed B panels and the output
+    /// tile, and for the attention region the packed K and V panels and its
+    /// panel of query rows.
     pub(crate) fn scratch_words(&self) -> usize {
         let words = |r: &RelayoutCopy| r.dims.iter().map(|d| d.0).product();
         let staging = self.relayouts.iter().map(words).max().unwrap_or(0);
@@ -194,6 +201,7 @@ impl StepLowering {
             Kernel::ContractEpilogue {
                 plan, tile_rows, ..
             } => plan.epilogue_scratch_words(*tile_rows),
+            Kernel::Attention { plan, .. } => plan.scratch_words(),
             _ => 0,
         })
     }
@@ -450,15 +458,10 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             }
             FusedClass::Norm => norm((*reduce_axis)?)?,
         },
-        OpKind::ContractionEpilogue {
-            spec,
-            parts,
-            reduce_axis,
-            ..
-        } => {
+        OpKind::ContractionEpilogue { spec, parts, .. } => {
             let (&a, &b, &out) = (ins.first()?, ins.get(1)?, outs.first()?);
             let (bias, residual) = (ins.get(2).copied(), ins.get(3).copied());
-            let geom = epilogue_geometry(spec, parts, *reduce_axis, a, b, out, bias, residual)?;
+            let geom = epilogue_geometry(spec, parts, a, b, out, bias, residual)?;
             // A and B are read where they lie; the tile is the natural
             // output order whatever they are
             let (a_s, b_s, lbl) = labelled_shapes(spec, a, b)?;
@@ -475,7 +478,6 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             };
             let ab = || swept(Gemm, 2);
             let (tail, inputs, n_out) = match geom.class {
-                FusedClass::Softmax { .. } => (Tail::Sm, ab(), 3),
                 FusedClass::BiasActDrop => (Tail::BrdAct, [ab(), vec![tile_bias()]].concat(), 3),
                 FusedClass::BiasDropResidual => {
                     let residual = (Gemm, whole(Slot::In(3)));
@@ -496,16 +498,36 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             let kernel = Kernel::ContractEpilogue {
                 plan: Box::new(plan),
                 tile_rows: geom.tile_rows,
-                causal: geom.causal,
                 tail,
             };
             (kernel, rows(inputs, Gemm)?, None, None, None)
+        }
+        OpKind::AttentionRegion {
+            qkt, gamma, parts, ..
+        } => {
+            let FusedClass::Softmax { causal } = classify_fused(parts)? else {
+                return None;
+            };
+            (ins.len() == 3 && outs.len() == 1).then_some(())?;
+            let st: Vec<Vec<usize>> = (0..3)
+                .map(|k| strides(Slot::In(k)))
+                .collect::<Option<_>>()?;
+            let of = |k: usize| (ins[k].sizes(), &st[k][..]);
+            let out = strides(Slot::Out(0))?;
+            let plan = AttentionPlan::compile(qkt, gamma, of(0), of(1), of(2), &out)?;
+            let kernel = Kernel::Attention {
+                plan: Box::new(plan),
+                causal,
+            };
+            (kernel, rows(swept(Gemm, 3), Gemm)?, None, None, None)
         }
         _ => return None,
     };
 
     let sweeps = match &kernel {
-        Kernel::Contract { .. } | Kernel::ContractEpilogue { .. } => Vec::new(),
+        Kernel::Contract { .. } | Kernel::ContractEpilogue { .. } | Kernel::Attention { .. } => {
+            Vec::new()
+        }
         other => {
             let group = if matches!(other, Kernel::Bias) {
                 3

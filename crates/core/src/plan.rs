@@ -31,10 +31,8 @@ use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_gpusim::opmodel::OpConfig;
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
-use xform_tensor::into_ops::{
-    contract_epilogue_tiled, epilogue_contract_plan, ContractPlan, TileEpilogue,
-};
-use xform_tensor::lanes::{check_dropout_p, Dropout};
+use xform_tensor::into_ops::epilogue_contract_plan;
+use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::dropout::{dropout, dropout_disabled};
 use xform_tensor::ops::elementwise::{add, bias_add, scale, ActivationKind};
 use xform_tensor::ops::layernorm::{layernorm, LayerNormStats};
@@ -134,7 +132,11 @@ impl ExecutionPlan {
         let input_ids = graph.inputs_of(op);
         let output_ids = graph.outputs_of(op);
         let flowing = flowing_input_index(graph, op);
-        let is_einsum = matches!(node.kind, OpKind::Einsum(_));
+        // a region lays out the scores contraction's operands like an einsum
+        let is_einsum = matches!(
+            node.kind,
+            OpKind::Einsum(_) | OpKind::AttentionRegion { .. }
+        );
 
         let mut inputs = Vec::with_capacity(input_ids.len());
         for (i, &id) in input_ids.iter().enumerate() {
@@ -328,6 +330,23 @@ impl ExecutionPlan {
             .flat_map(|s| s.inputs.iter().chain(&s.outputs))
             .filter(|o| !natural(o))
             .count()
+    }
+
+    /// The number of the dropout stream step `si` draws from on the arena
+    /// (with the run's seed: [`crate::arena::step_rng`]). Streams are
+    /// numbered by schedule position, an attention region counting for the
+    /// positions of the chain it replaced
+    /// ([`OpKind::AttentionRegion`]'s `span`) and drawing where that chain's
+    /// softmax step did, one before its last — so collapsing a chain renumbers
+    /// nothing, and a backward pass that names the region's stream can draw
+    /// its masks again.
+    pub fn stream_of(&self, si: usize) -> usize {
+        let span = |s: &PlanStep| match s.kind {
+            OpKind::AttentionRegion { span, .. } => span.max(1),
+            _ => 1,
+        };
+        let before: usize = self.steps[..si].iter().map(span).sum();
+        before + span(&self.steps[si]).saturating_sub(2)
     }
 }
 
@@ -629,9 +648,9 @@ pub fn step_is_interpretable(kind: &OpKind, _name: &str) -> bool {
         | OpKind::Dropout
         | OpKind::Relu
         | OpKind::Residual => true,
-        OpKind::Fused { parts, .. } | OpKind::ContractionEpilogue { parts, .. } => {
-            classify_fused(parts).is_some()
-        }
+        OpKind::Fused { parts, .. }
+        | OpKind::ContractionEpilogue { parts, .. }
+        | OpKind::AttentionRegion { parts, .. } => classify_fused(parts).is_some(),
         _ => false,
     }
 }
@@ -669,26 +688,21 @@ pub(crate) fn labelled_shapes(
     Some((a_s, b_s, lbl))
 }
 
-/// The compiled tiling geometry of a GEMM-epilogue mega-kernel: the
-/// contraction plan whose C is the identity view of the output container
+/// The tiling geometry of a GEMM-epilogue mega-kernel — one whose
+/// contraction compiles with C the identity view of the output container
 /// (the compiler having picked the operand roles that make the GEMM's M
-/// axis the epilogue's row axis), the output-tile height, and the
-/// epilogue's class and whether its softmax is masked.
+/// axis the epilogue's row axis): the output-tile height and the
+/// epilogue's class.
 #[derive(Debug, Clone)]
 pub(crate) struct EpilogueGeom {
-    /// GEMM plan that writes the output container (row-major) in order.
-    pub plan: ContractPlan,
-    /// Output rows per tile. Softmax epilogues take the whole batch slice
-    /// (`m`) so every lane is complete inside one tile.
+    /// Output rows per tile.
     pub tile_rows: usize,
-    /// Masked softmax epilogue: the query is the tile's row.
-    pub causal: bool,
     /// The downstream chain's kernel class.
     pub class: FusedClass,
 }
 
-/// Target tile footprint in words for row-blocked (bias-class) epilogues:
-/// small enough to stay cache-hot, large enough to amortize the loop.
+/// Target tile footprint in words for the row-blocked epilogues: small
+/// enough to stay cache-hot, large enough to amortize the loop.
 const EPILOGUE_TILE_WORDS: usize = 4096;
 
 /// Derives the tiling geometry of a [`OpKind::ContractionEpilogue`] step
@@ -696,19 +710,18 @@ const EPILOGUE_TILE_WORDS: usize = 4096;
 ///
 /// * the contraction must write the row-major output container in order
 ///   (possibly after swapping GEMM operand roles);
-/// * a softmax epilogue's reduce axis must be the container's innermost
-///   axis and span exactly the GEMM's N extent, with the causal query (if
-///   masked) immediately preceding it;
-/// * a bias-carrying epilogue must be batch-free with the bias covering
-///   exactly the leading M axes, so each output row sees one bias word.
+/// * the epilogue must be batch-free with the bias covering exactly the
+///   leading M axes, so each output row sees one bias word.
+///
+/// (A softmax behind a contraction is no epilogue: its lanes are whole rows
+/// of the contraction's output and another contraction waits behind it —
+/// the attention region, [`crate::fusion::apply_regions`].)
 ///
 /// Shared by the fusion detector, the reference interpreter, and the step
 /// lowering, so all three agree on what lowers.
-#[allow(clippy::too_many_arguments)] // mirrors the chain's operand inventory
 pub(crate) fn epilogue_geometry(
     spec: &EinsumSpec,
     parts: &[String],
-    reduce_axis: Option<Axis>,
     a_c: &Shape,
     b_c: &Shape,
     out_c: &Shape,
@@ -724,23 +737,6 @@ pub(crate) fn epilogue_geometry(
     let ep = epilogue_contract_plan(spec, &a_s, &rm(&a_s), &b_s, &rm(&b_s), &lbl)?;
     let (m, n) = (ep.m, ep.n);
     match class {
-        FusedClass::Softmax { causal } => {
-            let axis = reduce_axis?;
-            if *out_c.axes().last()? != axis || *out_c.sizes().last()? != n {
-                return None;
-            }
-            // the tile driver takes the tile's row for the query index:
-            // the query axis must be the one right before the softmax axis
-            if causal && out_c.rank() < 2 {
-                return None;
-            }
-            Some(EpilogueGeom {
-                plan: ep,
-                tile_rows: m,
-                causal,
-                class,
-            })
-        }
         FusedClass::BiasActDrop | FusedClass::BiasDropResidual => {
             if ep.batch != 1 {
                 return None;
@@ -762,12 +758,7 @@ pub(crate) fn epilogue_geometry(
                 }
             }
             let tile_rows = (EPILOGUE_TILE_WORDS / n.max(1)).clamp(1, m.max(1));
-            Some(EpilogueGeom {
-                plan: ep,
-                tile_rows,
-                causal: false,
-                class,
-            })
+            Some(EpilogueGeom { tile_rows, class })
         }
         _ => None,
     }
@@ -828,6 +819,32 @@ fn carve_stacked(stacked: &Tensor, start: usize, out_shape: &Shape) -> Result<Te
         .relabel(&out_shape.spec())
 }
 
+/// `spec` over two tensors relabelled positionally to its letters; the
+/// result relabelled to the axes of `container`, in the layout `declared`
+/// names in those axes (row-major when it names none that parses).
+fn contract_as(
+    spec: &EinsumSpec,
+    a: &Tensor,
+    b: &Tensor,
+    container: &str,
+    declared: Option<&str>,
+) -> Result<Tensor> {
+    let (a_s, b_s, lbl) = labelled_shapes(spec, a.shape(), b.shape()).ok_or_else(|| {
+        TensorError::Unsupported(format!("operand shapes do not fit einsum `{spec}`"))
+    })?;
+    let (a, b) = (relabeled(a, &a_s.spec())?, relabeled(b, &b_s.spec())?);
+    // translate the declared (container-letter) layout onto the labelled
+    // output shape positionally
+    let lay = declared
+        .map(|d| translate_layout(d, container, &lbl.spec()))
+        .and_then(|d| Layout::from_axis_order(&lbl, &d).ok())
+        .unwrap_or_else(|| Layout::row_major(lbl.rank()));
+    relabeled(
+        &xform_tensor::contract::contract(spec, &a, &b, &lay)?,
+        container,
+    )
+}
+
 /// Runs one scheduled step against the interpreter state: applies the
 /// step's relayout insertions, dispatches the kernel, and materializes each
 /// output in its declared layout.
@@ -879,27 +896,9 @@ pub fn execute_step<R: Rng + ?Sized>(
         OpKind::Einsum(spec) => {
             match ins.len() {
                 2 => {
-                    let (a_s, b_s, lbl_shape) =
-                        labelled_shapes(spec, ins[0].shape(), ins[1].shape()).ok_or_else(|| {
-                            TensorError::Unsupported(format!(
-                                "einsum `{}`: operand shapes do not fit `{spec}`",
-                                step.name
-                            ))
-                        })?;
-                    let a = relabeled(&ins[0], &a_s.spec())?;
-                    let b = relabeled(&ins[1], &b_s.spec())?;
-                    // translate the declared (container-letter) layout onto
-                    // the labelled output shape positionally
-                    let container_spec = out_shape(0)?.spec();
-                    let declared = translate_layout(
-                        &step.outputs[0].layout,
-                        &container_spec,
-                        &lbl_shape.spec(),
-                    );
-                    let lay = Layout::from_axis_order(&lbl_shape, &declared)
-                        .unwrap_or_else(|_| Layout::row_major(lbl_shape.rank()));
-                    let out = xform_tensor::contract::contract(spec, &a, &b, &lay)?;
-                    results.push(relabeled(&out, &container_spec)?);
+                    let container = out_shape(0)?.spec();
+                    let declared = Some(step.outputs[0].layout.as_str());
+                    results.push(contract_as(spec, &ins[0], &ins[1], &container, declared)?);
                 }
                 1 => {
                     let a = relabeled(&ins[0], &axes_string(&spec.operands()[0]))?;
@@ -962,7 +961,22 @@ pub fn execute_step<R: Rng + ?Sized>(
         OpKind::Residual => results.push(add(&ins[0], &ins[1])?),
         OpKind::Fused {
             parts, reduce_axis, ..
+        }
+        | OpKind::ContractionEpilogue {
+            parts, reduce_axis, ..
         } => {
+            // a mega-kernel is the chain it stands for: its contraction,
+            // materialized (shaped like the outputs of the kernel that reads
+            // it), ahead of the operands of its fused consumer
+            let chained;
+            let ins = match (&step.kind, &ins[..]) {
+                (OpKind::ContractionEpilogue { spec, .. }, [a, b, rest @ ..]) => {
+                    let head = contract_as(spec, a, b, &out_shape(0)?.spec(), None)?;
+                    chained = [&[head], rest].concat();
+                    &chained
+                }
+                _ => &ins,
+            };
             let class = classify_fused(parts).ok_or_else(|| {
                 TensorError::Unsupported(format!(
                     "fused kernel `{}` is not a forward kernel the interpreter knows",
@@ -1030,128 +1044,34 @@ pub fn execute_step<R: Rng + ?Sized>(
                 }
             }
         }
-        OpKind::ContractionEpilogue {
-            spec,
+        OpKind::AttentionRegion {
+            qkt,
+            gamma,
             parts,
             reduce_axis,
             ..
         } => {
-            if ins.len() < 2 {
+            // the chain the region stands for, every tensor of it
+            // materialized by the allocating kernels: what the arena's
+            // panel-at-a-time driver must equal bit for bit
+            let ([a, b, values], Some(FusedClass::Softmax { causal })) =
+                (&ins[..], classify_fused(parts))
+            else {
                 return Err(TensorError::Unsupported(format!(
-                    "epilogue `{}` needs a two-operand contraction",
+                    "region `{}` is not two contractions around a softmax",
                     step.name
                 )));
-            }
-            let a_c = data_of(graph, step.inputs[0].data)?.shape.clone();
-            let b_c = data_of(graph, step.inputs[1].data)?.shape.clone();
-            let out_c = out_shape(0)?;
-            let shape_at = |k: usize| -> Result<Option<Shape>> {
-                step.inputs
-                    .get(k)
-                    .map(|o| Ok(data_of(graph, o.data)?.shape.clone()))
-                    .transpose()
             };
-            let bias_s = shape_at(2)?;
-            let res_s = shape_at(3)?;
-            let geom = epilogue_geometry(
-                spec,
-                parts,
-                *reduce_axis,
-                &a_c,
-                &b_c,
-                &out_c,
-                bias_s.as_ref(),
-                res_s.as_ref(),
-            )
-            .ok_or_else(|| {
-                TensorError::Unsupported(format!(
-                    "epilogue `{}` has no tileable lowering",
-                    step.name
-                ))
-            })?;
-            // the tile driver walks raw row-major words, so materialize
-            // every operand densely first
-            let dense = |t: &Tensor| -> Tensor {
-                if t.layout().spec(t.shape()) == t.shape().spec() {
-                    t.clone()
-                } else {
-                    t.relayout(&Layout::row_major(t.shape().rank()))
-                }
+            let scores = contract_as(qkt, a, b, &axes_string(qkt.output()), None)?;
+            let sm = if causal {
+                let q = causal_query_axis(scores.shape(), *reduce_axis)?;
+                fused::sm_causal_at(&scores, opts.scaler, q, *reduce_axis, p, rng, opts.pos)?
+            } else {
+                fused::sm(&scores, opts.scaler, *reduce_axis, p, rng)?
             };
-            let ins_d: Vec<Tensor> = ins.iter().map(&dense).collect();
-            let total = out_c.num_elements();
-            let mut scratch = vec![0.0f32; geom.plan.epilogue_scratch_words(geom.tile_rows)];
-            let mut run = |epi: &mut TileEpilogue<'_>, rng: &mut R| -> Result<()> {
-                contract_epilogue_tiled(
-                    &geom.plan,
-                    geom.tile_rows,
-                    ins_d[0].data(),
-                    ins_d[1].data(),
-                    &mut scratch,
-                    &mut Dropout::new(p, rng)?,
-                    epi,
-                );
-                Ok(())
-            };
-            match geom.class {
-                FusedClass::Softmax { .. } if step.outputs.len() == 3 => {
-                    // outputs [softmax, alpha, mask]
-                    let (mut sm_o, mut al_o, mut mk_o) =
-                        (vec![0.0f32; total], vec![0.0f32; total], vec![0.0f32; total]);
-                    run(
-                        &mut TileEpilogue::Softmax {
-                            scaler: opts.scaler,
-                            causal: geom.causal.then_some(opts.pos),
-                            softmax: &mut sm_o,
-                            alpha: &mut al_o,
-                            mask: &mut mk_o,
-                        },
-                        rng,
-                    )?;
-                    results.push(Tensor::from_vec(out_shape(0)?, sm_o)?);
-                    results.push(Tensor::from_vec(out_shape(1)?, al_o)?);
-                    results.push(Tensor::from_vec(out_shape(2)?, mk_o)?);
-                }
-                FusedClass::BiasActDrop if ins.len() == 3 && step.outputs.len() == 3 => {
-                    // inputs [a, b, bias] → outputs [pre_activation, out, mask]
-                    let (mut pre_o, mut out_o, mut mk_o) =
-                        (vec![0.0f32; total], vec![0.0f32; total], vec![0.0f32; total]);
-                    run(
-                        &mut TileEpilogue::BiasActDrop {
-                            bias: ins_d[2].data(),
-                            kind: opts.activation,
-                            pre_activation: &mut pre_o,
-                            out: &mut out_o,
-                            mask: &mut mk_o,
-                        },
-                        rng,
-                    )?;
-                    results.push(Tensor::from_vec(out_shape(0)?, pre_o)?);
-                    results.push(Tensor::from_vec(out_shape(1)?, out_o)?);
-                    results.push(Tensor::from_vec(out_shape(2)?, mk_o)?);
-                }
-                FusedClass::BiasDropResidual if ins.len() == 4 && step.outputs.len() == 2 => {
-                    // inputs [a, b, bias, residual] → outputs [mask, out]
-                    let (mut mk_o, mut out_o) = (vec![0.0f32; total], vec![0.0f32; total]);
-                    run(
-                        &mut TileEpilogue::BiasDropResidual {
-                            bias: ins_d[2].data(),
-                            residual: ins_d[3].data(),
-                            mask: &mut mk_o,
-                            out: &mut out_o,
-                        },
-                        rng,
-                    )?;
-                    results.push(Tensor::from_vec(out_shape(0)?, mk_o)?);
-                    results.push(Tensor::from_vec(out_shape(1)?, out_o)?);
-                }
-                _ => {
-                    return Err(TensorError::Unsupported(format!(
-                        "epilogue `{}` has mismatched operand counts",
-                        step.name
-                    )))
-                }
-            }
+            let container = out_shape(0)?.spec();
+            let declared = Some(step.outputs[0].layout.as_str());
+            results.push(contract_as(gamma, values, &sm.alpha, &container, declared)?);
         }
         other => {
             return Err(TensorError::Unsupported(format!(

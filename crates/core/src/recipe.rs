@@ -22,24 +22,39 @@ use crate::fusion::{apply_plan, encoder_fusion_plan};
 use crate::selection::{select_forward, Selection};
 use crate::sweep::{sweep_all, PerfSource, SimulatorSource, SweepOptions};
 
+/// The backward side of a training graph in topological order: every
+/// operator reachable from the output gradient `dy`, and every
+/// *rematerialization* — an operator each of whose outputs is read, and read
+/// only by the backward side (what [`crate::fusion::apply_regions`] leaves of
+/// an attention core's `QKT → SM`: it recomputes what the forward pass no
+/// longer keeps). A graph without a region has none.
+pub fn backward_ops(graph: &Graph, dy: NodeId) -> Vec<NodeId> {
+    let topo = graph.topo_ops();
+    let mut backward = graph.reachable_from(dy);
+    for &op in topo.iter().rev() {
+        let feeds_backward_only = |d: NodeId| {
+            let readers = graph.consumers_of(d);
+            !readers.is_empty() && readers.iter().all(|r| backward.contains(r))
+        };
+        let outs = graph.outputs_of(op);
+        if !backward.contains(&op) && !outs.is_empty() && outs.into_iter().all(feeds_backward_only)
+        {
+            backward.push(op);
+        }
+    }
+    topo.into_iter()
+        .filter(|op| backward.contains(op))
+        .collect()
+}
+
 /// Operators on the forward half of a training graph, topologically
-/// ordered: everything not reachable from the output gradient `dy`.
+/// ordered: everything [`backward_ops`] leaves — what `y` needs.
 pub fn forward_ops(graph: &Graph, dy: NodeId) -> Vec<NodeId> {
-    let backward = graph.reachable_from(dy);
+    let backward = backward_ops(graph, dy);
     graph
         .topo_ops()
         .into_iter()
         .filter(|op| !backward.contains(op))
-        .collect()
-}
-
-/// Operators on the backward half, topologically ordered.
-pub fn backward_ops(graph: &Graph, dy: NodeId) -> Vec<NodeId> {
-    let backward = graph.reachable_from(dy);
-    graph
-        .topo_ops()
-        .into_iter()
-        .filter(|op| backward.contains(op))
         .collect()
 }
 

@@ -33,7 +33,9 @@ pub enum DataRole {
     /// Intermediate activation. Fusion may eliminate these.
     Activation,
     /// Forward-pass value saved for backpropagation (masks, layer-norm
-    /// inputs, softmax outputs). Never eliminated by fusion.
+    /// inputs, softmax outputs). Never eliminated by element-wise or
+    /// epilogue fusion; the region pass ([`Graph::fuse_region`]) takes the
+    /// attention core's off the forward side.
     Saved,
     /// Gradient tensor.
     Gradient,
@@ -331,6 +333,15 @@ impl Graph {
         self.io_words(op) * word_bytes as u64
     }
 
+    /// Deletes nodes together with every memlet that touches them.
+    fn delete(&mut self, dead: &[NodeId]) {
+        self.edges
+            .retain(|e| !dead.contains(&e.from) && !dead.contains(&e.to));
+        for id in dead {
+            self.nodes[id.0] = None;
+        }
+    }
+
     /// Replaces a group of operators with one fused operator named `name`.
     ///
     /// External inputs/outputs of the group become the fused operator's
@@ -407,11 +418,7 @@ impl Graph {
             .copied()
             .chain(interim.iter().copied())
             .collect();
-        self.edges
-            .retain(|e| !dead.contains(&e.from) && !dead.contains(&e.to));
-        for id in dead {
-            self.nodes[id.0] = None;
-        }
+        self.delete(&dead);
 
         let fused = OpKind::Fused {
             name: name.to_string(),
@@ -514,11 +521,7 @@ impl Graph {
         let ext_outputs = self.outputs_of(tail);
 
         let dead = [head, tail, mid];
-        self.edges
-            .retain(|e| !dead.contains(&e.from) && !dead.contains(&e.to));
-        for id in dead {
-            self.nodes[id.0] = None;
-        }
+        self.delete(&dead);
 
         let kind = OpKind::ContractionEpilogue {
             spec,
@@ -527,6 +530,99 @@ impl Graph {
             reduce_axis,
         };
         Ok(self.add_op(name, kind, &ext_inputs, &ext_outputs))
+    }
+
+    /// Replaces the attention core — the scores contraction `head`, the
+    /// softmax chain `mid` that reads only its output, and the context
+    /// contraction `tail` that reads one of `mid`'s outputs second — with one
+    /// [`OpKind::AttentionRegion`] named `name`, standing for `span` schedule
+    /// positions, that reads `head`'s operands and `tail`'s first and writes
+    /// `tail`'s output.
+    ///
+    /// Nothing between the two contractions is an edge of the region. Where
+    /// nothing else reads `mid`'s outputs (a forward-only graph) `head`, `mid`
+    /// and every container between the three are deleted. Where something
+    /// does — the backward half of a training graph reads the saved softmax,
+    /// the dropped-out weights and the mask — `head` and `mid` stay, feeding
+    /// only those readers: the *rematerialization* of what the forward pass no
+    /// longer keeps, to be scheduled with the backward pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless `head` and `tail` are two-operand einsums
+    /// writing one container each, `head`'s output is an interim activation
+    /// read by `mid` alone, `mid` is a live non-contraction operator with a
+    /// reduction axis and no other input, and `tail`'s second input is one of
+    /// `mid`'s outputs.
+    pub fn fuse_region(
+        &mut self,
+        head: NodeId,
+        mid: NodeId,
+        tail: NodeId,
+        name: &str,
+        span: usize,
+    ) -> Result<NodeId, TensorError> {
+        let refuse = |why: &str| Err(TensorError::Unsupported(format!("region `{name}`: {why}")));
+        let einsum = |id: NodeId| match self.op(id).map(|o| &o.kind) {
+            Some(OpKind::Einsum(spec)) => Some(spec.clone()),
+            _ => None,
+        };
+        let (Some(qkt), Some(gamma)) = (einsum(head), einsum(tail)) else {
+            return refuse("head and tail must be contractions");
+        };
+        let Some(mid_op) = self.op(mid) else {
+            return refuse("the softmax chain is not an operator");
+        };
+        let (head_in, tail_in) = (self.inputs_of(head), self.inputs_of(tail));
+        let (mid_out, tail_out) = (self.outputs_of(mid), self.outputs_of(tail));
+        let ([scores], [values, weights]) = (&self.outputs_of(head)[..], &tail_in[..]) else {
+            return refuse("head must write one container, tail read two");
+        };
+        let scores_node = self.data(*scores).expect("edge target is data");
+        if head_in.len() != 2
+            || scores_node.role != DataRole::Activation
+            || self.consumers_of(*scores) != [mid]
+            || self.inputs_of(mid) != [*scores]
+            || !mid_out.contains(weights)
+            || tail_out.len() != 1
+        {
+            return refuse("the chain is not head → softmax → tail over interim scores");
+        }
+        // the softmax axis by position, in the scores contraction's letters
+        let at = mid_op
+            .kind
+            .reduce_axis()
+            .and_then(|ax| scores_node.shape.index_of(ax).ok());
+        let Some(&reduce_axis) = at.and_then(|at| qkt.output().get(at)) else {
+            return refuse("the chain normalizes no axis of the scores");
+        };
+        let name_of = |op: NodeId| vec![self.op(op).expect("live").name.clone()];
+        let members = match &mid_op.kind {
+            OpKind::Fused { parts, .. } => parts.clone(),
+            _ => name_of(mid),
+        };
+        let parts = [name_of(head), members, name_of(tail)].concat();
+        let flop = [head, mid, tail].map(|op| crate::flops::op_flop(self, op).unwrap_or(0));
+
+        // readers of the chain's values other than the chain itself keep
+        // `head` and `mid` alive as their rematerialization
+        let read_elsewhere = |&d: &NodeId| self.consumers_of(d).iter().any(|&c| c != tail);
+        let mut dead = vec![tail];
+        if !mid_out.iter().any(read_elsewhere) {
+            dead.extend([head, mid, *scores]);
+            dead.extend(&mid_out);
+        }
+        let inputs = [&head_in[..], &[*values]].concat();
+        self.delete(&dead);
+        let kind = OpKind::AttentionRegion {
+            qkt,
+            gamma,
+            parts,
+            flop: flop.iter().sum(),
+            reduce_axis,
+            span,
+        };
+        Ok(self.add_op(name, kind, &inputs, &tail_out))
     }
 
     /// Total words moved across all operators (the graph-level data-movement

@@ -128,8 +128,35 @@ pub enum OpKind {
         parts: Vec<String>,
         /// Total flop of the constituents.
         flop: u64,
-        /// Reduction axis of the epilogue chain (e.g. softmax), if any.
+        /// Reduction axis of the epilogue chain, if any.
         reduce_axis: Option<Axis>,
+    },
+    /// An attention region: the scores contraction, the scale / mask /
+    /// softmax / dropout chain behind it and the context contraction behind
+    /// that, as one kernel that works a panel of query rows at a time — so
+    /// the `[h,b,j,k]` tensors between the three (VTC's *virtual* tensors:
+    /// named by the program, never materialized) have no container. Produced
+    /// by the region pass ([`crate::Graph::fuse_region`]). Reads the scores
+    /// contraction's operands in its order, then the values; writes the
+    /// context.
+    AttentionRegion {
+        /// The scores contraction (`QKT`), over inputs 0 and 1.
+        qkt: EinsumSpec,
+        /// The context contraction (`Gamma`), over input 2 and the virtual
+        /// attention weights.
+        gamma: EinsumSpec,
+        /// Names of the constituent operators (scores contraction, the
+        /// softmax chain, context contraction), for reporting.
+        parts: Vec<String>,
+        /// Total flop of the constituents.
+        flop: u64,
+        /// The softmax axis, as `qkt`'s output labels it.
+        reduce_axis: Axis,
+        /// Schedule positions the region stands for: the steps of the chain
+        /// it replaced (`QKT`, `SM`, `Gamma`: three). An executor that
+        /// numbers per-step dropout streams numbers them by these, so a
+        /// plan draws the masks it drew before its chain was collapsed.
+        span: usize,
     },
 }
 
@@ -152,7 +179,9 @@ impl OpKind {
             | OpKind::ReluGrad
             | OpKind::Residual => OpClass::Elementwise,
             OpKind::Fused { class, .. } => *class,
-            OpKind::ContractionEpilogue { .. } => OpClass::TensorContraction,
+            OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. } => {
+                OpClass::TensorContraction
+            }
         }
     }
 
@@ -168,7 +197,7 @@ impl OpKind {
             | OpKind::LayerNormGradW { .. }
             | OpKind::BiasGrad { .. } => true,
             OpKind::Fused { reduce_axis, .. } => reduce_axis.is_some(),
-            OpKind::ContractionEpilogue { .. } => true,
+            OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. } => true,
             _ => false,
         }
     }
@@ -184,6 +213,7 @@ impl OpKind {
             | OpKind::LayerNormGradW { axis } => Some(*axis),
             OpKind::Fused { reduce_axis, .. } => *reduce_axis,
             OpKind::ContractionEpilogue { reduce_axis, .. } => *reduce_axis,
+            OpKind::AttentionRegion { reduce_axis, .. } => Some(*reduce_axis),
             _ => None,
         }
     }
@@ -224,6 +254,9 @@ impl fmt::Display for OpKind {
             OpKind::ContractionEpilogue { spec, parts, .. } => {
                 write!(f, "gemm-epilogue[{spec}]{{{}}}", parts.join("+"))
             }
+            OpKind::AttentionRegion {
+                qkt, gamma, parts, ..
+            } => write!(f, "attention[{qkt};{gamma}]{{{}}}", parts.join("+")),
         }
     }
 }

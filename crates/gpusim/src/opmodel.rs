@@ -88,6 +88,8 @@ struct OpInfo {
     kind: OpKind,
     in_shape: Shape,
     in2_shape: Option<Shape>,
+    /// The third input of an attention region (the values).
+    in3_shape: Option<Shape>,
     out_shape: Shape,
     in_axes: Vec<char>,
     in2_axes: Option<Vec<char>>,
@@ -98,7 +100,24 @@ struct OpInfo {
     flop: u64,
 }
 
+fn axes(s: &Shape) -> Vec<char> {
+    s.axes().iter().map(|a| a.name()).collect()
+}
+
 impl OpInfo {
+    /// This operator as a contraction of `a` and `b` into `out`.
+    fn contracting(&self, a: &Shape, b: &Shape, out: &Shape) -> OpInfo {
+        OpInfo {
+            in_axes: axes(a),
+            in2_axes: Some(axes(b)),
+            out_axes: axes(out),
+            in_shape: a.clone(),
+            in2_shape: Some(b.clone()),
+            out_shape: out.clone(),
+            ..self.clone()
+        }
+    }
+
     fn gather(graph: &Graph, op: NodeId) -> Result<OpInfo> {
         let node = graph
             .op(op)
@@ -122,7 +141,7 @@ impl OpInfo {
         };
         let is_einsum = matches!(
             node.kind,
-            OpKind::Einsum(_) | OpKind::ContractionEpilogue { .. }
+            OpKind::Einsum(_) | OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. }
         );
         let in_id = if is_einsum {
             inputs.first().copied()
@@ -143,16 +162,20 @@ impl OpInfo {
         } else {
             None
         };
-        let axes = |s: &Shape| s.axes().iter().map(|a| a.name()).collect::<Vec<char>>();
+        let in3_shape = match (&node.kind, inputs.get(2)) {
+            (OpKind::AttentionRegion { .. }, Some(&v)) => Some(shape_of(v)?),
+            _ => None,
+        };
         Ok(OpInfo {
             name: node.name.clone(),
             kind: node.kind.clone(),
             in_axes: axes(&in_shape),
-            in2_axes: in2_shape.as_ref().map(&axes),
+            in2_axes: in2_shape.as_ref().map(axes),
             out_axes: axes(&out_shape),
             reduce_axis: node.kind.reduce_axis().map(|a| a.name()),
             in_shape,
             in2_shape,
+            in3_shape,
             out_shape,
             input_words: graph.input_words(op),
             output_words: graph.output_words(op),
@@ -194,6 +217,9 @@ impl OpModel {
             // element-wise tail rides the GEMM's output tiles for free
             OpKind::Einsum(spec) | OpKind::ContractionEpilogue { spec, .. } => {
                 contraction_cost(device, &self.info, spec, cfg)
+            }
+            OpKind::AttentionRegion { qkt, gamma, .. } => {
+                region_cost(device, &self.info, qkt, gamma, cfg)
             }
             _ => normalization_cost(device, &self.info, cfg),
         }
@@ -319,6 +345,43 @@ fn contraction_cost(
         .copied()
         .ok_or_else(|| TensorError::Unsupported(format!("unknown GEMM algorithm {}", cfg.algo)))?;
     Ok(gemm_cost(device, shape, layout, algo, cfg.math))
+}
+
+/// An attention region as its two contractions back to back, the softmax
+/// between them riding the scores' tiles like an epilogue: the times add,
+/// and the scores the first would have written and the second read back —
+/// which the region keeps on chip — come off the words moved. The
+/// configuration lays out the scores contraction's operands and the context;
+/// the values and the virtual scores keep their natural order.
+fn region_cost(
+    device: &DeviceSpec,
+    info: &OpInfo,
+    qkt: &EinsumSpec,
+    gamma: &EinsumSpec,
+    cfg: &OpConfig,
+) -> Result<KernelCost> {
+    let (Some(b), Some(v)) = (&info.in2_shape, &info.in3_shape) else {
+        let what = format!("attention region `{}` lacks an operand", info.name);
+        return Err(TensorError::Unsupported(what));
+    };
+    let a = &info.in_shape;
+    let extent = |&ax: &Axis| Ok((ax.name(), a.size(ax).or_else(|_| b.size(ax))?));
+    let extents: Result<Vec<_>> = qkt.output().iter().map(extent).collect();
+    let scores = Shape::new(extents?)?;
+    let (mut first, mut second) = (cfg.clone(), cfg.clone());
+    first.out_spec = scores.spec();
+    (second.in_spec, second.in2_spec) = (v.spec(), Some(scores.spec()));
+    let c1 = contraction_cost(device, &info.contracting(a, b, &scores), qkt, &first)?;
+    let context = info.contracting(v, &scores, &info.out_shape);
+    let c2 = contraction_cost(device, &context, gamma, &second)?;
+    let io = (info.input_words + info.output_words) as f64;
+    let on_chip = 2.0 * scores.num_elements() as f64;
+    Ok(KernelCost {
+        time_us: c1.time_us + c2.time_us,
+        moved_words: (c1.moved_words + c2.moved_words - on_chip).max(io),
+        bandwidth_frac: c1.bandwidth_frac.min(c2.bandwidth_frac),
+        flop: c1.flop + c2.flop,
+    })
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -490,7 +553,7 @@ pub fn config_space(graph: &Graph, op: NodeId) -> Result<Vec<OpConfig>> {
     let info = OpInfo::gather(graph, op)?;
     let mut out = Vec::new();
     match &info.kind {
-        OpKind::Einsum(_) => {
+        OpKind::Einsum(_) | OpKind::AttentionRegion { .. } => {
             let a_perms = permutations(&info.in_axes);
             let b_perms = permutations(info.in2_axes.as_ref().ok_or_else(|| {
                 TensorError::Unsupported(format!("contraction `{}` has one input", info.name))

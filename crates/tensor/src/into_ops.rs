@@ -23,7 +23,7 @@
 //! functions of the logical indices alone: a plan computes the same bits in
 //! any layout and in any walk.
 //!
-//! Two addressing vocabularies, both compiled once by the caller:
+//! Three addressing vocabularies, each compiled once by the caller:
 //!
 //! * [`View`] / [`Sweep`] — an operand as `base + Σ index · stride` over
 //!   the logical axes of the step's iteration space (a broadcast is a zero
@@ -31,7 +31,26 @@
 //!   fewest loops that keep logical order;
 //! * [`ContractPlan`] — the one contraction compiler: GEMM sizes, operand
 //!   roles and, per operand, the strides the GEMM reads it through (or the
-//!   gather descriptor of an operand strides cannot express).
+//!   gather descriptor of an operand strides cannot express);
+//! * [`AttentionPlan`] — two contractions with a softmax between them as
+//!   one region: per operand the strides of its slice, row and column.
+//!
+//! # Kernels larger than one operator
+//!
+//! Two drivers keep what sits between operators out of memory, and both are
+//! bit for bit the chains they stand for, dropout draws included, because
+//! they run the chain's own bodies over the chain's own lanes in the chain's
+//! own order and the GEMM's result does not depend on its tiling:
+//!
+//! * [`contract_epilogue_tiled`] — a contraction whose output rows are
+//!   independent lanes of a bias-class kernel (`BRD`, `BDR`): the output
+//!   exists as a tile of a few rows;
+//! * [`attention_into`] — `QKᵀ → scale/mask/softmax/dropout → ·V` a panel
+//!   of [`ATTENTION_TILE_ROWS`] query rows at a time: the scores, the
+//!   softmax, the dropped-out weights and the mask exist as that panel.
+//!   Whole rows fit it, so the softmax is the two-pass
+//!   `lanes::softmax_lane` unchanged — no online rescaling, nothing
+//!   reassociated.
 
 use rand::Rng;
 
@@ -41,8 +60,8 @@ use crate::error::{Result, TensorError};
 use crate::lanes::{self, on_run, Dropout, LaneAt, Run, Walk, W};
 use crate::layout::Layout;
 use crate::matmul::{
-    gemm, gemm_batched, gemm_packed, pack_panels, panel_words, BatchMut, BatchRef, BatchStrides,
-    MatMut, Start,
+    gemm, gemm_batched, gemm_packed, gemm_packed_leading, pack_panels, panel_words, BatchMut,
+    BatchRef, BatchStrides, MatMut, MatRef, Start, KC, NR,
 };
 use crate::ops::elementwise::ActivationKind;
 use crate::tensor::Tensor;
@@ -667,27 +686,12 @@ pub fn epilogue_contract_plan(
 /// The per-tile epilogue a [`contract_epilogue_tiled`] call applies to
 /// each GEMM row block, with the full-size output slices it streams into
 /// (dense, in the output container's natural order). Mirrors the
-/// fused-kernel classes whose sole input is a contraction output: `SM`
-/// ([`sm_into`]), `BRD` ([`brd_act_into`]), and `BDR` ([`bdr_into`]).
+/// fused-kernel classes whose sole input is a contraction output and whose
+/// tile is a block of independent rows: `BRD` ([`brd_act_into`]) and `BDR`
+/// ([`bdr_into`]). (The softmax that follows `QKᵀ` is no epilogue: it sits
+/// between two contractions, and [`attention_into`] runs all three.)
 #[derive(Debug)]
 pub enum TileEpilogue<'a> {
-    /// Scaled (optionally causal) softmax + dropout over each GEMM output
-    /// row (the row *is* the softmax lane: the epilogue plan puts the
-    /// normalized axis in N). Requires whole-batch-slice tiles
-    /// (`tile_rows == m`) so the causal query index is the tile's row.
-    Softmax {
-        /// The `1/√P` attention scaling.
-        scaler: f32,
-        /// When masked: the absolute position of query row 0 (row `r`
-        /// attends over the first `pos + r + 1` keys).
-        causal: Option<usize>,
-        /// Saved pre-dropout softmax (full container).
-        softmax: &'a mut [f32],
-        /// Dropped-out attention weights (full container).
-        alpha: &'a mut [f32],
-        /// Saved dropout mask (full container).
-        mask: &'a mut [f32],
-    },
     /// Bias + activation + dropout, bias indexed by the GEMM row
     /// (the epilogue plan proves the bias axes are exactly M).
     BiasActDrop {
@@ -713,16 +717,6 @@ pub enum TileEpilogue<'a> {
         /// Kernel output (full container).
         out: &'a mut [f32],
     },
-}
-
-impl TileEpilogue<'_> {
-    /// Whether this epilogue requires whole-batch-slice tiles
-    /// (`tile_rows == m`): the causal softmax takes the tile-local row for
-    /// the query index, which it only is when the tile starts a batch
-    /// slice.
-    pub fn needs_full_slice(&self) -> bool {
-        matches!(self, TileEpilogue::Softmax { .. })
-    }
 }
 
 /// Applies the epilogue to one GEMM row block, row by row — each row a
@@ -753,19 +747,6 @@ fn epilogue_tile<R: Rng + ?Sized>(
     for r in 0..rows {
         let (x, at) = (lane(r).unit(tile), lane(row0 + r));
         match epi {
-            TileEpilogue::Softmax {
-                scaler,
-                causal,
-                softmax,
-                alpha,
-                mask,
-            } => {
-                let visible = causal.map_or(n, |pos| (pos + r + 1).min(n));
-                let (alpha, mask) = (at.unit_mut(alpha), at.unit_mut(mask));
-                let mut tail = lanes::Dropped { alpha, mask, drop };
-                let softmax = at.unit_mut(softmax);
-                lanes::softmax_lane::<1, _, _, _>(x, *scaler, visible, softmax, &mut tail);
-            }
             TileEpilogue::BiasActDrop {
                 bias,
                 kind,
@@ -812,9 +793,8 @@ fn epilogue_tile<R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics if `scratch` is shorter than
-/// [`ContractPlan::epilogue_scratch_words`], an epilogue slice is smaller
-/// than the output container, or a [`TileEpilogue::needs_full_slice`]
-/// epilogue is driven with `tile_rows < m`.
+/// [`ContractPlan::epilogue_scratch_words`] or an epilogue slice is smaller
+/// than the output container.
 pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
     plan: &ContractPlan,
     tile_rows: usize,
@@ -826,10 +806,6 @@ pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
 ) {
     let (m, n, k) = (plan.m, plan.n, plan.k);
     let tile_rows = tile_rows.clamp(1, m.max(1));
-    assert!(
-        !epi.needs_full_slice() || tile_rows == m,
-        "softmax epilogues need whole-batch-slice tiles (tile_rows == m)"
-    );
     let [aw, bw, _] = plan.pack_words();
     let (a_pack, rest) = scratch.split_at_mut(aw);
     let (b_pack, rest) = rest.split_at_mut(bw);
@@ -855,6 +831,225 @@ pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
             }
             epilogue_tile(epi, g * m + r0, rows, n, &c_tile[..rows * n], drop);
             r0 += rows;
+        }
+    }
+}
+
+/// Query rows an attention region holds in scratch at a time. Measured once
+/// on the benchmark host (EXPERIMENTS.md, "Attention region"): the core at
+/// `j = k = 512` runs flat from 8 to 128 rows and a fifth slower at 512,
+/// where the panel is the whole slice and leaves the L2. A constant like
+/// [`crate::matmul::NR`] and [`lanes::W`], not an option.
+pub const ATTENTION_TILE_ROWS: usize = 32;
+
+/// A compiled attention region, `QKᵀ → scale/mask/softmax/dropout → ·V`:
+/// the extents of the two contractions and, per operand, the strides they
+/// read it (for the output: write it) through, so every operand stays where
+/// it lies in whatever layout it was declared.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AttentionPlan {
+    /// The axes every operand shares (`h`, `b`), in the scores' logical
+    /// order, outermost first: `(extent, [stride in Q, K, V, the output])`.
+    batch: Vec<(usize, [usize; 4])>,
+    /// `(row, column)` strides of Q as `j×p`, K as `p×k`, V as `k×w` and
+    /// the output as `j×w`, within one slice.
+    mats: [(usize, usize); 4],
+    /// Whether the *first* operand of the scores einsum is the query.
+    pub query_first: bool,
+    /// Query rows of a slice.
+    pub j: usize,
+    /// Keys of a slice.
+    pub k: usize,
+    /// Depth of the scores contraction (the head size).
+    pub p: usize,
+    /// Width of a value row.
+    pub w: usize,
+}
+
+impl AttentionPlan {
+    /// Compiles the region of the scores einsum `qkt` (e.g.
+    /// `phbk,phbj->hbjk`) and the context einsum `gamma` (e.g.
+    /// `whbk,hbjk->whbj`, its second operand the attention weights — the
+    /// scores' shape, label for label by position) over operands given as
+    /// `(sizes, strides)`: `a` and `b` those of `qkt` in its order, `v` the
+    /// first of `gamma`; `out` holds the strides of `gamma`'s output.
+    ///
+    /// The scores must end in the query axis then the key axis (the softmax
+    /// axis), everything before them a batch axis of both contractions, and
+    /// the head size, the value width, the query and the key axis must each
+    /// be one label — what makes a slice two plain matrix products with the
+    /// softmax lanes between them in the scores' logical order. `None` for
+    /// any other pair of specs, a rank that disagrees with its labels, or
+    /// an extent two operands disagree on.
+    pub fn compile(
+        qkt: &EinsumSpec,
+        gamma: &EinsumSpec,
+        a: (&[usize], &[usize]),
+        b: (&[usize], &[usize]),
+        v: (&[usize], &[usize]),
+        out: &[usize],
+    ) -> Option<AttentionPlan> {
+        let (qc, gc) = (qkt.classify().ok()?, gamma.classify().ok()?);
+        let (scores, weights) = (qkt.output(), gamma.operands().get(1)?);
+        let [batch @ .., query, key] = scores else {
+            return None;
+        };
+        let [w_batch @ .., w_query, w_key] = &weights[..] else {
+            return None;
+        };
+        let same_set =
+            |x: &[Axis], y: &[Axis]| x.len() == y.len() && x.iter().all(|l| y.contains(l));
+        let query_first = qc.m == [*query] && qc.n == [*key];
+        let [depth] = qc.k[..] else { return None };
+        let [width] = gc.m[..] else { return None };
+        if !(query_first || (qc.m == [*key] && qc.n == [*query]))
+            || !same_set(&qc.batch, batch)
+            || !same_set(&gc.batch, w_batch)
+            || batch.len() != w_batch.len()
+            || gc.n != [*w_query]
+            || gc.k != [*w_key]
+        {
+            return None;
+        }
+        // the entry of `xs` (an operand's sizes, or strides) at `label`
+        let at = |labels: &[Axis], xs: &[usize], label: Axis| {
+            let i = labels.iter().position(|&l| l == label)?;
+            (labels.len() == xs.len()).then(|| xs[i])
+        };
+        let dim = |labels: &[Axis], (sizes, strides): (&[usize], &[usize]), label: Axis| {
+            Some((at(labels, sizes, label)?, at(labels, strides, label)?))
+        };
+        let [la, lb] = qkt.operands() else {
+            return None;
+        };
+        let ((lq, q), (lk, kk)) = if query_first {
+            ((la, a), (lb, b))
+        } else {
+            ((lb, b), (la, a))
+        };
+        let (lv, lo) = (&gamma.operands()[0], gamma.output());
+        let ((j, q_row), (p, q_col)) = (dim(lq, q, *query)?, dim(lq, q, depth)?);
+        let ((p_k, k_row), (k, k_col)) = (dim(lk, kk, depth)?, dim(lk, kk, *key)?);
+        let ((k_v, v_row), (w, v_col)) = (dim(lv, v, *w_key)?, dim(lv, v, width)?);
+        let (o_row, o_col) = (at(lo, out, *w_query)?, at(lo, out, width)?);
+        let slices = batch.iter().zip(w_batch).map(|(&l, &wl)| {
+            let ((n, sq), (nk, sk), (nv, sv)) = (dim(lq, q, l)?, dim(lk, kk, l)?, dim(lv, v, wl)?);
+            (n == nk && n == nv).then_some((n, [sq, sk, sv, at(lo, out, wl)?]))
+        });
+        let batch = slices.collect::<Option<Vec<_>>>()?;
+        (p == p_k && k == k_v).then_some(AttentionPlan {
+            batch,
+            mats: [
+                (q_row, q_col),
+                (k_row, k_col),
+                (v_row, v_col),
+                (o_row, o_col),
+            ],
+            query_first,
+            j,
+            k,
+            p,
+            w,
+        })
+    }
+
+    /// Scratch words [`attention_into`] needs: one slice's packed K and V
+    /// panels, a panel of [`ATTENTION_TILE_ROWS`] score rows and one of
+    /// attention-weight rows, and a row each for the softmax and the mask.
+    pub fn scratch_words(&self) -> usize {
+        let rows = ATTENTION_TILE_ROWS.min(self.j);
+        panel_words(self.k, self.p) + panel_words(self.w, self.k) + 2 * (rows + 1) * self.k
+    }
+}
+
+/// The attention region: per slice, packs the K and V panels once, then for
+/// each panel of [`ATTENTION_TILE_ROWS`] query rows runs `QKᵀ` into scratch,
+/// the fused SM lane body (`lanes::softmax_lane` with its dropout tail) row
+/// by row, and the product with V straight into `out` through its strides.
+/// The scores, the softmax, the dropped-out weights and the mask exist only
+/// as that panel. `a` and `b` are the scores einsum's operands in its order;
+/// `causal` is as in [`softmax_into`].
+///
+/// Bit for bit the three-operator chain — [`contract_into`] of `qkt`,
+/// [`sm_into`], [`contract_into`] of `gamma` — RNG end state included:
+///
+/// * a row is whole inside its panel, so its softmax is the two-pass lane
+///   body of the chain, and rows are visited in the scores' logical order
+///   (slice, then row), so every mask is the chain's draw;
+/// * both products keep the GEMM's contract — one accumulator per element,
+///   `k` ascending, block after block — which does not depend on the
+///   tiling or on which operand plays A;
+/// * a causal panel contracts only the key blocks some row of it sees. A
+///   skipped weight is `+0` and every accumulator starts at `+0.0`, so for
+///   finite values the skipped products would each have added `±0` to a sum
+///   that is never `−0`: nothing. (Nor are keys past the last visible one
+///   packed, or their scores computed: no lane reads them.)
+///
+/// # Panics
+///
+/// Panics if `scratch` is shorter than [`AttentionPlan::scratch_words`] or
+/// an operand slice is shorter than the plan's strides reach.
+#[allow(clippy::too_many_arguments)] // three operands, the SM knobs, two buffers
+pub fn attention_into<R: Rng + ?Sized>(
+    plan: &AttentionPlan,
+    a: &[f32],
+    b: &[f32],
+    v: &[f32],
+    scaler: f32,
+    causal: Option<usize>,
+    drop: &mut Dropout<'_, R>,
+    scratch: &mut [f32],
+    out: &mut [f32],
+) {
+    let (j, k, p, w) = (plan.j, plan.k, plan.p, plan.w);
+    let (q, keys) = if plan.query_first { (a, b) } else { (b, a) };
+    let [qm, km, vm, om] = plan.mats;
+    let tile = ATTENTION_TILE_ROWS.min(j);
+    // the keys `rows` query rows from row `r0` on see between them, and the
+    // `KC` blocks of keys the product with V then runs over
+    let seen = |r0: usize, rows: usize| causal.map_or(k, |pos| (pos + r0 + rows).min(k));
+    let blocks = |seen: usize| seen.next_multiple_of(KC).min(k);
+    let (k_all, v_all) = (seen(0, j), blocks(seen(0, j)));
+    let (k_panels, rest) = scratch.split_at_mut(panel_words(k, p));
+    let (v_panels, rest) = rest.split_at_mut(panel_words(w, k));
+    let (scores, rest) = rest.split_at_mut(tile * k);
+    let (weights, rest) = rest.split_at_mut(tile * k);
+    let (softmax, mask) = rest.split_at_mut(k);
+    let slices: usize = plan.batch.iter().map(|d| d.0).product();
+    for g in 0..slices {
+        // where slice `g` starts in Q, K, V and the output
+        let (mut at, mut rem) = ([0usize; 4], g);
+        for &(n, strides) in plan.batch.iter().rev() {
+            for (o, s) in at.iter_mut().zip(strides) {
+                *o += rem % n * s;
+            }
+            rem /= n;
+        }
+        pack_panels(k_all, p, MatRef::new(&keys[at[1]..], km.0, km.1), k_panels);
+        pack_panels(w, v_all, MatRef::new(&v[at[2]..], vm.0, vm.1), v_panels);
+        for r0 in (0..j).step_by(tile) {
+            let rows = tile.min(j - r0);
+            let depth = blocks(seen(r0, rows));
+            // scores of the visible keys, in whole vectors
+            let cols = seen(r0, rows).next_multiple_of(NR).min(k_all);
+            let q_rows = MatRef::new(&q[at[0] + r0 * qm.0..], qm.0, qm.1);
+            gemm_packed_leading(rows, cols, p, q_rows, k_panels, k_all, scores, (k, 1));
+            for r in 0..rows {
+                // a lane ends at its last visible key; the weights past it,
+                // up to where the product with V stops reading, are `+0`
+                let visible = seen(r0 + r, 1);
+                let (row, hidden) = weights[r * k..][..depth].split_at_mut(visible);
+                let mut tail = lanes::Dropped {
+                    alpha: row,
+                    mask: &mut mask[..visible],
+                    drop: &mut *drop,
+                };
+                let (x, y) = (&scores[r * k..][..visible], &mut softmax[..visible]);
+                lanes::softmax_lane::<1, _, _, _>(x, scaler, visible, y, &mut tail);
+                hidden.fill(0.0);
+            }
+            let (weights, c) = (MatRef::row_major(weights, k), &mut out[at[3] + r0 * om.0..]);
+            gemm_packed_leading(rows, w, depth, weights, v_panels, w, c, om);
         }
     }
 }
@@ -1806,69 +2001,79 @@ mod tests {
         .is_none());
     }
 
-    /// The tiled mega-kernel against the unfused contract-then-fused-
-    /// kernel sequence, bitwise, including the dropout RNG stream.
+    /// The region against the chain it replaces — `contract` of the scores,
+    /// the fused SM kernel, `contract` of the context — bitwise, RNG end
+    /// state included: full and causal (with a position offset), over the
+    /// block's `phbk`/`whbk` projections and over position-major caches,
+    /// more query rows than one panel holds.
     #[test]
-    fn contract_epilogue_tiled_matches_unfused_bitwise() {
-        let sizes = [('p', 3), ('h', 2), ('b', 2), ('j', 4), ('k', 5)];
-        let kk = rand_t("phbk", &sizes, 32);
-        let qq = rand_t("phbj", &sizes, 33);
-        let spec: EinsumSpec = "phbk,phbj->hbjk".parse().unwrap();
-        let out_shape = Shape::from_spec("hbjk", &sizes).unwrap();
-        let ep = epilogue_contract_plan(
-            &spec,
-            kk.shape(),
-            kk.strides(),
-            qq.shape(),
-            qq.strides(),
-            &out_shape,
-        )
-        .unwrap();
-        let total = out_shape.num_elements();
-        let (p, scaler) = (0.3f32, 0.5f32);
-        let causal = Some(0);
+    fn attention_into_matches_the_three_operator_chain_bitwise() {
+        let j = ATTENTION_TILE_ROWS + 5;
+        let sizes = [
+            ('p', 3),
+            ('w', 2),
+            ('h', 2),
+            ('b', 2),
+            ('j', j),
+            ('k', j + 4),
+        ];
+        let qq = rand_t("phbj", &sizes, 32);
+        let row_major = Layout::row_major(4);
+        for (keys, values) in [("phbk", "whbk"), ("kphb", "kwhb")] {
+            let (kk, vv) = (rand_t(keys, &sizes, 33), rand_t(values, &sizes, 34));
+            let qkt: EinsumSpec = format!("{keys},phbj->hbjk").parse().unwrap();
+            let gamma: EinsumSpec = format!("{values},hbjk->whbj").parse().unwrap();
+            for (causal, p) in [(None, 0.0f32), (None, 0.3), (Some(0), 0.3), (Some(3), 0.0)] {
+                let mut rng_a = StdRng::seed_from_u64(9);
+                let beta = crate::contract::contract(&qkt, &kk, &qq, &row_major).unwrap();
+                let sm = match causal {
+                    Some(pos) => {
+                        fused::sm_causal_at(&beta, 0.5, Axis('j'), Axis('k'), p, &mut rng_a, pos)
+                    }
+                    None => fused::sm(&beta, 0.5, Axis('k'), p, &mut rng_a),
+                }
+                .unwrap();
+                let want = crate::contract::contract(&gamma, &vv, &sm.alpha, &row_major).unwrap();
 
-        // unfused: full contraction, then the SM kernel over the container
-        let beta = crate::contract::contract(&spec, &kk, &qq, &Layout::row_major(4)).unwrap();
-        let v = whole(&beta);
-        let sw = sweep(&beta, &[&v, &v, &v, &v], Some('k'), Some('j'));
-        let mut rng_a = StdRng::seed_from_u64(9);
-        let (mut sm_a, mut al_a, mut mk_a) = (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
-        sm_into(
-            &sw,
-            beta.data(),
-            scaler,
-            causal,
-            &mut Dropout::new(p, &mut rng_a).unwrap(),
-            &mut sm_a,
-            &mut al_a,
-            &mut mk_a,
-        );
-
-        let mut rng_b = StdRng::seed_from_u64(9);
-        let (mut sm_b, mut al_b, mut mk_b) = (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
-        let mut scratch = vec![f32::NAN; ep.epilogue_scratch_words(ep.m)];
-        let mut epi = TileEpilogue::Softmax {
-            scaler,
-            causal,
-            softmax: &mut sm_b,
-            alpha: &mut al_b,
-            mask: &mut mk_b,
-        };
-        // operands in the einsum's order: the plan knows the query is A
-        contract_epilogue_tiled(
-            &ep,
-            ep.m,
-            kk.data(),
-            qq.data(),
-            &mut scratch,
-            &mut Dropout::new(p, &mut rng_b).unwrap(),
-            &mut epi,
-        );
-        assert_bits("softmax", &sm_a, &sm_b);
-        assert_bits("alpha", &al_a, &al_b);
-        assert_bits("mask", &mk_a, &mk_b);
-        assert_same_rng_state(&mut rng_a, &mut rng_b, "sm");
+                let of = |t: &'_ Tensor| (t.shape().sizes().to_vec(), t.strides().to_vec());
+                let (a, b, v) = (of(&kk), of(&qq), of(&vv));
+                let plan = AttentionPlan::compile(
+                    &qkt,
+                    &gamma,
+                    (&a.0, &a.1),
+                    (&b.0, &b.1),
+                    (&v.0, &v.1),
+                    want.strides(),
+                )
+                .unwrap();
+                assert!(!plan.query_first);
+                assert_eq!((plan.j, plan.k, plan.p, plan.w), (j, j + 4, 3, 2));
+                let mut rng_b = StdRng::seed_from_u64(9);
+                let mut out = vec![f32::NAN; want.len()];
+                attention_into(
+                    &plan,
+                    kk.data(),
+                    qq.data(),
+                    vv.data(),
+                    0.5,
+                    causal,
+                    &mut Dropout::new(p, &mut rng_b).unwrap(),
+                    &mut vec![f32::NAN; plan.scratch_words()],
+                    &mut out,
+                );
+                assert_bits(&format!("{keys} {causal:?} p{p}"), &out, want.data());
+                assert_same_rng_state(&mut rng_a, &mut rng_b, "region");
+            }
+        }
+        // a batch axis between the scores' last two, a context that sums
+        // over the queries: not a scores/context pair
+        let (qkt, gamma) = ("phbk,phbj->hbjk", "whbk,hbjk->whbj");
+        let dims = [3usize, 2, 2, 4];
+        for (bad_qkt, bad_gamma) in [("phbk,phbj->hjbk", gamma), (qkt, "whbj,hbjk->whbk")] {
+            let (bad_qkt, bad_gamma) = (bad_qkt.parse().unwrap(), bad_gamma.parse().unwrap());
+            let op = (&dims[..], &dims[..]);
+            assert!(AttentionPlan::compile(&bad_qkt, &bad_gamma, op, op, op, &dims).is_none());
+        }
     }
 
     /// Row-tiled bias epilogues (BRD / BDR shape: batch-free, bias on M)

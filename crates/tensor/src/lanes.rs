@@ -13,7 +13,8 @@
 //!        │             run of 1, strided → bounds-checked `Strided`       (Walk::Strided)
 //!   lane enumerator    into_ops::Sweep (logical order, one view per operand;
 //!        │             decides the walk, cuts each row of lanes into runs)
-//!        ├── view drivers    into_ops::*_into, the epilogue tile driver
+//!        ├── view drivers    into_ops::*_into, the epilogue tile driver, the
+//!        │                   attention region (softmax_lane per query row of its panel)
 //!        └── tensor drivers  ops::{softmax, layernorm, bias_add, zip_map} and their
 //!                            `*_backward*`, bias_grad, fused::{sm*, brd*, bdrln, bs,
 //!                            blnrd, ebsb, bdrb_act}
@@ -43,8 +44,10 @@
 //!
 //! * [`Walk::Lane`] — the lane is contiguous in every swept operand: each
 //!   lane is an exact `[f32]` chunk, whose bounds checks the compiler hoists
-//!   out of the loops (the attention softmax over `[h,b,j,k]` along `k`,
-//!   and BS, its backward, over the same tensors);
+//!   out of the loops (the attention softmax over `[h,b,j,k]` along `k` —
+//!   as the `SM` step of a recipe-lowered plan, or row by row of the
+//!   attention region's scratch panel, where no such tensor exists — and
+//!   BS, its backward, over the same tensors);
 //! * [`Walk::Panel`] — the lane is strided, but the innermost loop *outside*
 //!   it steps by one word in every swept operand, so adjacent lanes are
 //!   adjacent words: up to [`W`] lanes run abreast, reduction index outer,

@@ -226,6 +226,41 @@ pub fn gemm_packed(
     blocks(m, n, k, a, Panels::Packed(panels), c, start);
 }
 
+/// `c = a × b` over the leading `n` columns and the leading `depth` rows of
+/// a `b` that [`pack_panels`] packed `pn` columns wide: one [`gemm_packed`]
+/// per `KC` block of the pack, each after the first started from C — the
+/// store and reload [`gemm`] itself makes between its blocks, so the bits are
+/// those of one GEMM over the corner. `depth` must end on a block of the
+/// pack (a multiple of [`KC`]) or at its last row. `c` is element `(0, 0)`
+/// onward with `(row, column)` strides `at`.
+///
+/// # Panics
+///
+/// As [`gemm_packed`].
+#[allow(clippy::too_many_arguments)] // a GEMM's dimensions and operands
+pub fn gemm_packed_leading(
+    m: usize,
+    n: usize,
+    depth: usize,
+    a: MatRef<'_>,
+    panels: &[f32],
+    pn: usize,
+    c: &mut [f32],
+    at: (usize, usize),
+) {
+    let npad = pn.div_ceil(NR) * NR;
+    for pc in (0..depth).step_by(KC) {
+        let a_blk = MatRef::new(&a.data[(pc * a.cs).min(a.data.len())..], a.rs, a.cs);
+        let start = if pc == 0 {
+            Start::FromZero
+        } else {
+            Start::FromC
+        };
+        let (kc, c) = (KC.min(depth - pc), MatMut::new(c, at.0, at.1));
+        gemm_packed(m, n, kc, a_blk, &panels[pc * npad..], c, start);
+    }
+}
+
 /// Where the block loop gets its B panels.
 #[derive(Clone, Copy)]
 enum Panels<'a> {
@@ -715,6 +750,36 @@ mod tests {
             Start::FromZero,
         );
         assert_eq!(c, [4.0, 8.0, 12.0]);
+    }
+
+    #[test]
+    fn a_leading_corner_of_a_pack_is_the_gemm_over_that_corner() {
+        // a pack two blocks and a bit deep, five panels and a bit wide;
+        // corners that end on a block and at the pack's last row, through
+        // a strided A and into a strided C
+        let mut rng = StdRng::seed_from_u64(17);
+        let (m, pn, pk) = (5, 5 * NR + 3, 2 * KC + 7);
+        let a = random_mat(&mut rng, m * pk);
+        let b = random_mat(&mut rng, pk * pn);
+        let mut panels = vec![f32::NAN; panel_words(pn, pk)];
+        pack_panels(pn, pk, MatRef::row_major(&b, pn), &mut panels);
+        let at = MatRef::new(&a, 1, m); // A stored k-major
+        for (n, depth) in [(pn, pk), (NR + 2, KC), (3 * NR, 2 * KC), (1, pk)] {
+            let mut want = vec![f32::NAN; m * n];
+            let (bw, c) = (MatRef::row_major(&b, pn), MatMut::row_major(&mut want, n));
+            gemm(m, n, depth, at, bw, c, Start::FromZero);
+            let mut got = vec![f32::NAN; m * n];
+            gemm_packed_leading(m, n, depth, at, &panels, pn, &mut got, (1, m));
+            for (r, row) in want.chunks(n).enumerate() {
+                for (j, w) in row.iter().enumerate() {
+                    assert_eq!(
+                        got[r + j * m].to_bits(),
+                        w.to_bits(),
+                        "({n},{depth}) at ({r},{j})"
+                    );
+                }
+            }
+        }
     }
 
     fn batch_of<'a>(data: &'a [f32], rows: usize, cols: usize) -> BatchRef<'a> {

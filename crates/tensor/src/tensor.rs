@@ -102,12 +102,27 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if the buffer length differs
     /// from the shape's element count.
     pub fn from_vec(shape: Shape, data: Vec<f32>) -> Result<Self> {
+        let layout = Layout::row_major(shape.rank());
+        Tensor::from_vec_with_layout(shape, layout, data)
+    }
+
+    /// Creates a tensor that owns the given buffer, its words in the
+    /// physical order of `layout`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if the buffer length differs
+    /// from the shape's element count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout rank does not match the shape rank.
+    pub fn from_vec_with_layout(shape: Shape, layout: Layout, data: Vec<f32>) -> Result<Self> {
         if data.len() != shape.num_elements() {
             return Err(TensorError::ShapeMismatch {
                 context: "Tensor::from_vec",
             });
         }
-        let layout = Layout::row_major(shape.rank());
         let strides = layout.strides(&shape);
         Ok(Tensor {
             shape,

@@ -1,7 +1,8 @@
 //! Property-based tests of the tensor substrate's core invariants:
 //! einsum-vs-naive equivalence, layout round-trips, normalization
-//! properties over arbitrary layouts, fused-vs-unfused equality, and FP16
-//! conversion laws.
+//! properties over arbitrary layouts, fused-vs-unfused equality, FP16
+//! conversion laws, and the attention region against the three-operator
+//! chain it replaces.
 
 use proptest::prelude::*;
 use rand::distributions::Uniform;
@@ -950,6 +951,216 @@ mod gemm {
                             text, la, lb, lc
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The attention region (`into_ops::attention_into`) against the chain it
+/// replaces — `contract` of the scores, the fused SM kernel, `contract` of
+/// the context, every `[h,b,j,k]` tensor of it materialized — bit for bit,
+/// the dropout RNG's end state included.
+mod attention_region {
+    use super::*;
+    use xform_tensor::fused::SmOutput;
+    use xform_tensor::into_ops::{attention_into, AttentionPlan, ATTENTION_TILE_ROWS};
+    use xform_tensor::lanes::Dropout;
+    use xform_tensor::matmul::{KC, NR};
+
+    /// One attention core: the operands (in whatever layouts), masking,
+    /// dropout.
+    struct Core {
+        qq: Tensor,
+        kk: Tensor,
+        vv: Tensor,
+        /// Position-major caches (`kphb` / `kwhb`) in place of the block's
+        /// `phbk` / `whbk` projections.
+        cache_major: bool,
+        /// Causal: the absolute position of query row 0.
+        causal: Option<usize>,
+        p: f32,
+    }
+
+    impl Core {
+        fn specs(&self) -> (EinsumSpec, EinsumSpec) {
+            let (keys, values) = if self.cache_major {
+                ("kphb", "kwhb")
+            } else {
+                ("phbk", "whbk")
+            };
+            (
+                format!("{keys},phbj->hbjk").parse().unwrap(),
+                format!("{values},hbjk->whbj").parse().unwrap(),
+            )
+        }
+
+        /// The chain: `(softmax bundle, context in `out`)`.
+        fn chain(&self, out: &Layout, rng: &mut StdRng) -> (SmOutput, Tensor) {
+            let (qkt, gamma) = self.specs();
+            let beta = contract::contract(&qkt, &self.kk, &self.qq, &Layout::row_major(4)).unwrap();
+            let (j, k) = (Axis('j'), Axis('k'));
+            let sm = match self.causal {
+                Some(pos) => fused::sm_causal_at(&beta, 0.5, j, k, self.p, rng, pos),
+                None => fused::sm(&beta, 0.5, k, self.p, rng),
+            }
+            .unwrap();
+            let context = contract::contract(&gamma, &self.vv, &sm.alpha, out).unwrap();
+            (sm, context)
+        }
+
+        /// The region, writing a context laid out like `like` over poison.
+        fn region(&self, like: &Tensor, rng: &mut StdRng) -> Vec<f32> {
+            let (qkt, gamma) = self.specs();
+            let of = |t: &'_ Tensor| (t.shape().sizes().to_vec(), t.strides().to_vec());
+            let (a, b, v) = (of(&self.kk), of(&self.qq), of(&self.vv));
+            let plan = AttentionPlan::compile(
+                &qkt,
+                &gamma,
+                (&a.0, &a.1),
+                (&b.0, &b.1),
+                (&v.0, &v.1),
+                like.strides(),
+            )
+            .expect("the attention emitter's specs compile in any layout");
+            let mut out = vec![f32::NAN; like.len()];
+            attention_into(
+                &plan,
+                self.kk.data(),
+                self.qq.data(),
+                self.vv.data(),
+                0.5,
+                self.causal,
+                &mut Dropout::new(self.p, rng).unwrap(),
+                &mut vec![f32::NAN; plan.scratch_words()],
+                &mut out,
+            );
+            out
+        }
+    }
+
+    /// Extents on both sides of every block the driver cuts by — a panel of
+    /// query rows, a vector of key columns, a `KC` block of keys (two and a
+    /// bit of them, so the V pack spans blocks and a causal panel skips
+    /// one) — with `j ≠ k`; one query row is the decode step's shape.
+    fn extents() -> impl Strategy<Value = (usize, usize)> {
+        let rows = [
+            1,
+            7,
+            ATTENTION_TILE_ROWS,
+            ATTENTION_TILE_ROWS + 5,
+            2 * ATTENTION_TILE_ROWS + 9,
+        ];
+        let keys = [1, NR - 1, 37, KC, KC + 44, 2 * KC + 3];
+        (0..rows.len(), 0..keys.len()).prop_map(move |(r, c)| (rows[r], keys[c]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn region_equals_the_three_operator_chain_bitwise(
+            (j, k) in extents(),
+            (b, h) in (1usize..3, 1usize..3),
+            (depth, width) in (0usize..4, 0usize..4),
+            (cache_major, mask, pos) in (any::<bool>(), any::<bool>(), 0usize..600),
+            p in 0usize..3,
+            lay in (0usize..24, 0usize..24, 0usize..24, 0usize..24),
+            seed in 0u64..1000,
+        ) {
+            let (depth, width) = ([1, 3, 16, 20][depth], [1, 2, 16, 17][width]);
+            let table = [('p', depth), ('w', width), ('h', h), ('b', b), ('j', j), ('k', k)];
+            let layouts = Layout::all(4);
+            let t = |spec: &str, layout: usize, seed: u64| {
+                rand_tensor(Shape::from_spec(spec, &table).unwrap(), seed).relayout(&layouts[layout])
+            };
+            let (keys, values) = if cache_major { ("kphb", "kwhb") } else { ("phbk", "whbk") };
+            let core = Core {
+                qq: t("phbj", lay.0, seed),
+                kk: t(keys, lay.1, seed + 1),
+                vv: t(values, lay.2, seed + 2),
+                cache_major,
+                // row 0 somewhere in the keys, the last rows often past them
+                causal: mask.then_some(pos % k),
+                p: [0.0, 0.1, 0.5][p],
+            };
+            let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let (_, want) = core.chain(&layouts[lay.3], &mut rng_a);
+            let got = core.region(&want, &mut rng_b);
+            prop_assert!(bits(&got) == bits(want.data()), "gamma differs");
+            prop_assert!(rng_a.next_u64() == rng_b.next_u64(), "RNG end states differ");
+        }
+    }
+
+    /// The lane rules `softmax_lane` documents, through the region: a fully
+    /// masked (all `−inf`) row is zero and draws nothing, a NaN in a row's
+    /// visible prefix poisons that row and no other, a `+inf` likewise.
+    #[test]
+    fn dead_and_poisoned_rows_stay_their_own() {
+        let (j, k) = (ATTENTION_TILE_ROWS + 3, KC + 9);
+        let table = [('p', 4), ('w', 3), ('h', 2), ('b', 1), ('j', j), ('k', k)];
+        let unit = |spec: &str, seed| {
+            let shape = Shape::from_spec(spec, &table).unwrap();
+            Tensor::random(
+                shape,
+                &Uniform::new(0.1f32, 1.0),
+                &mut StdRng::seed_from_u64(seed),
+            )
+        };
+        // positive keys, so a query row of `∓inf` scores `∓inf` at every key
+        let (mut qq, mut kk, vv) = (unit("phbj", 1), unit("phbk", 2), unit("whbk", 3));
+        let (dead, blown, nan_key) = (2, ATTENTION_TILE_ROWS + 1, 4);
+        for d in 0..4 {
+            for hh in 0..2 {
+                qq.set(&[d, hh, 0, dead], f32::NEG_INFINITY);
+                qq.set(&[d, hh, 0, blown], f32::INFINITY);
+            }
+        }
+        // one key of head 0 is NaN: under the causal mask only rows from
+        // `nan_key` on see it — `dead` is before it
+        kk.set(&[0, 0, 0, nan_key], f32::NAN);
+        for (causal, p) in [(Some(0), 0.3f32), (None, 0.0)] {
+            let core = Core {
+                qq: qq.clone(),
+                kk: kk.clone(),
+                vv: vv.clone(),
+                cache_major: false,
+                causal,
+                p,
+            };
+            let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+            let (sm, want) = core.chain(&Layout::row_major(4), &mut rng_a);
+            let got = core.region(&want, &mut rng_b);
+            // the same bits, NaN for NaN (a product of two NaNs keeps the
+            // payload of whichever operand the GEMM's role choice put first)
+            for (g, w) in got.iter().zip(want.data()) {
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "{g} vs {w}"
+                );
+            }
+            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "draws, {causal:?}");
+            let row = |hh: usize, r: usize| -> Vec<f32> {
+                (0..3).map(|w| got[((w * 2 + hh) * j) + r]).collect()
+            };
+            for (hh, r) in (0..2).flat_map(|hh| (0..j).map(move |r| (hh, r))) {
+                // the NaN key: every row of head 0 that sees it, none of head 1
+                let sees_nan = hh == 0 && (causal.is_none() || r >= nan_key);
+                let row = row(hh, r);
+                if r == blown || sees_nan {
+                    assert!(
+                        row.iter().all(|v| v.is_nan()),
+                        "{causal:?} row {r} of head {hh}"
+                    );
+                } else if r == dead {
+                    // zero weights, a `+0` context, and no mask drawn
+                    assert!(row.iter().all(|v| v.to_bits() == 0), "{causal:?} head {hh}");
+                    assert!((0..k).all(|kk| sm.mask.at(&[hh, 0, dead, kk]) == 0.0));
+                } else {
+                    assert!(
+                        row.iter().all(|v| v.is_finite()),
+                        "{causal:?} row {r} of head {hh}"
+                    );
                 }
             }
         }

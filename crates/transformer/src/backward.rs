@@ -8,14 +8,58 @@
 //! operators it equals bit for bit (BS and BDRB here; BLNRD and EBSB in the
 //! encoder). The paper's other backward names (BSB, BAOB, BAIB, BEI) fuse
 //! nothing on a CPU and are the operators themselves under either executor.
+//!
+//! # Rematerialization
+//!
+//! A forward that ran the attention region keeps none of the core's
+//! `[h,b,j,k]` tensors — at `j = 512` they were four fifths of a block's
+//! saved bytes. What it keeps is [`SavedSoftmax::Redraw`]: the dropout
+//! stream of the region step. Ahead of [`attention_backward`],
+//! [`SavedSoftmax::bundle`] computes the bundle again from the saved
+//! `qq`/`kk` with the chain the region stands for — `einsum` of the scores,
+//! then `fused::sm` / `sm_causal` drawing from that stream — which the
+//! region equals bit for bit, masks included (the region proptests of
+//! `xform-tensor`). It is the eager mirror of the `QKT → SM` nodes
+//! `fusion::apply_regions` leaves on the backward side of a training graph.
 
+use std::borrow::Cow;
+
+use xform_core::arena::step_rng;
 use xform_tensor::fused::{self, BrdOutput, SmOutput};
 use xform_tensor::ops::dropout::dropout_backward;
 use xform_tensor::ops::elementwise::{activate_backward, add, bias_grad, scale, ActivationKind};
 use xform_tensor::ops::softmax::softmax_backward;
 use xform_tensor::{einsum, Axis, Result, Tensor};
 
+use crate::interp::SavedSoftmax;
 use crate::params::{EncoderGrads, EncoderWeights};
+
+impl SavedSoftmax {
+    /// The softmax bundle of the forward that left `self`: the one it kept,
+    /// or — from the projections it saved, the attention scale, and the
+    /// dropout probability and causal masking of its softmax — computed
+    /// again (module docs).
+    pub(crate) fn bundle(
+        &self,
+        (qq, kk): (&Tensor, &Tensor),
+        scaler: f32,
+        dropout_p: f32,
+        causal: bool,
+    ) -> Result<Cow<'_, SmOutput>> {
+        let (seed, stream) = match self {
+            SavedSoftmax::Kept(sm) => return Ok(Cow::Borrowed(sm)),
+            &SavedSoftmax::Redraw { seed, stream } => (seed, stream),
+        };
+        let (j, k) = (Axis('j'), Axis('k'));
+        let beta = einsum("phbk,phbj->hbjk", &[kk, qq])?;
+        let rng = &mut step_rng(seed, stream);
+        Ok(Cow::Owned(if causal {
+            fused::sm_causal(&beta, scaler, j, k, dropout_p, rng)?
+        } else {
+            fused::sm(&beta, scaler, k, dropout_p, rng)?
+        }))
+    }
+}
 
 /// The forward values the attention backward reads.
 #[derive(Debug, Clone, Copy)]
@@ -63,15 +107,15 @@ pub(crate) fn attention_backward(
     scaler: f32,
     fused: bool,
 ) -> Result<AttentionGrads> {
-    let k = Axis('k');
+    let (k, sm) = (Axis('k'), a.sm);
     let d_gam = einsum("whi,ibj->whbj", &[&w.wo, d_attn])?;
     let d_alpha = einsum("whbk,whbj->hbjk", &[a.vv, &d_gam])?;
-    let d_vv = einsum("whbj,hbjk->whbk", &[&d_gam, &a.sm.alpha])?;
+    let d_vv = einsum("whbj,hbjk->whbk", &[&d_gam, &sm.alpha])?;
     let d_beta = if fused {
-        fused::bs(&d_alpha, &a.sm.mask, &a.sm.softmax, k, scaler)?
+        fused::bs(&d_alpha, &sm.mask, &sm.softmax, k, scaler)?
     } else {
-        let after = dropout_backward(&d_alpha, &a.sm.mask)?;
-        scale(&softmax_backward(&after, &a.sm.softmax, k)?, scaler)
+        let after = dropout_backward(&d_alpha, &sm.mask)?;
+        scale(&softmax_backward(&after, &sm.softmax, k)?, scaler)
     };
     let d_qq = einsum("phbk,hbjk->phbj", &[a.kk, &d_beta])?;
     let d_kk = einsum("phbj,hbjk->phbk", &[a.qq, &d_beta])?;

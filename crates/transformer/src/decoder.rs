@@ -5,7 +5,7 @@
 
 use xform_core::plan::{ExecOptions, ExecState};
 use xform_dataflow::EncoderDims;
-use xform_tensor::fused::{BrdOutput, SmOutput};
+use xform_tensor::fused::BrdOutput;
 use xform_tensor::ops::dropout::dropout_backward;
 use xform_tensor::ops::elementwise::{add, ActivationKind};
 use xform_tensor::ops::layernorm::{
@@ -14,12 +14,15 @@ use xform_tensor::ops::layernorm::{
 use xform_tensor::{Axis, Result, Tensor, TensorError};
 
 use crate::backward::{ffn_backward, self_attention_backward, AttentionSaved};
-use crate::interp::{self, finish, ForwardOutput};
+use crate::interp::{self, ForwardOutput, SavedSoftmax};
 use crate::params::{EncoderGrads, EncoderWeights};
 
 /// Assembles the decoder's saved activations out of what a forward
 /// produced.
-fn collect_decoder_activations(mut state: ExecState) -> Result<(Tensor, DecoderActivations)> {
+fn collect_decoder_activations(
+    mut state: ExecState,
+    region: Option<(u64, usize)>,
+) -> Result<(Tensor, DecoderActivations)> {
     let missing = |name: &str| {
         TensorError::Unsupported(format!(
             "plan produced no layer-norm statistics for `{name}`"
@@ -41,11 +44,7 @@ fn collect_decoder_activations(mut state: ExecState) -> Result<(Tensor, DecoderA
             qq: state.take("qq")?,
             kk: state.take("kk")?,
             vv: state.take("vv")?,
-            sm: SmOutput {
-                alpha: state.take("alpha")?,
-                softmax: state.take("att")?,
-                mask: state.take("att_mask")?,
-            },
+            sm: SavedSoftmax::collect(&mut state, region)?,
             gam: state.take("gamma")?,
             drop1_mask: state.take("drop1_mask")?,
             res1: state.take("res1")?,
@@ -73,9 +72,9 @@ pub struct DecoderLayer {
     /// Dropout probability.
     pub dropout_p: f32,
     /// When set, the block runs the GEMM-epilogue canned plan
-    /// ([`interp::PlanKind::DecoderEpilogue`]): the QKT→SM, Out→BDR,
-    /// Linear 1→BRD and Linear 2→BDR2 chains collapse into tiled
-    /// mega-kernels whose intermediates never materialize.
+    /// ([`interp::PlanKind::DecoderEpilogue`]): the Out→BDR, Linear 1→BRD
+    /// and Linear 2→BDR2 chains collapse into tiled mega-kernels whose
+    /// intermediates never materialize.
     pub epilogue: bool,
 }
 
@@ -92,8 +91,11 @@ pub struct DecoderActivations {
     pub kk: Tensor,
     /// Biased value projections.
     pub vv: Tensor,
-    /// Causal softmax bundle.
-    pub sm: SmOutput,
+    /// The dropout stream of the attention region, to compute the causal
+    /// softmax bundle again from: the block's plans materialize no
+    /// `[h,b,j,k]` tensor. (The bundle itself only under a plan override
+    /// that still runs `SM` as a step of its own.)
+    pub sm: SavedSoftmax,
     /// Attention context.
     pub gam: Tensor,
     /// Attention-path dropout mask.
@@ -172,8 +174,16 @@ impl DecoderLayer {
         opts: &ExecOptions,
     ) -> Result<ForwardOutput<DecoderActivations>> {
         let run = self.exec_options(opts)?;
-        let state = interp::forward_state(&self.dims, self.plan_kind(), x, w, &run)?;
-        finish(state, opts.collect_activations, collect_decoder_activations)
+        let (kind, collect) = (self.plan_kind(), opts.collect_activations);
+        interp::forward(
+            &self.dims,
+            kind,
+            x,
+            w,
+            &run,
+            collect,
+            collect_decoder_activations,
+        )
     }
 
     /// Forward propagation into a caller-provided output tensor — the
@@ -231,11 +241,12 @@ impl DecoderLayer {
 
         // --- attention branch of residual 1 ---
         let d_attn = dropout_backward(&d_res1, &a.drop1_mask)?;
+        let sm = (a.sm).bundle((&a.qq, &a.kk), self.scaler(), self.dropout_p, true)?;
         let saved = AttentionSaved {
             qq: &a.qq,
             kk: &a.kk,
             vv: &a.vv,
-            sm: &a.sm,
+            sm: &sm,
             gam: &a.gam,
         };
         let d_ln1_out =
@@ -278,23 +289,16 @@ mod tests {
     }
 
     #[test]
-    fn forward_shape_and_causality() {
+    fn forward_shape_and_what_it_saves_of_the_softmax() {
         let (layer, w, x) = setup();
         let (y, acts) = fwd(&layer, &x, &w, 1);
         assert_eq!(y.shape().spec(), "ibj");
-        // no attention weight looks at the future
-        let d = layer.dims;
-        for h in 0..d.h {
-            for b in 0..d.b {
-                for j in 0..d.j {
-                    for k in 0..d.k {
-                        if k > j {
-                            assert_eq!(acts.sm.softmax.at(&[h, b, j, k]), 0.0);
-                        }
-                    }
-                }
-            }
-        }
+        // no `[h,b,j,k]` tensor: the region step's dropout stream instead
+        // (that no attention weight looks at the future shows in `y`, below)
+        let SavedSoftmax::Redraw { seed, .. } = acts.sm else {
+            panic!("the block's plan runs the attention core as a region");
+        };
+        assert_eq!(seed, 1);
     }
 
     #[test]

@@ -18,14 +18,14 @@
 
 use xform_core::plan::{ExecOptions, ExecState};
 use xform_dataflow::EncoderDims;
-use xform_tensor::fused::{self, BdrlnOutput, BrdOutput, SmOutput};
+use xform_tensor::fused::{self, BdrlnOutput, BrdOutput};
 use xform_tensor::ops::dropout::dropout_backward;
 use xform_tensor::ops::elementwise::{add, ActivationKind};
 use xform_tensor::ops::layernorm::{layernorm_backward_input, layernorm_backward_weights};
 use xform_tensor::{Axis, Result, Tensor};
 
 use crate::backward::{ffn_backward, self_attention_backward, AttentionSaved};
-use crate::interp::{self, finish, ForwardOutput};
+use crate::interp::{self, ForwardOutput, SavedSoftmax};
 use crate::params::{EncoderGrads, EncoderWeights};
 
 fn missing_stats(name: &str) -> xform_tensor::TensorError {
@@ -35,7 +35,10 @@ fn missing_stats(name: &str) -> xform_tensor::TensorError {
 }
 
 /// Assembles the saved activations out of what a forward produced.
-fn collect_activations(mut state: ExecState) -> Result<(Tensor, Activations)> {
+fn collect_activations(
+    mut state: ExecState,
+    region: Option<(u64, usize)>,
+) -> Result<(Tensor, Activations)> {
     let stats1 = state
         .stats
         .remove("ln1_out")
@@ -48,11 +51,7 @@ fn collect_activations(mut state: ExecState) -> Result<(Tensor, Activations)> {
             qq: state.take("qq")?,
             kk: state.take("kk")?,
             vv: state.take("vv")?,
-            sm: SmOutput {
-                alpha: state.take("alpha")?,
-                softmax: state.take("att")?,
-                mask: state.take("att_mask")?,
-            },
+            sm: SavedSoftmax::collect(&mut state, region)?,
             gam: state.take("gamma")?,
             ln1: BdrlnOutput {
                 out: state.take("ln1_out")?,
@@ -83,9 +82,11 @@ pub enum Executor {
     /// The paper's fused kernels (AIB, SM, BDRLN, BRD, BSB, BLNRD, BDRB,
     /// EBSB, BS, BAOB, BAIB, BEI).
     Fused,
-    /// The fused kernels plus GEMM-epilogue mega-kernels: the QKT→SM and
-    /// Linear 1→BRD chains collapse into single tiled contraction steps
-    /// whose intermediates (`beta`, `ff1`) are never materialized.
+    /// The fused kernels plus GEMM-epilogue mega-kernels: the Linear 1→BRD
+    /// chain collapses into a single tiled contraction step whose
+    /// intermediate (`ff1`) is never materialized. (The attention core runs
+    /// as one region under this executor and under [`Executor::Fused`]
+    /// alike.)
     Epilogue,
 }
 
@@ -114,8 +115,11 @@ pub struct Activations {
     pub kk: Tensor,
     /// Biased value projections `[w,h,b,k]`.
     pub vv: Tensor,
-    /// Fused softmax output bundle (alpha, saved softmax, mask).
-    pub sm: SmOutput,
+    /// The softmax bundle (alpha, saved softmax, mask) under
+    /// [`Executor::Reference`]; under the fused executors, whose attention
+    /// region materializes no `[h,b,j,k]` tensor, the dropout stream to
+    /// compute it again from.
+    pub sm: SavedSoftmax,
     /// Attention context `[w,h,b,j]`.
     pub gam: Tensor,
     /// First bias+dropout+residual+layernorm bundle.
@@ -210,8 +214,8 @@ impl EncoderLayer {
         opts: &ExecOptions,
     ) -> Result<ForwardOutput<Activations>> {
         let run = self.exec_options(opts)?;
-        let state = interp::forward_state(&self.dims, self.plan_kind(), x, w, &run)?;
-        finish(state, opts.collect_activations, collect_activations)
+        let (kind, collect) = (self.plan_kind(), opts.collect_activations);
+        interp::forward(&self.dims, kind, x, w, &run, collect, collect_activations)
     }
 
     /// Forward propagation into a caller-provided output tensor — the
@@ -296,11 +300,12 @@ impl EncoderLayer {
         let (d_attn_b, d_ln1_in) = blnrd(fused_mode, &d_ln1out, &a.ln1, &w.ln1_gamma)?;
 
         // --- attention, down to the gradient of the projections' input ---
+        let sm = (a.sm).bundle((&a.qq, &a.kk), self.scaler(), self.dropout_p, false)?;
         let saved = AttentionSaved {
             qq: &a.qq,
             kk: &a.kk,
             vv: &a.vv,
-            sm: &a.sm,
+            sm: &sm,
             gam: &a.gam,
         };
         let d_x_proj =
@@ -379,7 +384,10 @@ mod tests {
         let (y2, a2) = fwd(&ref_layer, &x, &w, 2);
         assert!(y1.max_abs_diff(&y2).unwrap() < 1e-5);
         assert!(a1.qq.max_abs_diff(&a2.qq).unwrap() < 1e-5);
-        assert!(a1.sm.alpha.max_abs_diff(&a2.sm.alpha).unwrap() < 1e-5);
+        // the reference executor keeps the softmax bundle, the fused one the
+        // stream to compute it again from
+        assert!(matches!(a1.sm, SavedSoftmax::Redraw { .. }));
+        assert!(matches!(a2.sm, SavedSoftmax::Kept(_)));
         assert!(a1.ln1.ln_input.max_abs_diff(&a2.ln1.ln_input).unwrap() < 1e-5);
     }
 

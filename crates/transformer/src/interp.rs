@@ -18,13 +18,15 @@ use xform_core::access::{certify_access, AccessCertificate};
 use xform_core::analyze::ArenaGranularity;
 use xform_core::arena::{self, ArenaArtifact, CompiledArena};
 use xform_core::fusion::{
-    apply_epilogues, apply_plan, decoder_fusion_plan, encoder_fusion_plan, FusionGroup,
+    apply_epilogues, apply_plan, apply_regions, decoder_fusion_plan, encoder_fusion_plan,
+    FusionGroup,
 };
 use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use xform_core::profile::record_arena_timings;
 use xform_core::recipe::forward_ops;
 use xform_core::sanitize::{certify, RaceCertificate};
-use xform_dataflow::{build, EncoderDims, Graph};
+use xform_dataflow::{build, EncoderDims, Graph, OpKind};
+use xform_tensor::fused::SmOutput;
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::{into_ops, Result, Shape, Tensor, TensorError};
@@ -60,6 +62,39 @@ impl<A> ForwardOutput<A> {
             )
         })?;
         Ok((self.y, a))
+    }
+}
+
+/// What a forward leaves the attention backward of its softmax bundle (the
+/// saved softmax, the dropped-out weights, the mask).
+#[derive(Debug, Clone)]
+pub enum SavedSoftmax {
+    /// The bundle itself: a forward that materialized it (the reference
+    /// executor, eager MHA, a plan that runs `SM` as a step of its own).
+    Kept(Box<SmOutput>),
+    /// The dropout stream of the forward's attention region, which kept no
+    /// bundle — sixteen bytes that stand for its masks: backward computes the
+    /// bundle again, drawing from [`arena::step_rng`] of the two.
+    Redraw {
+        /// [`ExecOptions::seed`] of the run.
+        seed: u64,
+        /// The region step's stream number ([`ExecutionPlan::stream_of`]).
+        stream: usize,
+    },
+}
+
+impl SavedSoftmax {
+    /// Out of what a forward produced: the region's stream if the plan had a
+    /// region, else the containers `att`, `alpha` and `att_mask`.
+    pub(crate) fn collect(state: &mut ExecState, region: Option<(u64, usize)>) -> Result<Self> {
+        Ok(match region {
+            Some((seed, stream)) => SavedSoftmax::Redraw { seed, stream },
+            None => SavedSoftmax::Kept(Box::new(SmOutput {
+                alpha: state.take("alpha")?,
+                softmax: state.take("att")?,
+                mask: state.take("att_mask")?,
+            })),
+        })
     }
 }
 
@@ -112,9 +147,10 @@ fn check_extents(dims: &EncoderDims) -> Result<()> {
 
 /// A training block's forward as a plan: the graph of `build` (which
 /// asserts `dims.j == dims.k` — checked here first, where the `Result`
-/// starts), `fusion` applied, optionally every GEMM-epilogue chain
-/// collapsed, then the operators ahead of the `dy` seed scheduled in
-/// natural layouts.
+/// starts), `fusion` applied, the attention core behind a fused `SM`
+/// collapsed into its region (the unfused reference graph has none),
+/// optionally every GEMM-epilogue chain collapsed, then the operators `y`
+/// needs scheduled in natural layouts.
 fn block_plan(
     dims: &EncoderDims,
     build: fn(&EncoderDims) -> build::EncoderGraph,
@@ -130,6 +166,10 @@ fn block_plan(
     let eg = build(dims);
     let mut g = eg.graph;
     apply_plan(&mut g, fusion)?;
+    // the chain a region replaces held three schedule positions (QKT, SM,
+    // Gamma) in the fused plans and two in the epilogue plans, whose QKT+SM
+    // was one step: dropout streams keep their numbers
+    apply_regions(&mut g, if epilogues { 2 } else { 3 })?;
     if epilogues {
         apply_epilogues(&mut g)?;
     }
@@ -157,6 +197,8 @@ fn step_plan(
     let mut fusion = decoder_fusion_plan();
     fusion.retain(|group| group.members.iter().any(|m| g.op_by_name(m).is_some()));
     apply_plan(&mut g, &fusion)?;
+    // the attend step is the region's one-row case: a query against the cache
+    apply_regions(&mut g, 3)?;
     let plan = ExecutionPlan::natural(&g, &g.topo_ops())?;
     certified(g, plan)
 }
@@ -164,19 +206,22 @@ fn step_plan(
 /// Which canned schedule a cache entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanKind {
-    /// Unfused encoder, natural layouts.
+    /// Unfused encoder, natural layouts: one step per dataflow operator,
+    /// the attention core's `[h,b,j,k]` tensors materialized. The oracle.
     EncoderReference,
-    /// Fused encoder, natural layouts.
+    /// Fused encoder, natural layouts, the attention core one region
+    /// (`QKT+SM+Gamma`: no `[h,b,j,k]` tensor is materialized).
     EncoderFused,
-    /// Fused encoder with GEMM-epilogue mega-kernels (QKT+SM, Linear 1+
-    /// BRD collapsed; their intermediates never materialize).
+    /// [`PlanKind::EncoderFused`] with GEMM-epilogue mega-kernels (Linear
+    /// 1+BRD collapsed; its intermediate never materializes).
     EncoderEpilogue,
-    /// Fused decoder block, natural layouts. Also what a decode *prefill*
+    /// Fused decoder block, natural layouts, the causal attention core one
+    /// region. Also what a decode *prefill*
     /// pass runs, at `dims.j == dims.k ==` the prompt length: the plan
     /// schedules only the forward operators, and the saved `kk`/`vv`
     /// projections seed the KV cache.
     DecoderFused,
-    /// Fused decoder with GEMM-epilogue mega-kernels (QKT+SM, Out+BDR,
+    /// [`PlanKind::DecoderFused`] with GEMM-epilogue mega-kernels (Out+BDR,
     /// Linear 1+BRD, Linear 2+BDR2 collapsed).
     DecoderEpilogue,
     /// Decode-step projection plan: LN1 + stacked Q/K/V + bias carve over
@@ -186,7 +231,8 @@ pub enum PlanKind {
     /// Decode-step attention plan: reads the resident `k_cache`/`v_cache`
     /// ([`xform_dataflow::DataRole::Cache`] inputs, `dims.k` = bucket
     /// capacity) plus the projected `qq` column and produces the step's
-    /// `y` (`dims.j == 1`).
+    /// `y` (`dims.j == 1`). Its attention core is the region's one-row
+    /// case: one query against the keys up to its own position.
     DecoderStep,
 }
 
@@ -391,28 +437,50 @@ fn with_arena<R>(
     }
 }
 
-/// Runs one layer forward and returns every container it produced:
-/// outputs, saved activations and layer-norm statistics, materialized out
-/// of the slab `x` and the weights were bound straight into, each in the
-/// layout the plan leaves it in. `opts` must already be merged with the
-/// layer knobs.
+/// Runs one layer forward for [`ForwardOutput`]. Without `collect` only
+/// `y` leaves the slab, through [`forward_into`]'s sink into a fresh
+/// row-major tensor. With it every container the plan produced — outputs,
+/// saved activations, layer-norm statistics — is materialized out of the
+/// slab `x` and the weights were bound straight into, each in the layout
+/// the plan leaves it in, and handed to `collector` with the dropout stream
+/// of the plan's attention region, if it has one: the region keeps no
+/// `[h,b,j,k]` tensor, and the backward pass draws its masks again
+/// ([`SavedSoftmax`]). `opts` must already be merged with the layer knobs.
 ///
 /// # Errors
 ///
 /// Returns an error if the plan fails its lint gate or certification, an
 /// external cannot be bound, or a kernel rejects its operands.
-pub(crate) fn forward_state(
+pub(crate) fn forward<A>(
     dims: &EncoderDims,
     kind: PlanKind,
     x: &Tensor,
     w: &EncoderWeights,
     opts: &ExecOptions,
-) -> Result<ExecState> {
-    with_arena(dims, kind, opts, |graph, plan, arena| {
+    collect: bool,
+    collector: impl FnOnce(ExecState, Option<(u64, usize)>) -> Result<(Tensor, A)>,
+) -> Result<ForwardOutput<A>> {
+    if !collect {
+        let mut y = Tensor::zeros(x.shape().clone());
+        forward_into(dims, kind, x, w, opts, &mut y)?;
+        return Ok(ForwardOutput {
+            y,
+            activations: None,
+        });
+    }
+    let (state, region) = with_arena(dims, kind, opts, |graph, plan, arena| {
         let mut state = ExecState::default();
         let mut bind = |name: &str, dst: &mut [f32]| bind_external(name, dst, x, w);
         arena.execute_into_state(graph, plan, opts, &mut bind, &mut state)?;
-        Ok(state)
+        let region =
+            |s: &xform_core::plan::PlanStep| matches!(s.kind, OpKind::AttentionRegion { .. });
+        let at = plan.steps.iter().position(region);
+        Ok((state, at.map(|si| (opts.seed, plan.stream_of(si)))))
+    })?;
+    let (y, a) = collector(state, region)?;
+    Ok(ForwardOutput {
+        y,
+        activations: Some(a),
     })
 }
 
@@ -423,8 +491,8 @@ pub(crate) fn forward_state(
 ///
 /// # Errors
 ///
-/// As [`forward_state`], and if `y` does not hold exactly the words the
-/// plan's `y` container does.
+/// As [`forward`], and if `y` does not hold exactly the words the plan's `y`
+/// container does.
 pub(crate) fn forward_into(
     dims: &EncoderDims,
     kind: PlanKind,
@@ -545,28 +613,6 @@ pub fn decoder_step_project(dims: &EncoderDims) -> Result<PlannedForward> {
 /// As [`decoder_step_project`].
 pub fn decoder_step_attend(dims: &EncoderDims) -> Result<PlannedForward> {
     step_plan(dims, build::decoder_step_attend)
-}
-
-/// Wraps what a forward produced into a [`ForwardOutput`]:
-/// either running the layer's activation collector or just lifting `y`
-/// out when collection was disabled.
-pub(crate) fn finish<A>(
-    mut state: ExecState,
-    collect: bool,
-    collector: impl FnOnce(ExecState) -> Result<(Tensor, A)>,
-) -> Result<ForwardOutput<A>> {
-    if collect {
-        let (y, a) = collector(state)?;
-        Ok(ForwardOutput {
-            y,
-            activations: Some(a),
-        })
-    } else {
-        Ok(ForwardOutput {
-            y: state.take("y")?,
-            activations: None,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -107,7 +107,7 @@ proptest! {
         for m in acts.brd.mask.data() {
             prop_assert!(*m == 0.0 || (*m - keep).abs() < 1e-5);
         }
-        for m in acts.sm.mask.data() {
+        for m in acts.ln1.mask.data() {
             prop_assert!(*m == 0.0 || (*m - keep).abs() < 1e-5);
         }
     }

@@ -249,7 +249,10 @@ fn collected_activations_match_between_arena_and_env_interpreter() {
     let reference = reference_run(&dims, interp::PlanKind::EncoderFused, &x, &w);
     let a = arena_out.activations.as_ref().unwrap();
     assert_eq!(a.qq.data(), reference.env["qq"].data());
-    assert_eq!(a.sm.softmax.data(), reference.env["att"].data());
+    // neither executor materializes the attention weights: the plan's
+    // region keeps them in its panel, the forward saves the stream instead
+    assert!(matches!(a.sm, interp::SavedSoftmax::Redraw { .. }));
+    assert!(!reference.env.contains_key("att"));
     assert_eq!(a.gam.data(), reference.env["gamma"].data());
     assert_eq!(a.ln1.stats.mean, reference.stats["ln1_out"].mean);
     assert_eq!(a.ln1.stats.inv_std, reference.stats["ln1_out"].inv_std);
@@ -260,14 +263,7 @@ fn collected_activations_match_between_arena_and_env_interpreter() {
 /// activations that carry dropout masks, and both layer-norm statistics.
 fn encoder_bits(layer: &EncoderLayer, x: &Tensor, w: &EncoderWeights, o: &ExecOptions) -> Vec<u32> {
     let (y, a) = layer.forward(x, w, o).unwrap().into_pair().unwrap();
-    let tensors = [
-        &y,
-        &a.sm.mask,
-        &a.ln1.mask,
-        &a.brd.mask,
-        &a.brd.out,
-        &a.ln2.mask,
-    ];
+    let tensors = [&y, &a.ln1.mask, &a.brd.mask, &a.brd.out, &a.ln2.mask];
     let stats = [&a.ln1.stats.mean, &a.ln1.stats.inv_std, &a.ln2.stats.mean];
     tensors
         .iter()

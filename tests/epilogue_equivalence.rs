@@ -2,7 +2,10 @@
 //! (element-wise-fused) counterparts: the epilogue plans must compute the
 //! same function bitwise — same values, same dropout masks, same RNG draw
 //! order — even though the contraction outputs they eliminate are never
-//! materialized. Three layers of evidence:
+//! materialized. (The attention core is no epilogue any more: both plan
+//! families run it as one region, whose equivalence with the chain it
+//! replaced `xform-tensor`'s proptests and `golden_digests` hold; here it is
+//! counted, and its slab saving checked.) Three layers of evidence:
 //!
 //! * a proptest drives the single-stream reference interpreter over both plans
 //!   at random dims with dropout on and asserts every surviving container
@@ -13,17 +16,21 @@
 //!   bitwise when no RNG is drawn, at both granularities —
 //!   CI runs this file under `XFORM_SANITIZE=1` so every slab access is
 //!   shadow-checked;
-//! * at sequence-length-dominant dims the epilogue arena slab is strictly
-//!   smaller than the unfused one, because the eliminated intermediates
-//!   no longer have a live interval at the peak.
+//! * at sequence-length-dominant dims the canned arena slabs are strictly
+//!   smaller than that of the same block with its attention core run as
+//!   three steps, because the `[h,b,j,k]` tensors between them no longer
+//!   have a slot; the epilogue slab is never the larger of the two.
 
 use proptest::prelude::*;
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use substation::core::plan::{execute_plan, random_externals, ExecOptions};
-use substation::dataflow::{EncoderDims, OpKind};
+use substation::core::arena;
+use substation::core::fusion::{apply_plan, decoder_fusion_plan, encoder_fusion_plan};
+use substation::core::plan::{execute_plan, random_externals, ExecOptions, ExecutionPlan};
+use substation::core::recipe::forward_ops;
+use substation::dataflow::{build, EncoderDims, OpKind};
 use substation::tensor::ops::elementwise::ActivationKind;
 use substation::tensor::{Shape, Tensor};
 use substation::transformer::decoder::DecoderLayer;
@@ -42,39 +49,65 @@ fn setup(dims: &EncoderDims) -> (EncoderWeights, Tensor) {
     (w, x)
 }
 
+fn steps_of(pf: &interp::PlannedForward, kind: fn(&OpKind) -> bool) -> usize {
+    let kinds = pf.plan.steps.iter().filter_map(|s| pf.graph.op(s.op));
+    kinds.filter(|n| kind(&n.kind)).count()
+}
+
 fn mega_steps(pf: &interp::PlannedForward) -> usize {
-    pf.plan
-        .steps
-        .iter()
-        .filter(|s| {
-            matches!(
-                pf.graph.op(s.op).map(|n| &n.kind),
-                Some(OpKind::ContractionEpilogue { .. })
-            )
-        })
-        .count()
+    steps_of(pf, |k| matches!(k, OpKind::ContractionEpilogue { .. }))
+}
+
+fn region_steps(pf: &interp::PlannedForward) -> usize {
+    steps_of(pf, |k| matches!(k, OpKind::AttentionRegion { .. }))
 }
 
 #[test]
 fn canned_epilogue_plans_lower_mega_kernel_steps() {
+    use interp::PlanKind::*;
     let dims = EncoderDims::tiny();
-    let enc = interp::cached_plan(&dims, interp::PlanKind::EncoderEpilogue).unwrap();
-    let dec = interp::cached_plan(&dims, interp::PlanKind::DecoderEpilogue).unwrap();
-    assert_eq!(mega_steps(&enc), 2, "encoder: QKT+SM and Linear 1+BRD");
+    let plan = |kind| interp::cached_plan(&dims, kind).unwrap();
+    let (enc, dec) = (plan(EncoderEpilogue), plan(DecoderEpilogue));
+    assert_eq!(mega_steps(&enc), 1, "encoder: Linear 1+BRD");
     assert_eq!(
         mega_steps(&dec),
-        4,
-        "decoder: QKT+SM, Out+BDR, Linear 1+BRD, Linear 2+BDR2"
+        3,
+        "decoder: Out+BDR, Linear 1+BRD, Linear 2+BDR2"
     );
-    // the eliminated contraction outputs must be gone from the buffer set
-    for (pf, interim) in [(&enc, "beta"), (&dec, "beta")] {
+    // every plan behind a fused SM runs the attention core as one region,
+    // the decode attend step (its one-row case) included; the unfused
+    // reference plan, the oracle, has none
+    let step = EncoderDims { j: 1, ..dims };
+    let attend = interp::cached_plan(&step, DecoderStep).unwrap();
+    for pf in [
+        &enc,
+        &dec,
+        &plan(EncoderFused),
+        &plan(DecoderFused),
+        &attend,
+    ] {
+        assert_eq!(region_steps(pf), 1, "QKT+SM+Gamma");
+        // nothing between the region's two contractions has a container
+        let steps = pf.plan.steps.iter();
+        let mut names = steps.flat_map(|s| s.inputs.iter().chain(&s.outputs).map(|o| &o.name));
+        assert!(!names.any(|n| ["beta", "att", "alpha", "att_mask"].contains(&n.as_str())));
+    }
+    assert_eq!(region_steps(&plan(EncoderReference)), 0);
+    // the contraction outputs the epilogues eliminate are gone too
+    for (pf, interim) in [
+        (&enc, "ff1"),
+        (&dec, "out_mm"),
+        (&dec, "ff1"),
+        (&dec, "ff2"),
+    ] {
+        let mut operands = pf
+            .plan
+            .steps
+            .iter()
+            .flat_map(|s| s.inputs.iter().chain(&s.outputs));
         assert!(
-            !pf.plan
-                .steps
-                .iter()
-                .flat_map(|s| s.inputs.iter().chain(s.outputs.iter()))
-                .any(|o| o.name == *interim),
-            "{interim} still referenced by the epilogue plan"
+            !operands.any(|o| o.name == interim),
+            "{interim} still referenced"
         );
     }
 }
@@ -123,7 +156,8 @@ proptest! {
             (interp::decoder_fused(&dims), interp::decoder_epilogue(&dims)),
         ] {
             let (pf, pe) = (fused.unwrap(), epilogue.unwrap());
-            prop_assert!(mega_steps(&pe) >= 2, "no mega-kernel lowered at {dims:?}");
+            prop_assert!(mega_steps(&pe) >= 1, "no mega-kernel lowered at {dims:?}");
+            prop_assert!(region_steps(&pe) == 1 && region_steps(&pf) == 1, "no region at {dims:?}");
             // both graphs share the same external set; generate once from
             // the epilogue plan so both runs see identical inputs
             let externals = random_externals(&pe.graph, &pe.plan, seed).unwrap();
@@ -243,10 +277,14 @@ fn epilogue_dropout_is_thread_count_invariant_under_the_arena() {
 
 #[test]
 fn epilogue_arena_slab_is_smaller_at_sequence_dominant_dims() {
-    // The eliminated intermediates (`beta`, `ff1`, ...) scale with j·k
-    // while the end-of-plan resident set scales linearly in j, so once
-    // the sequence length dominates, dropping their live intervals
-    // strictly shrinks the slab high-water mark.
+    // The intermediates of the attention core (`beta`, `att`, `alpha`,
+    // `att_mask`) scale with j·k while everything else a block keeps scales
+    // linearly in j, so once the sequence length dominates, a plan that gives
+    // them no slot has a strictly smaller slab than the same block with the
+    // core run as three steps (the fusion table applied, no region pass).
+    // The epilogue plans drop further intermediates (`ff1`, ...): never a
+    // larger slab than the fused plans.
+    use interp::PlanKind::*;
     let dims = EncoderDims {
         b: 2,
         j: 128,
@@ -256,29 +294,47 @@ fn epilogue_arena_slab_is_smaller_at_sequence_dominant_dims() {
         i: 16,
         u: 32,
     };
-    for (fused, epilogue) in [
+    type Build = fn(&EncoderDims) -> build::EncoderGraph;
+    let blocks: [(Build, _, _, _); 2] = [
         (
-            interp::PlanKind::EncoderFused,
-            interp::PlanKind::EncoderEpilogue,
+            build::encoder,
+            encoder_fusion_plan(),
+            EncoderFused,
+            EncoderEpilogue,
         ),
         (
-            interp::PlanKind::DecoderFused,
-            interp::PlanKind::DecoderEpilogue,
+            build::decoder,
+            decoder_fusion_plan(),
+            DecoderFused,
+            DecoderEpilogue,
         ),
-    ] {
+    ];
+    for (build, table, fused, epilogue) in blocks {
+        let eg = build(&dims);
+        let mut g = eg.graph;
+        apply_plan(&mut g, &table).unwrap();
+        let chain = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
         for threads in [1usize, 4] {
             let gran = interp::granularity_for(threads);
-            let sf = interp::cached_arena(&dims, fused, gran)
+            let slab = |kind| {
+                interp::cached_arena(&dims, kind, gran)
+                    .unwrap()
+                    .unwrap()
+                    .slab_words()
+            };
+            let sc = arena::compiled(&g, &chain, gran)
                 .unwrap()
                 .unwrap()
                 .slab_words();
-            let se = interp::cached_arena(&dims, epilogue, gran)
-                .unwrap()
-                .unwrap()
-                .slab_words();
+            let (sf, se) = (slab(fused), slab(epilogue));
             assert!(
-                se < sf,
-                "{epilogue:?} slab {se} must be smaller than {fused:?} slab {sf} ({gran:?})"
+                se <= sf && sf < sc,
+                "{epilogue:?} slab {se}, {fused:?} slab {sf}, three-step core {sc} ({gran:?})"
+            );
+            // the three saved `[h,b,j,k]` containers at least
+            assert!(
+                sc - sf >= 3 * dims.h * dims.b * dims.j * dims.k,
+                "{sc} - {sf}"
             );
         }
     }

@@ -38,7 +38,7 @@ use substation::tensor::{Axis, Layout, Shape, Tensor};
 use substation::transformer::decode::{DecodeOptions, DecodeSession, Sampling};
 use substation::transformer::decoder::{DecoderActivations, DecoderLayer};
 use substation::transformer::encoder::{Activations, EncoderLayer, Executor};
-use substation::transformer::interp::{self, PlanKind};
+use substation::transformer::interp::{self, PlanKind, SavedSoftmax};
 use substation::transformer::mha;
 use substation::transformer::model::{BlockKind, ModelConfig, TransformerModel};
 use substation::transformer::params::EncoderWeights;
@@ -97,18 +97,22 @@ impl Fnv {
     }
 }
 
-/// Everything saved but the softmax bundle, which goes to `sm`.
+/// Everything saved but the softmax bundle, which — where the forward
+/// kept one — goes to `sm`.
 fn encoder_acts(h: &mut Fnv, sm: &mut Fnv, a: &Activations) {
     for t in [&a.qq, &a.kk, &a.vv, &a.gam] {
         h.tensor(t);
     }
-    sm.sm(&a.sm);
+    if let SavedSoftmax::Kept(bundle) = &a.sm {
+        sm.sm(bundle);
+    }
     h.bdrln(&a.ln1);
     h.brd(&a.brd);
     h.bdrln(&a.ln2);
 }
 
-/// Everything saved but the softmax bundle, which goes to `sm`.
+/// Everything saved but the softmax bundle, which — where the forward
+/// kept one — goes to `sm`.
 fn decoder_acts(h: &mut Fnv, sm: &mut Fnv, a: &DecoderActivations) {
     for t in [
         &a.ln1_out,
@@ -125,7 +129,9 @@ fn decoder_acts(h: &mut Fnv, sm: &mut Fnv, a: &DecoderActivations) {
     }
     h.stats(&a.stats1);
     h.stats(&a.stats2);
-    sm.sm(&a.sm);
+    if let SavedSoftmax::Kept(bundle) = &a.sm {
+        sm.sm(bundle);
+    }
     h.brd(&a.brd);
 }
 
@@ -596,37 +602,25 @@ const GOLDEN: &[(&str, u64)] = &[
     ("enc/Reference/shape0/p0/reference/t1", 0x89d72220933d39d3),
     ("enc/Reference/shape0/p0/reference-sm/t1", 0xc37ae9aa7cb7c025),
     ("enc/Fused/shape0/p0/forward/t1", 0xdc21cfc06b7d2855),
-    ("enc/Fused/shape0/p0/forward-sm/t1", 0xb26c60ee3694c5d2),
     ("enc/Fused/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
     ("enc/Fused/shape0/p0/forward/t2", 0xdc21cfc06b7d2855),
-    ("enc/Fused/shape0/p0/forward-sm/t2", 0xb26c60ee3694c5d2),
     ("enc/Fused/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
     ("enc/Fused/shape0/p0/reference/t1", 0x9851d26061f27e48),
-    ("enc/Fused/shape0/p0/reference-sm/t1", 0xc37ae9aa7cb7c025),
     ("enc/Epilogue/shape0/p0/forward/t1", 0xdc21cfc06b7d2855),
-    ("enc/Epilogue/shape0/p0/forward-sm/t1", 0xb26c60ee3694c5d2),
     ("enc/Epilogue/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
     ("enc/Epilogue/shape0/p0/forward/t2", 0xdc21cfc06b7d2855),
-    ("enc/Epilogue/shape0/p0/forward-sm/t2", 0xb26c60ee3694c5d2),
     ("enc/Epilogue/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
     ("enc/Epilogue/shape0/p0/reference/t1", 0x0b1247ed6505f956),
-    ("enc/Epilogue/shape0/p0/reference-sm/t1", 0xb26c60ee3694c5d2),
     ("dec/fused/shape0/p0/forward/t1", 0xd4e3e29fca5e68ac),
-    ("dec/fused/shape0/p0/forward-sm/t1", 0xd4dc5945aaaa23c2),
     ("dec/fused/shape0/p0/forward_into/t1", 0x0aea2ae47c0e2353),
     ("dec/fused/shape0/p0/forward/t2", 0xd4e3e29fca5e68ac),
-    ("dec/fused/shape0/p0/forward-sm/t2", 0xd4dc5945aaaa23c2),
     ("dec/fused/shape0/p0/forward_into/t2", 0x0aea2ae47c0e2353),
     ("dec/fused/shape0/p0/reference/t1", 0x7cfed871e27a8a3d),
-    ("dec/fused/shape0/p0/reference-sm/t1", 0x567f8e7b1499edfc),
     ("dec/epilogue/shape0/p0/forward/t1", 0xd4e3e29fca5e68ac),
-    ("dec/epilogue/shape0/p0/forward-sm/t1", 0xd4dc5945aaaa23c2),
     ("dec/epilogue/shape0/p0/forward_into/t1", 0x0aea2ae47c0e2353),
     ("dec/epilogue/shape0/p0/forward/t2", 0xd4e3e29fca5e68ac),
-    ("dec/epilogue/shape0/p0/forward-sm/t2", 0xd4dc5945aaaa23c2),
     ("dec/epilogue/shape0/p0/forward_into/t2", 0x0aea2ae47c0e2353),
     ("dec/epilogue/shape0/p0/reference/t1", 0xa1cfdfe12b87a405),
-    ("dec/epilogue/shape0/p0/reference-sm/t1", 0xd4dc5945aaaa23c2),
     ("enc/Reference/shape0/p0.1/forward/t1", 0xa2a374b270c69ebe),
     ("enc/Reference/shape0/p0.1/forward-sm/t1", 0x5feff5b0aeea3ad6),
     ("enc/Reference/shape0/p0.1/forward_into/t1", 0x10d88426aaad2fc3),
@@ -636,37 +630,25 @@ const GOLDEN: &[(&str, u64)] = &[
     ("enc/Reference/shape0/p0.1/reference/t1", 0x44046577a98c7178),
     ("enc/Reference/shape0/p0.1/reference-sm/t1", 0xd34b65bb8dd2bcff),
     ("enc/Fused/shape0/p0.1/forward/t1", 0xcb23f8e5486676fa),
-    ("enc/Fused/shape0/p0.1/forward-sm/t1", 0xcc84a474645bd886),
     ("enc/Fused/shape0/p0.1/forward_into/t1", 0x91f9597250552bb6),
     ("enc/Fused/shape0/p0.1/forward/t2", 0xcb23f8e5486676fa),
-    ("enc/Fused/shape0/p0.1/forward-sm/t2", 0xcc84a474645bd886),
     ("enc/Fused/shape0/p0.1/forward_into/t2", 0x91f9597250552bb6),
     ("enc/Fused/shape0/p0.1/reference/t1", 0x7692ae050d232828),
-    ("enc/Fused/shape0/p0.1/reference-sm/t1", 0xd34b65bb8dd2bcff),
     ("enc/Epilogue/shape0/p0.1/forward/t1", 0x55cc20c88fd8b01e),
-    ("enc/Epilogue/shape0/p0.1/forward-sm/t1", 0x3f01f5a71f6209d3),
     ("enc/Epilogue/shape0/p0.1/forward_into/t1", 0x43bdd9b2b935431a),
     ("enc/Epilogue/shape0/p0.1/forward/t2", 0x55cc20c88fd8b01e),
-    ("enc/Epilogue/shape0/p0.1/forward-sm/t2", 0x3f01f5a71f6209d3),
     ("enc/Epilogue/shape0/p0.1/forward_into/t2", 0x43bdd9b2b935431a),
     ("enc/Epilogue/shape0/p0.1/reference/t1", 0x34541b37e49559af),
-    ("enc/Epilogue/shape0/p0.1/reference-sm/t1", 0x3b7bd47548de10cc),
     ("dec/fused/shape0/p0.1/forward/t1", 0x9bd555b2e194cd27),
-    ("dec/fused/shape0/p0.1/forward-sm/t1", 0x50be3d1f673de0e8),
     ("dec/fused/shape0/p0.1/forward_into/t1", 0x3b81f45ddd603431),
     ("dec/fused/shape0/p0.1/forward/t2", 0x9bd555b2e194cd27),
-    ("dec/fused/shape0/p0.1/forward-sm/t2", 0x50be3d1f673de0e8),
     ("dec/fused/shape0/p0.1/forward_into/t2", 0x3b81f45ddd603431),
     ("dec/fused/shape0/p0.1/reference/t1", 0x3670c82c29a847ef),
-    ("dec/fused/shape0/p0.1/reference-sm/t1", 0x86d95a74ff9e9ce1),
     ("dec/epilogue/shape0/p0.1/forward/t1", 0x29dbdba995995827),
-    ("dec/epilogue/shape0/p0.1/forward-sm/t1", 0x0a81dbae1aaeb64c),
     ("dec/epilogue/shape0/p0.1/forward_into/t1", 0xcf876f90d11dd4d2),
     ("dec/epilogue/shape0/p0.1/forward/t2", 0x29dbdba995995827),
-    ("dec/epilogue/shape0/p0.1/forward-sm/t2", 0x0a81dbae1aaeb64c),
     ("dec/epilogue/shape0/p0.1/forward_into/t2", 0xcf876f90d11dd4d2),
     ("dec/epilogue/shape0/p0.1/reference/t1", 0x3b598f8c17e4dc8e),
-    ("dec/epilogue/shape0/p0.1/reference-sm/t1", 0xbe534d838310c7fb),
     ("enc/Reference/shape1/p0/forward/t1", 0x865206c38778fd2d),
     ("enc/Reference/shape1/p0/forward-sm/t1", 0x1e93e07aff3fab18),
     ("enc/Reference/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
@@ -676,37 +658,25 @@ const GOLDEN: &[(&str, u64)] = &[
     ("enc/Reference/shape1/p0/reference/t1", 0x562f042aedc09ec6),
     ("enc/Reference/shape1/p0/reference-sm/t1", 0xb19223af67089975),
     ("enc/Fused/shape1/p0/forward/t1", 0x865206c38778fd2d),
-    ("enc/Fused/shape1/p0/forward-sm/t1", 0x1e93e07aff3fab18),
     ("enc/Fused/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
     ("enc/Fused/shape1/p0/forward/t2", 0x865206c38778fd2d),
-    ("enc/Fused/shape1/p0/forward-sm/t2", 0x1e93e07aff3fab18),
     ("enc/Fused/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
     ("enc/Fused/shape1/p0/reference/t1", 0x2e3382697849ec1b),
-    ("enc/Fused/shape1/p0/reference-sm/t1", 0xb19223af67089975),
     ("enc/Epilogue/shape1/p0/forward/t1", 0x865206c38778fd2d),
-    ("enc/Epilogue/shape1/p0/forward-sm/t1", 0x1e93e07aff3fab18),
     ("enc/Epilogue/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
     ("enc/Epilogue/shape1/p0/forward/t2", 0x865206c38778fd2d),
-    ("enc/Epilogue/shape1/p0/forward-sm/t2", 0x1e93e07aff3fab18),
     ("enc/Epilogue/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
     ("enc/Epilogue/shape1/p0/reference/t1", 0xf1ffc4042fc897a8),
-    ("enc/Epilogue/shape1/p0/reference-sm/t1", 0x1e93e07aff3fab18),
     ("dec/fused/shape1/p0/forward/t1", 0x2cc8e21ab194223b),
-    ("dec/fused/shape1/p0/forward-sm/t1", 0x77099780dae71480),
     ("dec/fused/shape1/p0/forward_into/t1", 0x5eac58ae58766eea),
     ("dec/fused/shape1/p0/forward/t2", 0x2cc8e21ab194223b),
-    ("dec/fused/shape1/p0/forward-sm/t2", 0x77099780dae71480),
     ("dec/fused/shape1/p0/forward_into/t2", 0x5eac58ae58766eea),
     ("dec/fused/shape1/p0/reference/t1", 0x4887a4c39e46f9cc),
-    ("dec/fused/shape1/p0/reference-sm/t1", 0xeb09053219cb3612),
     ("dec/epilogue/shape1/p0/forward/t1", 0x2cc8e21ab194223b),
-    ("dec/epilogue/shape1/p0/forward-sm/t1", 0x77099780dae71480),
     ("dec/epilogue/shape1/p0/forward_into/t1", 0x5eac58ae58766eea),
     ("dec/epilogue/shape1/p0/forward/t2", 0x2cc8e21ab194223b),
-    ("dec/epilogue/shape1/p0/forward-sm/t2", 0x77099780dae71480),
     ("dec/epilogue/shape1/p0/forward_into/t2", 0x5eac58ae58766eea),
     ("dec/epilogue/shape1/p0/reference/t1", 0x09a240b496e65615),
-    ("dec/epilogue/shape1/p0/reference-sm/t1", 0x77099780dae71480),
     ("enc/Reference/shape1/p0.1/forward/t1", 0xa65d65fcb4a506cc),
     ("enc/Reference/shape1/p0.1/forward-sm/t1", 0x834d818c27fc88ee),
     ("enc/Reference/shape1/p0.1/forward_into/t1", 0xf08c5b5674af87ad),
@@ -716,37 +686,25 @@ const GOLDEN: &[(&str, u64)] = &[
     ("enc/Reference/shape1/p0.1/reference/t1", 0x54f1791af3f380bb),
     ("enc/Reference/shape1/p0.1/reference-sm/t1", 0x275ce66f80c22965),
     ("enc/Fused/shape1/p0.1/forward/t1", 0xf5921438bf6ce360),
-    ("enc/Fused/shape1/p0.1/forward-sm/t1", 0x5d9be6cd90ba0c78),
     ("enc/Fused/shape1/p0.1/forward_into/t1", 0xbc6bb024de2ddb20),
     ("enc/Fused/shape1/p0.1/forward/t2", 0xf5921438bf6ce360),
-    ("enc/Fused/shape1/p0.1/forward-sm/t2", 0x5d9be6cd90ba0c78),
     ("enc/Fused/shape1/p0.1/forward_into/t2", 0xbc6bb024de2ddb20),
     ("enc/Fused/shape1/p0.1/reference/t1", 0xc24d9f12140e1d43),
-    ("enc/Fused/shape1/p0.1/reference-sm/t1", 0x275ce66f80c22965),
     ("enc/Epilogue/shape1/p0.1/forward/t1", 0x2c21cda85339810d),
-    ("enc/Epilogue/shape1/p0.1/forward-sm/t1", 0xd0412a817bb8a001),
     ("enc/Epilogue/shape1/p0.1/forward_into/t1", 0x8c189301f3b30a94),
     ("enc/Epilogue/shape1/p0.1/forward/t2", 0x2c21cda85339810d),
-    ("enc/Epilogue/shape1/p0.1/forward-sm/t2", 0xd0412a817bb8a001),
     ("enc/Epilogue/shape1/p0.1/forward_into/t2", 0x8c189301f3b30a94),
     ("enc/Epilogue/shape1/p0.1/reference/t1", 0x9f6589c92f22d996),
-    ("enc/Epilogue/shape1/p0.1/reference-sm/t1", 0x267c4722590be188),
     ("dec/fused/shape1/p0.1/forward/t1", 0x05d7888263b6ed61),
-    ("dec/fused/shape1/p0.1/forward-sm/t1", 0xf88709b14fec7699),
     ("dec/fused/shape1/p0.1/forward_into/t1", 0xf52301b57fd111c6),
     ("dec/fused/shape1/p0.1/forward/t2", 0x05d7888263b6ed61),
-    ("dec/fused/shape1/p0.1/forward-sm/t2", 0xf88709b14fec7699),
     ("dec/fused/shape1/p0.1/forward_into/t2", 0xf52301b57fd111c6),
     ("dec/fused/shape1/p0.1/reference/t1", 0xcc539301ec5e553d),
-    ("dec/fused/shape1/p0.1/reference-sm/t1", 0x569d80b271c587bd),
     ("dec/epilogue/shape1/p0.1/forward/t1", 0xb876a67a25a07ad0),
-    ("dec/epilogue/shape1/p0.1/forward-sm/t1", 0x90acec8b15c782bb),
     ("dec/epilogue/shape1/p0.1/forward_into/t1", 0x05138b133ad38e77),
     ("dec/epilogue/shape1/p0.1/forward/t2", 0xb876a67a25a07ad0),
-    ("dec/epilogue/shape1/p0.1/forward-sm/t2", 0x90acec8b15c782bb),
     ("dec/epilogue/shape1/p0.1/forward_into/t2", 0x05138b133ad38e77),
     ("dec/epilogue/shape1/p0.1/reference/t1", 0xff450d60aedde054),
-    ("dec/epilogue/shape1/p0.1/reference-sm/t1", 0xd04c8e59567a2c5f),
     ("decode", 0x232a6e62a2135165),
     ("kernels/layout0", 0xacd062825dc14328),
     ("kernels/layout1", 0x9e6ca3e8c9dabbc0),

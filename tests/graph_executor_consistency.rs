@@ -8,6 +8,7 @@ use rand::SeedableRng;
 use substation::core::plan::ExecOptions;
 use substation::dataflow::{build, DataRole, EncoderDims};
 use substation::transformer::encoder::{EncoderLayer, Executor};
+use substation::transformer::interp::SavedSoftmax;
 use substation::transformer::params::EncoderWeights;
 use substation::transformer::training::synthetic_batch;
 
@@ -43,9 +44,18 @@ fn activations_match_graph_containers() {
     check("qq", acts.qq.shape());
     check("kk", acts.kk.shape());
     check("vv", acts.vv.shape());
-    check("alpha", acts.sm.alpha.shape());
-    check("att", acts.sm.softmax.shape());
-    check("att_mask", acts.sm.mask.shape());
+    // the softmax bundle is the reference executor's to keep: the fused
+    // one runs the attention core as a region and saves the dropout stream
+    // to compute the bundle again from
+    assert!(matches!(acts.sm, SavedSoftmax::Redraw { .. }));
+    let reference = EncoderLayer::new(d, Executor::Reference, 0.0);
+    let kept = reference.forward(&x, &w, &ExecOptions::default()).unwrap();
+    let SavedSoftmax::Kept(sm) = kept.activations.unwrap().sm else {
+        panic!("the reference executor keeps the softmax bundle");
+    };
+    check("alpha", sm.alpha.shape());
+    check("att", sm.softmax.shape());
+    check("att_mask", sm.mask.shape());
     check("gamma", acts.gam.shape());
     check("ln1_in", acts.ln1.ln_input.shape());
     check("drop1_mask", acts.ln1.mask.shape());

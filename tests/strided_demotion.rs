@@ -8,6 +8,12 @@
 //! identical at every thread count asked for. Dropout is off, so no RNG
 //! stream is consumed and any divergence is a kernel-dispatch bug, not
 //! noise.
+//!
+//! The schedule is the fused encoder with its attention core as the three
+//! steps `QKT`, `SM`, `Gamma` — what the fusion table alone gives, and what
+//! every recipe-lowered plan runs. The canned plan it is held against runs
+//! the core as one region, so the comparison also holds the region to the
+//! chain it replaced, through the layer.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,12 +21,13 @@ use rand::SeedableRng;
 
 use substation::core::access::certify_access;
 use substation::core::analyze::{PlanLint, Severity};
-use substation::core::plan::{ExecOptions, PlanOverride};
+use substation::core::fusion::{apply_plan, encoder_fusion_plan};
+use substation::core::plan::{ExecOptions, ExecutionPlan, PlanOverride};
+use substation::core::recipe::forward_ops;
 use substation::core::sanitize::certify;
-use substation::dataflow::EncoderDims;
+use substation::dataflow::{build, EncoderDims, Graph};
 use substation::tensor::{Shape, Tensor};
 use substation::transformer::encoder::{EncoderLayer, Executor};
-use substation::transformer::interp;
 use substation::transformer::params::EncoderWeights;
 
 fn dims() -> EncoderDims {
@@ -33,6 +40,15 @@ fn dims() -> EncoderDims {
         i: 8,
         u: 12,
     }
+}
+
+/// The fused encoder forward in natural layouts, `SM` a step of its own.
+fn three_step_core(dims: &EncoderDims) -> (Graph, ExecutionPlan) {
+    let eg = build::encoder(dims);
+    let mut graph = eg.graph;
+    apply_plan(&mut graph, &encoder_fusion_plan()).unwrap();
+    let plan = ExecutionPlan::natural(&graph, &forward_ops(&graph, eg.dy)).unwrap();
+    (graph, plan)
 }
 
 /// Rotates `s` right by one — the reduce axis stops being innermost.
@@ -64,8 +80,7 @@ proptest! {
         twist in 0u64..1_000,
     ) {
         let dims = dims();
-        let planned = interp::encoder_fused(&dims).unwrap();
-        let mut plan = planned.plan.clone();
+        let (graph, mut plan) = three_step_core(&dims);
 
         // force the strided lanes: the softmax input's reduce axis leaves the
         // innermost position, so its access path gains an inner stride
@@ -81,15 +96,15 @@ proptest! {
                 }
             }
         }
-        plan.reflow(&planned.graph);
+        plan.reflow(&graph);
         prop_assert!(plan
-            .check(&planned.graph)
+            .check(&graph)
             .iter()
             .all(|l| l.severity() != Severity::Error));
 
         // the access certifier still certifies the plan (strided is a
         // warning, not an error) and records the step as not unit-stride
-        let acc = certify_access(&planned.graph, &plan)
+        let acc = certify_access(&graph, &plan)
             .expect("a strided plan certifies with warnings");
         prop_assert!(
             acc.lints
@@ -102,7 +117,7 @@ proptest! {
             "the strided softmax step must not count as unit-stride"
         );
 
-        certify(&planned.graph, &plan).expect("race certification");
+        certify(&graph, &plan).expect("race certification");
         let mut rng = StdRng::seed_from_u64(seed);
         let w = EncoderWeights::init(&dims, &mut rng);
         let x = Tensor::random(
@@ -112,7 +127,7 @@ proptest! {
         );
         let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
         let over = PlanOverride {
-            graph: &planned.graph,
+            graph: &graph,
             plan: &plan,
         };
         let serial = ExecOptions::builder().plan(Some(over)).seed(3).build();
