@@ -11,7 +11,8 @@
 //! attention core (`beta`, `att`, `alpha`, `att_mask`) are hashed into
 //! sibling `forward-sm` / `reference-sm` rows, apart from everything else,
 //! so a plan that stops materializing them loses those rows and moves no
-//! other.
+//! other. In PR 21 the `decode/b1-wide` row joined `decode`, test-only on
+//! PR 20's library, ahead of the executor reading weights where they live.
 //! A digest that moves means arithmetic, output layout, stats order or
 //! RNG draw order changed somewhere under the public API.
 //!
@@ -297,9 +298,14 @@ fn layer_digests(table: &mut Vec<(String, u64)>) {
 
 /// Prefill + 8 temperature-sampled steps at prefill `threads ∈ {1, 2}`;
 /// the digest folds in every logit column, every sampled token and the
-/// sampling RNG's end state.
+/// sampling RNG's end state. Two rows: `decode` at b = 2, i = 8, and
+/// `decode/b1-wide` at b = 1, i = 264 — one token column is the GEMM's
+/// `n == 1` transposed path, and an embedding deeper than one `KC` block
+/// stores and reloads its accumulators between depth blocks; the first row
+/// reaches neither. Both run bucket 4 from a 5-token prompt: capacity 8,
+/// grown at positions 8 and 12.
 fn decode_digests(table: &mut Vec<(String, u64)>) {
-    let dims = EncoderDims {
+    let narrow = EncoderDims {
         b: 2,
         j: 16,
         k: 16,
@@ -308,7 +314,19 @@ fn decode_digests(table: &mut Vec<(String, u64)>) {
         i: 8,
         u: 16,
     };
-    let vocab = 13;
+    let wide = EncoderDims {
+        b: 1,
+        h: 4,
+        p: 66,
+        i: 264,
+        u: 40,
+        ..narrow
+    };
+    decode_row(table, "decode", narrow, 13);
+    decode_row(table, "decode/b1-wide", wide, 37);
+}
+
+fn decode_row(table: &mut Vec<(String, u64)>, name: &str, dims: EncoderDims, vocab: usize) {
     let cfg = ModelConfig {
         dims,
         layers: 2,
@@ -346,7 +364,7 @@ fn decode_digests(table: &mut Vec<(String, u64)>) {
         h.word(fp as u32);
         h.word((fp >> 32) as u32);
     }
-    table.push(("decode".to_string(), h.0));
+    table.push((name.to_string(), h.0));
 }
 
 /// The allocating kernels called directly, one row per layout of a rank-3
@@ -706,6 +724,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("dec/epilogue/shape1/p0.1/forward_into/t2", 0x05138b133ad38e77),
     ("dec/epilogue/shape1/p0.1/reference/t1", 0xff450d60aedde054),
     ("decode", 0x232a6e62a2135165),
+    ("decode/b1-wide", 0x9a249312b2cd8001),
     ("kernels/layout0", 0xacd062825dc14328),
     ("kernels/layout1", 0x9e6ca3e8c9dabbc0),
     ("kernels/layout2", 0x2c9d5055956f2a1f),
