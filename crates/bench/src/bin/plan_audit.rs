@@ -7,11 +7,17 @@
 //! the plan-level static MUE (`Q/D · B/B̂`), and every lint the analyzer
 //! raises. The audited set includes the GEMM-epilogue mega-kernel plans,
 //! which must beat their unfused counterparts on the static account:
-//! `D` strictly lower with `Q` unchanged and a strictly smaller serial
-//! arena slab — violations fail the audit. Every canned plan behind a fused
+//! `D` strictly lower with `Q` unchanged and strictly fewer bytes resident
+//! at the peak, in a serial arena slab no larger — violations fail the
+//! audit. Every canned plan behind a fused
 //! `SM` runs its attention core as one region, so none but the unfused
 //! reference may hold a container with both a query and a key axis — the
-//! `[h,b,j,k]` tensors are virtual; one that does fails the audit too. The
+//! `[h,b,j,k]` tensors are virtual; one that does fails the audit too.
+//! Beside the slab, each plan's row shows what binding its externals
+//! costs: the bytes the arena borrows where the caller keeps them, and the
+//! bytes it copies into the slab at bind — an external a step reads as it
+//! came before a later one re-lays it. A canned plan borrows every external
+//! and copies nothing; one that does not fails the audit. The
 //! recipe-selected plan is lowered over the graph the fusion table alone
 //! leaves (regions and epilogues are properties of the canned plans), so
 //! its row moves only when the recipe does. With `--check` it exits
@@ -51,7 +57,7 @@ use xform_bench::cli::{Cli, Flag, CHECK, JSON};
 use xform_core::access::{certify_access, certify_access_arena, AccessCertificate};
 use xform_core::analyze::{
     analyze, assign_arena, audit, cross_call_high_water, lint_selection, render_report,
-    ArenaGranularity, PlanLint, Severity,
+    ArenaGranularity, Home, PlanLint, Severity,
 };
 use xform_core::cachemodel::{cache_audit, CacheGeometry, CACHE_GEOM_ENV};
 use xform_core::fusion::{apply_plan, encoder_fusion_plan};
@@ -90,6 +96,13 @@ struct Audited {
     mue: Option<Mue>,
     /// Serial arena slab bytes (None in certify/access modes).
     slab_bytes: Option<u64>,
+    /// Peak resident bytes, slab-owned and borrowed, at f32 width like the
+    /// slab (this and the next two: zero in certify/access modes).
+    peak_bytes: u64,
+    /// Bytes of externals the arena borrows where the caller keeps them.
+    borrowed_bytes: u64,
+    /// Bytes of externals it copies into the slab at bind.
+    bind_copy_bytes: u64,
     /// Every analyzer lint, rendered (kept for the JSON mirror).
     lints: Vec<(Severity, String)>,
     /// Cache-corrected account (None unless `--cache` / `--json`).
@@ -236,6 +249,9 @@ fn report(
         warnings: 0,
         mue: None,
         slab_bytes: None,
+        peak_bytes: 0,
+        borrowed_bytes: 0,
+        bind_copy_bytes: 0,
         lints: Vec::new(),
         cache: None,
     };
@@ -278,7 +294,16 @@ fn report(
     let arena_waves = assign_arena(&analysis, ArenaGranularity::Waves);
     analysis.lints.extend(arena_serial.lints.iter().cloned());
     analysis.lints.extend(arena_waves.lints.iter().cloned());
-    let errors = analysis.errors().len() + scores_materialized(key, graph, plan);
+    let mut errors = analysis.errors().len() + scores_materialized(key, graph, plan);
+    let [borrowed, copied] = [Home::Borrowed, Home::Copied].map(|h| analysis.home_words(h) * 4);
+    // a canned plan re-lays nothing: whatever it does not define, but for
+    // a cache, it reads where the caller keeps it
+    let relaid =
+        |b: &&xform_core::analyze::BufferLiveness| matches!(b.home, Home::Gathered | Home::Copied);
+    if let (Some(b), None) = (analysis.liveness.iter().find(relaid), sweeps) {
+        eprintln!("FAIL: {key}: external `{}` owns a slab range", b.name);
+        errors += 1;
+    }
     let movement = audit(graph, plan, device);
     let cache = cache_on.then(|| {
         let ca = cache_audit(graph, plan, device, &audit_geometry(device));
@@ -299,8 +324,10 @@ fn report(
         .count();
     if mode == Mode::Check {
         println!(
-            "{title}: {} steps, {errors} errors, {warnings} warnings, static MUE {:.4}{}",
+            "{title}: {} steps, {errors} errors, {warnings} warnings, {} B copied at bind, \
+             static MUE {:.4}{}",
             plan.steps.len(),
+            copied,
             movement.plan_mue.value,
             cache
                 .as_ref()
@@ -333,6 +360,11 @@ fn report(
                 },
             );
         }
+        println!(
+            "externals: {:.1} KiB borrowed in place, {:.1} KiB copied at bind",
+            borrowed as f64 / 1024.0,
+            copied as f64 / 1024.0,
+        );
         if let Some(c) = &cache {
             println!(
                 "cache-corrected: MUE {:.4} (flat {:.4}), predicted DRAM {:.1} MiB \
@@ -355,6 +387,9 @@ fn report(
         warnings,
         mue: Some(movement.plan_mue),
         slab_bytes: Some(arena_serial.slab_bytes(4)),
+        peak_bytes: analysis.peak_resident_bytes(4),
+        borrowed_bytes: borrowed,
+        bind_copy_bytes: copied,
         lints: analysis
             .lints
             .iter()
@@ -633,8 +668,10 @@ fn decode_section(
 
 /// The tentpole's static acceptance gate: each GEMM-epilogue plan must
 /// show `D` strictly lower with `Q` unchanged (hence strictly higher
-/// static MUE) and a strictly smaller serial arena slab than its unfused
-/// counterpart. Returns the number of violated invariants.
+/// static MUE), strictly fewer bytes resident at the peak — the slab's
+/// and the borrowed externals', what the slab alone held while it copied
+/// them — and a serial arena slab no larger than its unfused counterpart's.
+/// Returns the number of violated invariants.
 fn check_epilogue_invariants(results: &[Audited]) -> usize {
     let find = |key: &str| results.iter().find(|r| r.key == key);
     let mut failures = 0usize;
@@ -651,21 +688,26 @@ fn check_epilogue_invariants(results: &[Audited]) -> usize {
         let (Some(fs), Some(es)) = (f.slab_bytes, e.slab_bytes) else {
             continue;
         };
+        let (fp, ep) = (f.peak_bytes, e.peak_bytes);
+        let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
         println!(
             "{epilogue_key} vs {unfused_key}: Q {:+.1} words, D {:+.1} words, \
-             MUE {:.2} → {:.2}, serial slab {:.1} → {:.1} MiB",
+             MUE {:.2} → {:.2}, peak resident {:.1} → {:.1} MiB, serial slab {:.1} → {:.1} MiB",
             em.q_words - fm.q_words,
             em.d_words - fm.d_words,
             fm.value,
             em.value,
-            fs as f64 / (1024.0 * 1024.0),
-            es as f64 / (1024.0 * 1024.0),
+            mib(fp),
+            mib(ep),
+            mib(fs),
+            mib(es),
         );
         for (ok, what) in [
             ((em.q_words - fm.q_words).abs() < 0.5, "Q must be unchanged"),
             (em.d_words < fm.d_words, "D must strictly drop"),
             (em.value > fm.value, "static MUE must strictly rise"),
-            (es < fs, "serial arena slab must strictly shrink"),
+            (ep < fp, "peak resident bytes must strictly shrink"),
+            (es <= fs, "serial arena slab must not grow"),
         ] {
             if !ok {
                 eprintln!("FAIL: {epilogue_key} vs {unfused_key}: {what}");
@@ -798,8 +840,8 @@ fn jstr(s: &str) -> String {
 /// Writes `BENCH_plan_audit.json`: the machine-readable mirror of the
 /// static audit — per-plan flat and cache-corrected MUE (value, `Q`,
 /// `D`), predicted DRAM and flat bytes, per-level hit words, serial slab
-/// bytes, and every lint with its severity — alongside the geometry it
-/// was computed under.
+/// bytes, the externals' borrowed and copied-at-bind bytes, and every lint
+/// with its severity — alongside the geometry it was computed under.
 fn write_json(
     results: &[Audited],
     geometry: &CacheGeometry,
@@ -839,6 +881,11 @@ fn write_json(
             }
             if let Some(s) = r.slab_bytes {
                 fields.push(format!("      \"serial_slab_bytes\": {s}"));
+                fields.push(format!(
+                    "      \"borrowed_external_bytes\": {}",
+                    r.borrowed_bytes
+                ));
+                fields.push(format!("      \"bind_copy_bytes\": {}", r.bind_copy_bytes));
             }
             if let Some(c) = &r.cache {
                 fields.push(format!(

@@ -389,11 +389,11 @@ fn certify_inner(
     plan: &ExecutionPlan,
     assignment: Option<&ArenaAssignment>,
 ) -> Result<AccessCertificate, Vec<PlanLint>> {
-    let slot_of: HashMap<NodeId, (u64, u64)> = assignment
+    let slot_of: HashMap<NodeId, (u64, u64, bool)> = assignment
         .map(|a| {
             a.slots
                 .iter()
-                .map(|s| (s.data, (s.offset, s.words)))
+                .map(|s| (s.data, (s.offset, s.words, s.borrowed)))
                 .collect()
         })
         .unwrap_or_default();
@@ -430,10 +430,11 @@ fn certify_inner(
                 }
                 None => in_bounds = false, // NotAContainer already lints
             }
-            // slab embedding: inside the slot, slot inside the slab
+            // slab embedding: inside the slot, slot inside the slab — or,
+            // a borrowed external's, past it and only ever read
             if let Some(asg) = assignment {
                 match slot_of.get(&a.data) {
-                    Some(&(off, words)) => {
+                    Some(&(off, words, borrowed)) => {
                         if a.path.max_end() > words {
                             in_bounds = false;
                             errors.push(PlanLint::UnprovenAccess {
@@ -446,16 +447,20 @@ fn certify_inner(
                                 ),
                             });
                         }
-                        if off + words > asg.slab_words {
+                        let written = borrowed && a.kind != AccessKind::Read;
+                        if written || (!borrowed && off + words > asg.slab_words) {
                             in_bounds = false;
                             errors.push(PlanLint::UnprovenAccess {
                                 step: si,
                                 name: step.name.clone(),
                                 container: a.name.clone(),
-                                reason: format!(
-                                    "arena slot [{off}, {}) escapes the {slab_words}-word slab",
-                                    off + words
-                                ),
+                                reason: match written {
+                                    true => format!("{:?} access to a borrowed external", a.kind),
+                                    false => format!(
+                                        "arena slot [{off}, {}) escapes the {slab_words}-word slab",
+                                        off + words
+                                    ),
+                                },
                             });
                         }
                     }
@@ -487,7 +492,7 @@ fn certify_inner(
                     a.path.base < b.path.max_end() && b.path.base < a.path.max_end()
                 } else if assignment.is_some() {
                     match (slot_of.get(&a.data), slot_of.get(&b.data)) {
-                        (Some(&(ao, _)), Some(&(bo, _))) => {
+                        (Some(&(ao, ..)), Some(&(bo, ..))) => {
                             ao + a.path.base < bo + b.path.max_end()
                                 && bo + b.path.base < ao + a.path.max_end()
                         }
@@ -551,13 +556,15 @@ pub fn certify_access(
 }
 
 /// Certifies a plan's access paths embedded into an arena coloring: on top
-/// of the logical checks, every path must stay inside its slab slot, every
-/// slot inside the slab, and no two operands of one step may touch
-/// overlapping slab words with conflicting kinds.
+/// of the logical checks, every path must stay inside its slot, every
+/// slab-owned slot inside the slab, every access to a borrowed external —
+/// whose range lies past the slab — must be a read, and no two operands of
+/// one step may touch overlapping words with conflicting kinds.
 ///
 /// # Errors
 ///
-/// As [`certify_access`], plus slab-escape violations.
+/// As [`certify_access`], plus slab-escape violations and writes to
+/// borrowed externals.
 pub fn certify_access_arena(
     graph: &Graph,
     plan: &ExecutionPlan,
@@ -810,6 +817,29 @@ mod tests {
         assert!(lints.iter().any(|l| matches!(
             l,
             PlanLint::UnprovenAccess { reason, .. } if reason.contains("race certificate")
+        )));
+    }
+
+    /// A borrowed external is the caller's memory behind a shared slice:
+    /// its range sits past the slab, a shifted slab bound cannot convict
+    /// it, and a coloring that hands one to a step as an output is refused.
+    #[test]
+    fn a_write_to_a_borrowed_external_is_convicted() {
+        let (g, plan) = fused_plan();
+        let analysis = analyze(&g, &plan);
+        let mut asg = assign_arena(&analysis, ArenaGranularity::Serial);
+        let x = plan.steps[0].inputs[0].data;
+        let x_slot = asg.slots.iter().find(|s| s.data == x).unwrap();
+        assert!(x_slot.borrowed && x_slot.offset >= asg.slab_words);
+        certify_access_arena(&g, &plan, &asg).expect("reads of borrowed externals certify");
+        let out = plan.steps[0].outputs[0].data;
+        let slot = asg.slots.iter_mut().find(|s| s.data == out).unwrap();
+        slot.borrowed = true;
+        let lints = certify_access_arena(&g, &plan, &asg).expect_err("must reject");
+        assert!(lints.iter().any(|l| matches!(
+            l,
+            PlanLint::UnprovenAccess { step: 0, reason, .. }
+                if reason.contains("Write access to a borrowed external")
         )));
     }
 

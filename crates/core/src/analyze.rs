@@ -687,6 +687,23 @@ pub struct DepEdge {
     pub kind: DepKind,
 }
 
+/// Where a container's words are while a plan runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Home {
+    /// A slab range: every container a step defines, and a
+    /// [`DataRole::Cache`], resident there between runs.
+    Slab,
+    /// An external no relayout touches: read where the caller keeps it. It
+    /// owns no slab range, and no step may write it.
+    Borrowed,
+    /// An external whose first touch in the schedule is a relayout: that
+    /// relayout gathers it out of the caller's slice into a slab range.
+    Gathered,
+    /// An external some step reads as it came before a later one re-lays
+    /// it: copied into a slab range when the run binds it.
+    Copied,
+}
+
 /// Live interval of one container across the schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BufferLiveness {
@@ -700,6 +717,8 @@ pub struct BufferLiveness {
     pub role: DataRole,
     /// First step writing it (`None` = external: bound before execution).
     pub def: Option<usize>,
+    /// Where its words are during a run.
+    pub home: Home,
     /// Last step reading (or relayouting) it, if any.
     pub last_use: Option<usize>,
     /// First step index at which the buffer is resident.
@@ -762,9 +781,16 @@ impl PlanAnalysis {
         }
     }
 
-    /// Peak resident bytes at the given word width.
+    /// Peak resident bytes at the given word width: slab-owned buffers and
+    /// borrowed externals alike.
     pub fn peak_resident_bytes(&self, word_bytes: usize) -> u64 {
         self.peak_resident_words * word_bytes as u64
+    }
+
+    /// Words of the plan's containers that live at `home`.
+    pub fn home_words(&self, home: Home) -> u64 {
+        let at = self.liveness.iter().filter(|b| b.home == home);
+        at.map(|b| b.words).sum()
     }
 
     /// Topological antichains of the dependency DAG: wave `k+1` contains
@@ -882,14 +908,16 @@ impl fmt::Display for ArenaGranularity {
     }
 }
 
-/// One buffer colored into the arena slab.
+/// One buffer's word range in the arena's address space: inside the slab,
+/// or — a borrowed external — a range of its own past the slab's end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArenaSlot {
     /// The container.
     pub data: NodeId,
     /// Its name.
     pub name: String,
-    /// Assigned slab offset in words.
+    /// Assigned offset in words. Below
+    /// [`ArenaAssignment::slab_words`] unless `borrowed`.
     pub offset: u64,
     /// Size in words.
     pub words: u64,
@@ -898,11 +926,15 @@ pub struct ArenaSlot {
     pub start: usize,
     /// Last time unit the buffer is resident.
     pub end: usize,
+    /// A [`Home::Borrowed`] external: the range stands for the caller's
+    /// memory, which no other buffer shares at any time.
+    pub borrowed: bool,
 }
 
-/// The result of [`assign_arena`]: every live buffer colored to a word
-/// offset inside one slab whose size the pass tries to hold at exactly the
-/// liveness analysis's peak-resident words.
+/// The result of [`assign_arena`]: every slab-owned buffer colored to a word
+/// offset inside one slab whose size the pass tries to hold at exactly
+/// their peak-resident words, and every borrowed external given a range of
+/// its own past the slab's end.
 #[derive(Debug, Clone)]
 pub struct ArenaAssignment {
     /// The execution order the coloring is valid for.
@@ -911,10 +943,12 @@ pub struct ArenaAssignment {
     pub slots: Vec<ArenaSlot>,
     /// Total slab size in words (the arena's high-water mark).
     pub slab_words: u64,
-    /// The statically predicted peak-resident words the slab is measured
-    /// against ([`PlanAnalysis::peak_resident_words`] for
-    /// [`ArenaGranularity::Serial`], the wave-granularity peak for
-    /// [`ArenaGranularity::Waves`]).
+    /// The statically predicted peak-resident words of the slab-owned
+    /// buffers, which the slab is measured against: over steps for
+    /// [`ArenaGranularity::Serial`], over waves for
+    /// [`ArenaGranularity::Waves`]. With the borrowed externals live beside
+    /// them that is [`PlanAnalysis::peak_resident_words`] (or the
+    /// wave-granularity peak).
     pub target_words: u64,
     /// [`PlanLint::ArenaFragmentation`] when `slab_words > target_words`;
     /// empty otherwise.
@@ -1011,14 +1045,21 @@ pub fn assign_arena(analysis: &PlanAnalysis, granularity: ArenaGranularity) -> A
         })
         .collect();
 
-    let (peak_t, target_words) = match granularity {
-        ArenaGranularity::Serial => (analysis.peak_step, analysis.peak_resident_words),
-        ArenaGranularity::Waves => analysis.peak_wave_resident_words(),
-    };
+    // the slab holds what is not borrowed; its target is their high-water
+    // mark (the last of equal peaks, as `PlanAnalysis::peak_step` is)
+    let base: Vec<usize> = (0..iv.len())
+        .filter(|&i| analysis.liveness[i].home != Home::Borrowed)
+        .collect();
+    let mut resident = vec![0u64; iv.iter().map(|v| v.1 + 1).max().unwrap_or(0)];
+    for &i in &base {
+        for w in &mut resident[iv[i].0..=iv[i].1] {
+            *w += iv[i].2;
+        }
+    }
+    let peak = resident.iter().copied().enumerate().max_by_key(|&(_, w)| w);
+    let (peak_t, target_words) = peak.unwrap_or((0, 0));
 
     // candidate placement orders; ties broken by index for determinism
-    let n = iv.len();
-    let base: Vec<usize> = (0..n).collect();
     let mut by_start = base.clone();
     by_start.sort_by_key(|&i| (iv[i].0, std::cmp::Reverse(iv[i].2), i));
     let mut by_words = base.clone();
@@ -1036,7 +1077,7 @@ pub fn assign_arena(analysis: &PlanAnalysis, granularity: ArenaGranularity) -> A
     // the peak-resident set is mutually overlapping (every member is live
     // at the peak), so placing it first packs it gap-free into exactly the
     // target; transients then drop into holes left over time
-    let mut by_peak = base;
+    let mut by_peak = base.clone();
     by_peak.sort_by_key(|&i| {
         let live_at_peak = iv[i].0 <= peak_t && peak_t <= iv[i].1;
         (
@@ -1064,16 +1105,12 @@ pub fn assign_arena(analysis: &PlanAnalysis, granularity: ArenaGranularity) -> A
     // shuffle the transient placement order under fixed seeds, stopping
     // as soon as a coloring hits the target. Fixed seeds keep the
     // assignment deterministic across runs.
-    if best.as_ref().is_some_and(|(_, s)| *s > target_words) && n > 0 {
+    if best.as_ref().is_some_and(|(_, s)| *s > target_words) {
         use rand::{Rng, SeedableRng};
-        let mut peak_set: Vec<usize> = (0..n)
-            .filter(|&i| iv[i].0 <= peak_t && peak_t <= iv[i].1)
-            .collect();
+        let at_peak = |&i: &usize| iv[i].0 <= peak_t && peak_t <= iv[i].1;
+        let (mut peak_set, transients): (Vec<usize>, Vec<usize>) =
+            base.iter().copied().partition(at_peak);
         peak_set.sort_by_key(|&i| (iv[i].0, std::cmp::Reverse(iv[i].2), i));
-        let mut transients: Vec<usize> = (0..n)
-            .filter(|&i| !(iv[i].0 <= peak_t && peak_t <= iv[i].1))
-            .collect();
-        transients.sort_unstable();
         for attempt in 0u64..256 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(0x0a7e_4a00 ^ attempt);
             let mut order = peak_set.clone();
@@ -1095,18 +1132,25 @@ pub fn assign_arena(analysis: &PlanAnalysis, granularity: ArenaGranularity) -> A
     }
     let (offsets, slab_words) = best.unwrap_or((Vec::new(), 0));
 
+    let mut past_slab = slab_words;
     let slots: Vec<ArenaSlot> = analysis
         .liveness
         .iter()
         .zip(&iv)
         .zip(&offsets)
-        .map(|((b, &(s, e, _)), &off)| ArenaSlot {
-            data: b.data,
-            name: b.name.clone(),
-            offset: off,
-            words: b.words,
-            start: s,
-            end: e,
+        .map(|((b, &(s, e, _)), &off)| {
+            let borrowed = b.home == Home::Borrowed;
+            let offset = if borrowed { past_slab } else { off };
+            past_slab += if borrowed { b.words } else { 0 };
+            ArenaSlot {
+                data: b.data,
+                name: b.name.clone(),
+                offset,
+                words: b.words,
+                start: s,
+                end: e,
+                borrowed,
+            }
         })
         .collect();
 
@@ -1550,6 +1594,15 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
             None => continue, // already reported as NotAContainer
         };
         let def = defs.get(&data).copied();
+        let first_use = uses.get(&data).map(|&(f, _)| f);
+        let home = match relayout_log.get(&data) {
+            _ if def.is_some() || role == DataRole::Cache => Home::Slab,
+            None => Home::Borrowed,
+            // re-laid by the first step to touch it: a relayout runs ahead
+            // of its step's kernel
+            Some(events) if first_use == Some(events[0].0) => Home::Gathered,
+            Some(_) => Home::Copied,
+        };
         let last_use = uses.get(&data).map(|&(_, l)| l);
         let start = def.unwrap_or(0);
         let pinned = matches!(role, DataRole::Output | DataRole::Saved | DataRole::Cache);
@@ -1567,6 +1620,7 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
             words,
             role,
             def,
+            home,
             last_use,
             start,
             end,
@@ -1950,7 +2004,7 @@ pub fn render_report(
         .unwrap_or("-");
     let _ = writeln!(
         out,
-        "peak resident: {:.2} MiB at step {} (`{peak_name}`)",
+        "peak resident: {:.2} MiB at step {} (`{peak_name}`), slab-owned and borrowed",
         mib(analysis.peak_resident_bytes(device.word_bytes)),
         analysis.peak_step,
     );

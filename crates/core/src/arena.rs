@@ -39,10 +39,33 @@
 //! the one slot its liveness interval owns: a gather into the step's
 //! scratch in the new physical order, then one copy back, before the
 //! step's kernel starts. The hazard analysis treats it as a write for that
-//! reason (no reader of the container shares its wave). Externals are
-//! bound in the layout the plan first touches them in — natural, for any
-//! plan the lint gate's coherence check passed — and outputs are
+//! reason (no reader of the container shares its wave). Outputs are
 //! materialized in the layout the plan last leaves them in.
+//!
+//! **Externals.** A container no step defines is the caller's: a run asks
+//! its resolver for each by name and is handed a slice of the container's
+//! words, in the layout the plan first touches it in — natural, for any
+//! plan the lint gate's coherence check passed. Where the words then live
+//! is decided at compile ([`crate::analyze::Home`]):
+//!
+//! * **borrowed** — an input or weight no relayout touches owns no slab
+//!   range at all. Its operand slots resolve to the caller's slice and the
+//!   kernels read it where it is, so binding is an addressing change, not
+//!   a copy. Nobody may write it: a slot that resolves to a borrowed
+//!   external is only ever handed out as `&[f32]`, the access certifier
+//!   convicts any other access to one, and a plan whose step declares an
+//!   input or weight as its output is refused at compile, naming the step;
+//! * **resident** — a [`DataRole::Cache`] keeps its slab range between
+//!   runs: a resolver that declines it leaves the resident contents, one
+//!   that answers overwrites them, and the owner reads and appends through
+//!   [`CompiledArena::with_external`] / [`CompiledArena::with_external_mut`]
+//!   — never a plan step;
+//! * **re-laid** — an external some step wants in another layout gets a
+//!   slab range to be permuted in. When the relayout is the container's
+//!   first touch it gathers straight out of the caller's slice, one
+//!   strided pass; when a step reads the container first as it came, it is
+//!   copied into its range at bind (the one copy binding still makes, and
+//!   `plan_audit` prints it per plan: zero for every canned plan).
 //!
 //! **The epilogue boundary.** A `ContractionEpilogue` step reads A and B
 //! through their declared strides, but its tail streams are walked as
@@ -89,7 +112,7 @@ use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
 use crate::access::{view_path, AccessCertificate, AccessPath};
-use crate::analyze::{analyze, ArenaGranularity, PlanAnalysis};
+use crate::analyze::{analyze, ArenaGranularity, Home, PlanAnalysis};
 use crate::lower::{lower_step, walk_of, Kernel, RelayoutCopy, Role, Slot, Tail};
 use crate::plan::{ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
 use crate::sanitize::{certify_analyzed, certify_arena, plan_fingerprint, ArenaCertificate};
@@ -102,6 +125,16 @@ struct BufView {
     len: usize,
 }
 
+/// Where a step finds one operand's words.
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// A range of the slab.
+    Slab(BufView),
+    /// Entry `k` of the run's externals table: the caller's slice, read
+    /// where it lives. Never an output.
+    Borrowed(usize),
+}
+
 /// A precompiled step: the lowering's kernel class with its baked
 /// geometry, and every operand's slab slot. Executing one of these touches
 /// no heap.
@@ -111,13 +144,15 @@ struct StepExec {
     /// The operand views compiled for the drivers
     /// ([`crate::lower::StepLowering::sweeps`]).
     sweeps: Vec<Sweep>,
-    /// One slab slot per operand of the lowering, in its order — which is
-    /// the kernel's argument order ([`run_step`]) — with the role and view
-    /// the kernel addresses it through (the slot's first word is the
-    /// view's word zero).
-    operands: Vec<(BufView, Role, View)>,
-    /// The step's relayout insertions, each with its container's slot.
-    relayouts: Vec<(BufView, RelayoutCopy)>,
+    /// One slot per operand of the lowering, in its order — which is the
+    /// kernel's argument order ([`run_step`]) — with the role and view the
+    /// kernel addresses it through (the slot's first word is the view's
+    /// word zero).
+    operands: Vec<(Place, Role, View)>,
+    /// The step's relayout insertions, each with its container's slot and,
+    /// for the one that is an external's first touch, the externals-table
+    /// entry it gathers from instead of permuting the slot in place.
+    relayouts: Vec<(Option<usize>, BufView, RelayoutCopy)>,
     /// Per-lane mean and inverse-deviation regions of the statistics
     /// buffer (the normalizing classes).
     stats: Option<(BufView, BufView)>,
@@ -134,17 +169,31 @@ struct StepExec {
     stream: usize,
 }
 
-/// An external input the caller binds into the slab before execution.
+/// A container no step defines: the caller resolves it to a slice per run.
 #[derive(Debug, Clone)]
 struct ExternalBind {
     name: String,
+    /// Its range in the arena's address space
+    /// ([`crate::analyze::ArenaSlot`]): slab words unless borrowed.
     view: BufView,
-    /// Persistent cross-call state ([`DataRole::Cache`]): the slab range
-    /// survives between executions — the initial sanitizer poison skips
-    /// it, and a bind callback may decline it (returning `false`) to keep
-    /// the resident contents instead of aborting the run.
-    persistent: bool,
+    /// [`Home::Borrowed`] and [`Home::Gathered`] externals are read out of
+    /// the caller's slice; a [`Home::Copied`] one is copied into its range
+    /// at bind; [`Home::Slab`] is a [`DataRole::Cache`], persistent
+    /// cross-call state — the initial sanitizer poison skips its range,
+    /// and a resolver may decline it to keep the resident contents.
+    home: Home,
 }
+
+/// One entry of a run's externals table: the caller's slice for the
+/// external of the same index (empty until a run binds it).
+#[derive(Debug, Clone, Copy)]
+struct ExtSlice(*const [f32]);
+
+// SAFETY: an entry is dereferenced only by the steps of the run that wrote
+// it, while the caller's borrow of the slice is still live (see
+// `CompiledArena::execute_bound`); between runs it is a stale address no
+// one reads.
+unsafe impl Send for ExtSlice {}
 
 /// An output (or saved activation) materialized out of the slab after
 /// execution.
@@ -171,25 +220,14 @@ struct StatsSpec {
 /// The slab, contraction scratch, layer-norm statistics storage and timing
 /// slots (one per step, one per wave) of one arena, reused across calls
 /// under a mutex.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ArenaBuffers {
     slab: Vec<f32>,
     scratch: Vec<f32>,
     stats: Vec<f32>,
     step_us: Vec<f64>,
     wave_us: Vec<f64>,
-}
-
-impl ArenaBuffers {
-    fn zeroed(slab: usize, scratch: usize, stats: usize, steps: usize, waves: usize) -> Self {
-        ArenaBuffers {
-            slab: vec![0.0; slab],
-            scratch: vec![0.0; scratch],
-            stats: vec![0.0; stats],
-            step_us: vec![0.0; steps],
-            wave_us: vec![0.0; waves],
-        }
-    }
+    ext: Vec<ExtSlice>,
 }
 
 /// Raw views of one [`ArenaBuffers`], copyable into worker threads. The
@@ -197,7 +235,8 @@ impl ArenaBuffers {
 /// write disjoint slab ranges (their outputs' live intervals all start at
 /// that wave, so the certifier proved them range-disjoint), scratch and
 /// stats regions are disjoint per step by construction, reads of shared
-/// inputs are read-only, and a timing slot is written only by the one
+/// inputs are read-only — the externals table and the callers' slices
+/// behind it among them — and a timing slot is written only by the one
 /// execution of the step (or the one dispatcher of the wave) it belongs to.
 #[derive(Debug, Clone, Copy)]
 struct SlabMem {
@@ -206,6 +245,7 @@ struct SlabMem {
     stats: *mut f32,
     step_us: *mut f64,
     wave_us: *mut f64,
+    ext: *const ExtSlice,
 }
 
 // SAFETY: the pointers address one `ArenaBuffers` whose mutex guard the
@@ -222,7 +262,13 @@ impl SlabMem {
             stats: bufs.stats.as_mut_ptr(),
             step_us: bufs.step_us.as_mut_ptr(),
             wave_us: bufs.wave_us.as_mut_ptr(),
+            ext: bufs.ext.as_ptr(),
         }
+    }
+
+    /// The caller's slice behind entry `k` of the externals table.
+    unsafe fn ext<'a>(self, k: usize) -> &'a [f32] {
+        unsafe { &*(*self.ext.add(k)).0 }
     }
 
     unsafe fn slab<'a>(self, v: BufView) -> &'a [f32] {
@@ -447,19 +493,33 @@ impl CompiledArena {
         let access = crate::access::certify_access_arena(graph, plan, &assignment)
             .map_err(|lints| refused("arena access paths", lints))?;
 
-        let view_of: HashMap<NodeId, BufView> = assignment
-            .slots
-            .iter()
-            .map(|s| {
-                (
-                    s.data,
-                    BufView {
-                        off: s.offset as usize,
-                        len: s.words as usize,
-                    },
-                )
-            })
-            .collect();
+        let view = |s: &crate::analyze::ArenaSlot| BufView {
+            off: s.offset as usize,
+            len: s.words as usize,
+        };
+        // one slot per live buffer, in liveness order
+        let mut externals = Vec::new();
+        let mut place_of: HashMap<NodeId, Place> = HashMap::new();
+        // the table entry of every gathered external, until its first
+        // relayout has taken it
+        let mut gather_from: HashMap<NodeId, usize> = HashMap::new();
+        for (b, s) in analysis.liveness.iter().zip(&assignment.slots) {
+            let place = match s.borrowed {
+                true => Place::Borrowed(externals.len()),
+                false => Place::Slab(view(s)),
+            };
+            place_of.insert(b.data, place);
+            if b.def.is_none() {
+                if b.home == Home::Gathered {
+                    gather_from.insert(b.data, externals.len());
+                }
+                externals.push(ExternalBind {
+                    name: b.name.clone(),
+                    view: view(s),
+                    home: b.home,
+                });
+            }
+        }
 
         let no_lowering =
             |what: String| TensorError::Unsupported(format!("{what} has no arena lowering"));
@@ -467,15 +527,31 @@ impl CompiledArena {
         let mut stats_words = 0usize;
         let mut stats_out = Vec::new();
         for (si, step) in plan.steps.iter().enumerate() {
+            let role = |o: &&crate::plan::Operand| graph.data(o.data).map(|d| d.role);
+            let read_only = |o: &_| matches!(role(o), Some(DataRole::Input | DataRole::Weight));
+            if let Some(o) = step.outputs.iter().find(read_only) {
+                return Err(TensorError::Unsupported(format!(
+                    "step {si} (`{}`) writes `{}`, an input or weight: the arena reads those where the caller keeps them and never writes one",
+                    step.name, o.name
+                )));
+            }
             let stream = plan.stream_of(si);
-            let exec = compile_step(graph, step, stream, &view_of, &mut stats_words, &mut stats_out)
-                .ok_or_else(|| match strided_tail(graph, step) {
-                    Some(o) => TensorError::Unsupported(format!(
-                        "step {si} (`{}`): GEMM-epilogue tail stream `{}` is declared in layout `{}`; tail streams must be in natural layout",
-                        step.name, o.name, o.layout
-                    )),
-                    None => no_lowering(format!("step {si} (`{}`)", step.name)),
-                })?;
+            let exec = compile_step(
+                graph,
+                step,
+                stream,
+                &place_of,
+                &mut gather_from,
+                &mut stats_words,
+                &mut stats_out,
+            )
+            .ok_or_else(|| match strided_tail(graph, step) {
+                Some(o) => TensorError::Unsupported(format!(
+                    "step {si} (`{}`): GEMM-epilogue tail stream `{}` is declared in layout `{}`; tail streams must be in natural layout",
+                    step.name, o.name, o.layout
+                )),
+                None => no_lowering(format!("step {si} (`{}`)", step.name)),
+            })?;
             steps.push(exec);
         }
 
@@ -495,21 +571,19 @@ impl CompiledArena {
             .steps
             .iter()
             .map(|step| {
-                step.outputs
-                    .iter()
-                    .filter_map(|o| view_of.get(&o.data).copied())
-                    .collect()
+                let slab = |o: &crate::plan::Operand| match place_of.get(&o.data) {
+                    Some(&Place::Slab(v)) => Some(v),
+                    _ => None,
+                };
+                step.outputs.iter().filter_map(slab).collect()
             })
             .collect();
 
         let mut retire: Vec<Vec<BufView>> = vec![Vec::new(); waves.len()];
         let last = waves.len().saturating_sub(1);
         for slot in &assignment.slots {
-            if slot.end < last {
-                retire[slot.end].push(BufView {
-                    off: slot.offset as usize,
-                    len: slot.words as usize,
-                });
+            if slot.end < last && !slot.borrowed {
+                retire[slot.end].push(view(slot));
             }
         }
 
@@ -523,19 +597,13 @@ impl CompiledArena {
             }
         }
 
-        let mut externals = Vec::new();
         let mut outputs = Vec::new();
         for b in &analysis.liveness {
             let container = || no_lowering(format!("container `{}`", b.name));
-            let &view = view_of.get(&b.data).ok_or_else(container)?;
-            if b.def.is_none() {
-                externals.push(ExternalBind {
-                    name: b.name.clone(),
-                    view,
-                    persistent: b.role == DataRole::Cache,
-                });
-            }
-            if matches!(b.role, DataRole::Output | DataRole::Saved) {
+            // an external in one of these roles is the caller's already
+            if let (Some(&Place::Slab(view)), DataRole::Output | DataRole::Saved) =
+                (place_of.get(&b.data), b.role)
+            {
                 let d = graph.data(b.data).ok_or_else(container)?;
                 let spec = left_in.get(&b.data).ok_or_else(container)?;
                 outputs.push(MaterializeSpec {
@@ -549,12 +617,11 @@ impl CompiledArena {
         }
 
         let slab_words = assignment.slab_words as usize;
-        let n_waves = waves.len();
 
         // sanitizer poison spans: the whole slab minus persistent ranges
         let mut persist: Vec<(usize, usize)> = externals
             .iter()
-            .filter(|e| e.persistent)
+            .filter(|e| e.home == Home::Slab)
             .map(|e| (e.view.off, e.view.off + e.view.len))
             .collect();
         persist.sort_unstable();
@@ -592,14 +659,22 @@ impl CompiledArena {
             poison_spans,
             outputs,
             stats_out,
-            buffers: Mutex::new(ArenaBuffers::zeroed(
-                slab_words,
-                scratch_words,
-                stats_words,
-                plan.steps.len(),
-                n_waves,
-            )),
-        })
+            buffers: Mutex::default(),
+        }
+        .with_zeroed_buffers())
+    }
+
+    /// The arena over zeroed buffers of its own, sized for its plan.
+    fn with_zeroed_buffers(mut self) -> CompiledArena {
+        self.buffers = Mutex::new(ArenaBuffers {
+            slab: vec![0.0; self.slab_words],
+            scratch: vec![0.0; self.scratch_words],
+            stats: vec![0.0; self.stats_words],
+            step_us: vec![0.0; self.steps.len()],
+            wave_us: vec![0.0; self.waves.len()],
+            ext: vec![ExtSlice(&[]); self.externals.len()],
+        });
+        self
     }
 
     /// A second arena of the same compiled plan with zeroed buffers of its
@@ -623,26 +698,26 @@ impl CompiledArena {
             poison_spans: self.poison_spans.clone(),
             outputs: self.outputs.clone(),
             stats_out: self.stats_out.clone(),
-            buffers: Mutex::new(ArenaBuffers::zeroed(
-                self.slab_words,
-                self.scratch_words,
-                self.stats_words,
-                self.steps.len(),
-                self.waves.len(),
-            )),
+            buffers: Mutex::default(),
         }
+        .with_zeroed_buffers()
     }
 
     /// The view of every operand step `si` hands its kernel, in the
-    /// kernel's argument order, as an access path in slab words — what the
-    /// access certificate's paths, embedded in their slots, must equal.
+    /// kernel's argument order, as an access path in the words of the
+    /// arena's address space (the slab, then each borrowed external's own
+    /// range) — what the access certificate's paths, embedded in their
+    /// slots, must equal.
     pub fn step_views(&self, si: usize) -> impl Iterator<Item = AccessPath> + '_ {
         let step = &self.steps[si];
         let operands = step.operands.iter().enumerate();
-        operands.map(|(k, (slot, role, view))| {
+        operands.map(|(k, (place, role, view))| {
             let walk = walk_of(&step.sweeps, step.operands.len(), k);
             let mut path = view_path(role, view, walk).0;
-            path.base += slot.off as u64;
+            path.base += match *place {
+                Place::Slab(slot) => slot.off,
+                Place::Borrowed(e) => self.externals[e].view.off,
+            } as u64;
             path
         })
     }
@@ -699,32 +774,44 @@ impl CompiledArena {
         self.buffers.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Every external container of the plan — what a run's resolver is
+    /// asked for — as `(name, words)`.
+    pub fn externals(&self) -> impl Iterator<Item = (&str, usize)> {
+        self.externals.iter().map(|e| (e.name.as_str(), e.view.len))
+    }
+
+    /// The slab range of the external `name`, if it has one.
+    fn resident(&self, name: &str) -> Option<std::ops::Range<usize>> {
+        let named = |e: &&ExternalBind| e.name == name && e.home != Home::Borrowed;
+        let e = self.externals.iter().find(named)?;
+        Some(e.view.off..e.view.off + e.view.len)
+    }
+
     /// Runs `f` over the resident slab region of the external container
     /// `name` (in the layout the plan first touches it in: natural for
     /// every gated plan), waiting for a run in progress to finish.
-    /// Returns `None` when no external of that name exists.
+    /// Returns `None` when no external of that name lives in the slab — a
+    /// borrowed one is the caller's own memory.
     ///
     /// This is the read half of the cross-call residency surface: decode
     /// sessions use it to migrate cache contents between arenas when a
     /// position bucket grows.
     pub fn with_external<R>(&self, name: &str, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
-        let e = self.externals.iter().find(|e| e.name == name)?;
-        let guard = self.lock_buffers();
-        Some(f(&guard.slab[e.view.off..e.view.off + e.view.len]))
+        let range = self.resident(name)?;
+        Some(f(&self.lock_buffers().slab[range]))
     }
 
     /// Runs `f` over the mutable resident slab region of the external
     /// container `name`, waiting for a run in progress to finish. Returns
-    /// `None` when no external of that name exists.
+    /// `None` when no external of that name lives in the slab.
     ///
     /// This is the write half of the cross-call residency surface: decode
     /// sessions append one new cache column per step through a
     /// bounds-checked [`crate::access::column_span`] license before the
     /// attend plan runs.
     pub fn with_external_mut<R>(&self, name: &str, f: impl FnOnce(&mut [f32]) -> R) -> Option<R> {
-        let e = self.externals.iter().find(|e| e.name == name)?;
-        let mut guard = self.lock_buffers();
-        Some(f(&mut guard.slab[e.view.off..e.view.off + e.view.len]))
+        let range = self.resident(name)?;
+        Some(f(&mut self.lock_buffers().slab[range]))
     }
 
     /// Executes the compiled plan with caller-provided binding and
@@ -733,12 +820,14 @@ impl CompiledArena {
     /// `pos`, and whether a profiler sink is set. It waits for the arena's
     /// buffers if another thread is running out of them.
     ///
-    /// `bind` is called once per external input with the container name
-    /// and its slab destination — to be filled in the layout the plan
-    /// first touches the container in, which for every plan that passed
-    /// the lint gate is the natural (logical row-major) one — and returns
-    /// whether it filled it; a declined [`DataRole::Cache`] external keeps
-    /// its resident contents. `sink` is called after the run, once per
+    /// `resolve` is called once per external container with its name and
+    /// answers with the container's words — in the layout the plan first
+    /// touches it in, which for every plan that passed the lint gate is the
+    /// natural (logical row-major) one. The kernels read them out of that
+    /// very slice: nothing is copied unless the plan re-lays the container
+    /// after reading it as it came. A [`DataRole::Cache`] external answered
+    /// with a slice is overwritten by it; answered with `None` it keeps its
+    /// resident contents. `sink` is called after the run, once per
     /// output/saved container and per layer-norm statistics region and, on
     /// a timed run, once with the [`ArenaArtifact::Timings`]; artifacts
     /// borrow the arena's storage, so copying sinks stay allocation-free.
@@ -748,13 +837,14 @@ impl CompiledArena {
     /// Returns [`TensorError::InvalidDropout`] when `opts.dropout_p` is
     /// outside `[0, 1)`, [`TensorError::SerialOnly`] when `opts.threads >
     /// 1` on an arena compiled at [`ArenaGranularity::Serial`],
-    /// [`TensorError::UnboundExternal`] naming the container `bind`
-    /// declined, and an error when a worker panics or the shadow sanitizer
-    /// detects a non-finite output (a read of a dead, reused buffer).
-    pub fn execute_bound(
+    /// [`TensorError::UnboundExternal`] naming the container `resolve`
+    /// answered with no slice (but for a cache) or one of the wrong length,
+    /// and an error when a worker panics or the shadow sanitizer detects a
+    /// non-finite output (a read of a dead, reused buffer).
+    pub fn execute_bound<'a>(
         &self,
         opts: &ExecOptions,
-        bind: &mut dyn FnMut(&str, &mut [f32]) -> bool,
+        resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
         sink: &mut dyn FnMut(ArenaArtifact<'_>),
     ) -> Result<()> {
         let run = &ArenaRun::new(opts);
@@ -774,16 +864,23 @@ impl CompiledArena {
                 bufs.slab[span.off..span.off + span.len].fill(f32::NAN);
             }
         }
-        for e in &self.externals {
-            let dst = &mut bufs.slab[e.view.off..e.view.off + e.view.len];
-            // a declined persistent external keeps its resident slab
-            // contents (the steady-state decode path: the cache already
-            // lives here)
-            if !bind(&e.name, dst) && !e.persistent {
-                return Err(TensorError::UnboundExternal {
-                    container: e.name.clone(),
-                    words: e.view.len,
-                });
+        // the table entries outlive the run: `'a` outlives this call
+        for (e, entry) in self.externals.iter().zip(&mut bufs.ext) {
+            match resolve(&e.name) {
+                Some(src) if src.len() == e.view.len => {
+                    *entry = ExtSlice(src);
+                    if matches!(e.home, Home::Slab | Home::Copied) {
+                        bufs.slab[e.view.off..e.view.off + e.view.len].copy_from_slice(src);
+                    }
+                }
+                // the steady-state decode path: the cache already lives here
+                None if e.home == Home::Slab => {}
+                _ => {
+                    return Err(TensorError::UnboundExternal {
+                        container: e.name.clone(),
+                        words: e.view.len,
+                    })
+                }
             }
         }
         let mem = SlabMem::new(bufs);
@@ -830,12 +927,12 @@ impl CompiledArena {
     /// # Errors
     ///
     /// Same as [`CompiledArena::execute_bound`].
-    pub fn execute_into_state(
+    pub fn execute_into_state<'a>(
         &self,
         graph: &Graph,
         plan: &ExecutionPlan,
         opts: &ExecOptions,
-        bind: &mut dyn FnMut(&str, &mut [f32]) -> bool,
+        resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
         out: &mut ExecState,
     ) -> Result<()> {
         let mut sink = |a: ArenaArtifact<'_>| match a {
@@ -870,7 +967,7 @@ impl CompiledArena {
                 }
             }
         };
-        self.execute_bound(opts, bind, &mut sink)
+        self.execute_bound(opts, resolve, &mut sink)
     }
 
     fn run_serial(&self, mem: SlabMem, run: &ArenaRun) -> Result<()> {
@@ -1026,14 +1123,16 @@ pub fn execute(
 ) -> Result<()> {
     let arena = memoized(graph, plan, granularity_for(opts.threads))?;
     let mut produced = ExecState::default();
-    let mut bind = |name: &str, dst: &mut [f32]| match state.env.get(name) {
-        Some(t) if t.len() == dst.len() => {
-            into_ops::copy_tensor_into(t, dst);
-            true
-        }
-        _ => false,
-    };
-    arena.execute_into_state(graph, plan, opts, &mut bind, &mut produced)?;
+    // the words of a tensor stored in its natural layout are borrowed as
+    // they are; one an earlier plan left in another is normalized first
+    let permuted = |t: &&Tensor| t.natural_words().is_none();
+    let natural: HashMap<&str, Tensor> = (arena.externals())
+        .filter_map(|(name, _)| Some((name, state.env.get(name).filter(permuted)?)))
+        .map(|(name, t)| (name, t.relayout(&Layout::row_major(t.shape().rank()))))
+        .collect();
+    let env = &state.env;
+    let resolve = &mut |name: &str| natural.get(name).or(env.get(name)).map(Tensor::data);
+    arena.execute_into_state(graph, plan, opts, resolve, &mut produced)?;
     state.env.extend(produced.env);
     state.stats.extend(produced.stats);
     Ok(())
@@ -1055,16 +1154,20 @@ fn strided_tail<'s>(graph: &Graph, step: &'s PlanStep) -> Option<&'s crate::plan
 }
 
 /// Precompiles one plan step: its lowering (`core::lower`), with every
-/// operand's view embedded in the declared operand's slab slot and a
-/// statistics region allotted to the normalizing classes. `None` means the
-/// lowering does not model the step (its kind, operand count, geometry or
-/// tail layout) or an operand has no slot, which
+/// operand's view embedded in the declared operand's slot — a slab range
+/// or a borrowed external — and a statistics region allotted to the
+/// normalizing classes. A relayout that finds its container in
+/// `gather_from` takes the entry: it gathers out of the caller's slice.
+/// `None` means the lowering does not model the step (its kind, operand
+/// count, geometry or tail layout), an operand has no slot, or an output
+/// or a relayout resolves to a borrowed external, which
 /// [`CompiledArena::compile`] reports as an error naming the step.
 fn compile_step(
     graph: &Graph,
     step: &PlanStep,
     stream: usize,
-    view_of: &HashMap<NodeId, BufView>,
+    place_of: &HashMap<NodeId, Place>,
+    gather_from: &mut HashMap<NodeId, usize>,
     stats_words: &mut usize,
     stats_out: &mut Vec<StatsSpec>,
 ) -> Option<StepExec> {
@@ -1075,15 +1178,21 @@ fn compile_step(
     };
     let operands = (low.operands.into_iter())
         .map(|(slot, role, view)| {
-            let operand = match slot {
-                Slot::In(k) => step.inputs.get(k),
-                Slot::Out(k) => step.outputs.get(k),
-            }?;
-            Some((*view_of.get(&operand.data)?, role, view))
+            let place = match slot {
+                Slot::In(k) => *place_of.get(&step.inputs.get(k)?.data)?,
+                Slot::Out(k) => match *place_of.get(&step.outputs.get(k)?.data)? {
+                    Place::Borrowed(_) => return None,
+                    slab => slab,
+                },
+            };
+            Some((place, role, view))
         })
         .collect::<Option<_>>()?;
     let relayouts = (low.relayouts.into_iter())
-        .map(|r| Some((*view_of.get(&r.data)?, r)))
+        .map(|r| match *place_of.get(&r.data)? {
+            Place::Slab(slot) => Some((gather_from.remove(&r.data), slot, r)),
+            Place::Borrowed(_) => None,
+        })
         .collect::<Option<_>>()?;
     let stats = match low.stats {
         Some((out, lanes)) => {
@@ -1143,17 +1252,25 @@ unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRu
 /// # Safety
 ///
 /// `mem` must point into live buffers at least as large as every slot the
-/// step references, and no concurrently-running step may write any word
-/// this step touches — guaranteed by the arena certificate (interval
-/// overlap ⇒ range disjointness) plus the wave partition's race
-/// certificate semantics.
+/// step references, every entry of its externals table the step references
+/// must hold a live slice of the external's words, and no
+/// concurrently-running step may write any word this step touches —
+/// guaranteed by the arena certificate (interval overlap ⇒ range
+/// disjointness) plus the wave partition's race certificate semantics; a
+/// borrowed external no step can write at all.
 unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRun, rng: &mut R) {
     let drop = &mut Dropout::new(run.dropout_p, rng)
         .expect("dropout_p was validated when the arena run was admitted");
     // SAFETY (all three): the caller's contract covers every slot of the
     // step, its statistics regions and its scratch range.
-    let r = |k: usize| unsafe { mem.slab(step.operands[k].0) };
-    let w = |k: usize| unsafe { mem.slab_mut(step.operands[k].0) };
+    let r = |k: usize| match step.operands[k].0 {
+        Place::Slab(v) => unsafe { mem.slab(v) },
+        Place::Borrowed(e) => unsafe { mem.ext(e) },
+    };
+    let w = |k: usize| match step.operands[k].0 {
+        Place::Slab(v) => unsafe { mem.slab_mut(v) },
+        Place::Borrowed(_) => unreachable!("`compile_step` admits no borrowed output"),
+    };
     let scratch = || unsafe { mem.scratch_mut(step.scratch.off, step.scratch.len) };
     let stats = || {
         let (mean, inv_std) = step
@@ -1161,10 +1278,15 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
             .expect("a normalizing class has statistics regions");
         unsafe { (mem.stats_mut(mean), mem.stats_mut(inv_std)) }
     };
-    for (slot, copy) in &step.relayouts {
+    for (source, slot, copy) in &step.relayouts {
         // SAFETY: the hazard analysis orders a relayout against every
         // other access of its container, so this step owns the slot.
-        into_ops::relayout_into(&copy.dims, unsafe { mem.slab_mut(*slot) }, scratch());
+        let slot = unsafe { mem.slab_mut(*slot) };
+        match *source {
+            // SAFETY: the run bound entry `e` before its first step.
+            Some(e) => into_ops::relayout_from(&copy.dims, unsafe { mem.ext(e) }, slot),
+            None => into_ops::relayout_into(&copy.dims, slot, scratch()),
+        }
     }
     let s = step.sweeps.first();
     let s = || s.expect("a sweeping class has a compiled sweep");
@@ -1459,14 +1581,30 @@ mod tests {
             .expect("every gated plan compiles")
     }
 
-    /// A binder that fills every external out of `base`, except `skip`.
-    fn binder<'a>(base: &'a ExecState, skip: &'a str) -> impl FnMut(&str, &mut [f32]) -> bool + 'a {
-        move |name, dst| match base.env.get(name) {
-            Some(t) if name != skip => {
-                into_ops::copy_tensor_into(t, dst);
-                true
-            }
-            _ => false,
+    /// The most words the buffers that are not borrowed hold at any one
+    /// step, recomputed from the live intervals alone.
+    fn slab_owned_peak(analysis: &PlanAnalysis) -> u64 {
+        let owned = || {
+            analysis
+                .liveness
+                .iter()
+                .filter(|b| b.home != Home::Borrowed)
+        };
+        let at = |t: usize| owned().filter(move |b| b.start <= t && t <= b.end);
+        let steps = 0..analysis.resident_words.len();
+        steps
+            .map(|t| at(t).map(|b| b.words).sum())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// A resolver that answers every external out of `base`, except `skip`.
+    fn binder<'a>(base: &'a ExecState, skip: &'a str) -> impl FnMut(&str) -> Option<&'a [f32]> {
+        move |name| {
+            base.env
+                .get(name)
+                .filter(|_| name != skip)
+                .map(Tensor::data)
         }
     }
 
@@ -1504,7 +1642,7 @@ mod tests {
         assert!(arena.matches(&plan));
         assert_eq!(
             arena.slab_words() as u64,
-            analysis.peak_resident_words,
+            slab_owned_peak(&analysis),
             "serial arena slab must hit the peak-resident target exactly"
         );
 
@@ -1567,6 +1705,12 @@ mod tests {
         let (graph, plan) = fused_plan();
         let arena = compile(&graph, &plan, ArenaGranularity::Waves);
         let base = random_externals(&graph, &plan, 7).unwrap();
+        // every external of a natural plan is borrowed: the workers of a
+        // wave share the caller's slices, and none has a slab range
+        assert_eq!(arena.externals().count(), base.env.len());
+        for (name, _) in arena.externals() {
+            assert!(arena.with_external(name, |_| ()).is_none(), "`{name}`");
+        }
         for p in [0.0f32, 0.4] {
             let at = |threads| {
                 let opts = ExecOptions::builder()
@@ -1683,12 +1827,53 @@ mod tests {
             .execute_into_state(&graph, &plan, &two, &mut binder(&base, ""), &mut out)
             .unwrap_err();
         assert_eq!(err, TensorError::SerialOnly { threads: 2 });
+        // only a cache may be declined: an external that lives in the slab
+        // because the plan re-lays it is unbound without its slice
+        let (graph, _, strided) = strided_plan();
+        let arena = compile(&graph, &strided, ArenaGranularity::Serial);
+        for name in ["x", "w1"] {
+            assert!(arena.with_external(name, |_| ()).is_some(), "`{name}`");
+            let err = arena
+                .execute_into_state(&graph, &strided, &opts, &mut binder(&base, name), &mut out)
+                .unwrap_err();
+            assert!(
+                matches!(&err, TensorError::UnboundExternal { container, .. } if container == name),
+                "{err}"
+            );
+        }
+    }
+
+    /// The static half of the read-only contract: a step that declares an
+    /// input or weight container as its output never reaches a kernel.
+    #[test]
+    fn a_step_that_writes_an_input_or_weight_is_refused_at_compile_naming_the_step() {
+        let shape = || Shape::new([('b', 3), ('i', 4)]).unwrap();
+        for role in [DataRole::Input, DataRole::Weight] {
+            let mut graph = Graph::new();
+            let [a, b] = ["a", "b"].map(|n| graph.add_data(n, shape(), DataRole::Input));
+            let w = graph.add_data("w", shape(), role);
+            let y = graph.add_data("y", shape(), DataRole::Output);
+            let clobber = graph.add_op("clobber", OpKind::Residual, &[a, b], &[w]);
+            let reader = graph.add_op("reader", OpKind::Residual, &[a, w], &[y]);
+            let plan = ExecutionPlan::natural(&graph, &[clobber, reader]).unwrap();
+            let err = CompiledArena::build(
+                &graph,
+                &plan,
+                &analyze(&graph, &plan),
+                ArenaGranularity::Serial,
+            )
+            .unwrap_err()
+            .to_string();
+            assert!(err.contains("step 0 (`clobber`) writes `w`"), "{err}");
+        }
     }
 
     /// The fused plan with the first step's outputs stored transposed
-    /// (their consumers relayout them back) and the softmax reading its
-    /// input with the reduce axis outermost: strided views, strided lanes
-    /// and relayout insertions.
+    /// (their consumers relayout them back), the softmax reading its
+    /// input with the reduce axis outermost, and two externals re-laid:
+    /// the weight `w1` by the one step that reads it, and `x` by its last
+    /// reader after the first has read it as it came. Strided views,
+    /// strided lanes and relayout insertions, in place and gathered.
     fn strided_plan() -> (Graph, ExecutionPlan, ExecutionPlan) {
         let (graph, natural) = fused_plan();
         let mut strided = natural.clone();
@@ -1696,10 +1881,30 @@ mod tests {
             o.layout = o.layout.chars().rev().collect();
         }
         let sm = strided.steps.iter().position(|s| s.name == "SM").unwrap();
-        let x = &mut strided.steps[sm].inputs[0].layout;
-        *x = x.chars().rev().collect();
+        let reads = |s: &PlanStep, name: &str| s.inputs.iter().any(|i| i.name == name);
+        let w1 = strided.steps.iter().position(|s| reads(s, "w1")).unwrap();
+        let x = strided.steps.iter().rposition(|s| reads(s, "x")).unwrap();
+        assert!(x > 0 && reads(&strided.steps[0], "x"));
+        for (si, name) in [(sm, "beta"), (w1, "w1"), (x, "x")] {
+            let input = strided.steps[si].inputs.iter_mut().find(|i| i.name == name);
+            let layout = &mut input.unwrap().layout;
+            *layout = layout.chars().rev().collect();
+        }
         strided.reflow(&graph);
-        assert!(strided.relayout_count() >= 2);
+        assert!(strided.relayout_count() >= 4);
+        let analysis = analyze(&graph, &strided);
+        let home = |name: &str| {
+            analysis
+                .liveness
+                .iter()
+                .find(|b| b.name == name)
+                .unwrap()
+                .home
+        };
+        assert_eq!(
+            [home("w1"), home("x"), home("w2"), home("beta")],
+            [Home::Gathered, Home::Copied, Home::Borrowed, Home::Slab]
+        );
         (graph, natural, strided)
     }
 
@@ -1871,11 +2076,19 @@ mod tests {
             }
             let plan = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
             let arena = compile(&g, &plan, ArenaGranularity::Serial);
+            let analysis = analyze(&g, &plan);
             assert_eq!(
                 arena.slab_words() as u64,
-                analyze(&g, &plan).peak_resident_words,
-                "{label}: serial slab must hit the peak-resident target"
+                slab_owned_peak(&analysis),
+                "{label}: serial slab must hit the peak of what it owns"
             );
+            // and what it owns is everything but the inputs and weights
+            let owns = |b: &&crate::analyze::BufferLiveness| b.home != Home::Borrowed;
+            let external = |b: &crate::analyze::BufferLiveness| {
+                matches!(b.role, DataRole::Input | DataRole::Weight)
+            };
+            assert!(analysis.liveness.iter().filter(owns).all(|b| !external(b)));
+            assert!(analysis.home_words(Home::Borrowed) > 0, "{label}");
         }
     }
 }

@@ -110,9 +110,9 @@ impl CpuSource {
 #[derive(Debug)]
 pub struct StandaloneKernel {
     arena: CompiledArena,
-    /// Whether the operands are in the slab yet (a lone step never
-    /// overwrites its inputs, so they are bound once).
-    bound: bool,
+    /// The operands by container name, drawn once: the arena reads them
+    /// where they are and a lone step never overwrites its inputs.
+    inputs: Vec<(String, Vec<f32>)>,
 }
 
 impl StandaloneKernel {
@@ -128,16 +128,19 @@ impl StandaloneKernel {
         // past the gate: a lone step's inputs have no producer and sit in
         // the layouts under test, which the schedule lints would refuse
         let arena = CompiledArena::build(graph, &plan, &analysis, ArenaGranularity::Serial).ok()?;
-        Some(StandaloneKernel {
-            arena,
-            bound: false,
-        })
+        let dist = rand::distributions::Uniform::new(-1.0f32, 1.0);
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut draw = |words| (0..words).map(|_| dist.sample(&mut rng)).collect();
+        let inputs = (arena.externals())
+            .map(|(name, words)| (name.to_string(), draw(words)))
+            .collect();
+        Some(StandaloneKernel { arena, inputs })
     }
 
-    /// Runs the kernel once over random operands (which no layout can tell
-    /// apart; bound on the first run) and returns its wall time in µs —
-    /// the arena's own timing slot of the step, so binding and
-    /// materialization stay outside the measurement. Every operand is drawn
+    /// Runs the kernel once over its random operands (which no layout can
+    /// tell apart) and returns its wall time in µs — the arena's own
+    /// timing slot of the step, so materialization stays outside the
+    /// measurement. Every operand is drawn
     /// from U(−1, 1) directly: a softmax handed such inputs spans less than
     /// `e²` per lane and cannot underflow, unlike one fed by a chain of
     /// unscaled projections ([`crate::plan::random_externals`] scales
@@ -147,14 +150,10 @@ impl StandaloneKernel {
     ///
     /// As [`CompiledArena::execute_bound`].
     pub fn run(&mut self) -> Result<f64> {
-        let dist = rand::distributions::Uniform::new(-1.0f32, 1.0);
-        let mut rng = StdRng::seed_from_u64(0x5EED);
-        let fresh = !std::mem::replace(&mut self.bound, true);
-        let mut bind = |_: &str, dst: &mut [f32]| {
-            if fresh {
-                dst.iter_mut().for_each(|w| *w = dist.sample(&mut rng));
-            }
-            true
+        let inputs = &self.inputs;
+        let resolve = &mut |name: &str| {
+            let named = inputs.iter().find(|(n, _)| n == name);
+            named.map(|(_, words)| words.as_slice())
         };
         // the sink only switches the arena's timing slots on
         let sink = std::sync::Mutex::new(PlanProfiler::with_peak(1.0));
@@ -169,7 +168,7 @@ impl StandaloneKernel {
                 time_us = step_us[0];
             }
         };
-        self.arena.execute_bound(&opts, &mut bind, &mut read)?;
+        self.arena.execute_bound(&opts, resolve, &mut read)?;
         Ok(time_us)
     }
 }

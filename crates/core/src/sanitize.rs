@@ -43,8 +43,9 @@
 //! Only concurrent reads are certified. In particular a relayout may not
 //! share a wave with a reader of its container: the arena re-materializes
 //! a container *in place*, in the one slab slot its liveness interval
-//! owns (staged through the step's scratch), so a concurrent reader would
-//! see words of both layouts. The analyzer orders a relayout after every
+//! owns (staged through the step's scratch — or gathered into it out of
+//! the caller's slice, when the relayout is an external's first touch), so
+//! a concurrent reader would see words of both layouts. The analyzer orders a relayout after every
 //! earlier reader of its container (WAR) and before every later one (RAW),
 //! which is what keeps such pairs out of
 //! [`PlanAnalysis::parallel_waves`]; an injected partition that holds one
@@ -284,9 +285,11 @@ pub struct ArenaCertificate {
 /// aliasing-aware mode of the certifier. Checks, both mandatory:
 ///
 /// 1. every pair of buffers whose live intervals overlap occupies disjoint
-///    word ranges of the slab ([`PlanLint::ArenaOverlap`] otherwise — two
-///    simultaneously-live tensors sharing memory would corrupt data);
-/// 2. every buffer lies inside the slab bounds.
+///    word ranges ([`PlanLint::ArenaOverlap`] otherwise — two
+///    simultaneously-live tensors sharing memory would corrupt data); a
+///    borrowed external is the caller's memory, live as long as the run;
+/// 2. every slab-owned buffer lies inside the slab bounds, and every
+///    borrowed external's range past them.
 ///
 /// The dynamic complement is the arena interpreter's shadow mode (see
 /// [`crate::arena::CompiledArena`]): with sanitizing enabled it poisons
@@ -305,7 +308,11 @@ pub fn certify_arena(
     let mut lints = Vec::new();
     let slots = &assignment.slots;
     for (i, a) in slots.iter().enumerate() {
-        if a.offset + a.words > assignment.slab_words {
+        let misplaced = match a.borrowed {
+            true => a.offset < assignment.slab_words,
+            false => a.offset + a.words > assignment.slab_words,
+        };
+        if misplaced {
             lints.push(PlanLint::ArenaOverlap {
                 a: a.name.clone(),
                 b: "<slab bound>".into(),
@@ -314,7 +321,7 @@ pub fn certify_arena(
             });
         }
         for b in &slots[i + 1..] {
-            let live_overlap = a.start <= b.end && b.start <= a.end;
+            let live_overlap = a.borrowed || b.borrowed || (a.start <= b.end && b.start <= a.end);
             let range_overlap = a.offset < b.offset + b.words && b.offset < a.offset + a.words;
             if live_overlap && range_overlap {
                 lints.push(PlanLint::ArenaOverlap {

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xform_core::analyze::{
-    analyze, assign_arena, ArenaAssignment, ArenaGranularity, DepKind, PlanLint, Severity,
+    analyze, assign_arena, ArenaAssignment, ArenaGranularity, DepKind, Home, PlanLint, Severity,
 };
 use xform_core::fusion::{apply_plan, decoder_fusion_plan, encoder_fusion_plan};
 use xform_core::plan::{ExecutionPlan, Relayout};
@@ -49,14 +49,16 @@ fn unfused() -> (Graph, ExecutionPlan) {
 
 /// The arena invariants every assignment must satisfy, checked from the
 /// slot list alone (independently of the coloring internals):
-/// overlapping live intervals get disjoint slab ranges, the slab is
-/// exactly the furthest slot extent, it never undershoots the
-/// peak-resident words recomputed here from the intervals, and it matches
-/// that peak exactly unless a fragmentation lint says otherwise.
+/// overlapping live intervals get disjoint ranges — a borrowed external's,
+/// the caller's memory, against every other at any time — the slab is
+/// exactly the furthest extent of the slots it owns and every borrowed
+/// range lies past it, it never undershoots the peak-resident words of what
+/// it owns, recomputed here from the intervals, and it matches that peak
+/// exactly unless a fragmentation lint says otherwise.
 fn check_assignment(a: &ArenaAssignment) -> std::result::Result<(), String> {
     for (i, s) in a.slots.iter().enumerate() {
         for t in &a.slots[i + 1..] {
-            if s.start <= t.end && t.start <= s.end {
+            if s.borrowed || t.borrowed || (s.start <= t.end && t.start <= s.end) {
                 prop_assert!(
                     s.offset + s.words <= t.offset || t.offset + t.words <= s.offset,
                     "live-overlapping `{}` [{},{}] and `{}` [{},{}] share slab words \
@@ -75,18 +77,14 @@ fn check_assignment(a: &ArenaAssignment) -> std::result::Result<(), String> {
             }
         }
     }
-    let extent = a
-        .slots
-        .iter()
-        .map(|s| s.offset + s.words)
-        .max()
-        .unwrap_or(0);
+    let owned = || a.slots.iter().filter(|s| !s.borrowed);
+    let extent = owned().map(|s| s.offset + s.words).max().unwrap_or(0);
     prop_assert_eq!(a.slab_words, extent);
+    prop_assert!(a.slots.iter().all(|s| !s.borrowed || s.offset >= extent));
     let horizon = a.slots.iter().map(|s| s.end).max().unwrap_or(0);
     let peak = (0..=horizon)
         .map(|t| {
-            a.slots
-                .iter()
+            owned()
                 .filter(|s| s.start <= t && t <= s.end)
                 .map(|s| s.words)
                 .sum::<u64>()
@@ -232,8 +230,9 @@ proptest! {
 
     // The arena coloring never aliases simultaneously-live buffers at
     // either granularity, for any problem dimensions — and at serial
-    // granularity its declared target is exactly the liveness analysis's
-    // peak-resident high-water mark.
+    // granularity its declared target and the borrowed externals bracket
+    // the liveness analysis's peak-resident high-water mark, which counts
+    // both.
     #[test]
     fn arena_coloring_never_aliases_live_buffers(seed in 0u64..10_000) {
         let mut pick = StdRng::seed_from_u64(seed);
@@ -257,7 +256,10 @@ proptest! {
                 prop_assert_eq!(a.slots.len(), analysis.liveness.len());
                 check_assignment(&a)?;
                 if gran == ArenaGranularity::Serial {
-                    prop_assert_eq!(a.target_words, analysis.peak_resident_words);
+                    let peak = analysis.peak_resident_words;
+                    let borrowed = analysis.home_words(Home::Borrowed);
+                    prop_assert!(borrowed > 0, "inputs and weights are borrowed");
+                    prop_assert!(a.target_words <= peak && peak <= a.target_words + borrowed);
                 }
             }
         }
@@ -267,8 +269,10 @@ proptest! {
 #[test]
 fn canned_plans_color_to_the_audited_peak_exactly() {
     // On every canned plan the randomized packing search must close the
-    // fragmentation gap completely: serial slab bytes == the static
-    // audit's peak-resident bytes, with no lint.
+    // fragmentation gap completely: serial slab words == the peak-resident
+    // words of the buffers the slab owns (`check_assignment` recomputes
+    // them), with no lint — the audited peak less the borrowed externals
+    // live at it.
     let dims = EncoderDims::tiny();
     for (tag, (g, plan)) in [
         ("encoder/reference", unfused_at(&dims)),
@@ -278,18 +282,18 @@ fn canned_plans_color_to_the_audited_peak_exactly() {
         let analysis = analyze(&g, &plan);
         let a = assign_arena(&analysis, ArenaGranularity::Serial);
         assert!(a.lints.is_empty(), "{tag}: {:?}", a.lints);
+        check_assignment(&a).unwrap();
         assert_eq!(
-            a.slab_words, analysis.peak_resident_words,
-            "{tag}: slab must equal the audited peak-resident words"
+            a.slab_words, a.target_words,
+            "{tag}: slab must equal the peak-resident words of what it owns"
         );
-        assert_eq!(a.slab_bytes(4), analysis.peak_resident_words * 4);
+        assert_eq!(a.slab_bytes(4), a.target_words * 4);
+        assert!(a.slab_words < analysis.peak_resident_words, "{tag}");
         // the wave-granularity coloring answers to its own (coarser) peak
         let w = assign_arena(&analysis, ArenaGranularity::Waves);
-        assert_eq!(
-            w.target_words,
-            analysis.peak_wave_resident_words().1,
-            "{tag}"
-        );
+        check_assignment(&w).unwrap();
+        let wave_peak = analysis.peak_wave_resident_words().1;
+        assert!(w.target_words < wave_peak, "{tag}");
         assert!(w.slab_words >= a.target_words, "{tag}");
     }
 }

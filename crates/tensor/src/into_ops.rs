@@ -1104,8 +1104,18 @@ pub fn copy_layout_into(shape: &Shape, layout: &Layout, src: &[f32], dst: &mut [
 /// Panics if `buf` or `scratch` is shorter than the container.
 pub fn relayout_into(dims: &[(usize, usize, usize)], buf: &mut [f32], scratch: &mut [f32]) {
     let words: usize = dims.iter().map(|d| d.0).product();
-    copy_strided(dims, buf, 0, scratch, 0);
+    relayout_from(dims, buf, scratch);
     buf[..words].copy_from_slice(&scratch[..words]);
+}
+
+/// [`relayout_into`] out of place: one gather of `src`, read through the
+/// old strides, into `dst` in the new physical order.
+///
+/// # Panics
+///
+/// Panics if `src` or `dst` is shorter than the container.
+pub fn relayout_from(dims: &[(usize, usize, usize)], src: &[f32], dst: &mut [f32]) {
+    copy_strided(dims, src, 0, dst, 0);
 }
 
 /// `out = alpha · x`.

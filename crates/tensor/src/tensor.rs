@@ -152,6 +152,15 @@ impl Tensor {
         &self.data
     }
 
+    /// The backing buffer when it holds the elements in logical row-major
+    /// order — what a caller may borrow as the tensor's natural-layout
+    /// words; `None` for a tensor stored permuted.
+    pub fn natural_words(&self) -> Option<&[f32]> {
+        self.layout
+            .is_row_major_for(&self.shape)
+            .then_some(&self.data[..])
+    }
+
     /// Mutable access to the raw backing buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data

@@ -33,6 +33,12 @@
 //! steady-state decoding re-plans only when the sequence outgrows its
 //! bucket; between growths a step is two arena executions plus two column
 //! `memcpy`s.
+//!
+//! No weight is copied per token: the step arenas borrow every weight from
+//! the model's own tensors, and the one container the graphs name that the
+//! model does not hold — `w_qkv`, Q|K|V stacked — the session stacks once
+//! per layer when it is made. Its `&'m TransformerModel` borrow pins the
+//! weights it stacked for as long as it lives.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,6 +49,7 @@ use xform_core::arena::{ArenaArtifact, CompiledArena};
 use xform_core::plan::{ExecOptions, ExecState};
 use xform_dataflow::EncoderDims;
 use xform_tensor::lanes::check_dropout_p;
+use xform_tensor::matmul::{gemm, MatMut, MatRef, Start};
 use xform_tensor::ops::elementwise::{bias_add, ActivationKind};
 use xform_tensor::{Result, Shape, Tensor, TensorError};
 
@@ -111,6 +118,14 @@ struct AttendBucket {
     capacity: usize,
 }
 
+/// What prefill compiles and every step runs: the projection arena
+/// (stateless — one for every layer) and the current attend bucket.
+#[derive(Debug)]
+struct StepArenas {
+    project: CompiledArena,
+    attend: AttendBucket,
+}
+
 /// A streaming decode session over a [`TransformerModel`] with decoder
 /// blocks. See the module docs for the three-phase step anatomy.
 #[derive(Debug)]
@@ -122,8 +137,10 @@ pub struct DecodeSession<'m> {
     scaler: f32,
     /// Next position to write (= number of resident cache columns).
     pos: usize,
-    attend: Option<AttendBucket>,
-    project: Option<CompiledArena>,
+    /// `None` until prefill.
+    arenas: Option<StepArenas>,
+    /// Each layer's `w_qkv`: Q|K|V stacked.
+    w_qkv: Vec<Vec<f32>>,
     /// Current hidden column `[i,b,1]`; input to the next layer.
     h_cur: Tensor,
     /// Next hidden column (the attend plan's `y`).
@@ -159,6 +176,37 @@ fn session_arena(
         .ok_or_else(|| unsupported("the decode plan compiled to no arena"))
 }
 
+/// The step arenas, which exist from prefill on.
+fn prefilled(arenas: &mut Option<StepArenas>) -> Result<&mut StepArenas> {
+    arenas
+        .as_mut()
+        .ok_or_else(|| unsupported("call prefill before advance"))
+}
+
+/// Embeds `tokens` (one per batch row) at position `pos` into column `col`
+/// of `x` (`[i,b,cols]`, row-major): each token's embedding row plus the
+/// position's, read as rows.
+fn embed_column(
+    model: &TransformerModel,
+    tokens: impl Iterator<Item = usize>,
+    pos: usize,
+    (x, col): (&mut [f32], usize),
+) -> Result<()> {
+    let d = model.config.dims;
+    let cols = x.len() / (d.i * d.b);
+    let position = &model.positional.data()[pos * d.i..][..d.i];
+    for (b, t) in tokens.enumerate() {
+        if t >= model.config.vocab {
+            return Err(unsupported(format!("token id {t} out of vocabulary")));
+        }
+        let token = &model.embedding.data()[t * d.i..][..d.i];
+        for (i, (e, p)) in token.iter().zip(position).enumerate() {
+            x[(i * d.b + b) * cols + col] = e + p;
+        }
+    }
+    Ok(())
+}
+
 impl<'m> DecodeSession<'m> {
     /// Creates an idle session. Call [`DecodeSession::prefill`] before
     /// stepping.
@@ -167,13 +215,24 @@ impl<'m> DecodeSession<'m> {
     ///
     /// Returns an error if the model is not a decoder stack, its
     /// configured `dropout_p` is outside `[0, 1)` (decoding itself never
-    /// drops, but a session does not vouch for an unusable model), or its
-    /// dimensions are empty.
+    /// drops, but a session does not vouch for an unusable model), its
+    /// dimensions are empty, or its embeddings or head are stored permuted
+    /// (a step reads them by rows).
     pub fn new(model: &'m TransformerModel, opts: DecodeOptions) -> Result<Self> {
         if model.config.block != crate::model::BlockKind::Decoder {
             return Err(unsupported("decode sessions require decoder blocks"));
         }
         check_dropout_p(model.config.dropout_p)?;
+        let by_rows = [&model.embedding, &model.positional, &model.head];
+        if by_rows.iter().any(|t| t.natural_words().is_none()) {
+            return Err(unsupported("embeddings and head must be stored row-major"));
+        }
+        let stack = |w: &EncoderWeights| {
+            let mut stacked = vec![0.0; w.qkv_words()];
+            w.stack_qkv_into(&mut stacked);
+            stacked
+        };
+        let w_qkv = model.blocks.iter().map(stack).collect();
         let d = model.config.dims;
         let max_seq = opts.max_seq.unwrap_or(d.j).min(d.j).max(1);
         let bucket = opts.bucket.unwrap_or(DEFAULT_BUCKET).max(1);
@@ -190,8 +249,8 @@ impl<'m> DecodeSession<'m> {
             max_seq,
             scaler: 1.0 / (d.p as f32).sqrt(),
             pos: 0,
-            attend: None,
-            project: None,
+            arenas: None,
+            w_qkv,
             h_cur: Tensor::zeros(col.clone()),
             h_next: Tensor::zeros(col),
             qq_col: vec![0.0; d.p * d.h * d.b],
@@ -217,23 +276,24 @@ impl<'m> DecodeSession<'m> {
     /// Current cache capacity in positions (the bucket the step plans are
     /// compiled for).
     pub fn capacity(&self) -> usize {
-        self.attend.as_ref().map_or(0, |a| a.capacity)
+        self.arenas.as_ref().map_or(0, |a| a.attend.capacity)
     }
 
     /// The decode certificate of the current bucket's attend plan: proof
     /// no plan step writes the caches, plus each cache's column geometry.
     pub fn decode_certificate(&self) -> Option<&DecodeCertificate> {
-        self.attend.as_ref().map(|a| &a.cert)
+        self.arenas.as_ref().map(|a| &a.attend.cert)
     }
 
-    /// Resident arena bytes across all layers (cache slabs included) plus
-    /// the shared projection arena.
+    /// Bytes the session holds across steps: the arena slabs of all layers
+    /// (cache slabs included), the shared projection arena's, and the
+    /// stacked Q/K/V weights. The other weights stay the model's.
     pub fn resident_bytes(&self) -> usize {
-        let attend: usize = self
-            .attend
-            .as_ref()
-            .map_or(0, |a| a.arenas.iter().map(CompiledArena::slab_bytes).sum());
-        attend + self.project.as_ref().map_or(0, |p| p.slab_bytes())
+        let slabs = self.arenas.iter().flat_map(|a| {
+            let attend = a.attend.arenas.iter();
+            attend.chain([&a.project]).map(CompiledArena::slab_bytes)
+        });
+        slabs.sum::<usize>() + self.w_qkv.iter().map(|s| s.len() * 4).sum::<usize>()
     }
 
     /// One draw from the sampling RNG — a cheap end-state fingerprint for
@@ -255,26 +315,21 @@ impl<'m> DecodeSession<'m> {
         }
     }
 
-    /// Head logits of the hidden column `h[i,b,0]`, replicating the exact
-    /// accumulation of `einsum("vi,ibj->vbj")` + `bias_add`: per output
-    /// element, products accumulate over `i` ascending from `0.0`, then
-    /// the bias is added — bitwise the full-sequence head at any length.
+    /// Head logits of the hidden column `h[i,b,0]`: the one GEMM over
+    /// `head [v,i] × h [i,b]`, then the bias. Per output element the
+    /// products accumulate over `i` ascending from `+0.0`, multiply and add
+    /// unfused, as `einsum("vi,ibj->vbj")` + `bias_add` do — bitwise the
+    /// full-sequence head at any length.
     fn head_column(&mut self) {
-        let d = self.model.config.dims;
-        let v = self.model.config.vocab;
-        let head = self.model.head.data();
-        let bias = self.model.head_bias.data();
-        let h = self.h_cur.data();
-        let out = self.logits.data_mut();
-        for vi in 0..v {
-            let row = &head[vi * d.i..(vi + 1) * d.i];
-            for b in 0..d.b {
-                let mut acc = 0.0f32;
-                for (i, &w) in row.iter().enumerate() {
-                    acc += w * h[i * d.b + b];
-                }
-                out[vi * d.b + b] = acc + bias[vi];
-            }
+        let (d, v) = (self.model.config.dims, self.model.config.vocab);
+        let head = MatRef::row_major(self.model.head.data(), d.i);
+        let h = MatRef::row_major(self.h_cur.data(), d.b);
+        let logits = self.logits.data_mut();
+        let out = MatMut::row_major(&mut *logits, d.b);
+        gemm(v, d.b, d.i, head, h, out, Start::FromZero);
+        let rows = logits.chunks_exact_mut(d.b);
+        for (row, &bias) in rows.zip(self.model.head_bias.data()) {
+            row.iter_mut().for_each(|l| *l += bias);
         }
     }
 
@@ -358,16 +413,9 @@ impl<'m> DecodeSession<'m> {
 
         // embed the whole prompt
         let mut x = Tensor::zeros(Shape::new([('i', d.i), ('b', d.b), ('j', s)])?);
-        for (b, row) in prompt.iter().enumerate() {
-            for (j, &t) in row.iter().enumerate() {
-                if t >= self.model.config.vocab {
-                    return Err(unsupported(format!("token id {t} out of vocabulary")));
-                }
-                for i in 0..d.i {
-                    let v = self.model.embedding.at(&[t, i]) + self.model.positional.at(&[j, i]);
-                    x.set(&[i, b, j], v);
-                }
-            }
+        for j in 0..s {
+            let tokens = prompt.iter().map(|row| row[j]);
+            embed_column(self.model, tokens, j, (x.data_mut(), j))?;
         }
 
         let mut prefill_dims = d;
@@ -379,24 +427,26 @@ impl<'m> DecodeSession<'m> {
         let prefill = session_arena(&pf, &analyze(&pf.graph, &pf.plan), granularity)?;
 
         let capacity = round_up(s + 1, self.bucket);
-        let bucket = self.build_bucket(capacity)?;
+        let attend = self.build_bucket(capacity)?;
         let project = self.build_project()?;
 
         let opts = self.exec_options(self.threads);
         let mut h = x;
         for (l, w) in self.model.blocks.iter().enumerate() {
             let mut state = ExecState::default();
-            let mut bind = |name: &str, dst: &mut [f32]| interp::bind_external(name, dst, &h, w);
-            prefill.execute_into_state(&pf.graph, &pf.plan, &opts, &mut bind, &mut state)?;
+            // every block's `y` leaves its arena row-major, like `x`
+            let (x, w_qkv) = (h.data(), &self.w_qkv[l][..]);
+            let resolve = &mut |name: &str| interp::external_words(name, x, w_qkv, w);
+            prefill.execute_into_state(&pf.graph, &pf.plan, &opts, resolve, &mut state)?;
             // seed this layer's cache columns from the saved projections:
             // kk [p,h,b,k] → k_cache column k = contiguous [p,h,b]
             let kk = state.get("kk")?;
             let vv = state.get("vv")?;
             let col = d.p * d.h * d.b;
             let seed_cache = |name: &str, src: &Tensor| -> Result<()> {
-                let span = column_span(&bucket.cert, name, 0, s)
+                let span = column_span(&attend.cert, name, 0, s)
                     .ok_or_else(|| unsupported(format!("prompt escapes `{name}` capacity")))?;
-                bucket.arenas[l]
+                attend.arenas[l]
                     .with_external_mut(name, |dst| {
                         let dst = &mut dst[span.clone()];
                         let data = src.data();
@@ -427,8 +477,7 @@ impl<'m> DecodeSession<'m> {
                 out[vi * d.b + b] = data[(vi * d.b + b) * s + (s - 1)];
             }
         }
-        self.attend = Some(bucket);
-        self.project = Some(project);
+        self.arenas = Some(StepArenas { project, attend });
         self.pos = s;
         Ok(logits)
     }
@@ -438,10 +487,7 @@ impl<'m> DecodeSession<'m> {
     fn grow(&mut self, need: usize) -> Result<()> {
         let capacity = round_up(need, self.bucket);
         let next = self.build_bucket(capacity)?;
-        let old = self
-            .attend
-            .as_ref()
-            .ok_or_else(|| unsupported("session not prefilled"))?;
+        let old = &mut prefilled(&mut self.arenas)?.attend;
         let d = self.model.config.dims;
         let live = self.pos * d.p * d.h * d.b;
         for (src, dst) in old.arenas.iter().zip(&next.arenas) {
@@ -453,7 +499,7 @@ impl<'m> DecodeSession<'m> {
                 .ok_or_else(|| unsupported(format!("cache `{name}` migration failed")))?;
             }
         }
-        self.attend = Some(next);
+        *old = next;
         Ok(())
     }
 
@@ -469,9 +515,7 @@ impl<'m> DecodeSession<'m> {
     /// id, or if an arena invariant breaks (an unbound external, a missing
     /// output).
     pub fn advance(&mut self, tokens: &[usize]) -> Result<&Tensor> {
-        if self.attend.is_none() {
-            return Err(unsupported("call prefill before advance"));
-        }
+        prefilled(&mut self.arenas)?;
         if self.pos >= self.max_seq {
             return Err(unsupported(format!(
                 "sequence is at max_seq {} — cannot decode further",
@@ -490,27 +534,17 @@ impl<'m> DecodeSession<'m> {
             });
         }
         let run = self.exec_options(1);
-        {
-            let out = &mut self.h_cur;
-            for (b, &t) in tokens.iter().enumerate() {
-                if t >= model.config.vocab {
-                    return Err(unsupported(format!("token id {t} out of vocabulary")));
-                }
-                for i in 0..d.i {
-                    let v = model.embedding.at(&[t, i]) + model.positional.at(&[pos, i]);
-                    out.set(&[i, b, 0], v);
-                }
-            }
-        }
+        let column = (self.h_cur.data_mut(), 0);
+        embed_column(model, tokens.iter().copied(), pos, column)?;
 
-        let bucket = self.attend.as_ref().expect("checked above");
-        let project = self.project.as_ref().expect("built with bucket");
+        let arenas = prefilled(&mut self.arenas)?;
+        let (project, bucket) = (&arenas.project, &arenas.attend);
         for (l, w) in model.blocks.iter().enumerate() {
+            let w_qkv = &self.w_qkv[l][..];
             // phase 1: project the new column
             {
-                let h = &self.h_cur;
-                let mut bind =
-                    |name: &str, dst: &mut [f32]| -> bool { bind_weight(name, dst, h, None, w) };
+                let h = self.h_cur.data();
+                let resolve = &mut |name: &str| interp::external_words(name, h, w_qkv, w);
                 let qq = &mut self.qq_col;
                 let kk = &mut self.kk_col;
                 let vv = &mut self.vv_col;
@@ -527,7 +561,7 @@ impl<'m> DecodeSession<'m> {
                         }
                     }
                 };
-                project.execute_bound(&run, &mut bind, &mut sink)?;
+                project.execute_bound(&run, resolve, &mut sink)?;
             }
             // phase 2: append the new cache columns at `pos` under the
             // decode certificate's bounds-checked column license
@@ -543,10 +577,13 @@ impl<'m> DecodeSession<'m> {
             }
             // phase 3: attend over the resident cache
             {
-                let h = &self.h_cur;
-                let qq = &self.qq_col;
-                let mut bind = |name: &str, dst: &mut [f32]| -> bool {
-                    bind_weight(name, dst, h, Some(qq), w)
+                let (h, qq) = (self.h_cur.data(), &self.qq_col[..]);
+                // the caches are left unresolved: each keeps the resident
+                // contents the append above extended
+                let resolve = &mut |name: &str| match name {
+                    "k_cache" | "v_cache" => None,
+                    "qq" => Some(qq),
+                    _ => interp::external_words(name, h, w_qkv, w),
                 };
                 let out = self.h_next.data_mut();
                 let mut wrote = false;
@@ -561,7 +598,7 @@ impl<'m> DecodeSession<'m> {
                         }
                     }
                 };
-                arena.execute_bound(&run, &mut bind, &mut sink)?;
+                arena.execute_bound(&run, resolve, &mut sink)?;
                 if !wrote {
                     return Err(unsupported("attend arena produced no `y`"));
                 }
@@ -685,25 +722,49 @@ impl<'m> DecodeSession<'m> {
     }
 }
 
-/// External binding for the decode step arenas: the projected `qq`
-/// column, and everything a full forward binds — the hidden column `x`,
-/// the stacked `w_qkv`, every per-layer weight — through the layers' one
-/// table. Returning `false` for the cache containers keeps their resident
-/// slab contents (the whole point of [`xform_dataflow::DataRole::Cache`]).
-fn bind_weight(
-    name: &str,
-    dst: &mut [f32],
-    x: &Tensor,
-    qq: Option<&[f32]>,
-    w: &EncoderWeights,
-) -> bool {
-    match (name, qq) {
-        ("k_cache" | "v_cache", _) => false,
-        ("qq", Some(q)) if q.len() == dst.len() => {
-            dst.copy_from_slice(q);
-            true
-        }
-        ("qq", _) => false,
-        _ => interp::bind_external(name, dst, x, w),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{BlockKind, ModelConfig};
+    use xform_tensor::Layout;
+
+    fn model() -> TransformerModel {
+        let config = ModelConfig {
+            dims: EncoderDims {
+                j: 8,
+                k: 8,
+                ..EncoderDims::tiny()
+            },
+            layers: 2,
+            vocab: 5,
+            block: BlockKind::Decoder,
+            dropout_p: 0.0,
+        };
+        TransformerModel::init(config, &mut StdRng::seed_from_u64(3)).unwrap()
+    }
+
+    /// What `advance` used to `expect`: the step arenas are reached through
+    /// one accessor, and a session that has none says so.
+    #[test]
+    fn advancing_an_idle_session_is_a_typed_error() {
+        let model = model();
+        let mut session = DecodeSession::new(&model, DecodeOptions::default()).unwrap();
+        let err = session.advance(&[1, 2]).unwrap_err();
+        assert_eq!(err, unsupported("call prefill before advance"));
+        assert_eq!((session.capacity(), session.len()), (0, 0));
+        // the stacked Q/K/V weights are the session's from the start
+        let stacked: usize = model.blocks.iter().map(EncoderWeights::qkv_words).sum();
+        assert_eq!(session.resident_bytes(), 4 * stacked);
+    }
+
+    /// A step reads embedding and head rows as slices of the backing
+    /// buffers: a model that stores one permuted is refused up front.
+    #[test]
+    fn a_model_with_a_permuted_embedding_is_refused() {
+        let mut model = model();
+        let permuted = Layout::from_axis_order(model.embedding.shape(), "iv").unwrap();
+        model.embedding = model.embedding.relayout(&permuted);
+        let err = DecodeSession::new(&model, DecodeOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("row-major"), "{err}");
     }
 }

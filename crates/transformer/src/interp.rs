@@ -7,10 +7,12 @@
 //! runs its canned plan or an arbitrary recipe-selected one (supply it via
 //! [`xform_core::plan::ExecOptions::plan`] to the unified
 //! [`crate::encoder::EncoderLayer::forward`]) the same way — out of its
-//! memoized arena, whatever layouts it declares, `x` and the weights bound
-//! straight into the slab through one binding table
-//! ([`EncoderWeights::container`] plus the `w_qkv` stacking).
+//! memoized arena, whatever layouts it declares, `x` and the weights read
+//! where their tensors keep them through one binding table
+//! ([`EncoderWeights::container`] plus the stacked `w_qkv`, which a
+//! per-call forward stacks into a staging buffer).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -361,32 +363,61 @@ pub(crate) fn layer_options<'p>(
         .build())
 }
 
-/// The one binding table: fills the external container `name` (`dst`, in
-/// natural layout — where every gated plan first finds its externals)
-/// from a layer's input and weight set — `x` itself, the
-/// Q/K/V projections stacked into `w_qkv`, any other weight by
-/// [`EncoderWeights::container`]. Returns `false`, for the executor to
-/// report, on a name the layers do not bind or a size that disagrees.
-pub(crate) fn bind_external(name: &str, dst: &mut [f32], x: &Tensor, w: &EncoderWeights) -> bool {
-    let src = match name {
-        "x" => x,
-        "w_qkv" => return w.stack_qkv_into(dst),
-        _ => match w.container(name) {
-            Some(t) => t,
-            None => return false,
-        },
-    };
-    if src.len() != dst.len() {
-        return false;
+/// The one binding table: the words of the external container `name`, in
+/// natural layout — where every gated plan first finds its externals — out
+/// of a layer's input and weight set: `x`, the Q/K/V projections stacked as
+/// `w_qkv` (both handed in by whoever holds them), any other weight by
+/// [`EncoderWeights::container`], borrowed from its tensor. `None`, for
+/// the executor to report, on a name the layers do not bind or a weight
+/// stored in another layout than its natural one (nothing that makes
+/// parameters does).
+pub(crate) fn external_words<'a>(
+    name: &str,
+    x: &'a [f32],
+    w_qkv: &'a [f32],
+    w: &'a EncoderWeights,
+) -> Option<&'a [f32]> {
+    match name {
+        "x" => Some(x),
+        "w_qkv" => Some(w_qkv),
+        _ => w.container(name)?.natural_words(),
     }
-    into_ops::copy_tensor_into(src, dst);
-    true
+}
+
+thread_local! {
+    /// What a per-call forward must lay out before an arena can borrow it:
+    /// `w_qkv` — the layers own nothing across calls, so Q|K|V are stacked
+    /// on every one — then `x`, when its tensor is stored permuted. One
+    /// buffer per calling thread, beside the arena caches and as warm as
+    /// they are: a steady-state forward allocates nothing.
+    static STAGING: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Hands `run` the resolver of one layer forward over `x` and `w`
+/// ([`external_words`] behind this thread's staging buffer).
+fn with_externals<R>(
+    x: &Tensor,
+    w: &EncoderWeights,
+    run: impl for<'a> FnOnce(&mut dyn FnMut(&str) -> Option<&'a [f32]>) -> R,
+) -> R {
+    STAGING.with_borrow_mut(|staging| {
+        let (qkv, natural) = (w.qkv_words(), x.natural_words());
+        staging.resize(qkv + natural.map_or(x.len(), |_| 0), 0.0);
+        let (w_qkv, x_words) = staging.split_at_mut(qkv);
+        w.stack_qkv_into(w_qkv);
+        if natural.is_none() {
+            into_ops::copy_tensor_into(x, x_words);
+        }
+        let (w_qkv, x_words) = (&*w_qkv, natural.unwrap_or(x_words));
+        run(&mut |name| external_words(name, x_words, w_qkv, w))
+    })
 }
 
 /// Binds a layer input and the shared weight set into an interpreter
 /// environment under the graphs' container names (what the equivalence
 /// suites hand the reference interpreter), through the same table the
-/// arena binds through: the separate Q/K/V projection weights are stacked into the graphs' `w_qkv` container (`[s=3p, h, i]`, Q then K
+/// arena resolves through: the separate Q/K/V projection weights are
+/// stacked into the graphs' `w_qkv` container (`[s=3p, h, i]`, Q then K
 /// then V).
 ///
 /// # Errors
@@ -441,7 +472,7 @@ fn with_arena<R>(
 /// `y` leaves the slab, through [`forward_into`]'s sink into a fresh
 /// row-major tensor. With it every container the plan produced — outputs,
 /// saved activations, layer-norm statistics — is materialized out of the
-/// slab `x` and the weights were bound straight into, each in the layout
+/// slab, each in the layout
 /// the plan leaves it in, and handed to `collector` with the dropout stream
 /// of the plan's attention region, if it has one: the region keeps no
 /// `[h,b,j,k]` tensor, and the backward pass draws its masks again
@@ -470,8 +501,9 @@ pub(crate) fn forward<A>(
     }
     let (state, region) = with_arena(dims, kind, opts, |graph, plan, arena| {
         let mut state = ExecState::default();
-        let mut bind = |name: &str, dst: &mut [f32]| bind_external(name, dst, x, w);
-        arena.execute_into_state(graph, plan, opts, &mut bind, &mut state)?;
+        with_externals(x, w, |resolve| {
+            arena.execute_into_state(graph, plan, opts, resolve, &mut state)
+        })?;
         let region =
             |s: &xform_core::plan::PlanStep| matches!(s.kind, OpKind::AttentionRegion { .. });
         let at = plan.steps.iter().position(region);
@@ -504,7 +536,6 @@ pub(crate) fn forward_into(
     let produced = with_arena(dims, kind, opts, |graph, plan, arena| {
         let mut produced = 0;
         let ydata = y.data_mut();
-        let mut bind = |name: &str, dst: &mut [f32]| bind_external(name, dst, x, w);
         let mut sink = |a: ArenaArtifact<'_>| match a {
             ArenaArtifact::Tensor {
                 name: "y",
@@ -525,7 +556,9 @@ pub(crate) fn forward_into(
             }
             _ => {}
         };
-        arena.execute_bound(opts, &mut bind, &mut sink)?;
+        with_externals(x, w, |resolve| {
+            arena.execute_bound(opts, resolve, &mut sink)
+        })?;
         Ok(produced)
     })?;
     if produced != y.len() {
@@ -719,6 +752,62 @@ mod tests {
                 is_shape_error(layer.forward_into(&x, &w, &opts, &mut y), "decoder into");
             }
         }
+    }
+
+    /// Nothing of a weight outlives the call that borrowed it: a forward
+    /// after `w1` and `wq` (a stacked one) moved is a cold run's forward, and
+    /// so is a decode session made after they did.
+    #[test]
+    fn a_weight_update_between_calls_or_sessions_leaves_nothing_stale() {
+        use crate::decode::{DecodeOptions, DecodeSession};
+        use crate::encoder::{EncoderLayer, Executor};
+        use crate::model::{BlockKind, ModelConfig, TransformerModel};
+
+        let dims = EncoderDims::tiny();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut w = EncoderWeights::init(&dims, &mut rng);
+        let shape = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+        let x = Tensor::random(shape, &Uniform::new(-1.0, 1.0), &mut rng);
+        let nudge = |w: &mut EncoderWeights| {
+            w.w1.data_mut().iter_mut().for_each(|v| *v += 0.25);
+            w.wq.data_mut().iter_mut().for_each(|v| *v -= 0.5);
+        };
+        // every compiled arena — slabs, scratch, externals tables — dropped
+        let cold = clear_arena_cache;
+
+        let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
+        let opts = ExecOptions::default();
+        let forward = |w: &EncoderWeights| {
+            let mut y = x.clone();
+            layer.forward_into(&x, w, &opts, &mut y).unwrap();
+            y
+        };
+        let before = forward(&w);
+        nudge(&mut w);
+        let after = forward(&w);
+        assert_ne!(after.data(), before.data());
+        cold();
+        assert_eq!(forward(&w).data(), after.data());
+
+        let config = ModelConfig {
+            dims: EncoderDims { j: 8, k: 8, ..dims },
+            layers: 2,
+            vocab: 5,
+            block: BlockKind::Decoder,
+            dropout_p: 0.0,
+        };
+        let mut model = TransformerModel::init(config, &mut rng).unwrap();
+        let decode = |model: &TransformerModel| {
+            let mut session = DecodeSession::new(model, DecodeOptions::default()).unwrap();
+            session.prefill(&[vec![1, 2], vec![3, 4]]).unwrap();
+            session.advance(&[2, 0]).unwrap().clone()
+        };
+        let before = decode(&model);
+        nudge(&mut model.blocks[1]);
+        let after = decode(&model);
+        assert_ne!(after.data(), before.data());
+        cold();
+        assert_eq!(decode(&model).data(), after.data());
     }
 
     #[test]
