@@ -13,6 +13,11 @@
 //! so a plan that stops materializing them loses those rows and moves no
 //! other. In PR 21 the `decode/b1-wide` row joined `decode`, test-only on
 //! PR 20's library, ahead of the executor reading weights where they live.
+//! In PR 22 the table's *partition* was pinned beside it, test-only on PR
+//! 21's library: the kernel layer's one vector `exp` re-records every row
+//! with a softmax or a GELU in it, once, and the pin holds which rows are
+//! equal to which through that (`tests/numerics_envelope.rs` holds how far
+//! the values themselves may go).
 //! A digest that moves means arithmetic, output layout, stats order or
 //! RNG draw order changed somewhere under the public API.
 //!
@@ -588,6 +593,38 @@ fn grad_digests(table: &mut Vec<(String, u64)>) {
     }
 }
 
+/// The table's *partition*: row names grouped by equal digest — groups in
+/// order of first appearance, names in table order — and the grouping
+/// hashed. A change that is meant to move absolute bits re-records
+/// [`GOLDEN`] but not this: rows that were equal (`forward` of Reference /
+/// Fused / Epilogue at `p = 0`, `t1` and `t2` of every leg, a leg of the
+/// plain and of the epilogue decoder plan) must still be equal, and rows
+/// that differed must still differ.
+fn partition(table: &[(String, u64)]) -> u64 {
+    let mut groups: Vec<(u64, Vec<&str>)> = Vec::new();
+    for (name, d) in table {
+        match groups.iter_mut().find(|g| g.0 == *d) {
+            Some(g) => g.1.push(name),
+            None => groups.push((*d, vec![name])),
+        }
+    }
+    let mut h = Fnv::new();
+    for (_, names) in &groups {
+        h.word(names.len() as u32);
+        for name in names {
+            h.word(name.len() as u32);
+            for c in name.bytes() {
+                h.word(u32::from(c));
+            }
+        }
+    }
+    h.0
+}
+
+/// [`partition`] of the table as recorded in PR 22's test-only commit, on
+/// PR 21's library.
+const PARTITION: u64 = 0xb1e8_1777_01ab_3213;
+
 #[test]
 fn digests_match_the_recorded_table() {
     let mut table = Vec::new();
@@ -605,8 +642,18 @@ fn digests_match_the_recorded_table() {
                 if moved { " // MOVED" } else { "" }
             );
         }
-        panic!("golden digests moved; the computed table is printed above");
     }
+    assert_eq!(
+        partition(&table),
+        PARTITION,
+        "rows that shared a digest no longer do, or rows that did not now do \
+         (computed partition {:#018x})",
+        partition(&table)
+    );
+    assert!(
+        table == recorded,
+        "golden digests moved; the computed table is printed above"
+    );
 }
 
 #[rustfmt::skip]
