@@ -4,9 +4,11 @@
 //! the V100 model. Forward (BRD, SM, BDRLN) and backward (BLNRD, BDRB, BS,
 //! at the `train_step` workload's shapes in its natural layouts); and the
 //! attention core as one region against the three arena steps it replaces,
-//! at the `longseq_fwd` and `bert_fwd` shapes. Printed, never gated —
-//! EXPERIMENTS.md, "Backward kernels on the lane layer" and "Attention
-//! region", records the numbers.
+//! at the `longseq_fwd` and `bert_fwd` shapes; and the kernel layer's one
+//! `exp` with the bodies that stand on it (GELU both ways, a contiguous
+//! softmax row) in ns per element. Printed, never gated — EXPERIMENTS.md,
+//! "Backward kernels on the lane layer", "Attention region" and "Numerics
+//! tier", records the numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::distributions::Uniform;
@@ -17,9 +19,10 @@ use std::hint::black_box;
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
 use xform_tensor::into_ops::{
-    attention_into, contract_into, sm_into, AttentionPlan, ContractPlan, Sweep, View,
+    activate_backward_into, activate_into, attention_into, contract_into, sm_into, softmax_into,
+    AttentionPlan, ContractPlan, Sweep, View,
 };
-use xform_tensor::lanes::Dropout;
+use xform_tensor::lanes::{self, Dropout};
 use xform_tensor::ops::dropout::{dropout, dropout_backward, dropout_disabled};
 use xform_tensor::ops::elementwise::{
     activate_backward, add, bias_add, bias_grad, relu, scale, ActivationKind,
@@ -266,6 +269,47 @@ fn bench_attention_core(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_numerics_tier(_: &mut Criterion) {
+    // ns per element, best of 300 passes over 64 K words in `[-8, 8)`: a
+    // kernel that computes, not one that allocates
+    const N: usize = 1 << 16;
+    let x = rand_t(Shape::new([('k', N)]).unwrap(), 29);
+    let x: Vec<f32> = x.data().iter().map(|v| 8.0 * v).collect();
+    let (dy, mut out) = (vec![1.0f32; N], vec![0.0f32; N]);
+    let mut row = |name: &str, pass: &mut dyn FnMut(&[f32], &mut [f32])| {
+        let mut best = f64::INFINITY;
+        for _ in 0..300 {
+            let t = std::time::Instant::now();
+            pass(black_box(&x), black_box(&mut out));
+            best = best.min(t.elapsed().as_secs_f64());
+        }
+        println!(
+            "numerics tier/{name:<28} {:>6.2} ns/element",
+            best * 1e9 / N as f64
+        );
+    };
+    row("exp", &mut |x, out| {
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = lanes::exp(v);
+        }
+    });
+    let flat = View::whole(&[N], &[1]);
+    let unary = Sweep::compile(&[&flat; 2], None, None).unwrap();
+    let binary = Sweep::compile(&[&flat; 3], None, None).unwrap();
+    let gelu = ActivationKind::Gelu;
+    row("gelu", &mut |x, out| activate_into(&unary, x, gelu, out));
+    row("gelu backward", &mut |x, out| {
+        activate_backward_into(&binary, &dy, x, gelu, out)
+    });
+    for len in [64, 256, 512, 2048] {
+        let rows = View::whole(&[N / len, len], &[len, 1]);
+        let sweep = Sweep::compile(&[&rows; 2], Some(1), None).unwrap();
+        row(&format!("softmax row of {len}"), &mut |x, out| {
+            softmax_into(&sweep, x, 0.5, None, out)
+        });
+    }
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -277,6 +321,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_brd, bench_sm, bench_bdrln, bench_blnrd, bench_bdrb, bench_bs,
-        bench_attention_core
+        bench_attention_core, bench_numerics_tier
 }
 criterion_main!(benches);

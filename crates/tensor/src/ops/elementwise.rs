@@ -4,6 +4,7 @@
 use crate::axes::{Axis, Shape};
 use crate::error::{Result, TensorError};
 use crate::into_ops::{activate_backward_into, bias_add_into, bias_grad_into, zip_into, View};
+use crate::lanes::{exp, map_lane, BLOCK};
 use crate::tensor::Tensor;
 
 use super::{check_same_shape, sweep_of, view_of};
@@ -160,8 +161,43 @@ pub enum ActivationKind {
     Gelu,
 }
 
-/// `√(2/π)`, the GELU tanh-approximation constant.
+/// `√(2/π)` and the cubic coefficient of the GELU tanh approximation.
 const GELU_C: f32 = 0.797_884_6;
+const GELU_A: f32 = 0.044_715;
+
+/// `½·x·(1 + tanh u)` with `u = √(2/π)·(x + 0.044715·x³)`, written on
+/// `1 + tanh u = 2/(1 + e⁻²ᵘ)` over the kernel layer's one [`exp`]. The
+/// exponential may overflow to `+inf` (`x / inf` is the `−0` the tanh form
+/// gives) or flush to zero (`x / 1`).
+#[inline]
+fn gelu(x: f32) -> f32 {
+    let u = GELU_C * (x + GELU_A * x * x * x);
+    x / (1.0 + exp(-2.0 * u))
+}
+
+/// GELU′ `= s + x·s·(1 − s)·2u′` with `s = 1/(1 + e⁻²ᵘ)`. The exponential is
+/// taken of `−|2u|`, which cannot overflow: `q = 1/(1 + e)` is then `s` or
+/// `1 − s` by the sign of `u`, and `s·(1 − s) = e·q²` either way — where
+/// the one-sided form is `inf · 0` from `x = −30` down.
+#[inline]
+fn gelu_grad(x: f32) -> f32 {
+    let u = GELU_C * (x + GELU_A * x * x * x);
+    let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
+    let e = exp(-(2.0 * u).abs());
+    let q = 1.0 / (1.0 + e);
+    let s = if u >= 0.0 { q } else { e * q };
+    s + x * (e * q * q) * (2.0 * du)
+}
+
+/// `f` of every word of a block, as a loop the compiler vectorizes
+/// (`array::map` it does not).
+#[inline(always)]
+fn each(mut x: [f32; BLOCK], f: impl Fn(f32) -> f32) -> [f32; BLOCK] {
+    for v in &mut x {
+        *v = f(*v);
+    }
+    x
+}
 
 impl ActivationKind {
     /// Applies the activation to one value.
@@ -169,7 +205,7 @@ impl ActivationKind {
     pub fn apply(self, x: f32) -> f32 {
         match self {
             ActivationKind::Relu => x.max(0.0),
-            ActivationKind::Gelu => 0.5 * x * (1.0 + (GELU_C * (x + 0.044_715 * x * x * x)).tanh()),
+            ActivationKind::Gelu => gelu(x),
         }
     }
 
@@ -177,26 +213,37 @@ impl ActivationKind {
     #[inline]
     pub fn grad(self, x: f32) -> f32 {
         match self {
-            ActivationKind::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            ActivationKind::Gelu => {
-                let u = GELU_C * (x + 0.044_715 * x * x * x);
-                let t = u.tanh();
-                let du = GELU_C * (1.0 + 3.0 * 0.044_715 * x * x);
-                0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-            }
+            ActivationKind::Relu => f32::from(u8::from(x > 0.0)),
+            ActivationKind::Gelu => gelu_grad(x),
+        }
+    }
+
+    /// [`ActivationKind::apply`] on a block of lane positions: the kind is
+    /// matched once and the arithmetic runs on the sixteen abreast.
+    #[inline]
+    pub(crate) fn apply_block(self, x: [f32; BLOCK]) -> [f32; BLOCK] {
+        match self {
+            ActivationKind::Relu => each(x, |v| ActivationKind::Relu.apply(v)),
+            ActivationKind::Gelu => each(x, gelu),
+        }
+    }
+
+    /// [`ActivationKind::grad`] on a block of lane positions.
+    #[inline]
+    pub(crate) fn grad_block(self, x: [f32; BLOCK]) -> [f32; BLOCK] {
+        match self {
+            ActivationKind::Relu => each(x, |v| ActivationKind::Relu.grad(v)),
+            ActivationKind::Gelu => each(x, gelu_grad),
         }
     }
 }
 
 /// Applies an activation element-wise.
 pub fn activate(x: &Tensor, kind: ActivationKind) -> Tensor {
-    map(x, |v| kind.apply(v))
+    let mut out = Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
+    // same layout in and out: the buffers are one lane
+    map_lane(x.data(), out.data_mut(), |v| kind.apply(v));
+    out
 }
 
 /// Activation backward: `dx = dy · act'(x)` where `x` is the saved
@@ -309,6 +356,37 @@ mod tests {
                 (num - ana).abs() < 1e-2,
                 "gelu'({x}): {ana} vs numeric {num}"
             );
+        }
+    }
+
+    #[test]
+    fn gelu_and_its_derivative_are_finite_wherever_the_input_is_moderate() {
+        // every 4099th bit pattern up to 10⁴, both signs
+        for bits in (0..=1e4f32.to_bits()).step_by(4099) {
+            for x in [f32::from_bits(bits), -f32::from_bits(bits)] {
+                let (y, dy) = (ActivationKind::Gelu.apply(x), ActivationKind::Gelu.grad(x));
+                assert!(y.is_finite() && dy.is_finite(), "x = {x}: {y}, {dy}");
+            }
+        }
+        // where a one-sided sigmoid form of the derivative is `inf · 0`
+        assert_eq!(ActivationKind::Gelu.grad(-30.0), 0.0);
+        assert_eq!(ActivationKind::Gelu.grad(30.0), 1.0);
+        // and at the ends, what the tanh form gave
+        assert_eq!(ActivationKind::Gelu.apply(f32::INFINITY), f32::INFINITY);
+        assert!(ActivationKind::Gelu.apply(f32::NEG_INFINITY).is_nan());
+        assert!(ActivationKind::Gelu.apply(f32::NAN).is_nan());
+        for x in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            assert!(ActivationKind::Gelu.grad(x).is_nan(), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn a_block_is_its_words_one_by_one() {
+        let x: [f32; BLOCK] = std::array::from_fn(|k| 0.7 * k as f32 - 5.0);
+        for kind in [ActivationKind::Relu, ActivationKind::Gelu] {
+            let bits = |b: [f32; BLOCK]| b.map(f32::to_bits);
+            assert_eq!(bits(kind.apply_block(x)), bits(x.map(|v| kind.apply(v))));
+            assert_eq!(bits(kind.grad_block(x)), bits(x.map(|v| kind.grad(v))));
         }
     }
 

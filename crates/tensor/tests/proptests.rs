@@ -456,6 +456,24 @@ proptest! {
         }
     }
 
+    // `panel_geometry`'s lanes end at 17 words; a softmax lane is reduced in
+    // sixteen interleaved partials, so lanes up to 70 — every `len mod 16`,
+    // whole blocks and a ragged end — beside an inner axis that cuts into
+    // every halved panel
+    #[test]
+    fn softmax_walks_agree_bitwise_on_lanes_of_every_length(
+        len in 1usize..71, inner in 1usize..36, specials in 0usize..4, seed in 0u64..1000,
+    ) {
+        let lane = Axis('l');
+        let mut x = rand_tensor(Shape::new([('a', 2), ('l', len), ('c', inner)]).unwrap(), seed);
+        poison_some_lanes(&mut x, lane, specials, seed);
+        let want = softmax(&x, lane).unwrap();
+        for layout in Layout::all(3) {
+            let got = softmax(&x.relayout(&layout), lane).unwrap();
+            assert_same_bits("softmax", &want, &got)?;
+        }
+    }
+
     #[test]
     fn layernorm_walks_agree_bitwise_in_every_layout(
         geom in panel_geometry(), seed in 0u64..1000,

@@ -48,7 +48,7 @@ use xform_core::analyze::{analyze, ArenaGranularity, PlanAnalysis};
 use xform_core::arena::{ArenaArtifact, CompiledArena};
 use xform_core::plan::{ExecOptions, ExecState};
 use xform_dataflow::EncoderDims;
-use xform_tensor::lanes::check_dropout_p;
+use xform_tensor::lanes::{check_dropout_p, exp};
 use xform_tensor::matmul::{gemm, MatMut, MatRef, Start};
 use xform_tensor::ops::elementwise::{bias_add, ActivationKind};
 use xform_tensor::{Result, Shape, Tensor, TensorError};
@@ -622,7 +622,8 @@ impl<'m> DecodeSession<'m> {
     ///
     /// # Errors
     ///
-    /// Returns an error on a bad temperature or output length.
+    /// Returns an error on a bad temperature or output length, or if a
+    /// row's logit column holds a NaN or an infinity.
     pub fn sample(&mut self, sampling: Sampling, out: &mut [usize]) -> Result<()> {
         let d = self.model.config.dims;
         let v = self.model.config.vocab;
@@ -633,12 +634,20 @@ impl<'m> DecodeSession<'m> {
         }
         let logits = self.logits.data();
         for (b, slot) in out.iter_mut().enumerate() {
+            let col = |vi: usize| logits[vi * d.b + b];
+            // a NaN has no rank (the top-k sort would panic on it, greedy
+            // would skip it) and an infinity no probability
+            if !(0..v).all(|vi| col(vi).is_finite()) {
+                return Err(unsupported(format!(
+                    "logit column of batch row {b} holds a non-finite value"
+                )));
+            }
             *slot = match sampling {
                 Sampling::Greedy => {
                     let mut best = 0usize;
-                    let mut best_l = logits[b];
+                    let mut best_l = col(0);
                     for vi in 1..v {
-                        let l = logits[vi * d.b + b];
+                        let l = col(vi);
                         if l > best_l {
                             best = vi;
                             best_l = l;
@@ -653,18 +662,17 @@ impl<'m> DecodeSession<'m> {
                     let k = top_k.unwrap_or(v).clamp(1, v);
                     self.idx_scratch.clear();
                     self.idx_scratch.extend(0..v);
-                    let col = |vi: usize| logits[vi * d.b + b];
                     self.idx_scratch.sort_unstable_by(|&a, &c| {
                         col(c)
                             .partial_cmp(&col(a))
-                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .expect("finite logits are ordered")
                             .then(a.cmp(&c))
                     });
                     let m = col(self.idx_scratch[0]);
                     self.prob_scratch.clear();
                     let mut sum = 0.0f32;
                     for &vi in &self.idx_scratch[..k] {
-                        let p = ((col(vi) - m) / temperature).exp();
+                        let p = exp((col(vi) - m) / temperature);
                         sum += p;
                         self.prob_scratch.push(p);
                     }
@@ -755,6 +763,41 @@ mod tests {
         // the stacked Q/K/V weights are the session's from the start
         let stacked: usize = model.blocks.iter().map(EncoderWeights::qkv_words).sum();
         assert_eq!(session.resident_bytes(), 4 * stacked);
+    }
+
+    /// What `sample` used to do with a NaN: greedy skipped it, and the
+    /// top-k sort — whose comparator took incomparable for equal, which is
+    /// no total order — panicked inside `sort_unstable_by` (1 024 logits,
+    /// every seventh a NaN).
+    #[test]
+    fn sampling_a_non_finite_logit_column_is_a_typed_error() {
+        let config = ModelConfig {
+            vocab: 1024,
+            ..model().config
+        };
+        let model = TransformerModel::init(config, &mut StdRng::seed_from_u64(3)).unwrap();
+        let mut session = DecodeSession::new(&model, DecodeOptions::default()).unwrap();
+        session.prefill(&[vec![1, 2], vec![3, 4]]).unwrap();
+        let temperature = Sampling::Temperature {
+            temperature: 0.8,
+            top_k: Some(5),
+        };
+        let mut tokens = [0usize; 2];
+        for sampling in [Sampling::Greedy, temperature] {
+            session.sample(sampling, &mut tokens).unwrap();
+        }
+        let finite = session.logits.clone();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            session.logits = finite.clone();
+            for word in session.logits.data_mut().iter_mut().step_by(7) {
+                *word = bad;
+            }
+            for sampling in [Sampling::Greedy, temperature] {
+                let err = session.sample(sampling, &mut tokens).unwrap_err();
+                let want = "logit column of batch row 0 holds a non-finite value";
+                assert_eq!(err, unsupported(want), "{bad} under {sampling:?}");
+            }
+        }
     }
 
     /// A step reads embedding and head rows as slices of the backing

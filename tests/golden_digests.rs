@@ -658,154 +658,154 @@ fn digests_match_the_recorded_table() {
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64)] = &[
-    ("enc/Reference/shape0/p0/forward/t1", 0xdc21cfc06b7d2855),
-    ("enc/Reference/shape0/p0/forward-sm/t1", 0xb26c60ee3694c5d2),
-    ("enc/Reference/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
-    ("enc/Reference/shape0/p0/forward/t2", 0xdc21cfc06b7d2855),
-    ("enc/Reference/shape0/p0/forward-sm/t2", 0xb26c60ee3694c5d2),
-    ("enc/Reference/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
-    ("enc/Reference/shape0/p0/reference/t1", 0x89d72220933d39d3),
-    ("enc/Reference/shape0/p0/reference-sm/t1", 0xc37ae9aa7cb7c025),
-    ("enc/Fused/shape0/p0/forward/t1", 0xdc21cfc06b7d2855),
-    ("enc/Fused/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
-    ("enc/Fused/shape0/p0/forward/t2", 0xdc21cfc06b7d2855),
-    ("enc/Fused/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
-    ("enc/Fused/shape0/p0/reference/t1", 0x9851d26061f27e48),
-    ("enc/Epilogue/shape0/p0/forward/t1", 0xdc21cfc06b7d2855),
-    ("enc/Epilogue/shape0/p0/forward_into/t1", 0x245321ce507cc86b),
-    ("enc/Epilogue/shape0/p0/forward/t2", 0xdc21cfc06b7d2855),
-    ("enc/Epilogue/shape0/p0/forward_into/t2", 0x245321ce507cc86b),
-    ("enc/Epilogue/shape0/p0/reference/t1", 0x0b1247ed6505f956),
-    ("dec/fused/shape0/p0/forward/t1", 0xd4e3e29fca5e68ac),
-    ("dec/fused/shape0/p0/forward_into/t1", 0x0aea2ae47c0e2353),
-    ("dec/fused/shape0/p0/forward/t2", 0xd4e3e29fca5e68ac),
-    ("dec/fused/shape0/p0/forward_into/t2", 0x0aea2ae47c0e2353),
-    ("dec/fused/shape0/p0/reference/t1", 0x7cfed871e27a8a3d),
-    ("dec/epilogue/shape0/p0/forward/t1", 0xd4e3e29fca5e68ac),
-    ("dec/epilogue/shape0/p0/forward_into/t1", 0x0aea2ae47c0e2353),
-    ("dec/epilogue/shape0/p0/forward/t2", 0xd4e3e29fca5e68ac),
-    ("dec/epilogue/shape0/p0/forward_into/t2", 0x0aea2ae47c0e2353),
-    ("dec/epilogue/shape0/p0/reference/t1", 0xa1cfdfe12b87a405),
-    ("enc/Reference/shape0/p0.1/forward/t1", 0xa2a374b270c69ebe),
-    ("enc/Reference/shape0/p0.1/forward-sm/t1", 0x5feff5b0aeea3ad6),
-    ("enc/Reference/shape0/p0.1/forward_into/t1", 0x10d88426aaad2fc3),
-    ("enc/Reference/shape0/p0.1/forward/t2", 0xa2a374b270c69ebe),
-    ("enc/Reference/shape0/p0.1/forward-sm/t2", 0x5feff5b0aeea3ad6),
-    ("enc/Reference/shape0/p0.1/forward_into/t2", 0x10d88426aaad2fc3),
-    ("enc/Reference/shape0/p0.1/reference/t1", 0x44046577a98c7178),
-    ("enc/Reference/shape0/p0.1/reference-sm/t1", 0xd34b65bb8dd2bcff),
-    ("enc/Fused/shape0/p0.1/forward/t1", 0xcb23f8e5486676fa),
-    ("enc/Fused/shape0/p0.1/forward_into/t1", 0x91f9597250552bb6),
-    ("enc/Fused/shape0/p0.1/forward/t2", 0xcb23f8e5486676fa),
-    ("enc/Fused/shape0/p0.1/forward_into/t2", 0x91f9597250552bb6),
-    ("enc/Fused/shape0/p0.1/reference/t1", 0x7692ae050d232828),
-    ("enc/Epilogue/shape0/p0.1/forward/t1", 0x55cc20c88fd8b01e),
-    ("enc/Epilogue/shape0/p0.1/forward_into/t1", 0x43bdd9b2b935431a),
-    ("enc/Epilogue/shape0/p0.1/forward/t2", 0x55cc20c88fd8b01e),
-    ("enc/Epilogue/shape0/p0.1/forward_into/t2", 0x43bdd9b2b935431a),
-    ("enc/Epilogue/shape0/p0.1/reference/t1", 0x34541b37e49559af),
-    ("dec/fused/shape0/p0.1/forward/t1", 0x9bd555b2e194cd27),
-    ("dec/fused/shape0/p0.1/forward_into/t1", 0x3b81f45ddd603431),
-    ("dec/fused/shape0/p0.1/forward/t2", 0x9bd555b2e194cd27),
-    ("dec/fused/shape0/p0.1/forward_into/t2", 0x3b81f45ddd603431),
-    ("dec/fused/shape0/p0.1/reference/t1", 0x3670c82c29a847ef),
-    ("dec/epilogue/shape0/p0.1/forward/t1", 0x29dbdba995995827),
-    ("dec/epilogue/shape0/p0.1/forward_into/t1", 0xcf876f90d11dd4d2),
-    ("dec/epilogue/shape0/p0.1/forward/t2", 0x29dbdba995995827),
-    ("dec/epilogue/shape0/p0.1/forward_into/t2", 0xcf876f90d11dd4d2),
-    ("dec/epilogue/shape0/p0.1/reference/t1", 0x3b598f8c17e4dc8e),
-    ("enc/Reference/shape1/p0/forward/t1", 0x865206c38778fd2d),
-    ("enc/Reference/shape1/p0/forward-sm/t1", 0x1e93e07aff3fab18),
-    ("enc/Reference/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
-    ("enc/Reference/shape1/p0/forward/t2", 0x865206c38778fd2d),
-    ("enc/Reference/shape1/p0/forward-sm/t2", 0x1e93e07aff3fab18),
-    ("enc/Reference/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
-    ("enc/Reference/shape1/p0/reference/t1", 0x562f042aedc09ec6),
-    ("enc/Reference/shape1/p0/reference-sm/t1", 0xb19223af67089975),
-    ("enc/Fused/shape1/p0/forward/t1", 0x865206c38778fd2d),
-    ("enc/Fused/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
-    ("enc/Fused/shape1/p0/forward/t2", 0x865206c38778fd2d),
-    ("enc/Fused/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
-    ("enc/Fused/shape1/p0/reference/t1", 0x2e3382697849ec1b),
-    ("enc/Epilogue/shape1/p0/forward/t1", 0x865206c38778fd2d),
-    ("enc/Epilogue/shape1/p0/forward_into/t1", 0x8b9b2d750309f601),
-    ("enc/Epilogue/shape1/p0/forward/t2", 0x865206c38778fd2d),
-    ("enc/Epilogue/shape1/p0/forward_into/t2", 0x8b9b2d750309f601),
-    ("enc/Epilogue/shape1/p0/reference/t1", 0xf1ffc4042fc897a8),
-    ("dec/fused/shape1/p0/forward/t1", 0x2cc8e21ab194223b),
-    ("dec/fused/shape1/p0/forward_into/t1", 0x5eac58ae58766eea),
-    ("dec/fused/shape1/p0/forward/t2", 0x2cc8e21ab194223b),
-    ("dec/fused/shape1/p0/forward_into/t2", 0x5eac58ae58766eea),
-    ("dec/fused/shape1/p0/reference/t1", 0x4887a4c39e46f9cc),
-    ("dec/epilogue/shape1/p0/forward/t1", 0x2cc8e21ab194223b),
-    ("dec/epilogue/shape1/p0/forward_into/t1", 0x5eac58ae58766eea),
-    ("dec/epilogue/shape1/p0/forward/t2", 0x2cc8e21ab194223b),
-    ("dec/epilogue/shape1/p0/forward_into/t2", 0x5eac58ae58766eea),
-    ("dec/epilogue/shape1/p0/reference/t1", 0x09a240b496e65615),
-    ("enc/Reference/shape1/p0.1/forward/t1", 0xa65d65fcb4a506cc),
-    ("enc/Reference/shape1/p0.1/forward-sm/t1", 0x834d818c27fc88ee),
-    ("enc/Reference/shape1/p0.1/forward_into/t1", 0xf08c5b5674af87ad),
-    ("enc/Reference/shape1/p0.1/forward/t2", 0xa65d65fcb4a506cc),
-    ("enc/Reference/shape1/p0.1/forward-sm/t2", 0x834d818c27fc88ee),
-    ("enc/Reference/shape1/p0.1/forward_into/t2", 0xf08c5b5674af87ad),
-    ("enc/Reference/shape1/p0.1/reference/t1", 0x54f1791af3f380bb),
-    ("enc/Reference/shape1/p0.1/reference-sm/t1", 0x275ce66f80c22965),
-    ("enc/Fused/shape1/p0.1/forward/t1", 0xf5921438bf6ce360),
-    ("enc/Fused/shape1/p0.1/forward_into/t1", 0xbc6bb024de2ddb20),
-    ("enc/Fused/shape1/p0.1/forward/t2", 0xf5921438bf6ce360),
-    ("enc/Fused/shape1/p0.1/forward_into/t2", 0xbc6bb024de2ddb20),
-    ("enc/Fused/shape1/p0.1/reference/t1", 0xc24d9f12140e1d43),
-    ("enc/Epilogue/shape1/p0.1/forward/t1", 0x2c21cda85339810d),
-    ("enc/Epilogue/shape1/p0.1/forward_into/t1", 0x8c189301f3b30a94),
-    ("enc/Epilogue/shape1/p0.1/forward/t2", 0x2c21cda85339810d),
-    ("enc/Epilogue/shape1/p0.1/forward_into/t2", 0x8c189301f3b30a94),
-    ("enc/Epilogue/shape1/p0.1/reference/t1", 0x9f6589c92f22d996),
-    ("dec/fused/shape1/p0.1/forward/t1", 0x05d7888263b6ed61),
-    ("dec/fused/shape1/p0.1/forward_into/t1", 0xf52301b57fd111c6),
-    ("dec/fused/shape1/p0.1/forward/t2", 0x05d7888263b6ed61),
-    ("dec/fused/shape1/p0.1/forward_into/t2", 0xf52301b57fd111c6),
-    ("dec/fused/shape1/p0.1/reference/t1", 0xcc539301ec5e553d),
-    ("dec/epilogue/shape1/p0.1/forward/t1", 0xb876a67a25a07ad0),
-    ("dec/epilogue/shape1/p0.1/forward_into/t1", 0x05138b133ad38e77),
-    ("dec/epilogue/shape1/p0.1/forward/t2", 0xb876a67a25a07ad0),
-    ("dec/epilogue/shape1/p0.1/forward_into/t2", 0x05138b133ad38e77),
-    ("dec/epilogue/shape1/p0.1/reference/t1", 0xff450d60aedde054),
-    ("decode", 0x232a6e62a2135165),
-    ("decode/b1-wide", 0x9a249312b2cd8001),
-    ("kernels/layout0", 0xacd062825dc14328),
-    ("kernels/layout1", 0x9e6ca3e8c9dabbc0),
-    ("kernels/layout2", 0x2c9d5055956f2a1f),
-    ("kernels/layout3", 0x75eb06597802dbab),
-    ("kernels/layout4", 0x1e7855fbe5eac0ca),
-    ("kernels/layout5", 0x15d5e514178b43b8),
-    ("grad/enc-fused/shape0/p0", 0x45492cbe0c88f1aa),
-    ("grad/enc-reference/shape0/p0", 0xfe14e84908ea709c),
-    ("grad/dec/shape0/p0", 0xd0f82f2c94f09cec),
-    ("grad/mha/shape0/p0", 0x6779118ee116d879),
-    ("grad/model-enc/shape0/p0", 0x19fde977b7216ab2),
-    ("grad/model-dec/shape0/p0", 0x10e23272174ef238),
-    ("grad/enc-fused/shape0/p0.1", 0xbbd0bbde05ff2cd0),
-    ("grad/enc-reference/shape0/p0.1", 0x5af151c46f2f4133),
-    ("grad/dec/shape0/p0.1", 0x6d3c2f150769cacc),
-    ("grad/mha/shape0/p0.1", 0x329c809afc98fbf2),
-    ("grad/model-enc/shape0/p0.1", 0x362cd19ff94c427f),
-    ("grad/model-dec/shape0/p0.1", 0x692e4da1dbfa6d6e),
-    ("grad/enc-fused/shape1/p0", 0xb496bb24ac9f0a15),
-    ("grad/enc-reference/shape1/p0", 0xee862980a99ffea6),
-    ("grad/dec/shape1/p0", 0x0022cdf685220b28),
-    ("grad/mha/shape1/p0", 0xc3e5a54370a96e17),
-    ("grad/model-enc/shape1/p0", 0xc7f59e64fd44a879),
-    ("grad/model-dec/shape1/p0", 0xcd94e43df1d521c0),
-    ("grad/enc-fused/shape1/p0.1", 0xb0c82720c9498cff),
-    ("grad/enc-reference/shape1/p0.1", 0xd733030c51b26aa0),
-    ("grad/dec/shape1/p0.1", 0x426494c92d9a6125),
-    ("grad/mha/shape1/p0.1", 0xd7068d73d75e0007),
-    ("grad/model-enc/shape1/p0.1", 0xea3f52390e3e067b),
-    ("grad/model-dec/shape1/p0.1", 0x3d2e61d7c25c42f6),
-    ("kernels-bwd/layout0", 0xf8e771691d0ef6bd),
-    ("kernels-bwd/layout1", 0x6cf9c8a919218165),
-    ("kernels-bwd/layout2", 0x9fcd73dd308a5b65),
-    ("kernels-bwd/layout3", 0xb79ba8145b70e18d),
-    ("kernels-bwd/layout4", 0x7bd691df32fe218d),
-    ("kernels-bwd/layout5", 0xad1b80d197544fa5),
+    ("enc/Reference/shape0/p0/forward/t1", 0x5290f8ccfa3a8234),
+    ("enc/Reference/shape0/p0/forward-sm/t1", 0x91cc97785c050252),
+    ("enc/Reference/shape0/p0/forward_into/t1", 0x438b4b2235cd7790),
+    ("enc/Reference/shape0/p0/forward/t2", 0x5290f8ccfa3a8234),
+    ("enc/Reference/shape0/p0/forward-sm/t2", 0x91cc97785c050252),
+    ("enc/Reference/shape0/p0/forward_into/t2", 0x438b4b2235cd7790),
+    ("enc/Reference/shape0/p0/reference/t1", 0x4f1c9d29c2d9168f),
+    ("enc/Reference/shape0/p0/reference-sm/t1", 0x82c89d236cb0afa5),
+    ("enc/Fused/shape0/p0/forward/t1", 0x5290f8ccfa3a8234),
+    ("enc/Fused/shape0/p0/forward_into/t1", 0x438b4b2235cd7790),
+    ("enc/Fused/shape0/p0/forward/t2", 0x5290f8ccfa3a8234),
+    ("enc/Fused/shape0/p0/forward_into/t2", 0x438b4b2235cd7790),
+    ("enc/Fused/shape0/p0/reference/t1", 0xe33983eb50da92b8),
+    ("enc/Epilogue/shape0/p0/forward/t1", 0x5290f8ccfa3a8234),
+    ("enc/Epilogue/shape0/p0/forward_into/t1", 0x438b4b2235cd7790),
+    ("enc/Epilogue/shape0/p0/forward/t2", 0x5290f8ccfa3a8234),
+    ("enc/Epilogue/shape0/p0/forward_into/t2", 0x438b4b2235cd7790),
+    ("enc/Epilogue/shape0/p0/reference/t1", 0x5a3e826ffe5eb5d5),
+    ("dec/fused/shape0/p0/forward/t1", 0x083c2b540230a653),
+    ("dec/fused/shape0/p0/forward_into/t1", 0xbde910af2b796116),
+    ("dec/fused/shape0/p0/forward/t2", 0x083c2b540230a653),
+    ("dec/fused/shape0/p0/forward_into/t2", 0xbde910af2b796116),
+    ("dec/fused/shape0/p0/reference/t1", 0xc08de5973597f297),
+    ("dec/epilogue/shape0/p0/forward/t1", 0x083c2b540230a653),
+    ("dec/epilogue/shape0/p0/forward_into/t1", 0xbde910af2b796116),
+    ("dec/epilogue/shape0/p0/forward/t2", 0x083c2b540230a653),
+    ("dec/epilogue/shape0/p0/forward_into/t2", 0xbde910af2b796116),
+    ("dec/epilogue/shape0/p0/reference/t1", 0x45ded68f3ff4950e),
+    ("enc/Reference/shape0/p0.1/forward/t1", 0xf7fb7e29caf147a2),
+    ("enc/Reference/shape0/p0.1/forward-sm/t1", 0x062c1b3610b8aa01),
+    ("enc/Reference/shape0/p0.1/forward_into/t1", 0x76cae8a84ca29fa0),
+    ("enc/Reference/shape0/p0.1/forward/t2", 0xf7fb7e29caf147a2),
+    ("enc/Reference/shape0/p0.1/forward-sm/t2", 0x062c1b3610b8aa01),
+    ("enc/Reference/shape0/p0.1/forward_into/t2", 0x76cae8a84ca29fa0),
+    ("enc/Reference/shape0/p0.1/reference/t1", 0xb1c495ab0d621255),
+    ("enc/Reference/shape0/p0.1/reference-sm/t1", 0x9e645c5155cbcc1c),
+    ("enc/Fused/shape0/p0.1/forward/t1", 0x26c61f23140a01b3),
+    ("enc/Fused/shape0/p0.1/forward_into/t1", 0x5f9dc528fe8f43fb),
+    ("enc/Fused/shape0/p0.1/forward/t2", 0x26c61f23140a01b3),
+    ("enc/Fused/shape0/p0.1/forward_into/t2", 0x5f9dc528fe8f43fb),
+    ("enc/Fused/shape0/p0.1/reference/t1", 0xd9550295390893bc),
+    ("enc/Epilogue/shape0/p0.1/forward/t1", 0x6ffc3cf915a32f92),
+    ("enc/Epilogue/shape0/p0.1/forward_into/t1", 0x3a2b68e6cc4a62b2),
+    ("enc/Epilogue/shape0/p0.1/forward/t2", 0x6ffc3cf915a32f92),
+    ("enc/Epilogue/shape0/p0.1/forward_into/t2", 0x3a2b68e6cc4a62b2),
+    ("enc/Epilogue/shape0/p0.1/reference/t1", 0xf0b1f037ded0702a),
+    ("dec/fused/shape0/p0.1/forward/t1", 0xcc03f76184c1aa34),
+    ("dec/fused/shape0/p0.1/forward_into/t1", 0xf57cfe0b3fd8bbd3),
+    ("dec/fused/shape0/p0.1/forward/t2", 0xcc03f76184c1aa34),
+    ("dec/fused/shape0/p0.1/forward_into/t2", 0xf57cfe0b3fd8bbd3),
+    ("dec/fused/shape0/p0.1/reference/t1", 0x5656b6f7a5a83798),
+    ("dec/epilogue/shape0/p0.1/forward/t1", 0xf6900f207e706ee2),
+    ("dec/epilogue/shape0/p0.1/forward_into/t1", 0x917ec1f6c018fdbb),
+    ("dec/epilogue/shape0/p0.1/forward/t2", 0xf6900f207e706ee2),
+    ("dec/epilogue/shape0/p0.1/forward_into/t2", 0x917ec1f6c018fdbb),
+    ("dec/epilogue/shape0/p0.1/reference/t1", 0x6b5409f7afb1a47f),
+    ("enc/Reference/shape1/p0/forward/t1", 0x9afe664d9b502818),
+    ("enc/Reference/shape1/p0/forward-sm/t1", 0xa78d529f6cbd05d8),
+    ("enc/Reference/shape1/p0/forward_into/t1", 0x8f25f1bfacbb129e),
+    ("enc/Reference/shape1/p0/forward/t2", 0x9afe664d9b502818),
+    ("enc/Reference/shape1/p0/forward-sm/t2", 0xa78d529f6cbd05d8),
+    ("enc/Reference/shape1/p0/forward_into/t2", 0x8f25f1bfacbb129e),
+    ("enc/Reference/shape1/p0/reference/t1", 0x24448580ee39e9ce),
+    ("enc/Reference/shape1/p0/reference-sm/t1", 0x2cf54bb075f3f6b5),
+    ("enc/Fused/shape1/p0/forward/t1", 0x9afe664d9b502818),
+    ("enc/Fused/shape1/p0/forward_into/t1", 0x8f25f1bfacbb129e),
+    ("enc/Fused/shape1/p0/forward/t2", 0x9afe664d9b502818),
+    ("enc/Fused/shape1/p0/forward_into/t2", 0x8f25f1bfacbb129e),
+    ("enc/Fused/shape1/p0/reference/t1", 0x7a151b08dec34d48),
+    ("enc/Epilogue/shape1/p0/forward/t1", 0x9afe664d9b502818),
+    ("enc/Epilogue/shape1/p0/forward_into/t1", 0x8f25f1bfacbb129e),
+    ("enc/Epilogue/shape1/p0/forward/t2", 0x9afe664d9b502818),
+    ("enc/Epilogue/shape1/p0/forward_into/t2", 0x8f25f1bfacbb129e),
+    ("enc/Epilogue/shape1/p0/reference/t1", 0x5cf2bacc7952c6bc),
+    ("dec/fused/shape1/p0/forward/t1", 0xce5b54762dd6778a),
+    ("dec/fused/shape1/p0/forward_into/t1", 0xaebf1a1f9c635c0b),
+    ("dec/fused/shape1/p0/forward/t2", 0xce5b54762dd6778a),
+    ("dec/fused/shape1/p0/forward_into/t2", 0xaebf1a1f9c635c0b),
+    ("dec/fused/shape1/p0/reference/t1", 0x893384a14e1573cb),
+    ("dec/epilogue/shape1/p0/forward/t1", 0xce5b54762dd6778a),
+    ("dec/epilogue/shape1/p0/forward_into/t1", 0xaebf1a1f9c635c0b),
+    ("dec/epilogue/shape1/p0/forward/t2", 0xce5b54762dd6778a),
+    ("dec/epilogue/shape1/p0/forward_into/t2", 0xaebf1a1f9c635c0b),
+    ("dec/epilogue/shape1/p0/reference/t1", 0x722653b125fc50a8),
+    ("enc/Reference/shape1/p0.1/forward/t1", 0xd64c140d5321e857),
+    ("enc/Reference/shape1/p0.1/forward-sm/t1", 0xc6bcab3977531a08),
+    ("enc/Reference/shape1/p0.1/forward_into/t1", 0x1ca55957b61377d2),
+    ("enc/Reference/shape1/p0.1/forward/t2", 0xd64c140d5321e857),
+    ("enc/Reference/shape1/p0.1/forward-sm/t2", 0xc6bcab3977531a08),
+    ("enc/Reference/shape1/p0.1/forward_into/t2", 0x1ca55957b61377d2),
+    ("enc/Reference/shape1/p0.1/reference/t1", 0xbd05e438f540ab55),
+    ("enc/Reference/shape1/p0.1/reference-sm/t1", 0xfaa72ca8d3ed9498),
+    ("enc/Fused/shape1/p0.1/forward/t1", 0x47709b637d778464),
+    ("enc/Fused/shape1/p0.1/forward_into/t1", 0xae70eb12a38a86a2),
+    ("enc/Fused/shape1/p0.1/forward/t2", 0x47709b637d778464),
+    ("enc/Fused/shape1/p0.1/forward_into/t2", 0xae70eb12a38a86a2),
+    ("enc/Fused/shape1/p0.1/reference/t1", 0xe1e4f42652fd5b57),
+    ("enc/Epilogue/shape1/p0.1/forward/t1", 0x2022d7944ba3a0fb),
+    ("enc/Epilogue/shape1/p0.1/forward_into/t1", 0x4ebf707076470c48),
+    ("enc/Epilogue/shape1/p0.1/forward/t2", 0x2022d7944ba3a0fb),
+    ("enc/Epilogue/shape1/p0.1/forward_into/t2", 0x4ebf707076470c48),
+    ("enc/Epilogue/shape1/p0.1/reference/t1", 0xbac231e12d5a8001),
+    ("dec/fused/shape1/p0.1/forward/t1", 0xe2f80c8a13ba997b),
+    ("dec/fused/shape1/p0.1/forward_into/t1", 0xf1927ecbf051afa4),
+    ("dec/fused/shape1/p0.1/forward/t2", 0xe2f80c8a13ba997b),
+    ("dec/fused/shape1/p0.1/forward_into/t2", 0xf1927ecbf051afa4),
+    ("dec/fused/shape1/p0.1/reference/t1", 0x9df3f9a01aaf5afb),
+    ("dec/epilogue/shape1/p0.1/forward/t1", 0x429f794cce474afb),
+    ("dec/epilogue/shape1/p0.1/forward_into/t1", 0xac98ed4d38150ed0),
+    ("dec/epilogue/shape1/p0.1/forward/t2", 0x429f794cce474afb),
+    ("dec/epilogue/shape1/p0.1/forward_into/t2", 0xac98ed4d38150ed0),
+    ("dec/epilogue/shape1/p0.1/reference/t1", 0x06e3b43b24b747bb),
+    ("decode", 0xf9b75d74215838dd),
+    ("decode/b1-wide", 0xe74cedd144578759),
+    ("kernels/layout0", 0x9d529593bf12c16e),
+    ("kernels/layout1", 0x15eef94c1cac425a),
+    ("kernels/layout2", 0xf886b5e3826109c5),
+    ("kernels/layout3", 0x65f5d7539f2c6389),
+    ("kernels/layout4", 0x8ae3f029fc6cfcec),
+    ("kernels/layout5", 0x5f7cebb62648995a),
+    ("grad/enc-fused/shape0/p0", 0xed72ed7fb9be1d97),
+    ("grad/enc-reference/shape0/p0", 0x69fdf325de279a4f),
+    ("grad/dec/shape0/p0", 0xf03dc48644c012c5),
+    ("grad/mha/shape0/p0", 0xf5bcc4aa272d315f),
+    ("grad/model-enc/shape0/p0", 0x284060df3276ded3),
+    ("grad/model-dec/shape0/p0", 0x12d94a19d31fa696),
+    ("grad/enc-fused/shape0/p0.1", 0x668a90c3de1d3b06),
+    ("grad/enc-reference/shape0/p0.1", 0x48749a8747d0eb48),
+    ("grad/dec/shape0/p0.1", 0xa4d29d9a954aad0d),
+    ("grad/mha/shape0/p0.1", 0xf1e3980871feeb1a),
+    ("grad/model-enc/shape0/p0.1", 0xd031e619e589b906),
+    ("grad/model-dec/shape0/p0.1", 0x7b7dc40edb47e68a),
+    ("grad/enc-fused/shape1/p0", 0x1e584b2b9c910089),
+    ("grad/enc-reference/shape1/p0", 0xf30199ad2b21351f),
+    ("grad/dec/shape1/p0", 0x09837dcb970ce92c),
+    ("grad/mha/shape1/p0", 0xcda51fb9d494f92e),
+    ("grad/model-enc/shape1/p0", 0x4165b289bd5c8e8a),
+    ("grad/model-dec/shape1/p0", 0x13ac780f699d2811),
+    ("grad/enc-fused/shape1/p0.1", 0x7d8cb97d44b67337),
+    ("grad/enc-reference/shape1/p0.1", 0xee2483a4a548dbea),
+    ("grad/dec/shape1/p0.1", 0x23ac37066996d0f0),
+    ("grad/mha/shape1/p0.1", 0x5dc40856fb2b4eb5),
+    ("grad/model-enc/shape1/p0.1", 0x1da0ea2d61e1537d),
+    ("grad/model-dec/shape1/p0.1", 0xc0c47c59d1d920b0),
+    ("kernels-bwd/layout0", 0x7a7106ae30c4998d),
+    ("kernels-bwd/layout1", 0xf5cc35461c6cd0bd),
+    ("kernels-bwd/layout2", 0x83cd1412a83d81ad),
+    ("kernels-bwd/layout3", 0x642a979e7e4ae87d),
+    ("kernels-bwd/layout4", 0x2a17ca013a79f095),
+    ("kernels-bwd/layout5", 0xedfd74ef59211df5),
 ];
