@@ -17,7 +17,10 @@
 //! 21's library: the kernel layer's one vector `exp` re-records every row
 //! with a softmax or a GELU in it, once, and the pin holds which rows are
 //! equal to which through that (`tests/numerics_envelope.rs` holds how far
-//! the values themselves may go).
+//! the values themselves may go). In PR 23 the `gemm/edges` row joined,
+//! test-only on PR 22's library (and `PARTITION`, which hashes row names,
+//! was re-recorded with it): the GEMM's block, tile and panel edges ahead
+//! of a micro-kernel that packs A.
 //! A digest that moves means arithmetic, output layout, stats order or
 //! RNG draw order changed somewhere under the public API.
 //!
@@ -26,11 +29,14 @@
 
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use substation::core::plan::{execute_plan, ExecOptions, ExecState};
 use substation::dataflow::EncoderDims;
 use substation::tensor::fused::{self, BdrlnOutput, BrdOutput, SmOutput};
+use substation::tensor::matmul::{
+    gemm, gemm_packed, gemm_packed_leading, pack_panels, panel_words, MatMut, MatRef, Start, KC,
+};
 use substation::tensor::ops::dropout::{dropout, dropout_backward};
 use substation::tensor::ops::elementwise::{
     activate_backward, add, bias_add, bias_grad,
@@ -593,6 +599,68 @@ fn grad_digests(table: &mut Vec<(String, u64)>) {
     }
 }
 
+/// The GEMM called directly over the `MC`/`MR`/`KC`/`NR` edges the layer
+/// rows do not reach: one row, `gemm/edges`, hashing C (in logical order)
+/// over every m × n × k below, A {row-major, transposed, both strides ≠ 1}
+/// × B {row-major, transposed; C stored the way B is} × both [`Start`]s ×
+/// {`gemm`, `pack_panels` + `gemm_packed`, and — from zero only, which is
+/// all it does — `gemm_packed_leading` over the pack's whole `KC` blocks,
+/// or all of a pack no deeper than one}.
+fn gemm_edge_digests(table: &mut Vec<(String, u64)>) {
+    const MS: [usize; 6] = [1, 3, 63, 64, 65, 130];
+    const NS: [usize; 5] = [1, 15, 16, 17, 40];
+    const KS: [usize; 5] = [1, 255, 256, 257, 600];
+    let mut rng = StdRng::seed_from_u64(0x6e44);
+    let mut vals =
+        |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+    let (av, bv, cv) = (vals(130 * 600), vals(600 * 40), vals(130 * 40));
+    // `rows×cols` of `vals` (row-major, `ld` words a row) behind strides
+    let store = |vals: &[f32], ld: usize, rows: usize, cols: usize, (rs, cs): (usize, usize)| {
+        let mut data = vec![f32::NAN; (rows - 1) * rs + (cols - 1) * cs + 1];
+        for r in 0..rows {
+            for c in 0..cols {
+                data[r * rs + c * cs] = vals[r * ld + c];
+            }
+        }
+        data
+    };
+    let mut h = Fnv::new();
+    for (m, n, k) in MS.iter().flat_map(|&m| {
+        NS.iter()
+            .flat_map(move |&n| KS.iter().map(move |&k| (m, n, k)))
+    }) {
+        for a_at in [(k, 1), (1, m), (2 * k + 1, 2)] {
+            let a = store(&av, 600, m, k, a_at);
+            let a = MatRef::new(&a, a_at.0, a_at.1);
+            for (b_at, c_at) in [((n, 1), (n, 1)), ((1, k), (1, m))] {
+                let b = store(&bv, 40, k, n, b_at);
+                let b = MatRef::new(&b, b_at.0, b_at.1);
+                let c0 = store(&cv, 40, m, n, c_at);
+                let mut panels = vec![f32::NAN; panel_words(n, k)];
+                pack_panels(n, k, b, &mut panels);
+                let mut c_of = |run: &dyn Fn(&mut [f32])| {
+                    let mut c = c0.clone();
+                    run(&mut c);
+                    for r in 0..m {
+                        for j in 0..n {
+                            h.word(c[r * c_at.0 + j * c_at.1].to_bits());
+                        }
+                    }
+                };
+                for start in [Start::FromC, Start::FromZero] {
+                    c_of(&|c| gemm(m, n, k, a, b, MatMut::new(c, c_at.0, c_at.1), start));
+                    c_of(&|c| {
+                        gemm_packed(m, n, k, a, &panels, MatMut::new(c, c_at.0, c_at.1), start)
+                    });
+                }
+                let depth = if k > KC { k / KC * KC } else { k };
+                c_of(&|c| gemm_packed_leading(m, n, depth, a, &panels, n, c, c_at));
+            }
+        }
+    }
+    table.push(("gemm/edges".to_string(), h.0));
+}
+
 /// The table's *partition*: row names grouped by equal digest — groups in
 /// order of first appearance, names in table order — and the grouping
 /// hashed. A change that is meant to move absolute bits re-records
@@ -621,9 +689,10 @@ fn partition(table: &[(String, u64)]) -> u64 {
     h.0
 }
 
-/// [`partition`] of the table as recorded in PR 22's test-only commit, on
-/// PR 21's library.
-const PARTITION: u64 = 0xb1e8_1777_01ab_3213;
+/// [`partition`] of the table as recorded in PR 23's test-only commit, on
+/// PR 22's library (PR 22's pin, moved only by the name of the row that
+/// commit added).
+const PARTITION: u64 = 0xc862_a455_b9b7_18b5;
 
 #[test]
 fn digests_match_the_recorded_table() {
@@ -633,6 +702,7 @@ fn digests_match_the_recorded_table() {
     kernel_digests(&mut table);
     grad_digests(&mut table);
     kernel_bwd_digests(&mut table);
+    gemm_edge_digests(&mut table);
     let recorded: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     if table != recorded {
         for (name, d) in &table {
@@ -808,4 +878,5 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kernels-bwd/layout3", 0x642a979e7e4ae87d),
     ("kernels-bwd/layout4", 0x2a17ca013a79f095),
     ("kernels-bwd/layout5", 0xedfd74ef59211df5),
+    ("gemm/edges", 0x7a63b23f7130ddd1),
 ];
