@@ -1010,8 +1010,9 @@ pub fn attention_into<R: Rng + ?Sized>(
     let seen = |r0: usize, rows: usize| causal.map_or(k, |pos| (pos + r0 + rows).min(k));
     let blocks = |seen: usize| seen.next_multiple_of(KC).min(k);
     let (k_all, v_all) = (seen(0, j), blocks(seen(0, j)));
-    let (k_panels, rest) = scratch.split_at_mut(panel_words(k, p));
-    let (v_panels, rest) = rest.split_at_mut(panel_words(w, k));
+    // exactly the packs: `gemm_packed_leading` reads their depth off them
+    let (k_panels, rest) = scratch.split_at_mut(panel_words(k_all, p));
+    let (v_panels, rest) = rest.split_at_mut(panel_words(w, v_all));
     let (scores, rest) = rest.split_at_mut(tile * k);
     let (weights, rest) = rest.split_at_mut(tile * k);
     let (softmax, mask) = rest.split_at_mut(k);

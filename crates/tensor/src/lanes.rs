@@ -74,7 +74,7 @@
 //! is the lane-at-a-time instantiation. Lane `w` of a panel performs
 //! exactly the operations lane `w` alone would, in the same order — its own
 //! maximum, its own sum, its own `(mean, inv_std)` — and nothing is
-//! reassociated across lanes; SSE2 lane-wise arithmetic is the scalar
+//! reassociated across lanes; lane-wise vector arithmetic is the scalar
 //! arithmetic.
 //!
 //! The softmax's two reductions have one shape, defined on the lane and not
@@ -88,7 +88,7 @@
 //! keeps `[f32; 16]` of partials in four vector registers, a panel keeps
 //! `[[f32; W]; 16]` and adds row `v` to partial `v mod 16`, a strided lane
 //! gathers its sixteen words first. The interleaved partials of one lane
-//! are again lane-wise SSE2 arithmetic — partial `k` never meets partial
+//! are again lane-wise vector arithmetic — partial `k` never meets partial
 //! `k′` before the tree — so the three agree to the bit, and a lane's
 //! result depends on its values and its length only: never on the walk,
 //! the attention region's tile or a decode bucket. The element-wise bodies
@@ -107,9 +107,9 @@
 //!
 //! # `W`
 //!
-//! [`W`] = 16 lanes is one 64-byte cache line a row and eight SSE2
-//! accumulator registers for the two moments. Measured once on the
-//! benchmark host at 8, 16 and 32 (EXPERIMENTS.md, "Panel sweeps"): 8,
+//! [`W`] = 16 lanes is one 64-byte cache line a row and eight SSE2 (four
+//! AVX2) accumulator registers for the two moments. Measured once, on the
+//! SSE2 build, at 8, 16 and 32 (EXPERIMENTS.md, "Panel sweeps"): 8,
 //! which fetches every line in two panels, is 15–25 % slower on the
 //! vocabulary softmax; 32 ties 16 within the run-to-run spread and doubles
 //! the accumulator state. A row of lanes that is not a multiple of `W` long
@@ -354,9 +354,9 @@ pub const BLOCK: usize = 16;
 /// `exp(±0)` is exactly `1`, a NaN stays a NaN.
 ///
 /// Branch-free — the selects compile to masks — and spelled with `*`, `+`
-/// and `−` only, never `mul_add`: sixteen calls side by side vectorize under
-/// SSE2, and a wider build (`target-cpu=x86-64-v3`) has no fused operation
-/// to substitute, so it yields wider vectors and the same bits.
+/// and `−` only, never `mul_add`: sixteen calls side by side vectorize, and
+/// the `x86-64-v3` build the workspace makes has no fused operation to
+/// substitute, so it yields wider vectors than SSE2's and the same bits.
 #[inline]
 pub fn exp(x: f32) -> f32 {
     /// `ln` of the smallest normal `f32`, rounded up; of the largest
@@ -819,7 +819,12 @@ fn exp_into<const W: usize>(sum: &mut [f32; W], s: f32, mx: &[f32; W], xv: [f32;
 /// drawn for it. A NaN anywhere in the visible prefix poisons the whole
 /// visible lane (`max` skips it, the sum does not) — the arena sanitizer's
 /// NaN poison relies on that. A `+inf` input likewise yields NaN, not a
-/// panic. Each rule holds lane by lane within a panel.
+/// panic. A poisoned lane is written as `f32::NAN` itself and not as what
+/// its arithmetic leaves: the lane's NaNs differ (an input's, `−inf − −inf`'s
+/// negative one), an x86 addition of two keeps its first operand's, Rust
+/// does not say which that is, and LLVM commutes the `W = 16` and `W = 1`
+/// bodies differently under AVX. Each rule holds lane by lane within a
+/// panel.
 #[inline]
 pub(crate) fn softmax_lane<const W: usize, X, O, T>(
     x: &X,
@@ -866,10 +871,15 @@ pub(crate) fn softmax_lane<const W: usize, X, O, T>(
     for v in whole..live {
         out.set_row(v, exp_into(&mut sum[v - whole], scaler, &mx, x.row(v)));
     }
-    let inv = fold(sum, |a, b| a + b).map(|s| 1.0 / s);
+    let sum = fold(sum, |a, b| a + b);
+    let inv = sum.map(|s| 1.0 / s);
+    // a lane without a distribution is one word throughout: zero if dead,
+    // `f32::NAN` if poisoned — the same select, no more work a row
+    let flat: [bool; W] = std::array::from_fn(|w| dead[w] || sum[w].is_nan());
+    let fill = dead.map(|d| if d { 0.0 } else { f32::NAN });
     for v in 0..live {
         let e = out.row(v);
-        let y = std::array::from_fn(|w| if dead[w] { 0.0 } else { e[w] * inv[w] });
+        let y = std::array::from_fn(|w| if flat[w] { fill[w] } else { e[w] * inv[w] });
         out.set_row(v, y);
         tail.keep(v, y, &dead);
     }

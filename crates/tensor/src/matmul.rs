@@ -1,5 +1,6 @@
-//! The one single-precision GEMM: a register-blocked micro-kernel over
-//! packed B panels that reads A, B and C through their strides.
+//! The one single-precision GEMM: a register-blocked micro-kernel over a
+//! packed A block and packed B panels, reading A, B and C through their
+//! strides.
 //!
 //! These are the CPU stand-ins for cuBLAS: every einsum of the encoder
 //! layer is lowered onto [`gemm`] (through [`gemm_batched`] and the
@@ -7,47 +8,70 @@
 //! [`batched_sgemm`] are its row-major wrappers.
 //!
 //! ```text
-//!   for ic in rows   step MC      A block  MC×KC, read in place (L2)
-//!     for pc in depth step KC
-//!       for jc in cols step NR    B panel  KC×NR, packed to the stack (L1)
-//!         for ir in block step MR
-//!           tile                  C tile   MR×NR accumulators (registers)
+//!   for ic in rows   step MC
+//!     for pc in depth step KC      A block  MC×KC, packed once into MR-row
+//!                                  slabs interleaved along k (L2)
+//!       for jc in cols step NR     B panel  KC×NR, packed to the stack (L1)
+//!         for slab in block        C tile   MR×NR accumulators (registers)
+//!           kernel                 slab[kk][r] · panel[kk][j], kk ascending
 //! ```
 //!
 //! * **Operands are views.** A [`MatRef`]/[`MatMut`] is a slice plus a row
 //!   and a column stride, so a transposed or otherwise strided operand costs
-//!   no copy: A is read where it lies, B is packed one `KC×NR` panel at a
-//!   time straight from its source (a contiguous copy when its columns are
-//!   unit-stride, a 4-column transposing pack otherwise), and C tiles are
-//!   loaded from and stored to the destination — or started at `+0.0` under
+//!   no copy of the whole: both packs read their source where it lies (a
+//!   contiguous copy when the packed width is unit-stride in the source, a
+//!   4-column transposing pack otherwise — one routine, [`NR`] wide for B
+//!   and [`MR`] wide over `aᵀ` for A), and C tiles are loaded from and
+//!   stored to the destination — or started at `+0.0` under
 //!   [`Start::FromZero`], which is what lets callers skip a zero fill.
-//! * **Tile sizes.** `MR×NR = 2×16` is eight SSE2 accumulator registers,
-//!   four for the B row and two for the broadcast A words — fourteen of the
-//!   sixteen the baseline x86-64 target has, so nothing spills (`4×16`
-//!   does, and runs a third slower). `KC = 256` makes a panel 16 KiB, half
-//!   of a 32 KiB L1d next to the A rows streaming past it; `MC = 64` keeps
-//!   the rows of C a block touches within a few dozen pages, so the walk
-//!   down a 16-column panel stays in the TLB.
+//! * **The A pack.** Each `MC×KC` block of A is packed once per `(ic, pc)`
+//!   and multiplied against every panel of the row: slab `s` holds rows
+//!   `s·MR..` as `kc` groups of `MR` words. Rows left over by `MR` are slabs
+//!   of one — so no padded row is ever multiplied or stored; a dense single
+//!   row, the whole of A in the matrix–vector path, packs as one copy. The
+//!   block lives in a thread-local, so packing costs the words packed and
+//!   nothing else: no heap, no per-call zeroing; a call reads only the slab
+//!   words it wrote.
+//! * **Tile sizes.** The build is x86-64-v3 (`.cargo/config.toml`): sixteen
+//!   `ymm` of eight lanes, separate multiply and add. `MR×NR = 4×16` is
+//!   eight accumulators, two for the B row and one for the broadcast A word
+//!   — eleven of the sixteen, measured ahead of `2×16` (46–49 against 53–55
+//!   Gflop/s) and level with `6×16`, whose fifteen leave nothing spare.
+//!   `KC = 256` makes a panel 16 KiB, half of a 32 KiB L1d next to the 4 KiB
+//!   slab streaming past it, and a block 64 KiB of L2; `MC = 64` keeps the
+//!   rows of C a block touches within a few dozen pages, so the walk down a
+//!   16-column panel stays in the TLB.
+//! * **The kernel is a function of its own.** `kernel` takes two packed
+//!   slices and the accumulators and zips `chunks_exact` over them: no
+//!   index, no bounds check, no panic edge. Inlined into the block loop —
+//!   or written over a closure that reads A through its strides — LLVM
+//!   spills or scalarizes the tile around the panic edges of its
+//!   surroundings (5 Gflop/s, not 50); `tools/kernel_asm.sh` reads the
+//!   emitted assembly for exactly that.
 //! * **One accumulator, `k` ascending.** Every element of C has exactly one
 //!   accumulator, seeded from C (or `+0.0`) and summed over `k` in
 //!   ascending order with a separate multiply and add, block after block.
 //!   That is the order of the scalar triple loop, so results are bitwise
-//!   independent of the tiling, of the strides and of which operand plays
-//!   A. Padded lanes of an edge panel multiply zeros and are never stored.
+//!   independent of the tiling, of the vector width the build has, and of
+//!   which operand plays A — and of the strides by construction: the
+//!   kernel only ever sees packed words. Padded lanes of an edge panel
+//!   multiply zeros and are never stored.
 //! * **Matrix–vector shapes** (`n == 1`) run as the transposed problem
-//!   `cᵀ = bᵀ·aᵀ` through the same tile: the rows of A become the sixteen
+//!   `cᵀ = bᵀ·aᵀ` through the same kernel: the rows of A become the sixteen
 //!   lanes, the transposing pack is the only extra work, and IEEE multiply
 //!   commutes, so the bits do not move. The choice is made from `m` and `n`
 //!   alone.
 
-/// Rows of the register tile.
-pub const MR: usize = 2;
+use std::cell::RefCell;
+
+/// Rows of the register tile: the height of a packed A slab.
+pub const MR: usize = 4;
 /// Columns of the register tile: the width of a packed B panel.
 pub const NR: usize = 16;
 /// Depth of a packed B panel.
 pub const KC: usize = 256;
 /// Rows of a cache block.
-const MC: usize = 64;
+pub const MC: usize = 64;
 
 /// A read-only matrix view: element `(r, c)` is `data[r·rs + c·cs]`.
 #[derive(Debug, Clone, Copy)]
@@ -199,7 +223,7 @@ pub fn pack_panels(n: usize, k: usize, b: MatRef<'_>, dst: &mut [f32]) {
         let kc = KC.min(k - pc);
         for jc in (0..n).step_by(NR) {
             let (panel, rest) = dst.split_at_mut(kc * NR);
-            pack_panel(panel, b, pc, jc, NR.min(n - jc));
+            pack_panel::<NR>(panel, b, pc, jc, NR.min(n - jc));
             dst = rest;
         }
     }
@@ -227,16 +251,20 @@ pub fn gemm_packed(
 }
 
 /// `c = a × b` over the leading `n` columns and the leading `depth` rows of
-/// a `b` that [`pack_panels`] packed `pn` columns wide: one [`gemm_packed`]
-/// per `KC` block of the pack, each after the first started from C — the
-/// store and reload [`gemm`] itself makes between its blocks, so the bits are
-/// those of one GEMM over the corner. `depth` must end on a block of the
-/// pack (a multiple of [`KC`]) or at its last row. `c` is element `(0, 0)`
-/// onward with `(row, column)` strides `at`.
+/// a `b` that [`pack_panels`] packed `pn` columns wide into `panels` — the
+/// whole pack and no more, which is where its depth is read from: one
+/// [`gemm_packed`] per `KC` block of the pack, each after the first started
+/// from C — the store and reload [`gemm`] itself makes between its blocks,
+/// so the bits are those of one GEMM over the corner. `c` is element
+/// `(0, 0)` onward with `(row, column)` strides `at`.
 ///
 /// # Panics
 ///
-/// As [`gemm_packed`].
+/// As [`gemm_packed`]; if `panels` is not a whole number of `pn`-column
+/// rows (a scratch slice longer than the pack reads as a deeper pack); and
+/// if `depth` ends inside a block of the pack — neither a multiple of [`KC`]
+/// nor the pack's last row — where a shallower block's panels would be cut
+/// at the wrong words.
 #[allow(clippy::too_many_arguments)] // a GEMM's dimensions and operands
 pub fn gemm_packed_leading(
     m: usize,
@@ -249,6 +277,16 @@ pub fn gemm_packed_leading(
     at: (usize, usize),
 ) {
     let npad = pn.div_ceil(NR) * NR;
+    let pk = panels.len().checked_div(npad).unwrap_or(0);
+    assert_eq!(
+        panels.len(),
+        panel_words(pn, pk),
+        "panels is not a whole pack {pn} columns wide"
+    );
+    assert!(
+        depth == pk || (depth < pk && depth.is_multiple_of(KC)),
+        "a leading depth of {depth} ends inside a block of a pack {pk} deep"
+    );
     for pc in (0..depth).step_by(KC) {
         let a_blk = MatRef::new(&a.data[(pc * a.cs).min(a.data.len())..], a.rs, a.cs);
         let start = if pc == 0 {
@@ -270,7 +308,13 @@ enum Panels<'a> {
     Packed(&'a [f32]),
 }
 
-/// The block loop nest around [`tile`].
+thread_local! {
+    /// The packed A block of [`blocks`]: one per thread, never zeroed again
+    /// — a call packs exactly the words it then reads.
+    static A_BLOCK: RefCell<[f32; MC * KC]> = const { RefCell::new([0.0; MC * KC]) };
+}
+
+/// The block loop nest around [`kernel`].
 fn blocks(
     m: usize,
     n: usize,
@@ -295,54 +339,66 @@ fn blocks(
     }
     let npad = n.div_ceil(NR) * NR;
     let mut stack = [0.0f32; KC * NR];
-    for ic in (0..m).step_by(MC) {
-        let end = (ic + MC).min(m);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let from_zero = start == Start::FromZero && pc == 0;
-            for jc in (0..n).step_by(NR) {
-                let nr = NR.min(n - jc);
-                let panel = match b {
-                    Panels::Strided(b) => {
-                        pack_panel(&mut stack[..kc * NR], b, pc, jc, nr);
-                        &stack[..kc * NR]
-                    }
-                    Panels::Packed(p) => &p[pc * npad + jc * kc..][..kc * NR],
-                };
-                let mut ir = ic;
-                while ir + MR <= end {
-                    tile_at::<MR>(a, ir, pc, panel, &mut c, jc, nr, from_zero);
-                    ir += MR;
+    A_BLOCK.with_borrow_mut(|block| {
+        for ic in (0..m).step_by(MC) {
+            let mc = MC.min(m - ic);
+            // rows of the block in whole slabs; the rest are slabs of one
+            let tiled = mc - mc % MR;
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                for (s, slab) in block[..tiled * kc].chunks_exact_mut(MR * kc).enumerate() {
+                    pack_panel::<MR>(slab, a.t(), pc, ic + s * MR, MR);
                 }
-                while ir < end {
-                    tile_at::<1>(a, ir, pc, panel, &mut c, jc, nr, from_zero);
-                    ir += 1;
+                for r in tiled..mc {
+                    pack_panel::<1>(&mut block[r * kc..][..kc], a.t(), pc, ic + r, 1);
+                }
+                let from_zero = start == Start::FromZero && pc == 0;
+                for jc in (0..n).step_by(NR) {
+                    let nr = NR.min(n - jc);
+                    let panel = match b {
+                        Panels::Strided(b) => {
+                            pack_panel::<NR>(&mut stack[..kc * NR], b, pc, jc, nr);
+                            &stack[..kc * NR]
+                        }
+                        Panels::Packed(p) => &p[pc * npad + jc * kc..][..kc * NR],
+                    };
+                    for (s, slab) in block[..tiled * kc].chunks_exact(MR * kc).enumerate() {
+                        accumulate::<MR>(slab, panel, &mut c, (ic + s * MR, jc), nr, from_zero);
+                    }
+                    for (r, row) in block[tiled * kc..mc * kc].chunks_exact(kc).enumerate() {
+                        accumulate::<1>(row, panel, &mut c, (ic + tiled + r, jc), nr, from_zero);
+                    }
                 }
             }
         }
-    }
+    });
 }
 
-/// Packs rows `pc..pc + panel.len()/NR`, columns `jc..jc + nr` of `b` into
-/// `panel`, `NR` words per row; lanes from `nr` up are zero.
-fn pack_panel(panel: &mut [f32], b: MatRef<'_>, pc: usize, jc: usize, nr: usize) {
-    if nr < NR {
+/// Packs rows `pc..pc + panel.len()/W`, columns `jc..jc + nr` of `b` into
+/// `panel`, `W` words per row; lanes from `nr` up are zero. With `W = NR`
+/// that is a B panel; over `a.t()` with `W = nr = MR` (or 1) it is a slab
+/// of A, its `MR` rows interleaved along `k`.
+fn pack_panel<const W: usize>(panel: &mut [f32], b: MatRef<'_>, pc: usize, jc: usize, nr: usize) {
+    if nr < W {
         panel.fill(0.0);
     }
     let src = &b.data[pc * b.rs + jc * b.cs..];
-    if b.cs == 1 {
-        for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
-            if nr == NR {
-                row.copy_from_slice(&src[kk * b.rs..][..NR]);
+    if W == 1 && b.rs == 1 {
+        // a dense row of A: already its slab, one copy
+        panel.copy_from_slice(&src[..panel.len()]);
+    } else if b.cs == 1 {
+        for (kk, row) in panel.chunks_exact_mut(W).enumerate() {
+            if nr == W {
+                row.copy_from_slice(&src[kk * b.rs..][..W]);
             } else {
                 row[..nr].copy_from_slice(&src[kk * b.rs..][..nr]);
             }
         }
     } else if b.rs == 1 {
-        pack_columns(panel, nr, |j| src[j * b.cs..].iter());
+        pack_columns::<W, _>(panel, nr, |j| src[j * b.cs..].iter());
     } else {
-        let kc = panel.len() / NR;
-        pack_columns(panel, nr, |j| {
+        let kc = panel.len() / W;
+        pack_columns::<W, _>(panel, nr, |j| {
             (0..kc).map(move |kk| &src[j * b.cs + kk * b.rs])
         });
     }
@@ -350,7 +406,7 @@ fn pack_panel(panel: &mut [f32], b: MatRef<'_>, pc: usize, jc: usize, nr: usize)
 
 /// The transposing pack: `col(j)` walks column `j` of the source down `k`.
 /// Four columns go at a time, so a panel row is written by whole vectors.
-fn pack_columns<'a, I: Iterator<Item = &'a f32>>(
+fn pack_columns<'a, const W: usize, I: Iterator<Item = &'a f32>>(
     panel: &mut [f32],
     nr: usize,
     col: impl Fn(usize) -> I,
@@ -358,64 +414,32 @@ fn pack_columns<'a, I: Iterator<Item = &'a f32>>(
     let mut j = 0;
     while j + 4 <= nr {
         let cols = col(j).zip(col(j + 1)).zip(col(j + 2)).zip(col(j + 3));
-        for (row, (((&v0, &v1), &v2), &v3)) in panel.chunks_exact_mut(NR).zip(cols) {
+        for (row, (((&v0, &v1), &v2), &v3)) in panel.chunks_exact_mut(W).zip(cols) {
             row[j..j + 4].copy_from_slice(&[v0, v1, v2, v3]);
         }
         j += 4;
     }
     while j < nr {
-        for (row, &v) in panel.chunks_exact_mut(NR).zip(col(j)) {
+        for (row, &v) in panel.chunks_exact_mut(W).zip(col(j)) {
             row[j] = v;
         }
         j += 1;
     }
 }
 
-/// One `R×NR` tile of C at `(ir, jc)` against one packed panel: picks how
-/// the `R` rows of A are addressed and runs [`tile`].
-#[allow(clippy::too_many_arguments)] // the tile's coordinates in three operands
-#[inline]
-fn tile_at<const R: usize>(
-    a: MatRef<'_>,
-    ir: usize,
-    pc: usize,
-    panel: &[f32],
-    c: &mut MatMut<'_>,
-    jc: usize,
-    nr: usize,
-    from_zero: bool,
-) {
-    let kc = panel.len() / NR;
-    let c_at = ir * c.rs + jc * c.cs;
-    if a.cs == 1 {
-        // rows are runs along k: cut each to the panel's depth once
-        let rows: [&[f32]; R] = std::array::from_fn(|r| &a.data[(ir + r) * a.rs + pc..][..kc]);
-        tile::<R>(|r, kk| rows[r][kk], panel, c, c_at, nr, from_zero);
-    } else {
-        let a_at = &a.data[ir * a.rs + pc * a.cs..];
-        tile::<R>(
-            |r, kk| a_at[r * a.rs + kk * a.cs],
-            panel,
-            c,
-            c_at,
-            nr,
-            from_zero,
-        );
-    }
-}
-
-/// The micro-kernel — the only statement of GEMM arithmetic in the crate:
-/// `acc[r][j] += a(r, kk) · panel[kk][j]` over the panel's depth, with the
-/// accumulators loaded from C (or `+0.0`) before and stored after.
+/// One `R×NR` tile of C at `(ir, jc)` against one slab and one panel: the
+/// accumulators are loaded from C (or `+0.0`), run through [`kernel`] and
+/// stored, `nr` lanes of each.
 #[inline(always)]
-fn tile<const R: usize>(
-    a: impl Fn(usize, usize) -> f32,
+fn accumulate<const R: usize>(
+    slab: &[f32],
     panel: &[f32],
     c: &mut MatMut<'_>,
-    c_at: usize,
+    (ir, jc): (usize, usize),
     nr: usize,
     from_zero: bool,
 ) {
+    let c_at = ir * c.rs + jc * c.cs;
     let mut acc = [[0.0f32; NR]; R];
     let dense = c.cs == 1 && nr == NR;
     if !from_zero {
@@ -429,20 +453,29 @@ fn tile<const R: usize>(
             }
         }
     }
-    for (kk, b_row) in panel.chunks_exact(NR).enumerate() {
-        for (r, row) in acc.iter_mut().enumerate() {
-            let a_rk = a(r, kk);
-            for (v, &b_kj) in row.iter_mut().zip(b_row) {
-                *v += a_rk * b_kj;
-            }
-        }
-    }
+    kernel::<R>(slab, panel, &mut acc);
     for (r, row) in acc.iter().enumerate() {
         if dense {
             c.data[c_at + r * c.rs..][..NR].copy_from_slice(row);
         } else {
             for (j, &v) in row.iter().take(nr).enumerate() {
                 c.data[c_at + r * c.rs + j * c.cs] = v;
+            }
+        }
+    }
+}
+
+/// The micro-kernel — the only statement of GEMM arithmetic in the crate:
+/// `acc[r][j] += slab[kk][r] · panel[kk][j]` down the depth the two share.
+/// A function of its own over two `chunks_exact` walks: no index, no bounds
+/// check, so no panic edge for the accumulators to be spilled around —
+/// inlined into [`blocks`] it loses its registers (`tools/kernel_asm.sh`).
+#[inline(never)]
+fn kernel<const R: usize>(slab: &[f32], panel: &[f32], acc: &mut [[f32; NR]; R]) {
+    for (a_k, b_k) in slab.chunks_exact(R).zip(panel.chunks_exact(NR)) {
+        for (row, &a_rk) in acc.iter_mut().zip(a_k) {
+            for (v, &b_kj) in row.iter_mut().zip(b_k) {
+                *v += a_rk * b_kj;
             }
         }
     }
@@ -780,6 +813,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_leading_depth_that_ends_inside_a_block_is_refused_not_miscomputed() {
+        // the per-block calls the function makes, unchecked as they were:
+        // the block that ends early cuts its panels `jc·kc` words in where
+        // the pack laid them `jc·KC` in, so every column past the first
+        // `NR` is wrong — silently
+        let mut rng = StdRng::seed_from_u64(19);
+        let (m, n, pk, depth) = (3, 2 * NR, 2 * KC, KC + 7);
+        let a = random_mat(&mut rng, m * pk);
+        let b = random_mat(&mut rng, pk * n);
+        let mut panels = vec![f32::NAN; panel_words(n, pk)];
+        pack_panels(n, pk, MatRef::row_major(&b, n), &mut panels);
+        let (av, bv) = (MatRef::row_major(&a, pk), MatRef::row_major(&b, n));
+        let mut want = vec![f32::NAN; m * n];
+        gemm(
+            m,
+            n,
+            depth,
+            av,
+            bv,
+            MatMut::row_major(&mut want, n),
+            Start::FromZero,
+        );
+        let mut got = vec![f32::NAN; m * n];
+        let c = MatMut::row_major(&mut got, n);
+        gemm_packed(m, n, KC, av, &panels, c, Start::FromZero);
+        let (tail, c) = (
+            MatRef::row_major(&a[KC..], pk),
+            MatMut::row_major(&mut got, n),
+        );
+        gemm_packed(m, n, depth - KC, tail, &panels[KC * n..], c, Start::FromC);
+        for (g, w) in got.chunks(n).zip(want.chunks(n)) {
+            assert_eq!(g[..NR], w[..NR]);
+            assert!(g[NR..].iter().zip(&w[NR..]).all(|(g, w)| g != w));
+        }
+        let refused = std::panic::catch_unwind(|| {
+            let mut c = vec![0.0; m * n];
+            gemm_packed_leading(m, n, depth, av, &panels, n, &mut c, (n, 1));
+        });
+        let message = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.contains("ends inside a block"), "{message}");
+    }
+
+    #[test]
+    #[should_panic(expected = "not a whole pack")]
+    fn a_slice_longer_than_its_pack_is_refused() {
+        let panels = vec![0.0; panel_words(NR + 1, 3) + 1];
+        let a = MatRef::row_major(&[0.0; 3], 3);
+        gemm_packed_leading(1, 1, 3, a, &panels, NR + 1, &mut [0.0], (1, 1));
+    }
+
+    #[test]
+    fn a_pack_of_no_columns_has_nothing_to_multiply() {
+        let mut c = [f32::NAN];
+        gemm_packed_leading(1, 0, 0, MatRef::row_major(&[], 0), &[], 0, &mut c, (1, 1));
+        assert!(c[0].is_nan());
     }
 
     fn batch_of<'a>(data: &'a [f32], rows: usize, cols: usize) -> BatchRef<'a> {

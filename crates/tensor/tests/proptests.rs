@@ -688,7 +688,7 @@ mod gemm {
     use super::*;
     use xform_tensor::into_ops::{contract_into, ContractPlan};
     use xform_tensor::matmul::{
-        gemm, gemm_packed, pack_panels, panel_words, MatMut, MatRef, Start, KC, MR, NR,
+        gemm, gemm_packed, pack_panels, panel_words, MatMut, MatRef, Start, KC, MC, MR, NR,
     };
 
     /// A `rows×cols` matrix of `vals` (row-major) stored with the drawn
@@ -897,6 +897,116 @@ mod gemm {
                 }
             }
             check_gemm((m, n, k), &a, &b, &c, &want, start, fill)?;
+        }
+    }
+
+    /// Blocks of `MC` rows and what is left over them — a last block one
+    /// row short, exact, one single-row slab, and `MR − 1` of them after two
+    /// whole blocks — with A strided both ways and both `Start`s, over a
+    /// depth with a block edge in it and a ragged last panel.
+    #[test]
+    fn row_block_edges_are_bitwise_the_scalar_reference() {
+        let (n, k, fill) = (NR + 3, KC + 5, -7.25f32);
+        let mut rng = StdRng::seed_from_u64(5);
+        for m in [MC - 1, MC, MC + 1, 2 * MC + MR - 1] {
+            let (av, bv, cv) = (
+                rand_vec(m * k, &mut rng),
+                rand_vec(k * n, &mut rng),
+                rand_vec(m * n, &mut rng),
+            );
+            let b = store(k, n, &bv, false, 1, 0, fill);
+            let c = store(m, n, &cv, false, 1, 2, fill);
+            for (transposed, start) in [
+                (false, Start::FromC),
+                (true, Start::FromC),
+                (false, Start::FromZero),
+                (true, Start::FromZero),
+            ] {
+                let a = store(m, k, &av, transposed, 2, 3, fill);
+                let want = reference((m, n, k), &av, &bv, &cv, start);
+                check_gemm((m, n, k), &a, &b, &c, &want, start, fill).unwrap();
+            }
+        }
+    }
+
+    /// The packed A block outlives a call: a short call after a tall one on
+    /// the same thread must read only the slab words it packed itself, so
+    /// its bits are those of the same call on a thread that never ran a
+    /// GEMM (and of the reference).
+    #[test]
+    fn a_short_call_after_a_tall_one_has_a_cold_calls_bits() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let (n, k) = (NR + 1, KC + 9);
+        let run = |m: usize, av: &[f32], bv: &[f32], transposed: bool| {
+            let a = store(m, k, av, transposed, 1, 0, 0.0);
+            let mut c = vec![f32::NAN; m * n];
+            gemm(
+                m,
+                n,
+                k,
+                MatRef::new(&a.data, a.rs, a.cs),
+                MatRef::row_major(bv, n),
+                MatMut::row_major(&mut c, n),
+                Start::FromZero,
+            );
+            c
+        };
+        let bv = rand_vec(k * n, &mut rng);
+        let tall = vec![f32::NAN; (MC + MR + 1) * k];
+        for m in [1, MR - 1, MR, MR + 1, 2 * MR + 1] {
+            let av = rand_vec(m * k, &mut rng);
+            let want = reference((m, n, k), &av, &bv, &[], Start::FromZero);
+            for transposed in [false, true] {
+                // every slab word the tall call leaves behind is a NaN
+                run(MC + MR + 1, &tall, &bv, transposed);
+                let warm = run(m, &av, &bv, transposed);
+                let cold = std::thread::scope(|s| {
+                    s.spawn(|| run(m, &av, &bv, transposed)).join().unwrap()
+                });
+                assert_eq!(bits(&warm), bits(&cold), "m = {m}");
+                assert_eq!(bits(&warm), bits(&want), "m = {m}");
+            }
+        }
+    }
+
+    /// A NaN or infinite row of A — at every position of an `MR` slab and
+    /// as each leftover single row — reaches its own row of C and no other.
+    #[test]
+    fn a_non_finite_row_of_a_stays_in_its_own_row_of_c() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let (m, n, k, fill) = (2 * MR + MR - 1, NR + 2, 19, 3.5f32);
+        let (bv, cv) = (rand_vec(k * n, &mut rng), rand_vec(m * n, &mut rng));
+        let b = store(k, n, &bv, false, 1, 0, fill);
+        let c = store(m, n, &cv, false, 1, 0, fill);
+        for bad_row in 0..m {
+            for (bad, transposed) in [(f32::NAN, false), (f32::INFINITY, true)] {
+                let mut av = rand_vec(m * k, &mut rng);
+                av[bad_row * k..][..k].fill(bad);
+                let a = store(m, k, &av, transposed, 1, 0, fill);
+                let want = reference((m, n, k), &av, &bv, &cv, Start::FromC);
+                for (i, row) in want.chunks(n).enumerate() {
+                    assert_eq!(row.iter().all(|v| v.is_finite()), i != bad_row);
+                }
+                check_gemm((m, n, k), &a, &b, &c, &want, Start::FromC, fill).unwrap();
+            }
+        }
+    }
+
+    /// A matrix–vector product is the vector–matrix product of the
+    /// transposes, to the bit: `n == 1` runs as that `m == 1` problem.
+    #[test]
+    fn a_matrix_vector_product_is_the_transposed_single_row_problem() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for (m, k) in [(2, 1), (MR + 1, 7), (NR + 5, KC + 3), (3 * NR, 2 * KC)] {
+            let (av, xv) = (rand_vec(m * k, &mut rng), rand_vec(k, &mut rng));
+            let (a, x) = (MatRef::row_major(&av, k), MatRef::row_major(&xv, 1));
+            let (mut y, mut yt) = (vec![f32::NAN; m], vec![f32::NAN; m]);
+            gemm(m, 1, k, a, x, MatMut::row_major(&mut y, 1), Start::FromZero);
+            let row = MatMut::row_major(&mut yt, m);
+            gemm(1, m, k, x.t(), a.t(), row, Start::FromZero);
+            assert_eq!(bits(&y), bits(&yt), "({m},{k})");
+            let want = reference((m, 1, k), &av, &xv, &[], Start::FromZero);
+            assert_eq!(bits(&y), bits(&want), "({m},{k})");
         }
     }
 

@@ -183,30 +183,6 @@ fn prefilled(arenas: &mut Option<StepArenas>) -> Result<&mut StepArenas> {
         .ok_or_else(|| unsupported("call prefill before advance"))
 }
 
-/// Embeds `tokens` (one per batch row) at position `pos` into column `col`
-/// of `x` (`[i,b,cols]`, row-major): each token's embedding row plus the
-/// position's, read as rows.
-fn embed_column(
-    model: &TransformerModel,
-    tokens: impl Iterator<Item = usize>,
-    pos: usize,
-    (x, col): (&mut [f32], usize),
-) -> Result<()> {
-    let d = model.config.dims;
-    let cols = x.len() / (d.i * d.b);
-    let position = &model.positional.data()[pos * d.i..][..d.i];
-    for (b, t) in tokens.enumerate() {
-        if t >= model.config.vocab {
-            return Err(unsupported(format!("token id {t} out of vocabulary")));
-        }
-        let token = &model.embedding.data()[t * d.i..][..d.i];
-        for (i, (e, p)) in token.iter().zip(position).enumerate() {
-            x[(i * d.b + b) * cols + col] = e + p;
-        }
-    }
-    Ok(())
-}
-
 impl<'m> DecodeSession<'m> {
     /// Creates an idle session. Call [`DecodeSession::prefill`] before
     /// stepping.
@@ -415,7 +391,7 @@ impl<'m> DecodeSession<'m> {
         let mut x = Tensor::zeros(Shape::new([('i', d.i), ('b', d.b), ('j', s)])?);
         for j in 0..s {
             let tokens = prompt.iter().map(|row| row[j]);
-            embed_column(self.model, tokens, j, (x.data_mut(), j))?;
+            self.model.embed_column(tokens, j, (x.data_mut(), j))?;
         }
 
         let mut prefill_dims = d;
@@ -535,7 +511,7 @@ impl<'m> DecodeSession<'m> {
         }
         let run = self.exec_options(1);
         let column = (self.h_cur.data_mut(), 0);
-        embed_column(model, tokens.iter().copied(), pos, column)?;
+        model.embed_column(tokens.iter().copied(), pos, column)?;
 
         let arenas = prefilled(&mut self.arenas)?;
         let (project, bucket) = (&arenas.project, &arenas.attend);

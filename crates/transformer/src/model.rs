@@ -169,15 +169,44 @@ impl TransformerModel {
         self.check_ids(tokens, "embed batch")?;
         let d = &self.config.dims;
         let mut x = Tensor::zeros(Shape::from_spec("ibj", &d.size_table())?);
-        for (b, row) in tokens.iter().enumerate() {
-            for (j, &t) in row.iter().enumerate() {
-                for i in 0..d.i {
-                    let v = self.embedding.at(&[t, i]) + self.positional.at(&[j, i]);
-                    x.set(&[i, b, j], v);
-                }
-            }
+        for j in 0..d.j {
+            self.embed_column(tokens.iter().map(|row| row[j]), j, (x.data_mut(), j))?;
         }
         Ok(x)
+    }
+
+    /// Embeds `tokens` (one per batch row) at position `pos` into column
+    /// `col` of `x` (`[i,b,cols]`, row-major): each token's embedding row
+    /// plus the position's, read as rows — the crate's one gather.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a token id is out of range or either table is
+    /// stored permuted.
+    pub(crate) fn embed_column(
+        &self,
+        tokens: impl Iterator<Item = usize>,
+        pos: usize,
+        (x, col): (&mut [f32], usize),
+    ) -> Result<()> {
+        let d = self.config.dims;
+        let cols = x.len() / (d.i * d.b);
+        let permuted = || TensorError::Unsupported("embeddings must be stored row-major".into());
+        let embedding = self.embedding.natural_words().ok_or_else(permuted)?;
+        let positional = self.positional.natural_words().ok_or_else(permuted)?;
+        let position = &positional[pos * d.i..][..d.i];
+        for (b, t) in tokens.enumerate() {
+            if t >= self.config.vocab {
+                return Err(TensorError::Unsupported(format!(
+                    "token id {t} out of vocabulary"
+                )));
+            }
+            let token = &embedding[t * d.i..][..d.i];
+            for (i, (e, p)) in token.iter().zip(position).enumerate() {
+                x[(i * d.b + b) * cols + col] = e + p;
+            }
+        }
+        Ok(())
     }
 
     /// Full forward pass to vocabulary probabilities.
