@@ -9,7 +9,8 @@ use std::hint::black_box;
 use xform_core::cpusource::StandaloneKernel;
 use xform_core::fusion::{apply_plan, encoder_fusion_plan};
 use xform_dataflow::{build, EncoderDims, Graph};
-use xform_gpusim::opmodel::OpConfig;
+use xform_gpusim::opmodel::{primary_tensors, OpConfig};
+use xform_tensor::Layout;
 
 /// The fused encoder at a shape whose attention and embedding tensors are
 /// a few hundred thousand words.
@@ -32,10 +33,12 @@ fn graph() -> Graph {
 fn bench_input_layouts(c: &mut Criterion, group: &str, op: &str, specs: &[&str]) {
     let g = graph();
     let id = g.op_by_name(op).expect("the fused encoder has the kernel");
+    let (input, _) = primary_tensors(&g, id).expect("a live operator");
+    let shape = &g.data(input).expect("a data container").shape;
     let mut group = c.benchmark_group(group);
     for spec in specs {
         let mut cfg = OpConfig::natural(&g, id).expect("a live operator");
-        cfg.in_spec = spec.to_string();
+        cfg.in_layout = Layout::from_axis_order(shape, spec).expect("a layout of the input");
         let mut kernel = StandaloneKernel::compile(&g, id, &cfg).expect("a forward kernel");
         group.bench_with_input(BenchmarkId::new("layout", spec), spec, |b, _| {
             b.iter(|| black_box(kernel.run().expect("the kernel runs")))

@@ -44,9 +44,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nselected configuration (measured µs per kernel):");
     for r in &plan.rows {
         if r.forward {
+            let (in_spec, _, out_spec) = r.config.specs(&plan.graph, r.op)?;
             println!(
                 "  {:<10} {:>9.1} µs   in {:<6} out {:<6} vec {:?}",
-                r.name, r.time_us, r.config.in_spec, r.config.out_spec, r.config.vector_axis
+                r.name, r.time_us, in_spec, out_spec, r.config.vector_axis
             );
         }
     }

@@ -19,7 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<10} {:>12} {:>12} {:>10}",
         "operator", "in layout", "out layout", "µs"
     );
-    for ((op, in_l, out_l), (_, timing)) in sel.layouts.iter().zip(&sel.per_op) {
+    let layouts = sel.layout_specs(&ours.graph);
+    for ((op, in_l, out_l), (_, timing)) in layouts.iter().zip(&sel.per_op) {
         let name = ours
             .graph
             .op(*op)

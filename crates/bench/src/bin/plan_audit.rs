@@ -942,9 +942,9 @@ mod tests {
 
         let mut plan = canned.plan.clone();
         let si = plan.steps.iter().position(|s| s.name == "DRLN").unwrap();
-        let mut rotated: Vec<char> = plan.steps[si].inputs[0].layout.chars().collect();
+        let mut rotated: Vec<usize> = plan.steps[si].inputs[0].layout.order().collect();
         rotated.rotate_right(1);
-        plan.steps[si].inputs[0].layout = rotated.into_iter().collect();
+        plan.steps[si].inputs[0].layout = xform_tensor::Layout::from_order(&rotated).unwrap();
         plan.reflow(&canned.graph);
         let cert = certify_access(&canned.graph, &plan).unwrap();
         assert!(strided_sweeps(&cert) > 0);

@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sel.total_us,
         sel.transposes,
         plan.steps.len(),
-        plan.strided_operand_count(&graph),
+        plan.strided_operand_count(),
         plan.relayout_count()
     );
 

@@ -37,12 +37,13 @@ use std::fmt;
 use xform_dataflow::{flops, DataRole, Graph, NodeId, OpClass, OpKind};
 use xform_gpusim::contraction::MathMode;
 use xform_gpusim::mue::{mue, Mue, MueAccum};
-use xform_gpusim::opmodel::{OpConfig, OpModel};
+use xform_gpusim::opmodel::{primary_tensors, OpConfig, OpModel};
 use xform_gpusim::{DeviceSpec, KernelCost};
+use xform_tensor::Layout;
 
-use crate::plan::{ExecutionPlan, PlanStep};
+use crate::plan::{layout_spec, ExecutionPlan, PlanStep};
 use crate::selection::RELAYOUT_BANDWIDTH_FRAC;
-use crate::sweep::SweepResult;
+use crate::sweep::{outputs_laid_out, SweepResult};
 
 /// How bad a [`PlanLint`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -114,8 +115,7 @@ pub enum PlanLint {
         /// The dangling data id.
         data: NodeId,
     },
-    /// An operand's layout spec is not a permutation of its container's
-    /// logical axes.
+    /// An operand's layout has another rank than its container.
     BadLayout {
         /// Step index.
         step: usize,
@@ -123,8 +123,8 @@ pub enum PlanLint {
         name: String,
         /// The operand's container name.
         operand: String,
-        /// The offending layout spec.
-        layout: String,
+        /// The offending layout's rank.
+        rank: usize,
         /// The container's logical axis string.
         logical: String,
     },
@@ -190,8 +190,8 @@ pub enum PlanLint {
         step: usize,
         /// The relayouted container's name.
         container: String,
-        /// The no-op layout.
-        layout: String,
+        /// The no-op layout, in the container's axis letters.
+        spec: String,
     },
     /// A container is relayouted `A→B` and later straight back `B→A`:
     /// the pair nets to identity, so reordering consumers (or picking a
@@ -480,11 +480,11 @@ impl fmt::Display for PlanLint {
                 step,
                 name,
                 operand,
-                layout,
+                rank,
                 logical,
             } => write!(
                 f,
-                "step {step} (`{name}`): layout `{layout}` is not a permutation of `{operand}`'s axes `{logical}`"
+                "step {step} (`{name}`): a layout of {rank} axes cannot lay out `{operand}`'s axes `{logical}`"
             ),
             PlanLint::UseBeforeDef {
                 step,
@@ -528,10 +528,10 @@ impl fmt::Display for PlanLint {
             PlanLint::RedundantRelayout {
                 step,
                 container,
-                layout,
+                spec,
             } => write!(
                 f,
-                "step {step}: relayout of `{container}` to its current layout `{layout}` is a no-op"
+                "step {step}: relayout of `{container}` to its current layout `{spec}` is a no-op"
             ),
             PlanLint::CancellingRelayouts {
                 first_step,
@@ -1223,17 +1223,6 @@ pub fn cross_call_high_water(
     }
 }
 
-fn is_permutation_of(layout: &str, logical: &str) -> bool {
-    if layout.len() != logical.len() {
-        return false;
-    }
-    let mut a: Vec<char> = layout.chars().collect();
-    let mut b: Vec<char> = logical.chars().collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    a == b && a.windows(2).all(|w| w[0] != w[1])
-}
-
 /// Statically analyzes a plan against the graph it was lowered from:
 /// structural coherence (the checks of the old string-based `validate`),
 /// the dependency/hazard DAG, dead-step detection, relayout lints,
@@ -1247,10 +1236,10 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
     let mut last_writer: HashMap<NodeId, usize> = HashMap::new();
     let mut readers_since_write: HashMap<NodeId, Vec<usize>> = HashMap::new();
     let mut last_relayouter: HashMap<NodeId, usize> = HashMap::new();
-    let mut current_layout: HashMap<NodeId, String> = HashMap::new();
+    let mut current_layout: HashMap<NodeId, Layout> = HashMap::new();
     let mut produced: HashSet<NodeId> = HashSet::new();
     // relayout event log per container: (step, from, to)
-    let mut relayout_log: HashMap<NodeId, Vec<(usize, String, String)>> = HashMap::new();
+    let mut relayout_log: HashMap<NodeId, Vec<(usize, Layout, Layout)>> = HashMap::new();
 
     for (si, step) in plan.steps.iter().enumerate() {
         let Some(node) = graph.op(step.op) else {
@@ -1289,12 +1278,14 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
                             data: operand.data,
                         });
                     }
-                    if !is_permutation_of(&operand.layout, &d.shape.spec()) {
+                    // a plan arrives from callers, and what its type still
+                    // admits is a layout of another rank than the container
+                    if d.shape.rank() != operand.layout.rank() {
                         lints.push(PlanLint::BadLayout {
                             step: si,
                             name: step.name.clone(),
                             operand: operand.name.clone(),
-                            layout: operand.layout.clone(),
+                            rank: operand.layout.rank(),
                             logical: d.shape.spec(),
                         });
                     }
@@ -1329,13 +1320,13 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
                 lints.push(PlanLint::RedundantRelayout {
                     step: si,
                     container: r.name.clone(),
-                    layout: r.to.clone(),
+                    spec: layout_spec(graph, r.data, r.to),
                 });
             }
             relayout_log
                 .entry(r.data)
                 .or_default()
-                .push((si, r.from.clone(), r.to.clone()));
+                .push((si, r.from, r.to));
             if !relayouted.contains(&r.data) {
                 relayouted.push(r.data);
                 if let Some(&w) = last_writer.get(&r.data) {
@@ -1398,30 +1389,32 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
 
         // layout coherence, honouring this step's relayout insertions
         for inp in &step.inputs {
-            let mut have = current_layout
-                .get(&inp.data)
-                .cloned()
-                .or_else(|| graph.data(inp.data).map(|d| d.shape.spec()))
-                .unwrap_or_else(|| inp.layout.clone());
+            let natural = graph
+                .data(inp.data)
+                .map(|d| Layout::row_major(d.shape.rank()));
+            let mut have = (current_layout.get(&inp.data).copied())
+                .or(natural)
+                .unwrap_or(inp.layout);
+            let spec = |l: Layout| layout_spec(graph, inp.data, l);
             for r in step.relayouts.iter().filter(|r| r.data == inp.data) {
                 if r.from != have {
                     lints.push(PlanLint::RelayoutIncoherent {
                         step: si,
                         name: step.name.clone(),
                         container: r.name.clone(),
-                        expected: r.from.clone(),
-                        have: have.clone(),
+                        expected: spec(r.from),
+                        have: spec(have),
                     });
                 }
-                have = r.to.clone();
+                have = r.to;
             }
             if have != inp.layout {
                 lints.push(PlanLint::LayoutIncoherent {
                     step: si,
                     name: step.name.clone(),
                     container: inp.name.clone(),
-                    want: inp.layout.clone(),
-                    have: have.clone(),
+                    want: spec(inp.layout),
+                    have: spec(have),
                 });
             }
             current_layout.insert(inp.data, have);
@@ -1461,7 +1454,7 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
             last_writer.insert(out.data, si);
             readers_since_write.entry(out.data).or_default().clear();
             produced.insert(out.data);
-            current_layout.insert(out.data, out.layout.clone());
+            current_layout.insert(out.data, out.layout);
         }
     }
 
@@ -1475,8 +1468,8 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
             .map(|d| d.name.clone())
             .unwrap_or_else(|| format!("{data}"));
         for w in events.windows(2) {
-            let (s1, ref from1, ref to1) = w[0];
-            let (s2, ref from2, ref to2) = w[1];
+            let (s1, from1, to1) = w[0];
+            let (s2, from2, to2) = w[1];
             if to1 == from2 && to2 == from1 && from1 != to1 {
                 lints.push(PlanLint::CancellingRelayouts {
                     first_step: s1,
@@ -1645,50 +1638,33 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
 }
 
 /// Derives the [`OpConfig`] a step's declared operand layouts correspond
-/// to, mirroring the operand conventions of `xform-gpusim`'s
-/// [`OpModel`]: einsums take their positional operands; other kernels key
-/// the access pattern off the largest input/output.
+/// to, over the operands `xform-gpusim` prices a configuration by
+/// ([`primary_tensors`]).
 pub(crate) fn step_config(graph: &Graph, step: &PlanStep) -> Option<OpConfig> {
-    let elems = |data: NodeId| {
-        graph
-            .data(data)
-            .map(|d| d.shape.num_elements())
-            .unwrap_or(0)
-    };
-    // max_by_key semantics: last among ties, like OpModel's primary pick
-    let largest = |ops: &[crate::plan::Operand]| -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, o) in ops.iter().enumerate() {
-            let n = elems(o.data);
-            if best.map(|(_, bn)| n >= bn).unwrap_or(true) {
-                best = Some((i, n));
-            }
-        }
-        best.map(|(i, _)| i)
-    };
+    let (primary_in, primary_out) = primary_tensors(graph, step.op).ok()?;
+    let a = step.inputs.iter().find(|o| o.data == primary_in)?;
+    let c = step.outputs.iter().find(|o| o.data == primary_out)?;
     if matches!(
         step.kind,
         OpKind::Einsum(_) | OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. }
     ) {
-        let a = step.inputs.first()?;
-        let c = step.outputs.first()?;
         Some(OpConfig {
-            in_spec: a.layout.clone(),
-            in2_spec: step.inputs.get(1).map(|b| b.layout.clone()),
-            out_spec: c.layout.clone(),
+            in_layout: a.layout,
+            in2_layout: step.inputs.get(1).map(|b| b.layout),
+            out_layout: c.layout,
             vector_axis: None,
             warp_axis: None,
             algo: 3,
             math: MathMode::TensorCore,
         })
     } else {
-        let a = &step.inputs[largest(&step.inputs)?];
-        let c = &step.outputs[largest(&step.outputs)?];
+        let innermost = a.layout.order().next_back();
+        let axes = graph.data(a.data)?.shape.axes();
         Some(OpConfig {
-            in_spec: a.layout.clone(),
-            in2_spec: None,
-            out_spec: c.layout.clone(),
-            vector_axis: a.layout.chars().last(),
+            in_layout: a.layout,
+            in2_layout: None,
+            out_layout: c.layout,
+            vector_axis: innermost.and_then(|p| axes.get(p)).map(|ax| ax.name()),
             warp_axis: step.kind.reduce_axis().map(|ax| ax.name()),
             algo: 3,
             math: MathMode::TensorCore,
@@ -1924,7 +1900,7 @@ pub fn audit(graph: &Graph, plan: &ExecutionPlan, device: &DeviceSpec) -> Moveme
 /// downstream), yet a strictly faster configuration with the same input
 /// layout exists in the sweep.
 pub fn lint_selection(
-    _graph: &Graph,
+    graph: &Graph,
     plan: &ExecutionPlan,
     sweeps: &HashMap<NodeId, SweepResult>,
 ) -> Vec<PlanLint> {
@@ -1936,10 +1912,13 @@ pub fn lint_selection(
         let Some(inp) = step.inputs.get(sweep.flowing_input) else {
             continue;
         };
-        let Some(out) = step.outputs.first() else {
+        // the sweep prices (flowing input, priced output) pairs: a first
+        // output the configuration does not lay out has no pair
+        let laid_out = outputs_laid_out(graph, step.op).first() == Some(&true);
+        let Some(out) = step.outputs.first().filter(|_| laid_out) else {
             continue;
         };
-        let Some(chosen) = sweep.per_io.get(&(inp.layout.clone(), out.layout.clone())) else {
+        let Some(chosen) = sweep.per_io.get(&(inp.layout, out.layout)) else {
             continue;
         };
         // does any later step consume the output in the chosen layout?
@@ -1967,7 +1946,7 @@ pub fn lint_selection(
                     name: step.name.clone(),
                     chosen_us: chosen.time_us,
                     better_us: timing.time_us,
-                    better_out: better_out.clone(),
+                    better_out: layout_spec(graph, out.data, *better_out),
                 });
             }
         }
@@ -2085,6 +2064,7 @@ pub fn render_report(
 mod tests {
     use super::*;
     use crate::fusion::{apply_plan, encoder_fusion_plan};
+    use crate::plan::testing::reversed;
     use crate::plan::Relayout;
     use crate::recipe::forward_ops;
     use xform_dataflow::{build, EncoderDims};
@@ -2217,14 +2197,14 @@ mod tests {
         plan.steps[1].relayouts.push(Relayout {
             data: foreign.data,
             name: foreign.name.clone(),
-            from: foreign.layout.clone(),
-            to: foreign.layout.clone(),
+            from: foreign.layout,
+            to: foreign.layout,
         });
         plan.steps[1].relayouts.push(Relayout {
             data: own.data,
             name: own.name.clone(),
-            from: own.layout.clone(),
-            to: own.layout.clone(),
+            from: own.layout,
+            to: own.layout,
         });
         let a = analyze(&g, &plan);
         assert!(a
@@ -2309,7 +2289,7 @@ mod tests {
         let mut permuted = plan.clone();
         for step in &mut permuted.steps {
             for operand in step.inputs.iter_mut().chain(step.outputs.iter_mut()) {
-                operand.layout = operand.layout.chars().rev().collect();
+                operand.layout = reversed(operand.layout);
             }
         }
         permuted.reflow(&g);

@@ -111,10 +111,10 @@ use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
-use crate::access::{view_path, AccessCertificate, AccessPath};
+use crate::access::{view_path, AccessPath};
 use crate::analyze::{analyze, ArenaGranularity, Home, PlanAnalysis};
 use crate::lower::{lower_step, walk_of, Kernel, RelayoutCopy, Role, Slot, Tail};
-use crate::plan::{ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
+use crate::plan::{layout_spec, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
 use crate::sanitize::{certify_analyzed, certify_arena, plan_fingerprint, ArenaCertificate};
 
 /// One contiguous word range of the slab (or of the scratch/stats
@@ -401,7 +401,6 @@ pub enum ArenaArtifact<'a> {
 pub struct CompiledArena {
     granularity: ArenaGranularity,
     cert: ArenaCertificate,
-    access: AccessCertificate,
     slab_words: usize,
     scratch_words: usize,
     stats_words: usize,
@@ -490,7 +489,7 @@ impl CompiledArena {
         let assignment = crate::analyze::assign_arena(analysis, granularity);
         let cert =
             certify_arena(plan, &assignment).map_err(|lints| refused("arena coloring", lints))?;
-        let access = crate::access::certify_access_arena(graph, plan, &assignment)
+        crate::access::certify_access_arena(graph, plan, &assignment)
             .map_err(|lints| refused("arena access paths", lints))?;
 
         let view = |s: &crate::analyze::ArenaSlot| BufView {
@@ -545,10 +544,10 @@ impl CompiledArena {
                 &mut stats_words,
                 &mut stats_out,
             )
-            .ok_or_else(|| match strided_tail(graph, step) {
+            .ok_or_else(|| match strided_tail(step) {
                 Some(o) => TensorError::Unsupported(format!(
                     "step {si} (`{}`): GEMM-epilogue tail stream `{}` is declared in layout `{}`; tail streams must be in natural layout",
-                    step.name, o.name, o.layout
+                    step.name, o.name, layout_spec(graph, o.data, o.layout)
                 )),
                 None => no_lowering(format!("step {si} (`{}`)", step.name)),
             })?;
@@ -588,11 +587,11 @@ impl CompiledArena {
         }
 
         // the layout the schedule leaves each container in
-        let mut left_in: HashMap<NodeId, &str> = HashMap::new();
+        let mut left_in: HashMap<NodeId, Layout> = HashMap::new();
         for step in &plan.steps {
-            let relayouts = step.relayouts.iter().map(|r| (r.data, r.to.as_str()));
+            let relayouts = step.relayouts.iter().map(|r| (r.data, r.to));
             let operands = step.inputs.iter().chain(&step.outputs);
-            for (data, layout) in relayouts.chain(operands.map(|o| (o.data, o.layout.as_str()))) {
+            for (data, layout) in relayouts.chain(operands.map(|o| (o.data, o.layout))) {
                 left_in.insert(data, layout);
             }
         }
@@ -605,11 +604,10 @@ impl CompiledArena {
                 (place_of.get(&b.data), b.role)
             {
                 let d = graph.data(b.data).ok_or_else(container)?;
-                let spec = left_in.get(&b.data).ok_or_else(container)?;
                 outputs.push(MaterializeSpec {
                     name: b.name.clone(),
                     shape: d.shape.clone(),
-                    layout: Layout::from_axis_order(&d.shape, spec)?,
+                    layout: *left_in.get(&b.data).ok_or_else(container)?,
                     view,
                     saved: b.role == DataRole::Saved,
                 });
@@ -646,7 +644,6 @@ impl CompiledArena {
         Ok(CompiledArena {
             granularity,
             cert,
-            access,
             slab_words,
             scratch_words,
             stats_words,
@@ -685,7 +682,6 @@ impl CompiledArena {
         CompiledArena {
             granularity: self.granularity,
             cert: self.cert.clone(),
-            access: self.access.clone(),
             slab_words: self.slab_words,
             scratch_words: self.scratch_words,
             stats_words: self.stats_words,
@@ -725,12 +721,6 @@ impl CompiledArena {
     /// The certificate proving the coloring respects liveness.
     pub fn certificate(&self) -> &ArenaCertificate {
         &self.cert
-    }
-
-    /// The certificate proving every step's access paths in-bounds and
-    /// alias-free within the slab.
-    pub fn access_certificate(&self) -> &AccessCertificate {
-        &self.access
     }
 
     /// Slab size in words — the arena's high-water mark.
@@ -944,7 +934,7 @@ impl CompiledArena {
                 ..
             } => {
                 // one pass over the words: no zero fill ahead of the copy
-                let t = Tensor::from_vec_with_layout(shape.clone(), layout.clone(), data.to_vec())
+                let t = Tensor::from_vec_with_layout(shape.clone(), *layout, data.to_vec())
                     .expect("a slot holds its container's words");
                 out.env.insert(name.to_string(), t);
             }
@@ -1141,16 +1131,12 @@ pub fn execute(
 /// The first tail stream of a GEMM-epilogue step declared in a non-natural
 /// layout — the one thing [`lower_step`] refuses that the reference
 /// interpreter runs.
-fn strided_tail<'s>(graph: &Graph, step: &'s PlanStep) -> Option<&'s crate::plan::Operand> {
+fn strided_tail(step: &PlanStep) -> Option<&crate::plan::Operand> {
     if !matches!(step.kind, OpKind::ContractionEpilogue { .. }) {
         return None;
     }
     let tail = step.inputs.iter().skip(2).chain(&step.outputs);
-    tail.into_iter().find(|o| {
-        graph
-            .data(o.data)
-            .is_some_and(|d| d.shape.spec() != o.layout)
-    })
+    tail.into_iter().find(|o| !o.layout.is_row_major())
 }
 
 /// Precompiles one plan step: its lowering (`core::lower`), with every
@@ -1557,6 +1543,7 @@ mod tests {
 
     use super::*;
     use crate::fusion::{apply_plan, encoder_fusion_plan};
+    use crate::plan::testing::reversed;
     use crate::plan::{execute_plan, execute_step, random_externals};
     use crate::profile::{PlanProfiler, ProfilerSink};
     use crate::recipe::forward_ops;
@@ -1878,7 +1865,7 @@ mod tests {
         let (graph, natural) = fused_plan();
         let mut strided = natural.clone();
         for o in strided.steps[0].outputs.iter_mut() {
-            o.layout = o.layout.chars().rev().collect();
+            o.layout = reversed(o.layout);
         }
         let sm = strided.steps.iter().position(|s| s.name == "SM").unwrap();
         let reads = |s: &PlanStep, name: &str| s.inputs.iter().any(|i| i.name == name);
@@ -1888,7 +1875,7 @@ mod tests {
         for (si, name) in [(sm, "beta"), (w1, "w1"), (x, "x")] {
             let input = strided.steps[si].inputs.iter_mut().find(|i| i.name == name);
             let layout = &mut input.unwrap().layout;
-            *layout = layout.chars().rev().collect();
+            *layout = reversed(*layout);
         }
         strided.reflow(&graph);
         assert!(strided.relayout_count() >= 4);
@@ -1952,7 +1939,7 @@ mod tests {
             execute(&graph, &strided, &mut st, &ExecOptions::default()).unwrap();
             st.env.remove(&first.name)
         } {
-            assert_eq!(t.layout().spec(t.shape()), first.layout);
+            assert_eq!(*t.layout(), first.layout);
         }
         // same schedule, other dimensions: another arena
         let eg = build::encoder(&EncoderDims {
@@ -1986,7 +1973,7 @@ mod tests {
         let reader = graph.add_op("reader", OpKind::Residual, &[a, b], &[y]);
         let mover = graph.add_op("mover", OpKind::Residual, &[a, c], &[z]);
         let mut plan = ExecutionPlan::natural(&graph, &[reader, mover]).unwrap();
-        plan.steps[1].inputs[0].layout = "ib".into();
+        plan.steps[1].inputs[0].layout = Layout::from_axis_order(&shape(), "ib").unwrap();
         plan.reflow(&graph);
         assert_eq!(plan.steps[1].relayouts.len(), 1);
 
@@ -2032,7 +2019,7 @@ mod tests {
             .unwrap();
         // strided A: fine
         let a = &mut plan.steps[si].inputs[0].layout;
-        *a = a.chars().rev().collect();
+        *a = reversed(*a);
         plan.reflow(&g);
         compile(&g, &plan, ArenaGranularity::Serial);
         // strided tail stream: refused
@@ -2041,7 +2028,7 @@ mod tests {
             plan.steps[si].outputs[0].name.clone(),
         );
         let o = &mut plan.steps[si].outputs[0].layout;
-        *o = o.chars().rev().collect();
+        *o = reversed(*o);
         plan.reflow(&g);
         let analysis = analyze(&g, &plan);
         assert!(analysis.is_clean(), "{:?}", analysis.errors());

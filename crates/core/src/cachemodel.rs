@@ -55,6 +55,7 @@ use xform_dataflow::{Graph, NodeId, OpKind};
 use xform_gpusim::mue::{mue, Mue, MueAccum};
 use xform_gpusim::opmodel::cache_discounted;
 use xform_gpusim::{DeviceSpec, KernelCost};
+use xform_tensor::Layout;
 
 use crate::access::step_accesses;
 use crate::analyze::{self, PlanLint};
@@ -62,6 +63,7 @@ use crate::lower::{lower_step, Kernel};
 use crate::plan::{ExecutionPlan, Operand, PlanStep};
 use crate::sanitize::env_setting;
 use crate::selection::RELAYOUT_BANDWIDTH_FRAC;
+use crate::sweep::outputs_laid_out;
 
 /// Environment variable overriding the host-detected cache geometry:
 /// a comma-separated list of `SIZE[:LINE[:ASSOC]]` level specs, smallest
@@ -813,26 +815,18 @@ pub fn op_dram_words(
     graph: &Graph,
     op: NodeId,
     flowing_input: usize,
-    in_layout: &str,
-    out_layout: &str,
+    in_layout: Layout,
+    out_layout: Layout,
     geometry: &CacheGeometry,
     word_bytes: u64,
 ) -> Option<(u64, u64)> {
     let node = graph.op(op)?;
-    let natural = |id: NodeId| -> Option<String> {
-        graph
-            .data(id)
-            .map(|d| d.shape.axes().iter().map(|a| a.0).collect())
-    };
-    let operand = |id: NodeId, layout: Option<&str>| -> Option<Operand> {
-        let lay = match layout {
-            Some(l) => l.to_string(),
-            None => natural(id)?,
-        };
+    let operand = |id: NodeId, layout: Option<Layout>| -> Option<Operand> {
+        let d = graph.data(id)?;
         Some(Operand {
             data: id,
-            name: graph.data(id).map(|d| d.name.clone()).unwrap_or_default(),
-            layout: lay,
+            name: d.name.clone(),
+            layout: layout.unwrap_or_else(|| Layout::row_major(d.shape.rank())),
         })
     };
     let in_ids = graph.inputs_of(op);
@@ -843,21 +837,14 @@ pub fn op_dram_words(
     let inputs: Vec<Operand> = in_ids
         .iter()
         .enumerate()
-        .map(|(k, &id)| {
-            operand(
-                id,
-                if k == flowing_input {
-                    Some(in_layout)
-                } else {
-                    None
-                },
-            )
-        })
+        .map(|(k, &id)| operand(id, (k == flowing_input).then_some(in_layout)))
         .collect::<Option<Vec<_>>>()?;
+    // the primary output, where the configuration lays it out
+    let primary = outputs_laid_out(graph, op)[0].then_some(out_layout);
     let outputs: Vec<Operand> = out_ids
         .iter()
         .enumerate()
-        .map(|(k, &id)| operand(id, if k == 0 { Some(out_layout) } else { None }))
+        .map(|(k, &id)| operand(id, primary.filter(|_| k == 0)))
         .collect::<Option<Vec<_>>>()?;
     let step = PlanStep {
         op,
@@ -888,6 +875,7 @@ pub fn op_dram_words(
 mod tests {
     use super::*;
     use crate::fusion::{apply_epilogues, apply_plan, encoder_fusion_plan};
+    use crate::plan::testing::rotated;
     use crate::plan::ExecutionPlan;
     use crate::recipe::forward_ops;
     use xform_dataflow::{build, EncoderDims};
@@ -990,18 +978,16 @@ mod tests {
         let geom = CacheGeometry::typical_host();
         // find a normalization step with a rank≥2 flowing input
         for step in &plan.steps {
-            let nat = &step.inputs[0].layout;
-            if nat.len() < 2 {
+            let nat = step.inputs[0].layout;
+            if nat.rank() < 2 {
                 continue;
             }
-            let mut rev: Vec<char> = nat.chars().collect();
-            rev.rotate_right(1);
-            let rev: String = rev.into_iter().collect();
-            let out = &step.outputs[0].layout;
+            let rev = rotated(nat);
+            let out = step.outputs[0].layout;
             let Some((u_nat, d_nat)) = op_dram_words(&g, step.op, 0, nat, out, &geom, 4) else {
                 continue;
             };
-            let Some((u_rev, d_rev)) = op_dram_words(&g, step.op, 0, &rev, out, &geom, 4) else {
+            let Some((u_rev, d_rev)) = op_dram_words(&g, step.op, 0, rev, out, &geom, 4) else {
                 continue;
             };
             assert_eq!(u_nat, u_rev);

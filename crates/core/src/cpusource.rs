@@ -49,7 +49,7 @@ use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 use crate::analyze::{analyze, ArenaGranularity};
 use crate::arena::{ArenaArtifact, CompiledArena};
 use crate::lower::lower_step;
-use crate::plan::{ExecOptions, ExecutionPlan, SanitizeMode};
+use crate::plan::{relaid, ExecOptions, ExecutionPlan, SanitizeMode};
 use crate::profile::PlanProfiler;
 use crate::sweep::PerfSource;
 
@@ -195,58 +195,22 @@ pub(crate) fn calibrate_stream_rate() -> f64 {
     (n as f64 * 4.0) / us.max(1e-3)
 }
 
-fn layout_for(shape: &Shape, spec: &str) -> Result<Layout> {
-    Layout::from_axis_order(shape, spec)
+/// The strides of `t`'s axes in the order `iter` walks them (logical axis
+/// indices, outermost first), and their extents.
+fn walk(t: &Tensor, iter: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    debug_assert_eq!(iter.len(), t.shape().rank());
+    let sizes = iter.iter().map(|&i| t.shape().sizes()[i]).collect();
+    let strides = iter.iter().map(|&i| t.strides()[i]).collect();
+    (sizes, strides)
 }
 
-/// Walks every element of `t` in the index order given by `iter_spec`
-/// (logical axes, outermost first), accumulating reads. Returns a value to
-/// keep the optimizer honest.
-fn sweep_read(t: &Tensor, iter_spec: &str) -> f32 {
-    let shape = t.shape();
-    let order: Vec<usize> = iter_spec
-        .chars()
-        .filter_map(|c| shape.index_of(xform_tensor::Axis(c)).ok())
-        .collect();
-    debug_assert_eq!(order.len(), shape.rank());
-    let sizes: Vec<usize> = order.iter().map(|&i| shape.sizes()[i]).collect();
-    let strides: Vec<usize> = order.iter().map(|&i| t.strides()[i]).collect();
-    let mut acc = 0.0f32;
-    let mut idx = vec![0usize; order.len()];
+/// Visits the offset of every element of a walk in odometer order
+/// (innermost last).
+fn sweep(sizes: &[usize], strides: &[usize], mut visit: impl FnMut(usize)) {
+    let mut idx = vec![0usize; sizes.len()];
     let mut off = 0usize;
     loop {
-        acc += t.data()[off];
-        // advance odometer in iter order (innermost last)
-        let mut d = idx.len();
-        loop {
-            if d == 0 {
-                return acc;
-            }
-            d -= 1;
-            idx[d] += 1;
-            off += strides[d];
-            if idx[d] < sizes[d] {
-                break;
-            }
-            off -= sizes[d] * strides[d];
-            idx[d] = 0;
-        }
-    }
-}
-
-/// Writes every element of `t` in `iter_spec` order.
-fn sweep_write(t: &mut Tensor, iter_spec: &str, v: f32) {
-    let shape = t.shape().clone();
-    let order: Vec<usize> = iter_spec
-        .chars()
-        .filter_map(|c| shape.index_of(xform_tensor::Axis(c)).ok())
-        .collect();
-    let sizes: Vec<usize> = order.iter().map(|&i| shape.sizes()[i]).collect();
-    let strides: Vec<usize> = order.iter().map(|&i| t.strides()[i]).collect();
-    let mut idx = vec![0usize; order.len()];
-    let mut off = 0usize;
-    loop {
-        t.data_mut()[off] = v;
+        visit(off);
         let mut d = idx.len();
         loop {
             if d == 0 {
@@ -264,18 +228,28 @@ fn sweep_write(t: &mut Tensor, iter_spec: &str, v: f32) {
     }
 }
 
-/// Iteration order for a tensor under a configuration: the configured
-/// layout order, with the vector axis rotated to the innermost position
-/// (that is what "vectorize along this axis" means for the sweep).
-fn iter_order(layout_spec: &str, vector_axis: Option<char>) -> String {
-    match vector_axis {
-        Some(v) if layout_spec.contains(v) => {
-            let mut s: String = layout_spec.chars().filter(|&c| c != v).collect();
-            s.push(v);
-            s
-        }
-        _ => layout_spec.to_string(),
-    }
+/// Walks every element of `t` in the index order `iter`, accumulating
+/// reads. Returns a value to keep the optimizer honest.
+fn sweep_read(t: &Tensor, iter: &[usize]) -> f32 {
+    let (sizes, strides) = walk(t, iter);
+    let mut acc = 0.0f32;
+    sweep(&sizes, &strides, |off| acc += t.data()[off]);
+    acc
+}
+
+/// Writes every element of `t` in `iter` order.
+fn sweep_write(t: &mut Tensor, iter: &[usize], v: f32) {
+    let (sizes, strides) = walk(t, iter);
+    sweep(&sizes, &strides, |off| t.data_mut()[off] = v);
+}
+
+/// Iteration order for a tensor under a configuration: its layout's order,
+/// with the vector axis rotated to the innermost position (that is what
+/// "vectorize along this axis" means for the sweep).
+fn iter_order(t: &Tensor, vector_axis: Option<char>) -> Vec<usize> {
+    let vector = vector_axis.and_then(|v| t.shape().index_of(xform_tensor::Axis(v)).ok());
+    let rest = t.layout().order().filter(|&i| Some(i) != vector);
+    rest.chain(vector).collect()
 }
 
 impl PerfSource for CpuSource {
@@ -313,99 +287,58 @@ impl PerfSource for CpuSource {
                 }
                 let a_shape = shape_of(inputs[0])?;
                 let b_shape = shape_of(inputs[1])?;
-                let a = Tensor::random(a_shape.clone(), &dist, &mut rng)
-                    .relayout(&layout_for(&a_shape, &cfg.in_spec)?);
-                let in2 = cfg.in2_spec.as_deref().ok_or_else(|| {
+                let in2 = cfg.in2_layout.ok_or_else(|| {
                     TensorError::Unsupported("contraction config lacks in2 layout".into())
                 })?;
-                let b = Tensor::random(b_shape.clone(), &dist, &mut rng)
-                    .relayout(&layout_for(&b_shape, in2)?);
-                // determine the output layout against the real output shape
-                let class = spec.classify()?;
-                let out_axes: Vec<(char, usize)> = spec
-                    .output()
-                    .iter()
-                    .map(|&ax| {
-                        let n = a_shape.size(ax).or_else(|_| b_shape.size(ax))?;
-                        Ok((ax.name(), n))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let out_shape = Shape::new(out_axes)?;
-                // Slice writers (e.g. `QKT dX1` filling the stacked Q/K/V
-                // gradient) have a data container whose axis letters differ
-                // from the einsum's output labels; translate the configured
-                // layout positionally.
-                let data_out_axes: Vec<char> = shape_of(outputs[0])?
-                    .axes()
-                    .iter()
-                    .map(|a| a.name())
-                    .collect();
-                let translated: String = cfg
-                    .out_spec
-                    .chars()
-                    .map(|c| {
-                        data_out_axes
-                            .iter()
-                            .position(|&a| a == c)
-                            .and_then(|p| spec.output().get(p).map(|ax| ax.name()))
-                            .unwrap_or(c)
-                    })
-                    .collect();
-                let out_layout = layout_for(&out_shape, &translated)?;
-                let _ = class;
+                let a = relaid(&Tensor::random(a_shape, &dist, &mut rng), cfg.in_layout)?;
+                let b = relaid(&Tensor::random(b_shape, &dist, &mut rng), in2)?;
+                // a slice writer (`QKT dX1` filling the stacked Q/K/V
+                // gradient) names its container's axes differently from the
+                // einsum's output labels; the layout is the same value
+                if cfg.out_layout.rank() != spec.output().len() {
+                    return Err(TensorError::LayoutRankMismatch {
+                        expected: spec.output().len(),
+                        found: cfg.out_layout.rank(),
+                    });
+                }
                 let spec = spec.clone();
                 self.time_once(&mut || {
-                    let c = contract(&spec, &a, &b, &out_layout).expect("measured contraction");
+                    let c = contract(&spec, &a, &b, &cfg.out_layout).expect("measured contraction");
                     std::hint::black_box(c.data()[0]);
                 })
             }
             (None, _) => {
                 // backward kernel: representative strided sweep over the
-                // kernel's tensors
+                // kernel's tensors, those of a configured layout's rank in it
                 let two_pass = node.kind.has_reduction();
+                let fitting = |s: &Shape, l: Layout| {
+                    if s.rank() == l.rank() {
+                        l
+                    } else {
+                        Layout::row_major(s.rank())
+                    }
+                };
                 let in_tensors: Vec<Tensor> = inputs
                     .iter()
                     .map(|&id| {
                         let s = shape_of(id)?;
-                        let spec_str: String = if s.rank() == cfg.in_spec.len()
-                            && cfg
-                                .in_spec
-                                .chars()
-                                .all(|c| s.contains(xform_tensor::Axis(c)))
-                        {
-                            cfg.in_spec.clone()
-                        } else {
-                            s.spec()
-                        };
-                        Ok(Tensor::random(s.clone(), &dist, &mut rng)
-                            .relayout(&layout_for(&s, &spec_str)?))
+                        let layout = fitting(&s, cfg.in_layout);
+                        Ok(Tensor::random(s, &dist, &mut rng).relayout(&layout))
                     })
                     .collect::<Result<Vec<_>>>()?;
                 let mut out_tensors: Vec<Tensor> = outputs
                     .iter()
                     .map(|&id| {
                         let s = shape_of(id)?;
-                        let spec_str: String = if s.rank() == cfg.out_spec.len()
-                            && cfg
-                                .out_spec
-                                .chars()
-                                .all(|c| s.contains(xform_tensor::Axis(c)))
-                        {
-                            cfg.out_spec.clone()
-                        } else {
-                            s.spec()
-                        };
-                        Ok(Tensor::zeros_with_layout(
-                            s.clone(),
-                            layout_for(&s, &spec_str)?,
-                        ))
+                        let layout = fitting(&s, cfg.out_layout);
+                        Ok(Tensor::zeros_with_layout(s, layout))
                     })
                     .collect::<Result<Vec<_>>>()?;
                 let vector_axis = cfg.vector_axis;
                 self.time_once(&mut || {
                     let mut acc = 0.0f32;
                     for t in &in_tensors {
-                        let order = iter_order(&t.layout().spec(t.shape()), vector_axis);
+                        let order = iter_order(t, vector_axis);
                         acc += sweep_read(t, &order);
                         if two_pass && t.len() == in_tensors[0].len() {
                             // second loop of reduce-then-map kernels
@@ -413,7 +346,7 @@ impl PerfSource for CpuSource {
                         }
                     }
                     for t in &mut out_tensors {
-                        let order = iter_order(&t.layout().spec(t.shape()), vector_axis);
+                        let order = iter_order(t, vector_axis);
                         sweep_write(t, &order, acc);
                     }
                     std::hint::black_box(acc);
@@ -520,13 +453,13 @@ mod tests {
         let shape = Shape::new([('a', 256), ('b', 512)]).unwrap();
         let t = Tensor::zeros(shape); // row-major: 'b' contiguous
         let src = CpuSource::new(5);
-        let time = |order: &str| {
+        let time = |order: &[usize]| {
             src.clone().time_once(&mut || {
                 std::hint::black_box(sweep_read(&t, order));
             })
         };
-        let good = time("ab");
-        let bad = time("ba");
+        let good = time(&[0, 1]);
+        let bad = time(&[1, 0]);
         assert!(
             bad > good * 0.8,
             "strided {bad} µs vs contiguous {good} µs — expected no large win for strided"

@@ -216,26 +216,21 @@ pub(crate) fn walk_of(sweeps: &[Sweep], operands: usize, k: usize) -> Walk {
     sweeps.get(k / per_sweep).map_or(Walk::Lane, Sweep::walk)
 }
 
-/// Strides of `shape` under the layout `declared` names (natural when it
-/// names none that parses).
-fn declared_strides(shape: &Shape, declared: Option<&str>) -> Vec<usize> {
-    declared
-        .and_then(|l| Layout::from_axis_order(shape, l).ok())
-        .unwrap_or_else(|| Layout::row_major(shape.rank()))
-        .strides(shape)
+/// Strides of `shape` under `layout`; `None` when the ranks disagree.
+fn strides_under(shape: &Shape, layout: Layout) -> Option<Vec<usize>> {
+    (layout.rank() == shape.rank()).then(|| layout.strides(shape))
 }
 
 /// Lowers one relayout insertion; `None` when the container is dead or a
-/// layout does not parse.
+/// layout has another rank.
 fn lower_relayout(graph: &Graph, r: &crate::plan::Relayout) -> Option<RelayoutCopy> {
     let shape = &graph.data(r.data)?.shape;
-    let to_layout = Layout::from_axis_order(shape, &r.to).ok()?;
-    let from = Layout::from_axis_order(shape, &r.from).ok()?.strides(shape);
-    let to = to_layout.strides(shape);
-    let dims = to_layout.order().iter();
+    let (from, to) = (strides_under(shape, r.from)?, strides_under(shape, r.to)?);
     Some(RelayoutCopy {
         data: r.data,
-        dims: dims.map(|&d| (shape.sizes()[d], from[d], to[d])).collect(),
+        dims: (r.to.order())
+            .map(|d| (shape.sizes()[d], from[d], to[d]))
+            .collect(),
     })
 }
 
@@ -257,9 +252,11 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             Slot::Out(k) => (*outs.get(k)?, step.outputs.get(k)),
         })
     };
+    // an edge the step declares no operand for is in its natural layout
     let strides = |slot: Slot| -> Option<Vec<usize>> {
         let (shape, declared) = edge(slot)?;
-        Some(declared_strides(shape, declared.map(|o| o.layout.as_str())))
+        let natural = Layout::row_major(shape.rank());
+        strides_under(shape, declared.map_or(natural, |o| o.layout))
     };
     // the operand's whole container over its own axes
     let whole = |slot: Slot| Some(View::whole(edge(slot)?.0.sizes(), &strides(slot)?));
@@ -487,7 +484,7 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             };
             // the tail streams are walked as dense row blocks
             let natural = |slot: Slot| {
-                edge(slot).is_some_and(|(shape, o)| o.is_none_or(|o| o.layout == shape.spec()))
+                edge(slot).is_some_and(|(_, o)| o.is_none_or(|o| o.layout.is_row_major()))
             };
             let tail_slots = (2..ins.len())
                 .map(Slot::In)
@@ -558,6 +555,7 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
 mod tests {
     use super::*;
     use crate::fusion::{apply_epilogues, apply_plan, decoder_fusion_plan, encoder_fusion_plan};
+    use crate::plan::testing::rotated;
     use crate::plan::ExecutionPlan;
     use crate::recipe::forward_ops;
     use xform_dataflow::{build, DataRole, EncoderDims};
@@ -650,9 +648,7 @@ mod tests {
         let mut plan = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
         let si = plan.steps.iter().position(|s| s.name == "SM").unwrap();
         let natural = lower_step(&g, &plan.steps[si]).unwrap();
-        let mut rotated: Vec<char> = plan.steps[si].inputs[0].layout.chars().collect();
-        rotated.rotate_right(1);
-        plan.steps[si].inputs[0].layout = rotated.into_iter().collect();
+        plan.steps[si].inputs[0].layout = rotated(plan.steps[si].inputs[0].layout);
         plan.reflow(&g);
         let low = lower_step(&g, &plan.steps[si]).unwrap();
         let (x_nat, x_rot) = (&natural.operands[0].2, &low.operands[0].2);

@@ -39,20 +39,19 @@ use xform_tensor::ops::layernorm::{layernorm, LayerNormStats};
 use xform_tensor::ops::softmax::softmax;
 use xform_tensor::{Axis, Layout, Result, Shape, Tensor, TensorError};
 
-use crate::selection::{translate_layout, Selection};
-use crate::sweep::flowing_input_index;
+use crate::selection::Selection;
+use crate::sweep::{flowing_input_index, outputs_laid_out};
 
 /// One tensor slot of a [`PlanStep`]: which container it is and the
-/// physical axis order (layout spec) the step wants it materialized in.
+/// layout the step wants it materialized in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Operand {
     /// The data container in the graph.
     pub data: NodeId,
     /// The container's name (the interpreter's environment key).
     pub name: String,
-    /// Physical axis-order spec over the container's logical axes,
-    /// outermost first (e.g. `"bjhk"` for a logically-`hbjk` tensor).
-    pub layout: String,
+    /// Physical order of the container's logical axes, outermost first.
+    pub layout: Layout,
 }
 
 /// An explicit relayout (transpose) the schedule inserts before a step
@@ -65,9 +64,9 @@ pub struct Relayout {
     /// Its name.
     pub name: String,
     /// Layout it currently sits in.
-    pub from: String,
+    pub from: Layout,
     /// Layout this step requires.
-    pub to: String,
+    pub to: Layout,
 }
 
 /// One scheduled kernel launch: the operator, its operand layouts, and any
@@ -96,17 +95,14 @@ pub struct ExecutionPlan {
     pub steps: Vec<PlanStep>,
 }
 
-/// `true` when `layout` is a permutation of the logical axis string
-/// `logical` (same letters, each exactly once).
-fn is_permutation_of(layout: &str, logical: &str) -> bool {
-    if layout.len() != logical.len() {
-        return false;
+/// `layout` spelled in the axis letters of container `data`, memory order
+/// — how reports and lints show a layout (its bare permutation where it
+/// is not one of that container's rank).
+pub fn layout_spec(graph: &Graph, data: NodeId, layout: Layout) -> String {
+    match graph.data(data) {
+        Some(d) if d.shape.rank() == layout.rank() => layout.spec(&d.shape),
+        _ => layout.to_string(),
     }
-    let mut a: Vec<char> = layout.chars().collect();
-    let mut b: Vec<char> = logical.chars().collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    a == b && a.windows(2).all(|w| w[0] != w[1])
 }
 
 fn data_of(graph: &Graph, id: NodeId) -> Result<&xform_dataflow::DataNode> {
@@ -117,10 +113,10 @@ fn data_of(graph: &Graph, id: NodeId) -> Result<&xform_dataflow::DataNode> {
 
 impl ExecutionPlan {
     /// Builds a single layout-annotated step for `op` from a sweep/selection
-    /// configuration. Operands whose shape the configuration's specs cannot
-    /// describe (rank or axis mismatch) fall back to their natural layout;
-    /// sibling outputs are translated positionally from the primary output's
-    /// spec, mirroring the selection's own bookkeeping.
+    /// configuration: an einsum's two operands, or another kernel's flowing
+    /// input, and the outputs the configuration lays out
+    /// ([`outputs_laid_out`]) take its layouts; every other operand is in
+    /// its natural layout, as is one whose rank a layout does not have.
     ///
     /// # Errors
     ///
@@ -129,75 +125,35 @@ impl ExecutionPlan {
         let node = graph
             .op(op)
             .ok_or_else(|| TensorError::Unsupported(format!("{op} is not an operator")))?;
-        let input_ids = graph.inputs_of(op);
-        let output_ids = graph.outputs_of(op);
         let flowing = flowing_input_index(graph, op);
         // a region lays out the scores contraction's operands like an einsum
         let is_einsum = matches!(
             node.kind,
             OpKind::Einsum(_) | OpKind::AttentionRegion { .. }
         );
-
-        let mut inputs = Vec::with_capacity(input_ids.len());
-        for (i, &id) in input_ids.iter().enumerate() {
+        let operand = |id: NodeId, wanted: Option<Layout>| -> Result<Operand> {
             let d = data_of(graph, id)?;
-            let logical = d.shape.spec();
-            let wanted: Option<&str> = if is_einsum {
-                match i {
-                    0 => Some(cfg.in_spec.as_str()),
-                    1 => cfg.in2_spec.as_deref(),
-                    _ => None,
-                }
-            } else if i == flowing {
-                Some(cfg.in_spec.as_str())
-            } else {
-                None
-            };
-            let layout = match wanted {
-                Some(spec) if is_permutation_of(spec, &logical) => spec.to_string(),
-                _ => logical,
-            };
-            inputs.push(Operand {
+            let rank = d.shape.rank();
+            Ok(Operand {
                 data: id,
                 name: d.name.clone(),
-                layout,
-            });
-        }
-
-        let mut outputs = Vec::with_capacity(output_ids.len());
-        let primary_logical = output_ids
-            .first()
-            .and_then(|&id| graph.data(id))
-            .map(|d| d.shape.spec());
-        for (o, &id) in output_ids.iter().enumerate() {
-            let d = data_of(graph, id)?;
-            let logical = d.shape.spec();
-            let layout = if o == 0 && is_permutation_of(&cfg.out_spec, &logical) {
-                cfg.out_spec.clone()
-            } else if o > 0 {
-                // translate the primary output's layout positionally onto
-                // same-rank siblings (e.g. a dropout mask shares its
-                // output's layout)
-                match &primary_logical {
-                    Some(pl) if pl.len() == logical.len() => {
-                        let t = translate_layout(&cfg.out_spec, pl, &logical);
-                        if is_permutation_of(&t, &logical) {
-                            t
-                        } else {
-                            logical
-                        }
-                    }
-                    _ => logical,
-                }
-            } else {
-                logical
-            };
-            outputs.push(Operand {
-                data: id,
-                name: d.name.clone(),
-                layout,
-            });
-        }
+                layout: (wanted.filter(|l| l.rank() == rank))
+                    .unwrap_or_else(|| Layout::row_major(rank)),
+            })
+        };
+        let wanted_in = |i: usize| match i {
+            0 if is_einsum => Some(cfg.in_layout),
+            1 if is_einsum => cfg.in2_layout,
+            _ if !is_einsum && i == flowing => Some(cfg.in_layout),
+            _ => None,
+        };
+        let inputs = (graph.inputs_of(op).into_iter().enumerate())
+            .map(|(i, id)| operand(id, wanted_in(i)))
+            .collect::<Result<Vec<_>>>()?;
+        let outputs = (graph.outputs_of(op).into_iter())
+            .zip(outputs_laid_out(graph, op))
+            .map(|(id, laid_out)| operand(id, laid_out.then_some(cfg.out_layout)))
+            .collect::<Result<Vec<_>>>()?;
 
         Ok(PlanStep {
             op,
@@ -230,7 +186,7 @@ impl ExecutionPlan {
                         Ok(Operand {
                             data: id,
                             name: d.name.clone(),
-                            layout: d.shape.spec(),
+                            layout: Layout::row_major(d.shape.rank()),
                         })
                     })
                     .collect()
@@ -272,28 +228,27 @@ impl ExecutionPlan {
     /// (containers start in their natural layout). Call after editing any
     /// operand layout.
     pub fn reflow(&mut self, graph: &Graph) {
-        let mut current: HashMap<NodeId, String> = HashMap::new();
+        let mut current: HashMap<NodeId, Layout> = HashMap::new();
         for step in &mut self.steps {
             step.relayouts.clear();
             for inp in &step.inputs {
                 let have = current.entry(inp.data).or_insert_with(|| {
                     graph
                         .data(inp.data)
-                        .map(|d| d.shape.spec())
-                        .unwrap_or_else(|| inp.layout.clone())
+                        .map_or(inp.layout, |d| Layout::row_major(d.shape.rank()))
                 });
                 if *have != inp.layout {
                     step.relayouts.push(Relayout {
                         data: inp.data,
                         name: inp.name.clone(),
-                        from: have.clone(),
-                        to: inp.layout.clone(),
+                        from: *have,
+                        to: inp.layout,
                     });
-                    *have = inp.layout.clone();
+                    *have = inp.layout;
                 }
             }
             for out in &step.outputs {
-                current.insert(out.data, out.layout.clone());
+                current.insert(out.data, out.layout);
             }
         }
     }
@@ -320,15 +275,10 @@ impl ExecutionPlan {
 
     /// Operands declared in any but their container's natural layout: the
     /// ones a kernel reads through a strided view.
-    pub fn strided_operand_count(&self, graph: &Graph) -> usize {
-        let natural = |o: &Operand| {
-            graph
-                .data(o.data)
-                .is_some_and(|d| d.shape.spec() == o.layout)
-        };
+    pub fn strided_operand_count(&self) -> usize {
         (self.steps.iter())
             .flat_map(|s| s.inputs.iter().chain(&s.outputs))
-            .filter(|o| !natural(o))
+            .filter(|o| !o.layout.is_row_major())
             .count()
     }
 
@@ -821,28 +771,34 @@ fn carve_stacked(stacked: &Tensor, start: usize, out_shape: &Shape) -> Result<Te
 
 /// `spec` over two tensors relabelled positionally to its letters; the
 /// result relabelled to the axes of `container`, in the layout `declared`
-/// names in those axes (row-major when it names none that parses).
+/// (row-major when there is none).
 fn contract_as(
     spec: &EinsumSpec,
     a: &Tensor,
     b: &Tensor,
     container: &str,
-    declared: Option<&str>,
+    declared: Option<Layout>,
 ) -> Result<Tensor> {
     let (a_s, b_s, lbl) = labelled_shapes(spec, a.shape(), b.shape()).ok_or_else(|| {
         TensorError::Unsupported(format!("operand shapes do not fit einsum `{spec}`"))
     })?;
     let (a, b) = (relabeled(a, &a_s.spec())?, relabeled(b, &b_s.spec())?);
-    // translate the declared (container-letter) layout onto the labelled
-    // output shape positionally
-    let lay = declared
-        .map(|d| translate_layout(d, container, &lbl.spec()))
-        .and_then(|d| Layout::from_axis_order(&lbl, &d).ok())
-        .unwrap_or_else(|| Layout::row_major(lbl.rank()));
+    let lay = declared.unwrap_or_else(|| Layout::row_major(lbl.rank()));
     relabeled(
         &xform_tensor::contract::contract(spec, &a, &b, &lay)?,
         container,
     )
+}
+
+/// `t` re-materialized in `layout`, which must have its rank.
+pub(crate) fn relaid(t: &Tensor, layout: Layout) -> Result<Tensor> {
+    if layout.rank() != t.shape().rank() {
+        return Err(TensorError::LayoutRankMismatch {
+            expected: t.shape().rank(),
+            found: layout.rank(),
+        });
+    }
+    Ok(t.relayout(&layout))
 }
 
 /// Runs one scheduled step against the interpreter state: applies the
@@ -863,9 +819,7 @@ pub fn execute_step<R: Rng + ?Sized>(
 ) -> Result<()> {
     // explicit transposes first
     for r in &step.relayouts {
-        let t = state.get(&r.name)?;
-        let lay = Layout::from_axis_order(t.shape(), &r.to)?;
-        let moved = t.relayout(&lay);
+        let moved = relaid(state.get(&r.name)?, r.to)?;
         state.env.insert(r.name.clone(), moved);
     }
 
@@ -897,7 +851,7 @@ pub fn execute_step<R: Rng + ?Sized>(
             match ins.len() {
                 2 => {
                     let container = out_shape(0)?.spec();
-                    let declared = Some(step.outputs[0].layout.as_str());
+                    let declared = Some(step.outputs[0].layout);
                     results.push(contract_as(spec, &ins[0], &ins[1], &container, declared)?);
                 }
                 1 => {
@@ -1070,7 +1024,7 @@ pub fn execute_step<R: Rng + ?Sized>(
                 fused::sm(&scores, opts.scaler, *reduce_axis, p, rng)?
             };
             let container = out_shape(0)?.spec();
-            let declared = Some(step.outputs[0].layout.as_str());
+            let declared = Some(step.outputs[0].layout);
             results.push(contract_as(gamma, values, &sm.alpha, &container, declared)?);
         }
         other => {
@@ -1094,10 +1048,8 @@ pub fn execute_step<R: Rng + ?Sized>(
     }
     for (operand, mut t) in step.outputs.iter().zip(results) {
         // materialize in the declared layout
-        let have = t.layout().spec(t.shape());
-        if have != operand.layout {
-            let lay = Layout::from_axis_order(t.shape(), &operand.layout)?;
-            t = t.relayout(&lay);
+        if *t.layout() != operand.layout {
+            t = relaid(&t, operand.layout)?;
         }
         state.env.insert(operand.name.clone(), t);
     }
@@ -1154,8 +1106,8 @@ pub fn execute_plan<R: Rng + ?Sized>(
 ///
 /// # Errors
 ///
-/// Returns an error if a referenced container is dead or a layout spec is
-/// invalid.
+/// Returns an error if a referenced container is dead or a declared
+/// layout has another rank than its container.
 pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Result<ExecState> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1173,8 +1125,10 @@ pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Resul
                 _ => 1.0,
             };
             let dist = rand::distributions::Uniform::new(-bound, bound);
-            let lay = Layout::from_axis_order(&node.shape, &inp.layout)?;
-            let t = Tensor::random(node.shape.clone(), &dist, &mut rng).relayout(&lay);
+            let t = relaid(
+                &Tensor::random(node.shape.clone(), &dist, &mut rng),
+                inp.layout,
+            )?;
             state.env.insert(inp.name.clone(), t);
         }
         for out in &step.outputs {
@@ -1195,8 +1149,27 @@ fn contracted_extent(graph: &Graph, step: &PlanStep) -> Option<usize> {
     Some(spec.gemm_sizes(&a, &b).ok()?.k)
 }
 
+/// What the in-crate tests do to a layout.
+#[cfg(test)]
+pub(crate) mod testing {
+    use xform_tensor::Layout;
+
+    /// `l` with its memory order reversed.
+    pub(crate) fn reversed(l: Layout) -> Layout {
+        Layout::from_order(&l.order().rev().collect::<Vec<_>>()).unwrap()
+    }
+
+    /// `l` with its innermost axis moved outermost.
+    pub(crate) fn rotated(l: Layout) -> Layout {
+        let mut order: Vec<usize> = l.order().collect();
+        order.rotate_right(1);
+        Layout::from_order(&order).unwrap()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::reversed;
     use super::*;
     use crate::fusion::{apply_plan, encoder_fusion_plan};
     use crate::recipe::forward_ops;
@@ -1292,19 +1265,20 @@ mod tests {
         let (g, dy) = unfused();
         let fwd = forward_ops(&g, dy);
         let mut plan = ExecutionPlan::natural(&g, &fwd).unwrap();
-        // non-permutation layout
+        // a layout of another rank than the container
         let idx = plan
             .steps
             .iter()
             .position(|s| s.name == "QKT")
             .expect("QKT scheduled");
-        plan.steps[idx].inputs[0].layout = "zzzz".into();
+        let natural = plan.steps[idx].inputs[0].layout;
+        plan.steps[idx].inputs[0].layout = Layout::row_major(3);
         assert!(plan
             .check(&g)
             .iter()
-            .any(|l| matches!(l, PlanLint::BadLayout { .. })));
-        // coherent permutation but stale relayouts → layout mismatch
-        plan.steps[idx].inputs[0].layout = "kbhp".into();
+            .any(|l| matches!(l, PlanLint::BadLayout { rank: 3, .. })));
+        // a layout of the container but stale relayouts → layout mismatch
+        plan.steps[idx].inputs[0].layout = reversed(natural);
         assert!(plan
             .check(&g)
             .iter()
@@ -1329,7 +1303,7 @@ mod tests {
         let mut permuted = natural.clone();
         for step in &mut permuted.steps {
             for operand in step.inputs.iter_mut().chain(step.outputs.iter_mut()) {
-                operand.layout = operand.layout.chars().rev().collect();
+                operand.layout = reversed(operand.layout);
             }
         }
         permuted.reflow(&g);

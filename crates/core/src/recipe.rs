@@ -240,8 +240,8 @@ pub fn optimize_step(
         for &op in ops.iter() {
             let node = graph.op(op).expect("live op");
             let timing = match fwd_configs.get(&op) {
-                Some(t) => (*t).clone(),
-                None => sweeps[&op].best.clone(),
+                Some(&t) => *t,
+                None => sweeps[&op].best,
             };
             let cost = source.measure(&graph, op, &timing.cfg)?;
             let m = mue(&graph, op, &cost);
@@ -256,7 +256,7 @@ pub fn optimize_step(
                 name: node.name.clone(),
                 class: node.kind.class(),
                 forward: is_fwd,
-                config: timing.cfg.clone(),
+                config: timing.cfg,
                 time_us: timing.time_us,
                 flop,
                 mue: m,

@@ -205,8 +205,8 @@ pub fn step_footprint(graph: &Graph, step: &PlanStep) -> Vec<Access> {
 }
 
 /// FNV-1a content fingerprint of a schedule: operator ids, kernel names,
-/// operator kinds, every operand's container/name/layout, and every
-/// relayout insertion. Any edit to the plan — reordering, re-laying-out,
+/// operator kinds, every operand's container/name/layout (as its
+/// permutation), and every relayout insertion. Any edit to the plan — reordering, re-laying-out,
 /// renaming, adding or dropping steps — changes the fingerprint, which is
 /// what ties a [`RaceCertificate`] to exactly the plan it certified.
 /// Allocation-free (everything is formatted straight into the hash): the
@@ -810,6 +810,7 @@ mod tests {
     use super::*;
     use crate::fusion::{apply_plan, encoder_fusion_plan};
     use crate::plan::random_externals;
+    use crate::plan::testing::reversed;
     use crate::recipe::forward_ops;
     use xform_dataflow::{build, EncoderDims};
     use xform_tensor::ops::elementwise::ActivationKind;
@@ -863,8 +864,7 @@ mod tests {
         let h = plan_fingerprint(&plan);
         assert_eq!(h, plan_fingerprint(&plan.clone()));
         let mut tampered = plan.clone();
-        tampered.steps[0].outputs[0].layout =
-            tampered.steps[0].outputs[0].layout.chars().rev().collect();
+        tampered.steps[0].outputs[0].layout = reversed(tampered.steps[0].outputs[0].layout);
         assert_ne!(h, plan_fingerprint(&tampered));
         let mut shorter = plan.clone();
         shorter.steps.pop();

@@ -15,14 +15,16 @@
 //! selection runs on the forward graph only; backward operators take their
 //! per-op best configurations.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use xform_dataflow::{Graph, NodeId};
+use xform_gpusim::opmodel::primary_tensors;
 use xform_gpusim::DeviceSpec;
-use xform_tensor::Result;
+use xform_tensor::{Layout, Result, TensorError};
 
 use crate::cachemodel::{op_dram_words, CacheGeometry};
-use crate::sweep::{ConfigTiming, SweepResult};
+use crate::plan::layout_spec;
+use crate::sweep::{flowing_input_index, outputs_laid_out, ConfigTiming, SweepResult};
 
 /// How SSSP edges are priced.
 #[derive(Debug, Clone, Default)]
@@ -48,8 +50,8 @@ impl CostModel {
         device: &DeviceSpec,
         op: NodeId,
         flowing_input: usize,
-        in_layout: &str,
-        out_layout: &str,
+        in_layout: Layout,
+        out_layout: Layout,
     ) -> f64 {
         match self {
             CostModel::Flat => 0.0,
@@ -80,7 +82,27 @@ pub struct Selection {
     pub transposes: usize,
     /// Chosen (flowing-input layout, output layout) per forward operator,
     /// aligned with `per_op` (for Fig. 6-style path dumps).
-    pub layouts: Vec<(NodeId, String, String)>,
+    pub layouts: Vec<(NodeId, Layout, Layout)>,
+}
+
+impl Selection {
+    /// [`Selection::layouts`] in axis letters — each operator's flowing
+    /// input and the output its configurations are priced over — for Fig.
+    /// 6-style path dumps.
+    pub fn layout_specs(&self, graph: &Graph) -> Vec<(NodeId, String, String)> {
+        let spelled = |&(op, in_l, out_l): &(NodeId, Layout, Layout)| {
+            let flowing = graph
+                .inputs_of(op)
+                .get(flowing_input_index(graph, op))
+                .copied();
+            let priced = primary_tensors(graph, op).ok();
+            let spec = |data: Option<NodeId>, l: Layout| {
+                data.map_or_else(|| l.to_string(), |d| layout_spec(graph, d, l))
+            };
+            (op, spec(flowing, in_l), spec(priced.map(|t| t.1), out_l))
+        };
+        self.layouts.iter().map(spelled).collect()
+    }
 }
 
 /// Fraction of peak bandwidth an explicit permutation (relayout) kernel
@@ -98,21 +120,32 @@ pub fn transpose_cost_us(device: &DeviceSpec, words: u64) -> f64 {
 /// One relaxed label on a data container: cumulative cost, predecessor
 /// operator index and that operator's chosen output layout, and whether a
 /// transpose was inserted to reach this layout.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Label {
     cost: f64,
-    pred: Option<(usize, String)>,
+    pred: Option<(usize, Layout)>,
     transposed: bool,
+}
+
+/// The labels on one data container, by the layout it would sit in — in
+/// layout order, so that of several equal-cost labels every run keeps the
+/// same one — and whether a consumer can take them up by layout: the
+/// outputs a configuration does not lay out ([`outputs_laid_out`]) carry
+/// the producer's costs, but whoever reads one re-lays it first.
+#[derive(Debug, Clone)]
+struct Labels {
+    by_layout: BTreeMap<Layout, Label>,
+    chainable: bool,
 }
 
 /// Per-operator transition table: chosen output layout → best cumulative
 /// cost with the (input layout, timing) that achieves it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Transition {
     cost: f64,
-    in_layout: String,
+    in_layout: Layout,
     transposed: bool,
-    pred: Option<(usize, String)>,
+    pred: Option<(usize, Layout)>,
     timing: ConfigTiming,
 }
 
@@ -145,13 +178,15 @@ pub fn select_forward(
 ///
 /// # Errors
 ///
-/// Same conditions as [`select_forward`].
+/// Same conditions as [`select_forward`], and
+/// [`TensorError::LayoutRankMismatch`] when the entry layout's rank is not
+/// that of the flowing input a chain starts from.
 pub fn select_forward_from(
     graph: &Graph,
     device: &DeviceSpec,
     fwd_ops: &[NodeId],
     sweeps: &HashMap<NodeId, SweepResult>,
-    entry_layout: Option<&str>,
+    entry_layout: Option<Layout>,
 ) -> Result<Selection> {
     select_forward_cost(
         graph,
@@ -170,59 +205,63 @@ pub fn select_forward_from(
 ///
 /// # Errors
 ///
-/// Same conditions as [`select_forward`].
+/// Same conditions as [`select_forward_from`].
 pub fn select_forward_cost(
     graph: &Graph,
     device: &DeviceSpec,
     fwd_ops: &[NodeId],
     sweeps: &HashMap<NodeId, SweepResult>,
-    entry_layout: Option<&str>,
+    entry_layout: Option<Layout>,
     cost_model: &CostModel,
 ) -> Result<Selection> {
-    let mut states: HashMap<NodeId, HashMap<String, Label>> = HashMap::new();
-    let mut transitions: Vec<HashMap<String, Transition>> = Vec::with_capacity(fwd_ops.len());
+    let mut states: HashMap<NodeId, Labels> = HashMap::new();
+    let mut transitions: Vec<BTreeMap<Layout, Transition>> = Vec::with_capacity(fwd_ops.len());
     let mut per_op_best = 0.0f64;
 
     for (op_idx, &op) in fwd_ops.iter().enumerate() {
-        let sweep = sweeps.get(&op).ok_or_else(|| {
-            xform_tensor::TensorError::Unsupported(format!("missing sweep for {op}"))
-        })?;
+        let sweep = sweeps
+            .get(&op)
+            .ok_or_else(|| TensorError::Unsupported(format!("missing sweep for {op}")))?;
         per_op_best += sweep.best.time_us;
         let inputs = graph.inputs_of(op);
         let flowing = inputs.get(sweep.flowing_input).copied();
 
         // Build the relaxed incoming frontier: existing labels plus
         // transpose edges to every input layout this op can consume.
-        let upstream = flowing.and_then(|d| states.get(&d).cloned());
-        let in_frontier: HashMap<String, Label> = match upstream {
-            Some(st) if !st.is_empty() => {
+        let upstream = flowing.and_then(|d| states.get(&d));
+        let in_frontier: BTreeMap<Layout, Label> = match upstream {
+            Some(st) if !st.by_layout.is_empty() => {
                 let words = flowing
                     .and_then(|d| graph.data(d))
                     .map(|d| d.shape.num_elements() as u64)
                     .unwrap_or(0);
                 let tcost = transpose_cost_us(device, words);
                 let cheapest = st
+                    .by_layout
                     .values()
                     .min_by(|a, b| a.cost.total_cmp(&b.cost))
-                    .cloned()
                     .expect("non-empty frontier");
-                let mut relaxed = st;
-                for (in_l, _) in sweep.per_io.keys() {
-                    let candidate = Label {
-                        cost: cheapest.cost + tcost,
-                        pred: cheapest.pred.clone(),
-                        transposed: true,
-                    };
-                    match relaxed.get(in_l) {
+                let candidate = Label {
+                    cost: cheapest.cost + tcost,
+                    pred: cheapest.pred,
+                    transposed: true,
+                };
+                let mut relaxed = if st.chainable {
+                    st.by_layout.clone()
+                } else {
+                    BTreeMap::new()
+                };
+                for &(in_l, _) in sweep.per_io.keys() {
+                    match relaxed.get(&in_l) {
                         Some(l) if l.cost <= candidate.cost => {}
                         _ => {
-                            relaxed.insert(in_l.clone(), candidate);
+                            relaxed.insert(in_l, candidate);
                         }
                     }
                 }
                 relaxed
             }
-            _ => HashMap::new(),
+            _ => BTreeMap::new(),
         };
 
         // Relax through this op's (in, out) layout pairs.
@@ -230,106 +269,103 @@ pub fn select_forward_cost(
             .and_then(|d| graph.data(d))
             .map(|d| transpose_cost_us(device, d.shape.num_elements() as u64))
             .unwrap_or(0.0);
-        let mut table: HashMap<String, Transition> = HashMap::new();
-        for ((in_l, out_l), timing) in &sweep.per_io {
+        let mut table: BTreeMap<Layout, Transition> = BTreeMap::new();
+        for (&(in_l, out_l), timing) in &sweep.per_io {
             let (in_cost, pred, transposed) = if in_frontier.is_empty() {
                 match entry_layout {
                     // a fresh chain with a pinned entry layout: that layout
                     // is free, any other costs one transpose
-                    Some(e) if e.len() == in_l.len() => {
-                        if *in_l == e {
-                            (0.0, None, false)
-                        } else {
-                            (entry_tcost, None, true)
-                        }
+                    Some(e) if e.rank() != in_l.rank() => {
+                        return Err(TensorError::LayoutRankMismatch {
+                            expected: in_l.rank(),
+                            found: e.rank(),
+                        })
                     }
+                    Some(e) if e != in_l => (entry_tcost, None, true),
                     _ => (0.0, None, false),
                 }
             } else {
-                match in_frontier.get(in_l) {
-                    Some(l) => (l.cost, l.pred.clone(), l.transposed),
+                match in_frontier.get(&in_l) {
+                    Some(l) => (l.cost, l.pred, l.transposed),
                     None => continue,
                 }
             };
             let total = in_cost
                 + timing.time_us
                 + cost_model.edge_penalty_us(graph, device, op, sweep.flowing_input, in_l, out_l);
-            match table.get(out_l) {
+            match table.get(&out_l) {
                 Some(t) if t.cost <= total => {}
                 _ => {
                     table.insert(
-                        out_l.clone(),
+                        out_l,
                         Transition {
                             cost: total,
-                            in_layout: in_l.clone(),
+                            in_layout: in_l,
                             transposed,
                             pred,
-                            timing: timing.clone(),
+                            timing: *timing,
                         },
                     );
                 }
             }
         }
         if table.is_empty() {
-            return Err(xform_tensor::TensorError::Unsupported(format!(
+            return Err(TensorError::Unsupported(format!(
                 "no feasible layout pair for `{}`",
                 sweep.name
             )));
         }
 
-        // Propagate labels to every output container; sibling outputs of a
-        // fused kernel share the selected layout positionally.
-        let outputs = graph.outputs_of(op);
-        let primary_out = outputs.first().copied();
-        for &o in &outputs {
-            let mut st: HashMap<String, Label> = HashMap::new();
-            for (out_l, t) in &table {
-                let key = match (primary_out.and_then(|p| graph.data(p)), graph.data(o)) {
-                    (Some(po_d), Some(o_d))
-                        if po_d.shape.rank() == o_d.shape.rank() && po_d.name != o_d.name =>
-                    {
-                        translate_layout(out_l, &po_d.shape.spec(), &o_d.shape.spec())
-                    }
-                    _ => out_l.clone(),
+        // Propagate labels to every output container: the outputs the
+        // configuration lays out are in the selected layout itself.
+        let by_layout: BTreeMap<Layout, Label> = (table.iter())
+            .map(|(&out_l, t)| {
+                let label = Label {
+                    cost: t.cost,
+                    pred: Some((op_idx, out_l)),
+                    transposed: false,
                 };
-                st.insert(
-                    key,
-                    Label {
-                        cost: t.cost,
-                        pred: Some((op_idx, out_l.clone())),
-                        transposed: false,
-                    },
-                );
-            }
-            states.insert(o, st);
+                (out_l, label)
+            })
+            .collect();
+        let laid_out = outputs_laid_out(graph, op);
+        for (o, chainable) in graph.outputs_of(op).into_iter().zip(laid_out) {
+            let by_layout = by_layout.clone();
+            states.insert(
+                o,
+                Labels {
+                    by_layout,
+                    chainable,
+                },
+            );
         }
         transitions.push(table);
     }
 
     // Backtrack from the cheapest final label.
     let mut per_op: Vec<Option<ConfigTiming>> = vec![None; fwd_ops.len()];
-    let mut chosen_layouts: Vec<Option<(String, String)>> = vec![None; fwd_ops.len()];
+    let mut chosen_layouts: Vec<Option<(Layout, Layout)>> = vec![None; fwd_ops.len()];
     let mut transposes = 0usize;
     let mut total_us = 0.0f64;
     if let Some(last) = transitions.last() {
         let (mut out_l, mut t) = last
             .iter()
             .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost))
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(&k, &v)| (k, v))
             .expect("non-empty transition table");
         total_us = t.cost;
         let mut idx = fwd_ops.len() - 1;
         loop {
-            per_op[idx] = Some(t.timing.clone());
-            chosen_layouts[idx] = Some((t.in_layout.clone(), out_l.clone()));
+            per_op[idx] = Some(t.timing);
+            chosen_layouts[idx] = Some((t.in_layout, out_l));
             if t.transposed {
                 transposes += 1;
             }
-            match &t.pred {
+            match t.pred {
                 Some((p_idx, p_out)) => {
-                    idx = *p_idx;
-                    out_l = p_out.clone();
-                    t = transitions[idx][&out_l].clone();
+                    idx = p_idx;
+                    out_l = p_out;
+                    t = transitions[idx][&out_l];
                 }
                 None => break,
             }
@@ -343,20 +379,20 @@ pub fn select_forward_cost(
         .zip(per_op)
         .map(|(&op, chosen)| {
             let timing = chosen.unwrap_or_else(|| {
-                let best = sweeps[&op].best.clone();
+                let best = sweeps[&op].best;
                 total_us += best.time_us;
                 best
             });
             (op, timing)
         })
         .collect();
-    let layouts: Vec<(NodeId, String, String)> = fwd_ops
+    let layouts: Vec<(NodeId, Layout, Layout)> = fwd_ops
         .iter()
         .zip(chosen_layouts)
         .map(|(&op, l)| {
             let (i, o) = l.unwrap_or_else(|| {
                 let b = &sweeps[&op].best.cfg;
-                (b.in_spec.clone(), b.out_spec.clone())
+                (b.in_layout, b.out_layout)
             });
             (op, i, o)
         })
@@ -368,21 +404,6 @@ pub fn select_forward_cost(
         transposes,
         layouts,
     })
-}
-
-/// Translates a layout spec from one tensor's axis alphabet to another of
-/// the same rank, positionally: the permutation pattern is kept, the
-/// letters are re-drawn from the target's logical spec.
-pub fn translate_layout(layout: &str, from_logical: &str, to_logical: &str) -> String {
-    layout
-        .chars()
-        .map(|c| {
-            from_logical
-                .find(c)
-                .and_then(|i| to_logical.chars().nth(i))
-                .unwrap_or(c)
-        })
-        .collect()
 }
 
 /// Selection for a stack of identical layers: layer N+1's entry layout is
@@ -434,18 +455,18 @@ pub fn select_stacked(
     n: usize,
 ) -> Result<StackedSelection> {
     if n == 0 {
-        return Err(xform_tensor::TensorError::Unsupported(
+        return Err(TensorError::Unsupported(
             "stack needs at least one layer".into(),
         ));
     }
     let mut layers = Vec::with_capacity(n);
     let mut per_layer = Vec::with_capacity(n);
-    let mut entry: Option<String> = None;
+    let mut entry: Option<Layout> = None;
     let mut steady_state_from = 0usize;
     for i in 0..n {
-        let sel = select_forward_from(graph, device, fwd_ops, sweeps, entry.as_deref())?;
+        let sel = select_forward_from(graph, device, fwd_ops, sweeps, entry)?;
         per_layer.push(sel.total_us);
-        entry = sel.layouts.last().map(|(_, _, out)| out.clone());
+        entry = sel.layouts.last().map(|&(_, _, out)| out);
         if i > 0 {
             let same = layers
                 .last()
@@ -472,13 +493,6 @@ mod tests {
     use crate::recipe::forward_ops;
     use crate::sweep::{sweep_all, SimulatorSource, SweepOptions};
     use xform_dataflow::{build, EncoderDims};
-
-    #[test]
-    fn translate_layout_is_positional() {
-        assert_eq!(translate_layout("jbp", "pbj", "kbq"), "qbk");
-        assert_eq!(translate_layout("phbj", "phbj", "whbk"), "whbk");
-        assert_eq!(translate_layout("abc", "abc", "abc"), "abc");
-    }
 
     #[test]
     fn transpose_cost_scales_with_volume() {
@@ -521,6 +535,37 @@ mod tests {
         // penalties are non-negative, so the cache-aware optimum can never
         // undercut the flat one
         assert!(aware.total_us + 1e-9 >= flat.total_us);
+    }
+
+    /// An entry layout that cannot be a layout of the flowing input a chain
+    /// starts from used to price every layout as free; it is a typed error,
+    /// from a caller's pin and from a stack whose layer ends on a container
+    /// of another rank than the one it starts from.
+    #[test]
+    fn an_entry_layout_of_another_rank_is_refused() {
+        let mut g = build::encoder(&EncoderDims::tiny()).graph;
+        apply_plan(&mut g, &encoder_fusion_plan()).unwrap();
+        let device = DeviceSpec::v100();
+        let opts = SweepOptions {
+            max_configs: Some(300),
+            ..SweepOptions::default()
+        };
+        let sweeps = sweep_all(&SimulatorSource::default(), &g, opts).unwrap();
+        let fwd = forward_ops(&g, g.data_by_name("dy").unwrap());
+        let wrong_rank = TensorError::LayoutRankMismatch {
+            expected: 3,
+            found: 4,
+        };
+        let pinned = select_forward_from(&g, &device, &fwd, &sweeps, Some(Layout::row_major(4)));
+        assert_eq!(pinned.unwrap_err(), wrong_rank);
+        // `x` is `[i,b,j]`; a layer cut after QKT ends on `beta`, `[h,b,j,k]`
+        let qkt = g.op_by_name("QKT").unwrap();
+        let cut = &fwd[..=fwd.iter().position(|&op| op == qkt).unwrap()];
+        assert!(select_stacked(&g, &device, cut, &sweeps, 1).is_ok());
+        assert_eq!(
+            select_stacked(&g, &device, cut, &sweeps, 2).unwrap_err(),
+            wrong_rank
+        );
     }
 
     fn selected_encoder() -> (Selection, f64) {

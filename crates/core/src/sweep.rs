@@ -8,12 +8,12 @@
 //! (Figs. 4 & 5) and, for the configuration-selection step, the best
 //! configuration for every (input-layout, output-layout) pair.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use xform_dataflow::{DataRole, Graph, NodeId};
-use xform_gpusim::opmodel::{config_space, op_cost, OpConfig, OpModel};
+use xform_gpusim::opmodel::{config_space, op_cost, primary_tensors, OpConfig, OpModel};
 use xform_gpusim::{DeviceSpec, KernelCost};
-use xform_tensor::{Result, TensorError};
+use xform_tensor::{Layout, Result, TensorError};
 
 /// A provider of per-configuration operator timings.
 ///
@@ -73,7 +73,7 @@ impl PerfSource for SimulatorSource {
 }
 
 /// One timed configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ConfigTiming {
     /// The configuration.
     pub cfg: OpConfig,
@@ -95,8 +95,10 @@ pub struct SweepResult {
     /// Every sampled time, unsorted (the distribution of Figs. 4/5).
     pub times_us: Vec<f64>,
     /// Best configuration per (flowing-input layout, primary-output
-    /// layout) pair — the edge weights of the selection graph (Sec. VI-A).
-    pub per_io: HashMap<(String, String), ConfigTiming>,
+    /// layout) pair — the edge weights of the selection graph (Sec. VI-A),
+    /// in layout order, so whoever walks it meets equal-cost pairs in the
+    /// same order every run.
+    pub per_io: BTreeMap<(Layout, Layout), ConfigTiming>,
     /// Index of the flowing input among the op's inputs.
     pub flowing_input: usize,
 }
@@ -158,6 +160,27 @@ pub fn flowing_input_index(graph: &Graph, op: NodeId) -> usize {
     best
 }
 
+/// Per output of `op`, whether a configuration's output layout is that
+/// output's layout. A configuration is priced over one output
+/// ([`primary_tensors`]); the outputs with that output's axes share its
+/// layout, provided the first output has its rank. A fused kernel whose
+/// outputs name their axes differently — `AIB` writes `qq` over `p,h,b,j`
+/// and `vv` over `w,h,b,k`, and is priced over `vv` — lays out only the
+/// ones shaped like the priced one: the lowering leaves the others natural
+/// and the selection cannot chain a layout through them.
+pub fn outputs_laid_out(graph: &Graph, op: NodeId) -> Vec<bool> {
+    let outputs = graph.outputs_of(op);
+    let shape = |id: NodeId| graph.data(id).map(|d| &d.shape);
+    let Some(priced) = primary_tensors(graph, op).ok().and_then(|t| shape(t.1)) else {
+        return vec![false; outputs.len()];
+    };
+    let first = outputs.first().and_then(|&id| shape(id));
+    let first_fits = first.is_some_and(|s| s.rank() == priced.rank());
+    let laid_out =
+        |&id: &NodeId| first_fits && shape(id).is_some_and(|s| s.axes() == priced.axes());
+    outputs.iter().map(laid_out).collect()
+}
+
 /// Sweeps one operator's configuration space through a performance source.
 ///
 /// # Errors
@@ -197,28 +220,25 @@ pub fn sweep_op(
     let mut best: Option<ConfigTiming> = None;
     let mut worst = 0.0f64;
     let mut times = Vec::new();
-    let mut per_io: HashMap<(String, String), ConfigTiming> = HashMap::new();
+    let mut per_io: BTreeMap<(Layout, Layout), ConfigTiming> = BTreeMap::new();
     for (cfg, cost) in sampled.into_iter().zip(costs) {
         let Ok(cost) = cost else { continue };
         let t = cost.time_us;
         times.push(t);
         worst = worst.max(t);
+        let timing = ConfigTiming { cfg, time_us: t };
         if best.as_ref().map(|b| t < b.time_us).unwrap_or(true) {
-            best = Some(ConfigTiming {
-                cfg: cfg.clone(),
-                time_us: t,
-            });
+            best = Some(timing);
         }
-        let in_key = if flowing == 1 {
-            cfg.in2_spec.clone().unwrap_or_else(|| cfg.in_spec.clone())
-        } else {
-            cfg.in_spec.clone()
+        let in_key = match cfg.in2_layout {
+            Some(in2) if flowing == 1 => in2,
+            _ => cfg.in_layout,
         };
-        let key = (in_key, cfg.out_spec.clone());
+        let key = (in_key, cfg.out_layout);
         match per_io.get(&key) {
             Some(prev) if prev.time_us <= t => {}
             _ => {
-                per_io.insert(key, ConfigTiming { cfg, time_us: t });
+                per_io.insert(key, timing);
             }
         }
     }
@@ -319,7 +339,7 @@ mod tests {
             assert!(ct.time_us >= r.best.time_us - 1e-9);
         }
         // the best config's own (in, out) pair must hold the best time
-        let key = (r.best.cfg.in_spec.clone(), r.best.cfg.out_spec.clone());
+        let key = (r.best.cfg.in_layout, r.best.cfg.out_layout);
         assert!((r.per_io[&key].time_us - r.best.time_us).abs() < 1e-9);
     }
 

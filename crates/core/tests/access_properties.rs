@@ -16,6 +16,7 @@ use xform_core::plan::{random_externals, ExecOptions, ExecutionPlan};
 use xform_core::recipe::forward_ops;
 use xform_core::sanitize::execute_plan_sanitized;
 use xform_dataflow::{build, EncoderDims, Graph};
+use xform_tensor::Layout;
 
 fn fused() -> (Graph, ExecutionPlan) {
     let eg = build::encoder(&EncoderDims::tiny());
@@ -47,13 +48,13 @@ fn shadow_run(
     execute_plan_sanitized(graph, tampered, &mut state, &opts(), &mut rng, None)
 }
 
-/// Rotates a layout spec left by one: `"hbjk"` → `"bjkh"`. On a rank > 1
-/// swept container this moves the innermost axis, de-vectorizing the
-/// kernel's inner loop.
-fn rotate(spec: &str) -> String {
-    let mut cs: Vec<char> = spec.chars().collect();
-    cs.rotate_left(1);
-    cs.into_iter().collect()
+/// Rotates a layout left by one: `hbjk` → `bjkh`. On a rank > 1 swept
+/// container this moves the innermost axis, de-vectorizing the kernel's
+/// inner loop.
+fn rotate(layout: Layout) -> Layout {
+    let mut order: Vec<usize> = layout.order().collect();
+    order.rotate_left(1);
+    Layout::from_order(&order).unwrap()
 }
 
 proptest! {
@@ -146,11 +147,11 @@ proptest! {
             }
             let s = &sound.steps[si];
             let Some(op0) = s.inputs.first() else { continue };
-            if op0.layout.len() < 2 {
+            if op0.layout.rank() < 2 {
                 continue;
             }
             let mut step = s.clone();
-            step.inputs[0].layout = rotate(&op0.layout);
+            step.inputs[0].layout = rotate(op0.layout);
             let sa = step_accesses(&g, &step);
             if sa
                 .accesses

@@ -16,6 +16,7 @@ use xform_core::fusion::{apply_plan, decoder_fusion_plan, encoder_fusion_plan};
 use xform_core::plan::{ExecutionPlan, Relayout};
 use xform_core::recipe::forward_ops;
 use xform_dataflow::{build, EncoderDims, Graph};
+use xform_tensor::Layout;
 
 fn fused_at(dims: &EncoderDims) -> (Graph, ExecutionPlan) {
     let eg = build::encoder(dims);
@@ -108,14 +109,12 @@ fn check_assignment(a: &ArenaAssignment) -> std::result::Result<(), String> {
     Ok(())
 }
 
-/// Rotates `s` left by `n` — always a valid permutation of the layout.
-fn rotate(s: &str, n: usize) -> String {
-    let chars: Vec<char> = s.chars().collect();
-    if chars.is_empty() {
-        return String::new();
-    }
-    let n = n % chars.len();
-    chars[n..].iter().chain(&chars[..n]).collect()
+/// Rotates `layout` left by `n`.
+fn rotate(layout: Layout, n: usize) -> Layout {
+    let mut order: Vec<usize> = layout.order().collect();
+    let n = n % order.len().max(1);
+    order.rotate_left(n);
+    Layout::from_order(&order).unwrap()
 }
 
 proptest! {
@@ -132,7 +131,7 @@ proptest! {
             for step in &mut plan.steps {
                 for o in step.inputs.iter_mut().chain(step.outputs.iter_mut()) {
                     let n = twist.gen_range(0..4usize);
-                    o.layout = rotate(&o.layout, n);
+                    o.layout = rotate(o.layout, n);
                 }
             }
             plan.reflow(&g);
@@ -214,8 +213,8 @@ proptest! {
         plan.steps[0].relayouts.push(Relayout {
             data: foreign.data,
             name: foreign.name.clone(),
-            from: foreign.layout.clone(),
-            to: foreign.layout.clone(),
+            from: foreign.layout,
+            to: foreign.layout,
         });
         let a = analyze(&g, &plan);
         prop_assert!(a

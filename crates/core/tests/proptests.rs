@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use xform_core::fusion::{apply_plan, detect_groups, encoder_fusion_plan};
 use xform_core::recipe::{backward_ops, forward_ops};
-use xform_core::selection::{select_forward, translate_layout};
+use xform_core::selection::select_forward;
 use xform_core::sweep::{sweep_all, sweep_op, SimulatorSource, SweepOptions};
 use xform_dataflow::{build, flops, EncoderDims};
 use xform_gpusim::DeviceSpec;
@@ -96,18 +96,5 @@ proptest! {
                 prop_assert!(seen.insert(*id), "op in two groups");
             }
         }
-    }
-
-    #[test]
-    fn translate_layout_roundtrips(perm in 0usize..24) {
-        // translating a layout to another alphabet and back is identity
-        let layouts = xform_tensor::Layout::all(4);
-        let l = &layouts[perm % layouts.len()];
-        let from = "phbj";
-        let to = "whbk";
-        let spec: String = l.order().iter().map(|&i| from.chars().nth(i).unwrap()).collect();
-        let there = translate_layout(&spec, from, to);
-        let back = translate_layout(&there, to, from);
-        prop_assert_eq!(back, spec);
     }
 }

@@ -104,15 +104,6 @@ pub fn class_shares(graph: &Graph) -> Vec<ClassShare> {
     .collect()
 }
 
-/// The I/O lower bound `Q` (in words) for one operator: the unique external
-/// data it must read plus what it must write, i.e. the volume that would
-/// remain even with a perfect implementation. For an operator node this is
-/// its in+out memlet volume — interim traffic inside fused operators has
-/// already been removed from the graph by fusion.
-pub fn io_lower_bound(graph: &Graph, op: NodeId) -> u64 {
-    graph.io_words(op)
-}
-
 /// Data-movement reduction between two versions of a graph (e.g. unfused vs
 /// fused), as a percentage of the baseline movement — the paper's headline
 /// "up to 22.91%" figure.

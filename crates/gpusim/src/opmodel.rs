@@ -8,7 +8,7 @@
 
 use xform_dataflow::{Graph, NodeId, OpKind};
 use xform_tensor::einsum::EinsumSpec;
-use xform_tensor::{Axis, Result, Shape, TensorError};
+use xform_tensor::{Axis, Layout, Result, Shape, TensorError, MAX_RANK};
 
 use crate::contraction::{
     algorithms, gemm_cost, GemmAlgo, GemmLayout, GemmShape, InnerRole, KernelCost, MathMode,
@@ -18,19 +18,18 @@ use crate::kernel::{kernel_cost, KernelDesc, TensorAccess};
 
 /// One fully specified configuration of an operator.
 ///
-/// Layout strings name the tensor's axes in memory order, outermost first
-/// (see [`xform_tensor::Layout::from_axis_order`]). Secondary tensors of
-/// the same shape as the primary input/output follow its layout, mirroring
-/// the paper's practice of tying masks and saved values to their producer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Each layout is a permutation of the axis positions of the tensor
+/// [`primary_tensors`] names for it. Secondary tensors of the same shape as
+/// the primary input/output follow its layout, mirroring the paper's
+/// practice of tying masks and saved values to their producer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpConfig {
-    /// Memory-order spec of the primary (first) input.
-    pub in_spec: String,
-    /// Memory-order spec of the second einsum operand, if the op is a
-    /// contraction.
-    pub in2_spec: Option<String>,
-    /// Memory-order spec of the primary output.
-    pub out_spec: String,
+    /// Layout of the primary (first) input.
+    pub in_layout: Layout,
+    /// Layout of the second einsum operand, if the op is a contraction.
+    pub in2_layout: Option<Layout>,
+    /// Layout of the primary output.
+    pub out_layout: Layout,
     /// Axis vectorized / assigned to consecutive threads (non-contractions).
     pub vector_axis: Option<char>,
     /// Axis mapped to the warp reduction (non-contractions with reductions).
@@ -55,29 +54,44 @@ impl OpConfig {
     /// outputs.
     pub fn natural(graph: &Graph, op: NodeId) -> Result<OpConfig> {
         let info = OpInfo::gather(graph, op)?;
-        let reorder = |axes: &[char]| -> String {
-            let mut s: String = axes
-                .iter()
-                .filter(|&&c| Some(c) != info.reduce_axis)
-                .collect();
-            if let Some(r) = info.reduce_axis {
-                if axes.contains(&r) {
-                    s.push(r);
-                }
-            }
-            s
+        // the reduced axis, where the tensor has it, goes innermost
+        let reorder = |axes: &[char]| {
+            let (kept, reduced): (Vec<usize>, Vec<usize>) =
+                (0..axes.len()).partition(|&p| Some(axes[p]) != info.reduce_axis);
+            Layout::from_order(&[kept, reduced].concat())
         };
-        let in_spec = reorder(&info.in_axes);
-        let vector_axis = in_spec.chars().last();
+        let in_layout = reorder(&info.in_axes)?;
+        let vector_axis = in_layout.order().next_back().map(|p| info.in_axes[p]);
         Ok(OpConfig {
-            in_spec,
-            in2_spec: info.in2_axes.as_ref().map(|a| a.iter().collect()),
-            out_spec: reorder(&info.out_axes),
+            in_layout,
+            in2_layout: info.in2_axes.as_ref().map(|a| Layout::row_major(a.len())),
+            out_layout: reorder(&info.out_axes)?,
             vector_axis,
             warp_axis: info.reduce_axis,
             algo: 3,
             math: MathMode::TensorCore,
         })
+    }
+
+    /// The three layouts in the axis letters of the tensors they lay out,
+    /// memory order — `(in, in2, out)`, for reports.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `op` is not a live operator with data inputs and
+    /// outputs, or a layout's rank is not its tensor's.
+    pub fn specs(&self, graph: &Graph, op: NodeId) -> Result<(String, Option<String>, String)> {
+        let info = OpInfo::gather(graph, op)?;
+        let spelled = |layout: Layout, shape: &Shape| -> Result<String> {
+            fits(layout, shape.axes())?;
+            Ok(layout.spec(shape))
+        };
+        let in2 = self.in2_layout.zip(info.in2_shape.as_ref());
+        Ok((
+            spelled(self.in_layout, &info.in_shape)?,
+            in2.map(|(l, shape)| spelled(l, shape)).transpose()?,
+            spelled(self.out_layout, &info.out_shape)?,
+        ))
     }
 }
 
@@ -119,42 +133,16 @@ impl OpInfo {
     }
 
     fn gather(graph: &Graph, op: NodeId) -> Result<OpInfo> {
-        let node = graph
-            .op(op)
-            .ok_or_else(|| TensorError::Unsupported(format!("{op} is not an operator")))?;
+        let (in_id, out_id) = primary_tensors(graph, op)?;
+        let node = graph.op(op).expect("primary_tensors checked the operator");
         let inputs = graph.inputs_of(op);
-        let outputs = graph.outputs_of(op);
         let shape_of = |id: NodeId| -> Result<Shape> {
             graph
                 .data(id)
                 .map(|d| d.shape.clone())
                 .ok_or_else(|| TensorError::Unsupported("edge endpoint is not data".into()))
         };
-        // Primary tensors: einsums keep their positional operands; other
-        // kernels key their access pattern off the largest input/output
-        // (fused kernels may list small side tensors like bias gradients
-        // first).
-        let largest = |ids: &[NodeId]| -> Option<NodeId> {
-            ids.iter()
-                .copied()
-                .max_by_key(|&d| graph.data(d).map(|n| n.shape.num_elements()).unwrap_or(0))
-        };
-        let is_einsum = matches!(
-            node.kind,
-            OpKind::Einsum(_) | OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. }
-        );
-        let in_id = if is_einsum {
-            inputs.first().copied()
-        } else {
-            largest(&inputs)
-        }
-        .ok_or_else(|| TensorError::Unsupported(format!("`{}` has no inputs", node.name)))?;
-        let out_id = if is_einsum {
-            outputs.first().copied()
-        } else {
-            largest(&outputs)
-        }
-        .ok_or_else(|| TensorError::Unsupported(format!("`{}` has no outputs", node.name)))?;
+        let is_einsum = positional(&node.kind);
         let in_shape = shape_of(in_id)?;
         let out_shape = shape_of(out_id)?;
         let in2_shape = if is_einsum && inputs.len() >= 2 {
@@ -184,6 +172,43 @@ impl OpInfo {
     }
 }
 
+/// Einsum-like kinds keep their positional operands as primaries.
+fn positional(kind: &OpKind) -> bool {
+    matches!(
+        kind,
+        OpKind::Einsum(_) | OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. }
+    )
+}
+
+/// The input and the output container an [`OpConfig`]'s `in_layout` and
+/// `out_layout` are layouts of (`in2_layout` is the second input's):
+/// einsums keep their positional operands; other kernels key their access
+/// pattern off the largest input/output, the last of equals (fused kernels
+/// may list small side tensors like bias gradients first).
+///
+/// # Errors
+///
+/// Returns an error if `op` is not a live operator with data inputs and
+/// outputs.
+pub fn primary_tensors(graph: &Graph, op: NodeId) -> Result<(NodeId, NodeId)> {
+    let node = graph
+        .op(op)
+        .ok_or_else(|| TensorError::Unsupported(format!("{op} is not an operator")))?;
+    let primary = |ids: Vec<NodeId>, what: &str| {
+        let elements = |&d: &NodeId| graph.data(d).map_or(0, |n| n.shape.num_elements());
+        if positional(&node.kind) {
+            ids.first().copied()
+        } else {
+            ids.iter().copied().max_by_key(elements)
+        }
+        .ok_or_else(|| TensorError::Unsupported(format!("`{}` has no {what}", node.name)))
+    };
+    Ok((
+        primary(graph.inputs_of(op), "inputs")?,
+        primary(graph.outputs_of(op), "outputs")?,
+    ))
+}
+
 /// A reusable pricing model for one operator: gathers the operator's
 /// shapes and roles once, then prices configurations cheaply. Use this for
 /// sweeps; [`op_cost`] is the one-shot convenience wrapper.
@@ -209,8 +234,8 @@ impl OpModel {
     ///
     /// # Errors
     ///
-    /// Returns an error if a layout spec is not a permutation of the
-    /// tensor's axes, or a contraction does not map onto a GEMM.
+    /// Returns an error if a layout's rank is not its tensor's, or a
+    /// contraction does not map onto a GEMM.
     pub fn cost(&self, device: &DeviceSpec, cfg: &OpConfig) -> Result<KernelCost> {
         match &self.info.kind.clone() {
             // a GEMM-epilogue mega-kernel is contraction-bound: the fused
@@ -230,9 +255,8 @@ impl OpModel {
 ///
 /// # Errors
 ///
-/// Returns an error if the op id is invalid, a layout spec is not a
-/// permutation of the tensor's axes, or a contraction does not map onto a
-/// GEMM.
+/// Returns an error if the op id is invalid, a layout's rank is not its
+/// tensor's, or a contraction does not map onto a GEMM.
 pub fn op_cost(
     device: &DeviceSpec,
     graph: &Graph,
@@ -274,7 +298,7 @@ fn contraction_cost(
         n: sizes.n,
         k: sizes.k,
     };
-    let in2_spec = cfg.in2_spec.as_deref().ok_or_else(|| {
+    let in2_layout = cfg.in2_layout.ok_or_else(|| {
         TensorError::Unsupported(format!(
             "contraction `{}` config lacks in2 layout",
             info.name
@@ -300,43 +324,40 @@ fn contraction_cost(
             }
         }
     };
-    let validate = |spec_str: &str, axes: &[char]| -> Result<()> {
-        if spec_str.len() != axes.len() || !spec_str.chars().all(|c| axes.contains(&c)) {
-            return Err(TensorError::InvalidPermutation);
+    let in2_axes = info.in2_axes.as_ref().expect("einsum has in2");
+    let operands = [
+        (cfg.in_layout, &info.in_axes, Operand::A),
+        (in2_layout, in2_axes, Operand::B),
+        (cfg.out_layout, &info.out_axes, Operand::C),
+    ];
+    let mut inner = [InnerRole::Batch; 3];
+    let mut blocked = true;
+    for (slot, (layout, axes, operand)) in inner.iter_mut().zip(operands) {
+        fits(layout, axes)?;
+        let roles: Vec<InnerRole> = layout.order().map(|p| role_of(axes[p], operand)).collect();
+        // role groups must form contiguous segments, innermost not batch
+        let mut segments = 1;
+        for w in roles.windows(2) {
+            if w[0] != w[1] {
+                segments += 1;
+            }
         }
-        Ok(())
-    };
-    validate(&cfg.in_spec, &info.in_axes)?;
-    validate(in2_spec, info.in2_axes.as_ref().expect("einsum has in2"))?;
-    validate(&cfg.out_spec, &info.out_axes)?;
-    let inner = |s: &str| s.chars().last().expect("non-empty layout spec");
-    let blocked = [&cfg.in_spec, in2_spec, &cfg.out_spec]
-        .iter()
-        .zip([Operand::A, Operand::B, Operand::C])
-        .all(|(s, operand)| {
-            let roles: Vec<InnerRole> = s.chars().map(|c| role_of(c, operand)).collect();
-            // role groups must form contiguous segments, innermost not batch
-            let mut segments = 1;
-            for w in roles.windows(2) {
-                if w[0] != w[1] {
-                    segments += 1;
+        let distinct = {
+            let mut d: Vec<InnerRole> = Vec::new();
+            for r in &roles {
+                if !d.contains(r) {
+                    d.push(*r);
                 }
             }
-            let distinct = {
-                let mut d: Vec<InnerRole> = Vec::new();
-                for r in &roles {
-                    if !d.contains(r) {
-                        d.push(*r);
-                    }
-                }
-                d.len()
-            };
-            segments == distinct && *roles.last().expect("non-empty") != InnerRole::Batch
-        });
+            d.len()
+        };
+        *slot = *roles.last().expect("non-empty layout");
+        blocked &= segments == distinct && *slot != InnerRole::Batch;
+    }
     let layout = GemmLayout {
-        a_inner: role_of(inner(&cfg.in_spec), Operand::A),
-        b_inner: role_of(inner(in2_spec), Operand::B),
-        c_inner: role_of(inner(&cfg.out_spec), Operand::C),
+        a_inner: inner[0],
+        b_inner: inner[1],
+        c_inner: inner[2],
         blocked,
     };
     let algos = algorithms();
@@ -368,9 +389,10 @@ fn region_cost(
     let extent = |&ax: &Axis| Ok((ax.name(), a.size(ax).or_else(|_| b.size(ax))?));
     let extents: Result<Vec<_>> = qkt.output().iter().map(extent).collect();
     let scores = Shape::new(extents?)?;
-    let (mut first, mut second) = (cfg.clone(), cfg.clone());
-    first.out_spec = scores.spec();
-    (second.in_spec, second.in2_spec) = (v.spec(), Some(scores.spec()));
+    let (mut first, mut second) = (*cfg, *cfg);
+    first.out_layout = Layout::row_major(scores.rank());
+    second.in_layout = Layout::row_major(v.rank());
+    second.in2_layout = Some(first.out_layout);
     let c1 = contraction_cost(device, &info.contracting(a, b, &scores), qkt, &first)?;
     let context = info.contracting(v, &scores, &info.out_shape);
     let c2 = contraction_cost(device, &context, gamma, &second)?;
@@ -391,41 +413,48 @@ enum Operand {
     C,
 }
 
+/// A layout must have the rank of the tensor it lays out.
+fn fits<A>(layout: Layout, axes: &[A]) -> Result<()> {
+    if layout.rank() == axes.len() {
+        Ok(())
+    } else {
+        Err(TensorError::LayoutRankMismatch {
+            expected: axes.len(),
+            found: layout.rank(),
+        })
+    }
+}
+
 fn normalization_cost(device: &DeviceSpec, info: &OpInfo, cfg: &OpConfig) -> Result<KernelCost> {
-    let vector_axis = cfg.vector_axis;
+    fits(cfg.in_layout, &info.in_axes)?;
+    fits(cfg.out_layout, &info.out_axes)?;
+    let in_inner = info.in_axes[cfg.in_layout.innermost()];
+    let out_inner = info.out_axes[cfg.out_layout.innermost()];
     let mut accesses = Vec::new();
-    let vec_ok = |layout_spec: &str, shape: &Shape| -> (bool, bool) {
-        let inner = layout_spec.chars().last().expect("non-empty layout");
-        match vector_axis {
-            Some(v) if v == inner => {
-                let divisible = shape.size(Axis(inner)).map(|n| n % 8 == 0).unwrap_or(false);
-                (divisible, true)
-            }
-            _ => (false, false),
+    // (vectorized, coalesced) of a tensor whose contiguous axis is `inner`
+    // when threads vectorize along `vector_axis`
+    let vec_ok = |vector_axis: Option<char>, inner: char, shape: &Shape| -> (bool, bool) {
+        if vector_axis == Some(inner) {
+            let divisible = shape.size(Axis(inner)).map(|n| n % 8 == 0).unwrap_or(false);
+            (divisible, true)
+        } else {
+            (false, false)
         }
     };
     // primary input (slice readers of stacked containers move only their
     // memlet volume, never the whole container)
-    {
-        if cfg.in_spec.len() != info.in_axes.len()
-            || !cfg.in_spec.chars().all(|c| info.in_axes.contains(&c))
-        {
-            return Err(TensorError::InvalidPermutation);
-        }
-        let (v, c) = vec_ok(&cfg.in_spec, &info.in_shape);
-        accesses.push(TensorAccess {
-            words: (info.in_shape.num_elements() as u64).min(info.input_words),
-            is_input: true,
-            vectorized: v,
-            coalesced: c,
-        });
-    }
+    let (v, c) = vec_ok(cfg.vector_axis, in_inner, &info.in_shape);
+    accesses.push(TensorAccess {
+        words: (info.in_shape.num_elements() as u64).min(info.input_words),
+        is_input: true,
+        vectorized: v,
+        coalesced: c,
+    });
     // remaining input volume (masks, residuals, saved tensors): assume they
     // share the primary input layout; weights/biases are tiny and ignored
     // for access-pattern purposes but their words still move.
     let secondary_in = info.input_words.saturating_sub(accesses[0].words);
     if secondary_in > 0 {
-        let (v, c) = vec_ok(&cfg.in_spec, &info.in_shape);
         accesses.push(TensorAccess {
             words: secondary_in,
             is_input: true,
@@ -437,12 +466,7 @@ fn normalization_cost(device: &DeviceSpec, info: &OpInfo, cfg: &OpConfig) -> Res
     // input (the K/V streams use `k`/`w` where the input uses `j`/`p`),
     // the vectorization axis translates positionally.
     {
-        if cfg.out_spec.len() != info.out_axes.len()
-            || !cfg.out_spec.chars().all(|c| info.out_axes.contains(&c))
-        {
-            return Err(TensorError::InvalidPermutation);
-        }
-        let out_vector_axis = match vector_axis {
+        let out_vector_axis = match cfg.vector_axis {
             Some(v) if info.out_axes.contains(&v) => Some(v),
             Some(v) => info
                 .in_axes
@@ -451,17 +475,7 @@ fn normalization_cost(device: &DeviceSpec, info: &OpInfo, cfg: &OpConfig) -> Res
                 .and_then(|p| info.out_axes.get(p).copied()),
             None => None,
         };
-        let out_vec_ok = |layout_spec: &str, shape: &Shape| -> (bool, bool) {
-            let inner = layout_spec.chars().last().expect("non-empty layout");
-            match out_vector_axis {
-                Some(v) if v == inner => {
-                    let divisible = shape.size(Axis(inner)).map(|n| n % 8 == 0).unwrap_or(false);
-                    (divisible, true)
-                }
-                _ => (false, false),
-            }
-        };
-        let (v, c) = out_vec_ok(&cfg.out_spec, &info.out_shape);
+        let (v, c) = vec_ok(out_vector_axis, out_inner, &info.out_shape);
         let primary_out = (info.out_shape.num_elements() as u64).min(info.output_words);
         accesses.push(TensorAccess {
             words: primary_out,
@@ -486,7 +500,7 @@ fn normalization_cost(device: &DeviceSpec, info: &OpInfo, cfg: &OpConfig) -> Res
         (Some(_), None) => false,
     };
     let reduce_contiguous = match info.reduce_axis {
-        Some(r) => cfg.in_spec.ends_with(r) || cfg.vector_axis == Some(r),
+        Some(r) => in_inner == r || cfg.vector_axis == Some(r),
         None => true,
     };
     // Reduce-then-map kernels (softmax, layernorm forward, fused kernels
@@ -508,8 +522,14 @@ fn normalization_cost(device: &DeviceSpec, info: &OpInfo, cfg: &OpConfig) -> Res
         warp_matches_reduce,
         reduce_contiguous,
         two_pass,
+        // keyed by the layouts' letters: every simulated time is pinned to
+        // these bytes (`tests/selection_golden.rs`)
         config_key: noise_key(
-            &[&info.name, &cfg.in_spec, &cfg.out_spec],
+            &[
+                &info.name,
+                spell(cfg.in_layout, &info.in_axes, &mut [0; SPELL_BYTES]),
+                spell(cfg.out_layout, &info.out_axes, &mut [0; SPELL_BYTES]),
+            ],
             &[
                 cfg.vector_axis.map(|c| c as u64).unwrap_or(0),
                 cfg.warp_axis.map(|c| c as u64).unwrap_or(0),
@@ -519,27 +539,16 @@ fn normalization_cost(device: &DeviceSpec, info: &OpInfo, cfg: &OpConfig) -> Res
     Ok(kernel_cost(device, &desc))
 }
 
-fn permutations(axes: &[char]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut used = vec![false; axes.len()];
-    fn rec(axes: &[char], cur: &mut String, used: &mut [bool], out: &mut Vec<String>) {
-        if cur.len() == axes.len() {
-            out.push(cur.clone());
-            return;
-        }
-        for i in 0..axes.len() {
-            if !used[i] {
-                used[i] = true;
-                cur.push(axes[i]);
-                rec(axes, cur, used, out);
-                cur.pop();
-                used[i] = false;
-            }
-        }
+/// Room for [`MAX_RANK`] axis letters in UTF-8.
+const SPELL_BYTES: usize = 4 * MAX_RANK;
+
+/// A layout's axis letters in memory order, written into `buf`.
+fn spell<'b>(layout: Layout, axes: &[char], buf: &'b mut [u8; SPELL_BYTES]) -> &'b str {
+    let mut len = 0;
+    for p in layout.order() {
+        len += axes[p].encode_utf8(&mut buf[len..]).len();
     }
-    rec(axes, &mut cur, &mut used, &mut out);
-    out
+    std::str::from_utf8(&buf[..len]).expect("whole characters")
 }
 
 /// Enumerates the full configuration space of one operator: every layout
@@ -552,23 +561,24 @@ fn permutations(axes: &[char]) -> Vec<String> {
 pub fn config_space(graph: &Graph, op: NodeId) -> Result<Vec<OpConfig>> {
     let info = OpInfo::gather(graph, op)?;
     let mut out = Vec::new();
+    let in_perms = Layout::all(info.in_axes.len());
+    let out_perms = Layout::all(info.out_axes.len());
     match &info.kind {
         OpKind::Einsum(_) | OpKind::AttentionRegion { .. } => {
-            let a_perms = permutations(&info.in_axes);
-            let b_perms = permutations(info.in2_axes.as_ref().ok_or_else(|| {
+            let in2_axes = info.in2_axes.as_ref().ok_or_else(|| {
                 TensorError::Unsupported(format!("contraction `{}` has one input", info.name))
-            })?);
-            let c_perms = permutations(&info.out_axes);
+            })?;
+            let in2_perms = Layout::all(in2_axes.len());
             let n_algos = algorithms().len();
-            for a in &a_perms {
-                for b in &b_perms {
-                    for c in &c_perms {
+            for &a in &in_perms {
+                for &b in &in2_perms {
+                    for &c in &out_perms {
                         for algo in 0..n_algos {
                             for math in [MathMode::TensorCore, MathMode::Fp16] {
                                 out.push(OpConfig {
-                                    in_spec: a.clone(),
-                                    in2_spec: Some(b.clone()),
-                                    out_spec: c.clone(),
+                                    in_layout: a,
+                                    in2_layout: Some(b),
+                                    out_layout: c,
                                     vector_axis: None,
                                     warp_axis: None,
                                     algo,
@@ -581,24 +591,21 @@ pub fn config_space(graph: &Graph, op: NodeId) -> Result<Vec<OpConfig>> {
             }
         }
         _ => {
-            let in_perms = permutations(&info.in_axes);
-            let out_perms = permutations(&info.out_axes);
-            let vec_axes: Vec<char> = info.out_axes.clone();
             let warp_axes: Vec<Option<char>> = if info.reduce_axis.is_some() {
                 info.in_axes.iter().map(|&c| Some(c)).collect()
             } else {
                 vec![None]
             };
-            for i in &in_perms {
-                for o in &out_perms {
-                    for &v in &vec_axes {
-                        for w in &warp_axes {
+            for &i in &in_perms {
+                for &o in &out_perms {
+                    for &v in &info.out_axes {
+                        for &w in &warp_axes {
                             out.push(OpConfig {
-                                in_spec: i.clone(),
-                                in2_spec: None,
-                                out_spec: o.clone(),
+                                in_layout: i,
+                                in2_layout: None,
+                                out_layout: o,
                                 vector_axis: Some(v),
-                                warp_axis: *w,
+                                warp_axis: w,
                                 algo: 0,
                                 math: MathMode::TensorCore,
                             });
@@ -689,7 +696,12 @@ mod tests {
         let (g, ids) = bert();
         let sm = find(&ids, "Scaled softmax");
         let mut cfg = OpConfig::natural(&g, sm).unwrap();
-        cfg.in_spec = "zzzz".into();
-        assert!(op_cost(&DeviceSpec::v100(), &g, sm, &cfg).is_err());
+        cfg.in_layout = Layout::row_major(3);
+        let refused = op_cost(&DeviceSpec::v100(), &g, sm, &cfg);
+        let wrong_rank = TensorError::LayoutRankMismatch {
+            expected: 4,
+            found: 3,
+        };
+        assert_eq!(refused.unwrap_err(), wrong_rank);
     }
 }

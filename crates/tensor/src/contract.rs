@@ -67,7 +67,7 @@ pub fn contract(spec: &EinsumSpec, a: &Tensor, b: &Tensor, out_layout: &Layout) 
             found: out_layout.rank(),
         });
     }
-    let mut out = Tensor::zeros_with_layout(out_shape, out_layout.clone());
+    let mut out = Tensor::zeros_with_layout(out_shape, *out_layout);
     let plan = ContractPlan::compile(
         spec,
         a.shape(),

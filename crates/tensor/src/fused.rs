@@ -157,7 +157,7 @@ fn sm_lanes<R: Rng + ?Sized>(
     let ai = beta.shape().index_of(axis)?;
     let v = view_of(beta);
     let sweep = sweep_of(&[&v, &v, &v, &v], Some(ai), causal.map(|c| c.0), "sm")?;
-    let fresh = || Tensor::zeros_with_layout(beta.shape().clone(), beta.layout().clone());
+    let fresh = || Tensor::zeros_with_layout(beta.shape().clone(), *beta.layout());
     let mut softmax = fresh();
     let mut alpha = fresh();
     let mut mask = fresh();
@@ -221,7 +221,7 @@ pub fn brd_act<R: Rng + ?Sized>(
         bias_view(bias.shape(), bias.strides(), x, "brd bias")?,
     );
     let sweep = sweep_of(&[&vx, &vb, &vx, &vx, &vx], None, None, "brd")?;
-    let fresh = || Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
+    let fresh = || Tensor::zeros_with_layout(x.shape().clone(), *x.layout());
     let mut out = fresh();
     let mut pre_activation = fresh();
     let mut mask = fresh();
@@ -282,7 +282,7 @@ pub fn bdrln<R: Rng + ?Sized>(
     let vw = View::lane_weights(x.shape().sizes(), ai);
     let views = [&vx, &vb, &vr, &vw, &vw, &vx, &vx, &vx];
     let sweep = sweep_of(&views, Some(ai), None, "bdrln")?;
-    let fresh = || Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
+    let fresh = || Tensor::zeros_with_layout(x.shape().clone(), *x.layout());
     let mut out = fresh();
     let mut ln_input = fresh();
     let mut mask = fresh();

@@ -58,7 +58,7 @@ use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
 use crate::lanes::{self, on_run, Dropout, LaneAt, Run, Walk, W};
-use crate::layout::Layout;
+use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
     gemm, gemm_batched, gemm_packed, gemm_packed_leading, pack_panels, panel_words, BatchMut,
     BatchRef, BatchStrides, MatMut, MatRef, Start, KC, NR,
@@ -1071,8 +1071,8 @@ pub fn copy_tensor_into(t: &Tensor, dst: &mut [f32]) {
 ///
 /// # Panics
 ///
-/// Panics if `src` or `dst` is shorter than the container, the layout's
-/// rank disagrees with the shape's, or the rank exceeds 16.
+/// Panics if `src` or `dst` is shorter than the container or the layout's
+/// rank disagrees with the shape's.
 pub fn copy_layout_into(shape: &Shape, layout: &Layout, src: &[f32], dst: &mut [f32]) {
     let n = shape.num_elements();
     let dst = &mut dst[..n];
@@ -1081,10 +1081,10 @@ pub fn copy_layout_into(shape: &Shape, layout: &Layout, src: &[f32], dst: &mut [
         return;
     }
     let (rank, sizes) = (shape.rank(), shape.sizes());
-    assert!(rank <= 16 && layout.rank() == rank, "rank <= 16 supported");
-    let mut dims = [(0usize, 0usize, 0usize); 16];
+    assert_eq!(layout.rank(), rank, "shape rank must match layout rank");
+    let mut dims = [(0usize, 0usize, 0usize); MAX_RANK];
     let (mut src_stride, mut dst_stride) = (1usize, 1usize);
-    for &axis in layout.order().iter().rev() {
+    for axis in layout.order().rev() {
         dims[axis] = (sizes[axis], src_stride, 0);
         src_stride *= sizes[axis];
     }
@@ -1841,8 +1841,7 @@ mod tests {
         let want = t.relayout(&to);
         let dims: Vec<_> = to
             .order()
-            .iter()
-            .map(|&d| (t.shape().sizes()[d], t.strides()[d], want.strides()[d]))
+            .map(|d| (t.shape().sizes()[d], t.strides()[d], want.strides()[d]))
             .collect();
         let mut buf = t.data().to_vec();
         relayout_into(&dims, &mut buf, &mut vec![f32::NAN; t.len()]);

@@ -11,11 +11,18 @@ use std::fmt;
 use crate::axes::{Axis, Shape};
 use crate::error::{Result, TensorError};
 
+/// The largest rank a [`Layout`] holds.
+pub const MAX_RANK: usize = 16;
+
 /// A permutation mapping memory positions to logical axis indices.
 ///
-/// `order()[m]` is the logical axis index stored at memory position `m`,
-/// where position `0` is the outermost (largest-stride) dimension and the
-/// last position is innermost (stride 1, the contiguous dimension).
+/// `order()` yields, for each memory position `m`, the logical axis index
+/// stored there, where position `0` is the outermost (largest-stride)
+/// dimension and the last position is innermost (stride 1, the contiguous
+/// dimension). The permutation is over axis *positions*, so one value lays
+/// out any tensor of its rank whatever its axes are called; it is stored
+/// inline (rank ≤ [`MAX_RANK`]) and is `Copy`. Layouts of one rank order as
+/// [`Layout::all`] enumerates them.
 ///
 /// # Examples
 ///
@@ -28,16 +35,28 @@ use crate::error::{Result, TensorError};
 /// // logical order is (b, j, i): b stride 3, j stride 1, i stride 6
 /// assert_eq!(strides, vec![3, 1, 6]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Layout {
-    order: Vec<usize>,
+    rank: u8,
+    /// Positions `rank..` stay zero, so equal permutations are equal values.
+    order: [u8; MAX_RANK],
 }
 
 impl Layout {
     /// The identity layout: memory order equals logical order (row-major).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` exceeds [`MAX_RANK`].
     pub fn row_major(rank: usize) -> Self {
+        assert!(rank <= MAX_RANK, "layouts hold at most {MAX_RANK} axes");
+        let mut order = [0u8; MAX_RANK];
+        for (m, slot) in order.iter_mut().enumerate().take(rank) {
+            *slot = m as u8;
+        }
         Layout {
-            order: (0..rank).collect(),
+            rank: rank as u8,
+            order,
         }
     }
 
@@ -46,16 +65,21 @@ impl Layout {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidPermutation`] unless `order` is a
-    /// permutation of `0..order.len()`.
-    pub fn from_order(order: Vec<usize>) -> Result<Self> {
-        let mut seen = vec![false; order.len()];
-        for &i in &order {
+    /// permutation of `0..order.len()` of at most [`MAX_RANK`] axes.
+    pub fn from_order(order: &[usize]) -> Result<Self> {
+        if order.len() > MAX_RANK {
+            return Err(TensorError::InvalidPermutation);
+        }
+        let mut out = Layout::row_major(order.len());
+        let mut seen = [false; MAX_RANK];
+        for (slot, &i) in out.order.iter_mut().zip(order) {
             if i >= order.len() || seen[i] {
                 return Err(TensorError::InvalidPermutation);
             }
             seen[i] = true;
+            *slot = i as u8;
         }
-        Ok(Layout { order })
+        Ok(out)
     }
 
     /// Creates a layout by naming axes in memory order, outermost first.
@@ -74,19 +98,19 @@ impl Layout {
             .chars()
             .map(|c| shape.index_of(Axis(c)))
             .collect::<Result<Vec<_>>>()?;
-        Layout::from_order(order)
+        Layout::from_order(&order)
     }
 
-    /// The permutation: logical axis index at each memory position.
-    pub fn order(&self) -> &[usize] {
-        &self.order
+    /// The permutation: logical axis index at each memory position,
+    /// outermost first.
+    pub fn order(&self) -> impl DoubleEndedIterator<Item = usize> + ExactSizeIterator + '_ {
+        self.order[..self.rank()].iter().map(|&i| usize::from(i))
     }
 
     /// `true` when memory order equals logical order — the identity
-    /// permutation. Allocation-free, unlike comparing against a fresh
-    /// [`Layout::row_major`].
+    /// permutation.
     pub fn is_row_major(&self) -> bool {
-        self.order.iter().enumerate().all(|(i, &o)| i == o)
+        self.order().enumerate().all(|(i, o)| i == o)
     }
 
     /// `true` when the layout is *physically* row-major for `shape`: its
@@ -97,11 +121,11 @@ impl Layout {
     /// is purely syntactic and rejects those. A rank mismatch returns
     /// `false` rather than panicking.
     pub fn is_row_major_for(&self, shape: &Shape) -> bool {
-        if self.order.len() != shape.rank() {
+        if self.rank() != shape.rank() {
             return false;
         }
         let mut last = None;
-        for &ax in &self.order {
+        for ax in self.order() {
             if shape.sizes()[ax] <= 1 {
                 continue;
             }
@@ -115,7 +139,7 @@ impl Layout {
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.order.len()
+        usize::from(self.rank)
     }
 
     /// Logical axis index of the innermost (contiguous) memory dimension.
@@ -124,9 +148,8 @@ impl Layout {
     ///
     /// Panics if the layout has rank zero.
     pub fn innermost(&self) -> usize {
-        *self
-            .order
-            .last()
+        self.order()
+            .next_back()
             .expect("rank-zero layout has no innermost axis")
     }
 
@@ -143,16 +166,27 @@ impl Layout {
         );
         let mut strides = vec![0usize; self.rank()];
         let mut acc = 1usize;
-        for &axis_idx in self.order.iter().rev() {
+        for axis_idx in self.order().rev() {
             strides[axis_idx] = acc;
             acc *= shape.sizes()[axis_idx];
         }
         strides
     }
 
-    /// The axis string of this layout in memory order, e.g. `"ibj"`.
+    /// The axis string of this layout in memory order, e.g. `"ibj"`: how a
+    /// layout is shown to a reader ([`Layout::from_axis_order`] reads it
+    /// back).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape rank differs from the layout rank.
     pub fn spec(&self, shape: &Shape) -> String {
-        self.order.iter().map(|&i| shape.axes()[i].0).collect()
+        assert_eq!(
+            shape.rank(),
+            self.rank(),
+            "shape rank must match layout rank"
+        );
+        self.order().map(|i| shape.axes()[i].0).collect()
     }
 
     /// Whether the named axis is the innermost (contiguous) dimension —
@@ -165,7 +199,8 @@ impl Layout {
     }
 
     /// Enumerates all `rank!` layouts, in lexicographic order of the
-    /// permutation. This is the configuration space swept in Sec. V.
+    /// permutation. This is the configuration space swept in Sec. V, and
+    /// the sweep samples it by stride, so the order is behaviour.
     ///
     /// # Examples
     ///
@@ -174,33 +209,41 @@ impl Layout {
     /// assert_eq!(Layout::all(3).len(), 6);
     /// ```
     pub fn all(rank: usize) -> Vec<Layout> {
-        let mut out = Vec::new();
-        let mut cur: Vec<usize> = Vec::with_capacity(rank);
-        let mut used = vec![false; rank];
-        fn rec(rank: usize, cur: &mut Vec<usize>, used: &mut [bool], out: &mut Vec<Layout>) {
-            if cur.len() == rank {
-                out.push(Layout { order: cur.clone() });
+        fn rec(cur: &mut Layout, filled: usize, used: &mut [bool], out: &mut Vec<Layout>) {
+            if filled == used.len() {
+                out.push(*cur);
                 return;
             }
-            for i in 0..rank {
+            for i in 0..used.len() {
                 if !used[i] {
                     used[i] = true;
-                    cur.push(i);
-                    rec(rank, cur, used, out);
-                    cur.pop();
+                    cur.order[filled] = i as u8;
+                    rec(cur, filled + 1, used, out);
                     used[i] = false;
                 }
             }
         }
-        rec(rank, &mut cur, &mut used, &mut out);
+        let mut out = Vec::new();
+        rec(
+            &mut Layout::row_major(rank),
+            0,
+            &mut vec![false; rank],
+            &mut out,
+        );
         out
+    }
+}
+
+impl fmt::Debug for Layout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Layout{self}")
     }
 }
 
 impl fmt::Display for Layout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, &p) in self.order.iter().enumerate() {
+        for (i, p) in self.order().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }
@@ -238,9 +281,9 @@ mod tests {
 
     #[test]
     fn from_order_validates() {
-        assert!(Layout::from_order(vec![0, 1, 1]).is_err());
-        assert!(Layout::from_order(vec![0, 3, 1]).is_err());
-        assert!(Layout::from_order(vec![2, 0, 1]).is_ok());
+        assert!(Layout::from_order(&[0, 1, 1]).is_err());
+        assert!(Layout::from_order(&[0, 3, 1]).is_err());
+        assert!(Layout::from_order(&[2, 0, 1]).is_ok());
     }
 
     #[test]
@@ -321,7 +364,7 @@ mod tests {
 
     #[test]
     fn display_shows_permutation() {
-        let l = Layout::from_order(vec![2, 0, 1]).unwrap();
+        let l = Layout::from_order(&[2, 0, 1]).unwrap();
         assert_eq!(l.to_string(), "(2 0 1)");
     }
 }

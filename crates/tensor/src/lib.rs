@@ -65,5 +65,5 @@ pub mod trace;
 pub use axes::{Axis, Shape};
 pub use contract::einsum;
 pub use error::{Result, TensorError};
-pub use layout::Layout;
+pub use layout::{Layout, MAX_RANK};
 pub use tensor::{Iter, Tensor};

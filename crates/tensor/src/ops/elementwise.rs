@@ -84,7 +84,7 @@ pub fn bias_add(x: &Tensor, bias: &Tensor) -> Result<Tensor> {
         bias_view(bias.shape(), bias.strides(), x, "bias_add")?,
     );
     let sweep = sweep_of(&[&vx, &vb, &vx], None, None, "bias_add")?;
-    let mut out = Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
+    let mut out = Tensor::zeros_with_layout(x.shape().clone(), *x.layout());
     bias_add_into(&sweep, x.data(), bias.data(), out.data_mut());
     Ok(out)
 }
@@ -240,7 +240,7 @@ impl ActivationKind {
 
 /// Applies an activation element-wise.
 pub fn activate(x: &Tensor, kind: ActivationKind) -> Tensor {
-    let mut out = Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
+    let mut out = Tensor::zeros_with_layout(x.shape().clone(), *x.layout());
     // same layout in and out: the buffers are one lane
     map_lane(x.data(), out.data_mut(), |v| kind.apply(v));
     out

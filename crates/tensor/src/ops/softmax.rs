@@ -30,7 +30,7 @@ pub fn softmax(x: &Tensor, axis: Axis) -> Result<Tensor> {
     let ai = x.shape().index_of(axis)?;
     let v = view_of(x);
     let sweep = sweep_of(&[&v, &v], Some(ai), None, "softmax")?;
-    let mut out = Tensor::zeros_with_layout(x.shape().clone(), x.layout().clone());
+    let mut out = Tensor::zeros_with_layout(x.shape().clone(), *x.layout());
     // a unit scale is a bitwise identity under IEEE 754 multiplication
     softmax_into(&sweep, x.data(), 1.0, None, out.data_mut());
     Ok(out)

@@ -166,11 +166,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -230,7 +225,7 @@ impl Tensor {
     /// configuration-selection step may insert between operators.
     pub fn relayout(&self, layout: &Layout) -> Tensor {
         assert_eq!(layout.rank(), self.shape.rank());
-        let mut out = Tensor::zeros_with_layout(self.shape.clone(), layout.clone());
+        let mut out = Tensor::zeros_with_layout(self.shape.clone(), *layout);
         // Iterate in the *destination's* memory order for write locality.
         let rank = self.shape.rank();
         if rank == 0 {
@@ -303,7 +298,7 @@ impl Tensor {
         let shape = Shape::new(spec.chars().zip(self.shape.sizes().iter().copied()))?;
         Ok(Tensor {
             shape,
-            layout: self.layout.clone(),
+            layout: self.layout,
             strides: self.strides.clone(),
             data: self.data.clone(),
         })

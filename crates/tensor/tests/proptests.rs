@@ -196,6 +196,66 @@ proptest! {
         prop_assert!(out.max_abs_diff(&base).unwrap() < 1e-4);
     }
 
+    // A layout is a permutation of axis positions: its letters round-trip
+    // through any shape of its rank and mean the same value in every
+    // alphabet, its strides are the reference computation over the order,
+    // and `Layout::all` enumerates — and `Ord` sorts — in the order the
+    // sweep's own enumerator over axis strings did (the sweep samples
+    // `config_space` by stride under `max_configs`, so the order is
+    // behaviour).
+    #[test]
+    fn a_layout_is_its_permutation_in_every_alphabet(
+        sizes in proptest::collection::vec(1usize..5, 5..6),
+    ) {
+        // what `gpusim::opmodel::permutations` was before `Layout::all`
+        // replaced it
+        fn spelled_permutations(axes: &[char]) -> Vec<String> {
+            fn rec(axes: &[char], cur: &mut String, used: &mut [bool], out: &mut Vec<String>) {
+                if cur.len() == axes.len() {
+                    out.push(cur.clone());
+                    return;
+                }
+                for i in 0..axes.len() {
+                    if !used[i] {
+                        used[i] = true;
+                        cur.push(axes[i]);
+                        rec(axes, cur, used, out);
+                        cur.pop();
+                        used[i] = false;
+                    }
+                }
+            }
+            let mut out = Vec::new();
+            rec(axes, &mut String::new(), &mut vec![false; axes.len()], &mut out);
+            out
+        }
+        for rank in 0..=5 {
+            let named = |letters: &str| {
+                Shape::new(letters.chars().zip(sizes.iter().copied()).take(rank)).unwrap()
+            };
+            let (shape, other) = (named("hbjki"), named("wxyzv"));
+            let letters: Vec<char> = shape.axes().iter().map(|a| a.name()).collect();
+            let all = Layout::all(rank);
+            let spelled = spelled_permutations(&letters);
+            prop_assert_eq!(all.len(), spelled.len());
+            prop_assert!(all.windows(2).all(|w| w[0] < w[1]));
+            for (l, spec) in all.iter().zip(&spelled) {
+                prop_assert_eq!(&l.spec(&shape), spec);
+                prop_assert_eq!(Layout::from_axis_order(&shape, spec).unwrap(), *l);
+                prop_assert_eq!(Layout::from_axis_order(&other, &l.spec(&other)).unwrap(), *l);
+                let order: Vec<usize> = l.order().collect();
+                prop_assert_eq!(Layout::from_order(&order).unwrap(), *l);
+                let mut strides = vec![0usize; rank];
+                let mut acc = 1;
+                for &axis in order.iter().rev() {
+                    strides[axis] = acc;
+                    acc *= shape.sizes()[axis];
+                }
+                prop_assert_eq!(l.strides(&shape), strides);
+            }
+        }
+    }
+
     #[test]
     fn relayout_roundtrip_preserves_values(
         a in 1usize..4, b in 1usize..5, c in 1usize..4,
@@ -1337,7 +1397,7 @@ mod parser_robustness {
 
         #[test]
         fn layout_from_order_never_panics(order in proptest::collection::vec(0usize..8, 0..8)) {
-            let _ = Layout::from_order(order);
+            let _ = Layout::from_order(&order);
         }
 
         #[test]

@@ -255,12 +255,6 @@ impl<'m> DecodeSession<'m> {
         self.arenas.as_ref().map_or(0, |a| a.attend.capacity)
     }
 
-    /// The decode certificate of the current bucket's attend plan: proof
-    /// no plan step writes the caches, plus each cache's column geometry.
-    pub fn decode_certificate(&self) -> Option<&DecodeCertificate> {
-        self.arenas.as_ref().map(|a| &a.attend.cert)
-    }
-
     /// Bytes the session holds across steps: the arena slabs of all layers
     /// (cache slabs included), the shared projection arena's, and the
     /// stacked Q/K/V weights. The other weights stay the model's.

@@ -123,7 +123,7 @@ fn study(source: &CpuSource, dims: EncoderDims, print: bool) -> Outcome<(f64, f6
         0,
         "the selected plan must compute the natural plan's bits"
     );
-    let strided = plan.strided_operand_count(graph);
+    let strided = plan.strided_operand_count();
     println!(
         "  i={} j={} b={} h={} p={} u={}: natural {nat_ms:.3} ms, selected {sel_ms:.3} ms \
          ({:.2}x; {strided} strided operands, {} relayouts; selection {:.1}% above the per-op \
@@ -152,13 +152,10 @@ fn main() -> Outcome<()> {
         "SM kernel layout sweep on the V100 model ({} configurations):",
         sweep.times_us.len()
     );
+    let (in_spec, _, out_spec) = sweep.best.cfg.specs(&g, sm)?;
     println!(
-        "  best  : {:8.0} µs   ({} → {}, vectorize {:?}, warp {:?})",
-        sweep.best.time_us,
-        sweep.best.cfg.in_spec,
-        sweep.best.cfg.out_spec,
-        sweep.best.cfg.vector_axis,
-        sweep.best.cfg.warp_axis,
+        "  best  : {:8.0} µs   ({in_spec} → {out_spec}, vectorize {:?}, warp {:?})",
+        sweep.best.time_us, sweep.best.cfg.vector_axis, sweep.best.cfg.warp_axis,
     );
     println!(
         "  worst : {:8.0} µs   ({:.0}× worse — the Fig. 5 long tail)",

@@ -7,6 +7,7 @@ use rand::{Rng, SeedableRng};
 use substation::core::analyze::Severity;
 use substation::core::plan::ExecutionPlan;
 use substation::dataflow::{Graph, OpKind};
+use substation::tensor::Layout;
 
 /// `plan` with about half of its operand layouts replaced by a random
 /// permutation of the container's axes (seeded), then `reflow`ed — which
@@ -26,11 +27,11 @@ pub fn permuted(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> ExecutionPlan
         };
         for operand in free {
             if rng.gen_bool(0.5) {
-                let mut axes: Vec<char> = operand.layout.chars().collect();
+                let mut axes: Vec<usize> = operand.layout.order().collect();
                 for i in (1..axes.len()).rev() {
                     axes.swap(i, rng.gen_range(0..i + 1));
                 }
-                operand.layout = axes.into_iter().collect();
+                operand.layout = Layout::from_order(&axes).unwrap();
             }
         }
     }

@@ -49,15 +49,15 @@ fn on_arena(graph: &Graph, plan: &ExecutionPlan, base: &ExecState, o: &ExecOptio
     state
 }
 
-/// The layout spec `plan` leaves the container `name` in.
-fn left_in<'p>(plan: &'p ExecutionPlan, name: &str) -> &'p str {
+/// The layout `plan` leaves the container `name` in.
+fn left_in(plan: &ExecutionPlan, name: &str) -> Layout {
     let mut last = None;
     for step in &plan.steps {
-        let relayouts = step.relayouts.iter().map(|r| (&r.name, &r.to));
+        let relayouts = step.relayouts.iter().map(|r| (&r.name, r.to));
         let operands = step.inputs.iter().chain(&step.outputs);
-        for (n, layout) in relayouts.chain(operands.map(|o| (&o.name, &o.layout))) {
+        for (n, layout) in relayouts.chain(operands.map(|o| (&o.name, o.layout))) {
             if n == name {
-                last = Some(layout.as_str());
+                last = Some(layout);
             }
         }
     }
@@ -126,7 +126,7 @@ proptest! {
             assert_same_logical_bits(&got, &want, &base, &format!("{tag} vs oracle"));
             for (name, t) in got.env.iter().filter(|(n, _)| !base.env.contains_key(*n)) {
                 // both executors materialize as declared, so raw buffers agree too
-                prop_assert!(t.layout().spec(t.shape()) == left_in(&strided, name), "{} `{}`", tag, name);
+                prop_assert!(*t.layout() == left_in(&strided, name), "{} `{}`", tag, name);
                 prop_assert!(t.layout() == want.env[name].layout(), "{} `{}`", tag, name);
                 prop_assert!(bits(t.data()) == bits(want.env[name].data()), "{} `{}`", tag, name);
             }

@@ -22,7 +22,7 @@ use substation::core::selection::select_forward;
 use substation::core::sweep::{sweep_all, SimulatorSource, SweepOptions};
 use substation::dataflow::EncoderDims;
 use substation::gpusim::DeviceSpec;
-use substation::tensor::{Shape, Tensor};
+use substation::tensor::{Layout, Shape, Tensor};
 use substation::transformer::encoder::{EncoderLayer, Executor};
 use substation::transformer::interp;
 use substation::transformer::params::EncoderWeights;
@@ -125,7 +125,7 @@ fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
     let plan = ExecutionPlan::lower(&planned.graph, &sel).unwrap();
     certify(&planned.graph, &plan).expect("the recipe-selected plan certifies");
     assert!(
-        plan.strided_operand_count(&planned.graph) > 0 && plan.relayout_count() > 0,
+        plan.strided_operand_count() > 0 && plan.relayout_count() > 0,
         "the selection must pick non-natural layouts and pay relayouts for them"
     );
     for granularity in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
@@ -172,14 +172,12 @@ fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
     }
 }
 
-/// Rotates `s` left by `n` — always a valid permutation of the layout.
-fn rotate(s: &str, n: usize) -> String {
-    let chars: Vec<char> = s.chars().collect();
-    if chars.is_empty() {
-        return String::new();
-    }
-    let n = n % chars.len();
-    chars[n..].iter().chain(&chars[..n]).collect()
+/// Rotates `layout` left by `n`.
+fn rotate(layout: Layout, n: usize) -> Layout {
+    let mut order: Vec<usize> = layout.order().collect();
+    let n = n % order.len().max(1);
+    order.rotate_left(n);
+    Layout::from_order(&order).unwrap()
 }
 
 proptest! {
@@ -196,7 +194,7 @@ proptest! {
         for step in &mut plan.steps {
             for o in step.inputs.iter_mut().chain(step.outputs.iter_mut()) {
                 let n = rand::Rng::gen_range(&mut twist, 0..4usize);
-                o.layout = rotate(&o.layout, n);
+                o.layout = rotate(o.layout, n);
             }
         }
         plan.reflow(&planned.graph);
@@ -230,9 +228,10 @@ fn invalid_plans_are_rejected_before_execution() {
         layer.forward(x, w, &o).map(|out| out.y)
     };
 
-    // a layout that is not a permutation of the container's axes
+    // a layout of another rank than the container's
     let mut garbled = planned.plan.clone();
-    garbled.steps[0].inputs[0].layout = "zz".into();
+    let rank = garbled.steps[0].inputs[0].layout.rank();
+    garbled.steps[0].inputs[0].layout = Layout::row_major(rank + 1);
     assert!(garbled
         .check(&planned.graph)
         .iter()

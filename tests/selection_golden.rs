@@ -36,7 +36,7 @@ use substation::core::fusion::{
     apply_epilogues, apply_plan, apply_regions, decoder_fusion_plan, encoder_fusion_plan,
     FusionGroup,
 };
-use substation::core::plan::{ExecutionPlan, Operand, PlanStep, Relayout};
+use substation::core::plan::{layout_spec, ExecutionPlan, Operand, PlanStep, Relayout};
 use substation::core::recipe::{
     forward_ops, optimize_decoder, optimize_encoder, OptimizedEncoder, RecipeOptions,
 };
@@ -47,44 +47,53 @@ use substation::core::sweep::{
     sweep_all, ConfigTiming, SimulatorSource, SweepOptions, SweepResult,
 };
 use substation::dataflow::{build, EncoderDims, Graph, NodeId};
-use substation::gpusim::opmodel::{op_cost, OpConfig};
+use substation::gpusim::opmodel::{op_cost, primary_tensors, OpConfig};
 use substation::gpusim::DeviceSpec;
+use substation::tensor::Layout;
 
 // ---------------------------------------------------------------------
 // How a layout is spelled
 // ---------------------------------------------------------------------
 
 /// The three layouts of a configuration as axis letters, memory order.
-fn cfg_specs(_graph: &Graph, _op: NodeId, cfg: &OpConfig) -> (String, Option<String>, String) {
-    (
-        cfg.in_spec.clone(),
-        cfg.in2_spec.clone(),
-        cfg.out_spec.clone(),
-    )
+fn cfg_specs(graph: &Graph, op: NodeId, cfg: &OpConfig) -> (String, Option<String>, String) {
+    cfg.specs(graph, op).unwrap()
 }
 
 /// An operand's declared layout as axis letters.
-fn operand_spec(_graph: &Graph, o: &Operand) -> String {
-    o.layout.clone()
+fn operand_spec(graph: &Graph, o: &Operand) -> String {
+    layout_spec(graph, o.data, o.layout)
 }
 
 /// A relayout's two layouts as axis letters.
-fn relayout_specs(_graph: &Graph, r: &Relayout) -> (String, String) {
-    (r.from.clone(), r.to.clone())
+fn relayout_specs(graph: &Graph, r: &Relayout) -> (String, String) {
+    (
+        layout_spec(graph, r.data, r.from),
+        layout_spec(graph, r.data, r.to),
+    )
 }
 
 /// The selected (flowing-input, output) layouts per operator as letters.
-fn selection_specs(_graph: &Graph, sel: &Selection) -> Vec<(NodeId, String, String)> {
-    sel.layouts.clone()
+fn selection_specs(graph: &Graph, sel: &Selection) -> Vec<(NodeId, String, String)> {
+    sel.layout_specs(graph)
 }
 
 /// A sweep's `per_io` table keyed by letters.
 fn per_io_specs<'a>(
-    _graph: &Graph,
-    _op: NodeId,
+    graph: &Graph,
+    op: NodeId,
     sweep: &'a SweepResult,
 ) -> Vec<((String, String), &'a ConfigTiming)> {
-    sweep.per_io.iter().map(|(k, t)| (k.clone(), t)).collect()
+    let flowing = graph.inputs_of(op)[sweep.flowing_input];
+    let (_, priced_out) = primary_tensors(graph, op).unwrap();
+    let spelled = |(&(in_l, out_l), t): (&(Layout, Layout), &'a ConfigTiming)| {
+        let key = (
+            layout_spec(graph, flowing, in_l),
+            layout_spec(graph, priced_out, out_l),
+        );
+        (key, t)
+    };
+    sweep.per_io.iter().map(spelled).collect()
 }
 
 /// `natural` with each of its layouts re-ordered: memory position `m` of
@@ -95,24 +104,24 @@ fn permuted_cfg(
     pi_in2: &[usize],
     pi_out: &[usize],
 ) -> OpConfig {
-    let pick = |spec: &str, pi: &[usize]| -> String {
-        let chars: Vec<char> = spec.chars().collect();
-        pi.iter().map(|&i| chars[i]).collect()
+    let pick = |layout: Layout, pi: &[usize]| -> Layout {
+        let order: Vec<usize> = layout.order().collect();
+        Layout::from_order(&pi.iter().map(|&i| order[i]).collect::<Vec<_>>()).unwrap()
     };
     OpConfig {
-        in_spec: pick(&natural.in_spec, pi_in),
-        in2_spec: natural.in2_spec.as_deref().map(|s| pick(s, pi_in2)),
-        out_spec: pick(&natural.out_spec, pi_out),
-        ..natural.clone()
+        in_layout: pick(natural.in_layout, pi_in),
+        in2_layout: natural.in2_layout.map(|l| pick(l, pi_in2)),
+        out_layout: pick(natural.out_layout, pi_out),
+        ..*natural
     }
 }
 
 /// The ranks of a configuration's three layouts.
 fn cfg_ranks(cfg: &OpConfig) -> (usize, Option<usize>, usize) {
     (
-        cfg.in_spec.chars().count(),
-        cfg.in2_spec.as_ref().map(|s| s.chars().count()),
-        cfg.out_spec.chars().count(),
+        cfg.in_layout.rank(),
+        cfg.in2_layout.map(|l| l.rank()),
+        cfg.out_layout.rank(),
     )
 }
 
@@ -236,6 +245,14 @@ const GOLDEN: &[(&str, u64)] = &[
     ("selection/sweeps-decoder", 0x1806b26efeb4310b),
     ("selection/steps-encoder", 0xf891036272a38fb6),
     ("selection/steps-decoder", 0xd07a7816017a5141),
+    // the paths: recorded in PR 24 with the change that decides ties (no
+    // two runs of PR 23's library agree on them)
+    ("selection/encoder-bert-large/path", 0x72bbffc561eb5b8a),
+    ("selection/decoder-bert-large/path", 0x06687a6caabeb491),
+    ("selection/encoder-tiny/path", 0x302d04a80005a14e),
+    ("selection/decoder-tiny/path", 0xa669a918f5849b08),
+    ("selection/stacked-tiny/path", 0x7a3c45d3897be6e6),
+    ("selection/cache-aware-tiny/path", 0xc7575bd63d6b4b74),
 ];
 
 fn check(name: &str, text: &str) {
@@ -271,60 +288,65 @@ fn options(threads: usize) -> RecipeOptions {
 type Recipe =
     fn(&DeviceSpec, &EncoderDims, &RecipeOptions) -> substation::tensor::Result<OptimizedEncoder>;
 
-/// Runs `recipe` once per entry of `threads` and returns the rendering of
-/// the first run, every other run's required to equal it.
-fn recipe_text(recipe: Recipe, dims: &EncoderDims, threads: &[usize], paths: bool) -> String {
+/// Runs `recipe` once per entry of `threads` and returns the first run's
+/// two renderings — its costs, and its costs and path — every other run's
+/// required to equal them.
+fn recipe_texts(recipe: Recipe, dims: &EncoderDims, threads: &[usize]) -> [String; 2] {
     let device = DeviceSpec::v100();
-    let mut texts = threads
-        .iter()
-        .map(|&t| render_optimized(&recipe(&device, dims, &options(t)).unwrap(), paths));
+    let mut texts = threads.iter().map(|&t| {
+        let optimized = recipe(&device, dims, &options(t)).unwrap();
+        [false, true].map(|paths| render_optimized(&optimized, paths))
+    });
     let first = texts.next().unwrap();
     for (text, t) in texts.zip(&threads[1..]) {
-        assert_same(
-            &format!("{} and {t} sweep threads", threads[0]),
-            &first,
-            &text,
-        );
+        for (a, b) in first.iter().zip(&text) {
+            assert_same(&format!("{} and {t} sweep threads", threads[0]), a, b);
+        }
     }
     first
 }
 
 #[test]
 fn encoder_at_bert_large() {
-    let text = recipe_text(optimize_encoder, &EncoderDims::bert_large(), &[1], false);
-    check("selection/encoder-bert-large", &text);
+    let [costs, path] = recipe_texts(optimize_encoder, &EncoderDims::bert_large(), &[1]);
+    check("selection/encoder-bert-large", &costs);
+    check("selection/encoder-bert-large/path", &path);
 }
 
 #[test]
 fn decoder_at_bert_large() {
-    let text = recipe_text(optimize_decoder, &EncoderDims::bert_large(), &[1], false);
-    check("selection/decoder-bert-large", &text);
+    let [costs, path] = recipe_texts(optimize_decoder, &EncoderDims::bert_large(), &[1]);
+    check("selection/decoder-bert-large", &costs);
+    check("selection/decoder-bert-large/path", &path);
 }
 
 #[test]
 fn encoder_at_tiny_on_one_and_two_threads() {
-    let text = recipe_text(optimize_encoder, &EncoderDims::tiny(), &[1, 2], false);
-    check("selection/encoder-tiny", &text);
+    let [costs, path] = recipe_texts(optimize_encoder, &EncoderDims::tiny(), &[1, 2]);
+    check("selection/encoder-tiny", &costs);
+    check("selection/encoder-tiny/path", &path);
 }
 
 #[test]
 fn decoder_at_tiny_on_one_and_two_threads() {
-    let text = recipe_text(optimize_decoder, &EncoderDims::tiny(), &[1, 2], false);
-    check("selection/decoder-tiny", &text);
+    let [costs, path] = recipe_texts(optimize_decoder, &EncoderDims::tiny(), &[1, 2]);
+    check("selection/decoder-tiny", &costs);
+    check("selection/decoder-tiny/path", &path);
 }
 
-/// Red on PR 23's library, which is why it is recorded ignored: the SSSP
-/// keeps its labels, its transition tables and the sweep's `per_io` in
-/// `HashMap`s and takes the first of several equal-cost entries in
-/// iteration order, a GEMM's price does not depend on which of its
-/// equally-blocked layouts is chosen, and so *which* of the cheapest paths
-/// a run selects — its layouts, its configurations, its lowered plan —
-/// follows each map's `RandomState`. The costs above do not move.
+/// Recorded ignored on PR 23's library, where it was red: the SSSP kept its
+/// labels, its transition tables and the sweep's `per_io` in `HashMap`s and
+/// took the first of several equal-cost entries in iteration order, a
+/// GEMM's price does not depend on which of its equally-blocked layouts is
+/// chosen, and so *which* of the cheapest paths a run selected — its
+/// layouts, its configurations, its lowered plan — followed each map's
+/// `RandomState`. Since PR 24 those tables are in layout order and the
+/// first of equals is the same one every run, which is also what lets the
+/// `/path` rows exist.
 #[test]
-#[ignore = "PR 23's library decides equal-cost paths by HashMap iteration order"]
 fn the_selected_path_is_the_same_in_two_runs() {
     for recipe in [optimize_encoder as Recipe, optimize_decoder] {
-        recipe_text(recipe, &EncoderDims::tiny(), &[1, 1, 2], true);
+        recipe_texts(recipe, &EncoderDims::tiny(), &[1, 1]);
     }
 }
 
@@ -352,20 +374,28 @@ fn capped_sweeps(g: &Graph, max: usize) -> HashMap<NodeId, SweepResult> {
 fn stacked_selection_at_tiny() {
     let (g, fwd) = fused_tiny_encoder();
     let device = DeviceSpec::v100();
-    let run = || {
+    let run = |paths: bool| {
         let sweeps = capped_sweeps(&g, 3_000);
         let stack = select_stacked(&g, &device, &fwd, &sweeps, 3).unwrap();
         let mut out = String::new();
         let _ = writeln!(out, "total_us {:016x}", stack.total_us.to_bits());
         for (layer, us) in stack.layers.iter().zip(&stack.per_layer_us) {
             let _ = writeln!(out, "layer {:016x}", us.to_bits());
-            render_selection(&mut out, &g, layer, false);
+            render_selection(&mut out, &g, layer, paths);
+        }
+        if paths {
+            let _ = writeln!(out, "steady_state_from {}", stack.steady_state_from);
         }
         out
     };
-    let first = run();
-    assert_same("stacked selection", &first, &run());
-    check("selection/stacked-tiny", &first);
+    for (row, paths) in [
+        ("selection/stacked-tiny", false),
+        ("selection/stacked-tiny/path", true),
+    ] {
+        let first = run(paths);
+        assert_same("stacked selection", &first, &run(paths));
+        check(row, &first);
+    }
 }
 
 /// `CostModel::CacheAware`: every (in, out) pair of every forward operator
@@ -375,16 +405,24 @@ fn cache_aware_selection_at_tiny() {
     let (g, fwd) = fused_tiny_encoder();
     let device = DeviceSpec::v100();
     let model = CostModel::CacheAware(CacheGeometry::for_device(&device));
-    let run = || {
+    let run = |paths: bool| {
         let sweeps = capped_sweeps(&g, 3_000);
         let sel = select_forward_cost(&g, &device, &fwd, &sweeps, None, &model).unwrap();
         let mut out = String::new();
-        render_selection(&mut out, &g, &sel, false);
+        render_selection(&mut out, &g, &sel, paths);
+        if paths {
+            render_plan(&mut out, &g, &ExecutionPlan::lower(&g, &sel).unwrap());
+        }
         out
     };
-    let first = run();
-    assert_same("cache-aware selection", &first, &run());
-    check("selection/cache-aware-tiny", &first);
+    for (row, paths) in [
+        ("selection/cache-aware-tiny", false),
+        ("selection/cache-aware-tiny/path", true),
+    ] {
+        let first = run(paths);
+        assert_same("cache-aware selection", &first, &run(paths));
+        check(row, &first);
+    }
 }
 
 /// Every operator's sweep as a table — the best configuration, the
@@ -424,10 +462,7 @@ fn sweeps_text(g: &Graph, fwd: &[NodeId]) -> String {
     }
     let device = DeviceSpec::v100();
     let bests = Selection {
-        per_op: fwd
-            .iter()
-            .map(|&op| (op, sweeps[&op].best.clone()))
-            .collect(),
+        per_op: fwd.iter().map(|&op| (op, sweeps[&op].best)).collect(),
         ..select_forward(g, &device, fwd, &sweeps).unwrap()
     };
     let plan = ExecutionPlan::lower(g, &bests).unwrap();
@@ -480,7 +515,7 @@ fn steps_text(out: &mut String, label: &str, g: &Graph) {
         let _ = writeln!(out, "{label} op `{}`", op_name(g, op));
         for k in 0..17usize {
             let cfg = if k == 0 {
-                natural.clone()
+                natural
             } else {
                 permuted_cfg(
                     &natural,

@@ -26,7 +26,7 @@ use substation::core::plan::{ExecOptions, ExecutionPlan, PlanOverride};
 use substation::core::recipe::forward_ops;
 use substation::core::sanitize::certify;
 use substation::dataflow::{build, EncoderDims, Graph};
-use substation::tensor::{Shape, Tensor};
+use substation::tensor::{Layout, Shape, Tensor};
 use substation::transformer::encoder::{EncoderLayer, Executor};
 use substation::transformer::params::EncoderWeights;
 
@@ -51,21 +51,12 @@ fn three_step_core(dims: &EncoderDims) -> (Graph, ExecutionPlan) {
     (graph, plan)
 }
 
-/// Rotates `s` right by one — the reduce axis stops being innermost.
-fn rotate_right(s: &str) -> String {
-    let mut chars: Vec<char> = s.chars().collect();
-    chars.rotate_right(1);
-    chars.into_iter().collect()
-}
-
-/// Rotates `s` left by `n` — always a valid permutation of the layout.
-fn rotate(s: &str, n: usize) -> String {
-    let chars: Vec<char> = s.chars().collect();
-    if chars.is_empty() {
-        return String::new();
-    }
-    let n = n % chars.len();
-    chars[n..].iter().chain(&chars[..n]).collect()
+/// Rotates `layout` left by `n`.
+fn rotate(layout: Layout, n: usize) -> Layout {
+    let mut order: Vec<usize> = layout.order().collect();
+    let n = n % order.len().max(1);
+    order.rotate_left(n);
+    Layout::from_order(&order).unwrap()
 }
 
 proptest! {
@@ -85,14 +76,16 @@ proptest! {
         // force the strided lanes: the softmax input's reduce axis leaves the
         // innermost position, so its access path gains an inner stride
         let si = plan.steps.iter().position(|s| s.name == "SM").unwrap();
-        plan.steps[si].inputs[0].layout = rotate_right(&plan.steps[si].inputs[0].layout);
+        // (right by one: left by the rank less one)
+        let sm_in = &mut plan.steps[si].inputs[0].layout;
+        *sm_in = rotate(*sm_in, sm_in.rank() - 1);
         // and twist a few other operands for variety
         let mut r = StdRng::seed_from_u64(twist);
         for step in &mut plan.steps {
             for o in step.inputs.iter_mut().chain(step.outputs.iter_mut()) {
                 let n = rand::Rng::gen_range(&mut r, 0..3usize);
                 if n > 0 {
-                    o.layout = rotate(&o.layout, n);
+                    o.layout = rotate(o.layout, n);
                 }
             }
         }
