@@ -24,6 +24,13 @@
 //! steps are held whole, and the test that the path itself repeats is
 //! recorded ignored, for the change that decides ties to switch on.
 //!
+//! PR 26 added, test-only on PR 24's library, what a sweep samples: every
+//! operator's whole configuration space in enumeration order (the unfused,
+//! fused and regions-only graphs), the sweep tables of the regions-only
+//! graphs, and the BERT-large encoder sweep at the recipe's cap as
+//! per-operator sampled times — ahead of the space being sampled without
+//! being built and a contraction being priced once per GEMM class.
+//!
 //! On a mismatch the test prints the digest it computed and the rendering
 //! behind it, so an *intended* change can re-record the row.
 
@@ -47,7 +54,7 @@ use substation::core::sweep::{
     sweep_all, ConfigTiming, SimulatorSource, SweepOptions, SweepResult,
 };
 use substation::dataflow::{build, EncoderDims, Graph, NodeId};
-use substation::gpusim::opmodel::{op_cost, primary_tensors, OpConfig};
+use substation::gpusim::opmodel::{config_space, op_cost, primary_tensors, OpConfig};
 use substation::gpusim::DeviceSpec;
 use substation::tensor::Layout;
 
@@ -125,16 +132,50 @@ fn cfg_ranks(cfg: &OpConfig) -> (usize, Option<usize>, usize) {
     )
 }
 
+/// A configuration as bytes — each layout's permutation of positions,
+/// closed by `0xff`, `0xfe` for a missing second input — for the digests of
+/// whole configuration spaces, which are too long to render as text.
+fn cfg_bytes(h: &mut Fnv, cfg: &OpConfig) {
+    for layout in [Some(cfg.in_layout), cfg.in2_layout, Some(cfg.out_layout)] {
+        match layout {
+            Some(l) => {
+                for p in l.order() {
+                    h.bytes(&[p as u8]);
+                }
+                h.bytes(&[0xff]);
+            }
+            None => h.bytes(&[0xfe]),
+        }
+    }
+    for axis in [cfg.vector_axis, cfg.warp_axis] {
+        h.bytes(&axis.map_or(0, u32::from).to_le_bytes());
+    }
+    h.bytes(&[cfg.algo as u8, cfg.math as u8]);
+}
+
 // ---------------------------------------------------------------------
 // Renderings
 // ---------------------------------------------------------------------
 
-fn fnv(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a, fed a piece at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn fnv(text: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(text.as_bytes());
+    h.0
 }
 
 fn op_name(graph: &Graph, op: NodeId) -> &str {
@@ -253,6 +294,13 @@ const GOLDEN: &[(&str, u64)] = &[
     ("selection/decoder-tiny/path", 0xa669a918f5849b08),
     ("selection/stacked-tiny/path", 0x7a3c45d3897be6e6),
     ("selection/cache-aware-tiny/path", 0xc7575bd63d6b4b74),
+    // configuration spaces and sampled sweeps: recorded in PR 26 on PR
+    // 24's library
+    ("selection/space-encoder", 0x922fe668a08617b9),
+    ("selection/space-decoder", 0xadffefac1ec5371f),
+    ("selection/sweeps-regions-encoder", 0xa373231a9d98fd03),
+    ("selection/sweeps-regions-decoder", 0xa15a365627fe07b5),
+    ("selection/sampled-bert-large", 0x1549ec8456b1f55b),
 ];
 
 fn check(name: &str, text: &str) {
@@ -565,4 +613,107 @@ fn single_steps_and_prices_over_the_encoder_graphs() {
 fn single_steps_and_prices_over_the_decoder_graphs() {
     let text = graph_family(build::decoder(&EncoderDims::tiny()), &decoder_fusion_plan());
     check("selection/steps-decoder", &text);
+}
+
+// ---------------------------------------------------------------------
+// Configuration spaces and what sampling picks (recorded in PR 26 on PR
+// 24's library, ahead of the space becoming an iterator that is sampled
+// without being built)
+// ---------------------------------------------------------------------
+
+/// Every operator's whole configuration space, in enumeration order — the
+/// order stride sampling and the first-of-equals rule read — as its length
+/// and a digest.
+fn space_text(out: &mut String, label: &str, g: &Graph) {
+    for op in g.ops() {
+        let _ = write!(out, "{label} space `{}` ", op_name(g, op));
+        match config_space(g, op) {
+            Ok(space) => {
+                let (mut h, mut n) = (Fnv::new(), 0usize);
+                for cfg in space {
+                    cfg_bytes(&mut h, &cfg);
+                    n += 1;
+                }
+                let _ = writeln!(out, "{n} {:016x}", h.0);
+            }
+            Err(e) => {
+                let _ = writeln!(out, "error {e}");
+            }
+        }
+    }
+}
+
+/// The unfused, fused and regions-only graphs of one block (an epilogue
+/// graph's space is not pinned here: its contractions were enumerated as
+/// normalizations until PR 26).
+fn space_family(bundle: build::EncoderGraph, plan: &[FusionGroup]) -> String {
+    let mut out = String::new();
+    let mut g = bundle.graph;
+    space_text(&mut out, "unfused", &g);
+    apply_plan(&mut g, plan).unwrap();
+    space_text(&mut out, "fused", &g);
+    apply_regions(&mut g, 2).unwrap();
+    space_text(&mut out, "regions", &g);
+    out
+}
+
+#[test]
+fn configuration_spaces_of_the_encoder_graphs() {
+    let text = space_family(build::encoder(&EncoderDims::tiny()), &encoder_fusion_plan());
+    check("selection/space-encoder", &text);
+}
+
+#[test]
+fn configuration_spaces_of_the_decoder_graphs() {
+    let text = space_family(build::decoder(&EncoderDims::tiny()), &decoder_fusion_plan());
+    check("selection/space-decoder", &text);
+}
+
+fn regions_tiny(bundle: build::EncoderGraph, plan: &[FusionGroup]) -> (Graph, Vec<NodeId>) {
+    let mut g = bundle.graph;
+    apply_plan(&mut g, plan).unwrap();
+    apply_regions(&mut g, 2).unwrap();
+    let fwd = forward_ops(&g, g.data_by_name("dy").unwrap());
+    (g, fwd)
+}
+
+#[test]
+fn sweep_tables_of_the_encoder_regions() {
+    let (g, fwd) = regions_tiny(build::encoder(&EncoderDims::tiny()), &encoder_fusion_plan());
+    check("selection/sweeps-regions-encoder", &sweeps_text(&g, &fwd));
+}
+
+#[test]
+fn sweep_tables_of_the_decoder_regions() {
+    let (g, fwd) = regions_tiny(build::decoder(&EncoderDims::tiny()), &decoder_fusion_plan());
+    check("selection/sweeps-regions-decoder", &sweeps_text(&g, &fwd));
+}
+
+/// The recipe's own sweep of the BERT-large encoder at its 30 000 cap: per
+/// operator the sampled times, in order, which pins the configurations
+/// stride sampling picks out of each space.
+#[test]
+fn sampled_sweep_at_bert_large() {
+    let mut g = build::encoder(&EncoderDims::bert_large()).graph;
+    apply_plan(&mut g, &encoder_fusion_plan()).unwrap();
+    let sweeps = sweep_all(&SimulatorSource::default(), &g, options(1).sweep).unwrap();
+    let mut out = String::new();
+    for op in g.ops() {
+        let s = &sweeps[&op];
+        let mut times = Fnv::new();
+        for t in &s.times_us {
+            times.bytes(&t.to_bits().to_le_bytes());
+        }
+        let _ = writeln!(
+            out,
+            "sampled `{}` {} {:016x} best {:016x} worst {:016x} per_io {}",
+            s.name,
+            s.times_us.len(),
+            times.0,
+            s.best.time_us.to_bits(),
+            s.worst_us.to_bits(),
+            s.per_io.len()
+        );
+    }
+    check("selection/sampled-bert-large", &out);
 }
