@@ -112,8 +112,9 @@ impl OptimizedEncoder {
 /// Options for the recipe run.
 #[derive(Debug, Clone, Copy)]
 pub struct RecipeOptions {
-    /// Sweep sampling cap (None = exhaustive; the paper sweeps
-    /// exhaustively, which takes a few seconds per contraction here).
+    /// Sweep sampling cap (None = exhaustive, as the paper sweeps: on one
+    /// thread here ≈ 22 ms for the 221 184 configurations of a rank-4
+    /// contraction, ≈ 0.16 s for the 1.44 M of a BERT-large encoder).
     pub sweep: SweepOptions,
     /// Per-op dispatch overhead of the assembled implementation (µs);
     /// the PyTorch-integration overhead in the paper's numbers.

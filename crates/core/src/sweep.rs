@@ -59,6 +59,8 @@ impl PerfSource for SimulatorSource {
         op_cost(&self.device, graph, op, cfg)
     }
 
+    /// One [`OpModel`] prices the whole batch, each GEMM class once
+    /// ([`OpModel::costs`]).
     fn measure_many(
         &self,
         graph: &Graph,
@@ -66,7 +68,7 @@ impl PerfSource for SimulatorSource {
         cfgs: &[OpConfig],
     ) -> Vec<Result<KernelCost>> {
         match OpModel::new(graph, op) {
-            Ok(model) => cfgs.iter().map(|c| model.cost(&self.device, c)).collect(),
+            Ok(model) => model.costs(&self.device, cfgs.iter().copied()).collect(),
             Err(e) => cfgs.iter().map(|_| Err(e.clone())).collect(),
         }
     }
@@ -185,7 +187,8 @@ pub fn outputs_laid_out(graph: &Graph, op: NodeId) -> Vec<bool> {
 ///
 /// # Errors
 ///
-/// Returns an error if the op is invalid or the space is empty.
+/// Returns an error if the op is invalid, the space is empty, or
+/// `opts.max_configs` is `Some(0)`.
 ///
 /// # Examples
 ///
@@ -211,16 +214,29 @@ pub fn sweep_op(
         .clone();
     let space = config_space(graph, op)?;
     let stride = match opts.max_configs {
+        Some(0) => return Err(nothing_sampled()),
         Some(m) if space.len() > m => space.len().div_ceil(m),
         _ => 1,
     };
     let flowing = flowing_input_index(graph, op);
-    let sampled: Vec<OpConfig> = space.into_iter().step_by(stride).collect();
+    let sampled: Vec<OpConfig> = space.step_by(stride).collect();
     let costs = source.measure_many(graph, op, &sampled);
+    // the layouts `per_io` is keyed by: the flowing input's and the output's
+    let io = |cfg: &OpConfig| match cfg.in2_layout {
+        Some(in2) if flowing == 1 => (in2, cfg.out_layout),
+        _ => (cfg.in_layout, cfg.out_layout),
+    };
+    // `per_io` as a dense table over the pair's permutation ranks, walked in
+    // index order — layout order — at the end; never larger than the space
+    let layouts = |l: Layout| (1..=l.rank()).product::<usize>();
+    let (ins, outs) = sampled
+        .first()
+        .map(io)
+        .map_or((0, 0), |(i, o)| (layouts(i), layouts(o)));
+    let mut per_io: Vec<Option<ConfigTiming>> = vec![None; ins * outs];
     let mut best: Option<ConfigTiming> = None;
     let mut worst = 0.0f64;
-    let mut times = Vec::new();
-    let mut per_io: BTreeMap<(Layout, Layout), ConfigTiming> = BTreeMap::new();
+    let mut times = Vec::with_capacity(sampled.len());
     for (cfg, cost) in sampled.into_iter().zip(costs) {
         let Ok(cost) = cost else { continue };
         let t = cost.time_us;
@@ -230,20 +246,19 @@ pub fn sweep_op(
         if best.as_ref().map(|b| t < b.time_us).unwrap_or(true) {
             best = Some(timing);
         }
-        let in_key = match cfg.in2_layout {
-            Some(in2) if flowing == 1 => in2,
-            _ => cfg.in_layout,
-        };
-        let key = (in_key, cfg.out_layout);
-        match per_io.get(&key) {
+        let (i, o) = io(&cfg);
+        match &mut per_io[i.index() * outs + o.index()] {
             Some(prev) if prev.time_us <= t => {}
-            _ => {
-                per_io.insert(key, timing);
-            }
+            slot => *slot = Some(timing),
         }
     }
     let best = best
         .ok_or_else(|| TensorError::Unsupported(format!("no valid configuration for `{name}`")))?;
+    let per_io = per_io
+        .into_iter()
+        .flatten()
+        .map(|t| (io(&t.cfg), t))
+        .collect();
     Ok(SweepResult {
         op,
         name,
@@ -253,6 +268,11 @@ pub fn sweep_op(
         per_io,
         flowing_input: flowing,
     })
+}
+
+/// A cap of zero configurations.
+fn nothing_sampled() -> TensorError {
+    TensorError::Unsupported("a sweep capped at 0 configurations samples nothing".into())
 }
 
 /// Sweeps every operator of a graph, with per-op results keyed by id.
@@ -405,6 +425,43 @@ mod tests {
             assert!((s.best.time_us - p.best.time_us).abs() < 1e-12);
             assert_eq!(s.times_us, p.times_us);
             assert_eq!(s.per_io.len(), p.per_io.len());
+        }
+    }
+
+    #[test]
+    fn a_cap_of_zero_configurations_is_refused() {
+        let e = build::encoder(&EncoderDims::tiny());
+        let op = e.graph.op_by_name("QKT").unwrap();
+        let zero = SweepOptions {
+            max_configs: Some(0),
+            threads: 2,
+        };
+        let refused = sweep_op(&sim(), &e.graph, op, zero).unwrap_err();
+        assert_eq!(refused, nothing_sampled());
+        assert_eq!(sweep_all(&sim(), &e.graph, zero).unwrap_err(), refused);
+    }
+
+    #[test]
+    fn epilogue_kernels_sweep_as_contractions() {
+        let mut g = build::encoder(&EncoderDims::tiny()).graph;
+        crate::fusion::apply_plan(&mut g, &crate::fusion::encoder_fusion_plan()).unwrap();
+        let fused = crate::fusion::apply_epilogues(&mut g).unwrap();
+        assert!(!fused.is_empty());
+        let opts = SweepOptions {
+            max_configs: Some(500),
+            threads: 1,
+        };
+        let sweeps = sweep_all(&sim(), &g, opts).unwrap();
+        for op in fused {
+            let s = &sweeps[&op];
+            assert!(
+                s.best.cfg.in2_layout.is_some(),
+                "`{}` priced as a kernel",
+                s.name
+            );
+            // every sampled configuration priced
+            let space = config_space(&g, op).unwrap().len();
+            assert_eq!(s.times_us.len(), space.div_ceil(space.div_ceil(500)));
         }
     }
 

@@ -257,7 +257,11 @@ pub fn gemm_cost(
     }
 }
 
-fn layout_key(layout: GemmLayout) -> u64 {
+/// How many values [`layout_key`] takes: three two-bit roles and `blocked`.
+pub(crate) const LAYOUT_KEYS: usize = 1 << 7;
+
+/// A [`GemmLayout`] as a number below [`LAYOUT_KEYS`].
+pub(crate) fn layout_key(layout: GemmLayout) -> u64 {
     let r = |x: InnerRole| match x {
         InnerRole::M => 0u64,
         InnerRole::N => 1,

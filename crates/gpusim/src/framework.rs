@@ -17,7 +17,7 @@ use xform_tensor::Result;
 use crate::contraction::{heuristic_algorithm, GemmShape, KernelCost};
 use crate::device::DeviceSpec;
 use crate::mue::{mue, Mue};
-use crate::opmodel::{config_space, op_cost, OpConfig};
+use crate::opmodel::{config_space, op_cost, OpConfig, OpModel};
 
 /// How thoroughly a framework tunes its kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,9 +201,11 @@ fn choose_config(
             Ok((cfg, cost))
         }
         TuningLevel::Exhaustive => {
+            let space = config_space(graph, op)?;
+            let model = OpModel::new(graph, op)?;
             let mut best: Option<(OpConfig, KernelCost)> = None;
-            for cfg in config_space(graph, op)? {
-                if let Ok(cost) = op_cost(device, graph, op, &cfg) {
+            for (cfg, cost) in space.clone().zip(model.costs(device, space)) {
+                if let Ok(cost) = cost {
                     if best
                         .as_ref()
                         .map(|(_, b)| cost.time_us < b.time_us)

@@ -3,15 +3,17 @@
 //! An [`OpConfig`] fixes every tunable of one operator — tensor layouts,
 //! vectorization axis, warp-reduction axis, GEMM algorithm and math mode —
 //! and [`op_cost`] prices it on a device. Enumerating [`config_space`] and
-//! pricing every element is exactly the exhaustive benchmarking step of the
-//! paper's recipe (Sec. V); the distributions it produces are Figs. 4 & 5.
+//! pricing every element ([`OpModel::costs`]: each GEMM class once) is
+//! exactly the exhaustive benchmarking step of the paper's recipe (Sec. V);
+//! the distributions it produces are Figs. 4 & 5.
 
 use xform_dataflow::{Graph, NodeId, OpKind};
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::{Axis, Layout, Result, Shape, TensorError, MAX_RANK};
 
 use crate::contraction::{
-    algorithms, gemm_cost, GemmAlgo, GemmLayout, GemmShape, InnerRole, KernelCost, MathMode,
+    algorithms, gemm_cost, layout_key, GemmAlgo, GemmLayout, GemmShape, InnerRole, KernelCost,
+    MathMode, LAYOUT_KEYS,
 };
 use crate::device::{noise_key, DeviceSpec};
 use crate::kernel::{kernel_cost, KernelDesc, TensorAccess};
@@ -119,19 +121,6 @@ fn axes(s: &Shape) -> Vec<char> {
 }
 
 impl OpInfo {
-    /// This operator as a contraction of `a` and `b` into `out`.
-    fn contracting(&self, a: &Shape, b: &Shape, out: &Shape) -> OpInfo {
-        OpInfo {
-            in_axes: axes(a),
-            in2_axes: Some(axes(b)),
-            out_axes: axes(out),
-            in_shape: a.clone(),
-            in2_shape: Some(b.clone()),
-            out_shape: out.clone(),
-            ..self.clone()
-        }
-    }
-
     fn gather(graph: &Graph, op: NodeId) -> Result<OpInfo> {
         let (in_id, out_id) = primary_tensors(graph, op)?;
         let node = graph.op(op).expect("primary_tensors checked the operator");
@@ -209,12 +198,113 @@ pub fn primary_tensors(graph: &Graph, op: NodeId) -> Result<(NodeId, NodeId)> {
     ))
 }
 
-/// A reusable pricing model for one operator: gathers the operator's
-/// shapes and roles once, then prices configurations cheaply. Use this for
-/// sweeps; [`op_cost`] is the one-shot convenience wrapper.
+/// A reusable pricing model for one operator: what prices its
+/// configurations, gathered once — its shapes and roles, and for each GEMM
+/// it runs as (an einsum's, a GEMM-epilogue kernel's, both halves of an
+/// attention region) the classification, the [`GemmShape`], the
+/// [`InnerRole`] of every axis position of A, B and C and the algorithm
+/// table — so a configuration is priced with no classification and no
+/// allocation. [`op_cost`] is the one-shot wrapper; [`OpModel::costs`]
+/// prices a sweep.
 #[derive(Debug, Clone)]
 pub struct OpModel {
     info: OpInfo,
+    pricing: Pricing,
+    /// The algorithm table a configuration's `algo` indexes.
+    algos: Vec<GemmAlgo>,
+}
+
+/// How an operator's configurations are priced.
+#[derive(Debug, Clone)]
+enum Pricing {
+    /// Normalizations and element-wise kernels: the access-pattern model.
+    Kernel,
+    /// One GEMM. A GEMM-epilogue mega-kernel is contraction-bound: the
+    /// fused element-wise tail rides the GEMM's output tiles for free.
+    Gemm(Gemm),
+    /// An attention region as its two contractions back to back, the
+    /// softmax between them riding the scores' tiles like an epilogue: the
+    /// times add, and the scores the first would have written and the
+    /// second read back — which the region keeps on chip — come off the
+    /// words moved. The configuration lays out the scores contraction's
+    /// operands and the context; the values and the virtual scores keep
+    /// their natural order.
+    Region {
+        scores: Gemm,
+        context: Gemm,
+        /// Words of the scores written and read back, kept on chip.
+        on_chip_words: f64,
+        /// The region's own input and output words, a floor on `moved`.
+        io_words: f64,
+    },
+}
+
+/// One contraction's constants.
+#[derive(Debug, Clone)]
+struct Gemm {
+    shape: GemmShape,
+    /// Per operand — A, B, C — the GEMM role of each axis position.
+    roles: [Vec<InnerRole>; 3],
+}
+
+impl Gemm {
+    fn new(spec: &EinsumSpec, a: &Shape, b: &Shape, c: &Shape) -> Result<Gemm> {
+        let class = spec.classify()?;
+        let sizes = spec.gemm_sizes(a, b)?;
+        // operand 0 is A (M × K), 1 is B (K × N), 2 is C (M × N)
+        let role_of = |ax: &Axis, operand: usize| -> InnerRole {
+            if class.batch.contains(ax) {
+                InnerRole::Batch
+            } else if class.k.contains(ax) {
+                InnerRole::K
+            } else if operand == 0 || (operand == 2 && class.m.contains(ax)) {
+                InnerRole::M
+            } else {
+                InnerRole::N
+            }
+        };
+        let roles = |shape: &Shape, operand| -> Vec<InnerRole> {
+            shape.axes().iter().map(|ax| role_of(ax, operand)).collect()
+        };
+        Ok(Gemm {
+            shape: GemmShape {
+                batch: sizes.batch,
+                m: sizes.m,
+                n: sizes.n,
+                k: sizes.k,
+            },
+            roles: [roles(a, 0), roles(b, 1), roles(c, 2)],
+        })
+    }
+
+    /// The GEMM class of the operands laid out as `layouts` (A, B, C): the
+    /// role that owns each one's contiguous axis, and whether every
+    /// operand's role groups form contiguous segments, innermost not batch.
+    fn class(&self, layouts: [Layout; 3]) -> Result<GemmLayout> {
+        let mut inner = [InnerRole::Batch; 3];
+        let mut blocked = true;
+        for ((slot, layout), roles) in inner.iter_mut().zip(layouts).zip(&self.roles) {
+            fits(layout, roles)?;
+            // a role met again after another one is a second segment of it
+            let (mut seen, mut last) = (0u8, None);
+            for p in layout.order() {
+                let role = roles[p];
+                if last != Some(role) {
+                    blocked &= seen & 1 << role as u8 == 0;
+                    seen |= 1 << role as u8;
+                    last = Some(role);
+                }
+            }
+            *slot = last.expect("non-empty layout");
+            blocked &= *slot != InnerRole::Batch;
+        }
+        Ok(GemmLayout {
+            a_inner: inner[0],
+            b_inner: inner[1],
+            c_inner: inner[2],
+            blocked,
+        })
+    }
 }
 
 impl OpModel {
@@ -223,10 +313,42 @@ impl OpModel {
     /// # Errors
     ///
     /// Returns an error if `op` is not a live operator with data inputs
-    /// and outputs.
+    /// and outputs, or a contraction does not map onto a GEMM.
     pub fn new(graph: &Graph, op: NodeId) -> Result<OpModel> {
+        let info = OpInfo::gather(graph, op)?;
+        let pricing = match &info.kind {
+            OpKind::Einsum(spec) | OpKind::ContractionEpilogue { spec, .. } => {
+                let b = info.in2_shape.as_ref().ok_or_else(|| {
+                    TensorError::Unsupported(format!("contraction `{}` has one input", info.name))
+                })?;
+                Pricing::Gemm(Gemm::new(spec, &info.in_shape, b, &info.out_shape)?)
+            }
+            OpKind::AttentionRegion { qkt, gamma, .. } => {
+                let (Some(b), Some(v)) = (&info.in2_shape, &info.in3_shape) else {
+                    let what = format!("attention region `{}` lacks an operand", info.name);
+                    return Err(TensorError::Unsupported(what));
+                };
+                let a = &info.in_shape;
+                let extent = |&ax: &Axis| Ok((ax.name(), a.size(ax).or_else(|_| b.size(ax))?));
+                let scores = Shape::new(
+                    qkt.output()
+                        .iter()
+                        .map(extent)
+                        .collect::<Result<Vec<_>>>()?,
+                )?;
+                Pricing::Region {
+                    scores: Gemm::new(qkt, a, b, &scores)?,
+                    context: Gemm::new(gamma, v, &scores, &info.out_shape)?,
+                    on_chip_words: 2.0 * scores.num_elements() as f64,
+                    io_words: (info.input_words + info.output_words) as f64,
+                }
+            }
+            _ => Pricing::Kernel,
+        };
         Ok(OpModel {
-            info: OpInfo::gather(graph, op)?,
+            info,
+            pricing,
+            algos: algorithms(),
         })
     }
 
@@ -234,19 +356,84 @@ impl OpModel {
     ///
     /// # Errors
     ///
-    /// Returns an error if a layout's rank is not its tensor's, or a
-    /// contraction does not map onto a GEMM.
+    /// Returns an error if a layout's rank is not its tensor's, a
+    /// contraction's configuration lacks its second layout, or names an
+    /// algorithm that does not exist.
     pub fn cost(&self, device: &DeviceSpec, cfg: &OpConfig) -> Result<KernelCost> {
-        match &self.info.kind.clone() {
-            // a GEMM-epilogue mega-kernel is contraction-bound: the fused
-            // element-wise tail rides the GEMM's output tiles for free
-            OpKind::Einsum(spec) | OpKind::ContractionEpilogue { spec, .. } => {
-                contraction_cost(device, &self.info, spec, cfg)
+        self.priced(device, cfg, None)
+    }
+
+    /// Prices configurations one after another, each as [`OpModel::cost`]
+    /// would. For one shape, `gemm_cost` is a pure function of the GEMM
+    /// class, the algorithm and the math mode — the sweep of a rank-4
+    /// contraction meets a few dozen of those among hundreds of thousands
+    /// of configurations — so each is computed once and remembered: the
+    /// same bits by construction. The memo lives in the returned iterator,
+    /// one operator's sweep, and never longer.
+    pub fn costs<'a>(
+        &'a self,
+        device: &'a DeviceSpec,
+        cfgs: impl IntoIterator<Item = OpConfig> + 'a,
+    ) -> impl Iterator<Item = Result<KernelCost>> + 'a {
+        let gemms = match &self.pricing {
+            Pricing::Kernel => 0,
+            Pricing::Gemm(_) => 1,
+            Pricing::Region { .. } => 2,
+        };
+        let mut memo = vec![None; gemms * LAYOUT_KEYS * self.algos.len() * MATH_MODES.len()];
+        cfgs.into_iter()
+            .map(move |cfg| self.priced(device, &cfg, Some(&mut memo)))
+    }
+
+    /// The one pricing function, with `gemm_cost` remembered in `memo`
+    /// (indexed by GEMM, class, algorithm, math mode) when one is given.
+    fn priced(
+        &self,
+        device: &DeviceSpec,
+        cfg: &OpConfig,
+        mut memo: Option<&mut [Option<KernelCost>]>,
+    ) -> Result<KernelCost> {
+        let mut gemm = |at: usize, g: &Gemm, class: GemmLayout| -> Result<KernelCost> {
+            let algo = *self.algos.get(cfg.algo).ok_or_else(|| {
+                TensorError::Unsupported(format!("unknown GEMM algorithm {}", cfg.algo))
+            })?;
+            let cost = || gemm_cost(device, g.shape, class, algo, cfg.math);
+            Ok(match memo.as_deref_mut() {
+                Some(memo) => {
+                    let key = at * LAYOUT_KEYS + layout_key(class) as usize;
+                    let slot = (key * self.algos.len() + cfg.algo) * MATH_MODES.len();
+                    *memo[slot + cfg.math as usize].get_or_insert_with(cost)
+                }
+                None => cost(),
+            })
+        };
+        let in2 = || {
+            cfg.in2_layout.ok_or_else(|| {
+                let name = &self.info.name;
+                TensorError::Unsupported(format!("contraction `{name}` config lacks in2 layout"))
+            })
+        };
+        match &self.pricing {
+            Pricing::Kernel => normalization_cost(device, &self.info, cfg),
+            Pricing::Gemm(g) => gemm(0, g, g.class([cfg.in_layout, in2()?, cfg.out_layout])?),
+            Pricing::Region {
+                scores,
+                context,
+                on_chip_words,
+                io_words,
+            } => {
+                let natural = |roles: &[InnerRole]| Layout::row_major(roles.len());
+                let s = natural(&scores.roles[2]);
+                let c1 = gemm(0, scores, scores.class([cfg.in_layout, in2()?, s])?)?;
+                let v = natural(&context.roles[0]);
+                let c2 = gemm(1, context, context.class([v, s, cfg.out_layout])?)?;
+                Ok(KernelCost {
+                    time_us: c1.time_us + c2.time_us,
+                    moved_words: (c1.moved_words + c2.moved_words - on_chip_words).max(*io_words),
+                    bandwidth_frac: c1.bandwidth_frac.min(c2.bandwidth_frac),
+                    flop: c1.flop + c2.flop,
+                })
             }
-            OpKind::AttentionRegion { qkt, gamma, .. } => {
-                region_cost(device, &self.info, qkt, gamma, cfg)
-            }
-            _ => normalization_cost(device, &self.info, cfg),
         }
     }
 }
@@ -279,138 +466,6 @@ pub fn cache_discounted(cost: &KernelCost, hit_words: f64, floor_words: f64) -> 
         moved_words: moved,
         ..*cost
     }
-}
-
-fn contraction_cost(
-    device: &DeviceSpec,
-    info: &OpInfo,
-    spec: &EinsumSpec,
-    cfg: &OpConfig,
-) -> Result<KernelCost> {
-    let in2_shape = info.in2_shape.as_ref().ok_or_else(|| {
-        TensorError::Unsupported(format!("contraction `{}` has one input", info.name))
-    })?;
-    let class = spec.classify()?;
-    let sizes = spec.gemm_sizes(&info.in_shape, in2_shape)?;
-    let shape = GemmShape {
-        batch: sizes.batch,
-        m: sizes.m,
-        n: sizes.n,
-        k: sizes.k,
-    };
-    let in2_layout = cfg.in2_layout.ok_or_else(|| {
-        TensorError::Unsupported(format!(
-            "contraction `{}` config lacks in2 layout",
-            info.name
-        ))
-    })?;
-    let role_of = |axis: char, operand: Operand| -> InnerRole {
-        let ax = Axis(axis);
-        if class.batch.contains(&ax) {
-            InnerRole::Batch
-        } else if class.k.contains(&ax) {
-            InnerRole::K
-        } else {
-            match operand {
-                Operand::A => InnerRole::M,
-                Operand::B => InnerRole::N,
-                Operand::C => {
-                    if class.m.contains(&ax) {
-                        InnerRole::M
-                    } else {
-                        InnerRole::N
-                    }
-                }
-            }
-        }
-    };
-    let in2_axes = info.in2_axes.as_ref().expect("einsum has in2");
-    let operands = [
-        (cfg.in_layout, &info.in_axes, Operand::A),
-        (in2_layout, in2_axes, Operand::B),
-        (cfg.out_layout, &info.out_axes, Operand::C),
-    ];
-    let mut inner = [InnerRole::Batch; 3];
-    let mut blocked = true;
-    for (slot, (layout, axes, operand)) in inner.iter_mut().zip(operands) {
-        fits(layout, axes)?;
-        let roles: Vec<InnerRole> = layout.order().map(|p| role_of(axes[p], operand)).collect();
-        // role groups must form contiguous segments, innermost not batch
-        let mut segments = 1;
-        for w in roles.windows(2) {
-            if w[0] != w[1] {
-                segments += 1;
-            }
-        }
-        let distinct = {
-            let mut d: Vec<InnerRole> = Vec::new();
-            for r in &roles {
-                if !d.contains(r) {
-                    d.push(*r);
-                }
-            }
-            d.len()
-        };
-        *slot = *roles.last().expect("non-empty layout");
-        blocked &= segments == distinct && *slot != InnerRole::Batch;
-    }
-    let layout = GemmLayout {
-        a_inner: inner[0],
-        b_inner: inner[1],
-        c_inner: inner[2],
-        blocked,
-    };
-    let algos = algorithms();
-    let algo: GemmAlgo = algos
-        .get(cfg.algo)
-        .copied()
-        .ok_or_else(|| TensorError::Unsupported(format!("unknown GEMM algorithm {}", cfg.algo)))?;
-    Ok(gemm_cost(device, shape, layout, algo, cfg.math))
-}
-
-/// An attention region as its two contractions back to back, the softmax
-/// between them riding the scores' tiles like an epilogue: the times add,
-/// and the scores the first would have written and the second read back —
-/// which the region keeps on chip — come off the words moved. The
-/// configuration lays out the scores contraction's operands and the context;
-/// the values and the virtual scores keep their natural order.
-fn region_cost(
-    device: &DeviceSpec,
-    info: &OpInfo,
-    qkt: &EinsumSpec,
-    gamma: &EinsumSpec,
-    cfg: &OpConfig,
-) -> Result<KernelCost> {
-    let (Some(b), Some(v)) = (&info.in2_shape, &info.in3_shape) else {
-        let what = format!("attention region `{}` lacks an operand", info.name);
-        return Err(TensorError::Unsupported(what));
-    };
-    let a = &info.in_shape;
-    let extent = |&ax: &Axis| Ok((ax.name(), a.size(ax).or_else(|_| b.size(ax))?));
-    let extents: Result<Vec<_>> = qkt.output().iter().map(extent).collect();
-    let scores = Shape::new(extents?)?;
-    let (mut first, mut second) = (*cfg, *cfg);
-    first.out_layout = Layout::row_major(scores.rank());
-    second.in_layout = Layout::row_major(v.rank());
-    second.in2_layout = Some(first.out_layout);
-    let c1 = contraction_cost(device, &info.contracting(a, b, &scores), qkt, &first)?;
-    let context = info.contracting(v, &scores, &info.out_shape);
-    let c2 = contraction_cost(device, &context, gamma, &second)?;
-    let io = (info.input_words + info.output_words) as f64;
-    let on_chip = 2.0 * scores.num_elements() as f64;
-    Ok(KernelCost {
-        time_us: c1.time_us + c2.time_us,
-        moved_words: (c1.moved_words + c2.moved_words - on_chip).max(io),
-        bandwidth_frac: c1.bandwidth_frac.min(c2.bandwidth_frac),
-        flop: c1.flop + c2.flop,
-    })
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Operand {
-    A,
-    B,
-    C,
 }
 
 /// A layout must have the rank of the tensor it lays out.
@@ -551,71 +606,121 @@ fn spell<'b>(layout: Layout, axes: &[char], buf: &'b mut [u8; SPELL_BYTES]) -> &
     std::str::from_utf8(&buf[..len]).expect("whole characters")
 }
 
+/// The math modes a contraction is priced in, in enumeration order.
+const MATH_MODES: [MathMode; 2] = [MathMode::TensorCore, MathMode::Fp16];
+
+/// One operator's configuration space: every combination of its in, in2
+/// and out layouts, vector and warp axes, algorithms and math modes, the
+/// last varying fastest — a contraction has one vector and one warp axis
+/// (none), a kernel one second input (none), one algorithm and one math
+/// mode. An [`ExactSizeIterator`] whose `nth` decodes an index (mixed
+/// radix) instead of walking to it, so sampling it by stride never builds
+/// it.
+#[derive(Debug, Clone)]
+pub struct ConfigSpace {
+    ins: Vec<Layout>,
+    in2s: Vec<Option<Layout>>,
+    outs: Vec<Layout>,
+    vectors: Vec<Option<char>>,
+    warps: Vec<Option<char>>,
+    algos: usize,
+    maths: &'static [MathMode],
+    /// The index of the next configuration, and the space's size.
+    next: usize,
+    len: usize,
+}
+
+impl ConfigSpace {
+    /// The configuration at `index` (below the space's size).
+    fn at(&self, index: usize) -> OpConfig {
+        let mut rest = index;
+        let mut digit = |radix: usize| {
+            let d = rest % radix;
+            rest /= radix;
+            d
+        };
+        let math = self.maths[digit(self.maths.len())];
+        let algo = digit(self.algos);
+        let warp_axis = self.warps[digit(self.warps.len())];
+        let vector_axis = self.vectors[digit(self.vectors.len())];
+        let out_layout = self.outs[digit(self.outs.len())];
+        let in2_layout = self.in2s[digit(self.in2s.len())];
+        OpConfig {
+            in_layout: self.ins[rest],
+            in2_layout,
+            out_layout,
+            vector_axis,
+            warp_axis,
+            algo,
+            math,
+        }
+    }
+}
+
+impl Iterator for ConfigSpace {
+    type Item = OpConfig;
+
+    fn next(&mut self) -> Option<OpConfig> {
+        let index = self.next;
+        (index < self.len).then(|| {
+            self.next += 1;
+            self.at(index)
+        })
+    }
+
+    fn nth(&mut self, n: usize) -> Option<OpConfig> {
+        self.next = self.next.saturating_add(n).min(self.len);
+        self.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.len - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for ConfigSpace {}
+
 /// Enumerates the full configuration space of one operator: every layout
 /// permutation of its primary tensors, plus vectorization / warp axes for
-/// normalization kernels, or algorithms × math modes for contractions.
+/// normalization kernels, or algorithms × math modes for contractions
+/// (einsums, GEMM-epilogue kernels and attention regions).
 ///
 /// # Errors
 ///
-/// Returns an error if the op id is invalid.
-pub fn config_space(graph: &Graph, op: NodeId) -> Result<Vec<OpConfig>> {
+/// Returns an error if the op id is invalid, or a contraction has one
+/// input.
+pub fn config_space(graph: &Graph, op: NodeId) -> Result<ConfigSpace> {
     let info = OpInfo::gather(graph, op)?;
-    let mut out = Vec::new();
-    let in_perms = Layout::all(info.in_axes.len());
-    let out_perms = Layout::all(info.out_axes.len());
-    match &info.kind {
-        OpKind::Einsum(_) | OpKind::AttentionRegion { .. } => {
-            let in2_axes = info.in2_axes.as_ref().ok_or_else(|| {
-                TensorError::Unsupported(format!("contraction `{}` has one input", info.name))
-            })?;
-            let in2_perms = Layout::all(in2_axes.len());
-            let n_algos = algorithms().len();
-            for &a in &in_perms {
-                for &b in &in2_perms {
-                    for &c in &out_perms {
-                        for algo in 0..n_algos {
-                            for math in [MathMode::TensorCore, MathMode::Fp16] {
-                                out.push(OpConfig {
-                                    in_layout: a,
-                                    in2_layout: Some(b),
-                                    out_layout: c,
-                                    vector_axis: None,
-                                    warp_axis: None,
-                                    algo,
-                                    math,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        _ => {
-            let warp_axes: Vec<Option<char>> = if info.reduce_axis.is_some() {
-                info.in_axes.iter().map(|&c| Some(c)).collect()
-            } else {
-                vec![None]
-            };
-            for &i in &in_perms {
-                for &o in &out_perms {
-                    for &v in &info.out_axes {
-                        for &w in &warp_axes {
-                            out.push(OpConfig {
-                                in_layout: i,
-                                in2_layout: None,
-                                out_layout: o,
-                                vector_axis: Some(v),
-                                warp_axis: w,
-                                algo: 0,
-                                math: MathMode::TensorCore,
-                            });
-                        }
-                    }
-                }
-            }
+    let some = |axes: &[char]| axes.iter().copied().map(Some).collect();
+    let mut space = ConfigSpace {
+        ins: Layout::all(info.in_axes.len()),
+        in2s: vec![None],
+        outs: Layout::all(info.out_axes.len()),
+        vectors: vec![None],
+        warps: vec![None],
+        algos: 1,
+        maths: &MATH_MODES[..1],
+        next: 0,
+        len: 0,
+    };
+    if positional(&info.kind) {
+        let in2_axes = info.in2_axes.as_ref().ok_or_else(|| {
+            TensorError::Unsupported(format!("contraction `{}` has one input", info.name))
+        })?;
+        space.in2s = Layout::all(in2_axes.len()).into_iter().map(Some).collect();
+        space.algos = algorithms().len();
+        space.maths = &MATH_MODES;
+    } else {
+        space.vectors = some(&info.out_axes);
+        if info.reduce_axis.is_some() {
+            space.warps = some(&info.in_axes);
         }
     }
-    Ok(out)
+    let layouts = space.ins.len() * space.in2s.len() * space.outs.len();
+    let axes = space.vectors.len() * space.warps.len();
+    space.len = layouts * axes * space.algos * space.maths.len();
+    Ok(space)
 }
 
 #[cfg(test)]
@@ -680,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn config_space_sizes_are_sane() {
+    fn space_sizes_are_sane() {
         let (g, ids) = bert();
         // rank-4 contraction: 24·24·24·8·2 configs
         let qkt = find(&ids, "QKT");

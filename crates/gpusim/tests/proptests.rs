@@ -154,12 +154,133 @@ mod mue_props {
             let device = DeviceSpec::v100();
             let ops = e.graph.ops();
             let op = ops[op_pick % ops.len()];
-            let space = config_space(&e.graph, op).unwrap();
-            let cfg: &OpConfig = &space[cfg_pick % space.len()];
-            if let Ok(cost) = op_cost(&device, &e.graph, op, cfg) {
+            let mut space = config_space(&e.graph, op).unwrap();
+            let cfg: OpConfig = space.nth(cfg_pick % space.len()).unwrap();
+            if let Ok(cost) = op_cost(&device, &e.graph, op, &cfg) {
                 let m = mue(&e.graph, op, &cost);
                 prop_assert!((0.0..=100.0).contains(&m.value));
                 prop_assert!(m.d_words >= m.q_words);
+            }
+        }
+    }
+}
+
+mod space_props {
+    use super::*;
+    use xform_core::fusion::{
+        apply_epilogues, apply_plan, apply_regions, decoder_fusion_plan, encoder_fusion_plan,
+    };
+    use xform_dataflow::{build, EncoderDims, Graph};
+    use xform_gpusim::opmodel::{config_space, op_cost, OpConfig, OpModel};
+    use xform_gpusim::KernelCost;
+    use xform_tensor::{Layout, Result};
+
+    /// Every graph family the pipeline prices: standalone attention, the two
+    /// decode-step graphs, and both blocks unfused, fused by their tables,
+    /// with attention regions, and with bias epilogues on top.
+    fn family(pick: usize) -> Graph {
+        let dims = EncoderDims::tiny();
+        let step = EncoderDims { j: 1, ..dims };
+        match pick % 11 {
+            0 => build::mha_forward(&dims),
+            1 => build::decoder_step_project(&step).graph,
+            2 => build::decoder_step_attend(&step).graph,
+            n => {
+                let (bundle, plan) = if n < 7 {
+                    (build::encoder(&dims), encoder_fusion_plan())
+                } else {
+                    (build::decoder(&dims), decoder_fusion_plan())
+                };
+                let stage = (n - 3) % 4;
+                let mut g = bundle.graph;
+                if stage >= 1 {
+                    apply_plan(&mut g, &plan).unwrap();
+                }
+                if stage >= 2 {
+                    apply_regions(&mut g, 2).unwrap();
+                }
+                if stage >= 3 {
+                    apply_epilogues(&mut g).unwrap();
+                }
+                g
+            }
+        }
+    }
+
+    /// The same price to the bit, or the same error.
+    fn same(a: &Result<KernelCost>, b: &Result<KernelCost>) -> bool {
+        let bits =
+            |c: &KernelCost| [c.time_us, c.moved_words, c.bandwidth_frac, c.flop].map(f64::to_bits);
+        match (a, b) {
+            (Ok(x), Ok(y)) => bits(x) == bits(y),
+            (Err(x), Err(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    /// `cfg` made invalid: a layout of another rank, an algorithm that does
+    /// not exist, or no second layout.
+    fn spoiled(cfg: OpConfig, how: usize) -> OpConfig {
+        match how {
+            0 => OpConfig {
+                in_layout: Layout::row_major(cfg.in_layout.rank() + 1),
+                ..cfg
+            },
+            1 => OpConfig { algo: 99, ..cfg },
+            _ => OpConfig {
+                in2_layout: None,
+                ..cfg
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        // The space is sampled as it is walked — `nth` from any position,
+        // `len`, `step_by` — and a batch priced with one memo per GEMM class
+        // is priced as `op_cost` prices each configuration alone, errors
+        // and their positions included.
+        #[test]
+        fn a_space_samples_as_it_walks_and_a_batch_prices_as_op_cost(
+            graph_pick in 0usize..1000,
+            op_pick in 0usize..1000,
+            at in (0usize..1_000_000, 0usize..1_000_000),
+            stride in 1usize..5000,
+            spoil in proptest::collection::vec((0usize..1000, 0usize..3), 0..6),
+        ) {
+            let g = family(graph_pick);
+            let ops = g.ops();
+            let op = ops[op_pick % ops.len()];
+            let space = config_space(&g, op).unwrap();
+            let walk: Vec<OpConfig> = space.clone().collect();
+            prop_assert_eq!(space.len(), walk.len());
+            let (i, j) = (at.0 % (walk.len() + 1), at.1 % (walk.len() + 1));
+            let mut it = space.clone();
+            prop_assert_eq!(it.nth(i), walk.get(i).copied());
+            prop_assert_eq!(it.nth(j), walk.get(i + 1 + j).copied());
+            prop_assert_eq!(it.len(), walk.len().saturating_sub(i + 2 + j));
+            let sampled: Vec<OpConfig> = space.clone().step_by(stride).collect();
+            let filtered: Vec<OpConfig> = (walk.iter().enumerate())
+                .filter(|(k, _)| k % stride == 0)
+                .map(|(_, &cfg)| cfg)
+                .collect();
+            prop_assert_eq!(&sampled, &filtered);
+
+            let mut batch: Vec<OpConfig> = sampled.into_iter().take(48).collect();
+            for &(pos, how) in &spoil {
+                if let Some(&cfg) = batch.get(pos % batch.len().max(1)) {
+                    batch.insert(pos % (batch.len() + 1), spoiled(cfg, how));
+                }
+            }
+            let device = DeviceSpec::v100();
+            let model = OpModel::new(&g, op).unwrap();
+            let many: Vec<Result<KernelCost>> = model.costs(&device, batch.iter().copied()).collect();
+            prop_assert_eq!(many.len(), batch.len());
+            for (k, (cfg, got)) in batch.iter().zip(&many).enumerate() {
+                let want = op_cost(&device, &g, op, cfg);
+                prop_assert!(same(got, &want), "config {} of `{}`: {:?} vs {:?}",
+                    k, g.op(op).unwrap().name, got, want);
             }
         }
     }

@@ -232,6 +232,28 @@ impl Layout {
         );
         out
     }
+
+    /// This layout's position in [`Layout::all`] of its rank: its Lehmer
+    /// code (at each memory position, how many of the axes not yet placed
+    /// are smaller than the one placed there) read as a factorial-base
+    /// number.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use xform_tensor::Layout;
+    /// let all = Layout::all(4);
+    /// assert!(all.iter().enumerate().all(|(k, l)| l.index() == k));
+    /// ```
+    pub fn index(&self) -> usize {
+        let mut unplaced = (1u32 << self.rank) - 1;
+        self.order().fold(0, |index, axis| {
+            let radix = unplaced.count_ones() as usize;
+            let smaller = unplaced & ((1 << axis) - 1);
+            unplaced &= !(1 << axis);
+            index * radix + smaller.count_ones() as usize
+        })
+    }
 }
 
 impl fmt::Debug for Layout {

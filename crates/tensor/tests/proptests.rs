@@ -148,6 +148,20 @@ fn poison_some_lanes(x: &mut Tensor, lane: Axis, count: usize, seed: u64) {
     }
 }
 
+/// A layout's index is its place in `Layout::all`, both ways, at every rank
+/// the graphs have: the sweep's dense `per_io` table is indexed by it and
+/// walked in index order, which must be layout order.
+#[test]
+fn a_layouts_index_is_its_place_in_the_enumeration() {
+    for rank in 0..=5 {
+        let all = Layout::all(rank);
+        for (k, l) in all.iter().enumerate() {
+            assert_eq!(l.index(), k, "{l}");
+            assert_eq!(all[l.index()], *l);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

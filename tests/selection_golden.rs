@@ -29,7 +29,9 @@
 //! fused and regions-only graphs), the sweep tables of the regions-only
 //! graphs, and the BERT-large encoder sweep at the recipe's cap as
 //! per-operator sampled times — ahead of the space being sampled without
-//! being built and a contraction being priced once per GEMM class.
+//! being built and a contraction being priced once per GEMM class; and,
+//! with that change, the sweep tables of the epilogue graphs, which PR 24's
+//! library could not sweep.
 //!
 //! On a mismatch the test prints the digest it computed and the rendering
 //! behind it, so an *intended* change can re-record the row.
@@ -301,6 +303,11 @@ const GOLDEN: &[(&str, u64)] = &[
     ("selection/sweeps-regions-encoder", 0xa373231a9d98fd03),
     ("selection/sweeps-regions-decoder", 0xa15a365627fe07b5),
     ("selection/sampled-bert-large", 0x1549ec8456b1f55b),
+    // epilogue graphs: recorded in PR 26 with the change that sweeps a
+    // GEMM-epilogue kernel as a contraction (on PR 24's library every one
+    // of its configurations failed to price, and so did the sweep)
+    ("selection/sweeps-epilogues-encoder", 0xbe661b537212a2b9),
+    ("selection/sweeps-epilogues-decoder", 0x826dcddfefcf6ad9),
 ];
 
 fn check(name: &str, text: &str) {
@@ -687,6 +694,26 @@ fn sweep_tables_of_the_encoder_regions() {
 fn sweep_tables_of_the_decoder_regions() {
     let (g, fwd) = regions_tiny(build::decoder(&EncoderDims::tiny()), &decoder_fusion_plan());
     check("selection/sweeps-regions-decoder", &sweeps_text(&g, &fwd));
+}
+
+/// The graph that ships: fusion table, regions, then bias epilogues.
+fn epilogues_tiny(bundle: build::EncoderGraph, plan: &[FusionGroup]) -> (Graph, Vec<NodeId>) {
+    let (mut g, _) = regions_tiny(bundle, plan);
+    apply_epilogues(&mut g).unwrap();
+    let fwd = forward_ops(&g, g.data_by_name("dy").unwrap());
+    (g, fwd)
+}
+
+#[test]
+fn sweep_tables_of_the_encoder_epilogues() {
+    let (g, fwd) = epilogues_tiny(build::encoder(&EncoderDims::tiny()), &encoder_fusion_plan());
+    check("selection/sweeps-epilogues-encoder", &sweeps_text(&g, &fwd));
+}
+
+#[test]
+fn sweep_tables_of_the_decoder_epilogues() {
+    let (g, fwd) = epilogues_tiny(build::decoder(&EncoderDims::tiny()), &decoder_fusion_plan());
+    check("selection/sweeps-epilogues-decoder", &sweeps_text(&g, &fwd));
 }
 
 /// The recipe's own sweep of the BERT-large encoder at its 30 000 cap: per
