@@ -20,7 +20,10 @@
 //! the values themselves may go). In PR 23 the `gemm/edges` row joined,
 //! test-only on PR 22's library (and `PARTITION`, which hashes row names,
 //! was re-recorded with it): the GEMM's block, tile and panel edges ahead
-//! of a micro-kernel that packs A.
+//! of a micro-kernel that packs A. The `model/probs-*` rows joined last,
+//! test-only on the library whose head was still three allocating passes:
+//! `probs` hashed in logical order, ahead of it being stored as the head
+//! plan writes it.
 //! A digest that moves means arithmetic, output layout, stats order or
 //! RNG draw order changed somewhere under the public API.
 //!
@@ -661,6 +664,56 @@ fn gemm_edge_digests(table: &mut Vec<(String, u64)>) {
     table.push(("gemm/edges".to_string(), h.0));
 }
 
+/// The model head through a whole forward, one row per block kind over
+/// three shapes: `ModelActs::probs` in logical `[v,b,j]` order — whatever
+/// layout it is stored in — then `hidden` and the loss. The shapes are
+/// `tiny`; a ragged one (`b·j = 21` fills no power-of-two row tile, a
+/// vocabulary of 37 no 16-lane row, and `i = 264` runs two `KC` blocks
+/// deep); and a vocabulary of one word. Recorded before the head became a
+/// plan of its own.
+fn probs_digests(table: &mut Vec<(String, u64)>) {
+    let ragged = EncoderDims {
+        b: 3,
+        j: 7,
+        k: 7,
+        h: 4,
+        p: 66,
+        i: 264,
+        u: 24,
+    };
+    let tiny = EncoderDims::tiny();
+    for (name, block) in [
+        ("model/probs-enc", BlockKind::Encoder),
+        ("model/probs-dec", BlockKind::Decoder),
+    ] {
+        let mut h = Fnv::new();
+        for (dims, vocab) in [(tiny, 11), (ragged, 37), (tiny, 1)] {
+            let cfg = ModelConfig {
+                dims,
+                layers: 2,
+                vocab,
+                block,
+                dropout_p: 0.1,
+            };
+            let model = TransformerModel::init(cfg, &mut StdRng::seed_from_u64(53)).unwrap();
+            let ids = |mul: usize| -> Vec<Vec<usize>> {
+                (0..dims.b)
+                    .map(|b| (0..dims.j).map(|j| (mul * b + 5 * j + 1) % vocab).collect())
+                    .collect()
+            };
+            let acts = model
+                .forward(&ids(3), &mut StdRng::seed_from_u64(29))
+                .unwrap();
+            for (_, p) in acts.probs.iter() {
+                h.word(p.to_bits());
+            }
+            h.tensor(&acts.hidden);
+            h.word(model.cross_entropy(&acts, &ids(7)).unwrap().to_bits());
+        }
+        table.push((name.to_string(), h.0));
+    }
+}
+
 /// The table's *partition*: row names grouped by equal digest — groups in
 /// order of first appearance, names in table order — and the grouping
 /// hashed. A change that is meant to move absolute bits re-records
@@ -689,10 +742,10 @@ fn partition(table: &[(String, u64)]) -> u64 {
     h.0
 }
 
-/// [`partition`] of the table as recorded in PR 23's test-only commit, on
-/// PR 22's library (PR 22's pin, moved only by the name of the row that
-/// commit added).
-const PARTITION: u64 = 0xc862_a455_b9b7_18b5;
+/// [`partition`] of the table as recorded with the `model/probs-*` rows, on
+/// the library before the model head became a plan (the pin before it,
+/// moved only by the names of the rows added).
+const PARTITION: u64 = 0x8d34_39ea_cf6a_abbf;
 
 #[test]
 fn digests_match_the_recorded_table() {
@@ -703,6 +756,7 @@ fn digests_match_the_recorded_table() {
     grad_digests(&mut table);
     kernel_bwd_digests(&mut table);
     gemm_edge_digests(&mut table);
+    probs_digests(&mut table);
     let recorded: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     if table != recorded {
         for (name, d) in &table {
@@ -879,4 +933,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kernels-bwd/layout4", 0x2a17ca013a79f095),
     ("kernels-bwd/layout5", 0xedfd74ef59211df5),
     ("gemm/edges", 0x7a63b23f7130ddd1),
+    ("model/probs-enc", 0x62613f068de33a2c),
+    ("model/probs-dec", 0xc52e9eb0ea1183be),
 ];
