@@ -4,11 +4,13 @@
 //! the V100 model. Forward (BRD, SM, BDRLN) and backward (BLNRD, BDRB, BS,
 //! at the `train_step` workload's shapes in its natural layouts); and the
 //! attention core as one region against the three arena steps it replaces,
-//! at the `longseq_fwd` and `bert_fwd` shapes; and the kernel layer's one
-//! `exp` with the bodies that stand on it (GELU both ways, a contiguous
-//! softmax row) in ns per element. Printed, never gated — EXPERIMENTS.md,
-//! "Backward kernels on the lane layer", "Attention region" and "Numerics
-//! tier", records the numbers.
+//! at the `longseq_fwd` and `bert_fwd` shapes, and the model head as one
+//! plan step against the three allocating passes it replaced, at the same
+//! two; and the kernel layer's one `exp` with the bodies that stand on it
+//! (GELU both ways, a contiguous softmax row) in ns per element. Printed,
+//! never gated — EXPERIMENTS.md, "Backward kernels on the lane layer",
+//! "Attention region", "The head as one step" and "Numerics tier", records
+//! the numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::distributions::Uniform;
@@ -16,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+use xform_dataflow::EncoderDims;
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
 use xform_tensor::into_ops::{
@@ -29,7 +32,8 @@ use xform_tensor::ops::elementwise::{
 };
 use xform_tensor::ops::layernorm::{layernorm, layernorm_backward_input};
 use xform_tensor::ops::softmax::{softmax, softmax_backward};
-use xform_tensor::{Axis, Shape, Tensor};
+use xform_tensor::{einsum, Axis, Shape, Tensor};
+use xform_transformer::interp;
 
 fn rand_t(shape: Shape, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -269,6 +273,43 @@ fn bench_attention_core(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_model_head(c: &mut Criterion) {
+    // the head at the forward workloads' dims, vocabulary 2 048: the three
+    // allocating passes `TransformerModel::forward` ran — einsum, bias, a
+    // softmax striding `b·j` down `v` — against the head plan, one
+    // GEMM-epilogue step whose logits stay in its tile, `probs` copied out
+    let mut group = c.benchmark_group("model head: plan vs three passes");
+    for (name, b, j, i) in [("longseq_fwd", 2, 512, 128), ("bert_fwd", 4, 128, 512)] {
+        let (dims, vocab) = (
+            EncoderDims {
+                b,
+                j,
+                k: j,
+                h: 8,
+                p: i / 8,
+                i,
+                u: 4 * i,
+            },
+            2048,
+        );
+        let h = rand_t(Shape::from_spec("ibj", &dims.size_table()).unwrap(), 30);
+        let head = rand_t(Shape::new([('v', vocab), ('i', i)]).unwrap(), 31);
+        let bias = rand_t(Shape::new([('v', vocab)]).unwrap(), 32);
+        group.bench_function(BenchmarkId::new("three passes", name), |bch| {
+            bch.iter(|| {
+                let logits = einsum("vi,ibj->vbj", &[&head, black_box(&h)]).unwrap();
+                black_box(softmax(&bias_add(&logits, &bias).unwrap(), Axis('v')).unwrap())
+            })
+        });
+        group.bench_function(BenchmarkId::new("plan", name), |bch| {
+            bch.iter(|| {
+                black_box(interp::head_forward(&dims, black_box(&h), &head, &bias).unwrap())
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_numerics_tier(_: &mut Criterion) {
     // ns per element, best of 300 passes over 64 K words in `[-8, 8)`: a
     // kernel that computes, not one that allocates
@@ -321,6 +362,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_brd, bench_sm, bench_bdrln, bench_blnrd, bench_bdrb, bench_bs,
-        bench_attention_core, bench_numerics_tier
+        bench_attention_core, bench_model_head, bench_numerics_tier
 }
 criterion_main!(benches);

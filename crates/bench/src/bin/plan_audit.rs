@@ -1,7 +1,8 @@
 //! Static data-movement audit of execution plans — no kernel ever runs.
 //!
-//! For each schedule (Reference encoder, Fused encoder, Fused decoder, and
-//! a recipe-selected plan lowered from simulator sweeps) this prints the
+//! For each schedule (Reference encoder, Fused encoder, Fused decoder, the
+//! decode steps, the model head over a 30 522-word vocabulary, and a
+//! recipe-selected plan lowered from simulator sweeps) this prints the
 //! report of `xform_core::analyze`: the dependency DAG's parallel waves,
 //! peak resident bytes, per-operator-class byte volumes (Table I style),
 //! the plan-level static MUE (`Q/D · B/B̂`), and every lint the analyzer
@@ -79,6 +80,16 @@ const BASELINE: &str = include_str!("../../baseline_static_mue.txt");
 /// Checked-in cache-corrected MUE floor per canned plan, gated by
 /// `--cache --check` under the deterministic device hierarchy.
 const CACHE_BASELINE: &str = include_str!("../../baseline_cache_mue.txt");
+
+/// The vocabulary the model head is audited over: BERT's.
+const HEAD_VOCAB: usize = 30_522;
+
+/// Each GEMM-epilogue plan and the plan it must beat on the static account.
+const EPILOGUE_PAIRS: [(&str, &str); 3] = [
+    ("encoder-fused", "encoder-epilogue"),
+    ("decoder-fused", "decoder-epilogue"),
+    ("head-fused", "head-epilogue"),
+];
 
 /// Tolerance (MUE points) when comparing against the pinned baseline,
 /// absorbing float-summation noise across platforms.
@@ -455,6 +466,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let project = interp::cached_plan(&project_dims, interp::PlanKind::DecoderStepProject)?;
     let step = interp::cached_plan(&step_dims, interp::PlanKind::DecoderStep)?;
 
+    // the model head over BERT's 30 522-word vocabulary, as one
+    // GEMM-epilogue step and as its twin that materializes the logits
+    let head_fused = interp::head_fused(&dims, HEAD_VOCAB)?;
+    let head = interp::cached_plan(&dims, interp::PlanKind::Head { vocab: HEAD_VOCAB })?;
+
     // the recipe: simulator sweeps over the fused graph — the fusion table
     // applied and nothing else, as `optimize_encoder` builds it — SSSP
     // layout selection, lowered to a schedule and audited like the rest
@@ -549,6 +565,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "decoder-step",
             &step.graph,
             &step.plan,
+            None,
+            &device,
+            mode,
+            cache_on,
+        ),
+        report(
+            "Head (bias + vocabulary softmax fused, logits materialized)",
+            "head-fused",
+            &head_fused.graph,
+            &head_fused.plan,
+            None,
+            &device,
+            mode,
+            cache_on,
+        ),
+        report(
+            "Head (one GEMM-epilogue step)",
+            "head-epilogue",
+            &head.graph,
+            &head.plan,
             None,
             &device,
             mode,
@@ -675,10 +711,7 @@ fn decode_section(
 fn check_epilogue_invariants(results: &[Audited]) -> usize {
     let find = |key: &str| results.iter().find(|r| r.key == key);
     let mut failures = 0usize;
-    for (unfused_key, epilogue_key) in [
-        ("encoder-fused", "encoder-epilogue"),
-        ("decoder-fused", "decoder-epilogue"),
-    ] {
+    for (unfused_key, epilogue_key) in EPILOGUE_PAIRS {
         let (Some(f), Some(e)) = (find(unfused_key), find(epilogue_key)) else {
             continue;
         };
@@ -759,10 +792,7 @@ fn check_cache_invariants(results: &[Audited], gate_floor: bool) -> usize {
         }
     }
     let find = |key: &str| results.iter().find(|r| r.key == key);
-    for (unfused_key, epilogue_key) in [
-        ("encoder-fused", "encoder-epilogue"),
-        ("decoder-fused", "decoder-epilogue"),
-    ] {
+    for (unfused_key, epilogue_key) in EPILOGUE_PAIRS {
         let pair = (find(unfused_key), find(epilogue_key));
         let (Some(Some(f)), Some(Some(e))) = (
             pair.0.map(|r| r.cache.as_ref()),

@@ -1323,6 +1323,7 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
             into_ops::brd_act_into(s(), r(0), r(1), run.activation, drop, w(2), w(3), w(4));
         }
         Kernel::Bdr => into_ops::bdr_into(s(), r(0), r(1), r(2), drop, w(3), w(4)),
+        Kernel::BiasSoftmax => into_ops::bias_softmax_into(s(), r(0), r(1), w(2)),
         Kernel::ContractEpilogue {
             plan,
             tile_rows,
@@ -1341,6 +1342,10 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
                     residual: r(3),
                     mask: w(4),
                     out: w(5),
+                },
+                Tail::BiasSoftmax => into_ops::TileEpilogue::BiasSoftmax {
+                    bias: r(2),
+                    out: w(3),
                 },
             };
             let tile = scratch();

@@ -22,7 +22,9 @@
 //!   never materialized (in a training graph `QKT → SM` stays behind as the
 //!   backward side's rematerialization);
 //! * [`apply_epilogues`], after it, collapses each remaining contraction →
-//!   bias-class-kernel pair into an [`OpKind::ContractionEpilogue`].
+//!   bias-class-kernel pair into an [`OpKind::ContractionEpilogue`] — the
+//!   model head's `Head → BSV` ([`head_fusion_plan`]) among them, whose
+//!   logits then never exist beyond a tile of rows.
 //!
 //! Both are bit for bit the chains they replace. A plan that keeps a chain
 //! audits its intermediate as avoidable movement ([`avoidable_chains`]).
@@ -128,6 +130,13 @@ pub fn decoder_fusion_plan() -> Vec<FusionGroup> {
         FusionGroup::new("BSB1", &["LayerNorm 1 dW"]),
         FusionGroup::new("BLNR1", &["LayerNorm 1 dX", "Residual 1 dX"]),
     ]
+}
+
+/// The fusion plan of the model head ([`xform_dataflow::build::head`]): its
+/// bias and its softmax over the vocabulary as one kernel, `BSV`, which
+/// [`apply_epilogues`] then collapses into the head contraction.
+pub fn head_fusion_plan() -> Vec<FusionGroup> {
+    vec![FusionGroup::new("BSV", &["Head bias", "Head softmax"])]
 }
 
 /// Applies a fusion plan to a graph, returning the fused op ids in plan
@@ -417,8 +426,9 @@ pub struct EpilogueChain {
 
 /// Detects GEMM-epilogue chains: contractions whose single output is an
 /// interim activation read exactly once, by a forward fused kernel of a
-/// class the tiled epilogue driver implements (softmax, bias+act+dropout,
-/// bias+dropout+residual), with the contraction writing the intermediate
+/// class the tiled epilogue driver implements (bias+softmax over a whole
+/// row, bias+act+dropout, bias+dropout+residual), with the contraction
+/// writing the intermediate
 /// in container order (possibly via a GEMM operand-role swap).
 ///
 /// Run this *after* element-wise fusion ([`apply_plan`] /
@@ -473,8 +483,8 @@ fn epilogue_candidate(graph: &Graph, head: NodeId) -> Option<EpilogueChain> {
         &a_c,
         &b_c,
         &mid_d.shape,
-        bias_s.as_ref(),
-        res_s.as_ref(),
+        (bias_s.as_ref(), res_s.as_ref()),
+        tail_node.kind.reduce_axis(),
     )?;
     Some(EpilogueChain {
         head,

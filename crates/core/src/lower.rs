@@ -89,6 +89,8 @@ pub(crate) enum Tail {
     BrdAct,
     /// Bias + dropout + residual.
     Bdr,
+    /// Bias (by column) + softmax along the row: the model head.
+    BiasSoftmax,
 }
 
 /// The kernel class of a step. Operands follow in
@@ -132,6 +134,8 @@ pub(crate) enum Kernel {
     BrdAct,
     /// Fused BDR `[x, bias, residual, mask, out]`.
     Bdr,
+    /// The head's fused bias + softmax `[x, bias, out]`.
+    BiasSoftmax,
     /// GEMM-epilogue mega-kernel: `[a, b]` through their declared strides,
     /// then the tail's operands in the order of its unfused class (`x`
     /// being the tile, which has no slot), each dense in natural layout.
@@ -454,32 +458,64 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                 (Kernel::Bdr, rows(inputs, Whole)?, None, None, None)
             }
             FusedClass::Norm => norm((*reduce_axis)?)?,
+            FusedClass::BiasSoftmax => {
+                (outs.len() == 1).then_some(())?;
+                let ai = lane_of((*reduce_axis)?)?;
+                let sweep = Lanes { axis: ai };
+                let inputs = vec![(sweep, whole(Slot::In(0))), bias_onto_x(1)];
+                (
+                    Kernel::BiasSoftmax,
+                    rows(inputs, sweep)?,
+                    Some(ai),
+                    None,
+                    None,
+                )
+            }
         },
-        OpKind::ContractionEpilogue { spec, parts, .. } => {
+        OpKind::ContractionEpilogue {
+            spec,
+            parts,
+            reduce_axis,
+            ..
+        } => {
             let (&a, &b, &out) = (ins.first()?, ins.get(1)?, outs.first()?);
-            let (bias, residual) = (ins.get(2).copied(), ins.get(3).copied());
-            let geom = epilogue_geometry(spec, parts, a, b, out, bias, residual)?;
+            let tail_ins = (ins.get(2).copied(), ins.get(3).copied());
+            let geom = epilogue_geometry(spec, parts, a, b, out, tail_ins, *reduce_axis)?;
             // A and B are read where they lie; the tile is the natural
             // output order whatever they are
             let (a_s, b_s, lbl) = labelled_shapes(spec, a, b)?;
             let (sa, sb) = (strides(Slot::In(0))?, strides(Slot::In(1))?);
             let plan = epilogue_contract_plan(spec, &a_s, &sa, &b_s, &sb, &lbl)?;
-            // each output row sees one bias word: `[m, n]` with stride
-            // `(1, 0)`
-            let tile_bias = || {
+            // each output row sees one bias word — `[m, n]` with stride
+            // `(1, 0)` — or, under the head's tail, each column: `(0, 1)`
+            let tile_bias = |by_row: bool| {
                 let view = View {
                     base: 0,
-                    dims: vec![(plan.m, 1), (plan.n, 0)],
+                    dims: vec![
+                        (plan.m, usize::from(by_row)),
+                        (plan.n, usize::from(!by_row)),
+                    ],
                 };
                 (Broadcast, Some(view))
             };
             let ab = || swept(Gemm, 2);
             let (tail, inputs, n_out) = match geom.class {
-                FusedClass::BiasActDrop => (Tail::BrdAct, [ab(), vec![tile_bias()]].concat(), 3),
+                FusedClass::BiasActDrop => {
+                    (Tail::BrdAct, [ab(), vec![tile_bias(true)]].concat(), 3)
+                }
                 FusedClass::BiasDropResidual => {
                     let residual = (Gemm, whole(Slot::In(3)));
-                    (Tail::Bdr, [ab(), vec![tile_bias(), residual]].concat(), 2)
+                    (
+                        Tail::Bdr,
+                        [ab(), vec![tile_bias(true), residual]].concat(),
+                        2,
+                    )
                 }
+                FusedClass::BiasSoftmax => (
+                    Tail::BiasSoftmax,
+                    [ab(), vec![tile_bias(false)]].concat(),
+                    1,
+                ),
                 _ => return None,
             };
             // the tail streams are walked as dense row blocks

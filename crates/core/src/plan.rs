@@ -31,7 +31,7 @@ use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_gpusim::opmodel::OpConfig;
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
-use xform_tensor::into_ops::epilogue_contract_plan;
+use xform_tensor::into_ops::{epilogue_contract_plan, HEAD_TILE_ROWS};
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::dropout::{dropout, dropout_disabled};
 use xform_tensor::ops::elementwise::{add, bias_add, scale, ActivationKind};
@@ -553,6 +553,8 @@ pub(crate) enum FusedClass {
     BiasDropResidual,
     /// A singleton layer-norm group.
     Norm,
+    /// Bias + softmax, unscaled: the model head over its vocabulary.
+    BiasSoftmax,
 }
 
 pub(crate) fn classify_fused(parts: &[String]) -> Option<FusedClass> {
@@ -562,8 +564,12 @@ pub(crate) fn classify_fused(parts: &[String]) -> Option<FusedClass> {
         return None;
     }
     if any(&|p| p.contains("softmax")) {
-        return Some(FusedClass::Softmax {
-            causal: any(&|p| p.contains("Masked")),
+        return Some(if any(&|p| p.contains("bias")) {
+            FusedClass::BiasSoftmax
+        } else {
+            FusedClass::Softmax {
+                causal: any(&|p| p.contains("Masked")),
+            }
         });
     }
     if any(&|p| p.starts_with("LayerNorm")) {
@@ -656,12 +662,15 @@ pub(crate) struct EpilogueGeom {
 const EPILOGUE_TILE_WORDS: usize = 4096;
 
 /// Derives the tiling geometry of a [`OpKind::ContractionEpilogue`] step
-/// from container shapes, or `None` when the chain is not tileable:
+/// from container shapes and the chain's reduction axis, or `None` when the
+/// chain is not tileable:
 ///
 /// * the contraction must write the row-major output container in order
 ///   (possibly after swapping GEMM operand roles);
 /// * the epilogue must be batch-free with the bias covering exactly the
-///   leading M axes, so each output row sees one bias word.
+///   leading M axes, so each output row sees one bias word — or, for the
+///   head's bias + softmax, exactly the trailing N axis it normalizes, so a
+///   row is one whole lane with a bias word per column.
 ///
 /// (A softmax behind a contraction is no epilogue: its lanes are whole rows
 /// of the contraction's output and another contraction waits behind it —
@@ -675,8 +684,8 @@ pub(crate) fn epilogue_geometry(
     a_c: &Shape,
     b_c: &Shape,
     out_c: &Shape,
-    bias: Option<&Shape>,
-    residual: Option<&Shape>,
+    (bias, residual): (Option<&Shape>, Option<&Shape>),
+    reduce_axis: Option<Axis>,
 ) -> Option<EpilogueGeom> {
     let class = classify_fused(parts)?;
     let (a_s, b_s, lbl) = labelled_shapes(spec, a_c, b_c)?;
@@ -687,6 +696,14 @@ pub(crate) fn epilogue_geometry(
     let ep = epilogue_contract_plan(spec, &a_s, &rm(&a_s), &b_s, &rm(&b_s), &lbl)?;
     let (m, n) = (ep.m, ep.n);
     match class {
+        FusedClass::BiasSoftmax => {
+            let (axis, bias) = (reduce_axis?, bias?);
+            let row = out_c.axes().last() == Some(&axis) && bias.axes() == [axis];
+            (ep.batch == 1 && row && bias.num_elements() == n).then_some(EpilogueGeom {
+                tile_rows: HEAD_TILE_ROWS.clamp(1, m.max(1)),
+                class,
+            })
+        }
         FusedClass::BiasActDrop | FusedClass::BiasDropResidual => {
             if ep.batch != 1 {
                 return None;
@@ -995,6 +1012,12 @@ pub fn execute_step<R: Rng + ?Sized>(
                     let (out, stats) = layernorm(&ins[0], axis, &ins[1], &ins[2])?;
                     ln_stats = Some((0, stats));
                     results.push(out);
+                }
+                FusedClass::BiasSoftmax => {
+                    let axis = reduce_axis.ok_or_else(|| {
+                        TensorError::Unsupported("fused softmax lost its reduce axis".into())
+                    })?;
+                    results.push(softmax(&bias_add(&ins[0], &ins[1])?, axis)?);
                 }
             }
         }

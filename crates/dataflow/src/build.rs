@@ -33,7 +33,9 @@
 //! [`decoder_step_attend`] reuses over the KV caches; and
 //! [`decoder_step_project`] is `layer_norm` + `qkv_projection` on one token
 //! column. There is no forward-only copy of the decoder: a prefill pass
-//! schedules the forward operators of [`decoder`]'s graph.
+//! schedules the forward operators of [`decoder`]'s graph. Past the blocks,
+//! [`head`] is the model head: `Head` → `Head bias` → `Head softmax` over
+//! the vocabulary.
 //!
 //! # Node order is part of the contract
 //!
@@ -816,6 +818,30 @@ pub fn decoder_step_attend(dims: &EncoderDims) -> ForwardGraph {
     let v_cache = e.data("v_cache", "kwhb", Cache);
     let (wo, wf, ln2) = (e.out_weights(), e.ffn_weights(), e.norm_weights(2));
     e.decoder_tail(x, [qq, k_cache, v_cache], true, (&wo, &ln2, &wf));
+    e.finish()
+}
+
+/// The model head over a vocabulary of `vocab` words, `v`: the last block's
+/// output `h[i,b,j]` contracted with `head[v,i]` (`Head`), `head_bias[v]`
+/// added (`Head bias`) and the softmax over `v` taken (`Head softmax`). The
+/// logits and `probs` are `[b,j,v]`, so each vocabulary row is contiguous.
+///
+/// # Panics
+///
+/// Panics if `vocab` or an extent of `dims` is zero.
+pub fn head(dims: &EncoderDims, vocab: usize) -> ForwardGraph {
+    let mut e = Emit::new(dims);
+    e.sizes.push(('v', vocab));
+    let h = e.data("h", "ibj", Input);
+    let (w, bias) = (
+        e.data("head", "vi", Weight),
+        e.data("head_bias", "v", Weight),
+    );
+    let logits = einsum("ibj,vi->bjv");
+    let logits = e.emit("Head", logits, &[h, w], ("logits", "bjv", Activation));
+    let biased = e.bias("Head bias", logits, bias, ("logits_b", "bjv", Activation));
+    let softmax = OpKind::Softmax { axis: Axis('v') };
+    e.emit("Head softmax", softmax, &[biased], ("probs", "bjv", Output));
     e.finish()
 }
 

@@ -43,8 +43,9 @@
 //! own order and the GEMM's result does not depend on its tiling:
 //!
 //! * [`contract_epilogue_tiled`] — a contraction whose output rows are
-//!   independent lanes of a bias-class kernel (`BRD`, `BDR`): the output
-//!   exists as a tile of a few rows;
+//!   independent lanes of a bias-class kernel (`BRD`, `BDR`, the model
+//!   head's bias and softmax over a whole vocabulary row): the output exists
+//!   as a tile of a few rows;
 //! * [`attention_into`] — `QKᵀ → scale/mask/softmax/dropout → ·V` a panel
 //!   of [`ATTENTION_TILE_ROWS`] query rows at a time: the scores, the
 //!   softmax, the dropped-out weights and the mask exist as that panel.
@@ -687,9 +688,11 @@ pub fn epilogue_contract_plan(
 /// each GEMM row block, with the full-size output slices it streams into
 /// (dense, in the output container's natural order). Mirrors the
 /// fused-kernel classes whose sole input is a contraction output and whose
-/// tile is a block of independent rows: `BRD` ([`brd_act_into`]) and `BDR`
-/// ([`bdr_into`]). (The softmax that follows `QKᵀ` is no epilogue: it sits
-/// between two contractions, and [`attention_into`] runs all three.)
+/// tile is a block of independent rows: `BRD` ([`brd_act_into`]), `BDR`
+/// ([`bdr_into`]) and the head's bias + softmax ([`bias_softmax_into`]),
+/// whose lanes are whole rows. (The softmax that follows `QKᵀ` is no
+/// epilogue: it sits between two contractions, and [`attention_into`] runs
+/// all three.)
 #[derive(Debug)]
 pub enum TileEpilogue<'a> {
     /// Bias + activation + dropout, bias indexed by the GEMM row
@@ -717,18 +720,27 @@ pub enum TileEpilogue<'a> {
         /// Kernel output (full container).
         out: &'a mut [f32],
     },
+    /// Bias + softmax along the row — the model head: logits never leave
+    /// the tile, the probabilities stream out.
+    BiasSoftmax {
+        /// Bias vector, one entry per GEMM column (N words).
+        bias: &'a [f32],
+        /// Kernel output (full container).
+        out: &'a mut [f32],
+    },
 }
 
 /// Applies the epilogue to one GEMM row block, row by row — each row a
 /// contiguous lane of `n` words in the tile and in every full-container
 /// stream. `row0` is the global row index (over `batch · m`), `rows` the
-/// block height; `tile` holds the block's contraction output.
+/// block height; `tile` holds the block's contraction output (and, under
+/// the head's tail, its biased logits after).
 fn epilogue_tile<R: Rng + ?Sized>(
     epi: &mut TileEpilogue<'_>,
     row0: usize,
     rows: usize,
     n: usize,
-    tile: &[f32],
+    tile: &mut [f32],
     drop: &mut Dropout<'_, R>,
 ) {
     let lane = |r: usize| LaneAt {
@@ -745,7 +757,7 @@ fn epilogue_tile<R: Rng + ?Sized>(
         len: n,
     };
     for r in 0..rows {
-        let (x, at) = (lane(r).unit(tile), lane(row0 + r));
+        let at = lane(row0 + r);
         match epi {
             TileEpilogue::BiasActDrop {
                 bias,
@@ -754,7 +766,7 @@ fn epilogue_tile<R: Rng + ?Sized>(
                 out,
                 mask,
             } => lanes::brd_lane(
-                x,
+                lane(r).unit(tile),
                 &bias_at(r).strided(bias),
                 *kind,
                 drop,
@@ -768,13 +780,19 @@ fn epilogue_tile<R: Rng + ?Sized>(
                 mask,
                 out,
             } => lanes::bdr_lane(
-                x,
+                lane(r).unit(tile),
                 &bias_at(r).strided(bias),
                 at.unit(residual),
                 drop,
                 at.unit_mut(mask),
                 at.unit_mut(out),
             ),
+            TileEpilogue::BiasSoftmax { bias, out } => {
+                // the bias lands in the tile, where the softmax reads it
+                let x = lane(r).unit_mut(tile);
+                lanes::acc_lane(&bias[..n], x);
+                lanes::softmax_lane::<1, _, _, _>(&*x, 1.0, n, at.unit_mut(out), &mut ());
+            }
         }
     }
 }
@@ -829,11 +847,19 @@ pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
             } else {
                 gemm(rows, n, k, a_rows, gb.slice(g), c, Start::FromZero);
             }
-            epilogue_tile(epi, g * m + r0, rows, n, &c_tile[..rows * n], drop);
+            epilogue_tile(epi, g * m + r0, rows, n, &mut c_tile[..rows * n], drop);
             r0 += rows;
         }
     }
 }
+
+/// Output rows the model head's GEMM-epilogue step holds in its tile at a
+/// time, each a whole vocabulary row. Measured once on the benchmark host
+/// (EXPERIMENTS.md, "The head as one step"): at a 2 048-word vocabulary the
+/// step runs flat from 16 to 128 rows and slows below 8, where every tile
+/// streams the whole packed head for a few rows. A constant like
+/// [`ATTENTION_TILE_ROWS`], not an option.
+pub const HEAD_TILE_ROWS: usize = 32;
 
 /// Query rows an attention region holds in scratch at a time. Measured once
 /// on the benchmark host (EXPERIMENTS.md, "Attention region"): the core at
@@ -1267,6 +1293,19 @@ pub fn sm_into<R: Rng + ?Sized>(
         on_run!(run, N, [x @ xa], [softmax @ sa, alpha @ aa, mask @ ma] => {
             let mut tail = lanes::Dropped { alpha, mask, drop: &mut *drop };
             lanes::softmax_lane::<N, _, _, _>(x, scaler, visible, softmax, &mut tail)
+        });
+    });
+}
+
+/// The head's fused bias + softmax, `out = softmax(x + bias)` along the
+/// sweep's lane axis, the bias (operand 1) gathered by lane position —
+/// the tail [`TileEpilogue::BiasSoftmax`] runs per tile row, over a whole
+/// container. Operands in the sweep's order: `x, bias, out`.
+pub fn bias_softmax_into(s: &Sweep, x: &[f32], bias: &[f32], out: &mut [f32]) {
+    s.for_each_run(|run, _, _, [xa, ba, oa]| {
+        on_run!(run, N, [x @ xa], [out @ oa] => {
+            let x = lanes::Biased { x, bias: |v| ba.gather::<N>(bias, v) };
+            lanes::softmax_lane::<N, _, _, _>(&x, 1.0, xa.len, out, &mut ())
         });
     });
 }

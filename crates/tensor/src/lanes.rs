@@ -889,6 +889,35 @@ pub(crate) fn softmax_lane<const W: usize, X, O, T>(
     }
 }
 
+/// A [`softmax_lane`] input with a bias added on the way in, `x + bias`
+/// row by row — the model head's bias and vocabulary softmax over a whole
+/// container, the bias row at position `v` gathered by `bias`. The sum is
+/// the one an unfused bias add stores, so the lane is its softmax's.
+pub(crate) struct Biased<'a, X: ?Sized, B> {
+    /// The lanes.
+    pub(crate) x: &'a X,
+    /// Bias row at lane position `v`.
+    pub(crate) bias: B,
+}
+
+impl<const W: usize, X, B> Panel<W> for Biased<'_, X, B>
+where
+    X: Panel<W> + ?Sized,
+    B: Fn(usize) -> [f32; W],
+{
+    fn rows(&self) -> usize {
+        self.x.rows()
+    }
+    #[inline]
+    fn row(&self, v: usize) -> [f32; W] {
+        let (mut x, b) = (self.x.row(v), (self.bias)(v));
+        for w in 0..W {
+            x[w] += b[w];
+        }
+        x
+    }
+}
+
 /// What [`norm_lane`] normalizes: lanes as they are (`&X`), or the fused
 /// bias + dropout + residual prologue computed on the way in.
 pub(crate) trait NormSource<const W: usize> {

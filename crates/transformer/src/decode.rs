@@ -50,7 +50,7 @@ use xform_core::plan::{ExecOptions, ExecState};
 use xform_dataflow::EncoderDims;
 use xform_tensor::lanes::{check_dropout_p, exp};
 use xform_tensor::matmul::{gemm, MatMut, MatRef, Start};
-use xform_tensor::ops::elementwise::{bias_add, ActivationKind};
+use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::{Result, Shape, Tensor, TensorError};
 
 use crate::interp::{self, PlanKind, PlannedForward};
@@ -154,6 +154,32 @@ pub struct DecodeSession<'m> {
     rng: StdRng,
     idx_scratch: Vec<usize>,
     prob_scratch: Vec<f32>,
+}
+
+/// Head logits of the hidden columns `h` (`[i,b,cols]`, row-major) into
+/// `logits` (`[v,b,cols]`): the one GEMM over `head [v,i] × h [i,b·cols]`,
+/// then the bias. Per output element the products accumulate over `i`
+/// ascending from `+0.0`, multiply and add unfused, then the bias is added
+/// — bitwise the logits the model head takes its softmax of, at any length.
+fn head_logits(model: &TransformerModel, h: &[f32], logits: &mut [f32]) {
+    let (i, v) = (model.config.dims.i, model.config.vocab);
+    let n = h.len() / i;
+    let (head, h) = (
+        MatRef::row_major(model.head.data(), i),
+        MatRef::row_major(h, n),
+    );
+    gemm(
+        v,
+        n,
+        i,
+        head,
+        h,
+        MatMut::row_major(logits, n),
+        Start::FromZero,
+    );
+    for (row, &bias) in logits.chunks_exact_mut(n).zip(model.head_bias.data()) {
+        row.iter_mut().for_each(|l| *l += bias);
+    }
 }
 
 fn round_up(n: usize, quantum: usize) -> usize {
@@ -285,22 +311,9 @@ impl<'m> DecodeSession<'m> {
         }
     }
 
-    /// Head logits of the hidden column `h[i,b,0]`: the one GEMM over
-    /// `head [v,i] × h [i,b]`, then the bias. Per output element the
-    /// products accumulate over `i` ascending from `+0.0`, multiply and add
-    /// unfused, as `einsum("vi,ibj->vbj")` + `bias_add` do — bitwise the
-    /// full-sequence head at any length.
+    /// Head logits of the hidden column `h[i,b,0]` ([`head_logits`]).
     fn head_column(&mut self) {
-        let (d, v) = (self.model.config.dims, self.model.config.vocab);
-        let head = MatRef::row_major(self.model.head.data(), d.i);
-        let h = MatRef::row_major(self.h_cur.data(), d.b);
-        let logits = self.logits.data_mut();
-        let out = MatMut::row_major(&mut *logits, d.b);
-        gemm(v, d.b, d.i, head, h, out, Start::FromZero);
-        let rows = logits.chunks_exact_mut(d.b);
-        for (row, &bias) in rows.zip(self.model.head_bias.data()) {
-            row.iter_mut().for_each(|l| *l += bias);
-        }
+        head_logits(self.model, self.h_cur.data(), self.logits.data_mut());
     }
 
     /// Compiles the attend bucket at `capacity`: shared plan (memoized
@@ -434,15 +447,14 @@ impl<'m> DecodeSession<'m> {
             h = state.take("y")?;
         }
 
-        let logits = bias_add(
-            &xform_tensor::einsum("vi,ibj->vbj", &[&self.model.head, &h])?,
-            &self.model.head_bias,
-        )?;
+        let vocab = self.model.config.vocab;
+        let mut logits = Tensor::zeros(Shape::new([('v', vocab), ('b', d.b), ('j', s)])?);
+        head_logits(self.model, h.data(), logits.data_mut());
         // stage the last prompt column as the current logit column so
         // sampling can start immediately
         let data = logits.data();
         let out = self.logits.data_mut();
-        for vi in 0..self.model.config.vocab {
+        for vi in 0..vocab {
             for b in 0..d.b {
                 out[vi * d.b + b] = data[(vi * d.b + b) * s + (s - 1)];
             }

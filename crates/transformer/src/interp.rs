@@ -21,7 +21,7 @@ use xform_core::analyze::ArenaGranularity;
 use xform_core::arena::{self, ArenaArtifact, CompiledArena};
 use xform_core::fusion::{
     apply_epilogues, apply_plan, apply_regions, decoder_fusion_plan, encoder_fusion_plan,
-    FusionGroup,
+    head_fusion_plan, FusionGroup,
 };
 use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use xform_core::profile::record_arena_timings;
@@ -31,7 +31,7 @@ use xform_dataflow::{build, EncoderDims, Graph, OpKind};
 use xform_tensor::fused::SmOutput;
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::elementwise::ActivationKind;
-use xform_tensor::{into_ops, Result, Shape, Tensor, TensorError};
+use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
 pub use xform_core::arena::granularity_for;
 
@@ -205,6 +205,26 @@ fn step_plan(
     certified(g, plan)
 }
 
+/// The model head as a plan: the graph of [`build::head`] (checked for
+/// extents first), its bias and softmax fused into `BSV`, optionally that
+/// collapsed into the contraction, every operator scheduled in topological
+/// order.
+fn head_plan(dims: &EncoderDims, vocab: usize, epilogues: bool) -> Result<PlannedForward> {
+    check_extents(dims)?;
+    if vocab == 0 {
+        return Err(TensorError::ShapeMismatch {
+            context: "a head plan's vocabulary (it must hold a word)",
+        });
+    }
+    let mut g = build::head(dims, vocab).graph;
+    apply_plan(&mut g, &head_fusion_plan())?;
+    if epilogues {
+        apply_epilogues(&mut g)?;
+    }
+    let plan = ExecutionPlan::natural(&g, &g.topo_ops())?;
+    certified(g, plan)
+}
+
 /// Which canned schedule a cache entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanKind {
@@ -236,6 +256,13 @@ pub enum PlanKind {
     /// `y` (`dims.j == 1`). Its attention core is the region's one-row
     /// case: one query against the keys up to its own position.
     DecoderStep,
+    /// The model head over `vocab` words: `h[i,b,j]` to `probs[b,j,v]` as
+    /// one GEMM-epilogue step — the contraction, its bias and the softmax
+    /// over the vocabulary — whose logits never leave its tile.
+    Head {
+        /// The vocabulary size.
+        vocab: usize,
+    },
 }
 
 type PlanCache = Mutex<HashMap<(EncoderDims, PlanKind), Arc<PlannedForward>>>;
@@ -276,6 +303,7 @@ pub fn cached_plan(dims: &EncoderDims, kind: PlanKind) -> Result<Arc<PlannedForw
         PlanKind::DecoderEpilogue => decoder_epilogue(dims)?,
         PlanKind::DecoderStepProject => decoder_step_project(dims)?,
         PlanKind::DecoderStep => decoder_step_attend(dims)?,
+        PlanKind::Head { vocab } => head_epilogue(dims, vocab)?,
     });
     plan_cache().insert(key, Arc::clone(&built));
     Ok(built)
@@ -570,6 +598,54 @@ pub(crate) fn forward_into(
     Ok(())
 }
 
+/// Runs the model head on its canned plan ([`PlanKind::Head`] at the
+/// vocabulary of `head_bias`) over the last block's output `h` (`[i,b,j]`),
+/// `head` (`[v,i]`) and `head_bias` (`[v]`), each read where it lies, and
+/// copies `probs` out of the slab once: a tensor logically `[v,b,j]`, stored
+/// in the `(b,j,v)` layout the plan writes.
+///
+/// # Errors
+///
+/// Returns an error if no head plan exists for `dims` and the vocabulary,
+/// or an operand is stored permuted or holds the wrong number of words.
+pub fn head_forward(
+    dims: &EncoderDims,
+    h: &Tensor,
+    head: &Tensor,
+    head_bias: &Tensor,
+) -> Result<Tensor> {
+    let (vocab, opts) = (head_bias.len(), ExecOptions::default());
+    let (probs, layout) = with_arena(dims, PlanKind::Head { vocab }, &opts, |_, _, arena| {
+        let mut probs = None;
+        let mut sink = |a: ArenaArtifact<'_>| {
+            if let ArenaArtifact::Tensor {
+                name: "probs",
+                layout,
+                data,
+                ..
+            } = a
+            {
+                probs = Some((data.to_vec(), *layout));
+            }
+        };
+        let resolve = &mut |name: &str| match name {
+            "h" => h.natural_words(),
+            "head" => head.natural_words(),
+            "head_bias" => head_bias.natural_words(),
+            _ => None,
+        };
+        arena.execute_bound(&opts, resolve, &mut sink)?;
+        probs.ok_or_else(|| TensorError::Unsupported("the head plan wrote no `probs`".into()))
+    })?;
+    // the container's axes `[b,j,v]` are positions 1, 2, 0 of `[v,b,j]`
+    let mut order = [0; 3];
+    for (o, p) in order.iter_mut().zip(layout.order()) {
+        *o = [1, 2, 0][p];
+    }
+    let shape = Shape::new([('v', vocab), ('b', dims.b), ('j', dims.j)])?;
+    Tensor::from_vec_with_layout(shape, Layout::from_order(&order)?, probs)
+}
+
 /// The reference executor as a plan: the unfused encoder graph, natural
 /// layouts, one step per dataflow operator.
 ///
@@ -633,6 +709,27 @@ pub fn decoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
 /// `dims.j == 1`, or an error if fusion or scheduling fails.
 pub fn decoder_step_project(dims: &EncoderDims) -> Result<PlannedForward> {
     step_plan(dims, build::decoder_step_project)
+}
+
+/// The model head with its bias and softmax one kernel (`BSV`) behind the
+/// contraction, which materializes the logits: the twin the audit holds
+/// [`head_epilogue`] against.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] unless every extent and `vocab`
+/// are nonzero, or an error if fusion or scheduling fails.
+pub fn head_fused(dims: &EncoderDims, vocab: usize) -> Result<PlannedForward> {
+    head_plan(dims, vocab, false)
+}
+
+/// The model head as one GEMM-epilogue step ([`PlanKind::Head`]).
+///
+/// # Errors
+///
+/// As [`head_fused`].
+pub fn head_epilogue(dims: &EncoderDims, vocab: usize) -> Result<PlannedForward> {
+    head_plan(dims, vocab, true)
 }
 
 /// The decode-step attention plan reading the resident KV cache. On top

@@ -63,7 +63,9 @@ pub struct ModelActs {
     pub blocks: Vec<BlockActs>,
     /// Final hidden state (input to the head).
     pub hidden: Tensor,
-    /// Softmax of the logits over the vocabulary (saved for backward).
+    /// Softmax of the logits over the vocabulary (saved for backward):
+    /// logically `[v,b,j]`, stored in the `(b,j,v)` layout the head plan
+    /// writes, each vocabulary row contiguous.
     pub probs: Tensor,
 }
 
@@ -246,12 +248,10 @@ impl TransformerModel {
             block_inputs.push(next.clone());
             h = next;
         }
-        // head: logits[v,b,j] = head[v,i]·h[i,b,j] + bias[v]
-        let logits = xform_tensor::ops::elementwise::bias_add(
-            &xform_tensor::einsum("vi,ibj->vbj", &[&self.head, &h])?,
-            &self.head_bias,
-        )?;
-        let probs = xform_tensor::ops::softmax::softmax(&logits, xform_tensor::Axis('v'))?;
+        // head: probs = softmax over v of head[v,i]·h[i,b,j] + bias[v], one
+        // plan step whose logits never leave its tile
+        let probs =
+            crate::interp::head_forward(&self.config.dims, &h, &self.head, &self.head_bias)?;
         Ok(ModelActs {
             x0,
             block_inputs,
@@ -261,14 +261,35 @@ impl TransformerModel {
         })
     }
 
+    /// Checks saved activations against the configuration: `probs` is
+    /// `[v,b,j]`, `hidden` `[i,b,j]`, and there is one block's activations per
+    /// layer and one input per layer plus the final one. Everything past
+    /// this indexes them unchecked (`Tensor::at` only debug-asserts).
+    fn check_acts(&self, acts: &ModelActs, context: &'static str) -> Result<()> {
+        let (d, layers) = (&self.config.dims, self.config.layers);
+        let vbj = Shape::new([('v', self.config.vocab), ('b', d.b), ('j', d.j)])?;
+        let ibj = Shape::from_spec("ibj", &d.size_table())?;
+        if *acts.probs.shape() != vbj
+            || *acts.hidden.shape() != ibj
+            || acts.blocks.len() != layers
+            || acts.block_inputs.len() != layers + 1
+        {
+            return Err(TensorError::ShapeMismatch { context });
+        }
+        Ok(())
+    }
+
     /// Mean cross-entropy of the saved probabilities against targets.
     ///
     /// # Errors
     ///
     /// Returns the errors of [`TransformerModel::embed`] for `targets` that
-    /// are not `[b][j]` ids below the vocabulary size.
+    /// are not `[b][j]` ids below the vocabulary size, and
+    /// [`TensorError::ShapeMismatch`] for activations another configuration
+    /// saved.
     pub fn cross_entropy(&self, acts: &ModelActs, targets: &[Vec<usize>]) -> Result<f32> {
         self.check_ids(targets, "cross-entropy targets")?;
+        self.check_acts(acts, "cross-entropy activations")?;
         let d = &self.config.dims;
         let mut loss = 0.0f32;
         for (b, row) in targets.iter().enumerate() {
@@ -285,8 +306,9 @@ impl TransformerModel {
     /// # Errors
     ///
     /// Returns the errors of [`TransformerModel::embed`] for `tokens` or
-    /// `targets` that are not `[b][j]` ids below the vocabulary size, or an
-    /// error on shape disagreements.
+    /// `targets` that are not `[b][j]` ids below the vocabulary size, and
+    /// [`TensorError::ShapeMismatch`] for activations another configuration
+    /// saved.
     pub fn backward(
         &self,
         tokens: &[Vec<usize>],
@@ -295,6 +317,7 @@ impl TransformerModel {
     ) -> Result<ModelGrads> {
         self.check_ids(tokens, "backward tokens")?;
         self.check_ids(targets, "backward targets")?;
+        self.check_acts(acts, "backward activations")?;
         let d = &self.config.dims;
         let n = (d.b * d.j) as f32;
         // d logits = (softmax - onehot) / N
@@ -597,6 +620,49 @@ mod tests {
                 expect("backward tokens")
             );
         }
+    }
+
+    #[test]
+    fn loss_and_backward_reject_activations_of_another_configuration() {
+        // in release builds `Tensor::at` indexes unchecked: activations of a
+        // longer sequence read another position's probability (a wrong loss
+        // and wrong gradients), of a smaller vocabulary past the words
+        let cfg = config(BlockKind::Decoder);
+        let mut rng = StdRng::seed_from_u64(11);
+        let model = TransformerModel::init(cfg, &mut rng).unwrap();
+        let (tokens, targets) = copy_task_batch(&cfg, &mut rng);
+        let longer = ModelConfig {
+            dims: EncoderDims {
+                j: 8,
+                k: 8,
+                ..cfg.dims
+            },
+            ..cfg
+        };
+        let smaller = ModelConfig { vocab: 3, ..cfg };
+        let mut short = model.forward(&tokens, &mut rng).unwrap();
+        short.blocks.pop();
+        for acts in [run_of(longer, &mut rng), run_of(smaller, &mut rng), short] {
+            assert_eq!(
+                model.cross_entropy(&acts, &targets).unwrap_err(),
+                TensorError::ShapeMismatch {
+                    context: "cross-entropy activations"
+                }
+            );
+            assert_eq!(
+                model.backward(&tokens, &targets, &acts).unwrap_err(),
+                TensorError::ShapeMismatch {
+                    context: "backward activations"
+                }
+            );
+        }
+    }
+
+    /// A forward of a fresh model of `cfg` over its own copy-task batch.
+    fn run_of(cfg: ModelConfig, rng: &mut StdRng) -> ModelActs {
+        let model = TransformerModel::init(cfg, rng).unwrap();
+        let (tokens, _) = copy_task_batch(&cfg, rng);
+        model.forward(&tokens, rng).unwrap()
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! on the steady-state path shows up as a nonzero event delta and fails
 //! the test. And a `forward` with activation collection off is that plus
 //! the one tensor it returns: it allocates `y`, and nothing the size of a
-//! saved container.
+//! saved container. So is the model head: a warm run allocates the `probs`
+//! it returns and nothing else.
 //!
 //! Everything runs inside one `#[test]` function: the default harness
 //! runs tests on separate threads, and the allocator counters are
@@ -157,6 +158,39 @@ fn steady_state_forwards_touch_no_heap() {
                 4 * y.len()
             ));
         }
+    }
+
+    // The model head: a warm run allocates the `probs` it returns — as many
+    // heap events as a copy of that tensor — and nothing else. The logits
+    // exist as a tile of the step's scratch, `h` and the weights are read
+    // where they lie.
+    let head_dims = EncoderDims {
+        b: 2,
+        j: 24,
+        k: 24,
+        h: 2,
+        p: 4,
+        i: 8,
+        u: 16,
+    };
+    let unit = Uniform::new(-1.0, 1.0);
+    let shape = Shape::from_spec("ibj", &head_dims.size_table()).unwrap();
+    let hidden = Tensor::random(shape, &unit, &mut rng);
+    let head = Tensor::random(Shape::new([('v', 37), ('i', 8)]).unwrap(), &unit, &mut rng);
+    let head_bias = Tensor::random(Shape::new([('v', 37)]).unwrap(), &unit, &mut rng);
+    let run = || interp::head_forward(&head_dims, &hidden, &head, &head_bias).unwrap();
+    drop((run(), run()));
+    let before = ALLOC.events();
+    let probs = run();
+    let served = ALLOC.events() - before;
+    let before = ALLOC.events();
+    let copy = probs.clone();
+    let copied = ALLOC.events() - before;
+    drop((probs, copy));
+    if served != copied {
+        failures.push(format!(
+            "head: {served} heap event(s) for a `probs` whose copy takes {copied}"
+        ));
     }
 
     // Streaming decode: after prefill has compiled the bucket's step plans

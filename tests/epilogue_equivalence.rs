@@ -20,6 +20,11 @@
 //!   smaller than that of the same block with its attention core run as
 //!   three steps, because the `[h,b,j,k]` tensors between them no longer
 //!   have a slot; the epilogue slab is never the larger of the two.
+//!
+//! The model head is one such step too (`Head` → bias → softmax over the
+//! vocabulary): a proptest holds it — served, on the arena at both
+//! granularities, and through the reference interpreter, beside its
+//! un-epilogued twin — to the three allocating passes it replaced.
 
 use proptest::prelude::*;
 use rand::distributions::Uniform;
@@ -28,11 +33,14 @@ use rand::{RngCore, SeedableRng};
 
 use substation::core::arena;
 use substation::core::fusion::{apply_plan, decoder_fusion_plan, encoder_fusion_plan};
-use substation::core::plan::{execute_plan, random_externals, ExecOptions, ExecutionPlan};
+use substation::core::plan::{
+    execute_plan, random_externals, ExecOptions, ExecState, ExecutionPlan,
+};
 use substation::core::recipe::forward_ops;
 use substation::dataflow::{build, EncoderDims, OpKind};
-use substation::tensor::ops::elementwise::ActivationKind;
-use substation::tensor::{Shape, Tensor};
+use substation::tensor::ops::elementwise::{bias_add, ActivationKind};
+use substation::tensor::ops::softmax::softmax;
+use substation::tensor::{einsum, Axis, Shape, Tensor};
 use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
 use substation::transformer::interp;
@@ -173,6 +181,66 @@ proptest! {
             prop_assert!(shared > externals.env.len(), "no produced container compared");
             for _ in 0..4 {
                 prop_assert!(rf.next_u64() == re.next_u64(), "RNG streams diverged");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // The head as one step is the head as three allocating passes, bit for
+    // bit: served by the model's entry point, on the arena at both
+    // granularities, under the reference interpreter, and so is its
+    // un-epilogued twin (the `BSV` kernel over materialized logits) — over
+    // vocabularies shorter than a 16-lane row, more rows than a tile holds
+    // or fewer, and a depth past one `KC` block.
+    #[test]
+    fn the_head_plan_is_the_three_pass_head_bitwise(
+        b in 1usize..4,
+        j in 1usize..24,
+        // half the depths past one `KC` block, half the vocabularies short
+        i in (0usize..2, 1usize..48).prop_map(|(deep, i)| if deep == 1 { 250 + i } else { i }),
+        vocab in (0usize..2, 1usize..16).prop_map(|(long, v)| if long == 1 { 16 + 3 * v } else { v }),
+        seed in 0u64..1_000,
+    ) {
+        let dims = EncoderDims { b, j, k: j, h: 1, p: i, i, u: 1 };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut random = |spec: &[(char, usize)]| {
+            Tensor::random(Shape::new(spec.iter().copied()).unwrap(), &Uniform::new(-1.0, 1.0), &mut rng)
+        };
+        let h = random(&[('i', i), ('b', b), ('j', j)]);
+        let head = random(&[('v', vocab), ('i', i)]);
+        let bias = random(&[('v', vocab)]);
+        let logits = einsum("vi,ibj->vbj", &[&head, &h]).unwrap();
+        let three = softmax(&bias_add(&logits, &bias).unwrap(), Axis('v')).unwrap();
+        let served = interp::head_forward(&dims, &h, &head, &bias).unwrap();
+        prop_assert!(served.shape() == three.shape());
+
+        let mut base = ExecState::default();
+        for (name, t) in [("h", &h), ("head", &head), ("head_bias", &bias)] {
+            base.env.insert(name.into(), t.clone());
+        }
+        let mut probs = vec![served];
+        for pf in [interp::head_epilogue(&dims, vocab), interp::head_fused(&dims, vocab)] {
+            let pf = pf.unwrap();
+            prop_assert!(mega_steps(&pf) <= 1 && pf.plan.steps.len() == 2 - mega_steps(&pf));
+            for threads in [1usize, 2] {
+                let mut state = base.clone();
+                let opts = ExecOptions::builder().threads(threads).build();
+                arena::execute(&pf.graph, &pf.plan, &mut state, &opts).unwrap();
+                probs.push(state.take("probs").unwrap());
+            }
+            let mut state = base.clone();
+            execute_plan(&pf.graph, &pf.plan, &mut state, &ExecOptions::default(), &mut rng).unwrap();
+            probs.push(state.take("probs").unwrap());
+        }
+        // `[v,b,j]` against the plans' `[b,j,v]`, index by index
+        for (idx, want) in three.iter() {
+            let [v, b, j] = idx[..] else { unreachable!() };
+            for (k, got) in probs.iter().enumerate() {
+                let at = if k == 0 { [v, b, j] } else { [b, j, v] };
+                prop_assert!(got.at(&at).to_bits() == want.to_bits(), "leg {} at {:?}", k, idx);
             }
         }
     }

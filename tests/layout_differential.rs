@@ -15,6 +15,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,13 +28,14 @@ use substation::core::plan::{
 use substation::dataflow::{EncoderDims, Graph};
 use substation::tensor::ops::elementwise::ActivationKind;
 use substation::tensor::{Layout, Tensor};
-use substation::transformer::interp::{self, PlanKind};
+use substation::transformer::interp::{self, PlanKind, PlannedForward};
 
-/// The seven canned plans, the decode-step ones at one query column.
-fn kinds() -> [(EncoderDims, PlanKind); 7] {
+/// The eight canned plans, the decode-step ones at one query column and the
+/// head over five words, and the head's un-epilogued twin.
+fn plans() -> Vec<(EncoderDims, String, Arc<PlannedForward>)> {
     let dims = EncoderDims::tiny();
     let step = EncoderDims { j: 1, ..dims };
-    [
+    let kinds = [
         (dims, PlanKind::EncoderReference),
         (dims, PlanKind::EncoderFused),
         (dims, PlanKind::EncoderEpilogue),
@@ -40,7 +43,17 @@ fn kinds() -> [(EncoderDims, PlanKind); 7] {
         (dims, PlanKind::DecoderEpilogue),
         (step, PlanKind::DecoderStepProject),
         (step, PlanKind::DecoderStep),
-    ]
+        (dims, PlanKind::Head { vocab: 5 }),
+    ];
+    let canned = kinds.map(|(d, kind)| {
+        (
+            d,
+            format!("{kind:?}"),
+            interp::cached_plan(&d, kind).unwrap(),
+        )
+    });
+    let twin = Arc::new(interp::head_fused(&dims, 5).unwrap());
+    [Vec::from(canned), vec![(dims, "head twin".into(), twin)]].concat()
 }
 
 fn on_arena(graph: &Graph, plan: &ExecutionPlan, base: &ExecState, o: &ExecOptions) -> ExecState {
@@ -103,9 +116,8 @@ proptest! {
 
     #[test]
     fn every_plan_kind_in_any_layout_is_the_same_bits(seed in 0u64..10_000, pos in 0usize..4) {
-        for (dims, kind) in kinds() {
-            let tag = format!("{kind:?} seed {seed}");
-            let pf = interp::cached_plan(&dims, kind).unwrap();
+        for (dims, name, pf) in plans() {
+            let tag = format!("{name} seed {seed}");
             let (graph, natural) = (&pf.graph, &pf.plan);
             let strided = common::permuted(graph, natural, seed);
             let base = random_externals(graph, natural, seed ^ 0x5a5a).unwrap();
