@@ -615,17 +615,16 @@ pub fn head_forward(
     head_bias: &Tensor,
 ) -> Result<Tensor> {
     let (vocab, opts) = (head_bias.len(), ExecOptions::default());
-    let (probs, layout) = with_arena(dims, PlanKind::Head { vocab }, &opts, |_, _, arena| {
+    let probs = with_arena(dims, PlanKind::Head { vocab }, &opts, |_, _, arena| {
         let mut probs = None;
         let mut sink = |a: ArenaArtifact<'_>| {
             if let ArenaArtifact::Tensor {
                 name: "probs",
-                layout,
                 data,
                 ..
             } = a
             {
-                probs = Some((data.to_vec(), *layout));
+                probs = Some(data.to_vec());
             }
         };
         let resolve = &mut |name: &str| match name {
@@ -637,13 +636,10 @@ pub fn head_forward(
         arena.execute_bound(&opts, resolve, &mut sink)?;
         probs.ok_or_else(|| TensorError::Unsupported("the head plan wrote no `probs`".into()))
     })?;
-    // the container's axes `[b,j,v]` are positions 1, 2, 0 of `[v,b,j]`
-    let mut order = [0; 3];
-    for (o, p) in order.iter_mut().zip(layout.order()) {
-        *o = [1, 2, 0][p];
-    }
+    // the canned plan leaves its `[b,j,v]` container natural: `[v,b,j]`
+    // with its axes 1, 2, 0 outermost first
     let shape = Shape::new([('v', vocab), ('b', dims.b), ('j', dims.j)])?;
-    Tensor::from_vec_with_layout(shape, Layout::from_order(&order)?, probs)
+    Tensor::from_vec_with_layout(shape, Layout::from_order(&[1, 2, 0])?, probs)
 }
 
 /// The reference executor as a plan: the unfused encoder graph, natural
