@@ -23,18 +23,26 @@
 //! of a micro-kernel that packs A. The `model/probs-*` rows joined last,
 //! test-only on the library whose head was still three allocating passes:
 //! `probs` hashed in logical order, ahead of it being stored as the head
-//! plan writes it.
+//! plan writes it. The `tile/*` rows joined after them, test-only on the
+//! library whose GEMM epilogue and attention region were still two kernel
+//! classes (and `PARTITION` with them): every plan that runs either, on the
+//! arena and under the reference interpreter, natural and re-laid out.
 //! A digest that moves means arithmetic, output layout, stats order or
 //! RNG draw order changed somewhere under the public API.
 //!
 //! On a mismatch the test prints the full table it computed, in source
 //! form, so an *intended* change can re-record it.
 
+mod common;
+
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use substation::core::plan::{execute_plan, ExecOptions, ExecState};
+use substation::core::arena;
+use substation::core::plan::{
+    execute_plan, random_externals, ExecOptions, ExecState, ExecutionPlan,
+};
 use substation::dataflow::EncoderDims;
 use substation::tensor::fused::{self, BdrlnOutput, BrdOutput, SmOutput};
 use substation::tensor::matmul::{
@@ -714,6 +722,88 @@ fn probs_digests(table: &mut Vec<(String, u64)>) {
     }
 }
 
+/// Every container `state` holds beyond `base`, by name, in logical order,
+/// then every layer-norm statistic.
+fn produced_digest(h: &mut Fnv, state: &ExecState, base: &ExecState) {
+    let mut names: Vec<&String> = (state.env.keys())
+        .filter(|n| !base.env.contains_key(*n))
+        .collect();
+    names.sort();
+    for n in names {
+        let t = &state.env[n];
+        h.tensor(&t.relayout(&Layout::row_major(t.shape().rank())));
+    }
+    let mut names: Vec<&String> = state.stats.keys().collect();
+    names.sort();
+    for n in names {
+        h.stats(&state.stats[n]);
+    }
+}
+
+/// The plans that run a contraction whose rows a lane chain works on in a
+/// tile — the attention region and the GEMM epilogues, the head's among
+/// them — at `p = 0.1`, each in natural layouts and re-laid out by
+/// `common::permuted` (contraction operands of those steps included): on
+/// the arena (outputs, saved activations and masks, statistics) and under
+/// the reference interpreter (the same, and its RNG's end state). The
+/// shape puts `j` off a multiple of the 32-row attention panel (the last
+/// panel is ragged, and every causal panel's last visible key ends inside
+/// a `KC` block), the embedding two `KC` blocks deep, and more rows under
+/// each bias epilogue than one of its tiles holds.
+fn tile_digests(table: &mut Vec<(String, u64)>) {
+    let dims = EncoderDims {
+        b: 1,
+        j: 45,
+        k: 45,
+        h: 2,
+        p: 132,
+        i: 264,
+        u: 100,
+    };
+    let kinds = [
+        ("enc-fused", PlanKind::EncoderFused),
+        ("enc-epilogue", PlanKind::EncoderEpilogue),
+        ("dec-fused", PlanKind::DecoderFused),
+        ("dec-epilogue", PlanKind::DecoderEpilogue),
+        ("head", PlanKind::Head { vocab: 37 }),
+    ];
+    let opts = ExecOptions::builder()
+        .dropout_p(0.1)
+        .activation(Gelu)
+        .scaler(1.0 / (dims.p as f32).sqrt())
+        .seed(31)
+        .build();
+    for (name, kind) in kinds {
+        let pf = interp::cached_plan(&dims, kind).unwrap();
+        let (graph, natural) = (&pf.graph, &pf.plan);
+        // the first shuffle in which a collapsed step (named `head+tail`)
+        // reads a contraction operand strided
+        let strided = |p: &ExecutionPlan| {
+            (p.steps.iter()).any(|s| {
+                s.name.contains('+') && s.inputs[..2].iter().any(|o| !o.layout.is_row_major())
+            })
+        };
+        let permuted = (0..)
+            .map(|seed| common::permuted(graph, natural, seed))
+            .find(strided)
+            .unwrap();
+        let base = random_externals(graph, natural, 0x711e).unwrap();
+        for (layout, plan) in [("natural", natural), ("permuted", &permuted)] {
+            let mut state = base.clone();
+            arena::execute(graph, plan, &mut state, &opts).unwrap();
+            let mut h = Fnv::new();
+            produced_digest(&mut h, &state, &base);
+            table.push((format!("tile/{name}/{layout}/arena"), h.0));
+            let (mut state, mut rng) = (base.clone(), StdRng::seed_from_u64(opts.seed));
+            execute_plan(graph, plan, &mut state, &opts, &mut rng).unwrap();
+            let mut h = Fnv::new();
+            produced_digest(&mut h, &state, &base);
+            h.rng(&mut rng);
+            table.push((format!("tile/{name}/{layout}/reference"), h.0));
+        }
+    }
+}
+
 /// The table's *partition*: row names grouped by equal digest — groups in
 /// order of first appearance, names in table order — and the grouping
 /// hashed. A change that is meant to move absolute bits re-records
@@ -742,10 +832,10 @@ fn partition(table: &[(String, u64)]) -> u64 {
     h.0
 }
 
-/// [`partition`] of the table as recorded with the `model/probs-*` rows, on
-/// the library before the model head became a plan (the pin before it,
-/// moved only by the names of the rows added).
-const PARTITION: u64 = 0x8d34_39ea_cf6a_abbf;
+/// [`partition`] of the table as recorded with the `tile/*` rows, on the
+/// library whose GEMM epilogue and attention region were two kernel classes
+/// (the pin before it, moved only by the names of the rows added).
+const PARTITION: u64 = 0x19b0_bb70_7b9e_7437;
 
 #[test]
 fn digests_match_the_recorded_table() {
@@ -757,6 +847,7 @@ fn digests_match_the_recorded_table() {
     kernel_bwd_digests(&mut table);
     gemm_edge_digests(&mut table);
     probs_digests(&mut table);
+    tile_digests(&mut table);
     let recorded: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     if table != recorded {
         for (name, d) in &table {
@@ -935,4 +1026,24 @@ const GOLDEN: &[(&str, u64)] = &[
     ("gemm/edges", 0x7a63b23f7130ddd1),
     ("model/probs-enc", 0x62613f068de33a2c),
     ("model/probs-dec", 0xc52e9eb0ea1183be),
+    ("tile/enc-fused/natural/arena", 0xdee12367a99a8dce),
+    ("tile/enc-fused/natural/reference", 0x3712c06551db18ba),
+    ("tile/enc-fused/permuted/arena", 0xdee12367a99a8dce),
+    ("tile/enc-fused/permuted/reference", 0x3712c06551db18ba),
+    ("tile/enc-epilogue/natural/arena", 0x4fe2115a7f083960),
+    ("tile/enc-epilogue/natural/reference", 0x68979b1fff1302c7),
+    ("tile/enc-epilogue/permuted/arena", 0x4fe2115a7f083960),
+    ("tile/enc-epilogue/permuted/reference", 0x68979b1fff1302c7),
+    ("tile/dec-fused/natural/arena", 0x29f603986aa1ff76),
+    ("tile/dec-fused/natural/reference", 0x5233768f3164c8ed),
+    ("tile/dec-fused/permuted/arena", 0x29f603986aa1ff76),
+    ("tile/dec-fused/permuted/reference", 0x5233768f3164c8ed),
+    ("tile/dec-epilogue/natural/arena", 0x139084fa20e9e9ad),
+    ("tile/dec-epilogue/natural/reference", 0x1faa9440d48ffd54),
+    ("tile/dec-epilogue/permuted/arena", 0x139084fa20e9e9ad),
+    ("tile/dec-epilogue/permuted/reference", 0x1faa9440d48ffd54),
+    ("tile/head/natural/arena", 0xc1bd91d1ab205118),
+    ("tile/head/natural/reference", 0xc36ec67774b06672),
+    ("tile/head/permuted/arena", 0xc1bd91d1ab205118),
+    ("tile/head/permuted/reference", 0xc36ec67774b06672),
 ];
