@@ -22,8 +22,8 @@ use xform_dataflow::EncoderDims;
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
 use xform_tensor::into_ops::{
-    activate_backward_into, activate_into, attention_into, contract_into, sm_into, softmax_into,
-    AttentionPlan, ContractPlan, Sweep, View,
+    activate_backward_into, activate_into, contract_into, sm_into, softmax_into, tile_into,
+    ContractPlan, RowTail, Sweep, TilePlan, View, ATTENTION_TILE_ROWS,
 };
 use xform_tensor::lanes::{self, Dropout};
 use xform_tensor::ops::dropout::{dropout, dropout_backward, dropout_disabled};
@@ -224,27 +224,23 @@ fn bench_attention_core(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(28);
         let mut out = vec![0.0f32; gam.len()];
 
-        let strides = |t: &Tensor| t.strides().to_vec();
-        let of = |t: &Tensor| (t.shape().sizes().to_vec(), strides(t));
-        let (a, bq, v) = (of(&kk), of(&qq), of(&vv));
-        let plan = AttentionPlan::compile(
-            &qkt,
-            &gamma,
-            (&a.0, &a.1),
-            (&bq.0, &bq.1),
-            (&v.0, &v.1),
-            gam.strides(),
-        )
-        .unwrap();
+        fn of(t: &Tensor) -> (&Shape, &[usize]) {
+            (t.shape(), t.strides())
+        }
+        let then = Some((&gamma, of(&vv), gam.strides()));
+        let plan = TilePlan::compile(&qkt, of(&kk), of(&qq), then, ATTENTION_TILE_ROWS).unwrap();
         let mut scratch = vec![0.0f32; plan.scratch_words()];
         group.bench_function(BenchmarkId::new("region", name), |bch| {
             bch.iter(|| {
                 let drop = &mut Dropout::new(0.0, &mut rng).unwrap();
-                let (k, q, v) = (kk.data(), qq.data(), vv.data());
-                attention_into(&plan, k, q, v, scaler, causal, drop, &mut scratch, &mut out);
+                let tail = &mut RowTail::Softmax { scaler, causal };
+                let (k, q) = (kk.data(), qq.data());
+                let then = Some((vv.data(), &mut out[..]));
+                tile_into(&plan, k, q, tail, then, drop, &mut scratch);
                 black_box(out[0])
             })
         });
+        let strides = |t: &Tensor| t.strides().to_vec();
 
         let compile = |spec, a: &Tensor, b: &Tensor, out: &Tensor| {
             let (sa, sb) = (strides(a), strides(b));

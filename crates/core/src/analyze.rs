@@ -1644,10 +1644,7 @@ pub(crate) fn step_config(graph: &Graph, step: &PlanStep) -> Option<OpConfig> {
     let (primary_in, primary_out) = primary_tensors(graph, step.op).ok()?;
     let a = step.inputs.iter().find(|o| o.data == primary_in)?;
     let c = step.outputs.iter().find(|o| o.data == primary_out)?;
-    if matches!(
-        step.kind,
-        OpKind::Einsum(_) | OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. }
-    ) {
+    if matches!(step.kind, OpKind::Einsum(_) | OpKind::TileProgram { .. }) {
         Some(OpConfig {
             in_layout: a.layout,
             in2_layout: step.inputs.get(1).map(|b| b.layout),
@@ -1768,7 +1765,7 @@ impl MovementAudit {
 /// eliminable intermediate (the contraction's write of it and the
 /// consumer's read-back) are *not* algorithmic demand: they are counted
 /// into `D` as pure movement instead of into `Q`. A plan that collapses
-/// the chain via [`OpKind::ContractionEpilogue`] therefore audits at the
+/// the chain into an [`OpKind::TileProgram`] therefore audits at the
 /// same `Q` with strictly lower `D` — a strictly higher static MUE.
 pub fn audit(graph: &Graph, plan: &ExecutionPlan, device: &DeviceSpec) -> MovementAudit {
     let wb = device.word_bytes as u64;

@@ -67,10 +67,10 @@
 //!   copied into its range at bind (the one copy binding still makes, and
 //!   `plan_audit` prints it per plan: zero for every canned plan).
 //!
-//! **The epilogue boundary.** A `ContractionEpilogue` step reads A and B
-//! through their declared strides, but its tail streams are walked as
-//! dense row blocks: declared in any but the natural layout they are a
-//! compile error naming the step.
+//! **The tail boundary.** A tile program step reads its contractions'
+//! operands through their declared strides, but a one-contraction
+//! program's tail streams are walked as dense row blocks: declared in any
+//! but the natural layout they are a compile error naming the step.
 //!
 //! One compiled arena serves four modes, none of which changes a result
 //! bit, because every step draws from its own seeded RNG stream:
@@ -105,7 +105,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
-use xform_tensor::into_ops::{self, Sweep, View};
+use xform_tensor::into_ops::{self, RowTail, Sweep, View};
 use xform_tensor::lanes::{check_dropout_p, Dropout};
 use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::ops::layernorm::LayerNormStats;
@@ -159,10 +159,8 @@ struct StepExec {
     /// The step's scratch range
     /// ([`crate::lower::StepLowering::scratch_words`]): the staging copy of
     /// a relayout, the gather packs of a contraction (none for the canned
-    /// plans), and for the epilogue class the packed B panels and the
-    /// output tile — the contraction output of a mega-kernel has no slab
-    /// slot — and for the attention region its packed K and V panels and
-    /// its panel of query rows.
+    /// plans), and for a tile program its packed B panels and its tiles —
+    /// the intermediates between its kernels have no slab slot.
     scratch: BufView,
     /// The dropout stream the step draws from
     /// ([`ExecutionPlan::stream_of`]).
@@ -450,7 +448,7 @@ impl CompiledArena {
     /// violation), the wave partition fails
     /// [`crate::sanitize::certify_waves`], or a step has no arena lowering
     /// (an operator kind or operand count the step lowering does not
-    /// model, or a GEMM-epilogue tail stream declared in a non-natural
+    /// model, or a tile program's tail stream declared in a non-natural
     /// layout).
     pub fn compile(
         graph: &Graph,
@@ -546,7 +544,7 @@ impl CompiledArena {
             )
             .ok_or_else(|| match strided_tail(step) {
                 Some(o) => TensorError::Unsupported(format!(
-                    "step {si} (`{}`): GEMM-epilogue tail stream `{}` is declared in layout `{}`; tail streams must be in natural layout",
+                    "step {si} (`{}`): tile-program tail stream `{}` is declared in layout `{}`; tail streams must be in natural layout",
                     step.name, o.name, layout_spec(graph, o.data, o.layout)
                 )),
                 None => no_lowering(format!("step {si} (`{}`)", step.name)),
@@ -1128,11 +1126,11 @@ pub fn execute(
     Ok(())
 }
 
-/// The first tail stream of a GEMM-epilogue step declared in a non-natural
-/// layout — the one thing [`lower_step`] refuses that the reference
-/// interpreter runs.
+/// The first tail stream of a one-contraction tile program declared in a
+/// non-natural layout — the one thing [`lower_step`] refuses that the
+/// reference interpreter runs.
 fn strided_tail(step: &PlanStep) -> Option<&crate::plan::Operand> {
-    if !matches!(step.kind, OpKind::ContractionEpilogue { .. }) {
+    if !matches!(step.kind, OpKind::TileProgram { second: None, .. }) {
         return None;
     }
     let tail = step.inputs.iter().skip(2).chain(&step.outputs);
@@ -1324,44 +1322,40 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
         }
         Kernel::Bdr => into_ops::bdr_into(s(), r(0), r(1), r(2), drop, w(3), w(4)),
         Kernel::BiasSoftmax => into_ops::bias_softmax_into(s(), r(0), r(1), w(2)),
-        Kernel::ContractEpilogue {
-            plan,
-            tile_rows,
-            tail,
-        } => {
-            let mut epilogue = match tail {
-                Tail::BrdAct => into_ops::TileEpilogue::BiasActDrop {
-                    bias: r(2),
-                    kind: run.activation,
-                    pre_activation: w(3),
-                    out: w(4),
-                    mask: w(5),
-                },
-                Tail::Bdr => into_ops::TileEpilogue::BiasDropResidual {
-                    bias: r(2),
-                    residual: r(3),
-                    mask: w(4),
-                    out: w(5),
-                },
-                Tail::BiasSoftmax => into_ops::TileEpilogue::BiasSoftmax {
-                    bias: r(2),
-                    out: w(3),
-                },
+        Kernel::Tile { plan, tail } => {
+            let (mut tail, second) = match *tail {
+                Tail::BrdAct => {
+                    let tail = RowTail::BiasActDrop {
+                        bias: r(2),
+                        kind: run.activation,
+                        pre_activation: w(3),
+                        out: w(4),
+                        mask: w(5),
+                    };
+                    (tail, None)
+                }
+                Tail::Bdr => {
+                    let tail = RowTail::BiasDropResidual {
+                        bias: r(2),
+                        residual: r(3),
+                        mask: w(4),
+                        out: w(5),
+                    };
+                    (tail, None)
+                }
+                Tail::BiasSoftmax => (
+                    RowTail::BiasSoftmax {
+                        bias: r(2),
+                        out: w(3),
+                    },
+                    None,
+                ),
+                Tail::Softmax { causal } => {
+                    let (scaler, causal) = (run.scaler, pos(causal));
+                    (RowTail::Softmax { scaler, causal }, Some((r(2), w(3))))
+                }
             };
-            let tile = scratch();
-            into_ops::contract_epilogue_tiled(
-                plan,
-                *tile_rows,
-                r(0),
-                r(1),
-                tile,
-                drop,
-                &mut epilogue,
-            );
-        }
-        Kernel::Attention { plan, causal } => {
-            let (c, tile) = (pos(*causal), scratch());
-            into_ops::attention_into(plan, r(0), r(1), r(2), run.scaler, c, drop, tile, w(3));
+            into_ops::tile_into(plan, r(0), r(1), &mut tail, second, drop, scratch());
         }
     }
 }
@@ -2020,7 +2014,7 @@ mod tests {
         assert!(!crate::fusion::apply_epilogues(&mut g).unwrap().is_empty());
         let mut plan = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
         let si = (plan.steps.iter())
-            .position(|s| matches!(s.kind, OpKind::ContractionEpilogue { .. }))
+            .position(|s| matches!(s.kind, OpKind::TileProgram { second: None, .. }))
             .unwrap();
         // strided A: fine
         let a = &mut plan.steps[si].inputs[0].layout;

@@ -28,10 +28,10 @@
 //!   construction and equal to it when the geometry has no levels;
 //! * [`cache_lints`] surfaces the findings as typed
 //!   [`crate::analyze::PlanLint`]s: `TileOverflow` (a
-//!   [`ContractionEpilogue`](xform_dataflow::OpKind::ContractionEpilogue)
-//!   tile's working set exceeds L1/L2, or an attention region's panel of
-//!   query rows with its packed K and V panels exceeds L2), `CacheThrash`
-//!   (predicted
+//!   [`TileProgram`](xform_dataflow::OpKind::TileProgram)'s working set
+//!   exceeds the level meant to hold it: a bias epilogue's tile L1 or, with
+//!   its B panel, the last level; the attention region's panel of query
+//!   rows with its packed K and V panels, L2), `CacheThrash` (predicted
 //!   capacity-miss ratio on re-referenced words above
 //!   [`THRASH_MISS_THRESHOLD`]), and `LayoutConflict` (a strided sweep
 //!   whose lead dimension aliases cache sets);
@@ -691,13 +691,14 @@ pub fn cache_audit(
 
 /// Derives the cache lints of a plan under `geometry`:
 ///
-/// * [`PlanLint::TileOverflow`] — a `ContractionEpilogue` tile's hot set
-///   (`tile_rows · (n + k)` accumulator + A-panel words) exceeds the
+/// * [`PlanLint::TileOverflow`] — a one-contraction tile program's hot
+///   set (`tile_rows · (n + k)` accumulator + A-panel words) exceeds the
 ///   smallest level, or the tile plus the streamed `k · n` B panel
-///   exceeds the largest; or an attention region's working set — its
-///   panels of `tile_rows · k` scores and weights and one slice's packed K
-///   and V panels, the step's scratch — exceeds the second level (L2),
-///   where the region is built to keep them;
+///   exceeds the largest; or a two-contraction one's working set — the
+///   attention region's panels of `tile_rows · k` scores and weights and
+///   one slice's packed K and V panels
+///   ([`xform_tensor::into_ops::TilePlan::hot_words`]) — exceeds the second
+///   level (L2), where the region is built to keep them;
 /// * [`PlanLint::CacheThrash`] — a step re-references at least
 ///   [`THRASH_MIN_REUSE_WORDS`] words but more than
 ///   [`THRASH_MISS_THRESHOLD`] of them sit beyond every level's capacity;
@@ -731,23 +732,28 @@ fn cache_lints_with(
     for (si, step) in plan.steps.iter().enumerate() {
         // working sets of the kernels that keep something hot between
         // contractions, each against the level meant to hold it
-        let collapsed = matches!(
-            step.kind,
-            OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. }
-        );
+        let collapsed = matches!(step.kind, OpKind::TileProgram { .. });
         let lowered = collapsed.then(|| lower_step(graph, step)).flatten();
         let hot = match lowered.map(|l| l.kernel) {
-            Some(Kernel::ContractEpilogue {
-                plan, tile_rows, ..
-            }) => {
-                let (tile, panel) = crate::fusion::epilogue_tile_words(&plan, tile_rows);
-                let spills = tile * wb > first.size_bytes;
-                Some(if spills { (tile, first) } else { (panel, last) })
-            }
-            Some(Kernel::Attention { plan, .. }) => {
-                let l2 = geometry.levels.get(1).unwrap_or(first);
-                Some((plan.scratch_words() as u64, l2))
-            }
+            Some(Kernel::Tile { plan, .. }) => Some(match plan.second {
+                // the accumulator strip and its A rows, and beside them the
+                // B panel every tile of a block row reduces over
+                None => {
+                    let (rows, f) = (plan.tile_rows, &plan.first);
+                    let tile = (rows * (f.n + f.k)) as u64;
+                    let panel = tile + (f.k * f.n) as u64;
+                    let spills = tile * wb > first.size_bytes;
+                    if spills {
+                        (tile, first)
+                    } else {
+                        (panel, last)
+                    }
+                }
+                Some(_) => {
+                    let l2 = geometry.levels.get(1).unwrap_or(first);
+                    (plan.hot_words() as u64, l2)
+                }
+            }),
             _ => None,
         };
         if let Some((words, level)) = hot.filter(|(words, l)| words * wb > l.size_bytes) {

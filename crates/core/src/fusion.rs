@@ -11,30 +11,34 @@
 //! launch-count-driven merge of `Bias 2 dW` into `BDRB`, which the paper
 //! chose manually "to perform fewer kernel launches").
 //!
-//! Two further passes go where the paper stops — at the contractions — and
-//! are properties of the *canned* plans (`xform_transformer::interp`), not
+//! One further pass goes where the paper stops — at the contractions — and
+//! is a property of the *canned* plans (`xform_transformer::interp`), not
 //! of the fusion tables, so every recipe-swept and paper-table graph stays
-//! as the paper has it:
+//! as the paper has it. [`detect_tiles`] finds every chain that runs as a
+//! *tile program*: a contraction whose output rows only a fused kernel
+//! reads, a tile of them at a time, and — behind a softmax — the
+//! contraction that reads the kernel's weights. The canned plans collapse
+//! them ([`Graph::fuse_tile`]) in two selections:
 //!
 //! * [`apply_regions`] collapses the attention core `QKT → SM → Gamma`
-//!   into one [`OpKind::AttentionRegion`] that works a panel of query rows
-//!   at a time: the `[h,b,j,k]` tensors between the two contractions are
-//!   never materialized (in a training graph `QKT → SM` stays behind as the
-//!   backward side's rematerialization);
+//!   into one [`OpKind::TileProgram`] of two contractions that works a
+//!   panel of query rows at a time: the `[h,b,j,k]` tensors between the two
+//!   are never materialized (in a training graph `QKT → SM` stays behind as
+//!   the backward side's rematerialization);
 //! * [`apply_epilogues`], after it, collapses each remaining contraction →
-//!   bias-class-kernel pair into an [`OpKind::ContractionEpilogue`] — the
-//!   model head's `Head → BSV` ([`head_fusion_plan`]) among them, whose
-//!   logits then never exist beyond a tile of rows.
+//!   bias-class-kernel pair into a one-contraction program — the model
+//!   head's `Head → BSV` ([`head_fusion_plan`]) among them, whose logits then
+//!   never exist beyond a tile of rows.
 //!
 //! Both are bit for bit the chains they replace. A plan that keeps a chain
 //! audits its intermediate as avoidable movement ([`avoidable_chains`]).
 
-use xform_dataflow::{DataRole, Graph, NodeId, OpClass, OpKind};
-use xform_tensor::into_ops::{AttentionPlan, ContractPlan};
+use xform_dataflow::{Graph, NodeId, OpClass, OpKind};
 use xform_tensor::{Layout, Result, TensorError};
 
 use crate::itspace::{fusion_compatible, op_iter_space};
-use crate::plan::{classify_fused, epilogue_geometry, FusedClass};
+use crate::lower::tile_kernel;
+use crate::plan::{classify_fused, FusedClass};
 
 /// One planned fused kernel: a name and the member operator names.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -373,255 +377,114 @@ fn sibling_group(graph: &Graph, op: NodeId, claimed: &[NodeId]) -> Option<Vec<No
     }
 }
 
-/// Fuses a graph with the automatically detected groups, naming each group
-/// after its members' initials. Returns the fused op ids.
-///
-/// # Errors
-///
-/// Propagates [`Graph::fuse`] errors.
-pub fn apply_detected(graph: &mut Graph) -> Result<Vec<NodeId>> {
-    let groups = detect_groups(graph);
-    let mut out = Vec::new();
-    for group in groups {
-        if group.len() < 2 {
-            continue; // leave singletons unfused
-        }
-        let name: String = group
-            .iter()
-            .filter_map(|&id| graph.op(id).and_then(|o| o.name.chars().next()))
-            .collect();
-        out.push(graph.fuse(&group, &format!("fused-{name}"))?);
-    }
-    Ok(out)
-}
-
-/// Data-role summary after fusion: saved tensors survive, interim
-/// activations disappear. Used by tests and reports.
-///
-/// The diff is taken over graph memlet words, so it covers both
-/// element-wise fusion (interim activations between fused members) and
-/// epilogue fusion (the contraction output [`apply_epilogues`] eliminates,
-/// whose write and read-back both leave the graph).
-pub fn interim_words_eliminated(before: &Graph, after: &Graph) -> i64 {
-    before.total_io_words() as i64 - after.total_io_words() as i64
-}
-
-/// One detected GEMM-epilogue chain: a contraction whose sole consumer is
-/// a forward fused element-wise/normalization kernel reading the
-/// contraction's output first, with geometry the tile driver can lower.
+/// One detected tile program: a contraction, the fused kernel that alone
+/// reads its output, and — for an attention core — the contraction that
+/// reads the kernel's weights.
 #[derive(Debug, Clone)]
-pub struct EpilogueChain {
-    /// The contraction operator.
+pub struct TileChain {
+    /// The first contraction.
     pub head: NodeId,
-    /// The fused element-wise consumer.
+    /// The fused kernel behind it.
     pub tail: NodeId,
-    /// The intermediate container epilogue fusion eliminates.
+    /// The container between the two, which collapsing eliminates: an
+    /// interim activation written once and read back once for nothing.
     pub interim: NodeId,
-    /// Words of the eliminated intermediate (its write and read-back both
-    /// disappear, so the movement saved is twice this).
+    /// Words of that intermediate (its write and read-back both disappear,
+    /// so the movement saved is twice this).
     pub interim_words: u64,
-    /// The mega-kernel's name (`head+tail`).
+    /// The second contraction (`Gamma`), if any.
+    pub second: Option<NodeId>,
+    /// The program's name: its operators' names joined by `+`
+    /// (`Linear 1+BRD`, `QKT+SM+Gamma`).
     pub name: String,
 }
 
-/// Detects GEMM-epilogue chains: contractions whose single output is an
-/// interim activation read exactly once, by a forward fused kernel of a
-/// class the tiled epilogue driver implements (bias+softmax over a whole
-/// row, bias+act+dropout, bias+dropout+residual), with the contraction
-/// writing the intermediate
-/// in container order (possibly via a GEMM operand-role swap).
-///
-/// Run this *after* element-wise fusion ([`apply_plan`] /
-/// [`apply_detected`]): the chain past the contraction must already be one
-/// fused node.
-pub fn detect_epilogues(graph: &Graph) -> Vec<EpilogueChain> {
-    graph
-        .ops()
-        .into_iter()
-        .filter_map(|op| epilogue_candidate(graph, op))
-        .collect()
+/// Detects every chain the tile driver runs (`crate::lower::tile_kernel`
+/// says which): a two-operand contraction whose single output is an interim
+/// activation read only, first, by a forward fused kernel — behind a
+/// softmax with the contraction that reads the kernel's weights second, the
+/// attention core as [`xform_dataflow::build`]'s attention emitter writes
+/// it for `encoder`, `decoder`, `mha_forward` and `decoder_step_attend`,
+/// position-major caches included. A chain is keyed by its first
+/// contraction, so each contraction is claimed once; attention cores come
+/// first, then epilogues, each in operator order. The chain behind a
+/// contraction must already be one fused node — run this after
+/// [`apply_plan`] — so an unfused graph (the reference executor's, the
+/// oracle) has none.
+pub fn detect_tiles(graph: &Graph) -> Vec<TileChain> {
+    let candidate = |op| tile_candidate(graph, op);
+    let mut chains: Vec<TileChain> = graph.ops().into_iter().filter_map(candidate).collect();
+    chains.sort_by_key(|c| c.second.is_none());
+    chains
 }
 
-fn epilogue_candidate(graph: &Graph, head: NodeId) -> Option<EpilogueChain> {
-    let node = graph.op(head)?;
-    let OpKind::Einsum(spec) = &node.kind else {
+fn tile_candidate(graph: &Graph, head: NodeId) -> Option<TileChain> {
+    let [interim] = graph.outputs_of(head)[..] else {
         return None;
     };
-    let inputs = graph.inputs_of(head);
-    if inputs.len() != 2 {
-        return None;
-    }
-    let outputs = graph.outputs_of(head);
-    let [mid] = outputs[..] else {
+    let [tail] = graph.consumers_of(interim)[..] else {
         return None;
     };
-    let mid_d = graph.data(mid)?;
-    // only interim activations may disappear: inputs/weights/outputs/saved
-    // tensors have observers outside the chain
-    if mid_d.role != DataRole::Activation {
-        return None;
-    }
-    let [tail] = graph.consumers_of(mid)[..] else {
+    let OpKind::Fused { parts, .. } = &graph.op(tail)?.kind else {
         return None;
     };
-    let tail_node = graph.op(tail)?;
-    let OpKind::Fused { parts, .. } = &tail_node.kind else {
-        return None;
+    // behind a softmax, the contraction that reads its weights second
+    let second = match classify_fused(parts)? {
+        FusedClass::Softmax { .. } => {
+            let weights = *graph.outputs_of(tail).get(1)?;
+            let reads = |&op: &NodeId| {
+                matches!(graph.op(op).map(|o| &o.kind), Some(OpKind::Einsum(_)))
+                    && graph.inputs_of(op).get(1) == Some(&weights)
+            };
+            Some(graph.consumers_of(weights).into_iter().find(reads)?)
+        }
+        _ => None,
     };
-    let tail_inputs = graph.inputs_of(tail);
-    if tail_inputs.first() != Some(&mid) {
-        return None;
-    }
-    let shape_of = |id: NodeId| graph.data(id).map(|d| d.shape.clone());
-    let a_c = shape_of(inputs[0])?;
-    let b_c = shape_of(inputs[1])?;
-    let bias_s = tail_inputs.get(1).and_then(|&id| shape_of(id));
-    let res_s = tail_inputs.get(2).and_then(|&id| shape_of(id));
-    epilogue_geometry(
-        spec,
+    // what the lowering will compile, over natural layouts
+    let (kind, ins, outs) = graph.tile_program(head, tail, second, 1).ok()?;
+    let OpKind::TileProgram {
+        first,
+        second: then,
         parts,
-        &a_c,
-        &b_c,
-        &mid_d.shape,
-        (bias_s.as_ref(), res_s.as_ref()),
-        tail_node.kind.reduce_axis(),
+        reduce_axis,
+        ..
+    } = &kind
+    else {
+        return None;
+    };
+    let natural = |&id: &NodeId| {
+        let shape = &graph.data(id)?.shape;
+        Some((shape, Layout::row_major(shape.rank()).strides(shape)))
+    };
+    let edges = |ids: &[NodeId]| ids.iter().map(natural).collect::<Option<Vec<_>>>();
+    tile_kernel(
+        first,
+        then.as_ref(),
+        parts,
+        *reduce_axis,
+        &edges(&ins)?,
+        &edges(&outs)?,
     )?;
-    Some(EpilogueChain {
+    let name = |op: NodeId| graph.op(op).map_or("", |o| &o.name);
+    let names: Vec<&str> = [Some(head), Some(tail), second]
+        .into_iter()
+        .flatten()
+        .map(name)
+        .collect();
+    Some(TileChain {
         head,
         tail,
-        interim: mid,
-        interim_words: mid_d.shape.num_elements() as u64,
-        name: format!("{}+{}", node.name, tail_node.name),
+        interim,
+        interim_words: graph.data(interim)?.shape.num_elements() as u64,
+        second,
+        name: names.join("+"),
     })
 }
 
-/// Fuses every detected GEMM-epilogue chain into a
-/// [`OpKind::ContractionEpilogue`] mega-kernel, dropping the eliminated
-/// intermediates from the graph. Returns the new op ids in detection
-/// order.
-///
-/// # Errors
-///
-/// Propagates [`Graph::fuse_epilogue`] errors.
-pub fn apply_epilogues(graph: &mut Graph) -> Result<Vec<NodeId>> {
-    let chains = detect_epilogues(graph);
-    let mut out = Vec::with_capacity(chains.len());
-    for c in &chains {
-        out.push(graph.fuse_epilogue(c.head, c.tail, &c.name)?);
-    }
-    Ok(out)
-}
-
-/// Every contraction → fused-kernel link of `graph` whose intermediate a
-/// collapsing pass would eliminate: the chains of [`detect_epilogues`], and
-/// the `QKT → SM` link of each of [`detect_regions`]' cores. What a plan over
-/// `graph` moves through those intermediates is pure movement, not
-/// algorithmic demand — the audits ([`crate::analyze::audit`],
-/// [`crate::cachemodel::cache_audit`], the profiler) count it into `D` and
-/// out of `Q`, so collapsing a chain lowers `D` at constant `Q`.
-pub fn avoidable_chains(graph: &Graph) -> Vec<EpilogueChain> {
-    let scores = detect_regions(graph).into_iter().map(|c| c.scores);
-    detect_epilogues(graph).into_iter().chain(scores).collect()
-}
-
-/// Total words of data movement the detected chains would eliminate: each
-/// interim is written once by the contraction and read once by the chain,
-/// so fusing removes `2 × interim_words` per chain.
-pub fn epilogue_interim_words(chains: &[EpilogueChain]) -> u64 {
-    chains.iter().map(|c| 2 * c.interim_words).sum()
-}
-
-/// One detected attention core: the scores contraction, the fused softmax
-/// kernel that alone reads its output, and the context contraction that
-/// reads the softmax kernel's dropped-out weights.
-#[derive(Debug, Clone)]
-pub struct RegionChain {
-    /// The scores contraction (`QKT`, the head), the fused scale / mask /
-    /// softmax / dropout kernel (`SM`, the tail) and the scores container
-    /// between them: like an epilogue chain's intermediate, an interim
-    /// activation written once and read back once for nothing.
-    pub scores: EpilogueChain,
-    /// The context contraction (`Gamma`).
-    pub tail: NodeId,
-    /// The region's name (`QKT+SM+Gamma`).
-    pub name: String,
-}
-
-/// Detects attention cores the region kernel can run a panel of query rows
-/// at a time: `QKT → SM → Gamma` as [`xform_dataflow::build`]'s attention
-/// emitter writes it for `encoder`, `decoder`, `mha_forward` and
-/// `decoder_step_attend`, position-major caches included. The softmax
-/// kernel must be the *fused* one — run this after [`apply_plan`] — so an
-/// unfused graph (the reference executor's, the oracle) has none.
-pub fn detect_regions(graph: &Graph) -> Vec<RegionChain> {
-    let candidate = |tail: NodeId| -> Option<RegionChain> {
-        let OpKind::Einsum(gamma) = &graph.op(tail)?.kind else {
-            return None;
-        };
-        let [values, weights] = graph.inputs_of(tail)[..] else {
-            return None;
-        };
-        let mid = graph.producer_of(weights)?;
-        let OpKind::Fused {
-            parts, reduce_axis, ..
-        } = &graph.op(mid)?.kind
-        else {
-            return None;
-        };
-        let FusedClass::Softmax { .. } = classify_fused(parts)? else {
-            return None;
-        };
-        let [scores] = graph.inputs_of(mid)[..] else {
-            return None;
-        };
-        let head = graph.producer_of(scores)?;
-        let OpKind::Einsum(qkt) = &graph.op(head)?.kind else {
-            return None;
-        };
-        let ([a, b], [out]) = (&graph.inputs_of(head)[..], &graph.outputs_of(tail)[..]) else {
-            return None;
-        };
-        // SM writes [softmax, dropped-out weights, mask], its lanes the
-        // scores' rows
-        let scores_node = graph.data(scores)?;
-        if graph.outputs_of(mid).get(1) != Some(&weights)
-            || scores_node.shape.axes().last() != reduce_axis.as_ref()
-            || scores_node.role != DataRole::Activation
-            || graph.consumers_of(scores) != [mid]
-        {
-            return None;
-        }
-        // what the lowering will compile, over natural layouts
-        let natural = |id: NodeId| {
-            let shape = &graph.data(id)?.shape;
-            Some((
-                shape.sizes(),
-                Layout::row_major(shape.rank()).strides(shape),
-            ))
-        };
-        let (a, b, v, out) = (natural(*a)?, natural(*b)?, natural(values)?, natural(*out)?);
-        AttentionPlan::compile(qkt, gamma, (a.0, &a.1), (b.0, &b.1), (v.0, &v.1), &out.1)?;
-        let name = |op: NodeId| graph.op(op).map_or("", |o| &o.name);
-        let scores = EpilogueChain {
-            head,
-            tail: mid,
-            interim: scores,
-            interim_words: scores_node.shape.num_elements() as u64,
-            name: format!("{}+{}", name(head), name(mid)),
-        };
-        Some(RegionChain {
-            name: format!("{}+{}", scores.name, name(tail)),
-            scores,
-            tail,
-        })
-    };
-    graph.ops().into_iter().filter_map(candidate).collect()
-}
-
-/// Collapses every detected attention core into an
-/// [`OpKind::AttentionRegion`] ([`Graph::fuse_region`]): the `[h,b,j,k]`
-/// tensors between the two contractions leave the forward side of the graph
-/// — gone from a forward-only graph, kept in a training graph only as the
+/// Collapses every detected attention core — a chain of two contractions —
+/// into an [`OpKind::TileProgram`] ([`Graph::fuse_tile`]): the `[h,b,j,k]`
+/// tensors between the two leave the forward side of the graph — gone from
+/// a forward-only graph, kept in a training graph only as the
 /// rematerialization `QKT → SM` that feeds the backward operators
 /// ([`crate::recipe::forward_ops`] leaves it out of the forward schedule).
 /// `span` is the number of schedule positions the region stands for
@@ -629,30 +492,51 @@ pub fn detect_regions(graph: &Graph) -> Vec<RegionChain> {
 /// for a plan family that ran `QKT+SM` as one step. Returns the new op ids
 /// in detection order.
 ///
-/// A property of the canned plans, like [`apply_epilogues`]: the graph
-/// builders and the fusion tables stay as the paper has them.
+/// # Errors
+///
+/// Propagates [`Graph::fuse_tile`] errors.
+pub fn apply_regions(graph: &mut Graph, span: usize) -> Result<Vec<NodeId>> {
+    fuse_tiles(graph, true, span)
+}
+
+/// Collapses every detected chain of one contraction into an
+/// [`OpKind::TileProgram`] ([`Graph::fuse_tile`]) standing for one schedule
+/// position, dropping the eliminated intermediates from the graph. Returns
+/// the new op ids in detection order.
 ///
 /// # Errors
 ///
-/// Propagates [`Graph::fuse_region`] errors.
-pub fn apply_regions(graph: &mut Graph, span: usize) -> Result<Vec<NodeId>> {
-    let chains = detect_regions(graph);
-    let fuse =
-        |c: RegionChain| graph.fuse_region(c.scores.head, c.scores.tail, c.tail, &c.name, span);
-    chains.into_iter().map(fuse).collect()
+/// Propagates [`Graph::fuse_tile`] errors.
+pub fn apply_epilogues(graph: &mut Graph) -> Result<Vec<NodeId>> {
+    fuse_tiles(graph, false, 1)
 }
 
-/// Working-set words of one epilogue tile: `(tile, panel)` where `tile` is
-/// the hot set the tile driver keeps live across the reduction — the
-/// `tile_rows × n` accumulator strip plus its `tile_rows × k` A-panel
-/// slice — and `panel` additionally counts the streamed `k × n` B panel,
-/// which stays resident while every tile of a block row reduces over it.
-/// The cache analyzer compares `tile` against the innermost level and
-/// `panel` against the outermost to flag
-/// [`PlanLint::TileOverflow`](crate::analyze::PlanLint::TileOverflow).
-pub(crate) fn epilogue_tile_words(plan: &ContractPlan, tile_rows: usize) -> (u64, u64) {
-    let tile = (tile_rows * (plan.n + plan.k)) as u64;
-    (tile, tile + (plan.k * plan.n) as u64)
+/// Collapses the detected chains with (`two`) or without a second
+/// contraction.
+fn fuse_tiles(graph: &mut Graph, two: bool, span: usize) -> Result<Vec<NodeId>> {
+    let chains = detect_tiles(graph)
+        .into_iter()
+        .filter(|c| c.second.is_some() == two);
+    let fuse = |c: TileChain| graph.fuse_tile(c.head, c.tail, c.second, &c.name, span);
+    chains.map(fuse).collect()
+}
+
+/// Every contraction → fused-kernel link of `graph` whose intermediate a
+/// collapsing pass would eliminate: the first link of each of
+/// [`detect_tiles`]' chains (for an attention core, `QKT → SM`). What a plan
+/// over `graph` moves through those intermediates is pure movement, not
+/// algorithmic demand — the audits ([`crate::analyze::audit`],
+/// [`crate::cachemodel::cache_audit`], the profiler) count it into `D` and
+/// out of `Q`, so collapsing a chain lowers `D` at constant `Q`.
+pub fn avoidable_chains(graph: &Graph) -> Vec<TileChain> {
+    detect_tiles(graph)
+}
+
+/// Total words of data movement the detected chains would eliminate: each
+/// interim is written once by the contraction and read once by the chain,
+/// so fusing removes `2 × interim_words` per chain.
+pub fn epilogue_interim_words(chains: &[TileChain]) -> u64 {
+    chains.iter().map(|c| 2 * c.interim_words).sum()
 }
 
 #[cfg(test)]
@@ -814,55 +698,57 @@ mod tests {
     }
 
     #[test]
-    fn apply_detected_fuses_multi_op_groups() {
-        let e = build::encoder(&EncoderDims::tiny());
-        let baseline = e.graph.clone();
-        let mut g = e.graph;
-        let fused = apply_detected(&mut g).unwrap();
-        assert!(fused.len() >= 6);
-        assert!(interim_words_eliminated(&baseline, &g) > 0);
+    fn detected_groups_fuse_and_save_movement() {
+        let mut g = build::encoder(&EncoderDims::tiny()).graph;
+        let before = g.total_io_words();
+        let groups = detect_groups(&g)
+            .into_iter()
+            .filter(|group| group.len() > 1);
+        let groups: Vec<Vec<NodeId>> = groups.collect();
+        assert!(groups.len() >= 6);
+        for (k, group) in groups.iter().enumerate() {
+            g.fuse(group, &format!("fused-{k}")).unwrap();
+        }
+        assert!(g.total_io_words() < before);
     }
 
-    #[test]
-    fn epilogue_detection_finds_encoder_chains() {
-        let e = build::encoder(&EncoderDims::tiny());
-        let mut g = e.graph;
-        apply_plan(&mut g, &encoder_fusion_plan()).unwrap();
-        let chains = detect_epilogues(&g);
-        let mut names: Vec<&str> = chains.iter().map(|c| c.name.as_str()).collect();
-        names.sort_unstable();
-        // (the softmax behind QKT is the region pass's, not an epilogue)
-        assert_eq!(names, ["Linear 1+BRD"], "chains: {chains:?}");
+    /// The chains the tile driver runs, attention cores first.
+    fn tile_names(g: &Graph) -> Vec<String> {
+        let chains = detect_tiles(g);
+        let (regions, epilogues) =
+            chains.split_at(chains.iter().filter(|c| c.second.is_some()).count());
+        assert!(epilogues.iter().all(|c| c.second.is_none()) && regions.len() <= 1);
         for c in &chains {
             assert!(c.interim_words > 0);
         }
-        assert_eq!(
-            epilogue_interim_words(&chains),
-            chains.iter().map(|c| 2 * c.interim_words).sum::<u64>()
-        );
+        chains.into_iter().map(|c| c.name).collect()
     }
 
     #[test]
-    fn epilogue_detection_finds_decoder_chains() {
+    fn tile_detection_finds_encoder_chains() {
+        let e = build::encoder(&EncoderDims::tiny());
+        let mut g = e.graph;
+        apply_plan(&mut g, &encoder_fusion_plan()).unwrap();
+        assert_eq!(tile_names(&g), ["QKT+SM+Gamma", "Linear 1+BRD"]);
+    }
+
+    #[test]
+    fn tile_detection_finds_decoder_chains() {
         let e = xform_dataflow::build::decoder(&EncoderDims::tiny());
         let mut g = e.graph;
         apply_plan(&mut g, &decoder_fusion_plan()).unwrap();
-        let chains = detect_epilogues(&g);
-        let mut names: Vec<&str> = chains.iter().map(|c| c.name.as_str()).collect();
-        names.sort_unstable();
         assert_eq!(
-            names,
-            ["Linear 1+BRD", "Linear 2+BDR2", "Out+BDR"],
-            "chains: {chains:?}"
+            tile_names(&g),
+            ["QKT+SM+Gamma", "Out+BDR", "Linear 1+BRD", "Linear 2+BDR2"]
         );
     }
 
     #[test]
-    fn epilogue_detection_requires_elementwise_fusion_first() {
+    fn tile_detection_requires_elementwise_fusion_first() {
         // On the unfused graph no contraction feeds a `Fused` kernel, so
         // there is nothing to collapse yet.
         let e = build::encoder(&EncoderDims::tiny());
-        assert!(detect_epilogues(&e.graph).is_empty());
+        assert!(detect_tiles(&e.graph).is_empty());
     }
 
     #[test]
@@ -870,25 +756,24 @@ mod tests {
         let e = build::encoder(&EncoderDims::tiny());
         let mut g = e.graph;
         apply_plan(&mut g, &encoder_fusion_plan()).unwrap();
-        let fused_only = g.clone();
-        let chains = detect_epilogues(&g);
-        let expect = epilogue_interim_words(&chains);
+        let before = g.total_io_words();
+        let chains = detect_tiles(&g).into_iter().filter(|c| c.second.is_none());
+        let expect = epilogue_interim_words(&chains.collect::<Vec<_>>());
         let mega = apply_epilogues(&mut g).unwrap();
         assert_eq!(mega.len(), 1);
         for &id in &mega {
             assert!(matches!(
                 g.op(id).unwrap().kind,
-                OpKind::ContractionEpilogue { .. }
+                OpKind::TileProgram { second: None, .. }
             ));
         }
-        // the contraction output is gone...
+        // the contraction output is gone, and the memlet words with it are
+        // the detector's avoidable-words total exactly: its write and its
+        // read-back
         assert!(g.data_by_name("ff1").is_none(), "ff1 should be gone");
-        // ...and `interim_words_eliminated` prices both their write and
-        // their read-back (satellite b): the memlet diff equals the
-        // detector's avoidable-words total exactly.
-        assert_eq!(interim_words_eliminated(&fused_only, &g), expect as i64);
-        // idempotent: nothing left to detect
-        assert!(detect_epilogues(&g).is_empty());
+        assert_eq!(before - g.total_io_words(), expect);
+        // nothing left to collapse but the attention core
+        assert_eq!(tile_names(&g), ["QKT+SM+Gamma"]);
     }
 
     /// Everything the attention emitter writes a core for: one region each,
@@ -912,12 +797,9 @@ mod tests {
             (build::decoder_step_attend(&step).graph, true),
         ];
         for (mut g, masked) in graphs {
-            assert!(detect_regions(&g).is_empty(), "unfused: the oracle's graph");
+            assert!(detect_tiles(&g).is_empty(), "unfused: the oracle's graph");
             apply_plan(&mut g, &sm(masked)).unwrap();
-            let [chain] = &detect_regions(&g)[..] else {
-                panic!("one attention core");
-            };
-            assert_eq!(chain.name, "QKT+SM+Gamma");
+            assert_eq!(tile_names(&g), ["QKT+SM+Gamma"], "one attention core");
         }
     }
 
@@ -953,7 +835,13 @@ mod tests {
         };
         assert_eq!(names(g.inputs_of(region)), ["k_cache", "qq", "v_cache"]);
         assert_eq!(names(g.outputs_of(region)), ["gamma"]);
-        let OpKind::AttentionRegion { parts, span, .. } = &g.op(region).unwrap().kind else {
+        let OpKind::TileProgram {
+            second: Some(_),
+            parts,
+            span,
+            ..
+        } = &g.op(region).unwrap().kind
+        else {
             panic!("a region");
         };
         assert_eq!(parts, &["QKT", "Masked softmax", "Dropout att", "Gamma"]);
@@ -961,7 +849,7 @@ mod tests {
         // four writes and two read-backs of `[h,b,j,k]` left the graph
         let hbjk = (step.h * step.b * step.j * step.k) as u64;
         assert_eq!(before - g.total_io_words(), 6 * hbjk);
-        assert!(detect_regions(&g).is_empty(), "idempotent");
+        assert!(detect_tiles(&g).is_empty(), "idempotent");
     }
 
     /// In a training graph the saved softmax bundle has backward readers:

@@ -63,10 +63,7 @@ pub fn op_iter_space(graph: &Graph, op: NodeId) -> Result<IterSpace> {
     let node = graph
         .op(op)
         .ok_or_else(|| TensorError::Unsupported(format!("{op} is not an operator")))?;
-    if matches!(
-        node.kind,
-        OpKind::Einsum(_) | OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. }
-    ) {
+    if matches!(node.kind, OpKind::Einsum(_) | OpKind::TileProgram { .. }) {
         return Err(TensorError::Unsupported(format!(
             "`{}` is a tensor contraction; its iteration space is handled by the GEMM path",
             node.name

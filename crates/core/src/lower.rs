@@ -29,17 +29,20 @@
 //! stream in a non-natural layout): a compile error naming the step on the
 //! arena, conservative whole-buffer accesses in both certifiers. A new
 //! kernel class is one row here, one arm in the arena's `run_step`, and one
-//! arm in the reference interpreter — as the attention region
-//! ([`Kernel::Attention`]) was.
+//! arm in the reference interpreter — as the tile program
+//! ([`Kernel::Tile`]: the bias epilogues, the model head and the attention
+//! region) was.
 
 use xform_dataflow::{Graph, NodeId, OpKind};
-use xform_tensor::into_ops::{epilogue_contract_plan, AttentionPlan, ContractPlan, Sweep, View};
+use xform_tensor::einsum::EinsumSpec;
+use xform_tensor::into_ops::{
+    ContractPlan, Sweep, TilePlan, View, ATTENTION_TILE_ROWS, HEAD_TILE_ROWS,
+};
 use xform_tensor::lanes::Walk;
 use xform_tensor::{Axis, Layout, Shape};
 
 use crate::plan::{
-    classify_fused, epilogue_geometry, labelled_shapes, stacked_carve_start, FusedClass, Operand,
-    PlanStep,
+    classify_fused, labelled_shapes, stacked_carve_start, FusedClass, Operand, PlanStep,
 };
 
 /// One operand slot of a step, by position in the graph's edge order.
@@ -77,12 +80,12 @@ pub(crate) enum Role {
     Broadcast,
     /// Dense per-lane weights indexed by lane position (γ, β).
     LaneWeights,
-    /// A GEMM operand (or a tile epilogue's full-size stream): every word,
+    /// A GEMM operand (or a tile program's full-size stream): every word,
     /// through the contraction's own strides — no inner-loop claim.
     Gemm,
 }
 
-/// The per-tile tail of a GEMM-epilogue mega-kernel.
+/// The lane chain a tile program runs on each row of its tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Tail {
     /// Bias + activation + dropout.
@@ -91,6 +94,12 @@ pub(crate) enum Tail {
     Bdr,
     /// Bias (by column) + softmax along the row: the model head.
     BiasSoftmax,
+    /// Scale + mask + softmax + dropout into the tile a second contraction
+    /// reads: the attention region.
+    Softmax {
+        /// Masked: a row sees the columns up to its own position.
+        causal: bool,
+    },
 }
 
 /// The kernel class of a step. Operands follow in
@@ -136,25 +145,15 @@ pub(crate) enum Kernel {
     Bdr,
     /// The head's fused bias + softmax `[x, bias, out]`.
     BiasSoftmax,
-    /// GEMM-epilogue mega-kernel: `[a, b]` through their declared strides,
-    /// then the tail's operands in the order of its unfused class (`x`
-    /// being the tile, which has no slot), each dense in natural layout.
-    ContractEpilogue {
-        /// The contraction writing the output container in order.
-        plan: Box<ContractPlan>,
-        /// Output rows per tile.
-        tile_rows: usize,
-        /// The per-tile chain.
+    /// Tile program: the first contraction's `[a, b]`, the tail's other
+    /// inputs, the second contraction's first operand, then the outputs —
+    /// the contraction operands through their declared strides, the tail's
+    /// streams dense in natural layout (its bias a view over the tile).
+    Tile {
+        /// The contractions over the operands' declared strides.
+        plan: Box<TilePlan>,
+        /// The per-row chain.
         tail: Tail,
-    },
-    /// Attention region `[a, b, values, out]`: the scores contraction's
-    /// operands in its order, the values, the context — each where it lies,
-    /// through its declared strides.
-    Attention {
-        /// The two contractions over the operands' declared strides.
-        plan: Box<AttentionPlan>,
-        /// Masked: a query row sees the keys up to its own position.
-        causal: bool,
     },
 }
 
@@ -194,18 +193,13 @@ pub(crate) struct StepLowering {
 impl StepLowering {
     /// Scratch words the step needs beside its operands: the staging copy
     /// of its largest relayout, then (reusing it) the kernel's gather
-    /// packs, for the epilogue class the packed B panels and the output
-    /// tile, and for the attention region the packed K and V panels and its
-    /// panel of query rows.
+    /// packs, and for a tile program its packed B panels and its tiles.
     pub(crate) fn scratch_words(&self) -> usize {
         let words = |r: &RelayoutCopy| r.dims.iter().map(|d| d.0).product();
         let staging = self.relayouts.iter().map(words).max().unwrap_or(0);
         staging.max(match &self.kernel {
             Kernel::Contract { plan } => plan.scratch_words(),
-            Kernel::ContractEpilogue {
-                plan, tile_rows, ..
-            } => plan.epilogue_scratch_words(*tile_rows),
-            Kernel::Attention { plan, .. } => plan.scratch_words(),
+            Kernel::Tile { plan, .. } => plan.scratch_words(),
             _ => 0,
         })
     }
@@ -236,6 +230,99 @@ fn lower_relayout(graph: &Graph, r: &crate::plan::Relayout) -> Option<RelayoutCo
             .map(|d| (shape.sizes()[d], from[d], to[d]))
             .collect(),
     })
+}
+
+/// Target tile footprint in words for the row-blocked bias epilogues: small
+/// enough to stay cache-hot, large enough to amortize the loop.
+const EPILOGUE_TILE_WORDS: usize = 4096;
+
+/// The kernel a chain runs as a tile program — its tail and the
+/// [`TilePlan`] over the operands' strides — or `None` when the tile driver
+/// does not run it. `ins` and `outs` are the program's edges as
+/// `(container, strides)`, in [`OpKind::TileProgram`]'s order; the chain is
+/// `parts`, reducing along `reduce_axis` (in the first contraction's
+/// letters). Shared by the fusion detector, which collapses only a chain
+/// that lowers, and the step lowering. What runs:
+///
+/// * a softmax ahead of a second contraction — the attention region —
+///   along the scores' last axis, `ATTENTION_TILE_ROWS` query rows a tile;
+/// * without a second contraction or a batch, bias + activation + dropout
+///   or bias + dropout + residual with the bias on exactly the output's
+///   leading axes — one word per row, `EPILOGUE_TILE_WORDS / n` rows a
+///   tile — or the head's bias + softmax along the output's last axis — one
+///   bias word per column, `HEAD_TILE_ROWS` rows a tile.
+pub(crate) fn tile_kernel(
+    first: &EinsumSpec,
+    second: Option<&EinsumSpec>,
+    parts: &[String],
+    reduce_axis: Option<Axis>,
+    ins: &[(&Shape, Vec<usize>)],
+    outs: &[(&Shape, Vec<usize>)],
+) -> Option<(Tail, TilePlan)> {
+    let ([(a, sa), (b, sb), rest @ ..], [(out, so), ..]) = (ins, outs) else {
+        return None;
+    };
+    let (a_s, b_s, tile) = labelled_shapes(first, a, b)?;
+    let (last, numel) = (tile.axes().last().copied(), tile.num_elements());
+    // a bias with one word per row covers exactly the output's leading axes
+    let by_row = |bias: &Shape| {
+        let r = bias.rank();
+        r > 0
+            && r <= out.rank()
+            && out.axes()[..r] == *bias.axes()
+            && out.sizes()[..r] == *bias.sizes()
+    };
+    let per_row = |bias: &Shape| EPILOGUE_TILE_WORDS / (numel / bias.num_elements()).max(1);
+    let (tail, tile_rows, n_out) = match (classify_fused(parts)?, rest) {
+        (FusedClass::Softmax { causal }, [_]) if reduce_axis == last => {
+            (Tail::Softmax { causal }, ATTENTION_TILE_ROWS, 1)
+        }
+        (FusedClass::BiasSoftmax, [(bias, _)])
+            if reduce_axis == last && out.axes().last().is_some_and(|l| bias.axes() == [*l]) =>
+        {
+            (Tail::BiasSoftmax, HEAD_TILE_ROWS, 1)
+        }
+        (FusedClass::BiasActDrop, [(bias, _)]) if by_row(bias) => (Tail::BrdAct, per_row(bias), 3),
+        (FusedClass::BiasDropResidual, [(bias, _), (residual, _)])
+            if by_row(bias) && residual.sizes() == out.sizes() =>
+        {
+            (Tail::Bdr, per_row(bias), 2)
+        }
+        _ => return None,
+    };
+    // the second contraction reads the tile as its second operand and
+    // writes the program's output; without one, the tail's first output is
+    // shaped like the tile
+    let then = match (second, rest.last()) {
+        (Some(spec), Some((v, sv))) => {
+            let (v_s, _, lbl) = labelled_shapes(spec, v, &tile)?;
+            (lbl.sizes() == out.sizes()).then_some(())?;
+            Some((spec, v_s, &sv[..], &so[..]))
+        }
+        (None, _) if out.sizes() == tile.sizes() => None,
+        _ => return None,
+    };
+    let softmax = matches!(tail, Tail::Softmax { .. });
+    if softmax != then.is_some() || outs.len() != n_out {
+        return None;
+    }
+    let then = then
+        .as_ref()
+        .map(|(spec, v, sv, so)| (*spec, (v, *sv), *so));
+    let plan = TilePlan::compile(first, (&a_s, sa), (&b_s, sb), then, tile_rows)?;
+    let (f, sizes) = (&plan.first, tile.sizes());
+    let words = |k: usize| rest.get(k).map(|e| e.0.num_elements());
+    let fits = match tail {
+        // a lane is a whole row of the softmax axis; under the mask a row
+        // is one query position
+        Tail::Softmax { causal } => {
+            let query = sizes.len().checked_sub(2).map(|q| sizes[q]);
+            Some(f.n) == sizes.last().copied() && (!causal || query == Some(f.m))
+        }
+        Tail::BiasSoftmax => f.batch == 1 && words(0) == Some(f.n),
+        Tail::BrdAct | Tail::Bdr => f.batch == 1 && words(0) == Some(f.m),
+    };
+    fits.then_some((tail, plan))
 }
 
 /// Lowers one scheduled step from the graph's edges, the step's operator
@@ -472,95 +559,63 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                 )
             }
         },
-        OpKind::ContractionEpilogue {
-            spec,
+        OpKind::TileProgram {
+            first,
+            second,
             parts,
             reduce_axis,
             ..
         } => {
-            let (&a, &b, &out) = (ins.first()?, ins.get(1)?, outs.first()?);
-            let tail_ins = (ins.get(2).copied(), ins.get(3).copied());
-            let geom = epilogue_geometry(spec, parts, a, b, out, tail_ins, *reduce_axis)?;
-            // A and B are read where they lie; the tile is the natural
-            // output order whatever they are
-            let (a_s, b_s, lbl) = labelled_shapes(spec, a, b)?;
-            let (sa, sb) = (strides(Slot::In(0))?, strides(Slot::In(1))?);
-            let plan = epilogue_contract_plan(spec, &a_s, &sa, &b_s, &sb, &lbl)?;
-            // each output row sees one bias word — `[m, n]` with stride
-            // `(1, 0)` — or, under the head's tail, each column: `(0, 1)`
-            let tile_bias = |by_row: bool| {
-                let view = View {
-                    base: 0,
-                    dims: vec![
-                        (plan.m, usize::from(by_row)),
-                        (plan.n, usize::from(!by_row)),
-                    ],
-                };
-                (Broadcast, Some(view))
+            let edges = |n: usize, slot: fn(usize) -> Slot| -> Option<Vec<_>> {
+                (0..n)
+                    .map(|k| Some((edge(slot(k))?.0, strides(slot(k))?)))
+                    .collect()
             };
-            let ab = || swept(Gemm, 2);
-            let (tail, inputs, n_out) = match geom.class {
-                FusedClass::BiasActDrop => {
-                    (Tail::BrdAct, [ab(), vec![tile_bias(true)]].concat(), 3)
-                }
-                FusedClass::BiasDropResidual => {
-                    let residual = (Gemm, whole(Slot::In(3)));
-                    (
-                        Tail::Bdr,
-                        [ab(), vec![tile_bias(true), residual]].concat(),
-                        2,
-                    )
-                }
-                FusedClass::BiasSoftmax => (
-                    Tail::BiasSoftmax,
-                    [ab(), vec![tile_bias(false)]].concat(),
-                    1,
-                ),
-                _ => return None,
+            let (ins_at, outs_at) = (edges(ins.len(), Slot::In)?, edges(outs.len(), Slot::Out)?);
+            let (tail, plan) = tile_kernel(
+                first,
+                second.as_ref(),
+                parts,
+                *reduce_axis,
+                &ins_at,
+                &outs_at,
+            )?;
+            // each row of the tile sees one bias word — `[m, n]` with
+            // strides `(1, 0)` — or, under the head's tail, each column:
+            // `(0, 1)`
+            let f = &plan.first;
+            let bias = |by_row: bool| {
+                let dims = vec![(f.m, usize::from(by_row)), (f.n, usize::from(!by_row))];
+                (Broadcast, Some(View { base: 0, dims }))
             };
-            // the tail streams are walked as dense row blocks
+            let mut inputs = swept(Gemm, ins.len());
+            match tail {
+                Tail::BrdAct | Tail::Bdr => inputs[2] = bias(true),
+                Tail::BiasSoftmax => inputs[2] = bias(false),
+                Tail::Softmax { .. } => {}
+            }
+            // a one-contraction program's streams are walked as dense row
+            // blocks
             let natural = |slot: Slot| {
                 edge(slot).is_some_and(|(_, o)| o.is_none_or(|o| o.layout.is_row_major()))
             };
-            let tail_slots = (2..ins.len())
+            let mut streams = (2..ins.len())
                 .map(Slot::In)
                 .chain((0..outs.len()).map(Slot::Out));
-            if n_out != outs.len() || !tail_slots.clone().all(natural) {
+            if second.is_none() && !streams.all(natural) {
                 return None;
             }
-            let kernel = Kernel::ContractEpilogue {
+            let kernel = Kernel::Tile {
                 plan: Box::new(plan),
-                tile_rows: geom.tile_rows,
                 tail,
             };
             (kernel, rows(inputs, Gemm)?, None, None, None)
-        }
-        OpKind::AttentionRegion {
-            qkt, gamma, parts, ..
-        } => {
-            let FusedClass::Softmax { causal } = classify_fused(parts)? else {
-                return None;
-            };
-            (ins.len() == 3 && outs.len() == 1).then_some(())?;
-            let st: Vec<Vec<usize>> = (0..3)
-                .map(|k| strides(Slot::In(k)))
-                .collect::<Option<_>>()?;
-            let of = |k: usize| (ins[k].sizes(), &st[k][..]);
-            let out = strides(Slot::Out(0))?;
-            let plan = AttentionPlan::compile(qkt, gamma, of(0), of(1), of(2), &out)?;
-            let kernel = Kernel::Attention {
-                plan: Box::new(plan),
-                causal,
-            };
-            (kernel, rows(swept(Gemm, 3), Gemm)?, None, None, None)
         }
         _ => return None,
     };
 
     let sweeps = match &kernel {
-        Kernel::Contract { .. } | Kernel::ContractEpilogue { .. } | Kernel::Attention { .. } => {
-            Vec::new()
-        }
+        Kernel::Contract { .. } | Kernel::Tile { .. } => Vec::new(),
         other => {
             let group = if matches!(other, Kernel::Bias) {
                 3

@@ -31,7 +31,6 @@ use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_gpusim::opmodel::OpConfig;
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
-use xform_tensor::into_ops::{epilogue_contract_plan, HEAD_TILE_ROWS};
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::dropout::{dropout, dropout_disabled};
 use xform_tensor::ops::elementwise::{add, bias_add, scale, ActivationKind};
@@ -126,10 +125,15 @@ impl ExecutionPlan {
             .op(op)
             .ok_or_else(|| TensorError::Unsupported(format!("{op} is not an operator")))?;
         let flowing = flowing_input_index(graph, op);
-        // a region lays out the scores contraction's operands like an einsum
+        // a two-contraction tile program lays out the first contraction's
+        // operands like an einsum; a one-contraction one, its flowing input
         let is_einsum = matches!(
             node.kind,
-            OpKind::Einsum(_) | OpKind::AttentionRegion { .. }
+            OpKind::Einsum(_)
+                | OpKind::TileProgram {
+                    second: Some(_),
+                    ..
+                }
         );
         let operand = |id: NodeId, wanted: Option<Layout>| -> Result<Operand> {
             let d = data_of(graph, id)?;
@@ -284,15 +288,15 @@ impl ExecutionPlan {
 
     /// The number of the dropout stream step `si` draws from on the arena
     /// (with the run's seed: [`crate::arena::step_rng`]). Streams are
-    /// numbered by schedule position, an attention region counting for the
-    /// positions of the chain it replaced
-    /// ([`OpKind::AttentionRegion`]'s `span`) and drawing where that chain's
-    /// softmax step did, one before its last — so collapsing a chain renumbers
+    /// numbered by schedule position, a tile program counting for the
+    /// positions of the chain it replaced ([`OpKind::TileProgram`]'s
+    /// `span`) and drawing where the step one before that chain's last did —
+    /// the attention region's softmax — so collapsing a chain renumbers
     /// nothing, and a backward pass that names the region's stream can draw
     /// its masks again.
     pub fn stream_of(&self, si: usize) -> usize {
         let span = |s: &PlanStep| match s.kind {
-            OpKind::AttentionRegion { span, .. } => span.max(1),
+            OpKind::TileProgram { span, .. } => span.max(1),
             _ => 1,
         };
         let before: usize = self.steps[..si].iter().map(span).sum();
@@ -537,8 +541,8 @@ impl<'p> ExecOptionsBuilder<'p> {
 }
 
 /// The classes of fused forward kernels the interpreters can dispatch,
-/// recovered from a fused node's member names. Two readers: the reference
-/// interpreter and the step lowering.
+/// recovered from a fused node's member names. Three readers: the reference
+/// interpreter, the step lowering and the fusion detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FusedClass {
     /// Q/K/V input biases over the stacked projection (AIB).
@@ -604,9 +608,9 @@ pub fn step_is_interpretable(kind: &OpKind, _name: &str) -> bool {
         | OpKind::Dropout
         | OpKind::Relu
         | OpKind::Residual => true,
-        OpKind::Fused { parts, .. }
-        | OpKind::ContractionEpilogue { parts, .. }
-        | OpKind::AttentionRegion { parts, .. } => classify_fused(parts).is_some(),
+        OpKind::Fused { parts, .. } | OpKind::TileProgram { parts, .. } => {
+            classify_fused(parts).is_some()
+        }
         _ => false,
     }
 }
@@ -616,8 +620,8 @@ pub fn step_is_interpretable(kind: &OpKind, _name: &str) -> bool {
 /// axis names; the contraction is defined over the spec's), and the
 /// labelled output shape those imply. `None` when the spec is not
 /// two-operand, a rank disagrees, or an output letter is bound by neither
-/// input. Shared by the reference interpreter, the epilogue geometry and
-/// the step lowering, so all three contract over the same shapes.
+/// input. Shared by the reference interpreter and the step lowering (the
+/// tile programs' included), so both contract over the same shapes.
 pub(crate) fn labelled_shapes(
     spec: &EinsumSpec,
     a_c: &Shape,
@@ -642,93 +646,6 @@ pub(crate) fn labelled_shapes(
         .collect::<Option<Vec<_>>>()?;
     let lbl = Shape::new(out).ok()?;
     Some((a_s, b_s, lbl))
-}
-
-/// The tiling geometry of a GEMM-epilogue mega-kernel — one whose
-/// contraction compiles with C the identity view of the output container
-/// (the compiler having picked the operand roles that make the GEMM's M
-/// axis the epilogue's row axis): the output-tile height and the
-/// epilogue's class.
-#[derive(Debug, Clone)]
-pub(crate) struct EpilogueGeom {
-    /// Output rows per tile.
-    pub tile_rows: usize,
-    /// The downstream chain's kernel class.
-    pub class: FusedClass,
-}
-
-/// Target tile footprint in words for the row-blocked epilogues: small
-/// enough to stay cache-hot, large enough to amortize the loop.
-const EPILOGUE_TILE_WORDS: usize = 4096;
-
-/// Derives the tiling geometry of a [`OpKind::ContractionEpilogue`] step
-/// from container shapes and the chain's reduction axis, or `None` when the
-/// chain is not tileable:
-///
-/// * the contraction must write the row-major output container in order
-///   (possibly after swapping GEMM operand roles);
-/// * the epilogue must be batch-free with the bias covering exactly the
-///   leading M axes, so each output row sees one bias word — or, for the
-///   head's bias + softmax, exactly the trailing N axis it normalizes, so a
-///   row is one whole lane with a bias word per column.
-///
-/// (A softmax behind a contraction is no epilogue: its lanes are whole rows
-/// of the contraction's output and another contraction waits behind it —
-/// the attention region, [`crate::fusion::apply_regions`].)
-///
-/// Shared by the fusion detector, the reference interpreter, and the step
-/// lowering, so all three agree on what lowers.
-pub(crate) fn epilogue_geometry(
-    spec: &EinsumSpec,
-    parts: &[String],
-    a_c: &Shape,
-    b_c: &Shape,
-    out_c: &Shape,
-    (bias, residual): (Option<&Shape>, Option<&Shape>),
-    reduce_axis: Option<Axis>,
-) -> Option<EpilogueGeom> {
-    let class = classify_fused(parts)?;
-    let (a_s, b_s, lbl) = labelled_shapes(spec, a_c, b_c)?;
-    if lbl.sizes() != out_c.sizes() {
-        return None;
-    }
-    let rm = |s: &Shape| Layout::row_major(s.rank()).strides(s);
-    let ep = epilogue_contract_plan(spec, &a_s, &rm(&a_s), &b_s, &rm(&b_s), &lbl)?;
-    let (m, n) = (ep.m, ep.n);
-    match class {
-        FusedClass::BiasSoftmax => {
-            let (axis, bias) = (reduce_axis?, bias?);
-            let row = out_c.axes().last() == Some(&axis) && bias.axes() == [axis];
-            (ep.batch == 1 && row && bias.num_elements() == n).then_some(EpilogueGeom {
-                tile_rows: HEAD_TILE_ROWS.clamp(1, m.max(1)),
-                class,
-            })
-        }
-        FusedClass::BiasActDrop | FusedClass::BiasDropResidual => {
-            if ep.batch != 1 {
-                return None;
-            }
-            let bias = bias?;
-            let r = bias.rank();
-            if r == 0
-                || r > out_c.rank()
-                || out_c.axes()[..r] != *bias.axes()
-                || out_c.sizes()[..r] != *bias.sizes()
-                || bias.num_elements() != m
-            {
-                return None;
-            }
-            if matches!(class, FusedClass::BiasDropResidual) {
-                let res = residual?;
-                if res.sizes() != out_c.sizes() {
-                    return None;
-                }
-            }
-            let tile_rows = (EPILOGUE_TILE_WORDS / n.max(1)).clamp(1, m.max(1));
-            Some(EpilogueGeom { tile_rows, class })
-        }
-        _ => None,
-    }
 }
 
 fn axes_string(axes: &[Axis]) -> String {
@@ -933,20 +850,27 @@ pub fn execute_step<R: Rng + ?Sized>(
         OpKind::Fused {
             parts, reduce_axis, ..
         }
-        | OpKind::ContractionEpilogue {
+        | OpKind::TileProgram {
             parts, reduce_axis, ..
         } => {
-            // a mega-kernel is the chain it stands for: its contraction,
-            // materialized (shaped like the outputs of the kernel that reads
-            // it), ahead of the operands of its fused consumer
+            // a tile program is the chain it stands for, every tensor of it
+            // materialized by the allocating kernels — what the arena's tile
+            // driver must equal bit for bit: its first contraction ahead of
+            // the other operands of the fused kernel behind it, then the
+            // second contraction over that kernel's rows
             let chained;
-            let ins = match (&step.kind, &ins[..]) {
-                (OpKind::ContractionEpilogue { spec, .. }, [a, b, rest @ ..]) => {
-                    let head = contract_as(spec, a, b, &out_shape(0)?.spec(), None)?;
-                    chained = [&[head], rest].concat();
-                    &chained
+            let (ins, second) = match (&step.kind, &ins[..]) {
+                (OpKind::TileProgram { first, second, .. }, [a, b, rest @ ..]) => {
+                    let head = contract_as(first, a, b, &axes_string(first.output()), None)?;
+                    // the second contraction's first operand comes last
+                    let (tail, second) = match (second, rest) {
+                        (Some(s), [tail @ .., values]) => (tail, Some((s, values))),
+                        _ => (rest, None),
+                    };
+                    chained = [&[head], tail].concat();
+                    (&chained[..], second)
                 }
-                _ => &ins,
+                _ => (&ins[..], None),
             };
             let class = classify_fused(parts).ok_or_else(|| {
                 TensorError::Unsupported(format!(
@@ -1020,35 +944,17 @@ pub fn execute_step<R: Rng + ?Sized>(
                     results.push(softmax(&bias_add(&ins[0], &ins[1])?, axis)?);
                 }
             }
-        }
-        OpKind::AttentionRegion {
-            qkt,
-            gamma,
-            parts,
-            reduce_axis,
-            ..
-        } => {
-            // the chain the region stands for, every tensor of it
-            // materialized by the allocating kernels: what the arena's
-            // panel-at-a-time driver must equal bit for bit
-            let ([a, b, values], Some(FusedClass::Softmax { causal })) =
-                (&ins[..], classify_fused(parts))
-            else {
-                return Err(TensorError::Unsupported(format!(
-                    "region `{}` is not two contractions around a softmax",
-                    step.name
-                )));
-            };
-            let scores = contract_as(qkt, a, b, &axes_string(qkt.output()), None)?;
-            let sm = if causal {
-                let q = causal_query_axis(scores.shape(), *reduce_axis)?;
-                fused::sm_causal_at(&scores, opts.scaler, q, *reduce_axis, p, rng, opts.pos)?
-            } else {
-                fused::sm(&scores, opts.scaler, *reduce_axis, p, rng)?
-            };
-            let container = out_shape(0)?.spec();
-            let declared = Some(step.outputs[0].layout);
-            results.push(contract_as(gamma, values, &sm.alpha, &container, declared)?);
+            if let Some((spec, values)) = second {
+                // the kernel's rows: a softmax's weights (`alpha`), a bias
+                // kernel's output
+                let rows = results.drain(..).nth(1).ok_or_else(|| {
+                    let what = format!("`{}` hands its second contraction no rows", step.name);
+                    TensorError::Unsupported(what)
+                })?;
+                let container = out_shape(0)?.spec();
+                let declared = Some(step.outputs[0].layout);
+                results.push(contract_as(spec, values, &rows, &container, declared)?);
+            }
         }
         other => {
             return Err(TensorError::Unsupported(format!(
@@ -1164,7 +1070,7 @@ pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Resul
 /// The extent a contraction step sums over (GEMM `K`): the fan-in of a
 /// weight it reads. `None` for any other step.
 fn contracted_extent(graph: &Graph, step: &PlanStep) -> Option<usize> {
-    let (OpKind::Einsum(spec) | OpKind::ContractionEpilogue { spec, .. }) = &step.kind else {
+    let (OpKind::Einsum(spec) | OpKind::TileProgram { first: spec, .. }) = &step.kind else {
         return None;
     };
     let shape = |k: usize| Some(&graph.data(step.inputs.get(k)?.data)?.shape);

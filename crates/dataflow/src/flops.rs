@@ -85,9 +85,7 @@ pub fn op_flop(graph: &Graph, op: NodeId) -> Result<u64> {
         OpKind::LayerNorm { .. } => Ok(LAYERNORM_FLOP_PER_ELEM * first_output_elems()?),
         OpKind::LayerNormGradX { .. } => Ok(LAYERNORM_GRAD_X_FLOP_PER_ELEM * first_input_elems()?),
         OpKind::LayerNormGradW { .. } => Ok(LAYERNORM_GRAD_W_FLOP_PER_ELEM * first_input_elems()?),
-        OpKind::Fused { flop, .. }
-        | OpKind::ContractionEpilogue { flop, .. }
-        | OpKind::AttentionRegion { flop, .. } => Ok(*flop),
+        OpKind::Fused { flop, .. } | OpKind::TileProgram { flop, .. } => Ok(*flop),
     }
 }
 

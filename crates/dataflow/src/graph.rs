@@ -34,8 +34,8 @@ pub enum DataRole {
     Activation,
     /// Forward-pass value saved for backpropagation (masks, layer-norm
     /// inputs, softmax outputs). Never eliminated by element-wise or
-    /// epilogue fusion; the region pass ([`Graph::fuse_region`]) takes the
-    /// attention core's off the forward side.
+    /// epilogue fusion; the attention region ([`Graph::fuse_tile`] with a
+    /// second contraction) takes the attention core's off the forward side.
     Saved,
     /// Gradient tensor.
     Gradient,
@@ -430,199 +430,149 @@ impl Graph {
         Ok(self.add_op(name, fused, &ext_inputs, &ext_outputs))
     }
 
-    /// Replaces a contraction `head` and its sole element-wise consumer
-    /// `tail` with one [`OpKind::ContractionEpilogue`] mega-kernel named
-    /// `name`. The contraction's output — read only by `tail` — is deleted
-    /// together with its memlets: the epilogue applies per output tile, so
-    /// that intermediate is never materialized. This is the one sanctioned
+    /// Replaces a chain with one [`OpKind::TileProgram`] named `name`,
+    /// standing for `span` schedule positions: the contraction `head`, the
+    /// non-contraction `tail` that alone reads its output (first), and — if
+    /// given — the contraction `second` that reads one of `tail`'s outputs
+    /// as its second operand. The program reads `head`'s operands, `tail`'s
+    /// other inputs and `second`'s first operand, and writes `second`'s
+    /// output or, without one, `tail`'s outputs. This is the one sanctioned
     /// exception to [`Graph::fuse`]'s no-contraction rule; the paper stops
     /// at element-wise groups, this goes one step further (CODA/VTC-style
     /// virtual intermediates).
     ///
-    /// # Errors
-    ///
-    /// Returns an error if `head` is not an einsum operator, `tail` is not
-    /// a live non-contraction operator, `head` does not write exactly one
-    /// container, that container is not an interim activation read
-    /// exclusively (and solely) by `tail`, or `tail` reads it other than
-    /// as its primary input.
-    pub fn fuse_epilogue(
-        &mut self,
-        head: NodeId,
-        tail: NodeId,
-        name: &str,
-    ) -> Result<NodeId, TensorError> {
-        let head_op = self
-            .op(head)
-            .ok_or_else(|| TensorError::Unsupported(format!("{head} is not an operator")))?;
-        let OpKind::Einsum(spec) = head_op.kind.clone() else {
-            return Err(TensorError::Unsupported(format!(
-                "epilogue head `{}` is not a contraction",
-                head_op.name
-            )));
-        };
-        let head_name = head_op.name.clone();
-        let tail_op = self
-            .op(tail)
-            .ok_or_else(|| TensorError::Unsupported(format!("{tail} is not an operator")))?;
-        if tail_op.kind.class() == OpClass::TensorContraction {
-            return Err(TensorError::Unsupported(format!(
-                "epilogue tail `{}` is itself a contraction",
-                tail_op.name
-            )));
-        }
-        let tail_name = tail_op.name.clone();
-        let tail_parts = match &tail_op.kind {
-            OpKind::Fused { parts, .. } => parts.clone(),
-            _ => vec![tail_name.clone()],
-        };
-        let reduce_axis = tail_op.kind.reduce_axis();
-
-        let head_outputs = self.outputs_of(head);
-        let [mid] = head_outputs[..] else {
-            return Err(TensorError::Unsupported(format!(
-                "epilogue head `{head_name}` must write exactly one container"
-            )));
-        };
-        let mid_node = self.data(mid).expect("edge target is data");
-        if mid_node.role != DataRole::Activation {
-            return Err(TensorError::Unsupported(format!(
-                "epilogue intermediate `{}` is not an interim activation",
-                mid_node.name
-            )));
-        }
-        if self.consumers_of(mid) != vec![tail] {
-            return Err(TensorError::Unsupported(format!(
-                "epilogue intermediate `{}` must be read exclusively by `{tail_name}`",
-                mid_node.name
-            )));
-        }
-        let tail_inputs = self.inputs_of(tail);
-        if tail_inputs.first() != Some(&mid) {
-            return Err(TensorError::Unsupported(format!(
-                "epilogue tail `{tail_name}` must read the contraction output as its \
-                 primary input"
-            )));
-        }
-
-        let flop = crate::flops::op_flop(self, head).unwrap_or(0)
-            + crate::flops::op_flop(self, tail).unwrap_or(0);
-        let mut parts = vec![head_name];
-        parts.extend(tail_parts);
-
-        // External memlets: the contraction's operands plus the tail's
-        // non-intermediate inputs; outputs are the tail's outputs.
-        let mut ext_inputs = self.inputs_of(head);
-        for d in tail_inputs {
-            if d != mid && !ext_inputs.contains(&d) {
-                ext_inputs.push(d);
-            }
-        }
-        let ext_outputs = self.outputs_of(tail);
-
-        let dead = [head, tail, mid];
-        self.delete(&dead);
-
-        let kind = OpKind::ContractionEpilogue {
-            spec,
-            parts,
-            flop,
-            reduce_axis,
-        };
-        Ok(self.add_op(name, kind, &ext_inputs, &ext_outputs))
-    }
-
-    /// Replaces the attention core — the scores contraction `head`, the
-    /// softmax chain `mid` that reads only its output, and the context
-    /// contraction `tail` that reads one of `mid`'s outputs second — with one
-    /// [`OpKind::AttentionRegion`] named `name`, standing for `span` schedule
-    /// positions, that reads `head`'s operands and `tail`'s first and writes
-    /// `tail`'s output.
-    ///
-    /// Nothing between the two contractions is an edge of the region. Where
-    /// nothing else reads `mid`'s outputs (a forward-only graph) `head`, `mid`
-    /// and every container between the three are deleted. Where something
-    /// does — the backward half of a training graph reads the saved softmax,
-    /// the dropped-out weights and the mask — `head` and `mid` stay, feeding
-    /// only those readers: the *rematerialization* of what the forward pass no
-    /// longer keeps, to be scheduled with the backward pass.
+    /// `head`'s output is deleted with its memlets: the program keeps it as
+    /// a tile of rows, never materialized. With a second contraction, so is
+    /// everything between the two where nothing else reads `tail`'s outputs
+    /// (a forward-only graph). Where something does — the backward half of
+    /// a training graph reads the attention core's saved softmax, dropped-out
+    /// weights and mask — `head` and `tail` stay, feeding only those
+    /// readers: the *rematerialization* of what the forward pass no longer
+    /// keeps, to be scheduled with the backward pass.
     ///
     /// # Errors
     ///
-    /// Returns an error unless `head` and `tail` are two-operand einsums
-    /// writing one container each, `head`'s output is an interim activation
-    /// read by `mid` alone, `mid` is a live non-contraction operator with a
-    /// reduction axis and no other input, and `tail`'s second input is one of
-    /// `mid`'s outputs.
-    pub fn fuse_region(
+    /// As [`Graph::tile_program`].
+    pub fn fuse_tile(
         &mut self,
         head: NodeId,
-        mid: NodeId,
         tail: NodeId,
+        second: Option<NodeId>,
         name: &str,
         span: usize,
     ) -> Result<NodeId, TensorError> {
-        let refuse = |why: &str| Err(TensorError::Unsupported(format!("region `{name}`: {why}")));
+        let (kind, inputs, outputs) = self.tile_program(head, tail, second, span)?;
+        let [mid] = self.outputs_of(head)[..] else {
+            unreachable!("`tile_program` checked the head writes one container");
+        };
+        let mut dead = vec![head, tail, mid];
+        if let Some(second) = second {
+            // readers of the chain's values other than the second
+            // contraction keep `head` and `tail` alive as their
+            // rematerialization
+            let tail_out = self.outputs_of(tail);
+            let read_elsewhere = |&d: &NodeId| self.consumers_of(d).iter().any(|&c| c != second);
+            if tail_out.iter().any(read_elsewhere) {
+                dead.clear();
+            } else {
+                dead.extend(tail_out);
+            }
+            dead.push(second);
+        }
+        self.delete(&dead);
+        Ok(self.add_op(name, kind, &inputs, &outputs))
+    }
+
+    /// The [`OpKind::TileProgram`] that [`Graph::fuse_tile`] collapses the
+    /// chain `head → tail` (`→ second`) into, with the containers it reads
+    /// and writes, in edge order; the graph is left as it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless `head` is a two-operand einsum writing one
+    /// interim activation that `tail`, a live non-contraction operator,
+    /// alone reads, as its first input; and `second`, if given, is a
+    /// two-operand einsum writing one container that reads one of `tail`'s
+    /// outputs second.
+    pub fn tile_program(
+        &self,
+        head: NodeId,
+        tail: NodeId,
+        second: Option<NodeId>,
+        span: usize,
+    ) -> Result<(OpKind, Vec<NodeId>, Vec<NodeId>), TensorError> {
+        let refuse = |why: &str| Err(TensorError::Unsupported(format!("tile program: {why}")));
         let einsum = |id: NodeId| match self.op(id).map(|o| &o.kind) {
             Some(OpKind::Einsum(spec)) => Some(spec.clone()),
             _ => None,
         };
-        let (Some(qkt), Some(gamma)) = (einsum(head), einsum(tail)) else {
-            return refuse("head and tail must be contractions");
+        let Some(first) = einsum(head) else {
+            return refuse("the head is not a contraction");
         };
-        let Some(mid_op) = self.op(mid) else {
-            return refuse("the softmax chain is not an operator");
+        let chain = |o: &&OpNode| o.kind.class() != OpClass::TensorContraction;
+        let Some(tail_op) = self.op(tail).filter(chain) else {
+            return refuse("the tail is not a live non-contraction operator");
         };
-        let (head_in, tail_in) = (self.inputs_of(head), self.inputs_of(tail));
-        let (mid_out, tail_out) = (self.outputs_of(mid), self.outputs_of(tail));
-        let ([scores], [values, weights]) = (&self.outputs_of(head)[..], &tail_in[..]) else {
-            return refuse("head must write one container, tail read two");
+        let (head_in, tail_in, tail_out) = (
+            self.inputs_of(head),
+            self.inputs_of(tail),
+            self.outputs_of(tail),
+        );
+        let [mid] = self.outputs_of(head)[..] else {
+            return refuse("the head must write exactly one container");
         };
-        let scores_node = self.data(*scores).expect("edge target is data");
+        let mid_node = self.data(mid).expect("edge target is data");
         if head_in.len() != 2
-            || scores_node.role != DataRole::Activation
-            || self.consumers_of(*scores) != [mid]
-            || self.inputs_of(mid) != [*scores]
-            || !mid_out.contains(weights)
-            || tail_out.len() != 1
+            || mid_node.role != DataRole::Activation
+            || self.consumers_of(mid) != [tail]
+            || tail_in.first() != Some(&mid)
         {
-            return refuse("the chain is not head → softmax → tail over interim scores");
+            return refuse(
+                "the head's output is not an interim activation its tail alone reads first",
+            );
         }
-        // the softmax axis by position, in the scores contraction's letters
-        let at = mid_op
-            .kind
-            .reduce_axis()
-            .and_then(|ax| scores_node.shape.index_of(ax).ok());
-        let Some(&reduce_axis) = at.and_then(|at| qkt.output().get(at)) else {
-            return refuse("the chain normalizes no axis of the scores");
+        let mut inputs = head_in;
+        for d in tail_in {
+            if d != mid && !inputs.contains(&d) {
+                inputs.push(d);
+            }
+        }
+        let (spec, outputs) = match second.map(|op| (einsum(op), self.inputs_of(op))) {
+            None => (None, tail_out),
+            Some((Some(spec), ins)) if ins.len() == 2 && tail_out.contains(&ins[1]) => {
+                inputs.push(ins[0]);
+                (Some(spec), self.outputs_of(second.expect("matched")))
+            }
+            Some(_) => return refuse("the second contraction must read the tail's rows second"),
         };
-        let name_of = |op: NodeId| vec![self.op(op).expect("live").name.clone()];
-        let members = match &mid_op.kind {
+        if spec.is_some() && outputs.len() != 1 {
+            return refuse("the second contraction must write one container");
+        }
+        // the chain's reduction axis, by position in the first contraction's
+        // letters
+        let at = (tail_op.kind.reduce_axis()).and_then(|ax| mid_node.shape.index_of(ax).ok());
+        let reduce_axis = at.and_then(|at| first.output().get(at).copied());
+        let name_of = |op: NodeId| self.op(op).expect("live").name.clone();
+        let members = match &tail_op.kind {
             OpKind::Fused { parts, .. } => parts.clone(),
-            _ => name_of(mid),
+            _ => vec![name_of(tail)],
         };
-        let parts = [name_of(head), members, name_of(tail)].concat();
-        let flop = [head, mid, tail].map(|op| crate::flops::op_flop(self, op).unwrap_or(0));
-
-        // readers of the chain's values other than the chain itself keep
-        // `head` and `mid` alive as their rematerialization
-        let read_elsewhere = |&d: &NodeId| self.consumers_of(d).iter().any(|&c| c != tail);
-        let mut dead = vec![tail];
-        if !mid_out.iter().any(read_elsewhere) {
-            dead.extend([head, mid, *scores]);
-            dead.extend(&mid_out);
-        }
-        let inputs = [&head_in[..], &[*values]].concat();
-        self.delete(&dead);
-        let kind = OpKind::AttentionRegion {
-            qkt,
-            gamma,
-            parts,
-            flop: flop.iter().sum(),
+        let ops = [Some(head), Some(tail), second];
+        let flop = (ops.iter().flatten()).map(|&op| crate::flops::op_flop(self, op).unwrap_or(0));
+        let kind = OpKind::TileProgram {
+            first,
+            second: spec,
+            parts: [
+                vec![name_of(head)],
+                members,
+                second.map(name_of).into_iter().collect(),
+            ]
+            .concat(),
+            flop: flop.sum(),
             reduce_axis,
             span,
         };
-        Ok(self.add_op(name, kind, &inputs, &tail_out))
+        Ok((kind, inputs, outputs))
     }
 
     /// Total words moved across all operators (the graph-level data-movement

@@ -114,48 +114,36 @@ pub enum OpKind {
         /// performance model's warp-reduction handling).
         reduce_axis: Option<Axis>,
     },
-    /// A GEMM-epilogue mega-kernel: a tensor contraction fused with its
-    /// downstream element-wise / normalization chain, applied per output
-    /// tile so the contraction's output is never materialized. Produced
-    /// by the epilogue fusion pass ([`crate::Graph::fuse_epilogue`]); the
-    /// eliminated intermediate's memlets are gone from the graph, which
-    /// is exactly the data-movement saving.
-    ContractionEpilogue {
-        /// The contraction the kernel computes.
-        spec: EinsumSpec,
-        /// Names of the constituent operators (contraction first, then
-        /// the epilogue chain), for reporting.
+    /// A tile program: a tensor contraction whose output rows live in a
+    /// tile while the fused chain behind it runs on them, then optionally a
+    /// second contraction over the chain's rows — one kernel, so the
+    /// intermediates between them (VTC's *virtual* tensors: named by the
+    /// program, never materialized) have no container. Produced by
+    /// [`crate::Graph::fuse_tile`]: a bias epilogue (`Linear 1+BRD`, the
+    /// model head's `Head+BSV`) has one contraction, the attention region
+    /// (`QKT+SM+Gamma`) two. Reads the first contraction's operands in its
+    /// order, the chain's other inputs, then the second contraction's
+    /// first operand; writes the chain's outputs, or the second's.
+    TileProgram {
+        /// The first contraction, over inputs 0 and 1.
+        first: EinsumSpec,
+        /// The second contraction, over the last input and the chain's
+        /// rows.
+        second: Option<EinsumSpec>,
+        /// Names of the constituent operators (first contraction, the
+        /// chain, the second contraction), for reporting.
         parts: Vec<String>,
         /// Total flop of the constituents.
         flop: u64,
-        /// Reduction axis of the epilogue chain, if any.
+        /// The chain's reduction axis, if any, as the first contraction's
+        /// output labels it.
         reduce_axis: Option<Axis>,
-    },
-    /// An attention region: the scores contraction, the scale / mask /
-    /// softmax / dropout chain behind it and the context contraction behind
-    /// that, as one kernel that works a panel of query rows at a time — so
-    /// the `[h,b,j,k]` tensors between the three (VTC's *virtual* tensors:
-    /// named by the program, never materialized) have no container. Produced
-    /// by the region pass ([`crate::Graph::fuse_region`]). Reads the scores
-    /// contraction's operands in its order, then the values; writes the
-    /// context.
-    AttentionRegion {
-        /// The scores contraction (`QKT`), over inputs 0 and 1.
-        qkt: EinsumSpec,
-        /// The context contraction (`Gamma`), over input 2 and the virtual
-        /// attention weights.
-        gamma: EinsumSpec,
-        /// Names of the constituent operators (scores contraction, the
-        /// softmax chain, context contraction), for reporting.
-        parts: Vec<String>,
-        /// Total flop of the constituents.
-        flop: u64,
-        /// The softmax axis, as `qkt`'s output labels it.
-        reduce_axis: Axis,
-        /// Schedule positions the region stands for: the steps of the chain
-        /// it replaced (`QKT`, `SM`, `Gamma`: three). An executor that
+        /// Schedule positions the program stands for. An executor that
         /// numbers per-step dropout streams numbers them by these, so a
-        /// plan draws the masks it drew before its chain was collapsed.
+        /// plan draws the masks it drew before its chain was collapsed: one
+        /// for an epilogue; for the attention region the steps of the chain
+        /// it replaced (`QKT`, `SM`, `Gamma`: three, or two where `QKT+SM`
+        /// was one step).
         span: usize,
     },
 }
@@ -179,9 +167,7 @@ impl OpKind {
             | OpKind::ReluGrad
             | OpKind::Residual => OpClass::Elementwise,
             OpKind::Fused { class, .. } => *class,
-            OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. } => {
-                OpClass::TensorContraction
-            }
+            OpKind::TileProgram { .. } => OpClass::TensorContraction,
         }
     }
 
@@ -197,7 +183,7 @@ impl OpKind {
             | OpKind::LayerNormGradW { .. }
             | OpKind::BiasGrad { .. } => true,
             OpKind::Fused { reduce_axis, .. } => reduce_axis.is_some(),
-            OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. } => true,
+            OpKind::TileProgram { .. } => true,
             _ => false,
         }
     }
@@ -211,9 +197,9 @@ impl OpKind {
             | OpKind::LayerNorm { axis }
             | OpKind::LayerNormGradX { axis }
             | OpKind::LayerNormGradW { axis } => Some(*axis),
-            OpKind::Fused { reduce_axis, .. } => *reduce_axis,
-            OpKind::ContractionEpilogue { reduce_axis, .. } => *reduce_axis,
-            OpKind::AttentionRegion { reduce_axis, .. } => Some(*reduce_axis),
+            OpKind::Fused { reduce_axis, .. } | OpKind::TileProgram { reduce_axis, .. } => {
+                *reduce_axis
+            }
             _ => None,
         }
     }
@@ -251,12 +237,18 @@ impl fmt::Display for OpKind {
             OpKind::Fused { name, parts, .. } => {
                 write!(f, "{name}{{{}}}", parts.join("+"))
             }
-            OpKind::ContractionEpilogue { spec, parts, .. } => {
-                write!(f, "gemm-epilogue[{spec}]{{{}}}", parts.join("+"))
+            OpKind::TileProgram {
+                first,
+                second,
+                parts,
+                ..
+            } => {
+                write!(f, "tile[{first}")?;
+                if let Some(second) = second {
+                    write!(f, ";{second}")?;
+                }
+                write!(f, "]{{{}}}", parts.join("+"))
             }
-            OpKind::AttentionRegion {
-                qkt, gamma, parts, ..
-            } => write!(f, "attention[{qkt};{gamma}]{{{}}}", parts.join("+")),
         }
     }
 }

@@ -104,7 +104,8 @@ struct OpInfo {
     kind: OpKind,
     in_shape: Shape,
     in2_shape: Option<Shape>,
-    /// The third input of an attention region (the values).
+    /// The last input of a two-contraction tile program: the second
+    /// contraction's first operand (the attention region's values).
     in3_shape: Option<Shape>,
     out_shape: Shape,
     in_axes: Vec<char>,
@@ -139,8 +140,13 @@ impl OpInfo {
         } else {
             None
         };
-        let in3_shape = match (&node.kind, inputs.get(2)) {
-            (OpKind::AttentionRegion { .. }, Some(&v)) => Some(shape_of(v)?),
+        let in3_shape = match (&node.kind, inputs.last()) {
+            (
+                OpKind::TileProgram {
+                    second: Some(_), ..
+                },
+                Some(&v),
+            ) => Some(shape_of(v)?),
             _ => None,
         };
         Ok(OpInfo {
@@ -163,10 +169,7 @@ impl OpInfo {
 
 /// Einsum-like kinds keep their positional operands as primaries.
 fn positional(kind: &OpKind) -> bool {
-    matches!(
-        kind,
-        OpKind::Einsum(_) | OpKind::ContractionEpilogue { .. } | OpKind::AttentionRegion { .. }
-    )
+    matches!(kind, OpKind::Einsum(_) | OpKind::TileProgram { .. })
 }
 
 /// The input and the output container an [`OpConfig`]'s `in_layout` and
@@ -200,8 +203,8 @@ pub fn primary_tensors(graph: &Graph, op: NodeId) -> Result<(NodeId, NodeId)> {
 
 /// A reusable pricing model for one operator: what prices its
 /// configurations, gathered once — its shapes and roles, and for each GEMM
-/// it runs as (an einsum's, a GEMM-epilogue kernel's, both halves of an
-/// attention region) the classification, the [`GemmShape`], the
+/// it runs as (an einsum's, each of a tile program's one or two) the
+/// classification, the [`GemmShape`], the
 /// [`InnerRole`] of every axis position of A, B and C and the algorithm
 /// table — so a configuration is priced with no classification and no
 /// allocation. [`op_cost`] is the one-shot wrapper; [`OpModel::costs`]
@@ -219,14 +222,14 @@ pub struct OpModel {
 enum Pricing {
     /// Normalizations and element-wise kernels: the access-pattern model.
     Kernel,
-    /// One GEMM. A GEMM-epilogue mega-kernel is contraction-bound: the
+    /// One GEMM. A one-contraction tile program is contraction-bound: the
     /// fused element-wise tail rides the GEMM's output tiles for free.
     Gemm(Gemm),
-    /// An attention region as its two contractions back to back, the
-    /// softmax between them riding the scores' tiles like an epilogue: the
-    /// times add, and the scores the first would have written and the
-    /// second read back — which the region keeps on chip — come off the
-    /// words moved. The configuration lays out the scores contraction's
+    /// A two-contraction tile program — the attention region — as its two
+    /// contractions back to back, the softmax between them riding the
+    /// scores' tiles like an epilogue: the times add, and the scores the
+    /// first would have written and the second read back — which the
+    /// region keeps on chip — come off the words moved. The configuration lays out the scores contraction's
     /// operands and the context; the values and the virtual scores keep
     /// their natural order.
     Region {
@@ -317,15 +320,24 @@ impl OpModel {
     pub fn new(graph: &Graph, op: NodeId) -> Result<OpModel> {
         let info = OpInfo::gather(graph, op)?;
         let pricing = match &info.kind {
-            OpKind::Einsum(spec) | OpKind::ContractionEpilogue { spec, .. } => {
+            OpKind::Einsum(spec)
+            | OpKind::TileProgram {
+                first: spec,
+                second: None,
+                ..
+            } => {
                 let b = info.in2_shape.as_ref().ok_or_else(|| {
                     TensorError::Unsupported(format!("contraction `{}` has one input", info.name))
                 })?;
                 Pricing::Gemm(Gemm::new(spec, &info.in_shape, b, &info.out_shape)?)
             }
-            OpKind::AttentionRegion { qkt, gamma, .. } => {
+            OpKind::TileProgram {
+                first: qkt,
+                second: Some(gamma),
+                ..
+            } => {
                 let (Some(b), Some(v)) = (&info.in2_shape, &info.in3_shape) else {
-                    let what = format!("attention region `{}` lacks an operand", info.name);
+                    let what = format!("tile program `{}` lacks an operand", info.name);
                     return Err(TensorError::Unsupported(what));
                 };
                 let a = &info.in_shape;
@@ -684,7 +696,7 @@ impl ExactSizeIterator for ConfigSpace {}
 /// Enumerates the full configuration space of one operator: every layout
 /// permutation of its primary tensors, plus vectorization / warp axes for
 /// normalization kernels, or algorithms × math modes for contractions
-/// (einsums, GEMM-epilogue kernels and attention regions).
+/// (einsums and tile programs).
 ///
 /// # Errors
 ///

@@ -32,26 +32,24 @@
 //! * [`ContractPlan`] — the one contraction compiler: GEMM sizes, operand
 //!   roles and, per operand, the strides the GEMM reads it through (or the
 //!   gather descriptor of an operand strides cannot express);
-//! * [`AttentionPlan`] — two contractions with a softmax between them as
-//!   one region: per operand the strides of its slice, row and column.
+//! * [`TilePlan`] — a tile program: one `ContractPlan` per contraction,
+//!   the first's rows pinned to GEMM A and its output a dense tile that the
+//!   second, if any, reads as its A.
 //!
 //! # Kernels larger than one operator
 //!
-//! Two drivers keep what sits between operators out of memory, and both are
-//! bit for bit the chains they stand for, dropout draws included, because
-//! they run the chain's own bodies over the chain's own lanes in the chain's
-//! own order and the GEMM's result does not depend on its tiling:
-//!
-//! * [`contract_epilogue_tiled`] — a contraction whose output rows are
-//!   independent lanes of a bias-class kernel (`BRD`, `BDR`, the model
-//!   head's bias and softmax over a whole vocabulary row): the output exists
-//!   as a tile of a few rows;
-//! * [`attention_into`] — `QKᵀ → scale/mask/softmax/dropout → ·V` a panel
-//!   of [`ATTENTION_TILE_ROWS`] query rows at a time: the scores, the
-//!   softmax, the dropped-out weights and the mask exist as that panel.
-//!   Whole rows fit it, so the softmax is the two-pass
-//!   `lanes::softmax_lane` unchanged — no online rescaling, nothing
-//!   reassociated.
+//! One driver keeps what sits between operators out of memory:
+//! [`tile_into`] runs a contraction a tile of rows at a time, a lane chain
+//! ([`RowTail`]: `BRD`, `BDR`, the model head's bias and softmax over a
+//! vocabulary row, or attention's scale/mask/softmax/dropout) on each row
+//! while the tile is hot, and optionally a second contraction over the
+//! chain's rows — the attention region, `QKᵀ → softmax → ·V` a panel of
+//! [`ATTENTION_TILE_ROWS`] query rows at a time. It is bit for bit the chain
+//! it stands for, dropout draws included, because it runs the chain's own
+//! bodies over the chain's own lanes in the chain's own order and the
+//! GEMM's result does not depend on its tiling. Whole rows fit a tile, so a
+//! softmax is the two-pass `lanes::softmax_lane` unchanged — no online
+//! rescaling, nothing reassociated.
 
 use rand::Rng;
 
@@ -61,8 +59,8 @@ use crate::error::{Result, TensorError};
 use crate::lanes::{self, on_run, Dropout, LaneAt, Run, Walk, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
-    gemm, gemm_batched, gemm_packed, gemm_packed_leading, pack_panels, panel_words, BatchMut,
-    BatchRef, BatchStrides, MatMut, MatRef, Start, KC, NR,
+    gemm_batched, gemm_packed_leading, pack_panels, panel_words, BatchMut, BatchRef, BatchStrides,
+    MatRef, Start, KC, NR,
 };
 use crate::ops::elementwise::ActivationKind;
 use crate::tensor::Tensor;
@@ -333,6 +331,10 @@ impl Sweep {
     }
 }
 
+/// An operand as the contraction compilers take it: its shape, labelled
+/// with its spec's letters, and its strides.
+pub type Labelled<'a> = (&'a Shape, &'a [usize]);
+
 /// How one operand of a compiled contraction reaches the GEMM.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Operand {
@@ -456,6 +458,20 @@ impl ContractPlan {
         b_strides: &[usize],
         out_strides: &[usize],
     ) -> Result<ContractPlan> {
+        let (a, b) = ((a_shape, a_strides), (b_shape, b_strides));
+        ContractPlan::compile_as(spec, a, b, out_strides, None)
+    }
+
+    /// [`ContractPlan::compile`] with the roles pinned when `swapped` is
+    /// given (as the field of that name reads), chosen as documented there
+    /// when it is not. Operands are `(shape, strides)`.
+    fn compile_as(
+        spec: &EinsumSpec,
+        (a_shape, a_strides): Labelled<'_>,
+        (b_shape, b_strides): Labelled<'_>,
+        out_strides: &[usize],
+        swapped: Option<bool>,
+    ) -> Result<ContractPlan> {
         let class = spec.classify()?;
         let gs = spec.gemm_sizes(a_shape, b_shape)?;
         if out_strides.len() != spec.output().len() {
@@ -492,7 +508,8 @@ impl ContractPlan {
 
         let natural = Operand::new([&batch_c, &m_c, &n_c], true);
         let exchanged = Operand::new([&batch_c, &n_c, &m_c], true);
-        let swapped = exchanged.store_rank(gs.m) > natural.store_rank(gs.n);
+        let swapped =
+            swapped.unwrap_or_else(|| exchanged.store_rank(gs.m) > natural.store_rank(gs.n));
         Ok(if swapped {
             ContractPlan {
                 a: Operand::new([&batch_b, &n_b, &k_b], false),
@@ -535,14 +552,6 @@ impl ContractPlan {
     /// that fall back to a gather — none when all three are views.
     pub fn scratch_words(&self) -> usize {
         self.pack_words().iter().sum()
-    }
-
-    /// Scratch words [`contract_epilogue_tiled`] needs at `tile_rows`: the
-    /// gather packs of A and B, one batch slice's packed B panels, and the
-    /// output tile.
-    pub fn epilogue_scratch_words(&self, tile_rows: usize) -> usize {
-        let [a, b, _] = self.pack_words();
-        a + b + panel_words(self.n, self.k) + tile_rows * self.n
     }
 }
 
@@ -655,429 +664,402 @@ fn row_major_strides(shape: &Shape) -> Vec<usize> {
     strides
 }
 
-/// Compiles a contraction for the tiled epilogue driver
-/// ([`contract_epilogue_tiled`]): [`ContractPlan::compile`] against the
-/// row-major output container `out_shape`, kept only when C comes out as
-/// the *identity* view over it — dense `[batch, m, n]` in container order —
-/// so GEMM row blocks stream straight into the epilogue. The attention
-/// `QKT` einsum `phbk,phbj->hbjk` transposes under its written order and
-/// is the identity once the compiler has given the query operand the M
-/// role. Returns `None` when neither order writes in container order.
-pub fn epilogue_contract_plan(
-    spec: &EinsumSpec,
-    a_shape: &Shape,
-    a_strides: &[usize],
-    b_shape: &Shape,
-    b_strides: &[usize],
-    out_shape: &Shape,
-) -> Option<ContractPlan> {
-    if spec.output() != out_shape.axes() {
-        return None;
-    }
-    let out_strides = row_major_strides(out_shape);
-    let plan =
-        ContractPlan::compile(spec, a_shape, a_strides, b_shape, b_strides, &out_strides).ok()?;
-    let v = plan.c.view?;
-    let identity = (plan.batch == 1 || v.bs == plan.m * plan.n)
-        && (plan.m == 1 || v.rs == plan.n)
-        && (plan.n == 1 || v.cs == 1);
-    identity.then_some(plan)
-}
-
-/// The per-tile epilogue a [`contract_epilogue_tiled`] call applies to
-/// each GEMM row block, with the full-size output slices it streams into
-/// (dense, in the output container's natural order). Mirrors the
-/// fused-kernel classes whose sole input is a contraction output and whose
-/// tile is a block of independent rows: `BRD` ([`brd_act_into`]), `BDR`
-/// ([`bdr_into`]) and the head's bias + softmax ([`bias_softmax_into`]),
-/// whose lanes are whole rows. (The softmax that follows `QKᵀ` is no
-/// epilogue: it sits between two contractions, and [`attention_into`] runs
-/// all three.)
-#[derive(Debug)]
-pub enum TileEpilogue<'a> {
-    /// Bias + activation + dropout, bias indexed by the GEMM row
-    /// (the epilogue plan proves the bias axes are exactly M).
-    BiasActDrop {
-        /// Bias vector, one entry per GEMM row (M words).
-        bias: &'a [f32],
-        /// The activation between bias and dropout.
-        kind: ActivationKind,
-        /// Saved pre-activation (full container).
-        pre_activation: &'a mut [f32],
-        /// Kernel output (full container).
-        out: &'a mut [f32],
-        /// Saved dropout mask (full container).
-        mask: &'a mut [f32],
-    },
-    /// Bias + dropout + residual add, bias indexed by the GEMM row.
-    BiasDropResidual {
-        /// Bias vector, one entry per GEMM row (M words).
-        bias: &'a [f32],
-        /// Residual input (full container).
-        residual: &'a [f32],
-        /// Saved dropout mask (full container).
-        mask: &'a mut [f32],
-        /// Kernel output (full container).
-        out: &'a mut [f32],
-    },
-    /// Bias + softmax along the row — the model head: logits never leave
-    /// the tile, the probabilities stream out.
-    BiasSoftmax {
-        /// Bias vector, one entry per GEMM column (N words).
-        bias: &'a [f32],
-        /// Kernel output (full container).
-        out: &'a mut [f32],
-    },
-}
-
-/// Applies the epilogue to one GEMM row block, row by row — each row a
-/// contiguous lane of `n` words in the tile and in every full-container
-/// stream. `row0` is the global row index (over `batch · m`), `rows` the
-/// block height; `tile` holds the block's contraction output (and, under
-/// the head's tail, its biased logits after).
-fn epilogue_tile<R: Rng + ?Sized>(
-    epi: &mut TileEpilogue<'_>,
-    row0: usize,
-    rows: usize,
-    n: usize,
-    tile: &mut [f32],
-    drop: &mut Dropout<'_, R>,
-) {
-    let lane = |r: usize| LaneAt {
-        base: r * n,
-        stride: 1,
-        step: 0,
-        len: n,
-    };
-    // row `r`'s one bias word, read at every position of the lane
-    let bias_at = |r: usize| LaneAt {
-        base: row0 + r,
-        stride: 0,
-        step: 0,
-        len: n,
-    };
-    for r in 0..rows {
-        let at = lane(row0 + r);
-        match epi {
-            TileEpilogue::BiasActDrop {
-                bias,
-                kind,
-                pre_activation,
-                out,
-                mask,
-            } => lanes::brd_lane(
-                lane(r).unit(tile),
-                &bias_at(r).strided(bias),
-                *kind,
-                drop,
-                at.unit_mut(pre_activation),
-                at.unit_mut(out),
-                at.unit_mut(mask),
-            ),
-            TileEpilogue::BiasDropResidual {
-                bias,
-                residual,
-                mask,
-                out,
-            } => lanes::bdr_lane(
-                lane(r).unit(tile),
-                &bias_at(r).strided(bias),
-                at.unit(residual),
-                drop,
-                at.unit_mut(mask),
-                at.unit_mut(out),
-            ),
-            TileEpilogue::BiasSoftmax { bias, out } => {
-                // the bias lands in the tile, where the softmax reads it
-                let x = lane(r).unit_mut(tile);
-                lanes::acc_lane(&bias[..n], x);
-                lanes::softmax_lane::<1, _, _, _>(&*x, 1.0, n, at.unit_mut(out), &mut ());
-            }
-        }
-    }
-}
-
-/// The GEMM-epilogue mega-kernel: per batch slice, packs B's panels once,
-/// then streams the GEMM over row blocks of at most `tile_rows` rows —
-/// each block's A rows read through the plan's view, its output started
-/// from zero in the scratch tile — applying `epi` to each block while it
-/// is hot. The contraction output exists only as that `tile_rows · n` tile
-/// and is never materialized. Tiles are visited in container order (batch
-/// ascending, rows ascending), so the dropout RNG draw order — and hence
-/// every saved mask and output — is bitwise identical to running the
-/// unfused contraction followed by the whole-container fused kernel.
-/// Operands `a` and `b` are in the einsum's order.
-///
-/// # Panics
-///
-/// Panics if `scratch` is shorter than
-/// [`ContractPlan::epilogue_scratch_words`] or an epilogue slice is smaller
-/// than the output container.
-pub fn contract_epilogue_tiled<R: Rng + ?Sized>(
-    plan: &ContractPlan,
-    tile_rows: usize,
-    a: &[f32],
-    b: &[f32],
-    scratch: &mut [f32],
-    drop: &mut Dropout<'_, R>,
-    epi: &mut TileEpilogue<'_>,
-) {
-    let (m, n, k) = (plan.m, plan.n, plan.k);
-    let tile_rows = tile_rows.clamp(1, m.max(1));
-    let [aw, bw, _] = plan.pack_words();
-    let (a_pack, rest) = scratch.split_at_mut(aw);
-    let (b_pack, rest) = rest.split_at_mut(bw);
-    let (panels, c_tile) = rest.split_at_mut(panel_words(n, k));
-    let (x_a, x_b) = if plan.swapped { (b, a) } else { (a, b) };
-    let ga = stage(&plan.a, x_a, a_pack, m, k);
-    let gb = stage(&plan.b, x_b, b_pack, k, n);
-    // a one-column B is no panel: `gemm` turns the problem on its side
-    let packed = n > 1;
-    for g in 0..plan.batch {
-        if packed {
-            pack_panels(n, k, gb.slice(g), panels);
-        }
-        let mut r0 = 0;
-        while r0 < m {
-            let rows = tile_rows.min(m - r0);
-            let a_rows = ga.slice(g).from_row(r0);
-            let c = MatMut::row_major(&mut c_tile[..rows * n], n);
-            if packed {
-                gemm_packed(rows, n, k, a_rows, panels, c, Start::FromZero);
-            } else {
-                gemm(rows, n, k, a_rows, gb.slice(g), c, Start::FromZero);
-            }
-            epilogue_tile(epi, g * m + r0, rows, n, &mut c_tile[..rows * n], drop);
-            r0 += rows;
-        }
-    }
-}
-
-/// Output rows the model head's GEMM-epilogue step holds in its tile at a
-/// time, each a whole vocabulary row. Measured once on the benchmark host
+/// Output rows the model head's tile program holds in its tile at a time,
+/// each a whole vocabulary row. Measured once on the benchmark host
 /// (EXPERIMENTS.md, "The head as one step"): at a 2 048-word vocabulary the
 /// step runs flat from 16 to 128 rows and slows below 8, where every tile
 /// streams the whole packed head for a few rows. A constant like
 /// [`ATTENTION_TILE_ROWS`], not an option.
 pub const HEAD_TILE_ROWS: usize = 32;
 
-/// Query rows an attention region holds in scratch at a time. Measured once
-/// on the benchmark host (EXPERIMENTS.md, "Attention region"): the core at
-/// `j = k = 512` runs flat from 8 to 128 rows and a fifth slower at 512,
-/// where the panel is the whole slice and leaves the L2. A constant like
-/// [`crate::matmul::NR`] and [`lanes::W`], not an option.
+/// Query rows an attention region holds in its tile at a time. Measured
+/// once on the benchmark host (EXPERIMENTS.md, "Attention region"): the
+/// core at `j = k = 512` runs flat from 8 to 128 rows and a fifth slower at
+/// 512, where the panel is the whole slice and leaves the L2. A constant
+/// like [`crate::matmul::NR`] and [`lanes::W`], not an option.
 pub const ATTENTION_TILE_ROWS: usize = 32;
 
-/// A compiled attention region, `QKᵀ → scale/mask/softmax/dropout → ·V`:
-/// the extents of the two contractions and, per operand, the strides they
-/// read it (for the output: write it) through, so every operand stays where
-/// it lies in whatever layout it was declared.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttentionPlan {
-    /// The axes every operand shares (`h`, `b`), in the scores' logical
-    /// order, outermost first: `(extent, [stride in Q, K, V, the output])`.
-    batch: Vec<(usize, [usize; 4])>,
-    /// `(row, column)` strides of Q as `j×p`, K as `p×k`, V as `k×w` and
-    /// the output as `j×w`, within one slice.
-    mats: [(usize, usize); 4],
-    /// Whether the *first* operand of the scores einsum is the query.
-    pub query_first: bool,
-    /// Query rows of a slice.
-    pub j: usize,
-    /// Keys of a slice.
-    pub k: usize,
-    /// Depth of the scores contraction (the head size).
-    pub p: usize,
-    /// Width of a value row.
-    pub w: usize,
+/// Whether `view` addresses `batch` dense row-major `rows × cols` matrices
+/// back to back: the identity over the words it covers.
+fn dense(view: Option<BatchStrides>, batch: usize, rows: usize, cols: usize) -> bool {
+    view.is_some_and(|v| {
+        (batch == 1 || v.bs == rows * cols)
+            && (rows == 1 || v.rs == cols)
+            && (cols == 1 || v.cs == 1)
+    })
 }
 
-impl AttentionPlan {
-    /// Compiles the region of the scores einsum `qkt` (e.g.
-    /// `phbk,phbj->hbjk`) and the context einsum `gamma` (e.g.
-    /// `whbk,hbjk->whbj`, its second operand the attention weights — the
-    /// scores' shape, label for label by position) over operands given as
-    /// `(sizes, strides)`: `a` and `b` those of `qkt` in its order, `v` the
-    /// first of `gamma`; `out` holds the strides of `gamma`'s output.
+/// A compiled tile program: a contraction whose output rows live in a tile
+/// of at most `tile_rows` rows while a lane chain ([`RowTail`]) runs on
+/// each, then optionally a second contraction that reads the chain's rows.
+/// The first contraction's output — the tile's container — exists only as
+/// that tile.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TilePlan {
+    /// The first contraction. Its C is the tile: the dense `[batch, m, n]`
+    /// order of the contraction's output in natural layout, with the
+    /// operand holding the output's first non-batch axis as GEMM A — the
+    /// chain's rows are the GEMM's rows, whichever roles would have written
+    /// C as well (one query row of a decode step: either).
+    pub first: ContractPlan,
+    /// The second contraction, if any: its A the tile's container under its
+    /// second operand's letters, read as the chain's rows (`m × n` of the
+    /// first's per slice); its B its first operand; its C its output,
+    /// through that container's strides.
+    pub second: Option<ContractPlan>,
+    /// Rows the tile holds, `1..=first.m`.
+    pub tile_rows: usize,
+}
+
+impl TilePlan {
+    /// Compiles a tile program: the contraction `first` over operands given
+    /// as `(shape labelled with its letters, strides)`; optionally `second`
+    /// over `(spec, its first operand as such, the strides of its output)`,
+    /// its second operand the tile; tiles of `tile_rows` rows (clamped to
+    /// the first's GEMM rows). An operand whose axis groups collapse is read
+    /// where it lies, any other gathered, as [`ContractPlan::compile`] says.
     ///
-    /// The scores must end in the query axis then the key axis (the softmax
-    /// axis), everything before them a batch axis of both contractions, and
-    /// the head size, the value width, the query and the key axis must each
-    /// be one label — what makes a slice two plain matrix products with the
-    /// softmax lanes between them in the scores' logical order. `None` for
-    /// any other pair of specs, a rank that disagrees with its labels, or
-    /// an extent two operands disagree on.
+    /// `None` when a shape disagrees with its spec, or the tile is not both
+    /// contractions' view of the same words: the first's C is not the dense
+    /// order of its natural output, or the second does not read that
+    /// container as its A, row for row and column for column — which is
+    /// what makes a tile row one whole lane of the chain and one row of the
+    /// second product.
     pub fn compile(
-        qkt: &EinsumSpec,
-        gamma: &EinsumSpec,
-        a: (&[usize], &[usize]),
-        b: (&[usize], &[usize]),
-        v: (&[usize], &[usize]),
-        out: &[usize],
-    ) -> Option<AttentionPlan> {
-        let (qc, gc) = (qkt.classify().ok()?, gamma.classify().ok()?);
-        let (scores, weights) = (qkt.output(), gamma.operands().get(1)?);
-        let [batch @ .., query, key] = scores else {
-            return None;
+        first: &EinsumSpec,
+        a: Labelled<'_>,
+        b: Labelled<'_>,
+        second: Option<(&EinsumSpec, Labelled<'_>, &[usize])>,
+        tile_rows: usize,
+    ) -> Option<TilePlan> {
+        let extent = |&ax: &Axis| Some((ax, a.0.size(ax).or_else(|_| b.0.size(ax)).ok()?));
+        let sizes: Option<Vec<_>> = first.output().iter().map(extent).collect();
+        let tile = Shape::new(sizes?).ok()?;
+        let class = first.classify().ok()?;
+        let row = first.output().iter().find(|ax| !class.batch.contains(ax))?;
+        let swapped = !first.operands()[0].contains(row);
+        let f = ContractPlan::compile_as(first, a, b, &row_major_strides(&tile), Some(swapped));
+        let f = f.ok().filter(|f| dense(f.c.view, f.batch, f.m, f.n))?;
+        let second = match second {
+            None => None,
+            Some((spec, v, out)) => {
+                let labels = spec.operands().get(1).filter(|l| l.len() == tile.rank())?;
+                let t =
+                    Shape::new(labels.iter().copied().zip(tile.sizes().iter().copied())).ok()?;
+                let s = ContractPlan::compile_as(
+                    spec,
+                    v,
+                    (&t, &row_major_strides(&t)),
+                    out,
+                    Some(true),
+                );
+                let reads = |s: &ContractPlan| {
+                    (s.batch, s.m, s.k) == (f.batch, f.m, f.n) && dense(s.a.view, s.batch, s.m, s.k)
+                };
+                Some(s.ok().filter(reads)?)
+            }
         };
-        let [w_batch @ .., w_query, w_key] = &weights[..] else {
-            return None;
-        };
-        let same_set =
-            |x: &[Axis], y: &[Axis]| x.len() == y.len() && x.iter().all(|l| y.contains(l));
-        let query_first = qc.m == [*query] && qc.n == [*key];
-        let [depth] = qc.k[..] else { return None };
-        let [width] = gc.m[..] else { return None };
-        if !(query_first || (qc.m == [*key] && qc.n == [*query]))
-            || !same_set(&qc.batch, batch)
-            || !same_set(&gc.batch, w_batch)
-            || batch.len() != w_batch.len()
-            || gc.n != [*w_query]
-            || gc.k != [*w_key]
-        {
-            return None;
-        }
-        // the entry of `xs` (an operand's sizes, or strides) at `label`
-        let at = |labels: &[Axis], xs: &[usize], label: Axis| {
-            let i = labels.iter().position(|&l| l == label)?;
-            (labels.len() == xs.len()).then(|| xs[i])
-        };
-        let dim = |labels: &[Axis], (sizes, strides): (&[usize], &[usize]), label: Axis| {
-            Some((at(labels, sizes, label)?, at(labels, strides, label)?))
-        };
-        let [la, lb] = qkt.operands() else {
-            return None;
-        };
-        let ((lq, q), (lk, kk)) = if query_first {
-            ((la, a), (lb, b))
-        } else {
-            ((lb, b), (la, a))
-        };
-        let (lv, lo) = (&gamma.operands()[0], gamma.output());
-        let ((j, q_row), (p, q_col)) = (dim(lq, q, *query)?, dim(lq, q, depth)?);
-        let ((p_k, k_row), (k, k_col)) = (dim(lk, kk, depth)?, dim(lk, kk, *key)?);
-        let ((k_v, v_row), (w, v_col)) = (dim(lv, v, *w_key)?, dim(lv, v, width)?);
-        let (o_row, o_col) = (at(lo, out, *w_query)?, at(lo, out, width)?);
-        let slices = batch.iter().zip(w_batch).map(|(&l, &wl)| {
-            let ((n, sq), (nk, sk), (nv, sv)) = (dim(lq, q, l)?, dim(lk, kk, l)?, dim(lv, v, wl)?);
-            (n == nk && n == nv).then_some((n, [sq, sk, sv, at(lo, out, wl)?]))
-        });
-        let batch = slices.collect::<Option<Vec<_>>>()?;
-        (p == p_k && k == k_v).then_some(AttentionPlan {
-            batch,
-            mats: [
-                (q_row, q_col),
-                (k_row, k_col),
-                (v_row, v_col),
-                (o_row, o_col),
-            ],
-            query_first,
-            j,
-            k,
-            p,
-            w,
+        let tile_rows = tile_rows.clamp(1, f.m.max(1));
+        Some(TilePlan {
+            first: f,
+            second,
+            tile_rows,
         })
     }
 
-    /// Scratch words [`attention_into`] needs: one slice's packed K and V
-    /// panels, a panel of [`ATTENTION_TILE_ROWS`] score rows and one of
-    /// attention-weight rows, and a row each for the softmax and the mask.
+    /// Words the tile loop keeps hot: one slice's packed B panels of each
+    /// contraction and the tile — with a second contraction, the tile of
+    /// the chain's rows it reads and a softmax and a mask row beside it.
+    pub fn hot_words(&self) -> usize {
+        let (f, rows) = (&self.first, self.tile_rows);
+        let tile = panel_words(f.n, f.k) + rows * f.n;
+        tile + (self.second.as_ref()).map_or(0, |s| panel_words(s.n, s.k) + (rows + 2) * f.n)
+    }
+
+    /// Scratch words [`tile_into`] needs: [`TilePlan::hot_words`] and the
+    /// packs of the operands that fall back to a gather — none when every
+    /// operand is a view.
     pub fn scratch_words(&self) -> usize {
-        let rows = ATTENTION_TILE_ROWS.min(self.j);
-        panel_words(self.k, self.p) + panel_words(self.w, self.k) + 2 * (rows + 1) * self.k
+        let packs = |p: &ContractPlan| p.scratch_words();
+        self.hot_words() + packs(&self.first) + self.second.as_ref().map_or(0, packs)
     }
 }
 
-/// The attention region: per slice, packs the K and V panels once, then for
-/// each panel of [`ATTENTION_TILE_ROWS`] query rows runs `QKᵀ` into scratch,
-/// the fused SM lane body (`lanes::softmax_lane` with its dropout tail) row
-/// by row, and the product with V straight into `out` through its strides.
-/// The scores, the softmax, the dropped-out weights and the mask exist only
-/// as that panel. `a` and `b` are the scores einsum's operands in its order;
-/// `causal` is as in [`softmax_into`].
+/// The lane chain a [`tile_into`] call runs on each row of its tile while
+/// the row is hot: the fused-kernel classes whose lanes are whole rows of a
+/// contraction's output. Streams are full containers, dense in natural
+/// order, a row's words at its place among all `batch · m` rows.
+#[derive(Debug)]
+pub enum RowTail<'a> {
+    /// Bias + activation + dropout ([`brd_act_into`]), one bias word per
+    /// row.
+    BiasActDrop {
+        /// Bias vector, one entry per row.
+        bias: &'a [f32],
+        /// The activation between bias and dropout.
+        kind: ActivationKind,
+        /// Saved pre-activation.
+        pre_activation: &'a mut [f32],
+        /// Kernel output.
+        out: &'a mut [f32],
+        /// Saved dropout mask.
+        mask: &'a mut [f32],
+    },
+    /// Bias + dropout + residual add ([`bdr_into`]), one bias word per row.
+    BiasDropResidual {
+        /// Bias vector, one entry per row.
+        bias: &'a [f32],
+        /// Residual input.
+        residual: &'a [f32],
+        /// Saved dropout mask.
+        mask: &'a mut [f32],
+        /// Kernel output.
+        out: &'a mut [f32],
+    },
+    /// Bias, one word per column, + softmax along the row
+    /// ([`bias_softmax_into`]): the model head.
+    BiasSoftmax {
+        /// Bias vector, one entry per column.
+        bias: &'a [f32],
+        /// Kernel output.
+        out: &'a mut [f32],
+    },
+    /// Scale + causal mask + softmax + dropout along the row ([`sm_into`]):
+    /// attention weights, written to the tile the second contraction reads
+    /// and to no stream — so it runs ahead of one.
+    Softmax {
+        /// Scale folded into the softmax.
+        scaler: f32,
+        /// As in [`softmax_into`].
+        causal: Option<usize>,
+    },
+}
+
+impl RowTail<'_> {
+    /// The stream holding the chain's output rows, which a second
+    /// contraction reads; `None` for the softmax, whose rows stay a tile.
+    fn out(&self) -> Option<&[f32]> {
+        match self {
+            RowTail::BiasActDrop { out, .. }
+            | RowTail::BiasDropResidual { out, .. }
+            | RowTail::BiasSoftmax { out, .. } => Some(out),
+            RowTail::Softmax { .. } => None,
+        }
+    }
+}
+
+/// The second contraction of a [`tile_into`] call.
+struct Then<'a> {
+    plan: &'a ContractPlan,
+    /// Its B, packed one slice at a time into `panels`.
+    b: BatchRef<'a>,
+    panels: &'a mut [f32],
+    /// Its C where it lies, or a pack scattered into `scatter` at the end.
+    c: BatchMut<'a>,
+    scatter: Option<&'a mut [f32]>,
+    /// The rows it reads when the chain writes no stream (a softmax's
+    /// weights), then a softmax row and a mask row.
+    weights: &'a mut [f32],
+    lane: &'a mut [f32],
+}
+
+/// The tile-program driver: per batch slice, packs each contraction's B
+/// panels once, then for each tile of at most `plan.tile_rows` rows
 ///
-/// Bit for bit the three-operator chain — [`contract_into`] of `qkt`,
-/// [`sm_into`], [`contract_into`] of `gamma` — RNG end state included:
+/// 1. runs the first GEMM into the tile — under a causal softmax only over
+///    the columns some row of it sees, in whole vectors;
+/// 2. runs `tail` on each row while the tile is hot;
+/// 3. with a second contraction, runs its GEMM over the chain's rows (the
+///    stream the chain wrote, or the softmax's tile) — over the `KC` blocks
+///    of columns some row sees — into its output through its strides.
 ///
-/// * a row is whole inside its panel, so its softmax is the two-pass lane
-///   body of the chain, and rows are visited in the scores' logical order
-///   (slice, then row), so every mask is the chain's draw;
-/// * both products keep the GEMM's contract — one accumulator per element,
-///   `k` ascending, block after block — which does not depend on the
-///   tiling or on which operand plays A;
-/// * a causal panel contracts only the key blocks some row of it sees. A
-///   skipped weight is `+0` and every accumulator starts at `+0.0`, so for
-///   finite values the skipped products would each have added `±0` to a sum
-///   that is never `−0`: nothing. (Nor are keys past the last visible one
-///   packed, or their scores computed: no lane reads them.)
+/// The first contraction's output exists only as the tile; a softmax's
+/// weights and mask only as theirs. `a` and `b` are the first contraction's
+/// operands in its einsum's order, `second` the second's first operand and
+/// output.
+///
+/// Bit for bit the chain it stands for — [`contract_into`], the tail's
+/// whole-container kernel, [`contract_into`] — RNG end state included:
+///
+/// * rows are visited in container order (slice, then row) and each is
+///   whole in its tile, so every lane is the chain's lane body over the
+///   chain's words, every dropout draw the chain's;
+/// * each product keeps the GEMM's contract — one accumulator per element,
+///   `k` ascending, block after block — which does not depend on the tiling
+///   or on which operand plays A;
+/// * a causal row's weights past its last visible column are `+0`, and a
+///   second product skips only `KC` blocks of them: every accumulator
+///   starts at `+0.0`, so for finite values the skipped products would each
+///   have added `±0` to a sum that is never `−0` — nothing. (Nor are
+///   columns past the last visible one packed, or computed: no lane reads
+///   them.)
 ///
 /// # Panics
 ///
-/// Panics if `scratch` is shorter than [`AttentionPlan::scratch_words`] or
-/// an operand slice is shorter than the plan's strides reach.
-#[allow(clippy::too_many_arguments)] // three operands, the SM knobs, two buffers
-pub fn attention_into<R: Rng + ?Sized>(
-    plan: &AttentionPlan,
+/// Panics if `second` is given without the plan's second contraction or the
+/// reverse, a softmax tail runs without one, `scratch` is shorter than
+/// [`TilePlan::scratch_words`], or an operand slice is shorter than its
+/// strides reach.
+pub fn tile_into<R: Rng + ?Sized>(
+    plan: &TilePlan,
     a: &[f32],
     b: &[f32],
-    v: &[f32],
-    scaler: f32,
-    causal: Option<usize>,
+    tail: &mut RowTail<'_>,
+    second: Option<(&[f32], &mut [f32])>,
     drop: &mut Dropout<'_, R>,
     scratch: &mut [f32],
-    out: &mut [f32],
 ) {
-    let (j, k, p, w) = (plan.j, plan.k, plan.p, plan.w);
-    let (q, keys) = if plan.query_first { (a, b) } else { (b, a) };
-    let [qm, km, vm, om] = plan.mats;
-    let tile = ATTENTION_TILE_ROWS.min(j);
-    // the keys `rows` query rows from row `r0` on see between them, and the
-    // `KC` blocks of keys the product with V then runs over
-    let seen = |r0: usize, rows: usize| causal.map_or(k, |pos| (pos + r0 + rows).min(k));
-    let blocks = |seen: usize| seen.next_multiple_of(KC).min(k);
-    let (k_all, v_all) = (seen(0, j), blocks(seen(0, j)));
+    let (f, tile_rows) = (&plan.first, plan.tile_rows);
+    let (m, n, k) = (f.m, f.n, f.k);
+    let causal = match *tail {
+        RowTail::Softmax { causal, .. } => causal,
+        _ => None,
+    };
+    // the columns rows `r0..r0 + rows` see between them, and the `KC`
+    // blocks of them the second product sums over
+    let seen = |r0: usize, rows: usize| causal.map_or(n, |pos| (pos + r0 + rows).min(n));
+    let blocks = |cols: usize| cols.next_multiple_of(KC).min(n);
+    let n_all = seen(0, m);
+    let [aw, bw, _] = f.pack_words();
+    let (a_pack, rest) = scratch.split_at_mut(aw);
+    let (b_pack, rest) = rest.split_at_mut(bw);
     // exactly the packs: `gemm_packed_leading` reads their depth off them
-    let (k_panels, rest) = scratch.split_at_mut(panel_words(k_all, p));
-    let (v_panels, rest) = rest.split_at_mut(panel_words(w, v_all));
-    let (scores, rest) = rest.split_at_mut(tile * k);
-    let (weights, rest) = rest.split_at_mut(tile * k);
-    let (softmax, mask) = rest.split_at_mut(k);
-    let slices: usize = plan.batch.iter().map(|d| d.0).product();
-    for g in 0..slices {
-        // where slice `g` starts in Q, K, V and the output
-        let (mut at, mut rem) = ([0usize; 4], g);
-        for &(n, strides) in plan.batch.iter().rev() {
-            for (o, s) in at.iter_mut().zip(strides) {
-                *o += rem % n * s;
-            }
-            rem /= n;
+    let (panels, rest) = rest.split_at_mut(panel_words(n_all, k));
+    let (tile, rest) = rest.split_at_mut(tile_rows * n);
+    let (x_a, x_b) = if f.swapped { (b, a) } else { (a, b) };
+    let (ga, gb) = (
+        stage(&f.a, x_a, a_pack, m, k),
+        stage(&f.b, x_b, b_pack, k, n),
+    );
+    let mut then = match (&plan.second, second) {
+        (None, None) => None,
+        (Some(s), Some((v, out))) => {
+            let [_, bw, cw] = s.pack_words();
+            let (b_pack, rest) = rest.split_at_mut(bw);
+            let (c_pack, rest) = rest.split_at_mut(cw);
+            let (panels, rest) = rest.split_at_mut(panel_words(s.n, blocks(n_all)));
+            let (weights, lane) = rest.split_at_mut(tile_rows * n);
+            let (c, scatter) = match s.c.view {
+                Some(at) => (BatchMut { data: out, at }, None),
+                None => (
+                    BatchMut {
+                        data: c_pack,
+                        at: BatchStrides::dense(s.m, s.n),
+                    },
+                    Some(out),
+                ),
+            };
+            Some(Then {
+                plan: s,
+                b: stage(&s.b, v, b_pack, s.k, s.n),
+                panels,
+                c,
+                scatter,
+                weights,
+                lane,
+            })
         }
-        pack_panels(k_all, p, MatRef::new(&keys[at[1]..], km.0, km.1), k_panels);
-        pack_panels(w, v_all, MatRef::new(&v[at[2]..], vm.0, vm.1), v_panels);
-        for r0 in (0..j).step_by(tile) {
-            let rows = tile.min(j - r0);
+        _ => panic!("a second contraction's operands go with its plan"),
+    };
+    for g in 0..f.batch {
+        pack_panels(n_all, k, gb.slice(g), panels);
+        if let Some(t) = &mut then {
+            pack_panels(t.plan.n, blocks(n_all), t.b.slice(g), t.panels);
+        }
+        for r0 in (0..m).step_by(tile_rows) {
+            let (rows, row0) = (tile_rows.min(m - r0), g * m + r0);
+            // the columns some row sees, in whole vectors
+            let cols = seen(r0, rows).next_multiple_of(NR).min(n_all);
+            let a_rows = ga.slice(g).from_row(r0);
+            gemm_packed_leading(rows, cols, k, a_rows, panels, n_all, tile, (n, 1));
             let depth = blocks(seen(r0, rows));
-            // scores of the visible keys, in whole vectors
-            let cols = seen(r0, rows).next_multiple_of(NR).min(k_all);
-            let q_rows = MatRef::new(&q[at[0] + r0 * qm.0..], qm.0, qm.1);
-            gemm_packed_leading(rows, cols, p, q_rows, k_panels, k_all, scores, (k, 1));
             for r in 0..rows {
-                // a lane ends at its last visible key; the weights past it,
-                // up to where the product with V stops reading, are `+0`
-                let visible = seen(r0 + r, 1);
-                let (row, hidden) = weights[r * k..][..depth].split_at_mut(visible);
-                let mut tail = lanes::Dropped {
-                    alpha: row,
-                    mask: &mut mask[..visible],
-                    drop: &mut *drop,
+                let x = &mut tile[r * n..][..n];
+                let at = LaneAt {
+                    base: (row0 + r) * n,
+                    stride: 1,
+                    step: 0,
+                    len: n,
                 };
-                let (x, y) = (&scores[r * k..][..visible], &mut softmax[..visible]);
-                lanes::softmax_lane::<1, _, _, _>(x, scaler, visible, y, &mut tail);
-                hidden.fill(0.0);
+                // row `row0 + r`'s one bias word, read at every column
+                let bias_at = LaneAt {
+                    base: row0 + r,
+                    stride: 0,
+                    step: 0,
+                    len: n,
+                };
+                match tail {
+                    RowTail::BiasActDrop {
+                        bias,
+                        kind,
+                        pre_activation,
+                        out,
+                        mask,
+                    } => lanes::brd_lane(
+                        &*x,
+                        &bias_at.strided(bias),
+                        *kind,
+                        drop,
+                        at.unit_mut(pre_activation),
+                        at.unit_mut(out),
+                        at.unit_mut(mask),
+                    ),
+                    RowTail::BiasDropResidual {
+                        bias,
+                        residual,
+                        mask,
+                        out,
+                    } => lanes::bdr_lane(
+                        &*x,
+                        &bias_at.strided(bias),
+                        at.unit(residual),
+                        drop,
+                        at.unit_mut(mask),
+                        at.unit_mut(out),
+                    ),
+                    RowTail::BiasSoftmax { bias, out } => {
+                        // the bias lands in the tile, where the softmax reads it
+                        lanes::acc_lane(&bias[..n], x);
+                        lanes::softmax_lane::<1, _, _, _>(&*x, 1.0, n, at.unit_mut(out), &mut ());
+                    }
+                    RowTail::Softmax { scaler, .. } => {
+                        // a lane ends at its last visible column; the weights
+                        // past it, up to where the second product stops
+                        // reading, are `+0`
+                        let t = then
+                            .as_mut()
+                            .expect("a softmax tail runs ahead of a contraction");
+                        let visible = seen(r0 + r, 1);
+                        let (row, hidden) = t.weights[r * n..][..depth].split_at_mut(visible);
+                        let (y, mask) = t.lane.split_at_mut(n);
+                        let mut tail = lanes::Dropped {
+                            alpha: row,
+                            mask: &mut mask[..visible],
+                            drop: &mut *drop,
+                        };
+                        let (x, y) = (&x[..visible], &mut y[..visible]);
+                        lanes::softmax_lane::<1, _, _, _>(x, *scaler, visible, y, &mut tail);
+                        hidden.fill(0.0);
+                    }
+                }
             }
-            let (weights, c) = (MatRef::row_major(weights, k), &mut out[at[3] + r0 * om.0..]);
-            gemm_packed_leading(rows, w, depth, weights, v_panels, w, c, om);
+            if let Some(t) = &mut then {
+                let chain = tail.out().map_or(&*t.weights, |out| &out[row0 * n..]);
+                let at = t.c.at;
+                let c = &mut t.c.data[g * at.bs + r0 * at.rs..];
+                let (w, a) = (t.plan.n, MatRef::row_major(chain, n));
+                gemm_packed_leading(rows, w, depth, a, t.panels, w, c, (at.rs, at.cs));
+            }
         }
+    }
+    if let Some(Then {
+        plan,
+        c,
+        scatter: Some(out),
+        ..
+    }) = then
+    {
+        copy_strided(&plan.c.dims, c.data, 0, out, 0);
     }
 }
 
@@ -1299,7 +1281,7 @@ pub fn sm_into<R: Rng + ?Sized>(
 
 /// The head's fused bias + softmax, `out = softmax(x + bias)` along the
 /// sweep's lane axis, the bias (operand 1) gathered by lane position —
-/// the tail [`TileEpilogue::BiasSoftmax`] runs per tile row, over a whole
+/// the tail [`RowTail::BiasSoftmax`] runs per tile row, over a whole
 /// container. Operands in the sweep's order: `x, bias, out`.
 pub fn bias_softmax_into(s: &Sweep, x: &[f32], bias: &[f32], out: &mut [f32]) {
     s.for_each_run(|run, _, _, [xa, ba, oa]| {
@@ -2020,212 +2002,45 @@ mod tests {
         assert_eq!(compile_for(&spec, &k1, &q1, &out1).scratch_words(), 0);
     }
 
+    /// The first contraction's rows are GEMM A's whichever roles would
+    /// write C best: QKT's queries — at one query row too, where both write
+    /// C in place — and BRD's `u`. A pair the tile cannot hold is refused: a
+    /// batch axis between the scores' rows and columns, a context that sums
+    /// over the queries.
     #[test]
-    fn epilogue_plan_is_the_compiled_plan_when_c_is_the_identity() {
-        let sizes = [('p', 3), ('h', 2), ('b', 2), ('j', 4), ('k', 5)];
-        let kk = rand_t("phbk", &sizes, 30);
-        let qq = rand_t("phbj", &sizes, 31);
-        let out = Shape::from_spec("hbjk", &sizes).unwrap();
-        let spec: EinsumSpec = "phbk,phbj->hbjk".parse().unwrap();
-        let ep = epilogue_contract_plan(
-            &spec,
-            kk.shape(),
-            kk.strides(),
-            qq.shape(),
-            qq.strides(),
-            &out,
-        )
-        .expect("QKT must compile via the swapped order");
-        assert_eq!(ep, compile_for(&spec, &kk, &qq, &out));
-        // a genuinely scattered output order compiles under neither order
-        let bad = Shape::from_spec("kjbh", &sizes).unwrap();
-        assert!(epilogue_contract_plan(
-            &spec,
-            kk.shape(),
-            kk.strides(),
-            qq.shape(),
-            qq.strides(),
-            &bad,
-        )
-        .is_none());
-    }
-
-    /// The region against the chain it replaces — `contract` of the scores,
-    /// the fused SM kernel, `contract` of the context — bitwise, RNG end
-    /// state included: full and causal (with a position offset), over the
-    /// block's `phbk`/`whbk` projections and over position-major caches,
-    /// more query rows than one panel holds.
-    #[test]
-    fn attention_into_matches_the_three_operator_chain_bitwise() {
-        let j = ATTENTION_TILE_ROWS + 5;
-        let sizes = [
-            ('p', 3),
-            ('w', 2),
-            ('h', 2),
-            ('b', 2),
-            ('j', j),
-            ('k', j + 4),
-        ];
-        let qq = rand_t("phbj", &sizes, 32);
-        let row_major = Layout::row_major(4);
-        for (keys, values) in [("phbk", "whbk"), ("kphb", "kwhb")] {
-            let (kk, vv) = (rand_t(keys, &sizes, 33), rand_t(values, &sizes, 34));
-            let qkt: EinsumSpec = format!("{keys},phbj->hbjk").parse().unwrap();
-            let gamma: EinsumSpec = format!("{values},hbjk->whbj").parse().unwrap();
-            for (causal, p) in [(None, 0.0f32), (None, 0.3), (Some(0), 0.3), (Some(3), 0.0)] {
-                let mut rng_a = StdRng::seed_from_u64(9);
-                let beta = crate::contract::contract(&qkt, &kk, &qq, &row_major).unwrap();
-                let sm = match causal {
-                    Some(pos) => {
-                        fused::sm_causal_at(&beta, 0.5, Axis('j'), Axis('k'), p, &mut rng_a, pos)
-                    }
-                    None => fused::sm(&beta, 0.5, Axis('k'), p, &mut rng_a),
-                }
-                .unwrap();
-                let want = crate::contract::contract(&gamma, &vv, &sm.alpha, &row_major).unwrap();
-
-                let of = |t: &'_ Tensor| (t.shape().sizes().to_vec(), t.strides().to_vec());
-                let (a, b, v) = (of(&kk), of(&qq), of(&vv));
-                let plan = AttentionPlan::compile(
-                    &qkt,
-                    &gamma,
-                    (&a.0, &a.1),
-                    (&b.0, &b.1),
-                    (&v.0, &v.1),
-                    want.strides(),
-                )
-                .unwrap();
-                assert!(!plan.query_first);
-                assert_eq!((plan.j, plan.k, plan.p, plan.w), (j, j + 4, 3, 2));
-                let mut rng_b = StdRng::seed_from_u64(9);
-                let mut out = vec![f32::NAN; want.len()];
-                attention_into(
-                    &plan,
-                    kk.data(),
-                    qq.data(),
-                    vv.data(),
-                    0.5,
-                    causal,
-                    &mut Dropout::new(p, &mut rng_b).unwrap(),
-                    &mut vec![f32::NAN; plan.scratch_words()],
-                    &mut out,
-                );
-                assert_bits(&format!("{keys} {causal:?} p{p}"), &out, want.data());
-                assert_same_rng_state(&mut rng_a, &mut rng_b, "region");
-            }
-        }
-        // a batch axis between the scores' last two, a context that sums
-        // over the queries: not a scores/context pair
+    fn a_tile_plan_pins_the_rows_to_gemm_a_and_refuses_what_no_tile_holds() {
+        let of = |t: &'_ Tensor| (t.shape().clone(), t.strides().to_vec());
+        let plan = |qkt: &str, gamma: &str, j: usize| {
+            let sizes = [('p', 3), ('w', 2), ('h', 2), ('b', 2), ('j', j), ('k', 5)];
+            let (qkt, gamma): (EinsumSpec, EinsumSpec) =
+                (qkt.parse().unwrap(), gamma.parse().unwrap());
+            let labels = |ax: &[Axis]| ax.iter().map(|a| a.name()).collect::<String>();
+            let t = |ax: &[Axis]| of(&rand_t(&labels(ax), &sizes, 1));
+            let (a, b) = (t(&qkt.operands()[0]), t(&qkt.operands()[1]));
+            let (v, out) = (t(&gamma.operands()[0]), t(gamma.output()));
+            let second = Some((&gamma, (&v.0, &v.1[..]), &out.1[..]));
+            TilePlan::compile(&qkt, (&a.0, &a.1), (&b.0, &b.1), second, 32)
+        };
         let (qkt, gamma) = ("phbk,phbj->hbjk", "whbk,hbjk->whbj");
-        let dims = [3usize, 2, 2, 4];
-        for (bad_qkt, bad_gamma) in [("phbk,phbj->hjbk", gamma), (qkt, "whbj,hbjk->whbk")] {
-            let (bad_qkt, bad_gamma) = (bad_qkt.parse().unwrap(), bad_gamma.parse().unwrap());
-            let op = (&dims[..], &dims[..]);
-            assert!(AttentionPlan::compile(&bad_qkt, &bad_gamma, op, op, op, &dims).is_none());
+        for j in [4, 1] {
+            let p = plan(qkt, gamma, j).expect("the attention core is a tile program");
+            assert!(p.first.swapped, "the query operand is A");
+            assert_eq!(
+                (p.first.batch, p.first.m, p.first.n, p.first.k),
+                (4, j, 5, 3)
+            );
+            let second = p.second.unwrap();
+            assert_eq!((second.m, second.n, second.k), (j, 2, 5));
+            assert_eq!(p.tile_rows, j);
         }
-    }
-
-    /// Row-tiled bias epilogues (BRD / BDR shape: batch-free, bias on M)
-    /// against the unfused sequence, bitwise, at several tile heights.
-    #[test]
-    fn row_tiled_bias_epilogues_match_unfused_bitwise() {
+        assert!(plan("phbk,phbj->hjbk", "whbk,hjbk->whbj", 4).is_none());
+        assert!(plan(qkt, "whbj,hbjk->whbk", 4).is_none());
         let sizes = [('u', 6), ('i', 4), ('b', 2), ('j', 5)];
-        let w = rand_t("ui", &sizes, 40);
-        let x = rand_t("ibj", &sizes, 41);
-        let bias = rand_t("u", &sizes, 42);
+        let (w, x) = (of(&rand_t("ui", &sizes, 2)), of(&rand_t("ibj", &sizes, 3)));
         let spec: EinsumSpec = "ui,ibj->ubj".parse().unwrap();
-        let out_shape = Shape::from_spec("ubj", &sizes).unwrap();
-        let ep = epilogue_contract_plan(
-            &spec,
-            w.shape(),
-            w.strides(),
-            x.shape(),
-            x.strides(),
-            &out_shape,
-        )
-        .unwrap();
-        assert!(!ep.swapped);
-        assert_eq!((ep.batch, ep.m), (1, 6));
-        let total = out_shape.num_elements();
-        let p = 0.25f32;
-        let residual = rand_t("ubj", &sizes, 43);
-
-        // unfused reference: full contraction, then the fused kernel
-        let mm = crate::contract::contract(&spec, &w, &x, &Layout::row_major(3)).unwrap();
-        let (v, vb) = (whole(&mm), onto(&mm, &bias));
-        let brd_sweep = sweep(&mm, &[&v, &vb, &v, &v, &v], None, None);
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let (mut pre_a, mut out_a, mut mk_a) =
-            (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
-        brd_act_into(
-            &brd_sweep,
-            mm.data(),
-            bias.data(),
-            ActivationKind::Gelu,
-            &mut Dropout::new(p, &mut rng_a).unwrap(),
-            &mut pre_a,
-            &mut out_a,
-            &mut mk_a,
-        );
-        let mut rng_ar = StdRng::seed_from_u64(13);
-        let (mut mkr_a, mut outr_a) = (vec![0.0; total], vec![0.0; total]);
-        bdr_into(
-            &brd_sweep,
-            mm.data(),
-            bias.data(),
-            residual.data(),
-            &mut Dropout::new(p, &mut rng_ar).unwrap(),
-            &mut mkr_a,
-            &mut outr_a,
-        );
-
-        for tile_rows in [1usize, 2, 4, 6] {
-            let mut scratch = vec![f32::NAN; ep.epilogue_scratch_words(tile_rows)];
-            let mut rng_b = StdRng::seed_from_u64(11);
-            let (mut pre_b, mut out_b, mut mk_b) =
-                (vec![0.0; total], vec![0.0; total], vec![0.0; total]);
-            let mut epi = TileEpilogue::BiasActDrop {
-                bias: bias.data(),
-                kind: ActivationKind::Gelu,
-                pre_activation: &mut pre_b,
-                out: &mut out_b,
-                mask: &mut mk_b,
-            };
-            contract_epilogue_tiled(
-                &ep,
-                tile_rows,
-                w.data(),
-                x.data(),
-                &mut scratch,
-                &mut Dropout::new(p, &mut rng_b).unwrap(),
-                &mut epi,
-            );
-            assert_bits("pre_activation", &pre_a, &pre_b);
-            assert_bits("brd out", &out_a, &out_b);
-            assert_bits("brd mask", &mk_a, &mk_b);
-            assert_same_rng_state(&mut rng_a.clone(), &mut rng_b, "brd");
-
-            let mut rng_br = StdRng::seed_from_u64(13);
-            let (mut mkr_b, mut outr_b) = (vec![0.0; total], vec![0.0; total]);
-            let mut epi = TileEpilogue::BiasDropResidual {
-                bias: bias.data(),
-                residual: residual.data(),
-                mask: &mut mkr_b,
-                out: &mut outr_b,
-            };
-            contract_epilogue_tiled(
-                &ep,
-                tile_rows,
-                w.data(),
-                x.data(),
-                &mut scratch,
-                &mut Dropout::new(p, &mut rng_br).unwrap(),
-                &mut epi,
-            );
-            assert_bits("bdr mask", &mkr_a, &mkr_b);
-            assert_bits("bdr out", &outr_a, &outr_b);
-            assert_same_rng_state(&mut rng_ar.clone(), &mut rng_br, "bdr");
-        }
+        let p = TilePlan::compile(&spec, (&w.0, &w.1), (&x.0, &x.1), None, 4).unwrap();
+        assert!(!p.first.swapped);
+        assert_eq!((p.first.m, p.first.n, p.tile_rows), (6, 10, 4));
     }
 
     #[test]

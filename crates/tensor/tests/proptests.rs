@@ -1,8 +1,8 @@
 //! Property-based tests of the tensor substrate's core invariants:
 //! einsum-vs-naive equivalence, layout round-trips, normalization
 //! properties over arbitrary layouts, fused-vs-unfused equality, FP16
-//! conversion laws, and the attention region against the three-operator
-//! chain it replaces.
+//! conversion laws, and the tile-program driver against the chain of
+//! allocating kernels it stands for.
 
 use proptest::prelude::*;
 use rand::distributions::Uniform;
@@ -1159,85 +1159,151 @@ mod gemm {
     }
 }
 
-/// The attention region (`into_ops::attention_into`) against the chain it
-/// replaces — `contract` of the scores, the fused SM kernel, `contract` of
-/// the context, every `[h,b,j,k]` tensor of it materialized — bit for bit,
-/// the dropout RNG's end state included.
-mod attention_region {
+/// The tile-program driver (`into_ops::tile_into`) against the chain of
+/// allocating kernels it stands for — `contract` of the first contraction,
+/// the tail's whole-tensor kernel, `contract` of the second over the tail's
+/// output, every intermediate materialized — bit for bit, the dropout RNG's
+/// end state included.
+mod tile_program {
     use super::*;
-    use xform_tensor::fused::SmOutput;
-    use xform_tensor::into_ops::{attention_into, AttentionPlan, ATTENTION_TILE_ROWS};
+    use xform_tensor::into_ops::{tile_into, RowTail, TilePlan, ATTENTION_TILE_ROWS};
     use xform_tensor::lanes::Dropout;
     use xform_tensor::matmul::{KC, NR};
+    use xform_tensor::ops::dropout::dropout_disabled;
+    use ActivationKind::Gelu;
 
-    /// One attention core: the operands (in whatever layouts), masking,
-    /// dropout.
-    struct Core {
-        qq: Tensor,
-        kk: Tensor,
-        vv: Tensor,
-        /// Position-major caches (`kphb` / `kwhb`) in place of the block's
-        /// `phbk` / `whbk` projections.
-        cache_major: bool,
-        /// Causal: the absolute position of query row 0.
-        causal: Option<usize>,
-        p: f32,
+    /// The tail classes, each with the contractions around it. Every
+    /// second contraction sums over the tile's columns.
+    #[derive(Debug, Clone, Copy)]
+    enum Class {
+        /// Attention: scale/mask/softmax/dropout between the scores and the
+        /// context, over the block's projections or position-major caches.
+        Softmax { cache_major: bool },
+        /// BRD behind a projection, one bias word per row.
+        Brd,
+        /// BDR likewise, with a residual stream.
+        Bdr,
+        /// The head's bias and softmax, one bias word per column.
+        Bsv,
     }
 
-    impl Core {
-        fn specs(&self) -> (EinsumSpec, EinsumSpec) {
-            let (keys, values) = if self.cache_major {
-                ("kphb", "kwhb")
-            } else {
-                ("phbk", "whbk")
+    impl Class {
+        fn specs(self) -> (EinsumSpec, EinsumSpec) {
+            let (first, second) = match self {
+                Class::Softmax { cache_major: false } => ("phbk,phbj->hbjk", "whbk,hbjk->whbj"),
+                Class::Softmax { cache_major: true } => ("kphb,phbj->hbjk", "kwhb,hbjk->whbj"),
+                Class::Brd | Class::Bdr => ("ui,ibj->ubj", "wbj,ubj->uw"),
+                Class::Bsv => ("ibj,vi->bjv", "wv,bjv->bjw"),
             };
-            (
-                format!("{keys},phbj->hbjk").parse().unwrap(),
-                format!("{values},hbjk->whbj").parse().unwrap(),
-            )
+            (first.parse().unwrap(), second.parse().unwrap())
+        }
+    }
+
+    /// One program: its operands (in whatever layouts), the output's
+    /// layout, a second contraction or none, masking, dropout, tile height.
+    struct Program {
+        class: Class,
+        a: Tensor,
+        b: Tensor,
+        v: Tensor,
+        bias: Tensor,
+        residual: Tensor,
+        out: Layout,
+        second: bool,
+        /// Causal (the softmax's): the absolute position of row 0.
+        causal: Option<usize>,
+        p: f32,
+        tile_rows: usize,
+    }
+
+    impl Program {
+        /// The chain: the streams the tail writes (natural layout), the
+        /// rows it hands on, and the second contraction's output, if any.
+        fn chain(&self, rng: &mut StdRng) -> (Vec<Tensor>, Tensor, Option<Tensor>) {
+            let (first, second) = self.class.specs();
+            let rank = first.output().len();
+            let head =
+                contract::contract(&first, &self.a, &self.b, &Layout::row_major(rank)).unwrap();
+            let (streams, rows) = match self.class {
+                Class::Softmax { .. } => {
+                    let (j, k) = (Axis('j'), Axis('k'));
+                    let sm = match self.causal {
+                        Some(pos) => fused::sm_causal_at(&head, 0.5, j, k, self.p, rng, pos),
+                        None => fused::sm(&head, 0.5, k, self.p, rng),
+                    };
+                    (vec![], sm.unwrap().alpha)
+                }
+                Class::Brd => {
+                    let r = fused::brd_act(&head, &self.bias, Gelu, self.p, rng).unwrap();
+                    (vec![r.pre_activation, r.out.clone(), r.mask], r.out)
+                }
+                Class::Bdr => {
+                    let biased = bias_add(&head, &self.bias).unwrap();
+                    let (dropped, mask) = if self.p > 0.0 {
+                        dropout(&biased, self.p, rng)
+                    } else {
+                        dropout_disabled(&biased)
+                    };
+                    let out = add(&dropped, &self.residual).unwrap();
+                    (vec![mask, out.clone()], out)
+                }
+                Class::Bsv => {
+                    let out = softmax(&bias_add(&head, &self.bias).unwrap(), Axis('v')).unwrap();
+                    (vec![out.clone()], out)
+                }
+            };
+            let then =
+                (self.second).then(|| contract::contract(&second, &self.v, &rows, &self.out));
+            (streams, rows, then.map(Result::unwrap))
         }
 
-        /// The chain: `(softmax bundle, context in `out`)`.
-        fn chain(&self, out: &Layout, rng: &mut StdRng) -> (SmOutput, Tensor) {
-            let (qkt, gamma) = self.specs();
-            let beta = contract::contract(&qkt, &self.kk, &self.qq, &Layout::row_major(4)).unwrap();
-            let (j, k) = (Axis('j'), Axis('k'));
-            let sm = match self.causal {
-                Some(pos) => fused::sm_causal_at(&beta, 0.5, j, k, self.p, rng, pos),
-                None => fused::sm(&beta, 0.5, k, self.p, rng),
+        /// The driver, its streams and second output over poison, the
+        /// output laid out like `like`.
+        fn tile(&self, like: Option<&Tensor>, rng: &mut StdRng) -> (Vec<Vec<f32>>, Vec<f32>) {
+            let (first, second) = self.class.specs();
+            fn of(t: &Tensor) -> (&Shape, &[usize]) {
+                (t.shape(), t.strides())
             }
-            .unwrap();
-            let context = contract::contract(&gamma, &self.vv, &sm.alpha, out).unwrap();
-            (sm, context)
-        }
-
-        /// The region, writing a context laid out like `like` over poison.
-        fn region(&self, like: &Tensor, rng: &mut StdRng) -> Vec<f32> {
-            let (qkt, gamma) = self.specs();
-            let of = |t: &'_ Tensor| (t.shape().sizes().to_vec(), t.strides().to_vec());
-            let (a, b, v) = (of(&self.kk), of(&self.qq), of(&self.vv));
-            let plan = AttentionPlan::compile(
-                &qkt,
-                &gamma,
-                (&a.0, &a.1),
-                (&b.0, &b.1),
-                (&v.0, &v.1),
-                like.strides(),
-            )
-            .expect("the attention emitter's specs compile in any layout");
-            let mut out = vec![f32::NAN; like.len()];
-            attention_into(
+            let then = like.map(|like| (&second, of(&self.v), like.strides()));
+            let plan = TilePlan::compile(&first, of(&self.a), of(&self.b), then, self.tile_rows)
+                .expect("the forward chains compile in any layout");
+            let words = plan.first.batch * plan.first.m * plan.first.n;
+            let mut streams = vec![vec![f32::NAN; words]; 3];
+            let [s0, s1, s2] = &mut streams[..] else {
+                unreachable!()
+            };
+            let bias = self.bias.data();
+            let mut tail = match self.class {
+                Class::Softmax { .. } => RowTail::Softmax {
+                    scaler: 0.5,
+                    causal: self.causal,
+                },
+                Class::Brd => RowTail::BiasActDrop {
+                    bias,
+                    kind: Gelu,
+                    pre_activation: s0,
+                    out: s1,
+                    mask: s2,
+                },
+                Class::Bdr => RowTail::BiasDropResidual {
+                    bias,
+                    residual: self.residual.data(),
+                    mask: s0,
+                    out: s1,
+                },
+                Class::Bsv => RowTail::BiasSoftmax { bias, out: s0 },
+            };
+            let mut out = vec![f32::NAN; like.map_or(0, Tensor::len)];
+            tile_into(
                 &plan,
-                self.kk.data(),
-                self.qq.data(),
-                self.vv.data(),
-                0.5,
-                self.causal,
+                self.a.data(),
+                self.b.data(),
+                &mut tail,
+                like.map(|_| (self.v.data(), &mut out[..])),
                 &mut Dropout::new(self.p, rng).unwrap(),
                 &mut vec![f32::NAN; plan.scratch_words()],
-                &mut out,
             );
-            out
+            (streams, out)
         }
     }
 
@@ -1258,43 +1324,91 @@ mod attention_region {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
+        // Every tail class, with a second contraction and without (the
+        // softmax's weights are a tile no stream holds: it runs only ahead
+        // of one); A, B and V in every layout; tiles of the attention panel,
+        // of one row, of a height that does not divide the rows, and of more
+        // rows than there are.
         #[test]
-        fn region_equals_the_three_operator_chain_bitwise(
+        fn the_tile_program_is_its_chain_bitwise(
+            (class, second) in (0usize..5, any::<bool>()),
             (j, k) in extents(),
             (b, h) in (1usize..3, 1usize..3),
-            (depth, width) in (0usize..4, 0usize..4),
-            (cache_major, mask, pos) in (any::<bool>(), any::<bool>(), 0usize..600),
-            p in 0usize..3,
+            (depth, width, wide) in (0usize..4, 0usize..4, 0usize..4),
+            (mask, pos) in (any::<bool>(), 0usize..600),
+            (p, vocab) in (0usize..3, 0usize..4),
+            height in 0usize..4,
             lay in (0usize..24, 0usize..24, 0usize..24, 0usize..24),
             seed in 0u64..1000,
         ) {
+            let class = [
+                Class::Softmax { cache_major: false },
+                Class::Softmax { cache_major: true },
+                Class::Brd,
+                Class::Bdr,
+                Class::Bsv,
+            ][class];
+            let softmax = matches!(class, Class::Softmax { .. });
+            // the bias classes: `u` rows, `b·j` columns (the head: `b·j`
+            // rows, `v` columns), a depth `i` of up to two and a bit `KC`
+            // blocks; at most 37 query rows, so the chain stays small
+            let (jb, wide) = (j.min(37), [1, 3, 17, 2 * KC + 3][wide]);
             let (depth, width) = ([1, 3, 16, 20][depth], [1, 2, 16, 17][width]);
-            let table = [('p', depth), ('w', width), ('h', h), ('b', b), ('j', j), ('k', k)];
-            let layouts = Layout::all(4);
+            let table = [
+                ('p', depth), ('w', width), ('h', h), ('b', b),
+                ('j', if softmax { j } else { jb }), ('k', k),
+                ('u', width + 5), ('i', wide), ('v', [1, 15, 37, 7][vocab]),
+            ];
             let t = |spec: &str, layout: usize, seed: u64| {
-                rand_tensor(Shape::from_spec(spec, &table).unwrap(), seed).relayout(&layouts[layout])
+                let t = rand_tensor(Shape::from_spec(spec, &table).unwrap(), seed);
+                let layouts = Layout::all(t.shape().rank());
+                t.relayout(&layouts[layout % layouts.len()])
             };
-            let (keys, values) = if cache_major { ("kphb", "kwhb") } else { ("phbk", "whbk") };
-            let core = Core {
-                qq: t("phbj", lay.0, seed),
-                kk: t(keys, lay.1, seed + 1),
-                vv: t(values, lay.2, seed + 2),
-                cache_major,
+            let (first, second_spec) = class.specs();
+            let labels = |axes: &[Axis]| axes.iter().map(|a| a.name()).collect::<String>();
+            let [la, lb] = first.operands() else { unreachable!() };
+            let program = Program {
+                class,
+                a: t(&labels(la), lay.0, seed),
+                b: t(&labels(lb), lay.1, seed + 1),
+                v: t(&labels(&second_spec.operands()[0]), lay.2, seed + 2),
+                bias: t(if matches!(class, Class::Bsv) { "v" } else { "u" }, 0, seed + 3),
+                residual: t("ubj", 0, seed + 4),
+                out: {
+                    let layouts = Layout::all(second_spec.output().len());
+                    layouts[lay.3 % layouts.len()]
+                },
+                second: second || softmax,
                 // row 0 somewhere in the keys, the last rows often past them
-                causal: mask.then_some(pos % k),
+                causal: (softmax && mask).then_some(pos % k),
                 p: [0.0, 0.1, 0.5][p],
+                tile_rows: 0,
             };
             let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            let (_, want) = core.chain(&layouts[lay.3], &mut rng_a);
-            let got = core.region(&want, &mut rng_b);
-            prop_assert!(bits(&got) == bits(want.data()), "gamma differs");
+            let (streams, _, then) = program.chain(&mut rng_a);
+            let rows = match class {
+                Class::Softmax { .. } => j,
+                Class::Brd | Class::Bdr => width + 5,
+                Class::Bsv => b * jb,
+            };
+            let program = Program {
+                tile_rows: [ATTENTION_TILE_ROWS, 1, rows / 2 + 1, rows + 3][height],
+                ..program
+            };
+            let (got, out) = program.tile(then.as_ref(), &mut rng_b);
+            for (s, (want, got)) in streams.iter().zip(&got).enumerate() {
+                prop_assert!(bits(got) == bits(want.data()), "stream {} differs", s);
+            }
+            if let Some(want) = then {
+                prop_assert!(bits(&out) == bits(want.data()), "the second product differs");
+            }
             prop_assert!(rng_a.next_u64() == rng_b.next_u64(), "RNG end states differ");
         }
     }
 
-    /// The lane rules `softmax_lane` documents, through the region: a fully
+    /// The lane rules `softmax_lane` documents, through the driver: a fully
     /// masked (all `−inf`) row is zero and draws nothing, a NaN in a row's
     /// visible prefix poisons that row and no other, a `+inf` likewise.
     #[test]
@@ -1322,17 +1436,23 @@ mod attention_region {
         // `nan_key` on see it — `dead` is before it
         kk.set(&[0, 0, 0, nan_key], f32::NAN);
         for (causal, p) in [(Some(0), 0.3f32), (None, 0.0)] {
-            let core = Core {
-                qq: qq.clone(),
-                kk: kk.clone(),
-                vv: vv.clone(),
-                cache_major: false,
+            let program = Program {
+                class: Class::Softmax { cache_major: false },
+                a: kk.clone(),
+                b: qq.clone(),
+                v: vv.clone(),
+                bias: unit("w", 4),
+                residual: unit("w", 5),
+                out: Layout::row_major(4),
+                second: true,
                 causal,
                 p,
+                tile_rows: ATTENTION_TILE_ROWS,
             };
             let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
-            let (sm, want) = core.chain(&Layout::row_major(4), &mut rng_a);
-            let got = core.region(&want, &mut rng_b);
+            let (_, weights, want) = program.chain(&mut rng_a);
+            let want = want.unwrap();
+            let (_, got) = program.tile(Some(&want), &mut rng_b);
             // the same bits, NaN for NaN (a product of two NaNs keeps the
             // payload of whichever operand the GEMM's role choice put first)
             for (g, w) in got.iter().zip(want.data()) {
@@ -1355,9 +1475,9 @@ mod attention_region {
                         "{causal:?} row {r} of head {hh}"
                     );
                 } else if r == dead {
-                    // zero weights, a `+0` context, and no mask drawn
+                    // zero weights and a `+0` context
                     assert!(row.iter().all(|v| v.to_bits() == 0), "{causal:?} head {hh}");
-                    assert!((0..k).all(|kk| sm.mask.at(&[hh, 0, dead, kk]) == 0.0));
+                    assert!((0..k).all(|kk| weights.at(&[hh, 0, dead, kk]) == 0.0));
                 } else {
                     assert!(
                         row.iter().all(|v| v.is_finite()),

@@ -131,7 +131,8 @@ pub struct Activations {
 }
 
 impl EncoderLayer {
-    /// Creates a layer with the fused executor and the given dropout.
+    /// Creates a layer running `executor`'s canned plan with the given
+    /// dropout probability and a ReLU feed-forward activation.
     pub fn new(dims: EncoderDims, executor: Executor, dropout_p: f32) -> Self {
         EncoderLayer {
             dims,

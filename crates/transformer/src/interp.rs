@@ -532,8 +532,16 @@ pub(crate) fn forward<A>(
         with_externals(x, w, |resolve| {
             arena.execute_into_state(graph, plan, opts, resolve, &mut state)
         })?;
-        let region =
-            |s: &xform_core::plan::PlanStep| matches!(s.kind, OpKind::AttentionRegion { .. });
+        // the attention region: the tile program of two contractions
+        let region = |s: &xform_core::plan::PlanStep| {
+            matches!(
+                s.kind,
+                OpKind::TileProgram {
+                    second: Some(_),
+                    ..
+                }
+            )
+        };
         let at = plan.steps.iter().position(region);
         Ok((state, at.map(|si| (opts.seed, plan.stream_of(si)))))
     })?;
@@ -665,7 +673,7 @@ pub fn encoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
 
 /// The fused encoder with GEMM-epilogue mega-kernels: element-wise fusion
 /// first, then every detected contraction→epilogue chain collapsed into a
-/// [`xform_dataflow::OpKind::ContractionEpilogue`] step whose
+/// one-contraction [`xform_dataflow::OpKind::TileProgram`] step whose
 /// intermediate is never materialized.
 ///
 /// # Errors

@@ -12,14 +12,15 @@ use substation::tensor::Layout;
 /// `plan` with about half of its operand layouts replaced by a random
 /// permutation of the container's axes (seeded), then `reflow`ed — which
 /// inserts a relayout wherever a consumer now disagrees with its producer
-/// or with an earlier consumer. The tail streams of GEMM-epilogue steps
-/// stay natural: that is the one layout the arena refuses (and says so).
+/// or with an earlier consumer. The tail streams of one-contraction tile
+/// programs stay natural: that is the one layout the arena refuses (and
+/// says so).
 /// The result is error-clean.
 pub fn permuted(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> ExecutionPlan {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = plan.clone();
     for step in &mut out.steps {
-        let epilogue = matches!(step.kind, OpKind::ContractionEpilogue { .. });
+        let epilogue = matches!(step.kind, OpKind::TileProgram { second: None, .. });
         let free: Vec<_> = if epilogue {
             step.inputs.iter_mut().take(2).collect()
         } else {

@@ -63,11 +63,21 @@ fn steps_of(pf: &interp::PlannedForward, kind: fn(&OpKind) -> bool) -> usize {
 }
 
 fn mega_steps(pf: &interp::PlannedForward) -> usize {
-    steps_of(pf, |k| matches!(k, OpKind::ContractionEpilogue { .. }))
+    steps_of(pf, |k| {
+        matches!(k, OpKind::TileProgram { second: None, .. })
+    })
 }
 
 fn region_steps(pf: &interp::PlannedForward) -> usize {
-    steps_of(pf, |k| matches!(k, OpKind::AttentionRegion { .. }))
+    steps_of(pf, |k| {
+        matches!(
+            k,
+            OpKind::TileProgram {
+                second: Some(_),
+                ..
+            }
+        )
+    })
 }
 
 #[test]
