@@ -1775,7 +1775,7 @@ pub fn audit(graph: &Graph, plan: &ExecutionPlan, device: &DeviceSpec) -> Moveme
     let mut read_words_total = 0u64;
     let mut write_words_total = 0u64;
     let mut modelled = 0usize;
-    let epi_chains = crate::fusion::avoidable_chains(graph);
+    let epi_chains = crate::fusion::detect_tiles(graph);
     let mut avoid: HashMap<NodeId, u64> = HashMap::new();
     for c in &epi_chains {
         // the head writes the interim, the tail reads it back

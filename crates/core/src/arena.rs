@@ -1323,38 +1323,32 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
         Kernel::Bdr => into_ops::bdr_into(s(), r(0), r(1), r(2), drop, w(3), w(4)),
         Kernel::BiasSoftmax => into_ops::bias_softmax_into(s(), r(0), r(1), w(2)),
         Kernel::Tile { plan, tail } => {
-            let (mut tail, second) = match *tail {
-                Tail::BrdAct => {
-                    let tail = RowTail::BiasActDrop {
-                        bias: r(2),
-                        kind: run.activation,
-                        pre_activation: w(3),
-                        out: w(4),
-                        mask: w(5),
-                    };
-                    (tail, None)
-                }
-                Tail::Bdr => {
-                    let tail = RowTail::BiasDropResidual {
-                        bias: r(2),
-                        residual: r(3),
-                        mask: w(4),
-                        out: w(5),
-                    };
-                    (tail, None)
-                }
-                Tail::BiasSoftmax => (
-                    RowTail::BiasSoftmax {
-                        bias: r(2),
-                        out: w(3),
-                    },
-                    None,
-                ),
-                Tail::Softmax { causal } => {
-                    let (scaler, causal) = (run.scaler, pos(causal));
-                    (RowTail::Softmax { scaler, causal }, Some((r(2), w(3))))
-                }
+            let mut tail = match *tail {
+                Tail::BrdAct => RowTail::BiasActDrop {
+                    bias: r(2),
+                    kind: run.activation,
+                    pre_activation: w(3),
+                    out: w(4),
+                    mask: w(5),
+                },
+                Tail::Bdr => RowTail::BiasDropResidual {
+                    bias: r(2),
+                    residual: r(3),
+                    mask: w(4),
+                    out: w(5),
+                },
+                Tail::BiasSoftmax => RowTail::BiasSoftmax {
+                    bias: r(2),
+                    out: w(3),
+                },
+                Tail::Softmax { causal } => RowTail::Softmax {
+                    scaler: run.scaler,
+                    causal: pos(causal),
+                },
             };
+            // the attention region's context contraction: the values, the
+            // output
+            let second = plan.second.is_some().then(|| (r(2), w(3)));
             into_ops::tile_into(plan, r(0), r(1), &mut tail, second, drop, scratch());
         }
     }

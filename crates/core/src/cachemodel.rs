@@ -591,7 +591,7 @@ pub fn cache_audit(
     let wb = device.word_bytes as u64;
     let flat = analyze::audit(graph, plan, device);
     let traffic = trace_plan(graph, plan, geometry, wb);
-    let chains = crate::fusion::avoidable_chains(graph);
+    let chains = crate::fusion::detect_tiles(graph);
     let mut avoid: HashMap<NodeId, u64> = HashMap::new();
     for c in &chains {
         *avoid.entry(c.head).or_insert(0) += c.interim_words;

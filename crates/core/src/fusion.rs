@@ -31,7 +31,7 @@
 //!   never exist beyond a tile of rows.
 //!
 //! Both are bit for bit the chains they replace. A plan that keeps a chain
-//! audits its intermediate as avoidable movement ([`avoidable_chains`]).
+//! audits its intermediate as avoidable movement ([`detect_tiles`]).
 
 use xform_dataflow::{Graph, NodeId, OpClass, OpKind};
 use xform_tensor::{Layout, Result, TensorError};
@@ -411,6 +411,12 @@ pub struct TileChain {
 /// contraction must already be one fused node — run this after
 /// [`apply_plan`] — so an unfused graph (the reference executor's, the
 /// oracle) has none.
+///
+/// What a plan over `graph` moves through each chain's intermediate (for
+/// an attention core, `QKT → SM`'s scores) is pure movement, not
+/// algorithmic demand: the audits ([`crate::analyze::audit`],
+/// [`crate::cachemodel::cache_audit`], the profiler) count it into `D` and
+/// out of `Q`, so collapsing a chain lowers `D` at constant `Q`.
 pub fn detect_tiles(graph: &Graph) -> Vec<TileChain> {
     let candidate = |op| tile_candidate(graph, op);
     let mut chains: Vec<TileChain> = graph.ops().into_iter().filter_map(candidate).collect();
@@ -419,6 +425,10 @@ pub fn detect_tiles(graph: &Graph) -> Vec<TileChain> {
 }
 
 fn tile_candidate(graph: &Graph, head: NodeId) -> Option<TileChain> {
+    // ahead of the edge scans: most operators are no contraction
+    if !matches!(graph.op(head)?.kind, OpKind::Einsum(_)) {
+        return None;
+    }
     let [interim] = graph.outputs_of(head)[..] else {
         return None;
     };
@@ -519,17 +529,6 @@ fn fuse_tiles(graph: &mut Graph, two: bool, span: usize) -> Result<Vec<NodeId>> 
         .filter(|c| c.second.is_some() == two);
     let fuse = |c: TileChain| graph.fuse_tile(c.head, c.tail, c.second, &c.name, span);
     chains.map(fuse).collect()
-}
-
-/// Every contraction → fused-kernel link of `graph` whose intermediate a
-/// collapsing pass would eliminate: the first link of each of
-/// [`detect_tiles`]' chains (for an attention core, `QKT → SM`). What a plan
-/// over `graph` moves through those intermediates is pure movement, not
-/// algorithmic demand — the audits ([`crate::analyze::audit`],
-/// [`crate::cachemodel::cache_audit`], the profiler) count it into `D` and
-/// out of `Q`, so collapsing a chain lowers `D` at constant `Q`.
-pub fn avoidable_chains(graph: &Graph) -> Vec<TileChain> {
-    detect_tiles(graph)
 }
 
 /// Total words of data movement the detected chains would eliminate: each

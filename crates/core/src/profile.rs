@@ -255,7 +255,7 @@ impl PlanProfiler {
                     write_words,
                     relayout_words,
                     q_words: graph.io_words(step.op),
-                    avoid_words: crate::fusion::avoidable_chains(graph)
+                    avoid_words: crate::fusion::detect_tiles(graph)
                         .iter()
                         .filter(|c| c.head == step.op || c.tail == step.op)
                         .map(|c| c.interim_words)
