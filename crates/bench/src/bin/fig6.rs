@@ -42,11 +42,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nExample selection sub-graph (Fig. 6's QKV-fused → AIB slice):\n\
          each data container expands into one node per layout; operator edges\n\
          carry the best sweep time for that (in, out) pair; transpose edges\n\
-         allow layout changes mid-graph.\n\n\
-           source ─0─> [qkv_raw @ shbj] ──QKV──> [qq @ phbj] ──AIB──> ...\n\
-                  ─0─> [qkv_raw @ sbhj] ──QKV──> [qq @ pbhj] ──AIB──> ...\n\
-                  ─0─> [qkv_raw @ hjsb] ──QKV──> [qq @ hjpb] ──AIB──> ...\n\
-                            │ transpose edges between layout rows │"
+         allow layout changes mid-graph.\n"
     );
+    // one literal per line: a `\`-continued line loses its leading spaces
+    for line in [
+        "  source ─0─> [qkv_raw @ shbj] ──QKV──> [qq @ phbj] ──AIB──> ...",
+        "         ─0─> [qkv_raw @ sbhj] ──QKV──> [qq @ pbhj] ──AIB──> ...",
+        "         ─0─> [qkv_raw @ hjsb] ──QKV──> [qq @ hjpb] ──AIB──> ...",
+        "                   │ transpose edges between layout rows │",
+    ] {
+        println!("{line}");
+    }
     Ok(())
 }
