@@ -1,4 +1,5 @@
-//! Static data-movement audit of execution plans — no kernel ever runs.
+//! `repro audit`: the static data-movement audit of execution plans — no
+//! kernel ever runs.
 //!
 //! For each schedule (Reference encoder, Fused encoder, Fused decoder, the
 //! decode steps, the model head over a 30 522-word vocabulary, and a
@@ -21,32 +22,30 @@
 //! and copies nothing; one that does not fails the audit. The
 //! recipe-selected plan is lowered over the graph the fusion table alone
 //! leaves (regions and epilogues are properties of the canned plans), so
-//! its row moves only when the recipe does. With `--check` it exits
-//! non-zero if any plan carries an error-severity lint or any plan's
-//! static MUE regresses below the checked-in floor in
-//! `crates/bench/baseline_static_mue.txt` — CI uses this to fail the
-//! build on a lint-dirty or MUE-regressed canned plan. With `--cache`
-//! (composable with `--check`) every plan is additionally pushed through
-//! the reuse-distance cache model (`xform_core::cachemodel`) under the
-//! modelled device's hierarchy (or the `XFORM_CACHE_GEOM` override):
-//! the cache-corrected MUE must be at least the flat one on every plan
-//! with `Q` untouched, the GEMM-epilogue plans must stay strictly ahead
-//! of their unfused counterparts on the corrected account, and each
-//! plan's corrected MUE must hold the floor pinned in
+//! its row moves only when the recipe does. With `--check` it fails if any
+//! plan carries an error-severity lint or any plan's static MUE regresses
+//! below the checked-in floor in `crates/bench/baseline_static_mue.txt` —
+//! CI uses this to fail the build on a lint-dirty or MUE-regressed canned
+//! plan. With `--cache` (composable with `--check`) every plan is
+//! additionally pushed through the reuse-distance cache model
+//! (`xform_core::cachemodel`) under the modelled device's hierarchy (or the
+//! `XFORM_CACHE_GEOM` override): the cache-corrected MUE must be at least
+//! the flat one on every plan with `Q` untouched, the GEMM-epilogue plans
+//! must stay strictly ahead of their unfused counterparts on the corrected
+//! account, and each plan's corrected MUE must hold the floor pinned in
 //! `crates/bench/baseline_cache_mue.txt`. With `--json` it writes
-//! `BENCH_plan_audit.json` — the machine-readable mirror of the full
-//! audit (flat and cache-corrected MUE, predicted DRAM bytes, arena slab
-//! bytes, and every lint) — so the static account is tracked across PRs
-//! like `plan_profile --json` tracks the measured one. With `--certify`
-//! it runs the full race certifier
-//! (`xform_core::sanitize::certify`) on every plan and prints each
-//! certificate's fingerprint and wave partition, exiting non-zero if any
-//! plan cannot be certified for wave-parallel execution. With `--access`
-//! it runs the access-path certifier (`xform_core::access`) at the
-//! logical level and at both arena granularities, printing each plan's
-//! unit-stride step count and every access lint, exiting non-zero if any
-//! plan fails certification (error-severity access lints). A strided inner
-//! loop is a warning — that step runs its kernel's lane-at-a-time strided
+//! `BENCH_plan_audit.json` — the machine-readable mirror of the full audit
+//! (flat and cache-corrected MUE, predicted DRAM bytes, arena slab bytes,
+//! and every lint) — so the static account is tracked across PRs like
+//! `repro profile --json` tracks the measured one. With `--certify` it runs
+//! the full race certifier (`xform_core::sanitize::certify`) on every plan
+//! and prints each certificate's fingerprint and wave partition, failing if
+//! any plan cannot be certified for wave-parallel execution. With
+//! `--access` it runs the access-path certifier (`xform_core::access`) at
+//! the logical level and at both arena granularities, printing each plan's
+//! unit-stride step count and every access lint, failing if any plan fails
+//! certification (error-severity access lints). A strided inner loop is a
+//! warning — that step runs its kernel's lane-at-a-time strided
 //! instantiation — and does not fail a *selected* plan, which may buy it
 //! with a cheaper neighbour; a canned natural plan carrying one fails the
 //! audit: every natural sweep either has a contiguous lane or runs in
@@ -54,35 +53,64 @@
 
 use std::collections::HashMap;
 
-use xform_bench::cli::{Cli, Flag, CHECK, JSON};
 use xform_core::access::{certify_access, certify_access_arena, AccessCertificate};
 use xform_core::analyze::{
     analyze, assign_arena, audit, cross_call_high_water, lint_selection, render_report,
     ArenaGranularity, Home, PlanLint, Severity,
 };
-use xform_core::cachemodel::{cache_audit, CacheGeometry, CACHE_GEOM_ENV};
+use xform_core::cachemodel::{cache_audit, CacheGeometry};
 use xform_core::fusion::{apply_plan, encoder_fusion_plan};
 use xform_core::plan::ExecutionPlan;
 use xform_core::recipe::forward_ops;
-use xform_core::sanitize::{certify, env_setting};
+use xform_core::sanitize::certify;
 use xform_core::selection::select_forward;
 use xform_core::sweep::{sweep_all, SimulatorSource, SweepOptions, SweepResult};
 use xform_dataflow::{build, EncoderDims, Graph, NodeId};
 use xform_gpusim::mue::Mue;
 use xform_gpusim::DeviceSpec;
-use xform_transformer::interp;
+use xform_transformer::interp::{self, PlanKind};
+
+use crate::cli::{Flags, ACCESS, CACHE, CERTIFY, CHECK, JSON};
+use crate::jstr;
+use crate::paper::Res;
 
 /// Checked-in static-MUE floor per canned plan. `--check` fails when any
 /// plan's audited static MUE regresses below its pinned value; re-pin by
 /// editing the file when a change legitimately raises a floor.
-const BASELINE: &str = include_str!("../../baseline_static_mue.txt");
+const BASELINE: &str = include_str!("../baseline_static_mue.txt");
 
 /// Checked-in cache-corrected MUE floor per canned plan, gated by
 /// `--cache --check` under the deterministic device hierarchy.
-const CACHE_BASELINE: &str = include_str!("../../baseline_cache_mue.txt");
+const CACHE_BASELINE: &str = include_str!("../baseline_cache_mue.txt");
 
 /// The vocabulary the model head is audited over: BERT's.
 const HEAD_VOCAB: usize = 30_522;
+
+/// Every audited plan's baseline key and title, in report order.
+const PLANS: [(&str, &str); 10] = [
+    ("encoder-reference", "Reference (unfused, natural layouts)"),
+    ("encoder-fused", "Fused (natural layouts)"),
+    ("encoder-epilogue", "Encoder (GEMM-epilogue mega-kernels)"),
+    ("decoder-fused", "Decoder (fused, natural layouts)"),
+    ("decoder-epilogue", "Decoder (GEMM-epilogue mega-kernels)"),
+    (
+        "recipe-selected",
+        "Recipe-selected (simulator sweeps + SSSP layouts)",
+    ),
+    (
+        "decoder-step-project",
+        "Decode step: project (token column -> q/k/v columns)",
+    ),
+    (
+        "decoder-step",
+        "Decode step: attend (one query column over the KV cache)",
+    ),
+    (
+        "head-fused",
+        "Head (bias + vocabulary softmax fused, logits materialized)",
+    ),
+    ("head-epilogue", "Head (one GEMM-epilogue step)"),
+];
 
 /// Each GEMM-epilogue plan and the plan it must beat on the static account.
 const EPILOGUE_PAIRS: [(&str, &str); 3] = [
@@ -97,8 +125,7 @@ const BASELINE_TOL: f64 = 0.05;
 
 struct Audited {
     title: &'static str,
-    /// Stable key into the static-MUE baseline file; empty when the plan
-    /// is not baselined.
+    /// Stable key into the static-MUE baseline file.
     key: &'static str,
     errors: usize,
     steps: usize,
@@ -139,15 +166,6 @@ fn parse_baseline(text: &'static str) -> HashMap<&'static str, f64> {
             Some((key, value.trim().parse().ok()?))
         })
         .collect()
-}
-
-/// The hierarchy `--cache` audits under: the `XFORM_CACHE_GEOM` override
-/// when parsable, else the modelled device's own hierarchy — never the
-/// host's, so CI results are machine-independent.
-fn audit_geometry(device: &DeviceSpec) -> CacheGeometry {
-    env_setting(CACHE_GEOM_ENV)
-        .and_then(|v| CacheGeometry::parse(&v))
-        .unwrap_or_else(|| CacheGeometry::for_device(device))
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -241,218 +259,222 @@ fn scores_materialized(key: &str, graph: &Graph, plan: &ExecutionPlan) -> usize 
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn report(
-    title: &'static str,
-    key: &'static str,
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    sweeps: Option<&HashMap<NodeId, SweepResult>>,
-    device: &DeviceSpec,
+/// One mode of the audit over the modelled device.
+struct Auditor {
+    device: DeviceSpec,
     mode: Mode,
-    cache_on: bool,
-) -> Audited {
-    let quiet = Audited {
-        title,
-        key,
-        errors: 0,
-        steps: plan.steps.len(),
-        warnings: 0,
-        mue: None,
-        slab_bytes: None,
-        peak_bytes: 0,
-        borrowed_bytes: 0,
-        bind_copy_bytes: 0,
-        lints: Vec::new(),
-        cache: None,
-    };
-    if mode == Mode::Access {
-        let errors = report_access(title, graph, plan, sweeps.is_none());
-        return Audited { errors, ..quiet };
-    }
-    if mode == Mode::Certify {
-        return match certify(graph, plan) {
-            Ok(cert) => {
-                let widest = cert.waves.iter().map(Vec::len).max().unwrap_or(0);
-                println!(
-                    "{title}: certified {:#018x} — {} steps in {} waves (widest {widest})",
-                    cert.plan_hash,
-                    plan.steps.len(),
-                    cert.waves.len()
-                );
-                quiet
-            }
-            Err(lints) => {
-                println!("{title}: NOT certifiable, {} error lints", lints.len());
-                for lint in &lints {
-                    println!("  [error] {lint}");
-                }
-                Audited {
-                    errors: lints.len(),
-                    ..quiet
-                }
-            }
+    /// The hierarchy the cache-corrected account runs under, when it runs.
+    cache: Option<CacheGeometry>,
+}
+
+impl Auditor {
+    /// Audits one plan in this mode, printing as the mode asks. `sweeps`
+    /// marks the recipe-selected plan (its selection lints ride along).
+    fn report(
+        &self,
+        title: &'static str,
+        key: &'static str,
+        graph: &Graph,
+        plan: &ExecutionPlan,
+        sweeps: Option<&HashMap<NodeId, SweepResult>>,
+    ) -> Audited {
+        let (device, mode) = (&self.device, self.mode);
+        let quiet = Audited {
+            title,
+            key,
+            errors: 0,
+            steps: plan.steps.len(),
+            warnings: 0,
+            mue: None,
+            slab_bytes: None,
+            peak_bytes: 0,
+            borrowed_bytes: 0,
+            bind_copy_bytes: 0,
+            lints: Vec::new(),
+            cache: None,
         };
-    }
-    let mut analysis = analyze(graph, plan);
-    if let Some(sweeps) = sweeps {
-        analysis.lints.extend(lint_selection(graph, plan, sweeps));
-    }
-    // arena coloring rides the audit: any fragmentation divergence between
-    // the colored slab and the liveness peak becomes a typed (warning)
-    // lint alongside the analyzer's own findings
-    let arena_serial = assign_arena(&analysis, ArenaGranularity::Serial);
-    let arena_waves = assign_arena(&analysis, ArenaGranularity::Waves);
-    analysis.lints.extend(arena_serial.lints.iter().cloned());
-    analysis.lints.extend(arena_waves.lints.iter().cloned());
-    let mut errors = analysis.errors().len() + scores_materialized(key, graph, plan);
-    let [borrowed, copied] = [Home::Borrowed, Home::Copied].map(|h| analysis.home_words(h) * 4);
-    // a canned plan re-lays nothing: whatever it does not define, but for
-    // a cache, it reads where the caller keeps it
-    let relaid =
-        |b: &&xform_core::analyze::BufferLiveness| matches!(b.home, Home::Gathered | Home::Copied);
-    if let (Some(b), None) = (analysis.liveness.iter().find(relaid), sweeps) {
-        eprintln!("FAIL: {key}: external `{}` owns a slab range", b.name);
-        errors += 1;
-    }
-    let movement = audit(graph, plan, device);
-    let cache = cache_on.then(|| {
-        let ca = cache_audit(graph, plan, device, &audit_geometry(device));
-        analysis.lints.extend(ca.lints.iter().cloned());
-        CacheSummary {
-            mue: ca.plan_mue,
-            dram_bytes: ca.dram_words * device.word_bytes as u64,
-            flat_bytes: movement.total_bytes(),
-            hit_words: ca.hit_words.clone(),
-            compulsory_words: ca.compulsory_words,
-            lints: ca.lints.iter().map(|l| l.to_string()).collect(),
+        if mode == Mode::Access {
+            let errors = report_access(title, graph, plan, sweeps.is_none());
+            return Audited { errors, ..quiet };
         }
-    });
-    let warnings = analysis
-        .lints
-        .iter()
-        .filter(|l| l.severity() == Severity::Warning)
-        .count();
-    if mode == Mode::Check {
-        println!(
-            "{title}: {} steps, {errors} errors, {warnings} warnings, {} B copied at bind, \
-             static MUE {:.4}{}",
-            plan.steps.len(),
-            copied,
-            movement.plan_mue.value,
-            cache
-                .as_ref()
-                .map(|c| format!(
-                    ", cache MUE {:.4} ({:.1} MiB DRAM vs {:.1} MiB flat)",
-                    c.mue.value,
-                    c.dram_bytes as f64 / (1024.0 * 1024.0),
-                    c.flat_bytes as f64 / (1024.0 * 1024.0),
-                ))
-                .unwrap_or_default(),
-        );
-        for lint in analysis
-            .lints
-            .iter()
-            .filter(|l| l.severity() == Severity::Error)
-        {
-            println!("  [error] {lint}");
+        if mode == Mode::Certify {
+            return match certify(graph, plan) {
+                Ok(cert) => {
+                    let widest = cert.waves.iter().map(Vec::len).max().unwrap_or(0);
+                    println!(
+                        "{title}: certified {:#018x} — {} steps in {} waves (widest {widest})",
+                        cert.plan_hash,
+                        plan.steps.len(),
+                        cert.waves.len()
+                    );
+                    quiet
+                }
+                Err(lints) => {
+                    println!("{title}: NOT certifiable, {} error lints", lints.len());
+                    for lint in &lints {
+                        println!("  [error] {lint}");
+                    }
+                    Audited {
+                        errors: lints.len(),
+                        ..quiet
+                    }
+                }
+            };
         }
-    } else if mode == Mode::Full {
-        print!("{}", render_report(title, &analysis, &movement, device));
-        for (tag, a) in [("serial", &arena_serial), ("waves", &arena_waves)] {
-            println!(
-                "arena ({tag}): slab {:.1} KiB vs {:.1} KiB peak-resident{}",
-                a.slab_bytes(4) as f64 / 1024.0,
-                (a.target_words * 4) as f64 / 1024.0,
-                if a.lints.is_empty() {
-                    " — exact"
-                } else {
-                    " — FRAGMENTED"
-                },
-            );
+        let mut analysis = analyze(graph, plan);
+        if let Some(sweeps) = sweeps {
+            analysis.lints.extend(lint_selection(graph, plan, sweeps));
         }
-        println!(
-            "externals: {:.1} KiB borrowed in place, {:.1} KiB copied at bind",
-            borrowed as f64 / 1024.0,
-            copied as f64 / 1024.0,
-        );
-        if let Some(c) = &cache {
-            println!(
-                "cache-corrected: MUE {:.4} (flat {:.4}), predicted DRAM {:.1} MiB \
-                 of {:.1} MiB flat, hits/level {:?} words, {} compulsory words",
-                c.mue.value,
-                movement.plan_mue.value,
-                c.dram_bytes as f64 / (1024.0 * 1024.0),
-                c.flat_bytes as f64 / (1024.0 * 1024.0),
-                c.hit_words,
-                c.compulsory_words,
-            );
-            for lint in &c.lints {
-                println!("  [cache] {lint}");
+        // arena coloring rides the audit: any fragmentation divergence
+        // between the colored slab and the liveness peak becomes a typed
+        // (warning) lint alongside the analyzer's own findings
+        let arena_serial = assign_arena(&analysis, ArenaGranularity::Serial);
+        let arena_waves = assign_arena(&analysis, ArenaGranularity::Waves);
+        analysis.lints.extend(arena_serial.lints.iter().cloned());
+        analysis.lints.extend(arena_waves.lints.iter().cloned());
+        let mut errors = analysis.errors().len() + scores_materialized(key, graph, plan);
+        let [borrowed, copied] = [Home::Borrowed, Home::Copied].map(|h| analysis.home_words(h) * 4);
+        // a canned plan re-lays nothing: whatever it does not define, but
+        // for a cache, it reads where the caller keeps it
+        let relaid = |b: &&xform_core::analyze::BufferLiveness| {
+            matches!(b.home, Home::Gathered | Home::Copied)
+        };
+        if let (Some(b), None) = (analysis.liveness.iter().find(relaid), sweeps) {
+            eprintln!("FAIL: {key}: external `{}` owns a slab range", b.name);
+            errors += 1;
+        }
+        let movement = audit(graph, plan, device);
+        let cache = self.cache.as_ref().map(|geometry| {
+            let ca = cache_audit(graph, plan, device, geometry);
+            analysis.lints.extend(ca.lints.iter().cloned());
+            CacheSummary {
+                mue: ca.plan_mue,
+                dram_bytes: ca.dram_words * device.word_bytes as u64,
+                flat_bytes: movement.total_bytes(),
+                hit_words: ca.hit_words.clone(),
+                compulsory_words: ca.compulsory_words,
+                lints: ca.lints.iter().map(|l| l.to_string()).collect(),
             }
-        }
-        println!();
-    }
-    Audited {
-        errors,
-        warnings,
-        mue: Some(movement.plan_mue),
-        slab_bytes: Some(arena_serial.slab_bytes(4)),
-        peak_bytes: analysis.peak_resident_bytes(4),
-        borrowed_bytes: borrowed,
-        bind_copy_bytes: copied,
-        lints: analysis
+        });
+        let warnings = analysis
             .lints
             .iter()
-            .map(|l| (l.severity(), l.to_string()))
-            .collect(),
-        cache,
-        ..quiet
+            .filter(|l| l.severity() == Severity::Warning)
+            .count();
+        let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+        if mode == Mode::Check {
+            println!(
+                "{title}: {} steps, {errors} errors, {warnings} warnings, {} B copied at bind, \
+                 static MUE {:.4}{}",
+                plan.steps.len(),
+                copied,
+                movement.plan_mue.value,
+                cache
+                    .as_ref()
+                    .map(|c| format!(
+                        ", cache MUE {:.4} ({:.1} MiB DRAM vs {:.1} MiB flat)",
+                        c.mue.value,
+                        mib(c.dram_bytes),
+                        mib(c.flat_bytes),
+                    ))
+                    .unwrap_or_default(),
+            );
+            for lint in analysis
+                .lints
+                .iter()
+                .filter(|l| l.severity() == Severity::Error)
+            {
+                println!("  [error] {lint}");
+            }
+        } else if mode == Mode::Full {
+            print!("{}", render_report(title, &analysis, &movement, device));
+            for (tag, a) in [("serial", &arena_serial), ("waves", &arena_waves)] {
+                println!(
+                    "arena ({tag}): slab {:.1} KiB vs {:.1} KiB peak-resident{}",
+                    a.slab_bytes(4) as f64 / 1024.0,
+                    (a.target_words * 4) as f64 / 1024.0,
+                    if a.lints.is_empty() {
+                        " — exact"
+                    } else {
+                        " — FRAGMENTED"
+                    },
+                );
+            }
+            println!(
+                "externals: {:.1} KiB borrowed in place, {:.1} KiB copied at bind",
+                borrowed as f64 / 1024.0,
+                copied as f64 / 1024.0,
+            );
+            if let Some(c) = &cache {
+                println!(
+                    "cache-corrected: MUE {:.4} (flat {:.4}), predicted DRAM {:.1} MiB \
+                     of {:.1} MiB flat, hits/level {:?} words, {} compulsory words",
+                    c.mue.value,
+                    movement.plan_mue.value,
+                    mib(c.dram_bytes),
+                    mib(c.flat_bytes),
+                    c.hit_words,
+                    c.compulsory_words,
+                );
+                for lint in &c.lints {
+                    println!("  [cache] {lint}");
+                }
+            }
+            println!();
+        }
+        Audited {
+            errors,
+            warnings,
+            mue: Some(movement.plan_mue),
+            slab_bytes: Some(arena_serial.slab_bytes(4)),
+            peak_bytes: analysis.peak_resident_bytes(4),
+            borrowed_bytes: borrowed,
+            bind_copy_bytes: copied,
+            lints: analysis
+                .lints
+                .iter()
+                .map(|l| (l.severity(), l.to_string()))
+                .collect(),
+            cache,
+            ..quiet
+        }
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cli = Cli::parse(
-        "plan_audit",
-        "static data-movement audit of every canned execution plan (no kernel runs)",
-        &[
-            CHECK,
-            JSON,
-            Flag {
-                name: "--cache",
-                doc: "additionally audit through the reuse-distance cache model",
-            },
-            Flag {
-                name: "--certify",
-                doc: "race-certify every plan for wave-parallel execution",
-            },
-            Flag {
-                name: "--access",
-                doc: "access-path-certify every plan, logically and at both arena granularities",
-            },
-        ],
-    );
-    let mode = if cli.has("--access") {
+/// Runs the audit in the mode `flags` select, under `geometry` when the
+/// caller overrides the modelled device's hierarchy.
+///
+/// # Errors
+///
+/// A plan that fails to build, or any failed gate.
+pub fn run(flags: &Flags, geometry: Option<CacheGeometry>) -> Res<()> {
+    let mode = if flags.has(ACCESS) {
         Mode::Access
-    } else if cli.has("--certify") {
+    } else if flags.has(CERTIFY) {
         Mode::Certify
-    } else if cli.has("--json") {
+    } else if flags.has(JSON) {
         Mode::Json
-    } else if cli.has("--check") {
+    } else if flags.has(CHECK) {
         Mode::Check
     } else {
         Mode::Full
     };
-    // the JSON mirror always carries the cache-corrected account
-    let cache_on = cli.has("--cache") || mode == Mode::Json;
     let dims = EncoderDims::bert_large();
     let device = DeviceSpec::v100();
+    let geometry = geometry.unwrap_or_else(|| CacheGeometry::for_device(&device));
+    let auditor = Auditor {
+        device,
+        mode,
+        // the JSON mirror always carries the cache-corrected account
+        cache: (flags.has(CACHE) || mode == Mode::Json).then(|| geometry.clone()),
+    };
 
-    let reference = interp::cached_plan(&dims, interp::PlanKind::EncoderReference)?;
-    let fused = interp::cached_plan(&dims, interp::PlanKind::EncoderFused)?;
-    let epilogue = interp::cached_plan(&dims, interp::PlanKind::EncoderEpilogue)?;
-    let decoder = interp::cached_plan(&dims, interp::PlanKind::DecoderFused)?;
-    let dec_epilogue = interp::cached_plan(&dims, interp::PlanKind::DecoderEpilogue)?;
+    let canned = |kind| interp::cached_plan(&dims, kind);
+    let reference = canned(PlanKind::EncoderReference)?;
+    let fused = canned(PlanKind::EncoderFused)?;
+    let epilogue = canned(PlanKind::EncoderEpilogue)?;
+    let decoder = canned(PlanKind::DecoderFused)?;
+    let dec_epilogue = canned(PlanKind::DecoderEpilogue)?;
 
     // the streaming-decode plan family: the prefill is the fused decoder
     // plan above at the full sequence; one project step (token column →
@@ -463,13 +485,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..dims
     };
     let project_dims = EncoderDims { j: 1, k: 1, ..dims };
-    let project = interp::cached_plan(&project_dims, interp::PlanKind::DecoderStepProject)?;
-    let step = interp::cached_plan(&step_dims, interp::PlanKind::DecoderStep)?;
+    let project = interp::cached_plan(&project_dims, PlanKind::DecoderStepProject)?;
+    let step = interp::cached_plan(&step_dims, PlanKind::DecoderStep)?;
 
     // the model head over BERT's 30 522-word vocabulary, as one
     // GEMM-epilogue step and as its twin that materializes the logits
     let head_fused = interp::head_fused(&dims, HEAD_VOCAB)?;
-    let head = interp::cached_plan(&dims, interp::PlanKind::Head { vocab: HEAD_VOCAB })?;
+    let head = canned(PlanKind::Head { vocab: HEAD_VOCAB })?;
 
     // the recipe: simulator sweeps over the fused graph — the fusion table
     // applied and nothing else, as `optimize_encoder` builds it — SSSP
@@ -486,114 +508,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..SweepOptions::default()
         },
     )?;
-    let sel = select_forward(&recipe_graph, &device, &fwd, &sweeps)?;
+    let sel = select_forward(&recipe_graph, &auditor.device, &fwd, &sweeps)?;
     let selected = ExecutionPlan::lower(&recipe_graph, &sel)?;
 
-    let results = [
-        report(
-            "Reference (unfused, natural layouts)",
-            "encoder-reference",
-            &reference.graph,
-            &reference.plan,
-            None,
-            &device,
-            mode,
-            cache_on,
-        ),
-        report(
-            "Fused (natural layouts)",
-            "encoder-fused",
-            &fused.graph,
-            &fused.plan,
-            None,
-            &device,
-            mode,
-            cache_on,
-        ),
-        report(
-            "Encoder (GEMM-epilogue mega-kernels)",
-            "encoder-epilogue",
-            &epilogue.graph,
-            &epilogue.plan,
-            None,
-            &device,
-            mode,
-            cache_on,
-        ),
-        report(
-            "Decoder (fused, natural layouts)",
-            "decoder-fused",
-            &decoder.graph,
-            &decoder.plan,
-            None,
-            &device,
-            mode,
-            cache_on,
-        ),
-        report(
-            "Decoder (GEMM-epilogue mega-kernels)",
-            "decoder-epilogue",
-            &dec_epilogue.graph,
-            &dec_epilogue.plan,
-            None,
-            &device,
-            mode,
-            cache_on,
-        ),
-        report(
-            "Recipe-selected (simulator sweeps + SSSP layouts)",
-            "recipe-selected",
-            &recipe_graph,
-            &selected,
-            Some(&sweeps),
-            &device,
-            mode,
-            cache_on,
-        ),
-        report(
-            "Decode step: project (token column -> q/k/v columns)",
-            "decoder-step-project",
-            &project.graph,
-            &project.plan,
-            None,
-            &device,
-            mode,
-            cache_on,
-        ),
-        report(
-            "Decode step: attend (one query column over the KV cache)",
-            "decoder-step",
-            &step.graph,
-            &step.plan,
-            None,
-            &device,
-            mode,
-            cache_on,
-        ),
-        report(
-            "Head (bias + vocabulary softmax fused, logits materialized)",
-            "head-fused",
-            &head_fused.graph,
-            &head_fused.plan,
-            None,
-            &device,
-            mode,
-            cache_on,
-        ),
-        report(
-            "Head (one GEMM-epilogue step)",
-            "head-epilogue",
-            &head.graph,
-            &head.plan,
-            None,
-            &device,
-            mode,
-            cache_on,
-        ),
+    let schedules = [
+        (&reference.graph, &reference.plan),
+        (&fused.graph, &fused.plan),
+        (&epilogue.graph, &epilogue.plan),
+        (&decoder.graph, &decoder.plan),
+        (&dec_epilogue.graph, &dec_epilogue.plan),
+        (&recipe_graph, &selected),
+        (&project.graph, &project.plan),
+        (&step.graph, &step.plan),
+        (&head_fused.graph, &head_fused.plan),
+        (&head.graph, &head.plan),
     ];
+    let results: Vec<Audited> = (PLANS.iter().zip(schedules))
+        .map(|(&(key, title), (graph, plan))| {
+            let sweeps = (key == "recipe-selected").then_some(&sweeps);
+            auditor.report(title, key, graph, plan, sweeps)
+        })
+        .collect();
 
     if mode == Mode::Json {
-        write_json(&results, &audit_geometry(&device))?;
+        write_json(&results, &geometry)?;
     }
 
     let mut failures = 0usize;
@@ -604,17 +542,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if matches!(mode, Mode::Full | Mode::Check | Mode::Json) {
         failures += check_epilogue_invariants(&results);
-        failures += check_baseline(&results);
-        failures += decode_section(&step.graph, &step.plan, &results, &dims, &device);
-        if cache_on {
-            failures += check_cache_invariants(&results, mode == Mode::Check);
+        failures += check_floors(&results, BASELINE, "static MUE", |r| r.mue.as_ref());
+        failures += decode_section(&step.graph, &step.plan, &results, &dims, &auditor.device);
+        if auditor.cache.is_some() {
+            failures += check_cache_invariants(&results);
+            if mode == Mode::Check {
+                failures += check_floors(&results, CACHE_BASELINE, "cache-corrected MUE", |r| {
+                    r.cache.as_ref().map(|c| &c.mue)
+                });
+            }
         }
     }
     if failures > 0 {
-        std::process::exit(1);
+        return Err(format!("{failures} audit gate(s) failed").into());
     }
     match mode {
-        Mode::Check if cache_on => println!(
+        Mode::Check if auditor.cache.is_some() => println!(
             "all plans are error-clean, at or above both MUE baselines, \
              and cache-corrected MUE dominates flat"
         ),
@@ -694,7 +637,6 @@ fn decode_section(
         hw.max_seq,
         mib(hw.cache_words_at_max_seq),
     );
-    let _ = plan;
     if hw.cache_words == 0 {
         eprintln!("FAIL: decoder-step: no cache containers in the liveness account");
         failures += 1;
@@ -702,12 +644,12 @@ fn decode_section(
     failures
 }
 
-/// The tentpole's static acceptance gate: each GEMM-epilogue plan must
-/// show `D` strictly lower with `Q` unchanged (hence strictly higher
-/// static MUE), strictly fewer bytes resident at the peak — the slab's
-/// and the borrowed externals', what the slab alone held while it copied
-/// them — and a serial arena slab no larger than its unfused counterpart's.
-/// Returns the number of violated invariants.
+/// The static gate of the GEMM epilogues: each epilogue plan must show `D`
+/// strictly lower with `Q` unchanged (hence strictly higher static MUE),
+/// strictly fewer bytes resident at the peak — the slab's and the borrowed
+/// externals', what the slab alone held while it copied them — and a
+/// serial arena slab no larger than its unfused counterpart's. Returns the
+/// number of violated invariants.
 fn check_epilogue_invariants(results: &[Audited]) -> usize {
     let find = |key: &str| results.iter().find(|r| r.key == key);
     let mut failures = 0usize;
@@ -756,12 +698,10 @@ fn check_epilogue_invariants(results: &[Audited]) -> usize {
 /// * every plan's cache-corrected MUE is at least its flat MUE, with `Q`
 ///   untouched by the correction;
 /// * each GEMM-epilogue plan stays *strictly* ahead of its unfused
-///   counterpart on the corrected account, still at `ΔQ = 0`;
-/// * when `gate_floor`, every baselined plan's corrected MUE holds the
-///   floor pinned in `baseline_cache_mue.txt`.
+///   counterpart on the corrected account, still at `ΔQ = 0`.
 ///
 /// Returns the number of violations.
-fn check_cache_invariants(results: &[Audited], gate_floor: bool) -> usize {
+fn check_cache_invariants(results: &[Audited]) -> usize {
     let mut failures = 0usize;
     for r in results {
         let (Some(flat), Some(c)) = (&r.mue, &r.cache) else {
@@ -816,55 +756,35 @@ fn check_cache_invariants(results: &[Audited], gate_floor: bool) -> usize {
             }
         }
     }
-    if gate_floor {
-        let floors = parse_baseline(CACHE_BASELINE);
-        for r in results {
-            let (Some(c), Some(&floor)) = (&r.cache, floors.get(r.key)) else {
-                if !r.key.is_empty() && r.cache.is_some() {
-                    eprintln!("FAIL: {} has no pinned cache-MUE baseline", r.key);
-                    failures += 1;
-                }
-                continue;
-            };
-            if c.mue.value < floor - BASELINE_TOL {
-                eprintln!(
-                    "FAIL: {} cache-corrected MUE {:.4} regressed below the pinned \
-                     baseline {floor:.4}",
-                    r.key, c.mue.value
-                );
-                failures += 1;
-            }
-        }
-    }
     failures
 }
 
-/// Compares every baselined plan's static MUE against the checked-in
-/// floor. Returns the number of regressions.
-fn check_baseline(results: &[Audited]) -> usize {
-    let floors = parse_baseline(BASELINE);
+/// Holds every audited plan's `what` (static or cache-corrected MUE, read
+/// by `mue`) to the floor pinned for it in `baseline`. Returns the number
+/// of regressions and unpinned plans.
+fn check_floors(
+    results: &[Audited],
+    baseline: &'static str,
+    what: &str,
+    mue: fn(&Audited) -> Option<&Mue>,
+) -> usize {
+    let floors = parse_baseline(baseline);
     let mut failures = 0usize;
     for r in results {
-        let (Some(mue), Some(&floor)) = (&r.mue, floors.get(r.key)) else {
-            if !r.key.is_empty() && r.mue.is_some() {
-                eprintln!("FAIL: {} has no pinned static-MUE baseline", r.key);
-                failures += 1;
-            }
+        let Some(m) = mue(r) else {
             continue;
         };
-        if mue.value < floor - BASELINE_TOL {
-            eprintln!(
-                "FAIL: {} static MUE {:.4} regressed below the pinned baseline {floor:.4}",
-                r.key, mue.value
-            );
-            failures += 1;
+        match floors.get(r.key) {
+            None => eprintln!("FAIL: {} has no pinned {what} baseline", r.key),
+            Some(&floor) if m.value < floor - BASELINE_TOL => eprintln!(
+                "FAIL: {} {what} {:.4} regressed below the pinned baseline {floor:.4}",
+                r.key, m.value
+            ),
+            Some(_) => continue,
         }
+        failures += 1;
     }
     failures
-}
-
-fn jstr(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 /// Writes `BENCH_plan_audit.json`: the machine-readable mirror of the
@@ -872,10 +792,7 @@ fn jstr(s: &str) -> String {
 /// `D`), predicted DRAM and flat bytes, per-level hit words, serial slab
 /// bytes, the externals' borrowed and copied-at-bind bytes, and every lint
 /// with its severity — alongside the geometry it was computed under.
-fn write_json(
-    results: &[Audited],
-    geometry: &CacheGeometry,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn write_json(results: &[Audited], geometry: &CacheGeometry) -> Res<()> {
     let mut out = String::from("{\n  \"bench\": \"plan_audit\",\n");
     out.push_str("  \"geometry\": [");
     let levels: Vec<String> = geometry
@@ -962,7 +879,7 @@ mod tests {
     #[test]
     fn the_access_gate_counts_a_strided_sweep_injected_into_a_natural_plan() {
         let dims = EncoderDims::bert_large();
-        let canned = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
+        let canned = interp::cached_plan(&dims, PlanKind::EncoderFused).unwrap();
         let clean = certify_access(&canned.graph, &canned.plan).unwrap();
         assert_eq!(strided_sweeps(&clean), 0);
         assert_eq!(

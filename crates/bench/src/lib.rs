@@ -1,14 +1,17 @@
-//! Shared helpers for the benchmark harness: table formatting, runtime
-//! distributions, paper reference values, and MHA operator subsets.
-//!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper;
-//! see `EXPERIMENTS.md` at the workspace root for the index.
+//! The benchmark harness behind the one `repro` command: the paper's
+//! tables, figures and studies ([`paper`]), the static plan audit
+//! ([`audit`]) and the runtime profile ([`profile`]), parsed by [`cli`],
+//! plus the table and distribution printers they share. `EXPERIMENTS.md`
+//! at the workspace root indexes the outputs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+pub mod audit;
 pub mod cli;
+pub mod paper;
+pub mod profile;
 
 /// Simple fixed-width table printer for terminal reports.
 #[derive(Debug, Default)]
@@ -133,71 +136,10 @@ impl Distribution {
     }
 }
 
-/// Formats a µs value as ms with two decimals.
-pub fn ms(us: f64) -> String {
-    format!("{:.2}", us / 1000.0)
-}
-
-/// Formats a µs value with no decimals.
-pub fn us(v: f64) -> String {
-    format!("{v:.0}")
-}
-
-/// Operator names of the MHA sub-graph inside the fused encoder (forward),
-/// for Table IV's MHA-only timing.
-pub fn mha_forward_kernels() -> &'static [&'static str] {
-    &["Q,K,V", "AIB", "QKT", "SM", "Gamma", "Out"]
-}
-
-/// Operator names of the MHA sub-graph (backward).
-pub fn mha_backward_kernels() -> &'static [&'static str] {
-    &[
-        "BAOB",
-        "Out dX",
-        "Out dW",
-        "Gamma dX1",
-        "Gamma dX2",
-        "BS",
-        "QKT dX1",
-        "QKT dX2",
-        "BAIB",
-        "Q,K,V dX",
-        "Q,K,V dW",
-    ]
-}
-
-/// Operator names of the MHA sub-graph in the *unfused* encoder graph
-/// (forward), for baseline-framework profiles.
-pub fn mha_forward_ops_unfused() -> &'static [&'static str] {
-    &[
-        "Q,K,V",
-        "Input bias Q",
-        "Input bias K",
-        "Input bias V",
-        "QKT",
-        "Scaled softmax",
-        "Dropout att",
-        "Gamma",
-        "Out",
-    ]
-}
-
-/// Operator names of the MHA sub-graph in the unfused encoder (backward).
-pub fn mha_backward_ops_unfused() -> &'static [&'static str] {
-    &[
-        "Output bias dW",
-        "Out dX",
-        "Out dW",
-        "Gamma dX1",
-        "Gamma dX2",
-        "Dropout att dX",
-        "Scaled softmax dX",
-        "QKT dX1",
-        "QKT dX2",
-        "Input bias dW",
-        "Q,K,V dX",
-        "Q,K,V dW",
-    ]
+/// `s` as a JSON string literal, for the hand-rolled `BENCH_*.json`
+/// emitters.
+fn jstr(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 #[cfg(test)]
@@ -226,12 +168,5 @@ mod tests {
         assert_eq!(d.n, 100);
         let spark = d.sparkline(&times, 10);
         assert_eq!(spark.chars().count(), 10);
-    }
-
-    #[test]
-    fn kernel_name_lists_are_disjoint_fwd_bwd() {
-        for f in mha_forward_kernels() {
-            assert!(!mha_backward_kernels().contains(f));
-        }
     }
 }

@@ -26,43 +26,35 @@ const fn run(file: &'static str, bin: &'static str, args: &'static [&'static str
     Run { file, bin, args }
 }
 
-/// The static plan audit.
-const AUDIT: &str = env!("CARGO_BIN_EXE_plan_audit");
+/// The one bench binary.
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
 const RUNS: &[Run] = &[
-    run("table1", env!("CARGO_BIN_EXE_table1"), &[]),
-    run("table2", env!("CARGO_BIN_EXE_table2"), &[]),
-    run("table3", env!("CARGO_BIN_EXE_table3"), &[]),
-    run("table4", env!("CARGO_BIN_EXE_table4"), &[]),
-    run("table5", env!("CARGO_BIN_EXE_table5"), &[]),
-    run("fig1", env!("CARGO_BIN_EXE_fig1"), &[]),
-    run("fig2", env!("CARGO_BIN_EXE_fig2"), &[]),
-    run("fig4", env!("CARGO_BIN_EXE_fig4"), &[]),
-    run("fig5", env!("CARGO_BIN_EXE_fig5"), &[]),
-    run("fig6", env!("CARGO_BIN_EXE_fig6"), &[]),
-    run("config_b96", env!("CARGO_BIN_EXE_config_b96"), &[]),
-    run("heuristic_gap", env!("CARGO_BIN_EXE_heuristic_gap"), &[]),
-    run(
-        "ablation_fusion",
-        env!("CARGO_BIN_EXE_ablation_fusion"),
-        &[],
-    ),
-    run(
-        "ablation_selection",
-        env!("CARGO_BIN_EXE_ablation_selection"),
-        &[],
-    ),
-    run("gpt2_block", env!("CARGO_BIN_EXE_gpt2_block"), &[]),
-    run("hardware_study", env!("CARGO_BIN_EXE_hardware_study"), &[]),
-    run("scaling_study", env!("CARGO_BIN_EXE_scaling_study"), &[]),
-    run("seq_sweep", env!("CARGO_BIN_EXE_seq_sweep"), &[]),
-    run("stack_study", env!("CARGO_BIN_EXE_stack_study"), &[]),
-    run("whatif", env!("CARGO_BIN_EXE_whatif"), &[]),
-    run("audit", AUDIT, &[]),
-    run("audit-check", AUDIT, &["--check"]),
-    run("audit-cache-check", AUDIT, &["--cache", "--check"]),
-    run("audit-certify", AUDIT, &["--certify"]),
-    run("audit-access", AUDIT, &["--access"]),
+    run("table1", REPRO, &["table1"]),
+    run("table2", REPRO, &["table2"]),
+    run("table3", REPRO, &["table3"]),
+    run("table4", REPRO, &["table4"]),
+    run("table5", REPRO, &["table5"]),
+    run("fig1", REPRO, &["fig1"]),
+    run("fig2", REPRO, &["fig2"]),
+    run("fig4", REPRO, &["fig4"]),
+    run("fig5", REPRO, &["fig5"]),
+    run("fig6", REPRO, &["fig6"]),
+    run("config_b96", REPRO, &["config_b96"]),
+    run("heuristic_gap", REPRO, &["heuristic_gap"]),
+    run("ablation_fusion", REPRO, &["ablation_fusion"]),
+    run("ablation_selection", REPRO, &["ablation_selection"]),
+    run("gpt2_block", REPRO, &["gpt2_block"]),
+    run("hardware_study", REPRO, &["hardware_study"]),
+    run("scaling_study", REPRO, &["scaling_study"]),
+    run("seq_sweep", REPRO, &["seq_sweep"]),
+    run("stack_study", REPRO, &["stack_study"]),
+    run("whatif", REPRO, &["whatif"]),
+    run("audit", REPRO, &["audit"]),
+    run("audit-check", REPRO, &["audit", "--check"]),
+    run("audit-cache-check", REPRO, &["audit", "--cache", "--check"]),
+    run("audit-certify", REPRO, &["audit", "--certify"]),
+    run("audit-access", REPRO, &["audit", "--access"]),
 ];
 
 /// Runs `r` and returns what is wrong with its output, if anything: a

@@ -1020,7 +1020,7 @@ fn color_intervals(iv: &[(usize, usize, u64)], order: &[usize], best_fit: bool) 
 /// Several deterministic placement orders are tried and the smallest slab
 /// wins; when even the best coloring exceeds the liveness peak, the
 /// assignment carries a [`PlanLint::ArenaFragmentation`] warning and the
-/// divergence is surfaced by `plan_audit`.
+/// divergence is surfaced by `repro audit`.
 pub fn assign_arena(analysis: &PlanAnalysis, granularity: ArenaGranularity) -> ArenaAssignment {
     let last_wave = analysis.parallel_waves().len().saturating_sub(1);
     let wave_of = match granularity {
@@ -1953,7 +1953,7 @@ pub fn lint_selection(
 
 /// Renders a human-readable audit report for one plan: schedule shape,
 /// parallel waves, peak residency, per-class byte volumes, static MUE,
-/// and every lint. This is what the `plan_audit` binary prints.
+/// and every lint. This is what `repro audit` prints.
 pub fn render_report(
     title: &str,
     analysis: &PlanAnalysis,

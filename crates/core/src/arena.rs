@@ -65,7 +65,7 @@
 //!   first touch it gathers straight out of the caller's slice, one
 //!   strided pass; when a step reads the container first as it came, it is
 //!   copied into its range at bind (the one copy binding still makes, and
-//!   `plan_audit` prints it per plan: zero for every canned plan).
+//!   `repro audit` prints it per plan: zero for every canned plan).
 //!
 //! **The tail boundary.** A tile program step reads its contractions'
 //! operands through their declared strides, but a one-contraction

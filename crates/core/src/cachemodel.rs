@@ -8,12 +8,9 @@
 //! GEMM-epilogue fusion exploits. This module closes that gap statically:
 //!
 //! * [`CacheGeometry`] parameterizes an inclusive L1/L2/LLC hierarchy —
-//!   detected from the host sysfs ([`CacheGeometry::host`]), derived from
-//!   the modelled accelerator ([`CacheGeometry::for_device`]), or pinned
-//!   via the `XFORM_CACHE_GEOM` env override for deterministic CI
-//!   ([`CacheGeometry::detect`], sharing the unified
-//!   [`crate::sanitize::env_setting`] enable semantics with
-//!   `XFORM_SANITIZE`);
+//!   derived from the modelled accelerator ([`CacheGeometry::for_device`])
+//!   or parsed from a spec ([`CacheGeometry::parse`]), which is what the
+//!   `XFORM_CACHE_GEOM` override holds;
 //! * [`trace_plan`] abstract-interprets each step's index-affine access
 //!   paths (from [`crate::access::step_accesses`], with the conservative
 //!   flat fallback preserved as an upper bound) into a buffer-granular
@@ -61,15 +58,14 @@ use crate::access::step_accesses;
 use crate::analyze::{self, PlanLint};
 use crate::lower::{lower_step, Kernel};
 use crate::plan::{ExecutionPlan, Operand, PlanStep};
-use crate::sanitize::env_setting;
 use crate::selection::RELAYOUT_BANDWIDTH_FRAC;
 use crate::sweep::outputs_laid_out;
 
-/// Environment variable overriding the host-detected cache geometry:
-/// a comma-separated list of `SIZE[:LINE[:ASSOC]]` level specs, smallest
-/// level first (e.g. `32k:64:8,1m:64:16,8m:64:16`). Unset, empty, `0`,
-/// `false`, `off`, and `no` all fall back to host detection — the same
-/// enable semantics as `XFORM_SANITIZE` (see
+/// Environment variable overriding the cache geometry a tool analyzes
+/// under: a [`CacheGeometry::parse`] spec, comma-separated
+/// `SIZE[:LINE[:ASSOC]]` levels (e.g. `32k:64:8,1m:64:16,8m:64:16`).
+/// Unset, empty, `0`, `false`, `off`, and `no` leave the tool's own
+/// default — the same enable semantics as `XFORM_SANITIZE` (see
 /// [`crate::sanitize::env_setting`]).
 pub const CACHE_GEOM_ENV: &str = "XFORM_CACHE_GEOM";
 
@@ -136,24 +132,7 @@ impl CacheGeometry {
             .unwrap_or(1)
     }
 
-    /// The geometry to analyze under: the [`CACHE_GEOM_ENV`] override
-    /// when set to a parsable spec, host detection otherwise (including
-    /// when the variable is disabled via the unified `XFORM_*` parse or
-    /// the spec is malformed).
-    pub fn detect() -> CacheGeometry {
-        match env_setting(CACHE_GEOM_ENV) {
-            Some(v) => Self::parse(&v).unwrap_or_else(Self::host),
-            None => Self::host(),
-        }
-    }
-
-    /// The host CPU's hierarchy from sysfs, or a typical desktop
-    /// hierarchy (32 KiB / 1 MiB / 8 MiB) when sysfs is unavailable.
-    pub fn host() -> CacheGeometry {
-        sysfs_geometry().unwrap_or_else(Self::typical_host)
-    }
-
-    /// A typical host fallback: 32 KiB L1d, 1 MiB L2, 8 MiB LLC, 64 B
+    /// A typical desktop hierarchy: 32 KiB L1d, 1 MiB L2, 8 MiB LLC, 64 B
     /// lines.
     pub fn typical_host() -> CacheGeometry {
         CacheGeometry::new(vec![
@@ -201,7 +180,7 @@ impl CacheGeometry {
 
     /// Parses a geometry spec: comma-separated `SIZE[:LINE[:ASSOC]]`
     /// levels, sizes accepting `k`/`m`/`g` suffixes. Returns `None` on
-    /// any malformed field. Levels named `L1..Ln` in ascending-capacity
+    /// any malformed field, a size that overflows `u64` included. Levels named `L1..Ln` in ascending-capacity
     /// order; the last is renamed `LLC` when three or more levels exist.
     pub fn parse(spec: &str) -> Option<CacheGeometry> {
         let mut levels = Vec::new();
@@ -257,48 +236,7 @@ fn parse_size(s: &str) -> Option<u64> {
         }
         None => (s.as_str(), 1),
     };
-    num.trim().parse::<u64>().ok().map(|n| n * mult)
-}
-
-/// Reads the host hierarchy from
-/// `/sys/devices/system/cpu/cpu0/cache/index*`.
-fn sysfs_geometry() -> Option<CacheGeometry> {
-    let mut levels = Vec::new();
-    for idx in 0..8 {
-        let dir = format!("/sys/devices/system/cpu/cpu0/cache/index{idx}");
-        let read = |f: &str| -> Option<String> {
-            std::fs::read_to_string(format!("{dir}/{f}"))
-                .ok()
-                .map(|s| s.trim().to_string())
-        };
-        let Some(ty) = read("type") else { break };
-        if ty == "Instruction" {
-            continue;
-        }
-        let (Some(level), Some(size)) = (read("level"), read("size")) else {
-            continue;
-        };
-        let Some(size_bytes) = parse_size(&size) else {
-            continue;
-        };
-        let line_bytes = read("coherency_line_size")
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(64);
-        let assoc = read("ways_of_associativity")
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(8);
-        levels.push(CacheLevel {
-            name: format!("L{level}"),
-            size_bytes,
-            line_bytes,
-            assoc: assoc.max(1),
-        });
-    }
-    if levels.is_empty() {
-        None
-    } else {
-        Some(CacheGeometry::new(levels))
-    }
+    num.trim().parse::<u64>().ok()?.checked_mul(mult)
 }
 
 /// Per-step result of the reuse-distance trace.
@@ -518,7 +456,7 @@ pub fn trace_plan(
 }
 
 /// Predicted DRAM-interface words of a whole plan under `geometry` — the
-/// quantity the cache-model proptests and `plan_profile`'s
+/// quantity the cache-model proptests and `repro profile`'s
 /// cross-validation consume.
 pub fn plan_dram_words(
     graph: &Graph,
@@ -919,8 +857,15 @@ mod tests {
     }
 
     #[test]
+    fn a_size_that_overflows_is_malformed() {
+        assert!(CacheGeometry::parse("20000000000g").is_none());
+        assert!(CacheGeometry::parse("32k:20000000000g").is_none());
+        assert!(CacheGeometry::parse("17179869183g").is_some());
+    }
+
+    #[test]
     fn env_override_shares_unified_enable_semantics() {
-        // the pure halves compose: a disabled value yields host detection
+        // the pure halves compose: a disabled value leaves the default
         for off in [None, Some(""), Some("0"), Some("off"), Some("no")] {
             assert!(!crate::sanitize::sanitize_value_enables(off));
         }

@@ -3,8 +3,8 @@
 //!
 //! Each setting keeps its feature-local reader (`XFORM_SANITIZE` through
 //! [`crate::sanitize::sanitize_enabled`], `XFORM_CACHE_GEOM` through
-//! [`crate::cachemodel`]) — this module owns the *catalog*. Both bench
-//! binaries print [`list`] under `--help`, so a knob that is not
+//! [`crate::cachemodel`]) — this module owns the *catalog*. The bench
+//! harness's `repro --help` prints [`list`], so a knob that is not
 //! registered here is invisible; add new env vars to [`REGISTRY`] in the
 //! same change that introduces them.
 //!
@@ -33,8 +33,8 @@ pub const REGISTRY: &[EnvSetting] = &[
     },
     EnvSetting {
         name: "XFORM_CACHE_GEOM",
-        default: "probe sysfs",
-        doc: "cache hierarchy override `L1:words,L2:words[,...]` for deterministic MUE audits",
+        default: "`repro audit`: the modelled device's; `repro profile`: 16k:64:4,128k:64:8,512k:64:16",
+        doc: "cache hierarchy `SIZE[:LINE[:ASSOC]],...` to analyze under; a malformed spec is an error",
     },
 ];
 

@@ -20,7 +20,7 @@ use xform_tensor::Result;
 
 use crate::fusion::{apply_plan, encoder_fusion_plan};
 use crate::selection::{select_forward, Selection};
-use crate::sweep::{sweep_all, PerfSource, SimulatorSource, SweepOptions};
+use crate::sweep::{sweep_all, PerfSource, SimulatorSource, SweepOptions, SweepResult};
 
 /// The backward side of a training graph in topological order: every
 /// operator reachable from the output gradient `dy`, and every
@@ -225,11 +225,31 @@ pub fn optimize_step(
         xform_dataflow::analysis::movement_reduction_pct(&baseline, &graph);
     // Step 3: layout sweeps.
     let sweeps = sweep_all(source, &graph, opts.sweep)?;
+    optimize_swept(source, device, graph, &sweeps, movement_reduction_pct, opts)
+}
+
+/// The recipe's last two steps over a fused graph whose sweeps are already
+/// taken: global selection of the forward pass, the per-op best for the
+/// backward, and the plan rows. [`optimize_step`] is this after fusing and
+/// sweeping; a caller that keeps the sweeps for other uses calls it
+/// directly. `movement_reduction_pct` is reported as given.
+///
+/// # Errors
+///
+/// Returns an error if any step fails.
+pub fn optimize_swept(
+    source: &dyn PerfSource,
+    device: &DeviceSpec,
+    graph: Graph,
+    sweeps: &HashMap<NodeId, SweepResult>,
+    movement_reduction_pct: f64,
+    opts: &RecipeOptions,
+) -> Result<OptimizedEncoder> {
     // Step 4: global selection (forward), per-op best (backward).
     let dy = graph.data_by_name("dy").expect("encoder graph has dy");
     let fwd = forward_ops(&graph, dy);
     let bwd = backward_ops(&graph, dy);
-    let selection = select_forward(&graph, device, &fwd, &sweeps)?;
+    let selection = select_forward(&graph, device, &fwd, sweeps)?;
 
     let fwd_configs: HashMap<NodeId, &crate::sweep::ConfigTiming> =
         selection.per_op.iter().map(|(op, t)| (*op, t)).collect();
@@ -264,7 +284,6 @@ pub fn optimize_step(
             });
         }
     }
-    let _ = device;
     Ok(OptimizedEncoder {
         graph,
         rows,

@@ -2,12 +2,12 @@
 //! speedup for the baseline (PyTorch model, unfused) vs the optimized
 //! implementation (fused + globally selected layouts).
 
-use xform_dataflow::{build, EncoderDims, OpClass, OpKind};
-use xform_gpusim::framework::{execute, FrameworkPolicy};
+use xform_dataflow::{OpClass, OpKind};
+use xform_gpusim::framework::ExecutionProfile;
 use xform_gpusim::DeviceSpec;
 use xform_tensor::Result;
 
-use crate::recipe::{optimize_encoder, OptimizedEncoder, RecipeOptions};
+use crate::recipe::OptimizedEncoder;
 
 /// Flop expressed in the paper's units (Gi = 2³⁰ flop).
 pub const GI: f64 = 1_073_741_824.0;
@@ -53,20 +53,12 @@ pub struct Table3 {
     pub totals: (f64, f64),
     /// Data-movement reduction (%) of the fused graph vs unfused.
     pub movement_reduction_pct: f64,
-    /// The optimized plan behind the "Ours" column.
-    pub optimized: OptimizedEncoder,
 }
 
-/// Builds the Table III reproduction for the given device and dimensions.
-///
-/// # Errors
-///
-/// Propagates recipe / framework-model failures.
-pub fn table3(device: &DeviceSpec, dims: &EncoderDims, opts: &RecipeOptions) -> Result<Table3> {
-    let unfused = build::encoder(dims).graph;
-    let pt = execute(&unfused, device, &FrameworkPolicy::pytorch())?;
-    let ours = optimize_encoder(device, dims, opts)?;
-
+/// Builds the Table III reproduction from the PyTorch model's profile of
+/// the unfused graph (`pt`) and the recipe's optimized plan (`ours`) on
+/// `device`.
+pub fn table3(device: &DeviceSpec, pt: &ExecutionProfile, ours: &OptimizedEncoder) -> Table3 {
     let mut rows = Vec::new();
     let mut class_totals: Vec<(OpClass, f64, f64)> = vec![
         (OpClass::TensorContraction, 0.0, 0.0),
@@ -118,13 +110,12 @@ pub fn table3(device: &DeviceSpec, dims: &EncoderDims, opts: &RecipeOptions) -> 
         class_totals.iter().map(|(_, p, _)| p).sum(),
         class_totals.iter().map(|(_, _, o)| o).sum(),
     );
-    Ok(Table3 {
+    Table3 {
         rows,
         class_totals,
         totals,
         movement_reduction_pct: ours.movement_reduction_pct,
-        optimized: ours,
-    })
+    }
 }
 
 /// One entry of the bottleneck ranking (Sec. VI-C: "we use flop and MUE
@@ -228,7 +219,10 @@ pub fn whatif(device: &DeviceSpec, plan: &OptimizedEncoder) -> Result<WhatIf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recipe::{optimize_encoder, RecipeOptions};
     use crate::sweep::SweepOptions;
+    use xform_dataflow::{build, EncoderDims};
+    use xform_gpusim::framework::{execute, FrameworkPolicy};
 
     fn quick() -> RecipeOptions {
         RecipeOptions {
@@ -240,9 +234,20 @@ mod tests {
         }
     }
 
+    fn quick_table3() -> Table3 {
+        let (device, dims) = (DeviceSpec::v100(), EncoderDims::bert_large());
+        let pt = execute(
+            &build::encoder(&dims).graph,
+            &device,
+            &FrameworkPolicy::pytorch(),
+        );
+        let ours = optimize_encoder(&device, &dims, &quick()).unwrap();
+        table3(&device, &pt.unwrap(), &ours)
+    }
+
     #[test]
     fn table3_overall_speedup_in_band() {
-        let t = table3(&DeviceSpec::v100(), &EncoderDims::bert_large(), &quick()).unwrap();
+        let t = quick_table3();
         let speedup = t.totals.0 / t.totals.1;
         // Table III bottom line: 1.20× kernel-level speedup over PyTorch.
         assert!(speedup > 1.05, "kernel speedup {speedup:.2}×");
@@ -251,7 +256,7 @@ mod tests {
 
     #[test]
     fn contractions_dominate_flop_but_not_runtime_share() {
-        let t = table3(&DeviceSpec::v100(), &EncoderDims::bert_large(), &quick()).unwrap();
+        let t = quick_table3();
         let flop_tc: f64 = t
             .rows
             .iter()
@@ -269,7 +274,7 @@ mod tests {
 
     #[test]
     fn fused_rows_group_members() {
-        let t = table3(&DeviceSpec::v100(), &EncoderDims::bert_large(), &quick()).unwrap();
+        let t = quick_table3();
         let sm = t.rows.iter().find(|r| r.kernel == "SM").unwrap();
         assert_eq!(sm.members, vec!["Scaled softmax", "Dropout att"]);
         assert!(sm.forward);
@@ -281,8 +286,7 @@ mod tests {
     #[test]
     fn bottleneck_ranking_is_consistent() {
         let device = DeviceSpec::v100();
-        let plan =
-            crate::recipe::optimize_encoder(&device, &EncoderDims::bert_large(), &quick()).unwrap();
+        let plan = optimize_encoder(&device, &EncoderDims::bert_large(), &quick()).unwrap();
         let ranked = bottlenecks(&device, &plan);
         assert_eq!(ranked.len(), plan.rows.len());
         // sorted descending, shares sum to 100
@@ -302,8 +306,7 @@ mod tests {
     #[test]
     fn whatif_shows_bandwidth_matters_more_than_compute() {
         let device = DeviceSpec::v100();
-        let plan =
-            crate::recipe::optimize_encoder(&device, &EncoderDims::bert_large(), &quick()).unwrap();
+        let plan = optimize_encoder(&device, &EncoderDims::bert_large(), &quick()).unwrap();
         let w = whatif(&device, &plan).unwrap();
         assert!(w.bandwidth_10x_us < w.current_us);
         assert!(w.compute_10x_us < w.current_us);
@@ -325,7 +328,7 @@ mod tests {
         // Table III: in forward propagation every fused operator
         // outperforms PyTorch's; backward has a couple of exceptions
         // (EBSB, BAOB) due to globally-driven layout choices.
-        let t = table3(&DeviceSpec::v100(), &EncoderDims::bert_large(), &quick()).unwrap();
+        let t = quick_table3();
         let fused_rows: Vec<_> = t.rows.iter().filter(|r| r.members.len() > 1).collect();
         assert!(!fused_rows.is_empty());
         let wins = fused_rows.iter().filter(|r| r.speedup > 1.0).count();
