@@ -71,8 +71,7 @@ use xform_gpusim::DeviceSpec;
 use xform_transformer::interp::{self, PlanKind};
 
 use crate::cli::{Flags, ACCESS, CACHE, CERTIFY, CHECK, JSON};
-use crate::jstr;
-use crate::paper::Res;
+use crate::{jstr, Res};
 
 /// Checked-in static-MUE floor per canned plan. `--check` fails when any
 /// plan's audited static MUE regresses below its pinned value; re-pin by

@@ -13,6 +13,9 @@ pub mod cli;
 pub mod paper;
 pub mod profile;
 
+/// What an entry or command returns.
+pub type Res<T> = Result<T, Box<dyn std::error::Error>>;
+
 /// Simple fixed-width table printer for terminal reports.
 #[derive(Debug, Default)]
 pub struct TablePrinter {

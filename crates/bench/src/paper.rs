@@ -1,6 +1,6 @@
 //! The paper's artifacts as one table of entries: Tables I–V, Figs. 1, 2
 //! and 4–6, and the studies of Secs. V–VIII, each a function over one
-//! [`Context`] — the V100, BERT-large, and everything more than one entry
+//! `Context` — the V100, BERT-large, and everything more than one entry
 //! reads (the recipe's run, the framework baselines, the fused graph's
 //! sweeps), computed at most once per process. `repro <entry>…` runs them;
 //! `crates/bench/tests/repro/` holds each simulated entry's expected output.
@@ -28,10 +28,7 @@ use xform_gpusim::framework::{cudnn_mha_time_ms, execute, ExecutionProfile, Fram
 use xform_gpusim::opmodel::{op_cost, OpConfig};
 use xform_gpusim::DeviceSpec;
 
-use crate::{Distribution, TablePrinter};
-
-/// What an entry returns.
-pub type Res<T> = Result<T, Box<dyn std::error::Error>>;
+use crate::{Distribution, Res, TablePrinter};
 
 /// Simulator sweeps by operator.
 type Sweeps = HashMap<NodeId, SweepResult>;
@@ -147,7 +144,7 @@ const fn entry(name: &'static str, about: &'static str, run: fn(&Context) -> Res
     Entry { name, about, run }
 }
 
-/// Runs `entries` in order over one [`Context`]; with more than one, each
+/// Runs `entries` in order over one `Context`; with more than one, each
 /// output opens with its name.
 ///
 /// # Errors
@@ -176,11 +173,11 @@ fn lazy<T>(cell: &OnceCell<T>, init: impl FnOnce() -> Res<T>) -> Res<&T> {
 /// What the entries share: the paper's device and dimensions and, built on
 /// first use, every result more than one entry reads.
 #[derive(Debug)]
-pub struct Context {
+struct Context {
     /// The modelled device, the paper's V100.
-    pub device: DeviceSpec,
+    device: DeviceSpec,
     /// The paper's dimensions, BERT-large.
-    pub dims: EncoderDims,
+    dims: EncoderDims,
     unfused: OnceCell<Graph>,
     fused: OnceCell<Graph>,
     sweeps: OnceCell<Sweeps>,
@@ -214,17 +211,12 @@ impl Context {
     }
 
     /// The unfused encoder training graph.
-    pub fn unfused(&self) -> &Graph {
-        self.unfused
-            .get_or_init(|| build::encoder(&self.dims).graph)
+    fn unfused(&self) -> &Graph {
+        (self.unfused).get_or_init(|| build::encoder(&self.dims).graph)
     }
 
     /// The graph the fusion table leaves, which the recipe sweeps.
-    ///
-    /// # Errors
-    ///
-    /// A fusion plan that does not apply.
-    pub fn fused(&self) -> Res<&Graph> {
+    fn fused(&self) -> Res<&Graph> {
         lazy(&self.fused, || {
             let mut g = self.unfused().clone();
             apply_plan(&mut g, &encoder_fusion_plan())?;
@@ -233,32 +225,19 @@ impl Context {
     }
 
     /// The simulator's sweeps of [`Context::fused`] at the recipe's cap.
-    ///
-    /// # Errors
-    ///
-    /// A configuration that fails to price.
-    pub fn sweeps(&self) -> Res<&Sweeps> {
+    fn sweeps(&self) -> Res<&Sweeps> {
+        let opts = RecipeOptions::default().sweep;
         lazy(&self.sweeps, || {
-            Ok(sweep_all(
-                &self.source(),
-                self.fused()?,
-                RecipeOptions::default().sweep,
-            )?)
+            Ok(sweep_all(&self.source(), self.fused()?, opts)?)
         })
     }
 
-    /// The recipe's optimized encoder — what `optimize_encoder` returns —
-    /// selected from [`Context::sweeps`].
-    ///
-    /// # Errors
-    ///
-    /// A failed selection.
-    pub fn recipe(&self) -> Res<&OptimizedEncoder> {
+    /// What `optimize_encoder` returns, selected from [`Context::sweeps`].
+    fn recipe(&self) -> Res<&OptimizedEncoder> {
         lazy(&self.recipe, || {
             let fused = self.fused()?;
             let reduction = analysis::movement_reduction_pct(self.unfused(), fused);
-            let opts = RecipeOptions::default();
-            let (source, sweeps) = (self.source(), self.sweeps()?);
+            let (source, sweeps, opts) = (self.source(), self.sweeps()?, RecipeOptions::default());
             Ok(optimize_swept(
                 &source,
                 &self.device,
@@ -276,47 +255,29 @@ impl Context {
         if *device == self.device && *dims == self.dims {
             return Ok(Cow::Borrowed(self.recipe()?));
         }
-        Ok(Cow::Owned(optimize_encoder(
-            device,
-            dims,
-            &RecipeOptions::default(),
-        )?))
+        let opts = RecipeOptions::default();
+        Ok(Cow::Owned(optimize_encoder(device, dims, &opts)?))
     }
 
     /// PyTorch's execution of the unfused graph.
-    ///
-    /// # Errors
-    ///
-    /// An operator the framework model cannot price.
-    pub fn pytorch(&self) -> Res<&ExecutionProfile> {
+    fn pytorch(&self) -> Res<&ExecutionProfile> {
+        let policy = FrameworkPolicy::pytorch();
         lazy(&self.pytorch, || {
-            Ok(execute(
-                self.unfused(),
-                &self.device,
-                &FrameworkPolicy::pytorch(),
-            )?)
+            Ok(execute(self.unfused(), &self.device, &policy)?)
         })
     }
 
     /// DeepSpeed's execution of the fused graph.
-    ///
-    /// # Errors
-    ///
-    /// An operator the framework model cannot price.
-    pub fn deepspeed(&self) -> Res<&ExecutionProfile> {
+    fn deepspeed(&self) -> Res<&ExecutionProfile> {
+        let policy = FrameworkPolicy::deepspeed();
         lazy(&self.deepspeed, || {
-            Ok(execute(
-                self.fused()?,
-                &self.device,
-                &FrameworkPolicy::deepspeed(),
-            )?)
+            Ok(execute(self.fused()?, &self.device, &policy)?)
         })
     }
 
     /// Table II's three Q/K/V projection variants.
-    pub fn qkv(&self) -> &[AlgebraicTiming] {
-        self.qkv
-            .get_or_init(|| qkv_variants(&self.device, &self.dims))
+    fn qkv(&self) -> &[AlgebraicTiming] {
+        (self.qkv).get_or_init(|| qkv_variants(&self.device, &self.dims))
     }
 
     /// The forward operators of [`Context::fused`].

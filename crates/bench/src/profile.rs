@@ -59,8 +59,7 @@ use xform_transformer::model::{BlockKind, ModelConfig, TransformerModel};
 use xform_transformer::params::EncoderWeights;
 
 use crate::cli::{Flags, CHECK, JSON};
-use crate::jstr;
-use crate::paper::Res;
+use crate::{jstr, Res};
 
 const REPS: usize = 5;
 const STEADY_CALLS: usize = 20;
@@ -111,7 +110,7 @@ struct Profiled {
 }
 
 /// Profiles the canned plan `kind` at `dims`, serially.
-fn profile(key: &'static str, dims: &EncoderDims, kind: PlanKind) -> Res<Profiled> {
+fn profile_canned(key: &'static str, dims: &EncoderDims, kind: PlanKind) -> Res<Profiled> {
     let pf = interp::cached_plan(dims, kind)?;
     let base = random_externals(&pf.graph, &pf.plan, 11)?;
     let prof = profile_plan(&pf.graph, &pf.plan, &base, &ExecOptions::default(), REPS)?;
@@ -382,12 +381,12 @@ impl Collected {
                     },
                     _ => d,
                 };
-                profile(key, &at, kind)
+                profile_canned(key, &at, kind)
             })
             .collect::<Res<_>>()?;
         let seq = EncoderDims { j: 96, k: 96, ..d };
         let long = (PLANS[..4].iter())
-            .map(|&(key, kind)| profile(key, &seq, kind))
+            .map(|&(key, kind)| profile_canned(key, &seq, kind))
             .collect::<Res<_>>()?;
         let pf = interp::cached_plan(&d, PlanKind::EncoderFused)?;
         let base = random_externals(&pf.graph, &pf.plan, 11)?;

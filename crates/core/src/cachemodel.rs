@@ -132,31 +132,6 @@ impl CacheGeometry {
             .unwrap_or(1)
     }
 
-    /// A typical desktop hierarchy: 32 KiB L1d, 1 MiB L2, 8 MiB LLC, 64 B
-    /// lines.
-    pub fn typical_host() -> CacheGeometry {
-        CacheGeometry::new(vec![
-            CacheLevel {
-                name: "L1".to_string(),
-                size_bytes: 32 << 10,
-                line_bytes: 64,
-                assoc: 8,
-            },
-            CacheLevel {
-                name: "L2".to_string(),
-                size_bytes: 1 << 20,
-                line_bytes: 64,
-                assoc: 16,
-            },
-            CacheLevel {
-                name: "LLC".to_string(),
-                size_bytes: 8 << 20,
-                line_bytes: 64,
-                assoc: 16,
-            },
-        ])
-    }
-
     /// The modelled accelerator's hierarchy: one SM's private L1 (a tile
     /// working set either fits one SM's L1 or spills, regardless of SM
     /// count) and the device-wide L2 that backs DRAM.
@@ -180,8 +155,9 @@ impl CacheGeometry {
 
     /// Parses a geometry spec: comma-separated `SIZE[:LINE[:ASSOC]]`
     /// levels, sizes accepting `k`/`m`/`g` suffixes. Returns `None` on
-    /// any malformed field, a size that overflows `u64` included. Levels named `L1..Ln` in ascending-capacity
-    /// order; the last is renamed `LLC` when three or more levels exist.
+    /// any malformed field, a size that overflows `u64` included. Levels
+    /// named `L1..Ln` in ascending-capacity order; the last is renamed
+    /// `LLC` when three or more levels exist.
     pub fn parse(spec: &str) -> Option<CacheGeometry> {
         let mut levels = Vec::new();
         for part in spec.split(',') {
@@ -856,6 +832,11 @@ mod tests {
         assert!(CacheGeometry::parse("32k:0").is_none());
     }
 
+    /// A typical desktop hierarchy: 32 KiB L1d, 1 MiB L2, 8 MiB LLC.
+    fn desktop() -> CacheGeometry {
+        CacheGeometry::parse("32k:64:8,1m:64:16,8m:64:16").unwrap()
+    }
+
     #[test]
     fn a_size_that_overflows_is_malformed() {
         assert!(CacheGeometry::parse("20000000000g").is_none());
@@ -904,7 +885,7 @@ mod tests {
             let flat = analyze::audit(&g, &plan, &d);
             let zero = cache_audit(&g, &plan, &d, &CacheGeometry::none());
             assert!((zero.plan_mue.value - flat.plan_mue.value).abs() < 1e-9);
-            let host = cache_audit(&g, &plan, &d, &CacheGeometry::typical_host());
+            let host = cache_audit(&g, &plan, &d, &desktop());
             assert!(host.plan_mue.value >= flat.plan_mue.value - 1e-9);
             assert!(host.dram_words <= zero.dram_words);
             assert!((host.plan_mue.q_words - flat.plan_mue.q_words).abs() < 1e-6);
@@ -926,7 +907,7 @@ mod tests {
     #[test]
     fn strided_flowing_layout_prices_more_dram() {
         let (g, plan) = fused();
-        let geom = CacheGeometry::typical_host();
+        let geom = desktop();
         // find a normalization step with a rank≥2 flowing input
         for step in &plan.steps {
             let nat = step.inputs[0].layout;
