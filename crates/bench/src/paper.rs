@@ -743,7 +743,7 @@ fn fig4(cx: &Context) -> Res<()> {
 /// warp-axis configurations for every fused element-wise and
 /// statistical-normalization kernel.
 fn fig5(cx: &Context) -> Res<()> {
-    let g = cx.fused()?;
+    let (g, src) = (cx.fused()?, cx.source());
     println!("Fig. 5: fused-kernel performance over all configurations (ms)\n");
     println!(
         "{:<8} {:>9} {:>10} {:>9}  distribution (log bins)",
@@ -754,7 +754,7 @@ fn fig5(cx: &Context) -> Res<()> {
         if node.kind.class() == OpClass::TensorContraction {
             continue;
         }
-        let r = sweep_op(&cx.source(), g, op, SweepOptions::default())?;
+        let r = sweep_op(&src, g, op, SweepOptions::default())?;
         let times_ms: Vec<f64> = r.times_us.iter().map(|t| t / 1000.0).collect();
         let d = Distribution::from_times(&times_ms);
         println!(
