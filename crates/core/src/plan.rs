@@ -409,10 +409,6 @@ pub struct ExecOptions<'p> {
     /// Seed for the dropout RNG (the arena derives one stream per step
     /// from it).
     pub seed: u64,
-    /// Whether the layer forwards assemble the saved-activation bundle
-    /// after the run (`true` by default; inference-only callers can skip
-    /// the clones).
-    pub collect_activations: bool,
     /// Shadow-access sanitizer routing (defaults to the environment).
     pub sanitize: SanitizeMode,
     /// Optional profiler sink: when set, the arena records per-step
@@ -438,7 +434,6 @@ impl Default for ExecOptions<'_> {
             scaler: 1.0,
             threads: 1,
             seed: 0x5eed,
-            collect_activations: true,
             sanitize: SanitizeMode::Env,
             profiler: None,
             plan: None,
@@ -501,12 +496,6 @@ impl<'p> ExecOptionsBuilder<'p> {
     /// Sets the dropout RNG seed.
     pub fn seed(mut self, s: u64) -> Self {
         self.opts.seed = s;
-        self
-    }
-
-    /// Sets whether layer forwards assemble the saved-activation bundle.
-    pub fn collect_activations(mut self, yes: bool) -> Self {
-        self.opts.collect_activations = yes;
         self
     }
 

@@ -16,7 +16,7 @@ use xform_dataflow::{build, EncoderDims, Graph, NodeId, OpClass};
 use xform_gpusim::mue::{mue, Mue};
 use xform_gpusim::opmodel::OpConfig;
 use xform_gpusim::DeviceSpec;
-use xform_tensor::Result;
+use xform_tensor::{Result, TensorError};
 
 use crate::fusion::{apply_plan, encoder_fusion_plan};
 use crate::selection::{select_forward, Selection};
@@ -236,7 +236,10 @@ pub fn optimize_step(
 ///
 /// # Errors
 ///
-/// Returns an error if any step fails.
+/// Returns [`TensorError::Unsupported`] for a graph without an output
+/// gradient `dy` (a forward-only graph: the recipe optimizes a training
+/// step) or sweeps that lack one of its operators, naming either, and an
+/// error if any step fails.
 pub fn optimize_swept(
     source: &dyn PerfSource,
     device: &DeviceSpec,
@@ -246,7 +249,9 @@ pub fn optimize_swept(
     opts: &RecipeOptions,
 ) -> Result<OptimizedEncoder> {
     // Step 4: global selection (forward), per-op best (backward).
-    let dy = graph.data_by_name("dy").expect("encoder graph has dy");
+    let dy = (graph.data_by_name("dy")).ok_or_else(|| {
+        TensorError::Unsupported("the graph has no output gradient `dy` to optimize".into())
+    })?;
     let fwd = forward_ops(&graph, dy);
     let bwd = backward_ops(&graph, dy);
     let selection = select_forward(&graph, device, &fwd, sweeps)?;
@@ -260,9 +265,13 @@ pub fn optimize_swept(
     for (ops, is_fwd) in [(&fwd, true), (&bwd, false)] {
         for &op in ops.iter() {
             let node = graph.op(op).expect("live op");
-            let timing = match fwd_configs.get(&op) {
-                Some(&t) => *t,
-                None => sweeps[&op].best,
+            let timing = match (fwd_configs.get(&op), sweeps.get(&op)) {
+                (Some(&t), _) => *t,
+                (None, Some(sweep)) => sweep.best,
+                (None, None) => {
+                    let name = &node.name;
+                    return Err(TensorError::Unsupported(format!("no sweep for `{name}`")));
+                }
             };
             let cost = source.measure(&graph, op, &timing.cfg)?;
             let m = mue(&graph, op, &cost);
@@ -399,5 +408,40 @@ mod tests {
             assert!(r.time_us > 0.0);
             assert!((0.0..=100.0).contains(&r.mue.value));
         }
+    }
+
+    /// [`optimize_swept`] over `graph` and its sweeps, less the sweep of
+    /// the operator named `drop`, at tiny dims on a simulated V100.
+    fn swept_without(graph: Graph, drop: Option<&str>) -> Result<OptimizedEncoder> {
+        let device = DeviceSpec::v100();
+        let source = SimulatorSource {
+            device: device.clone(),
+        };
+        let mut sweeps = sweep_all(&source, &graph, quick_opts().sweep)?;
+        if let Some(op) = drop.and_then(|name| graph.op_by_name(name)) {
+            sweeps.remove(&op);
+        }
+        optimize_swept(&source, &device, graph, &sweeps, 0.0, &quick_opts())
+    }
+
+    #[test]
+    fn a_forward_only_graph_is_a_typed_error_naming_dy() {
+        let head = build::head(&EncoderDims::tiny(), 5).graph;
+        assert_eq!(
+            swept_without(head, None).unwrap_err(),
+            TensorError::Unsupported("the graph has no output gradient `dy` to optimize".into())
+        );
+    }
+
+    #[test]
+    fn sweeps_missing_an_operator_are_a_typed_error_naming_it() {
+        let graph = build::encoder(&EncoderDims::tiny()).graph;
+        let dy = graph.data_by_name("dy").unwrap();
+        let op = backward_ops(&graph, dy)[0];
+        let name = graph.op(op).unwrap().name.clone();
+        assert_eq!(
+            swept_without(graph, Some(&name)).unwrap_err(),
+            TensorError::Unsupported(format!("no sweep for `{name}`"))
+        );
     }
 }

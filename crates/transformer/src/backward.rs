@@ -13,47 +13,44 @@
 //!
 //! A forward that ran the attention region keeps none of the core's
 //! `[h,b,j,k]` tensors — at `j = 512` they were four fifths of a block's
-//! saved bytes. What it keeps is [`SavedSoftmax::Redraw`]: the dropout
-//! stream of the region step. Ahead of [`attention_backward`],
-//! [`SavedSoftmax::bundle`] computes the bundle again from the saved
+//! saved bytes. What its [`Saved`] record keeps is the region step's
+//! dropout stream. Ahead of [`attention_backward`],
+//! [`Saved::redraw_softmax`] computes the bundle again from the saved
 //! `qq`/`kk` with the chain the region stands for — `einsum` of the scores,
 //! then `fused::sm` / `sm_causal` drawing from that stream — which the
 //! region equals bit for bit, masks included (the region proptests of
 //! `xform-tensor`). It is the eager mirror of the `QKT → SM` nodes
 //! `fusion::apply_regions` leaves on the backward side of a training graph.
 
-use std::borrow::Cow;
-
 use xform_core::arena::step_rng;
-use xform_tensor::fused::{self, BrdOutput, SmOutput};
+use xform_tensor::fused::{self, SmOutput};
 use xform_tensor::ops::dropout::dropout_backward;
 use xform_tensor::ops::elementwise::{activate_backward, add, bias_grad, scale, ActivationKind};
 use xform_tensor::ops::softmax::softmax_backward;
 use xform_tensor::{einsum, Axis, Result, Tensor};
 
-use crate::interp::SavedSoftmax;
+use crate::interp::Saved;
 use crate::params::{EncoderGrads, EncoderWeights};
 
-impl SavedSoftmax {
-    /// The softmax bundle of the forward that left `self`: the one it kept,
-    /// or — from the projections it saved, the attention scale, and the
-    /// dropout probability and causal masking of its softmax — computed
-    /// again (module docs).
-    pub(crate) fn bundle(
+impl Saved {
+    /// The softmax bundle of a forward that ran the attention region,
+    /// computed again (module docs) from the projections it saved, the
+    /// attention scale, and the dropout probability and causal masking of
+    /// its softmax; `None` for a forward without a region, which saved the
+    /// bundle itself.
+    pub(crate) fn redraw_softmax(
         &self,
-        (qq, kk): (&Tensor, &Tensor),
         scaler: f32,
         dropout_p: f32,
         causal: bool,
-    ) -> Result<Cow<'_, SmOutput>> {
-        let (seed, stream) = match self {
-            SavedSoftmax::Kept(sm) => return Ok(Cow::Borrowed(sm)),
-            &SavedSoftmax::Redraw { seed, stream } => (seed, stream),
+    ) -> Result<Option<SmOutput>> {
+        let Some((seed, stream)) = self.region else {
+            return Ok(None);
         };
         let (j, k) = (Axis('j'), Axis('k'));
-        let beta = einsum("phbk,phbj->hbjk", &[kk, qq])?;
+        let beta = einsum("phbk,phbj->hbjk", &[self.tensor("kk")?, self.tensor("qq")?])?;
         let rng = &mut step_rng(seed, stream);
-        Ok(Cow::Owned(if causal {
+        Ok(Some(if causal {
             fused::sm_causal(&beta, scaler, j, k, dropout_p, rng)?
         } else {
             fused::sm(&beta, scaler, k, dropout_p, rng)?
@@ -61,7 +58,7 @@ impl SavedSoftmax {
     }
 }
 
-/// The forward values the attention backward reads.
+/// The forward values the attention backward reads, by their graph names.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AttentionSaved<'a> {
     /// Biased query projections `[p,h,b,j]`.
@@ -70,10 +67,14 @@ pub(crate) struct AttentionSaved<'a> {
     pub kk: &'a Tensor,
     /// Biased value projections `[w,h,b,k]`.
     pub vv: &'a Tensor,
-    /// Softmax bundle (alpha, saved softmax, mask).
-    pub sm: &'a SmOutput,
+    /// The saved softmax `[h,b,j,k]`.
+    pub att: &'a Tensor,
+    /// The dropped-out attention weights `[h,b,j,k]`.
+    pub alpha: &'a Tensor,
+    /// The attention dropout mask `[h,b,j,k]`.
+    pub att_mask: &'a Tensor,
     /// Attention context `[w,h,b,j]`.
-    pub gam: &'a Tensor,
+    pub gamma: &'a Tensor,
 }
 
 /// Gradients of the three projection streams and of the inputs they
@@ -107,15 +108,15 @@ pub(crate) fn attention_backward(
     scaler: f32,
     fused: bool,
 ) -> Result<AttentionGrads> {
-    let (k, sm) = (Axis('k'), a.sm);
+    let k = Axis('k');
     let d_gam = einsum("whi,ibj->whbj", &[&w.wo, d_attn])?;
     let d_alpha = einsum("whbk,whbj->hbjk", &[a.vv, &d_gam])?;
-    let d_vv = einsum("whbj,hbjk->whbk", &[&d_gam, &sm.alpha])?;
+    let d_vv = einsum("whbj,hbjk->whbk", &[&d_gam, a.alpha])?;
     let d_beta = if fused {
-        fused::bs(&d_alpha, &sm.mask, &sm.softmax, k, scaler)?
+        fused::bs(&d_alpha, a.att_mask, a.att, k, scaler)?
     } else {
-        let after = dropout_backward(&d_alpha, &sm.mask)?;
-        scale(&softmax_backward(&after, &sm.softmax, k)?, scaler)
+        let after = dropout_backward(&d_alpha, a.att_mask)?;
+        scale(&softmax_backward(&after, a.att, k)?, scaler)
     };
     let d_qq = einsum("phbk,hbjk->phbj", &[a.kk, &d_beta])?;
     let d_kk = einsum("phbj,hbjk->phbk", &[a.qq, &d_beta])?;
@@ -131,20 +132,37 @@ pub(crate) fn attention_backward(
 
 /// [`attention_backward`] for self-attention over one source `src`
 /// (`[i,b,j]`: the block input post-LN, its first layer norm's output
-/// pre-LN): fills the attention weight gradients of `g` (`bo`, `wo`, the
-/// three projection biases and weights) and returns the gradient of `src`.
+/// pre-LN), reading the block forward's record `a` — the softmax bundle
+/// from it or, after a region, computed again with the forward's softmax
+/// knobs `(scaler, dropout_p, causal)`: fills the attention weight
+/// gradients of `g` (`bo`, `wo`, the three projection biases and weights)
+/// and returns the gradient of `src`.
 pub(crate) fn self_attention_backward(
     d_attn: &Tensor,
     src: &Tensor,
     w: &EncoderWeights,
-    a: &AttentionSaved<'_>,
-    scaler: f32,
+    a: &Saved,
+    (scaler, dropout_p, causal): (f32, f32, bool),
     fused: bool,
     g: &mut EncoderGrads,
 ) -> Result<Tensor> {
+    let redrawn = a.redraw_softmax(scaler, dropout_p, causal)?;
+    let (att, alpha, att_mask) = match &redrawn {
+        Some(sm) => (&sm.softmax, &sm.alpha, &sm.mask),
+        None => (a.tensor("att")?, a.tensor("alpha")?, a.tensor("att_mask")?),
+    };
+    let saved = AttentionSaved {
+        qq: a.tensor("qq")?,
+        kk: a.tensor("kk")?,
+        vv: a.tensor("vv")?,
+        att,
+        alpha,
+        att_mask,
+        gamma: a.tensor("gamma")?,
+    };
     g.bo = bias_grad(d_attn, &[Axis('i')])?;
-    g.wo = einsum("whbj,ibj->whi", &[a.gam, d_attn])?;
-    let s = attention_backward(d_attn, w, a, scaler, fused)?;
+    g.wo = einsum("whbj,ibj->whi", &[saved.gamma, d_attn])?;
+    let s = attention_backward(d_attn, w, &saved, scaler, fused)?;
     let ph = [Axis('p'), Axis('h')];
     g.bq = bias_grad(&s.d_qq, &ph)?;
     g.bk = bias_grad(&s.d_kk, &ph)?;
@@ -157,29 +175,31 @@ pub(crate) fn self_attention_backward(
 }
 
 /// Feed-forward backward from `d_out`, the gradient of the second bias's
-/// output: fills `b2`, `w2`, `b1`, `w1` of `g` and returns the gradient of
-/// the network's input `x`. With `fused` the dropout + activation + bias-dW
+/// output, over the saved `ff1_b`, `ff1_drop` and `drop2_mask` of `a`:
+/// fills `b2`, `w2`, `b1`, `w1` of `g` and returns the gradient of the
+/// network's input `x`. With `fused` the dropout + activation + bias-dW
 /// backward is the BDRB kernel, otherwise its three operators.
 pub(crate) fn ffn_backward(
     d_out: &Tensor,
     x: &Tensor,
     w: &EncoderWeights,
-    brd: &BrdOutput,
+    a: &Saved,
     activation: ActivationKind,
     fused: bool,
     g: &mut EncoderGrads,
 ) -> Result<Tensor> {
     let u = [Axis('u')];
+    let (ff1_b, mask) = (a.tensor("ff1_b")?, a.tensor("drop2_mask")?);
     g.b2 = bias_grad(d_out, &[Axis('i')])?;
     let d_brd = einsum("iu,ibj->ubj", &[&w.w2, d_out])?;
-    g.w2 = einsum("ibj,ubj->iu", &[d_out, &brd.out])?;
+    g.w2 = einsum("ibj,ubj->iu", &[d_out, a.tensor("ff1_drop")?])?;
     let d_ff1 = if fused {
-        let (d_ff1, db1) = fused::bdrb_act(&d_brd, &brd.mask, &brd.pre_activation, activation, &u)?;
+        let (d_ff1, db1) = fused::bdrb_act(&d_brd, mask, ff1_b, activation, &u)?;
         g.b1 = db1;
         d_ff1
     } else {
-        let after = dropout_backward(&d_brd, &brd.mask)?;
-        let d_ff1 = activate_backward(&after, &brd.pre_activation, activation)?;
+        let after = dropout_backward(&d_brd, mask)?;
+        let d_ff1 = activate_backward(&after, ff1_b, activation)?;
         g.b1 = bias_grad(&d_ff1, &u)?;
         d_ff1
     };

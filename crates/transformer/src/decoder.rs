@@ -3,62 +3,16 @@
 //! paper's Sec. VIII says the recipe transfers to unchanged. Forward and
 //! backward, validated against numerical gradients.
 
-use xform_core::plan::{ExecOptions, ExecState};
+use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
-use xform_tensor::fused::BrdOutput;
 use xform_tensor::ops::dropout::dropout_backward;
 use xform_tensor::ops::elementwise::{add, ActivationKind};
-use xform_tensor::ops::layernorm::{
-    layernorm_backward_input, layernorm_backward_weights, LayerNormStats,
-};
-use xform_tensor::{Axis, Result, Tensor, TensorError};
+use xform_tensor::ops::layernorm::{layernorm_backward_input, layernorm_backward_weights};
+use xform_tensor::{Axis, Result, Tensor};
 
-use crate::backward::{ffn_backward, self_attention_backward, AttentionSaved};
-use crate::interp::{self, ForwardOutput, SavedSoftmax};
+use crate::backward::{ffn_backward, self_attention_backward};
+use crate::interp::{self, ForwardOutput, Saved};
 use crate::params::{EncoderGrads, EncoderWeights};
-
-/// Assembles the decoder's saved activations out of what a forward
-/// produced.
-fn collect_decoder_activations(
-    mut state: ExecState,
-    region: Option<(u64, usize)>,
-) -> Result<(Tensor, DecoderActivations)> {
-    let missing = |name: &str| {
-        TensorError::Unsupported(format!(
-            "plan produced no layer-norm statistics for `{name}`"
-        ))
-    };
-    let stats1 = state
-        .stats
-        .remove("ln1_out")
-        .ok_or_else(|| missing("ln1_out"))?;
-    let stats2 = state
-        .stats
-        .remove("ln2_out")
-        .ok_or_else(|| missing("ln2_out"))?;
-    Ok((
-        state.take("y")?,
-        DecoderActivations {
-            ln1_out: state.take("ln1_out")?,
-            stats1,
-            qq: state.take("qq")?,
-            kk: state.take("kk")?,
-            vv: state.take("vv")?,
-            sm: SavedSoftmax::collect(&mut state, region)?,
-            gam: state.take("gamma")?,
-            drop1_mask: state.take("drop1_mask")?,
-            res1: state.take("res1")?,
-            ln2_out: state.take("ln2_out")?,
-            stats2,
-            brd: BrdOutput {
-                out: state.take("ff1_drop")?,
-                pre_activation: state.take("ff1_b")?,
-                mask: state.take("drop2_mask")?,
-            },
-            drop3_mask: state.take("drop3_mask")?,
-        },
-    ))
-}
 
 /// A configured decoder block. Weights are shared with the encoder layout
 /// ([`EncoderWeights`]); only the wiring differs (pre-LN, causal mask,
@@ -76,41 +30,6 @@ pub struct DecoderLayer {
     /// and Linear 2→BDR2 chains collapse into tiled mega-kernels whose
     /// intermediates never materialize.
     pub epilogue: bool,
-}
-
-/// Saved forward values for the decoder backward pass.
-#[derive(Debug, Clone)]
-pub struct DecoderActivations {
-    /// Pre-attention layer-norm output (input to the projections).
-    pub ln1_out: Tensor,
-    /// Pre-attention layer-norm statistics.
-    pub stats1: LayerNormStats,
-    /// Biased projections.
-    pub qq: Tensor,
-    /// Biased key projections.
-    pub kk: Tensor,
-    /// Biased value projections.
-    pub vv: Tensor,
-    /// The dropout stream of the attention region, to compute the causal
-    /// softmax bundle again from: the block's plans materialize no
-    /// `[h,b,j,k]` tensor. (The bundle itself only under a plan override
-    /// that still runs `SM` as a step of its own.)
-    pub sm: SavedSoftmax,
-    /// Attention context.
-    pub gam: Tensor,
-    /// Attention-path dropout mask.
-    pub drop1_mask: Tensor,
-    /// First residual stream (`x + attention`), the pre-FFN layer-norm
-    /// input.
-    pub res1: Tensor,
-    /// Pre-FFN layer-norm output.
-    pub ln2_out: Tensor,
-    /// Pre-FFN layer-norm statistics.
-    pub stats2: LayerNormStats,
-    /// Feed-forward bias+activation+dropout bundle.
-    pub brd: BrdOutput,
-    /// Output-path dropout mask.
-    pub drop3_mask: Tensor,
 }
 
 impl DecoderLayer {
@@ -151,14 +70,14 @@ impl DecoderLayer {
         }
     }
 
-    /// Forward propagation: `x` (`[i,b,j]`) → `y` (`[i,b,j]`) plus saved
-    /// activations, with the same unified [`ExecOptions`]-driven surface
-    /// as [`crate::encoder::EncoderLayer::forward`], option for option: the
+    /// Forward propagation: `x` (`[i,b,j]`) → `y` (`[i,b,j]`) plus the
+    /// [`Saved`] record [`DecoderLayer::backward`] reads, with the same
+    /// unified [`ExecOptions`]-driven surface as
+    /// [`crate::encoder::EncoderLayer::forward`], option for option: the
     /// block's canned plan runs out of its static arena at any `threads`,
     /// [`ExecOptions::plan`] substitutes an arbitrary plan over the decoder
-    /// graph, in any layouts, on the same arena executor,
-    /// `collect_activations` /
-    /// `profiler` / `sanitize` behave identically. The layer-owned scalar
+    /// graph, in any layouts, on the same arena executor, `profiler` /
+    /// `sanitize` behave identically. The layer-owned scalar
     /// knobs (`dropout_p`, `activation`, attention scale) come from the
     /// layer.
     ///
@@ -172,18 +91,9 @@ impl DecoderLayer {
         x: &Tensor,
         w: &EncoderWeights,
         opts: &ExecOptions,
-    ) -> Result<ForwardOutput<DecoderActivations>> {
+    ) -> Result<ForwardOutput> {
         let run = self.exec_options(opts)?;
-        let (kind, collect) = (self.plan_kind(), opts.collect_activations);
-        interp::forward(
-            &self.dims,
-            kind,
-            x,
-            w,
-            &run,
-            collect,
-            collect_decoder_activations,
-        )
+        interp::forward(&self.dims, self.plan_kind(), x, w, &run)
     }
 
     /// Forward propagation into a caller-provided output tensor — the
@@ -209,50 +119,39 @@ impl DecoderLayer {
         interp::forward_into(&self.dims, self.plan_kind(), x, w, &run, y)
     }
 
-    /// Backpropagation: `(dx, weight gradients)` from the output gradient.
+    /// Backpropagation: `(dx, weight gradients)` from the output gradient
+    /// and the record the forward saved.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape disagreements.
+    /// Returns an error on shape disagreements, or naming a container `a`
+    /// lacks (an encoder layer's record, say).
     pub fn backward(
         &self,
         dy: &Tensor,
         x: &Tensor,
         w: &EncoderWeights,
-        a: &DecoderActivations,
+        a: &Saved,
     ) -> Result<(Tensor, EncoderGrads)> {
         let mut g = w.zeros_like();
         let ai = Axis('i');
+        let (ln1_out, stats1) = (a.tensor("ln1_out")?, a.stats_of("ln1_out")?);
+        let (res1, stats2) = (a.tensor("res1")?, a.stats_of("ln2_out")?);
         // --- feed-forward branch of residual 2 ---
-        let d_ff2b = dropout_backward(dy, &a.drop3_mask)?;
-        let d_ln2_out = ffn_backward(
-            &d_ff2b,
-            &a.ln2_out,
-            w,
-            &a.brd,
-            self.activation,
-            true,
-            &mut g,
-        )?;
-        (g.ln2_gamma, g.ln2_beta) = layernorm_backward_weights(&d_ln2_out, &a.res1, ai, &a.stats2)?;
-        let d_res1_ln = layernorm_backward_input(&d_ln2_out, &a.res1, ai, &w.ln2_gamma, &a.stats2)?;
+        let d_ff2b = dropout_backward(dy, a.tensor("drop3_mask")?)?;
+        let ln2_out = a.tensor("ln2_out")?;
+        let d_ln2_out = ffn_backward(&d_ff2b, ln2_out, w, a, self.activation, true, &mut g)?;
+        (g.ln2_gamma, g.ln2_beta) = layernorm_backward_weights(&d_ln2_out, res1, ai, stats2)?;
+        let d_res1_ln = layernorm_backward_input(&d_ln2_out, res1, ai, &w.ln2_gamma, stats2)?;
         // residual 2: skip branch carries dy directly
         let d_res1 = add(dy, &d_res1_ln)?;
 
         // --- attention branch of residual 1 ---
-        let d_attn = dropout_backward(&d_res1, &a.drop1_mask)?;
-        let sm = (a.sm).bundle((&a.qq, &a.kk), self.scaler(), self.dropout_p, true)?;
-        let saved = AttentionSaved {
-            qq: &a.qq,
-            kk: &a.kk,
-            vv: &a.vv,
-            sm: &sm,
-            gam: &a.gam,
-        };
-        let d_ln1_out =
-            self_attention_backward(&d_attn, &a.ln1_out, w, &saved, self.scaler(), true, &mut g)?;
-        (g.ln1_gamma, g.ln1_beta) = layernorm_backward_weights(&d_ln1_out, x, ai, &a.stats1)?;
-        let d_x_ln = layernorm_backward_input(&d_ln1_out, x, ai, &w.ln1_gamma, &a.stats1)?;
+        let d_attn = dropout_backward(&d_res1, a.tensor("drop1_mask")?)?;
+        let softmax = (self.scaler(), self.dropout_p, true);
+        let d_ln1_out = self_attention_backward(&d_attn, ln1_out, w, a, softmax, true, &mut g)?;
+        (g.ln1_gamma, g.ln1_beta) = layernorm_backward_weights(&d_ln1_out, x, ai, stats1)?;
+        let d_x_ln = layernorm_backward_input(&d_ln1_out, x, ai, &w.ln1_gamma, stats1)?;
         // residual 1: skip branch carries d_res1
         Ok((add(&d_x_ln, &d_res1)?, g))
     }
@@ -278,12 +177,7 @@ mod tests {
         (DecoderLayer::new(dims, 0.0), w, x)
     }
 
-    fn fwd(
-        layer: &DecoderLayer,
-        x: &Tensor,
-        w: &EncoderWeights,
-        seed: u64,
-    ) -> (Tensor, DecoderActivations) {
+    fn fwd(layer: &DecoderLayer, x: &Tensor, w: &EncoderWeights, seed: u64) -> (Tensor, Saved) {
         let opts = ExecOptions::builder().seed(seed).build();
         layer.forward(x, w, &opts).unwrap().into_pair().unwrap()
     }
@@ -295,9 +189,8 @@ mod tests {
         assert_eq!(y.shape().spec(), "ibj");
         // no `[h,b,j,k]` tensor: the region step's dropout stream instead
         // (that no attention weight looks at the future shows in `y`, below)
-        let SavedSoftmax::Redraw { seed, .. } = acts.sm else {
-            panic!("the block's plan runs the attention core as a region");
-        };
+        assert!(!acts.tensors.contains_key("att"));
+        let (seed, _) = acts.region.expect("the attention core runs as a region");
         assert_eq!(seed, 1);
     }
 

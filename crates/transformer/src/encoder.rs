@@ -16,63 +16,17 @@
 //! values (equivalence is tested with dropout disabled, and backward is
 //! bit-for-bit given the same saved masks).
 
-use xform_core::plan::{ExecOptions, ExecState};
+use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
-use xform_tensor::fused::{self, BdrlnOutput, BrdOutput};
+use xform_tensor::fused;
 use xform_tensor::ops::dropout::dropout_backward;
 use xform_tensor::ops::elementwise::{add, ActivationKind};
 use xform_tensor::ops::layernorm::{layernorm_backward_input, layernorm_backward_weights};
 use xform_tensor::{Axis, Result, Tensor};
 
-use crate::backward::{ffn_backward, self_attention_backward, AttentionSaved};
-use crate::interp::{self, ForwardOutput, SavedSoftmax};
+use crate::backward::{ffn_backward, self_attention_backward};
+use crate::interp::{self, ForwardOutput, Saved};
 use crate::params::{EncoderGrads, EncoderWeights};
-
-fn missing_stats(name: &str) -> xform_tensor::TensorError {
-    xform_tensor::TensorError::Unsupported(format!(
-        "plan produced no layer-norm statistics for `{name}`"
-    ))
-}
-
-/// Assembles the saved activations out of what a forward produced.
-fn collect_activations(
-    mut state: ExecState,
-    region: Option<(u64, usize)>,
-) -> Result<(Tensor, Activations)> {
-    let stats1 = state
-        .stats
-        .remove("ln1_out")
-        .ok_or_else(|| missing_stats("ln1_out"))?;
-    let stats2 = state.stats.remove("y").ok_or_else(|| missing_stats("y"))?;
-    let y = state.get("y")?.clone();
-    Ok((
-        y,
-        Activations {
-            qq: state.take("qq")?,
-            kk: state.take("kk")?,
-            vv: state.take("vv")?,
-            sm: SavedSoftmax::collect(&mut state, region)?,
-            gam: state.take("gamma")?,
-            ln1: BdrlnOutput {
-                out: state.take("ln1_out")?,
-                ln_input: state.take("ln1_in")?,
-                mask: state.take("drop1_mask")?,
-                stats: stats1,
-            },
-            brd: BrdOutput {
-                out: state.take("ff1_drop")?,
-                pre_activation: state.take("ff1_b")?,
-                mask: state.take("drop2_mask")?,
-            },
-            ln2: BdrlnOutput {
-                out: state.take("y")?,
-                ln_input: state.take("ln2_in")?,
-                mask: state.take("drop3_mask")?,
-                stats: stats2,
-            },
-        },
-    ))
-}
 
 /// Which kernel set executes the layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,32 +56,6 @@ pub struct EncoderLayer {
     /// Feed-forward activation (the paper's Fig. 2 uses ReLU; real BERT
     /// uses GELU — both are element-wise, so the analysis is identical).
     pub activation: ActivationKind,
-}
-
-/// Forward-pass values saved for backpropagation (the `Saved` containers of
-/// the dataflow graph: projections, attention weights, masks, layer-norm
-/// inputs and statistics).
-#[derive(Debug, Clone)]
-pub struct Activations {
-    /// Biased query projections `[p,h,b,j]`.
-    pub qq: Tensor,
-    /// Biased key projections `[p,h,b,k]`.
-    pub kk: Tensor,
-    /// Biased value projections `[w,h,b,k]`.
-    pub vv: Tensor,
-    /// The softmax bundle (alpha, saved softmax, mask) under
-    /// [`Executor::Reference`]; under the fused executors, whose attention
-    /// region materializes no `[h,b,j,k]` tensor, the dropout stream to
-    /// compute it again from.
-    pub sm: SavedSoftmax,
-    /// Attention context `[w,h,b,j]`.
-    pub gam: Tensor,
-    /// First bias+dropout+residual+layernorm bundle.
-    pub ln1: BdrlnOutput,
-    /// Feed-forward bias+ReLU+dropout bundle.
-    pub brd: BrdOutput,
-    /// Second bias+dropout+residual+layernorm bundle.
-    pub ln2: BdrlnOutput,
 }
 
 impl EncoderLayer {
@@ -169,9 +97,10 @@ impl EncoderLayer {
     }
 
     /// Runs forward propagation on input `x` (`[i,b,j]`) — the single
-    /// entry point for every execution mode. The plan runs out of its
-    /// memoized static arena, `x` and the weights bound straight into the
-    /// slab; what `opts` selects:
+    /// entry point for every execution mode — and returns `y` with the
+    /// [`Saved`] record [`EncoderLayer::backward`] reads. The plan runs out
+    /// of its memoized static arena, `x` and the weights bound straight into
+    /// the slab; what `opts` selects:
     ///
     /// * [`ExecOptions::threads`] — `1` (or `0`) runs the arena's steps in
     ///   schedule order, more dispatches each certified wave across the
@@ -187,8 +116,6 @@ impl EncoderLayer {
     ///   insertions in place — with the same per-step streams, so the
     ///   same plan in other layouts returns the same logical bits, masks
     ///   included, materialized in the layouts it declares;
-    /// * [`ExecOptions::collect_activations`] — when `false`, skips
-    ///   assembling the saved-activation bundle;
     /// * [`ExecOptions::profiler`] — observes the run: per-step (and, at
     ///   `threads > 1`, per-wave) wall times land in the sink
     ///   ([`xform_core::profile::PlanProfiler`]). Neither the executor nor
@@ -213,10 +140,9 @@ impl EncoderLayer {
         x: &Tensor,
         w: &EncoderWeights,
         opts: &ExecOptions,
-    ) -> Result<ForwardOutput<Activations>> {
+    ) -> Result<ForwardOutput> {
         let run = self.exec_options(opts)?;
-        let (kind, collect) = (self.plan_kind(), opts.collect_activations);
-        interp::forward(&self.dims, kind, x, w, &run, collect, collect_activations)
+        interp::forward(&self.dims, self.plan_kind(), x, w, &run)
     }
 
     /// Forward propagation into a caller-provided output tensor — the
@@ -253,35 +179,38 @@ impl EncoderLayer {
         interp::forward_into(&self.dims, self.plan_kind(), x, w, &run, y)
     }
 
-    /// Runs backpropagation: given the output gradient `dy` and the saved
-    /// activations, returns the input gradient `dx` and all weight
+    /// Runs backpropagation: given the output gradient `dy` and the record
+    /// the forward saved, returns the input gradient `dx` and all weight
     /// gradients.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape disagreements.
+    /// Returns an error on shape disagreements, or naming a container `a`
+    /// lacks (a decoder block's record, say).
     pub fn backward(
         &self,
         dy: &Tensor,
         x: &Tensor,
         w: &EncoderWeights,
-        a: &Activations,
+        a: &Saved,
     ) -> Result<(Tensor, EncoderGrads)> {
         let fused_mode = self.executor != Executor::Reference;
         let mut g = w.zeros_like();
         let ai = Axis('i');
+        let (ln1_in, ln1_stats) = (a.tensor("ln1_in")?, a.stats_of("ln1_out")?);
 
         // --- second layer-norm block ---
         (g.ln2_gamma, g.ln2_beta) =
-            layernorm_backward_weights(dy, &a.ln2.ln_input, ai, &a.ln2.stats)?;
-        let (d_ff2b, d_ln2_in) = blnrd(fused_mode, dy, &a.ln2, &w.ln2_gamma)?;
+            layernorm_backward_weights(dy, a.tensor("ln2_in")?, ai, a.stats_of("y")?)?;
+        let ln2 = ["ln2_in", "drop3_mask", "y"];
+        let (d_ff2b, d_ln2_in) = blnrd(fused_mode, dy, a, ln2, &w.ln2_gamma)?;
 
         // --- feed-forward ---
         let d_ln1out_ffn = ffn_backward(
             &d_ff2b,
-            &a.ln1.out,
+            a.tensor("ln1_out")?,
             w,
-            &a.brd,
+            a,
             self.activation,
             fused_mode,
             &mut g,
@@ -289,42 +218,43 @@ impl EncoderLayer {
 
         // --- first layer-norm block (residual join) ---
         let (d_ln1out, dg1, dbeta1) = if fused_mode {
-            fused::ebsb(&d_ln1out_ffn, &d_ln2_in, &a.ln1.ln_input, ai, &a.ln1.stats)?
+            fused::ebsb(&d_ln1out_ffn, &d_ln2_in, ln1_in, ai, ln1_stats)?
         } else {
             let dsum = add(&d_ln1out_ffn, &d_ln2_in)?;
-            let (dgam, dbet) =
-                layernorm_backward_weights(&dsum, &a.ln1.ln_input, ai, &a.ln1.stats)?;
+            let (dgam, dbet) = layernorm_backward_weights(&dsum, ln1_in, ai, ln1_stats)?;
             (dsum, dgam, dbet)
         };
         g.ln1_gamma = dg1;
         g.ln1_beta = dbeta1;
-        let (d_attn_b, d_ln1_in) = blnrd(fused_mode, &d_ln1out, &a.ln1, &w.ln1_gamma)?;
+        let ln1 = ["ln1_in", "drop1_mask", "ln1_out"];
+        let (d_attn_b, d_ln1_in) = blnrd(fused_mode, &d_ln1out, a, ln1, &w.ln1_gamma)?;
 
         // --- attention, down to the gradient of the projections' input ---
-        let sm = (a.sm).bundle((&a.qq, &a.kk), self.scaler(), self.dropout_p, false)?;
-        let saved = AttentionSaved {
-            qq: &a.qq,
-            kk: &a.kk,
-            vv: &a.vv,
-            sm: &sm,
-            gam: &a.gam,
-        };
-        let d_x_proj =
-            self_attention_backward(&d_attn_b, x, w, &saved, self.scaler(), fused_mode, &mut g)?;
+        let softmax = (self.scaler(), self.dropout_p, false);
+        let d_x_proj = self_attention_backward(&d_attn_b, x, w, a, softmax, fused_mode, &mut g)?;
         Ok((add(&d_x_proj, &d_ln1_in)?, g))
     }
 }
 
-/// Layer-norm dX then dropout backward over one saved
-/// bias+dropout+residual+layernorm bundle: `(d_dropout_input, d_ln_input)`.
-/// With `fused` this is the BLNRD kernel, otherwise its two operators.
-fn blnrd(fused: bool, dy: &Tensor, ln: &BdrlnOutput, gamma: &Tensor) -> Result<(Tensor, Tensor)> {
+/// Layer-norm dX then dropout backward over one bias+dropout+residual+
+/// layernorm of the record `a`, named by its saved norm input, its dropout
+/// mask and its output (which keys its statistics):
+/// `(d_dropout_input, d_ln_input)`. With `fused` this is the BLNRD kernel,
+/// otherwise its two operators.
+fn blnrd(
+    fused: bool,
+    dy: &Tensor,
+    a: &Saved,
+    [ln_in, mask, out]: [&str; 3],
+    gamma: &Tensor,
+) -> Result<(Tensor, Tensor)> {
     let ai = Axis('i');
+    let (ln_in, mask, stats) = (a.tensor(ln_in)?, a.tensor(mask)?, a.stats_of(out)?);
     if fused {
-        return fused::blnrd(dy, &ln.ln_input, gamma, &ln.mask, ai, &ln.stats);
+        return fused::blnrd(dy, ln_in, gamma, mask, ai, stats);
     }
-    let d_ln = layernorm_backward_input(dy, &ln.ln_input, ai, gamma, &ln.stats)?;
-    Ok((dropout_backward(&d_ln, &ln.mask)?, d_ln))
+    let d_ln = layernorm_backward_input(dy, ln_in, ai, gamma, stats)?;
+    Ok((dropout_backward(&d_ln, mask)?, d_ln))
 }
 
 #[cfg(test)]
@@ -347,12 +277,7 @@ mod tests {
     }
 
     /// Unified-API forward with a fixed seed, destructured for tests.
-    fn fwd(
-        layer: &EncoderLayer,
-        x: &Tensor,
-        w: &EncoderWeights,
-        seed: u64,
-    ) -> (Tensor, Activations) {
+    fn fwd(layer: &EncoderLayer, x: &Tensor, w: &EncoderWeights, seed: u64) -> (Tensor, Saved) {
         let opts = ExecOptions::builder().seed(seed).build();
         layer.forward(x, w, &opts).unwrap().into_pair().unwrap()
     }
@@ -384,12 +309,15 @@ mod tests {
         let (y1, a1) = fwd(&fused_layer, &x, &w, 2);
         let (y2, a2) = fwd(&ref_layer, &x, &w, 2);
         assert!(y1.max_abs_diff(&y2).unwrap() < 1e-5);
-        assert!(a1.qq.max_abs_diff(&a2.qq).unwrap() < 1e-5);
+        let diff = |name| {
+            let (t1, t2) = (a1.tensor(name).unwrap(), a2.tensor(name).unwrap());
+            t1.max_abs_diff(t2).unwrap()
+        };
+        assert!(diff("qq") < 1e-5 && diff("ln1_in") < 1e-5);
         // the reference executor keeps the softmax bundle, the fused one the
         // stream to compute it again from
-        assert!(matches!(a1.sm, SavedSoftmax::Redraw { .. }));
-        assert!(matches!(a2.sm, SavedSoftmax::Kept(_)));
-        assert!(a1.ln1.ln_input.max_abs_diff(&a2.ln1.ln_input).unwrap() < 1e-5);
+        assert!(a1.region.is_some() && !a1.tensors.contains_key("att"));
+        assert!(a2.region.is_none() && a2.tensors.contains_key("att"));
     }
 
     #[test]
@@ -422,8 +350,10 @@ mod tests {
                 let opts = ExecOptions::builder().threads(threads).build();
                 let (y_par, a_par) = layer.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
                 assert_eq!(y_par.data(), y_serial.data(), "{executor:?} @{threads}");
-                assert_eq!(a_par.gam.data(), a_serial.gam.data());
-                assert_eq!(a_par.ln2.ln_input.data(), a_serial.ln2.ln_input.data());
+                for name in ["gamma", "ln2_in"] {
+                    let (par, serial) = (a_par.tensor(name), a_serial.tensor(name));
+                    assert_eq!(par.unwrap().data(), serial.unwrap().data());
+                }
             }
         }
     }
@@ -435,39 +365,26 @@ mod tests {
         let (y2, a2) = layer.forward(&x, &w, &mk(2)).unwrap().into_pair().unwrap();
         let (y4, a4) = layer.forward(&x, &w, &mk(4)).unwrap().into_pair().unwrap();
         assert_eq!(y2.data(), y4.data());
-        assert_eq!(a2.brd.mask.data(), a4.brd.mask.data());
-        assert!(a2.brd.mask.data().contains(&0.0));
-    }
-
-    #[test]
-    fn activations_can_be_skipped() {
-        let (layer, w, x) = setup(0.0, Executor::Fused);
-        let out = layer
-            .forward(
-                &x,
-                &w,
-                &ExecOptions::builder().collect_activations(false).build(),
-            )
-            .unwrap();
-        assert!(out.activations.is_none());
-        let (y_full, _) = fwd(&layer, &x, &w, 0x5eed);
-        assert_eq!(out.y.data(), y_full.data());
-        assert!(out.into_pair().is_err(), "into_pair must refuse");
+        let mask2 = a2.tensor("drop2_mask").unwrap();
+        assert_eq!(mask2.data(), a4.tensor("drop2_mask").unwrap().data());
+        assert!(mask2.data().contains(&0.0));
     }
 
     #[test]
     fn dropout_masks_are_saved_and_applied() {
         let (layer, w, x) = setup(0.5, Executor::Fused);
         let (_, acts) = fwd(&layer, &x, &w, 5);
-        let zeros = acts.brd.mask.data().iter().filter(|&&m| m == 0.0).count();
+        let (mask, out) = (acts.tensor("drop2_mask"), acts.tensor("ff1_drop"));
+        let (mask, out) = (mask.unwrap(), out.unwrap());
+        let zeros = mask.data().iter().filter(|&&m| m == 0.0).count();
         assert!(zeros > 0, "dropout never fired at p=0.5");
         // dropped positions are zero in the output
         let mut idx = vec![0usize; 3];
         loop {
-            if acts.brd.mask.at(&idx) == 0.0 {
-                assert_eq!(acts.brd.out.at(&idx), 0.0);
+            if mask.at(&idx) == 0.0 {
+                assert_eq!(out.at(&idx), 0.0);
             }
-            if !acts.brd.out.advance(&mut idx) {
+            if !out.advance(&mut idx) {
                 break;
             }
         }

@@ -1,7 +1,7 @@
 //! Plan-driven execution of the transformer layers: canned
 //! [`ExecutionPlan`]s for the reference and fused executors, plus the glue
 //! that binds a layer's input and weights into the plan's arena and reads
-//! the saved activations back out.
+//! what it saved back out as one [`Saved`] record.
 //!
 //! This is where the recipe's output becomes runnable: a layer forward
 //! runs its canned plan or an arbitrary recipe-selected one (supply it via
@@ -28,76 +28,85 @@ use xform_core::profile::record_arena_timings;
 use xform_core::recipe::forward_ops;
 use xform_core::sanitize::{certify, RaceCertificate};
 use xform_dataflow::{build, EncoderDims, Graph, OpKind};
-use xform_tensor::fused::SmOutput;
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::elementwise::ActivationKind;
+use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
 pub use xform_core::arena::granularity_for;
 
 use crate::params::EncoderWeights;
 
-/// The result of a unified layer forward: the layer output plus the saved
-/// activations, which are assembled only when
-/// [`xform_core::plan::ExecOptions::collect_activations`] was set (the
-/// default). Inference-only callers read `y` directly; training callers
-/// destructure with [`ForwardOutput::into_pair`].
+/// What a layer forward returns: its output and the record its backward
+/// reads. Inference-only callers run `forward_into` instead; training
+/// callers destructure with [`ForwardOutput::into_pair`].
 #[derive(Debug, Clone)]
-pub struct ForwardOutput<A> {
-    /// The layer output `y` (`[i,b,j]`).
+pub struct ForwardOutput {
+    /// The layer output `y` (`[i,b,j]`), in the layout the plan leaves it in.
     pub y: Tensor,
-    /// Saved activations, when collection was requested.
-    pub activations: Option<A>,
+    /// What the forward saved for the backward.
+    pub saved: Saved,
 }
 
-impl<A> ForwardOutput<A> {
-    /// Splits into `(y, activations)`.
+impl ForwardOutput {
+    /// Splits into `(y, saved)`.
     ///
     /// # Errors
     ///
-    /// Returns an error if the forward ran with
-    /// `collect_activations = false`.
-    pub fn into_pair(self) -> Result<(Tensor, A)> {
-        let a = self.activations.ok_or_else(|| {
-            xform_tensor::TensorError::Unsupported(
-                "forward ran with collect_activations disabled — no saved activations".into(),
-            )
-        })?;
-        Ok((self.y, a))
+    /// None: the `Result` is kept for callers that chain it.
+    pub fn into_pair(self) -> Result<(Tensor, Saved)> {
+        Ok((self.y, self.saved))
     }
 }
 
-/// What a forward leaves the attention backward of its softmax bundle (the
-/// saved softmax, the dropped-out weights, the mask).
-#[derive(Debug, Clone)]
-pub enum SavedSoftmax {
-    /// The bundle itself: a forward that materialized it (the reference
-    /// executor, eager MHA, a plan that runs `SM` as a step of its own).
-    Kept(Box<SmOutput>),
-    /// The dropout stream of the forward's attention region, which kept no
-    /// bundle — sixteen bytes that stand for its masks: backward computes the
-    /// bundle again, drawing from [`arena::step_rng`] of the two.
-    Redraw {
-        /// [`ExecOptions::seed`] of the run.
-        seed: u64,
-        /// The region step's stream number ([`ExecutionPlan::stream_of`]).
-        stream: usize,
-    },
+/// The edges from a block's forward to its backward: what the plan's arena
+/// materialized of the graph's [`xform_dataflow::DataRole::Saved`]
+/// containers, under their graph names — the names the arena, the audit
+/// and the backward bind them by.
+///
+/// The attention core's softmax bundle (`att`, `alpha`, `att_mask`) is
+/// here only when the plan kept it: under the reference executor, or an
+/// override that runs `SM` as a step of its own. A plan that ran the core
+/// as a region kept none of its `[h,b,j,k]` tensors and leaves `region`
+/// instead — sixteen bytes that stand for its masks, from which the
+/// backward computes the bundle again, drawing from [`arena::step_rng`].
+#[derive(Debug, Clone, Default)]
+pub struct Saved {
+    /// Every saved container the plan produced, by graph name, each in the
+    /// layout the plan leaves it in.
+    pub tensors: HashMap<String, Tensor>,
+    /// Layer-norm statistics, keyed by the norm's output container name.
+    pub stats: HashMap<String, LayerNormStats>,
+    /// The attention region's dropout stream: [`ExecOptions::seed`] of the
+    /// run and the region step's [`ExecutionPlan::stream_of`], when the plan
+    /// has a region.
+    pub region: Option<(u64, usize)>,
 }
 
-impl SavedSoftmax {
-    /// Out of what a forward produced: the region's stream if the plan had a
-    /// region, else the containers `att`, `alpha` and `att_mask`.
-    pub(crate) fn collect(state: &mut ExecState, region: Option<(u64, usize)>) -> Result<Self> {
-        Ok(match region {
-            Some((seed, stream)) => SavedSoftmax::Redraw { seed, stream },
-            None => SavedSoftmax::Kept(Box::new(SmOutput {
-                alpha: state.take("alpha")?,
-                softmax: state.take("att")?,
-                mask: state.take("att_mask")?,
-            })),
-        })
+impl Saved {
+    /// The saved container `name`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::Unsupported`] naming a container the forward
+    /// did not save (another block kind's record, say).
+    pub fn tensor(&self, name: &str) -> Result<&Tensor> {
+        lookup(&self.tensors, name)
     }
+
+    /// The statistics of the layer norm whose output is `name`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Saved::tensor`].
+    pub fn stats_of(&self, name: &str) -> Result<&LayerNormStats> {
+        lookup(&self.stats, name)
+    }
+}
+
+fn lookup<'a, T>(map: &'a HashMap<String, T>, name: &str) -> Result<&'a T> {
+    map.get(name)
+        .ok_or_else(|| TensorError::Unsupported(format!("the forward saved no `{name}`")))
 }
 
 /// A dataflow graph paired with an executable forward schedule over it,
@@ -136,12 +145,13 @@ fn certified(graph: Graph, plan: ExecutionPlan) -> Result<PlannedForward> {
     })
 }
 
-/// The dimensions every builder rejects by panicking (`Shape`s have no
-/// zero-sized axes), turned into the error a fallible caller expects.
-fn check_extents(dims: &EncoderDims) -> Result<()> {
+/// The dimensions every builder — of a graph or of a block's weights —
+/// rejects by panicking (`Shape`s have no zero-sized axes), turned into the
+/// error a fallible caller expects.
+pub(crate) fn check_extents(dims: &EncoderDims) -> Result<()> {
     if [dims.b, dims.j, dims.k, dims.h, dims.p, dims.i, dims.u].contains(&0) {
         return Err(TensorError::ShapeMismatch {
-            context: "a canned plan's dimensions (every extent must be nonzero)",
+            context: "a block's dimensions (every extent must be nonzero)",
         });
     }
     Ok(())
@@ -496,38 +506,25 @@ fn with_arena<R>(
     }
 }
 
-/// Runs one layer forward for [`ForwardOutput`]. Without `collect` only
-/// `y` leaves the slab, through [`forward_into`]'s sink into a fresh
-/// row-major tensor. With it every container the plan produced — outputs,
-/// saved activations, layer-norm statistics — is materialized out of the
-/// slab, each in the layout
-/// the plan leaves it in, and handed to `collector` with the dropout stream
-/// of the plan's attention region, if it has one: the region keeps no
-/// `[h,b,j,k]` tensor, and the backward pass draws its masks again
-/// ([`SavedSoftmax`]). `opts` must already be merged with the layer knobs.
+/// Runs one layer forward for [`ForwardOutput`]: `y` and every saved
+/// container and layer-norm statistic the plan produced are materialized
+/// out of the slab, each in the layout the plan leaves it in, and the
+/// dropout stream of the plan's attention region, if it has one, is noted
+/// in the [`Saved`] record. `opts` must already be merged with the layer
+/// knobs.
 ///
 /// # Errors
 ///
 /// Returns an error if the plan fails its lint gate or certification, an
 /// external cannot be bound, or a kernel rejects its operands.
-pub(crate) fn forward<A>(
+pub(crate) fn forward(
     dims: &EncoderDims,
     kind: PlanKind,
     x: &Tensor,
     w: &EncoderWeights,
     opts: &ExecOptions,
-    collect: bool,
-    collector: impl FnOnce(ExecState, Option<(u64, usize)>) -> Result<(Tensor, A)>,
-) -> Result<ForwardOutput<A>> {
-    if !collect {
-        let mut y = Tensor::zeros(x.shape().clone());
-        forward_into(dims, kind, x, w, opts, &mut y)?;
-        return Ok(ForwardOutput {
-            y,
-            activations: None,
-        });
-    }
-    let (state, region) = with_arena(dims, kind, opts, |graph, plan, arena| {
+) -> Result<ForwardOutput> {
+    with_arena(dims, kind, opts, |graph, plan, arena| {
         let mut state = ExecState::default();
         with_externals(x, w, |resolve| {
             arena.execute_into_state(graph, plan, opts, resolve, &mut state)
@@ -543,12 +540,15 @@ pub(crate) fn forward<A>(
             )
         };
         let at = plan.steps.iter().position(region);
-        Ok((state, at.map(|si| (opts.seed, plan.stream_of(si)))))
-    })?;
-    let (y, a) = collector(state, region)?;
-    Ok(ForwardOutput {
-        y,
-        activations: Some(a),
+        // `y` is the plan's one output: what remains is what it saved
+        Ok(ForwardOutput {
+            y: state.take("y")?,
+            saved: Saved {
+                tensors: state.env,
+                stats: state.stats,
+                region: at.map(|si| (opts.seed, plan.stream_of(si))),
+            },
+        })
     })
 }
 
@@ -851,6 +851,93 @@ mod tests {
             ] {
                 is_shape_error(layer.forward(&x, &w, &opts).map(|_| ()), "decoder forward");
                 is_shape_error(layer.forward_into(&x, &w, &opts, &mut y), "decoder into");
+            }
+        }
+    }
+
+    /// A forward's record is its plan's saved edges, no more and no fewer:
+    /// for every block kind, at `tiny` and at a shape with no two extents
+    /// equal, its names are the saved containers the forward plan produces,
+    /// its statistics those of the block's layer norms, the softmax bundle
+    /// is in it only under the reference plan, and a redraw stream only
+    /// where a region ran.
+    #[test]
+    fn a_forward_saves_exactly_its_plans_saved_containers() {
+        use crate::decoder::DecoderLayer;
+        use crate::encoder::{EncoderLayer, Executor};
+        use std::collections::BTreeSet;
+        use xform_dataflow::DataRole;
+
+        let ragged = EncoderDims {
+            b: 3,
+            j: 5,
+            k: 5,
+            h: 2,
+            p: 4,
+            i: 8,
+            u: 7,
+        };
+        for dims in [EncoderDims::tiny(), ragged] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let w = EncoderWeights::init(&dims, &mut rng);
+            let ibj = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+            let x = Tensor::random(ibj, &Uniform::new(-1.0, 1.0), &mut rng);
+            let opts = ExecOptions::builder().seed(7).build();
+            let enc = |e| EncoderLayer::new(dims, e, 0.1).forward(&x, &w, &opts);
+            let dec = DecoderLayer::new(dims, 0.1);
+            type Build = fn(&EncoderDims) -> build::EncoderGraph;
+            let (encoder, decoder): (Build, Build) = (build::encoder, build::decoder);
+            let runs = [
+                (
+                    PlanKind::EncoderReference,
+                    encoder,
+                    enc(Executor::Reference),
+                ),
+                (PlanKind::EncoderFused, encoder, enc(Executor::Fused)),
+                (PlanKind::EncoderEpilogue, encoder, enc(Executor::Epilogue)),
+                (PlanKind::DecoderFused, decoder, dec.forward(&x, &w, &opts)),
+                (
+                    PlanKind::DecoderEpilogue,
+                    decoder,
+                    dec.clone().with_epilogue().forward(&x, &w, &opts),
+                ),
+            ];
+            for (kind, unfused, out) in runs {
+                let (saved, pf) = (out.unwrap().saved, cached_plan(&dims, kind).unwrap());
+                let tag = format!("{kind:?} at {dims:?}");
+                let is_saved = |d| pf.graph.data(d).is_some_and(|n| n.role == DataRole::Saved);
+                let produced: BTreeSet<&str> = (pf.plan.steps.iter())
+                    .flat_map(|s| &s.outputs)
+                    .filter(|o| is_saved(o.data))
+                    .map(|o| o.name.as_str())
+                    .collect();
+                let names: BTreeSet<&str> = saved.tensors.keys().map(String::as_str).collect();
+                assert_eq!(names, produced, "{tag}");
+
+                let g = unfused(&dims).graph;
+                let norms: BTreeSet<&str> = (g.topo_ops().into_iter())
+                    .filter(|&op| matches!(g.op(op).unwrap().kind, OpKind::LayerNorm { .. }))
+                    .flat_map(|op| g.outputs_of(op))
+                    .map(|d| g.data(d).unwrap().name.as_str())
+                    .collect();
+                let stats: BTreeSet<&str> = saved.stats.keys().map(String::as_str).collect();
+                assert_eq!(stats, norms, "{tag}");
+
+                let reference = kind == PlanKind::EncoderReference;
+                let kept = ["att", "alpha", "att_mask"].map(|n| names.contains(n));
+                assert_eq!(kept, [reference; 3], "{tag}");
+                let region = (pf.plan.steps.iter()).position(|s| {
+                    matches!(
+                        s.kind,
+                        OpKind::TileProgram {
+                            second: Some(_),
+                            ..
+                        }
+                    )
+                });
+                assert_eq!(region.is_some(), !reference, "{tag}");
+                let stream = region.map(|si| (7, pf.plan.stream_of(si)));
+                assert_eq!(saved.region, stream, "{tag}");
             }
         }
     }

@@ -9,12 +9,14 @@
 //! Both are validated against each other and against numerical gradients.
 //!
 //! Every layer exposes **one** forward entry point,
-//! `forward(&x, &weights, &ExecOptions)`: the
+//! `forward(&x, &weights, &ExecOptions)`, which returns `y` and one
+//! [`interp::Saved`] record — the graph's saved containers as the plan
+//! materialized them, by name, which the layer's `backward` reads — and
+//! its allocation-free twin for inference, `forward_into`. The
 //! [`xform_core::plan::ExecOptions`] argument selects serial vs.
 //! certified wave-parallel execution (`threads`), an explicit plan
-//! override (`plan`), sanitized execution (`sanitize`), activation
-//! collection (`collect_activations`) and an optional runtime profiler
-//! sink (`profiler`).
+//! override (`plan`), sanitized execution (`sanitize`) and an optional
+//! runtime profiler sink (`profiler`).
 //!
 //! * [`params`] — encoder weights/gradients and SGD;
 //! * [`encoder`] — the layer itself;

@@ -92,8 +92,10 @@ pub fn mha_backward(
         qq: &a.qq,
         kk: &a.kk,
         vv: &a.vv,
-        sm: &a.sm,
-        gam: &a.gam,
+        att: &a.sm.softmax,
+        alpha: &a.sm.alpha,
+        att_mask: &a.sm.mask,
+        gamma: &a.gam,
     };
     let scaler = 1.0 / (dims.p as f32).sqrt();
     let g = attention_backward(dy, w, &saved, scaler, true)?;

@@ -15,8 +15,9 @@ use rand::{Rng, SeedableRng};
 use xform_dataflow::EncoderDims;
 use xform_tensor::{Result, Shape, Tensor, TensorError};
 
-use crate::decoder::{DecoderActivations, DecoderLayer};
-use crate::encoder::{Activations, EncoderLayer, Executor};
+use crate::decoder::DecoderLayer;
+use crate::encoder::{EncoderLayer, Executor};
+use crate::interp::{check_extents, Saved};
 use crate::params::{EncoderGrads, EncoderWeights};
 
 /// Which block the stack repeats.
@@ -43,26 +44,14 @@ pub struct ModelConfig {
     pub dropout_p: f32,
 }
 
-/// Saved per-block activations (one variant per block kind).
-#[derive(Debug, Clone)]
-pub enum BlockActs {
-    /// Encoder activations.
-    Encoder(Activations),
-    /// Decoder activations.
-    Decoder(DecoderActivations),
-}
-
 /// Forward-pass bookkeeping for the whole model.
 #[derive(Debug, Clone)]
 pub struct ModelActs {
-    /// The embedded input (block 0's input).
-    pub x0: Tensor,
-    /// Inputs to each block (x0, then each block's output).
+    /// Each block's input, then the last block's output: the embedded
+    /// tokens first, the hidden state the head reads last.
     pub block_inputs: Vec<Tensor>,
-    /// Saved activations per block.
-    pub blocks: Vec<BlockActs>,
-    /// Final hidden state (input to the head).
-    pub hidden: Tensor,
+    /// What each block's forward saved for its backward.
+    pub blocks: Vec<Saved>,
     /// Softmax of the logits over the vocabulary (saved for backward):
     /// logically `[v,b,j]`, stored in the `(b,j,v)` layout the head plan
     /// writes, each vocabulary row contiguous.
@@ -106,13 +95,16 @@ impl TransformerModel {
     ///
     /// # Errors
     ///
-    /// Returns an error for zero-sized configuration values.
+    /// Returns an error for zero-sized configuration values: no layer, no
+    /// word, or an empty block extent
+    /// ([`TensorError::ShapeMismatch`], ahead of any weight).
     pub fn init<R: Rng + ?Sized>(config: ModelConfig, rng: &mut R) -> Result<Self> {
         if config.layers == 0 || config.vocab == 0 {
             return Err(TensorError::Unsupported(
                 "model needs at least one layer and one token".into(),
             ));
         }
+        check_extents(&config.dims)?;
         let d = &config.dims;
         let s = 1.0 / (d.i as f32).sqrt();
         let dist = Uniform::new(-s, s);
@@ -221,58 +213,49 @@ impl TransformerModel {
         tokens: &[Vec<usize>],
         rng: &mut R,
     ) -> Result<ModelActs> {
-        let x0 = self.embed(tokens)?;
-        let mut block_inputs = vec![x0.clone()];
-        let mut acts = Vec::with_capacity(self.blocks.len());
-        let mut h = x0.clone();
-        for w in &self.blocks {
+        let (d, p) = (self.config.dims, self.config.dropout_p);
+        let mut block_inputs = Vec::with_capacity(self.blocks.len() + 1);
+        block_inputs.push(self.embed(tokens)?);
+        let mut blocks = Vec::with_capacity(self.blocks.len());
+        for (l, w) in self.blocks.iter().enumerate() {
             // per-block dropout stream drawn from the caller's RNG so the
             // whole model stays deterministic under a seeded generator
             let opts = xform_core::plan::ExecOptions::builder()
                 .seed(rng.gen::<u64>())
                 .build();
-            let (next, a) = match self.config.block {
+            let x = &block_inputs[l];
+            let out = match self.config.block {
                 BlockKind::Encoder => {
-                    let layer =
-                        EncoderLayer::new(self.config.dims, Executor::Fused, self.config.dropout_p);
-                    let (y, a) = layer.forward(&h, w, &opts)?.into_pair()?;
-                    (y, BlockActs::Encoder(a))
+                    EncoderLayer::new(d, Executor::Fused, p).forward(x, w, &opts)?
                 }
-                BlockKind::Decoder => {
-                    let layer = DecoderLayer::new(self.config.dims, self.config.dropout_p);
-                    let (y, a) = layer.forward(&h, w, &opts)?.into_pair()?;
-                    (y, BlockActs::Decoder(a))
-                }
+                BlockKind::Decoder => DecoderLayer::new(d, p).forward(x, w, &opts)?,
             };
-            acts.push(a);
-            block_inputs.push(next.clone());
-            h = next;
+            block_inputs.push(out.y);
+            blocks.push(out.saved);
         }
         // head: probs = softmax over v of head[v,i]·h[i,b,j] + bias[v], one
         // plan step whose logits never leave its tile
-        let probs =
-            crate::interp::head_forward(&self.config.dims, &h, &self.head, &self.head_bias)?;
+        let h = &block_inputs[self.blocks.len()];
+        let probs = crate::interp::head_forward(&d, h, &self.head, &self.head_bias)?;
         Ok(ModelActs {
-            x0,
             block_inputs,
-            blocks: acts,
-            hidden: h,
+            blocks,
             probs,
         })
     }
 
     /// Checks saved activations against the configuration: `probs` is
-    /// `[v,b,j]`, `hidden` `[i,b,j]`, and there is one block's activations per
-    /// layer and one input per layer plus the final one. Everything past
-    /// this indexes them unchecked (`Tensor::at` only debug-asserts).
+    /// `[v,b,j]`, there is one block's record per layer and one input per
+    /// layer plus the final hidden state, `[i,b,j]`. Everything past this
+    /// indexes them unchecked (`Tensor::at` only debug-asserts).
     fn check_acts(&self, acts: &ModelActs, context: &'static str) -> Result<()> {
         let (d, layers) = (&self.config.dims, self.config.layers);
         let vbj = Shape::new([('v', self.config.vocab), ('b', d.b), ('j', d.j)])?;
         let ibj = Shape::from_spec("ibj", &d.size_table())?;
         if *acts.probs.shape() != vbj
-            || *acts.hidden.shape() != ibj
             || acts.blocks.len() != layers
             || acts.block_inputs.len() != layers + 1
+            || *acts.block_inputs[layers].shape() != ibj
         {
             return Err(TensorError::ShapeMismatch { context });
         }
@@ -306,9 +289,10 @@ impl TransformerModel {
     /// # Errors
     ///
     /// Returns the errors of [`TransformerModel::embed`] for `tokens` or
-    /// `targets` that are not `[b][j]` ids below the vocabulary size, and
+    /// `targets` that are not `[b][j]` ids below the vocabulary size,
     /// [`TensorError::ShapeMismatch`] for activations another configuration
-    /// saved.
+    /// saved, and the error of a block's `backward` for a record another
+    /// block kind saved.
     pub fn backward(
         &self,
         tokens: &[Vec<usize>],
@@ -332,35 +316,27 @@ impl TransformerModel {
             *v /= n;
         }
         // head grads and hidden gradient
-        let head_grad = xform_tensor::einsum("vbj,ibj->vi", &[&d_logits, &acts.hidden])?;
+        let hidden = &acts.block_inputs[self.config.layers];
+        let head_grad = xform_tensor::einsum("vbj,ibj->vi", &[&d_logits, hidden])?;
         let head_bias_grad =
             xform_tensor::ops::elementwise::bias_grad(&d_logits, &[xform_tensor::Axis('v')])?;
         let mut dh = xform_tensor::einsum("vi,vbj->ibj", &[&self.head, &d_logits])?;
         // backprop through the stack
         let mut block_grads: Vec<EncoderGrads> = Vec::with_capacity(self.blocks.len());
+        let p = self.config.dropout_p;
         for (idx, w) in self.blocks.iter().enumerate().rev() {
-            let input = &acts.block_inputs[idx];
-            let (dx, g) = match (&acts.blocks[idx], self.config.block) {
-                (BlockActs::Encoder(a), BlockKind::Encoder) => {
-                    let layer =
-                        EncoderLayer::new(self.config.dims, Executor::Fused, self.config.dropout_p);
-                    layer.backward(&dh, input, w, a)?
+            let (x, a) = (&acts.block_inputs[idx], &acts.blocks[idx]);
+            let (dx, g) = match self.config.block {
+                BlockKind::Encoder => {
+                    EncoderLayer::new(*d, Executor::Fused, p).backward(&dh, x, w, a)?
                 }
-                (BlockActs::Decoder(a), BlockKind::Decoder) => {
-                    let layer = DecoderLayer::new(self.config.dims, self.config.dropout_p);
-                    layer.backward(&dh, input, w, a)?
-                }
-                _ => {
-                    return Err(TensorError::Unsupported(
-                        "activation kind does not match block kind".into(),
-                    ))
-                }
+                BlockKind::Decoder => DecoderLayer::new(*d, p).backward(&dh, x, w, a)?,
             };
             block_grads.push(g);
             dh = dx;
         }
         block_grads.reverse();
-        // embedding gradients: scatter-add of dh = d x0
+        // embedding gradients: scatter-add of dh, the embedded input's gradient
         let mut emb_grad = Tensor::zeros(self.embedding.shape().clone());
         let mut pos_grad = Tensor::zeros(self.positional.shape().clone());
         for (b, row) in tokens.iter().enumerate() {
@@ -577,6 +553,41 @@ mod tests {
         // zero layers
         let bad = ModelConfig { layers: 0, ..cfg };
         assert!(TransformerModel::init(bad, &mut rng).is_err());
+    }
+
+    #[test]
+    fn init_refuses_an_empty_block_extent() {
+        // each of these panicked inside `EncoderWeights::init`
+        let cfg = config(BlockKind::Decoder);
+        let d = cfg.dims;
+        for dims in [
+            EncoderDims { u: 0, ..d },
+            EncoderDims { h: 0, ..d },
+            EncoderDims { p: 0, ..d },
+        ] {
+            let r =
+                TransformerModel::init(ModelConfig { dims, ..cfg }, &mut StdRng::seed_from_u64(8));
+            assert!(
+                matches!(r, Err(TensorError::ShapeMismatch { .. })),
+                "{dims:?}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_record_of_the_other_block_kind_is_a_typed_error() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let decoder = TransformerModel::init(config(BlockKind::Decoder), &mut rng).unwrap();
+        let encoder = TransformerModel::init(config(BlockKind::Encoder), &mut rng).unwrap();
+        let (tokens, targets) = copy_task_batch(&decoder.config, &mut rng);
+        // the first name each block's backward reads that the other lacks
+        for (from, to, missing) in [(&decoder, &encoder, "ln1_in"), (&encoder, &decoder, "res1")] {
+            let acts = from.forward(&tokens, &mut rng).unwrap();
+            assert_eq!(
+                to.backward(&tokens, &targets, &acts).unwrap_err(),
+                TensorError::Unsupported(format!("the forward saved no `{missing}`"))
+            );
+        }
     }
 
     #[test]

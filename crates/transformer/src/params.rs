@@ -55,6 +55,12 @@ fn shape(dims: &EncoderDims, spec: &str) -> Shape {
 impl EncoderWeights {
     /// Initializes weights with uniform(-scale, scale) where
     /// `scale = 1/√I`, biases at zero, layer-norm scale at one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims.h`, `dims.p`, `dims.i` or `dims.u` is zero (a
+    /// `Shape` has no empty axis); [`crate::model::TransformerModel::init`]
+    /// checks first and returns an error.
     pub fn init<R: Rng + ?Sized>(dims: &EncoderDims, rng: &mut R) -> Self {
         let s = 1.0 / (dims.i as f32).sqrt();
         let dist = Uniform::new(-s, s);

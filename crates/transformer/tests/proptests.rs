@@ -104,11 +104,10 @@ proptest! {
         let opts = ExecOptions::builder().seed(seed).build();
         let (_, acts) = layer.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
         let keep = 1.0 / (1.0 - p);
-        for m in acts.brd.mask.data() {
-            prop_assert!(*m == 0.0 || (*m - keep).abs() < 1e-5);
-        }
-        for m in acts.ln1.mask.data() {
-            prop_assert!(*m == 0.0 || (*m - keep).abs() < 1e-5);
+        for name in ["drop2_mask", "drop1_mask"] {
+            for m in acts.tensor(name).unwrap().data() {
+                prop_assert!(*m == 0.0 || (*m - keep).abs() < 1e-5);
+            }
         }
     }
 }

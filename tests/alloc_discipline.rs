@@ -6,10 +6,8 @@
 //! through the `*_into` kernels and must touch the heap **not at all**. A counting global allocator makes
 //! the claim falsifiable: any stray `Vec`, `String`, or `HashMap` rehash
 //! on the steady-state path shows up as a nonzero event delta and fails
-//! the test. And a `forward` with activation collection off is that plus
-//! the one tensor it returns: it allocates `y`, and nothing the size of a
-//! saved container. So is the model head: a warm run allocates the `probs`
-//! it returns and nothing else.
+//! the test. The model head is that plus the one tensor it returns: a warm
+//! run allocates the `probs` it returns and nothing else.
 //!
 //! Everything runs inside one `#[test]` function: the default harness
 //! runs tests on separate threads, and the allocator counters are
@@ -115,51 +113,6 @@ fn steady_state_forwards_touch_no_heap() {
             }
         }
     }
-    // `forward` with collection off: `y` leaves the slab through
-    // `forward_into`'s sink, so a call allocates the tensor it returns —
-    // its words, shape and strides — and nothing proportional to `j·k` or
-    // to any saved container. (At PR 19 it materialized every output and
-    // saved container and dropped all but `y`.)
-    let long = EncoderDims {
-        b: 2,
-        j: 64,
-        k: 64,
-        h: 2,
-        p: 4,
-        i: 8,
-        u: 16,
-    };
-    let w_long = EncoderWeights::init(&long, &mut rng);
-    let shape = Shape::from_spec("ibj", &long.size_table()).unwrap();
-    let x_long = Tensor::random(shape, &Uniform::new(-1.0, 1.0), &mut rng);
-    let inference = ExecOptions::builder().collect_activations(false).build();
-    let (enc, dec) = (
-        EncoderLayer::new(long, Executor::Fused, 0.0),
-        DecoderLayer::new(long, 0.0),
-    );
-    type Forward<'a> = (&'a str, &'a dyn Fn() -> Tensor);
-    let forwards: [Forward; 2] = [
-        ("encoder", &|| {
-            enc.forward(&x_long, &w_long, &inference).unwrap().y
-        }),
-        ("decoder", &|| {
-            dec.forward(&x_long, &w_long, &inference).unwrap().y
-        }),
-    ];
-    for (tag, forward) in forwards {
-        drop((forward(), forward()));
-        let before = ALLOC.bytes_allocated();
-        let y = forward();
-        let bytes = (ALLOC.bytes_allocated() - before) as usize;
-        // the words of `y`, and a shape, a layout and strides of rank 3
-        if bytes >= 4 * y.len() + 256 {
-            failures.push(format!(
-                "{tag}/no-collect forward: {bytes} bytes allocated for a {}-byte `y`",
-                4 * y.len()
-            ));
-        }
-    }
-
     // The model head: a warm run allocates the `probs` it returns — as many
     // heap events as a copy of that tensor — and nothing else. The logits
     // exist as a tile of the step's scratch, `h` and the weights are read

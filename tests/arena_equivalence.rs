@@ -247,26 +247,31 @@ fn collected_activations_match_between_arena_and_env_interpreter() {
     let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
     let arena_out = layer.forward(&x, &w, &ExecOptions::default()).unwrap();
     let reference = reference_run(&dims, interp::PlanKind::EncoderFused, &x, &w);
-    let a = arena_out.activations.as_ref().unwrap();
-    assert_eq!(a.qq.data(), reference.env["qq"].data());
+    let a = &arena_out.saved;
     // neither executor materializes the attention weights: the plan's
     // region keeps them in its panel, the forward saves the stream instead
-    assert!(matches!(a.sm, interp::SavedSoftmax::Redraw { .. }));
+    assert!(a.region.is_some());
     assert!(!reference.env.contains_key("att"));
-    assert_eq!(a.gam.data(), reference.env["gamma"].data());
-    assert_eq!(a.ln1.stats.mean, reference.stats["ln1_out"].mean);
-    assert_eq!(a.ln1.stats.inv_std, reference.stats["ln1_out"].inv_std);
-    assert_eq!(a.ln2.out.data(), reference.env["y"].data());
+    for (name, t) in &a.tensors {
+        assert_eq!(t.data(), reference.env[name].data(), "`{name}`");
+    }
+    assert_eq!(a.stats.len(), reference.stats.len());
+    for (name, s) in &a.stats {
+        assert_eq!(s.mean, reference.stats[name].mean, "`{name}`");
+        assert_eq!(s.inv_std, reference.stats[name].inv_std, "`{name}`");
+    }
+    assert_eq!(arena_out.y.data(), reference.env["y"].data());
 }
 
 /// Everything a forward returns, as bit patterns: `y`, the saved
 /// activations that carry dropout masks, and both layer-norm statistics.
 fn encoder_bits(layer: &EncoderLayer, x: &Tensor, w: &EncoderWeights, o: &ExecOptions) -> Vec<u32> {
     let (y, a) = layer.forward(x, w, o).unwrap().into_pair().unwrap();
-    let tensors = [&y, &a.ln1.mask, &a.brd.mask, &a.brd.out, &a.ln2.mask];
-    let stats = [&a.ln1.stats.mean, &a.ln1.stats.inv_std, &a.ln2.stats.mean];
-    tensors
-        .iter()
+    let saved = ["drop1_mask", "drop2_mask", "ff1_drop", "drop3_mask"].map(|n| &a.tensors[n]);
+    let (ln1, ln2) = (&a.stats["ln1_out"], &a.stats["y"]);
+    let stats = [&ln1.mean, &ln1.inv_std, &ln2.mean];
+    std::iter::once(&y)
+        .chain(saved)
         .flat_map(|t| t.data())
         .chain(stats.iter().flat_map(|s| s.iter()))
         .map(|v| v.to_bits())

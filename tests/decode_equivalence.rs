@@ -40,8 +40,9 @@ fn random_tokens(dims: &EncoderDims, vocab: usize, seed: u64) -> Vec<Vec<usize>>
 fn full_logits(m: &TransformerModel, tokens: &[Vec<usize>]) -> Tensor {
     let mut rng = StdRng::seed_from_u64(7);
     let acts = m.forward(tokens, &mut rng).expect("full forward");
+    let hidden = acts.block_inputs.last().expect("the last block's output");
     bias_add(
-        &einsum("vi,ibj->vbj", &[&m.head, &acts.hidden]).expect("head einsum"),
+        &einsum("vi,ibj->vbj", &[&m.head, hidden]).expect("head einsum"),
         &m.head_bias,
     )
     .expect("head bias")

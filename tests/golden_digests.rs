@@ -59,9 +59,9 @@ use substation::tensor::ops::layernorm::{
 use substation::tensor::ops::softmax::{softmax, softmax_backward};
 use substation::tensor::{Axis, Layout, Shape, Tensor};
 use substation::transformer::decode::{DecodeOptions, DecodeSession, Sampling};
-use substation::transformer::decoder::{DecoderActivations, DecoderLayer};
-use substation::transformer::encoder::{Activations, EncoderLayer, Executor};
-use substation::transformer::interp::{self, PlanKind, SavedSoftmax};
+use substation::transformer::decoder::DecoderLayer;
+use substation::transformer::encoder::{EncoderLayer, Executor};
+use substation::transformer::interp::{self, PlanKind, Saved};
 use substation::transformer::mha;
 use substation::transformer::model::{BlockKind, ModelConfig, TransformerModel};
 use substation::transformer::params::EncoderWeights;
@@ -120,42 +120,57 @@ impl Fnv {
     }
 }
 
+/// The names of `a` into `h`, in the order given.
+fn named(h: &mut Fnv, a: &Saved, names: &[&str]) {
+    for n in names {
+        h.tensor(a.tensor(n).unwrap());
+    }
+}
+
+/// The softmax bundle, where the forward kept one, into `sm`: `alpha`,
+/// `att`, `att_mask`, the order the bundle was always hashed in.
+fn kept_softmax(sm: &mut Fnv, a: &Saved) {
+    if a.tensors.contains_key("att") {
+        named(sm, a, &["alpha", "att", "att_mask"]);
+    }
+}
+
 /// Everything saved but the softmax bundle, which — where the forward
-/// kept one — goes to `sm`.
-fn encoder_acts(h: &mut Fnv, sm: &mut Fnv, a: &Activations) {
-    for t in [&a.qq, &a.kk, &a.vv, &a.gam] {
-        h.tensor(t);
-    }
-    if let SavedSoftmax::Kept(bundle) = &a.sm {
-        sm.sm(bundle);
-    }
-    h.bdrln(&a.ln1);
-    h.brd(&a.brd);
-    h.bdrln(&a.ln2);
+/// kept one — goes to `sm`; `y` again where the second norm's output was
+/// hashed.
+fn encoder_acts(h: &mut Fnv, sm: &mut Fnv, y: &Tensor, a: &Saved) {
+    named(h, a, &["qq", "kk", "vv", "gamma"]);
+    kept_softmax(sm, a);
+    named(h, a, &["ln1_out", "ln1_in", "drop1_mask"]);
+    h.stats(&a.stats["ln1_out"]);
+    named(h, a, &["ff1_drop", "ff1_b", "drop2_mask"]);
+    h.tensor(y);
+    named(h, a, &["ln2_in", "drop3_mask"]);
+    h.stats(&a.stats["y"]);
 }
 
 /// Everything saved but the softmax bundle, which — where the forward
 /// kept one — goes to `sm`.
-fn decoder_acts(h: &mut Fnv, sm: &mut Fnv, a: &DecoderActivations) {
-    for t in [
-        &a.ln1_out,
-        &a.qq,
-        &a.kk,
-        &a.vv,
-        &a.gam,
-        &a.drop1_mask,
-        &a.res1,
-        &a.ln2_out,
-        &a.drop3_mask,
-    ] {
-        h.tensor(t);
-    }
-    h.stats(&a.stats1);
-    h.stats(&a.stats2);
-    if let SavedSoftmax::Kept(bundle) = &a.sm {
-        sm.sm(bundle);
-    }
-    h.brd(&a.brd);
+fn decoder_acts(h: &mut Fnv, sm: &mut Fnv, a: &Saved) {
+    named(
+        h,
+        a,
+        &[
+            "ln1_out",
+            "qq",
+            "kk",
+            "vv",
+            "gamma",
+            "drop1_mask",
+            "res1",
+            "ln2_out",
+            "drop3_mask",
+        ],
+    );
+    h.stats(&a.stats["ln1_out"]);
+    h.stats(&a.stats["ln2_out"]);
+    kept_softmax(sm, a);
+    named(h, a, &["ff1_drop", "ff1_b", "drop2_mask"]);
 }
 
 /// `tiny` plus a shape with no two extents equal.
@@ -198,7 +213,7 @@ impl Block {
             (Block::Enc(l), None) => {
                 let (y, a) = l.forward(x, w, opts).unwrap().into_pair().unwrap();
                 h.tensor(&y);
-                encoder_acts(h, sm, &a);
+                encoder_acts(h, sm, &y, &a);
             }
             (Block::Dec(l), None) => {
                 let (y, a) = l.forward(x, w, opts).unwrap().into_pair().unwrap();
@@ -674,7 +689,7 @@ fn gemm_edge_digests(table: &mut Vec<(String, u64)>) {
 
 /// The model head through a whole forward, one row per block kind over
 /// three shapes: `ModelActs::probs` in logical `[v,b,j]` order — whatever
-/// layout it is stored in — then `hidden` and the loss. The shapes are
+/// layout it is stored in — then the hidden state and the loss. The shapes are
 /// `tiny`; a ragged one (`b·j = 21` fills no power-of-two row tile, a
 /// vocabulary of 37 no 16-lane row, and `i = 264` runs two `KC` blocks
 /// deep); and a vocabulary of one word. Recorded before the head became a
@@ -715,7 +730,7 @@ fn probs_digests(table: &mut Vec<(String, u64)>) {
             for (_, p) in acts.probs.iter() {
                 h.word(p.to_bits());
             }
-            h.tensor(&acts.hidden);
+            h.tensor(acts.block_inputs.last().unwrap());
             h.word(model.cross_entropy(&acts, &ids(7)).unwrap().to_bits());
         }
         table.push((name.to_string(), h.0));

@@ -2,13 +2,15 @@
 //! CPU executor (what we *run*) must describe the same computation — same
 //! tensor shapes, same saved values, same operator inventory.
 
+use std::collections::BTreeSet;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use substation::core::plan::ExecOptions;
 use substation::dataflow::{build, DataRole, EncoderDims};
 use substation::transformer::encoder::{EncoderLayer, Executor};
-use substation::transformer::interp::SavedSoftmax;
+use substation::transformer::interp::Saved;
 use substation::transformer::params::EncoderWeights;
 use substation::transformer::training::synthetic_batch;
 
@@ -31,38 +33,35 @@ fn activations_match_graph_containers() {
         .unwrap();
 
     // Every saved container the graph declares has a live counterpart in
-    // the executor's activations, with an identical shape.
-    let check = |name: &str, shape: &substation::tensor::Shape| {
-        let id = enc
-            .graph
-            .data_by_name(name)
-            .unwrap_or_else(|| panic!("graph lacks container {name}"));
-        let node = enc.graph.data(id).unwrap();
-        assert_eq!(&node.shape, shape, "shape mismatch for {name}");
-        assert_eq!(node.role, DataRole::Saved, "{name} should be Saved");
-    };
-    check("qq", acts.qq.shape());
-    check("kk", acts.kk.shape());
-    check("vv", acts.vv.shape());
+    // the reference executor's record, with an identical shape, and the
+    // record holds nothing else
+    let graph_saved: BTreeSet<String> = (enc.graph.data_nodes().into_iter())
+        .filter_map(|id| enc.graph.data(id))
+        .filter(|n| n.role == DataRole::Saved)
+        .map(|n| n.name.clone())
+        .collect();
+    let reference = EncoderLayer::new(d, Executor::Reference, 0.0);
+    let kept = reference.forward(&x, &w, &ExecOptions::default()).unwrap();
+    for record in [&acts, &kept.saved] {
+        for (name, t) in &record.tensors {
+            let id = enc.graph.data_by_name(name).unwrap();
+            let node = enc.graph.data(id).unwrap();
+            assert_eq!(&node.shape, t.shape(), "shape mismatch for {name}");
+            assert_eq!(node.role, DataRole::Saved, "{name} should be Saved");
+        }
+    }
+    let names = |record: &Saved| record.tensors.keys().cloned().collect::<BTreeSet<_>>();
+    assert_eq!(names(&kept.saved), graph_saved);
     // the softmax bundle is the reference executor's to keep: the fused
     // one runs the attention core as a region and saves the dropout stream
     // to compute the bundle again from
-    assert!(matches!(acts.sm, SavedSoftmax::Redraw { .. }));
-    let reference = EncoderLayer::new(d, Executor::Reference, 0.0);
-    let kept = reference.forward(&x, &w, &ExecOptions::default()).unwrap();
-    let SavedSoftmax::Kept(sm) = kept.activations.unwrap().sm else {
-        panic!("the reference executor keeps the softmax bundle");
-    };
-    check("alpha", sm.alpha.shape());
-    check("att", sm.softmax.shape());
-    check("att_mask", sm.mask.shape());
-    check("gamma", acts.gam.shape());
-    check("ln1_in", acts.ln1.ln_input.shape());
-    check("drop1_mask", acts.ln1.mask.shape());
-    check("ff1_b", acts.brd.pre_activation.shape());
-    check("ff1_drop", acts.brd.out.shape());
-    check("drop2_mask", acts.brd.mask.shape());
-    check("ln2_in", acts.ln2.ln_input.shape());
+    let bundle = ["att", "alpha", "att_mask"].map(String::from);
+    assert_eq!(
+        names(&acts),
+        &graph_saved - &BTreeSet::from(bundle),
+        "the fused record is all but the softmax bundle"
+    );
+    assert!(acts.region.is_some() && kept.saved.region.is_none());
 
     // output container
     let y_id = enc.graph.data_by_name("y").unwrap();
