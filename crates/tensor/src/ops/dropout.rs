@@ -9,24 +9,28 @@
 use rand::Rng;
 
 use crate::error::Result;
-use crate::lanes::{dropout_lane, Dropout};
+use crate::into_ops::dropout_into;
+use crate::lanes::Dropout;
 use crate::tensor::Tensor;
 
-use super::check_same_shape;
+use super::{check_same_shape, sweep_of, view_of};
 
 /// Applies dropout with drop probability `p`, returning `(output, mask)`.
 /// The mask holds `0.0` for dropped elements and `1/(1-p)` for kept ones,
-/// so backward is a plain element-wise product with the mask.
+/// so backward is a plain element-wise product with the mask. Both are in
+/// `x`'s layout; the masks are drawn in logical order, as every other
+/// dropout draws them, whatever the layout.
 ///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 1)`.
 pub fn dropout<R: Rng + ?Sized>(x: &Tensor, p: f32, rng: &mut R) -> (Tensor, Tensor) {
     let mut drop = Dropout::new(p, rng).expect("dropout probability must be in [0, 1)");
+    let v = view_of(x);
+    let sweep = sweep_of(&[&v, &v, &v], None, None, "dropout").expect("a tensor's own strides");
     let mut out = x.clone();
     let mut mask = x.clone();
-    // one draw per word in storage order, whatever the layout
-    dropout_lane(x.data(), &mut drop, out.data_mut(), mask.data_mut());
+    dropout_into(&sweep, x.data(), &mut drop, out.data_mut(), mask.data_mut());
     (out, mask)
 }
 
