@@ -221,7 +221,7 @@ fn bench_attention_core(c: &mut Criterion) {
         let qkt: EinsumSpec = "phbk,phbj->hbjk".parse().unwrap();
         let gamma: EinsumSpec = "whbk,hbjk->whbj".parse().unwrap();
         let scaler = 1.0 / (p as f32).sqrt();
-        let mut rng = StdRng::seed_from_u64(28);
+        let drop = &Dropout::new(0.0, &StdRng::seed_from_u64(28)).unwrap();
         let mut out = vec![0.0f32; gam.len()];
 
         fn of(t: &Tensor) -> (&Shape, &[usize]) {
@@ -232,7 +232,6 @@ fn bench_attention_core(c: &mut Criterion) {
         let mut scratch = vec![0.0f32; plan.scratch_words()];
         group.bench_function(BenchmarkId::new("region", name), |bch| {
             bch.iter(|| {
-                let drop = &mut Dropout::new(0.0, &mut rng).unwrap();
                 let tail = &mut RowTail::Softmax { scaler, causal };
                 let (k, q) = (kk.data(), qq.data());
                 let then = Some((vv.data(), &mut out[..]));
@@ -257,7 +256,6 @@ fn bench_attention_core(c: &mut Criterion) {
         let (mut alpha, mut mask) = (vec![0.0f32; n], vec![0.0f32; n]);
         group.bench_function(BenchmarkId::new("chain", name), |bch| {
             bch.iter(|| {
-                let drop = &mut Dropout::new(0.0, &mut rng).unwrap();
                 contract_into(&p_qkt, kk.data(), qq.data(), &mut scores, &mut []);
                 let (y, a, m) = (&mut att, &mut alpha, &mut mask);
                 sm_into(&sweep, &scores, scaler, causal, drop, y, a, m);

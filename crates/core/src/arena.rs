@@ -25,12 +25,12 @@
 //! never a copy: a permuted operand is other strides, a broadcast bias
 //! zero strides, one projection of a stacked Q/K/V tensor a base offset.
 //! The drivers iterate in the container's *logical* order whatever the
-//! strides, so per-lane statistics land in the same order and dropout
-//! draws once per element in the same order — a plan's outputs, masks and
-//! statistics are the same bits in any layout. Whether a sweep runs the
-//! slice body lane by lane, in panels of adjacent strided lanes, or the
-//! bounds-checked strided body is read off the strides its views carry
-//! ([`Sweep::walk`]), never off an option. The
+//! strides, so per-lane statistics land in the same order, and every
+//! dropout mask is computed from the step's key at its element's logical
+//! index — a plan's outputs, masks and statistics are the same bits in any
+//! layout. Whether a sweep runs the slice body lane by lane, in panels of
+//! adjacent strided lanes, or the bounds-checked strided body is read off
+//! the strides its views carry ([`Sweep::walk`]), never off an option. The
 //! access certificate is computed from the very same views
 //! (`access::view_path`), so it describes the words the kernels
 //! touch by construction ([`CompiledArena::step_views`]).
@@ -73,7 +73,8 @@
 //! but the natural layout they are a compile error naming the step.
 //!
 //! One compiled arena serves four modes, none of which changes a result
-//! bit, because every step draws from its own seeded RNG stream:
+//! bit, because a step's masks are a function of its key — the run's seed
+//! and the step's stream ([`stream_key`]) — and of each element's index:
 //!
 //! * **serial** — steps in schedule order (`threads <= 1`);
 //! * **waves** — each wave dispatched across a lazily-spawned persistent
@@ -102,11 +103,11 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_tensor::into_ops::{self, RowTail, Sweep, View};
-use xform_tensor::lanes::{check_dropout_p, Dropout};
+use xform_tensor::lanes::Dropout;
 use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
@@ -162,7 +163,7 @@ struct StepExec {
     /// plans), and for a tile program its packed B panels and its tiles —
     /// the intermediates between its kernels have no slab slot.
     scratch: BufView,
-    /// The dropout stream the step draws from
+    /// The dropout stream the step keys its masks by
     /// ([`ExecutionPlan::stream_of`]).
     stream: usize,
 }
@@ -288,13 +289,14 @@ impl SlabMem {
 
 /// What one arena execution reads of an [`ExecOptions`], resolved: the
 /// scalar knobs, the sanitizer mode as a flag, and whether to time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct ArenaRun {
-    dropout_p: f32,
+    /// The validated dropout probability; each step keys it by
+    /// [`stream_key`].
+    drop: Dropout,
     activation: ActivationKind,
     scaler: f32,
-    /// Base seed; each step draws from its own derived stream, so results
-    /// are identical at any thread count.
+    /// Base seed of every step's key.
     seed: u64,
     threads: usize,
     /// Run the aliasing-aware shadow sanitizer (poison + finiteness
@@ -313,10 +315,14 @@ impl ArenaRun {
     /// [`SanitizeMode::Env`] resolves through a flag cached once per
     /// process: reading the environment allocates, and a steady-state run
     /// must not.
-    fn new(opts: &ExecOptions) -> ArenaRun {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidDropout`] unless `0 <= dropout_p < 1`.
+    fn new(opts: &ExecOptions) -> Result<ArenaRun> {
         static ENV_SANITIZE: OnceLock<bool> = OnceLock::new();
-        ArenaRun {
-            dropout_p: opts.dropout_p,
+        Ok(ArenaRun {
+            drop: Dropout::new(opts.dropout_p, &StdRng::seed_from_u64(opts.seed))?,
             activation: opts.activation,
             scaler: opts.scaler,
             seed: opts.seed,
@@ -328,17 +334,18 @@ impl ArenaRun {
             },
             pos: opts.pos,
             timed: opts.profiler.is_some(),
-        }
+        })
     }
 }
 
-/// RNG stream number `stream` of a run seeded `seed`: what the step that
-/// [`ExecutionPlan::stream_of`] gives that number draws from. A function of
-/// the seed and the step's place in the schedule alone, so stochastic
-/// kernels (dropout with `p > 0`) draw the same masks at any thread count
-/// and in any dispatch order — and whoever knows the two can draw a step's
-/// masks again.
-pub fn step_rng(seed: u64, stream: usize) -> StdRng {
+/// The dropout key of stream `stream` of a run seeded `seed`: the position
+/// of the workspace's SplitMix64 generator the step that
+/// [`ExecutionPlan::stream_of`] gives that number computes its masks from
+/// ([`Dropout::mask`]), built once per step. A function of the seed and
+/// the step's place in the schedule alone, so a step's masks are the same
+/// at any thread count and in any dispatch order — and whoever knows the
+/// two computes them again.
+pub fn stream_key(seed: u64, stream: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (stream as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
@@ -835,8 +842,7 @@ impl CompiledArena {
         resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
         sink: &mut dyn FnMut(ArenaArtifact<'_>),
     ) -> Result<()> {
-        let run = &ArenaRun::new(opts);
-        check_dropout_p(run.dropout_p)?;
+        let run = &ArenaRun::new(opts)?;
         let parallel = run.threads > 1;
         if parallel && self.granularity != ArenaGranularity::Waves {
             return Err(TensorError::SerialOnly {
@@ -1206,8 +1212,8 @@ fn compile_step(
     })
 }
 
-/// Runs step `si` of `steps` on its own RNG stream and, on a timed run,
-/// writes its wall time into the step's own timing slot.
+/// Runs step `si` of `steps` and, on a timed run, writes its wall time into
+/// the step's own timing slot.
 ///
 /// # Safety
 ///
@@ -1215,10 +1221,9 @@ fn compile_step(
 /// step, and no other thread may be executing step `si` — each step index
 /// sits in exactly one wave and is claimed exactly once.
 unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRun) {
-    let mut rng = step_rng(run.seed, steps[si].stream);
     let t0 = run.timed.then(Instant::now);
     // SAFETY: the caller's contract is `run_step`'s.
-    unsafe { run_step(&steps[si], mem, run, &mut rng) };
+    unsafe { run_step(&steps[si], mem, run) };
     if let Some(t0) = t0 {
         // SAFETY: `si` indexed `steps`, so it is in range of the equally
         // long slot array, and this is the step's only execution.
@@ -1242,9 +1247,8 @@ unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRu
 /// guaranteed by the arena certificate (interval overlap ⇒ range
 /// disjointness) plus the wave partition's race certificate semantics; a
 /// borrowed external no step can write at all.
-unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRun, rng: &mut R) {
-    let drop = &mut Dropout::new(run.dropout_p, rng)
-        .expect("dropout_p was validated when the arena run was admitted");
+unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
+    let drop = &run.drop.keyed(stream_key(run.seed, step.stream));
     // SAFETY (all three): the caller's contract covers every slot of the
     // step, its statistics regions and its scratch range.
     let r = |k: usize| match step.operands[k].0 {
@@ -1284,10 +1288,7 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
         }
         Kernel::Scale => into_ops::scale_into(s(), r(0), run.scaler, w(1)),
         Kernel::Activate => into_ops::activate_into(s(), r(0), run.activation, w(1)),
-        Kernel::Dropout if run.dropout_p > 0.0 => {
-            into_ops::dropout_into(s(), r(0), drop, w(1), w(2));
-        }
-        Kernel::Dropout => into_ops::dropout_disabled_into(s(), r(0), w(1), w(2)),
+        Kernel::Dropout => into_ops::dropout_into(s(), r(0), drop, w(1), w(2)),
         Kernel::Residual => into_ops::add_into(s(), r(0), r(1), w(2)),
         Kernel::Softmax { causal } => {
             into_ops::softmax_into(s(), r(0), run.scaler, pos(*causal), w(1));
@@ -1355,19 +1356,19 @@ unsafe fn run_step<R: Rng + ?Sized>(step: &StepExec, mem: SlabMem, run: &ArenaRu
 }
 
 /// A wave handed to the persistent worker pool: raw views of one arena's
-/// step table, wave slice, and buffers, all outliving the dispatch because
-/// the publishing thread blocks until every worker has drained.
+/// step table, wave slice, buffers and run, all outliving the dispatch
+/// because the publishing thread blocks until every worker has drained.
 #[derive(Clone, Copy)]
 struct WaveJob {
     steps: *const [StepExec],
     wave: *const [usize],
     mem: SlabMem,
-    run: ArenaRun,
+    run: *const ArenaRun,
 }
 
-// SAFETY: the pointers address the publishing arena's step table and wave
-// slice, both immutable and alive until the publisher has seen every
-// worker leave the job (see `Pool::run_wave`).
+// SAFETY: the pointers address the publishing arena's step table, wave
+// slice and run, all immutable and alive until the publisher has seen
+// every worker leave the job (see `Pool::run_wave`).
 unsafe impl Send for WaveJob {}
 
 struct PoolState {
@@ -1409,7 +1410,7 @@ impl Pool {
                 steps,
                 wave,
                 mem,
-                run: *run,
+                run,
             });
             st.epoch = st.epoch.wrapping_add(1);
             st.panicked = false;
@@ -1468,17 +1469,17 @@ fn worker_loop(pool: &'static Pool) {
                 }
             }
         };
-        // SAFETY: the publisher keeps `steps`/`wave`/`mem` alive until
-        // `running` drops to zero, which happens strictly after this
+        // SAFETY: the publisher keeps `steps`/`wave`/`mem`/`run` alive
+        // until `running` drops to zero, which happens strictly after this
         // worker finishes.
-        let (steps, wave) = unsafe { (&*job.steps, &*job.wave) };
+        let (steps, wave, run) = unsafe { (&*job.steps, &*job.wave, &*job.run) };
         let res = catch_unwind(AssertUnwindSafe(|| loop {
             let i = pool.claim.fetch_add(1, Ordering::Relaxed);
             if i >= wave.len() {
                 break;
             }
             // SAFETY: as in `Pool::run_wave`.
-            unsafe { run_indexed(steps, wave[i], job.mem, &job.run) };
+            unsafe { run_indexed(steps, wave[i], job.mem, run) };
         }));
         let mut st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
         if res.is_err() {
@@ -1646,7 +1647,7 @@ mod tests {
 
     /// At `tiny` the norm steps' `b·j = 8` strided lanes are one panel of
     /// eight. At `b·j = 21` a row of lanes is cut into a panel of 16, one of
-    /// 4 and a last lane alone, with dropout drawing into each: the oracle's
+    /// 4 and a last lane alone, with dropout masks in each: the oracle's
     /// bits, masks and statistics, run for run (Miri interprets this one).
     #[test]
     fn a_row_of_lanes_no_multiple_of_the_panel_width_matches_env_bitwise() {
@@ -1665,10 +1666,10 @@ mod tests {
             .dropout_p(0.3)
             .sanitize(SanitizeMode::Off)
             .build();
-        // the oracle on the arena's RNG discipline: one stream per step
+        // the oracle keyed as the arena keys: one stream per step
         let mut reference = base.clone();
         for (si, step) in plan.steps.iter().enumerate() {
-            let rng = &mut step_rng(opts.seed, si);
+            let rng = &mut stream_key(opts.seed, plan.stream_of(si));
             execute_step(&graph, step, &mut reference, &opts, rng).unwrap();
         }
         for (name, data) in &run(&arena, &graph, &plan, &base, &opts) {

@@ -25,7 +25,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rand::Rng;
+use rand::rngs::StdRng;
 
 use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_gpusim::opmodel::OpConfig;
@@ -286,14 +286,15 @@ impl ExecutionPlan {
             .count()
     }
 
-    /// The number of the dropout stream step `si` draws from on the arena
-    /// (with the run's seed: [`crate::arena::step_rng`]). Streams are
+    /// The number of the dropout stream step `si` keys its masks by on the
+    /// arena: with the run's seed, the step's key is
+    /// [`crate::arena::stream_key`]`(seed, stream_of(si))`. Streams are
     /// numbered by schedule position, a tile program counting for the
     /// positions of the chain it replaced ([`OpKind::TileProgram`]'s
-    /// `span`) and drawing where the step one before that chain's last did —
+    /// `span`) and keyed where the step one before that chain's last was —
     /// the attention region's softmax — so collapsing a chain renumbers
-    /// nothing, and a backward pass that names the region's stream can draw
-    /// its masks again.
+    /// nothing, and a backward pass that names the region's stream
+    /// computes its masks again.
     pub fn stream_of(&self, si: usize) -> usize {
         let span = |s: &PlanStep| match s.kind {
             OpKind::TileProgram { span, .. } => span.max(1),
@@ -395,8 +396,8 @@ pub struct PlanOverride<'p> {
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct ExecOptions<'p> {
-    /// Dropout probability (`0` disables dropout deterministically, drawing
-    /// nothing from the RNG).
+    /// Dropout probability (`0` disables dropout deterministically: every
+    /// mask is `1` and none is computed).
     pub dropout_p: f32,
     /// Activation applied by `Relu`-kind nodes (real models use GELU).
     pub activation: ActivationKind,
@@ -404,10 +405,11 @@ pub struct ExecOptions<'p> {
     pub scaler: f32,
     /// Worker threads: `1` (or `0`) runs the arena's steps in schedule
     /// order; more dispatches each hazard-free wave across the arena's
-    /// worker pool (same values, the arena draws one RNG stream per step).
+    /// worker pool (same values: a mask is a function of the step's key and
+    /// the element's index).
     pub threads: usize,
-    /// Seed for the dropout RNG (the arena derives one stream per step
-    /// from it).
+    /// Seed for the dropout masks (the arena keys each step by it and the
+    /// step's stream).
     pub seed: u64,
     /// Shadow-access sanitizer routing (defaults to the environment).
     pub sanitize: SanitizeMode,
@@ -733,12 +735,12 @@ pub(crate) fn relaid(t: &Tensor, layout: Layout) -> Result<Tensor> {
 /// Returns an error if a consumed container is missing, the operator kind
 /// is not interpretable (backward kernels), or a kernel rejects its
 /// operands.
-pub fn execute_step<R: Rng + ?Sized>(
+pub fn execute_step(
     graph: &Graph,
     step: &PlanStep,
     state: &mut ExecState,
     opts: &ExecOptions,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> Result<()> {
     // explicit transposes first
     for r in &step.relayouts {
@@ -757,7 +759,7 @@ pub fn execute_step<R: Rng + ?Sized>(
 
     let p = opts.dropout_p;
     check_dropout_p(p)?;
-    let drop = |x: &Tensor, rng: &mut R| -> (Tensor, Tensor) {
+    let drop = |x: &Tensor, rng: &mut StdRng| -> (Tensor, Tensor) {
         if p > 0.0 {
             dropout(x, p, rng)
         } else {
@@ -994,12 +996,12 @@ pub fn execute_step<R: Rng + ?Sized>(
 ///
 /// Returns an error if [`ExecutionPlan::check`] reports any
 /// error-severity lint or any step fails.
-pub fn execute_plan<R: Rng + ?Sized>(
+pub fn execute_plan(
     graph: &Graph,
     plan: &ExecutionPlan,
     state: &mut ExecState,
     opts: &ExecOptions,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> Result<()> {
     crate::analyze::analyze(graph, plan).gate()?;
     if opts.sanitize.enabled() {
@@ -1027,7 +1029,6 @@ pub fn execute_plan<R: Rng + ?Sized>(
 /// Returns an error if a referenced container is dead or a declared
 /// layout has another rank than its container.
 pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Result<ExecState> {
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut state = ExecState::default();

@@ -55,7 +55,7 @@
 
 use std::collections::HashMap;
 
-use rand::Rng;
+use rand::rngs::StdRng;
 
 use xform_dataflow::{Graph, NodeId};
 use xform_tensor::{trace, Result, Tensor, TensorError};
@@ -639,12 +639,12 @@ fn shadow_catch<T>(name: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
 ///
 /// Returns an error on the first footprint violation, alias, in-wave
 /// conflict, or kernel failure.
-pub fn execute_plan_sanitized<R: Rng + ?Sized>(
+pub fn execute_plan_sanitized(
     graph: &Graph,
     plan: &ExecutionPlan,
     state: &mut ExecState,
     opts: &ExecOptions,
-    rng: &mut R,
+    rng: &mut StdRng,
     waves: Option<&[Vec<usize>]>,
 ) -> Result<()> {
     let own_waves;

@@ -29,11 +29,15 @@
 //! [`bias_grad`](crate::ops::elementwise::bias_grad), BEI
 //! [`add`](crate::ops::elementwise::add).
 //!
+//! The kernels that drop take the caller's generator as the key of their
+//! masks ([`Dropout::mask`]) and move it past the indices they used:
+//! their span at `p > 0`, nothing at `p == 0`.
+//!
 //! Equivalence with the unfused composition is covered by unit and property
 //! tests; the Criterion benches measure the actual CPU memory-traffic
 //! saving.
 
-use rand::Rng;
+use rand::rngs::StdRng;
 
 use crate::axes::Axis;
 use crate::error::Result;
@@ -85,13 +89,7 @@ pub struct SmOutput {
 /// # Errors
 ///
 /// Returns an error if `axis` is missing or `p` is outside `[0, 1)`.
-pub fn sm<R: Rng + ?Sized>(
-    beta: &Tensor,
-    scaler: f32,
-    axis: Axis,
-    p: f32,
-    rng: &mut R,
-) -> Result<SmOutput> {
+pub fn sm(beta: &Tensor, scaler: f32, axis: Axis, p: f32, rng: &mut StdRng) -> Result<SmOutput> {
     sm_lanes(beta, scaler, axis, None, p, rng)
 }
 
@@ -107,13 +105,13 @@ pub fn sm<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// Returns an error if either axis is missing or `p` is outside `[0, 1)`.
-pub fn sm_causal<R: Rng + ?Sized>(
+pub fn sm_causal(
     beta: &Tensor,
     scaler: f32,
     query_axis: Axis,
     axis: Axis,
     p: f32,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> Result<SmOutput> {
     sm_causal_at(beta, scaler, query_axis, axis, p, rng, 0)
 }
@@ -129,13 +127,13 @@ pub fn sm_causal<R: Rng + ?Sized>(
 ///
 /// Returns an error if either axis is missing or `p` is outside `[0, 1)`.
 #[allow(clippy::too_many_arguments)]
-pub fn sm_causal_at<R: Rng + ?Sized>(
+pub fn sm_causal_at(
     beta: &Tensor,
     scaler: f32,
     query_axis: Axis,
     axis: Axis,
     p: f32,
-    rng: &mut R,
+    rng: &mut StdRng,
     query_base: usize,
 ) -> Result<SmOutput> {
     let qi = beta.shape().index_of(query_axis)?;
@@ -145,15 +143,15 @@ pub fn sm_causal_at<R: Rng + ?Sized>(
 /// The logical-order SM driver: the sweep of `beta`'s own strides, all
 /// three outputs in `beta`'s layout. `causal` is the query axis position
 /// and the absolute position of its index 0.
-fn sm_lanes<R: Rng + ?Sized>(
+fn sm_lanes(
     beta: &Tensor,
     scaler: f32,
     axis: Axis,
     causal: Option<(usize, usize)>,
     p: f32,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> Result<SmOutput> {
-    let mut drop = Dropout::new(p, rng)?;
+    let drop = Dropout::new(p, rng)?;
     let ai = beta.shape().index_of(axis)?;
     let v = view_of(beta);
     let sweep = sweep_of(&[&v, &v, &v, &v], Some(ai), causal.map(|c| c.0), "sm")?;
@@ -161,16 +159,10 @@ fn sm_lanes<R: Rng + ?Sized>(
     let mut softmax = fresh();
     let mut alpha = fresh();
     let mut mask = fresh();
-    sm_into(
-        &sweep,
-        beta.data(),
-        scaler,
-        causal.map(|c| c.1),
-        &mut drop,
-        softmax.data_mut(),
-        alpha.data_mut(),
-        mask.data_mut(),
-    );
+    let pos = causal.map(|c| c.1);
+    let (s, a, m) = (softmax.data_mut(), alpha.data_mut(), mask.data_mut());
+    sm_into(&sweep, beta.data(), scaler, pos, &drop, s, a, m);
+    drop.skip_past(rng, sweep.span(pos));
     Ok(SmOutput {
         alpha,
         softmax,
@@ -196,7 +188,7 @@ pub struct BrdOutput {
 ///
 /// Returns an error if the bias axes are not a subset of `x`'s or `p` is
 /// outside `[0, 1)`.
-pub fn brd<R: Rng + ?Sized>(x: &Tensor, bias: &Tensor, p: f32, rng: &mut R) -> Result<BrdOutput> {
+pub fn brd(x: &Tensor, bias: &Tensor, p: f32, rng: &mut StdRng) -> Result<BrdOutput> {
     brd_act(x, bias, ActivationKind::Relu, p, rng)
 }
 
@@ -208,14 +200,14 @@ pub fn brd<R: Rng + ?Sized>(x: &Tensor, bias: &Tensor, p: f32, rng: &mut R) -> R
 ///
 /// Returns an error if the bias axes are not a subset of `x`'s or `p` is
 /// outside `[0, 1)`.
-pub fn brd_act<R: Rng + ?Sized>(
+pub fn brd_act(
     x: &Tensor,
     bias: &Tensor,
     activation: ActivationKind,
     p: f32,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> Result<BrdOutput> {
-    let mut drop = Dropout::new(p, rng)?;
+    let drop = Dropout::new(p, rng)?;
     let (vx, vb) = (
         view_of(x),
         bias_view(bias.shape(), bias.strides(), x, "brd bias")?,
@@ -230,11 +222,12 @@ pub fn brd_act<R: Rng + ?Sized>(
         x.data(),
         bias.data(),
         activation,
-        &mut drop,
+        &drop,
         pre_activation.data_mut(),
         out.data_mut(),
         mask.data_mut(),
     );
+    drop.skip_past(rng, sweep.span(None));
     Ok(BrdOutput {
         out,
         pre_activation,
@@ -264,7 +257,7 @@ pub struct BdrlnOutput {
 /// Returns an error on axis/shape disagreements or if `p` is outside
 /// `[0, 1)`.
 #[allow(clippy::too_many_arguments)]
-pub fn bdrln<R: Rng + ?Sized>(
+pub fn bdrln(
     x: &Tensor,
     bias: &Tensor,
     residual: &Tensor,
@@ -272,9 +265,9 @@ pub fn bdrln<R: Rng + ?Sized>(
     beta: &Tensor,
     axis: Axis,
     p: f32,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> Result<BdrlnOutput> {
-    let mut drop = Dropout::new(p, rng)?;
+    let drop = Dropout::new(p, rng)?;
     check_same_shape(x, residual, "bdrln residual")?;
     let ai = x.shape().index_of(axis)?;
     let vb = bias_view(bias.shape(), bias.strides(), x, "bdrln bias")?;
@@ -297,13 +290,14 @@ pub fn bdrln<R: Rng + ?Sized>(
         residual.data(),
         gamma.data(),
         beta.data(),
-        &mut drop,
+        &drop,
         mask.data_mut(),
         ln_input.data_mut(),
         out.data_mut(),
         &mut stats.mean,
         &mut stats.inv_std,
     );
+    drop.skip_past(rng, sweep.span(None));
     Ok(BdrlnOutput {
         out,
         ln_input,
@@ -467,8 +461,7 @@ mod tests {
     use crate::ops::layernorm::{layernorm, layernorm_backward_input};
     use crate::ops::softmax::{softmax, softmax_backward};
     use rand::distributions::Uniform;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rand_t(spec: &str, sizes: &[(char, usize)], seed: u64) -> Tensor {
         let shape = Shape::from_spec(spec, sizes).unwrap();

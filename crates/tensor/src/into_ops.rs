@@ -18,10 +18,13 @@
 //! adjacent lanes — as one `(base, stride)` per operand to the one body
 //! that holds the arithmetic. The tensor-returning kernels of
 //! [`crate::fused`] and [`crate::ops`] compile a `Sweep` over their tensors'
-//! own strides and call the same drivers: one lane enumerator. Values,
-//! per-lane statistics and the order of dropout draws are therefore
-//! functions of the logical indices alone: a plan computes the same bits in
-//! any layout and in any walk.
+//! own strides and call the same drivers: one lane enumerator. Values and
+//! per-lane statistics are therefore functions of the logical indices
+//! alone, and so is every dropout mask: the mask of an element is computed
+//! from the step's key and the element's index — its row-major logical
+//! index in an element-wise sweep, [`Sweep`]'s `start(l) + v` in a lane
+//! sweep — never drawn in an order. A plan computes the same bits in any
+//! layout, in any walk and on any thread.
 //!
 //! Three addressing vocabularies, each compiled once by the caller:
 //!
@@ -45,13 +48,12 @@
 //! while the tile is hot, and optionally a second contraction over the
 //! chain's rows — the attention region, `QKᵀ → softmax → ·V` a panel of
 //! [`ATTENTION_TILE_ROWS`] query rows at a time. It is bit for bit the chain
-//! it stands for, dropout draws included, because it runs the chain's own
-//! bodies over the chain's own lanes in the chain's own order and the
-//! GEMM's result does not depend on its tiling. Whole rows fit a tile, so a
-//! softmax is the two-pass `lanes::softmax_lane` unchanged — no online
-//! rescaling, nothing reassociated.
-
-use rand::Rng;
+//! it stands for, dropout masks included, because it runs the chain's own
+//! bodies over the chain's own lanes, each mask at the index the chain
+//! gives its element, and the GEMM's result does not depend on its tiling.
+//! Whole rows fit a tile, so a softmax is the two-pass
+//! `lanes::softmax_lane` unchanged — no online rescaling, nothing
+//! reassociated.
 
 use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
@@ -142,8 +144,8 @@ impl SweepOperand {
 /// dropped and neighbouring axes that every operand steps through evenly
 /// are fused into one loop, so operands in natural layout collapse to a
 /// single contiguous lane while any other layout keeps exactly the loops
-/// it needs — in the same order, which is what keeps dropout draws and
-/// per-lane statistics layout-independent.
+/// it needs — in the same order, which is what keeps per-lane statistics
+/// and the masks' indices layout-independent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sweep {
     /// Extents of the outer loops, outermost first.
@@ -319,15 +321,38 @@ impl Sweep {
     }
 
     /// [`Sweep::for_each_run`] for the element-wise drivers, whose sweeps
-    /// name no lane axis and so never panel: `f(lane is contiguous, lane per
-    /// operand)`.
-    fn for_each_lane<const N: usize>(&self, mut f: impl FnMut(bool, [LaneAt; N])) {
+    /// name no lane axis and so never panel: `f(lane is contiguous, row-major
+    /// logical index of the lane's position 0, lane per operand)`.
+    fn for_each_lane<const N: usize>(&self, mut f: impl FnMut(bool, usize, [LaneAt; N])) {
         assert_ne!(
             self.walk,
             Walk::Panel,
             "an element-wise sweep names no lane"
         );
-        self.for_each_run(|run, _, _, at| f(run == Run::Lane, at));
+        self.for_each_run(|run, l, _, at| f(run == Run::Lane, l * self.len, at));
+    }
+
+    /// The mask index of position 0 of lane `l`, whose query index is `q`:
+    /// the positions the lanes before it in logical order see between them
+    /// (`l · len` but under a causal mask). The lanes run row-major over
+    /// `(a, q, b)` — the loops outside the query axis, the query axis,
+    /// the loops inside it — which gives the closed form.
+    fn start(&self, l: usize, q: usize, causal: Option<usize>) -> usize {
+        let (nq, nb) = match self.query {
+            Some(d) => (self.outer[d], self.outer[d + 1..].iter().product()),
+            None => (1, self.lanes()),
+        };
+        let before = |q: usize| visible_before(causal, q, self.len);
+        let b = l % nb;
+        l / (nq * nb) * nb * before(nq) + nb * before(q) + b * visible_of(causal, q, self.len)
+    }
+
+    /// The mask indices the sweep's lanes use up between them.
+    pub(crate) fn span(&self, causal: Option<usize>) -> usize {
+        match self.lanes() {
+            0 => 0,
+            lanes => self.start(lanes, 0, causal),
+        }
     }
 }
 
@@ -879,11 +904,11 @@ struct Then<'a> {
 /// output.
 ///
 /// Bit for bit the chain it stands for — [`contract_into`], the tail's
-/// whole-container kernel, [`contract_into`] — RNG end state included:
+/// whole-container kernel, [`contract_into`]:
 ///
-/// * rows are visited in container order (slice, then row) and each is
-///   whole in its tile, so every lane is the chain's lane body over the
-///   chain's words, every dropout draw the chain's;
+/// * each row is whole in its tile, so every lane is the chain's lane body
+///   over the chain's words, every mask the chain's at the index the chain
+///   gives it (a row's place among all `batch · m` rows);
 /// * each product keeps the GEMM's contract — one accumulator per element,
 ///   `k` ascending, block after block — which does not depend on the tiling
 ///   or on which operand plays A;
@@ -900,13 +925,13 @@ struct Then<'a> {
 /// reverse, a softmax tail runs without one, `scratch` is shorter than
 /// [`TilePlan::scratch_words`], or an operand slice is shorter than its
 /// strides reach.
-pub fn tile_into<R: Rng + ?Sized>(
+pub fn tile_into(
     plan: &TilePlan,
     a: &[f32],
     b: &[f32],
     tail: &mut RowTail<'_>,
     second: Option<(&[f32], &mut [f32])>,
-    drop: &mut Dropout<'_, R>,
+    drop: &Dropout,
     scratch: &mut [f32],
 ) {
     let (f, tile_rows) = (&plan.first, plan.tile_rows);
@@ -999,7 +1024,7 @@ pub fn tile_into<R: Rng + ?Sized>(
                         &*x,
                         &bias_at.strided(bias),
                         *kind,
-                        drop,
+                        (drop, at.base),
                         at.unit_mut(pre_activation),
                         at.unit_mut(out),
                         at.unit_mut(mask),
@@ -1013,7 +1038,7 @@ pub fn tile_into<R: Rng + ?Sized>(
                         &*x,
                         &bias_at.strided(bias),
                         at.unit(residual),
-                        drop,
+                        (drop, at.base),
                         at.unit_mut(mask),
                         at.unit_mut(out),
                     ),
@@ -1032,10 +1057,14 @@ pub fn tile_into<R: Rng + ?Sized>(
                         let visible = seen(r0 + r, 1);
                         let (row, hidden) = t.weights[r * n..][..depth].split_at_mut(visible);
                         let (y, mask) = t.lane.split_at_mut(n);
+                        // slice `g`'s rows come after `g` whole slices
+                        let before = |q| visible_before(causal, q, n);
                         let mut tail = lanes::Dropped {
                             alpha: row,
                             mask: &mut mask[..visible],
-                            drop: &mut *drop,
+                            drop,
+                            at: g * before(m) + before(r0 + r),
+                            step: visible,
                         };
                         let (x, y) = (&x[..visible], &mut y[..visible]);
                         lanes::softmax_lane::<1, _, _, _>(x, *scaler, visible, y, &mut tail);
@@ -1138,7 +1167,7 @@ pub fn activate_into(s: &Sweep, x: &[f32], kind: ActivationKind, out: &mut [f32]
 }
 
 fn map_into(s: &Sweep, x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
-    s.for_each_lane(|unit, [xa, oa]| {
+    s.for_each_lane(|unit, _, [xa, oa]| {
         if unit {
             lanes::map_lane(xa.unit(x), oa.unit_mut(out), &f);
         } else {
@@ -1161,7 +1190,7 @@ pub(crate) fn zip_into(
     out: &mut [f32],
     mut f: impl FnMut(f32, f32) -> f32,
 ) {
-    s.for_each_lane(|unit, [aa, ba, oa]| {
+    s.for_each_lane(|unit, _, [aa, ba, oa]| {
         if unit {
             lanes::zip_lane(aa.unit(a), ba.unit(b), oa.unit_mut(out), &mut f);
         } else {
@@ -1176,7 +1205,7 @@ pub(crate) fn zip_into(
 /// where everything else is contiguous.
 pub fn bias_add_into(s: &Sweep, x: &[f32], bias: &[f32], out: &mut [f32]) {
     let add = |v, b| v + b;
-    s.for_each_lane(|unit, [xa, ba, oa]| {
+    s.for_each_lane(|unit, _, [xa, ba, oa]| {
         let bias = &ba.strided(bias);
         if unit {
             lanes::zip_lane(xa.unit(x), bias, oa.unit_mut(out), add);
@@ -1190,7 +1219,7 @@ pub fn bias_add_into(s: &Sweep, x: &[f32], bias: &[f32], out: &mut [f32]) {
 /// the sweep) is the bias gradient broadcast by its view's zero strides, so
 /// each of its words accumulates its addends in `dy`'s logical order.
 pub fn bias_grad_into(s: &Sweep, dy: &[f32], grad: &mut [f32]) {
-    s.for_each_lane(|unit, [ya, ga]| {
+    s.for_each_lane(|unit, _, [ya, ga]| {
         let grad = &mut ga.strided_mut(grad);
         if unit {
             lanes::acc_lane(ya.unit(dy), grad);
@@ -1200,36 +1229,16 @@ pub fn bias_grad_into(s: &Sweep, dy: &[f32], grad: &mut [f32]) {
     });
 }
 
-/// Unfused dropout: one [`Dropout::mask_select`] per element in logical
-/// order — a draw even at `p == 0`, unlike the fused kernels — survivors
-/// scaled by `1/(1-p)`.
-pub fn dropout_into<R: Rng + ?Sized>(
-    s: &Sweep,
-    x: &[f32],
-    drop: &mut Dropout<'_, R>,
-    out: &mut [f32],
-    mask: &mut [f32],
-) {
-    s.for_each_lane(|unit, [xa, oa, ma]| {
+/// Unfused dropout: each element's [`Dropout::mask`] at its row-major
+/// logical index, survivors scaled by `1/(1-p)` — at `p == 0` a copy
+/// under masks of `1`.
+pub fn dropout_into(s: &Sweep, x: &[f32], drop: &Dropout, out: &mut [f32], mask: &mut [f32]) {
+    s.for_each_lane(|unit, at, [xa, oa, ma]| {
         if unit {
-            lanes::dropout_lane(xa.unit(x), drop, oa.unit_mut(out), ma.unit_mut(mask));
+            lanes::dropout_lane(xa.unit(x), drop, at, oa.unit_mut(out), ma.unit_mut(mask));
         } else {
             let (out, mask) = (&mut oa.strided_mut(out), &mut ma.strided_mut(mask));
-            lanes::dropout_lane(&xa.strided(x), drop, out, mask);
-        }
-    });
-}
-
-/// Identity dropout (`p == 0`): copies the input and fills the mask with
-/// ones, drawing nothing.
-pub fn dropout_disabled_into(s: &Sweep, x: &[f32], out: &mut [f32], mask: &mut [f32]) {
-    s.for_each_lane(|unit, [xa, oa, ma]| {
-        if unit {
-            oa.unit_mut(out).copy_from_slice(xa.unit(x));
-            ma.unit_mut(mask).fill(1.0);
-        } else {
-            lanes::map_lane(&xa.strided(x), &mut oa.strided_mut(out), |v| v);
-            lanes::map_lane(&xa.strided(x), &mut ma.strided_mut(mask), |_| 1.0);
+            lanes::dropout_lane(&xa.strided(x), drop, at, out, mask);
         }
     });
 }
@@ -1239,6 +1248,16 @@ pub fn dropout_disabled_into(s: &Sweep, x: &[f32], out: &mut [f32], mask: &mut [
 /// position `pos`, the first `pos + q + 1`.
 fn visible_of(causal: Option<usize>, q: usize, len: usize) -> usize {
     causal.map_or(len, |pos| (pos + q + 1).min(len))
+}
+
+/// [`visible_of`] summed over the query indices `0..q`, in closed form:
+/// the first `ramp` of them see `pos + 1 + q′` positions, the rest all.
+fn visible_before(causal: Option<usize>, q: usize, len: usize) -> usize {
+    let Some(pos) = causal else {
+        return q * len;
+    };
+    let ramp = q.min(len.saturating_sub(pos));
+    ramp * (pos + 1) + ramp * ramp.saturating_sub(1) / 2 + (q - ramp) * len
 }
 
 /// `out = softmax(scaler · x)` along the sweep's lane axis — the unfused
@@ -1260,20 +1279,21 @@ pub fn softmax_into(s: &Sweep, x: &[f32], scaler: f32, causal: Option<usize>, ou
 /// in [`softmax_into`]; masked positions get zero softmax/alpha/mask
 /// entries, exactly like the allocating kernel.
 #[allow(clippy::too_many_arguments)]
-pub fn sm_into<R: Rng + ?Sized>(
+pub fn sm_into(
     s: &Sweep,
     x: &[f32],
     scaler: f32,
     causal: Option<usize>,
-    drop: &mut Dropout<'_, R>,
+    drop: &Dropout,
     softmax: &mut [f32],
     alpha: &mut [f32],
     mask: &mut [f32],
 ) {
-    s.for_each_run(|run, _, q, [xa, sa, aa, ma]| {
+    s.for_each_run(|run, l, q, [xa, sa, aa, ma]| {
         let visible = visible_of(causal, q, xa.len);
+        let at = s.start(l, q, causal);
         on_run!(run, N, [x @ xa], [softmax @ sa, alpha @ aa, mask @ ma] => {
-            let mut tail = lanes::Dropped { alpha, mask, drop: &mut *drop };
+            let mut tail = lanes::Dropped { alpha, mask, drop, at, step: visible };
             lanes::softmax_lane::<N, _, _, _>(x, scaler, visible, softmax, &mut tail)
         });
     });
@@ -1337,14 +1357,14 @@ pub fn layernorm_into(
 /// stats. Operands in the sweep's order: `x, bias, residual, gamma, beta,
 /// mask, ln_input, out`.
 #[allow(clippy::too_many_arguments)]
-pub fn bdrln_into<R: Rng + ?Sized>(
+pub fn bdrln_into(
     s: &Sweep,
     x: &[f32],
     bias: &[f32],
     residual: &[f32],
     gamma: &[f32],
     beta: &[f32],
-    drop: &mut Dropout<'_, R>,
+    drop: &Dropout,
     mask: &mut [f32],
     ln_input: &mut [f32],
     out: &mut [f32],
@@ -1361,7 +1381,8 @@ pub fn bdrln_into<R: Rng + ?Sized>(
                 residual,
                 mask,
                 ln_input,
-                drop: &mut *drop,
+                drop,
+                at: l * xa.len,
             };
             lanes::put_stats(stats, lanes::norm_lane::<N, _, _>(src, gamma, beta, out))
         });
@@ -1492,7 +1513,7 @@ pub fn bdrb_act_into(
     dx: &mut [f32],
     dbias: &mut [f32],
 ) {
-    s.for_each_lane(|unit, [ga, ma, pa, xa, ba]| {
+    s.for_each_lane(|unit, _, [ga, ma, pa, xa, ba]| {
         let acc = &mut ba.strided_mut(dbias);
         if unit {
             let (dy, mask, pre) = (ga.unit(dy), ma.unit(mask), pa.unit(pre));
@@ -1508,51 +1529,60 @@ pub fn bdrb_act_into(
 /// pre-activation and the mask. Operands in the sweep's order: `x, bias,
 /// pre_activation, out, mask`.
 #[allow(clippy::too_many_arguments)]
-pub fn brd_act_into<R: Rng + ?Sized>(
+pub fn brd_act_into(
     s: &Sweep,
     x: &[f32],
     bias: &[f32],
     kind: ActivationKind,
-    drop: &mut Dropout<'_, R>,
+    drop: &Dropout,
     pre_activation: &mut [f32],
     out: &mut [f32],
     mask: &mut [f32],
 ) {
-    s.for_each_lane(|unit, [xa, ba, pa, oa, ma]| {
+    s.for_each_lane(|unit, at, [xa, ba, pa, oa, ma]| {
         let bias = &ba.strided(bias);
         if unit {
             let (pre, out) = (pa.unit_mut(pre_activation), oa.unit_mut(out));
-            lanes::brd_lane(xa.unit(x), bias, kind, drop, pre, out, ma.unit_mut(mask));
+            lanes::brd_lane(
+                xa.unit(x),
+                bias,
+                kind,
+                (drop, at),
+                pre,
+                out,
+                ma.unit_mut(mask),
+            );
         } else {
             let (pre, out) = (
                 &mut pa.strided_mut(pre_activation),
                 &mut oa.strided_mut(out),
             );
             let mask = &mut ma.strided_mut(mask);
-            lanes::brd_lane(&xa.strided(x), bias, kind, drop, pre, out, mask);
+            lanes::brd_lane(&xa.strided(x), bias, kind, (drop, at), pre, out, mask);
         }
     });
 }
 
 /// Fused BDR (no norm): `out = dropout(x + bias) + residual`, saving the
 /// mask. Operands in the sweep's order: `x, bias, residual, mask, out`.
-pub fn bdr_into<R: Rng + ?Sized>(
+pub fn bdr_into(
     s: &Sweep,
     x: &[f32],
     bias: &[f32],
     residual: &[f32],
-    drop: &mut Dropout<'_, R>,
+    drop: &Dropout,
     mask: &mut [f32],
     out: &mut [f32],
 ) {
-    s.for_each_lane(|unit, [xa, ba, ra, ma, oa]| {
+    s.for_each_lane(|unit, at, [xa, ba, ra, ma, oa]| {
         let bias = &ba.strided(bias);
         if unit {
             let (mask, out) = (ma.unit_mut(mask), oa.unit_mut(out));
-            lanes::bdr_lane(xa.unit(x), bias, ra.unit(residual), drop, mask, out);
+            lanes::bdr_lane(xa.unit(x), bias, ra.unit(residual), (drop, at), mask, out);
         } else {
             let (mask, out) = (&mut ma.strided_mut(mask), &mut oa.strided_mut(out));
-            lanes::bdr_lane(&xa.strided(x), bias, &ra.strided(residual), drop, mask, out);
+            let residual = &ra.strided(residual);
+            lanes::bdr_lane(&xa.strided(x), bias, residual, (drop, at), mask, out);
         }
     });
 }
@@ -1674,8 +1704,9 @@ mod tests {
 
     /// The view drivers against the tensor drivers, plain and causal, with
     /// and without dropout, the input in every layout and the outputs in
-    /// natural layout: same lanes in the same order, so the same values,
-    /// masks and RNG end state.
+    /// natural layout: same lanes at the same indices, so the same values
+    /// and masks, and the tensor driver moves its generator past the
+    /// sweep's span.
     #[test]
     fn sm_and_softmax_into_match_fused_sm() {
         let sizes = [('b', 2), ('j', 4), ('k', 4)];
@@ -1691,15 +1722,16 @@ mod tests {
                 .unwrap();
                 let n = x.len();
                 let (mut s, mut a, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-                let mut drop = Dropout::new(p, &mut rng2).unwrap();
+                let drop = Dropout::new(p, &rng2).unwrap();
                 let (vx, vo) = (whole(&x), whole(&natural));
                 let query = causal.then_some('j');
                 let sw = sweep(&x, &[&vx, &vo, &vo, &vo], Some('k'), query);
                 let pos = causal.then_some(0);
-                sm_into(&sw, x.data(), 0.7, pos, &mut drop, &mut s, &mut a, &mut m);
+                sm_into(&sw, x.data(), 0.7, pos, &drop, &mut s, &mut a, &mut m);
                 assert_eq!(s.as_slice(), want.softmax.data());
                 assert_eq!(a.as_slice(), want.alpha.data());
                 assert_eq!(m.as_slice(), want.mask.data());
+                drop.skip_past(&mut rng2, sw.span(pos));
                 assert_same_rng_state(&mut rng, &mut rng2, "sm");
                 // the unfused softmax is the same lanes without the dropout tail
                 let sw = sweep(&x, &[&vx, &vo], Some('k'), query);
@@ -1752,7 +1784,7 @@ mod tests {
             let (mut m, mut li, mut out) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
             let mut mean = vec![0.0f32; lanes];
             let mut inv = vec![0.0f32; lanes];
-            let mut rng2 = StdRng::seed_from_u64(13);
+            let rng2 = StdRng::seed_from_u64(13);
             let (vx, vr, vo) = (whole(&xl), whole(&rl), whole(&x));
             let (vb, vg) = (onto(&x, &bias), onto(&x, &gamma));
             let s = sweep(
@@ -1768,7 +1800,7 @@ mod tests {
                 rl.data(),
                 gamma.data(),
                 beta.data(),
-                &mut Dropout::new(0.4, &mut rng2).unwrap(),
+                &Dropout::new(0.4, &rng2).unwrap(),
                 &mut m,
                 &mut li,
                 &mut out,
@@ -1796,7 +1828,7 @@ mod tests {
             let n = x.len();
             for xl in layouts(&x) {
                 let (mut pre, mut out, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-                let mut rng2 = StdRng::seed_from_u64(16);
+                let rng2 = StdRng::seed_from_u64(16);
                 let (vx, vb, vo) = (whole(&xl), onto(&x, &bias), whole(&x));
                 let s = sweep(&x, &[&vx, &vb, &vo, &vo, &vo], None, None);
                 brd_act_into(
@@ -1804,7 +1836,7 @@ mod tests {
                     xl.data(),
                     bias.data(),
                     ActivationKind::Gelu,
-                    &mut Dropout::new(0.2, &mut rng2).unwrap(),
+                    &Dropout::new(0.2, &rng2).unwrap(),
                     &mut pre,
                     &mut out,
                     &mut m,
@@ -2058,6 +2090,161 @@ mod tests {
         assert_eq!(a.len(), b.len(), "{name}: length mismatch");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{name}: word {i}: {x} vs {y}");
+        }
+    }
+
+    /// One step's masks computed lane by lane in a shuffled order, from two
+    /// threads, and (element-wise) as the rows of a tile program are the
+    /// sweep's, bit for bit: a mask is a function of its index, and an index
+    /// of its lane's place, never of which lane ran before it.
+    mod walk_order {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::Rng;
+
+        type Lanes<const N: usize> = Vec<(usize, usize, [LaneAt; N])>;
+
+        /// Every lane of `s` on its own: `(ordinal, query index, lane per
+        /// operand)`, panels taken apart.
+        fn lanes_of<const N: usize>(s: &Sweep) -> Lanes<N> {
+            let mut all = Vec::new();
+            s.for_each_run(|run, l, q, at: [LaneAt; N]| {
+                for w in 0..run.lanes() {
+                    let lane = at.map(|a| LaneAt {
+                        base: a.base + w * a.step,
+                        ..a
+                    });
+                    all.push((l + w, q, lane));
+                }
+            });
+            all
+        }
+
+        /// `lanes` in a seeded random order, dealt to two threads; each
+        /// computes its lanes' masks over NaN with `one`, and each word is
+        /// taken from the thread that wrote it.
+        fn shuffled_on_two_threads<const N: usize>(
+            mut lanes: Lanes<N>,
+            seed: u64,
+            one: impl Fn(&Lanes<N>) -> Vec<f32> + Sync,
+        ) -> Vec<f32> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..lanes.len()).rev() {
+                lanes.swap(i, rng.gen_range(0..i + 1));
+            }
+            let (even, odd): (Lanes<N>, Lanes<N>) = (
+                lanes.iter().step_by(2).copied().collect(),
+                lanes.iter().skip(1).step_by(2).copied().collect(),
+            );
+            let (a, b) = std::thread::scope(|sc| {
+                let a = sc.spawn(|| one(&even));
+                let b = sc.spawn(|| one(&odd));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            a.iter()
+                .zip(&b)
+                .map(|(&a, &b)| if a.is_nan() { b } else { a })
+                .collect()
+        }
+
+        /// The SM masks of `lanes`, each lane a strided lane of its own.
+        fn sm_masks(
+            s: &Sweep,
+            x: &[f32],
+            causal: Option<usize>,
+            drop: &Dropout,
+            lanes: &Lanes<4>,
+        ) -> Vec<f32> {
+            let [mut y, mut a, mut m] = [(); 3].map(|_| vec![f32::NAN; x.len()]);
+            for &(l, q, [xa, ya, aa, ma]) in lanes {
+                let visible = visible_of(causal, q, xa.len);
+                let mut tail = lanes::Dropped {
+                    alpha: &mut aa.strided_mut(&mut a),
+                    mask: &mut ma.strided_mut(&mut m),
+                    drop,
+                    at: s.start(l, q, causal),
+                    step: visible,
+                };
+                let (x, y) = (&xa.strided(x), &mut ya.strided_mut(&mut y));
+                lanes::softmax_lane::<1, _, _, _>(x, 0.5, visible, y, &mut tail);
+            }
+            m
+        }
+
+        /// The BRD masks of `lanes`, each a strided lane of its own.
+        fn brd_masks(x: &[f32], bias: &[f32], drop: &Dropout, lanes: &Lanes<5>) -> Vec<f32> {
+            let [mut pre, mut out, mut m] = [(); 3].map(|_| vec![f32::NAN; x.len()]);
+            for &(l, _, [xa, ba, pa, oa, ma]) in lanes {
+                lanes::brd_lane(
+                    &xa.strided(x),
+                    &ba.strided(bias),
+                    ActivationKind::Relu,
+                    (drop, l * xa.len),
+                    &mut pa.strided_mut(&mut pre),
+                    &mut oa.strided_mut(&mut out),
+                    &mut ma.strided_mut(&mut m),
+                );
+            }
+            m
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn masks_do_not_depend_on_walk_order(
+                (b, j, k) in (1usize..4, 1usize..40, 1usize..40),
+                (layout, causal, pos) in (0usize..6, any::<bool>(), 0usize..40),
+                (u, i, rows) in (1usize..9, 1usize..5, 1usize..10),
+                p in 0usize..2,
+                seed in 0u64..1000,
+            ) {
+                let drop = Dropout::new([0.1, 0.5][p], &StdRng::seed_from_u64(seed)).unwrap();
+                let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+                // SM: the lanes of a causal or plain softmax in any layout
+                let natural = rand_t("bjk", &[('b', b), ('j', j), ('k', k)], seed);
+                let x = natural.relayout(&Layout::all(3)[layout]);
+                let (vx, vo) = (whole(&x), whole(&natural));
+                let s = sweep(&x, &[&vx, &vo, &vo, &vo], Some('k'), causal.then_some('j'));
+                let causal = causal.then_some(pos % k);
+                let n = x.len();
+                let (mut y, mut a, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                sm_into(&s, x.data(), 0.5, causal, &drop, &mut y, &mut a, &mut m);
+                let one = |lanes: &Lanes<4>| sm_masks(&s, x.data(), causal, &drop, lanes);
+                let got = shuffled_on_two_threads(lanes_of::<4>(&s), seed, one);
+                prop_assert!(bits(&got) == bits(&m), "SM, layout {}", layout);
+
+                // BRD: element-wise, in any layout, and as tile rows
+                let sizes = [('u', u), ('i', i), ('b', b), ('j', j)];
+                let (w, h) = (rand_t("ui", &sizes, seed + 1), rand_t("ibj", &sizes, seed + 2));
+                let bias = rand_t("u", &sizes, seed + 3);
+                let natural = rand_t("ubj", &sizes, seed + 4);
+                let x = natural.relayout(&Layout::all(3)[layout]);
+                let (vx, vb, vo) = (whole(&x), onto(&x, &bias), whole(&natural));
+                let s = sweep(&x, &[&vx, &vb, &vo, &vo, &vo], None, None);
+                let n = x.len();
+                let (mut pre, mut out, mut m) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                let kind = ActivationKind::Relu;
+                brd_act_into(&s, x.data(), bias.data(), kind, &drop, &mut pre, &mut out, &mut m);
+                let one = |lanes: &Lanes<5>| brd_masks(x.data(), bias.data(), &drop, lanes);
+                let got = shuffled_on_two_threads(lanes_of::<5>(&s), seed, one);
+                prop_assert!(bits(&got) == bits(&m), "BRD, layout {}", layout);
+                let spec: EinsumSpec = "ui,ibj->ubj".parse().unwrap();
+                let (a, b) = ((w.shape(), w.strides()), (h.shape(), h.strides()));
+                let plan = TilePlan::compile(&spec, a, b, None, rows).unwrap();
+                let [mut tp, mut to, mut tm] = [(); 3].map(|_| vec![f32::NAN; n]);
+                let mut tail = RowTail::BiasActDrop {
+                    bias: bias.data(),
+                    kind,
+                    pre_activation: &mut tp,
+                    out: &mut to,
+                    mask: &mut tm,
+                };
+                let scratch = &mut vec![f32::NAN; plan.scratch_words()];
+                tile_into(&plan, w.data(), h.data(), &mut tail, None, &drop, scratch);
+                prop_assert!(bits(&tm) == bits(&m), "BRD as tiles of {} rows", rows);
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //!   lane bodies        softmax_lane · norm_lane                  (W lanes abreast,
 //!        │             softmax_dx_lane · norm_dx_lane · norm_dw_lane   W = 1 a lane)
 //!        │             map_lane · zip_lane · acc_lane · dropout_lane · brd_lane
-//!        │             bdr_lane · bdrb_lane · Dropout::mask_select
+//!        │             bdr_lane · bdrb_lane · Dropout::mask
 //!   lane dispatch      on_run! — binds every swept operand of a run to its view
 //!        │             run of 1, contiguous → exact `[f32]` chunks        (Walk::Lane)
 //!        │             run of n = 16, 8, 4, 2 → `Rows`, n words a row     (Walk::Panel)
@@ -17,9 +17,9 @@
 //!        │             decides the walk, cuts each row of lanes into runs)
 //!        ├── view drivers    into_ops::*_into, the epilogue tile driver, the
 //!        │                   attention region (softmax_lane per query row of its panel)
-//!        └── tensor drivers  ops::{softmax, layernorm, bias_add, zip_map} and their
-//!                            `*_backward*`, bias_grad, fused::{sm*, brd*, bdrln, bs,
-//!                            blnrd, ebsb, bdrb_act}
+//!        └── tensor drivers  ops::{softmax, layernorm, bias_add, zip_map, dropout} and
+//!                            their `*_backward*`, bias_grad, fused::{sm*, brd*, bdrln,
+//!                            bs, blnrd, ebsb, bdrb_act}
 //!                            (a `Sweep` over their tensors' own strides)
 //! ```
 //!
@@ -37,8 +37,8 @@
 //! # Three walks
 //!
 //! A statistical normalization reduces along one logical axis and must
-//! visit its lanes in logical order (statistics and dropout draws are
-//! emitted in that order), but the axis it *vectorizes* along is free — the
+//! visit its lanes in logical order (statistics are emitted in that
+//! order), but the axis it *vectorizes* along is free — the
 //! paper tunes the two separately per kernel (Sec. V, Fig. 5). Which walk a
 //! sweep runs is [`Sweep::walk`](crate::into_ops::Sweep::walk), a function
 //! of the strides the compiled sweep holds and nothing else — never an
@@ -99,11 +99,22 @@
 //! Where lanes do meet — a word of dγ or dβ sums over all of them — a row's
 //! lanes are added one after the other in ascending `w`, which is the lane
 //! order. Data-dependent rules are per lane too: a lane whose visible
-//! inputs are all `−inf` is zeroed and draws nothing while its neighbours
-//! normalize, a NaN poisons its own lane only. Dropout masks
-//! are drawn *before* a panel's sweep, lane by lane in ascending `v`, into
-//! the mask output — nothing at `p = 0`, nothing for a dead lane — so the
-//! RNG is consumed in the order the lane-at-a-time walk consumes it.
+//! inputs are all `−inf` is zeroed while its neighbours normalize, a NaN
+//! poisons its own lane only.
+//!
+//! # Masks
+//!
+//! A dropout mask is computed where it is written, never drawn: the mask
+//! of index `n` is a pure function of the step's key and `n`
+//! ([`Dropout::mask`]), and an element's index is a function of its
+//! position alone — its row-major logical index in an element-wise kernel,
+//! `start(l) + v` in a lane kernel, where `start(l)` counts the visible
+//! positions of the lanes before lane `l` in logical order. A walk, a
+//! panel, a tile or a thread therefore computes any element's mask in any
+//! order, and a panel computes its lanes' masks row by row as it sweeps.
+//! A dead lane writes zero masks and still uses up its indices, so no lane
+//! after it shifts. Nothing is computed at `p = 0`, where every mask is
+//! `1`.
 //!
 //! # `W`
 //!
@@ -118,11 +129,9 @@
 //! [`crate::matmul::NR`], not an option.
 //!
 //! Drivers only enumerate lanes; every statement of arithmetic, the one
-//! dropout draw and the one transcendental are here.
+//! dropout mask and the one transcendental are here.
 
 use std::ops::{Deref, DerefMut};
-
-use rand::Rng;
 
 use crate::error::{Result, TensorError};
 use crate::ops::elementwise::ActivationKind;
@@ -245,8 +254,6 @@ pub(crate) trait Panel<const W: usize> {
 pub(crate) trait PanelMut<const W: usize>: Panel<W> {
     /// Stores the `W` words at lane position `v`.
     fn set_row(&mut self, v: usize, val: [f32; W]);
-    /// Stores position `v` of lane `w` alone (the pre-drawn dropout masks).
-    fn set_word(&mut self, v: usize, w: usize, val: f32);
     /// Stores `f(k, x.row(v0 + k))` at every position `v0 + k` of the whole
     /// block from `v0`.
     fn map_block<X: Panel<W> + ?Sized>(
@@ -280,10 +287,6 @@ impl<L: LaneMut + ?Sized> PanelMut<1> for L {
     #[inline]
     fn set_row(&mut self, v: usize, val: [f32; 1]) {
         self.set(v, val[0]);
-    }
-    #[inline]
-    fn set_word(&mut self, v: usize, _: usize, val: f32) {
-        self.set(v, val);
     }
     fn map_block<X: Panel<1> + ?Sized>(
         &mut self,
@@ -329,10 +332,6 @@ impl<const W: usize, D: DerefMut<Target = [f32]>> PanelMut<W> for Rows<D> {
     fn set_row(&mut self, v: usize, val: [f32; W]) {
         let at = v * self.stride;
         self.data[at..at + W].copy_from_slice(&val);
-    }
-    #[inline]
-    fn set_word(&mut self, v: usize, w: usize, val: f32) {
-        self.data[v * self.stride + w] = val;
     }
 }
 
@@ -473,85 +472,90 @@ impl LaneAt {
     }
 
     /// The `W` words a gathered operand (a broadcast bias) holds at lane
-    /// position `v` of the run.
+    /// position `v` of the run. Always inlined, and a loop rather than
+    /// `array::from_fn`: beside the mask mix in BDRLN's panel body the
+    /// `from_fn` stayed out of line, returned its row through memory and
+    /// cost the kernel a quarter of its time at `p = 0`.
+    #[inline(always)]
     pub(crate) fn gather<const W: usize>(self, buf: &[f32], v: usize) -> [f32; W] {
         let at = self.base + v * self.stride;
-        std::array::from_fn(|w| buf[at + w * self.step])
+        let mut row = [0.0; W];
+        for (w, r) in row.iter_mut().enumerate() {
+            *r = buf[at + w * self.step];
+        }
+        row
     }
 }
 
-/// A validated dropout probability with its survivor scale and RNG: the
-/// draw state every kernel that drops shares. Holding one proves
-/// `p ∈ [0, 1)`, so `1/(1-p)` is finite and positive.
-#[derive(Debug)]
-pub struct Dropout<'r, R: ?Sized> {
+/// A validated dropout probability with its survivor scale and key: what
+/// every kernel that drops shares. Holding one proves `p ∈ [0, 1)`, so
+/// `1/(1-p)` is finite and positive. The key is a position of the
+/// workspace's SplitMix64 generator; the mask of index `n` is computed from
+/// it and `n` alone (see the module docs), so a `Dropout` is read, never
+/// advanced.
+#[derive(Debug, Clone)]
+pub struct Dropout {
     p: f32,
-    keep_scale: f32,
-    rng: &'r mut R,
+    scale: f32,
+    key: rand::rngs::StdRng,
 }
 
-impl<'r, R: Rng + ?Sized> Dropout<'r, R> {
-    /// Validates `p` and binds the RNG the masks are drawn from.
+impl Dropout {
+    /// Validates `p` and keys the masks by `key`'s position.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidDropout`] unless `0 <= p < 1`.
-    pub fn new(p: f32, rng: &'r mut R) -> Result<Self> {
+    pub fn new(p: f32, key: &rand::rngs::StdRng) -> Result<Self> {
         check_dropout_p(p)?;
         Ok(Dropout {
             p,
-            keep_scale: 1.0 / (1.0 - p),
-            rng,
+            scale: 1.0 / (1.0 - p),
+            key: key.clone(),
         })
     }
 
-    /// Draws one mask value: `0` with probability `p`, else `1/(1-p)`.
-    /// Always consumes one `f32` from the RNG — the only dropout draw in
-    /// the crate. The select is a multiply, not a branch on random data
-    /// (which mispredicts `p` of the time); it is exact because the
-    /// validated scale is finite and positive: `1 · s = s`, `0 · s = +0`.
-    #[inline]
-    pub fn mask_select(&mut self) -> f32 {
-        ((self.rng.gen::<f32>() >= self.p) as u32 as f32) * self.keep_scale
+    /// The same probability under another key.
+    pub fn keyed(&self, key: rand::rngs::StdRng) -> Dropout {
+        Dropout { key, ..*self }
     }
 
-    /// The fused kernels' mask value: [`Dropout::mask_select`] when
-    /// `p > 0`; at `p == 0` the constant `1` with **no** draw, so a
-    /// dropout-free forward leaves the RNG untouched.
+    /// The mask of index `n`: `0` with probability `p`, else `1/(1-p)` —
+    /// the select of the uniform `f32` the key's word `n` makes (its top 24
+    /// bits · 2⁻²⁴), so index `n` of a key holds the mask its `(n + 1)`-th
+    /// `f32` draw would. At `p == 0` the constant `1`, computing nothing.
+    /// The select is a multiply, not a branch on random data (which
+    /// mispredicts `p` of the time); it is exact because the scale is
+    /// finite and positive: `1 · s = s`, `0 · s = +0`.
     #[inline]
-    pub fn mask(&mut self) -> f32 {
-        if self.p > 0.0 {
-            self.mask_select()
-        } else {
-            self.keep_scale
+    pub fn mask(&self, n: usize) -> f32 {
+        if self.p == 0.0 {
+            return self.scale;
         }
+        let u = (self.key.word(n as u64) >> 40) as f32 * (1.0 / (1u32 << 24) as f32);
+        ((u >= self.p) as u32 as f32) * self.scale
     }
 
-    /// Draws the masks of the first `n` positions of lane `w` into `mask`,
-    /// ascending — the fused kernels' draws, made before the lane's panel
-    /// sweeps. Nothing at `p == 0`: the mask is the constant
-    /// [`Dropout::row`] yields without reading.
-    fn draw_lane<const W: usize, O: PanelMut<W> + ?Sized>(
-        &mut self,
-        mask: &mut O,
-        w: usize,
-        n: usize,
-    ) {
+    /// The masks of indices `first + k · step`, `k < N`: a block of one
+    /// lane (`step` 1), or one position of `N` lanes whose indices lie
+    /// `step` apart; a splat at `p == 0`.
+    #[inline(always)]
+    fn masks<const N: usize>(&self, first: usize, step: usize) -> [f32; N] {
+        let mut m = [self.scale; N];
         if self.p > 0.0 {
-            for v in 0..n {
-                mask.set_word(v, w, self.mask_select());
+            for (k, m) in m.iter_mut().enumerate() {
+                *m = self.mask(first + k * step);
             }
         }
+        m
     }
 
-    /// The mask row at position `v`: the words [`Dropout::draw_lane`] put
-    /// there, or at `p == 0` the constant `1`.
-    #[inline]
-    fn row<const W: usize, O: Panel<W> + ?Sized>(&self, mask: &O, v: usize) -> [f32; W] {
+    /// Moves an eager kernel's generator past the `span` indices its masks
+    /// read: `span` words at `p > 0`, none at `p == 0`, where no mask reads
+    /// one.
+    pub(crate) fn skip_past(&self, rng: &mut rand::rngs::StdRng, span: usize) {
         if self.p > 0.0 {
-            mask.row(v)
-        } else {
-            [self.keep_scale; W]
+            rng.skip(span as u64);
         }
     }
 }
@@ -631,35 +635,34 @@ pub(crate) fn acc_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(x: &X, acc: &mut O
     }
 }
 
-/// Unfused dropout along one lane: one [`Dropout::mask_select`] per
-/// position — a draw even at `p == 0`, unlike the fused kernels —
+/// Unfused dropout along one lane whose position 0 has index `at`:
 /// survivors scaled by `1/(1-p)`.
 #[inline]
-pub(crate) fn dropout_lane<X: Lane + ?Sized, O: LaneMut + ?Sized, R: Rng + ?Sized>(
+pub(crate) fn dropout_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(
     x: &X,
-    drop: &mut Dropout<'_, R>,
+    drop: &Dropout,
+    at: usize,
     out: &mut O,
     mask: &mut O,
 ) {
     let len = out.lane_len();
     assert!(x.lane_len() >= len && mask.lane_len() >= len);
     for v in 0..len {
-        let m = drop.mask_select();
+        let m = drop.mask(at + v);
         mask.set(v, m);
         out.set(v, x.get(v) * m);
     }
 }
 
-/// BRD along one lane: `z = x + bias`, `out = dropout(activation(z))`,
-/// saving `z` and the mask, a block of positions at a time with the kind
-/// matched once a block. The activation consumes no RNG, so the lane's
-/// draws — the same draws, in the same order — are made first.
+/// BRD along one lane whose position 0 has index `at`: `z = x + bias`,
+/// `out = dropout(activation(z))`, saving `z` and the mask, a block of
+/// positions at a time with the kind matched once a block.
 #[inline]
-pub(crate) fn brd_lane<X, B, O, R>(
+pub(crate) fn brd_lane<X, B, O>(
     x: &X,
     bias: &B,
     kind: ActivationKind,
-    drop: &mut Dropout<'_, R>,
+    (drop, at): (&Dropout, usize),
     pre_activation: &mut O,
     out: &mut O,
     mask: &mut O,
@@ -667,23 +670,14 @@ pub(crate) fn brd_lane<X, B, O, R>(
     X: Lane + ?Sized,
     B: Lane + ?Sized,
     O: LaneMut + ?Sized,
-    R: Rng + ?Sized,
 {
     let len = out.lane_len();
     assert!(x.lane_len() >= len && bias.lane_len() >= len);
     assert!(pre_activation.lane_len() >= len && mask.lane_len() >= len);
-    // the lane's draws, ascending, ahead of its sweep as a panel's are: a
-    // block of masks drawn word by word and read straight back as vectors
-    // would stall on store forwarding
-    drop.draw_lane(mask, 0, len);
     for (v0, n) in blocks(len) {
         let (x, b) = (x.load(v0, n), bias.load(v0, n));
         let z: [f32; BLOCK] = std::array::from_fn(|k| x[k] + b[k]);
-        let m = if drop.p > 0.0 {
-            mask.load(v0, n)
-        } else {
-            [drop.keep_scale; BLOCK]
-        };
+        let m: [f32; BLOCK] = drop.masks(at + v0, 1);
         let a = kind.apply_block(z);
         pre_activation.store(v0, n, z);
         mask.store(v0, n, m);
@@ -691,26 +685,26 @@ pub(crate) fn brd_lane<X, B, O, R>(
     }
 }
 
-/// [`bdr`] along one lane, saving the mask.
+/// [`bdr`] along one lane whose position 0 has index `at`, saving the
+/// mask.
 #[inline]
-pub(crate) fn bdr_lane<X, B, O, R>(
+pub(crate) fn bdr_lane<X, B, O>(
     x: &X,
     bias: &B,
     residual: &X,
-    drop: &mut Dropout<'_, R>,
+    (drop, at): (&Dropout, usize),
     mask: &mut O,
     out: &mut O,
 ) where
     X: Lane + ?Sized,
     B: Lane + ?Sized,
     O: LaneMut + ?Sized,
-    R: Rng + ?Sized,
 {
     let len = out.lane_len();
     assert!(x.lane_len() >= len && bias.lane_len() >= len);
     assert!(residual.lane_len() >= len && mask.lane_len() >= len);
     for v in 0..len {
-        let m = drop.mask();
+        let m = drop.mask(at + v);
         mask.set(v, m);
         out.set(v, bdr(x.get(v), bias.get(v), residual.get(v), m));
     }
@@ -720,8 +714,6 @@ pub(crate) fn bdr_lane<X, B, O, R>(
 /// nothing (`()`, the plain and causal softmax) or the fused SM's dropout
 /// ([`Dropped`]).
 pub(crate) trait SoftmaxTail<const W: usize> {
-    /// Before the sweep: lanes not `dead` hold `live` visible positions.
-    fn draw(&mut self, live: usize, dead: &[bool; W]);
     /// Visible position `v` holds the softmax row `y` (zero in a dead
     /// lane).
     fn keep(&mut self, v: usize, y: [f32; W], dead: &[bool; W]);
@@ -730,37 +722,31 @@ pub(crate) trait SoftmaxTail<const W: usize> {
 }
 
 impl<const W: usize> SoftmaxTail<W> for () {
-    fn draw(&mut self, _: usize, _: &[bool; W]) {}
     fn keep(&mut self, _: usize, _: [f32; W], _: &[bool; W]) {}
     fn zero(&mut self, _: usize) {}
 }
 
 /// The fused SM's outputs beside the saved softmax: `alpha = y · mask`,
-/// one dropout draw per visible position of every live lane, lane by lane.
+/// lane `w`'s mask at position `v` the one of index `at + w · step + v`.
 #[derive(Debug)]
-pub(crate) struct Dropped<'a, 'r, O: ?Sized, R: ?Sized> {
+pub(crate) struct Dropped<'a, O: ?Sized> {
     /// Dropped-out attention weights.
     pub(crate) alpha: &'a mut O,
     /// Saved dropout mask.
     pub(crate) mask: &'a mut O,
-    /// Draw state.
-    pub(crate) drop: &'a mut Dropout<'r, R>,
+    /// The masks' key.
+    pub(crate) drop: &'a Dropout,
+    /// Index of position 0 of the run's first lane.
+    pub(crate) at: usize,
+    /// Indices between adjacent lanes: the visible positions of each.
+    pub(crate) step: usize,
 }
 
-impl<const W: usize, O, R> SoftmaxTail<W> for Dropped<'_, '_, O, R>
-where
-    O: PanelMut<W> + ?Sized,
-    R: Rng + ?Sized,
-{
-    fn draw(&mut self, live: usize, dead: &[bool; W]) {
-        for w in (0..W).filter(|&w| !dead[w]) {
-            self.drop.draw_lane(self.mask, w, live);
-        }
-    }
+impl<const W: usize, O: PanelMut<W> + ?Sized> SoftmaxTail<W> for Dropped<'_, O> {
     #[inline]
     fn keep(&mut self, v: usize, y: [f32; W], dead: &[bool; W]) {
-        let drawn = self.drop.row(&*self.mask, v);
-        let m: [f32; W] = std::array::from_fn(|w| if dead[w] { 0.0 } else { drawn[w] });
+        let masks: [f32; W] = self.drop.masks(self.at + v, self.step);
+        let m: [f32; W] = std::array::from_fn(|w| if dead[w] { 0.0 } else { masks[w] });
         self.mask.set_row(v, m);
         self.alpha.set_row(v, std::array::from_fn(|w| y[w] * m[w]));
     }
@@ -815,8 +801,8 @@ fn exp_into<const W: usize>(sum: &mut [f32; W], s: f32, mx: &[f32; W], xv: [f32;
 /// therefore depends on its values and its length only.
 ///
 /// A lane whose visible inputs are all `−inf` (a fully masked row) has no
-/// defined distribution: every output of the lane is zero and nothing is
-/// drawn for it. A NaN anywhere in the visible prefix poisons the whole
+/// defined distribution: every output of the lane is zero, its masks
+/// included. A NaN anywhere in the visible prefix poisons the whole
 /// visible lane (`max` skips it, the sum does not) — the arena sanitizer's
 /// NaN poison relies on that. A `+inf` input likewise yields NaN, not a
 /// panic. A poisoned lane is written as `f32::NAN` itself and not as what
@@ -862,7 +848,6 @@ pub(crate) fn softmax_lane<const W: usize, X, O, T>(
         }
     }
     let live = if dead == [true; W] { 0 } else { visible };
-    tail.draw(live, &dead);
     let whole = live - live % BLOCK;
     let mut sum = [[0.0f32; W]; BLOCK];
     for v0 in (0..whole).step_by(BLOCK) {
@@ -921,8 +906,6 @@ where
 /// What [`norm_lane`] normalizes: lanes as they are (`&X`), or the fused
 /// bias + dropout + residual prologue computed on the way in.
 pub(crate) trait NormSource<const W: usize> {
-    /// Before the sweep of `len` positions (the prologue's draws).
-    fn draw(&mut self, len: usize);
     /// Produces the layer-norm input row at position `v` (first pass, `v`
     /// ascending).
     fn load(&mut self, v: usize) -> [f32; W];
@@ -931,7 +914,6 @@ pub(crate) trait NormSource<const W: usize> {
 }
 
 impl<const W: usize, X: Panel<W> + ?Sized> NormSource<W> for &X {
-    fn draw(&mut self, _: usize) {}
     fn load(&mut self, v: usize) -> [f32; W] {
         self.row(v)
     }
@@ -941,9 +923,10 @@ impl<const W: usize, X: Panel<W> + ?Sized> NormSource<W> for &X {
 }
 
 /// The BDRLN prologue: `ln_input = dropout(x + bias) + residual`, saving
-/// the mask and `ln_input`; one dropout draw per position, lane by lane.
+/// the mask and `ln_input`; lane `w`'s mask at position `v` is the one of
+/// index `at + w · len + v`.
 #[derive(Debug)]
-pub(crate) struct BiasDropResidual<'a, 'r, X: ?Sized, O: ?Sized, B, R: ?Sized> {
+pub(crate) struct BiasDropResidual<'a, X: ?Sized, O: ?Sized, B> {
     /// The lanes being normalized.
     pub(crate) x: &'a X,
     /// Bias row at lane position `v`.
@@ -954,26 +937,22 @@ pub(crate) struct BiasDropResidual<'a, 'r, X: ?Sized, O: ?Sized, B, R: ?Sized> {
     pub(crate) mask: &'a mut O,
     /// Saved layer-norm input.
     pub(crate) ln_input: &'a mut O,
-    /// Draw state.
-    pub(crate) drop: &'a mut Dropout<'r, R>,
+    /// The masks' key.
+    pub(crate) drop: &'a Dropout,
+    /// Index of position 0 of the run's first lane.
+    pub(crate) at: usize,
 }
 
-impl<const W: usize, X, O, B, R> NormSource<W> for BiasDropResidual<'_, '_, X, O, B, R>
+impl<const W: usize, X, O, B> NormSource<W> for BiasDropResidual<'_, X, O, B>
 where
     X: Panel<W> + ?Sized,
     O: PanelMut<W> + ?Sized,
     B: FnMut(usize) -> [f32; W],
-    R: Rng + ?Sized,
 {
-    fn draw(&mut self, len: usize) {
-        for w in 0..W {
-            self.drop.draw_lane(self.mask, w, len);
-        }
-    }
     #[inline]
     fn load(&mut self, v: usize) -> [f32; W] {
         let (x, b, r) = (self.x.row(v), (self.bias)(v), self.residual.row(v));
-        let m = self.drop.row(&*self.mask, v);
+        let m = self.drop.masks(self.at + v, self.ln_input.rows());
         let li = std::array::from_fn(|w| bdr(x[w], b[w], r[w], m[w]));
         self.mask.set_row(v, m);
         self.ln_input.set_row(v, li);
@@ -997,7 +976,6 @@ pub(crate) fn norm_lane<const W: usize, S: NormSource<W>, O: PanelMut<W> + ?Size
 ) -> ([f32; W], [f32; W]) {
     let len = out.rows();
     let (gamma, beta) = (&gamma[..len], &beta[..len]);
-    src.draw(len);
     let mut sum = [0.0f32; W];
     let mut sq = [0.0f32; W];
     for v in 0..len {
@@ -1297,28 +1275,29 @@ pub(crate) fn run_stats<const N: usize>(mean: &[f32], inv_std: &[f32]) -> ([f32;
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::{Rng, SeedableRng};
 
     const NEG: f32 = f32::NEG_INFINITY;
 
     /// The fused SM body over two 3-word lanes — one contiguous lane at a
     /// time, or (`panel`) the same two lanes abreast as a panel of two, the
     /// buffers transposed so that its rows are contiguous; returns
-    /// `(softmax, alpha, mask)` lane-major either way and the RNG's next
-    /// draw. (The strided instantiation is the same source;
-    /// `tests/proptests.rs` holds the three bitwise-equal and
-    /// `ops::softmax`'s tests repeat the masked-lane case on every layout.)
-    fn sm(x: [f32; 6], visible: usize, p: f32, panel: bool) -> ([Vec<f32>; 3], u64) {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut drop = Dropout::new(p, &mut rng).unwrap();
+    /// `(softmax, alpha, mask)` lane-major either way. (The strided
+    /// instantiation is the same source; `tests/proptests.rs` holds the
+    /// three bitwise-equal and `ops::softmax`'s tests repeat the
+    /// masked-lane case on every layout.)
+    fn sm(x: [f32; 6], visible: usize, p: f32, panel: bool) -> [Vec<f32>; 3] {
+        let drop = Dropout::new(p, &StdRng::seed_from_u64(5)).unwrap();
         let [mut s, mut a, mut m] = [vec![7.0f32; 6], vec![7.0f32; 6], vec![7.0f32; 6]];
         // word `v` of lane `w`: `3w + v` lane-major, `2v + w` in a panel
         let transposed = |t: &[f32]| -> Vec<f32> { (0..6).map(|i| t[i % 2 * 3 + i / 2]).collect() };
         let lane_major = |t: &[f32]| -> Vec<f32> { (0..6).map(|i| t[i % 3 * 2 + i / 3]).collect() };
+        // lane `w`'s masks start at index `w · visible`
         let mut sm_on = |run: Run, x: &[f32], at: LaneAt| {
+            let first = at.base / 3 * visible;
             let (s, a, m) = (&mut s[..], &mut a[..], &mut m[..]);
             on_run!(run, N, [x @ at], [s @ at, a @ at, m @ at] => {
-                let mut tail = Dropped { alpha: a, mask: m, drop: &mut drop };
+                let mut tail = Dropped { alpha: a, mask: m, drop: &drop, at: first, step: visible };
                 softmax_lane::<N, _, _, _>(x, 0.5, visible, s, &mut tail)
             });
         };
@@ -1342,24 +1321,31 @@ mod tests {
                 sm_on(Run::Lane, &x, at);
             }
         }
-        ([s, a, m], rng.next_u64())
+        [s, a, m]
     }
 
     #[test]
     fn fully_masked_lane_is_zero_in_every_output_and_draws_nothing() {
         for panel in [false, true] {
             // lane 0 is all −inf over its visible prefix; lane 1 is ordinary
-            let ([s, a, m], next) = sm([NEG, NEG, 3.0, 0.0, 1.0, 2.0], 2, 0.5, panel);
+            let [s, a, m] = sm([NEG, NEG, 3.0, 0.0, 1.0, 2.0], 2, 0.5, panel);
             assert_eq!(&s[..3], &[0.0; 3]);
             assert_eq!(&a[..3], &[0.0; 3]);
             assert_eq!(&m[..3], &[0.0; 3]);
             assert!((s[3] + s[4] - 1.0).abs() < 1e-6 && s[5] == 0.0);
-            // only lane 1's two visible positions drew
-            let mut rng = StdRng::seed_from_u64(5);
-            let mut drop = Dropout::new(0.5, &mut rng).unwrap();
-            let drawn = [drop.mask_select(), drop.mask_select()];
-            assert_eq!(&m[3..5], &drawn, "panel {panel}");
-            assert_eq!(next, rng.next_u64(), "panel {panel}");
+            // the dead lane draws no mask of its own but keeps its two
+            // indices: lane 1's masks are those of indices 2 and 3
+            let drop = Dropout::new(0.5, &StdRng::seed_from_u64(5)).unwrap();
+            assert_eq!(&m[3..5], &[drop.mask(2), drop.mask(3)], "panel {panel}");
+        }
+    }
+
+    #[test]
+    fn a_dead_lane_shifts_no_later_lanes_masks() {
+        for panel in [false, true] {
+            let [_, _, dead] = sm([NEG, NEG, 3.0, 0.0, 1.0, 2.0], 2, 0.5, panel);
+            let [_, _, alive] = sm([1.0, 2.0, 3.0, 0.0, 1.0, 2.0], 2, 0.5, panel);
+            assert_eq!(&dead[3..], &alive[3..], "panel {panel}");
         }
     }
 
@@ -1369,7 +1355,7 @@ mod tests {
         for panel in [false, true] {
             for lane0 in [[f32::NAN, 1.0, 9.0], [NEG, f32::NAN, 9.0]] {
                 let [x0, x1, x2] = lane0;
-                let ([s, a, _], _) = sm([x0, x1, x2, 0.0, 1.0, 2.0], 2, 0.0, panel);
+                let [s, a, _] = sm([x0, x1, x2, 0.0, 1.0, 2.0], 2, 0.0, panel);
                 assert!(s[0].is_nan() && s[1].is_nan(), "visible prefix: {s:?}");
                 assert!(a[0].is_nan() && a[1].is_nan());
                 assert_eq!(s[2], 0.0, "masked tail stays an exact zero");
@@ -1381,7 +1367,7 @@ mod tests {
     #[test]
     fn positive_infinity_does_not_panic() {
         for panel in [false, true] {
-            let ([s, ..], _) = sm([f32::INFINITY, 1.0, 2.0, 0.0, 0.0, 0.0], 3, 0.0, panel);
+            let [s, ..] = sm([f32::INFINITY, 1.0, 2.0, 0.0, 0.0, 0.0], 3, 0.0, panel);
             assert!(
                 s[..3].iter().all(|v| v.is_nan()),
                 "inf − inf poisons: {s:?}"
@@ -1404,7 +1390,12 @@ mod tests {
 
     /// `W` lanes of `lanes` (each `len` long, lane-major) as panel rows.
     fn as_rows<const W: usize>(lanes: &[f32], len: usize) -> Vec<f32> {
-        (0..len * W).map(|i| lanes[i % W * len + i / W]).collect()
+        as_rows_of(lanes, W, len)
+    }
+
+    /// [`as_rows`] of `n` lanes.
+    fn as_rows_of(lanes: &[f32], n: usize, len: usize) -> Vec<f32> {
+        (0..len * n).map(|i| lanes[i % n * len + i / n]).collect()
     }
 
     /// Worst error of [`exp`] against `f64::exp` over `inputs`, in units of
@@ -1481,26 +1472,29 @@ mod tests {
     /// a dead lane, a NaN lane and a `+inf` lane among them.
     #[test]
     fn every_walk_reduces_a_lane_the_same_way() {
-        fn abreast<const N: usize>(x: &[f32], len: usize, visible: usize) -> [Vec<f32>; 3] {
-            let at = LaneAt {
-                base: 0,
-                stride: N,
-                step: 1,
-                len,
-            };
-            let mut rng = StdRng::seed_from_u64(9);
-            let mut drop = Dropout::new(0.5, &mut rng).unwrap();
-            let rows = as_rows::<N>(x, len);
-            let [mut s, mut a, mut m] = [(); 3].map(|_| vec![7.0f32; len * N]);
-            let mut tail = Dropped {
-                alpha: &mut at.rows_mut(&mut a),
-                mask: &mut at.rows_mut(&mut m),
-                drop: &mut drop,
-            };
-            let out = &mut at.rows_mut(&mut s);
-            softmax_lane::<N, _, _, _>(&at.rows(&rows), 0.5, visible, out, &mut tail);
-            [s, a, m]
-        }
+        let drop = Dropout::new(0.5, &StdRng::seed_from_u64(9)).unwrap();
+        let abreast = |x: &[f32], n: usize, len: usize, visible: usize| -> [Vec<f32>; 3] {
+            panel_of!(n, N => {
+                let at = LaneAt {
+                    base: 0,
+                    stride: N,
+                    step: 1,
+                    len,
+                };
+                let rows = as_rows::<N>(x, len);
+                let [mut s, mut a, mut m] = [(); 3].map(|_| vec![7.0f32; len * N]);
+                let mut tail = Dropped {
+                    alpha: &mut at.rows_mut(&mut a),
+                    mask: &mut at.rows_mut(&mut m),
+                    drop: &drop,
+                    at: 0,
+                    step: visible,
+                };
+                let out = &mut at.rows_mut(&mut s);
+                softmax_lane::<N, _, _, _>(&at.rows(&rows), 0.5, visible, out, &mut tail);
+                [s, a, m]
+            })
+        };
         for len in 1..=70usize {
             let visible = if len % 3 == 0 { len - len / 4 } else { len };
             let mut x = lane_inputs(len * W, len as u64);
@@ -1509,15 +1503,15 @@ mod tests {
             }
             x[5 * len + len / 2] = f32::NAN;
             // lane at a time: contiguous, and through a stride of 3
-            let mut rng = StdRng::seed_from_u64(9);
-            let mut drop = Dropout::new(0.5, &mut rng).unwrap();
             let [mut s, mut a, mut m] = [(); 3].map(|_| vec![7.0f32; len * W]);
             for w in 0..W {
                 let lane = w * len..(w + 1) * len;
                 let mut tail = Dropped {
                     alpha: &mut a[lane.clone()],
                     mask: &mut m[lane.clone()],
-                    drop: &mut drop,
+                    drop: &drop,
+                    at: w * visible,
+                    step: visible,
                 };
                 let (x, out) = (&x[lane.clone()], &mut s[lane]);
                 softmax_lane::<1, _, _, _>(x, 0.5, visible, out, &mut tail);
@@ -1536,25 +1530,14 @@ mod tests {
             }
             let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&s), bits(&ss), "strided, len {len}");
-            // the same lanes abreast: a panel draws in the order its lanes
-            // alone did
-            let want = [s, a, m].map(|t| bits(&as_rows::<W>(&t, len)));
-            let got = abreast::<W>(&x, len, visible).map(|t| bits(&t));
-            assert_eq!(want, got, "panel of 16, len {len}");
-            // narrower panels: softmax values only (their draws start over)
-            let narrow = |n: usize, got: [Vec<f32>; 3]| {
-                let lanes: Vec<f32> = (0..n * len)
-                    .map(|i| got[0][i % len * n + i / len])
-                    .collect();
-                assert_eq!(
-                    bits(&ss[..n * len]),
-                    bits(&lanes),
-                    "panel of {n}, len {len}"
-                );
-            };
-            narrow(8, abreast::<8>(&x[..8 * len], len, visible));
-            narrow(4, abreast::<4>(&x[..4 * len], len, visible));
-            narrow(2, abreast::<2>(&x[..2 * len], len, visible));
+            // the same lanes abreast, in panels of 16, 8, 4 and 2: every
+            // output, masks included
+            for n in [W, 8, 4, 2] {
+                let lanes = |t: &[f32]| bits(&as_rows_of(&t[..n * len], n, len));
+                let want = [&s, &a, &m].map(|t| lanes(t));
+                let got = abreast(&x[..n * len], n, len, visible).map(|t| bits(&t));
+                assert_eq!(want, got, "panel of {n}, len {len}");
+            }
         }
     }
 
@@ -1676,30 +1659,31 @@ mod tests {
 
     #[test]
     fn dropout_probability_is_range_checked() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let key = StdRng::seed_from_u64(1);
         for p in [1.0f32, 1.5, -0.5, f32::NAN, f32::INFINITY] {
-            let err = Dropout::new(p, &mut rng).unwrap_err();
+            let err = Dropout::new(p, &key).unwrap_err();
             assert!(matches!(err, TensorError::InvalidDropout(_)), "p = {p}");
         }
-        assert!(Dropout::new(0.0, &mut rng).is_ok());
-        assert!(Dropout::new(0.999, &mut rng).is_ok());
+        assert!(Dropout::new(0.0, &key).is_ok());
+        assert!(Dropout::new(0.999, &key).is_ok());
     }
 
+    /// The mask of index `n` is the select of the `(n + 1)`-th `f32` drawn
+    /// from the key: what drawing one mask an element used to give.
     #[test]
-    fn unfused_dropout_draws_even_at_p_zero_and_fused_does_not() {
-        let next_after = |select: bool| {
-            let mut rng = StdRng::seed_from_u64(2);
-            let mut drop = Dropout::new(0.0, &mut rng).unwrap();
-            let m = if select {
-                drop.mask_select()
-            } else {
-                drop.mask()
-            };
-            assert_eq!(m, 1.0);
-            rng.next_u64()
-        };
-        let untouched = StdRng::seed_from_u64(2).next_u64();
-        assert_eq!(next_after(false), untouched, "mask() drew at p == 0");
-        assert_ne!(next_after(true), untouched, "mask_select() must draw");
+    fn mask_n_is_the_select_of_the_keys_draw_n() {
+        let key = StdRng::seed_from_u64(2);
+        for p in [0.0f32, 0.1, 0.5, 0.9] {
+            let drop = Dropout::new(p, &key).unwrap();
+            let mut rng = key.clone();
+            for n in 0..256 {
+                let want = if rng.gen::<f32>() >= p {
+                    1.0 / (1.0 - p)
+                } else {
+                    0.0
+                };
+                assert_eq!(drop.mask(n).to_bits(), want.to_bits(), "p {p} index {n}");
+            }
+        }
     }
 }

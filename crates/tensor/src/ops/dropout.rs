@@ -1,12 +1,13 @@
 //! Dropout (○ element-wise) forward and backward.
 //!
 //! Matches the training-time behaviour the paper measures: a Bernoulli mask
-//! is generated (cuRAND on the GPU, [`rand`] here), survivors are scaled by
-//! `1/(1-p)`, and the mask is saved because backpropagation reuses it
-//! (`Dropout dX` nodes in Fig. 2 consume the stored mask, which is why the
-//! mask counts toward data movement).
+//! is generated (cuRAND on the GPU, [`Dropout::mask`] of the caller's
+//! generator here), survivors are scaled by `1/(1-p)`, and the mask is
+//! saved because backpropagation reuses it (`Dropout dX` nodes in Fig. 2
+//! consume the stored mask, which is why the mask counts toward data
+//! movement).
 
-use rand::Rng;
+use rand::rngs::StdRng;
 
 use crate::error::Result;
 use crate::into_ops::dropout_into;
@@ -18,19 +19,21 @@ use super::{check_same_shape, sweep_of, view_of};
 /// Applies dropout with drop probability `p`, returning `(output, mask)`.
 /// The mask holds `0.0` for dropped elements and `1/(1-p)` for kept ones,
 /// so backward is a plain element-wise product with the mask. Both are in
-/// `x`'s layout; the masks are drawn in logical order, as every other
-/// dropout draws them, whatever the layout.
+/// `x`'s layout; an element's mask is the one of its row-major logical
+/// index, as in every other element-wise dropout, whatever the layout.
+/// `rng` is the masks' key and moves past one word an element, at any `p`.
 ///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 1)`.
-pub fn dropout<R: Rng + ?Sized>(x: &Tensor, p: f32, rng: &mut R) -> (Tensor, Tensor) {
-    let mut drop = Dropout::new(p, rng).expect("dropout probability must be in [0, 1)");
+pub fn dropout(x: &Tensor, p: f32, rng: &mut StdRng) -> (Tensor, Tensor) {
+    let drop = Dropout::new(p, rng).expect("dropout probability must be in [0, 1)");
     let v = view_of(x);
     let sweep = sweep_of(&[&v, &v, &v], None, None, "dropout").expect("a tensor's own strides");
     let mut out = x.clone();
     let mut mask = x.clone();
-    dropout_into(&sweep, x.data(), &mut drop, out.data_mut(), mask.data_mut());
+    dropout_into(&sweep, x.data(), &drop, out.data_mut(), mask.data_mut());
+    rng.skip(x.len() as u64);
     (out, mask)
 }
 

@@ -17,12 +17,12 @@
 //! dropout stream. Ahead of [`attention_backward`],
 //! [`Saved::redraw_softmax`] computes the bundle again from the saved
 //! `qq`/`kk` with the chain the region stands for — `einsum` of the scores,
-//! then `fused::sm` / `sm_causal` drawing from that stream — which the
+//! then `fused::sm` / `sm_causal` keyed as the region step was — which the
 //! region equals bit for bit, masks included (the region proptests of
 //! `xform-tensor`). It is the eager mirror of the `QKT → SM` nodes
 //! `fusion::apply_regions` leaves on the backward side of a training graph.
 
-use xform_core::arena::step_rng;
+use xform_core::arena::stream_key;
 use xform_tensor::fused::{self, SmOutput};
 use xform_tensor::ops::dropout::dropout_backward;
 use xform_tensor::ops::elementwise::{activate_backward, add, bias_grad, scale, ActivationKind};
@@ -49,7 +49,7 @@ impl Saved {
         };
         let (j, k) = (Axis('j'), Axis('k'));
         let beta = einsum("phbk,phbj->hbjk", &[self.tensor("kk")?, self.tensor("qq")?])?;
-        let rng = &mut step_rng(seed, stream);
+        let rng = &mut stream_key(seed, stream);
         Ok(Some(if causal {
             fused::sm_causal(&beta, scaler, j, k, dropout_p, rng)?
         } else {

@@ -69,7 +69,7 @@ impl ForwardOutput {
 /// override that runs `SM` as a step of its own. A plan that ran the core
 /// as a region kept none of its `[h,b,j,k]` tensors and leaves `region`
 /// instead — sixteen bytes that stand for its masks, from which the
-/// backward computes the bundle again, drawing from [`arena::step_rng`].
+/// backward computes the bundle again, keyed by [`arena::stream_key`].
 #[derive(Debug, Clone, Default)]
 pub struct Saved {
     /// Every saved container the plan produced, by graph name, each in the

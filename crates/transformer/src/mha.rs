@@ -2,7 +2,7 @@
 //! query/key/value inputs, for use outside the encoder layer (Table IV's
 //! benchmark primitive and non-transformer applications of MHA).
 
-use rand::Rng;
+use rand::rngs::StdRng;
 
 use xform_dataflow::EncoderDims;
 use xform_tensor::fused::{self, SmOutput};
@@ -44,14 +44,14 @@ pub struct MhaInputGrads {
 /// # Errors
 ///
 /// Returns an error on shape disagreements.
-pub fn mha_forward<R: Rng + ?Sized>(
+pub fn mha_forward(
     dims: &EncoderDims,
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
     w: &EncoderWeights,
     dropout_p: f32,
-    rng: &mut R,
+    rng: &mut StdRng,
 ) -> Result<(Tensor, MhaActivations)> {
     let scaler = 1.0 / (dims.p as f32).sqrt();
     let qq_raw = einsum("phi,ibj->phbj", &[&w.wq, q])?;

@@ -216,13 +216,12 @@ impl TransformerModel {
         let (d, p) = (self.config.dims, self.config.dropout_p);
         let mut block_inputs = Vec::with_capacity(self.blocks.len() + 1);
         block_inputs.push(self.embed(tokens)?);
+        // one seed a block, drawn up front in block order from the caller's
+        // RNG: block `l` keys the masks of its step `s` by `(seeds[l], s)`
+        let seeds: Vec<u64> = self.blocks.iter().map(|_| rng.gen()).collect();
         let mut blocks = Vec::with_capacity(self.blocks.len());
-        for (l, w) in self.blocks.iter().enumerate() {
-            // per-block dropout stream drawn from the caller's RNG so the
-            // whole model stays deterministic under a seeded generator
-            let opts = xform_core::plan::ExecOptions::builder()
-                .seed(rng.gen::<u64>())
-                .build();
+        for (l, (w, &seed)) in self.blocks.iter().zip(&seeds).enumerate() {
+            let opts = xform_core::plan::ExecOptions::builder().seed(seed).build();
             let x = &block_inputs[l];
             let out = match self.config.block {
                 BlockKind::Encoder => {
