@@ -1,8 +1,9 @@
 //! Real-CPU measurement of the paper's central claim: fusing element-wise
 //! and normalization operators saves memory traffic, so the fused kernels
 //! beat the composition of unfused ones on actual hardware — not only in
-//! the V100 model. Forward (BRD, SM, BDRLN) and backward (BLNRD, BDRB, BS,
-//! at the `train_step` workload's shapes in its natural layouts); and the
+//! the V100 model. Forward (BRD, SM, BDRLN, each fused kernel at `p = 0` and
+//! at `p = 0.1`, where every mask is computed) and backward (BLNRD, BDRB,
+//! BS, at the `train_step` workload's shapes in its natural layouts); and the
 //! attention core as one region against the three arena steps it replaces,
 //! at the `longseq_fwd` and `bert_fwd` shapes, and the model head as one
 //! plan step against the three allocating passes it replaced, at the same
@@ -40,6 +41,10 @@ fn rand_t(shape: Shape, seed: u64) -> Tensor {
     Tensor::random(shape, &Uniform::new(-1.0, 1.0), &mut rng)
 }
 
+/// The fused forward kernels' dropout probabilities: `0`, where no mask is
+/// computed, and `0.1`, where every one is.
+const MASKS: [(f32, &str); 2] = [(0.0, "1 sweep"), (0.1, "1 sweep, p = 0.1")];
+
 fn bench_brd(c: &mut Criterion) {
     // bias + ReLU + dropout over the feed-forward activation
     let shape = Shape::new([('b', 4), ('j', 64), ('u', 512)]).unwrap();
@@ -54,10 +59,12 @@ fn bench_brd(c: &mut Criterion) {
             black_box(out)
         })
     });
-    group.bench_function(BenchmarkId::new("fused BRD", "1 sweep"), |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| black_box(fused::brd(black_box(&x), &bias, 0.0, &mut rng).unwrap()))
-    });
+    for (p, id) in MASKS {
+        group.bench_function(BenchmarkId::new("fused BRD", id), |b| {
+            let mut rng = StdRng::seed_from_u64(3);
+            b.iter(|| black_box(fused::brd(black_box(&x), &bias, p, &mut rng).unwrap()))
+        });
+    }
     group.finish();
 }
 
@@ -74,10 +81,14 @@ fn bench_sm(c: &mut Criterion) {
             black_box(out)
         })
     });
-    group.bench_function(BenchmarkId::new("fused SM", "1 sweep"), |b| {
-        let mut rng = StdRng::seed_from_u64(5);
-        b.iter(|| black_box(fused::sm(black_box(&beta), 0.125, Axis('k'), 0.0, &mut rng).unwrap()))
-    });
+    for (p, id) in MASKS {
+        group.bench_function(BenchmarkId::new("fused SM", id), |b| {
+            let mut rng = StdRng::seed_from_u64(5);
+            b.iter(|| {
+                black_box(fused::sm(black_box(&beta), 0.125, Axis('k'), p, &mut rng).unwrap())
+            })
+        });
+    }
     group.finish();
 }
 
@@ -98,24 +109,17 @@ fn bench_bdrln(c: &mut Criterion) {
             black_box(layernorm(&ln_in, Axis('i'), &gamma, &beta_w).unwrap())
         })
     });
-    group.bench_function(BenchmarkId::new("fused BDRLN", "1 sweep"), |b| {
-        let mut rng = StdRng::seed_from_u64(11);
-        b.iter(|| {
-            black_box(
-                fused::bdrln(
-                    black_box(&x),
-                    &bias,
-                    &residual,
-                    &gamma,
-                    &beta_w,
-                    Axis('i'),
-                    0.0,
-                    &mut rng,
+    for (p, id) in MASKS {
+        group.bench_function(BenchmarkId::new("fused BDRLN", id), |b| {
+            let mut rng = StdRng::seed_from_u64(11);
+            b.iter(|| {
+                let (x, i) = (black_box(&x), Axis('i'));
+                black_box(
+                    fused::bdrln(x, &bias, &residual, &gamma, &beta_w, i, p, &mut rng).unwrap(),
                 )
-                .unwrap(),
-            )
-        })
-    });
+            })
+        });
+    }
     group.finish();
 }
 

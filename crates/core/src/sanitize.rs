@@ -615,9 +615,9 @@ fn shadow_catch<T>(name: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
 }
 
 /// The shadow-access sanitizer: executes the schedule serially with the
-/// same kernels and the same RNG draw order as
-/// [`crate::plan::execute_plan`] (results are bitwise identical), but
-/// validates every step's actual behaviour against its derived footprint:
+/// same kernels and the same generator as [`crate::plan::execute_plan`]
+/// (results are bitwise identical), but validates every step's actual
+/// behaviour against its derived footprint:
 ///
 /// * operand names are checked against the graph per step (dynamic alias
 ///   detection, even when the static gate was bypassed);

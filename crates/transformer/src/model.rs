@@ -217,7 +217,7 @@ impl TransformerModel {
         let mut block_inputs = Vec::with_capacity(self.blocks.len() + 1);
         block_inputs.push(self.embed(tokens)?);
         // one seed a block, drawn up front in block order from the caller's
-        // RNG: block `l` keys the masks of its step `s` by `(seeds[l], s)`
+        // RNG: block `l` keys its dropout stream `s` by `(seeds[l], s)`
         let seeds: Vec<u64> = self.blocks.iter().map(|_| rng.gen()).collect();
         let mut blocks = Vec::with_capacity(self.blocks.len());
         for (l, (w, &seed)) in self.blocks.iter().zip(&seeds).enumerate() {

@@ -8,8 +8,12 @@
 //!   at `p = 0`;
 //! * compute, at `p = 0.3`, bit for bit what the *natural* plan computes
 //!   on the arena — outputs, saved activations, dropout masks and
-//!   layer-norm statistics: the drivers iterate in logical order, so
-//!   neither a value nor a draw depends on a stride;
+//!   layer-norm statistics: the drivers iterate in logical order and a
+//!   mask is a function of its element's logical index, so neither a value
+//!   nor a mask depends on a stride;
+//! * compute, at `p = 0.3`, bit for bit what the reference interpreter
+//!   computes for the same strided plan stepped one stream a step, each
+//!   step keyed as the arena keys it (`stream_key(seed, stream_of(si))`);
 //! * be the same bits serial and wave-parallel at 2 and 4 threads;
 //! * materialize every container in the layout the plan declares for it.
 
@@ -23,7 +27,7 @@ use rand::SeedableRng;
 
 use substation::core::arena;
 use substation::core::plan::{
-    execute_plan, random_externals, ExecOptions, ExecState, ExecutionPlan,
+    execute_plan, execute_step, random_externals, ExecOptions, ExecState, ExecutionPlan,
 };
 use substation::dataflow::{EncoderDims, Graph};
 use substation::tensor::ops::elementwise::ActivationKind;
@@ -147,6 +151,15 @@ proptest! {
             let serial = on_arena(graph, &strided, &base, &knobs(0.3, 1));
             let canned = on_arena(graph, natural, &base, &knobs(0.3, 1));
             assert_same_logical_bits(&serial, &canned, &base, &format!("{tag} vs natural"));
+
+            // the oracle with dropout, on the same strided plan, keyed step by
+            // step as the arena keys its steps
+            let mut keyed = base.clone();
+            for (si, step) in strided.steps.iter().enumerate() {
+                let key = &mut arena::stream_key(seed, strided.stream_of(si));
+                execute_step(graph, step, &mut keyed, &knobs(0.3, 1), key).unwrap();
+            }
+            assert_same_logical_bits(&serial, &keyed, &base, &format!("{tag} vs keyed oracle"));
 
             // serial == waves
             for threads in [2usize, 4] {
