@@ -353,9 +353,9 @@ pub const BLOCK: usize = 16;
 /// `exp(±0)` is exactly `1`, a NaN stays a NaN.
 ///
 /// Branch-free — the selects compile to masks — and spelled with `*`, `+`
-/// and `−` only, never `mul_add`: sixteen calls side by side vectorize, and
-/// the `x86-64-v3` build the workspace makes has no fused operation to
-/// substitute, so it yields wider vectors than SSE2's and the same bits.
+/// and `−` only, never `mul_add` (only the GEMM's kernel fuses): sixteen
+/// calls side by side vectorize, and rustc contracts no `a*b + c`, so the
+/// `x86-64-v3` build yields wider vectors than SSE2's and the same bits.
 #[inline]
 pub fn exp(x: f32) -> f32 {
     /// `ln` of the smallest normal `f32`, rounded up; of the largest

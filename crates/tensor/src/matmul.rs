@@ -13,7 +13,7 @@
 //!                                  slabs interleaved along k (L2)
 //!       for jc in cols step NR     B panel  KC×NR, packed to the stack (L1)
 //!         for slab in block        C tile   MR×NR accumulators (registers)
-//!           kernel                 slab[kk][r] · panel[kk][j], kk ascending
+//!           kernel                 fma(slab[kk][r], panel[kk][j]), kk ascending
 //! ```
 //!
 //! * **Operands are views.** A [`MatRef`]/[`MatMut`] is a slice plus a row
@@ -33,10 +33,12 @@
 //!   nothing else: no heap, no per-call zeroing; a call reads only the slab
 //!   words it wrote.
 //! * **Tile sizes.** The build is x86-64-v3 (`.cargo/config.toml`): sixteen
-//!   `ymm` of eight lanes, separate multiply and add. `MR×NR = 4×16` is
-//!   eight accumulators, two for the B row and one for the broadcast A word
-//!   — eleven of the sixteen, measured ahead of `2×16` (46–49 against 53–55
-//!   Gflop/s) and level with `6×16`, whose fifteen leave nothing spare.
+//!   `ymm` of eight lanes and two fused multiply-add ports of four cycles'
+//!   latency. `MR×NR = 4×16` is eight accumulators — latency × ports, the
+//!   chains that keep both ports busy — two for the B row and one for the
+//!   broadcast A word: eleven of the sixteen. `6×16`, whose fifteen leave
+//!   nothing spare, measured no better (EXPERIMENTS.md, "FMA in the one
+//!   GEMM").
 //!   `KC = 256` makes a panel 16 KiB, half of a 32 KiB L1d next to the 4 KiB
 //!   slab streaming past it, and a block 64 KiB of L2; `MC = 64` keeps the
 //!   rows of C a block touches within a few dozen pages, so the walk down a
@@ -50,16 +52,19 @@
 //!   emitted assembly for exactly that.
 //! * **One accumulator, `k` ascending.** Every element of C has exactly one
 //!   accumulator, seeded from C (or `+0.0`) and summed over `k` in
-//!   ascending order with a separate multiply and add, block after block.
-//!   That is the order of the scalar triple loop, so results are bitwise
-//!   independent of the tiling, of the vector width the build has, and of
-//!   which operand plays A — and of the strides by construction: the
-//!   kernel only ever sees packed words. Padded lanes of an edge panel
+//!   ascending order, one `f32::mul_add` per product — the product enters
+//!   the sum unrounded, one rounding per step — block after block. That is
+//!   the order of the scalar triple loop [`naive_sgemm`], so results are
+//!   bitwise independent of the tiling, of the vector width the build has,
+//!   and of which operand plays A — and of the strides by construction:
+//!   the kernel only ever sees packed words. `mul_add` is exact by
+//!   definition, so a build without the instruction computes the same bits
+//!   through a software `fmaf`, only slower. Padded lanes of an edge panel
 //!   multiply zeros and are never stored.
 //! * **Matrix–vector shapes** (`n == 1`) run as the transposed problem
 //!   `cᵀ = bᵀ·aᵀ` through the same kernel: the rows of A become the sixteen
-//!   lanes, the transposing pack is the only extra work, and IEEE multiply
-//!   commutes, so the bits do not move. The choice is made from `m` and `n`
+//!   lanes, the transposing pack is the only extra work, and the exact
+//!   product inside `mul_add` commutes, so the bits do not move. The choice is made from `m` and `n`
 //!   alone.
 
 use std::cell::RefCell;
@@ -466,7 +471,8 @@ fn accumulate<const R: usize>(
 }
 
 /// The micro-kernel — the only statement of GEMM arithmetic in the crate:
-/// `acc[r][j] += slab[kk][r] · panel[kk][j]` down the depth the two share.
+/// `acc[r][j] = slab[kk][r] · panel[kk][j] + acc[r][j]`, rounded once
+/// (`mul_add`), down the depth the two share.
 /// A function of its own over two `chunks_exact` walks: no index, no bounds
 /// check, so no panic edge for the accumulators to be spilled around —
 /// inlined into [`blocks`] it loses its registers (`tools/kernel_asm.sh`).
@@ -475,7 +481,7 @@ fn kernel<const R: usize>(slab: &[f32], panel: &[f32], acc: &mut [[f32; NR]; R])
     for (a_k, b_k) in slab.chunks_exact(R).zip(panel.chunks_exact(NR)) {
         for (row, &a_rk) in acc.iter_mut().zip(a_k) {
             for (v, &b_kj) in row.iter_mut().zip(b_k) {
-                *v += a_rk * b_kj;
+                *v = a_rk.mul_add(b_kj, *v);
             }
         }
     }
@@ -675,7 +681,8 @@ pub(crate) fn host_threads() -> usize {
 }
 
 /// Reference (unblocked, triple-loop) GEMM used as a correctness oracle in
-/// tests: `c += a × b`.
+/// tests: `c += a × b`, each element's sum seeded from C and run over `k`
+/// ascending, one `mul_add` per product — the micro-kernel's arithmetic.
 ///
 /// # Panics
 ///
@@ -686,11 +693,10 @@ pub fn naive_sgemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [
     assert_eq!(c.len(), m * n);
     for i in 0..m {
         for j in 0..n {
-            let mut acc = 0.0f32;
+            let acc = &mut c[i * n + j];
             for kk in 0..k {
-                acc += a[i * k + kk] * b[kk * n + j];
+                *acc = a[i * k + kk].mul_add(b[kk * n + j], *acc);
             }
-            c[i * n + j] += acc;
         }
     }
 }
@@ -722,7 +728,7 @@ mod tests {
             let mut c2 = vec![0.0; m * n];
             sgemm(m, n, k, &a, &b, &mut c1);
             naive_sgemm(m, n, k, &a, &b, &mut c2);
-            // one accumulator per element, k ascending: the same sum
+            // one accumulator per element, k ascending, fused: the same sum
             assert_eq!(c1, c2, "mismatch at ({m},{n},{k})");
         }
     }

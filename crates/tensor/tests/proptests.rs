@@ -818,7 +818,7 @@ mod gemm {
                     Start::FromZero => 0.0,
                 };
                 for kk in 0..k {
-                    acc += a[i * k + kk] * b[kk * n + j];
+                    acc = a[i * k + kk].mul_add(b[kk * n + j], acc);
                 }
                 c[i * n + j] = acc;
             }

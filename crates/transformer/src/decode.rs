@@ -159,8 +159,9 @@ pub struct DecodeSession<'m> {
 /// Head logits of the hidden columns `h` (`[i,b,cols]`, row-major) into
 /// `logits` (`[v,b,cols]`): the one GEMM over `head [v,i] × h [i,b·cols]`,
 /// then the bias. Per output element the products accumulate over `i`
-/// ascending from `+0.0`, multiply and add unfused, then the bias is added
-/// — bitwise the logits the model head takes its softmax of, at any length.
+/// ascending from `+0.0`, one fused multiply-add each, then the bias is
+/// added — bitwise the logits the model head takes its softmax of, at any
+/// length.
 fn head_logits(model: &TransformerModel, h: &[f32], logits: &mut [f32]) {
     let (i, v) = (model.config.dims.i, model.config.vocab);
     let n = h.len() / i;
