@@ -2,8 +2,8 @@
 //! triple loop, the einsum compile→strided-GEMM pipeline on the paper's
 //! projection shapes (scaled to CPU size), and the kernel rows — `sgemm` at
 //! the block's wide shapes in Gflop/s and the transposed GEMV in GB/s,
-//! beside a mul+add burst that is the build's own peak (printed, never
-//! gated).
+//! beside a mul+add burst and the fused burst that is the kernel's own peak
+//! (printed, never gated).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::distributions::Uniform;
@@ -113,13 +113,18 @@ fn bench_einsum_batched(c: &mut Criterion) {
 
 /// `LANES` independent `x·m + a` chains, the benchmark probe's burst: 64
 /// lanes are eight `ymm` chains — too few to cover a four-cycle add — and
-/// 96 are twelve.
-fn burst<const LANES: usize>(iters: u64) -> f32 {
+/// 96 are twelve. `FUSED` makes each step one `mul_add`, the micro-kernel's
+/// arithmetic, so the burst is the peak `sgemm` can reach.
+fn burst<const LANES: usize, const FUSED: bool>(iters: u64) -> f32 {
     let mut acc = [1.0f32; LANES];
     let (mul, add) = (black_box(0.999_999_f32), black_box(1e-6_f32));
     for _ in 0..iters {
         for x in &mut acc {
-            *x = *x * mul + add;
+            *x = if FUSED {
+                x.mul_add(mul, add)
+            } else {
+                *x * mul + add
+            };
         }
     }
     acc.iter().sum()
@@ -138,22 +143,19 @@ fn best_of(reps: usize, mut call: impl FnMut()) -> f64 {
 
 fn bench_kernel_rows(_: &mut Criterion) {
     const ITERS: u64 = 2_000_000;
-    let peak = |lanes: usize, s: f64| {
+    let peak = |name: &str, lanes: usize, s: f64| {
         let gflops = (2 * lanes as u64 * ITERS) as f64 / s / 1e9;
-        println!("kernel rows/mul+add burst, {lanes} lanes        {gflops:>6.1} Gflop/s");
+        let row = format!("{name} burst, {lanes} lanes");
+        println!("kernel rows/{row:<34}{gflops:>6.1} Gflop/s");
     };
-    peak(
-        64,
+    let best = |burst: fn(u64) -> f32| {
         best_of(5, || {
-            black_box(burst::<64>(black_box(ITERS)));
-        }),
-    );
-    peak(
-        96,
-        best_of(5, || {
-            black_box(burst::<96>(black_box(ITERS)));
-        }),
-    );
+            black_box(burst(black_box(ITERS)));
+        })
+    };
+    peak("mul+add", 64, best(burst::<64, false>));
+    peak("mul+add", 96, best(burst::<96, false>));
+    peak("fma", 96, best(burst::<96, true>));
     let mut rng = StdRng::seed_from_u64(5);
     let mut rand =
         |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
