@@ -64,8 +64,8 @@
 //! * **Matrix–vector shapes** (`n == 1`) run as the transposed problem
 //!   `cᵀ = bᵀ·aᵀ` through the same kernel: the rows of A become the sixteen
 //!   lanes, the transposing pack is the only extra work, and the exact
-//!   product inside `mul_add` commutes, so the bits do not move. The choice is made from `m` and `n`
-//!   alone.
+//!   product inside `mul_add` commutes, so the bits do not move. The choice
+//!   is made from `m` and `n` alone.
 
 use std::cell::RefCell;
 
