@@ -121,9 +121,9 @@ pub(crate) fn attention_backward(
     let d_qq = einsum("phbk,hbjk->phbj", &[a.kk, &d_beta])?;
     let d_kk = einsum("phbj,hbjk->phbk", &[a.qq, &d_beta])?;
     Ok(AttentionGrads {
-        dq: einsum("phi,phbj->ibj", &[&w.wq, &d_qq])?,
-        dk: einsum("phi,phbk->ibk", &[&w.wk, &d_kk])?,
-        dv: einsum("whi,whbk->ibk", &[&w.wv, &d_vv])?,
+        dq: einsum("phi,phbj->ibj", &[&w.projection(0, "phi")?, &d_qq])?,
+        dk: einsum("phi,phbk->ibk", &[&w.projection(1, "phi")?, &d_kk])?,
+        dv: einsum("whi,whbk->ibk", &[&w.projection(2, "whi")?, &d_vv])?,
         d_qq,
         d_kk,
         d_vv,
@@ -135,7 +135,7 @@ pub(crate) fn attention_backward(
 /// pre-LN), reading the block forward's record `a` — the softmax bundle
 /// from it or, after a region, computed again with the forward's softmax
 /// knobs `(scaler, dropout_p, causal)`: fills the attention weight
-/// gradients of `g` (`bo`, `wo`, the three projection biases and weights)
+/// gradients of `g` (`bo`, `wo`, the three projection biases and `w_qkv`)
 /// and returns the gradient of `src`.
 pub(crate) fn self_attention_backward(
     d_attn: &Tensor,
@@ -168,9 +168,15 @@ pub(crate) fn self_attention_backward(
     g.bk = bias_grad(&s.d_kk, &ph)?;
     g.bv = bias_grad(&s.d_vv, &[Axis('w'), Axis('h')])?;
     let src_k = src.relabel("ibk")?;
-    g.wq = einsum("phbj,ibj->phi", &[&s.d_qq, src])?;
-    g.wk = einsum("phbk,ibk->phi", &[&s.d_kk, &src_k])?;
-    g.wv = einsum("whbk,ibk->whi", &[&s.d_vv, &src_k])?;
+    let stacked = |spec, d: &Tensor, src: &Tensor| einsum(spec, &[d, src])?.relabel("shi");
+    g.w_qkv = Tensor::concat(
+        Axis('s'),
+        &[
+            &stacked("phbj,ibj->phi", &s.d_qq, src)?,
+            &stacked("phbk,ibk->phi", &s.d_kk, &src_k)?,
+            &stacked("whbk,ibk->whi", &s.d_vv, &src_k)?,
+        ],
+    )?;
     add(&add(&s.dq, &s.dk.relabel("ibj")?)?, &s.dv.relabel("ibj")?)
 }
 

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic  "XFCK"            4 bytes
-//! version u32              currently 1
+//! version u32              currently 2
 //! count   u32              number of tensors
 //! per tensor:
 //!   name_len u32, name bytes (UTF-8)
@@ -15,7 +15,9 @@
 //! ```
 //!
 //! No external serialization dependency is needed; round-trips are exact
-//! because `f32` bits are written verbatim.
+//! because `f32` bits are written verbatim. Version 2 stores the Q, K and V
+//! projections as the one stacked `w_qkv`; a version 1 file, which named
+//! them `wq`, `wk` and `wv`, is refused.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -26,7 +28,7 @@ use xform_tensor::{Shape, Tensor};
 use crate::params::EncoderWeights;
 
 const MAGIC: &[u8; 4] = b"XFCK";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Errors from checkpoint I/O.
 #[derive(Debug)]
@@ -120,7 +122,7 @@ pub fn read_tensors<R: Read>(r: &mut R) -> Result<Vec<(String, Tensor)>, Checkpo
     let version = read_u32(r)?;
     if version != VERSION {
         return Err(CheckpointError::Format(format!(
-            "unsupported version {version}"
+            "unsupported version {version} (this build reads version {VERSION})"
         )));
     }
     let count = read_u32(r)?;
@@ -264,6 +266,21 @@ mod tests {
         write_tensors(&mut full, &w.fields()).unwrap();
         full.truncate(full.len() / 2);
         assert!(read_tensors(&mut full.as_slice()).is_err());
+    }
+
+    /// A version 1 file stored `wq`, `wk` and `wv` apart: refused by its
+    /// version, before any tensor is read.
+    #[test]
+    fn a_version_1_file_is_refused_naming_its_version() {
+        let mut v1 = MAGIC.to_vec();
+        v1.extend(1u32.to_le_bytes());
+        v1.extend(0u32.to_le_bytes());
+        match read_tensors(&mut v1.as_slice()) {
+            Err(CheckpointError::Format(m)) => {
+                assert_eq!(m, "unsupported version 1 (this build reads version 2)");
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
     }
 
     #[test]

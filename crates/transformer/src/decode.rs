@@ -55,7 +55,6 @@ use xform_tensor::{Result, Shape, Tensor, TensorError};
 
 use crate::interp::{self, PlanKind, PlannedForward};
 use crate::model::TransformerModel;
-use crate::params::EncoderWeights;
 
 /// How [`DecodeSession::sample`] turns a logit column into a token.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,9 +91,6 @@ pub struct DecodeOptions {
     /// Position-bucket quantum override (default: [`DEFAULT_BUCKET`]). A
     /// bigger bucket trades slab words for fewer re-plans.
     pub bucket: Option<usize>,
-    /// Maximum sequence length override (default: the positional
-    /// embedding extent `dims.j`; never above it).
-    pub max_seq: Option<usize>,
 }
 
 impl Default for DecodeOptions {
@@ -103,7 +99,6 @@ impl Default for DecodeOptions {
             threads: 1,
             seed: 0x5eed,
             bucket: None,
-            max_seq: None,
         }
     }
 }
@@ -133,14 +128,11 @@ pub struct DecodeSession<'m> {
     model: &'m TransformerModel,
     threads: usize,
     bucket: usize,
-    max_seq: usize,
     scaler: f32,
     /// Next position to write (= number of resident cache columns).
     pos: usize,
     /// `None` until prefill.
     arenas: Option<StepArenas>,
-    /// Each layer's `w_qkv`: Q|K|V stacked.
-    w_qkv: Vec<Vec<f32>>,
     /// Current hidden column `[i,b,1]`; input to the next layer.
     h_cur: Tensor,
     /// Next hidden column (the attend plan's `y`).
@@ -230,14 +222,7 @@ impl<'m> DecodeSession<'m> {
         if by_rows.iter().any(|t| t.natural_words().is_none()) {
             return Err(unsupported("embeddings and head must be stored row-major"));
         }
-        let stack = |w: &EncoderWeights| {
-            let mut stacked = vec![0.0; w.qkv_words()];
-            w.stack_qkv_into(&mut stacked);
-            stacked
-        };
-        let w_qkv = model.blocks.iter().map(stack).collect();
         let d = model.config.dims;
-        let max_seq = opts.max_seq.unwrap_or(d.j).min(d.j).max(1);
         let bucket = opts.bucket.unwrap_or(DEFAULT_BUCKET).max(1);
         let col = Shape::new([('i', d.i), ('b', d.b), ('j', 1)])?;
         let logits = Tensor::zeros(Shape::new([
@@ -249,11 +234,9 @@ impl<'m> DecodeSession<'m> {
             model,
             threads: opts.threads.max(1),
             bucket,
-            max_seq,
             scaler: 1.0 / (d.p as f32).sqrt(),
             pos: 0,
             arenas: None,
-            w_qkv,
             h_cur: Tensor::zeros(col.clone()),
             h_next: Tensor::zeros(col),
             qq_col: vec![0.0; d.p * d.h * d.b],
@@ -283,14 +266,14 @@ impl<'m> DecodeSession<'m> {
     }
 
     /// Bytes the session holds across steps: the arena slabs of all layers
-    /// (cache slabs included), the shared projection arena's, and the
-    /// stacked Q/K/V weights. The other weights stay the model's.
+    /// (cache slabs included) and the shared projection arena's. The
+    /// weights stay the model's.
     pub fn resident_bytes(&self) -> usize {
         let slabs = self.arenas.iter().flat_map(|a| {
             let attend = a.attend.arenas.iter();
             attend.chain([&a.project]).map(CompiledArena::slab_bytes)
         });
-        slabs.sum::<usize>() + self.w_qkv.iter().map(|s| s.len() * 4).sum::<usize>()
+        slabs.sum()
     }
 
     /// One draw from the sampling RNG — a cheap end-state fingerprint for
@@ -376,7 +359,8 @@ impl<'m> DecodeSession<'m> {
     /// # Errors
     ///
     /// Returns an error on shape disagreements, on a prompt longer than
-    /// `max_seq`, or if the session was already prefilled.
+    /// the positional table (`dims.j`), or if the session was already
+    /// prefilled.
     pub fn prefill(&mut self, prompt: &[Vec<usize>]) -> Result<Tensor> {
         if self.pos != 0 {
             return Err(unsupported("session already prefilled"));
@@ -388,10 +372,10 @@ impl<'m> DecodeSession<'m> {
                 context: "prefill prompt batch",
             });
         }
-        if s > self.max_seq {
+        if s > d.j {
             return Err(unsupported(format!(
-                "prompt of {s} tokens exceeds max_seq {}",
-                self.max_seq
+                "prompt of {s} tokens exceeds the {} positions",
+                d.j
             )));
         }
 
@@ -419,8 +403,8 @@ impl<'m> DecodeSession<'m> {
         for (l, w) in self.model.blocks.iter().enumerate() {
             let mut state = ExecState::default();
             // every block's `y` leaves its arena row-major, like `x`
-            let (x, w_qkv) = (h.data(), &self.w_qkv[l][..]);
-            let resolve = &mut |name: &str| interp::external_words(name, x, w_qkv, w);
+            let x = h.data();
+            let resolve = &mut |name: &str| interp::external_words(name, x, w);
             prefill.execute_into_state(&pf.graph, &pf.plan, &opts, resolve, &mut state)?;
             // seed this layer's cache columns from the saved projections:
             // kk [p,h,b,k] → k_cache column k = contiguous [p,h,b]
@@ -494,40 +478,40 @@ impl<'m> DecodeSession<'m> {
     ///
     /// # Errors
     ///
-    /// Returns an error before prefill, past `max_seq`, on a bad token
-    /// id, or if an arena invariant breaks (an unbound external, a missing
-    /// output).
+    /// Returns an error before prefill, past the positional table
+    /// (`dims.j`), on a bad batch or token id, or if an arena invariant
+    /// breaks (an unbound external, a missing output). The batch and the
+    /// token ids are checked before the bucket grows: a malformed call
+    /// leaves the caches, the capacity and the position as they were.
     pub fn advance(&mut self, tokens: &[usize]) -> Result<&Tensor> {
         prefilled(&mut self.arenas)?;
-        if self.pos >= self.max_seq {
+        let (pos, model) = (self.pos, self.model);
+        let d = model.config.dims;
+        if pos >= d.j {
             return Err(unsupported(format!(
-                "sequence is at max_seq {} — cannot decode further",
-                self.max_seq
+                "sequence is at its {} positions — cannot decode further",
+                d.j
             )));
         }
-        if self.pos >= self.capacity() {
-            self.grow(self.pos + 1)?;
-        }
-        let pos = self.pos;
-        let model = self.model;
-        let d = model.config.dims;
         if tokens.len() != d.b {
             return Err(TensorError::ShapeMismatch {
                 context: "decode step batch",
             });
         }
-        let run = self.exec_options(1);
         let column = (self.h_cur.data_mut(), 0);
         model.embed_column(tokens.iter().copied(), pos, column)?;
+        if pos >= self.capacity() {
+            self.grow(pos + 1)?;
+        }
+        let run = self.exec_options(1);
 
         let arenas = prefilled(&mut self.arenas)?;
         let (project, bucket) = (&arenas.project, &arenas.attend);
         for (l, w) in model.blocks.iter().enumerate() {
-            let w_qkv = &self.w_qkv[l][..];
             // phase 1: project the new column
             {
                 let h = self.h_cur.data();
-                let resolve = &mut |name: &str| interp::external_words(name, h, w_qkv, w);
+                let resolve = &mut |name: &str| interp::external_words(name, h, w);
                 let qq = &mut self.qq_col;
                 let kk = &mut self.kk_col;
                 let vv = &mut self.vv_col;
@@ -566,7 +550,7 @@ impl<'m> DecodeSession<'m> {
                 let resolve = &mut |name: &str| match name {
                     "k_cache" | "v_cache" => None,
                     "qq" => Some(qq),
-                    _ => interp::external_words(name, h, w_qkv, w),
+                    _ => interp::external_words(name, h, w),
                 };
                 let out = self.h_next.data_mut();
                 let mut wrote = false;
@@ -683,8 +667,8 @@ impl<'m> DecodeSession<'m> {
     ///
     /// # Errors
     ///
-    /// Returns an error if `prompt.len + steps - 1` exceeds `max_seq` or
-    /// any step fails.
+    /// Returns an error if `prompt.len + steps - 1` exceeds the positional
+    /// table (`dims.j`) or any step fails.
     pub fn generate(
         &mut self,
         prompt: &[Vec<usize>],
@@ -743,9 +727,51 @@ mod tests {
         let err = session.advance(&[1, 2]).unwrap_err();
         assert_eq!(err, unsupported("call prefill before advance"));
         assert_eq!((session.capacity(), session.len()), (0, 0));
-        // the stacked Q/K/V weights are the session's from the start
-        let stacked: usize = model.blocks.iter().map(EncoderWeights::qkv_words).sum();
-        assert_eq!(session.resident_bytes(), 4 * stacked);
+        assert_eq!(session.resident_bytes(), 0);
+    }
+
+    /// What a session holds is its arenas' slabs: the weights stay the
+    /// model's, borrowed by every step.
+    #[test]
+    fn resident_bytes_are_the_arena_slabs() {
+        let model = model();
+        let mut session = DecodeSession::new(&model, DecodeOptions::default()).unwrap();
+        session.prefill(&[vec![1, 2], vec![3, 4]]).unwrap();
+        session.advance(&[2, 0]).unwrap();
+        let arenas = session.arenas.as_ref().unwrap();
+        let attend = arenas.attend.arenas.iter().map(CompiledArena::slab_bytes);
+        let slabs = attend.sum::<usize>() + arenas.project.slab_bytes();
+        assert_eq!(session.resident_bytes(), slabs);
+        assert!(slabs > 0);
+    }
+
+    /// What `advance` used to do with a malformed call at a bucket
+    /// boundary: grow the bucket first — recompiling the attend plan and
+    /// migrating every cache — and refuse the call after.
+    #[test]
+    fn a_malformed_step_at_a_bucket_boundary_changes_nothing() {
+        let model = model();
+        let opts = DecodeOptions {
+            bucket: Some(4),
+            ..DecodeOptions::default()
+        };
+        let mut session = DecodeSession::new(&model, opts).unwrap();
+        session.prefill(&[vec![1, 2], vec![3, 4]]).unwrap();
+        session.advance(&[2, 0]).unwrap();
+        assert_eq!((session.capacity(), session.len()), (4, 3));
+        session.advance(&[1, 1]).unwrap();
+        assert_eq!((session.capacity(), session.len()), (4, 4));
+        let short = session.advance(&[1]).unwrap_err();
+        let batch = TensorError::ShapeMismatch {
+            context: "decode step batch",
+        };
+        assert_eq!(short, batch);
+        assert_eq!((session.capacity(), session.len()), (4, 4));
+        let unknown = session.advance(&[1, 5]).unwrap_err();
+        assert_eq!(unknown, unsupported("token id 5 out of vocabulary"));
+        assert_eq!((session.capacity(), session.len()), (4, 4));
+        session.advance(&[1, 1]).unwrap();
+        assert_eq!((session.capacity(), session.len()), (8, 5));
     }
 
     /// What `sample` used to do with a NaN: greedy skipped it, and the

@@ -253,7 +253,11 @@ mod tests {
                 dx.at(&idx)
             );
         }
-        for (name, flat) in [("wq", 2), ("wo", 7), ("w1", 5), ("ln1_gamma", 1), ("b2", 3)] {
+        // one index in each of the Q, K and V blocks of the stack
+        let n = w.w_qkv.len() / 3;
+        let qkv = [("w_qkv", 2), ("w_qkv", n + 4), ("w_qkv", 2 * n + 6)];
+        let rest = [("wo", 7), ("w1", 5), ("ln1_gamma", 1), ("b2", 3)];
+        for (name, flat) in qkv.into_iter().chain(rest) {
             let analytic = grads
                 .fields()
                 .into_iter()

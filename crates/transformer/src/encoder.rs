@@ -457,9 +457,13 @@ mod tests {
                 dx.at(&idx)
             );
         }
-        // weight gradient spot checks
+        // weight gradient spot checks: one index in each of the Q, K and V
+        // blocks of the stack
+        let n = w.w_qkv.len() / 3;
         let checks: Vec<(&str, usize)> = vec![
-            ("wq", 3),
+            ("w_qkv", 3),
+            ("w_qkv", n + 5),
+            ("w_qkv", 2 * n + 7),
             ("wo", 5),
             ("b1", 2),
             ("w2", 11),

@@ -403,31 +403,27 @@ pub(crate) fn layer_options<'p>(
 
 /// The one binding table: the words of the external container `name`, in
 /// natural layout — where every gated plan first finds its externals — out
-/// of a layer's input and weight set: `x`, the Q/K/V projections stacked as
-/// `w_qkv` (both handed in by whoever holds them), any other weight by
-/// [`EncoderWeights::container`], borrowed from its tensor. `None`, for
-/// the executor to report, on a name the layers do not bind or a weight
-/// stored in another layout than its natural one (nothing that makes
-/// parameters does).
+/// of a layer's input and weight set: `x` (handed in by whoever holds it),
+/// any weight by [`EncoderWeights::container`], borrowed from its tensor.
+/// `None`, for the executor to report, on a name the layers do not bind or
+/// a weight stored in another layout than its natural one (nothing that
+/// makes parameters does).
 pub(crate) fn external_words<'a>(
     name: &str,
     x: &'a [f32],
-    w_qkv: &'a [f32],
     w: &'a EncoderWeights,
 ) -> Option<&'a [f32]> {
     match name {
         "x" => Some(x),
-        "w_qkv" => Some(w_qkv),
         _ => w.container(name)?.natural_words(),
     }
 }
 
 thread_local! {
     /// What a per-call forward must lay out before an arena can borrow it:
-    /// `w_qkv` — the layers own nothing across calls, so Q|K|V are stacked
-    /// on every one — then `x`, when its tensor is stored permuted. One
-    /// buffer per calling thread, beside the arena caches and as warm as
-    /// they are: a steady-state forward allocates nothing.
+    /// `x`, when its tensor is stored permuted. One buffer per calling
+    /// thread, beside the arena caches and as warm as they are: a
+    /// steady-state forward allocates nothing.
     static STAGING: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -439,46 +435,29 @@ fn with_externals<R>(
     run: impl for<'a> FnOnce(&mut dyn FnMut(&str) -> Option<&'a [f32]>) -> R,
 ) -> R {
     STAGING.with_borrow_mut(|staging| {
-        let (qkv, natural) = (w.qkv_words(), x.natural_words());
-        staging.resize(qkv + natural.map_or(x.len(), |_| 0), 0.0);
-        let (w_qkv, x_words) = staging.split_at_mut(qkv);
-        w.stack_qkv_into(w_qkv);
-        if natural.is_none() {
-            into_ops::copy_tensor_into(x, x_words);
-        }
-        let (w_qkv, x_words) = (&*w_qkv, natural.unwrap_or(x_words));
-        run(&mut |name| external_words(name, x_words, w_qkv, w))
+        let x_words = match x.natural_words() {
+            Some(words) => words,
+            None => {
+                staging.resize(x.len(), 0.0);
+                into_ops::copy_tensor_into(x, staging);
+                &staging[..]
+            }
+        };
+        run(&mut |name| external_words(name, x_words, w))
     })
 }
 
 /// Binds a layer input and the shared weight set into an interpreter
 /// environment under the graphs' container names (what the equivalence
 /// suites hand the reference interpreter), through the same table the
-/// arena resolves through: the separate Q/K/V projection weights are
-/// stacked into the graphs' `w_qkv` container (`[s=3p, h, i]`, Q then K
-/// then V).
-///
-/// # Errors
-///
-/// Returns an error if the projection weights disagree on `[h, i]`.
-pub fn bind_inputs(x: &Tensor, w: &EncoderWeights) -> Result<ExecState> {
+/// arena resolves through.
+pub fn bind_inputs(x: &Tensor, w: &EncoderWeights) -> ExecState {
     let mut state = ExecState::default();
-    let (h, i) = (w.wq.shape().sizes()[1], w.wq.shape().sizes()[2]);
-    let stacked = Shape::new([('s', w.qkv_words() / (h * i)), ('h', h), ('i', i)])?;
-    let mut w_qkv = Tensor::zeros(stacked);
-    if !w.stack_qkv_into(w_qkv.data_mut()) {
-        return Err(TensorError::ShapeMismatch {
-            context: "stacking the Q/K/V projection weights",
-        });
-    }
     state.env.insert("x".into(), x.clone());
-    state.env.insert("w_qkv".into(), w_qkv);
-    for (name, _) in w.fields() {
-        if let Some(t) = w.container(name) {
-            state.env.insert(name.into(), t.clone());
-        }
+    for (name, t) in w.fields() {
+        state.env.insert(name.into(), t.clone());
     }
-    Ok(state)
+    state
 }
 
 /// Looks up what a layer forward runs — the canned plan of `(dims, kind)`,
@@ -943,8 +922,8 @@ mod tests {
     }
 
     /// Nothing of a weight outlives the call that borrowed it: a forward
-    /// after `w1` and `wq` (a stacked one) moved is a cold run's forward, and
-    /// so is a decode session made after they did.
+    /// after `w1` and the Q block of `w_qkv` moved is a cold run's forward,
+    /// and so is a decode session made after they did.
     #[test]
     fn a_weight_update_between_calls_or_sessions_leaves_nothing_stale() {
         use crate::decode::{DecodeOptions, DecodeSession};
@@ -958,7 +937,8 @@ mod tests {
         let x = Tensor::random(shape, &Uniform::new(-1.0, 1.0), &mut rng);
         let nudge = |w: &mut EncoderWeights| {
             w.w1.data_mut().iter_mut().for_each(|v| *v += 0.25);
-            w.wq.data_mut().iter_mut().for_each(|v| *v -= 0.5);
+            let q = w.w_qkv.len() / 3;
+            w.w_qkv.data_mut()[..q].iter_mut().for_each(|v| *v -= 0.5);
         };
         // every compiled arena — slabs, scratch, externals tables — dropped
         let cold = clear_arena_cache;
@@ -1013,7 +993,7 @@ mod tests {
             encoder_fused(&dims).unwrap(),
             decoder_fused(&dims).unwrap(),
         ] {
-            let mut state = bind_inputs(&x, &w).unwrap();
+            let mut state = bind_inputs(&x, &w);
             let opts = ExecOptions::builder()
                 .scaler(1.0 / (dims.p as f32).sqrt())
                 .build();

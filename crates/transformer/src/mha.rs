@@ -39,7 +39,7 @@ pub struct MhaInputGrads {
 
 /// Multi-head attention forward: general attention over distinct `q`
 /// (`[i,b,j]`), `k` and `v` (`[i,b,k]`) inputs. Uses the attention weights
-/// of `w` (`wq/wk/wv/wo`, `bq/bk/bv/bo`).
+/// of `w` (`w_qkv`, `wo`, `bq/bk/bv/bo`).
 ///
 /// # Errors
 ///
@@ -54,9 +54,9 @@ pub fn mha_forward(
     rng: &mut StdRng,
 ) -> Result<(Tensor, MhaActivations)> {
     let scaler = 1.0 / (dims.p as f32).sqrt();
-    let qq_raw = einsum("phi,ibj->phbj", &[&w.wq, q])?;
-    let kk_raw = einsum("phi,ibk->phbk", &[&w.wk, k])?;
-    let vv_raw = einsum("whi,ibk->whbk", &[&w.wv, v])?;
+    let qq_raw = einsum("phi,ibj->phbj", &[&w.projection(0, "phi")?, q])?;
+    let kk_raw = einsum("phi,ibk->phbk", &[&w.projection(1, "phi")?, k])?;
+    let vv_raw = einsum("whi,ibk->whbk", &[&w.projection(2, "whi")?, v])?;
     let (qq, kk, vv) = fused::aib(&qq_raw, &w.bq, &kk_raw, &w.bk, &vv_raw, &w.bv)?;
     let beta = einsum("phbk,phbj->hbjk", &[&kk, &qq])?;
     let sm = fused::sm(&beta, scaler, Axis('k'), dropout_p, rng)?;

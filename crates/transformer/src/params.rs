@@ -4,19 +4,17 @@ use rand::distributions::Uniform;
 use rand::Rng;
 
 use xform_dataflow::EncoderDims;
-use xform_tensor::{into_ops, Shape, Tensor};
+use xform_tensor::{Axis, Result, Shape, Tensor};
 
 /// All learned parameters of one BERT encoder layer, in the paper's axis
 /// convention (`phi`/`whi` projections, `ph`/`wh`/`i` biases, `ui`/`iu`
 /// feed-forward weights, `i`-sized layer-norm scale/shift).
 #[derive(Debug, Clone)]
 pub struct EncoderWeights {
-    /// Query projection `[p, h, i]`.
-    pub wq: Tensor,
-    /// Key projection `[p, h, i]`.
-    pub wk: Tensor,
-    /// Value projection `[w, h, i]`.
-    pub wv: Tensor,
+    /// The query, key and value projections stacked, in that order, as
+    /// the graphs read them: `w_qkv [s = 3p, h, i]`, each projection a
+    /// `[p, h, i]` block of it.
+    pub w_qkv: Tensor,
     /// Output projection `[w, h, i]`.
     pub wo: Tensor,
     /// Query bias `[p, h]`.
@@ -64,10 +62,10 @@ impl EncoderWeights {
     pub fn init<R: Rng + ?Sized>(dims: &EncoderDims, rng: &mut R) -> Self {
         let s = 1.0 / (dims.i as f32).sqrt();
         let dist = Uniform::new(-s, s);
+        // Q, then K, then V, each drawn row-major
+        let qkv = [('s', 3 * dims.p), ('h', dims.h), ('i', dims.i)];
+        let w_qkv = Tensor::random(Shape::new(qkv).expect("valid stack"), &dist, rng);
         let mut rand = |spec: &str| Tensor::random(shape(dims, spec), &dist, rng);
-        let wq = rand("phi");
-        let wk = rand("phi");
-        let wv = rand("whi");
         let wo = rand("whi");
         let w1 = rand("ui");
         let w2 = rand("iu");
@@ -77,9 +75,7 @@ impl EncoderWeights {
             t
         };
         EncoderWeights {
-            wq,
-            wk,
-            wv,
+            w_qkv,
             wo,
             bq: Tensor::zeros(shape(dims, "ph")),
             bk: Tensor::zeros(shape(dims, "ph")),
@@ -99,44 +95,30 @@ impl EncoderWeights {
     /// The weight tensor bound to graph container `name` — the one table
     /// every executor's binder resolves weights through. The graphs of
     /// [`xform_dataflow::build`] name their weight containers after these
-    /// fields, with one exception: they read the Q/K/V projection weights
-    /// stacked as `w_qkv` ([`EncoderWeights::stack_qkv_into`]), so `wq`,
-    /// `wk` and `wv` name no container.
+    /// fields.
     pub fn container(&self, name: &str) -> Option<&Tensor> {
         self.fields()
             .into_iter()
-            .find(|(field, _)| *field == name && !matches!(name, "wq" | "wk" | "wv"))
+            .find(|(field, _)| *field == name)
             .map(|(_, t)| t)
     }
 
-    /// Words of the stacked `w_qkv` container.
-    pub fn qkv_words(&self) -> usize {
-        self.wq.len() + self.wk.len() + self.wv.len()
-    }
-
-    /// Stacks the Q, K and V projection weights, in that order and each
-    /// dense row-major, into the graphs' `w_qkv` container (`[s, h, i]`)
-    /// without materializing the concatenation. Returns `false`, writing
-    /// nothing, unless `dst` holds exactly [`EncoderWeights::qkv_words`].
-    pub fn stack_qkv_into(&self, dst: &mut [f32]) -> bool {
-        if dst.len() != self.qkv_words() {
-            return false;
-        }
-        let (q, rest) = dst.split_at_mut(self.wq.len());
-        let (k, v) = rest.split_at_mut(self.wk.len());
-        into_ops::copy_tensor_into(&self.wq, q);
-        into_ops::copy_tensor_into(&self.wk, k);
-        into_ops::copy_tensor_into(&self.wv, v);
-        true
+    /// Projection `n` of the stack (0: Q, 1: K, 2: V) copied out as its own
+    /// `[p, h, i]` tensor under `spec` — what the eager passes contract.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `n > 2` or `spec` is not three axes.
+    pub(crate) fn projection(&self, n: usize, spec: &str) -> Result<Tensor> {
+        let p = self.w_qkv.shape().sizes()[0] / 3;
+        self.w_qkv.slice_range(Axis('s'), n * p, p)?.relabel(spec)
     }
 
     /// Zero-filled gradients with matching shapes.
     pub fn zeros_like(&self) -> EncoderGrads {
         let z = |t: &Tensor| Tensor::zeros(t.shape().clone());
         EncoderWeights {
-            wq: z(&self.wq),
-            wk: z(&self.wk),
-            wv: z(&self.wv),
+            w_qkv: z(&self.w_qkv),
             wo: z(&self.wo),
             bq: z(&self.bq),
             bk: z(&self.bk),
@@ -155,11 +137,9 @@ impl EncoderWeights {
 
     /// Every field as a `(name, tensor)` pair, for generic parameter
     /// traversal (updates, norms, serialization, container binding).
-    pub fn fields(&self) -> [(&'static str, &Tensor); 16] {
+    pub fn fields(&self) -> [(&'static str, &Tensor); 14] {
         [
-            ("wq", &self.wq),
-            ("wk", &self.wk),
-            ("wv", &self.wv),
+            ("w_qkv", &self.w_qkv),
             ("wo", &self.wo),
             ("bq", &self.bq),
             ("bk", &self.bk),
@@ -179,9 +159,7 @@ impl EncoderWeights {
     /// Mutable field iterator, aligned with [`EncoderWeights::fields`].
     pub fn fields_mut(&mut self) -> Vec<(&'static str, &mut Tensor)> {
         vec![
-            ("wq", &mut self.wq),
-            ("wk", &mut self.wk),
-            ("wv", &mut self.wv),
+            ("w_qkv", &mut self.w_qkv),
             ("wo", &mut self.wo),
             ("bq", &mut self.bq),
             ("bk", &mut self.bk),
@@ -240,10 +218,11 @@ mod tests {
         let dims = EncoderDims::tiny();
         let mut rng = StdRng::seed_from_u64(1);
         let w = EncoderWeights::init(&dims, &mut rng);
-        assert_eq!(w.wq.shape().spec(), "phi");
+        assert_eq!(w.w_qkv.shape().spec(), "shi");
+        assert_eq!(w.w_qkv.shape().sizes(), &[3 * dims.p, dims.h, dims.i]);
         assert_eq!(w.w1.shape().spec(), "ui");
         assert_eq!(w.w2.shape().spec(), "iu");
-        assert_eq!(w.fields().len(), 16);
+        assert_eq!(w.fields().len(), 14);
         // BERT-large parameter count per layer ≈ 12.6M
         let big = EncoderWeights::init(&EncoderDims::bert_large(), &mut rng);
         let n = big.num_parameters();
@@ -251,24 +230,31 @@ mod tests {
     }
 
     #[test]
-    fn container_table_resolves_every_listed_name_and_stacks_qkv() {
+    fn container_table_borrows_every_field_the_stack_included() {
         let mut rng = StdRng::seed_from_u64(5);
         let w = EncoderWeights::init(&EncoderDims::tiny(), &mut rng);
         for (name, t) in w.fields() {
-            let stacked = matches!(name, "wq" | "wk" | "wv");
-            assert_eq!(
-                w.container(name).map(Tensor::data),
-                (!stacked).then_some(t.data())
-            );
+            assert!(std::ptr::eq(w.container(name).unwrap(), t), "{name}");
         }
-        assert!(w.container("w_qkv").is_none() && w.container("x").is_none());
-        let mut stacked = vec![0.0; w.qkv_words()];
-        assert!(w.stack_qkv_into(&mut stacked));
-        let (nq, nk) = (w.wq.len(), w.wk.len());
-        assert_eq!(&stacked[..nq], w.wq.data());
-        assert_eq!(&stacked[nq..nq + nk], w.wk.data());
-        assert_eq!(&stacked[nq + nk..], w.wv.data());
-        assert!(!w.stack_qkv_into(&mut stacked[1..]));
+        let stack = w.container("w_qkv").unwrap();
+        assert!(std::ptr::eq(stack.data(), w.w_qkv.data()));
+        for name in ["wq", "wk", "wv", "x"] {
+            assert!(w.container(name).is_none(), "{name}");
+        }
+    }
+
+    /// The stack is Q, then K, then V, each `[p, h, i]` row-major.
+    #[test]
+    fn projections_are_the_stacks_three_blocks() {
+        let dims = EncoderDims::tiny();
+        let w = EncoderWeights::init(&dims, &mut StdRng::seed_from_u64(6));
+        let n = dims.p * dims.h * dims.i;
+        for (k, spec) in ["phi", "phi", "whi"].into_iter().enumerate() {
+            let q = w.projection(k, spec).unwrap();
+            assert_eq!(q.shape().spec(), spec);
+            assert_eq!(q.data(), &w.w_qkv.data()[k * n..(k + 1) * n]);
+        }
+        assert!(w.projection(3, "phi").is_err());
     }
 
     #[test]

@@ -169,7 +169,7 @@ fn reference_run(
     let opts = ExecOptions::builder()
         .scaler(1.0 / (dims.p as f32).sqrt())
         .build();
-    let mut state = interp::bind_inputs(x, w).unwrap();
+    let mut state = interp::bind_inputs(x, w);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     execute_plan(&pf.graph, &pf.plan, &mut state, &opts, &mut rng).unwrap();
     state

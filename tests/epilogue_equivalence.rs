@@ -289,7 +289,7 @@ fn epilogue_arena_forward_matches_the_env_interpreter_bitwise_without_rng() {
                 .activation(activation)
                 .scaler(enc.scaler())
                 .build();
-            let mut state = interp::bind_inputs(&x, &w).unwrap();
+            let mut state = interp::bind_inputs(&x, &w);
             let mut rng = StdRng::seed_from_u64(knobs.seed);
             execute_plan(&pf.graph, &pf.plan, &mut state, &knobs, &mut rng).unwrap();
             let env_y = state.get("y").unwrap();

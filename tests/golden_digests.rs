@@ -265,7 +265,7 @@ fn reference_leg(
     seed: u64,
     (h, sm): (&mut Fnv, &mut Fnv),
 ) {
-    let mut state = interp::bind_inputs(x, w).unwrap();
+    let mut state = interp::bind_inputs(x, w);
     let mut rng = StdRng::seed_from_u64(seed);
     execute_plan(&pf.graph, &pf.plan, &mut state, knobs, &mut rng).unwrap();
     state_digest(h, sm, &state);
@@ -392,7 +392,6 @@ fn decode_row(table: &mut Vec<(String, u64)>, name: &str, dims: EncoderDims, voc
             threads,
             seed: 99,
             bucket: Some(4),
-            max_seq: None,
         };
         let mut sess = DecodeSession::new(&model, opts).unwrap();
         h.tensor(&sess.prefill(&prompt).unwrap());
@@ -549,15 +548,8 @@ fn kernel_bwd_digests(table: &mut Vec<(String, u64)>) {
 fn grad_digests(table: &mut Vec<(String, u64)>) {
     const SEED: u64 = 23;
     fn grads(h: &mut Fnv, g: &EncoderWeights) {
-        // Q|K|V as the one stacked `[s, h, i]` container: its spec, then
-        // the Q, K and V words row-major
-        let qkv = [&g.wq, &g.wk, &g.wv].map(|t| t.natural_words().unwrap());
-        "shi".bytes().for_each(|c| h.word(u32::from(c)));
-        h.slice(&qkv.concat());
-        for (name, t) in g.fields() {
-            if !matches!(name, "wq" | "wk" | "wv") {
-                h.tensor(t);
-            }
+        for (_, t) in g.fields() {
+            h.tensor(t);
         }
     }
     for (di, dims) in shapes().iter().enumerate() {

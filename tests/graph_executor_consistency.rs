@@ -93,12 +93,7 @@ fn gradients_match_graph_outputs() {
     assert_eq!(&shape_of("d_bo"), grads.bo.shape());
     assert_eq!(&shape_of("d_ln1_gamma"), grads.ln1_gamma.shape());
     assert_eq!(&shape_of("d_b1"), grads.b1.shape());
-    // stacked QKV weight gradient covers the three projection grads
-    let stacked = shape_of("d_w_qkv");
-    assert_eq!(
-        stacked.num_elements(),
-        grads.wq.len() + grads.wk.len() + grads.wv.len()
-    );
+    assert_eq!(&shape_of("d_w_qkv"), grads.w_qkv.shape());
 }
 
 #[test]
