@@ -27,7 +27,7 @@ use xform_tensor::fused::{self, SmOutput};
 use xform_tensor::ops::dropout::dropout_backward;
 use xform_tensor::ops::elementwise::{activate_backward, add, bias_grad, scale, ActivationKind};
 use xform_tensor::ops::softmax::softmax_backward;
-use xform_tensor::{einsum, Axis, Result, Tensor};
+use xform_tensor::{einsum, into_ops, Axis, Result, Tensor};
 
 use crate::interp::Saved;
 use crate::params::{EncoderGrads, EncoderWeights};
@@ -168,15 +168,16 @@ pub(crate) fn self_attention_backward(
     g.bk = bias_grad(&s.d_kk, &ph)?;
     g.bv = bias_grad(&s.d_vv, &[Axis('w'), Axis('h')])?;
     let src_k = src.relabel("ibk")?;
-    let stacked = |spec, d: &Tensor, src: &Tensor| einsum(spec, &[d, src])?.relabel("shi");
-    g.w_qkv = Tensor::concat(
-        Axis('s'),
-        &[
-            &stacked("phbj,ibj->phi", &s.d_qq, src)?,
-            &stacked("phbk,ibk->phi", &s.d_kk, &src_k)?,
-            &stacked("whbk,ibk->whi", &s.d_vv, &src_k)?,
-        ],
-    )?;
+    let blocks = [
+        einsum("phbj,ibj->phi", &[&s.d_qq, src])?,
+        einsum("phbk,ibk->phi", &[&s.d_kk, &src_k])?,
+        einsum("whbk,ibk->whi", &[&s.d_vv, &src_k])?,
+    ];
+    g.w_qkv = Tensor::zeros(w.w_qkv.shape().clone());
+    let len = g.w_qkv.len() / 3;
+    for (dst, block) in g.w_qkv.data_mut().chunks_exact_mut(len).zip(&blocks) {
+        into_ops::copy_tensor_into(block, dst);
+    }
     add(&add(&s.dq, &s.dk.relabel("ibj")?)?, &s.dv.relabel("ibj")?)
 }
 

@@ -34,11 +34,10 @@
 //! bucket; between growths a step is two arena executions plus two column
 //! `memcpy`s.
 //!
-//! No weight is copied per token: the step arenas borrow every weight from
-//! the model's own tensors, and the one container the graphs name that the
-//! model does not hold — `w_qkv`, Q|K|V stacked — the session stacks once
-//! per layer when it is made. Its `&'m TransformerModel` borrow pins the
-//! weights it stacked for as long as it lives.
+//! No weight is copied, per token or per session: the step arenas borrow
+//! every weight from the model's own tensors (`w_qkv` among them, stored
+//! stacked as the graphs read it), and the `&'m TransformerModel` borrow
+//! pins them for as long as the session lives.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -9,8 +9,7 @@
 //! [`crate::encoder::EncoderLayer::forward`]) the same way — out of its
 //! memoized arena, whatever layouts it declares, `x` and the weights read
 //! where their tensors keep them through one binding table
-//! ([`EncoderWeights::container`] plus the stacked `w_qkv`, which a
-//! per-call forward stacks into a staging buffer).
+//! ([`EncoderWeights::container`]).
 
 use std::cell::RefCell;
 use std::collections::HashMap;

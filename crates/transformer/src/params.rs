@@ -4,11 +4,12 @@ use rand::distributions::Uniform;
 use rand::Rng;
 
 use xform_dataflow::EncoderDims;
-use xform_tensor::{Axis, Result, Shape, Tensor};
+use xform_tensor::{Result, Shape, Tensor, TensorError};
 
 /// All learned parameters of one BERT encoder layer, in the paper's axis
-/// convention (`phi`/`whi` projections, `ph`/`wh`/`i` biases, `ui`/`iu`
-/// feed-forward weights, `i`-sized layer-norm scale/shift).
+/// convention (the `shi` Q/K/V stack and the `whi` output projection,
+/// `ph`/`wh`/`i` biases, `ui`/`iu` feed-forward weights, `i`-sized
+/// layer-norm scale/shift).
 #[derive(Debug, Clone)]
 pub struct EncoderWeights {
     /// The query, key and value projections stacked, in that order, as
@@ -108,10 +109,23 @@ impl EncoderWeights {
     ///
     /// # Errors
     ///
-    /// Returns an error if `n > 2` or `spec` is not three axes.
+    /// Returns an error if `n > 2`, `spec` is not three distinct axes, or
+    /// the stack is stored permuted (a forward would not bind it either).
     pub(crate) fn projection(&self, n: usize, spec: &str) -> Result<Tensor> {
-        let p = self.w_qkv.shape().sizes()[0] / 3;
-        self.w_qkv.slice_range(Axis('s'), n * p, p)?.relabel(spec)
+        let [s, h, i] = self.w_qkv.shape().sizes()[..] else {
+            let context = "`w_qkv` is `[s, h, i]`";
+            return Err(TensorError::ShapeMismatch { context });
+        };
+        let shape = Shape::new(spec.chars().zip([s / 3, h, i]))?;
+        let len = shape.num_elements();
+        let words = self
+            .w_qkv
+            .natural_words()
+            .and_then(|w| w.get(n * len..(n + 1) * len));
+        let words = words.ok_or_else(|| {
+            TensorError::Unsupported(format!("no projection {n} in a row-major `w_qkv`"))
+        })?;
+        Tensor::from_vec(shape, words.to_vec())
     }
 
     /// Zero-filled gradients with matching shapes.
