@@ -53,7 +53,8 @@
 //! gives its element, and the GEMM's result does not depend on its tiling.
 //! Whole rows fit a tile, so a softmax is the two-pass
 //! `lanes::softmax_lane` unchanged — no online rescaling, nothing
-//! reassociated.
+//! reassociated — which stores only the weights the second product reads
+//! (`alpha`), and that product runs to each tile's exact causal depth.
 
 use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
@@ -62,7 +63,7 @@ use crate::lanes::{self, on_run, Dropout, LaneAt, Run, Walk, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
     gemm_batched, gemm_packed_leading, pack_panels, panel_words, BatchMut, BatchRef, BatchStrides,
-    MatRef, Start, KC, NR,
+    MatRef, Start, NR,
 };
 use crate::ops::elementwise::ActivationKind;
 use crate::tensor::Tensor;
@@ -794,11 +795,11 @@ impl TilePlan {
 
     /// Words the tile loop keeps hot: one slice's packed B panels of each
     /// contraction and the tile — with a second contraction, the tile of
-    /// the chain's rows it reads and a softmax and a mask row beside it.
+    /// the chain's rows it reads.
     pub fn hot_words(&self) -> usize {
         let (f, rows) = (&self.first, self.tile_rows);
         let tile = panel_words(f.n, f.k) + rows * f.n;
-        tile + (self.second.as_ref()).map_or(0, |s| panel_words(s.n, s.k) + (rows + 2) * f.n)
+        tile + (self.second.as_ref()).map_or(0, |s| panel_words(s.n, s.k) + rows * f.n)
     }
 
     /// Scratch words [`tile_into`] needs: [`TilePlan::hot_words`] and the
@@ -883,9 +884,8 @@ struct Then<'a> {
     c: BatchMut<'a>,
     scatter: Option<&'a mut [f32]>,
     /// The rows it reads when the chain writes no stream (a softmax's
-    /// weights), then a softmax row and a mask row.
+    /// weights).
     weights: &'a mut [f32],
-    lane: &'a mut [f32],
 }
 
 /// The tile-program driver: per batch slice, packs each contraction's B
@@ -895,11 +895,12 @@ struct Then<'a> {
 ///    the columns some row of it sees, in whole vectors;
 /// 2. runs `tail` on each row while the tile is hot;
 /// 3. with a second contraction, runs its GEMM over the chain's rows (the
-///    stream the chain wrote, or the softmax's tile) — over the `KC` blocks
-///    of columns some row sees — into its output through its strides.
+///    stream the chain wrote, or the softmax's tile) — to the last column
+///    some row sees, its exact causal depth — into its output through its
+///    strides.
 ///
 /// The first contraction's output exists only as the tile; a softmax's
-/// weights and mask only as theirs. `a` and `b` are the first contraction's
+/// weights only as theirs, and its saved softmax and mask nowhere. `a` and `b` are the first contraction's
 /// operands in its einsum's order, `second` the second's first operand and
 /// output.
 ///
@@ -912,8 +913,9 @@ struct Then<'a> {
 /// * each product keeps the GEMM's contract — one accumulator per element,
 ///   `k` ascending, block after block — which does not depend on the tiling
 ///   or on which operand plays A;
-/// * a causal row's weights past its last visible column are `+0`, and a
-///   second product skips only `KC` blocks of them: every accumulator
+/// * a causal row's weights past its last visible column are `+0` up to
+///   the tile's depth — the last column its last row sees — and the second
+///   product stops there, inside a `KC` block or not: every accumulator
 ///   starts at `+0.0`, so for finite values the skipped products would each
 ///   have added `±0` to a sum that is never `−0` — nothing. (Nor are
 ///   columns past the last visible one packed, or computed: no lane reads
@@ -940,10 +942,9 @@ pub fn tile_into(
         RowTail::Softmax { causal, .. } => causal,
         _ => None,
     };
-    // the columns rows `r0..r0 + rows` see between them, and the `KC`
-    // blocks of them the second product sums over
+    // the columns rows `r0..r0 + rows` see between them: the depth of
+    // their second product
     let seen = |r0: usize, rows: usize| causal.map_or(n, |pos| (pos + r0 + rows).min(n));
-    let blocks = |cols: usize| cols.next_multiple_of(KC).min(n);
     let n_all = seen(0, m);
     let [aw, bw, _] = f.pack_words();
     let (a_pack, rest) = scratch.split_at_mut(aw);
@@ -962,8 +963,8 @@ pub fn tile_into(
             let [_, bw, cw] = s.pack_words();
             let (b_pack, rest) = rest.split_at_mut(bw);
             let (c_pack, rest) = rest.split_at_mut(cw);
-            let (panels, rest) = rest.split_at_mut(panel_words(s.n, blocks(n_all)));
-            let (weights, lane) = rest.split_at_mut(tile_rows * n);
+            let (panels, rest) = rest.split_at_mut(panel_words(s.n, n_all));
+            let weights = &mut rest[..tile_rows * n];
             let (c, scatter) = match s.c.view {
                 Some(at) => (BatchMut { data: out, at }, None),
                 None => (
@@ -981,7 +982,6 @@ pub fn tile_into(
                 c,
                 scatter,
                 weights,
-                lane,
             })
         }
         _ => panic!("a second contraction's operands go with its plan"),
@@ -989,7 +989,7 @@ pub fn tile_into(
     for g in 0..f.batch {
         pack_panels(n_all, k, gb.slice(g), panels);
         if let Some(t) = &mut then {
-            pack_panels(t.plan.n, blocks(n_all), t.b.slice(g), t.panels);
+            pack_panels(t.plan.n, n_all, t.b.slice(g), t.panels);
         }
         for r0 in (0..m).step_by(tile_rows) {
             let (rows, row0) = (tile_rows.min(m - r0), g * m + r0);
@@ -997,7 +997,7 @@ pub fn tile_into(
             let cols = seen(r0, rows).next_multiple_of(NR).min(n_all);
             let a_rows = ga.slice(g).from_row(r0);
             gemm_packed_leading(rows, cols, k, a_rows, panels, n_all, tile, (n, 1));
-            let depth = blocks(seen(r0, rows));
+            let depth = seen(r0, rows);
             for r in 0..rows {
                 let x = &mut tile[r * n..][..n];
                 let at = LaneAt {
@@ -1056,18 +1056,15 @@ pub fn tile_into(
                             .expect("a softmax tail runs ahead of a contraction");
                         let visible = seen(r0 + r, 1);
                         let (row, hidden) = t.weights[r * n..][..depth].split_at_mut(visible);
-                        let (y, mask) = t.lane.split_at_mut(n);
                         // slice `g`'s rows come after `g` whole slices
                         let before = |q| visible_before(causal, q, n);
-                        let mut tail = lanes::Dropped {
-                            alpha: row,
-                            mask: &mut mask[..visible],
+                        let mut tail = lanes::DroppedInPlace {
                             drop,
                             at: g * before(m) + before(r0 + r),
                             step: visible,
                         };
-                        let (x, y) = (&x[..visible], &mut y[..visible]);
-                        lanes::softmax_lane::<1, _, _, _>(x, *scaler, visible, y, &mut tail);
+                        let x = &x[..visible];
+                        lanes::softmax_lane::<1, _, _, _>(x, *scaler, visible, row, &mut tail);
                         hidden.fill(0.0);
                     }
                 }

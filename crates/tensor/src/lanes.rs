@@ -85,9 +85,13 @@
 //! a serial `maxss`/`addss` chain is four cycles a word, whatever `exp`
 //! costs — and because the shape belongs to the lane, each walk is free to
 //! realize it its own way: a contiguous lane loads a block as one piece and
-//! keeps `[f32; 16]` of partials in four vector registers, a panel keeps
-//! `[[f32; W]; 16]` and adds row `v` to partial `v mod 16`, a strided lane
-//! gathers its sixteen words first. The interleaved partials of one lane
+//! keeps `[f32; 16]` of partials in vector registers — its three passes
+//! (the maximum, the exponentials and their sum, the normalization with
+//! its dropout tail) each take whole blocks, the last one padded, and
+//! `tools/kernel_asm.sh` fails the build's assembly if a scalar
+//! `maxss`/`addss`/`mulss`/`subss` is back inside their loops — a panel
+//! keeps `[[f32; W]; 16]` and adds row `v` to partial `v mod 16`, a strided
+//! lane gathers its sixteen words first. The interleaved partials of one lane
 //! are again lane-wise vector arithmetic — partial `k` never meets partial
 //! `k′` before the tree — so the three agree to the bit, and a lane's
 //! result depends on its values and its length only: never on the walk,
@@ -243,10 +247,11 @@ pub(crate) trait Panel<const W: usize> {
     fn rows(&self) -> usize;
     /// The `W` words at lane position `v`.
     fn row(&self, v: usize) -> [f32; W];
-    /// Hands `f` the rows of the whole block from position `v0`, each with
-    /// its place `k` in the block.
-    fn each(&self, v0: usize, mut f: impl FnMut(usize, [f32; W])) {
-        (0..BLOCK).for_each(|k| f(k, self.row(v0 + k)));
+    /// The `n ≤ BLOCK` rows from position `v0`; what pads the rest of the
+    /// block is unspecified and never stored.
+    #[inline]
+    fn block(&self, v0: usize, n: usize) -> Block<W> {
+        std::array::from_fn(|k| if k < n { self.row(v0 + k) } else { [0.0; W] })
     }
 }
 
@@ -254,15 +259,10 @@ pub(crate) trait Panel<const W: usize> {
 pub(crate) trait PanelMut<const W: usize>: Panel<W> {
     /// Stores the `W` words at lane position `v`.
     fn set_row(&mut self, v: usize, val: [f32; W]);
-    /// Stores `f(k, x.row(v0 + k))` at every position `v0 + k` of the whole
-    /// block from `v0`.
-    fn map_block<X: Panel<W> + ?Sized>(
-        &mut self,
-        x: &X,
-        v0: usize,
-        mut f: impl FnMut(usize, [f32; W]) -> [f32; W],
-    ) {
-        (0..BLOCK).for_each(|k| self.set_row(v0 + k, f(k, x.row(v0 + k))));
+    /// Stores the first `n ≤ BLOCK` rows of `block` from position `v0`.
+    #[inline]
+    fn set_block(&mut self, v0: usize, n: usize, block: Block<W>) {
+        (0..n).for_each(|k| self.set_row(v0 + k, block[k]));
     }
 }
 
@@ -275,11 +275,14 @@ impl<L: Lane + ?Sized> Panel<1> for L {
     fn row(&self, v: usize) -> [f32; 1] {
         [self.get(v)]
     }
-    fn each(&self, v0: usize, mut f: impl FnMut(usize, [f32; 1])) {
-        let block = self.load(v0, BLOCK);
-        for (k, &word) in block.iter().enumerate() {
-            f(k, [word]);
+    /// The words in one piece: sixteen positions abreast.
+    #[inline]
+    fn block(&self, v0: usize, n: usize) -> Block<1> {
+        let mut block = [[0.0]; BLOCK];
+        for (row, word) in block.iter_mut().zip(self.load(v0, n)) {
+            *row = [word];
         }
+        block
     }
 }
 
@@ -288,17 +291,9 @@ impl<L: LaneMut + ?Sized> PanelMut<1> for L {
     fn set_row(&mut self, v: usize, val: [f32; 1]) {
         self.set(v, val[0]);
     }
-    fn map_block<X: Panel<1> + ?Sized>(
-        &mut self,
-        x: &X,
-        v0: usize,
-        mut f: impl FnMut(usize, [f32; 1]) -> [f32; 1],
-    ) {
-        // the words in one piece, the arithmetic on an array, the words out
-        // in one piece: sixteen positions abreast
-        let mut block = [0.0; BLOCK];
-        x.each(v0, |k, word| block[k] = f(k, word)[0]);
-        self.store(v0, BLOCK, block);
+    #[inline]
+    fn set_block(&mut self, v0: usize, n: usize, block: Block<1>) {
+        self.store(v0, n, block.map(|[word]| word));
     }
 }
 
@@ -343,6 +338,9 @@ pub const W: usize = 16;
 /// the number of partial maxima and sums a softmax lane keeps; see the
 /// module docs.
 pub const BLOCK: usize = 16;
+
+/// [`BLOCK`] rows of `W` lanes: what a body takes at a time.
+pub(crate) type Block<const W: usize> = [[f32; W]; BLOCK];
 
 /// `eˣ`: the one transcendental of the kernel layer, under the softmax,
 /// both directions of GELU and the sampler.
@@ -536,15 +534,18 @@ impl Dropout {
         ((u >= self.p) as u32 as f32) * self.scale
     }
 
-    /// The masks of indices `first + k · step`, `k < N`: a block of one
-    /// lane (`step` 1), or one position of `N` lanes whose indices lie
-    /// `step` apart; a splat at `p == 0`.
+    /// The masks of indices `first + k + w · step`: `N` consecutive
+    /// positions of `W` lanes whose indices lie `step` apart — a block of
+    /// one lane, one position of a panel, or a block of one; a splat at
+    /// `p == 0`.
     #[inline(always)]
-    fn masks<const N: usize>(&self, first: usize, step: usize) -> [f32; N] {
-        let mut m = [self.scale; N];
+    fn masks<const W: usize, const N: usize>(&self, first: usize, step: usize) -> [[f32; W]; N] {
+        let mut m = [[self.scale; W]; N];
         if self.p > 0.0 {
-            for (k, m) in m.iter_mut().enumerate() {
-                *m = self.mask(first + k * step);
+            for (k, row) in m.iter_mut().enumerate() {
+                for (w, m) in row.iter_mut().enumerate() {
+                    *m = self.mask(first + k + w * step);
+                }
             }
         }
         m
@@ -677,7 +678,7 @@ pub(crate) fn brd_lane<X, B, O>(
     for (v0, n) in blocks(len) {
         let (x, b) = (x.load(v0, n), bias.load(v0, n));
         let z: [f32; BLOCK] = std::array::from_fn(|k| x[k] + b[k]);
-        let m: [f32; BLOCK] = drop.masks(at + v0, 1);
+        let [m]: [[f32; BLOCK]; 1] = drop.masks(at + v0, 1);
         let a = kind.apply_block(z);
         pre_activation.store(v0, n, z);
         mask.store(v0, n, m);
@@ -710,20 +711,58 @@ pub(crate) fn bdr_lane<X, B, O>(
     }
 }
 
-/// What [`softmax_lane`] does with each normalized row beyond storing it:
-/// nothing (`()`, the plain and causal softmax) or the fused SM's dropout
-/// ([`Dropped`]).
+/// What [`softmax_lane`] does with each block of normalized rows: nothing
+/// (`()`, the plain and causal softmax), the fused SM's dropout beside the
+/// saved softmax ([`Dropped`]) or in its place ([`DroppedInPlace`]).
 pub(crate) trait SoftmaxTail<const W: usize> {
-    /// Visible position `v` holds the softmax row `y` (zero in a dead
-    /// lane).
-    fn keep(&mut self, v: usize, y: [f32; W], dead: &[bool; W]);
-    /// Position `v` was zeroed in every lane (masked tail, or all dead).
-    fn zero(&mut self, v: usize);
+    /// Positions `v0..v0 + n` hold the softmax rows `y` (zero in a dead
+    /// lane, and past the visible ones, where every lane is dead; rows from
+    /// `n` up pad the block): the rows `out` stores.
+    fn keep(&mut self, v0: usize, n: usize, y: Block<W>, dead: &[bool; W]) -> Block<W>;
 }
 
 impl<const W: usize> SoftmaxTail<W> for () {
-    fn keep(&mut self, _: usize, _: [f32; W], _: &[bool; W]) {}
-    fn zero(&mut self, _: usize) {}
+    #[inline(always)]
+    fn keep(&mut self, _: usize, _: usize, y: Block<W>, _: &[bool; W]) -> Block<W> {
+        y
+    }
+}
+
+/// The fused SM's dropout stored where the softmax would be: `out` holds
+/// `alpha = y · mask` and nothing else is kept — the attention region's
+/// weights, whose softmax and mask no kernel reads. Lane `w`'s mask at
+/// position `v` is the one of index `at + w · step + v`.
+#[derive(Debug)]
+pub(crate) struct DroppedInPlace<'a> {
+    /// The masks' key.
+    pub(crate) drop: &'a Dropout,
+    /// Index of position 0 of the run's first lane.
+    pub(crate) at: usize,
+    /// Indices between adjacent lanes: the visible positions of each.
+    pub(crate) step: usize,
+}
+
+impl DroppedInPlace<'_> {
+    /// `(y · mask, mask)` of the block from `v0`, the masks of a dead lane
+    /// zero.
+    #[inline(always)]
+    fn apply<const W: usize>(&self, v0: usize, mut y: Block<W>, dead: &[bool; W]) -> [Block<W>; 2] {
+        let mut m: Block<W> = self.drop.masks(self.at + v0, self.step);
+        for (y, m) in y.iter_mut().zip(&mut m) {
+            for w in 0..W {
+                m[w] = if dead[w] { 0.0 } else { m[w] };
+                y[w] *= m[w];
+            }
+        }
+        [y, m]
+    }
+}
+
+impl<const W: usize> SoftmaxTail<W> for DroppedInPlace<'_> {
+    #[inline(always)]
+    fn keep(&mut self, v0: usize, _: usize, y: Block<W>, dead: &[bool; W]) -> Block<W> {
+        self.apply(v0, y, dead)[0]
+    }
 }
 
 /// The fused SM's outputs beside the saved softmax: `alpha = y · mask`,
@@ -743,17 +782,13 @@ pub(crate) struct Dropped<'a, O: ?Sized> {
 }
 
 impl<const W: usize, O: PanelMut<W> + ?Sized> SoftmaxTail<W> for Dropped<'_, O> {
-    #[inline]
-    fn keep(&mut self, v: usize, y: [f32; W], dead: &[bool; W]) {
-        let masks: [f32; W] = self.drop.masks(self.at + v, self.step);
-        let m: [f32; W] = std::array::from_fn(|w| if dead[w] { 0.0 } else { masks[w] });
-        self.mask.set_row(v, m);
-        self.alpha.set_row(v, std::array::from_fn(|w| y[w] * m[w]));
-    }
-    #[inline]
-    fn zero(&mut self, v: usize) {
-        self.mask.set_row(v, [0.0; W]);
-        self.alpha.set_row(v, [0.0; W]);
+    #[inline(always)]
+    fn keep(&mut self, v0: usize, n: usize, y: Block<W>, dead: &[bool; W]) -> Block<W> {
+        let (drop, at, step) = (self.drop, self.at, self.step);
+        let [alpha, mask] = DroppedInPlace { drop, at, step }.apply(v0, y, dead);
+        self.mask.set_block(v0, n, mask);
+        self.alpha.set_block(v0, n, alpha);
+        y
     }
 }
 
@@ -761,7 +796,7 @@ impl<const W: usize, O: PanelMut<W> + ?Sized> SoftmaxTail<W> for Dropped<'_, O> 
 /// fixed halving tree: partial `k` takes `k + 8`, then `k + 4`, `k + 2`,
 /// `k + 1`. The shape every walk's maximum and sum have.
 #[inline]
-fn fold<const W: usize>(mut part: [[f32; W]; BLOCK], f: impl Fn(f32, f32) -> f32) -> [f32; W] {
+fn fold<const W: usize>(mut part: Block<W>, f: impl Fn(f32, f32) -> f32) -> [f32; W] {
     for half in [8, 4, 2, 1] {
         for k in 0..half {
             part[k] = std::array::from_fn(|w| f(part[k][w], part[k + half][w]));
@@ -770,35 +805,84 @@ fn fold<const W: usize>(mut part: [[f32; W]; BLOCK], f: impl Fn(f32, f32) -> f32
     part[0]
 }
 
-/// One row of a softmax's first pass: `mx = max(mx, scaler · x)` per lane.
-/// Inlined by attribute — a closure shared by the block and the row loop
-/// would be a call per row.
+/// One block of a softmax's first pass: `mx = max(mx, scaler · x)` in the
+/// partials of its first `n` rows.
 #[inline(always)]
-fn max_into<const W: usize>(mx: &mut [f32; W], scaler: f32, xv: [f32; W]) {
-    for w in 0..W {
-        mx[w] = mx[w].max(scaler * xv[w]);
+fn max_block<const W: usize>(mx: &mut Block<W>, scaler: f32, x: Block<W>, n: usize) {
+    for (k, (mx, xv)) in mx.iter_mut().zip(x).enumerate() {
+        for w in 0..W {
+            let y = mx[w].max(scaler * xv[w]);
+            mx[w] = if k < n { y } else { mx[w] };
+        }
     }
 }
 
-/// One row of its second pass: `e = exp(s · x − mx)`, added to `sum`.
+/// One block of its second pass: `e = exp(scaler · x − mx)` in its first
+/// `n` rows, `+0` past them, added to the partial sums.
 #[inline(always)]
-fn exp_into<const W: usize>(sum: &mut [f32; W], s: f32, mx: &[f32; W], xv: [f32; W]) -> [f32; W] {
-    let mut e = [0.0; W];
-    for w in 0..W {
-        e[w] = exp(s * xv[w] - mx[w]);
-        sum[w] += e[w];
+fn exp_block<const W: usize>(
+    sum: &mut Block<W>,
+    scaler: f32,
+    mx: &[f32; W],
+    mut e: Block<W>,
+    n: usize,
+) -> Block<W> {
+    for (k, (sum, e)) in sum.iter_mut().zip(&mut e).enumerate() {
+        for w in 0..W {
+            let y = exp(scaler * e[w] - mx[w]);
+            e[w] = if k < n { y } else { 0.0 };
+            sum[w] += e[w];
+        }
     }
     e
+}
+
+/// One block of its third pass: each row times its lane's `inv`, or the
+/// lane's `fill` throughout where the lane is `flat`.
+#[inline(always)]
+fn norm_block<const W: usize>(
+    mut y: Block<W>,
+    inv: &[f32; W],
+    flat: &[bool; W],
+    fill: &[f32; W],
+) -> Block<W> {
+    for y in &mut y {
+        for w in 0..W {
+            y[w] = if flat[w] { fill[w] } else { y[w] * inv[w] };
+        }
+    }
+    y
+}
+
+/// Which lanes are dead: every visible input `−inf` — a `−inf` maximum
+/// that is not a NaN `max` skipped. Out of line: a second look at a lane
+/// that only a masked row needs.
+#[cold]
+#[inline(never)]
+fn dead_lanes<const W: usize, X: Panel<W> + ?Sized>(x: &X, s: f32, visible: usize) -> [bool; W] {
+    let mut dead = [true; W];
+    for v in 0..visible {
+        let xv = x.row(v);
+        for w in 0..W {
+            dead[w] &= s * xv[w] == f32::NEG_INFINITY;
+        }
+    }
+    dead
 }
 
 /// Scale → numerically stable softmax over the first `visible` positions
 /// → (tail-defined) dropout → zero tail, on `W` lanes abreast. Covers the
 /// plain softmax (`visible == len`), the causal softmax and the fused SM.
 ///
-/// The maximum and the sum are each reduced one way, whatever the walk:
-/// partial `k` of [`BLOCK`] takes the positions `v ≡ k (mod BLOCK)` in
-/// ascending order and [`fold`] joins the partials. A lane's result
-/// therefore depends on its values and its length only.
+/// All three passes — the maximum, the exponentials and their sum, the
+/// normalization and the tail — take a block of [`BLOCK`] positions at a
+/// time through the views' block access, a lane's last block padded: a
+/// padded row joins no reduction and is never stored. The maximum and the
+/// sum are each reduced one way, whatever the walk: partial `k` takes the
+/// positions `v ≡ k (mod BLOCK)` in ascending order and [`fold`] joins the
+/// partials. A lane's result therefore depends on its values and its
+/// length only. Out of line, so that the contiguous instantiation is a
+/// symbol of its own (`tools/kernel_asm.sh` reads its block loops).
 ///
 /// A lane whose visible inputs are all `−inf` (a fully masked row) has no
 /// defined distribution: every output of the lane is zero, its masks
@@ -811,7 +895,7 @@ fn exp_into<const W: usize>(sum: &mut [f32; W], s: f32, mx: &[f32; W], xv: [f32;
 /// does not say which that is, and LLVM commutes the `W = 16` and `W = 1`
 /// bodies differently under AVX. Each rule holds lane by lane within a
 /// panel.
-#[inline]
+#[inline(never)]
 pub(crate) fn softmax_lane<const W: usize, X, O, T>(
     x: &X,
     scaler: f32,
@@ -826,51 +910,43 @@ pub(crate) fn softmax_lane<const W: usize, X, O, T>(
     let len = out.rows();
     assert!(x.rows() >= len, "softmax input shorter than its output");
     let visible = visible.min(len);
-    // whole blocks through the views' block access, the rest row by row:
-    // position `v` lands in partial `v mod BLOCK` either way
-    let whole = visible - visible % BLOCK;
     let mut mx = [[f32::NEG_INFINITY; W]; BLOCK];
+    let whole = visible - visible % BLOCK;
     for v0 in (0..whole).step_by(BLOCK) {
-        x.each(v0, |k, xv| max_into(&mut mx[k], scaler, xv));
+        max_block(&mut mx, scaler, x.block(v0, BLOCK), BLOCK);
     }
-    for v in whole..visible {
-        max_into(&mut mx[v - whole], scaler, x.row(v));
-    }
+    // the last block, loaded once: its exponentials, and their softmax,
+    // stay in registers until they are stored
+    let last = x.block(whole, visible - whole);
+    max_block(&mut mx, scaler, last, visible - whole);
     let mx = fold(mx, f32::max);
-    // a `−inf` max is a dead lane unless it is a NaN `max` skipped
-    let mut dead = mx.map(|m| m == f32::NEG_INFINITY);
-    if dead.contains(&true) {
-        for v in 0..visible {
-            let xv = x.row(v);
-            for w in 0..W {
-                dead[w] &= scaler * xv[w] == f32::NEG_INFINITY;
-            }
-        }
+    let mut dead = [false; W];
+    if mx.contains(&f32::NEG_INFINITY) {
+        dead = dead_lanes(x, scaler, visible);
     }
     let live = if dead == [true; W] { 0 } else { visible };
-    let whole = live - live % BLOCK;
+    let (whole, n) = (live - live % BLOCK, live % BLOCK);
     let mut sum = [[0.0f32; W]; BLOCK];
     for v0 in (0..whole).step_by(BLOCK) {
-        out.map_block(x, v0, |k, xv| exp_into(&mut sum[k], scaler, &mx, xv));
+        let e = exp_block(&mut sum, scaler, &mx, x.block(v0, BLOCK), BLOCK);
+        out.set_block(v0, BLOCK, e);
     }
-    for v in whole..live {
-        out.set_row(v, exp_into(&mut sum[v - whole], scaler, &mx, x.row(v)));
-    }
+    let last = exp_block(&mut sum, scaler, &mx, last, n);
     let sum = fold(sum, |a, b| a + b);
     let inv = sum.map(|s| 1.0 / s);
     // a lane without a distribution is one word throughout: zero if dead,
     // `f32::NAN` if poisoned — the same select, no more work a row
     let flat: [bool; W] = std::array::from_fn(|w| dead[w] || sum[w].is_nan());
     let fill = dead.map(|d| if d { 0.0 } else { f32::NAN });
-    for v in 0..live {
-        let e = out.row(v);
-        let y = std::array::from_fn(|w| if flat[w] { fill[w] } else { e[w] * inv[w] });
-        out.set_row(v, y);
-        tail.keep(v, y, &dead);
+    for v0 in (0..whole).step_by(BLOCK) {
+        let y = norm_block(out.block(v0, BLOCK), &inv, &flat, &fill);
+        out.set_block(v0, BLOCK, tail.keep(v0, BLOCK, y, &dead));
     }
-    for v in live..len {
-        out.set_row(v, [0.0; W]);
-        tail.zero(v);
+    let y = norm_block(last, &inv, &flat, &fill);
+    out.set_block(whole, n, tail.keep(whole, n, y, &dead));
+    for v0 in (live..len).step_by(BLOCK) {
+        let n = BLOCK.min(len - v0);
+        out.set_block(v0, n, tail.keep(v0, n, [[0.0; W]; BLOCK], &[true; W]));
     }
 }
 
@@ -952,7 +1028,7 @@ where
     #[inline]
     fn load(&mut self, v: usize) -> [f32; W] {
         let (x, b, r) = (self.x.row(v), (self.bias)(v), self.residual.row(v));
-        let m = self.drop.masks(self.at + v, self.ln_input.rows());
+        let [m] = self.drop.masks::<W, 1>(self.at + v, self.ln_input.rows());
         let li = std::array::from_fn(|w| bdr(x[w], b[w], r[w], m[w]));
         self.mask.set_row(v, m);
         self.ln_input.set_row(v, li);
@@ -1337,6 +1413,16 @@ mod tests {
             // indices: lane 1's masks are those of indices 2 and 3
             let drop = Dropout::new(0.5, &StdRng::seed_from_u64(5)).unwrap();
             assert_eq!(&m[3..5], &[drop.mask(2), drop.mask(3)], "panel {panel}");
+        }
+    }
+
+    #[test]
+    fn a_lane_that_sees_nothing_is_zero_in_every_output() {
+        for panel in [false, true] {
+            let [s, a, m] = sm([1.0, 2.0, 3.0, 0.0, f32::NAN, 2.0], 0, 0.5, panel);
+            for t in [s, a, m] {
+                assert!(t.iter().all(|v| v.to_bits() == 0), "panel {panel}: {t:?}");
+            }
         }
     }
 

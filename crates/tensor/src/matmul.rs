@@ -252,24 +252,24 @@ pub fn gemm_packed(
     assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
     assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
     let panels = &panels[..panel_words(n, k)];
-    blocks(m, n, k, a, Panels::Packed(panels), c, start);
+    blocks(m, n, k, a, Panels::Packed(panels, k), c, start);
 }
 
 /// `c = a × b` over the leading `n` columns and the leading `depth` rows of
 /// a `b` that [`pack_panels`] packed `pn` columns wide into `panels` — the
 /// whole pack and no more, which is where its depth is read from: one
-/// [`gemm_packed`] per `KC` block of the pack, each after the first started
-/// from C — the store and reload [`gemm`] itself makes between its blocks,
-/// so the bits are those of one GEMM over the corner. `c` is element
-/// `(0, 0)` onward with `(row, column)` strides `at`.
+/// product per `KC` block of the pack, each after the first started from C
+/// — the store and reload [`gemm`] itself makes between its blocks, so the
+/// bits are those of one GEMM over the corner. `depth` may end inside a
+/// block: its panels are cut at the block's own depth in the pack, and the
+/// product reads their leading rows. `c` is element `(0, 0)` onward with
+/// `(row, column)` strides `at`.
 ///
 /// # Panics
 ///
 /// As [`gemm_packed`]; if `panels` is not a whole number of `pn`-column
 /// rows (a scratch slice longer than the pack reads as a deeper pack); and
-/// if `depth` ends inside a block of the pack — neither a multiple of [`KC`]
-/// nor the pack's last row — where a shallower block's panels would be cut
-/// at the wrong words.
+/// if `depth` is deeper than the pack.
 #[allow(clippy::too_many_arguments)] // a GEMM's dimensions and operands
 pub fn gemm_packed_leading(
     m: usize,
@@ -288,10 +288,7 @@ pub fn gemm_packed_leading(
         panel_words(pn, pk),
         "panels is not a whole pack {pn} columns wide"
     );
-    assert!(
-        depth == pk || (depth < pk && depth.is_multiple_of(KC)),
-        "a leading depth of {depth} ends inside a block of a pack {pk} deep"
-    );
+    assert!(depth <= pk, "a depth of {depth} under a pack {pk} deep");
     for pc in (0..depth).step_by(KC) {
         let a_blk = MatRef::new(&a.data[(pc * a.cs).min(a.data.len())..], a.rs, a.cs);
         let start = if pc == 0 {
@@ -300,7 +297,8 @@ pub fn gemm_packed_leading(
             Start::FromC
         };
         let (kc, c) = (KC.min(depth - pc), MatMut::new(c, at.0, at.1));
-        gemm_packed(m, n, kc, a_blk, &panels[pc * npad..], c, start);
+        let b = Panels::Packed(&panels[pc * npad..], pk - pc);
+        blocks(m, n, kc, a_blk, b, c, start);
     }
 }
 
@@ -309,8 +307,9 @@ pub fn gemm_packed_leading(
 enum Panels<'a> {
     /// Packed on the fly from the strided source, once per row block.
     Strided(MatRef<'a>),
-    /// Cut from a [`pack_panels`] buffer.
-    Packed(&'a [f32]),
+    /// Cut from a [`pack_panels`] buffer this many rows deep, each block's
+    /// panels as deep as the block.
+    Packed(&'a [f32], usize),
 }
 
 thread_local! {
@@ -365,7 +364,7 @@ fn blocks(
                             pack_panel::<NR>(&mut stack[..kc * NR], b, pc, jc, nr);
                             &stack[..kc * NR]
                         }
-                        Panels::Packed(p) => &p[pc * npad + jc * kc..][..kc * NR],
+                        Panels::Packed(p, d) => &p[pc * npad + jc * KC.min(d - pc)..][..kc * NR],
                     };
                     for (s, slab) in block[..tiled * kc].chunks_exact(MR * kc).enumerate() {
                         accumulate::<MR>(slab, panel, &mut c, (ic + s * MR, jc), nr, from_zero);
@@ -822,46 +821,33 @@ mod tests {
     }
 
     #[test]
-    fn a_leading_depth_that_ends_inside_a_block_is_refused_not_miscomputed() {
-        // the per-block calls the function makes, unchecked as they were:
-        // the block that ends early cuts its panels `jc·kc` words in where
-        // the pack laid them `jc·KC` in, so every column past the first
-        // `NR` is wrong — silently
+    fn a_leading_depth_that_ends_inside_a_block_is_the_gemm_over_that_corner() {
+        // a pack two blocks and a bit deep, one panel wide and two and a
+        // half: depths that end inside its first, second and last block,
+        // whose panels are cut at each block's own depth
         let mut rng = StdRng::seed_from_u64(19);
-        let (m, n, pk, depth) = (3, 2 * NR, 2 * KC, KC + 7);
-        let a = random_mat(&mut rng, m * pk);
-        let b = random_mat(&mut rng, pk * n);
-        let mut panels = vec![f32::NAN; panel_words(n, pk)];
-        pack_panels(n, pk, MatRef::row_major(&b, n), &mut panels);
-        let (av, bv) = (MatRef::row_major(&a, pk), MatRef::row_major(&b, n));
-        let mut want = vec![f32::NAN; m * n];
-        gemm(
-            m,
-            n,
-            depth,
-            av,
-            bv,
-            MatMut::row_major(&mut want, n),
-            Start::FromZero,
-        );
-        let mut got = vec![f32::NAN; m * n];
-        let c = MatMut::row_major(&mut got, n);
-        gemm_packed(m, n, KC, av, &panels, c, Start::FromZero);
-        let (tail, c) = (
-            MatRef::row_major(&a[KC..], pk),
-            MatMut::row_major(&mut got, n),
-        );
-        gemm_packed(m, n, depth - KC, tail, &panels[KC * n..], c, Start::FromC);
-        for (g, w) in got.chunks(n).zip(want.chunks(n)) {
-            assert_eq!(g[..NR], w[..NR]);
-            assert!(g[NR..].iter().zip(&w[NR..]).all(|(g, w)| g != w));
+        let (m, pk) = (3, 2 * KC + 5);
+        for pn in [NR, 40] {
+            let a = random_mat(&mut rng, m * pk);
+            let b = random_mat(&mut rng, pk * pn);
+            let mut panels = vec![f32::NAN; panel_words(pn, pk)];
+            pack_panels(pn, pk, MatRef::row_major(&b, pn), &mut panels);
+            let (av, bv) = (MatRef::row_major(&a, pk), MatRef::row_major(&b, pn));
+            for (n, depth) in [(pn, 7), (pn, KC + 7), (pn - 3, 2 * KC + 2), (1, KC - 1)] {
+                let mut want = vec![f32::NAN; m * n];
+                let c = MatMut::row_major(&mut want, n);
+                gemm(m, n, depth, av, bv, c, Start::FromZero);
+                let mut got = vec![f32::NAN; m * n];
+                gemm_packed_leading(m, n, depth, av, &panels, pn, &mut got, (n, 1));
+                let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "pn {pn}, n {n}, depth {depth}");
+            }
+            let deeper = std::panic::catch_unwind(|| {
+                let mut c = vec![0.0; m * pn];
+                gemm_packed_leading(m, pn, pk + 1, av, &panels, pn, &mut c, (pn, 1));
+            });
+            assert!(deeper.is_err(), "a depth past the pack is refused");
         }
-        let refused = std::panic::catch_unwind(|| {
-            let mut c = vec![0.0; m * n];
-            gemm_packed_leading(m, n, depth, av, &panels, n, &mut c, (n, 1));
-        });
-        let message = *refused.unwrap_err().downcast::<String>().unwrap();
-        assert!(message.contains("ends inside a block"), "{message}");
     }
 
     #[test]

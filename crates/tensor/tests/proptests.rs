@@ -548,6 +548,73 @@ proptest! {
         }
     }
 
+    // The contiguous lane takes its three passes sixteen positions abreast,
+    // its last block padded: over lanes of 1 to 80 words — every `len mod
+    // 16` — whose causal rows see 1, 2 … 18 positions or all `len`, with a
+    // dead (all `−inf`) lane, a NaN lane and `−0.0` inputs among them, it
+    // is bit for bit the panel's and the strided walk's SM, and its masks
+    // are the formula's at their indices: `start(l) + v`, zero in the dead
+    // lane and past the visible prefix.
+    #[test]
+    fn the_contiguous_lane_is_every_walk_and_the_mask_formula(
+        len in 1usize..81, causal in any::<bool>(), drops in any::<bool>(), seed in 0u64..1000,
+    ) {
+        use xform_tensor::lanes::Dropout;
+        let (rows, lanes, lane) = (18, 3, Axis('l'));
+        let p = if drops { 0.3f32 } else { 0.0 };
+        let shape = Shape::new([('q', rows), ('l', len), ('c', lanes)]).unwrap();
+        let mut x = rand_tensor(shape, seed);
+        for v in 0..len {
+            x.set(&[2, v, 0], f32::NEG_INFINITY);
+            if v % 7 == 3 {
+                x.set(&[4, v, 2], -0.0);
+            }
+        }
+        x.set(&[5, 0, 1], f32::NAN);
+        let key = StdRng::seed_from_u64(seed ^ 0x5A);
+        let run = |t: &Tensor| {
+            let mut rng = key.clone();
+            let out = if causal {
+                fused::sm_causal(t, 0.5, Axis('q'), lane, p, &mut rng)
+            } else {
+                fused::sm(t, 0.5, lane, p, &mut rng)
+            };
+            out.unwrap()
+        };
+        let contiguous = x.relayout(&Layout::from_axis_order(x.shape(), "qcl").unwrap());
+        let want = run(&contiguous);
+        for layout in Layout::all(3) {
+            let got = run(&x.relayout(&layout));
+            assert_same_bits("sm softmax", &want.softmax, &got.softmax)?;
+            assert_same_bits("sm alpha", &want.alpha, &got.alpha)?;
+            assert_same_bits("sm mask", &want.mask, &got.mask)?;
+        }
+        let drop = Dropout::new(p, &key).unwrap();
+        let visible = |q: usize| if causal { (q + 1).min(len) } else { len };
+        let mut start = 0;
+        for q in 0..rows {
+            for c in 0..lanes {
+                for v in 0..len {
+                    let (m, a) = (want.mask.at(&[q, v, c]), want.alpha.at(&[q, v, c]));
+                    let y = want.softmax.at(&[q, v, c]);
+                    let formula = if (q, c) == (2, 0) || v >= visible(q) {
+                        0.0
+                    } else {
+                        drop.mask(start + v)
+                    };
+                    prop_assert!(m.to_bits() == formula.to_bits(), "mask {} at {:?}", m, (q, v, c));
+                    if (q, c) == (5, 1) && v < visible(q) {
+                        prop_assert!(y.is_nan() && a.is_nan(), "the NaN lane is poisoned");
+                    } else {
+                        prop_assert!(y.is_finite(), "{} at {:?}", y, (q, v, c));
+                        prop_assert_eq!(a.to_bits(), (y * m).to_bits());
+                    }
+                }
+                start += visible(q);
+            }
+        }
+    }
+
     #[test]
     fn layernorm_walks_agree_bitwise_in_every_layout(
         geom in panel_geometry(), seed in 0u64..1000,
@@ -1403,6 +1470,42 @@ mod tile_program {
             }
             if let Some(want) = then {
                 prop_assert!(bits(&out) == bits(want.data()), "the second product differs");
+            }
+        }
+    }
+
+    /// A causal tile's second product stops at the last column its last
+    /// row sees, which ends inside a `KC` block of the V pack wherever that
+    /// row does: 37 query rows from positions on both sides of a block
+    /// edge, tiles of 1, 5 and 32 rows, with and without dropout.
+    #[test]
+    fn causal_tiles_stop_at_their_exact_depth() {
+        let (j, k) = (37, 2 * KC + 3);
+        let table = [('p', 5), ('w', 3), ('h', 2), ('b', 1), ('j', j), ('k', k)];
+        let t = |spec: &str, seed| rand_tensor(Shape::from_spec(spec, &table).unwrap(), seed);
+        for pos in [0, 9, KC - 20, KC + 7, 2 * KC - 30] {
+            for (tile_rows, p) in [(1, 0.0), (5, 0.1), (32, 0.0), (32, 0.1)] {
+                let program = Program {
+                    class: Class::Softmax { cache_major: false },
+                    a: t("phbk", 1),
+                    b: t("phbj", 2),
+                    v: t("whbk", 3),
+                    bias: t("w", 4),
+                    residual: t("w", 5),
+                    out: Layout::row_major(4),
+                    second: true,
+                    causal: Some(pos),
+                    p,
+                    tile_rows,
+                };
+                let key = StdRng::seed_from_u64(pos as u64);
+                let want = program.chain(&mut key.clone()).2.unwrap();
+                let (_, got) = program.tile(Some(&want), &key);
+                assert_eq!(
+                    bits(&got),
+                    bits(want.data()),
+                    "row 0 at {pos}, {tile_rows} rows"
+                );
             }
         }
     }
