@@ -598,16 +598,22 @@ impl<'m> DecodeSession<'m> {
                 context: "sample output batch",
             });
         }
+        if let Sampling::Temperature { temperature, .. } = sampling {
+            if temperature <= 0.0 || !temperature.is_finite() {
+                return Err(unsupported("temperature must be finite and positive"));
+            }
+        }
+        // every row is checked before the first draw, so a refused call
+        // leaves `out` and the RNG as they were. A NaN has no rank (the
+        // top-k sort would panic on it, greedy would skip it) and an
+        // infinity no probability
         let logits = self.logits.data();
+        if let Some(b) = (0..d.b).find(|&b| (0..v).any(|vi| !logits[vi * d.b + b].is_finite())) {
+            let row = format!("logit column of batch row {b} holds a non-finite value");
+            return Err(unsupported(row));
+        }
         for (b, slot) in out.iter_mut().enumerate() {
             let col = |vi: usize| logits[vi * d.b + b];
-            // a NaN has no rank (the top-k sort would panic on it, greedy
-            // would skip it) and an infinity no probability
-            if !(0..v).all(|vi| col(vi).is_finite()) {
-                return Err(unsupported(format!(
-                    "logit column of batch row {b} holds a non-finite value"
-                )));
-            }
             *slot = match sampling {
                 Sampling::Greedy => {
                     let mut best = 0usize;
@@ -622,9 +628,6 @@ impl<'m> DecodeSession<'m> {
                     best
                 }
                 Sampling::Temperature { temperature, top_k } => {
-                    if temperature <= 0.0 || !temperature.is_finite() {
-                        return Err(unsupported("temperature must be finite and positive"));
-                    }
                     let k = top_k.unwrap_or(v).clamp(1, v);
                     self.idx_scratch.clear();
                     self.idx_scratch.extend(0..v);
@@ -806,6 +809,46 @@ mod tests {
                 assert_eq!(err, unsupported(want), "{bad} under {sampling:?}");
             }
         }
+    }
+
+    /// What `sample` used to do with a batch whose second row is not
+    /// finite: row 0 drew from the session RNG and wrote its token before
+    /// row 1 was refused, so a refused call moved the RNG that the next
+    /// valid one draws from.
+    #[test]
+    fn a_refused_sample_draws_nothing_and_writes_nothing() {
+        let mut model = model();
+        // token 4's embedding row is NaN, and only row 1's prompt holds it
+        let i = model.config.dims.i;
+        model.embedding.data_mut()[4 * i..5 * i].fill(f32::NAN);
+        let temperature = Sampling::Temperature {
+            temperature: 0.8,
+            top_k: None,
+        };
+        let mut session = DecodeSession::new(&model, DecodeOptions::default()).unwrap();
+        session.prefill(&[vec![1, 2], vec![3, 4]]).unwrap();
+        let mut tokens = [usize::MAX; 2];
+        for sampling in [Sampling::Greedy, temperature] {
+            let err = session.sample(sampling, &mut tokens).unwrap_err();
+            let want = "logit column of batch row 1 holds a non-finite value";
+            assert_eq!(err, unsupported(want), "{sampling:?}");
+            assert_eq!(tokens, [usize::MAX; 2], "{sampling:?} wrote a token");
+        }
+        // the next valid samples are a fresh session's: both see row 1's
+        // column made finite
+        let mut fresh = DecodeSession::new(&model, DecodeOptions::default()).unwrap();
+        fresh.prefill(&[vec![1, 2], vec![3, 4]]).unwrap();
+        for s in [&mut session, &mut fresh] {
+            let nan = s.logits.data_mut().iter_mut().filter(|l| l.is_nan());
+            nan.for_each(|l| *l = 0.0);
+        }
+        let (mut got, mut want) = ([0usize; 2], [0usize; 2]);
+        for _ in 0..4 {
+            session.sample(temperature, &mut got).unwrap();
+            fresh.sample(temperature, &mut want).unwrap();
+            assert_eq!(got, want);
+        }
+        assert_eq!(session.rng.gen::<u64>(), fresh.rng.gen::<u64>());
     }
 
     /// A step reads embedding and head rows as slices of the backing
