@@ -12,8 +12,19 @@
 #       GEMM alone rounds once per product, and `lanes::exp`'s polynomial
 #       and every lane body keep separate multiplies and adds;
 #   (c) `tile_at` or the closure-taking `tile` is back in matmul.rs beside
-#       `kernel`.
-# On another architecture there is nothing to read: (a) and (b) are skipped.
+#       `kernel`;
+#   (d) an instantiation of `lanes::softmax_lane` over a contiguous lane
+#       (`W = 1`, `[f32]` in and out — the attention region's row tail, the
+#       head's and `Walk::Lane`'s) holds no ymm `vmaxps`, `vaddps` or
+#       `vmulps`, holds a scalar `v(max|add|mul|sub)ss` inside a loop, or
+#       calls a method of a tail or a view: its three passes run sixteen
+#       positions abreast, a scalar op inside them is a pass that fell
+#       back to a word at a time, and a call a tail's `keep` or a view's
+#       block access left out of line, a call per sixteen positions (the
+#       joins of the partials, the `−inf` rescan and the last, padded
+#       block run outside the loops).
+# On another architecture there is nothing to read: (a), (b) and (d) are
+# skipped.
 #
 #   tools/kernel_asm.sh            # check
 #   tools/kernel_asm.sh --print    # and print the kernel symbols' bodies
@@ -34,7 +45,10 @@ fi
 # finds fresh — a stale or a missing file must not be what is read
 out="${CARGO_TARGET_DIR:-target}/kernel-asm"
 rm -rf "$out"
-cargo rustc -q -p xform-tensor --release --lib --target-dir "$out" -- --emit asm
+# (v0 mangling names an instantiation's generic arguments: `Kj1_Sf` is
+# `W = 1` over `[f32]`; the code is the ordinary build's)
+cargo rustc -q -p xform-tensor --release --lib --target-dir "$out" -- \
+  --emit asm -C symbol-mangling-version=v0
 asm="$(ls "$out"/release/deps/xform_tensor-*.s)"
 
 # each `kernel::<R>` instantiation, label to `.size`, judged on its own;
@@ -52,11 +66,33 @@ awk -v print_them="${1:-}" '
     on = 0
     if (!fma) { print name " holds no ymm fused multiply-add"; narrow = 1 }
   }
+  # a contiguous softmax lane: a jump back to a label of the symbol closes
+  # a loop, whose lines are read for scalar arithmetic
+  /^_R[0-9a-zA-Z_$.]*12softmax_laneKj1_Sf[0-9a-zA-Z_$.]*:/ {
+    lane = 1; lname = $0; lanes++; nl = 0; split("", label); split("", seen)
+  }
+  lane && print_them == "--print" { print }
+  lane { line[++nl] = $0; for (op in seen) if ($0 ~ "v" op "ps.*%ymm") seen[op] = 1 }
+  lane && nl == 1 { seen["max"] = 0; seen["add"] = 0; seen["mul"] = 0 }
+  lane && /^\.LBB[0-9_]+:/ { label[substr($1, 1, length($1) - 1)] = nl }
+  lane && /^\tj[a-z]+\t\.LBB[0-9_]+$/ && $1 != "jmp" && ($2 in label) {
+    for (i = label[$2]; i <= nl; i++)
+      if (line[i] ~ /v(max|add|mul|sub)ss/) { print lname " " line[i]; lane_scalar = 1 }
+  }
+  lane && /^\tcall.*(11SoftmaxTail|5Panel|8PanelMut|4Lane|7LaneMut)/ { print lname " " $0; lane_call = 1 }
+  lane && /^\t\.size\t/ {
+    lane = 0
+    for (op in seen) if (!seen[op]) { print lname " holds no ymm v" op "ps"; lane_narrow = 1 }
+  }
   END {
     if (fused) { print "a fused multiply-add outside matmul::kernel (see above): only the GEMM rounds once per product"; exit 1 }
     if (n < 2) { print "expected the slab and the single-row instantiation of matmul::kernel, found " n + 0 ": is it still #[inline(never)]?"; exit 1 }
     if (narrow) { print "matmul::kernel lost its width or its mul_add (see above)"; exit 1 }
     if (split_ops) { print "matmul::kernel multiplies and adds separately (see above): the product must not be rounded before the add"; exit 1 }
     if (scalar) { print "matmul::kernel holds scalar arithmetic (see above): an accumulator fell out of its registers"; exit 1 }
-    print "kernel_asm: " n " kernel symbols, ymm fused multiply-add in each, no separate or scalar arithmetic, no FMA elsewhere in xform-tensor"
+    if (lanes < 1) { print "found no contiguous instantiation of lanes::softmax_lane: is it still #[inline(never)]?"; exit 1 }
+    if (lane_narrow) { print "a contiguous softmax lane lost its width (see above)"; exit 1 }
+    if (lane_scalar) { print "a contiguous softmax lane runs a pass a word at a time (see above)"; exit 1 }
+    if (lane_call) { print "a contiguous softmax lane calls a tail or a view out of line (see above)"; exit 1 }
+    print "kernel_asm: " n " kernel symbols, ymm fused multiply-add in each, no separate or scalar arithmetic, no FMA elsewhere in xform-tensor; " lanes " contiguous softmax lanes, ymm max/add/mul in each, no scalar arithmetic in their loops, no tail or view out of line"
   }' "$asm"
