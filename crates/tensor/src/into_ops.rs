@@ -900,9 +900,9 @@ struct Then<'a> {
 ///    strides.
 ///
 /// The first contraction's output exists only as the tile; a softmax's
-/// weights only as theirs, and its saved softmax and mask nowhere. `a` and `b` are the first contraction's
-/// operands in its einsum's order, `second` the second's first operand and
-/// output.
+/// weights only as theirs, and its saved softmax and mask nowhere. `a` and
+/// `b` are the first contraction's operands in its einsum's order, `second`
+/// the second's first operand and output.
 ///
 /// Bit for bit the chain it stands for — [`contract_into`], the tail's
 /// whole-container kernel, [`contract_into`]:

@@ -535,9 +535,9 @@ impl Dropout {
     }
 
     /// The masks of indices `first + k + w · step`: `N` consecutive
-    /// positions of `W` lanes whose indices lie `step` apart — a block of
-    /// one lane, one position of a panel, or a block of one; a splat at
-    /// `p == 0`.
+    /// positions of `W` lanes whose indices lie `step` apart (one lane's
+    /// block is `W = 1`, `N = BLOCK`, or `W = BLOCK`, `N = 1` at `step` 1);
+    /// a splat at `p == 0`.
     #[inline(always)]
     fn masks<const W: usize, const N: usize>(&self, first: usize, step: usize) -> [[f32; W]; N] {
         let mut m = [[self.scale; W]; N];

@@ -288,7 +288,7 @@ pub fn gemm_packed_leading(
         panel_words(pn, pk),
         "panels is not a whole pack {pn} columns wide"
     );
-    assert!(depth <= pk, "a depth of {depth} under a pack {pk} deep");
+    assert!(depth <= pk, "a depth of {depth} past a pack {pk} deep");
     for pc in (0..depth).step_by(KC) {
         let a_blk = MatRef::new(&a.data[(pc * a.cs).min(a.data.len())..], a.rs, a.cs);
         let start = if pc == 0 {
