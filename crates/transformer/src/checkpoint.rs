@@ -268,6 +268,46 @@ mod tests {
         assert!(read_tensors(&mut full.as_slice()).is_err());
     }
 
+    /// FNV-1a over a file's bytes.
+    fn digest(bytes: &[u8]) -> u64 {
+        (bytes.iter()).fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The bytes of seeded blocks' files, pinned (format 2): how a weight
+    /// is stored in memory never reaches its file, and a load → save round
+    /// trip writes the same bytes. The second block's projections have a
+    /// partial last panel and more than two `KC` blocks of depth.
+    #[test]
+    fn seeded_files_are_pinned_and_round_trip_byte_for_byte() {
+        let odd = EncoderDims {
+            b: 1,
+            j: 2,
+            k: 2,
+            h: 3,
+            p: 5,
+            i: 17,
+            u: 2 * 256 + 3,
+        };
+        for (dims, pinned) in [
+            (EncoderDims::tiny(), 0x87ff_51c4_d7b9_fb5b_u64),
+            (odd, 0x4bea_43bd_6af9_b6dd_u64),
+        ] {
+            let w = EncoderWeights::init(&dims, &mut StdRng::seed_from_u64(7));
+            let (path, again) = (tmp(&format!("pinned-{}", dims.u)), tmp("again"));
+            w.save(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(digest(&bytes), pinned, "{:#018x}", digest(&bytes));
+            let mut back = EncoderWeights::init(&dims, &mut StdRng::seed_from_u64(8));
+            back.load(&path).unwrap();
+            back.save(&again).unwrap();
+            assert!(std::fs::read(&again).unwrap() == bytes, "u = {}", dims.u);
+            std::fs::remove_file(path).ok();
+            std::fs::remove_file(again).ok();
+        }
+    }
+
     /// A version 1 file stored `wq`, `wk` and `wv` apart: refused by its
     /// version, before any tensor is read.
     #[test]
