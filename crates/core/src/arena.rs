@@ -108,13 +108,14 @@ use rand::SeedableRng;
 use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_tensor::into_ops::{self, RowTail, Sweep, View};
 use xform_tensor::lanes::Dropout;
+use xform_tensor::matmul::WeightPack;
 use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
 use crate::access::{view_path, AccessPath};
 use crate::analyze::{analyze, ArenaGranularity, Home, PlanAnalysis};
-use crate::lower::{lower_step, walk_of, Kernel, RelayoutCopy, Role, Slot, Tail};
+use crate::lower::{lower_step, walk_of, weight_pack, Kernel, RelayoutCopy, Role, Slot, Tail};
 use crate::plan::{layout_spec, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
 use crate::sanitize::{certify_analyzed, certify_arena, plan_fingerprint, ArenaCertificate};
 
@@ -152,8 +153,9 @@ struct StepExec {
     operands: Vec<(Place, Role, View)>,
     /// The step's relayout insertions, each with its container's slot and,
     /// for the one that is an external's first touch, the externals-table
-    /// entry it gathers from instead of permuting the slot in place.
-    relayouts: Vec<(Option<usize>, BufView, RelayoutCopy)>,
+    /// entry it gathers from instead of permuting the slot in place (and
+    /// the entry's pack, if it is a projection weight's).
+    relayouts: Vec<(Option<(usize, Option<WeightPack>)>, BufView, RelayoutCopy)>,
     /// Per-lane mean and inverse-deviation regions of the statistics
     /// buffer (the normalizing classes).
     stats: Option<(BufView, BufView)>,
@@ -181,6 +183,9 @@ struct ExternalBind {
     /// cross-call state — the initial sanitizer poison skips its range,
     /// and a resolver may decline it to keep the resident contents.
     home: Home,
+    /// A projection weight ([`crate::lower::weight_pack`]): the caller's
+    /// words are its panel pack, which a slab copy unpacks.
+    pack: Option<WeightPack>,
 }
 
 /// One entry of a run's externals table: the caller's slice for the
@@ -503,6 +508,18 @@ impl CompiledArena {
         };
         // one slot per live buffer, in liveness order
         let mut externals = Vec::new();
+        // every projection weight the plan reads, with its one pack
+        let mut packs: HashMap<NodeId, WeightPack> = HashMap::new();
+        for (si, step) in plan.steps.iter().enumerate() {
+            if let Some((data, pack)) = weight_pack(graph, step) {
+                if *packs.entry(data).or_insert(pack) != pack {
+                    return Err(TensorError::Unsupported(format!(
+                        "step {si} (`{}`) reads weight `{}` as another matrix than an earlier step: a weight has one pack",
+                        step.name, step.inputs.first().map_or("?", |o| o.name.as_str())
+                    )));
+                }
+            }
+        }
         let mut place_of: HashMap<NodeId, Place> = HashMap::new();
         // the table entry of every gathered external, until its first
         // relayout has taken it
@@ -521,6 +538,7 @@ impl CompiledArena {
                     name: b.name.clone(),
                     view: view(s),
                     home: b.home,
+                    pack: packs.get(&b.data).copied(),
                 });
             }
         }
@@ -544,7 +562,7 @@ impl CompiledArena {
                 graph,
                 step,
                 stream,
-                &place_of,
+                (&place_of, &externals),
                 &mut gather_from,
                 &mut stats_words,
                 &mut stats_out,
@@ -775,6 +793,28 @@ impl CompiledArena {
         self.externals.iter().map(|e| (e.name.as_str(), e.view.len))
     }
 
+    /// The projection weights among the externals, each with the pack its
+    /// resolver must answer with: the panel order of that GEMM-A matrix
+    /// over the weight's logical words.
+    pub fn weight_packs(&self) -> impl Iterator<Item = (&str, WeightPack)> {
+        let packed = self.externals.iter().filter_map(|e| Some((e, e.pack?)));
+        packed.map(|(e, pack)| (e.name.as_str(), pack))
+    }
+
+    /// The panel packs of the projection weights in `env` — logical
+    /// tensors, in any layout — that a resolver over `env` answers with.
+    pub fn pack_weights(&self, env: &HashMap<String, Tensor>) -> HashMap<String, Vec<f32>> {
+        let packed = self.weight_packs().filter_map(|(name, pack)| {
+            // one of another size is the run's to refuse
+            let t = env.get(name).filter(|t| t.len() == pack.m * pack.k)?;
+            let logical = t.relayout(&Layout::row_major(t.shape().rank()));
+            let mut panels = vec![0.0; logical.len()];
+            pack.pack(logical.data(), &mut panels);
+            Some((name.to_string(), panels))
+        });
+        packed.collect()
+    }
+
     /// The slab range of the external `name`, if it has one.
     fn resident(&self, name: &str) -> Option<std::ops::Range<usize>> {
         let named = |e: &&ExternalBind| e.name == name && e.home != Home::Borrowed;
@@ -864,7 +904,11 @@ impl CompiledArena {
                 Some(src) if src.len() == e.view.len => {
                     *entry = ExtSlice(src);
                     if matches!(e.home, Home::Slab | Home::Copied) {
-                        bufs.slab[e.view.off..e.view.off + e.view.len].copy_from_slice(src);
+                        let slot = &mut bufs.slab[e.view.off..e.view.off + e.view.len];
+                        match e.pack {
+                            Some(pack) => pack.unpack(src, slot),
+                            None => slot.copy_from_slice(src),
+                        }
                     }
                 }
                 // the steady-state decode path: the cache already lives here
@@ -1124,8 +1168,13 @@ pub fn execute(
         .filter_map(|(name, _)| Some((name, state.env.get(name).filter(permuted)?)))
         .map(|(name, t)| (name, t.relayout(&Layout::row_major(t.shape().rank()))))
         .collect();
+    // a projection weight is bound as its panel pack
+    let packed = arena.pack_weights(&state.env);
     let env = &state.env;
-    let resolve = &mut |name: &str| natural.get(name).or(env.get(name)).map(Tensor::data);
+    let resolve = &mut |name: &str| match packed.get(name) {
+        Some(panels) => Some(&panels[..]),
+        None => natural.get(name).or(env.get(name)).map(Tensor::data),
+    };
     arena.execute_into_state(graph, plan, opts, resolve, &mut produced)?;
     state.env.extend(produced.env);
     state.stats.extend(produced.stats);
@@ -1156,17 +1205,17 @@ fn compile_step(
     graph: &Graph,
     step: &PlanStep,
     stream: usize,
-    place_of: &HashMap<NodeId, Place>,
+    (place_of, externals): (&HashMap<NodeId, Place>, &[ExternalBind]),
     gather_from: &mut HashMap<NodeId, usize>,
     stats_words: &mut usize,
     stats_out: &mut Vec<StatsSpec>,
 ) -> Option<StepExec> {
-    let low = lower_step(graph, step)?;
+    let mut low = lower_step(graph, step)?;
     let scratch = BufView {
         off: 0,
         len: low.scratch_words(),
     };
-    let operands = (low.operands.into_iter())
+    let operands: Vec<(Place, Role, View)> = (low.operands.into_iter())
         .map(|(slot, role, view)| {
             let place = match slot {
                 Slot::In(k) => *place_of.get(&step.inputs.get(k)?.data)?,
@@ -1178,9 +1227,29 @@ fn compile_step(
             Some((place, role, view))
         })
         .collect::<Option<_>>()?;
+    // a weight read where the caller keeps it is its panel pack, which only
+    // a contraction reading it as its A can read
+    let packed = |k: usize| match operands[k].0 {
+        Place::Borrowed(e) => externals[e].pack.is_some(),
+        Place::Slab(_) => false,
+    };
+    if (0..operands.len()).any(packed) {
+        let plan = match &mut low.kernel {
+            Kernel::Contract { plan } => &mut **plan,
+            Kernel::Tile { plan, .. } => &mut plan.first,
+            _ => return None,
+        };
+        if (1..operands.len()).any(packed) || plan.swapped {
+            return None;
+        }
+        *plan = plan.with_panel_a()?;
+    }
     let relayouts = (low.relayouts.into_iter())
         .map(|r| match *place_of.get(&r.data)? {
-            Place::Slab(slot) => Some((gather_from.remove(&r.data), slot, r)),
+            Place::Slab(slot) => {
+                let from = gather_from.remove(&r.data).map(|e| (e, externals[e].pack));
+                Some((from, slot, r))
+            }
             Place::Borrowed(_) => None,
         })
         .collect::<Option<_>>()?;
@@ -1272,7 +1341,13 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
         let slot = unsafe { mem.slab_mut(*slot) };
         match *source {
             // SAFETY: the run bound entry `e` before its first step.
-            Some(e) => into_ops::relayout_from(&copy.dims, unsafe { mem.ext(e) }, slot),
+            Some((e, None)) => into_ops::relayout_from(&copy.dims, unsafe { mem.ext(e) }, slot),
+            Some((e, Some(pack))) => {
+                // a weight's panels, unpacked to its logical order first
+                let logical = &mut scratch()[..slot.len()];
+                pack.unpack(unsafe { mem.ext(e) }, logical);
+                into_ops::relayout_from(&copy.dims, logical, slot);
+            }
             None => into_ops::relayout_into(&copy.dims, slot, scratch()),
         }
     }
@@ -1599,8 +1674,13 @@ mod tests {
         opts: &ExecOptions,
     ) -> Vec<(String, Vec<f32>)> {
         let mut out = ExecState::default();
+        let packed = arena.pack_weights(&base.env);
+        let mut resolve = |name: &str| match packed.get(name) {
+            Some(panels) => Some(&panels[..]),
+            None => binder(base, "")(name),
+        };
         arena
-            .execute_into_state(graph, plan, opts, &mut binder(base, ""), &mut out)
+            .execute_into_state(graph, plan, opts, &mut resolve, &mut out)
             .unwrap();
         let mut all: Vec<(String, Vec<f32>)> = out
             .env

@@ -33,12 +33,13 @@
 //! ([`Kernel::Tile`]: the bias epilogues, the model head and the attention
 //! region) was.
 
-use xform_dataflow::{Graph, NodeId, OpKind};
+use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::into_ops::{
     ContractPlan, Sweep, TilePlan, View, ATTENTION_TILE_ROWS, HEAD_TILE_ROWS,
 };
 use xform_tensor::lanes::Walk;
+use xform_tensor::matmul::WeightPack;
 use xform_tensor::{Axis, Layout, Shape};
 
 use crate::plan::{
@@ -325,6 +326,28 @@ pub(crate) fn tile_kernel(
     fits.then_some((tail, plan))
 }
 
+/// The projection weight a step reads as the first operand of its (first)
+/// contraction — a [`DataRole::Weight`] of rank two or more — and where
+/// that contraction's GEMM A lies in the weight's logical words: the
+/// geometry of the panel pack the weight is stored as. The weight plays A
+/// in every such step, whatever layouts the step declares.
+pub(crate) fn weight_pack(graph: &Graph, step: &PlanStep) -> Option<(NodeId, WeightPack)> {
+    let spec = match &step.kind {
+        OpKind::Einsum(spec) | OpKind::TileProgram { first: spec, .. } => spec,
+        _ => return None,
+    };
+    let ins = graph.inputs_of(step.op);
+    let (w, x) = (graph.data(*ins.first()?)?, graph.data(*ins.get(1)?)?);
+    if w.role != DataRole::Weight || w.shape.rank() < 2 {
+        return None;
+    }
+    let (a, b, out) = labelled_shapes(spec, &w.shape, &x.shape)?;
+    let natural = |s: &Shape| Layout::row_major(s.rank()).strides(s);
+    let (a, b) = ((&a, &natural(&a)[..]), (&b, &natural(&b)[..]));
+    let plan = ContractPlan::compile_as(spec, a, b, &natural(&out), Some(false)).ok()?;
+    Some((ins[0], plan.a_pack()?))
+}
+
 /// Lowers one scheduled step from the graph's edges, the step's operator
 /// kind and kernel name, and its declared layouts; see the module docs.
 pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering> {
@@ -467,7 +490,10 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                 strides(Slot::In(1))?,
                 strides(Slot::Out(0))?,
             );
-            let plan = ContractPlan::compile(spec, &a_s, &a, &b_s, &b, &out).ok()?;
+            // a projection weight plays A, read out of its panel pack
+            let weight = weight_pack(graph, step).is_some();
+            let (a, b) = ((&a_s, &a[..]), (&b_s, &b[..]));
+            let plan = ContractPlan::compile_as(spec, a, b, &out, weight.then_some(false)).ok()?;
             let kernel = Kernel::Contract {
                 plan: Box::new(plan),
             };

@@ -62,8 +62,8 @@ use crate::error::{Result, TensorError};
 use crate::lanes::{self, on_run, Dropout, LaneAt, Run, Walk, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
-    gemm_batched, gemm_packed_leading, pack_panels, panel_words, BatchMut, BatchRef, BatchStrides,
-    MatRef, Start, NR,
+    gemm_batched, gemm_packed_leading, gemm_panels, pack_panels, panel_words, BatchMut, BatchRef,
+    BatchStrides, Lhs, MatMut, MatRef, PanelRef, Start, WeightPack, NR,
 };
 use crate::ops::elementwise::ActivationKind;
 use crate::tensor::Tensor;
@@ -453,9 +453,38 @@ pub struct ContractPlan {
     pub n: usize,
     /// Collapsed GEMM K.
     pub k: usize,
+    /// A is read out of the panel pack of its `m×k` matrix
+    /// ([`PanelRef`]) instead of through its view: the operand is a
+    /// projection weight, stored once in that order
+    /// ([`ContractPlan::with_panel_a`]).
+    pub panels: bool,
 }
 
 impl ContractPlan {
+    /// This plan with A read out of the panel pack of its `m×k` matrix
+    /// ([`crate::matmul::pack_weight`]) — how a projection weight is stored
+    /// — rather than through its view; `None` unless A is one matrix the
+    /// GEMM reads where it lies (one batch slice, a view). The words the
+    /// kernel sees, and so the bits, do not change.
+    pub fn with_panel_a(&self) -> Option<ContractPlan> {
+        (self.batch == 1 && self.a.view.is_some()).then(|| ContractPlan {
+            panels: true,
+            ..self.clone()
+        })
+    }
+
+    /// Where A lies in its operand's words, as the pack of a projection
+    /// weight records it; `None` unless A is one matrix read as a view.
+    pub fn a_pack(&self) -> Option<WeightPack> {
+        let v = self.a.view.filter(|_| self.batch == 1)?;
+        Some(WeightPack {
+            m: self.m,
+            k: self.k,
+            rs: v.rs,
+            cs: v.cs,
+        })
+    }
+
     /// Compiles `spec` for operands with the given shapes (labelled with
     /// the spec's letters) and strides, and an output whose axes, in the
     /// spec's output order, have strides `out_strides`.
@@ -491,7 +520,11 @@ impl ContractPlan {
     /// [`ContractPlan::compile`] with the roles pinned when `swapped` is
     /// given (as the field of that name reads), chosen as documented there
     /// when it is not. Operands are `(shape, strides)`.
-    fn compile_as(
+    ///
+    /// # Errors
+    ///
+    /// As [`ContractPlan::compile`].
+    pub fn compile_as(
         spec: &EinsumSpec,
         (a_shape, a_strides): Labelled<'_>,
         (b_shape, b_strides): Labelled<'_>,
@@ -546,6 +579,7 @@ impl ContractPlan {
                 m: gs.n,
                 n: gs.m,
                 k: gs.k,
+                panels: false,
             }
         } else {
             ContractPlan {
@@ -557,6 +591,7 @@ impl ContractPlan {
                 m: gs.m,
                 n: gs.n,
                 k: gs.k,
+                panels: false,
             }
         })
     }
@@ -649,7 +684,12 @@ pub(crate) fn contract_with_threads(
             at: BatchStrides::dense(m, n),
         },
     };
-    gemm_batched(batch, m, n, k, ga, gb, gc, Start::FromZero, threads);
+    if plan.panels {
+        let (a, c) = (PanelRef::new(x_a, m, k), MatMut::new(gc.data, gc.at.rs, gc.at.cs));
+        gemm_panels(m, n, k, a, gb.slice(0), c, Start::FromZero);
+    } else {
+        gemm_batched(batch, m, n, k, ga, gb, gc, Start::FromZero, threads);
+    }
     if plan.c.view.is_none() {
         copy_strided(&plan.c.dims, c_pack, 0, out, 0);
     }
@@ -995,7 +1035,11 @@ pub fn tile_into(
             let (rows, row0) = (tile_rows.min(m - r0), g * m + r0);
             // the columns some row sees, in whole vectors
             let cols = seen(r0, rows).next_multiple_of(NR).min(n_all);
-            let a_rows = ga.slice(g).from_row(r0);
+            let a_rows = match f.panels {
+                true => Lhs::Panels(PanelRef::new(x_a, m, k)),
+                false => Lhs::Mat(ga.slice(g)),
+            }
+            .from_row(r0);
             gemm_packed_leading(rows, cols, k, a_rows, panels, n_all, tile, (n, 1));
             let depth = seen(r0, rows);
             for r in 0..rows {

@@ -201,9 +201,9 @@ pub fn gemm(
     assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
     if n == 1 && m > 1 {
         // matrix–vector: cᵀ = bᵀ·aᵀ puts the rows of A in the lanes
-        blocks(1, m, k, b.t(), Panels::Strided(a.t()), c.t(), start);
+        blocks(1, m, k, b.t().into(), Panels::Strided(a.t()), c.t(), start);
     } else {
-        blocks(m, n, k, a, Panels::Strided(b), c, start);
+        blocks(m, n, k, a.into(), Panels::Strided(b), c, start);
     }
 }
 
@@ -252,7 +252,7 @@ pub fn gemm_packed(
     assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
     assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
     let panels = &panels[..panel_words(n, k)];
-    blocks(m, n, k, a, Panels::Packed(panels, k), c, start);
+    blocks(m, n, k, a.into(), Panels::Packed(panels, k), c, start);
 }
 
 /// `c = a × b` over the leading `n` columns and the leading `depth` rows of
@@ -271,11 +271,11 @@ pub fn gemm_packed(
 /// rows (a scratch slice longer than the pack reads as a deeper pack); and
 /// if `depth` is deeper than the pack.
 #[allow(clippy::too_many_arguments)] // a GEMM's dimensions and operands
-pub fn gemm_packed_leading(
+pub fn gemm_packed_leading<'a>(
     m: usize,
     n: usize,
     depth: usize,
-    a: MatRef<'_>,
+    a: impl Into<Lhs<'a>>,
     panels: &[f32],
     pn: usize,
     c: &mut [f32],
@@ -289,8 +289,9 @@ pub fn gemm_packed_leading(
         "panels is not a whole pack {pn} columns wide"
     );
     assert!(depth <= pk, "a depth of {depth} past a pack {pk} deep");
+    let a = a.into();
     for pc in (0..depth).step_by(KC) {
-        let a_blk = MatRef::new(&a.data[(pc * a.cs).min(a.data.len())..], a.rs, a.cs);
+        let a_blk = a.from_col(pc);
         let start = if pc == 0 {
             Start::FromZero
         } else {
@@ -302,6 +303,320 @@ pub fn gemm_packed_leading(
     }
 }
 
+/// Word `(r, c)` of an `m×k` matrix stored in panel order ([`PanelRef`]).
+fn panel_at(m: usize, k: usize, r: usize, c: usize) -> usize {
+    let (pc, jr) = (c - c % KC, r - r % NR);
+    pc * m + jr * KC.min(k - pc) + (c - pc) * NR.min(m - jr) + (r - jr)
+}
+
+/// Packs all of `a` (`m×k`) into `dst` in panel order ([`PanelRef`]): the
+/// one storage of a projection weight, written once per weight.
+///
+/// # Panics
+///
+/// Panics if `dst` does not hold exactly `m·k` words or `a` is too short.
+pub fn pack_weight(m: usize, k: usize, a: MatRef<'_>, dst: &mut [f32]) {
+    assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
+    assert_eq!(dst.len(), m * k, "a pack holds m·k words");
+    for r in 0..m {
+        for c in 0..k {
+            dst[panel_at(m, k, r, c)] = a.data[r * a.rs + c * a.cs];
+        }
+    }
+}
+
+/// Writes the `m×k` matrix a [`pack_weight`] pack holds into `a`: the
+/// inverse of the pack, for whoever needs the weight in logical order.
+///
+/// # Panics
+///
+/// Panics if `panels` does not hold exactly `m·k` words or `a` is too
+/// short.
+pub fn unpack_weight(m: usize, k: usize, panels: &[f32], a: MatMut<'_>) {
+    assert_eq!(panels.len(), m * k, "a pack holds m·k words");
+    assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
+    for r in 0..m {
+        for c in 0..k {
+            a.data[r * a.rs + c * a.cs] = panels[panel_at(m, k, r, c)];
+        }
+    }
+}
+
+/// Where a projection weight's GEMM-A matrix (`m×k`) lies in the weight's
+/// logical row-major words — element `(r, c)` at `r·rs + c·cs` — which is
+/// what its panel pack is made from and unpacked to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WeightPack {
+    /// Rows of A.
+    pub m: usize,
+    /// Columns (the depth) of A.
+    pub k: usize,
+    /// Row stride in the logical words.
+    pub rs: usize,
+    /// Column stride in the logical words.
+    pub cs: usize,
+}
+
+impl WeightPack {
+    /// Packs the logical words `logical` into `dst` ([`pack_weight`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`pack_weight`].
+    pub fn pack(&self, logical: &[f32], dst: &mut [f32]) {
+        pack_weight(self.m, self.k, MatRef::new(logical, self.rs, self.cs), dst);
+    }
+
+    /// Writes the pack `panels` back into logical order ([`unpack_weight`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`unpack_weight`].
+    pub fn unpack(&self, panels: &[f32], logical: &mut [f32]) {
+        unpack_weight(self.m, self.k, panels, MatMut::new(logical, self.rs, self.cs));
+    }
+
+    /// The logical index of every pack word, in pack order: `pack[w]` is
+    /// `logical[index[w]]`.
+    pub fn logical_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        let (m, k) = (self.m, self.k);
+        (0..k).step_by(KC).flat_map(move |pc| {
+            (0..m).step_by(NR).flat_map(move |jr| {
+                let (kc, w) = (KC.min(k - pc), NR.min(m - jr));
+                (0..kc * w).map(move |i| (jr + i % w) * self.rs + (pc + i / w) * self.cs)
+            })
+        })
+    }
+}
+
+/// A matrix `A` (`m×k`) read out of its panel order, or its transpose —
+/// the operand a projection weight is for every GEMM that reads it.
+///
+/// The order is [`pack_panels`]' order of `aᵀ`, without the padding: `KC`
+/// blocks of depth in ascending order, within each the rows of A in
+/// [`NR`]-row panels from the top, each panel `k` inner — word
+/// `[kk][r]` — and the last panel of a block as wide as the rows left, so a
+/// pack holds exactly `m·k` words ([`pack_weight`]). One pack serves three
+/// readers, each through [`kernel`] alone, so the bits are those of
+/// [`gemm`] over the same matrix by construction:
+///
+/// * a matrix–vector product streams the panels as they lie: they are the
+///   transposed problem's B panels (a last, narrower panel is widened on
+///   the stack);
+/// * a GEMM with more columns copies its `MR`-row A slabs out of them, from
+///   any row offset ([`PanelRef::from_row`]);
+/// * the transpose ([`PanelRef::t`]) is gathered into its slabs, one
+///   transposing pack — the backward's read.
+#[derive(Debug, Clone, Copy)]
+pub struct PanelRef<'a> {
+    data: &'a [f32],
+    m: usize,
+    k: usize,
+    row0: usize,
+    col0: usize,
+    transposed: bool,
+}
+
+impl<'a> PanelRef<'a> {
+    /// The whole `m×k` pack in `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `data` holds exactly `m·k` words: a slice cut to
+    /// another length is another matrix's pack, or none.
+    pub fn new(data: &'a [f32], m: usize, k: usize) -> Self {
+        assert_eq!(data.len(), m * k, "a {m}×{k} pack holds {} words", m * k);
+        PanelRef {
+            data,
+            m,
+            k,
+            row0: 0,
+            col0: 0,
+            transposed: false,
+        }
+    }
+
+    /// The transposed view: rows and columns exchanged.
+    pub fn t(self) -> Self {
+        PanelRef {
+            transposed: !self.transposed,
+            ..self
+        }
+    }
+
+    /// The view starting at row `r` (of the view).
+    pub fn from_row(self, r: usize) -> Self {
+        match self.transposed {
+            false => PanelRef {
+                row0: self.row0 + r,
+                ..self
+            },
+            true => PanelRef {
+                col0: self.col0 + r,
+                ..self
+            },
+        }
+    }
+
+    /// The view starting at column `c` (of the view).
+    pub fn from_col(self, c: usize) -> Self {
+        self.t().from_row(c).t()
+    }
+
+    /// Rows and columns the view reaches.
+    fn extent(&self) -> (usize, usize) {
+        let (rows, cols) = (self.m.saturating_sub(self.row0), self.k.saturating_sub(self.col0));
+        match self.transposed {
+            false => (rows, cols),
+            true => (cols, rows),
+        }
+    }
+
+    /// The B panel of the transposed problem at depth `pc` (`kc` deep) and
+    /// lane `jc`: rows `jc..` of an untransposed view that starts on a
+    /// panel and at depth 0 — in place when the panel is whole, widened
+    /// into `stack` with zero lanes when it is the narrower last one.
+    fn b_panel<'s>(&self, pc: usize, jc: usize, kc: usize, stack: &'s mut [f32]) -> &'s [f32]
+    where
+        'a: 's,
+    {
+        let jr = self.row0 + jc;
+        let (kb, w) = (KC.min(self.k - pc), NR.min(self.m - jr));
+        let panel = &self.data[pc * self.m + jr * kb..][..kc * w];
+        if w == NR {
+            return panel;
+        }
+        let stack = &mut stack[..kc * NR];
+        for (dst, src) in stack.chunks_exact_mut(NR).zip(panel.chunks_exact(w)) {
+            dst[..w].copy_from_slice(src);
+            dst[w..].fill(0.0);
+        }
+        stack
+    }
+
+    /// Packs rows `row..row + R`, columns `pc..pc + slab.len()/R` of the
+    /// view into `slab` as [`blocks`] lays out an A slab: `R` words per
+    /// column, interleaved along `k`.
+    fn pack_slab<const R: usize>(&self, slab: &mut [f32], pc: usize, row: usize) {
+        let (m, k, kc) = (self.m, self.k, slab.len() / R);
+        if !self.transposed {
+            // rows of A: a column's `R` words are adjacent in their panel
+            let (r, c) = (self.row0 + row, self.col0 + pc);
+            let at = |q: usize| panel_at(m, k, r + q, c);
+            let w = NR.min(m - (r - r % NR));
+            if (r % NR) + R <= NR {
+                let first = at(0);
+                for (kk, dst) in slab.chunks_exact_mut(R).enumerate() {
+                    dst.copy_from_slice(&self.data[first + kk * w..][..R]);
+                }
+            } else {
+                for q in 0..R {
+                    let (first, w) = (at(q), NR.min(m - (r + q - (r + q) % NR)));
+                    for (kk, dst) in slab.chunks_exact_mut(R).enumerate() {
+                        dst[q] = self.data[first + kk * w];
+                    }
+                }
+            }
+        } else {
+            // columns of A: each of the `R` walks A's rows down one column,
+            // contiguous within a panel
+            for q in 0..R {
+                let c = self.col0 + row + q;
+                let mut kk = 0;
+                while kk < kc {
+                    let r = self.row0 + pc + kk;
+                    let jr = r - r % NR;
+                    let run = (jr + NR.min(m - jr) - r).min(kc - kk);
+                    let src = &self.data[panel_at(m, k, r, c)..][..run];
+                    for (t, &v) in src.iter().enumerate() {
+                        slab[(kk + t) * R + q] = v;
+                    }
+                    kk += run;
+                }
+            }
+        }
+    }
+}
+
+/// The left operand of the block loop: a strided view or a panel pack.
+#[derive(Debug, Clone, Copy)]
+pub enum Lhs<'a> {
+    /// Read through its strides.
+    Mat(MatRef<'a>),
+    /// Read out of its panel order.
+    Panels(PanelRef<'a>),
+}
+
+impl<'a> From<MatRef<'a>> for Lhs<'a> {
+    fn from(a: MatRef<'a>) -> Self {
+        Lhs::Mat(a)
+    }
+}
+
+impl<'a> From<PanelRef<'a>> for Lhs<'a> {
+    fn from(a: PanelRef<'a>) -> Self {
+        Lhs::Panels(a)
+    }
+}
+
+impl<'a> Lhs<'a> {
+    /// The view starting at row `r`.
+    pub fn from_row(self, r: usize) -> Self {
+        match self {
+            Lhs::Mat(a) => Lhs::Mat(a.from_row(r)),
+            Lhs::Panels(a) => Lhs::Panels(a.from_row(r)),
+        }
+    }
+
+    /// The view starting at column `c`.
+    fn from_col(self, c: usize) -> Self {
+        match self {
+            Lhs::Mat(a) => Lhs::Mat(a.t().from_row(c).t()),
+            Lhs::Panels(a) => Lhs::Panels(a.from_col(c)),
+        }
+    }
+
+    /// Packs rows `row..row + R`, columns `pc..pc + slab.len()/R` into an
+    /// A slab ([`blocks`]).
+    fn pack_slab<const R: usize>(&self, slab: &mut [f32], pc: usize, row: usize) {
+        match self {
+            Lhs::Mat(a) => pack_panel::<R>(slab, a.t(), pc, row, R),
+            Lhs::Panels(a) => a.pack_slab::<R>(slab, pc, row),
+        }
+    }
+}
+
+/// [`gemm`] with A read out of its panel order: `c (+)= a × b` for `a`
+/// (`m×k`, a [`PanelRef`] view), `b` (`k×n`) and `c` (`m×n`). With one
+/// column, from a row on a panel boundary of an untransposed pack, the
+/// panels stream into the kernel as they lie — the matrix–vector product
+/// packs nothing but its vector; otherwise A's slabs are copied out of
+/// them. Bit for bit [`gemm`] over the same matrix.
+///
+/// # Panics
+///
+/// Panics if `a` reaches fewer than `m×k` elements or a view's slice is too
+/// short.
+pub fn gemm_panels(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: PanelRef<'_>,
+    b: MatRef<'_>,
+    c: MatMut<'_>,
+    start: Start,
+) {
+    let (rows, cols) = a.extent();
+    assert!(m <= rows && k <= cols, "a reaches {rows}×{cols}, not {m}×{k}");
+    assert!(b.data.len() >= span(k, n, b.rs, b.cs), "b is too short");
+    assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
+    if n == 1 && m > 1 && !a.transposed && a.row0 % NR == 0 && a.col0 == 0 {
+        blocks(1, m, k, b.t().into(), Panels::Rows(a), c.t(), start);
+    } else {
+        blocks(m, n, k, a.into(), Panels::Strided(b), c, start);
+    }
+}
+
 /// Where the block loop gets its B panels.
 #[derive(Clone, Copy)]
 enum Panels<'a> {
@@ -310,6 +625,8 @@ enum Panels<'a> {
     /// Cut from a [`pack_panels`] buffer this many rows deep, each block's
     /// panels as deep as the block.
     Packed(&'a [f32], usize),
+    /// The rows of a panel pack, as they lie: the transposed problem's B.
+    Rows(PanelRef<'a>),
 }
 
 thread_local! {
@@ -323,7 +640,7 @@ fn blocks(
     m: usize,
     n: usize,
     k: usize,
-    a: MatRef<'_>,
+    a: Lhs<'_>,
     b: Panels<'_>,
     mut c: MatMut<'_>,
     start: Start,
@@ -351,10 +668,10 @@ fn blocks(
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 for (s, slab) in block[..tiled * kc].chunks_exact_mut(MR * kc).enumerate() {
-                    pack_panel::<MR>(slab, a.t(), pc, ic + s * MR, MR);
+                    a.pack_slab::<MR>(slab, pc, ic + s * MR);
                 }
                 for r in tiled..mc {
-                    pack_panel::<1>(&mut block[r * kc..][..kc], a.t(), pc, ic + r, 1);
+                    a.pack_slab::<1>(&mut block[r * kc..][..kc], pc, ic + r);
                 }
                 let from_zero = start == Start::FromZero && pc == 0;
                 for jc in (0..n).step_by(NR) {
@@ -365,6 +682,7 @@ fn blocks(
                             &stack[..kc * NR]
                         }
                         Panels::Packed(p, d) => &p[pc * npad + jc * KC.min(d - pc)..][..kc * NR],
+                        Panels::Rows(w) => w.b_panel(pc, jc, kc, &mut stack),
                     };
                     for (s, slab) in block[..tiled * kc].chunks_exact(MR * kc).enumerate() {
                         accumulate::<MR>(slab, panel, &mut c, (ic + s * MR, jc), nr, from_zero);

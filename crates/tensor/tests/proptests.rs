@@ -1643,3 +1643,128 @@ mod parser_robustness {
         }
     }
 }
+
+/// A panel pack ([`xform_tensor::matmul::PanelRef`]) in each of the roles a
+/// projection weight plays — forward A from a row offset, the `n == 1`
+/// product that streams the pack, the backward's transposed read, and one
+/// block of a stacked Q/K/V pack as a row range — bitwise equal to the
+/// strided `gemm` and to `naive_sgemm` over the same matrix.
+mod panel_operand {
+    use super::*;
+    use xform_tensor::matmul::{
+        gemm, gemm_panels, naive_sgemm, pack_weight, unpack_weight, MatMut, MatRef, PanelRef,
+        Start, KC,
+    };
+
+    const MS: [usize; 5] = [1, 15, 16, 17, 37];
+    const KS: [usize; 5] = [1, 255, 256, 257, 2 * KC + 3];
+    const NS: [usize; 3] = [1, 2, 33];
+    /// Dead columns of every C buffer, which no role may write.
+    const DEAD: usize = 3;
+
+    fn rand_vec(len: usize, rng: &mut StdRng) -> Vec<f32> {
+        (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `c (+)= a·b` three ways — the panels, the strided `gemm` over `a`,
+    /// `naive_sgemm` (from C only) — into `m×n` C buffers `n + DEAD` words
+    /// a row whose dead words hold NaN; all three must agree bit for bit
+    /// and leave the dead words alone.
+    #[allow(clippy::too_many_arguments)]
+    fn agree(
+        (m, n, k): (usize, usize, usize),
+        panels: PanelRef<'_>,
+        a: MatRef<'_>,
+        b: &[f32],
+        c0: &[f32],
+        start: Start,
+        what: &str,
+    ) {
+        let ld = n + DEAD;
+        let mut seeded = vec![f32::NAN; m * ld];
+        if start == Start::FromC {
+            for (row, src) in seeded.chunks_exact_mut(ld).zip(c0.chunks_exact(n)) {
+                row[..n].copy_from_slice(src);
+            }
+        }
+        let run = |f: &dyn Fn(MatMut<'_>)| {
+            let mut c = seeded.clone();
+            f(MatMut::new(&mut c, ld, 1));
+            c
+        };
+        let b = MatRef::row_major(b, n);
+        let got = run(&|c| gemm_panels(m, n, k, panels, b, c, start));
+        let want = run(&|c| gemm(m, n, k, a, b, c, start));
+        assert_eq!(bits(&got), bits(&want), "{what} against gemm");
+        for row in got.chunks_exact(ld) {
+            assert!(row[n..].iter().all(|v| v.is_nan()), "{what} wrote a dead word");
+        }
+        if start == Start::FromC {
+            let mut dense = vec![0.0f32; m * k];
+            for r in 0..m {
+                for c in 0..k {
+                    dense[r * k + c] = a.data[r * a.rs + c * a.cs];
+                }
+            }
+            let mut naive = c0.to_vec();
+            naive_sgemm(m, n, k, &dense, b.data, &mut naive);
+            let live: Vec<f32> = got.chunks_exact(ld).flat_map(|r| &r[..n]).copied().collect();
+            assert_eq!(bits(&live), bits(&naive), "{what} against naive_sgemm");
+        }
+    }
+
+    #[test]
+    fn every_role_is_the_strided_gemm_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x9a7e);
+        for (m, k, n) in MS
+            .iter()
+            .flat_map(|&m| KS.iter().flat_map(move |&k| NS.iter().map(move |&n| (m, k, n))))
+        {
+            // packs of `m` rows, and of `m` rows behind an offset on and off
+            // a panel boundary; then a stack of three `m`-row blocks
+            for (off, blocks) in [(0, 1), (5, 1), (16, 1), (0, 3)] {
+                let rows = off + blocks * m;
+                let w = rand_vec(rows * k, &mut rng);
+                let mut pack = vec![f32::NAN; rows * k];
+                pack_weight(rows, k, MatRef::row_major(&w, k), &mut pack);
+                let mut back = vec![f32::NAN; rows * k];
+                unpack_weight(rows, k, &pack, MatMut::row_major(&mut back, k));
+                assert_eq!(bits(&back), bits(&w), "the pack of {rows}×{k} unpacks");
+                let whole = PanelRef::new(&pack, rows, k);
+                for s in 0..blocks {
+                    let r0 = off + s * m;
+                    let (p, a) = (whole.from_row(r0), MatRef::row_major(&w[r0 * k..], k));
+                    let what = format!("m {m} k {k} n {n} rows {r0}.. of {rows}");
+                    for start in [Start::FromC, Start::FromZero] {
+                        // forward: A is the block; the backward: its transpose
+                        let (b, c0) = (rand_vec(k * n, &mut rng), rand_vec(m * n, &mut rng));
+                        agree((m, n, k), p, a, &b, &c0, start, &format!("{what} forward"));
+                        let (b, c0) = (rand_vec(m * n, &mut rng), rand_vec(k * n, &mut rng));
+                        let what = format!("{what} transposed");
+                        agree((k, n, m), p.t(), a.t(), &b, &c0, start, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pack_of_another_length_is_refused() {
+        let words = vec![0.0f32; 17 * 5 + 1];
+        for len in [17 * 5 - 1, 17 * 5 + 1, 0] {
+            let cut = std::panic::catch_unwind(|| PanelRef::new(&words[..len], 17, 5));
+            assert!(cut.is_err(), "{len} words are not a 17×5 pack");
+        }
+        assert!(std::panic::catch_unwind(|| {
+            let p = PanelRef::new(&words[..17 * 5], 17, 5).from_row(1);
+            let mut c = vec![0.0f32; 17];
+            let b = MatRef::row_major(&words[..5], 1);
+            gemm_panels(17, 1, 5, p, b, MatMut::row_major(&mut c, 1), Start::FromZero);
+        })
+        .is_err());
+    }
+}

@@ -27,7 +27,7 @@ use xform_tensor::fused::{self, SmOutput};
 use xform_tensor::ops::dropout::dropout_backward;
 use xform_tensor::ops::elementwise::{activate_backward, add, bias_grad, scale, ActivationKind};
 use xform_tensor::ops::softmax::softmax_backward;
-use xform_tensor::{einsum, into_ops, Axis, Result, Tensor};
+use xform_tensor::{einsum, into_ops, Axis, Result, Shape, Tensor, TensorError};
 
 use crate::interp::Saved;
 use crate::params::{EncoderGrads, EncoderWeights};
@@ -109,7 +109,7 @@ pub(crate) fn attention_backward(
     fused: bool,
 ) -> Result<AttentionGrads> {
     let k = Axis('k');
-    let d_gam = einsum("whi,ibj->whbj", &[&w.wo, d_attn])?;
+    let d_gam = w.wo.product(0..w.wo.pack().m, true, d_attn, a.gamma.shape().clone())?;
     let d_alpha = einsum("whbk,whbj->hbjk", &[a.vv, &d_gam])?;
     let d_vv = einsum("whbj,hbjk->whbk", &[&d_gam, a.alpha])?;
     let d_beta = if fused {
@@ -120,10 +120,16 @@ pub(crate) fn attention_backward(
     };
     let d_qq = einsum("phbk,hbjk->phbj", &[a.kk, &d_beta])?;
     let d_kk = einsum("phbj,hbjk->phbk", &[a.qq, &d_beta])?;
+    // each stream's input gradient reads its third of the stack's rows
+    let (ph, i) = (w.w_qkv.pack().m / 3, w.w_qkv.pack().k);
+    let input = |s: usize, d: &Tensor| {
+        let out = columns_of(d, &[('i', i)])?;
+        w.w_qkv.product(s * ph..(s + 1) * ph, true, d, out)
+    };
     Ok(AttentionGrads {
-        dq: einsum("phi,phbj->ibj", &[&w.projection(0, "phi")?, &d_qq])?,
-        dk: einsum("phi,phbk->ibk", &[&w.projection(1, "phi")?, &d_kk])?,
-        dv: einsum("whi,whbk->ibk", &[&w.projection(2, "whi")?, &d_vv])?,
+        dq: input(0, &d_qq)?,
+        dk: input(1, &d_kk)?,
+        dv: input(2, &d_vv)?,
         d_qq,
         d_kk,
         d_vv,
@@ -198,7 +204,8 @@ pub(crate) fn ffn_backward(
     let u = [Axis('u')];
     let (ff1_b, mask) = (a.tensor("ff1_b")?, a.tensor("drop2_mask")?);
     g.b2 = bias_grad(d_out, &[Axis('i')])?;
-    let d_brd = einsum("iu,ibj->ubj", &[&w.w2, d_out])?;
+    let (i, u_len) = (w.w2.pack().m, w.w2.pack().k);
+    let d_brd = w.w2.product(0..i, true, d_out, columns_of(d_out, &[('u', u_len)])?)?;
     g.w2 = einsum("ibj,ubj->iu", &[d_out, a.tensor("ff1_drop")?])?;
     let d_ff1 = if fused {
         let (d_ff1, db1) = fused::bdrb_act(&d_brd, mask, ff1_b, activation, &u)?;
@@ -211,5 +218,17 @@ pub(crate) fn ffn_backward(
         d_ff1
     };
     g.w1 = einsum("ubj,ibj->ui", &[&d_ff1, x])?;
-    einsum("ui,ubj->ibj", &[&w.w1, &d_ff1])
+    let (u_len, i) = (w.w1.pack().m, w.w1.pack().k);
+    w.w1.product(0..u_len, true, &d_ff1, columns_of(&d_ff1, &[('i', i)])?)
+}
+
+/// `lead` followed by the last two axes of `x` (its `b` and `j`/`k`): the
+/// shape of a projection's product with `x`.
+pub(crate) fn columns_of(x: &Tensor, lead: &[(char, usize)]) -> Result<Shape> {
+    let (axes, sizes) = (x.shape().axes(), x.shape().sizes());
+    let cols = axes.len().checked_sub(2).ok_or(TensorError::ShapeMismatch {
+        context: "a projection's operand has a batch and a sequence axis",
+    })?;
+    let trailing = (axes[cols..].iter().map(|a| a.name())).zip(sizes[cols..].iter().copied());
+    Shape::new(lead.iter().copied().chain(trailing))
 }

@@ -177,7 +177,8 @@ impl EncoderWeights {
     /// Returns an error on I/O failure.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let mut w = BufWriter::new(File::create(path)?);
-        write_tensors(&mut w, &self.fields())?;
+        let fields = self.fields();
+        write_tensors(&mut w, &fields.each_ref().map(|(n, t)| (*n, &**t)))?;
         w.flush()?;
         Ok(())
     }
@@ -191,19 +192,24 @@ impl EncoderWeights {
     pub fn load(&mut self, path: &Path) -> Result<(), CheckpointError> {
         let mut r = BufReader::new(File::open(path)?);
         let tensors = read_tensors(&mut r)?;
-        for (name, field) in self.fields_mut() {
+        // every field checked before any is replaced
+        let names = self.fields().map(|(name, field)| (name, field.shape().clone()));
+        for (name, shape) in &names {
             let (_, t) = tensors
                 .iter()
                 .find(|(n, _)| n == name)
                 .ok_or_else(|| CheckpointError::Format(format!("missing field `{name}`")))?;
-            if t.shape() != field.shape() {
+            if t.shape() != shape {
                 return Err(CheckpointError::Format(format!(
-                    "shape mismatch for `{name}`: file {} vs model {}",
+                    "shape mismatch for `{name}`: file {} vs model {shape}",
                     t.shape(),
-                    field.shape()
                 )));
             }
-            *field = t.clone();
+        }
+        for (name, t) in &tensors {
+            if names.iter().any(|(n, _)| n == name) {
+                self.set_field(name, t).expect("checked against the field's shape");
+            }
         }
         Ok(())
     }
@@ -232,6 +238,7 @@ mod tests {
         for ((n, a), (_, b)) in w.fields().iter().zip(w2.fields()) {
             assert_eq!(a.data(), b.data(), "field {n} not identical");
         }
+        assert_eq!(w.w_qkv.data(), w2.w_qkv.data(), "the pack is the same words");
         std::fs::remove_file(path).ok();
     }
 
@@ -263,7 +270,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let w = EncoderWeights::init(&dims, &mut rng);
         let mut full = Vec::new();
-        write_tensors(&mut full, &w.fields()).unwrap();
+        let fields = w.fields();
+        write_tensors(&mut full, &fields.each_ref().map(|(n, t)| (*n, &**t))).unwrap();
         full.truncate(full.len() / 2);
         assert!(read_tensors(&mut full.as_slice()).is_err());
     }

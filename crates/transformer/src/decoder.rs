@@ -265,20 +265,7 @@ mod tests {
                 .unwrap()
                 .1
                 .data()[flat];
-            let mut wp = w.clone();
-            wp.fields_mut()
-                .into_iter()
-                .find(|(n, _)| *n == name)
-                .unwrap()
-                .1
-                .data_mut()[flat] += eps;
-            let mut wm = w.clone();
-            wm.fields_mut()
-                .into_iter()
-                .find(|(n, _)| *n == name)
-                .unwrap()
-                .1
-                .data_mut()[flat] -= eps;
+            let (wp, wm) = (w.nudged(name, flat, eps), w.nudged(name, flat, -eps));
             let num = (loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps);
             assert!(
                 (num - analytic).abs() < 0.05 * (1.0 + num.abs()),

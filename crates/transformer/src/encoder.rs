@@ -480,24 +480,7 @@ mod tests {
                     .unwrap();
                 t.data()[flat]
             };
-            let mut wp = w.clone();
-            let mut wm = w.clone();
-            {
-                let (_, t) = wp
-                    .fields_mut()
-                    .into_iter()
-                    .find(|(n, _)| *n == name)
-                    .unwrap();
-                t.data_mut()[flat] += eps;
-            }
-            {
-                let (_, t) = wm
-                    .fields_mut()
-                    .into_iter()
-                    .find(|(n, _)| *n == name)
-                    .unwrap();
-                t.data_mut()[flat] -= eps;
-            }
+            let (wp, wm) = (w.nudged(name, flat, eps), w.nudged(name, flat, -eps));
             let num = (loss(&x, &wp) - loss(&x, &wm)) / (2.0 * eps);
             assert!(
                 (num - analytic).abs() < 0.05 * (1.0 + num.abs()),

@@ -414,7 +414,7 @@ pub(crate) fn external_words<'a>(
 ) -> Option<&'a [f32]> {
     match name {
         "x" => Some(x),
-        _ => w.container(name)?.natural_words(),
+        _ => w.container(name),
     }
 }
 
@@ -454,7 +454,7 @@ pub fn bind_inputs(x: &Tensor, w: &EncoderWeights) -> ExecState {
     let mut state = ExecState::default();
     state.env.insert("x".into(), x.clone());
     for (name, t) in w.fields() {
-        state.env.insert(name.into(), t.clone());
+        state.env.insert(name.into(), t.into_owned());
     }
     state
 }
@@ -935,9 +935,13 @@ mod tests {
         let shape = Shape::from_spec("ibj", &dims.size_table()).unwrap();
         let x = Tensor::random(shape, &Uniform::new(-1.0, 1.0), &mut rng);
         let nudge = |w: &mut EncoderWeights| {
-            w.w1.data_mut().iter_mut().for_each(|v| *v += 0.25);
-            let q = w.w_qkv.len() / 3;
-            w.w_qkv.data_mut()[..q].iter_mut().for_each(|v| *v -= 0.5);
+            let mut w1 = w.field("w1").unwrap();
+            w1.data_mut().iter_mut().for_each(|v| *v += 0.25);
+            let mut qkv = w.field("w_qkv").unwrap();
+            let q = qkv.len() / 3;
+            qkv.data_mut()[..q].iter_mut().for_each(|v| *v -= 0.5);
+            w.set_field("w1", &w1).unwrap();
+            w.set_field("w_qkv", &qkv).unwrap();
         };
         // every compiled arena — slabs, scratch, externals tables — dropped
         let cold = clear_arena_cache;

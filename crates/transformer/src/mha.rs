@@ -8,7 +8,7 @@ use xform_dataflow::EncoderDims;
 use xform_tensor::fused::{self, SmOutput};
 use xform_tensor::{einsum, Axis, Result, Tensor};
 
-use crate::backward::{attention_backward, AttentionSaved};
+use crate::backward::{attention_backward, columns_of, AttentionSaved};
 use crate::params::EncoderWeights;
 
 /// Saved values from an MHA forward pass.
@@ -54,14 +54,20 @@ pub fn mha_forward(
     rng: &mut StdRng,
 ) -> Result<(Tensor, MhaActivations)> {
     let scaler = 1.0 / (dims.p as f32).sqrt();
-    let qq_raw = einsum("phi,ibj->phbj", &[&w.projection(0, "phi")?, q])?;
-    let kk_raw = einsum("phi,ibk->phbk", &[&w.projection(1, "phi")?, k])?;
-    let vv_raw = einsum("whi,ibk->whbk", &[&w.projection(2, "whi")?, v])?;
+    // each stream reads its third of the stack's rows
+    let ph = w.w_qkv.pack().m / 3;
+    let project = |s: usize, lead: [(char, usize); 2], x: &Tensor| {
+        w.w_qkv.product(s * ph..(s + 1) * ph, false, x, columns_of(x, &lead)?)
+    };
+    let qq_raw = project(0, [('p', dims.p), ('h', dims.h)], q)?;
+    let kk_raw = project(1, [('p', dims.p), ('h', dims.h)], k)?;
+    let vv_raw = project(2, [('w', dims.p), ('h', dims.h)], v)?;
     let (qq, kk, vv) = fused::aib(&qq_raw, &w.bq, &kk_raw, &w.bk, &vv_raw, &w.bv)?;
     let beta = einsum("phbk,phbj->hbjk", &[&kk, &qq])?;
     let sm = fused::sm(&beta, scaler, Axis('k'), dropout_p, rng)?;
     let gam = einsum("whbk,hbjk->whbj", &[&vv, &sm.alpha])?;
-    let out_mm = einsum("whi,whbj->ibj", &[&w.wo, &gam])?;
+    let i = w.wo.pack().m;
+    let out_mm = w.wo.product(0..i, false, &gam, columns_of(&gam, &[('i', i)])?)?;
     let out = xform_tensor::ops::elementwise::bias_add(&out_mm, &w.bo)?;
     Ok((
         out,

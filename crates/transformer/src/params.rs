@@ -1,23 +1,199 @@
 //! Encoder-layer parameters and gradients.
+//!
+//! The four projection weights — `w_qkv`, `wo`, `w1`, `w2` — are stored
+//! once, as [`PackedWeight`]s: the panel order of the matrix each plays as
+//! GEMM A in its forward contraction ([`xform_tensor::matmul::PanelRef`]).
+//! Every GEMM that reads one — the arena's forward and decode steps, the
+//! eager passes, the backward's transposed read — reads those words, so no
+//! call packs a weight and no second copy exists to go stale. Whatever
+//! addresses a weight element by element (the optimizer step, the norms,
+//! checkpoints, the reference interpreter's binding) does so in logical
+//! order.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use rand::distributions::Uniform;
 use rand::Rng;
 
 use xform_dataflow::EncoderDims;
-use xform_tensor::{Result, Shape, Tensor, TensorError};
+use xform_tensor::matmul::{gemm_panels, MatMut, MatRef, PanelRef, Start, WeightPack};
+use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
+
+/// A projection weight stored in the panel order of its forward GEMM-A
+/// matrix: a logical shape, where that matrix lies in the logical words
+/// ([`WeightPack`]), and the pack — exactly as many words as the shape
+/// has elements, and the only copy of them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedWeight {
+    shape: Shape,
+    pack: WeightPack,
+    words: Vec<f32>,
+}
+
+impl PackedWeight {
+    /// Packs the logical values of `t` (in any layout) as `pack` says.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `pack` covers exactly
+    /// the elements of `t`.
+    pub fn new(t: &Tensor, pack: WeightPack) -> Result<PackedWeight> {
+        if pack.m * pack.k != t.len() {
+            let context = "a weight pack covers exactly the weight's elements";
+            return Err(TensorError::ShapeMismatch { context });
+        }
+        let logical = natural(t);
+        let mut words = vec![0.0; t.len()];
+        pack.pack(&logical, &mut words);
+        Ok(PackedWeight {
+            shape: t.shape().clone(),
+            pack,
+            words,
+        })
+    }
+
+    /// The logical shape.
+    pub fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether the weight has no elements (never: a shape has no empty
+    /// axis).
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// The stored words, in panel order — what the GEMMs read.
+    pub fn data(&self) -> &[f32] {
+        &self.words
+    }
+
+    /// Where the GEMM-A matrix lies in the logical words.
+    pub fn pack(&self) -> WeightPack {
+        self.pack
+    }
+
+    /// The pack as the GEMMs read it.
+    pub fn panels(&self) -> PanelRef<'_> {
+        PanelRef::new(&self.words, self.pack.m, self.pack.k)
+    }
+
+    /// A row-major copy in logical order.
+    pub fn to_tensor(&self) -> Tensor {
+        let mut logical = vec![0.0; self.len()];
+        self.pack.unpack(&self.words, &mut logical);
+        Tensor::from_vec(self.shape.clone(), logical).expect("a pack holds its shape's elements")
+    }
+
+    /// `f(word, g)` over every element, `g` the element of `grad` at the
+    /// same logical index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad`'s shape is not the weight's.
+    pub fn update(&mut self, grad: &Tensor, mut f: impl FnMut(&mut f32, f32)) {
+        assert_eq!(grad.shape(), &self.shape, "gradient shape mismatch");
+        let g = natural(grad);
+        for (w, at) in self.words.iter_mut().zip(self.pack.logical_indices()) {
+            f(w, g[at]);
+        }
+    }
+
+    /// `A[rows] · x`, or with `transposed` `A[rows]ᵀ · x`, into a row-major
+    /// tensor of shape `out`: `x` is read as a row-major matrix as deep as
+    /// the product (its leading axes) and as wide as the rest. Bit for bit
+    /// the einsum over the logical weight.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `rows` leaves the matrix,
+    /// or `x` or `out` does not hold a whole number of its columns.
+    pub(crate) fn product(
+        &self,
+        rows: Range<usize>,
+        transposed: bool,
+        x: &Tensor,
+        out: Shape,
+    ) -> Result<Tensor> {
+        let mismatch = || TensorError::ShapeMismatch {
+            context: "a product of a projection weight",
+        };
+        if rows.end > self.pack.m || rows.is_empty() {
+            return Err(mismatch());
+        }
+        let a = self.panels().from_row(rows.start);
+        let (a, m, k) = match transposed {
+            false => (a, rows.len(), self.pack.k),
+            true => (a.t(), self.pack.k, rows.len()),
+        };
+        let n = x.len() / k;
+        if x.len() != k * n || out.num_elements() != m * n {
+            return Err(mismatch());
+        }
+        let x = natural(x);
+        let mut y = vec![0.0; m * n];
+        let (b, c) = (MatRef::row_major(&x, n), MatMut::row_major(&mut y, n));
+        gemm_panels(m, n, k, a, b, c, Start::FromZero);
+        Tensor::from_vec(out, y)
+    }
+}
+
+/// The logical words of `t`: its own when it is stored row-major.
+fn natural(t: &Tensor) -> Cow<'_, [f32]> {
+    match t.natural_words() {
+        Some(words) => Cow::Borrowed(words),
+        None => {
+            let mut words = vec![0.0; t.len()];
+            into_ops::copy_tensor_into(t, &mut words);
+            Cow::Owned(words)
+        }
+    }
+}
+
+/// The panel pack a projection field is stored as: where the matrix it
+/// plays as GEMM A in its forward contraction lies in its logical words —
+/// its leading axes by its last (`shi,ibj`, `ui,ibj`, `iu,ubj`), or for
+/// `wo` (`whi,whbj->ibj`) its last axis by its leading ones. `None` for
+/// every other field.
+pub fn weight_pack(name: &str, shape: &Shape) -> Option<WeightPack> {
+    let last = *shape.sizes().last()?;
+    let lead = shape.num_elements() / last;
+    match name {
+        "w_qkv" | "w1" | "w2" => Some(WeightPack {
+            m: lead,
+            k: last,
+            rs: last,
+            cs: 1,
+        }),
+        "wo" => Some(WeightPack {
+            m: last,
+            k: lead,
+            rs: 1,
+            cs: last,
+        }),
+        _ => None,
+    }
+}
 
 /// All learned parameters of one BERT encoder layer, in the paper's axis
 /// convention (the `shi` Q/K/V stack and the `whi` output projection,
 /// `ph`/`wh`/`i` biases, `ui`/`iu` feed-forward weights, `i`-sized
-/// layer-norm scale/shift).
+/// layer-norm scale/shift). `M` is how the four projections are held:
+/// packed in [`EncoderWeights`], logical tensors in [`EncoderGrads`].
 #[derive(Debug, Clone)]
-pub struct EncoderWeights {
+pub struct EncoderParams<M> {
     /// The query, key and value projections stacked, in that order, as
     /// the graphs read them: `w_qkv [s = 3p, h, i]`, each projection a
     /// `[p, h, i]` block of it.
-    pub w_qkv: Tensor,
+    pub w_qkv: M,
     /// Output projection `[w, h, i]`.
-    pub wo: Tensor,
+    pub wo: M,
     /// Query bias `[p, h]`.
     pub bq: Tensor,
     /// Key bias `[p, h]`.
@@ -31,11 +207,11 @@ pub struct EncoderWeights {
     /// First layer-norm shift `[i]`.
     pub ln1_beta: Tensor,
     /// Feed-forward up projection `[u, i]`.
-    pub w1: Tensor,
+    pub w1: M,
     /// Feed-forward up bias `[u]`.
     pub b1: Tensor,
     /// Feed-forward down projection `[i, u]`.
-    pub w2: Tensor,
+    pub w2: M,
     /// Feed-forward down bias `[i]`.
     pub b2: Tensor,
     /// Second layer-norm scale `[i]`.
@@ -44,16 +220,95 @@ pub struct EncoderWeights {
     pub ln2_beta: Tensor,
 }
 
-/// Gradients matching [`EncoderWeights`] field for field.
-pub type EncoderGrads = EncoderWeights;
+/// A layer's weights: the projections [`PackedWeight`]s, the rest tensors.
+pub type EncoderWeights = EncoderParams<PackedWeight>;
+
+/// Gradients matching [`EncoderWeights`] field for field, every one a
+/// tensor in logical order.
+pub type EncoderGrads = EncoderParams<Tensor>;
 
 fn shape(dims: &EncoderDims, spec: &str) -> Shape {
     Shape::from_spec(spec, &dims.size_table()).expect("valid parameter spec")
 }
 
+impl<M> EncoderParams<M> {
+    /// Every field as `(name, value)`, in the one field order (updates,
+    /// norms, serialization): the projections through `matrix`, the rest
+    /// through `tensor`.
+    fn map<'a, R>(
+        &'a self,
+        matrix: impl Fn(&'a M) -> R,
+        tensor: impl Fn(&'a Tensor) -> R,
+    ) -> [(&'static str, R); 14] {
+        [
+            ("w_qkv", matrix(&self.w_qkv)),
+            ("wo", matrix(&self.wo)),
+            ("bq", tensor(&self.bq)),
+            ("bk", tensor(&self.bk)),
+            ("bv", tensor(&self.bv)),
+            ("bo", tensor(&self.bo)),
+            ("ln1_gamma", tensor(&self.ln1_gamma)),
+            ("ln1_beta", tensor(&self.ln1_beta)),
+            ("w1", matrix(&self.w1)),
+            ("b1", tensor(&self.b1)),
+            ("w2", matrix(&self.w2)),
+            ("b2", tensor(&self.b2)),
+            ("ln2_gamma", tensor(&self.ln2_gamma)),
+            ("ln2_beta", tensor(&self.ln2_beta)),
+        ]
+    }
+
+    /// The non-projection field `name`, mutably.
+    fn tensor_mut(&mut self, name: &str) -> Option<&mut Tensor> {
+        Some(match name {
+            "bq" => &mut self.bq,
+            "bk" => &mut self.bk,
+            "bv" => &mut self.bv,
+            "bo" => &mut self.bo,
+            "ln1_gamma" => &mut self.ln1_gamma,
+            "ln1_beta" => &mut self.ln1_beta,
+            "b1" => &mut self.b1,
+            "b2" => &mut self.b2,
+            "ln2_gamma" => &mut self.ln2_gamma,
+            "ln2_beta" => &mut self.ln2_beta,
+            _ => return None,
+        })
+    }
+
+    /// The projection field `name`, mutably.
+    fn matrix_mut(&mut self, name: &str) -> Option<&mut M> {
+        Some(match name {
+            "w_qkv" => &mut self.w_qkv,
+            "wo" => &mut self.wo,
+            "w1" => &mut self.w1,
+            "w2" => &mut self.w2,
+            _ => return None,
+        })
+    }
+}
+
+impl EncoderGrads {
+    /// Every field as a `(name, tensor)` pair, for generic traversal.
+    pub fn fields(&self) -> [(&'static str, &Tensor); 14] {
+        self.map(|t| t, |t| t)
+    }
+
+    /// Global L2 norm over all gradients (for training diagnostics).
+    pub fn global_norm(&self) -> f32 {
+        norm(self.fields().iter().flat_map(|(_, t)| t.data()))
+    }
+}
+
+/// `√Σv²`, summed in the order given.
+fn norm<'a>(values: impl Iterator<Item = &'a f32>) -> f32 {
+    values.map(|v| v * v).sum::<f32>().sqrt()
+}
+
 impl EncoderWeights {
     /// Initializes weights with uniform(-scale, scale) where
-    /// `scale = 1/√I`, biases at zero, layer-norm scale at one.
+    /// `scale = 1/√I`, biases at zero, layer-norm scale at one. Each
+    /// projection is drawn in logical order and packed before the next is
+    /// drawn.
     ///
     /// # Panics
     ///
@@ -63,13 +318,17 @@ impl EncoderWeights {
     pub fn init<R: Rng + ?Sized>(dims: &EncoderDims, rng: &mut R) -> Self {
         let s = 1.0 / (dims.i as f32).sqrt();
         let dist = Uniform::new(-s, s);
+        let mut packed = |name: &str, shape: Shape| {
+            let t = Tensor::random(shape, &dist, rng);
+            let pack = weight_pack(name, t.shape()).expect("a projection field");
+            PackedWeight::new(&t, pack).expect("the pack covers the weight")
+        };
         // Q, then K, then V, each drawn row-major
         let qkv = [('s', 3 * dims.p), ('h', dims.h), ('i', dims.i)];
-        let w_qkv = Tensor::random(Shape::new(qkv).expect("valid stack"), &dist, rng);
-        let mut rand = |spec: &str| Tensor::random(shape(dims, spec), &dist, rng);
-        let wo = rand("whi");
-        let w1 = rand("ui");
-        let w2 = rand("iu");
+        let w_qkv = packed("w_qkv", Shape::new(qkv).expect("valid stack"));
+        let wo = packed("wo", shape(dims, "whi"));
+        let w1 = packed("w1", shape(dims, "ui"));
+        let w2 = packed("w2", shape(dims, "iu"));
         let ones = |spec: &str| {
             let mut t = Tensor::zeros(shape(dims, spec));
             t.fill(1.0);
@@ -93,131 +352,120 @@ impl EncoderWeights {
         }
     }
 
-    /// The weight tensor bound to graph container `name` — the one table
-    /// every executor's binder resolves weights through. The graphs of
+    /// The words bound to graph container `name` — the one table every
+    /// arena binding resolves weights through: a projection's panel pack,
+    /// any other field's row-major words. The graphs of
     /// [`xform_dataflow::build`] name their weight containers after these
-    /// fields.
-    pub fn container(&self, name: &str) -> Option<&Tensor> {
-        self.fields()
-            .into_iter()
-            .find(|(field, _)| *field == name)
-            .map(|(_, t)| t)
+    /// fields. `None` for another name, or a field stored permuted.
+    pub fn container(&self, name: &str) -> Option<&[f32]> {
+        let words = self.map(|p| Some(p.data()), Tensor::natural_words);
+        words.into_iter().find(|(field, _)| *field == name)?.1
     }
 
-    /// Projection `n` of the stack (0: Q, 1: K, 2: V) copied out as its own
-    /// `[p, h, i]` tensor under `spec` — what the eager passes contract.
+    /// Every field as a `(name, tensor)` pair in logical order — the
+    /// projections unpacked into copies — for whatever addresses a weight
+    /// element by element (serialization, the reference interpreter).
+    pub fn fields(&self) -> [(&'static str, Cow<'_, Tensor>); 14] {
+        self.map(|p| Cow::Owned(p.to_tensor()), Cow::Borrowed)
+    }
+
+    /// Field `name` in logical order, a copy; `None` for another name.
+    pub fn field(&self, name: &str) -> Option<Tensor> {
+        let (_, t) = self.fields().into_iter().find(|(n, _)| *n == name)?;
+        Some(t.into_owned())
+    }
+
+    /// Replaces field `name` with the logical values of `t` (packing a
+    /// projection).
     ///
     /// # Errors
     ///
-    /// Returns an error if `n > 2`, `spec` is not three distinct axes, or
-    /// the stack is stored permuted (a forward would not bind it either).
-    pub(crate) fn projection(&self, n: usize, spec: &str) -> Result<Tensor> {
-        let [s, h, i] = self.w_qkv.shape().sizes()[..] else {
-            let context = "`w_qkv` is `[s, h, i]`";
-            return Err(TensorError::ShapeMismatch { context });
+    /// Returns [`TensorError::ShapeMismatch`] if `t`'s shape is not the
+    /// field's, and [`TensorError::Unsupported`] for a name that is no
+    /// field.
+    pub fn set_field(&mut self, name: &str, t: &Tensor) -> Result<()> {
+        let mismatch = TensorError::ShapeMismatch {
+            context: "a field takes values of its own shape",
         };
-        let shape = Shape::new(spec.chars().zip([s / 3, h, i]))?;
-        let len = shape.num_elements();
-        let words = self
-            .w_qkv
-            .natural_words()
-            .and_then(|w| w.get(n * len..(n + 1) * len));
-        let words = words.ok_or_else(|| {
-            TensorError::Unsupported(format!("no projection {n} in a row-major `w_qkv`"))
-        })?;
-        Tensor::from_vec(shape, words.to_vec())
+        if let Some(p) = self.matrix_mut(name) {
+            if t.shape() != p.shape() {
+                return Err(mismatch);
+            }
+            *p = PackedWeight::new(t, p.pack())?;
+        } else if let Some(field) = self.tensor_mut(name) {
+            if t.shape() != field.shape() {
+                return Err(mismatch);
+            }
+            *field = t.relayout(&Layout::row_major(t.shape().rank()));
+        } else {
+            return Err(TensorError::Unsupported(format!("no field `{name}`")));
+        }
+        Ok(())
     }
 
     /// Zero-filled gradients with matching shapes.
     pub fn zeros_like(&self) -> EncoderGrads {
-        let z = |t: &Tensor| Tensor::zeros(t.shape().clone());
-        EncoderWeights {
-            w_qkv: z(&self.w_qkv),
-            wo: z(&self.wo),
-            bq: z(&self.bq),
-            bk: z(&self.bk),
-            bv: z(&self.bv),
-            bo: z(&self.bo),
-            ln1_gamma: z(&self.ln1_gamma),
-            ln1_beta: z(&self.ln1_beta),
-            w1: z(&self.w1),
-            b1: z(&self.b1),
-            w2: z(&self.w2),
-            b2: z(&self.b2),
-            ln2_gamma: z(&self.ln2_gamma),
-            ln2_beta: z(&self.ln2_beta),
+        let z = |shape: &Shape| Tensor::zeros(shape.clone());
+        EncoderGrads {
+            w_qkv: z(self.w_qkv.shape()),
+            wo: z(self.wo.shape()),
+            bq: z(self.bq.shape()),
+            bk: z(self.bk.shape()),
+            bv: z(self.bv.shape()),
+            bo: z(self.bo.shape()),
+            ln1_gamma: z(self.ln1_gamma.shape()),
+            ln1_beta: z(self.ln1_beta.shape()),
+            w1: z(self.w1.shape()),
+            b1: z(self.b1.shape()),
+            w2: z(self.w2.shape()),
+            b2: z(self.b2.shape()),
+            ln2_gamma: z(self.ln2_gamma.shape()),
+            ln2_beta: z(self.ln2_beta.shape()),
         }
     }
 
-    /// Every field as a `(name, tensor)` pair, for generic parameter
-    /// traversal (updates, norms, serialization, container binding).
-    pub fn fields(&self) -> [(&'static str, &Tensor); 14] {
-        [
-            ("w_qkv", &self.w_qkv),
-            ("wo", &self.wo),
-            ("bq", &self.bq),
-            ("bk", &self.bk),
-            ("bv", &self.bv),
-            ("bo", &self.bo),
-            ("ln1_gamma", &self.ln1_gamma),
-            ("ln1_beta", &self.ln1_beta),
-            ("w1", &self.w1),
-            ("b1", &self.b1),
-            ("w2", &self.w2),
-            ("b2", &self.b2),
-            ("ln2_gamma", &self.ln2_gamma),
-            ("ln2_beta", &self.ln2_beta),
-        ]
-    }
-
-    /// Mutable field iterator, aligned with [`EncoderWeights::fields`].
-    pub fn fields_mut(&mut self) -> Vec<(&'static str, &mut Tensor)> {
-        vec![
-            ("w_qkv", &mut self.w_qkv),
-            ("wo", &mut self.wo),
-            ("bq", &mut self.bq),
-            ("bk", &mut self.bk),
-            ("bv", &mut self.bv),
-            ("bo", &mut self.bo),
-            ("ln1_gamma", &mut self.ln1_gamma),
-            ("ln1_beta", &mut self.ln1_beta),
-            ("w1", &mut self.w1),
-            ("b1", &mut self.b1),
-            ("w2", &mut self.w2),
-            ("b2", &mut self.b2),
-            ("ln2_gamma", &mut self.ln2_gamma),
-            ("ln2_beta", &mut self.ln2_beta),
-        ]
-    }
-
-    /// In-place SGD step: `w ← w − lr · g`.
+    /// In-place SGD step: `w ← w − lr · g`, element by element in logical
+    /// correspondence.
     ///
     /// # Panics
     ///
     /// Panics if gradient shapes disagree with the weights.
     pub fn sgd_step(&mut self, grads: &EncoderGrads, lr: f32) {
-        let gs = grads.fields();
-        for ((_, w), (_, g)) in self.fields_mut().into_iter().zip(gs) {
-            assert_eq!(w.shape(), g.shape(), "gradient shape mismatch");
-            for (wv, gv) in w.data_mut().iter_mut().zip(g.data()) {
-                *wv -= lr * gv;
+        for (name, g) in grads.fields() {
+            let step = |w: &mut f32, g: f32| *w -= lr * g;
+            if let Some(p) = self.matrix_mut(name) {
+                p.update(g, step);
+            } else if let Some(w) = self.tensor_mut(name) {
+                assert_eq!(w.shape(), g.shape(), "gradient shape mismatch");
+                for (wv, &gv) in w.data_mut().iter_mut().zip(g.data()) {
+                    step(wv, gv);
+                }
             }
         }
     }
 
     /// Total number of scalar parameters.
     pub fn num_parameters(&self) -> usize {
-        self.fields().iter().map(|(_, t)| t.len()).sum()
+        self.map(PackedWeight::len, Tensor::len).iter().map(|f| f.1).sum()
     }
 
-    /// Global L2 norm over all parameters (for training diagnostics).
+    /// Global L2 norm over all parameters (for training diagnostics), summed
+    /// in logical order.
     pub fn global_norm(&self) -> f32 {
-        self.fields()
-            .iter()
-            .flat_map(|(_, t)| t.data())
-            .map(|v| v * v)
-            .sum::<f32>()
-            .sqrt()
+        norm(self.fields().iter().flat_map(|(_, t)| t.data()))
+    }
+}
+
+#[cfg(test)]
+impl EncoderWeights {
+    /// A copy with element `flat` (logical row-major) of field `name` moved
+    /// by `by`: a finite-difference probe.
+    pub(crate) fn nudged(&self, name: &str, flat: usize, by: f32) -> EncoderWeights {
+        let mut t = self.field(name).expect("a field");
+        t.data_mut()[flat] += by;
+        let mut w = self.clone();
+        w.set_field(name, &t).expect("its own shape");
+        w
     }
 }
 
@@ -247,28 +495,41 @@ mod tests {
     fn container_table_borrows_every_field_the_stack_included() {
         let mut rng = StdRng::seed_from_u64(5);
         let w = EncoderWeights::init(&EncoderDims::tiny(), &mut rng);
-        for (name, t) in w.fields() {
-            assert!(std::ptr::eq(w.container(name).unwrap(), t), "{name}");
+        let stored = w.map(PackedWeight::data, Tensor::data);
+        for (name, words) in stored {
+            assert!(std::ptr::eq(w.container(name).unwrap(), words), "{name}");
         }
-        let stack = w.container("w_qkv").unwrap();
-        assert!(std::ptr::eq(stack.data(), w.w_qkv.data()));
         for name in ["wq", "wk", "wv", "x"] {
             assert!(w.container(name).is_none(), "{name}");
         }
     }
 
-    /// The stack is Q, then K, then V, each `[p, h, i]` row-major.
+    /// The stack is Q, then K, then V, each `[p, h, i]`: stream `s` is rows
+    /// `s·ph..` of the pack, forward and transposed the einsum over that
+    /// block of the logical stack, bit for bit.
     #[test]
-    fn projections_are_the_stacks_three_blocks() {
+    fn projections_are_row_ranges_of_the_stacked_pack() {
         let dims = EncoderDims::tiny();
-        let w = EncoderWeights::init(&dims, &mut StdRng::seed_from_u64(6));
-        let n = dims.p * dims.h * dims.i;
-        for (k, spec) in ["phi", "phi", "whi"].into_iter().enumerate() {
-            let q = w.projection(k, spec).unwrap();
-            assert_eq!(q.shape().spec(), spec);
-            assert_eq!(q.data(), &w.w_qkv.data()[k * n..(k + 1) * n]);
+        let mut rng = StdRng::seed_from_u64(6);
+        let w = EncoderWeights::init(&dims, &mut rng);
+        let (n, ph) = (dims.p * dims.h * dims.i, dims.p * dims.h);
+        let stack = w.field("w_qkv").unwrap();
+        let sizes = dims.size_table();
+        let x = Tensor::random(shape(&dims, "ibj"), &Uniform::new(-1.0, 1.0), &mut rng);
+        let d = Tensor::random(shape(&dims, "phbj"), &Uniform::new(-1.0, 1.0), &mut rng);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for s in 0..3 {
+            let words = stack.data()[s * n..(s + 1) * n].to_vec();
+            let block = Tensor::from_vec(Shape::from_spec("phi", &sizes).unwrap(), words).unwrap();
+            let rows = s * ph..(s + 1) * ph;
+            let fwd = w.w_qkv.product(rows.clone(), false, &x, shape(&dims, "phbj"));
+            let want = xform_tensor::einsum("phi,ibj->phbj", &[&block, &x]).unwrap();
+            assert_eq!(bits(&fwd.unwrap()), bits(&want), "stream {s}");
+            let bwd = w.w_qkv.product(rows, true, &d, shape(&dims, "ibj"));
+            let want = xform_tensor::einsum("phi,phbj->ibj", &[&block, &d]).unwrap();
+            assert_eq!(bits(&bwd.unwrap()), bits(&want), "stream {s} transposed");
         }
-        assert!(w.projection(3, "phi").is_err());
+        assert!(w.w_qkv.product(2 * ph..4 * ph, false, &x, shape(&dims, "phbj")).is_err());
     }
 
     #[test]
@@ -286,9 +547,9 @@ mod tests {
         let mut w = EncoderWeights::init(&EncoderDims::tiny(), &mut rng);
         let mut g = w.zeros_like();
         g.w1.fill(1.0);
-        let before = w.w1.at(&[0, 0]);
+        let before = w.field("w1").unwrap().at(&[0, 0]);
         w.sgd_step(&g, 0.1);
-        assert!((w.w1.at(&[0, 0]) - (before - 0.1)).abs() < 1e-6);
+        assert!((w.field("w1").unwrap().at(&[0, 0]) - (before - 0.1)).abs() < 1e-6);
         // untouched params stay
         assert!(w.ln1_gamma.data().iter().all(|&v| v == 1.0));
     }

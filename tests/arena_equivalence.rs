@@ -31,7 +31,7 @@ use substation::tensor::{Shape, Tensor, TensorError};
 use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
 use substation::transformer::interp;
-use substation::transformer::params::EncoderWeights;
+use substation::transformer::params::{weight_pack, EncoderWeights, PackedWeight};
 
 fn setup() -> (EncoderDims, EncoderWeights, Tensor) {
     let dims = EncoderDims::tiny();
@@ -364,7 +364,9 @@ fn route_and_results_depend_on_the_plan_alone() {
 #[test]
 fn a_weight_of_the_wrong_size_is_a_typed_error_naming_its_container() {
     let (dims, mut w, x) = setup();
-    w.w1 = Tensor::zeros(Shape::from_spec("ui", &[('u', 3), ('i', 5)]).unwrap());
+    let small = Tensor::zeros(Shape::from_spec("ui", &[('u', 3), ('i', 5)]).unwrap());
+    let pack = weight_pack("w1", small.shape()).unwrap();
+    w.w1 = PackedWeight::new(&small, pack).unwrap();
     let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
     let mut y = out_buffer(&dims);
     let opts = ExecOptions::default();

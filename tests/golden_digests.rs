@@ -75,7 +75,7 @@ use substation::transformer::encoder::{EncoderLayer, Executor};
 use substation::transformer::interp::{self, PlanKind, Saved};
 use substation::transformer::mha;
 use substation::transformer::model::{BlockKind, ModelConfig, TransformerModel};
-use substation::transformer::params::EncoderWeights;
+use substation::transformer::params::{EncoderGrads, EncoderWeights};
 
 /// FNV-1a over 32-bit words (f32 bit patterns, little-endian bytes).
 #[derive(Clone, Copy)]
@@ -547,7 +547,7 @@ fn kernel_bwd_digests(table: &mut Vec<(String, u64)>) {
 /// attention and feed-forward chains were factored into one helper each.
 fn grad_digests(table: &mut Vec<(String, u64)>) {
     const SEED: u64 = 23;
-    fn grads(h: &mut Fnv, g: &EncoderWeights) {
+    fn grads(h: &mut Fnv, g: &EncoderGrads) {
         for (_, t) in g.fields() {
             h.tensor(t);
         }
