@@ -1,7 +1,9 @@
 //! CPU GEMM and einsum benchmarks: the register-tiled kernel vs the naive
 //! triple loop, the einsum compile→strided-GEMM pipeline on the paper's
 //! projection shapes (scaled to CPU size), and the kernel rows — `sgemm` at
-//! the block's wide shapes in Gflop/s and the transposed GEMV in GB/s,
+//! the block's wide shapes in Gflop/s, a weight read out of its panels
+//! forward and transposed, and the GEMV in GB/s over a strided weight and
+//! over its panels (one weight, and a `gpt_generate` token's sixteen),
 //! beside a mul+add burst and the fused burst that is the kernel's own peak
 //! (printed, never gated).
 
@@ -11,7 +13,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-use xform_tensor::matmul::{batched_sgemm, naive_sgemm, sgemm};
+use xform_tensor::matmul::{
+    batched_sgemm, gemm, gemm_panels, naive_sgemm, sgemm, MatMut, MatRef, PanelRef, Start,
+    WeightPack,
+};
 use xform_tensor::{einsum, Shape, Tensor};
 
 fn bench_sgemm(c: &mut Criterion) {
@@ -165,15 +170,94 @@ fn bench_kernel_rows(_: &mut Criterion) {
         let gflops = (2 * m * n * k) as f64 / s / 1e9;
         println!("kernel rows/sgemm {m:>4}x{n:>4}x{k:>4}              {gflops:>6.1} Gflop/s");
     }
-    // the weights are the traffic: m·k words in, m out
-    for (m, k) in [(1024, 256), (256, 1024)] {
-        let (a, x, mut y) = (rand(m * k), rand(k), vec![0.0f32; m]);
-        let s = best_of(2000, || {
-            sgemm(m, 1, k, black_box(&a), black_box(&x), &mut y)
+    // a weight read out of its panels: forward (A's slabs copied out) and
+    // transposed (the backward's gather), beside the strided reads of the
+    // same row-major matrix
+    for (m, n, k) in [(2048, 512, 512), (512, 512, 2048), (1024, 256, 256)] {
+        let (a, b, mut c) = (rand(m * k), rand(k * n), vec![0.0f32; m * n]);
+        let mut pack = vec![0.0f32; m * k];
+        WeightPack { m, k, rs: k, cs: 1 }.pack(&a, &mut pack);
+        let gflops = |s: f64| (2 * m * n * k) as f64 / s / 1e9;
+        let b_at = MatRef::row_major(&b, n);
+        let s = best_of(20, || {
+            let c = MatMut::row_major(&mut c, n);
+            gemm_panels(
+                m,
+                n,
+                k,
+                PanelRef::new(&pack, m, k),
+                b_at,
+                c,
+                Start::FromZero,
+            );
         });
-        let gbps = (4 * (m * k + k + m)) as f64 / s / 1e9;
-        println!("kernel rows/gemv  {m:>4}x{k:>4}                   {gbps:>6.1} GB/s");
+        println!(
+            "kernel rows/panels A  {m:>4}x{n:>4}x{k:>4}         {:>6.1} Gflop/s",
+            gflops(s)
+        );
+        // Aᵀ is k×m: its product takes an m-deep operand
+        let (bt, mut ct) = (rand(m * n), vec![0.0f32; k * n]);
+        let bt_at = MatRef::row_major(&bt, n);
+        let strided = best_of(20, || {
+            let (at, c) = (MatRef::row_major(&a, k).t(), MatMut::row_major(&mut ct, n));
+            gemm(k, n, m, at, bt_at, c, Start::FromZero);
+        });
+        let panels = best_of(20, || {
+            let c = MatMut::row_major(&mut ct, n);
+            gemm_panels(
+                k,
+                n,
+                m,
+                PanelRef::new(&pack, m, k).t(),
+                bt_at,
+                c,
+                Start::FromZero,
+            );
+        });
+        let (g0, g1) = (gflops(strided), gflops(panels));
+        println!(
+            "kernel rows/A^T {k:>4}x{n:>4}x{m:>4} strided {g0:>6.1}, panels {g1:>6.1} Gflop/s"
+        );
     }
+    // the weights are the traffic: m·k words in, m out; strided (a
+    // transposing pack of the whole weight per call) and from the panels
+    let gemv = |shapes: &[(usize, usize)], reps: usize, rand: &mut dyn FnMut(usize) -> Vec<f32>| {
+        let weights: Vec<_> = (shapes.iter())
+            .map(|&(m, k)| {
+                let a = rand(m * k);
+                let mut pack = vec![0.0f32; m * k];
+                WeightPack { m, k, rs: k, cs: 1 }.pack(&a, &mut pack);
+                (m, k, a, pack, rand(k), vec![0.0f32; m])
+            })
+            .collect();
+        let mut weights = black_box(weights);
+        let bytes: usize = shapes.iter().map(|&(m, k)| 4 * (m * k + k + m)).sum();
+        let strided = best_of(reps, || {
+            for (m, k, a, _, x, y) in &mut weights {
+                sgemm(*m, 1, *k, a, x, y);
+            }
+        });
+        let panels = best_of(reps, || {
+            for (m, k, _, pack, x, y) in &mut weights {
+                let (a, x) = (PanelRef::new(pack, *m, *k), MatRef::row_major(x, 1));
+                gemm_panels(*m, 1, *k, a, x, MatMut::row_major(y, 1), Start::FromZero);
+            }
+        });
+        let gbps = |s: f64| bytes as f64 / s / 1e9;
+        (gbps(strided), gbps(panels), strided * 1e3, panels * 1e3)
+    };
+    for (m, k) in [(1024, 256), (256, 1024)] {
+        let (s, p, ..) = gemv(&[(m, k)], 2000, &mut rand);
+        println!("kernel rows/gemv  {m:>4}x{k:>4}   strided {s:>6.1}, panels {p:>6.1} GB/s");
+    }
+    // a `gpt_generate` token: four decoder blocks' Q|K|V, Out, Linear 1
+    // and Linear 2 at i = 256, u = 1024
+    let block = [(768, 256), (256, 256), (1024, 256), (256, 1024)];
+    let token: Vec<_> = (0..4).flat_map(|_| block).collect();
+    let (s, p, ms_s, ms_p) = gemv(&token, 300, &mut rand);
+    println!(
+        "kernel rows/gemv token, 16 GEMVs  strided {s:>6.1}, panels {p:>6.1} GB/s ({ms_s:.3} vs {ms_p:.3} ms)"
+    );
 }
 
 fn config() -> Criterion {

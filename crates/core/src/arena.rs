@@ -137,6 +137,11 @@ enum Place {
     Borrowed(usize),
 }
 
+/// The externals-table entry a relayout gathers from, when it is the
+/// external's first touch, with the entry's pack if it is a projection
+/// weight's.
+type Gather = Option<(usize, Option<WeightPack>)>;
+
 /// A precompiled step: the lowering's kernel class with its baked
 /// geometry, and every operand's slab slot. Executing one of these touches
 /// no heap.
@@ -155,7 +160,7 @@ struct StepExec {
     /// for the one that is an external's first touch, the externals-table
     /// entry it gathers from instead of permuting the slot in place (and
     /// the entry's pack, if it is a projection weight's).
-    relayouts: Vec<(Option<(usize, Option<WeightPack>)>, BufView, RelayoutCopy)>,
+    relayouts: Vec<(Gather, BufView, RelayoutCopy)>,
     /// Per-lane mean and inverse-deviation regions of the statistics
     /// buffer (the normalizing classes).
     stats: Option<(BufView, BufView)>,

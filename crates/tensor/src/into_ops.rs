@@ -462,7 +462,7 @@ pub struct ContractPlan {
 
 impl ContractPlan {
     /// This plan with A read out of the panel pack of its `m×k` matrix
-    /// ([`crate::matmul::pack_weight`]) — how a projection weight is stored
+    /// ([`crate::matmul::WeightPack`]) — how a projection weight is stored
     /// — rather than through its view; `None` unless A is one matrix the
     /// GEMM reads where it lies (one batch slice, a view). The words the
     /// kernel sees, and so the bits, do not change.
@@ -685,7 +685,10 @@ pub(crate) fn contract_with_threads(
         },
     };
     if plan.panels {
-        let (a, c) = (PanelRef::new(x_a, m, k), MatMut::new(gc.data, gc.at.rs, gc.at.cs));
+        let (a, c) = (
+            PanelRef::new(x_a, m, k),
+            MatMut::new(gc.data, gc.at.rs, gc.at.cs),
+        );
         gemm_panels(m, n, k, a, gb.slice(0), c, Start::FromZero);
     } else {
         gemm_batched(batch, m, n, k, ga, gb, gc, Start::FromZero, threads);

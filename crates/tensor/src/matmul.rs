@@ -63,9 +63,19 @@
 //!   multiply zeros and are never stored.
 //! * **Matrix–vector shapes** (`n == 1`) run as the transposed problem
 //!   `cᵀ = bᵀ·aᵀ` through the same kernel: the rows of A become the sixteen
-//!   lanes, the transposing pack is the only extra work, and the exact
-//!   product inside `mul_add` commutes, so the bits do not move. The choice
-//!   is made from `m` and `n` alone.
+//!   lanes, and the exact product inside `mul_add` commutes, so the bits do
+//!   not move. The choice is made from `m` and `n` alone. Over a strided A
+//!   the transposing pack of A into those panels is the extra work — more
+//!   than the kernel's; over a projection weight there is none, because the
+//!   weight is stored in exactly that panel order.
+//! * **Weights are stored as panels.** A projection weight's one storage is
+//!   the panel order of the matrix it plays as A ([`WeightPack`],
+//!   [`PanelRef`]), and [`gemm_panels`] reads it in three roles: streamed
+//!   as the transposed problem's B panels (`n == 1`), copied out into A
+//!   slabs from any row (`n > 1`, a tile's rows, one block of a stacked
+//!   Q/K/V), and gathered transposed into A slabs (the backward). The packs
+//!   only move words; the kernel sees the words [`gemm`] would have packed,
+//!   in the same order.
 
 use std::cell::RefCell;
 
@@ -309,42 +319,9 @@ fn panel_at(m: usize, k: usize, r: usize, c: usize) -> usize {
     pc * m + jr * KC.min(k - pc) + (c - pc) * NR.min(m - jr) + (r - jr)
 }
 
-/// Packs all of `a` (`m×k`) into `dst` in panel order ([`PanelRef`]): the
-/// one storage of a projection weight, written once per weight.
-///
-/// # Panics
-///
-/// Panics if `dst` does not hold exactly `m·k` words or `a` is too short.
-pub fn pack_weight(m: usize, k: usize, a: MatRef<'_>, dst: &mut [f32]) {
-    assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
-    assert_eq!(dst.len(), m * k, "a pack holds m·k words");
-    for r in 0..m {
-        for c in 0..k {
-            dst[panel_at(m, k, r, c)] = a.data[r * a.rs + c * a.cs];
-        }
-    }
-}
-
-/// Writes the `m×k` matrix a [`pack_weight`] pack holds into `a`: the
-/// inverse of the pack, for whoever needs the weight in logical order.
-///
-/// # Panics
-///
-/// Panics if `panels` does not hold exactly `m·k` words or `a` is too
-/// short.
-pub fn unpack_weight(m: usize, k: usize, panels: &[f32], a: MatMut<'_>) {
-    assert_eq!(panels.len(), m * k, "a pack holds m·k words");
-    assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
-    for r in 0..m {
-        for c in 0..k {
-            a.data[r * a.rs + c * a.cs] = panels[panel_at(m, k, r, c)];
-        }
-    }
-}
-
 /// Where a projection weight's GEMM-A matrix (`m×k`) lies in the weight's
 /// logical row-major words — element `(r, c)` at `r·rs + c·cs` — which is
-/// what its panel pack is made from and unpacked to.
+/// what its panel pack ([`PanelRef`]) is made from and unpacked to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WeightPack {
     /// Rows of A.
@@ -358,34 +335,39 @@ pub struct WeightPack {
 }
 
 impl WeightPack {
-    /// Packs the logical words `logical` into `dst` ([`pack_weight`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`pack_weight`].
-    pub fn pack(&self, logical: &[f32], dst: &mut [f32]) {
-        pack_weight(self.m, self.k, MatRef::new(logical, self.rs, self.cs), dst);
-    }
-
-    /// Writes the pack `panels` back into logical order ([`unpack_weight`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`unpack_weight`].
-    pub fn unpack(&self, panels: &[f32], logical: &mut [f32]) {
-        unpack_weight(self.m, self.k, panels, MatMut::new(logical, self.rs, self.cs));
-    }
-
-    /// The logical index of every pack word, in pack order: `pack[w]` is
-    /// `logical[index[w]]`.
-    pub fn logical_indices(&self) -> impl Iterator<Item = usize> + '_ {
+    /// Calls `f(w, l)` once for every pack word `w` with the logical index
+    /// `l` it holds — `pack[w]` is `logical[l]` — along the unit stride:
+    /// in ascending `l` for a dense A, row- or column-major.
+    pub fn for_each_word(&self, mut f: impl FnMut(usize, usize)) {
         let (m, k) = (self.m, self.k);
-        (0..k).step_by(KC).flat_map(move |pc| {
-            (0..m).step_by(NR).flat_map(move |jr| {
-                let (kc, w) = (KC.min(k - pc), NR.min(m - jr));
-                (0..kc * w).map(move |i| (jr + i % w) * self.rs + (pc + i / w) * self.cs)
-            })
-        })
+        let mut at = |r: usize, c: usize| f(panel_at(m, k, r, c), r * self.rs + c * self.cs);
+        if self.cs == 1 {
+            (0..m).for_each(|r| (0..k).for_each(|c| at(r, c)));
+        } else {
+            (0..k).for_each(|c| (0..m).for_each(|r| at(r, c)));
+        }
+    }
+
+    /// Packs the logical words `logical` into `dst`: the one storage of a
+    /// projection weight, written once per weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `dst` holds exactly `m·k` words, or if `logical` is
+    /// too short.
+    pub fn pack(&self, logical: &[f32], dst: &mut [f32]) {
+        assert_eq!(dst.len(), self.m * self.k, "a pack holds m·k words");
+        self.for_each_word(|w, l| dst[w] = logical[l]);
+    }
+
+    /// Writes the pack `panels` back into logical order: its inverse.
+    ///
+    /// # Panics
+    ///
+    /// As [`WeightPack::pack`].
+    pub fn unpack(&self, panels: &[f32], logical: &mut [f32]) {
+        assert_eq!(panels.len(), self.m * self.k, "a pack holds m·k words");
+        self.for_each_word(|w, l| logical[l] = panels[w]);
     }
 }
 
@@ -396,8 +378,8 @@ impl WeightPack {
 /// blocks of depth in ascending order, within each the rows of A in
 /// [`NR`]-row panels from the top, each panel `k` inner — word
 /// `[kk][r]` — and the last panel of a block as wide as the rows left, so a
-/// pack holds exactly `m·k` words ([`pack_weight`]). One pack serves three
-/// readers, each through [`kernel`] alone, so the bits are those of
+/// pack holds exactly `m·k` words ([`WeightPack::pack`]). One pack serves three
+/// readers, each through the one micro-kernel alone, so the bits are those of
 /// [`gemm`] over the same matrix by construction:
 ///
 /// * a matrix–vector product streams the panels as they lie: they are the
@@ -445,17 +427,9 @@ impl<'a> PanelRef<'a> {
     }
 
     /// The view starting at row `r` (of the view).
-    pub fn from_row(self, r: usize) -> Self {
-        match self.transposed {
-            false => PanelRef {
-                row0: self.row0 + r,
-                ..self
-            },
-            true => PanelRef {
-                col0: self.col0 + r,
-                ..self
-            },
-        }
+    pub fn from_row(mut self, r: usize) -> Self {
+        *[&mut self.row0, &mut self.col0][usize::from(self.transposed)] += r;
+        self
     }
 
     /// The view starting at column `c` (of the view).
@@ -465,11 +439,14 @@ impl<'a> PanelRef<'a> {
 
     /// Rows and columns the view reaches.
     fn extent(&self) -> (usize, usize) {
-        let (rows, cols) = (self.m.saturating_sub(self.row0), self.k.saturating_sub(self.col0));
-        match self.transposed {
-            false => (rows, cols),
-            true => (cols, rows),
-        }
+        let e = [
+            self.m.saturating_sub(self.row0),
+            self.k.saturating_sub(self.col0),
+        ];
+        (
+            e[usize::from(self.transposed)],
+            e[usize::from(!self.transposed)],
+        )
     }
 
     /// The B panel of the transposed problem at depth `pc` (`kc` deep) and
@@ -553,12 +530,6 @@ impl<'a> From<MatRef<'a>> for Lhs<'a> {
     }
 }
 
-impl<'a> From<PanelRef<'a>> for Lhs<'a> {
-    fn from(a: PanelRef<'a>) -> Self {
-        Lhs::Panels(a)
-    }
-}
-
 impl<'a> Lhs<'a> {
     /// The view starting at row `r`.
     pub fn from_row(self, r: usize) -> Self {
@@ -569,7 +540,7 @@ impl<'a> Lhs<'a> {
     }
 
     /// The view starting at column `c`.
-    fn from_col(self, c: usize) -> Self {
+    pub fn from_col(self, c: usize) -> Self {
         match self {
             Lhs::Mat(a) => Lhs::Mat(a.t().from_row(c).t()),
             Lhs::Panels(a) => Lhs::Panels(a.from_col(c)),
@@ -607,13 +578,16 @@ pub fn gemm_panels(
     start: Start,
 ) {
     let (rows, cols) = a.extent();
-    assert!(m <= rows && k <= cols, "a reaches {rows}×{cols}, not {m}×{k}");
+    assert!(
+        m <= rows && k <= cols,
+        "a reaches {rows}×{cols}, not {m}×{k}"
+    );
     assert!(b.data.len() >= span(k, n, b.rs, b.cs), "b is too short");
     assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
-    if n == 1 && m > 1 && !a.transposed && a.row0 % NR == 0 && a.col0 == 0 {
+    if n == 1 && m > 1 && !a.transposed && a.row0.is_multiple_of(NR) && a.col0 == 0 {
         blocks(1, m, k, b.t().into(), Panels::Rows(a), c.t(), start);
     } else {
-        blocks(m, n, k, a.into(), Panels::Strided(b), c, start);
+        blocks(m, n, k, Lhs::Panels(a), Panels::Strided(b), c, start);
     }
 }
 

@@ -1652,8 +1652,7 @@ mod parser_robustness {
 mod panel_operand {
     use super::*;
     use xform_tensor::matmul::{
-        gemm, gemm_panels, naive_sgemm, pack_weight, unpack_weight, MatMut, MatRef, PanelRef,
-        Start, KC,
+        gemm, gemm_panels, naive_sgemm, MatMut, MatRef, PanelRef, Start, WeightPack, KC,
     };
 
     const MS: [usize; 5] = [1, 15, 16, 17, 37];
@@ -1701,7 +1700,10 @@ mod panel_operand {
         let want = run(&|c| gemm(m, n, k, a, b, c, start));
         assert_eq!(bits(&got), bits(&want), "{what} against gemm");
         for row in got.chunks_exact(ld) {
-            assert!(row[n..].iter().all(|v| v.is_nan()), "{what} wrote a dead word");
+            assert!(
+                row[n..].iter().all(|v| v.is_nan()),
+                "{what} wrote a dead word"
+            );
         }
         if start == Start::FromC {
             let mut dense = vec![0.0f32; m * k];
@@ -1712,7 +1714,11 @@ mod panel_operand {
             }
             let mut naive = c0.to_vec();
             naive_sgemm(m, n, k, &dense, b.data, &mut naive);
-            let live: Vec<f32> = got.chunks_exact(ld).flat_map(|r| &r[..n]).copied().collect();
+            let live: Vec<f32> = got
+                .chunks_exact(ld)
+                .flat_map(|r| &r[..n])
+                .copied()
+                .collect();
             assert_eq!(bits(&live), bits(&naive), "{what} against naive_sgemm");
         }
     }
@@ -1720,19 +1726,25 @@ mod panel_operand {
     #[test]
     fn every_role_is_the_strided_gemm_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x9a7e);
-        for (m, k, n) in MS
-            .iter()
-            .flat_map(|&m| KS.iter().flat_map(move |&k| NS.iter().map(move |&n| (m, k, n))))
-        {
+        for (m, k, n) in MS.iter().flat_map(|&m| {
+            KS.iter()
+                .flat_map(move |&k| NS.iter().map(move |&n| (m, k, n)))
+        }) {
             // packs of `m` rows, and of `m` rows behind an offset on and off
             // a panel boundary; then a stack of three `m`-row blocks
             for (off, blocks) in [(0, 1), (5, 1), (16, 1), (0, 3)] {
                 let rows = off + blocks * m;
                 let w = rand_vec(rows * k, &mut rng);
                 let mut pack = vec![f32::NAN; rows * k];
-                pack_weight(rows, k, MatRef::row_major(&w, k), &mut pack);
+                let at = WeightPack {
+                    m: rows,
+                    k,
+                    rs: k,
+                    cs: 1,
+                };
+                at.pack(&w, &mut pack);
                 let mut back = vec![f32::NAN; rows * k];
-                unpack_weight(rows, k, &pack, MatMut::row_major(&mut back, k));
+                at.unpack(&pack, &mut back);
                 assert_eq!(bits(&back), bits(&w), "the pack of {rows}×{k} unpacks");
                 let whole = PanelRef::new(&pack, rows, k);
                 for s in 0..blocks {
@@ -1752,6 +1764,49 @@ mod panel_operand {
         }
     }
 
+    /// A pack is a function of the matrix, not of how its words were laid
+    /// out: row-major, column-major (the output projection's) and strided
+    /// sources pack to the same words, and each unpacks back.
+    #[test]
+    fn the_pack_of_a_matrix_ignores_its_source_strides() {
+        let mut rng = StdRng::seed_from_u64(0x9a7f);
+        for (m, k) in [(1, 1), (17, 3), (37, 2 * KC + 3), (16, KC)] {
+            let a = rand_vec(m * k, &mut rng);
+            let mut want = vec![f32::NAN; m * k];
+            WeightPack { m, k, rs: k, cs: 1 }.pack(&a, &mut want);
+            let mut cols = vec![f32::NAN; m * k];
+            let mut wide = vec![f32::NAN; 2 * m * k];
+            for r in 0..m {
+                for c in 0..k {
+                    cols[c * m + r] = a[r * k + c];
+                    wide[2 * (r * k + c)] = a[r * k + c];
+                }
+            }
+            for (what, src) in [
+                ("column-major", MatRef::new(&cols, 1, m)),
+                ("strided", MatRef::new(&wide, 2 * k, 2)),
+            ] {
+                let mut got = vec![f32::NAN; m * k];
+                let at = WeightPack {
+                    m,
+                    k,
+                    rs: src.rs,
+                    cs: src.cs,
+                };
+                at.pack(src.data, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{what} {m}×{k}");
+                let mut back = vec![f32::NAN; src.data.len()];
+                at.unpack(&got, &mut back);
+                for r in 0..m {
+                    for c in 0..k {
+                        let at = r * src.rs + c * src.cs;
+                        assert_eq!(back[at].to_bits(), a[r * k + c].to_bits(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_pack_of_another_length_is_refused() {
         let words = vec![0.0f32; 17 * 5 + 1];
@@ -1763,7 +1818,15 @@ mod panel_operand {
             let p = PanelRef::new(&words[..17 * 5], 17, 5).from_row(1);
             let mut c = vec![0.0f32; 17];
             let b = MatRef::row_major(&words[..5], 1);
-            gemm_panels(17, 1, 5, p, b, MatMut::row_major(&mut c, 1), Start::FromZero);
+            gemm_panels(
+                17,
+                1,
+                5,
+                p,
+                b,
+                MatMut::row_major(&mut c, 1),
+                Start::FromZero,
+            );
         })
         .is_err());
     }

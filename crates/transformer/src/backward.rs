@@ -109,7 +109,8 @@ pub(crate) fn attention_backward(
     fused: bool,
 ) -> Result<AttentionGrads> {
     let k = Axis('k');
-    let d_gam = w.wo.product(0..w.wo.pack().m, true, d_attn, a.gamma.shape().clone())?;
+    let d_gam =
+        w.wo.product(0..w.wo.pack().m, true, d_attn, a.gamma.shape().clone())?;
     let d_alpha = einsum("whbk,whbj->hbjk", &[a.vv, &d_gam])?;
     let d_vv = einsum("whbj,hbjk->whbk", &[&d_gam, a.alpha])?;
     let d_beta = if fused {
@@ -205,7 +206,8 @@ pub(crate) fn ffn_backward(
     let (ff1_b, mask) = (a.tensor("ff1_b")?, a.tensor("drop2_mask")?);
     g.b2 = bias_grad(d_out, &[Axis('i')])?;
     let (i, u_len) = (w.w2.pack().m, w.w2.pack().k);
-    let d_brd = w.w2.product(0..i, true, d_out, columns_of(d_out, &[('u', u_len)])?)?;
+    let d_brd =
+        w.w2.product(0..i, true, d_out, columns_of(d_out, &[('u', u_len)])?)?;
     g.w2 = einsum("ibj,ubj->iu", &[d_out, a.tensor("ff1_drop")?])?;
     let d_ff1 = if fused {
         let (d_ff1, db1) = fused::bdrb_act(&d_brd, mask, ff1_b, activation, &u)?;
@@ -226,9 +228,12 @@ pub(crate) fn ffn_backward(
 /// shape of a projection's product with `x`.
 pub(crate) fn columns_of(x: &Tensor, lead: &[(char, usize)]) -> Result<Shape> {
     let (axes, sizes) = (x.shape().axes(), x.shape().sizes());
-    let cols = axes.len().checked_sub(2).ok_or(TensorError::ShapeMismatch {
-        context: "a projection's operand has a batch and a sequence axis",
-    })?;
+    let cols = axes
+        .len()
+        .checked_sub(2)
+        .ok_or(TensorError::ShapeMismatch {
+            context: "a projection's operand has a batch and a sequence axis",
+        })?;
     let trailing = (axes[cols..].iter().map(|a| a.name())).zip(sizes[cols..].iter().copied());
     Shape::new(lead.iter().copied().chain(trailing))
 }

@@ -192,24 +192,18 @@ impl EncoderWeights {
     pub fn load(&mut self, path: &Path) -> Result<(), CheckpointError> {
         let mut r = BufReader::new(File::open(path)?);
         let tensors = read_tensors(&mut r)?;
-        // every field checked before any is replaced
-        let names = self.fields().map(|(name, field)| (name, field.shape().clone()));
-        for (name, shape) in &names {
+        for (name, field) in self.map(|p| p.shape().clone(), |t| t.shape().clone()) {
             let (_, t) = tensors
                 .iter()
                 .find(|(n, _)| n == name)
                 .ok_or_else(|| CheckpointError::Format(format!("missing field `{name}`")))?;
-            if t.shape() != shape {
+            if t.shape() != &field {
                 return Err(CheckpointError::Format(format!(
-                    "shape mismatch for `{name}`: file {} vs model {shape}",
+                    "shape mismatch for `{name}`: file {} vs model {field}",
                     t.shape(),
                 )));
             }
-        }
-        for (name, t) in &tensors {
-            if names.iter().any(|(n, _)| n == name) {
-                self.set_field(name, t).expect("checked against the field's shape");
-            }
+            self.set_field(name, t).expect("a field of its own shape");
         }
         Ok(())
     }
@@ -238,7 +232,11 @@ mod tests {
         for ((n, a), (_, b)) in w.fields().iter().zip(w2.fields()) {
             assert_eq!(a.data(), b.data(), "field {n} not identical");
         }
-        assert_eq!(w.w_qkv.data(), w2.w_qkv.data(), "the pack is the same words");
+        assert_eq!(
+            w.w_qkv.data(),
+            w2.w_qkv.data(),
+            "the pack is the same words"
+        );
         std::fs::remove_file(path).ok();
     }
 

@@ -34,10 +34,15 @@
 //! bucket; between growths a step is two arena executions plus two column
 //! `memcpy`s.
 //!
-//! No weight is copied, per token or per session: the step arenas borrow
-//! every weight from the model's own tensors (`w_qkv` among them, stored
-//! stacked as the graphs read it), and the `&'m TransformerModel` borrow
-//! pins them for as long as the session lives.
+//! No weight is copied or packed, per token or per session: the step
+//! arenas borrow every weight where the model keeps it, and the
+//! `&'m TransformerModel` borrow pins them for as long as the session
+//! lives. The projections (`w_qkv`, stacked as the graphs read it, `wo`,
+//! `w1`, `w2`) are stored once in the panel order of their GEMM's A
+//! ([`crate::params::PackedWeight`]), so a step's four matrix–vector
+//! products stream them into the GEMM kernel as they lie — the one pack a
+//! product made per call, of its whole weight, is gone. The head is the
+//! one row-major weight a token reads (`head_logits`, one GEMM).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

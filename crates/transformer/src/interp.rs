@@ -400,13 +400,15 @@ pub(crate) fn layer_options<'p>(
         .build())
 }
 
-/// The one binding table: the words of the external container `name`, in
-/// natural layout — where every gated plan first finds its externals — out
-/// of a layer's input and weight set: `x` (handed in by whoever holds it),
-/// any weight by [`EncoderWeights::container`], borrowed from its tensor.
-/// `None`, for the executor to report, on a name the layers do not bind or
-/// a weight stored in another layout than its natural one (nothing that
-/// makes parameters does).
+/// The one binding table: the words of the external container `name` as
+/// the arena reads them, out of a layer's input and weight set: `x` (handed
+/// in by whoever holds it) in natural layout, any weight by
+/// [`EncoderWeights::container`] — a projection's panel pack, the arena's
+/// `CompiledArena::weight_packs` of it, or another field's row-major
+/// words — borrowed from where the weights keep them. `None`, for the
+/// executor to report, on a name the layers do not bind or a field stored
+/// in another layout than its natural one (nothing that makes parameters
+/// does).
 pub(crate) fn external_words<'a>(
     name: &str,
     x: &'a [f32],
@@ -448,8 +450,8 @@ fn with_externals<R>(
 
 /// Binds a layer input and the shared weight set into an interpreter
 /// environment under the graphs' container names (what the equivalence
-/// suites hand the reference interpreter), through the same table the
-/// arena resolves through.
+/// suites hand the reference interpreter), every weight in logical order:
+/// the projections unpacked into copies.
 pub fn bind_inputs(x: &Tensor, w: &EncoderWeights) -> ExecState {
     let mut state = ExecState::default();
     state.env.insert("x".into(), x.clone());

@@ -251,8 +251,9 @@ mod tests {
             let (_, grads) = layer.backward(&dy, &x, &w, &acts).unwrap();
             let gs = grads.fields();
             let grad_refs: Vec<&Tensor> = gs.iter().map(|(_, t)| *t).collect();
-            let mut params: Vec<(&str, Tensor)> =
-                (w.fields().into_iter()).map(|(n, t)| (n, t.into_owned())).collect();
+            let mut params: Vec<(&str, Tensor)> = (w.fields().into_iter())
+                .map(|(n, t)| (n, t.into_owned()))
+                .collect();
             let mut param_refs: Vec<&mut Tensor> = params.iter_mut().map(|(_, t)| t).collect();
             opt.step(&mut param_refs, &grad_refs);
             for (name, t) in &params {

@@ -13,7 +13,7 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
-use rand::distributions::Uniform;
+use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 
 use xform_dataflow::EncoderDims;
@@ -91,6 +91,18 @@ impl PackedWeight {
         Tensor::from_vec(self.shape.clone(), logical).expect("a pack holds its shape's elements")
     }
 
+    /// Draws a weight of `shape` from `dist`, element by element in logical
+    /// order — the draws of [`Tensor::random`] — straight into its pack.
+    pub fn random<D, R>(shape: Shape, pack: WeightPack, dist: &D, rng: &mut R) -> Self
+    where
+        D: Distribution<f32>,
+        R: Rng + ?Sized,
+    {
+        let mut words = vec![0.0; shape.num_elements()];
+        pack.for_each_word(|w, _| words[w] = dist.sample(rng));
+        PackedWeight { shape, pack, words }
+    }
+
     /// `f(word, g)` over every element, `g` the element of `grad` at the
     /// same logical index.
     ///
@@ -99,10 +111,8 @@ impl PackedWeight {
     /// Panics if `grad`'s shape is not the weight's.
     pub fn update(&mut self, grad: &Tensor, mut f: impl FnMut(&mut f32, f32)) {
         assert_eq!(grad.shape(), &self.shape, "gradient shape mismatch");
-        let g = natural(grad);
-        for (w, at) in self.words.iter_mut().zip(self.pack.logical_indices()) {
-            f(w, g[at]);
-        }
+        let (g, words) = (natural(grad), &mut self.words);
+        self.pack.for_each_word(|w, at| f(&mut words[w], g[at]));
     }
 
     /// `A[rows] · x`, or with `transposed` `A[rows]ᵀ · x`, into a row-major
@@ -235,7 +245,7 @@ impl<M> EncoderParams<M> {
     /// Every field as `(name, value)`, in the one field order (updates,
     /// norms, serialization): the projections through `matrix`, the rest
     /// through `tensor`.
-    fn map<'a, R>(
+    pub(crate) fn map<'a, R>(
         &'a self,
         matrix: impl Fn(&'a M) -> R,
         tensor: impl Fn(&'a Tensor) -> R,
@@ -258,33 +268,33 @@ impl<M> EncoderParams<M> {
         ]
     }
 
-    /// The non-projection field `name`, mutably.
-    fn tensor_mut(&mut self, name: &str) -> Option<&mut Tensor> {
+    /// Field `name`, mutably; `None` for a name that is no field.
+    fn slot(&mut self, name: &str) -> Option<Slot<'_, M>> {
+        use Slot::{Matrix, Vector};
         Some(match name {
-            "bq" => &mut self.bq,
-            "bk" => &mut self.bk,
-            "bv" => &mut self.bv,
-            "bo" => &mut self.bo,
-            "ln1_gamma" => &mut self.ln1_gamma,
-            "ln1_beta" => &mut self.ln1_beta,
-            "b1" => &mut self.b1,
-            "b2" => &mut self.b2,
-            "ln2_gamma" => &mut self.ln2_gamma,
-            "ln2_beta" => &mut self.ln2_beta,
+            "w_qkv" => Matrix(&mut self.w_qkv),
+            "wo" => Matrix(&mut self.wo),
+            "bq" => Vector(&mut self.bq),
+            "bk" => Vector(&mut self.bk),
+            "bv" => Vector(&mut self.bv),
+            "bo" => Vector(&mut self.bo),
+            "ln1_gamma" => Vector(&mut self.ln1_gamma),
+            "ln1_beta" => Vector(&mut self.ln1_beta),
+            "w1" => Matrix(&mut self.w1),
+            "b1" => Vector(&mut self.b1),
+            "w2" => Matrix(&mut self.w2),
+            "b2" => Vector(&mut self.b2),
+            "ln2_gamma" => Vector(&mut self.ln2_gamma),
+            "ln2_beta" => Vector(&mut self.ln2_beta),
             _ => return None,
         })
     }
+}
 
-    /// The projection field `name`, mutably.
-    fn matrix_mut(&mut self, name: &str) -> Option<&mut M> {
-        Some(match name {
-            "w_qkv" => &mut self.w_qkv,
-            "wo" => &mut self.wo,
-            "w1" => &mut self.w1,
-            "w2" => &mut self.w2,
-            _ => return None,
-        })
-    }
+/// One field of an [`EncoderParams`], mutably.
+enum Slot<'a, M> {
+    Matrix(&'a mut M),
+    Vector(&'a mut Tensor),
 }
 
 impl EncoderGrads {
@@ -319,9 +329,8 @@ impl EncoderWeights {
         let s = 1.0 / (dims.i as f32).sqrt();
         let dist = Uniform::new(-s, s);
         let mut packed = |name: &str, shape: Shape| {
-            let t = Tensor::random(shape, &dist, rng);
-            let pack = weight_pack(name, t.shape()).expect("a projection field");
-            PackedWeight::new(&t, pack).expect("the pack covers the weight")
+            let pack = weight_pack(name, &shape).expect("a projection field");
+            PackedWeight::random(shape, pack, &dist, rng)
         };
         // Q, then K, then V, each drawn row-major
         let qkv = [('s', 3 * dims.p), ('h', dims.h), ('i', dims.i)];
@@ -369,12 +378,6 @@ impl EncoderWeights {
         self.map(|p| Cow::Owned(p.to_tensor()), Cow::Borrowed)
     }
 
-    /// Field `name` in logical order, a copy; `None` for another name.
-    pub fn field(&self, name: &str) -> Option<Tensor> {
-        let (_, t) = self.fields().into_iter().find(|(n, _)| *n == name)?;
-        Some(t.into_owned())
-    }
-
     /// Replaces field `name` with the logical values of `t` (packing a
     /// projection).
     ///
@@ -384,21 +387,19 @@ impl EncoderWeights {
     /// field's, and [`TensorError::Unsupported`] for a name that is no
     /// field.
     pub fn set_field(&mut self, name: &str, t: &Tensor) -> Result<()> {
-        let mismatch = TensorError::ShapeMismatch {
-            context: "a field takes values of its own shape",
+        let fits = |s: &Shape| match t.shape() == s {
+            true => Ok(()),
+            false => Err(TensorError::ShapeMismatch {
+                context: "a field takes values of its own shape",
+            }),
         };
-        if let Some(p) = self.matrix_mut(name) {
-            if t.shape() != p.shape() {
-                return Err(mismatch);
+        match self.slot(name) {
+            Some(Slot::Matrix(p)) => *p = fits(p.shape()).and(PackedWeight::new(t, p.pack()))?,
+            Some(Slot::Vector(v)) => {
+                fits(v.shape())?;
+                *v = t.relayout(&Layout::row_major(t.shape().rank()));
             }
-            *p = PackedWeight::new(t, p.pack())?;
-        } else if let Some(field) = self.tensor_mut(name) {
-            if t.shape() != field.shape() {
-                return Err(mismatch);
-            }
-            *field = t.relayout(&Layout::row_major(t.shape().rank()));
-        } else {
-            return Err(TensorError::Unsupported(format!("no field `{name}`")));
+            None => return Err(TensorError::Unsupported(format!("no field `{name}`"))),
         }
         Ok(())
     }
@@ -433,20 +434,24 @@ impl EncoderWeights {
     pub fn sgd_step(&mut self, grads: &EncoderGrads, lr: f32) {
         for (name, g) in grads.fields() {
             let step = |w: &mut f32, g: f32| *w -= lr * g;
-            if let Some(p) = self.matrix_mut(name) {
-                p.update(g, step);
-            } else if let Some(w) = self.tensor_mut(name) {
-                assert_eq!(w.shape(), g.shape(), "gradient shape mismatch");
-                for (wv, &gv) in w.data_mut().iter_mut().zip(g.data()) {
-                    step(wv, gv);
+            match self.slot(name) {
+                Some(Slot::Matrix(p)) => p.update(g, step),
+                Some(Slot::Vector(w)) => {
+                    assert_eq!(w.shape(), g.shape(), "gradient shape mismatch");
+                    let words = w.data_mut().iter_mut().zip(g.data());
+                    words.for_each(|(w, &g)| step(w, g));
                 }
+                None => {}
             }
         }
     }
 
     /// Total number of scalar parameters.
     pub fn num_parameters(&self) -> usize {
-        self.map(PackedWeight::len, Tensor::len).iter().map(|f| f.1).sum()
+        self.map(PackedWeight::len, Tensor::len)
+            .iter()
+            .map(|f| f.1)
+            .sum()
     }
 
     /// Global L2 norm over all parameters (for training diagnostics), summed
@@ -458,6 +463,12 @@ impl EncoderWeights {
 
 #[cfg(test)]
 impl EncoderWeights {
+    /// Field `name` in logical order, a copy; `None` for another name.
+    pub(crate) fn field(&self, name: &str) -> Option<Tensor> {
+        let (_, t) = self.fields().into_iter().find(|(n, _)| *n == name)?;
+        Some(t.into_owned())
+    }
+
     /// A copy with element `flat` (logical row-major) of field `name` moved
     /// by `by`: a finite-difference probe.
     pub(crate) fn nudged(&self, name: &str, flat: usize, by: f32) -> EncoderWeights {
@@ -522,14 +533,19 @@ mod tests {
             let words = stack.data()[s * n..(s + 1) * n].to_vec();
             let block = Tensor::from_vec(Shape::from_spec("phi", &sizes).unwrap(), words).unwrap();
             let rows = s * ph..(s + 1) * ph;
-            let fwd = w.w_qkv.product(rows.clone(), false, &x, shape(&dims, "phbj"));
+            let fwd = w
+                .w_qkv
+                .product(rows.clone(), false, &x, shape(&dims, "phbj"));
             let want = xform_tensor::einsum("phi,ibj->phbj", &[&block, &x]).unwrap();
             assert_eq!(bits(&fwd.unwrap()), bits(&want), "stream {s}");
             let bwd = w.w_qkv.product(rows, true, &d, shape(&dims, "ibj"));
             let want = xform_tensor::einsum("phi,phbj->ibj", &[&block, &d]).unwrap();
             assert_eq!(bits(&bwd.unwrap()), bits(&want), "stream {s} transposed");
         }
-        assert!(w.w_qkv.product(2 * ph..4 * ph, false, &x, shape(&dims, "phbj")).is_err());
+        assert!(w
+            .w_qkv
+            .product(2 * ph..4 * ph, false, &x, shape(&dims, "phbj"))
+            .is_err());
     }
 
     #[test]
