@@ -345,7 +345,9 @@ pub(crate) fn weight_pack(graph: &Graph, step: &PlanStep) -> Option<(NodeId, Wei
     let natural = |s: &Shape| Layout::row_major(s.rank()).strides(s);
     let (a, b) = ((&a, &natural(&a)[..]), (&b, &natural(&b)[..]));
     let plan = ContractPlan::compile_as(spec, a, b, &natural(&out), Some(false)).ok()?;
-    Some((ins[0], plan.a_pack()?))
+    let v = plan.a.view.filter(|_| plan.batch == 1)?;
+    let (m, k, rs, cs) = (plan.m, plan.k, v.rs, v.cs);
+    Some((ins[0], WeightPack { m, k, rs, cs }))
 }
 
 /// Lowers one scheduled step from the graph's edges, the step's operator

@@ -63,7 +63,7 @@ use crate::lanes::{self, on_run, Dropout, LaneAt, Run, Walk, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
     gemm_batched, gemm_packed_leading, gemm_panels, pack_panels, panel_words, BatchMut, BatchRef,
-    BatchStrides, Lhs, MatMut, MatRef, PanelRef, Start, WeightPack, NR,
+    BatchStrides, Lhs, MatMut, MatRef, PanelRef, Start, NR,
 };
 use crate::ops::elementwise::ActivationKind;
 use crate::tensor::Tensor;
@@ -470,18 +470,6 @@ impl ContractPlan {
         (self.batch == 1 && self.a.view.is_some()).then(|| ContractPlan {
             panels: true,
             ..self.clone()
-        })
-    }
-
-    /// Where A lies in its operand's words, as the pack of a projection
-    /// weight records it; `None` unless A is one matrix read as a view.
-    pub fn a_pack(&self) -> Option<WeightPack> {
-        let v = self.a.view.filter(|_| self.batch == 1)?;
-        Some(WeightPack {
-            m: self.m,
-            k: self.k,
-            rs: v.rs,
-            cs: v.cs,
         })
     }
 

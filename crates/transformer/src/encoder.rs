@@ -459,7 +459,7 @@ mod tests {
         }
         // weight gradient spot checks: one index in each of the Q, K and V
         // blocks of the stack
-        let n = w.w_qkv.len() / 3;
+        let n = w.w_qkv.data().len() / 3;
         let checks: Vec<(&str, usize)> = vec![
             ("w_qkv", 3),
             ("w_qkv", n + 5),

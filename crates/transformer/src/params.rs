@@ -58,17 +58,6 @@ impl PackedWeight {
         &self.shape
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether the weight has no elements (never: a shape has no empty
-    /// axis).
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
     /// The stored words, in panel order — what the GEMMs read.
     pub fn data(&self) -> &[f32] {
         &self.words
@@ -86,7 +75,7 @@ impl PackedWeight {
 
     /// A row-major copy in logical order.
     pub fn to_tensor(&self) -> Tensor {
-        let mut logical = vec![0.0; self.len()];
+        let mut logical = vec![0.0; self.words.len()];
         self.pack.unpack(&self.words, &mut logical);
         Tensor::from_vec(self.shape.clone(), logical).expect("a pack holds its shape's elements")
     }
@@ -448,7 +437,7 @@ impl EncoderWeights {
 
     /// Total number of scalar parameters.
     pub fn num_parameters(&self) -> usize {
-        self.map(PackedWeight::len, Tensor::len)
+        self.map(|p| p.data().len(), Tensor::len)
             .iter()
             .map(|f| f.1)
             .sum()
