@@ -357,7 +357,33 @@ impl WeightPack {
     /// too short.
     pub fn pack(&self, logical: &[f32], dst: &mut [f32]) {
         assert_eq!(dst.len(), self.m * self.k, "a pack holds m·k words");
-        self.for_each_word(|w, l| dst[w] = logical[l]);
+        match self.row_major() {
+            true => (0..self.m).step_by(NR).for_each(|jr| {
+                self.pack_band(jr, &logical[jr * self.k..], dst);
+            }),
+            false => self.for_each_word(|w, l| dst[w] = logical[l]),
+        }
+    }
+
+    /// Whether A's rows are the logical words' rows (`rs = k`, `cs = 1`):
+    /// the pack then goes one [`WeightPack::pack_band`] at a time.
+    pub fn row_major(&self) -> bool {
+        (self.rs, self.cs) == (self.k, 1)
+    }
+
+    /// Writes rows `jr..` of a row-major A — `band` holds them, `k` words
+    /// each, as many as the `NR`-row band from `jr` has — into their panels
+    /// of the pack `dst`.
+    pub fn pack_band(&self, jr: usize, band: &[f32], dst: &mut [f32]) {
+        let (m, k, w) = (self.m, self.k, NR.min(self.m - jr));
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let panel = &mut dst[pc * m + jr * kc..][..kc * w];
+            for (r, row) in band.chunks_exact(k).take(w).enumerate() {
+                let column = panel[r..].iter_mut().step_by(w);
+                column.zip(&row[pc..pc + kc]).for_each(|(dst, &v)| *dst = v);
+            }
+        }
     }
 
     /// Writes the pack `panels` back into logical order: its inverse.

@@ -17,7 +17,7 @@ use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 
 use xform_dataflow::EncoderDims;
-use xform_tensor::matmul::{gemm_panels, MatMut, MatRef, PanelRef, Start, WeightPack};
+use xform_tensor::matmul::{gemm_panels, MatMut, MatRef, PanelRef, Start, WeightPack, NR};
 use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
 /// A projection weight stored in the panel order of its forward GEMM-A
@@ -38,6 +38,10 @@ impl PackedWeight {
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless `pack` covers exactly
     /// the elements of `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pack`'s strides reach past those elements.
     pub fn new(t: &Tensor, pack: WeightPack) -> Result<PackedWeight> {
         if pack.m * pack.k != t.len() {
             let context = "a weight pack covers exactly the weight's elements";
@@ -81,14 +85,26 @@ impl PackedWeight {
     }
 
     /// Draws a weight of `shape` from `dist`, element by element in logical
-    /// order — the draws of [`Tensor::random`] — straight into its pack.
+    /// order — the draws of [`Tensor::random`] — straight into its pack,
+    /// which must view the shape's words densely (row- or column-major, as
+    /// [`weight_pack`]'s do).
     pub fn random<D, R>(shape: Shape, pack: WeightPack, dist: &D, rng: &mut R) -> Self
     where
         D: Distribution<f32>,
         R: Rng + ?Sized,
     {
         let mut words = vec![0.0; shape.num_elements()];
-        pack.for_each_word(|w, _| words[w] = dist.sample(rng));
+        if pack.row_major() {
+            // a band of rows drawn, then written into its panels
+            let mut band = vec![0.0; NR * pack.k];
+            for jr in (0..pack.m).step_by(NR) {
+                let rows = &mut band[..NR.min(pack.m - jr) * pack.k];
+                rows.iter_mut().for_each(|v| *v = dist.sample(rng));
+                pack.pack_band(jr, rows, &mut words);
+            }
+        } else {
+            pack.for_each_word(|w, _| words[w] = dist.sample(rng));
+        }
         PackedWeight { shape, pack, words }
     }
 
