@@ -332,15 +332,8 @@ pub(crate) fn tile_kernel(
 /// geometry of the panel pack the weight is stored as. The weight plays A
 /// in every such step, whatever layouts the step declares.
 pub(crate) fn weight_pack(graph: &Graph, step: &PlanStep) -> Option<(NodeId, WeightPack)> {
-    let spec = match &step.kind {
-        OpKind::Einsum(spec) | OpKind::TileProgram { first: spec, .. } => spec,
-        _ => return None,
-    };
-    let ins = graph.inputs_of(step.op);
-    let (w, x) = (graph.data(*ins.first()?)?, graph.data(*ins.get(1)?)?);
-    if w.role != DataRole::Weight || w.shape.rank() < 2 {
-        return None;
-    }
+    let (spec, ins) = projection_of(graph, step)?;
+    let (w, x) = (graph.data(ins[0])?, graph.data(*ins.get(1)?)?);
     let (a, b, out) = labelled_shapes(spec, &w.shape, &x.shape)?;
     let natural = |s: &Shape| Layout::row_major(s.rank()).strides(s);
     let (a, b) = ((&a, &natural(&a)[..]), (&b, &natural(&b)[..]));
@@ -348,6 +341,18 @@ pub(crate) fn weight_pack(graph: &Graph, step: &PlanStep) -> Option<(NodeId, Wei
     let v = plan.a.view.filter(|_| plan.batch == 1)?;
     let (m, k, rs, cs) = (plan.m, plan.k, v.rs, v.cs);
     Some((ins[0], WeightPack { m, k, rs, cs }))
+}
+
+/// A step whose (first) contraction reads a projection weight as its first
+/// operand: the contraction and the step's input edges.
+fn projection_of<'g>(graph: &Graph, step: &'g PlanStep) -> Option<(&'g EinsumSpec, Vec<NodeId>)> {
+    let spec = match &step.kind {
+        OpKind::Einsum(spec) | OpKind::TileProgram { first: spec, .. } => spec,
+        _ => return None,
+    };
+    let ins = graph.inputs_of(step.op);
+    let w = graph.data(*ins.first()?)?;
+    (w.role == DataRole::Weight && w.shape.rank() >= 2).then_some((spec, ins))
 }
 
 /// Lowers one scheduled step from the graph's edges, the step's operator
@@ -493,7 +498,7 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                 strides(Slot::Out(0))?,
             );
             // a projection weight plays A, read out of its panel pack
-            let weight = weight_pack(graph, step).is_some();
+            let weight = projection_of(graph, step).is_some();
             let (a, b) = ((&a_s, &a[..]), (&b_s, &b[..]));
             let plan = ContractPlan::compile_as(spec, a, b, &out, weight.then_some(false)).ok()?;
             let kernel = Kernel::Contract {

@@ -357,33 +357,76 @@ impl WeightPack {
     /// too short.
     pub fn pack(&self, logical: &[f32], dst: &mut [f32]) {
         assert_eq!(dst.len(), self.m * self.k, "a pack holds m·k words");
-        match self.row_major() {
-            true => (0..self.m).step_by(NR).for_each(|jr| {
-                self.pack_band(jr, &logical[jr * self.k..], dst);
-            }),
-            false => self.for_each_word(|w, l| dst[w] = logical[l]),
+        let reach = span(self.m, self.k, self.rs, self.cs);
+        assert!(logical.len() >= reach, "logical is too short");
+        self.zip_logical(logical, dst, |d, v| *d = v);
+    }
+
+    /// Calls `f(word, value)` for every word of the pack `words` with the
+    /// logical value it holds, panel by panel so that both sides stream: a
+    /// column of a column-major A is a run of a panel's lane, and a
+    /// row-major A goes through `NR×NR` tiles transposed on the stack.
+    pub fn zip_logical(
+        &self,
+        logical: &[f32],
+        words: &mut [f32],
+        mut f: impl FnMut(&mut f32, f32),
+    ) {
+        let (m, k, mut base) = (self.m, self.k, 0);
+        let column_major = (self.rs, self.cs) == (1, m);
+        if !self.row_major() && !column_major {
+            return self.for_each_word(|w, l| f(&mut words[w], logical[l]));
+        }
+        let mut tile = [[0.0f32; NR]; NR];
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            for jr in (0..m).step_by(NR) {
+                let w = NR.min(m - jr);
+                let panel = &mut words[base..][..kc * w];
+                base += kc * w;
+                let mut c0 = 0;
+                if column_major {
+                    for (c, lane) in panel.chunks_exact_mut(w).enumerate() {
+                        let run = &logical[(pc + c) * m + jr..][..w];
+                        lane.iter_mut().zip(run).for_each(|(x, &v)| f(x, v));
+                    }
+                    continue;
+                }
+                while w == NR && c0 + NR <= kc {
+                    let rows = logical[jr * k + pc + c0..].chunks(k).take(NR);
+                    for (r, row) in rows.enumerate() {
+                        (tile.iter_mut().zip(row)).for_each(|(t, &v)| t[r] = v);
+                    }
+                    let lanes = panel[c0 * NR..][..NR * NR].chunks_exact_mut(NR);
+                    for (lane, t) in lanes.zip(&tile) {
+                        lane.iter_mut().zip(t).for_each(|(x, &v)| f(x, v));
+                    }
+                    c0 += NR;
+                }
+                for c in c0..kc {
+                    for r in 0..w {
+                        f(&mut panel[c * w + r], logical[(jr + r) * k + pc + c]);
+                    }
+                }
+            }
         }
     }
 
-    /// Whether A's rows are the logical words' rows (`rs = k`, `cs = 1`):
-    /// the pack then goes one [`WeightPack::pack_band`] at a time.
+    /// Whether A's rows are the logical words' rows (`rs = k`, `cs = 1`).
     pub fn row_major(&self) -> bool {
         (self.rs, self.cs) == (self.k, 1)
     }
 
-    /// Writes rows `jr..` of a row-major A — `band` holds them, `k` words
-    /// each, as many as the `NR`-row band from `jr` has — into their panels
-    /// of the pack `dst`.
-    pub fn pack_band(&self, jr: usize, band: &[f32], dst: &mut [f32]) {
-        let (m, k, w) = (self.m, self.k, NR.min(self.m - jr));
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let panel = &mut dst[pc * m + jr * kc..][..kc * w];
-            for (r, row) in band.chunks_exact(k).take(w).enumerate() {
-                let column = panel[r..].iter_mut().step_by(w);
-                column.zip(&row[pc..pc + kc]).for_each(|(dst, &v)| *dst = v);
-            }
-        }
+    /// The words of row `r` of A in the pack `dst`, column by column: its
+    /// lane of each panel it crosses, one `KC` block after another.
+    pub fn row_lane<'d>(&self, r: usize, dst: &'d mut [f32]) -> impl Iterator<Item = &'d mut f32> {
+        let (m, jr) = (self.m, r - r % NR);
+        let w = NR.min(m - jr);
+        let blocks = dst[..self.m * self.k].chunks_mut(KC * m);
+        blocks.flat_map(move |block| {
+            let kc = block.len() / m;
+            block[jr * kc + r - jr..].iter_mut().step_by(w).take(kc)
+        })
     }
 
     /// Writes the pack `panels` back into logical order: its inverse.

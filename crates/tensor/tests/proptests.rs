@@ -1773,7 +1773,13 @@ mod panel_operand {
         for (m, k) in [(1, 1), (17, 3), (37, 2 * KC + 3), (16, KC)] {
             let a = rand_vec(m * k, &mut rng);
             let mut want = vec![f32::NAN; m * k];
-            WeightPack { m, k, rs: k, cs: 1 }.pack(&a, &mut want);
+            let rows = WeightPack { m, k, rs: k, cs: 1 };
+            rows.pack(&a, &mut want);
+            // a row's lane is its `k` words, column by column
+            for (r, row) in a.chunks_exact(k).enumerate() {
+                let lane: Vec<f32> = rows.row_lane(r, &mut want.clone()).map(|v| *v).collect();
+                assert_eq!(bits(&lane), bits(row), "row {r} of {m}×{k}");
+            }
             let mut cols = vec![f32::NAN; m * k];
             let mut wide = vec![f32::NAN; 2 * m * k];
             for r in 0..m {
@@ -1814,6 +1820,14 @@ mod panel_operand {
             let cut = std::panic::catch_unwind(|| PanelRef::new(&words[..len], 17, 5));
             assert!(cut.is_err(), "{len} words are not a 17×5 pack");
         }
+        let at = WeightPack {
+            m: 17,
+            k: 5,
+            rs: 5,
+            cs: 1,
+        };
+        let short = std::panic::catch_unwind(|| at.pack(&words[..17 * 5 - 1], &mut [0.0; 17 * 5]));
+        assert!(short.is_err(), "a logical slice one word short is refused");
         assert!(std::panic::catch_unwind(|| {
             let p = PanelRef::new(&words[..17 * 5], 17, 5).from_row(1);
             let mut c = vec![0.0f32; 17];

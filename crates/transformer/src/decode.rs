@@ -40,9 +40,9 @@
 //! lives. The projections (`w_qkv`, stacked as the graphs read it, `wo`,
 //! `w1`, `w2`) are stored once in the panel order of their GEMM's A
 //! ([`crate::params::PackedWeight`]), so a step's four matrix–vector
-//! products stream them into the GEMM kernel as they lie — the one pack a
-//! product made per call, of its whole weight, is gone. The head is the
-//! one row-major weight a token reads (`head_logits`, one GEMM).
+//! products stream them into the GEMM kernel as they lie: no product
+//! packs its weight. The head is the one row-major weight a token reads
+//! (`head_logits`, one GEMM).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

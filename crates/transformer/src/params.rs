@@ -17,7 +17,7 @@ use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 
 use xform_dataflow::EncoderDims;
-use xform_tensor::matmul::{gemm_panels, MatMut, MatRef, PanelRef, Start, WeightPack, NR};
+use xform_tensor::matmul::{gemm_panels, MatMut, MatRef, PanelRef, Start, WeightPack};
 use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
 /// A projection weight stored in the panel order of its forward GEMM-A
@@ -95,12 +95,10 @@ impl PackedWeight {
     {
         let mut words = vec![0.0; shape.num_elements()];
         if pack.row_major() {
-            // a band of rows drawn, then written into its panels
-            let mut band = vec![0.0; NR * pack.k];
-            for jr in (0..pack.m).step_by(NR) {
-                let rows = &mut band[..NR.min(pack.m - jr) * pack.k];
-                rows.iter_mut().for_each(|v| *v = dist.sample(rng));
-                pack.pack_band(jr, rows, &mut words);
+            // a row drawn straight into its lane of each panel
+            for r in 0..pack.m {
+                pack.row_lane(r, &mut words)
+                    .for_each(|v| *v = dist.sample(rng));
             }
         } else {
             pack.for_each_word(|w, _| words[w] = dist.sample(rng));
@@ -114,10 +112,9 @@ impl PackedWeight {
     /// # Panics
     ///
     /// Panics if `grad`'s shape is not the weight's.
-    pub fn update(&mut self, grad: &Tensor, mut f: impl FnMut(&mut f32, f32)) {
+    pub fn update(&mut self, grad: &Tensor, f: impl FnMut(&mut f32, f32)) {
         assert_eq!(grad.shape(), &self.shape, "gradient shape mismatch");
-        let (g, words) = (natural(grad), &mut self.words);
-        self.pack.for_each_word(|w, at| f(&mut words[w], g[at]));
+        self.pack.zip_logical(&natural(grad), &mut self.words, f);
     }
 
     /// `A[rows] · x`, or with `transposed` `A[rows]ᵀ · x`, into a row-major
