@@ -38,13 +38,14 @@
 //! (flat and cache-corrected MUE, predicted DRAM bytes, arena slab bytes,
 //! and every lint) — so the static account is tracked across PRs like
 //! `repro profile --json` tracks the measured one. With `--certify` it runs
-//! the full race certifier (`xform_core::sanitize::certify`) on every plan
+//! the plan certificate (`xform_core::sanitize::certify`) on every plan
 //! and prints each certificate's fingerprint and wave partition, failing if
 //! any plan cannot be certified for wave-parallel execution. With
-//! `--access` it runs the access-path certifier (`xform_core::access`) at
-//! the logical level and at both arena granularities, printing each plan's
-//! unit-stride step count and every access lint, failing if any plan fails
-//! certification (error-severity access lints). A strided inner loop is a
+//! `--access` it runs the same certificate at the logical level
+//! (`xform_core::access::certify_access`) and over the coloring of both
+//! arena granularities, printing each plan's unit-stride step count and
+//! every access lint, failing if any plan fails certification. A strided
+//! inner loop is a
 //! warning — that step runs its kernel's lane-at-a-time strided
 //! instantiation — and does not fail a *selected* plan, which may buy it
 //! with a cheaper neighbour; a canned natural plan carrying one fails the
@@ -53,7 +54,7 @@
 
 use std::collections::HashMap;
 
-use xform_core::access::{certify_access, certify_access_arena, AccessCertificate};
+use xform_core::access::certify_access;
 use xform_core::analyze::{
     analyze, assign_arena, audit, cross_call_high_water, lint_selection, render_report,
     ArenaGranularity, Home, PlanLint, Severity,
@@ -62,7 +63,7 @@ use xform_core::cachemodel::{cache_audit, CacheGeometry};
 use xform_core::fusion::{apply_plan, encoder_fusion_plan};
 use xform_core::plan::ExecutionPlan;
 use xform_core::recipe::forward_ops;
-use xform_core::sanitize::certify;
+use xform_core::sanitize::{certify, certify_plan, PlanCertificate};
 use xform_core::selection::select_forward;
 use xform_core::sweep::{sweep_all, SimulatorSource, SweepOptions, SweepResult};
 use xform_dataflow::{build, EncoderDims, Graph, NodeId};
@@ -185,15 +186,15 @@ enum Mode {
 /// The strided-inner-loop warnings of a certificate: the sweeps that fall
 /// to the lane-at-a-time strided body. None may appear in a canned natural
 /// plan.
-fn strided_sweeps(cert: &AccessCertificate) -> usize {
+fn strided_sweeps(cert: &PlanCertificate) -> usize {
     let strided = |l: &&PlanLint| matches!(l, PlanLint::StridedInnerLoop { .. });
     cert.lints.iter().filter(strided).count()
 }
 
-/// Runs the access-path certifier on one plan: logically and embedded
-/// into the arena coloring at both granularities. Returns the number of
-/// error lints across the three passes, to which a `natural` (canned,
-/// unselected) plan adds its strided sweeps.
+/// Certifies one plan logically and over the arena coloring and wave
+/// partition of both granularities. Returns the number of error lints
+/// across the three passes, to which a `natural` (canned, unselected) plan
+/// adds its strided sweeps.
 fn report_access(title: &str, graph: &Graph, plan: &ExecutionPlan, natural: bool) -> usize {
     let analysis = analyze(graph, plan);
     let mut errors = 0usize;
@@ -201,8 +202,9 @@ fn report_access(title: &str, graph: &Graph, plan: &ExecutionPlan, natural: bool
     let passes = [ArenaGranularity::Serial, ArenaGranularity::Waves]
         .into_iter()
         .map(|gran| {
-            let arena = assign_arena(&analysis, gran);
-            certify_access_arena(graph, plan, &arena).map(|c| (c, format!("arena/{gran:?}")))
+            let (arena, waves) = (assign_arena(&analysis, gran), analysis.waves_for(gran));
+            certify_plan(graph, plan, &analysis, &waves, Some(&arena))
+                .map(|c| (c, format!("arena/{gran:?}")))
         });
     for outcome in std::iter::once(logical).chain(passes) {
         match outcome {

@@ -12,7 +12,7 @@
 //!   gate).
 
 use xform_core::cachemodel::{CacheGeometry, CACHE_GEOM_ENV};
-use xform_core::sanitize::env_setting;
+use xform_core::env::env_setting;
 
 use crate::paper::{Entry, ENTRIES};
 

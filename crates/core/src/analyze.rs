@@ -828,6 +828,16 @@ impl PlanAnalysis {
         waves
     }
 
+    /// The wave partition an arena at `granularity` dispatches: the
+    /// [`parallel_waves`](PlanAnalysis::parallel_waves) for the worker
+    /// pool, one step a wave in schedule order for a serial run.
+    pub fn waves_for(&self, granularity: ArenaGranularity) -> Vec<Vec<usize>> {
+        match granularity {
+            ArenaGranularity::Serial => (0..self.n_steps).map(|i| vec![i]).collect(),
+            ArenaGranularity::Waves => self.parallel_waves(),
+        }
+    }
+
     /// Wave index per step (the inverse of [`PlanAnalysis::parallel_waves`]).
     pub fn wave_of(&self) -> Vec<usize> {
         let mut out = vec![0usize; self.n_steps];

@@ -6,14 +6,14 @@
 //!
 //! [`CompiledArena::compile`] passes the plan through the lint gate, colors
 //! its buffer-liveness intervals into slab offsets with
-//! [`crate::analyze::assign_arena`], proves the coloring respects liveness
-//! ([`crate::sanitize::certify_arena`]) and every access path stays inside
-//! its slot ([`crate::access::certify_access_arena`]), at
-//! [`ArenaGranularity::Waves`] proves the wave partition it is about to
-//! dispatch free of races ([`crate::sanitize::certify_waves`]), and
-//! precompiles every step into a `StepExec`: the step lowering's kernel
-//! class (DESIGN.md, "Step lowering") with each operand's slab slot. All of
-//! that happens once; [`compiled`] memoizes the result per distinct plan.
+//! [`crate::analyze::assign_arena`], certifies the plan over the wave
+//! partition it will dispatch and that coloring
+//! ([`crate::sanitize::certify_plan`]: the coloring respects liveness,
+//! every access path stays inside its slot, no two steps of a wave race)
+//! and keeps the [`PlanCertificate`], and precompiles every step into a
+//! `StepExec`: the step lowering's kernel class (DESIGN.md, "Step
+//! lowering") with each operand's slab words. All of that happens once;
+//! [`compiled`] memoizes the result per distinct plan.
 //! Execution then walks the descriptors through the zero-allocation
 //! `*_into` kernels of [`xform_tensor::into_ops`] — no tensors are built,
 //! no heap is touched.
@@ -31,9 +31,12 @@
 //! layout. Whether a sweep runs the slice body lane by lane, in panels of
 //! adjacent strided lanes, or the bounds-checked strided body is read off
 //! the strides its views carry ([`Sweep::walk`]), never off an option. The
-//! access certificate is computed from the very same views
-//! (`access::view_path`), so it describes the words the kernels
-//! touch by construction ([`CompiledArena::step_views`]).
+//! certificate's access paths are read off the very same views
+//! (`access::view_path`), and each kernel is handed exactly the hull of
+//! its operand's path — one projection of a stacked Q/K/V tensor is handed
+//! its third, not the stacked slot — so a kernel reading outside its
+//! certified path indexes out of range in every mode
+//! ([`CompiledArena::step_views`]).
 //!
 //! **Relayouts.** A relayout insertion permutes its container in place, in
 //! the one slot its liveness interval owns: a gather into the step's
@@ -79,7 +82,7 @@
 //! * **serial** — steps in schedule order (`threads <= 1`);
 //! * **waves** — each wave dispatched across a lazily-spawned persistent
 //!   worker pool (scoped-thread spawning would allocate per call);
-//! * **poison** — the aliasing-aware shadow mode: the slab is poisoned
+//! * **poison** — the aliasing-aware checking mode: the slab is poisoned
 //!   with NaN, each buffer is re-poisoned the moment its certified live
 //!   interval ends, and every step's outputs are checked finite, so a
 //!   read of a dead (reused) buffer surfaces as an error instead of
@@ -117,7 +120,7 @@ use crate::access::{view_path, AccessPath};
 use crate::analyze::{analyze, ArenaGranularity, Home, PlanAnalysis};
 use crate::lower::{lower_step, walk_of, weight_pack, Kernel, RelayoutCopy, Role, Slot, Tail};
 use crate::plan::{layout_spec, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
-use crate::sanitize::{certify_analyzed, certify_arena, plan_fingerprint, ArenaCertificate};
+use crate::sanitize::{certify_plan, plan_fingerprint, PlanCertificate};
 
 /// One contiguous word range of the slab (or of the scratch/stats
 /// buffers).
@@ -132,9 +135,9 @@ struct BufView {
 enum Place {
     /// A range of the slab.
     Slab(BufView),
-    /// Entry `k` of the run's externals table: the caller's slice, read
-    /// where it lives. Never an output.
-    Borrowed(usize),
+    /// A range of entry `k` of the run's externals table: the caller's
+    /// slice, read where it lives. Never an output.
+    Borrowed(usize, BufView),
 }
 
 /// The externals-table entry a relayout gathers from, when it is the
@@ -309,8 +312,7 @@ struct ArenaRun {
     /// Base seed of every step's key.
     seed: u64,
     threads: usize,
-    /// Run the aliasing-aware shadow sanitizer (poison + finiteness
-    /// checks).
+    /// Run the poison mode (NaN fills + finiteness checks).
     sanitize: bool,
     /// Absolute sequence position of the run's first query column: every
     /// causal softmax's visibility window shifts by this.
@@ -340,7 +342,7 @@ impl ArenaRun {
             sanitize: match opts.sanitize {
                 SanitizeMode::Off => false,
                 SanitizeMode::On => true,
-                SanitizeMode::Env => *ENV_SANITIZE.get_or_init(crate::sanitize::sanitize_enabled),
+                SanitizeMode::Env => *ENV_SANITIZE.get_or_init(crate::env::sanitize_enabled),
             },
             pos: opts.pos,
             timed: opts.profiler.is_some(),
@@ -415,14 +417,13 @@ pub enum ArenaArtifact<'a> {
 #[derive(Debug)]
 pub struct CompiledArena {
     granularity: ArenaGranularity,
-    cert: ArenaCertificate,
+    cert: PlanCertificate,
     slab_words: usize,
     scratch_words: usize,
     stats_words: usize,
     steps: Vec<StepExec>,
     step_names: Vec<String>,
     step_outputs: Vec<Vec<BufView>>,
-    waves: Vec<Vec<usize>>,
     retire: Vec<Vec<BufView>>,
     externals: Vec<ExternalBind>,
     /// Slab spans the sanitizer may poison before a run: the complement
@@ -447,10 +448,11 @@ pub fn granularity_for(threads: usize) -> ArenaGranularity {
 impl CompiledArena {
     /// Lowers an analyzed plan onto a static arena at the given
     /// granularity. Everything a run would otherwise have to re-check per
-    /// call is checked here, once: the analyzer's lint gate, the coloring
-    /// and access-path certificates, and — at
-    /// [`ArenaGranularity::Waves`] — the race proof over the plan's own
-    /// wave partition, the one the worker pool will be handed.
+    /// call is checked here, once: the analyzer's lint gate, then the one
+    /// certificate ([`crate::sanitize::certify_plan`]) over the wave
+    /// partition the run will dispatch — the plan's own at
+    /// [`ArenaGranularity::Waves`], one step a wave at
+    /// [`ArenaGranularity::Serial`] — and the coloring it will run out of.
     ///
     /// Always `Ok(Some(_))` on success: every plan that passes the gate
     /// compiles, in any layout. (The `Option` dates from when strided
@@ -459,11 +461,10 @@ impl CompiledArena {
     /// # Errors
     ///
     /// Returns an error when `analysis` carries an error-severity lint,
-    /// the coloring or the access paths cannot be certified
-    /// ([`crate::sanitize::certify_arena`],
-    /// [`crate::access::certify_access_arena`] — an internal invariant
-    /// violation), the wave partition fails
-    /// [`crate::sanitize::certify_waves`], or a step has no arena lowering
+    /// the plan cannot be certified over its partition and coloring
+    /// (under-declared operands, aliased names, racing steps, an access
+    /// escaping its buffer or slot, a write to a cache), or a step has no
+    /// arena lowering
     /// (an operator kind or operand count the step lowering does not
     /// model, or a tile program's tail stream declared in a non-natural
     /// layout).
@@ -488,24 +489,16 @@ impl CompiledArena {
         analysis: &PlanAnalysis,
         granularity: ArenaGranularity,
     ) -> Result<CompiledArena> {
-        let refused = |what: &str, lints: Vec<crate::analyze::PlanLint>| {
-            let lints: Vec<String> = lints.iter().map(|l| l.to_string()).collect();
-            TensorError::Unsupported(format!("{what} failed certification: {}", lints.join("; ")))
-        };
-        let waves: Vec<Vec<usize>> = match granularity {
-            ArenaGranularity::Serial => (0..plan.steps.len()).map(|i| vec![i]).collect(),
-            ArenaGranularity::Waves => {
-                let waves = analysis.parallel_waves();
-                certify_analyzed(graph, plan, analysis, &waves)
-                    .map_err(|lints| refused("wave partition", lints))?;
-                waves
-            }
-        };
+        let waves = analysis.waves_for(granularity);
         let assignment = crate::analyze::assign_arena(analysis, granularity);
         let cert =
-            certify_arena(plan, &assignment).map_err(|lints| refused("arena coloring", lints))?;
-        crate::access::certify_access_arena(graph, plan, &assignment)
-            .map_err(|lints| refused("arena access paths", lints))?;
+            certify_plan(graph, plan, analysis, &waves, Some(&assignment)).map_err(|lints| {
+                let lints: Vec<String> = lints.iter().map(ToString::to_string).collect();
+                TensorError::Unsupported(format!(
+                    "the plan failed certification: {}",
+                    lints.join("; ")
+                ))
+            })?;
 
         let view = |s: &crate::analyze::ArenaSlot| BufView {
             off: s.offset as usize,
@@ -531,7 +524,7 @@ impl CompiledArena {
         let mut gather_from: HashMap<NodeId, usize> = HashMap::new();
         for (b, s) in analysis.liveness.iter().zip(&assignment.slots) {
             let place = match s.borrowed {
-                true => Place::Borrowed(externals.len()),
+                true => Place::Borrowed(externals.len(), BufView { off: 0, ..view(s) }),
                 false => Place::Slab(view(s)),
             };
             place_of.insert(b.data, place);
@@ -678,7 +671,6 @@ impl CompiledArena {
             step_names: plan.steps.iter().map(|s| s.name.clone()).collect(),
             steps,
             step_outputs,
-            waves,
             retire,
             externals,
             poison_spans,
@@ -696,7 +688,7 @@ impl CompiledArena {
             scratch: vec![0.0; self.scratch_words],
             stats: vec![0.0; self.stats_words],
             step_us: vec![0.0; self.steps.len()],
-            wave_us: vec![0.0; self.waves.len()],
+            wave_us: vec![0.0; self.cert.waves.len()],
             ext: vec![ExtSlice(&[]); self.externals.len()],
         });
         self
@@ -716,7 +708,6 @@ impl CompiledArena {
             steps: self.steps.clone(),
             step_names: self.step_names.clone(),
             step_outputs: self.step_outputs.clone(),
-            waves: self.waves.clone(),
             retire: self.retire.clone(),
             externals: self.externals.clone(),
             poison_spans: self.poison_spans.clone(),
@@ -730,8 +721,8 @@ impl CompiledArena {
     /// The view of every operand step `si` hands its kernel, in the
     /// kernel's argument order, as an access path in the words of the
     /// arena's address space (the slab, then each borrowed external's own
-    /// range) — what the access certificate's paths, embedded in their
-    /// slots, must equal.
+    /// range) — what the certificate's paths, embedded in their slots, must
+    /// equal.
     pub fn step_views(&self, si: usize) -> impl Iterator<Item = AccessPath> + '_ {
         let step = &self.steps[si];
         let operands = step.operands.iter().enumerate();
@@ -739,15 +730,16 @@ impl CompiledArena {
             let walk = walk_of(&step.sweeps, step.operands.len(), k);
             let mut path = view_path(role, view, walk).0;
             path.base += match *place {
-                Place::Slab(slot) => slot.off,
-                Place::Borrowed(e) => self.externals[e].view.off,
+                Place::Slab(words) => words.off,
+                Place::Borrowed(e, words) => self.externals[e].view.off + words.off,
             } as u64;
             path
         })
     }
 
-    /// The certificate proving the coloring respects liveness.
-    pub fn certificate(&self) -> &ArenaCertificate {
+    /// The certificate the plan earned at compile, over this arena's wave
+    /// partition and coloring.
+    pub fn certificate(&self) -> &PlanCertificate {
         &self.cert
     }
 
@@ -879,7 +871,7 @@ impl CompiledArena {
     /// 1` on an arena compiled at [`ArenaGranularity::Serial`],
     /// [`TensorError::UnboundExternal`] naming the container `resolve`
     /// answered with no slice (but for a cache) or one of the wrong length,
-    /// and an error when a worker panics or the shadow sanitizer detects a
+    /// and an error when a worker panics or the poison mode detects a
     /// non-finite output (a read of a dead, reused buffer).
     pub fn execute_bound<'a>(
         &self,
@@ -952,7 +944,7 @@ impl CompiledArena {
         if run.timed {
             sink(ArenaArtifact::Timings {
                 step_us: &bufs.step_us,
-                waves: &self.waves,
+                waves: &self.cert.waves,
                 wave_us: if parallel { &bufs.wave_us } else { &[] },
                 workers,
                 sanitized: run.sanitize,
@@ -1014,7 +1006,7 @@ impl CompiledArena {
     }
 
     fn run_serial(&self, mem: SlabMem, run: &ArenaRun) -> Result<()> {
-        for (w, wave) in self.waves.iter().enumerate() {
+        for (w, wave) in self.cert.waves.iter().enumerate() {
             for &si in wave {
                 // SAFETY: the arena certificate proves every pair of
                 // simultaneously-live buffers occupies disjoint slab
@@ -1035,7 +1027,7 @@ impl CompiledArena {
         // serialize concurrent parallel arena runs; waves of one run must
         // not interleave with another run's on the shared job slot
         let _dispatch = pool.dispatch.lock().unwrap_or_else(|e| e.into_inner());
-        for (w, wave) in self.waves.iter().enumerate() {
+        for (w, wave) in self.cert.waves.iter().enumerate() {
             let t0 = run.timed.then(Instant::now);
             if wave.len() <= 1 || pool.workers == 0 {
                 for &si in wave {
@@ -1057,12 +1049,12 @@ impl CompiledArena {
         Ok(pool.workers + 1)
     }
 
-    /// Shadow-sanitizer epilogue for one wave: every output written by the
+    /// Poison-mode epilogue for one wave: every output written by the
     /// wave must be finite (a NaN means some kernel read poisoned — dead
     /// and reused — slab words), then every buffer whose certified live
     /// interval ends at this wave is re-poisoned.
     fn sanitize_wave(&self, mem: SlabMem, w: usize) -> Result<()> {
-        for &si in &self.waves[w] {
+        for &si in &self.cert.waves[w] {
             for v in &self.step_outputs[si] {
                 // SAFETY: the wave finished; no kernel holds these words.
                 let data = unsafe { mem.slab(*v) };
@@ -1199,7 +1191,9 @@ fn strided_tail(step: &PlanStep) -> Option<&crate::plan::Operand> {
 
 /// Precompiles one plan step: its lowering (`core::lower`), with every
 /// operand's view embedded in the declared operand's slot — a slab range
-/// or a borrowed external — and a statistics region allotted to the
+/// or a borrowed external — cut to the hull of the operand's access path
+/// (the words the certificate proved the kernel touches, a carve's third
+/// of the stacked slot), and a statistics region allotted to the
 /// normalizing classes. A relayout that finds its container in
 /// `gather_from` takes the entry: it gathers out of the caller's slice.
 /// `None` means the lowering does not model the step (its kind, operand
@@ -1220,22 +1214,40 @@ fn compile_step(
         off: 0,
         len: low.scratch_words(),
     };
-    let operands: Vec<(Place, Role, View)> = (low.operands.into_iter())
-        .map(|(slot, role, view)| {
-            let place = match slot {
-                Slot::In(k) => *place_of.get(&step.inputs.get(k)?.data)?,
-                Slot::Out(k) => match *place_of.get(&step.outputs.get(k)?.data)? {
-                    Place::Borrowed(_) => return None,
-                    slab => slab,
-                },
-            };
-            Some((place, role, view))
-        })
-        .collect::<Option<_>>()?;
+    let n = low.operands.len();
+    let per_sweep = (n / low.sweeps.len().max(1)).max(1);
+    let mut operands: Vec<(Place, Role, View)> = Vec::with_capacity(n);
+    for (k, (slot, role, mut view)) in low.operands.into_iter().enumerate() {
+        let place = match slot {
+            Slot::In(k) => *place_of.get(&step.inputs.get(k)?.data)?,
+            Slot::Out(k) => match *place_of.get(&step.outputs.get(k)?.data)? {
+                Place::Borrowed(..) => return None,
+                slab => slab,
+            },
+        };
+        // the kernel is handed the hull of its path, its view rebased onto it
+        let hull = view_path(&role, &view, walk_of(&low.sweeps, n, k)).0.hull();
+        let (lo, len) = (hull.start as usize, (hull.end - hull.start) as usize);
+        let cut = |words: BufView| {
+            (lo + len <= words.len).then_some(BufView {
+                off: words.off + lo,
+                len,
+            })
+        };
+        let place = match place {
+            Place::Slab(words) => Place::Slab(cut(words)?),
+            Place::Borrowed(e, words) => Place::Borrowed(e, cut(words)?),
+        };
+        view.base -= lo;
+        if let Some(sweep) = low.sweeps.get_mut(k / per_sweep) {
+            sweep.rebase(k % per_sweep, lo);
+        }
+        operands.push((place, role, view));
+    }
     // a weight read where the caller keeps it is its panel pack, which only
     // a contraction reading it as its A can read
     let packed = |k: usize| match operands[k].0 {
-        Place::Borrowed(e) => externals[e].pack.is_some(),
+        Place::Borrowed(e, _) => externals[e].pack.is_some(),
         Place::Slab(_) => false,
     };
     if (0..operands.len()).any(packed) {
@@ -1255,7 +1267,7 @@ fn compile_step(
                 let from = gather_from.remove(&r.data).map(|e| (e, externals[e].pack));
                 Some((from, slot, r))
             }
-            Place::Borrowed(_) => None,
+            Place::Borrowed(..) => None,
         })
         .collect::<Option<_>>()?;
     let stats = match low.stats {
@@ -1327,11 +1339,11 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
     // step, its statistics regions and its scratch range.
     let r = |k: usize| match step.operands[k].0 {
         Place::Slab(v) => unsafe { mem.slab(v) },
-        Place::Borrowed(e) => unsafe { mem.ext(e) },
+        Place::Borrowed(e, v) => unsafe { &mem.ext(e)[v.off..v.off + v.len] },
     };
     let w = |k: usize| match step.operands[k].0 {
         Place::Slab(v) => unsafe { mem.slab_mut(v) },
-        Place::Borrowed(_) => unreachable!("`compile_step` admits no borrowed output"),
+        Place::Borrowed(..) => unreachable!("`compile_step` admits no borrowed output"),
     };
     let scratch = || unsafe { mem.scratch_mut(step.scratch.off, step.scratch.len) };
     let stats = || {
@@ -1843,6 +1855,34 @@ mod tests {
         assert_eq!(prof.waves().count(), 0);
     }
 
+    /// A kernel is handed the hull of its certified path, not its slot:
+    /// the unfused plan's `Input bias K` gets the middle third of
+    /// `qkv_raw`, so reading Q's or V's rows is an out-of-range index.
+    #[test]
+    fn a_carve_kernel_receives_exactly_its_third_of_the_stacked_slot() {
+        let eg = build::encoder(&EncoderDims::tiny());
+        let plan = ExecutionPlan::natural(&eg.graph, &forward_ops(&eg.graph, eg.dy)).unwrap();
+        for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
+            let arena = compile(&eg.graph, &plan, gran);
+            let slot_of = |name: &str, output: bool| {
+                let si = plan.steps.iter().position(|s| s.name == name).unwrap();
+                let k = match output {
+                    true => arena.steps[si].operands.len() - 1,
+                    false => 0,
+                };
+                match arena.steps[si].operands[k].0 {
+                    Place::Slab(words) => words,
+                    Place::Borrowed(..) => panic!("`{name}` reads a slab container"),
+                }
+            };
+            // the projection writes the whole stacked container
+            let stacked = slot_of("Q,K,V", true);
+            let third = stacked.len / 3;
+            let k = slot_of("Input bias K", false);
+            assert_eq!((k.off, k.len), (stacked.off + third, third), "{gran:?}");
+        }
+    }
+
     #[test]
     fn tampered_wave_partition_is_refused_at_compile() {
         let (graph, plan) = fused_plan();
@@ -1854,7 +1894,10 @@ mod tests {
         let err = CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Waves)
             .unwrap_err()
             .to_string();
-        assert!(err.contains("wave partition failed certification"), "{err}");
+        assert!(
+            err.contains("failed certification") && err.contains("race on"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2078,7 +2121,10 @@ mod tests {
         let err = CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Waves)
             .unwrap_err()
             .to_string();
-        assert!(err.contains("wave partition failed certification"), "{err}");
+        assert!(
+            err.contains("failed certification") && err.contains("race on"),
+            "{err}"
+        );
         // the serial order never overlaps two steps: still fine
         CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Serial).unwrap();
     }

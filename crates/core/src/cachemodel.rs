@@ -66,7 +66,7 @@ use crate::sweep::outputs_laid_out;
 /// `SIZE[:LINE[:ASSOC]]` levels (e.g. `32k:64:8,1m:64:16,8m:64:16`).
 /// Unset, empty, `0`, `false`, `off`, and `no` leave the tool's own
 /// default — the same enable semantics as `XFORM_SANITIZE` (see
-/// [`crate::sanitize::env_setting`]).
+/// [`crate::env::env_setting`]).
 pub const CACHE_GEOM_ENV: &str = "XFORM_CACHE_GEOM";
 
 /// Fraction of re-referenced words that must miss the hierarchy before a
@@ -842,17 +842,6 @@ mod tests {
         assert!(CacheGeometry::parse("20000000000g").is_none());
         assert!(CacheGeometry::parse("32k:20000000000g").is_none());
         assert!(CacheGeometry::parse("17179869183g").is_some());
-    }
-
-    #[test]
-    fn env_override_shares_unified_enable_semantics() {
-        // the pure halves compose: a disabled value leaves the default
-        for off in [None, Some(""), Some("0"), Some("off"), Some("no")] {
-            assert!(!crate::sanitize::sanitize_value_enables(off));
-        }
-        assert!(crate::sanitize::sanitize_value_enables(Some(
-            "32k:64:8,1m:64:16"
-        )));
     }
 
     #[test]

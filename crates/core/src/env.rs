@@ -2,16 +2,42 @@
 //! family reads, folded into one table so tools can enumerate them.
 //!
 //! Each setting keeps its feature-local reader (`XFORM_SANITIZE` through
-//! [`crate::sanitize::sanitize_enabled`], `XFORM_CACHE_GEOM` through
-//! [`crate::cachemodel`]) — this module owns the *catalog*. The bench
-//! harness's `repro --help` prints [`list`], so a knob that is not
-//! registered here is invisible; add new env vars to [`REGISTRY`] in the
-//! same change that introduces them.
-//!
-//! All switches share one enable grammar (see
-//! [`crate::sanitize::env_setting`]): unset, empty, `0`, `false`, `off`,
-//! and `no` mean *disabled*; anything else enables and is parsed
-//! feature-specifically.
+//! [`sanitize_enabled`], `XFORM_CACHE_GEOM` through [`crate::cachemodel`])
+//! — this module owns the *catalog* and the one grammar every switch
+//! shares ([`env_setting`]): unset, empty, `0`, `false`, `off`, and `no`
+//! mean *disabled*; anything else enables and is parsed
+//! feature-specifically. The bench harness's `repro --help` prints
+//! [`list`], so a knob that is not registered here is invisible; add new
+//! env vars to [`REGISTRY`] in the same change that introduces them.
+
+/// Whether a switch's value enables it: unset, empty (after trimming),
+/// `0`, `false`, `off`, and `no` (case-insensitive) all disable; anything
+/// else enables. The pure half of [`env_setting`], separated so it can be
+/// unit-tested without mutating the process environment.
+pub fn value_enables(value: Option<&str>) -> bool {
+    let Some(v) = value else { return false };
+    let v = v.trim();
+    !(v.is_empty()
+        || v == "0"
+        || v.eq_ignore_ascii_case("false")
+        || v.eq_ignore_ascii_case("off")
+        || v.eq_ignore_ascii_case("no"))
+}
+
+/// Reads env var `name` under the grammar every `XFORM_*` switch shares:
+/// `None` when it disables ([`value_enables`]), the raw value otherwise,
+/// for feature-specific parsing.
+pub fn env_setting(name: &str) -> Option<String> {
+    let raw = std::env::var(name).ok();
+    value_enables(raw.as_deref()).then_some(raw).flatten()
+}
+
+/// `true` when `XFORM_SANITIZE` enables the arena's NaN-poison mode for
+/// every run whose [`crate::plan::SanitizeMode`] defers to the
+/// environment.
+pub fn sanitize_enabled() -> bool {
+    env_setting("XFORM_SANITIZE").is_some()
+}
 
 /// One registered environment knob.
 #[derive(Debug, Clone, Copy)]
@@ -29,7 +55,7 @@ pub const REGISTRY: &[EnvSetting] = &[
     EnvSetting {
         name: "XFORM_SANITIZE",
         default: "off",
-        doc: "shadow-access sanitizer: poison slabs/footprints and convict out-of-footprint reads",
+        doc: "the arena's poison mode: NaN-fill the slab and every retired buffer, refuse a non-finite output",
     },
     EnvSetting {
         name: "XFORM_CACHE_GEOM",
@@ -55,6 +81,33 @@ pub fn list() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_switch_shares_one_enable_grammar() {
+        for off in [
+            None,
+            Some(""),
+            Some("  "),
+            Some("0"),
+            Some("false"),
+            Some("FALSE"),
+            Some("off"),
+            Some("Off"),
+            Some("no"),
+            Some(" 0 "),
+        ] {
+            assert!(!value_enables(off), "{off:?} must disable");
+        }
+        for on in [
+            Some("1"),
+            Some("true"),
+            Some("yes"),
+            Some("on"),
+            Some("32k:64:8"),
+        ] {
+            assert!(value_enables(on), "{on:?} must enable");
+        }
+    }
 
     #[test]
     fn registry_lists_every_knob_once() {

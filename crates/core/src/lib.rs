@@ -22,25 +22,21 @@
 //! * `lower` (crate-private) — the step lowering: the one place that says
 //!   which kernel class a step is and, under the layout the step declares
 //!   for it, how the kernel addresses each operand (a strided view);
-//!   [`arena`], [`access`] and [`sanitize`] consume its views as slab
-//!   views, access paths and element spans;
+//!   [`arena`] and [`access`] consume its views as slab views and access
+//!   paths;
 //! * [`arena`] — the interpreter ([`arena::execute`]): every plan, in any
 //!   layout, is certified once and lowered onto one preallocated slab via
 //!   the liveness coloring of [`analyze::assign_arena`], executing through
 //!   the zero-allocation `*_into` kernels so steady-state forwards touch
 //!   the heap not at all;
-//! * [`access`] — the access-path certifier: symbolic abstract
-//!   interpretation deriving every operand's index-affine access path per
-//!   step and proving in-bounds, unit-stride, alias-free access
-//!   ([`access::certify_access`]); a clean pass yields an
-//!   [`access::AccessCertificate`] — proof obligations discharged before
-//!   the arena hands out slab views, plus the strided-inner-loop lint
-//!   (kernel dispatch is by the views' strides, not by certificate);
-//! * [`sanitize`] — the footprint sanitizer and race certifier: a static
-//!   certifier cross-checking declared operands against derived kernel
-//!   footprints ([`sanitize::certify`]) — the wave proof the arena demands
-//!   at compile — and a dynamic shadow-access mode of the reference
-//!   interpreter ([`sanitize::execute_plan_sanitized`]);
+//! * [`access`] — what a step touches: every operand's index-affine
+//!   access path per step ([`access::step_accesses`]), the one derivation
+//!   the certificate, the cache model and the profiler read;
+//! * [`sanitize`] — the plan certificate: one pass over one analysis
+//!   ([`sanitize::certify_plan`]) proving declarations cover what the
+//!   kernels read, waves free of races, every path in its buffer and slot,
+//!   and caches frozen — the [`sanitize::PlanCertificate`] the arena keeps
+//!   (entries [`sanitize::certify`] and [`access::certify_access`]);
 //! * [`cachemodel`] — the static cache-hierarchy analyzer: reuse-distance
 //!   abstract interpretation of each step's access paths through a
 //!   parameterized L1/L2/LLC geometry ([`cachemodel::CacheGeometry`]),

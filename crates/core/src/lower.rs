@@ -8,26 +8,25 @@
 //! step's operator kind and kernel name, and the layout the step
 //! *declares* for the operand. A layout is a choice of strides, a
 //! broadcast bias a view with zero strides, one projection of a stacked
-//! Q/K/V tensor a view with a base offset. Three consumers read the same
-//! views, so each can hold the others' account against its own:
+//! Q/K/V tensor a view with a base offset. Two consumers read the same
+//! views, so the certificate describes the words the kernels touch:
 //!
 //! * the arena precompiler ([`crate::arena`]) embeds them in slab slots
 //!   and hands them, compiled into [`Sweep`]s and [`ContractPlan`]s, to the
 //!   kernels;
-//! * the access certifier ([`crate::access::step_accesses`]) reads them as
-//!   the index-affine paths it bounds;
-//! * the footprint oracle ([`crate::sanitize::step_footprint`]) reads the
-//!   roles' element spans.
+//! * the access derivation ([`crate::access::step_accesses`]) reads them
+//!   as the index-affine paths the certificate bounds, the wave check
+//!   compares and the profiler counts.
 //!
 //! Geometry always comes from the graph edge at a slot, only the layout
 //! from the operand declared there (natural when the declaration is
 //! missing or does not parse — the analyzer's lints convict those plans;
-//! here they just keep the certifiers' fallbacks well-defined).
+//! here they just keep the derivation's fallbacks well-defined).
 //!
 //! `None` means the lowering does not model the step (a backward kernel, an
 //! operand count or a geometry no forward kernel has, an epilogue tail
 //! stream in a non-natural layout): a compile error naming the step on the
-//! arena, conservative whole-buffer accesses in both certifiers. A new
+//! arena, conservative whole-buffer accesses in the derivation. A new
 //! kernel class is one row here, one arm in the arena's `run_step`, and one
 //! arm in the reference interpreter — as the tile program
 //! ([`Kernel::Tile`]: the bias epilogues, the model head and the attention
@@ -68,14 +67,9 @@ pub(crate) enum Role {
         /// Position of the lane axis in the container's shape.
         axis: usize,
     },
-    /// Logical elements `[base, base + words)` of the container: the rows
-    /// of one projection of a stacked Q/K/V tensor.
-    Carve {
-        /// First element.
-        base: usize,
-        /// Element count.
-        words: usize,
-    },
+    /// The rows of one projection of a stacked Q/K/V tensor: its view's
+    /// base offset is the first of them.
+    Carve,
     /// Gathered through zero strides while another operand is swept (a
     /// bias onto the step's output geometry).
     Broadcast,
@@ -397,16 +391,11 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
         {
             return None;
         }
-        let rest: usize = stacked.sizes()[1..].iter().product();
-        let role = Role::Carve {
-            base: start * rest,
-            words: rows * rest,
-        };
         let view = View {
             base: start * st[0],
             dims: part.sizes().iter().copied().zip(st).collect(),
         };
-        Some((Slot::In(0), role, view))
+        Some((Slot::In(0), Role::Carve, view))
     };
     // positional input (role, view)s, then every output whole in `out`
     // role; all of one extent list, each over its own strides
@@ -684,7 +673,7 @@ mod tests {
     use crate::recipe::forward_ops;
     use xform_dataflow::{build, DataRole, EncoderDims};
 
-    /// The footprint oracle reads a lowering as the step's whole access
+    /// The access derivation reads a lowering as the step's whole access
     /// set, so a row that forgot an edge would under-report it.
     #[test]
     fn every_row_names_every_edge_of_its_step() {
@@ -747,10 +736,10 @@ mod tests {
             assert!(matches!(low.kernel, Kernel::Bias));
             stacked = Some(step.inputs[0].data);
             match &low.operands[0] {
-                (Slot::In(0), Role::Carve { base, words }, view) => {
-                    // natural layout: the rows are a word range from `base`
-                    assert_eq!(view.base, *base, "{name}");
-                    carves.push((*base, *words));
+                // natural layout: the rows are a word range from the base
+                (Slot::In(0), Role::Carve, view) => {
+                    let words: usize = view.dims.iter().map(|d| d.0).product();
+                    carves.push((view.base, words));
                 }
                 other => panic!("{name}: {other:?}"),
             }

@@ -341,8 +341,8 @@ impl ExecState {
     }
 }
 
-/// How an execution routes through the shadow-access sanitizer of
-/// [`crate::sanitize`].
+/// Whether an arena run takes its NaN-poison mode (see
+/// [`crate::arena`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SanitizeMode {
     /// Defer to the `XFORM_SANITIZE` environment variable (the default):
@@ -354,18 +354,6 @@ pub enum SanitizeMode {
     Off,
     /// Always sanitize, regardless of the environment.
     On,
-}
-
-impl SanitizeMode {
-    /// Resolves the mode against the process environment.
-    #[must_use]
-    pub fn enabled(self) -> bool {
-        match self {
-            SanitizeMode::Env => crate::sanitize::sanitize_enabled(),
-            SanitizeMode::Off => false,
-            SanitizeMode::On => true,
-        }
-    }
 }
 
 /// A caller-supplied schedule for the layer forwards to run instead of the
@@ -387,7 +375,7 @@ pub struct PlanOverride<'p> {
 /// knobs (dropout probability, the activation behind generic activation
 /// nodes, the attention scale), and the run configuration of the unified
 /// `forward(&x, &w, &ExecOptions)` surface — worker threads, RNG seed,
-/// sanitizer routing, an optional [`crate::profile::PlanProfiler`] sink,
+/// the poison mode, an optional [`crate::profile::PlanProfiler`] sink,
 /// and an optional plan override.
 /// Construct it with [`ExecOptions::builder`] (or `ExecOptions::default()`
 /// and field assignment): the struct is `#[non_exhaustive]`, so literal
@@ -411,7 +399,7 @@ pub struct ExecOptions<'p> {
     /// Seed for the dropout masks (the arena keys each step by it and the
     /// step's stream).
     pub seed: u64,
-    /// Shadow-access sanitizer routing (defaults to the environment).
+    /// The arena's poison mode (defaults to the environment).
     pub sanitize: SanitizeMode,
     /// Optional profiler sink: when set, the arena records per-step
     /// wall-clock time (and, for wave-parallel runs, per-wave wall time)
@@ -501,7 +489,7 @@ impl<'p> ExecOptionsBuilder<'p> {
         self
     }
 
-    /// Sets the sanitizer routing.
+    /// Sets the poison mode.
     pub fn sanitize(mut self, mode: SanitizeMode) -> Self {
         self.opts.sanitize = mode;
         self
@@ -671,9 +659,8 @@ fn causal_query_axis(shape: &Shape, softmax_axis: Axis) -> Result<Axis> {
 /// K right after the (equal-sized) Q block, V at the tail. `None` when
 /// the name ends in none of the three projection letters. Shared between
 /// the reference interpreter's dispatch and the step lowering — through
-/// which the arena, the access certifier and the footprint oracle of
-/// [`crate::sanitize`] see it — so the certifiers check exactly the
-/// rows the kernel carves.
+/// which the arena and the access derivation see it — so the certificate
+/// checks exactly the rows the kernel carves.
 pub(crate) fn stacked_carve_start(name: &str, total: usize, len: usize) -> Option<usize> {
     match name.chars().last() {
         Some('Q') => Some(0),
@@ -984,14 +971,6 @@ pub fn execute_step(
 /// ([`crate::arena::execute`], which serves every plan) against, and has no
 /// production caller.
 ///
-/// Depending on [`ExecOptions::sanitize`] (by default: `XFORM_SANITIZE`
-/// set to anything but empty/`0`/`false`/`off`/`no` in the environment),
-/// execution routes through the shadow-access sanitizer
-/// ([`crate::sanitize::execute_plan_sanitized`]): same kernels, same RNG
-/// draws, bitwise-identical results, but every step's actual footprint is
-/// checked against its declaration and every wave is checked for
-/// conflicting access.
-///
 /// # Errors
 ///
 /// Returns an error if [`ExecutionPlan::check`] reports any
@@ -1004,9 +983,6 @@ pub fn execute_plan(
     rng: &mut StdRng,
 ) -> Result<()> {
     crate::analyze::analyze(graph, plan).gate()?;
-    if opts.sanitize.enabled() {
-        return crate::sanitize::execute_plan_sanitized(graph, plan, state, opts, rng, None);
-    }
     for step in &plan.steps {
         execute_step(graph, step, state, opts, rng)?;
     }

@@ -9,7 +9,7 @@
 //! over after the run ([`record_arena_timings`]) — against the *static*
 //! movement accounting (the exact word
 //! counts [`crate::analyze::audit`] charges, cross-checked against the
-//! symbolic footprints of [`crate::sanitize::step_footprint`]). From time and
+//! access paths of [`crate::access::step_accesses`]). From time and
 //! bytes it derives achieved bandwidth and a **measured MUE**
 //! (`Q/D · B/B̂ · 100`, Sec. III-C) per step, per operator class, and per
 //! plan — the measured mirror of the static audit.
@@ -32,11 +32,11 @@ use xform_gpusim::opmodel::OpConfig;
 use xform_gpusim::{DeviceSpec, KernelCost};
 use xform_tensor::{Result, TensorError};
 
+use crate::access::step_accesses;
 use crate::arena::ArenaArtifact;
 use crate::plan::{
     random_externals, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode,
 };
-use crate::sanitize::step_footprint;
 use crate::selection::{select_forward_cost, CostModel, Selection};
 use crate::sweep::{sweep_all, PerfSource, SweepOptions};
 
@@ -86,9 +86,9 @@ pub struct StepProfile {
     /// MUE counts these as pure movement, not algorithmic demand, so a
     /// plan that collapses the chain profiles at the same `Q`.
     pub avoid_words: u64,
-    /// Words covered by the symbolic footprint oracle
-    /// ([`crate::sanitize::step_footprint`]) — the certifier's independent
-    /// derivation of the same traffic, for cross-checking.
+    /// Words the step's access paths touch
+    /// ([`crate::access::step_accesses`], the certificate's derivation of
+    /// the same traffic), for cross-checking.
     pub footprint_words: u64,
     /// Flop the operator performs.
     pub flop: u64,
@@ -113,7 +113,7 @@ impl StepProfile {
         self.moved_bytes() as f64 / self.time_us.max(1e-3)
     }
 
-    /// Whether the footprint oracle's word count agrees with the audit's
+    /// Whether the access paths' word count agrees with the audit's
     /// memlet accounting for this step (they derive the same traffic two
     /// different ways; disagreement means an over-declared operand).
     #[must_use]
@@ -237,9 +237,9 @@ impl PlanProfiler {
                             .unwrap_or(0)
                     })
                     .sum();
-                let footprint_words = step_footprint(graph, step)
-                    .iter()
-                    .map(|a| a.span.words())
+                let touched = step_accesses(graph, step).accesses.into_iter();
+                let footprint_words = (touched.filter(|a| a.touched()))
+                    .map(|a| a.path.distinct_words())
                     .sum();
                 *slot = Some(StepProfile {
                     step: si,

@@ -1,20 +1,21 @@
-//! Property tests for the access-path certifier: every injected access
-//! corruption — an out-of-bounds retarget, a strided inner loop, an
-//! intra-step write/read alias, a tampered arena slot — must surface as
-//! the right typed lint statically, and the out-of-bounds case must also
-//! be caught dynamically by the shadow interpreter's certified-path
-//! cross-check when the static gate is bypassed (`XFORM_SANITIZE`).
+//! Property tests for the plan certificate's access checks: every
+//! injected access corruption — an out-of-bounds retarget, a strided inner
+//! loop, an intra-step write/read alias, a dropped operand, a tampered
+//! arena slot — must surface as the right typed lint statically from both
+//! certificate entries (`access::certify_access`, `sanitize::certify`), and
+//! the plan-level corruptions must never reach a kernel on the arena:
+//! `CompiledArena::compile` refuses them at both granularities and
+//! `arena::execute` at one and four threads.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use xform_core::access::{certify_access, certify_access_arena, step_accesses};
+use xform_core::access::{certify_access, step_accesses};
 use xform_core::analyze::{analyze, assign_arena, ArenaGranularity, PlanLint, Severity};
+use xform_core::arena::{self, CompiledArena};
 use xform_core::fusion::{apply_plan, encoder_fusion_plan};
 use xform_core::plan::{random_externals, ExecOptions, ExecutionPlan};
 use xform_core::recipe::forward_ops;
-use xform_core::sanitize::execute_plan_sanitized;
+use xform_core::sanitize::{certify, certify_plan};
 use xform_dataflow::{build, EncoderDims, Graph};
 use xform_tensor::Layout;
 
@@ -36,16 +37,31 @@ fn opts() -> ExecOptions<'static> {
     ExecOptions::builder().scaler(1.0 / (3f32).sqrt()).build()
 }
 
-/// Runs the shadow interpreter (static gate bypassed) over a possibly
-/// tampered plan, binding externals from the untampered plan.
-fn shadow_run(
+/// The arena refuses a tampered plan before any kernel runs: compiling it
+/// fails at both granularities, and a run at one and at four threads
+/// fails with the environment — bound from the untampered plan — holding
+/// no output.
+fn refused_by_the_arena(
     graph: &Graph,
     sound: &ExecutionPlan,
     tampered: &ExecutionPlan,
-) -> xform_tensor::Result<()> {
-    let mut state = random_externals(graph, sound, 17).unwrap();
-    let mut rng = StdRng::seed_from_u64(23);
-    execute_plan_sanitized(graph, tampered, &mut state, &opts(), &mut rng, None)
+) -> Result<(), String> {
+    let analysis = analyze(graph, tampered);
+    for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
+        let compiled = CompiledArena::compile(graph, tampered, &analysis, gran);
+        prop_assert!(compiled.is_err(), "{gran:?} compiled a tampered plan");
+    }
+    for threads in [1, 4] {
+        let mut state = random_externals(graph, sound, 17).unwrap();
+        let bound = state.env.len();
+        let run = opts().to_builder().threads(threads).build();
+        prop_assert!(arena::execute(graph, tampered, &mut state, &run).is_err());
+        prop_assert!(
+            state.env.len() == bound,
+            "a kernel ran at {threads} threads"
+        );
+    }
+    Ok(())
 }
 
 /// Rotates a layout left by one: `hbjk` → `bjkh`. On a rank > 1 swept
@@ -62,10 +78,9 @@ proptest! {
 
     // Retargeting an input operand (data + environment name) at a
     // strictly smaller container leaves the kernel sweeping the original
-    // edge's words through a buffer that cannot hold them: the certifier
-    // proves the escape (UnprovenAccess, error severity), and the shadow
-    // interpreter's certified-path cross-check catches the same escape
-    // at runtime before the kernel runs.
+    // edge's words through a buffer that cannot hold them: both entries
+    // prove the escape (UnprovenAccess, error severity), and the arena
+    // refuses the plan before the kernel runs.
     #[test]
     fn out_of_bounds_retarget_is_convicted_and_caught(
         step_pick in 0usize..64, input_pick in 0usize..8,
@@ -115,14 +130,13 @@ proptest! {
                 lints.iter().any(|l| l.severity() == Severity::Error),
                 "the conviction must be error severity"
             );
+            let race = certify(&g, &plan).expect_err("nor pass the race entry");
+            prop_assert!(race.iter().any(|l| matches!(
+                l,
+                PlanLint::UnprovenAccess { step, .. } if *step == si
+            )), "certify at step {si}: {race:?}");
 
-            let err = shadow_run(&g, &sound, &plan)
-                .expect_err("the shadow interpreter must catch the escape");
-            prop_assert!(
-                err.to_string().contains("ends at word")
-                    || err.to_string().contains("sanitizer"),
-                "expected the certified-path cross-check to fire, got: {err}"
-            );
+            refused_by_the_arena(&g, &sound, &plan)?;
         }
     }
 
@@ -189,9 +203,8 @@ proptest! {
     }
 
     // Pointing a step's output at one of its own input containers is a
-    // write/read overlap the race certificate never granted: rejected
-    // with an error lint, and the shadow interpreter refuses the same
-    // step at runtime.
+    // write/read overlap the certificate never grants: rejected with an
+    // error lint by both entries, and never run by the arena.
     #[test]
     fn intra_step_alias_is_convicted_and_caught(step_pick in 0usize..64) {
         let (g, sound) = fused();
@@ -215,24 +228,42 @@ proptest! {
         // declaring its own name: a same-data write/read overlap
         plan.steps[si].outputs[0].data = plan.steps[si].inputs[0].data;
 
+        let unproven = |l: &PlanLint| matches!(
+            l,
+            PlanLint::UnprovenAccess { step, .. } if *step == si
+        );
         let lints = certify_access(&g, &plan)
             .expect_err("an intra-step write/read alias must not certify");
-        prop_assert!(
-            lints.iter().any(|l| matches!(
-                l,
-                PlanLint::UnprovenAccess { step, .. } if *step == si
-            )),
-            "expected an UnprovenAccess lint at step {si}, got {lints:?}"
-        );
+        prop_assert!(lints.iter().any(unproven), "certify_access at step {si}: {lints:?}");
+        let race = certify(&g, &plan).expect_err("nor pass the race entry");
+        prop_assert!(race.iter().any(unproven), "certify at step {si}: {race:?}");
 
-        let err = shadow_run(&g, &sound, &plan)
-            .expect_err("the shadow interpreter must catch the alias");
-        prop_assert!(!err.to_string().is_empty());
+        refused_by_the_arena(&g, &sound, &plan)?;
+    }
+
+    // Dropping any declared input is an under-declaration the access entry
+    // convicts as well as the race entry: what a step touches is derived
+    // once, from the graph's edges, whatever the declarations say.
+    #[test]
+    fn a_dropped_input_is_convicted_by_the_access_entry(step_pick in 0usize..64, input_pick in 0usize..8) {
+        for (g, sound) in [unfused(), fused()] {
+            let mut plan = sound.clone();
+            let si = step_pick % plan.steps.len();
+            let k = input_pick % plan.steps[si].inputs.len();
+            let removed = plan.steps[si].inputs.remove(k);
+            plan.steps[si].relayouts.retain(|r| r.data != removed.data);
+            let lints = certify_access(&g, &plan).expect_err("a dropped input must not certify");
+            prop_assert!(lints.iter().any(|l| matches!(
+                l,
+                PlanLint::UnderDeclaredFootprint { step, declared_words: 0, .. } if *step == si
+            )), "certify_access at step {si}: {lints:?}");
+            prop_assert!(certify(&g, &plan).is_err());
+        }
     }
 
     // Tampering with the arena coloring — shrinking a slot under its
-    // container — breaks the slab embedding: the arena-level certifier
-    // convicts it even though the logical certificate is clean.
+    // container — breaks the slab embedding: the certificate over the
+    // coloring convicts it even though the logical certificate is clean.
     #[test]
     fn shrunken_arena_slot_is_convicted(victim_pick in 0usize..64, serial in any::<bool>()) {
         let (g, plan) = fused();
@@ -242,8 +273,9 @@ proptest! {
         } else {
             ArenaGranularity::Waves
         };
-        let mut arena = assign_arena(&analysis, gran);
-        certify_access_arena(&g, &plan, &arena).expect("the untampered coloring certifies");
+        let (mut arena, waves) = (assign_arena(&analysis, gran), analysis.waves_for(gran));
+        let pass = |arena: &_| certify_plan(&g, &plan, &analysis, &waves, Some(arena));
+        pass(&arena).expect("the untampered coloring certifies");
 
         let shrinkable: Vec<usize> = (0..arena.slots.len())
             .filter(|&i| arena.slots[i].words > 1)
@@ -252,8 +284,7 @@ proptest! {
         let vi = shrinkable[victim_pick % shrinkable.len()];
         arena.slots[vi].words /= 2;
 
-        let lints = certify_access_arena(&g, &plan, &arena)
-            .expect_err("a shrunken slot must not certify");
+        let lints = pass(&arena).expect_err("a shrunken slot must not certify");
         prop_assert!(
             lints.iter().any(|l| matches!(l, PlanLint::UnprovenAccess { .. })),
             "expected an UnprovenAccess conviction, got {lints:?}"

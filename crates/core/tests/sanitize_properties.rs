@@ -1,19 +1,22 @@
-//! Property tests for the footprint sanitizer and race certifier: each
-//! injected corruption — an under-declared operand, an overlapping
+//! Property tests for the plan certificate's race and declaration checks:
+//! each injected corruption — an under-declared operand, an overlapping
 //! aliased write, a wave-internal WAR race — must be rejected statically
-//! by `certify`/`certify_waves`, and caught dynamically by the shadow
-//! interpreter when the static check is bypassed
-//! (`execute_plan_sanitized` runs without the lint gate).
+//! by both certificate entries (`sanitize::certify`, or `certify_waves`
+//! for an explicit partition, and `access::certify_access`), and never
+//! reach a kernel on the arena: `CompiledArena::compile` refuses the plan
+//! at both granularities and `arena::execute` at one and four threads. The
+//! injected race partition cannot be handed to the arena at all; the
+//! partition it dispatches instead runs the plan to the serial bits.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use xform_core::analyze::{analyze, DepKind, PlanLint};
+use xform_core::access::certify_access;
+use xform_core::analyze::{analyze, ArenaGranularity, DepKind, PlanLint};
+use xform_core::arena::{self, CompiledArena};
 use xform_core::fusion::{apply_plan, encoder_fusion_plan};
 use xform_core::plan::{random_externals, ExecOptions, ExecutionPlan};
 use xform_core::recipe::forward_ops;
-use xform_core::sanitize::{certify, certify_waves, execute_plan_sanitized};
+use xform_core::sanitize::{certify, certify_waves};
 use xform_dataflow::{build, DataRole, EncoderDims, Graph, OpKind};
 use xform_tensor::Shape;
 
@@ -35,29 +38,41 @@ fn opts() -> ExecOptions<'static> {
     ExecOptions::builder().scaler(1.0 / (3f32).sqrt()).build()
 }
 
-/// Runs the shadow interpreter over a (possibly corrupted) plan with the
-/// static gate bypassed, binding externals from the *untampered* plan so
-/// every legitimately-consumed container exists.
-fn shadow_run(
+/// The arena refuses a tampered plan before any kernel runs: compiling it
+/// fails at both granularities, and a run at one and at four threads
+/// fails with the environment — bound from the *untampered* plan, so every
+/// legitimately-consumed container exists — holding no output.
+fn refused_by_the_arena(
     graph: &Graph,
     sound: &ExecutionPlan,
     tampered: &ExecutionPlan,
-    waves: Option<&[Vec<usize>]>,
-) -> xform_tensor::Result<()> {
-    let mut state = random_externals(graph, sound, 17).unwrap();
-    let mut rng = StdRng::seed_from_u64(23);
-    execute_plan_sanitized(graph, tampered, &mut state, &opts(), &mut rng, waves)
+) -> Result<(), String> {
+    let analysis = analyze(graph, tampered);
+    for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
+        let compiled = CompiledArena::compile(graph, tampered, &analysis, gran);
+        prop_assert!(compiled.is_err(), "{gran:?} compiled a tampered plan");
+    }
+    for threads in [1, 4] {
+        let mut state = random_externals(graph, sound, 17).unwrap();
+        let bound = state.env.len();
+        let run = opts().to_builder().threads(threads).build();
+        prop_assert!(arena::execute(graph, tampered, &mut state, &run).is_err());
+        prop_assert!(
+            state.env.len() == bound,
+            "a kernel ran at {threads} threads"
+        );
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // Dropping any declared input operand under-declares the step's
-    // footprint: the certifier rejects it (with an explicit
-    // UnderDeclaredFootprint lint), and the shadow interpreter catches
-    // the kernel touching the undeclared container at runtime.
+    // footprint: both entries reject it with an explicit
+    // UnderDeclaredFootprint lint, and the arena never runs it.
     #[test]
-    fn under_declared_operand_is_rejected_and_caught(step_pick in 0usize..64, input_pick in 0usize..8) {
+    fn under_declared_operand_is_rejected_by_both_entries(step_pick in 0usize..64, input_pick in 0usize..8) {
         for (g, sound) in [unfused(), fused()] {
             let mut plan = sound.clone();
             let si = step_pick % plan.steps.len();
@@ -67,27 +82,25 @@ proptest! {
             // keep the relayout list consistent with the declared operands
             step.relayouts.retain(|r| r.data != removed.data);
 
-            let lints = certify(&g, &plan).expect_err("under-declaration must not certify");
-            prop_assert!(
-                lints.iter().any(|l| matches!(
-                    l,
-                    PlanLint::UnderDeclaredFootprint { step, declared_words: 0, .. } if *step == si
-                )),
-                "expected an UnderDeclaredFootprint lint at step {si}, got {lints:?}"
+            let under = |l: &PlanLint| matches!(
+                l,
+                PlanLint::UnderDeclaredFootprint { step, declared_words: 0, .. } if *step == si
             );
+            let race = certify(&g, &plan).expect_err("under-declaration must not certify");
+            prop_assert!(race.iter().any(under), "certify at step {si}: {race:?}");
+            let access = certify_access(&g, &plan).expect_err("nor pass the access entry");
+            prop_assert!(access.iter().any(under), "certify_access at step {si}: {access:?}");
 
-            let err = shadow_run(&g, &sound, &plan, None)
-                .expect_err("the shadow interpreter must catch the undeclared access");
-            prop_assert!(err.to_string().contains("sanitizer") || !err.to_string().is_empty());
+            refused_by_the_arena(&g, &sound, &plan)?;
         }
     }
 
     // Renaming a step's output to another container's name makes two
     // distinct buffers share one environment slot — an overlapping write
-    // through an alias. Rejected statically (NameAlias), caught
-    // dynamically by the per-step name check.
+    // through an alias. Rejected statically (NameAlias) by both entries,
+    // and never run by the arena.
     #[test]
-    fn aliased_overlapping_write_is_rejected_and_caught(step_pick in 0usize..64, victim_pick in 0usize..64) {
+    fn aliased_overlapping_write_is_rejected_by_both_entries(step_pick in 0usize..64, victim_pick in 0usize..64) {
         let (g, sound) = fused();
         let mut plan = sound.clone();
         let n = plan.steps.len();
@@ -99,24 +112,27 @@ proptest! {
         }
         plan.steps[si].outputs[0].name = victim;
 
-        let lints = certify(&g, &plan).expect_err("an aliased write must not certify");
-        prop_assert!(
-            lints.iter().any(|l| matches!(l, PlanLint::NameAlias { step, .. } if *step == si)),
-            "expected a NameAlias lint at step {si}, got {lints:?}"
-        );
+        let alias = |l: &PlanLint| matches!(l, PlanLint::NameAlias { step, .. } if *step == si);
+        let race = certify(&g, &plan).expect_err("an aliased write must not certify");
+        prop_assert!(race.iter().any(alias), "certify at step {si}: {race:?}");
+        // the access entry's global scan names the step where the name
+        // turns up the second time
+        let access = certify_access(&g, &plan).expect_err("nor pass the access entry");
+        let aliased = |l: &PlanLint| matches!(l, PlanLint::NameAlias { .. });
+        prop_assert!(access.iter().any(aliased), "certify_access: {access:?}");
 
-        let err = shadow_run(&g, &sound, &plan, None)
-            .expect_err("the shadow interpreter must catch the alias");
-        prop_assert!(err.to_string().contains("alias"), "{err}");
+        refused_by_the_arena(&g, &sound, &plan)?;
     }
 
     // A container with two legitimate writers (slice-writer pattern) and a
     // reader between them carries a genuine WAR edge. Merging the reader's
     // and the rewriter's waves injects a wave-internal WAR race: the
-    // certifier refuses the partition, and the shadow interpreter flags
-    // the same conflict when handed the partition directly.
+    // certificate refuses the partition. The arena is never handed one —
+    // it dispatches the partition it certifies itself, which keeps the
+    // reader and the rewriter apart and runs the plan at four threads to
+    // the bits of the serial run.
     #[test]
-    fn wave_internal_war_race_is_rejected_and_caught(rows in 2usize..6, cols in 2usize..6) {
+    fn wave_internal_war_race_is_rejected_and_never_dispatched(rows in 2usize..6, cols in 2usize..6) {
         let mut g = Graph::new();
         let shape = || Shape::new([('b', rows), ('i', cols)]).unwrap();
         let a = g.add_data("a", shape(), DataRole::Input);
@@ -152,20 +168,33 @@ proptest! {
             "expected a WAR WaveHazard, got {lints:?}"
         );
 
-        let err = shadow_run(&g, &plan, &plan, Some(&racy))
-            .expect_err("the shadow interpreter must flag the racy partition");
-        prop_assert!(err.to_string().contains("race"), "{err}");
+        let waves = CompiledArena::compile(&g, &plan, &analysis, ArenaGranularity::Waves)
+            .unwrap()
+            .unwrap()
+            .certificate()
+            .waves
+            .clone();
+        prop_assert!(!waves.iter().any(|w| w.contains(&1) && w.contains(&2)), "{waves:?}");
+        let run = |threads: usize| {
+            let mut state = random_externals(&g, &plan, 5).unwrap();
+            let knobs = opts().to_builder().threads(threads).build();
+            arena::execute(&g, &plan, &mut state, &knobs).unwrap();
+            ["w", "z"].map(|name| state.env[name].data().to_vec())
+        };
+        let serial = run(1);
+        for (got, want) in run(4).iter().zip(&serial) {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(got), bits(want));
+        }
     }
 }
 
-// The tampered plans above must be rejected by the production entry
-// points too: the reference interpreter gates every call on the same error
-// lints the certifier aggregates, and the arena — where every plan runs —
-// holds them to that gate, plus the wave proof, before it compiles
-// anything.
+// The tampered plans above must be rejected by the reference interpreter
+// too: it gates every call on the analyzer's error lints.
 #[test]
 fn corrupted_plans_cannot_reach_execution() {
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     let (g, sound) = fused();
     let mut under = sound.clone();
     under.steps[3].inputs.pop();
@@ -174,13 +203,12 @@ fn corrupted_plans_cannot_reach_execution() {
     for plan in [&under, &aliased] {
         let mut state = random_externals(&g, &sound, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let _ = rng.gen::<u32>();
         let err = xform_core::plan::execute_plan(&g, plan, &mut state, &opts(), &mut rng)
             .expect_err("the serial interpreter refuses error-lint plans");
         assert!(err.to_string().contains("invalid execution plan"), "{err}");
         for threads in [1, 4] {
             let run = opts().to_builder().threads(threads).build();
-            let err = xform_core::arena::execute(&g, plan, &mut state, &run)
+            let err = arena::execute(&g, plan, &mut state, &run)
                 .expect_err("the arena refuses error-lint plans at compile");
             assert!(err.to_string().contains("invalid execution plan"), "{err}");
         }

@@ -249,6 +249,17 @@ impl Sweep {
         })
     }
 
+    /// The same sweep over a buffer that starts `by` words into the one
+    /// operand `k` was compiled against: the operand's word zero moves
+    /// down by `by`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not an operand or its base is below `by`.
+    pub fn rebase(&mut self, k: usize, by: usize) {
+        self.operands[k].base -= by;
+    }
+
     /// Number of lanes.
     pub fn lanes(&self) -> usize {
         self.outer.iter().product()

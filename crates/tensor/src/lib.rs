@@ -60,7 +60,6 @@ mod layout;
 pub mod matmul;
 pub mod ops;
 mod tensor;
-pub mod trace;
 
 pub use axes::{Axis, Shape};
 pub use contract::einsum;

@@ -423,7 +423,6 @@ impl Tensor {
                 context: "slice_range out of range",
             });
         }
-        crate::trace::record_slice(self, ai, start, len);
         let dims: Vec<(Axis, usize)> = self
             .shape
             .axes()

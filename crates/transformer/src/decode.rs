@@ -10,8 +10,8 @@
 //!    arena, reused by every layer);
 //! 2. **append** — the session writes `kk_new`/`vv_new` into the layer's
 //!    resident cache slabs at column `pos`, through the bounds-checked
-//!    [`xform_core::access::column_span`] license of the plan's
-//!    [`xform_core::access::DecodeCertificate`]. The append happens
+//!    [`xform_core::access::column_span`] license of the attend arena's
+//!    [`xform_core::sanitize::PlanCertificate`]. The append happens
 //!    *before* attention, so the query's own key is visible to its own
 //!    scores — exactly the diagonal of the full-sequence causal mask;
 //! 3. **attend** — the [`crate::interp::PlanKind::DecoderStep`] plan
@@ -20,7 +20,7 @@
 //!    ([`xform_core::plan::ExecOptions::pos`]), and runs the rest of the
 //!    block. The caches are [`xform_dataflow::DataRole::Cache`] inputs:
 //!    live-in/live-out of every run, never recolored over, provably never
-//!    written by any plan step ([`xform_core::access::certify_decode`]).
+//!    written by any plan step (the same certificate).
 //!
 //! Because every fused kernel is shared with the full-sequence decoder
 //! forward and padded cache columns only ever contribute masked-to-zero
@@ -47,7 +47,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use xform_core::access::{certify_decode, column_span, DecodeCertificate};
+use xform_core::access::column_span;
 use xform_core::analyze::{analyze, ArenaGranularity, PlanAnalysis};
 use xform_core::arena::{ArenaArtifact, CompiledArena};
 use xform_core::plan::{ExecOptions, ExecState};
@@ -109,10 +109,10 @@ impl Default for DecodeOptions {
 
 /// The per-bucket compiled state: one shared attend plan and one
 /// *private* arena per layer, because each layer's arena slab holds that
-/// layer's resident K/V cache between calls.
+/// layer's resident K/V cache between calls. Every arena carries the
+/// plan's one certificate, whose cache geometry licenses the appends.
 #[derive(Debug)]
 struct AttendBucket {
-    cert: DecodeCertificate,
     arenas: Vec<CompiledArena>,
     capacity: usize,
 }
@@ -305,30 +305,27 @@ impl<'m> DecodeSession<'m> {
     }
 
     /// Compiles the attend bucket at `capacity`: shared plan (memoized
-    /// per bucket in the global plan cache), decode certificate, and one
-    /// serial arena compiled once and given to each layer with a private
+    /// per bucket in the global plan cache) and one serial arena compiled
+    /// — and certified — once and given to each layer with a private
     /// zero-initialized slab that holds that layer's cache columns.
     fn build_bucket(&self, capacity: usize) -> Result<AttendBucket> {
         let dims = self.step_dims(capacity);
         let plan = interp::cached_plan(&dims, PlanKind::DecoderStep)?;
-        let cert = certify_decode(&plan.graph, &plan.plan).map_err(|lints| {
-            unsupported(format!(
-                "decode step plan failed cache-freeze certification: {:?}",
-                lints.iter().map(ToString::to_string).collect::<Vec<_>>()
-            ))
-        })?;
         let analysis = analyze(&plan.graph, &plan.plan);
         // one compile; every layer gets the same program over a zeroed
         // slab of its own
         let mut arenas = vec![session_arena(&plan, &analysis, ArenaGranularity::Serial)?];
+        for name in ["k_cache", "v_cache"] {
+            if arenas[0].certificate().cache(name).is_none() {
+                return Err(unsupported(format!(
+                    "the decode step plan holds no column license for `{name}`"
+                )));
+            }
+        }
         for _ in 1..self.model.blocks.len() {
             arenas.push(arenas[0].fresh());
         }
-        Ok(AttendBucket {
-            cert,
-            arenas,
-            capacity,
-        })
+        Ok(AttendBucket { arenas, capacity })
     }
 
     /// The shared projection arena (stateless — reused by every layer).
@@ -416,7 +413,7 @@ impl<'m> DecodeSession<'m> {
             let vv = state.get("vv")?;
             let col = d.p * d.h * d.b;
             let seed_cache = |name: &str, src: &Tensor| -> Result<()> {
-                let span = column_span(&attend.cert, name, 0, s)
+                let span = column_span(attend.arenas[l].certificate(), name, 0, s)
                     .ok_or_else(|| unsupported(format!("prompt escapes `{name}` capacity")))?;
                 attend.arenas[l]
                     .with_external_mut(name, |dst| {
@@ -535,10 +532,10 @@ impl<'m> DecodeSession<'m> {
                 project.execute_bound(&run, resolve, &mut sink)?;
             }
             // phase 2: append the new cache columns at `pos` under the
-            // decode certificate's bounds-checked column license
+            // certificate's bounds-checked column license
             let arena = &bucket.arenas[l];
             for (name, col) in [("k_cache", &self.kk_col), ("v_cache", &self.vv_col)] {
-                let span = column_span(&bucket.cert, name, pos, 1)
+                let span = column_span(arena.certificate(), name, pos, 1)
                     .ok_or_else(|| unsupported(format!("position {pos} escapes `{name}`")))?;
                 arena
                     .with_external_mut(name, |slab| {

@@ -15,7 +15,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use xform_core::access::{certify_access, AccessCertificate};
 use xform_core::analyze::ArenaGranularity;
 use xform_core::arena::{self, ArenaArtifact, CompiledArena};
 use xform_core::fusion::{
@@ -25,7 +24,7 @@ use xform_core::fusion::{
 use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use xform_core::profile::record_arena_timings;
 use xform_core::recipe::forward_ops;
-use xform_core::sanitize::{certify, RaceCertificate};
+use xform_core::sanitize::{certify, PlanCertificate};
 use xform_dataflow::{build, EncoderDims, Graph, OpKind};
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::elementwise::ActivationKind;
@@ -109,39 +108,26 @@ fn lookup<'a, T>(map: &'a HashMap<String, T>, name: &str) -> Result<&'a T> {
 }
 
 /// A dataflow graph paired with an executable forward schedule over it,
-/// carrying the certificates a canned plan must earn before it is cached.
+/// carrying the certificate a canned plan must earn before it is cached.
 #[derive(Debug, Clone)]
 pub struct PlannedForward {
     /// The (possibly fused) dataflow graph the plan is lowered against.
     pub graph: Graph,
     /// The forward schedule.
     pub plan: ExecutionPlan,
-    /// Freedom-from-races certificate over the plan's hazard-DAG waves.
-    pub cert: RaceCertificate,
-    /// Access-path certificate: every operand path proven in-bounds and
-    /// alias-free, with the per-step unit-stride record.
-    pub access: AccessCertificate,
+    /// The plan's certificate over its hazard-DAG waves: races, declared
+    /// footprints, access paths and caches.
+    pub cert: PlanCertificate,
 }
 
 fn certified(graph: Graph, plan: ExecutionPlan) -> Result<PlannedForward> {
     let cert = certify(&graph, &plan).map_err(|lints| {
         xform_tensor::TensorError::Unsupported(format!(
-            "canned plan failed race certification: {:?}",
+            "canned plan failed certification: {:?}",
             lints.iter().map(|l| l.to_string()).collect::<Vec<_>>()
         ))
     })?;
-    let access = certify_access(&graph, &plan).map_err(|lints| {
-        xform_tensor::TensorError::Unsupported(format!(
-            "canned plan failed access certification: {:?}",
-            lints.iter().map(|l| l.to_string()).collect::<Vec<_>>()
-        ))
-    })?;
-    Ok(PlannedForward {
-        graph,
-        plan,
-        cert,
-        access,
-    })
+    Ok(PlannedForward { graph, plan, cert })
 }
 
 /// The dimensions every builder — of a graph or of a block's weights —
@@ -716,11 +702,10 @@ pub fn head_epilogue(dims: &EncoderDims, vocab: usize) -> Result<PlannedForward>
     head_plan(dims, vocab, true)
 }
 
-/// The decode-step attention plan reading the resident KV cache. On top
-/// of the race and access certificates every canned plan carries, this
-/// plan also passes [`xform_core::access::certify_decode`] (checked by
-/// [`crate::decode::DecodeSession`] at compile time): no step writes a
-/// single word of either cache container.
+/// The decode-step attention plan reading the resident KV cache. Its
+/// certificate, like every plan's, proves no step writes a single word of
+/// either cache container, and records their geometry for
+/// [`crate::decode::DecodeSession`]'s appends.
 ///
 /// # Errors
 ///

@@ -15,26 +15,23 @@
 //!   of both certifier entries, sorted and deduplicated by their `Display`.
 //!
 //! The expected digests live in `tests/certificate_rows.txt`, recorded on
-//! the library that still certified a plan four ways, and are never edited
-//! by a change that means to keep every verdict. On a mismatch the test
+//! the library that still certified a plan four ways — a race, an arena, an
+//! access and a decode certificate — and are never edited by a change that
+//! means to keep every verdict. Since one certificate took their place, the
+//! arena rows read it over each granularity's coloring and partition. On a mismatch the test
 //! prints every row it computed, and the canonical text of each row that
 //! moved.
 
 use std::collections::BTreeSet;
 
+use substation::core::access::certify_access;
 use substation::core::analyze::{analyze, assign_arena, ArenaGranularity, PlanLint};
 use substation::core::plan::ExecutionPlan;
 use substation::core::profile::PlanProfiler;
-use substation::core::sanitize::{certify, certify_waves, plan_fingerprint};
+use substation::core::sanitize::{certify, certify_plan, certify_waves, plan_fingerprint};
 use substation::dataflow::{build, DataRole, EncoderDims, Graph, OpKind};
 use substation::tensor::{Layout, Shape};
 use substation::transformer::interp::{self, PlanKind};
-
-mod certify_now {
-    //! The certifier entries of the library under test.
-    pub use substation::core::access::{certify_access, certify_access_arena, certify_decode};
-    pub use substation::core::sanitize::certify_arena;
-}
 
 const EXPECTED: &str = include_str!("certificate_rows.txt");
 
@@ -63,7 +60,7 @@ fn lints_of<T>(r: &Result<T, Vec<PlanLint>>) -> &[PlanLint] {
 /// The two certifier entries over one plan.
 fn both(g: &Graph, plan: &ExecutionPlan) -> String {
     let race = certify(g, plan);
-    let access = certify_now::certify_access(g, plan);
+    let access = certify_access(g, plan);
     union([lints_of(&race), lints_of(&access)])
 }
 
@@ -81,21 +78,23 @@ fn plan_row(g: &Graph, plan: &ExecutionPlan) -> String {
         };
         steps.iter().map(step).collect::<Vec<_>>().join(" ")
     };
-    let logical = certify_now::certify_access(g, plan).expect("access certifies");
-    out += &format!("logical {} | {}\n", proofs(&logical.steps), union([&logical.lints[..]]));
+    let logical = certify_access(g, plan).expect("access certifies");
+    out += &format!(
+        "logical {} | {}\n",
+        proofs(&logical.steps),
+        union([&logical.lints[..]])
+    );
     for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-        let asg = assign_arena(&analysis, gran);
-        let coloring = certify_now::certify_arena(plan, &asg).expect("coloring certifies");
-        let embedded = certify_now::certify_access_arena(g, plan, &asg).expect("embedding");
+        let (asg, waves) = (assign_arena(&analysis, gran), analysis.waves_for(gran));
+        let embedded = certify_plan(g, plan, &analysis, &waves, Some(&asg)).expect("embedding");
         out += &format!(
             "{gran:?} slab {} {} | {}\n",
-            coloring.slab_words,
+            embedded.slab_words,
             proofs(&embedded.steps),
             union([&embedded.lints[..]])
         );
     }
-    let decode = certify_now::certify_decode(g, plan).expect("no step writes a cache");
-    let caches = decode.caches.iter();
+    let caches = cert.caches.iter();
     let caches: Vec<String> = caches
         .map(|c| format!("{}:{}:{}", c.name, c.capacity, c.col_words))
         .collect();
@@ -244,10 +243,14 @@ fn injection_rows(rows: &mut Vec<(String, String)>) {
     let mut text = String::new();
     for si in 0..n {
         let s = &sound.steps[si];
-        let same = s.inputs.first().zip(s.outputs.first()).is_some_and(|(i, o)| {
-            g.data(i.data).unwrap().shape.num_elements()
-                == g.data(o.data).unwrap().shape.num_elements()
-        });
+        let same = s
+            .inputs
+            .first()
+            .zip(s.outputs.first())
+            .is_some_and(|(i, o)| {
+                g.data(i.data).unwrap().shape.num_elements()
+                    == g.data(o.data).unwrap().shape.num_elements()
+            });
         if !same {
             continue;
         }
@@ -261,16 +264,15 @@ fn injection_rows(rows: &mut Vec<(String, String)>) {
     let analysis = analyze(&g, &sound);
     let mut text = String::new();
     for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-        let sound_asg = assign_arena(&analysis, gran);
+        let (sound_asg, waves) = (assign_arena(&analysis, gran), analysis.waves_for(gran));
         for vi in 0..sound_asg.slots.len() {
             if sound_asg.slots[vi].words <= 1 {
                 continue;
             }
             let mut asg = sound_asg.clone();
             asg.slots[vi].words /= 2;
-            let coloring = certify_now::certify_arena(&sound, &asg);
-            let embedded = certify_now::certify_access_arena(&g, &sound, &asg);
-            let lints = union([lints_of(&coloring), lints_of(&embedded)]);
+            let embedded = certify_plan(&g, &sound, &analysis, &waves, Some(&asg));
+            let lints = union([lints_of(&embedded)]);
             text += &format!("{gran:?}/{vi}: {lints}\n");
         }
     }
@@ -295,7 +297,7 @@ fn injection_rows(rows: &mut Vec<(String, String)>) {
         let plan = ExecutionPlan::natural(&g, &[first, reader, rewrite, sink]).unwrap();
         let racy = vec![vec![0], vec![1, 2], vec![3]];
         let race = certify_waves(&g, &plan, &racy);
-        let access = certify_now::certify_access(&g, &plan);
+        let access = certify_access(&g, &plan);
         let lints = union([lints_of(&race), lints_of(&access)]);
         text += &format!("{rows_}x{cols}: {lints}\n");
     }

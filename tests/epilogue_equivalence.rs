@@ -14,8 +14,8 @@
 //! * the arena-routed layer forwards (`Executor::Epilogue`,
 //!   `DecoderLayer::with_epilogue`) agree with the reference interpreter
 //!   bitwise when no RNG is drawn, at both granularities —
-//!   CI runs this file under `XFORM_SANITIZE=1` so every slab access is
-//!   shadow-checked;
+//!   CI runs this file under `XFORM_SANITIZE=1` so every arena run is in
+//!   its poison mode;
 //! * at sequence-length-dominant dims the canned arena slabs are strictly
 //!   smaller than that of the same block with its attention core run as
 //!   three steps, because the `[h,b,j,k]` tensors between them no longer
@@ -261,8 +261,7 @@ fn epilogue_arena_forward_matches_the_env_interpreter_bitwise_without_rng() {
     // With dropout off no RNG is drawn, so the arena-routed epilogue
     // forward and the reference interpreter called on the same canned plan
     // must agree bitwise — at both arena granularities. Under
-    // XFORM_SANITIZE=1 the arena runs in its poison mode and the
-    // reference under the shadow sanitizer.
+    // XFORM_SANITIZE=1 the arena runs in its poison mode.
     let dims = EncoderDims::tiny();
     let (w, x) = setup(&dims);
     let enc = EncoderLayer::new(dims, Executor::Epilogue, 0.0);
