@@ -45,9 +45,8 @@
 //! (`xform_core::access::certify_access`) and over the coloring of both
 //! arena granularities, printing each plan's unit-stride step count and
 //! every access lint, failing if any plan fails certification. A strided
-//! inner loop is a
-//! warning — that step runs its kernel's lane-at-a-time strided
-//! instantiation — and does not fail a *selected* plan, which may buy it
+//! inner loop is a warning — that step runs its kernel's lane-at-a-time
+//! strided instantiation — and does not fail a *selected* plan, which may buy it
 //! with a cheaper neighbour; a canned natural plan carrying one fails the
 //! audit: every natural sweep either has a contiguous lane or runs in
 //! panels whose rows are.

@@ -136,23 +136,20 @@ fn canned_rows(rows: &mut Vec<(String, String)>) {
 }
 
 fn fused() -> (Graph, ExecutionPlan) {
-    interp_plan(PlanKind::EncoderFused)
+    encoder(true)
 }
 
 fn unfused() -> (Graph, ExecutionPlan) {
-    interp_plan(PlanKind::EncoderReference)
+    encoder(false)
 }
 
 /// The property suites' plans: the encoder at `tiny`, natural layouts.
-fn interp_plan(kind: PlanKind) -> (Graph, ExecutionPlan) {
+fn encoder(fused: bool) -> (Graph, ExecutionPlan) {
+    use substation::core::fusion::{apply_plan, encoder_fusion_plan};
     let eg = build::encoder(&EncoderDims::tiny());
     let mut g = eg.graph;
-    if kind == PlanKind::EncoderFused {
-        substation::core::fusion::apply_plan(
-            &mut g,
-            &substation::core::fusion::encoder_fusion_plan(),
-        )
-        .unwrap();
+    if fused {
+        apply_plan(&mut g, &encoder_fusion_plan()).unwrap();
     }
     let ops = substation::core::recipe::forward_ops(&g, eg.dy);
     let plan = ExecutionPlan::natural(&g, &ops).unwrap();
