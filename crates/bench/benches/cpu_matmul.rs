@@ -1,11 +1,11 @@
 //! CPU GEMM and einsum benchmarks: the register-tiled kernel vs the naive
 //! triple loop, the einsum compile→strided-GEMM pipeline on the paper's
 //! projection shapes (scaled to CPU size), and the kernel rows — `sgemm` at
-//! the block's wide shapes in Gflop/s, a weight read out of its panels
-//! forward and transposed, and the GEMV in GB/s over a strided weight and
-//! over its panels (one weight, and a `gpt_generate` token's sixteen),
-//! beside a mul+add burst and the fused burst that is the kernel's own peak
-//! (printed, never gated).
+//! the block's wide shapes, the stacked Q|K|V and a tile program's 32 rows
+//! in Gflop/s, a weight read out of its panels forward and transposed, and
+//! the GEMV in GB/s over a strided weight and over its panels (one weight,
+//! and a `gpt_generate` token's sixteen), beside a mul+add burst and the
+//! fused burst that is the kernel's own peak (printed, never gated).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::distributions::Uniform;
@@ -15,7 +15,7 @@ use std::hint::black_box;
 
 use xform_tensor::matmul::{
     batched_sgemm, gemm, gemm_panels, naive_sgemm, sgemm, MatMut, MatRef, PanelRef, Start,
-    WeightPack,
+    WeightPack, MR, NR,
 };
 use xform_tensor::{einsum, Shape, Tensor};
 
@@ -25,7 +25,8 @@ fn bench_sgemm(c: &mut Criterion) {
     let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let mut group = c.benchmark_group("sgemm-256");
-    group.bench_function(BenchmarkId::new("tiled", "4x16 register tile"), |bch| {
+    let tile = format!("{MR}x{NR} register tile");
+    group.bench_function(BenchmarkId::new("tiled", tile), |bch| {
         bch.iter(|| {
             let mut cbuf = vec![0.0f32; m * n];
             sgemm(m, n, k, black_box(&a), black_box(&b), &mut cbuf);
@@ -164,9 +165,21 @@ fn bench_kernel_rows(_: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let mut rand =
         |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
-    for (m, n, k) in [(2048, 512, 512), (512, 512, 2048), (2048, 1024, 128)] {
+    // the block's wide shapes, the stacked Q|K|V, and a tile program's
+    // 32 rows against `bert_fwd`'s vocabulary and its `b·j` width
+    let shapes = [
+        (2048, 512, 512),
+        (512, 512, 2048),
+        (2048, 1024, 128),
+        (1536, 512, 512),
+        (32, 2048, 512),
+        (32, 512, 512),
+    ];
+    for (m, n, k) in shapes {
         let (a, b, mut c) = (rand(m * k), rand(k * n), vec![0.0f32; m * n]);
-        let s = best_of(20, || sgemm(m, n, k, black_box(&a), black_box(&b), &mut c));
+        let s = best_of(if m < 64 { 200 } else { 20 }, || {
+            sgemm(m, n, k, black_box(&a), black_box(&b), &mut c)
+        });
         let gflops = (2 * m * n * k) as f64 / s / 1e9;
         println!("kernel rows/sgemm {m:>4}x{n:>4}x{k:>4}              {gflops:>6.1} Gflop/s");
     }

@@ -14,7 +14,6 @@ use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
 use crate::into_ops::{contract_with_threads, ContractPlan};
 use crate::layout::Layout;
-use crate::matmul::host_threads;
 use crate::tensor::Tensor;
 
 /// Executes a one- or two-operand einsum, producing a row-major output.
@@ -83,7 +82,7 @@ pub fn contract(spec: &EinsumSpec, a: &Tensor, b: &Tensor, out_layout: &Layout) 
         b.data(),
         out.data_mut(),
         &mut scratch,
-        host_threads(),
+        true,
     );
     Ok(out)
 }

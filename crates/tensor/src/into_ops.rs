@@ -62,8 +62,8 @@ use crate::error::{Result, TensorError};
 use crate::lanes::{self, on_run, Dropout, LaneAt, Run, Walk, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
-    gemm_batched, gemm_packed_leading, gemm_panels, pack_panels, panel_words, BatchMut, BatchRef,
-    BatchStrides, Lhs, MatMut, MatRef, PanelRef, Start, NR,
+    gemm_batched, gemm_packed_leading, gemm_panels, host_threads, pack_panels, panel_words,
+    BatchMut, BatchRef, BatchStrides, Lhs, MatMut, MatRef, PanelRef, Start, NR,
 };
 use crate::ops::elementwise::ActivationKind;
 use crate::tensor::Tensor;
@@ -654,19 +654,19 @@ pub fn contract_into(
     out: &mut [f32],
     scratch: &mut [f32],
 ) {
-    contract_with_threads(plan, a, b, out, scratch, 1);
+    contract_with_threads(plan, a, b, out, scratch, false);
 }
 
-/// [`contract_into`] with the batch slices spread over up to `threads`
-/// threads (see [`gemm_batched`]); the allocating
-/// [`contract`](crate::contract::contract) runs it on the host's cores.
+/// [`contract_into`], with the batch slices spread over the host's cores
+/// when `on_host` (see [`gemm_batched`]) — what the allocating
+/// [`contract`](crate::contract::contract) runs.
 pub(crate) fn contract_with_threads(
     plan: &ContractPlan,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
     scratch: &mut [f32],
-    threads: usize,
+    on_host: bool,
 ) {
     let [aw, bw, cw] = plan.pack_words();
     let (a_pack, rest) = scratch.split_at_mut(aw);
@@ -690,6 +690,11 @@ pub(crate) fn contract_with_threads(
         );
         gemm_panels(m, n, k, a, gb.slice(0), c, Start::FromZero);
     } else {
+        let threads = if on_host {
+            host_threads(batch, m, n, k, gc.at)
+        } else {
+            1
+        };
         gemm_batched(batch, m, n, k, ga, gb, gc, Start::FromZero, threads);
     }
     if plan.c.view.is_none() {
@@ -736,15 +741,18 @@ fn row_major_strides(shape: &Shape) -> Vec<usize> {
 /// each a whole vocabulary row. Measured once on the benchmark host
 /// (EXPERIMENTS.md, "The head as one step"): at a 2 048-word vocabulary the
 /// step runs flat from 16 to 128 rows and slows below 8, where every tile
-/// streams the whole packed head for a few rows. A constant like
-/// [`ATTENTION_TILE_ROWS`], not an option.
+/// streams the whole packed head for a few rows. Its GEMM runs the 32 rows
+/// as four 6-row slabs and two 4-row ones ([`crate::matmul::MR`]). A
+/// constant like [`ATTENTION_TILE_ROWS`], not an option.
 pub const HEAD_TILE_ROWS: usize = 32;
 
 /// Query rows an attention region holds in its tile at a time. Measured
 /// once on the benchmark host (EXPERIMENTS.md, "Attention region"): the
 /// core at `j = k = 512` runs flat from 8 to 128 rows and a fifth slower at
-/// 512, where the panel is the whole slice and leaves the L2. A constant
-/// like [`crate::matmul::NR`] and [`lanes::W`], not an option.
+/// 512, where the panel is the whole slice and leaves the L2. Both of its
+/// GEMMs run the 32 rows as four 6-row slabs and two 4-row ones, one
+/// B panel at a time (a 2-row slab would be as slow as a 4-row one). A
+/// constant like [`crate::matmul::NR`] and [`lanes::W`], not an option.
 pub const ATTENTION_TILE_ROWS: usize = 32;
 
 /// Whether `view` addresses `batch` dense row-major `rows × cols` matrices

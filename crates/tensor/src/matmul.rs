@@ -8,12 +8,13 @@
 //! [`batched_sgemm`] are its row-major wrappers.
 //!
 //! ```text
-//!   for ic in rows   step MC
-//!     for pc in depth step KC      A block  MC×KC, packed once into MR-row
-//!                                  slabs interleaved along k (L2)
-//!       for jc in cols step NR     B panel  KC×NR, packed to the stack (L1)
-//!         for slab in block        C tile   MR×NR accumulators (registers)
-//!           kernel                 fma(slab[kk][r], panel[kk][j]), kk ascending
+//!   for jb in cols  step NC         B block  KC×NC, packed once per (jb, pc)
+//!     for pc in depth step KC                and read by every row block (L2)
+//!       for ic in rows step MC      A block  MC×KC, packed into slabs of MR,
+//!                                            4, 2, 1 rows interleaved along k
+//!         for jc in block step NR   B panel  KC×NR of the block (L1)
+//!           for slab in A block     C tile   R×NR accumulators (registers)
+//!             kernel::<R>           fma(slab[kk][r], panel[kk][j]), kk ascending
 //! ```
 //!
 //! * **Operands are views.** A [`MatRef`]/[`MatMut`] is a slice plus a row
@@ -21,28 +22,39 @@
 //!   no copy of the whole: both packs read their source where it lies (a
 //!   contiguous copy when the packed width is unit-stride in the source, a
 //!   4-column transposing pack otherwise — one routine, [`NR`] wide for B
-//!   and [`MR`] wide over `aᵀ` for A), and C tiles are loaded from and
-//!   stored to the destination — or started at `+0.0` under
+//!   and a slab's height wide over `aᵀ` for A), and C tiles are loaded from
+//!   and stored to the destination — or started at `+0.0` under
 //!   [`Start::FromZero`], which is what lets callers skip a zero fill.
-//! * **The A pack.** Each `MC×KC` block of A is packed once per `(ic, pc)`
-//!   and multiplied against every panel of the row: slab `s` holds rows
-//!   `s·MR..` as `kc` groups of `MR` words. Rows left over by `MR` are slabs
-//!   of one — so no padded row is ever multiplied or stored; a dense single
-//!   row, the whole of A in the matrix–vector path, packs as one copy. The
-//!   block lives in a thread-local, so packing costs the words packed and
-//!   nothing else: no heap, no per-call zeroing; a call reads only the slab
-//!   words it wrote.
+//! * **The B block** (Goto and van de Geijn's loop order). A strided B that
+//!   more than one row block reads is packed a `KC×NC` block at a time and
+//!   every row block multiplies against that one pack, so a B is packed
+//!   once per call, not once per row block. A B already in panels
+//!   ([`gemm_packed`], a weight's [`PanelRef`]) is read where it lies, and
+//!   a call with one row block packs each panel as it reaches it: both
+//!   take all of their columns as one block.
+//! * **The A pack.** Each `MC×KC` block of A is packed once per `(jb, pc,
+//!   ic)` and multiplied against every panel of the B block: a slab of
+//!   `R` rows starting at block row `r` holds them as `kc` groups of `R`
+//!   words at `r·kc`. `MR` rows go while they last; the rest are slabs of
+//!   4, 2 and 1 (and 8 or 9 left run as 4 + 4 (+ 1), not 6 + 2 (+ 1)) — so
+//!   no padded row is ever multiplied or stored; a dense single row, the
+//!   whole of A in the matrix–vector path, packs as one copy. The block and
+//!   the panel a call packs live in a thread-local, so packing costs the
+//!   words packed and nothing else: no heap, no per-call zeroing; a call
+//!   reads only the words it wrote. The B block is a thread-local `Vec`,
+//!   grown to at most `KC·NC` words by the first call that needs it.
 //! * **Tile sizes.** The build is x86-64-v3 (`.cargo/config.toml`): sixteen
 //!   `ymm` of eight lanes and two fused multiply-add ports of four cycles'
-//!   latency. `MR×NR = 4×16` is eight accumulators — latency × ports, the
-//!   chains that keep both ports busy — two for the B row and one for the
-//!   broadcast A word: eleven of the sixteen. `6×16`, whose fifteen leave
-//!   nothing spare, measured no better (EXPERIMENTS.md, "FMA in the one
-//!   GEMM").
-//!   `KC = 256` makes a panel 16 KiB, half of a 32 KiB L1d next to the 4 KiB
-//!   slab streaming past it, and a block 64 KiB of L2; `MC = 64` keeps the
-//!   rows of C a block touches within a few dozen pages, so the walk down a
-//!   16-column panel stays in the TLB.
+//!   latency. `MR×NR = 6×16` is twelve accumulators — half again the
+//!   latency × ports chains that keep both ports busy, the slack a 4×16
+//!   tile lacked — two for the B row and one for the broadcast A word:
+//!   fifteen of the sixteen (EXPERIMENTS.md, "The one GEMM in GotoBLAS
+//!   order"). A 2-row slab's four chains are latency-bound, as slow as a
+//!   4-row slab's eight, hence the 4 + 4 edge.
+//!   `KC = 256` makes a panel 16 KiB of L1 next to the 6 KiB slab streaming
+//!   past it, an A block 66 KiB and a B block 512 KiB of L2; `MC = 66`
+//!   keeps the rows of C a block touches within a few dozen pages, so the
+//!   walk down a 16-column panel stays in the TLB.
 //! * **The kernel is a function of its own.** `kernel` takes two packed
 //!   slices and the accumulators and zips `chunks_exact` over them: no
 //!   index, no bounds check, no panic edge. Inlined into the block loop —
@@ -79,14 +91,18 @@
 
 use std::cell::RefCell;
 
-/// Rows of the register tile: the height of a packed A slab.
-pub const MR: usize = 4;
+/// Rows of the register tile: the height of a whole packed A slab.
+pub const MR: usize = 6;
 /// Columns of the register tile: the width of a packed B panel.
 pub const NR: usize = 16;
 /// Depth of a packed B panel.
 pub const KC: usize = 256;
-/// Rows of a cache block.
-pub const MC: usize = 64;
+/// Rows of a cache block: a whole number of `MR`-row slabs.
+pub const MC: usize = 66;
+/// Columns of a packed B block, packed once for every row block.
+pub const NC: usize = 512;
+
+const _: () = assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR));
 
 /// A read-only matrix view: element `(r, c)` is `data[r·rs + c·cs]`.
 #[derive(Debug, Clone, Copy)]
@@ -452,9 +468,9 @@ impl WeightPack {
 /// [`gemm`] over the same matrix by construction:
 ///
 /// * a matrix–vector product streams the panels as they lie: they are the
-///   transposed problem's B panels (a last, narrower panel is widened on
-///   the stack);
-/// * a GEMM with more columns copies its `MR`-row A slabs out of them, from
+///   transposed problem's B panels (a last, narrower panel is widened
+///   into the call's panel buffer);
+/// * a GEMM with more columns copies its A slabs out of them, from
 ///   any row offset ([`PanelRef::from_row`]);
 /// * the transpose ([`PanelRef::t`]) is gathered into its slabs, one
 ///   transposing pack — the backward's read.
@@ -521,8 +537,8 @@ impl<'a> PanelRef<'a> {
     /// The B panel of the transposed problem at depth `pc` (`kc` deep) and
     /// lane `jc`: rows `jc..` of an untransposed view that starts on a
     /// panel and at depth 0 — in place when the panel is whole, widened
-    /// into `stack` with zero lanes when it is the narrower last one.
-    fn b_panel<'s>(&self, pc: usize, jc: usize, kc: usize, stack: &'s mut [f32]) -> &'s [f32]
+    /// into `buf` with zero lanes when it is the narrower last one.
+    fn b_panel<'s>(&self, pc: usize, jc: usize, kc: usize, buf: &'s mut [f32]) -> &'s [f32]
     where
         'a: 's,
     {
@@ -532,12 +548,12 @@ impl<'a> PanelRef<'a> {
         if w == NR {
             return panel;
         }
-        let stack = &mut stack[..kc * NR];
-        for (dst, src) in stack.chunks_exact_mut(NR).zip(panel.chunks_exact(w)) {
+        let buf = &mut buf[..kc * NR];
+        for (dst, src) in buf.chunks_exact_mut(NR).zip(panel.chunks_exact(w)) {
             dst[..w].copy_from_slice(src);
             dst[w..].fill(0.0);
         }
-        stack
+        buf
     }
 
     /// Packs rows `row..row + R`, columns `pc..pc + slab.len()/R` of the
@@ -546,21 +562,19 @@ impl<'a> PanelRef<'a> {
     fn pack_slab<const R: usize>(&self, slab: &mut [f32], pc: usize, row: usize) {
         let (m, k, kc) = (self.m, self.k, slab.len() / R);
         if !self.transposed {
-            // rows of A: a column's `R` words are adjacent in their panel
+            // rows of A: a column's `R` words are adjacent in their panel —
+            // one run, or two where the slab crosses into the next panel
             let (r, c) = (self.row0 + row, self.col0 + pc);
-            let at = |q: usize| panel_at(m, k, r + q, c);
-            let w = NR.min(m - (r - r % NR));
-            if (r % NR) + R <= NR {
-                let first = at(0);
-                for (kk, dst) in slab.chunks_exact_mut(R).enumerate() {
-                    dst.copy_from_slice(&self.data[first + kk * w..][..R]);
-                }
+            let run = |r: usize| (panel_at(m, k, r, c), NR.min(m - (r - r % NR)));
+            let q = R.min(NR - r % NR);
+            let ((p0, w0), (p1, w1)) = (run(r), run(r + q));
+            let slab = slab.chunks_exact_mut(R).enumerate();
+            if q == R {
+                slab.for_each(|(kk, dst)| dst.copy_from_slice(&self.data[p0 + kk * w0..][..R]));
             } else {
-                for q in 0..R {
-                    let (first, w) = (at(q), NR.min(m - (r + q - (r + q) % NR)));
-                    for (kk, dst) in slab.chunks_exact_mut(R).enumerate() {
-                        dst[q] = self.data[first + kk * w];
-                    }
+                for (kk, dst) in slab {
+                    dst[..q].copy_from_slice(&self.data[p0 + kk * w0..][..q]);
+                    dst[q..].copy_from_slice(&self.data[p1 + kk * w1..][..R - q]);
                 }
             }
         } else {
@@ -663,7 +677,8 @@ pub fn gemm_panels(
 /// Where the block loop gets its B panels.
 #[derive(Clone, Copy)]
 enum Panels<'a> {
-    /// Packed on the fly from the strided source, once per row block.
+    /// Packed from the strided source: a block at a time when more than one
+    /// row block reads it, else a panel at a time.
     Strided(MatRef<'a>),
     /// Cut from a [`pack_panels`] buffer this many rows deep, each block's
     /// panels as deep as the block.
@@ -673,9 +688,33 @@ enum Panels<'a> {
 }
 
 thread_local! {
-    /// The packed A block of [`blocks`]: one per thread, never zeroed again
-    /// — a call packs exactly the words it then reads.
-    static A_BLOCK: RefCell<[f32; MC * KC]> = const { RefCell::new([0.0; MC * KC]) };
+    /// The packed A block of [`blocks`] and the one B panel it packs at a
+    /// time: one pair per thread, never zeroed again — a call packs exactly
+    /// the words it then reads.
+    static PACKS: RefCell<([f32; MC * KC], [f32; KC * NR])> =
+        const { RefCell::new(([0.0; MC * KC], [0.0; KC * NR])) };
+    /// The packed B block of [`blocks`], grown (never past `KC·NC` words)
+    /// by the first call with more than one row block on the thread; a
+    /// call reads only the panels it packed.
+    static B_BLOCK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The slabs a block of `mc` rows is cut into, as `(first row, height)`:
+/// `MR` rows while they last, then 4, 2 and 1 — except that the last
+/// `MR + 2` or `MR + 3` rows run as 4 + 4 (+ 1): a 2-row slab's four
+/// accumulator chains are latency-bound, as slow as a 4-row slab's eight.
+fn slabs(mc: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut row = 0;
+    std::iter::from_fn(move || {
+        let left = mc - row;
+        let h = if left >= MR && !matches!(left - MR, 2 | 3) {
+            MR
+        } else {
+            [4, 2, 1].into_iter().find(|&h| h <= left)?
+        };
+        row += h;
+        Some((row - h, h))
+    })
 }
 
 /// The block loop nest around [`kernel`].
@@ -702,47 +741,76 @@ fn blocks(
         return;
     }
     let npad = n.div_ceil(NR) * NR;
-    let mut stack = [0.0f32; KC * NR];
-    A_BLOCK.with_borrow_mut(|block| {
-        for ic in (0..m).step_by(MC) {
-            let mc = MC.min(m - ic);
-            // rows of the block in whole slabs; the rest are slabs of one
-            let tiled = mc - mc % MR;
+    // a strided B that more than one row block reads is packed a block at
+    // a time; any other B is read a panel at a time, all of its columns
+    // one block
+    let shared = matches!(b, Panels::Strided(_)) && m > MC;
+    let nc = if shared { NC } else { n };
+    // held for the call, so the loops read a local; returned at the end
+    let mut b_block = if shared { B_BLOCK.take() } else { Vec::new() };
+    PACKS.with_borrow_mut(|(block, buf)| {
+        for jb in (0..n).step_by(nc) {
+            let nb = nc.min(n - jb);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
-                for (s, slab) in block[..tiled * kc].chunks_exact_mut(MR * kc).enumerate() {
-                    a.pack_slab::<MR>(slab, pc, ic + s * MR);
-                }
-                for r in tiled..mc {
-                    a.pack_slab::<1>(&mut block[r * kc..][..kc], pc, ic + r);
-                }
-                let from_zero = start == Start::FromZero && pc == 0;
-                for jc in (0..n).step_by(NR) {
-                    let nr = NR.min(n - jc);
-                    let panel = match b {
-                        Panels::Strided(b) => {
-                            pack_panel::<NR>(&mut stack[..kc * NR], b, pc, jc, nr);
-                            &stack[..kc * NR]
-                        }
-                        Panels::Packed(p, d) => &p[pc * npad + jc * KC.min(d - pc)..][..kc * NR],
-                        Panels::Rows(w) => w.b_panel(pc, jc, kc, &mut stack),
-                    };
-                    for (s, slab) in block[..tiled * kc].chunks_exact(MR * kc).enumerate() {
-                        accumulate::<MR>(slab, panel, &mut c, (ic + s * MR, jc), nr, from_zero);
+                if let (Panels::Strided(b), true) = (b, shared) {
+                    let words = kc * nb.div_ceil(NR) * NR;
+                    if b_block.len() < words {
+                        b_block = vec![0.0; words];
                     }
-                    for (r, row) in block[tiled * kc..mc * kc].chunks_exact(kc).enumerate() {
-                        accumulate::<1>(row, panel, &mut c, (ic + tiled + r, jc), nr, from_zero);
+                    let panels = b_block.chunks_exact_mut(kc * NR);
+                    for (jc, panel) in (jb..jb + nb).step_by(NR).zip(panels) {
+                        pack_panel::<NR>(panel, b, pc, jc, NR.min(n - jc));
+                    }
+                }
+                let zero = start == Start::FromZero && pc == 0;
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
+                    for (r, h) in slabs(mc) {
+                        let slab = &mut block[r * kc..(r + h) * kc];
+                        match h {
+                            MR => a.pack_slab::<MR>(slab, pc, ic + r),
+                            4 => a.pack_slab::<4>(slab, pc, ic + r),
+                            2 => a.pack_slab::<2>(slab, pc, ic + r),
+                            _ => a.pack_slab::<1>(slab, pc, ic + r),
+                        }
+                    }
+                    for jc in (jb..jb + nb).step_by(NR) {
+                        let nr = NR.min(n - jc);
+                        let panel = match b {
+                            _ if shared => &b_block[(jc - jb) * kc..][..kc * NR],
+                            Panels::Strided(b) => {
+                                pack_panel::<NR>(&mut buf[..kc * NR], b, pc, jc, nr);
+                                &buf[..kc * NR]
+                            }
+                            Panels::Packed(p, d) => {
+                                &p[pc * npad + jc * KC.min(d - pc)..][..kc * NR]
+                            }
+                            Panels::Rows(w) => w.b_panel(pc, jc, kc, buf),
+                        };
+                        for (r, h) in slabs(mc) {
+                            let (slab, at) = (&block[r * kc..(r + h) * kc], (ic + r, jc, nr));
+                            match h {
+                                MR => accumulate::<MR>(slab, panel, &mut c, at, zero),
+                                4 => accumulate::<4>(slab, panel, &mut c, at, zero),
+                                2 => accumulate::<2>(slab, panel, &mut c, at, zero),
+                                _ => accumulate::<1>(slab, panel, &mut c, at, zero),
+                            }
+                        }
                     }
                 }
             }
         }
     });
+    if shared {
+        B_BLOCK.set(b_block);
+    }
 }
 
 /// Packs rows `pc..pc + panel.len()/W`, columns `jc..jc + nr` of `b` into
 /// `panel`, `W` words per row; lanes from `nr` up are zero. With `W = NR`
-/// that is a B panel; over `a.t()` with `W = nr = MR` (or 1) it is a slab
-/// of A, its `MR` rows interleaved along `k`.
+/// that is a B panel; over `a.t()` with `W = nr` a slab height it is a
+/// slab of A, its rows interleaved along `k`.
 fn pack_panel<const W: usize>(panel: &mut [f32], b: MatRef<'_>, pc: usize, jc: usize, nr: usize) {
     if nr < W {
         panel.fill(0.0);
@@ -800,8 +868,7 @@ fn accumulate<const R: usize>(
     slab: &[f32],
     panel: &[f32],
     c: &mut MatMut<'_>,
-    (ir, jc): (usize, usize),
-    nr: usize,
+    (ir, jc, nr): (usize, usize, usize),
     from_zero: bool,
 ) {
     let c_at = ir * c.rs + jc * c.cs;
@@ -812,20 +879,31 @@ fn accumulate<const R: usize>(
             if dense {
                 row.copy_from_slice(&c.data[c_at + r * c.rs..][..NR]);
             } else {
-                for (j, v) in row.iter_mut().take(nr).enumerate() {
-                    *v = c.data[c_at + r * c.rs + j * c.cs];
-                }
+                strided_row(row, c, c_at + r * c.rs, nr, false);
             }
         }
     }
     kernel::<R>(slab, panel, &mut acc);
-    for (r, row) in acc.iter().enumerate() {
+    for (r, row) in acc.iter_mut().enumerate() {
         if dense {
             c.data[c_at + r * c.rs..][..NR].copy_from_slice(row);
         } else {
-            for (j, &v) in row.iter().take(nr).enumerate() {
-                c.data[c_at + r * c.rs + j * c.cs] = v;
-            }
+            strided_row(row, c, c_at + r * c.rs, nr, true);
+        }
+    }
+}
+
+/// The first `nr` lanes of a tile row loaded from C at word `at` onward
+/// (column stride `c.cs`), or stored there: out of line, so the dense
+/// rows' loop around [`kernel`] stays small.
+#[inline(never)]
+fn strided_row(row: &mut [f32; NR], c: &mut MatMut<'_>, at: usize, nr: usize, store: bool) {
+    for (j, v) in row.iter_mut().take(nr).enumerate() {
+        let w = &mut c.data[at + j * c.cs];
+        if store {
+            *w = *v;
+        } else {
+            *v = *w;
         }
     }
 }
@@ -924,8 +1002,10 @@ pub fn gemm_batched(
         return;
     }
     let BatchStrides { bs, rs, cs } = c.at;
-    let reach = span(m, n, rs, cs);
-    assert!(c.data.len() >= (batch - 1) * bs + reach, "c is too short");
+    assert!(
+        c.data.len() >= (batch - 1) * bs + span(m, n, rs, cs),
+        "c is too short"
+    );
     // `c` starts at slice `lo`
     let run = |c: &mut [f32], lo: usize, hi: usize| {
         for g in lo..hi {
@@ -934,8 +1014,7 @@ pub fn gemm_batched(
         }
     };
     let threads = threads.min(batch);
-    // below ~64k FMAs the spawn overhead dominates
-    if threads <= 1 || bs < reach || batch * m * n * k < (1 << 16) {
+    if threads <= 1 || !splits(batch, m, n, k, c.at) {
         run(c.data, 0, batch);
         return;
     }
@@ -956,6 +1035,13 @@ pub fn gemm_batched(
             lo = hi;
         }
     });
+}
+
+/// Whether [`gemm_batched`] may spread `batch` slices over threads: those
+/// of C are disjoint word ranges and the problem is past ~64k FMAs, below
+/// which the spawns cost more than they save.
+fn splits(batch: usize, m: usize, n: usize, k: usize, c: BatchStrides) -> bool {
+    batch > 1 && c.bs >= span(m, n, c.rs, c.cs) && batch * m * n * k >= 1 << 16
 }
 
 /// Computes `c += a × b` for row-major `a` (`m×k`), `b` (`k×n`), `c` (`m×n`).
@@ -1031,13 +1117,20 @@ pub fn batched_sgemm(
             at: BatchStrides::dense(m, n),
         },
         Start::FromC,
-        host_threads(),
+        host_threads(batch, m, n, k, BatchStrides::dense(m, n)),
     );
 }
 
-/// The thread count the allocating entry points hand [`gemm_batched`].
-pub(crate) fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |t| t.get())
+/// The thread count the allocating entry points hand [`gemm_batched`] for a
+/// call of these dimensions into C slices at `c`: the host's cores, asked
+/// for only when the call could split — the query costs microseconds and
+/// heap events, and most calls run on one thread anyway.
+pub(crate) fn host_threads(batch: usize, m: usize, n: usize, k: usize, c: BatchStrides) -> usize {
+    if splits(batch, m, n, k, c) {
+        std::thread::available_parallelism().map_or(1, |t| t.get())
+    } else {
+        1
+    }
 }
 
 /// Reference (unblocked, triple-loop) GEMM used as a correctness oracle in

@@ -829,7 +829,7 @@ mod gemm {
     use super::*;
     use xform_tensor::into_ops::{contract_into, ContractPlan};
     use xform_tensor::matmul::{
-        gemm, gemm_packed, pack_panels, panel_words, MatMut, MatRef, Start, KC, MC, MR, NR,
+        gemm, gemm_packed, pack_panels, panel_words, MatMut, MatRef, Start, KC, MC, MR, NC, NR,
     };
 
     /// A `rows×cols` matrix of `vals` (row-major) stored with the drawn
@@ -1042,14 +1042,22 @@ mod gemm {
     }
 
     /// Blocks of `MC` rows and what is left over them — a last block one
-    /// row short, exact, one single-row slab, and `MR − 1` of them after two
-    /// whole blocks — with A strided both ways and both `Start`s, over a
-    /// depth with a block edge in it and a ragged last panel.
+    /// row short, exact, one row over, and `MR − 1` and `MR + 2` rows over
+    /// after two whole blocks — with A strided both ways and both `Start`s,
+    /// over a depth with a block edge in it and a ragged last panel.
     #[test]
     fn row_block_edges_are_bitwise_the_scalar_reference() {
         let (n, k, fill) = (NR + 3, KC + 5, -7.25f32);
         let mut rng = StdRng::seed_from_u64(5);
-        for m in [MC - 1, MC, MC + 1, 2 * MC + MR - 1] {
+        for m in [
+            MC - 1,
+            MC,
+            MC + 1,
+            2 * MC - 1,
+            2 * MC,
+            2 * MC + MR - 1,
+            2 * MC + MR + 2,
+        ] {
             let (av, bv, cv) = (
                 rand_vec(m * k, &mut rng),
                 rand_vec(k * n, &mut rng),
@@ -1066,6 +1074,97 @@ mod gemm {
                 let a = store(m, k, &av, transposed, 2, 3, fill);
                 let want = reference((m, n, k), &av, &bv, &cv, start);
                 check_gemm((m, n, k), &a, &b, &c, &want, start, fill).unwrap();
+            }
+        }
+    }
+
+    /// Every remainder of `m` by `MR`, behind none, one and two whole slabs:
+    /// the edge slabs of 4, 2 and 1 rows alone and as 4 + 1, 2 + 1, 4 + 4
+    /// and 4 + 4 + 1, with A strided both ways and both `Start`s.
+    #[test]
+    fn every_edge_slab_cut_is_bitwise_the_scalar_reference() {
+        let (n, k, fill) = (NR + 3, KC + 5, -7.25f32);
+        let mut rng = StdRng::seed_from_u64(15);
+        for m in 1..=3 * MR + 3 {
+            let (av, bv, cv) = (
+                rand_vec(m * k, &mut rng),
+                rand_vec(k * n, &mut rng),
+                rand_vec(m * n, &mut rng),
+            );
+            let b = store(k, n, &bv, false, 1, 0, fill);
+            let c = store(m, n, &cv, false, 1, 1, fill);
+            for transposed in [false, true] {
+                let a = store(m, k, &av, transposed, 1, 2, fill);
+                for start in [Start::FromC, Start::FromZero] {
+                    let want = reference((m, n, k), &av, &bv, &cv, start);
+                    check_gemm((m, n, k), &a, &b, &c, &want, start, fill).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Column blocks of `NC` and what is left over them, under two row
+    /// blocks (so each B block is packed once and read by both): a block one
+    /// column short, exact, one over, and two blocks and a ragged panel;
+    /// B strided and transposed, both `Start`s, and one depth with a block
+    /// edge in it.
+    #[test]
+    fn column_block_edges_are_bitwise_the_scalar_reference() {
+        let (m, fill) = (MC + 7, -7.25f32);
+        let mut rng = StdRng::seed_from_u64(16);
+        for (n, k) in [(NC - 1, 9), (NC, 9), (NC + 1, KC + 5), (2 * NC + NR - 1, 9)] {
+            let (av, bv, cv) = (
+                rand_vec(m * k, &mut rng),
+                rand_vec(k * n, &mut rng),
+                rand_vec(m * n, &mut rng),
+            );
+            let a = store(m, k, &av, false, 1, 0, fill);
+            let c = store(m, n, &cv, false, 1, 2, fill);
+            for start in [Start::FromC, Start::FromZero] {
+                let want = reference((m, n, k), &av, &bv, &cv, start);
+                for (transposed, gap) in [(false, 1), (true, 1), (false, 2)] {
+                    let b = store(k, n, &bv, transposed, gap, 3, fill);
+                    check_gemm((m, n, k), &a, &b, &c, &want, start, fill).unwrap();
+                }
+            }
+        }
+    }
+
+    /// The packed B block outlives a call too: a narrow call after a wide
+    /// one whose B was all NaN, both with two row blocks, must read only
+    /// the panels it packed itself — a cold thread's bits, and the
+    /// reference's.
+    #[test]
+    fn a_narrow_call_after_a_wide_one_has_a_cold_calls_bits() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let (m, k) = (MC + 5, KC + 9);
+        let av = rand_vec(m * k, &mut rng);
+        let run = |n: usize, bv: &[f32], transposed: bool| {
+            let b = store(k, n, bv, transposed, 1, 0, 0.0);
+            let mut c = vec![f32::NAN; m * n];
+            gemm(
+                m,
+                n,
+                k,
+                MatRef::row_major(&av, k),
+                MatRef::new(&b.data, b.rs, b.cs),
+                MatMut::row_major(&mut c, n),
+                Start::FromZero,
+            );
+            c
+        };
+        let wide = vec![f32::NAN; k * (NC + NR)];
+        for n in [1, NR - 1, NR + 1, NC / 2 + 3] {
+            let bv = rand_vec(k * n, &mut rng);
+            let want = reference((m, n, k), &av, &bv, &[], Start::FromZero);
+            for transposed in [false, true] {
+                // every block word the wide call leaves behind is a NaN
+                run(NC + NR, &wide, transposed);
+                let warm = run(n, &bv, transposed);
+                let cold =
+                    std::thread::scope(|s| s.spawn(|| run(n, &bv, transposed)).join().unwrap());
+                assert_eq!(bits(&warm), bits(&cold), "n = {n}");
+                assert_eq!(bits(&warm), bits(&want), "n = {n}");
             }
         }
     }
@@ -1111,24 +1210,27 @@ mod gemm {
     }
 
     /// A NaN or infinite row of A — at every position of an `MR` slab and
-    /// as each leftover single row — reaches its own row of C and no other.
+    /// of each edge slab (4 + 1, 4 + 4, 4 + 4 + 1, 2 + 1) — reaches its own
+    /// row of C and no other.
     #[test]
     fn a_non_finite_row_of_a_stays_in_its_own_row_of_c() {
         let mut rng = StdRng::seed_from_u64(8);
-        let (m, n, k, fill) = (2 * MR + MR - 1, NR + 2, 19, 3.5f32);
-        let (bv, cv) = (rand_vec(k * n, &mut rng), rand_vec(m * n, &mut rng));
-        let b = store(k, n, &bv, false, 1, 0, fill);
-        let c = store(m, n, &cv, false, 1, 0, fill);
-        for bad_row in 0..m {
-            for (bad, transposed) in [(f32::NAN, false), (f32::INFINITY, true)] {
-                let mut av = rand_vec(m * k, &mut rng);
-                av[bad_row * k..][..k].fill(bad);
-                let a = store(m, k, &av, transposed, 1, 0, fill);
-                let want = reference((m, n, k), &av, &bv, &cv, Start::FromC);
-                for (i, row) in want.chunks(n).enumerate() {
-                    assert_eq!(row.iter().all(|v| v.is_finite()), i != bad_row);
+        let (n, k, fill) = (NR + 2, 19, 3.5f32);
+        for m in [2 * MR + MR - 1, MR + 2, MR + 3, 3] {
+            let (bv, cv) = (rand_vec(k * n, &mut rng), rand_vec(m * n, &mut rng));
+            let b = store(k, n, &bv, false, 1, 0, fill);
+            let c = store(m, n, &cv, false, 1, 0, fill);
+            for bad_row in 0..m {
+                for (bad, transposed) in [(f32::NAN, false), (f32::INFINITY, true)] {
+                    let mut av = rand_vec(m * k, &mut rng);
+                    av[bad_row * k..][..k].fill(bad);
+                    let a = store(m, k, &av, transposed, 1, 0, fill);
+                    let want = reference((m, n, k), &av, &bv, &cv, Start::FromC);
+                    for (i, row) in want.chunks(n).enumerate() {
+                        assert_eq!(row.iter().all(|v| v.is_finite()), i != bad_row);
+                    }
+                    check_gemm((m, n, k), &a, &b, &c, &want, Start::FromC, fill).unwrap();
                 }
-                check_gemm((m, n, k), &a, &b, &c, &want, Start::FromC, fill).unwrap();
             }
         }
     }

@@ -22,9 +22,14 @@
 #       back to a word at a time, and a call a tail's `keep` or a view's
 #       block access left out of line, a call per sixteen positions (the
 #       joins of the partials, the `−inf` rescan and the last, padded
-#       block run outside the loops).
-# On another architecture there is nothing to read: (a), (b) and (d) are
-# skipped.
+#       block run outside the loops);
+#   (e) a `kernel` symbol holds a memory operand on `%rsp` or `%rbp` — an
+#       accumulator spilled to the stack: at `MR×NR = 6×16` fifteen of the
+#       sixteen `ymm` are live, and a spill keeps every digest green at a
+#       fraction of the speed — or the instantiations are not exactly the
+#       slab heights `R ∈ {MR, 4, 2, 1}` the block loop cuts.
+# On another architecture there is nothing to read: (a), (b), (d) and (e)
+# are skipped.
 #
 #   tools/kernel_asm.sh            # check
 #   tools/kernel_asm.sh --print    # and print the kernel symbols' bodies
@@ -50,18 +55,25 @@ rm -rf "$out"
 cargo rustc -q -p xform-tensor --release --lib --target-dir "$out" -- \
   --emit asm -C symbol-mangling-version=v0
 asm="$(ls "$out"/release/deps/xform_tensor-*.s)"
+# the slab heights, as v0 mangling spells a `usize` const argument (hex)
+mr="$(sed -n 's/^pub const MR: usize = \([0-9]*\);.*/\1/p' "$src")"
+heights="$(printf '%x 4 2 1' "$mr")"
 
 # each `kernel::<R>` instantiation, label to `.size`, judged on its own;
 # `6matmul6kernel` is the path under either symbol mangling (`_ZN…`, `_R…`),
 # and a line that starts with neither `.` nor whitespace opens a symbol
-awk -v print_them="${1:-}" '
+awk -v print_them="${1:-}" -v heights="$heights" '
   /^[^.[:space:]][^[:space:]]*:/ { sym = $0 }
   /vfn?m(add|sub)/ && sym !~ /6matmul(6kernel|11naive_sgemm)/ { print sym " " $0; fused = 1 }
-  /^[0-9a-zA-Z_$.]*6matmul6kernel[0-9a-zA-Z_$.]*:/ { on = 1; name = $0; n++; fma = 0 }
+  /^[0-9a-zA-Z_$.]*6matmul6kernel[0-9a-zA-Z_$.]*:/ {
+    on = 1; name = $0; n++; fma = 0
+    if (match($0, /6kernelKj[0-9a-f]+_/)) found[substr($0, RSTART + 9, RLENGTH - 10)] = 1
+  }
   on && print_them == "--print" { print }
   on && /vfmadd[0-9]*ps.*%ymm/ { fma = 1 }
   on && /v(mul|add)ps.*%ymm/ { print name " " $0; split_ops = 1 }
   on && /v(mul|add|fn?m(add|sub)[0-9]*)ss/ { print name " " $0; scalar = 1 }
+  on && /\(%r[sb]p[,)]/ { print name " " $0; spill = 1 }
   on && /^\t\.size\t/ {
     on = 0
     if (!fma) { print name " holds no ymm fused multiply-add"; narrow = 1 }
@@ -86,13 +98,16 @@ awk -v print_them="${1:-}" '
   }
   END {
     if (fused) { print "a fused multiply-add outside matmul::kernel (see above): only the GEMM rounds once per product"; exit 1 }
-    if (n < 2) { print "expected the slab and the single-row instantiation of matmul::kernel, found " n + 0 ": is it still #[inline(never)]?"; exit 1 }
+    want = split(heights, h, " ")
+    for (i = 1; i <= want; i++) if (!(h[i] in found)) { print "no matmul::kernel instantiation at R = 0x" h[i] ": is it still #[inline(never)], and does the block loop cut its slabs as {MR, 4, 2, 1}?"; exit 1 }
+    if (n != want) { print "expected " want " instantiations of matmul::kernel (R = " heights ", hex), found " n + 0; exit 1 }
     if (narrow) { print "matmul::kernel lost its width or its mul_add (see above)"; exit 1 }
     if (split_ops) { print "matmul::kernel multiplies and adds separately (see above): the product must not be rounded before the add"; exit 1 }
     if (scalar) { print "matmul::kernel holds scalar arithmetic (see above): an accumulator fell out of its registers"; exit 1 }
+    if (spill) { print "matmul::kernel reads or writes the stack (see above): the tile spilled out of its sixteen ymm"; exit 1 }
     if (lanes < 1) { print "found no contiguous instantiation of lanes::softmax_lane: is it still #[inline(never)]?"; exit 1 }
     if (lane_narrow) { print "a contiguous softmax lane lost its width (see above)"; exit 1 }
     if (lane_scalar) { print "a contiguous softmax lane runs a pass a word at a time (see above)"; exit 1 }
     if (lane_call) { print "a contiguous softmax lane calls a tail or a view out of line (see above)"; exit 1 }
-    print "kernel_asm: " n " kernel symbols, ymm fused multiply-add in each, no separate or scalar arithmetic, no FMA elsewhere in xform-tensor; " lanes " contiguous softmax lanes, ymm max/add/mul in each, no scalar arithmetic in their loops, no tail or view out of line"
+    print "kernel_asm: " n " kernel symbols (R = " heights ", hex), ymm fused multiply-add in each, no separate or scalar arithmetic, no stack operand, no FMA elsewhere in xform-tensor; " lanes " contiguous softmax lanes, ymm max/add/mul in each, no scalar arithmetic in their loops, no tail or view out of line"
   }' "$asm"
