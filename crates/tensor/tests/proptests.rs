@@ -1041,15 +1041,18 @@ mod gemm {
         }
     }
 
-    /// Blocks of `MC` rows and what is left over them — a last block one
-    /// row short, exact, one row over, and `MR − 1` and `MR + 2` rows over
-    /// after two whole blocks — with A strided both ways and both `Start`s,
-    /// over a depth with a block edge in it and a ragged last panel.
+    /// Every remainder of `m` by `MR` behind none, one and two whole slabs
+    /// — the edge slabs of 4, 2 and 1 rows alone and as 4 + 1, 2 + 1, 4 + 4
+    /// and 4 + 4 + 1 — and blocks of `MC` rows and what is left over them:
+    /// a last block one row short, exact, one row over, and `MR − 1` and
+    /// `MR + 2` rows over after two whole blocks. A strided both ways, both
+    /// `Start`s, over a depth with a block edge in it and a ragged last
+    /// panel.
     #[test]
     fn row_block_edges_are_bitwise_the_scalar_reference() {
         let (n, k, fill) = (NR + 3, KC + 5, -7.25f32);
         let mut rng = StdRng::seed_from_u64(5);
-        for m in [
+        let blocks = [
             MC - 1,
             MC,
             MC + 1,
@@ -1057,7 +1060,8 @@ mod gemm {
             2 * MC,
             2 * MC + MR - 1,
             2 * MC + MR + 2,
-        ] {
+        ];
+        for m in (1..=3 * MR + 3).chain(blocks) {
             let (av, bv, cv) = (
                 rand_vec(m * k, &mut rng),
                 rand_vec(k * n, &mut rng),
@@ -1074,31 +1078,6 @@ mod gemm {
                 let a = store(m, k, &av, transposed, 2, 3, fill);
                 let want = reference((m, n, k), &av, &bv, &cv, start);
                 check_gemm((m, n, k), &a, &b, &c, &want, start, fill).unwrap();
-            }
-        }
-    }
-
-    /// Every remainder of `m` by `MR`, behind none, one and two whole slabs:
-    /// the edge slabs of 4, 2 and 1 rows alone and as 4 + 1, 2 + 1, 4 + 4
-    /// and 4 + 4 + 1, with A strided both ways and both `Start`s.
-    #[test]
-    fn every_edge_slab_cut_is_bitwise_the_scalar_reference() {
-        let (n, k, fill) = (NR + 3, KC + 5, -7.25f32);
-        let mut rng = StdRng::seed_from_u64(15);
-        for m in 1..=3 * MR + 3 {
-            let (av, bv, cv) = (
-                rand_vec(m * k, &mut rng),
-                rand_vec(k * n, &mut rng),
-                rand_vec(m * n, &mut rng),
-            );
-            let b = store(k, n, &bv, false, 1, 0, fill);
-            let c = store(m, n, &cv, false, 1, 1, fill);
-            for transposed in [false, true] {
-                let a = store(m, k, &av, transposed, 1, 2, fill);
-                for start in [Start::FromC, Start::FromZero] {
-                    let want = reference((m, n, k), &av, &bv, &cv, start);
-                    check_gemm((m, n, k), &a, &b, &c, &want, start, fill).unwrap();
-                }
             }
         }
     }
