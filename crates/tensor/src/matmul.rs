@@ -694,8 +694,8 @@ thread_local! {
     static PACKS: RefCell<([f32; MC * KC], [f32; KC * NR])> =
         const { RefCell::new(([0.0; MC * KC], [0.0; KC * NR])) };
     /// The packed B block of [`blocks`], grown (never past `KC·NC` words)
-    /// by the first call with more than one row block on the thread; a
-    /// call reads only the panels it packed.
+    /// by the first call on the thread that packs a strided B for more than
+    /// one row block; a call reads only the panels it packed.
     static B_BLOCK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
