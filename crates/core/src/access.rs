@@ -327,7 +327,7 @@ pub fn step_accesses(graph: &Graph, step: &PlanStep) -> StepAccesses {
         Some(low) => {
             for (k, (at, role, view)) in low.operands.iter().enumerate() {
                 let (declared, edge, kind) = slot(*at);
-                let walk = walk_of(&low.sweeps, low.operands.len(), k);
+                let walk = walk_of(&low.sweeps, k);
                 let (path, swept) = view_path(role, view, walk);
                 match declared {
                     Some(o) if o.data == edge => {

@@ -129,7 +129,9 @@ pub enum PlanLint {
         logical: String,
     },
     /// A step consumes a produced container before any scheduled step
-    /// writes it (a RAW hazard against the schedule order).
+    /// writes it (a RAW hazard against the schedule order). A saved
+    /// container whose producer reads nothing the plan writes is no such
+    /// container: it is an input of the plan (a backward plan's record).
     UseBeforeDef {
         /// Step index of the too-early consumer.
         step: usize,
@@ -1248,6 +1250,16 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
     let mut last_relayouter: HashMap<NodeId, usize> = HashMap::new();
     let mut current_layout: HashMap<NodeId, Layout> = HashMap::new();
     let mut produced: HashSet<NodeId> = HashSet::new();
+    // a saved container whose producer reads nothing the plan writes is the
+    // plan's input: a backward plan binds the forward's record
+    let writes: HashSet<NodeId> = (plan.steps.iter())
+        .flat_map(|s| s.outputs.iter().map(|o| o.data))
+        .collect();
+    let upstream = |d: NodeId| {
+        let saved = graph.data(d).is_some_and(|n| n.role == DataRole::Saved);
+        let producer = graph.producer_of(d).filter(|_| saved && !writes.contains(&d));
+        producer.is_some_and(|p| graph.inputs_of(p).iter().all(|i| !writes.contains(i)))
+    };
     // relayout event log per container: (step, from, to)
     let mut relayout_log: HashMap<NodeId, Vec<(usize, Layout, Layout)>> = HashMap::new();
 
@@ -1388,7 +1400,8 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
                 }
             }
             readers_since_write.entry(inp.data).or_default().push(si);
-            if graph.producer_of(inp.data).is_some() && !produced.contains(&inp.data) {
+            let external = graph.producer_of(inp.data).is_none() || upstream(inp.data);
+            if !external && !produced.contains(&inp.data) {
                 lints.push(PlanLint::UseBeforeDef {
                     step: si,
                     name: step.name.clone(),

@@ -118,7 +118,9 @@ use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
 use crate::access::{view_path, AccessPath};
 use crate::analyze::{analyze, ArenaGranularity, Home, PlanAnalysis};
-use crate::lower::{lower_step, walk_of, weight_pack, Kernel, RelayoutCopy, Role, Slot, Tail};
+use crate::lower::{
+    lower_step, sweep_of, walk_of, weight_pack, Kernel, RelayoutCopy, Role, Slot, Stats, Tail,
+};
 use crate::plan::{layout_spec, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
 use crate::sanitize::{certify_plan, plan_fingerprint, PlanCertificate};
 
@@ -176,6 +178,12 @@ struct StepExec {
     /// The dropout stream the step keys its masks by
     /// ([`ExecutionPlan::stream_of`]).
     stream: usize,
+    /// The operands the kernel accumulates into (a bias or layer-norm
+    /// weight gradient, through a broadcast or per-lane view), zeroed first.
+    zeroed: Vec<usize>,
+    /// The slab words the step writes: each output's hull, what the poison
+    /// mode checks after its wave.
+    written: Vec<BufView>,
 }
 
 /// A container no step defines: the caller resolves it to a slice per run.
@@ -219,14 +227,32 @@ struct MaterializeSpec {
     saved: bool,
 }
 
-/// A layer-norm statistics region surfaced after execution, keyed by the
+/// A layer-norm statistics region: surfaced after execution, keyed by the
 /// norm's output container name like the allocating interpreter's stats
-/// side channel.
+/// side channel — or, for the statistics a backward kernel reads, filled at
+/// bind from the resolver's answers to `names` ([`stats_names`]).
 #[derive(Debug, Clone)]
 struct StatsSpec {
     name: String,
+    names: [String; 2],
     mean: BufView,
     inv_std: BufView,
+}
+
+/// The names a run's resolver is asked for the statistics a backward
+/// kernel reads of the layer norm whose output container is `norm`: its
+/// per-lane means, then its per-lane inverse deviations.
+pub fn stats_names(norm: &str) -> [String; 2] {
+    [format!("{norm}.mean"), format!("{norm}.inv_std")]
+}
+
+/// The layer norm a name of [`stats_names`] asks for, and whether it asks
+/// for the inverse deviations; `None` for any other name.
+pub fn stats_name_of(name: &str) -> Option<(&str, bool)> {
+    match name.strip_suffix(".mean") {
+        Some(norm) => Some((norm, false)),
+        None => name.strip_suffix(".inv_std").map(|norm| (norm, true)),
+    }
 }
 
 /// The slab, contraction scratch, layer-norm statistics storage and timing
@@ -358,7 +384,20 @@ impl ArenaRun {
 /// at any thread count and in any dispatch order — and whoever knows the
 /// two computes them again.
 pub fn stream_key(seed: u64, stream: usize) -> StdRng {
-    StdRng::seed_from_u64(seed ^ (stream as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    StdRng::seed_from_u64(seed ^ stream_mix(stream))
+}
+
+fn stream_mix(stream: usize) -> u64 {
+    (stream as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The seed under which stream `to` of a run is keyed as stream `from` is
+/// under `seed`: `stream_key(rekeyed(seed, from, to), to)` is
+/// `stream_key(seed, from)`. A backward plan whose one masked step
+/// recomputes a forward step's masks — the attention region's, at `to` in
+/// its own schedule — runs under it.
+pub fn rekeyed(seed: u64, from: usize, to: usize) -> u64 {
+    seed ^ stream_mix(from) ^ stream_mix(to)
 }
 
 /// One artifact surfaced to the sink after an arena execution. Borrows
@@ -423,7 +462,6 @@ pub struct CompiledArena {
     stats_words: usize,
     steps: Vec<StepExec>,
     step_names: Vec<String>,
-    step_outputs: Vec<Vec<BufView>>,
     retire: Vec<Vec<BufView>>,
     externals: Vec<ExternalBind>,
     /// Slab spans the sanitizer may poison before a run: the complement
@@ -431,6 +469,7 @@ pub struct CompiledArena {
     poison_spans: Vec<BufView>,
     outputs: Vec<MaterializeSpec>,
     stats_out: Vec<StatsSpec>,
+    stats_in: Vec<StatsSpec>,
     buffers: Mutex<ArenaBuffers>,
 }
 
@@ -509,7 +548,7 @@ impl CompiledArena {
         // every projection weight the plan reads, with its one pack
         let mut packs: HashMap<NodeId, WeightPack> = HashMap::new();
         for (si, step) in plan.steps.iter().enumerate() {
-            if let Some((data, pack)) = weight_pack(graph, step) {
+            if let Some((data, pack, _)) = weight_pack(graph, step) {
                 if *packs.entry(data).or_insert(pack) != pack {
                     return Err(TensorError::Unsupported(format!(
                         "step {si} (`{}`) reads weight `{}` as another matrix than an earlier step: a weight has one pack",
@@ -545,7 +584,7 @@ impl CompiledArena {
             |what: String| TensorError::Unsupported(format!("{what} has no arena lowering"));
         let mut steps = Vec::with_capacity(plan.steps.len());
         let mut stats_words = 0usize;
-        let mut stats_out = Vec::new();
+        let (mut stats_out, mut stats_in) = (Vec::new(), Vec::new());
         for (si, step) in plan.steps.iter().enumerate() {
             let role = |o: &&crate::plan::Operand| graph.data(o.data).map(|d| d.role);
             let read_only = |o: &_| matches!(role(o), Some(DataRole::Input | DataRole::Weight));
@@ -563,7 +602,7 @@ impl CompiledArena {
                 (&place_of, &externals),
                 &mut gather_from,
                 &mut stats_words,
-                &mut stats_out,
+                (&mut stats_out, &mut stats_in),
             )
             .ok_or_else(|| match strided_tail(step) {
                 Some(o) => TensorError::Unsupported(format!(
@@ -586,18 +625,6 @@ impl CompiledArena {
             }
             scratch_words = scratch_words.max(acc);
         }
-
-        let step_outputs: Vec<Vec<BufView>> = plan
-            .steps
-            .iter()
-            .map(|step| {
-                let slab = |o: &crate::plan::Operand| match place_of.get(&o.data) {
-                    Some(&Place::Slab(v)) => Some(v),
-                    _ => None,
-                };
-                step.outputs.iter().filter_map(slab).collect()
-            })
-            .collect();
 
         let mut retire: Vec<Vec<BufView>> = vec![Vec::new(); waves.len()];
         let last = waves.len().saturating_sub(1);
@@ -670,12 +697,12 @@ impl CompiledArena {
             stats_words,
             step_names: plan.steps.iter().map(|s| s.name.clone()).collect(),
             steps,
-            step_outputs,
             retire,
             externals,
             poison_spans,
             outputs,
             stats_out,
+            stats_in,
             buffers: Mutex::default(),
         }
         .with_zeroed_buffers())
@@ -707,12 +734,12 @@ impl CompiledArena {
             stats_words: self.stats_words,
             steps: self.steps.clone(),
             step_names: self.step_names.clone(),
-            step_outputs: self.step_outputs.clone(),
             retire: self.retire.clone(),
             externals: self.externals.clone(),
             poison_spans: self.poison_spans.clone(),
             outputs: self.outputs.clone(),
             stats_out: self.stats_out.clone(),
+            stats_in: self.stats_in.clone(),
             buffers: Mutex::default(),
         }
         .with_zeroed_buffers()
@@ -727,7 +754,7 @@ impl CompiledArena {
         let step = &self.steps[si];
         let operands = step.operands.iter().enumerate();
         operands.map(|(k, (place, role, view))| {
-            let walk = walk_of(&step.sweeps, step.operands.len(), k);
+            let walk = walk_of(&step.sweeps, k);
             let mut path = view_path(role, view, walk).0;
             path.base += match *place {
                 Place::Slab(words) => words.off,
@@ -918,6 +945,22 @@ impl CompiledArena {
                 }
             }
         }
+        // the statistics a backward kernel reads, copied into their regions
+        for s in &self.stats_in {
+            for (name, v) in s.names.iter().zip([s.mean, s.inv_std]) {
+                match resolve(name) {
+                    Some(src) if src.len() == v.len => {
+                        bufs.stats[v.off..v.off + v.len].copy_from_slice(src);
+                    }
+                    _ => {
+                        return Err(TensorError::UnboundExternal {
+                            container: name.clone(),
+                            words: v.len,
+                        })
+                    }
+                }
+            }
+        }
         let mem = SlabMem::new(bufs);
         let workers = if parallel {
             self.run_parallel(mem, run)?
@@ -1055,7 +1098,7 @@ impl CompiledArena {
     /// interval ends at this wave is re-poisoned.
     fn sanitize_wave(&self, mem: SlabMem, w: usize) -> Result<()> {
         for &si in &self.cert.waves[w] {
-            for v in &self.step_outputs[si] {
+            for v in &self.steps[si].written {
                 // SAFETY: the wave finished; no kernel holds these words.
                 let data = unsafe { mem.slab(*v) };
                 if data.iter().any(|x| !x.is_finite()) {
@@ -1141,7 +1184,8 @@ pub fn clear_compiled() {
 
 /// Runs `plan` against `state` on its memoized arena ([`compiled`]) at the
 /// granularity `opts.threads` asks for, binding externals out of
-/// `state.env` and materializing every output, saved activation and
+/// `state.env` (and the statistics a backward kernel reads out of
+/// `state.stats`) and materializing every output, saved activation and
 /// layer-norm statistic back into it, each in the layout the plan leaves
 /// it in.
 ///
@@ -1167,10 +1211,11 @@ pub fn execute(
         .collect();
     // a projection weight is bound as its panel pack
     let packed = arena.pack_weights(&state.env);
-    let env = &state.env;
-    let resolve = &mut |name: &str| match packed.get(name) {
-        Some(panels) => Some(&panels[..]),
-        None => natural.get(name).or(env.get(name)).map(Tensor::data),
+    let (env, stats) = (&state.env, &state.stats);
+    let resolve = &mut |name: &str| match (packed.get(name), stats_name_of(name)) {
+        (Some(panels), _) => Some(&panels[..]),
+        (None, Some((norm, inv))) => stats.get(norm).map(|s| &[&s.mean, &s.inv_std][usize::from(inv)][..]),
+        (None, None) => natural.get(name).or(env.get(name)).map(Tensor::data),
     };
     arena.execute_into_state(graph, plan, opts, resolve, &mut produced)?;
     state.env.extend(produced.env);
@@ -1207,7 +1252,7 @@ fn compile_step(
     (place_of, externals): (&HashMap<NodeId, Place>, &[ExternalBind]),
     gather_from: &mut HashMap<NodeId, usize>,
     stats_words: &mut usize,
-    stats_out: &mut Vec<StatsSpec>,
+    (stats_out, stats_in): (&mut Vec<StatsSpec>, &mut Vec<StatsSpec>),
 ) -> Option<StepExec> {
     let mut low = lower_step(graph, step)?;
     let scratch = BufView {
@@ -1215,8 +1260,8 @@ fn compile_step(
         len: low.scratch_words(),
     };
     let n = low.operands.len();
-    let per_sweep = (n / low.sweeps.len().max(1)).max(1);
     let mut operands: Vec<(Place, Role, View)> = Vec::with_capacity(n);
+    let (mut zeroed, mut written) = (Vec::new(), Vec::new());
     for (k, (slot, role, mut view)) in low.operands.into_iter().enumerate() {
         let place = match slot {
             Slot::In(k) => *place_of.get(&step.inputs.get(k)?.data)?,
@@ -1226,7 +1271,7 @@ fn compile_step(
             },
         };
         // the kernel is handed the hull of its path, its view rebased onto it
-        let hull = view_path(&role, &view, walk_of(&low.sweeps, n, k)).0.hull();
+        let hull = view_path(&role, &view, walk_of(&low.sweeps, k)).0.hull();
         let (lo, len) = (hull.start as usize, (hull.end - hull.start) as usize);
         let cut = |words: BufView| {
             (lo + len <= words.len).then_some(BufView {
@@ -1239,8 +1284,14 @@ fn compile_step(
             Place::Borrowed(e, words) => Place::Borrowed(e, cut(words)?),
         };
         view.base -= lo;
-        if let Some(sweep) = low.sweeps.get_mut(k / per_sweep) {
-            sweep.rebase(k % per_sweep, lo);
+        if let Some((i, at)) = sweep_of(&low.sweeps, k) {
+            low.sweeps[i].rebase(at, lo);
+        }
+        if let (Slot::Out(_), Place::Slab(words)) = (slot, place) {
+            written.push(words);
+            if matches!(role, Role::Broadcast | Role::LaneWeights) {
+                zeroed.push(k);
+            }
         }
         operands.push((place, role, view));
     }
@@ -1256,10 +1307,11 @@ fn compile_step(
             Kernel::Tile { plan, .. } => &mut plan.first,
             _ => return None,
         };
+        let (_, _, transposed) = weight_pack(graph, step)?;
         if (1..operands.len()).any(packed) || plan.swapped {
             return None;
         }
-        *plan = plan.with_panel_a()?;
+        *plan = plan.with_panel_a(transposed)?;
     }
     let relayouts = (low.relayouts.into_iter())
         .map(|r| match *place_of.get(&r.data)? {
@@ -1271,15 +1323,20 @@ fn compile_step(
         })
         .collect::<Option<_>>()?;
     let stats = match low.stats {
-        Some((out, lanes)) => {
+        Some((stats, lanes)) => {
             let region = |k: usize| BufView {
                 off: *stats_words + k * lanes,
                 len: lanes,
             };
             let (mean, inv_std) = (region(0), region(1));
             *stats_words += 2 * lanes;
-            stats_out.push(StatsSpec {
-                name: step.outputs.get(out)?.name.clone(),
+            let (name, specs) = match stats {
+                Stats::Writes(out) => (step.outputs.get(out)?.name.clone(), &mut *stats_out),
+                Stats::Reads(norm) => (graph.data(norm)?.name.clone(), &mut *stats_in),
+            };
+            specs.push(StatsSpec {
+                names: stats_names(&name),
+                name,
                 mean,
                 inv_std,
             });
@@ -1295,6 +1352,8 @@ fn compile_step(
         stats,
         scratch,
         stream,
+        zeroed,
+        written,
     })
 }
 
@@ -1367,6 +1426,9 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
             }
             None => into_ops::relayout_into(&copy.dims, slot, scratch()),
         }
+    }
+    for &k in &step.zeroed {
+        w(k).fill(0.0);
     }
     let s = step.sweeps.first();
     let s = || s.expect("a sweeping class has a compiled sweep");
@@ -1443,6 +1505,47 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
             // output
             let second = plan.second.is_some().then(|| (r(2), w(3)));
             into_ops::tile_into(plan, r(0), r(1), &mut tail, second, drop, scratch());
+        }
+        Kernel::BiasGrad => {
+            for (k, s) in step.sweeps.iter().enumerate() {
+                into_ops::bias_grad_into(s, r(2 * k), w(2 * k + 1));
+            }
+        }
+        Kernel::DropoutGrad => into_ops::dropout_backward_into(s(), r(0), r(1), w(2)),
+        Kernel::ActivateGrad => {
+            into_ops::activate_backward_into(s(), r(0), r(1), run.activation, w(2));
+        }
+        Kernel::SoftmaxGrad => into_ops::softmax_backward_into(s(), r(0), r(1), run.scaler, w(2)),
+        Kernel::Bs => into_ops::bs_into(s(), r(0), r(1), r(2), run.scaler, w(3)),
+        Kernel::NormGradX => {
+            let (mean, inv_std) = stats();
+            into_ops::layernorm_backward_input_into(s(), r(0), r(1), r(2), mean, inv_std, w(3));
+        }
+        Kernel::NormGradW => {
+            let (mean, inv_std) = stats();
+            into_ops::layernorm_backward_weights_into(s(), r(0), r(1), mean, inv_std, w(2), w(3));
+        }
+        Kernel::Blnrd => {
+            let (mean, inv_std) = stats();
+            into_ops::blnrd_into(s(), r(0), r(1), r(2), r(3), mean, inv_std, w(4), w(5));
+        }
+        Kernel::Blnr => {
+            let (mean, inv_std) = stats();
+            into_ops::blnr_into(s(), r(0), r(1), r(2), r(3), mean, inv_std, w(4));
+        }
+        Kernel::Ebsb => {
+            let (mean, inv_std) = stats();
+            into_ops::ebsb_into(s(), r(0), r(1), r(2), mean, inv_std, w(3), w(4), w(5));
+        }
+        Kernel::Bdb => into_ops::bdb_into(s(), r(0), r(1), w(2), w(3)),
+        Kernel::Bdrb => {
+            // the merged bias dW first, when the step has one
+            let at = 2 * (step.sweeps.len() - 1);
+            if let [merged, _] = &step.sweeps[..] {
+                into_ops::bias_grad_into(merged, r(0), w(1));
+            }
+            let (s, act) = (step.sweeps.last().expect("BDRB's sweep"), run.activation);
+            into_ops::bdrb_act_into(s, r(at), r(at + 1), r(at + 2), act, w(at + 3), w(at + 4));
         }
     }
 }

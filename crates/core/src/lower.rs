@@ -23,12 +23,22 @@
 //! missing or does not parse — the analyzer's lints convict those plans;
 //! here they just keep the derivation's fallbacks well-defined).
 //!
-//! `None` means the lowering does not model the step (a backward kernel, an
-//! operand count or a geometry no forward kernel has, an epilogue tail
-//! stream in a non-natural layout): a compile error naming the step on the
-//! arena, conservative whole-buffer accesses in the derivation. A new
-//! kernel class is one row here, one arm in the arena's `run_step`, and one
-//! arm in the reference interpreter — as the tile program
+//! Forward and backward kernels are rows of the one table. A backward row
+//! differs from a forward one in three ways only: a normalization reads the
+//! per-lane statistics its forward norm saved ([`Stats::Reads`]) where the
+//! forward writes them; a bias or layer-norm weight gradient is accumulated
+//! through a broadcast (or per-lane) view of the output, which the kernel
+//! starts at zero; and a projection weight's input gradient reads the
+//! weight's one panel pack — its forward GEMM's — transposed
+//! ([`weight_pack`]), summing a contraction over the stacked Q/K/V axis as
+//! its three projections' products, in stream order.
+//!
+//! `None` means the lowering does not model the step (an operand count or a
+//! geometry no kernel has, an epilogue tail stream in a non-natural
+//! layout): a compile error naming the step on the arena, conservative
+//! whole-buffer accesses in the derivation. A new kernel class is one row
+//! here and one arm in the arena's `run_step` — and, for a forward class,
+//! one arm in the reference interpreter — as the tile program
 //! ([`Kernel::Tile`]: the bias epilogues, the model head and the attention
 //! region) was.
 
@@ -42,7 +52,8 @@ use xform_tensor::matmul::WeightPack;
 use xform_tensor::{Axis, Layout, Shape};
 
 use crate::plan::{
-    classify_fused, labelled_shapes, stacked_carve_start, FusedClass, Operand, PlanStep,
+    classify_fused, labelled_shapes, stacked_carve_start, stacked_stream, FusedClass, Operand,
+    PlanStep,
 };
 
 /// One operand slot of a step, by position in the graph's edge order.
@@ -150,6 +161,43 @@ pub(crate) enum Kernel {
         /// The per-row chain.
         tail: Tail,
     },
+    /// Bias dW: one `[dy, dbias]` pair (and sweep) per output — three for
+    /// BAIB, each over one projection's rows of the stacked gradient.
+    BiasGrad,
+    /// Dropout dX `[dy, mask, dx]`.
+    DropoutGrad,
+    /// Activation dX `[dy, pre_activation, dx]`, the run's activation.
+    ActivateGrad,
+    /// Softmax dX `[dy, softmax, dx]`, times the run's scaler.
+    SoftmaxGrad,
+    /// Layer-norm dX `[dy, x, gamma, dx]`.
+    NormGradX,
+    /// Layer-norm dW `[dy, x, dgamma, dbeta]`.
+    NormGradW,
+    /// Fused BS `[dalpha, mask, softmax, dbeta]`, times the run's scaler.
+    Bs,
+    /// Fused BLNRD `[dy, x, gamma, mask, dx_ln, dx]`.
+    Blnrd,
+    /// Fused BLNR `[dy, x, gamma, residual, dx]`.
+    Blnr,
+    /// Fused EBSB `[dy, dy_residual, x, dsum, dgamma, dbeta]`.
+    Ebsb,
+    /// Fused BDB `[dy, mask, dx, dbias]`.
+    Bdb,
+    /// Fused BDRB `[dy, mask, pre_activation, dx, dbias]`, behind the
+    /// `[dy, dbias]` pair of the bias dW the encoder merged into it (a sweep
+    /// of its own) when it has one.
+    Bdrb,
+}
+
+/// The per-lane statistics of a normalizing class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stats {
+    /// A forward norm writes them, keyed by the name of its `k`-th output.
+    Writes(usize),
+    /// A backward kernel reads the ones the forward norm whose output is
+    /// this container saved.
+    Reads(NodeId),
 }
 
 /// A relayout insertion, lowered: the container re-materialized in place
@@ -180,9 +228,9 @@ pub(crate) struct StepLowering {
     /// run of operands (three per bias projection, all of them otherwise);
     /// empty for the contraction classes.
     pub sweeps: Vec<Sweep>,
-    /// For the normalizing classes: the output slot whose container name
-    /// keys the per-lane statistics, and the lane count.
-    pub stats: Option<(usize, usize)>,
+    /// For the normalizing classes: the statistics the kernel writes or
+    /// reads, and the lane count.
+    pub stats: Option<(Stats, usize)>,
 }
 
 impl StepLowering {
@@ -200,13 +248,24 @@ impl StepLowering {
     }
 }
 
-/// The walk of the sweep covering operand `k` of a step with `operands`
-/// operands, each of `sweeps` covering an equal run of them — the compiled
+/// The sweep covering operand `k` of a step, each of `sweeps` covering the
+/// next run of its operands ([`Sweep::arity`]), and `k`'s place in it;
+/// `None` for a contraction operand, which has no sweep.
+pub(crate) fn sweep_of(sweeps: &[Sweep], mut k: usize) -> Option<(usize, usize)> {
+    for (i, s) in sweeps.iter().enumerate() {
+        if k < s.arity() {
+            return Some((i, k));
+        }
+        k -= s.arity();
+    }
+    None
+}
+
+/// The walk of the sweep covering operand `k` of a step — the compiled
 /// sweep's own predicate ([`Sweep::walk`]), so the certifiers describe the
 /// loop the executor runs. A contraction operand has no sweep.
-pub(crate) fn walk_of(sweeps: &[Sweep], operands: usize, k: usize) -> Walk {
-    let per_sweep = (operands / sweeps.len().max(1)).max(1);
-    sweeps.get(k / per_sweep).map_or(Walk::Lane, Sweep::walk)
+pub(crate) fn walk_of(sweeps: &[Sweep], k: usize) -> Walk {
+    sweep_of(sweeps, k).map_or(Walk::Lane, |(i, _)| sweeps[i].walk())
 }
 
 /// Strides of `shape` under `layout`; `None` when the ranks disagree.
@@ -321,12 +380,41 @@ pub(crate) fn tile_kernel(
 }
 
 /// The projection weight a step reads as the first operand of its (first)
-/// contraction — a [`DataRole::Weight`] of rank two or more — and where
-/// that contraction's GEMM A lies in the weight's logical words: the
-/// geometry of the panel pack the weight is stored as. The weight plays A
-/// in every such step, whatever layouts the step declares.
-pub(crate) fn weight_pack(graph: &Graph, step: &PlanStep) -> Option<(NodeId, WeightPack)> {
-    let (spec, ins) = projection_of(graph, step)?;
+/// contraction — a [`DataRole::Weight`] of rank two or more — with the
+/// weight's one pack and whether the step reads it transposed. The pack is
+/// where the GEMM A of the weight's forward contraction lies in its logical
+/// words (the first reader that plays it as A and writes no gradient; the
+/// step's own A in a graph without one), the geometry it is stored in. A
+/// step whose A is that matrix reads the pack as it is; one whose A is its
+/// transpose — the weight's input gradient — reads it transposed. `None`
+/// when the step plays the weight as another matrix.
+pub(crate) fn weight_pack(graph: &Graph, step: &PlanStep) -> Option<(NodeId, WeightPack, bool)> {
+    let (w, own) = a_pack(graph, step.op)?;
+    let forward = |&op: &NodeId| {
+        let gradient = |d: NodeId| graph.data(d).is_some_and(|d| d.role == DataRole::Gradient);
+        !graph.outputs_of(op).into_iter().any(gradient)
+    };
+    let readers = graph.consumers_of(w).into_iter().filter(forward);
+    let stored = (readers.filter_map(|op| a_pack(graph, op)))
+        .find(|&(v, _)| v == w)
+        .map_or(own, |(_, pack)| pack);
+    let transposed = WeightPack {
+        m: own.k,
+        k: own.m,
+        rs: own.cs,
+        cs: own.rs,
+    };
+    match stored {
+        _ if stored == own => Some((w, stored, false)),
+        _ if stored == transposed => Some((w, stored, true)),
+        _ => None,
+    }
+}
+
+/// The weight operator `op` reads as the A of its (first) contraction, and
+/// where that A lies in the weight's logical words.
+fn a_pack(graph: &Graph, op: NodeId) -> Option<(NodeId, WeightPack)> {
+    let (spec, ins) = weight_operand(graph, op)?;
     let (w, x) = (graph.data(ins[0])?, graph.data(*ins.get(1)?)?);
     let (a, b, out) = labelled_shapes(spec, &w.shape, &x.shape)?;
     let natural = |s: &Shape| Layout::row_major(s.rank()).strides(s);
@@ -337,16 +425,39 @@ pub(crate) fn weight_pack(graph: &Graph, step: &PlanStep) -> Option<(NodeId, Wei
     Some((ins[0], WeightPack { m, k, rs, cs }))
 }
 
-/// A step whose (first) contraction reads a projection weight as its first
-/// operand: the contraction and the step's input edges.
-fn projection_of<'g>(graph: &Graph, step: &'g PlanStep) -> Option<(&'g EinsumSpec, Vec<NodeId>)> {
-    let spec = match &step.kind {
+/// An operator whose (first) contraction reads a projection weight as its
+/// first operand: the contraction and the operator's input edges.
+fn weight_operand(graph: &Graph, op: NodeId) -> Option<(&EinsumSpec, Vec<NodeId>)> {
+    let spec = match &graph.op(op)?.kind {
         OpKind::Einsum(spec) | OpKind::TileProgram { first: spec, .. } => spec,
         _ => return None,
     };
-    let ins = graph.inputs_of(step.op);
+    let ins = graph.inputs_of(op);
     let w = graph.data(*ins.first()?)?;
     (w.role == DataRole::Weight && w.shape.rank() >= 2).then_some((spec, ins))
+}
+
+/// The output container of the forward layer norm whose input is `x`,
+/// which keys the statistics a backward norm over `x` reads: a norm that
+/// reads `x` (unfused, or a fused singleton), or the fused BDRLN that wrote
+/// `x` as its layer-norm input (its output 1; the norm's output is 2).
+fn norm_of(graph: &Graph, x: NodeId) -> Option<NodeId> {
+    let norm_out = |op: NodeId| -> Option<NodeId> {
+        let (ins, outs) = (graph.inputs_of(op), graph.outputs_of(op));
+        let (input, out) = match &graph.op(op)?.kind {
+            OpKind::LayerNorm { .. } => (ins.first(), outs.first()),
+            OpKind::Fused { parts, .. } => match classify_fused(parts)? {
+                FusedClass::Norm => (ins.first(), outs.first()),
+                FusedClass::BiasDropResidualNorm => (outs.get(1), outs.get(2)),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        (input == Some(&x)).then_some(*out?)
+    };
+    let mut ops = graph.consumers_of(x);
+    ops.extend(graph.producer_of(x));
+    ops.into_iter().find_map(norm_out)
 }
 
 /// Lowers one scheduled step from the graph's edges, the step's operator
@@ -380,10 +491,10 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
     let broadcast = |slot: Slot, onto: &Shape| -> Option<View> {
         View::broadcast(edge(slot)?.0, &strides(slot)?, onto)
     };
-    // `rows` leading rows of the stacked input 0 from row `start`, shaped
+    // the rows of the stacked container at `slot` from row `start`, shaped
     // (positionally) like one projection `part`
-    let carve = |part: &Shape, start: usize| -> Option<(Slot, Role, View)> {
-        let (stacked, st) = (*ins.first()?, strides(Slot::In(0))?);
+    let carve = |slot: Slot, part: &Shape, start: usize| -> Option<(Slot, Role, View)> {
+        let (stacked, st) = (edge(slot)?.0, strides(slot)?);
         let rows = *part.sizes().first()?;
         if stacked.rank() == 0
             || stacked.sizes()[1..] != part.sizes()[1..]
@@ -395,7 +506,7 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             base: start * st[0],
             dims: part.sizes().iter().copied().zip(st).collect(),
         };
-        Some((Slot::In(0), Role::Carve, view))
+        Some((slot, Role::Carve, view))
     };
     // positional input (role, view)s, then every output whole in `out`
     // role; all of one extent list, each over its own strides
@@ -425,13 +536,23 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
         });
         (LaneWeights, view)
     };
-    // (kernel, operands, lane axis, query axis, stats output slot)
+    // output `k` as per-lane weights of input 0's lanes along `axis` (dγ, dβ)
+    let lane_weights_out = |k: usize, axis: usize| -> Option<(Slot, Role, View)> {
+        let (x, w) = (ins.first()?, outs.get(k)?);
+        let view = View::lane_weights(x.sizes(), axis);
+        (w.num_elements() == x.sizes()[axis]).then_some((Slot::Out(k), LaneWeights, view))
+    };
+    // output `k` accumulated onto `onto`'s axes through zero strides (dbias)
+    let bias_out = |k: usize, onto: &Shape| Some((Slot::Out(k), Broadcast, broadcast(Slot::Out(k), onto)?));
+    let input = |k: usize| Some((Slot::In(k), Whole, whole(Slot::In(k))?));
+    let output = |k: usize| Some((Slot::Out(k), Whole, whole(Slot::Out(k))?));
+    // (kernel, operands, lane axis, query axis, statistics)
     type Row = (
         Kernel,
         Vec<(Slot, Role, View)>,
         Option<usize>,
         Option<usize>,
-        Option<usize>,
+        Option<Stats>,
     );
     let elementwise = |kernel: Kernel, n_in: usize, n_out: usize| -> Option<Row> {
         (n_out == outs.len()).then_some(())?;
@@ -469,31 +590,101 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             rows(inputs, sweep)?,
             Some(ai),
             None,
-            Some(0),
+            Some(Stats::Writes(0)),
         ))
+    };
+    // a backward norm along `axis`: `n_in` inputs swept along the lane but
+    // γ at `gamma`, then outputs swept along it or, where `weights` says,
+    // per-lane weight gradients; the statistics are those of the norm whose
+    // input is input `x`
+    let norm_grad = |kernel: Kernel,
+                     axis: Axis,
+                     (n_in, gamma, x): (usize, Option<usize>, usize),
+                     weights: &[bool]|
+     -> Option<Row> {
+        (ins.len() == n_in && outs.len() == weights.len()).then_some(())?;
+        let ai = lane_of(axis)?;
+        let sweep = Lanes { axis: ai };
+        let inputs = (0..n_in).map(|k| match Some(k) == gamma {
+            true => lane_weights(k, ai).1.map(|v| (Slot::In(k), LaneWeights, v)),
+            false => Some((Slot::In(k), sweep, whole(Slot::In(k))?)),
+        });
+        let outputs = weights.iter().enumerate().map(|(k, &w)| match w {
+            true => lane_weights_out(k, ai),
+            false => Some((Slot::Out(k), sweep, whole(Slot::Out(k))?)),
+        });
+        let norm = norm_of(graph, *graph.inputs_of(step.op).get(x)?)?;
+        let operands = inputs.chain(outputs).collect::<Option<_>>()?;
+        Some((kernel, operands, Some(ai), None, Some(Stats::Reads(norm))))
+    };
+    // bias dW: each output accumulated from input 0 — whole, or for several
+    // outputs one projection's rows of the stacked gradient each
+    let bias_grads = || -> Option<Row> {
+        let dy = *ins.first()?;
+        (ins.len() == 1 && !outs.is_empty()).then_some(())?;
+        let mut operands = Vec::with_capacity(2 * outs.len());
+        let mut start = 0usize;
+        for (k, out) in outs.iter().enumerate() {
+            let onto = match outs.len() {
+                1 => dy.clone(),
+                _ => {
+                    let lead = out.axes().iter().zip(out.sizes());
+                    let rest = dy.axes().iter().zip(dy.sizes()).skip(out.rank());
+                    Shape::new(lead.chain(rest).map(|(a, &n)| (a.0, n))).ok()?
+                }
+            };
+            operands.push(match outs.len() {
+                1 => input(0)?,
+                _ => carve(Slot::In(0), &onto, start)?,
+            });
+            operands.push(bias_out(k, &onto)?);
+            start += out.sizes().first()?;
+        }
+        Some((Kernel::BiasGrad, operands, None, None, None))
     };
 
     let (kernel, operands, lane, query, stats): Row = match &step.kind {
         OpKind::Einsum(spec) => {
             // the labelled output must positionally match the container's
-            // declared shape, or the GEMM would misplace
+            // declared shape, or the GEMM would misplace — or be one
+            // projection's rows of a stacked container, which a backward
+            // writer of the stacked Q/K/V gradient fills
             let (a_s, b_s, lbl) = labelled_shapes(spec, ins.first()?, ins.get(1)?)?;
-            if ins.len() != 2 || outs.len() != 1 || lbl.sizes() != outs[0].sizes() {
+            if ins.len() != 2 || outs.len() != 1 {
                 return None;
             }
+            let written = match lbl.sizes() == outs[0].sizes() {
+                true => output(0)?,
+                false => {
+                    let (total, rows) = (*outs[0].sizes().first()?, *lbl.sizes().first()?);
+                    let start = stacked_carve_start(stacked_stream(&lbl.spec())?, total, rows)?;
+                    carve(Slot::Out(0), &lbl, start)?
+                }
+            };
             let (a, b, out) = (
                 strides(Slot::In(0))?,
                 strides(Slot::In(1))?,
                 strides(Slot::Out(0))?,
             );
             // a projection weight plays A, read out of its panel pack
-            let weight = projection_of(graph, step).is_some();
+            let weight = weight_operand(graph, step.op).is_some();
             let (a, b) = ((&a_s, &a[..]), (&b_s, &b[..]));
             let plan = ContractPlan::compile_as(spec, a, b, &out, weight.then_some(false)).ok()?;
+            // the stacked axis is the three projections: the contraction
+            // over it is the sum of their three products, in stream order
+            let plan = match spec.classify().ok()?.k.contains(&Axis('s')) {
+                true => plan.in_parts(3)?,
+                false => plan,
+            };
             let kernel = Kernel::Contract {
                 plan: Box::new(plan),
             };
-            (kernel, rows(swept(Gemm, 2), Gemm)?, None, None, None)
+            let mut operands = rows(swept(Gemm, 2), Gemm)?;
+            operands[2] = match written.1 {
+                Whole => (Slot::Out(0), Gemm, written.2),
+                _ => written,
+            };
+            (kernel, operands, None, None, None)
         }
         OpKind::Bias { .. } => {
             let (&x, &out) = (ins.first()?, outs.first()?);
@@ -503,7 +694,8 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             } else {
                 // `Input bias Q/K/V`: one projection's rows of the stacked tensor
                 let (total, part) = (*x.sizes().first()?, *out.sizes().first()?);
-                let (_, role, view) = carve(out, stacked_carve_start(&step.name, total, part)?)?;
+                let stream = &step.name[step.name.len().saturating_sub(1)..];
+                let (_, role, view) = carve(Slot::In(0), out, stacked_carve_start(stream, total, part)?)?;
                 rows(vec![(role, Some(view)), bias], Whole)?
             };
             (outs.len() == 1).then_some(())?;
@@ -518,6 +710,21 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             softmax(|causal| Kernel::Softmax { causal }, *axis, causal, 1)?
         }
         OpKind::LayerNorm { axis } => norm(*axis)?,
+        OpKind::DropoutGrad => elementwise(Kernel::DropoutGrad, 2, 1)?,
+        OpKind::ReluGrad => elementwise(Kernel::ActivateGrad, 2, 1)?,
+        OpKind::SoftmaxGrad { axis } => {
+            (outs.len() == 1).then_some(())?;
+            let ai = lane_of(*axis)?;
+            let sweep = Lanes { axis: ai };
+            (Kernel::SoftmaxGrad, rows(swept(sweep, 2), sweep)?, Some(ai), None, None)
+        }
+        OpKind::LayerNormGradX { axis } => {
+            norm_grad(Kernel::NormGradX, *axis, (3, Some(2), 1), &[false])?
+        }
+        OpKind::LayerNormGradW { axis } => {
+            norm_grad(Kernel::NormGradW, *axis, (2, None, 1), &[true; 2])?
+        }
+        OpKind::BiasGrad { .. } => bias_grads()?,
         OpKind::Fused {
             parts, reduce_axis, ..
         } => match classify_fused(parts)? {
@@ -529,7 +736,7 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                 let mut operands = Vec::with_capacity(3 * outs.len());
                 let mut start = 0usize;
                 for (k, out) in outs.iter().enumerate() {
-                    operands.push(carve(out, start)?);
+                    operands.push(carve(Slot::In(0), out, start)?);
                     operands.push((Slot::In(k + 1), Broadcast, broadcast(Slot::In(k + 1), out)?));
                     operands.push((Slot::Out(k), Whole, whole(Slot::Out(k))?));
                     start += out.sizes()[0];
@@ -550,7 +757,8 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                     lane_weights(3, ai),
                     lane_weights(4, ai),
                 ];
-                (Kernel::Bdrln, rows(inputs, sweep)?, Some(ai), None, Some(2))
+                let stats = Some(Stats::Writes(2));
+                (Kernel::Bdrln, rows(inputs, sweep)?, Some(ai), None, stats)
             }
             FusedClass::BiasActDrop => {
                 (outs.len() == 3).then_some(())?;
@@ -580,6 +788,47 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                     None,
                 )
             }
+            FusedClass::DropSoftmaxGrad => {
+                (outs.len() == 1).then_some(())?;
+                let ai = lane_of((*reduce_axis)?)?;
+                let sweep = Lanes { axis: ai };
+                (Kernel::Bs, rows(swept(sweep, 3), sweep)?, Some(ai), None, None)
+            }
+            FusedClass::NormGradW => norm_grad(Kernel::NormGradW, (*reduce_axis)?, (2, None, 1), &[true; 2])?,
+            FusedClass::NormGradXDrop => {
+                norm_grad(Kernel::Blnrd, (*reduce_axis)?, (4, Some(2), 1), &[false; 2])?
+            }
+            FusedClass::NormGradXResidual => {
+                norm_grad(Kernel::Blnr, (*reduce_axis)?, (4, Some(2), 1), &[false])?
+            }
+            FusedClass::ResidualNormGradW => {
+                norm_grad(Kernel::Ebsb, (*reduce_axis)?, (3, None, 2), &[false, true, true])?
+            }
+            FusedClass::BiasGrad => bias_grads()?,
+            FusedClass::DropBiasGrad => {
+                (ins.len() == 2 && outs.len() == 2).then_some(())?;
+                let operands = [input(0), input(1), output(0), bias_out(1, ins[0])];
+                let operands = operands.into_iter().collect::<Option<_>>()?;
+                (Kernel::Bdb, operands, None, None, None)
+            }
+            FusedClass::DropActBiasGrad => {
+                // the encoder's merged bias dW ahead of the chain's own
+                // operands, when the group has it
+                let merged = match (ins.len(), outs.len()) {
+                    (3, 2) => 0,
+                    (4, 3) => 1,
+                    _ => return None,
+                };
+                let mut operands = Vec::with_capacity(7);
+                if merged == 1 {
+                    operands.extend([input(0)?, bias_out(0, ins[0])?]);
+                }
+                let (dy, dx) = (merged, merged);
+                operands.extend([input(dy)?, input(dy + 1)?, input(dy + 2)?, output(dx)?]);
+                operands.push(bias_out(dx + 1, ins[dy])?);
+                (Kernel::Bdrb, operands, None, None, None)
+            }
+            FusedClass::ResidualGrad => elementwise(Kernel::Residual, 2, 1)?,
         },
         OpKind::TileProgram {
             first,
@@ -633,24 +882,25 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             };
             (kernel, rows(inputs, Gemm)?, None, None, None)
         }
-        _ => return None,
     };
 
-    let sweeps = match &kernel {
+    // the runs of operands one sweep each covers: one per projection of a
+    // bias kernel, the merged bias dW apart from BDRB's own, else all
+    let groups = match &kernel {
         Kernel::Contract { .. } | Kernel::Tile { .. } => Vec::new(),
-        other => {
-            let group = if matches!(other, Kernel::Bias) {
-                3
-            } else {
-                operands.len()
-            };
-            let compile = |ops: &[(Slot, Role, View)]| {
-                let views: Vec<&View> = ops.iter().map(|o| &o.2).collect();
-                Sweep::compile(&views, lane, query)
-            };
-            operands.chunks(group).map(compile).collect::<Option<_>>()?
-        }
+        Kernel::Bias => vec![3; operands.len() / 3],
+        Kernel::BiasGrad => vec![2; operands.len() / 2],
+        Kernel::Bdrb if operands.len() == 7 => vec![2, 5],
+        _ => vec![operands.len()],
     };
+    let mut rest = &operands[..];
+    let mut sweeps = Vec::with_capacity(groups.len());
+    for n in groups {
+        let (ops, tail) = rest.split_at(n);
+        let views: Vec<&View> = ops.iter().map(|o| &o.2).collect();
+        sweeps.push(Sweep::compile(&views, lane, query)?);
+        rest = tail;
+    }
     Some(StepLowering {
         stats: stats.zip(sweeps.first().map(Sweep::lanes)),
         relayouts: step
@@ -794,14 +1044,14 @@ mod tests {
     }
 
     #[test]
-    fn backward_kernels_and_miscounted_operands_have_no_lowering() {
+    fn miscounted_operands_have_no_lowering() {
         let mut g = Graph::new();
         let shape = || Shape::new([('b', 2), ('i', 3)]).unwrap();
         let x = g.add_data("x", shape(), DataRole::Input);
         let dy = g.add_data("dy", shape(), DataRole::Input);
         let dx = g.add_data("dx", shape(), DataRole::Output);
         let y = g.add_data("y", shape(), DataRole::Output);
-        let back = g.add_op("ReLU dX", OpKind::ReluGrad, &[x, dy], &[dx]);
+        let back = g.add_op("ReLU dX", OpKind::ReluGrad, &[dy], &[dx]);
         let lone = g.add_op("lonely residual", OpKind::Residual, &[x], &[y]);
         let plan = ExecutionPlan::natural(&g, &[back, lone]).unwrap();
         assert!(lower_step(&g, &plan.steps[0]).is_none());

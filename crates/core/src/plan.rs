@@ -519,9 +519,10 @@ impl<'p> ExecOptionsBuilder<'p> {
     }
 }
 
-/// The classes of fused forward kernels the interpreters can dispatch,
-/// recovered from a fused node's member names. Three readers: the reference
-/// interpreter, the step lowering and the fusion detector.
+/// The classes of fused kernels the interpreters can dispatch, recovered
+/// from a fused node's member names. Three readers: the reference
+/// interpreter (the forward classes), the step lowering and the fusion
+/// detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FusedClass {
     /// Q/K/V input biases over the stacked projection (AIB).
@@ -538,13 +539,32 @@ pub(crate) enum FusedClass {
     Norm,
     /// Bias + softmax, unscaled: the model head over its vocabulary.
     BiasSoftmax,
+    /// Bias dW alone (BAOB; BAIB over the stacked Q/K/V gradient).
+    BiasGrad,
+    /// Dropout dX + bias dW (the decoder's BDB, BDAOB).
+    DropBiasGrad,
+    /// Dropout dX + activation dX + bias dW (BDRB), behind another bias
+    /// dW where the encoder merged one in.
+    DropActBiasGrad,
+    /// Dropout dX + (scaled) softmax dX (BS).
+    DropSoftmaxGrad,
+    /// Layer-norm dW (BSB).
+    NormGradW,
+    /// Residual join + layer-norm dW (EBSB).
+    ResidualNormGradW,
+    /// Layer-norm dX + dropout dX (BLNRD).
+    NormGradXDrop,
+    /// Layer-norm dX + residual join (the decoder's BLNR).
+    NormGradXResidual,
+    /// A residual join alone (BEI).
+    ResidualGrad,
 }
 
 pub(crate) fn classify_fused(parts: &[String]) -> Option<FusedClass> {
     let any = |f: &dyn Fn(&str) -> bool| parts.iter().any(|p| f(p));
-    // gradient members mark a backward fused kernel — not interpretable
-    if any(&|p| p.contains(" dX") || p.contains(" dW")) {
-        return None;
+    // gradient members mark a backward fused kernel
+    if any(&|p| p.ends_with(" dX") || p.ends_with(" dW")) {
+        return classify_backward(parts);
     }
     if any(&|p| p.contains("softmax")) {
         return Some(if any(&|p| p.contains("bias")) {
@@ -574,23 +594,40 @@ pub(crate) fn classify_fused(parts: &[String]) -> Option<FusedClass> {
     None
 }
 
-/// Whether the interpreter can execute this operator kind standalone (the
-/// forward half of the graph). Backward kernels need gradient plumbing the
-/// schedule interpreter does not model.
+/// [`classify_fused`] of a group with gradient members, by which members
+/// it has: one class per fusion group of the backward tables.
+fn classify_backward(parts: &[String]) -> Option<FusedClass> {
+    use FusedClass::*;
+    let is = |head: &str, tail: &str| parts.iter().any(|p| p.starts_with(head) && p.ends_with(tail));
+    let (norm_dx, norm_dw) = (is("LayerNorm", " dX"), is("LayerNorm", " dW"));
+    let (dropout, residual) = (is("Dropout", " dX"), is("Residual", " dX"));
+    let act = is("ReLU", " dX") || is("GELU", " dX");
+    let bias = parts.iter().any(|p| p.ends_with(" dW") && !p.starts_with("LayerNorm"));
+    let one = parts.len() == 1;
+    Some(match () {
+        _ if is("", "softmax dX") => DropSoftmaxGrad,
+        _ if norm_dx && dropout => NormGradXDrop,
+        _ if norm_dx && residual => NormGradXResidual,
+        _ if norm_dw && residual => ResidualNormGradW,
+        _ if norm_dw && one => NormGradW,
+        _ if act && dropout => DropActBiasGrad,
+        _ if dropout && bias => DropBiasGrad,
+        _ if bias && one => BiasGrad,
+        _ if residual && one => ResidualGrad,
+        _ => return None,
+    })
+}
+
+/// Whether the step lowering models this operator kind: every unfused
+/// kind, forward or backward, and every fused node of a class
+/// [`classify_fused`] knows. (The reference interpreter,
+/// [`execute_step`], runs the forward ones.)
 pub fn step_is_interpretable(kind: &OpKind, _name: &str) -> bool {
     match kind {
-        OpKind::Einsum(_)
-        | OpKind::Bias { .. }
-        | OpKind::Scale
-        | OpKind::Softmax { .. }
-        | OpKind::LayerNorm { .. }
-        | OpKind::Dropout
-        | OpKind::Relu
-        | OpKind::Residual => true,
         OpKind::Fused { parts, .. } | OpKind::TileProgram { parts, .. } => {
             classify_fused(parts).is_some()
         }
-        _ => false,
+        _ => true,
     }
 }
 
@@ -670,6 +707,21 @@ pub(crate) fn stacked_carve_start(name: &str, total: usize, len: usize) -> Optio
     }
 }
 
+/// The projection of a stacked Q/K/V tensor a contraction into it writes,
+/// named as [`stacked_carve_start`] reads it, by the letters of the
+/// contraction's output: the saved projections' own — the query's `phbj`,
+/// the key's `phbk`, the value's `whbk` (`xform_dataflow::build`). The
+/// backward's three writers of the stacked gradient are named for what they
+/// differentiate, not for the projection they fill.
+pub(crate) fn stacked_stream(letters: &str) -> Option<&'static str> {
+    Some(match letters {
+        "phbj" => "Q",
+        "phbk" => "K",
+        "whbk" => "V",
+        _ => return None,
+    })
+}
+
 /// Carves the `index`-th projection out of a stacked Q/K/V tensor: slice
 /// `len` rows starting at `start` along the stacking axis (always the
 /// first), then relabel to the destination container's axes.
@@ -719,9 +771,9 @@ pub(crate) fn relaid(t: &Tensor, layout: Layout) -> Result<Tensor> {
 ///
 /// # Errors
 ///
-/// Returns an error if a consumed container is missing, the operator kind
-/// is not interpretable (backward kernels), or a kernel rejects its
-/// operands.
+/// Returns an error if a consumed container is missing, the operator is a
+/// backward kernel (backward plans run on the arena), or a kernel rejects
+/// its operands.
 pub fn execute_step(
     graph: &Graph,
     step: &PlanStep,
@@ -921,6 +973,7 @@ pub fn execute_step(
                     })?;
                     results.push(softmax(&bias_add(&ins[0], &ins[1])?, axis)?);
                 }
+                _ => return Err(forward_only(step)),
             }
             if let Some((spec, values)) = second {
                 // the kernel's rows: a softmax's weights (`alpha`), a bias
@@ -934,12 +987,7 @@ pub fn execute_step(
                 results.push(contract_as(spec, values, &rows, &container, declared)?);
             }
         }
-        other => {
-            return Err(TensorError::Unsupported(format!(
-                "operator `{}` ({other:?}) is a backward kernel; the schedule interpreter is forward-only",
-                step.name
-            )))
-        }
+        _ => return Err(forward_only(step)),
     }
 
     if results.len() != step.outputs.len() {
@@ -961,6 +1009,15 @@ pub fn execute_step(
         state.env.insert(operand.name.clone(), t);
     }
     Ok(())
+}
+
+/// The error of the reference interpreter on a backward kernel: backward
+/// plans run on the arena alone.
+fn forward_only(step: &PlanStep) -> TensorError {
+    TensorError::Unsupported(format!(
+        "operator `{}` is a backward kernel; the reference interpreter is forward-only",
+        step.name
+    ))
 }
 
 /// The reference interpreter: checks the schedule statically, then

@@ -8,8 +8,8 @@
 //! offset of one preallocated slab, and these kernels run directly on the
 //! slab slots, each operand through a [`View`] — the index map its
 //! declared layout is. The backward kernels have theirs too
-//! (`softmax_backward_into` … `bdrb_act_into`): today under the eager
-//! tensor-level backward, and what backward plans will dispatch.
+//! (`softmax_backward_into` … `bdrb_act_into`), which backward plans
+//! dispatch and the allocating backward ops wrap.
 //!
 //! The lane-wise, element-wise and fused kernels are *logical-order
 //! drivers* over the bodies of [`crate::lanes`]: a [`Sweep`] enumerates the
@@ -62,7 +62,7 @@ use crate::error::{Result, TensorError};
 use crate::lanes::{self, on_run, Dropout, LaneAt, Run, Walk, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
-    gemm_batched, gemm_packed_leading, gemm_panels, host_threads, pack_panels, panel_words,
+    gemm, gemm_batched, gemm_packed_leading, gemm_panels, host_threads, pack_panels, panel_words,
     BatchMut, BatchRef, BatchStrides, Lhs, MatMut, MatRef, PanelRef, Start, NR,
 };
 use crate::ops::elementwise::ActivationKind;
@@ -258,6 +258,11 @@ impl Sweep {
     /// Panics if `k` is not an operand or its base is below `by`.
     pub fn rebase(&mut self, k: usize, by: usize) {
         self.operands[k].base -= by;
+    }
+
+    /// Number of operands the sweep was compiled over.
+    pub fn arity(&self) -> usize {
+        self.operands.len()
     }
 
     /// Number of lanes.
@@ -464,22 +469,41 @@ pub struct ContractPlan {
     pub n: usize,
     /// Collapsed GEMM K.
     pub k: usize,
-    /// A is read out of the panel pack of its `m×k` matrix
-    /// ([`PanelRef`]) instead of through its view: the operand is a
-    /// projection weight, stored once in that order
-    /// ([`ContractPlan::with_panel_a`]).
-    pub panels: bool,
+    /// A is read out of a panel pack ([`PanelRef`]) instead of through its
+    /// view: the operand is a projection weight, stored once in that order
+    /// ([`ContractPlan::with_panel_a`]) — `Some(false)` the pack of A's
+    /// `m×k` matrix, `Some(true)` the pack of its transpose, read
+    /// transposed (a weight's input gradient reads its forward GEMM's pack).
+    pub panels: Option<bool>,
+    /// The depth cut into this many equal parts, each product computed
+    /// from zero and added into C in order ([`ContractPlan::in_parts`]);
+    /// `1` for one product over the whole depth.
+    pub k_parts: usize,
 }
 
 impl ContractPlan {
-    /// This plan with A read out of the panel pack of its `m×k` matrix
-    /// ([`crate::matmul::WeightPack`]) — how a projection weight is stored
-    /// — rather than through its view; `None` unless A is one matrix the
-    /// GEMM reads where it lies (one batch slice, a view). The words the
-    /// kernel sees, and so the bits, do not change.
-    pub fn with_panel_a(&self) -> Option<ContractPlan> {
+    /// This plan with A read out of a panel pack ([`crate::matmul::WeightPack`])
+    /// — how a projection weight is stored — rather than through its view:
+    /// the pack of A's `m×k` matrix, or with `transposed` the pack of its
+    /// `k×m` transpose. `None` unless A is one matrix the GEMM reads where
+    /// it lies (one batch slice, a view). The words the kernel sees, and so
+    /// the bits, do not change.
+    pub fn with_panel_a(&self, transposed: bool) -> Option<ContractPlan> {
         (self.batch == 1 && self.a.view.is_some()).then(|| ContractPlan {
-            panels: true,
+            panels: Some(transposed),
+            ..self.clone()
+        })
+    }
+
+    /// This plan summing `parts` products over equal parts of the depth,
+    /// each from zero, into C in order — the bits of `parts` separate
+    /// contractions added one after the other, which is what a contraction
+    /// over a stacked axis of that many blocks means; `None` unless `parts`
+    /// divides the depth of one matrix (one batch slice) whose C is a view.
+    pub fn in_parts(&self, parts: usize) -> Option<ContractPlan> {
+        let whole = self.batch == 1 && self.c.view.is_some();
+        (whole && parts > 0 && self.k.is_multiple_of(parts)).then(|| ContractPlan {
+            k_parts: parts,
             ..self.clone()
         })
     }
@@ -578,7 +602,8 @@ impl ContractPlan {
                 m: gs.n,
                 n: gs.m,
                 k: gs.k,
-                panels: false,
+                panels: None,
+                k_parts: 1,
             }
         } else {
             ContractPlan {
@@ -590,7 +615,8 @@ impl ContractPlan {
                 m: gs.m,
                 n: gs.n,
                 k: gs.k,
-                panels: false,
+                panels: None,
+                k_parts: 1,
             }
         })
     }
@@ -609,9 +635,11 @@ impl ContractPlan {
     }
 
     /// Scratch words [`contract_into`] needs: the packs of the operands
-    /// that fall back to a gather — none when all three are views.
+    /// that fall back to a gather — none when all three are views — and,
+    /// for a product in parts, the one part held before it is added.
     pub fn scratch_words(&self) -> usize {
-        self.pack_words().iter().sum()
+        let part = if self.k_parts > 1 { self.m * self.n } else { 0 };
+        self.pack_words().iter().sum::<usize>() + part
     }
 }
 
@@ -671,7 +699,7 @@ pub(crate) fn contract_with_threads(
     let [aw, bw, cw] = plan.pack_words();
     let (a_pack, rest) = scratch.split_at_mut(aw);
     let (b_pack, rest) = rest.split_at_mut(bw);
-    let c_pack = &mut rest[..cw];
+    let (c_pack, rest) = rest.split_at_mut(cw);
     let (x_a, x_b) = if plan.swapped { (b, a) } else { (a, b) };
     let (batch, m, n, k) = (plan.batch, plan.m, plan.n, plan.k);
     let ga = stage(&plan.a, x_a, a_pack, m, k);
@@ -683,12 +711,11 @@ pub(crate) fn contract_with_threads(
             at: BatchStrides::dense(m, n),
         },
     };
-    if plan.panels {
-        let (a, c) = (
-            PanelRef::new(x_a, m, k),
-            MatMut::new(gc.data, gc.at.rs, gc.at.cs),
-        );
-        gemm_panels(m, n, k, a, gb.slice(0), c, Start::FromZero);
+    if plan.k_parts > 1 {
+        contract_parts(plan, x_a, gb.slice(0), gc, rest);
+    } else if let Some(transposed) = plan.panels {
+        let c = MatMut::new(gc.data, gc.at.rs, gc.at.cs);
+        gemm_panels(m, n, k, panels_of(x_a, m, k, transposed), gb.slice(0), c, Start::FromZero);
     } else {
         let threads = if on_host {
             host_threads(batch, m, n, k, gc.at)
@@ -699,6 +726,56 @@ pub(crate) fn contract_with_threads(
     }
     if plan.c.view.is_none() {
         copy_strided(&plan.c.dims, c_pack, 0, out, 0);
+    }
+}
+
+/// A panel pack as the `m×k` GEMM A of a plan: the pack of that matrix, or
+/// of its transpose read transposed.
+fn panels_of(words: &[f32], m: usize, k: usize, transposed: bool) -> PanelRef<'_> {
+    match transposed {
+        false => PanelRef::new(words, m, k),
+        true => PanelRef::new(words, k, m).t(),
+    }
+}
+
+/// [`ContractPlan::in_parts`]: part `p` is A's columns and B's rows
+/// `p·d..(p+1)·d` of the depth, its product computed from zero into C (the
+/// first) or into `part` and then added to C.
+fn contract_parts(
+    plan: &ContractPlan,
+    a: &[f32],
+    b: MatRef<'_>,
+    c: BatchMut<'_>,
+    scratch: &mut [f32],
+) {
+    let (m, n, depth) = (plan.m, plan.n, plan.k / plan.k_parts);
+    let part = &mut scratch[..m * n];
+    let at = c.at;
+    for p in 0..plan.k_parts {
+        let (a_rs, a_cs) = plan.a.view.map_or((0, 0), |v| (v.rs, v.cs));
+        let b_p = MatRef::new(&b.data[(p * depth * b.rs).min(b.data.len())..], b.rs, b.cs);
+        let (dst, rs, cs) = match p {
+            0 => (&mut *c.data, at.rs, at.cs),
+            _ => (&mut *part, n, 1),
+        };
+        let c_p = MatMut::new(dst, rs, cs);
+        match plan.panels {
+            Some(transposed) => {
+                let panels = panels_of(a, m, plan.k, transposed);
+                gemm_panels(m, n, depth, panels.from_col(p * depth), b_p, c_p, Start::FromZero);
+            }
+            None => {
+                let a_p = MatRef::new(&a[(p * depth * a_cs).min(a.len())..], a_rs, a_cs);
+                gemm(m, n, depth, a_p, b_p, c_p, Start::FromZero);
+            }
+        }
+        if p > 0 {
+            for r in 0..m {
+                for (j, &v) in part[r * n..(r + 1) * n].iter().enumerate() {
+                    c.data[r * at.rs + j * at.cs] += v;
+                }
+            }
+        }
     }
 }
 
@@ -1046,8 +1123,8 @@ pub fn tile_into(
             // the columns some row sees, in whole vectors
             let cols = seen(r0, rows).next_multiple_of(NR).min(n_all);
             let a_rows = match f.panels {
-                true => Lhs::Panels(PanelRef::new(x_a, m, k)),
-                false => Lhs::Mat(ga.slice(g)),
+                Some(transposed) => Lhs::Panels(panels_of(x_a, m, k, transposed)),
+                None => Lhs::Mat(ga.slice(g)),
             }
             .from_row(r0);
             gemm_packed_leading(rows, cols, k, a_rows, panels, n_all, tile, (n, 1));
@@ -1294,6 +1371,12 @@ pub fn dropout_into(s: &Sweep, x: &[f32], drop: &Dropout, out: &mut [f32], mask:
     });
 }
 
+/// Dropout backward: `dx = dy ⊙ mask` under the saved mask. Operands in the
+/// sweep's order: `dy, mask, dx`.
+pub fn dropout_backward_into(s: &Sweep, dy: &[f32], mask: &[f32], dx: &mut [f32]) {
+    zip_into(s, dy, mask, dx, |g, m| g * m);
+}
+
 /// Key positions the lane of query index `q` attends over: all `len` of
 /// them, or under a causal mask whose query row 0 sits at absolute
 /// position `pos`, the first `pos + q + 1`.
@@ -1363,12 +1446,14 @@ pub fn bias_softmax_into(s: &Sweep, x: &[f32], bias: &[f32], out: &mut [f32]) {
     });
 }
 
-/// Softmax backward along the sweep's lane axis: `dx = y ⊙ (dy − ⟨dy, y⟩)`,
-/// `y` the forward output. Operands in the sweep's order: `dy, y, dx`.
-pub fn softmax_backward_into(s: &Sweep, dy: &[f32], y: &[f32], dx: &mut [f32]) {
+/// Softmax backward along the sweep's lane axis, times the scale the
+/// forward folded in: `dx = scaler · y ⊙ (dy − ⟨dy, y⟩)`, `y` the forward
+/// output — at `scaler = 1` the plain softmax backward, at any other bit for
+/// bit that one scaled after it. Operands in the sweep's order: `dy, y, dx`.
+pub fn softmax_backward_into(s: &Sweep, dy: &[f32], y: &[f32], scaler: f32, dx: &mut [f32]) {
     s.for_each_run(|run, _, _, [ga, ya, xa]| {
         on_run!(run, N, [dy @ ga, y @ ya], [dx @ xa] =>
-            lanes::softmax_dx_lane::<N, _, _>(dy, None, y, 1.0, dx));
+            lanes::softmax_dx_lane::<N, _, _>(dy, None, y, scaler, dx));
     });
 }
 
@@ -1461,7 +1546,7 @@ pub fn layernorm_backward_input_into(
         let gamma = wa.unit(gamma);
         on_run!(run, N, [dy @ ga, x @ xa], [dx @ da] => {
             let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
-            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, |_, _| ())
+            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, |_, row| row)
         });
     });
 }
@@ -1486,6 +1571,29 @@ pub fn blnrd_into(
         on_run!(run, N, [dy @ ga, x @ xa, mask @ ma], [dx_ln @ la, dx @ da] => {
             let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
             lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx_ln, lanes::drop_dx(mask, dx))
+        });
+    });
+}
+
+/// Fused BLNR — layer-norm dX and the residual join behind it in one
+/// sweep: `dx = layernorm_dx + residual`, the layer norm's own dX never
+/// stored. Operands in the sweep's order: `dy, x, gamma, residual, dx`.
+#[allow(clippy::too_many_arguments)]
+pub fn blnr_into(
+    s: &Sweep,
+    dy: &[f32],
+    x: &[f32],
+    gamma: &[f32],
+    residual: &[f32],
+    mean: &[f32],
+    inv_std: &[f32],
+    dx: &mut [f32],
+) {
+    s.for_each_run(|run, l, _, [ga, xa, wa, ra, da]| {
+        let gamma = wa.unit(gamma);
+        on_run!(run, N, [dy @ ga, x @ xa, residual @ ra], [dx @ da] => {
+            let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
+            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, lanes::add_after(residual))
         });
     });
 }
@@ -1568,10 +1676,26 @@ pub fn bdrb_act_into(
         let acc = &mut ba.strided_mut(dbias);
         if unit {
             let (dy, mask, pre) = (ga.unit(dy), ma.unit(mask), pa.unit(pre));
-            lanes::bdrb_lane(dy, mask, pre, kind, xa.unit_mut(dx), acc);
+            lanes::bdrb_lane(dy, mask, Some((pre, kind)), xa.unit_mut(dx), acc);
         } else {
             let (dy, mask, pre) = (&ga.strided(dy), &ma.strided(mask), &pa.strided(pre));
-            lanes::bdrb_lane(dy, mask, pre, kind, &mut xa.strided_mut(dx), acc);
+            lanes::bdrb_lane(dy, mask, Some((pre, kind)), &mut xa.strided_mut(dx), acc);
+        }
+    });
+}
+
+/// Fused BDB — backward dropout + bias dW in one sweep: `dx = dy ⊙ mask`
+/// and `dbias += dx` summed over the axes the bias lacks, as
+/// [`bdrb_act_into`] without an activation. Operands in the sweep's order:
+/// `dy, mask, dx, dbias`.
+pub fn bdb_into(s: &Sweep, dy: &[f32], mask: &[f32], dx: &mut [f32], dbias: &mut [f32]) {
+    s.for_each_lane(|unit, _, [ga, ma, xa, ba]| {
+        let acc = &mut ba.strided_mut(dbias);
+        if unit {
+            lanes::bdrb_lane(ga.unit(dy), ma.unit(mask), None, xa.unit_mut(dx), acc);
+        } else {
+            let (dy, mask) = (&ga.strided(dy), &ma.strided(mask));
+            lanes::bdrb_lane(dy, mask, None, &mut xa.strided_mut(dx), acc);
         }
     });
 }

@@ -1116,7 +1116,9 @@ pub(crate) fn softmax_dx_lane<const W: usize, X, O>(
 /// Layer-norm dX on `W` lanes abreast, each under its saved `(mean,
 /// inv_std)`: `dx = inv_std · (g − mean(g) − x̂ · mean(g · x̂))` with
 /// `g = dy · γ` and `x̂ = (x − mean) · inv_std`. `tail` is handed every row
-/// as it is stored: nothing (`|_, _| ()`), or BLNRD's [`drop_dx`].
+/// and returns what `dx` stores: the row itself (`|_, row| row`), BLNRD's
+/// [`drop_dx`] (which stores the masked row elsewhere), or BLNR's
+/// [`add_after`].
 #[inline]
 pub(crate) fn norm_dx_lane<const W: usize, X, O>(
     dy: &X,
@@ -1124,7 +1126,7 @@ pub(crate) fn norm_dx_lane<const W: usize, X, O>(
     gamma: &[f32],
     (mean, inv_std): ([f32; W], [f32; W]),
     dx: &mut O,
-    mut tail: impl FnMut(usize, [f32; W]),
+    mut tail: impl FnMut(usize, [f32; W]) -> [f32; W],
 ) where
     X: Panel<W> + ?Sized,
     O: PanelMut<W> + ?Sized,
@@ -1152,17 +1154,16 @@ pub(crate) fn norm_dx_lane<const W: usize, X, O>(
             let (g, xhat) = terms(d[w], xv[w], gamma, w);
             inv_std[w] * (g - s1[w] - xhat * s2[w])
         });
-        dx.set_row(v, row);
-        tail(v, row);
+        dx.set_row(v, tail(v, row));
     }
 }
 
 /// BLNRD's tail of [`norm_dx_lane`], the dropout dX behind the layer norm:
-/// `out = dx ⊙ mask` under the saved dropout mask.
+/// `out = dx ⊙ mask` under the saved dropout mask; `dx` itself is stored.
 pub(crate) fn drop_dx<'a, const W: usize, X, O>(
     mask: &'a X,
     out: &'a mut O,
-) -> impl FnMut(usize, [f32; W]) + 'a
+) -> impl FnMut(usize, [f32; W]) -> [f32; W] + 'a
 where
     X: Panel<W> + ?Sized,
     O: PanelMut<W> + ?Sized,
@@ -1170,6 +1171,19 @@ where
     move |v, dx| {
         let m = mask.row(v);
         out.set_row(v, std::array::from_fn(|w| dx[w] * m[w]));
+        dx
+    }
+}
+
+/// BLNR's tail of [`norm_dx_lane`], the residual join behind the layer
+/// norm: `dx + residual` is stored, the layer norm's own dX never is.
+pub(crate) fn add_after<X, const W: usize>(residual: &X) -> impl FnMut(usize, [f32; W]) -> [f32; W] + '_
+where
+    X: Panel<W> + ?Sized,
+{
+    move |v, dx| {
+        let r = residual.row(v);
+        std::array::from_fn(|w| dx[w] + r[w])
     }
 }
 
@@ -1220,22 +1234,24 @@ where
 }
 
 /// BDRB along one lane: `dx = dy ⊙ mask · act′(pre)` under the saved
-/// dropout mask, each `dx` added to its word of the bias gradient `dbias`,
-/// ascending — a lane that may revisit one word (a zero stride).
+/// dropout mask — BDB's `dy ⊙ mask` without an activation — each `dx` added
+/// to its word of the bias gradient `dbias`, ascending: a lane that may
+/// revisit one word (a zero stride).
 #[inline]
 pub(crate) fn bdrb_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(
     dy: &X,
     mask: &X,
-    pre: &X,
-    kind: ActivationKind,
+    act: Option<(&X, ActivationKind)>,
     dx: &mut O,
     dbias: &mut Strided<&mut [f32]>,
 ) {
     let len = dx.lane_len();
-    assert!(dy.lane_len() >= len && mask.lane_len() >= len && pre.lane_len() >= len);
+    assert!(dy.lane_len() >= len && mask.lane_len() >= len);
+    assert!(act.is_none_or(|(pre, _)| pre.lane_len() >= len));
     for (v0, n) in blocks(len) {
         let (g, m) = (dy.load(v0, n), mask.load(v0, n));
-        let d = kind.grad_block(pre.load(v0, n));
+        // no activation is a derivative of ones: `g · m · 1` is `g · m`
+        let d = act.map_or([1.0; BLOCK], |(pre, kind)| kind.grad_block(pre.load(v0, n)));
         let g: [f32; BLOCK] = std::array::from_fn(|k| g[k] * m[k] * d[k]);
         dx.store(v0, n, g);
         for (k, g) in g[..n].iter().enumerate() {

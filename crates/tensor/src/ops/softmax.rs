@@ -48,7 +48,7 @@ pub fn softmax_backward(dy: &Tensor, y: &Tensor, axis: Axis) -> Result<Tensor> {
     let (vg, vy) = (view_of(dy), view_of(y));
     let sweep = sweep_of(&[&vg, &vy, &vy], Some(ai), None, "softmax_backward")?;
     let mut dx = y.clone();
-    softmax_backward_into(&sweep, dy.data(), y.data(), dx.data_mut());
+    softmax_backward_into(&sweep, dy.data(), y.data(), 1.0, dx.data_mut());
     Ok(dx)
 }
 

@@ -347,21 +347,28 @@ mod tests {
 
     #[test]
     fn training_resumes_from_checkpoint() {
-        use crate::training::{train_synthetic, TrainConfig};
-        let dims = EncoderDims::tiny();
-        let cfg = TrainConfig {
-            steps: 5,
-            lr: 0.05,
+        use crate::model::{copy_task_batch, BlockKind, ModelConfig, TransformerModel};
+        let config = ModelConfig {
+            dims: EncoderDims::tiny(),
+            layers: 2,
+            vocab: 7,
+            block: BlockKind::Encoder,
             dropout_p: 0.0,
-            seed: 9,
         };
-        let result = train_synthetic(&dims, crate::encoder::Executor::Fused, &cfg).unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut model = TransformerModel::init(config, &mut rng).unwrap();
+        for _ in 0..5 {
+            let (tokens, targets) = copy_task_batch(&config, &mut rng);
+            let acts = model.forward(&tokens, &mut rng).unwrap();
+            let grads = model.backward(&tokens, &targets, &acts).unwrap();
+            model.sgd_step(&grads, 0.05);
+        }
         let path = tmp("resume");
-        result.weights.save(&path).unwrap();
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut restored = EncoderWeights::init(&dims, &mut rng);
+        model.blocks[0].save(&path).unwrap();
+        let mut restored = EncoderWeights::init(&config.dims, &mut StdRng::seed_from_u64(99));
         restored.load(&path).unwrap();
-        assert!((restored.global_norm() - result.weights.global_norm()).abs() < 1e-5);
+        let trained = model.blocks[0].global_norm();
+        assert!((restored.global_norm() - trained).abs() < 1e-5);
         std::fs::remove_file(path).ok();
     }
 }

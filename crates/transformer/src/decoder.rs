@@ -5,12 +5,9 @@
 
 use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
-use xform_tensor::ops::dropout::dropout_backward;
-use xform_tensor::ops::elementwise::{add, ActivationKind};
-use xform_tensor::ops::layernorm::{layernorm_backward_input, layernorm_backward_weights};
-use xform_tensor::{Axis, Result, Tensor};
+use xform_tensor::ops::elementwise::ActivationKind;
+use xform_tensor::{Result, Tensor};
 
-use crate::backward::{ffn_backward, self_attention_backward};
 use crate::interp::{self, ForwardOutput, Saved};
 use crate::params::{EncoderGrads, EncoderWeights};
 
@@ -120,7 +117,9 @@ impl DecoderLayer {
     }
 
     /// Backpropagation: `(dx, weight gradients)` from the output gradient
-    /// and the record the forward saved.
+    /// and the record the forward saved, on the block's backward plan
+    /// ([`interp::PlanKind::DecoderTrain`]) out of its static arena, as
+    /// [`crate::encoder::EncoderLayer::backward`] runs the encoder's.
     ///
     /// # Errors
     ///
@@ -133,27 +132,8 @@ impl DecoderLayer {
         w: &EncoderWeights,
         a: &Saved,
     ) -> Result<(Tensor, EncoderGrads)> {
-        let mut g = w.zeros_like();
-        let ai = Axis('i');
-        let (ln1_out, stats1) = (a.tensor("ln1_out")?, a.stats_of("ln1_out")?);
-        let (res1, stats2) = (a.tensor("res1")?, a.stats_of("ln2_out")?);
-        // --- feed-forward branch of residual 2 ---
-        let d_ff2b = dropout_backward(dy, a.tensor("drop3_mask")?)?;
-        let ln2_out = a.tensor("ln2_out")?;
-        let d_ln2_out = ffn_backward(&d_ff2b, ln2_out, w, a, self.activation, true, &mut g)?;
-        (g.ln2_gamma, g.ln2_beta) = layernorm_backward_weights(&d_ln2_out, res1, ai, stats2)?;
-        let d_res1_ln = layernorm_backward_input(&d_ln2_out, res1, ai, &w.ln2_gamma, stats2)?;
-        // residual 2: skip branch carries dy directly
-        let d_res1 = add(dy, &d_res1_ln)?;
-
-        // --- attention branch of residual 1 ---
-        let d_attn = dropout_backward(&d_res1, a.tensor("drop1_mask")?)?;
-        let softmax = (self.scaler(), self.dropout_p, true);
-        let d_ln1_out = self_attention_backward(&d_attn, ln1_out, w, a, softmax, true, &mut g)?;
-        (g.ln1_gamma, g.ln1_beta) = layernorm_backward_weights(&d_ln1_out, x, ai, stats1)?;
-        let d_x_ln = layernorm_backward_input(&d_ln1_out, x, ai, &w.ln1_gamma, stats1)?;
-        // residual 1: skip branch carries d_res1
-        Ok((add(&d_x_ln, &d_res1)?, g))
+        let run = self.exec_options(&ExecOptions::default())?;
+        interp::backward(&self.dims, interp::PlanKind::DecoderTrain, dy, x, w, a, &run)
     }
 }
 

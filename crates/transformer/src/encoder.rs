@@ -18,13 +18,9 @@
 
 use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
-use xform_tensor::fused;
-use xform_tensor::ops::dropout::dropout_backward;
-use xform_tensor::ops::elementwise::{add, ActivationKind};
-use xform_tensor::ops::layernorm::{layernorm_backward_input, layernorm_backward_weights};
-use xform_tensor::{Axis, Result, Tensor};
+use xform_tensor::ops::elementwise::ActivationKind;
+use xform_tensor::{Result, Tensor};
 
-use crate::backward::{ffn_backward, self_attention_backward};
 use crate::interp::{self, ForwardOutput, Saved};
 use crate::params::{EncoderGrads, EncoderWeights};
 
@@ -181,7 +177,14 @@ impl EncoderLayer {
 
     /// Runs backpropagation: given the output gradient `dy` and the record
     /// the forward saved, returns the input gradient `dx` and all weight
-    /// gradients.
+    /// gradients. The backward plan the record calls for runs out of its
+    /// static arena — [`interp::PlanKind::EncoderTrain`] for a forward that
+    /// ran the attention region (it recomputes the softmax bundle),
+    /// [`interp::PlanKind::EncoderReferenceTrain`] for one that saved the
+    /// bundle (the reference executor's) — with `dy`, `x`, the weights and
+    /// the record's containers and statistics read where they lie: the
+    /// returned tensors are the only heap the call touches once the caches
+    /// are warm.
     ///
     /// # Errors
     ///
@@ -194,67 +197,13 @@ impl EncoderLayer {
         w: &EncoderWeights,
         a: &Saved,
     ) -> Result<(Tensor, EncoderGrads)> {
-        let fused_mode = self.executor != Executor::Reference;
-        let mut g = w.zeros_like();
-        let ai = Axis('i');
-        let (ln1_in, ln1_stats) = (a.tensor("ln1_in")?, a.stats_of("ln1_out")?);
-
-        // --- second layer-norm block ---
-        (g.ln2_gamma, g.ln2_beta) =
-            layernorm_backward_weights(dy, a.tensor("ln2_in")?, ai, a.stats_of("y")?)?;
-        let ln2 = ["ln2_in", "drop3_mask", "y"];
-        let (d_ff2b, d_ln2_in) = blnrd(fused_mode, dy, a, ln2, &w.ln2_gamma)?;
-
-        // --- feed-forward ---
-        let d_ln1out_ffn = ffn_backward(
-            &d_ff2b,
-            a.tensor("ln1_out")?,
-            w,
-            a,
-            self.activation,
-            fused_mode,
-            &mut g,
-        )?;
-
-        // --- first layer-norm block (residual join) ---
-        let (d_ln1out, dg1, dbeta1) = if fused_mode {
-            fused::ebsb(&d_ln1out_ffn, &d_ln2_in, ln1_in, ai, ln1_stats)?
-        } else {
-            let dsum = add(&d_ln1out_ffn, &d_ln2_in)?;
-            let (dgam, dbet) = layernorm_backward_weights(&dsum, ln1_in, ai, ln1_stats)?;
-            (dsum, dgam, dbet)
+        let kind = match a.region {
+            Some(_) => interp::PlanKind::EncoderTrain,
+            None => interp::PlanKind::EncoderReferenceTrain,
         };
-        g.ln1_gamma = dg1;
-        g.ln1_beta = dbeta1;
-        let ln1 = ["ln1_in", "drop1_mask", "ln1_out"];
-        let (d_attn_b, d_ln1_in) = blnrd(fused_mode, &d_ln1out, a, ln1, &w.ln1_gamma)?;
-
-        // --- attention, down to the gradient of the projections' input ---
-        let softmax = (self.scaler(), self.dropout_p, false);
-        let d_x_proj = self_attention_backward(&d_attn_b, x, w, a, softmax, fused_mode, &mut g)?;
-        Ok((add(&d_x_proj, &d_ln1_in)?, g))
+        let run = self.exec_options(&ExecOptions::default())?;
+        interp::backward(&self.dims, kind, dy, x, w, a, &run)
     }
-}
-
-/// Layer-norm dX then dropout backward over one bias+dropout+residual+
-/// layernorm of the record `a`, named by its saved norm input, its dropout
-/// mask and its output (which keys its statistics):
-/// `(d_dropout_input, d_ln_input)`. With `fused` this is the BLNRD kernel,
-/// otherwise its two operators.
-fn blnrd(
-    fused: bool,
-    dy: &Tensor,
-    a: &Saved,
-    [ln_in, mask, out]: [&str; 3],
-    gamma: &Tensor,
-) -> Result<(Tensor, Tensor)> {
-    let ai = Axis('i');
-    let (ln_in, mask, stats) = (a.tensor(ln_in)?, a.tensor(mask)?, a.stats_of(out)?);
-    if fused {
-        return fused::blnrd(dy, ln_in, gamma, mask, ai, stats);
-    }
-    let d_ln = layernorm_backward_input(dy, ln_in, ai, gamma, stats)?;
-    Ok((dropout_backward(&d_ln, mask)?, d_ln))
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Plan-driven execution of the transformer layers: canned
-//! [`ExecutionPlan`]s for the reference and fused executors, plus the glue
-//! that binds a layer's input and weights into the plan's arena and reads
-//! what it saved back out as one [`Saved`] record.
+//! [`ExecutionPlan`]s for the reference and fused executors, forward and
+//! backward, plus the glue that binds a layer's input and weights into the
+//! plan's arena and reads what it saved back out as one [`Saved`] record —
+//! which the backward plan binds in turn, by the same names.
 //!
 //! This is where the recipe's output becomes runnable: a layer forward
 //! runs its canned plan or an arbitrary recipe-selected one (supply it via
@@ -16,14 +17,14 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use xform_core::analyze::ArenaGranularity;
-use xform_core::arena::{self, ArenaArtifact, CompiledArena};
+use xform_core::arena::{self, rekeyed, stats_name_of, ArenaArtifact, CompiledArena};
 use xform_core::fusion::{
     apply_epilogues, apply_plan, apply_regions, decoder_fusion_plan, encoder_fusion_plan,
     head_fusion_plan, FusionGroup,
 };
 use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use xform_core::profile::record_arena_timings;
-use xform_core::recipe::forward_ops;
+use xform_core::recipe::{backward_ops, forward_ops};
 use xform_core::sanitize::{certify, PlanCertificate};
 use xform_dataflow::{build, EncoderDims, Graph, OpKind};
 use xform_tensor::lanes::check_dropout_p;
@@ -33,7 +34,7 @@ use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
 pub use xform_core::arena::granularity_for;
 
-use crate::params::EncoderWeights;
+use crate::params::{EncoderGrads, EncoderWeights};
 
 /// What a layer forward returns: its output and the record its backward
 /// reads. Inference-only callers run `forward_into` instead; training
@@ -142,17 +143,28 @@ pub(crate) fn check_extents(dims: &EncoderDims) -> Result<()> {
     Ok(())
 }
 
-/// A training block's forward as a plan: the graph of `build` (which
-/// asserts `dims.j == dims.k` — checked here first, where the `Result`
-/// starts), `fusion` applied, the attention core behind a fused `SM`
-/// collapsed into its region (the unfused reference graph has none),
-/// optionally every GEMM-epilogue chain collapsed, then the operators `y`
-/// needs scheduled in natural layouts.
+/// Which half of a training block's graph a plan schedules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Half {
+    /// The operators `y` needs.
+    Forward,
+    /// The operators past `dy`, the attention core's rematerialization
+    /// (`QKT → SM`) among them: the block's backward.
+    Backward,
+}
+
+/// A training block as a plan: the graph of `build` (which asserts
+/// `dims.j == dims.k` — checked here first, where the `Result` starts),
+/// `fusion` applied, the attention core behind a fused `SM` collapsed into
+/// its region (the unfused reference graph has none), optionally every
+/// GEMM-epilogue chain collapsed, then the operators of `half` scheduled in
+/// natural layouts.
 fn block_plan(
     dims: &EncoderDims,
     build: fn(&EncoderDims) -> build::EncoderGraph,
     fusion: &[FusionGroup],
     epilogues: bool,
+    half: Half,
 ) -> Result<PlannedForward> {
     check_extents(dims)?;
     if dims.j != dims.k {
@@ -170,7 +182,11 @@ fn block_plan(
     if epilogues {
         apply_epilogues(&mut g)?;
     }
-    let plan = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy))?;
+    let ops = match half {
+        Half::Forward => forward_ops(&g, eg.dy),
+        Half::Backward => backward_ops(&g, eg.dy),
+    };
+    let plan = ExecutionPlan::natural(&g, &ops)?;
     certified(g, plan)
 }
 
@@ -258,6 +274,21 @@ pub enum PlanKind {
         /// The vocabulary size.
         vocab: usize,
     },
+    /// The backward of [`PlanKind::EncoderReference`]: the operators past
+    /// `dy` of the unfused encoder graph, the softmax bundle read from what
+    /// the forward saved.
+    EncoderReferenceTrain,
+    /// The backward of [`PlanKind::EncoderFused`] (and of
+    /// [`PlanKind::EncoderEpilogue`], which saves the same containers):
+    /// the operators past `dy` of the fused encoder graph — the paper's BSB,
+    /// BLNRD, BDRB, EBSB, BAOB, BS, BAIB and BEI, the dX/dW contractions, and
+    /// the attention core's `QKT → SM` recomputed under the forward
+    /// region's dropout key.
+    EncoderTrain,
+    /// The backward of [`PlanKind::DecoderFused`] (and of
+    /// [`PlanKind::DecoderEpilogue`]): BDB, BDRB, BSB, BLNR, BDAOB, BS,
+    /// BAIB, the contractions and the causal core's rematerialization.
+    DecoderTrain,
 }
 
 type PlanCache = Mutex<HashMap<(EncoderDims, PlanKind), Arc<PlannedForward>>>;
@@ -299,6 +330,17 @@ pub fn cached_plan(dims: &EncoderDims, kind: PlanKind) -> Result<Arc<PlannedForw
         PlanKind::DecoderStepProject => decoder_step_project(dims)?,
         PlanKind::DecoderStep => decoder_step_attend(dims)?,
         PlanKind::Head { vocab } => head_epilogue(dims, vocab)?,
+        PlanKind::EncoderReferenceTrain => {
+            block_plan(dims, build::encoder, &[], false, Half::Backward)?
+        }
+        PlanKind::EncoderTrain => {
+            let fusion = encoder_fusion_plan();
+            block_plan(dims, build::encoder, &fusion, false, Half::Backward)?
+        }
+        PlanKind::DecoderTrain => {
+            let fusion = decoder_fusion_plan();
+            block_plan(dims, build::decoder, &fusion, false, Half::Backward)?
+        }
     });
     plan_cache().insert(key, Arc::clone(&built));
     Ok(built)
@@ -407,31 +449,40 @@ pub(crate) fn external_words<'a>(
 }
 
 thread_local! {
-    /// What a per-call forward must lay out before an arena can borrow it:
-    /// `x`, when its tensor is stored permuted. One buffer per calling
-    /// thread, beside the arena caches and as warm as they are: a
-    /// steady-state forward allocates nothing.
-    static STAGING: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// What a per-call forward or backward must lay out before an arena can
+    /// borrow it: `x` and `dy`, when their tensors are stored permuted. Two
+    /// buffers per calling thread, beside the arena caches and as warm as
+    /// they are: a steady-state call allocates nothing of its own.
+    static STAGING: RefCell<[Vec<f32>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
+}
+
+/// Hands `run` the words of each of `ts` in logical order: the tensor's own
+/// when it is stored row-major, else a copy in this thread's staging.
+fn with_natural<R, const N: usize>(ts: [&Tensor; N], run: impl FnOnce([&[f32]; N]) -> R) -> R {
+    STAGING.with_borrow_mut(|staging| {
+        let mut spare = staging.iter_mut();
+        let words = ts.map(|t| match t.natural_words() {
+            Some(words) => words,
+            None => {
+                let buf = spare.next().expect("a staging buffer per tensor");
+                buf.resize(t.len(), 0.0);
+                into_ops::copy_tensor_into(t, buf);
+                let buf: &[f32] = buf;
+                buf
+            }
+        });
+        run(words)
+    })
 }
 
 /// Hands `run` the resolver of one layer forward over `x` and `w`
-/// ([`external_words`] behind this thread's staging buffer).
+/// ([`external_words`] behind this thread's staging).
 fn with_externals<R>(
     x: &Tensor,
     w: &EncoderWeights,
     run: impl for<'a> FnOnce(&mut dyn FnMut(&str) -> Option<&'a [f32]>) -> R,
 ) -> R {
-    STAGING.with_borrow_mut(|staging| {
-        let x_words = match x.natural_words() {
-            Some(words) => words,
-            None => {
-                staging.resize(x.len(), 0.0);
-                into_ops::copy_tensor_into(x, staging);
-                &staging[..]
-            }
-        };
-        run(&mut |name| external_words(name, x_words, w))
-    })
+    with_natural([x], |[x]| run(&mut |name| external_words(name, x, w)))
 }
 
 /// Binds a layer input and the shared weight set into an interpreter
@@ -572,6 +623,137 @@ pub(crate) fn forward_into(
     Ok(())
 }
 
+/// The containers a block backward returns, by graph name: `dx`, then the
+/// gradient of every field in [`EncoderGrads`]' order — `d_` and the
+/// field's name.
+const GRADIENTS: [&str; 15] = [
+    "dx",
+    "d_w_qkv",
+    "d_wo",
+    "d_bq",
+    "d_bk",
+    "d_bv",
+    "d_bo",
+    "d_ln1_gamma",
+    "d_ln1_beta",
+    "d_w1",
+    "d_b1",
+    "d_w2",
+    "d_b2",
+    "d_ln2_gamma",
+    "d_ln2_beta",
+];
+
+/// Runs one block backward on the canned backward plan of `kind`: `dy`,
+/// `x`, the weights and the forward's record bound by graph name — the
+/// saved containers and the layer-norm statistics where the record keeps
+/// them, the projections as their packs — and `dx` and every weight
+/// gradient copied out of the slab once, in the layouts the plan leaves
+/// them (natural). Nothing else is allocated once the caches are warm. The
+/// one step that computes masks, the region's recomputed softmax, is keyed
+/// as the forward's region step was ([`Saved::region`], [`rekeyed`]).
+/// `opts` must already be merged with the layer knobs; a plan override in
+/// it is ignored — an override schedules a forward.
+///
+/// # Errors
+///
+/// Returns an error if the plan cannot be built for `dims`, the record
+/// lacks a container or statistic the plan reads (another block kind's, or
+/// one stored permuted), or a kernel rejects its operands.
+pub(crate) fn backward(
+    dims: &EncoderDims,
+    kind: PlanKind,
+    dy: &Tensor,
+    x: &Tensor,
+    w: &EncoderWeights,
+    saved: &Saved,
+    opts: &ExecOptions,
+) -> Result<(Tensor, EncoderGrads)> {
+    let opts = opts.to_builder().plan(None).build();
+    with_arena(dims, kind, &opts, |_, plan, arena| {
+        let masks = (plan.steps.iter()).position(|s| s.outputs.iter().any(|o| o.name == "att_mask"));
+        let opts = match (saved.region, masks) {
+            (Some((seed, stream)), Some(si)) => {
+                let seed = rekeyed(seed, stream, plan.stream_of(si));
+                opts.to_builder().seed(seed).build()
+            }
+            (None, Some(_)) => {
+                let what = "the forward ran no attention region: its record holds no stream to recompute the softmax bundle by";
+                return Err(TensorError::Unsupported(what.into()));
+            }
+            _ => opts,
+        };
+        let mut grads: [Option<Tensor>; 15] = Default::default();
+        let mut sink = |a: ArenaArtifact<'_>| {
+            if let ArenaArtifact::Tensor {
+                name,
+                shape,
+                layout,
+                data,
+                ..
+            } = a
+            {
+                if let Some(k) = GRADIENTS.iter().position(|g| *g == name) {
+                    let t = Tensor::from_vec_with_layout(shape.clone(), *layout, data.to_vec());
+                    grads[k] = t.ok();
+                }
+            }
+        };
+        with_natural([x, dy], |[x, dy]| {
+            let resolve = &mut |name: &str| match (name, stats_name_of(name)) {
+                ("x", _) => Some(x),
+                ("dy", _) => Some(dy),
+                (_, Some((norm, inv))) => {
+                    let s = saved.stats.get(norm)?;
+                    Some(&[&s.mean, &s.inv_std][usize::from(inv)][..])
+                }
+                _ => w
+                    .container(name)
+                    .or_else(|| saved.tensors.get(name)?.natural_words()),
+            };
+            arena.execute_bound(&opts, resolve, &mut sink)
+        })
+        .map_err(|e| unsaved(e, saved))?;
+        let mut take = |k: usize| {
+            grads[k].take().ok_or_else(|| {
+                let what = format!("the backward plan wrote no `{}`", GRADIENTS[k]);
+                TensorError::Unsupported(what)
+            })
+        };
+        let dx = take(0)?;
+        let g = EncoderGrads {
+            w_qkv: take(1)?,
+            wo: take(2)?,
+            bq: take(3)?,
+            bk: take(4)?,
+            bv: take(5)?,
+            bo: take(6)?,
+            ln1_gamma: take(7)?,
+            ln1_beta: take(8)?,
+            w1: take(9)?,
+            b1: take(10)?,
+            w2: take(11)?,
+            b2: take(12)?,
+            ln2_gamma: take(13)?,
+            ln2_beta: take(14)?,
+        };
+        Ok((dx, g))
+    })
+}
+
+/// A backward's unbound external as the record's own error when the record
+/// lacks it (another block kind's record, say).
+fn unsaved(e: TensorError, saved: &Saved) -> TensorError {
+    let TensorError::UnboundExternal { container, .. } = &e else {
+        return e;
+    };
+    let missing = match stats_name_of(container) {
+        Some((norm, _)) => saved.stats_of(norm).err(),
+        None => saved.tensor(container).err(),
+    };
+    missing.unwrap_or(e)
+}
+
 /// Runs the model head on its canned plan ([`PlanKind::Head`] at the
 /// vocabulary of `head_bias`) over the last block's output `h` (`[i,b,j]`),
 /// `head` (`[v,i]`) and `head_bias` (`[v]`), each read where it lies, and
@@ -624,7 +806,7 @@ pub fn head_forward(
 /// Returns [`TensorError::ShapeMismatch`] unless every extent is nonzero and
 /// `dims.j == dims.k`, or an error if the graph cannot be scheduled.
 pub fn encoder_reference(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::encoder, &[], false)
+    block_plan(dims, build::encoder, &[], false, Half::Forward)
 }
 
 /// The fused executor as a plan: the paper's encoder fusion plan applied,
@@ -634,7 +816,7 @@ pub fn encoder_reference(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// As [`encoder_reference`], and if fusion fails.
 pub fn encoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::encoder, &encoder_fusion_plan(), false)
+    block_plan(dims, build::encoder, &encoder_fusion_plan(), false, Half::Forward)
 }
 
 /// The fused encoder with GEMM-epilogue mega-kernels: element-wise fusion
@@ -646,7 +828,7 @@ pub fn encoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// As [`encoder_fused`].
 pub fn encoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::encoder, &encoder_fusion_plan(), true)
+    block_plan(dims, build::encoder, &encoder_fusion_plan(), true, Half::Forward)
 }
 
 /// The decoder block as a plan: the pre-LN decoder graph with its fusion
@@ -657,7 +839,7 @@ pub fn encoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// As [`encoder_fused`].
 pub fn decoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::decoder, &decoder_fusion_plan(), false)
+    block_plan(dims, build::decoder, &decoder_fusion_plan(), false, Half::Forward)
 }
 
 /// The fused decoder with GEMM-epilogue mega-kernels (see
@@ -667,7 +849,7 @@ pub fn decoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// As [`encoder_fused`].
 pub fn decoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::decoder, &decoder_fusion_plan(), true)
+    block_plan(dims, build::decoder, &decoder_fusion_plan(), true, Half::Forward)
 }
 
 /// The decode-step projection plan (LN1 + QKV + bias carve over one token

@@ -11,8 +11,10 @@
 //! Every layer exposes **one** forward entry point,
 //! `forward(&x, &weights, &ExecOptions)`, which returns `y` and one
 //! [`interp::Saved`] record — the graph's saved containers as the plan
-//! materialized them, by name, which the layer's `backward` reads — and
-//! its allocation-free twin for inference, `forward_into`. The
+//! materialized them, by name, which the layer's `backward` binds into its
+//! backward plan — and its allocation-free twin for inference,
+//! `forward_into`. Forward and backward alike run as certified plans out of
+//! static arenas. The
 //! [`xform_core::plan::ExecOptions`] argument selects serial vs.
 //! certified wave-parallel execution (`threads`), an explicit plan
 //! override (`plan`), sanitized execution (`sanitize`) and an optional
@@ -26,7 +28,9 @@
 //!   cache slabs, bitwise-equal to the full-sequence forward and
 //!   allocation-free in the steady state;
 //! * [`mha`] — standalone general multi-head attention (Fig. 1);
-//! * [`training`] — a miniature synthetic training loop.
+//! * [`model`] — embeddings, stacked blocks and the head: the training
+//!   step;
+//! * [`training`] — synthetic inputs for driving a layer directly.
 //!
 //! # Examples
 //!
@@ -56,7 +60,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod backward;
 pub mod checkpoint;
 pub mod decode;
 pub mod decoder;

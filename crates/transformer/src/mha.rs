@@ -6,9 +6,8 @@ use rand::rngs::StdRng;
 
 use xform_dataflow::EncoderDims;
 use xform_tensor::fused::{self, SmOutput};
-use xform_tensor::{einsum, Axis, Result, Tensor};
+use xform_tensor::{einsum, Axis, Result, Shape, Tensor, TensorError};
 
-use crate::backward::{attention_backward, columns_of, AttentionSaved};
 use crate::params::EncoderWeights;
 
 /// Saved values from an MHA forward pass.
@@ -24,17 +23,6 @@ pub struct MhaActivations {
     pub sm: SmOutput,
     /// Attention context.
     pub gam: Tensor,
-}
-
-/// Gradients of MHA with respect to its three inputs.
-#[derive(Debug, Clone)]
-pub struct MhaInputGrads {
-    /// Gradient w.r.t. the query input `[i,b,j]`.
-    pub dq: Tensor,
-    /// Gradient w.r.t. the key input `[i,b,k]`.
-    pub dk: Tensor,
-    /// Gradient w.r.t. the value input `[i,b,k]`.
-    pub dv: Tensor,
 }
 
 /// Multi-head attention forward: general attention over distinct `q`
@@ -83,35 +71,18 @@ pub fn mha_forward(
     ))
 }
 
-/// Multi-head attention backward: gradient of the output w.r.t. the three
-/// inputs (weight gradients follow the encoder-layer pattern and are
-/// omitted here; the encoder covers them).
-///
-/// # Errors
-///
-/// Returns an error on shape disagreements.
-pub fn mha_backward(
-    dims: &EncoderDims,
-    dy: &Tensor,
-    w: &EncoderWeights,
-    a: &MhaActivations,
-) -> Result<MhaInputGrads> {
-    let saved = AttentionSaved {
-        qq: &a.qq,
-        kk: &a.kk,
-        vv: &a.vv,
-        att: &a.sm.softmax,
-        alpha: &a.sm.alpha,
-        att_mask: &a.sm.mask,
-        gamma: &a.gam,
-    };
-    let scaler = 1.0 / (dims.p as f32).sqrt();
-    let g = attention_backward(dy, w, &saved, scaler, true)?;
-    Ok(MhaInputGrads {
-        dq: g.dq,
-        dk: g.dk,
-        dv: g.dv,
-    })
+/// `lead` followed by the last two axes of `x` (its `b` and `j`/`k`): the
+/// shape of a projection's product with `x`.
+fn columns_of(x: &Tensor, lead: &[(char, usize)]) -> Result<Shape> {
+    let (axes, sizes) = (x.shape().axes(), x.shape().sizes());
+    let cols = axes
+        .len()
+        .checked_sub(2)
+        .ok_or(TensorError::ShapeMismatch {
+            context: "a projection's operand has a batch and a sequence axis",
+        })?;
+    let trailing = (axes[cols..].iter().map(|a| a.name())).zip(sizes[cols..].iter().copied());
+    Shape::new(lead.iter().copied().chain(trailing))
 }
 
 #[cfg(test)]
@@ -121,7 +92,6 @@ mod tests {
     use rand::distributions::Uniform;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use xform_tensor::Shape;
 
     fn setup() -> (EncoderDims, EncoderWeights, Tensor, Tensor, Tensor) {
         let dims = EncoderDims::tiny();
@@ -178,52 +148,5 @@ mod tests {
         let (out, _) = mha_forward(&dims, &q, &k, &v, &w, 0.0, &mut rng).unwrap();
         assert_eq!(out.shape().spec(), "ibj");
         assert!(out.data().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn backward_matches_numerical_on_query_input() {
-        let (dims, w, q, k, v) = setup();
-        let mut rng = StdRng::seed_from_u64(5);
-        let (out, acts) = mha_forward(&dims, &q, &k, &v, &w, 0.0, &mut rng).unwrap();
-        let loss_w = Tensor::random(
-            out.shape().clone(),
-            &Uniform::new(-1.0, 1.0),
-            &mut StdRng::seed_from_u64(6),
-        );
-        let grads = mha_backward(&dims, &loss_w, &w, &acts).unwrap();
-        let loss = |qq: &Tensor, kk: &Tensor, vv: &Tensor| -> f32 {
-            let mut r = StdRng::seed_from_u64(5);
-            let (o, _) = mha_forward(&dims, qq, kk, vv, &w, 0.0, &mut r).unwrap();
-            o.iter().map(|(i, x)| loss_w.at(&i) * x).sum()
-        };
-        let eps = 1e-2f32;
-        for (t, g, name) in [
-            (&q, &grads.dq, "dq"),
-            (&k, &grads.dk, "dk"),
-            (&v, &grads.dv, "dv"),
-        ] {
-            for flat in [0usize, 13, 29] {
-                let mut idx = vec![0usize; 3];
-                for _ in 0..flat {
-                    t.advance(&mut idx);
-                }
-                let off = t.offset(&idx);
-                let mut tp = (*t).clone();
-                tp.data_mut()[off] += eps;
-                let mut tm = (*t).clone();
-                tm.data_mut()[off] -= eps;
-                let (lp, lm) = match name {
-                    "dq" => (loss(&tp, &k, &v), loss(&tm, &k, &v)),
-                    "dk" => (loss(&q, &tp, &v), loss(&q, &tm, &v)),
-                    _ => (loss(&q, &k, &tp), loss(&q, &k, &tm)),
-                };
-                let num = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (num - g.at(&idx)).abs() < 0.05 * (1.0 + num.abs()),
-                    "{name} at {idx:?}: numerical {num} vs analytic {}",
-                    g.at(&idx)
-                );
-            }
-        }
     }
 }

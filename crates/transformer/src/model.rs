@@ -579,8 +579,8 @@ mod tests {
         let decoder = TransformerModel::init(config(BlockKind::Decoder), &mut rng).unwrap();
         let encoder = TransformerModel::init(config(BlockKind::Encoder), &mut rng).unwrap();
         let (tokens, targets) = copy_task_batch(&decoder.config, &mut rng);
-        // the first name each block's backward reads that the other lacks
-        for (from, to, missing) in [(&decoder, &encoder, "ln1_in"), (&encoder, &decoder, "res1")] {
+        // the first name each block's backward plan binds that the other lacks
+        for (from, to, missing) in [(&decoder, &encoder, "ln2_in"), (&encoder, &decoder, "ln2_out")] {
             let acts = from.forward(&tokens, &mut rng).unwrap();
             assert_eq!(
                 to.backward(&tokens, &targets, &acts).unwrap_err(),

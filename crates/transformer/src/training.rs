@@ -1,113 +1,14 @@
-//! A miniature training loop over the encoder layer: synthetic sequence
-//! regression with SGD, demonstrating that forward + backward + update form
-//! a working training pipeline (the paper's Sec. VI-C notes the optimized
-//! layer "can be extended to support a full training pipeline by stacking").
+//! Synthetic inputs for the examples, benches and tests that drive a layer
+//! directly. Training itself is [`crate::model::TransformerModel`]'s
+//! `forward` → `cross_entropy` → `backward` → `sgd_step` (the paper's
+//! Sec. VI-C notes the optimized layer "can be extended to support a full
+//! training pipeline by stacking").
 
 use rand::distributions::Uniform;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use xform_dataflow::EncoderDims;
 use xform_tensor::{Result, Shape, Tensor};
-
-use crate::encoder::{EncoderLayer, Executor};
-use crate::params::EncoderWeights;
-
-/// Configuration of a synthetic training run.
-#[derive(Debug, Clone, Copy)]
-pub struct TrainConfig {
-    /// Number of optimization steps.
-    pub steps: usize,
-    /// SGD learning rate.
-    pub lr: f32,
-    /// Dropout probability during training.
-    pub dropout_p: f32,
-    /// RNG seed (weights, data, dropout).
-    pub seed: u64,
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        TrainConfig {
-            steps: 20,
-            lr: 0.05,
-            dropout_p: 0.0,
-            seed: 7,
-        }
-    }
-}
-
-/// Per-step record of a training run.
-#[derive(Debug, Clone, Copy)]
-pub struct StepStats {
-    /// Step index.
-    pub step: usize,
-    /// Mean squared error of this step's batch.
-    pub loss: f32,
-    /// Global gradient norm.
-    pub grad_norm: f32,
-}
-
-/// Result of [`train_synthetic`].
-#[derive(Debug, Clone)]
-pub struct TrainResult {
-    /// Final weights.
-    pub weights: EncoderWeights,
-    /// Per-step statistics.
-    pub history: Vec<StepStats>,
-}
-
-/// The synthetic task: regress the encoder output onto a fixed random
-/// target produced by a frozen "teacher" projection of the input. The task
-/// is learnable (the layer can reduce the loss) yet exercises every
-/// operator of the training graph, including backpropagation through
-/// attention.
-pub fn train_synthetic(
-    dims: &EncoderDims,
-    executor: Executor,
-    cfg: &TrainConfig,
-) -> Result<TrainResult> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut weights = EncoderWeights::init(dims, &mut rng);
-    let layer = EncoderLayer::new(*dims, executor, cfg.dropout_p);
-    let x_shape = Shape::from_spec("ibj", &dims.size_table())?;
-    let dist = Uniform::new(-1.0f32, 1.0);
-    // frozen teacher target: a fixed random tensor per batch seed
-    let mut history = Vec::with_capacity(cfg.steps);
-    for step in 0..cfg.steps {
-        let mut data_rng = StdRng::seed_from_u64(cfg.seed ^ (step as u64 % 4));
-        let x = Tensor::random(x_shape.clone(), &dist, &mut data_rng);
-        let target = Tensor::random(x_shape.clone(), &Uniform::new(-0.5f32, 0.5), &mut data_rng);
-
-        let fwd_opts = xform_core::plan::ExecOptions::builder()
-            .seed(rng.gen::<u64>())
-            .build();
-        let (y, acts) = layer.forward(&x, &weights, &fwd_opts)?.into_pair()?;
-        // MSE loss: L = mean((y - t)^2); dL/dy = 2 (y - t) / N
-        let n = y.len() as f32;
-        let mut loss = 0.0f32;
-        let mut dy = y.clone();
-        for (dv, (&yv, &tv)) in dy
-            .data_mut()
-            .iter_mut()
-            .zip(y.data().iter().zip(target.data()))
-        {
-            let e = yv - tv;
-            loss += e * e;
-            *dv = 2.0 * e / n;
-        }
-        loss /= n;
-        let (_dx, grads) = layer.backward(&dy, &x, &weights, &acts)?;
-        let grad_norm = grads.global_norm();
-        weights.sgd_step(&grads, cfg.lr);
-        history.push(StepStats {
-            step,
-            loss,
-            grad_norm,
-        });
-    }
-    Ok(TrainResult { weights, history })
-}
 
 /// Generates a batch of synthetic token embeddings (for examples).
 pub fn synthetic_batch<R: Rng + ?Sized>(dims: &EncoderDims, rng: &mut R) -> Result<Tensor> {
@@ -116,65 +17,4 @@ pub fn synthetic_batch<R: Rng + ?Sized>(dims: &EncoderDims, rng: &mut R) -> Resu
         &Uniform::new(-1.0, 1.0),
         rng,
     ))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn loss_decreases_on_synthetic_task() {
-        let dims = EncoderDims::tiny();
-        let cfg = TrainConfig {
-            steps: 30,
-            lr: 0.05,
-            dropout_p: 0.0,
-            seed: 11,
-        };
-        let result = train_synthetic(&dims, Executor::Fused, &cfg).unwrap();
-        let first = result.history[0].loss;
-        let last = result.history.last().unwrap().loss;
-        assert!(
-            last < first * 0.9,
-            "training did not reduce loss: {first} -> {last}"
-        );
-        assert!(result.history.iter().all(|s| s.loss.is_finite()));
-        assert!(result.history.iter().all(|s| s.grad_norm.is_finite()));
-    }
-
-    #[test]
-    fn reference_and_fused_training_agree_without_dropout() {
-        let dims = EncoderDims::tiny();
-        let cfg = TrainConfig {
-            steps: 5,
-            lr: 0.05,
-            dropout_p: 0.0,
-            seed: 13,
-        };
-        let a = train_synthetic(&dims, Executor::Fused, &cfg).unwrap();
-        let b = train_synthetic(&dims, Executor::Reference, &cfg).unwrap();
-        for (sa, sb) in a.history.iter().zip(&b.history) {
-            assert!(
-                (sa.loss - sb.loss).abs() < 1e-4,
-                "step {}: {} vs {}",
-                sa.step,
-                sa.loss,
-                sb.loss
-            );
-        }
-    }
-
-    #[test]
-    fn training_with_dropout_stays_finite() {
-        let dims = EncoderDims::tiny();
-        let cfg = TrainConfig {
-            steps: 10,
-            lr: 0.02,
-            dropout_p: 0.2,
-            seed: 17,
-        };
-        let result = train_synthetic(&dims, Executor::Fused, &cfg).unwrap();
-        assert!(result.history.iter().all(|s| s.loss.is_finite()));
-        assert!(result.weights.global_norm().is_finite());
-    }
 }

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use substation::dataflow::{analysis, build, EncoderDims};
 use substation::tensor::{Shape, Tensor};
-use substation::transformer::mha::{mha_backward, mha_forward};
+use substation::transformer::mha::mha_forward;
 use substation::transformer::params::EncoderWeights;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -77,13 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  dropout            : {:.1}% of attention weights dropped",
         100.0 * dropped as f32 / acts.sm.mask.len() as f32
-    );
-    let grads = mha_backward(&dims, &out, &w, &acts)?;
-    println!(
-        "  input gradients    : dq {}, dk {}, dv {}",
-        grads.dq.shape(),
-        grads.dk.shape(),
-        grads.dv.shape()
     );
     Ok(())
 }

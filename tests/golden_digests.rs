@@ -591,9 +591,8 @@ fn grad_digests(table: &mut Vec<(String, u64)>) {
                 let (k, v) = (x.relabel("ibk").unwrap(), dy.relabel("ibk").unwrap());
                 let mut drop_rng = StdRng::seed_from_u64(SEED);
                 let (_, a) = mha::mha_forward(dims, &x, &k, &v, &w, p, &mut drop_rng).unwrap();
-                let g = mha::mha_backward(dims, &dy, &w, &a).unwrap();
                 let mut h = Fnv::new();
-                for t in [&g.dq, &g.dk, &g.dv] {
+                for t in &mha_backward(dims, &dy, &w, &a) {
                     h.tensor(t);
                 }
                 row("mha", h);
@@ -633,6 +632,39 @@ fn grad_digests(table: &mut Vec<(String, u64)>) {
             }
         }
     }
+}
+
+/// Standalone MHA's input gradients `[dq, dk, dv]`, composed of the
+/// allocating kernels the library's MHA backward was made of before the
+/// block backwards became plans (a projection weight's transposed product
+/// is bit for bit the einsum over its logical words): what the `grad/mha`
+/// rows have pinned since, a test-side composition.
+fn mha_backward(
+    dims: &EncoderDims,
+    dy: &Tensor,
+    w: &EncoderWeights,
+    a: &mha::MhaActivations,
+) -> [Tensor; 3] {
+    let ein = |spec: &str, x: &Tensor, y: &Tensor| substation::tensor::einsum(spec, &[x, y]).unwrap();
+    let scaler = 1.0 / (dims.p as f32).sqrt();
+    let d_gam = ein("whi,ibj->whbj", &w.wo.to_tensor(), dy);
+    let d_alpha = ein("whbk,whbj->hbjk", &a.vv, &d_gam);
+    let d_vv = ein("whbj,hbjk->whbk", &d_gam, &a.sm.alpha);
+    let d_beta = fused::bs(&d_alpha, &a.sm.mask, &a.sm.softmax, Axis('k'), scaler).unwrap();
+    let d_qq = ein("phbk,hbjk->phbj", &a.kk, &d_beta);
+    let d_kk = ein("phbj,hbjk->phbk", &a.qq, &d_beta);
+    // each stream's input gradient reads its third of the stack
+    let stack = w.w_qkv.to_tensor();
+    let third = stack.len() / 3;
+    let block = |s: usize, spec: &str| {
+        let shape = Shape::from_spec(spec, &dims.size_table()).unwrap();
+        Tensor::from_vec(shape, stack.data()[s * third..(s + 1) * third].to_vec()).unwrap()
+    };
+    [
+        ein("phi,phbj->ibj", &block(0, "phi"), &d_qq),
+        ein("phi,phbk->ibk", &block(1, "phi"), &d_kk),
+        ein("whi,whbk->ibk", &block(2, "whi"), &d_vv),
+    ]
 }
 
 /// The GEMM called directly over the `MC`/`MR`/`KC`/`NR` edges the layer
