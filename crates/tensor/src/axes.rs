@@ -9,8 +9,10 @@
 //! the data-layout experiments in the paper.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::error::{Result, TensorError};
+use crate::layout::MAX_RANK;
 
 /// A named logical dimension of a tensor, identified by a single character.
 ///
@@ -48,6 +50,8 @@ impl From<char> for Axis {
 ///
 /// The logical order is the order used to address elements; it never changes
 /// when the data layout is permuted. Axis names within a shape are unique.
+/// A shape is held inline (rank ≤ [`MAX_RANK`], like a
+/// [`crate::layout::Layout`]): making or copying one touches no heap.
 ///
 /// # Examples
 ///
@@ -58,10 +62,29 @@ impl From<char> for Axis {
 /// assert_eq!(s.size(Axis('j')).unwrap(), 512);
 /// assert_eq!(s.num_elements(), 8 * 512 * 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Shape {
-    axes: Vec<Axis>,
-    sizes: Vec<usize>,
+    rank: usize,
+    /// The axes, then unused `'\0'` slots.
+    axes: [Axis; MAX_RANK],
+    /// The sizes, then unused zeros.
+    sizes: [usize; MAX_RANK],
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Shape")
+            .field("axes", &self.axes())
+            .field("sizes", &self.sizes())
+            .finish()
+    }
+}
+
+impl Hash for Shape {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.axes().hash(state);
+        self.sizes().hash(state);
+    }
 }
 
 impl Shape {
@@ -69,27 +92,35 @@ impl Shape {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::DuplicateAxis`] if an axis name repeats and
-    /// [`TensorError::ZeroSizedAxis`] if any size is zero.
+    /// Returns [`TensorError::DuplicateAxis`] if an axis name repeats,
+    /// [`TensorError::ZeroSizedAxis`] if any size is zero and
+    /// [`TensorError::Unsupported`] beyond [`MAX_RANK`] axes.
     pub fn new<I, A>(dims: I) -> Result<Self>
     where
         I: IntoIterator<Item = (A, usize)>,
         A: Into<Axis>,
     {
-        let mut axes = Vec::new();
-        let mut sizes = Vec::new();
+        let mut shape = Shape {
+            rank: 0,
+            axes: [Axis('\0'); MAX_RANK],
+            sizes: [0; MAX_RANK],
+        };
         for (a, n) in dims {
             let a = a.into();
-            if axes.contains(&a) {
+            if shape.contains(a) {
                 return Err(TensorError::DuplicateAxis(a));
             }
             if n == 0 {
                 return Err(TensorError::ZeroSizedAxis(a));
             }
-            axes.push(a);
-            sizes.push(n);
+            if shape.rank == MAX_RANK {
+                let what = format!("a shape holds at most {MAX_RANK} axes");
+                return Err(TensorError::Unsupported(what));
+            }
+            (shape.axes[shape.rank], shape.sizes[shape.rank]) = (a, n);
+            shape.rank += 1;
         }
-        Ok(Shape { axes, sizes })
+        Ok(shape)
     }
 
     /// Builds a shape from an einsum-style axis string and a size lookup.
@@ -107,31 +138,26 @@ impl Shape {
     /// assert_eq!(s.num_elements(), 8 * 64 * 32);
     /// ```
     pub fn from_spec(spec: &str, sizes: &[(char, usize)]) -> Result<Self> {
-        let mut dims = Vec::new();
-        for c in spec.chars() {
-            let n = sizes
-                .iter()
-                .find(|(a, _)| *a == c)
-                .map(|(_, n)| *n)
-                .ok_or(TensorError::UnknownAxis(Axis(c)))?;
-            dims.push((Axis(c), n));
-        }
-        Shape::new(dims)
+        let size = |c: char| {
+            let found = sizes.iter().find(|(a, _)| *a == c);
+            found.map(|&(_, n)| (Axis(c), n)).ok_or(TensorError::UnknownAxis(Axis(c)))
+        };
+        Shape::new(spec.chars().map(size).collect::<Result<Vec<_>>>()?)
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.axes.len()
+        self.rank
     }
 
     /// The axes in logical order.
     pub fn axes(&self) -> &[Axis] {
-        &self.axes
+        &self.axes[..self.rank]
     }
 
     /// The sizes in logical order.
     pub fn sizes(&self) -> &[usize] {
-        &self.sizes
+        &self.sizes[..self.rank]
     }
 
     /// Size of the named axis.
@@ -151,7 +177,7 @@ impl Shape {
     /// Returns [`TensorError::UnknownAxis`] if the axis is not part of this
     /// shape.
     pub fn index_of(&self, axis: Axis) -> Result<usize> {
-        self.axes
+        self.axes()
             .iter()
             .position(|a| *a == axis)
             .ok_or(TensorError::UnknownAxis(axis))
@@ -159,24 +185,24 @@ impl Shape {
 
     /// Whether the named axis is part of this shape.
     pub fn contains(&self, axis: Axis) -> bool {
-        self.axes.contains(&axis)
+        self.axes().contains(&axis)
     }
 
     /// Total number of elements.
     pub fn num_elements(&self) -> usize {
-        self.sizes.iter().product()
+        self.sizes().iter().product()
     }
 
     /// The axis string in logical order, e.g. `"bji"`.
     pub fn spec(&self) -> String {
-        self.axes.iter().map(|a| a.0).collect()
+        self.axes().iter().map(|a| a.0).collect()
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, (a, n)) in self.axes.iter().zip(&self.sizes).enumerate() {
+        for (i, (a, n)) in self.axes().iter().zip(self.sizes()).enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

@@ -5,7 +5,7 @@ use rand::Rng;
 
 use crate::axes::{Axis, Shape};
 use crate::error::{Result, TensorError};
-use crate::layout::Layout;
+use crate::layout::{Layout, MAX_RANK};
 
 /// A dense tensor of `f32` values with named logical axes and a permutable
 /// memory layout.
@@ -31,9 +31,21 @@ use crate::layout::Layout;
 pub struct Tensor {
     shape: Shape,
     layout: Layout,
-    /// Strides per logical axis, in elements.
-    strides: Vec<usize>,
+    /// Strides per logical axis, in elements, then unused zeros.
+    strides: [usize; MAX_RANK],
     data: Vec<f32>,
+}
+
+/// The strides of `shape` under `layout`, held inline.
+fn strides_of(layout: &Layout, shape: &Shape) -> [usize; MAX_RANK] {
+    assert_eq!(shape.rank(), layout.rank(), "shape rank must match layout rank");
+    let mut strides = [0; MAX_RANK];
+    let mut acc = 1usize;
+    for axis in layout.order().rev() {
+        strides[axis] = acc;
+        acc *= shape.sizes()[axis];
+    }
+    strides
 }
 
 impl Tensor {
@@ -49,7 +61,7 @@ impl Tensor {
     ///
     /// Panics if the layout rank does not match the shape rank.
     pub fn zeros_with_layout(shape: Shape, layout: Layout) -> Self {
-        let strides = layout.strides(&shape);
+        let strides = strides_of(&layout, &shape);
         let data = vec![0.0; shape.num_elements()];
         Tensor {
             shape,
@@ -83,7 +95,7 @@ impl Tensor {
         R: Rng + ?Sized,
     {
         let layout = Layout::row_major(shape.rank());
-        let strides = layout.strides(&shape);
+        let strides = strides_of(&layout, &shape);
         let data = (0..shape.num_elements())
             .map(|_| dist.sample(rng))
             .collect();
@@ -123,7 +135,7 @@ impl Tensor {
                 context: "Tensor::from_vec",
             });
         }
-        let strides = layout.strides(&shape);
+        let strides = strides_of(&layout, &shape);
         Ok(Tensor {
             shape,
             layout,
@@ -144,7 +156,7 @@ impl Tensor {
 
     /// Per-logical-axis strides in elements.
     pub fn strides(&self) -> &[usize] {
-        &self.strides
+        &self.strides[..self.shape.rank()]
     }
 
     /// The raw backing buffer, in memory order.
@@ -299,7 +311,7 @@ impl Tensor {
         Ok(Tensor {
             shape,
             layout: self.layout,
-            strides: self.strides.clone(),
+            strides: self.strides,
             data: self.data.clone(),
         })
     }
