@@ -1255,10 +1255,10 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
     let writes: HashSet<NodeId> = (plan.steps.iter())
         .flat_map(|s| s.outputs.iter().map(|o| o.data))
         .collect();
-    let upstream = |d: NodeId| {
-        let saved = graph.data(d).is_some_and(|n| n.role == DataRole::Saved);
-        let producer = graph.producer_of(d).filter(|_| saved && !writes.contains(&d));
-        producer.is_some_and(|p| graph.inputs_of(p).iter().all(|i| !writes.contains(i)))
+    let upstream = |d: NodeId| match graph.data(d).map(|n| n.role) {
+        Some(DataRole::Saved) if !writes.contains(&d) => (graph.producer_of(d))
+            .is_some_and(|p| graph.inputs_of(p).iter().all(|i| !writes.contains(i))),
+        _ => false,
     };
     // relayout event log per container: (step, from, to)
     let mut relayout_log: HashMap<NodeId, Vec<(usize, Layout, Layout)>> = HashMap::new();

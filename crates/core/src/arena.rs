@@ -448,6 +448,23 @@ pub enum ArenaArtifact<'a> {
     },
 }
 
+impl ArenaArtifact<'_> {
+    /// A copy of a [`ArenaArtifact::Tensor`], in the layout it is stored in;
+    /// `None` for any other artifact.
+    pub fn to_tensor(&self) -> Option<Tensor> {
+        let ArenaArtifact::Tensor {
+            shape,
+            layout,
+            data,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        Tensor::from_vec_with_layout((*shape).clone(), **layout, data.to_vec()).ok()
+    }
+}
+
 /// A certified plan compiled onto a static arena. Build one with
 /// [`CompiledArena::compile`] (or memoized, with [`compiled`]); execute
 /// with [`CompiledArena::execute_bound`] (zero-allocation entry) or
@@ -811,10 +828,13 @@ impl CompiledArena {
         self.buffers.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Every external container of the plan — what a run's resolver is
-    /// asked for — as `(name, words)`.
+    /// Everything a run's resolver is asked for, as `(name, words)`: every
+    /// external container of the plan, then the statistics its backward
+    /// kernels read ([`stats_names`]).
     pub fn externals(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.externals.iter().map(|e| (e.name.as_str(), e.view.len))
+        let stats =
+            (self.stats_in.iter()).flat_map(|s| s.names.iter().map(|n| (n.as_str(), s.mean.len)));
+        (self.externals.iter().map(|e| (e.name.as_str(), e.view.len))).chain(stats)
     }
 
     /// The projection weights among the externals, each with the pack its
@@ -948,17 +968,12 @@ impl CompiledArena {
         // the statistics a backward kernel reads, copied into their regions
         for s in &self.stats_in {
             for (name, v) in s.names.iter().zip([s.mean, s.inv_std]) {
-                match resolve(name) {
-                    Some(src) if src.len() == v.len => {
-                        bufs.stats[v.off..v.off + v.len].copy_from_slice(src);
-                    }
-                    _ => {
-                        return Err(TensorError::UnboundExternal {
-                            container: name.clone(),
-                            words: v.len,
-                        })
-                    }
-                }
+                let src = resolve(name).filter(|src| src.len() == v.len);
+                let unbound = || TensorError::UnboundExternal {
+                    container: name.clone(),
+                    words: v.len,
+                };
+                bufs.stats[v.off..v.off + v.len].copy_from_slice(src.ok_or_else(unbound)?);
             }
         }
         let mem = SlabMem::new(bufs);
@@ -1014,16 +1029,9 @@ impl CompiledArena {
         out: &mut ExecState,
     ) -> Result<()> {
         let mut sink = |a: ArenaArtifact<'_>| match a {
-            ArenaArtifact::Tensor {
-                name,
-                shape,
-                layout,
-                data,
-                ..
-            } => {
-                // one pass over the words: no zero fill ahead of the copy
-                let t = Tensor::from_vec_with_layout(shape.clone(), *layout, data.to_vec())
-                    .expect("a slot holds its container's words");
+            // one pass over the words: no zero fill ahead of the copy
+            ArenaArtifact::Tensor { name, .. } => {
+                let t = a.to_tensor().expect("a slot holds its container's words");
                 out.env.insert(name.to_string(), t);
             }
             ArenaArtifact::Stats {
@@ -1214,7 +1222,9 @@ pub fn execute(
     let (env, stats) = (&state.env, &state.stats);
     let resolve = &mut |name: &str| match (packed.get(name), stats_name_of(name)) {
         (Some(panels), _) => Some(&panels[..]),
-        (None, Some((norm, inv))) => stats.get(norm).map(|s| &[&s.mean, &s.inv_std][usize::from(inv)][..]),
+        (None, Some((norm, inv))) => stats
+            .get(norm)
+            .map(|s| &[&s.mean, &s.inv_std][usize::from(inv)][..]),
         (None, None) => natural.get(name).or(env.get(name)).map(Tensor::data),
     };
     arena.execute_into_state(graph, plan, opts, resolve, &mut produced)?;
@@ -1405,11 +1415,9 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
         Place::Borrowed(..) => unreachable!("`compile_step` admits no borrowed output"),
     };
     let scratch = || unsafe { mem.scratch_mut(step.scratch.off, step.scratch.len) };
-    let stats = || {
-        let (mean, inv_std) = step
-            .stats
-            .expect("a normalizing class has statistics regions");
-        unsafe { (mem.stats_mut(mean), mem.stats_mut(inv_std)) }
+    let (mean, inv): (&mut [f32], &mut [f32]) = match step.stats {
+        Some((mean, inv)) => unsafe { (mem.stats_mut(mean), mem.stats_mut(inv)) },
+        None => (&mut [], &mut []),
     };
     for (source, slot, copy) in &step.relayouts {
         // SAFETY: the hazard analysis orders a relayout against every
@@ -1452,11 +1460,9 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
             into_ops::sm_into(s(), r(0), run.scaler, c, drop, w(1), w(2), w(3));
         }
         Kernel::LayerNorm => {
-            let (mean, inv_std) = stats();
-            into_ops::layernorm_into(s(), r(0), r(1), r(2), w(3), mean, inv_std);
+            into_ops::layernorm_into(s(), r(0), r(1), r(2), w(3), mean, inv);
         }
         Kernel::Bdrln => {
-            let (mean, inv_std) = stats();
             into_ops::bdrln_into(
                 s(),
                 r(0),
@@ -1469,7 +1475,7 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
                 w(6),
                 w(7),
                 mean,
-                inv_std,
+                inv,
             );
         }
         Kernel::BrdAct => {
@@ -1518,24 +1524,19 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
         Kernel::SoftmaxGrad => into_ops::softmax_backward_into(s(), r(0), r(1), run.scaler, w(2)),
         Kernel::Bs => into_ops::bs_into(s(), r(0), r(1), r(2), run.scaler, w(3)),
         Kernel::NormGradX => {
-            let (mean, inv_std) = stats();
-            into_ops::layernorm_backward_input_into(s(), r(0), r(1), r(2), mean, inv_std, w(3));
+            into_ops::layernorm_backward_input_into(s(), r(0), r(1), r(2), mean, inv, w(3));
         }
         Kernel::NormGradW => {
-            let (mean, inv_std) = stats();
-            into_ops::layernorm_backward_weights_into(s(), r(0), r(1), mean, inv_std, w(2), w(3));
+            into_ops::layernorm_backward_weights_into(s(), r(0), r(1), mean, inv, w(2), w(3));
         }
         Kernel::Blnrd => {
-            let (mean, inv_std) = stats();
-            into_ops::blnrd_into(s(), r(0), r(1), r(2), r(3), mean, inv_std, w(4), w(5));
+            into_ops::blnrd_into(s(), r(0), r(1), r(2), r(3), mean, inv, w(4), w(5));
         }
         Kernel::Blnr => {
-            let (mean, inv_std) = stats();
-            into_ops::blnr_into(s(), r(0), r(1), r(2), r(3), mean, inv_std, w(4));
+            into_ops::blnr_into(s(), r(0), r(1), r(2), r(3), mean, inv, w(4));
         }
         Kernel::Ebsb => {
-            let (mean, inv_std) = stats();
-            into_ops::ebsb_into(s(), r(0), r(1), r(2), mean, inv_std, w(3), w(4), w(5));
+            into_ops::ebsb_into(s(), r(0), r(1), r(2), mean, inv, w(3), w(4), w(5));
         }
         Kernel::Bdb => into_ops::bdb_into(s(), r(0), r(1), w(2), w(3)),
         Kernel::Bdrb => {

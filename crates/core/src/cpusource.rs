@@ -7,7 +7,7 @@
 //! `(configuration → runtime)` pairs, and this source supplies them from
 //! measurements:
 //!
-//! * **every operator the step lowering models** — the forward
+//! * **every operator the step lowering models** — forward and backward
 //!   contractions, element-wise, normalization, fused and GEMM-epilogue
 //!   kernels — executes the *real kernel on the executor that ships*: the
 //!   operator is lowered to a single [`crate::plan::PlanStep`] with the
@@ -16,19 +16,10 @@
 //!   in those layouts), and the arena's own per-step timing slot is read —
 //!   so a sweep prices exactly the strided views a selected plan will run
 //!   through;
-//! * **contractions the lowering refuses** (the backward einsums and the
-//!   slice writers that fill a stacked gradient) execute the real einsum
-//!   engine ([`xform_tensor::contract`]) with the operands physically
-//!   stored in the configuration's layouts;
-//! * **backward kernels** (which the forward-only lowering does not
-//!   model) execute a *representative strided sweep*: the kernel's
-//!   exact tensors are allocated in the configuration's layouts and walked
-//!   in the iteration order the configuration implies (reduction lane
-//!   innermost when the warp/vector axes say so), reading every input word
-//!   and writing every output word. This reproduces on the CPU cache
-//!   hierarchy the access-pattern effects the GPU model captures
-//!   analytically — a microbenchmark of the kernel's memory behaviour,
-//!   which is what dominates these operators (Table I).
+//! * **contractions the lowering refuses in a configuration's layouts**
+//!   (an input gradient over the stacked Q/K/V axis whose output is no
+//!   view) execute the real einsum engine ([`xform_tensor::contract`])
+//!   with the operands physically stored in those layouts.
 //!
 //! Timings are medians over `repetitions` runs. Because real measurement
 //! is ~10⁶× slower than the analytical model, use small dimensions and
@@ -44,7 +35,7 @@ use xform_dataflow::{Graph, NodeId, OpKind};
 use xform_gpusim::opmodel::OpConfig;
 use xform_gpusim::KernelCost;
 use xform_tensor::contract::contract;
-use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
+use xform_tensor::{Result, Shape, Tensor, TensorError};
 
 use crate::analyze::{analyze, ArenaGranularity};
 use crate::arena::{ArenaArtifact, CompiledArena};
@@ -90,8 +81,8 @@ impl CpuSource {
     }
 
     /// The best of `repetitions` runs of `op` as a [`StandaloneKernel`];
-    /// `None` when the lowering does not model it — the caller falls back
-    /// to the einsum engine or the synthetic sweep.
+    /// `None` when the lowering does not model it in the configuration's
+    /// layouts — the caller falls back to the einsum engine.
     fn time_on_arena(&self, graph: &Graph, op: NodeId, cfg: &OpConfig) -> Option<f64> {
         let mut kernel = StandaloneKernel::compile(graph, op, cfg)?;
         let mut best = f64::INFINITY;
@@ -118,8 +109,9 @@ pub struct StandaloneKernel {
 impl StandaloneKernel {
     /// Lowers `op` to a single plan step with the configuration's layouts
     /// and compiles that one-step plan, its inputs externals in the
-    /// declared layouts. `None` for operators the step lowering does not
-    /// model (backward kernels, slice writers).
+    /// declared layouts (the statistics a backward norm reads among them).
+    /// `None` for an operator the step lowering does not model in those
+    /// layouts.
     pub fn compile(graph: &Graph, op: NodeId, cfg: &OpConfig) -> Option<StandaloneKernel> {
         let step = ExecutionPlan::single_step(graph, op, cfg).ok()?;
         lower_step(graph, &step)?;
@@ -195,63 +187,6 @@ pub(crate) fn calibrate_stream_rate() -> f64 {
     (n as f64 * 4.0) / us.max(1e-3)
 }
 
-/// The strides of `t`'s axes in the order `iter` walks them (logical axis
-/// indices, outermost first), and their extents.
-fn walk(t: &Tensor, iter: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    debug_assert_eq!(iter.len(), t.shape().rank());
-    let sizes = iter.iter().map(|&i| t.shape().sizes()[i]).collect();
-    let strides = iter.iter().map(|&i| t.strides()[i]).collect();
-    (sizes, strides)
-}
-
-/// Visits the offset of every element of a walk in odometer order
-/// (innermost last).
-fn sweep(sizes: &[usize], strides: &[usize], mut visit: impl FnMut(usize)) {
-    let mut idx = vec![0usize; sizes.len()];
-    let mut off = 0usize;
-    loop {
-        visit(off);
-        let mut d = idx.len();
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            idx[d] += 1;
-            off += strides[d];
-            if idx[d] < sizes[d] {
-                break;
-            }
-            off -= sizes[d] * strides[d];
-            idx[d] = 0;
-        }
-    }
-}
-
-/// Walks every element of `t` in the index order `iter`, accumulating
-/// reads. Returns a value to keep the optimizer honest.
-fn sweep_read(t: &Tensor, iter: &[usize]) -> f32 {
-    let (sizes, strides) = walk(t, iter);
-    let mut acc = 0.0f32;
-    sweep(&sizes, &strides, |off| acc += t.data()[off]);
-    acc
-}
-
-/// Writes every element of `t` in `iter` order.
-fn sweep_write(t: &mut Tensor, iter: &[usize], v: f32) {
-    let (sizes, strides) = walk(t, iter);
-    sweep(&sizes, &strides, |off| t.data_mut()[off] = v);
-}
-
-/// Iteration order for a tensor under a configuration: its layout's order,
-/// with the vector axis rotated to the innermost position (that is what
-/// "vectorize along this axis" means for the sweep).
-fn iter_order(t: &Tensor, vector_axis: Option<char>) -> Vec<usize> {
-    let vector = vector_axis.and_then(|v| t.shape().index_of(xform_tensor::Axis(v)).ok());
-    let rest = t.layout().order().filter(|&i| Some(i) != vector);
-    rest.chain(vector).collect()
-}
-
 impl PerfSource for CpuSource {
     fn name(&self) -> &str {
         "host-cpu"
@@ -262,7 +197,6 @@ impl PerfSource for CpuSource {
             .op(op)
             .ok_or_else(|| TensorError::Unsupported(format!("{op} is not an operator")))?;
         let inputs = graph.inputs_of(op);
-        let outputs = graph.outputs_of(op);
         let shape_of = |id: NodeId| -> Result<Shape> {
             graph
                 .data(id)
@@ -308,49 +242,8 @@ impl PerfSource for CpuSource {
                 })
             }
             (None, _) => {
-                // backward kernel: representative strided sweep over the
-                // kernel's tensors, those of a configured layout's rank in it
-                let two_pass = node.kind.has_reduction();
-                let fitting = |s: &Shape, l: Layout| {
-                    if s.rank() == l.rank() {
-                        l
-                    } else {
-                        Layout::row_major(s.rank())
-                    }
-                };
-                let in_tensors: Vec<Tensor> = inputs
-                    .iter()
-                    .map(|&id| {
-                        let s = shape_of(id)?;
-                        let layout = fitting(&s, cfg.in_layout);
-                        Ok(Tensor::random(s, &dist, &mut rng).relayout(&layout))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let mut out_tensors: Vec<Tensor> = outputs
-                    .iter()
-                    .map(|&id| {
-                        let s = shape_of(id)?;
-                        let layout = fitting(&s, cfg.out_layout);
-                        Ok(Tensor::zeros_with_layout(s, layout))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let vector_axis = cfg.vector_axis;
-                self.time_once(&mut || {
-                    let mut acc = 0.0f32;
-                    for t in &in_tensors {
-                        let order = iter_order(t, vector_axis);
-                        acc += sweep_read(t, &order);
-                        if two_pass && t.len() == in_tensors[0].len() {
-                            // second loop of reduce-then-map kernels
-                            acc += sweep_read(t, &order);
-                        }
-                    }
-                    for t in &mut out_tensors {
-                        let order = iter_order(t, vector_axis);
-                        sweep_write(t, &order, acc);
-                    }
-                    std::hint::black_box(acc);
-                })
+                let what = format!("operator `{}` has no arena lowering", node.name);
+                return Err(TensorError::Unsupported(what));
             }
         };
         let bytes = io_words * 4.0; // CPU substrate stores f32
@@ -447,22 +340,14 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_iteration_beats_strided_on_real_hardware() {
-        // sanity-check the sweep primitive itself at a size with cache
-        // pressure: iterating the contiguous axis last is faster
-        let shape = Shape::new([('a', 256), ('b', 512)]).unwrap();
-        let t = Tensor::zeros(shape); // row-major: 'b' contiguous
-        let src = CpuSource::new(5);
-        let time = |order: &[usize]| {
-            src.clone().time_once(&mut || {
-                std::hint::black_box(sweep_read(&t, order));
-            })
-        };
-        let good = time(&[0, 1]);
-        let bad = time(&[1, 0]);
-        assert!(
-            bad > good * 0.8,
-            "strided {bad} µs vs contiguous {good} µs — expected no large win for strided"
-        );
+    fn every_backward_kernel_is_timed_on_the_arena() {
+        let dy = build::encoder(&EncoderDims::tiny()).dy;
+        let g = tiny_fused();
+        let src = CpuSource::new(1);
+        for op in crate::recipe::backward_ops(&g, dy) {
+            let cfg = OpConfig::natural(&g, op).unwrap();
+            let name = &g.op(op).unwrap().name;
+            assert!(src.time_on_arena(&g, op, &cfg).is_some(), "`{name}`");
+        }
     }
 }

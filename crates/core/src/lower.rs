@@ -536,14 +536,9 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
         });
         (LaneWeights, view)
     };
-    // output `k` as per-lane weights of input 0's lanes along `axis` (dγ, dβ)
-    let lane_weights_out = |k: usize, axis: usize| -> Option<(Slot, Role, View)> {
-        let (x, w) = (ins.first()?, outs.get(k)?);
-        let view = View::lane_weights(x.sizes(), axis);
-        (w.num_elements() == x.sizes()[axis]).then_some((Slot::Out(k), LaneWeights, view))
-    };
     // output `k` accumulated onto `onto`'s axes through zero strides (dbias)
-    let bias_out = |k: usize, onto: &Shape| Some((Slot::Out(k), Broadcast, broadcast(Slot::Out(k), onto)?));
+    let bias_out =
+        |k: usize, onto: &Shape| Some((Slot::Out(k), Broadcast, broadcast(Slot::Out(k), onto)?));
     let input = |k: usize| Some((Slot::In(k), Whole, whole(Slot::In(k))?));
     let output = |k: usize| Some((Slot::Out(k), Whole, whole(Slot::Out(k))?));
     // (kernel, operands, lane axis, query axis, statistics)
@@ -568,71 +563,52 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             None
         };
         let sweep = Lanes { axis: ai };
-        Some((
-            kernel(causal),
-            rows(swept(sweep, 1), sweep)?,
-            Some(ai),
-            query,
-            None,
-        ))
+        let operands = rows(swept(sweep, ins.len()), sweep)?;
+        Some((kernel(causal), operands, Some(ai), query, None))
     };
-    let norm = |axis: Axis| -> Option<Row> {
-        (outs.len() == 1).then_some(())?;
+    // a norm along `axis`, forward or backward: the inputs swept along the
+    // lane but the per-lane weights (γ, β) at `weights`, then the outputs
+    // swept along it or, where `grads` says, per-lane weight gradients
+    let norm = |kernel: Kernel, axis: Axis, weights: &[usize], grads: &[bool], stats| {
+        (outs.len() == grads.len()).then_some(())?;
         let ai = lane_of(axis)?;
         let sweep = Lanes { axis: ai };
-        let inputs = vec![
-            (sweep, whole(Slot::In(0))),
-            lane_weights(1, ai),
-            lane_weights(2, ai),
-        ];
-        Some((
-            Kernel::LayerNorm,
-            rows(inputs, sweep)?,
-            Some(ai),
-            None,
-            Some(Stats::Writes(0)),
-        ))
-    };
-    // a backward norm along `axis`: `n_in` inputs swept along the lane but
-    // γ at `gamma`, then outputs swept along it or, where `weights` says,
-    // per-lane weight gradients; the statistics are those of the norm whose
-    // input is input `x`
-    let norm_grad = |kernel: Kernel,
-                     axis: Axis,
-                     (n_in, gamma, x): (usize, Option<usize>, usize),
-                     weights: &[bool]|
-     -> Option<Row> {
-        (ins.len() == n_in && outs.len() == weights.len()).then_some(())?;
-        let ai = lane_of(axis)?;
-        let sweep = Lanes { axis: ai };
-        let inputs = (0..n_in).map(|k| match Some(k) == gamma {
+        let inputs = (0..ins.len()).map(|k| match weights.contains(&k) {
             true => lane_weights(k, ai).1.map(|v| (Slot::In(k), LaneWeights, v)),
             false => Some((Slot::In(k), sweep, whole(Slot::In(k))?)),
         });
-        let outputs = weights.iter().enumerate().map(|(k, &w)| match w {
-            true => lane_weights_out(k, ai),
-            false => Some((Slot::Out(k), sweep, whole(Slot::Out(k))?)),
-        });
-        let norm = norm_of(graph, *graph.inputs_of(step.op).get(x)?)?;
+        // a weight gradient is per-lane weights of input 0's lanes (dγ, dβ)
+        let x = ins.first()?.sizes();
+        let outputs = grads
+            .iter()
+            .zip(&outs)
+            .enumerate()
+            .map(|(k, (&w, out))| match w {
+                true => (out.num_elements() == x[ai])
+                    .then(|| (Slot::Out(k), LaneWeights, View::lane_weights(x, ai))),
+                false => Some((Slot::Out(k), sweep, whole(Slot::Out(k))?)),
+            });
         let operands = inputs.chain(outputs).collect::<Option<_>>()?;
-        Some((kernel, operands, Some(ai), None, Some(Stats::Reads(norm))))
+        Some((kernel, operands, Some(ai), None, Some(stats)))
+    };
+    // the statistics of the forward norm whose input is input `x`
+    let reads = |x: usize| {
+        Some(Stats::Reads(norm_of(
+            graph,
+            *graph.inputs_of(step.op).get(x)?,
+        )?))
     };
     // bias dW: each output accumulated from input 0 — whole, or for several
     // outputs one projection's rows of the stacked gradient each
     let bias_grads = || -> Option<Row> {
         let dy = *ins.first()?;
         (ins.len() == 1 && !outs.is_empty()).then_some(())?;
-        let mut operands = Vec::with_capacity(2 * outs.len());
-        let mut start = 0usize;
+        let (mut operands, mut start) = (Vec::with_capacity(2 * outs.len()), 0);
         for (k, out) in outs.iter().enumerate() {
-            let onto = match outs.len() {
-                1 => dy.clone(),
-                _ => {
-                    let lead = out.axes().iter().zip(out.sizes());
-                    let rest = dy.axes().iter().zip(dy.sizes()).skip(out.rank());
-                    Shape::new(lead.chain(rest).map(|(a, &n)| (a.0, n))).ok()?
-                }
-            };
+            // the bias's axes, then the rest of the gradient's
+            let lead = out.axes().iter().zip(out.sizes());
+            let rest = dy.axes().iter().zip(dy.sizes()).skip(out.rank());
+            let onto = Shape::new(lead.chain(rest).map(|(a, &n)| (a.0, n))).ok()?;
             operands.push(match outs.len() {
                 1 => input(0)?,
                 _ => carve(Slot::In(0), &onto, start)?,
@@ -654,7 +630,7 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                 return None;
             }
             let written = match lbl.sizes() == outs[0].sizes() {
-                true => output(0)?,
+                true => (Slot::Out(0), Gemm, whole(Slot::Out(0))?),
                 false => {
                     let (total, rows) = (*outs[0].sizes().first()?, *lbl.sizes().first()?);
                     let start = stacked_carve_start(stacked_stream(&lbl.spec())?, total, rows)?;
@@ -680,10 +656,7 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                 plan: Box::new(plan),
             };
             let mut operands = rows(swept(Gemm, 2), Gemm)?;
-            operands[2] = match written.1 {
-                Whole => (Slot::Out(0), Gemm, written.2),
-                _ => written,
-            };
+            operands[2] = written;
             (kernel, operands, None, None, None)
         }
         OpKind::Bias { .. } => {
@@ -695,7 +668,8 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                 // `Input bias Q/K/V`: one projection's rows of the stacked tensor
                 let (total, part) = (*x.sizes().first()?, *out.sizes().first()?);
                 let stream = &step.name[step.name.len().saturating_sub(1)..];
-                let (_, role, view) = carve(Slot::In(0), out, stacked_carve_start(stream, total, part)?)?;
+                let (_, role, view) =
+                    carve(Slot::In(0), out, stacked_carve_start(stream, total, part)?)?;
                 rows(vec![(role, Some(view)), bias], Whole)?
             };
             (outs.len() == 1).then_some(())?;
@@ -709,20 +683,21 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
             let causal = step.name.contains("Masked");
             softmax(|causal| Kernel::Softmax { causal }, *axis, causal, 1)?
         }
-        OpKind::LayerNorm { axis } => norm(*axis)?,
+        OpKind::LayerNorm { axis } => norm(
+            Kernel::LayerNorm,
+            *axis,
+            &[1, 2],
+            &[false],
+            Stats::Writes(0),
+        )?,
         OpKind::DropoutGrad => elementwise(Kernel::DropoutGrad, 2, 1)?,
         OpKind::ReluGrad => elementwise(Kernel::ActivateGrad, 2, 1)?,
-        OpKind::SoftmaxGrad { axis } => {
-            (outs.len() == 1).then_some(())?;
-            let ai = lane_of(*axis)?;
-            let sweep = Lanes { axis: ai };
-            (Kernel::SoftmaxGrad, rows(swept(sweep, 2), sweep)?, Some(ai), None, None)
-        }
+        OpKind::SoftmaxGrad { axis } => softmax(|_| Kernel::SoftmaxGrad, *axis, false, 1)?,
         OpKind::LayerNormGradX { axis } => {
-            norm_grad(Kernel::NormGradX, *axis, (3, Some(2), 1), &[false])?
+            norm(Kernel::NormGradX, *axis, &[2], &[false], reads(1)?)?
         }
         OpKind::LayerNormGradW { axis } => {
-            norm_grad(Kernel::NormGradW, *axis, (2, None, 1), &[true; 2])?
+            norm(Kernel::NormGradW, *axis, &[], &[true; 2], reads(1)?)?
         }
         OpKind::BiasGrad { .. } => bias_grads()?,
         OpKind::Fused {
@@ -774,7 +749,13 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                 ];
                 (Kernel::Bdr, rows(inputs, Whole)?, None, None, None)
             }
-            FusedClass::Norm => norm((*reduce_axis)?)?,
+            FusedClass::Norm => norm(
+                Kernel::LayerNorm,
+                (*reduce_axis)?,
+                &[1, 2],
+                &[false],
+                Stats::Writes(0),
+            )?,
             FusedClass::BiasSoftmax => {
                 (outs.len() == 1).then_some(())?;
                 let ai = lane_of((*reduce_axis)?)?;
@@ -788,44 +769,51 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
                     None,
                 )
             }
-            FusedClass::DropSoftmaxGrad => {
-                (outs.len() == 1).then_some(())?;
-                let ai = lane_of((*reduce_axis)?)?;
-                let sweep = Lanes { axis: ai };
-                (Kernel::Bs, rows(swept(sweep, 3), sweep)?, Some(ai), None, None)
-            }
-            FusedClass::NormGradW => norm_grad(Kernel::NormGradW, (*reduce_axis)?, (2, None, 1), &[true; 2])?,
+            FusedClass::DropSoftmaxGrad => softmax(|_| Kernel::Bs, (*reduce_axis)?, false, 1)?,
+            FusedClass::NormGradW => norm(
+                Kernel::NormGradW,
+                (*reduce_axis)?,
+                &[],
+                &[true; 2],
+                reads(1)?,
+            )?,
             FusedClass::NormGradXDrop => {
-                norm_grad(Kernel::Blnrd, (*reduce_axis)?, (4, Some(2), 1), &[false; 2])?
+                norm(Kernel::Blnrd, (*reduce_axis)?, &[2], &[false; 2], reads(1)?)?
             }
             FusedClass::NormGradXResidual => {
-                norm_grad(Kernel::Blnr, (*reduce_axis)?, (4, Some(2), 1), &[false])?
+                norm(Kernel::Blnr, (*reduce_axis)?, &[2], &[false], reads(1)?)?
             }
             FusedClass::ResidualNormGradW => {
-                norm_grad(Kernel::Ebsb, (*reduce_axis)?, (3, None, 2), &[false, true, true])?
+                let grads = [false, true, true];
+                norm(Kernel::Ebsb, (*reduce_axis)?, &[], &grads, reads(2)?)?
             }
             FusedClass::BiasGrad => bias_grads()?,
             FusedClass::DropBiasGrad => {
                 (ins.len() == 2 && outs.len() == 2).then_some(())?;
                 let operands = [input(0), input(1), output(0), bias_out(1, ins[0])];
-                let operands = operands.into_iter().collect::<Option<_>>()?;
-                (Kernel::Bdb, operands, None, None, None)
+                (
+                    Kernel::Bdb,
+                    operands.into_iter().collect::<Option<_>>()?,
+                    None,
+                    None,
+                    None,
+                )
             }
             FusedClass::DropActBiasGrad => {
-                // the encoder's merged bias dW ahead of the chain's own
-                // operands, when the group has it
-                let merged = match (ins.len(), outs.len()) {
-                    (3, 2) => 0,
-                    (4, 3) => 1,
-                    _ => return None,
-                };
-                let mut operands = Vec::with_capacity(7);
-                if merged == 1 {
-                    operands.extend([input(0)?, bias_out(0, ins[0])?]);
-                }
-                let (dy, dx) = (merged, merged);
-                operands.extend([input(dy)?, input(dy + 1)?, input(dy + 2)?, output(dx)?]);
-                operands.push(bias_out(dx + 1, ins[dy])?);
+                // behind the bias dW the encoder merged in, when it has one
+                let m = ins
+                    .len()
+                    .checked_sub(3)
+                    .filter(|&m| m < 2 && outs.len() == m + 2)?;
+                let merged = [input(0), bias_out(0, ins[0])].into_iter().take(2 * m);
+                let own = [
+                    input(m),
+                    input(m + 1),
+                    input(m + 2),
+                    output(m),
+                    bias_out(m + 1, ins[m]),
+                ];
+                let operands = merged.chain(own).collect::<Option<_>>()?;
                 (Kernel::Bdrb, operands, None, None, None)
             }
             FusedClass::ResidualGrad => elementwise(Kernel::Residual, 2, 1)?,

@@ -598,11 +598,11 @@ pub(crate) fn classify_fused(parts: &[String]) -> Option<FusedClass> {
 /// it has: one class per fusion group of the backward tables.
 fn classify_backward(parts: &[String]) -> Option<FusedClass> {
     use FusedClass::*;
-    let is = |head: &str, tail: &str| parts.iter().any(|p| p.starts_with(head) && p.ends_with(tail));
+    let is = |h: &str, t: &str| parts.iter().any(|p| p.starts_with(h) && p.ends_with(t));
     let (norm_dx, norm_dw) = (is("LayerNorm", " dX"), is("LayerNorm", " dW"));
     let (dropout, residual) = (is("Dropout", " dX"), is("Residual", " dX"));
     let act = is("ReLU", " dX") || is("GELU", " dX");
-    let bias = parts.iter().any(|p| p.ends_with(" dW") && !p.starts_with("LayerNorm"));
+    let bias = is("Bias", " dW") || is("Output bias", " dW") || is("Input bias", " dW");
     let one = parts.len() == 1;
     Some(match () {
         _ if is("", "softmax dX") => DropSoftmaxGrad,
@@ -781,6 +781,14 @@ pub fn execute_step(
     opts: &ExecOptions,
     rng: &mut StdRng,
 ) -> Result<()> {
+    // backward plans run on the arena alone
+    let unknown = || {
+        let what = format!(
+            "operator `{}` is no forward kernel the reference interpreter knows",
+            step.name
+        );
+        TensorError::Unsupported(what)
+    };
     // explicit transposes first
     for r in &step.relayouts {
         let moved = relaid(state.get(&r.name)?, r.to)?;
@@ -811,26 +819,24 @@ pub fn execute_step(
     let mut ln_stats: Option<(usize, LayerNormStats)> = None;
 
     match &step.kind {
-        OpKind::Einsum(spec) => {
-            match ins.len() {
-                2 => {
-                    let container = out_shape(0)?.spec();
-                    let declared = Some(step.outputs[0].layout);
-                    results.push(contract_as(spec, &ins[0], &ins[1], &container, declared)?);
-                }
-                1 => {
-                    let a = relabeled(&ins[0], &axes_string(&spec.operands()[0]))?;
-                    let out = xform_tensor::einsum(&spec.to_string(), &[&a])?;
-                    results.push(relabeled(&out, &out_shape(0)?.spec())?);
-                }
-                n => {
-                    return Err(TensorError::Unsupported(format!(
-                        "einsum `{}` with {n} operands",
-                        step.name
-                    )))
-                }
+        OpKind::Einsum(spec) => match ins.len() {
+            2 => {
+                let container = out_shape(0)?.spec();
+                let declared = Some(step.outputs[0].layout);
+                results.push(contract_as(spec, &ins[0], &ins[1], &container, declared)?);
             }
-        }
+            1 => {
+                let a = relabeled(&ins[0], &axes_string(&spec.operands()[0]))?;
+                let out = xform_tensor::einsum(&spec.to_string(), &[&a])?;
+                results.push(relabeled(&out, &out_shape(0)?.spec())?);
+            }
+            n => {
+                return Err(TensorError::Unsupported(format!(
+                    "einsum `{}` with {n} operands",
+                    step.name
+                )))
+            }
+        },
         OpKind::Bias { .. } => {
             let x = &ins[0];
             let shape = out_shape(0)?;
@@ -902,19 +908,17 @@ pub fn execute_step(
                 }
                 _ => (&ins[..], None),
             };
-            let class = classify_fused(parts).ok_or_else(|| {
-                TensorError::Unsupported(format!(
-                    "fused kernel `{}` is not a forward kernel the interpreter knows",
-                    step.name
-                ))
-            })?;
+            let class = classify_fused(parts).ok_or_else(unknown)?;
             match class {
                 FusedClass::InputBias => {
                     // inputs [stacked, bq, bk, bv] → outputs [qq, kk, vv]
                     let mut start = 0usize;
                     for k in 0..step.outputs.len() {
                         let shape = out_shape(k)?;
-                        results.push(bias_add(&carve_stacked(&ins[0], start, &shape)?, &ins[k + 1])?);
+                        results.push(bias_add(
+                            &carve_stacked(&ins[0], start, &shape)?,
+                            &ins[k + 1],
+                        )?);
                         start += shape.sizes()[0];
                     }
                 }
@@ -939,7 +943,8 @@ pub fn execute_step(
                     })?;
                     // inputs [x, bias, residual, gamma, beta] →
                     // outputs [mask, ln_input, out]
-                    let r = fused::bdrln(&ins[0], &ins[1], &ins[2], &ins[3], &ins[4], axis, p, rng)?;
+                    let r =
+                        fused::bdrln(&ins[0], &ins[1], &ins[2], &ins[3], &ins[4], axis, p, rng)?;
                     ln_stats = Some((2, r.stats));
                     results.push(r.mask);
                     results.push(r.ln_input);
@@ -973,7 +978,7 @@ pub fn execute_step(
                     })?;
                     results.push(softmax(&bias_add(&ins[0], &ins[1])?, axis)?);
                 }
-                _ => return Err(forward_only(step)),
+                _ => return Err(unknown()),
             }
             if let Some((spec, values)) = second {
                 // the kernel's rows: a softmax's weights (`alpha`), a bias
@@ -987,7 +992,7 @@ pub fn execute_step(
                 results.push(contract_as(spec, values, &rows, &container, declared)?);
             }
         }
-        _ => return Err(forward_only(step)),
+        _ => return Err(unknown()),
     }
 
     if results.len() != step.outputs.len() {
@@ -1009,15 +1014,6 @@ pub fn execute_step(
         state.env.insert(operand.name.clone(), t);
     }
     Ok(())
-}
-
-/// The error of the reference interpreter on a backward kernel: backward
-/// plans run on the arena alone.
-fn forward_only(step: &PlanStep) -> TensorError {
-    TensorError::Unsupported(format!(
-        "operator `{}` is a backward kernel; the reference interpreter is forward-only",
-        step.name
-    ))
 }
 
 /// The reference interpreter: checks the schedule statically, then

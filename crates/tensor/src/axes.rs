@@ -9,7 +9,6 @@
 //! the data-layout experiments in the paper.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use crate::error::{Result, TensorError};
 use crate::layout::MAX_RANK;
@@ -62,7 +61,7 @@ impl From<char> for Axis {
 /// assert_eq!(s.size(Axis('j')).unwrap(), 512);
 /// assert_eq!(s.num_elements(), 8 * 512 * 1024);
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     rank: usize,
     /// The axes, then unused `'\0'` slots.
@@ -77,13 +76,6 @@ impl fmt::Debug for Shape {
             .field("axes", &self.axes())
             .field("sizes", &self.sizes())
             .finish()
-    }
-}
-
-impl Hash for Shape {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.axes().hash(state);
-        self.sizes().hash(state);
     }
 }
 
@@ -140,7 +132,9 @@ impl Shape {
     pub fn from_spec(spec: &str, sizes: &[(char, usize)]) -> Result<Self> {
         let size = |c: char| {
             let found = sizes.iter().find(|(a, _)| *a == c);
-            found.map(|&(_, n)| (Axis(c), n)).ok_or(TensorError::UnknownAxis(Axis(c)))
+            found
+                .map(|&(_, n)| (Axis(c), n))
+                .ok_or(TensorError::UnknownAxis(Axis(c)))
         };
         Shape::new(spec.chars().map(size).collect::<Result<Vec<_>>>()?)
     }

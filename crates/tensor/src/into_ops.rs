@@ -59,7 +59,7 @@
 use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
-use crate::lanes::{self, on_run, Dropout, LaneAt, Run, Walk, W};
+use crate::lanes::{self, on_run, Dropout, LaneAt, Panel, Run, Walk, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
     gemm, gemm_batched, gemm_packed_leading, gemm_panels, host_threads, pack_panels, panel_words,
@@ -712,10 +712,18 @@ pub(crate) fn contract_with_threads(
         },
     };
     if plan.k_parts > 1 {
-        contract_parts(plan, x_a, gb.slice(0), gc, rest);
+        contract_parts(plan, (x_a, ga.slice(0)), gb.slice(0), gc, rest);
     } else if let Some(transposed) = plan.panels {
         let c = MatMut::new(gc.data, gc.at.rs, gc.at.cs);
-        gemm_panels(m, n, k, panels_of(x_a, m, k, transposed), gb.slice(0), c, Start::FromZero);
+        gemm_panels(
+            m,
+            n,
+            k,
+            panels_of(x_a, m, k, transposed),
+            gb.slice(0),
+            c,
+            Start::FromZero,
+        );
     } else {
         let threads = if on_host {
             host_threads(batch, m, n, k, gc.at)
@@ -739,41 +747,44 @@ fn panels_of(words: &[f32], m: usize, k: usize, transposed: bool) -> PanelRef<'_
 }
 
 /// [`ContractPlan::in_parts`]: part `p` is A's columns and B's rows
-/// `p·d..(p+1)·d` of the depth, its product computed from zero into C (the
-/// first) or into `part` and then added to C.
+/// `p·d..(p+1)·d` of the depth — A read out of its panels `pack` when the
+/// plan says so — its product computed from zero into C (the first) or into
+/// `part` and then added to C.
 fn contract_parts(
     plan: &ContractPlan,
-    a: &[f32],
+    (pack, a): (&[f32], MatRef<'_>),
     b: MatRef<'_>,
     c: BatchMut<'_>,
-    scratch: &mut [f32],
+    part: &mut [f32],
 ) {
-    let (m, n, depth) = (plan.m, plan.n, plan.k / plan.k_parts);
-    let part = &mut scratch[..m * n];
-    let at = c.at;
+    let (m, n, depth, at) = (plan.m, plan.n, plan.k / plan.k_parts, c.at);
     for p in 0..plan.k_parts {
-        let (a_rs, a_cs) = plan.a.view.map_or((0, 0), |v| (v.rs, v.cs));
-        let b_p = MatRef::new(&b.data[(p * depth * b.rs).min(b.data.len())..], b.rs, b.cs);
-        let (dst, rs, cs) = match p {
-            0 => (&mut *c.data, at.rs, at.cs),
-            _ => (&mut *part, n, 1),
+        let (b, dst) = match p {
+            0 => (b, MatMut::new(&mut *c.data, at.rs, at.cs)),
+            _ => (b.from_row(p * depth), MatMut::row_major(&mut *part, n)),
         };
-        let c_p = MatMut::new(dst, rs, cs);
         match plan.panels {
-            Some(transposed) => {
-                let panels = panels_of(a, m, plan.k, transposed);
-                gemm_panels(m, n, depth, panels.from_col(p * depth), b_p, c_p, Start::FromZero);
+            Some(t) => {
+                let a = panels_of(pack, m, plan.k, t).from_col(p * depth);
+                gemm_panels(m, n, depth, a, b, dst, Start::FromZero);
             }
-            None => {
-                let a_p = MatRef::new(&a[(p * depth * a_cs).min(a.len())..], a_rs, a_cs);
-                gemm(m, n, depth, a_p, b_p, c_p, Start::FromZero);
-            }
+            None => gemm(
+                m,
+                n,
+                depth,
+                a.t().from_row(p * depth).t(),
+                b,
+                dst,
+                Start::FromZero,
+            ),
         }
-        if p > 0 {
-            for r in 0..m {
-                for (j, &v) in part[r * n..(r + 1) * n].iter().enumerate() {
-                    c.data[r * at.rs + j * at.cs] += v;
-                }
+        for (r, row) in part
+            .chunks_exact(n)
+            .enumerate()
+            .take(m * usize::from(p > 0))
+        {
+            for (j, &v) in row.iter().enumerate() {
+                c.data[r * at.rs + j * at.cs] += v;
             }
         }
     }
@@ -1593,7 +1604,12 @@ pub fn blnr_into(
         let gamma = wa.unit(gamma);
         on_run!(run, N, [dy @ ga, x @ xa, residual @ ra], [dx @ da] => {
             let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
-            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, lanes::add_after(residual))
+            // the row plus the residual is stored, the layer norm's dX never is
+            let join = |v, row: [f32; N]| {
+                let r: [f32; N] = residual.row(v);
+                std::array::from_fn(|w| row[w] + r[w])
+            };
+            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, join)
         });
     });
 }

@@ -1117,8 +1117,8 @@ pub(crate) fn softmax_dx_lane<const W: usize, X, O>(
 /// inv_std)`: `dx = inv_std · (g − mean(g) − x̂ · mean(g · x̂))` with
 /// `g = dy · γ` and `x̂ = (x − mean) · inv_std`. `tail` is handed every row
 /// and returns what `dx` stores: the row itself (`|_, row| row`), BLNRD's
-/// [`drop_dx`] (which stores the masked row elsewhere), or BLNR's
-/// [`add_after`].
+/// [`drop_dx`] (which stores the masked row elsewhere), or BLNR's residual
+/// join (`into_ops::blnr_into`).
 #[inline]
 pub(crate) fn norm_dx_lane<const W: usize, X, O>(
     dy: &X,
@@ -1172,18 +1172,6 @@ where
         let m = mask.row(v);
         out.set_row(v, std::array::from_fn(|w| dx[w] * m[w]));
         dx
-    }
-}
-
-/// BLNR's tail of [`norm_dx_lane`], the residual join behind the layer
-/// norm: `dx + residual` is stored, the layer norm's own dX never is.
-pub(crate) fn add_after<X, const W: usize>(residual: &X) -> impl FnMut(usize, [f32; W]) -> [f32; W] + '_
-where
-    X: Panel<W> + ?Sized,
-{
-    move |v, dx| {
-        let r = residual.row(v);
-        std::array::from_fn(|w| dx[w] + r[w])
     }
 }
 

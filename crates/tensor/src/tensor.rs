@@ -38,7 +38,11 @@ pub struct Tensor {
 
 /// The strides of `shape` under `layout`, held inline.
 fn strides_of(layout: &Layout, shape: &Shape) -> [usize; MAX_RANK] {
-    assert_eq!(shape.rank(), layout.rank(), "shape rank must match layout rank");
+    assert_eq!(
+        shape.rank(),
+        layout.rank(),
+        "shape rank must match layout rank"
+    );
     let mut strides = [0; MAX_RANK];
     let mut acc = 1usize;
     for axis in layout.order().rev() {

@@ -133,7 +133,15 @@ impl DecoderLayer {
         a: &Saved,
     ) -> Result<(Tensor, EncoderGrads)> {
         let run = self.exec_options(&ExecOptions::default())?;
-        interp::backward(&self.dims, interp::PlanKind::DecoderTrain, dy, x, w, a, &run)
+        interp::backward(
+            &self.dims,
+            interp::PlanKind::DecoderTrain,
+            dy,
+            x,
+            w,
+            a,
+            &run,
+        )
     }
 }
 

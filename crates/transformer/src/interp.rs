@@ -26,7 +26,7 @@ use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use xform_core::profile::record_arena_timings;
 use xform_core::recipe::{backward_ops, forward_ops};
 use xform_core::sanitize::{certify, PlanCertificate};
-use xform_dataflow::{build, EncoderDims, Graph, OpKind};
+use xform_dataflow::{build, EncoderDims, Graph, NodeId, OpKind};
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::ops::layernorm::LayerNormStats;
@@ -90,22 +90,9 @@ impl Saved {
     /// Returns [`TensorError::Unsupported`] naming a container the forward
     /// did not save (another block kind's record, say).
     pub fn tensor(&self, name: &str) -> Result<&Tensor> {
-        lookup(&self.tensors, name)
+        let missing = || TensorError::Unsupported(format!("the forward saved no `{name}`"));
+        self.tensors.get(name).ok_or_else(missing)
     }
-
-    /// The statistics of the layer norm whose output is `name`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Saved::tensor`].
-    pub fn stats_of(&self, name: &str) -> Result<&LayerNormStats> {
-        lookup(&self.stats, name)
-    }
-}
-
-fn lookup<'a, T>(map: &'a HashMap<String, T>, name: &str) -> Result<&'a T> {
-    map.get(name)
-        .ok_or_else(|| TensorError::Unsupported(format!("the forward saved no `{name}`")))
 }
 
 /// A dataflow graph paired with an executable forward schedule over it,
@@ -143,28 +130,19 @@ pub(crate) fn check_extents(dims: &EncoderDims) -> Result<()> {
     Ok(())
 }
 
-/// Which half of a training block's graph a plan schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Half {
-    /// The operators `y` needs.
-    Forward,
-    /// The operators past `dy`, the attention core's rematerialization
-    /// (`QKT → SM`) among them: the block's backward.
-    Backward,
-}
-
 /// A training block as a plan: the graph of `build` (which asserts
 /// `dims.j == dims.k` — checked here first, where the `Result` starts),
 /// `fusion` applied, the attention core behind a fused `SM` collapsed into
 /// its region (the unfused reference graph has none), optionally every
-/// GEMM-epilogue chain collapsed, then the operators of `half` scheduled in
-/// natural layouts.
+/// GEMM-epilogue chain collapsed, then the operators `schedule` picks —
+/// [`forward_ops`], or [`backward_ops`]: those past `dy`, the attention
+/// core's rematerialization among them — in natural layouts.
 fn block_plan(
     dims: &EncoderDims,
     build: fn(&EncoderDims) -> build::EncoderGraph,
     fusion: &[FusionGroup],
     epilogues: bool,
-    half: Half,
+    schedule: fn(&Graph, NodeId) -> Vec<NodeId>,
 ) -> Result<PlannedForward> {
     check_extents(dims)?;
     if dims.j != dims.k {
@@ -182,11 +160,7 @@ fn block_plan(
     if epilogues {
         apply_epilogues(&mut g)?;
     }
-    let ops = match half {
-        Half::Forward => forward_ops(&g, eg.dy),
-        Half::Backward => backward_ops(&g, eg.dy),
-    };
-    let plan = ExecutionPlan::natural(&g, &ops)?;
+    let plan = ExecutionPlan::natural(&g, &schedule(&g, eg.dy))?;
     certified(g, plan)
 }
 
@@ -331,15 +305,15 @@ pub fn cached_plan(dims: &EncoderDims, kind: PlanKind) -> Result<Arc<PlannedForw
         PlanKind::DecoderStep => decoder_step_attend(dims)?,
         PlanKind::Head { vocab } => head_epilogue(dims, vocab)?,
         PlanKind::EncoderReferenceTrain => {
-            block_plan(dims, build::encoder, &[], false, Half::Backward)?
+            block_plan(dims, build::encoder, &[], false, backward_ops)?
         }
         PlanKind::EncoderTrain => {
             let fusion = encoder_fusion_plan();
-            block_plan(dims, build::encoder, &fusion, false, Half::Backward)?
+            block_plan(dims, build::encoder, &fusion, false, backward_ops)?
         }
         PlanKind::DecoderTrain => {
             let fusion = decoder_fusion_plan();
-            block_plan(dims, build::decoder, &fusion, false, Half::Backward)?
+            block_plan(dims, build::decoder, &fusion, false, backward_ops)?
         }
     });
     plan_cache().insert(key, Arc::clone(&built));
@@ -475,16 +449,6 @@ fn with_natural<R, const N: usize>(ts: [&Tensor; N], run: impl FnOnce([&[f32]; N
     })
 }
 
-/// Hands `run` the resolver of one layer forward over `x` and `w`
-/// ([`external_words`] behind this thread's staging).
-fn with_externals<R>(
-    x: &Tensor,
-    w: &EncoderWeights,
-    run: impl for<'a> FnOnce(&mut dyn FnMut(&str) -> Option<&'a [f32]>) -> R,
-) -> R {
-    with_natural([x], |[x]| run(&mut |name| external_words(name, x, w)))
-}
-
 /// Binds a layer input and the shared weight set into an interpreter
 /// environment under the graphs' container names (what the equivalence
 /// suites hand the reference interpreter), every weight in logical order:
@@ -543,7 +507,8 @@ pub(crate) fn forward(
 ) -> Result<ForwardOutput> {
     with_arena(dims, kind, opts, |graph, plan, arena| {
         let mut state = ExecState::default();
-        with_externals(x, w, |resolve| {
+        with_natural([x], |[x]| {
+            let resolve = &mut |name: &str| external_words(name, x, w);
             arena.execute_into_state(graph, plan, opts, resolve, &mut state)
         })?;
         // the attention region: the tile program of two contractions
@@ -609,7 +574,8 @@ pub(crate) fn forward_into(
             }
             _ => {}
         };
-        with_externals(x, w, |resolve| {
+        with_natural([x], |[x]| {
+            let resolve = &mut |name: &str| external_words(name, x, w);
             arena.execute_bound(opts, resolve, &mut sink)
         })?;
         Ok(produced)
@@ -622,27 +588,6 @@ pub(crate) fn forward_into(
     }
     Ok(())
 }
-
-/// The containers a block backward returns, by graph name: `dx`, then the
-/// gradient of every field in [`EncoderGrads`]' order — `d_` and the
-/// field's name.
-const GRADIENTS: [&str; 15] = [
-    "dx",
-    "d_w_qkv",
-    "d_wo",
-    "d_bq",
-    "d_bk",
-    "d_bv",
-    "d_bo",
-    "d_ln1_gamma",
-    "d_ln1_beta",
-    "d_w1",
-    "d_b1",
-    "d_w2",
-    "d_b2",
-    "d_ln2_gamma",
-    "d_ln2_beta",
-];
 
 /// Runs one block backward on the canned backward plan of `kind`: `dy`,
 /// `x`, the weights and the forward's record bound by graph name — the
@@ -671,32 +616,32 @@ pub(crate) fn backward(
 ) -> Result<(Tensor, EncoderGrads)> {
     let opts = opts.to_builder().plan(None).build();
     with_arena(dims, kind, &opts, |_, plan, arena| {
-        let masks = (plan.steps.iter()).position(|s| s.outputs.iter().any(|o| o.name == "att_mask"));
-        let opts = match (saved.region, masks) {
-            (Some((seed, stream)), Some(si)) => {
+        // the one step that computes masks recomputes the region's, keyed
+        // as the region step was
+        let masks =
+            (plan.steps.iter()).position(|s| s.outputs.iter().any(|o| o.name == "att_mask"));
+        let opts = match (masks, saved.region) {
+            (None, _) => opts,
+            (Some(si), Some((seed, stream))) => {
                 let seed = rekeyed(seed, stream, plan.stream_of(si));
                 opts.to_builder().seed(seed).build()
             }
-            (None, Some(_)) => {
+            (Some(_), None) => {
                 let what = "the forward ran no attention region: its record holds no stream to recompute the softmax bundle by";
                 return Err(TensorError::Unsupported(what.into()));
             }
-            _ => opts,
         };
+        // `dx`, then the gradient `d_{field}` of every field in order
+        let fields = w.map(|_| (), |_| ()).map(|(field, ())| field);
         let mut grads: [Option<Tensor>; 15] = Default::default();
         let mut sink = |a: ArenaArtifact<'_>| {
-            if let ArenaArtifact::Tensor {
-                name,
-                shape,
-                layout,
-                data,
-                ..
-            } = a
-            {
-                if let Some(k) = GRADIENTS.iter().position(|g| *g == name) {
-                    let t = Tensor::from_vec_with_layout(shape.clone(), *layout, data.to_vec());
-                    grads[k] = t.ok();
-                }
+            let ArenaArtifact::Tensor { name, .. } = a else {
+                return;
+            };
+            let field = |f: &&str| name.strip_prefix("d_") == Some(*f);
+            let at = (name == "dx").then_some(0);
+            if let Some(k) = at.or_else(|| Some(fields.iter().position(field)? + 1)) {
+                grads[k] = a.to_tensor();
             }
         };
         with_natural([x, dy], |[x, dy]| {
@@ -707,51 +652,35 @@ pub(crate) fn backward(
                     let s = saved.stats.get(norm)?;
                     Some(&[&s.mean, &s.inv_std][usize::from(inv)][..])
                 }
-                _ => w
-                    .container(name)
-                    .or_else(|| saved.tensors.get(name)?.natural_words()),
+                _ => (w.container(name)).or_else(|| saved.tensors.get(name)?.natural_words()),
             };
             arena.execute_bound(&opts, resolve, &mut sink)
-        })
-        .map_err(|e| unsaved(e, saved))?;
-        let mut take = |k: usize| {
-            grads[k].take().ok_or_else(|| {
-                let what = format!("the backward plan wrote no `{}`", GRADIENTS[k]);
-                TensorError::Unsupported(what)
-            })
-        };
-        let dx = take(0)?;
+        })?;
+        if grads.iter().any(Option::is_none) {
+            let what = "the backward plan wrote no `dx` or no gradient of some field";
+            return Err(TensorError::Unsupported(what.into()));
+        }
+        let mut next = grads.into_iter().flatten();
+        let mut take = || next.next().expect("every gradient was written");
+        let dx = take();
         let g = EncoderGrads {
-            w_qkv: take(1)?,
-            wo: take(2)?,
-            bq: take(3)?,
-            bk: take(4)?,
-            bv: take(5)?,
-            bo: take(6)?,
-            ln1_gamma: take(7)?,
-            ln1_beta: take(8)?,
-            w1: take(9)?,
-            b1: take(10)?,
-            w2: take(11)?,
-            b2: take(12)?,
-            ln2_gamma: take(13)?,
-            ln2_beta: take(14)?,
+            w_qkv: take(),
+            wo: take(),
+            bq: take(),
+            bk: take(),
+            bv: take(),
+            bo: take(),
+            ln1_gamma: take(),
+            ln1_beta: take(),
+            w1: take(),
+            b1: take(),
+            w2: take(),
+            b2: take(),
+            ln2_gamma: take(),
+            ln2_beta: take(),
         };
         Ok((dx, g))
     })
-}
-
-/// A backward's unbound external as the record's own error when the record
-/// lacks it (another block kind's record, say).
-fn unsaved(e: TensorError, saved: &Saved) -> TensorError {
-    let TensorError::UnboundExternal { container, .. } = &e else {
-        return e;
-    };
-    let missing = match stats_name_of(container) {
-        Some((norm, _)) => saved.stats_of(norm).err(),
-        None => saved.tensor(container).err(),
-    };
-    missing.unwrap_or(e)
 }
 
 /// Runs the model head on its canned plan ([`PlanKind::Head`] at the
@@ -806,7 +735,7 @@ pub fn head_forward(
 /// Returns [`TensorError::ShapeMismatch`] unless every extent is nonzero and
 /// `dims.j == dims.k`, or an error if the graph cannot be scheduled.
 pub fn encoder_reference(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::encoder, &[], false, Half::Forward)
+    block_plan(dims, build::encoder, &[], false, forward_ops)
 }
 
 /// The fused executor as a plan: the paper's encoder fusion plan applied,
@@ -816,7 +745,13 @@ pub fn encoder_reference(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// As [`encoder_reference`], and if fusion fails.
 pub fn encoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::encoder, &encoder_fusion_plan(), false, Half::Forward)
+    block_plan(
+        dims,
+        build::encoder,
+        &encoder_fusion_plan(),
+        false,
+        forward_ops,
+    )
 }
 
 /// The fused encoder with GEMM-epilogue mega-kernels: element-wise fusion
@@ -828,7 +763,13 @@ pub fn encoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// As [`encoder_fused`].
 pub fn encoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::encoder, &encoder_fusion_plan(), true, Half::Forward)
+    block_plan(
+        dims,
+        build::encoder,
+        &encoder_fusion_plan(),
+        true,
+        forward_ops,
+    )
 }
 
 /// The decoder block as a plan: the pre-LN decoder graph with its fusion
@@ -839,7 +780,13 @@ pub fn encoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// As [`encoder_fused`].
 pub fn decoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::decoder, &decoder_fusion_plan(), false, Half::Forward)
+    block_plan(
+        dims,
+        build::decoder,
+        &decoder_fusion_plan(),
+        false,
+        forward_ops,
+    )
 }
 
 /// The fused decoder with GEMM-epilogue mega-kernels (see
@@ -849,7 +796,13 @@ pub fn decoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
 ///
 /// As [`encoder_fused`].
 pub fn decoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::decoder, &decoder_fusion_plan(), true, Half::Forward)
+    block_plan(
+        dims,
+        build::decoder,
+        &decoder_fusion_plan(),
+        true,
+        forward_ops,
+    )
 }
 
 /// The decode-step projection plan (LN1 + QKV + bias carve over one token
@@ -1006,7 +959,7 @@ mod tests {
     /// for every block kind, at `tiny` and at a shape with no two extents
     /// equal, its names are the saved containers the forward plan produces,
     /// its statistics those of the block's layer norms, the softmax bundle
-    /// is in it only under the reference plan, and a redraw stream only
+    /// is in it only under the reference plan, and a region stream only
     /// where a region ran.
     #[test]
     fn a_forward_saves_exactly_its_plans_saved_containers() {

@@ -46,7 +46,7 @@ pub fn mha_forward(
     let ph = w.w_qkv.pack().m / 3;
     let project = |s: usize, lead: [(char, usize); 2], x: &Tensor| {
         w.w_qkv
-            .product(s * ph..(s + 1) * ph, false, x, columns_of(x, &lead)?)
+            .product(s * ph..(s + 1) * ph, x, columns_of(x, &lead)?)
     };
     let qq_raw = project(0, [('p', dims.p), ('h', dims.h)], q)?;
     let kk_raw = project(1, [('p', dims.p), ('h', dims.h)], k)?;
@@ -56,8 +56,7 @@ pub fn mha_forward(
     let sm = fused::sm(&beta, scaler, Axis('k'), dropout_p, rng)?;
     let gam = einsum("whbk,hbjk->whbj", &[&vv, &sm.alpha])?;
     let i = w.wo.pack().m;
-    let out_mm =
-        w.wo.product(0..i, false, &gam, columns_of(&gam, &[('i', i)])?)?;
+    let out_mm = w.wo.product(0..i, &gam, columns_of(&gam, &[('i', i)])?)?;
     let out = xform_tensor::ops::elementwise::bias_add(&out_mm, &w.bo)?;
     Ok((
         out,

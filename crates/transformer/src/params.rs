@@ -117,33 +117,22 @@ impl PackedWeight {
         self.pack.zip_logical(&natural(grad), &mut self.words, f);
     }
 
-    /// `A[rows] · x`, or with `transposed` `A[rows]ᵀ · x`, into a row-major
-    /// tensor of shape `out`: `x` is read as a row-major matrix as deep as
-    /// the product (its leading axes) and as wide as the rest. Bit for bit
-    /// the einsum over the logical weight.
+    /// `A[rows] · x` into a row-major tensor of shape `out`: `x` is read as
+    /// a row-major matrix as deep as the product (its leading axes) and as
+    /// wide as the rest. Bit for bit the einsum over the logical weight.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `rows` leaves the matrix,
     /// or `x` or `out` does not hold a whole number of its columns.
-    pub(crate) fn product(
-        &self,
-        rows: Range<usize>,
-        transposed: bool,
-        x: &Tensor,
-        out: Shape,
-    ) -> Result<Tensor> {
+    pub(crate) fn product(&self, rows: Range<usize>, x: &Tensor, out: Shape) -> Result<Tensor> {
         let mismatch = || TensorError::ShapeMismatch {
             context: "a product of a projection weight",
         };
         if rows.end > self.pack.m || rows.is_empty() {
             return Err(mismatch());
         }
-        let a = self.panels().from_row(rows.start);
-        let (a, m, k) = match transposed {
-            false => (a, rows.len(), self.pack.k),
-            true => (a.t(), self.pack.k, rows.len()),
-        };
+        let (a, m, k) = (self.panels().from_row(rows.start), rows.len(), self.pack.k);
         let n = x.len() / k;
         if x.len() != k * n || out.num_elements() != m * n {
             return Err(mismatch());
@@ -406,27 +395,6 @@ impl EncoderWeights {
         Ok(())
     }
 
-    /// Zero-filled gradients with matching shapes.
-    pub fn zeros_like(&self) -> EncoderGrads {
-        let z = |shape: &Shape| Tensor::zeros(shape.clone());
-        EncoderGrads {
-            w_qkv: z(self.w_qkv.shape()),
-            wo: z(self.wo.shape()),
-            bq: z(self.bq.shape()),
-            bk: z(self.bk.shape()),
-            bv: z(self.bv.shape()),
-            bo: z(self.bo.shape()),
-            ln1_gamma: z(self.ln1_gamma.shape()),
-            ln1_beta: z(self.ln1_beta.shape()),
-            w1: z(self.w1.shape()),
-            b1: z(self.b1.shape()),
-            w2: z(self.w2.shape()),
-            b2: z(self.b2.shape()),
-            ln2_gamma: z(self.ln2_gamma.shape()),
-            ln2_beta: z(self.ln2_beta.shape()),
-        }
-    }
-
     /// In-place SGD step: `w ← w − lr · g`, element by element in logical
     /// correspondence.
     ///
@@ -465,6 +433,27 @@ impl EncoderWeights {
 
 #[cfg(test)]
 impl EncoderWeights {
+    /// Zero-filled gradients with matching shapes.
+    pub(crate) fn zeros_like(&self) -> EncoderGrads {
+        let z = |shape: &Shape| Tensor::zeros(shape.clone());
+        EncoderGrads {
+            w_qkv: z(self.w_qkv.shape()),
+            wo: z(self.wo.shape()),
+            bq: z(self.bq.shape()),
+            bk: z(self.bk.shape()),
+            bv: z(self.bv.shape()),
+            bo: z(self.bo.shape()),
+            ln1_gamma: z(self.ln1_gamma.shape()),
+            ln1_beta: z(self.ln1_beta.shape()),
+            w1: z(self.w1.shape()),
+            b1: z(self.b1.shape()),
+            w2: z(self.w2.shape()),
+            b2: z(self.b2.shape()),
+            ln2_gamma: z(self.ln2_gamma.shape()),
+            ln2_beta: z(self.ln2_beta.shape()),
+        }
+    }
+
     /// Field `name` in logical order, a copy; `None` for another name.
     pub(crate) fn field(&self, name: &str) -> Option<Tensor> {
         let (_, t) = self.fields().into_iter().find(|(n, _)| *n == name)?;
@@ -535,18 +524,27 @@ mod tests {
             let words = stack.data()[s * n..(s + 1) * n].to_vec();
             let block = Tensor::from_vec(Shape::from_spec("phi", &sizes).unwrap(), words).unwrap();
             let rows = s * ph..(s + 1) * ph;
-            let fwd = w
-                .w_qkv
-                .product(rows.clone(), false, &x, shape(&dims, "phbj"));
+            let fwd = w.w_qkv.product(rows.clone(), &x, shape(&dims, "phbj"));
             let want = xform_tensor::einsum("phi,ibj->phbj", &[&block, &x]).unwrap();
             assert_eq!(bits(&fwd.unwrap()), bits(&want), "stream {s}");
-            let bwd = w.w_qkv.product(rows, true, &d, shape(&dims, "ibj"));
+            // the input gradient's read: the same rows of the pack, transposed
+            let mut bwd = vec![0.0; x.len()];
+            let a = w.w_qkv.panels().from_row(rows.start).t();
+            let (b, c) = (
+                MatRef::row_major(d.data(), d.len() / ph),
+                MatMut::row_major(&mut bwd, d.len() / ph),
+            );
+            gemm_panels(dims.i, d.len() / ph, ph, a, b, c, Start::FromZero);
             let want = xform_tensor::einsum("phi,phbj->ibj", &[&block, &d]).unwrap();
-            assert_eq!(bits(&bwd.unwrap()), bits(&want), "stream {s} transposed");
+            assert_eq!(
+                bwd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&want),
+                "stream {s} transposed"
+            );
         }
         assert!(w
             .w_qkv
-            .product(2 * ph..4 * ph, false, &x, shape(&dims, "phbj"))
+            .product(2 * ph..4 * ph, &x, shape(&dims, "phbj"))
             .is_err());
     }
 

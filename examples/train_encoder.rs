@@ -55,7 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let data = &mut StdRng::seed_from_u64(42 ^ (step as u64 % 4));
             let x = Tensor::random(shape.clone(), &Uniform::new(-1.0, 1.0), data);
             let target = Tensor::random(shape.clone(), &Uniform::new(-0.5, 0.5), data);
-            let (y, saved) = layer.forward(&x, &w, &ExecOptions::default())?.into_pair()?;
+            let (y, saved) = layer
+                .forward(&x, &w, &ExecOptions::default())?
+                .into_pair()?;
             // L = mean((y - t)^2), dL/dy = 2 (y - t) / N
             let n = y.len() as f32;
             let mut dy = y.clone();

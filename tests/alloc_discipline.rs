@@ -6,8 +6,9 @@
 //! through the `*_into` kernels and must touch the heap **not at all**. A counting global allocator makes
 //! the claim falsifiable: any stray `Vec`, `String`, or `HashMap` rehash
 //! on the steady-state path shows up as a nonzero event delta and fails
-//! the test. The model head is that plus the one tensor it returns: a warm
-//! run allocates the `probs` it returns and nothing else.
+//! the test. The model head and the block backwards are that plus the
+//! tensors they return: a warm run allocates the `probs`, or the `dx` and
+//! weight gradients, it returns and nothing else.
 //!
 //! Everything runs inside one `#[test]` function: the default harness
 //! runs tests on separate threads, and the allocator counters are
@@ -30,7 +31,7 @@ use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
 use substation::transformer::interp;
 use substation::transformer::model::{BlockKind, ModelConfig, TransformerModel};
-use substation::transformer::params::EncoderWeights;
+use substation::transformer::params::{EncoderGrads, EncoderWeights};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -144,6 +145,45 @@ fn steady_state_forwards_touch_no_heap() {
         failures.push(format!(
             "head: {served} heap event(s) for a `probs` whose copy takes {copied}"
         ));
+    }
+
+    // The block backwards: a warm call allocates the tensors it returns —
+    // `dx` and every weight gradient, as many heap events as a copy of
+    // them — and nothing else. `dy`, `x`, the weights and the forward's
+    // record are read where they lie; every intermediate gradient lives in
+    // the backward plan's slab.
+    let dy = Tensor::random(x.shape().clone(), &Uniform::new(-1.0, 1.0), &mut rng);
+    for p in [0.0f32, 0.3] {
+        let fused = EncoderLayer::new(dims, Executor::Fused, p);
+        let decoder = DecoderLayer::new(dims, p);
+        let opts = ExecOptions::builder().seed(5).build();
+        let encoder_saved = fused.forward(&x, &w, &opts).unwrap().saved;
+        let decoder_saved = decoder.forward(&x, &w, &opts).unwrap().saved;
+        type Backward<'a> = (&'a str, &'a dyn Fn() -> (Tensor, EncoderGrads));
+        let cases: [Backward; 2] = [
+            ("encoder", &|| {
+                fused.backward(&dy, &x, &w, &encoder_saved).unwrap()
+            }),
+            ("decoder", &|| {
+                decoder.backward(&dy, &x, &w, &decoder_saved).unwrap()
+            }),
+        ];
+        for (tag, backward) in cases {
+            drop((backward(), backward()));
+            let before = ALLOC.events();
+            let returned = backward();
+            let served = ALLOC.events() - before;
+            let before = ALLOC.events();
+            let copy = returned.clone();
+            let copied = ALLOC.events() - before;
+            drop((returned, copy));
+            if served != copied {
+                failures.push(format!(
+                    "{tag} backward at p = {p}: {served} heap event(s) for a `dx` and \
+                     gradients whose copy takes {copied}"
+                ));
+            }
+        }
     }
 
     // Streaming decode: after prefill has compiled the bucket's step plans

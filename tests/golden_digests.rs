@@ -645,7 +645,8 @@ fn mha_backward(
     w: &EncoderWeights,
     a: &mha::MhaActivations,
 ) -> [Tensor; 3] {
-    let ein = |spec: &str, x: &Tensor, y: &Tensor| substation::tensor::einsum(spec, &[x, y]).unwrap();
+    let ein =
+        |spec: &str, x: &Tensor, y: &Tensor| substation::tensor::einsum(spec, &[x, y]).unwrap();
     let scaler = 1.0 / (dims.p as f32).sqrt();
     let d_gam = ein("whi,ibj->whbj", &w.wo.to_tensor(), dy);
     let d_alpha = ein("whbk,whbj->hbjk", &a.vv, &d_gam);
