@@ -156,6 +156,10 @@ pub(crate) trait Lane {
 pub(crate) trait LaneMut: Lane {
     /// Stores `val` at lane position `v`.
     fn set(&mut self, v: usize, val: f32);
+    /// Whether every position of the lane is one word (a zero stride).
+    fn one_word(&self) -> bool {
+        false
+    }
     /// Stores the first `n ≤ BLOCK` words of `block` from position `v0`.
     fn store(&mut self, v0: usize, n: usize, block: [f32; BLOCK]);
 }
@@ -231,6 +235,10 @@ impl<D: DerefMut<Target = [f32]>> LaneMut for Strided<D> {
     #[inline]
     fn set(&mut self, v: usize, val: f32) {
         self.data[v * self.stride] = val;
+    }
+    #[inline]
+    fn one_word(&self) -> bool {
+        self.stride == 0
     }
     #[inline]
     fn store(&mut self, v0: usize, n: usize, block: [f32; BLOCK]) {
@@ -623,7 +631,9 @@ pub(crate) fn zip_lane<A: Lane + ?Sized, B: Lane + ?Sized, O: LaneMut + ?Sized>(
 }
 
 /// `acc[v] += x[v]` along one lane, ascending: the bias gradient, whose
-/// accumulator lane may revisit one word (a zero stride).
+/// accumulator lane may revisit one word (a zero stride) — summed in a
+/// register then, the same additions in the same order without a store
+/// and a reload of the word per position.
 #[inline]
 pub(crate) fn acc_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(x: &X, acc: &mut O) {
     let len = acc.lane_len();
@@ -631,6 +641,10 @@ pub(crate) fn acc_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(x: &X, acc: &mut O
         x.lane_len() >= len,
         "lane input shorter than its accumulator"
     );
+    if acc.one_word() && len > 0 {
+        let sum = (0..len).fold(acc.get(0), |sum, v| sum + x.get(v));
+        return acc.set(0, sum);
+    }
     for v in 0..len {
         acc.set(v, acc.get(v) + x.get(v));
     }
@@ -1236,6 +1250,8 @@ pub(crate) fn bdrb_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(
     let len = dx.lane_len();
     assert!(dy.lane_len() >= len && mask.lane_len() >= len);
     assert!(act.is_none_or(|(pre, _)| pre.lane_len() >= len));
+    // a lane of one bias word sums in a register, as `acc_lane` does
+    let mut sum = (dbias.one_word() && len > 0).then(|| dbias.get(0));
     for (v0, n) in blocks(len) {
         let (g, m) = (dy.load(v0, n), mask.load(v0, n));
         // no activation is a derivative of ones: `g · m · 1` is `g · m`
@@ -1243,8 +1259,14 @@ pub(crate) fn bdrb_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(
         let g: [f32; BLOCK] = std::array::from_fn(|k| g[k] * m[k] * d[k]);
         dx.store(v0, n, g);
         for (k, g) in g[..n].iter().enumerate() {
-            dbias.set(v0 + k, dbias.get(v0 + k) + g);
+            match &mut sum {
+                Some(sum) => *sum += g,
+                None => dbias.set(v0 + k, dbias.get(v0 + k) + g),
+            }
         }
+    }
+    if let Some(sum) = sum {
+        dbias.set(0, sum);
     }
 }
 
