@@ -398,17 +398,8 @@ pub(crate) fn weight_pack(graph: &Graph, step: &PlanStep) -> Option<(NodeId, Wei
     let stored = (readers.filter_map(|op| a_pack(graph, op)))
         .find(|&(v, _)| v == w)
         .map_or(own, |(_, pack)| pack);
-    let transposed = WeightPack {
-        m: own.k,
-        k: own.m,
-        rs: own.cs,
-        cs: own.rs,
-    };
-    match stored {
-        _ if stored == own => Some((w, stored, false)),
-        _ if stored == transposed => Some((w, stored, true)),
-        _ => None,
-    }
+    let transposed = (own.k, own.m, own.cs, own.rs) == (stored.m, stored.k, stored.rs, stored.cs);
+    (stored == own || transposed).then_some((w, stored, transposed))
 }
 
 /// The weight operator `op` reads as the A of its (first) contraction, and
@@ -579,24 +570,18 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
         });
         // a weight gradient is per-lane weights of input 0's lanes (dγ, dβ)
         let x = ins.first()?.sizes();
-        let outputs = grads
-            .iter()
-            .zip(&outs)
-            .enumerate()
-            .map(|(k, (&w, out))| match w {
-                true => (out.num_elements() == x[ai])
-                    .then(|| (Slot::Out(k), LaneWeights, View::lane_weights(x, ai))),
-                false => Some((Slot::Out(k), sweep, whole(Slot::Out(k))?)),
-            });
+        let grad = |k: usize| (outs[k].num_elements() == x[ai]).then(|| View::lane_weights(x, ai));
+        let outputs = grads.iter().enumerate().map(|(k, &w)| match w {
+            true => Some((Slot::Out(k), LaneWeights, grad(k)?)),
+            false => Some((Slot::Out(k), sweep, whole(Slot::Out(k))?)),
+        });
         let operands = inputs.chain(outputs).collect::<Option<_>>()?;
         Some((kernel, operands, Some(ai), None, Some(stats)))
     };
     // the statistics of the forward norm whose input is input `x`
     let reads = |x: usize| {
-        Some(Stats::Reads(norm_of(
-            graph,
-            *graph.inputs_of(step.op).get(x)?,
-        )?))
+        let x = *graph.inputs_of(step.op).get(x)?;
+        Some(Stats::Reads(norm_of(graph, x)?))
     };
     // bias dW: each output accumulated from input 0 — whole, or for several
     // outputs one projection's rows of the stacked gradient each

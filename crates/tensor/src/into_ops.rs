@@ -713,17 +713,12 @@ pub(crate) fn contract_with_threads(
     };
     if plan.k_parts > 1 {
         contract_parts(plan, (x_a, ga.slice(0)), gb.slice(0), gc, rest);
-    } else if let Some(transposed) = plan.panels {
-        let c = MatMut::new(gc.data, gc.at.rs, gc.at.cs);
-        gemm_panels(
-            m,
-            n,
-            k,
-            panels_of(x_a, m, k, transposed),
-            gb.slice(0),
-            c,
-            Start::FromZero,
+    } else if let Some(t) = plan.panels {
+        let (a, c) = (
+            panels_of(x_a, m, k, t),
+            MatMut::new(gc.data, gc.at.rs, gc.at.cs),
         );
+        gemm_panels(m, n, k, a, gb.slice(0), c, Start::FromZero);
     } else {
         let threads = if on_host {
             host_threads(batch, m, n, k, gc.at)
@@ -768,21 +763,13 @@ fn contract_parts(
                 let a = panels_of(pack, m, plan.k, t).from_col(p * depth);
                 gemm_panels(m, n, depth, a, b, dst, Start::FromZero);
             }
-            None => gemm(
-                m,
-                n,
-                depth,
-                a.t().from_row(p * depth).t(),
-                b,
-                dst,
-                Start::FromZero,
-            ),
+            None => {
+                let a = a.t().from_row(p * depth).t();
+                gemm(m, n, depth, a, b, dst, Start::FromZero);
+            }
         }
-        for (r, row) in part
-            .chunks_exact(n)
-            .enumerate()
-            .take(m * usize::from(p > 0))
-        {
+        let added = part.chunks_exact(n).take(m * usize::from(p > 0));
+        for (r, row) in added.enumerate() {
             for (j, &v) in row.iter().enumerate() {
                 c.data[r * at.rs + j * at.cs] += v;
             }
