@@ -1047,10 +1047,26 @@ pub fn assign_arena(analysis: &PlanAnalysis, granularity: ArenaGranularity) -> A
             ArenaGranularity::Waves => {
                 let ws = b.def.map_or(0, |d| wave_of[d]);
                 let pinned = matches!(b.role, DataRole::Output | DataRole::Saved | DataRole::Cache);
+                // a reader's wave need not follow its schedule position: the
+                // last wave that reads it is the latest over every reader —
+                // those behind a write, and those ahead of a later one
+                let readers = (analysis.deps.iter().filter(|e| e.data == b.data)).filter_map(|e| {
+                    match e.kind {
+                        DepKind::Raw => Some(wave_of[e.to]),
+                        DepKind::War => Some(wave_of[e.from]),
+                        DepKind::Waw => None,
+                    }
+                });
+                let last = b
+                    .last_use
+                    .map(|u| wave_of[u])
+                    .into_iter()
+                    .chain(readers)
+                    .max();
                 let we = if pinned {
                     last_wave
                 } else {
-                    b.last_use.map_or(ws, |u| wave_of[u]).max(ws)
+                    last.unwrap_or(ws).max(ws)
                 };
                 (ws, we, b.words)
             }

@@ -590,10 +590,14 @@ pub(crate) fn lower_step(graph: &Graph, step: &PlanStep) -> Option<StepLowering>
         (ins.len() == 1 && !outs.is_empty()).then_some(())?;
         let (mut operands, mut start) = (Vec::with_capacity(2 * outs.len()), 0);
         for (k, out) in outs.iter().enumerate() {
-            // the bias's axes, then the rest of the gradient's
+            // one projection's rows: the bias's axes, then the gradient's
+            // past them
             let lead = out.axes().iter().zip(out.sizes());
             let rest = dy.axes().iter().zip(dy.sizes()).skip(out.rank());
-            let onto = Shape::new(lead.chain(rest).map(|(a, &n)| (a.0, n))).ok()?;
+            let onto = match outs.len() {
+                1 => dy.clone(),
+                _ => Shape::new(lead.chain(rest).map(|(a, &n)| (a.0, n))).ok()?,
+            };
             operands.push(match outs.len() {
                 1 => input(0)?,
                 _ => carve(Slot::In(0), &onto, start)?,

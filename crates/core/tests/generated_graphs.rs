@@ -1,13 +1,17 @@
 //! Generated-graph differential tests: the plan certificate beyond the
 //! canned plans. Each case builds a small random DAG of `Bias`, `Scale`,
 //! `Softmax`, `LayerNorm`, `Dropout`, `Relu`, `Residual` and `Einsum`
-//! operators over `[b, j, k]` activations with `j ≠ k` — each operand in a
-//! random layout, the relayouts between them inserted by `reflow` — and
-//! holds two properties:
+//! operators and of the backward kinds `ReluGrad`, `DropoutGrad`,
+//! `SoftmaxGrad`, `LayerNormGradX`, `LayerNormGradW` and `BiasGrad` over
+//! `[b, j, k]` activations with `j ≠ k` — each operand in a random layout,
+//! the relayouts between them inserted by `reflow` — and holds two
+//! properties:
 //!
 //! * a plan the certificate accepts runs on the arena, in its poison mode,
-//!   at one and at four threads, to the reference interpreter's bits at
-//!   `p = 0`;
+//!   at one and at four threads, to the bits of the reference interpreter
+//!   (forward kinds) and of the allocating `xform_tensor::ops` functions
+//!   (backward kinds) at `p = 0`, a backward norm reading the statistics its
+//!   forward norm left;
 //! * over random wave partitions, the certificate accepts a partition
 //!   exactly when every analyzer hazard edge crosses it forward and no two
 //!   steps of one wave share a container that either writes or re-lays
@@ -19,11 +23,17 @@ use rand::{Rng, SeedableRng};
 
 use xform_core::analyze::analyze;
 use xform_core::arena;
-use xform_core::plan::{execute_plan, random_externals, ExecOptions, ExecutionPlan, SanitizeMode};
+use xform_core::plan::{
+    execute_step, random_externals, ExecOptions, ExecState, ExecutionPlan, SanitizeMode,
+};
 use xform_core::sanitize::{certify, certify_waves};
 use xform_dataflow::{DataRole, Graph, NodeId, OpKind};
 use xform_tensor::einsum::EinsumSpec;
-use xform_tensor::{Axis, Layout, Shape};
+use xform_tensor::ops::dropout::dropout_backward;
+use xform_tensor::ops::elementwise::{activate_backward, bias_grad, ActivationKind};
+use xform_tensor::ops::layernorm::{layernorm_backward_input, layernorm_backward_weights};
+use xform_tensor::ops::softmax::softmax_backward;
+use xform_tensor::{Axis, Layout, Result, Shape, Tensor};
 
 /// `(b, j, k)`: every activation is `[b, j, k]`, and `j ≠ k`.
 const DIMS: [(char, usize); 3] = [('b', 2), ('j', 3), ('k', 5)];
@@ -42,10 +52,22 @@ fn generated(seed: u64, ops: usize) -> (Graph, ExecutionPlan) {
     let mut program: Vec<(usize, Vec<usize>, usize)> = Vec::new();
     let mut values = 2usize;
     for _ in 0..ops {
-        let kind = rng.gen_range(0..8);
-        let arity = if kind == 6 { 2 } else { 1 };
+        let kind = rng.gen_range(0..14);
+        // the residual and the backward kinds read a gradient and a second
+        // activation (the forward's output, input or mask)
+        let arity = if kind == 6 || (8..13).contains(&kind) {
+            2
+        } else {
+            1
+        };
         let reads: Vec<usize> = (0..arity).map(|_| rng.gen_range(0..values)).collect();
-        let writes = if kind == 4 { 2 } else { 1 };
+        // a layer-norm or bias dW writes gradients of the weights, which no
+        // later operator reads
+        let writes = match kind {
+            4 => 2,
+            12 | 13 => 0,
+            _ => 1,
+        };
         program.push((kind, reads, writes));
         values += writes;
     }
@@ -71,25 +93,57 @@ fn generated(seed: u64, ops: usize) -> (Graph, ExecutionPlan) {
             .collect();
         let mut ins: Vec<NodeId> = reads.iter().map(|&v| ids[v]).collect();
         let axis = Axis(DIMS[rng.gen_range(0..3)].0);
-        let along = |g: &mut Graph, name: &str| {
+        let along = |g: &mut Graph, name: &str, role| {
             let n = DIMS.iter().find(|d| d.0 == axis.0).unwrap().1;
-            g.add_data(name, Shape::new([(axis.0, n)]).unwrap(), DataRole::Weight)
+            g.add_data(name, Shape::new([(axis.0, n)]).unwrap(), role)
         };
+        // a backward norm's forward: a layer norm over a private scaled copy
+        // of its activation, which the backward reads as the norm's input
+        let norm_input = |g: &mut Graph, ins: &mut Vec<NodeId>, order: &mut Vec<NodeId>| {
+            let x = g.add_data(format!("s{n}"), activation(), DataRole::Activation);
+            order.push(g.add_op(format!("scale{n}"), OpKind::Scale, &[ins[1]], &[x]));
+            let gamma = along(g, &format!("gamma{n}"), DataRole::Weight);
+            let beta = along(g, &format!("beta{n}"), DataRole::Weight);
+            let y = g.add_data(format!("y{n}"), activation(), DataRole::Output);
+            let norm = OpKind::LayerNorm { axis };
+            order.push(g.add_op(format!("norm{n}"), norm, &[x, gamma, beta], &[y]));
+            ins[1] = x;
+            gamma
+        };
+        let mut outs = outs;
         let op = match kind {
             0 => {
-                ins.push(along(&mut g, &format!("bias{n}")));
+                ins.push(along(&mut g, &format!("bias{n}"), DataRole::Weight));
                 OpKind::Bias { axes: vec![axis] }
             }
             1 => OpKind::Scale,
             2 => OpKind::Softmax { axis },
             3 => {
-                ins.push(along(&mut g, &format!("gamma{n}")));
-                ins.push(along(&mut g, &format!("beta{n}")));
+                ins.push(along(&mut g, &format!("gamma{n}"), DataRole::Weight));
+                ins.push(along(&mut g, &format!("beta{n}"), DataRole::Weight));
                 OpKind::LayerNorm { axis }
             }
             4 => OpKind::Dropout,
             5 => OpKind::Relu,
             6 => OpKind::Residual,
+            8 => OpKind::ReluGrad,
+            9 => OpKind::DropoutGrad,
+            10 => OpKind::SoftmaxGrad { axis },
+            11 => {
+                let gamma = norm_input(&mut g, &mut ins, &mut order);
+                ins.push(gamma);
+                OpKind::LayerNormGradX { axis }
+            }
+            12 => {
+                norm_input(&mut g, &mut ins, &mut order);
+                let names = ["dgamma", "dbeta"].map(|w| format!("{w}{n}"));
+                outs = names.map(|w| along(&mut g, &w, DataRole::Output)).to_vec();
+                OpKind::LayerNormGradW { axis }
+            }
+            13 => {
+                outs = vec![along(&mut g, &format!("dbias{n}"), DataRole::Output)];
+                OpKind::BiasGrad { axes: vec![axis] }
+            }
             _ => {
                 // contract `j` or `k` against a square weight, read first
                 // (a projection, bound as its panel pack) or second
@@ -108,7 +162,10 @@ fn generated(seed: u64, ops: usize) -> (Graph, ExecutionPlan) {
             }
         };
         order.push(g.add_op(format!("op{n}"), op, &ins, &outs));
-        ids.extend(outs);
+        // a weight gradient is no `[b, j, k]` value a later operator reads
+        if writes > 0 {
+            ids.extend(outs);
+        }
     }
 
     let mut plan = ExecutionPlan::natural(&g, &order).unwrap();
@@ -123,6 +180,60 @@ fn generated(seed: u64, ops: usize) -> (Graph, ExecutionPlan) {
     }
     plan.reflow(&g);
     (g, plan)
+}
+
+/// Runs `plan` as its oracle: each forward step through the reference
+/// interpreter, each backward one through the allocating `ops` function of
+/// its kind over the state's tensors (in whatever layouts they hold),
+/// reading a norm's statistics where the forward norm left them.
+fn oracle(
+    g: &Graph,
+    plan: &ExecutionPlan,
+    state: &mut ExecState,
+    opts: &ExecOptions,
+) -> Result<()> {
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    for step in &plan.steps {
+        let t = |k: usize| state.env[&step.inputs[k].name].clone();
+        // the forward norm whose input is the step's second operand
+        let stats = |state: &ExecState| {
+            let x = step.inputs[1].data;
+            let norm = g
+                .consumers_of(x)
+                .into_iter()
+                .find(|&op| matches!(g.op(op).unwrap().kind, OpKind::LayerNorm { .. }));
+            state.stats[&g.data(g.outputs_of(norm.unwrap())[0]).unwrap().name].clone()
+        };
+        let out: Vec<Tensor> = match &step.kind {
+            OpKind::ReluGrad => vec![activate_backward(&t(0), &t(1), ActivationKind::Relu)?],
+            OpKind::DropoutGrad => vec![dropout_backward(&t(0), &t(1))?],
+            OpKind::SoftmaxGrad { axis } => vec![softmax_backward(&t(0), &t(1), *axis)?],
+            OpKind::LayerNormGradX { axis } => {
+                let stats = stats(state);
+                vec![layernorm_backward_input(
+                    &t(0),
+                    &t(1),
+                    *axis,
+                    &t(2),
+                    &stats,
+                )?]
+            }
+            OpKind::LayerNormGradW { axis } => {
+                let (dgamma, dbeta) =
+                    layernorm_backward_weights(&t(0), &t(1), *axis, &stats(state))?;
+                vec![dgamma, dbeta]
+            }
+            OpKind::BiasGrad { axes } => vec![bias_grad(&t(0), axes)?],
+            _ => {
+                execute_step(g, step, state, opts, &mut rng)?;
+                continue;
+            }
+        };
+        for (o, t) in step.outputs.iter().zip(out) {
+            state.env.insert(o.name.clone(), t);
+        }
+    }
+    Ok(())
 }
 
 /// Every produced output of `state`, in logical order, as bits.
@@ -156,12 +267,14 @@ proptest! {
         let base = random_externals(&g, &plan, seed).unwrap();
         let opts = ExecOptions::builder().dropout_p(0.0).seed(seed).build();
         let mut reference = base.clone();
-        let mut rng = StdRng::seed_from_u64(seed);
-        execute_plan(&g, &plan, &mut reference, &opts, &mut rng).unwrap();
+        oracle(&g, &plan, &mut reference, &opts).unwrap();
         let want = outputs(&g, &reference);
         for threads in [1, 4] {
             let poisoned = opts.to_builder().threads(threads).sanitize(SanitizeMode::On).build();
+            // a backward norm reads the statistics its forward saved: here,
+            // the oracle's forward norm's
             let mut state = base.clone();
+            state.stats = reference.stats.clone();
             arena::execute(&g, &plan, &mut state, &poisoned)
                 .map_err(|e| format!("{threads} threads: {e}"))?;
             prop_assert!(outputs(&g, &state) == want, "{} threads differ from the reference", threads);

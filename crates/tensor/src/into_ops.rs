@@ -499,10 +499,10 @@ impl ContractPlan {
     /// each from zero, into C in order — the bits of `parts` separate
     /// contractions added one after the other, which is what a contraction
     /// over a stacked axis of that many blocks means; `None` unless `parts`
-    /// divides the depth of one matrix (one batch slice) whose C is a view.
+    /// divides the depth of one matrix (one batch slice).
     pub fn in_parts(&self, parts: usize) -> Option<ContractPlan> {
-        let whole = self.batch == 1 && self.c.view.is_some();
-        (whole && parts > 0 && self.k.is_multiple_of(parts)).then(|| ContractPlan {
+        let one = self.batch == 1 && parts > 0;
+        (one && self.k.is_multiple_of(parts)).then(|| ContractPlan {
             k_parts: parts,
             ..self.clone()
         })

@@ -60,6 +60,9 @@ fn every_canned_plan_compiles_an_arena_at_both_granularities() {
         interp::PlanKind::EncoderReference,
         interp::PlanKind::EncoderFused,
         interp::PlanKind::DecoderFused,
+        interp::PlanKind::EncoderReferenceTrain,
+        interp::PlanKind::EncoderTrain,
+        interp::PlanKind::DecoderTrain,
     ] {
         for threads in [1, 4] {
             let arena = interp::cached_arena(&dims, kind, interp::granularity_for(threads))
@@ -88,6 +91,9 @@ fn arena_views_are_the_certified_access_paths_embedded_in_their_slots() {
         (dims, interp::PlanKind::DecoderEpilogue),
         (step, interp::PlanKind::DecoderStepProject),
         (step, interp::PlanKind::DecoderStep),
+        (dims, interp::PlanKind::EncoderReferenceTrain),
+        (dims, interp::PlanKind::EncoderTrain),
+        (dims, interp::PlanKind::DecoderTrain),
     ] {
         let pf = interp::cached_plan(&dims, kind).unwrap();
         let shuffled = (1..4).map(|seed| common::permuted(&pf.graph, &pf.plan, seed));
