@@ -1050,24 +1050,17 @@ pub fn assign_arena(analysis: &PlanAnalysis, granularity: ArenaGranularity) -> A
                 // a reader's wave need not follow its schedule position: the
                 // last wave that reads it is the latest over every reader —
                 // those behind a write, and those ahead of a later one
-                let readers = (analysis.deps.iter().filter(|e| e.data == b.data)).filter_map(|e| {
-                    match e.kind {
-                        DepKind::Raw => Some(wave_of[e.to]),
-                        DepKind::War => Some(wave_of[e.from]),
-                        DepKind::Waw => None,
-                    }
-                });
-                let last = b
-                    .last_use
-                    .map(|u| wave_of[u])
-                    .into_iter()
-                    .chain(readers)
-                    .max();
-                let we = if pinned {
-                    last_wave
-                } else {
-                    last.unwrap_or(ws).max(ws)
-                };
+                let edges = analysis.deps.iter().filter(|e| e.data == b.data);
+                let readers = edges
+                    .filter(|e| e.kind != DepKind::Waw)
+                    .map(|e| match e.kind {
+                        DepKind::Raw => wave_of[e.to],
+                        _ => wave_of[e.from],
+                    });
+                let last = readers
+                    .chain(b.last_use.map(|u| wave_of[u]))
+                    .fold(ws, usize::max);
+                let we = if pinned { last_wave } else { last };
                 (ws, we, b.words)
             }
         })
