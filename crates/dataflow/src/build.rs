@@ -23,9 +23,9 @@
 //! | `attention` | `QKT` → softmax → `Dropout att` → `Gamma` → `Out` → `Output bias` | scaled / masked softmax, `phbk`/`whbk` projections or position-major `kphb`/`kwhb` caches, output container |
 //! | `join` | `Dropout n` → `Residual n` | names, skip input, sum container |
 //! | `ffn` | `Linear 1` → `Bias 1` → activation → `Dropout 2` → `Linear 2` → `Bias 2` | `RELU` / `GELU` |
-//! | `layer_norm_backward` | `LayerNorm n dW`, `LayerNorm n dX` | which layer norm, its input |
-//! | `ffn_backward` | `Bias 2 dW` … `Linear 1 dW` | activation, name of the input gradient |
-//! | `attention_backward` | `Output bias dW` … `Q,K,V dW` | softmax name, projection source, name of the input gradient |
+//! | `layer_norm_grad` | `LayerNorm n dW`, `LayerNorm n dX` | which layer norm, its input |
+//! | `ffn_grad` | `Bias 2 dW` … `Linear 1 dW` | activation, name of the input gradient |
+//! | `attention_grad` | `Output bias dW` … `Q,K,V dW` | softmax name, projection source, name of the input gradient |
 //!
 //! [`mha_forward`] is its own unstacked projections (distinct q/k/v inputs)
 //! followed by `attention`; [`encoder`] and [`decoder`] compose all of the
@@ -118,7 +118,7 @@ struct BlockWeights {
 }
 
 /// What [`Emit::attention`] leaves for the rest of the block and for
-/// [`Emit::attention_backward`].
+/// [`Emit::attention_grad`].
 struct Attention {
     qkv: [NodeId; 3],
     softmax: &'static str,
@@ -131,7 +131,7 @@ struct Attention {
 }
 
 /// What [`Emit::ffn`] leaves for the rest of the block and for
-/// [`Emit::ffn_backward`].
+/// [`Emit::ffn_grad`].
 struct Ffn {
     x: NodeId,
     act: Act,
@@ -467,7 +467,7 @@ impl<'d> Emit<'d> {
     // ---- backward sub-blocks ----
 
     /// `LayerNorm n dW` then `LayerNorm n dX`; returns the input gradient.
-    fn layer_norm_backward(&mut self, n: u8, dy: NodeId, x: NodeId, gamma: NodeId) -> NodeId {
+    fn layer_norm_grad(&mut self, n: u8, dy: NodeId, x: NodeId, gamma: NodeId) -> NodeId {
         let dw = ["gamma", "beta"].map(|w| self.data(&format!("d_ln{n}_{w}"), "i", Output));
         self.op(
             &format!("LayerNorm {n} dW"),
@@ -494,7 +494,7 @@ impl<'d> Emit<'d> {
 
     /// Backward of [`Emit::ffn`] from `d_out` (the gradient of its output) to
     /// the gradient of its input, named `dx`.
-    fn ffn_backward(&mut self, d_out: NodeId, w: &FfnWeights, f: &Ffn, dx: &str) -> NodeId {
+    fn ffn_grad(&mut self, d_out: NodeId, w: &FfnWeights, f: &Ffn, dx: &str) -> NodeId {
         self.bias_grad("Bias 2 dW", d_out, "d_b2", "i");
         let d_drop = self.emit(
             "Linear 2 dX",
@@ -536,7 +536,7 @@ impl<'d> Emit<'d> {
     /// `d_out` (the gradient of the biased output projection) to the gradient
     /// of the projections' source `x`, named `dx`. The three projection
     /// gradients are slices of one stacked `d_qkv`.
-    fn attention_backward(
+    fn attention_grad(
         &mut self,
         d_out: NodeId,
         x: NodeId,
@@ -684,14 +684,14 @@ pub fn encoder(dims: &EncoderDims) -> EncoderGraph {
 
     // ---- backward ----
     let dy = e.data("dy", "ibj", Gradient);
-    let d_ln2_in = e.layer_norm_backward(2, dy, ln2_in, w.ln2.gamma);
+    let d_ln2_in = e.layer_norm_grad(2, dy, ln2_in, w.ln2.gamma);
     let d_ff2_b = e.dropout_grad("Dropout 3 dX", d_ln2_in, drop3_mask, ("d_ff2_b", "ibj"));
-    let d_ffn = e.ffn_backward(d_ff2_b, &w.ffn, &ffn, "d_ln1_out_ffn");
+    let d_ffn = e.ffn_grad(d_ff2_b, &w.ffn, &ffn, "d_ln1_out_ffn");
     // residual-2 gradient join (the add inside EBSB)
     let d_ln1_out = e.residual("Residual 2 dX", d_ffn, d_ln2_in, ("d_ln1_out", Gradient));
-    let d_ln1_in = e.layer_norm_backward(1, d_ln1_out, ln1_in, w.ln1.gamma);
+    let d_ln1_in = e.layer_norm_grad(1, d_ln1_out, ln1_in, w.ln1.gamma);
     let d_bo_out = e.dropout_grad("Dropout 1 dX", d_ln1_in, drop1_mask, ("d_bo_out", "ibj"));
-    let d_x_mha = e.attention_backward(d_bo_out, x, (&w.qkv, &w.out), &attn, "d_x_mha");
+    let d_x_mha = e.attention_grad(d_bo_out, x, (&w.qkv, &w.out), &attn, "d_x_mha");
     let dx = e.residual("Residual 1 dX", d_x_mha, d_ln1_in, ("dx", Output));
 
     EncoderGraph {
@@ -738,13 +738,13 @@ pub fn decoder(dims: &EncoderDims) -> EncoderGraph {
     let dy = e.data("dy", "ibj", Gradient);
     // residual 2 passes dy to both branches; FFN side first
     let d_ff2_b = e.dropout_grad("Dropout 3 dX", dy, f.drop3_mask, ("d_ff2_b", "ibj"));
-    let d_ln2_out = e.ffn_backward(d_ff2_b, &w.ffn, &f.ffn, "d_ln2_out");
-    let d_ln2_in = e.layer_norm_backward(2, d_ln2_out, f.res1, w.ln2.gamma);
+    let d_ln2_out = e.ffn_grad(d_ff2_b, &w.ffn, &f.ffn, "d_ln2_out");
+    let d_ln2_in = e.layer_norm_grad(2, d_ln2_out, f.res1, w.ln2.gamma);
     // res1 gradient = dy (skip branch of residual 2) + d_ln2_in
     let d_res1 = e.residual("Residual 2 dX", dy, d_ln2_in, ("d_res1", Gradient));
     let d_bo_out = e.dropout_grad("Dropout 1 dX", d_res1, f.drop1_mask, ("d_bo_out", "ibj"));
-    let d_ln1_out = e.attention_backward(d_bo_out, ln1_out, (&w.qkv, &w.out), &f.attn, "d_ln1_out");
-    let d_ln1_in = e.layer_norm_backward(1, d_ln1_out, x, w.ln1.gamma);
+    let d_ln1_out = e.attention_grad(d_bo_out, ln1_out, (&w.qkv, &w.out), &f.attn, "d_ln1_out");
+    let d_ln1_in = e.layer_norm_grad(1, d_ln1_out, x, w.ln1.gamma);
     let dx = e.residual("Residual 1 dX", d_ln1_in, d_res1, ("dx", Output));
 
     EncoderGraph {

@@ -510,7 +510,7 @@ mod tests {
     /// `s·ph..` of the pack, forward and transposed the einsum over that
     /// block of the logical stack, bit for bit.
     #[test]
-    fn projections_are_row_ranges_of_the_stacked_pack() {
+    fn each_stream_is_a_row_range_of_the_stacked_pack() {
         let dims = EncoderDims::tiny();
         let mut rng = StdRng::seed_from_u64(6);
         let w = EncoderWeights::init(&dims, &mut rng);
