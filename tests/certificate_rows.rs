@@ -3,7 +3,8 @@
 //! of a canonical text:
 //!
 //! * `plan/<dims>/<kind>` — one per canned [`PlanKind`] at `tiny` and
-//!   `bert_large`: the plan fingerprint, the certified wave partition, the
+//!   `bert_large` (the backward plans' rows appended when blocks' backwards
+//!   became plans): the plan fingerprint, the certified wave partition, the
 //!   slab words at both arena granularities, every step's
 //!   `(in_bounds, unit_stride, alias_free, derived)` proof and the
 //!   warnings — logically and embedded in both colorings — the geometry of
@@ -124,6 +125,9 @@ fn canned_rows(rows: &mut Vec<(String, String)>) {
             (PlanKind::DecoderStepProject, EncoderDims { k: 1, ..step }),
             (PlanKind::DecoderStep, step),
             (PlanKind::Head { vocab }, dims),
+            (PlanKind::EncoderReferenceTrain, dims),
+            (PlanKind::EncoderTrain, dims),
+            (PlanKind::DecoderTrain, dims),
         ] {
             let pf = interp::cached_plan(&dims, kind).expect("canned plan");
             rows.push((
