@@ -1126,4 +1126,79 @@ mod tests {
             assert_eq!(state.get("y").unwrap().shape().spec(), "ibj");
         }
     }
+
+    /// A backward plan is the same bits at any width: the canned encoder
+    /// and decoder backward plans, bound to a forward's record at `p > 0`,
+    /// run on the arena serially and wave-parallel, and the serial run is
+    /// what the layers' `backward` returns.
+    #[test]
+    fn backward_plans_are_the_same_bits_at_any_width() {
+        use crate::decoder::DecoderLayer;
+        use crate::encoder::{EncoderLayer, Executor};
+
+        let dims = EncoderDims::tiny();
+        let mut rng = StdRng::seed_from_u64(21);
+        let w = EncoderWeights::init(&dims, &mut rng);
+        let ibj = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+        let x = Tensor::random(ibj.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
+        let dy = Tensor::random(ibj, &Uniform::new(-1.0, 1.0), &mut rng);
+        let forward = ExecOptions::builder().seed(9).build();
+        let encoder = EncoderLayer::new(dims, Executor::Fused, 0.2);
+        let decoder = DecoderLayer::new(dims, 0.2);
+        let runs = [
+            (
+                PlanKind::EncoderTrain,
+                encoder.forward(&x, &w, &forward).unwrap().saved,
+                encoder.scaler(),
+            ),
+            (
+                PlanKind::DecoderTrain,
+                decoder.forward(&x, &w, &forward).unwrap().saved,
+                decoder.scaler(),
+            ),
+        ];
+        for (kind, saved, scaler) in runs {
+            let pf = cached_plan(&dims, kind).unwrap();
+            let mut base = bind_inputs(&x, &w);
+            base.env.extend(saved.tensors.clone());
+            base.env.insert("dy".into(), dy.clone());
+            base.stats = saved.stats.clone();
+            let (seed, stream) = saved.region.unwrap();
+            let si = pf
+                .plan
+                .steps
+                .iter()
+                .position(|s| s.outputs.iter().any(|o| o.name == "att_mask"));
+            let seed = rekeyed(seed, stream, pf.plan.stream_of(si.unwrap()));
+            let grads = |threads: usize| {
+                let opts = ExecOptions::builder()
+                    .threads(threads)
+                    .seed(seed)
+                    .scaler(scaler)
+                    .dropout_p(0.2);
+                let activation = match kind {
+                    PlanKind::DecoderTrain => ActivationKind::Gelu,
+                    _ => ActivationKind::Relu,
+                };
+                let mut state = base.clone();
+                arena::execute(
+                    &pf.graph,
+                    &pf.plan,
+                    &mut state,
+                    &opts.activation(activation).build(),
+                )
+                .unwrap();
+                let names = ["dx", "d_w_qkv", "d_bq", "d_ln1_gamma", "d_w1", "d_b1"];
+                names.map(|n| state.env[n].data().to_vec())
+            };
+            let serial = grads(1);
+            assert_eq!(grads(4), serial, "{kind:?}");
+            let (dx, g) = match kind {
+                PlanKind::DecoderTrain => decoder.backward(&dy, &x, &w, &saved).unwrap(),
+                _ => encoder.backward(&dy, &x, &w, &saved).unwrap(),
+            };
+            let returned = [&dx, &g.w_qkv, &g.bq, &g.ln1_gamma, &g.w1, &g.b1];
+            assert_eq!(returned.map(|t| t.data().to_vec()), serial, "{kind:?}");
+        }
+    }
 }
