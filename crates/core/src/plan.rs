@@ -619,9 +619,9 @@ fn classify_backward(parts: &[String]) -> Option<FusedClass> {
 }
 
 /// Whether the step lowering models this operator kind: every unfused
-/// kind, forward or backward, and every fused node of a class
-/// [`classify_fused`] knows. (The reference interpreter,
-/// [`execute_step`], runs the forward ones.)
+/// kind, forward or backward, and every fused node whose members make up
+/// one of the kernel classes — those of the fusion tables. (The reference
+/// interpreter, [`execute_step`], runs the forward ones.)
 pub fn step_is_interpretable(kind: &OpKind, _name: &str) -> bool {
     match kind {
         OpKind::Fused { parts, .. } | OpKind::TileProgram { parts, .. } => {
