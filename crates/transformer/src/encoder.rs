@@ -13,8 +13,8 @@
 //! in particular one lowered from the recipe's SSSP layout selection,
 //! whose strided operands are views and whose transposes are in-place
 //! relayouts on the same arena. Both canned executors compute identical
-//! values (equivalence is tested with dropout disabled, and backward is
-//! bit-for-bit given the same saved masks).
+//! values (equivalence is tested with dropout disabled), and so do their
+//! backward plans, given the same saved masks.
 
 use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;

@@ -3,9 +3,10 @@
 //! The four projection weights — `w_qkv`, `wo`, `w1`, `w2` — are stored
 //! once, as [`PackedWeight`]s: the panel order of the matrix each plays as
 //! GEMM A in its forward contraction ([`xform_tensor::matmul::PanelRef`]).
-//! Every GEMM that reads one — the arena's forward and decode steps, the
-//! eager passes, the backward's transposed read — reads those words, so no
-//! call packs a weight and no second copy exists to go stale. Whatever
+//! Every GEMM that reads one — the arena's forward, backward and decode
+//! steps (the input gradients read it transposed), standalone MHA — reads
+//! those words, so no call packs a weight and no second copy exists to go
+//! stale. Whatever
 //! addresses a weight element by element (the optimizer step, the norms,
 //! checkpoints, the reference interpreter's binding) does so in logical
 //! order.
