@@ -48,7 +48,7 @@
 //!   measured per-step time/bytes/bandwidth and measured MUE observed on
 //!   the executor a plan runs on via [`plan::ExecOptions::profiler`], plus
 //!   profile-guided re-selection ([`profile::ProfiledSource`],
-//!   [`profile::reselect`]);
+//!   [`profile::reselect_cost`]);
 //! * [`recipe`] — the end-to-end driver assembling the optimized encoder;
 //! * [`report`] — Table-III-style per-operator comparisons.
 //!

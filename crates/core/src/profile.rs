@@ -17,7 +17,7 @@
 //! On top of the profiler, [`ProfiledSource`] replays recorded step
 //! timings through the [`PerfSource`] trait so SSSP configuration
 //! selection can re-run from real interpreter measurements instead of
-//! sweep microbenches; [`reselect`] is the end-to-end driver: profile the
+//! sweep microbenches; [`reselect_cost`] is the end-to-end driver: profile the
 //! natural plan, re-select against the profiled timings, profile the
 //! candidate on the same executor, and adopt whichever plan measured
 //! faster.
@@ -626,10 +626,14 @@ impl Reselection {
 
 /// Profile-guided re-selection: profiles the natural plan on this host,
 /// re-runs SSSP configuration selection with a [`ProfiledSource`] wrapping
-/// `fallback`, lowers and profiles the selected candidate on the same
-/// inputs, and adopts whichever plan measured faster (so the result's
-/// measured total is never worse than the natural plan's). Both sides run
-/// on the arena, so the duel compares layouts, not executors.
+/// `fallback` under `cost_model`, lowers and profiles the selected
+/// candidate on the same inputs, and adopts whichever plan measured faster
+/// (so the result's measured total is never worse than the natural plan's).
+/// Both sides run on the arena, so the duel compares layouts, not
+/// executors. With [`CostModel::CacheAware`] the re-run SSSP prices each
+/// layout pair's predicted extra DRAM words into its edge weight, so the
+/// candidate plan prefers cache-resident layouts before it is ever
+/// profiled; [`CostModel::Flat`] prices time alone.
 ///
 /// `fwd_ops` are the forward operators to select over (execution order);
 /// `reps` runs are merged by minimum per step; `seed` fixes the random
@@ -638,42 +642,6 @@ impl Reselection {
 /// # Errors
 ///
 /// Returns an error if profiling, the sweep, selection, or lowering fails.
-#[allow(clippy::too_many_arguments)]
-pub fn reselect(
-    graph: &Graph,
-    natural_plan: &ExecutionPlan,
-    fwd_ops: &[NodeId],
-    device: &DeviceSpec,
-    fallback: &dyn PerfSource,
-    sweep: SweepOptions,
-    opts: &ExecOptions,
-    reps: usize,
-    seed: u64,
-) -> Result<Reselection> {
-    reselect_cost(
-        graph,
-        natural_plan,
-        fwd_ops,
-        device,
-        fallback,
-        sweep,
-        opts,
-        reps,
-        seed,
-        &CostModel::Flat,
-    )
-}
-
-/// [`reselect`] under an explicit [`CostModel`]: with
-/// [`CostModel::CacheAware`] the re-run SSSP prices each layout pair's
-/// predicted extra DRAM words into its edge weight, so the candidate plan
-/// prefers cache-resident layouts before it is ever profiled. The
-/// adoption duel is unchanged — the result is still never worse than the
-/// natural plan on this host.
-///
-/// # Errors
-///
-/// Same conditions as [`reselect`].
 #[allow(clippy::too_many_arguments)]
 pub fn reselect_cost(
     graph: &Graph,
@@ -899,7 +867,7 @@ mod tests {
     fn reselection_is_never_worse_than_natural_by_construction() {
         let (g, plan, fwd) = fused_plan();
         let sim = SimulatorSource::default();
-        let r = reselect(
+        let r = reselect_cost(
             &g,
             &plan,
             &fwd,
@@ -912,6 +880,7 @@ mod tests {
             &ExecOptions::default(),
             2,
             7,
+            &CostModel::Flat,
         )
         .unwrap();
         assert!(r.best_us() <= r.natural_us() + 1e-9);

@@ -36,7 +36,7 @@ pub enum CostModel {
     /// Sweep time plus a static cache penalty: a layout pair whose swept
     /// operands stride against the line granularity pays the predicted
     /// extra DRAM words (see [`op_dram_words`]) at streaming bandwidth.
-    /// Lets [`crate::profile::reselect`] prefer cache-resident layouts
+    /// Lets [`crate::profile::reselect_cost`] prefer cache-resident layouts
     /// before ever profiling them.
     CacheAware(CacheGeometry),
 }
@@ -168,44 +168,23 @@ pub fn select_forward(
     fwd_ops: &[NodeId],
     sweeps: &HashMap<NodeId, SweepResult>,
 ) -> Result<Selection> {
-    select_forward_from(graph, device, fwd_ops, sweeps, None)
+    select_forward_cost(graph, device, fwd_ops, sweeps, None, &CostModel::Flat)
 }
 
-/// [`select_forward`] with an optional *entry layout*: when a chain starts
-/// fresh (the graph input), the entry layout is available at zero cost and
-/// every other layout at one transpose. This is how stacked layers chain:
-/// layer N+1's entry is layer N's selected output layout.
+/// [`select_forward`] with an optional *entry layout* and under an explicit
+/// [`CostModel`]. When a chain starts fresh (the graph input), the entry
+/// layout is available at zero cost and every other layout at one
+/// transpose: this is how stacked layers chain, layer N+1's entry being
+/// layer N's selected output layout. With [`CostModel::CacheAware`],
+/// predicted extra DRAM words of each layout pair are priced into the SSSP
+/// edge weights, steering the path toward cache-resident layouts before any
+/// measurement exists.
 ///
 /// # Errors
 ///
 /// Same conditions as [`select_forward`], and
 /// [`TensorError::LayoutRankMismatch`] when the entry layout's rank is not
 /// that of the flowing input a chain starts from.
-pub fn select_forward_from(
-    graph: &Graph,
-    device: &DeviceSpec,
-    fwd_ops: &[NodeId],
-    sweeps: &HashMap<NodeId, SweepResult>,
-    entry_layout: Option<Layout>,
-) -> Result<Selection> {
-    select_forward_cost(
-        graph,
-        device,
-        fwd_ops,
-        sweeps,
-        entry_layout,
-        &CostModel::Flat,
-    )
-}
-
-/// [`select_forward_from`] under an explicit [`CostModel`]: with
-/// [`CostModel::CacheAware`], predicted extra DRAM words of each layout
-/// pair are priced into the SSSP edge weights, steering the path toward
-/// cache-resident layouts before any measurement exists.
-///
-/// # Errors
-///
-/// Same conditions as [`select_forward_from`].
 pub fn select_forward_cost(
     graph: &Graph,
     device: &DeviceSpec,
@@ -426,7 +405,7 @@ pub struct StackedSelection {
 ///
 /// # Errors
 ///
-/// Propagates [`select_forward_from`] failures; `n` must be ≥ 1.
+/// Propagates [`select_forward_cost`] failures; `n` must be ≥ 1.
 ///
 /// # Examples
 ///
@@ -464,7 +443,7 @@ pub fn select_stacked(
     let mut entry: Option<Layout> = None;
     let mut steady_state_from = 0usize;
     for i in 0..n {
-        let sel = select_forward_from(graph, device, fwd_ops, sweeps, entry)?;
+        let sel = select_forward_cost(graph, device, fwd_ops, sweeps, entry, &CostModel::Flat)?;
         per_layer.push(sel.total_us);
         entry = sel.layouts.last().map(|&(_, _, out)| out);
         if i > 0 {
@@ -556,7 +535,8 @@ mod tests {
             expected: 3,
             found: 4,
         };
-        let pinned = select_forward_from(&g, &device, &fwd, &sweeps, Some(Layout::row_major(4)));
+        let entry = Some(Layout::row_major(4));
+        let pinned = select_forward_cost(&g, &device, &fwd, &sweeps, entry, &CostModel::Flat);
         assert_eq!(pinned.unwrap_err(), wrong_rank);
         // `x` is `[i,b,j]`; a layer cut after QKT ends on `beta`, `[h,b,j,k]`
         let qkt = g.op_by_name("QKT").unwrap();

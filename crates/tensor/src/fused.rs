@@ -13,7 +13,6 @@
 //!
 //! | Name | Fuses |
 //! |---|---|
-//! | [`aib`] | attention input bias (Q, K, V biases, one kernel) |
 //! | [`sm`] | scaling + softmax + dropout |
 //! | [`brd`] | bias + ReLU + dropout |
 //! | [`bdrln`] | bias + dropout + residual + layernorm |
@@ -22,7 +21,9 @@
 //! | [`ebsb`] | backward residual + layernorm scale & bias |
 //! | [`bs`] | backward dropout + softmax + scaling |
 //!
-//! The paper's remaining backward names fuse nothing on a CPU and are the
+//! AIB, the Q/K/V input biases, is one step of the canned plans (the bias
+//! carve of the stacked projection) and has no allocating twin here. The
+//! paper's remaining backward names fuse nothing on a CPU and are the
 //! operators themselves: BSB is
 //! [`layernorm_backward_weights`](crate::ops::layernorm::layernorm_backward_weights),
 //! BAOB and each stream of BAIB
@@ -49,27 +50,6 @@ use crate::ops::elementwise::{bias_shape, bias_view, ActivationKind};
 use crate::ops::layernorm::{check_stats, check_weight, weight_grads, LayerNormStats};
 use crate::ops::{check_same_shape, sweep_of, view_of};
 use crate::tensor::Tensor;
-
-/// AIB — attention input bias. Adds the Q/K/V projection biases in one
-/// fused kernel: `out_t = in_t + bias_t` for each of the three streams.
-///
-/// # Errors
-///
-/// Propagates bias-shape errors from [`crate::ops::elementwise::bias_add`].
-pub fn aib(
-    qq: &Tensor,
-    bq: &Tensor,
-    kk: &Tensor,
-    bk: &Tensor,
-    vv: &Tensor,
-    bv: &Tensor,
-) -> Result<(Tensor, Tensor, Tensor)> {
-    Ok((
-        crate::ops::elementwise::bias_add(qq, bq)?,
-        crate::ops::elementwise::bias_add(kk, bk)?,
-        crate::ops::elementwise::bias_add(vv, bv)?,
-    ))
-}
 
 /// Output of the fused [`sm`] kernel.
 #[derive(Debug, Clone)]
@@ -710,27 +690,6 @@ mod tests {
         let expect_db = bias_grad(&expect_dx, &[Axis('u')]).unwrap();
         assert!(dx.max_abs_diff(&expect_dx).unwrap() < 1e-6);
         assert!(dbias.max_abs_diff(&expect_db).unwrap() < 1e-5);
-    }
-
-    #[test]
-    fn aib_composes_with_the_backward_operators_the_paper_names() {
-        let qq = rand_t("bjk", &SIZES, 30);
-        let bq = rand_t("k", &SIZES, 31);
-        let (q, k, v) = aib(&qq, &bq, &qq, &bq, &qq, &bq).unwrap();
-        let expect = bias_add(&qq, &bq).unwrap();
-        assert!(q.max_abs_diff(&expect).unwrap() < 1e-6);
-        assert!(k.max_abs_diff(&expect).unwrap() < 1e-6);
-        assert!(v.max_abs_diff(&expect).unwrap() < 1e-6);
-        // BAIB (and BAOB): one `bias_grad` per stream
-        let eb = bias_grad(&expect, &[Axis('k')]).unwrap();
-        for stream in [&q, &k, &v] {
-            let db = bias_grad(stream, &[Axis('k')]).unwrap();
-            assert!(db.max_abs_diff(&eb).unwrap() < 1e-5);
-        }
-        // BEI: the residual join is `add`
-        let s = add(&q, &k).unwrap();
-        let es = add(&expect, &expect).unwrap();
-        assert!(s.max_abs_diff(&es).unwrap() < 1e-6);
     }
 
     /// The saved statistics are indexed by lane ordinal: a vector of any

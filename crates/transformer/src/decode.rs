@@ -50,11 +50,10 @@ use rand::{Rng, SeedableRng};
 use xform_core::access::column_span;
 use xform_core::analyze::{analyze, ArenaGranularity, PlanAnalysis};
 use xform_core::arena::{ArenaArtifact, CompiledArena};
-use xform_core::plan::{ExecOptions, ExecState};
+use xform_core::plan::ExecState;
 use xform_dataflow::EncoderDims;
 use xform_tensor::lanes::{check_dropout_p, exp};
 use xform_tensor::matmul::{gemm, MatMut, MatRef, Start};
-use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::{Result, Shape, Tensor, TensorError};
 
 use crate::interp::{self, PlanKind, PlannedForward};
@@ -132,7 +131,6 @@ pub struct DecodeSession<'m> {
     model: &'m TransformerModel,
     threads: usize,
     bucket: usize,
-    scaler: f32,
     /// Next position to write (= number of resident cache columns).
     pos: usize,
     /// `None` until prefill.
@@ -238,7 +236,6 @@ impl<'m> DecodeSession<'m> {
             model,
             threads: opts.threads.max(1),
             bucket,
-            scaler: 1.0 / (d.p as f32).sqrt(),
             pos: 0,
             arenas: None,
             h_cur: Tensor::zeros(col.clone()),
@@ -336,18 +333,6 @@ impl<'m> DecodeSession<'m> {
         session_arena(&plan, &analysis, ArenaGranularity::Serial)
     }
 
-    /// The run configuration of every decode execution: no dropout, the
-    /// block's GELU and attention scale, `threads` workers, causal windows
-    /// shifted to the current position.
-    fn exec_options(&self, threads: usize) -> ExecOptions<'static> {
-        ExecOptions::builder()
-            .activation(ActivationKind::Gelu)
-            .scaler(self.scaler)
-            .threads(threads)
-            .pos(self.pos)
-            .build()
-    }
-
     /// Runs the prompt through every layer with the fused decoder's own
     /// forward plan ([`PlanKind::DecoderFused`]) at the prompt's length,
     /// seeds the per-layer caches from the saved `kk`/`vv` projections, and
@@ -391,6 +376,9 @@ impl<'m> DecodeSession<'m> {
         prefill_dims.j = s;
         prefill_dims.k = s;
         let pf = interp::cached_plan(&prefill_dims, PlanKind::DecoderFused)?;
+        // decoding never drops: `dropout_p` stays at its default 0
+        let run = interp::run_options(&prefill_dims, PlanKind::DecoderFused);
+        let opts = run.threads(self.threads).build();
 
         let granularity = interp::granularity_for(self.threads);
         let prefill = session_arena(&pf, &analyze(&pf.graph, &pf.plan), granularity)?;
@@ -399,7 +387,6 @@ impl<'m> DecodeSession<'m> {
         let attend = self.build_bucket(capacity)?;
         let project = self.build_project()?;
 
-        let opts = self.exec_options(self.threads);
         let mut h = x;
         for (l, w) in self.model.blocks.iter().enumerate() {
             let mut state = ExecState::default();
@@ -504,7 +491,11 @@ impl<'m> DecodeSession<'m> {
         if pos >= self.capacity() {
             self.grow(pos + 1)?;
         }
-        let run = self.exec_options(1);
+        // one worker, no dropout, causal windows shifted to `pos`; the
+        // project plan runs under the attend plan's options (both GELU, 1/√p)
+        let run = interp::run_options(&d, PlanKind::DecoderStep)
+            .pos(pos)
+            .build();
 
         let arenas = prefilled(&mut self.arenas)?;
         let (project, bucket) = (&arenas.project, &arenas.attend);
@@ -720,6 +711,24 @@ mod tests {
             dropout_p: 0.0,
         };
         TransformerModel::init(config, &mut StdRng::seed_from_u64(3)).unwrap()
+    }
+
+    /// Decoding never drops: weights configured to train with dropout
+    /// decode what the same weights configured without it do, token for
+    /// token and logit bit for logit bit, prefill and steps alike.
+    #[test]
+    fn a_models_training_dropout_never_reaches_a_decode() {
+        let still = model();
+        let mut dropping = still.clone();
+        dropping.config.dropout_p = 0.1;
+        let prompt = [vec![1, 2, 3], vec![4, 0, 2]];
+        let decode = |m: &TransformerModel| {
+            let mut session = DecodeSession::new(m, DecodeOptions::default()).unwrap();
+            let tokens = session.generate(&prompt, 5, Sampling::Greedy).unwrap();
+            let logits = session.last_logits().data().iter().map(|v| v.to_bits());
+            (tokens, logits.collect::<Vec<_>>())
+        };
+        assert_eq!(decode(&dropping), decode(&still));
     }
 
     /// What `advance` used to `expect`: the step arenas are reached through

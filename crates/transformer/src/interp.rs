@@ -22,7 +22,7 @@ use xform_core::fusion::{
     apply_epilogues, apply_plan, apply_regions, decoder_fusion_plan, encoder_fusion_plan,
     head_fusion_plan, FusionGroup,
 };
-use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
+use xform_core::plan::{ExecOptions, ExecOptionsBuilder, ExecState, ExecutionPlan};
 use xform_core::profile::record_arena_timings;
 use xform_core::recipe::{backward_ops, forward_ops};
 use xform_core::sanitize::{certify, PlanCertificate};
@@ -320,11 +320,6 @@ pub fn cached_plan(dims: &EncoderDims, kind: PlanKind) -> Result<Arc<PlannedForw
     Ok(built)
 }
 
-/// Number of memoized canned plans (for tests and diagnostics).
-pub fn plan_cache_len() -> usize {
-    plan_cache().len()
-}
-
 /// Drops every memoized plan.
 pub fn clear_plan_cache() {
     plan_cache().clear();
@@ -375,6 +370,30 @@ pub fn cached_arena(
 pub fn clear_arena_cache() {
     arena_cache().clear();
     arena::clear_compiled();
+}
+
+/// The run options canned plan `kind` is made for at `dims`: its block's
+/// feed-forward activation (GELU under the decoder kinds, ReLU under the
+/// encoder's — each layer's default) and the attention scale `1/√p`, every
+/// other option at its default. Whoever runs a canned plan without a layer
+/// (a decode session, the profiler) starts from these; a layer sets the
+/// same two from its own fields, its `activation` an override.
+pub fn run_options<'p>(dims: &EncoderDims, kind: PlanKind) -> ExecOptionsBuilder<'p> {
+    use PlanKind::*;
+    let activation = match kind {
+        DecoderFused | DecoderEpilogue | DecoderStepProject | DecoderStep | DecoderTrain => {
+            ActivationKind::Gelu
+        }
+        EncoderReference
+        | EncoderFused
+        | EncoderEpilogue
+        | EncoderReferenceTrain
+        | EncoderTrain
+        | Head { .. } => ActivationKind::Relu,
+    };
+    ExecOptions::builder()
+        .activation(activation)
+        .scaler(1.0 / (dims.p as f32).sqrt())
 }
 
 /// Merges a caller's run configuration with a layer's own scalar knobs:
@@ -893,7 +912,41 @@ mod tests {
         let d = cached_plan(&bigger, PlanKind::EncoderFused).unwrap();
         assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(d.plan.steps.len(), a.plan.steps.len());
-        assert!(plan_cache_len() >= 3);
+    }
+
+    /// A canned plan run under [`run_options`] alone is its layer's forward,
+    /// bit for bit, at p = 0: the options carry the block's activation and
+    /// the attention scale. Under the defaults the decoder plans run ReLU and
+    /// every plan's softmax runs unscaled, which a profile once timed.
+    #[test]
+    fn a_canned_plan_under_its_run_options_is_its_layers_forward() {
+        use crate::decoder::DecoderLayer;
+        use crate::encoder::{EncoderLayer, Executor};
+
+        let dims = EncoderDims::tiny();
+        let mut rng = StdRng::seed_from_u64(19);
+        let w = EncoderWeights::init(&dims, &mut rng);
+        let ibj = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+        let x = Tensor::random(ibj, &Uniform::new(-1.0, 1.0), &mut rng);
+        let opts = ExecOptions::default();
+        let bits = |out: Result<ForwardOutput>| -> Vec<u32> {
+            out.unwrap().y.data().iter().map(|v| v.to_bits()).collect()
+        };
+        let enc = |e| bits(EncoderLayer::new(dims, e, 0.0).forward(&x, &w, &opts));
+        let dec = DecoderLayer::new(dims, 0.0);
+        let epi = dec.clone().with_epilogue();
+        for (kind, layer) in [
+            (PlanKind::EncoderReference, enc(Executor::Reference)),
+            (PlanKind::EncoderFused, enc(Executor::Fused)),
+            (PlanKind::EncoderEpilogue, enc(Executor::Epilogue)),
+            (PlanKind::DecoderFused, bits(dec.forward(&x, &w, &opts))),
+            (PlanKind::DecoderEpilogue, bits(epi.forward(&x, &w, &opts))),
+        ] {
+            let run = run_options(&dims, kind).build();
+            assert_eq!(bits(forward(&dims, kind, &x, &w, &run)), layer, "{kind:?}");
+            let unscaled = bits(forward(&dims, kind, &x, &w, &opts));
+            assert_ne!(unscaled, layer, "{kind:?} under the defaults");
+        }
     }
 
     #[test]

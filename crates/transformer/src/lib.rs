@@ -20,14 +20,13 @@
 //! override (`plan`), sanitized execution (`sanitize`) and an optional
 //! runtime profiler sink (`profiler`).
 //!
-//! * [`params`] — encoder weights/gradients and SGD;
+//! * [`params`] — encoder weights/gradients and the one update rule, SGD;
 //! * [`encoder`] — the layer itself;
 //! * [`decoder`] — the GPT-2-style causal variant;
 //! * [`decode`] — streaming KV-cache decoding ([`decode::DecodeSession`]):
 //!   prefill once, then token-at-a-time steps over persistent per-layer
 //!   cache slabs, bitwise-equal to the full-sequence forward and
 //!   allocation-free in the steady state;
-//! * [`mha`] — standalone general multi-head attention (Fig. 1);
 //! * [`model`] — embeddings, stacked blocks and the head: the training
 //!   step;
 //! * [`training`] — synthetic inputs for driving a layer directly.
@@ -65,8 +64,6 @@ pub mod decode;
 pub mod decoder;
 pub mod encoder;
 pub mod interp;
-pub mod mha;
 pub mod model;
-pub mod optim;
 pub mod params;
 pub mod training;

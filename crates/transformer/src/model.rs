@@ -18,7 +18,7 @@ use xform_tensor::{Result, Shape, Tensor, TensorError};
 use crate::decoder::DecoderLayer;
 use crate::encoder::{EncoderLayer, Executor};
 use crate::interp::{check_extents, Saved};
-use crate::params::{EncoderGrads, EncoderWeights};
+use crate::params::{sgd_update, EncoderGrads, EncoderWeights};
 
 /// Which block the stack repeats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -358,17 +358,25 @@ impl TransformerModel {
         })
     }
 
-    /// SGD update over every parameter.
+    /// In-place SGD step over every parameter: `w ← w − lr · g`, element
+    /// by element in logical correspondence, whatever layout a gradient is
+    /// stored in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grads` holds another number of blocks than the model, or
+    /// a gradient's shape is not its parameter's (gradients of another
+    /// configuration: another vocabulary, width or sequence length).
     pub fn sgd_step(&mut self, grads: &ModelGrads, lr: f32) {
-        let upd = |w: &mut Tensor, g: &Tensor| {
-            for (wv, gv) in w.data_mut().iter_mut().zip(g.data()) {
-                *wv -= lr * gv;
-            }
-        };
-        upd(&mut self.embedding, &grads.embedding);
-        upd(&mut self.positional, &grads.positional);
-        upd(&mut self.head, &grads.head);
-        upd(&mut self.head_bias, &grads.head_bias);
+        assert_eq!(
+            self.blocks.len(),
+            grads.blocks.len(),
+            "gradient block count mismatch"
+        );
+        sgd_update(&mut self.embedding, &grads.embedding, lr);
+        sgd_update(&mut self.positional, &grads.positional, lr);
+        sgd_update(&mut self.head, &grads.head, lr);
+        sgd_update(&mut self.head_bias, &grads.head_bias, lr);
         for (w, g) in self.blocks.iter_mut().zip(&grads.blocks) {
             w.sgd_step(g, lr);
         }
@@ -634,6 +642,73 @@ mod tests {
                 expect("backward tokens")
             );
         }
+    }
+
+    /// The gradients of one training step of `model`.
+    fn grads_of(model: &TransformerModel, seed: u64) -> ModelGrads {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (tokens, targets) = copy_task_batch(&model.config, &mut rng);
+        let acts = model.forward(&tokens, &mut rng).unwrap();
+        model.backward(&tokens, &targets, &acts).unwrap()
+    }
+
+    #[test]
+    fn a_permuted_gradient_updates_the_model_as_its_row_major_copy() {
+        use crate::params::reversed;
+        let model =
+            TransformerModel::init(config(BlockKind::Decoder), &mut StdRng::seed_from_u64(13))
+                .unwrap();
+        let g = grads_of(&model, 14);
+        let mut permuted = g.clone();
+        permuted.embedding = reversed(&g.embedding);
+        permuted.positional = reversed(&g.positional);
+        permuted.head = reversed(&g.head);
+        permuted.blocks[1].bq = reversed(&g.blocks[1].bq);
+        permuted.blocks[1].w1 = reversed(&g.blocks[1].w1);
+        let (mut a, mut b) = (model.clone(), model);
+        a.sgd_step(&g, 0.1);
+        b.sgd_step(&permuted, 0.1);
+        for (x, y) in [
+            (&a.embedding, &b.embedding),
+            (&a.positional, &b.positional),
+            (&a.head, &b.head),
+            (&a.head_bias, &b.head_bias),
+        ] {
+            assert_eq!(x.data(), y.data());
+        }
+        for (wa, wb) in a.blocks.iter().zip(&b.blocks) {
+            for ((name, x), (_, y)) in wa.fields().iter().zip(wb.fields().iter()) {
+                assert_eq!(x.data(), y.data(), "{name}");
+            }
+        }
+    }
+
+    /// Gradients of another vocabulary once updated a prefix of the
+    /// embedding and the head.
+    #[test]
+    #[should_panic(expected = "gradient shape mismatch")]
+    fn gradients_of_another_vocabulary_are_refused() {
+        let cfg = config(BlockKind::Decoder);
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut model = TransformerModel::init(cfg, &mut rng).unwrap();
+        let other = ModelConfig {
+            vocab: cfg.vocab + 1,
+            ..cfg
+        };
+        let g = grads_of(&TransformerModel::init(other, &mut rng).unwrap(), 16);
+        model.sgd_step(&g, 0.1);
+    }
+
+    /// Gradients with a block fewer once left the last block unstepped.
+    #[test]
+    #[should_panic(expected = "gradient block count mismatch")]
+    fn gradients_with_a_block_fewer_are_refused() {
+        let mut model =
+            TransformerModel::init(config(BlockKind::Encoder), &mut StdRng::seed_from_u64(17))
+                .unwrap();
+        let mut g = grads_of(&model, 18);
+        g.blocks.pop();
+        model.sgd_step(&g, 0.1);
     }
 
     #[test]

@@ -4,21 +4,19 @@
 //! once, as [`PackedWeight`]s: the panel order of the matrix each plays as
 //! GEMM A in its forward contraction ([`xform_tensor::matmul::PanelRef`]).
 //! Every GEMM that reads one — the arena's forward, backward and decode
-//! steps (the input gradients read it transposed), standalone MHA — reads
-//! those words, so no call packs a weight and no second copy exists to go
-//! stale. Whatever
-//! addresses a weight element by element (the optimizer step, the norms,
+//! steps (the input gradients read it transposed) — reads those words, so
+//! no call packs a weight and no second copy exists to go stale. Whatever
+//! addresses a weight element by element (the SGD step, the norms,
 //! checkpoints, the reference interpreter's binding) does so in logical
 //! order.
 
 use std::borrow::Cow;
-use std::ops::Range;
 
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 
 use xform_dataflow::EncoderDims;
-use xform_tensor::matmul::{gemm_panels, MatMut, MatRef, PanelRef, Start, WeightPack};
+use xform_tensor::matmul::{PanelRef, WeightPack};
 use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
 /// A projection weight stored in the panel order of its forward GEMM-A
@@ -117,33 +115,6 @@ impl PackedWeight {
         assert_eq!(grad.shape(), &self.shape, "gradient shape mismatch");
         self.pack.zip_logical(&natural(grad), &mut self.words, f);
     }
-
-    /// `A[rows] · x` into a row-major tensor of shape `out`: `x` is read as
-    /// a row-major matrix as deep as the product (its leading axes) and as
-    /// wide as the rest. Bit for bit the einsum over the logical weight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `rows` leaves the matrix,
-    /// or `x` or `out` does not hold a whole number of its columns.
-    pub(crate) fn product(&self, rows: Range<usize>, x: &Tensor, out: Shape) -> Result<Tensor> {
-        let mismatch = || TensorError::ShapeMismatch {
-            context: "a product of a projection weight",
-        };
-        if rows.end > self.pack.m || rows.is_empty() {
-            return Err(mismatch());
-        }
-        let (a, m, k) = (self.panels().from_row(rows.start), rows.len(), self.pack.k);
-        let n = x.len() / k;
-        if x.len() != k * n || out.num_elements() != m * n {
-            return Err(mismatch());
-        }
-        let x = natural(x);
-        let mut y = vec![0.0; m * n];
-        let (b, c) = (MatRef::row_major(&x, n), MatMut::row_major(&mut y, n));
-        gemm_panels(m, n, k, a, b, c, Start::FromZero);
-        Tensor::from_vec(out, y)
-    }
 }
 
 /// The logical words of `t`: its own when it is stored row-major.
@@ -156,6 +127,29 @@ fn natural(t: &Tensor) -> Cow<'_, [f32]> {
             Cow::Owned(words)
         }
     }
+}
+
+/// In-place SGD on one tensor: `w ← w − lr · g`, element by element in
+/// logical correspondence — `g` read in `w`'s storage order: its own words
+/// when the two are stored alike (row-major, as everything the library
+/// makes), a relaid copy otherwise. The one update of every tensor
+/// parameter; a projection's pack goes through [`PackedWeight::update`].
+///
+/// # Panics
+///
+/// Panics if `g`'s shape is not `w`'s.
+pub(crate) fn sgd_update(w: &mut Tensor, g: &Tensor, lr: f32) {
+    assert_eq!(w.shape(), g.shape(), "gradient shape mismatch");
+    let relaid;
+    let g = match g.layout() == w.layout() {
+        true => g,
+        false => {
+            relaid = g.relayout(w.layout());
+            &relaid
+        }
+    };
+    let words = w.data_mut().iter_mut().zip(g.data());
+    words.for_each(|(w, &g)| *w -= lr * g);
 }
 
 /// The panel pack a projection field is stored as: where the matrix it
@@ -397,21 +391,16 @@ impl EncoderWeights {
     }
 
     /// In-place SGD step: `w ← w − lr · g`, element by element in logical
-    /// correspondence.
+    /// correspondence, whatever layout a gradient is stored in.
     ///
     /// # Panics
     ///
-    /// Panics if gradient shapes disagree with the weights.
+    /// Panics if a gradient's shape is not its weight's.
     pub fn sgd_step(&mut self, grads: &EncoderGrads, lr: f32) {
         for (name, g) in grads.fields() {
-            let step = |w: &mut f32, g: f32| *w -= lr * g;
             match self.slot(name) {
-                Some(Slot::Matrix(p)) => p.update(g, step),
-                Some(Slot::Vector(w)) => {
-                    assert_eq!(w.shape(), g.shape(), "gradient shape mismatch");
-                    let words = w.data_mut().iter_mut().zip(g.data());
-                    words.for_each(|(w, &g)| step(w, g));
-                }
+                Some(Slot::Matrix(p)) => p.update(g, |w, g| *w -= lr * g),
+                Some(Slot::Vector(w)) => sgd_update(w, g, lr),
                 None => {}
             }
         }
@@ -472,11 +461,19 @@ impl EncoderWeights {
     }
 }
 
+/// `t` stored with its axes in reverse order (row-major at rank 1).
+#[cfg(test)]
+pub(crate) fn reversed(t: &Tensor) -> Tensor {
+    let order: Vec<usize> = (0..t.shape().rank()).rev().collect();
+    t.relayout(&Layout::from_order(&order).expect("a permutation"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use xform_tensor::matmul::{gemm_panels, MatMut, MatRef, Start};
 
     #[test]
     fn init_shapes_are_consistent() {
@@ -508,7 +505,8 @@ mod tests {
     }
 
     /// The stack is Q, then K, then V, each `[p, h, i]`: stream `s` is rows
-    /// `s·ph..` of the pack, forward and transposed the einsum over that
+    /// `s·ph..` of the pack, read forward and transposed as the arena reads
+    /// it (`gemm_panels` over `panels().from_row(..)`) — the einsum over that
     /// block of the logical stack, bit for bit.
     #[test]
     fn each_stream_is_a_row_range_of_the_stacked_pack() {
@@ -520,33 +518,29 @@ mod tests {
         let sizes = dims.size_table();
         let x = Tensor::random(shape(&dims, "ibj"), &Uniform::new(-1.0, 1.0), &mut rng);
         let d = Tensor::random(shape(&dims, "phbj"), &Uniform::new(-1.0, 1.0), &mut rng);
+        let cols = dims.b * dims.j;
+        // `a · b` over `k`, `b` a row-major `k × cols` matrix, as bits
+        let product = |a: PanelRef<'_>, m: usize, k: usize, b: &Tensor| {
+            let mut c = vec![0.0; m * cols];
+            let (bm, cm) = (
+                MatRef::row_major(b.data(), cols),
+                MatMut::row_major(&mut c, cols),
+            );
+            gemm_panels(m, cols, k, a, bm, cm, Start::FromZero);
+            c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for s in 0..3 {
             let words = stack.data()[s * n..(s + 1) * n].to_vec();
             let block = Tensor::from_vec(Shape::from_spec("phi", &sizes).unwrap(), words).unwrap();
-            let rows = s * ph..(s + 1) * ph;
-            let fwd = w.w_qkv.product(rows.clone(), &x, shape(&dims, "phbj"));
+            let rows = w.w_qkv.panels().from_row(s * ph);
             let want = xform_tensor::einsum("phi,ibj->phbj", &[&block, &x]).unwrap();
-            assert_eq!(bits(&fwd.unwrap()), bits(&want), "stream {s}");
+            assert_eq!(product(rows, ph, dims.i, &x), bits(&want), "stream {s}");
             // the input gradient's read: the same rows of the pack, transposed
-            let mut bwd = vec![0.0; x.len()];
-            let a = w.w_qkv.panels().from_row(rows.start).t();
-            let (b, c) = (
-                MatRef::row_major(d.data(), d.len() / ph),
-                MatMut::row_major(&mut bwd, d.len() / ph),
-            );
-            gemm_panels(dims.i, d.len() / ph, ph, a, b, c, Start::FromZero);
             let want = xform_tensor::einsum("phi,phbj->ibj", &[&block, &d]).unwrap();
-            assert_eq!(
-                bwd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                bits(&want),
-                "stream {s} transposed"
-            );
+            let got = product(rows.t(), dims.i, ph, &d);
+            assert_eq!(got, bits(&want), "stream {s} transposed");
         }
-        assert!(w
-            .w_qkv
-            .product(2 * ph..4 * ph, &x, shape(&dims, "phbj"))
-            .is_err());
     }
 
     #[test]
@@ -569,6 +563,32 @@ mod tests {
         assert!((w.field("w1").unwrap().at(&[0, 0]) - (before - 0.1)).abs() < 1e-6);
         // untouched params stay
         assert!(w.ln1_gamma.data().iter().all(|&v| v == 1.0));
+    }
+
+    /// A gradient is read by logical index, whatever layout it is stored
+    /// in: every field stored permuted updates the weights bit for bit as
+    /// its row-major copy does (the bias arm once paired storage words).
+    #[test]
+    fn a_permuted_gradient_updates_as_its_row_major_copy() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let w = EncoderWeights::init(&EncoderDims::tiny(), &mut rng);
+        let (mut g, mut permuted) = (w.zeros_like(), w.zeros_like());
+        let unit = Uniform::new(-1.0, 1.0);
+        for (name, t) in w.zeros_like().fields() {
+            let values = Tensor::random(t.shape().clone(), &unit, &mut rng);
+            for (grads, v) in [(&mut g, values.clone()), (&mut permuted, reversed(&values))] {
+                if let Some(Slot::Matrix(f) | Slot::Vector(f)) = grads.slot(name) {
+                    *f = v;
+                }
+            }
+        }
+        assert!(permuted.bq.natural_words().is_none());
+        let (mut a, mut b) = (w.clone(), w);
+        a.sgd_step(&g, 0.1);
+        b.sgd_step(&permuted, 0.1);
+        for ((name, x), (_, y)) in a.fields().iter().zip(b.fields().iter()) {
+            assert_eq!(x.data(), y.data(), "{name}");
+        }
     }
 
     #[test]

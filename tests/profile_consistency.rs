@@ -10,7 +10,8 @@ use rand::SeedableRng;
 use substation::core::analyze::audit;
 use substation::core::cpusource::CpuSource;
 use substation::core::plan::{execute_plan, random_externals, ExecOptions};
-use substation::core::profile::{profile_plan, reselect};
+use substation::core::profile::{profile_plan, reselect_cost};
+use substation::core::selection::CostModel;
 use substation::core::sweep::{SimulatorSource, SweepOptions};
 use substation::dataflow::EncoderDims;
 use substation::gpusim::DeviceSpec;
@@ -85,7 +86,7 @@ fn reselection_never_measures_worse_than_natural() {
         } else {
             Box::new(CpuSource::new(1))
         };
-        let r = reselect(
+        let r = reselect_cost(
             &pf.graph,
             &pf.plan,
             &fwd,
@@ -98,6 +99,7 @@ fn reselection_never_measures_worse_than_natural() {
             &ExecOptions::default(),
             3,
             run + 1,
+            &CostModel::Flat,
         )
         .unwrap();
         assert!(
@@ -114,7 +116,7 @@ fn reselection_never_measures_worse_than_natural() {
     }
 }
 
-/// What `profile_plan`, `reselect`'s duel and every study stand their
+/// What `profile_plan`, `reselect_cost`'s duel and every study stand their
 /// environment up with must not make the kernels it times take the
 /// subnormal microcode assist. With weights drawn at U(−1, 1) whatever
 /// their fan-in, the attention scores at this shape saturate and the
