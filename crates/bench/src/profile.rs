@@ -109,13 +109,12 @@ struct Profiled {
     prof: PlanProfiler,
 }
 
-/// Profiles the canned plan `kind` at `dims`, serially, under the options
-/// its block runs it with ([`interp::run_options`]).
+/// Profiles the canned plan `kind` at `dims`, serially, under default
+/// options: what the plan computes is its graph's.
 fn profile_canned(key: &'static str, dims: &EncoderDims, kind: PlanKind) -> Res<Profiled> {
     let pf = interp::cached_plan(dims, kind)?;
     let base = random_externals(&pf.graph, &pf.plan, 11)?;
-    let opts = interp::run_options(dims, kind).build();
-    let prof = profile_plan(&pf.graph, &pf.plan, &base, &opts, REPS)?;
+    let prof = profile_plan(&pf.graph, &pf.plan, &base, &ExecOptions::default(), REPS)?;
     let steps = pf.plan.steps.len();
     Ok(Profiled { key, steps, prof })
 }
@@ -239,8 +238,7 @@ fn dram_rows(geom: &CacheGeometry) -> Res<(Vec<DramRow>, u64)> {
         apply_plan(&mut graph, &encoder_fusion_plan())?;
         let plan = ExecutionPlan::natural(&graph, &forward_ops(&graph, eg.dy))?;
         let base = random_externals(&graph, &plan, 11)?;
-        let opts = interp::run_options(&d, PlanKind::EncoderFused).build();
-        let prof = profile_plan(&graph, &plan, &base, &opts, REPS)?;
+        let prof = profile_plan(&graph, &plan, &base, &ExecOptions::default(), REPS)?;
         let traffic = trace_plan(&graph, &plan, geom, 4);
         for s in prof
             .steps()
@@ -273,11 +271,7 @@ fn class_tag(c: OpClass) -> &'static str {
 /// prefers cache-resident layouts. The adoption duel downstream still
 /// measures both plans and keeps the natural one unless the re-selected
 /// plan is measurably no worse.
-fn reselection(
-    dims: &EncoderDims,
-    graph: &Graph,
-    plan: &ExecutionPlan,
-) -> xform_tensor::Result<Reselection> {
+fn reselection(graph: &Graph, plan: &ExecutionPlan) -> xform_tensor::Result<Reselection> {
     let fwd: Vec<_> = plan.steps.iter().map(|s| s.op).collect();
     let device = DeviceSpec::v100();
     let cost = CostModel::CacheAware(CacheGeometry::for_device(&device));
@@ -285,8 +279,7 @@ fn reselection(
         max_configs: Some(48),
         ..SweepOptions::default()
     };
-    let opts = interp::run_options(dims, PlanKind::EncoderFused).build();
-    let fallback = CpuSource::new(2);
+    let (opts, fallback) = (ExecOptions::default(), CpuSource::new(2));
     reselect_cost(
         graph, plan, &fwd, &device, &fallback, sweep, &opts, REPS, 11, &cost,
     )
@@ -397,9 +390,7 @@ impl Collected {
             .collect::<Res<_>>()?;
         let pf = interp::cached_plan(&d, PlanKind::EncoderFused)?;
         let base = random_externals(&pf.graph, &pf.plan, 11)?;
-        let par_opts = (interp::run_options(&d, PlanKind::EncoderFused))
-            .threads(PAR_THREADS)
-            .build();
+        let par_opts = ExecOptions::builder().threads(PAR_THREADS).build();
         let parallel = profile_plan(&pf.graph, &pf.plan, &base, &par_opts, REPS)?;
         let mut arena = arena_rows(alloc, "fused", Executor::Fused, PlanKind::EncoderFused)?;
         let epilogue = (Executor::Epilogue, PlanKind::EncoderEpilogue);
@@ -414,7 +405,7 @@ impl Collected {
             decode,
             dram,
             llc,
-            reselection: reselection(&d, &pf.graph, &pf.plan)?,
+            reselection: reselection(&pf.graph, &pf.plan)?,
         })
     }
 

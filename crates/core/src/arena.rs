@@ -184,6 +184,10 @@ struct StepExec {
     /// The slab words the step writes: each output's hull, what the poison
     /// mode checks after its wave.
     written: Vec<BufView>,
+    /// The graph's activation ([`Graph::activation`]).
+    activation: ActivationKind,
+    /// The graph's softmax scale ([`Graph::softmax_scale`]).
+    scaler: f32,
 }
 
 /// A container no step defines: the caller resolves it to a slice per run.
@@ -327,14 +331,12 @@ impl SlabMem {
 }
 
 /// What one arena execution reads of an [`ExecOptions`], resolved: the
-/// scalar knobs, the sanitizer mode as a flag, and whether to time.
+/// dropout probability, the sanitizer mode as a flag, and whether to time.
 #[derive(Debug, Clone)]
 struct ArenaRun {
     /// The validated dropout probability; each step keys it by
     /// [`stream_key`].
     drop: Dropout,
-    activation: ActivationKind,
-    scaler: f32,
     /// Base seed of every step's key.
     seed: u64,
     threads: usize,
@@ -361,8 +363,6 @@ impl ArenaRun {
         static ENV_SANITIZE: OnceLock<bool> = OnceLock::new();
         Ok(ArenaRun {
             drop: Dropout::new(opts.dropout_p, &StdRng::seed_from_u64(opts.seed))?,
-            activation: opts.activation,
-            scaler: opts.scaler,
             seed: opts.seed,
             threads: opts.threads,
             sanitize: match opts.sanitize {
@@ -1133,11 +1133,15 @@ fn memo() -> &'static Memo {
 }
 
 /// [`plan_fingerprint`] extended by the extents of every operand's
-/// container: the fingerprint covers operators, names and layouts, and one
-/// schedule lowered at two sets of dimensions must not share an arena.
+/// container and by the graph's arithmetic: the fingerprint covers
+/// operators, names and layouts, and one schedule lowered at two sets of
+/// dimensions, or over graphs that differ in their activation or softmax
+/// scale, must not share an arena.
 fn plan_key(graph: &Graph, plan: &ExecutionPlan) -> u64 {
     let mut h = plan_fingerprint(plan);
     let mut eat = |n: u64| h = (h ^ n).wrapping_mul(0x0000_0100_0000_01b3);
+    eat(graph.activation() as u64);
+    eat(u64::from(graph.softmax_scale().to_bits()));
     for step in &plan.steps {
         for o in step.inputs.iter().chain(&step.outputs) {
             if let Some(d) = graph.data(o.data) {
@@ -1151,23 +1155,13 @@ fn plan_key(graph: &Graph, plan: &ExecutionPlan) -> u64 {
 
 /// The compiled arena of `plan` at `granularity`, analyzed, certified and
 /// compiled on first use and memoized per distinct plan — so a plan is
-/// checked once, not on every call. Always `Ok(Some(_))` on success (see
-/// [`CompiledArena::compile`]). Callers of one plan share one arena and
+/// checked once, not on every call. Callers of one plan share one arena and
 /// queue on its buffers.
 ///
 /// # Errors
 ///
 /// Same as [`CompiledArena::compile`].
 pub fn compiled(
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    granularity: ArenaGranularity,
-) -> Result<Option<Arc<CompiledArena>>> {
-    memoized(graph, plan, granularity).map(Some)
-}
-
-/// [`compiled`] without the vestigial `Option`.
-pub(crate) fn memoized(
     graph: &Graph,
     plan: &ExecutionPlan,
     granularity: ArenaGranularity,
@@ -1208,7 +1202,7 @@ pub fn execute(
     state: &mut ExecState,
     opts: &ExecOptions,
 ) -> Result<()> {
-    let arena = memoized(graph, plan, granularity_for(opts.threads))?;
+    let arena = compiled(graph, plan, granularity_for(opts.threads))?;
     let mut produced = ExecState::default();
     // the words of a tensor stored in its natural layout are borrowed as
     // they are; one an earlier plan left in another is normalized first
@@ -1364,6 +1358,8 @@ fn compile_step(
         stream,
         zeroed,
         written,
+        activation: graph.activation(),
+        scaler: graph.softmax_scale(),
     })
 }
 
@@ -1448,16 +1444,16 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
                 into_ops::bias_add_into(s, r(3 * k), r(3 * k + 1), w(3 * k + 2));
             }
         }
-        Kernel::Scale => into_ops::scale_into(s(), r(0), run.scaler, w(1)),
-        Kernel::Activate => into_ops::activate_into(s(), r(0), run.activation, w(1)),
+        Kernel::Scale => into_ops::scale_into(s(), r(0), step.scaler, w(1)),
+        Kernel::Activate => into_ops::activate_into(s(), r(0), step.activation, w(1)),
         Kernel::Dropout => into_ops::dropout_into(s(), r(0), drop, w(1), w(2)),
         Kernel::Residual => into_ops::add_into(s(), r(0), r(1), w(2)),
         Kernel::Softmax { causal } => {
-            into_ops::softmax_into(s(), r(0), run.scaler, pos(*causal), w(1));
+            into_ops::softmax_into(s(), r(0), step.scaler, pos(*causal), w(1));
         }
         Kernel::Sm { causal } => {
             let c = pos(*causal);
-            into_ops::sm_into(s(), r(0), run.scaler, c, drop, w(1), w(2), w(3));
+            into_ops::sm_into(s(), r(0), step.scaler, c, drop, w(1), w(2), w(3));
         }
         Kernel::LayerNorm => {
             into_ops::layernorm_into(s(), r(0), r(1), r(2), w(3), mean, inv);
@@ -1479,7 +1475,7 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
             );
         }
         Kernel::BrdAct => {
-            into_ops::brd_act_into(s(), r(0), r(1), run.activation, drop, w(2), w(3), w(4));
+            into_ops::brd_act_into(s(), r(0), r(1), step.activation, drop, w(2), w(3), w(4));
         }
         Kernel::Bdr => into_ops::bdr_into(s(), r(0), r(1), r(2), drop, w(3), w(4)),
         Kernel::BiasSoftmax => into_ops::bias_softmax_into(s(), r(0), r(1), w(2)),
@@ -1487,7 +1483,7 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
             let mut tail = match *tail {
                 Tail::BrdAct => RowTail::BiasActDrop {
                     bias: r(2),
-                    kind: run.activation,
+                    kind: step.activation,
                     pre_activation: w(3),
                     out: w(4),
                     mask: w(5),
@@ -1503,7 +1499,7 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
                     out: w(3),
                 },
                 Tail::Softmax { causal } => RowTail::Softmax {
-                    scaler: run.scaler,
+                    scaler: step.scaler,
                     causal: pos(causal),
                 },
             };
@@ -1519,10 +1515,10 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
         }
         Kernel::DropoutGrad => into_ops::dropout_backward_into(s(), r(0), r(1), w(2)),
         Kernel::ActivateGrad => {
-            into_ops::activate_backward_into(s(), r(0), r(1), run.activation, w(2));
+            into_ops::activate_backward_into(s(), r(0), r(1), step.activation, w(2));
         }
-        Kernel::SoftmaxGrad => into_ops::softmax_backward_into(s(), r(0), r(1), run.scaler, w(2)),
-        Kernel::Bs => into_ops::bs_into(s(), r(0), r(1), r(2), run.scaler, w(3)),
+        Kernel::SoftmaxGrad => into_ops::softmax_backward_into(s(), r(0), r(1), step.scaler, w(2)),
+        Kernel::Bs => into_ops::bs_into(s(), r(0), r(1), r(2), step.scaler, w(3)),
         Kernel::NormGradX => {
             into_ops::layernorm_backward_input_into(s(), r(0), r(1), r(2), mean, inv, w(3));
         }
@@ -1545,7 +1541,7 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
             if let [merged, _] = &step.sweeps[..] {
                 into_ops::bias_grad_into(merged, r(0), w(1));
             }
-            let (s, act) = (step.sweeps.last().expect("BDRB's sweep"), run.activation);
+            let (s, act) = (step.sweeps.last().expect("BDRB's sweep"), step.activation);
             into_ops::bdrb_act_into(s, r(at), r(at + 1), r(at + 2), act, w(at + 3), w(at + 4));
         }
     }
@@ -1897,7 +1893,6 @@ mod tests {
             let at = |threads| {
                 let opts = ExecOptions::builder()
                     .dropout_p(p)
-                    .scaler(0.5)
                     .seed(0xfeed)
                     .threads(threads)
                     .sanitize(SanitizeMode::Off)
@@ -2129,10 +2124,10 @@ mod tests {
     fn a_strided_plan_with_relayouts_computes_the_natural_plans_bits() {
         let (graph, natural, strided) = strided_plan();
         for g in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-            let a = compiled(&graph, &strided, g).unwrap().unwrap();
-            let b = compiled(&graph, &strided, g).unwrap().unwrap();
+            let a = compiled(&graph, &strided, g).unwrap();
+            let b = compiled(&graph, &strided, g).unwrap();
             assert!(Arc::ptr_eq(&a, &b), "one arena per distinct plan");
-            let n = compiled(&graph, &natural, g).unwrap().unwrap();
+            let n = compiled(&graph, &natural, g).unwrap();
             assert!(!Arc::ptr_eq(&a, &n));
         }
         let base = random_externals(&graph, &natural, 9).unwrap();
@@ -2175,13 +2170,23 @@ mod tests {
         let mut wider = eg.graph;
         apply_plan(&mut wider, &encoder_fusion_plan()).unwrap();
         let wider_plan = ExecutionPlan::natural(&wider, &forward_ops(&wider, eg.dy)).unwrap();
-        let a = compiled(&graph, &natural, ArenaGranularity::Serial)
-            .unwrap()
-            .unwrap();
-        let b = compiled(&wider, &wider_plan, ArenaGranularity::Serial)
-            .unwrap()
-            .unwrap();
+        let a = compiled(&graph, &natural, ArenaGranularity::Serial).unwrap();
+        let b = compiled(&wider, &wider_plan, ArenaGranularity::Serial).unwrap();
         assert!(b.slab_words() > a.slab_words());
+        // same schedule, other arithmetic: another arena, other bits
+        let y = |graph: &Graph| {
+            let mut state = base.clone();
+            execute(graph, &natural, &mut state, &ExecOptions::default()).unwrap();
+            state.env.remove("y").unwrap()
+        };
+        let (mut gelu, mut unscaled) = (graph.clone(), graph.clone());
+        gelu.set_activation(ActivationKind::Gelu);
+        unscaled.set_softmax_scale(1.0);
+        for other in [gelu, unscaled] {
+            let c = compiled(&other, &natural, ArenaGranularity::Serial).unwrap();
+            assert!(!Arc::ptr_eq(&a, &c));
+            assert_ne!(y(&other).data(), y(&graph).data());
+        }
     }
 
     /// A relayout permutes its container's one slot in place, so a wave

@@ -123,9 +123,9 @@ pub(crate) enum Kernel {
     /// projection: one for a plain (or carved `Input bias Q/K/V`) step,
     /// three for fused AIB.
     Bias,
-    /// `[x, out]`, times the run's scaler.
+    /// `[x, out]`, times the graph's softmax scale.
     Scale,
-    /// `[x, out]`, the run's activation.
+    /// `[x, out]`, the graph's activation.
     Activate,
     /// `[x, out, mask]`.
     Dropout,
@@ -166,15 +166,15 @@ pub(crate) enum Kernel {
     BiasGrad,
     /// Dropout dX `[dy, mask, dx]`.
     DropoutGrad,
-    /// Activation dX `[dy, pre_activation, dx]`, the run's activation.
+    /// Activation dX `[dy, pre_activation, dx]`, the graph's activation.
     ActivateGrad,
-    /// Softmax dX `[dy, softmax, dx]`, times the run's scaler.
+    /// Softmax dX `[dy, softmax, dx]`, times the graph's softmax scale.
     SoftmaxGrad,
     /// Layer-norm dX `[dy, x, gamma, dx]`.
     NormGradX,
     /// Layer-norm dW `[dy, x, dgamma, dbeta]`.
     NormGradW,
-    /// Fused BS `[dalpha, mask, softmax, dbeta]`, times the run's scaler.
+    /// Fused BS `[dalpha, mask, softmax, dbeta]`, times the graph's softmax scale.
     Bs,
     /// Fused BLNRD `[dy, x, gamma, mask, dx_ln, dx]`.
     Blnrd,

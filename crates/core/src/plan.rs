@@ -33,7 +33,7 @@ use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::dropout::{dropout, dropout_disabled};
-use xform_tensor::ops::elementwise::{add, bias_add, scale, ActivationKind};
+use xform_tensor::ops::elementwise::{add, bias_add, scale};
 use xform_tensor::ops::layernorm::{layernorm, LayerNormStats};
 use xform_tensor::ops::softmax::softmax;
 use xform_tensor::{Axis, Layout, Result, Shape, Tensor, TensorError};
@@ -371,12 +371,13 @@ pub struct PlanOverride<'p> {
     pub plan: &'p ExecutionPlan,
 }
 
-/// Everything the graph does not encode about one execution: scalar kernel
-/// knobs (dropout probability, the activation behind generic activation
-/// nodes, the attention scale), and the run configuration of the unified
+/// Everything the graph does not encode about one execution: the dropout
+/// probability, and the run configuration of the unified
 /// `forward(&x, &w, &ExecOptions)` surface — worker threads, RNG seed,
 /// the poison mode, an optional [`crate::profile::PlanProfiler`] sink,
-/// and an optional plan override.
+/// and an optional plan override. What the graph's operators compute —
+/// the activation behind its `Relu`-kind nodes, the softmax scale — is the
+/// graph's ([`Graph::activation`], [`Graph::softmax_scale`]).
 /// Construct it with [`ExecOptions::builder`] (or `ExecOptions::default()`
 /// and field assignment): the struct is `#[non_exhaustive]`, so literal
 /// construction is a compile error outside this crate and new fields
@@ -387,10 +388,6 @@ pub struct ExecOptions<'p> {
     /// Dropout probability (`0` disables dropout deterministically: every
     /// mask is `1` and none is computed).
     pub dropout_p: f32,
-    /// Activation applied by `Relu`-kind nodes (real models use GELU).
-    pub activation: ActivationKind,
-    /// Scale folded into the softmax kernels (`1/√P` for attention).
-    pub scaler: f32,
     /// Worker threads: `1` (or `0`) runs the arena's steps in schedule
     /// order; more dispatches each hazard-free wave across the arena's
     /// worker pool (same values: a mask is a function of the step's key and
@@ -420,8 +417,6 @@ impl Default for ExecOptions<'_> {
     fn default() -> Self {
         ExecOptions {
             dropout_p: 0.0,
-            activation: ActivationKind::Relu,
-            scaler: 1.0,
             threads: 1,
             seed: 0x5eed,
             sanitize: SanitizeMode::Env,
@@ -462,18 +457,6 @@ impl<'p> ExecOptionsBuilder<'p> {
     /// Sets the dropout probability.
     pub fn dropout_p(mut self, p: f32) -> Self {
         self.opts.dropout_p = p;
-        self
-    }
-
-    /// Sets the activation behind `Relu`-kind nodes.
-    pub fn activation(mut self, a: ActivationKind) -> Self {
-        self.opts.activation = a;
-        self
-    }
-
-    /// Sets the softmax scale (attention `1/√P`).
-    pub fn scaler(mut self, s: f32) -> Self {
-        self.opts.scaler = s;
         self
     }
 
@@ -766,8 +749,9 @@ pub(crate) fn relaid(t: &Tensor, layout: Layout) -> Result<Tensor> {
 }
 
 /// Runs one scheduled step against the interpreter state: applies the
-/// step's relayout insertions, dispatches the kernel, and materializes each
-/// output in its declared layout.
+/// step's relayout insertions, dispatches the kernel — its activation and
+/// softmax scale the graph's — and materializes each output in its
+/// declared layout.
 ///
 /// # Errors
 ///
@@ -804,7 +788,7 @@ pub fn execute_step(
     let out_shape =
         |k: usize| -> Result<Shape> { Ok(data_of(graph, step.outputs[k].data)?.shape.clone()) };
 
-    let p = opts.dropout_p;
+    let (p, scaler) = (opts.dropout_p, graph.softmax_scale());
     check_dropout_p(p)?;
     let drop = |x: &Tensor, rng: &mut StdRng| -> (Tensor, Tensor) {
         if p > 0.0 {
@@ -858,14 +842,14 @@ pub fn execute_step(
                 results.push(bias_add(x, &ins[1])?);
             }
         }
-        OpKind::Scale => results.push(scale(&ins[0], opts.scaler)),
+        OpKind::Scale => results.push(scale(&ins[0], scaler)),
         OpKind::Softmax { axis } => {
             if step.name.contains("Masked") {
                 let q = causal_query_axis(ins[0].shape(), *axis)?;
-                let sm = fused::sm_causal_at(&ins[0], opts.scaler, q, *axis, 0.0, rng, opts.pos)?;
+                let sm = fused::sm_causal_at(&ins[0], scaler, q, *axis, 0.0, rng, opts.pos)?;
                 results.push(sm.softmax);
             } else {
-                results.push(softmax(&scale(&ins[0], opts.scaler), *axis)?);
+                results.push(softmax(&scale(&ins[0], scaler), *axis)?);
             }
         }
         OpKind::LayerNorm { axis } => {
@@ -880,7 +864,7 @@ pub fn execute_step(
         }
         OpKind::Relu => results.push(xform_tensor::ops::elementwise::activate(
             &ins[0],
-            opts.activation,
+            graph.activation(),
         )),
         OpKind::Residual => results.push(add(&ins[0], &ins[1])?),
         OpKind::Fused {
@@ -928,9 +912,9 @@ pub fn execute_step(
                     })?;
                     let sm = if causal {
                         let q = causal_query_axis(ins[0].shape(), axis)?;
-                        fused::sm_causal_at(&ins[0], opts.scaler, q, axis, p, rng, opts.pos)?
+                        fused::sm_causal_at(&ins[0], scaler, q, axis, p, rng, opts.pos)?
                     } else {
-                        fused::sm(&ins[0], opts.scaler, axis, p, rng)?
+                        fused::sm(&ins[0], scaler, axis, p, rng)?
                     };
                     // outputs [att (saved softmax), alpha, att_mask]
                     results.push(sm.softmax);
@@ -952,7 +936,7 @@ pub fn execute_step(
                 }
                 FusedClass::BiasActDrop => {
                     // inputs [x, bias] → outputs [pre_activation, out, mask]
-                    let r = fused::brd_act(&ins[0], &ins[1], opts.activation, p, rng)?;
+                    let r = fused::brd_act(&ins[0], &ins[1], graph.activation(), p, rng)?;
                     results.push(r.pre_activation);
                     results.push(r.out);
                     results.push(r.mask);
@@ -1150,7 +1134,7 @@ mod tests {
 
     fn run_forward(graph: &xform_dataflow::Graph, plan: &ExecutionPlan, seed: u64) -> ExecState {
         let mut state = random_externals(graph, plan, seed).unwrap();
-        let opts = ExecOptions::builder().scaler(1.0 / (3f32).sqrt()).build();
+        let opts = ExecOptions::default();
         let mut rng = StdRng::seed_from_u64(99);
         execute_plan(graph, plan, &mut state, &opts, &mut rng).unwrap();
         state

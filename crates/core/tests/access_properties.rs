@@ -33,10 +33,6 @@ fn unfused() -> (Graph, ExecutionPlan) {
     (eg.graph, plan)
 }
 
-fn opts() -> ExecOptions<'static> {
-    ExecOptions::builder().scaler(1.0 / (3f32).sqrt()).build()
-}
-
 /// The arena refuses a tampered plan before any kernel runs: compiling it
 /// fails at both granularities, and a run at one and at four threads
 /// fails with the environment — bound from the untampered plan — holding
@@ -54,7 +50,7 @@ fn refused_by_the_arena(
     for threads in [1, 4] {
         let mut state = random_externals(graph, sound, 17).unwrap();
         let bound = state.env.len();
-        let run = opts().to_builder().threads(threads).build();
+        let run = ExecOptions::builder().threads(threads).build();
         prop_assert!(arena::execute(graph, tampered, &mut state, &run).is_err());
         prop_assert!(
             state.env.len() == bound,

@@ -34,10 +34,6 @@ fn unfused() -> (Graph, ExecutionPlan) {
     (eg.graph, plan)
 }
 
-fn opts() -> ExecOptions<'static> {
-    ExecOptions::builder().scaler(1.0 / (3f32).sqrt()).build()
-}
-
 /// The arena refuses a tampered plan before any kernel runs: compiling it
 /// fails at both granularities, and a run at one and at four threads
 /// fails with the environment — bound from the *untampered* plan, so every
@@ -55,7 +51,7 @@ fn refused_by_the_arena(
     for threads in [1, 4] {
         let mut state = random_externals(graph, sound, 17).unwrap();
         let bound = state.env.len();
-        let run = opts().to_builder().threads(threads).build();
+        let run = ExecOptions::builder().threads(threads).build();
         prop_assert!(arena::execute(graph, tampered, &mut state, &run).is_err());
         prop_assert!(
             state.env.len() == bound,
@@ -177,7 +173,7 @@ proptest! {
         prop_assert!(!waves.iter().any(|w| w.contains(&1) && w.contains(&2)), "{waves:?}");
         let run = |threads: usize| {
             let mut state = random_externals(&g, &plan, 5).unwrap();
-            let knobs = opts().to_builder().threads(threads).build();
+            let knobs = ExecOptions::builder().threads(threads).build();
             arena::execute(&g, &plan, &mut state, &knobs).unwrap();
             ["w", "z"].map(|name| state.env[name].data().to_vec())
         };
@@ -203,11 +199,12 @@ fn corrupted_plans_cannot_reach_execution() {
     for plan in [&under, &aliased] {
         let mut state = random_externals(&g, &sound, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let err = xform_core::plan::execute_plan(&g, plan, &mut state, &opts(), &mut rng)
-            .expect_err("the serial interpreter refuses error-lint plans");
+        let err =
+            xform_core::plan::execute_plan(&g, plan, &mut state, &ExecOptions::default(), &mut rng)
+                .expect_err("the serial interpreter refuses error-lint plans");
         assert!(err.to_string().contains("invalid execution plan"), "{err}");
         for threads in [1, 4] {
-            let run = opts().to_builder().threads(threads).build();
+            let run = ExecOptions::builder().threads(threads).build();
             let err = arena::execute(&g, plan, &mut state, &run)
                 .expect_err("the arena refuses error-lint plans at compile");
             assert!(err.to_string().contains("invalid execution plan"), "{err}");

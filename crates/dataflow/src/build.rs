@@ -37,6 +37,13 @@
 //! [`head`] is the model head: `Head` → `Head bias` → `Head softmax` over
 //! the vocabulary.
 //!
+//! Each builder also sets what its graph's generic operators compute
+//! ([`Graph::activation`], [`Graph::softmax_scale`]): ReLU and `1/√p` for
+//! [`encoder`] and [`mha_forward`], GELU and `1/√p` for [`decoder`] and
+//! both decode-step graphs, and an unscaled softmax for [`head`]. Every
+//! executor reads them from the graph, so a plan computes what its graph
+//! says.
+//!
 //! # Node order is part of the contract
 //!
 //! Every emitter adds its nodes in a fixed order (a one-output operator adds
@@ -50,6 +57,7 @@
 //! memlets, operator lists) against a recorded table; an intended change
 //! re-records it.
 
+use xform_tensor::ops::elementwise::ActivationKind::{self, Gelu, Relu};
 use xform_tensor::{Axis, Shape};
 
 use crate::dims::EncoderDims;
@@ -66,8 +74,9 @@ const K: Axis = Axis('k');
 
 /// The feed-forward activation: operator name and output container. The
 /// backward operator and its gradient container are derived (`"{op} dX"`,
-/// `"d_{container}"`). Both are [`OpKind::Relu`] nodes — the executor picks
-/// the function; the graph's accounting is the same.
+/// `"d_{container}"`). Both are [`OpKind::Relu`] nodes — the function is
+/// the graph's ([`Graph::activation`], set by the builder); the graph's
+/// accounting is the same.
 type Act = (&'static str, &'static str);
 const RELU: Act = ("ReLU", "ff1_relu");
 const GELU: Act = ("GELU", "ff1_act");
@@ -172,6 +181,13 @@ impl<'d> Emit<'d> {
             sizes,
             ops: Vec::new(),
         }
+    }
+
+    /// Declares a block's arithmetic on the graph: `activation` behind its
+    /// [`OpKind::Relu`] nodes and `1/√p` behind its attention softmax.
+    fn arithmetic(&mut self, activation: ActivationKind) {
+        self.g.set_activation(activation);
+        self.g.set_softmax_scale(1.0 / (self.dims.p as f32).sqrt());
     }
 
     fn finish(self) -> ForwardGraph {
@@ -607,6 +623,7 @@ impl<'d> Emit<'d> {
 /// projection.
 pub fn mha_forward(dims: &EncoderDims) -> Graph {
     let mut e = Emit::new(dims);
+    e.arithmetic(Relu);
     let src = [("q", "ibj"), ("k", "ibk"), ("v", "ibk")].map(|(n, s)| e.data(n, s, Input));
     let w = [("wq", "phi"), ("wk", "phi"), ("wv", "whi"), ("wo", "whi")];
     let w = w.map(|(n, s)| e.data(n, s, Weight));
@@ -669,6 +686,7 @@ pub fn encoder(dims: &EncoderDims) -> EncoderGraph {
         "self-attention requires equal input/output sequence lengths"
     );
     let mut e = Emit::new(dims);
+    e.arithmetic(Relu);
     let x = e.data("x", "ibj", Input);
     let w = e.block_weights();
 
@@ -725,6 +743,7 @@ pub fn decoder(dims: &EncoderDims) -> EncoderGraph {
         "causal self-attention requires equal sequence lengths"
     );
     let mut e = Emit::new(dims);
+    e.arithmetic(Gelu);
     let x = e.data("x", "ibj", Input);
     let w = e.block_weights();
 
@@ -784,6 +803,7 @@ pub struct ForwardGraph {
 pub fn decoder_step_project(dims: &EncoderDims) -> ForwardGraph {
     assert_eq!(dims.j, 1, "decode step projects one token column");
     let mut e = Emit::new(dims);
+    e.arithmetic(Gelu);
     let x = e.data("x", "ibj", Input);
     let wp = e.qkv_weights();
     let ln1 = e.norm_weights(1);
@@ -812,6 +832,7 @@ pub fn decoder_step_project(dims: &EncoderDims) -> ForwardGraph {
 pub fn decoder_step_attend(dims: &EncoderDims) -> ForwardGraph {
     assert_eq!(dims.j, 1, "decode step attends one query column");
     let mut e = Emit::new(dims);
+    e.arithmetic(Gelu);
     let x = e.data("x", "ibj", Input);
     let qq = e.data("qq", "phbj", Input);
     let k_cache = e.data("k_cache", "kphb", Cache);
@@ -852,6 +873,24 @@ mod tests {
     use crate::op::OpClass;
 
     const GI: f64 = 1_073_741_824.0; // the paper's "Gflop" are Gi (2^30)
+
+    /// Each builder's graph says what its generic operators compute.
+    #[test]
+    fn every_builder_sets_its_graphs_arithmetic() {
+        let d = EncoderDims::tiny();
+        let (step, scaled) = (EncoderDims { j: 1, ..d }, 1.0 / (d.p as f32).sqrt());
+        for (g, arithmetic) in [
+            (encoder(&d).graph, (Relu, scaled)),
+            (mha_forward(&d), (Relu, scaled)),
+            (decoder(&d).graph, (Gelu, scaled)),
+            (decoder_step_project(&step).graph, (Gelu, scaled)),
+            (decoder_step_attend(&step).graph, (Gelu, scaled)),
+            (head(&d, 5).graph, (Relu, 1.0)),
+            (Graph::new(), (Relu, 1.0)),
+        ] {
+            assert_eq!((g.activation(), g.softmax_scale()), arithmetic);
+        }
+    }
 
     #[test]
     fn mha_forward_has_fig1_structure() {

@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::{Shape, TensorError};
 
 use crate::op::{OpClass, OpKind};
@@ -88,17 +89,53 @@ pub struct Edge {
     pub volume_words: u64,
 }
 
-/// A dataflow graph for one training step (or a fragment of one).
-#[derive(Debug, Clone, Default)]
+/// A dataflow graph for one training step (or a fragment of one), and the
+/// arithmetic of its generic operators: the function behind every
+/// [`OpKind::Relu`] node (and its gradient) and the factor every softmax
+/// (and its gradient) scales by. Every executor reads both from here.
+#[derive(Debug, Clone)]
 pub struct Graph {
     nodes: Vec<Option<Node>>,
     edges: Vec<Edge>,
+    activation: ActivationKind,
+    softmax_scale: f32,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph {
+            nodes: Vec::new(),
+            edges: Vec::new(),
+            activation: ActivationKind::Relu,
+            softmax_scale: 1.0,
+        }
+    }
 }
 
 impl Graph {
-    /// Creates an empty graph.
+    /// Creates an empty graph: ReLU activations, unscaled softmaxes.
     pub fn new() -> Self {
         Graph::default()
+    }
+
+    /// The function every [`OpKind::Relu`] node applies.
+    pub fn activation(&self) -> ActivationKind {
+        self.activation
+    }
+
+    /// The factor every softmax scales its input by (`1/√p` in attention).
+    pub fn softmax_scale(&self) -> f32 {
+        self.softmax_scale
+    }
+
+    /// Sets the function every [`OpKind::Relu`] node applies.
+    pub fn set_activation(&mut self, activation: ActivationKind) {
+        self.activation = activation;
+    }
+
+    /// Sets the factor every softmax scales its input by.
+    pub fn set_softmax_scale(&mut self, scale: f32) {
+        self.softmax_scale = scale;
     }
 
     /// Adds a data container.

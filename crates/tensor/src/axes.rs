@@ -86,7 +86,8 @@ impl Shape {
     ///
     /// Returns [`TensorError::DuplicateAxis`] if an axis name repeats,
     /// [`TensorError::ZeroSizedAxis`] if any size is zero and
-    /// [`TensorError::Unsupported`] beyond [`MAX_RANK`] axes.
+    /// [`TensorError::Unsupported`] beyond [`MAX_RANK`] axes or
+    /// `usize::MAX` elements.
     pub fn new<I, A>(dims: I) -> Result<Self>
     where
         I: IntoIterator<Item = (A, usize)>,
@@ -97,6 +98,7 @@ impl Shape {
             axes: [Axis('\0'); MAX_RANK],
             sizes: [0; MAX_RANK],
         };
+        let mut elements = 1usize;
         for (a, n) in dims {
             let a = a.into();
             if shape.contains(a) {
@@ -109,6 +111,9 @@ impl Shape {
                 let what = format!("a shape holds at most {MAX_RANK} axes");
                 return Err(TensorError::Unsupported(what));
             }
+            elements = elements.checked_mul(n).ok_or_else(|| {
+                TensorError::Unsupported("a shape holds at most usize::MAX elements".into())
+            })?;
             (shape.axes[shape.rank], shape.sizes[shape.rank]) = (a, n);
             shape.rank += 1;
         }
@@ -182,7 +187,8 @@ impl Shape {
         self.axes().contains(&axis)
     }
 
-    /// Total number of elements.
+    /// Total number of elements ([`Shape::new`] refuses a shape whose
+    /// count overflows).
     pub fn num_elements(&self) -> usize {
         self.sizes().iter().product()
     }

@@ -329,6 +329,26 @@ mod tests {
         }
     }
 
+    /// A header whose extents multiply past `usize::MAX` (2³² × 2³²) is a
+    /// format error, not an overflow panic or a tensor of no words.
+    #[test]
+    fn a_shape_whose_element_count_overflows_is_a_format_error() {
+        let mut file = MAGIC.to_vec();
+        for word in [VERSION, 1, 1] {
+            file.extend(word.to_le_bytes());
+        }
+        file.push(b't');
+        file.extend(2u32.to_le_bytes());
+        for axis in [b'a', b'b'] {
+            file.push(axis);
+            file.extend((1u64 << 32).to_le_bytes());
+        }
+        match read_tensors(&mut file.as_slice()) {
+            Err(CheckpointError::Format(m)) => assert!(m.contains("bad shape"), "{m}"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn load_rejects_shape_mismatch() {
         let dims = EncoderDims::tiny();

@@ -50,7 +50,7 @@ use rand::{Rng, SeedableRng};
 use xform_core::access::column_span;
 use xform_core::analyze::{analyze, ArenaGranularity, PlanAnalysis};
 use xform_core::arena::{ArenaArtifact, CompiledArena};
-use xform_core::plan::ExecState;
+use xform_core::plan::{ExecOptions, ExecState};
 use xform_dataflow::EncoderDims;
 use xform_tensor::lanes::{check_dropout_p, exp};
 use xform_tensor::matmul::{gemm, MatMut, MatRef, Start};
@@ -377,8 +377,7 @@ impl<'m> DecodeSession<'m> {
         prefill_dims.k = s;
         let pf = interp::cached_plan(&prefill_dims, PlanKind::DecoderFused)?;
         // decoding never drops: `dropout_p` stays at its default 0
-        let run = interp::run_options(&prefill_dims, PlanKind::DecoderFused);
-        let opts = run.threads(self.threads).build();
+        let opts = ExecOptions::builder().threads(self.threads).build();
 
         let granularity = interp::granularity_for(self.threads);
         let prefill = session_arena(&pf, &analyze(&pf.graph, &pf.plan), granularity)?;
@@ -491,11 +490,8 @@ impl<'m> DecodeSession<'m> {
         if pos >= self.capacity() {
             self.grow(pos + 1)?;
         }
-        // one worker, no dropout, causal windows shifted to `pos`; the
-        // project plan runs under the attend plan's options (both GELU, 1/√p)
-        let run = interp::run_options(&d, PlanKind::DecoderStep)
-            .pos(pos)
-            .build();
+        // one worker, no dropout, causal windows shifted to `pos`
+        let run = ExecOptions::builder().pos(pos).build();
 
         let arenas = prefilled(&mut self.arenas)?;
         let (project, bucket) = (&arenas.project, &arenas.attend);

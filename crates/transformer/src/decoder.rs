@@ -5,7 +5,6 @@
 
 use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
-use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::{Result, Tensor};
 
 use crate::interp::{self, ForwardOutput, Saved};
@@ -13,13 +12,11 @@ use crate::params::{EncoderGrads, EncoderWeights};
 
 /// A configured decoder block. Weights are shared with the encoder layout
 /// ([`EncoderWeights`]); only the wiring differs (pre-LN, causal mask,
-/// activation choice).
+/// GELU), and its graph says so ([`xform_dataflow::build::decoder`]).
 #[derive(Debug, Clone)]
 pub struct DecoderLayer {
     /// Problem dimensions (`j = k`).
     pub dims: EncoderDims,
-    /// Feed-forward activation (GPT-2 uses GELU).
-    pub activation: ActivationKind,
     /// Dropout probability.
     pub dropout_p: f32,
     /// When set, the block runs the GEMM-epilogue canned plan
@@ -34,7 +31,6 @@ impl DecoderLayer {
     pub fn new(dims: EncoderDims, dropout_p: f32) -> Self {
         DecoderLayer {
             dims,
-            activation: ActivationKind::Gelu,
             dropout_p,
             epilogue: false,
         }
@@ -47,15 +43,10 @@ impl DecoderLayer {
         self
     }
 
-    /// The attention scaling factor `1/√P`.
-    pub fn scaler(&self) -> f32 {
-        1.0 / (self.dims.p as f32).sqrt()
-    }
-
-    /// The caller's run configuration with the block-owned scalar knobs
-    /// merged in (and `dropout_p` range-checked).
+    /// The caller's run configuration with the block's `dropout_p` merged
+    /// in (and range-checked).
     fn exec_options<'p>(&self, opts: &ExecOptions<'p>) -> Result<ExecOptions<'p>> {
-        interp::layer_options(opts, self.dropout_p, self.activation, self.scaler())
+        interp::layer_options(opts, self.dropout_p)
     }
 
     /// The canned-plan cache key for the block's configuration.
@@ -74,9 +65,8 @@ impl DecoderLayer {
     /// block's canned plan runs out of its static arena at any `threads`,
     /// [`ExecOptions::plan`] substitutes an arbitrary plan over the decoder
     /// graph, in any layouts, on the same arena executor, `profiler` /
-    /// `sanitize` behave identically. The layer-owned scalar
-    /// knobs (`dropout_p`, `activation`, attention scale) come from the
-    /// layer.
+    /// `sanitize` behave identically. The block's `dropout_p` comes from
+    /// the block; its GELU and attention scale from its graph.
     ///
     /// # Errors
     ///
@@ -260,16 +250,6 @@ mod tests {
                 "grad {name}[{flat}]: numeric {num} vs analytic {analytic}"
             );
         }
-    }
-
-    #[test]
-    fn relu_variant_also_works() {
-        let (mut layer, w, x) = setup();
-        layer.activation = ActivationKind::Relu;
-        let (y, acts) = fwd(&layer, &x, &w, 5);
-        let (dx, _) = layer.backward(&y, &x, &w, &acts).unwrap();
-        assert!(y.data().iter().all(|v| v.is_finite()));
-        assert!(dx.data().iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -18,7 +18,6 @@
 
 use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
-use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::{Result, Tensor};
 
 use crate::interp::{self, ForwardOutput, Saved};
@@ -49,32 +48,19 @@ pub struct EncoderLayer {
     pub executor: Executor,
     /// Dropout probability (0 disables dropout deterministically).
     pub dropout_p: f32,
-    /// Feed-forward activation (the paper's Fig. 2 uses ReLU; real BERT
-    /// uses GELU — both are element-wise, so the analysis is identical).
-    pub activation: ActivationKind,
 }
 
 impl EncoderLayer {
     /// Creates a layer running `executor`'s canned plan with the given
-    /// dropout probability and a ReLU feed-forward activation.
+    /// dropout probability. Its arithmetic is its graph's
+    /// ([`xform_dataflow::build::encoder`]): the paper's Fig. 2 ReLU
+    /// feed-forward and the attention scale `1/√P`.
     pub fn new(dims: EncoderDims, executor: Executor, dropout_p: f32) -> Self {
         EncoderLayer {
             dims,
             executor,
             dropout_p,
-            activation: ActivationKind::Relu,
         }
-    }
-
-    /// Switches the feed-forward activation (builder-style).
-    pub fn with_activation(mut self, activation: ActivationKind) -> Self {
-        self.activation = activation;
-        self
-    }
-
-    /// The attention scaling factor `1/√P`.
-    pub fn scaler(&self) -> f32 {
-        1.0 / (self.dims.p as f32).sqrt()
     }
 
     /// The canned-plan cache key for the layer's executor kind.
@@ -86,10 +72,10 @@ impl EncoderLayer {
         }
     }
 
-    /// The caller's run configuration with the layer-owned scalar knobs
-    /// merged in (and `dropout_p` range-checked).
+    /// The caller's run configuration with the layer's `dropout_p` merged
+    /// in (and range-checked).
     fn exec_options<'p>(&self, opts: &ExecOptions<'p>) -> Result<ExecOptions<'p>> {
-        interp::layer_options(opts, self.dropout_p, self.activation, self.scaler())
+        interp::layer_options(opts, self.dropout_p)
     }
 
     /// Runs forward propagation on input `x` (`[i,b,j]`) — the single
@@ -122,9 +108,9 @@ impl EncoderLayer {
     /// Concurrent callers of one layer queue on the arena's buffers; each
     /// gets the result a lone call would.
     ///
-    /// The layer-owned scalar knobs (`dropout_p`, `activation`, attention
-    /// scale) are taken from the layer itself; the corresponding
-    /// `ExecOptions` fields are ignored.
+    /// The layer's `dropout_p` is taken from the layer itself; the
+    /// `ExecOptions` field is ignored. What the plan computes — its
+    /// activation and its attention scale — is its graph's.
     ///
     /// # Errors
     ///
@@ -337,37 +323,6 @@ mod tests {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn gelu_encoder_gradients_match_numerical() {
-        // spot-check one dx coordinate with the GELU feed-forward
-        let (layer, w, x) = setup(0.0, Executor::Fused);
-        let layer = layer.with_activation(ActivationKind::Gelu);
-        let (y, acts) = fwd(&layer, &x, &w, 60);
-        let loss_w = Tensor::random(
-            y.shape().clone(),
-            &Uniform::new(-1.0, 1.0),
-            &mut StdRng::seed_from_u64(61),
-        );
-        let (dx, _) = layer.backward(&loss_w, &x, &w, &acts).unwrap();
-        let loss = |xx: &Tensor| -> f32 {
-            let (yy, _) = fwd(&layer, xx, &w, 60);
-            yy.iter().map(|(i, v)| loss_w.at(&i) * v).sum()
-        };
-        let eps = 1e-2f32;
-        let idx = vec![1usize, 1, 2];
-        let off = x.offset(&idx);
-        let mut xp = x.clone();
-        xp.data_mut()[off] += eps;
-        let mut xm = x.clone();
-        xm.data_mut()[off] -= eps;
-        let num = (loss(&xp) - loss(&xm)) / (2.0 * eps);
-        assert!(
-            (num - dx.at(&idx)).abs() < 0.05 * (1.0 + num.abs()),
-            "GELU dx: numeric {num} vs analytic {}",
-            dx.at(&idx)
-        );
     }
 
     /// Central-difference check of the full backward pass, spot-checking a

@@ -22,13 +22,12 @@ use xform_core::fusion::{
     apply_epilogues, apply_plan, apply_regions, decoder_fusion_plan, encoder_fusion_plan,
     head_fusion_plan, FusionGroup,
 };
-use xform_core::plan::{ExecOptions, ExecOptionsBuilder, ExecState, ExecutionPlan};
+use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use xform_core::profile::record_arena_timings;
 use xform_core::recipe::{backward_ops, forward_ops};
 use xform_core::sanitize::{certify, PlanCertificate};
 use xform_dataflow::{build, EncoderDims, Graph, NodeId, OpKind};
 use xform_tensor::lanes::check_dropout_p;
-use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
@@ -278,8 +277,10 @@ fn plan_cache() -> MutexGuard<'static, HashMap<(EncoderDims, PlanKind), Arc<Plan
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Returns the canned plan for `(dims, kind)`, building and memoizing it
-/// on first use. Keying on the full dimension set means a layer whose
+/// Returns the canned plan for `(dims, kind)` — the one constructor of a
+/// canned plan — building and memoizing it on first use. Its graph is
+/// the builder's, arithmetic included. Keying on the full dimension set
+/// means a layer whose
 /// dims change simply misses the cache and lowers a fresh plan — stale
 /// schedules can never be returned. Lowering happens outside the lock;
 /// a racing duplicate build is benign (last writer wins).
@@ -295,26 +296,21 @@ pub fn cached_plan(dims: &EncoderDims, kind: PlanKind) -> Result<Arc<PlannedForw
     if let Some(hit) = plan_cache().get(&key) {
         return Ok(Arc::clone(hit));
     }
+    let (encoder, decoder) = (encoder_fusion_plan(), decoder_fusion_plan());
     let built = Arc::new(match kind {
-        PlanKind::EncoderReference => encoder_reference(dims)?,
-        PlanKind::EncoderFused => encoder_fused(dims)?,
-        PlanKind::EncoderEpilogue => encoder_epilogue(dims)?,
-        PlanKind::DecoderFused => decoder_fused(dims)?,
-        PlanKind::DecoderEpilogue => decoder_epilogue(dims)?,
-        PlanKind::DecoderStepProject => decoder_step_project(dims)?,
-        PlanKind::DecoderStep => decoder_step_attend(dims)?,
-        PlanKind::Head { vocab } => head_epilogue(dims, vocab)?,
+        PlanKind::EncoderReference => block_plan(dims, build::encoder, &[], false, forward_ops)?,
+        PlanKind::EncoderFused => block_plan(dims, build::encoder, &encoder, false, forward_ops)?,
+        PlanKind::EncoderEpilogue => block_plan(dims, build::encoder, &encoder, true, forward_ops)?,
+        PlanKind::DecoderFused => block_plan(dims, build::decoder, &decoder, false, forward_ops)?,
+        PlanKind::DecoderEpilogue => block_plan(dims, build::decoder, &decoder, true, forward_ops)?,
+        PlanKind::DecoderStepProject => step_plan(dims, build::decoder_step_project)?,
+        PlanKind::DecoderStep => step_plan(dims, build::decoder_step_attend)?,
+        PlanKind::Head { vocab } => head_plan(dims, vocab, true)?,
         PlanKind::EncoderReferenceTrain => {
             block_plan(dims, build::encoder, &[], false, backward_ops)?
         }
-        PlanKind::EncoderTrain => {
-            let fusion = encoder_fusion_plan();
-            block_plan(dims, build::encoder, &fusion, false, backward_ops)?
-        }
-        PlanKind::DecoderTrain => {
-            let fusion = decoder_fusion_plan();
-            block_plan(dims, build::decoder, &fusion, false, backward_ops)?
-        }
+        PlanKind::EncoderTrain => block_plan(dims, build::encoder, &encoder, false, backward_ops)?,
+        PlanKind::DecoderTrain => block_plan(dims, build::decoder, &decoder, false, backward_ops)?,
     });
     plan_cache().insert(key, Arc::clone(&built));
     Ok(built)
@@ -340,9 +336,9 @@ fn arena_cache() -> MutexGuard<'static, ArenaMap> {
 }
 
 /// Returns the compiled static arena for `(dims, kind, granularity)`,
-/// building and memoizing it on first use. Always `Some` on success; the
-/// `Option` is [`xform_core::arena::compiled`]'s, which this indexes.
-/// Steady-state hits are a lock plus a `HashMap` probe: no allocation.
+/// building and memoizing it on first use. Always `Some` on success (the
+/// `Option` is vestigial; the signature is frozen). Steady-state hits are
+/// a lock plus a `HashMap` probe: no allocation.
 ///
 /// # Errors
 ///
@@ -359,10 +355,8 @@ pub fn cached_arena(
     }
     let pf = cached_plan(dims, kind)?;
     let built = arena::compiled(&pf.graph, &pf.plan, granularity)?;
-    if let Some(arena) = &built {
-        arena_cache().insert(key, Arc::clone(arena));
-    }
-    Ok(built)
+    arena_cache().insert(key, Arc::clone(&built));
+    Ok(Some(built))
 }
 
 /// Drops every memoized arena: the canned plans' and the ones compiled for
@@ -372,53 +366,18 @@ pub fn clear_arena_cache() {
     arena::clear_compiled();
 }
 
-/// The run options canned plan `kind` is made for at `dims`: its block's
-/// feed-forward activation (GELU under the decoder kinds, ReLU under the
-/// encoder's — each layer's default) and the attention scale `1/√p`, every
-/// other option at its default. Whoever runs a canned plan without a layer
-/// (a decode session, the profiler) starts from these; a layer sets the
-/// same two from its own fields, its `activation` an override.
-pub fn run_options<'p>(dims: &EncoderDims, kind: PlanKind) -> ExecOptionsBuilder<'p> {
-    use PlanKind::*;
-    let activation = match kind {
-        DecoderFused | DecoderEpilogue | DecoderStepProject | DecoderStep | DecoderTrain => {
-            ActivationKind::Gelu
-        }
-        EncoderReference
-        | EncoderFused
-        | EncoderEpilogue
-        | EncoderReferenceTrain
-        | EncoderTrain
-        | Head { .. } => ActivationKind::Relu,
-    };
-    ExecOptions::builder()
-        .activation(activation)
-        .scaler(1.0 / (dims.p as f32).sqrt())
-}
-
-/// Merges a caller's run configuration with a layer's own scalar knobs:
-/// `dropout_p`, `activation` and the attention `scaler` always come from
-/// the layer, everything else from `opts`. This is where a layer's
-/// `dropout_p` enters an execution, so it is range-checked here, once, for
-/// every executor and entry point.
+/// Merges a caller's run configuration with a layer's `dropout_p`, which
+/// always comes from the layer; everything else comes from `opts`. This is
+/// where a layer's `dropout_p` enters an execution, so it is range-checked
+/// here, once, for every executor and entry point.
 ///
 /// # Errors
 ///
 /// Returns [`xform_tensor::TensorError::InvalidDropout`] unless
 /// `0 <= dropout_p < 1`.
-pub(crate) fn layer_options<'p>(
-    opts: &ExecOptions<'p>,
-    dropout_p: f32,
-    activation: ActivationKind,
-    scaler: f32,
-) -> Result<ExecOptions<'p>> {
+pub(crate) fn layer_options<'p>(opts: &ExecOptions<'p>, dropout_p: f32) -> Result<ExecOptions<'p>> {
     check_dropout_p(dropout_p)?;
-    Ok(opts
-        .to_builder()
-        .dropout_p(dropout_p)
-        .activation(activation)
-        .scaler(scaler)
-        .build())
+    Ok(opts.to_builder().dropout_p(dropout_p).build())
 }
 
 /// The one binding table: the words of the external container `name` as
@@ -492,14 +451,15 @@ fn with_arena<R>(
     f: impl FnOnce(&Graph, &ExecutionPlan, &CompiledArena) -> Result<R>,
 ) -> Result<R> {
     let granularity = granularity_for(opts.threads);
-    let uncompiled = || TensorError::Unsupported("the plan compiled to no arena".into());
     match opts.plan {
-        Some(o) => {
-            let arena = arena::compiled(o.graph, o.plan, granularity)?.ok_or_else(uncompiled)?;
-            f(o.graph, o.plan, &arena)
-        }
+        Some(o) => f(
+            o.graph,
+            o.plan,
+            &*arena::compiled(o.graph, o.plan, granularity)?,
+        ),
         None => {
             let pf = cached_plan(dims, kind)?;
+            let uncompiled = || TensorError::Unsupported("the plan compiled to no arena".into());
             let arena = cached_arena(dims, kind, granularity)?.ok_or_else(uncompiled)?;
             f(&pf.graph, &pf.plan, &arena)
         }
@@ -746,98 +706,9 @@ pub fn head_forward(
     Tensor::from_vec_with_layout(shape, Layout::from_order(&[1, 2, 0])?, probs)
 }
 
-/// The reference executor as a plan: the unfused encoder graph, natural
-/// layouts, one step per dataflow operator.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] unless every extent is nonzero and
-/// `dims.j == dims.k`, or an error if the graph cannot be scheduled.
-pub fn encoder_reference(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(dims, build::encoder, &[], false, forward_ops)
-}
-
-/// The fused executor as a plan: the paper's encoder fusion plan applied,
-/// natural layouts, one step per fused kernel.
-///
-/// # Errors
-///
-/// As [`encoder_reference`], and if fusion fails.
-pub fn encoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(
-        dims,
-        build::encoder,
-        &encoder_fusion_plan(),
-        false,
-        forward_ops,
-    )
-}
-
-/// The fused encoder with GEMM-epilogue mega-kernels: element-wise fusion
-/// first, then every detected contraction→epilogue chain collapsed into a
-/// one-contraction [`xform_dataflow::OpKind::TileProgram`] step whose
-/// intermediate is never materialized.
-///
-/// # Errors
-///
-/// As [`encoder_fused`].
-pub fn encoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(
-        dims,
-        build::encoder,
-        &encoder_fusion_plan(),
-        true,
-        forward_ops,
-    )
-}
-
-/// The decoder block as a plan: the pre-LN decoder graph with its fusion
-/// plan applied (causal SM, BDR residual joins, GELU BRD). At the prompt's
-/// length this is the decode prefill pass.
-///
-/// # Errors
-///
-/// As [`encoder_fused`].
-pub fn decoder_fused(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(
-        dims,
-        build::decoder,
-        &decoder_fusion_plan(),
-        false,
-        forward_ops,
-    )
-}
-
-/// The fused decoder with GEMM-epilogue mega-kernels (see
-/// [`encoder_epilogue`]).
-///
-/// # Errors
-///
-/// As [`encoder_fused`].
-pub fn decoder_epilogue(dims: &EncoderDims) -> Result<PlannedForward> {
-    block_plan(
-        dims,
-        build::decoder,
-        &decoder_fusion_plan(),
-        true,
-        forward_ops,
-    )
-}
-
-/// The decode-step projection plan (LN1 + QKV + bias carve over one token
-/// column). See [`PlanKind::DecoderStepProject`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] unless every extent is nonzero and
-/// `dims.j == 1`, or an error if fusion or scheduling fails.
-pub fn decoder_step_project(dims: &EncoderDims) -> Result<PlannedForward> {
-    step_plan(dims, build::decoder_step_project)
-}
-
 /// The model head with its bias and softmax one kernel (`BSV`) behind the
 /// contraction, which materializes the logits: the twin the audit holds
-/// [`head_epilogue`] against.
+/// [`PlanKind::Head`] against.
 ///
 /// # Errors
 ///
@@ -845,27 +716,6 @@ pub fn decoder_step_project(dims: &EncoderDims) -> Result<PlannedForward> {
 /// are nonzero, or an error if fusion or scheduling fails.
 pub fn head_fused(dims: &EncoderDims, vocab: usize) -> Result<PlannedForward> {
     head_plan(dims, vocab, false)
-}
-
-/// The model head as one GEMM-epilogue step ([`PlanKind::Head`]).
-///
-/// # Errors
-///
-/// As [`head_fused`].
-pub fn head_epilogue(dims: &EncoderDims, vocab: usize) -> Result<PlannedForward> {
-    head_plan(dims, vocab, true)
-}
-
-/// The decode-step attention plan reading the resident KV cache. Its
-/// certificate, like every plan's, proves no step writes a single word of
-/// either cache container, and records their geometry for
-/// [`crate::decode::DecodeSession`]'s appends.
-///
-/// # Errors
-///
-/// As [`decoder_step_project`].
-pub fn decoder_step_attend(dims: &EncoderDims) -> Result<PlannedForward> {
-    step_plan(dims, build::decoder_step_attend)
 }
 
 #[cfg(test)]
@@ -880,12 +730,12 @@ mod tests {
     #[test]
     fn canned_plans_schedule_every_forward_operator() {
         let dims = EncoderDims::tiny();
-        let reference = encoder_reference(&dims).unwrap();
+        let reference = cached_plan(&dims, PlanKind::EncoderReference).unwrap();
         assert_eq!(reference.plan.steps.len(), 22);
-        let fused = encoder_fused(&dims).unwrap();
+        let fused = cached_plan(&dims, PlanKind::EncoderFused).unwrap();
         assert!(fused.plan.steps.len() < reference.plan.steps.len());
         assert!(xform_core::analyze::analyze(&fused.graph, &fused.plan).is_clean());
-        let decoder = decoder_fused(&dims).unwrap();
+        let decoder = cached_plan(&dims, PlanKind::DecoderFused).unwrap();
         assert!(xform_core::analyze::analyze(&decoder.graph, &decoder.plan).is_clean());
         // every canned plan carries a certificate covering all its steps
         for pf in [&reference, &fused, &decoder] {
@@ -914,38 +764,109 @@ mod tests {
         assert_eq!(d.plan.steps.len(), a.plan.steps.len());
     }
 
-    /// A canned plan run under [`run_options`] alone is its layer's forward,
-    /// bit for bit, at p = 0: the options carry the block's activation and
-    /// the attention scale. Under the defaults the decoder plans run ReLU and
-    /// every plan's softmax runs unscaled, which a profile once timed.
+    /// A canned plan computes what its graph says: every forward kind, run
+    /// by the arena and by the reference interpreter under plain options,
+    /// is its layer's forward bit for bit at p = 0 — the decoder's GELU and
+    /// every block's `1/√p` included. The decode steps at the last position
+    /// are the decoder's last column, their cache its saved keys and
+    /// values; the head is [`head_forward`] over the decoder's output.
     #[test]
-    fn a_canned_plan_under_its_run_options_is_its_layers_forward() {
+    fn every_canned_forward_kind_under_plain_options_is_its_layers_forward() {
         use crate::decoder::DecoderLayer;
         use crate::encoder::{EncoderLayer, Executor};
 
         let dims = EncoderDims::tiny();
         let mut rng = StdRng::seed_from_u64(19);
         let w = EncoderWeights::init(&dims, &mut rng);
+        let unit = Uniform::new(-1.0, 1.0);
         let ibj = Shape::from_spec("ibj", &dims.size_table()).unwrap();
-        let x = Tensor::random(ibj, &Uniform::new(-1.0, 1.0), &mut rng);
-        let opts = ExecOptions::default();
-        let bits = |out: Result<ForwardOutput>| -> Vec<u32> {
-            out.unwrap().y.data().iter().map(|v| v.to_bits()).collect()
+        let x = Tensor::random(ibj, &unit, &mut rng);
+        let opts = ExecOptions::builder().seed(5).build();
+        let logical = |t: &Tensor| -> Vec<u32> {
+            let t = t.relayout(&Layout::row_major(t.shape().rank()));
+            t.data().iter().map(|v| v.to_bits()).collect()
         };
-        let enc = |e| bits(EncoderLayer::new(dims, e, 0.0).forward(&x, &w, &opts));
+        // the containers `names` of `kind` at `dims` run from `state`, on
+        // the arena and under the reference interpreter
+        let run = |dims: &EncoderDims, kind, state: ExecState, names: &[&str], opts| {
+            let pf = cached_plan(dims, kind).unwrap();
+            let mut on_arena = state.clone();
+            arena::execute(&pf.graph, &pf.plan, &mut on_arena, opts).unwrap();
+            let (mut reference, mut rng) = (state, StdRng::seed_from_u64(5));
+            execute_plan(&pf.graph, &pf.plan, &mut reference, opts, &mut rng).unwrap();
+            [on_arena, reference].map(|s| {
+                names
+                    .iter()
+                    .map(|n| logical(&s.env[*n]))
+                    .collect::<Vec<_>>()
+            })
+        };
+
+        let enc = |e| EncoderLayer::new(dims, e, 0.0).forward(&x, &w, &opts);
         let dec = DecoderLayer::new(dims, 0.0);
-        let epi = dec.clone().with_epilogue();
-        for (kind, layer) in [
+        for (kind, out) in [
             (PlanKind::EncoderReference, enc(Executor::Reference)),
             (PlanKind::EncoderFused, enc(Executor::Fused)),
             (PlanKind::EncoderEpilogue, enc(Executor::Epilogue)),
-            (PlanKind::DecoderFused, bits(dec.forward(&x, &w, &opts))),
-            (PlanKind::DecoderEpilogue, bits(epi.forward(&x, &w, &opts))),
+            (PlanKind::DecoderFused, dec.forward(&x, &w, &opts)),
+            (
+                PlanKind::DecoderEpilogue,
+                dec.clone().with_epilogue().forward(&x, &w, &opts),
+            ),
         ] {
-            let run = run_options(&dims, kind).build();
-            assert_eq!(bits(forward(&dims, kind, &x, &w, &run)), layer, "{kind:?}");
-            let unscaled = bits(forward(&dims, kind, &x, &w, &opts));
-            assert_ne!(unscaled, layer, "{kind:?} under the defaults");
+            let want = vec![logical(&out.unwrap().y)];
+            for got in run(&dims, kind, bind_inputs(&x, &w), &["y"], &opts) {
+                assert_eq!(got, want, "{kind:?}");
+            }
+        }
+
+        let (y, saved) = dec.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
+        let (step, last) = (EncoderDims { j: 1, ..dims }, dims.j - 1);
+        let shape = |spec| Shape::from_spec(spec, &step.size_table()).unwrap();
+        // a sequence-last tensor's last column
+        let column = |t: &Tensor, spec| {
+            Tensor::from_fn(shape(spec), |i| {
+                t.at(&[&i[..i.len() - 1], &[last]].concat())
+            })
+        };
+        // a sequence-last tensor, position-major
+        let cache =
+            |t: &Tensor, spec| Tensor::from_fn(shape(spec), |i| t.at(&[&i[1..], &i[..1]].concat()));
+        let [qq, kk, vv] = ["qq", "kk", "vv"].map(|n| saved.tensor(n).unwrap());
+        let want: Vec<_> = [(qq, "phbj"), (kk, "phbj"), (vv, "whbj")]
+            .map(|(t, spec)| logical(&column(t, spec)))
+            .into();
+        let state = bind_inputs(&column(&x, "ibj"), &w);
+        let names = ["qq_new", "kk_new", "vv_new"];
+        for got in run(&step, PlanKind::DecoderStepProject, state, &names, &opts) {
+            assert_eq!(got, want, "DecoderStepProject");
+        }
+        let mut state = bind_inputs(&column(&x, "ibj"), &w);
+        state.env.insert("qq".into(), column(qq, "phbj"));
+        state.env.insert("k_cache".into(), cache(kk, "kphb"));
+        state.env.insert("v_cache".into(), cache(vv, "kwhb"));
+        let at_last = opts.to_builder().pos(last).build();
+        let want = vec![logical(&column(&y, "ibj"))];
+        for got in run(&step, PlanKind::DecoderStep, state, &["y"], &at_last) {
+            assert_eq!(got, want, "DecoderStep");
+        }
+
+        let vocab = 5;
+        let head = Tensor::random(
+            Shape::new([('v', vocab), ('i', dims.i)]).unwrap(),
+            &unit,
+            &mut rng,
+        );
+        let head_bias = Tensor::random(Shape::new([('v', vocab)]).unwrap(), &unit, &mut rng);
+        // stored `(b,j,v)`: the plan's `[b,j,v]` container in logical order
+        let probs = head_forward(&dims, &y, &head, &head_bias).unwrap();
+        let want = vec![probs.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()];
+        let mut state = ExecState::default();
+        for (name, t) in [("h", &y), ("head", &head), ("head_bias", &head_bias)] {
+            state.env.insert(name.into(), t.clone());
+        }
+        for got in run(&dims, PlanKind::Head { vocab }, state, &["probs"], &opts) {
+            assert_eq!(got, want, "Head");
         }
     }
 
@@ -1166,15 +1087,14 @@ mod tests {
             &Uniform::new(-1.0, 1.0),
             &mut rng,
         );
-        for pf in [
-            encoder_reference(&dims).unwrap(),
-            encoder_fused(&dims).unwrap(),
-            decoder_fused(&dims).unwrap(),
+        for kind in [
+            PlanKind::EncoderReference,
+            PlanKind::EncoderFused,
+            PlanKind::DecoderFused,
         ] {
+            let pf = cached_plan(&dims, kind).unwrap();
             let mut state = bind_inputs(&x, &w);
-            let opts = ExecOptions::builder()
-                .scaler(1.0 / (dims.p as f32).sqrt())
-                .build();
+            let opts = ExecOptions::default();
             execute_plan(&pf.graph, &pf.plan, &mut state, &opts, &mut rng).unwrap();
             assert_eq!(state.get("y").unwrap().shape().spec(), "ibj");
         }
@@ -1202,15 +1122,13 @@ mod tests {
             (
                 PlanKind::EncoderTrain,
                 encoder.forward(&x, &w, &forward).unwrap().saved,
-                encoder.scaler(),
             ),
             (
                 PlanKind::DecoderTrain,
                 decoder.forward(&x, &w, &forward).unwrap().saved,
-                decoder.scaler(),
             ),
         ];
-        for (kind, saved, scaler) in runs {
+        for (kind, saved) in runs {
             let pf = cached_plan(&dims, kind).unwrap();
             let mut base = bind_inputs(&x, &w);
             base.env.extend(saved.tensors.clone());
@@ -1227,20 +1145,10 @@ mod tests {
                 let opts = ExecOptions::builder()
                     .threads(threads)
                     .seed(seed)
-                    .scaler(scaler)
-                    .dropout_p(0.2);
-                let activation = match kind {
-                    PlanKind::DecoderTrain => ActivationKind::Gelu,
-                    _ => ActivationKind::Relu,
-                };
+                    .dropout_p(0.2)
+                    .build();
                 let mut state = base.clone();
-                arena::execute(
-                    &pf.graph,
-                    &pf.plan,
-                    &mut state,
-                    &opts.activation(activation).build(),
-                )
-                .unwrap();
+                arena::execute(&pf.graph, &pf.plan, &mut state, &opts).unwrap();
                 let names = ["dx", "d_w_qkv", "d_bq", "d_ln1_gamma", "d_w1", "d_b1"];
                 names.map(|n| state.env[n].data().to_vec())
             };

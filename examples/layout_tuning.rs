@@ -33,7 +33,7 @@ use substation::gpusim::opmodel::OpConfig;
 use substation::gpusim::DeviceSpec;
 use substation::tensor::{Shape, Tensor};
 use substation::transformer::encoder::{EncoderLayer, Executor};
-use substation::transformer::interp;
+use substation::transformer::interp::{self, PlanKind};
 use substation::transformer::params::EncoderWeights;
 
 type Outcome<T> = Result<T, Box<dyn std::error::Error>>;
@@ -55,7 +55,7 @@ const BERT_FWD: EncoderDims = EncoderDims {
 /// streaming rate — and duels the lowered plan against the canned natural
 /// one on the arena. Returns `(natural ms, selected ms)`.
 fn study(source: &CpuSource, dims: EncoderDims, print: bool) -> Outcome<(f64, f64)> {
-    let planned = interp::encoder_fused(&dims)?;
+    let planned = interp::cached_plan(&dims, PlanKind::EncoderFused)?;
     let (graph, natural) = (&planned.graph, &planned.plan);
     let opts = SweepOptions {
         max_configs: Some(24),

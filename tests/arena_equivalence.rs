@@ -166,7 +166,7 @@ fn a_step_the_lowering_does_not_model_is_refused_by_the_arena_and_underived_by_t
 }
 
 /// The reference interpreter on the canned plan of `kind`, called
-/// directly with the knobs an encoder layer at `p = 0` merges in.
+/// directly at `p = 0`.
 fn reference_run(
     dims: &EncoderDims,
     kind: interp::PlanKind,
@@ -174,9 +174,7 @@ fn reference_run(
     w: &EncoderWeights,
 ) -> ExecState {
     let pf = interp::cached_plan(dims, kind).unwrap();
-    let opts = ExecOptions::builder()
-        .scaler(1.0 / (dims.p as f32).sqrt())
-        .build();
+    let opts = ExecOptions::default();
     let mut state = interp::bind_inputs(x, w);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     execute_plan(&pf.graph, &pf.plan, &mut state, &opts, &mut rng).unwrap();

@@ -26,7 +26,7 @@ use rand::{RngCore, SeedableRng};
 
 use substation::core::arena;
 use substation::core::plan::{random_externals, ExecOptions, ExecState, ExecutionPlan};
-use substation::dataflow::{EncoderDims, OpKind};
+use substation::dataflow::{EncoderDims, Graph, OpKind};
 use substation::tensor::fused;
 use substation::tensor::ops::dropout::dropout;
 use substation::tensor::ops::elementwise::ActivationKind;
@@ -172,9 +172,10 @@ fn causal_of(parts: &[String], lane: usize) -> Option<usize> {
 }
 
 /// Checks every mask `state` holds against the key of the step that wrote
-/// it, and an attention region's context against the masks it weighted.
-fn check_plan(plan: &ExecutionPlan, state: &ExecState, seed: u64, tag: &str) {
-    let scaler = 0.5;
+/// it, and an attention region's context against the masks it weighted
+/// under the softmax scale of `graph`, the plan's.
+fn check_plan(graph: &Graph, plan: &ExecutionPlan, state: &ExecState, seed: u64, tag: &str) {
+    let scaler = graph.softmax_scale();
     let mut checked = 0;
     for (si, step) in plan.steps.iter().enumerate() {
         let key = key_of(seed, plan.stream_of(si));
@@ -275,15 +276,13 @@ fn every_saved_mask_of_every_training_plan_is_the_formula() {
                     let seed = 0xd0 + threads as u64;
                     let opts = ExecOptions::builder()
                         .dropout_p(P)
-                        .activation(ActivationKind::Gelu)
-                        .scaler(0.5)
                         .seed(seed)
                         .threads(threads)
                         .build();
                     let mut state = base.clone();
                     arena::execute(graph, plan, &mut state, &opts).unwrap();
                     let tag = format!("{kind:?} j{} {layouts} t{threads}", dims.j);
-                    check_plan(plan, &state, seed, &tag);
+                    check_plan(graph, plan, &state, seed, &tag);
                 }
             }
         }

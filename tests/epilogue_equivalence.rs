@@ -38,12 +38,12 @@ use substation::core::plan::{
 };
 use substation::core::recipe::forward_ops;
 use substation::dataflow::{build, EncoderDims, OpKind};
-use substation::tensor::ops::elementwise::{bias_add, ActivationKind};
+use substation::tensor::ops::elementwise::bias_add;
 use substation::tensor::ops::softmax::softmax;
 use substation::tensor::{einsum, Axis, Shape, Tensor};
 use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
-use substation::transformer::interp;
+use substation::transformer::interp::{self, PlanKind};
 use substation::transformer::params::EncoderWeights;
 
 fn setup(dims: &EncoderDims) -> (EncoderWeights, Tensor) {
@@ -141,10 +141,7 @@ fn run_env(
         env: externals.env.clone(),
         ..Default::default()
     };
-    let opts = ExecOptions::builder()
-        .dropout_p(dropout_p)
-        .scaler(0.5)
-        .build();
+    let opts = ExecOptions::builder().dropout_p(dropout_p).build();
     let mut rng = StdRng::seed_from_u64(97);
     execute_plan(&pf.graph, &pf.plan, &mut state, &opts, &mut rng).unwrap();
     (state, rng)
@@ -170,10 +167,11 @@ proptest! {
         let drop_p = if seed % 2 == 0 { 0.0f32 } else { 0.3 };
         let dims = EncoderDims { b, j, k: j, h, p, i: h * p, u };
         for (fused, epilogue) in [
-            (interp::encoder_fused(&dims), interp::encoder_epilogue(&dims)),
-            (interp::decoder_fused(&dims), interp::decoder_epilogue(&dims)),
+            (PlanKind::EncoderFused, PlanKind::EncoderEpilogue),
+            (PlanKind::DecoderFused, PlanKind::DecoderEpilogue),
         ] {
-            let (pf, pe) = (fused.unwrap(), epilogue.unwrap());
+            let plan = |kind| interp::cached_plan(&dims, kind).unwrap();
+            let (pf, pe) = (plan(fused), plan(epilogue));
             prop_assert!(mega_steps(&pe) >= 1, "no mega-kernel lowered at {dims:?}");
             prop_assert!(region_steps(&pe) == 1 && region_steps(&pf) == 1, "no region at {dims:?}");
             // both graphs share the same external set; generate once from
@@ -232,9 +230,9 @@ proptest! {
             base.env.insert(name.into(), t.clone());
         }
         let mut probs = vec![served];
-        for pf in [interp::head_epilogue(&dims, vocab), interp::head_fused(&dims, vocab)] {
-            let pf = pf.unwrap();
-            prop_assert!(mega_steps(&pf) <= 1 && pf.plan.steps.len() == 2 - mega_steps(&pf));
+        let served_plan = interp::cached_plan(&dims, PlanKind::Head { vocab }).unwrap();
+        for pf in [&*served_plan, &interp::head_fused(&dims, vocab).unwrap()] {
+            prop_assert!(mega_steps(pf) <= 1 && pf.plan.steps.len() == 2 - mega_steps(pf));
             for threads in [1usize, 2] {
                 let mut state = base.clone();
                 let opts = ExecOptions::builder().threads(threads).build();
@@ -270,24 +268,11 @@ fn epilogue_arena_forward_matches_the_env_interpreter_bitwise_without_rng() {
     let pd = interp::cached_plan(&dims, interp::PlanKind::DecoderEpilogue).unwrap();
     for threads in [1usize, 4] {
         let arena_opts = ExecOptions::builder().threads(threads).build();
-        for (tag, pf, activation, arena_y) in [
-            (
-                "encoder",
-                &pe,
-                enc.activation,
-                enc.forward(&x, &w, &arena_opts).unwrap().y,
-            ),
-            (
-                "decoder",
-                &pd,
-                ActivationKind::Gelu,
-                dec.forward(&x, &w, &arena_opts).unwrap().y,
-            ),
+        for (tag, pf, arena_y) in [
+            ("encoder", &pe, enc.forward(&x, &w, &arena_opts).unwrap().y),
+            ("decoder", &pd, dec.forward(&x, &w, &arena_opts).unwrap().y),
         ] {
-            let knobs = ExecOptions::builder()
-                .activation(activation)
-                .scaler(enc.scaler())
-                .build();
+            let knobs = ExecOptions::default();
             let mut state = interp::bind_inputs(&x, &w);
             let mut rng = StdRng::seed_from_u64(knobs.seed);
             execute_plan(&pf.graph, &pf.plan, &mut state, &knobs, &mut rng).unwrap();
@@ -399,10 +384,7 @@ fn epilogue_arena_slab_is_smaller_at_sequence_dominant_dims() {
                     .unwrap()
                     .slab_words()
             };
-            let sc = arena::compiled(&g, &chain, gran)
-                .unwrap()
-                .unwrap()
-                .slab_words();
+            let sc = arena::compiled(&g, &chain, gran).unwrap().slab_words();
             let (sf, se) = (slab(fused), slab(epilogue));
             assert!(
                 se <= sf && sf < sc,

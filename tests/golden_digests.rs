@@ -292,6 +292,7 @@ fn layer_digests(table: &mut Vec<(String, u64)>) {
         let ibj = Shape::from_spec("ibj", &dims.size_table()).unwrap();
         let x = Tensor::random(ibj.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
         for p in [0.0f32, 0.1] {
+            let knobs = ExecOptions::builder().dropout_p(p).build();
             let enc = |e| Block::Enc(EncoderLayer::new(*dims, e, p));
             let dec = DecoderLayer::new(*dims, p);
             let kinds = [
@@ -336,7 +337,6 @@ fn layer_digests(table: &mut Vec<(String, u64)>) {
                     h.tensor(&y);
                     rows("forward_into", threads, (h, sm));
                 }
-                let knobs = interp::run_options(dims, kind).dropout_p(p).build();
                 let (mut h, mut sm) = (Fnv::new(), Fnv::new());
                 reference_leg(&pf, &x, &w, &knobs, SEED, (&mut h, &mut sm));
                 rows("reference", 1, (h, sm));
@@ -782,11 +782,8 @@ fn tile_digests(table: &mut Vec<(String, u64)>) {
         ("dec-epilogue", PlanKind::DecoderEpilogue),
         ("head", PlanKind::Head { vocab: 37 }),
     ];
+    let opts = ExecOptions::builder().dropout_p(0.1).seed(31).build();
     for (name, kind) in kinds {
-        let opts = interp::run_options(&dims, kind)
-            .dropout_p(0.1)
-            .seed(31)
-            .build();
         let pf = interp::cached_plan(&dims, kind).unwrap();
         let (graph, natural) = (&pf.graph, &pf.plan);
         // the first shuffle in which a collapsed step (named `head+tail`)

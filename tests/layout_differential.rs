@@ -30,7 +30,6 @@ use substation::core::plan::{
     execute_plan, execute_step, random_externals, ExecOptions, ExecState, ExecutionPlan,
 };
 use substation::dataflow::{EncoderDims, Graph};
-use substation::tensor::ops::elementwise::ActivationKind;
 use substation::tensor::{Layout, Tensor};
 use substation::transformer::interp::{self, PlanKind, PlannedForward};
 
@@ -127,8 +126,6 @@ proptest! {
             let base = random_externals(graph, natural, seed ^ 0x5a5a).unwrap();
             let knobs = |p: f32, threads: usize| ExecOptions::builder()
                 .dropout_p(p)
-                .activation(ActivationKind::Gelu)
-                .scaler(1.0 / (dims.p as f32).sqrt())
                 .seed(seed)
                 .threads(threads)
                 .pos(pos.min(dims.k - 1))

@@ -24,7 +24,7 @@ use substation::dataflow::EncoderDims;
 use substation::gpusim::DeviceSpec;
 use substation::tensor::{Layout, Shape, Tensor};
 use substation::transformer::encoder::{EncoderLayer, Executor};
-use substation::transformer::interp;
+use substation::transformer::interp::{self, PlanKind};
 use substation::transformer::params::EncoderWeights;
 
 fn is_error_clean(plan: &ExecutionPlan, graph: &substation::dataflow::Graph) -> bool {
@@ -69,7 +69,7 @@ fn reference_y(dims: &EncoderDims, x: &Tensor, w: &EncoderWeights) -> Tensor {
 #[test]
 fn recipe_lowered_plan_matches_reference_executor() {
     let dims = dims();
-    let planned = interp::encoder_fused(&dims).unwrap();
+    let planned = interp::cached_plan(&dims, PlanKind::EncoderFused).unwrap();
     let fwd: Vec<_> = planned.plan.steps.iter().map(|s| s.op).collect();
     let sweeps = sweep_all(
         &SimulatorSource::default(),
@@ -110,7 +110,7 @@ fn recipe_lowered_plan_matches_reference_executor() {
 #[test]
 fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
     let dims = dims();
-    let planned = interp::encoder_fused(&dims).unwrap();
+    let planned = interp::cached_plan(&dims, PlanKind::EncoderFused).unwrap();
     let fwd: Vec<_> = planned.plan.steps.iter().map(|s| s.op).collect();
     let sweeps = sweep_all(
         &SimulatorSource::default(),
@@ -130,8 +130,7 @@ fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
     );
     for granularity in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
         let arena = arena::compiled(&planned.graph, &plan, granularity)
-            .expect("the recipe-lowered plan compiles")
-            .expect("to an arena");
+            .expect("the recipe-lowered plan compiles");
         assert!(arena.matches(&plan));
     }
 
@@ -190,7 +189,7 @@ proptest! {
     #[test]
     fn perturbed_plans_execute_to_the_same_output(seed in 0u64..1_000) {
         let dims = dims();
-        let planned = interp::encoder_fused(&dims).unwrap();
+        let planned = interp::cached_plan(&dims, PlanKind::EncoderFused).unwrap();
         let mut plan = planned.plan.clone();
         let mut twist = StdRng::seed_from_u64(seed);
         for step in &mut plan.steps {
@@ -216,7 +215,7 @@ proptest! {
 #[test]
 fn invalid_plans_are_rejected_before_execution() {
     let dims = dims();
-    let planned = interp::encoder_fused(&dims).unwrap();
+    let planned = interp::cached_plan(&dims, PlanKind::EncoderFused).unwrap();
     let (x, w) = inputs(&dims, 5);
     let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
     let run = |plan: &ExecutionPlan, x: &Tensor, w: &EncoderWeights| {
