@@ -280,10 +280,10 @@ fn plan_cache() -> MutexGuard<'static, HashMap<(EncoderDims, PlanKind), Arc<Plan
 /// Returns the canned plan for `(dims, kind)` — the one constructor of a
 /// canned plan — building and memoizing it on first use. Its graph is
 /// the builder's, arithmetic included. Keying on the full dimension set
-/// means a layer whose
-/// dims change simply misses the cache and lowers a fresh plan — stale
-/// schedules can never be returned. Lowering happens outside the lock;
-/// a racing duplicate build is benign (last writer wins).
+/// means a layer whose dims change simply misses the cache and lowers a
+/// fresh plan — stale schedules can never be returned. Lowering happens
+/// outside the lock; a racing duplicate build is benign (last writer
+/// wins).
 ///
 /// # Errors
 ///
