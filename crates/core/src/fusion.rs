@@ -11,14 +11,18 @@
 //! launch-count-driven merge of `Bias 2 dW` into `BDRB`, which the paper
 //! chose manually "to perform fewer kernel launches").
 //!
-//! One further pass goes where the paper stops — at the contractions — and
-//! is a property of the *canned* plans (`xform_transformer::interp`), not
-//! of the fusion tables, so every recipe-swept and paper-table graph stays
-//! as the paper has it. [`detect_tiles`] finds every chain that runs as a
-//! *tile program*: a contraction whose output rows only a fused kernel
-//! reads, a tile of them at a time, and — behind a softmax — the
-//! contraction that reads the kernel's weights. The canned plans collapse
-//! them ([`Graph::fuse_tile`]) in two selections:
+//! [`fuse`] is the pipeline's fusion step, the recipe's and every canned
+//! plan's (`xform_transformer::interp::cached_plan`): a table validated,
+//! then applied, then the tile passes the caller asks for.
+//!
+//! Those passes go where the paper stops — at the contractions — and are
+//! asked for only by the *canned* plans, not by the fusion tables, so every
+//! recipe-swept and paper-table graph stays as the paper has it.
+//! [`detect_tiles`] finds every chain that runs as a *tile program*: a
+//! contraction whose output rows only a fused kernel reads, a tile of them
+//! at a time, and — behind a softmax — the contraction that reads the
+//! kernel's weights. The canned plans collapse them ([`Graph::fuse_tile`])
+//! in two selections:
 //!
 //! * [`apply_regions`] collapses the attention core `QKT → SM → Gamma`
 //!   into one [`OpKind::TileProgram`] of two contractions that works a
@@ -166,6 +170,38 @@ pub fn apply_plan(graph: &mut Graph, plan: &[FusionGroup]) -> Result<Vec<NodeId>
         out.push(graph.fuse(&ids, &group.name)?);
     }
     Ok(out)
+}
+
+/// The fusion step: `table` checked against `graph` ([`validate_plan`])
+/// and applied ([`apply_plan`]), then the tile passes asked for — the
+/// attention core into regions standing for `regions` schedule positions
+/// ([`apply_regions`]), then every GEMM-epilogue chain
+/// ([`apply_epilogues`]).
+///
+/// # Errors
+///
+/// Returns [`TensorError::Unsupported`] ("fusion plan rejected: …", every
+/// problem named) for a table that does not fit `graph`, which is then left
+/// as it was, and propagates a pass's error.
+pub fn fuse(
+    graph: &mut Graph,
+    table: &[FusionGroup],
+    regions: Option<usize>,
+    epilogues: bool,
+) -> Result<()> {
+    let problems = validate_plan(graph, table);
+    if !problems.is_empty() {
+        let what = format!("fusion plan rejected: {}", problems.join("; "));
+        return Err(TensorError::Unsupported(what));
+    }
+    apply_plan(graph, table)?;
+    if let Some(span) = regions {
+        apply_regions(graph, span)?;
+    }
+    if epilogues {
+        apply_epilogues(graph)?;
+    }
+    Ok(())
 }
 
 /// Validates a fusion plan against a graph *without* mutating it: every
@@ -622,6 +658,29 @@ mod tests {
         // incoherent iteration spaces (attention-space + embedding-space)
         let bad = vec![FusionGroup::new("X", &["Dropout att", "Dropout 1"])];
         assert!(!validate_plan(&enc.graph, &bad).is_empty());
+    }
+
+    /// The check every canned plan shares with the recipe: a table naming a
+    /// contraction, or a member twice, is refused by name before the graph
+    /// is touched.
+    #[test]
+    fn fuse_refuses_a_table_that_does_not_fit_and_leaves_the_graph() {
+        let enc = build::encoder(&EncoderDims::tiny()).graph;
+        let contraction = vec![FusionGroup::new("X", &["QKT"])];
+        let twice = vec![
+            FusionGroup::new("A", &["Dropout 1"]),
+            FusionGroup::new("B", &["Dropout 1"]),
+        ];
+        for (table, problem) in [
+            (contraction, "`QKT` is a tensor contraction"),
+            (twice, "`Dropout 1` appears in more than one group"),
+        ] {
+            let mut g = enc.clone();
+            let err = fuse(&mut g, &table, Some(3), true).unwrap_err().to_string();
+            assert!(err.contains("fusion plan rejected: "), "{err}");
+            assert!(err.contains(problem), "{err}");
+            assert_eq!(format!("{g:?}"), format!("{enc:?}"));
+        }
     }
 
     #[test]

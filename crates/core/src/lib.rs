@@ -7,26 +7,28 @@
 //!
 //! * [`itspace`] — iteration spaces and the fusion-compatibility rules of
 //!   Sec. IV, including the four structural patterns of Fig. 3;
-//! * [`fusion`] — automatic fusion-group detection plus the paper's exact
+//! * [`fusion`] — automatic fusion-group detection, the paper's exact
 //!   encoder fusion plan (AIB, SM, DRLN, BRD, BDRLN, BSB, BLNRD, BDRB,
-//!   EBSB, BAOB, BS, BAIB, BEI);
+//!   EBSB, BAOB, BS, BAIB, BEI) and the one fusion step
+//!   ([`fusion::fuse`]) the recipe and every canned plan run;
 //! * [`algebraic`] — the stacked Q/K/V projection variants of Table II;
 //! * [`sweep`] — exhaustive per-operator configuration sweeps behind the
 //!   [`sweep::PerfSource`] trait (simulator or real measurements);
 //! * [`selection`] — the shortest-path global configuration selection of
 //!   Sec. VI-A / Fig. 6;
 //! * [`plan`] — lowering a fusion plan plus a layout selection into an
-//!   executable, layout-annotated schedule ([`plan::ExecutionPlan`]) and
-//!   the reference interpreter ([`plan::execute_plan`]): serial,
-//!   allocating — the test oracle, with no production caller;
+//!   executable, layout-annotated schedule ([`plan::ExecutionPlan`]), one
+//!   step builder under a configuration or none (natural), and the
+//!   reference interpreter ([`plan::execute_plan`]): serial, allocating —
+//!   the test oracle, with no production caller;
 //! * `lower` (crate-private) — the step lowering: the one place that says
 //!   which kernel class a step is and, under the layout the step declares
 //!   for it, how the kernel addresses each operand (a strided view);
 //!   [`arena`] and [`access`] consume its views as slab views and access
 //!   paths;
-//! * [`arena`] — the interpreter ([`arena::execute`]): every plan, in any
-//!   layout, is certified once and lowered onto one preallocated slab via
-//!   the liveness coloring of [`analyze::assign_arena`], executing through
+//! * [`arena`] — the interpreter ([`arena::execute`] runs any plan):
+//!   every plan, in any layout, is certified once and lowered onto one
+//!   preallocated slab via the liveness coloring of [`analyze::assign_arena`], executing through
 //!   the zero-allocation `*_into` kernels so steady-state forwards touch
 //!   the heap not at all;
 //! * [`access`] — what a step touches: every operand's index-affine

@@ -17,11 +17,11 @@
 //! runs on the static arena ([`crate::arena::execute`]) — it stays as the
 //! oracle the equivalence and property suites hold the arena against.
 //!
-//! Two canned constructors cover the pre-existing executors:
-//! [`ExecutionPlan::natural`] over the unfused graph reproduces the
-//! reference (PyTorch-style) executor, and the same constructor over the
-//! fused graph reproduces the fused-kernel executor. [`ExecutionPlan::lower`]
-//! builds the recipe-selected plan from a [`Selection`].
+//! One step constructor builds every plan. [`ExecutionPlan::lower`] applies
+//! it under each selected configuration ([`ExecutionPlan::single_step`]);
+//! [`ExecutionPlan::natural`] applies it under none, every operand natural:
+//! over the unfused graph that is the reference (PyTorch-style) executor,
+//! over the fused graph the fused-kernel executor.
 
 use std::collections::{HashMap, HashSet};
 
@@ -121,10 +121,15 @@ impl ExecutionPlan {
     ///
     /// Returns an error if `op` is not a live operator.
     pub fn single_step(graph: &Graph, op: NodeId, cfg: &OpConfig) -> Result<PlanStep> {
+        ExecutionPlan::step(graph, op, Some(cfg))
+    }
+
+    /// The one step constructor: [`ExecutionPlan::single_step`] under
+    /// `cfg`, every operand natural without one.
+    fn step(graph: &Graph, op: NodeId, cfg: Option<&OpConfig>) -> Result<PlanStep> {
         let node = graph
             .op(op)
             .ok_or_else(|| TensorError::Unsupported(format!("{op} is not an operator")))?;
-        let flowing = flowing_input_index(graph, op);
         // a two-contraction tile program lays out the first contraction's
         // operands like an einsum; a one-contraction one, its flowing input
         let is_einsum = matches!(
@@ -145,18 +150,23 @@ impl ExecutionPlan {
                     .unwrap_or_else(|| Layout::row_major(rank)),
             })
         };
-        let wanted_in = |i: usize| match i {
-            0 if is_einsum => Some(cfg.in_layout),
-            1 if is_einsum => cfg.in2_layout,
-            _ if !is_einsum && i == flowing => Some(cfg.in_layout),
+        let flowing = cfg.map(|_| flowing_input_index(graph, op));
+        let wanted_in = |i: usize| match (i, cfg?) {
+            (0, cfg) if is_einsum => Some(cfg.in_layout),
+            (1, cfg) if is_einsum => cfg.in2_layout,
+            (_, cfg) if !is_einsum && Some(i) == flowing => Some(cfg.in_layout),
             _ => None,
         };
         let inputs = (graph.inputs_of(op).into_iter().enumerate())
             .map(|(i, id)| operand(id, wanted_in(i)))
             .collect::<Result<Vec<_>>>()?;
-        let outputs = (graph.outputs_of(op).into_iter())
-            .zip(outputs_laid_out(graph, op))
-            .map(|(id, laid_out)| operand(id, laid_out.then_some(cfg.out_layout)))
+        let outs = graph.outputs_of(op);
+        let laid_out = match cfg {
+            Some(_) => outputs_laid_out(graph, op),
+            None => vec![false; outs.len()],
+        };
+        let outputs = (outs.into_iter().zip(laid_out))
+            .map(|(id, laid)| operand(id, cfg.filter(|_| laid).map(|c| c.out_layout)))
             .collect::<Result<Vec<_>>>()?;
 
         Ok(PlanStep {
@@ -170,41 +180,16 @@ impl ExecutionPlan {
     }
 
     /// The canned plan: every listed operator in execution order with every
-    /// operand in its natural (logical row-major) layout. Over the unfused
-    /// graph this reproduces the reference executor; over the fused graph,
-    /// the fused-kernel executor.
+    /// operand in its natural (logical row-major) layout — the step of no
+    /// configuration. Over the unfused graph this reproduces the reference
+    /// executor; over the fused graph, the fused-kernel executor.
     ///
     /// # Errors
     ///
     /// Returns an error if any id is not a live operator.
     pub fn natural(graph: &Graph, ops: &[NodeId]) -> Result<ExecutionPlan> {
-        let mut steps = Vec::with_capacity(ops.len());
-        for &op in ops {
-            let node = graph
-                .op(op)
-                .ok_or_else(|| TensorError::Unsupported(format!("{op} is not an operator")))?;
-            let mk = |ids: Vec<NodeId>| -> Result<Vec<Operand>> {
-                ids.into_iter()
-                    .map(|id| {
-                        let d = data_of(graph, id)?;
-                        Ok(Operand {
-                            data: id,
-                            name: d.name.clone(),
-                            layout: Layout::row_major(d.shape.rank()),
-                        })
-                    })
-                    .collect()
-            };
-            steps.push(PlanStep {
-                op,
-                name: node.name.clone(),
-                kind: node.kind.clone(),
-                inputs: mk(graph.inputs_of(op))?,
-                outputs: mk(graph.outputs_of(op))?,
-                relayouts: Vec::new(),
-            });
-        }
-        let mut plan = ExecutionPlan { steps };
+        let steps: Result<_> = ops.iter().map(|&op| Self::step(graph, op, None)).collect();
+        let mut plan = ExecutionPlan { steps: steps? };
         plan.reflow(graph);
         Ok(plan)
     }
@@ -356,26 +341,12 @@ pub enum SanitizeMode {
     On,
 }
 
-/// A caller-supplied schedule for the layer forwards to run instead of the
-/// cached canned plan. The interpreter entry points ([`execute_plan`],
-/// [`crate::arena::execute`]) take graph and plan positionally and ignore
-/// this field; it exists so the unified `forward(&x, &w, &ExecOptions)`
-/// surface can still execute recipe-selected or deliberately perturbed
-/// plans. An override runs exactly like a canned plan: compiled once onto
-/// an arena, memoized by its fingerprint.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanOverride<'p> {
-    /// The dataflow graph the plan was lowered against.
-    pub graph: &'p Graph,
-    /// The schedule to interpret.
-    pub plan: &'p ExecutionPlan,
-}
-
 /// Everything the graph does not encode about one execution: the dropout
 /// probability, and the run configuration of the unified
 /// `forward(&x, &w, &ExecOptions)` surface — worker threads, RNG seed,
-/// the poison mode, an optional [`crate::profile::PlanProfiler`] sink,
-/// and an optional plan override. What the graph's operators compute —
+/// the poison mode and an optional [`crate::profile::PlanProfiler`] sink.
+/// Which plan runs is not among them: a layer runs its canned plan, and
+/// [`crate::arena::execute`] runs any other. What the graph's operators compute —
 /// the activation behind its `Relu`-kind nodes, the softmax scale — is the
 /// graph's ([`Graph::activation`], [`Graph::softmax_scale`]).
 /// Construct it with [`ExecOptions::builder`] (or `ExecOptions::default()`
@@ -402,9 +373,6 @@ pub struct ExecOptions<'p> {
     /// wall-clock time (and, for wave-parallel runs, per-wave wall time)
     /// into it. Observing changes not a single output bit.
     pub profiler: Option<&'p crate::profile::ProfilerSink>,
-    /// Optional plan override for the layer forwards (see
-    /// [`PlanOverride`]).
-    pub plan: Option<PlanOverride<'p>>,
     /// Absolute sequence position of this run's first query column. Zero
     /// for full-sequence forwards; a decode step sets it to the current
     /// token position, shifting every causal softmax's visibility window
@@ -421,7 +389,6 @@ impl Default for ExecOptions<'_> {
             seed: 0x5eed,
             sanitize: SanitizeMode::Env,
             profiler: None,
-            plan: None,
             pos: 0,
         }
     }
@@ -481,12 +448,6 @@ impl<'p> ExecOptionsBuilder<'p> {
     /// Sets the profiler sink.
     pub fn profiler(mut self, sink: Option<&'p crate::profile::ProfilerSink>) -> Self {
         self.opts.profiler = sink;
-        self
-    }
-
-    /// Sets a plan override.
-    pub fn plan(mut self, plan: Option<PlanOverride<'p>>) -> Self {
-        self.opts.plan = plan;
         self
     }
 

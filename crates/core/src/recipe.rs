@@ -18,7 +18,7 @@ use xform_gpusim::opmodel::OpConfig;
 use xform_gpusim::DeviceSpec;
 use xform_tensor::{Result, TensorError};
 
-use crate::fusion::{apply_plan, encoder_fusion_plan};
+use crate::fusion::{encoder_fusion_plan, fuse};
 use crate::selection::{select_forward, Selection};
 use crate::sweep::{sweep_all, PerfSource, SimulatorSource, SweepOptions, SweepResult};
 
@@ -212,15 +212,9 @@ pub fn optimize_step(
     // Step 1: dataflow graph.
     let baseline = bundle.graph.clone();
     let mut graph = bundle.graph;
-    // Step 2: fusion (after validating the plan against the graph).
-    let problems = crate::fusion::validate_plan(&graph, plan);
-    if !problems.is_empty() {
-        return Err(xform_tensor::TensorError::Unsupported(format!(
-            "fusion plan rejected: {}",
-            problems.join("; ")
-        )));
-    }
-    apply_plan(&mut graph, plan)?;
+    // Step 2: fusion (the plan validated against the graph first), no tile
+    // passes: the recipe sweeps the paper's kernels.
+    fuse(&mut graph, plan, None, false)?;
     let movement_reduction_pct =
         xform_dataflow::analysis::movement_reduction_pct(&baseline, &graph);
     // Step 3: layout sweeps.

@@ -67,7 +67,7 @@ use crate::plan::ExecutionPlan;
 /// renaming, adding or dropping steps — changes the fingerprint, which is
 /// what ties a [`PlanCertificate`] to exactly the plan it certified.
 /// Allocation-free (everything is formatted straight into the hash): the
-/// arena memo keys every plan override by it on every forward.
+/// arena memo keys every plan by it on every [`crate::arena::execute`].
 pub fn plan_fingerprint(plan: &ExecutionPlan) -> u64 {
     use std::fmt::Write;
     /// FNV-1a over whatever is formatted into it.

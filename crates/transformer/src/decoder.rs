@@ -1,7 +1,9 @@
 //! A GPT-2-style decoder block on the CPU substrate: **pre**-layer-norm,
 //! causally masked self-attention, GELU feed-forward — the variant the
 //! paper's Sec. VIII says the recipe transfers to unchanged. Forward and
-//! backward, validated against numerical gradients.
+//! backward, validated against numerical gradients, each on the block's
+//! canned plan; any other plan over the decoder graph runs through
+//! [`xform_core::arena::execute`].
 
 use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
@@ -63,10 +65,8 @@ impl DecoderLayer {
     /// unified [`ExecOptions`]-driven surface as
     /// [`crate::encoder::EncoderLayer::forward`], option for option: the
     /// block's canned plan runs out of its static arena at any `threads`,
-    /// [`ExecOptions::plan`] substitutes an arbitrary plan over the decoder
-    /// graph, in any layouts, on the same arena executor, `profiler` /
-    /// `sanitize` behave identically. The block's `dropout_p` comes from
-    /// the block; its GELU and attention scale from its graph.
+    /// `profiler` / `sanitize` behave identically. The block's `dropout_p`
+    /// comes from the block; its GELU and attention scale from its graph.
     ///
     /// # Errors
     ///
@@ -93,8 +93,9 @@ impl DecoderLayer {
     ///
     /// # Errors
     ///
-    /// Returns an error if `dropout_p` is outside `[0, 1)`, `y` has the
-    /// wrong size, `x` has the wrong shape, or the execution itself fails.
+    /// Returns an error if `dropout_p` is outside `[0, 1)`, `y` is not of
+    /// the plan's `y` shape or not stored row-major, `x` has the wrong
+    /// shape, or the execution itself fails.
     pub fn forward_into(
         &self,
         x: &Tensor,

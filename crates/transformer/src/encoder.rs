@@ -8,11 +8,11 @@
 //! plan applied, one step per fused kernel. The single entry point
 //! [`EncoderLayer::forward`] is driven entirely by [`ExecOptions`], and
 //! there is one interpreter: every plan runs out of its static arena at
-//! any thread count, sanitized or not, profiled or not.
-//! [`ExecOptions::plan`] substitutes *any* plan over the encoder graph —
-//! in particular one lowered from the recipe's SSSP layout selection,
-//! whose strided operands are views and whose transposes are in-place
-//! relayouts on the same arena. Both canned executors compute identical
+//! any thread count, sanitized or not, profiled or not. Any other plan over
+//! the encoder graph — one lowered from the recipe's SSSP layout
+//! selection, say, whose strided operands are views and whose transposes
+//! are in-place relayouts — runs on the same arena through
+//! [`xform_core::arena::execute`]. Both canned executors compute identical
 //! values (equivalence is tested with dropout disabled), and so do their
 //! backward plans, given the same saved masks.
 
@@ -89,15 +89,6 @@ impl EncoderLayer {
     ///   worker pool. Results are bitwise the same at any count, dropout
     ///   included: every step draws from its own stream derived from
     ///   [`ExecOptions::seed`];
-    /// * [`ExecOptions::plan`] — substitutes an arbitrary plan over the
-    ///   encoder graph (e.g. one lowered from a recipe selection) for the
-    ///   layer's canned plan. It changes neither the executor nor the RNG
-    ///   discipline: whatever layouts it declares, it is compiled once
-    ///   (memoized per distinct plan) and runs on the arena exactly as the
-    ///   canned plan does — strided operands as views, relayout
-    ///   insertions in place — with the same per-step streams, so the
-    ///   same plan in other layouts returns the same logical bits, masks
-    ///   included, materialized in the layouts it declares;
     /// * [`ExecOptions::profiler`] — observes the run: per-step (and, at
     ///   `threads > 1`, per-wave) wall times land in the sink
     ///   ([`xform_core::profile::PlanProfiler`]). Neither the executor nor
@@ -134,22 +125,21 @@ impl EncoderLayer {
     /// and arena caches, every subsequent call binds `x` and the weights
     /// straight into the layer's static arena, executes out of the slab
     /// through the `*_into` kernels, and copies the produced `y` into
-    /// `&mut y` without touching the heap — a plan override in any
-    /// layouts included (see `tests/alloc_discipline.rs`; a profiler sink
-    /// allocates).
+    /// `&mut y` without touching the heap (see `tests/alloc_discipline.rs`;
+    /// a profiler sink allocates).
     ///
     /// `y` must be a dense row-major tensor of the layer's output
-    /// geometry (`[i,b,j]`); its contents are overwritten with the plan's
-    /// `y` in logical order, whatever layout the plan leaves it in.
+    /// geometry (`[i,b,j]`), or the call is refused before it runs; its
+    /// contents are overwritten with the plan's `y`.
     /// [`xform_core::plan::SanitizeMode::Env`] is resolved once per
     /// process on the arena, so set `XFORM_SANITIZE` before the first
     /// call.
     ///
     /// # Errors
     ///
-    /// Returns an error if `dropout_p` is outside `[0, 1)`, `y` has the
-    /// wrong size, `x` has the wrong shape, or the execution itself fails
-    /// (see [`EncoderLayer::forward`]).
+    /// Returns an error if `dropout_p` is outside `[0, 1)`, `y` is not of
+    /// the plan's `y` shape or not stored row-major, `x` has the wrong
+    /// shape, or the execution itself fails (see [`EncoderLayer::forward`]).
     pub fn forward_into(
         &self,
         x: &Tensor,

@@ -4,13 +4,14 @@
 //! plan's arena and reads what it saved back out as one [`Saved`] record —
 //! which the backward plan binds in turn, by the same names.
 //!
-//! This is where the recipe's output becomes runnable: a layer forward
-//! runs its canned plan or an arbitrary recipe-selected one (supply it via
-//! [`xform_core::plan::ExecOptions::plan`] to the unified
-//! [`crate::encoder::EncoderLayer::forward`]) the same way — out of its
-//! memoized arena, whatever layouts it declares, `x` and the weights read
+//! A canned plan is the recipe's pipeline with every layout pinned to
+//! natural: one constructor behind [`cached_plan`] builds the kind's graph,
+//! fuses it through [`xform_core::fusion::fuse`] — the recipe's own fusion
+//! step — schedules it in natural layouts and certifies it. A layer forward
+//! runs its canned plan out of a memoized arena, `x` and the weights read
 //! where their tensors keep them through one binding table
-//! ([`EncoderWeights::container`]).
+//! ([`EncoderWeights::container`]); any other plan, a recipe-selected one
+//! say, runs through [`xform_core::arena::execute`] over [`bind_inputs`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -18,15 +19,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use xform_core::analyze::ArenaGranularity;
 use xform_core::arena::{self, rekeyed, stats_name_of, ArenaArtifact, CompiledArena};
-use xform_core::fusion::{
-    apply_epilogues, apply_plan, apply_regions, decoder_fusion_plan, encoder_fusion_plan,
-    head_fusion_plan, FusionGroup,
-};
+use xform_core::fusion::{decoder_fusion_plan, encoder_fusion_plan, fuse, head_fusion_plan};
 use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use xform_core::profile::record_arena_timings;
 use xform_core::recipe::{backward_ops, forward_ops};
 use xform_core::sanitize::{certify, PlanCertificate};
-use xform_dataflow::{build, EncoderDims, Graph, NodeId, OpKind};
+use xform_dataflow::{build, EncoderDims, Graph, OpKind};
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
@@ -63,11 +61,11 @@ impl ForwardOutput {
 /// and the backward bind them by.
 ///
 /// The attention core's softmax bundle (`att`, `alpha`, `att_mask`) is
-/// here only when the plan kept it: under the reference executor, or an
-/// override that runs `SM` as a step of its own. A plan that ran the core
-/// as a region kept none of its `[h,b,j,k]` tensors and leaves `region`
-/// instead — sixteen bytes that stand for its masks, from which the
-/// backward computes the bundle again, keyed by [`arena::stream_key`].
+/// here only when the plan kept it, as the reference executor's does. A
+/// plan that ran the core as a region kept none of its `[h,b,j,k]` tensors
+/// and leaves `region` instead — sixteen bytes that stand for its masks,
+/// from which the backward computes the bundle again, keyed by
+/// [`arena::stream_key`].
 #[derive(Debug, Clone, Default)]
 pub struct Saved {
     /// Every saved container the plan produced, by graph name, each in the
@@ -129,83 +127,77 @@ pub(crate) fn check_extents(dims: &EncoderDims) -> Result<()> {
     Ok(())
 }
 
-/// A training block as a plan: the graph of `build` (which asserts
-/// `dims.j == dims.k` — checked here first, where the `Result` starts),
-/// `fusion` applied, the attention core behind a fused `SM` collapsed into
-/// its region (the unfused reference graph has none), optionally every
-/// GEMM-epilogue chain collapsed, then the operators `schedule` picks —
-/// [`forward_ops`], or [`backward_ops`]: those past `dy`, the attention
-/// core's rematerialization among them — in natural layouts.
-fn block_plan(
-    dims: &EncoderDims,
-    build: fn(&EncoderDims) -> build::EncoderGraph,
-    fusion: &[FusionGroup],
-    epilogues: bool,
-    schedule: fn(&Graph, NodeId) -> Vec<NodeId>,
-) -> Result<PlannedForward> {
+/// The one constructor of a canned plan: `kind`'s graph at `dims`, fused by
+/// [`fuse`] — its table, then the attention core into a region where a
+/// fused `SM` has one, then, where the kind asks and `epilogues` allows,
+/// every GEMM-epilogue chain — and the operators its schedule picks, in
+/// natural layouts, certified. Dimensions a builder would panic on are
+/// refused first: a zero extent, `dims.j != dims.k` for a block (its
+/// `build` asserts it), `dims.j != 1` for a decode step, an empty
+/// vocabulary.
+fn canned(dims: &EncoderDims, kind: PlanKind, epilogues: bool) -> Result<PlannedForward> {
+    use PlanKind as K;
     check_extents(dims)?;
-    if dims.j != dims.k {
-        return Err(TensorError::ShapeMismatch {
-            context: "a self-attention plan's dimensions (dims.j must equal dims.k)",
-        });
-    }
-    let eg = build(dims);
-    let mut g = eg.graph;
-    apply_plan(&mut g, fusion)?;
+    let refuse = |context| TensorError::ShapeMismatch { context };
+    // a training block: its graph and `dy`, its table, the region's span —
     // the chain a region replaces held three schedule positions (QKT, SM,
     // Gamma) in the fused plans and two in the epilogue plans, whose QKT+SM
-    // was one step: dropout streams keep their numbers
-    apply_regions(&mut g, if epilogues { 2 } else { 3 })?;
-    if epilogues {
-        apply_epilogues(&mut g)?;
-    }
-    let plan = ExecutionPlan::natural(&g, &schedule(&g, eg.dy))?;
-    certified(g, plan)
-}
-
-/// A decode-step graph as a plan: the forward-only graph of `build` (which
-/// asserts `dims.j == 1` — checked here first), fused by the training
-/// decoder's own plan restricted to the groups this graph has members of —
-/// so the step kernels are the training decoder's by construction, and a
-/// group only partly present is an `apply_plan` error, not a silent skip —
-/// then every operator scheduled in topological order.
-fn step_plan(
-    dims: &EncoderDims,
-    build: fn(&EncoderDims) -> build::ForwardGraph,
-) -> Result<PlannedForward> {
-    check_extents(dims)?;
-    if dims.j != 1 {
-        return Err(TensorError::ShapeMismatch {
-            context: "a decode-step plan's dimensions (dims.j must be 1: one token column)",
-        });
-    }
-    let mut g = build(dims).graph;
-    let mut fusion = decoder_fusion_plan();
-    fusion.retain(|group| group.members.iter().any(|m| g.op_by_name(m).is_some()));
-    apply_plan(&mut g, &fusion)?;
-    // the attend step is the region's one-row case: a query against the cache
-    apply_regions(&mut g, 3)?;
-    let plan = ExecutionPlan::natural(&g, &g.topo_ops())?;
-    certified(g, plan)
-}
-
-/// The model head as a plan: the graph of [`build::head`] (checked for
-/// extents first), its bias and softmax fused into `BSV`, optionally that
-/// collapsed into the contraction, every operator scheduled in topological
-/// order.
-fn head_plan(dims: &EncoderDims, vocab: usize, epilogues: bool) -> Result<PlannedForward> {
-    check_extents(dims)?;
-    if vocab == 0 {
-        return Err(TensorError::ShapeMismatch {
-            context: "a head plan's vocabulary (it must hold a word)",
-        });
-    }
-    let mut g = build::head(dims, vocab).graph;
-    apply_plan(&mut g, &head_fusion_plan())?;
-    if epilogues {
-        apply_epilogues(&mut g)?;
-    }
-    let plan = ExecutionPlan::natural(&g, &g.topo_ops())?;
+    // was one step: dropout streams keep their numbers — and the epilogues
+    let block = |build: fn(&EncoderDims) -> build::EncoderGraph, table, epi: bool| {
+        if dims.j != dims.k {
+            let what = "a self-attention plan's dimensions (dims.j must equal dims.k)";
+            return Err(refuse(what));
+        }
+        let (eg, span) = (build(dims), if epi { 2 } else { 3 });
+        Ok((eg.graph, Some(eg.dy), table, Some(span), epi))
+    };
+    // a decode step: the training decoder's table restricted to the groups
+    // its graph has members of — so the step kernels are the training
+    // decoder's by construction, and a group only partly present is
+    // refused, not skipped — its attend step the region's one-row case
+    let step = |build: fn(&EncoderDims) -> build::ForwardGraph| {
+        if dims.j != 1 {
+            let what = "a decode-step plan's dimensions (dims.j must be 1: one token column)";
+            return Err(refuse(what));
+        }
+        let g = build(dims).graph;
+        let mut table = decoder_fusion_plan();
+        table.retain(|group| group.members.iter().any(|m| g.op_by_name(m).is_some()));
+        Ok((g, None, table, Some(3), false))
+    };
+    let (encoder, decoder) = (encoder_fusion_plan(), decoder_fusion_plan());
+    let (mut g, dy, table, regions, epi) = match kind {
+        K::EncoderReference | K::EncoderReferenceTrain => block(build::encoder, vec![], false)?,
+        K::EncoderFused | K::EncoderTrain => block(build::encoder, encoder, false)?,
+        K::EncoderEpilogue => block(build::encoder, encoder, true)?,
+        K::DecoderFused | K::DecoderTrain => block(build::decoder, decoder, false)?,
+        K::DecoderEpilogue => block(build::decoder, decoder, true)?,
+        K::DecoderStepProject => step(build::decoder_step_project)?,
+        K::DecoderStep => step(build::decoder_step_attend)?,
+        K::Head { vocab: 0 } => {
+            return Err(refuse("a head plan's vocabulary (it must hold a word)"))
+        }
+        K::Head { vocab } => (
+            build::head(dims, vocab).graph,
+            None,
+            head_fusion_plan(),
+            None,
+            true,
+        ),
+    };
+    fuse(&mut g, &table, regions, epi && epilogues)?;
+    // a block's forward, or its operators past `dy` (the attention core's
+    // rematerialization among them); every operator of a forward graph
+    let train = matches!(
+        kind,
+        K::EncoderReferenceTrain | K::EncoderTrain | K::DecoderTrain
+    );
+    let ops = match dy {
+        Some(dy) if train => backward_ops(&g, dy),
+        Some(dy) => forward_ops(&g, dy),
+        None => g.topo_ops(),
+    };
+    let plan = ExecutionPlan::natural(&g, &ops)?;
     certified(g, plan)
 }
 
@@ -289,29 +281,14 @@ fn plan_cache() -> MutexGuard<'static, HashMap<(EncoderDims, PlanKind), Arc<Plan
 ///
 /// Returns [`TensorError::ShapeMismatch`] for dimensions `kind` has no graph
 /// for (a zero extent; `dims.j != dims.k` for the full-sequence kinds;
-/// `dims.j != 1` for the decode-step kinds), or an error if fusion or
-/// scheduling fails.
+/// `dims.j != 1` for the decode-step kinds; no vocabulary for the head), or
+/// an error if fusion or scheduling fails.
 pub fn cached_plan(dims: &EncoderDims, kind: PlanKind) -> Result<Arc<PlannedForward>> {
     let key = (*dims, kind);
     if let Some(hit) = plan_cache().get(&key) {
         return Ok(Arc::clone(hit));
     }
-    let (encoder, decoder) = (encoder_fusion_plan(), decoder_fusion_plan());
-    let built = Arc::new(match kind {
-        PlanKind::EncoderReference => block_plan(dims, build::encoder, &[], false, forward_ops)?,
-        PlanKind::EncoderFused => block_plan(dims, build::encoder, &encoder, false, forward_ops)?,
-        PlanKind::EncoderEpilogue => block_plan(dims, build::encoder, &encoder, true, forward_ops)?,
-        PlanKind::DecoderFused => block_plan(dims, build::decoder, &decoder, false, forward_ops)?,
-        PlanKind::DecoderEpilogue => block_plan(dims, build::decoder, &decoder, true, forward_ops)?,
-        PlanKind::DecoderStepProject => step_plan(dims, build::decoder_step_project)?,
-        PlanKind::DecoderStep => step_plan(dims, build::decoder_step_attend)?,
-        PlanKind::Head { vocab } => head_plan(dims, vocab, true)?,
-        PlanKind::EncoderReferenceTrain => {
-            block_plan(dims, build::encoder, &[], false, backward_ops)?
-        }
-        PlanKind::EncoderTrain => block_plan(dims, build::encoder, &encoder, false, backward_ops)?,
-        PlanKind::DecoderTrain => block_plan(dims, build::decoder, &decoder, false, backward_ops)?,
-    });
+    let built = Arc::new(canned(dims, kind, true)?);
     plan_cache().insert(key, Arc::clone(&built));
     Ok(built)
 }
@@ -359,8 +336,8 @@ pub fn cached_arena(
     Ok(Some(built))
 }
 
-/// Drops every memoized arena: the canned plans' and the ones compiled for
-/// plan overrides.
+/// Drops every memoized arena: the canned plans' and any other plan's
+/// ([`arena::execute`]).
 pub fn clear_arena_cache() {
     arena_cache().clear();
     arena::clear_compiled();
@@ -440,30 +417,19 @@ pub fn bind_inputs(x: &Tensor, w: &EncoderWeights) -> ExecState {
     state
 }
 
-/// Looks up what a layer forward runs — the canned plan of `(dims, kind)`,
-/// or the caller's override — together with its arena, and hands both to
-/// `f`. Either way the arena comes out of a memo: nothing is analyzed,
-/// certified or compiled on a steady-state call.
+/// Looks up what a layer forward runs — the canned plan of `(dims, kind)`
+/// — together with its arena, and hands both to `f`. Both come out of a
+/// memo: nothing is analyzed, certified or compiled on a steady-state call.
 fn with_arena<R>(
     dims: &EncoderDims,
     kind: PlanKind,
     opts: &ExecOptions,
     f: impl FnOnce(&Graph, &ExecutionPlan, &CompiledArena) -> Result<R>,
 ) -> Result<R> {
-    let granularity = granularity_for(opts.threads);
-    match opts.plan {
-        Some(o) => f(
-            o.graph,
-            o.plan,
-            &*arena::compiled(o.graph, o.plan, granularity)?,
-        ),
-        None => {
-            let pf = cached_plan(dims, kind)?;
-            let uncompiled = || TensorError::Unsupported("the plan compiled to no arena".into());
-            let arena = cached_arena(dims, kind, granularity)?.ok_or_else(uncompiled)?;
-            f(&pf.graph, &pf.plan, &arena)
-        }
-    }
+    let pf = cached_plan(dims, kind)?;
+    let uncompiled = || TensorError::Unsupported("the plan compiled to no arena".into());
+    let arena = cached_arena(dims, kind, granularity_for(opts.threads))?.ok_or_else(uncompiled)?;
+    f(&pf.graph, &pf.plan, &arena)
 }
 
 /// Runs one layer forward for [`ForwardOutput`]: `y` and every saved
@@ -514,14 +480,13 @@ pub(crate) fn forward(
 }
 
 /// Runs one layer forward and copies the produced `y`, in logical order,
-/// into the caller's (row-major) buffer. This touches no heap once the
-/// caches are warm, whatever layouts the plan declares. `opts` must
-/// already be merged with the layer knobs.
+/// into the caller's buffer. This touches no heap once the caches are warm.
+/// `opts` must already be merged with the layer knobs.
 ///
 /// # Errors
 ///
-/// As [`forward`], and if `y` does not hold exactly the words the plan's `y`
-/// container does.
+/// As [`forward`], and [`TensorError::ShapeMismatch`], before the run, if
+/// `y` is not of the plan's `y` shape or not stored row-major.
 pub(crate) fn forward_into(
     dims: &EncoderDims,
     kind: PlanKind,
@@ -530,8 +495,13 @@ pub(crate) fn forward_into(
     opts: &ExecOptions,
     y: &mut Tensor,
 ) -> Result<()> {
-    let produced = with_arena(dims, kind, opts, |graph, plan, arena| {
-        let mut produced = 0;
+    with_arena(dims, kind, opts, |graph, plan, arena| {
+        let out = (plan.steps.iter().flat_map(|s| &s.outputs)).find(|o| o.name == "y");
+        let want = out.and_then(|o| graph.data(o.data));
+        if want.is_none_or(|d| &d.shape != y.shape()) || y.natural_words().is_none() {
+            let context = "a forward's output buffer (the plan's `y` shape, stored row-major)";
+            return Err(TensorError::ShapeMismatch { context });
+        }
         let ydata = y.data_mut();
         let mut sink = |a: ArenaArtifact<'_>| match a {
             ArenaArtifact::Tensor {
@@ -540,12 +510,7 @@ pub(crate) fn forward_into(
                 layout,
                 data,
                 ..
-            } => {
-                produced = data.len();
-                if data.len() == ydata.len() {
-                    into_ops::copy_layout_into(shape, layout, data, ydata);
-                }
-            }
+            } => into_ops::copy_layout_into(shape, layout, data, ydata),
             ArenaArtifact::Timings { .. } => {
                 if let Some(profiler) = opts.profiler {
                     record_arena_timings(profiler, graph, plan, &a);
@@ -556,16 +521,8 @@ pub(crate) fn forward_into(
         with_natural([x], |[x]| {
             let resolve = &mut |name: &str| external_words(name, x, w);
             arena.execute_bound(opts, resolve, &mut sink)
-        })?;
-        Ok(produced)
-    })?;
-    if produced != y.len() {
-        return Err(TensorError::Unsupported(format!(
-            "output tensor holds {} words; the plan's `y` holds {produced}",
-            y.len()
-        )));
-    }
-    Ok(())
+        })
+    })
 }
 
 /// Runs one block backward on the canned backward plan of `kind`: `dy`,
@@ -576,8 +533,7 @@ pub(crate) fn forward_into(
 /// them (natural). Nothing else is allocated once the caches are warm. The
 /// one step that computes masks, the region's recomputed softmax, is keyed
 /// as the forward's region step was ([`Saved::region`], [`rekeyed`]).
-/// `opts` must already be merged with the layer knobs; a plan override in
-/// it is ignored — an override schedules a forward.
+/// `opts` must already be merged with the layer knobs.
 ///
 /// # Errors
 ///
@@ -593,14 +549,13 @@ pub(crate) fn backward(
     saved: &Saved,
     opts: &ExecOptions,
 ) -> Result<(Tensor, EncoderGrads)> {
-    let opts = opts.to_builder().plan(None).build();
-    with_arena(dims, kind, &opts, |_, plan, arena| {
+    with_arena(dims, kind, opts, |_, plan, arena| {
         // the one step that computes masks recomputes the region's, keyed
         // as the region step was
         let masks =
             (plan.steps.iter()).position(|s| s.outputs.iter().any(|o| o.name == "att_mask"));
         let opts = match (masks, saved.region) {
-            (None, _) => opts,
+            (None, _) => *opts,
             (Some(si), Some((seed, stream))) => {
                 let seed = rekeyed(seed, stream, plan.stream_of(si));
                 opts.to_builder().seed(seed).build()
@@ -715,7 +670,7 @@ pub fn head_forward(
 /// Returns [`TensorError::ShapeMismatch`] unless every extent and `vocab`
 /// are nonzero, or an error if fusion or scheduling fails.
 pub fn head_fused(dims: &EncoderDims, vocab: usize) -> Result<PlannedForward> {
-    head_plan(dims, vocab, false)
+    canned(dims, PlanKind::Head { vocab }, false)
 }
 
 #[cfg(test)]

@@ -16,9 +16,10 @@
 //! `forward_into`. Forward and backward alike run as certified plans out of
 //! static arenas. The
 //! [`xform_core::plan::ExecOptions`] argument selects serial vs.
-//! certified wave-parallel execution (`threads`), an explicit plan
-//! override (`plan`), sanitized execution (`sanitize`) and an optional
-//! runtime profiler sink (`profiler`).
+//! certified wave-parallel execution (`threads`), sanitized execution
+//! (`sanitize`) and an optional runtime profiler sink (`profiler`); any
+//! plan other than a layer's canned one runs through
+//! [`xform_core::arena::execute`].
 //!
 //! * [`params`] — encoder weights/gradients and the one update rule, SGD;
 //! * [`encoder`] — the layer itself;

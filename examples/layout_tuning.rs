@@ -23,16 +23,17 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use substation::core::analyze::ArenaGranularity;
+use substation::core::arena::{self, ArenaArtifact};
 use substation::core::cpusource::CpuSource;
 use substation::core::fusion::{apply_plan, encoder_fusion_plan};
-use substation::core::plan::{ExecOptions, ExecutionPlan, PlanOverride};
+use substation::core::plan::{ExecOptions, ExecutionPlan};
 use substation::core::selection::select_forward;
 use substation::core::sweep::{sweep_op, PerfSource, SimulatorSource, SweepOptions};
 use substation::dataflow::{build, EncoderDims};
 use substation::gpusim::opmodel::OpConfig;
 use substation::gpusim::DeviceSpec;
-use substation::tensor::{Shape, Tensor};
-use substation::transformer::encoder::{EncoderLayer, Executor};
+use substation::tensor::{into_ops, Shape, Tensor};
 use substation::transformer::interp::{self, PlanKind};
 use substation::transformer::params::EncoderWeights;
 
@@ -100,18 +101,41 @@ fn study(source: &CpuSource, dims: EncoderDims, print: bool) -> Outcome<(f64, f6
     let w = EncoderWeights::init(&dims, &mut rng);
     let shape = Shape::from_spec("ibj", &dims.size_table())?;
     let x = Tensor::random(shape.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
-    let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
-    let canned = ExecOptions::builder().seed(7).build();
-    let over = PlanOverride { graph, plan: &plan };
-    let selected = canned.to_builder().plan(Some(over)).build();
+    // each plan compiled once onto its arena, `x` and the weights bound
+    // where they lie, `y` copied out in logical order: a layer's
+    // `forward_into`, for any plan
+    let opts = ExecOptions::builder().seed(7).build();
+    let arenas = [natural, &plan].map(|p| arena::compiled(graph, p, ArenaGranularity::Serial));
+    let [natural_arena, selected_arena] = arenas;
+    let (natural_arena, selected_arena) = (natural_arena?, selected_arena?);
+    let run = |arena: &arena::CompiledArena, y: &mut Tensor| {
+        let resolve = &mut |name: &str| match name {
+            "x" => x.natural_words(),
+            _ => w.container(name),
+        };
+        let ydata = y.data_mut();
+        let sink = &mut |a: ArenaArtifact<'_>| {
+            if let ArenaArtifact::Tensor {
+                name: "y",
+                shape,
+                layout,
+                data,
+                ..
+            } = a
+            {
+                into_ops::copy_layout_into(shape, layout, data, ydata);
+            }
+        };
+        arena.execute_bound(&opts, resolve, sink)
+    };
     let (mut y_nat, mut y_sel) = (Tensor::zeros(shape.clone()), Tensor::zeros(shape));
     // alternate the two sides so drift hits both; keep each side's best
     let (mut nat_ms, mut sel_ms) = (f64::INFINITY, f64::INFINITY);
     for rep in 0..8 {
         let t0 = Instant::now();
-        layer.forward_into(&x, &w, &canned, &mut y_nat)?;
+        run(&natural_arena, &mut y_nat)?;
         let t1 = Instant::now();
-        layer.forward_into(&x, &w, &selected, &mut y_sel)?;
+        run(&selected_arena, &mut y_sel)?;
         let t2 = Instant::now();
         if rep > 0 {
             nat_ms = nat_ms.min((t1 - t0).as_secs_f64() * 1e3);

@@ -1,9 +1,10 @@
 //! Heap-allocation discipline of the arena interpreter: after one warmup
 //! call has populated the plan and arena caches, every subsequent
 //! `forward_into` — encoder and decoder, serial and wave-parallel, the
-//! canned plans (whose norm steps run in panels) and a caller's strided
-//! plan override with its relayouts — executes out of the preallocated slab
-//! through the `*_into` kernels and must touch the heap **not at all**. A counting global allocator makes
+//! canned plans (whose norm steps run in panels) — and a caller's strided
+//! plan with its relayouts, bound onto its compiled arena the same way,
+//! executes out of the preallocated slab through the `*_into` kernels and
+//! must touch the heap **not at all**. A counting global allocator makes
 //! the claim falsifiable: any stray `Vec`, `String`, or `HashMap` rehash
 //! on the steady-state path shows up as a nonzero event delta and fails
 //! the test. The model head and the block backwards are that plus the
@@ -22,10 +23,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use substation::core::access::certify_access;
-use substation::core::plan::{ExecOptions, PlanOverride};
+use substation::core::arena::{self, granularity_for, ArenaArtifact};
+use substation::core::plan::ExecOptions;
 use substation::core::profile::CountingAlloc;
 use substation::dataflow::EncoderDims;
-use substation::tensor::{Shape, Tensor};
+use substation::tensor::{into_ops, Shape, Tensor};
 use substation::transformer::decode::{DecodeOptions, DecodeSession, Sampling};
 use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
@@ -80,15 +82,36 @@ fn steady_state_forwards_touch_no_heap() {
     assert_eq!(cert.unit_stride_steps(), canned.plan.steps.len());
     let strided = common::permuted(&canned.graph, &canned.plan, 7);
     assert!(strided.relayout_count() > 0);
-    let over = PlanOverride {
-        graph: &canned.graph,
-        plan: &strided,
-    };
 
     let mut failures: Vec<String> = Vec::new();
     for threads in [1usize, 2, 4] {
         let opts = ExecOptions::builder().threads(threads).seed(5).build();
-        let strided_opts = opts.to_builder().plan(Some(over)).build();
+        // the strided plan on its own arena, compiled once, `x` and the
+        // weights bound where they lie and `y` copied out in logical order
+        // (a layer's `forward_into`), the fused layer's `dropout_p` stated
+        let strided_arena =
+            arena::compiled(&canned.graph, &strided, granularity_for(threads)).unwrap();
+        let strided_opts = opts.to_builder().dropout_p(0.3).build();
+        let strided_into = |y: &mut Tensor| {
+            let ydata = y.data_mut();
+            let sink = &mut |a: ArenaArtifact<'_>| {
+                if let ArenaArtifact::Tensor {
+                    name: "y",
+                    shape,
+                    layout,
+                    data,
+                    ..
+                } = a
+                {
+                    into_ops::copy_layout_into(shape, layout, data, ydata);
+                }
+            };
+            let resolve = &mut |name: &str| match name {
+                "x" => x.natural_words(),
+                _ => w.container(name),
+            };
+            strided_arena.execute_bound(&strided_opts, resolve, sink)
+        };
         type Case<'a> = (&'a str, &'a dyn Fn(&mut Tensor));
         let cases: [Case; 4] = [
             ("encoder/fused", &|y: &mut Tensor| {
@@ -100,8 +123,8 @@ fn steady_state_forwards_touch_no_heap() {
             ("decoder/fused", &|y: &mut Tensor| {
                 decoder.forward_into(&x, &w, &opts, y).unwrap()
             }),
-            ("encoder/strided override", &|y: &mut Tensor| {
-                fused.forward_into(&x, &w, &strided_opts, y).unwrap()
+            ("encoder/strided plan", &|y: &mut Tensor| {
+                strided_into(y).unwrap()
             }),
         ];
         for (tag, fwd) in cases {

@@ -4,8 +4,8 @@
 //! `forward_into` must agree with `forward` exactly, dropout masks must be
 //! invariant to the thread count (the arena draws each step's stream
 //! independently, so serial and wave-parallel runs see identical
-//! randomness), and nothing but the plan — not a profiler, not a plan
-//! override, not the sanitizer, not a second caller on the same layer —
+//! randomness), and nothing but the plan — not a profiler, not the door it
+//! comes through, not the sanitizer, not a second caller on the same layer —
 //! may change which executor runs or one bit of what it returns. The tests
 //! share the process-wide memoized arenas of one `dims` across the
 //! harness's threads, which is the point.
@@ -21,13 +21,12 @@ use rand::SeedableRng;
 
 use substation::core::access::{step_accesses, AccessPath};
 use substation::core::analyze::{analyze, assign_arena, ArenaGranularity};
-use substation::core::arena::CompiledArena;
-use substation::core::plan::{
-    execute_plan, ExecOptions, ExecState, ExecutionPlan, PlanOverride, SanitizeMode,
-};
-use substation::core::profile::{PlanProfiler, ProfilerSink};
+use substation::core::arena::{self, granularity_for, ArenaArtifact, CompiledArena};
+use substation::core::plan::{execute_plan, ExecOptions, ExecState, ExecutionPlan, SanitizeMode};
+use substation::core::profile::{record_arena_timings, PlanProfiler, ProfilerSink};
 use substation::dataflow::{DataRole, EncoderDims, Graph, NodeId, OpKind};
-use substation::tensor::{Shape, Tensor, TensorError};
+use substation::tensor::ops::layernorm::LayerNormStats;
+use substation::tensor::{into_ops, Layout, Shape, Tensor, TensorError};
 use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
 use substation::transformer::interp;
@@ -219,6 +218,33 @@ fn forward_into_agrees_with_forward_exactly() {
 }
 
 #[test]
+fn forward_into_refuses_a_buffer_of_another_shape_or_storage() {
+    // a `y` of the right word count in another axis order, or of the right
+    // shape stored permuted, would be filled in the wrong order: it is
+    // refused before the run and left as it was
+    let (dims, w, x) = setup();
+    let bij = Tensor::zeros(Shape::from_spec("bij", &dims.size_table()).unwrap());
+    let permuted = out_buffer(&dims).relayout(&Layout::from_order(&[2, 0, 1]).unwrap());
+    assert!(permuted.natural_words().is_none());
+    let encoder = EncoderLayer::new(dims, Executor::Fused, 0.0);
+    let decoder = DecoderLayer::new(dims, 0.0);
+    let opts = ExecOptions::default();
+    for (tag, mut y) in [("[b,i,j]", bij), ("permuted", permuted)] {
+        let before = y.clone();
+        for r in [
+            encoder.forward_into(&x, &w, &opts, &mut y),
+            decoder.forward_into(&x, &w, &opts, &mut y),
+        ] {
+            assert!(
+                matches!(r, Err(TensorError::ShapeMismatch { .. })),
+                "{tag}: {r:?}"
+            );
+        }
+        assert_eq!(y.data(), before.data(), "{tag}");
+    }
+}
+
+#[test]
 fn dropout_is_thread_count_invariant_under_the_arena() {
     // Per-step RNG streams make the drawn masks a function of (seed,
     // step) alone: the serial arena and the wave-parallel arena at any
@@ -273,10 +299,20 @@ fn collected_activations_match_between_arena_and_env_interpreter() {
 /// activations that carry dropout masks, and both layer-norm statistics.
 fn encoder_bits(layer: &EncoderLayer, x: &Tensor, w: &EncoderWeights, o: &ExecOptions) -> Vec<u32> {
     let (y, a) = layer.forward(x, w, o).unwrap().into_pair().unwrap();
-    let saved = ["drop1_mask", "drop2_mask", "ff1_drop", "drop3_mask"].map(|n| &a.tensors[n]);
-    let (ln1, ln2) = (&a.stats["ln1_out"], &a.stats["y"]);
+    bits(&y, &a.tensors, &a.stats)
+}
+
+/// [`encoder_bits`] of what a run left: `y`, its saved containers and its
+/// statistics.
+fn bits(
+    y: &Tensor,
+    tensors: &HashMap<String, Tensor>,
+    stats: &HashMap<String, LayerNormStats>,
+) -> Vec<u32> {
+    let saved = ["drop1_mask", "drop2_mask", "ff1_drop", "drop3_mask"].map(|n| &tensors[n]);
+    let (ln1, ln2) = (&stats["ln1_out"], &stats["y"]);
     let stats = [&ln1.mean, &ln1.inv_std, &ln2.mean];
-    std::iter::once(&y)
+    std::iter::once(y)
         .chain(saved)
         .flat_map(|t| t.data())
         .chain(stats.iter().flat_map(|s| s.iter()))
@@ -326,10 +362,38 @@ fn route_and_results_depend_on_the_plan_alone() {
     // layer-norm statistics are bitwise those of the plain call.
     let (dims, w, x) = setup();
     let layer = EncoderLayer::new(dims, Executor::Fused, 0.3);
+    // the same plan through the door any plan takes, the layer's
+    // `dropout_p` set by hand: on its arena from the bound inputs, and —
+    // what `forward_into` does — bound where they lie, `y` copied out
     let pf = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
-    let over = PlanOverride {
-        graph: &pf.graph,
-        plan: &pf.plan,
+    let executed = |opts: &ExecOptions| {
+        let mut state = interp::bind_inputs(&x, &w);
+        arena::execute(&pf.graph, &pf.plan, &mut state, opts).unwrap();
+        bits(&state.env["y"], &state.env, &state.stats)
+    };
+    let bound = |opts: &ExecOptions, y: &mut Tensor| {
+        let arena = arena::compiled(&pf.graph, &pf.plan, granularity_for(opts.threads)).unwrap();
+        let ydata = y.data_mut();
+        let sink = &mut |a: ArenaArtifact<'_>| match a {
+            ArenaArtifact::Tensor {
+                name: "y",
+                shape,
+                layout,
+                data,
+                ..
+            } => into_ops::copy_layout_into(shape, layout, data, ydata),
+            ArenaArtifact::Timings { .. } => {
+                if let Some(profiler) = opts.profiler {
+                    record_arena_timings(profiler, &pf.graph, &pf.plan, &a);
+                }
+            }
+            _ => {}
+        };
+        let resolve = &mut |name: &str| match name {
+            "x" => x.natural_words(),
+            _ => w.container(name),
+        };
+        arena.execute_bound(opts, resolve, sink).unwrap();
     };
     let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
     let plain = encoder_bits(&layer, &x, &w, &ExecOptions::builder().seed(19).build());
@@ -337,27 +401,27 @@ fn route_and_results_depend_on_the_plan_alone() {
     for threads in [1usize, 4] {
         for profiler in [None, Some(&sink)] {
             for sanitize in [SanitizeMode::On, SanitizeMode::Off] {
-                for plan in [None, Some(over)] {
-                    let opts = ExecOptions::builder()
-                        .seed(19)
-                        .threads(threads)
-                        .profiler(profiler)
-                        .sanitize(sanitize)
-                        .plan(plan)
-                        .build();
-                    let tag = format!(
-                        "threads={threads} profiler={} {sanitize:?} override={}",
-                        profiler.is_some(),
-                        plan.is_some()
-                    );
-                    assert!(
-                        encoder_bits(&layer, &x, &w, &opts) == plain,
-                        "forward, {tag}"
-                    );
-                    layer.forward_into(&x, &w, &opts, &mut y).unwrap();
-                    let y_bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
-                    assert!(y_bits == plain[..y_bits.len()], "forward_into, {tag}");
-                }
+                let opts = ExecOptions::builder()
+                    .seed(19)
+                    .threads(threads)
+                    .profiler(profiler)
+                    .sanitize(sanitize)
+                    .build();
+                let tag = format!(
+                    "threads={threads} profiler={} {sanitize:?}",
+                    profiler.is_some()
+                );
+                let y_bits = |y: &Tensor| y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert!(
+                    encoder_bits(&layer, &x, &w, &opts) == plain,
+                    "forward, {tag}"
+                );
+                layer.forward_into(&x, &w, &opts, &mut y).unwrap();
+                assert!(y_bits(&y) == plain[..y.len()], "forward_into, {tag}");
+                let any = opts.to_builder().dropout_p(0.3).build();
+                assert!(executed(&any) == plain, "arena::execute, {tag}");
+                bound(&any, &mut y);
+                assert!(y_bits(&y) == plain[..y.len()], "execute_bound, {tag}");
             }
         }
     }

@@ -5,9 +5,10 @@
 //! an arena like any other, equals the canned plan bit for bit and
 //! returns the same bits whatever `threads` asks for; arbitrary layout
 //! perturbations survive `reflow` unchanged in value; and malformed plans
-//! are rejected by the static analyzer before any kernel runs. All runs go through the single
-//! unified `forward(&x, &w, &ExecOptions)` entry point, with plans
-//! substituted via [`substation::core::plan::PlanOverride`].
+//! are rejected by the static analyzer before any kernel runs. A canned
+//! plan runs through its layer's `forward`; every other plan through the
+//! door any plan takes, [`substation::core::arena::execute`], from the
+//! inputs [`substation::transformer::interp::bind_inputs`] binds.
 
 use proptest::prelude::*;
 use rand::distributions::Uniform;
@@ -16,7 +17,7 @@ use rand::SeedableRng;
 
 use substation::core::analyze::{ArenaGranularity, PlanLint, Severity};
 use substation::core::arena;
-use substation::core::plan::{ExecOptions, ExecutionPlan, PlanOverride};
+use substation::core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use substation::core::sanitize::certify;
 use substation::core::selection::select_forward;
 use substation::core::sweep::{sweep_all, SimulatorSource, SweepOptions};
@@ -56,8 +57,23 @@ fn inputs(dims: &EncoderDims, seed: u64) -> (Tensor, EncoderWeights) {
     (x, w)
 }
 
+/// The layers' options at `p = 0`, `dropout_p` stated: `arena::execute`
+/// merges no layer's in.
 fn opts(seed: u64) -> ExecOptions<'static> {
-    ExecOptions::builder().seed(seed).build()
+    ExecOptions::builder().seed(seed).dropout_p(0.0).build()
+}
+
+/// `plan` over `graph` on its arena, from `x` and the weights: everything
+/// the run left, `y` and the saved containers among it.
+fn run_plan(
+    graph: &substation::dataflow::Graph,
+    plan: &ExecutionPlan,
+    (x, w): (&Tensor, &EncoderWeights),
+    opts: &ExecOptions,
+) -> substation::tensor::Result<ExecState> {
+    let mut state = interp::bind_inputs(x, w);
+    arena::execute(graph, plan, &mut state, opts)?;
+    Ok(state)
 }
 
 /// The reference executor's output for the given input (dropout off).
@@ -86,15 +102,10 @@ fn recipe_lowered_plan_matches_reference_executor() {
 
     let (x, w) = inputs(&dims, 17);
     let y_ref = reference_y(&dims, &x, &w);
-    let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
-    let run = (opts(3))
-        .to_builder()
-        .plan(Some(PlanOverride {
-            graph: &planned.graph,
-            plan: &plan,
-        }))
-        .build();
-    let y_sel = layer.forward(&x, &w, &run).expect("plan-driven forward").y;
+    let y_sel = run_plan(&planned.graph, &plan, (&x, &w), &opts(3))
+        .expect("plan-driven forward")
+        .take("y")
+        .unwrap();
     // layouts may differ; max_abs_diff compares logical elements
     assert!(
         y_sel.max_abs_diff(&y_ref).unwrap() < 1e-4,
@@ -136,16 +147,10 @@ fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
 
     let (x, w) = inputs(&dims, 29);
     let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
-    let over = PlanOverride {
-        graph: &planned.graph,
-        plan: &plan,
-    };
-    let serial = (opts(3)).to_builder().plan(Some(over)).build();
-    let (y_serial, a_serial) = layer
-        .forward(&x, &w, &serial)
-        .expect("serial plan-driven forward")
-        .into_pair()
-        .unwrap();
+    let serial = opts(3);
+    let run = |opts: &ExecOptions| run_plan(&planned.graph, &plan, (&x, &w), opts);
+    let a_serial = run(&serial).expect("serial plan-driven forward");
+    let y_serial = a_serial.get("y").unwrap();
     let canned = layer.forward(&x, &w, &opts(3)).expect("canned forward").y;
     assert_eq!(
         y_serial.max_abs_diff(&canned).unwrap().to_bits(),
@@ -153,12 +158,9 @@ fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
         "the selected plan must equal the canned plan exactly"
     );
     for threads in [1usize, 2, 4, 8] {
-        let run = serial.to_builder().threads(threads).build();
-        let (y_par, a_par) = layer
-            .forward(&x, &w, &run)
-            .expect("parallel plan-driven forward")
-            .into_pair()
-            .unwrap();
+        let run_opts = serial.to_builder().threads(threads).build();
+        let a_par = run(&run_opts).expect("parallel plan-driven forward");
+        let y_par = a_par.get("y").unwrap();
         assert_eq!(
             y_par.data(),
             y_serial.data(),
@@ -166,7 +168,7 @@ fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
         );
         assert_eq!(y_par.layout(), y_serial.layout());
         for name in ["gamma", "ln1_in"] {
-            let (par, serial) = (a_par.tensor(name).unwrap(), a_serial.tensor(name).unwrap());
+            let (par, serial) = (a_par.get(name).unwrap(), a_serial.get(name).unwrap());
             assert_eq!(par.data(), serial.data(), "`{name}` at {threads} threads");
         }
         assert_eq!(a_par.stats["y"].mean, a_serial.stats["y"].mean);
@@ -203,11 +205,10 @@ proptest! {
 
         let (x, w) = inputs(&dims, seed ^ 0xABCD);
         let y_ref = reference_y(&dims, &x, &w);
-        let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
-        let run = (opts(3)).to_builder()
-            .plan(Some(PlanOverride { graph: &planned.graph, plan: &plan }))
-            .build();
-        let y = layer.forward(&x, &w, &run).expect("perturbed plan executes").y;
+        let y = run_plan(&planned.graph, &plan, (&x, &w), &opts(3))
+            .expect("perturbed plan executes")
+            .take("y")
+            .unwrap();
         prop_assert!(y.max_abs_diff(&y_ref).unwrap() < 1e-4);
     }
 }
@@ -217,16 +218,8 @@ fn invalid_plans_are_rejected_before_execution() {
     let dims = dims();
     let planned = interp::cached_plan(&dims, PlanKind::EncoderFused).unwrap();
     let (x, w) = inputs(&dims, 5);
-    let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
     let run = |plan: &ExecutionPlan, x: &Tensor, w: &EncoderWeights| {
-        let o = (opts(3))
-            .to_builder()
-            .plan(Some(PlanOverride {
-                graph: &planned.graph,
-                plan,
-            }))
-            .build();
-        layer.forward(x, w, &o).map(|out| out.y)
+        run_plan(&planned.graph, plan, (x, w), &opts(3))
     };
 
     // a layout of another rank than the container's

@@ -21,13 +21,15 @@ use rand::SeedableRng;
 
 use substation::core::access::certify_access;
 use substation::core::analyze::{PlanLint, Severity};
+use substation::core::arena;
 use substation::core::fusion::{apply_plan, encoder_fusion_plan};
-use substation::core::plan::{ExecOptions, ExecutionPlan, PlanOverride};
+use substation::core::plan::{ExecOptions, ExecutionPlan};
 use substation::core::recipe::forward_ops;
 use substation::core::sanitize::certify;
 use substation::dataflow::{build, EncoderDims, Graph};
 use substation::tensor::{Layout, Shape, Tensor};
 use substation::transformer::encoder::{EncoderLayer, Executor};
+use substation::transformer::interp;
 use substation::transformer::params::EncoderWeights;
 
 fn dims() -> EncoderDims {
@@ -119,15 +121,13 @@ proptest! {
             &mut rng,
         );
         let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
-        let over = PlanOverride {
-            graph: &graph,
-            plan: &plan,
+        // the strided plan on its own arena, from the layer's inputs
+        let strided = |opts: &ExecOptions| {
+            let mut state = interp::bind_inputs(&x, &w);
+            arena::execute(&graph, &plan, &mut state, opts).map(|()| state.take("y").unwrap())
         };
-        let serial = ExecOptions::builder().plan(Some(over)).seed(3).build();
-        let y_serial = layer
-            .forward(&x, &w, &serial)
-            .expect("serial forward of the strided plan")
-            .y;
+        let serial = ExecOptions::builder().seed(3).dropout_p(0.0).build();
+        let y_serial = strided(&serial).expect("serial forward of the strided plan");
         // both instantiations are one body: the strided plan computes the
         // canned (unit-stride) plan's values exactly
         let y_canned = layer
@@ -137,10 +137,7 @@ proptest! {
         prop_assert_eq!(y_serial.max_abs_diff(&y_canned).unwrap(), 0.0);
         for threads in [2usize, 4, 8] {
             let run = serial.to_builder().threads(threads).build();
-            let y_par = layer
-                .forward(&x, &w, &run)
-                .expect("wave-parallel forward of the strided plan")
-                .y;
+            let y_par = strided(&run).expect("wave-parallel forward of the strided plan");
             prop_assert_eq!(y_par.data(), y_serial.data());
             prop_assert_eq!(y_par.layout(), y_serial.layout());
         }
