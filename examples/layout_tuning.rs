@@ -105,9 +105,8 @@ fn study(source: &CpuSource, dims: EncoderDims, print: bool) -> Outcome<(f64, f6
     // where they lie, `y` copied out in logical order: a layer's
     // `forward_into`, for any plan
     let opts = ExecOptions::builder().seed(7).build();
-    let arenas = [natural, &plan].map(|p| arena::compiled(graph, p, ArenaGranularity::Serial));
-    let [natural_arena, selected_arena] = arenas;
-    let (natural_arena, selected_arena) = (natural_arena?, selected_arena?);
+    let natural_arena = arena::compiled(graph, natural, ArenaGranularity::Serial)?;
+    let selected_arena = arena::compiled(graph, &plan, ArenaGranularity::Serial)?;
     let run = |arena: &arena::CompiledArena, y: &mut Tensor| {
         let resolve = &mut |name: &str| match name {
             "x" => x.natural_words(),
