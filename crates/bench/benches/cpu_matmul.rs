@@ -10,12 +10,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 use xform_tensor::matmul::{
-    batched_sgemm, gemm, gemm_panels, naive_sgemm, sgemm, MatMut, MatRef, PanelRef, Start,
-    WeightPack, MR, NR,
+    gemm, gemm_panels, naive_sgemm, sgemm, MatMut, MatRef, PanelRef, Start, WeightPack, MR, NR,
 };
 use xform_tensor::{einsum, Shape, Tensor};
 
@@ -42,42 +41,6 @@ fn bench_sgemm(c: &mut Criterion) {
     });
     group.finish();
 }
-
-fn bench_batched_sgemm(c: &mut Criterion) {
-    // attention-score shape: many small independent GEMMs — the case the
-    // scoped-thread batch parallelism targets
-    let mut rng = StdRng::seed_from_u64(4);
-    let (bsz, m, n, k) = (16, 48, 48, 64);
-    let a: Vec<f32> = (0..bsz * m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let b: Vec<f32> = (0..bsz * k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let mut group = c.benchmark_group("batched-sgemm-16x48");
-    group.bench_function(BenchmarkId::new("batched", "threaded"), |bch| {
-        bch.iter(|| {
-            let mut cbuf = vec![0.0f32; bsz * m * n];
-            batched_sgemm(bsz, m, n, k, black_box(&a), black_box(&b), &mut cbuf);
-            black_box(cbuf)
-        })
-    });
-    group.bench_function(BenchmarkId::new("batched", "serial loop"), |bch| {
-        bch.iter(|| {
-            let mut cbuf = vec![0.0f32; bsz * m * n];
-            for g in 0..bsz {
-                sgemm(
-                    m,
-                    n,
-                    k,
-                    black_box(&a[g * m * k..(g + 1) * m * k]),
-                    black_box(&b[g * k * n..(g + 1) * k * n]),
-                    &mut cbuf[g * m * n..(g + 1) * m * n],
-                );
-            }
-            black_box(cbuf)
-        })
-    });
-    group.finish();
-}
-
-use rand::Rng;
 
 fn bench_einsum_projection(c: &mut Criterion) {
     // the query projection phi,ibj->phbj at CPU scale
@@ -283,7 +246,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_sgemm, bench_batched_sgemm, bench_einsum_projection, bench_einsum_batched,
+    targets = bench_sgemm, bench_einsum_projection, bench_einsum_batched,
         bench_kernel_rows
 }
 criterion_main!(benches);

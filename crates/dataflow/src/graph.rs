@@ -270,16 +270,20 @@ impl Graph {
 
     /// Looks up an operator by name (first match in insertion order).
     pub fn op_by_name(&self, name: &str) -> Option<NodeId> {
-        self.ops()
-            .into_iter()
-            .find(|&id| self.op(id).map(|o| o.name == name).unwrap_or(false))
+        self.find(|n| matches!(n, Node::Op(o) if o.name == name))
     }
 
     /// Looks up a data node by name (first match in insertion order).
     pub fn data_by_name(&self, name: &str) -> Option<NodeId> {
-        self.data_nodes()
-            .into_iter()
-            .find(|&id| self.data(id).map(|d| d.name == name).unwrap_or(false))
+        self.find(|n| matches!(n, Node::Data(d) if d.name == name))
+    }
+
+    /// The first live node `pred` holds for, searched in place.
+    fn find(&self, pred: impl Fn(&Node) -> bool) -> Option<NodeId> {
+        self.nodes
+            .iter()
+            .position(|n| n.as_ref().is_some_and(&pred))
+            .map(NodeId)
     }
 
     /// All edges.

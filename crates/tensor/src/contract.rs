@@ -5,14 +5,14 @@
 //! to a [`ContractPlan`] over the operands' own strides, the output is
 //! allocated in the requested layout, and the same driver the arena
 //! interpreter runs ([`crate::into_ops::contract_into`]) multiplies through
-//! the strided views of [`crate::matmul`]. The input layouts decide the
-//! access pattern, not a repacking pass; only an operand whose axis groups
-//! do not collapse to strides is gathered first.
+//! the strided views of [`crate::matmul`] on the caller's thread. The
+//! input layouts decide the access pattern, not a repacking pass; only an
+//! operand whose axis groups do not collapse to strides is gathered first.
 
 use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
-use crate::into_ops::{contract_with_threads, ContractPlan};
+use crate::into_ops::{contract_into, ContractPlan};
 use crate::layout::Layout;
 use crate::tensor::Tensor;
 
@@ -76,14 +76,7 @@ pub fn contract(spec: &EinsumSpec, a: &Tensor, b: &Tensor, out_layout: &Layout) 
         out.strides(),
     )?;
     let mut scratch = vec![0.0f32; plan.scratch_words()];
-    contract_with_threads(
-        &plan,
-        a.data(),
-        b.data(),
-        out.data_mut(),
-        &mut scratch,
-        true,
-    );
+    contract_into(&plan, a.data(), b.data(), out.data_mut(), &mut scratch);
     Ok(out)
 }
 

@@ -62,8 +62,8 @@ use crate::error::{Result, TensorError};
 use crate::lanes::{self, on_run, Dropout, LaneAt, Panel, Run, Walk, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
-    gemm, gemm_batched, gemm_packed_leading, gemm_panels, host_threads, pack_panels, panel_words,
-    BatchMut, BatchRef, BatchStrides, Lhs, MatMut, MatRef, PanelRef, Start, NR,
+    gemm, gemm_batched, gemm_packed_leading, gemm_panels, pack_panels, panel_words, BatchMut,
+    BatchRef, BatchStrides, Lhs, MatMut, MatRef, PanelRef, Start, NR,
 };
 use crate::ops::elementwise::ActivationKind;
 use crate::tensor::Tensor;
@@ -667,9 +667,8 @@ fn stage<'a>(
 /// Executes a precompiled contraction `out = a ∘ b` (operands in the
 /// einsum's order): one GEMM per batch slice through the plan's views,
 /// with a whole-operand gather before (scatter after) only for an operand
-/// the plan could not express as one. The batch loop is serial — arena
-/// steps are already parallelized across waves, and per-slice GEMMs are
-/// bitwise identical whichever thread runs them.
+/// the plan could not express as one. Every slice runs in order on the
+/// calling thread: the arena's wave pool is where steps run side by side.
 ///
 /// # Panics
 ///
@@ -681,20 +680,6 @@ pub fn contract_into(
     b: &[f32],
     out: &mut [f32],
     scratch: &mut [f32],
-) {
-    contract_with_threads(plan, a, b, out, scratch, false);
-}
-
-/// [`contract_into`], with the batch slices spread over the host's cores
-/// when `on_host` (see [`gemm_batched`]) — what the allocating
-/// [`contract`](crate::contract::contract) runs.
-pub(crate) fn contract_with_threads(
-    plan: &ContractPlan,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    scratch: &mut [f32],
-    on_host: bool,
 ) {
     let [aw, bw, cw] = plan.pack_words();
     let (a_pack, rest) = scratch.split_at_mut(aw);
@@ -720,12 +705,7 @@ pub(crate) fn contract_with_threads(
         );
         gemm_panels(m, n, k, a, gb.slice(0), c, Start::FromZero);
     } else {
-        let threads = if on_host {
-            host_threads(batch, m, n, k, gc.at)
-        } else {
-            1
-        };
-        gemm_batched(batch, m, n, k, ga, gb, gc, Start::FromZero, threads);
+        gemm_batched(batch, m, n, k, ga, gb, gc, Start::FromZero);
     }
     if plan.c.view.is_none() {
         copy_strided(&plan.c.dims, c_pack, 0, out, 0);

@@ -975,13 +975,7 @@ pub struct BatchMut<'a> {
 }
 
 /// Runs `batch` independent GEMMs `c[g] (+)= a[g] × b[g]` over strided
-/// slices, on up to `threads` scoped threads.
-///
-/// Slices are spread over threads only when those of `c` are disjoint
-/// word ranges (`c.bs` at least one slice's reach — each thread then owns
-/// a `split_at_mut` range) and the problem is large enough to pay for the
-/// spawns; otherwise, and with `threads <= 1`, they run in order on the
-/// calling thread. Results are bitwise the same either way.
+/// slices, in order, on the calling thread.
 ///
 /// # Panics
 ///
@@ -996,52 +990,20 @@ pub fn gemm_batched(
     b: BatchRef<'_>,
     c: BatchMut<'_>,
     start: Start,
-    threads: usize,
 ) {
     if batch == 0 {
         return;
     }
-    let BatchStrides { bs, rs, cs } = c.at;
+    let BatchMut { data, at } = c;
+    let BatchStrides { bs, rs, cs } = at;
     assert!(
-        c.data.len() >= (batch - 1) * bs + span(m, n, rs, cs),
+        data.len() >= (batch - 1) * bs + span(m, n, rs, cs),
         "c is too short"
     );
-    // `c` starts at slice `lo`
-    let run = |c: &mut [f32], lo: usize, hi: usize| {
-        for g in lo..hi {
-            let c_g = MatMut::new(&mut c[(g - lo) * bs..], rs, cs);
-            gemm(m, n, k, a.slice(g), b.slice(g), c_g, start);
-        }
-    };
-    let threads = threads.min(batch);
-    if threads <= 1 || !splits(batch, m, n, k, c.at) {
-        run(c.data, 0, batch);
-        return;
+    for g in 0..batch {
+        let c_g = MatMut::new(&mut data[g * bs..], rs, cs);
+        gemm(m, n, k, a.slice(g), b.slice(g), c_g, start);
     }
-    std::thread::scope(|s| {
-        let mut rest = c.data;
-        let mut lo = 0usize;
-        for t in 0..threads {
-            let hi = (t + 1) * batch / threads;
-            let cut = if hi == batch {
-                rest.len()
-            } else {
-                (hi - lo) * bs
-            };
-            let (mine, tail) = rest.split_at_mut(cut);
-            rest = tail;
-            let run = &run;
-            s.spawn(move || run(mine, lo, hi));
-            lo = hi;
-        }
-    });
-}
-
-/// Whether [`gemm_batched`] may spread `batch` slices over threads: those
-/// of C are disjoint word ranges and the problem is past ~64k FMAs, below
-/// which the spawns cost more than they save.
-fn splits(batch: usize, m: usize, n: usize, k: usize, c: BatchStrides) -> bool {
-    batch > 1 && c.bs >= span(m, n, c.rs, c.cs) && batch * m * n * k >= 1 << 16
 }
 
 /// Computes `c += a × b` for row-major `a` (`m×k`), `b` (`k×n`), `c` (`m×n`).
@@ -1081,8 +1043,7 @@ pub fn sgemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) 
 /// Computes `c[g] += a[g] × b[g]` for `batch` independent GEMMs stored
 /// contiguously (`a`: `batch×m×k`, `b`: `batch×k×n`, `c`: `batch×m×n`).
 ///
-/// Batch slices are independent, so they are spread across the host's
-/// cores (see [`gemm_batched`]); small problems stay on the calling thread.
+/// The slices run in order on the calling thread (see [`gemm_batched`]).
 ///
 /// # Panics
 ///
@@ -1117,20 +1078,7 @@ pub fn batched_sgemm(
             at: BatchStrides::dense(m, n),
         },
         Start::FromC,
-        host_threads(batch, m, n, k, BatchStrides::dense(m, n)),
     );
-}
-
-/// The thread count the allocating entry points hand [`gemm_batched`] for a
-/// call of these dimensions into C slices at `c`: the host's cores, asked
-/// for only when the call could split — the query costs microseconds and
-/// heap events, and most calls run on one thread anyway.
-pub(crate) fn host_threads(batch: usize, m: usize, n: usize, k: usize, c: BatchStrides) -> usize {
-    if splits(batch, m, n, k, c) {
-        std::thread::available_parallelism().map_or(1, |t| t.get())
-    } else {
-        1
-    }
 }
 
 /// Reference (unblocked, triple-loop) GEMM used as a correctness oracle in
@@ -1327,25 +1275,18 @@ mod tests {
     }
 
     #[test]
-    fn batched_threads_match_the_serial_loop_bitwise() {
-        // large enough that batch slices are spread across threads
+    fn batched_slices_match_the_naive_oracle_and_batched_sgemm() {
         let mut rng = StdRng::seed_from_u64(11);
         let (bsz, m, n, k) = (8, 32, 32, 32);
-        assert!(bsz * m * n * k >= 1 << 16);
         let a = random_mat(&mut rng, bsz * m * k);
         let b = random_mat(&mut rng, bsz * k * n);
-        let run = |threads: usize| {
-            let mut c = vec![f32::NAN; bsz * m * n];
-            let c_view = BatchMut {
-                data: &mut c,
-                at: BatchStrides::dense(m, n),
-            };
-            let (a, b) = (batch_of(&a, m, k), batch_of(&b, k, n));
-            gemm_batched(bsz, m, n, k, a, b, c_view, Start::FromZero, threads);
-            c
+        let mut c = vec![f32::NAN; bsz * m * n];
+        let c_view = BatchMut {
+            data: &mut c,
+            at: BatchStrides::dense(m, n),
         };
-        let serial = run(1);
-        assert_eq!(run(4), serial);
+        let (av, bv) = (batch_of(&a, m, k), batch_of(&b, k, n));
+        gemm_batched(bsz, m, n, k, av, bv, c_view, Start::FromZero);
         for g in 0..bsz {
             let mut expect = vec![0.0; m * n];
             naive_sgemm(
@@ -1356,17 +1297,16 @@ mod tests {
                 &b[g * k * n..(g + 1) * k * n],
                 &mut expect,
             );
-            assert_eq!(&serial[g * m * n..(g + 1) * m * n], expect.as_slice());
+            assert_eq!(&c[g * m * n..(g + 1) * m * n], expect.as_slice());
         }
-        let mut c = vec![0.0; bsz * m * n];
-        batched_sgemm(bsz, m, n, k, &a, &b, &mut c);
-        assert_eq!(c, serial);
+        let mut dense = vec![0.0; bsz * m * n];
+        batched_sgemm(bsz, m, n, k, &a, &b, &mut dense);
+        assert_eq!(dense, c);
     }
 
     #[test]
     fn interleaved_batch_slices_of_c_run_in_order() {
-        // batch innermost in C: slices overlap as word ranges, so the
-        // threaded split must not be taken
+        // batch innermost in C: slices overlap as word ranges
         let mut rng = StdRng::seed_from_u64(13);
         let (bsz, m, n, k) = (8, 32, 32, 32);
         let a = random_mat(&mut rng, bsz * m * k);
@@ -1381,7 +1321,7 @@ mod tests {
             },
         };
         let (av, bv) = (batch_of(&a, m, k), batch_of(&b, k, n));
-        gemm_batched(bsz, m, n, k, av, bv, c_view, Start::FromZero, 4);
+        gemm_batched(bsz, m, n, k, av, bv, c_view, Start::FromZero);
         let mut dense = vec![0.0; bsz * m * n];
         batched_sgemm(bsz, m, n, k, &a, &b, &mut dense);
         for g in 0..bsz {

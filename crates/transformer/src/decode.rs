@@ -50,11 +50,11 @@ use rand::{Rng, SeedableRng};
 use xform_core::access::column_span;
 use xform_core::analyze::{analyze, ArenaGranularity, PlanAnalysis};
 use xform_core::arena::{ArenaArtifact, CompiledArena};
-use xform_core::plan::{ExecOptions, ExecState};
+use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
 use xform_tensor::lanes::{check_dropout_p, exp};
 use xform_tensor::matmul::{gemm, MatMut, MatRef, Start};
-use xform_tensor::{Result, Shape, Tensor, TensorError};
+use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
 use crate::interp::{self, PlanKind, PlannedForward};
 use crate::model::TransformerModel;
@@ -386,37 +386,27 @@ impl<'m> DecodeSession<'m> {
         let attend = self.build_bucket(capacity)?;
         let project = self.build_project()?;
 
+        // a cache column `k` holds position k's `[p,h,b]` words: the saved
+        // `[p,h,b,k]` projection is the `[k, p·h·b]` view stored
+        // `p·h·b`-major
+        let view = Shape::new([('k', s), ('c', d.p * d.h * d.b)])?;
+        let phb_major = Layout::from_order(&[1, 0])?;
         let mut h = x;
         for (l, w) in self.model.blocks.iter().enumerate() {
-            let mut state = ExecState::default();
-            // every block's `y` leaves its arena row-major, like `x`
-            let x = h.data();
-            let resolve = &mut |name: &str| interp::external_words(name, x, w);
-            prefill.execute_into_state(&pf.graph, &pf.plan, &opts, resolve, &mut state)?;
-            // seed this layer's cache columns from the saved projections:
-            // kk [p,h,b,k] → k_cache column k = contiguous [p,h,b]
-            let kk = state.get("kk")?;
-            let vv = state.get("vv")?;
-            let col = d.p * d.h * d.b;
-            let seed_cache = |name: &str, src: &Tensor| -> Result<()> {
+            let out = interp::forward_on(&prefill, &pf.graph, &pf.plan, &h, w, &opts)?;
+            for (name, saved) in [("k_cache", "kk"), ("v_cache", "vv")] {
+                let src = (out.saved.tensor(saved)?.natural_words())
+                    .ok_or_else(|| unsupported(format!("the prefill saved `{saved}` permuted")))?;
                 let span = column_span(attend.arenas[l].certificate(), name, 0, s)
                     .ok_or_else(|| unsupported(format!("prompt escapes `{name}` capacity")))?;
                 attend.arenas[l]
                     .with_external_mut(name, |dst| {
-                        let dst = &mut dst[span.clone()];
-                        let data = src.data();
-                        for k in 0..s {
-                            for phb in 0..col {
-                                // src index: phb-major, k innermost
-                                dst[k * col + phb] = data[phb * s + k];
-                            }
-                        }
+                        into_ops::copy_layout_into(&view, &phb_major, src, &mut dst[span])
                     })
-                    .ok_or_else(|| unsupported(format!("cache `{name}` missing from arena")))
-            };
-            seed_cache("k_cache", kk)?;
-            seed_cache("v_cache", vv)?;
-            h = state.take("y")?;
+                    .ok_or_else(|| unsupported(format!("cache `{name}` missing from arena")))?;
+            }
+            // every block's `y` leaves its arena row-major, like `x`
+            h = out.y;
         }
 
         let vocab = self.model.config.vocab;

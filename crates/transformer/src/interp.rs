@@ -432,12 +432,9 @@ fn with_arena<R>(
     f(&pf.graph, &pf.plan, &arena)
 }
 
-/// Runs one layer forward for [`ForwardOutput`]: `y` and every saved
-/// container and layer-norm statistic the plan produced are materialized
-/// out of the slab, each in the layout the plan leaves it in, and the
-/// dropout stream of the plan's attention region, if it has one, is noted
-/// in the [`Saved`] record. `opts` must already be merged with the layer
-/// knobs.
+/// Runs one layer forward for [`ForwardOutput`] on the canned plan of
+/// `(dims, kind)` and its memoized arena ([`forward_on`]). `opts` must
+/// already be merged with the layer knobs.
 ///
 /// # Errors
 ///
@@ -451,31 +448,51 @@ pub(crate) fn forward(
     opts: &ExecOptions,
 ) -> Result<ForwardOutput> {
     with_arena(dims, kind, opts, |graph, plan, arena| {
-        let mut state = ExecState::default();
-        with_natural([x], |[x]| {
-            let resolve = &mut |name: &str| external_words(name, x, w);
-            arena.execute_into_state(graph, plan, opts, resolve, &mut state)
-        })?;
-        // the attention region: the tile program of two contractions
-        let region = |s: &xform_core::plan::PlanStep| {
-            matches!(
-                s.kind,
-                OpKind::TileProgram {
-                    second: Some(_),
-                    ..
-                }
-            )
-        };
-        let at = plan.steps.iter().position(region);
-        // `y` is the plan's one output: what remains is what it saved
-        Ok(ForwardOutput {
-            y: state.take("y")?,
-            saved: Saved {
-                tensors: state.env,
-                stats: state.stats,
-                region: at.map(|si| (opts.seed, plan.stream_of(si))),
-            },
-        })
+        forward_on(arena, graph, plan, x, w, opts)
+    })
+}
+
+/// Runs one layer forward of `plan` on `arena`: `y` and every saved
+/// container and layer-norm statistic the plan produced are materialized
+/// out of the slab, each in the layout the plan leaves it in, and the
+/// dropout stream of the plan's attention region, if it has one, is noted
+/// in the [`Saved`] record.
+///
+/// # Errors
+///
+/// As [`forward`].
+pub(crate) fn forward_on(
+    arena: &CompiledArena,
+    graph: &Graph,
+    plan: &ExecutionPlan,
+    x: &Tensor,
+    w: &EncoderWeights,
+    opts: &ExecOptions,
+) -> Result<ForwardOutput> {
+    let mut state = ExecState::default();
+    with_natural([x], |[x]| {
+        let resolve = &mut |name: &str| external_words(name, x, w);
+        arena.execute_into_state(graph, plan, opts, resolve, &mut state)
+    })?;
+    // the attention region: the tile program of two contractions
+    let region = |s: &xform_core::plan::PlanStep| {
+        matches!(
+            s.kind,
+            OpKind::TileProgram {
+                second: Some(_),
+                ..
+            }
+        )
+    };
+    let at = plan.steps.iter().position(region);
+    // `y` is the plan's one output: what remains is what it saved
+    Ok(ForwardOutput {
+        y: state.take("y")?,
+        saved: Saved {
+            tensors: state.env,
+            stats: state.stats,
+            region: at.map(|si| (opts.seed, plan.stream_of(si))),
+        },
     })
 }
 

@@ -84,6 +84,21 @@ fn steady_state_forwards_touch_no_heap() {
     assert!(strided.relayout_count() > 0);
 
     let mut failures: Vec<String> = Vec::new();
+    // Name lookups search the built graph's node table in place: a hit on
+    // the last operator, a hit on `y` and a miss all touch no heap.
+    let graph = &canned.graph;
+    let last_op = graph.op(*graph.ops().last().unwrap()).unwrap().name.clone();
+    let before = ALLOC.events();
+    let found = (
+        graph.op_by_name(&last_op),
+        graph.data_by_name("y"),
+        graph.data_by_name("no such container"),
+    );
+    let lookups = ALLOC.events() - before;
+    assert!(found.0.is_some() && found.1.is_some() && found.2.is_none());
+    if lookups != 0 {
+        failures.push(format!("graph name lookups: {lookups} heap event(s)"));
+    }
     for threads in [1usize, 2, 4] {
         let opts = ExecOptions::builder().threads(threads).seed(5).build();
         // the strided plan on its own arena, compiled once, `x` and the
