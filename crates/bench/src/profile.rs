@@ -242,12 +242,12 @@ fn dram_rows(geom: &CacheGeometry) -> Res<(Vec<DramRow>, u64)> {
         let traffic = trace_plan(&graph, &plan, geom, 4);
         for s in prof
             .steps()
-            .filter(|s| s.class == OpClass::StatisticalNormalization)
+            .filter(|s| s.account.class == OpClass::StatisticalNormalization)
         {
             rows.push(DramRow {
                 shape: tag.clone(),
-                step: s.name.clone(),
-                predicted_bytes: traffic.per_step[s.step].dram_words() * 4,
+                step: s.account.name.clone(),
+                predicted_bytes: traffic.per_step[s.account.step].dram_words() * 4,
                 measured_bytes: s.moved_bytes(),
                 time_us: s.time_us,
                 gated: s.moved_bytes() >= 4 * llc,
@@ -533,14 +533,14 @@ impl Collected {
             let m = prof.measured_mue(s);
             let st = static_audit
                 .per_step
-                .get(s.step)
+                .get(s.account.step)
                 .and_then(|a| a.mue.as_ref())
                 .map_or_else(|| "—".into(), |m| format!("{:8.1}", m.value));
             println!(
                 "  {:>4}  {:<26} {:>5} {:>9.1} {:>9.1} {:>8.2} {:>5.1} {:>8.1} {:>8}",
-                s.step,
-                s.name,
-                class_tag(s.class),
+                s.account.step,
+                s.account.name,
+                class_tag(s.account.class),
                 s.time_us,
                 s.moved_bytes() as f64 / 1024.0,
                 s.achieved_bytes_per_us() * 1e6 / 1e9,
@@ -651,7 +651,7 @@ impl Collected {
         println!(
             "  re-selected plan {:>9.1} µs measured on the same arena ({} relayouts; {} transposes, {:.1} µs modeled)",
             r.reselected_us(),
-            r.reselected.steps().filter(|s| s.relayout_words > 0).count(),
+            r.reselected.steps().filter(|s| s.account.relayout_words > 0).count(),
             r.selection.transposes,
             r.selection.total_us,
         );
@@ -773,25 +773,31 @@ fn check_profile(tag: &str, prof: &PlanProfiler, expect_steps: usize) -> Vec<Str
     }
     for s in prof.steps() {
         if s.interpretable && s.moved_bytes() == 0 {
-            bad.push(format!("{tag}: step {} ({}) moved 0 bytes", s.step, s.name));
+            bad.push(format!(
+                "{tag}: step {} ({}) moved 0 bytes",
+                s.account.step, s.account.name
+            ));
         }
         if s.time_us <= 0.0 {
-            bad.push(format!("{tag}: step {} ({}) has no time", s.step, s.name));
+            bad.push(format!(
+                "{tag}: step {} ({}) has no time",
+                s.account.step, s.account.name
+            ));
         }
         let m = prof.measured_mue(s);
         if !(m.value > 0.0 && m.value <= 100.0) {
             bad.push(format!(
                 "{tag}: step {} ({}) measured MUE {} outside (0, 100]",
-                s.step, s.name, m.value
+                s.account.step, s.account.name, m.value
             ));
         }
         if !s.footprint_matches() {
             bad.push(format!(
                 "{tag}: step {} ({}) footprint {} words vs audited {}",
-                s.step,
-                s.name,
+                s.account.step,
+                s.account.name,
                 s.footprint_words,
-                s.moved_words()
+                s.account.moved_words()
             ));
         }
     }

@@ -23,13 +23,14 @@
 //! * [`audit`] prices every step's data movement under its *selected*
 //!   layouts through `xform-gpusim`'s operator model and aggregates
 //!   byte volumes per operator class (Table I style) plus a plan-level
-//!   static MUE, with explicit relayouts counted as avoidable traffic;
+//!   static MUE, with explicit relayouts counted as avoidable traffic —
+//!   each step charged its [`StepAccount`], the one account the cache
+//!   audit and the runtime profiler read too;
 //! * [`lint_selection`] cross-checks a lowered plan against sweep data,
 //!   flagging layout choices dominated in the sweep.
 //!
-//! [`ExecutionPlan::check`] is the thin wrapper the interpreter uses: it
-//! returns [`analyze`]'s lints, and execution refuses plans with any
-//! [`Severity::Error`] finding.
+//! Every executor passes a plan through [`PlanAnalysis::gate`]: execution
+//! refuses plans with any [`Severity::Error`] finding.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -37,7 +38,7 @@ use std::fmt;
 use xform_dataflow::{flops, DataRole, Graph, NodeId, OpClass, OpKind};
 use xform_gpusim::contraction::MathMode;
 use xform_gpusim::mue::{mue, Mue, MueAccum};
-use xform_gpusim::opmodel::{primary_tensors, OpConfig, OpModel};
+use xform_gpusim::opmodel::{cache_discounted, primary_tensors, OpConfig, OpModel};
 use xform_gpusim::{DeviceSpec, KernelCost};
 use xform_tensor::Layout;
 
@@ -1701,11 +1702,16 @@ pub(crate) fn step_config(graph: &Graph, step: &PlanStep) -> Option<OpConfig> {
     }
 }
 
-/// One step's static movement accounting.
-#[derive(Debug, Clone)]
-pub struct StepAudit {
+/// One step's static account: the words and flop [`audit`] charges it,
+/// which [`crate::cachemodel::cache_audit`] and the runtime profiler
+/// ([`crate::profile::PlanProfiler`]) read rather than derive again —
+/// the bytes column of the paper's Table III.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StepAccount {
     /// Step index.
     pub step: usize,
+    /// The operator the step executes.
+    pub op: NodeId,
     /// Kernel name.
     pub name: String,
     /// Operator class.
@@ -1717,14 +1723,139 @@ pub struct StepAudit {
     /// Words moved by this step's explicit relayouts (read + write of
     /// each relayouted container).
     pub relayout_words: u64,
+    /// The operator's I/O lower bound in words (`Q` of the MUE formula):
+    /// its memlet reads plus writes.
+    pub q_words: u64,
+    /// Words of `q_words` that an un-collapsed GEMM-epilogue chain merely
+    /// shuttles through its eliminable interim (the head's write of it
+    /// plus the tail's read-back): pure movement, not algorithmic demand,
+    /// so a plan that collapses the chain accounts at the same `Q`.
+    pub avoid_words: u64,
     /// Flop performed.
     pub flop: u64,
+}
+
+impl StepAccount {
+    /// Total words this step moves: kernel memlets plus relayouts.
+    #[must_use]
+    pub fn moved_words(&self) -> u64 {
+        self.read_words + self.write_words + self.relayout_words
+    }
+
+    /// Folds the step into `acc` under the kernel's `cost` (modelled, or
+    /// measured time and bandwidth): the memlet words join as kernel
+    /// traffic with `Q` less the avoidable interim words, which join as
+    /// pure movement at the kernel's bandwidth, and the relayout words
+    /// join as pure movement at `relayout_bw`. Predicted cache hits come
+    /// off that movement — kernel hits first from the kernel's traffic
+    /// above its algorithmic demand, then from the interim movement;
+    /// relayout hits from the relayout words — so `D` never drops below
+    /// `Q`, and with no hits the fold is the flat audit's. Returns the
+    /// kernel's cost with its hits discounted.
+    pub fn fold(
+        &self,
+        acc: &mut MueAccum,
+        cost: &KernelCost,
+        kernel_hits: u64,
+        relayout_hits: u64,
+        relayout_bw: f64,
+    ) -> KernelCost {
+        let (q, kh) = (self.q_words as f64, kernel_hits as f64);
+        let kernel = if self.avoid_words > 0 {
+            let avoid = self.avoid_words as f64;
+            let q_eff = (self.q_words - self.avoid_words) as f64;
+            let kernel_part = cost.moved_words.max(q) - avoid;
+            let k_hit = kh.min((kernel_part - q_eff).max(0.0));
+            let a_hit = (kh - k_hit).min(avoid);
+            let moved = KernelCost {
+                moved_words: kernel_part,
+                ..*cost
+            };
+            let adj = cache_discounted(&moved, k_hit, q_eff);
+            acc.add_kernel(q_eff, &adj);
+            if avoid - a_hit > 0.0 {
+                acc.add_movement(avoid - a_hit, cost.bandwidth_frac);
+            }
+            adj
+        } else {
+            let adj = cache_discounted(cost, kh, q);
+            acc.add_kernel(q, &adj);
+            adj
+        };
+        let relayout = self.relayout_words - relayout_hits.min(self.relayout_words);
+        if relayout > 0 {
+            acc.add_movement(relayout as f64, relayout_bw);
+        }
+        kernel
+    }
+}
+
+/// Every step's [`StepAccount`], in schedule order, from one pass of
+/// [`crate::fusion::detect_tiles`] over the graph.
+pub fn step_accounts(graph: &Graph, plan: &ExecutionPlan) -> Vec<StepAccount> {
+    accounts_over(graph, plan, &crate::fusion::detect_tiles(graph))
+}
+
+fn accounts_over(
+    graph: &Graph,
+    plan: &ExecutionPlan,
+    chains: &[crate::fusion::TileChain],
+) -> Vec<StepAccount> {
+    let mut avoid: HashMap<NodeId, u64> = HashMap::new();
+    for c in chains {
+        // the head writes the interim, the tail reads it back
+        *avoid.entry(c.head).or_insert(0) += c.interim_words;
+        *avoid.entry(c.tail).or_insert(0) += c.interim_words;
+    }
+    let words = |d: NodeId| graph.data(d).map_or(0, |d| d.shape.num_elements() as u64);
+    (plan.steps.iter().enumerate())
+        .map(|(si, step)| {
+            let (read_words, write_words) =
+                (graph.input_words(step.op), graph.output_words(step.op));
+            let q_words = read_words + write_words;
+            StepAccount {
+                step: si,
+                op: step.op,
+                name: step.name.clone(),
+                class: step.kind.class(),
+                read_words,
+                write_words,
+                relayout_words: step.relayouts.iter().map(|r| 2 * words(r.data)).sum(),
+                q_words,
+                avoid_words: avoid.get(&step.op).copied().unwrap_or(0).min(q_words),
+                flop: flops::op_flop(graph, step.op).unwrap_or(0),
+            }
+        })
+        .collect()
+}
+
+/// One step's static movement accounting.
+#[derive(Debug, Clone)]
+pub struct StepAudit {
+    /// The words and flop the step is charged.
+    pub account: StepAccount,
     /// Modelled kernel cost under the step's declared layouts (`None`
     /// when the performance model cannot price the configuration; the
     /// movement accounting still counts its memlet words).
     pub cost: Option<KernelCost>,
     /// Static MUE under the modelled cost.
     pub mue: Option<Mue>,
+}
+
+impl StepAudit {
+    /// The cost the audit charges the kernel: the modelled one, or for a
+    /// step the model cannot price a perfect kernel that moves exactly its
+    /// algorithmic demand at the device's streaming efficiency.
+    #[must_use]
+    pub fn charged_cost(&self, device: &DeviceSpec) -> KernelCost {
+        let a = &self.account;
+        self.cost.unwrap_or(KernelCost {
+            time_us: 0.0,
+            moved_words: (a.q_words - a.avoid_words) as f64,
+            bandwidth_frac: device.stream_efficiency,
+            flop: a.flop as f64,
+        })
+    }
 }
 
 /// Byte volumes of one operator class across the plan (Table I style).
@@ -1802,90 +1933,26 @@ impl MovementAudit {
 pub fn audit(graph: &Graph, plan: &ExecutionPlan, device: &DeviceSpec) -> MovementAudit {
     let wb = device.word_bytes as u64;
     let mut acc = MueAccum::default();
-    let mut per_step = Vec::with_capacity(plan.steps.len());
-    let mut relayout_words_total = 0u64;
-    let mut read_words_total = 0u64;
-    let mut write_words_total = 0u64;
-    let mut modelled = 0usize;
     let epi_chains = crate::fusion::detect_tiles(graph);
-    let mut avoid: HashMap<NodeId, u64> = HashMap::new();
-    for c in &epi_chains {
-        // the head writes the interim, the tail reads it back
-        *avoid.entry(c.head).or_insert(0) += c.interim_words;
-        *avoid.entry(c.tail).or_insert(0) += c.interim_words;
-    }
-    for (si, step) in plan.steps.iter().enumerate() {
-        let read_words = graph.input_words(step.op);
-        let write_words = graph.output_words(step.op);
-        let relayout_words: u64 = step
-            .relayouts
-            .iter()
-            .map(|r| {
-                2 * graph
-                    .data(r.data)
-                    .map(|d| d.shape.num_elements() as u64)
-                    .unwrap_or(0)
-            })
-            .sum();
-        let flop = flops::op_flop(graph, step.op).unwrap_or(0);
-        let q = graph.io_words(step.op);
-        let avoid_words = avoid.get(&step.op).copied().unwrap_or(0).min(q);
-        let q_eff = q - avoid_words;
-        let cost = step_config(graph, step)
-            .and_then(|cfg| OpModel::new(graph, step.op).ok().map(|m| (m, cfg)))
-            .and_then(|(m, cfg)| m.cost(device, &cfg).ok());
-        match &cost {
-            Some(c) => {
-                modelled += 1;
-                if avoid_words > 0 {
-                    // split the modelled traffic: the avoidable interim
-                    // words become pure movement at the kernel's achieved
-                    // bandwidth, the rest stays algorithmic. D and the
-                    // bandwidth-weighted sum are unchanged; Q shrinks.
-                    let adj = KernelCost {
-                        moved_words: c.moved_words.max(q as f64) - avoid_words as f64,
-                        ..*c
-                    };
-                    acc.add_kernel(q_eff as f64, &adj);
-                    acc.add_movement(avoid_words as f64, c.bandwidth_frac);
-                } else {
-                    acc.add_kernel(q as f64, c);
-                }
-            }
-            None => {
-                acc.add_kernel(
-                    q_eff as f64,
-                    &KernelCost {
-                        time_us: 0.0,
-                        moved_words: q_eff as f64,
-                        bandwidth_frac: device.stream_efficiency,
-                        flop: flop as f64,
-                    },
-                );
-                if avoid_words > 0 {
-                    acc.add_movement(avoid_words as f64, device.stream_efficiency);
-                }
-            }
-        }
-        if relayout_words > 0 {
-            acc.add_movement(relayout_words as f64, RELAYOUT_BANDWIDTH_FRAC);
-        }
-        relayout_words_total += relayout_words;
-        read_words_total += read_words;
-        write_words_total += write_words;
-        let m = cost.as_ref().map(|c| mue(graph, step.op, c));
-        per_step.push(StepAudit {
-            step: si,
-            name: step.name.clone(),
-            class: step.kind.class(),
-            read_words,
-            write_words,
-            relayout_words,
-            flop,
-            cost,
-            mue: m,
-        });
-    }
+    let accounts = accounts_over(graph, plan, &epi_chains);
+    let per_step: Vec<StepAudit> = (accounts.into_iter().zip(&plan.steps))
+        .map(|(account, step)| {
+            let cost = step_config(graph, step)
+                .and_then(|cfg| OpModel::new(graph, step.op).ok().map(|m| (m, cfg)))
+                .and_then(|(m, cfg)| m.cost(device, &cfg).ok());
+            let mue = cost.as_ref().map(|c| mue(graph, step.op, c));
+            let s = StepAudit { account, cost, mue };
+            s.account.fold(
+                &mut acc,
+                &s.charged_cost(device),
+                0,
+                0,
+                RELAYOUT_BANDWIDTH_FRAC,
+            );
+            s
+        })
+        .collect();
+    let sum = |f: fn(&StepAccount) -> u64| per_step.iter().map(|s| f(&s.account)).sum::<u64>();
     let per_class = [
         OpClass::TensorContraction,
         OpClass::StatisticalNormalization,
@@ -1893,13 +1960,16 @@ pub fn audit(graph: &Graph, plan: &ExecutionPlan, device: &DeviceSpec) -> Moveme
     ]
     .into_iter()
     .map(|class| {
-        let rows = per_step.iter().filter(|s| s.class == class);
+        let rows = per_step
+            .iter()
+            .map(|s| &s.account)
+            .filter(|a| a.class == class);
         let (mut steps, mut r, mut w, mut f) = (0usize, 0u64, 0u64, 0u64);
-        for s in rows {
+        for a in rows {
             steps += 1;
-            r += s.read_words;
-            w += s.write_words;
-            f += s.flop;
+            r += a.read_words;
+            w += a.write_words;
+            f += a.flop;
         }
         ClassMovement {
             class,
@@ -1911,13 +1981,13 @@ pub fn audit(graph: &Graph, plan: &ExecutionPlan, device: &DeviceSpec) -> Moveme
     })
     .collect();
     MovementAudit {
+        relayout_bytes: sum(|a| a.relayout_words) * wb,
+        read_bytes: sum(|a| a.read_words) * wb,
+        write_bytes: sum(|a| a.write_words) * wb,
+        modelled_steps: per_step.iter().filter(|s| s.cost.is_some()).count(),
         per_step,
         per_class,
-        relayout_bytes: relayout_words_total * wb,
-        read_bytes: read_words_total * wb,
-        write_bytes: write_words_total * wb,
         plan_mue: acc.total(),
-        modelled_steps: modelled,
         epilogue_chains: epi_chains.len(),
         epilogue_avoidable_bytes: crate::fusion::epilogue_interim_words(&epi_chains) * wb,
     }
@@ -2008,7 +2078,7 @@ pub fn render_report(
     let peak_name = audit
         .per_step
         .get(analysis.peak_step)
-        .map(|s| s.name.as_str())
+        .map(|s| s.account.name.as_str())
         .unwrap_or("-");
     let _ = writeln!(
         out,
@@ -2050,7 +2120,7 @@ pub fn render_report(
         audit
             .per_step
             .iter()
-            .filter(|s| s.relayout_words > 0)
+            .filter(|s| s.account.relayout_words > 0)
             .count(),
         mib(audit.relayout_bytes),
         100.0 * audit.relayout_bytes as f64 / total as f64,

@@ -1019,7 +1019,9 @@ impl CompiledArena {
     ///
     /// # Errors
     ///
-    /// Same as [`CompiledArena::execute_bound`].
+    /// Same as [`CompiledArena::execute_bound`], and, before the run,
+    /// [`crate::profile::admit`]'s refusal of a sink that holds another
+    /// plan's records.
     pub fn execute_into_state<'a>(
         &self,
         graph: &Graph,
@@ -1028,6 +1030,7 @@ impl CompiledArena {
         resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
         out: &mut ExecState,
     ) -> Result<()> {
+        crate::profile::admit(opts.profiler, plan)?;
         let mut sink = |a: ArenaArtifact<'_>| match a {
             // one pass over the words: no zero fill ahead of the copy
             ArenaArtifact::Tensor { name, .. } => {

@@ -17,10 +17,10 @@
 //!   LRU stack-distance profile: per-step working sets, a plan-level
 //!   stack-distance histogram, per-level hit words, and predicted
 //!   DRAM-interface words;
-//! * [`cache_audit`] replays [`crate::analyze::audit`]'s accounting with
-//!   the predicted hits discounted from each step's modelled traffic
-//!   (via [`xform_gpusim::opmodel::cache_discounted`]), yielding a
-//!   **cache-corrected static MUE**. `Q` is untouched and `D` only
+//! * [`cache_audit`] folds [`crate::analyze::audit`]'s step accounts
+//!   ([`crate::analyze::StepAccount::fold`], the audit's own fold) with
+//!   the predicted hits discounted from each step's modelled traffic,
+//!   yielding a **cache-corrected static MUE**. `Q` is untouched and `D` only
 //!   shrinks (never below `Q`), so the corrected MUE is ≥ the flat one by
 //!   construction and equal to it when the geometry has no levels;
 //! * [`cache_lints`] surfaces the findings as typed
@@ -50,12 +50,11 @@ use std::collections::HashMap;
 
 use xform_dataflow::{Graph, NodeId, OpKind};
 use xform_gpusim::mue::{mue, Mue, MueAccum};
-use xform_gpusim::opmodel::cache_discounted;
-use xform_gpusim::{DeviceSpec, KernelCost};
+use xform_gpusim::DeviceSpec;
 use xform_tensor::Layout;
 
 use crate::access::step_accesses;
-use crate::analyze::{self, PlanLint};
+use crate::analyze::{self, PlanLint, StepAccount};
 use crate::lower::{lower_step, Kernel};
 use crate::plan::{ExecutionPlan, Operand, PlanStep};
 use crate::selection::RELAYOUT_BANDWIDTH_FRAC;
@@ -340,6 +339,19 @@ pub fn trace_plan(
     geometry: &CacheGeometry,
     word_bytes: u64,
 ) -> PlanTraffic {
+    let accounts = analyze::step_accounts(graph, plan);
+    trace(graph, plan, &accounts, geometry, word_bytes)
+}
+
+/// [`trace_plan`] over the plan's [`StepAccount`]s, computed once by the
+/// caller.
+fn trace<'a>(
+    graph: &Graph,
+    plan: &ExecutionPlan,
+    accounts: impl IntoIterator<Item = &'a StepAccount>,
+    geometry: &CacheGeometry,
+    word_bytes: u64,
+) -> PlanTraffic {
     let wb = word_bytes.max(1);
     let caps: Vec<u64> = geometry.levels.iter().map(|l| l.size_bytes).collect();
     let nlev = caps.len();
@@ -347,18 +359,8 @@ pub fn trace_plan(
     let mut hist: HashMap<u32, u64> = HashMap::new();
     let mut compulsory = 0u64;
     let mut per_step = Vec::with_capacity(plan.steps.len());
-    for (si, step) in plan.steps.iter().enumerate() {
-        let q = graph.io_words(step.op);
-        let relayout_words: u64 = step
-            .relayouts
-            .iter()
-            .map(|r| {
-                2 * graph
-                    .data(r.data)
-                    .map(|d| d.shape.num_elements() as u64)
-                    .unwrap_or(0)
-            })
-            .sum();
+    for (step, account) in plan.steps.iter().zip(accounts) {
+        let q = account.q_words;
         // `step_accesses` pushes two flat references (read + materialize)
         // per resolvable relayout ahead of the kernel operands.
         let n_re = 2 * step
@@ -411,10 +413,10 @@ pub fn trace_plan(
             }
         }
         per_step.push(StepTraffic {
-            step: si,
-            name: step.name.clone(),
+            step: account.step,
+            name: account.name.clone(),
             q_words: q,
-            relayout_words,
+            relayout_words: account.relayout_words,
             touched_words: touched,
             kernel_hits,
             relayout_hits,
@@ -488,11 +490,12 @@ pub struct CacheAudit {
 /// Prices a plan's data movement with predicted cache hits discounted —
 /// the cache-corrected static MUE.
 ///
-/// The accounting replays [`analyze::audit`] step by step (same `Q`,
-/// same epilogue-interim split, same relayout pricing) and subtracts each
-/// step's predicted hit words from its movement: first from the modelled
-/// kernel traffic above the step's algorithmic demand, then from the
-/// avoidable-interim movement, then from relayout movement. `D` never
+/// Each step's [`StepAccount`] from [`analyze::audit`] is folded the way
+/// the audit folds it ([`StepAccount::fold`]: same `Q`, same
+/// epilogue-interim split, same relayout pricing), with the step's
+/// predicted hit words subtracted from its movement: first from the
+/// modelled kernel traffic above the step's algorithmic demand, then from
+/// the avoidable-interim movement, then from relayout movement. `D` never
 /// drops below `Q`, every bandwidth fraction is unchanged, and a zero
 /// hierarchy predicts zero hits — so the corrected MUE is ≥ the flat MUE
 /// and equal to it exactly when no cache exists.
@@ -504,93 +507,31 @@ pub fn cache_audit(
 ) -> CacheAudit {
     let wb = device.word_bytes as u64;
     let flat = analyze::audit(graph, plan, device);
-    let traffic = trace_plan(graph, plan, geometry, wb);
-    let chains = crate::fusion::detect_tiles(graph);
-    let mut avoid: HashMap<NodeId, u64> = HashMap::new();
-    for c in &chains {
-        *avoid.entry(c.head).or_insert(0) += c.interim_words;
-        *avoid.entry(c.tail).or_insert(0) += c.interim_words;
-    }
+    let accounts = flat.per_step.iter().map(|s| &s.account);
+    let traffic = trace(graph, plan, accounts, geometry, wb);
     let mut acc = MueAccum::default();
-    let mut per_step = Vec::with_capacity(plan.steps.len());
-    for (si, step) in plan.steps.iter().enumerate() {
-        let s = &flat.per_step[si];
-        let t = &traffic.per_step[si];
-        let q = s.read_words + s.write_words;
-        let avoid_words = avoid.get(&step.op).copied().unwrap_or(0).min(q);
-        let q_eff = q - avoid_words;
-        let kh = t.kernel_hit_words() as f64;
-        let mut step_mue = None;
-        match &s.cost {
-            Some(c) => {
-                let d_flat = c.moved_words.max(q as f64);
-                if avoid_words > 0 {
-                    // hits first shrink the kernel's traffic down to its
-                    // algorithmic demand, the remainder pays down the
-                    // avoidable interim movement
-                    let kernel_part = d_flat - avoid_words as f64;
-                    let k_hit = kh.min((kernel_part - q_eff as f64).max(0.0));
-                    let a_hit = (kh - k_hit).min(avoid_words as f64);
-                    let adj = cache_discounted(
-                        &KernelCost {
-                            moved_words: kernel_part,
-                            ..*c
-                        },
-                        k_hit,
-                        q_eff as f64,
-                    );
-                    acc.add_kernel(q_eff as f64, &adj);
-                    let a_rem = avoid_words as f64 - a_hit;
-                    if a_rem > 0.0 {
-                        acc.add_movement(a_rem, c.bandwidth_frac);
-                    }
-                    step_mue = Some(mue(graph, step.op, &adj));
-                } else {
-                    let adj = cache_discounted(c, kh, q as f64);
-                    acc.add_kernel(q as f64, &adj);
-                    step_mue = Some(mue(graph, step.op, &adj));
-                }
+    let per_step = (flat.per_step.iter().zip(&traffic.per_step))
+        .map(|(s, t)| {
+            let a = &s.account;
+            let (kh, rh) = (t.kernel_hit_words(), t.relayout_hit_words());
+            let cost = s.charged_cost(device);
+            let kernel = a.fold(&mut acc, &cost, kh, rh, RELAYOUT_BANDWIDTH_FRAC);
+            let hit_words: Vec<u64> = (0..geometry.levels.len())
+                .map(|i| {
+                    t.kernel_hits.get(i).copied().unwrap_or(0)
+                        + t.relayout_hits.get(i).copied().unwrap_or(0)
+                })
+                .collect();
+            StepCacheStats {
+                step: a.step,
+                name: a.name.clone(),
+                q_words: a.q_words,
+                hit_words,
+                dram_words: t.dram_words(),
+                mue: s.cost.map(|_| mue(graph, a.op, &kernel)),
             }
-            None => {
-                // unpriceable steps already audit at their memlet volume
-                // (a perfect kernel); hits can only pay down the interim
-                // movement
-                acc.add_kernel(
-                    q_eff as f64,
-                    &KernelCost {
-                        time_us: 0.0,
-                        moved_words: q_eff as f64,
-                        bandwidth_frac: device.stream_efficiency,
-                        flop: s.flop as f64,
-                    },
-                );
-                if avoid_words > 0 {
-                    let a_rem = avoid_words as f64 - kh.min(avoid_words as f64);
-                    if a_rem > 0.0 {
-                        acc.add_movement(a_rem, device.stream_efficiency);
-                    }
-                }
-            }
-        }
-        let re_rem = t.relayout_words - t.relayout_hit_words();
-        if re_rem > 0 {
-            acc.add_movement(re_rem as f64, RELAYOUT_BANDWIDTH_FRAC);
-        }
-        let hit_words: Vec<u64> = (0..geometry.levels.len())
-            .map(|i| {
-                t.kernel_hits.get(i).copied().unwrap_or(0)
-                    + t.relayout_hits.get(i).copied().unwrap_or(0)
-            })
-            .collect();
-        per_step.push(StepCacheStats {
-            step: si,
-            name: step.name.clone(),
-            q_words: q,
-            hit_words,
-            dram_words: t.dram_words(),
-            mue: step_mue,
-        });
-    }
+        })
+        .collect();
     CacheAudit {
         geometry: geometry.clone(),
         per_step,

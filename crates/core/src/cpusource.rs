@@ -56,12 +56,12 @@ pub struct CpuSource {
 }
 
 impl CpuSource {
-    /// Creates a source and calibrates the host's streaming bandwidth.
+    /// Creates a source at the host's streaming bandwidth, measured once
+    /// per process.
     pub fn new(repetitions: usize) -> Self {
-        let peak = calibrate_stream_rate();
         CpuSource {
             repetitions: repetitions.max(1),
-            peak_bytes_per_us: peak,
+            peak_bytes_per_us: calibrate_stream_rate(),
         }
     }
 
@@ -171,20 +171,24 @@ impl Default for CpuSource {
     }
 }
 
-/// Measures the contiguous read rate of this host (bytes/µs). Shared with
-/// [`crate::profile::PlanProfiler`] so sweep microbenches and the runtime
-/// profiler normalize achieved bandwidth against the same peak.
+/// The contiguous read rate of this host (bytes/µs), measured once per
+/// process. Shared with [`crate::profile::PlanProfiler`] so sweep
+/// microbenches and every runtime profile normalize achieved bandwidth
+/// against the same peak.
 pub(crate) fn calibrate_stream_rate() -> f64 {
-    let n = 1 << 22; // 4M f32 = 16 MB, larger than L2
-    let buf: Vec<f32> = (0..n).map(|i| i as f32).collect();
-    let mut sink = 0.0f32;
-    let start = Instant::now();
-    for &v in &buf {
-        sink += v;
-    }
-    let us = start.elapsed().as_secs_f64() * 1e6;
-    std::hint::black_box(sink);
-    (n as f64 * 4.0) / us.max(1e-3)
+    static PEAK: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
+    *PEAK.get_or_init(|| {
+        let n = 1 << 22; // 4M f32 = 16 MB, larger than L2
+        let buf: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let mut sink = 0.0f32;
+        let start = Instant::now();
+        for &v in &buf {
+            sink += v;
+        }
+        let us = start.elapsed().as_secs_f64() * 1e6;
+        std::hint::black_box(sink);
+        (n as f64 * 4.0) / us.max(1e-3)
+    })
 }
 
 impl PerfSource for CpuSource {

@@ -242,21 +242,6 @@ impl ExecutionPlan {
         }
     }
 
-    /// Statically checks the schedule against the graph it was lowered
-    /// from, returning typed [`PlanLint`](crate::analyze::PlanLint)
-    /// diagnostics: structural coherence (operand lists, layout
-    /// permutations, use-before-def, relayout and layout coherence) as
-    /// error-severity lints, plus warning-severity findings (dead steps,
-    /// redundant/cancelling relayouts, missed fusion chains). A plan is
-    /// executable iff no lint has
-    /// [`Severity::Error`](crate::analyze::Severity::Error).
-    ///
-    /// This is a thin wrapper over [`crate::analyze::analyze`]; use that
-    /// directly when the dependency DAG or liveness data is also needed.
-    pub fn check(&self, graph: &Graph) -> Vec<crate::analyze::PlanLint> {
-        crate::analyze::analyze(graph, self).lints
-    }
-
     /// Total number of relayout (transpose) insertions in the schedule.
     pub fn relayout_count(&self) -> usize {
         self.steps.iter().map(|s| s.relayouts.len()).sum()
@@ -371,7 +356,10 @@ pub struct ExecOptions<'p> {
     pub sanitize: SanitizeMode,
     /// Optional profiler sink: when set, the arena records per-step
     /// wall-clock time (and, for wave-parallel runs, per-wave wall time)
-    /// into it. Observing changes not a single output bit.
+    /// into it. Observing changes not a single output bit. A sink holds
+    /// one plan's records: a run of another plan into a sink that already
+    /// holds some is refused before it starts
+    /// ([`crate::profile::admit`]).
     pub profiler: Option<&'p crate::profile::ProfilerSink>,
     /// Absolute sequence position of this run's first query column. Zero
     /// for full-sequence forwards; a decode step sets it to the current
@@ -971,8 +959,9 @@ pub fn execute_step(
 ///
 /// # Errors
 ///
-/// Returns an error if [`ExecutionPlan::check`] reports any
-/// error-severity lint or any step fails.
+/// Returns an error if the analyzer's gate
+/// ([`crate::analyze::PlanAnalysis::gate`]) refuses the plan — any
+/// error-severity lint — or any step fails.
 pub fn execute_plan(
     graph: &Graph,
     plan: &ExecutionPlan,
@@ -1064,6 +1053,7 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::reversed;
     use super::*;
+    use crate::analyze::analyze;
     use crate::fusion::{apply_plan, encoder_fusion_plan};
     use crate::recipe::forward_ops;
     use crate::selection::select_forward;
@@ -1086,7 +1076,8 @@ mod tests {
     }
 
     fn error_lints(plan: &ExecutionPlan, g: &xform_dataflow::Graph) -> Vec<String> {
-        plan.check(g)
+        analyze(g, plan)
+            .lints
             .into_iter()
             .filter(|l| l.severity() == crate::analyze::Severity::Error)
             .map(|l| l.to_string())
@@ -1166,14 +1157,14 @@ mod tests {
             .expect("QKT scheduled");
         let natural = plan.steps[idx].inputs[0].layout;
         plan.steps[idx].inputs[0].layout = Layout::row_major(3);
-        assert!(plan
-            .check(&g)
+        assert!(analyze(&g, &plan)
+            .lints
             .iter()
             .any(|l| matches!(l, PlanLint::BadLayout { rank: 3, .. })));
         // a layout of the container but stale relayouts → layout mismatch
         plan.steps[idx].inputs[0].layout = reversed(natural);
-        assert!(plan
-            .check(&g)
+        assert!(analyze(&g, &plan)
+            .lints
             .iter()
             .any(|l| matches!(l, PlanLint::LayoutIncoherent { .. })));
         // reflow repairs it
@@ -1182,8 +1173,8 @@ mod tests {
         // dropping a producer step is caught
         let mut broken = ExecutionPlan::natural(&g, &fwd).unwrap();
         broken.steps.retain(|s| s.name != "QKT");
-        assert!(broken
-            .check(&g)
+        assert!(analyze(&g, &broken)
+            .lints
             .iter()
             .any(|l| matches!(l, PlanLint::UseBeforeDef { .. })));
     }

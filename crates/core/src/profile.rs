@@ -7,9 +7,9 @@
 //! on anyway via [`crate::plan::ExecOptions::profiler`] — the arena writes
 //! per-step and per-wave wall times into slots of its own and hands them
 //! over after the run ([`record_arena_timings`]) — against the *static*
-//! movement accounting (the exact word
-//! counts [`crate::analyze::audit`] charges, cross-checked against the
-//! access paths of [`crate::access::step_accesses`]). From time and
+//! movement accounting (each step's [`StepAccount`], the one
+//! [`crate::analyze::audit`] charges, cross-checked against the access
+//! paths of [`crate::access::step_accesses`]). From time and
 //! bytes it derives achieved bandwidth and a **measured MUE**
 //! (`Q/D · B/B̂ · 100`, Sec. III-C) per step, per operator class, and per
 //! plan — the measured mirror of the static audit.
@@ -26,17 +26,16 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 
-use xform_dataflow::{flops, Graph, NodeId, OpClass};
+use xform_dataflow::{Graph, NodeId, OpClass};
 use xform_gpusim::mue::{Mue, MueAccum};
 use xform_gpusim::opmodel::OpConfig;
 use xform_gpusim::{DeviceSpec, KernelCost};
 use xform_tensor::{Result, TensorError};
 
 use crate::access::step_accesses;
+use crate::analyze::StepAccount;
 use crate::arena::ArenaArtifact;
-use crate::plan::{
-    random_externals, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode,
-};
+use crate::plan::{random_externals, ExecOptions, ExecState, ExecutionPlan, SanitizeMode};
 use crate::selection::{select_forward_cost, CostModel, Selection};
 use crate::sweep::{sweep_all, PerfSource, SweepOptions};
 
@@ -49,14 +48,9 @@ pub type ProfilerSink = Mutex<PlanProfiler>;
 /// microbenches).
 #[derive(Debug, Clone)]
 pub struct StepProfile {
-    /// Step index in the schedule.
-    pub step: usize,
-    /// The operator the step executes.
-    pub op: NodeId,
-    /// Kernel name.
-    pub name: String,
-    /// Operator class.
-    pub class: OpClass,
+    /// The words and flop the step is charged: the static audit's account
+    /// of it.
+    pub account: StepAccount,
     /// Whether the serial interpreter can run this step standalone.
     pub interpretable: bool,
     /// Wave index, when recorded by a wave-parallel arena run.
@@ -68,43 +62,18 @@ pub struct StepProfile {
     /// Whether any merged run executed under the arena's poison mode (its
     /// slab sweeps sit between the steps, not inside them).
     pub sanitized: bool,
-    /// Words the step's graph memlets read (identical to
-    /// [`crate::analyze::StepAudit::read_words`]).
-    pub read_words: u64,
-    /// Words the step's graph memlets write (identical to
-    /// [`crate::analyze::StepAudit::write_words`]).
-    pub write_words: u64,
-    /// Words moved by the step's explicit relayouts (read + write of each
-    /// relayouted container; identical to
-    /// [`crate::analyze::StepAudit::relayout_words`]).
-    pub relayout_words: u64,
-    /// The operator's I/O lower bound in words (`Q` of the MUE formula).
-    pub q_words: u64,
-    /// Words of `q_words` that an un-collapsed GEMM-epilogue chain merely
-    /// shuttles through its eliminable interim (the head's write of it
-    /// plus the tail's read-back). Like the static audit, the measured
-    /// MUE counts these as pure movement, not algorithmic demand, so a
-    /// plan that collapses the chain profiles at the same `Q`.
-    pub avoid_words: u64,
     /// Words the step's access paths touch
     /// ([`crate::access::step_accesses`], the certificate's derivation of
     /// the same traffic), for cross-checking.
     pub footprint_words: u64,
-    /// Flop the operator performs.
-    pub flop: u64,
 }
 
 impl StepProfile {
-    /// Total words this step moves: kernel memlets plus relayouts.
-    #[must_use]
-    pub fn moved_words(&self) -> u64 {
-        self.read_words + self.write_words + self.relayout_words
-    }
-
-    /// Total bytes this step moves (f32 words).
+    /// Total bytes this step moves (f32 words): kernel memlets plus
+    /// relayouts.
     #[must_use]
     pub fn moved_bytes(&self) -> u64 {
-        self.moved_words() * 4
+        self.account.moved_words() * 4
     }
 
     /// Achieved bandwidth over the best run, bytes/µs.
@@ -118,7 +87,7 @@ impl StepProfile {
     /// different ways; disagreement means an over-declared operand).
     #[must_use]
     pub fn footprint_matches(&self) -> bool {
-        self.footprint_words == self.moved_words()
+        self.footprint_words == self.account.moved_words()
     }
 }
 
@@ -156,23 +125,25 @@ pub struct ClassProfile {
 /// Accumulates measured per-step records from the arena and derives
 /// achieved bandwidth and measured MUE per step, per class, and per plan.
 ///
-/// Byte accounting is *static* — the profiler charges each step exactly
-/// the words [`crate::analyze::audit`] charges (graph memlets plus
-/// relayout traffic), so measured and static MUE differ only in the
-/// bandwidth term and are directly comparable. Time is *measured* —
+/// Byte accounting is *static* — each step is charged its
+/// [`StepAccount`], the one [`crate::analyze::audit`] charges (graph
+/// memlets plus relayout traffic), so measured and static MUE differ only
+/// in the bandwidth term and are directly comparable. Time is *measured* —
 /// wall-clock around each step's kernel on the arena, with repeated runs
 /// merged by minimum.
 ///
-/// One profiler instance expects records from one plan: step indices are
-/// the merge key, so replaying a *different* plan into the same sink mixes
-/// unrelated steps.
+/// One profiler holds one plan's records, merged by step index: the
+/// executors refuse a run of another plan into a sink that already holds
+/// records ([`admit`]).
 #[derive(Debug, Clone)]
 pub struct PlanProfiler {
     /// Peak streaming bandwidth of this host, bytes/µs (`B̂` of the MUE
-    /// formula) — calibrated at construction by the same contiguous-read
+    /// formula) — measured once per process by the same contiguous-read
     /// microbench [`crate::cpusource::CpuSource`] uses.
     pub peak_bytes_per_us: f64,
-    steps: Vec<Option<StepProfile>>,
+    /// One record per step of the plan, from its first record on; a step
+    /// not yet observed has no runs.
+    steps: Vec<StepProfile>,
     waves: Vec<Option<WaveProfile>>,
 }
 
@@ -200,71 +171,57 @@ impl PlanProfiler {
         }
     }
 
-    /// Records one execution of step `si`, merging into any existing
+    /// Whether records of `plan` may merge into this profiler: it holds
+    /// none yet, or it holds `plan`'s — the same operator and name at
+    /// every step index.
+    #[must_use]
+    pub fn admits(&self, plan: &ExecutionPlan) -> bool {
+        self.steps.is_empty()
+            || (self.steps.len() == plan.steps.len()
+                && (self.steps.iter().zip(&plan.steps))
+                    .all(|(s, p)| s.account.op == p.op && s.account.name == p.name))
+    }
+
+    /// Records one execution of step `si` of `plan`, merging into its
     /// record (minimum time, run count, latest wave assignment). The
-    /// static word accounting is derived once, on first record.
+    /// plan's static accounts ([`crate::analyze::step_accounts`]) are
+    /// derived once, on its first record; `plan` must be one the profiler
+    /// [admits](PlanProfiler::admits).
     pub fn record_step(
         &mut self,
         graph: &Graph,
-        step: &PlanStep,
+        plan: &ExecutionPlan,
         si: usize,
         wave: Option<usize>,
         time_us: f64,
         sanitized: bool,
     ) {
-        if self.steps.len() <= si {
-            self.steps.resize_with(si + 1, || None);
+        if self.steps.is_empty() {
+            let accounts = crate::analyze::step_accounts(graph, plan);
+            self.steps = (accounts.into_iter().zip(&plan.steps))
+                .map(|(account, step)| {
+                    let touched = step_accesses(graph, step).accesses.into_iter();
+                    let footprint_words = (touched.filter(|a| a.touched()))
+                        .map(|a| a.path.distinct_words())
+                        .sum();
+                    StepProfile {
+                        account,
+                        interpretable: crate::plan::step_is_interpretable(&step.kind, &step.name),
+                        wave: None,
+                        time_us: f64::INFINITY,
+                        runs: 0,
+                        sanitized: false,
+                        footprint_words,
+                    }
+                })
+                .collect();
         }
-        match &mut self.steps[si] {
-            Some(existing) => {
-                existing.runs += 1;
-                existing.time_us = existing.time_us.min(time_us);
-                existing.sanitized |= sanitized;
-                if wave.is_some() {
-                    existing.wave = wave;
-                }
-            }
-            slot @ None => {
-                let read_words = graph.input_words(step.op);
-                let write_words = graph.output_words(step.op);
-                let relayout_words: u64 = step
-                    .relayouts
-                    .iter()
-                    .map(|r| {
-                        2 * graph
-                            .data(r.data)
-                            .map(|d| d.shape.num_elements() as u64)
-                            .unwrap_or(0)
-                    })
-                    .sum();
-                let touched = step_accesses(graph, step).accesses.into_iter();
-                let footprint_words = (touched.filter(|a| a.touched()))
-                    .map(|a| a.path.distinct_words())
-                    .sum();
-                *slot = Some(StepProfile {
-                    step: si,
-                    op: step.op,
-                    name: step.name.clone(),
-                    class: step.kind.class(),
-                    interpretable: crate::plan::step_is_interpretable(&step.kind, &step.name),
-                    wave,
-                    time_us,
-                    runs: 1,
-                    sanitized,
-                    read_words,
-                    write_words,
-                    relayout_words,
-                    q_words: graph.io_words(step.op),
-                    avoid_words: crate::fusion::detect_tiles(graph)
-                        .iter()
-                        .filter(|c| c.head == step.op || c.tail == step.op)
-                        .map(|c| c.interim_words)
-                        .sum::<u64>()
-                        .min(graph.io_words(step.op)),
-                    footprint_words,
-                    flop: flops::op_flop(graph, step.op).unwrap_or(0),
-                });
-            }
+        let s = &mut self.steps[si];
+        s.runs += 1;
+        s.time_us = s.time_us.min(time_us);
+        s.sanitized |= sanitized;
+        if wave.is_some() {
+            s.wave = wave;
         }
     }
 
@@ -293,7 +250,7 @@ impl PlanProfiler {
 
     /// The recorded step profiles, in schedule order.
     pub fn steps(&self) -> impl Iterator<Item = &StepProfile> {
-        self.steps.iter().flatten()
+        self.steps.iter().filter(|s| s.runs > 0)
     }
 
     /// The recorded wave profiles, in wave order (empty for serial runs).
@@ -304,7 +261,7 @@ impl PlanProfiler {
     /// The profile of step `si`, when recorded.
     #[must_use]
     pub fn step(&self, si: usize) -> Option<&StepProfile> {
-        self.steps.get(si).and_then(Option::as_ref)
+        self.steps.get(si).filter(|s| s.runs > 0)
     }
 
     /// Sum of best per-step times, µs — the serial measured plan total.
@@ -319,13 +276,19 @@ impl PlanProfiler {
         self.steps().map(StepProfile::moved_bytes).sum()
     }
 
+    /// Achieved bandwidth of one step as a fraction of the peak (`B/B̂`).
+    fn bandwidth_frac(&self, s: &StepProfile) -> f64 {
+        (s.achieved_bytes_per_us() / self.peak_bytes_per_us).clamp(0.0, 1.0)
+    }
+
     /// Measured MUE of one step: `Q` and `D` from the static accounting,
     /// `B/B̂` from measured time over the calibrated peak.
     #[must_use]
     pub fn measured_mue(&self, s: &StepProfile) -> Mue {
-        let q = (s.q_words - s.avoid_words) as f64;
-        let d = (s.moved_words() as f64).max(q).max(1.0);
-        let bw = (s.achieved_bytes_per_us() / self.peak_bytes_per_us).clamp(0.0, 1.0);
+        let a = &s.account;
+        let q = (a.q_words - a.avoid_words) as f64;
+        let d = (a.moved_words() as f64).max(q).max(1.0);
+        let bw = self.bandwidth_frac(s);
         Mue {
             value: (q / d * bw * 100.0).clamp(0.0, 100.0),
             q_words: q,
@@ -334,27 +297,18 @@ impl PlanProfiler {
         }
     }
 
-    /// Folds one step into a [`MueAccum`] using its measured bandwidth:
-    /// memlet words join as kernel traffic (with `Q`), relayout words as
-    /// pure movement (without).
+    /// Folds one step into a [`MueAccum`] the way the static audit does
+    /// ([`StepAccount::fold`]), at its measured time and bandwidth — the
+    /// relayout words' too.
     fn accumulate(&self, acc: &mut MueAccum, s: &StepProfile) {
-        let bw = (s.achieved_bytes_per_us() / self.peak_bytes_per_us).clamp(0.0, 1.0);
-        let moved = (s.read_words + s.write_words) as f64;
-        acc.add_kernel(
-            (s.q_words - s.avoid_words) as f64,
-            &KernelCost {
-                time_us: s.time_us,
-                moved_words: moved.max(s.q_words as f64) - s.avoid_words as f64,
-                bandwidth_frac: bw,
-                flop: s.flop as f64,
-            },
-        );
-        if s.avoid_words > 0 {
-            acc.add_movement(s.avoid_words as f64, bw);
-        }
-        if s.relayout_words > 0 {
-            acc.add_movement(s.relayout_words as f64, bw);
-        }
+        let (a, bw) = (&s.account, self.bandwidth_frac(s));
+        let cost = KernelCost {
+            time_us: s.time_us,
+            moved_words: a.q_words as f64,
+            bandwidth_frac: bw,
+            flop: a.flop as f64,
+        };
+        a.fold(acc, &cost, 0, 0, bw);
     }
 
     /// Plan-level measured MUE (D-weighted across every recorded step).
@@ -379,7 +333,7 @@ impl PlanProfiler {
         .map(|class| {
             let mut acc = MueAccum::default();
             let (mut steps, mut time_us, mut moved_bytes) = (0usize, 0.0f64, 0u64);
-            for s in self.steps().filter(|s| s.class == class) {
+            for s in self.steps().filter(|s| s.account.class == class) {
                 steps += 1;
                 time_us += s.time_us;
                 moved_bytes += s.moved_bytes();
@@ -421,15 +375,43 @@ pub fn record_arena_timings(
     let mut prof = sink
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
+    assert!(
+        prof.admits(plan),
+        "timings of another plan: `admit` the run first"
+    );
     let parallel = !wave_us.is_empty();
     for (w, wave) in waves.iter().enumerate() {
         for &si in wave {
             let tag = parallel.then_some(w);
-            prof.record_step(graph, &plan.steps[si], si, tag, step_us[si], sanitized);
+            prof.record_step(graph, plan, si, tag, step_us[si], sanitized);
         }
         if parallel {
             prof.record_wave(w, wave, workers.min(wave.len()), wave_us[w]);
         }
+    }
+}
+
+/// Refuses a run of `plan` whose timings would fold into a sink that
+/// already holds another plan's records (see [`PlanProfiler::admits`]);
+/// the executors that fold call it before any kernel runs.
+///
+/// # Errors
+///
+/// Returns [`TensorError::Unsupported`] when `sink` is set and holds
+/// records of another plan.
+pub fn admit(sink: Option<&ProfilerSink>, plan: &ExecutionPlan) -> Result<()> {
+    let Some(sink) = sink else {
+        return Ok(());
+    };
+    let prof = sink
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if prof.admits(plan) {
+        Ok(())
+    } else {
+        Err(TensorError::Unsupported(
+            "a profiler sink holds one plan's records: this run's plan is another".into(),
+        ))
     }
 }
 
@@ -809,8 +791,8 @@ mod tests {
         let prof = profile_plan(&g, &plan, &base, &ExecOptions::default(), 2).unwrap();
         assert_eq!(prof.steps().count(), plan.steps.len());
         for s in prof.steps() {
-            assert!(s.time_us > 0.0, "step {} has no time", s.step);
-            assert!(s.moved_bytes() > 0, "step {} moved nothing", s.step);
+            assert!(s.time_us > 0.0, "step {} has no time", s.account.step);
+            assert!(s.moved_bytes() > 0, "step {} moved nothing", s.account.step);
             assert_eq!(s.runs, 2);
             assert!(!s.sanitized);
             let m = prof.measured_mue(s);
@@ -822,6 +804,14 @@ mod tests {
         }
         assert!(prof.total_time_us() > 0.0);
         assert!(prof.plan_mue().value > 0.0);
+    }
+
+    #[test]
+    fn every_profiler_normalizes_against_one_host_peak() {
+        let (a, b) = (PlanProfiler::new(), PlanProfiler::new());
+        assert_eq!(a.peak_bytes_per_us.to_bits(), b.peak_bytes_per_us.to_bits());
+        let cpu = crate::cpusource::CpuSource::new(1).peak_bytes_per_us();
+        assert_eq!(a.peak_bytes_per_us.to_bits(), cpu.to_bits());
     }
 
     #[test]

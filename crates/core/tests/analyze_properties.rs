@@ -302,7 +302,7 @@ fn severity_partition_matches_executability() {
     // a plan whose only lints are warnings still executes; one with any
     // error does not — checked through the public severity API
     let (g, plan) = unfused();
-    let lints = plan.check(&g);
+    let lints = analyze(&g, &plan).lints;
     assert!(lints.iter().all(|l| l.severity() != Severity::Error));
     assert!(
         lints.iter().any(|l| l.severity() == Severity::Warning),
@@ -310,8 +310,8 @@ fn severity_partition_matches_executability() {
     );
     let mut broken = plan.clone();
     broken.steps.remove(2);
-    assert!(broken
-        .check(&g)
+    assert!(analyze(&g, &broken)
+        .lints
         .iter()
         .any(|l| l.severity() == Severity::Error));
 }

@@ -163,5 +163,7 @@ fn zero_geometry_is_exactly_the_flat_audit() {
         assert_eq!(dram * wb, flat.total_bytes());
         let cached = cache_audit(&g, &plan, &device, &CacheGeometry::none());
         assert!((cached.plan_mue.value - flat.plan_mue.value).abs() < 1e-9);
+        // the flat fold is the cache fold with zero hits, bit for bit
+        assert_eq!(cached.plan_mue, flat.plan_mue);
     }
 }

@@ -21,7 +21,7 @@ use xform_core::analyze::ArenaGranularity;
 use xform_core::arena::{self, rekeyed, stats_name_of, ArenaArtifact, CompiledArena};
 use xform_core::fusion::{decoder_fusion_plan, encoder_fusion_plan, fuse, head_fusion_plan};
 use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
-use xform_core::profile::record_arena_timings;
+use xform_core::profile::{admit, record_arena_timings};
 use xform_core::recipe::{backward_ops, forward_ops};
 use xform_core::sanitize::{certify, PlanCertificate};
 use xform_dataflow::{build, EncoderDims, Graph, OpKind};
@@ -503,7 +503,9 @@ pub(crate) fn forward_on(
 /// # Errors
 ///
 /// As [`forward`], and [`TensorError::ShapeMismatch`], before the run, if
-/// `y` is not of the plan's `y` shape or not stored row-major.
+/// `y` is not of the plan's `y` shape or not stored row-major;
+/// [`TensorError::Unsupported`], before the run, if `opts.profiler` holds
+/// another plan's records ([`admit`]).
 pub(crate) fn forward_into(
     dims: &EncoderDims,
     kind: PlanKind,
@@ -519,6 +521,7 @@ pub(crate) fn forward_into(
             let context = "a forward's output buffer (the plan's `y` shape, stored row-major)";
             return Err(TensorError::ShapeMismatch { context });
         }
+        admit(opts.profiler, plan)?;
         let ydata = y.data_mut();
         let mut sink = |a: ArenaArtifact<'_>| match a {
             ArenaArtifact::Tensor {

@@ -101,8 +101,8 @@ fn plan_row(g: &Graph, plan: &ExecutionPlan) -> String {
         .collect();
     out += &format!("caches {}\n", caches.join(" "));
     let mut prof = PlanProfiler::new();
-    for (si, step) in plan.steps.iter().enumerate() {
-        prof.record_step(g, step, si, None, 1.0, false);
+    for si in 0..plan.steps.len() {
+        prof.record_step(g, plan, si, None, 1.0, false);
     }
     let words: Vec<u64> = prof.steps().map(|s| s.footprint_words).collect();
     out += &format!("footprint {words:?}\n");

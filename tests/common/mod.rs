@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use substation::core::analyze::Severity;
+use substation::core::analyze::{analyze, Severity};
 use substation::core::plan::ExecutionPlan;
 use substation::dataflow::{Graph, OpKind};
 use substation::tensor::Layout;
@@ -37,7 +37,7 @@ pub fn permuted(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> ExecutionPlan
         }
     }
     out.reflow(graph);
-    let errors: Vec<_> = (out.check(graph).into_iter())
+    let errors: Vec<_> = (analyze(graph, &out).lints.into_iter())
         .filter(|l| l.severity() == Severity::Error)
         .collect();
     assert!(errors.is_empty(), "seed {seed}: {errors:?}");

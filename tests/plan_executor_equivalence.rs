@@ -15,7 +15,7 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use substation::core::analyze::{ArenaGranularity, PlanLint, Severity};
+use substation::core::analyze::{analyze, ArenaGranularity, PlanLint, Severity};
 use substation::core::arena;
 use substation::core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use substation::core::sanitize::certify;
@@ -29,7 +29,8 @@ use substation::transformer::interp::{self, PlanKind};
 use substation::transformer::params::EncoderWeights;
 
 fn is_error_clean(plan: &ExecutionPlan, graph: &substation::dataflow::Graph) -> bool {
-    plan.check(graph)
+    analyze(graph, plan)
+        .lints
         .iter()
         .all(|l| l.severity() != Severity::Error)
 }
@@ -226,8 +227,8 @@ fn invalid_plans_are_rejected_before_execution() {
     let mut garbled = planned.plan.clone();
     let rank = garbled.steps[0].inputs[0].layout.rank();
     garbled.steps[0].inputs[0].layout = Layout::row_major(rank + 1);
-    assert!(garbled
-        .check(&planned.graph)
+    assert!(analyze(&planned.graph, &garbled)
+        .lints
         .iter()
         .any(|l| matches!(l, PlanLint::BadLayout { .. })));
     assert!(run(&garbled, &x, &w).is_err());

@@ -5,17 +5,24 @@
 //! term), and profile-guided re-selection must never adopt a plan that
 //! measured slower than the natural one.
 
+use std::sync::Mutex;
+
+use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use substation::core::analyze::audit;
 use substation::core::cpusource::CpuSource;
-use substation::core::plan::{execute_plan, random_externals, ExecOptions};
-use substation::core::profile::{profile_plan, reselect_cost};
-use substation::core::selection::CostModel;
-use substation::core::sweep::{SimulatorSource, SweepOptions};
-use substation::dataflow::EncoderDims;
+use substation::core::plan::{execute_plan, random_externals, ExecOptions, ExecutionPlan};
+use substation::core::profile::{profile_plan, reselect_cost, PlanProfiler, ProfilerSink};
+use substation::core::selection::{select_forward, CostModel};
+use substation::core::sweep::{sweep_all, SimulatorSource, SweepOptions};
+use substation::dataflow::{EncoderDims, Graph};
 use substation::gpusim::DeviceSpec;
+use substation::tensor::{Shape, Tensor, TensorError};
+use substation::transformer::decoder::DecoderLayer;
+use substation::transformer::encoder::{EncoderLayer, Executor};
 use substation::transformer::interp;
+use substation::transformer::params::EncoderWeights;
 
 fn dims() -> EncoderDims {
     EncoderDims {
@@ -29,49 +36,110 @@ fn dims() -> EncoderDims {
     }
 }
 
+/// The canned fused encoder plan — natural layouts, with GEMM-epilogue
+/// chains left for the tile driver — and the recipe-lowered plan over the
+/// same graph, which pays relayouts for its selected layouts.
+fn natural_and_recipe_plans() -> (Graph, [ExecutionPlan; 2]) {
+    let pf = interp::cached_plan(&dims(), interp::PlanKind::EncoderFused).unwrap();
+    let fwd: Vec<_> = pf.plan.steps.iter().map(|s| s.op).collect();
+    let sweep = SweepOptions {
+        max_configs: Some(400),
+        ..SweepOptions::default()
+    };
+    let sweeps = sweep_all(&SimulatorSource::default(), &pf.graph, sweep).unwrap();
+    let sel = select_forward(&pf.graph, &DeviceSpec::v100(), &fwd, &sweeps).unwrap();
+    let recipe = ExecutionPlan::lower(&pf.graph, &sel).unwrap();
+    (pf.graph.clone(), [pf.plan.clone(), recipe])
+}
+
 #[test]
 fn profiler_bytes_equal_static_audit_exactly() {
-    let pf = interp::cached_plan(&dims(), interp::PlanKind::EncoderFused).unwrap();
-    let base = random_externals(&pf.graph, &pf.plan, 7).unwrap();
-    let prof = profile_plan(&pf.graph, &pf.plan, &base, &ExecOptions::default(), 2).unwrap();
-    let audited = audit(&pf.graph, &pf.plan, &DeviceSpec::v100());
+    let (graph, [natural, recipe]) = natural_and_recipe_plans();
+    assert!(
+        recipe.relayout_count() > 0,
+        "the recipe plan pays relayouts"
+    );
+    for (label, plan) in [("natural", &natural), ("recipe", &recipe)] {
+        let base = random_externals(&graph, plan, 7).unwrap();
+        let prof = profile_plan(&graph, plan, &base, &ExecOptions::default(), 2).unwrap();
+        let audited = audit(&graph, plan, &DeviceSpec::v100());
+        if label == "natural" {
+            assert!(
+                audited.per_step.iter().any(|s| s.account.avoid_words > 0),
+                "the natural plan leaves an epilogue interim to avoid"
+            );
+        }
 
-    assert_eq!(prof.steps().count(), audited.per_step.len());
-    for (sp, sa) in prof.steps().zip(&audited.per_step) {
-        assert_eq!(sp.step, sa.step);
-        assert_eq!(sp.name, sa.name, "step {} name", sp.step);
-        assert_eq!(sp.class, sa.class, "step {} class", sp.step);
-        assert_eq!(
-            sp.read_words, sa.read_words,
-            "step {} ({}) read words",
-            sp.step, sp.name
-        );
-        assert_eq!(
-            sp.write_words, sa.write_words,
-            "step {} ({}) write words",
-            sp.step, sp.name
-        );
-        assert_eq!(
-            sp.relayout_words, sa.relayout_words,
-            "step {} ({}) relayout words",
-            sp.step, sp.name
-        );
-        assert_eq!(sp.flop, sa.flop, "step {} ({}) flop", sp.step, sp.name);
+        assert_eq!(prof.steps().count(), audited.per_step.len());
+        for (sp, sa) in prof.steps().zip(&audited.per_step) {
+            let (sp, sa) = (&sp.account, &sa.account);
+            assert_eq!(sp.step, sa.step);
+            assert_eq!(sp.name, sa.name, "{label} step {} name", sp.step);
+            assert_eq!(sp.class, sa.class, "{label} step {} class", sp.step);
+            assert_eq!(
+                sp.read_words, sa.read_words,
+                "{label} step {} ({}) read words",
+                sp.step, sp.name
+            );
+            assert_eq!(
+                sp.write_words, sa.write_words,
+                "{label} step {} ({}) write words",
+                sp.step, sp.name
+            );
+            assert_eq!(
+                sp.relayout_words, sa.relayout_words,
+                "{label} step {} ({}) relayout words",
+                sp.step, sp.name
+            );
+            assert_eq!(
+                sp.flop, sa.flop,
+                "{label} step {} ({}) flop",
+                sp.step, sp.name
+            );
+        }
+        // plan-level totals follow from the per-step identity (the audit
+        // prices bytes at the device's word size, the profiler at f32, so
+        // compare words)
+        let audited_words: u64 = audited
+            .per_step
+            .iter()
+            .map(|s| s.account.read_words + s.account.write_words + s.account.relayout_words)
+            .sum();
+        assert_eq!(prof.total_bytes(), audited_words * 4, "{label}");
+        // and the MUE numerators agree — measured MUE differs from static
+        // only via the bandwidth term
+        let pm = prof.plan_mue();
+        let am = &audited.plan_mue;
+        assert_eq!(pm.q_words, am.q_words, "{label}");
     }
-    // plan-level totals follow from the per-step identity (the audit
-    // prices bytes at the device's word size, the profiler at f32, so
-    // compare words)
-    let audited_words: u64 = audited
-        .per_step
-        .iter()
-        .map(|s| s.read_words + s.write_words + s.relayout_words)
-        .sum();
-    assert_eq!(prof.total_bytes(), audited_words * 4);
-    // and the MUE numerators agree — measured MUE differs from static
-    // only via the bandwidth term
-    let pm = prof.plan_mue();
-    let am = &audited.plan_mue;
-    assert_eq!(pm.q_words, am.q_words);
+}
+
+/// A sink holds one plan's records. A decoder forward into a sink that
+/// watched an encoder forward — through either door a layer runs, the
+/// allocating `forward` or `forward_into` — is refused before it runs,
+/// and the sink keeps exactly the encoder's records.
+#[test]
+fn a_sink_holding_one_plans_records_refuses_another_plan() {
+    let dims = dims();
+    let mut rng = StdRng::seed_from_u64(5);
+    let w = EncoderWeights::init(&dims, &mut rng);
+    let spec = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+    let x = Tensor::random(spec, &Uniform::new(-1.0, 1.0), &mut rng);
+    let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+    let opts = ExecOptions::builder().profiler(Some(&sink)).build();
+    let encoder = EncoderLayer::new(dims, Executor::Fused, 0.0);
+    let mut y = encoder.forward(&x, &w, &opts).unwrap().y;
+    let decoder = DecoderLayer::new(dims, 0.0);
+    let refused = |r: Result<(), TensorError>| matches!(r, Err(TensorError::Unsupported(_)));
+    assert!(refused(decoder.forward(&x, &w, &opts).map(drop)));
+    assert!(refused(decoder.forward_into(&x, &w, &opts, &mut y)));
+
+    let prof = sink.into_inner().unwrap();
+    let pf = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
+    let names: Vec<&str> = prof.steps().map(|s| s.account.name.as_str()).collect();
+    let expect: Vec<&str> = pf.plan.steps.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, expect);
+    assert!(prof.steps().all(|s| s.runs == 1));
 }
 
 #[test]

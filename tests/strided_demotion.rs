@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use substation::core::access::certify_access;
-use substation::core::analyze::{PlanLint, Severity};
+use substation::core::analyze::{analyze, PlanLint, Severity};
 use substation::core::arena;
 use substation::core::fusion::{apply_plan, encoder_fusion_plan};
 use substation::core::plan::{ExecOptions, ExecutionPlan};
@@ -92,8 +92,7 @@ proptest! {
             }
         }
         plan.reflow(&graph);
-        prop_assert!(plan
-            .check(&graph)
+        prop_assert!(analyze(&graph, &plan).lints
             .iter()
             .all(|l| l.severity() != Severity::Error));
 
