@@ -41,6 +41,7 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xform_core::analyze::audit;
+use xform_core::arena::{self, granularity_for};
 use xform_core::cachemodel::{trace_plan, CacheGeometry};
 use xform_core::cpusource::CpuSource;
 use xform_core::fusion::{apply_plan, encoder_fusion_plan};
@@ -357,7 +358,8 @@ struct Collected {
     long: Vec<Profiled>,
     /// The fused encoder at [`PAR_THREADS`] threads.
     parallel: PlanProfiler,
-    /// The waves of the fused encoder's race certificate.
+    /// The waves of the certificate of the arena the parallel profile ran
+    /// on.
     waves: usize,
     arena: Vec<ArenaRow>,
     decode: Decode,
@@ -392,6 +394,8 @@ impl Collected {
         let base = random_externals(&pf.graph, &pf.plan, 11)?;
         let par_opts = ExecOptions::builder().threads(PAR_THREADS).build();
         let parallel = profile_plan(&pf.graph, &pf.plan, &base, &par_opts, REPS)?;
+        // the arena the parallel profile ran on, and its certificate
+        let ran_on = arena::compiled(&pf.graph, &pf.plan, granularity_for(PAR_THREADS))?;
         let mut arena = arena_rows(alloc, "fused", Executor::Fused, PlanKind::EncoderFused)?;
         let epilogue = (Executor::Epilogue, PlanKind::EncoderEpilogue);
         arena.extend(arena_rows(alloc, "epilogue", epilogue.0, epilogue.1)?);
@@ -400,7 +404,7 @@ impl Collected {
             plans,
             long,
             parallel,
-            waves: pf.cert.waves.len(),
+            waves: ran_on.certificate().waves.len(),
             arena,
             decode,
             dram,

@@ -89,10 +89,10 @@
 //!   silent corruption;
 //! * **timed** — with a profiler sink set, each step writes its wall time
 //!   into a slot of its own preallocated at compile (workers need no
-//!   lock), each wave likewise, and the run surfaces them as
-//!   [`ArenaArtifact::Timings`] for the caller — who holds the graph and
-//!   the plan — to fold into a [`crate::profile::PlanProfiler`]. With no
-//!   sink set no clock is read.
+//!   lock), each wave likewise, and the run folds them into the sink — a
+//!   [`crate::profile::PlanProfiler`] made for the arena's plan, which a
+//!   run refuses otherwise before it binds anything. With no sink set no
+//!   clock is read.
 //!
 //! An arena's buffers sit behind a mutex and a run holds it for its whole
 //! duration: concurrent callers of one arena queue, they are never handed
@@ -102,7 +102,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -122,6 +122,7 @@ use crate::lower::{
     lower_step, sweep_of, walk_of, weight_pack, Kernel, RelayoutCopy, Role, Slot, Stats, Tail,
 };
 use crate::plan::{layout_spec, ExecOptions, ExecState, ExecutionPlan, PlanStep, SanitizeMode};
+use crate::profile::{PlanProfiler, ProfilerSink};
 use crate::sanitize::{certify_plan, plan_fingerprint, PlanCertificate};
 
 /// One contiguous word range of the slab (or of the scratch/stats
@@ -430,22 +431,6 @@ pub enum ArenaArtifact<'a> {
         /// Per-lane inverse standard deviations.
         inv_std: &'a [f32],
     },
-    /// Wall times of a timed run (a profiler sink was set), surfaced last.
-    /// Fold them with [`crate::profile::record_arena_timings`].
-    Timings {
-        /// Microseconds per step, indexed by schedule position.
-        step_us: &'a [f64],
-        /// The wave partition the run dispatched (step indices per wave).
-        waves: &'a [Vec<usize>],
-        /// Microseconds per wave, sanitizer checks excluded; empty for a
-        /// serial run, which has no waves to speak of.
-        wave_us: &'a [f64],
-        /// Threads that served the multi-step waves.
-        workers: usize,
-        /// Whether the poison mode was on (its slab sweeps sit between the
-        /// steps, not inside them).
-        sanitized: bool,
-    },
 }
 
 impl ArenaArtifact<'_> {
@@ -473,6 +458,9 @@ impl ArenaArtifact<'_> {
 #[derive(Debug)]
 pub struct CompiledArena {
     granularity: ArenaGranularity,
+    /// The plan's [`plan_key`]: a profiler sink made for another plan is
+    /// refused.
+    key: u64,
     cert: PlanCertificate,
     slab_words: usize,
     scratch_words: usize,
@@ -499,6 +487,11 @@ pub fn granularity_for(threads: usize) -> ArenaGranularity {
     } else {
         ArenaGranularity::Serial
     }
+}
+
+/// A profiler sink, locked: a panic under the lock leaves whole records.
+fn lock_sink(sink: &ProfilerSink) -> MutexGuard<'_, PlanProfiler> {
+    sink.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl CompiledArena {
@@ -708,6 +701,7 @@ impl CompiledArena {
 
         Ok(CompiledArena {
             granularity,
+            key: plan_key(graph, plan),
             cert,
             slab_words,
             scratch_words,
@@ -745,6 +739,7 @@ impl CompiledArena {
     pub fn fresh(&self) -> CompiledArena {
         CompiledArena {
             granularity: self.granularity,
+            key: self.key,
             cert: self.cert.clone(),
             slab_words: self.slab_words,
             scratch_words: self.scratch_words,
@@ -896,8 +891,9 @@ impl CompiledArena {
     /// Executes the compiled plan with caller-provided binding and
     /// materialization, touching no heap on the steady-state path. Of
     /// `opts` it reads the scalar knobs, `seed`, `threads`, `sanitize`,
-    /// `pos`, and whether a profiler sink is set. It waits for the arena's
-    /// buffers if another thread is running out of them.
+    /// `pos`, and the profiler sink, into which it folds every step's (and,
+    /// wave-parallel, every wave's) wall time after the run. It waits for
+    /// the arena's buffers if another thread is running out of them.
     ///
     /// `resolve` is called once per external container with its name and
     /// answers with the container's words — in the layout the plan first
@@ -907,17 +903,19 @@ impl CompiledArena {
     /// after reading it as it came. A [`DataRole::Cache`] external answered
     /// with a slice is overwritten by it; answered with `None` it keeps its
     /// resident contents. `sink` is called after the run, once per
-    /// output/saved container and per layer-norm statistics region and, on
-    /// a timed run, once with the [`ArenaArtifact::Timings`]; artifacts
-    /// borrow the arena's storage, so copying sinks stay allocation-free.
+    /// output/saved container and per layer-norm statistics region;
+    /// artifacts borrow the arena's storage, so copying sinks stay
+    /// allocation-free.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidDropout`] when `opts.dropout_p` is
     /// outside `[0, 1)`, [`TensorError::SerialOnly`] when `opts.threads >
     /// 1` on an arena compiled at [`ArenaGranularity::Serial`],
-    /// [`TensorError::UnboundExternal`] naming the container `resolve`
-    /// answered with no slice (but for a cache) or one of the wrong length,
+    /// [`TensorError::Unsupported`] when `opts.profiler` was made for
+    /// another plan, [`TensorError::UnboundExternal`] naming the container
+    /// `resolve` answered with no slice (but for a cache) or one of the
+    /// wrong length,
     /// and an error when a worker panics or the poison mode detects a
     /// non-finite output (a read of a dead, reused buffer).
     pub fn execute_bound<'a>(
@@ -932,6 +930,12 @@ impl CompiledArena {
             return Err(TensorError::SerialOnly {
                 threads: run.threads,
             });
+        }
+        let refused = |sink: &ProfilerSink| !lock_sink(sink).admits(self.key);
+        if opts.profiler.is_some_and(refused) {
+            return Err(TensorError::Unsupported(
+                "a profiler sink is made for one plan: this arena runs another".into(),
+            ));
         }
         let mut guard = self.lock_buffers();
         let bufs = &mut *guard;
@@ -999,38 +1003,34 @@ impl CompiledArena {
                 inv_std: &bufs.stats[s.inv_std.off..s.inv_std.off + s.inv_std.len],
             });
         }
-        if run.timed {
-            sink(ArenaArtifact::Timings {
-                step_us: &bufs.step_us,
-                waves: &self.cert.waves,
-                wave_us: if parallel { &bufs.wave_us } else { &[] },
-                workers,
-                sanitized: run.sanitize,
-            });
+        if let Some(profiler) = opts.profiler {
+            let mut prof = lock_sink(profiler);
+            for (w, wave) in self.cert.waves.iter().enumerate() {
+                for &si in wave {
+                    let tag = parallel.then_some(w);
+                    prof.record_step(si, tag, bufs.step_us[si], run.sanitize);
+                }
+                if parallel {
+                    prof.record_wave(w, wave, workers.min(wave.len()), bufs.wave_us[w]);
+                }
+            }
         }
         Ok(())
     }
 
     /// [`CompiledArena::execute_bound`] with every produced container,
     /// saved activation and layer-norm statistic materialized into `out`
-    /// (which allocates) and, when `opts.profiler` is set, the run's
-    /// timings folded into the sink against `graph` and `plan` — the
-    /// schedule this arena was compiled from.
+    /// (which allocates).
     ///
     /// # Errors
     ///
-    /// Same as [`CompiledArena::execute_bound`], and, before the run,
-    /// [`crate::profile::admit`]'s refusal of a sink that holds another
-    /// plan's records.
+    /// Same as [`CompiledArena::execute_bound`].
     pub fn execute_into_state<'a>(
         &self,
-        graph: &Graph,
-        plan: &ExecutionPlan,
         opts: &ExecOptions,
         resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
         out: &mut ExecState,
     ) -> Result<()> {
-        crate::profile::admit(opts.profiler, plan)?;
         let mut sink = |a: ArenaArtifact<'_>| match a {
             // one pass over the words: no zero fill ahead of the copy
             ArenaArtifact::Tensor { name, .. } => {
@@ -1049,11 +1049,6 @@ impl CompiledArena {
                         inv_std: inv_std.to_vec(),
                     },
                 );
-            }
-            timings @ ArenaArtifact::Timings { .. } => {
-                if let Some(profiler) = opts.profiler {
-                    crate::profile::record_arena_timings(profiler, graph, plan, &timings);
-                }
             }
         };
         self.execute_bound(opts, resolve, &mut sink)
@@ -1139,8 +1134,8 @@ fn memo() -> &'static Memo {
 /// container and by the graph's arithmetic: the fingerprint covers
 /// operators, names and layouts, and one schedule lowered at two sets of
 /// dimensions, or over graphs that differ in their activation or softmax
-/// scale, must not share an arena.
-fn plan_key(graph: &Graph, plan: &ExecutionPlan) -> u64 {
+/// scale, must not share an arena or a profiler sink.
+pub(crate) fn plan_key(graph: &Graph, plan: &ExecutionPlan) -> u64 {
     let mut h = plan_fingerprint(plan);
     let mut eat = |n: u64| h = (h ^ n).wrapping_mul(0x0000_0100_0000_01b3);
     eat(graph.activation() as u64);
@@ -1224,7 +1219,7 @@ pub fn execute(
             .map(|s| &[&s.mean, &s.inv_std][usize::from(inv)][..]),
         (None, None) => natural.get(name).or(env.get(name)).map(Tensor::data),
     };
-    arena.execute_into_state(graph, plan, opts, resolve, &mut produced)?;
+    arena.execute_into_state(opts, resolve, &mut produced)?;
     state.env.extend(produced.env);
     state.stats.extend(produced.stats);
     Ok(())
@@ -1786,13 +1781,7 @@ mod tests {
 
     /// One run of `arena` over the externals in `base`: everything it
     /// produced, as name-sorted `(name, data)` pairs, stats included.
-    fn run(
-        arena: &CompiledArena,
-        graph: &Graph,
-        plan: &ExecutionPlan,
-        base: &ExecState,
-        opts: &ExecOptions,
-    ) -> Vec<(String, Vec<f32>)> {
+    fn run(arena: &CompiledArena, base: &ExecState, opts: &ExecOptions) -> Vec<(String, Vec<f32>)> {
         let mut out = ExecState::default();
         let packed = arena.pack_weights(&base.env);
         let mut resolve = |name: &str| match packed.get(name) {
@@ -1800,7 +1789,7 @@ mod tests {
             None => binder(base, "")(name),
         };
         arena
-            .execute_into_state(graph, plan, opts, &mut resolve, &mut out)
+            .execute_into_state(opts, &mut resolve, &mut out)
             .unwrap();
         let mut all: Vec<(String, Vec<f32>)> = out
             .env
@@ -1834,7 +1823,7 @@ mod tests {
         execute_plan(&graph, &plan, &mut reference, &opts, &mut rng).unwrap();
         // every Output/Saved container and statistic must be bitwise equal
         // to the reference interpreter's
-        let produced = run(&arena, &graph, &plan, &base, &opts);
+        let produced = run(&arena, &base, &opts);
         assert!(produced.len() > 5);
         for (name, data) in &produced {
             match name.rsplit_once('/') {
@@ -1872,7 +1861,7 @@ mod tests {
             let rng = &mut stream_key(opts.seed, plan.stream_of(si));
             execute_step(&graph, step, &mut reference, &opts, rng).unwrap();
         }
-        for (name, data) in &run(&arena, &graph, &plan, &base, &opts) {
+        for (name, data) in &run(&arena, &base, &opts) {
             match name.rsplit_once('/') {
                 Some((norm, "mean")) => assert_eq!(data, &reference.stats[norm].mean, "{name}"),
                 Some((norm, _)) => assert_eq!(data, &reference.stats[norm].inv_std, "{name}"),
@@ -1900,7 +1889,7 @@ mod tests {
                     .threads(threads)
                     .sanitize(SanitizeMode::Off)
                     .build();
-                run(&arena, &graph, &plan, &base, &opts)
+                run(&arena, &base, &opts)
             };
             let serial = at(1);
             assert_eq!(serial, at(2), "thread-count variance at p={p}");
@@ -1918,7 +1907,7 @@ mod tests {
                 .threads(threads)
                 .sanitize(SanitizeMode::On)
                 .build();
-            assert!(!run(&arena, &graph, &plan, &base, &opts).is_empty(), "{g}");
+            assert!(!run(&arena, &base, &opts).is_empty(), "{g}");
         }
     }
 
@@ -1931,11 +1920,11 @@ mod tests {
         let arena = compile(&graph, &plan, ArenaGranularity::Waves);
         let base = random_externals(&graph, &plan, 5).unwrap();
         let plain = ExecOptions::builder().dropout_p(0.3).threads(4).build();
-        let untimed = run(&arena, &graph, &plan, &base, &plain);
+        let untimed = run(&arena, &base, &plain);
 
-        let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+        let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&graph, &plan, 1.0));
         let timed_opts = plain.to_builder().profiler(Some(&sink)).build();
-        let timed = run(&arena, &graph, &plan, &base, &timed_opts);
+        let timed = run(&arena, &base, &timed_opts);
         assert_eq!(timed, untimed, "observing must not change a bit");
 
         let prof = sink.into_inner().unwrap();
@@ -1949,9 +1938,9 @@ mod tests {
         assert_eq!(prof.waves().count(), waves.len(), "one record per wave");
         assert!(prof.waves().all(|w| w.wall_us > 0.0));
         // a serial run of the same arena reports steps and no waves
-        let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+        let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&graph, &plan, 1.0));
         let serial = plain.to_builder().threads(1).profiler(Some(&sink)).build();
-        assert_eq!(run(&arena, &graph, &plan, &base, &serial), untimed);
+        assert_eq!(run(&arena, &base, &serial), untimed);
         let prof = sink.into_inner().unwrap();
         assert_eq!(prof.steps().count(), plan.steps.len());
         assert_eq!(prof.waves().count(), 0);
@@ -2011,7 +2000,7 @@ mod tests {
         let opts = ExecOptions::default();
         // a binder that does not know `w1`
         let err = arena
-            .execute_into_state(&graph, &plan, &opts, &mut binder(&base, "w1"), &mut out)
+            .execute_into_state(&opts, &mut binder(&base, "w1"), &mut out)
             .unwrap_err();
         let words = base.env["w1"].len();
         assert_eq!(
@@ -2035,7 +2024,7 @@ mod tests {
         // more than one thread needs the wave coloring
         let two = ExecOptions::builder().threads(2).build();
         let err = arena
-            .execute_into_state(&graph, &plan, &two, &mut binder(&base, ""), &mut out)
+            .execute_into_state(&two, &mut binder(&base, ""), &mut out)
             .unwrap_err();
         assert_eq!(err, TensorError::SerialOnly { threads: 2 });
         // only a cache may be declined: an external that lives in the slab
@@ -2045,7 +2034,7 @@ mod tests {
         for name in ["x", "w1"] {
             assert!(arena.with_external(name, |_| ()).is_some(), "`{name}`");
             let err = arena
-                .execute_into_state(&graph, &strided, &opts, &mut binder(&base, name), &mut out)
+                .execute_into_state(&opts, &mut binder(&base, name), &mut out)
                 .unwrap_err();
             assert!(
                 matches!(&err, TensorError::UnboundExternal { container, .. } if container == name),
@@ -2134,18 +2123,22 @@ mod tests {
             assert!(!Arc::ptr_eq(&a, &n));
         }
         let base = random_externals(&graph, &natural, 9).unwrap();
-        let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+        // a sink is made for one plan: one for each
+        let sinks: [ProfilerSink; 2] =
+            [&natural, &strided].map(|p| Mutex::new(PlanProfiler::with_peak(&graph, p, 1.0)));
         let row_major = |t: &Tensor| t.relayout(&Layout::row_major(t.shape().rank()));
         for threads in [1, 4] {
-            for profiler in [None, Some(&sink)] {
-                let opts = ExecOptions::builder()
-                    .dropout_p(0.3)
-                    .threads(threads)
-                    .profiler(profiler)
-                    .build();
+            for profiled in [false, true] {
+                let opts = |sink| {
+                    ExecOptions::builder()
+                        .dropout_p(0.3)
+                        .threads(threads)
+                        .profiler(profiled.then_some(sink))
+                        .build()
+                };
                 let (mut nat, mut st) = (base.clone(), base.clone());
-                execute(&graph, &natural, &mut nat, &opts).unwrap();
-                execute(&graph, &strided, &mut st, &opts).unwrap();
+                execute(&graph, &natural, &mut nat, &opts(&sinks[0])).unwrap();
+                execute(&graph, &strided, &mut st, &opts(&sinks[1])).unwrap();
                 assert!(nat.env.len() > base.env.len() + 5);
                 for (name, t) in &nat.env {
                     assert_eq!(row_major(&st.env[name]).data(), t.data(), "`{name}`");
@@ -2222,10 +2215,10 @@ mod tests {
         // and the pair computes what the natural plan does
         let base = random_externals(&graph, &plan, 2).unwrap();
         let opts = ExecOptions::builder().threads(2).build();
-        let got = run(&arena, &graph, &plan, &base, &opts);
+        let got = run(&arena, &base, &opts);
         let natural = ExecutionPlan::natural(&graph, &[reader, mover]).unwrap();
         let want = compile(&graph, &natural, ArenaGranularity::Waves);
-        assert_eq!(got, run(&want, &graph, &natural, &base, &opts));
+        assert_eq!(got, run(&want, &base, &opts));
 
         // forget the hazard: reader and relayout share a wave
         analysis.deps.clear();

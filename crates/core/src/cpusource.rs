@@ -38,7 +38,7 @@ use xform_tensor::contract::contract;
 use xform_tensor::{Result, Shape, Tensor, TensorError};
 
 use crate::analyze::{analyze, ArenaGranularity};
-use crate::arena::{ArenaArtifact, CompiledArena};
+use crate::arena::CompiledArena;
 use crate::lower::lower_step;
 use crate::plan::{relaid, ExecOptions, ExecutionPlan, SanitizeMode};
 use crate::profile::PlanProfiler;
@@ -104,6 +104,9 @@ pub struct StandaloneKernel {
     /// The operands by container name, drawn once: the arena reads them
     /// where they are and a lone step never overwrites its inputs.
     inputs: Vec<(String, Vec<f32>)>,
+    /// A profiler made for the one-step plan, holding no record: each run
+    /// fills a copy of it.
+    profiler: PlanProfiler,
 }
 
 impl StandaloneKernel {
@@ -126,17 +129,22 @@ impl StandaloneKernel {
         let inputs = (arena.externals())
             .map(|(name, words)| (name.to_string(), draw(words)))
             .collect();
-        Some(StandaloneKernel { arena, inputs })
+        let profiler = PlanProfiler::with_peak(graph, &plan, 1.0);
+        Some(StandaloneKernel {
+            arena,
+            inputs,
+            profiler,
+        })
     }
 
     /// Runs the kernel once over its random operands (which no layout can
     /// tell apart) and returns its wall time in µs — the arena's own
-    /// timing slot of the step, so materialization stays outside the
-    /// measurement. Every operand is drawn
-    /// from U(−1, 1) directly: a softmax handed such inputs spans less than
-    /// `e²` per lane and cannot underflow, unlike one fed by a chain of
-    /// unscaled projections ([`crate::plan::random_externals`] scales
-    /// weights by their fan-in for that reason).
+    /// timing of the step, read from a sink made for its one-step plan, so
+    /// materialization stays outside the measurement. Every operand is
+    /// drawn from U(−1, 1) directly: a softmax handed such inputs spans
+    /// less than `e²` per lane and cannot underflow, unlike one fed by a
+    /// chain of unscaled projections ([`crate::plan::random_externals`]
+    /// scales weights by their fan-in for that reason).
     ///
     /// # Errors
     ///
@@ -147,21 +155,17 @@ impl StandaloneKernel {
             let named = inputs.iter().find(|(n, _)| n == name);
             named.map(|(_, words)| words.as_slice())
         };
-        // the sink only switches the arena's timing slots on
-        let sink = std::sync::Mutex::new(PlanProfiler::with_peak(1.0));
+        let sink = std::sync::Mutex::new(self.profiler.clone());
         let opts = ExecOptions::builder()
             .seed(0xD15C)
             .sanitize(SanitizeMode::Off)
             .profiler(Some(&sink))
             .build();
-        let mut time_us = 0.0;
-        let mut read = |a: ArenaArtifact<'_>| {
-            if let ArenaArtifact::Timings { step_us, .. } = a {
-                time_us = step_us[0];
-            }
-        };
-        self.arena.execute_bound(&opts, resolve, &mut read)?;
-        Ok(time_us)
+        self.arena.execute_bound(&opts, resolve, &mut |_| {})?;
+        let prof = sink
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        Ok(prof.step(0).map_or(0.0, |s| s.time_us))
     }
 }
 

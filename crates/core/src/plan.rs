@@ -356,10 +356,9 @@ pub struct ExecOptions<'p> {
     pub sanitize: SanitizeMode,
     /// Optional profiler sink: when set, the arena records per-step
     /// wall-clock time (and, for wave-parallel runs, per-wave wall time)
-    /// into it. Observing changes not a single output bit. A sink holds
-    /// one plan's records: a run of another plan into a sink that already
-    /// holds some is refused before it starts
-    /// ([`crate::profile::admit`]).
+    /// into it. Observing changes not a single output bit. A sink is made
+    /// for one plan ([`crate::profile::PlanProfiler::new`]): an arena of
+    /// another plan refuses a run into it before it starts.
     pub profiler: Option<&'p crate::profile::ProfilerSink>,
     /// Absolute sequence position of this run's first query column. Zero
     /// for full-sequence forwards; a decode step sets it to the current

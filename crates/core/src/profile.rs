@@ -5,8 +5,8 @@
 //! lives in [`crate::sweep`] / [`crate::selection`]. This module closes
 //! the loop at runtime: a [`PlanProfiler`] observes the arena the plan runs
 //! on anyway via [`crate::plan::ExecOptions::profiler`] — the arena writes
-//! per-step and per-wave wall times into slots of its own and hands them
-//! over after the run ([`record_arena_timings`]) — against the *static*
+//! per-step and per-wave wall times into slots of its own and folds them
+//! into the sink after the run — against the *static*
 //! movement accounting (each step's [`StepAccount`], the one
 //! [`crate::analyze::audit`] charges, cross-checked against the access
 //! paths of [`crate::access::step_accesses`]). From time and
@@ -34,7 +34,6 @@ use xform_tensor::{Result, TensorError};
 
 use crate::access::step_accesses;
 use crate::analyze::StepAccount;
-use crate::arena::ArenaArtifact;
 use crate::plan::{random_externals, ExecOptions, ExecState, ExecutionPlan, SanitizeMode};
 use crate::selection::{select_forward_cost, CostModel, Selection};
 use crate::sweep::{sweep_all, PerfSource, SweepOptions};
@@ -132,90 +131,73 @@ pub struct ClassProfile {
 /// wall-clock around each step's kernel on the arena, with repeated runs
 /// merged by minimum.
 ///
-/// One profiler holds one plan's records, merged by step index: the
-/// executors refuse a run of another plan into a sink that already holds
-/// records ([`admit`]).
+/// A profiler is made for one plan and holds its records, merged by step
+/// index: an arena compiled from another plan — another schedule, the same
+/// one at other dimensions, or over another arithmetic — refuses a run
+/// into it ([`crate::arena::CompiledArena::execute_bound`]).
 #[derive(Debug, Clone)]
 pub struct PlanProfiler {
     /// Peak streaming bandwidth of this host, bytes/µs (`B̂` of the MUE
     /// formula) — measured once per process by the same contiguous-read
     /// microbench [`crate::cpusource::CpuSource`] uses.
     pub peak_bytes_per_us: f64,
-    /// One record per step of the plan, from its first record on; a step
-    /// not yet observed has no runs.
+    /// The plan's arena key ([`crate::arena::plan_key`]).
+    key: u64,
+    /// One record per step of the plan; a step not yet observed has no
+    /// runs.
     steps: Vec<StepProfile>,
     waves: Vec<Option<WaveProfile>>,
 }
 
-impl Default for PlanProfiler {
-    fn default() -> Self {
-        PlanProfiler::new()
-    }
-}
-
 impl PlanProfiler {
-    /// A profiler with the host's calibrated peak streaming rate.
+    /// A profiler for `plan` over `graph` with the host's calibrated peak
+    /// streaming rate.
     #[must_use]
-    pub fn new() -> Self {
-        PlanProfiler::with_peak(crate::cpusource::calibrate_stream_rate())
+    pub fn new(graph: &Graph, plan: &ExecutionPlan) -> Self {
+        PlanProfiler::with_peak(graph, plan, crate::cpusource::calibrate_stream_rate())
     }
 
-    /// A profiler normalizing bandwidth against an explicit peak
-    /// (bytes/µs) — for tests and cross-host comparisons.
+    /// A profiler for `plan` over `graph` normalizing bandwidth against an
+    /// explicit peak (bytes/µs) — for tests and cross-host comparisons.
+    /// Every step's static account ([`crate::analyze::step_accounts`]) and
+    /// access-path footprint are derived here, once.
     #[must_use]
-    pub fn with_peak(peak_bytes_per_us: f64) -> Self {
+    pub fn with_peak(graph: &Graph, plan: &ExecutionPlan, peak_bytes_per_us: f64) -> Self {
+        let accounts = crate::analyze::step_accounts(graph, plan);
+        let steps = (accounts.into_iter().zip(&plan.steps))
+            .map(|(account, step)| {
+                let touched = step_accesses(graph, step).accesses.into_iter();
+                let footprint_words = (touched.filter(|a| a.touched()))
+                    .map(|a| a.path.distinct_words())
+                    .sum();
+                StepProfile {
+                    account,
+                    interpretable: crate::plan::step_is_interpretable(&step.kind, &step.name),
+                    wave: None,
+                    time_us: f64::INFINITY,
+                    runs: 0,
+                    sanitized: false,
+                    footprint_words,
+                }
+            })
+            .collect();
         PlanProfiler {
             peak_bytes_per_us: peak_bytes_per_us.max(1e-6),
-            steps: Vec::new(),
+            key: crate::arena::plan_key(graph, plan),
+            steps,
             waves: Vec::new(),
         }
     }
 
-    /// Whether records of `plan` may merge into this profiler: it holds
-    /// none yet, or it holds `plan`'s — the same operator and name at
-    /// every step index.
-    #[must_use]
-    pub fn admits(&self, plan: &ExecutionPlan) -> bool {
-        self.steps.is_empty()
-            || (self.steps.len() == plan.steps.len()
-                && (self.steps.iter().zip(&plan.steps))
-                    .all(|(s, p)| s.account.op == p.op && s.account.name == p.name))
+    /// Whether runs of the arena keyed `key` may merge into this profiler:
+    /// it was made for that arena's plan.
+    pub(crate) fn admits(&self, key: u64) -> bool {
+        self.key == key
     }
 
-    /// Records one execution of step `si` of `plan`, merging into its
-    /// record (minimum time, run count, latest wave assignment). The
-    /// plan's static accounts ([`crate::analyze::step_accounts`]) are
-    /// derived once, on its first record; `plan` must be one the profiler
-    /// [admits](PlanProfiler::admits).
-    pub fn record_step(
-        &mut self,
-        graph: &Graph,
-        plan: &ExecutionPlan,
-        si: usize,
-        wave: Option<usize>,
-        time_us: f64,
-        sanitized: bool,
-    ) {
-        if self.steps.is_empty() {
-            let accounts = crate::analyze::step_accounts(graph, plan);
-            self.steps = (accounts.into_iter().zip(&plan.steps))
-                .map(|(account, step)| {
-                    let touched = step_accesses(graph, step).accesses.into_iter();
-                    let footprint_words = (touched.filter(|a| a.touched()))
-                        .map(|a| a.path.distinct_words())
-                        .sum();
-                    StepProfile {
-                        account,
-                        interpretable: crate::plan::step_is_interpretable(&step.kind, &step.name),
-                        wave: None,
-                        time_us: f64::INFINITY,
-                        runs: 0,
-                        sanitized: false,
-                        footprint_words,
-                    }
-                })
-                .collect();
-        }
+    /// Records one execution of step `si`, merging into its record
+    /// (minimum time, run count, latest wave assignment).
+    pub fn record_step(&mut self, si: usize, wave: Option<usize>, time_us: f64, sanitized: bool) {
         let s = &mut self.steps[si];
         s.runs += 1;
         s.time_us = s.time_us.min(time_us);
@@ -227,7 +209,13 @@ impl PlanProfiler {
 
     /// Records one wave dispatch (wave-parallel arena run), merging into
     /// any existing record by minimum wall time.
-    pub fn record_wave(&mut self, wave: usize, steps: &[usize], workers: usize, wall_us: f64) {
+    pub(crate) fn record_wave(
+        &mut self,
+        wave: usize,
+        steps: &[usize],
+        workers: usize,
+        wall_us: f64,
+    ) {
         if self.waves.len() <= wave {
             self.waves.resize_with(wave + 1, || None);
         }
@@ -351,70 +339,6 @@ impl PlanProfiler {
     }
 }
 
-/// Folds the [`ArenaArtifact::Timings`] of one timed arena run of `plan`
-/// into `sink`: one step record per slot, charged the static byte account
-/// of `graph`, and — for a wave-parallel run — one wave record per wave.
-/// Any other artifact is ignored, so an arena sink can pass everything it
-/// sees.
-pub fn record_arena_timings(
-    sink: &ProfilerSink,
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    artifact: &ArenaArtifact<'_>,
-) {
-    let &ArenaArtifact::Timings {
-        step_us,
-        waves,
-        wave_us,
-        workers,
-        sanitized,
-    } = artifact
-    else {
-        return;
-    };
-    let mut prof = sink
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    assert!(
-        prof.admits(plan),
-        "timings of another plan: `admit` the run first"
-    );
-    let parallel = !wave_us.is_empty();
-    for (w, wave) in waves.iter().enumerate() {
-        for &si in wave {
-            let tag = parallel.then_some(w);
-            prof.record_step(graph, plan, si, tag, step_us[si], sanitized);
-        }
-        if parallel {
-            prof.record_wave(w, wave, workers.min(wave.len()), wave_us[w]);
-        }
-    }
-}
-
-/// Refuses a run of `plan` whose timings would fold into a sink that
-/// already holds another plan's records (see [`PlanProfiler::admits`]);
-/// the executors that fold call it before any kernel runs.
-///
-/// # Errors
-///
-/// Returns [`TensorError::Unsupported`] when `sink` is set and holds
-/// records of another plan.
-pub fn admit(sink: Option<&ProfilerSink>, plan: &ExecutionPlan) -> Result<()> {
-    let Some(sink) = sink else {
-        return Ok(());
-    };
-    let prof = sink
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if prof.admits(plan) {
-        Ok(())
-    } else {
-        Err(TensorError::Unsupported(
-            "a profiler sink holds one plan's records: this run's plan is another".into(),
-        ))
-    }
-}
-
 /// Profiles `reps` executions of a plan against clones of `base` on its
 /// arena ([`crate::arena::execute`]), at `opts.threads`, merging per-step
 /// (and per-wave) times by minimum. The sanitizer is forced off so timings
@@ -431,7 +355,7 @@ pub fn profile_plan(
     opts: &ExecOptions,
     reps: usize,
 ) -> Result<PlanProfiler> {
-    let sink: ProfilerSink = Mutex::new(PlanProfiler::new());
+    let sink: ProfilerSink = Mutex::new(PlanProfiler::new(graph, plan));
     let run = opts
         .to_builder()
         .profiler(Some(&sink))
@@ -808,7 +732,8 @@ mod tests {
 
     #[test]
     fn every_profiler_normalizes_against_one_host_peak() {
-        let (a, b) = (PlanProfiler::new(), PlanProfiler::new());
+        let (g, plan, _) = fused_plan();
+        let (a, b) = (PlanProfiler::new(&g, &plan), PlanProfiler::new(&g, &plan));
         assert_eq!(a.peak_bytes_per_us.to_bits(), b.peak_bytes_per_us.to_bits());
         let cpu = crate::cpusource::CpuSource::new(1).peak_bytes_per_us();
         assert_eq!(a.peak_bytes_per_us.to_bits(), cpu.to_bits());

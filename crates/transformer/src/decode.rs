@@ -393,7 +393,7 @@ impl<'m> DecodeSession<'m> {
         let phb_major = Layout::from_order(&[1, 0])?;
         let mut h = x;
         for (l, w) in self.model.blocks.iter().enumerate() {
-            let out = interp::forward_on(&prefill, &pf.graph, &pf.plan, &h, w, &opts)?;
+            let out = interp::forward_on(&prefill, &pf.plan, &h, w, &opts)?;
             for (name, saved) in [("k_cache", "kk"), ("v_cache", "vv")] {
                 let src = (out.saved.tensor(saved)?.natural_words())
                     .ok_or_else(|| unsupported(format!("the prefill saved `{saved}` permuted")))?;

@@ -89,7 +89,7 @@ impl DecoderLayer {
     /// executor and same values as [`DecoderLayer::forward`], no saved
     /// activations, and after warmup no heap allocation while the block
     /// runs its canned plan out of its static arena into the caller's
-    /// dense row-major `[i,b,j]` buffer.
+    /// dense row-major `[i,b,j]` buffer, profiled or not.
     ///
     /// # Errors
     ///

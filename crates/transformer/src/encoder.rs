@@ -125,8 +125,10 @@ impl EncoderLayer {
     /// and arena caches, every subsequent call binds `x` and the weights
     /// straight into the layer's static arena, executes out of the slab
     /// through the `*_into` kernels, and copies the produced `y` into
-    /// `&mut y` without touching the heap (see `tests/alloc_discipline.rs`;
-    /// a profiler sink allocates).
+    /// `&mut y` without touching the heap (see `tests/alloc_discipline.rs`),
+    /// profiled or not: a sink made for the layer's plan holds a record per
+    /// step from its construction, and the arena merges each run's times
+    /// into them in place.
     ///
     /// `y` must be a dense row-major tensor of the layer's output
     /// geometry (`[i,b,j]`), or the call is refused before it runs; its

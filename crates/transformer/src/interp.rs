@@ -7,11 +7,12 @@
 //! A canned plan is the recipe's pipeline with every layout pinned to
 //! natural: one constructor behind [`cached_plan`] builds the kind's graph,
 //! fuses it through [`xform_core::fusion::fuse`] — the recipe's own fusion
-//! step — schedules it in natural layouts and certifies it. A layer forward
-//! runs its canned plan out of a memoized arena, `x` and the weights read
-//! where their tensors keep them through one binding table
-//! ([`EncoderWeights::container`]); any other plan, a recipe-selected one
-//! say, runs through [`xform_core::arena::execute`] over [`bind_inputs`].
+//! step — and schedules it in natural layouts; its arena certifies it, once,
+//! at compile. A layer forward runs its canned plan out of a memoized
+//! arena, `x` and the weights read where their tensors keep them through
+//! one binding table ([`EncoderWeights::container`]); any other plan, a
+//! recipe-selected one say, runs through [`xform_core::arena::execute`]
+//! over [`bind_inputs`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -21,9 +22,7 @@ use xform_core::analyze::ArenaGranularity;
 use xform_core::arena::{self, rekeyed, stats_name_of, ArenaArtifact, CompiledArena};
 use xform_core::fusion::{decoder_fusion_plan, encoder_fusion_plan, fuse, head_fusion_plan};
 use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
-use xform_core::profile::{admit, record_arena_timings};
 use xform_core::recipe::{backward_ops, forward_ops};
-use xform_core::sanitize::{certify, PlanCertificate};
 use xform_dataflow::{build, EncoderDims, Graph, OpKind};
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::layernorm::LayerNormStats;
@@ -92,27 +91,14 @@ impl Saved {
     }
 }
 
-/// A dataflow graph paired with an executable forward schedule over it,
-/// carrying the certificate a canned plan must earn before it is cached.
+/// A dataflow graph paired with an executable schedule over it. Its arena
+/// ([`cached_arena`]) carries the certificate the plan earns at compile.
 #[derive(Debug, Clone)]
 pub struct PlannedForward {
     /// The (possibly fused) dataflow graph the plan is lowered against.
     pub graph: Graph,
-    /// The forward schedule.
+    /// The schedule.
     pub plan: ExecutionPlan,
-    /// The plan's certificate over its hazard-DAG waves: races, declared
-    /// footprints, access paths and caches.
-    pub cert: PlanCertificate,
-}
-
-fn certified(graph: Graph, plan: ExecutionPlan) -> Result<PlannedForward> {
-    let cert = certify(&graph, &plan).map_err(|lints| {
-        xform_tensor::TensorError::Unsupported(format!(
-            "canned plan failed certification: {:?}",
-            lints.iter().map(|l| l.to_string()).collect::<Vec<_>>()
-        ))
-    })?;
-    Ok(PlannedForward { graph, plan, cert })
 }
 
 /// The dimensions every builder — of a graph or of a block's weights —
@@ -131,10 +117,9 @@ pub(crate) fn check_extents(dims: &EncoderDims) -> Result<()> {
 /// [`fuse`] — its table, then the attention core into a region where a
 /// fused `SM` has one, then, where the kind asks and `epilogues` allows,
 /// every GEMM-epilogue chain — and the operators its schedule picks, in
-/// natural layouts, certified. Dimensions a builder would panic on are
-/// refused first: a zero extent, `dims.j != dims.k` for a block (its
-/// `build` asserts it), `dims.j != 1` for a decode step, an empty
-/// vocabulary.
+/// natural layouts. Dimensions a builder would panic on are refused first:
+/// a zero extent, `dims.j != dims.k` for a block (its `build` asserts it),
+/// `dims.j != 1` for a decode step, an empty vocabulary.
 fn canned(dims: &EncoderDims, kind: PlanKind, epilogues: bool) -> Result<PlannedForward> {
     use PlanKind as K;
     check_extents(dims)?;
@@ -198,7 +183,7 @@ fn canned(dims: &EncoderDims, kind: PlanKind, epilogues: bool) -> Result<Planned
         None => g.topo_ops(),
     };
     let plan = ExecutionPlan::natural(&g, &ops)?;
-    certified(g, plan)
+    Ok(PlannedForward { graph: g, plan })
 }
 
 /// Which canned schedule a cache entry holds.
@@ -447,8 +432,8 @@ pub(crate) fn forward(
     w: &EncoderWeights,
     opts: &ExecOptions,
 ) -> Result<ForwardOutput> {
-    with_arena(dims, kind, opts, |graph, plan, arena| {
-        forward_on(arena, graph, plan, x, w, opts)
+    with_arena(dims, kind, opts, |_, plan, arena| {
+        forward_on(arena, plan, x, w, opts)
     })
 }
 
@@ -463,7 +448,6 @@ pub(crate) fn forward(
 /// As [`forward`].
 pub(crate) fn forward_on(
     arena: &CompiledArena,
-    graph: &Graph,
     plan: &ExecutionPlan,
     x: &Tensor,
     w: &EncoderWeights,
@@ -472,7 +456,7 @@ pub(crate) fn forward_on(
     let mut state = ExecState::default();
     with_natural([x], |[x]| {
         let resolve = &mut |name: &str| external_words(name, x, w);
-        arena.execute_into_state(graph, plan, opts, resolve, &mut state)
+        arena.execute_into_state(opts, resolve, &mut state)
     })?;
     // the attention region: the tile program of two contractions
     let region = |s: &xform_core::plan::PlanStep| {
@@ -504,8 +488,8 @@ pub(crate) fn forward_on(
 ///
 /// As [`forward`], and [`TensorError::ShapeMismatch`], before the run, if
 /// `y` is not of the plan's `y` shape or not stored row-major;
-/// [`TensorError::Unsupported`], before the run, if `opts.profiler` holds
-/// another plan's records ([`admit`]).
+/// [`TensorError::Unsupported`], before the run, if `opts.profiler` was
+/// made for another plan.
 pub(crate) fn forward_into(
     dims: &EncoderDims,
     kind: PlanKind,
@@ -521,22 +505,18 @@ pub(crate) fn forward_into(
             let context = "a forward's output buffer (the plan's `y` shape, stored row-major)";
             return Err(TensorError::ShapeMismatch { context });
         }
-        admit(opts.profiler, plan)?;
         let ydata = y.data_mut();
-        let mut sink = |a: ArenaArtifact<'_>| match a {
-            ArenaArtifact::Tensor {
+        let mut sink = |a: ArenaArtifact<'_>| {
+            if let ArenaArtifact::Tensor {
                 name: "y",
                 shape,
                 layout,
                 data,
                 ..
-            } => into_ops::copy_layout_into(shape, layout, data, ydata),
-            ArenaArtifact::Timings { .. } => {
-                if let Some(profiler) = opts.profiler {
-                    record_arena_timings(profiler, graph, plan, &a);
-                }
+            } = a
+            {
+                into_ops::copy_layout_into(shape, layout, data, ydata);
             }
-            _ => {}
         };
         with_natural([x], |[x]| {
             let resolve = &mut |name: &str| external_words(name, x, w);
@@ -712,12 +692,19 @@ mod tests {
         assert!(xform_core::analyze::analyze(&fused.graph, &fused.plan).is_clean());
         let decoder = cached_plan(&dims, PlanKind::DecoderFused).unwrap();
         assert!(xform_core::analyze::analyze(&decoder.graph, &decoder.plan).is_clean());
-        // every canned plan carries a certificate covering all its steps
-        for pf in [&reference, &fused, &decoder] {
-            let scheduled: usize = pf.cert.waves.iter().map(Vec::len).sum();
+        // every canned plan's arena carries a certificate covering all its
+        // steps
+        for (pf, kind) in [
+            (&reference, PlanKind::EncoderReference),
+            (&fused, PlanKind::EncoderFused),
+            (&decoder, PlanKind::DecoderFused),
+        ] {
+            let arena = cached_arena(&dims, kind, ArenaGranularity::Waves).unwrap();
+            let cert = arena.as_deref().unwrap().certificate();
+            let scheduled: usize = cert.waves.iter().map(Vec::len).sum();
             assert_eq!(scheduled, pf.plan.steps.len());
             assert_eq!(
-                pf.cert.plan_hash,
+                cert.plan_hash,
                 xform_core::sanitize::plan_fingerprint(&pf.plan)
             );
         }

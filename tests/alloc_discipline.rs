@@ -1,7 +1,8 @@
 //! Heap-allocation discipline of the arena interpreter: after one warmup
 //! call has populated the plan and arena caches, every subsequent
 //! `forward_into` — encoder and decoder, serial and wave-parallel, the
-//! canned plans (whose norm steps run in panels) — and a caller's strided
+//! canned plans (whose norm steps run in panels), serially into a profiler
+//! sink too — and a caller's strided
 //! plan with its relayouts, bound onto its compiled arena the same way,
 //! executes out of the preallocated slab through the `*_into` kernels and
 //! must touch the heap **not at all**. A counting global allocator makes
@@ -18,6 +19,8 @@
 
 mod common;
 
+use std::sync::Mutex;
+
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +28,7 @@ use rand::SeedableRng;
 use substation::core::access::certify_access;
 use substation::core::arena::{self, granularity_for, ArenaArtifact};
 use substation::core::plan::ExecOptions;
-use substation::core::profile::CountingAlloc;
+use substation::core::profile::{CountingAlloc, PlanProfiler, ProfilerSink};
 use substation::dataflow::EncoderDims;
 use substation::tensor::{into_ops, Shape, Tensor};
 use substation::transformer::decode::{DecodeOptions, DecodeSession, Sampling};
@@ -152,6 +155,22 @@ fn steady_state_forwards_touch_no_heap() {
             }
         }
     }
+    // A profiled serial forward: the sink, made for the canned plan, holds
+    // a record per step from its construction, and the arena merges each
+    // run's timing slots into them in place.
+    let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&canned.graph, &canned.plan, 1.0));
+    let profiled = ExecOptions::builder().seed(5).profiler(Some(&sink)).build();
+    let tag = "encoder/fused profiled";
+    let profiled_into = |y: &mut Tensor| fused.forward_into(&x, &w, &profiled, y).unwrap();
+    let delta = steady_state_events(tag, profiled_into, &mut y);
+    if delta != 0 {
+        failures.push(format!(
+            "{tag}: {delta} heap event(s) across {STEADY_CALLS} steady-state forwards"
+        ));
+    }
+    let prof = sink.into_inner().unwrap();
+    assert!(prof.steps().all(|s| s.runs == STEADY_CALLS + 2), "{tag}");
+
     // The model head: a warm run allocates the `probs` it returns — as many
     // heap events as a copy of that tensor — and nothing else. The logits
     // exist as a tile of the step's scratch, `h` and the weights are read

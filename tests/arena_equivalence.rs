@@ -23,7 +23,7 @@ use substation::core::access::{step_accesses, AccessPath};
 use substation::core::analyze::{analyze, assign_arena, ArenaGranularity};
 use substation::core::arena::{self, granularity_for, ArenaArtifact, CompiledArena};
 use substation::core::plan::{execute_plan, ExecOptions, ExecState, ExecutionPlan, SanitizeMode};
-use substation::core::profile::{record_arena_timings, PlanProfiler, ProfilerSink};
+use substation::core::profile::{PlanProfiler, ProfilerSink};
 use substation::dataflow::{DataRole, EncoderDims, Graph, NodeId, OpKind};
 use substation::tensor::ops::layernorm::LayerNormStats;
 use substation::tensor::{into_ops, Layout, Shape, Tensor, TensorError};
@@ -374,20 +374,17 @@ fn route_and_results_depend_on_the_plan_alone() {
     let bound = |opts: &ExecOptions, y: &mut Tensor| {
         let arena = arena::compiled(&pf.graph, &pf.plan, granularity_for(opts.threads)).unwrap();
         let ydata = y.data_mut();
-        let sink = &mut |a: ArenaArtifact<'_>| match a {
-            ArenaArtifact::Tensor {
+        let sink = &mut |a: ArenaArtifact<'_>| {
+            if let ArenaArtifact::Tensor {
                 name: "y",
                 shape,
                 layout,
                 data,
                 ..
-            } => into_ops::copy_layout_into(shape, layout, data, ydata),
-            ArenaArtifact::Timings { .. } => {
-                if let Some(profiler) = opts.profiler {
-                    record_arena_timings(profiler, &pf.graph, &pf.plan, &a);
-                }
+            } = a
+            {
+                into_ops::copy_layout_into(shape, layout, data, ydata);
             }
-            _ => {}
         };
         let resolve = &mut |name: &str| match name {
             "x" => x.natural_words(),
@@ -395,7 +392,7 @@ fn route_and_results_depend_on_the_plan_alone() {
         };
         arena.execute_bound(opts, resolve, sink).unwrap();
     };
-    let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+    let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&pf.graph, &pf.plan, 1.0));
     let plain = encoder_bits(&layer, &x, &w, &ExecOptions::builder().seed(19).build());
     let mut y = out_buffer(&dims);
     for threads in [1usize, 4] {

@@ -100,9 +100,9 @@ fn plan_row(g: &Graph, plan: &ExecutionPlan) -> String {
         .map(|c| format!("{}:{}:{}", c.name, c.capacity, c.col_words))
         .collect();
     out += &format!("caches {}\n", caches.join(" "));
-    let mut prof = PlanProfiler::new();
+    let mut prof = PlanProfiler::new(g, plan);
     for si in 0..plan.steps.len() {
-        prof.record_step(g, plan, si, None, 1.0, false);
+        prof.record_step(si, None, 1.0, false);
     }
     let words: Vec<u64> = prof.steps().map(|s| s.footprint_words).collect();
     out += &format!("footprint {words:?}\n");

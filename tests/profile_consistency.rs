@@ -11,6 +11,7 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use substation::core::analyze::audit;
+use substation::core::arena;
 use substation::core::cpusource::CpuSource;
 use substation::core::plan::{execute_plan, random_externals, ExecOptions, ExecutionPlan};
 use substation::core::profile::{profile_plan, reselect_cost, PlanProfiler, ProfilerSink};
@@ -125,7 +126,8 @@ fn a_sink_holding_one_plans_records_refuses_another_plan() {
     let w = EncoderWeights::init(&dims, &mut rng);
     let spec = Shape::from_spec("ibj", &dims.size_table()).unwrap();
     let x = Tensor::random(spec, &Uniform::new(-1.0, 1.0), &mut rng);
-    let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(1.0));
+    let pf = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
+    let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&pf.graph, &pf.plan, 1.0));
     let opts = ExecOptions::builder().profiler(Some(&sink)).build();
     let encoder = EncoderLayer::new(dims, Executor::Fused, 0.0);
     let mut y = encoder.forward(&x, &w, &opts).unwrap().y;
@@ -135,11 +137,82 @@ fn a_sink_holding_one_plans_records_refuses_another_plan() {
     assert!(refused(decoder.forward_into(&x, &w, &opts, &mut y)));
 
     let prof = sink.into_inner().unwrap();
-    let pf = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
     let names: Vec<&str> = prof.steps().map(|s| s.account.name.as_str()).collect();
     let expect: Vec<&str> = pf.plan.steps.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(names, expect);
     assert!(prof.steps().all(|s| s.runs == 1));
+}
+
+/// A sink is made for one plan, dimensions included: the same schedule at
+/// another sequence length has the same step names, and runs into the sink
+/// through neither door — refused before a kernel runs, so the caller's
+/// buffer keeps its words and the sink its one run of the plan it was made
+/// for, each step charged that plan's words.
+#[test]
+fn a_sink_refuses_its_plan_at_other_dimensions() {
+    let tiny = EncoderDims::tiny();
+    let long = EncoderDims {
+        j: 16,
+        k: 16,
+        ..tiny
+    };
+    let mut rng = StdRng::seed_from_u64(8);
+    let w = EncoderWeights::init(&tiny, &mut rng);
+    let input = |d: &EncoderDims, rng: &mut StdRng| {
+        let spec = Shape::from_spec("ibj", &d.size_table()).unwrap();
+        Tensor::random(spec, &Uniform::new(-1.0, 1.0), rng)
+    };
+    let (x, x_long) = (input(&tiny, &mut rng), input(&long, &mut rng));
+    let pf = interp::cached_plan(&tiny, interp::PlanKind::EncoderFused).unwrap();
+    let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&pf.graph, &pf.plan, 1.0));
+    let opts = ExecOptions::builder().profiler(Some(&sink)).build();
+    EncoderLayer::new(tiny, Executor::Fused, 0.0)
+        .forward(&x, &w, &opts)
+        .unwrap();
+
+    let layer = EncoderLayer::new(long, Executor::Fused, 0.0);
+    let refused = |r: Result<(), TensorError>| matches!(r, Err(TensorError::Unsupported(_)));
+    assert!(refused(layer.forward(&x_long, &w, &opts).map(drop)));
+    let mut y = Tensor::from_vec(x_long.shape().clone(), vec![7.0; x_long.len()]).unwrap();
+    assert!(refused(layer.forward_into(&x_long, &w, &opts, &mut y)));
+    assert!(y.data().iter().all(|&v| v == 7.0), "no kernel wrote `y`");
+
+    let prof = sink.into_inner().unwrap();
+    let audited = audit(&pf.graph, &pf.plan, &DeviceSpec::v100());
+    assert_eq!(prof.steps().count(), pf.plan.steps.len());
+    for (sp, sa) in prof.steps().zip(&audited.per_step) {
+        assert_eq!(sp.runs, 1, "step {}", sp.account.name);
+        assert_eq!(
+            sp.account.q_words, sa.account.q_words,
+            "step {}",
+            sp.account.name
+        );
+    }
+}
+
+/// The arena fills the sink itself: one handed straight to
+/// `CompiledArena::execute_bound`, with no caller code around the run,
+/// holds a record of every step of the plan.
+#[test]
+fn a_sink_handed_to_execute_bound_is_filled() {
+    let dims = dims();
+    let mut rng = StdRng::seed_from_u64(6);
+    let w = EncoderWeights::init(&dims, &mut rng);
+    let spec = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+    let x = Tensor::random(spec, &Uniform::new(-1.0, 1.0), &mut rng);
+    let pf = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
+    let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&pf.graph, &pf.plan, 1.0));
+    let opts = ExecOptions::builder().profiler(Some(&sink)).build();
+    let arena = arena::compiled(&pf.graph, &pf.plan, arena::granularity_for(1)).unwrap();
+    let resolve = &mut |name: &str| match name {
+        "x" => x.natural_words(),
+        _ => w.container(name),
+    };
+    arena.execute_bound(&opts, resolve, &mut |_| {}).unwrap();
+
+    let prof = sink.into_inner().unwrap();
+    assert_eq!(prof.steps().count(), pf.plan.steps.len());
+    assert!(prof.steps().all(|s| s.runs == 1 && s.time_us > 0.0));
 }
 
 #[test]
