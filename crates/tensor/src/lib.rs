@@ -46,7 +46,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 mod axes;
 pub mod contract;

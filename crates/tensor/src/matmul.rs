@@ -12,9 +12,11 @@
 //!     for pc in depth step KC                and read by every row block (L2)
 //!       for ic in rows step MC      A block  MC×KC, packed into slabs of MR,
 //!                                            4, 2, 1 rows interleaved along k
-//!         for jc in block step NR   B panel  KC×NR of the block (L1)
-//!           for slab in A block     C tile   R×NR accumulators (registers)
+//!         for jc in block step      B panel  KC×NR of the block (L1), or two
+//!             NR or 2·NR                     adjacent ones where both are whole
+//!           for slab in A block     C tile   R×NR (or R×2NR) accumulators
 //!             kernel::<R>           fma(slab[kk][r], panel[kk][j]), kk ascending
+//!             (kernel_wide::<R>)
 //! ```
 //!
 //! * **Operands are views.** A [`MatRef`]/[`MatMut`] is a slice plus a row
@@ -39,7 +41,7 @@
 //!   4, 2 and 1 (and 8 or 9 left run as 4 + 4 (+ 1), not 6 + 2 (+ 1)) — so
 //!   no padded row is ever multiplied or stored; a dense single row, the
 //!   whole of A in the matrix–vector path, packs as one copy. The block and
-//!   the panel a call packs live in a thread-local, so packing costs the
+//!   the panels a call packs live in a thread-local, so packing costs the
 //!   words packed and nothing else: no heap, no per-call zeroing; a call
 //!   reads only the words it wrote. The B block is a thread-local `Vec`,
 //!   grown to at most `KC·NC` words by the first call that needs it.
@@ -55,6 +57,18 @@
 //!   past it, an A block 66 KiB and a B block 512 KiB of L2; `MC = 66`
 //!   keeps the rows of C a block touches within a few dozen pages, so the
 //!   walk down a 16-column panel stays in the TLB.
+//! * **The 512-bit tile.** On a host with AVX-512F — detected at run time,
+//!   once per call, and carried as a token only the detection makes — the
+//!   block loop takes `kernel_wide` wherever two whole panels remain: the
+//!   same slab against two adjacent panels, an `R×2NR` tile whose rows are
+//!   two `zmm` each, twelve accumulators, two panel loads and six
+//!   broadcasts a step at `MR = 6` — twice the work of a `ymm` step in the
+//!   same registers (EXPERIMENTS.md, "The one GEMM on 512-bit lanes"). It is
+//!   compiled under `#[target_feature(enable = "avx512f")]` whatever the
+//!   build targets; the last odd or partial panel, and every panel on a
+//!   host without the feature, runs `kernel`. The packs, the slab heights
+//!   and `MC`/`KC`/`NC` are the same for both; the two panels reach the
+//!   kernel as one run, so no operand of it is read off the stack.
 //! * **The kernel is a function of its own.** `kernel` takes two packed
 //!   slices and the accumulators and zips `chunks_exact` over them: no
 //!   index, no bounds check, no panic edge. Inlined into the block loop —
@@ -67,16 +81,18 @@
 //!   ascending order, one `f32::mul_add` per product — the product enters
 //!   the sum unrounded, one rounding per step — block after block. That is
 //!   the order of the scalar triple loop [`naive_sgemm`], so results are
-//!   bitwise independent of the tiling, of the vector width the build has,
-//!   and of which operand plays A — and of the strides by construction:
+//!   bitwise independent of the tiling, of the vector width the build and
+//!   the host have (either tile, any mix of them), and of which operand
+//!   plays A — and of the strides by construction:
 //!   the kernel only ever sees packed words. `mul_add` is exact by
 //!   definition, so a build without the instruction computes the same bits
 //!   through a software `fmaf`, only slower. Padded lanes of an edge panel
 //!   multiply zeros and are never stored.
 //! * **Matrix–vector shapes** (`n == 1`) run as the transposed problem
-//!   `cᵀ = bᵀ·aᵀ` through the same kernel: the rows of A become the sixteen
-//!   lanes, and the exact product inside `mul_add` commutes, so the bits do
-//!   not move. The choice is made from `m` and `n` alone. Over a strided A
+//!   `cᵀ = bᵀ·aᵀ` through the same kernels: the rows of A become the
+//!   sixteen (or thirty-two) lanes, and the exact product inside `mul_add`
+//!   commutes, so the bits do not move. The choice is made from `m` and `n`
+//!   alone. Over a strided A
 //!   the transposing pack of A into those panels is the extra work — more
 //!   than the kernel's; over a projection weight there is none, because the
 //!   weight is stored in exactly that panel order.
@@ -95,6 +111,8 @@ use std::cell::RefCell;
 pub const MR: usize = 6;
 /// Columns of the register tile: the width of a packed B panel.
 pub const NR: usize = 16;
+/// Columns of the 512-bit tile: two adjacent panels.
+const NW: usize = 2 * NR;
 /// Depth of a packed B panel.
 pub const KC: usize = 256;
 /// Rows of a cache block: a whole number of `MR`-row slabs.
@@ -133,11 +151,8 @@ impl<'a> MatRef<'a> {
 
     /// The view starting at row `r`.
     pub fn from_row(self, r: usize) -> Self {
-        MatRef::new(
-            &self.data[(r * self.rs).min(self.data.len())..],
-            self.rs,
-            self.cs,
-        )
+        let at = (r * self.rs).min(self.data.len());
+        MatRef::new(&self.data[at..], self.rs, self.cs)
     }
 }
 
@@ -222,14 +237,30 @@ pub fn gemm(
     c: MatMut<'_>,
     start: Start,
 ) {
+    gemm_on(m, n, k, a, b, c, start, Avx512::detect())
+}
+
+/// [`gemm`] on the tiles `wide` licenses.
+#[allow(clippy::too_many_arguments)]
+fn gemm_on(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: MatMut<'_>,
+    start: Start,
+    wide: Option<Avx512>,
+) {
     assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
     assert!(b.data.len() >= span(k, n, b.rs, b.cs), "b is too short");
     assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
     if n == 1 && m > 1 {
         // matrix–vector: cᵀ = bᵀ·aᵀ puts the rows of A in the lanes
-        blocks(1, m, k, b.t().into(), Panels::Strided(a.t()), c.t(), start);
+        let at = Panels::Strided(a.t());
+        blocks(1, m, k, b.t().into(), at, c.t(), start, wide);
     } else {
-        blocks(m, n, k, a.into(), Panels::Strided(b), c, start);
+        blocks(m, n, k, a.into(), Panels::Strided(b), c, start, wide);
     }
 }
 
@@ -278,7 +309,7 @@ pub fn gemm_packed(
     assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
     assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
     let panels = &panels[..panel_words(n, k)];
-    blocks(m, n, k, a.into(), Panels::Packed(panels, k), c, start);
+    packed_on(m, n, k, a.into(), panels, n, c, start, Avx512::detect());
 }
 
 /// `c = a × b` over the leading `n` columns and the leading `depth` rows of
@@ -307,25 +338,40 @@ pub fn gemm_packed_leading<'a>(
     c: &mut [f32],
     at: (usize, usize),
 ) {
+    let (c, wide) = (MatMut::new(c, at.0, at.1), Avx512::detect());
+    packed_on(m, n, depth, a.into(), panels, pn, c, Start::FromZero, wide);
+}
+
+/// [`gemm_packed_leading`] from `start` into a view of C, on the tiles
+/// `wide` licenses; [`gemm_packed`] is it over a whole pack.
+#[allow(clippy::too_many_arguments)]
+fn packed_on(
+    m: usize,
+    n: usize,
+    depth: usize,
+    a: Lhs<'_>,
+    panels: &[f32],
+    pn: usize,
+    c: MatMut<'_>,
+    start: Start,
+    wide: Option<Avx512>,
+) {
+    // (a pack of no columns holds no words, and any depth)
     let npad = pn.div_ceil(NR) * NR;
-    let pk = panels.len().checked_div(npad).unwrap_or(0);
+    let pk = panels.len().checked_div(npad).unwrap_or(depth);
     assert_eq!(
         panels.len(),
         panel_words(pn, pk),
         "panels is not a whole pack {pn} columns wide"
     );
     assert!(depth <= pk, "a depth of {depth} past a pack {pk} deep");
-    let a = a.into();
-    for pc in (0..depth).step_by(KC) {
+    // (a depth of 0 still defines C under `FromZero`)
+    for pc in (0..depth.max(1)).step_by(KC) {
         let a_blk = a.from_col(pc);
-        let start = if pc == 0 {
-            Start::FromZero
-        } else {
-            Start::FromC
-        };
-        let (kc, c) = (KC.min(depth - pc), MatMut::new(c, at.0, at.1));
+        let start = if pc == 0 { start } else { Start::FromC };
+        let (kc, c) = (KC.min(depth - pc), MatMut::new(c.data, c.rs, c.cs));
         let b = Panels::Packed(&panels[pc * npad..], pk - pc);
-        blocks(m, n, kc, a_blk, b, c, start);
+        blocks(m, n, kc, a_blk, b, c, start, wide);
     }
 }
 
@@ -534,22 +580,20 @@ impl<'a> PanelRef<'a> {
         )
     }
 
-    /// The B panel of the transposed problem at depth `pc` (`kc` deep) and
-    /// lane `jc`: rows `jc..` of an untransposed view that starts on a
-    /// panel and at depth 0 — in place when the panel is whole, widened
-    /// into `buf` with zero lanes when it is the narrower last one.
-    fn b_panel<'s>(&self, pc: usize, jc: usize, kc: usize, buf: &'s mut [f32]) -> &'s [f32]
-    where
-        'a: 's,
-    {
+    /// The `p` adjacent B panels of the transposed problem at depth `pc`
+    /// (`kc` deep) and lane `jc` ([`Panels::run`]): rows `jc..` of an
+    /// untransposed view that starts on a panel and at depth 0 — in place
+    /// when the panels are whole, the narrower last one widened into `buf`
+    /// with zero lanes.
+    fn b_panels(self, pc: usize, jc: usize, kc: usize, p: usize, buf: &'a mut [f32]) -> &'a [f32] {
         let jr = self.row0 + jc;
         let (kb, w) = (KC.min(self.k - pc), NR.min(self.m - jr));
-        let panel = &self.data[pc * self.m + jr * kb..][..kc * w];
+        let run = &self.data[pc * self.m + jr * kb..];
         if w == NR {
-            return panel;
+            return &run[..p * kb * NR];
         }
         let buf = &mut buf[..kc * NR];
-        for (dst, src) in buf.chunks_exact_mut(NR).zip(panel.chunks_exact(w)) {
+        for (dst, src) in buf.chunks_exact_mut(NR).zip(run[..kc * w].chunks_exact(w)) {
             dst[..w].copy_from_slice(src);
             dst[w..].fill(0.0);
         }
@@ -660,6 +704,21 @@ pub fn gemm_panels(
     c: MatMut<'_>,
     start: Start,
 ) {
+    gemm_panels_on(m, n, k, a, b, c, start, Avx512::detect())
+}
+
+/// [`gemm_panels`] on the tiles `wide` licenses.
+#[allow(clippy::too_many_arguments)]
+fn gemm_panels_on(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: PanelRef<'_>,
+    b: MatRef<'_>,
+    c: MatMut<'_>,
+    start: Start,
+    wide: Option<Avx512>,
+) {
     let (rows, cols) = a.extent();
     assert!(
         m <= rows && k <= cols,
@@ -668,9 +727,9 @@ pub fn gemm_panels(
     assert!(b.data.len() >= span(k, n, b.rs, b.cs), "b is too short");
     assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
     if n == 1 && m > 1 && !a.transposed && a.row0.is_multiple_of(NR) && a.col0 == 0 {
-        blocks(1, m, k, b.t().into(), Panels::Rows(a), c.t(), start);
+        blocks(1, m, k, b.t().into(), Panels::Rows(a), c.t(), start, wide);
     } else {
-        blocks(m, n, k, Lhs::Panels(a), Panels::Strided(b), c, start);
+        blocks(m, n, k, Lhs::Panels(a), Panels::Strided(b), c, start, wide);
     }
 }
 
@@ -687,12 +746,44 @@ enum Panels<'a> {
     Rows(PanelRef<'a>),
 }
 
+impl<'a> Panels<'a> {
+    /// The `w` columns from `jc` at depth `pc`, `kc` deep — one panel or two
+    /// whole adjacent ones — as one run that [`kernel`] or [`kernel_wide`]
+    /// reads: where they lie (a pack `npad` columns wide), else packed (or
+    /// widened) into `buf`. A second panel starts at the run's middle, and
+    /// each panel's leading `kc` rows are the ones multiplied.
+    fn run(
+        self,
+        pc: usize,
+        jc: usize,
+        kc: usize,
+        w: usize,
+        npad: usize,
+        buf: &'a mut [f32],
+    ) -> &'a [f32] {
+        let p = w.div_ceil(NR);
+        match self {
+            Panels::Strided(b) => {
+                for (i, panel) in buf[..p * kc * NR].chunks_exact_mut(kc * NR).enumerate() {
+                    pack_panel::<NR>(panel, b, pc, jc + i * NR, NR.min(w - i * NR));
+                }
+                &buf[..p * kc * NR]
+            }
+            Panels::Packed(panels, d) => {
+                let kb = KC.min(d - pc);
+                &panels[pc * npad + jc * kb..][..p * kb * NR]
+            }
+            Panels::Rows(rows) => rows.b_panels(pc, jc, kc, p, buf),
+        }
+    }
+}
+
 thread_local! {
-    /// The packed A block of [`blocks`] and the one B panel it packs at a
+    /// The packed A block of [`blocks`] and the two B panels it packs at a
     /// time: one pair per thread, never zeroed again — a call packs exactly
     /// the words it then reads.
-    static PACKS: RefCell<([f32; MC * KC], [f32; KC * NR])> =
-        const { RefCell::new(([0.0; MC * KC], [0.0; KC * NR])) };
+    static PACKS: RefCell<([f32; MC * KC], [f32; KC * NW])> =
+        const { RefCell::new(([0.0; MC * KC], [0.0; KC * NW])) };
     /// The packed B block of [`blocks`], grown (never past `KC·NC` words)
     /// by the first call on the thread that packs a strided B for more than
     /// one row block; a call reads only the panels it packed.
@@ -717,7 +808,9 @@ fn slabs(mc: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
-/// The block loop nest around [`kernel`].
+/// The block loop nest around the two tiles: [`kernel_wide`]'s wherever
+/// two whole panels remain and `wide` licenses it, [`kernel`]'s elsewhere.
+#[allow(clippy::too_many_arguments)]
 fn blocks(
     m: usize,
     n: usize,
@@ -726,6 +819,7 @@ fn blocks(
     b: Panels<'_>,
     mut c: MatMut<'_>,
     start: Start,
+    wide: Option<Avx512>,
 ) {
     if m == 0 || n == 0 {
         return;
@@ -763,6 +857,11 @@ fn blocks(
                         pack_panel::<NR>(panel, b, pc, jc, NR.min(n - jc));
                     }
                 }
+                // the packed B block is a pack one block deep from `jb` on
+                let (b, pb, jb0) = match shared {
+                    true => (Panels::Packed(&b_block, kc), 0, jb),
+                    false => (b, pc, 0),
+                };
                 let zero = start == Start::FromZero && pc == 0;
                 for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
@@ -775,28 +874,21 @@ fn blocks(
                             _ => a.pack_slab::<1>(slab, pc, ic + r),
                         }
                     }
-                    for jc in (jb..jb + nb).step_by(NR) {
-                        let nr = NR.min(n - jc);
-                        let panel = match b {
-                            _ if shared => &b_block[(jc - jb) * kc..][..kc * NR],
-                            Panels::Strided(b) => {
-                                pack_panel::<NR>(&mut buf[..kc * NR], b, pc, jc, nr);
-                                &buf[..kc * NR]
-                            }
-                            Panels::Packed(p, d) => {
-                                &p[pc * npad + jc * KC.min(d - pc)..][..kc * NR]
-                            }
-                            Panels::Rows(w) => w.b_panel(pc, jc, kc, buf),
-                        };
+                    let mut jc = jb;
+                    while jc < jb + nb {
+                        let pair = wide.filter(|_| jb + nb - jc >= NW);
+                        let w = pair.map_or(NR.min(jb + nb - jc), |_| NW);
+                        let panels = b.run(pb, jc - jb0, kc, w, npad, buf);
                         for (r, h) in slabs(mc) {
-                            let (slab, at) = (&block[r * kc..(r + h) * kc], (ic + r, jc, nr));
+                            let (slab, at) = (&block[r * kc..(r + h) * kc], (ic + r, jc, w));
                             match h {
-                                MR => accumulate::<MR>(slab, panel, &mut c, at, zero),
-                                4 => accumulate::<4>(slab, panel, &mut c, at, zero),
-                                2 => accumulate::<2>(slab, panel, &mut c, at, zero),
-                                _ => accumulate::<1>(slab, panel, &mut c, at, zero),
+                                MR => accumulate::<MR>(pair, slab, panels, &mut c, at, zero),
+                                4 => accumulate::<4>(pair, slab, panels, &mut c, at, zero),
+                                2 => accumulate::<2>(pair, slab, panels, &mut c, at, zero),
+                                _ => accumulate::<1>(pair, slab, panels, &mut c, at, zero),
                             }
                         }
+                        jc += w;
                     }
                 }
             }
@@ -860,33 +952,90 @@ fn pack_columns<'a, const W: usize, I: Iterator<Item = &'a f32>>(
     }
 }
 
-/// One `R×NR` tile of C at `(ir, jc)` against one slab and one panel: the
-/// accumulators are loaded from C (or `+0.0`), run through [`kernel`] and
-/// stored, `nr` lanes of each.
+/// The 512-bit tile's licence: an [`Avx512`] exists only where
+/// `is_x86_feature_detected!("avx512f")` said yes — nothing outside this
+/// module can make one — so [`accumulate`]'s one call into code compiled
+/// for AVX-512 is sound by construction.
+mod isa {
+    /// Proof that the host runs AVX-512F: made by [`Avx512::detect`] alone.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct Avx512(());
+
+    impl Avx512 {
+        /// The host's licence, or `None` without AVX-512F (or off x86-64).
+        pub(super) fn detect() -> Option<Self> {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Some(Avx512(()));
+            }
+            None
+        }
+    }
+}
+use isa::Avx512;
+
+/// One tile of C at `at` against one slab: [`accumulate_wide`]'s `R×2NR`
+/// over the two panels of `panels` under a licence, else an `R×NR` one
+/// through [`kernel`] over its one panel ([`in_c`]).
+#[allow(unsafe_code)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_unsafe))]
 #[inline(always)]
 fn accumulate<const R: usize>(
+    wide: Option<Avx512>,
     slab: &[f32],
-    panel: &[f32],
+    panels: &[f32],
+    c: &mut MatMut<'_>,
+    at: (usize, usize, usize),
+    from_zero: bool,
+) {
+    match wide {
+        // SAFETY: `accumulate_wide` needs AVX-512F, and an `Avx512` is made
+        // only by `Avx512::detect`, after `is_x86_feature_detected!("avx512f")`
+        // found it on the CPU this process runs on.
+        Some(_) => unsafe { accumulate_wide::<R>(slab, panels, c, at, from_zero) },
+        None => in_c::<R, NR>(c, at, from_zero, |acc| kernel::<R>(slab, panels, acc)),
+    }
+}
+
+/// One `R×2NR` tile of C at `(ir, jc)` against one slab and two panels,
+/// compiled for 512-bit lanes; called through [`accumulate`] alone.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx512f"))]
+fn accumulate_wide<const R: usize>(
+    slab: &[f32],
+    panels: &[f32],
+    c: &mut MatMut<'_>,
+    at: (usize, usize, usize),
+    from_zero: bool,
+) {
+    in_c::<R, NW>(c, at, from_zero, |acc| kernel_wide::<R>(slab, panels, acc));
+}
+
+/// Runs `kernel` over an `R×W` tile of C at `(ir, jc)`: the accumulators
+/// are loaded from C (or `+0.0`), run through it and stored, `nr` lanes of
+/// each row.
+#[inline(always)]
+fn in_c<const R: usize, const W: usize>(
     c: &mut MatMut<'_>,
     (ir, jc, nr): (usize, usize, usize),
     from_zero: bool,
+    kernel: impl FnOnce(&mut [[f32; W]; R]),
 ) {
     let c_at = ir * c.rs + jc * c.cs;
-    let mut acc = [[0.0f32; NR]; R];
-    let dense = c.cs == 1 && nr == NR;
+    let mut acc = [[0.0f32; W]; R];
+    let dense = c.cs == 1 && nr == W;
     if !from_zero {
         for (r, row) in acc.iter_mut().enumerate() {
             if dense {
-                row.copy_from_slice(&c.data[c_at + r * c.rs..][..NR]);
+                row.copy_from_slice(&c.data[c_at + r * c.rs..][..W]);
             } else {
                 strided_row(row, c, c_at + r * c.rs, nr, false);
             }
         }
     }
-    kernel::<R>(slab, panel, &mut acc);
+    kernel(&mut acc);
     for (r, row) in acc.iter_mut().enumerate() {
         if dense {
-            c.data[c_at + r * c.rs..][..NR].copy_from_slice(row);
+            c.data[c_at + r * c.rs..][..W].copy_from_slice(row);
         } else {
             strided_row(row, c, c_at + r * c.rs, nr, true);
         }
@@ -895,9 +1044,9 @@ fn accumulate<const R: usize>(
 
 /// The first `nr` lanes of a tile row loaded from C at word `at` onward
 /// (column stride `c.cs`), or stored there: out of line, so the dense
-/// rows' loop around [`kernel`] stays small.
+/// rows' loop around the kernel stays small.
 #[inline(never)]
-fn strided_row(row: &mut [f32; NR], c: &mut MatMut<'_>, at: usize, nr: usize, store: bool) {
+fn strided_row(row: &mut [f32], c: &mut MatMut<'_>, at: usize, nr: usize, store: bool) {
     for (j, v) in row.iter_mut().take(nr).enumerate() {
         let w = &mut c.data[at + j * c.cs];
         if store {
@@ -908,7 +1057,8 @@ fn strided_row(row: &mut [f32; NR], c: &mut MatMut<'_>, at: usize, nr: usize, st
     }
 }
 
-/// The micro-kernel — the only statement of GEMM arithmetic in the crate:
+/// The micro-kernel — with [`kernel_wide`], its 512-bit instantiation, the
+/// only statement of GEMM arithmetic in the crate:
 /// `acc[r][j] = slab[kk][r] · panel[kk][j] + acc[r][j]`, rounded once
 /// (`mul_add`), down the depth the two share.
 /// A function of its own over two `chunks_exact` walks: no index, no bounds
@@ -920,6 +1070,27 @@ fn kernel<const R: usize>(slab: &[f32], panel: &[f32], acc: &mut [[f32; NR]; R])
         for (row, &a_rk) in acc.iter_mut().zip(a_k) {
             for (v, &b_kj) in row.iter_mut().zip(b_k) {
                 *v = a_rk.mul_add(b_kj, *v);
+            }
+        }
+    }
+}
+
+/// [`kernel`] on 512-bit lanes, its arithmetic element for element: row `r`
+/// of the `R×2NR` tile is two `zmm` accumulators, lanes `..NR` against the
+/// first panel of `panels` and lanes `NR..` against the second, which
+/// starts at the run's middle — one slice, so every operand reaches the
+/// kernel in a register.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx512f"))]
+#[inline(never)]
+fn kernel_wide<const R: usize>(slab: &[f32], panels: &[f32], acc: &mut [[f32; NW]; R]) {
+    let (b0, b1) = panels.split_at(panels.len() / 2);
+    let b = b0.chunks_exact(NR).zip(b1.chunks_exact(NR));
+    for (a_k, (b0_k, b1_k)) in slab.chunks_exact(R).zip(b) {
+        for (row, &a_rk) in acc.iter_mut().zip(a_k) {
+            for (half, b_k) in row.chunks_exact_mut(NR).zip([b0_k, b1_k]) {
+                for (v, &b_kj) in half.iter_mut().zip(b_k) {
+                    *v = a_rk.mul_add(b_kj, *v);
+                }
             }
         }
     }
@@ -991,6 +1162,22 @@ pub fn gemm_batched(
     c: BatchMut<'_>,
     start: Start,
 ) {
+    gemm_batched_on(batch, m, n, k, a, b, c, start, Avx512::detect())
+}
+
+/// [`gemm_batched`] on the tiles `wide` licenses.
+#[allow(clippy::too_many_arguments)]
+fn gemm_batched_on(
+    batch: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: BatchRef<'_>,
+    b: BatchRef<'_>,
+    c: BatchMut<'_>,
+    start: Start,
+    wide: Option<Avx512>,
+) {
     if batch == 0 {
         return;
     }
@@ -1002,7 +1189,7 @@ pub fn gemm_batched(
     );
     for g in 0..batch {
         let c_g = MatMut::new(&mut data[g * bs..], rs, cs);
-        gemm(m, n, k, a.slice(g), b.slice(g), c_g, start);
+        gemm_on(m, n, k, a.slice(g), b.slice(g), c_g, start, wide);
     }
 }
 
@@ -1029,21 +1216,15 @@ pub fn sgemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) 
     assert_eq!(a.len(), m * k, "a has wrong length");
     assert_eq!(b.len(), k * n, "b has wrong length");
     assert_eq!(c.len(), m * n, "c has wrong length");
-    gemm(
-        m,
-        n,
-        k,
-        MatRef::row_major(a, k),
-        MatRef::row_major(b, n),
-        MatMut::row_major(c, n),
-        Start::FromC,
-    );
+    let (a, b) = (MatRef::row_major(a, k), MatRef::row_major(b, n));
+    gemm(m, n, k, a, b, MatMut::row_major(c, n), Start::FromC);
 }
 
 /// Computes `c[g] += a[g] × b[g]` for `batch` independent GEMMs stored
 /// contiguously (`a`: `batch×m×k`, `b`: `batch×k×n`, `c`: `batch×m×n`).
 ///
-/// The slices run in order on the calling thread (see [`gemm_batched`]).
+/// The slices run in order on the calling thread, as [`gemm_batched`]
+/// runs them.
 ///
 /// # Panics
 ///
@@ -1060,25 +1241,10 @@ pub fn batched_sgemm(
     assert_eq!(a.len(), batch * m * k, "a has wrong length");
     assert_eq!(b.len(), batch * k * n, "b has wrong length");
     assert_eq!(c.len(), batch * m * n, "c has wrong length");
-    gemm_batched(
-        batch,
-        m,
-        n,
-        k,
-        BatchRef {
-            data: a,
-            at: BatchStrides::dense(m, k),
-        },
-        BatchRef {
-            data: b,
-            at: BatchStrides::dense(k, n),
-        },
-        BatchMut {
-            data: c,
-            at: BatchStrides::dense(m, n),
-        },
-        Start::FromC,
-    );
+    for g in 0..batch {
+        let (a, b) = (&a[g * m * k..][..m * k], &b[g * k * n..][..k * n]);
+        sgemm(m, n, k, a, b, &mut c[g * m * n..][..m * n]);
+    }
 }
 
 /// Reference (unblocked, triple-loop) GEMM used as a correctness oracle in
@@ -1327,6 +1493,228 @@ mod tests {
         for g in 0..bsz {
             for i in 0..m * n {
                 assert_eq!(c[i * bsz + g], dense[g * m * n + i]);
+            }
+        }
+    }
+
+    /// The tiles a test can drive: the 256-bit one always, the 512-bit one
+    /// where the host has AVX-512F — and said aloud where it has not.
+    fn tiles() -> Vec<Option<Avx512>> {
+        let wide = Avx512::detect();
+        if wide.is_none() {
+            println!("the 512-bit tile's legs are skipped: the CPU has no AVX-512F");
+        }
+        std::iter::once(None).chain(wide.map(Some)).collect()
+    }
+
+    /// Widths each side of a panel's, a pair's and the B block's edges.
+    const WIDTHS: [usize; 12] = [
+        1,
+        NR - 1,
+        NR,
+        NR + 1,
+        2 * NR - 1,
+        2 * NR,
+        2 * NR + 1,
+        3 * NR,
+        NC - 1,
+        NC,
+        NC + 1,
+        2 * NC + NR - 1,
+    ];
+
+    fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..rows * cols)
+            .map(|i| x[(i % rows) * cols + i / rows])
+            .collect()
+    }
+
+    /// A problem and its oracle: row-major A (`m×k`) and B (`k×n`), a C to
+    /// start from, a NaN row of A and a NaN column of B, and a negative
+    /// row of A against a zero column of B — products of `−0.0`, which
+    /// [`Start::FromZero`] sums from `+0.0`.
+    struct Case {
+        m: usize,
+        n: usize,
+        k: usize,
+        a: Vec<f32>,
+        b: Vec<f32>,
+        c0: Vec<f32>,
+    }
+
+    impl Case {
+        fn new(rng: &mut StdRng, m: usize, n: usize, k: usize) -> Case {
+            let (mut a, mut b) = (random_mat(rng, m * k), random_mat(rng, k * n));
+            a[..k].iter_mut().for_each(|v| *v = -v.abs());
+            if m > 2 {
+                a[m / 2 * k..][..k].fill(f32::NAN);
+            }
+            for row in b.chunks_mut(n).filter(|_| n > 2) {
+                (row[(NR + 3) % n], row[n / 2]) = (0.0, f32::NAN);
+            }
+            let c0 = random_mat(rng, m * n);
+            Case { m, n, k, a, b, c0 }
+        }
+
+        /// Runs `f` into a C laid out with strides `(rs, cs)`, holding `c0`
+        /// (or NaN under `FromZero`), and holds it bitwise to
+        /// [`naive_sgemm`] seeded from `c0` (or `+0.0`).
+        fn check(
+            &self,
+            what: &str,
+            start: Start,
+            (rs, cs): (usize, usize),
+            f: impl FnOnce(MatMut<'_>),
+        ) {
+            let (m, n, k) = (self.m, self.n, self.k);
+            let mut want = match start {
+                Start::FromC => self.c0.clone(),
+                Start::FromZero => vec![0.0; m * n],
+            };
+            naive_sgemm(m, n, k, &self.a, &self.b, &mut want);
+            let mut c = vec![f32::NAN; span(m, n, rs, cs)];
+            for (i, &v) in self.c0.iter().enumerate().filter(|_| start == Start::FromC) {
+                c[i / n * rs + i % n * cs] = v;
+            }
+            f(MatMut::new(&mut c, rs, cs));
+            for (i, w) in want.iter().enumerate() {
+                let (r, j) = (i / n, i % n);
+                let got = c[r * rs + j * cs];
+                let at = || format!("{what} ({m},{n},{k}) {start:?} ({rs},{cs}) at ({r},{j})");
+                assert_eq!(got.to_bits(), w.to_bits(), "{}: {got} != {w}", at());
+            }
+        }
+
+        /// Every entry point but the batch over this problem on `wide`'s
+        /// tiles, from C and from zero, into row- and column-major C.
+        fn check_entries(&self, wide: Option<Avx512>, tag: &str) {
+            let (m, n, k) = (self.m, self.n, self.k);
+            let (a, bv) = (MatRef::row_major(&self.a, k), MatRef::row_major(&self.b, n));
+            let (at, bt) = (transposed(&self.a, m, k), transposed(&self.b, k, n));
+            let (at, bt) = (MatRef::row_major(&at, m).t(), MatRef::row_major(&bt, k).t());
+            let mut panels = vec![f32::NAN; panel_words(n, k)];
+            pack_panels(n, k, bv, &mut panels);
+            // a pack three columns wider and a block less one row deeper,
+            // whose leading corner is B: the depth ends inside a block
+            let (pn, pk) = (n + 3, k + KC - 1);
+            let mut deep = random_mat(&mut StdRng::seed_from_u64(5), pk * pn);
+            for (dst, src) in deep.chunks_mut(pn).zip(self.b.chunks(n)) {
+                dst[..n].copy_from_slice(src);
+            }
+            let mut leading = vec![f32::NAN; panel_words(pn, pk)];
+            pack_panels(pn, pk, MatRef::row_major(&deep, pn), &mut leading);
+            // A as a weight: the leading `k` columns, below `off` rows, of
+            // one two columns deeper (on a panel edge for the matrix–vector
+            // product, which streams its panels), and the transpose of a
+            // pack of `aᵀ`
+            let (off, kw) = (if n == 1 { NR } else { 3 }, k + 2);
+            let mut rows = random_mat(&mut StdRng::seed_from_u64(3), (m + off) * kw);
+            for (dst, src) in rows[off * kw..].chunks_mut(kw).zip(self.a.chunks(k)) {
+                dst[..k].copy_from_slice(src);
+            }
+            let mut w = vec![0.0; rows.len()];
+            let (mw, rs, cs) = (m + off, kw, 1);
+            WeightPack {
+                m: mw,
+                k: kw,
+                rs,
+                cs,
+            }
+            .pack(&rows, &mut w);
+            let mut wt = vec![0.0; m * k];
+            let (rs, cs) = (1, k);
+            WeightPack { m: k, k: m, rs, cs }.pack(&self.a, &mut wt);
+            let w = PanelRef::new(&w, mw, kw).from_row(off);
+            let wt = PanelRef::new(&wt, k, m).t();
+            let av = Lhs::Mat(a);
+            for start in [Start::FromC, Start::FromZero] {
+                for layout in [(n, 1), (1, m + 1)] {
+                    let run = |what: &str, f: &dyn Fn(MatMut<'_>)| {
+                        self.check(&format!("{tag} {what}"), start, layout, f);
+                    };
+                    run("gemm", &|c| gemm_on(m, n, k, a, bv, c, start, wide));
+                    run("gemm aᵀ bᵀ", &|c| {
+                        gemm_on(m, n, k, at, bt, c, start, wide)
+                    });
+                    run("packed", &|c| {
+                        packed_on(m, n, k, av, &panels, n, c, start, wide)
+                    });
+                    run("leading", &|c| {
+                        packed_on(m, n, k, av, &leading, pn, c, start, wide)
+                    });
+                    run("panels", &|c| {
+                        gemm_panels_on(m, n, k, w, bv, c, start, wide)
+                    });
+                    run("panels ᵀ", &|c| {
+                        gemm_panels_on(m, n, k, wt, bv, c, start, wide)
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_tiles_are_the_naive_oracle_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for wide in tiles() {
+            let tag = if wide.is_some() { "512-bit" } else { "256-bit" };
+            for (i, &n) in WIDTHS.iter().enumerate() {
+                // past a B block, over more than one row block: the shared B
+                let m = if n >= NC - 1 { MC + 1 } else { 7 };
+                let k = if n <= 2 * NR + 1 && i % 2 == 0 {
+                    KC + 1
+                } else {
+                    3
+                };
+                Case::new(&mut rng, m, n, k).check_entries(wide, tag);
+                // the matrix–vector product: the rows of A are the lanes
+                Case::new(&mut rng, n, 1, k).check_entries(wide, tag);
+            }
+        }
+    }
+
+    #[test]
+    fn both_tiles_are_the_naive_oracle_at_every_slab_height() {
+        // every cut of a row block into slabs of MR, 4, 2 and 1, and row
+        // counts either side of one and two row blocks
+        let mut rng = StdRng::seed_from_u64(29);
+        for wide in tiles() {
+            let tag = if wide.is_some() { "512-bit" } else { "256-bit" };
+            for m in (1..=2 * MR + 1).chain([MC - 1, MC, MC + 1, 2 * MC + 3]) {
+                Case::new(&mut rng, m, 2 * NR + 1, 9).check_entries(wide, tag);
+            }
+        }
+    }
+
+    #[test]
+    fn both_tiles_run_interleaved_batch_slices_as_the_naive_oracle() {
+        // batch innermost in C: each slice's C is strided (cs = batch)
+        let mut rng = StdRng::seed_from_u64(31);
+        let (bsz, m, k) = (3, 7, 9);
+        for wide in tiles() {
+            for n in [1, 2 * NR + 1, 3 * NR] {
+                let cases: Vec<Case> = (0..bsz).map(|_| Case::new(&mut rng, m, n, k)).collect();
+                let (a, b) = (
+                    cases.iter().flat_map(|c| c.a.clone()),
+                    cases.iter().flat_map(|c| c.b.clone()),
+                );
+                let (a, b): (Vec<f32>, Vec<f32>) = (a.collect(), b.collect());
+                let mut c = vec![f32::NAN; bsz * m * n];
+                let at = BatchStrides {
+                    bs: 1,
+                    rs: n * bsz,
+                    cs: bsz,
+                };
+                let (av, bv) = (batch_of(&a, m, k), batch_of(&b, k, n));
+                let cv = BatchMut { data: &mut c, at };
+                gemm_batched_on(bsz, m, n, k, av, bv, cv, Start::FromZero, wide);
+                for (g, case) in cases.iter().enumerate() {
+                    case.check("batched", Start::FromZero, (n * bsz, bsz), |dst| {
+                        for (i, v) in c.iter().enumerate().filter(|(i, _)| i % bsz == g) {
+                            dst.data[i - g] = *v;
+                        }
+                    });
+                }
             }
         }
     }
