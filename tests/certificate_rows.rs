@@ -5,9 +5,9 @@
 //! * `plan/<dims>/<kind>` — one per canned [`PlanKind`] at `tiny` and
 //!   `bert_large` (the backward plans' rows appended when blocks' backwards
 //!   became plans): the plan fingerprint, the certified wave partition, the
-//!   slab words at both arena granularities, every step's
+//!   slab words of the arena's coloring over those waves, every step's
 //!   `(in_bounds, unit_stride, alias_free, derived)` proof and the
-//!   warnings — logically and embedded in both colorings — the geometry of
+//!   warnings — logically and embedded in that coloring — the geometry of
 //!   every cache container, and the footprint words the profiler records
 //!   per step;
 //! * `inject/<injection>` — one per corruption the property suites
@@ -19,7 +19,9 @@
 //! the library that still certified a plan four ways — a race, an arena, an
 //! access and a decode certificate — and are never edited by a change that
 //! means to keep every verdict. Since one certificate took their place, the
-//! arena rows read it over each granularity's coloring and partition. On a mismatch the test
+//! arena rows read it over the wave coloring and partition; since the arena
+//! has one coloring, a row prints that one (re-recorded once, test-only, when
+//! the step-interval coloring's line left the rows). On a mismatch the test
 //! prints every row it computed, and the canonical text of each row that
 //! moved.
 
@@ -85,16 +87,17 @@ fn plan_row(g: &Graph, plan: &ExecutionPlan) -> String {
         proofs(&logical.steps),
         union([&logical.lints[..]])
     );
-    for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-        let (asg, waves) = (assign_arena(&analysis, gran), analysis.waves_for(gran));
-        let embedded = certify_plan(g, plan, &analysis, &waves, Some(&asg)).expect("embedding");
-        out += &format!(
-            "{gran:?} slab {} {} | {}\n",
-            embedded.slab_words,
-            proofs(&embedded.steps),
-            union([&embedded.lints[..]])
-        );
-    }
+    let (asg, waves) = (
+        assign_arena(&analysis, ArenaGranularity::Waves),
+        analysis.parallel_waves(),
+    );
+    let embedded = certify_plan(g, plan, &analysis, &waves, Some(&asg)).expect("embedding");
+    out += &format!(
+        "Waves slab {} {} | {}\n",
+        embedded.slab_words,
+        proofs(&embedded.steps),
+        union([&embedded.lints[..]])
+    );
     let caches = cert.caches.iter();
     let caches: Vec<String> = caches
         .map(|c| format!("{}:{}:{}", c.name, c.capacity, c.col_words))
@@ -261,21 +264,22 @@ fn injection_rows(rows: &mut Vec<(String, String)>) {
     }
     rows.push(("inject/intra-step-alias/fused".into(), text));
 
-    // every shrinkable slot halved, at both granularities
+    // every shrinkable slot halved
     let analysis = analyze(&g, &sound);
     let mut text = String::new();
-    for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-        let (sound_asg, waves) = (assign_arena(&analysis, gran), analysis.waves_for(gran));
-        for vi in 0..sound_asg.slots.len() {
-            if sound_asg.slots[vi].words <= 1 {
-                continue;
-            }
-            let mut asg = sound_asg.clone();
-            asg.slots[vi].words /= 2;
-            let embedded = certify_plan(&g, &sound, &analysis, &waves, Some(&asg));
-            let lints = union([lints_of(&embedded)]);
-            text += &format!("{gran:?}/{vi}: {lints}\n");
+    let (sound_asg, waves) = (
+        assign_arena(&analysis, ArenaGranularity::Waves),
+        analysis.parallel_waves(),
+    );
+    for vi in 0..sound_asg.slots.len() {
+        if sound_asg.slots[vi].words <= 1 {
+            continue;
         }
+        let mut asg = sound_asg.clone();
+        asg.slots[vi].words /= 2;
+        let embedded = certify_plan(&g, &sound, &analysis, &waves, Some(&asg));
+        let lints = union([lints_of(&embedded)]);
+        text += &format!("Waves/{vi}: {lints}\n");
     }
     rows.push(("inject/shrunken-slot/fused".into(), text));
 
