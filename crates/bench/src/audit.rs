@@ -10,7 +10,7 @@
 //! raises. The audited set includes the GEMM-epilogue mega-kernel plans,
 //! which must beat their unfused counterparts on the static account:
 //! `D` strictly lower with `Q` unchanged and strictly fewer bytes resident
-//! at the peak, in a serial arena slab no larger — violations fail the
+//! at the peak, in an arena slab no larger — violations fail the
 //! audit. Every canned plan behind a fused
 //! `SM` runs its attention core as one region, so none but the unfused
 //! reference may hold a container with both a query and a key axis — the
@@ -42,8 +42,8 @@
 //! and prints each certificate's fingerprint and wave partition, failing if
 //! any plan cannot be certified for wave-parallel execution. With
 //! `--access` it runs the same certificate at the logical level
-//! (`xform_core::access::certify_access`) and over the coloring of both
-//! arena granularities, printing each plan's unit-stride step count and
+//! (`xform_core::access::certify_access`) and over the arena's one
+//! coloring, printing each plan's unit-stride step count and
 //! every access lint, failing if any plan fails certification. A strided
 //! inner loop is a warning — that step runs its kernel's lane-at-a-time
 //! strided instantiation — and does not fail a *selected* plan, which may buy it
@@ -55,8 +55,8 @@ use std::collections::HashMap;
 
 use xform_core::access::certify_access;
 use xform_core::analyze::{
-    analyze, assign_arena, audit, cross_call_high_water, lint_selection, render_report,
-    ArenaGranularity, Home, PlanLint, Severity,
+    analyze, assign_arena, audit, cross_call_high_water, lint_selection, render_report, Home,
+    PlanLint, Severity,
 };
 use xform_core::cachemodel::{cache_audit, CacheGeometry};
 use xform_core::fusion::{apply_plan, encoder_fusion_plan};
@@ -177,8 +177,8 @@ enum Mode {
     Json,
     /// Race certification, non-zero exit on an uncertifiable plan.
     Certify,
-    /// Access-path certification at the logical level and both arena
-    /// granularities, non-zero exit on error-severity access lints.
+    /// Access-path certification at the logical level and over the arena's
+    /// coloring, non-zero exit on error-severity access lints.
     Access,
 }
 
@@ -190,22 +190,22 @@ fn strided_sweeps(cert: &PlanCertificate) -> usize {
     cert.lints.iter().filter(strided).count()
 }
 
-/// Certifies one plan logically and over the arena coloring and wave
-/// partition of both granularities. Returns the number of error lints
-/// across the three passes, to which a `natural` (canned, unselected) plan
-/// adds its strided sweeps.
+/// Certifies one plan logically and over the arena's coloring and wave
+/// partition. Returns the number of error lints across the two passes, to
+/// which a `natural` (canned, unselected) plan adds its strided sweeps.
 fn report_access(title: &str, graph: &Graph, plan: &ExecutionPlan, natural: bool) -> usize {
     let analysis = analyze(graph, plan);
     let mut errors = 0usize;
     let logical = certify_access(graph, plan).map(|c| (c, "logical".to_string()));
-    let passes = [ArenaGranularity::Serial, ArenaGranularity::Waves]
-        .into_iter()
-        .map(|gran| {
-            let (arena, waves) = (assign_arena(&analysis, gran), analysis.waves_for(gran));
-            certify_plan(graph, plan, &analysis, &waves, Some(&arena))
-                .map(|c| (c, format!("arena/{gran:?}")))
-        });
-    for outcome in std::iter::once(logical).chain(passes) {
+    let arena = certify_plan(
+        graph,
+        plan,
+        &analysis,
+        &analysis.parallel_waves(),
+        Some(&assign_arena(&analysis)),
+    )
+    .map(|c| (c, "arena/Waves".to_string()));
+    for outcome in [logical, arena] {
         match outcome {
             Ok((cert, tag)) => {
                 println!(
@@ -328,10 +328,8 @@ impl Auditor {
         // arena coloring rides the audit: any fragmentation divergence
         // between the colored slab and the liveness peak becomes a typed
         // (warning) lint alongside the analyzer's own findings
-        let arena_serial = assign_arena(&analysis, ArenaGranularity::Serial);
-        let arena_waves = assign_arena(&analysis, ArenaGranularity::Waves);
-        analysis.lints.extend(arena_serial.lints.iter().cloned());
-        analysis.lints.extend(arena_waves.lints.iter().cloned());
+        let arena = assign_arena(&analysis);
+        analysis.lints.extend(arena.lints.iter().cloned());
         let mut errors = analysis.errors().len() + scores_materialized(key, graph, plan);
         let [borrowed, copied] = [Home::Borrowed, Home::Copied].map(|h| analysis.home_words(h) * 4);
         // a canned plan re-lays nothing: whatever it does not define, but
@@ -388,18 +386,16 @@ impl Auditor {
             }
         } else if mode == Mode::Full {
             print!("{}", render_report(title, &analysis, &movement, device));
-            for (tag, a) in [("serial", &arena_serial), ("waves", &arena_waves)] {
-                println!(
-                    "arena ({tag}): slab {:.1} KiB vs {:.1} KiB peak-resident{}",
-                    a.slab_bytes(4) as f64 / 1024.0,
-                    (a.target_words * 4) as f64 / 1024.0,
-                    if a.lints.is_empty() {
-                        " — exact"
-                    } else {
-                        " — FRAGMENTED"
-                    },
-                );
-            }
+            println!(
+                "arena (waves): slab {:.1} KiB vs {:.1} KiB peak-resident{}",
+                arena.slab_bytes(4) as f64 / 1024.0,
+                (arena.target_words * 4) as f64 / 1024.0,
+                if arena.lints.is_empty() {
+                    " — exact"
+                } else {
+                    " — FRAGMENTED"
+                },
+            );
             println!(
                 "externals: {:.1} KiB borrowed in place, {:.1} KiB copied at bind",
                 borrowed as f64 / 1024.0,
@@ -426,7 +422,7 @@ impl Auditor {
             errors,
             warnings,
             mue: Some(movement.plan_mue),
-            slab_bytes: Some(arena_serial.slab_bytes(4)),
+            slab_bytes: Some(arena.slab_bytes(4)),
             peak_bytes: analysis.peak_resident_bytes(4),
             borrowed_bytes: borrowed,
             bind_copy_bytes: copied,
@@ -648,7 +644,7 @@ fn decode_section(
 /// strictly lower with `Q` unchanged (hence strictly higher static MUE),
 /// strictly fewer bytes resident at the peak — the slab's and the borrowed
 /// externals', what the slab alone held while it copied them — and a
-/// serial arena slab no larger than its unfused counterpart's. Returns the
+/// arena slab no larger than its unfused counterpart's. Returns the
 /// number of violated invariants.
 fn check_epilogue_invariants(results: &[Audited]) -> usize {
     let find = |key: &str| results.iter().find(|r| r.key == key);
@@ -665,6 +661,8 @@ fn check_epilogue_invariants(results: &[Audited]) -> usize {
         };
         let (fp, ep) = (f.peak_bytes, e.peak_bytes);
         let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+        // "serial slab" is the arena's one slab; the pinned outputs keep
+        // the label it had when a plan had two colorings
         println!(
             "{epilogue_key} vs {unfused_key}: Q {:+.1} words, D {:+.1} words, \
              MUE {:.2} → {:.2}, peak resident {:.1} → {:.1} MiB, serial slab {:.1} → {:.1} MiB",
@@ -682,7 +680,7 @@ fn check_epilogue_invariants(results: &[Audited]) -> usize {
             (em.d_words < fm.d_words, "D must strictly drop"),
             (em.value > fm.value, "static MUE must strictly rise"),
             (ep < fp, "peak resident bytes must strictly shrink"),
-            (es <= fs, "serial arena slab must not grow"),
+            (es <= fs, "arena slab must not grow"),
         ] {
             if !ok {
                 eprintln!("FAIL: {epilogue_key} vs {unfused_key}: {what}");
@@ -789,8 +787,10 @@ fn check_floors(
 
 /// Writes `BENCH_plan_audit.json`: the machine-readable mirror of the
 /// static audit — per-plan flat and cache-corrected MUE (value, `Q`,
-/// `D`), predicted DRAM and flat bytes, per-level hit words, serial slab
-/// bytes, the externals' borrowed and copied-at-bind bytes, and every lint
+/// `D`), predicted DRAM and flat bytes, per-level hit words, the arena's
+/// slab bytes (`serial_slab_bytes`, a name older than the arena's one
+/// coloring and kept with the file's bytes), the externals' borrowed and
+/// copied-at-bind bytes, and every lint
 /// with its severity — alongside the geometry it was computed under.
 fn write_json(results: &[Audited], geometry: &CacheGeometry) -> Res<()> {
     let mut out = String::from("{\n  \"bench\": \"plan_audit\",\n");

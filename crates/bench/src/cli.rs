@@ -52,7 +52,7 @@ pub const CERTIFY: Flag = Flag {
 /// `audit`: access-path certification.
 pub const ACCESS: Flag = Flag {
     name: "--access",
-    doc: "access-path-certify every plan, logically and at both arena granularities",
+    doc: "access-path-certify every plan, logically and over its arena's coloring",
 };
 
 /// The flags of `repro audit`.

@@ -10,15 +10,16 @@
 //!   per step the measured time, the bytes the step moves (identical to
 //!   `xform_core::analyze::audit`'s accounting), achieved bandwidth and
 //!   measured vs static MUE, Table-III style, then per-class totals;
-//! * the fused encoder again at 4 threads, which must record every wave of
-//!   its race certificate;
+//! * the unfused reference encoder at 4 threads, which must record every
+//!   wave of its race certificate, and some wave of more than one step (its
+//!   waves are up to three wide: the pool dispatches them);
 //! * each element-wise-fused plan against its GEMM-epilogue twin on two
 //!   traffic shapes, the second sequence-dominant: the epilogue plan must
 //!   move strictly fewer measured bytes;
 //! * the arena's steady-state heap discipline, under the counting global
-//!   allocator `repro` installs: slab/scratch/stats bytes per granularity
+//!   allocator `repro` installs: slab/scratch/stats bytes of the one arena
 //!   and heap events across warm `forward_into` calls — zero for the fused
-//!   and the epilogue encoder, serial and wave-parallel — and the same for
+//!   and the epilogue encoder, at 1 and 4 threads — and the same for
 //!   a streaming decode session's steps;
 //! * the static cache model (`xform_core::cachemodel`) against the
 //!   profiler: on fused-encoder shapes sized so the softmax interim and the
@@ -41,7 +42,8 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xform_core::analyze::audit;
-use xform_core::arena::{self, granularity_for};
+use xform_core::analyze::ArenaGranularity;
+use xform_core::arena;
 use xform_core::cachemodel::{trace_plan, CacheGeometry};
 use xform_core::cpusource::CpuSource;
 use xform_core::fusion::{apply_plan, encoder_fusion_plan};
@@ -133,7 +135,8 @@ struct ArenaRow {
 }
 
 /// Runs an encoder executor through the zero-allocation arena entry
-/// point at both granularities and measures steady-state heap traffic.
+/// point at 1 and at [`PAR_THREADS`] threads and measures steady-state heap
+/// traffic; a row's `tag` names the thread count (`serial` or `waves`).
 fn arena_rows(
     alloc: &CountingAlloc,
     plan: &'static str,
@@ -149,7 +152,7 @@ fn arena_rows(
     let mut rows = Vec::new();
     for (tag, threads) in [("serial", 1usize), ("waves", PAR_THREADS)] {
         let opts = ExecOptions::builder().threads(threads).seed(7).build();
-        let arena = interp::cached_arena(&dims, kind, interp::granularity_for(threads))?
+        let arena = interp::cached_arena(&dims, kind, ArenaGranularity::Serial)?
             .ok_or("arena did not compile for the encoder plan")?;
         // warmup: plan + arena caches, worker pool, env-var resolution
         layer.forward_into(&x, &w, &opts, &mut y)?;
@@ -356,11 +359,11 @@ struct Collected {
     plans: Vec<Profiled>,
     /// The four fused/epilogue twins at a sequence-dominant shape.
     long: Vec<Profiled>,
-    /// The fused encoder at [`PAR_THREADS`] threads.
+    /// The unfused reference encoder at [`PAR_THREADS`] threads.
     parallel: PlanProfiler,
     /// The waves of the certificate of the arena the parallel profile ran
     /// on.
-    waves: usize,
+    waves: Vec<Vec<usize>>,
     arena: Vec<ArenaRow>,
     decode: Decode,
     dram: Vec<DramRow>,
@@ -390,12 +393,14 @@ impl Collected {
         let long = (PLANS[..4].iter())
             .map(|&(key, kind)| profile_canned(key, &seq, kind))
             .collect::<Res<_>>()?;
-        let pf = interp::cached_plan(&d, PlanKind::EncoderFused)?;
-        let base = random_externals(&pf.graph, &pf.plan, 11)?;
+        // a plan with multi-step waves, so the pool has something to run
+        let par = interp::cached_plan(&d, PlanKind::EncoderReference)?;
+        let base = random_externals(&par.graph, &par.plan, 11)?;
         let par_opts = ExecOptions::builder().threads(PAR_THREADS).build();
-        let parallel = profile_plan(&pf.graph, &pf.plan, &base, &par_opts, REPS)?;
+        let parallel = profile_plan(&par.graph, &par.plan, &base, &par_opts, REPS)?;
         // the arena the parallel profile ran on, and its certificate
-        let ran_on = arena::compiled(&pf.graph, &pf.plan, granularity_for(PAR_THREADS))?;
+        let ran_on = arena::compiled(&par.graph, &par.plan)?;
+        let pf = interp::cached_plan(&d, PlanKind::EncoderFused)?;
         let mut arena = arena_rows(alloc, "fused", Executor::Fused, PlanKind::EncoderFused)?;
         let epilogue = (Executor::Epilogue, PlanKind::EncoderEpilogue);
         arena.extend(arena_rows(alloc, "epilogue", epilogue.0, epilogue.1)?);
@@ -404,7 +409,7 @@ impl Collected {
             plans,
             long,
             parallel,
-            waves: ran_on.certificate().waves.len(),
+            waves: ran_on.certificate().waves.clone(),
             arena,
             decode,
             dram,
@@ -429,13 +434,19 @@ impl Collected {
     fn failures(&self) -> Vec<String> {
         let enc = &self.plans[0];
         let mut bad = check_profile("serial", &enc.prof, enc.steps);
-        bad.extend(check_profile("parallel", &self.parallel, enc.steps));
-        if self.parallel.waves().count() != self.waves {
+        let par_steps = self.waves.iter().map(Vec::len).sum();
+        bad.extend(check_profile("parallel", &self.parallel, par_steps));
+        if self.parallel.waves().count() != self.waves.len() {
             bad.push(format!(
                 "parallel: profiled {} of {} waves",
                 self.parallel.waves().count(),
-                self.waves
+                self.waves.len()
             ));
+        }
+        // the leg exists to reach the pool; a worker count is no gate (a
+        // one-vCPU host has no worker)
+        if self.parallel.waves().all(|w| w.steps.len() < 2) {
+            bad.push("parallel: no profiled wave holds more than one step".into());
         }
         let r = &self.reselection;
         if r.best_us() > r.natural_us() {
@@ -574,9 +585,15 @@ impl Collected {
             );
         }
         println!(
-            "\nwave-parallel at {PAR_THREADS} threads: {} of {} certified waves profiled",
+            "\nwave-parallel at {PAR_THREADS} threads: {} of {} certified waves profiled, \
+             widest {} steps",
             self.parallel.waves().count(),
-            self.waves
+            self.waves.len(),
+            self.parallel
+                .waves()
+                .map(|w| w.steps.len())
+                .max()
+                .unwrap_or(0),
         );
 
         println!("\nGEMM-epilogue mega-kernels vs element-wise fusion (measured, 1 thread):");

@@ -831,16 +831,6 @@ impl PlanAnalysis {
         waves
     }
 
-    /// The wave partition an arena at `granularity` dispatches: the
-    /// [`parallel_waves`](PlanAnalysis::parallel_waves) for the worker
-    /// pool, one step a wave in schedule order for a serial run.
-    pub fn waves_for(&self, granularity: ArenaGranularity) -> Vec<Vec<usize>> {
-        match granularity {
-            ArenaGranularity::Serial => (0..self.n_steps).map(|i| vec![i]).collect(),
-            ArenaGranularity::Waves => self.parallel_waves(),
-        }
-    }
-
     /// Wave index per step (the inverse of [`PlanAnalysis::parallel_waves`]).
     pub fn wave_of(&self) -> Vec<usize> {
         let mut out = vec![0usize; self.n_steps];
@@ -898,27 +888,14 @@ impl PlanAnalysis {
     }
 }
 
-/// The execution order an arena assignment (and its certificate) is valid
-/// for. Serial retirement frees a buffer the step after its last use;
-/// wave-parallel retirement frees whole waves at a time, so the two orders
-/// produce *different* live intervals and mutually incompatible colorings.
+/// Selects nothing: every arena is colored over its plan's wave intervals
+/// ([`assign_arena`]) and runs at any thread count. The one variant is kept
+/// because the frozen signatures of `CompiledArena::compile`,
+/// `arena::compiled` and `interp::cached_arena` take it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArenaGranularity {
-    /// Buffers live over step intervals; valid for the serial interpreter.
+    /// The one arena of a plan.
     Serial,
-    /// Buffers live over wave intervals; valid for the wave-parallel
-    /// interpreter (and, conservatively, for serial execution in wave
-    /// order).
-    Waves,
-}
-
-impl fmt::Display for ArenaGranularity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ArenaGranularity::Serial => "serial",
-            ArenaGranularity::Waves => "waves",
-        })
-    }
 }
 
 /// One buffer's word range in the arena's address space: inside the slab,
@@ -934,10 +911,9 @@ pub struct ArenaSlot {
     pub offset: u64,
     /// Size in words.
     pub words: u64,
-    /// First time unit (step or wave, per granularity) the buffer is
-    /// resident.
+    /// First wave the buffer is resident in.
     pub start: usize,
-    /// Last time unit the buffer is resident.
+    /// Last wave the buffer is resident in.
     pub end: usize,
     /// A [`Home::Borrowed`] external: the range stands for the caller's
     /// memory, which no other buffer shares at any time.
@@ -950,18 +926,14 @@ pub struct ArenaSlot {
 /// its own past the slab's end.
 #[derive(Debug, Clone)]
 pub struct ArenaAssignment {
-    /// The execution order the coloring is valid for.
-    pub granularity: ArenaGranularity,
     /// One slot per live buffer, in liveness order.
     pub slots: Vec<ArenaSlot>,
     /// Total slab size in words (the arena's high-water mark).
     pub slab_words: u64,
     /// The statically predicted peak-resident words of the slab-owned
-    /// buffers, which the slab is measured against: over steps for
-    /// [`ArenaGranularity::Serial`], over waves for
-    /// [`ArenaGranularity::Waves`]. With the borrowed externals live beside
-    /// them that is [`PlanAnalysis::peak_resident_words`] (or the
-    /// wave-granularity peak).
+    /// buffers over the plan's waves, which the slab is measured against.
+    /// For a chain (every wave one step) that is
+    /// [`PlanAnalysis::peak_resident_words`] without the borrowed externals.
     pub target_words: u64,
     /// [`PlanLint::ArenaFragmentation`] when `slab_words > target_words`;
     /// empty otherwise.
@@ -1030,40 +1002,40 @@ fn color_intervals(iv: &[(usize, usize, u64)], order: &[usize], best_fit: bool) 
 /// access (the pass deliberately adds no cache-line padding — padding
 /// would push the slab above the peak-resident target the audit pins).
 ///
+/// A buffer lives over the [`PlanAnalysis::parallel_waves`] from its
+/// defining step's through its last reader's (through the last wave for
+/// outputs, saved tensors and caches), so words are reused only across
+/// waves: the one coloring is sound whether a wave's steps run one after
+/// another on the caller's thread or side by side on the pool.
+///
 /// Several deterministic placement orders are tried and the smallest slab
 /// wins; when even the best coloring exceeds the liveness peak, the
 /// assignment carries a [`PlanLint::ArenaFragmentation`] warning and the
 /// divergence is surfaced by `repro audit`.
-pub fn assign_arena(analysis: &PlanAnalysis, granularity: ArenaGranularity) -> ArenaAssignment {
-    let last_wave = analysis.parallel_waves().len().saturating_sub(1);
-    let wave_of = match granularity {
-        ArenaGranularity::Serial => Vec::new(),
-        ArenaGranularity::Waves => analysis.wave_of(),
-    };
+pub fn assign_arena(analysis: &PlanAnalysis) -> ArenaAssignment {
+    let wave_of = analysis.wave_of();
+    let last_wave = wave_of.iter().copied().max().unwrap_or(0);
     let iv: Vec<(usize, usize, u64)> = analysis
         .liveness
         .iter()
-        .map(|b| match granularity {
-            ArenaGranularity::Serial => (b.start, b.end, b.words),
-            ArenaGranularity::Waves => {
-                let ws = b.def.map_or(0, |d| wave_of[d]);
-                let pinned = matches!(b.role, DataRole::Output | DataRole::Saved | DataRole::Cache);
-                // a reader's wave need not follow its schedule position: the
-                // last wave that reads it is the latest over every reader —
-                // those behind a write, and those ahead of a later one
-                let edges = analysis.deps.iter().filter(|e| e.data == b.data);
-                let readers = edges
-                    .filter(|e| e.kind != DepKind::Waw)
-                    .map(|e| match e.kind {
-                        DepKind::Raw => wave_of[e.to],
-                        _ => wave_of[e.from],
-                    });
-                let last = readers
-                    .chain(b.last_use.map(|u| wave_of[u]))
-                    .fold(ws, usize::max);
-                let we = if pinned { last_wave } else { last };
-                (ws, we, b.words)
-            }
+        .map(|b| {
+            let ws = b.def.map_or(0, |d| wave_of[d]);
+            let pinned = matches!(b.role, DataRole::Output | DataRole::Saved | DataRole::Cache);
+            // a reader's wave need not follow its schedule position: the
+            // last wave that reads it is the latest over every reader —
+            // those behind a write, and those ahead of a later one
+            let edges = analysis.deps.iter().filter(|e| e.data == b.data);
+            let readers = edges
+                .filter(|e| e.kind != DepKind::Waw)
+                .map(|e| match e.kind {
+                    DepKind::Raw => wave_of[e.to],
+                    _ => wave_of[e.from],
+                });
+            let last = readers
+                .chain(b.last_use.map(|u| wave_of[u]))
+                .fold(ws, usize::max);
+            let we = if pinned { last_wave } else { last };
+            (ws, we, b.words)
         })
         .collect();
 
@@ -1184,7 +1156,6 @@ pub fn assign_arena(analysis: &PlanAnalysis, granularity: ArenaGranularity) -> A
         });
     }
     ArenaAssignment {
-        granularity,
         slots,
         slab_words,
         target_words,

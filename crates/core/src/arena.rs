@@ -6,8 +6,8 @@
 //!
 //! [`CompiledArena::compile`] passes the plan through the lint gate, colors
 //! its buffer-liveness intervals into slab offsets with
-//! [`crate::analyze::assign_arena`], certifies the plan over the wave
-//! partition it will dispatch and that coloring
+//! [`crate::analyze::assign_arena`] — one coloring per plan, over its
+//! wave intervals — certifies the plan over those waves and that coloring
 //! ([`crate::sanitize::certify_plan`]: the coloring respects liveness,
 //! every access path stays inside its slot, no two steps of a wave race)
 //! and keeps the [`PlanCertificate`], and precompiles every step into a
@@ -79,12 +79,15 @@
 //! bit, because a step's masks are a function of its key — the run's seed
 //! and the step's stream ([`stream_key`]) — and of each element's index:
 //!
-//! * **serial** — steps in schedule order (`threads <= 1`);
-//! * **waves** — each wave dispatched across a lazily-spawned persistent
-//!   worker pool (scoped-thread spawning would allocate per call);
+//! * **caller's thread** — the certified waves in order, each wave's steps
+//!   one after another (`threads <= 1`): no pool is touched, no thread
+//!   spawned and no dispatch lock taken;
+//! * **pool** — the same waves in the same order, each multi-step wave
+//!   dispatched across a lazily-spawned persistent worker pool
+//!   (scoped-thread spawning would allocate per call);
 //! * **poison** — the aliasing-aware checking mode: the slab is poisoned
-//!   with NaN, each buffer is re-poisoned the moment its certified live
-//!   interval ends, and every step's outputs are checked finite, so a
+//!   with NaN, each buffer is re-poisoned after the wave its certified
+//!   live interval ends in, and every step's outputs are checked finite, so a
 //!   read of a dead (reused) buffer surfaces as an error instead of
 //!   silent corruption;
 //! * **timed** — with a profiler sink set, each step writes its wall time
@@ -117,7 +120,7 @@ use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
 use crate::access::{view_path, AccessPath};
-use crate::analyze::{analyze, ArenaGranularity, Home, PlanAnalysis};
+use crate::analyze::{analyze, assign_arena, ArenaGranularity, Home, PlanAnalysis};
 use crate::lower::{
     lower_step, sweep_of, walk_of, weight_pack, Kernel, RelayoutCopy, Role, Slot, Stats, Tail,
 };
@@ -457,7 +460,6 @@ impl ArenaArtifact<'_> {
 /// materialized into an [`ExecState`]).
 #[derive(Debug)]
 pub struct CompiledArena {
-    granularity: ArenaGranularity,
     /// The plan's [`plan_key`]: a profiler sink made for another plan is
     /// refused.
     key: u64,
@@ -478,34 +480,24 @@ pub struct CompiledArena {
     buffers: Mutex<ArenaBuffers>,
 }
 
-/// The arena execution order a run at this thread count needs:
-/// wave-granularity colorings for the worker pool, serial colorings
-/// (tighter slabs) otherwise.
-pub fn granularity_for(threads: usize) -> ArenaGranularity {
-    if threads > 1 {
-        ArenaGranularity::Waves
-    } else {
-        ArenaGranularity::Serial
-    }
-}
-
 /// A profiler sink, locked: a panic under the lock leaves whole records.
 fn lock_sink(sink: &ProfilerSink) -> MutexGuard<'_, PlanProfiler> {
     sink.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl CompiledArena {
-    /// Lowers an analyzed plan onto a static arena at the given
-    /// granularity. Everything a run would otherwise have to re-check per
-    /// call is checked here, once: the analyzer's lint gate, then the one
-    /// certificate ([`crate::sanitize::certify_plan`]) over the wave
-    /// partition the run will dispatch — the plan's own at
-    /// [`ArenaGranularity::Waves`], one step a wave at
-    /// [`ArenaGranularity::Serial`] — and the coloring it will run out of.
+    /// Lowers an analyzed plan onto a static arena. Everything a run would
+    /// otherwise have to re-check per call is checked here, once: the
+    /// analyzer's lint gate, then the one certificate
+    /// ([`crate::sanitize::certify_plan`]) over the plan's
+    /// [`parallel_waves`](PlanAnalysis::parallel_waves), which every run
+    /// walks at any thread count, and the one coloring over those waves
+    /// ([`crate::analyze::assign_arena`]) it will run out of.
     ///
     /// Always `Ok(Some(_))` on success: every plan that passes the gate
     /// compiles, in any layout. (The `Option` dates from when strided
-    /// plans ran elsewhere; the signature is frozen.)
+    /// plans ran elsewhere, and the [`ArenaGranularity`] selects nothing
+    /// since the arena has one coloring; the signature is frozen.)
     ///
     /// # Errors
     ///
@@ -521,10 +513,10 @@ impl CompiledArena {
         graph: &Graph,
         plan: &ExecutionPlan,
         analysis: &PlanAnalysis,
-        granularity: ArenaGranularity,
+        _granularity: ArenaGranularity,
     ) -> Result<Option<CompiledArena>> {
         analysis.gate()?;
-        CompiledArena::build(graph, plan, analysis, granularity).map(Some)
+        CompiledArena::build(graph, plan, analysis).map(Some)
     }
 
     /// [`CompiledArena::compile`] past the lint gate. The measurement
@@ -536,10 +528,9 @@ impl CompiledArena {
         graph: &Graph,
         plan: &ExecutionPlan,
         analysis: &PlanAnalysis,
-        granularity: ArenaGranularity,
     ) -> Result<CompiledArena> {
-        let waves = analysis.waves_for(granularity);
-        let assignment = crate::analyze::assign_arena(analysis, granularity);
+        let waves = analysis.parallel_waves();
+        let assignment = assign_arena(analysis);
         let cert =
             certify_plan(graph, plan, analysis, &waves, Some(&assignment)).map_err(|lints| {
                 let lints: Vec<String> = lints.iter().map(ToString::to_string).collect();
@@ -700,7 +691,6 @@ impl CompiledArena {
         }
 
         Ok(CompiledArena {
-            granularity,
             key: plan_key(graph, plan),
             cert,
             slab_words,
@@ -738,7 +728,6 @@ impl CompiledArena {
     /// layer, each slab holding that layer's resident cache.
     pub fn fresh(&self) -> CompiledArena {
         CompiledArena {
-            granularity: self.granularity,
             key: self.key,
             cert: self.cert.clone(),
             slab_words: self.slab_words,
@@ -776,8 +765,8 @@ impl CompiledArena {
         })
     }
 
-    /// The certificate the plan earned at compile, over this arena's wave
-    /// partition and coloring.
+    /// The certificate the plan earned at compile, over the plan's waves
+    /// and this arena's coloring.
     pub fn certificate(&self) -> &PlanCertificate {
         &self.cert
     }
@@ -910,9 +899,7 @@ impl CompiledArena {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidDropout`] when `opts.dropout_p` is
-    /// outside `[0, 1)`, [`TensorError::SerialOnly`] when `opts.threads >
-    /// 1` on an arena compiled at [`ArenaGranularity::Serial`],
-    /// [`TensorError::Unsupported`] when `opts.profiler` was made for
+    /// outside `[0, 1)`, [`TensorError::Unsupported`] when `opts.profiler` was made for
     /// another plan, [`TensorError::UnboundExternal`] naming the container
     /// `resolve` answered with no slice (but for a cache) or one of the
     /// wrong length,
@@ -926,11 +913,6 @@ impl CompiledArena {
     ) -> Result<()> {
         let run = &ArenaRun::new(opts)?;
         let parallel = run.threads > 1;
-        if parallel && self.granularity != ArenaGranularity::Waves {
-            return Err(TensorError::SerialOnly {
-                threads: run.threads,
-            });
-        }
         let refused = |sink: &ProfilerSink| !lock_sink(sink).admits(self.key);
         if opts.profiler.is_some_and(refused) {
             return Err(TensorError::Unsupported(
@@ -980,13 +962,7 @@ impl CompiledArena {
                 bufs.stats[v.off..v.off + v.len].copy_from_slice(src.ok_or_else(unbound)?);
             }
         }
-        let mem = SlabMem::new(bufs);
-        let workers = if parallel {
-            self.run_parallel(mem, run)?
-        } else {
-            self.run_serial(mem, run)?;
-            1
-        };
+        let workers = self.run_waves(SlabMem::new(bufs), run)?;
         for m in &self.outputs {
             sink(ArenaArtifact::Tensor {
                 name: &m.name,
@@ -1054,37 +1030,30 @@ impl CompiledArena {
         self.execute_bound(opts, resolve, &mut sink)
     }
 
-    fn run_serial(&self, mem: SlabMem, run: &ArenaRun) -> Result<()> {
-        for (w, wave) in self.cert.waves.iter().enumerate() {
-            for &si in wave {
-                // SAFETY: the arena certificate proves every pair of
-                // simultaneously-live buffers occupies disjoint slab
-                // ranges, and serial execution never overlaps two steps.
-                unsafe { run_indexed(&self.steps, si, mem, run) };
-            }
-            if run.sanitize {
-                self.sanitize_wave(mem, w)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Dispatches each wave across the pool; returns how many threads
+    /// Runs the certified waves in order: on the caller's thread at
+    /// `threads <= 1`, which never touches the pool, and otherwise with
+    /// each multi-step wave dispatched across it. Returns how many threads
     /// served the multi-step waves.
-    fn run_parallel(&self, mem: SlabMem, run: &ArenaRun) -> Result<usize> {
-        let pool = pool();
+    fn run_waves(&self, mem: SlabMem, run: &ArenaRun) -> Result<usize> {
+        let pool = (run.threads > 1).then(pool);
         // serialize concurrent parallel arena runs; waves of one run must
         // not interleave with another run's on the shared job slot
-        let _dispatch = pool.dispatch.lock().unwrap_or_else(|e| e.into_inner());
+        let _dispatch = pool.map(|p| p.dispatch.lock().unwrap_or_else(|e| e.into_inner()));
         for (w, wave) in self.cert.waves.iter().enumerate() {
             let t0 = run.timed.then(Instant::now);
-            if wave.len() <= 1 || pool.workers == 0 {
-                for &si in wave {
-                    // SAFETY: as in `run_serial`.
-                    unsafe { run_indexed(&self.steps, si, mem, run) };
+            match pool {
+                Some(pool) if wave.len() > 1 && pool.workers > 0 => {
+                    pool.run_wave(&self.steps, wave, mem, run)?;
                 }
-            } else {
-                pool.run_wave(&self.steps, wave, mem, run)?;
+                _ => {
+                    for &si in wave {
+                        // SAFETY: the arena certificate proves every pair
+                        // of simultaneously-live buffers occupies disjoint
+                        // slab ranges, and this thread runs one step at a
+                        // time.
+                        unsafe { run_indexed(&self.steps, si, mem, run) };
+                    }
+                }
             }
             if let Some(t0) = t0 {
                 // SAFETY: one slot per wave, sized at compile; only this
@@ -1095,7 +1064,7 @@ impl CompiledArena {
                 self.sanitize_wave(mem, w)?;
             }
         }
-        Ok(pool.workers + 1)
+        Ok(pool.map_or(1, |p| p.workers + 1))
     }
 
     /// Poison-mode epilogue for one wave: every output written by the
@@ -1123,7 +1092,7 @@ impl CompiledArena {
     }
 }
 
-type Memo = Mutex<HashMap<(u64, ArenaGranularity), Arc<CompiledArena>>>;
+type Memo = Mutex<HashMap<u64, Arc<CompiledArena>>>;
 
 fn memo() -> &'static Memo {
     static MEMO: OnceLock<Memo> = OnceLock::new();
@@ -1151,20 +1120,16 @@ pub(crate) fn plan_key(graph: &Graph, plan: &ExecutionPlan) -> u64 {
     h
 }
 
-/// The compiled arena of `plan` at `granularity`, analyzed, certified and
-/// compiled on first use and memoized per distinct plan — so a plan is
-/// checked once, not on every call. Callers of one plan share one arena and
-/// queue on its buffers.
+/// The compiled arena of `plan`, analyzed, certified and compiled on first
+/// use and memoized per distinct plan — so a plan is checked once, not on
+/// every call, and runs out of one slab at any thread count. Callers of
+/// one plan share one arena and queue on its buffers.
 ///
 /// # Errors
 ///
 /// Same as [`CompiledArena::compile`].
-pub fn compiled(
-    graph: &Graph,
-    plan: &ExecutionPlan,
-    granularity: ArenaGranularity,
-) -> Result<Arc<CompiledArena>> {
-    let key = (plan_key(graph, plan), granularity);
+pub fn compiled(graph: &Graph, plan: &ExecutionPlan) -> Result<Arc<CompiledArena>> {
+    let key = plan_key(graph, plan);
     let lock = || memo().lock().unwrap_or_else(|e| e.into_inner());
     if let Some(hit) = lock().get(&key).filter(|a| a.matches(plan)) {
         return Ok(Arc::clone(hit));
@@ -1172,7 +1137,7 @@ pub fn compiled(
     // compile outside the lock; a racing duplicate is benign
     let analysis = analyze(graph, plan);
     analysis.gate()?;
-    let built = Arc::new(CompiledArena::build(graph, plan, &analysis, granularity)?);
+    let built = Arc::new(CompiledArena::build(graph, plan, &analysis)?);
     lock().insert(key, Arc::clone(&built));
     Ok(built)
 }
@@ -1182,8 +1147,8 @@ pub fn clear_compiled() {
     memo().lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
-/// Runs `plan` against `state` on its memoized arena ([`compiled`]) at the
-/// granularity `opts.threads` asks for, binding externals out of
+/// Runs `plan` against `state` on its memoized arena ([`compiled`]) at
+/// `opts.threads`, binding externals out of
 /// `state.env` (and the statistics a backward kernel reads out of
 /// `state.stats`) and materializing every output, saved activation and
 /// layer-norm statistic back into it, each in the layout the plan leaves
@@ -1200,7 +1165,7 @@ pub fn execute(
     state: &mut ExecState,
     opts: &ExecOptions,
 ) -> Result<()> {
-    let arena = compiled(graph, plan, granularity_for(opts.threads))?;
+    let arena = compiled(graph, plan)?;
     let mut produced = ExecState::default();
     // the words of a tensor stored in its natural layout are borrowed as
     // they are; one an earlier plan left in another is normalized first
@@ -1746,8 +1711,8 @@ mod tests {
         (g, plan)
     }
 
-    fn compile(graph: &Graph, plan: &ExecutionPlan, g: ArenaGranularity) -> CompiledArena {
-        CompiledArena::compile(graph, plan, &analyze(graph, plan), g)
+    fn compile(graph: &Graph, plan: &ExecutionPlan) -> CompiledArena {
+        CompiledArena::compile(graph, plan, &analyze(graph, plan), ArenaGranularity::Serial)
             .unwrap()
             .expect("every gated plan compiles")
     }
@@ -1808,12 +1773,12 @@ mod tests {
     fn canned_fused_plan_compiles_and_matches_env_bitwise() {
         let (graph, plan) = fused_plan();
         let analysis = analyze(&graph, &plan);
-        let arena = compile(&graph, &plan, ArenaGranularity::Serial);
+        let arena = compile(&graph, &plan);
         assert!(arena.matches(&plan));
         assert_eq!(
             arena.slab_words() as u64,
             slab_owned_peak(&analysis),
-            "serial arena slab must hit the peak-resident target exactly"
+            "a chain's slab must hit the peak-resident target exactly"
         );
 
         let base = random_externals(&graph, &plan, 42).unwrap();
@@ -1847,7 +1812,7 @@ mod tests {
             ..EncoderDims::tiny()
         };
         let (graph, plan) = fused_plan_at(&dims);
-        let arena = compile(&graph, &plan, ArenaGranularity::Serial);
+        let arena = compile(&graph, &plan);
         let panels = arena.steps.iter().flat_map(|s| &s.sweeps);
         assert!(panels.filter(|s| s.walk() == Walk::Panel).count() >= 2);
         let base = random_externals(&graph, &plan, 21).unwrap();
@@ -1871,9 +1836,9 @@ mod tests {
     }
 
     #[test]
-    fn waves_arena_parallel_matches_serial_arena_bitwise() {
+    fn one_arena_runs_the_same_bits_at_any_thread_count() {
         let (graph, plan) = fused_plan();
-        let arena = compile(&graph, &plan, ArenaGranularity::Waves);
+        let arena = compile(&graph, &plan);
         let base = random_externals(&graph, &plan, 7).unwrap();
         // every external of a natural plan is borrowed: the workers of a
         // wave share the caller's slices, and none has a slab range
@@ -1901,13 +1866,13 @@ mod tests {
     fn sanitized_arena_run_passes_on_clean_plan() {
         let (graph, plan) = fused_plan();
         let base = random_externals(&graph, &plan, 11).unwrap();
-        for (g, threads) in [(ArenaGranularity::Serial, 1), (ArenaGranularity::Waves, 4)] {
-            let arena = compile(&graph, &plan, g);
+        let arena = compile(&graph, &plan);
+        for threads in [1, 4] {
             let opts = ExecOptions::builder()
                 .threads(threads)
                 .sanitize(SanitizeMode::On)
                 .build();
-            assert!(!run(&arena, &base, &opts).is_empty(), "{g}");
+            assert!(!run(&arena, &base, &opts).is_empty(), "{threads}");
         }
     }
 
@@ -1917,7 +1882,7 @@ mod tests {
     #[test]
     fn timed_wave_parallel_run_fills_every_slot_and_changes_no_bit() {
         let (graph, plan) = fused_plan();
-        let arena = compile(&graph, &plan, ArenaGranularity::Waves);
+        let arena = compile(&graph, &plan);
         let base = random_externals(&graph, &plan, 5).unwrap();
         let plain = ExecOptions::builder().dropout_p(0.3).threads(4).build();
         let untimed = run(&arena, &base, &plain);
@@ -1953,25 +1918,23 @@ mod tests {
     fn a_carve_kernel_receives_exactly_its_third_of_the_stacked_slot() {
         let eg = build::encoder(&EncoderDims::tiny());
         let plan = ExecutionPlan::natural(&eg.graph, &forward_ops(&eg.graph, eg.dy)).unwrap();
-        for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-            let arena = compile(&eg.graph, &plan, gran);
-            let slot_of = |name: &str, output: bool| {
-                let si = plan.steps.iter().position(|s| s.name == name).unwrap();
-                let k = match output {
-                    true => arena.steps[si].operands.len() - 1,
-                    false => 0,
-                };
-                match arena.steps[si].operands[k].0 {
-                    Place::Slab(words) => words,
-                    Place::Borrowed(..) => panic!("`{name}` reads a slab container"),
-                }
+        let arena = compile(&eg.graph, &plan);
+        let slot_of = |name: &str, output: bool| {
+            let si = plan.steps.iter().position(|s| s.name == name).unwrap();
+            let k = match output {
+                true => arena.steps[si].operands.len() - 1,
+                false => 0,
             };
-            // the projection writes the whole stacked container
-            let stacked = slot_of("Q,K,V", true);
-            let third = stacked.len / 3;
-            let k = slot_of("Input bias K", false);
-            assert_eq!((k.off, k.len), (stacked.off + third, third), "{gran:?}");
-        }
+            match arena.steps[si].operands[k].0 {
+                Place::Slab(words) => words,
+                Place::Borrowed(..) => panic!("`{name}` reads a slab container"),
+            }
+        };
+        // the projection writes the whole stacked container
+        let stacked = slot_of("Q,K,V", true);
+        let third = stacked.len / 3;
+        let k = slot_of("Input bias K", false);
+        assert_eq!((k.off, k.len), (stacked.off + third, third));
     }
 
     #[test]
@@ -1982,7 +1945,7 @@ mod tests {
         // holds producers next to their consumers
         analysis.deps.clear();
         assert_eq!(analysis.parallel_waves().len(), 1);
-        let err = CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Waves)
+        let err = CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Serial)
             .unwrap_err()
             .to_string();
         assert!(
@@ -1992,9 +1955,9 @@ mod tests {
     }
 
     #[test]
-    fn unbound_externals_and_threads_on_a_serial_arena_are_typed_errors() {
+    fn unbound_externals_are_typed_errors() {
         let (graph, plan) = fused_plan();
-        let arena = compile(&graph, &plan, ArenaGranularity::Serial);
+        let arena = compile(&graph, &plan);
         let base = random_externals(&graph, &plan, 3).unwrap();
         let mut out = ExecState::default();
         let opts = ExecOptions::default();
@@ -2021,16 +1984,10 @@ mod tests {
             matches!(&err, TensorError::UnboundExternal { container, .. } if container == "w1"),
             "{err}"
         );
-        // more than one thread needs the wave coloring
-        let two = ExecOptions::builder().threads(2).build();
-        let err = arena
-            .execute_into_state(&two, &mut binder(&base, ""), &mut out)
-            .unwrap_err();
-        assert_eq!(err, TensorError::SerialOnly { threads: 2 });
         // only a cache may be declined: an external that lives in the slab
         // because the plan re-lays it is unbound without its slice
         let (graph, _, strided) = strided_plan();
-        let arena = compile(&graph, &strided, ArenaGranularity::Serial);
+        let arena = compile(&graph, &strided);
         for name in ["x", "w1"] {
             assert!(arena.with_external(name, |_| ()).is_some(), "`{name}`");
             let err = arena
@@ -2056,14 +2013,9 @@ mod tests {
             let clobber = graph.add_op("clobber", OpKind::Residual, &[a, b], &[w]);
             let reader = graph.add_op("reader", OpKind::Residual, &[a, w], &[y]);
             let plan = ExecutionPlan::natural(&graph, &[clobber, reader]).unwrap();
-            let err = CompiledArena::build(
-                &graph,
-                &plan,
-                &analyze(&graph, &plan),
-                ArenaGranularity::Serial,
-            )
-            .unwrap_err()
-            .to_string();
+            let err = CompiledArena::build(&graph, &plan, &analyze(&graph, &plan))
+                .unwrap_err()
+                .to_string();
             assert!(err.contains("step 0 (`clobber`) writes `w`"), "{err}");
         }
     }
@@ -2110,18 +2062,16 @@ mod tests {
 
     /// The strided-plus-relayout run CI interprets under Miri: the same
     /// plan in other layouts is the same logical bits — outputs, saved
-    /// masks and statistics, dropout on — at either granularity, each
+    /// masks and statistics, dropout on — at one thread and at four, each
     /// container materialized in the layout its plan leaves it in.
     #[test]
     fn a_strided_plan_with_relayouts_computes_the_natural_plans_bits() {
         let (graph, natural, strided) = strided_plan();
-        for g in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-            let a = compiled(&graph, &strided, g).unwrap();
-            let b = compiled(&graph, &strided, g).unwrap();
-            assert!(Arc::ptr_eq(&a, &b), "one arena per distinct plan");
-            let n = compiled(&graph, &natural, g).unwrap();
-            assert!(!Arc::ptr_eq(&a, &n));
-        }
+        let a = compiled(&graph, &strided).unwrap();
+        let b = compiled(&graph, &strided).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "one arena per distinct plan");
+        let n = compiled(&graph, &natural).unwrap();
+        assert!(!Arc::ptr_eq(&a, &n));
         let base = random_externals(&graph, &natural, 9).unwrap();
         // a sink is made for one plan: one for each
         let sinks: [ProfilerSink; 2] =
@@ -2166,8 +2116,8 @@ mod tests {
         let mut wider = eg.graph;
         apply_plan(&mut wider, &encoder_fusion_plan()).unwrap();
         let wider_plan = ExecutionPlan::natural(&wider, &forward_ops(&wider, eg.dy)).unwrap();
-        let a = compiled(&graph, &natural, ArenaGranularity::Serial).unwrap();
-        let b = compiled(&wider, &wider_plan, ArenaGranularity::Serial).unwrap();
+        let a = compiled(&graph, &natural).unwrap();
+        let b = compiled(&wider, &wider_plan).unwrap();
         assert!(b.slab_words() > a.slab_words());
         // same schedule, other arithmetic: another arena, other bits
         let y = |graph: &Graph| {
@@ -2179,7 +2129,7 @@ mod tests {
         gelu.set_activation(ActivationKind::Gelu);
         unscaled.set_softmax_scale(1.0);
         for other in [gelu, unscaled] {
-            let c = compiled(&other, &natural, ArenaGranularity::Serial).unwrap();
+            let c = compiled(&other, &natural).unwrap();
             assert!(!Arc::ptr_eq(&a, &c));
             assert_ne!(y(&other).data(), y(&graph).data());
         }
@@ -2211,27 +2161,25 @@ mod tests {
             [0, 1],
             "the reader precedes the relayout"
         );
-        let arena = compile(&graph, &plan, ArenaGranularity::Waves);
+        let arena = compile(&graph, &plan);
         // and the pair computes what the natural plan does
         let base = random_externals(&graph, &plan, 2).unwrap();
         let opts = ExecOptions::builder().threads(2).build();
         let got = run(&arena, &base, &opts);
         let natural = ExecutionPlan::natural(&graph, &[reader, mover]).unwrap();
-        let want = compile(&graph, &natural, ArenaGranularity::Waves);
+        let want = compile(&graph, &natural);
         assert_eq!(got, run(&want, &base, &opts));
 
         // forget the hazard: reader and relayout share a wave
         analysis.deps.clear();
         assert_eq!(analysis.wave_of(), [0, 0]);
-        let err = CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Waves)
+        let err = CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Serial)
             .unwrap_err()
             .to_string();
         assert!(
             err.contains("failed certification") && err.contains("race on"),
             "{err}"
         );
-        // the serial order never overlaps two steps: still fine
-        CompiledArena::compile(&graph, &plan, &analysis, ArenaGranularity::Serial).unwrap();
     }
 
     /// The one boundary: an epilogue step reads A and B strided but its
@@ -2251,7 +2199,7 @@ mod tests {
         let a = &mut plan.steps[si].inputs[0].layout;
         *a = reversed(*a);
         plan.reflow(&g);
-        compile(&g, &plan, ArenaGranularity::Serial);
+        compile(&g, &plan);
         // strided tail stream: refused
         let (name, out) = (
             plan.steps[si].name.clone(),
@@ -2292,12 +2240,12 @@ mod tests {
                 apply_plan(&mut g, &f()).unwrap();
             }
             let plan = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
-            let arena = compile(&g, &plan, ArenaGranularity::Serial);
+            let arena = compile(&g, &plan);
             let analysis = analyze(&g, &plan);
             assert_eq!(
                 arena.slab_words() as u64,
                 slab_owned_peak(&analysis),
-                "{label}: serial slab must hit the peak of what it owns"
+                "{label}: a chain's slab must hit the peak of what it owns"
             );
             // and what it owns is everything but the inputs and weights
             let owns = |b: &&crate::analyze::BufferLiveness| b.home != Home::Borrowed;

@@ -37,7 +37,7 @@ use xform_gpusim::KernelCost;
 use xform_tensor::contract::contract;
 use xform_tensor::{Result, Shape, Tensor, TensorError};
 
-use crate::analyze::{analyze, ArenaGranularity};
+use crate::analyze::analyze;
 use crate::arena::CompiledArena;
 use crate::lower::lower_step;
 use crate::plan::{relaid, ExecOptions, ExecutionPlan, SanitizeMode};
@@ -122,7 +122,7 @@ impl StandaloneKernel {
         let analysis = analyze(graph, &plan);
         // past the gate: a lone step's inputs have no producer and sit in
         // the layouts under test, which the schedule lints would refuse
-        let arena = CompiledArena::build(graph, &plan, &analysis, ArenaGranularity::Serial).ok()?;
+        let arena = CompiledArena::build(graph, &plan, &analysis).ok()?;
         let dist = rand::distributions::Uniform::new(-1.0f32, 1.0);
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let mut draw = |words| (0..words).map(|_| dist.sample(&mut rng)).collect();

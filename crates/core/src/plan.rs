@@ -344,10 +344,11 @@ pub struct ExecOptions<'p> {
     /// Dropout probability (`0` disables dropout deterministically: every
     /// mask is `1` and none is computed).
     pub dropout_p: f32,
-    /// Worker threads: `1` (or `0`) runs the arena's steps in schedule
-    /// order; more dispatches each hazard-free wave across the arena's
-    /// worker pool (same values: a mask is a function of the step's key and
-    /// the element's index).
+    /// Worker threads: `1` (or `0`) runs the plan's certified waves in
+    /// order on the caller's thread; more dispatches each multi-step wave
+    /// across the arena's worker pool. One arena, one slab and the same
+    /// values either way: a mask is a function of the step's key and the
+    /// element's index.
     pub threads: usize,
     /// Seed for the dropout masks (the arena keys each step by it and the
     /// step's stream).

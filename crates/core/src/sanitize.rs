@@ -57,7 +57,7 @@ use xform_dataflow::{DataRole, Graph, NodeId};
 use crate::access::{
     step_accesses, AccessKind, KvCacheGeometry, OperandAccess, StepAccessProof, StepAccesses,
 };
-use crate::analyze::{analyze, ArenaAssignment, ArenaGranularity, DepKind, PlanAnalysis};
+use crate::analyze::{analyze, ArenaAssignment, DepKind, PlanAnalysis};
 use crate::analyze::{PlanLint, Severity};
 use crate::plan::ExecutionPlan;
 
@@ -116,9 +116,9 @@ pub struct PlanCertificate {
     /// The certified wave partition (step indices per wave; the
     /// concatenation is a permutation of the schedule).
     pub waves: Vec<Vec<usize>>,
-    /// The arena granularity the slab embedding was proven for (`None` for
-    /// the logical, buffer-level certificate).
-    pub arena: Option<ArenaGranularity>,
+    /// Whether the certificate covers an arena coloring (`false` for the
+    /// logical, buffer-level certificate).
+    pub arena: bool,
     /// Size of the certified slab in words (`0` without an arena).
     pub slab_words: u64,
     /// One access proof per schedule step.
@@ -520,7 +520,7 @@ pub fn certify_plan(
     Ok(PlanCertificate {
         plan_hash: plan_fingerprint(plan),
         waves: waves.to_vec(),
-        arena: arena.map(|a| a.granularity),
+        arena: arena.is_some(),
         slab_words,
         steps: proofs,
         lints: warnings,
@@ -673,22 +673,19 @@ mod tests {
         assert!(cert.lints.iter().any(strided), "{:?}", cert.lints);
     }
 
-    /// The pass over an arena coloring: both granularities certify, with
-    /// their slab recorded; a shrunken slot, two operands of one step on
-    /// the same words, and a write to a borrowed external are refused.
+    /// The pass over the arena coloring: it certifies, with its slab
+    /// recorded; a shrunken slot, two operands of one step on the same
+    /// words, and a write to a borrowed external are refused.
     #[test]
     fn the_arena_embedding_certifies_and_tampered_colorings_do_not() {
         let (g, plan) = fused_plan();
         let analysis = analyze(&g, &plan);
         let waves = analysis.parallel_waves();
         let pass = |asg: &ArenaAssignment| certify_plan(&g, &plan, &analysis, &waves, Some(asg));
-        for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-            let asg = assign_arena(&analysis, gran);
-            let cert = pass(&asg).expect("arena embedding certifies");
-            assert_eq!((cert.arena, cert.slab_words), (Some(gran), asg.slab_words));
-            assert!(cert.unit_stride_steps() > 0);
-        }
-        let sound = assign_arena(&analysis, ArenaGranularity::Serial);
+        let sound = assign_arena(&analysis);
+        let cert = pass(&sound).expect("arena embedding certifies");
+        assert_eq!((cert.arena, cert.slab_words), (true, sound.slab_words));
+        assert!(cert.unit_stride_steps() > 0);
         let unproven = |lints: &[PlanLint], what: &str| {
             lints.iter().any(
                 |l| matches!(l, PlanLint::UnprovenAccess { reason, .. } if reason.contains(what)),

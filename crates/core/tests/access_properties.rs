@@ -34,7 +34,7 @@ fn unfused() -> (Graph, ExecutionPlan) {
 }
 
 /// The arena refuses a tampered plan before any kernel runs: compiling it
-/// fails at both granularities, and a run at one and at four threads
+/// fails, and a run at one and at four threads
 /// fails with the environment — bound from the untampered plan — holding
 /// no output.
 fn refused_by_the_arena(
@@ -43,10 +43,8 @@ fn refused_by_the_arena(
     tampered: &ExecutionPlan,
 ) -> Result<(), String> {
     let analysis = analyze(graph, tampered);
-    for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-        let compiled = CompiledArena::compile(graph, tampered, &analysis, gran);
-        prop_assert!(compiled.is_err(), "{gran:?} compiled a tampered plan");
-    }
+    let compiled = CompiledArena::compile(graph, tampered, &analysis, ArenaGranularity::Serial);
+    prop_assert!(compiled.is_err(), "the arena compiled a tampered plan");
     for threads in [1, 4] {
         let mut state = random_externals(graph, sound, 17).unwrap();
         let bound = state.env.len();
@@ -261,15 +259,10 @@ proptest! {
     // container — breaks the slab embedding: the certificate over the
     // coloring convicts it even though the logical certificate is clean.
     #[test]
-    fn shrunken_arena_slot_is_convicted(victim_pick in 0usize..64, serial in any::<bool>()) {
+    fn shrunken_arena_slot_is_convicted(victim_pick in 0usize..64) {
         let (g, plan) = fused();
         let analysis = analyze(&g, &plan);
-        let gran = if serial {
-            ArenaGranularity::Serial
-        } else {
-            ArenaGranularity::Waves
-        };
-        let (mut arena, waves) = (assign_arena(&analysis, gran), analysis.waves_for(gran));
+        let (mut arena, waves) = (assign_arena(&analysis), analysis.parallel_waves());
         let pass = |arena: &_| certify_plan(&g, &plan, &analysis, &waves, Some(arena));
         pass(&arena).expect("the untampered coloring certifies");
 

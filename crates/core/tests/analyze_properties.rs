@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xform_core::analyze::{
-    analyze, assign_arena, ArenaAssignment, ArenaGranularity, DepKind, Home, PlanLint, Severity,
+    analyze, assign_arena, ArenaAssignment, DepKind, Home, PlanLint, Severity,
 };
 use xform_core::fusion::{apply_plan, decoder_fusion_plan, encoder_fusion_plan};
 use xform_core::plan::{ExecutionPlan, Relayout};
@@ -227,11 +227,10 @@ proptest! {
             .any(|l| matches!(l, PlanLint::RedundantRelayout { .. })));
     }
 
-    // The arena coloring never aliases simultaneously-live buffers at
-    // either granularity, for any problem dimensions — and at serial
-    // granularity its declared target and the borrowed externals bracket
-    // the liveness analysis's peak-resident high-water mark, which counts
-    // both.
+    // The arena coloring never aliases simultaneously-live buffers, for
+    // any problem dimensions — and its declared target and the borrowed
+    // externals bracket the liveness analysis's wave-resident high-water
+    // mark, which counts both.
     #[test]
     fn arena_coloring_never_aliases_live_buffers(seed in 0u64..10_000) {
         let mut pick = StdRng::seed_from_u64(seed);
@@ -249,18 +248,13 @@ proptest! {
         for (g, plan) in cases {
             let analysis = analyze(&g, &plan);
             prop_assert!(analysis.is_clean());
-            for gran in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-                let a = assign_arena(&analysis, gran);
-                prop_assert_eq!(a.granularity, gran);
-                prop_assert_eq!(a.slots.len(), analysis.liveness.len());
-                check_assignment(&a)?;
-                if gran == ArenaGranularity::Serial {
-                    let peak = analysis.peak_resident_words;
-                    let borrowed = analysis.home_words(Home::Borrowed);
-                    prop_assert!(borrowed > 0, "inputs and weights are borrowed");
-                    prop_assert!(a.target_words <= peak && peak <= a.target_words + borrowed);
-                }
-            }
+            let a = assign_arena(&analysis);
+            prop_assert_eq!(a.slots.len(), analysis.liveness.len());
+            check_assignment(&a)?;
+            let peak = analysis.peak_wave_resident_words().1;
+            let borrowed = analysis.home_words(Home::Borrowed);
+            prop_assert!(borrowed > 0, "inputs and weights are borrowed");
+            prop_assert!(a.target_words <= peak && peak <= a.target_words + borrowed);
         }
     }
 }
@@ -268,10 +262,10 @@ proptest! {
 #[test]
 fn canned_plans_color_to_the_audited_peak_exactly() {
     // On every canned plan the randomized packing search must close the
-    // fragmentation gap completely: serial slab words == the peak-resident
-    // words of the buffers the slab owns (`check_assignment` recomputes
-    // them), with no lint — the audited peak less the borrowed externals
-    // live at it.
+    // fragmentation gap completely: slab words == the wave-resident peak
+    // of the buffers the slab owns (`check_assignment` recomputes it), with
+    // no lint — the audited wave peak less the borrowed externals live at
+    // it.
     let dims = EncoderDims::tiny();
     for (tag, (g, plan)) in [
         ("encoder/reference", unfused_at(&dims)),
@@ -279,7 +273,7 @@ fn canned_plans_color_to_the_audited_peak_exactly() {
         ("decoder/fused", decoder_at(&dims)),
     ] {
         let analysis = analyze(&g, &plan);
-        let a = assign_arena(&analysis, ArenaGranularity::Serial);
+        let a = assign_arena(&analysis);
         assert!(a.lints.is_empty(), "{tag}: {:?}", a.lints);
         check_assignment(&a).unwrap();
         assert_eq!(
@@ -287,13 +281,10 @@ fn canned_plans_color_to_the_audited_peak_exactly() {
             "{tag}: slab must equal the peak-resident words of what it owns"
         );
         assert_eq!(a.slab_bytes(4), a.target_words * 4);
-        assert!(a.slab_words < analysis.peak_resident_words, "{tag}");
-        // the wave-granularity coloring answers to its own (coarser) peak
-        let w = assign_arena(&analysis, ArenaGranularity::Waves);
-        check_assignment(&w).unwrap();
-        let wave_peak = analysis.peak_wave_resident_words().1;
-        assert!(w.target_words < wave_peak, "{tag}");
-        assert!(w.slab_words >= a.target_words, "{tag}");
+        assert!(
+            a.slab_words < analysis.peak_wave_resident_words().1,
+            "{tag}"
+        );
     }
 }
 

@@ -49,12 +49,6 @@ pub enum TensorError {
         /// Words the plan's container holds.
         words: usize,
     },
-    /// More than one thread was asked of an executor compiled for serial
-    /// order (its memory plan lets the buffers of one wave share words).
-    SerialOnly {
-        /// The thread count requested.
-        threads: usize,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -89,12 +83,6 @@ impl fmt::Display for TensorError {
                     "external container `{container}` ({words} words) was not bound"
                 )
             }
-            TensorError::SerialOnly { threads } => {
-                write!(
-                    f,
-                    "an executor compiled for serial order was asked for {threads} threads"
-                )
-            }
         }
     }
 }
@@ -125,7 +113,6 @@ mod tests {
                 container: "w1".into(),
                 words: 8,
             },
-            TensorError::SerialOnly { threads: 4 },
         ];
         for e in cases {
             let s = e.to_string();

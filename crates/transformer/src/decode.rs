@@ -86,8 +86,9 @@ pub const DEFAULT_BUCKET: usize = 32;
 /// Session construction knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodeOptions {
-    /// Threads for the *prefill* pass (steps always run the serial
-    /// arenas; step values are thread-invariant regardless).
+    /// Threads for the *prefill* run (the decode steps run on the caller's
+    /// thread: their plans are chains of one-step waves). Every value is
+    /// the same bits at any thread count.
     pub threads: usize,
     /// Seed for the session's sampling RNG.
     pub seed: u64,
@@ -188,12 +189,8 @@ fn unsupported(msg: impl Into<String>) -> TensorError {
 /// An arena the session owns: compiled for it, dropped with it, never
 /// shared through the global memo — each layer's attend slab holds that
 /// layer's cache, and a prefill arena is as wide as one prompt.
-fn session_arena(
-    pf: &PlannedForward,
-    analysis: &PlanAnalysis,
-    granularity: ArenaGranularity,
-) -> Result<CompiledArena> {
-    CompiledArena::compile(&pf.graph, &pf.plan, analysis, granularity)?
+fn session_arena(pf: &PlannedForward, analysis: &PlanAnalysis) -> Result<CompiledArena> {
+    CompiledArena::compile(&pf.graph, &pf.plan, analysis, ArenaGranularity::Serial)?
         .ok_or_else(|| unsupported("the decode plan compiled to no arena"))
 }
 
@@ -302,7 +299,7 @@ impl<'m> DecodeSession<'m> {
     }
 
     /// Compiles the attend bucket at `capacity`: shared plan (memoized
-    /// per bucket in the global plan cache) and one serial arena compiled
+    /// per bucket in the global plan cache) and one arena compiled
     /// — and certified — once and given to each layer with a private
     /// zero-initialized slab that holds that layer's cache columns.
     fn build_bucket(&self, capacity: usize) -> Result<AttendBucket> {
@@ -311,7 +308,7 @@ impl<'m> DecodeSession<'m> {
         let analysis = analyze(&plan.graph, &plan.plan);
         // one compile; every layer gets the same program over a zeroed
         // slab of its own
-        let mut arenas = vec![session_arena(&plan, &analysis, ArenaGranularity::Serial)?];
+        let mut arenas = vec![session_arena(&plan, &analysis)?];
         for name in ["k_cache", "v_cache"] {
             if arenas[0].certificate().cache(name).is_none() {
                 return Err(unsupported(format!(
@@ -330,7 +327,7 @@ impl<'m> DecodeSession<'m> {
         let dims = self.step_dims(1);
         let plan = interp::cached_plan(&dims, PlanKind::DecoderStepProject)?;
         let analysis = analyze(&plan.graph, &plan.plan);
-        session_arena(&plan, &analysis, ArenaGranularity::Serial)
+        session_arena(&plan, &analysis)
     }
 
     /// Runs the prompt through every layer with the fused decoder's own
@@ -378,9 +375,7 @@ impl<'m> DecodeSession<'m> {
         let pf = interp::cached_plan(&prefill_dims, PlanKind::DecoderFused)?;
         // decoding never drops: `dropout_p` stays at its default 0
         let opts = ExecOptions::builder().threads(self.threads).build();
-
-        let granularity = interp::granularity_for(self.threads);
-        let prefill = session_arena(&pf, &analyze(&pf.graph, &pf.plan), granularity)?;
+        let prefill = session_arena(&pf, &analyze(&pf.graph, &pf.plan))?;
 
         let capacity = round_up(s + 1, self.bucket);
         let attend = self.build_bucket(capacity)?;

@@ -64,7 +64,8 @@ impl DecoderLayer {
     /// [`Saved`] record [`DecoderLayer::backward`] reads, with the same
     /// unified [`ExecOptions`]-driven surface as
     /// [`crate::encoder::EncoderLayer::forward`], option for option: the
-    /// block's canned plan runs out of its static arena at any `threads`,
+    /// block's canned plan runs out of its one static arena at any
+    /// `threads`,
     /// `profiler` / `sanitize` behave identically. The block's `dropout_p`
     /// comes from the block; its GELU and attention scale from its graph.
     ///

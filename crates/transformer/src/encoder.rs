@@ -84,9 +84,10 @@ impl EncoderLayer {
     /// of its memoized static arena, `x` and the weights bound straight into
     /// the slab; what `opts` selects:
     ///
-    /// * [`ExecOptions::threads`] — `1` (or `0`) runs the arena's steps in
-    ///   schedule order, more dispatches each certified wave across the
-    ///   worker pool. Results are bitwise the same at any count, dropout
+    /// * [`ExecOptions::threads`] — `1` (or `0`) runs the plan's certified
+    ///   waves in order on the caller's thread, more dispatches each
+    ///   multi-step wave across the worker pool; the arena is the same
+    ///   one. Results are bitwise the same at any count, dropout
     ///   included: every step draws from its own stream derived from
     ///   [`ExecOptions::seed`];
     /// * [`ExecOptions::profiler`] — observes the run: per-step (and, at

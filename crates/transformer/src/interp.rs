@@ -28,8 +28,6 @@ use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
-pub use xform_core::arena::granularity_for;
-
 use crate::params::{EncoderGrads, EncoderWeights};
 
 /// What a layer forward returns: its output and the record its backward
@@ -286,7 +284,7 @@ pub fn clear_plan_cache() {
 /// The canned plans' arenas under their cheap key: an index into
 /// [`xform_core::arena::compiled`]'s per-plan memo that spares a
 /// steady-state forward hashing its plan.
-type ArenaMap = HashMap<(EncoderDims, PlanKind, ArenaGranularity), Arc<CompiledArena>>;
+type ArenaMap = HashMap<(EncoderDims, PlanKind), Arc<CompiledArena>>;
 
 /// The arena cache, locked; poison is recovered as in [`plan_cache`].
 fn arena_cache() -> MutexGuard<'static, ArenaMap> {
@@ -297,10 +295,11 @@ fn arena_cache() -> MutexGuard<'static, ArenaMap> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Returns the compiled static arena for `(dims, kind, granularity)`,
-/// building and memoizing it on first use. Always `Some` on success (the
-/// `Option` is vestigial; the signature is frozen). Steady-state hits are
-/// a lock plus a `HashMap` probe: no allocation.
+/// Returns the compiled static arena for `(dims, kind)`, building and
+/// memoizing it on first use; it runs at any thread count. Always `Some`
+/// on success (the `Option` is vestigial, and so is the
+/// [`ArenaGranularity`], which selects nothing; the signature is frozen).
+/// Steady-state hits are a lock plus a `HashMap` probe: no allocation.
 ///
 /// # Errors
 ///
@@ -309,14 +308,14 @@ fn arena_cache() -> MutexGuard<'static, ArenaMap> {
 pub fn cached_arena(
     dims: &EncoderDims,
     kind: PlanKind,
-    granularity: ArenaGranularity,
+    _granularity: ArenaGranularity,
 ) -> Result<Option<Arc<CompiledArena>>> {
-    let key = (*dims, kind, granularity);
+    let key = (*dims, kind);
     if let Some(hit) = arena_cache().get(&key) {
         return Ok(Some(Arc::clone(hit)));
     }
     let pf = cached_plan(dims, kind)?;
-    let built = arena::compiled(&pf.graph, &pf.plan, granularity)?;
+    let built = arena::compiled(&pf.graph, &pf.plan)?;
     arena_cache().insert(key, Arc::clone(&built));
     Ok(Some(built))
 }
@@ -408,12 +407,11 @@ pub fn bind_inputs(x: &Tensor, w: &EncoderWeights) -> ExecState {
 fn with_arena<R>(
     dims: &EncoderDims,
     kind: PlanKind,
-    opts: &ExecOptions,
     f: impl FnOnce(&Graph, &ExecutionPlan, &CompiledArena) -> Result<R>,
 ) -> Result<R> {
     let pf = cached_plan(dims, kind)?;
     let uncompiled = || TensorError::Unsupported("the plan compiled to no arena".into());
-    let arena = cached_arena(dims, kind, granularity_for(opts.threads))?.ok_or_else(uncompiled)?;
+    let arena = cached_arena(dims, kind, ArenaGranularity::Serial)?.ok_or_else(uncompiled)?;
     f(&pf.graph, &pf.plan, &arena)
 }
 
@@ -432,7 +430,7 @@ pub(crate) fn forward(
     w: &EncoderWeights,
     opts: &ExecOptions,
 ) -> Result<ForwardOutput> {
-    with_arena(dims, kind, opts, |_, plan, arena| {
+    with_arena(dims, kind, |_, plan, arena| {
         forward_on(arena, plan, x, w, opts)
     })
 }
@@ -498,7 +496,7 @@ pub(crate) fn forward_into(
     opts: &ExecOptions,
     y: &mut Tensor,
 ) -> Result<()> {
-    with_arena(dims, kind, opts, |graph, plan, arena| {
+    with_arena(dims, kind, |graph, plan, arena| {
         let out = (plan.steps.iter().flat_map(|s| &s.outputs)).find(|o| o.name == "y");
         let want = out.and_then(|o| graph.data(o.data));
         if want.is_none_or(|d| &d.shape != y.shape()) || y.natural_words().is_none() {
@@ -549,7 +547,7 @@ pub(crate) fn backward(
     saved: &Saved,
     opts: &ExecOptions,
 ) -> Result<(Tensor, EncoderGrads)> {
-    with_arena(dims, kind, opts, |_, plan, arena| {
+    with_arena(dims, kind, |_, plan, arena| {
         // the one step that computes masks recomputes the region's, keyed
         // as the region step was
         let masks =
@@ -634,7 +632,7 @@ pub fn head_forward(
     head_bias: &Tensor,
 ) -> Result<Tensor> {
     let (vocab, opts) = (head_bias.len(), ExecOptions::default());
-    let probs = with_arena(dims, PlanKind::Head { vocab }, &opts, |_, _, arena| {
+    let probs = with_arena(dims, PlanKind::Head { vocab }, |_, _, arena| {
         let mut probs = None;
         let mut sink = |a: ArenaArtifact<'_>| {
             if let ArenaArtifact::Tensor {
@@ -699,7 +697,7 @@ mod tests {
             (&fused, PlanKind::EncoderFused),
             (&decoder, PlanKind::DecoderFused),
         ] {
-            let arena = cached_arena(&dims, kind, ArenaGranularity::Waves).unwrap();
+            let arena = cached_arena(&dims, kind, ArenaGranularity::Serial).unwrap();
             let cert = arena.as_deref().unwrap().certificate();
             let scheduled: usize = cert.waves.iter().map(Vec::len).sum();
             assert_eq!(scheduled, pf.plan.steps.len());
@@ -1062,47 +1060,57 @@ mod tests {
         }
     }
 
-    /// A backward plan is the same bits at any width: the canned encoder
-    /// and decoder backward plans, bound to a forward's record at `p > 0`,
-    /// run on the arena serially and wave-parallel, and the serial run is
-    /// what the layers' `backward` returns.
+    /// The backward plan of `kind` bound as a layer's `backward` binds it
+    /// to a forward's record at `p = 0.2`: the inputs, weights, `dy`, the
+    /// saved containers and statistics, and the seed that keys its
+    /// region's masks as the forward keyed them.
+    fn backward_bindings(
+        dims: &EncoderDims,
+        kind: PlanKind,
+    ) -> (Tensor, Tensor, EncoderWeights, Saved, ExecState, u64) {
+        use crate::decoder::DecoderLayer;
+        use crate::encoder::{EncoderLayer, Executor};
+
+        let mut rng = StdRng::seed_from_u64(21);
+        let w = EncoderWeights::init(dims, &mut rng);
+        let ibj = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+        let x = Tensor::random(ibj.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
+        let dy = Tensor::random(ibj, &Uniform::new(-1.0, 1.0), &mut rng);
+        let forward = ExecOptions::builder().seed(9).build();
+        let saved = match kind {
+            PlanKind::DecoderTrain => DecoderLayer::new(*dims, 0.2).forward(&x, &w, &forward),
+            _ => EncoderLayer::new(*dims, Executor::Fused, 0.2).forward(&x, &w, &forward),
+        };
+        let saved = saved.unwrap().saved;
+        let pf = cached_plan(dims, kind).unwrap();
+        let mut base = bind_inputs(&x, &w);
+        base.env.extend(saved.tensors.clone());
+        base.env.insert("dy".into(), dy.clone());
+        base.stats = saved.stats.clone();
+        let (seed, stream) = saved.region.unwrap();
+        let si = pf
+            .plan
+            .steps
+            .iter()
+            .position(|s| s.outputs.iter().any(|o| o.name == "att_mask"));
+        let seed = rekeyed(seed, stream, pf.plan.stream_of(si.unwrap()));
+        (x, dy, w, saved, base, seed)
+    }
+
+    /// The encoder and decoder backward plans, bound to a forward's record
+    /// at `p > 0`, run on the arena on the caller's thread and on the pool,
+    /// and the one-thread run is what the layers' `backward` returns.
     #[test]
     fn backward_plans_are_the_same_bits_at_any_width() {
         use crate::decoder::DecoderLayer;
         use crate::encoder::{EncoderLayer, Executor};
 
         let dims = EncoderDims::tiny();
-        let mut rng = StdRng::seed_from_u64(21);
-        let w = EncoderWeights::init(&dims, &mut rng);
-        let ibj = Shape::from_spec("ibj", &dims.size_table()).unwrap();
-        let x = Tensor::random(ibj.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
-        let dy = Tensor::random(ibj, &Uniform::new(-1.0, 1.0), &mut rng);
-        let forward = ExecOptions::builder().seed(9).build();
         let encoder = EncoderLayer::new(dims, Executor::Fused, 0.2);
         let decoder = DecoderLayer::new(dims, 0.2);
-        let runs = [
-            (
-                PlanKind::EncoderTrain,
-                encoder.forward(&x, &w, &forward).unwrap().saved,
-            ),
-            (
-                PlanKind::DecoderTrain,
-                decoder.forward(&x, &w, &forward).unwrap().saved,
-            ),
-        ];
-        for (kind, saved) in runs {
+        for kind in [PlanKind::EncoderTrain, PlanKind::DecoderTrain] {
+            let (x, dy, w, saved, base, seed) = backward_bindings(&dims, kind);
             let pf = cached_plan(&dims, kind).unwrap();
-            let mut base = bind_inputs(&x, &w);
-            base.env.extend(saved.tensors.clone());
-            base.env.insert("dy".into(), dy.clone());
-            base.stats = saved.stats.clone();
-            let (seed, stream) = saved.region.unwrap();
-            let si = pf
-                .plan
-                .steps
-                .iter()
-                .position(|s| s.outputs.iter().any(|o| o.name == "att_mask"));
-            let seed = rekeyed(seed, stream, pf.plan.stream_of(si.unwrap()));
             let grads = |threads: usize| {
                 let opts = ExecOptions::builder()
                     .threads(threads)
@@ -1122,6 +1130,58 @@ mod tests {
             };
             let returned = [&dx, &g.w_qkv, &g.bq, &g.ln1_gamma, &g.w1, &g.b1];
             assert_eq!(returned.map(|t| t.data().to_vec()), serial, "{kind:?}");
+        }
+    }
+
+    /// A plan has one arena: the one `cached_arena` hands out runs the
+    /// backward — whose waves are up to three steps wide — at two threads
+    /// to the bits it computes at one, and running a plan at one thread
+    /// and then at two leaves one memo entry.
+    #[test]
+    fn one_arena_runs_the_backward_at_any_thread_count() {
+        let dims = EncoderDims::tiny();
+        let kind = PlanKind::EncoderTrain;
+        let (_, _, _, _, base, seed) = backward_bindings(&dims, kind);
+        let arena = cached_arena(&dims, kind, ArenaGranularity::Serial)
+            .unwrap()
+            .unwrap();
+        let widest = arena.certificate().waves.iter().map(Vec::len).max();
+        assert!(widest > Some(1), "the backward has steps to overlap");
+        let packed = arena.pack_weights(&base.env);
+        let run = |threads: usize| {
+            let opts = ExecOptions::builder()
+                .threads(threads)
+                .seed(seed)
+                .dropout_p(0.2)
+                .build();
+            let resolve = &mut |name: &str| match (packed.get(name), stats_name_of(name)) {
+                (Some(panels), _) => Some(&panels[..]),
+                (None, Some((norm, inv))) => {
+                    let s = base.stats.get(norm)?;
+                    Some(&[&s.mean, &s.inv_std][usize::from(inv)][..])
+                }
+                (None, None) => base.env.get(name).map(Tensor::data),
+            };
+            let mut out = ExecState::default();
+            arena.execute_into_state(&opts, resolve, &mut out).unwrap();
+            let mut bits: Vec<(String, Vec<f32>)> = (out.env.into_iter())
+                .map(|(n, t)| (n, t.data().to_vec()))
+                .collect();
+            bits.sort_by(|a, b| a.0.cmp(&b.0));
+            bits
+        };
+        let one = run(1);
+        assert!(one.iter().any(|(n, _)| n == "dx"));
+        assert_eq!(run(2), one);
+
+        let pf = cached_plan(&dims, kind).unwrap();
+        let memo = || arena::compiled(&pf.graph, &pf.plan).unwrap();
+        assert!(Arc::ptr_eq(&memo(), &arena), "one memo entry");
+        for threads in [1, 2] {
+            let opts = ExecOptions::builder().threads(threads).seed(seed).build();
+            let mut state = base.clone();
+            arena::execute(&pf.graph, &pf.plan, &mut state, &opts).unwrap();
+            assert!(Arc::ptr_eq(&memo(), &arena), "{threads} threads");
         }
     }
 }

@@ -23,7 +23,6 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use substation::core::analyze::ArenaGranularity;
 use substation::core::arena::{self, ArenaArtifact};
 use substation::core::cpusource::CpuSource;
 use substation::core::fusion::{apply_plan, encoder_fusion_plan};
@@ -105,8 +104,8 @@ fn study(source: &CpuSource, dims: EncoderDims, print: bool) -> Outcome<(f64, f6
     // where they lie, `y` copied out in logical order: a layer's
     // `forward_into`, for any plan
     let opts = ExecOptions::builder().seed(7).build();
-    let natural_arena = arena::compiled(graph, natural, ArenaGranularity::Serial)?;
-    let selected_arena = arena::compiled(graph, &plan, ArenaGranularity::Serial)?;
+    let natural_arena = arena::compiled(graph, natural)?;
+    let selected_arena = arena::compiled(graph, &plan)?;
     let run = |arena: &arena::CompiledArena, y: &mut Tensor| {
         let resolve = &mut |name: &str| match name {
             "x" => x.natural_words(),

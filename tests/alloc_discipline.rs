@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use substation::core::access::certify_access;
-use substation::core::arena::{self, granularity_for, ArenaArtifact};
+use substation::core::arena::{self, ArenaArtifact};
 use substation::core::plan::ExecOptions;
 use substation::core::profile::{CountingAlloc, PlanProfiler, ProfilerSink};
 use substation::dataflow::EncoderDims;
@@ -107,8 +107,7 @@ fn steady_state_forwards_touch_no_heap() {
         // the strided plan on its own arena, compiled once, `x` and the
         // weights bound where they lie and `y` copied out in logical order
         // (a layer's `forward_into`), the fused layer's `dropout_p` stated
-        let strided_arena =
-            arena::compiled(&canned.graph, &strided, granularity_for(threads)).unwrap();
+        let strided_arena = arena::compiled(&canned.graph, &strided).unwrap();
         let strided_opts = opts.to_builder().dropout_p(0.3).build();
         let strided_into = |y: &mut Tensor| {
             let ydata = y.data_mut();

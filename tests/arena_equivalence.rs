@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 use substation::core::access::{step_accesses, AccessPath};
 use substation::core::analyze::{analyze, assign_arena, ArenaGranularity};
-use substation::core::arena::{self, granularity_for, ArenaArtifact, CompiledArena};
+use substation::core::arena::{self, ArenaArtifact, CompiledArena};
 use substation::core::plan::{execute_plan, ExecOptions, ExecState, ExecutionPlan, SanitizeMode};
 use substation::core::profile::{PlanProfiler, ProfilerSink};
 use substation::dataflow::{DataRole, EncoderDims, Graph, NodeId, OpKind};
@@ -53,7 +53,7 @@ fn out_buffer(dims: &EncoderDims) -> Tensor {
 }
 
 #[test]
-fn every_canned_plan_compiles_an_arena_at_both_granularities() {
+fn every_canned_plan_compiles_its_one_arena() {
     let dims = EncoderDims::tiny();
     for kind in [
         interp::PlanKind::EncoderReference,
@@ -63,12 +63,10 @@ fn every_canned_plan_compiles_an_arena_at_both_granularities() {
         interp::PlanKind::EncoderTrain,
         interp::PlanKind::DecoderTrain,
     ] {
-        for threads in [1, 4] {
-            let arena = interp::cached_arena(&dims, kind, interp::granularity_for(threads))
-                .unwrap()
-                .unwrap_or_else(|| panic!("{kind:?} must compile at {threads} thread(s)"));
-            assert!(arena.slab_words() > 0);
-        }
+        let arena = interp::cached_arena(&dims, kind, ArenaGranularity::Serial)
+            .unwrap()
+            .unwrap_or_else(|| panic!("{kind:?} must compile"));
+        assert!(arena.slab_words() > 0);
     }
 }
 
@@ -98,33 +96,28 @@ fn arena_views_are_the_certified_access_paths_embedded_in_their_slots() {
         let shuffled = (1..4).map(|seed| common::permuted(&pf.graph, &pf.plan, seed));
         for plan in std::iter::once(pf.plan.clone()).chain(shuffled) {
             let analysis = analyze(&pf.graph, &plan);
-            for granularity in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-                let arena = CompiledArena::compile(&pf.graph, &plan, &analysis, granularity)
+            let arena =
+                CompiledArena::compile(&pf.graph, &plan, &analysis, ArenaGranularity::Serial)
                     .unwrap()
                     .expect("every gated plan compiles");
-                let slot: HashMap<NodeId, u64> = assign_arena(&analysis, granularity)
-                    .slots
-                    .iter()
-                    .map(|s| (s.data, s.offset))
+            let slot: HashMap<NodeId, u64> = assign_arena(&analysis)
+                .slots
+                .iter()
+                .map(|s| (s.data, s.offset))
+                .collect();
+            for (si, step) in plan.steps.iter().enumerate() {
+                let derived = step_accesses(&pf.graph, step);
+                assert!(derived.derived, "{kind:?}: `{}` derives exactly", step.name);
+                // the relayouts' gather and write-back come first
+                let certified: Vec<AccessPath> = (derived.accesses.iter())
+                    .skip(2 * step.relayouts.len())
+                    .map(|a| AccessPath {
+                        base: slot[&a.data] + a.path.base,
+                        dims: a.path.dims.clone(),
+                    })
                     .collect();
-                for (si, step) in plan.steps.iter().enumerate() {
-                    let derived = step_accesses(&pf.graph, step);
-                    assert!(derived.derived, "{kind:?}: `{}` derives exactly", step.name);
-                    // the relayouts' gather and write-back come first
-                    let certified: Vec<AccessPath> = (derived.accesses.iter())
-                        .skip(2 * step.relayouts.len())
-                        .map(|a| AccessPath {
-                            base: slot[&a.data] + a.path.base,
-                            dims: a.path.dims.clone(),
-                        })
-                        .collect();
-                    let views: Vec<AccessPath> = arena.step_views(si).collect();
-                    assert_eq!(
-                        views, certified,
-                        "{kind:?} at {granularity}: step {si} (`{}`)",
-                        step.name
-                    );
-                }
+                let views: Vec<AccessPath> = arena.step_views(si).collect();
+                assert_eq!(views, certified, "{kind:?}: step {si} (`{}`)", step.name);
             }
         }
     }
@@ -146,15 +139,13 @@ fn a_step_the_lowering_does_not_model_is_refused_by_the_arena_and_underived_by_t
     let plan = ExecutionPlan::natural(&g, &[op]).unwrap();
     let analysis = analyze(&g, &plan);
     assert!(analysis.is_clean(), "{:?}", analysis.errors());
-    for granularity in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-        let err = CompiledArena::compile(&g, &plan, &analysis, granularity)
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("step 0 (`ReLU dX`) has no arena lowering"),
-            "{err}"
-        );
-    }
+    let err = CompiledArena::compile(&g, &plan, &analysis, ArenaGranularity::Serial)
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("step 0 (`ReLU dX`) has no arena lowering"),
+        "{err}"
+    );
     let derived = step_accesses(&g, &plan.steps[0]);
     assert!(!derived.derived);
     assert_eq!(derived.accesses.len(), 2);
@@ -372,7 +363,7 @@ fn route_and_results_depend_on_the_plan_alone() {
         bits(&state.env["y"], &state.env, &state.stats)
     };
     let bound = |opts: &ExecOptions, y: &mut Tensor| {
-        let arena = arena::compiled(&pf.graph, &pf.plan, granularity_for(opts.threads)).unwrap();
+        let arena = arena::compiled(&pf.graph, &pf.plan).unwrap();
         let ydata = y.data_mut();
         let sink = &mut |a: ArenaArtifact<'_>| {
             if let ArenaArtifact::Tensor {

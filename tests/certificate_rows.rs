@@ -28,7 +28,7 @@
 use std::collections::BTreeSet;
 
 use substation::core::access::certify_access;
-use substation::core::analyze::{analyze, assign_arena, ArenaGranularity, PlanLint};
+use substation::core::analyze::{analyze, assign_arena, PlanLint};
 use substation::core::plan::ExecutionPlan;
 use substation::core::profile::PlanProfiler;
 use substation::core::sanitize::{certify, certify_plan, certify_waves, plan_fingerprint};
@@ -87,10 +87,7 @@ fn plan_row(g: &Graph, plan: &ExecutionPlan) -> String {
         proofs(&logical.steps),
         union([&logical.lints[..]])
     );
-    let (asg, waves) = (
-        assign_arena(&analysis, ArenaGranularity::Waves),
-        analysis.parallel_waves(),
-    );
+    let (asg, waves) = (assign_arena(&analysis), analysis.parallel_waves());
     let embedded = certify_plan(g, plan, &analysis, &waves, Some(&asg)).expect("embedding");
     out += &format!(
         "Waves slab {} {} | {}\n",
@@ -267,10 +264,7 @@ fn injection_rows(rows: &mut Vec<(String, String)>) {
     // every shrinkable slot halved
     let analysis = analyze(&g, &sound);
     let mut text = String::new();
-    let (sound_asg, waves) = (
-        assign_arena(&analysis, ArenaGranularity::Waves),
-        analysis.parallel_waves(),
-    );
+    let (sound_asg, waves) = (assign_arena(&analysis), analysis.parallel_waves());
     for vi in 0..sound_asg.slots.len() {
         if sound_asg.slots[vi].words <= 1 {
             continue;

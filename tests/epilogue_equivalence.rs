@@ -31,6 +31,7 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
+use substation::core::analyze::ArenaGranularity;
 use substation::core::arena;
 use substation::core::fusion::{apply_plan, decoder_fusion_plan, encoder_fusion_plan};
 use substation::core::plan::{
@@ -376,25 +377,22 @@ fn epilogue_arena_slab_is_smaller_at_sequence_dominant_dims() {
         let mut g = eg.graph;
         apply_plan(&mut g, &table).unwrap();
         let chain = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
-        for threads in [1usize, 4] {
-            let gran = interp::granularity_for(threads);
-            let slab = |kind| {
-                interp::cached_arena(&dims, kind, gran)
-                    .unwrap()
-                    .unwrap()
-                    .slab_words()
-            };
-            let sc = arena::compiled(&g, &chain, gran).unwrap().slab_words();
-            let (sf, se) = (slab(fused), slab(epilogue));
-            assert!(
-                se <= sf && sf < sc,
-                "{epilogue:?} slab {se}, {fused:?} slab {sf}, three-step core {sc} ({gran:?})"
-            );
-            // the three saved `[h,b,j,k]` containers at least
-            assert!(
-                sc - sf >= 3 * dims.h * dims.b * dims.j * dims.k,
-                "{sc} - {sf}"
-            );
-        }
+        let slab = |kind| {
+            interp::cached_arena(&dims, kind, ArenaGranularity::Serial)
+                .unwrap()
+                .unwrap()
+                .slab_words()
+        };
+        let sc = arena::compiled(&g, &chain).unwrap().slab_words();
+        let (sf, se) = (slab(fused), slab(epilogue));
+        assert!(
+            se <= sf && sf < sc,
+            "{epilogue:?} slab {se}, {fused:?} slab {sf}, three-step core {sc}"
+        );
+        // the three saved `[h,b,j,k]` containers at least
+        assert!(
+            sc - sf >= 3 * dims.h * dims.b * dims.j * dims.k,
+            "{sc} - {sf}"
+        );
     }
 }

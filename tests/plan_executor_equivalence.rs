@@ -15,7 +15,7 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use substation::core::analyze::{analyze, ArenaGranularity, PlanLint, Severity};
+use substation::core::analyze::{analyze, PlanLint, Severity};
 use substation::core::arena;
 use substation::core::plan::{ExecOptions, ExecState, ExecutionPlan};
 use substation::core::sanitize::certify;
@@ -140,11 +140,8 @@ fn parallel_execution_of_recipe_plan_is_bitwise_equal_to_serial() {
         plan.strided_operand_count() > 0 && plan.relayout_count() > 0,
         "the selection must pick non-natural layouts and pay relayouts for them"
     );
-    for granularity in [ArenaGranularity::Serial, ArenaGranularity::Waves] {
-        let arena = arena::compiled(&planned.graph, &plan, granularity)
-            .expect("the recipe-lowered plan compiles");
-        assert!(arena.matches(&plan));
-    }
+    let arena = arena::compiled(&planned.graph, &plan).expect("the recipe-lowered plan compiles");
+    assert!(arena.matches(&plan));
 
     let (x, w) = inputs(&dims, 29);
     let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);

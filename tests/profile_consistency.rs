@@ -203,7 +203,7 @@ fn a_sink_handed_to_execute_bound_is_filled() {
     let pf = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
     let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&pf.graph, &pf.plan, 1.0));
     let opts = ExecOptions::builder().profiler(Some(&sink)).build();
-    let arena = arena::compiled(&pf.graph, &pf.plan, arena::granularity_for(1)).unwrap();
+    let arena = arena::compiled(&pf.graph, &pf.plan).unwrap();
     let resolve = &mut |name: &str| match name {
         "x" => x.natural_words(),
         _ => w.container(name),
