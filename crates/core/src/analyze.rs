@@ -890,8 +890,8 @@ impl PlanAnalysis {
 
 /// Selects nothing: every arena is colored over its plan's wave intervals
 /// ([`assign_arena`]) and runs at any thread count. The one variant is kept
-/// because the frozen signatures of `CompiledArena::compile`,
-/// `arena::compiled` and `interp::cached_arena` take it.
+/// because the frozen signatures of `CompiledArena::compile` and
+/// `interp::cached_arena` take it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArenaGranularity {
     /// The one arena of a plan.

@@ -87,8 +87,8 @@
 //!   (scoped-thread spawning would allocate per call);
 //! * **poison** — the aliasing-aware checking mode: the slab is poisoned
 //!   with NaN, each buffer is re-poisoned after the wave its certified
-//!   live interval ends in, and every step's outputs are checked finite, so a
-//!   read of a dead (reused) buffer surfaces as an error instead of
+//!   live interval ends in, and every step's outputs are checked finite,
+//!   so a read of a dead (reused) buffer surfaces as an error instead of
 //!   silent corruption;
 //! * **timed** — with a profiler sink set, each step writes its wall time
 //!   into a slot of its own preallocated at compile (workers need no
@@ -899,10 +899,10 @@ impl CompiledArena {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidDropout`] when `opts.dropout_p` is
-    /// outside `[0, 1)`, [`TensorError::Unsupported`] when `opts.profiler` was made for
-    /// another plan, [`TensorError::UnboundExternal`] naming the container
-    /// `resolve` answered with no slice (but for a cache) or one of the
-    /// wrong length,
+    /// outside `[0, 1)`, [`TensorError::Unsupported`] when `opts.profiler`
+    /// was made for another plan, [`TensorError::UnboundExternal`] naming
+    /// the container `resolve` answered with no slice (but for a cache) or
+    /// one of the wrong length,
     /// and an error when a worker panics or the poison mode detects a
     /// non-finite output (a read of a dead, reused buffer).
     pub fn execute_bound<'a>(
