@@ -38,6 +38,7 @@ use xform_tensor::ops::layernorm::{layernorm, LayerNormStats};
 use xform_tensor::ops::softmax::softmax;
 use xform_tensor::{Axis, Layout, Result, Shape, Tensor, TensorError};
 
+use crate::lower::{lower_step, Stats};
 use crate::selection::Selection;
 use crate::sweep::{flowing_input_index, outputs_laid_out};
 
@@ -978,7 +979,10 @@ pub fn execute_plan(
 
 /// Binds a random tensor (seeded, uniform) for every plan input that no
 /// earlier step produces — graph inputs and weights — each materialized in
-/// the layout the consuming step declared. This is how the measurement
+/// the layout the consuming step declared, and random layer-norm
+/// statistics for every norm a backward step reads that no earlier step
+/// normalizes (means from `[-1, 1]`, inverse deviations from `[0.5, 2]`).
+/// This is how the measurement
 /// source and tests stand up an environment without a model's real
 /// parameters. Values are drawn from `[-1, 1]`, except a
 /// [`DataRole::Weight`] that feeds a contraction, which is drawn from
@@ -992,7 +996,7 @@ pub fn execute_plan(
 /// Returns an error if a referenced container is dead or a declared
 /// layout has another rank than its container.
 pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Result<ExecState> {
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
     let mut state = ExecState::default();
     let mut produced: HashSet<NodeId> = HashSet::new();
@@ -1012,6 +1016,18 @@ pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Resul
                 inp.layout,
             )?;
             state.env.insert(inp.name.clone(), t);
+        }
+        // the statistics a backward step reads of a norm no step here runs
+        if let Some((Stats::Reads(norm), lanes)) = lower_step(graph, step).and_then(|l| l.stats) {
+            let name = &data_of(graph, norm)?.name;
+            if !produced.contains(&norm) && !state.stats.contains_key(name) {
+                let mut draw =
+                    |lo: f32, hi: f32| (0..lanes).map(|_| rng.gen_range(lo..hi)).collect();
+                let (mean, inv_std) = (draw(-1.0, 1.0), draw(0.5, 2.0));
+                state
+                    .stats
+                    .insert(name.clone(), LayerNormStats { mean, inv_std });
+            }
         }
         for out in &step.outputs {
             produced.insert(out.data);

@@ -10,7 +10,7 @@ use std::sync::Mutex;
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use substation::core::analyze::audit;
+use substation::core::analyze::{audit, MovementAudit};
 use substation::core::arena;
 use substation::core::cpusource::CpuSource;
 use substation::core::plan::{execute_plan, random_externals, ExecOptions, ExecutionPlan};
@@ -19,6 +19,7 @@ use substation::core::selection::{select_forward, CostModel};
 use substation::core::sweep::{sweep_all, SimulatorSource, SweepOptions};
 use substation::dataflow::{EncoderDims, Graph};
 use substation::gpusim::DeviceSpec;
+use substation::tensor::ops::layernorm::LayerNormStats;
 use substation::tensor::{Shape, Tensor, TensorError};
 use substation::transformer::decoder::DecoderLayer;
 use substation::transformer::encoder::{EncoderLayer, Executor};
@@ -53,6 +54,38 @@ fn natural_and_recipe_plans() -> (Graph, [ExecutionPlan; 2]) {
     (pf.graph.clone(), [pf.plan.clone(), recipe])
 }
 
+/// Every step of `prof` is charged exactly the words and flop `audited`
+/// charges it.
+fn assert_charged_as_audited(label: &str, prof: &PlanProfiler, audited: &MovementAudit) {
+    assert_eq!(prof.steps().count(), audited.per_step.len(), "{label}");
+    for (sp, sa) in prof.steps().zip(&audited.per_step) {
+        let (sp, sa) = (&sp.account, &sa.account);
+        assert_eq!(sp.step, sa.step);
+        assert_eq!(sp.name, sa.name, "{label} step {} name", sp.step);
+        assert_eq!(sp.class, sa.class, "{label} step {} class", sp.step);
+        assert_eq!(
+            sp.read_words, sa.read_words,
+            "{label} step {} ({}) read words",
+            sp.step, sp.name
+        );
+        assert_eq!(
+            sp.write_words, sa.write_words,
+            "{label} step {} ({}) write words",
+            sp.step, sp.name
+        );
+        assert_eq!(
+            sp.relayout_words, sa.relayout_words,
+            "{label} step {} ({}) relayout words",
+            sp.step, sp.name
+        );
+        assert_eq!(
+            sp.flop, sa.flop,
+            "{label} step {} ({}) flop",
+            sp.step, sp.name
+        );
+    }
+}
+
 #[test]
 fn profiler_bytes_equal_static_audit_exactly() {
     let (graph, [natural, recipe]) = natural_and_recipe_plans();
@@ -71,33 +104,7 @@ fn profiler_bytes_equal_static_audit_exactly() {
             );
         }
 
-        assert_eq!(prof.steps().count(), audited.per_step.len());
-        for (sp, sa) in prof.steps().zip(&audited.per_step) {
-            let (sp, sa) = (&sp.account, &sa.account);
-            assert_eq!(sp.step, sa.step);
-            assert_eq!(sp.name, sa.name, "{label} step {} name", sp.step);
-            assert_eq!(sp.class, sa.class, "{label} step {} class", sp.step);
-            assert_eq!(
-                sp.read_words, sa.read_words,
-                "{label} step {} ({}) read words",
-                sp.step, sp.name
-            );
-            assert_eq!(
-                sp.write_words, sa.write_words,
-                "{label} step {} ({}) write words",
-                sp.step, sp.name
-            );
-            assert_eq!(
-                sp.relayout_words, sa.relayout_words,
-                "{label} step {} ({}) relayout words",
-                sp.step, sp.name
-            );
-            assert_eq!(
-                sp.flop, sa.flop,
-                "{label} step {} ({}) flop",
-                sp.step, sp.name
-            );
-        }
+        assert_charged_as_audited(label, &prof, &audited);
         // plan-level totals follow from the per-step identity (the audit
         // prices bytes at the device's word size, the profiler at f32, so
         // compare words)
@@ -112,6 +119,27 @@ fn profiler_bytes_equal_static_audit_exactly() {
         let pm = prof.plan_mue();
         let am = &audited.plan_mue;
         assert_eq!(pm.q_words, am.q_words, "{label}");
+    }
+}
+
+/// A backward plan profiles like a forward one: `random_externals` binds
+/// the layer-norm statistics its norm steps read (no forward ran to save
+/// them), and every step is charged the audit's words.
+#[test]
+fn backward_plans_profile_with_the_audits_bytes() {
+    for kind in [
+        interp::PlanKind::EncoderTrain,
+        interp::PlanKind::DecoderTrain,
+    ] {
+        let pf = interp::cached_plan(&dims(), kind).unwrap();
+        let base = random_externals(&pf.graph, &pf.plan, 3).unwrap();
+        assert!(!base.stats.is_empty(), "{kind:?} reads saved statistics");
+        let positive = |s: &LayerNormStats| s.inv_std.iter().all(|&v| v > 0.0);
+        assert!(base.stats.values().all(positive), "{kind:?}");
+        let prof = profile_plan(&pf.graph, &pf.plan, &base, &ExecOptions::default(), 2).unwrap();
+        let audited = audit(&pf.graph, &pf.plan, &DeviceSpec::v100());
+        assert_charged_as_audited(&format!("{kind:?}"), &prof, &audited);
+        assert!(prof.steps().all(|s| s.runs == 2), "{kind:?}");
     }
 }
 
