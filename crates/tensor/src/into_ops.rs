@@ -59,7 +59,7 @@
 use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
-use crate::lanes::{self, on_run, Dropout, LaneAt, Panel, Run, Walk, W};
+use crate::lanes::{self, on_run, Dropout, LaneAt, Panel, Run, Walk, PANELS, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
     gemm, gemm_batched, gemm_packed_leading, gemm_panels, pack_panels, panel_words, BatchMut,
@@ -280,9 +280,9 @@ impl Sweep {
 
     /// Calls `f(run, first lane ordinal, query index, run per operand)` for
     /// every run of lanes, in logical order: single lanes, or under
-    /// [`Walk::Panel`] each row of the innermost outer loop cut into panels
-    /// of [`W`] lanes, then of its halvings, then at most one last lane
-    /// alone. The query index is that of the axis named at
+    /// [`Walk::Panel`] each row of the innermost outer loop cut into runs
+    /// of up to [`PANELS`] side-by-side panels of [`W`] lanes, then a panel
+    /// of each halving the rest holds, then at most one last lane alone. The query index is that of the axis named at
     /// [`Sweep::compile`] (`0` when none was).
     ///
     /// # Panics
@@ -307,10 +307,18 @@ impl Sweep {
             let run = match self.walk {
                 Walk::Lane => Run::Lane,
                 Walk::Strided => Run::Strided,
-                // the widest halving of `W` the rest of the row holds
+                // the row's `W`-lane panels, then the widest halving of
+                // `W` the rest of it holds
                 Walk::Panel => match self.outer[inner] - idx[inner] {
                     1 => Run::Strided,
-                    left => Run::Panel(W.min(1 << left.ilog2())),
+                    left if left >= W => Run::Panel {
+                        lanes: W,
+                        panels: (left / W).min(PANELS),
+                    },
+                    left => Run::Panel {
+                        lanes: 1 << left.ilog2(),
+                        panels: 1,
+                    },
                 },
             };
             f(run, lane, self.query.map_or(0, |q| idx[q]), at);
@@ -1418,7 +1426,7 @@ pub fn sm_into(
 pub fn bias_softmax_into(s: &Sweep, x: &[f32], bias: &[f32], out: &mut [f32]) {
     s.for_each_run(|run, _, _, [xa, ba, oa]| {
         on_run!(run, N, [x @ xa], [out @ oa] => {
-            let x = lanes::Biased { x, bias: |v| ba.gather::<N>(bias, v) };
+            let x = lanes::Biased { x, bias: |p, v| ba.gather::<N>(bias, p, v) };
             lanes::softmax_lane::<N, _, _, _>(&x, 1.0, xa.len, out, &mut ())
         });
     });
@@ -1462,7 +1470,7 @@ pub fn layernorm_into(
         let (gamma, beta) = (ga.unit(gamma), ba.unit(beta));
         let stats = (&mut mean_out[l..], &mut inv_std_out[l..]);
         on_run!(run, N, [x @ xa], [out @ oa] =>
-            lanes::put_stats(stats, lanes::norm_lane::<N, _, _>(x, gamma, beta, out)));
+            lanes::norm_lane::<N, _, _>(x, gamma, beta, out, stats));
     });
 }
 
@@ -1491,14 +1499,14 @@ pub fn bdrln_into(
         on_run!(run, N, [x @ xa, residual @ ra], [mask @ ma, ln_input @ la, out @ oa] => {
             let src = lanes::BiasDropResidual {
                 x,
-                bias: |v| ba.gather::<N>(bias, v),
+                bias: |p, v| ba.gather::<N>(bias, p, v),
                 residual,
                 mask,
                 ln_input,
                 drop,
                 at: l * xa.len,
             };
-            lanes::put_stats(stats, lanes::norm_lane::<N, _, _>(src, gamma, beta, out))
+            lanes::norm_lane::<N, _, _>(src, gamma, beta, out, stats)
         });
     });
 }
@@ -1523,8 +1531,8 @@ pub fn layernorm_backward_input_into(
     s.for_each_run(|run, l, _, [ga, xa, wa, da]| {
         let gamma = wa.unit(gamma);
         on_run!(run, N, [dy @ ga, x @ xa], [dx @ da] => {
-            let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
-            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, |_, row| row)
+            let stats = (&mean[l..], &inv_std[l..]);
+            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, |_, _, row| row)
         });
     });
 }
@@ -1547,7 +1555,7 @@ pub fn blnrd_into(
     s.for_each_run(|run, l, _, [ga, xa, wa, ma, la, da]| {
         let gamma = wa.unit(gamma);
         on_run!(run, N, [dy @ ga, x @ xa, mask @ ma], [dx_ln @ la, dx @ da] => {
-            let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
+            let stats = (&mean[l..], &inv_std[l..]);
             lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx_ln, lanes::drop_dx(mask, dx))
         });
     });
@@ -1570,10 +1578,10 @@ pub fn blnr_into(
     s.for_each_run(|run, l, _, [ga, xa, wa, ra, da]| {
         let gamma = wa.unit(gamma);
         on_run!(run, N, [dy @ ga, x @ xa, residual @ ra], [dx @ da] => {
-            let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
+            let stats = (&mean[l..], &inv_std[l..]);
             // the row plus the residual is stored, the layer norm's dX never is
-            let join = |v, row: [f32; N]| {
-                let r: [f32; N] = residual.row(v);
+            let join = |p, v, row: [f32; N]| {
+                let r: [f32; N] = residual.row(p, v);
                 std::array::from_fn(|w| row[w] + r[w])
             };
             lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, join)
@@ -1597,8 +1605,8 @@ pub fn layernorm_backward_weights_into(
     s.for_each_run(|run, l, _, [ga, xa, wa, ba]| {
         let (dgamma, dbeta) = (wa.unit_mut(dgamma), ba.unit_mut(dbeta));
         on_run!(run, N, [dy @ ga, x @ xa], [] => {
-            let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
-            lanes::norm_dw_lane::<N, _>(dy, |_, g| g, x, stats, dgamma, dbeta)
+            let stats = (&mean[l..], &inv_std[l..]);
+            lanes::norm_dw_lane::<N, _>(dy, |_, _, g| g, x, stats, dgamma, dbeta)
         });
     });
 }
@@ -1622,7 +1630,7 @@ pub fn ebsb_into(
     s.for_each_run(|run, l, _, [ga, ra, xa, sa, wa, ba]| {
         let (dgamma, dbeta) = (wa.unit_mut(dgamma), ba.unit_mut(dbeta));
         on_run!(run, N, [dy @ ga, dy_residual @ ra, x @ xa], [dsum @ sa] => {
-            let stats = lanes::run_stats(&mean[l..], &inv_std[l..]);
+            let stats = (&mean[l..], &inv_std[l..]);
             let head = lanes::add_residual(dy_residual, dsum);
             lanes::norm_dw_lane::<N, _>(dy, head, x, stats, dgamma, dbeta)
         });

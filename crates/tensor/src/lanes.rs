@@ -5,13 +5,14 @@
 //! ```text
 //!   primitive          exp — the one transcendental: softmax, GELU both ways
 //!        │             (on the sigmoid identity) and the sampler stand on it
-//!   lane bodies        softmax_lane · norm_lane                  (W lanes abreast,
+//!   lane bodies        softmax_lane · norm_lane        (a run's panels of W lanes,
 //!        │             softmax_dx_lane · norm_dx_lane · norm_dw_lane   W = 1 a lane)
 //!        │             map_lane · zip_lane · acc_lane · dropout_lane · brd_lane
 //!        │             bdr_lane · bdrb_lane · Dropout::mask
 //!   lane dispatch      on_run! — binds every swept operand of a run to its view
 //!        │             run of 1, contiguous → exact `[f32]` chunks        (Walk::Lane)
-//!        │             run of n = 16, 8, 4, 2 → `Rows`, n words a row     (Walk::Panel)
+//!        │             ≤ PANELS panels of n = 16 (8, 4, 2 at a row's end)
+//!        │               → `Rows`, side by side, n words a panel row      (Walk::Panel)
 //!        │             run of 1, strided → bounds-checked `Strided`       (Walk::Strided)
 //!   lane enumerator    into_ops::Sweep (logical order, one view per operand;
 //!        │             decides the walk, cuts each row of lanes into runs)
@@ -52,11 +53,14 @@
 //!   BS, its backward, over the same tensors);
 //! * [`Walk::Panel`] — the lane is strided, but the innermost loop *outside*
 //!   it steps by one word in every swept operand, so adjacent lanes are
-//!   adjacent words: up to [`W`] lanes run abreast, reduction index outer,
-//!   lanes inner, one accumulator per lane in a stack array. Every load and
-//!   store is a contiguous row of the panel (the vocabulary softmax over
-//!   `[v,b,j]` along `v`; every layer norm over `[i,b,j]` along `i`, forward
-//!   and — dX, dW, BLNRD, EBSB — backward);
+//!   adjacent words: a row of lanes (that loop) is handed to a body as runs
+//!   of up to [`PANELS`] side-by-side panels of [`W`] lanes, and each pass
+//!   takes lane position `v` of every panel of the run before `v + 1` —
+//!   storage order: a run's row at `v` is up to `PANELS · W` adjacent words
+//!   of each operand — reduction index outer, panels then lanes inner, each
+//!   panel's accumulators side by side in a stack array (the vocabulary
+//!   softmax over `[v,b,j]` along `v`; every layer norm over `[i,b,j]` along
+//!   `i`, forward and — dX, dW, BLNRD, BLNR, EBSB — backward);
 //! * [`Walk::Strided`] — neither: one lane at a time through a
 //!   bounds-checked strided view, every word its own cache line.
 //!
@@ -100,9 +104,14 @@
 //! between a block's loads and stores to vectorize; they reduce nothing,
 //! so there the block is invisible in the bits.
 //!
+//! Nor does the order a run's panels are taken in: lanes never meet, so
+//! taking position `v` of every panel before `v + 1` (storage order) is the
+//! same arithmetic on each lane as taking all of one panel's positions
+//! first.
+//!
 //! Where lanes do meet — a word of dγ or dβ sums over all of them — a row's
-//! lanes are added one after the other in ascending `w`, which is the lane
-//! order. Data-dependent rules are per lane too: a lane whose visible
+//! lanes are added one after the other, panels ascending and in each
+//! ascending `w`, which is the lane order. Data-dependent rules are per lane too: a lane whose visible
 //! inputs are all `−inf` is zeroed while its neighbours normalize, a NaN
 //! poisons its own lane only.
 //!
@@ -120,7 +129,7 @@
 //! after it shifts. Nothing is computed at `p = 0`, where every mask is
 //! `1`.
 //!
-//! # `W`
+//! # `W` and `PANELS`
 //!
 //! [`W`] = 16 lanes is one 64-byte cache line a row and eight SSE2 (four
 //! AVX2) accumulator registers for the two moments. Measured once, on the
@@ -131,6 +140,18 @@
 //! ends in halved panels (8, 4, 2) and at most one last lane alone, so no
 //! lane is padded and no work is wasted. It is a constant like
 //! [`crate::matmul::NR`], not an option.
+//!
+//! [`PANELS`] = 32 panels — 512 lanes, a 2 KB row of each operand — is the
+//! most a run holds side by side; it is a measured constant too. Taken
+//! panel by panel, a row walked each operand at the row's pitch (2 KB at
+//! `bert_fwd`'s `[i,b,j]`) through all its positions, twice: BDRLN's five
+//! streams aliased in the caches and ran at ≈ 2 GB/s. In storage order
+//! every position is a stretch of adjacent lines. On the norm steps at the
+//! five workloads' dims (EXPERIMENTS.md, "Norm panels in storage order")
+//! 8 panels left BDRLN at 1.1 ms, 16 at 0.85 and 32 — the whole 512-lane
+//! row — at 0.6; 64 tied 32 where a row is longer. The state is `PANELS`
+//! rows of accumulators a moment on the stack (a softmax's partials,
+//! `PANELS` blocks).
 //!
 //! Drivers only enumerate lanes; every statement of arithmetic, the one
 //! dropout mask and the one transcendental are here.
@@ -248,29 +269,37 @@ impl<D: DerefMut<Target = [f32]>> LaneMut for Strided<D> {
     }
 }
 
-/// Read access to `W` adjacent lanes at once: the row at lane position `v`
-/// holds that position of each lane. Every [`Lane`] is a panel of one.
+/// Read access to `W` adjacent lanes at once, in side-by-side panels: the
+/// row at lane position `v` of panel `p` holds that position of the panel's
+/// lanes, and panel `p + 1`'s lanes follow panel `p`'s. Every [`Lane`] is
+/// one panel of one.
 pub(crate) trait Panel<const W: usize> {
     /// Number of lane positions (rows).
     fn rows(&self) -> usize;
-    /// The `W` words at lane position `v`.
-    fn row(&self, v: usize) -> [f32; W];
-    /// The `n ≤ BLOCK` rows from position `v0`; what pads the rest of the
-    /// block is unspecified and never stored.
+    /// Number of panels side by side.
+    #[inline(always)]
+    fn panels(&self) -> usize {
+        1
+    }
+    /// The `W` words at lane position `v` of panel `p`.
+    fn row(&self, p: usize, v: usize) -> [f32; W];
+    /// The `n ≤ BLOCK` rows of panel `p` from position `v0`; what pads the
+    /// rest of the block is unspecified and never stored.
     #[inline]
-    fn block(&self, v0: usize, n: usize) -> Block<W> {
-        std::array::from_fn(|k| if k < n { self.row(v0 + k) } else { [0.0; W] })
+    fn block(&self, p: usize, v0: usize, n: usize) -> Block<W> {
+        std::array::from_fn(|k| if k < n { self.row(p, v0 + k) } else { [0.0; W] })
     }
 }
 
-/// Write access to `W` adjacent lanes.
+/// Write access to `W` adjacent lanes, in side-by-side panels.
 pub(crate) trait PanelMut<const W: usize>: Panel<W> {
-    /// Stores the `W` words at lane position `v`.
-    fn set_row(&mut self, v: usize, val: [f32; W]);
-    /// Stores the first `n ≤ BLOCK` rows of `block` from position `v0`.
+    /// Stores the `W` words at lane position `v` of panel `p`.
+    fn set_row(&mut self, p: usize, v: usize, val: [f32; W]);
+    /// Stores the first `n ≤ BLOCK` rows of `block` in panel `p` from
+    /// position `v0`.
     #[inline]
-    fn set_block(&mut self, v0: usize, n: usize, block: Block<W>) {
-        (0..n).for_each(|k| self.set_row(v0 + k, block[k]));
+    fn set_block(&mut self, p: usize, v0: usize, n: usize, block: Block<W>) {
+        (0..n).for_each(|k| self.set_row(p, v0 + k, block[k]));
     }
 }
 
@@ -280,12 +309,12 @@ impl<L: Lane + ?Sized> Panel<1> for L {
         self.lane_len()
     }
     #[inline]
-    fn row(&self, v: usize) -> [f32; 1] {
+    fn row(&self, _: usize, v: usize) -> [f32; 1] {
         [self.get(v)]
     }
     /// The words in one piece: sixteen positions abreast.
     #[inline]
-    fn block(&self, v0: usize, n: usize) -> Block<1> {
+    fn block(&self, _: usize, v0: usize, n: usize) -> Block<1> {
         let mut block = [[0.0]; BLOCK];
         for (row, word) in block.iter_mut().zip(self.load(v0, n)) {
             *row = [word];
@@ -296,23 +325,24 @@ impl<L: Lane + ?Sized> Panel<1> for L {
 
 impl<L: LaneMut + ?Sized> PanelMut<1> for L {
     #[inline]
-    fn set_row(&mut self, v: usize, val: [f32; 1]) {
+    fn set_row(&mut self, _: usize, v: usize, val: [f32; 1]) {
         self.set(v, val[0]);
     }
     #[inline]
-    fn set_block(&mut self, v0: usize, n: usize, block: Block<1>) {
+    fn set_block(&mut self, _: usize, v0: usize, n: usize, block: Block<1>) {
         self.store(v0, n, block.map(|[word]| word));
     }
 }
 
 /// A bounds-checked view of adjacent strided lanes whose rows are
 /// contiguous (`D` is `&[f32]` or `&mut [f32]`, starting at position 0 of
-/// the first lane): a panel of any width the buffer holds.
+/// the first lane): side-by-side panels of any width the buffer holds.
 #[derive(Debug)]
 pub(crate) struct Rows<D> {
     data: D,
     stride: usize,
     len: usize,
+    panels: usize,
 }
 
 impl<const W: usize, D: Deref<Target = [f32]>> Panel<W> for Rows<D> {
@@ -320,9 +350,13 @@ impl<const W: usize, D: Deref<Target = [f32]>> Panel<W> for Rows<D> {
     fn rows(&self) -> usize {
         self.len
     }
+    #[inline(always)]
+    fn panels(&self) -> usize {
+        self.panels
+    }
     #[inline]
-    fn row(&self, v: usize) -> [f32; W] {
-        let at = v * self.stride;
+    fn row(&self, p: usize, v: usize) -> [f32; W] {
+        let at = v * self.stride + p * W;
         let row: &[f32; W] = self.data[at..at + W]
             .try_into()
             .expect("a W-word slice is a W-word row");
@@ -332,8 +366,8 @@ impl<const W: usize, D: Deref<Target = [f32]>> Panel<W> for Rows<D> {
 
 impl<const W: usize, D: DerefMut<Target = [f32]>> PanelMut<W> for Rows<D> {
     #[inline]
-    fn set_row(&mut self, v: usize, val: [f32; W]) {
-        let at = v * self.stride;
+    fn set_row(&mut self, p: usize, v: usize, val: [f32; W]) {
+        let at = v * self.stride + p * W;
         self.data[at..at + W].copy_from_slice(&val);
     }
 }
@@ -341,6 +375,10 @@ impl<const W: usize, D: DerefMut<Target = [f32]>> PanelMut<W> for Rows<D> {
 /// Lanes the widest panel runs abreast; see the module docs. Narrower
 /// panels are its halvings down to two.
 pub const W: usize = 16;
+
+/// Panels of [`W`] lanes a run holds side by side at most: the chunk of a
+/// row of lanes a panel body takes in storage order; see the module docs.
+pub const PANELS: usize = 32;
 
 /// Consecutive lane positions a body takes abreast — one cache line — and
 /// the number of partial maxima and sums a softmax lane keeps; see the
@@ -452,39 +490,41 @@ impl LaneAt {
         }
     }
 
-    /// The run as a panel of contiguous rows.
+    /// The run as `panels` side-by-side panels of contiguous rows.
     ///
     /// # Panics
     ///
     /// Panics unless adjacent lanes are adjacent words — what
     /// [`Walk::Panel`] promises of every swept operand.
-    pub(crate) fn rows(self, buf: &[f32]) -> Rows<&[f32]> {
+    pub(crate) fn rows(self, buf: &[f32], panels: usize) -> Rows<&[f32]> {
         assert_eq!(self.step, 1, "a panel's rows are contiguous");
         Rows {
             data: &buf[self.base..],
             stride: self.stride,
             len: self.len,
+            panels,
         }
     }
 
     /// Mutable [`LaneAt::rows`].
-    pub(crate) fn rows_mut(self, buf: &mut [f32]) -> Rows<&mut [f32]> {
+    pub(crate) fn rows_mut(self, buf: &mut [f32], panels: usize) -> Rows<&mut [f32]> {
         assert_eq!(self.step, 1, "a panel's rows are contiguous");
         Rows {
             data: &mut buf[self.base..],
             stride: self.stride,
             len: self.len,
+            panels,
         }
     }
 
     /// The `W` words a gathered operand (a broadcast bias) holds at lane
-    /// position `v` of the run. Always inlined, and a loop rather than
+    /// position `v` of the run's panel `p`. Always inlined, and a loop rather than
     /// `array::from_fn`: beside the mask mix in BDRLN's panel body the
     /// `from_fn` stayed out of line, returned its row through memory and
     /// cost the kernel a quarter of its time at `p = 0`.
     #[inline(always)]
-    pub(crate) fn gather<const W: usize>(self, buf: &[f32], v: usize) -> [f32; W] {
-        let at = self.base + v * self.stride;
+    pub(crate) fn gather<const W: usize>(self, buf: &[f32], p: usize, v: usize) -> [f32; W] {
+        let at = self.base + v * self.stride + p * W * self.step;
         let mut row = [0.0; W];
         for (w, r) in row.iter_mut().enumerate() {
             *r = buf[at + w * self.step];
@@ -729,23 +769,23 @@ pub(crate) fn bdr_lane<X, B, O>(
 /// (`()`, the plain and causal softmax), the fused SM's dropout beside the
 /// saved softmax ([`Dropped`]) or in its place ([`DroppedInPlace`]).
 pub(crate) trait SoftmaxTail<const W: usize> {
-    /// Positions `v0..v0 + n` hold the softmax rows `y` (zero in a dead
-    /// lane, and past the visible ones, where every lane is dead; rows from
-    /// `n` up pad the block): the rows `out` stores.
-    fn keep(&mut self, v0: usize, n: usize, y: Block<W>, dead: &[bool; W]) -> Block<W>;
+    /// Positions `v0..v0 + n` of panel `p` hold the softmax rows `y` (zero
+    /// in a dead lane, and past the visible ones, where every lane is dead;
+    /// rows from `n` up pad the block): the rows `out` stores.
+    fn keep(&mut self, p: usize, v0: usize, n: usize, y: Block<W>, dead: &[bool; W]) -> Block<W>;
 }
 
 impl<const W: usize> SoftmaxTail<W> for () {
     #[inline(always)]
-    fn keep(&mut self, _: usize, _: usize, y: Block<W>, _: &[bool; W]) -> Block<W> {
+    fn keep(&mut self, _: usize, _: usize, _: usize, y: Block<W>, _: &[bool; W]) -> Block<W> {
         y
     }
 }
 
 /// The fused SM's dropout stored where the softmax would be: `out` holds
 /// `alpha = y · mask` and nothing else is kept — the attention region's
-/// weights, whose softmax and mask no kernel reads. Lane `w`'s mask at
-/// position `v` is the one of index `at + w · step + v`.
+/// weights, whose softmax and mask no kernel reads. Lane `w` of the run's
+/// lanes has its mask at position `v` the one of index `at + w · step + v`.
 #[derive(Debug)]
 pub(crate) struct DroppedInPlace<'a> {
     /// The masks' key.
@@ -757,11 +797,17 @@ pub(crate) struct DroppedInPlace<'a> {
 }
 
 impl DroppedInPlace<'_> {
-    /// `(y · mask, mask)` of the block from `v0`, the masks of a dead lane
-    /// zero.
+    /// `(y · mask, mask)` of panel `p`'s block from `v0`, the masks of a
+    /// dead lane zero.
     #[inline(always)]
-    fn apply<const W: usize>(&self, v0: usize, mut y: Block<W>, dead: &[bool; W]) -> [Block<W>; 2] {
-        let mut m: Block<W> = self.drop.masks(self.at + v0, self.step);
+    fn apply<const W: usize>(
+        &self,
+        p: usize,
+        v0: usize,
+        mut y: Block<W>,
+        dead: &[bool; W],
+    ) -> [Block<W>; 2] {
+        let mut m: Block<W> = self.drop.masks(self.at + p * W * self.step + v0, self.step);
         for (y, m) in y.iter_mut().zip(&mut m) {
             for w in 0..W {
                 m[w] = if dead[w] { 0.0 } else { m[w] };
@@ -774,13 +820,14 @@ impl DroppedInPlace<'_> {
 
 impl<const W: usize> SoftmaxTail<W> for DroppedInPlace<'_> {
     #[inline(always)]
-    fn keep(&mut self, v0: usize, _: usize, y: Block<W>, dead: &[bool; W]) -> Block<W> {
-        self.apply(v0, y, dead)[0]
+    fn keep(&mut self, p: usize, v0: usize, _: usize, y: Block<W>, dead: &[bool; W]) -> Block<W> {
+        self.apply(p, v0, y, dead)[0]
     }
 }
 
 /// The fused SM's outputs beside the saved softmax: `alpha = y · mask`,
-/// lane `w`'s mask at position `v` the one of index `at + w · step + v`.
+/// lane `w` of the run's lanes has its mask at position `v` the one of
+/// index `at + w · step + v`.
 #[derive(Debug)]
 pub(crate) struct Dropped<'a, O: ?Sized> {
     /// Dropped-out attention weights.
@@ -797,11 +844,11 @@ pub(crate) struct Dropped<'a, O: ?Sized> {
 
 impl<const W: usize, O: PanelMut<W> + ?Sized> SoftmaxTail<W> for Dropped<'_, O> {
     #[inline(always)]
-    fn keep(&mut self, v0: usize, n: usize, y: Block<W>, dead: &[bool; W]) -> Block<W> {
+    fn keep(&mut self, p: usize, v0: usize, n: usize, y: Block<W>, dead: &[bool; W]) -> Block<W> {
         let (drop, at, step) = (self.drop, self.at, self.step);
-        let [alpha, mask] = DroppedInPlace { drop, at, step }.apply(v0, y, dead);
-        self.mask.set_block(v0, n, mask);
-        self.alpha.set_block(v0, n, alpha);
+        let [alpha, mask] = DroppedInPlace { drop, at, step }.apply(p, v0, y, dead);
+        self.mask.set_block(p, v0, n, mask);
+        self.alpha.set_block(p, v0, n, alpha);
         y
     }
 }
@@ -868,15 +915,20 @@ fn norm_block<const W: usize>(
     y
 }
 
-/// Which lanes are dead: every visible input `−inf` — a `−inf` maximum
-/// that is not a NaN `max` skipped. Out of line: a second look at a lane
-/// that only a masked row needs.
+/// Which lanes of panel `p` are dead: every visible input `−inf` — a
+/// `−inf` maximum that is not a NaN `max` skipped. Out of line: a second
+/// look at a lane that only a masked row needs.
 #[cold]
 #[inline(never)]
-fn dead_lanes<const W: usize, X: Panel<W> + ?Sized>(x: &X, s: f32, visible: usize) -> [bool; W] {
+fn dead_lanes<const W: usize, X: Panel<W> + ?Sized>(
+    x: &X,
+    p: usize,
+    s: f32,
+    visible: usize,
+) -> [bool; W] {
     let mut dead = [true; W];
     for v in 0..visible {
-        let xv = x.row(v);
+        let xv = x.row(p, v);
         for w in 0..W {
             dead[w] &= s * xv[w] == f32::NEG_INFINITY;
         }
@@ -884,19 +936,25 @@ fn dead_lanes<const W: usize, X: Panel<W> + ?Sized>(x: &X, s: f32, visible: usiz
     dead
 }
 
+/// Per-lane state of a run's panels, side by side on the stack: one `[f32;
+/// W]` (or one [`Block`]) a panel, the first `panels` of [`PANELS`] used.
+type Side<T> = [T; PANELS];
+
 /// Scale → numerically stable softmax over the first `visible` positions
-/// → (tail-defined) dropout → zero tail, on `W` lanes abreast. Covers the
+/// → (tail-defined) dropout → zero tail, on a run's panels. Covers the
 /// plain softmax (`visible == len`), the causal softmax and the fused SM.
 ///
 /// All three passes — the maximum, the exponentials and their sum, the
 /// normalization and the tail — take a block of [`BLOCK`] positions at a
 /// time through the views' block access, a lane's last block padded: a
-/// padded row joins no reduction and is never stored. The maximum and the
-/// sum are each reduced one way, whatever the walk: partial `k` takes the
-/// positions `v ≡ k (mod BLOCK)` in ascending order and [`fold`] joins the
-/// partials. A lane's result therefore depends on its values and its
-/// length only. Out of line, so that the contiguous instantiation is a
-/// symbol of its own (`tools/kernel_asm.sh` reads its block loops).
+/// padded row joins no reduction and is never stored. Each pass takes a
+/// block of every panel of the run before the next block (storage order).
+/// The maximum and the sum are each reduced one way, whatever the walk:
+/// partial `k` takes the positions `v ≡ k (mod BLOCK)` in ascending order
+/// and [`fold`] joins the partials. A lane's result therefore depends on
+/// its values and its length only. Out of line, so that the contiguous
+/// instantiation is a symbol of its own (`tools/kernel_asm.sh` reads its
+/// block loops).
 ///
 /// A lane whose visible inputs are all `−inf` (a fully masked row) has no
 /// defined distribution: every output of the lane is zero, its masks
@@ -921,71 +979,101 @@ pub(crate) fn softmax_lane<const W: usize, X, O, T>(
     O: PanelMut<W> + ?Sized,
     T: SoftmaxTail<W>,
 {
-    let len = out.rows();
+    let (len, panels) = (out.rows(), out.panels());
     assert!(x.rows() >= len, "softmax input shorter than its output");
     let visible = visible.min(len);
-    let mut mx = [[f32::NEG_INFINITY; W]; BLOCK];
+    let mut part: Side<Block<W>> = [[[f32::NEG_INFINITY; W]; BLOCK]; PANELS];
+    let part = &mut part[..panels];
     let whole = visible - visible % BLOCK;
     for v0 in (0..whole).step_by(BLOCK) {
-        max_block(&mut mx, scaler, x.block(v0, BLOCK), BLOCK);
+        for (p, mx) in part.iter_mut().enumerate() {
+            max_block(mx, scaler, x.block(p, v0, BLOCK), BLOCK);
+        }
     }
     // the last block, loaded once: its exponentials, and their softmax,
-    // stay in registers until they are stored
-    let last = x.block(whole, visible - whole);
-    max_block(&mut mx, scaler, last, visible - whole);
-    let mx = fold(mx, f32::max);
-    let mut dead = [false; W];
-    if mx.contains(&f32::NEG_INFINITY) {
-        dead = dead_lanes(x, scaler, visible);
+    // stay in registers until they are stored (a lane's; a panel's on the
+    // stack)
+    let mut last: Side<Block<W>> = [[[0.0; W]; BLOCK]; PANELS];
+    let (mut mx, mut dead) = ([[0.0; W]; PANELS], [[false; W]; PANELS]);
+    for (p, part) in part.iter_mut().enumerate() {
+        last[p] = x.block(p, whole, visible - whole);
+        max_block(part, scaler, last[p], visible - whole);
+        mx[p] = fold(*part, f32::max);
+        if mx[p].contains(&f32::NEG_INFINITY) {
+            dead[p] = dead_lanes(x, p, scaler, visible);
+        }
     }
-    let live = if dead == [true; W] { 0 } else { visible };
+    let live = if dead[..panels].iter().all(|d| *d == [true; W]) {
+        0
+    } else {
+        visible
+    };
     let (whole, n) = (live - live % BLOCK, live % BLOCK);
-    let mut sum = [[0.0f32; W]; BLOCK];
+    // the partials again, now of the sums
+    part.fill([[0.0; W]; BLOCK]);
     for v0 in (0..whole).step_by(BLOCK) {
-        let e = exp_block(&mut sum, scaler, &mx, x.block(v0, BLOCK), BLOCK);
-        out.set_block(v0, BLOCK, e);
+        for (p, sum) in part.iter_mut().enumerate() {
+            let e = exp_block(sum, scaler, &mx[p], x.block(p, v0, BLOCK), BLOCK);
+            out.set_block(p, v0, BLOCK, e);
+        }
     }
-    let last = exp_block(&mut sum, scaler, &mx, last, n);
-    let sum = fold(sum, |a, b| a + b);
-    let inv = sum.map(|s| 1.0 / s);
-    // a lane without a distribution is one word throughout: zero if dead,
-    // `f32::NAN` if poisoned — the same select, no more work a row
-    let flat: [bool; W] = std::array::from_fn(|w| dead[w] || sum[w].is_nan());
-    let fill = dead.map(|d| if d { 0.0 } else { f32::NAN });
+    let (mut inv, mut flat, mut fill) =
+        ([[0.0; W]; PANELS], [[false; W]; PANELS], [[0.0; W]; PANELS]);
+    for (p, sum) in part.iter_mut().enumerate() {
+        last[p] = exp_block(sum, scaler, &mx[p], last[p], n);
+        let sum = fold(*sum, |a, b| a + b);
+        inv[p] = sum.map(|s| 1.0 / s);
+        // a lane without a distribution is one word throughout: zero if
+        // dead, `f32::NAN` if poisoned — the same select, no more work a row
+        flat[p] = std::array::from_fn(|w| dead[p][w] || sum[w].is_nan());
+        fill[p] = dead[p].map(|d| if d { 0.0 } else { f32::NAN });
+    }
     for v0 in (0..whole).step_by(BLOCK) {
-        let y = norm_block(out.block(v0, BLOCK), &inv, &flat, &fill);
-        out.set_block(v0, BLOCK, tail.keep(v0, BLOCK, y, &dead));
+        for p in 0..panels {
+            let y = norm_block(out.block(p, v0, BLOCK), &inv[p], &flat[p], &fill[p]);
+            out.set_block(p, v0, BLOCK, tail.keep(p, v0, BLOCK, y, &dead[p]));
+        }
     }
-    let y = norm_block(last, &inv, &flat, &fill);
-    out.set_block(whole, n, tail.keep(whole, n, y, &dead));
+    for p in 0..panels {
+        let y = norm_block(last[p], &inv[p], &flat[p], &fill[p]);
+        out.set_block(p, whole, n, tail.keep(p, whole, n, y, &dead[p]));
+    }
     for v0 in (live..len).step_by(BLOCK) {
         let n = BLOCK.min(len - v0);
-        out.set_block(v0, n, tail.keep(v0, n, [[0.0; W]; BLOCK], &[true; W]));
+        for p in 0..panels {
+            let y = tail.keep(p, v0, n, [[0.0; W]; BLOCK], &[true; W]);
+            out.set_block(p, v0, n, y);
+        }
     }
 }
 
 /// A [`softmax_lane`] input with a bias added on the way in, `x + bias`
 /// row by row — the model head's bias and vocabulary softmax over a whole
-/// container, the bias row at position `v` gathered by `bias`. The sum is
-/// the one an unfused bias add stores, so the lane is its softmax's.
+/// container, the bias row at position `v` of panel `p` gathered by
+/// `bias`. The sum is the one an unfused bias add stores, so the lane is
+/// its softmax's.
 pub(crate) struct Biased<'a, X: ?Sized, B> {
     /// The lanes.
     pub(crate) x: &'a X,
-    /// Bias row at lane position `v`.
+    /// Bias row at lane position `v` of panel `p`.
     pub(crate) bias: B,
 }
 
 impl<const W: usize, X, B> Panel<W> for Biased<'_, X, B>
 where
     X: Panel<W> + ?Sized,
-    B: Fn(usize) -> [f32; W],
+    B: Fn(usize, usize) -> [f32; W],
 {
     fn rows(&self) -> usize {
         self.x.rows()
     }
+    #[inline(always)]
+    fn panels(&self) -> usize {
+        self.x.panels()
+    }
     #[inline]
-    fn row(&self, v: usize) -> [f32; W] {
-        let (mut x, b) = (self.x.row(v), (self.bias)(v));
+    fn row(&self, p: usize, v: usize) -> [f32; W] {
+        let (mut x, b) = (self.x.row(p, v), (self.bias)(p, v));
         for w in 0..W {
             x[w] += b[w];
         }
@@ -996,30 +1084,33 @@ where
 /// What [`norm_lane`] normalizes: lanes as they are (`&X`), or the fused
 /// bias + dropout + residual prologue computed on the way in.
 pub(crate) trait NormSource<const W: usize> {
-    /// Produces the layer-norm input row at position `v` (first pass, `v`
-    /// ascending).
-    fn load(&mut self, v: usize) -> [f32; W];
-    /// Re-reads the layer-norm input row at position `v` (second pass).
-    fn normed(&self, v: usize) -> [f32; W];
+    /// Produces the layer-norm input row at position `v` of panel `p`
+    /// (first pass, `v` ascending).
+    fn load(&mut self, p: usize, v: usize) -> [f32; W];
+    /// Re-reads the layer-norm input row at position `v` of panel `p`
+    /// (second pass).
+    fn normed(&self, p: usize, v: usize) -> [f32; W];
 }
 
 impl<const W: usize, X: Panel<W> + ?Sized> NormSource<W> for &X {
-    fn load(&mut self, v: usize) -> [f32; W] {
-        self.row(v)
+    #[inline(always)]
+    fn load(&mut self, p: usize, v: usize) -> [f32; W] {
+        self.row(p, v)
     }
-    fn normed(&self, v: usize) -> [f32; W] {
-        self.row(v)
+    #[inline(always)]
+    fn normed(&self, p: usize, v: usize) -> [f32; W] {
+        self.row(p, v)
     }
 }
 
 /// The BDRLN prologue: `ln_input = dropout(x + bias) + residual`, saving
-/// the mask and `ln_input`; lane `w`'s mask at position `v` is the one of
-/// index `at + w · len + v`.
+/// the mask and `ln_input`; lane `w` of the run's lanes has its mask at
+/// position `v` the one of index `at + w · len + v`.
 #[derive(Debug)]
 pub(crate) struct BiasDropResidual<'a, X: ?Sized, O: ?Sized, B> {
     /// The lanes being normalized.
     pub(crate) x: &'a X,
-    /// Bias row at lane position `v`.
+    /// Bias row at lane position `v` of panel `p`.
     pub(crate) bias: B,
     /// Residual lanes (their own addressing).
     pub(crate) residual: &'a X,
@@ -1037,64 +1128,91 @@ impl<const W: usize, X, O, B> NormSource<W> for BiasDropResidual<'_, X, O, B>
 where
     X: Panel<W> + ?Sized,
     O: PanelMut<W> + ?Sized,
-    B: FnMut(usize) -> [f32; W],
+    B: FnMut(usize, usize) -> [f32; W],
 {
-    #[inline]
-    fn load(&mut self, v: usize) -> [f32; W] {
-        let (x, b, r) = (self.x.row(v), (self.bias)(v), self.residual.row(v));
-        let [m] = self.drop.masks::<W, 1>(self.at + v, self.ln_input.rows());
+    #[inline(always)]
+    fn load(&mut self, p: usize, v: usize) -> [f32; W] {
+        let (x, b, r) = (self.x.row(p, v), (self.bias)(p, v), self.residual.row(p, v));
+        let len = self.ln_input.rows();
+        let [m] = self.drop.masks::<W, 1>(self.at + p * W * len + v, len);
         let li = std::array::from_fn(|w| bdr(x[w], b[w], r[w], m[w]));
-        self.mask.set_row(v, m);
-        self.ln_input.set_row(v, li);
+        self.mask.set_row(p, v, m);
+        self.ln_input.set_row(p, v, li);
         li
     }
-    #[inline]
-    fn normed(&self, v: usize) -> [f32; W] {
-        self.ln_input.row(v)
+    #[inline(always)]
+    fn normed(&self, p: usize, v: usize) -> [f32; W] {
+        self.ln_input.row(p, v)
     }
 }
 
+/// A run's saved per-lane statistic (`stats[p · W + w]` for lane `w` of
+/// panel `p`), side by side.
+#[inline(always)]
+fn side_of<const W: usize>(stats: &[f32], panels: usize) -> Side<[f32; W]> {
+    let mut side = [[0.0; W]; PANELS];
+    for (side, stats) in side[..panels].iter_mut().zip(stats.chunks_exact(W)) {
+        *side = stats.try_into().expect("a W-word chunk is a W-word row");
+    }
+    side
+}
+
 /// (Optional prologue →) moments → affine: `out = (src − mean) · inv_std ·
-/// gamma + beta` on `W` lanes abreast, each with its own moments. Returns
-/// `(mean, inv_std)` per lane. Covers `layernorm` and BDRLN.
-#[inline]
+/// gamma + beta` on a run's panels, each lane with its own moments, stored
+/// to `stats` (means, inverse deviations) at the run's lanes. Covers
+/// `layernorm` and BDRLN. Both passes take position `v` of every panel
+/// before `v + 1` (storage order), each panel's moments side by side.
+#[inline(never)]
 pub(crate) fn norm_lane<const W: usize, S: NormSource<W>, O: PanelMut<W> + ?Sized>(
     mut src: S,
     gamma: &[f32],
     beta: &[f32],
     out: &mut O,
-) -> ([f32; W], [f32; W]) {
-    let len = out.rows();
+    (mean_out, inv_std_out): (&mut [f32], &mut [f32]),
+) {
+    let (len, panels) = (out.rows(), out.panels());
     let (gamma, beta) = (&gamma[..len], &beta[..len]);
-    let mut sum = [0.0f32; W];
-    let mut sq = [0.0f32; W];
+    let (mut sum, mut sq): (Side<[f32; W]>, Side<[f32; W]>) =
+        ([[0.0; W]; PANELS], [[0.0; W]; PANELS]);
+    let (sum, sq) = (&mut sum[..panels], &mut sq[..panels]);
     for v in 0..len {
-        let val = src.load(v);
-        for w in 0..W {
-            sum[w] += val[w];
-            sq[w] += val[w] * val[w];
+        for (p, (sum, sq)) in sum.iter_mut().zip(sq.iter_mut()).enumerate() {
+            let val = src.load(p, v);
+            for w in 0..W {
+                sum[w] += val[w];
+                sq[w] += val[w] * val[w];
+            }
         }
     }
-    let mean = sum.map(|s| s / len as f32);
-    let inv_std: [f32; W] = std::array::from_fn(|w| {
-        let var = (sq[w] / len as f32 - mean[w] * mean[w]).max(0.0);
-        1.0 / (var + EPS).sqrt()
-    });
-    for v in 0..len {
-        let val = src.normed(v);
-        let row = std::array::from_fn(|w| {
-            let xhat = (val[w] - mean[w]) * inv_std[w];
-            xhat * gamma[v] + beta[v]
+    let (mut mean, mut inv_std): (Side<[f32; W]>, Side<[f32; W]>) =
+        ([[0.0; W]; PANELS], [[0.0; W]; PANELS]);
+    for p in 0..panels {
+        mean[p] = sum[p].map(|s| s / len as f32);
+        inv_std[p] = std::array::from_fn(|w| {
+            let var = (sq[p][w] / len as f32 - mean[p][w] * mean[p][w]).max(0.0);
+            1.0 / (var + EPS).sqrt()
         });
-        out.set_row(v, row);
     }
-    (mean, inv_std)
+    for (v, (&gamma, &beta)) in gamma.iter().zip(beta).enumerate() {
+        for p in 0..panels {
+            let val = src.normed(p, v);
+            let row = std::array::from_fn(|w| {
+                let xhat = (val[w] - mean[p][w]) * inv_std[p][w];
+                xhat * gamma + beta
+            });
+            out.set_row(p, v, row);
+        }
+    }
+    let lanes = panels * W;
+    mean_out[..lanes].copy_from_slice(mean[..panels].as_flattened());
+    inv_std_out[..lanes].copy_from_slice(inv_std[..panels].as_flattened());
 }
 
-/// Softmax dX on `W` lanes abreast: `dx = scaler · y ⊙ (g − ⟨g, y⟩)`, each
+/// Softmax dX on a run's panels: `dx = scaler · y ⊙ (g − ⟨g, y⟩)`, each
 /// lane's dot product summed in ascending `v`. `g = dy ⊙ mask` under BS's
 /// saved dropout mask, `g = dy` without one (`softmax_backward`, whose unit
-/// `scaler` is a bitwise identity under IEEE 754 multiplication).
+/// `scaler` is a bitwise identity under IEEE 754 multiplication). Both
+/// passes take position `v` of every panel before `v + 1`.
 #[inline]
 pub(crate) fn softmax_dx_lane<const W: usize, X, O>(
     dy: &X,
@@ -1106,69 +1224,83 @@ pub(crate) fn softmax_dx_lane<const W: usize, X, O>(
     X: Panel<W> + ?Sized,
     O: PanelMut<W> + ?Sized,
 {
-    let len = dx.rows();
+    let (len, panels) = (dx.rows(), dx.panels());
     assert!(dy.rows() >= len && y.rows() >= len);
     assert!(mask.is_none_or(|m| m.rows() >= len));
     // no mask is a mask of ones: `dy · 1` is `dy`, bit for bit
-    let mask_row = |v: usize| mask.map_or([1.0; W], |m| m.row(v));
-    let mut dot = [0.0f32; W];
+    let mask_row = |p: usize, v: usize| mask.map_or([1.0; W], |m| m.row(p, v));
+    let mut dot: Side<[f32; W]> = [[0.0; W]; PANELS];
+    let dot = &mut dot[..panels];
     for v in 0..len {
-        let (g, m, yv) = (dy.row(v), mask_row(v), y.row(v));
-        for w in 0..W {
-            dot[w] += g[w] * m[w] * yv[w];
+        for (p, dot) in dot.iter_mut().enumerate() {
+            let (g, m, yv) = (dy.row(p, v), mask_row(p, v), y.row(p, v));
+            for w in 0..W {
+                dot[w] += g[w] * m[w] * yv[w];
+            }
         }
     }
     for v in 0..len {
-        let (g, m, yv) = (dy.row(v), mask_row(v), y.row(v));
-        dx.set_row(
-            v,
-            std::array::from_fn(|w| scaler * (yv[w] * (g[w] * m[w] - dot[w]))),
-        );
+        for (p, dot) in dot.iter().enumerate() {
+            let (g, m, yv) = (dy.row(p, v), mask_row(p, v), y.row(p, v));
+            let row = std::array::from_fn(|w| scaler * (yv[w] * (g[w] * m[w] - dot[w])));
+            dx.set_row(p, v, row);
+        }
     }
 }
 
-/// Layer-norm dX on `W` lanes abreast, each under its saved `(mean,
-/// inv_std)`: `dx = inv_std · (g − mean(g) − x̂ · mean(g · x̂))` with
-/// `g = dy · γ` and `x̂ = (x − mean) · inv_std`. `tail` is handed every row
-/// and returns what `dx` stores: the row itself (`|_, row| row`), BLNRD's
-/// [`drop_dx`] (which stores the masked row elsewhere), or BLNR's residual
-/// join (`into_ops::blnr_into`).
-#[inline]
+/// Layer-norm dX on a run's panels, each lane under its saved `(mean,
+/// inv_std)` (at the run's lanes): `dx = inv_std · (g − mean(g) − x̂ ·
+/// mean(g · x̂))` with `g = dy · γ` and `x̂ = (x − mean) · inv_std`. `tail`
+/// is handed every row `(p, v, row)` and returns what `dx` stores: the row
+/// itself (`|_, _, row| row`), BLNRD's [`drop_dx`] (which stores the
+/// masked row elsewhere), or BLNR's residual join (`into_ops::blnr_into`).
+/// Both passes take position `v` of every panel before `v + 1`.
+#[inline(never)]
 pub(crate) fn norm_dx_lane<const W: usize, X, O>(
     dy: &X,
     x: &X,
     gamma: &[f32],
-    (mean, inv_std): ([f32; W], [f32; W]),
+    (mean, inv_std): (&[f32], &[f32]),
     dx: &mut O,
-    mut tail: impl FnMut(usize, [f32; W]) -> [f32; W],
+    mut tail: impl FnMut(usize, usize, [f32; W]) -> [f32; W],
 ) where
     X: Panel<W> + ?Sized,
     O: PanelMut<W> + ?Sized,
 {
-    let len = dx.rows();
+    let (len, panels) = (dx.rows(), dx.panels());
     assert!(dy.rows() >= len && x.rows() >= len);
     let gamma = &gamma[..len];
-    // `(g, x̂)` of lane `w` at a position whose words are `dy`, `x`, `gamma`
-    let terms = |dy: f32, x: f32, gamma: f32, w: usize| -> (f32, f32) {
-        (dy * gamma, (x - mean[w]) * inv_std[w])
+    let (mean, inv_std) = (side_of::<W>(mean, panels), side_of::<W>(inv_std, panels));
+    // `(g, x̂)` of lane `w` of panel `p` at a position whose words are
+    // `dy`, `x`, `gamma`
+    let terms = |dy: f32, x: f32, gamma: f32, p: usize, w: usize| -> (f32, f32) {
+        (dy * gamma, (x - mean[p][w]) * inv_std[p][w])
     };
-    let (mut s1, mut s2) = ([0.0f32; W], [0.0f32; W]);
+    let (mut s1, mut s2): (Side<[f32; W]>, Side<[f32; W]>) =
+        ([[0.0; W]; PANELS], [[0.0; W]; PANELS]);
+    let (s1, s2) = (&mut s1[..panels], &mut s2[..panels]);
     for (v, &gamma) in gamma.iter().enumerate() {
-        let (d, xv) = (dy.row(v), x.row(v));
-        for w in 0..W {
-            let (g, xhat) = terms(d[w], xv[w], gamma, w);
-            s1[w] += g;
-            s2[w] += g * xhat;
+        for (p, (s1, s2)) in s1.iter_mut().zip(s2.iter_mut()).enumerate() {
+            let (d, xv) = (dy.row(p, v), x.row(p, v));
+            for w in 0..W {
+                let (g, xhat) = terms(d[w], xv[w], gamma, p, w);
+                s1[w] += g;
+                s2[w] += g * xhat;
+            }
         }
     }
-    let (s1, s2) = (s1.map(|s| s / len as f32), s2.map(|s| s / len as f32));
+    for (s1, s2) in s1.iter_mut().zip(s2.iter_mut()) {
+        (*s1, *s2) = (s1.map(|s| s / len as f32), s2.map(|s| s / len as f32));
+    }
     for (v, &gamma) in gamma.iter().enumerate() {
-        let (d, xv) = (dy.row(v), x.row(v));
-        let row: [f32; W] = std::array::from_fn(|w| {
-            let (g, xhat) = terms(d[w], xv[w], gamma, w);
-            inv_std[w] * (g - s1[w] - xhat * s2[w])
-        });
-        dx.set_row(v, tail(v, row));
+        for (p, (s1, s2)) in s1.iter().zip(s2.iter()).enumerate() {
+            let (d, xv) = (dy.row(p, v), x.row(p, v));
+            let row: [f32; W] = std::array::from_fn(|w| {
+                let (g, xhat) = terms(d[w], xv[w], gamma, p, w);
+                inv_std[p][w] * (g - s1[w] - xhat * s2[w])
+            });
+            dx.set_row(p, v, tail(p, v, row));
+        }
     }
 }
 
@@ -1177,42 +1309,58 @@ pub(crate) fn norm_dx_lane<const W: usize, X, O>(
 pub(crate) fn drop_dx<'a, const W: usize, X, O>(
     mask: &'a X,
     out: &'a mut O,
-) -> impl FnMut(usize, [f32; W]) -> [f32; W] + 'a
+) -> impl FnMut(usize, usize, [f32; W]) -> [f32; W] + 'a
 where
     X: Panel<W> + ?Sized,
     O: PanelMut<W> + ?Sized,
 {
-    move |v, dx| {
-        let m = mask.row(v);
-        out.set_row(v, std::array::from_fn(|w| dx[w] * m[w]));
+    move |p, v, dx| {
+        let m = mask.row(p, v);
+        out.set_row(p, v, std::array::from_fn(|w| dx[w] * m[w]));
         dx
     }
 }
 
-/// Layer-norm dγ/dβ over `W` lanes abreast: `dgamma[v] += g · x̂` and
-/// `dbeta[v] += g`, the lanes of a row added one after the other in
-/// ascending `w` — the order a lane-at-a-time walk adds them in, so every
-/// word sums its addends in logical lane order whatever the walk. `head`
-/// turns each row of `dy` into the gradient row `g`, positions ascending:
-/// the row itself (`|_, g| g`), or EBSB's [`add_residual`].
-#[inline]
+/// Layer-norm dγ/dβ over a run's panels: `dgamma[v] += g · x̂` and
+/// `dbeta[v] += g`, the lanes of a row added one after the other, panels
+/// ascending and in each ascending `w` — the order a lane-at-a-time walk
+/// adds them in, so every word sums its addends in logical lane order
+/// whatever the walk. `head` turns each row `(p, v, dy)` into the gradient
+/// row `g`: the row itself (`|_, _, g| g`), or EBSB's [`add_residual`].
+/// The pass takes a block of [`BLOCK`] positions of every panel before the
+/// next block: the words of a block are sixteen chains the core overlaps,
+/// where one word at a time would be one chain through every lane.
+#[inline(never)]
 pub(crate) fn norm_dw_lane<const W: usize, X: Panel<W> + ?Sized>(
     dy: &X,
-    mut head: impl FnMut(usize, [f32; W]) -> [f32; W],
+    mut head: impl FnMut(usize, usize, [f32; W]) -> [f32; W],
     x: &X,
-    (mean, inv_std): ([f32; W], [f32; W]),
+    (mean, inv_std): (&[f32], &[f32]),
     dgamma: &mut [f32],
     dbeta: &mut [f32],
 ) {
-    let len = dgamma.len();
+    let (len, panels) = (dgamma.len(), x.panels());
     assert!(dy.rows() >= len && x.rows() >= len);
     let dbeta = &mut dbeta[..len];
-    for v in 0..len {
-        let (g, xv) = (head(v, dy.row(v)), x.row(v));
-        for w in 0..W {
-            let xhat = (xv[w] - mean[w]) * inv_std[w];
-            dgamma[v] += g[w] * xhat;
-            dbeta[v] += g[w];
+    let (mean, inv_std) = (side_of::<W>(mean, panels), side_of::<W>(inv_std, panels));
+    for (v0, n) in blocks(len) {
+        let (dgamma, dbeta) = (&mut dgamma[v0..v0 + n], &mut dbeta[v0..v0 + n]);
+        for p in 0..panels {
+            // the block's rows of `g` and `g · x̂` a row at a time, then
+            // their words one after the other
+            let (mut g, mut gx) = ([[0.0; W]; BLOCK], [[0.0; W]; BLOCK]);
+            for (k, (g, gx)) in g[..n].iter_mut().zip(&mut gx[..n]).enumerate() {
+                let (v, mean, inv_std) = (v0 + k, &mean[p], &inv_std[p]);
+                let xv = x.row(p, v);
+                *g = head(p, v, dy.row(p, v));
+                *gx = std::array::from_fn(|w| g[w] * ((xv[w] - mean[w]) * inv_std[w]));
+            }
+            for (k, (dgamma, dbeta)) in dgamma.iter_mut().zip(dbeta.iter_mut()).enumerate() {
+                for w in 0..W {
+                    *dgamma += gx[k][w];
+                    *dbeta += g[k][w];
+                }
+            }
         }
     }
 }
@@ -1222,15 +1370,15 @@ pub(crate) fn norm_dw_lane<const W: usize, X: Panel<W> + ?Sized>(
 pub(crate) fn add_residual<'a, const W: usize, X, O>(
     residual: &'a X,
     dsum: &'a mut O,
-) -> impl FnMut(usize, [f32; W]) -> [f32; W] + 'a
+) -> impl FnMut(usize, usize, [f32; W]) -> [f32; W] + 'a
 where
     X: Panel<W> + ?Sized,
     O: PanelMut<W> + ?Sized,
 {
-    move |v, dy| {
-        let r = residual.row(v);
+    move |p, v, dy| {
+        let r = residual.row(p, v);
         let g = std::array::from_fn(|w| dy[w] + r[w]);
-        dsum.set_row(v, g);
+        dsum.set_row(p, v, g);
         g
     }
 }
@@ -1309,15 +1457,21 @@ pub(crate) enum Run {
     /// One strided lane ([`Walk::Strided`], or the last lane of a row of
     /// panels).
     Strided,
-    /// A panel of this many lanes: [`W`] or one of its halvings down to 2.
-    Panel(usize),
+    /// `panels` side-by-side panels of `lanes` lanes each: up to
+    /// [`PANELS`] of [`W`], or one of a halving down to 2.
+    Panel {
+        /// Lanes of each panel.
+        lanes: usize,
+        /// Panels in the run.
+        panels: usize,
+    },
 }
 
 impl Run {
     /// Lanes in the run.
     pub(crate) fn lanes(self) -> usize {
         match self {
-            Run::Panel(lanes) => lanes,
+            Run::Panel { lanes, panels } => lanes * panels,
             Run::Lane | Run::Strided => 1,
         }
     }
@@ -1327,8 +1481,8 @@ impl Run {
 /// swept operand `buf @ at` — a flat buffer and its run's [`LaneAt`], the
 /// read ones in the first list, the written ones in the second — rebound
 /// to the view `$run` calls for (an exact `[f32]` chunk, a [`Strided`]
-/// lane, the [`Rows`] of a panel) and `$w` to the run's width, the `W` the
-/// body is instantiated at. Gathered operands (a broadcast bias, γ, β, the
+/// lane, the [`Rows`] of the run's panels) and `$w` to its panels' width,
+/// the `W` the body is instantiated at. Gathered operands (a broadcast bias, γ, β, the
 /// statistics) are the caller's to pass through.
 macro_rules! on_run {
     ($run:expr, $w:ident, [$($r:ident @ $ra:expr),*], [$($m:ident @ $ma:expr),*] => $call:expr) => {
@@ -1345,33 +1499,15 @@ macro_rules! on_run {
                 $(let $m = &mut $ma.strided_mut($m);)*
                 $call
             }
-            $crate::lanes::Run::Panel(lanes) => {
-                $(let $r = &$ra.rows($r);)*
-                $(let $m = &mut $ma.rows_mut($m);)*
+            $crate::lanes::Run::Panel { lanes, panels } => {
+                $(let $r = &$ra.rows($r, panels);)*
+                $(let $m = &mut $ma.rows_mut($m, panels);)*
                 $crate::lanes::panel_of!(lanes, $w => $call)
             }
         }
     };
 }
 pub(crate) use {on_run, panel_of};
-
-/// Stores a run's per-lane statistics (the forward norms).
-pub(crate) fn put_stats<const N: usize>(
-    (mean_out, inv_std_out): (&mut [f32], &mut [f32]),
-    (mean, inv_std): ([f32; N], [f32; N]),
-) {
-    mean_out[..N].copy_from_slice(&mean);
-    inv_std_out[..N].copy_from_slice(&inv_std);
-}
-
-/// Loads a run's saved per-lane statistics (the backward norms): the first
-/// `N` entries of each slice.
-pub(crate) fn run_stats<const N: usize>(mean: &[f32], inv_std: &[f32]) -> ([f32; N], [f32; N]) {
-    (
-        std::array::from_fn(|w| mean[w]),
-        std::array::from_fn(|w| inv_std[w]),
-    )
-}
 
 #[cfg(test)]
 mod tests {
@@ -1410,7 +1546,14 @@ mod tests {
                 step: 1,
                 len: 3,
             };
-            sm_on(Run::Panel(2), &transposed(&x), at);
+            sm_on(
+                Run::Panel {
+                    lanes: 2,
+                    panels: 1,
+                },
+                &transposed(&x),
+                at,
+            );
             [s, a, m] = [lane_major(&s), lane_major(&a), lane_major(&m)];
         } else {
             for base in [0, 3] {
@@ -1596,14 +1739,14 @@ mod tests {
                 let rows = as_rows::<N>(x, len);
                 let [mut s, mut a, mut m] = [(); 3].map(|_| vec![7.0f32; len * N]);
                 let mut tail = Dropped {
-                    alpha: &mut at.rows_mut(&mut a),
-                    mask: &mut at.rows_mut(&mut m),
+                    alpha: &mut at.rows_mut(&mut a, 1),
+                    mask: &mut at.rows_mut(&mut m, 1),
                     drop: &drop,
                     at: 0,
                     step: visible,
                 };
-                let out = &mut at.rows_mut(&mut s);
-                softmax_lane::<N, _, _, _>(&at.rows(&rows), 0.5, visible, out, &mut tail);
+                let out = &mut at.rows_mut(&mut s, 1);
+                softmax_lane::<N, _, _, _>(&at.rows(&rows, 1), 0.5, visible, out, &mut tail);
                 [s, a, m]
             })
         };
@@ -1653,6 +1796,152 @@ mod tests {
         }
     }
 
+    /// `t`, row-major over `x`'s extents, moved to `x`'s strides — or
+    /// (`back`) a buffer at `x`'s strides moved to row-major order.
+    fn lay(x: &crate::into_ops::View, t: &[f32], back: bool) -> Vec<f32> {
+        let mut out = vec![0.0; t.len()];
+        for k in 0..t.len() {
+            let (mut rest, mut at) = (k, 0);
+            for &(n, stride) in x.dims.iter().rev() {
+                at += rest % n * stride;
+                rest /= n;
+            }
+            match back {
+                true => out[k] = t[at],
+                false => out[at] = t[k],
+            }
+        }
+        out
+    }
+
+    /// Every panel body run over rows of `r` lanes — whole runs of
+    /// [`PANELS`] panels and fewer, panels of a halving and a last lane
+    /// alone at a row's end, two rows (`o`) — in storage order gives the
+    /// bits of the same lanes alone and contiguous (`W = 1`): every output,
+    /// the statistics, the masks and dγ/dβ, whose words add the lanes of
+    /// both rows in logical order. The bodies: LN, BDRLN at `p = 0` and
+    /// `p > 0`, LN dX, BLNRD, BLNR, LN dW, EBSB, the fused softmax (causal
+    /// along `o`, dropout) and its backward with and without BS's mask.
+    #[test]
+    fn every_panel_body_in_storage_order_keeps_the_bits_of_a_lane_alone() {
+        use crate::into_ops::{self as io, Sweep, View};
+        for r in [1usize, 15, 17, 33, 257, 531] {
+            for len in [1usize, 2, 513] {
+                let (sizes, n, lanes) = ([2, len, r], 2 * len * r, 2 * r);
+                let seed = (r * 1000 + len) as u64;
+                let inputs = [0u64, 1, 2, 3, 4, 5].map(|k| lane_inputs(n, seed + k));
+                let [gamma, beta, bias] = [6u64, 7, 8].map(|k| lane_inputs(len, seed + k));
+                let mean = lane_inputs(lanes, seed + 9);
+                let inv: Vec<f32> = lane_inputs(lanes, seed + 10)
+                    .iter()
+                    .map(|v| 1.0 + v.abs() / 4.0)
+                    .collect();
+                let drop = |p| Dropout::new(p, &StdRng::seed_from_u64(seed)).unwrap();
+                let (z, zl, zw) = (
+                    || vec![7.0f32; n],
+                    || vec![7.0f32; lanes],
+                    || vec![0.5f32; len],
+                );
+                let weights = View::lane_weights(&sizes, 1);
+                // (o, i, r) row-major, and the same lanes contiguous: (o, r, i);
+                // every body's outputs in row-major order
+                let [panel, alone] = [[len * r, r, 1], [len * r, 1, len]].map(|strides| {
+                    let side = View::whole(&sizes, &strides);
+                    let sweep = |ws: &[bool], query: Option<usize>| {
+                        let views: Vec<&View> = ws
+                            .iter()
+                            .map(|&w| if w { &weights } else { &side })
+                            .collect();
+                        Sweep::compile(&views, Some(1), query).unwrap()
+                    };
+                    let [x, res, dy, dy2, y, mask] =
+                        inputs.each_ref().map(|t| lay(&side, t, false));
+                    let back = |t: &[f32]| lay(&side, t, true);
+                    let mut got: Vec<(&str, Vec<Vec<f32>>)> = Vec::new();
+                    let (mut out, mut m, mut s) = (z(), zl(), zl());
+                    let sw = sweep(&[false, true, true, false], None);
+                    io::layernorm_into(&sw, &x, &gamma, &beta, &mut out, &mut m, &mut s);
+                    got.push(("LN", vec![back(&out), m, s]));
+                    for p in [0.0, 0.3] {
+                        let (mut mk, mut li, mut out, mut m, mut s) = (z(), z(), z(), zl(), zl());
+                        let sw =
+                            sweep(&[false, true, false, true, true, false, false, false], None);
+                        io::bdrln_into(
+                            &sw,
+                            &x,
+                            &bias,
+                            &res,
+                            &gamma,
+                            &beta,
+                            &drop(p),
+                            &mut mk,
+                            &mut li,
+                            &mut out,
+                            &mut m,
+                            &mut s,
+                        );
+                        got.push(("BDRLN", vec![back(&mk), back(&li), back(&out), m, s]));
+                    }
+                    let (mut dx, mut dl, mut dr) = (z(), z(), z());
+                    let sw = sweep(&[false, false, true, false], None);
+                    io::layernorm_backward_input_into(&sw, &dy, &x, &gamma, &mean, &inv, &mut dx);
+                    let sw = sweep(&[false, false, true, false, false, false], None);
+                    io::blnrd_into(&sw, &dy, &x, &gamma, &mask, &mean, &inv, &mut dl, &mut dr);
+                    got.push(("LN dX, BLNRD", vec![back(&dx), back(&dl), back(&dr)]));
+                    let sw = sweep(&[false, false, true, false, false], None);
+                    io::blnr_into(&sw, &dy, &x, &gamma, &res, &mean, &inv, &mut dx);
+                    got.push(("BLNR", vec![back(&dx)]));
+                    let (mut dg, mut db, mut ds) = (zw(), zw(), z());
+                    let sw = sweep(&[false, false, true, true], None);
+                    io::layernorm_backward_weights_into(
+                        &sw, &dy, &x, &mean, &inv, &mut dg, &mut db,
+                    );
+                    got.push(("LN dW", vec![dg.clone(), db.clone()]));
+                    // EBSB adds onto LN dW's sums
+                    let sw = sweep(&[false, false, false, false, true, true], None);
+                    io::ebsb_into(&sw, &dy, &dy2, &x, &mean, &inv, &mut ds, &mut dg, &mut db);
+                    got.push(("EBSB", vec![back(&ds), dg, db]));
+                    let (mut s, mut a, mut mk) = (z(), z(), z());
+                    let sw = sweep(&[false; 4], Some(0));
+                    io::sm_into(
+                        &sw,
+                        &x,
+                        0.5,
+                        Some(len / 3),
+                        &drop(0.3),
+                        &mut s,
+                        &mut a,
+                        &mut mk,
+                    );
+                    got.push(("SM", vec![back(&s), back(&a), back(&mk)]));
+                    let (mut dx, mut dbeta) = (z(), z());
+                    io::softmax_backward_into(&sweep(&[false; 3], None), &dy, &y, 0.5, &mut dx);
+                    io::bs_into(&sweep(&[false; 4], None), &dy, &mask, &y, 0.5, &mut dbeta);
+                    got.push(("softmax dX, BS", vec![back(&dx), back(&dbeta)]));
+                    (sweep(&[false; 2], None).walk(), got)
+                });
+                // the panel side ran panels wherever a lane has two positions
+                let want = if r > 1 && len > 1 {
+                    Walk::Panel
+                } else {
+                    Walk::Lane
+                };
+                assert_eq!((panel.0, alone.0), (want, Walk::Lane));
+                for ((name, panel), (_, alone)) in panel.1.iter().zip(&alone.1) {
+                    let bits = |ts: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                        ts.iter()
+                            .map(|t| t.iter().map(|v| v.to_bits()).collect())
+                            .collect()
+                    };
+                    assert!(
+                        bits(panel) == bits(alone),
+                        "{name}: rows of {r} lanes, {len} positions"
+                    );
+                }
+            }
+        }
+    }
+
     /// The yardstick of the numerics tier: the worst error of each
     /// transcendental-bearing body against an f64 oracle — the same for the
     /// lane and the panel instantiation, bit for bit. A softmax output is
@@ -1678,7 +1967,7 @@ mod tests {
             // lane at a time, contiguous
             let (mut sm, mut ln) = (vec![0.0f32; len * W], vec![0.0f32; len * W]);
             let (mut means, mut inv_stds) = ([0.0f32; W], [0.0f32; W]);
-            for (w, (mean, inv_std)) in means.iter_mut().zip(&mut inv_stds).enumerate() {
+            for w in 0..W {
                 let lane = w * len..(w + 1) * len;
                 softmax_lane::<1, _, _, _>(
                     &x[lane.clone()],
@@ -1687,8 +1976,8 @@ mod tests {
                     &mut sm[lane.clone()],
                     &mut (),
                 );
-                let (m, s) = norm_lane::<1, _, _>(&x[lane.clone()], &gamma, &beta, &mut ln[lane]);
-                (*mean, *inv_std) = (m[0], s[0]);
+                let stats = (&mut means[w..], &mut inv_stds[w..]);
+                norm_lane::<1, _, _>(&x[lane.clone()], &gamma, &beta, &mut ln[lane], stats);
             }
             // the same lanes abreast: every bit, statistics included
             let at = LaneAt {
@@ -1700,14 +1989,21 @@ mod tests {
             let rows = as_rows::<W>(&x, len);
             let (mut psm, mut pln) = (vec![0.0f32; len * W], vec![0.0f32; len * W]);
             softmax_lane::<W, _, _, _>(
-                &at.rows(&rows),
+                &at.rows(&rows, 1),
                 0.5,
                 len,
-                &mut at.rows_mut(&mut psm),
+                &mut at.rows_mut(&mut psm, 1),
                 &mut (),
             );
-            let pstats =
-                norm_lane::<W, _, _>(&at.rows(&rows), &gamma, &beta, &mut at.rows_mut(&mut pln));
+            let mut pstats = ([0.0f32; W], [0.0f32; W]);
+            let out = &mut at.rows_mut(&mut pln, 1);
+            norm_lane::<W, _, _>(
+                &at.rows(&rows, 1),
+                &gamma,
+                &beta,
+                out,
+                (&mut pstats.0, &mut pstats.1),
+            );
             let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(&as_rows::<W>(&sm, len)),

@@ -34,8 +34,18 @@
 #       the stack), and a spill keeps every digest green at a fraction of
 #       the speed — or the instantiations of either kernel are not exactly
 #       the slab heights `R ∈ {MR, 4, 2, 1}` the block loop cuts.
-# On another architecture there is nothing to read: (a), (b), (d) and (e)
-# are skipped.
+#   (f) an instantiation of a storage-order norm body at `W = 16`
+#       (`lanes::norm_lane`, `norm_dx_lane`, `norm_dw_lane`: LN and BDRLN,
+#       LN dX / BLNRD / BLNR, LN dW / EBSB) holds no ymm `vmulps` or
+#       `vsubps`, holds a scalar `v(mul|sub)ss` inside a loop — or a scalar
+#       `vaddss` there, but for `norm_dw_lane`, whose dγ/dβ words add a row's
+#       lanes one after the other by definition — or calls a Rust function
+#       inside a loop (anything but a panic): each pass takes every panel of
+#       a run at a position before the next, a row of `W` words at a time,
+#       and a scalar op or a call there is a row that fell apart or a view,
+#       source or tail left out of line, once per lane position.
+# On another architecture there is nothing to read: (a), (b), (d), (e) and
+# (f) are skipped.
 #
 #   tools/kernel_asm.sh            # check
 #   tools/kernel_asm.sh --print    # and print the kernel symbols' bodies
@@ -109,6 +119,24 @@ awk -v print_them="${1:-}" -v heights="$heights" '
     lane = 0
     for (op in seen) if (!seen[op]) { print lname " holds no ymm v" op "ps"; lane_narrow = 1 }
   }
+  # a storage-order norm body at `W = 16` (`Kj10_`), read the same way
+  /^_R[0-9a-zA-Z_$.]*(9norm_lane|12norm_dx_lane|12norm_dw_lane)Kj10_[0-9a-zA-Z_$.]*:/ {
+    norm = 1; nname = $0; norms++; nn = 0; split("", nlabel); nseen["mul"] = 0; nseen["sub"] = 0
+    scalar_ops = ($0 ~ /12norm_dw_lane/) ? "v(mul|sub)ss" : "v(add|mul|sub)ss"
+  }
+  norm && print_them == "--print" { print }
+  norm { nline[++nn] = $0; for (op in nseen) if ($0 ~ "v" op "ps.*%ymm") nseen[op] = 1 }
+  norm && /^\.LBB[0-9_]+:/ { nlabel[substr($1, 1, length($1) - 1)] = nn }
+  norm && /^\tj[a-z]+\t\.LBB[0-9_]+$/ && $1 != "jmp" && ($2 in nlabel) {
+    for (i = nlabel[$2]; i <= nn; i++) {
+      if (nline[i] ~ scalar_ops) { print nname " " nline[i]; norm_scalar = 1 }
+      if (nline[i] ~ /^\tcall.*_R/ && nline[i] !~ /panic|_fail/) { print nname " " nline[i]; norm_call = 1 }
+    }
+  }
+  norm && /^\t\.size\t/ {
+    norm = 0
+    for (op in nseen) if (!nseen[op]) { print nname " holds no ymm v" op "ps"; norm_narrow = 1 }
+  }
   END {
     if (fused) { print "a fused multiply-add outside matmul::kernel and kernel_wide (see above): only the GEMM rounds once per product"; exit 1 }
     want = split(heights, h, " ")
@@ -125,5 +153,9 @@ awk -v print_them="${1:-}" -v heights="$heights" '
     if (lane_narrow) { print "a contiguous softmax lane lost its width (see above)"; exit 1 }
     if (lane_scalar) { print "a contiguous softmax lane runs a pass a word at a time (see above)"; exit 1 }
     if (lane_call) { print "a contiguous softmax lane calls a tail or a view out of line (see above)"; exit 1 }
-    print "kernel_asm: " count["kernel"] " kernel and " count["kernel_wide"] " kernel_wide symbols (R = " heights ", hex), ymm / zmm fused multiply-add in each, no separate or scalar arithmetic, no stack operand, no FMA elsewhere in xform-tensor; " lanes " contiguous softmax lanes, ymm max/add/mul in each, no scalar arithmetic in their loops, no tail or view out of line"
+    if (norms < 7) { print "found " norms + 0 " instantiations of the norm bodies at W = 16, not 7: are norm_lane, norm_dx_lane and norm_dw_lane still #[inline(never)]?"; exit 1 }
+    if (norm_narrow) { print "a storage-order norm body lost its width (see above)"; exit 1 }
+    if (norm_scalar) { print "a storage-order norm body runs a pass a word at a time (see above)"; exit 1 }
+    if (norm_call) { print "a storage-order norm body calls out of line inside a pass (see above)"; exit 1 }
+    print "kernel_asm: " count["kernel"] " kernel and " count["kernel_wide"] " kernel_wide symbols (R = " heights ", hex), ymm / zmm fused multiply-add in each, no separate or scalar arithmetic, no stack operand, no FMA elsewhere in xform-tensor; " lanes " contiguous softmax lanes, ymm max/add/mul in each, no scalar arithmetic in their loops, no tail or view out of line; " norms " storage-order norm bodies, ymm mul/sub in each, no scalar arithmetic (but dW'"'"'s lane-ordered sums) or call in their loops"
   }' "$asm"
