@@ -562,7 +562,7 @@ pub fn run(flags: &Flags, geometry: Option<CacheGeometry>) -> Res<()> {
         }
         Mode::Json => println!("wrote BENCH_plan_audit.json"),
         Mode::Certify => println!("all plans certified for wave-parallel execution"),
-        Mode::Access => println!("all plans earn access certificates at every granularity"),
+        Mode::Access => println!("all plans earn access certificates over their arenas"),
         Mode::Full => {}
     }
     Ok(())
@@ -661,11 +661,9 @@ fn check_epilogue_invariants(results: &[Audited]) -> usize {
         };
         let (fp, ep) = (f.peak_bytes, e.peak_bytes);
         let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
-        // "serial slab" is the arena's one slab; the pinned outputs keep
-        // the label it had when a plan had two colorings
         println!(
             "{epilogue_key} vs {unfused_key}: Q {:+.1} words, D {:+.1} words, \
-             MUE {:.2} → {:.2}, peak resident {:.1} → {:.1} MiB, serial slab {:.1} → {:.1} MiB",
+             MUE {:.2} → {:.2}, peak resident {:.1} → {:.1} MiB, slab {:.1} → {:.1} MiB",
             em.q_words - fm.q_words,
             em.d_words - fm.d_words,
             fm.value,
@@ -788,10 +786,8 @@ fn check_floors(
 /// Writes `BENCH_plan_audit.json`: the machine-readable mirror of the
 /// static audit — per-plan flat and cache-corrected MUE (value, `Q`,
 /// `D`), predicted DRAM and flat bytes, per-level hit words, the arena's
-/// slab bytes (`serial_slab_bytes`, a name older than the arena's one
-/// coloring and kept with the file's bytes), the externals' borrowed and
-/// copied-at-bind bytes, and every lint
-/// with its severity — alongside the geometry it was computed under.
+/// slab bytes, the externals' borrowed and copied-at-bind bytes, and every
+/// lint with its severity — alongside the geometry it was computed under.
 fn write_json(results: &[Audited], geometry: &CacheGeometry) -> Res<()> {
     let mut out = String::from("{\n  \"bench\": \"plan_audit\",\n");
     out.push_str("  \"geometry\": [");
@@ -827,7 +823,7 @@ fn write_json(results: &[Audited], geometry: &CacheGeometry) -> Res<()> {
                 ));
             }
             if let Some(s) = r.slab_bytes {
-                fields.push(format!("      \"serial_slab_bytes\": {s}"));
+                fields.push(format!("      \"slab_bytes\": {s}"));
                 fields.push(format!(
                     "      \"borrowed_external_bytes\": {}",
                     r.borrowed_bytes
