@@ -1389,7 +1389,7 @@ fn visible_before(causal: Option<usize>, q: usize, len: usize) -> usize {
 pub fn softmax_into(s: &Sweep, x: &[f32], scaler: f32, causal: Option<usize>, out: &mut [f32]) {
     s.for_each_run(|run, _, q, [xa, oa]| {
         let visible = visible_of(causal, q, xa.len);
-        on_run!(run, N, [x @ xa], [out @ oa] =>
+        on_run!(run, N, P, [x @ xa], [out @ oa] =>
             lanes::softmax_lane::<N, _, _, _>(x, scaler, visible, out, &mut ()));
     });
 }
@@ -1412,7 +1412,7 @@ pub fn sm_into(
     s.for_each_run(|run, l, q, [xa, sa, aa, ma]| {
         let visible = visible_of(causal, q, xa.len);
         let at = s.start(l, q, causal);
-        on_run!(run, N, [x @ xa], [softmax @ sa, alpha @ aa, mask @ ma] => {
+        on_run!(run, N, P, [x @ xa], [softmax @ sa, alpha @ aa, mask @ ma] => {
             let mut tail = lanes::Dropped { alpha, mask, drop, at, step: visible };
             lanes::softmax_lane::<N, _, _, _>(x, scaler, visible, softmax, &mut tail)
         });
@@ -1425,7 +1425,7 @@ pub fn sm_into(
 /// container. Operands in the sweep's order: `x, bias, out`.
 pub fn bias_softmax_into(s: &Sweep, x: &[f32], bias: &[f32], out: &mut [f32]) {
     s.for_each_run(|run, _, _, [xa, ba, oa]| {
-        on_run!(run, N, [x @ xa], [out @ oa] => {
+        on_run!(run, N, P, [x @ xa], [out @ oa] => {
             let x = lanes::Biased { x, bias: |p, v| ba.gather::<N>(bias, p, v) };
             lanes::softmax_lane::<N, _, _, _>(&x, 1.0, xa.len, out, &mut ())
         });
@@ -1438,8 +1438,8 @@ pub fn bias_softmax_into(s: &Sweep, x: &[f32], bias: &[f32], out: &mut [f32]) {
 /// bit that one scaled after it. Operands in the sweep's order: `dy, y, dx`.
 pub fn softmax_backward_into(s: &Sweep, dy: &[f32], y: &[f32], scaler: f32, dx: &mut [f32]) {
     s.for_each_run(|run, _, _, [ga, ya, xa]| {
-        on_run!(run, N, [dy @ ga, y @ ya], [dx @ xa] =>
-            lanes::softmax_dx_lane::<N, _, _>(dy, None, y, scaler, dx));
+        on_run!(run, N, P, [dy @ ga, y @ ya], [dx @ xa] =>
+            lanes::softmax_dx_lane::<N, P, _, _>(dy, None, y, scaler, dx));
     });
 }
 
@@ -1448,8 +1448,8 @@ pub fn softmax_backward_into(s: &Sweep, dy: &[f32], y: &[f32], scaler: f32, dx: 
 /// order: `dalpha, mask, y, dbeta`.
 pub fn bs_into(s: &Sweep, dalpha: &[f32], mask: &[f32], y: &[f32], scaler: f32, dbeta: &mut [f32]) {
     s.for_each_run(|run, _, _, [ga, ma, ya, xa]| {
-        on_run!(run, N, [dalpha @ ga, mask @ ma, y @ ya], [dbeta @ xa] =>
-            lanes::softmax_dx_lane::<N, _, _>(dalpha, Some(mask), y, scaler, dbeta));
+        on_run!(run, N, P, [dalpha @ ga, mask @ ma, y @ ya], [dbeta @ xa] =>
+            lanes::softmax_dx_lane::<N, P, _, _>(dalpha, Some(mask), y, scaler, dbeta));
     });
 }
 
@@ -1469,8 +1469,8 @@ pub fn layernorm_into(
     s.for_each_run(|run, l, _, [xa, ga, ba, oa]| {
         let (gamma, beta) = (ga.unit(gamma), ba.unit(beta));
         let stats = (&mut mean_out[l..], &mut inv_std_out[l..]);
-        on_run!(run, N, [x @ xa], [out @ oa] =>
-            lanes::norm_lane::<N, _, _>(x, gamma, beta, out, stats));
+        on_run!(run, N, P, [x @ xa], [out @ oa] =>
+            lanes::norm_lane::<N, P, _, _>(x, gamma, beta, out, stats));
     });
 }
 
@@ -1496,7 +1496,7 @@ pub fn bdrln_into(
     s.for_each_run(|run, l, _, [xa, ba, ra, ga, ea, ma, la, oa]| {
         let (gamma, beta) = (ga.unit(gamma), ea.unit(beta));
         let stats = (&mut mean_out[l..], &mut inv_std_out[l..]);
-        on_run!(run, N, [x @ xa, residual @ ra], [mask @ ma, ln_input @ la, out @ oa] => {
+        on_run!(run, N, P, [x @ xa, residual @ ra], [mask @ ma, ln_input @ la, out @ oa] => {
             let src = lanes::BiasDropResidual {
                 x,
                 bias: |p, v| ba.gather::<N>(bias, p, v),
@@ -1506,7 +1506,7 @@ pub fn bdrln_into(
                 drop,
                 at: l * xa.len,
             };
-            lanes::norm_lane::<N, _, _>(src, gamma, beta, out, stats)
+            lanes::norm_lane::<N, P, _, _>(src, gamma, beta, out, stats)
         });
     });
 }
@@ -1530,9 +1530,9 @@ pub fn layernorm_backward_input_into(
 ) {
     s.for_each_run(|run, l, _, [ga, xa, wa, da]| {
         let gamma = wa.unit(gamma);
-        on_run!(run, N, [dy @ ga, x @ xa], [dx @ da] => {
+        on_run!(run, N, P, [dy @ ga, x @ xa], [dx @ da] => {
             let stats = (&mean[l..], &inv_std[l..]);
-            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, |_, _, row| row)
+            lanes::norm_dx_lane::<N, P, _, _>(dy, x, gamma, stats, dx, |_, _, row| row)
         });
     });
 }
@@ -1554,9 +1554,9 @@ pub fn blnrd_into(
 ) {
     s.for_each_run(|run, l, _, [ga, xa, wa, ma, la, da]| {
         let gamma = wa.unit(gamma);
-        on_run!(run, N, [dy @ ga, x @ xa, mask @ ma], [dx_ln @ la, dx @ da] => {
+        on_run!(run, N, P, [dy @ ga, x @ xa, mask @ ma], [dx_ln @ la, dx @ da] => {
             let stats = (&mean[l..], &inv_std[l..]);
-            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx_ln, lanes::drop_dx(mask, dx))
+            lanes::norm_dx_lane::<N, P, _, _>(dy, x, gamma, stats, dx_ln, lanes::drop_dx(mask, dx))
         });
     });
 }
@@ -1577,14 +1577,14 @@ pub fn blnr_into(
 ) {
     s.for_each_run(|run, l, _, [ga, xa, wa, ra, da]| {
         let gamma = wa.unit(gamma);
-        on_run!(run, N, [dy @ ga, x @ xa, residual @ ra], [dx @ da] => {
+        on_run!(run, N, P, [dy @ ga, x @ xa, residual @ ra], [dx @ da] => {
             let stats = (&mean[l..], &inv_std[l..]);
             // the row plus the residual is stored, the layer norm's dX never is
             let join = |p, v, row: [f32; N]| {
                 let r: [f32; N] = residual.row(p, v);
                 std::array::from_fn(|w| row[w] + r[w])
             };
-            lanes::norm_dx_lane::<N, _, _>(dy, x, gamma, stats, dx, join)
+            lanes::norm_dx_lane::<N, P, _, _>(dy, x, gamma, stats, dx, join)
         });
     });
 }
@@ -1604,9 +1604,9 @@ pub fn layernorm_backward_weights_into(
 ) {
     s.for_each_run(|run, l, _, [ga, xa, wa, ba]| {
         let (dgamma, dbeta) = (wa.unit_mut(dgamma), ba.unit_mut(dbeta));
-        on_run!(run, N, [dy @ ga, x @ xa], [] => {
+        on_run!(run, N, P, [dy @ ga, x @ xa], [] => {
             let stats = (&mean[l..], &inv_std[l..]);
-            lanes::norm_dw_lane::<N, _>(dy, |_, _, g| g, x, stats, dgamma, dbeta)
+            lanes::norm_dw_lane::<N, P, _>(dy, |_, _, g| g, x, stats, dgamma, dbeta)
         });
     });
 }
@@ -1629,10 +1629,10 @@ pub fn ebsb_into(
 ) {
     s.for_each_run(|run, l, _, [ga, ra, xa, sa, wa, ba]| {
         let (dgamma, dbeta) = (wa.unit_mut(dgamma), ba.unit_mut(dbeta));
-        on_run!(run, N, [dy @ ga, dy_residual @ ra, x @ xa], [dsum @ sa] => {
+        on_run!(run, N, P, [dy @ ga, dy_residual @ ra, x @ xa], [dsum @ sa] => {
             let stats = (&mean[l..], &inv_std[l..]);
             let head = lanes::add_residual(dy_residual, dsum);
-            lanes::norm_dw_lane::<N, _>(dy, head, x, stats, dgamma, dbeta)
+            lanes::norm_dw_lane::<N, P, _>(dy, head, x, stats, dgamma, dbeta)
         });
     });
 }

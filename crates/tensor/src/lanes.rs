@@ -58,9 +58,11 @@
 //!   takes lane position `v` of every panel of the run before `v + 1` —
 //!   storage order: a run's row at `v` is up to `PANELS · W` adjacent words
 //!   of each operand — reduction index outer, panels then lanes inner, each
-//!   panel's accumulators side by side in a stack array (the vocabulary
-//!   softmax over `[v,b,j]` along `v`; every layer norm over `[i,b,j]` along
-//!   `i`, forward and — dX, dW, BLNRD, BLNR, EBSB — backward);
+//!   panel's accumulators side by side in a stack array (every layer norm
+//!   over `[i,b,j]` along `i`, forward and — dX, dW, BLNRD, BLNR, EBSB —
+//!   backward; softmax dX and BS). The forward softmax (the vocabulary
+//!   softmax over `[v,b,j]` along `v`) takes a run's panels one after the
+//!   other (see `softmax_lane`);
 //! * [`Walk::Strided`] — neither: one lane at a time through a
 //!   bounds-checked strided view, every word its own cache line.
 //!
@@ -936,20 +938,18 @@ fn dead_lanes<const W: usize, X: Panel<W> + ?Sized>(
     dead
 }
 
-/// Per-lane state of a run's panels, side by side on the stack: one `[f32;
-/// W]` (or one [`Block`]) a panel, the first `panels` of [`PANELS`] used.
-type Side<T> = [T; PANELS];
-
 /// Scale → numerically stable softmax over the first `visible` positions
-/// → (tail-defined) dropout → zero tail, on a run's panels. Covers the
-/// plain softmax (`visible == len`), the causal softmax and the fused SM.
+/// → (tail-defined) dropout → zero tail, on a run's panels, one after the
+/// other. Covers the plain softmax (`visible == len`), the causal softmax
+/// and the fused SM. Not in storage order: with each panel's partials side
+/// by side on the stack, the contiguous instantiation — the attention
+/// region's row tail, one lane — ran 20–30 % slower, and no canned plan
+/// runs a panel softmax (EXPERIMENTS.md, "Norm panels in storage order").
 ///
 /// All three passes — the maximum, the exponentials and their sum, the
 /// normalization and the tail — take a block of [`BLOCK`] positions at a
 /// time through the views' block access, a lane's last block padded: a
-/// padded row joins no reduction and is never stored. Each pass takes a
-/// block of every panel of the run before the next block (storage order).
-/// The maximum and the sum are each reduced one way, whatever the walk:
+/// padded row joins no reduction and is never stored. The maximum and the sum are each reduced one way, whatever the walk:
 /// partial `k` takes the positions `v ≡ k (mod BLOCK)` in ascending order
 /// and [`fold`] joins the partials. A lane's result therefore depends on
 /// its values and its length only. Out of line, so that the contiguous
@@ -982,65 +982,43 @@ pub(crate) fn softmax_lane<const W: usize, X, O, T>(
     let (len, panels) = (out.rows(), out.panels());
     assert!(x.rows() >= len, "softmax input shorter than its output");
     let visible = visible.min(len);
-    let mut part: Side<Block<W>> = [[[f32::NEG_INFINITY; W]; BLOCK]; PANELS];
-    let part = &mut part[..panels];
-    let whole = visible - visible % BLOCK;
-    for v0 in (0..whole).step_by(BLOCK) {
-        for (p, mx) in part.iter_mut().enumerate() {
-            max_block(mx, scaler, x.block(p, v0, BLOCK), BLOCK);
+    for p in 0..panels {
+        let mut mx = [[f32::NEG_INFINITY; W]; BLOCK];
+        let whole = visible - visible % BLOCK;
+        for v0 in (0..whole).step_by(BLOCK) {
+            max_block(&mut mx, scaler, x.block(p, v0, BLOCK), BLOCK);
         }
-    }
-    // the last block, loaded once: its exponentials, and their softmax,
-    // stay in registers until they are stored (a lane's; a panel's on the
-    // stack)
-    let mut last: Side<Block<W>> = [[[0.0; W]; BLOCK]; PANELS];
-    let (mut mx, mut dead) = ([[0.0; W]; PANELS], [[false; W]; PANELS]);
-    for (p, part) in part.iter_mut().enumerate() {
-        last[p] = x.block(p, whole, visible - whole);
-        max_block(part, scaler, last[p], visible - whole);
-        mx[p] = fold(*part, f32::max);
-        if mx[p].contains(&f32::NEG_INFINITY) {
-            dead[p] = dead_lanes(x, p, scaler, visible);
+        // the last block, loaded once: its exponentials, and their
+        // softmax, stay in registers until they are stored
+        let last = x.block(p, whole, visible - whole);
+        max_block(&mut mx, scaler, last, visible - whole);
+        let mx = fold(mx, f32::max);
+        let mut dead = [false; W];
+        if mx.contains(&f32::NEG_INFINITY) {
+            dead = dead_lanes(x, p, scaler, visible);
         }
-    }
-    let live = if dead[..panels].iter().all(|d| *d == [true; W]) {
-        0
-    } else {
-        visible
-    };
-    let (whole, n) = (live - live % BLOCK, live % BLOCK);
-    // the partials again, now of the sums
-    part.fill([[0.0; W]; BLOCK]);
-    for v0 in (0..whole).step_by(BLOCK) {
-        for (p, sum) in part.iter_mut().enumerate() {
-            let e = exp_block(sum, scaler, &mx[p], x.block(p, v0, BLOCK), BLOCK);
+        let live = if dead == [true; W] { 0 } else { visible };
+        let (whole, n) = (live - live % BLOCK, live % BLOCK);
+        let mut sum = [[0.0f32; W]; BLOCK];
+        for v0 in (0..whole).step_by(BLOCK) {
+            let e = exp_block(&mut sum, scaler, &mx, x.block(p, v0, BLOCK), BLOCK);
             out.set_block(p, v0, BLOCK, e);
         }
-    }
-    let (mut inv, mut flat, mut fill) =
-        ([[0.0; W]; PANELS], [[false; W]; PANELS], [[0.0; W]; PANELS]);
-    for (p, sum) in part.iter_mut().enumerate() {
-        last[p] = exp_block(sum, scaler, &mx[p], last[p], n);
-        let sum = fold(*sum, |a, b| a + b);
-        inv[p] = sum.map(|s| 1.0 / s);
+        let last = exp_block(&mut sum, scaler, &mx, last, n);
+        let sum = fold(sum, |a, b| a + b);
+        let inv = sum.map(|s| 1.0 / s);
         // a lane without a distribution is one word throughout: zero if
         // dead, `f32::NAN` if poisoned — the same select, no more work a row
-        flat[p] = std::array::from_fn(|w| dead[p][w] || sum[w].is_nan());
-        fill[p] = dead[p].map(|d| if d { 0.0 } else { f32::NAN });
-    }
-    for v0 in (0..whole).step_by(BLOCK) {
-        for p in 0..panels {
-            let y = norm_block(out.block(p, v0, BLOCK), &inv[p], &flat[p], &fill[p]);
-            out.set_block(p, v0, BLOCK, tail.keep(p, v0, BLOCK, y, &dead[p]));
+        let flat: [bool; W] = std::array::from_fn(|w| dead[w] || sum[w].is_nan());
+        let fill = dead.map(|d| if d { 0.0 } else { f32::NAN });
+        for v0 in (0..whole).step_by(BLOCK) {
+            let y = norm_block(out.block(p, v0, BLOCK), &inv, &flat, &fill);
+            out.set_block(p, v0, BLOCK, tail.keep(p, v0, BLOCK, y, &dead));
         }
-    }
-    for p in 0..panels {
-        let y = norm_block(last[p], &inv[p], &flat[p], &fill[p]);
-        out.set_block(p, whole, n, tail.keep(p, whole, n, y, &dead[p]));
-    }
-    for v0 in (live..len).step_by(BLOCK) {
-        let n = BLOCK.min(len - v0);
-        for p in 0..panels {
+        let y = norm_block(last, &inv, &flat, &fill);
+        out.set_block(p, whole, n, tail.keep(p, whole, n, y, &dead));
+        for v0 in (live..len).step_by(BLOCK) {
+            let n = BLOCK.min(len - v0);
             let y = tail.keep(p, v0, n, [[0.0; W]; BLOCK], &[true; W]);
             out.set_block(p, v0, n, y);
         }
@@ -1149,8 +1127,8 @@ where
 /// A run's saved per-lane statistic (`stats[p · W + w]` for lane `w` of
 /// panel `p`), side by side.
 #[inline(always)]
-fn side_of<const W: usize>(stats: &[f32], panels: usize) -> Side<[f32; W]> {
-    let mut side = [[0.0; W]; PANELS];
+fn side_of<const W: usize, const P: usize>(stats: &[f32], panels: usize) -> [[f32; W]; P] {
+    let mut side = [[0.0; W]; P];
     for (side, stats) in side[..panels].iter_mut().zip(stats.chunks_exact(W)) {
         *side = stats.try_into().expect("a W-word chunk is a W-word row");
     }
@@ -1163,17 +1141,19 @@ fn side_of<const W: usize>(stats: &[f32], panels: usize) -> Side<[f32; W]> {
 /// `layernorm` and BDRLN. Both passes take position `v` of every panel
 /// before `v + 1` (storage order), each panel's moments side by side.
 #[inline(never)]
-pub(crate) fn norm_lane<const W: usize, S: NormSource<W>, O: PanelMut<W> + ?Sized>(
+pub(crate) fn norm_lane<const W: usize, const P: usize, S, O>(
     mut src: S,
     gamma: &[f32],
     beta: &[f32],
     out: &mut O,
     (mean_out, inv_std_out): (&mut [f32], &mut [f32]),
-) {
+) where
+    S: NormSource<W>,
+    O: PanelMut<W> + ?Sized,
+{
     let (len, panels) = (out.rows(), out.panels());
     let (gamma, beta) = (&gamma[..len], &beta[..len]);
-    let (mut sum, mut sq): (Side<[f32; W]>, Side<[f32; W]>) =
-        ([[0.0; W]; PANELS], [[0.0; W]; PANELS]);
+    let (mut sum, mut sq): ([[f32; W]; P], [[f32; W]; P]) = ([[0.0; W]; P], [[0.0; W]; P]);
     let (sum, sq) = (&mut sum[..panels], &mut sq[..panels]);
     for v in 0..len {
         for (p, (sum, sq)) in sum.iter_mut().zip(sq.iter_mut()).enumerate() {
@@ -1184,8 +1164,7 @@ pub(crate) fn norm_lane<const W: usize, S: NormSource<W>, O: PanelMut<W> + ?Size
             }
         }
     }
-    let (mut mean, mut inv_std): (Side<[f32; W]>, Side<[f32; W]>) =
-        ([[0.0; W]; PANELS], [[0.0; W]; PANELS]);
+    let (mut mean, mut inv_std): ([[f32; W]; P], [[f32; W]; P]) = ([[0.0; W]; P], [[0.0; W]; P]);
     for p in 0..panels {
         mean[p] = sum[p].map(|s| s / len as f32);
         inv_std[p] = std::array::from_fn(|w| {
@@ -1214,7 +1193,7 @@ pub(crate) fn norm_lane<const W: usize, S: NormSource<W>, O: PanelMut<W> + ?Size
 /// `scaler` is a bitwise identity under IEEE 754 multiplication). Both
 /// passes take position `v` of every panel before `v + 1`.
 #[inline]
-pub(crate) fn softmax_dx_lane<const W: usize, X, O>(
+pub(crate) fn softmax_dx_lane<const W: usize, const P: usize, X, O>(
     dy: &X,
     mask: Option<&X>,
     y: &X,
@@ -1229,7 +1208,7 @@ pub(crate) fn softmax_dx_lane<const W: usize, X, O>(
     assert!(mask.is_none_or(|m| m.rows() >= len));
     // no mask is a mask of ones: `dy · 1` is `dy`, bit for bit
     let mask_row = |p: usize, v: usize| mask.map_or([1.0; W], |m| m.row(p, v));
-    let mut dot: Side<[f32; W]> = [[0.0; W]; PANELS];
+    let mut dot: [[f32; W]; P] = [[0.0; W]; P];
     let dot = &mut dot[..panels];
     for v in 0..len {
         for (p, dot) in dot.iter_mut().enumerate() {
@@ -1255,8 +1234,8 @@ pub(crate) fn softmax_dx_lane<const W: usize, X, O>(
 /// itself (`|_, _, row| row`), BLNRD's [`drop_dx`] (which stores the
 /// masked row elsewhere), or BLNR's residual join (`into_ops::blnr_into`).
 /// Both passes take position `v` of every panel before `v + 1`.
-#[inline(never)]
-pub(crate) fn norm_dx_lane<const W: usize, X, O>(
+#[inline]
+pub(crate) fn norm_dx_lane<const W: usize, const P: usize, X, O>(
     dy: &X,
     x: &X,
     gamma: &[f32],
@@ -1270,14 +1249,16 @@ pub(crate) fn norm_dx_lane<const W: usize, X, O>(
     let (len, panels) = (dx.rows(), dx.panels());
     assert!(dy.rows() >= len && x.rows() >= len);
     let gamma = &gamma[..len];
-    let (mean, inv_std) = (side_of::<W>(mean, panels), side_of::<W>(inv_std, panels));
+    let (mean, inv_std) = (
+        side_of::<W, P>(mean, panels),
+        side_of::<W, P>(inv_std, panels),
+    );
     // `(g, x̂)` of lane `w` of panel `p` at a position whose words are
     // `dy`, `x`, `gamma`
     let terms = |dy: f32, x: f32, gamma: f32, p: usize, w: usize| -> (f32, f32) {
         (dy * gamma, (x - mean[p][w]) * inv_std[p][w])
     };
-    let (mut s1, mut s2): (Side<[f32; W]>, Side<[f32; W]>) =
-        ([[0.0; W]; PANELS], [[0.0; W]; PANELS]);
+    let (mut s1, mut s2): ([[f32; W]; P], [[f32; W]; P]) = ([[0.0; W]; P], [[0.0; W]; P]);
     let (s1, s2) = (&mut s1[..panels], &mut s2[..panels]);
     for (v, &gamma) in gamma.iter().enumerate() {
         for (p, (s1, s2)) in s1.iter_mut().zip(s2.iter_mut()).enumerate() {
@@ -1330,8 +1311,8 @@ where
 /// The pass takes a block of [`BLOCK`] positions of every panel before the
 /// next block: the words of a block are sixteen chains the core overlaps,
 /// where one word at a time would be one chain through every lane.
-#[inline(never)]
-pub(crate) fn norm_dw_lane<const W: usize, X: Panel<W> + ?Sized>(
+#[inline]
+pub(crate) fn norm_dw_lane<const W: usize, const P: usize, X: Panel<W> + ?Sized>(
     dy: &X,
     mut head: impl FnMut(usize, usize, [f32; W]) -> [f32; W],
     x: &X,
@@ -1342,7 +1323,10 @@ pub(crate) fn norm_dw_lane<const W: usize, X: Panel<W> + ?Sized>(
     let (len, panels) = (dgamma.len(), x.panels());
     assert!(dy.rows() >= len && x.rows() >= len);
     let dbeta = &mut dbeta[..len];
-    let (mean, inv_std) = (side_of::<W>(mean, panels), side_of::<W>(inv_std, panels));
+    let (mean, inv_std) = (
+        side_of::<W, P>(mean, panels),
+        side_of::<W, P>(inv_std, panels),
+    );
     for (v0, n) in blocks(len) {
         let (dgamma, dbeta) = (&mut dgamma[v0..v0 + n], &mut dbeta[v0..v0 + n]);
         for p in 0..panels {
@@ -1419,24 +1403,34 @@ pub(crate) fn bdrb_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(
 }
 
 /// Expands `$call` once per panel width, `$w` bound to the width as a
-/// constant, and runs the expansion for a run of `$n` lanes.
+/// constant and `$p` to the most panels of it a run holds ([`PANELS`] of
+/// [`W`], one of a halving), and runs the expansion for panels of `$n`
+/// lanes.
 macro_rules! panel_of {
-    ($n:expr, $w:ident => $call:expr) => {
+    ($n:expr, $w:ident, $p:ident => $call:expr) => {
         match $n {
             2 => {
                 const $w: usize = 2;
+                #[allow(dead_code)] // the softmax takes none
+                const $p: usize = 1;
                 $call
             }
             4 => {
                 const $w: usize = 4;
+                #[allow(dead_code)] // the softmax takes none
+                const $p: usize = 1;
                 $call
             }
             8 => {
                 const $w: usize = 8;
+                #[allow(dead_code)] // the softmax takes none
+                const $p: usize = 1;
                 $call
             }
             $crate::lanes::W => {
                 const $w: usize = $crate::lanes::W;
+                #[allow(dead_code)] // the softmax takes none
+                const $p: usize = $crate::lanes::PANELS;
                 $call
             }
             n => unreachable!("a sweep cuts no panel of {n} lanes"),
@@ -1481,20 +1475,26 @@ impl Run {
 /// swept operand `buf @ at` — a flat buffer and its run's [`LaneAt`], the
 /// read ones in the first list, the written ones in the second — rebound
 /// to the view `$run` calls for (an exact `[f32]` chunk, a [`Strided`]
-/// lane, the [`Rows`] of the run's panels) and `$w` to its panels' width,
-/// the `W` the body is instantiated at. Gathered operands (a broadcast bias, γ, β, the
-/// statistics) are the caller's to pass through.
+/// lane, the [`Rows`] of the run's panels), `$w` to its panels' width and
+/// `$p` to the most panels a run of that width holds: the `W` and the `P`
+/// the body is instantiated at (a body's per-panel state is `P` rows on
+/// the stack, so a lane's is one). Gathered operands (a broadcast bias, γ,
+/// β, the statistics) are the caller's to pass through.
 macro_rules! on_run {
-    ($run:expr, $w:ident, [$($r:ident @ $ra:expr),*], [$($m:ident @ $ma:expr),*] => $call:expr) => {
+    ($run:expr, $w:ident, $p:ident, [$($r:ident @ $ra:expr),*], [$($m:ident @ $ma:expr),*] => $call:expr) => {
         match $run {
             $crate::lanes::Run::Lane => {
                 const $w: usize = 1;
+                #[allow(dead_code)] // the softmax takes none
+                const $p: usize = 1;
                 $(let $r = $ra.unit($r);)*
                 $(let $m = $ma.unit_mut($m);)*
                 $call
             }
             $crate::lanes::Run::Strided => {
                 const $w: usize = 1;
+                #[allow(dead_code)] // the softmax takes none
+                const $p: usize = 1;
                 $(let $r = &$ra.strided($r);)*
                 $(let $m = &mut $ma.strided_mut($m);)*
                 $call
@@ -1502,7 +1502,7 @@ macro_rules! on_run {
             $crate::lanes::Run::Panel { lanes, panels } => {
                 $(let $r = &$ra.rows($r, panels);)*
                 $(let $m = &mut $ma.rows_mut($m, panels);)*
-                $crate::lanes::panel_of!(lanes, $w => $call)
+                $crate::lanes::panel_of!(lanes, $w, $p => $call)
             }
         }
     };
@@ -1534,7 +1534,7 @@ mod tests {
         let mut sm_on = |run: Run, x: &[f32], at: LaneAt| {
             let first = at.base / 3 * visible;
             let (s, a, m) = (&mut s[..], &mut a[..], &mut m[..]);
-            on_run!(run, N, [x @ at], [s @ at, a @ at, m @ at] => {
+            on_run!(run, N, P, [x @ at], [s @ at, a @ at, m @ at] => {
                 let mut tail = Dropped { alpha: a, mask: m, drop: &drop, at: first, step: visible };
                 softmax_lane::<N, _, _, _>(x, 0.5, visible, s, &mut tail)
             });
@@ -1729,7 +1729,7 @@ mod tests {
     fn every_walk_reduces_a_lane_the_same_way() {
         let drop = Dropout::new(0.5, &StdRng::seed_from_u64(9)).unwrap();
         let abreast = |x: &[f32], n: usize, len: usize, visible: usize| -> [Vec<f32>; 3] {
-            panel_of!(n, N => {
+            panel_of!(n, N, P => {
                 let at = LaneAt {
                     base: 0,
                     stride: N,
@@ -1977,7 +1977,7 @@ mod tests {
                     &mut (),
                 );
                 let stats = (&mut means[w..], &mut inv_stds[w..]);
-                norm_lane::<1, _, _>(&x[lane.clone()], &gamma, &beta, &mut ln[lane], stats);
+                norm_lane::<1, 1, _, _>(&x[lane.clone()], &gamma, &beta, &mut ln[lane], stats);
             }
             // the same lanes abreast: every bit, statistics included
             let at = LaneAt {
@@ -1997,7 +1997,7 @@ mod tests {
             );
             let mut pstats = ([0.0f32; W], [0.0f32; W]);
             let out = &mut at.rows_mut(&mut pln, 1);
-            norm_lane::<W, _, _>(
+            norm_lane::<W, 1, _, _>(
                 &at.rows(&rows, 1),
                 &gamma,
                 &beta,

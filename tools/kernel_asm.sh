@@ -34,16 +34,16 @@
 #       the stack), and a spill keeps every digest green at a fraction of
 #       the speed — or the instantiations of either kernel are not exactly
 #       the slab heights `R ∈ {MR, 4, 2, 1}` the block loop cuts.
-#   (f) an instantiation of a storage-order norm body at `W = 16`
-#       (`lanes::norm_lane`, `norm_dx_lane`, `norm_dw_lane`: LN and BDRLN,
-#       LN dX / BLNRD / BLNR, LN dW / EBSB) holds no ymm `vmulps` or
-#       `vsubps`, holds a scalar `v(mul|sub)ss` inside a loop — or a scalar
-#       `vaddss` there, but for `norm_dw_lane`, whose dγ/dβ words add a row's
-#       lanes one after the other by definition — or calls a Rust function
-#       inside a loop (anything but a panic): each pass takes every panel of
-#       a run at a position before the next, a row of `W` words at a time,
-#       and a scalar op or a call there is a row that fell apart or a view,
-#       source or tail left out of line, once per lane position.
+#   (f) an instantiation of the storage-order norm body at `W = 16`
+#       (`lanes::norm_lane` over a run of panels: LN and the BDRLN prologue,
+#       `…9norm_laneKj10_…`) holds no ymm `vaddps`, `vmulps` or `vsubps`,
+#       holds a scalar `v(add|mul|sub)ss` inside a loop, or calls a Rust
+#       function inside a loop (anything but a panic): each pass takes
+#       every panel of a run at a position before the next, a row of `W`
+#       words at a time, and a scalar op or a call there is a row that fell
+#       apart or a view or the prologue left out of line, once per lane
+#       position. (The backward norm bodies inline into their drivers: out
+#       of line, their lane-at-a-time instantiation ran 2.3× slower.)
 # On another architecture there is nothing to read: (a), (b), (d), (e) and
 # (f) are skipped.
 #
@@ -67,7 +67,8 @@ fi
 out="${CARGO_TARGET_DIR:-target}/kernel-asm"
 rm -rf "$out"
 # (v0 mangling names an instantiation's generic arguments: `Kj1_Sf` is
-# `W = 1` over `[f32]`; the code is the ordinary build's)
+# `W = 1` over `[f32]`, `Kj10_Kj20_` is `W = 16`, `P = 32`; the code is the
+# ordinary build's)
 # (a crate that does not build fails the guard too: `#[inline(always)]` on
 # a `#[target_feature]` kernel is a compile error)
 if ! cargo rustc -q -p xform-tensor --release --lib --target-dir "$out" -- \
@@ -119,17 +120,17 @@ awk -v print_them="${1:-}" -v heights="$heights" '
     lane = 0
     for (op in seen) if (!seen[op]) { print lname " holds no ymm v" op "ps"; lane_narrow = 1 }
   }
-  # a storage-order norm body at `W = 16` (`Kj10_`), read the same way
-  /^_R[0-9a-zA-Z_$.]*(9norm_lane|12norm_dx_lane|12norm_dw_lane)Kj10_[0-9a-zA-Z_$.]*:/ {
-    norm = 1; nname = $0; norms++; nn = 0; split("", nlabel); nseen["mul"] = 0; nseen["sub"] = 0
-    scalar_ops = ($0 ~ /12norm_dw_lane/) ? "v(mul|sub)ss" : "v(add|mul|sub)ss"
+  # the storage-order norm body at `W = 16` (`Kj10_`), read the same way
+  /^_R[0-9a-zA-Z_$.]*9norm_laneKj10_[0-9a-zA-Z_$.]*:/ {
+    norm = 1; nname = $0; norms++; nn = 0; split("", nlabel)
+    nseen["add"] = 0; nseen["mul"] = 0; nseen["sub"] = 0
   }
   norm && print_them == "--print" { print }
   norm { nline[++nn] = $0; for (op in nseen) if ($0 ~ "v" op "ps.*%ymm") nseen[op] = 1 }
   norm && /^\.LBB[0-9_]+:/ { nlabel[substr($1, 1, length($1) - 1)] = nn }
   norm && /^\tj[a-z]+\t\.LBB[0-9_]+$/ && $1 != "jmp" && ($2 in nlabel) {
     for (i = nlabel[$2]; i <= nn; i++) {
-      if (nline[i] ~ scalar_ops) { print nname " " nline[i]; norm_scalar = 1 }
+      if (nline[i] ~ /v(add|mul|sub)ss/) { print nname " " nline[i]; norm_scalar = 1 }
       if (nline[i] ~ /^\tcall.*_R/ && nline[i] !~ /panic|_fail/) { print nname " " nline[i]; norm_call = 1 }
     }
   }
@@ -153,9 +154,9 @@ awk -v print_them="${1:-}" -v heights="$heights" '
     if (lane_narrow) { print "a contiguous softmax lane lost its width (see above)"; exit 1 }
     if (lane_scalar) { print "a contiguous softmax lane runs a pass a word at a time (see above)"; exit 1 }
     if (lane_call) { print "a contiguous softmax lane calls a tail or a view out of line (see above)"; exit 1 }
-    if (norms < 7) { print "found " norms + 0 " instantiations of the norm bodies at W = 16, not 7: are norm_lane, norm_dx_lane and norm_dw_lane still #[inline(never)]?"; exit 1 }
+    if (norms < 2) { print "found " norms + 0 " instantiations of lanes::norm_lane at W = 16, not 2 (LN, BDRLN): is it still #[inline(never)]?"; exit 1 }
     if (norm_narrow) { print "a storage-order norm body lost its width (see above)"; exit 1 }
     if (norm_scalar) { print "a storage-order norm body runs a pass a word at a time (see above)"; exit 1 }
     if (norm_call) { print "a storage-order norm body calls out of line inside a pass (see above)"; exit 1 }
-    print "kernel_asm: " count["kernel"] " kernel and " count["kernel_wide"] " kernel_wide symbols (R = " heights ", hex), ymm / zmm fused multiply-add in each, no separate or scalar arithmetic, no stack operand, no FMA elsewhere in xform-tensor; " lanes " contiguous softmax lanes, ymm max/add/mul in each, no scalar arithmetic in their loops, no tail or view out of line; " norms " storage-order norm bodies, ymm mul/sub in each, no scalar arithmetic (but dW'"'"'s lane-ordered sums) or call in their loops"
+    print "kernel_asm: " count["kernel"] " kernel and " count["kernel_wide"] " kernel_wide symbols (R = " heights ", hex), ymm / zmm fused multiply-add in each, no separate or scalar arithmetic, no stack operand, no FMA elsewhere in xform-tensor; " lanes " contiguous softmax lanes, ymm max/add/mul in each, no scalar arithmetic in their loops, no tail or view out of line; " norms " storage-order norm bodies, ymm add/mul/sub in each, no scalar arithmetic or call in their loops"
   }' "$asm"
