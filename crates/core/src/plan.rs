@@ -998,6 +998,9 @@ pub fn execute_plan(
 pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Result<ExecState> {
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
+    // statistics from a stream of their own: the tensors a seed binds do
+    // not depend on whether a plan also reads statistics
+    let mut stats_rng = StdRng::seed_from_u64(!seed);
     let mut state = ExecState::default();
     let mut produced: HashSet<NodeId> = HashSet::new();
     for step in &plan.steps {
@@ -1022,7 +1025,7 @@ pub fn random_externals(graph: &Graph, plan: &ExecutionPlan, seed: u64) -> Resul
             let name = &data_of(graph, norm)?.name;
             if !produced.contains(&norm) && !state.stats.contains_key(name) {
                 let mut draw =
-                    |lo: f32, hi: f32| (0..lanes).map(|_| rng.gen_range(lo..hi)).collect();
+                    |lo: f32, hi: f32| (0..lanes).map(|_| stats_rng.gen_range(lo..hi)).collect();
                 let (mean, inv_std) = (draw(-1.0, 1.0), draw(0.5, 2.0));
                 state
                     .stats
