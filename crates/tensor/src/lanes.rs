@@ -151,9 +151,10 @@
 //! every position is a stretch of adjacent lines. On the norm steps at the
 //! five workloads' dims (EXPERIMENTS.md, "Norm panels in storage order")
 //! 8 panels left BDRLN at 1.1 ms, 16 at 0.85 and 32 — the whole 512-lane
-//! row — at 0.6; 64 tied 32 where a row is longer. The state is `PANELS`
-//! rows of accumulators a moment on the stack (a softmax's partials,
-//! `PANELS` blocks).
+//! row — at 0.6; 64 tied 32 where a row is longer. The state is `P` rows
+//! of accumulators a moment on the stack, where `P` is the most panels a
+//! run of the body's width holds: `PANELS` for `W`, one for a halving or a
+//! lane (`on_run!` binds it), so a lane's state is what it was.
 //!
 //! Drivers only enumerate lanes; every statement of arithmetic, the one
 //! dropout mask and the one transcendental are here.
