@@ -282,8 +282,9 @@ impl Sweep {
     /// every run of lanes, in logical order: single lanes, or under
     /// [`Walk::Panel`] each row of the innermost outer loop cut into runs
     /// of up to [`PANELS`] side-by-side panels of [`W`] lanes, then a panel
-    /// of each halving the rest holds, then at most one last lane alone. The query index is that of the axis named at
-    /// [`Sweep::compile`] (`0` when none was).
+    /// of each halving the rest holds, then at most one last lane alone.
+    /// The query index is that of the axis named at [`Sweep::compile`]
+    /// (`0` when none was).
     ///
     /// # Panics
     ///

@@ -113,9 +113,9 @@
 //!
 //! Where lanes do meet — a word of dγ or dβ sums over all of them — a row's
 //! lanes are added one after the other, panels ascending and in each
-//! ascending `w`, which is the lane order. Data-dependent rules are per lane too: a lane whose visible
-//! inputs are all `−inf` is zeroed while its neighbours normalize, a NaN
-//! poisons its own lane only.
+//! ascending `w`, which is the lane order. Data-dependent rules are per
+//! lane too: a lane whose visible inputs are all `−inf` is zeroed while its
+//! neighbours normalize, a NaN poisons its own lane only.
 //!
 //! # Masks
 //!
@@ -950,10 +950,11 @@ fn dead_lanes<const W: usize, X: Panel<W> + ?Sized>(
 /// All three passes — the maximum, the exponentials and their sum, the
 /// normalization and the tail — take a block of [`BLOCK`] positions at a
 /// time through the views' block access, a lane's last block padded: a
-/// padded row joins no reduction and is never stored. The maximum and the sum are each reduced one way, whatever the walk:
-/// partial `k` takes the positions `v ≡ k (mod BLOCK)` in ascending order
-/// and [`fold`] joins the partials. A lane's result therefore depends on
-/// its values and its length only. Out of line, so that the contiguous
+/// padded row joins no reduction and is never stored. The maximum and the
+/// sum are each reduced one way, whatever the walk: partial `k` takes the
+/// positions `v ≡ k (mod BLOCK)` in ascending order and [`fold`] joins the
+/// partials. A lane's result therefore depends on its values and its
+/// length only. Out of line, so that the contiguous
 /// instantiation is a symbol of its own (`tools/kernel_asm.sh` reads its
 /// block loops).
 ///
