@@ -19,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
 use xform_tensor::einsum::EinsumSpec;
 use xform_tensor::fused;
@@ -299,9 +300,11 @@ fn bench_model_head(c: &mut Criterion) {
                 black_box(softmax(&bias_add(&logits, &bias).unwrap(), Axis('v')).unwrap())
             })
         });
+        let opts = ExecOptions::default();
         group.bench_function(BenchmarkId::new("plan", name), |bch| {
             bch.iter(|| {
-                black_box(interp::head_forward(&dims, black_box(&h), &head, &bias).unwrap())
+                let probs = interp::head_forward(&dims, black_box(&h), &head, &bias, &opts);
+                black_box(probs.unwrap())
             })
         });
     }

@@ -44,7 +44,7 @@ fn bench_encoder(c: &mut Criterion) {
                     .unwrap()
                     .into_pair()
                     .unwrap();
-                black_box(layer.backward(&y, &x, &weights, &acts).unwrap())
+                black_box(layer.backward(&y, &x, &weights, &acts, &opts).unwrap())
             })
         });
     }

@@ -44,19 +44,21 @@
 //! packs its weight. The head is the one row-major weight a token reads
 //! (`head_logits`, one GEMM).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xform_core::access::column_span;
-use xform_core::analyze::{analyze, ArenaGranularity, PlanAnalysis};
-use xform_core::arena::{ArenaArtifact, CompiledArena};
+use xform_core::analyze::{analyze, ArenaGranularity};
+use xform_core::arena::CompiledArena;
 use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
 use xform_tensor::lanes::{check_dropout_p, exp};
 use xform_tensor::matmul::{gemm, MatMut, MatRef, Start};
 use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
-use crate::interp::{self, PlanKind, PlannedForward};
+use crate::interp::{self, Bind, Out, PlanKind, PlannedForward};
 use crate::model::TransformerModel;
 
 /// How [`DecodeSession::sample`] turns a logit column into a token.
@@ -113,15 +115,16 @@ impl Default for DecodeOptions {
 /// plan's one certificate, whose cache geometry licenses the appends.
 #[derive(Debug)]
 struct AttendBucket {
+    plan: Arc<PlannedForward>,
     arenas: Vec<CompiledArena>,
     capacity: usize,
 }
 
-/// What prefill compiles and every step runs: the projection arena
-/// (stateless — one for every layer) and the current attend bucket.
+/// What prefill compiles and every step runs: the projection plan and its
+/// arena (stateless — one for every layer) and the current attend bucket.
 #[derive(Debug)]
 struct StepArenas {
-    project: CompiledArena,
+    project: (Arc<PlannedForward>, CompiledArena),
     attend: AttendBucket,
 }
 
@@ -140,8 +143,10 @@ pub struct DecodeSession<'m> {
     h_cur: Tensor,
     /// Next hidden column (the attend plan's `y`).
     h_next: Tensor,
-    /// Projection staging columns (`[p,h,b]` / `[w,h,b]` dense).
-    qq_col: Vec<f32>,
+    /// The projected query column (`[p,h,b,1]`), which the attend plan
+    /// reads, and the key and value columns (`[p,h,b]` / `[w,h,b]` dense)
+    /// the session appends to the caches.
+    qq: Tensor,
     kk_col: Vec<f32>,
     vv_col: Vec<f32>,
     /// Logit column `[v,b,1]` of the last step.
@@ -186,12 +191,19 @@ fn unsupported(msg: impl Into<String>) -> TensorError {
     TensorError::Unsupported(msg.into())
 }
 
-/// An arena the session owns: compiled for it, dropped with it, never
-/// shared through the global memo — each layer's attend slab holds that
-/// layer's cache, and a prefill arena is as wide as one prompt.
-fn session_arena(pf: &PlannedForward, analysis: &PlanAnalysis) -> Result<CompiledArena> {
-    CompiledArena::compile(&pf.graph, &pf.plan, analysis, ArenaGranularity::Serial)?
-        .ok_or_else(|| unsupported("the decode plan compiled to no arena"))
+/// The canned plan of `(dims, kind)` with an arena the session owns:
+/// compiled for it, dropped with it, never shared through the global memo
+/// — each layer's attend slab holds that layer's cache, and a prefill
+/// arena is as wide as one prompt.
+fn session_arena(
+    dims: &EncoderDims,
+    kind: PlanKind,
+) -> Result<(Arc<PlannedForward>, CompiledArena)> {
+    let pf = interp::cached_plan(dims, kind)?;
+    let analysis = analyze(&pf.graph, &pf.plan);
+    let arena = CompiledArena::compile(&pf.graph, &pf.plan, &analysis, ArenaGranularity::Serial)?
+        .ok_or_else(|| unsupported("the decode plan compiled to no arena"))?;
+    Ok((pf, arena))
 }
 
 /// The step arenas, which exist from prefill on.
@@ -237,7 +249,7 @@ impl<'m> DecodeSession<'m> {
             arenas: None,
             h_cur: Tensor::zeros(col.clone()),
             h_next: Tensor::zeros(col),
-            qq_col: vec![0.0; d.p * d.h * d.b],
+            qq: Tensor::zeros(Shape::new([('p', d.p), ('h', d.h), ('b', d.b), ('j', 1)])?),
             kk_col: vec![0.0; d.p * d.h * d.b],
             vv_col: vec![0.0; d.p * d.h * d.b],
             logits,
@@ -269,7 +281,7 @@ impl<'m> DecodeSession<'m> {
     pub fn resident_bytes(&self) -> usize {
         let slabs = self.arenas.iter().flat_map(|a| {
             let attend = a.attend.arenas.iter();
-            attend.chain([&a.project]).map(CompiledArena::slab_bytes)
+            attend.chain([&a.project.1]).map(CompiledArena::slab_bytes)
         });
         slabs.sum()
     }
@@ -293,22 +305,15 @@ impl<'m> DecodeSession<'m> {
         }
     }
 
-    /// Head logits of the hidden column `h[i,b,0]` ([`head_logits`]).
-    fn head_column(&mut self) {
-        head_logits(self.model, self.h_cur.data(), self.logits.data_mut());
-    }
-
     /// Compiles the attend bucket at `capacity`: shared plan (memoized
     /// per bucket in the global plan cache) and one arena compiled
     /// — and certified — once and given to each layer with a private
     /// zero-initialized slab that holds that layer's cache columns.
     fn build_bucket(&self, capacity: usize) -> Result<AttendBucket> {
-        let dims = self.step_dims(capacity);
-        let plan = interp::cached_plan(&dims, PlanKind::DecoderStep)?;
-        let analysis = analyze(&plan.graph, &plan.plan);
         // one compile; every layer gets the same program over a zeroed
         // slab of its own
-        let mut arenas = vec![session_arena(&plan, &analysis)?];
+        let (plan, arena) = session_arena(&self.step_dims(capacity), PlanKind::DecoderStep)?;
+        let mut arenas = vec![arena];
         for name in ["k_cache", "v_cache"] {
             if arenas[0].certificate().cache(name).is_none() {
                 return Err(unsupported(format!(
@@ -319,15 +324,11 @@ impl<'m> DecodeSession<'m> {
         for _ in 1..self.model.blocks.len() {
             arenas.push(arenas[0].fresh());
         }
-        Ok(AttendBucket { arenas, capacity })
-    }
-
-    /// The shared projection arena (stateless — reused by every layer).
-    fn build_project(&self) -> Result<CompiledArena> {
-        let dims = self.step_dims(1);
-        let plan = interp::cached_plan(&dims, PlanKind::DecoderStepProject)?;
-        let analysis = analyze(&plan.graph, &plan.plan);
-        session_arena(&plan, &analysis)
+        Ok(AttendBucket {
+            plan,
+            arenas,
+            capacity,
+        })
     }
 
     /// Runs the prompt through every layer with the fused decoder's own
@@ -372,14 +373,14 @@ impl<'m> DecodeSession<'m> {
         let mut prefill_dims = d;
         prefill_dims.j = s;
         prefill_dims.k = s;
-        let pf = interp::cached_plan(&prefill_dims, PlanKind::DecoderFused)?;
+        let (pf, prefill) = session_arena(&prefill_dims, PlanKind::DecoderFused)?;
         // decoding never drops: `dropout_p` stays at its default 0
         let opts = ExecOptions::builder().threads(self.threads).build();
-        let prefill = session_arena(&pf, &analyze(&pf.graph, &pf.plan))?;
 
         let capacity = round_up(s + 1, self.bucket);
         let attend = self.build_bucket(capacity)?;
-        let project = self.build_project()?;
+        // the shared projection arena (stateless — reused by every layer)
+        let project = session_arena(&self.step_dims(1), PlanKind::DecoderStepProject)?;
 
         // a cache column `k` holds position k's `[p,h,b]` words: the saved
         // `[p,h,b,k]` projection is the `[k, p·h·b]` view stored
@@ -388,7 +389,7 @@ impl<'m> DecodeSession<'m> {
         let phb_major = Layout::from_order(&[1, 0])?;
         let mut h = x;
         for (l, w) in self.model.blocks.iter().enumerate() {
-            let out = interp::forward_on(&prefill, &pf.plan, &h, w, &opts)?;
+            let out = interp::forward_on(&pf, &prefill, &h, w, &opts)?;
             for (name, saved) in [("k_cache", "kk"), ("v_cache", "vv")] {
                 let src = (out.saved.tensor(saved)?.natural_words())
                     .ok_or_else(|| unsupported(format!("the prefill saved `{saved}` permuted")))?;
@@ -482,27 +483,13 @@ impl<'m> DecodeSession<'m> {
         let (project, bucket) = (&arenas.project, &arenas.attend);
         for (l, w) in model.blocks.iter().enumerate() {
             // phase 1: project the new column
-            {
-                let h = self.h_cur.data();
-                let resolve = &mut |name: &str| interp::external_words(name, h, w);
-                let qq = &mut self.qq_col;
-                let kk = &mut self.kk_col;
-                let vv = &mut self.vv_col;
-                let mut sink = |a: ArenaArtifact<'_>| {
-                    if let ArenaArtifact::Tensor { name, data, .. } = a {
-                        let dst = match name {
-                            "qq_new" => &mut *qq,
-                            "kk_new" => &mut *kk,
-                            "vv_new" => &mut *vv,
-                            _ => return,
-                        };
-                        if data.len() == dst.len() {
-                            dst.copy_from_slice(data);
-                        }
-                    }
-                };
-                project.execute_bound(&run, resolve, &mut sink)?;
-            }
+            let cols = &mut [
+                ("qq_new", self.qq.data_mut()),
+                ("kk_new", &mut self.kk_col[..]),
+                ("vv_new", &mut self.vv_col[..]),
+            ];
+            let bind = Bind(&[("x", &self.h_cur)], Some(w), None);
+            interp::run(&project.0.graph, &project.1, &run, bind, Out::Copy(cols))?;
             // phase 2: append the new cache columns at `pos` under the
             // certificate's bounds-checked column license
             let arena = &bucket.arenas[l];
@@ -515,37 +502,15 @@ impl<'m> DecodeSession<'m> {
                     })
                     .ok_or_else(|| unsupported(format!("cache `{name}` unavailable")))?;
             }
-            // phase 3: attend over the resident cache
-            {
-                let (h, qq) = (self.h_cur.data(), &self.qq_col[..]);
-                // the caches are left unresolved: each keeps the resident
-                // contents the append above extended
-                let resolve = &mut |name: &str| match name {
-                    "k_cache" | "v_cache" => None,
-                    "qq" => Some(qq),
-                    _ => interp::external_words(name, h, w),
-                };
-                let out = self.h_next.data_mut();
-                let mut wrote = false;
-                let mut sink = |a: ArenaArtifact<'_>| {
-                    if let ArenaArtifact::Tensor {
-                        name: "y", data, ..
-                    } = a
-                    {
-                        if data.len() == out.len() {
-                            out.copy_from_slice(data);
-                            wrote = true;
-                        }
-                    }
-                };
-                arena.execute_bound(&run, resolve, &mut sink)?;
-                if !wrote {
-                    return Err(unsupported("attend arena produced no `y`"));
-                }
-            }
+            // phase 3: attend over the resident cache. The caches are bound
+            // to nothing: each keeps the resident contents the append above
+            // extended
+            let bind = Bind(&[("x", &self.h_cur), ("qq", &self.qq)], Some(w), None);
+            let y = &mut [("y", self.h_next.data_mut())];
+            interp::run(&bucket.plan.graph, arena, &run, bind, Out::Copy(y))?;
             std::mem::swap(&mut self.h_cur, &mut self.h_next);
         }
-        self.head_column();
+        head_logits(model, self.h_cur.data(), self.logits.data_mut());
         self.pos += 1;
         Ok(&self.logits)
     }
@@ -734,7 +699,7 @@ mod tests {
         session.advance(&[2, 0]).unwrap();
         let arenas = session.arenas.as_ref().unwrap();
         let attend = arenas.attend.arenas.iter().map(CompiledArena::slab_bytes);
-        let slabs = attend.sum::<usize>() + arenas.project.slab_bytes();
+        let slabs = attend.sum::<usize>() + arenas.project.1.slab_bytes();
         assert_eq!(session.resident_bytes(), slabs);
         assert!(slabs > 0);
     }

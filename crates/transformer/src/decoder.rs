@@ -45,12 +45,6 @@ impl DecoderLayer {
         self
     }
 
-    /// The caller's run configuration with the block's `dropout_p` merged
-    /// in (and range-checked).
-    fn exec_options<'p>(&self, opts: &ExecOptions<'p>) -> Result<ExecOptions<'p>> {
-        interp::layer_options(opts, self.dropout_p)
-    }
-
     /// The canned-plan cache key for the block's configuration.
     fn plan_kind(&self) -> interp::PlanKind {
         if self.epilogue {
@@ -80,7 +74,7 @@ impl DecoderLayer {
         w: &EncoderWeights,
         opts: &ExecOptions,
     ) -> Result<ForwardOutput> {
-        let run = self.exec_options(opts)?;
+        let run = interp::layer_options(opts, self.dropout_p)?;
         interp::forward(&self.dims, self.plan_kind(), x, w, &run)
     }
 
@@ -104,18 +98,21 @@ impl DecoderLayer {
         opts: &ExecOptions,
         y: &mut Tensor,
     ) -> Result<()> {
-        let run = self.exec_options(opts)?;
+        let run = interp::layer_options(opts, self.dropout_p)?;
         interp::forward_into(&self.dims, self.plan_kind(), x, w, &run, y)
     }
 
-    /// Backpropagation: `(dx, weight gradients)` from the output gradient
-    /// and the record the forward saved, on the block's backward plan
-    /// ([`interp::PlanKind::DecoderTrain`]) out of its static arena, as
-    /// [`crate::encoder::EncoderLayer::backward`] runs the encoder's.
+    /// Backpropagation under `opts`: `(dx, weight gradients)` from the
+    /// output gradient and the record the forward saved, on the block's
+    /// backward plan ([`interp::PlanKind::DecoderTrain`]) out of its static
+    /// arena, as [`crate::encoder::EncoderLayer::backward`] runs the
+    /// encoder's.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape disagreements, or naming a container `a`
+    /// Returns an error if the block's `dropout_p` is outside `[0, 1)`,
+    /// `dy` or `x` is not `[i,b,j]` at the block's dimensions,
+    /// `opts.profiler` was made for another plan, or naming a container `a`
     /// lacks (an encoder layer's record, say).
     pub fn backward(
         &self,
@@ -123,17 +120,10 @@ impl DecoderLayer {
         x: &Tensor,
         w: &EncoderWeights,
         a: &Saved,
+        opts: &ExecOptions,
     ) -> Result<(Tensor, EncoderGrads)> {
-        let run = self.exec_options(&ExecOptions::default())?;
-        interp::backward(
-            &self.dims,
-            interp::PlanKind::DecoderTrain,
-            dy,
-            x,
-            w,
-            a,
-            &run,
-        )
+        let run = interp::layer_options(opts, self.dropout_p)?;
+        interp::backward(&self.dims, self.plan_kind(), dy, x, w, a, &run)
     }
 }
 
@@ -210,7 +200,9 @@ mod tests {
             &Uniform::new(-1.0, 1.0),
             &mut StdRng::seed_from_u64(4),
         );
-        let (dx, grads) = layer.backward(&loss_w, &x, &w, &acts).unwrap();
+        let (dx, grads) = layer
+            .backward(&loss_w, &x, &w, &acts, &ExecOptions::default())
+            .unwrap();
         let loss = |xx: &Tensor, ww: &EncoderWeights| -> f32 {
             let (yy, _) = fwd(&layer, xx, ww, 3);
             yy.iter().map(|(i, v)| loss_w.at(&i) * v).sum()

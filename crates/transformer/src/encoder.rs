@@ -72,12 +72,6 @@ impl EncoderLayer {
         }
     }
 
-    /// The caller's run configuration with the layer's `dropout_p` merged
-    /// in (and range-checked).
-    fn exec_options<'p>(&self, opts: &ExecOptions<'p>) -> Result<ExecOptions<'p>> {
-        interp::layer_options(opts, self.dropout_p)
-    }
-
     /// Runs forward propagation on input `x` (`[i,b,j]`) — the single
     /// entry point for every execution mode — and returns `y` with the
     /// [`Saved`] record [`EncoderLayer::backward`] reads. The plan runs out
@@ -115,7 +109,7 @@ impl EncoderLayer {
         w: &EncoderWeights,
         opts: &ExecOptions,
     ) -> Result<ForwardOutput> {
-        let run = self.exec_options(opts)?;
+        let run = interp::layer_options(opts, self.dropout_p)?;
         interp::forward(&self.dims, self.plan_kind(), x, w, &run)
     }
 
@@ -150,38 +144,40 @@ impl EncoderLayer {
         opts: &ExecOptions,
         y: &mut Tensor,
     ) -> Result<()> {
-        let run = self.exec_options(opts)?;
+        let run = interp::layer_options(opts, self.dropout_p)?;
         interp::forward_into(&self.dims, self.plan_kind(), x, w, &run, y)
     }
 
-    /// Runs backpropagation: given the output gradient `dy` and the record
-    /// the forward saved, returns the input gradient `dx` and all weight
+    /// Runs backpropagation under `opts`, option for option as
+    /// [`EncoderLayer::forward`] runs (the layer's `dropout_p` is the
+    /// layer's own): given the output gradient `dy` and the record the
+    /// forward saved, returns the input gradient `dx` and all weight
     /// gradients. The backward plan the record calls for runs out of its
     /// static arena — [`interp::PlanKind::EncoderTrain`] for a forward that
-    /// ran the attention region (it recomputes the softmax bundle),
+    /// ran the attention region (it recomputes the softmax bundle under the
+    /// record's dropout stream, whatever `opts.seed` says),
     /// [`interp::PlanKind::EncoderReferenceTrain`] for one that saved the
     /// bundle (the reference executor's) — with `dy`, `x`, the weights and
     /// the record's containers and statistics read where they lie: the
     /// returned tensors are the only heap the call touches once the caches
-    /// are warm.
+    /// are warm. A profiler sink must be made for that backward plan.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape disagreements, or naming a container `a`
-    /// lacks (a decoder block's record, say).
+    /// Returns an error if the layer's `dropout_p` is outside `[0, 1)`,
+    /// `dy` or `x` is not `[i,b,j]` at the layer's dimensions, `opts.profiler`
+    /// was made for another plan, or naming a container `a` lacks (a
+    /// decoder block's record, say).
     pub fn backward(
         &self,
         dy: &Tensor,
         x: &Tensor,
         w: &EncoderWeights,
         a: &Saved,
+        opts: &ExecOptions,
     ) -> Result<(Tensor, EncoderGrads)> {
-        let kind = match a.region {
-            Some(_) => interp::PlanKind::EncoderTrain,
-            None => interp::PlanKind::EncoderReferenceTrain,
-        };
-        let run = self.exec_options(&ExecOptions::default())?;
-        interp::backward(&self.dims, kind, dy, x, w, a, &run)
+        let run = interp::layer_options(opts, self.dropout_p)?;
+        interp::backward(&self.dims, self.plan_kind(), dy, x, w, a, &run)
     }
 }
 
@@ -258,8 +254,12 @@ mod tests {
             &mut StdRng::seed_from_u64(4),
         );
         let ref_layer = EncoderLayer::new(fused_layer.dims, Executor::Reference, 0.3);
-        let (dx1, g1) = fused_layer.backward(&dy, &x, &w, &acts).unwrap();
-        let (dx2, g2) = ref_layer.backward(&dy, &x, &w, &acts).unwrap();
+        let (dx1, g1) = fused_layer
+            .backward(&dy, &x, &w, &acts, &ExecOptions::default())
+            .unwrap();
+        let (dx2, g2) = ref_layer
+            .backward(&dy, &x, &w, &acts, &ExecOptions::default())
+            .unwrap();
         assert!(dx1.max_abs_diff(&dx2).unwrap() < 1e-4);
         for ((n1, t1), (_, t2)) in g1.fields().iter().zip(g2.fields()) {
             assert!(
@@ -330,7 +330,9 @@ mod tests {
             &mut StdRng::seed_from_u64(7),
         );
         let dy = loss_w.clone();
-        let (dx, grads) = layer.backward(&dy, &x, &w, &acts).unwrap();
+        let (dx, grads) = layer
+            .backward(&dy, &x, &w, &acts, &ExecOptions::default())
+            .unwrap();
         let loss = |xx: &Tensor, ww: &EncoderWeights| -> f32 {
             let (yy, _) = fwd(&layer, xx, ww, 6);
             yy.iter().map(|(i, v)| loss_w.at(&i) * v).sum()

@@ -1,18 +1,20 @@
 //! Plan-driven execution of the transformer layers: canned
 //! [`ExecutionPlan`]s for the reference and fused executors, forward and
-//! backward, plus the glue that binds a layer's input and weights into the
-//! plan's arena and reads what it saved back out as one [`Saved`] record —
-//! which the backward plan binds in turn, by the same names.
+//! backward, plus the one door every run of them goes through — `run`,
+//! which binds a layer's input and weights into the plan's arena by one
+//! binding table and hands back what it wrote: the forward's one [`Saved`]
+//! record, which the backward plan binds in turn, by the same names.
 //!
 //! A canned plan is the recipe's pipeline with every layout pinned to
 //! natural: one constructor behind [`cached_plan`] builds the kind's graph,
 //! fuses it through [`xform_core::fusion::fuse`] — the recipe's own fusion
 //! step — and schedules it in natural layouts; its arena certifies it, once,
-//! at compile. A layer forward runs its canned plan out of a memoized
-//! arena, `x` and the weights read where their tensors keep them through
-//! one binding table ([`EncoderWeights::container`]); any other plan, a
-//! recipe-selected one say, runs through [`xform_core::arena::execute`]
-//! over [`bind_inputs`].
+//! at compile. A layer forward, a backward, the head and a decode step run
+//! a canned plan out of an arena under the caller's [`ExecOptions`], every
+//! named operand checked against its container's shape and the weights
+//! read where their tensors keep them ([`EncoderWeights::container`]); any
+//! other plan, a recipe-selected one say, runs through
+//! [`xform_core::arena::execute`] over [`bind_inputs`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -21,14 +23,14 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use xform_core::analyze::ArenaGranularity;
 use xform_core::arena::{self, rekeyed, stats_name_of, ArenaArtifact, CompiledArena};
 use xform_core::fusion::{decoder_fusion_plan, encoder_fusion_plan, fuse, head_fusion_plan};
-use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan};
+use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan, PlanStep};
 use xform_core::recipe::{backward_ops, forward_ops};
 use xform_dataflow::{build, EncoderDims, Graph, OpKind};
 use xform_tensor::lanes::check_dropout_p;
 use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{into_ops, Layout, Result, Shape, Tensor, TensorError};
 
-use crate::params::{EncoderGrads, EncoderWeights};
+use crate::params::{EncoderGrads, EncoderWeights, PackedWeight};
 
 /// What a layer forward returns: its output and the record its backward
 /// reads. Inference-only callers run `forward_into` instead; training
@@ -341,51 +343,150 @@ pub(crate) fn layer_options<'p>(opts: &ExecOptions<'p>, dropout_p: f32) -> Resul
     Ok(opts.to_builder().dropout_p(dropout_p).build())
 }
 
-/// The one binding table: the words of the external container `name` as
-/// the arena reads them, out of a layer's input and weight set: `x` (handed
-/// in by whoever holds it) in natural layout, any weight by
-/// [`EncoderWeights::container`] — a projection's panel pack, the arena's
-/// `CompiledArena::weight_packs` of it, or another field's row-major
-/// words — borrowed from where the weights keep them. `None`, for the
-/// executor to report, on a name the layers do not bind or a field stored
-/// in another layout than its natural one (nothing that makes parameters
-/// does).
-pub(crate) fn external_words<'a>(
-    name: &str,
-    x: &'a [f32],
-    w: &'a EncoderWeights,
-) -> Option<&'a [f32]> {
-    match name {
-        "x" => Some(x),
-        _ => w.container(name),
-    }
-}
-
 thread_local! {
-    /// What a per-call forward or backward must lay out before an arena can
-    /// borrow it: `x` and `dy`, when their tensors are stored permuted. Two
-    /// buffers per calling thread, beside the arena caches and as warm as
-    /// they are: a steady-state call allocates nothing of its own.
-    static STAGING: RefCell<[Vec<f32>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
+    /// What a run must lay out before an arena can borrow it: its named
+    /// operands stored permuted, one buffer per place in the binding table.
+    /// Per calling thread, beside the arena caches and as warm as they
+    /// are: a steady-state run allocates nothing of its own.
+    static STAGING: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Hands `run` the words of each of `ts` in logical order: the tensor's own
-/// when it is stored row-major, else a copy in this thread's staging.
-fn with_natural<R, const N: usize>(ts: [&Tensor; N], run: impl FnOnce([&[f32]; N]) -> R) -> R {
+/// One run's binding table, searched in this order: the named operands,
+/// each of its container's shape and read in logical order (through this
+/// thread's staging when stored permuted); then the weights, by
+/// [`EncoderWeights::container`]; then a forward's record, its layer-norm
+/// statistics and its saved containers where it keeps them. A name none of
+/// them binds is the arena's to report, or, for a cache, to keep resident.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bind<'a>(
+    /// The named operands, as `(container, tensor)` pairs.
+    pub(crate) &'a [(&'a str, &'a Tensor)],
+    /// A block's weight set.
+    pub(crate) Option<&'a EncoderWeights>,
+    /// The record a backward reads.
+    pub(crate) Option<&'a Saved>,
+);
+
+/// What a run hands back.
+#[derive(Debug)]
+pub(crate) enum Out<'o, 'w> {
+    /// Each named output in logical order into the caller's slice, which
+    /// must hold its word count.
+    Copy(&'o mut [(&'static str, &'w mut [f32])]),
+    /// Each named output's words, as the plan leaves them (natural, in
+    /// every canned plan), in a vector of their own: what a call returns.
+    Words(&'o mut [(&'static str, Option<Vec<f32>>)]),
+    /// Every output and layer-norm statistic, materialized in the layout
+    /// the plan leaves it in: a forward's record.
+    Record(&'o mut ExecState),
+}
+
+/// Whether `t` is of the shape `graph` gives its container `name`.
+fn fits(graph: &Graph, name: &str, t: &Tensor) -> bool {
+    let data = graph.data_by_name(name).and_then(|d| graph.data(d));
+    data.is_some_and(|d| d.shape == *t.shape())
+}
+
+/// The one door from this crate to an arena: runs `arena`, compiled from
+/// a plan over `graph` and looked up by the caller, under the caller's
+/// `opts`, binds `bind` and hands back `out`. It allocates nothing of its
+/// own once this thread's staging is warm, but what [`Out::Record`]
+/// materializes.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`], before the run, for a named
+/// operand not of its container's shape; [`TensorError::Unsupported`]
+/// naming an output [`Out::Copy`] wants that the run did not write with
+/// its slice's word count; and the errors of
+/// [`CompiledArena::execute_bound`].
+pub(crate) fn run(
+    graph: &Graph,
+    arena: &CompiledArena,
+    opts: &ExecOptions,
+    Bind(named, weights, saved): Bind<'_>,
+    mut out: Out<'_, '_>,
+) -> Result<()> {
+    if !named.iter().all(|&(name, t)| fits(graph, name, t)) {
+        let context = "a named operand (the shape of the plan's container)";
+        return Err(TensorError::ShapeMismatch { context });
+    }
+    let mut written = 0;
+    let mut sink = |a: ArenaArtifact<'_>| match (&mut out, a) {
+        (
+            Out::Copy(outs),
+            ArenaArtifact::Tensor {
+                name,
+                shape,
+                layout,
+                data,
+                ..
+            },
+        ) => {
+            let wanted = |(n, dst): &(&str, &mut [f32])| *n == name && dst.len() == data.len();
+            if let Some(k) = outs.iter().position(wanted) {
+                into_ops::copy_layout_into(shape, layout, data, outs[k].1);
+                written += 1;
+            }
+        }
+        (Out::Words(outs), ArenaArtifact::Tensor { name, data, .. }) => {
+            if let Some((_, words)) = outs.iter_mut().find(|(n, _)| *n == name) {
+                *words = Some(data.to_vec());
+            }
+        }
+        (Out::Record(state), a @ ArenaArtifact::Tensor { name, .. }) => {
+            let t = a.to_tensor().expect("a slot holds its container's words");
+            state.env.insert(name.into(), t);
+        }
+        (
+            Out::Record(state),
+            ArenaArtifact::Stats {
+                name,
+                mean,
+                inv_std,
+            },
+        ) => {
+            let (mean, inv_std) = (mean.to_vec(), inv_std.to_vec());
+            state
+                .stats
+                .insert(name.into(), LayerNormStats { mean, inv_std });
+        }
+        (_, ArenaArtifact::Stats { .. }) => {}
+    };
     STAGING.with_borrow_mut(|staging| {
-        let mut spare = staging.iter_mut();
-        let words = ts.map(|t| match t.natural_words() {
-            Some(words) => words,
-            None => {
-                let buf = spare.next().expect("a staging buffer per tensor");
+        staging.resize_with(staging.len().max(named.len()), Vec::new);
+        for (&(_, t), buf) in named.iter().zip(staging.iter_mut()) {
+            if t.natural_words().is_none() {
                 buf.resize(t.len(), 0.0);
                 into_ops::copy_tensor_into(t, buf);
-                let buf: &[f32] = buf;
-                buf
             }
-        });
-        run(words)
-    })
+        }
+        let staging = &*staging;
+        let resolve = &mut |name: &str| {
+            if let Some(k) = named.iter().position(|(n, _)| *n == name) {
+                return Some(named[k].1.natural_words().unwrap_or(&staging[k]));
+            }
+            match (saved, stats_name_of(name)) {
+                (Some(saved), Some((norm, inv))) => {
+                    let s = saved.stats.get(norm)?;
+                    Some(&[&s.mean, &s.inv_std][usize::from(inv)][..])
+                }
+                _ => (weights.and_then(|w| w.container(name)))
+                    .or_else(|| saved?.tensors.get(name)?.natural_words()),
+            }
+        };
+        arena.execute_bound(opts, resolve, &mut sink)
+    })?;
+    let taken = match out {
+        Out::Copy(outs) => written == outs.len(),
+        Out::Words(outs) => outs.iter().all(|(_, words)| words.is_some()),
+        Out::Record(_) => true,
+    };
+    if !taken {
+        let what = "the plan wrote not every output its caller takes, of its word count";
+        return Err(TensorError::Unsupported(what.into()));
+    }
+    Ok(())
 }
 
 /// Binds a layer input and the shared weight set into an interpreter
@@ -401,28 +502,29 @@ pub fn bind_inputs(x: &Tensor, w: &EncoderWeights) -> ExecState {
     state
 }
 
-/// Looks up what a layer forward runs — the canned plan of `(dims, kind)`
-/// — together with its arena, and hands both to `f`. Both come out of a
+/// Looks up what a layer runs — the canned plan of `(dims, kind)` —
+/// together with its arena, and hands both to `f`. Both come out of a
 /// memo: nothing is analyzed, certified or compiled on a steady-state call.
 fn with_arena<R>(
     dims: &EncoderDims,
     kind: PlanKind,
-    f: impl FnOnce(&Graph, &ExecutionPlan, &CompiledArena) -> Result<R>,
+    f: impl FnOnce(&PlannedForward, &CompiledArena) -> Result<R>,
 ) -> Result<R> {
     let pf = cached_plan(dims, kind)?;
     let uncompiled = || TensorError::Unsupported("the plan compiled to no arena".into());
     let arena = cached_arena(dims, kind, ArenaGranularity::Serial)?.ok_or_else(uncompiled)?;
-    f(&pf.graph, &pf.plan, &arena)
+    f(&pf, &arena)
 }
 
 /// Runs one layer forward for [`ForwardOutput`] on the canned plan of
 /// `(dims, kind)` and its memoized arena ([`forward_on`]). `opts` must
-/// already be merged with the layer knobs.
+/// already be merged with the layer knobs ([`layer_options`]).
 ///
 /// # Errors
 ///
-/// Returns an error if the plan fails its lint gate or certification, an
-/// external cannot be bound, or a kernel rejects its operands.
+/// Returns an error if the plan fails its lint gate or certification, `x`
+/// is not of the plan's `x` shape, an external cannot be bound, or a
+/// kernel rejects its operands.
 pub(crate) fn forward(
     dims: &EncoderDims,
     kind: PlanKind,
@@ -430,12 +532,10 @@ pub(crate) fn forward(
     w: &EncoderWeights,
     opts: &ExecOptions,
 ) -> Result<ForwardOutput> {
-    with_arena(dims, kind, |_, plan, arena| {
-        forward_on(arena, plan, x, w, opts)
-    })
+    with_arena(dims, kind, |pf, arena| forward_on(pf, arena, x, w, opts))
 }
 
-/// Runs one layer forward of `plan` on `arena`: `y` and every saved
+/// Runs one layer forward of `pf` on `arena`: `y` and every saved
 /// container and layer-norm statistic the plan produced are materialized
 /// out of the slab, each in the layout the plan leaves it in, and the
 /// dropout stream of the plan's attention region, if it has one, is noted
@@ -445,35 +545,26 @@ pub(crate) fn forward(
 ///
 /// As [`forward`].
 pub(crate) fn forward_on(
+    pf: &PlannedForward,
     arena: &CompiledArena,
-    plan: &ExecutionPlan,
     x: &Tensor,
     w: &EncoderWeights,
     opts: &ExecOptions,
 ) -> Result<ForwardOutput> {
     let mut state = ExecState::default();
-    with_natural([x], |[x]| {
-        let resolve = &mut |name: &str| external_words(name, x, w);
-        arena.execute_into_state(opts, resolve, &mut state)
-    })?;
+    let bind = Bind(&[("x", x)], Some(w), None);
+    run(&pf.graph, arena, opts, bind, Out::Record(&mut state))?;
     // the attention region: the tile program of two contractions
-    let region = |s: &xform_core::plan::PlanStep| {
-        matches!(
-            s.kind,
-            OpKind::TileProgram {
-                second: Some(_),
-                ..
-            }
-        )
-    };
-    let at = plan.steps.iter().position(region);
+    let region =
+        |s: &PlanStep| matches!(&s.kind, OpKind::TileProgram { second, .. } if second.is_some());
+    let at = pf.plan.steps.iter().position(region);
     // `y` is the plan's one output: what remains is what it saved
     Ok(ForwardOutput {
         y: state.take("y")?,
         saved: Saved {
             tensors: state.env,
             stats: state.stats,
-            region: at.map(|si| (opts.seed, plan.stream_of(si))),
+            region: at.map(|si| (opts.seed, pf.plan.stream_of(si))),
         },
     })
 }
@@ -496,48 +587,40 @@ pub(crate) fn forward_into(
     opts: &ExecOptions,
     y: &mut Tensor,
 ) -> Result<()> {
-    with_arena(dims, kind, |graph, plan, arena| {
-        let out = (plan.steps.iter().flat_map(|s| &s.outputs)).find(|o| o.name == "y");
-        let want = out.and_then(|o| graph.data(o.data));
-        if want.is_none_or(|d| &d.shape != y.shape()) || y.natural_words().is_none() {
+    with_arena(dims, kind, |pf, arena| {
+        if !fits(&pf.graph, "y", y) || y.natural_words().is_none() {
             let context = "a forward's output buffer (the plan's `y` shape, stored row-major)";
             return Err(TensorError::ShapeMismatch { context });
         }
-        let ydata = y.data_mut();
-        let mut sink = |a: ArenaArtifact<'_>| {
-            if let ArenaArtifact::Tensor {
-                name: "y",
-                shape,
-                layout,
-                data,
-                ..
-            } = a
-            {
-                into_ops::copy_layout_into(shape, layout, data, ydata);
-            }
-        };
-        with_natural([x], |[x]| {
-            let resolve = &mut |name: &str| external_words(name, x, w);
-            arena.execute_bound(opts, resolve, &mut sink)
-        })
+        let (bind, y) = (Bind(&[("x", x)], Some(w), None), &mut [("y", y.data_mut())]);
+        run(&pf.graph, arena, opts, bind, Out::Copy(y))
     })
 }
 
-/// Runs one block backward on the canned backward plan of `kind`: `dy`,
-/// `x`, the weights and the forward's record bound by graph name — the
-/// saved containers and the layer-norm statistics where the record keeps
-/// them, the projections as their packs — and `dx` and every weight
-/// gradient copied out of the slab once, in the layouts the plan leaves
-/// them (natural). Nothing else is allocated once the caches are warm. The
-/// one step that computes masks, the region's recomputed softmax, is keyed
-/// as the forward's region step was ([`Saved::region`], [`rekeyed`]).
-/// `opts` must already be merged with the layer knobs.
+/// What a block's backward plan writes: `dx`, then the gradient `d_{field}`
+/// of every weight field, in [`EncoderWeights`]' field order, spaced.
+const GRADIENTS: &str = "dx d_w_qkv d_wo d_bq d_bk d_bv d_bo d_ln1_gamma d_ln1_beta d_w1 d_b1 \
+    d_w2 d_b2 d_ln2_gamma d_ln2_beta";
+
+/// Runs one block backward on the canned backward plan a record of the
+/// forward `kind` calls for: [`PlanKind::DecoderTrain`] after a decoder
+/// forward, [`PlanKind::EncoderTrain`] after an encoder forward that ran
+/// the attention region and [`PlanKind::EncoderReferenceTrain`] after one
+/// that saved the softmax bundle. `dy`, `x`, the weights and the record are
+/// bound by graph name — the saved containers and the layer-norm statistics
+/// where the record keeps them, the projections as their packs — and `dx`
+/// and every weight gradient copied out of the slab once, in logical order.
+/// Nothing else is allocated once the caches are warm. The one step that
+/// computes masks, the region's recomputed softmax, is keyed as the
+/// forward's region step was ([`Saved::region`], [`rekeyed`]). `opts` must
+/// already be merged with the layer knobs.
 ///
 /// # Errors
 ///
-/// Returns an error if the plan cannot be built for `dims`, the record
-/// lacks a container or statistic the plan reads (another block kind's, or
-/// one stored permuted), or a kernel rejects its operands.
+/// Returns an error if the plan cannot be built for `dims`, `dy` or `x` is
+/// not of the plan's shape, the record lacks a container or statistic the
+/// plan reads (another block kind's, or one stored permuted), or a kernel
+/// rejects its operands.
 pub(crate) fn backward(
     dims: &EncoderDims,
     kind: PlanKind,
@@ -547,7 +630,13 @@ pub(crate) fn backward(
     saved: &Saved,
     opts: &ExecOptions,
 ) -> Result<(Tensor, EncoderGrads)> {
-    with_arena(dims, kind, |_, plan, arena| {
+    let kind = match (kind, saved.region) {
+        (PlanKind::DecoderFused | PlanKind::DecoderEpilogue, _) => PlanKind::DecoderTrain,
+        (_, Some(_)) => PlanKind::EncoderTrain,
+        (_, None) => PlanKind::EncoderReferenceTrain,
+    };
+    with_arena(dims, kind, |pf, arena| {
+        let plan = &pf.plan;
         // the one step that computes masks recomputes the region's, keyed
         // as the region step was
         let masks =
@@ -563,100 +652,73 @@ pub(crate) fn backward(
                 return Err(TensorError::Unsupported(what.into()));
             }
         };
-        // `dx`, then the gradient `d_{field}` of every field in order
-        let fields = w.map(|_| (), |_| ()).map(|(field, ())| field);
-        let mut grads: [Option<Tensor>; 15] = Default::default();
-        let mut sink = |a: ArenaArtifact<'_>| {
-            let ArenaArtifact::Tensor { name, .. } = a else {
-                return;
-            };
-            let field = |f: &&str| name.strip_prefix("d_") == Some(*f);
-            let at = (name == "dx").then_some(0);
-            if let Some(k) = at.or_else(|| Some(fields.iter().position(field)? + 1)) {
-                grads[k] = a.to_tensor();
-            }
-        };
-        with_natural([x, dy], |[x, dy]| {
-            let resolve = &mut |name: &str| match (name, stats_name_of(name)) {
-                ("x", _) => Some(x),
-                ("dy", _) => Some(dy),
-                (_, Some((norm, inv))) => {
-                    let s = saved.stats.get(norm)?;
-                    Some(&[&s.mean, &s.inv_std][usize::from(inv)][..])
-                }
-                _ => (w.container(name)).or_else(|| saved.tensors.get(name)?.natural_words()),
-            };
-            arena.execute_bound(&opts, resolve, &mut sink)
-        })?;
-        if grads.iter().any(Option::is_none) {
-            let what = "the backward plan wrote no `dx` or no gradient of some field";
-            return Err(TensorError::Unsupported(what.into()));
-        }
-        let mut next = grads.into_iter().flatten();
-        let mut take = || next.next().expect("every gradient was written");
-        let dx = take();
+        let mut names = GRADIENTS.split_whitespace();
+        let mut outs: [_; 15] = std::array::from_fn(|_| (names.next().expect("15 names"), None));
+        let bind = Bind(&[("x", x), ("dy", dy)], Some(w), Some(saved));
+        run(&pf.graph, arena, &opts, bind, Out::Words(&mut outs))?;
+        // `dx` of `x`'s shape, then every field's gradient of its own
+        let fields = w.map(PackedWeight::shape, Tensor::shape);
+        let shapes = [x.shape()].into_iter().chain(fields.iter().map(|f| f.1));
+        let mut grads = (outs.into_iter().zip(shapes)).map(|((_, words), shape)| {
+            Tensor::from_vec(shape.clone(), words.expect("the door wrote it or failed"))
+        });
+        let mut take = || grads.next().expect("a gradient per name");
+        let dx = take()?;
         let g = EncoderGrads {
-            w_qkv: take(),
-            wo: take(),
-            bq: take(),
-            bk: take(),
-            bv: take(),
-            bo: take(),
-            ln1_gamma: take(),
-            ln1_beta: take(),
-            w1: take(),
-            b1: take(),
-            w2: take(),
-            b2: take(),
-            ln2_gamma: take(),
-            ln2_beta: take(),
+            w_qkv: take()?,
+            wo: take()?,
+            bq: take()?,
+            bk: take()?,
+            bv: take()?,
+            bo: take()?,
+            ln1_gamma: take()?,
+            ln1_beta: take()?,
+            w1: take()?,
+            b1: take()?,
+            w2: take()?,
+            b2: take()?,
+            ln2_gamma: take()?,
+            ln2_beta: take()?,
         };
         Ok((dx, g))
     })
 }
 
 /// Runs the model head on its canned plan ([`PlanKind::Head`] at the
-/// vocabulary of `head_bias`) over the last block's output `h` (`[i,b,j]`),
-/// `head` (`[v,i]`) and `head_bias` (`[v]`), each read where it lies, and
-/// copies `probs` out of the slab once: a tensor logically `[v,b,j]`, stored
-/// in the `(b,j,v)` layout the plan writes.
+/// vocabulary of `head_bias`) under `opts` over the last block's output `h`
+/// (`[i,b,j]`), `head` (`[v,i]`) and `head_bias` (`[v]`), each read where it
+/// lies when stored row-major, and copies `probs` out of the slab once: a
+/// tensor logically `[v,b,j]`, stored in the `(b,j,v)` layout the plan
+/// writes.
 ///
 /// # Errors
 ///
-/// Returns an error if no head plan exists for `dims` and the vocabulary,
-/// or an operand is stored permuted or holds the wrong number of words.
+/// Returns [`TensorError::ShapeMismatch`] if no head plan exists for `dims`
+/// and the vocabulary or an operand is not of the plan's shape, and
+/// [`TensorError::Unsupported`] for a profiler sink made for another plan.
 pub fn head_forward(
     dims: &EncoderDims,
     h: &Tensor,
     head: &Tensor,
     head_bias: &Tensor,
+    opts: &ExecOptions,
 ) -> Result<Tensor> {
-    let (vocab, opts) = (head_bias.len(), ExecOptions::default());
-    let probs = with_arena(dims, PlanKind::Head { vocab }, |_, _, arena| {
-        let mut probs = None;
-        let mut sink = |a: ArenaArtifact<'_>| {
-            if let ArenaArtifact::Tensor {
-                name: "probs",
-                data,
-                ..
-            } = a
-            {
-                probs = Some(data.to_vec());
-            }
-        };
-        let resolve = &mut |name: &str| match name {
-            "h" => h.natural_words(),
-            "head" => head.natural_words(),
-            "head_bias" => head_bias.natural_words(),
-            _ => None,
-        };
-        arena.execute_bound(&opts, resolve, &mut sink)?;
-        probs.ok_or_else(|| TensorError::Unsupported("the head plan wrote no `probs`".into()))
-    })?;
-    // the canned plan leaves its `[b,j,v]` container natural: `[v,b,j]`
-    // with its axes 1, 2, 0 outermost first
-    let shape = Shape::new([('v', vocab), ('b', dims.b), ('j', dims.j)])?;
-    Tensor::from_vec_with_layout(shape, Layout::from_order(&[1, 2, 0])?, probs)
+    let vocab = head_bias.len();
+    with_arena(dims, PlanKind::Head { vocab }, |pf, arena| {
+        let bind = Bind(
+            &[("h", h), ("head", head), ("head_bias", head_bias)],
+            None,
+            None,
+        );
+        let mut outs = [("probs", None)];
+        run(&pf.graph, arena, opts, bind, Out::Words(&mut outs))?;
+        let [(_, probs)] = outs;
+        // the canned plan leaves its `[b,j,v]` container natural: `[v,b,j]`
+        // with its axes 1, 2, 0 outermost first
+        let shape = Shape::new([('v', vocab), ('b', dims.b), ('j', dims.j)])?;
+        let probs = probs.expect("the door wrote `probs` or failed");
+        Tensor::from_vec_with_layout(shape, Layout::from_order(&[1, 2, 0])?, probs)
+    })
 }
 
 /// The model head with its bias and softmax one kernel (`BSV`) behind the
@@ -819,7 +881,7 @@ mod tests {
         );
         let head_bias = Tensor::random(Shape::new([('v', vocab)]).unwrap(), &unit, &mut rng);
         // stored `(b,j,v)`: the plan's `[b,j,v]` container in logical order
-        let probs = head_forward(&dims, &y, &head, &head_bias).unwrap();
+        let probs = head_forward(&dims, &y, &head, &head_bias, &opts).unwrap();
         let want = vec![probs.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()];
         let mut state = ExecState::default();
         for (name, t) in [("h", &y), ("head", &head), ("head_bias", &head_bias)] {
@@ -1099,7 +1161,8 @@ mod tests {
 
     /// The encoder and decoder backward plans, bound to a forward's record
     /// at `p > 0`, run on the arena on the caller's thread and on the pool,
-    /// and the one-thread run is what the layers' `backward` returns.
+    /// and the one-thread run is what the layers' `backward` returns, on
+    /// one thread and at four.
     #[test]
     fn backward_plans_are_the_same_bits_at_any_width() {
         use crate::decoder::DecoderLayer;
@@ -1124,12 +1187,17 @@ mod tests {
             };
             let serial = grads(1);
             assert_eq!(grads(4), serial, "{kind:?}");
-            let (dx, g) = match kind {
-                PlanKind::DecoderTrain => decoder.backward(&dy, &x, &w, &saved).unwrap(),
-                _ => encoder.backward(&dy, &x, &w, &saved).unwrap(),
-            };
-            let returned = [&dx, &g.w_qkv, &g.bq, &g.ln1_gamma, &g.w1, &g.b1];
-            assert_eq!(returned.map(|t| t.data().to_vec()), serial, "{kind:?}");
+            for threads in [1, 4] {
+                let opts = ExecOptions::builder().threads(threads).build();
+                let (dx, g) = match kind {
+                    PlanKind::DecoderTrain => decoder.backward(&dy, &x, &w, &saved, &opts),
+                    _ => encoder.backward(&dy, &x, &w, &saved, &opts),
+                }
+                .unwrap();
+                let returned = [&dx, &g.w_qkv, &g.bq, &g.ln1_gamma, &g.w1, &g.b1];
+                let returned = returned.map(|t| t.data().to_vec());
+                assert_eq!(returned, serial, "{kind:?} at {threads} threads");
+            }
         }
     }
 

@@ -49,7 +49,7 @@
 //! let x = synthetic_batch(&dims, &mut rng)?;
 //! let opts = ExecOptions::builder().seed(42).build();
 //! let (y, acts) = layer.forward(&x, &weights, &opts)?.into_pair()?;
-//! let (dx, grads) = layer.backward(&y, &x, &weights, &acts)?;
+//! let (dx, grads) = layer.backward(&y, &x, &weights, &acts, &opts)?;
 //! assert_eq!(dx.shape(), x.shape());
 //! assert_eq!(grads.w1.shape(), weights.w1.shape());
 //! # Ok(())

@@ -12,12 +12,11 @@ use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
 use xform_tensor::{Result, Shape, Tensor, TensorError};
 
-use crate::decoder::DecoderLayer;
-use crate::encoder::{EncoderLayer, Executor};
-use crate::interp::{check_extents, Saved};
+use crate::interp::{self, check_extents, layer_options, PlanKind, Saved};
 use crate::params::{sgd_update, EncoderGrads, EncoderWeights};
 
 /// Which block the stack repeats.
@@ -203,6 +202,16 @@ impl TransformerModel {
         Ok(())
     }
 
+    /// The forward plan every block runs: the one place the model names
+    /// its block plans. A block's backward plan is the one its record
+    /// calls for, as a layer's `backward` picks it.
+    fn block_kind(&self) -> PlanKind {
+        match self.config.block {
+            BlockKind::Encoder => PlanKind::EncoderFused,
+            BlockKind::Decoder => PlanKind::DecoderFused,
+        }
+    }
+
     /// Full forward pass to vocabulary probabilities.
     ///
     /// # Errors
@@ -221,21 +230,16 @@ impl TransformerModel {
         let seeds: Vec<u64> = self.blocks.iter().map(|_| rng.gen()).collect();
         let mut blocks = Vec::with_capacity(self.blocks.len());
         for (l, (w, &seed)) in self.blocks.iter().zip(&seeds).enumerate() {
-            let opts = xform_core::plan::ExecOptions::builder().seed(seed).build();
-            let x = &block_inputs[l];
-            let out = match self.config.block {
-                BlockKind::Encoder => {
-                    EncoderLayer::new(d, Executor::Fused, p).forward(x, w, &opts)?
-                }
-                BlockKind::Decoder => DecoderLayer::new(d, p).forward(x, w, &opts)?,
-            };
+            let opts = layer_options(&ExecOptions::builder().seed(seed).build(), p)?;
+            let out = interp::forward(&d, self.block_kind(), &block_inputs[l], w, &opts)?;
             block_inputs.push(out.y);
             blocks.push(out.saved);
         }
         // head: probs = softmax over v of head[v,i]·h[i,b,j] + bias[v], one
-        // plan step whose logits never leave its tile
+        // plan step whose logits never leave its tile, on one thread
         let h = &block_inputs[self.blocks.len()];
-        let probs = crate::interp::head_forward(&d, h, &self.head, &self.head_bias)?;
+        let plain = ExecOptions::builder().build();
+        let probs = interp::head_forward(&d, h, &self.head, &self.head_bias, &plain)?;
         Ok(ModelActs {
             block_inputs,
             blocks,
@@ -321,16 +325,12 @@ impl TransformerModel {
             xform_tensor::ops::elementwise::bias_grad(&d_logits, &[xform_tensor::Axis('v')])?;
         let mut dh = xform_tensor::einsum("vi,vbj->ibj", &[&self.head, &d_logits])?;
         // backprop through the stack
+        // on one thread; a block's masks are keyed by its record
         let mut block_grads: Vec<EncoderGrads> = Vec::with_capacity(self.blocks.len());
-        let p = self.config.dropout_p;
+        let opts = layer_options(&ExecOptions::builder().build(), self.config.dropout_p)?;
         for (idx, w) in self.blocks.iter().enumerate().rev() {
             let (x, a) = (&acts.block_inputs[idx], &acts.blocks[idx]);
-            let (dx, g) = match self.config.block {
-                BlockKind::Encoder => {
-                    EncoderLayer::new(*d, Executor::Fused, p).backward(&dh, x, w, a)?
-                }
-                BlockKind::Decoder => DecoderLayer::new(*d, p).backward(&dh, x, w, a)?,
-            };
+            let (dx, g) = interp::backward(d, self.block_kind(), &dh, x, w, a, &opts)?;
             block_grads.push(g);
             dh = dx;
         }

@@ -50,8 +50,8 @@ proptest! {
         let (y1, a1) = fused.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
         let (y2, a2) = reference.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
         prop_assert!(y1.max_abs_diff(&y2).unwrap() < 1e-4);
-        let (dx1, g1) = fused.backward(&y1, &x, &w, &a1).unwrap();
-        let (dx2, g2) = reference.backward(&y2, &x, &w, &a2).unwrap();
+        let (dx1, g1) = fused.backward(&y1, &x, &w, &a1, &opts).unwrap();
+        let (dx2, g2) = reference.backward(&y2, &x, &w, &a2, &opts).unwrap();
         prop_assert!(dx1.max_abs_diff(&dx2).unwrap() < 1e-3);
         for ((n, t1), (_, t2)) in g1.fields().iter().zip(g2.fields()) {
             prop_assert!(t1.max_abs_diff(t2).unwrap() < 1e-3, "gradient {} differs", n);
@@ -86,8 +86,8 @@ proptest! {
         let (y, acts) = layer.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
         let dy = batch(&dims, seed + 2);
         let scaled = xform_tensor::ops::elementwise::scale(&dy, c);
-        let (dx1, _) = layer.backward(&dy, &x, &w, &acts).unwrap();
-        let (dx2, _) = layer.backward(&scaled, &x, &w, &acts).unwrap();
+        let (dx1, _) = layer.backward(&dy, &x, &w, &acts, &opts).unwrap();
+        let (dx2, _) = layer.backward(&scaled, &x, &w, &acts, &opts).unwrap();
         let expect = xform_tensor::ops::elementwise::scale(&dx1, c);
         let scale_mag = y.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         prop_assert!(

@@ -55,9 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let data = &mut StdRng::seed_from_u64(42 ^ (step as u64 % 4));
             let x = Tensor::random(shape.clone(), &Uniform::new(-1.0, 1.0), data);
             let target = Tensor::random(shape.clone(), &Uniform::new(-0.5, 0.5), data);
-            let (y, saved) = layer
-                .forward(&x, &w, &ExecOptions::default())?
-                .into_pair()?;
+            let opts = ExecOptions::default();
+            let (y, saved) = layer.forward(&x, &w, &opts)?.into_pair()?;
             // L = mean((y - t)^2), dL/dy = 2 (y - t) / N
             let n = y.len() as f32;
             let mut dy = y.clone();
@@ -67,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 *d = 2.0 * e / n;
                 acc + e * e / n
             });
-            let (_, grads) = layer.backward(&dy, &x, &w, &saved)?;
+            let (_, grads) = layer.backward(&dy, &x, &w, &saved, &opts)?;
             w.sgd_step(&grads, LEARNING_RATE);
             history.push((loss, grads.global_norm()));
         }

@@ -188,7 +188,16 @@ fn steady_state_forwards_touch_no_heap() {
     let hidden = Tensor::random(shape, &unit, &mut rng);
     let head = Tensor::random(Shape::new([('v', 37), ('i', 8)]).unwrap(), &unit, &mut rng);
     let head_bias = Tensor::random(Shape::new([('v', 37)]).unwrap(), &unit, &mut rng);
-    let run = || interp::head_forward(&head_dims, &hidden, &head, &head_bias).unwrap();
+    let run = || {
+        interp::head_forward(
+            &head_dims,
+            &hidden,
+            &head,
+            &head_bias,
+            &ExecOptions::default(),
+        )
+        .unwrap()
+    };
     drop((run(), run()));
     let before = ALLOC.events();
     let probs = run();
@@ -218,10 +227,14 @@ fn steady_state_forwards_touch_no_heap() {
         type Backward<'a> = (&'a str, &'a dyn Fn() -> (Tensor, EncoderGrads));
         let cases: [Backward; 2] = [
             ("encoder", &|| {
-                fused.backward(&dy, &x, &w, &encoder_saved).unwrap()
+                fused
+                    .backward(&dy, &x, &w, &encoder_saved, &ExecOptions::default())
+                    .unwrap()
             }),
             ("decoder", &|| {
-                decoder.backward(&dy, &x, &w, &decoder_saved).unwrap()
+                decoder
+                    .backward(&dy, &x, &w, &decoder_saved, &ExecOptions::default())
+                    .unwrap()
             }),
         ];
         for (tag, backward) in cases {

@@ -235,6 +235,84 @@ fn forward_into_refuses_a_buffer_of_another_shape_or_storage() {
     }
 }
 
+/// An operand of the right word count in another axis order — `x`, `dy`
+/// or the head's hidden state as `[b,i,j]`, the head weight as `[i,v]` —
+/// would be read as the plan's container, its words scrambled: every entry
+/// that binds one refuses it before the run, and a caller's `y` keeps its
+/// words.
+#[test]
+fn an_operand_of_another_shape_is_refused_before_the_run() {
+    let (dims, w, x) = setup();
+    let bij = |seed| {
+        let shape = Shape::from_spec("bij", &dims.size_table()).unwrap();
+        Tensor::random(
+            shape,
+            &Uniform::new(-1.0, 1.0),
+            &mut StdRng::seed_from_u64(seed),
+        )
+    };
+    let (x_bij, dy_bij, dy) = (bij(1), bij(2), x.clone());
+    let opts = ExecOptions::builder().seed(3).build();
+    let refused = |r: Result<(), TensorError>, what: &str| {
+        assert!(
+            matches!(r, Err(TensorError::ShapeMismatch { .. })),
+            "{what}: {r:?}"
+        );
+    };
+    let encoder = EncoderLayer::new(dims, Executor::Fused, 0.1);
+    let decoder = DecoderLayer::new(dims, 0.1);
+    let mut y = Tensor::from_vec(x.shape().clone(), vec![7.0; x.len()]).unwrap();
+    refused(
+        encoder.forward(&x_bij, &w, &opts).map(drop),
+        "encoder forward",
+    );
+    refused(
+        decoder.forward(&x_bij, &w, &opts).map(drop),
+        "decoder forward",
+    );
+    refused(
+        encoder.forward_into(&x_bij, &w, &opts, &mut y),
+        "encoder into",
+    );
+    refused(
+        decoder.forward_into(&x_bij, &w, &opts, &mut y),
+        "decoder into",
+    );
+    assert!(y.data().iter().all(|&v| v == 7.0), "no kernel wrote `y`");
+
+    let encoder_saved = encoder.forward(&x, &w, &opts).unwrap().saved;
+    let decoder_saved = decoder.forward(&x, &w, &opts).unwrap().saved;
+    for (dy, x, what) in [(&dy_bij, &x, "dy"), (&dy, &x_bij, "x")] {
+        let r = encoder.backward(dy, x, &w, &encoder_saved, &opts);
+        refused(r.map(drop), &format!("encoder backward, {what} as [b,i,j]"));
+        let r = decoder.backward(dy, x, &w, &decoder_saved, &opts);
+        refused(r.map(drop), &format!("decoder backward, {what} as [b,i,j]"));
+    }
+
+    let vocab = 5;
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut random = |spec: [(char, usize); 2]| {
+        Tensor::random(
+            Shape::new(spec).unwrap(),
+            &Uniform::new(-1.0, 1.0),
+            &mut rng,
+        )
+    };
+    let (head, head_iv) = (
+        random([('v', vocab), ('i', dims.i)]),
+        random([('i', dims.i), ('v', vocab)]),
+    );
+    let bias = Tensor::zeros(Shape::new([('v', vocab)]).unwrap());
+    assert!(interp::head_forward(&dims, &x, &head, &bias, &opts).is_ok());
+    for (h, head, what) in [
+        (&x_bij, &head, "h as [b,i,j]"),
+        (&x, &head_iv, "head as [i,v]"),
+    ] {
+        let r = interp::head_forward(&dims, h, head, &bias, &opts);
+        refused(r.map(drop), what);
+    }
+}
+
 #[test]
 fn dropout_is_thread_count_invariant_under_the_arena() {
     // Per-step RNG streams make the drawn masks a function of (seed,

@@ -223,7 +223,7 @@ proptest! {
         let bias = random(&[('v', vocab)]);
         let logits = einsum("vi,ibj->vbj", &[&head, &h]).unwrap();
         let three = softmax(&bias_add(&logits, &bias).unwrap(), Axis('v')).unwrap();
-        let served = interp::head_forward(&dims, &h, &head, &bias).unwrap();
+        let served = interp::head_forward(&dims, &h, &head, &bias, &ExecOptions::default()).unwrap();
         prop_assert!(served.shape() == three.shape());
 
         let mut base = ExecState::default();

@@ -573,7 +573,9 @@ fn grad_digests(table: &mut Vec<(String, u64)>) {
                 ),
             ] {
                 let (_, a) = layer.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
-                let (dx, g) = layer.backward(&dy, &x, &w, &a).unwrap();
+                let (dx, g) = layer
+                    .backward(&dy, &x, &w, &a, &ExecOptions::default())
+                    .unwrap();
                 let mut h = Fnv::new();
                 h.tensor(&dx);
                 grads(&mut h, &g);
@@ -582,7 +584,9 @@ fn grad_digests(table: &mut Vec<(String, u64)>) {
             {
                 let layer = DecoderLayer::new(*dims, p);
                 let (_, a) = layer.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
-                let (dx, g) = layer.backward(&dy, &x, &w, &a).unwrap();
+                let (dx, g) = layer
+                    .backward(&dy, &x, &w, &a, &ExecOptions::default())
+                    .unwrap();
                 let mut h = Fnv::new();
                 h.tensor(&dx);
                 grads(&mut h, &g);

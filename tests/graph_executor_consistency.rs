@@ -81,7 +81,9 @@ fn gradients_match_graph_outputs() {
         .unwrap()
         .into_pair()
         .unwrap();
-    let (dx, grads) = layer.backward(&y, &x, &w, &acts).unwrap();
+    let (dx, grads) = layer
+        .backward(&y, &x, &w, &acts, &ExecOptions::default())
+        .unwrap();
 
     let shape_of = |name: &str| {
         let id = enc.graph.data_by_name(name).unwrap();

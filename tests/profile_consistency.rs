@@ -218,6 +218,76 @@ fn a_sink_refuses_its_plan_at_other_dimensions() {
     }
 }
 
+/// Every canned plan a layer or the model runs takes the caller's options:
+/// a sink made for a block's backward plan or for the head, handed to the
+/// public `backward` or `head_forward`, holds one record per step of its
+/// plan, each of one run.
+#[test]
+fn a_sink_reaches_the_backward_and_the_head_through_their_public_entries() {
+    let dims = dims();
+    let mut rng = StdRng::seed_from_u64(9);
+    let w = EncoderWeights::init(&dims, &mut rng);
+    let spec = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+    let x = Tensor::random(spec.clone(), &Uniform::new(-1.0, 1.0), &mut rng);
+    let dy = Tensor::random(spec, &Uniform::new(-1.0, 1.0), &mut rng);
+    let forward = ExecOptions::builder().seed(4).build();
+    let encoder = EncoderLayer::new(dims, Executor::Fused, 0.1);
+    let decoder = DecoderLayer::new(dims, 0.1);
+    let vocab = 11;
+    let head = Tensor::random(
+        Shape::new([('v', vocab), ('i', dims.i)]).unwrap(),
+        &Uniform::new(-1.0, 1.0),
+        &mut rng,
+    );
+    let bias = Tensor::zeros(Shape::new([('v', vocab)]).unwrap());
+    for kind in [
+        interp::PlanKind::EncoderTrain,
+        interp::PlanKind::DecoderTrain,
+        interp::PlanKind::Head { vocab },
+    ] {
+        let pf = interp::cached_plan(&dims, kind).unwrap();
+        let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&pf.graph, &pf.plan, 1.0));
+        let opts = ExecOptions::builder().profiler(Some(&sink)).build();
+        match kind {
+            interp::PlanKind::EncoderTrain => {
+                let saved = encoder.forward(&x, &w, &forward).unwrap().saved;
+                encoder.backward(&dy, &x, &w, &saved, &opts).map(drop)
+            }
+            interp::PlanKind::DecoderTrain => {
+                let saved = decoder.forward(&x, &w, &forward).unwrap().saved;
+                decoder.backward(&dy, &x, &w, &saved, &opts).map(drop)
+            }
+            _ => interp::head_forward(&dims, &x, &head, &bias, &opts).map(drop),
+        }
+        .unwrap();
+        let prof = sink.into_inner().unwrap();
+        assert_eq!(prof.steps().count(), pf.plan.steps.len(), "{kind:?}");
+        assert!(prof.steps().all(|s| s.runs == 1), "{kind:?}");
+    }
+}
+
+/// A backward runs its own plan, not the forward's: a sink made for the
+/// forward plan and filled by one forward is refused by the backward
+/// before any kernel runs, and keeps that forward's one run.
+#[test]
+fn a_forward_plans_sink_handed_to_the_backward_is_refused() {
+    let dims = dims();
+    let mut rng = StdRng::seed_from_u64(10);
+    let w = EncoderWeights::init(&dims, &mut rng);
+    let spec = Shape::from_spec("ibj", &dims.size_table()).unwrap();
+    let x = Tensor::random(spec, &Uniform::new(-1.0, 1.0), &mut rng);
+    let pf = interp::cached_plan(&dims, interp::PlanKind::EncoderFused).unwrap();
+    let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&pf.graph, &pf.plan, 1.0));
+    let opts = ExecOptions::builder().profiler(Some(&sink)).build();
+    let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
+    let (y, saved) = layer.forward(&x, &w, &opts).unwrap().into_pair().unwrap();
+    let r = layer.backward(&y, &x, &w, &saved, &opts);
+    assert!(matches!(r, Err(TensorError::Unsupported(_))), "{r:?}");
+    let prof = sink.into_inner().unwrap();
+    assert_eq!(prof.steps().count(), pf.plan.steps.len());
+    assert!(prof.steps().all(|s| s.runs == 1));
+}
+
 /// The arena fills the sink itself: one handed straight to
 /// `CompiledArena::execute_bound`, with no caller code around the run,
 /// holds a record of every step of the plan.
