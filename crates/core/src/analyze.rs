@@ -947,12 +947,12 @@ impl ArenaAssignment {
     }
 }
 
-/// Greedy first-fit placement of `order` (indices into `iv`) where
-/// `iv[i] = (start, end, words)`. Each buffer goes to the lowest word
-/// offset at which it fits below every already-placed buffer whose live
-/// interval overlaps its own. Returns per-buffer offsets and the slab
-/// high-water mark.
-fn color_intervals(iv: &[(usize, usize, u64)], order: &[usize], best_fit: bool) -> (Vec<u64>, u64) {
+/// Greedy best-fit placement of `order` (indices into `iv`) where
+/// `iv[i] = (start, end, words)`. Each buffer goes into the tightest hole
+/// that fits it below the already-placed buffers whose live intervals
+/// overlap its own, or on top of them if none does. Returns per-buffer
+/// offsets and the slab high-water mark.
+fn color_intervals(iv: &[(usize, usize, u64)], order: &[usize]) -> (Vec<u64>, u64) {
     let mut offsets = vec![0u64; iv.len()];
     let mut placed: Vec<usize> = Vec::with_capacity(iv.len());
     let mut slab = 0u64;
@@ -975,15 +975,8 @@ fn color_intervals(iv: &[(usize, usize, u64)], order: &[usize], best_fit: bool) 
         // (gap size, gap start) of the tightest fitting hole so far
         let mut best: Option<(u64, u64)> = None;
         for (off, w) in busy {
-            if cursor + words <= off {
-                if !best_fit {
-                    best = Some((off - cursor, cursor));
-                    break;
-                }
-                let gap = off - cursor;
-                if best.is_none_or(|(bg, _)| gap < bg) {
-                    best = Some((gap, cursor));
-                }
+            if cursor + words <= off && best.is_none_or(|(bg, _)| off - cursor < bg) {
+                best = Some((off - cursor, cursor));
             }
             cursor = cursor.max(off + w);
         }
@@ -1008,10 +1001,12 @@ fn color_intervals(iv: &[(usize, usize, u64)], order: &[usize], best_fit: bool) 
 /// waves: the one coloring is sound whether a wave's steps run one after
 /// another on the caller's thread or side by side on the pool.
 ///
-/// Several deterministic placement orders are tried and the smallest slab
-/// wins; when even the best coloring exceeds the liveness peak, the
-/// assignment carries a [`PlanLint::ArenaFragmentation`] warning and the
-/// divergence is surfaced by `repro audit`.
+/// Buffers are placed best-fit in one order: the peak-resident set first,
+/// largest first, then the transients by start. Only while that slab is
+/// above the liveness peak does a seeded search reorder the transients;
+/// when even its best coloring exceeds the peak, the assignment carries a
+/// [`PlanLint::ArenaFragmentation`] warning and the divergence is surfaced
+/// by `repro audit`.
 pub fn assign_arena(analysis: &PlanAnalysis) -> ArenaAssignment {
     let wave_of = analysis.wave_of();
     let last_wave = wave_of.iter().copied().max().unwrap_or(0);
@@ -1053,55 +1048,32 @@ pub fn assign_arena(analysis: &PlanAnalysis) -> ArenaAssignment {
     let peak = resident.iter().copied().enumerate().max_by_key(|&(_, w)| w);
     let (peak_t, target_words) = peak.unwrap_or((0, 0));
 
-    // candidate placement orders; ties broken by index for determinism
-    let mut by_start = base.clone();
-    by_start.sort_by_key(|&i| (iv[i].0, std::cmp::Reverse(iv[i].2), i));
-    let mut by_words = base.clone();
-    by_words.sort_by_key(|&i| (std::cmp::Reverse(iv[i].2), iv[i].0, i));
-    let mut by_end = base.clone();
-    by_end.sort_by_key(|&i| (iv[i].1, std::cmp::Reverse(iv[i].2), i));
-    let mut by_span = base.clone();
-    by_span.sort_by_key(|&i| {
-        (
-            std::cmp::Reverse(iv[i].1 - iv[i].0),
-            std::cmp::Reverse(iv[i].2),
-            i,
-        )
-    });
     // the peak-resident set is mutually overlapping (every member is live
     // at the peak), so placing it first packs it gap-free into exactly the
-    // target; transients then drop into holes left over time
-    let mut by_peak = base.clone();
-    by_peak.sort_by_key(|&i| {
-        let live_at_peak = iv[i].0 <= peak_t && peak_t <= iv[i].1;
+    // target; transients then drop into holes left over time. Ties are
+    // broken by index for determinism
+    let at_peak = |&i: &usize| iv[i].0 <= peak_t && peak_t <= iv[i].1;
+    let mut order = base.clone();
+    order.sort_by_key(|i| {
+        let live = at_peak(i);
         (
-            !live_at_peak,
-            if live_at_peak { 0 } else { iv[i].0 },
-            std::cmp::Reverse(iv[i].2),
-            i,
+            !live,
+            if live { 0 } else { iv[*i].0 },
+            std::cmp::Reverse(iv[*i].2),
+            *i,
         )
     });
+    let mut best = color_intervals(&iv, &order);
 
-    let mut best: Option<(Vec<u64>, u64)> = None;
-    for order in [&by_start, &by_words, &by_end, &by_span, &by_peak] {
-        for best_fit in [false, true] {
-            let (offsets, slab) = color_intervals(&iv, order, best_fit);
-            if best.as_ref().is_none_or(|(_, s)| slab < *s) {
-                best = Some((offsets, slab));
-            }
-        }
-    }
-
-    // Optimal dynamic storage allocation is NP-hard, and a handful of
-    // deterministic orders occasionally leaves a small gap above the
-    // liveness peak. Close it with an iterated randomized best-fit: keep
-    // the peak-resident set packed first (gap-free by construction) and
-    // shuffle the transient placement order under fixed seeds, stopping
-    // as soon as a coloring hits the target. Fixed seeds keep the
-    // assignment deterministic across runs.
-    if best.as_ref().is_some_and(|(_, s)| *s > target_words) {
+    // Optimal dynamic storage allocation is NP-hard, and the one order
+    // occasionally leaves a small gap above the liveness peak. Close it
+    // with an iterated randomized best-fit: keep the peak-resident set
+    // packed first (gap-free by construction) and shuffle the transient
+    // placement order under fixed seeds, stopping as soon as a coloring
+    // hits the target. Fixed seeds keep the assignment deterministic
+    // across runs.
+    if best.1 > target_words {
         use rand::{Rng, SeedableRng};
-        let at_peak = |&i: &usize| iv[i].0 <= peak_t && peak_t <= iv[i].1;
         let (mut peak_set, transients): (Vec<usize>, Vec<usize>) =
             base.iter().copied().partition(at_peak);
         peak_set.sort_by_key(|&i| (iv[i].0, std::cmp::Reverse(iv[i].2), i));
@@ -1114,17 +1086,16 @@ pub fn assign_arena(analysis: &PlanAnalysis) -> ArenaAssignment {
                 tail.swap(i, j);
             }
             order.extend(tail);
-            let (offsets, slab) = color_intervals(&iv, &order, true);
-            if best.as_ref().is_none_or(|(_, s)| slab < *s) {
-                let done = slab == target_words;
-                best = Some((offsets, slab));
-                if done {
+            let (offsets, slab) = color_intervals(&iv, &order);
+            if slab < best.1 {
+                best = (offsets, slab);
+                if slab == target_words {
                     break;
                 }
             }
         }
     }
-    let (offsets, slab_words) = best.unwrap_or((Vec::new(), 0));
+    let (offsets, slab_words) = best;
 
     let mut past_slab = slab_words;
     let slots: Vec<ArenaSlot> = analysis

@@ -116,7 +116,6 @@ use xform_tensor::into_ops::{self, RowTail, Sweep, View};
 use xform_tensor::lanes::Dropout;
 use xform_tensor::matmul::WeightPack;
 use xform_tensor::ops::elementwise::ActivationKind;
-use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
 use crate::access::{view_path, AccessPath};
@@ -434,23 +433,6 @@ pub enum ArenaArtifact<'a> {
         /// Per-lane inverse standard deviations.
         inv_std: &'a [f32],
     },
-}
-
-impl ArenaArtifact<'_> {
-    /// A copy of a [`ArenaArtifact::Tensor`], in the layout it is stored in;
-    /// `None` for any other artifact.
-    pub fn to_tensor(&self) -> Option<Tensor> {
-        let ArenaArtifact::Tensor {
-            shape,
-            layout,
-            data,
-            ..
-        } = self
-        else {
-            return None;
-        };
-        Tensor::from_vec_with_layout((*shape).clone(), **layout, data.to_vec()).ok()
-    }
 }
 
 /// A certified plan compiled onto a static arena. Build one with
@@ -1007,27 +989,7 @@ impl CompiledArena {
         resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
         out: &mut ExecState,
     ) -> Result<()> {
-        let mut sink = |a: ArenaArtifact<'_>| match a {
-            // one pass over the words: no zero fill ahead of the copy
-            ArenaArtifact::Tensor { name, .. } => {
-                let t = a.to_tensor().expect("a slot holds its container's words");
-                out.env.insert(name.to_string(), t);
-            }
-            ArenaArtifact::Stats {
-                name,
-                mean,
-                inv_std,
-            } => {
-                out.stats.insert(
-                    name.to_string(),
-                    LayerNormStats {
-                        mean: mean.to_vec(),
-                        inv_std: inv_std.to_vec(),
-                    },
-                );
-            }
-        };
-        self.execute_bound(opts, resolve, &mut sink)
+        self.execute_bound(opts, resolve, &mut |a| out.record(a))
     }
 
     /// Runs the certified waves in order: on the caller's thread at

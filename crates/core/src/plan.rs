@@ -38,6 +38,7 @@ use xform_tensor::ops::layernorm::{layernorm, LayerNormStats};
 use xform_tensor::ops::softmax::softmax;
 use xform_tensor::{Axis, Layout, Result, Shape, Tensor, TensorError};
 
+use crate::arena::ArenaArtifact;
 use crate::lower::{lower_step, Stats};
 use crate::selection::Selection;
 use crate::sweep::{flowing_input_index, outputs_laid_out};
@@ -309,6 +310,34 @@ impl ExecState {
         self.env
             .get(name)
             .ok_or_else(|| TensorError::Unsupported(format!("container `{name}` was not produced")))
+    }
+
+    /// Materializes one artifact of an arena run: a container, in the
+    /// layout it is stored in, or a norm's statistics.
+    pub fn record(&mut self, a: ArenaArtifact<'_>) {
+        match a {
+            ArenaArtifact::Tensor {
+                name,
+                shape,
+                layout,
+                data,
+                ..
+            } => {
+                // one pass over the words: no zero fill ahead of the copy
+                let t = Tensor::from_vec_with_layout(shape.clone(), *layout, data.to_vec())
+                    .expect("a slot holds its container's words");
+                self.env.insert(name.into(), t);
+            }
+            ArenaArtifact::Stats {
+                name,
+                mean,
+                inv_std,
+            } => {
+                let (mean, inv_std) = (mean.to_vec(), inv_std.to_vec());
+                let stats = LayerNormStats { mean, inv_std };
+                self.stats.insert(name.into(), stats);
+            }
+        }
     }
 }
 

@@ -333,9 +333,10 @@ impl<'m> DecodeSession<'m> {
 
     /// Runs the prompt through every layer with the fused decoder's own
     /// forward plan ([`PlanKind::DecoderFused`]) at the prompt's length,
-    /// seeds the per-layer caches from the saved `kk`/`vv` projections, and
+    /// seeds the per-layer caches from its `kk`/`vv` projections, and
     /// returns the prompt's logits (`[v,b,S]`) — the full-sequence forward's
-    /// logits, because it is the full-sequence forward.
+    /// logits, because it is the full-sequence forward. Of each layer's
+    /// record only `y`, `kk` and `vv` leave the slab.
     ///
     /// Allocates freely (it runs once per session); only the *step* path
     /// is allocation-free.
@@ -387,12 +388,18 @@ impl<'m> DecodeSession<'m> {
         // `p·h·b`-major
         let view = Shape::new([('k', s), ('c', d.p * d.h * d.b)])?;
         let phb_major = Layout::from_order(&[1, 0])?;
-        let mut h = x;
+        let words = s * d.p * d.h * d.b;
+        let (mut kk, mut vv) = (vec![0.0; words], vec![0.0; words]);
+        let (mut h, mut y) = (x.clone(), x);
         for (l, w) in self.model.blocks.iter().enumerate() {
-            let out = interp::forward_on(&pf, &prefill, &h, w, &opts)?;
-            for (name, saved) in [("k_cache", "kk"), ("v_cache", "vv")] {
-                let src = (out.saved.tensor(saved)?.natural_words())
-                    .ok_or_else(|| unsupported(format!("the prefill saved `{saved}` permuted")))?;
+            let outs = &mut [
+                ("y", y.data_mut()),
+                ("kk", &mut kk[..]),
+                ("vv", &mut vv[..]),
+            ];
+            let bind = Bind(&[("x", &h)], Some(w), None);
+            interp::run(&pf.graph, &prefill, &opts, bind, Out::Copy(outs))?;
+            for (name, src) in [("k_cache", &kk), ("v_cache", &vv)] {
                 let span = column_span(attend.arenas[l].certificate(), name, 0, s)
                     .ok_or_else(|| unsupported(format!("prompt escapes `{name}` capacity")))?;
                 attend.arenas[l]
@@ -401,8 +408,7 @@ impl<'m> DecodeSession<'m> {
                     })
                     .ok_or_else(|| unsupported(format!("cache `{name}` missing from arena")))?;
             }
-            // every block's `y` leaves its arena row-major, like `x`
-            h = out.y;
+            std::mem::swap(&mut h, &mut y);
         }
 
         let vocab = self.model.config.vocab;

@@ -434,23 +434,7 @@ pub(crate) fn run(
                 *words = Some(data.to_vec());
             }
         }
-        (Out::Record(state), a @ ArenaArtifact::Tensor { name, .. }) => {
-            let t = a.to_tensor().expect("a slot holds its container's words");
-            state.env.insert(name.into(), t);
-        }
-        (
-            Out::Record(state),
-            ArenaArtifact::Stats {
-                name,
-                mean,
-                inv_std,
-            },
-        ) => {
-            let (mean, inv_std) = (mean.to_vec(), inv_std.to_vec());
-            state
-                .stats
-                .insert(name.into(), LayerNormStats { mean, inv_std });
-        }
+        (Out::Record(state), a) => state.record(a),
         (_, ArenaArtifact::Stats { .. }) => {}
     };
     STAGING.with_borrow_mut(|staging| {
@@ -516,8 +500,11 @@ fn with_arena<R>(
     f(&pf, &arena)
 }
 
-/// Runs one layer forward for [`ForwardOutput`] on the canned plan of
-/// `(dims, kind)` and its memoized arena ([`forward_on`]). `opts` must
+/// Runs one layer forward on the canned plan of `(dims, kind)` and its
+/// memoized arena: `y` and every saved container and layer-norm statistic
+/// the plan produced are materialized out of the slab, each in the layout
+/// the plan leaves it in, and the dropout stream of the plan's attention
+/// region, if it has one, is noted in the [`Saved`] record. `opts` must
 /// already be merged with the layer knobs ([`layer_options`]).
 ///
 /// # Errors
@@ -532,40 +519,22 @@ pub(crate) fn forward(
     w: &EncoderWeights,
     opts: &ExecOptions,
 ) -> Result<ForwardOutput> {
-    with_arena(dims, kind, |pf, arena| forward_on(pf, arena, x, w, opts))
-}
-
-/// Runs one layer forward of `pf` on `arena`: `y` and every saved
-/// container and layer-norm statistic the plan produced are materialized
-/// out of the slab, each in the layout the plan leaves it in, and the
-/// dropout stream of the plan's attention region, if it has one, is noted
-/// in the [`Saved`] record.
-///
-/// # Errors
-///
-/// As [`forward`].
-pub(crate) fn forward_on(
-    pf: &PlannedForward,
-    arena: &CompiledArena,
-    x: &Tensor,
-    w: &EncoderWeights,
-    opts: &ExecOptions,
-) -> Result<ForwardOutput> {
-    let mut state = ExecState::default();
-    let bind = Bind(&[("x", x)], Some(w), None);
-    run(&pf.graph, arena, opts, bind, Out::Record(&mut state))?;
-    // the attention region: the tile program of two contractions
-    let region =
-        |s: &PlanStep| matches!(&s.kind, OpKind::TileProgram { second, .. } if second.is_some());
-    let at = pf.plan.steps.iter().position(region);
-    // `y` is the plan's one output: what remains is what it saved
-    Ok(ForwardOutput {
-        y: state.take("y")?,
-        saved: Saved {
-            tensors: state.env,
-            stats: state.stats,
-            region: at.map(|si| (opts.seed, pf.plan.stream_of(si))),
-        },
+    with_arena(dims, kind, |pf, arena| {
+        let mut state = ExecState::default();
+        let bind = Bind(&[("x", x)], Some(w), None);
+        run(&pf.graph, arena, opts, bind, Out::Record(&mut state))?;
+        // the attention region: the tile program of two contractions
+        let region = |s: &PlanStep| matches!(&s.kind, OpKind::TileProgram { second, .. } if second.is_some());
+        let at = pf.plan.steps.iter().position(region);
+        // `y` is the plan's one output: what remains is what it saved
+        Ok(ForwardOutput {
+            y: state.take("y")?,
+            saved: Saved {
+                tensors: state.env,
+                stats: state.stats,
+                region: at.map(|si| (opts.seed, pf.plan.stream_of(si))),
+            },
+        })
     })
 }
 
