@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 use xform_tensor::matmul::{
-    gemm, gemm_panels, naive_sgemm, sgemm, MatMut, MatRef, PanelRef, Start, WeightPack, MR, NR,
+    gemm, naive_sgemm, sgemm, MatMut, MatRef, PanelRef, Start, WeightPack, MR, NR,
 };
 use xform_tensor::{einsum, Shape, Tensor};
 
@@ -157,7 +157,7 @@ fn bench_kernel_rows(_: &mut Criterion) {
         let b_at = MatRef::row_major(&b, n);
         let s = best_of(20, || {
             let c = MatMut::row_major(&mut c, n);
-            gemm_panels(
+            gemm(
                 m,
                 n,
                 k,
@@ -180,7 +180,7 @@ fn bench_kernel_rows(_: &mut Criterion) {
         });
         let panels = best_of(20, || {
             let c = MatMut::row_major(&mut ct, n);
-            gemm_panels(
+            gemm(
                 k,
                 n,
                 m,
@@ -216,7 +216,7 @@ fn bench_kernel_rows(_: &mut Criterion) {
         let panels = best_of(reps, || {
             for (m, k, _, pack, x, y) in &mut weights {
                 let (a, x) = (PanelRef::new(pack, *m, *k), MatRef::row_major(x, 1));
-                gemm_panels(*m, 1, *k, a, x, MatMut::row_major(y, 1), Start::FromZero);
+                gemm(*m, 1, *k, a, x, MatMut::row_major(y, 1), Start::FromZero);
             }
         });
         let gbps = |s: f64| bytes as f64 / s / 1e9;

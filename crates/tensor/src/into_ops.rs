@@ -62,8 +62,8 @@ use crate::error::{Result, TensorError};
 use crate::lanes::{self, on_run, Dropout, LaneAt, Panel, Run, Walk, PANELS, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
-    gemm, gemm_batched, gemm_packed_leading, gemm_panels, pack_panels, panel_words, BatchMut,
-    BatchRef, BatchStrides, Lhs, MatMut, MatRef, PanelRef, Start, NR,
+    gemm, pack_panels, panel_words, BatchRef, BatchStrides, Lhs, MatMut, MatRef, PanelRef, Rhs,
+    Start, NR,
 };
 use crate::ops::elementwise::ActivationKind;
 use crate::tensor::Tensor;
@@ -643,6 +643,18 @@ impl ContractPlan {
         ]
     }
 
+    /// GEMM A as the product reads it: `view` (A where it lies, or its
+    /// gathered pack) — or, under [`ContractPlan::panels`], A read out of
+    /// its panel pack `words`: the pack of A's `m×k` matrix, or of its
+    /// transpose read transposed.
+    fn lhs<'a>(&self, words: &'a [f32], view: MatRef<'a>) -> Lhs<'a> {
+        match self.panels {
+            None => Lhs::Mat(view),
+            Some(false) => Lhs::Panels(PanelRef::new(words, self.m, self.k)),
+            Some(true) => Lhs::Panels(PanelRef::new(words, self.k, self.m).t()),
+        }
+    }
+
     /// Scratch words [`contract_into`] needs: the packs of the operands
     /// that fall back to a gather — none when all three are views — and,
     /// for a product in parts, the one part held before it is added.
@@ -698,69 +710,46 @@ pub fn contract_into(
     let (batch, m, n, k) = (plan.batch, plan.m, plan.n, plan.k);
     let ga = stage(&plan.a, x_a, a_pack, m, k);
     let gb = stage(&plan.b, x_b, b_pack, k, n);
-    let gc = match plan.c.view {
-        Some(at) => BatchMut { data: out, at },
-        None => BatchMut {
-            data: c_pack,
-            at: BatchStrides::dense(m, n),
-        },
+    let (c, at) = match plan.c.view {
+        Some(at) => (&mut *out, at),
+        None => (&mut *c_pack, BatchStrides::dense(m, n)),
     };
     if plan.k_parts > 1 {
-        contract_parts(plan, (x_a, ga.slice(0)), gb.slice(0), gc, rest);
-    } else if let Some(t) = plan.panels {
-        let (a, c) = (
-            panels_of(x_a, m, k, t),
-            MatMut::new(gc.data, gc.at.rs, gc.at.cs),
-        );
-        gemm_panels(m, n, k, a, gb.slice(0), c, Start::FromZero);
+        contract_parts(plan, plan.lhs(x_a, ga.slice(0)), gb.slice(0), (c, at), rest);
     } else {
-        gemm_batched(batch, m, n, k, ga, gb, gc, Start::FromZero);
+        // the slices in order: interleaved ones overlap as word ranges
+        for g in 0..batch {
+            let (a, b) = (plan.lhs(x_a, ga.slice(g)), gb.slice(g));
+            let c = MatMut::new(&mut c[g * at.bs..], at.rs, at.cs);
+            gemm(m, n, k, a, b, c, Start::FromZero);
+        }
     }
     if plan.c.view.is_none() {
         copy_strided(&plan.c.dims, c_pack, 0, out, 0);
     }
 }
 
-/// A panel pack as the `m×k` GEMM A of a plan: the pack of that matrix, or
-/// of its transpose read transposed.
-fn panels_of(words: &[f32], m: usize, k: usize, transposed: bool) -> PanelRef<'_> {
-    match transposed {
-        false => PanelRef::new(words, m, k),
-        true => PanelRef::new(words, k, m).t(),
-    }
-}
-
 /// [`ContractPlan::in_parts`]: part `p` is A's columns and B's rows
-/// `p·d..(p+1)·d` of the depth — A read out of its panels `pack` when the
-/// plan says so — its product computed from zero into C (the first) or into
-/// `part` and then added to C.
+/// `p·d..(p+1)·d` of the depth, its product computed from zero into C (the
+/// first) or into `part` and then added to C.
 fn contract_parts(
     plan: &ContractPlan,
-    (pack, a): (&[f32], MatRef<'_>),
+    a: Lhs<'_>,
     b: MatRef<'_>,
-    c: BatchMut<'_>,
+    (c, at): (&mut [f32], BatchStrides),
     part: &mut [f32],
 ) {
-    let (m, n, depth, at) = (plan.m, plan.n, plan.k / plan.k_parts, c.at);
+    let (m, n, depth) = (plan.m, plan.n, plan.k / plan.k_parts);
     for p in 0..plan.k_parts {
         let (b, dst) = match p {
-            0 => (b, MatMut::new(&mut *c.data, at.rs, at.cs)),
+            0 => (b, MatMut::new(&mut *c, at.rs, at.cs)),
             _ => (b.from_row(p * depth), MatMut::row_major(&mut *part, n)),
         };
-        match plan.panels {
-            Some(t) => {
-                let a = panels_of(pack, m, plan.k, t).from_col(p * depth);
-                gemm_panels(m, n, depth, a, b, dst, Start::FromZero);
-            }
-            None => {
-                let a = a.t().from_row(p * depth).t();
-                gemm(m, n, depth, a, b, dst, Start::FromZero);
-            }
-        }
+        gemm(m, n, depth, a.from_col(p * depth), b, dst, Start::FromZero);
         let added = part.chunks_exact(n).take(m * usize::from(p > 0));
         for (r, row) in added.enumerate() {
             for (j, &v) in row.iter().enumerate() {
-                c.data[r * at.rs + j * at.cs] += v;
+                c[r * at.rs + j * at.cs] += v;
             }
         }
     }
@@ -995,7 +984,9 @@ struct Then<'a> {
     b: BatchRef<'a>,
     panels: &'a mut [f32],
     /// Its C where it lies, or a pack scattered into `scatter` at the end.
-    c: BatchMut<'a>,
+    c: &'a mut [f32],
+    /// Where each slice's elements lie in `c`.
+    at: BatchStrides,
     scatter: Option<&'a mut [f32]>,
     /// The rows it reads when the chain writes no stream (a softmax's
     /// weights).
@@ -1063,7 +1054,7 @@ pub fn tile_into(
     let [aw, bw, _] = f.pack_words();
     let (a_pack, rest) = scratch.split_at_mut(aw);
     let (b_pack, rest) = rest.split_at_mut(bw);
-    // exactly the packs: `gemm_packed_leading` reads their depth off them
+    // exactly the packs: `Rhs::Packed` reads their depth off them
     let (panels, rest) = rest.split_at_mut(panel_words(n_all, k));
     let (tile, rest) = rest.split_at_mut(tile_rows * n);
     let (x_a, x_b) = if f.swapped { (b, a) } else { (a, b) };
@@ -1079,21 +1070,16 @@ pub fn tile_into(
             let (c_pack, rest) = rest.split_at_mut(cw);
             let (panels, rest) = rest.split_at_mut(panel_words(s.n, n_all));
             let weights = &mut rest[..tile_rows * n];
-            let (c, scatter) = match s.c.view {
-                Some(at) => (BatchMut { data: out, at }, None),
-                None => (
-                    BatchMut {
-                        data: c_pack,
-                        at: BatchStrides::dense(s.m, s.n),
-                    },
-                    Some(out),
-                ),
+            let (c, at, scatter) = match s.c.view {
+                Some(at) => (out, at, None),
+                None => (c_pack, BatchStrides::dense(s.m, s.n), Some(out)),
             };
             Some(Then {
                 plan: s,
                 b: stage(&s.b, v, b_pack, s.k, s.n),
                 panels,
                 c,
+                at,
                 scatter,
                 weights,
             })
@@ -1109,12 +1095,9 @@ pub fn tile_into(
             let (rows, row0) = (tile_rows.min(m - r0), g * m + r0);
             // the columns some row sees, in whole vectors
             let cols = seen(r0, rows).next_multiple_of(NR).min(n_all);
-            let a_rows = match f.panels {
-                Some(transposed) => Lhs::Panels(panels_of(x_a, m, k, transposed)),
-                None => Lhs::Mat(ga.slice(g)),
-            }
-            .from_row(r0);
-            gemm_packed_leading(rows, cols, k, a_rows, panels, n_all, tile, (n, 1));
+            let (a, c) = (f.lhs(x_a, ga.slice(g)), MatMut::row_major(tile, n));
+            let b = Rhs::Packed { panels, pn: n_all };
+            gemm(rows, cols, k, a.from_row(r0), b, c, Start::FromZero);
             let depth = seen(r0, rows);
             for r in 0..rows {
                 let x = &mut tile[r * n..][..n];
@@ -1189,10 +1172,10 @@ pub fn tile_into(
             }
             if let Some(t) = &mut then {
                 let chain = tail.out().map_or(&*t.weights, |out| &out[row0 * n..]);
-                let at = t.c.at;
-                let c = &mut t.c.data[g * at.bs + r0 * at.rs..];
-                let (w, a) = (t.plan.n, MatRef::row_major(chain, n));
-                gemm_packed_leading(rows, w, depth, a, t.panels, w, c, (at.rs, at.cs));
+                let (at, panels, pn) = (t.at, &*t.panels, t.plan.n);
+                let c = MatMut::new(&mut t.c[g * at.bs + r0 * at.rs..], at.rs, at.cs);
+                let (a, b) = (MatRef::row_major(chain, n), Rhs::Packed { panels, pn });
+                gemm(rows, pn, depth, a, b, c, Start::FromZero);
             }
         }
     }
@@ -1203,7 +1186,7 @@ pub fn tile_into(
         ..
     }) = then
     {
-        copy_strided(&plan.c.dims, c.data, 0, out, 0);
+        copy_strided(&plan.c.dims, c, 0, out, 0);
     }
 }
 

@@ -1,11 +1,17 @@
 //! The one single-precision GEMM: a register-blocked micro-kernel over a
-//! packed A block and packed B panels, reading A, B and C through their
-//! strides.
+//! packed A block and packed B panels, behind one entry, [`gemm`].
 //!
 //! These are the CPU stand-ins for cuBLAS: every einsum of the encoder
-//! layer is lowered onto [`gemm`] (through [`gemm_batched`] and the
-//! contraction driver of [`crate::into_ops`]); [`sgemm`] and
-//! [`batched_sgemm`] are its row-major wrappers.
+//! layer is lowered onto [`gemm`] (by the contraction driver of
+//! [`crate::into_ops`], one call per batch slice); [`sgemm`] and
+//! [`batched_sgemm`] are its row-major wrappers. As the one cuBLAS call
+//! varies only in its operands' strides and leading dimensions, [`gemm`]
+//! varies only in its operands' form: A is a strided view or a panel pack
+//! ([`Lhs`]), B a strided view or the leading corner of a [`pack_panels`]
+//! pack ([`Rhs`]). One private twin, `gemm_on`, takes the tile choice (the
+//! tests drive it on both tiles) and makes once each choice the form
+//! implies: the matrix–vector turn, the `KC`-block loop over a packed B,
+//! and the call into the block loop.
 //!
 //! ```text
 //!   for jb in cols  step NC         B block  KC×NC, packed once per (jb, pc)
@@ -31,9 +37,13 @@
 //!   more than one row block reads is packed a `KC×NC` block at a time and
 //!   every row block multiplies against that one pack, so a B is packed
 //!   once per call, not once per row block. A B already in panels
-//!   ([`gemm_packed`], a weight's [`PanelRef`]) is read where it lies, and
-//!   a call with one row block packs each panel as it reaches it: both
-//!   take all of their columns as one block.
+//!   ([`Rhs::Packed`], a weight's [`PanelRef`] streamed) is read where it
+//!   lies, and a call with one row block packs each panel as it reaches
+//!   it: both take all of their columns as one block. A packed B is
+//!   multiplied one `KC` block of its pack at a time, each block after the
+//!   first started from C — the store and reload the block loop makes
+//!   between its own blocks — so the bits are those of one loop over the
+//!   corner.
 //! * **The A pack.** Each `MC×KC` block of A is packed once per `(jb, pc,
 //!   ic)` and multiplied against every panel of the B block: a slab of
 //!   `R` rows starting at block row `r` holds them as `kc` groups of `R`
@@ -98,12 +108,12 @@
 //!   weight is stored in exactly that panel order.
 //! * **Weights are stored as panels.** A projection weight's one storage is
 //!   the panel order of the matrix it plays as A ([`WeightPack`],
-//!   [`PanelRef`]), and [`gemm_panels`] reads it in three roles: streamed
-//!   as the transposed problem's B panels (`n == 1`), copied out into A
-//!   slabs from any row (`n > 1`, a tile's rows, one block of a stacked
-//!   Q/K/V), and gathered transposed into A slabs (the backward). The packs
-//!   only move words; the kernel sees the words [`gemm`] would have packed,
-//!   in the same order.
+//!   [`PanelRef`]), and [`gemm`] reads it as [`Lhs::Panels`] in three
+//!   roles: streamed as the transposed problem's B panels (`n == 1`),
+//!   copied out into A slabs from any row (`n > 1`, a tile's rows, one
+//!   block of a stacked Q/K/V), and gathered transposed into A slabs (the
+//!   backward). The packs only move words; the kernel sees the words a
+//!   strided A would have packed, in the same order.
 
 use std::cell::RefCell;
 
@@ -203,12 +213,18 @@ fn span(rows: usize, cols: usize, rs: usize, cs: usize) -> usize {
     }
 }
 
-/// Computes `c (+)= a × b` for `a` (`m×k`), `b` (`k×n`) and `c` (`m×n`)
-/// given as strided views.
+/// Computes `c (+)= a × b` for `a` (`m×k`), `b` (`k×n`) and `c` (`m×n`):
+/// the one GEMM entry. A is a strided view or a panel pack ([`Lhs`]), B a
+/// strided view or the leading `k×n` corner of a [`pack_panels`] pack
+/// ([`Rhs`]); every pair runs the same block loop and micro-kernel, so the
+/// bits are those of [`naive_sgemm`] over the same matrices whatever the
+/// operands' form.
 ///
 /// # Panics
 ///
-/// Panics if a view's slice is too short for its dimensions and strides.
+/// Panics if a view's slice is too short for its dimensions and strides, a
+/// panel view reaches fewer than `m×k` elements, or a pack is not whole or
+/// is shallower than `k` or narrower than `n` ([`Rhs::Packed`]).
 ///
 /// # Examples
 ///
@@ -228,39 +244,62 @@ fn span(rows: usize, cols: usize, rs: usize, cs: usize) -> usize {
 /// );
 /// assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
 /// ```
-pub fn gemm(
+pub fn gemm<'a, 'b>(
     m: usize,
     n: usize,
     k: usize,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
+    a: impl Into<Lhs<'a>>,
+    b: impl Into<Rhs<'b>>,
     c: MatMut<'_>,
     start: Start,
 ) {
-    gemm_on(m, n, k, a, b, c, start, Avx512::detect())
+    gemm_on(m, n, k, a.into(), b.into(), c, start, Avx512::detect())
 }
 
-/// [`gemm`] on the tiles `wide` licenses.
+/// [`gemm`] on the tiles `wide` licenses: the one place the operands' form
+/// picks a path through [`blocks`].
 #[allow(clippy::too_many_arguments)]
 fn gemm_on(
     m: usize,
     n: usize,
     k: usize,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
+    a: Lhs<'_>,
+    b: Rhs<'_>,
     c: MatMut<'_>,
     start: Start,
     wide: Option<Avx512>,
 ) {
-    assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
-    assert!(b.data.len() >= span(k, n, b.rs, b.cs), "b is too short");
+    a.check(m, k);
     assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
-    if n == 1 && m > 1 {
-        // matrix–vector: cᵀ = bᵀ·aᵀ puts the rows of A in the lanes
-        let at = Panels::Strided(a.t());
-        blocks(1, m, k, b.t().into(), at, c.t(), start, wide);
-    } else {
-        blocks(m, n, k, a.into(), Panels::Strided(b), c, start, wide);
+    match b {
+        Rhs::Mat(b) => {
+            assert!(b.data.len() >= span(k, n, b.rs, b.cs), "b is too short");
+            match a.lanes().filter(|_| n == 1 && m > 1) {
+                // matrix–vector: cᵀ = bᵀ·aᵀ puts the rows of A in the lanes
+                Some(at) => blocks(1, m, k, b.t().into(), at, c.t(), start, wide),
+                None => blocks(m, n, k, a, Panels::Strided(b), c, start, wide),
+            }
+        }
+        Rhs::Packed { panels, pn } => {
+            // (a pack of no columns holds no words, and any depth)
+            let npad = pn.div_ceil(NR) * NR;
+            let pk = panels.len().checked_div(npad).unwrap_or(k);
+            assert_eq!(
+                panels.len(),
+                panel_words(pn, pk),
+                "panels is not a whole pack {pn} columns wide"
+            );
+            assert!(k <= pk && n <= pn, "a {k}×{n} corner past a {pk}×{pn} pack");
+            // one product per `KC` block of the pack, each after the first
+            // from C — the store and reload `blocks` makes between its own
+            // blocks; a depth of 0 still defines C under `FromZero`
+            for pc in (0..k.max(1)).step_by(KC) {
+                let start = if pc == 0 { start } else { Start::FromC };
+                let (kc, c) = (KC.min(k - pc), MatMut::new(c.data, c.rs, c.cs));
+                let b = Panels::Packed(&panels[pc * npad..], pk - pc);
+                blocks(m, n, kc, a.from_col(pc), b, c, start, wide);
+            }
+        }
     }
 }
 
@@ -270,7 +309,7 @@ pub fn panel_words(n: usize, k: usize) -> usize {
     k * n.div_ceil(NR) * NR
 }
 
-/// Packs all of `b` (`k×n`) into `dst` as [`gemm_packed`] reads it: `KC`
+/// Packs all of `b` (`k×n`) into `dst` as [`Rhs::Packed`] reads it: `KC`
 /// blocks in ascending `k`, within each its `KC×NR` column panels left to
 /// right. Callers that multiply many row blocks against one B pack it once
 /// here instead of once per block.
@@ -291,87 +330,28 @@ pub fn pack_panels(n: usize, k: usize, b: MatRef<'_>, dst: &mut [f32]) {
     }
 }
 
-/// [`gemm`] against a B already packed by [`pack_panels`].
-///
-/// # Panics
-///
-/// Panics if `panels` is shorter than [`panel_words`] or a view's slice is
-/// too short.
-pub fn gemm_packed(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: MatRef<'_>,
-    panels: &[f32],
-    c: MatMut<'_>,
-    start: Start,
-) {
-    assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short");
-    assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
-    let panels = &panels[..panel_words(n, k)];
-    packed_on(m, n, k, a.into(), panels, n, c, start, Avx512::detect());
+/// The right operand of [`gemm`]: a strided view, or B already in panels.
+#[derive(Debug, Clone, Copy)]
+pub enum Rhs<'a> {
+    /// Read through its strides.
+    Mat(MatRef<'a>),
+    /// The leading `k×n` corner of a `pk×pn` matrix that [`pack_panels`]
+    /// packed `pn` columns wide into `panels` — the whole pack and no more,
+    /// which is where `pk` is read from (a scratch slice longer than the
+    /// pack would read as a deeper one). `k` may end inside a `KC` block:
+    /// its panels are cut at the block's own depth in the pack, and the
+    /// product reads their leading rows.
+    Packed {
+        /// The pack.
+        panels: &'a [f32],
+        /// The pack's width in columns.
+        pn: usize,
+    },
 }
 
-/// `c = a × b` over the leading `n` columns and the leading `depth` rows of
-/// a `b` that [`pack_panels`] packed `pn` columns wide into `panels` — the
-/// whole pack and no more, which is where its depth is read from: one
-/// product per `KC` block of the pack, each after the first started from C
-/// — the store and reload [`gemm`] itself makes between its blocks, so the
-/// bits are those of one GEMM over the corner. `depth` may end inside a
-/// block: its panels are cut at the block's own depth in the pack, and the
-/// product reads their leading rows. `c` is element `(0, 0)` onward with
-/// `(row, column)` strides `at`.
-///
-/// # Panics
-///
-/// As [`gemm_packed`]; if `panels` is not a whole number of `pn`-column
-/// rows (a scratch slice longer than the pack reads as a deeper pack); and
-/// if `depth` is deeper than the pack.
-#[allow(clippy::too_many_arguments)] // a GEMM's dimensions and operands
-pub fn gemm_packed_leading<'a>(
-    m: usize,
-    n: usize,
-    depth: usize,
-    a: impl Into<Lhs<'a>>,
-    panels: &[f32],
-    pn: usize,
-    c: &mut [f32],
-    at: (usize, usize),
-) {
-    let (c, wide) = (MatMut::new(c, at.0, at.1), Avx512::detect());
-    packed_on(m, n, depth, a.into(), panels, pn, c, Start::FromZero, wide);
-}
-
-/// [`gemm_packed_leading`] from `start` into a view of C, on the tiles
-/// `wide` licenses; [`gemm_packed`] is it over a whole pack.
-#[allow(clippy::too_many_arguments)]
-fn packed_on(
-    m: usize,
-    n: usize,
-    depth: usize,
-    a: Lhs<'_>,
-    panels: &[f32],
-    pn: usize,
-    c: MatMut<'_>,
-    start: Start,
-    wide: Option<Avx512>,
-) {
-    // (a pack of no columns holds no words, and any depth)
-    let npad = pn.div_ceil(NR) * NR;
-    let pk = panels.len().checked_div(npad).unwrap_or(depth);
-    assert_eq!(
-        panels.len(),
-        panel_words(pn, pk),
-        "panels is not a whole pack {pn} columns wide"
-    );
-    assert!(depth <= pk, "a depth of {depth} past a pack {pk} deep");
-    // (a depth of 0 still defines C under `FromZero`)
-    for pc in (0..depth.max(1)).step_by(KC) {
-        let a_blk = a.from_col(pc);
-        let start = if pc == 0 { start } else { Start::FromC };
-        let (kc, c) = (KC.min(depth - pc), MatMut::new(c.data, c.rs, c.cs));
-        let b = Panels::Packed(&panels[pc * npad..], pk - pc);
-        blocks(m, n, kc, a_blk, b, c, start, wide);
+impl<'a> From<MatRef<'a>> for Rhs<'a> {
+    fn from(b: MatRef<'a>) -> Self {
+        Rhs::Mat(b)
     }
 }
 
@@ -607,18 +587,24 @@ impl<'a> PanelRef<'a> {
         let (m, k, kc) = (self.m, self.k, slab.len() / R);
         if !self.transposed {
             // rows of A: a column's `R` words are adjacent in their panel —
-            // one run, or two where the slab crosses into the next panel
-            let (r, c) = (self.row0 + row, self.col0 + pc);
-            let run = |r: usize| (panel_at(m, k, r, c), NR.min(m - (r - r % NR)));
+            // one run, or two where the slab crosses into the next panel —
+            // and evenly spaced within a `KC` block of the pack, so a slab
+            // from a column off a block edge is cut at the next one
+            let (r, mut c) = (self.row0 + row, self.col0 + pc);
             let q = R.min(NR - r % NR);
-            let ((p0, w0), (p1, w1)) = (run(r), run(r + q));
-            let slab = slab.chunks_exact_mut(R).enumerate();
-            if q == R {
-                slab.for_each(|(kk, dst)| dst.copy_from_slice(&self.data[p0 + kk * w0..][..R]));
-            } else {
-                for (kk, dst) in slab {
-                    dst[..q].copy_from_slice(&self.data[p0 + kk * w0..][..q]);
-                    dst[q..].copy_from_slice(&self.data[p1 + kk * w1..][..R - q]);
+            let (head, tail) = slab.split_at_mut((R * (KC - c % KC)).min(slab.len()));
+            for part in std::iter::once(head).chain(tail.chunks_mut(R * KC)) {
+                let run = |r: usize| (panel_at(m, k, r, c), NR.min(m - (r - r % NR)));
+                let ((p0, w0), (p1, w1)) = (run(r), run(r + q));
+                c += part.len() / R;
+                let part = part.chunks_exact_mut(R).enumerate();
+                if q == R {
+                    part.for_each(|(kk, dst)| dst.copy_from_slice(&self.data[p0 + kk * w0..][..R]));
+                } else {
+                    for (kk, dst) in part {
+                        dst[..q].copy_from_slice(&self.data[p0 + kk * w0..][..q]);
+                        dst[q..].copy_from_slice(&self.data[p1 + kk * w1..][..R - q]);
+                    }
                 }
             }
         } else {
@@ -657,6 +643,12 @@ impl<'a> From<MatRef<'a>> for Lhs<'a> {
     }
 }
 
+impl<'a> From<PanelRef<'a>> for Lhs<'a> {
+    fn from(a: PanelRef<'a>) -> Self {
+        Lhs::Panels(a)
+    }
+}
+
 impl<'a> Lhs<'a> {
     /// The view starting at row `r`.
     pub fn from_row(self, r: usize) -> Self {
@@ -682,54 +674,32 @@ impl<'a> Lhs<'a> {
             Lhs::Panels(a) => a.pack_slab::<R>(slab, pc, row),
         }
     }
-}
 
-/// [`gemm`] with A read out of its panel order: `c (+)= a × b` for `a`
-/// (`m×k`, a [`PanelRef`] view), `b` (`k×n`) and `c` (`m×n`). With one
-/// column, from a row on a panel boundary of an untransposed pack, the
-/// panels stream into the kernel as they lie — the matrix–vector product
-/// packs nothing but its vector; otherwise A's slabs are copied out of
-/// them. Bit for bit [`gemm`] over the same matrix.
-///
-/// # Panics
-///
-/// Panics if `a` reaches fewer than `m×k` elements or a view's slice is too
-/// short.
-pub fn gemm_panels(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: PanelRef<'_>,
-    b: MatRef<'_>,
-    c: MatMut<'_>,
-    start: Start,
-) {
-    gemm_panels_on(m, n, k, a, b, c, start, Avx512::detect())
-}
+    /// Panics unless the operand reaches `m×k` elements.
+    fn check(&self, m: usize, k: usize) {
+        match self {
+            Lhs::Mat(a) => assert!(a.data.len() >= span(m, k, a.rs, a.cs), "a is too short"),
+            Lhs::Panels(a) => {
+                let (rows, cols) = a.extent();
+                let reach = m <= rows && k <= cols;
+                assert!(reach, "a reaches {rows}×{cols}, not {m}×{k}");
+            }
+        }
+    }
 
-/// [`gemm_panels`] on the tiles `wide` licenses.
-#[allow(clippy::too_many_arguments)]
-fn gemm_panels_on(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: PanelRef<'_>,
-    b: MatRef<'_>,
-    c: MatMut<'_>,
-    start: Start,
-    wide: Option<Avx512>,
-) {
-    let (rows, cols) = a.extent();
-    assert!(
-        m <= rows && k <= cols,
-        "a reaches {rows}×{cols}, not {m}×{k}"
-    );
-    assert!(b.data.len() >= span(k, n, b.rs, b.cs), "b is too short");
-    assert!(c.data.len() >= span(m, n, c.rs, c.cs), "c is too short");
-    if n == 1 && m > 1 && !a.transposed && a.row0.is_multiple_of(NR) && a.col0 == 0 {
-        blocks(1, m, k, b.t().into(), Panels::Rows(a), c.t(), start, wide);
-    } else {
-        blocks(m, n, k, Lhs::Panels(a), Panels::Strided(b), c, start, wide);
+    /// A's rows as the lanes of the transposed problem `cᵀ = bᵀ·aᵀ` — its
+    /// B panels: packed from a strided A, streamed as they lie from a pack
+    /// read untransposed from a row on a panel edge and from depth 0 (the
+    /// matrix–vector product packs nothing but its vector); `None` for any
+    /// other pack, whose slabs are copied out as for a wider C.
+    fn lanes(self) -> Option<Panels<'a>> {
+        match self {
+            Lhs::Mat(a) => Some(Panels::Strided(a.t())),
+            Lhs::Panels(a) => {
+                let streams = !a.transposed && a.row0.is_multiple_of(NR) && a.col0 == 0;
+                streams.then_some(Panels::Rows(a))
+            }
+        }
     }
 }
 
@@ -1119,7 +1089,8 @@ impl BatchStrides {
     }
 }
 
-/// One read-only operand of [`gemm_batched`].
+/// A batch of matrices inside one slice, read where they lie: what the
+/// contraction driver hands [`gemm`] one slice at a time.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRef<'a> {
     /// The words, starting at element `(0, 0)` of slice 0.
@@ -1133,63 +1104,6 @@ impl<'a> BatchRef<'a> {
     pub fn slice(&self, g: usize) -> MatRef<'a> {
         let start = (g * self.at.bs).min(self.data.len());
         MatRef::new(&self.data[start..], self.at.rs, self.at.cs)
-    }
-}
-
-/// The output operand of [`gemm_batched`].
-#[derive(Debug)]
-pub struct BatchMut<'a> {
-    /// The words, starting at element `(0, 0)` of slice 0.
-    pub data: &'a mut [f32],
-    /// Where each slice's elements lie.
-    pub at: BatchStrides,
-}
-
-/// Runs `batch` independent GEMMs `c[g] (+)= a[g] × b[g]` over strided
-/// slices, in order, on the calling thread.
-///
-/// # Panics
-///
-/// Panics if an operand's slice is too short for `batch` slices.
-#[allow(clippy::too_many_arguments)] // a GEMM's dimensions and operands
-pub fn gemm_batched(
-    batch: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: BatchRef<'_>,
-    b: BatchRef<'_>,
-    c: BatchMut<'_>,
-    start: Start,
-) {
-    gemm_batched_on(batch, m, n, k, a, b, c, start, Avx512::detect())
-}
-
-/// [`gemm_batched`] on the tiles `wide` licenses.
-#[allow(clippy::too_many_arguments)]
-fn gemm_batched_on(
-    batch: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: BatchRef<'_>,
-    b: BatchRef<'_>,
-    c: BatchMut<'_>,
-    start: Start,
-    wide: Option<Avx512>,
-) {
-    if batch == 0 {
-        return;
-    }
-    let BatchMut { data, at } = c;
-    let BatchStrides { bs, rs, cs } = at;
-    assert!(
-        data.len() >= (batch - 1) * bs + span(m, n, rs, cs),
-        "c is too short"
-    );
-    for g in 0..batch {
-        let c_g = MatMut::new(&mut data[g * bs..], rs, cs);
-        gemm_on(m, n, k, a.slice(g), b.slice(g), c_g, start, wide);
     }
 }
 
@@ -1223,8 +1137,7 @@ pub fn sgemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) 
 /// Computes `c[g] += a[g] × b[g]` for `batch` independent GEMMs stored
 /// contiguously (`a`: `batch×m×k`, `b`: `batch×k×n`, `c`: `batch×m×n`).
 ///
-/// The slices run in order on the calling thread, as [`gemm_batched`]
-/// runs them.
+/// The slices run in order on the calling thread.
 ///
 /// # Panics
 ///
@@ -1367,15 +1280,16 @@ mod tests {
         let (m, pn, pk) = (5, 5 * NR + 3, 2 * KC + 7);
         let a = random_mat(&mut rng, m * pk);
         let b = random_mat(&mut rng, pk * pn);
-        let mut panels = vec![f32::NAN; panel_words(pn, pk)];
-        pack_panels(pn, pk, MatRef::row_major(&b, pn), &mut panels);
-        let at = MatRef::new(&a, 1, m); // A stored k-major
+        let mut pack = vec![f32::NAN; panel_words(pn, pk)];
+        pack_panels(pn, pk, MatRef::row_major(&b, pn), &mut pack);
+        let (at, panels) = (MatRef::new(&a, 1, m), &pack[..]); // A stored k-major
         for (n, depth) in [(pn, pk), (NR + 2, KC), (3 * NR, 2 * KC), (1, pk)] {
             let mut want = vec![f32::NAN; m * n];
             let (bw, c) = (MatRef::row_major(&b, pn), MatMut::row_major(&mut want, n));
             gemm(m, n, depth, at, bw, c, Start::FromZero);
             let mut got = vec![f32::NAN; m * n];
-            gemm_packed_leading(m, n, depth, at, &panels, pn, &mut got, (1, m));
+            let (b, c) = (Rhs::Packed { panels, pn }, MatMut::new(&mut got, 1, m));
+            gemm(m, n, depth, at, b, c, Start::FromZero);
             for (r, row) in want.chunks(n).enumerate() {
                 for (j, w) in row.iter().enumerate() {
                     assert_eq!(
@@ -1398,102 +1312,71 @@ mod tests {
         for pn in [NR, 40] {
             let a = random_mat(&mut rng, m * pk);
             let b = random_mat(&mut rng, pk * pn);
-            let mut panels = vec![f32::NAN; panel_words(pn, pk)];
-            pack_panels(pn, pk, MatRef::row_major(&b, pn), &mut panels);
+            let mut pack = vec![f32::NAN; panel_words(pn, pk)];
+            pack_panels(pn, pk, MatRef::row_major(&b, pn), &mut pack);
             let (av, bv) = (MatRef::row_major(&a, pk), MatRef::row_major(&b, pn));
+            let packed = Rhs::Packed { panels: &pack, pn };
             for (n, depth) in [(pn, 7), (pn, KC + 7), (pn - 3, 2 * KC + 2), (1, KC - 1)] {
                 let mut want = vec![f32::NAN; m * n];
                 let c = MatMut::row_major(&mut want, n);
                 gemm(m, n, depth, av, bv, c, Start::FromZero);
                 let mut got = vec![f32::NAN; m * n];
-                gemm_packed_leading(m, n, depth, av, &panels, pn, &mut got, (n, 1));
+                let c = MatMut::row_major(&mut got, n);
+                gemm(m, n, depth, av, packed, c, Start::FromZero);
                 let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "pn {pn}, n {n}, depth {depth}");
             }
-            let deeper = std::panic::catch_unwind(|| {
-                let mut c = vec![0.0; m * pn];
-                gemm_packed_leading(m, pn, pk + 1, av, &panels, pn, &mut c, (pn, 1));
-            });
-            assert!(deeper.is_err(), "a depth past the pack is refused");
+            for (n, depth) in [(pn, pk + 1), (pn + 1, pk)] {
+                let past = std::panic::catch_unwind(|| {
+                    let mut c = vec![0.0; m * n];
+                    let c = MatMut::row_major(&mut c, n);
+                    gemm(m, n, depth, av, packed, c, Start::FromZero);
+                });
+                assert!(past.is_err(), "a {depth}×{n} corner past the pack");
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "not a whole pack")]
     fn a_slice_longer_than_its_pack_is_refused() {
-        let panels = vec![0.0; panel_words(NR + 1, 3) + 1];
-        let a = MatRef::row_major(&[0.0; 3], 3);
-        gemm_packed_leading(1, 1, 3, a, &panels, NR + 1, &mut [0.0], (1, 1));
+        let (pack, pn) = (vec![0.0; panel_words(NR + 1, 3) + 1], NR + 1);
+        let (a, b) = (
+            MatRef::row_major(&[0.0; 3], 3),
+            Rhs::Packed { panels: &pack, pn },
+        );
+        gemm(
+            1,
+            1,
+            3,
+            a,
+            b,
+            MatMut::row_major(&mut [0.0], 1),
+            Start::FromZero,
+        );
     }
 
     #[test]
     fn a_pack_of_no_columns_has_nothing_to_multiply() {
-        let mut c = [f32::NAN];
-        gemm_packed_leading(1, 0, 0, MatRef::row_major(&[], 0), &[], 0, &mut c, (1, 1));
+        let (mut c, b) = ([f32::NAN], Rhs::Packed { panels: &[], pn: 0 });
+        let a = MatRef::row_major(&[], 0);
+        gemm(1, 0, 0, a, b, MatMut::row_major(&mut c, 1), Start::FromZero);
         assert!(c[0].is_nan());
     }
 
-    fn batch_of<'a>(data: &'a [f32], rows: usize, cols: usize) -> BatchRef<'a> {
-        BatchRef {
-            data,
-            at: BatchStrides::dense(rows, cols),
-        }
-    }
-
     #[test]
-    fn batched_slices_match_the_naive_oracle_and_batched_sgemm() {
+    fn batched_sgemm_is_the_naive_oracle_slice_by_slice() {
         let mut rng = StdRng::seed_from_u64(11);
         let (bsz, m, n, k) = (8, 32, 32, 32);
         let a = random_mat(&mut rng, bsz * m * k);
         let b = random_mat(&mut rng, bsz * k * n);
-        let mut c = vec![f32::NAN; bsz * m * n];
-        let c_view = BatchMut {
-            data: &mut c,
-            at: BatchStrides::dense(m, n),
-        };
-        let (av, bv) = (batch_of(&a, m, k), batch_of(&b, k, n));
-        gemm_batched(bsz, m, n, k, av, bv, c_view, Start::FromZero);
+        let mut c = vec![0.0; bsz * m * n];
+        batched_sgemm(bsz, m, n, k, &a, &b, &mut c);
         for g in 0..bsz {
             let mut expect = vec![0.0; m * n];
-            naive_sgemm(
-                m,
-                n,
-                k,
-                &a[g * m * k..(g + 1) * m * k],
-                &b[g * k * n..(g + 1) * k * n],
-                &mut expect,
-            );
-            assert_eq!(&c[g * m * n..(g + 1) * m * n], expect.as_slice());
-        }
-        let mut dense = vec![0.0; bsz * m * n];
-        batched_sgemm(bsz, m, n, k, &a, &b, &mut dense);
-        assert_eq!(dense, c);
-    }
-
-    #[test]
-    fn interleaved_batch_slices_of_c_run_in_order() {
-        // batch innermost in C: slices overlap as word ranges
-        let mut rng = StdRng::seed_from_u64(13);
-        let (bsz, m, n, k) = (8, 32, 32, 32);
-        let a = random_mat(&mut rng, bsz * m * k);
-        let b = random_mat(&mut rng, bsz * k * n);
-        let mut c = vec![f32::NAN; bsz * m * n];
-        let c_view = BatchMut {
-            data: &mut c,
-            at: BatchStrides {
-                bs: 1,
-                rs: n * bsz,
-                cs: bsz,
-            },
-        };
-        let (av, bv) = (batch_of(&a, m, k), batch_of(&b, k, n));
-        gemm_batched(bsz, m, n, k, av, bv, c_view, Start::FromZero);
-        let mut dense = vec![0.0; bsz * m * n];
-        batched_sgemm(bsz, m, n, k, &a, &b, &mut dense);
-        for g in 0..bsz {
-            for i in 0..m * n {
-                assert_eq!(c[i * bsz + g], dense[g * m * n + i]);
-            }
+            let (a, b) = (&a[g * m * k..][..m * k], &b[g * k * n..][..k * n]);
+            naive_sgemm(m, n, k, a, b, &mut expect);
+            assert_eq!(&c[g * m * n..][..m * n], expect.as_slice());
         }
     }
 
@@ -1556,22 +1439,27 @@ mod tests {
             Case { m, n, k, a, b, c0 }
         }
 
-        /// Runs `f` into a C laid out with strides `(rs, cs)`, holding `c0`
-        /// (or NaN under `FromZero`), and holds it bitwise to
         /// [`naive_sgemm`] seeded from `c0` (or `+0.0`).
-        fn check(
-            &self,
-            what: &str,
-            start: Start,
-            (rs, cs): (usize, usize),
-            f: impl FnOnce(MatMut<'_>),
-        ) {
+        fn want(&self, start: Start) -> Vec<f32> {
             let (m, n, k) = (self.m, self.n, self.k);
             let mut want = match start {
                 Start::FromC => self.c0.clone(),
                 Start::FromZero => vec![0.0; m * n],
             };
             naive_sgemm(m, n, k, &self.a, &self.b, &mut want);
+            want
+        }
+
+        /// Runs `f` into a C laid out with strides `(rs, cs)`, holding `c0`
+        /// (or NaN under `FromZero`), and holds it bitwise to `want`.
+        fn check(
+            &self,
+            what: &str,
+            (start, want): (Start, &[f32]),
+            (rs, cs): (usize, usize),
+            f: impl FnOnce(MatMut<'_>),
+        ) {
+            let (m, n, k) = (self.m, self.n, self.k);
             let mut c = vec![f32::NAN; span(m, n, rs, cs)];
             for (i, &v) in self.c0.iter().enumerate().filter(|_| start == Start::FromC) {
                 c[i / n * rs + i % n * cs] = v;
@@ -1585,69 +1473,75 @@ mod tests {
             }
         }
 
-        /// Every entry point but the batch over this problem on `wide`'s
-        /// tiles, from C and from zero, into row- and column-major C.
+        /// A as a weight: rows `r0..` and columns `c0..` (`c0 ≤ 2`) of the
+        /// pack of a matrix `r0` rows taller and two columns deeper.
+        fn weight(&self, r0: usize, c0: usize) -> Vec<f32> {
+            let (m, k, kw) = (self.m + r0, self.k, self.k + 2);
+            let mut rows = random_mat(&mut StdRng::seed_from_u64(3), m * kw);
+            for (dst, src) in rows[r0 * kw..].chunks_mut(kw).zip(self.a.chunks(k)) {
+                dst[c0..c0 + k].copy_from_slice(src);
+            }
+            let (mut w, rs, cs) = (vec![0.0; rows.len()], kw, 1);
+            WeightPack { m, k: kw, rs, cs }.pack(&rows, &mut w);
+            w
+        }
+
+        /// The one twin over every pair of operand forms on `wide`'s tiles,
+        /// from C and from zero, into row- and column-major C: A strided
+        /// (stored row- or column-major) or a pack (plain, transposed, from a
+        /// row off and on a panel edge, from a column); B strided (either
+        /// storage), packed, or the leading corner of a pack three columns
+        /// wider and a block less one row deeper — its depth ends inside a
+        /// `KC` block.
         fn check_entries(&self, wide: Option<Avx512>, tag: &str) {
-            let (m, n, k) = (self.m, self.n, self.k);
+            let (m, n, k, kw) = (self.m, self.n, self.k, self.k + 2);
             let (a, bv) = (MatRef::row_major(&self.a, k), MatRef::row_major(&self.b, n));
             let (at, bt) = (transposed(&self.a, m, k), transposed(&self.b, k, n));
             let (at, bt) = (MatRef::row_major(&at, m).t(), MatRef::row_major(&bt, k).t());
-            let mut panels = vec![f32::NAN; panel_words(n, k)];
-            pack_panels(n, k, bv, &mut panels);
-            // a pack three columns wider and a block less one row deeper,
-            // whose leading corner is B: the depth ends inside a block
+            let mut whole = vec![f32::NAN; panel_words(n, k)];
+            pack_panels(n, k, bv, &mut whole);
             let (pn, pk) = (n + 3, k + KC - 1);
             let mut deep = random_mat(&mut StdRng::seed_from_u64(5), pk * pn);
             for (dst, src) in deep.chunks_mut(pn).zip(self.b.chunks(n)) {
                 dst[..n].copy_from_slice(src);
             }
-            let mut leading = vec![f32::NAN; panel_words(pn, pk)];
-            pack_panels(pn, pk, MatRef::row_major(&deep, pn), &mut leading);
-            // A as a weight: the leading `k` columns, below `off` rows, of
-            // one two columns deeper (on a panel edge for the matrix–vector
-            // product, which streams its panels), and the transpose of a
-            // pack of `aᵀ`
-            let (off, kw) = (if n == 1 { NR } else { 3 }, k + 2);
-            let mut rows = random_mat(&mut StdRng::seed_from_u64(3), (m + off) * kw);
-            for (dst, src) in rows[off * kw..].chunks_mut(kw).zip(self.a.chunks(k)) {
-                dst[..k].copy_from_slice(src);
-            }
-            let mut w = vec![0.0; rows.len()];
-            let (mw, rs, cs) = (m + off, kw, 1);
-            WeightPack {
-                m: mw,
-                k: kw,
-                rs,
-                cs,
-            }
-            .pack(&rows, &mut w);
-            let mut wt = vec![0.0; m * k];
+            let mut corner = vec![f32::NAN; panel_words(pn, pk)];
+            pack_panels(pn, pk, MatRef::row_major(&deep, pn), &mut corner);
+            let (mut w, mut wt) = (vec![0.0; m * k], vec![0.0; m * k]);
+            let (rs, cs) = (k, 1);
+            WeightPack { m, k, rs, cs }.pack(&self.a, &mut w);
             let (rs, cs) = (1, k);
             WeightPack { m: k, k: m, rs, cs }.pack(&self.a, &mut wt);
-            let w = PanelRef::new(&w, mw, kw).from_row(off);
-            let wt = PanelRef::new(&wt, k, m).t();
-            let av = Lhs::Mat(a);
+            let (w3, wr, wc) = (self.weight(3, 0), self.weight(NR, 0), self.weight(0, 2));
+            let p3 = PanelRef::new(&w3, m + 3, kw).from_row(3);
+            let pr = PanelRef::new(&wr, m + NR, kw).from_row(NR);
+            let pc = PanelRef::new(&wc, m, kw).from_col(2);
+            let lhs: [(&str, Lhs<'_>); 7] = [
+                ("a", a.into()),
+                ("aᵀ-stored", at.into()),
+                ("pack", PanelRef::new(&w, m, k).into()),
+                ("pack ᵀ", PanelRef::new(&wt, k, m).t().into()),
+                ("pack row 3", p3.into()),
+                ("pack row NR", pr.into()),
+                ("pack column 2", pc.into()),
+            ];
+            let (panels, corner) = (&whole[..], &corner[..]);
+            let rhs: [(&str, Rhs<'_>); 4] = [
+                ("b", bv.into()),
+                ("bᵀ-stored", bt.into()),
+                ("packed", Rhs::Packed { panels, pn: n }),
+                ("corner", Rhs::Packed { panels: corner, pn }),
+            ];
             for start in [Start::FromC, Start::FromZero] {
+                let want = self.want(start);
                 for layout in [(n, 1), (1, m + 1)] {
-                    let run = |what: &str, f: &dyn Fn(MatMut<'_>)| {
-                        self.check(&format!("{tag} {what}"), start, layout, f);
-                    };
-                    run("gemm", &|c| gemm_on(m, n, k, a, bv, c, start, wide));
-                    run("gemm aᵀ bᵀ", &|c| {
-                        gemm_on(m, n, k, at, bt, c, start, wide)
-                    });
-                    run("packed", &|c| {
-                        packed_on(m, n, k, av, &panels, n, c, start, wide)
-                    });
-                    run("leading", &|c| {
-                        packed_on(m, n, k, av, &leading, pn, c, start, wide)
-                    });
-                    run("panels", &|c| {
-                        gemm_panels_on(m, n, k, w, bv, c, start, wide)
-                    });
-                    run("panels ᵀ", &|c| {
-                        gemm_panels_on(m, n, k, wt, bv, c, start, wide)
-                    });
+                    let pairs = lhs.iter().flat_map(|l| rhs.iter().map(move |r| (l, r)));
+                    for ((an, a), (bn, b)) in pairs {
+                        let (what, want) = (format!("{tag} {an} × {bn}"), (start, &want[..]));
+                        self.check(&what, want, layout, |c| {
+                            gemm_on(m, n, k, *a, *b, c, start, wide)
+                        });
+                    }
                 }
             }
         }
@@ -1688,28 +1582,27 @@ mod tests {
 
     #[test]
     fn both_tiles_run_interleaved_batch_slices_as_the_naive_oracle() {
-        // batch innermost in C: each slice's C is strided (cs = batch)
+        // batch innermost in C: each slice's C is strided (cs = batch), and
+        // the slices overlap as word ranges — the contraction driver's loop
         let mut rng = StdRng::seed_from_u64(31);
-        let (bsz, m, k) = (3, 7, 9);
+        let shapes = [
+            (3, 7, 1, 9),
+            (3, 7, 2 * NR + 1, 9),
+            (3, 7, 3 * NR, 9),
+            (8, 32, 32, 32),
+        ];
         for wide in tiles() {
-            for n in [1, 2 * NR + 1, 3 * NR] {
+            for (bsz, m, n, k) in shapes {
                 let cases: Vec<Case> = (0..bsz).map(|_| Case::new(&mut rng, m, n, k)).collect();
-                let (a, b) = (
-                    cases.iter().flat_map(|c| c.a.clone()),
-                    cases.iter().flat_map(|c| c.b.clone()),
-                );
-                let (a, b): (Vec<f32>, Vec<f32>) = (a.collect(), b.collect());
                 let mut c = vec![f32::NAN; bsz * m * n];
-                let at = BatchStrides {
-                    bs: 1,
-                    rs: n * bsz,
-                    cs: bsz,
-                };
-                let (av, bv) = (batch_of(&a, m, k), batch_of(&b, k, n));
-                let cv = BatchMut { data: &mut c, at };
-                gemm_batched_on(bsz, m, n, k, av, bv, cv, Start::FromZero, wide);
                 for (g, case) in cases.iter().enumerate() {
-                    case.check("batched", Start::FromZero, (n * bsz, bsz), |dst| {
+                    let (a, b) = (MatRef::row_major(&case.a, k), MatRef::row_major(&case.b, n));
+                    let c = MatMut::new(&mut c[g..], n * bsz, bsz);
+                    gemm_on(m, n, k, a.into(), b.into(), c, Start::FromZero, wide);
+                }
+                for (g, case) in cases.iter().enumerate() {
+                    let want = (Start::FromZero, &case.want(Start::FromZero)[..]);
+                    case.check("batched", want, (n * bsz, bsz), |dst| {
                         for (i, v) in c.iter().enumerate().filter(|(i, _)| i % bsz == g) {
                             dst.data[i - g] = *v;
                         }

@@ -829,7 +829,7 @@ mod gemm {
     use super::*;
     use xform_tensor::into_ops::{contract_into, ContractPlan};
     use xform_tensor::matmul::{
-        gemm, gemm_packed, pack_panels, panel_words, MatMut, MatRef, Start, KC, MC, MR, NC, NR,
+        gemm, pack_panels, panel_words, MatMut, MatRef, Rhs, Start, KC, MC, MR, NC, NR,
     };
 
     /// A `rows×cols` matrix of `vals` (row-major) stored with the drawn
@@ -897,7 +897,7 @@ mod gemm {
         (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect()
     }
 
-    /// Runs `gemm` (and `gemm_packed`) on the stored operands and checks
+    /// Runs `gemm` on the stored operands — B strided, and B packed — and checks
     /// every element of C against `want` — bitwise where `want` is not NaN,
     /// NaN for NaN — and that no dead word of C's buffer moved.
     #[allow(clippy::too_many_arguments)]
@@ -923,16 +923,19 @@ mod gemm {
         let mut panels = vec![f32::NAN; panel_words(n, k)];
         pack_panels(n, k, MatRef::new(&b.data, b.rs, b.cs), &mut panels);
         let mut packed = c.data.clone();
-        gemm_packed(
+        gemm(
             m,
             n,
             k,
             MatRef::new(&a.data, a.rs, a.cs),
-            &panels,
+            Rhs::Packed {
+                panels: &panels,
+                pn: n,
+            },
             MatMut::new(&mut packed, c.rs, c.cs),
             start,
         );
-        for (what, got) in [("gemm", &direct), ("gemm_packed", &packed)] {
+        for (what, got) in [("gemm", &direct), ("gemm over a pack", &packed)] {
             let mut live = vec![false; got.len()];
             for i in 0..m {
                 for j in 0..n {
@@ -1733,7 +1736,7 @@ mod parser_robustness {
 mod panel_operand {
     use super::*;
     use xform_tensor::matmul::{
-        gemm, gemm_panels, naive_sgemm, MatMut, MatRef, PanelRef, Start, WeightPack, KC,
+        gemm, naive_sgemm, MatMut, MatRef, PanelRef, Start, WeightPack, KC,
     };
 
     const MS: [usize; 5] = [1, 15, 16, 17, 37];
@@ -1777,7 +1780,7 @@ mod panel_operand {
             c
         };
         let b = MatRef::row_major(b, n);
-        let got = run(&|c| gemm_panels(m, n, k, panels, b, c, start));
+        let got = run(&|c| gemm(m, n, k, panels, b, c, start));
         let want = run(&|c| gemm(m, n, k, a, b, c, start));
         assert_eq!(bits(&got), bits(&want), "{what} against gemm");
         for row in got.chunks_exact(ld) {
@@ -1913,7 +1916,7 @@ mod panel_operand {
             let p = PanelRef::new(&words[..17 * 5], 17, 5).from_row(1);
             let mut c = vec![0.0f32; 17];
             let b = MatRef::row_major(&words[..5], 1);
-            gemm_panels(
+            gemm(
                 17,
                 1,
                 5,

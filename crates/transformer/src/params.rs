@@ -473,7 +473,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use xform_tensor::matmul::{gemm_panels, MatMut, MatRef, Start};
+    use xform_tensor::matmul::{gemm, MatMut, MatRef, Start};
 
     #[test]
     fn init_shapes_are_consistent() {
@@ -506,7 +506,7 @@ mod tests {
 
     /// The stack is Q, then K, then V, each `[p, h, i]`: stream `s` is rows
     /// `s·ph..` of the pack, read forward and transposed as the arena reads
-    /// it (`gemm_panels` over `panels().from_row(..)`) — the einsum over that
+    /// it (`gemm` over `panels().from_row(..)`) — the einsum over that
     /// block of the logical stack, bit for bit.
     #[test]
     fn each_stream_is_a_row_range_of_the_stacked_pack() {
@@ -526,7 +526,7 @@ mod tests {
                 MatRef::row_major(b.data(), cols),
                 MatMut::row_major(&mut c, cols),
             );
-            gemm_panels(m, cols, k, a, bm, cm, Start::FromZero);
+            gemm(m, cols, k, a, bm, cm, Start::FromZero);
             c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

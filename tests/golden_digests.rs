@@ -63,9 +63,7 @@ use substation::core::plan::{
 };
 use substation::dataflow::EncoderDims;
 use substation::tensor::fused::{self, BdrlnOutput, BrdOutput, SmOutput};
-use substation::tensor::matmul::{
-    gemm, gemm_packed, gemm_packed_leading, pack_panels, panel_words, MatMut, MatRef, Start, KC,
-};
+use substation::tensor::matmul::{gemm, pack_panels, panel_words, MatMut, MatRef, Rhs, Start, KC};
 use substation::tensor::ops::dropout::{dropout, dropout_backward};
 use substation::tensor::ops::elementwise::{
     activate_backward, add, bias_add, bias_grad,
@@ -633,9 +631,9 @@ fn grad_digests(table: &mut Vec<(String, u64)>) {
 /// rows do not reach: one row, `gemm/edges`, hashing C (in logical order)
 /// over every m × n × k below, A {row-major, transposed, both strides ≠ 1}
 /// × B {row-major, transposed; C stored the way B is} × both [`Start`]s ×
-/// {`gemm`, `pack_panels` + `gemm_packed`, and — from zero only, which is
-/// all it does — `gemm_packed_leading` over the pack's whole `KC` blocks,
-/// or all of a pack no deeper than one}.
+/// {`gemm` over B strided, over B's [`pack_panels`] pack, and — from zero
+/// only — over the pack's leading corner of its whole `KC` blocks, or all
+/// of a pack no deeper than one}.
 fn gemm_edge_digests(table: &mut Vec<(String, u64)>) {
     const MS: [usize; 6] = [1, 3, 63, 64, 65, 130];
     const NS: [usize; 5] = [1, 15, 16, 17, 40];
@@ -677,14 +675,19 @@ fn gemm_edge_digests(table: &mut Vec<(String, u64)>) {
                         }
                     }
                 };
+                let packed = Rhs::Packed {
+                    panels: &panels,
+                    pn: n,
+                };
                 for start in [Start::FromC, Start::FromZero] {
                     c_of(&|c| gemm(m, n, k, a, b, MatMut::new(c, c_at.0, c_at.1), start));
-                    c_of(&|c| {
-                        gemm_packed(m, n, k, a, &panels, MatMut::new(c, c_at.0, c_at.1), start)
-                    });
+                    c_of(&|c| gemm(m, n, k, a, packed, MatMut::new(c, c_at.0, c_at.1), start));
                 }
                 let depth = if k > KC { k / KC * KC } else { k };
-                c_of(&|c| gemm_packed_leading(m, n, depth, a, &panels, n, c, c_at));
+                c_of(&|c| {
+                    let c = MatMut::new(c, c_at.0, c_at.1);
+                    gemm(m, n, depth, a, packed, c, Start::FromZero)
+                });
             }
         }
     }
