@@ -128,7 +128,7 @@ struct ArenaRow {
     threads: usize,
     slab_bytes: usize,
     scratch_bytes: usize,
-    stats_bytes: usize,
+    record_bytes: usize,
     /// Heap events (alloc + dealloc + realloc) across `STEADY_CALLS`
     /// post-warmup `forward_into` calls. Must be zero.
     events: u64,
@@ -167,7 +167,7 @@ fn arena_rows(
             threads,
             slab_bytes: arena.slab_bytes(),
             scratch_bytes: arena.scratch_words() * 4,
-            stats_bytes: arena.stats_words() * 4,
+            record_bytes: arena.record_words() * 4,
             events: alloc.events() - before,
         });
     }
@@ -650,18 +650,18 @@ impl Collected {
 
         println!("\narena execution (encoder, zero-allocation steady state):");
         println!(
-            "  {:<8} {:<7} {:>7} {:>9} {:>11} {:>9} {:>12}",
-            "plan", "granul.", "threads", "slab KiB", "scratch KiB", "stats KiB", "allocs/call"
+            "  {:<8} {:<7} {:>7} {:>9} {:>11} {:>10} {:>12}",
+            "plan", "granul.", "threads", "slab KiB", "scratch KiB", "record KiB", "allocs/call"
         );
         for r in &self.arena {
             println!(
-                "  {:<8} {:<7} {:>7} {:>9.1} {:>11.1} {:>9.1} {:>12.2}",
+                "  {:<8} {:<7} {:>7} {:>9.1} {:>11.1} {:>10.1} {:>12.2}",
                 r.plan,
                 r.tag,
                 r.threads,
                 r.slab_bytes as f64 / 1024.0,
                 r.scratch_bytes as f64 / 1024.0,
-                r.stats_bytes as f64 / 1024.0,
+                r.record_bytes as f64 / 1024.0,
                 r.events as f64 / STEADY_CALLS as f64,
             );
         }
@@ -716,13 +716,13 @@ impl Collected {
             .map(|r| {
                 format!(
                     "{{\"plan\":{},\"granularity\":{},\"threads\":{},\"slab_bytes\":{},\
-                     \"scratch_bytes\":{},\"stats_bytes\":{},\"allocs_per_call\":{:.2}}}",
+                     \"scratch_bytes\":{},\"record_bytes\":{},\"allocs_per_call\":{:.2}}}",
                     jstr(r.plan),
                     jstr(r.tag),
                     r.threads,
                     r.slab_bytes,
                     r.scratch_bytes,
-                    r.stats_bytes,
+                    r.record_bytes,
                     r.events as f64 / STEADY_CALLS as f64,
                 )
             })

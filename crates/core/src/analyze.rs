@@ -705,6 +705,10 @@ pub enum Home {
     /// An external some step reads as it came before a later one re-lays
     /// it: copied into a slab range when the run binds it.
     Copied,
+    /// A [`DataRole::Saved`] container a step defines: a range of the
+    /// run's record, which outlives the run and shares no word with the
+    /// slab's transients.
+    Record,
 }
 
 /// Live interval of one container across the schedule.
@@ -899,7 +903,8 @@ pub enum ArenaGranularity {
 }
 
 /// One buffer's word range in the arena's address space: inside the slab,
-/// or — a borrowed external — a range of its own past the slab's end.
+/// or — a saved container's record range, then a borrowed external — a
+/// range of its own past the slab's end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArenaSlot {
     /// The container.
@@ -918,12 +923,15 @@ pub struct ArenaSlot {
     /// A [`Home::Borrowed`] external: the range stands for the caller's
     /// memory, which no other buffer shares at any time.
     pub borrowed: bool,
+    /// A [`Home::Record`] container: the range stands for its words in the
+    /// run's record, which no other buffer shares at any time.
+    pub record: bool,
 }
 
 /// The result of [`assign_arena`]: every slab-owned buffer colored to a word
 /// offset inside one slab whose size the pass tries to hold at exactly
-/// their peak-resident words, and every borrowed external given a range of
-/// its own past the slab's end.
+/// their peak-resident words, and every saved container a step defines and
+/// every borrowed external given a range of its own past the slab's end.
 #[derive(Debug, Clone)]
 pub struct ArenaAssignment {
     /// One slot per live buffer, in liveness order.
@@ -933,7 +941,8 @@ pub struct ArenaAssignment {
     /// The statically predicted peak-resident words of the slab-owned
     /// buffers over the plan's waves, which the slab is measured against.
     /// For a chain (every wave one step) that is
-    /// [`PlanAnalysis::peak_resident_words`] without the borrowed externals.
+    /// [`PlanAnalysis::peak_resident_words`] without the borrowed externals
+    /// and the record.
     pub target_words: u64,
     /// [`PlanLint::ArenaFragmentation`] when `slab_words > target_words`;
     /// empty otherwise.
@@ -1034,10 +1043,12 @@ pub fn assign_arena(analysis: &PlanAnalysis) -> ArenaAssignment {
         })
         .collect();
 
-    // the slab holds what is not borrowed; its target is their high-water
-    // mark (the last of equal peaks, as `PlanAnalysis::peak_step` is)
+    // the slab holds what is neither borrowed nor recorded; its target is
+    // their high-water mark (the last of equal peaks, as
+    // `PlanAnalysis::peak_step` is)
+    let past = |b: &BufferLiveness| matches!(b.home, Home::Borrowed | Home::Record);
     let base: Vec<usize> = (0..iv.len())
-        .filter(|&i| analysis.liveness[i].home != Home::Borrowed)
+        .filter(|&i| !past(&analysis.liveness[i]))
         .collect();
     let mut resident = vec![0u64; iv.iter().map(|v| v.1 + 1).max().unwrap_or(0)];
     for &i in &base {
@@ -1097,25 +1108,29 @@ pub fn assign_arena(analysis: &PlanAnalysis) -> ArenaAssignment {
     }
     let (offsets, slab_words) = best;
 
-    let mut past_slab = slab_words;
+    // past the slab: the record's containers, then the borrowed externals
+    let (mut offsets, mut end) = (offsets, slab_words);
+    for home in [Home::Record, Home::Borrowed] {
+        for (b, off) in analysis.liveness.iter().zip(&mut offsets) {
+            if b.home == home {
+                (*off, end) = (end, end + b.words);
+            }
+        }
+    }
     let slots: Vec<ArenaSlot> = analysis
         .liveness
         .iter()
         .zip(&iv)
         .zip(&offsets)
-        .map(|((b, &(s, e, _)), &off)| {
-            let borrowed = b.home == Home::Borrowed;
-            let offset = if borrowed { past_slab } else { off };
-            past_slab += if borrowed { b.words } else { 0 };
-            ArenaSlot {
-                data: b.data,
-                name: b.name.clone(),
-                offset,
-                words: b.words,
-                start: s,
-                end: e,
-                borrowed,
-            }
+        .map(|((b, &(s, e, _)), &offset)| ArenaSlot {
+            data: b.data,
+            name: b.name.clone(),
+            offset,
+            words: b.words,
+            start: s,
+            end: e,
+            borrowed: b.home == Home::Borrowed,
+            record: b.home == Home::Record,
         })
         .collect();
 
@@ -1564,6 +1579,7 @@ pub fn analyze(graph: &Graph, plan: &ExecutionPlan) -> PlanAnalysis {
         let def = defs.get(&data).copied();
         let first_use = uses.get(&data).map(|&(f, _)| f);
         let home = match relayout_log.get(&data) {
+            _ if def.is_some() && role == DataRole::Saved => Home::Record,
             _ if def.is_some() || role == DataRole::Cache => Home::Slab,
             None => Home::Borrowed,
             // re-laid by the first step to touch it: a relayout runs ahead

@@ -127,8 +127,8 @@ use crate::plan::{layout_spec, ExecOptions, ExecState, ExecutionPlan, PlanStep, 
 use crate::profile::{PlanProfiler, ProfilerSink};
 use crate::sanitize::{certify_plan, plan_fingerprint, PlanCertificate};
 
-/// One contiguous word range of the slab (or of the scratch/stats
-/// buffers).
+/// One contiguous word range of the slab (or of the record or the
+/// scratch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BufView {
     off: usize,
@@ -140,6 +140,9 @@ struct BufView {
 enum Place {
     /// A range of the slab.
     Slab(BufView),
+    /// A range of the run's record: a saved container, written where it
+    /// is kept.
+    Record(BufView),
     /// A range of entry `k` of the run's externals table: the caller's
     /// slice, read where it lives. Never an output.
     Borrowed(usize, BufView),
@@ -168,9 +171,9 @@ struct StepExec {
     /// for the one that is an external's first touch, the externals-table
     /// entry it gathers from instead of permuting the slot in place (and
     /// the entry's pack, if it is a projection weight's).
-    relayouts: Vec<(Gather, BufView, RelayoutCopy)>,
-    /// Per-lane mean and inverse-deviation regions of the statistics
-    /// buffer (the normalizing classes).
+    relayouts: Vec<(Gather, Place, RelayoutCopy)>,
+    /// Per-lane mean and inverse-deviation regions of the record (the
+    /// normalizing classes).
     stats: Option<(BufView, BufView)>,
     /// The step's scratch range
     /// ([`crate::lower::StepLowering::scratch_words`]): the staging copy of
@@ -184,9 +187,9 @@ struct StepExec {
     /// The operands the kernel accumulates into (a bias or layer-norm
     /// weight gradient, through a broadcast or per-lane view), zeroed first.
     zeroed: Vec<usize>,
-    /// The slab words the step writes: each output's hull, what the poison
-    /// mode checks after its wave.
-    written: Vec<BufView>,
+    /// The words the step writes: each output's hull, what the poison mode
+    /// checks after its wave.
+    written: Vec<Place>,
     /// The graph's activation ([`Graph::activation`]).
     activation: ActivationKind,
     /// The graph's softmax scale ([`Graph::softmax_scale`]).
@@ -222,8 +225,8 @@ struct ExtSlice(*const [f32]);
 // one reads.
 unsafe impl Send for ExtSlice {}
 
-/// An output (or saved activation) materialized out of the slab after
-/// execution.
+/// An output (or saved activation) surfaced after execution: its range of
+/// the slab, or of the record.
 #[derive(Debug, Clone)]
 struct MaterializeSpec {
     name: String,
@@ -234,10 +237,11 @@ struct MaterializeSpec {
     saved: bool,
 }
 
-/// A layer-norm statistics region: surfaced after execution, keyed by the
-/// norm's output container name like the allocating interpreter's stats
-/// side channel — or, for the statistics a backward kernel reads, filled at
-/// bind from the resolver's answers to `names` ([`stats_names`]).
+/// A layer-norm statistics region of the record: surfaced after execution,
+/// keyed by the norm's output container name like the allocating
+/// interpreter's stats side channel — or, for the statistics a backward
+/// kernel reads, filled at bind from the resolver's answers to `names`
+/// ([`stats_names`]).
 #[derive(Debug, Clone)]
 struct StatsSpec {
     name: String,
@@ -262,14 +266,15 @@ pub fn stats_name_of(name: &str) -> Option<(&str, bool)> {
     }
 }
 
-/// The slab, contraction scratch, layer-norm statistics storage and timing
-/// slots (one per step, one per wave) of one arena, reused across calls
-/// under a mutex.
+/// The slab, contraction scratch and timing slots (one per step, one per
+/// wave) of one arena, reused across calls under a mutex, and the record a
+/// run writes into when its caller keeps none (sized on the first such
+/// run).
 #[derive(Debug, Default)]
 struct ArenaBuffers {
     slab: Vec<f32>,
+    record: Vec<f32>,
     scratch: Vec<f32>,
-    stats: Vec<f32>,
     step_us: Vec<f64>,
     wave_us: Vec<f64>,
     ext: Vec<ExtSlice>,
@@ -278,16 +283,17 @@ struct ArenaBuffers {
 /// Raw views of one [`ArenaBuffers`], copyable into worker threads. The
 /// arena certificate makes concurrent use sound: steps sharing a wave
 /// write disjoint slab ranges (their outputs' live intervals all start at
-/// that wave, so the certifier proved them range-disjoint), scratch and
-/// stats regions are disjoint per step by construction, reads of shared
-/// inputs are read-only — the externals table and the callers' slices
-/// behind it among them — and a timing slot is written only by the one
-/// execution of the step (or the one dispatcher of the wave) it belongs to.
+/// that wave, so the certifier proved them range-disjoint), record ranges
+/// are disjoint per container, scratch and statistics regions per step by
+/// construction, reads of shared inputs are read-only — the externals
+/// table and the callers' slices behind it among them — and a timing slot
+/// is written only by the one execution of the step (or the one dispatcher
+/// of the wave) it belongs to.
 #[derive(Debug, Clone, Copy)]
 struct SlabMem {
     slab: *mut f32,
+    record: *mut f32,
     scratch: *mut f32,
-    stats: *mut f32,
     step_us: *mut f64,
     wave_us: *mut f64,
     ext: *const ExtSlice,
@@ -303,8 +309,8 @@ impl SlabMem {
     fn new(bufs: &mut ArenaBuffers) -> SlabMem {
         SlabMem {
             slab: bufs.slab.as_mut_ptr(),
+            record: bufs.record.as_mut_ptr(),
             scratch: bufs.scratch.as_mut_ptr(),
-            stats: bufs.stats.as_mut_ptr(),
             step_us: bufs.step_us.as_mut_ptr(),
             wave_us: bufs.wave_us.as_mut_ptr(),
             ext: bufs.ext.as_ptr(),
@@ -316,20 +322,39 @@ impl SlabMem {
         unsafe { &*(*self.ext.add(k)).0 }
     }
 
-    unsafe fn slab<'a>(self, v: BufView) -> &'a [f32] {
-        unsafe { std::slice::from_raw_parts(self.slab.add(v.off), v.len) }
+    /// The words `place` names, to read.
+    ///
+    /// # Safety
+    ///
+    /// `place` lies inside its buffer (or table entry, which the run
+    /// bound), and no thread writes its words while the slice lives.
+    unsafe fn words<'a>(self, place: Place) -> &'a [f32] {
+        let (base, v) = match place {
+            Place::Borrowed(e, v) => return unsafe { &self.ext(e)[v.off..v.off + v.len] },
+            Place::Slab(v) => (self.slab, v),
+            Place::Record(v) => (self.record, v),
+        };
+        unsafe { std::slice::from_raw_parts(base.add(v.off), v.len) }
     }
 
-    unsafe fn slab_mut<'a>(self, v: BufView) -> &'a mut [f32] {
-        unsafe { std::slice::from_raw_parts_mut(self.slab.add(v.off), v.len) }
+    /// The words `place` names, to write: the arena's own, never a
+    /// borrowed external's.
+    ///
+    /// # Safety
+    ///
+    /// `place` lies inside its buffer, and no other thread touches its
+    /// words while the slice lives.
+    unsafe fn words_mut<'a>(self, place: Place) -> &'a mut [f32] {
+        let (base, v) = match place {
+            Place::Slab(v) => (self.slab, v),
+            Place::Record(v) => (self.record, v),
+            Place::Borrowed(..) => unreachable!("`compile_step` admits no borrowed output"),
+        };
+        unsafe { std::slice::from_raw_parts_mut(base.add(v.off), v.len) }
     }
 
     unsafe fn scratch_mut<'a>(self, off: usize, len: usize) -> &'a mut [f32] {
         unsafe { std::slice::from_raw_parts_mut(self.scratch.add(off), len) }
-    }
-
-    unsafe fn stats_mut<'a>(self, v: BufView) -> &'a mut [f32] {
-        unsafe { std::slice::from_raw_parts_mut(self.stats.add(v.off), v.len) }
     }
 }
 
@@ -435,6 +460,87 @@ pub enum ArenaArtifact<'a> {
     },
 }
 
+/// Where each saved container and forward statistic of a plan lies in a
+/// record's words, and the plan's pool of idle record buffers: shared by
+/// the plan's arenas and every record they lent.
+#[derive(Debug)]
+struct RecordPlan {
+    tensors: Vec<MaterializeSpec>,
+    stats: Vec<StatsSpec>,
+    words: usize,
+    pool: Mutex<RecordPool>,
+}
+
+/// The records of one plan alive and the buffers of dropped ones kept for
+/// reuse: never more idle than alive.
+#[derive(Debug, Default)]
+struct RecordPool {
+    idle: Vec<Vec<f32>>,
+    live: usize,
+}
+
+impl RecordPlan {
+    fn pool(&self) -> MutexGuard<'_, RecordPool> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// What one forward run saved, written where it is kept: the words of its
+/// plan's [`DataRole::Saved`] containers and layer-norm statistics, lent
+/// by [`CompiledArena::lend_record`] and filled by
+/// [`CompiledArena::execute_kept`]. Dropped, its buffer returns to its
+/// plan's pool, which keeps no more idle buffers than the plan has live
+/// records, so a warm forward writes into recycled memory rather than a
+/// fresh, zero-filled one.
+#[derive(Debug)]
+pub struct Record {
+    words: Vec<f32>,
+    plan: Arc<RecordPlan>,
+}
+
+impl Drop for Record {
+    fn drop(&mut self) {
+        let mut pool = self.plan.pool();
+        let RecordPool { idle, live } = &mut *pool;
+        *live -= 1;
+        idle.push(std::mem::take(&mut self.words));
+        idle.truncate(*live);
+    }
+}
+
+impl Record {
+    /// Every word of the record: the saved containers', then the
+    /// statistics'.
+    pub fn words(&self) -> &[f32] {
+        &self.words
+    }
+
+    /// The saved containers' names.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.plan.tensors.iter().map(|m| m.name.as_str())
+    }
+
+    /// The saved container `name`: its shape, the layout the plan leaves
+    /// it in and its words.
+    pub fn container(&self, name: &str) -> Option<(&Shape, &Layout, &[f32])> {
+        let m = self.plan.tensors.iter().find(|m| m.name == name)?;
+        Some((&m.shape, &m.layout, &self.words[m.view.off..][..m.view.len]))
+    }
+
+    /// What a run's resolver answers `name` with out of this record: a
+    /// statistic by its [`stats_names`] name, or a saved container stored
+    /// in its natural layout.
+    pub fn resolve(&self, name: &str) -> Option<&[f32]> {
+        let Some((norm, inv)) = stats_name_of(name) else {
+            let (shape, layout, words) = self.container(name)?;
+            return layout.is_row_major_for(shape).then_some(words);
+        };
+        let s = self.plan.stats.iter().find(|s| s.name == norm)?;
+        let v = [s.mean, s.inv_std][usize::from(inv)];
+        Some(&self.words[v.off..][..v.len])
+    }
+}
+
 /// A certified plan compiled onto a static arena. Build one with
 /// [`CompiledArena::compile`] (or memoized, with [`compiled`]); execute
 /// with [`CompiledArena::execute_bound`] (zero-allocation entry) or
@@ -448,7 +554,6 @@ pub struct CompiledArena {
     cert: PlanCertificate,
     slab_words: usize,
     scratch_words: usize,
-    stats_words: usize,
     steps: Vec<StepExec>,
     step_names: Vec<String>,
     retire: Vec<Vec<BufView>>,
@@ -457,7 +562,7 @@ pub struct CompiledArena {
     /// of the persistent (cache) ranges, which hold live cross-call state.
     poison_spans: Vec<BufView>,
     outputs: Vec<MaterializeSpec>,
-    stats_out: Vec<StatsSpec>,
+    record: Arc<RecordPlan>,
     stats_in: Vec<StatsSpec>,
     buffers: Mutex<ArenaBuffers>,
 }
@@ -544,10 +649,18 @@ impl CompiledArena {
         // the table entry of every gathered external, until its first
         // relayout has taken it
         let mut gather_from: HashMap<NodeId, usize> = HashMap::new();
+        // past the slab, the record: its containers, then the statistics
+        let slab_words = assignment.slab_words as usize;
+        let recorded = assignment.slots.iter().filter(|s| s.record);
+        let mut record_words: usize = recorded.map(|s| s.words as usize).sum();
         for (b, s) in analysis.liveness.iter().zip(&assignment.slots) {
-            let place = match s.borrowed {
-                true => Place::Borrowed(externals.len(), BufView { off: 0, ..view(s) }),
-                false => Place::Slab(view(s)),
+            let place = match (s.borrowed, s.record) {
+                (true, _) => Place::Borrowed(externals.len(), BufView { off: 0, ..view(s) }),
+                (_, true) => Place::Record(BufView {
+                    off: view(s).off - slab_words,
+                    ..view(s)
+                }),
+                _ => Place::Slab(view(s)),
             };
             place_of.insert(b.data, place);
             if b.def.is_none() {
@@ -566,7 +679,6 @@ impl CompiledArena {
         let no_lowering =
             |what: String| TensorError::Unsupported(format!("{what} has no arena lowering"));
         let mut steps = Vec::with_capacity(plan.steps.len());
-        let mut stats_words = 0usize;
         let (mut stats_out, mut stats_in) = (Vec::new(), Vec::new());
         for (si, step) in plan.steps.iter().enumerate() {
             let role = |o: &&crate::plan::Operand| graph.data(o.data).map(|d| d.role);
@@ -584,7 +696,7 @@ impl CompiledArena {
                 stream,
                 (&place_of, &externals),
                 &mut gather_from,
-                &mut stats_words,
+                &mut record_words,
                 (&mut stats_out, &mut stats_in),
             )
             .ok_or_else(|| match strided_tail(step) {
@@ -627,15 +739,18 @@ impl CompiledArena {
             }
         }
 
-        let mut outputs = Vec::new();
+        let (mut outputs, mut kept) = (Vec::new(), Vec::new());
         for b in &analysis.liveness {
             let container = || no_lowering(format!("container `{}`", b.name));
             // an external in one of these roles is the caller's already
-            if let (Some(&Place::Slab(view)), DataRole::Output | DataRole::Saved) =
-                (place_of.get(&b.data), b.role)
-            {
+            let (to, view) = match place_of.get(&b.data) {
+                Some(&Place::Slab(view)) => (&mut outputs, view),
+                Some(&Place::Record(view)) => (&mut kept, view),
+                _ => continue,
+            };
+            if let DataRole::Output | DataRole::Saved = b.role {
                 let d = graph.data(b.data).ok_or_else(container)?;
-                outputs.push(MaterializeSpec {
+                to.push(MaterializeSpec {
                     name: b.name.clone(),
                     shape: d.shape.clone(),
                     layout: *left_in.get(&b.data).ok_or_else(container)?,
@@ -644,8 +759,6 @@ impl CompiledArena {
                 });
             }
         }
-
-        let slab_words = assignment.slab_words as usize;
 
         // sanitizer poison spans: the whole slab minus persistent ranges
         let mut persist: Vec<(usize, usize)> = externals
@@ -677,14 +790,18 @@ impl CompiledArena {
             cert,
             slab_words,
             scratch_words,
-            stats_words,
             step_names: plan.steps.iter().map(|s| s.name.clone()).collect(),
             steps,
             retire,
             externals,
             poison_spans,
             outputs,
-            stats_out,
+            record: Arc::new(RecordPlan {
+                tensors: kept,
+                stats: stats_out,
+                words: record_words,
+                pool: Mutex::default(),
+            }),
             stats_in,
             buffers: Mutex::default(),
         }
@@ -695,8 +812,8 @@ impl CompiledArena {
     fn with_zeroed_buffers(mut self) -> CompiledArena {
         self.buffers = Mutex::new(ArenaBuffers {
             slab: vec![0.0; self.slab_words],
+            record: Vec::new(),
             scratch: vec![0.0; self.scratch_words],
-            stats: vec![0.0; self.stats_words],
             step_us: vec![0.0; self.steps.len()],
             wave_us: vec![0.0; self.cert.waves.len()],
             ext: vec![ExtSlice(&[]); self.externals.len()],
@@ -714,14 +831,13 @@ impl CompiledArena {
             cert: self.cert.clone(),
             slab_words: self.slab_words,
             scratch_words: self.scratch_words,
-            stats_words: self.stats_words,
             steps: self.steps.clone(),
             step_names: self.step_names.clone(),
             retire: self.retire.clone(),
             externals: self.externals.clone(),
             poison_spans: self.poison_spans.clone(),
             outputs: self.outputs.clone(),
-            stats_out: self.stats_out.clone(),
+            record: Arc::clone(&self.record),
             stats_in: self.stats_in.clone(),
             buffers: Mutex::default(),
         }
@@ -741,6 +857,7 @@ impl CompiledArena {
             let mut path = view_path(role, view, walk).0;
             path.base += match *place {
                 Place::Slab(words) => words.off,
+                Place::Record(words) => self.slab_words + words.off,
                 Place::Borrowed(e, words) => self.externals[e].view.off + words.off,
             } as u64;
             path
@@ -765,9 +882,28 @@ impl CompiledArena {
         self.scratch_words
     }
 
-    /// Layer-norm statistics words held alongside the slab.
-    pub fn stats_words(&self) -> usize {
-        self.stats_words
+    /// Words of a record: the plan's saved containers and the layer-norm
+    /// statistics its steps write or read.
+    pub fn record_words(&self) -> usize {
+        self.record.words
+    }
+
+    /// A record for a run of this arena's plan to write into
+    /// ([`CompiledArena::execute_kept`]): an idle buffer of the plan's
+    /// pool, or a fresh, zeroed one when the pool holds none.
+    pub fn lend_record(&self) -> Record {
+        let plan = Arc::clone(&self.record);
+        let mut pool = plan.pool();
+        pool.live += 1;
+        let idle = pool.idle.pop().filter(|w| w.len() == plan.words);
+        let words = idle.unwrap_or_else(|| vec![0.0; plan.words]);
+        drop(pool);
+        Record { words, plan }
+    }
+
+    /// The idle record buffers this plan's pool holds.
+    pub fn idle_records(&self) -> usize {
+        self.record.pool().idle.len()
     }
 
     /// Slab size in bytes at f32 width.
@@ -893,6 +1029,56 @@ impl CompiledArena {
         resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
         sink: &mut dyn FnMut(ArenaArtifact<'_>),
     ) -> Result<()> {
+        self.execute_kept(opts, resolve, None, sink)
+    }
+
+    /// [`CompiledArena::execute_bound`] that writes the plan's saved
+    /// containers and forward statistics straight into `record`, which the
+    /// caller keeps, rather than into the arena's own record. The poison
+    /// mode poisons whichever record the run writes, as it does the slab.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledArena::execute_bound`], and
+    /// [`TensorError::Unsupported`], before the run, for a record lent for
+    /// another plan.
+    pub fn execute_kept<'a>(
+        &self,
+        opts: &ExecOptions,
+        resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
+        record: Option<&mut Record>,
+        sink: &mut dyn FnMut(ArenaArtifact<'_>),
+    ) -> Result<()> {
+        // a record of another plan, or one a panicked run left holding
+        // another buffer, would be written past its end
+        let ours = |r: &&mut Record| Arc::ptr_eq(&r.plan, &self.record);
+        let whole = |r: &&mut Record| r.words.len() == self.record.words;
+        if !record.as_ref().is_none_or(|r| ours(r) && whole(r)) {
+            let what = "a record is lent for one plan: this arena runs another";
+            return Err(TensorError::Unsupported(what.into()));
+        }
+        let mut guard = self.lock_buffers();
+        // the caller's record stands in for the arena's own for the run
+        let mut theirs = record.map(|r| &mut r.words);
+        match theirs.as_deref_mut() {
+            Some(words) => std::mem::swap(&mut guard.record, words),
+            None => guard.record.resize(self.record.words, 0.0),
+        }
+        let done = self.execute_locked(&mut guard, opts, resolve, sink);
+        if let Some(words) = theirs {
+            std::mem::swap(&mut guard.record, words);
+        }
+        done
+    }
+
+    /// A run of [`CompiledArena::execute_kept`], its buffers locked.
+    fn execute_locked<'a>(
+        &self,
+        bufs: &mut ArenaBuffers,
+        opts: &ExecOptions,
+        resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
+        sink: &mut dyn FnMut(ArenaArtifact<'_>),
+    ) -> Result<()> {
         let run = &ArenaRun::new(opts)?;
         let parallel = run.threads > 1;
         let refused = |sink: &ProfilerSink| !lock_sink(sink).admits(self.key);
@@ -901,14 +1087,14 @@ impl CompiledArena {
                 "a profiler sink is made for one plan: this arena runs another".into(),
             ));
         }
-        let mut guard = self.lock_buffers();
-        let bufs = &mut *guard;
         if run.sanitize {
-            // poison everything except persistent (cache) ranges, whose
-            // resident contents must survive between calls
+            // poison the record and everything of the slab except
+            // persistent (cache) ranges, whose resident contents must
+            // survive between calls
             for span in &self.poison_spans {
                 bufs.slab[span.off..span.off + span.len].fill(f32::NAN);
             }
+            bufs.record.fill(f32::NAN);
         }
         // the table entries outlive the run: `'a` outlives this call
         for (e, entry) in self.externals.iter().zip(&mut bufs.ext) {
@@ -941,24 +1127,26 @@ impl CompiledArena {
                     container: name.clone(),
                     words: v.len,
                 };
-                bufs.stats[v.off..v.off + v.len].copy_from_slice(src.ok_or_else(unbound)?);
+                bufs.record[v.off..v.off + v.len].copy_from_slice(src.ok_or_else(unbound)?);
             }
         }
         let workers = self.run_waves(SlabMem::new(bufs), run)?;
-        for m in &self.outputs {
+        let (slab, record) = (&bufs.slab[..], &bufs.record[..]);
+        let kept = self.record.tensors.iter().map(|m| (m, record));
+        for (m, words) in self.outputs.iter().map(|m| (m, slab)).chain(kept) {
             sink(ArenaArtifact::Tensor {
                 name: &m.name,
                 saved: m.saved,
                 shape: &m.shape,
                 layout: &m.layout,
-                data: &bufs.slab[m.view.off..m.view.off + m.view.len],
+                data: &words[m.view.off..m.view.off + m.view.len],
             });
         }
-        for s in &self.stats_out {
+        for s in &self.record.stats {
             sink(ArenaArtifact::Stats {
                 name: &s.name,
-                mean: &bufs.stats[s.mean.off..s.mean.off + s.mean.len],
-                inv_std: &bufs.stats[s.inv_std.off..s.inv_std.off + s.inv_std.len],
+                mean: &record[s.mean.off..s.mean.off + s.mean.len],
+                inv_std: &record[s.inv_std.off..s.inv_std.off + s.inv_std.len],
             });
         }
         if let Some(profiler) = opts.profiler {
@@ -1037,7 +1225,7 @@ impl CompiledArena {
         for &si in &self.cert.waves[w] {
             for v in &self.steps[si].written {
                 // SAFETY: the wave finished; no kernel holds these words.
-                let data = unsafe { mem.slab(*v) };
+                let data = unsafe { mem.words(*v) };
                 if data.iter().any(|x| !x.is_finite()) {
                     return Err(TensorError::Unsupported(format!(
                         "arena sanitizer: step {si} (`{}`) produced a non-finite value — a kernel read a retired (reused) buffer",
@@ -1048,7 +1236,7 @@ impl CompiledArena {
         }
         for v in &self.retire[w] {
             // SAFETY: the buffer's live interval ended with this wave.
-            unsafe { mem.slab_mut(*v) }.fill(f32::NAN);
+            unsafe { mem.words_mut(Place::Slab(*v)) }.fill(f32::NAN);
         }
         Ok(())
     }
@@ -1180,7 +1368,7 @@ fn compile_step(
     stream: usize,
     (place_of, externals): (&HashMap<NodeId, Place>, &[ExternalBind]),
     gather_from: &mut HashMap<NodeId, usize>,
-    stats_words: &mut usize,
+    record_words: &mut usize,
     (stats_out, stats_in): (&mut Vec<StatsSpec>, &mut Vec<StatsSpec>),
 ) -> Option<StepExec> {
     let mut low = lower_step(graph, step)?;
@@ -1210,14 +1398,15 @@ fn compile_step(
         };
         let place = match place {
             Place::Slab(words) => Place::Slab(cut(words)?),
+            Place::Record(words) => Place::Record(cut(words)?),
             Place::Borrowed(e, words) => Place::Borrowed(e, cut(words)?),
         };
         view.base -= lo;
         if let Some((i, at)) = sweep_of(&low.sweeps, k) {
             low.sweeps[i].rebase(at, lo);
         }
-        if let (Slot::Out(_), Place::Slab(words)) = (slot, place) {
-            written.push(words);
+        if let Slot::Out(_) = slot {
+            written.push(place);
             if matches!(role, Role::Broadcast | Role::LaneWeights) {
                 zeroed.push(k);
             }
@@ -1228,7 +1417,7 @@ fn compile_step(
     // a contraction reading it as its A can read
     let packed = |k: usize| match operands[k].0 {
         Place::Borrowed(e, _) => externals[e].pack.is_some(),
-        Place::Slab(_) => false,
+        _ => false,
     };
     if (0..operands.len()).any(packed) {
         let plan = match &mut low.kernel {
@@ -1244,21 +1433,21 @@ fn compile_step(
     }
     let relayouts = (low.relayouts.into_iter())
         .map(|r| match *place_of.get(&r.data)? {
-            Place::Slab(slot) => {
+            Place::Borrowed(..) => None,
+            slot => {
                 let from = gather_from.remove(&r.data).map(|e| (e, externals[e].pack));
                 Some((from, slot, r))
             }
-            Place::Borrowed(..) => None,
         })
         .collect::<Option<_>>()?;
     let stats = match low.stats {
         Some((stats, lanes)) => {
             let region = |k: usize| BufView {
-                off: *stats_words + k * lanes,
+                off: *record_words + k * lanes,
                 len: lanes,
             };
             let (mean, inv_std) = (region(0), region(1));
-            *stats_words += 2 * lanes;
+            *record_words += 2 * lanes;
             let (name, specs) = match stats {
                 Stats::Writes(out) => (step.outputs.get(out)?.name.clone(), &mut *stats_out),
                 Stats::Reads(norm) => (graph.data(norm)?.name.clone(), &mut *stats_in),
@@ -1327,23 +1516,20 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
     let drop = &run.drop.keyed(stream_key(run.seed, step.stream));
     // SAFETY (all three): the caller's contract covers every slot of the
     // step, its statistics regions and its scratch range.
-    let r = |k: usize| match step.operands[k].0 {
-        Place::Slab(v) => unsafe { mem.slab(v) },
-        Place::Borrowed(e, v) => unsafe { &mem.ext(e)[v.off..v.off + v.len] },
-    };
-    let w = |k: usize| match step.operands[k].0 {
-        Place::Slab(v) => unsafe { mem.slab_mut(v) },
-        Place::Borrowed(..) => unreachable!("`compile_step` admits no borrowed output"),
-    };
+    let r = |k: usize| unsafe { mem.words(step.operands[k].0) };
+    let w = |k: usize| unsafe { mem.words_mut(step.operands[k].0) };
     let scratch = || unsafe { mem.scratch_mut(step.scratch.off, step.scratch.len) };
     let (mean, inv): (&mut [f32], &mut [f32]) = match step.stats {
-        Some((mean, inv)) => unsafe { (mem.stats_mut(mean), mem.stats_mut(inv)) },
+        Some((mean, inv)) => unsafe {
+            let [mean, inv] = [mean, inv].map(Place::Record);
+            (mem.words_mut(mean), mem.words_mut(inv))
+        },
         None => (&mut [], &mut []),
     };
     for (source, slot, copy) in &step.relayouts {
         // SAFETY: the hazard analysis orders a relayout against every
         // other access of its container, so this step owns the slot.
-        let slot = unsafe { mem.slab_mut(*slot) };
+        let slot = unsafe { mem.words_mut(*slot) };
         match *source {
             // SAFETY: the run bound entry `e` before its first step.
             Some((e, None)) => into_ops::relayout_from(&copy.dims, unsafe { mem.ext(e) }, slot),
@@ -1679,14 +1865,14 @@ mod tests {
             .expect("every gated plan compiles")
     }
 
-    /// The most words the buffers that are not borrowed hold at any one
-    /// step, recomputed from the live intervals alone.
+    /// The most words the buffers neither borrowed nor recorded hold at
+    /// any one step, recomputed from the live intervals alone.
     fn slab_owned_peak(analysis: &PlanAnalysis) -> u64 {
         let owned = || {
             analysis
                 .liveness
                 .iter()
-                .filter(|b| b.home != Home::Borrowed)
+                .filter(|b| !matches!(b.home, Home::Borrowed | Home::Record))
         };
         let at = |t: usize| owned().filter(move |b| b.start <= t && t <= b.end);
         let steps = 0..analysis.resident_words.len();
@@ -1824,6 +2010,66 @@ mod tests {
         }
     }
 
+    /// A recycled record is poisoned before a checked run, as the slab is:
+    /// a step scheduled ahead of the writer of the saved container it reads
+    /// (a schedule the lint gate refuses, compiled past it) reads the last
+    /// run's words unchecked, and NaN checked, and fails naming itself.
+    #[test]
+    fn a_read_of_a_saved_container_before_its_write_fails_under_poison() {
+        let eg = build::decoder(&EncoderDims::tiny());
+        let natural = ExecutionPlan::natural(&eg.graph, &forward_ops(&eg.graph, eg.dy)).unwrap();
+        let step = |name: &str| {
+            natural
+                .steps
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap()
+                .clone()
+        };
+        let plan = ExecutionPlan {
+            steps: vec![step("Q,K,V"), step("LayerNorm 1")],
+        };
+        let arena = CompiledArena::build(&eg.graph, &plan, &analyze(&eg.graph, &plan)).unwrap();
+        let base = random_externals(&eg.graph, &plan, 3).unwrap();
+        let packed = arena.pack_weights(&base.env);
+        let mut record = arena.lend_record();
+        let mut run = |sanitize| {
+            let opts = ExecOptions::builder().sanitize(sanitize).build();
+            let resolve = &mut |name: &str| match packed.get(name) {
+                Some(panels) => Some(&panels[..]),
+                None => binder(&base, "")(name),
+            };
+            arena.execute_kept(&opts, resolve, Some(&mut record), &mut |_| {})
+        };
+        for _ in 0..2 {
+            run(SanitizeMode::Off).unwrap();
+        }
+        let err = run(SanitizeMode::On).unwrap_err().to_string();
+        assert!(
+            err.contains("non-finite") && err.contains("`Q,K,V`"),
+            "{err}"
+        );
+    }
+
+    /// A run writes a record only of the plan that lent it, refused before
+    /// it binds anything (the resolver here answers nothing).
+    #[test]
+    fn a_record_lent_for_another_plan_is_refused_before_the_run() {
+        let (graph, plan) = fused_plan();
+        let (g, p) = fused_plan_at(&EncoderDims {
+            b: 3,
+            ..EncoderDims::tiny()
+        });
+        let mut record = compile(&g, &p).lend_record();
+        let run = compile(&graph, &plan).execute_kept(
+            &ExecOptions::default(),
+            &mut |_| None,
+            Some(&mut record),
+            &mut |_| {},
+        );
+        assert!(matches!(run, Err(TensorError::Unsupported(_))), "{run:?}");
+    }
+
     #[test]
     fn sanitized_arena_run_passes_on_clean_plan() {
         let (graph, plan) = fused_plan();
@@ -1889,7 +2135,7 @@ mod tests {
             };
             match arena.steps[si].operands[k].0 {
                 Place::Slab(words) => words,
-                Place::Borrowed(..) => panic!("`{name}` reads a slab container"),
+                _ => panic!("`{name}` reads a slab container"),
             }
         };
         // the projection writes the whole stacked container

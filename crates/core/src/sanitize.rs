@@ -470,11 +470,11 @@ pub fn certify_plan(
     }
 
     // the coloring: buffers live at once hold disjoint words, each inside
-    // the slab — a borrowed external, the caller's memory, past it and live
-    // all run
+    // the slab — a borrowed external, the caller's memory, and a saved
+    // container's record range past it and live all run
     let slots = arena.map_or(&[][..], |a| &a.slots);
     for (i, a) in slots.iter().enumerate() {
-        let misplaced = match a.borrowed {
+        let misplaced = match a.borrowed || a.record {
             true => a.offset < slab_words,
             false => a.offset + a.words > slab_words,
         };
@@ -487,7 +487,8 @@ pub fn certify_plan(
             });
         }
         for b in &slots[i + 1..] {
-            let live_overlap = a.borrowed || b.borrowed || (a.start <= b.end && b.start <= a.end);
+            let past = [a, b].iter().any(|s| s.borrowed || s.record);
+            let live_overlap = past || (a.start <= b.end && b.start <= a.end);
             let range_overlap = a.offset < b.offset + b.words && b.offset < a.offset + a.words;
             if live_overlap && range_overlap {
                 errors.push(PlanLint::ArenaOverlap {

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xform_core::analyze::{
-    analyze, assign_arena, ArenaAssignment, DepKind, Home, PlanLint, Severity,
+    analyze, assign_arena, ArenaAssignment, ArenaSlot, DepKind, Home, PlanLint, Severity,
 };
 use xform_core::fusion::{apply_plan, decoder_fusion_plan, encoder_fusion_plan};
 use xform_core::plan::{ExecutionPlan, Relayout};
@@ -51,15 +51,16 @@ fn unfused() -> (Graph, ExecutionPlan) {
 /// The arena invariants every assignment must satisfy, checked from the
 /// slot list alone (independently of the coloring internals):
 /// overlapping live intervals get disjoint ranges — a borrowed external's,
-/// the caller's memory, against every other at any time — the slab is
-/// exactly the furthest extent of the slots it owns and every borrowed
-/// range lies past it, it never undershoots the peak-resident words of what
+/// the caller's memory, and a saved container's record range against every
+/// other at any time — the slab is exactly the furthest extent of the slots
+/// it owns and every borrowed or record range lies past it, it never undershoots the peak-resident words of what
 /// it owns, recomputed here from the intervals, and it matches that peak
 /// exactly unless a fragmentation lint says otherwise.
 fn check_assignment(a: &ArenaAssignment) -> std::result::Result<(), String> {
     for (i, s) in a.slots.iter().enumerate() {
         for t in &a.slots[i + 1..] {
-            if s.borrowed || t.borrowed || (s.start <= t.end && t.start <= s.end) {
+            let past = s.borrowed || t.borrowed || s.record || t.record;
+            if past || (s.start <= t.end && t.start <= s.end) {
                 prop_assert!(
                     s.offset + s.words <= t.offset || t.offset + t.words <= s.offset,
                     "live-overlapping `{}` [{},{}] and `{}` [{},{}] share slab words \
@@ -78,10 +79,11 @@ fn check_assignment(a: &ArenaAssignment) -> std::result::Result<(), String> {
             }
         }
     }
-    let owned = || a.slots.iter().filter(|s| !s.borrowed);
+    let owned = || a.slots.iter().filter(|s| !s.borrowed && !s.record);
     let extent = owned().map(|s| s.offset + s.words).max().unwrap_or(0);
     prop_assert_eq!(a.slab_words, extent);
-    prop_assert!(a.slots.iter().all(|s| !s.borrowed || s.offset >= extent));
+    let past = |s: &&ArenaSlot| s.borrowed || s.record;
+    prop_assert!(a.slots.iter().filter(past).all(|s| s.offset >= extent));
     let horizon = a.slots.iter().map(|s| s.end).max().unwrap_or(0);
     let peak = (0..=horizon)
         .map(|t| {
@@ -254,7 +256,8 @@ proptest! {
             let peak = analysis.peak_wave_resident_words().1;
             let borrowed = analysis.home_words(Home::Borrowed);
             prop_assert!(borrowed > 0, "inputs and weights are borrowed");
-            prop_assert!(a.target_words <= peak && peak <= a.target_words + borrowed);
+            let past = borrowed + analysis.home_words(Home::Record);
+            prop_assert!(a.target_words <= peak && peak <= a.target_words + past);
         }
     }
 }
@@ -264,8 +267,8 @@ fn canned_plans_color_to_the_audited_peak_exactly() {
     // On every canned plan the randomized packing search must close the
     // fragmentation gap completely: slab words == the wave-resident peak
     // of the buffers the slab owns (`check_assignment` recomputes it), with
-    // no lint — the audited wave peak less the borrowed externals live at
-    // it.
+    // no lint — the audited wave peak less the borrowed externals and the
+    // record live at it.
     let dims = EncoderDims::tiny();
     for (tag, (g, plan)) in [
         ("encoder/reference", unfused_at(&dims)),

@@ -159,8 +159,8 @@ mod tests {
         assert_eq!(y.shape().spec(), "ibj");
         // no `[h,b,j,k]` tensor: the region step's dropout stream instead
         // (that no attention weight looks at the future shows in `y`, below)
-        assert!(!acts.tensors.contains_key("att"));
-        let (seed, _) = acts.region.expect("the attention core runs as a region");
+        assert!(acts.names().all(|n| n != "att"));
+        let (seed, _) = acts.region().expect("the attention core runs as a region");
         assert_eq!(seed, 1);
     }
 

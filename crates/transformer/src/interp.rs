@@ -3,7 +3,8 @@
 //! backward, plus the one door every run of them goes through — `run`,
 //! which binds a layer's input and weights into the plan's arena by one
 //! binding table and hands back what it wrote: the forward's one [`Saved`]
-//! record, which the backward plan binds in turn, by the same names.
+//! record, written where it is kept, which the backward plan binds in
+//! turn, by the same names, where it lies.
 //!
 //! A canned plan is the recipe's pipeline with every layout pinned to
 //! natural: one constructor behind [`cached_plan`] builds the kind's graph,
@@ -21,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use xform_core::analyze::ArenaGranularity;
-use xform_core::arena::{self, rekeyed, stats_name_of, ArenaArtifact, CompiledArena};
+use xform_core::arena::{self, rekeyed, stats_names, ArenaArtifact, CompiledArena, Record};
 use xform_core::fusion::{decoder_fusion_plan, encoder_fusion_plan, fuse, head_fusion_plan};
 use xform_core::plan::{ExecOptions, ExecState, ExecutionPlan, PlanStep};
 use xform_core::recipe::{backward_ops, forward_ops};
@@ -54,40 +55,71 @@ impl ForwardOutput {
     }
 }
 
-/// The edges from a block's forward to its backward: what the plan's arena
-/// materialized of the graph's [`xform_dataflow::DataRole::Saved`]
-/// containers, under their graph names — the names the arena, the audit
-/// and the backward bind them by.
+/// The edges from a block's forward to its backward: the [`Record`] the
+/// plan's arena wrote the graph's [`xform_dataflow::DataRole::Saved`]
+/// containers and its layer-norm statistics into, where the forward keeps
+/// them, behind an `Arc` (a clone shares it) with the arena's table of
+/// where each lies. Containers go by their graph names — the names the
+/// arena, the audit and the backward bind them by, where they lie — and a
+/// statistic by its norm's output container. Dropped, the record's buffer
+/// returns to its plan's pool for the next forward to write into.
 ///
 /// The attention core's softmax bundle (`att`, `alpha`, `att_mask`) is
 /// here only when the plan kept it, as the reference executor's does. A
 /// plan that ran the core as a region kept none of its `[h,b,j,k]` tensors
-/// and leaves `region` instead — sixteen bytes that stand for its masks,
-/// from which the backward computes the bundle again, keyed by
+/// and notes its [`Saved::region`] instead — sixteen bytes that stand for
+/// its masks, from which the backward computes the bundle again, keyed by
 /// [`arena::stream_key`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Saved {
-    /// Every saved container the plan produced, by graph name, each in the
-    /// layout the plan leaves it in.
-    pub tensors: HashMap<String, Tensor>,
-    /// Layer-norm statistics, keyed by the norm's output container name.
-    pub stats: HashMap<String, LayerNormStats>,
-    /// The attention region's dropout stream: [`ExecOptions::seed`] of the
-    /// run and the region step's [`ExecutionPlan::stream_of`], when the plan
-    /// has a region.
-    pub region: Option<(u64, usize)>,
+    record: Arc<Record>,
+    region: Option<(u64, usize)>,
 }
 
 impl Saved {
-    /// The saved container `name`.
+    /// A copy of the saved container `name`, in the layout the plan leaves
+    /// it in.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::Unsupported`] naming a container the forward
     /// did not save (another block kind's record, say).
-    pub fn tensor(&self, name: &str) -> Result<&Tensor> {
+    pub fn tensor(&self, name: &str) -> Result<Tensor> {
         let missing = || TensorError::Unsupported(format!("the forward saved no `{name}`"));
-        self.tensors.get(name).ok_or_else(missing)
+        let (shape, layout, words) = self.record.container(name).ok_or_else(missing)?;
+        Tensor::from_vec_with_layout(shape.clone(), *layout, words.to_vec())
+    }
+
+    /// The saved containers' names.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.record.names()
+    }
+
+    /// A copy of the statistics of the layer norm whose output container is
+    /// `norm`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::Unsupported`] for a norm the plan did not run.
+    pub fn stats(&self, norm: &str) -> Result<LayerNormStats> {
+        let ran_no = || TensorError::Unsupported(format!("the forward ran no norm `{norm}`"));
+        match stats_names(norm).map(|n| self.record.resolve(&n).map(<[f32]>::to_vec)) {
+            [Some(mean), Some(inv_std)] => Ok(LayerNormStats { mean, inv_std }),
+            _ => Err(ran_no()),
+        }
+    }
+
+    /// The attention region's dropout stream: [`ExecOptions::seed`] of the
+    /// run and the region step's [`ExecutionPlan::stream_of`], when the plan
+    /// has a region.
+    pub fn region(&self) -> Option<(u64, usize)> {
+        self.region
+    }
+
+    /// Every word of the record: the saved containers', then the
+    /// statistics'.
+    pub fn words(&self) -> &[f32] {
+        self.record.words()
     }
 }
 
@@ -354,8 +386,8 @@ thread_local! {
 /// One run's binding table, searched in this order: the named operands,
 /// each of its container's shape and read in logical order (through this
 /// thread's staging when stored permuted); then the weights, by
-/// [`EncoderWeights::container`]; then a forward's record, its layer-norm
-/// statistics and its saved containers where it keeps them. A name none of
+/// [`EncoderWeights::container`]; then a forward's record, its saved
+/// containers and layer-norm statistics where it keeps them. A name none of
 /// them binds is the arena's to report, or, for a cache, to keep resident.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Bind<'a>(
@@ -376,41 +408,63 @@ pub(crate) enum Out<'o, 'w> {
     /// Each named output's words, as the plan leaves them (natural, in
     /// every canned plan), in a vector of their own: what a call returns.
     Words(&'o mut [(&'static str, Option<Vec<f32>>)]),
-    /// Every output and layer-norm statistic, materialized in the layout
-    /// the plan leaves it in: a forward's record.
-    Record(&'o mut ExecState),
+    /// [`Out::Words`], and the plan's saved containers and layer-norm
+    /// statistics written straight into a record its arena lent, which the
+    /// caller keeps: a forward's.
+    Keep(&'o mut [(&'static str, Option<Vec<f32>>)], &'o mut Record),
 }
 
-/// Whether `t` is of the shape `graph` gives its container `name`.
-fn fits(graph: &Graph, name: &str, t: &Tensor) -> bool {
+/// The shape `graph` gives its container `name`.
+fn shape_of<'g>(graph: &'g Graph, name: &str) -> Option<&'g Shape> {
     let data = graph.data_by_name(name).and_then(|d| graph.data(d));
-    data.is_some_and(|d| d.shape == *t.shape())
+    data.map(|d| &d.shape)
 }
 
 /// The one door from this crate to an arena: runs `arena`, compiled from
 /// a plan over `graph` and looked up by the caller, under the caller's
 /// `opts`, binds `bind` and hands back `out`. It allocates nothing of its
-/// own once this thread's staging is warm, but what [`Out::Record`]
-/// materializes.
+/// own once this thread's staging is warm: a record is written where it
+/// is kept, and only [`Out::Words`] vectors are made.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`], before the run, for a named
-/// operand not of its container's shape; [`TensorError::Unsupported`]
-/// naming an output [`Out::Copy`] wants that the run did not write with
-/// its slice's word count; and the errors of
-/// [`CompiledArena::execute_bound`].
+/// Returns, before the run, [`TensorError::ShapeMismatch`] for a named
+/// operand not of its container's shape, and for a record whose words for
+/// a name the plan reads are not of its container's shape (a record made
+/// at other dimensions), and [`TensorError::Unsupported`] for a record that
+/// lacks one (another plan's); after it, [`TensorError::Unsupported`]
+/// naming an output [`Out::Copy`] wants that the run did not write with its
+/// slice's word count; and the errors of
+/// [`CompiledArena::execute_kept`].
 pub(crate) fn run(
     graph: &Graph,
     arena: &CompiledArena,
     opts: &ExecOptions,
     Bind(named, weights, saved): Bind<'_>,
-    mut out: Out<'_, '_>,
+    out: Out<'_, '_>,
 ) -> Result<()> {
-    if !named.iter().all(|&(name, t)| fits(graph, name, t)) {
+    if (named.iter()).any(|&(name, t)| shape_of(graph, name) != Some(t.shape())) {
         let context = "a named operand (the shape of the plan's container)";
         return Err(TensorError::ShapeMismatch { context });
     }
+    // what is left to the record, there and of the plan's shape
+    let by_caller = |name: &str| {
+        named.iter().any(|&(n, _)| n == name) || weights.and_then(|w| w.container(name)).is_some()
+    };
+    if let Some(record) = saved.map(|s| &s.record) {
+        for (name, words) in arena.externals().filter(|&(n, _)| !by_caller(n)) {
+            let missing = || TensorError::Unsupported(format!("the forward saved no `{name}`"));
+            let got = record.resolve(name).ok_or_else(missing)?;
+            if got.len() != words || record.container(name).map(|c| c.0) != shape_of(graph, name) {
+                let context = "a saved operand (the shape of the plan's container)";
+                return Err(TensorError::ShapeMismatch { context });
+            }
+        }
+    }
+    let (mut out, keep) = match out {
+        Out::Keep(words, record) => (Out::Words(words), Some(record)),
+        out => (out, None),
+    };
     let mut written = 0;
     let mut sink = |a: ArenaArtifact<'_>| match (&mut out, a) {
         (
@@ -434,8 +488,7 @@ pub(crate) fn run(
                 *words = Some(data.to_vec());
             }
         }
-        (Out::Record(state), a) => state.record(a),
-        (_, ArenaArtifact::Stats { .. }) => {}
+        _ => {}
     };
     STAGING.with_borrow_mut(|staging| {
         staging.resize_with(staging.len().max(named.len()), Vec::new);
@@ -450,21 +503,13 @@ pub(crate) fn run(
             if let Some(k) = named.iter().position(|(n, _)| *n == name) {
                 return Some(named[k].1.natural_words().unwrap_or(&staging[k]));
             }
-            match (saved, stats_name_of(name)) {
-                (Some(saved), Some((norm, inv))) => {
-                    let s = saved.stats.get(norm)?;
-                    Some(&[&s.mean, &s.inv_std][usize::from(inv)][..])
-                }
-                _ => (weights.and_then(|w| w.container(name)))
-                    .or_else(|| saved?.tensors.get(name)?.natural_words()),
-            }
+            (weights.and_then(|w| w.container(name))).or_else(|| saved?.record.resolve(name))
         };
-        arena.execute_bound(opts, resolve, &mut sink)
+        arena.execute_kept(opts, resolve, keep, &mut sink)
     })?;
     let taken = match out {
         Out::Copy(outs) => written == outs.len(),
-        Out::Words(outs) => outs.iter().all(|(_, words)| words.is_some()),
-        Out::Record(_) => true,
+        Out::Words(outs) | Out::Keep(outs, _) => outs.iter().all(|(_, words)| words.is_some()),
     };
     if !taken {
         let what = "the plan wrote not every output its caller takes, of its word count";
@@ -501,11 +546,12 @@ fn with_arena<R>(
 }
 
 /// Runs one layer forward on the canned plan of `(dims, kind)` and its
-/// memoized arena: `y` and every saved container and layer-norm statistic
-/// the plan produced are materialized out of the slab, each in the layout
-/// the plan leaves it in, and the dropout stream of the plan's attention
-/// region, if it has one, is noted in the [`Saved`] record. `opts` must
-/// already be merged with the layer knobs ([`layer_options`]).
+/// memoized arena: `y` is copied out of the slab once, and every saved
+/// container and layer-norm statistic the plan produced is written where
+/// the returned [`Saved`] keeps it — a record the arena lent, recycled
+/// when an earlier one was dropped — with the dropout stream of the plan's
+/// attention region, if it has one. `opts` must already be merged with the
+/// layer knobs ([`layer_options`]).
 ///
 /// # Errors
 ///
@@ -520,18 +566,18 @@ pub(crate) fn forward(
     opts: &ExecOptions,
 ) -> Result<ForwardOutput> {
     with_arena(dims, kind, |pf, arena| {
-        let mut state = ExecState::default();
+        let (mut record, mut y) = (arena.lend_record(), [("y", None)]);
         let bind = Bind(&[("x", x)], Some(w), None);
-        run(&pf.graph, arena, opts, bind, Out::Record(&mut state))?;
+        run(&pf.graph, arena, opts, bind, Out::Keep(&mut y, &mut record))?;
         // the attention region: the tile program of two contractions
         let region = |s: &PlanStep| matches!(&s.kind, OpKind::TileProgram { second, .. } if second.is_some());
         let at = pf.plan.steps.iter().position(region);
-        // `y` is the plan's one output: what remains is what it saved
+        // a block's `y` is of its input's shape, natural in a canned plan
+        let [(_, y)] = y;
         Ok(ForwardOutput {
-            y: state.take("y")?,
+            y: Tensor::from_vec(x.shape().clone(), y.expect("the door wrote `y` or failed"))?,
             saved: Saved {
-                tensors: state.env,
-                stats: state.stats,
+                record: Arc::new(record),
                 region: at.map(|si| (opts.seed, pf.plan.stream_of(si))),
             },
         })
@@ -557,7 +603,7 @@ pub(crate) fn forward_into(
     y: &mut Tensor,
 ) -> Result<()> {
     with_arena(dims, kind, |pf, arena| {
-        if !fits(&pf.graph, "y", y) || y.natural_words().is_none() {
+        if shape_of(&pf.graph, "y") != Some(y.shape()) || y.natural_words().is_none() {
             let context = "a forward's output buffer (the plan's `y` shape, stored row-major)";
             return Err(TensorError::ShapeMismatch { context });
         }
@@ -588,7 +634,9 @@ const GRADIENTS: &str = "dx d_w_qkv d_wo d_bq d_bk d_bv d_bo d_ln1_gamma d_ln1_b
 ///
 /// Returns an error if the plan cannot be built for `dims`, `dy` or `x` is
 /// not of the plan's shape, the record lacks a container or statistic the
-/// plan reads (another block kind's, or one stored permuted), or a kernel
+/// plan reads (another block kind's: [`TensorError::Unsupported`]) or holds
+/// one of another shape (made at other dimensions:
+/// [`TensorError::ShapeMismatch`]), both before the run, or a kernel
 /// rejects its operands.
 pub(crate) fn backward(
     dims: &EncoderDims,
@@ -708,6 +756,7 @@ mod tests {
     use rand::distributions::Uniform;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use xform_core::arena::stats_name_of;
     use xform_core::plan::{execute_plan, ExecOptions};
     use xform_tensor::Shape;
 
@@ -824,6 +873,7 @@ mod tests {
         let cache =
             |t: &Tensor, spec| Tensor::from_fn(shape(spec), |i| t.at(&[&i[1..], &i[..1]].concat()));
         let [qq, kk, vv] = ["qq", "kk", "vv"].map(|n| saved.tensor(n).unwrap());
+        let [qq, kk, vv] = [&qq, &kk, &vv];
         let want: Vec<_> = [(qq, "phbj"), (kk, "phbj"), (vv, "whbj")]
             .map(|(t, spec)| logical(&column(t, spec)))
             .into();
@@ -976,7 +1026,7 @@ mod tests {
                     .filter(|o| is_saved(o.data))
                     .map(|o| o.name.as_str())
                     .collect();
-                let names: BTreeSet<&str> = saved.tensors.keys().map(String::as_str).collect();
+                let names: BTreeSet<&str> = saved.names().collect();
                 assert_eq!(names, produced, "{tag}");
 
                 let g = unfused(&dims).graph;
@@ -985,8 +1035,11 @@ mod tests {
                     .flat_map(|op| g.outputs_of(op))
                     .map(|d| g.data(d).unwrap().name.as_str())
                     .collect();
-                let stats: BTreeSet<&str> = saved.stats.keys().map(String::as_str).collect();
-                assert_eq!(stats, norms, "{tag}");
+                // every norm's statistics, and the record holds no more
+                assert!(norms.iter().all(|n| saved.stats(n).is_ok()), "{tag}");
+                let tensors: usize = names.iter().map(|n| saved.tensor(n).unwrap().len()).sum();
+                let lanes = 2 * dims.b * dims.j * norms.len();
+                assert_eq!(saved.words().len(), tensors + lanes, "{tag}");
 
                 let reference = kind == PlanKind::EncoderReference;
                 let kept = ["att", "alpha", "att_mask"].map(|n| names.contains(n));
@@ -1002,7 +1055,7 @@ mod tests {
                 });
                 assert_eq!(region.is_some(), !reference, "{tag}");
                 let stream = region.map(|si| (7, pf.plan.stream_of(si)));
-                assert_eq!(saved.region, stream, "{tag}");
+                assert_eq!(saved.region(), stream, "{tag}");
             }
         }
     }
@@ -1115,10 +1168,15 @@ mod tests {
         let saved = saved.unwrap().saved;
         let pf = cached_plan(dims, kind).unwrap();
         let mut base = bind_inputs(&x, &w);
-        base.env.extend(saved.tensors.clone());
+        for name in saved.names() {
+            base.env.insert(name.into(), saved.tensor(name).unwrap());
+        }
         base.env.insert("dy".into(), dy.clone());
-        base.stats = saved.stats.clone();
-        let (seed, stream) = saved.region.unwrap();
+        for norm in ["ln1_out", "ln2_out", "y"] {
+            base.stats
+                .extend(saved.stats(norm).map(|s| (norm.into(), s)));
+        }
+        let (seed, stream) = saved.region().unwrap();
         let si = pf
             .plan
             .steps

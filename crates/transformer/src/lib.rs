@@ -10,9 +10,10 @@
 //!
 //! Every layer exposes **one** forward entry point,
 //! `forward(&x, &weights, &ExecOptions)`, which returns `y` and one
-//! [`interp::Saved`] record — the graph's saved containers as the plan
-//! materialized them, by name, which the layer's `backward` binds into its
-//! backward plan — and its allocation-free twin for inference,
+//! [`interp::Saved`] record — the graph's saved containers, by name, as
+//! the plan's run wrote them into a buffer the record keeps, where the
+//! layer's `backward` binds them into its backward plan — and its
+//! allocation-free twin for inference,
 //! `forward_into`. Forward and backward alike run as certified plans out of
 //! static arenas. The
 //! [`xform_core::plan::ExecOptions`] argument selects serial vs.

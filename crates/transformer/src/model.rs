@@ -49,7 +49,9 @@ pub struct ModelActs {
     /// Each block's input, then the last block's output: the embedded
     /// tokens first, the hidden state the head reads last.
     pub block_inputs: Vec<Tensor>,
-    /// What each block's forward saved for its backward.
+    /// What each block's forward saved for its backward: each a record the
+    /// block's run wrote in place, shared by a clone of these activations
+    /// and returned to its plan's pool when the last of them is dropped.
     pub blocks: Vec<Saved>,
     /// Softmax of the logits over the vocabulary (saved for backward):
     /// logically `[v,b,j]`, stored in the `(b,j,v)` layout the head plan
@@ -161,7 +163,7 @@ impl TransformerModel {
     pub fn embed(&self, tokens: &[Vec<usize>]) -> Result<Tensor> {
         self.check_ids(tokens, "embed batch")?;
         let d = &self.config.dims;
-        let mut x = Tensor::zeros(Shape::from_spec("ibj", &d.size_table())?);
+        let mut x = Tensor::zeros(Shape::new([('i', d.i), ('b', d.b), ('j', d.j)])?);
         for j in 0..d.j {
             self.embed_column(tokens.iter().map(|row| row[j]), j, (x.data_mut(), j))?;
         }
@@ -212,7 +214,10 @@ impl TransformerModel {
         }
     }
 
-    /// Full forward pass to vocabulary probabilities.
+    /// Full forward pass to vocabulary probabilities. Once warm, it
+    /// allocates what it returns and nothing more: each block writes its
+    /// record into a buffer its plan's pool kept from a dropped one, or,
+    /// with none idle, a fresh one.
     ///
     /// # Errors
     ///
@@ -225,12 +230,11 @@ impl TransformerModel {
         let (d, p) = (self.config.dims, self.config.dropout_p);
         let mut block_inputs = Vec::with_capacity(self.blocks.len() + 1);
         block_inputs.push(self.embed(tokens)?);
-        // one seed a block, drawn up front in block order from the caller's
-        // RNG: block `l` keys its dropout stream `s` by `(seeds[l], s)`
-        let seeds: Vec<u64> = self.blocks.iter().map(|_| rng.gen()).collect();
+        // one seed a block, drawn in block order from the caller's RNG:
+        // block `l` keys its dropout stream `s` by `(seed_l, s)`
         let mut blocks = Vec::with_capacity(self.blocks.len());
-        for (l, (w, &seed)) in self.blocks.iter().zip(&seeds).enumerate() {
-            let opts = layer_options(&ExecOptions::builder().seed(seed).build(), p)?;
+        for (l, w) in self.blocks.iter().enumerate() {
+            let opts = layer_options(&ExecOptions::builder().seed(rng.gen()).build(), p)?;
             let out = interp::forward(&d, self.block_kind(), &block_inputs[l], w, &opts)?;
             block_inputs.push(out.y);
             blocks.push(out.saved);
@@ -581,6 +585,12 @@ mod tests {
         }
     }
 
+    /// A record handed to a backward it was not made for is a typed error
+    /// before the run: another block kind's lacks a container the backward
+    /// plan reads, one of the same kind made at other dimensions holds them
+    /// at other shapes — with `b` and `j` swapped, at the same word counts,
+    /// which once ran on the wrong words — and the backward plan's profiler
+    /// sink sees no step run.
     #[test]
     fn a_record_of_the_other_block_kind_is_a_typed_error() {
         let mut rng = StdRng::seed_from_u64(12);
@@ -594,11 +604,59 @@ mod tests {
         ] {
             let acts = from.forward(&tokens, &mut rng).unwrap();
             let err = to.backward(&tokens, &targets, &acts).unwrap_err();
+            let saved_no = format!("the forward saved no `{missing}`");
+            assert_eq!(err, TensorError::Unsupported(saved_no));
+        }
+
+        use crate::decoder::DecoderLayer;
+        use crate::encoder::{EncoderLayer, Executor};
+        use std::sync::Mutex;
+        use xform_core::profile::{PlanProfiler, ProfilerSink};
+        let d = config(BlockKind::Encoder).dims;
+        let swapped = EncoderDims {
+            b: d.j,
+            j: d.b,
+            k: d.b,
+            ..d
+        };
+        let (w, x, opts) = (&encoder.blocks[0], &acts_input(&d), ExecOptions::default());
+        let (enc, dec) = (
+            |d| EncoderLayer::new(d, Executor::Fused, 0.0),
+            |d| DecoderLayer::new(d, 0.0),
+        );
+        let saved = [
+            enc(swapped).forward(&acts_input(&swapped), w, &opts),
+            dec(swapped).forward(&acts_input(&swapped), w, &opts),
+        ];
+        let [enc_saved, dec_saved] = saved.map(|out| out.unwrap().saved);
+        for (kind, saved) in [
+            (PlanKind::EncoderTrain, &enc_saved),
+            (PlanKind::DecoderTrain, &dec_saved),
+        ] {
+            let pf = interp::cached_plan(&d, kind).unwrap();
+            let sink: ProfilerSink = Mutex::new(PlanProfiler::new(&pf.graph, &pf.plan));
+            let opts = ExecOptions::builder().profiler(Some(&sink)).build();
+            let err = match kind {
+                PlanKind::EncoderTrain => enc(d).backward(x, x, w, saved, &opts),
+                _ => dec(d).backward(x, x, w, saved, &opts),
+            };
+            let context = "a saved operand (the shape of the plan's container)";
+            assert_eq!(
+                err.unwrap_err(),
+                TensorError::ShapeMismatch { context },
+                "{kind:?}"
+            );
             assert!(
-                matches!(&err, TensorError::UnboundExternal { container, .. } if container == missing),
-                "{err:?}"
+                sink.into_inner().unwrap().steps().all(|s| s.runs == 0),
+                "{kind:?}"
             );
         }
+    }
+
+    /// A block input at `d`, of no particular values.
+    fn acts_input(d: &EncoderDims) -> Tensor {
+        let shape = Shape::new([('i', d.i), ('b', d.b), ('j', d.j)]).unwrap();
+        Tensor::from_fn(shape, |ix| (ix[0] + 3 * ix[1] + 5 * ix[2]) as f32 * 0.01)
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! on the steady-state path shows up as a nonzero event delta and fails
 //! the test. The model head and the block backwards are that plus the
 //! tensors they return: a warm run allocates the `probs`, or the `dx` and
-//! weight gradients, it returns and nothing else.
+//! weight gradients, it returns and nothing else. A warm model forward
+//! returns its block inputs and `probs` and one handle a block's record,
+//! whose words its plan's pool recycled.
 //!
 //! Everything runs inside one `#[test]` function: the default harness
 //! runs tests on separate threads, and the allocator counters are
@@ -253,6 +255,51 @@ fn steady_state_forwards_touch_no_heap() {
                 ));
             }
         }
+    }
+
+    // A warm model forward while the previous one's activations are still
+    // alive, as a benchmark op keeps them: each block writes its record
+    // into a buffer its plan's pool kept from the forward before, so at `L`
+    // layers the forward makes 2L + 4 heap events — the vector of `L + 1`
+    // block inputs and each input, the vector of records and one handle a
+    // record, and the `probs` — and none is for a record's words: what it
+    // allocates beyond the tensors it returns is less than one record.
+    let model_dims = EncoderDims {
+        b: 3,
+        j: 5,
+        k: 5,
+        h: 2,
+        p: 4,
+        i: 8,
+        u: 12,
+    };
+    for (layers, block) in [(1, BlockKind::Encoder), (3, BlockKind::Decoder)] {
+        let cfg = ModelConfig {
+            dims: model_dims,
+            layers,
+            vocab: 11,
+            block,
+            dropout_p: 0.3,
+        };
+        let model = TransformerModel::init(cfg, &mut rng).unwrap();
+        let tokens = vec![vec![4; model_dims.j]; model_dims.b];
+        let first = model.forward(&tokens, &mut rng).unwrap();
+        let last = model.forward(&tokens, &mut rng).unwrap();
+        drop(first);
+        let (events, bytes) = (ALLOC.events(), ALLOC.bytes_allocated());
+        let acts = model.forward(&tokens, &mut rng).unwrap();
+        let (events, bytes) = (ALLOC.events() - events, ALLOC.bytes_allocated() - bytes);
+        let returned = acts.block_inputs.iter().chain([&acts.probs]);
+        let returned: usize = returned.map(|t| t.len() * 4).sum();
+        let record = acts.blocks[0].words().len() * 4;
+        if events != 2 * layers as u64 + 4 || bytes as usize >= returned + record {
+            failures.push(format!(
+                "{block:?} model forward at {layers} layer(s): {events} heap event(s), \
+                 {bytes} bytes, against 2L + 4 events and {returned} bytes of tensors \
+                 plus less than a {record}-byte record"
+            ));
+        }
+        drop((last, acts));
     }
 
     // Streaming decode: after prefill has compiled the bucket's step plans

@@ -342,8 +342,8 @@ fn dropout_is_thread_count_invariant_under_the_arena() {
 
 #[test]
 fn collected_activations_match_between_arena_and_env_interpreter() {
-    // Saved activations and layer-norm statistics materialized out of the
-    // slab must be the same values the reference interpreter produces.
+    // Saved activations and layer-norm statistics written into the record
+    // must be the same values the reference interpreter produces.
     let (dims, w, x) = setup();
     let layer = EncoderLayer::new(dims, Executor::Fused, 0.0);
     let arena_out = layer.forward(&x, &w, &ExecOptions::default()).unwrap();
@@ -351,13 +351,14 @@ fn collected_activations_match_between_arena_and_env_interpreter() {
     let a = &arena_out.saved;
     // neither executor materializes the attention weights: the plan's
     // region keeps them in its panel, the forward saves the stream instead
-    assert!(a.region.is_some());
+    assert!(a.region().is_some());
     assert!(!reference.env.contains_key("att"));
-    for (name, t) in &a.tensors {
+    for name in a.names() {
+        let t = a.tensor(name).unwrap();
         assert_eq!(t.data(), reference.env[name].data(), "`{name}`");
     }
-    assert_eq!(a.stats.len(), reference.stats.len());
-    for (name, s) in &a.stats {
+    for name in reference.stats.keys() {
+        let s = a.stats(name).unwrap();
         assert_eq!(s.mean, reference.stats[name].mean, "`{name}`");
         assert_eq!(s.inv_std, reference.stats[name].inv_std, "`{name}`");
     }
@@ -368,7 +369,12 @@ fn collected_activations_match_between_arena_and_env_interpreter() {
 /// activations that carry dropout masks, and both layer-norm statistics.
 fn encoder_bits(layer: &EncoderLayer, x: &Tensor, w: &EncoderWeights, o: &ExecOptions) -> Vec<u32> {
     let (y, a) = layer.forward(x, w, o).unwrap().into_pair().unwrap();
-    bits(&y, &a.tensors, &a.stats)
+    let tensors = a
+        .names()
+        .map(|n| (n.into(), a.tensor(n).unwrap()))
+        .collect();
+    let stats = ["ln1_out", "y"].map(|n| (n.into(), a.stats(n).unwrap()));
+    bits(&y, &tensors, &stats.into())
 }
 
 /// [`encoder_bits`] of what a run left: `y`, its saved containers and its

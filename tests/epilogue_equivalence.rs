@@ -346,7 +346,8 @@ fn epilogue_arena_slab_is_smaller_at_sequence_dominant_dims() {
     // them no slot has a strictly smaller slab than the same block with the
     // core run as three steps (the fusion table applied, no region pass).
     // The epilogue plans drop further intermediates (`ff1`, ...): never a
-    // larger slab than the fused plans.
+    // larger slab than the fused plans. A run holds its slab and its record
+    // (the saved containers, `att`, `alpha` and `att_mask` among them).
     use interp::PlanKind::*;
     let dims = EncoderDims {
         b: 2,
@@ -377,13 +378,12 @@ fn epilogue_arena_slab_is_smaller_at_sequence_dominant_dims() {
         let mut g = eg.graph;
         apply_plan(&mut g, &table).unwrap();
         let chain = ExecutionPlan::natural(&g, &forward_ops(&g, eg.dy)).unwrap();
+        let held = |a: &arena::CompiledArena| a.slab_words() + a.record_words();
         let slab = |kind| {
-            interp::cached_arena(&dims, kind, ArenaGranularity::Serial)
-                .unwrap()
-                .unwrap()
-                .slab_words()
+            let a = interp::cached_arena(&dims, kind, ArenaGranularity::Serial);
+            held(&a.unwrap().unwrap())
         };
-        let sc = arena::compiled(&g, &chain).unwrap().slab_words();
+        let sc = held(&arena::compiled(&g, &chain).unwrap());
         let (sf, se) = (slab(fused), slab(epilogue));
         assert!(
             se <= sf && sf < sc,

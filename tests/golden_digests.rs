@@ -138,14 +138,14 @@ impl Fnv {
 /// The names of `a` into `h`, in the order given.
 fn named(h: &mut Fnv, a: &Saved, names: &[&str]) {
     for n in names {
-        h.tensor(a.tensor(n).unwrap());
+        h.tensor(&a.tensor(n).unwrap());
     }
 }
 
 /// The softmax bundle, where the forward kept one, into `sm`: `alpha`,
 /// `att`, `att_mask`, the order the bundle was always hashed in.
 fn kept_softmax(sm: &mut Fnv, a: &Saved) {
-    if a.tensors.contains_key("att") {
+    if a.names().any(|n| n == "att") {
         named(sm, a, &["alpha", "att", "att_mask"]);
     }
 }
@@ -157,11 +157,11 @@ fn encoder_acts(h: &mut Fnv, sm: &mut Fnv, y: &Tensor, a: &Saved) {
     named(h, a, &["qq", "kk", "vv", "gamma"]);
     kept_softmax(sm, a);
     named(h, a, &["ln1_out", "ln1_in", "drop1_mask"]);
-    h.stats(&a.stats["ln1_out"]);
+    h.stats(&a.stats("ln1_out").unwrap());
     named(h, a, &["ff1_drop", "ff1_b", "drop2_mask"]);
     h.tensor(y);
     named(h, a, &["ln2_in", "drop3_mask"]);
-    h.stats(&a.stats["y"]);
+    h.stats(&a.stats("y").unwrap());
 }
 
 /// Everything saved but the softmax bundle, which — where the forward
@@ -182,8 +182,8 @@ fn decoder_acts(h: &mut Fnv, sm: &mut Fnv, a: &Saved) {
             "drop3_mask",
         ],
     );
-    h.stats(&a.stats["ln1_out"]);
-    h.stats(&a.stats["ln2_out"]);
+    h.stats(&a.stats("ln1_out").unwrap());
+    h.stats(&a.stats("ln2_out").unwrap());
     kept_softmax(sm, a);
     named(h, a, &["ff1_drop", "ff1_b", "drop2_mask"]);
 }

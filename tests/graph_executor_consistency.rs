@@ -43,14 +43,15 @@ fn activations_match_graph_containers() {
     let reference = EncoderLayer::new(d, Executor::Reference, 0.0);
     let kept = reference.forward(&x, &w, &ExecOptions::default()).unwrap();
     for record in [&acts, &kept.saved] {
-        for (name, t) in &record.tensors {
+        for name in record.names() {
+            let t = record.tensor(name).unwrap();
             let id = enc.graph.data_by_name(name).unwrap();
             let node = enc.graph.data(id).unwrap();
             assert_eq!(&node.shape, t.shape(), "shape mismatch for {name}");
             assert_eq!(node.role, DataRole::Saved, "{name} should be Saved");
         }
     }
-    let names = |record: &Saved| record.tensors.keys().cloned().collect::<BTreeSet<_>>();
+    let names = |record: &Saved| record.names().map(String::from).collect::<BTreeSet<_>>();
     assert_eq!(names(&kept.saved), graph_saved);
     // the softmax bundle is the reference executor's to keep: the fused
     // one runs the attention core as a region and saves the dropout stream
@@ -61,7 +62,7 @@ fn activations_match_graph_containers() {
         &graph_saved - &BTreeSet::from(bundle),
         "the fused record is all but the softmax bundle"
     );
-    assert!(acts.region.is_some() && kept.saved.region.is_none());
+    assert!(acts.region().is_some() && kept.saved.region().is_none());
 
     // output container
     let y_id = enc.graph.data_by_name("y").unwrap();
