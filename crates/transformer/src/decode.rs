@@ -275,13 +275,15 @@ impl<'m> DecodeSession<'m> {
         self.arenas.as_ref().map_or(0, |a| a.attend.capacity)
     }
 
-    /// Bytes the session holds across steps: the arena slabs of all layers
-    /// (cache slabs included) and the shared projection arena's. The
-    /// weights stay the model's.
+    /// Bytes the session holds across steps: the arena slabs and records of
+    /// all layers (cache slabs included) and the shared projection arena's.
+    /// The weights stay the model's.
     pub fn resident_bytes(&self) -> usize {
         let slabs = self.arenas.iter().flat_map(|a| {
             let attend = a.attend.arenas.iter();
-            attend.chain([&a.project.1]).map(CompiledArena::slab_bytes)
+            attend
+                .chain([&a.project.1])
+                .map(|a| a.slab_bytes() + 4 * a.record_words())
         });
         slabs.sum()
     }
@@ -695,8 +697,8 @@ mod tests {
         assert_eq!(session.resident_bytes(), 0);
     }
 
-    /// What a session holds is its arenas' slabs: the weights stay the
-    /// model's, borrowed by every step.
+    /// What a session holds is its arenas' slabs and records: the weights
+    /// stay the model's, borrowed by every step.
     #[test]
     fn resident_bytes_are_the_arena_slabs() {
         let model = model();
@@ -704,8 +706,9 @@ mod tests {
         session.prefill(&[vec![1, 2], vec![3, 4]]).unwrap();
         session.advance(&[2, 0]).unwrap();
         let arenas = session.arenas.as_ref().unwrap();
-        let attend = arenas.attend.arenas.iter().map(CompiledArena::slab_bytes);
-        let slabs = attend.sum::<usize>() + arenas.project.1.slab_bytes();
+        let held = |a: &CompiledArena| a.slab_bytes() + 4 * a.record_words();
+        let attend = arenas.attend.arenas.iter().map(held);
+        let slabs = attend.sum::<usize>() + held(&arenas.project.1);
         assert_eq!(session.resident_bytes(), slabs);
         assert!(slabs > 0);
     }
