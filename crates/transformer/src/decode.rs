@@ -337,8 +337,9 @@ impl<'m> DecodeSession<'m> {
     /// forward plan ([`PlanKind::DecoderFused`]) at the prompt's length,
     /// seeds the per-layer caches from its `kk`/`vv` projections, and
     /// returns the prompt's logits (`[v,b,S]`) — the full-sequence forward's
-    /// logits, because it is the full-sequence forward. Of each layer's
-    /// record only `y`, `kk` and `vv` leave the slab.
+    /// logits, because it is the full-sequence forward. Each layer's run
+    /// writes its record into one the prefill arena lent, out of which `kk`
+    /// and `vv` are copied into the caches, and only `y` leaves the slab.
     ///
     /// Allocates freely (it runs once per session); only the *step* path
     /// is allocation-free.
@@ -390,18 +391,15 @@ impl<'m> DecodeSession<'m> {
         // `p·h·b`-major
         let view = Shape::new([('k', s), ('c', d.p * d.h * d.b)])?;
         let phb_major = Layout::from_order(&[1, 0])?;
-        let words = s * d.p * d.h * d.b;
-        let (mut kk, mut vv) = (vec![0.0; words], vec![0.0; words]);
-        let (mut h, mut y) = (x.clone(), x);
+        // every layer's record, read where the run wrote it
+        let (mut record, mut h, mut y) = (prefill.lend_record(), x.clone(), x);
         for (l, w) in self.model.blocks.iter().enumerate() {
-            let outs = &mut [
-                ("y", y.data_mut()),
-                ("kk", &mut kk[..]),
-                ("vv", &mut vv[..]),
-            ];
             let bind = Bind(&[("x", &h)], Some(w), None);
-            interp::run(&pf.graph, &prefill, &opts, bind, Out::Copy(outs))?;
-            for (name, src) in [("k_cache", &kk), ("v_cache", &vv)] {
+            let out = Out::Copy(&mut [("y", y.data_mut())]);
+            interp::run(&pf.graph, &prefill, &opts, bind, out, Some(&mut record))?;
+            for (name, saved) in [("k_cache", "kk"), ("v_cache", "vv")] {
+                let unsaved = || unsupported(format!("the prefill saved no natural `{saved}`"));
+                let src = record.resolve(saved).ok_or_else(unsaved)?;
                 let span = column_span(attend.arenas[l].certificate(), name, 0, s)
                     .ok_or_else(|| unsupported(format!("prompt escapes `{name}` capacity")))?;
                 attend.arenas[l]
@@ -497,7 +495,14 @@ impl<'m> DecodeSession<'m> {
                 ("vv_new", &mut self.vv_col[..]),
             ];
             let bind = Bind(&[("x", &self.h_cur)], Some(w), None);
-            interp::run(&project.0.graph, &project.1, &run, bind, Out::Copy(cols))?;
+            interp::run(
+                &project.0.graph,
+                &project.1,
+                &run,
+                bind,
+                Out::Copy(cols),
+                None,
+            )?;
             // phase 2: append the new cache columns at `pos` under the
             // certificate's bounds-checked column license
             let arena = &bucket.arenas[l];
@@ -515,7 +520,7 @@ impl<'m> DecodeSession<'m> {
             // extended
             let bind = Bind(&[("x", &self.h_cur), ("qq", &self.qq)], Some(w), None);
             let y = &mut [("y", self.h_next.data_mut())];
-            interp::run(&bucket.plan.graph, arena, &run, bind, Out::Copy(y))?;
+            interp::run(&bucket.plan.graph, arena, &run, bind, Out::Copy(y), None)?;
             std::mem::swap(&mut self.h_cur, &mut self.h_next);
         }
         head_logits(model, self.h_cur.data(), self.logits.data_mut());

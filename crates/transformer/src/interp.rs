@@ -408,10 +408,6 @@ pub(crate) enum Out<'o, 'w> {
     /// Each named output's words, as the plan leaves them (natural, in
     /// every canned plan), in a vector of their own: what a call returns.
     Words(&'o mut [(&'static str, Option<Vec<f32>>)]),
-    /// [`Out::Words`], and the plan's saved containers and layer-norm
-    /// statistics written straight into a record its arena lent, which the
-    /// caller keeps: a forward's.
-    Keep(&'o mut [(&'static str, Option<Vec<f32>>)], &'o mut Record),
 }
 
 /// The shape `graph` gives its container `name`.
@@ -422,9 +418,11 @@ fn shape_of<'g>(graph: &'g Graph, name: &str) -> Option<&'g Shape> {
 
 /// The one door from this crate to an arena: runs `arena`, compiled from
 /// a plan over `graph` and looked up by the caller, under the caller's
-/// `opts`, binds `bind` and hands back `out`. It allocates nothing of its
-/// own once this thread's staging is warm: a record is written where it
-/// is kept, and only [`Out::Words`] vectors are made.
+/// `opts`, binds `bind` and hands back `out`; the plan's saved containers
+/// and layer-norm statistics go straight into `keep`, a record `arena`
+/// lent, which the caller keeps (into the arena's own without one). It
+/// allocates nothing of its own once this thread's staging is warm but
+/// the [`Out::Words`] vectors.
 ///
 /// # Errors
 ///
@@ -441,7 +439,8 @@ pub(crate) fn run(
     arena: &CompiledArena,
     opts: &ExecOptions,
     Bind(named, weights, saved): Bind<'_>,
-    out: Out<'_, '_>,
+    mut out: Out<'_, '_>,
+    keep: Option<&mut Record>,
 ) -> Result<()> {
     if (named.iter()).any(|&(name, t)| shape_of(graph, name) != Some(t.shape())) {
         let context = "a named operand (the shape of the plan's container)";
@@ -461,10 +460,6 @@ pub(crate) fn run(
             }
         }
     }
-    let (mut out, keep) = match out {
-        Out::Keep(words, record) => (Out::Words(words), Some(record)),
-        out => (out, None),
-    };
     let mut written = 0;
     let mut sink = |a: ArenaArtifact<'_>| match (&mut out, a) {
         (
@@ -509,7 +504,7 @@ pub(crate) fn run(
     })?;
     let taken = match out {
         Out::Copy(outs) => written == outs.len(),
-        Out::Words(outs) | Out::Keep(outs, _) => outs.iter().all(|(_, words)| words.is_some()),
+        Out::Words(outs) => outs.iter().all(|(_, words)| words.is_some()),
     };
     if !taken {
         let what = "the plan wrote not every output its caller takes, of its word count";
@@ -567,8 +562,8 @@ pub(crate) fn forward(
 ) -> Result<ForwardOutput> {
     with_arena(dims, kind, |pf, arena| {
         let (mut record, mut y) = (arena.lend_record(), [("y", None)]);
-        let bind = Bind(&[("x", x)], Some(w), None);
-        run(&pf.graph, arena, opts, bind, Out::Keep(&mut y, &mut record))?;
+        let (bind, out) = (Bind(&[("x", x)], Some(w), None), Out::Words(&mut y));
+        run(&pf.graph, arena, opts, bind, out, Some(&mut record))?;
         // the attention region: the tile program of two contractions
         let region = |s: &PlanStep| matches!(&s.kind, OpKind::TileProgram { second, .. } if second.is_some());
         let at = pf.plan.steps.iter().position(region);
@@ -608,7 +603,7 @@ pub(crate) fn forward_into(
             return Err(TensorError::ShapeMismatch { context });
         }
         let (bind, y) = (Bind(&[("x", x)], Some(w), None), &mut [("y", y.data_mut())]);
-        run(&pf.graph, arena, opts, bind, Out::Copy(y))
+        run(&pf.graph, arena, opts, bind, Out::Copy(y), None)
     })
 }
 
@@ -672,7 +667,7 @@ pub(crate) fn backward(
         let mut names = GRADIENTS.split_whitespace();
         let mut outs: [_; 15] = std::array::from_fn(|_| (names.next().expect("15 names"), None));
         let bind = Bind(&[("x", x), ("dy", dy)], Some(w), Some(saved));
-        run(&pf.graph, arena, &opts, bind, Out::Words(&mut outs))?;
+        run(&pf.graph, arena, &opts, bind, Out::Words(&mut outs), None)?;
         // `dx` of `x`'s shape, then every field's gradient of its own
         let fields = w.map(PackedWeight::shape, Tensor::shape);
         let shapes = [x.shape()].into_iter().chain(fields.iter().map(|f| f.1));
@@ -728,7 +723,7 @@ pub fn head_forward(
             None,
         );
         let mut outs = [("probs", None)];
-        run(&pf.graph, arena, opts, bind, Out::Words(&mut outs))?;
+        run(&pf.graph, arena, opts, bind, Out::Words(&mut outs), None)?;
         let [(_, probs)] = outs;
         // the canned plan leaves its `[b,j,v]` container natural: `[v,b,j]`
         // with its axes 1, 2, 0 outermost first
