@@ -51,7 +51,7 @@ use rand::{Rng, SeedableRng};
 
 use xform_core::access::column_span;
 use xform_core::analyze::{analyze, ArenaGranularity};
-use xform_core::arena::CompiledArena;
+use xform_core::arena::{CompiledArena, Record};
 use xform_core::plan::ExecOptions;
 use xform_dataflow::EncoderDims;
 use xform_tensor::lanes::{check_dropout_p, exp};
@@ -111,20 +111,24 @@ impl Default for DecodeOptions {
 
 /// The per-bucket compiled state: one shared attend plan and one
 /// *private* arena per layer, because each layer's arena slab holds that
-/// layer's resident K/V cache between calls. Every arena carries the
-/// plan's one certificate, whose cache geometry licenses the appends.
+/// layer's resident K/V cache between calls, with the record each layer's
+/// runs write their saved containers into, lent when the bucket is built.
+/// Every arena carries the plan's one certificate, whose cache geometry
+/// licenses the appends.
 #[derive(Debug)]
 struct AttendBucket {
     plan: Arc<PlannedForward>,
     arenas: Vec<CompiledArena>,
+    records: Vec<Record>,
     capacity: usize,
 }
 
-/// What prefill compiles and every step runs: the projection plan and its
-/// arena (stateless — one for every layer) and the current attend bucket.
+/// What prefill compiles and every step runs: the projection plan, its
+/// arena (stateless — one for every layer) and the record it lent, and the
+/// current attend bucket.
 #[derive(Debug)]
 struct StepArenas {
-    project: (Arc<PlannedForward>, CompiledArena),
+    project: (Arc<PlannedForward>, CompiledArena, Record),
     attend: AttendBucket,
 }
 
@@ -326,9 +330,11 @@ impl<'m> DecodeSession<'m> {
         for _ in 1..self.model.blocks.len() {
             arenas.push(arenas[0].fresh());
         }
+        let records = arenas.iter().map(CompiledArena::lend_record).collect();
         Ok(AttendBucket {
             plan,
             arenas,
+            records,
             capacity,
         })
     }
@@ -384,7 +390,9 @@ impl<'m> DecodeSession<'m> {
         let capacity = round_up(s + 1, self.bucket);
         let attend = self.build_bucket(capacity)?;
         // the shared projection arena (stateless — reused by every layer)
-        let project = session_arena(&self.step_dims(1), PlanKind::DecoderStepProject)?;
+        let (plan, arena) = session_arena(&self.step_dims(1), PlanKind::DecoderStepProject)?;
+        let record = arena.lend_record();
+        let project = (plan, arena, record);
 
         // a cache column `k` holds position k's `[p,h,b]` words: the saved
         // `[p,h,b,k]` projection is the `[k, p·h·b]` view stored
@@ -485,8 +493,11 @@ impl<'m> DecodeSession<'m> {
         // one worker, no dropout, causal windows shifted to `pos`
         let run = ExecOptions::builder().pos(pos).build();
 
-        let arenas = prefilled(&mut self.arenas)?;
-        let (project, bucket) = (&arenas.project, &arenas.attend);
+        let StepArenas {
+            project,
+            attend: bucket,
+        } = prefilled(&mut self.arenas)?;
+        let (project, project_arena, project_record) = project;
         for (l, w) in model.blocks.iter().enumerate() {
             // phase 1: project the new column
             let cols = &mut [
@@ -494,15 +505,9 @@ impl<'m> DecodeSession<'m> {
                 ("kk_new", &mut self.kk_col[..]),
                 ("vv_new", &mut self.vv_col[..]),
             ];
-            let bind = Bind(&[("x", &self.h_cur)], Some(w), None);
-            interp::run(
-                &project.0.graph,
-                &project.1,
-                &run,
-                bind,
-                Out::Copy(cols),
-                None,
-            )?;
+            let (bind, out) = (Bind(&[("x", &self.h_cur)], Some(w), None), Out::Copy(cols));
+            let record = Some(&mut *project_record);
+            interp::run(&project.graph, project_arena, &run, bind, out, record)?;
             // phase 2: append the new cache columns at `pos` under the
             // certificate's bounds-checked column license
             let arena = &bucket.arenas[l];
@@ -519,8 +524,9 @@ impl<'m> DecodeSession<'m> {
             // to nothing: each keeps the resident contents the append above
             // extended
             let bind = Bind(&[("x", &self.h_cur), ("qq", &self.qq)], Some(w), None);
-            let y = &mut [("y", self.h_next.data_mut())];
-            interp::run(&bucket.plan.graph, arena, &run, bind, Out::Copy(y), None)?;
+            let out = Out::Copy(&mut [("y", self.h_next.data_mut())]);
+            let record = Some(&mut bucket.records[l]);
+            interp::run(&bucket.plan.graph, arena, &run, bind, out, record)?;
             std::mem::swap(&mut self.h_cur, &mut self.h_next);
         }
         head_logits(model, self.h_cur.data(), self.logits.data_mut());
