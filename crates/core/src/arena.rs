@@ -70,6 +70,19 @@
 //!   copied into its range at bind (the one copy binding still makes, and
 //!   `repro audit` prints it per plan: zero for every canned plan).
 //!
+//! A statistic a backward kernel reads is an external too, asked for by
+//! its [`stats_names`] name and borrowed like an input: one entry of the
+//! externals table however many steps read it, and the kernels read the
+//! resolver's answer — the forward's [`Record`], or
+//! [`ExecState::stats`] — where it lies.
+//!
+//! **The record.** What a run saves — its [`DataRole::Saved`] containers
+//! and the statistics its forward norms write — lives past the slab, in a
+//! [`Record`] outside the coloring: the caller's, lent by
+//! [`CompiledArena::lend_record`], or the arena's own for a run that keeps
+//! none. A run writes it in place and reports only its outputs; the
+//! record's accessors are the one view of what it saved.
+//!
 //! **The tail boundary.** A tile program step reads its contractions'
 //! operands through their declared strides, but a one-contraction
 //! program's tail streams are walked as dense row blocks: declared in any
@@ -85,11 +98,13 @@
 //! * **pool** — the same waves in the same order, each multi-step wave
 //!   dispatched across a lazily-spawned persistent worker pool
 //!   (scoped-thread spawning would allocate per call);
-//! * **poison** — the aliasing-aware checking mode: the slab is poisoned
-//!   with NaN, each buffer is re-poisoned after the wave its certified
-//!   live interval ends in, and every step's outputs are checked finite,
-//!   so a read of a dead (reused) buffer surfaces as an error instead of
-//!   silent corruption;
+//! * **poison** — the aliasing-aware checking mode: the slab and the
+//!   record are filled with one quiet NaN of the arena's own (`POISON`),
+//!   each buffer is filled again after the wave its certified live
+//!   interval ends in, and a step whose outputs carry that NaN, of either
+//!   sign, fails, so a read of a dead (reused) buffer surfaces as an error
+//!   instead of silent corruption, while a NaN the caller hands in flows
+//!   through as data;
 //! * **timed** — with a profiler sink set, each step writes its wall time
 //!   into a slot of its own preallocated at compile (workers need no
 //!   lock), each wave likewise, and the run folds them into the sink — a
@@ -116,6 +131,7 @@ use xform_tensor::into_ops::{self, RowTail, Sweep, View};
 use xform_tensor::lanes::Dropout;
 use xform_tensor::matmul::WeightPack;
 use xform_tensor::ops::elementwise::ActivationKind;
+use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
 use crate::access::{view_path, AccessPath};
@@ -172,9 +188,10 @@ struct StepExec {
     /// entry it gathers from instead of permuting the slot in place (and
     /// the entry's pack, if it is a projection weight's).
     relayouts: Vec<(Gather, Place, RelayoutCopy)>,
-    /// Per-lane mean and inverse-deviation regions of the record (the
-    /// normalizing classes).
-    stats: Option<(BufView, BufView)>,
+    /// The per-lane means and inverse deviations of the step's layer norm
+    /// (the normalizing classes): regions of the record a forward norm
+    /// writes, or the externals-table entries a backward kernel reads.
+    stats: Option<[Place; 2]>,
     /// The step's scratch range
     /// ([`crate::lower::StepLowering::scratch_words`]): the staging copy of
     /// a relayout, the gather packs of a contraction (none for the canned
@@ -201,7 +218,8 @@ struct StepExec {
 struct ExternalBind {
     name: String,
     /// Its range in the arena's address space
-    /// ([`crate::analyze::ArenaSlot`]): slab words unless borrowed.
+    /// ([`crate::analyze::ArenaSlot`]): slab words unless borrowed. A
+    /// statistic a backward kernel reads has no slot: its offset is 0.
     view: BufView,
     /// [`Home::Borrowed`] and [`Home::Gathered`] externals are read out of
     /// the caller's slice; a [`Home::Copied`] one is copied into its range
@@ -225,8 +243,8 @@ struct ExtSlice(*const [f32]);
 // one reads.
 unsafe impl Send for ExtSlice {}
 
-/// An output (or saved activation) surfaced after execution: its range of
-/// the slab, or of the record.
+/// An output, or a saved container, of a run: its range of the slab, or
+/// of the record.
 #[derive(Debug, Clone)]
 struct MaterializeSpec {
     name: String,
@@ -234,18 +252,14 @@ struct MaterializeSpec {
     /// The layout the plan last leaves the container in.
     layout: Layout,
     view: BufView,
-    saved: bool,
 }
 
-/// A layer-norm statistics region of the record: surfaced after execution,
-/// keyed by the norm's output container name like the allocating
-/// interpreter's stats side channel — or, for the statistics a backward
-/// kernel reads, filled at bind from the resolver's answers to `names`
-/// ([`stats_names`]).
+/// The statistics a forward norm writes into the record, keyed by the
+/// norm's output container name like the allocating interpreter's stats
+/// side channel.
 #[derive(Debug, Clone)]
 struct StatsSpec {
     name: String,
-    names: [String; 2],
     mean: BufView,
     inv_std: BufView,
 }
@@ -280,13 +294,15 @@ struct ArenaBuffers {
     ext: Vec<ExtSlice>,
 }
 
-/// Raw views of one [`ArenaBuffers`], copyable into worker threads. The
-/// arena certificate makes concurrent use sound: steps sharing a wave
-/// write disjoint slab ranges (their outputs' live intervals all start at
-/// that wave, so the certifier proved them range-disjoint), record ranges
-/// are disjoint per container, scratch and statistics regions per step by
-/// construction, reads of shared inputs are read-only — the externals
-/// table and the callers' slices behind it among them — and a timing slot
+/// Raw views of one [`ArenaBuffers`] and of the record a run writes (the
+/// caller's, or the arena's own), copyable into worker threads. The arena
+/// certificate makes concurrent use sound: steps sharing a wave write
+/// disjoint slab ranges (their outputs' live intervals all start at that
+/// wave, so the certifier proved them range-disjoint), record ranges are
+/// disjoint per container and per forward norm by construction, as are
+/// scratch ranges per step, reads of shared inputs are read-only — the
+/// externals table and the callers' slices behind it, a backward's
+/// statistics among them — and a timing slot
 /// is written only by the one execution of the step (or the one dispatcher
 /// of the wave) it belongs to.
 #[derive(Debug, Clone, Copy)]
@@ -300,16 +316,18 @@ struct SlabMem {
 }
 
 // SAFETY: the pointers address one `ArenaBuffers` whose mutex guard the
-// dispatching thread holds for the whole run; what each thread may touch
-// through them is partitioned as described above.
+// dispatching thread holds for the whole run, and a record the run borrows
+// mutably for as long; what each thread may touch through them is
+// partitioned as described above.
 unsafe impl Send for SlabMem {}
 unsafe impl Sync for SlabMem {}
 
 impl SlabMem {
-    fn new(bufs: &mut ArenaBuffers) -> SlabMem {
+    /// Views of `bufs`, with `record` as the record the run writes.
+    fn new(bufs: &mut ArenaBuffers, record: *mut f32) -> SlabMem {
         SlabMem {
             slab: bufs.slab.as_mut_ptr(),
-            record: bufs.record.as_mut_ptr(),
+            record,
             scratch: bufs.scratch.as_mut_ptr(),
             step_us: bufs.step_us.as_mut_ptr(),
             wave_us: bufs.wave_us.as_mut_ptr(),
@@ -404,6 +422,13 @@ impl ArenaRun {
     }
 }
 
+/// The poison mode's fill: a quiet NaN with a payload of its own. A
+/// kernel that writes a NaN itself writes [`f32::NAN`], and arithmetic on
+/// a NaN keeps its payload, so an output carrying this one — of either
+/// sign — was computed from a poisoned word, while a NaN the caller hands
+/// in flows through as data.
+const POISON: f32 = f32::from_bits(0x7fc0_dead);
+
 /// The dropout key of stream `stream` of a run seeded `seed`: the position
 /// of the workspace's SplitMix64 generator the step that
 /// [`ExecutionPlan::stream_of`] gives that number computes its masks from
@@ -428,36 +453,21 @@ pub fn rekeyed(seed: u64, from: usize, to: usize) -> u64 {
     seed ^ stream_mix(from) ^ stream_mix(to)
 }
 
-/// One artifact surfaced to the sink after an arena execution. Borrows
-/// slab storage, so sinks that only copy into preallocated destinations
-/// keep the whole call allocation-free.
+/// One output of an arena run, handed to the sink after it: a
+/// [`DataRole::Output`] container's words, borrowed from the slab, so a
+/// sink that only copies into preallocated destinations keeps the whole
+/// call allocation-free. What the run saved is its [`Record`]'s to show.
 #[derive(Debug)]
-pub enum ArenaArtifact<'a> {
-    /// A produced output (or saved activation) container.
-    Tensor {
-        /// Container name.
-        name: &'a str,
-        /// `true` for saved-for-backward activations, `false` for
-        /// outputs.
-        saved: bool,
-        /// The container's logical shape.
-        shape: &'a Shape,
-        /// The layout `data` is stored in: the one the plan last declared
-        /// for the container.
-        layout: &'a Layout,
-        /// The container's words in the slab.
-        data: &'a [f32],
-    },
-    /// Per-lane layer-norm statistics, keyed by the norm's output
-    /// container name.
-    Stats {
-        /// The norm's output container name.
-        name: &'a str,
-        /// Per-lane means.
-        mean: &'a [f32],
-        /// Per-lane inverse standard deviations.
-        inv_std: &'a [f32],
-    },
+pub struct ArenaArtifact<'a> {
+    /// Container name.
+    pub name: &'a str,
+    /// The container's logical shape.
+    pub shape: &'a Shape,
+    /// The layout `data` is stored in: the one the plan last declared for
+    /// the container.
+    pub layout: &'a Layout,
+    /// The container's words in the slab.
+    pub data: &'a [f32],
 }
 
 /// Where each saved container and forward statistic of a plan lies in a
@@ -485,13 +495,14 @@ impl RecordPlan {
     }
 }
 
-/// What one forward run saved, written where it is kept: the words of its
-/// plan's [`DataRole::Saved`] containers and layer-norm statistics, lent
-/// by [`CompiledArena::lend_record`] and filled by
-/// [`CompiledArena::execute_kept`]. Dropped, its buffer returns to its
-/// plan's pool, which keeps no more idle buffers than the plan has live
-/// records, so a warm forward writes into recycled memory rather than a
-/// fresh, zero-filled one.
+/// What one forward run saved, written where it is kept, and the one view
+/// of it: the words of its plan's [`DataRole::Saved`] containers and of
+/// the statistics its layer norms write, lent by
+/// [`CompiledArena::lend_record`] and filled in place by the
+/// [`CompiledArena::execute_bound`] it is handed to. Dropped, its buffer
+/// returns to its plan's pool, which keeps no more idle buffers than the
+/// plan has live records, so a warm forward writes into recycled memory
+/// rather than a fresh, zero-filled one.
 #[derive(Debug)]
 pub struct Record {
     words: Vec<f32>,
@@ -524,7 +535,14 @@ impl Record {
     /// it in and its words.
     pub fn container(&self, name: &str) -> Option<(&Shape, &Layout, &[f32])> {
         let m = self.plan.tensors.iter().find(|m| m.name == name)?;
-        Some((&m.shape, &m.layout, &self.words[m.view.off..][..m.view.len]))
+        Some((&m.shape, &m.layout, self.at(m.view)))
+    }
+
+    /// The statistics of every layer norm the run wrote, by the norm's
+    /// output container name: its per-lane means and inverse deviations.
+    pub fn stats(&self) -> impl Iterator<Item = (&str, &[f32], &[f32])> {
+        let plan = self.plan.stats.iter();
+        plan.map(|s| (s.name.as_str(), self.at(s.mean), self.at(s.inv_std)))
     }
 
     /// What a run's resolver answers `name` with out of this record: a
@@ -535,17 +553,22 @@ impl Record {
             let (shape, layout, words) = self.container(name)?;
             return layout.is_row_major_for(shape).then_some(words);
         };
-        let s = self.plan.stats.iter().find(|s| s.name == norm)?;
-        let v = [s.mean, s.inv_std][usize::from(inv)];
-        Some(&self.words[v.off..][..v.len])
+        let (_, mean, inv_std) = self.stats().find(|s| s.0 == norm)?;
+        Some(if inv { inv_std } else { mean })
+    }
+
+    fn at(&self, v: BufView) -> &[f32] {
+        &self.words[v.off..][..v.len]
     }
 }
 
 /// A certified plan compiled onto a static arena. Build one with
 /// [`CompiledArena::compile`] (or memoized, with [`compiled`]); execute
-/// with [`CompiledArena::execute_bound`] (zero-allocation entry) or
-/// [`CompiledArena::execute_into_state`] (every produced container
-/// materialized into an [`ExecState`]).
+/// with [`CompiledArena::execute_bound`], the one run entry, which touches
+/// no heap and writes what the run saves into the [`Record`] it is handed
+/// (the arena's own without one), or [`CompiledArena::execute_into_state`]
+/// (every output, saved container and statistic materialized into an
+/// [`ExecState`]).
 #[derive(Debug)]
 pub struct CompiledArena {
     /// The plan's [`plan_key`]: a profiler sink made for another plan is
@@ -563,7 +586,6 @@ pub struct CompiledArena {
     poison_spans: Vec<BufView>,
     outputs: Vec<MaterializeSpec>,
     record: Arc<RecordPlan>,
-    stats_in: Vec<StatsSpec>,
     buffers: Mutex<ArenaBuffers>,
 }
 
@@ -679,7 +701,7 @@ impl CompiledArena {
         let no_lowering =
             |what: String| TensorError::Unsupported(format!("{what} has no arena lowering"));
         let mut steps = Vec::with_capacity(plan.steps.len());
-        let (mut stats_out, mut stats_in) = (Vec::new(), Vec::new());
+        let mut stats = Vec::new();
         for (si, step) in plan.steps.iter().enumerate() {
             let role = |o: &&crate::plan::Operand| graph.data(o.data).map(|d| d.role);
             let read_only = |o: &_| matches!(role(o), Some(DataRole::Input | DataRole::Weight));
@@ -694,10 +716,10 @@ impl CompiledArena {
                 graph,
                 step,
                 stream,
-                (&place_of, &externals),
+                (&place_of, &mut externals),
                 &mut gather_from,
                 &mut record_words,
-                (&mut stats_out, &mut stats_in),
+                &mut stats,
             )
             .ok_or_else(|| match strided_tail(step) {
                 Some(o) => TensorError::Unsupported(format!(
@@ -739,25 +761,23 @@ impl CompiledArena {
             }
         }
 
+        // the outputs a run reports, and the saved containers its record
+        // holds
         let (mut outputs, mut kept) = (Vec::new(), Vec::new());
         for b in &analysis.liveness {
             let container = || no_lowering(format!("container `{}`", b.name));
-            // an external in one of these roles is the caller's already
             let (to, view) = match place_of.get(&b.data) {
-                Some(&Place::Slab(view)) => (&mut outputs, view),
+                Some(&Place::Slab(view)) if b.role == DataRole::Output => (&mut outputs, view),
                 Some(&Place::Record(view)) => (&mut kept, view),
                 _ => continue,
             };
-            if let DataRole::Output | DataRole::Saved = b.role {
-                let d = graph.data(b.data).ok_or_else(container)?;
-                to.push(MaterializeSpec {
-                    name: b.name.clone(),
-                    shape: d.shape.clone(),
-                    layout: *left_in.get(&b.data).ok_or_else(container)?,
-                    view,
-                    saved: b.role == DataRole::Saved,
-                });
-            }
+            let d = graph.data(b.data).ok_or_else(container)?;
+            to.push(MaterializeSpec {
+                name: b.name.clone(),
+                shape: d.shape.clone(),
+                layout: *left_in.get(&b.data).ok_or_else(container)?,
+                view,
+            });
         }
 
         // sanitizer poison spans: the whole slab minus persistent ranges
@@ -798,11 +818,10 @@ impl CompiledArena {
             outputs,
             record: Arc::new(RecordPlan {
                 tensors: kept,
-                stats: stats_out,
+                stats,
                 words: record_words,
                 pool: Mutex::default(),
             }),
-            stats_in,
             buffers: Mutex::default(),
         }
         .with_zeroed_buffers())
@@ -838,7 +857,6 @@ impl CompiledArena {
             poison_spans: self.poison_spans.clone(),
             outputs: self.outputs.clone(),
             record: Arc::clone(&self.record),
-            stats_in: self.stats_in.clone(),
             buffers: Mutex::default(),
         }
         .with_zeroed_buffers()
@@ -882,21 +900,20 @@ impl CompiledArena {
         self.scratch_words
     }
 
-    /// Words of a record: the plan's saved containers and the layer-norm
-    /// statistics its steps write or read.
+    /// Words of a record: the plan's saved containers and the statistics
+    /// its layer norms write.
     pub fn record_words(&self) -> usize {
         self.record.words
     }
 
     /// A record for a run of this arena's plan to write into
-    /// ([`CompiledArena::execute_kept`]): an idle buffer of the plan's
+    /// ([`CompiledArena::execute_bound`]): an idle buffer of the plan's
     /// pool, or a fresh, zeroed one when the pool holds none.
     pub fn lend_record(&self) -> Record {
         let plan = Arc::clone(&self.record);
         let mut pool = plan.pool();
         pool.live += 1;
-        let idle = pool.idle.pop().filter(|w| w.len() == plan.words);
-        let words = idle.unwrap_or_else(|| vec![0.0; plan.words]);
+        let words = pool.idle.pop().unwrap_or_else(|| vec![0.0; plan.words]);
         drop(pool);
         Record { words, plan }
     }
@@ -930,13 +947,11 @@ impl CompiledArena {
         self.buffers.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Everything a run's resolver is asked for, as `(name, words)`: every
-    /// external container of the plan, then the statistics its backward
-    /// kernels read ([`stats_names`]).
+    /// Everything a run's resolver is asked for, each once, as `(name,
+    /// words)`: every external container of the plan, then the statistics
+    /// its backward kernels read ([`stats_names`]).
     pub fn externals(&self) -> impl Iterator<Item = (&str, usize)> {
-        let stats =
-            (self.stats_in.iter()).flat_map(|s| s.names.iter().map(|n| (n.as_str(), s.mean.len)));
-        (self.externals.iter().map(|e| (e.name.as_str(), e.view.len))).chain(stats)
+        self.externals.iter().map(|e| (e.name.as_str(), e.view.len))
     }
 
     /// The projection weights among the externals, each with the pack its
@@ -996,89 +1011,53 @@ impl CompiledArena {
     }
 
     /// Executes the compiled plan with caller-provided binding and
-    /// materialization, touching no heap on the steady-state path. Of
-    /// `opts` it reads the scalar knobs, `seed`, `threads`, `sanitize`,
-    /// `pos`, and the profiler sink, into which it folds every step's (and,
-    /// wave-parallel, every wave's) wall time after the run. It waits for
-    /// the arena's buffers if another thread is running out of them.
+    /// materialization — the arena's one run entry — touching no heap on
+    /// the steady-state path. Of `opts` it reads the scalar knobs, `seed`,
+    /// `threads`, `sanitize`, `pos`, and the profiler sink, into which it
+    /// folds every step's (and, wave-parallel, every wave's) wall time
+    /// after the run. It waits for the arena's buffers if another thread is
+    /// running out of them.
     ///
-    /// `resolve` is called once per external container with its name and
-    /// answers with the container's words — in the layout the plan first
-    /// touches it in, which for every plan that passed the lint gate is the
-    /// natural (logical row-major) one. The kernels read them out of that
+    /// `resolve` is called once per external ([`CompiledArena::externals`])
+    /// with its name and answers with its words — a container's in the
+    /// layout the plan first touches it in, which for every plan that
+    /// passed the lint gate is the natural (logical row-major) one, or a
+    /// statistic a backward kernel reads. The kernels read them out of that
     /// very slice: nothing is copied unless the plan re-lays the container
     /// after reading it as it came. A [`DataRole::Cache`] external answered
     /// with a slice is overwritten by it; answered with `None` it keeps its
-    /// resident contents. `sink` is called after the run, once per
-    /// output/saved container and per layer-norm statistics region;
-    /// artifacts borrow the arena's storage, so copying sinks stay
-    /// allocation-free.
+    /// resident contents.
+    ///
+    /// The plan's saved containers and the statistics its layer norms
+    /// write go straight into `record`, a [`Record`] this arena's plan
+    /// lent, which the caller keeps — or, with `None`, into the arena's own,
+    /// sized on the first such run. The poison mode poisons whichever
+    /// record the run writes, as it does the slab. `sink` is called after
+    /// the run once per output container; artifacts borrow the slab, so
+    /// copying sinks stay allocation-free.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidDropout`] when `opts.dropout_p` is
-    /// outside `[0, 1)`, [`TensorError::Unsupported`] when `opts.profiler`
-    /// was made for another plan, [`TensorError::UnboundExternal`] naming
-    /// the container `resolve` answered with no slice (but for a cache) or
-    /// one of the wrong length,
-    /// and an error when a worker panics or the poison mode detects a
-    /// non-finite output (a read of a dead, reused buffer).
+    /// Returns, before the run, [`TensorError::Unsupported`] for a record
+    /// lent for another plan or a profiler sink made for another plan,
+    /// [`TensorError::InvalidDropout`] when `opts.dropout_p` is outside
+    /// `[0, 1)`, and [`TensorError::UnboundExternal`] naming the external
+    /// `resolve` answered with no slice (but for a cache) or one of the
+    /// wrong length; after it, an error when a worker panics or the poison
+    /// mode finds a step's output carrying its NaN (a read of a dead,
+    /// reused buffer).
     pub fn execute_bound<'a>(
-        &self,
-        opts: &ExecOptions,
-        resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
-        sink: &mut dyn FnMut(ArenaArtifact<'_>),
-    ) -> Result<()> {
-        self.execute_kept(opts, resolve, None, sink)
-    }
-
-    /// [`CompiledArena::execute_bound`] that writes the plan's saved
-    /// containers and forward statistics straight into `record`, which the
-    /// caller keeps, rather than into the arena's own record. The poison
-    /// mode poisons whichever record the run writes, as it does the slab.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledArena::execute_bound`], and
-    /// [`TensorError::Unsupported`], before the run, for a record lent for
-    /// another plan.
-    pub fn execute_kept<'a>(
         &self,
         opts: &ExecOptions,
         resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
         record: Option<&mut Record>,
         sink: &mut dyn FnMut(ArenaArtifact<'_>),
     ) -> Result<()> {
-        // a record of another plan, or one a panicked run left holding
-        // another buffer, would be written past its end
         let ours = |r: &&mut Record| Arc::ptr_eq(&r.plan, &self.record);
-        let whole = |r: &&mut Record| r.words.len() == self.record.words;
-        if !record.as_ref().is_none_or(|r| ours(r) && whole(r)) {
+        if !record.as_ref().is_none_or(ours) {
             let what = "a record is lent for one plan: this arena runs another";
             return Err(TensorError::Unsupported(what.into()));
         }
-        let mut guard = self.lock_buffers();
-        // the caller's record stands in for the arena's own for the run
-        let mut theirs = record.map(|r| &mut r.words);
-        match theirs.as_deref_mut() {
-            Some(words) => std::mem::swap(&mut guard.record, words),
-            None => guard.record.resize(self.record.words, 0.0),
-        }
-        let done = self.execute_locked(&mut guard, opts, resolve, sink);
-        if let Some(words) = theirs {
-            std::mem::swap(&mut guard.record, words);
-        }
-        done
-    }
-
-    /// A run of [`CompiledArena::execute_kept`], its buffers locked.
-    fn execute_locked<'a>(
-        &self,
-        bufs: &mut ArenaBuffers,
-        opts: &ExecOptions,
-        resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
-        sink: &mut dyn FnMut(ArenaArtifact<'_>),
-    ) -> Result<()> {
         let run = &ArenaRun::new(opts)?;
         let parallel = run.threads > 1;
         let refused = |sink: &ProfilerSink| !lock_sink(sink).admits(self.key);
@@ -1087,15 +1066,25 @@ impl CompiledArena {
                 "a profiler sink is made for one plan: this arena runs another".into(),
             ));
         }
+        let mut guard = self.lock_buffers();
+        let bufs = &mut *guard;
+        let record = match record {
+            Some(r) => &mut r.words[..],
+            None => {
+                bufs.record.resize(self.record.words, 0.0);
+                &mut bufs.record[..]
+            }
+        };
         if run.sanitize {
             // poison the record and everything of the slab except
             // persistent (cache) ranges, whose resident contents must
             // survive between calls
+            record.fill(POISON);
             for span in &self.poison_spans {
-                bufs.slab[span.off..span.off + span.len].fill(f32::NAN);
+                bufs.slab[span.off..span.off + span.len].fill(POISON);
             }
-            bufs.record.fill(f32::NAN);
         }
+        let record = record.as_mut_ptr();
         // the table entries outlive the run: `'a` outlives this call
         for (e, entry) in self.externals.iter().zip(&mut bufs.ext) {
             match resolve(&e.name) {
@@ -1119,34 +1108,13 @@ impl CompiledArena {
                 }
             }
         }
-        // the statistics a backward kernel reads, copied into their regions
-        for s in &self.stats_in {
-            for (name, v) in s.names.iter().zip([s.mean, s.inv_std]) {
-                let src = resolve(name).filter(|src| src.len() == v.len);
-                let unbound = || TensorError::UnboundExternal {
-                    container: name.clone(),
-                    words: v.len,
-                };
-                bufs.record[v.off..v.off + v.len].copy_from_slice(src.ok_or_else(unbound)?);
-            }
-        }
-        let workers = self.run_waves(SlabMem::new(bufs), run)?;
-        let (slab, record) = (&bufs.slab[..], &bufs.record[..]);
-        let kept = self.record.tensors.iter().map(|m| (m, record));
-        for (m, words) in self.outputs.iter().map(|m| (m, slab)).chain(kept) {
-            sink(ArenaArtifact::Tensor {
+        let workers = self.run_waves(SlabMem::new(bufs, record), run)?;
+        for m in &self.outputs {
+            sink(ArenaArtifact {
                 name: &m.name,
-                saved: m.saved,
                 shape: &m.shape,
                 layout: &m.layout,
-                data: &words[m.view.off..m.view.off + m.view.len],
-            });
-        }
-        for s in &self.record.stats {
-            sink(ArenaArtifact::Stats {
-                name: &s.name,
-                mean: &record[s.mean.off..s.mean.off + s.mean.len],
-                inv_std: &record[s.inv_std.off..s.inv_std.off + s.inv_std.len],
+                data: &bufs.slab[m.view.off..m.view.off + m.view.len],
             });
         }
         if let Some(profiler) = opts.profiler {
@@ -1164,9 +1132,10 @@ impl CompiledArena {
         Ok(())
     }
 
-    /// [`CompiledArena::execute_bound`] with every produced container,
-    /// saved activation and layer-norm statistic materialized into `out`
-    /// (which allocates).
+    /// [`CompiledArena::execute_bound`] into a record lent for the run, with
+    /// every output, then — through the record's accessors — every saved
+    /// container and layer-norm statistic materialized into `out` (which
+    /// allocates).
     ///
     /// # Errors
     ///
@@ -1177,7 +1146,23 @@ impl CompiledArena {
         resolve: &mut dyn FnMut(&str) -> Option<&'a [f32]>,
         out: &mut ExecState,
     ) -> Result<()> {
-        self.execute_bound(opts, resolve, &mut |a| out.record(a))
+        let mut record = self.lend_record();
+        self.execute_bound(opts, resolve, Some(&mut record), &mut |a| out.record(a))?;
+        for name in record.names() {
+            let (shape, layout, data) = record.container(name).expect("a record holds its names");
+            out.record(ArenaArtifact {
+                name,
+                shape,
+                layout,
+                data,
+            });
+        }
+        for (norm, mean, inv_std) in record.stats() {
+            let (mean, inv_std) = (mean.to_vec(), inv_std.to_vec());
+            let stats = LayerNormStats { mean, inv_std };
+            out.stats.insert(norm.into(), stats);
+        }
+        Ok(())
     }
 
     /// Runs the certified waves in order: on the caller's thread at
@@ -1217,18 +1202,18 @@ impl CompiledArena {
         Ok(pool.map_or(1, |p| p.workers + 1))
     }
 
-    /// Poison-mode epilogue for one wave: every output written by the
-    /// wave must be finite (a NaN means some kernel read poisoned — dead
-    /// and reused — slab words), then every buffer whose certified live
-    /// interval ends at this wave is re-poisoned.
+    /// Poison-mode epilogue for one wave: no output written by the wave
+    /// may carry the poison (one that does means some kernel read poisoned
+    /// — dead and reused — words), then every buffer whose certified live
+    /// interval ends at this wave is poisoned again.
     fn sanitize_wave(&self, mem: SlabMem, w: usize) -> Result<()> {
         for &si in &self.cert.waves[w] {
             for v in &self.steps[si].written {
                 // SAFETY: the wave finished; no kernel holds these words.
                 let data = unsafe { mem.words(*v) };
-                if data.iter().any(|x| !x.is_finite()) {
+                if data.iter().any(|x| x.abs().to_bits() == POISON.to_bits()) {
                     return Err(TensorError::Unsupported(format!(
-                        "arena sanitizer: step {si} (`{}`) produced a non-finite value — a kernel read a retired (reused) buffer",
+                        "arena sanitizer: step {si} (`{}`) produced a non-finite value, the poison — a kernel read a retired (reused) buffer",
                         self.step_names[si]
                     )));
                 }
@@ -1236,7 +1221,7 @@ impl CompiledArena {
         }
         for v in &self.retire[w] {
             // SAFETY: the buffer's live interval ended with this wave.
-            unsafe { mem.words_mut(Place::Slab(*v)) }.fill(f32::NAN);
+            unsafe { mem.words_mut(Place::Slab(*v)) }.fill(POISON);
         }
         Ok(())
     }
@@ -1298,11 +1283,11 @@ pub fn clear_compiled() {
 }
 
 /// Runs `plan` against `state` on its memoized arena ([`compiled`]) at
-/// `opts.threads`, binding externals out of
-/// `state.env` (and the statistics a backward kernel reads out of
-/// `state.stats`) and materializing every output, saved activation and
-/// layer-norm statistic back into it, each in the layout the plan leaves
-/// it in.
+/// `opts.threads`, binding externals out of `state.env` (and the
+/// statistics a backward kernel reads out of `state.stats`, where they
+/// lie), and materializing every output, saved container and layer-norm
+/// statistic back into it ([`CompiledArena::execute_into_state`]), each
+/// container in the layout the plan leaves it in.
 ///
 /// # Errors
 ///
@@ -1355,8 +1340,10 @@ fn strided_tail(step: &PlanStep) -> Option<&crate::plan::Operand> {
 /// operand's view embedded in the declared operand's slot — a slab range
 /// or a borrowed external — cut to the hull of the operand's access path
 /// (the words the certificate proved the kernel touches, a carve's third
-/// of the stacked slot), and a statistics region allotted to the
-/// normalizing classes. A relayout that finds its container in
+/// of the stacked slot), and the statistics of a normalizing class: a
+/// region of the record for a forward norm, which writes them, and for a
+/// backward kernel, which reads them, an entry of `externals` per
+/// statistic, appended by the first step that reads it. A relayout that finds its container in
 /// `gather_from` takes the entry: it gathers out of the caller's slice.
 /// `None` means the lowering does not model the step (its kind, operand
 /// count, geometry or tail layout), an operand has no slot, or an output
@@ -1366,10 +1353,10 @@ fn compile_step(
     graph: &Graph,
     step: &PlanStep,
     stream: usize,
-    (place_of, externals): (&HashMap<NodeId, Place>, &[ExternalBind]),
+    (place_of, externals): (&HashMap<NodeId, Place>, &mut Vec<ExternalBind>),
     gather_from: &mut HashMap<NodeId, usize>,
     record_words: &mut usize,
-    (stats_out, stats_in): (&mut Vec<StatsSpec>, &mut Vec<StatsSpec>),
+    record_stats: &mut Vec<StatsSpec>,
 ) -> Option<StepExec> {
     let mut low = lower_step(graph, step)?;
     let scratch = BufView {
@@ -1440,26 +1427,38 @@ fn compile_step(
             }
         })
         .collect::<Option<_>>()?;
+    let lanes = |n| BufView { off: 0, len: n };
     let stats = match low.stats {
-        Some((stats, lanes)) => {
+        Some((Stats::Writes(out), n)) => {
             let region = |k: usize| BufView {
-                off: *record_words + k * lanes,
-                len: lanes,
+                off: *record_words + k * n,
+                ..lanes(n)
             };
             let (mean, inv_std) = (region(0), region(1));
-            *record_words += 2 * lanes;
-            let (name, specs) = match stats {
-                Stats::Writes(out) => (step.outputs.get(out)?.name.clone(), &mut *stats_out),
-                Stats::Reads(norm) => (graph.data(norm)?.name.clone(), &mut *stats_in),
-            };
-            specs.push(StatsSpec {
-                names: stats_names(&name),
+            *record_words += 2 * n;
+            let name = step.outputs.get(out)?.name.clone();
+            record_stats.push(StatsSpec {
                 name,
                 mean,
                 inv_std,
             });
-            Some((mean, inv_std))
+            Some([mean, inv_std].map(Place::Record))
         }
+        // read where the resolver's answer lies: one entry of the externals
+        // table per statistic, however many steps read it
+        Some((Stats::Reads(norm), n)) => Some(stats_names(&graph.data(norm)?.name).map(|name| {
+            let e = externals.iter().position(|e| e.name == name);
+            let e = e.unwrap_or_else(|| {
+                externals.push(ExternalBind {
+                    name,
+                    view: lanes(n),
+                    home: Home::Borrowed,
+                    pack: None,
+                });
+                externals.len() - 1
+            });
+            Place::Borrowed(e, lanes(n))
+        })),
         None => None,
     };
     Some(StepExec {
@@ -1514,18 +1513,16 @@ unsafe fn run_indexed(steps: &[StepExec], si: usize, mem: SlabMem, run: &ArenaRu
 /// borrowed external no step can write at all.
 unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
     let drop = &run.drop.keyed(stream_key(run.seed, step.stream));
-    // SAFETY (all three): the caller's contract covers every slot of the
-    // step, its statistics regions and its scratch range.
+    // a forward norm writes its statistics into the record, a backward
+    // kernel reads them where they lie
+    let stats = |k: usize| step.stats.expect("a normalizing class has statistics")[k];
+    // SAFETY (all five): the caller's contract covers every slot of the
+    // step, its statistics and its scratch range.
     let r = |k: usize| unsafe { mem.words(step.operands[k].0) };
     let w = |k: usize| unsafe { mem.words_mut(step.operands[k].0) };
+    let stat = |k: usize| unsafe { mem.words(stats(k)) };
+    let stat_mut = |k: usize| unsafe { mem.words_mut(stats(k)) };
     let scratch = || unsafe { mem.scratch_mut(step.scratch.off, step.scratch.len) };
-    let (mean, inv): (&mut [f32], &mut [f32]) = match step.stats {
-        Some((mean, inv)) => unsafe {
-            let [mean, inv] = [mean, inv].map(Place::Record);
-            (mem.words_mut(mean), mem.words_mut(inv))
-        },
-        None => (&mut [], &mut []),
-    };
     for (source, slot, copy) in &step.relayouts {
         // SAFETY: the hazard analysis orders a relayout against every
         // other access of its container, so this step owns the slot.
@@ -1567,7 +1564,7 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
             into_ops::sm_into(s(), r(0), step.scaler, c, drop, w(1), w(2), w(3));
         }
         Kernel::LayerNorm => {
-            into_ops::layernorm_into(s(), r(0), r(1), r(2), w(3), mean, inv);
+            into_ops::layernorm_into(s(), r(0), r(1), r(2), w(3), stat_mut(0), stat_mut(1));
         }
         Kernel::Bdrln => {
             into_ops::bdrln_into(
@@ -1581,8 +1578,8 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
                 w(5),
                 w(6),
                 w(7),
-                mean,
-                inv,
+                stat_mut(0),
+                stat_mut(1),
             );
         }
         Kernel::BrdAct => {
@@ -1631,19 +1628,27 @@ unsafe fn run_step(step: &StepExec, mem: SlabMem, run: &ArenaRun) {
         Kernel::SoftmaxGrad => into_ops::softmax_backward_into(s(), r(0), r(1), step.scaler, w(2)),
         Kernel::Bs => into_ops::bs_into(s(), r(0), r(1), r(2), step.scaler, w(3)),
         Kernel::NormGradX => {
-            into_ops::layernorm_backward_input_into(s(), r(0), r(1), r(2), mean, inv, w(3));
+            into_ops::layernorm_backward_input_into(s(), r(0), r(1), r(2), stat(0), stat(1), w(3));
         }
         Kernel::NormGradW => {
-            into_ops::layernorm_backward_weights_into(s(), r(0), r(1), mean, inv, w(2), w(3));
+            into_ops::layernorm_backward_weights_into(
+                s(),
+                r(0),
+                r(1),
+                stat(0),
+                stat(1),
+                w(2),
+                w(3),
+            );
         }
         Kernel::Blnrd => {
-            into_ops::blnrd_into(s(), r(0), r(1), r(2), r(3), mean, inv, w(4), w(5));
+            into_ops::blnrd_into(s(), r(0), r(1), r(2), r(3), stat(0), stat(1), w(4), w(5));
         }
         Kernel::Blnr => {
-            into_ops::blnr_into(s(), r(0), r(1), r(2), r(3), mean, inv, w(4));
+            into_ops::blnr_into(s(), r(0), r(1), r(2), r(3), stat(0), stat(1), w(4));
         }
         Kernel::Ebsb => {
-            into_ops::ebsb_into(s(), r(0), r(1), r(2), mean, inv, w(3), w(4), w(5));
+            into_ops::ebsb_into(s(), r(0), r(1), r(2), stat(0), stat(1), w(3), w(4), w(5));
         }
         Kernel::Bdb => into_ops::bdb_into(s(), r(0), r(1), w(2), w(3)),
         Kernel::Bdrb => {
@@ -2039,7 +2044,7 @@ mod tests {
                 Some(panels) => Some(&panels[..]),
                 None => binder(&base, "")(name),
             };
-            arena.execute_kept(&opts, resolve, Some(&mut record), &mut |_| {})
+            arena.execute_bound(&opts, resolve, Some(&mut record), &mut |_| {})
         };
         for _ in 0..2 {
             run(SanitizeMode::Off).unwrap();
@@ -2061,7 +2066,7 @@ mod tests {
             ..EncoderDims::tiny()
         });
         let mut record = compile(&g, &p).lend_record();
-        let run = compile(&graph, &plan).execute_kept(
+        let run = compile(&graph, &plan).execute_bound(
             &ExecOptions::default(),
             &mut |_| None,
             Some(&mut record),

@@ -161,7 +161,8 @@ impl StandaloneKernel {
             .sanitize(SanitizeMode::Off)
             .profiler(Some(&sink))
             .build();
-        self.arena.execute_bound(&opts, resolve, &mut |_| {})?;
+        self.arena
+            .execute_bound(&opts, resolve, None, &mut |_| {})?;
         let prof = sink
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);

@@ -55,7 +55,7 @@ pub const REGISTRY: &[EnvSetting] = &[
     EnvSetting {
         name: "XFORM_SANITIZE",
         default: "off",
-        doc: "the arena's poison mode: NaN-fill the slab and every retired buffer, refuse a non-finite output",
+        doc: "the arena's poison mode: fill the slab, the record and every retired buffer with one NaN of its own, refuse an output that carries it",
     },
     EnvSetting {
         name: "XFORM_CACHE_GEOM",

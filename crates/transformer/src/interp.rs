@@ -433,7 +433,7 @@ fn shape_of<'g>(graph: &'g Graph, name: &str) -> Option<&'g Shape> {
 /// lacks one (another plan's); after it, [`TensorError::Unsupported`]
 /// naming an output [`Out::Copy`] wants that the run did not write with its
 /// slice's word count; and the errors of
-/// [`CompiledArena::execute_kept`].
+/// [`CompiledArena::execute_bound`].
 pub(crate) fn run(
     graph: &Graph,
     arena: &CompiledArena,
@@ -461,29 +461,19 @@ pub(crate) fn run(
         }
     }
     let mut written = 0;
-    let mut sink = |a: ArenaArtifact<'_>| match (&mut out, a) {
-        (
-            Out::Copy(outs),
-            ArenaArtifact::Tensor {
-                name,
-                shape,
-                layout,
-                data,
-                ..
-            },
-        ) => {
-            let wanted = |(n, dst): &(&str, &mut [f32])| *n == name && dst.len() == data.len();
+    let mut sink = |a: ArenaArtifact<'_>| match &mut out {
+        Out::Copy(outs) => {
+            let wanted = |(n, dst): &(&str, &mut [f32])| *n == a.name && dst.len() == a.data.len();
             if let Some(k) = outs.iter().position(wanted) {
-                into_ops::copy_layout_into(shape, layout, data, outs[k].1);
+                into_ops::copy_layout_into(a.shape, a.layout, a.data, outs[k].1);
                 written += 1;
             }
         }
-        (Out::Words(outs), ArenaArtifact::Tensor { name, data, .. }) => {
-            if let Some((_, words)) = outs.iter_mut().find(|(n, _)| *n == name) {
-                *words = Some(data.to_vec());
+        Out::Words(outs) => {
+            if let Some((_, words)) = outs.iter_mut().find(|(n, _)| *n == a.name) {
+                *words = Some(a.data.to_vec());
             }
         }
-        _ => {}
     };
     STAGING.with_borrow_mut(|staging| {
         staging.resize_with(staging.len().max(named.len()), Vec::new);
@@ -500,7 +490,7 @@ pub(crate) fn run(
             }
             (weights.and_then(|w| w.container(name))).or_else(|| saved?.record.resolve(name))
         };
-        arena.execute_kept(opts, resolve, keep, &mut sink)
+        arena.execute_bound(opts, resolve, keep, &mut sink)
     })?;
     let taken = match out {
         Out::Copy(outs) => written == outs.len(),
@@ -1272,6 +1262,72 @@ mod tests {
             let mut state = base.clone();
             arena::execute(&pf.graph, &pf.plan, &mut state, &opts).unwrap();
             assert!(Arc::ptr_eq(&memo(), &arena), "{threads} threads");
+        }
+    }
+
+    /// A backward asks its resolver for each layer-norm statistic once,
+    /// however many of its steps read it, and reads it where it lies: its
+    /// record holds only the saved containers the plan itself defines —
+    /// none for the reference backward, the recomputed softmax bundle for
+    /// the other two.
+    #[test]
+    fn a_backward_asks_for_each_statistic_once_and_keeps_none_of_its_own() {
+        use std::collections::HashSet;
+        use xform_dataflow::DataRole;
+
+        // `train_step`'s dims
+        let (h, p) = (4, 64);
+        let train = EncoderDims {
+            b: 4,
+            j: 64,
+            k: 64,
+            h,
+            p,
+            i: h * p,
+            u: 1024,
+        };
+        for dims in [EncoderDims::tiny(), train] {
+            for kind in [
+                PlanKind::EncoderTrain,
+                PlanKind::DecoderTrain,
+                PlanKind::EncoderReferenceTrain,
+            ] {
+                let tag = format!("{kind:?} at {dims:?}");
+                let pf = cached_plan(&dims, kind).unwrap();
+                let arena = cached_arena(&dims, kind, ArenaGranularity::Serial).unwrap();
+                let arena = arena.unwrap();
+                let stats: Vec<&str> = (arena.externals())
+                    .map(|(name, _)| name)
+                    .filter(|name| stats_name_of(name).is_some())
+                    .collect();
+                let mut once = HashSet::new();
+                assert!(
+                    stats.iter().all(|name| once.insert(name)),
+                    "{tag}: {stats:?}"
+                );
+                // both norms' means and inverse deviations
+                assert_eq!(stats.len(), 4, "{tag}: {stats:?}");
+
+                let saved = |o: &&xform_core::plan::Operand| {
+                    pf.graph.data(o.data).filter(|d| d.role == DataRole::Saved)
+                };
+                let defined: HashSet<&str> = (pf.plan.steps.iter())
+                    .flat_map(|s| &s.outputs)
+                    .filter(|o| saved(o).is_some())
+                    .map(|o| o.name.as_str())
+                    .collect();
+                let bundle: HashSet<&str> = match kind {
+                    PlanKind::EncoderReferenceTrain => HashSet::new(),
+                    _ => ["att", "alpha", "att_mask"].into(),
+                };
+                assert_eq!(defined, bundle, "{tag}");
+                let words = |name: &&str| shape_of(&pf.graph, name).unwrap().num_elements();
+                assert_eq!(
+                    arena.record_words(),
+                    defined.iter().map(words).sum(),
+                    "{tag}"
+                );
+            }
         }
     }
 }

@@ -113,7 +113,7 @@ fn study(source: &CpuSource, dims: EncoderDims, print: bool) -> Outcome<(f64, f6
         };
         let ydata = y.data_mut();
         let sink = &mut |a: ArenaArtifact<'_>| {
-            if let ArenaArtifact::Tensor {
+            if let ArenaArtifact {
                 name: "y",
                 shape,
                 layout,
@@ -124,7 +124,7 @@ fn study(source: &CpuSource, dims: EncoderDims, print: bool) -> Outcome<(f64, f6
                 into_ops::copy_layout_into(shape, layout, data, ydata);
             }
         };
-        arena.execute_bound(&opts, resolve, sink)
+        arena.execute_bound(&opts, resolve, None, sink)
     };
     let (mut y_nat, mut y_sel) = (Tensor::zeros(shape.clone()), Tensor::zeros(shape));
     // alternate the two sides so drift hits both; keep each side's best

@@ -114,7 +114,7 @@ fn steady_state_forwards_touch_no_heap() {
         let strided_into = |y: &mut Tensor| {
             let ydata = y.data_mut();
             let sink = &mut |a: ArenaArtifact<'_>| {
-                if let ArenaArtifact::Tensor {
+                if let ArenaArtifact {
                     name: "y",
                     shape,
                     layout,
@@ -129,7 +129,7 @@ fn steady_state_forwards_touch_no_heap() {
                 "x" => x.natural_words(),
                 _ => w.container(name),
             };
-            strided_arena.execute_bound(&strided_opts, resolve, sink)
+            strided_arena.execute_bound(&strided_opts, resolve, None, sink)
         };
         type Case<'a> = (&'a str, &'a dyn Fn(&mut Tensor));
         let cases: [Case; 4] = [

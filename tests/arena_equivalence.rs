@@ -450,7 +450,7 @@ fn route_and_results_depend_on_the_plan_alone() {
         let arena = arena::compiled(&pf.graph, &pf.plan).unwrap();
         let ydata = y.data_mut();
         let sink = &mut |a: ArenaArtifact<'_>| {
-            if let ArenaArtifact::Tensor {
+            if let ArenaArtifact {
                 name: "y",
                 shape,
                 layout,
@@ -465,7 +465,7 @@ fn route_and_results_depend_on_the_plan_alone() {
             "x" => x.natural_words(),
             _ => w.container(name),
         };
-        arena.execute_bound(opts, resolve, sink).unwrap();
+        arena.execute_bound(opts, resolve, None, sink).unwrap();
     };
     let sink: ProfilerSink = Mutex::new(PlanProfiler::with_peak(&pf.graph, &pf.plan, 1.0));
     let plain = encoder_bits(&layer, &x, &w, &ExecOptions::builder().seed(19).build());

@@ -306,7 +306,9 @@ fn a_sink_handed_to_execute_bound_is_filled() {
         "x" => x.natural_words(),
         _ => w.container(name),
     };
-    arena.execute_bound(&opts, resolve, &mut |_| {}).unwrap();
+    arena
+        .execute_bound(&opts, resolve, None, &mut |_| {})
+        .unwrap();
 
     let prof = sink.into_inner().unwrap();
     assert_eq!(prof.steps().count(), pf.plan.steps.len());
