@@ -1068,6 +1068,7 @@ impl CompiledArena {
         }
         let mut guard = self.lock_buffers();
         let bufs = &mut *guard;
+        // the record the run writes: the caller's, or the arena's own
         let record = match record {
             Some(r) => &mut r.words[..],
             None => {

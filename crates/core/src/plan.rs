@@ -315,16 +315,10 @@ impl ExecState {
     /// Materializes one container of an arena run, in the layout it is
     /// stored in.
     pub fn record(&mut self, a: ArenaArtifact<'_>) {
-        let ArenaArtifact {
-            name,
-            shape,
-            layout,
-            data,
-        } = a;
         // one pass over the words: no zero fill ahead of the copy
-        let t = Tensor::from_vec_with_layout(shape.clone(), *layout, data.to_vec())
+        let t = Tensor::from_vec_with_layout(a.shape.clone(), *a.layout, a.data.to_vec())
             .expect("a slot holds its container's words");
-        self.env.insert(name.into(), t);
+        self.env.insert(a.name.into(), t);
     }
 }
 
