@@ -134,7 +134,7 @@ use xform_tensor::ops::elementwise::ActivationKind;
 use xform_tensor::ops::layernorm::LayerNormStats;
 use xform_tensor::{Layout, Result, Shape, Tensor, TensorError};
 
-use crate::access::{view_path, AccessPath};
+use crate::access::{step_accesses, view_path, AccessKind, AccessPath};
 use crate::analyze::{analyze, assign_arena, ArenaGranularity, Home, PlanAnalysis};
 use crate::lower::{
     lower_step, sweep_of, walk_of, weight_pack, Kernel, RelayoutCopy, Role, Slot, Stats, Tail,
@@ -207,6 +207,11 @@ struct StepExec {
     /// The words the step writes: each output's hull, what the poison mode
     /// checks after its wave.
     written: Vec<Place>,
+    /// The words the step reads of the arena's own memory, by its access
+    /// facts ([`step_accesses`]): each read container's slot with the path
+    /// the step walks through it, what the poison mode checks before its
+    /// wave.
+    reads: Vec<(Place, AccessPath, String)>,
     /// The graph's activation ([`Graph::activation`]).
     activation: ActivationKind,
     /// The graph's softmax scale ([`Graph::softmax_scale`]).
@@ -1176,6 +1181,9 @@ impl CompiledArena {
         // not interleave with another run's on the shared job slot
         let _dispatch = pool.map(|p| p.dispatch.lock().unwrap_or_else(|e| e.into_inner()));
         for (w, wave) in self.cert.waves.iter().enumerate() {
+            if run.sanitize {
+                self.sanitize_reads(mem, w)?;
+            }
             let t0 = run.timed.then(Instant::now);
             match pool {
                 Some(pool) if wave.len() > 1 && pool.workers > 0 => {
@@ -1203,6 +1211,27 @@ impl CompiledArena {
         Ok(pool.map_or(1, |p| p.workers + 1))
     }
 
+    /// Poison-mode prologue for one wave: no word a step of the wave reads
+    /// of the slab or the record may carry the poison. Checked before the
+    /// kernels run, because a kernel may write a NaN it read as a NaN of
+    /// its own (a softmax lane writes `f32::NAN`), which the epilogue
+    /// cannot tell from data.
+    fn sanitize_reads(&self, mem: SlabMem, w: usize) -> Result<()> {
+        for &si in &self.cert.waves[w] {
+            for (place, path, name) in &self.steps[si].reads {
+                // SAFETY: the wave has not started; no kernel holds these words.
+                let data = unsafe { mem.words(*place) };
+                if reaches_poison(data, path.base, &path.dims) {
+                    return Err(TensorError::Unsupported(format!(
+                        "arena sanitizer: step {si} (`{}`) would read a non-finite value, the poison, in `{name}` — a word no step wrote before it, or a retired (reused) buffer",
+                        self.step_names[si]
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Poison-mode epilogue for one wave: no output written by the wave
     /// may carry the poison (one that does means some kernel read poisoned
     /// — dead and reused — words), then every buffer whose certified live
@@ -1225,6 +1254,19 @@ impl CompiledArena {
             unsafe { mem.words_mut(Place::Slab(*v)) }.fill(POISON);
         }
         Ok(())
+    }
+}
+
+/// Whether a word of `data` the path `(base, dims)` reaches carries the
+/// poison (either sign), the outermost loop first.
+fn reaches_poison(data: &[f32], base: u64, dims: &[(u64, u64)]) -> bool {
+    let poison = |at: u64| data[at as usize].abs().to_bits() == POISON.to_bits();
+    match dims {
+        [] => poison(base),
+        [(n, stride)] => (0..*n).any(|i| poison(base + i * stride)),
+        [(n, stride), inner @ ..] => {
+            (0..*n).any(|i| reaches_poison(data, base + i * stride, inner))
+        }
     }
 }
 
@@ -1427,7 +1469,36 @@ fn compile_step(
                 Some((from, slot, r))
             }
         })
-        .collect::<Option<_>>()?;
+        .collect::<Option<Vec<_>>>()?;
+    // what the step's access facts say it reads of the slab and the record
+    // that some earlier step wrote: the words its paths reach, not their
+    // hulls (a causal step never reads the half of a lane past its
+    // query). A container the step's own relayout defines is read after
+    // it (the relayout comes first), and one it gathers from the caller's
+    // slice is not read from the arena at all.
+    let gathered = |data: &NodeId| {
+        relayouts
+            .iter()
+            .any(|(from, _, r)| from.is_some() && r.data == *data)
+    };
+    let mut materialized = Vec::new();
+    let reads = (step_accesses(graph, step).accesses.into_iter())
+        .filter_map(|a| match a.kind {
+            AccessKind::Materialize => {
+                materialized.push(a.data);
+                None
+            }
+            AccessKind::Read
+                if a.bound() && !materialized.contains(&a.data) && !gathered(&a.data) =>
+            {
+                match *place_of.get(&a.data)? {
+                    Place::Borrowed(..) => None,
+                    place => Some((place, a.path, a.name)),
+                }
+            }
+            _ => None,
+        })
+        .collect();
     let lanes = |n| BufView { off: 0, len: n };
     let stats = match low.stats {
         Some((Stats::Writes(out), n)) => {
@@ -1472,6 +1543,7 @@ fn compile_step(
         stream,
         zeroed,
         written,
+        reads,
         activation: graph.activation(),
         scaler: graph.softmax_scale(),
     })
@@ -2055,6 +2127,38 @@ mod tests {
             err.contains("non-finite") && err.contains("`Q,K,V`"),
             "{err}"
         );
+    }
+
+    /// A softmax writes a poisoned lane as `f32::NAN` of its own, so only
+    /// its reads can give it away: scheduled ahead of `QKT`, its producer,
+    /// the unfused encoder's `Scaled softmax` reads slab words no step has
+    /// written, and the poison mode refuses the run before the step runs.
+    #[test]
+    fn a_softmax_scheduled_before_its_producer_is_refused_under_poison() {
+        let eg = build::encoder(&EncoderDims::tiny());
+        let natural = ExecutionPlan::natural(&eg.graph, &forward_ops(&eg.graph, eg.dy)).unwrap();
+        let at = |name: &str| natural.steps.iter().position(|s| s.name == name).unwrap();
+        let mut plan = natural.clone();
+        let softmax = plan.steps.remove(at("Scaled softmax"));
+        plan.steps.insert(at("QKT"), softmax);
+        let arena = CompiledArena::build(&eg.graph, &plan, &analyze(&eg.graph, &plan)).unwrap();
+        let base = random_externals(&eg.graph, &plan, 3).unwrap();
+        let packed = arena.pack_weights(&base.env);
+        let run_reordered = |sanitize| {
+            let opts = ExecOptions::builder().sanitize(sanitize).build();
+            let resolve = &mut |name: &str| match packed.get(name) {
+                Some(panels) => Some(&panels[..]),
+                None => binder(&base, "")(name),
+            };
+            arena.execute_bound(&opts, resolve, None, &mut |_| {})
+        };
+        run_reordered(SanitizeMode::Off).unwrap();
+        let err = run_reordered(SanitizeMode::On).unwrap_err().to_string();
+        assert!(err.contains("`Scaled softmax`"), "{err}");
+        // the natural order reads only what its producers wrote
+        let arena = compile(&eg.graph, &natural);
+        let opts = ExecOptions::builder().sanitize(SanitizeMode::On).build();
+        assert!(!run(&arena, &base, &opts).is_empty());
     }
 
     /// A run writes a record only of the plan that lent it, refused before

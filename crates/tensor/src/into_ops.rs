@@ -59,6 +59,7 @@
 use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
+use crate::isa::{self, Avx512};
 use crate::lanes::{self, on_run, Dropout, LaneAt, Panel, Run, Walk, PANELS, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
@@ -1043,6 +1044,7 @@ pub fn tile_into(
 ) {
     let (f, tile_rows) = (&plan.first, plan.tile_rows);
     let (m, n, k) = (f.m, f.n, f.k);
+    let isa = Avx512::detect();
     let causal = match *tail {
         RowTail::Softmax { causal, .. } => causal,
         _ => None,
@@ -1099,77 +1101,94 @@ pub fn tile_into(
             let b = Rhs::Packed { panels, pn: n_all };
             gemm(rows, cols, k, a.from_row(r0), b, c, Start::FromZero);
             let depth = seen(r0, rows);
-            for r in 0..rows {
-                let x = &mut tile[r * n..][..n];
-                let at = LaneAt {
-                    base: (row0 + r) * n,
-                    stride: 1,
-                    step: 0,
-                    len: n,
-                };
-                // row `row0 + r`'s one bias word, read at every column
-                let bias_at = LaneAt {
-                    base: row0 + r,
-                    stride: 0,
-                    step: 0,
-                    len: n,
-                };
-                match tail {
-                    RowTail::BiasActDrop {
-                        bias,
-                        kind,
-                        pre_activation,
-                        out,
-                        mask,
-                    } => lanes::brd_lane(
-                        &*x,
-                        &bias_at.strided(bias),
-                        *kind,
-                        (drop, at.base),
-                        at.unit_mut(pre_activation),
-                        at.unit_mut(out),
-                        at.unit_mut(mask),
-                    ),
-                    RowTail::BiasDropResidual {
-                        bias,
-                        residual,
-                        mask,
-                        out,
-                    } => lanes::bdr_lane(
-                        &*x,
-                        &bias_at.strided(bias),
-                        at.unit(residual),
-                        (drop, at.base),
-                        at.unit_mut(mask),
-                        at.unit_mut(out),
-                    ),
-                    RowTail::BiasSoftmax { bias, out } => {
-                        // the bias lands in the tile, where the softmax reads it
-                        lanes::acc_lane(&bias[..n], x);
-                        lanes::softmax_lane::<1, _, _, _>(&*x, 1.0, n, at.unit_mut(out), &mut ());
-                    }
-                    RowTail::Softmax { scaler, .. } => {
-                        // a lane ends at its last visible column; the weights
-                        // past it, up to where the second product stops
-                        // reading, are `+0`
-                        let t = then
-                            .as_mut()
-                            .expect("a softmax tail runs ahead of a contraction");
-                        let visible = seen(r0 + r, 1);
-                        let (row, hidden) = t.weights[r * n..][..depth].split_at_mut(visible);
-                        // slice `g`'s rows come after `g` whole slices
-                        let before = |q| visible_before(causal, q, n);
-                        let mut tail = lanes::DroppedInPlace {
-                            drop,
-                            at: g * before(m) + before(r0 + r),
-                            step: visible,
+            // the row tails, in one out-of-line instantiation at the
+            // widest ISA the host has
+            isa::widest(
+                isa,
+                #[inline(always)]
+                || {
+                    for r in 0..rows {
+                        let x = &mut tile[r * n..][..n];
+                        let at = LaneAt {
+                            base: (row0 + r) * n,
+                            stride: 1,
+                            step: 0,
+                            len: n,
                         };
-                        let x = &x[..visible];
-                        lanes::softmax_lane::<1, _, _, _>(x, *scaler, visible, row, &mut tail);
-                        hidden.fill(0.0);
+                        // row `row0 + r`'s one bias word, read at every column
+                        let bias_at = LaneAt {
+                            base: row0 + r,
+                            stride: 0,
+                            step: 0,
+                            len: n,
+                        };
+                        match tail {
+                            RowTail::BiasActDrop {
+                                bias,
+                                kind,
+                                pre_activation,
+                                out,
+                                mask,
+                            } => lanes::brd_lane(
+                                &*x,
+                                &bias_at.strided(bias),
+                                *kind,
+                                (drop, at.base),
+                                at.unit_mut(pre_activation),
+                                at.unit_mut(out),
+                                at.unit_mut(mask),
+                            ),
+                            RowTail::BiasDropResidual {
+                                bias,
+                                residual,
+                                mask,
+                                out,
+                            } => lanes::bdr_lane(
+                                &*x,
+                                &bias_at.strided(bias),
+                                at.unit(residual),
+                                (drop, at.base),
+                                at.unit_mut(mask),
+                                at.unit_mut(out),
+                            ),
+                            RowTail::BiasSoftmax { bias, out } => {
+                                // the bias lands in the tile, where the softmax reads it
+                                lanes::acc_lane(&bias[..n], x);
+                                lanes::softmax_lane::<1, _, _, _>(
+                                    &*x,
+                                    1.0,
+                                    n,
+                                    at.unit_mut(out),
+                                    &mut (),
+                                );
+                            }
+                            RowTail::Softmax { scaler, .. } => {
+                                // a lane ends at its last visible column; the weights
+                                // past it, up to where the second product stops
+                                // reading, are `+0`
+                                let t = then
+                                    .as_mut()
+                                    .expect("a softmax tail runs ahead of a contraction");
+                                let visible = seen(r0 + r, 1);
+                                let (row, hidden) =
+                                    t.weights[r * n..][..depth].split_at_mut(visible);
+                                // slice `g`'s rows come after `g` whole slices
+                                let before = |q| visible_before(causal, q, n);
+                                let mut tail = lanes::DroppedInPlace {
+                                    drop,
+                                    at: g * before(m) + before(r0 + r),
+                                    step: visible,
+                                };
+                                let x = &x[..visible];
+                                lanes::softmax_lane::<1, _, _, _>(
+                                    x, *scaler, visible, row, &mut tail,
+                                );
+                                hidden.fill(0.0);
+                            }
+                        }
                     }
-                }
-            }
+                },
+            );
             if let Some(t) = &mut then {
                 let chain = tail.out().map_or(&*t.weights, |out| &out[row0 * n..]);
                 let (at, panels, pn) = (t.at, &*t.panels, t.plan.n);
@@ -1371,9 +1390,10 @@ fn visible_before(causal: Option<usize>, q: usize, len: usize) -> usize {
 /// the query axis named) masks key positions beyond each lane's query
 /// index to exact zeros (the unfused masked softmax).
 pub fn softmax_into(s: &Sweep, x: &[f32], scaler: f32, causal: Option<usize>, out: &mut [f32]) {
+    let isa = Avx512::detect();
     s.for_each_run(|run, _, q, [xa, oa]| {
         let visible = visible_of(causal, q, xa.len);
-        on_run!(run, N, P, [x @ xa], [out @ oa] =>
+        on_run!(wide isa, run, N, P, [x @ xa], [out @ oa] =>
             lanes::softmax_lane::<N, _, _, _>(x, scaler, visible, out, &mut ()));
     });
 }
@@ -1393,10 +1413,11 @@ pub fn sm_into(
     alpha: &mut [f32],
     mask: &mut [f32],
 ) {
+    let isa = Avx512::detect();
     s.for_each_run(|run, l, q, [xa, sa, aa, ma]| {
         let visible = visible_of(causal, q, xa.len);
         let at = s.start(l, q, causal);
-        on_run!(run, N, P, [x @ xa], [softmax @ sa, alpha @ aa, mask @ ma] => {
+        on_run!(wide isa, run, N, P, [x @ xa], [softmax @ sa, alpha @ aa, mask @ ma] => {
             let mut tail = lanes::Dropped { alpha, mask, drop, at, step: visible };
             lanes::softmax_lane::<N, _, _, _>(x, scaler, visible, softmax, &mut tail)
         });
@@ -1647,11 +1668,16 @@ pub fn bdrb_act_into(
     dx: &mut [f32],
     dbias: &mut [f32],
 ) {
+    let isa = Avx512::detect();
     s.for_each_lane(|unit, _, [ga, ma, pa, xa, ba]| {
         let acc = &mut ba.strided_mut(dbias);
         if unit {
-            let (dy, mask, pre) = (ga.unit(dy), ma.unit(mask), pa.unit(pre));
-            lanes::bdrb_lane(dy, mask, Some((pre, kind)), xa.unit_mut(dx), acc);
+            let (dy, mask, pre, dx) = (ga.unit(dy), ma.unit(mask), pa.unit(pre), xa.unit_mut(dx));
+            isa::widest(
+                isa,
+                #[inline(always)]
+                || lanes::bdrb_lane(dy, mask, Some((pre, kind)), dx, acc),
+            );
         } else {
             let (dy, mask, pre) = (&ga.strided(dy), &ma.strided(mask), &pa.strided(pre));
             lanes::bdrb_lane(dy, mask, Some((pre, kind)), &mut xa.strided_mut(dx), acc);
@@ -1689,18 +1715,16 @@ pub fn brd_act_into(
     out: &mut [f32],
     mask: &mut [f32],
 ) {
+    let isa = Avx512::detect();
     s.for_each_lane(|unit, at, [xa, ba, pa, oa, ma]| {
         let bias = &ba.strided(bias);
         if unit {
-            let (pre, out) = (pa.unit_mut(pre_activation), oa.unit_mut(out));
-            lanes::brd_lane(
-                xa.unit(x),
-                bias,
-                kind,
-                (drop, at),
-                pre,
-                out,
-                ma.unit_mut(mask),
+            let (x, pre) = (xa.unit(x), pa.unit_mut(pre_activation));
+            let (out, mask) = (oa.unit_mut(out), ma.unit_mut(mask));
+            isa::widest(
+                isa,
+                #[inline(always)]
+                || lanes::brd_lane(x, bias, kind, (drop, at), pre, out, mask),
             );
         } else {
             let (pre, out) = (

@@ -134,7 +134,8 @@
 //! # `W` and `PANELS`
 //!
 //! [`W`] = 16 lanes is one 64-byte cache line a row and eight SSE2 (four
-//! AVX2) accumulator registers for the two moments. Measured once, on the
+//! AVX2, two AVX-512) accumulator registers for the two moments; the
+//! panel bodies keep the build's 256-bit lanes (see "Widths"). Measured once, on the
 //! SSE2 build, at 8, 16 and 32 (EXPERIMENTS.md, "Panel sweeps"): 8,
 //! which fetches every line in two panels, is 15–25 % slower on the
 //! vocabulary softmax; 32 ties 16 within the run-to-run spread and doubles
@@ -155,6 +156,25 @@
 //! of accumulators a moment on the stack, where `P` is the most panels a
 //! run of the body's width holds: `PANELS` for `W`, one for a halving or a
 //! lane (`on_run!` binds it), so a lane's state is what it was.
+//!
+//! # Widths
+//!
+//! The bodies are compiled for the build's 256-bit lanes, and where the
+//! host has AVX-512F the ones whose time is [`exp`]'s element rate run on
+//! 512-bit lanes too: the contiguous softmax ([`Walk::Lane`]'s plain and
+//! fused softmax, the attention region's and the head's row tails), BRD's
+//! GELU and BDRB's GELU′ over a contiguous lane. A driver hands
+//! `crate::isa` a closure over its loop — a tile's rows, or one run of a
+//! sweep (`on_run!`'s `wide` form) — and the bodies it calls are
+//! `#[inline(always)]`, so each is inlined whole into one out-of-line
+//! instantiation a width; `tools/kernel_asm.sh` reads both for their
+//! vectors and for calls left inside their loops. The norm bodies and the
+//! panel softmax are never handed there: a whole-crate AVX-512F build ran
+//! them slower (EXPERIMENTS.md, "Softmax and GELU on 512-bit lanes"). The
+//! bits are the same at either width — no body has a `mul_add` and every
+//! reduction is lane-wise — which
+//! `tests::both_widths_give_every_dispatched_body_the_same_bits` holds for
+//! every dispatched body.
 //!
 //! Drivers only enumerate lanes; every statement of arithmetic, the one
 //! dropout mask and the one transcendental are here.
@@ -242,7 +262,7 @@ impl<D: Deref<Target = [f32]>> Lane for Strided<D> {
     fn get(&self, v: usize) -> f32 {
         self.data[v * self.stride]
     }
-    #[inline]
+    #[inline(always)]
     fn load(&self, v0: usize, n: usize) -> [f32; BLOCK] {
         // a bias is one word a lane or one word a position, and neither is
         // a gather: sixteen scalar stores read back as vectors would stall
@@ -250,7 +270,13 @@ impl<D: Deref<Target = [f32]>> Lane for Strided<D> {
         match self.stride {
             0 => [self.data[0]; BLOCK],
             1 => self.data.load(v0, n),
-            _ => std::array::from_fn(|k| if k < n { self.get(v0 + k) } else { 0.0 }),
+            _ => {
+                let mut block = [0.0; BLOCK];
+                for (k, word) in block[..n].iter_mut().enumerate() {
+                    *word = self.get(v0 + k);
+                }
+                block
+            }
         }
     }
 }
@@ -688,8 +714,10 @@ pub(crate) fn acc_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(x: &X, acc: &mut O
         let sum = (0..len).fold(acc.get(0), |sum, v| sum + x.get(v));
         return acc.set(0, sum);
     }
-    for v in 0..len {
-        acc.set(v, acc.get(v) + x.get(v));
+    // whole blocks, the last one padded: no scalar remainder loop
+    for (v0, n) in blocks(len) {
+        let (a, x) = (acc.load(v0, n), x.load(v0, n));
+        acc.store(v0, n, std::array::from_fn(|k| a[k] + x[k]));
     }
 }
 
@@ -715,7 +743,7 @@ pub(crate) fn dropout_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(
 /// BRD along one lane whose position 0 has index `at`: `z = x + bias`,
 /// `out = dropout(activation(z))`, saving `z` and the mask, a block of
 /// positions at a time with the kind matched once a block.
-#[inline]
+#[inline(always)]
 pub(crate) fn brd_lane<X, B, O>(
     x: &X,
     bias: &B,
@@ -744,8 +772,8 @@ pub(crate) fn brd_lane<X, B, O>(
 }
 
 /// [`bdr`] along one lane whose position 0 has index `at`, saving the
-/// mask.
-#[inline]
+/// mask, a block of positions at a time.
+#[inline(always)]
 pub(crate) fn bdr_lane<X, B, O>(
     x: &X,
     bias: &B,
@@ -761,10 +789,11 @@ pub(crate) fn bdr_lane<X, B, O>(
     let len = out.lane_len();
     assert!(x.lane_len() >= len && bias.lane_len() >= len);
     assert!(residual.lane_len() >= len && mask.lane_len() >= len);
-    for v in 0..len {
-        let m = drop.mask(at + v);
-        mask.set(v, m);
-        out.set(v, bdr(x.get(v), bias.get(v), residual.get(v), m));
+    for (v0, n) in blocks(len) {
+        let (x, b, r) = (x.load(v0, n), bias.load(v0, n), residual.load(v0, n));
+        let [m]: [[f32; BLOCK]; 1] = drop.masks(at + v0, 1);
+        mask.store(v0, n, m);
+        out.store(v0, n, std::array::from_fn(|k| bdr(x[k], b[k], r[k], m[k])));
     }
 }
 
@@ -859,7 +888,7 @@ impl<const W: usize, O: PanelMut<W> + ?Sized> SoftmaxTail<W> for Dropped<'_, O> 
 /// Joins a lane's [`BLOCK`] partials — of each of `W` lanes — by the one
 /// fixed halving tree: partial `k` takes `k + 8`, then `k + 4`, `k + 2`,
 /// `k + 1`. The shape every walk's maximum and sum have.
-#[inline]
+#[inline(always)]
 fn fold<const W: usize>(mut part: Block<W>, f: impl Fn(f32, f32) -> f32) -> [f32; W] {
     for half in [8, 4, 2, 1] {
         for k in 0..half {
@@ -954,9 +983,10 @@ fn dead_lanes<const W: usize, X: Panel<W> + ?Sized>(
 /// sum are each reduced one way, whatever the walk: partial `k` takes the
 /// positions `v ≡ k (mod BLOCK)` in ascending order and [`fold`] joins the
 /// partials. A lane's result therefore depends on its values and its
-/// length only. Out of line, so that the contiguous
-/// instantiation is a symbol of its own (`tools/kernel_asm.sh` reads its
-/// block loops).
+/// length only. Always inlined: each driver makes its out-of-line
+/// instantiations through `crate::isa` — a contiguous lane's at 512-bit
+/// lanes where the host has them — and `tools/kernel_asm.sh` reads their
+/// block loops.
 ///
 /// A lane whose visible inputs are all `−inf` (a fully masked row) has no
 /// defined distribution: every output of the lane is zero, its masks
@@ -969,7 +999,7 @@ fn dead_lanes<const W: usize, X: Panel<W> + ?Sized>(
 /// does not say which that is, and LLVM commutes the `W = 16` and `W = 1`
 /// bodies differently under AVX. Each rule holds lane by lane within a
 /// panel.
-#[inline(never)]
+#[inline(always)]
 pub(crate) fn softmax_lane<const W: usize, X, O, T>(
     x: &X,
     scaler: f32,
@@ -1373,7 +1403,7 @@ where
 /// dropout mask — BDB's `dy ⊙ mask` without an activation — each `dx` added
 /// to its word of the bias gradient `dbias`, ascending: a lane that may
 /// revisit one word (a zero stride).
-#[inline]
+#[inline(always)]
 pub(crate) fn bdrb_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(
     dy: &X,
     mask: &X,
@@ -1389,7 +1419,10 @@ pub(crate) fn bdrb_lane<X: Lane + ?Sized, O: LaneMut + ?Sized>(
     for (v0, n) in blocks(len) {
         let (g, m) = (dy.load(v0, n), mask.load(v0, n));
         // no activation is a derivative of ones: `g · m · 1` is `g · m`
-        let d = act.map_or([1.0; BLOCK], |(pre, kind)| kind.grad_block(pre.load(v0, n)));
+        let d = match act {
+            Some((pre, kind)) => kind.grad_block(pre.load(v0, n)),
+            None => [1.0; BLOCK],
+        };
         let g: [f32; BLOCK] = std::array::from_fn(|k| g[k] * m[k] * d[k]);
         dx.store(v0, n, g);
         for (k, g) in g[..n].iter().enumerate() {
@@ -1482,8 +1515,22 @@ impl Run {
 /// the body is instantiated at (a body's per-panel state is `P` rows on
 /// the stack, so a lane's is one). Gathered operands (a broadcast bias, γ,
 /// β, the statistics) are the caller's to pass through.
+///
+/// Led by `wide $isa,` (an `Option<Avx512>`), each evaluation is an
+/// out-of-line instantiation of its own: a contiguous lane's at the widest
+/// ISA `$isa` allows (`isa::widest`), every other walk's at the build's
+/// (`isa::narrow`) — for an `#[inline(always)]` body, the softmax's.
 macro_rules! on_run {
-    ($run:expr, $w:ident, $p:ident, [$($r:ident @ $ra:expr),*], [$($m:ident @ $ma:expr),*] => $call:expr) => {
+    ($run:expr, $w:ident, $p:ident, $reads:tt, $writes:tt => $call:expr) => {
+        $crate::lanes::on_run!(@ $run, $w, $p, $reads, $writes => ($call), ($call))
+    };
+    (wide $isa:expr, $run:expr, $w:ident, $p:ident, $reads:tt, $writes:tt => $call:expr) => {
+        $crate::lanes::on_run!(@ $run, $w, $p, $reads, $writes =>
+            ($crate::isa::widest($isa, #[inline(always)] || $call)),
+            ($crate::isa::narrow(#[inline(always)] || $call)))
+    };
+    (@ $run:expr, $w:ident, $p:ident, [$($r:ident @ $ra:expr),*], [$($m:ident @ $ma:expr),*]
+        => $lane:expr, $other:expr) => {
         match $run {
             $crate::lanes::Run::Lane => {
                 const $w: usize = 1;
@@ -1491,7 +1538,7 @@ macro_rules! on_run {
                 const $p: usize = 1;
                 $(let $r = $ra.unit($r);)*
                 $(let $m = $ma.unit_mut($m);)*
-                $call
+                $lane
             }
             $crate::lanes::Run::Strided => {
                 const $w: usize = 1;
@@ -1499,12 +1546,12 @@ macro_rules! on_run {
                 const $p: usize = 1;
                 $(let $r = &$ra.strided($r);)*
                 $(let $m = &mut $ma.strided_mut($m);)*
-                $call
+                $other
             }
             $crate::lanes::Run::Panel { lanes, panels } => {
                 $(let $r = &$ra.rows($r, panels);)*
                 $(let $m = &mut $ma.rows_mut($m, panels);)*
-                $crate::lanes::panel_of!(lanes, $w, $p => $call)
+                $crate::lanes::panel_of!(lanes, $w, $p => $other)
             }
         }
     };
@@ -1514,6 +1561,7 @@ pub(crate) use {on_run, panel_of};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{self, Avx512};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1679,9 +1727,11 @@ mod tests {
         assert!(err <= 1.5, "{err:.3} ulp at {at}");
     }
 
-    /// Every `f32` whose exact `eˣ` is a normal number; the rest by class.
-    /// `cargo test --release -p xform-tensor --lib -- --ignored` (three
-    /// minutes; the worst it finds is 0.990 ulp, at 70.4031).
+    /// Every `f32` whose exact `eˣ` is a normal number; the rest by class;
+    /// and every `f32` through the 512-bit instantiation, bit for bit the
+    /// scalar call's. `cargo test --release -p xform-tensor --lib --
+    /// --ignored` (four minutes; the worst it finds is 0.990 ulp, at
+    /// 70.4031, at either width).
     #[test]
     #[ignore = "sweeps all 2³² bit patterns"]
     fn exp_is_within_its_bound_on_every_f32() {
@@ -1699,6 +1749,123 @@ mod tests {
                 _ => y.is_normal(),
             };
             assert!(class_ok, "exp({x}) = {y}");
+        }
+        let Some(isa) = Avx512::detect() else {
+            return println!("the 512-bit leg is skipped: the CPU has no AVX-512F");
+        };
+        let mut wide = vec![0.0f32; 1 << 16];
+        for high in 0..=u32::from(u16::MAX) {
+            let xs: Vec<f32> = (0..1 << 16)
+                .map(|low| f32::from_bits(high << 16 | low))
+                .collect();
+            isa.run(
+                #[inline(always)]
+                || {
+                    for (y, &x) in wide.iter_mut().zip(&xs) {
+                        *y = exp(x);
+                    }
+                },
+            );
+            for (&x, y) in xs.iter().zip(&wide) {
+                assert_eq!(y.to_bits(), exp(x).to_bits(), "exp({x}) at 512 bits");
+            }
+        }
+        println!("the 512-bit instantiation: every f32 the same bits");
+    }
+
+    /// What each body the ISA dispatch runs on 512-bit lanes makes of lane
+    /// `x` — `visible` positions seen, masks keyed by `drop` — under the
+    /// instantiation `isa` picks (`isa::widest`), as bits: the softmax with
+    /// each tail (plain; the region's dropout in place; SM's beside the
+    /// saved softmax; the head's bias on the way in), BRD under GELU and
+    /// ReLU, BDR, and BDRB under GELU′ into a bias lane and into one word.
+    fn dispatched(isa: Option<Avx512>, x: &[f32], visible: usize, drop: &Dropout) -> Vec<Vec<u32>> {
+        let len = x.len();
+        let [bias, residual, dy] = [71u64, 72, 73].map(|k| lane_inputs(len, k));
+        let mut outs: [Vec<f32>; 15] = std::array::from_fn(|_| vec![7.0f32; len]);
+        let mut sums = [vec![0.0f32; len], vec![0.0f32; 1]];
+        let lane = |stride| LaneAt {
+            base: 0,
+            stride,
+            step: 0,
+            len,
+        };
+        isa::widest(
+            isa,
+            #[inline(always)]
+            || {
+                let [y, region, s, a, m, head, z0, g0, m0, z1, r1, m1, bm, bo, dx] =
+                    outs.each_mut().map(|o| &mut o[..]);
+                softmax_lane::<1, _, _, _>(x, 0.5, visible, y, &mut ());
+                let mut tail = DroppedInPlace {
+                    drop,
+                    at: 3,
+                    step: visible,
+                };
+                softmax_lane::<1, _, _, _>(x, 0.5, visible, region, &mut tail);
+                let mut tail = Dropped {
+                    alpha: a,
+                    mask: m,
+                    drop,
+                    at: 5,
+                    step: visible,
+                };
+                softmax_lane::<1, _, _, _>(x, 0.5, visible, s, &mut tail);
+                let biased = Biased {
+                    x,
+                    bias: |_, v| [bias[v]],
+                };
+                softmax_lane::<1, _, _, _>(&biased, 1.0, len, head, &mut ());
+                let bias = &bias[..];
+                brd_lane(x, bias, ActivationKind::Gelu, (drop, 9), z0, g0, m0);
+                brd_lane(x, bias, ActivationKind::Relu, (drop, 9), z1, r1, m1);
+                bdr_lane(x, bias, &residual[..], (drop, 11), bm, bo);
+                let [lanes, word] = sums.each_mut();
+                let (m0, z0) = (&*m0, &*z0);
+                let act = Some((z0, ActivationKind::Gelu));
+                bdrb_lane(&dy[..], m0, act, dx, &mut lane(1).strided_mut(lanes));
+                bdrb_lane(&dy[..], m0, act, dx, &mut lane(0).strided_mut(word));
+            },
+        );
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect();
+        outs.iter().chain(&sums).map(|t| bits(t)).collect()
+    }
+
+    /// Every body the ISA dispatch covers gives the same bits at both
+    /// widths — `exp` has no `mul_add` and every reduction is lane-wise —
+    /// over lanes of 1 to 2 048 positions either side of a block, causal
+    /// prefixes of each, an all-`−inf` lane, NaN and `±inf` inputs, with
+    /// dropout off and on.
+    #[test]
+    fn both_widths_give_every_dispatched_body_the_same_bits() {
+        let Some(isa) = Avx512::detect() else {
+            return println!("the 512-bit legs are skipped: the CPU has no AVX-512F");
+        };
+        for len in [1usize, 15, 16, 17, 33, 160, 1023, 2048] {
+            let plain = lane_inputs(len, len as u64);
+            let mut specials = plain.clone();
+            for (at, word) in [(len / 3, f32::NAN), (len / 2, f32::INFINITY)] {
+                specials[at] = word;
+            }
+            specials[len - 1] = f32::NEG_INFINITY;
+            let lanes = [
+                plain,
+                specials,
+                vec![f32::NEG_INFINITY; len],
+                vec![f32::INFINITY; len],
+            ];
+            for p in [0.0, 0.3] {
+                let drop = Dropout::new(p, &StdRng::seed_from_u64(len as u64)).unwrap();
+                for (k, x) in lanes.iter().enumerate() {
+                    for visible in [len, len.div_ceil(2), 1, 0] {
+                        assert_eq!(
+                            dispatched(None, x, visible, &drop),
+                            dispatched(Some(isa), x, visible, &drop),
+                            "lane {k} of {len}, {visible} visible, p = {p}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -55,6 +55,7 @@ mod error;
 pub mod fused;
 pub mod half;
 pub mod into_ops;
+mod isa;
 pub mod lanes;
 mod layout;
 pub mod matmul;

@@ -68,15 +68,17 @@
 //!   keeps the rows of C a block touches within a few dozen pages, so the
 //!   walk down a 16-column panel stays in the TLB.
 //! * **The 512-bit tile.** On a host with AVX-512F — detected at run time,
-//!   once per call, and carried as a token only the detection makes — the
+//!   once per call, and carried as a token only the detection makes
+//!   ([`crate::isa`]) — the
 //!   block loop takes `kernel_wide` wherever two whole panels remain: the
 //!   same slab against two adjacent panels, an `R×2NR` tile whose rows are
 //!   two `zmm` each, twelve accumulators, two panel loads and six
 //!   broadcasts a step at `MR = 6` — twice the work of a `ymm` step in the
 //!   same registers (EXPERIMENTS.md, "The one GEMM on 512-bit lanes"). It is
-//!   compiled under `#[target_feature(enable = "avx512f")]` whatever the
-//!   build targets; the last odd or partial panel, and every panel on a
-//!   host without the feature, runs `kernel`. The packs, the slab heights
+//!   inlined, with the load and store of its C tile, into an instantiation
+//!   of the crate's one function compiled for AVX-512F, whatever the build
+//!   targets; the last odd or partial panel, and every panel on a host
+//!   without the feature, runs `kernel`. The packs, the slab heights
 //!   and `MC`/`KC`/`NC` are the same for both; the two panels reach the
 //!   kernel as one run, so no operand of it is read off the stack.
 //! * **The kernel is a function of its own.** `kernel` takes two packed
@@ -116,6 +118,8 @@
 //!   strided A would have packed, in the same order.
 
 use std::cell::RefCell;
+
+use crate::isa::Avx512;
 
 /// Rows of the register tile: the height of a whole packed A slab.
 pub const MR: usize = 6;
@@ -922,33 +926,10 @@ fn pack_columns<'a, const W: usize, I: Iterator<Item = &'a f32>>(
     }
 }
 
-/// The 512-bit tile's licence: an [`Avx512`] exists only where
-/// `is_x86_feature_detected!("avx512f")` said yes — nothing outside this
-/// module can make one — so [`accumulate`]'s one call into code compiled
-/// for AVX-512 is sound by construction.
-mod isa {
-    /// Proof that the host runs AVX-512F: made by [`Avx512::detect`] alone.
-    #[derive(Debug, Clone, Copy)]
-    pub(super) struct Avx512(());
-
-    impl Avx512 {
-        /// The host's licence, or `None` without AVX-512F (or off x86-64).
-        pub(super) fn detect() -> Option<Self> {
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Some(Avx512(()));
-            }
-            None
-        }
-    }
-}
-use isa::Avx512;
-
-/// One tile of C at `at` against one slab: [`accumulate_wide`]'s `R×2NR`
-/// over the two panels of `panels` under a licence, else an `R×NR` one
-/// through [`kernel`] over its one panel ([`in_c`]).
-#[allow(unsafe_code)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_unsafe))]
+/// One tile of C at `at` against one slab: an `R×2NR` one over the two
+/// panels of `panels` through [`kernel_wide`] under a licence, compiled
+/// for 512-bit lanes ([`Avx512::run`]), else an `R×NR` one through
+/// [`kernel`] over its one panel ([`in_c`]).
 #[inline(always)]
 fn accumulate<const R: usize>(
     wide: Option<Avx512>,
@@ -959,25 +940,23 @@ fn accumulate<const R: usize>(
     from_zero: bool,
 ) {
     match wide {
-        // SAFETY: `accumulate_wide` needs AVX-512F, and an `Avx512` is made
-        // only by `Avx512::detect`, after `is_x86_feature_detected!("avx512f")`
-        // found it on the CPU this process runs on.
-        Some(_) => unsafe { accumulate_wide::<R>(slab, panels, c, at, from_zero) },
+        // the tile's load and store at 512 bits too, around the kernel's
+        // own instantiation: a C row stored as two `ymm` and reloaded as
+        // one `zmm` would miss store forwarding
+        Some(isa) => isa.run(
+            #[inline(always)]
+            move || {
+                in_c::<R, NW>(
+                    c,
+                    at,
+                    from_zero,
+                    #[inline(always)]
+                    |acc| kernel_wide::<R>(slab, panels, acc),
+                )
+            },
+        ),
         None => in_c::<R, NR>(c, at, from_zero, |acc| kernel::<R>(slab, panels, acc)),
     }
-}
-
-/// One `R×2NR` tile of C at `(ir, jc)` against one slab and two panels,
-/// compiled for 512-bit lanes; called through [`accumulate`] alone.
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx512f"))]
-fn accumulate_wide<const R: usize>(
-    slab: &[f32],
-    panels: &[f32],
-    c: &mut MatMut<'_>,
-    at: (usize, usize, usize),
-    from_zero: bool,
-) {
-    in_c::<R, NW>(c, at, from_zero, |acc| kernel_wide::<R>(slab, panels, acc));
 }
 
 /// Runs `kernel` over an `R×W` tile of C at `(ir, jc)`: the accumulators
@@ -1048,15 +1027,17 @@ fn kernel<const R: usize>(slab: &[f32], panel: &[f32], acc: &mut [[f32; NR]; R])
 /// [`kernel`] on 512-bit lanes, its arithmetic element for element: row `r`
 /// of the `R×2NR` tile is two `zmm` accumulators, lanes `..NR` against the
 /// first panel of `panels` and lanes `NR..` against the second, which
-/// starts at the run's middle — one slice, so every operand reaches the
-/// kernel in a register.
-#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx512f"))]
-#[inline(never)]
+/// starts at the run's middle. Inlined into its instantiation of
+/// `isa::wide`, whose operands arrive through the closure that carries
+/// them: the tile is copied into a local first, which nothing else can
+/// alias, so its rows stay in registers down the depth.
+#[inline(always)]
 fn kernel_wide<const R: usize>(slab: &[f32], panels: &[f32], acc: &mut [[f32; NW]; R]) {
     let (b0, b1) = panels.split_at(panels.len() / 2);
     let b = b0.chunks_exact(NR).zip(b1.chunks_exact(NR));
+    let mut tile = *acc;
     for (a_k, (b0_k, b1_k)) in slab.chunks_exact(R).zip(b) {
-        for (row, &a_rk) in acc.iter_mut().zip(a_k) {
+        for (row, &a_rk) in tile.iter_mut().zip(a_k) {
             for (half, b_k) in row.chunks_exact_mut(NR).zip([b0_k, b1_k]) {
                 for (v, &b_kj) in half.iter_mut().zip(b_k) {
                     *v = a_rk.mul_add(b_kj, *v);
@@ -1064,6 +1045,7 @@ fn kernel_wide<const R: usize>(slab: &[f32], panels: &[f32], acc: &mut [[f32; NW
             }
         }
     }
+    *acc = tile;
 }
 
 /// The strides of a batch of matrices inside one slice: slice `g`, row
