@@ -1257,16 +1257,12 @@ impl CompiledArena {
     }
 }
 
-/// Whether a word of `data` the path `(base, dims)` reaches carries the
+/// Whether a word of `data` the path `(at, dims)` reaches carries the
 /// poison (either sign), the outermost loop first.
-fn reaches_poison(data: &[f32], base: u64, dims: &[(u64, u64)]) -> bool {
-    let poison = |at: u64| data[at as usize].abs().to_bits() == POISON.to_bits();
+fn reaches_poison(data: &[f32], at: u64, dims: &[(u64, u64)]) -> bool {
     match dims {
-        [] => poison(base),
-        [(n, stride)] => (0..*n).any(|i| poison(base + i * stride)),
-        [(n, stride), inner @ ..] => {
-            (0..*n).any(|i| reaches_poison(data, base + i * stride, inner))
-        }
+        [] => data[at as usize].abs().to_bits() == POISON.to_bits(),
+        [(n, s), inner @ ..] => (0..*n).any(|i| reaches_poison(data, at + i * s, inner)),
     }
 }
 
@@ -1473,32 +1469,23 @@ fn compile_step(
     // what the step's access facts say it reads of the slab and the record
     // that some earlier step wrote: the words its paths reach, not their
     // hulls (a causal step never reads the half of a lane past its
-    // query). A container the step's own relayout defines is read after
-    // it (the relayout comes first), and one it gathers from the caller's
-    // slice is not read from the arena at all.
-    let gathered = |data: &NodeId| {
-        relayouts
-            .iter()
-            .any(|(from, _, r)| from.is_some() && r.data == *data)
-    };
-    let mut materialized = Vec::new();
-    let reads = (step_accesses(graph, step).accesses.into_iter())
-        .filter_map(|a| match a.kind {
-            AccessKind::Materialize => {
-                materialized.push(a.data);
-                None
-            }
-            AccessKind::Read
-                if a.bound() && !materialized.contains(&a.data) && !gathered(&a.data) =>
+    // query). A container the step relays out is read after its relayout
+    // (which comes first), and one it gathers from the caller's slice is
+    // not read from the arena at all.
+    let gathered = relayouts.iter().filter(|(from, ..)| from.is_some());
+    let mut fresh: Vec<NodeId> = gathered.map(|(.., r)| r.data).collect();
+    let mut reads = Vec::new();
+    for a in step_accesses(graph, step).accesses {
+        match (a.kind, place_of.get(&a.data)) {
+            (AccessKind::Materialize, _) => fresh.push(a.data),
+            (AccessKind::Read, Some(&place @ (Place::Slab(_) | Place::Record(_))))
+                if a.bound() && !fresh.contains(&a.data) =>
             {
-                match *place_of.get(&a.data)? {
-                    Place::Borrowed(..) => None,
-                    place => Some((place, a.path, a.name)),
-                }
+                reads.push((place, a.path, a.name))
             }
-            _ => None,
-        })
-        .collect();
+            _ => {}
+        }
+    }
     let lanes = |n| BufView { off: 0, len: n };
     let stats = match low.stats {
         Some((Stats::Writes(out), n)) => {

@@ -59,7 +59,7 @@
 use crate::axes::{Axis, Shape};
 use crate::einsum::EinsumSpec;
 use crate::error::{Result, TensorError};
-use crate::isa::{self, Avx512};
+use crate::isa;
 use crate::lanes::{self, on_run, Dropout, LaneAt, Panel, Run, Walk, PANELS, W};
 use crate::layout::{Layout, MAX_RANK};
 use crate::matmul::{
@@ -1044,7 +1044,6 @@ pub fn tile_into(
 ) {
     let (f, tile_rows) = (&plan.first, plan.tile_rows);
     let (m, n, k) = (f.m, f.n, f.k);
-    let isa = Avx512::detect();
     let causal = match *tail {
         RowTail::Softmax { causal, .. } => causal,
         _ => None,
@@ -1103,92 +1102,72 @@ pub fn tile_into(
             let depth = seen(r0, rows);
             // the row tails, in one out-of-line instantiation at the
             // widest ISA the host has
-            isa::widest(
-                isa,
-                #[inline(always)]
-                || {
-                    for r in 0..rows {
-                        let x = &mut tile[r * n..][..n];
-                        let at = LaneAt {
-                            base: (row0 + r) * n,
-                            stride: 1,
-                            step: 0,
-                            len: n,
-                        };
-                        // row `row0 + r`'s one bias word, read at every column
-                        let bias_at = LaneAt {
-                            base: row0 + r,
-                            stride: 0,
-                            step: 0,
-                            len: n,
-                        };
-                        match tail {
-                            RowTail::BiasActDrop {
-                                bias,
-                                kind,
-                                pre_activation,
-                                out,
-                                mask,
-                            } => lanes::brd_lane(
-                                &*x,
-                                &bias_at.strided(bias),
-                                *kind,
-                                (drop, at.base),
-                                at.unit_mut(pre_activation),
-                                at.unit_mut(out),
-                                at.unit_mut(mask),
-                            ),
-                            RowTail::BiasDropResidual {
-                                bias,
-                                residual,
-                                mask,
-                                out,
-                            } => lanes::bdr_lane(
-                                &*x,
-                                &bias_at.strided(bias),
-                                at.unit(residual),
-                                (drop, at.base),
-                                at.unit_mut(mask),
-                                at.unit_mut(out),
-                            ),
-                            RowTail::BiasSoftmax { bias, out } => {
-                                // the bias lands in the tile, where the softmax reads it
-                                lanes::acc_lane(&bias[..n], x);
-                                lanes::softmax_lane::<1, _, _, _>(
-                                    &*x,
-                                    1.0,
-                                    n,
-                                    at.unit_mut(out),
-                                    &mut (),
-                                );
-                            }
-                            RowTail::Softmax { scaler, .. } => {
-                                // a lane ends at its last visible column; the weights
-                                // past it, up to where the second product stops
-                                // reading, are `+0`
-                                let t = then
-                                    .as_mut()
-                                    .expect("a softmax tail runs ahead of a contraction");
-                                let visible = seen(r0 + r, 1);
-                                let (row, hidden) =
-                                    t.weights[r * n..][..depth].split_at_mut(visible);
-                                // slice `g`'s rows come after `g` whole slices
-                                let before = |q| visible_before(causal, q, n);
-                                let mut tail = lanes::DroppedInPlace {
-                                    drop,
-                                    at: g * before(m) + before(r0 + r),
-                                    step: visible,
-                                };
-                                let x = &x[..visible];
-                                lanes::softmax_lane::<1, _, _, _>(
-                                    x, *scaler, visible, row, &mut tail,
-                                );
-                                hidden.fill(0.0);
-                            }
-                        }
+            isa::widest!(for r in 0..rows {
+                let (x, at) = (&mut tile[r * n..][..n], (row0 + r) * n);
+                // row `row0 + r`'s one bias word, read at every column
+                let bias_at = LaneAt {
+                    base: row0 + r,
+                    stride: 0,
+                    step: 0,
+                    len: n,
+                };
+                match tail {
+                    RowTail::BiasActDrop {
+                        bias,
+                        kind,
+                        pre_activation,
+                        out,
+                        mask,
+                    } => lanes::brd_lane(
+                        &*x,
+                        &bias_at.strided(bias),
+                        *kind,
+                        (drop, at),
+                        &mut pre_activation[at..][..n],
+                        &mut out[at..][..n],
+                        &mut mask[at..][..n],
+                    ),
+                    RowTail::BiasDropResidual {
+                        bias,
+                        residual,
+                        mask,
+                        out,
+                    } => lanes::bdr_lane(
+                        &*x,
+                        &bias_at.strided(bias),
+                        &residual[at..][..n],
+                        (drop, at),
+                        &mut mask[at..][..n],
+                        &mut out[at..][..n],
+                    ),
+                    RowTail::BiasSoftmax { bias, out } => {
+                        // the bias lands in the tile, where the softmax reads it
+                        lanes::acc_lane(&bias[..n], x);
+                        let out = &mut out[at..][..n];
+                        lanes::softmax_lane::<1, _, _, _>(&*x, 1.0, n, out, &mut ());
                     }
-                },
-            );
+                    RowTail::Softmax { scaler, .. } => {
+                        // a lane ends at its last visible column; the weights
+                        // past it, up to where the second product stops
+                        // reading, are `+0`
+                        let t = then
+                            .as_mut()
+                            .expect("a softmax tail runs ahead of a contraction");
+                        let visible = seen(r0 + r, 1);
+                        let (row, hidden) = t.weights[r * n..][..depth].split_at_mut(visible);
+                        // slice `g`'s rows come after `g` whole slices
+                        let before = |q| visible_before(causal, q, n);
+                        let mut tail = lanes::DroppedInPlace {
+                            drop,
+                            at: g * before(m) + before(r0 + r),
+                            step: visible,
+                        };
+                        let x = &x[..visible];
+                        lanes::softmax_lane::<1, _, _, _>(x, *scaler, visible, row, &mut tail);
+                        hidden.fill(0.0);
+                    }
+                }
+            });
             if let Some(t) = &mut then {
                 let chain = tail.out().map_or(&*t.weights, |out| &out[row0 * n..]);
                 let (at, panels, pn) = (t.at, &*t.panels, t.plan.n);
@@ -1390,10 +1369,9 @@ fn visible_before(causal: Option<usize>, q: usize, len: usize) -> usize {
 /// the query axis named) masks key positions beyond each lane's query
 /// index to exact zeros (the unfused masked softmax).
 pub fn softmax_into(s: &Sweep, x: &[f32], scaler: f32, causal: Option<usize>, out: &mut [f32]) {
-    let isa = Avx512::detect();
     s.for_each_run(|run, _, q, [xa, oa]| {
         let visible = visible_of(causal, q, xa.len);
-        on_run!(wide isa, run, N, P, [x @ xa], [out @ oa] =>
+        on_run!(wide run, N, P, [x @ xa], [out @ oa] =>
             lanes::softmax_lane::<N, _, _, _>(x, scaler, visible, out, &mut ()));
     });
 }
@@ -1413,11 +1391,10 @@ pub fn sm_into(
     alpha: &mut [f32],
     mask: &mut [f32],
 ) {
-    let isa = Avx512::detect();
     s.for_each_run(|run, l, q, [xa, sa, aa, ma]| {
         let visible = visible_of(causal, q, xa.len);
         let at = s.start(l, q, causal);
-        on_run!(wide isa, run, N, P, [x @ xa], [softmax @ sa, alpha @ aa, mask @ ma] => {
+        on_run!(wide run, N, P, [x @ xa], [softmax @ sa, alpha @ aa, mask @ ma] => {
             let mut tail = lanes::Dropped { alpha, mask, drop, at, step: visible };
             lanes::softmax_lane::<N, _, _, _>(x, scaler, visible, softmax, &mut tail)
         });
@@ -1668,16 +1645,11 @@ pub fn bdrb_act_into(
     dx: &mut [f32],
     dbias: &mut [f32],
 ) {
-    let isa = Avx512::detect();
     s.for_each_lane(|unit, _, [ga, ma, pa, xa, ba]| {
         let acc = &mut ba.strided_mut(dbias);
         if unit {
             let (dy, mask, pre, dx) = (ga.unit(dy), ma.unit(mask), pa.unit(pre), xa.unit_mut(dx));
-            isa::widest(
-                isa,
-                #[inline(always)]
-                || lanes::bdrb_lane(dy, mask, Some((pre, kind)), dx, acc),
-            );
+            isa::widest!(lanes::bdrb_lane(dy, mask, Some((pre, kind)), dx, acc));
         } else {
             let (dy, mask, pre) = (&ga.strided(dy), &ma.strided(mask), &pa.strided(pre));
             lanes::bdrb_lane(dy, mask, Some((pre, kind)), &mut xa.strided_mut(dx), acc);
@@ -1715,24 +1687,16 @@ pub fn brd_act_into(
     out: &mut [f32],
     mask: &mut [f32],
 ) {
-    let isa = Avx512::detect();
     s.for_each_lane(|unit, at, [xa, ba, pa, oa, ma]| {
         let bias = &ba.strided(bias);
         if unit {
             let (x, pre) = (xa.unit(x), pa.unit_mut(pre_activation));
             let (out, mask) = (oa.unit_mut(out), ma.unit_mut(mask));
-            isa::widest(
-                isa,
-                #[inline(always)]
-                || lanes::brd_lane(x, bias, kind, (drop, at), pre, out, mask),
-            );
+            isa::widest!(lanes::brd_lane(x, bias, kind, (drop, at), pre, out, mask));
         } else {
-            let (pre, out) = (
-                &mut pa.strided_mut(pre_activation),
-                &mut oa.strided_mut(out),
-            );
-            let mask = &mut ma.strided_mut(mask);
-            lanes::brd_lane(&xa.strided(x), bias, kind, (drop, at), pre, out, mask);
+            let (x, pre) = (&xa.strided(x), &mut pa.strided_mut(pre_activation));
+            let (out, mask) = (&mut oa.strided_mut(out), &mut ma.strided_mut(mask));
+            lanes::brd_lane(x, bias, kind, (drop, at), pre, out, mask);
         }
     });
 }

@@ -8,12 +8,13 @@
 //! time is [`crate::lanes::exp`]'s element rate: the contiguous softmax
 //! lane (the attention region's and the head's row tails, `Kernel::Sm`'s
 //! `Walk::Lane`), BRD's GELU and BDRB's GELU′ (`into_ops`). Each reaches
-//! 512-bit code the same way: its driver hands a closure to [`widest`] (the
-//! GEMM, which has a tile of its own for 256-bit lanes, to
-//! [`Avx512::run`]), and the closure — marked `#[inline(always)]`, as is
-//! every body it calls — is inlined into one out-of-line instantiation of
-//! [`wide`], the only function compiled under `#[target_feature(enable =
-//! "avx512f")]`, or of [`narrow`], compiled for the build's ISA.
+//! 512-bit code the same way: its driver hands its loop to [`widest!`],
+//! which wraps it in an `#[inline(always)]` closure (the GEMM, which has a
+//! tile of its own for 256-bit lanes, hands one to [`Avx512::run`]
+//! itself), and the closure — with every body it calls, each
+//! `#[inline(always)]` too — is inlined into one out-of-line instantiation
+//! of [`wide`], the only function compiled under `#[target_feature(enable
+//! = "avx512f")]`, or of [`narrow`], compiled for the build's ISA.
 //!
 //! What is inlined matters: a body left out of line keeps the build's ISA,
 //! and one out of line *under* the feature — the attribute on a leaf body
@@ -66,14 +67,28 @@ impl Avx512 {
 /// `body` out of line at the widest ISA `isa` allows: compiled for
 /// AVX-512F under a licence, for the build's ISA without one. Hand it an
 /// `#[inline(always)]` closure over `#[inline(always)]` bodies — anything
-/// left out of line runs at the build's ISA.
+/// left out of line runs at the build's ISA — as [`widest!`] does.
 #[inline(always)]
-pub(crate) fn widest<R>(isa: Option<Avx512>, body: impl FnOnce() -> R) -> R {
+pub(crate) fn dispatch<R>(isa: Option<Avx512>, body: impl FnOnce() -> R) -> R {
     match isa {
         Some(isa) => isa.run(body),
         None => narrow(body),
     }
 }
+
+/// `$body`, an expression over `#[inline(always)]` bodies, run out of line
+/// at the widest ISA the host has: wrapped in the `#[inline(always)]`
+/// closure [`dispatch`] needs, under the licence [`Avx512::detect`] finds.
+macro_rules! widest {
+    ($body:expr) => {
+        $crate::isa::dispatch(
+            $crate::isa::Avx512::detect(),
+            #[inline(always)]
+            || $body,
+        )
+    };
+}
+pub(crate) use widest;
 
 /// The out-of-line instantiation of a body at the build's ISA.
 #[inline(never)]

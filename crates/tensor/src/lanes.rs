@@ -163,11 +163,10 @@
 //! host has AVX-512F the ones whose time is [`exp`]'s element rate run on
 //! 512-bit lanes too: the contiguous softmax ([`Walk::Lane`]'s plain and
 //! fused softmax, the attention region's and the head's row tails), BRD's
-//! GELU and BDRB's GELU′ over a contiguous lane. A driver hands
-//! `crate::isa` a closure over its loop — a tile's rows, or one run of a
-//! sweep (`on_run!`'s `wide` form) — and the bodies it calls are
-//! `#[inline(always)]`, so each is inlined whole into one out-of-line
-//! instantiation a width; `tools/kernel_asm.sh` reads both for their
+//! GELU and BDRB's GELU′ over a contiguous lane. A driver hands its loop
+//! — a tile's rows, or one run of a sweep (`on_run!`'s `wide` form) — to
+//! `crate::isa::widest!`, and the bodies it calls are `#[inline(always)]`,
+//! so each is inlined whole into one out-of-line instantiation a width; `tools/kernel_asm.sh` reads both for their
 //! vectors and for calls left inside their loops. The norm bodies and the
 //! panel softmax are never handed there: a whole-crate AVX-512F build ran
 //! them slower (EXPERIMENTS.md, "Softmax and GELU on 512-bit lanes"). The
@@ -270,6 +269,8 @@ impl<D: Deref<Target = [f32]>> Lane for Strided<D> {
         match self.stride {
             0 => [self.data[0]; BLOCK],
             1 => self.data.load(v0, n),
+            // a loop, not `array::from_fn`: its closure stayed out of line
+            // in the 512-bit instantiations, a call a block
             _ => {
                 let mut block = [0.0; BLOCK];
                 for (k, word) in block[..n].iter_mut().enumerate() {
@@ -1516,18 +1517,17 @@ impl Run {
 /// the stack, so a lane's is one). Gathered operands (a broadcast bias, γ,
 /// β, the statistics) are the caller's to pass through.
 ///
-/// Led by `wide $isa,` (an `Option<Avx512>`), each evaluation is an
-/// out-of-line instantiation of its own: a contiguous lane's at the widest
-/// ISA `$isa` allows (`isa::widest`), every other walk's at the build's
-/// (`isa::narrow`) — for an `#[inline(always)]` body, the softmax's.
+/// Led by `wide`, each evaluation is an out-of-line instantiation of its
+/// own: a contiguous lane's at the widest ISA the host has
+/// (`isa::widest!`), every other walk's at the build's (`isa::narrow`) —
+/// for an `#[inline(always)]` body, the softmax's.
 macro_rules! on_run {
     ($run:expr, $w:ident, $p:ident, $reads:tt, $writes:tt => $call:expr) => {
         $crate::lanes::on_run!(@ $run, $w, $p, $reads, $writes => ($call), ($call))
     };
-    (wide $isa:expr, $run:expr, $w:ident, $p:ident, $reads:tt, $writes:tt => $call:expr) => {
+    (wide $run:expr, $w:ident, $p:ident, $reads:tt, $writes:tt => $call:expr) => {
         $crate::lanes::on_run!(@ $run, $w, $p, $reads, $writes =>
-            ($crate::isa::widest($isa, #[inline(always)] || $call)),
-            ($crate::isa::narrow(#[inline(always)] || $call)))
+            ($crate::isa::widest!($call)), ($crate::isa::narrow(#[inline(always)] || $call)))
     };
     (@ $run:expr, $w:ident, $p:ident, [$($r:ident @ $ra:expr),*], [$($m:ident @ $ma:expr),*]
         => $lane:expr, $other:expr) => {
@@ -1775,7 +1775,7 @@ mod tests {
 
     /// What each body the ISA dispatch runs on 512-bit lanes makes of lane
     /// `x` — `visible` positions seen, masks keyed by `drop` — under the
-    /// instantiation `isa` picks (`isa::widest`), as bits: the softmax with
+    /// instantiation `isa` picks (`isa::dispatch`), as bits: the softmax with
     /// each tail (plain; the region's dropout in place; SM's beside the
     /// saved softmax; the head's bias on the way in), BRD under GELU and
     /// ReLU, BDR, and BDRB under GELU′ into a bias lane and into one word.
@@ -1790,7 +1790,7 @@ mod tests {
             step: 0,
             len,
         };
-        isa::widest(
+        isa::dispatch(
             isa,
             #[inline(always)]
             || {

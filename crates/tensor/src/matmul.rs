@@ -69,10 +69,9 @@
 //!   walk down a 16-column panel stays in the TLB.
 //! * **The 512-bit tile.** On a host with AVX-512F — detected at run time,
 //!   once per call, and carried as a token only the detection makes
-//!   ([`crate::isa`]) — the
-//!   block loop takes `kernel_wide` wherever two whole panels remain: the
-//!   same slab against two adjacent panels, an `R×2NR` tile whose rows are
-//!   two `zmm` each, twelve accumulators, two panel loads and six
+//!   (`crate::isa`) — the block loop takes `kernel_wide` wherever two
+//!   whole panels remain: the same slab against two adjacent panels, an
+//!   `R×2NR` tile whose rows are two `zmm` each, twelve accumulators, two panel loads and six
 //!   broadcasts a step at `MR = 6` — twice the work of a `ymm` step in the
 //!   same registers (EXPERIMENTS.md, "The one GEMM on 512-bit lanes"). It is
 //!   inlined, with the load and store of its C tile, into an instantiation

@@ -22,8 +22,8 @@
 #       `kernel`;
 #   (d) a lane driver's instantiation at the build's ISA (`isa::narrow`
 #       over a closure of `into_ops::{tile_into, softmax_into, sm_into,
-#       bias_softmax_into, brd_act_into, bdrb_act_into}` that `isa::widest`
-#       also instantiates wide: the attention region's and the head's row
+#       brd_act_into, bdrb_act_into}` that `isa::widest!` also
+#       instantiates wide: the attention region's and the head's row
 #       tails, `Walk::Lane`'s softmax, BRD's GELU, BDRB's GELU′) holds no
 #       ymm `vmaxps`, `vaddps` or `vmulps`, or its twin on 512-bit lanes
 #       (`isa::wide` over the same closure) no zmm ones, or either holds a
@@ -34,7 +34,7 @@
 #       word at a time, and a call there is a tail, a view, `exp` or GELU
 #       left out of line — in the wide instantiation compiled for the
 #       build's ISA, a call a position (EXPERIMENTS.md, "Softmax and GELU on
-#       512-bit lanes"); and every one of those six drivers has both;
+#       512-bit lanes"); and every one of those five drivers has both;
 #   (e) a GEMM tile symbol holds a memory operand on `%rsp` or `%rbp` — an
 #       accumulator spilled to the stack: at `MR×NR = 6×16` fifteen of the
 #       sixteen `ymm` are live, at `MR×2NR` thirteen `zmm`, and a spill
@@ -88,7 +88,7 @@ asm="$(ls "$out"/release/deps/xform_tensor-*.s)"
 # the slab heights, as v0 mangling spells a `usize` const argument (hex)
 mr="$(sed -n 's/^pub const MR: usize = \([0-9]*\);.*/\1/p' "$src")"
 heights="$(printf '%x 4 2 1' "$mr")"
-# the lane drivers `isa::widest` instantiates at both widths, as v0 spells
+# the lane drivers `isa::widest!` instantiates at both widths, as v0 spells
 # their names
 drivers="9tile_into 12softmax_into 7sm_into 12brd_act_into 13bdrb_act_into"
 
@@ -199,7 +199,7 @@ awk -v print_them="${1:-}" -v heights="$heights" -v drivers="$drivers" '
         if (x in bad) { print x ":" bad[x]; lane_bad = 1 }
       }
     }
-    for (i = 1; i <= nd; i++) if (!(d[i] in of)) { print "no wide instantiation of into_ops::" substr(d[i], match(d[i], /[a-z]/)) " beside its narrow one: does it still hand its lanes to isa::widest?"; lane_bad = 1 }
+    for (i = 1; i <= nd; i++) if (!(d[i] in of)) { print "no wide instantiation of into_ops::" substr(d[i], match(d[i], /[a-z]/)) " beside its narrow one: does it still hand its lanes to isa::widest!?"; lane_bad = 1 }
     if (lane_bad) { print "a lane driver'"'"'s instantiation lost its width, runs a pass a word at a time or calls out of line inside a loop (see above)"; exit 1 }
     if (norms < 2) { print "found " norms + 0 " instantiations of lanes::norm_lane at W = 16, not 2 (LN, BDRLN): is it still #[inline(never)]?"; exit 1 }
     if (norm_narrow) { print "a storage-order norm body lost its width (see above)"; exit 1 }
